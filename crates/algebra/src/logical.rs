@@ -3,7 +3,6 @@
 use std::fmt;
 
 use dqep_catalog::{Catalog, RelationId};
-use serde::{Deserialize, Serialize};
 
 use crate::predicate::{JoinPred, SelectPred};
 use crate::properties::RelSet;
@@ -16,7 +15,7 @@ use crate::types::HostVar;
 /// equi-join. Projections are implicit (every operator passes all columns
 /// through); the paper's experiments likewise use selections and joins
 /// only.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogicalExpr {
     /// Retrieve all records of a stored relation.
     Get {

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use dqep_catalog::{AttrId, IndexId, RelationId};
-use serde::{Deserialize, Serialize};
 
 use crate::predicate::{JoinPred, SelectPred};
 use crate::properties::SortOrder;
@@ -29,7 +28,7 @@ use crate::properties::SortOrder;
 /// * `ChoosePlan` has two or more children, all computing the same result;
 ///   at start-up-time its decision procedure re-evaluates the alternatives'
 ///   cost functions under the actual bindings and runs the cheapest child.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalOp {
     /// Sequential scan of a stored relation.
     FileScan {

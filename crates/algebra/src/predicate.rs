@@ -3,12 +3,11 @@
 use std::fmt;
 
 use dqep_catalog::AttrId;
-use serde::{Deserialize, Serialize};
 
 use crate::types::{CompareOp, HostVar};
 
 /// The right-hand side of a selection predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scalar {
     /// A literal integer constant known at compile-time.
     Const(i64),
@@ -28,7 +27,7 @@ impl fmt::Display for Scalar {
 }
 
 /// A single-attribute selection predicate `attr OP rhs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SelectPred {
     /// The attribute being restricted.
     pub attr: AttrId,
@@ -83,7 +82,7 @@ impl fmt::Display for SelectPred {
 
 /// An equi-join predicate `left = right` between attributes of two
 /// different relations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JoinPred {
     /// Attribute of one side.
     pub left: AttrId,

@@ -11,14 +11,13 @@
 use std::fmt;
 
 use dqep_catalog::{AttrId, RelationId};
-use serde::{Deserialize, Serialize};
 
 /// A set of base relations, as a 64-bit bitset over [`RelationId`]s.
 ///
 /// Memo groups are logically fingerprinted by the relation set they cover;
 /// queries of up to 64 relations are supported (the paper's largest query
 /// joins 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RelSet(u64);
 
 impl RelSet {
@@ -113,7 +112,7 @@ impl fmt::Display for RelSet {
 }
 
 /// A physical sort order: unsorted, or sorted ascending on one attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SortOrder {
     /// No particular order.
     #[default]
@@ -157,7 +156,7 @@ impl fmt::Display for SortOrder {
 /// Currently sort order only; the type exists so additional properties
 /// (partitioning, location) can be added without touching the search
 /// engine's signatures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PhysProps {
     /// Sort order.
     pub order: SortOrder,

@@ -2,11 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 /// A runtime scalar value. The experimental schema is integer-valued;
 /// strings are supported for realistic example applications.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),
@@ -53,7 +52,7 @@ impl fmt::Display for Value {
 /// Host variables are the canonical source of compile-time cost
 /// incomparability: the selectivity of a predicate over `:x` cannot be
 /// estimated until `:x` is bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostVar(pub u32);
 
 impl fmt::Display for HostVar {
@@ -63,7 +62,7 @@ impl fmt::Display for HostVar {
 }
 
 /// Comparison operator of a selection predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     /// `<`
     Lt,

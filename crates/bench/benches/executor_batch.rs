@@ -1,14 +1,12 @@
-//! Executor bench: tuple vs batch execution over the same plans.
+//! Executor bench: the execution engine over the standard plans.
 //!
-//! Four cases — sequential scan, scan+filter, in-memory hash join, and
-//! the paper's query 3 — each measured in both execution modes. The
-//! `bench_executor` binary runs the same cases and writes
-//! `BENCH_executor.json`; this bench exists so `cargo bench` exercises
-//! the comparison too.
+//! Five cases — sequential scan, scan+filter, in-memory hash join,
+//! in-memory sort, and the paper's query 3. The `bench_executor` binary
+//! runs the same cases and writes `BENCH_executor.json`; this bench
+//! exists so `cargo bench` exercises them too.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dqep_bench::executor_bench::standard_cases;
-use dqep_executor::ExecMode;
 
 /// Scale is modest here: the criterion shim runs a fixed iteration
 /// count and every sample executes the full query.
@@ -18,11 +16,9 @@ fn bench(c: &mut Criterion) {
     let cases = standard_cases(SCALE, 11);
     let mut group = c.benchmark_group("executor_batch");
     for case in &cases {
-        for (mode, label) in [(ExecMode::Tuple, "tuple"), (ExecMode::Batch, "batch")] {
-            group.bench_function(format!("{}/{label}", case.name), |b| {
-                b.iter(|| case.run(mode));
-            });
-        }
+        group.bench_function(case.name, |b| {
+            b.iter(|| case.run());
+        });
     }
     group.finish();
 }

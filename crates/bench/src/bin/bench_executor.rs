@@ -1,17 +1,16 @@
-//! Executor benchmark runner: measures tuple vs batch execution and
-//! writes `BENCH_executor.json`.
+//! Executor benchmark runner: measures the execution engine over the
+//! standard cases and writes `BENCH_executor.json`.
 //!
 //! Usage: `bench_executor [--quick] [OUT_PATH]`
 //!
 //! `--quick` shrinks the tables and iteration count for CI smoke runs;
 //! `OUT_PATH` defaults to `BENCH_executor.json` in the current
-//! directory. The JSON is one object per (benchmark, mode) with
-//! rows/sec and ns/row, plus a batch-over-tuple speedup per benchmark.
+//! directory. The JSON is one object per benchmark with rows/sec and
+//! ns/row.
 
 use std::fmt::Write as _;
 
 use dqep_bench::executor_bench::{standard_cases, Measurement};
-use dqep_executor::ExecMode;
 
 fn main() {
     let mut quick = false;
@@ -25,86 +24,41 @@ fn main() {
     }
     let (scale, iters) = if quick { (10_000, 2) } else { (100_000, 5) };
 
-    println!("executor benchmark: scale={scale} rows, {iters} iterations per mode\n");
-    println!(
-        "{:<12} {:>14} {:>14} {:>14} {:>14} {:>9}",
-        "benchmark", "tuple rows/s", "batch rows/s", "tuple ns/row", "batch ns/row", "speedup"
-    );
+    println!("executor benchmark: scale={scale} rows, {iters} iterations\n");
+    println!("{:<12} {:>10} {:>14} {:>12}", "benchmark", "rows", "rows/s", "ns/row");
 
-    let mut entries: Vec<(String, Measurement, Measurement)> = Vec::new();
+    let mut entries: Vec<(String, Measurement)> = Vec::new();
     for case in standard_cases(scale, 11) {
         // paper_q3 is a fixed-size ~2 ms workload regardless of `scale`;
-        // at the standard iteration count its ratio is dominated by
-        // scheduler noise, so it gets a deeper sample.
+        // at the standard iteration count it is dominated by scheduler
+        // noise, so it gets a deeper sample.
         let case_iters = if case.name == "paper_q3" { iters * 20 } else { iters };
-        let tuple = case.measure(ExecMode::Tuple, case_iters);
-        let batch = case.measure(ExecMode::Batch, case_iters);
+        let m = case.measure(case_iters);
         println!(
-            "{:<12} {:>14.0} {:>14.0} {:>14.1} {:>14.1} {:>8.2}x",
-            case.name,
-            tuple.rows_per_sec,
-            batch.rows_per_sec,
-            tuple.ns_per_row,
-            batch.ns_per_row,
-            batch.rows_per_sec / tuple.rows_per_sec,
+            "{:<12} {:>10} {:>14.0} {:>12.1}",
+            case.name, m.rows, m.rows_per_sec, m.ns_per_row
         );
-        entries.push((case.name.to_string(), tuple, batch));
+        entries.push((case.name.to_string(), m));
     }
 
     let mut json = String::from("{\n  \"benchmarks\": [\n");
-    for (i, (name, tuple, batch)) in entries.iter().enumerate() {
-        let speedup = batch.rows_per_sec / tuple.rows_per_sec;
+    for (i, (name, m)) in entries.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"benchmark\": \"{name}\", \"rows\": {}, \
-             \"tuple\": {{\"rows_per_sec\": {:.0}, \"ns_per_row\": {:.2}}}, \
-             \"batch\": {{\"rows_per_sec\": {:.0}, \"ns_per_row\": {:.2}}}, \
-             \"batch_speedup\": {speedup:.3}}}",
-            tuple.rows,
-            tuple.rows_per_sec,
-            tuple.ns_per_row,
-            batch.rows_per_sec,
-            batch.ns_per_row,
+            "    {{\"benchmark\": \"{name}\", \"rows\": {}, \"rows_per_sec\": {:.0}, \
+             \"ns_per_row\": {:.2}}}",
+            m.rows, m.rows_per_sec, m.ns_per_row,
         );
         json.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
     }
     let _ = write!(
         json,
         "  ],\n  \"scale\": {scale},\n  \"iterations\": {iters},\n  \"unit_note\": \
-         \"ns_per_row normalizes wall time by result rows; simulated-time \
-         accounting is identical between modes\"\n}}\n"
+         \"ns_per_row normalizes wall time by result rows\"\n}}\n"
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("failed to write {out_path}: {e}");
         std::process::exit(1);
     }
     println!("\nwrote {out_path}");
-
-    // The scan-filter case is the vectorization headline: the batch path
-    // must clear 2x or the engine has regressed.
-    let scan_filter = entries
-        .iter()
-        .find(|(name, _, _)| name == "scan_filter")
-        .expect("scan_filter case present");
-    let speedup = scan_filter.2.rows_per_sec / scan_filter.1.rows_per_sec;
-    if speedup < 2.0 {
-        eprintln!("WARNING: scan_filter batch speedup {speedup:.2}x is below the 2x target");
-        if !quick {
-            std::process::exit(2);
-        }
-    }
-
-    // The columnar hash join (batched hashing + radix-partitioned build
-    // and probe) must clear 3x over the tuple-at-a-time path.
-    let hash_join = entries
-        .iter()
-        .find(|(name, _, _)| name == "hash_join")
-        .expect("hash_join case present");
-    let speedup = hash_join.2.rows_per_sec / hash_join.1.rows_per_sec;
-    if speedup < 3.0 {
-        eprintln!("WARNING: hash_join batch speedup {speedup:.2}x is below the 3x target");
-        if !quick {
-            std::process::exit(2);
-        }
-    }
 }

@@ -1,13 +1,10 @@
-//! Executor micro-benchmark fixtures: tuple vs batch execution over the
-//! same physical plans.
+//! Executor micro-benchmark fixtures: wall-clock cost of the execution
+//! engine over fixed physical plans.
 //!
 //! Shared by the criterion bench (`benches/executor_batch.rs`) and the
 //! `bench_executor` binary that emits `BENCH_executor.json`. Each case
-//! holds a generated database plus a physical plan and can be executed in
-//! either [`ExecMode`]; measurements report wall-clock rows/sec and
-//! ns/row, which isolates interpretation overhead — the simulated-time
-//! accounting is identical between modes by construction (the
-//! batch-parity tests pin that down).
+//! holds a generated database plus a physical plan; measurements report
+//! wall-clock rows/sec and ns/row.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -16,7 +13,7 @@ use dqep_algebra::{CompareOp, JoinPred, PhysicalOp, SelectPred};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Cost, Environment, PlanStats};
-use dqep_executor::{execute_plan_mode, ExecMode, ResourceLimits};
+use dqep_executor::{execute_plan_with, ResourceLimits};
 use dqep_harness::{paper_query, BindingSampler};
 use dqep_interval::Interval;
 use dqep_plan::{PlanNode, PlanNodeBuilder};
@@ -33,13 +30,12 @@ pub struct ExecBenchCase {
     bindings: Bindings,
 }
 
-/// Wall-clock measurement of one case in one mode.
+/// Wall-clock measurement of one case.
 #[derive(Debug, Clone, Copy)]
 pub struct Measurement {
     /// Result rows per execution.
     pub rows: u64,
-    /// Mean wall-clock nanoseconds per *input* row processed (we
-    /// normalize by result rows, the stable denominator across modes).
+    /// Mean wall-clock nanoseconds per result row.
     pub ns_per_row: f64,
     /// Result rows per second.
     pub rows_per_sec: f64,
@@ -51,15 +47,14 @@ impl ExecBenchCase {
     /// # Panics
     /// Panics if execution fails — benchmark plans run ungoverned against
     /// fault-free storage, so failure is a bug.
-    pub fn run(&self, mode: ExecMode) -> u64 {
-        let (summary, _) = execute_plan_mode(
+    pub fn run(&self) -> u64 {
+        let (summary, _) = execute_plan_with(
             &self.plan,
             &self.db,
             &self.catalog,
             &self.env,
             &self.bindings,
             ResourceLimits::unlimited(),
-            mode,
         )
         .expect("benchmark plan must execute");
         summary.rows
@@ -70,13 +65,13 @@ impl ExecBenchCase {
     /// # Panics
     /// As [`Self::run`]; also panics if the case returns zero rows (the
     /// normalization would be meaningless).
-    pub fn measure(&self, mode: ExecMode, iters: u32) -> Measurement {
+    pub fn measure(&self, iters: u32) -> Measurement {
         // One warm-up run, untimed.
-        let rows = self.run(mode);
+        let rows = self.run();
         assert!(rows > 0, "benchmark case {} produced no rows", self.name);
         let start = Instant::now();
         for _ in 0..iters.max(1) {
-            std::hint::black_box(self.run(mode));
+            std::hint::black_box(self.run());
         }
         let nanos = start.elapsed().as_nanos() as f64 / f64::from(iters.max(1));
         Measurement {
@@ -111,8 +106,8 @@ fn scan_case(rows: u64, seed: u64) -> ExecBenchCase {
 }
 
 /// Filter over a sequential scan, ~50% selectivity — the headline
-/// vectorization case: the batch path evaluates the predicate into a
-/// selection vector without copying rows.
+/// vectorization case: the predicate is evaluated into a selection
+/// vector without copying rows.
 fn scan_filter_case(rows: u64, seed: u64) -> ExecBenchCase {
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
         .relation("big", rows, 16, |r| r.attr("a", rows as f64).attr("b", 64.0))
@@ -169,8 +164,8 @@ fn hash_join_case(rows: u64, seed: u64) -> ExecBenchCase {
 }
 
 /// External sort over a sequential scan on a non-key attribute, with a
-/// memory grant large enough to sort in memory — the batch path fills
-/// the sort buffer column-wise and streams sorted output in batches.
+/// memory grant large enough to sort in memory — batched ingest, sorted
+/// output streamed in batches.
 fn sort_case(rows: u64, seed: u64) -> ExecBenchCase {
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
         .relation("big", rows, 16, |r| r.attr("a", rows as f64).attr("b", 64.0))
@@ -221,14 +216,11 @@ pub fn standard_cases(scale: u64, seed: u64) -> Vec<ExecBenchCase> {
 mod tests {
     use super::*;
 
-    /// Every case runs in both modes and produces identical row counts.
+    /// Every case executes and produces rows.
     #[test]
-    fn cases_execute_in_both_modes() {
+    fn cases_execute() {
         for case in standard_cases(2_000, 5) {
-            let t = case.run(ExecMode::Tuple);
-            let b = case.run(ExecMode::Batch);
-            assert_eq!(t, b, "{}: tuple and batch row counts differ", case.name);
-            assert!(t > 0, "{}: no rows", case.name);
+            assert!(case.run() > 0, "{}: no rows", case.name);
         }
     }
 }

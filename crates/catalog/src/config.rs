@@ -1,6 +1,5 @@
 //! Physical constants of the (simulated) machine.
 
-use serde::{Deserialize, Serialize};
 
 /// Physical constants used by the cost model, the access-module activation
 /// model, and the storage simulator.
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// plan comparisons are free of selectivity-estimation noise and host
 /// hardware. The storage simulator charges the same constants, so measured
 /// simulator times and predicted times are directly comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Page size in bytes.
     pub page_size: u32,

@@ -9,10 +9,9 @@
 //! genuinely unbound predicates as uncertain as before — sharpening
 //! exactly the decisions the choose-plan operator takes.
 
-use serde::{Deserialize, Serialize};
 
 /// An equi-width histogram over integer values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     min: i64,
     max: i64,

@@ -2,12 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::schema::AttrId;
 
 /// Identifier of an index within a catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IndexId(pub u32);
 
 impl fmt::Display for IndexId {
@@ -22,7 +21,7 @@ impl fmt::Display for IndexId {
 /// structures suitable for predicate evaluation", Section 6 — "unclustered"
 /// in modern terms); hash indexes are supported as an extension for
 /// equality predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexKind {
     /// Ordered B-tree index; supports range and equality predicates and
     /// delivers its key's sort order.
@@ -41,7 +40,7 @@ impl fmt::Display for IndexKind {
 }
 
 /// Metadata describing one index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IndexInfo {
     /// The key attribute.
     pub attr: AttrId,

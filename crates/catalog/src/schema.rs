@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::config::SystemConfig;
 use crate::histogram::Histogram;
@@ -11,7 +10,7 @@ use crate::index::{IndexId, IndexInfo};
 use crate::stats::RelationStats;
 
 /// Identifier of a relation within a [`Catalog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RelationId(pub u32);
 
 impl fmt::Display for RelationId {
@@ -21,7 +20,7 @@ impl fmt::Display for RelationId {
 }
 
 /// Identifier of an attribute: a relation plus an attribute position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttrId {
     /// The owning relation.
     pub relation: RelationId,
@@ -41,7 +40,7 @@ impl fmt::Display for AttrId {
 /// from `[0, domain_size)`; `domain_size` is the statistic the paper's join
 /// selectivity model divides by ("the cross product of the joined relations
 /// divided by the larger of the join attribute domain sizes", Section 6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attribute {
     /// Attribute name, unique within its relation.
     pub name: String,
@@ -68,7 +67,7 @@ impl Attribute {
 }
 
 /// A base relation: schema plus statistics plus its indexes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Relation {
     /// The relation's id, assigned by the catalog.
     pub id: RelationId,
@@ -147,7 +146,7 @@ impl fmt::Display for CatalogError {
 impl std::error::Error for CatalogError {}
 
 /// The catalog: all relations, indexes, and the system configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Catalog {
     relations: Vec<Relation>,
     indexes: Vec<IndexInfo>,

@@ -1,11 +1,10 @@
 //! Per-relation statistics used by the cost model.
 
-use serde::{Deserialize, Serialize};
 
 use crate::config::SystemConfig;
 
 /// Physical and statistical properties of a stored relation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelationStats {
     /// Number of records.
     pub cardinality: u64,

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::builder::CatalogBuilder;
 use crate::config::SystemConfig;
@@ -12,7 +11,7 @@ use crate::schema::Catalog;
 /// relations of 100–1,000 records of 512 bytes; attribute domain sizes of
 /// 0.2–1.25 × the relation's cardinality; unclustered B-trees on the
 /// selection attribute and on all join attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticSpec {
     /// Number of relations in the chain (`n`-way join needs `n`).
     pub n_relations: usize,

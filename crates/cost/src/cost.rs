@@ -4,7 +4,6 @@ use std::fmt;
 use std::ops::{Add, AddAssign};
 
 use dqep_interval::{Interval, PartialCmp};
-use serde::{Deserialize, Serialize};
 
 /// Anticipated query evaluation cost, in seconds, split into CPU and I/O
 /// components.
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// (CPU + I/O), matching the paper's single-measure experiments, while the
 /// components are kept separate for reporting (the experimental section
 /// reports CPU and I/O start-up effort separately).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Cost {
     /// CPU seconds.
     pub cpu: Interval,

@@ -5,10 +5,9 @@ use std::collections::BTreeMap;
 use dqep_algebra::HostVar;
 use dqep_catalog::SystemConfig;
 use dqep_interval::{Interval, ParamValue};
-use serde::{Deserialize, Serialize};
 
 /// How uncertain parameters enter cost computations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanningMode {
     /// Traditional optimization: each uncertain parameter is replaced by its
     /// expected value, producing point costs and a total order on plans.
@@ -26,7 +25,7 @@ pub enum PlanningMode {
 /// derived by [`crate::SelectivityModel`] from catalog statistics, exactly
 /// as a real system would at start-up ("these values require a very small
 /// number of system calls or catalog lookups", paper Section 4).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Bindings {
     /// Host-variable values.
     pub values: BTreeMap<HostVar, i64>,
@@ -64,7 +63,7 @@ impl Bindings {
 
 /// The compile-time (or start-up-time) view of all uncertain cost-model
 /// parameters, plus the planning mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     /// Planning mode: points (traditional / run-time optimization) or
     /// intervals (dynamic plans).

@@ -3,7 +3,6 @@
 use dqep_algebra::PhysicalOp;
 use dqep_catalog::Catalog;
 use dqep_interval::{Interval, Monotonicity};
-use serde::{Deserialize, Serialize};
 
 use crate::cost::Cost;
 use crate::env::Environment;
@@ -15,7 +14,7 @@ use crate::selectivity::SelectivityModel;
 /// `card` is an interval because it may depend on unbound selectivities;
 /// `row_bytes` is determined by the schema (the sum of the constituent base
 /// relations' record lengths) and is always known at compile-time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanStats {
     /// Number of records, possibly uncertain.
     pub card: Interval,

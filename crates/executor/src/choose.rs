@@ -307,11 +307,10 @@ impl Operator for ChoosePlanExec<'_> {
         }))
     }
 
-    /// Batches pass straight through to the chosen alternative, so the
-    /// vectorized path keeps the identical fallback-at-`open` semantics —
-    /// by the time batches flow, the decision (and any fallbacks) already
-    /// happened. A commuted winner's batches are rewritten into the
-    /// declared column order, exactly like the tuple path.
+    /// Batches pass straight through to the chosen alternative — by the
+    /// time they flow, the decision (and any fallbacks) already happened
+    /// at `open`. A commuted winner's batches are rewritten into the
+    /// declared column order, exactly like its rows in `next`.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<crate::RowBatch>, ExecError> {
         let Some(op) = self.chosen.as_mut() else {
             return Err(ExecError::Internal("choose-plan next_batch() before open()".into()));

@@ -8,10 +8,10 @@ use dqep_cost::{Bindings, Environment};
 use dqep_plan::{evaluate_startup, PlanNode, StartupResult};
 use dqep_storage::StoredDatabase;
 
-use crate::batch::BATCH_CAPACITY;
 use crate::error::ExecError;
+use crate::exec::drain_root;
 use crate::filter::{FilterExec, ResolvedPred};
-use crate::governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
+use crate::governor::{ExecContext, ExecMode, ResourceLimits};
 use crate::hash_join::HashJoinExec;
 use crate::index_join::IndexJoinExec;
 use crate::merge_join::MergeJoinExec;
@@ -20,7 +20,7 @@ use crate::scan::{BtreeScanExec, FileScanExec, FilterBtreeScanExec};
 use crate::sort::SortExec;
 use crate::trace::{TraceReport, Tracer};
 use crate::tuple::TupleLayout;
-use crate::{BoxedOperator, Operator};
+use crate::BoxedOperator;
 
 fn pred_value(pred: &SelectPred, bindings: &Bindings) -> Result<i64, ExecError> {
     match pred.rhs {
@@ -288,9 +288,9 @@ pub(crate) fn compile_node<'a>(
 /// Compiles a **resolved** (choose-plan-free) plan under the caller's
 /// [`ExecContext`] and drains it, returning the produced row count. The
 /// caller owns the context — counters accumulate into `ctx.counters`, the
-/// governor's budgets and cancellation apply, and `ctx.mode` selects the
-/// tuple or batch pipeline. This is the serving-layer entry point for
-/// running a cached resolved plan without re-arbitration.
+/// governor's budgets and cancellation apply, and `ctx.mode` names the
+/// interface the root is pulled through. This is the serving-layer entry
+/// point for running a cached resolved plan without re-arbitration.
 ///
 /// # Errors
 /// Any [`ExecError`] from compilation or execution, including
@@ -305,7 +305,7 @@ pub fn run_compiled(
     ctx: &ExecContext,
 ) -> Result<u64, ExecError> {
     let mut op = compile_plan(plan, db, catalog, bindings, memory_bytes, ctx)?;
-    drain_root(op.as_mut(), &ctx.governor, ctx.mode)
+    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), None)
 }
 
 /// Compiles a (possibly dynamic) plan under the caller's [`ExecContext`] —
@@ -327,41 +327,7 @@ pub fn run_dynamic(
 ) -> Result<u64, ExecError> {
     let mut op =
         crate::choose::compile_dynamic_plan(plan, db, catalog, env, bindings, memory_bytes, ctx)?;
-    drain_root(op.as_mut(), &ctx.governor, ctx.mode)
-}
-
-/// Opens and drains `op`, charging produced rows against the row budget;
-/// closes the operator on success and on error. In batch mode the root
-/// pulls [`crate::RowBatch`]es and charges the row budget once per batch —
-/// the budget trips at the same cumulative counts as the per-row charge.
-fn drain_root(
-    op: &mut dyn Operator,
-    governor: &ResourceGovernor,
-    mode: ExecMode,
-) -> Result<u64, ExecError> {
-    fn run(op: &mut dyn Operator, governor: &ResourceGovernor, mode: ExecMode) -> Result<u64, ExecError> {
-        let mut rows = 0u64;
-        op.open()?;
-        match mode {
-            ExecMode::Tuple => {
-                while op.next()?.is_some() {
-                    governor.charge_rows(1)?;
-                    rows += 1;
-                }
-            }
-            ExecMode::Batch => {
-                while let Some(batch) = op.next_batch(BATCH_CAPACITY)? {
-                    let n = batch.len() as u64;
-                    governor.charge_rows(n)?;
-                    rows += n;
-                }
-            }
-        }
-        Ok(rows)
-    }
-    let result = run(op, governor, mode);
-    op.close();
-    result
+    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), None)
 }
 
 /// Executes a (static or dynamic) plan end-to-end: runs the start-up-time
@@ -404,12 +370,12 @@ pub fn execute_plan_with(
     execute_plan_mode(plan, db, catalog, env, bindings, limits, ExecMode::default())
 }
 
-/// [`execute_plan_with`] with an explicit [`ExecMode`]: `Tuple` runs the
-/// classic Volcano `next()` pipeline, `Batch` the vectorized one. Both
-/// produce identical rows, identical simulated-cost accounting, and
-/// identical choose-plan fallback behavior — the batch-parity tests pin
-/// this down, and the executor benchmarks measure the difference that is
-/// left: wall-clock interpretation overhead.
+/// [`execute_plan_with`] with an explicit [`ExecMode`] — the interface
+/// the *root* operator is pulled through: `Tuple` pulls rows with
+/// `next()`, `Batch` pulls batches with `next_batch()`. Below the root
+/// there is one engine either way (see [`crate::Operator`]), so both
+/// produce identical rows, simulated-cost accounting, and choose-plan
+/// fallback behavior — the batch-parity tests pin this down.
 ///
 /// # Errors
 /// Any [`ExecError`], including [`ExecError::ResourceExhausted`] when a
@@ -432,7 +398,7 @@ pub fn execute_plan_mode(
 /// morsel-driven partition scan, the partitioned parallel hash join, and
 /// the parallel-run sort — all behind the ordinary [`Operator`]
 /// interface, so choose-plan fallback, resource governance, fault
-/// injection, and both execution modes compose unchanged. Results,
+/// injection, and both root pull interfaces compose unchanged. Results,
 /// counter totals, and fallback behavior are identical to `dop = 1`
 /// (rows up to multiset order); the parallel-parity tests pin this down.
 ///

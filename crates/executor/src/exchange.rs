@@ -4,24 +4,23 @@
 //!
 //! [`ExchangeExec`] owns N worker subtrees. At `open()` it runs every
 //! worker to completion on its own thread — each worker opens, drains
-//! (tuple- or batch-wise, matching the query's [`ExecMode`]), and closes
-//! its subtree — then merges the workers' private [`SharedCounters`] into
-//! the query's counters and concatenates their outputs in worker-index
-//! order. `next`/`next_batch` stream the merged buffer. Because the whole
-//! operator still *is* an [`Operator`], everything above it — choose-plan
-//! fallback, the resource governor, fault injection, batch mode — composes
-//! unchanged.
+//! (through `next_batch`, like every internal consumer), and closes its
+//! subtree — then merges the workers' private [`SharedCounters`] into the
+//! query's counters and concatenates their outputs in worker-index order.
+//! `next_batch` streams the merged buffer. Because the whole operator
+//! still *is* an [`Operator`], everything above it — choose-plan fallback,
+//! the resource governor, fault injection — composes unchanged.
 //!
-//! **Error phases.** A serial file scan performs all of its I/O during
-//! `next()`, after `open()` has returned; only stop-and-go work (hash-join
+//! **Error phases.** A serial file scan performs all of its I/O while
+//! it is pulled, after `open()` has returned; only stop-and-go work (hash-join
 //! build, sort ingest) happens inside `open()`. The exchange runs its
 //! workers eagerly inside `open()`, which would move every failure into
 //! the open phase — and `open`-phase failures are exactly what
 //! [`crate::ChoosePlanExec`] catches for fallback. To keep fallback
 //! semantics identical to serial execution, a worker failure is *deferred*:
 //! `open()` still returns `Ok`, and the error surfaces from the first
-//! `next()`/`next_batch()` call — the phase where the serial scan would
-//! have raised it. Counters are merged either way, so partial work is
+//! `next_batch()` call — the phase where the serial scan would have
+//! raised it. Counters are merged either way, so partial work is
 //! always accounted.
 //!
 //! **Memory.** Worker subtrees reserve operator working memory from the
@@ -38,8 +37,8 @@ use dqep_storage::{PageClaims, StoredTable, DEFAULT_MORSEL_PAGES};
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
-use crate::exec::{drain, drain_batch};
-use crate::governor::{ExecContext, ExecMode};
+use crate::exec::{cursor_next, drain_batch, RowCursor};
+use crate::governor::ExecContext;
 use crate::metrics::SharedCounters;
 use crate::scan::MorselScanExec;
 use crate::tuple::{Tuple, TupleLayout};
@@ -79,8 +78,9 @@ pub struct ExchangeExec<'a> {
     layout: TupleLayout,
     ctx: ExecContext,
     output: std::vec::IntoIter<Tuple>,
-    /// A worker failure, surfaced on the first `next`/`next_batch` call
-    /// (the serial scan's error phase) instead of from `open`.
+    cursor: RowCursor,
+    /// A worker failure, surfaced on the first `next_batch` call (the
+    /// serial scan's error phase) instead of from `open`.
     pending_err: Option<ExecError>,
     opened: bool,
     /// Mid-query re-optimization probe, fired once per `open` with the
@@ -107,6 +107,7 @@ impl<'a> ExchangeExec<'a> {
             layout,
             ctx,
             output: Vec::new().into_iter(),
+            cursor: RowCursor::default(),
             pending_err: None,
             opened: false,
             checkpoint: None,
@@ -123,8 +124,8 @@ impl<'a> ExchangeExec<'a> {
 impl Operator for ExchangeExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
         self.pending_err = None;
+        self.cursor.clear();
         self.opened = true;
-        let mode = self.ctx.mode;
         // Pre-size the merge buffer from the workers' own estimates
         // (known before they run), clamped like the root drain's
         // pre-sizing — the buffer otherwise regrows from default
@@ -139,10 +140,7 @@ impl Operator for ExchangeExec<'_> {
             .iter_mut()
             .map(|w| {
                 let op = w.op.as_mut();
-                move || match mode {
-                    ExecMode::Tuple => drain(op),
-                    ExecMode::Batch => drain_batch(op),
-                }
+                move || drain_batch(op)
             })
             .collect();
         let results = run_parallel(tasks);
@@ -179,15 +177,11 @@ impl Operator for ExchangeExec<'_> {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        if let Some(e) = self.pending_err.take() {
-            return Err(e);
-        }
-        self.ctx.governor.check()?;
-        // Workers already charged record counters when producing these
-        // rows; the exchange is pure transport.
-        Ok(self.output.next())
+        cursor_next(self, |op| &mut op.cursor)
     }
 
+    /// Streams the merged buffer. Workers already charged record counters
+    /// when producing these rows; the exchange is pure transport.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
         if let Some(e) = self.pending_err.take() {
             return Err(e);
@@ -209,6 +203,7 @@ impl Operator for ExchangeExec<'_> {
         // Workers close themselves at the end of their drain; only the
         // merge buffer remains to release.
         self.output = Vec::new().into_iter();
+        self.cursor.clear();
         self.pending_err = None;
     }
 
@@ -286,6 +281,7 @@ pub fn parallel_scan<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::drain;
     use dqep_catalog::{CatalogBuilder, SystemConfig};
     use dqep_storage::StoredDatabase;
 
@@ -308,33 +304,28 @@ mod tests {
         let (cat, db) = fixture();
         let rel = cat.relation_by_name("r").unwrap().id;
         let table = db.table(rel);
-        for mode in [ExecMode::Tuple, ExecMode::Batch] {
-            let serial_ctx = ExecContext::new(SharedCounters::new()).with_mode(mode);
+        // Both pull interfaces: `drain` goes through the derived cursor
+        // `next`, `drain_batch` through the native `next_batch`.
+        type Pull = fn(&mut dyn Operator) -> Result<Vec<Tuple>, ExecError>;
+        for (pull, what) in [(drain as Pull, "next"), (drain_batch as Pull, "next_batch")] {
+            let serial_ctx = ExecContext::new(SharedCounters::new());
             let mut serial = crate::scan::FileScanExec::new(
                 table,
                 TupleLayout::base(&cat, rel),
                 serial_ctx.clone(),
             );
-            let serial_rows = match mode {
-                ExecMode::Tuple => drain(&mut serial).unwrap(),
-                ExecMode::Batch => drain_batch(&mut serial).unwrap(),
-            };
+            let serial_rows = pull(&mut serial).unwrap();
             let serial_io = db.disk.stats();
             db.disk.reset_stats();
 
             for dop in [2usize, 4] {
-                let ctx = ExecContext::new(SharedCounters::new())
-                    .with_mode(mode)
-                    .with_dop(dop);
+                let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
                 let mut ex = parallel_scan(table, TupleLayout::base(&cat, rel), &ctx);
-                let rows = match mode {
-                    ExecMode::Tuple => drain(&mut ex).unwrap(),
-                    ExecMode::Batch => drain_batch(&mut ex).unwrap(),
-                };
+                let rows = pull(&mut ex).unwrap();
                 assert_eq!(
                     sorted_rows(rows),
                     sorted_rows(serial_rows.clone()),
-                    "dop {dop} mode {mode:?}"
+                    "dop {dop} via {what}"
                 );
                 assert_eq!(
                     ctx.counters.snapshot().records,

@@ -4,6 +4,7 @@ use dqep_algebra::CompareOp;
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
+use crate::exec::{cursor_next, RowCursor};
 use crate::governor::ExecContext;
 use crate::tuple::{Tuple, TupleLayout};
 use crate::{BoxedOperator, Operator};
@@ -90,35 +91,33 @@ pub struct FilterExec<'a> {
     input: BoxedOperator<'a>,
     pred: ResolvedPred,
     ctx: ExecContext,
+    cursor: RowCursor,
 }
 
 impl<'a> FilterExec<'a> {
     /// Creates a filter over `input`.
     #[must_use]
     pub fn new(input: BoxedOperator<'a>, pred: ResolvedPred, ctx: ExecContext) -> Self {
-        FilterExec { input, pred, ctx }
+        FilterExec {
+            input,
+            pred,
+            ctx,
+            cursor: RowCursor::default(),
+        }
     }
 }
 
 impl Operator for FilterExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
+        self.cursor.clear();
         self.input.open()
     }
 
     fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        loop {
-            let Some(t) = self.input.next()? else {
-                return Ok(None);
-            };
-            self.ctx.counters.add_compares(1);
-            if self.pred.matches(&t) {
-                self.ctx.counters.add_records(1);
-                return Ok(Some(t));
-            }
-        }
+        cursor_next(self, |op| &mut op.cursor)
     }
 
-    /// Native batch filter: evaluates the predicate over the restricted
+    /// The filter's native body: evaluates the predicate over the restricted
     /// attribute's column into the batch's selection vector — one
     /// monomorphic comparison loop over a contiguous `&[i64]` slice (the
     /// X100-style kernel), qualifying rows are never copied, and the

@@ -139,7 +139,7 @@ impl ResourceGovernor {
     /// How many rows of `row_bytes` each a buffering operator should
     /// request per ingest batch: at most one row past what the memory
     /// limit can still cover (so a refused reservation trips at exactly
-    /// the same input row as the tuple path's per-row reservations — the
+    /// the input row a per-row reservation would be refused for — the
     /// producer never over-produces past the first refusable row), capped
     /// at [`crate::BATCH_CAPACITY`].
     #[must_use]
@@ -209,9 +209,7 @@ impl ResourceGovernor {
     /// [`Self::check`] amortized over a batch of `n` rows: one
     /// cancellation read and one tick update for the whole batch. The
     /// wall-clock stride advances by `n`, so deadline detection stays as
-    /// frequent *per row processed* as the tuple path's — a batched
-    /// pipeline reads the clock at the same row counts, just from fewer
-    /// call sites.
+    /// frequent *per row processed* as a per-row check's.
     ///
     /// # Errors
     /// As [`Self::check`].
@@ -236,33 +234,32 @@ impl ResourceGovernor {
     }
 }
 
-/// How tuples flow between operators: one at a time through `next()`, or
-/// in [`crate::RowBatch`]es through `next_batch()`. Both produce identical
-/// results and identical fallback behavior (the batch-parity tests enforce
-/// this); batch mode amortizes per-row interpretation overhead and is the
-/// default for end-to-end execution.
+/// The interface the **root** of a plan is pulled through: one row at a
+/// time with `next()`, or a [`crate::RowBatch`] at a time with
+/// `next_batch()`. It is read in exactly one place,
+/// [`crate::drain_root`]; below the root every operator has one native
+/// body and internal consumers always pull batches, so the two values
+/// produce identical results, accounting and fallback behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Volcano tuple-at-a-time iteration.
+    /// The root pulls rows (`next()`).
     Tuple,
-    /// Vectorized batch-at-a-time iteration.
+    /// The root pulls batches (`next_batch()`).
     #[default]
     Batch,
 }
 
-/// Everything a compiled operator needs from its query: CPU accounting,
-/// resource governance, and the execution mode stop-and-go operators
-/// consume their inputs with. Cloning shares the first two.
+/// Everything a compiled operator needs from its query: CPU accounting
+/// and resource governance (shared by clones), plus how the root drain
+/// pulls the plan.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
     /// Simulated-CPU and fallback counters for the query.
     pub counters: SharedCounters,
     /// The query's resource governor.
     pub governor: ResourceGovernor,
-    /// Whether blocking operators (hash-join build, sort ingest) pull
-    /// their inputs tuple-at-a-time or batched. Streaming operators follow
-    /// whichever interface the root drain drives; this field lets the ones
-    /// that consume inputs *inside `open()`* batch too.
+    /// The interface the root drain pulls the plan through; no operator
+    /// reads it.
     pub mode: ExecMode,
     /// Degree of intra-query parallelism: how many worker threads an
     /// exchange-parallel operator (morsel scan, partitioned hash join,

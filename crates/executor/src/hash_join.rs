@@ -8,20 +8,19 @@
 //! memory — the extra write+read pass over both inputs is exactly what the
 //! cost model charges.
 //!
-//! **Vectorized path.** In batch mode the resident join is
-//! radix-partitioned and fully columnar: build rows are ingested straight
-//! into per-attribute vectors ([`ColumnStore`]), hashed with one
-//! multiply-xor pass per key *column* (the auto-vectorizable
+//! **One columnar join.** Every in-memory join — the resident table and
+//! each spilled Grace partition pair, at every degree of parallelism —
+//! goes through the same radix-partitioned columnar table: build rows are
+//! ingested straight into per-attribute vectors ([`ColumnStore`]), hashed
+//! with one multiply-xor pass per key *column* (the auto-vectorizable
 //! [`fold_hash_column`] kernel — each row's hash is bit-identical to the
 //! row-at-a-time [`hash_key`]), then scattered histogram → prefix-sum into
-//! cache-sized partitions whose chained bucket arrays replace the
-//! `HashMap` — probing re-uses the hash computed at partition time, walks
-//! an index chain instead of re-hashing through SipHash, and gathers match
-//! pairs into the output batch column by column. Partition count scales
-//! with the build size (one partition per L2-sized slice) and the degree
-//! of parallelism. The tuple path keeps the classic `HashMap` build so
-//! both modes stay independently auditable; results, counters, and
-//! fallback behavior are parity-exact (see tests/batch_parity.rs).
+//! cache-sized partitions with chained bucket arrays ([`RadixTable`]).
+//! Probing hashes a whole batch with the same kernel, re-uses each hash
+//! for partition routing, bucket lookup and a pre-filter, walks an index
+//! chain, and gathers match pairs into the output batch column by column.
+//! Partition count scales with the build size (one partition per L2-sized
+//! slice) and the degree of parallelism.
 //!
 //! Build-side rows are *reserved* with the query's resource governor
 //! before they are held — both the resident build table and each Grace
@@ -30,22 +29,20 @@
 //! silently exceeding the grant.
 //!
 //! With `ctx.dop > 1` the join runs its partition work on worker threads:
-//! the in-memory strategy splits build and probe rows into radix
-//! partitions (each row hashed once, as in the serial join; the partition
-//! is the hash's low bits, replacing the old modulo split) and builds +
-//! probes each partition on its own worker; the Grace strategy spills
-//! exactly as the serial join does (identical pages, identical write
-//! order) and then joins the spilled partition pairs concurrently, each
-//! pair's table reservation drawn from the shared governor through a
-//! wait-or-fail [`ReserveGate`] so concurrency never oversubscribes the
-//! grant. Work belonging to the serial join's `next()` phase (probe
-//! streaming, partition-pair joining) still runs eagerly inside `open()`,
-//! but its errors are *deferred* to the first `next()`/`next_batch()`
-//! call, so choose-plan fallback semantics stay identical to serial
-//! execution. Per-worker counters are merged back, making accounting
-//! totals independent of the degree of parallelism.
+//! the in-memory strategy builds one table with at least `dop` radix
+//! partitions (each row hashed once, as in the serial join) and probes the
+//! partitions on separate workers; the Grace strategy spills exactly as
+//! the serial join does (identical pages, identical write order) and then
+//! joins the spilled partition pairs concurrently, each pair's table
+//! reservation drawn from the shared governor through a wait-or-fail
+//! [`ReserveGate`] so concurrency never oversubscribes the grant. Work
+//! the serial join does while it is pulled (probe streaming,
+//! partition-pair joining) runs eagerly inside `open()` when parallel, but
+//! its errors are *deferred* to the first `next_batch()` call, so
+//! choose-plan fallback semantics stay identical to serial execution.
+//! Per-worker counters are merged back, making accounting totals
+//! independent of the degree of parallelism.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
@@ -55,7 +52,8 @@ use dqep_storage::{HeapFile, SimDisk};
 use crate::batch::{RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
 use crate::exchange::run_parallel;
-use crate::governor::{ExecContext, ExecMode, ResourceGovernor};
+use crate::exec::{cursor_next, RowCursor};
+use crate::governor::{ExecContext, ResourceGovernor};
 use crate::metrics::SharedCounters;
 use crate::tuple::{Tuple, TupleLayout};
 use crate::{BoxedOperator, Operator};
@@ -93,11 +91,10 @@ pub fn mix(v: u64) -> u64 {
 }
 
 /// Hashes the join-key columns of one tuple with an inline multiply-xor
-/// mix. The previous implementation constructed a `DefaultHasher` per
-/// row; setting up SipHash state per row dominates hashing one or two
-/// `i64`s. The hash is a pure function of the key *values*, so build and
-/// probe rows with equal keys hash identically and partition assignment
-/// stays stable across sides, modes, and degrees of parallelism.
+/// mix (no per-row hasher state to set up). The hash is a pure function
+/// of the key *values*, so build and probe rows with equal keys hash
+/// identically and partition assignment stays stable across sides and
+/// degrees of parallelism.
 #[inline]
 #[must_use]
 pub fn hash_key(keys: &[(usize, usize)], tuple: &[i64], side_build: bool) -> u64 {
@@ -145,54 +142,7 @@ fn hash_probe_batch(keys: &[(usize, usize)], batch: &RowBatch, hashes: &mut Vec<
     }
 }
 
-fn keys_match(keys: &Keys, build: &[i64], probe: &[i64]) -> bool {
-    keys.iter().all(|&(b, p)| build[b] == probe[p])
-}
-
-fn build_table(keys: &Keys, counters: &SharedCounters, rows: Vec<Tuple>) -> HashMap<u64, Vec<Tuple>> {
-    // Pre-sized to the exact row count: the build loop never rehashes.
-    let mut table: HashMap<u64, Vec<Tuple>> = HashMap::with_capacity(rows.len());
-    for row in rows {
-        counters.add_hashes(1);
-        table.entry(hash_key(keys, &row, true)).or_default().push(row);
-    }
-    table
-}
-
-/// [`build_table`] over rows whose hashes were already computed (and
-/// charged) during partitioning — the parallel in-memory path hashes each
-/// row once, like the serial path, not once per phase.
-fn build_table_prehashed(rows: Vec<(u64, Tuple)>) -> HashMap<u64, Vec<Tuple>> {
-    let mut table: HashMap<u64, Vec<Tuple>> = HashMap::with_capacity(rows.len());
-    for (h, row) in rows {
-        table.entry(h).or_default().push(row);
-    }
-    table
-}
-
-/// Probes `table` with one row, appending matches (build ++ probe) to
-/// `out` in reverse (so `pop` yields them in order).
-fn probe_into(
-    keys: &Keys,
-    counters: &SharedCounters,
-    table: &HashMap<u64, Vec<Tuple>>,
-    probe_row: &[i64],
-    out: &mut Vec<Tuple>,
-) {
-    counters.add_hashes(1);
-    if let Some(candidates) = table.get(&hash_key(keys, probe_row, false)) {
-        for b in candidates.iter().rev() {
-            if keys_match(keys, b, probe_row) {
-                let mut joined = b.clone();
-                joined.extend_from_slice(probe_row);
-                counters.add_records(1);
-                out.push(joined);
-            }
-        }
-    }
-}
-
-/// Columnar row accumulator: per-attribute value vectors, the batch-mode
+/// Columnar row accumulator: per-attribute value vectors, the join's
 /// build buffer. Rows append in arrival order; `extend_from_batch`
 /// compacts a selection vector away as it copies.
 struct ColumnStore {
@@ -320,11 +270,11 @@ struct PartBuckets {
     heads: Vec<u32>,
 }
 
-/// The batch-mode resident join table: build rows scattered into radix
-/// partitions (columnar), their precomputed hashes, and a chained bucket
-/// index per partition. Probing reuses the stored hash as a pre-filter —
-/// no re-hashing, no SipHash, no per-bucket `Vec` allocations — and match
-/// rows gather into the output column by column.
+/// The in-memory join table: build rows scattered into radix partitions
+/// (columnar), their precomputed hashes, and a chained bucket index per
+/// partition. Probing reuses the stored hash as a pre-filter — no
+/// re-hashing, no per-bucket `Vec` allocations — and match rows gather
+/// into the output column by column.
 struct RadixTable {
     part_mask: u64,
     /// Bits consumed by the partition mask; buckets use the bits above.
@@ -340,8 +290,7 @@ struct RadixTable {
 
 impl RadixTable {
     /// Builds the table from a columnar build buffer, charging one hash
-    /// per row exactly like [`build_table`]. `parts` must be a power of
-    /// two.
+    /// per row. `parts` must be a power of two.
     fn build(keys: &Keys, counters: &SharedCounters, store: &ColumnStore, parts: usize) -> RadixTable {
         let n = store.rows();
         debug_assert!(n < u32::MAX as usize, "build side exceeds u32 indexing");
@@ -361,8 +310,7 @@ impl RadixTable {
                 let nb = ((hi - lo) * 2).next_power_of_two();
                 let mask = (nb - 1) as u64;
                 let mut heads = vec![0u32; nb];
-                // Reverse insertion leaves each chain in arrival order —
-                // probe results match the HashMap path's candidate order.
+                // Reverse insertion leaves each chain in arrival order.
                 for i in (lo..hi).rev() {
                     let b = ((hashes[i] >> part_bits) & mask) as usize;
                     next_link[i] = heads[b];
@@ -410,38 +358,37 @@ impl RadixTable {
         }
     }
 
-    /// Tuple-path probe (the batch-built table still serves `next()`
-    /// calls, e.g. from a Grace parent spilling its probe input
-    /// tuple-wise): appends matches (build ++ probe) to `out` in reverse,
-    /// so `pop` yields them in build-arrival order — exactly like
-    /// [`probe_into`]. Charges mirror [`probe_into`]: one hash per probe
-    /// row, one record per match.
-    fn probe_row_into(
+    /// Probes with every live row of `probe_batch`, leaving the match
+    /// pairs (build scattered index, probe physical index) in `pairs_b` /
+    /// `pairs_p`: probe rows in batch order, each row's matches in
+    /// build-arrival order. Charges one hash per probe row and one record
+    /// per match. `hashes` is scratch.
+    fn match_batch(
         &self,
         keys: &Keys,
         counters: &SharedCounters,
-        probe_row: &[i64],
-        out: &mut Vec<Tuple>,
+        probe_batch: &RowBatch,
+        hashes: &mut Vec<u64>,
+        pairs_b: &mut Vec<u32>,
+        pairs_p: &mut Vec<u32>,
     ) {
-        counters.add_hashes(1);
-        let h = hash_key(keys, probe_row, false);
-        let mut matches: Vec<u32> = Vec::new();
-        self.chain_matches(keys, h, |pk| probe_row[pk], &mut matches);
-        for &i in matches.iter().rev() {
-            let i = i as usize;
-            let mut joined: Tuple = Vec::with_capacity(self.build_width() + probe_row.len());
-            joined.extend(self.cols.iter().map(|col| col[i]));
-            joined.extend_from_slice(probe_row);
-            counters.add_records(1);
-            out.push(joined);
+        hash_probe_batch(keys, probe_batch, hashes);
+        pairs_b.clear();
+        pairs_p.clear();
+        for (j, idx) in probe_batch.selected_indices().enumerate() {
+            self.chain_matches(keys, hashes[j], |pk| probe_batch.column(pk)[idx], pairs_b);
+            pairs_p.resize(pairs_b.len(), idx as u32);
         }
+        counters.add_hashes(probe_batch.len() as u64);
+        counters.add_records(pairs_b.len() as u64);
     }
 
     /// Gathers `pairs` (build scattered index, probe physical index) into
-    /// `out`: build attributes column by column, then probe attributes.
-    fn gather_pairs_into(
+    /// `out`: build attributes column by column, then probe attributes
+    /// (`probe_col(c)` is the probe side's column `c`).
+    fn gather_pairs_into<'p>(
         &self,
-        probe_batch: &RowBatch,
+        probe_col: impl Fn(usize) -> &'p [i64],
         pairs_b: &[u32],
         pairs_p: &[u32],
         out: &mut RowBatch,
@@ -453,19 +400,10 @@ impl RadixTable {
                 col.extend(pairs_b.iter().map(|&i| src[i as usize]));
             }
             for (c, col) in cols[bw..].iter_mut().enumerate() {
-                let src = probe_batch.column(c);
+                let src = probe_col(c);
                 col.extend(pairs_p.iter().map(|&i| src[i as usize]));
             }
         });
-    }
-
-    /// One joined row from a match pair, as an owned tuple (the overflow
-    /// stash path).
-    fn pair_tuple(&self, probe_batch: &RowBatch, bi: u32, pi: u32) -> Tuple {
-        let mut joined: Tuple = Vec::with_capacity(self.build_width() + probe_batch.width());
-        joined.extend(self.cols.iter().map(|col| col[bi as usize]));
-        probe_batch.gather_row_into(pi as usize, &mut joined);
-        joined
     }
 }
 
@@ -522,42 +460,157 @@ impl ReserveGate {
     }
 }
 
-/// The build buffer: rows for the tuple path, columns for the batch path.
-/// Both reserve the same bytes and spill the same records in the same
-/// order, so the mode choice never shows in accounting.
-enum BuildBuf {
-    Rows(Vec<Tuple>),
-    Cols(ColumnStore),
+/// A fully joined columnar result handed out in `max_rows` slices.
+#[derive(Default)]
+struct ColStream {
+    batch: RowBatch,
+    pos: usize,
 }
 
-impl BuildBuf {
-    fn len(&self) -> usize {
-        match self {
-            BuildBuf::Rows(rows) => rows.len(),
-            BuildBuf::Cols(store) => store.rows(),
+impl ColStream {
+    fn new(batch: RowBatch) -> ColStream {
+        ColStream { batch, pos: 0 }
+    }
+
+    fn next_slice(&mut self, max_rows: usize) -> Option<RowBatch> {
+        let take = max_rows.min(self.batch.rows() - self.pos);
+        if take == 0 {
+            return None;
+        }
+        if take == self.batch.rows() {
+            // The whole result fits one request: hand it over uncopied.
+            return Some(std::mem::take(self).batch);
+        }
+        let lo = self.pos;
+        self.pos += take;
+        let mut out = RowBatch::with_capacity(self.batch.width(), take);
+        out.extend_rows_with(take, |cols| {
+            for (c, col) in cols.iter_mut().enumerate() {
+                col.extend_from_slice(&self.batch.column(c)[lo..lo + take]);
+            }
+        });
+        Some(out)
+    }
+}
+
+/// Concatenates per-partition join outputs in partition order.
+fn merge_parts(width: usize, mut parts: Vec<(usize, RowBatch)>) -> ColStream {
+    parts.sort_by_key(|&(p, _)| p);
+    let total: usize = parts.iter().map(|(_, b)| b.rows()).sum();
+    let mut merged = RowBatch::with_capacity(width, total);
+    for (_, part) in &parts {
+        merged.extend_rows_with(part.rows(), |cols| {
+            for (c, col) in cols.iter_mut().enumerate() {
+                col.extend_from_slice(part.column(c));
+            }
+        });
+    }
+    ColStream::new(merged)
+}
+
+/// Runs `join_part(p, worker context)` for every partition `p < parts`
+/// on up to `dop` worker threads claiming indexes from an atomic counter,
+/// merges the workers' private counters into `ctx`, and concatenates the
+/// outputs in partition order.
+///
+/// # Errors
+/// The first worker failure (the other workers' counters still merge).
+fn join_partitions(
+    ctx: &ExecContext,
+    width: usize,
+    dop: usize,
+    parts: usize,
+    join_part: impl Fn(usize, &ExecContext) -> Result<RowBatch, ExecError> + Sync,
+) -> Result<ColStream, ExecError> {
+    let next_part = AtomicUsize::new(0);
+    let tasks: Vec<_> = (0..dop.min(parts))
+        .map(|_| {
+            let worker = ctx.worker();
+            let (next_part, join_part) = (&next_part, &join_part);
+            move || {
+                let mut outs: Vec<(usize, RowBatch)> = Vec::new();
+                loop {
+                    let p = next_part.fetch_add(1, Ordering::Relaxed);
+                    if p >= parts {
+                        return Ok((outs, worker.counters));
+                    }
+                    outs.push((p, join_part(p, &worker)?));
+                }
+            }
+        })
+        .collect();
+    let mut outs: Vec<(usize, RowBatch)> = Vec::new();
+    let mut first_err = None;
+    for result in run_parallel(tasks) {
+        match result {
+            Ok((part_outs, counters)) => {
+                ctx.counters.merge_from(&counters);
+                outs.extend(part_outs);
+            }
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
         }
     }
+    first_err.map_or_else(|| Ok(merge_parts(width, outs)), Err)
+}
+
+/// Joins one spilled Grace partition pair through a per-partition
+/// [`RadixTable`] and returns every joined row (probe rows in spill
+/// order, each row's matches in build-arrival order). The table's bytes
+/// are reserved through `gate` while it is resident. The serial Grace arm
+/// and the parallel workers both call this, so reads, reservation points
+/// and counter charges do not depend on the degree of parallelism.
+fn join_spilled_pair(
+    keys: &Keys,
+    ctx: &ExecContext,
+    gate: &ReserveGate,
+    (build_part, build_layout): (&HeapFile, &TupleLayout),
+    (probe_part, probe_layout): (&HeapFile, &TupleLayout),
+) -> Result<RowBatch, ExecError> {
+    let build_width = build_layout.width();
+    let probe_width = probe_layout.width();
+    let mut store = ColumnStore::new(build_width);
+    for record in build_part.scan() {
+        store.push_row(&decode_record(&record?, build_width));
+    }
+    let mut probe_batch =
+        RowBatch::with_capacity(probe_width, probe_part.record_count() as usize);
+    for record in probe_part.scan() {
+        probe_batch.push_row(&decode_record(&record?, probe_width));
+    }
+    ctx.governor.check_batch(probe_batch.rows() as u64)?;
+    let part_bytes = (store.rows() * build_layout.row_bytes) as u64;
+    gate.reserve(&ctx.governor, part_bytes)?;
+    let table = RadixTable::build(
+        keys,
+        &ctx.counters,
+        &store,
+        radix_partitions(part_bytes as usize, 1),
+    );
+    let (mut hashes, mut pairs_b, mut pairs_p) = (Vec::new(), Vec::new(), Vec::new());
+    table.match_batch(keys, &ctx.counters, &probe_batch, &mut hashes, &mut pairs_b, &mut pairs_p);
+    let mut out = RowBatch::with_capacity(build_width + probe_width, pairs_b.len());
+    table.gather_pairs_into(|c| probe_batch.column(c), &pairs_b, &pairs_p, &mut out);
+    drop(table);
+    gate.release(&ctx.governor, part_bytes);
+    Ok(out)
 }
 
 enum State {
     Closed,
-    /// Build table resident (tuple mode); probe streams.
-    InMemory(HashMap<u64, Vec<Tuple>>),
-    /// Build table resident (batch mode, serial): radix-partitioned
-    /// columnar table; probe streams batched.
+    /// Build table resident (serial): the probe input streams through it.
     Radix(RadixTable),
-    /// Grace mode: partition pairs joined one at a time.
+    /// Grace mode (serial): partition pairs are joined one at a time,
+    /// each pair's output streamed out before the next pair is read.
     Partitioned {
         build_parts: Vec<HeapFile>,
         probe_parts: Vec<HeapFile>,
         part: usize,
     },
-    /// Parallel tuple mode: all partition work finished at `open`; the
-    /// merged result streams out.
-    Streamed(std::vec::IntoIter<Tuple>),
-    /// Parallel batch mode: the merged columnar result streams out in
-    /// `max_rows` slices.
-    StreamedCols { batch: RowBatch, pos: usize },
+    /// Parallel (resident or Grace): all partition work finished at
+    /// `open`; only the merged result is left to stream out.
+    Joined,
 }
 
 /// Hash join over equi-join keys. With `ctx.dop > 1` the partition work
@@ -575,10 +628,14 @@ pub struct HashJoinExec<'a> {
     /// Bytes currently reserved with the governor; released in `close`.
     reserved: u64,
     state: State,
-    pending: Vec<Tuple>,
-    /// A failure from work the serial join performs in `next()` (probe
-    /// streaming, partition joining) that the parallel paths perform
-    /// eagerly at `open()`; surfaced on the first `next`/`next_batch`.
+    /// Joined rows not yet handed out: the parallel paths' whole result,
+    /// the current Grace partition pair's, or what a resident probe batch
+    /// produced beyond the request.
+    joined: ColStream,
+    cursor: RowCursor,
+    /// A failure from work the serial join performs while it is pulled
+    /// (probe streaming, partition joining) that the parallel paths
+    /// perform eagerly at `open()`; surfaced on the first `next_batch`.
     pending_err: Option<ExecError>,
     /// Mid-query re-optimization probe, fired once per `open` with the
     /// build input's actual cardinality when the build completes.
@@ -608,7 +665,8 @@ impl<'a> HashJoinExec<'a> {
             budget_bytes,
             reserved: 0,
             state: State::Closed,
-            pending: Vec::new(),
+            joined: ColStream::default(),
+            cursor: RowCursor::default(),
             pending_err: None,
             checkpoint: None,
         }
@@ -620,116 +678,8 @@ impl<'a> HashJoinExec<'a> {
         self
     }
 
-    fn release(&mut self, bytes: u64) {
-        self.ctx.governor.release_memory(bytes);
-        self.reserved -= bytes;
-    }
-
-    /// Drains the probe input (mode-faithfully: batches in batch mode,
-    /// rows in tuple mode), hashing each row once into `parts` radix
-    /// partitions (`parts = part_mask + 1`). Hash charges match the
-    /// serial probe exactly: one per probe row.
-    fn partition_probe(
-        &mut self,
-        parts: usize,
-        part_mask: u64,
-    ) -> Result<Vec<Vec<(u64, Tuple)>>, ExecError> {
-        let mut out: Vec<Vec<(u64, Tuple)>> = (0..parts).map(|_| Vec::new()).collect();
-        // Pre-size each partition vector from the input's row estimate.
-        if let Some(n) = self.probe.estimated_rows() {
-            let share = (n.min(1 << 20) as usize / parts).saturating_add(1);
-            for p in &mut out {
-                p.reserve(share);
-            }
-        }
-        if self.ctx.mode == ExecMode::Batch {
-            while let Some(batch) = self.probe.next_batch(BATCH_CAPACITY)? {
-                self.ctx.governor.check_batch(batch.len() as u64)?;
-                self.ctx.counters.add_hashes(batch.len() as u64);
-                for row in &batch {
-                    let h = hash_key(&self.keys, &row, false);
-                    out[(h & part_mask) as usize].push((h, row));
-                }
-            }
-        } else {
-            loop {
-                self.ctx.governor.check()?;
-                let Some(row) = self.probe.next()? else { break };
-                self.ctx.counters.add_hashes(1);
-                let h = hash_key(&self.keys, &row, false);
-                out[(h & part_mask) as usize].push((h, row));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Parallel in-memory strategy, tuple mode: radix-partition the
-    /// (already reserved) build rows and the probe input, then build +
-    /// probe each partition's table on its own worker thread.
-    fn open_parallel_in_memory(
-        &mut self,
-        build_rows: Vec<Tuple>,
-        dop: usize,
-    ) -> Result<(), ExecError> {
-        let parts = dop.next_power_of_two();
-        let part_mask = (parts - 1) as u64;
-        let share = build_rows.len() / parts + 1;
-        let mut build_parts: Vec<Vec<(u64, Tuple)>> =
-            (0..parts).map(|_| Vec::with_capacity(share)).collect();
-        for row in build_rows {
-            self.ctx.counters.add_hashes(1);
-            let h = hash_key(&self.keys, &row, true);
-            build_parts[(h & part_mask) as usize].push((h, row));
-        }
-        // Probe-phase work starts here: the serial join performs it in
-        // `next()`, so failures defer to `next()`.
-        let probe_parts = match self.partition_probe(parts, part_mask) {
-            Ok(parts) => parts,
-            Err(e) => {
-                self.pending_err = Some(e);
-                self.state = State::Streamed(Vec::new().into_iter());
-                return Ok(());
-            }
-        };
-        let keys = &self.keys;
-        let tasks: Vec<_> = build_parts
-            .into_iter()
-            .zip(probe_parts)
-            .map(|(bpart, ppart)| {
-                let worker = self.ctx.worker();
-                move || {
-                    let table = build_table_prehashed(bpart);
-                    let mut out: Vec<Tuple> = Vec::new();
-                    for (h, row) in ppart {
-                        if let Some(candidates) = table.get(&h) {
-                            for b in candidates {
-                                if keys_match(keys, b, &row) {
-                                    let mut joined = b.clone();
-                                    joined.extend_from_slice(&row);
-                                    worker.counters.add_records(1);
-                                    out.push(joined);
-                                }
-                            }
-                        }
-                    }
-                    Ok((out, worker.counters))
-                }
-            })
-            .collect();
-        let mut merged: Vec<Tuple> = Vec::new();
-        for result in run_parallel(tasks) {
-            // Workers are pure CPU here; errors are impossible, but keep
-            // the merge defensive so the task signature stays uniform.
-            let (out, counters) = result?;
-            self.ctx.counters.merge_from(&counters);
-            merged.extend(out);
-        }
-        self.state = State::Streamed(merged.into_iter());
-        Ok(())
-    }
-
-    /// Parallel in-memory strategy, batch mode: build one [`RadixTable`]
-    /// (fan-out ≥ `dop`), drain + scatter the probe input columnar, then
+    /// Parallel in-memory strategy: build one [`RadixTable`] (fan-out ≥
+    /// `dop`), drain + scatter the probe input columnar, then
     /// have `dop` workers claim partitions and probe them — match pairs
     /// gather into per-partition output batches merged in partition
     /// order.
@@ -737,8 +687,8 @@ impl<'a> HashJoinExec<'a> {
         let build_bytes = store.rows() * self.build.layout().row_bytes;
         let parts = radix_partitions(build_bytes, dop);
         let table = RadixTable::build(&self.keys, &self.ctx.counters, store, parts);
-        // Probe-phase work: drain batched (errors defer to `next()`),
-        // hashing each live row once with the columnar kernel.
+        // Probe-phase work (errors defer to the first pull): hash each
+        // live row once with the columnar kernel.
         let mut probe_store = ColumnStore::new(self.probe.layout().width());
         if let Some(n) = self.probe.estimated_rows() {
             probe_store.reserve(n.min(1 << 20) as usize);
@@ -760,251 +710,80 @@ impl<'a> HashJoinExec<'a> {
                 Err(e) => break Err(e),
             }
         };
+        self.state = State::Joined;
         if let Err(e) = drained {
             self.pending_err = Some(e);
-            self.state = State::Streamed(Vec::new().into_iter());
             return Ok(());
         }
         let (probe_cols, probe_hashes, probe_starts) =
             scatter_by_partition(&probe_store.cols, &probe_hashes, table.part_mask);
-        let keys = &self.keys;
-        let table_ref = &table;
-        let probe_cols_ref = &probe_cols;
-        let probe_hashes_ref = &probe_hashes;
-        let probe_starts_ref = &probe_starts;
-        let next_part = AtomicUsize::new(0);
-        let out_width = self.layout.width();
-        let tasks: Vec<_> = (0..dop.min(parts))
-            .map(|_| {
-                let worker = self.ctx.worker();
-                let next_part = &next_part;
-                move || {
-                    let mut outs: Vec<(usize, RowBatch)> = Vec::new();
-                    loop {
-                        let p = next_part.fetch_add(1, Ordering::Relaxed);
-                        if p >= parts {
-                            return Ok((outs, worker.counters));
-                        }
-                        let (lo, hi) = (probe_starts_ref[p], probe_starts_ref[p + 1]);
-                        let mut pairs_b: Vec<u32> = Vec::new();
-                        let mut pairs_p: Vec<u32> = Vec::new();
-                        for j in lo..hi {
-                            table_ref.chain_matches(
-                                keys,
-                                probe_hashes_ref[j],
-                                |pk| probe_cols_ref[pk][j],
-                                &mut pairs_b,
-                            );
-                            pairs_p.resize(pairs_b.len(), j as u32);
-                        }
-                        worker.counters.add_records(pairs_b.len() as u64);
-                        let mut out = RowBatch::with_capacity(out_width, pairs_b.len());
-                        let bw = table_ref.build_width();
-                        out.extend_rows_with(pairs_b.len(), |cols| {
-                            for (c, col) in cols[..bw].iter_mut().enumerate() {
-                                let src = &table_ref.cols[c];
-                                col.extend(pairs_b.iter().map(|&i| src[i as usize]));
-                            }
-                            for (c, col) in cols[bw..].iter_mut().enumerate() {
-                                let src = &probe_cols_ref[c];
-                                col.extend(pairs_p.iter().map(|&i| src[i as usize]));
-                            }
-                        });
-                        outs.push((p, out));
-                    }
-                }
-            })
-            .collect();
-        let mut part_outs: Vec<(usize, RowBatch)> = Vec::new();
-        for result in run_parallel(tasks) {
-            let (outs, counters): (Vec<(usize, RowBatch)>, SharedCounters) = result?;
-            self.ctx.counters.merge_from(&counters);
-            part_outs.extend(outs);
-        }
-        part_outs.sort_by_key(|&(p, _)| p);
-        let total: usize = part_outs.iter().map(|(_, b)| b.rows()).sum();
-        let mut merged = RowBatch::with_capacity(out_width, total);
-        for (_, part) in &part_outs {
-            merged.extend_rows_with(part.rows(), |cols| {
-                for (c, col) in cols.iter_mut().enumerate() {
-                    col.extend_from_slice(part.column(c));
-                }
-            });
-        }
-        self.state = State::StreamedCols { batch: merged, pos: 0 };
-        Ok(())
-    }
-
-    /// Parallel Grace strategy: the partitions were spilled exactly as
-    /// the serial join spills them; join the `PARTITIONS` pairs
-    /// concurrently on `dop` workers claiming partition indexes from an
-    /// atomic counter. Each pair's table reservation goes through a
-    /// [`ReserveGate`], so concurrent pairs never oversubscribe the query
-    /// grant.
-    fn open_parallel_grace(
-        &mut self,
-        build_parts: Vec<HeapFile>,
-        probe_parts: Vec<HeapFile>,
-        dop: usize,
-    ) -> Result<(), ExecError> {
-        let build_width = self.build.layout().width();
-        let probe_width = self.probe.layout().width();
-        let build_row_bytes = self.build.layout().row_bytes;
-        let keys = &self.keys;
-        let gate = ReserveGate::new();
-        let next_part = AtomicUsize::new(0);
-        let tasks: Vec<_> = (0..dop.min(PARTITIONS))
-            .map(|_| {
-                let worker = self.ctx.worker();
-                let gate = &gate;
-                let next_part = &next_part;
-                let build_parts = &build_parts;
-                let probe_parts = &probe_parts;
-                move || {
-                    let mut outs: Vec<(usize, Vec<Tuple>)> = Vec::new();
-                    loop {
-                        let p = next_part.fetch_add(1, Ordering::Relaxed);
-                        if p >= PARTITIONS {
-                            return Ok((outs, worker.counters));
-                        }
-                        worker.governor.check()?;
-                        let mut build_rows: Vec<Tuple> = Vec::new();
-                        for record in build_parts[p].scan() {
-                            build_rows.push(decode_record(&record?, build_width));
-                        }
-                        let mut probe_rows: Vec<Tuple> = Vec::new();
-                        for record in probe_parts[p].scan() {
-                            probe_rows.push(decode_record(&record?, probe_width));
-                        }
-                        let part_bytes = (build_rows.len() * build_row_bytes) as u64;
-                        gate.reserve(&worker.governor, part_bytes)?;
-                        let table = build_table(keys, &worker.counters, build_rows);
-                        let mut out: Vec<Tuple> = Vec::new();
-                        for row in &probe_rows {
-                            probe_into(keys, &worker.counters, &table, row, &mut out);
-                        }
-                        out.reverse();
-                        drop(table);
-                        gate.release(&worker.governor, part_bytes);
-                        outs.push((p, out));
-                    }
-                }
-            })
-            .collect();
-        let results = run_parallel(tasks);
-        let mut parts: Vec<(usize, Vec<Tuple>)> = Vec::new();
-        let mut first_err: Option<ExecError> = None;
-        for result in results {
-            match result {
-                Ok((outs, counters)) => {
-                    self.ctx.counters.merge_from(&counters);
-                    parts.extend(outs);
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
+        let (keys, out_width) = (&self.keys, self.layout.width());
+        self.joined = join_partitions(&self.ctx, out_width, dop, parts, |p, worker| {
+            let (lo, hi) = (probe_starts[p], probe_starts[p + 1]);
+            let mut pairs_b: Vec<u32> = Vec::new();
+            let mut pairs_p: Vec<u32> = Vec::new();
+            for j in lo..hi {
+                table.chain_matches(keys, probe_hashes[j], |pk| probe_cols[pk][j], &mut pairs_b);
+                pairs_p.resize(pairs_b.len(), j as u32);
             }
-        }
-        if let Some(e) = first_err {
-            // Serial raises partition-phase failures from `next()`.
-            self.pending_err = Some(e);
-            self.state = State::Streamed(Vec::new().into_iter());
-            return Ok(());
-        }
-        parts.sort_by_key(|&(p, _)| p);
-        let merged: Vec<Tuple> = parts.into_iter().flat_map(|(_, out)| out).collect();
-        self.state = State::Streamed(merged.into_iter());
+            worker.counters.add_records(pairs_b.len() as u64);
+            let mut out = RowBatch::with_capacity(out_width, pairs_b.len());
+            table.gather_pairs_into(|c| &probe_cols[c], &pairs_b, &pairs_p, &mut out);
+            Ok(out)
+        })?;
         Ok(())
     }
 }
 
 impl Operator for HashJoinExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.pending.clear();
+        self.cursor.clear();
+        self.joined = ColStream::default();
         self.pending_err = None;
         let dop = self.ctx.dop.max(1);
         self.build.open()?;
         let build_row_bytes = self.build.layout().row_bytes;
         let build_width = self.build.layout().width();
-        let batch_mode = self.ctx.mode == ExecMode::Batch;
-        let mut buf = if batch_mode {
-            BuildBuf::Cols(ColumnStore::new(build_width))
-        } else {
-            BuildBuf::Rows(Vec::new())
-        };
+        let mut store = ColumnStore::new(build_width);
         // Pre-size the build buffer from the input's row estimate — the
         // common in-memory case never reallocates mid-build.
         if let Some(n) = self.build.estimated_rows() {
-            let n = n.min(1 << 20) as usize;
-            match &mut buf {
-                BuildBuf::Rows(rows) => rows.reserve(n),
-                BuildBuf::Cols(store) => store.reserve(n),
-            }
+            store.reserve(n.min(1 << 20) as usize);
         }
-        match &mut buf {
-            BuildBuf::Cols(store) => {
-                // Batched build: drain whole batches straight into the
-                // columnar store, reserving and checking once per batch.
-                // The reservation total and failure condition are
-                // identical to the per-row path — only the charge
-                // granularity changes.
-                loop {
-                    // Bounded so a refused batch reservation trips with
-                    // the same cumulative row count as the per-row path:
-                    // the request never extends past the first refusable
-                    // row.
-                    let req = self.ctx.governor.ingest_batch_rows(build_row_bytes);
-                    let Some(batch) = self.build.next_batch(req)? else { break };
-                    let n = batch.len();
-                    self.ctx.governor.check_batch(n as u64)?;
-                    self.ctx.governor.try_reserve_memory((n * build_row_bytes) as u64)?;
-                    self.reserved += (n * build_row_bytes) as u64;
-                    store.extend_from_batch(&batch);
-                }
-            }
-            BuildBuf::Rows(rows) => loop {
-                self.ctx.governor.check()?;
-                let Some(t) = self.build.next()? else { break };
-                self.ctx.governor.try_reserve_memory(build_row_bytes as u64)?;
-                self.reserved += build_row_bytes as u64;
-                rows.push(t);
-            },
+        // Drain whole batches straight into the columnar store, reserving
+        // and checking once per batch.
+        loop {
+            // Bounded so the input never produces (and charges for) rows
+            // beyond the first one a reservation would be refused for.
+            let req = self.ctx.governor.ingest_batch_rows(build_row_bytes);
+            let Some(batch) = self.build.next_batch(req)? else { break };
+            let n = batch.len();
+            self.ctx.governor.check_batch(n as u64)?;
+            self.ctx.governor.try_reserve_memory((n * build_row_bytes) as u64)?;
+            self.reserved += (n * build_row_bytes) as u64;
+            store.extend_from_batch(&batch);
         }
         self.build.close();
         // Build completion is a pipeline breaker: the build input's true
         // cardinality is now known exactly.
         if let Some(probe) = &self.checkpoint {
-            probe.observe(buf.len() as u64);
+            probe.observe(store.rows() as u64);
         }
         self.probe.open()?;
 
-        let build_bytes = buf.len() * build_row_bytes;
+        let build_bytes = store.rows() * build_row_bytes;
         if build_bytes <= self.budget_bytes {
             // The reservation stays held while the table is resident;
             // `close` releases it.
-            match buf {
-                BuildBuf::Cols(store) => {
-                    if dop > 1 {
-                        return self.open_parallel_radix(&store, dop);
-                    }
-                    let parts = radix_partitions(build_bytes, 1);
-                    self.state = State::Radix(RadixTable::build(
-                        &self.keys,
-                        &self.ctx.counters,
-                        &store,
-                        parts,
-                    ));
-                }
-                BuildBuf::Rows(rows) => {
-                    if dop > 1 {
-                        return self.open_parallel_in_memory(rows, dop);
-                    }
-                    self.state =
-                        State::InMemory(build_table(&self.keys, &self.ctx.counters, rows));
-                }
+            if dop > 1 {
+                return self.open_parallel_radix(&store, dop);
             }
+            self.state = State::Radix(RadixTable::build(
+                &self.keys,
+                &self.ctx.counters,
+                &store,
+                radix_partitions(build_bytes, 1),
+            ));
             return Ok(());
         }
 
@@ -1016,49 +795,62 @@ impl Operator for HashJoinExec<'_> {
         let mut build_parts: Vec<HeapFile> = (0..PARTITIONS)
             .map(|_| HeapFile::new_temp(self.disk.clone()))
             .collect();
-        match buf {
-            BuildBuf::Rows(rows) => {
-                for row in rows {
-                    self.ctx.counters.add_hashes(1);
-                    let p = (hash_key(&self.keys, &row, true) as usize) % PARTITIONS;
-                    build_parts[p].append(&encode_record(&row, build_row_bytes))?;
-                }
-            }
-            BuildBuf::Cols(store) => {
-                // Same rows in the same order as the tuple path — the
-                // spilled pages are byte-identical across modes.
-                let mut scratch: Tuple = Vec::with_capacity(build_width);
-                for i in 0..store.rows() {
-                    scratch.clear();
-                    store.gather_row_into(i, &mut scratch);
-                    self.ctx.counters.add_hashes(1);
-                    let p = (hash_key(&self.keys, &scratch, true) as usize) % PARTITIONS;
-                    build_parts[p].append(&encode_record(&scratch, build_row_bytes))?;
-                }
-            }
+        let mut scratch: Tuple = Vec::with_capacity(build_width);
+        for i in 0..store.rows() {
+            scratch.clear();
+            store.gather_row_into(i, &mut scratch);
+            self.ctx.counters.add_hashes(1);
+            let p = (hash_key(&self.keys, &scratch, true) as usize) % PARTITIONS;
+            build_parts[p].append(&encode_record(&scratch, build_row_bytes))?;
         }
-        self.release(build_bytes as u64);
+        drop(store);
+        self.ctx.governor.release_memory(build_bytes as u64);
+        self.reserved -= build_bytes as u64;
         for part in &mut build_parts {
             part.finish()?;
         }
         let mut probe_parts: Vec<HeapFile> = (0..PARTITIONS)
             .map(|_| HeapFile::new_temp(self.disk.clone()))
             .collect();
-        // Probe spill stays tuple-wise in both modes: its cost is
-        // partition I/O, and interleaving reads and spill writes
-        // identically keeps fault-plan ordinals mode-independent.
-        loop {
-            self.ctx.governor.check()?;
-            let Some(row) = self.probe.next()? else { break };
-            self.ctx.counters.add_hashes(1);
-            let p = (hash_key(&self.keys, &row, false) as usize) % PARTITIONS;
-            probe_parts[p].append(&encode_record(&row, probe_row_bytes))?;
+        let mut hashes: Vec<u64> = Vec::new();
+        while let Some(batch) = self.probe.next_batch(BATCH_CAPACITY)? {
+            self.ctx.governor.check_batch(batch.len() as u64)?;
+            self.ctx.counters.add_hashes(batch.len() as u64);
+            hash_probe_batch(&self.keys, &batch, &mut hashes);
+            for (idx, &h) in batch.selected_indices().zip(&hashes) {
+                scratch.clear();
+                batch.gather_row_into(idx, &mut scratch);
+                probe_parts[(h as usize) % PARTITIONS]
+                    .append(&encode_record(&scratch, probe_row_bytes))?;
+            }
         }
         for part in &mut probe_parts {
             part.finish()?;
         }
         if dop > 1 {
-            return self.open_parallel_grace(build_parts, probe_parts, dop);
+            // Join the spilled pairs concurrently, each pair's table
+            // reservation going through one shared gate so concurrent
+            // pairs never oversubscribe the grant. The serial join raises
+            // partition-phase failures while it is pulled; defer them.
+            self.state = State::Joined;
+            let gate = ReserveGate::new();
+            let keys = &self.keys;
+            let (build_layout, probe_layout) = (self.build.layout(), self.probe.layout());
+            let joined = join_partitions(
+                &self.ctx,
+                self.layout.width(),
+                dop,
+                PARTITIONS,
+                |p, worker| {
+                    let build = (&build_parts[p], build_layout);
+                    join_spilled_pair(keys, worker, &gate, build, (&probe_parts[p], probe_layout))
+                },
+            );
+            match joined {
+                Ok(joined) => self.joined = joined,
+                Err(e) => self.pending_err = Some(e),
+            }
+            return Ok(());
         }
         self.state = State::Partitioned {
             build_parts,
@@ -1069,251 +861,78 @@ impl Operator for HashJoinExec<'_> {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
+        cursor_next(self, |op| &mut op.cursor)
+    }
+
+    /// The join's native body. Rows already joined stream out first, in
+    /// `max_rows` slices. Then the serial resident path ([`State::Radix`])
+    /// hashes probe batches with the columnar kernel, walks the radix
+    /// table's chains, and gathers match pairs column by column; the
+    /// serial Grace path joins the next spilled partition pair
+    /// ([`join_spilled_pair`]); the parallel paths did all of that at
+    /// `open`.
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
         if let Some(e) = self.pending_err.take() {
             return Err(e);
         }
+        self.ctx.governor.check_batch(0)?;
         loop {
-            self.ctx.governor.check()?;
-            if let Some(t) = self.pending.pop() {
-                return Ok(Some(t));
+            if let Some(batch) = self.joined.next_slice(max_rows) {
+                return Ok(Some(batch));
             }
             match &mut self.state {
-                State::Closed => return Ok(None),
-                State::Streamed(out) => return Ok(out.next()),
-                State::StreamedCols { batch, pos } => {
-                    if *pos >= batch.rows() {
-                        return Ok(None);
-                    }
-                    let row = batch.row_vec(*pos);
-                    *pos += 1;
-                    return Ok(Some(row));
-                }
-                State::InMemory(table) => {
-                    let Some(probe_row) = self.probe.next()? else {
-                        return Ok(None);
-                    };
-                    probe_into(&self.keys, &self.ctx.counters, table, &probe_row, &mut self.pending);
-                }
-                State::Radix(table) => {
-                    let Some(probe_row) = self.probe.next()? else {
-                        return Ok(None);
-                    };
-                    table.probe_row_into(&self.keys, &self.ctx.counters, &probe_row, &mut self.pending);
-                }
-                State::Partitioned {
-                    build_parts,
-                    probe_parts,
-                    part,
-                } => {
+                State::Closed | State::Joined => return Ok(None),
+                State::Partitioned { build_parts, probe_parts, part } => {
                     if *part >= PARTITIONS {
                         return Ok(None);
                     }
                     let p = *part;
                     *part += 1;
-                    let build_width = self.build.layout().width();
-                    let probe_width = self.probe.layout().width();
-                    let build_row_bytes = self.build.layout().row_bytes;
-                    let mut build_rows: Vec<Tuple> = Vec::new();
-                    for record in build_parts[p].scan() {
-                        build_rows.push(decode_record(&record?, build_width));
-                    }
-                    let mut probe_rows: Vec<Tuple> = Vec::new();
-                    for record in probe_parts[p].scan() {
-                        probe_rows.push(decode_record(&record?, probe_width));
-                    }
-                    // This partition's table is resident until the arm
-                    // ends; reserve it (nothing is held on failure, both
-                    // row vectors are dropped).
-                    let part_bytes = (build_rows.len() * build_row_bytes) as u64;
-                    self.ctx.governor.try_reserve_memory(part_bytes)?;
-                    let table = build_table(&self.keys, &self.ctx.counters, build_rows);
-                    for row in &probe_rows {
-                        probe_into(&self.keys, &self.ctx.counters, &table, row, &mut self.pending);
-                    }
-                    drop(table);
-                    self.ctx.governor.release_memory(part_bytes);
-                    self.pending.reverse();
-                }
-            }
-        }
-    }
-
-    /// Native batch probe. The serial resident path ([`State::Radix`])
-    /// hashes each probe batch with the columnar kernel, walks the radix
-    /// table's chains, and gathers match pairs into the output column by
-    /// column; the serial Grace path joins each spilled partition pair
-    /// through a per-partition radix table; the parallel batch path
-    /// streams pre-merged columnar results in `max_rows` slices. The
-    /// remaining states fall back to tuple-looping — their cost is thread
-    /// work, not interpretation.
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
-        if let Some(e) = self.pending_err.take() {
-            return Err(e);
-        }
-        match &mut self.state {
-            State::Radix(_) => {}
-            State::Partitioned { build_parts, probe_parts, part } => {
-                // Batched Grace: one spilled partition pair per iteration,
-                // joined through a per-partition radix table instead of
-                // the tuple path's `HashMap`. Reads, reservation points,
-                // and counter totals are identical to the tuple arm in
-                // `next()` — only the in-memory join is columnar.
-                let build_width = self.build.layout().width();
-                let probe_width = self.probe.layout().width();
-                let build_row_bytes = self.build.layout().row_bytes;
-                let mut out = RowBatch::with_capacity(self.layout.width(), max_rows);
-                loop {
-                    while out.rows() < max_rows {
-                        let Some(t) = self.pending.pop() else { break };
-                        out.push_row(&t);
-                    }
-                    if out.rows() >= max_rows || *part >= PARTITIONS {
-                        return Ok(if out.rows() == 0 { None } else { Some(out) });
-                    }
-                    let p = *part;
-                    *part += 1;
-                    let mut store = ColumnStore::new(build_width);
-                    for record in build_parts[p].scan() {
-                        store.push_row(&decode_record(&record?, build_width));
-                    }
-                    let mut probe_batch = RowBatch::with_capacity(probe_width, 0);
-                    for record in probe_parts[p].scan() {
-                        probe_batch.push_row(&decode_record(&record?, probe_width));
-                    }
-                    self.ctx.governor.check_batch(probe_batch.rows() as u64)?;
-                    let part_bytes = (store.rows() * build_row_bytes) as u64;
-                    self.ctx.governor.try_reserve_memory(part_bytes)?;
-                    let table = RadixTable::build(
+                    self.joined = ColStream::new(join_spilled_pair(
                         &self.keys,
-                        &self.ctx.counters,
-                        &store,
-                        radix_partitions(part_bytes as usize, 1),
-                    );
-                    let mut hashes: Vec<u64> = Vec::new();
-                    hash_probe_batch(&self.keys, &probe_batch, &mut hashes);
-                    let mut pairs_b: Vec<u32> = Vec::new();
-                    let mut pairs_p: Vec<u32> = Vec::new();
-                    for (j, &h) in hashes.iter().enumerate() {
-                        let start = pairs_b.len();
-                        table.chain_matches(
-                            &self.keys,
-                            h,
-                            |pk| probe_batch.column(pk)[j],
-                            &mut pairs_b,
-                        );
-                        // The tuple arm bulk-reverses its pending stack and
-                        // drains it by `pop`, which emits each probe row's
-                        // matches in *reverse* build-arrival order; mirror
-                        // that here so drained tuples are identical.
-                        pairs_b[start..].reverse();
-                        pairs_p.resize(pairs_b.len(), j as u32);
-                    }
-                    self.ctx.counters.add_hashes(probe_batch.rows() as u64);
-                    self.ctx.counters.add_records(pairs_b.len() as u64);
-                    let room = max_rows - out.rows();
-                    let emit = pairs_b.len().min(room);
-                    table.gather_pairs_into(
-                        &probe_batch,
-                        &pairs_b[..emit],
-                        &pairs_p[..emit],
-                        &mut out,
-                    );
-                    for k in (emit..pairs_b.len()).rev() {
-                        self.pending
-                            .push(table.pair_tuple(&probe_batch, pairs_b[k], pairs_p[k]));
-                    }
-                    drop(table);
-                    self.ctx.governor.release_memory(part_bytes);
+                        &self.ctx,
+                        &ReserveGate::new(),
+                        (&build_parts[p], self.build.layout()),
+                        (&probe_parts[p], self.probe.layout()),
+                    )?);
                 }
-            }
-            State::StreamedCols { batch, pos } => {
-                self.ctx.governor.check_batch(0)?;
-                // Stashed rows first (tuple-path interleaving).
-                if !self.pending.is_empty() {
-                    let mut out = RowBatch::with_capacity(self.layout.width(), max_rows);
+                State::Radix(table) => {
+                    // Grown by each probe batch's exact match count: a
+                    // selective join never pays for `max_rows` up front.
+                    let mut out = RowBatch::with_capacity(self.layout.width(), 0);
+                    let (mut hashes, mut pairs_b, mut pairs_p) =
+                        (Vec::new(), Vec::new(), Vec::new());
                     while out.rows() < max_rows {
-                        let Some(t) = self.pending.pop() else { break };
-                        out.push_row(&t);
+                        let Some(probe_batch) = self.probe.next_batch(max_rows)? else {
+                            break;
+                        };
+                        self.ctx.governor.check_batch(probe_batch.len() as u64)?;
+                        table.match_batch(
+                            &self.keys,
+                            &self.ctx.counters,
+                            &probe_batch,
+                            &mut hashes,
+                            &mut pairs_b,
+                            &mut pairs_p,
+                        );
+                        table.gather_pairs_into(|c| probe_batch.column(c), &pairs_b, &pairs_p, &mut out);
                     }
-                    return Ok(Some(out));
-                }
-                let take = max_rows.min(batch.rows() - *pos);
-                if take == 0 {
-                    return Ok(None);
-                }
-                let lo = *pos;
-                *pos += take;
-                let mut out = RowBatch::with_capacity(self.layout.width(), take);
-                out.extend_rows_with(take, |cols| {
-                    for (c, col) in cols.iter_mut().enumerate() {
-                        col.extend_from_slice(&batch.column(c)[lo..lo + take]);
+                    if out.rows() == 0 {
+                        return Ok(None);
                     }
-                });
-                return Ok(Some(out));
-            }
-            _ => {
-                // Grace / parallel tuple / closed: the default
-                // tuple-looping behavior (`next` also surfaces a deferred
-                // parallel-phase error first).
-                let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows);
-                while batch.rows() < max_rows {
-                    match self.next()? {
-                        Some(t) => batch.push_row(&t),
-                        None => break,
-                    }
+                    // The last probe batch may have out-produced the
+                    // request; the loop hands out `max_rows` at a time.
+                    self.joined = ColStream::new(out);
                 }
-                return Ok(if batch.rows() == 0 { None } else { Some(batch) });
             }
         }
-        let State::Radix(table) = &self.state else {
-            return Err(ExecError::Internal("hash join state changed".into()));
-        };
-        let mut out = RowBatch::with_capacity(self.layout.width(), max_rows);
-        // Stashed matches first: from earlier tuple-path calls, or from a
-        // previous batch whose last probe row out-produced the request.
-        while out.rows() < max_rows {
-            let Some(t) = self.pending.pop() else { break };
-            out.push_row(&t);
-        }
-        let mut hashes: Vec<u64> = Vec::new();
-        let mut pairs_b: Vec<u32> = Vec::new();
-        let mut pairs_p: Vec<u32> = Vec::new();
-        while out.rows() < max_rows {
-            let Some(probe_batch) = self.probe.next_batch(max_rows)? else {
-                break;
-            };
-            self.ctx.governor.check_batch(probe_batch.len() as u64)?;
-            hash_probe_batch(&self.keys, &probe_batch, &mut hashes);
-            pairs_b.clear();
-            pairs_p.clear();
-            for (j, idx) in probe_batch.selected_indices().enumerate() {
-                table.chain_matches(
-                    &self.keys,
-                    hashes[j],
-                    |pk| probe_batch.column(pk)[idx],
-                    &mut pairs_b,
-                );
-                pairs_p.resize(pairs_b.len(), idx as u32);
-            }
-            self.ctx.counters.add_hashes(probe_batch.len() as u64);
-            self.ctx.counters.add_records(pairs_b.len() as u64);
-            let room = max_rows - out.rows();
-            let emit = pairs_b.len().min(room);
-            table.gather_pairs_into(&probe_batch, &pairs_b[..emit], &pairs_p[..emit], &mut out);
-            // Matches past the request: deliver them next call, stashed
-            // in reverse so `pop` keeps order.
-            for k in (emit..pairs_b.len()).rev() {
-                self.pending
-                    .push(table.pair_tuple(&probe_batch, pairs_b[k], pairs_p[k]));
-            }
-        }
-        Ok(if out.rows() == 0 { None } else { Some(out) })
     }
 
     fn close(&mut self) {
         self.probe.close();
         self.state = State::Closed;
-        self.pending.clear();
+        self.joined = ColStream::default();
+        self.cursor.clear();
         self.pending_err = None;
         if self.reserved > 0 {
             self.ctx.governor.release_memory(self.reserved);
@@ -1391,7 +1010,7 @@ mod tests {
     #[test]
     fn radix_table_probe_matches_hashmap_semantics() {
         // Duplicate keys on both sides: matches must come back in
-        // build-arrival order for each probe row, like the HashMap path.
+        // build-arrival order for each probe row.
         let keys: Keys = vec![(0, 0)];
         let counters = SharedCounters::default();
         let mut store = ColumnStore::new(2);
@@ -1400,19 +1019,20 @@ mod tests {
             batch.push_row(&[k, payload]);
         }
         store.extend_from_batch(&batch);
+        let mut probe = RowBatch::new(2);
+        probe.push_row(&[1, 99]);
+        probe.push_row(&[7, 0]);
         for parts in [1usize, 2, 4, 8] {
             let table = RadixTable::build(&keys, &counters, &store, parts);
-            let mut out: Vec<Tuple> = Vec::new();
-            table.probe_row_into(&keys, &counters, &[1, 99], &mut out);
-            out.reverse();
+            let (mut hashes, mut pairs_b, mut pairs_p) = (Vec::new(), Vec::new(), Vec::new());
+            table.match_batch(&keys, &counters, &probe, &mut hashes, &mut pairs_b, &mut pairs_p);
+            let mut out = RowBatch::new(4);
+            table.gather_pairs_into(|c| probe.column(c), &pairs_b, &pairs_p, &mut out);
             assert_eq!(
-                out,
+                out.to_tuples(),
                 vec![vec![1, 10, 1, 99], vec![1, 11, 1, 99], vec![1, 12, 1, 99]],
-                "arrival order at {parts} partitions"
+                "arrival order at {parts} partitions; probe key 7 matches nothing"
             );
-            let mut none: Vec<Tuple> = Vec::new();
-            table.probe_row_into(&keys, &counters, &[7, 0], &mut none);
-            assert!(none.is_empty());
         }
     }
 

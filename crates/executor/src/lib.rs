@@ -24,13 +24,16 @@
 //! *retryably* at `open` falls back to the next alternative in cost order,
 //! recording the fallback in [`ExecSummary::fallbacks`].
 //!
-//! Execution is **vectorized by default**: operators exchange
-//! [`RowBatch`]es of ~[`BATCH_CAPACITY`] rows through
-//! [`Operator::next_batch`], with native batch implementations for the
-//! hot operators (scans, filter, hash join, sort) and a tuple-looping
-//! default for the rest. The tuple path remains fully supported
-//! ([`ExecMode::Tuple`], [`execute_plan_mode`]) and the two paths produce
-//! identical results, accounting, and fallback behavior.
+//! There is **one execution engine**. Every operator hand-writes exactly
+//! one pull body: the hot operators (scans, filter, hash join, sort,
+//! exchange) exchange [`RowBatch`]es of ~[`BATCH_CAPACITY`] rows through
+//! [`Operator::next_batch`] and derive `next()` from a shared row cursor
+//! over it; the B-tree scans, index join and merge join produce rows
+//! through [`Operator::next`] and take the trait's looping `next_batch`.
+//! [`ExecMode`] only names the interface the *root* is pulled through
+//! ([`drain_root`] is the one place it is read); internal consumers —
+//! hash build and probe, sort ingest, exchange workers, re-optimization
+//! checkpoints — always pull batches.
 
 #![warn(missing_docs)]
 // Runtime executor code must propagate errors, not panic: unwrap/expect
@@ -72,7 +75,7 @@ pub use compile::{
 pub use delta::{compile_delta_plan, BaseDeltas, Delta, DeltaPipeline};
 pub use error::{ExecError, Resource};
 pub use exchange::{parallel_scan, ExchangeExec};
-pub use exec::{drain, drain_batch, BoxedOperator, Operator};
+pub use exec::{drain, drain_batch, drain_root, BoxedOperator, Operator};
 pub use explain::{
     card_drift, cost_drift, explain_json, parse_json, render_explain, validate_explain_json,
     JsonValue,

@@ -54,7 +54,7 @@ use parking_lot::Mutex;
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
-use crate::exec::{drain, drain_batch, Operator};
+use crate::exec::{cursor_next, drain_batch, drain_root, Operator, RowCursor};
 use crate::governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
 use crate::metrics::{ExecSummary, SharedCounters};
 use crate::trace::{TraceReport, Tracer};
@@ -550,6 +550,7 @@ pub struct MaterializedScanExec {
     layout: TupleLayout,
     ctx: ExecContext,
     pos: usize,
+    cursor: RowCursor,
 }
 
 impl MaterializedScanExec {
@@ -561,6 +562,7 @@ impl MaterializedScanExec {
             layout,
             ctx,
             pos: 0,
+            cursor: RowCursor::default(),
         }
     }
 }
@@ -568,16 +570,12 @@ impl MaterializedScanExec {
 impl Operator for MaterializedScanExec {
     fn open(&mut self) -> Result<(), ExecError> {
         self.pos = 0;
+        self.cursor.clear();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        self.ctx.governor.check()?;
-        let Some(row) = self.rows.get(self.pos) else {
-            return Ok(None);
-        };
-        self.pos += 1;
-        Ok(Some(row.clone()))
+        cursor_next(self, |op| &mut op.cursor)
     }
 
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
@@ -596,6 +594,7 @@ impl Operator for MaterializedScanExec {
 
     fn close(&mut self) {
         self.pos = 0;
+        self.cursor.clear();
     }
 
     fn layout(&self) -> &TupleLayout {
@@ -631,34 +630,6 @@ fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Catalog) -> usi
     (pages * catalog.config.page_size as f64) as usize
 }
 
-/// Materializes one checkpoint subtree, in the context's execution mode.
-/// Compiled dynamically: a checkpoint target may itself contain
-/// choose-plan operators, which arbitrate at `open` with the observations
-/// accumulated so far.
-fn materialize(
-    target: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    memory_bytes: usize,
-    ctx: &ExecContext,
-) -> Result<Vec<Tuple>, ExecError> {
-    let mut op = crate::choose::compile_dynamic_plan(
-        target,
-        db,
-        catalog,
-        env,
-        bindings,
-        memory_bytes,
-        ctx,
-    )?;
-    match ctx.mode {
-        ExecMode::Tuple => drain(op.as_mut()),
-        ExecMode::Batch => drain_batch(op.as_mut()),
-    }
-}
-
 /// Compiles and drains the full dynamic plan, charging result rows
 /// against the row budget exactly as the plain entry points do.
 fn run_collect(
@@ -672,32 +643,9 @@ fn run_collect(
 ) -> Result<Vec<Tuple>, ExecError> {
     let mut op =
         crate::choose::compile_dynamic_plan(plan, db, catalog, env, bindings, memory_bytes, ctx)?;
-    fn collect(
-        op: &mut dyn Operator,
-        governor: &ResourceGovernor,
-        mode: ExecMode,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let mut out = Vec::new();
-        op.open()?;
-        match mode {
-            ExecMode::Tuple => {
-                while let Some(t) = op.next()? {
-                    governor.charge_rows(1)?;
-                    out.push(t);
-                }
-            }
-            ExecMode::Batch => {
-                while let Some(batch) = op.next_batch(crate::batch::BATCH_CAPACITY)? {
-                    governor.charge_rows(batch.len() as u64)?;
-                    out.extend(batch.iter());
-                }
-            }
-        }
-        Ok(out)
-    }
-    let result = collect(op.as_mut(), &ctx.governor, ctx.mode);
-    op.close();
-    result
+    let mut out = Vec::new();
+    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), Some(&mut out))?;
+    Ok(out)
 }
 
 /// Executes a dynamic plan with mid-query re-optimization (see the module
@@ -837,8 +785,21 @@ fn drive(
         };
         done.insert(target.id);
         let memory_bytes = grant_bytes(&exec_bindings, env, catalog);
-        let rows = match materialize(&target, db, catalog, env, &exec_bindings, memory_bytes, ctx)
-        {
+        // Materialize the checkpoint subtree (an internal consumer: it
+        // pulls batches). Compiled dynamically: the target may itself
+        // contain choose-plan operators, which arbitrate at `open` with
+        // the observations accumulated so far.
+        let materialized = crate::choose::compile_dynamic_plan(
+            &target,
+            db,
+            catalog,
+            env,
+            &exec_bindings,
+            memory_bytes,
+            ctx,
+        )
+        .and_then(|mut op| drain_batch(op.as_mut()));
+        let rows = match materialized {
             Ok(rows) => rows,
             Err(e) if e.is_retryable() => {
                 // A faulted checkpoint is abandoned, not fatal: the final
@@ -1034,8 +995,7 @@ mod tests {
             next_blocking_input(&plan, &chosen_map(&startup.decisions), &HashSet::new())
                 .expect("the join fixture has a blocking input");
         let before = db.disk.stats();
-        let ctx = ExecContext::new(SharedCounters::new());
-        materialize(&target, &db, &cat, &env, &bindings, grant, &ctx).unwrap();
+        baseline(&target, &db, &cat, &env, &bindings);
         let subtree_io = db.disk.stats().since(&before);
         assert!(subtree_io.total() > 0, "the build side reads its relation");
 
@@ -1258,14 +1218,11 @@ mod tests {
     fn materialized_scan_serves_rows_in_both_modes() {
         let layout = TupleLayout::for_tests(1, 16);
         let rows = Arc::new(vec![vec![1i64], vec![2], vec![3]]);
-        for mode in [ExecMode::Tuple, ExecMode::Batch] {
-            let ctx = ExecContext::new(SharedCounters::new()).with_mode(mode);
+        type Pull = fn(&mut dyn Operator) -> Result<Vec<Tuple>, ExecError>;
+        for pull in [drain as Pull, drain_batch as Pull] {
+            let ctx = ExecContext::new(SharedCounters::new());
             let mut op = MaterializedScanExec::new(Arc::clone(&rows), layout.clone(), ctx);
-            let got = match mode {
-                ExecMode::Tuple => drain(&mut op).unwrap(),
-                ExecMode::Batch => drain_batch(&mut op).unwrap(),
-            };
-            assert_eq!(got, *rows);
+            assert_eq!(pull(&mut op).unwrap(), *rows);
             // Re-open serves again from the start.
             let again = drain(&mut op).unwrap();
             assert_eq!(again, *rows);

@@ -8,121 +8,104 @@ use dqep_storage::{PageClaims, Rid, SlottedPage, StoredTable};
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
+use crate::exec::{cursor_next, RowCursor};
 use crate::governor::ExecContext;
 use crate::tuple::{Tuple, TupleLayout};
 use crate::Operator;
 
-/// Sequential scan of a base table (accounted as sequential page reads).
-pub struct FileScanExec<'a> {
+/// The shared body of the two heap scans: decodes the pages its caller
+/// names straight into batches, carrying a page tail and a deferred
+/// error between calls.
+struct HeapPages<'a> {
     table: &'a StoredTable,
     layout: TupleLayout,
     ctx: ExecContext,
-    page_idx: usize,
-    buffer: Vec<Tuple>,
-    buffer_pos: usize,
+    /// Rows of the last page read that did not fit the request, and the
+    /// position of the next one to deliver.
+    tail: Vec<Tuple>,
+    tail_pos: usize,
     /// Error hit while a batch already held decoded rows; surfaced on the
-    /// next call so the partial batch is delivered (and counted) first —
-    /// exactly where the tuple path would deliver those rows.
+    /// next call so the partial batch is delivered (and counted) first.
     pending_err: Option<ExecError>,
+    /// The page whose read failed: a further pull reads it again first.
+    retry_page: Option<usize>,
+    cursor: RowCursor,
 }
 
-impl<'a> FileScanExec<'a> {
-    /// Creates a scan over `table`.
-    #[must_use]
-    pub fn new(table: &'a StoredTable, layout: TupleLayout, ctx: ExecContext) -> Self {
-        FileScanExec {
+impl<'a> HeapPages<'a> {
+    fn new(table: &'a StoredTable, layout: TupleLayout, ctx: ExecContext) -> Self {
+        HeapPages {
             table,
             layout,
             ctx,
-            page_idx: 0,
-            buffer: Vec::new(),
-            buffer_pos: 0,
+            tail: Vec::new(),
+            tail_pos: 0,
             pending_err: None,
+            retry_page: None,
+            cursor: RowCursor::default(),
         }
     }
-}
 
-impl Operator for FileScanExec<'_> {
-    fn open(&mut self) -> Result<(), ExecError> {
-        self.page_idx = 0;
-        self.buffer.clear();
-        self.buffer_pos = 0;
+    fn reset(&mut self) {
+        self.tail.clear();
+        self.tail_pos = 0;
         self.pending_err = None;
-        Ok(())
+        self.retry_page = None;
+        self.cursor.clear();
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        if let Some(e) = self.pending_err.take() {
-            return Err(e);
-        }
-        loop {
-            self.ctx.governor.check()?;
-            if self.buffer_pos < self.buffer.len() {
-                let t = self.buffer[self.buffer_pos].clone();
-                self.buffer_pos += 1;
-                self.ctx.counters.add_records(1);
-                return Ok(Some(t));
-            }
-            let pages = self.table.heap.pages();
-            if self.page_idx >= pages.len() {
-                return Ok(None);
-            }
-            self.ctx.governor.charge_io(1)?;
-            let page = SlottedPage::from_bytes(self.table.heap.disk().read(pages[self.page_idx])?);
-            self.page_idx += 1;
-            self.buffer = page.iter().map(|r| self.table.decode(r)).collect();
-            self.buffer_pos = 0;
-        }
-    }
-
-    /// Native batch scan: decodes whole pages straight into the batch's
-    /// contiguous storage — no per-row allocation, one governor check and
-    /// one record-counter update per batch, I/O charged per page exactly
-    /// as the tuple path charges it (so fault injection and I/O budgets
-    /// trip at identical points).
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
+    /// Fills a batch of up to `max_rows` rows from the page tail and then
+    /// from the pages `next_page` yields (indexes into the heap's page
+    /// list): whole pages decode straight into the batch's contiguous
+    /// storage — no per-row allocation, one governor check and one
+    /// record-counter update per batch, I/O charged per page as it is
+    /// read (so fault injection and I/O budgets trip on the page that
+    /// caused them). A fault after the batch already holds rows is
+    /// deferred to the next call.
+    fn fill(
+        &mut self,
+        max_rows: usize,
+        mut next_page: impl FnMut() -> Option<usize>,
+    ) -> Result<Option<RowBatch>, ExecError> {
         if let Some(e) = self.pending_err.take() {
             return Err(e);
         }
         let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows);
-        // Leftover rows first: a partially drained page buffer, from an
-        // earlier tuple-wise call or a previous batch's page tail.
-        while self.buffer_pos < self.buffer.len() && batch.rows() < max_rows {
-            batch.push_row(&self.buffer[self.buffer_pos]);
-            self.buffer_pos += 1;
+        while self.tail_pos < self.tail.len() && batch.rows() < max_rows {
+            batch.push_row(&self.tail[self.tail_pos]);
+            self.tail_pos += 1;
         }
-        if self.buffer_pos >= self.buffer.len() {
-            self.buffer.clear();
-            self.buffer_pos = 0;
+        if self.tail_pos >= self.tail.len() {
+            self.tail.clear();
+            self.tail_pos = 0;
         }
-        while batch.rows() < max_rows && self.buffer.is_empty() {
-            let pages = self.table.heap.pages();
-            if self.page_idx >= pages.len() {
-                break;
-            }
+        while batch.rows() < max_rows {
+            let Some(page_idx) = self.retry_page.take().or_else(&mut next_page) else { break };
             let read = self
                 .ctx
                 .governor
                 .charge_io(1)
-                .and_then(|()| Ok(self.table.heap.disk().read(pages[self.page_idx])?));
+                .and_then(|()| Ok(self.table.heap.disk().read(self.table.heap.pages()[page_idx])?));
             let bytes = match read {
                 Ok(bytes) => bytes,
-                Err(e) if batch.rows() > 0 => {
+                Err(e) => {
+                    self.retry_page = Some(page_idx);
+                    if batch.rows() == 0 {
+                        return Err(e);
+                    }
                     self.pending_err = Some(e);
                     break;
                 }
-                Err(e) => return Err(e),
             };
             let page = SlottedPage::from_bytes(bytes);
-            self.page_idx += 1;
             let records: Vec<&[u8]> = page.iter().collect();
             let take = records.len().min(max_rows - batch.rows());
             batch.extend_rows_with(take, |cols| {
                 self.table.decode_columns_into(&records[..take], cols);
             });
+            // Page tail past the request: deliver it next call.
             for record in &records[take..] {
-                // Page tail past the request: deliver it next call.
-                self.buffer.push(self.table.decode(record));
+                self.tail.push(self.table.decode(record));
             }
         }
         let rows = batch.rows();
@@ -133,19 +116,52 @@ impl Operator for FileScanExec<'_> {
         self.ctx.counters.add_records(rows as u64);
         Ok(Some(batch))
     }
+}
+
+/// Sequential scan of a base table (accounted as sequential page reads).
+pub struct FileScanExec<'a> {
+    pages: HeapPages<'a>,
+    /// Page indexes not yet read.
+    remaining: Range<usize>,
+}
+
+impl<'a> FileScanExec<'a> {
+    /// Creates a scan over `table`.
+    #[must_use]
+    pub fn new(table: &'a StoredTable, layout: TupleLayout, ctx: ExecContext) -> Self {
+        FileScanExec {
+            pages: HeapPages::new(table, layout, ctx),
+            remaining: 0..table.heap.pages().len(),
+        }
+    }
+}
+
+impl Operator for FileScanExec<'_> {
+    fn open(&mut self) -> Result<(), ExecError> {
+        self.remaining = 0..self.pages.table.heap.pages().len();
+        self.pages.reset();
+        Ok(())
+    }
+
+    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
+        cursor_next(self, |op| &mut op.pages.cursor)
+    }
+
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
+        let remaining = &mut self.remaining;
+        self.pages.fill(max_rows, || remaining.next())
+    }
 
     fn close(&mut self) {
-        self.buffer.clear();
-        self.buffer_pos = 0;
-        self.pending_err = None;
+        self.pages.reset();
     }
 
     fn layout(&self) -> &TupleLayout {
-        &self.layout
+        &self.pages.layout
     }
 
     fn estimated_rows(&self) -> Option<u64> {
-        Some(self.table.heap.record_count())
+        Some(self.pages.table.heap.record_count())
     }
 }
 
@@ -156,17 +172,10 @@ impl Operator for FileScanExec<'_> {
 /// record counters exactly as the serial [`FileScanExec`] does — totals
 /// are independent of how threads interleave.
 pub struct MorselScanExec<'a> {
-    table: &'a StoredTable,
-    layout: TupleLayout,
-    ctx: ExecContext,
+    pages: HeapPages<'a>,
     claims: Arc<PageClaims>,
     /// Page indexes of the current morsel not yet read.
     current: Range<usize>,
-    buffer: Vec<Tuple>,
-    buffer_pos: usize,
-    /// Error hit while a batch already held decoded rows; surfaced on the
-    /// next call (same deferral contract as [`FileScanExec`]).
-    pending_err: Option<ExecError>,
 }
 
 impl<'a> MorselScanExec<'a> {
@@ -179,119 +188,41 @@ impl<'a> MorselScanExec<'a> {
         claims: Arc<PageClaims>,
     ) -> Self {
         MorselScanExec {
-            table,
-            layout,
-            ctx,
+            pages: HeapPages::new(table, layout, ctx),
             claims,
             current: 0..0,
-            buffer: Vec::new(),
-            buffer_pos: 0,
-            pending_err: None,
-        }
-    }
-
-    /// The next page index this worker should read, claiming a fresh
-    /// morsel when the current one is exhausted.
-    fn next_page(&mut self) -> Option<usize> {
-        loop {
-            if let Some(idx) = self.current.next() {
-                return Some(idx);
-            }
-            self.current = self.claims.claim()?;
         }
     }
 }
 
 impl Operator for MorselScanExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.buffer.clear();
-        self.buffer_pos = 0;
-        self.pending_err = None;
+        self.pages.reset();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        if let Some(e) = self.pending_err.take() {
-            return Err(e);
-        }
-        loop {
-            self.ctx.governor.check()?;
-            if self.buffer_pos < self.buffer.len() {
-                let t = self.buffer[self.buffer_pos].clone();
-                self.buffer_pos += 1;
-                self.ctx.counters.add_records(1);
-                return Ok(Some(t));
-            }
-            let Some(page_idx) = self.next_page() else {
-                return Ok(None);
-            };
-            let pages = self.table.heap.pages();
-            self.ctx.governor.charge_io(1)?;
-            let page = SlottedPage::from_bytes(self.table.heap.disk().read(pages[page_idx])?);
-            self.buffer = page.iter().map(|r| self.table.decode(r)).collect();
-            self.buffer_pos = 0;
-        }
+        cursor_next(self, |op| &mut op.pages.cursor)
     }
 
-    /// Native batch fill, mirroring [`FileScanExec::next_batch`]: decodes
-    /// claimed pages straight into the batch, defers a mid-batch fault so
-    /// already-decoded rows are delivered (and counted) first.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
-        if let Some(e) = self.pending_err.take() {
-            return Err(e);
-        }
-        let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows);
-        while self.buffer_pos < self.buffer.len() && batch.rows() < max_rows {
-            batch.push_row(&self.buffer[self.buffer_pos]);
-            self.buffer_pos += 1;
-        }
-        if self.buffer_pos >= self.buffer.len() {
-            self.buffer.clear();
-            self.buffer_pos = 0;
-        }
-        while batch.rows() < max_rows && self.buffer.is_empty() {
-            let Some(page_idx) = self.next_page() else { break };
-            let pages = self.table.heap.pages();
-            let read = self
-                .ctx
-                .governor
-                .charge_io(1)
-                .and_then(|()| Ok(self.table.heap.disk().read(pages[page_idx])?));
-            let bytes = match read {
-                Ok(bytes) => bytes,
-                Err(e) if batch.rows() > 0 => {
-                    self.pending_err = Some(e);
-                    break;
-                }
-                Err(e) => return Err(e),
-            };
-            let page = SlottedPage::from_bytes(bytes);
-            let records: Vec<&[u8]> = page.iter().collect();
-            let take = records.len().min(max_rows - batch.rows());
-            batch.extend_rows_with(take, |cols| {
-                self.table.decode_columns_into(&records[..take], cols);
-            });
-            for record in &records[take..] {
-                self.buffer.push(self.table.decode(record));
+        let (current, claims) = (&mut self.current, &self.claims);
+        // The next page of the current morsel, claiming a fresh morsel
+        // when it is exhausted.
+        self.pages.fill(max_rows, || loop {
+            if let Some(idx) = current.next() {
+                return Some(idx);
             }
-        }
-        let rows = batch.rows();
-        if rows == 0 {
-            return Ok(None);
-        }
-        self.ctx.governor.check_batch(rows as u64)?;
-        self.ctx.counters.add_records(rows as u64);
-        Ok(Some(batch))
+            *current = claims.claim()?;
+        })
     }
 
     fn close(&mut self) {
-        self.buffer.clear();
-        self.buffer_pos = 0;
-        self.pending_err = None;
+        self.pages.reset();
     }
 
     fn layout(&self) -> &TupleLayout {
-        &self.layout
+        &self.pages.layout
     }
 
     fn estimated_rows(&self) -> Option<u64> {

@@ -6,7 +6,8 @@ use dqep_storage::{HeapFile, PageId, SimDisk, SlottedPage};
 use crate::batch::RowBatch;
 use crate::error::ExecError;
 use crate::exchange::run_parallel;
-use crate::governor::{ExecContext, ExecMode};
+use crate::exec::{cursor_next, RowCursor};
+use crate::governor::ExecContext;
 use crate::tuple::{Tuple, TupleLayout};
 use crate::{BoxedOperator, Operator};
 
@@ -156,6 +157,7 @@ pub struct SortExec<'a> {
     /// Bytes currently reserved with the governor; released in `close`.
     reserved: u64,
     output: std::vec::IntoIter<Tuple>,
+    cursor: RowCursor,
     /// Mid-query re-optimization probe, fired once per `open` with the
     /// input's actual cardinality when ingest completes.
     checkpoint: Option<crate::reopt::ReoptProbe>,
@@ -179,6 +181,7 @@ impl<'a> SortExec<'a> {
             budget_bytes,
             reserved: 0,
             output: Vec::new().into_iter(),
+            cursor: RowCursor::default(),
             checkpoint: None,
         }
     }
@@ -309,39 +312,26 @@ impl<'a> SortExec<'a> {
 
         // Run formation: buffer up to one memory grant of rows; on
         // overflow, sort the buffered chunk and spill it as a run. Rows
-        // are *reserved* per row in both modes — the spill bound (never
-        // more than one grant of rows resident) is part of the memory
-        // contract, so batch ingest must not reserve a whole batch ahead.
+        // are *reserved* one at a time — the spill bound (never more than
+        // one grant of rows resident) is part of the memory contract, so
+        // ingest must not reserve a whole batch ahead.
         let mut chunk: Vec<Tuple> = Vec::new();
         let mut runs: Vec<HeapFile> = Vec::new();
         let mut ingested: u64 = 0;
-        if self.ctx.mode == ExecMode::Batch {
-            loop {
-                // Request at most one row past what the memory limit still
-                // covers, so a refused reservation trips at the same input
-                // row as the tuple path (the producer never over-produces
-                // past the first refusable row).
-                let req = self.ctx.governor.ingest_batch_rows(row_bytes);
-                let Some(batch) = self.input.next_batch(req)? else { break };
-                self.ctx.governor.check_batch(batch.len() as u64)?;
-                ingested += batch.len() as u64;
-                for row in &batch {
-                    if chunk.len() >= budget_rows {
-                        self.spill_chunk(&mut chunk, &mut runs, row_bytes)?;
-                    }
-                    self.reserve(row_bytes as u64)?;
-                    chunk.push(row);
-                }
-            }
-        } else {
-            while let Some(t) = self.input.next()? {
-                self.ctx.governor.check()?;
-                ingested += 1;
+        loop {
+            // Request at most one row past what the memory limit still
+            // covers, so the input never produces (and charges for) rows
+            // beyond the first one a reservation would be refused for.
+            let req = self.ctx.governor.ingest_batch_rows(row_bytes);
+            let Some(batch) = self.input.next_batch(req)? else { break };
+            self.ctx.governor.check_batch(batch.len() as u64)?;
+            ingested += batch.len() as u64;
+            for row in &batch {
                 if chunk.len() >= budget_rows {
                     self.spill_chunk(&mut chunk, &mut runs, row_bytes)?;
                 }
                 self.reserve(row_bytes as u64)?;
-                chunk.push(t);
+                chunk.push(row);
             }
         }
 
@@ -462,6 +452,7 @@ impl<'a> SortExec<'a> {
 
 impl Operator for SortExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
+        self.cursor.clear();
         self.input.open()?;
         let result = self.fill();
         self.input.close();
@@ -469,16 +460,11 @@ impl Operator for SortExec<'_> {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        self.ctx.governor.check()?;
-        let Some(t) = self.output.next() else {
-            return Ok(None);
-        };
-        self.ctx.counters.add_records(1);
-        Ok(Some(t))
+        cursor_next(self, |op| &mut op.cursor)
     }
 
-    /// Native batch emission from the sorted buffer: one governor check
-    /// and one counter update per batch.
+    /// The sort's native emission from the sorted buffer: one governor
+    /// check and one counter update per batch.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
         let mut batch = RowBatch::with_capacity(self.input.layout().width(), max_rows);
         while batch.rows() < max_rows {
@@ -500,6 +486,7 @@ impl Operator for SortExec<'_> {
             self.reserved = 0;
         }
         self.output = Vec::new().into_iter();
+        self.cursor.clear();
     }
 
     fn layout(&self) -> &TupleLayout {

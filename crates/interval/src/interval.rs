@@ -3,7 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
 
 use crate::ordering::PartialCmp;
 
@@ -59,7 +58,7 @@ pub enum Monotonicity {
 /// traditional "static" optimization is exactly interval optimization in
 /// which every parameter is a point (paper Section 6: costs as points
 /// represented by intervals `[expected, expected]`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     lo: f64,
     hi: f64,

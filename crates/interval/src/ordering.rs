@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 /// Result of comparing two interval costs.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// [`PartialCmp::Incomparable`] for overlapping intervals (paper Section 3,
 /// "Extensibility and Generality of Approach"). The search engine must keep
 /// *both* plans whenever their costs are incomparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartialCmp {
     /// The left cost is lower for every possible run-time binding.
     Less,

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use crate::Interval;
 
@@ -18,7 +17,7 @@ use crate::Interval;
 ///   selectivity `[0, 1]`, memory `[16, 112]` pages).
 /// * **Run-time optimization** and start-up-time choose-plan decisions use
 ///   the *actual binding*, a point known only once the query is invoked.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParamValue {
     /// The parameter is known precisely (a bound host variable, or a
     /// freshly observed system condition).

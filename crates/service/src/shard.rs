@@ -36,8 +36,8 @@ use dqep_catalog::{AttrId, Catalog, RelationId};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    compile_dynamic_plan, credit_frames, decode_frame_traced, drain, drain_batch,
-    encode_frame_traced, execute_plan_reopt_ctx, journal, merge_distributed, presized_batch,
+    compile_dynamic_plan, credit_frames, decode_frame_traced, drain_root, encode_frame_traced,
+    execute_plan_reopt_ctx, journal, merge_distributed, presized_batch,
     scatter_by_shard, ChooseAudit, EventKind, ExecContext, ExecError, ExecMode, FrameTrace,
     LinkFaultPlan, NetChannel, NetConfig, NetSpanStats, NetStats, ReoptConfig, ResourceLimits,
     RowBatch, SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout,
@@ -984,10 +984,9 @@ fn run_access(
     }
     let mut op =
         compile_dynamic_plan(plan, &shard.db, &shard.catalog, env, bindings, memory_bytes, ctx)?;
-    match ctx.mode {
-        ExecMode::Tuple => drain(op.as_mut()),
-        ExecMode::Batch => drain_batch(op.as_mut()),
-    }
+    let mut rows = Vec::new();
+    drain_root(op.as_mut(), ctx.mode, None, Some(&mut rows))?;
+    Ok(rows)
 }
 
 /// One repartitioning exchange: hash-scatters `rows` on `key` across all

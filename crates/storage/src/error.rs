@@ -40,6 +40,14 @@ pub enum StorageError {
         /// The slot the rid pointed at.
         slot: u16,
     },
+    /// A record longer than an empty page can hold was appended (e.g. a
+    /// spill of joined rows wider than a page).
+    RecordTooLarge {
+        /// The record's length in bytes.
+        len: usize,
+        /// The longest record a page can hold.
+        max: usize,
+    },
 }
 
 impl StorageError {
@@ -68,6 +76,9 @@ impl fmt::Display for StorageError {
             StorageError::RecordNotFound { page, slot } => {
                 write!(f, "no record at {page} slot {slot}")
             }
+            StorageError::RecordTooLarge { len, max } => {
+                write!(f, "record of {len} bytes can never fit a page (at most {max})")
+            }
         }
     }
 }
@@ -93,5 +104,8 @@ mod tests {
         assert!(StorageError::RecordNotFound { page: PageId(2), slot: 5 }
             .to_string()
             .contains("slot 5"));
+        assert!(StorageError::RecordTooLarge { len: 2560, max: 2040 }
+            .to_string()
+            .contains("2560 bytes"));
     }
 }

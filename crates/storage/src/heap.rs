@@ -63,9 +63,11 @@ impl HeapFile {
     /// page (plus the tail page at [`HeapFile::finish`]).
     ///
     /// # Errors
-    /// Only temp files can fail, and only via an injected write fault;
-    /// load-time appends to unaccounted files always succeed.
+    /// [`StorageError::RecordTooLarge`] for a record no page can hold
+    /// (nothing is appended); otherwise only temp files can fail, and
+    /// only via an injected write fault.
     pub fn append(&mut self, record: &[u8]) -> Result<Rid, StorageError> {
+        SlottedPage::check_fits(record)?;
         loop {
             let mut tail = match self.tail.take() {
                 Some(t) => t,
@@ -75,7 +77,7 @@ impl HeapFile {
                     SlottedPage::new()
                 }
             };
-            if let Some(slot) = tail.insert(record) {
+            if let Some(slot) = tail.insert(record)? {
                 let page = self.pages.last().copied().unwrap_or(PageId::INVALID);
                 self.disk
                     .write_unaccounted(page, tail.as_bytes().as_slice());
@@ -102,14 +104,16 @@ impl HeapFile {
     /// file exactly as it was.
     ///
     /// # Errors
-    /// Page-write failures, including injected write faults.
+    /// Page-write failures, including injected write faults;
+    /// [`StorageError::RecordTooLarge`] for a record no page can hold.
     pub fn insert(&mut self, record: &[u8]) -> Result<Rid, StorageError> {
+        SlottedPage::check_fits(record)?;
         // Fill the cached tail when the record fits.
         if let Some(tail) = &self.tail {
             if tail.free_space() >= record.len() && !self.pages.is_empty() {
                 let mut page = SlottedPage::from_bytes(Box::new(*tail.as_bytes()));
                 let slot = page
-                    .insert(record)
+                    .insert(record)?
                     .unwrap_or_else(|| unreachable!("free_space said the record fits"));
                 let pid = self.pages.last().copied().unwrap_or(PageId::INVALID);
                 self.disk.write(pid, page.as_bytes().as_slice())?;
@@ -121,8 +125,8 @@ impl HeapFile {
         // No tail or tail full: start a fresh page.
         let mut page = SlottedPage::new();
         let slot = page
-            .insert(record)
-            .unwrap_or_else(|| unreachable!("insert asserts records fit an empty page"));
+            .insert(record)?
+            .unwrap_or_else(|| unreachable!("a record that fits a page fits an empty one"));
         let pid = self.disk.allocate();
         self.disk.write(pid, page.as_bytes().as_slice())?;
         self.pages.push(pid);
@@ -268,6 +272,22 @@ mod tests {
             .map(|r| u64::from_le_bytes(r.unwrap().as_slice().try_into().unwrap()))
             .collect();
         assert_eq!(values, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn oversized_append_is_refused_and_leaves_the_file_usable() {
+        let disk = SimDisk::new();
+        let mut heap = HeapFile::new_temp(disk.clone());
+        heap.append(&[1u8; 100]).unwrap();
+        let err = heap.append(&[0u8; 2560]).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::RecordTooLarge { len: 2560, max: SlottedPage::MAX_RECORD }
+        );
+        assert_eq!((heap.record_count(), heap.page_count()), (1, 1), "nothing appended");
+        assert_eq!(disk.stats().writes, 0, "nothing charged");
+        heap.append(&[2u8; 100]).unwrap();
+        assert_eq!(heap.scan().count(), 2);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! are not reclaimed — the live-view write path favors rid stability over
 //! space reuse, matching the lazy-deletion B-tree above it.
 
+use crate::error::StorageError;
 use crate::page::PAGE_SIZE;
 
 const HEADER: usize = 4;
@@ -65,19 +66,34 @@ impl SlottedPage {
         free_end.saturating_sub(HEADER + (n + 1) * SLOT)
     }
 
+    /// The longest record an empty page can hold.
+    pub const MAX_RECORD: usize = PAGE_SIZE - HEADER - SLOT;
+
+    /// Whether `record` can fit a page at all.
+    ///
+    /// # Errors
+    /// [`StorageError::RecordTooLarge`] if not even an empty page holds it.
+    pub fn check_fits(record: &[u8]) -> Result<(), StorageError> {
+        if record.len() > Self::MAX_RECORD {
+            return Err(StorageError::RecordTooLarge {
+                len: record.len(),
+                max: Self::MAX_RECORD,
+            });
+        }
+        Ok(())
+    }
+
     /// Inserts a record, returning its slot number, or `None` when the
     /// page is full.
     ///
-    /// # Panics
-    /// Panics on records too large to ever fit a page.
-    pub fn insert(&mut self, record: &[u8]) -> Option<u16> {
-        assert!(
-            record.len() + HEADER + SLOT <= PAGE_SIZE,
-            "record of {} bytes can never fit a page",
-            record.len()
-        );
+    /// # Errors
+    /// [`StorageError::RecordTooLarge`] for a record that could never fit
+    /// even an empty page — retrying on a fresh page cannot help, so the
+    /// caller must not treat it as "page full".
+    pub fn insert(&mut self, record: &[u8]) -> Result<Option<u16>, StorageError> {
+        Self::check_fits(record)?;
         if self.free_space() < record.len() {
-            return None;
+            return Ok(None);
         }
         let n = self.len();
         let free_end = read_u16(&self.data[..], 2) as usize;
@@ -88,7 +104,7 @@ impl SlottedPage {
         write_u16(&mut self.data[..], slot_base + 2, record.len() as u16);
         write_u16(&mut self.data[..], 0, (n + 1) as u16);
         write_u16(&mut self.data[..], 2, off as u16);
-        Some(n as u16)
+        Ok(Some(n as u16))
     }
 
     /// The record in `slot`, or `None` when out of range or deleted.
@@ -153,8 +169,8 @@ mod tests {
     fn insert_and_get() {
         let mut p = SlottedPage::new();
         assert!(p.is_empty());
-        let s0 = p.insert(b"hello").unwrap();
-        let s1 = p.insert(b"world!").unwrap();
+        let s0 = p.insert(b"hello").unwrap().unwrap();
+        let s1 = p.insert(b"world!").unwrap().unwrap();
         assert_eq!(s0, 0);
         assert_eq!(s1, 1);
         assert_eq!(p.get(0), Some(&b"hello"[..]));
@@ -168,22 +184,22 @@ mod tests {
         let mut p = SlottedPage::new();
         let record = [7u8; 512];
         let mut count = 0;
-        while p.insert(&record).is_some() {
+        while p.insert(&record).unwrap().is_some() {
             count += 1;
         }
         // 2048-byte page, 4-byte header, 4-byte slots: 3 records of 512 fit
         // (4 * (512 + 4) + 4 > 2048).
         assert_eq!(count, 3);
-        assert!(p.insert(&record).is_none());
+        assert!(p.insert(&record).unwrap().is_none());
         // Smaller records may still fit.
-        assert!(p.insert(&[1u8; 100]).is_some());
+        assert!(p.insert(&[1u8; 100]).unwrap().is_some());
     }
 
     #[test]
     fn roundtrip_through_bytes() {
         let mut p = SlottedPage::new();
-        p.insert(b"abc").unwrap();
-        p.insert(b"defg").unwrap();
+        p.insert(b"abc").unwrap().unwrap();
+        p.insert(b"defg").unwrap().unwrap();
         let bytes = Box::new(*p.as_bytes());
         let q = SlottedPage::from_bytes(bytes);
         let records: Vec<&[u8]> = q.iter().collect();
@@ -193,23 +209,27 @@ mod tests {
     #[test]
     fn empty_record_allowed() {
         let mut p = SlottedPage::new();
-        let s = p.insert(b"").unwrap();
+        let s = p.insert(b"").unwrap().unwrap();
         assert_eq!(p.get(s), Some(&b""[..]));
     }
 
     #[test]
-    #[should_panic(expected = "can never fit")]
-    fn oversized_record_panics() {
+    fn oversized_record_is_a_typed_error() {
         let mut p = SlottedPage::new();
-        let _ = p.insert(&[0u8; PAGE_SIZE]);
+        assert_eq!(
+            p.insert(&[0u8; PAGE_SIZE]),
+            Err(StorageError::RecordTooLarge { len: PAGE_SIZE, max: SlottedPage::MAX_RECORD })
+        );
+        assert!(p.is_empty(), "a refused record leaves the page untouched");
+        assert!(p.insert(&[0u8; SlottedPage::MAX_RECORD]).unwrap().is_some());
     }
 
     #[test]
     fn delete_tombstones_without_renumbering() {
         let mut p = SlottedPage::new();
-        p.insert(b"aa").unwrap();
-        p.insert(b"bb").unwrap();
-        p.insert(b"cc").unwrap();
+        p.insert(b"aa").unwrap().unwrap();
+        p.insert(b"bb").unwrap().unwrap();
+        p.insert(b"cc").unwrap().unwrap();
         assert!(p.delete(1));
         // Slot 1 is gone; the other slots keep their numbers.
         assert_eq!(p.get(0), Some(&b"aa"[..]));
@@ -227,8 +247,8 @@ mod tests {
     #[test]
     fn tombstones_survive_byte_roundtrip() {
         let mut p = SlottedPage::new();
-        p.insert(b"x").unwrap();
-        p.insert(b"y").unwrap();
+        p.insert(b"x").unwrap().unwrap();
+        p.insert(b"y").unwrap().unwrap();
         p.delete(0);
         let q = SlottedPage::from_bytes(Box::new(*p.as_bytes()));
         assert_eq!(q.get(0), None);

@@ -8,6 +8,11 @@
 //! reads), and the same number of choose-plan fallbacks under injected
 //! storage faults and refused memory grants. When a run fails, both
 //! modes must fail with the same kind of error.
+//!
+//! Below the root there is one engine, so mode-versus-mode alone would be
+//! the engine checked against itself: the random-workload properties also
+//! compare both pull interfaces, at DOP 1, 2 and 4, against the
+//! independent nested-loop evaluator in `common/oracle.rs`.
 
 use std::sync::Arc;
 
@@ -16,13 +21,16 @@ use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
     compile_dynamic_plan, drain, drain_batch, execute_plan_mode, ExecContext, ExecError, ExecMode,
-    ExecSummary, ResourceLimits, SharedCounters,
+    ExecSummary, Operator, ResourceLimits, SharedCounters,
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
 use dqep::plan::{PlanNode, PlanNodeBuilder};
 use dqep::storage::{FaultPlan, StoredDatabase};
 use proptest::prelude::*;
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 /// Coarse error class: variant (and resource kind) only. Exact payloads
 /// may legitimately differ — e.g. a refused memory reservation reports
@@ -180,9 +188,11 @@ proptest! {
         db.disk.set_fault_plan(fault);
         let batch = execute_plan_mode(&plan, &db, &catalog, &env, &bindings, limits, ExecMode::Batch);
         db.disk.set_fault_plan(FaultPlan::none());
+        let truth = oracle::evaluate(&query, &catalog, &db, &bindings);
 
         match (tuple, batch) {
             (Ok((t, _)), Ok((b, _))) => {
+                prop_assert_eq!(t.rows, truth.len() as u64, "row count differs from the oracle");
                 prop_assert_eq!(t.rows, b.rows, "result row counts diverged");
                 prop_assert_eq!(t.fallbacks, b.fallbacks, "fallback counts diverged");
                 if hazard != 2 || t.fallbacks == 0 {
@@ -227,7 +237,27 @@ proptest! {
         let mut op = compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx).unwrap();
         let batch_rows = drain_batch(op.as_mut()).unwrap();
 
-        prop_assert_eq!(tuple_rows, batch_rows);
+        prop_assert_eq!(&tuple_rows, &batch_rows);
+
+        // Both pull interfaces at every DOP against the independent
+        // oracle, as multisets over columns in ascending `AttrId` order.
+        let truth = oracle::evaluate(&query, &catalog, &db, &bindings);
+        let attrs = oracle::output_attrs(&query, &catalog);
+        type Pull = fn(&mut dyn Operator) -> Result<Vec<Vec<i64>>, ExecError>;
+        for dop in [1usize, 2, 4] {
+            for (pull, via) in [(drain as Pull, "next"), (drain_batch as Pull, "next_batch")] {
+                let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
+                let mut op =
+                    compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx).unwrap();
+                let positions: Vec<usize> =
+                    attrs.iter().map(|&a| op.layout().require(a)).collect();
+                let rows = pull(op.as_mut()).unwrap();
+                prop_assert_eq!(
+                    oracle::canonical(&rows, &positions), truth.clone(),
+                    "dop {} via {} differs from the oracle", dop, via
+                );
+            }
+        }
     }
 }
 

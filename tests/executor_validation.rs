@@ -1,19 +1,36 @@
 //! End-to-end validation: executed (simulated) behaviour agrees with the
 //! optimizer's decisions and predictions.
 
-use dqep::cost::{Bindings, Environment};
-use dqep::executor::{compile_plan, execute_plan, ExecContext, ExecSummary, SharedCounters};
+use std::sync::Arc;
+
+use dqep::algebra::{CompareOp, HostVar, JoinPred, PhysicalOp, SelectPred};
+use dqep::catalog::{CatalogBuilder, SystemConfig};
+use dqep::cost::{Bindings, CostModel, Environment, PlanStats};
+use dqep::executor::{
+    compile_plan, execute_plan, ExecContext, ExecSummary, SharedCounters, BATCH_CAPACITY,
+};
 use dqep::harness::{paper_query, BindingSampler};
 use dqep::optimizer::Optimizer;
-use dqep::plan::evaluate_startup;
+use dqep::interval::Interval;
+use dqep::plan::{evaluate_startup, PlanNode, PlanNodeBuilder};
 use dqep::storage::StoredDatabase;
 
 fn drain_rows(
-    plan: &std::sync::Arc<dqep::plan::PlanNode>,
+    plan: &Arc<PlanNode>,
     db: &StoredDatabase,
     catalog: &dqep::catalog::Catalog,
     bindings: &Bindings,
 ) -> (u64, f64) {
+    let summary = drain_summary(plan, db, catalog, bindings);
+    (summary.rows, summary.simulated_seconds(&catalog.config))
+}
+
+fn drain_summary(
+    plan: &Arc<PlanNode>,
+    db: &StoredDatabase,
+    catalog: &dqep::catalog::Catalog,
+    bindings: &Bindings,
+) -> ExecSummary {
     let ctx = ExecContext::new(SharedCounters::new());
     let before = db.disk.stats();
     let mut op = compile_plan(plan, db, catalog, bindings, 64 * 2048, &ctx).unwrap();
@@ -24,13 +41,12 @@ fn drain_rows(
     }
     op.close();
     let io = db.disk.stats().since(&before);
-    let summary = ExecSummary {
+    ExecSummary {
         rows,
         cpu: ctx.counters.snapshot(),
         io,
         ..ExecSummary::default()
-    };
-    (rows, summary.simulated_seconds(&catalog.config))
+    }
 }
 
 /// All alternatives under the root choose-plan compute the same result set
@@ -161,5 +177,139 @@ fn join_results_invariant_across_memory_grants() {
     assert!(
         rows_by_memory.windows(2).all(|w| w[0] == w[1]),
         "row counts varied with memory: {rows_by_memory:?}"
+    );
+}
+
+/// A plan node costed by the model from its children's statistics, as
+/// the optimizer would cost it.
+fn costed(
+    b: &mut PlanNodeBuilder,
+    model: &CostModel<'_>,
+    op: PhysicalOp,
+    children: Vec<Arc<PlanNode>>,
+    stats: PlanStats,
+) -> Arc<PlanNode> {
+    let inputs: Vec<PlanStats> = children.iter().map(|c| c.stats).collect();
+    let cost = model.op_cost(&op, &inputs, &stats);
+    b.node(op, children, stats, cost)
+}
+
+/// The derived row cursor reads up to one batch ahead, and a merge join
+/// stops pulling its right input the moment its left input ends — so a
+/// batch-native right input is charged for rows the join never consumed.
+/// The paper's soundness condition must survive that: the realized
+/// simulated cost stays inside the plan's compile-time cost interval, and
+/// the overshoot is bounded by one batch.
+#[test]
+fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
+    // `l` is small with small join keys; `s` and `r` spread their keys
+    // over wider domains, so a merge with `l` ends after a sliver of them.
+    // `s` fits the 64-page grant (its sort stays in memory); `r` is large
+    // enough that one batch of read-ahead is a fraction of it. 500-byte
+    // records pack four to a slotted page, which is also what the model
+    // assumes (512-byte ones pack three: a page-count drift that has
+    // nothing to do with what this test pins).
+    let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
+        .relation("l", 40, 500, |r| r.attr("a", 40.0).attr("j", 50.0).btree("j", false))
+        .relation("s", 240, 500, |r| r.attr("a", 240.0).attr("j", 240.0))
+        .relation("r", 3000, 500, |r| r.attr("a", 3000.0).attr("j", 3000.0).btree("j", false))
+        .build()
+        .unwrap();
+    let db = StoredDatabase::generate(&catalog, 17);
+    let env = Environment::dynamic_compile_time(&catalog.config);
+    let model = CostModel::new(&catalog, &env);
+    let rel = |name: &str| catalog.relation_by_name(name).unwrap();
+    let lj = rel("l").attr_id("j").unwrap();
+    let (l_idx, _) = catalog.index_on_attr(lj).unwrap();
+    let base = |name: &str| PlanStats::new(Interval::point(rel(name).stats.cardinality as f64), 500.0);
+
+    // MergeJoin(BtreeScan l, Filter-or-Sort over `right`), where `right`
+    // carries the unbound `a < :v` (selectivity [0, 1] at compile time,
+    // one half at run time) that makes the compile-time costs intervals.
+    let merge_over = |name: &str, sorted: bool| {
+        let right = rel(name);
+        let (rj, ra) = (right.attr_id("j").unwrap(), right.attr_id("a").unwrap());
+        let card = right.stats.cardinality as f64;
+        let pred = SelectPred::unbound(ra, CompareOp::Lt, HostVar(0));
+        let join_pred = JoinPred::new(lj, rj);
+        let filtered = PlanStats::new(Interval::new(0.0, card), 500.0);
+        let joined = PlanStats::new(
+            Interval::new(0.0, 40.0 * card * model.selectivity().join(&[join_pred])),
+            1000.0,
+        );
+        let b = &mut PlanNodeBuilder::new();
+        let left = costed(
+            b,
+            &model,
+            PhysicalOp::BtreeScan { relation: rel("l").id, index: l_idx, key_attr: lj },
+            vec![],
+            base("l"),
+        );
+        let right_input = if sorted {
+            let scan =
+                costed(b, &model, PhysicalOp::FileScan { relation: right.id }, vec![], base(name));
+            let filter =
+                costed(b, &model, PhysicalOp::Filter { predicate: pred }, vec![scan], filtered);
+            costed(b, &model, PhysicalOp::Sort { attr: rj }, vec![filter], filtered)
+        } else {
+            let (index, _) = catalog.index_on_attr(rj).unwrap();
+            let ordered = costed(
+                b,
+                &model,
+                PhysicalOp::BtreeScan { relation: right.id, index, key_attr: rj },
+                vec![],
+                base(name),
+            );
+            costed(b, &model, PhysicalOp::Filter { predicate: pred }, vec![ordered], filtered)
+        };
+        let merge = PhysicalOp::MergeJoin { predicates: vec![join_pred] };
+        let plan = costed(b, &model, merge, vec![left, right_input], joined);
+        let bindings = Bindings::new().with_value(HostVar(0), card as i64 / 2);
+        let summary = drain_summary(&plan, &db, &catalog, &bindings);
+        assert!(summary.rows > 0, "{name}: the join must produce rows");
+        (plan.total_cost.total(), summary)
+    };
+
+    // Right input Sort(Filter(FileScan s)): every operator that does I/O
+    // consumes its whole input whatever the join does; the read-ahead only
+    // charges the sort for emitting rows the join never asked for. The
+    // realized cost must land inside the interval on both sides.
+    let (interval, summary) = merge_over("s", true);
+    let realized = summary.simulated_seconds(&catalog.config);
+    assert!(
+        interval.lo() <= realized && realized <= interval.hi(),
+        "realized {realized:.4}s outside compile-time interval [{:.4}, {:.4}]",
+        interval.lo(),
+        interval.hi()
+    );
+
+    // Right input Filter(BtreeScan r) in key order: each row costs a
+    // random fetch, the filter's cursor reads a batch of them ahead, and
+    // the join then stops. The overshoot is at most one batch, and the
+    // realized cost does not exceed the interval's upper end. (Its lower
+    // end assumes the whole index scan, which an early-terminating merge
+    // never performs — with or without read-ahead.)
+    let (interval, summary) = merge_over("r", false);
+    let realized = summary.simulated_seconds(&catalog.config);
+    assert!(
+        realized <= interval.hi(),
+        "realized {realized:.4}s above the compile-time upper bound {:.4}",
+        interval.hi()
+    );
+    // Right rows the index scan must fetch for the join: keys below the
+    // left's domain bound, plus the one that ends the merge.
+    let table = db.table(rel("r").id);
+    let needed = table
+        .heap
+        .scan()
+        .filter(|rec| table.decode(rec.as_ref().unwrap())[1] < 50)
+        .count() as u64
+        + 1;
+    let reads = summary.io.total();
+    assert!(reads < 3000, "the merge join must end early: {reads} reads over 3000 right rows");
+    let index_pages = 64; // generous: both B-trees' leaves and descents
+    assert!(
+        reads <= 40 + needed + BATCH_CAPACITY as u64 + index_pages,
+        "read-ahead overshoot exceeds one batch: {reads} reads, {needed} right rows needed"
     );
 }

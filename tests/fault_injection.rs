@@ -13,16 +13,17 @@
 use std::sync::Arc;
 
 use dqep::algebra::{CompareOp, HostVar, LogicalExpr, PhysicalOp, SelectPred};
-use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
+use dqep::catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
     compile_dynamic_plan, drain, execute_plan, ExecContext, ExecError, ResourceLimits,
-    SharedCounters,
+    SharedCounters, BATCH_CAPACITY,
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
 use dqep::plan::{PlanNode, PlanNodeBuilder};
-use dqep::storage::{FaultPlan, StoredDatabase};
+use dqep::service::{QueryService, Request, ServiceConfig, ServiceError};
+use dqep::storage::{FaultPlan, StorageError, StoredDatabase};
 use proptest::prelude::*;
 
 fn fixture() -> (Catalog, StoredDatabase, LogicalExpr) {
@@ -100,6 +101,40 @@ fn spill_write_failure_is_an_error_not_a_panic() {
     assert_eq!(ctx.governor.memory_used(), 0);
 }
 
+/// A file scan pulled again after a faulted page read re-reads that
+/// page: it neither skips the page's rows nor delivers any row twice,
+/// whether the fault was returned at once or deferred behind a partial
+/// batch.
+#[test]
+fn file_scan_pulled_after_a_fault_rereads_the_faulted_page() {
+    let (cat, db, _) = fixture();
+    let rel = cat.relation_by_name("r").unwrap();
+    let mut b = PlanNodeBuilder::new();
+    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![]);
+    let ctx = ExecContext::new(SharedCounters::new());
+    for nth in ["nth-read=1", "nth-read=2"] {
+        let mut op =
+            dqep::executor::compile_plan(&scan, &db, &cat, &Bindings::new(), 2048, &ctx).unwrap();
+        op.open().unwrap();
+        db.disk.set_fault_plan(FaultPlan::parse(nth).unwrap());
+        let (mut rows, mut faults) = (0u64, 0);
+        loop {
+            match op.next_batch(BATCH_CAPACITY) {
+                Ok(Some(batch)) => rows += batch.len() as u64,
+                Ok(None) => break,
+                Err(e) => {
+                    assert!(matches!(e, ExecError::Storage(_)), "got {e:?}");
+                    faults += 1;
+                }
+            }
+        }
+        db.disk.set_fault_plan(FaultPlan::none());
+        op.close();
+        assert_eq!(faults, 1, "{nth}");
+        assert_eq!(rows, expected_rows(&cat, &db, i64::MAX), "{nth}");
+    }
+}
+
 fn node(
     b: &mut PlanNodeBuilder,
     op: PhysicalOp,
@@ -160,6 +195,60 @@ fn memory_exhausted_alternative_falls_back_to_the_same_rows() {
         "memory-refused alternative must be recorded as a fallback"
     );
     assert_eq!(ctx.governor.memory_used(), 0, "failed attempt leaked its reservation");
+}
+
+/// Joined rows of four or more 512-byte relations are wider than a 2 KB
+/// page. When such rows reach a Grace or sort spill the storage layer
+/// must refuse the record with a typed, retryable error — so choose-plan
+/// can fall back to a non-spilling alternative — instead of panicking the
+/// service's worker thread, after which every later request would see
+/// `ServiceError::Shutdown`.
+#[test]
+fn oversized_spill_record_is_a_typed_error_and_the_worker_survives() {
+    const RELATIONS: usize = 5;
+    const SEED: u64 = 23;
+    let catalog =
+        make_chain_catalog(&SyntheticSpec::paper(RELATIONS, SEED), SystemConfig::paper_1994());
+    let from: Vec<String> = (1..=RELATIONS).map(|i| format!("R{i}")).collect();
+    let mut preds: Vec<String> =
+        (1..RELATIONS).map(|i| format!("R{i}.jr = R{}.jl", i + 1)).collect();
+    preds.extend((1..=RELATIONS).map(|i| format!("R{i}.a < :v{i}")));
+    let sql = format!("SELECT * FROM {} WHERE {}", from.join(", "), preds.join(" AND "));
+    let request = |selectivity: f64| {
+        let names: Vec<String> = (1..=RELATIONS).map(|i| format!("v{i}")).collect();
+        let binds: Vec<(&str, i64)> = catalog
+            .relations()
+            .iter()
+            .zip(&names)
+            .map(|(r, name)| (name.as_str(), (selectivity * r.attributes[0].domain_size) as i64))
+            .collect();
+        let mut request = Request::new(&sql, &binds);
+        request.memory_pages = Some(64.0);
+        request
+    };
+    let svc = QueryService::new(
+        catalog.clone(),
+        ServiceConfig { workers: 1, data_seed: SEED, ..ServiceConfig::default() },
+    );
+
+    let mut answered = 0;
+    for selectivity in [0.5, 0.6, 0.7, 0.8, 0.9, 1.0] {
+        match svc.execute(request(selectivity)) {
+            Ok(session) => {
+                assert!(session.summary.rows > 0, "selectivity {selectivity}: empty answer");
+                answered += 1;
+            }
+            Err(ServiceError::Exec(ExecError::Storage(StorageError::RecordTooLarge {
+                len,
+                max,
+            }))) => assert!(len > max, "selectivity {selectivity}: {len} <= {max}"),
+            Err(e) => panic!("selectivity {selectivity}: untyped failure: {e}"),
+        }
+    }
+    assert!(answered > 0, "no wide binding was answered at all");
+    // The worker is still alive: a narrow request on the same service
+    // succeeds.
+    svc.execute(request(0.01)).expect("the worker survived the wide spills");
 }
 
 proptest! {

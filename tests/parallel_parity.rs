@@ -14,6 +14,10 @@
 //! identity* (`FaultPlan::page_range`), which is deterministic under any
 //! read interleaving; read-ordinal faults are only meaningful at DOP 1
 //! and stay in `batch_parity.rs`.
+//!
+//! DOP-versus-DOP alone would be the engine checked against itself: the
+//! random-workload properties also compare every DOP and pull interface
+//! against the independent nested-loop evaluator in `common/oracle.rs`.
 
 use std::sync::Arc;
 
@@ -29,6 +33,9 @@ use dqep::optimizer::Optimizer;
 use dqep::plan::{PlanNode, PlanNodeBuilder};
 use dqep::storage::{FaultPlan, StoredDatabase};
 use proptest::prelude::*;
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 /// Coarse error class: variant (and resource kind) only, as in
 /// `batch_parity.rs` — payloads may differ (a parallel worker reports the
@@ -198,6 +205,12 @@ proptest! {
         let serial = execute_plan_dop(
             &plan, &db, &catalog, &env, &bindings, limits, mode, 1,
         );
+        if let Ok((s, _)) = &serial {
+            // `export_rows` reads unaccounted, so the installed fault
+            // plan does not touch the oracle.
+            let truth = oracle::evaluate(&query, &catalog, &db, &bindings);
+            prop_assert_eq!(s.rows, truth.len() as u64, "row count differs from the oracle");
+        }
         for dop in [2usize, 4] {
             db.disk.set_fault_plan(fault.clone());
             let parallel = execute_plan_dop(
@@ -248,6 +261,8 @@ proptest! {
             bindings = bindings.with_value(var, (sel * domain) as i64);
         }
         let memory = 64 * 2048;
+        let truth = oracle::evaluate(&query, &catalog, &db, &bindings);
+        let attrs = oracle::output_attrs(&query, &catalog);
 
         for mode in [ExecMode::Tuple, ExecMode::Batch] {
             let mut baseline: Option<Vec<Tuple>> = None;
@@ -258,6 +273,8 @@ proptest! {
                 let mut op =
                     compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx)
                         .unwrap();
+                let positions: Vec<usize> =
+                    attrs.iter().map(|&a| op.layout().require(a)).collect();
                 let rows = match mode {
                     ExecMode::Tuple => drain(op.as_mut()).unwrap(),
                     ExecMode::Batch => drain_batch(op.as_mut()).unwrap(),
@@ -265,6 +282,10 @@ proptest! {
                 prop_assert_eq!(
                     ctx.governor.memory_used(), 0,
                     "{:?} dop={}: leaked reservation", mode, dop
+                );
+                prop_assert_eq!(
+                    oracle::canonical(&rows, &positions), truth.clone(),
+                    "{:?} dop={}: differs from the oracle", mode, dop
                 );
                 let rows = sorted(rows);
                 match &baseline {
