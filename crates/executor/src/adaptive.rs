@@ -170,6 +170,7 @@ pub fn execute_adaptive(
     let startup = evaluate_startup_observed(plan, catalog, env, bindings, &observations);
     let mut ctx = ExecContext::new(SharedCounters::new());
     let before = db.disk.stats();
+    db.disk.reset_temp_high_water();
     // With a retained pilot, execute the *original* dynamic plan (its
     // node ids key the substitution); the run-time choose-plan arbitrates
     // with the same observation, reproducing `startup`'s decision, and
@@ -200,6 +201,7 @@ pub fn execute_adaptive(
             cpu: ctx.counters.snapshot(),
             io,
             fallbacks: ctx.counters.fallbacks(),
+            temp_pages_peak: db.disk.temp_pages().high_water,
             ..ExecSummary::default()
         },
     })

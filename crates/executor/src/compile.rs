@@ -485,6 +485,7 @@ fn execute_inner(
         ctx = ctx.with_tracer(Arc::clone(tracer));
     }
     let io_before = db.disk.stats();
+    db.disk.reset_temp_high_water();
     let rows = run_dynamic(plan, db, catalog, env, bindings, memory_bytes, &ctx)?;
     let io = db.disk.stats().since(&io_before);
     let report = tracer.map(|t| t.report()).unwrap_or_default();
@@ -494,6 +495,7 @@ fn execute_inner(
             cpu: ctx.counters.snapshot(),
             io,
             fallbacks: ctx.counters.fallbacks(),
+            temp_pages_peak: db.disk.temp_pages().high_water,
             ..ExecSummary::default()
         },
         startup,

@@ -110,7 +110,7 @@ fn render_span(out: &mut String, report: &TraceReport, record: &SpanRecord, dept
     };
     let _ = writeln!(
         out,
-        "{pad}  act: rows={} batches={} sim={}s wall={:.3}ms io={}r+{}w mem={}B  [{flag}]",
+        "{pad}  act: rows={} batches={} sim={}s wall={:.3}ms io={}r+{}w mem={}B temp={}p  [{flag}]",
         s.rows,
         s.batches,
         num(s.simulated_seconds(config)),
@@ -118,6 +118,7 @@ fn render_span(out: &mut String, report: &TraceReport, record: &SpanRecord, dept
         s.io.seq_reads + s.io.random_reads,
         s.io.writes,
         s.mem_peak,
+        s.temp_pages_peak,
     );
     if let Some(net) = &record.net {
         if net.sent {
@@ -325,7 +326,7 @@ pub fn explain_json(report: &TraceReport, config: &SystemConfig) -> String {
              \"open_wall_ns\":{},\"next_wall_ns\":{},\
              \"records\":{},\"compares\":{},\"hashes\":{},\
              \"seq_reads\":{},\"random_reads\":{},\"writes\":{},\
-             \"mem_peak_bytes\":{},\"simulated_seconds\":{}}}",
+             \"mem_peak_bytes\":{},\"temp_pages_peak\":{},\"simulated_seconds\":{}}}",
             s.rows,
             s.batches,
             s.opens,
@@ -339,6 +340,7 @@ pub fn explain_json(report: &TraceReport, config: &SystemConfig) -> String {
             s.io.random_reads,
             s.io.writes,
             s.mem_peak,
+            s.temp_pages_peak,
             jnum(s.simulated_seconds(config)),
         );
         let _ = write!(out, ",\"start_ns\":{}", record.start_ns);
@@ -784,6 +786,7 @@ pub fn validate_explain_json(text: &str) -> Result<(), String> {
             "random_reads",
             "writes",
             "mem_peak_bytes",
+            "temp_pages_peak",
             "simulated_seconds",
         ] {
             let v = require_num(actual, key, &ctx)?;

@@ -46,7 +46,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use dqep_storage::gen::{decode_record, encode_record};
+use dqep_storage::gen::{decode_page_columns_into, encode_record_into};
 use dqep_storage::{HeapFile, SimDisk};
 
 use crate::batch::{RowBatch, BATCH_CAPACITY};
@@ -187,12 +187,13 @@ impl ColumnStore {
         }
     }
 
-    /// Appends one row (attribute-wise).
-    fn push_row(&mut self, row: &[i64]) {
-        for (col, &v) in self.cols.iter_mut().zip(row) {
-            col.push(v);
+    /// Reads a spilled partition back, decoding page by page straight
+    /// into the columns.
+    fn extend_from_spill(&mut self, part: &HeapFile) -> Result<(), ExecError> {
+        for page in part.scan_pages() {
+            self.rows += decode_page_columns_into(&page?, &mut self.cols);
         }
-        self.rows += 1;
+        Ok(())
     }
 
     /// Copies row `i` into `out` (gathering across the columns).
@@ -571,13 +572,15 @@ fn join_spilled_pair(
     let build_width = build_layout.width();
     let probe_width = probe_layout.width();
     let mut store = ColumnStore::new(build_width);
-    for record in build_part.scan() {
-        store.push_row(&decode_record(&record?, build_width));
-    }
+    store.reserve(build_part.record_count() as usize);
+    store.extend_from_spill(build_part)?;
     let mut probe_batch =
         RowBatch::with_capacity(probe_width, probe_part.record_count() as usize);
-    for record in probe_part.scan() {
-        probe_batch.push_row(&decode_record(&record?, probe_width));
+    for page in probe_part.scan_pages() {
+        let page = page?;
+        probe_batch.extend_rows_with(page.live_len(), |cols| {
+            decode_page_columns_into(&page, cols);
+        });
     }
     ctx.governor.check_batch(probe_batch.rows() as u64)?;
     let part_bytes = (store.rows() * build_layout.row_bytes) as u64;
@@ -795,13 +798,16 @@ impl Operator for HashJoinExec<'_> {
         let mut build_parts: Vec<HeapFile> = (0..PARTITIONS)
             .map(|_| HeapFile::new_temp(self.disk.clone()))
             .collect();
+        // One zero-padded record buffer per side, re-encoded per row.
         let mut scratch: Tuple = Vec::with_capacity(build_width);
+        let mut record = vec![0u8; build_row_bytes];
         for i in 0..store.rows() {
             scratch.clear();
             store.gather_row_into(i, &mut scratch);
             self.ctx.counters.add_hashes(1);
             let p = (hash_key(&self.keys, &scratch, true) as usize) % PARTITIONS;
-            build_parts[p].append(&encode_record(&scratch, build_row_bytes))?;
+            encode_record_into(&scratch, &mut record);
+            build_parts[p].append(&record)?;
         }
         drop(store);
         self.ctx.governor.release_memory(build_bytes as u64);
@@ -813,6 +819,7 @@ impl Operator for HashJoinExec<'_> {
             .map(|_| HeapFile::new_temp(self.disk.clone()))
             .collect();
         let mut hashes: Vec<u64> = Vec::new();
+        let mut record = vec![0u8; probe_row_bytes];
         while let Some(batch) = self.probe.next_batch(BATCH_CAPACITY)? {
             self.ctx.governor.check_batch(batch.len() as u64)?;
             self.ctx.counters.add_hashes(batch.len() as u64);
@@ -820,8 +827,8 @@ impl Operator for HashJoinExec<'_> {
             for (idx, &h) in batch.selected_indices().zip(&hashes) {
                 scratch.clear();
                 batch.gather_row_into(idx, &mut scratch);
-                probe_parts[(h as usize) % PARTITIONS]
-                    .append(&encode_record(&scratch, probe_row_bytes))?;
+                encode_record_into(&scratch, &mut record);
+                probe_parts[(h as usize) % PARTITIONS].append(&record)?;
             }
         }
         for part in &mut probe_parts {

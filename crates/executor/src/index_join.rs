@@ -99,9 +99,8 @@ impl Operator for IndexJoinExec<'_> {
                     .ok_or(ExecError::Storage(StorageError::RecordNotFound {
                         page: rid.page,
                         slot: rid.slot,
-                    }))?
-                    .to_vec();
-                let inner = self.inner.decode(&record);
+                    }))?;
+                let inner = self.inner.decode(record);
                 self.ctx.counters.add_compares(1);
                 if let Some(residual) = &self.residual {
                     if !residual.matches(&inner) {

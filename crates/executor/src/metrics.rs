@@ -148,6 +148,9 @@ pub struct ExecSummary {
     pub io: IoStats,
     /// Choose-plan fallbacks taken (0 when the preferred alternative ran).
     pub fallbacks: u64,
+    /// Most temp pages (sort runs, Grace partitions) the statement held
+    /// on disk at once; all of them are given back by the time it ends.
+    pub temp_pages_peak: u64,
     /// Plan-cache provenance when executed through a prepared-query
     /// service (defaults to "not via a service").
     pub plan_cache: PlanCacheInfo,
@@ -162,16 +165,19 @@ impl ExecSummary {
     }
 
     /// Folds another summary's work into this one (rows, CPU, I/O,
-    /// fallbacks). Cache provenance is per-execution and not merged.
+    /// fallbacks; the temp-page high-water takes the max). Cache
+    /// provenance is per-execution and not merged.
     pub fn accumulate(&mut self, other: &ExecSummary) {
         self.rows += other.rows;
         self.cpu += other.cpu;
         self.io += other.io;
         self.fallbacks += other.fallbacks;
+        self.temp_pages_peak = self.temp_pages_peak.max(other.temp_pages_peak);
     }
 
-    /// The one summary line: rows, simulated time, I/O breakdown,
-    /// fallbacks (only when any were taken), and plan-cache provenance.
+    /// The one summary line: rows, simulated time, I/O breakdown, the
+    /// temp-page high-water (only when the statement spilled), fallbacks
+    /// (only when any were taken), and plan-cache provenance.
     /// Both CLI paths (`--run` and `--serve`) print executions through
     /// this renderer, so the formats cannot drift apart again.
     #[must_use]
@@ -185,6 +191,9 @@ impl ExecSummary {
             self.io.random_reads,
             self.io.writes,
         );
+        if self.temp_pages_peak > 0 {
+            let _ = write!(line, ", {} temp pages peak", self.temp_pages_peak);
+        }
         if self.fallbacks > 0 {
             let _ = write!(line, ", {} fallback(s)", self.fallbacks);
         }
@@ -242,6 +251,7 @@ mod tests {
             cpu: CpuCounters { records: 10, compares: 2, hashes: 1 },
             io: IoStats { seq_reads: 3, random_reads: 1, writes: 0 },
             fallbacks: 1,
+            temp_pages_peak: 7,
             plan_cache: PlanCacheInfo { statement_hit: Some(true), decision_hit: Some(false) },
         };
         total.accumulate(&a);
@@ -250,6 +260,8 @@ mod tests {
         assert_eq!(total.cpu, CpuCounters { records: 20, compares: 4, hashes: 2 });
         assert_eq!(total.io.total(), 8);
         assert_eq!(total.fallbacks, 2);
+        assert_eq!(total.temp_pages_peak, 7, "a high-water is not summed");
+        assert!(a.describe(&SystemConfig::paper_1994()).contains(", 7 temp pages peak, 1 fallback(s)"));
         assert_eq!(total.plan_cache, PlanCacheInfo::default(), "provenance not merged");
     }
 

@@ -769,6 +769,7 @@ fn drive(
     ctx: &ExecContext,
 ) -> Result<ReoptOutcome, ExecError> {
     let io_before = db.disk.stats();
+    db.disk.reset_temp_high_water();
 
     let mut exec_bindings = bindings.clone();
     let mut startup =
@@ -901,6 +902,7 @@ fn drive(
         cpu: ctx.counters.snapshot(),
         io,
         fallbacks: ctx.counters.fallbacks(),
+        temp_pages_peak: db.disk.temp_pages().high_water,
         ..ExecSummary::default()
     };
     let report = state.report();

@@ -277,9 +277,9 @@ impl Operator for BtreeScanExec<'_> {
             return Ok(None);
         };
         self.ctx.governor.charge_io(1)?;
-        let record = self.table.heap.fetch(rid)?;
+        let row = self.table.heap.fetch_with(rid, |record| self.table.decode(record))?;
         self.ctx.counters.add_records(1);
-        Ok(Some(self.table.decode(&record)))
+        Ok(Some(row))
     }
 
     fn close(&mut self) {
@@ -342,9 +342,9 @@ impl Operator for FilterBtreeScanExec<'_> {
             return Ok(None);
         };
         self.ctx.governor.charge_io(1)?;
-        let record = self.table.heap.fetch(rid)?;
+        let row = self.table.heap.fetch_with(rid, |record| self.table.decode(record))?;
         self.ctx.counters.add_records(1);
-        Ok(Some(self.table.decode(&record)))
+        Ok(Some(row))
     }
 
     fn close(&mut self) {

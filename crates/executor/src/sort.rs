@@ -1,6 +1,6 @@
 //! External sort with memory-bounded, governor-audited runs.
 
-use dqep_storage::gen::{decode_record, encode_record};
+use dqep_storage::gen::{decode_record_into, encode_record_into};
 use dqep_storage::{HeapFile, PageId, SimDisk, SlottedPage};
 
 use crate::batch::RowBatch;
@@ -38,6 +38,15 @@ fn merge_sorted_slices(rows: &mut [Tuple], share: usize, key: usize) -> Vec<Tupl
         cursors[b].0 += 1;
     }
     out
+}
+
+/// Decodes every record of one run page into `rows`.
+fn decode_page_rows(page: &SlottedPage, width: usize, rows: &mut Vec<Tuple>) {
+    for record in page.iter() {
+        let mut row = Vec::with_capacity(width);
+        decode_record_into(record, width, &mut row);
+        rows.push(row);
+    }
 }
 
 /// K-way merge of sorted run segments into one sorted vector, ties broken
@@ -242,7 +251,8 @@ impl<'a> SortExec<'a> {
     }
 
     /// Sorts `chunk` and spills it to a fresh accounted run, releasing its
-    /// memory reservation.
+    /// memory reservation. The run is a query-lifetime file: its pages go
+    /// back to the disk when `fill` drops it, merged or failed.
     ///
     /// The run's record content goes through unaccounted page writes and
     /// the accounting is settled explicitly afterwards: exactly one
@@ -258,9 +268,11 @@ impl<'a> SortExec<'a> {
         row_bytes: usize,
     ) -> Result<(), ExecError> {
         self.sort_rows(chunk);
-        let mut run = HeapFile::new(self.disk.clone());
+        let mut run = HeapFile::new_temp_uncharged(self.disk.clone());
+        let mut record = vec![0u8; row_bytes];
         for row in chunk.iter() {
-            run.append(&encode_record(row, row_bytes))?;
+            encode_record_into(row, &mut record);
+            run.append(&record)?;
         }
         self.charge_run_writes(run.page_count())?;
         runs.push(run);
@@ -379,8 +391,8 @@ impl<'a> SortExec<'a> {
             let mut all = Vec::with_capacity(runs.len());
             for run in &runs {
                 let mut rows = Vec::with_capacity(run.record_count() as usize);
-                for record in run.scan() {
-                    rows.push(decode_record(&record?, width));
+                for page in run.scan_pages() {
+                    decode_page_rows(&page?, width, &mut rows);
                 }
                 all.push(rows);
             }
@@ -405,11 +417,8 @@ impl<'a> SortExec<'a> {
                                 .disk()
                                 .read(pid)
                                 .map_err(ExecError::from)?;
-                            let page = SlottedPage::from_bytes(bytes);
-                            let rows: Vec<Tuple> = page
-                                .iter()
-                                .map(|record| decode_record(record, width))
-                                .collect();
+                            let mut rows = Vec::new();
+                            decode_page_rows(&SlottedPage::from_bytes(bytes), width, &mut rows);
                             out.push((r, u, rows));
                             u += dop;
                         }

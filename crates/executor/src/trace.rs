@@ -96,12 +96,16 @@ pub struct SpanStats {
     pub io: IoStats,
     /// Governor memory high-water (bytes) sampled while the span ran.
     pub mem_peak: u64,
+    /// The disk's temp-page high-water (sort runs, Grace partitions)
+    /// sampled while the span ran — like `mem_peak`, the statement's
+    /// shared high-water so far, not this operator's own files.
+    pub temp_pages_peak: u64,
 }
 
 impl SpanStats {
     /// Merges another worker's totals into this span: counts, times, CPU
-    /// and I/O sum; the memory high-water takes the max (it is a shared
-    /// governor's peak, not a per-worker quantity). Commutative and
+    /// and I/O sum; the memory and temp-page high-waters take the max
+    /// (each is a shared peak, not a per-worker quantity). Commutative and
     /// associative, so merge order never matters — the property
     /// `tests/observability.rs` exercises under concurrent flushes.
     pub fn merge_from(&mut self, other: &SpanStats) {
@@ -114,6 +118,7 @@ impl SpanStats {
         self.cpu += other.cpu;
         self.io += other.io;
         self.mem_peak = self.mem_peak.max(other.mem_peak);
+        self.temp_pages_peak = self.temp_pages_peak.max(other.temp_pages_peak);
     }
 
     /// Simulated seconds of the span's accounted work under `config`.
@@ -521,6 +526,8 @@ impl<'a> TracedExec<'a> {
         self.local.cpu += cpu_delta(self.counters.snapshot(), cpu_before);
         if let (Some(disk), Some(before)) = (self.disk.as_ref(), io_before) {
             self.local.io += disk.stats().since(&before);
+            self.local.temp_pages_peak =
+                self.local.temp_pages_peak.max(disk.temp_pages().high_water);
         }
         self.local.mem_peak = self.local.mem_peak.max(self.governor.memory_peak());
         if result.is_err() {

@@ -145,6 +145,7 @@ pub struct MetricsRegistry {
     refused_link_fault: AtomicU64,
     refused_memory_exhausted: AtomicU64,
     admission_retries: AtomicU64,
+    temp_pages_high_water: AtomicU64,
     reopt_checkpoints: AtomicU64,
     reopt_escapes: AtomicU64,
     reopt_replans: AtomicU64,
@@ -186,6 +187,8 @@ impl MetricsRegistry {
             Ok(result) => {
                 self.latency.record(total_latency);
                 self.queue_wait.record(result.queue_wait);
+                self.temp_pages_high_water
+                    .fetch_max(result.summary.temp_pages_peak, Ordering::Relaxed);
             }
             Err(e) => self.classify_failure(e),
         }
@@ -238,6 +241,15 @@ impl MetricsRegistry {
     #[must_use]
     pub fn refused_memory_exhausted(&self) -> u64 {
         self.refused_memory_exhausted.load(Ordering::Relaxed)
+    }
+
+    /// Most temp pages (sort runs, Grace partitions) any one successful
+    /// session held on a replica's disk at once. Statements give their
+    /// temp pages back, so this settles at the largest spill; a value
+    /// that keeps climbing under a steady workload is a leak.
+    #[must_use]
+    pub fn temp_pages_high_water(&self) -> u64 {
+        self.temp_pages_high_water.load(Ordering::Relaxed)
     }
 
     /// Counts one admission that was granted only on its retry rung.
@@ -406,6 +418,7 @@ impl MetricsRegistry {
             refused_link_fault: self.refused_link_fault(),
             refused_memory_exhausted: self.refused_memory_exhausted(),
             admission_retries: self.admission_retries(),
+            temp_pages_high_water: self.temp_pages_high_water(),
             reopt_checkpoints: self.reopt_checkpoints(),
             reopt_escapes: self.reopt_escapes(),
             reopt_replans: self.reopt_replans(),
@@ -447,6 +460,8 @@ pub struct MetricsReport {
     pub refused_memory_exhausted: u64,
     /// Admissions that succeeded only after a backoff-and-retry.
     pub admission_retries: u64,
+    /// Most temp pages any one successful session held on disk at once.
+    pub temp_pages_high_water: u64,
     /// Pipeline-breaker checkpoints observed across all sessions.
     pub reopt_checkpoints: u64,
     /// Checkpoint observations that escaped their estimate interval.
@@ -521,7 +536,7 @@ impl MetricsReport {
              \"refused_admission_timeout\": {}, \"refused_grant_too_large\": {}, \
              \"refused_link_fault\": {}, \"refused_memory_exhausted\": {}, \
              \"admission_retries\": {}, \"fallbacks\": {}, \"rows\": {}, \
-             \"simulated_io_pages\": {}}},",
+             \"simulated_io_pages\": {}, \"temp_pages_high_water\": {}}},",
             s.completed,
             s.failed,
             self.refused_admission_timeout,
@@ -532,6 +547,7 @@ impl MetricsReport {
             s.totals.fallbacks,
             s.totals.rows,
             s.totals.io.total(),
+            self.temp_pages_high_water,
         );
         histogram_json(&mut out, "latency_seconds", &self.latency);
         out.push_str(",\n");
@@ -692,6 +708,12 @@ impl MetricsReport {
             "Sends blocked on credit backpressure.",
             self.net_credit_stalls,
         );
+        let _ = writeln!(
+            out,
+            "# HELP dqep_temp_pages_high_water Most temp pages one session held on disk at once."
+        );
+        let _ = writeln!(out, "# TYPE dqep_temp_pages_high_water gauge");
+        let _ = writeln!(out, "dqep_temp_pages_high_water {}", self.temp_pages_high_water);
         let _ = writeln!(out, "# HELP dqep_shard_winner_total Per-shard arbitration wins by alternative index.");
         let _ = writeln!(out, "# TYPE dqep_shard_winner_total counter");
         for (i, &wins) in self.shard_winners.iter().enumerate() {
@@ -971,6 +993,7 @@ mod tests {
         assert!(text.contains("dqep_latency_seconds{quantile=\"0.95\"}"));
         assert!(text.contains("dqep_latency_seconds_count 1"));
         assert!(text.contains("dqep_net_bytes_total 128"));
+        assert!(text.contains("# TYPE dqep_temp_pages_high_water gauge\ndqep_temp_pages_high_water 0"));
         assert!(text.contains("dqep_shard_winner_total{alternative=\"1\"} 1"));
     }
 

@@ -478,6 +478,7 @@ impl Worker {
             db.disk.set_fault_plan(faults.clone());
         }
         let io_before = db.disk.stats();
+        db.disk.reset_temp_high_water();
         let outcome = match self.config.reopt {
             Some(reopt_config) => {
                 self.execute_reopt(db, env, &ctx, &stmt, &bindings, reopt_config)
@@ -545,6 +546,7 @@ impl Worker {
                 cpu: job.ctx.counters.snapshot(),
                 io,
                 fallbacks: job.ctx.counters.fallbacks(),
+                temp_pages_peak: db.disk.temp_pages().high_water,
                 plan_cache: PlanCacheInfo {
                     statement_hit: Some(statement_hit),
                     decision_hit: Some(decision_hit),

@@ -20,6 +20,8 @@
 //! lookups and range scans use accounted reads so executor I/O is
 //! measurable.
 
+use std::sync::Arc;
+
 use crate::disk::SimDisk;
 use crate::error::StorageError;
 use crate::heap::Rid;
@@ -97,9 +99,11 @@ impl BTree {
     }
 
     fn insert_into(&mut self, node: PageId, key: i64, rid: Rid) -> Option<(i64, PageId)> {
+        // Shared with the disk: the nodes a descent only reads are not
+        // copied, the one it changes is (copy-on-write).
         let mut page = self.disk.read_unaccounted(node);
         if page[0] == KIND_LEAF {
-            return self.insert_leaf(node, &mut page, key, rid);
+            return self.insert_leaf(node, Arc::make_mut(&mut page), key, rid);
         }
         let idx = internal_child_index(&page[..], key);
         let child = internal_child(&page[..], idx);
@@ -107,6 +111,7 @@ impl BTree {
         // Child split: insert (sep, right) after position idx.
         let (sep, right) = split;
         let n = count(&page[..]);
+        let page = Arc::make_mut(&mut page);
         if n < INTERNAL_CAP {
             // Shift entries right of idx.
             let base = HEADER + idx * INTERNAL_ENTRY;
@@ -132,7 +137,7 @@ impl BTree {
         let up_key = keys[mid];
         let (lk, rk) = (keys[..mid].to_vec(), keys[mid + 1..].to_vec());
         let (lc, rc) = (children[..=mid].to_vec(), children[mid + 1..].to_vec());
-        write_internal(&mut page, &lk, &lc);
+        write_internal(page, &lk, &lc);
         self.disk.write_unaccounted(node, page.as_slice());
         let right_id = self.disk.allocate();
         let mut rp = [0u8; PAGE_SIZE];
@@ -206,6 +211,7 @@ impl BTree {
                     return false;
                 }
                 if r == rid {
+                    let page = Arc::make_mut(&mut page);
                     let base = HEADER + i * LEAF_ENTRY;
                     let end = HEADER + n * LEAF_ENTRY;
                     page.copy_within(base + LEAF_ENTRY..end, base);

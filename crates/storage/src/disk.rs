@@ -8,7 +8,7 @@ use dqep_catalog::SystemConfig;
 
 use crate::error::StorageError;
 use crate::fault::FaultPlan;
-use crate::page::{PageId, PAGE_SIZE};
+use crate::page::{PageId, PageRef, PAGE_SIZE};
 
 /// Access counters, classified the way the cost model charges them: a read
 /// of the page following the previously read page is *sequential*, any
@@ -61,12 +61,25 @@ impl std::ops::AddAssign for IoStats {
     }
 }
 
+/// Temp pages (sort runs, Grace partitions) currently allocated and the
+/// most that were allocated at once since the last
+/// [`SimDisk::reset_temp_high_water`]. A `live` count that does not return
+/// to zero between statements is a leak.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TempPages {
+    /// Temp pages allocated and not yet freed.
+    pub live: u64,
+    /// Largest `live` seen since the last reset.
+    pub high_water: u64,
+}
+
 #[derive(Debug)]
 struct DiskInner {
-    // Boxed so growing the page vector moves 8-byte pointers, not 2 KiB
-    // pages.
-    #[allow(clippy::vec_box)]
-    pages: Vec<Box<[u8; PAGE_SIZE]>>,
+    /// One slot per page id ever issued and not truncated away. `None` is
+    /// a reclaimed temp page: its buffer is gone, its id stays dead until
+    /// the slot falls off the tail (see [`SimDisk::free`]).
+    pages: Vec<Option<PageRef>>,
+    temp: TempPages,
     stats: IoStats,
     last_read: Option<PageId>,
     faults: FaultPlan,
@@ -103,6 +116,7 @@ impl SimDisk {
         SimDisk {
             inner: Arc::new(Mutex::new(DiskInner {
                 pages: Vec::new(),
+                temp: TempPages::default(),
                 stats: IoStats::default(),
                 last_read: None,
                 faults: FaultPlan::none(),
@@ -140,34 +154,79 @@ impl SimDisk {
         self.inner.lock().faults.clone()
     }
 
-    /// Allocates a zeroed page; not charged as I/O (allocation happens at
-    /// load time in the experiments).
+    /// Allocates a zeroed page that lives as long as the disk (base
+    /// tables, B-trees); not charged as I/O (allocation happens at load
+    /// time in the experiments).
     pub fn allocate(&self) -> PageId {
-        let mut inner = self.inner.lock();
-        let id = PageId(inner.pages.len() as u32);
-        inner.pages.push(Box::new([0u8; PAGE_SIZE]));
-        id
+        self.inner.lock().push_page()
     }
 
-    /// Number of allocated pages.
+    /// Allocates a zeroed page of a query-lifetime file, counted in
+    /// [`SimDisk::temp_pages`] until its owner gives it back with
+    /// [`SimDisk::free`]. Not charged as I/O.
+    pub(crate) fn allocate_temp(&self) -> PageId {
+        let mut inner = self.inner.lock();
+        inner.temp.live += 1;
+        inner.temp.high_water = inner.temp.high_water.max(inner.temp.live);
+        inner.push_page()
+    }
+
+    /// Gives temp pages back. Each buffer is released at once and its id
+    /// goes dead: an accounted access to it is
+    /// [`StorageError::UnallocatedPage`]. Only the *trailing* run of dead
+    /// slots is cut off the page vector, so an id is handed out again only
+    /// once every page allocated after it is gone too — a live id is never
+    /// reissued, and a statement that frees everything it allocated leaves
+    /// the next one the same ids, hence the same sequential/random read
+    /// classification. Idempotent: ids already freed or never allocated
+    /// are skipped (a `Drop` after a half-failed spill must not panic).
+    pub(crate) fn free(&self, ids: &[PageId]) {
+        let mut inner = self.inner.lock();
+        for id in ids {
+            let freed = inner.pages.get_mut(id.0 as usize).and_then(Option::take);
+            if freed.is_some() {
+                inner.temp.live -= 1;
+            }
+        }
+        while let Some(None) = inner.pages.last() {
+            inner.pages.pop();
+        }
+    }
+
+    /// One past the highest page id in use: live pages plus the dead slots
+    /// below the last live one. Never below its value after loading (base
+    /// pages are not reclaimed).
     #[must_use]
     pub fn page_count(&self) -> usize {
         self.inner.lock().pages.len()
     }
 
-    /// Reads a page, charging sequential or random I/O.
+    /// Live and high-water temp-page counts.
+    #[must_use]
+    pub fn temp_pages(&self) -> TempPages {
+        self.inner.lock().temp
+    }
+
+    /// Restarts the temp-page high-water at the current live count — the
+    /// start of a statement whose own high-water is to be read off
+    /// [`SimDisk::temp_pages`] afterwards.
+    pub fn reset_temp_high_water(&self) {
+        let mut inner = self.inner.lock();
+        inner.temp.high_water = inner.temp.live;
+    }
+
+    /// Reads a page, charging sequential or random I/O. The result shares
+    /// the disk's buffer: no bytes are copied.
     ///
     /// # Errors
-    /// [`StorageError::UnallocatedPage`] for an id outside the allocated
-    /// range; [`StorageError::InjectedFault`] when the installed fault
-    /// plan fails this read. Failed reads are still charged — the I/O was
-    /// attempted — and still advance the read ordinal.
-    pub fn read(&self, id: PageId) -> Result<Box<[u8; PAGE_SIZE]>, StorageError> {
+    /// [`StorageError::UnallocatedPage`] for an id that was never
+    /// allocated or has been freed; [`StorageError::InjectedFault`] when
+    /// the installed fault plan fails this read. Failed reads are still
+    /// charged — the I/O was attempted — and still advance the read
+    /// ordinal.
+    pub fn read(&self, id: PageId) -> Result<PageRef, StorageError> {
         let (result, latency) = {
             let mut inner = self.inner.lock();
-            if id.0 as usize >= inner.pages.len() {
-                return Err(StorageError::UnallocatedPage(id));
-            }
             let sequential = matches!(inner.last_read, Some(prev) if prev.0 + 1 == id.0);
             if sequential {
                 inner.stats.seq_reads += 1;
@@ -176,10 +235,11 @@ impl SimDisk {
             }
             inner.last_read = Some(id);
             inner.read_ordinal += 1;
-            let result = if inner.faults.read_fails(id, inner.read_ordinal) {
-                Err(StorageError::InjectedFault { page: id, write: false })
-            } else {
-                Ok(inner.pages[id.0 as usize].clone())
+            let fails = inner.faults.read_fails(id, inner.read_ordinal);
+            let result = match inner.live_page(id) {
+                None => Err(StorageError::UnallocatedPage(id)),
+                Some(_) if fails => Err(StorageError::InjectedFault { page: id, write: false }),
+                Some(page) => Ok(Arc::clone(page)),
             };
             (result, inner.latency_micros)
         };
@@ -198,26 +258,28 @@ impl SimDisk {
     /// Writes a page, charging one write.
     ///
     /// # Errors
-    /// [`StorageError::BadPageLength`] unless `data` is exactly one page;
-    /// [`StorageError::UnallocatedPage`] for an id outside the allocated
-    /// range; [`StorageError::InjectedFault`] when the installed fault
-    /// plan fails this write (charged, nothing stored).
+    /// [`StorageError::BadPageLength`] unless `data` is exactly one page
+    /// (refused before anything is charged);
+    /// [`StorageError::UnallocatedPage`] for an id that was never
+    /// allocated or has been freed; [`StorageError::InjectedFault`] when
+    /// the installed fault plan fails this write. Both are charged and
+    /// advance the write ordinal; nothing is stored.
     pub fn write(&self, id: PageId, data: &[u8]) -> Result<(), StorageError> {
-        if data.len() != PAGE_SIZE {
-            return Err(StorageError::BadPageLength { got: data.len(), expected: PAGE_SIZE });
-        }
+        let data: &[u8; PAGE_SIZE] = data
+            .try_into()
+            .map_err(|_| StorageError::BadPageLength { got: data.len(), expected: PAGE_SIZE })?;
         let (result, latency) = {
             let mut inner = self.inner.lock();
-            if id.0 as usize >= inner.pages.len() {
-                return Err(StorageError::UnallocatedPage(id));
-            }
             inner.stats.writes += 1;
             inner.write_ordinal += 1;
-            let result = if inner.faults.write_fails(inner.write_ordinal) {
-                Err(StorageError::InjectedFault { page: id, write: true })
-            } else {
-                inner.pages[id.0 as usize].copy_from_slice(data);
-                Ok(())
+            let fails = inner.faults.write_fails(inner.write_ordinal);
+            let result = match inner.live_page_mut(id) {
+                None => Err(StorageError::UnallocatedPage(id)),
+                Some(_) if fails => Err(StorageError::InjectedFault { page: id, write: true }),
+                Some(page) => {
+                    store(page, data);
+                    Ok(())
+                }
             };
             (result, inner.latency_micros)
         };
@@ -230,12 +292,15 @@ impl SimDisk {
     /// Exempt from fault plans.
     ///
     /// # Panics
-    /// Panics on an unallocated page id: loaders only touch pages they
-    /// allocated themselves, so an out-of-range id here is a bug, not a
+    /// Panics on an unallocated or freed page id: loaders only touch pages
+    /// they allocated themselves, so a dead id here is a bug, not a
     /// runtime fault.
     #[must_use]
-    pub fn read_unaccounted(&self, id: PageId) -> Box<[u8; PAGE_SIZE]> {
-        self.inner.lock().pages[id.0 as usize].clone()
+    pub fn read_unaccounted(&self, id: PageId) -> PageRef {
+        match self.inner.lock().live_page(id) {
+            Some(page) => Arc::clone(page),
+            None => panic!("unaccounted read of unallocated page {id}"),
+        }
     }
 
     /// Writes a page **without** charging I/O — used by loaders building
@@ -243,12 +308,15 @@ impl SimDisk {
     /// Exempt from fault plans.
     ///
     /// # Panics
-    /// Panics on an unallocated page id or wrong buffer length (loader
-    /// bugs, not runtime faults).
+    /// Panics on an unallocated or freed page id or a wrong buffer length
+    /// (loader bugs, not runtime faults).
     pub fn write_unaccounted(&self, id: PageId, data: &[u8]) {
-        assert_eq!(data.len(), PAGE_SIZE, "page writes are whole pages");
-        let mut inner = self.inner.lock();
-        inner.pages[id.0 as usize].copy_from_slice(data);
+        let data: &[u8; PAGE_SIZE] =
+            data.try_into().unwrap_or_else(|_| panic!("page writes are whole pages"));
+        match self.inner.lock().live_page_mut(id) {
+            Some(page) => store(page, data),
+            None => panic!("unaccounted write of unallocated page {id}"),
+        }
     }
 
     /// Charges one write without transferring data — used by temp heap
@@ -286,6 +354,33 @@ impl SimDisk {
         let mut inner = self.inner.lock();
         inner.stats = IoStats::default();
         inner.last_read = None;
+    }
+}
+
+impl DiskInner {
+    fn push_page(&mut self) -> PageId {
+        let id = PageId(self.pages.len() as u32);
+        self.pages.push(Some(Arc::new([0u8; PAGE_SIZE])));
+        id
+    }
+
+    fn live_page(&self, id: PageId) -> Option<&PageRef> {
+        self.pages.get(id.0 as usize)?.as_ref()
+    }
+
+    fn live_page_mut(&mut self, id: PageId) -> Option<&mut PageRef> {
+        self.pages.get_mut(id.0 as usize)?.as_mut()
+    }
+}
+
+/// The copy-on-write rule for page writes: overwrite the buffer in place
+/// when the disk holds the only reference, otherwise leave it to its
+/// readers and install a fresh one — a [`PageRef`] handed out by a read
+/// never changes under its holder.
+fn store(page: &mut PageRef, data: &[u8; PAGE_SIZE]) {
+    match Arc::get_mut(page) {
+        Some(buf) => *buf = *data,
+        None => *page = Arc::new(*data),
     }
 }
 
@@ -376,6 +471,69 @@ mod tests {
             disk.write(PageId(5), &[0u8; PAGE_SIZE]).unwrap_err(),
             StorageError::UnallocatedPage(PageId(5))
         );
+    }
+
+    #[test]
+    fn use_after_free_is_a_typed_error_and_still_charged() {
+        let disk = SimDisk::new();
+        let base = disk.allocate();
+        let temps: Vec<PageId> = (0..3).map(|_| disk.allocate_temp()).collect();
+        disk.free(&temps[1..2]);
+        // The dead slot sits below a live page, so it is not truncated.
+        assert_eq!(disk.page_count(), 4);
+        disk.set_fault_plan(FaultPlan::nth_read(2));
+        assert_eq!(disk.read(temps[1]).unwrap_err(), StorageError::UnallocatedPage(temps[1]));
+        assert!(disk.read(base).unwrap_err().is_injected(), "the dead read advanced the ordinal");
+        assert_eq!(
+            disk.write(temps[1], &[1u8; PAGE_SIZE]).unwrap_err(),
+            StorageError::UnallocatedPage(temps[1])
+        );
+        let s = disk.stats();
+        assert_eq!((s.seq_reads + s.random_reads, s.writes), (2, 1), "failed accesses are charged");
+        // Its neighbours are untouched.
+        assert!(disk.read(temps[0]).is_ok() && disk.read(temps[2]).is_ok());
+    }
+
+    #[test]
+    fn free_is_idempotent_and_truncates_only_the_dead_tail() {
+        let disk = SimDisk::new();
+        let base = disk.allocate();
+        disk.write_unaccounted(base, &[9u8; PAGE_SIZE]);
+        let t: Vec<PageId> = (0..3).map(|_| disk.allocate_temp()).collect();
+        assert_eq!(disk.temp_pages(), TempPages { live: 3, high_water: 3 });
+        disk.free(&[t[1]]);
+        disk.free(&[t[1], PageId(99), PageId::INVALID]); // twice, past the end: no-ops
+        assert_eq!((disk.page_count(), disk.temp_pages().live), (4, 2));
+        // Freeing the last page takes the dead slot before it along …
+        disk.free(&[t[2]]);
+        assert_eq!(disk.page_count(), 2);
+        // … so those ids, and only those, are issued again, zeroed.
+        let again = disk.allocate_temp();
+        assert_eq!(again, t[1]);
+        assert_eq!(disk.read_unaccounted(again)[..], [0u8; PAGE_SIZE][..]);
+        disk.free(&[t[0], again]);
+        assert_eq!(disk.page_count(), 1, "never below the permanent pages");
+        assert_eq!(disk.read_unaccounted(base)[0], 9);
+        assert_eq!(disk.temp_pages(), TempPages { live: 0, high_water: 3 });
+        disk.reset_temp_high_water();
+        assert_eq!(disk.temp_pages(), TempPages::default());
+    }
+
+    #[test]
+    fn a_write_never_changes_a_page_a_reader_holds() {
+        let disk = SimDisk::new();
+        let id = disk.allocate();
+        disk.write(id, &[1u8; PAGE_SIZE]).unwrap();
+        let held = disk.read(id).unwrap();
+        assert!(Arc::ptr_eq(&held, &disk.read(id).unwrap()), "reads share one buffer");
+        disk.write(id, &[2u8; PAGE_SIZE]).unwrap();
+        assert_eq!((held[0], disk.read(id).unwrap()[0]), (1, 2));
+        // A freed page stays readable through a reference taken before.
+        let t = disk.allocate_temp();
+        disk.write_unaccounted(t, &[3u8; PAGE_SIZE]);
+        let held = disk.read(t).unwrap();
+        disk.free(&[t]);
+        assert_eq!(held[0], 3);
     }
 
     #[test]

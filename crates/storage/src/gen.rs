@@ -19,6 +19,7 @@ use crate::btree::BTree;
 use crate::disk::SimDisk;
 use crate::heap::HeapFile;
 use crate::page::PAGE_SIZE;
+use crate::slotted::SlottedPage;
 
 /// One stored relation: its heap file and its indexes.
 #[derive(Debug)]
@@ -42,13 +43,6 @@ impl StoredTable {
         decode_record(record, self.n_attrs)
     }
 
-    /// Decodes a stored record by appending its attribute values to `out`
-    /// — the allocation-free path batch scans fill contiguous buffers
-    /// with.
-    pub fn decode_into(&self, record: &[u8], out: &mut Vec<i64>) {
-        decode_record_into(record, self.n_attrs, out);
-    }
-
     /// Decodes a slice of records column-wise: appends attribute `c` of
     /// every record to `cols[c]`. One tight per-attribute loop over the
     /// records — the transposed fill for columnar batch scans.
@@ -58,7 +52,7 @@ impl StoredTable {
     pub fn decode_columns_into(&self, records: &[&[u8]], cols: &mut [Vec<i64>]) {
         assert_eq!(cols.len(), self.n_attrs, "column count mismatch");
         for (attr, col) in cols.iter_mut().enumerate() {
-            decode_column_into(records, attr, col);
+            decode_column_into(records.iter().copied(), attr, col);
         }
     }
 }
@@ -84,24 +78,49 @@ pub fn decode_record_into(record: &[u8], n_attrs: usize, out: &mut Vec<i64>) {
 
 /// Appends attribute `attr` (a little-endian `i64` at byte offset
 /// `attr * 8`) of each record to `out`.
-pub fn decode_column_into(records: &[&[u8]], attr: usize, out: &mut Vec<i64>) {
+pub fn decode_column_into<'r>(
+    records: impl Iterator<Item = &'r [u8]>,
+    attr: usize,
+    out: &mut Vec<i64>,
+) {
     let at = attr * 8;
-    out.extend(records.iter().map(|r| {
+    out.extend(records.map(|r| {
         let mut b = [0u8; 8];
         b.copy_from_slice(&r[at..at + 8]);
         i64::from_le_bytes(b)
     }));
 }
 
+/// Decodes every live record of `page` column-wise: appends attribute `c`
+/// of each record to `cols[c]`, for every column given, and returns the
+/// number of records. The spill read path — a whole page goes from the
+/// disk's buffer into column vectors with no per-record allocation.
+pub fn decode_page_columns_into(page: &SlottedPage, cols: &mut [Vec<i64>]) -> usize {
+    for (attr, col) in cols.iter_mut().enumerate() {
+        decode_column_into(page.iter(), attr, col);
+    }
+    page.live_len()
+}
+
 /// Encodes attribute values as a fixed-width record of `record_len` bytes.
 #[must_use]
 pub fn encode_record(values: &[i64], record_len: usize) -> Vec<u8> {
-    assert!(values.len() * 8 <= record_len, "record too narrow");
     let mut out = vec![0u8; record_len];
-    for (i, v) in values.iter().enumerate() {
-        out[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
-    }
+    encode_record_into(values, &mut out);
     out
+}
+
+/// Overwrites the attribute prefix of `record` with `values`, leaving the
+/// padding behind it alone: a spill loop zeroes one record buffer once
+/// and re-encodes every row of one layout into it.
+///
+/// # Panics
+/// Panics if `record` is too short for `values`.
+pub fn encode_record_into(values: &[i64], record: &mut [u8]) {
+    assert!(values.len() * 8 <= record.len(), "record too narrow");
+    for (v, slot) in values.iter().zip(record.chunks_exact_mut(8)) {
+        slot.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// Value distribution of generated attributes.
@@ -165,12 +184,9 @@ pub fn install_histograms(
     let rel_ids: Vec<RelationId> = catalog.relations().iter().map(|r| r.id).collect();
     for rel_id in rel_ids {
         let table = db.table(rel_id);
-        let n_attrs = table.n_attrs;
-        let mut columns: Vec<Vec<i64>> = vec![Vec::new(); n_attrs];
-        for record in table.heap.scan() {
-            for (i, v) in decode_record(&record?, n_attrs).into_iter().enumerate() {
-                columns[i].push(v);
-            }
+        let mut columns: Vec<Vec<i64>> = vec![Vec::new(); table.n_attrs];
+        for page in table.heap.scan_pages() {
+            decode_page_columns_into(&page?, &mut columns);
         }
         for (i, column) in columns.into_iter().enumerate() {
             if let Some(h) = Histogram::build(column, buckets) {
@@ -200,12 +216,8 @@ pub fn refresh_histograms(db: &StoredDatabase, catalog: &mut Catalog, buckets: u
         let table = db.table(rel_id);
         let mut columns: Vec<Vec<i64>> = vec![Vec::new(); table.n_attrs];
         for &pid in table.heap.pages() {
-            let page = crate::SlottedPage::from_bytes(db.disk.read_unaccounted(pid));
-            for record in page.iter() {
-                for (i, v) in decode_record(record, table.n_attrs).into_iter().enumerate() {
-                    columns[i].push(v);
-                }
-            }
+            let page = SlottedPage::from_bytes(db.disk.read_unaccounted(pid));
+            decode_page_columns_into(&page, &mut columns);
         }
         for (i, column) in columns.into_iter().enumerate() {
             if let Some(h) = Histogram::build(column, buckets) {
@@ -402,7 +414,7 @@ impl StoredDatabase {
         for table in self.tables.values() {
             let mut rows = Vec::with_capacity(table.heap.record_count() as usize);
             for &pid in table.heap.pages() {
-                let page = crate::SlottedPage::from_bytes(self.disk.read_unaccounted(pid));
+                let page = SlottedPage::from_bytes(self.disk.read_unaccounted(pid));
                 for record in page.iter() {
                     rows.push(decode_record(record, table.n_attrs));
                 }

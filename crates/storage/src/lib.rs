@@ -13,7 +13,9 @@
 //!
 //! Components:
 //! * [`SimDisk`] — page store + [`IoStats`] (sequential reads, random
-//!   reads, writes).
+//!   reads, writes). Pages are shared ([`PageRef`]): a read hands out a
+//!   reference, a writer copies first, and query-lifetime files give
+//!   their pages back when dropped ([`TempPages`] counts them).
 //! * [`SlottedPage`] — classic slotted-page layout for variable-length
 //!   records.
 //! * [`HeapFile`] — unordered record file over slotted pages.
@@ -48,11 +50,11 @@ mod slotted;
 
 pub use btree::BTree;
 pub use buffer::BufferPool;
-pub use disk::{IoStats, SimDisk};
+pub use disk::{IoStats, SimDisk, TempPages};
 pub use error::StorageError;
 pub use fault::FaultPlan;
 pub use gen::{install_histograms, refresh_histograms, StoredDatabase, StoredTable, ValueDistribution};
 pub use heap::{HeapFile, Rid};
 pub use morsel::{PageClaims, DEFAULT_MORSEL_PAGES};
-pub use page::{PageId, PAGE_SIZE};
+pub use page::{PageId, PageRef, PAGE_SIZE};
 pub use slotted::SlottedPage;

@@ -1,11 +1,18 @@
 //! Pages and page identifiers.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Fixed page size in bytes, matching the paper's experimental setup
 /// (2,048-byte pages). The catalog's `SystemConfig::page_size` must agree;
 /// [`crate::gen::StoredDatabase::generate`] asserts it.
 pub const PAGE_SIZE: usize = 2048;
+
+/// A shared, immutable view of one page's bytes. The disk, the buffer pool
+/// and every reader hold the same allocation; a writer that needs to
+/// change the bytes copies them first ([`Arc::make_mut`]), so a reference
+/// handed out by a read never changes under its holder.
+pub type PageRef = Arc<[u8; PAGE_SIZE]>;
 
 /// Identifier of a page on the simulated disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

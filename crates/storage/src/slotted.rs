@@ -10,8 +10,10 @@
 //! are not reclaimed — the live-view write path favors rid stability over
 //! space reuse, matching the lazy-deletion B-tree above it.
 
+use std::sync::Arc;
+
 use crate::error::StorageError;
-use crate::page::PAGE_SIZE;
+use crate::page::{PageRef, PAGE_SIZE};
 
 const HEADER: usize = 4;
 const SLOT: usize = 4;
@@ -20,23 +22,29 @@ const SLOT: usize = 4;
 const TOMBSTONE: u16 = u16::MAX;
 
 /// An in-memory view over one slotted page's bytes.
-#[derive(Debug)]
+///
+/// The bytes are shared with whoever handed them over (the disk, a buffer
+/// pool): reading through the view copies nothing. The mutators are
+/// copy-on-write — the first change to a shared page clones it, a page
+/// this view owns alone is changed in place — so `clone()` is a cheap way
+/// to stage an edit that may still be abandoned.
+#[derive(Debug, Clone)]
 pub struct SlottedPage {
-    data: Box<[u8; PAGE_SIZE]>,
+    data: PageRef,
 }
 
 impl SlottedPage {
     /// A fresh, empty page.
     #[must_use]
     pub fn new() -> SlottedPage {
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        write_u16(&mut data[..], 2, PAGE_SIZE as u16); // free_end
-        SlottedPage { data }
+        let mut data = [0u8; PAGE_SIZE];
+        write_u16(&mut data, 2, PAGE_SIZE as u16); // free_end
+        SlottedPage { data: Arc::new(data) }
     }
 
-    /// Wraps existing page bytes (as read from disk).
+    /// Wraps existing page bytes (as read from disk), sharing them.
     #[must_use]
-    pub fn from_bytes(data: Box<[u8; PAGE_SIZE]>) -> SlottedPage {
+    pub fn from_bytes(data: PageRef) -> SlottedPage {
         SlottedPage { data }
     }
 
@@ -98,12 +106,13 @@ impl SlottedPage {
         let n = self.len();
         let free_end = read_u16(&self.data[..], 2) as usize;
         let off = free_end - record.len();
-        self.data[off..free_end].copy_from_slice(record);
+        let data = &mut Arc::make_mut(&mut self.data)[..];
+        data[off..free_end].copy_from_slice(record);
         let slot_base = HEADER + n * SLOT;
-        write_u16(&mut self.data[..], slot_base, off as u16);
-        write_u16(&mut self.data[..], slot_base + 2, record.len() as u16);
-        write_u16(&mut self.data[..], 0, (n + 1) as u16);
-        write_u16(&mut self.data[..], 2, off as u16);
+        write_u16(data, slot_base, off as u16);
+        write_u16(data, slot_base + 2, record.len() as u16);
+        write_u16(data, 0, (n + 1) as u16);
+        write_u16(data, 2, off as u16);
         Ok(Some(n as u16))
     }
 
@@ -131,7 +140,7 @@ impl SlottedPage {
             return false;
         }
         let slot_base = HEADER + slot as usize * SLOT;
-        write_u16(&mut self.data[..], slot_base, TOMBSTONE);
+        write_u16(&mut Arc::make_mut(&mut self.data)[..], slot_base, TOMBSTONE);
         true
     }
 
@@ -200,10 +209,20 @@ mod tests {
         let mut p = SlottedPage::new();
         p.insert(b"abc").unwrap().unwrap();
         p.insert(b"defg").unwrap().unwrap();
-        let bytes = Box::new(*p.as_bytes());
-        let q = SlottedPage::from_bytes(bytes);
+        let q = SlottedPage::from_bytes(Arc::new(*p.as_bytes()));
         let records: Vec<&[u8]> = q.iter().collect();
         assert_eq!(records, vec![&b"abc"[..], &b"defg"[..]]);
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_shared_page_alone() {
+        let mut p = SlottedPage::new();
+        p.insert(b"abc").unwrap().unwrap();
+        let mut q = p.clone();
+        q.insert(b"defg").unwrap().unwrap();
+        q.delete(0);
+        assert_eq!((p.len(), p.get(0)), (1, Some(&b"abc"[..])));
+        assert_eq!((q.len(), q.get(0), q.get(1)), (2, None, Some(&b"defg"[..])));
     }
 
     #[test]
@@ -250,7 +269,7 @@ mod tests {
         p.insert(b"x").unwrap().unwrap();
         p.insert(b"y").unwrap().unwrap();
         p.delete(0);
-        let q = SlottedPage::from_bytes(Box::new(*p.as_bytes()));
+        let q = SlottedPage::from_bytes(Arc::new(*p.as_bytes()));
         assert_eq!(q.get(0), None);
         assert_eq!(q.get(1), Some(&b"y"[..]));
         assert_eq!(q.live_len(), 1);

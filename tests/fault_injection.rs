@@ -16,8 +16,9 @@ use dqep::algebra::{CompareOp, HostVar, LogicalExpr, PhysicalOp, SelectPred};
 use dqep::catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    compile_dynamic_plan, drain, execute_plan, ExecContext, ExecError, ResourceLimits,
-    SharedCounters, BATCH_CAPACITY,
+    compile_dynamic_plan, drain, execute_plan, execute_plan_dop, execute_plan_reopt, ExecContext,
+    ExecError, ExecMode, ExecSummary, ReoptConfig, ResourceLimits, SharedCounters,
+    BATCH_CAPACITY,
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
@@ -249,6 +250,199 @@ fn oversized_spill_record_is_a_typed_error_and_the_worker_survives() {
     // The worker is still alive: a narrow request on the same service
     // succeeds.
     svc.execute(request(0.01)).expect("the worker survived the wide spills");
+}
+
+// ---- temp-page lifecycle ------------------------------------------------
+//
+// A statement that spills (Grace partitions, sort runs) gives every temp
+// page back on every way out — finished, faulted, refused, cancelled —
+// so a long-lived replica neither grows nor drifts: request k allocates
+// the page ids request 1 did and is charged the same I/O.
+
+/// The `exec_scale` relations at a quarter of their benchmark size: under
+/// the 64-page grant the join still partitions and the sort still forms
+/// runs.
+fn star() -> (Catalog, StoredDatabase) {
+    let cat = CatalogBuilder::new(SystemConfig::paper_1994())
+        .relation("fact", 3000, 256, |r| {
+            r.attr("a", 3000.0).attr("j", 1500.0).btree("a", false)
+        })
+        .relation("dim", 1500, 256, |r| {
+            r.attr("a", 1500.0).attr("j", 1500.0).btree("j", false)
+        })
+        .build()
+        .unwrap();
+    let db = StoredDatabase::generate(&cat, 7);
+    (cat, db)
+}
+
+/// The three `exec_scale` shapes: join, sort, doubly filtered join.
+const STAR_SQL: [&str; 3] = [
+    "SELECT * FROM fact, dim WHERE fact.j = dim.j AND fact.a < :x",
+    "SELECT * FROM fact WHERE fact.a < :x ORDER BY fact.j",
+    "SELECT * FROM fact, dim WHERE fact.j = dim.j AND fact.a < :x AND dim.a < :y",
+];
+
+/// A prepared `exec_scale` statement bound at 70 % selectivity under the
+/// 64-page grant.
+struct Spilling<'a> {
+    cat: &'a Catalog,
+    db: &'a StoredDatabase,
+    env: Environment,
+    plan: Arc<PlanNode>,
+    bindings: Bindings,
+    /// `disk.page_count()` after loading: where every request must end.
+    loaded: usize,
+}
+
+impl<'a> Spilling<'a> {
+    fn new(cat: &'a Catalog, db: &'a StoredDatabase, sql: &str) -> Self {
+        let query = dqep::sql::parse_query(sql, cat).unwrap();
+        let env = Environment::dynamic_compile_time(&cat.config);
+        let plan = Optimizer::new(cat, &env)
+            .optimize_with_props(&query.expr, query.required_props())
+            .unwrap()
+            .plan;
+        let binds: Vec<(&str, i64)> =
+            [("x", 2100), ("y", 1050)].into_iter().filter(|(v, _)| sql.contains(&format!(":{v}"))).collect();
+        let bindings = query.bindings(&binds).unwrap().with_memory(64.0);
+        Spilling { cat, db, env, plan, bindings, loaded: db.disk.page_count() }
+    }
+
+    fn run(&self, limits: ResourceLimits, dop: usize) -> Result<ExecSummary, ExecError> {
+        execute_plan_dop(
+            &self.plan, self.db, self.cat, &self.env, &self.bindings, limits, ExecMode::Batch, dop,
+        )
+        .map(|(summary, _)| summary)
+    }
+
+    /// Nothing of the last request is left on the disk.
+    fn assert_reclaimed(&self, what: &str) {
+        assert_eq!(self.db.disk.page_count(), self.loaded, "{what}: page count");
+        assert_eq!(self.db.disk.temp_pages().live, 0, "{what}: live temp pages");
+    }
+
+    /// A clean serial run, which must be exactly `first` again.
+    fn assert_unchanged(&self, first: &ExecSummary, what: &str) {
+        let again = self.run(ResourceLimits::unlimited(), 1).unwrap();
+        self.assert_reclaimed(what);
+        let seconds = |s: &ExecSummary| s.simulated_seconds(&self.cat.config);
+        assert_eq!(
+            (again.rows, again.io, again.temp_pages_peak, seconds(&again)),
+            (first.rows, first.io, first.temp_pages_peak, seconds(first)),
+            "{what}: the request after it"
+        );
+    }
+}
+
+/// Fifty requests per shape on one replica, then ten more at DOP 2 and 4:
+/// after every one the disk is back at its post-load size and the request
+/// cost what the first one cost.
+#[test]
+fn repeated_spilling_requests_neither_grow_the_disk_nor_drift() {
+    let (cat, db) = star();
+    for sql in STAR_SQL {
+        let stmt = Spilling::new(&cat, &db, sql);
+        let first = stmt.run(ResourceLimits::unlimited(), 1).unwrap();
+        stmt.assert_reclaimed(sql);
+        assert!(first.temp_pages_peak > 0 && first.io.writes > 0, "{sql}: did not spill");
+        for k in 2..=50 {
+            stmt.assert_unchanged(&first, &format!("{sql}, request {k}"));
+        }
+        for dop in [2, 4] {
+            for k in 1..=10 {
+                // Parallel run-page reads may reorder, moving reads between
+                // the sequential and random columns; the totals may not.
+                let s = stmt.run(ResourceLimits::unlimited(), dop).unwrap();
+                stmt.assert_reclaimed(&format!("{sql}, dop {dop}, request {k}"));
+                assert_eq!(
+                    (s.rows, s.io.total(), s.io.writes, s.temp_pages_peak),
+                    (first.rows, first.io.total(), first.io.writes, first.temp_pages_peak),
+                    "{sql}, dop {dop}, request {k}"
+                );
+            }
+        }
+        stmt.assert_unchanged(&first, &format!("{sql}, after the parallel runs"));
+    }
+}
+
+/// Every way out of a spilling statement reclaims: a write fault in the
+/// middle of the spill (absorbed by a fallback or surfaced), a governor
+/// that refuses the build side its memory, the re-optimization driver's
+/// breaker materialization, and a cancellation while partitions are on
+/// disk.
+#[test]
+fn every_exit_path_of_a_spilling_statement_reclaims() {
+    let (cat, db) = star();
+    for sql in STAR_SQL {
+        let stmt = Spilling::new(&cat, &db, sql);
+        let first = stmt.run(ResourceLimits::unlimited(), 1).unwrap();
+
+        for dop in [1, 2, 4] {
+            for nth in [1, first.io.writes / 2, first.io.writes] {
+                db.disk.set_fault_plan(FaultPlan::parse(&format!("nth-write={nth}")).unwrap());
+                let result = stmt.run(ResourceLimits::unlimited(), dop);
+                db.disk.set_fault_plan(FaultPlan::none());
+                let what = format!("{sql}, dop {dop}, write fault {nth}");
+                match result {
+                    Ok(s) => assert!(s.fallbacks > 0 && s.rows == first.rows, "{what}: {s:?}"),
+                    Err(e) => assert!(matches!(e, ExecError::Storage(_)), "{what}: {e:?}"),
+                }
+                stmt.assert_reclaimed(&what);
+            }
+        }
+        stmt.assert_unchanged(&first, &format!("{sql}, after the write faults"));
+
+        // The governor holds the statement to the 64 pages it was planned
+        // for. The hash join buffers its whole build side before it
+        // partitions, so the joins are refused and fall back to an
+        // alternative that spills sort runs instead; the sort fits.
+        let tight = ResourceLimits { memory_bytes: Some(64 * 2048), ..ResourceLimits::unlimited() };
+        let refused = stmt.run(tight, 1).unwrap();
+        assert_eq!(refused.rows, first.rows, "{sql}: refused grant");
+        assert_eq!(refused.fallbacks > 0, sql.contains("dim"), "{sql}: {refused:?}");
+        assert!(refused.temp_pages_peak > 0, "{sql}: the fallback did not spill");
+        stmt.assert_reclaimed(&format!("{sql}, refused grant"));
+
+        let reopt = execute_plan_reopt(
+            &stmt.plan,
+            &db,
+            &cat,
+            &stmt.env,
+            &stmt.bindings,
+            ResourceLimits::unlimited(),
+            ExecMode::Batch,
+            1,
+            ReoptConfig { backoff_base_ms: 0, ..ReoptConfig::default() },
+        )
+        .unwrap();
+        assert_eq!(reopt.summary.rows, first.rows, "{sql}: reopt");
+        stmt.assert_reclaimed(&format!("{sql}, reopt"));
+
+        // Cancel once temp pages exist. Pacing keeps the statement on the
+        // disk long enough for the cancellation to land mid-flight.
+        let ctx = ExecContext::new(SharedCounters::new());
+        db.disk.set_io_latency_micros(50);
+        let result = std::thread::scope(|scope| {
+            let run = scope.spawn(|| {
+                let mut op = compile_dynamic_plan(
+                    &stmt.plan, &db, &cat, &stmt.env, &stmt.bindings, 64 * 2048, &ctx,
+                )?;
+                drain(op.as_mut())
+            });
+            while db.disk.temp_pages().live == 0 && !run.is_finished() {
+                std::thread::yield_now();
+            }
+            ctx.governor.cancel();
+            run.join().unwrap()
+        });
+        db.disk.set_io_latency_micros(0);
+        assert!(matches!(result, Err(ExecError::Cancelled)), "{sql}: {:?}", result.map(|r| r.len()));
+        stmt.assert_reclaimed(&format!("{sql}, cancelled"));
+        assert_eq!(ctx.governor.memory_used(), 0, "{sql}: cancelled run kept its reservation");
+
+        stmt.assert_unchanged(&first, &format!("{sql}, after every exit path"));
+    }
 }
 
 proptest! {

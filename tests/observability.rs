@@ -34,6 +34,7 @@ fn stats_eq(a: &SpanStats, b: &SpanStats) -> bool {
         && a.cpu == b.cpu
         && a.io == b.io
         && a.mem_peak == b.mem_peak
+        && a.temp_pages_peak == b.temp_pages_peak
 }
 
 fn span_stats_strategy() -> impl Strategy<Value = SpanStats> {
@@ -56,6 +57,7 @@ fn span_stats_strategy() -> impl Strategy<Value = SpanStats> {
                     cpu: CpuCounters { records: rec, compares: cmp, hashes: hsh },
                     io: IoStats { seq_reads: sr, random_reads: rr, writes: wr },
                     mem_peak: mem,
+                    temp_pages_peak: mem % 4096,
                 }
             },
         )
