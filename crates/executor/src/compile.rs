@@ -9,7 +9,7 @@ use dqep_plan::{evaluate_startup, PlanNode, StartupResult};
 use dqep_storage::StoredDatabase;
 
 use crate::error::ExecError;
-use crate::exec::drain_root;
+use crate::exec::{drain_root, RootSink};
 use crate::filter::{FilterExec, ResolvedPred};
 use crate::governor::{ExecContext, ExecMode, ResourceLimits};
 use crate::hash_join::HashJoinExec;
@@ -305,7 +305,7 @@ pub fn run_compiled(
     ctx: &ExecContext,
 ) -> Result<u64, ExecError> {
     let mut op = compile_plan(plan, db, catalog, bindings, memory_bytes, ctx)?;
-    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), None)
+    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), RootSink::Discard)
 }
 
 /// Compiles a (possibly dynamic) plan under the caller's [`ExecContext`] —
@@ -327,7 +327,7 @@ pub fn run_dynamic(
 ) -> Result<u64, ExecError> {
     let mut op =
         crate::choose::compile_dynamic_plan(plan, db, catalog, env, bindings, memory_bytes, ctx)?;
-    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), None)
+    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), RootSink::Discard)
 }
 
 /// Executes a (static or dynamic) plan end-to-end: runs the start-up-time

@@ -156,6 +156,19 @@ pub(crate) fn cursor_next<O: Operator>(
 /// a bad hint cannot ask for unbounded memory up front.
 pub(crate) const MAX_PRESIZE_ROWS: u64 = 1 << 20;
 
+/// Where [`drain_root`] puts the rows it pulls.
+#[derive(Debug)]
+pub enum RootSink<'a> {
+    /// Nowhere: rows are counted (and charged) only.
+    Discard,
+    /// One owned tuple per row.
+    Rows(&'a mut Vec<Tuple>),
+    /// The batches as the operator produced them, selection vectors
+    /// included (`Tuple` mode packs its rows into [`BATCH_CAPACITY`]-row
+    /// batches) — for a consumer that is another stage, not a printer.
+    Batches(&'a mut Vec<RowBatch>),
+}
+
 /// The root drain — the **one** place an [`ExecMode`] is read. Opens
 /// `op`, pulls it to exhaustion through the interface `mode` names
 /// (`Tuple`: row by row through `next`, which for batch-native operators
@@ -165,8 +178,8 @@ pub(crate) const MAX_PRESIZE_ROWS: u64 = 1 << 20;
 ///
 /// With a `governor`, produced rows are charged against the row budget as
 /// they are pulled — per row or per batch, tripping at the same
-/// cumulative counts. With `out`, rows are materialized into it
-/// (pre-sized from the operator's [`Operator::estimated_rows`] hint).
+/// cumulative counts. Rows go to `sink` (a row sink is pre-sized from the
+/// operator's [`Operator::estimated_rows`] hint).
 ///
 /// # Errors
 /// The first [`ExecError`] raised by `open`, a pull, or the row budget.
@@ -174,12 +187,12 @@ pub fn drain_root(
     op: &mut dyn Operator,
     mode: ExecMode,
     governor: Option<&ResourceGovernor>,
-    mut out: Option<&mut Vec<Tuple>>,
+    mut sink: RootSink<'_>,
 ) -> Result<u64, ExecError> {
     let mut rows = 0u64;
     let mut pull = || -> Result<(), ExecError> {
         op.open()?;
-        if let (Some(out), Some(n)) = (out.as_deref_mut(), op.estimated_rows()) {
+        if let (RootSink::Rows(out), Some(n)) = (&mut sink, op.estimated_rows()) {
             out.reserve(n.min(MAX_PRESIZE_ROWS) as usize);
         }
         let mut charge = |n: u64| {
@@ -188,18 +201,30 @@ pub fn drain_root(
         };
         match mode {
             ExecMode::Tuple => {
+                let width = op.layout().width();
                 while let Some(t) = op.next()? {
                     charge(1)?;
-                    if let Some(out) = out.as_deref_mut() {
-                        out.push(t);
+                    match &mut sink {
+                        RootSink::Discard => {}
+                        RootSink::Rows(out) => out.push(t),
+                        RootSink::Batches(out) => match out.last_mut() {
+                            Some(batch) if batch.rows() < BATCH_CAPACITY => batch.push_row(&t),
+                            _ => {
+                                let mut batch = RowBatch::new(width);
+                                batch.push_row(&t);
+                                out.push(batch);
+                            }
+                        },
                     }
                 }
             }
             ExecMode::Batch => {
                 while let Some(batch) = op.next_batch(BATCH_CAPACITY)? {
                     charge(batch.len() as u64)?;
-                    if let Some(out) = out.as_deref_mut() {
-                        out.extend(batch.iter());
+                    match &mut sink {
+                        RootSink::Discard => {}
+                        RootSink::Rows(out) => out.extend(batch.iter()),
+                        RootSink::Batches(out) => out.push(batch),
                     }
                 }
             }
@@ -218,7 +243,7 @@ pub fn drain_root(
 /// The first [`ExecError`] raised by `open` or `next`.
 pub fn drain(op: &mut dyn Operator) -> Result<Vec<Tuple>, ExecError> {
     let mut out = Vec::new();
-    drain_root(op, ExecMode::Tuple, None, Some(&mut out)).map(|_| out)
+    drain_root(op, ExecMode::Tuple, None, RootSink::Rows(&mut out)).map(|_| out)
 }
 
 /// Drains an operator to completion through `next_batch`, returning all
@@ -230,5 +255,32 @@ pub fn drain(op: &mut dyn Operator) -> Result<Vec<Tuple>, ExecError> {
 /// The first [`ExecError`] raised by `open` or `next_batch`.
 pub fn drain_batch(op: &mut dyn Operator) -> Result<Vec<Tuple>, ExecError> {
     let mut out = Vec::new();
-    drain_root(op, ExecMode::Batch, None, Some(&mut out)).map(|_| out)
+    drain_root(op, ExecMode::Batch, None, RootSink::Rows(&mut out)).map(|_| out)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::governor::ExecContext;
+    use crate::metrics::SharedCounters;
+    use crate::reopt::MaterializedScanExec;
+
+    #[test]
+    fn batch_sink_keeps_batches_in_both_modes() {
+        let n = 2 * BATCH_CAPACITY as i64 + 5;
+        let rows: Arc<Vec<Tuple>> = Arc::new((0..n).map(|v| vec![v, -v]).collect());
+        for mode in [ExecMode::Tuple, ExecMode::Batch] {
+            let ctx = ExecContext::new(SharedCounters::new());
+            let layout = TupleLayout::for_tests(2, 16);
+            let mut op = MaterializedScanExec::new(Arc::clone(&rows), layout, ctx);
+            let mut batches = Vec::new();
+            let pulled = drain_root(&mut op, mode, None, RootSink::Batches(&mut batches));
+            assert_eq!(pulled.unwrap(), n as u64, "{mode:?}");
+            assert!(batches.iter().all(|b| b.rows() <= BATCH_CAPACITY), "{mode:?}");
+            let got: Vec<Tuple> = batches.iter().flat_map(RowBatch::iter).collect();
+            assert_eq!(got, *rows, "{mode:?}");
+        }
+    }
 }

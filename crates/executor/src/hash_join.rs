@@ -196,6 +196,14 @@ impl ColumnStore {
         Ok(())
     }
 
+    /// A copy of rows `lo..hi` (one piece of a chunked build).
+    fn slice(&self, lo: usize, hi: usize) -> ColumnStore {
+        ColumnStore {
+            rows: hi - lo,
+            cols: self.cols.iter().map(|col| col[lo..hi].to_vec()).collect(),
+        }
+    }
+
     /// Copies row `i` into `out` (gathering across the columns).
     fn gather_row_into(&self, i: usize, out: &mut Vec<i64>) {
         out.extend(self.cols.iter().map(|col| col[i]));
@@ -385,27 +393,131 @@ impl RadixTable {
     }
 
     /// Gathers `pairs` (build scattered index, probe physical index) into
-    /// `out`: build attributes column by column, then probe attributes
-    /// (`probe_col(c)` is the probe side's column `c`).
+    /// `out` column by column (`probe_col(c)` is the probe side's column
+    /// `c`). The build attributes come first when `build_first` — the
+    /// operator's layout, whose build side is its left input — else the
+    /// probe attributes do.
     fn gather_pairs_into<'p>(
         &self,
         probe_col: impl Fn(usize) -> &'p [i64],
         pairs_b: &[u32],
         pairs_p: &[u32],
+        build_first: bool,
         out: &mut RowBatch,
     ) {
         let bw = self.build_width();
         out.extend_rows_with(pairs_b.len(), |cols| {
-            for (c, col) in cols[..bw].iter_mut().enumerate() {
+            let (bcols, pcols) = if build_first {
+                cols.split_at_mut(bw)
+            } else {
+                let (pcols, bcols) = cols.split_at_mut(cols.len() - bw);
+                (bcols, pcols)
+            };
+            for (c, col) in bcols.iter_mut().enumerate() {
                 let src = &self.cols[c];
                 col.extend(pairs_b.iter().map(|&i| src[i as usize]));
             }
-            for (c, col) in cols[bw..].iter_mut().enumerate() {
+            for (c, col) in pcols.iter_mut().enumerate() {
                 let src = probe_col(c);
                 col.extend(pairs_p.iter().map(|&i| src[i as usize]));
             }
         });
     }
+}
+
+/// Joins two **resident** inputs in memory — each a set of batches with
+/// its row width — on `keys` (`(left column, right column)` pairs) and
+/// returns every `left ⊗ right` match as one dense batch. This is the
+/// join of a caller that already holds both sides (the sharded service's
+/// co-partitioned stage inputs); it runs on the same [`ColumnStore`] +
+/// [`RadixTable`] as [`HashJoinExec`] and never touches a disk.
+///
+/// The side with fewer live rows builds, whichever it is. The table's
+/// footprint is reserved with `ctx.governor`: in full, else a half, a
+/// quarter, an eighth of it. A partial grant degrades to a **chunked
+/// build** — the build side is joined in grant-sized pieces, probing the
+/// other side once per piece — counted as one fallback in `ctx.counters`,
+/// the same graceful-degradation contract choose-plan gives retryable
+/// opens. Output order: build piece, then probe rows in input order, each
+/// row's matches in build-arrival order.
+///
+/// # Errors
+/// The governor's refusal of the smallest (one-eighth) reservation, or
+/// any non-retryable governor error.
+pub fn join_batches(
+    (left, left_width): (&[RowBatch], usize),
+    (right, right_width): (&[RowBatch], usize),
+    keys: &[(usize, usize)],
+    ctx: &ExecContext,
+) -> Result<RowBatch, ExecError> {
+    let live = |side: &[RowBatch]| side.iter().map(RowBatch::len).sum::<usize>();
+    let build_left = live(left) <= live(right);
+    let (build, build_width, probe) = if build_left {
+        (left, left_width, right)
+    } else {
+        (right, right_width, left)
+    };
+    let keys: Keys = keys
+        .iter()
+        .map(|&(l, r)| if build_left { (l, r) } else { (r, l) })
+        .collect();
+    let mut store = ColumnStore::new(build_width);
+    store.reserve(live(build));
+    for batch in build {
+        store.extend_from_batch(batch);
+    }
+
+    // Per-row footprint: the row's values plus hash, chain link and
+    // bucket heads.
+    let bytes_per_row = (build_width * 8 + 48) as u64;
+    let full = (store.rows() as u64).saturating_mul(bytes_per_row).max(1);
+    let mut granted = 0u64;
+    let mut refusal = None;
+    for divisor in [1u64, 2, 4, 8] {
+        let ask = (full / divisor).max(bytes_per_row);
+        match ctx.governor.try_reserve_memory(ask) {
+            Ok(()) => {
+                granted = ask;
+                break;
+            }
+            Err(e) if e.is_retryable() => refusal = Some(e),
+            Err(e) => return Err(e),
+        }
+    }
+    if granted == 0 {
+        return Err(refusal.unwrap_or_else(|| {
+            ExecError::Network("memory reservation failed without an error".into())
+        }));
+    }
+    if granted < full {
+        ctx.counters.add_fallbacks(1);
+    }
+
+    let piece_rows = ((granted / bytes_per_row) as usize).max(1);
+    let mut out = RowBatch::with_capacity(left_width + right_width, 0);
+    let (mut hashes, mut pairs_b, mut pairs_p) = (Vec::new(), Vec::new(), Vec::new());
+    for lo in (0..store.rows()).step_by(piece_rows) {
+        let hi = (lo + piece_rows).min(store.rows());
+        let sliced;
+        let piece = if hi - lo == store.rows() {
+            &store
+        } else {
+            sliced = store.slice(lo, hi);
+            &sliced
+        };
+        let table = RadixTable::build(
+            &keys,
+            &ctx.counters,
+            piece,
+            radix_partitions(piece.rows() * build_width * 8, 1),
+        );
+        for probe_batch in probe {
+            table.match_batch(&keys, &ctx.counters, probe_batch, &mut hashes, &mut pairs_b, &mut pairs_p);
+            table.gather_pairs_into(|c| probe_batch.column(c), &pairs_b, &pairs_p, build_left, &mut out);
+        }
+    }
+    ctx.governor.release_memory(granted);
+    Ok(out)
 }
 
 /// Locks a mutex, absorbing poisoning (a worker panic propagates through
@@ -594,7 +706,7 @@ fn join_spilled_pair(
     let (mut hashes, mut pairs_b, mut pairs_p) = (Vec::new(), Vec::new(), Vec::new());
     table.match_batch(keys, &ctx.counters, &probe_batch, &mut hashes, &mut pairs_b, &mut pairs_p);
     let mut out = RowBatch::with_capacity(build_width + probe_width, pairs_b.len());
-    table.gather_pairs_into(|c| probe_batch.column(c), &pairs_b, &pairs_p, &mut out);
+    table.gather_pairs_into(|c| probe_batch.column(c), &pairs_b, &pairs_p, true, &mut out);
     drop(table);
     gate.release(&ctx.governor, part_bytes);
     Ok(out)
@@ -731,7 +843,7 @@ impl<'a> HashJoinExec<'a> {
             }
             worker.counters.add_records(pairs_b.len() as u64);
             let mut out = RowBatch::with_capacity(out_width, pairs_b.len());
-            table.gather_pairs_into(|c| &probe_cols[c], &pairs_b, &pairs_p, &mut out);
+            table.gather_pairs_into(|c| &probe_cols[c], &pairs_b, &pairs_p, true, &mut out);
             Ok(out)
         })?;
         Ok(())
@@ -922,7 +1034,13 @@ impl Operator for HashJoinExec<'_> {
                             &mut pairs_b,
                             &mut pairs_p,
                         );
-                        table.gather_pairs_into(|c| probe_batch.column(c), &pairs_b, &pairs_p, &mut out);
+                        table.gather_pairs_into(
+                            |c| probe_batch.column(c),
+                            &pairs_b,
+                            &pairs_p,
+                            true,
+                            &mut out,
+                        );
                     }
                     if out.rows() == 0 {
                         return Ok(None);
@@ -1034,13 +1152,94 @@ mod tests {
             let (mut hashes, mut pairs_b, mut pairs_p) = (Vec::new(), Vec::new(), Vec::new());
             table.match_batch(&keys, &counters, &probe, &mut hashes, &mut pairs_b, &mut pairs_p);
             let mut out = RowBatch::new(4);
-            table.gather_pairs_into(|c| probe.column(c), &pairs_b, &pairs_p, &mut out);
+            table.gather_pairs_into(|c| probe.column(c), &pairs_b, &pairs_p, true, &mut out);
             assert_eq!(
                 out.to_tuples(),
                 vec![vec![1, 10, 1, 99], vec![1, 11, 1, 99], vec![1, 12, 1, 99]],
                 "arrival order at {parts} partitions; probe key 7 matches nothing"
             );
         }
+    }
+
+    /// `n` rows `[key, tag + i]`, keys cycling through `0..keys`, split
+    /// over two batches, every fifth row filtered out of the second.
+    fn resident_side(n: i64, keys: i64, tag: i64) -> Vec<RowBatch> {
+        let mut first = RowBatch::new(2);
+        let mut second = RowBatch::new(2);
+        for i in 0..n {
+            let target = if i < n / 2 { &mut first } else { &mut second };
+            target.push_row(&[i % keys, tag + i]);
+        }
+        second.set_selection((0..second.rows() as u32).filter(|i| i % 5 != 0).collect());
+        vec![first, second]
+    }
+
+    fn nested_loop(left: &[RowBatch], right: &[RowBatch]) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        for l in left.iter().flat_map(RowBatch::iter) {
+            for r in right.iter().flat_map(RowBatch::iter) {
+                if l[0] == r[0] {
+                    out.push([l.as_slice(), r.as_slice()].concat());
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    fn sorted(batch: &RowBatch) -> Vec<Tuple> {
+        let mut rows = batch.to_tuples();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn join_batches_emits_left_then_right_whichever_side_builds() {
+        let small = resident_side(40, 7, 1_000);
+        let large = resident_side(300, 7, 5_000);
+        let ctx = ExecContext::new(SharedCounters::new());
+        // Small side on the left: it builds. On the right: it still
+        // builds, and the columns still come out left-then-right.
+        for (left, right) in [(&small, &large), (&large, &small)] {
+            let out = join_batches((left, 2), (right, 2), &[(0, 0)], &ctx).expect("joins");
+            assert_eq!(out.width(), 4);
+            assert!(out.selection().is_none());
+            assert_eq!(sorted(&out), nested_loop(left, right));
+        }
+        assert_eq!(ctx.counters.fallbacks(), 0, "an ungoverned join never degrades");
+        assert_eq!(ctx.governor.memory_used(), 0, "the table's reservation is returned");
+        // An empty side joins to nothing.
+        let out = join_batches((&[], 2), (&large, 2), &[(0, 0)], &ctx).expect("joins");
+        assert_eq!((out.rows(), out.width()), (0, 4));
+    }
+
+    #[test]
+    fn join_batches_degrades_to_a_chunked_build_then_refuses() {
+        let build = resident_side(200, 11, 1_000);
+        let probe = resident_side(400, 11, 5_000);
+        let rows: u64 = build.iter().map(|b| b.len() as u64).sum();
+        let full = rows * (2 * 8 + 48);
+        let governed = |bytes: u64| {
+            ExecContext::with_limits(
+                SharedCounters::new(),
+                ResourceLimits { memory_bytes: Some(bytes), ..ResourceLimits::default() },
+            )
+        };
+        // Room for a quarter of the table: four pieces, one fallback,
+        // the same multiset.
+        let ctx = governed(full / 4 + 8);
+        let out = join_batches((&build, 2), (&probe, 2), &[(0, 0)], &ctx).expect("degrades");
+        assert_eq!(sorted(&out), nested_loop(&build, &probe));
+        assert_eq!(ctx.counters.fallbacks(), 1, "one degradation, however many pieces");
+        assert_eq!(ctx.governor.memory_used(), 0);
+        // Below an eighth the ladder is exhausted: a governed refusal.
+        let ctx = governed(full / 16);
+        let err = join_batches((&build, 2), (&probe, 2), &[(0, 0)], &ctx).unwrap_err();
+        assert!(
+            matches!(err, ExecError::ResourceExhausted(crate::Resource::Memory { .. })),
+            "{err:?}"
+        );
+        assert_eq!(ctx.governor.memory_used(), 0);
     }
 
     #[test]

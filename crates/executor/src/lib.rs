@@ -75,20 +75,21 @@ pub use compile::{
 pub use delta::{compile_delta_plan, BaseDeltas, Delta, DeltaPipeline};
 pub use error::{ExecError, Resource};
 pub use exchange::{parallel_scan, ExchangeExec};
-pub use exec::{drain, drain_batch, drain_root, BoxedOperator, Operator};
+pub use exec::{drain, drain_batch, drain_root, BoxedOperator, Operator, RootSink};
 pub use explain::{
     card_drift, cost_drift, explain_json, parse_json, render_explain, validate_explain_json,
     JsonValue,
 };
 pub use governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
-pub use hash_join::{fold_hash_column, hash_key, mix, HASH_SEED};
+pub use hash_join::{fold_hash_column, hash_key, join_batches, mix, HASH_SEED};
 pub use journal::{
     journal, monotonic_ns, validate_journal_json, EventKind, Journal, JournalEvent,
     JOURNAL_CAPACITY, NO_ID,
 };
 pub use metrics::{CpuCounters, ExecSummary, PlanCacheInfo, SharedCounters};
 pub use netexchange::{
-    credit_frames, decode_frame, decode_frame_traced, encode_frame, encode_frame_traced,
+    credit_frames, decode_frame, decode_frame_traced, encode_frame, encode_frame_dense,
+    encode_frame_traced,
     frame_encoded_len, presized_batch, scatter_by_shard, shard_route, FrameTrace, LinkFaultPlan,
     NetChannel, NetConfig, NetStats, SimNet, FRAME_HEADER_BYTES,
 };

@@ -89,19 +89,8 @@ pub fn encode_frame(batch: &RowBatch) -> Vec<u8> {
 #[must_use]
 pub fn encode_frame_traced(batch: &RowBatch, trace: FrameTrace) -> Vec<u8> {
     let mut out = Vec::with_capacity(frame_encoded_len(batch));
-    out.extend_from_slice(&(batch.width() as u32).to_le_bytes());
-    out.extend_from_slice(&(batch.rows() as u32).to_le_bytes());
-    match batch.selection() {
-        None => out.extend_from_slice(&NO_SELECTION.to_le_bytes()),
-        Some(sel) => out.extend_from_slice(&(sel.len() as u32).to_le_bytes()),
-    }
-    out.extend_from_slice(&trace.trace_id.to_le_bytes());
-    let span = trace
-        .span
-        .and_then(|s| u32::try_from(s).ok())
-        .filter(|&s| s != NO_SPAN)
-        .unwrap_or(NO_SPAN);
-    out.extend_from_slice(&span.to_le_bytes());
+    let sel_len = batch.selection().map_or(NO_SELECTION, |sel| sel.len() as u32);
+    write_header(&mut out, batch.width(), batch.rows(), sel_len, trace);
     for c in 0..batch.width() {
         for v in batch.column(c) {
             out.extend_from_slice(&v.to_le_bytes());
@@ -113,6 +102,55 @@ pub fn encode_frame_traced(batch: &RowBatch, trace: FrameTrace) -> Vec<u8> {
         }
     }
     out
+}
+
+/// Encodes the live rows at positions `live` (indices into the batch's
+/// live rows, i.e. into its selection vector when it has one) as one
+/// **dense** frame: dead rows and the selection vector stay behind, so a
+/// filtered batch costs exactly `header + live rows × width × 8` bytes on
+/// the wire, and one large batch can be cut into several frames without
+/// an intermediate copy. Decoding yields a selection-free batch.
+///
+/// # Panics
+/// Panics when `live` reaches past [`RowBatch::len`].
+#[must_use]
+pub fn encode_frame_dense(
+    batch: &RowBatch,
+    live: std::ops::Range<usize>,
+    trace: FrameTrace,
+) -> Vec<u8> {
+    let rows = live.len();
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + batch.width() * rows * 8);
+    write_header(&mut out, batch.width(), rows, NO_SELECTION, trace);
+    for c in 0..batch.width() {
+        let col = batch.column(c);
+        match batch.selection() {
+            None => {
+                for v in &col[live.clone()] {
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            Some(sel) => {
+                for &i in &sel[live.clone()] {
+                    out.extend_from_slice(&col[i as usize].to_le_bytes());
+                }
+            }
+        }
+    }
+    out
+}
+
+fn write_header(out: &mut Vec<u8>, width: usize, rows: usize, sel_len: u32, trace: FrameTrace) {
+    out.extend_from_slice(&(width as u32).to_le_bytes());
+    out.extend_from_slice(&(rows as u32).to_le_bytes());
+    out.extend_from_slice(&sel_len.to_le_bytes());
+    out.extend_from_slice(&trace.trace_id.to_le_bytes());
+    let span = trace
+        .span
+        .and_then(|s| u32::try_from(s).ok())
+        .filter(|&s| s != NO_SPAN)
+        .unwrap_or(NO_SPAN);
+    out.extend_from_slice(&span.to_le_bytes());
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -656,6 +694,11 @@ pub fn shard_route(
 /// routed by [`shard_route`] over `key_cols`. Output batches are appended
 /// to, so callers can accumulate several input batches before flushing.
 ///
+/// The live rows are grouped by destination once (a counting sort of
+/// their physical indices, input order kept within each destination);
+/// every output column then extends from its input column in one pass —
+/// no row is ever assembled.
+///
 /// # Panics
 /// Panics when `outs.len()` differs from the shard count implied by the
 /// routing, or on width mismatch.
@@ -667,11 +710,36 @@ pub fn scatter_by_shard(
     dests: &mut Vec<u32>,
 ) {
     shard_route(batch, key_cols, outs.len(), hashes, dests);
-    let mut row: Vec<i64> = Vec::with_capacity(batch.width());
-    for (slot, phys) in batch.selected_indices().enumerate() {
-        row.clear();
-        batch.gather_row_into(phys, &mut row);
-        outs[dests[slot] as usize].push_row(&row);
+    // `ends[t]` starts as destination t's first slot in `order` and, once
+    // the indices are placed, is one past its last.
+    let mut ends = vec![0usize; outs.len()];
+    for &d in dests.iter() {
+        ends[d as usize] += 1;
+    }
+    let mut at = 0;
+    for end in &mut ends {
+        at += std::mem::replace(end, at);
+    }
+    let mut order = vec![0u32; dests.len()];
+    for (phys, &d) in batch.selected_indices().zip(dests.iter()) {
+        let slot = &mut ends[d as usize];
+        order[*slot] = phys as u32;
+        *slot += 1;
+    }
+    let mut lo = 0;
+    for (out, &hi) in outs.iter_mut().zip(&ends) {
+        let picked = &order[lo..hi];
+        lo = hi;
+        if picked.is_empty() {
+            continue;
+        }
+        assert_eq!(out.width(), batch.width(), "row width mismatch");
+        out.extend_rows_with(picked.len(), |cols| {
+            for (c, col) in cols.iter_mut().enumerate() {
+                let src = batch.column(c);
+                col.extend(picked.iter().map(|&i| src[i as usize]));
+            }
+        });
     }
 }
 
@@ -857,20 +925,59 @@ mod tests {
         }
     }
 
+    /// The row-at-a-time scatter this module used to have: the reference
+    /// the column-wise body must reproduce batch for batch.
+    fn scatter_row_wise(batch: &RowBatch, key_cols: &[usize], outs: &mut [RowBatch]) {
+        let (mut hashes, mut dests) = (Vec::new(), Vec::new());
+        shard_route(batch, key_cols, outs.len(), &mut hashes, &mut dests);
+        for (slot, phys) in batch.selected_indices().enumerate() {
+            outs[dests[slot] as usize].push_row(&batch.row_vec(phys));
+        }
+    }
+
     #[test]
-    fn scatter_respects_selection() {
-        let batch = sample_batch(true);
-        let mut outs: Vec<RowBatch> = (0..3).map(|_| RowBatch::new(3)).collect();
-        let (mut h, mut d) = (Vec::new(), Vec::new());
-        scatter_by_shard(&batch, &[0], &mut outs, &mut h, &mut d);
-        let total: usize = outs.iter().map(RowBatch::rows).sum();
-        assert_eq!(total, 4, "only live rows are scattered");
-        // Every scattered row appears in the source batch's live set.
-        let live: Vec<Vec<i64>> = batch.iter().map(|r| r.to_vec()).collect();
-        for out in &outs {
-            for row in out.iter() {
-                assert!(live.contains(&row.to_vec()));
+    fn scatter_matches_the_row_wise_reference() {
+        let mut wide = RowBatch::with_capacity(3, 500);
+        for i in 0..500i64 {
+            wide.push_row(&[i * 31 % 97, i, -i]);
+        }
+        let mut filtered = wide.clone();
+        filtered.set_selection((0..500u32).filter(|i| i % 3 != 1).collect());
+        let mut none_live = wide.clone();
+        none_live.set_selection(Vec::new());
+        for shards in [1usize, 2, 3, 5] {
+            let mut got: Vec<RowBatch> = (0..shards).map(|_| RowBatch::new(3)).collect();
+            let mut want = got.clone();
+            let (mut h, mut d) = (Vec::new(), Vec::new());
+            // Outputs accumulate across calls, as in a repartition.
+            for batch in [&sample_batch(false), &sample_batch(true), &wide, &filtered, &none_live] {
+                scatter_by_shard(batch, &[0], &mut got, &mut h, &mut d);
+                scatter_row_wise(batch, &[0], &mut want);
             }
+            for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(g.selection().is_none(), "outputs are dense");
+                assert_eq!(g.to_tuples(), w.to_tuples(), "{shards} shards, destination {t}");
+            }
+            let total: usize = got.iter().map(RowBatch::rows).sum();
+            assert_eq!(total, 8 + 4 + 500 + 333, "only live rows are scattered");
+        }
+    }
+
+    #[test]
+    fn dense_frames_carry_live_rows_only() {
+        for selection in [false, true] {
+            let batch = sample_batch(selection);
+            let live = batch.to_tuples();
+            let trace = FrameTrace { trace_id: 9, span: Some(4) };
+            let frame = encode_frame_dense(&batch, 0..live.len(), trace);
+            assert_eq!(frame.len(), FRAME_HEADER_BYTES + live.len() * 3 * 8);
+            let (decoded, got) = decode_frame_traced(&frame).expect("valid frame");
+            assert_eq!(got, trace);
+            assert!(decoded.selection().is_none());
+            assert_eq!(decoded.to_tuples(), live, "selection={selection}");
+            // A sub-range cuts the live rows, not the physical ones.
+            let part = decode_frame(&encode_frame_dense(&batch, 1..3, trace)).expect("valid");
+            assert_eq!(part.to_tuples(), live[1..3], "selection={selection}");
         }
     }
 

@@ -54,7 +54,7 @@ use parking_lot::Mutex;
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
-use crate::exec::{cursor_next, drain_batch, drain_root, Operator, RowCursor};
+use crate::exec::{cursor_next, drain_batch, drain_root, Operator, RootSink, RowCursor};
 use crate::governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
 use crate::metrics::{ExecSummary, SharedCounters};
 use crate::trace::{TraceReport, Tracer};
@@ -644,7 +644,7 @@ fn run_collect(
     let mut op =
         crate::choose::compile_dynamic_plan(plan, db, catalog, env, bindings, memory_bytes, ctx)?;
     let mut out = Vec::new();
-    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), Some(&mut out))?;
+    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), RootSink::Rows(&mut out))?;
     Ok(out)
 }
 

@@ -28,6 +28,15 @@
 //! byte is accounted. The final gather merges order-preservingly (k-way
 //! merge by the `ORDER BY` column) or deterministically concatenates in
 //! shard order.
+//!
+//! **Batches end to end.** [`RowBatch`] is the only currency of the data
+//! path: access plans hand back the batches their operators produced,
+//! exchanges scatter column-wise and keep decoded frames as batches, the
+//! local join is the executor's radix join ([`join_batches`]), residual
+//! predicates are selection vectors, `ORDER BY` is an argsort plus column
+//! gathers, and the gather merge walks `(batch, row)` cursors. Rows exist
+//! in exactly one place: [`ShardOutcome::rows`], built once by the
+//! coordinator.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -36,12 +45,12 @@ use dqep_catalog::{AttrId, Catalog, RelationId};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    compile_dynamic_plan, credit_frames, decode_frame_traced, drain_root, encode_frame_traced,
-    execute_plan_reopt_ctx, journal, merge_distributed, presized_batch,
+    compile_dynamic_plan, credit_frames, decode_frame_traced, drain_root, encode_frame_dense,
+    execute_plan_reopt_ctx, join_batches, journal, merge_distributed, presized_batch,
     scatter_by_shard, ChooseAudit, EventKind, ExecContext, ExecError, ExecMode, FrameTrace,
     LinkFaultPlan, NetChannel, NetConfig, NetSpanStats, NetStats, ReoptConfig, ResourceLimits,
-    RowBatch, SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout,
-    BATCH_CAPACITY, NO_ID,
+    RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple,
+    TupleLayout, BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, PlanNode};
 use dqep_sql::{parse_query, ParsedPredicate};
@@ -566,6 +575,8 @@ impl ShardedService {
         let n = self.shards.len();
         let net_before = self.net.stats();
         let (mut wires, gather_rx, link_handles) = self.wire_up(plan, n);
+        let layout = canonical_layout(&self.catalog, &plan.rels);
+        let width = layout.width();
         // With tracing on, the coordinator owns the trace id and every
         // shard tracer joins it; off, shards run audit-only tracers so
         // arbitration audits still flow with no per-operator span cost.
@@ -622,27 +633,11 @@ impl ShardedService {
 
             // The coordinator gathers while the shards run; draining one
             // link fully before the next keeps the merge deterministic.
-            let mut per_shard: Vec<Result<Vec<Tuple>, ExecError>> = Vec::with_capacity(n);
+            let mut per_shard: Vec<Result<Vec<RowBatch>, ExecError>> = Vec::with_capacity(n);
             for rx in &gather_rx {
-                let mut rows = Vec::new();
-                let mut err = None;
-                let mut recv = RecvTrace::default();
-                while let Some(frame) = rx.recv() {
-                    if err.is_some() {
-                        continue; // keep draining so senders never block
-                    }
-                    match decode_frame_traced(&frame) {
-                        Ok((batch, ft)) => {
-                            recv.observe(&batch, ft);
-                            rows.extend(batch.iter());
-                        }
-                        Err(e) => err = Some(e),
-                    }
-                }
-                if let Some(tracer) = coord_tracer.as_ref() {
-                    recv.flush(tracer, coord_root, rx);
-                }
-                per_shard.push(err.map_or(Ok(rows), Err));
+                let (mut batches, mut err) = (Vec::new(), None);
+                drain_link(rx, width, &mut batches, &mut err, coord_tracer.as_deref(), coord_root);
+                per_shard.push(err.map_or(Ok(batches), Err));
             }
             let runs: Vec<Result<ShardRun, ExecError>> = handles
                 .into_iter()
@@ -657,29 +652,20 @@ impl ShardedService {
         let mut shard_rows = Vec::with_capacity(n);
         let mut fallbacks = 0;
         let mut audits: Vec<Vec<ChooseAudit>> = Vec::with_capacity(n);
-        for (s, run) in runs.into_iter().enumerate() {
+        let mut gathered: Vec<Vec<RowBatch>> = Vec::with_capacity(n);
+        for (s, (run, batches)) in runs.into_iter().zip(per_shard).enumerate() {
             let run = run.map_err(ServiceError::Exec)?;
-            let rows = match per_shard[s].as_ref() {
-                Ok(rows) => rows,
-                Err(e) => return Err(ServiceError::Exec(e.clone())),
-            };
-            debug_assert_eq!(rows.len() as u64, run.rows_out, "gather lost frames");
+            let batches = batches.map_err(ServiceError::Exec)?;
+            let rows = live_rows(&batches);
+            check_gathered(s, rows, run.rows_out).map_err(ServiceError::Exec)?;
             fallbacks += run.fallbacks;
             let mut shard_audits = tracers[s].report().audits;
             shard_audits.extend(run.synth_audits);
             audits.push(shard_audits);
-            shard_rows.push(rows.len() as u64);
+            shard_rows.push(rows);
+            gathered.push(batches);
         }
-        let per_shard: Vec<Vec<Tuple>> = per_shard
-            .into_iter()
-            .map(|r| r.unwrap_or_default()) // errors already returned above
-            .collect();
-
-        let layout = canonical_layout(&self.catalog, &plan.rels);
-        let rows = match plan.order_by {
-            Some(attr) => kway_merge(per_shard, layout.require(attr)),
-            None => per_shard.concat(),
-        };
+        let rows = materialize(&gathered, plan.order_by.map(|attr| layout.require(attr)));
 
         let mut winners_by_node: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
         for audit in audits.iter().flatten() {
@@ -817,28 +803,90 @@ fn collect_relations(expr: &LogicalExpr, out: &mut Vec<RelationId>) {
     }
 }
 
+/// Live rows across a set of batches.
+fn live_rows(batches: &[RowBatch]) -> u64 {
+    batches.iter().map(|b| b.len() as u64).sum()
+}
+
+/// A shard's gather link must deliver exactly the rows its worker
+/// reported sending; anything else means frames were lost or duplicated
+/// between a worker and the coordinator, and the result cannot be trusted.
+fn check_gathered(shard: usize, gathered: u64, reported: u64) -> Result<(), ExecError> {
+    if gathered == reported {
+        return Ok(());
+    }
+    Err(ExecError::Network(format!(
+        "gather lost frames: shard {shard} reported {reported} rows, {gathered} arrived"
+    )))
+}
+
+/// The **one** place the sharded path turns columns into rows: builds
+/// [`ShardOutcome::rows`] from the gathered batches, pre-sized from their
+/// row count, one `row_vec` per result row — k-way merged on `order_key`
+/// when the query is ordered, else concatenated in shard order.
+fn materialize(gathered: &[Vec<RowBatch>], order_key: Option<usize>) -> Vec<Tuple> {
+    let total: u64 = gathered.iter().map(|run| live_rows(run)).sum();
+    let mut rows = Vec::with_capacity(total as usize);
+    match order_key {
+        Some(key) => kway_merge(gathered, key, |batch, i| rows.push(batch.row_vec(i))),
+        None => {
+            for batch in gathered.iter().flatten() {
+                rows.extend(batch.iter());
+            }
+        }
+    }
+    rows
+}
+
+/// Position of one sorted run's next live row: the batch it is in and
+/// the index into that batch's live rows.
+struct RunCursor<'a> {
+    run: &'a [RowBatch],
+    batch: usize,
+    pos: usize,
+}
+
+impl<'a> RunCursor<'a> {
+    /// The batch and physical row index under the cursor, skipping
+    /// batches that are used up; `None` at the end of the run.
+    fn head(&mut self) -> Option<(&'a RowBatch, usize)> {
+        loop {
+            let batch = self.run.get(self.batch)?;
+            if self.pos < batch.len() {
+                let row = batch.selection().map_or(self.pos, |sel| sel[self.pos] as usize);
+                return Some((batch, row));
+            }
+            self.batch += 1;
+            self.pos = 0;
+        }
+    }
+}
+
 /// Order-preserving k-way merge of per-shard runs already sorted on
-/// column `key`; ties resolve by shard index, so the merge is fully
-/// deterministic.
-fn kway_merge(mut runs: Vec<Vec<Tuple>>, key: usize) -> Vec<Tuple> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heads = vec![0usize; runs.len()];
-    let mut out = Vec::with_capacity(total);
+/// column `key`: one `(batch, row)` cursor per run walks the key column,
+/// and each winner is handed to `emit` as (batch, physical row). Ties
+/// resolve by shard index, so the merge is fully deterministic.
+fn kway_merge<'a>(
+    runs: &'a [Vec<RowBatch>],
+    key: usize,
+    mut emit: impl FnMut(&'a RowBatch, usize),
+) {
+    let mut cursors: Vec<RunCursor<'a>> =
+        runs.iter().map(|run| RunCursor { run, batch: 0, pos: 0 }).collect();
     loop {
-        let mut best: Option<(i64, usize)> = None;
-        for (s, run) in runs.iter().enumerate() {
-            if let Some(row) = run.get(heads[s]) {
-                let k = row[key];
-                if best.is_none_or(|(bk, _)| k < bk) {
-                    best = Some((k, s));
+        let mut best: Option<(i64, &'a RowBatch, usize, usize)> = None;
+        for (s, cursor) in cursors.iter_mut().enumerate() {
+            if let Some((batch, row)) = cursor.head() {
+                let k = batch.column(key)[row];
+                if best.is_none_or(|(bk, ..)| k < bk) {
+                    best = Some((k, batch, row, s));
                 }
             }
         }
-        let Some((_, s)) = best else { break };
-        out.push(std::mem::take(&mut runs[s][heads[s]]));
-        heads[s] += 1;
+        let Some((_, batch, row, s)) = best else { break };
+        emit(batch, row);
+        cursors[s].pos += 1;
     }
-    out
 }
 
 /// The body of one shard worker: local access stages with shard-local
@@ -886,7 +934,7 @@ fn run_shard(
 
     for (j, stage) in plan.joins.iter().enumerate() {
         let right_rel = plan.rels[j + 1];
-        let right_rows = run_access(
+        let right_batches = run_access(
             shard,
             &plan.access[j + 1],
             env,
@@ -915,7 +963,7 @@ fn run_shard(
         )?;
         let right_mine = repartition(
             s,
-            right_rows,
+            right_batches,
             right_layout.width(),
             rkey,
             &stage_wires.right_out,
@@ -924,25 +972,67 @@ fn run_shard(
             &tracer,
             root,
         )?;
-        current = local_hash_join(&left_mine, lkey, &right_mine, rkey, &ctx)?;
+        let mut joined = join_batches(
+            (&left_mine, layout.width()),
+            (&right_mine, right_layout.width()),
+            &[(lkey, rkey)],
+            &ctx,
+        )?;
         layout = layout.concat(&right_layout);
-        for &(la, ra) in &stage.residual {
-            let (lp, rp) = (layout.require(la), layout.require(ra));
-            current.retain(|row| row[lp] == row[rp]);
+        if !stage.residual.is_empty() {
+            // Further equi-predicates between the two sides qualify rows
+            // through the selection vector; nothing is copied.
+            let residual: Vec<(&[i64], &[i64])> = stage
+                .residual
+                .iter()
+                .map(|&(la, ra)| {
+                    (joined.column(layout.require(la)), joined.column(layout.require(ra)))
+                })
+                .collect();
+            let keep = (0..joined.rows())
+                .filter(|&i| residual.iter().all(|(l, r)| l[i] == r[i]))
+                .map(|i| i as u32)
+                .collect();
+            joined.set_selection(keep);
         }
+        current = vec![joined];
     }
 
     if let Some(attr) = plan.order_by {
-        let c = layout.require(attr);
-        current.sort_by_key(|row| row[c]);
+        current = vec![sort_batches(&current, layout.width(), layout.require(attr))];
     }
 
-    send_rows(&wires.gather, &current, layout.width(), metrics, &tracer, root)?;
+    let mut gather = FrameSender::new(&wires.gather, &tracer, root, metrics);
+    for batch in &current {
+        gather.send(batch)?;
+    }
     Ok(ShardRun {
-        rows_out: current.len() as u64,
+        rows_out: live_rows(&current),
         fallbacks: ctx.counters.fallbacks(),
         synth_audits,
     })
+}
+
+/// The shard-local `ORDER BY`: an argsort of column `key` over the live
+/// rows of `batches` (arrival order kept among equal keys), then one
+/// gather per column into a single dense batch — no row is assembled.
+fn sort_batches(batches: &[RowBatch], width: usize, key: usize) -> RowBatch {
+    // (key, batch, physical row): arrival order *is* (batch, row) order,
+    // so sorting the whole triple is the stable sort on the key.
+    let mut order: Vec<(i64, u32, u32)> = Vec::with_capacity(live_rows(batches) as usize);
+    for (b, batch) in batches.iter().enumerate() {
+        let col = batch.column(key);
+        order.extend(batch.selected_indices().map(|i| (col[i], b as u32, i as u32)));
+    }
+    order.sort_unstable();
+    let mut out = RowBatch::with_capacity(width, order.len());
+    out.extend_rows_with(order.len(), |cols| {
+        for (c, col) in cols.iter_mut().enumerate() {
+            let src: Vec<&[i64]> = batches.iter().map(|batch| batch.column(c)).collect();
+            col.extend(order.iter().map(|&(_, b, i)| src[b as usize][i as usize]));
+        }
+    });
+    out
 }
 
 /// Runs one per-relation access plan locally. The plan still carries its
@@ -951,7 +1041,9 @@ fn run_shard(
 /// arbitration into a per-shard decision — the audit lands in the
 /// shard's tracer. With re-optimization enabled, the access stage runs
 /// through the checkpointing driver instead, and the start-up decisions
-/// are synthesized into audits.
+/// are synthesized into audits. Either way the stage hands back batches:
+/// the ones the root operator produced, selection vectors included, or
+/// the re-optimizing driver's materialized rows packed once, here.
 #[allow(clippy::too_many_arguments)]
 fn run_access(
     shard: &Shard,
@@ -963,7 +1055,7 @@ fn run_access(
     ctx: &ExecContext,
     metrics: &MetricsRegistry,
     synth_audits: &mut Vec<ChooseAudit>,
-) -> Result<Vec<Tuple>, ExecError> {
+) -> Result<Vec<RowBatch>, ExecError> {
     if let Some(reopt) = config.reopt {
         let outcome =
             execute_plan_reopt_ctx(plan, &shard.db, &shard.catalog, env, bindings, reopt, ctx)?;
@@ -980,25 +1072,37 @@ fn run_access(
                 fallbacks: 0,
             });
         }
-        return Ok(outcome.rows);
+        let width = outcome.rows.first().map_or(0, Vec::len);
+        return Ok(outcome
+            .rows
+            .chunks(BATCH_CAPACITY)
+            .map(|chunk| {
+                let mut batch = RowBatch::with_capacity(width, chunk.len());
+                chunk.iter().for_each(|row| batch.push_row(row));
+                batch
+            })
+            .collect());
     }
     let mut op =
         compile_dynamic_plan(plan, &shard.db, &shard.catalog, env, bindings, memory_bytes, ctx)?;
-    let mut rows = Vec::new();
-    drain_root(op.as_mut(), ctx.mode, None, Some(&mut rows))?;
-    Ok(rows)
+    let mut batches = Vec::new();
+    drain_root(op.as_mut(), ctx.mode, None, RootSink::Batches(&mut batches))?;
+    Ok(batches)
 }
 
-/// One repartitioning exchange: hash-scatters `rows` on `key` across all
-/// shards, sending cross-shard partitions as columnar frames and keeping
-/// the self-partition local. A dedicated sender thread keeps this shard
+/// One repartitioning exchange: hash-scatters `batches` on column `key`
+/// across all shards, sending cross-shard partitions as dense columnar
+/// frames and keeping the self-partition resident. Returns this shard's
+/// share — the frames its peers sent, in link order, then its own
+/// partition — as batches. A dedicated sender thread keeps this shard
 /// receiving while it sends, so bounded credits can never deadlock the
 /// all-to-all: receivers are always live, and the sender closes its
-/// links the moment it finishes.
+/// links the moment it finishes. A shard without remote peers owns every
+/// row already: no thread, no scatter.
 #[allow(clippy::too_many_arguments)]
 fn repartition(
     s: usize,
-    rows: Vec<Tuple>,
+    batches: Vec<RowBatch>,
     width: usize,
     key: usize,
     outs: &[Option<NetChannel>],
@@ -1006,32 +1110,22 @@ fn repartition(
     metrics: &MetricsRegistry,
     tracer: &Arc<Tracer>,
     parent: Option<SpanId>,
-) -> Result<Vec<Tuple>, ExecError> {
+) -> Result<Vec<RowBatch>, ExecError> {
+    if outs.iter().all(Option::is_none) {
+        return Ok(batches);
+    }
     std::thread::scope(|scope| {
         let sender = scope.spawn(|| {
-            let result = send_partitions(s, &rows, width, key, outs, metrics, tracer, parent);
+            let result = send_partitions(s, &batches, width, key, outs, metrics, tracer, parent);
             for ch in outs.iter().flatten() {
                 ch.close();
             }
             result
         });
-        let mut mine: Vec<Tuple> = Vec::new();
+        let mut mine: Vec<RowBatch> = Vec::new();
         let mut recv_err: Option<ExecError> = None;
         for ch in ins.iter().flatten() {
-            let mut recv = RecvTrace::default();
-            while let Some(frame) = ch.recv() {
-                if recv_err.is_some() {
-                    continue; // drain so peers never block on a dead link
-                }
-                match decode_frame_traced(&frame) {
-                    Ok((batch, ft)) => {
-                        recv.observe(&batch, ft);
-                        mine.extend(batch.iter());
-                    }
-                    Err(e) => recv_err = Some(e),
-                }
-            }
-            recv.flush(tracer, parent, ch);
+            drain_link(ch, width, &mut mine, &mut recv_err, Some(tracer), parent);
         }
         let local = sender
             .join()
@@ -1039,102 +1133,171 @@ fn repartition(
         if let Some(e) = recv_err {
             return Err(e);
         }
-        mine.extend(local);
+        mine.push(local);
         Ok(mine)
     })
 }
 
-/// Scatter-and-send half of [`repartition`]: batches rows, routes each
-/// batch with the multiply-xor kernel, flushes full per-destination
-/// batches as frames, and returns the self-partition. Destination
-/// batches are pre-sized from the expected per-shard share.
+/// Receives one link until it closes, decoding each frame onto `into`.
+/// A frame is rejected when it does not decode or when its width is not
+/// the stage layout's `width` (the header is input: a narrower frame
+/// would index out of range in the key column). After the first failure,
+/// recorded in `err`, frames are still received — and dropped — so peers
+/// never block on a dead link.
+fn drain_link(
+    ch: &NetChannel,
+    width: usize,
+    into: &mut Vec<RowBatch>,
+    err: &mut Option<ExecError>,
+    tracer: Option<&Tracer>,
+    parent: Option<SpanId>,
+) {
+    let mut recv = RecvTrace::default();
+    while let Some(frame) = ch.recv() {
+        if err.is_some() {
+            continue;
+        }
+        match decode_frame_traced(&frame) {
+            Ok((batch, _)) if batch.width() != width => {
+                *err = Some(ExecError::Network(format!(
+                    "frame width mismatch on link {}->{}: {} columns, stage layout has {width}",
+                    ch.from_node(),
+                    ch.to_node(),
+                    batch.width(),
+                )));
+            }
+            Ok((batch, ft)) => {
+                recv.observe(&batch, ft);
+                into.push(batch);
+            }
+            Err(e) => *err = Some(e),
+        }
+    }
+    if let Some(tracer) = tracer {
+        recv.flush(tracer, parent, ch);
+    }
+}
+
+/// Scatter-and-send half of [`repartition`]: routes each input batch with
+/// the multiply-xor kernel straight into the per-destination batches,
+/// flushes a remote destination as frames once it holds a frame's worth,
+/// and returns the self-partition, which never leaves its batch.
+/// Destination batches are pre-sized from the expected per-shard share.
 #[allow(clippy::too_many_arguments)]
 fn send_partitions(
     s: usize,
-    rows: &[Tuple],
+    batches: &[RowBatch],
     width: usize,
     key: usize,
     outs: &[Option<NetChannel>],
     metrics: &MetricsRegistry,
-    tracer: &Arc<Tracer>,
+    tracer: &Tracer,
     parent: Option<SpanId>,
-) -> Result<Vec<Tuple>, ExecError> {
+) -> Result<RowBatch, ExecError> {
     let shards = outs.len();
-    let per_shard = (rows.len() / shards.max(1)).max(1) as u64;
+    let per_shard = (live_rows(batches) / shards.max(1) as u64).max(1);
     let mut dest: Vec<RowBatch> = (0..shards)
-        .map(|_| presized_batch(width, Some(per_shard)))
-        .collect();
-    let mut local: Vec<Tuple> = Vec::with_capacity(per_shard as usize);
-    let mut input = RowBatch::with_capacity(width, BATCH_CAPACITY);
-    let (mut hashes, mut dests) = (Vec::new(), Vec::new());
-    // One send span per destination link, opened lazily at the first
-    // frame so the span id can ride in every frame header.
-    let mut spans: Vec<Option<SpanId>> = vec![None; shards];
-    let flush = |t: usize,
-                 batch: &mut RowBatch,
-                 local: &mut Vec<Tuple>,
-                 spans: &mut Vec<Option<SpanId>>|
-     -> Result<(), ExecError> {
-        if batch.rows() == 0 {
-            return Ok(());
-        }
-        if t == s {
-            local.extend(batch.iter());
-        } else if let Some(ch) = &outs[t] {
-            let span = if tracer.records_spans() {
-                Some(*spans[t].get_or_insert_with(|| {
-                    tracer.span(
-                        format!("Net-Send {s}->{t}"),
-                        "Net-Send",
-                        None,
-                        None,
-                        parent,
-                        1,
-                    )
-                }))
+        .map(|t| {
+            if t == s {
+                RowBatch::with_capacity(width, per_shard as usize)
             } else {
-                None
-            };
-            let frame = encode_frame_traced(
-                batch,
-                FrameTrace { trace_id: tracer.trace_id(), span: span.map(|sp| sp.0 as u64) },
-            );
-            let waited = ch.send(frame)?;
-            if !waited.is_zero() {
-                metrics.net_queue_wait.record(waited);
+                presized_batch(width, Some(per_shard))
             }
-        }
-        batch.clear();
-        Ok(())
-    };
-    let result = (|| {
-        for chunk in rows.chunks(BATCH_CAPACITY) {
-            input.clear();
-            for row in chunk {
-                input.push_row(row);
-            }
-            scatter_by_shard(&input, &[key], &mut dest, &mut hashes, &mut dests);
-            for (t, batch) in dest.iter_mut().enumerate() {
-                if batch.rows() >= BATCH_CAPACITY {
-                    flush(t, batch, &mut local, &mut spans)?;
+        })
+        .collect();
+    let mut senders: Vec<Option<FrameSender<'_>>> = outs
+        .iter()
+        .map(|out| out.as_ref().map(|ch| FrameSender::new(ch, tracer, parent, metrics)))
+        .collect();
+    let (mut hashes, mut dests) = (Vec::new(), Vec::new());
+    for batch in batches {
+        scatter_by_shard(batch, &[key], &mut dest, &mut hashes, &mut dests);
+        for (sender, out) in senders.iter_mut().zip(&mut dest) {
+            if let Some(sender) = sender {
+                if out.rows() >= BATCH_CAPACITY {
+                    sender.send(out)?;
+                    out.clear();
                 }
             }
         }
-        for (t, batch) in dest.iter_mut().enumerate() {
-            flush(t, batch, &mut local, &mut spans)?;
-        }
-        Ok(())
-    })();
-    // Whatever happened — including a send that exhausted its
-    // retransmission budget — reconcile each opened span against its
-    // channel's own counters, so span byte totals match `NetStats`
-    // exactly.
-    for (t, span) in spans.iter().enumerate() {
-        if let (Some(span), Some(ch)) = (span, &outs[t]) {
-            tracer.set_net(*span, send_net_stats(ch));
+    }
+    for (sender, out) in senders.iter_mut().zip(&dest) {
+        if let Some(sender) = sender {
+            sender.send(out)?;
         }
     }
-    result.map(|()| local)
+    Ok(std::mem::take(&mut dest[s]))
+}
+
+/// The send half of one link: turns batches into dense frames under one
+/// lazily opened `Net-Send` span.
+struct FrameSender<'a> {
+    ch: &'a NetChannel,
+    tracer: &'a Tracer,
+    parent: Option<SpanId>,
+    metrics: &'a MetricsRegistry,
+    /// Opened at the first frame, so the span id can ride in every frame
+    /// header and an idle link records nothing.
+    span: Option<SpanId>,
+}
+
+impl<'a> FrameSender<'a> {
+    fn new(
+        ch: &'a NetChannel,
+        tracer: &'a Tracer,
+        parent: Option<SpanId>,
+        metrics: &'a MetricsRegistry,
+    ) -> FrameSender<'a> {
+        FrameSender { ch, tracer, parent, metrics, span: None }
+    }
+
+    /// Sends the live rows of `batch`. Frames are dense — a selection
+    /// vector is compacted away by the encoder, so a filtered batch does
+    /// not inflate wire bytes — and hold [`BATCH_CAPACITY`] rows each,
+    /// the last one taking the remainder (under two frames' worth), so
+    /// the credit window counts comparable frames however large the
+    /// batch and no link carries a runt.
+    fn send(&mut self, batch: &RowBatch) -> Result<(), ExecError> {
+        let live = batch.len();
+        let mut lo = 0;
+        while lo < live {
+            let hi = if live - lo < 2 * BATCH_CAPACITY { live } else { lo + BATCH_CAPACITY };
+            let span = self.tracer.records_spans().then(|| {
+                *self.span.get_or_insert_with(|| {
+                    self.tracer.span(
+                        format!("Net-Send {}->{}", self.ch.from_node(), self.ch.to_node()),
+                        "Net-Send",
+                        None,
+                        None,
+                        self.parent,
+                        1,
+                    )
+                })
+            });
+            let trace = FrameTrace {
+                trace_id: self.tracer.trace_id(),
+                span: span.map(|sp| sp.0 as u64),
+            };
+            let waited = self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
+            if !waited.is_zero() {
+                self.metrics.net_queue_wait.record(waited);
+            }
+            lo = hi;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for FrameSender<'_> {
+    /// Whatever happened — including a send that exhausted its
+    /// retransmission budget — the opened span is reconciled against the
+    /// channel's own counters, so span byte totals match `NetStats`
+    /// exactly.
+    fn drop(&mut self) {
+        if let Some(span) = self.span {
+            self.tracer.set_net(span, send_net_stats(self.ch));
+        }
+    }
 }
 
 /// The send-side [`NetSpanStats`] of one channel: the channel's
@@ -1153,127 +1316,6 @@ fn send_net_stats(ch: &NetChannel) -> NetSpanStats {
         credit_wait_ns: st.credit_wait_ns,
         remote_span: None,
     }
-}
-
-/// Streams result rows over the gather link as columnar frames.
-fn send_rows(
-    ch: &NetChannel,
-    rows: &[Tuple],
-    width: usize,
-    metrics: &MetricsRegistry,
-    tracer: &Arc<Tracer>,
-    parent: Option<SpanId>,
-) -> Result<(), ExecError> {
-    let mut batch = RowBatch::with_capacity(width, BATCH_CAPACITY);
-    let mut span: Option<SpanId> = None;
-    let result = (|| {
-        for chunk in rows.chunks(BATCH_CAPACITY) {
-            batch.clear();
-            for row in chunk {
-                batch.push_row(row);
-            }
-            let sp = if tracer.records_spans() {
-                Some(*span.get_or_insert_with(|| {
-                    tracer.span(
-                        format!("Net-Send {}->{}", ch.from_node(), ch.to_node()),
-                        "Net-Send",
-                        None,
-                        None,
-                        parent,
-                        1,
-                    )
-                }))
-            } else {
-                None
-            };
-            let frame = encode_frame_traced(
-                &batch,
-                FrameTrace { trace_id: tracer.trace_id(), span: sp.map(|sp| sp.0 as u64) },
-            );
-            let waited = ch.send(frame)?;
-            if !waited.is_zero() {
-                metrics.net_queue_wait.record(waited);
-            }
-        }
-        Ok(())
-    })();
-    if let Some(span) = span {
-        tracer.set_net(span, send_net_stats(ch));
-    }
-    result
-}
-
-/// Shard-local in-memory hash join of two co-partitioned row sets,
-/// emitting `left ⊗ right` concatenations. The build side is the
-/// smaller input; its hash table memory is reserved with the shard's
-/// governor, and a refusal degrades to a **chunked build** (the build
-/// side is processed in grant-sized pieces, re-scanning the probe side
-/// per piece) instead of failing — counted as one fallback, the same
-/// graceful-degradation contract choose-plan gives retryable opens.
-fn local_hash_join(
-    left: &[Tuple],
-    lkey: usize,
-    right: &[Tuple],
-    rkey: usize,
-    ctx: &ExecContext,
-) -> Result<Vec<Tuple>, ExecError> {
-    let build_left = left.len() <= right.len();
-    let (build, bkey, probe, pkey) = if build_left {
-        (left, lkey, right, rkey)
-    } else {
-        (right, rkey, left, lkey)
-    };
-    // Per-row footprint: the key map entry plus the row reference.
-    let bytes_per_row = (build.first().map_or(0, Vec::len) * 8 + 48) as u64;
-    let full = (build.len() as u64).saturating_mul(bytes_per_row).max(1);
-
-    let mut granted = 0u64;
-    let mut refusal = None;
-    for divisor in [1u64, 2, 4, 8] {
-        let ask = (full / divisor).max(bytes_per_row.max(1));
-        match ctx.governor.try_reserve_memory(ask) {
-            Ok(()) => {
-                granted = ask;
-                break;
-            }
-            Err(e) if e.is_retryable() => refusal = Some(e),
-            Err(e) => return Err(e),
-        }
-    }
-    if granted == 0 {
-        return Err(refusal.unwrap_or_else(|| {
-            ExecError::Network("memory reservation failed without an error".into())
-        }));
-    }
-    if granted < full {
-        ctx.counters.add_fallbacks(1);
-    }
-
-    let chunk_rows = ((granted / bytes_per_row.max(1)).max(1) as usize).min(build.len().max(1));
-    let mut out = Vec::new();
-    for build_chunk in build.chunks(chunk_rows) {
-        let mut table: HashMap<i64, Vec<&Tuple>> = HashMap::with_capacity(build_chunk.len());
-        for row in build_chunk {
-            table.entry(row[bkey]).or_default().push(row);
-        }
-        for probe_row in probe {
-            if let Some(matches) = table.get(&probe_row[pkey]) {
-                for &build_row in matches {
-                    let (l, r) = if build_left {
-                        (build_row, probe_row)
-                    } else {
-                        (probe_row, build_row)
-                    };
-                    let mut joined = Vec::with_capacity(l.len() + r.len());
-                    joined.extend_from_slice(l);
-                    joined.extend_from_slice(r);
-                    out.push(joined);
-                }
-            }
-        }
-    }
-    ctx.governor.release_memory(granted);
-    Ok(out)
 }
 
 /// Routes every relation's exported rows to its shard. Hash routing goes
@@ -1549,19 +1591,132 @@ mod tests {
         assert!(m.shard_winners().iter().sum::<u64>() > 0);
     }
 
+    fn batch_of(width: usize, rows: &[&[i64]]) -> RowBatch {
+        let mut batch = RowBatch::with_capacity(width, rows.len());
+        rows.iter().for_each(|row| batch.push_row(row));
+        batch
+    }
+
     #[test]
     fn kway_merge_is_ordered_and_complete() {
+        // Shard 0's run spans two batches (the first filtered down to one
+        // live row), shard 2 sent nothing, shard 3 starts with an empty
+        // batch: the cursors must step over all of that.
+        let mut filtered = batch_of(2, &[&[0, 99], &[1, 10], &[3, 98]]);
+        filtered.set_selection(vec![1]);
         let runs = vec![
-            vec![vec![1i64, 10], vec![4, 11]],
-            vec![vec![2i64, 20]],
+            vec![filtered, batch_of(2, &[&[4, 11]])],
+            vec![batch_of(2, &[&[2, 20]])],
             vec![],
-            vec![vec![2i64, 30], vec![9, 31]],
+            vec![batch_of(2, &[]), batch_of(2, &[&[2, 30], &[9, 31]])],
         ];
-        let merged = kway_merge(runs, 0);
+        let mut merged = Vec::new();
+        kway_merge(&runs, 0, |batch, i| merged.push(batch.row_vec(i)));
         let keys: Vec<i64> = merged.iter().map(|r| r[0]).collect();
         assert_eq!(keys, vec![1, 2, 2, 4, 9]);
         // Ties resolve by shard index: shard 1's row precedes shard 3's.
         assert_eq!(merged[1], vec![2, 20]);
         assert_eq!(merged[2], vec![2, 30]);
+        assert_eq!(materialize(&runs, Some(0)), merged);
+        // Unordered gathers concatenate in shard order, live rows only.
+        let concat: Vec<i64> = materialize(&runs, None).iter().map(|r| r[1]).collect();
+        assert_eq!(concat, vec![10, 11, 20, 30, 31]);
+    }
+
+    #[test]
+    fn sort_batches_is_a_stable_sort_of_the_live_rows() {
+        let mut first = batch_of(2, &[&[5, 0], &[1, 1], &[7, 2], &[1, 3]]);
+        first.set_selection(vec![0, 1, 3]);
+        let second = batch_of(2, &[&[1, 4], &[0, 5]]);
+        let sorted = sort_batches(&[first, second], 2, 0);
+        assert!(sorted.selection().is_none(), "the result is dense");
+        assert_eq!(
+            sorted.to_tuples(),
+            vec![vec![0, 5], vec![1, 1], vec![1, 3], vec![1, 4], vec![5, 0]],
+            "equal keys keep arrival order; the dead row is gone"
+        );
+    }
+
+    #[test]
+    fn a_gather_that_lost_rows_is_a_network_error() {
+        assert!(check_gathered(0, 10, 10).is_ok());
+        for (gathered, reported) in [(9, 10), (11, 10), (0, 1)] {
+            let err = check_gathered(1, gathered, reported).expect_err("mismatch");
+            assert!(
+                matches!(&err, ExecError::Network(m) if m.contains("gather lost frames")),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_frame_narrower_than_the_stage_layout_is_rejected_and_the_link_drained() {
+        let net = SimNet::new(NetConfig::default());
+        let ch = net.channel(1, 0, 8);
+        // A hand-built frame: header says one column, the stage has two.
+        let mut narrow = Vec::new();
+        for word in [1u32, 2, u32::MAX] {
+            narrow.extend_from_slice(&word.to_le_bytes());
+        }
+        narrow.extend_from_slice(&0u64.to_le_bytes());
+        narrow.extend_from_slice(&u32::MAX.to_le_bytes());
+        for v in [7i64, 8] {
+            narrow.extend_from_slice(&v.to_le_bytes());
+        }
+        let good = batch_of(2, &[&[1, 2]]);
+        ch.send(encode_frame_dense(&good, 0..1, FrameTrace::default())).expect("send");
+        ch.send(narrow).expect("send");
+        ch.send(encode_frame_dense(&good, 0..1, FrameTrace::default())).expect("send");
+        ch.close();
+
+        let (mut into, mut err) = (Vec::new(), None);
+        drain_link(&ch, 2, &mut into, &mut err, None, None);
+        let err = err.expect("the narrow frame is refused");
+        assert!(
+            matches!(&err, ExecError::Network(m) if m.contains("frame width mismatch")),
+            "{err:?}"
+        );
+        assert_eq!(into.len(), 1, "frames before the bad one were kept, later ones dropped");
+        assert!(ch.recv().is_none(), "the link was drained to its close");
+    }
+
+    #[test]
+    fn frames_are_dense_and_cut_without_runts() {
+        let net = SimNet::new(NetConfig::default());
+        let ch = net.channel(0, 1, 64);
+        let tracer = Tracer::audit_only();
+        let metrics = MetricsRegistry::new();
+        let rows = 3 * BATCH_CAPACITY + 10;
+        let mut batch = RowBatch::with_capacity(2, rows);
+        (0..rows as i64).for_each(|v| batch.push_row(&[v, -v]));
+        // Every other row is dead: only live rows may reach the wire.
+        batch.set_selection((0..rows as u32).step_by(2).collect());
+        let live = batch.len();
+        FrameSender::new(&ch, &tracer, None, &metrics).send(&batch).expect("send");
+        ch.close();
+        let (mut got, mut err) = (Vec::new(), None);
+        drain_link(&ch, 2, &mut got, &mut err, None, None);
+        assert!(err.is_none(), "{err:?}");
+        assert_eq!(got.len(), 1, "under two frames' worth of live rows is one frame");
+        assert_eq!(live_rows(&got), live as u64);
+        assert_eq!(
+            ch.stats().bytes as usize,
+            dqep_executor::FRAME_HEADER_BYTES + live * 2 * 8,
+            "header plus live rows only"
+        );
+
+        // A large dense batch is cut into capacity-sized frames, the
+        // last one taking the remainder.
+        let ch = net.channel(0, 1, 64);
+        batch.clear();
+        (0..rows as i64).for_each(|v| batch.push_row(&[v, -v]));
+        FrameSender::new(&ch, &tracer, None, &metrics).send(&batch).expect("send");
+        ch.close();
+        let mut got = Vec::new();
+        drain_link(&ch, 2, &mut got, &mut err, None, None);
+        let sizes: Vec<usize> = got.iter().map(RowBatch::rows).collect();
+        assert_eq!(sizes, vec![BATCH_CAPACITY, BATCH_CAPACITY, BATCH_CAPACITY + 10]);
+        let firsts: Vec<i64> = got.iter().map(|b| b.column(0)[0]).collect();
+        assert_eq!(firsts, vec![0, BATCH_CAPACITY as i64, 2 * BATCH_CAPACITY as i64]);
     }
 }

@@ -10,7 +10,7 @@ use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
     compile_dynamic_plan, drain, drain_batch, ExecContext, ExecError, ExecMode, LinkFaultPlan,
-    Resource, ResourceLimits, SharedCounters, Tuple, TupleLayout,
+    Resource, ResourceLimits, SharedCounters, Tuple, TupleLayout, FRAME_HEADER_BYTES,
 };
 use dqep::optimizer::Optimizer;
 use dqep::service::{ServiceError, ShardConfig, ShardRouting, ShardedService};
@@ -309,4 +309,96 @@ fn divergent_winners_are_audited_and_parity_preserving() {
         sorted(forced.rows),
         "winner choice never changes the result multiset"
     );
+}
+
+/// Relations `t0..tn` of `card` rows with a selection attribute `a`, a
+/// join attribute `j` and a second, low-cardinality join attribute `k`.
+/// No index on `a`: a predicate on it can only run as a filter over the
+/// file scan, so its batches carry selection vectors.
+fn two_key_catalog(relations: usize, card: u64) -> Catalog {
+    let mut builder = CatalogBuilder::new(SystemConfig::paper_1994());
+    for i in 0..relations {
+        builder = builder.relation(&format!("t{i}"), card, 64, |r| {
+            r.attr("a", card as f64)
+                .attr("j", (card / 4) as f64)
+                .attr("k", 3.0)
+                .btree("j", false)
+        });
+    }
+    builder.build().expect("valid catalog")
+}
+
+/// Two relations connected by **two** equi-predicates: the first routes
+/// and joins, the second is a residual the sharded path applies as a
+/// selection vector — on the last stage (straight into the sort and the
+/// gather) and on an inner stage (into the next repartition). Both must
+/// match single-node execution, whose join takes both predicates as keys.
+#[test]
+fn residual_equi_predicates_match_single_node() {
+    let catalog = two_key_catalog(3, 600);
+    let queries = [
+        "SELECT * FROM t0, t1 WHERE t0.j = t1.j AND t0.k = t1.k AND t0.a < :v",
+        "SELECT * FROM t0, t1, t2 WHERE t0.j = t1.j AND t0.k = t1.k AND t1.j = t2.j \
+         AND t0.a < :v ORDER BY t0.a",
+        "SELECT * FROM t0, t1, t2 WHERE t0.j = t1.j AND t1.j = t2.j AND t0.k = t2.k \
+         AND t0.a < :v ORDER BY t0.a",
+    ];
+    let binds = [("v", 400i64)];
+    for sql in queries {
+        for (shards, mode) in [(2, ExecMode::Batch), (4, ExecMode::Batch), (2, ExecMode::Tuple)] {
+            let config = ShardConfig { shards, exec_mode: mode, ..ShardConfig::default() };
+            let out = ShardedService::new(catalog.clone(), config.clone())
+                .execute(sql, &binds)
+                .expect("sharded run");
+            let expected = single_node_rows(&catalog, sql, &binds, &config, &out.layout)
+                .expect("single-node run");
+            assert!(!expected.is_empty(), "the residual must leave something to compare");
+            assert_eq!(sorted(out.rows), sorted(expected), "{shards} shards {mode:?}: {sql}");
+        }
+    }
+}
+
+/// A per-shard memory budget below the join table's full footprint but
+/// above an eighth of it: the local join degrades to a chunked build —
+/// counted as a fallback on every shard — and still returns the multiset
+/// an ungoverned single node does.
+#[test]
+fn governed_memory_forces_the_chunked_build() {
+    let catalog = two_key_catalog(2, 600);
+    let sql = "SELECT * FROM t0, t1 WHERE t0.j = t1.j ORDER BY t0.a";
+    // Each shard builds on about 300 rows of (3 x 8 + 48) bytes: 21 KiB
+    // in full, under 3 KiB at an eighth.
+    let config = ShardConfig {
+        shards: 2,
+        limits: ResourceLimits { memory_bytes: Some(6 * 1024), ..ResourceLimits::unlimited() },
+        ..ShardConfig::default()
+    };
+    let out = ShardedService::new(catalog.clone(), config.clone())
+        .execute(sql, &[])
+        .expect("the ladder absorbs the refusal");
+    assert!(out.fallbacks >= 2, "every shard degraded: {}", out.fallbacks);
+    let ungoverned = ShardConfig { limits: ResourceLimits::unlimited(), ..config };
+    let expected = single_node_rows(&catalog, sql, &[], &ungoverned, &out.layout)
+        .expect("single-node run");
+    assert_eq!(sorted(out.rows), sorted(expected));
+}
+
+/// Filtered batches are compacted before the wire: a scan-and-gather
+/// whose every batch carries a selection vector puts exactly one header
+/// per frame plus its *live* rows on the gather links — no dead rows, no
+/// selection vectors.
+#[test]
+fn filtered_gather_puts_only_live_rows_on_the_wire() {
+    let catalog = two_key_catalog(1, 3_000);
+    let out = ShardedService::new(catalog, ShardConfig { shards: 2, ..ShardConfig::default() })
+        .execute("SELECT * FROM t0 WHERE t0.a < :v", &[("v", 1_000)])
+        .expect("sharded run");
+    assert!(
+        (500..2_000).contains(&out.rows.len()),
+        "the filter must be partial for this to test anything: {} rows",
+        out.rows.len()
+    );
+    let dense = out.net.frames * FRAME_HEADER_BYTES as u64
+        + (out.rows.len() * out.layout.width() * 8) as u64;
+    assert_eq!(out.net.bytes, dense, "{:?}", out.net);
 }
