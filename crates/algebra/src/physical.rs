@@ -132,30 +132,30 @@ impl PhysicalOp {
     }
 
     /// The sort order this operator delivers, given its children's
-    /// delivered orders (one entry per child, in order).
+    /// delivered orders (one entry per child, in order). Taken as an
+    /// iterator so a plan builder can answer from its child links without
+    /// collecting them first.
     #[must_use]
-    pub fn delivered_order(&self, child_orders: &[SortOrder]) -> SortOrder {
+    pub fn delivered_order(&self, child_orders: impl IntoIterator<Item = SortOrder>) -> SortOrder {
+        let mut child_orders = child_orders.into_iter();
         match self {
             PhysicalOp::FileScan { .. } => SortOrder::None,
             PhysicalOp::BtreeScan { key_attr, .. } => SortOrder::Asc(*key_attr),
             PhysicalOp::FilterBtreeScan { predicate, .. } => SortOrder::Asc(predicate.attr),
-            PhysicalOp::Filter { .. } => child_orders.first().copied().unwrap_or_default(),
+            PhysicalOp::Filter { .. } => child_orders.next().unwrap_or_default(),
             PhysicalOp::HashJoin { .. } => SortOrder::None,
             PhysicalOp::MergeJoin { predicates } => predicates
                 .first()
                 .map(|p| SortOrder::Asc(p.left))
                 .unwrap_or_default(),
             // The outer's order is preserved by an index nested-loop join.
-            PhysicalOp::IndexJoin { .. } => child_orders.first().copied().unwrap_or_default(),
+            PhysicalOp::IndexJoin { .. } => child_orders.next().unwrap_or_default(),
             PhysicalOp::Sort { attr } => SortOrder::Asc(*attr),
             // A choose-plan only guarantees an order all alternatives share.
-            PhysicalOp::ChoosePlan => {
-                let mut iter = child_orders.iter();
-                match iter.next() {
-                    Some(first) if iter.all(|o| o == first) => *first,
-                    _ => SortOrder::None,
-                }
-            }
+            PhysicalOp::ChoosePlan => match child_orders.next() {
+                Some(first) if child_orders.all(|o| o == first) => first,
+                _ => SortOrder::None,
+            },
         }
     }
 
@@ -284,11 +284,11 @@ mod tests {
     fn delivered_orders() {
         let a = attr(0, 0);
         assert_eq!(
-            PhysicalOp::FileScan { relation: RelationId(0) }.delivered_order(&[]),
+            PhysicalOp::FileScan { relation: RelationId(0) }.delivered_order([]),
             SortOrder::None
         );
         assert_eq!(
-            PhysicalOp::Sort { attr: a }.delivered_order(&[SortOrder::None]),
+            PhysicalOp::Sort { attr: a }.delivered_order([SortOrder::None]),
             SortOrder::Asc(a)
         );
         assert_eq!(
@@ -297,24 +297,24 @@ mod tests {
                 index: IndexId(0),
                 key_attr: a
             }
-            .delivered_order(&[]),
+            .delivered_order([]),
             SortOrder::Asc(a)
         );
         // Filter passes order through.
         let filt = PhysicalOp::Filter {
             predicate: SelectPred::unbound(a, CompareOp::Lt, HostVar(0)),
         };
-        assert_eq!(filt.delivered_order(&[SortOrder::Asc(a)]), SortOrder::Asc(a));
+        assert_eq!(filt.delivered_order([SortOrder::Asc(a)]), SortOrder::Asc(a));
         // Merge join delivers the left predicate attribute's order.
         let mj = PhysicalOp::MergeJoin { predicates: vec![join_pred()] };
         assert_eq!(
-            mj.delivered_order(&[SortOrder::Asc(attr(0, 1)), SortOrder::Asc(attr(1, 1))]),
+            mj.delivered_order([SortOrder::Asc(attr(0, 1)), SortOrder::Asc(attr(1, 1))]),
             SortOrder::Asc(attr(0, 1))
         );
         // Hash join destroys order.
         let hj = PhysicalOp::HashJoin { predicates: vec![join_pred()] };
         assert_eq!(
-            hj.delivered_order(&[SortOrder::Asc(a), SortOrder::Asc(a)]),
+            hj.delivered_order([SortOrder::Asc(a), SortOrder::Asc(a)]),
             SortOrder::None
         );
     }
@@ -324,14 +324,14 @@ mod tests {
         let a = attr(0, 0);
         let cp = PhysicalOp::ChoosePlan;
         assert_eq!(
-            cp.delivered_order(&[SortOrder::Asc(a), SortOrder::Asc(a)]),
+            cp.delivered_order([SortOrder::Asc(a), SortOrder::Asc(a)]),
             SortOrder::Asc(a)
         );
         assert_eq!(
-            cp.delivered_order(&[SortOrder::Asc(a), SortOrder::None]),
+            cp.delivered_order([SortOrder::Asc(a), SortOrder::None]),
             SortOrder::None
         );
-        assert_eq!(cp.delivered_order(&[]), SortOrder::None);
+        assert_eq!(cp.delivered_order([]), SortOrder::None);
     }
 
     #[test]

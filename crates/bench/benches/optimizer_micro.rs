@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dqep_algebra::PhysicalOp;
 use dqep_catalog::{CatalogBuilder, RelationId, SystemConfig};
-use dqep_cost::{CostModel, Environment, PlanStats};
+use dqep_cost::{Bindings, CostModel, Environment, PlanStats};
 use dqep_interval::Interval;
+use dqep_plan::evaluate_startup;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimizer_micro");
@@ -31,10 +32,21 @@ fn bench(c: &mut Criterion) {
         bch.iter(|| model.op_cost(&op, &[], &stats).total().hi())
     });
 
-    // Memo exploration of a 10-way chain (logical plan space of ~2.5M
-    // trees held in ~55 groups).
+    // The 10-way chain (logical plan space of ~2.5M trees held in ~55
+    // groups), phase by phase: exploration alone, whole static and dynamic
+    // optimization, and the start-up decision over the dynamic plan.
     let w = dqep_harness::paper_query(5, 11);
     let senv = Environment::static_compile_time(&w.catalog.config);
+    let denv = Environment::dynamic_compile_time(&w.catalog.config);
+    group.bench_function("explore_10way", |bch| {
+        bch.iter(|| {
+            dqep_core::Optimizer::new(&w.catalog, &denv)
+                .explore(&w.query)
+                .unwrap()
+                .0
+                .expr_count()
+        })
+    });
     group.bench_function("optimize_10way_static", |bch| {
         bch.iter(|| {
             dqep_core::Optimizer::new(&w.catalog, &senv)
@@ -43,6 +55,26 @@ fn bench(c: &mut Criterion) {
                 .stats
                 .groups
         })
+    });
+    group.bench_function("optimize_10way_dynamic", |bch| {
+        bch.iter(|| {
+            dqep_core::Optimizer::new(&w.catalog, &denv)
+                .optimize(&w.query)
+                .unwrap()
+                .stats
+                .plan_nodes
+        })
+    });
+    let dynamic = dqep_core::Optimizer::new(&w.catalog, &denv)
+        .optimize(&w.query)
+        .unwrap()
+        .plan;
+    let bindings = w
+        .host_vars
+        .iter()
+        .fold(Bindings::new(), |b, (var, _)| b.with_value(*var, 40));
+    group.bench_function("startup_10way_dynamic", |bch| {
+        bch.iter(|| evaluate_startup(&dynamic, &w.catalog, &denv, &bindings).evaluated_nodes)
     });
     group.finish();
 }

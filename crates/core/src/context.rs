@@ -32,6 +32,9 @@ pub struct QueryContext {
     /// Host variable → the attribute its predicate restricts (used by
     /// multi-point probing to map sampled selectivities to values).
     pub host_attrs: BTreeMap<HostVar, AttrId>,
+    /// The join graph as adjacency sets, indexed by relation id: the
+    /// relations each relation shares a join predicate with.
+    adjacent: Vec<RelSet>,
 }
 
 impl QueryContext {
@@ -45,15 +48,19 @@ impl QueryContext {
         }
         let relations: Vec<RelationId> = all_rels.iter().collect();
         let mut selects: BTreeMap<RelationId, Vec<SelectPred>> = BTreeMap::new();
-        for p in query.select_predicates() {
-            selects.entry(p.attr.relation).or_default().push(p);
-        }
-        let join_preds = query.join_predicates();
         let mut host_attrs = BTreeMap::new();
         for p in query.select_predicates() {
+            selects.entry(p.attr.relation).or_default().push(p);
             if let Some(h) = p.host_var() {
                 host_attrs.entry(h).or_insert(p.attr);
             }
+        }
+        let join_preds = query.join_predicates();
+        let mut adjacent = vec![RelSet::EMPTY; relations.last().map_or(0, |r| r.0 as usize + 1)];
+        for p in &join_preds {
+            let (l, r) = (p.left.relation, p.right.relation);
+            adjacent[l.0 as usize] = adjacent[l.0 as usize].union(RelSet::singleton(r));
+            adjacent[r.0 as usize] = adjacent[r.0 as usize].union(RelSet::singleton(l));
         }
         Ok(QueryContext {
             relations,
@@ -61,43 +68,50 @@ impl QueryContext {
             selects,
             join_preds,
             host_attrs,
+            adjacent,
         })
     }
 
     /// The join predicates connecting two disjoint relation sets, oriented
     /// so the `left` attribute belongs to `left_set`.
+    pub fn preds_between(
+        &self,
+        left_set: RelSet,
+        right_set: RelSet,
+    ) -> impl Iterator<Item = JoinPred> + Clone + '_ {
+        self.join_preds.iter().filter_map(move |p| {
+            let (l, r) = (p.left.relation, p.right.relation);
+            if left_set.contains(l) && right_set.contains(r) {
+                Some(*p)
+            } else if left_set.contains(r) && right_set.contains(l) {
+                Some(p.flipped())
+            } else {
+                None
+            }
+        })
+    }
+
+    /// Every relation joined by a predicate to some member of `set`
+    /// (members of `set` included when they join each other).
     #[must_use]
-    pub fn preds_between(&self, left_set: RelSet, right_set: RelSet) -> Vec<JoinPred> {
-        self.join_preds
-            .iter()
-            .filter_map(|p| {
-                let (l, r) = (p.left.relation, p.right.relation);
-                if left_set.contains(l) && right_set.contains(r) {
-                    Some(*p)
-                } else if left_set.contains(r) && right_set.contains(l) {
-                    Some(p.flipped())
-                } else {
-                    None
-                }
-            })
-            .collect()
+    pub fn neighbors(&self, set: RelSet) -> RelSet {
+        set.iter()
+            .filter_map(|r| self.adjacent.get(r.0 as usize))
+            .fold(RelSet::EMPTY, |acc, adj| acc.union(*adj))
     }
 
     /// Whether two relation sets are connected by at least one join
     /// predicate.
     #[must_use]
     pub fn connected(&self, a: RelSet, b: RelSet) -> bool {
-        !self.preds_between(a, b).is_empty()
+        !self.neighbors(a).is_disjoint(b)
     }
 
     /// The join predicates fully *internal* to a relation set.
-    #[must_use]
-    pub fn preds_within(&self, set: RelSet) -> Vec<JoinPred> {
+    pub fn preds_within(&self, set: RelSet) -> impl Iterator<Item = &JoinPred> + '_ {
         self.join_preds
             .iter()
-            .filter(|p| set.contains(p.left.relation) && set.contains(p.right.relation))
-            .copied()
-            .collect()
+            .filter(move |p| set.contains(p.left.relation) && set.contains(p.right.relation))
     }
 
     /// Selection predicates on one relation (empty slice if none).
@@ -162,13 +176,13 @@ mod tests {
         let s = RelSet::singleton(ctx.relations[1]);
         let t = RelSet::singleton(ctx.relations[2]);
 
-        let rs = ctx.preds_between(r, s);
+        let rs: Vec<JoinPred> = ctx.preds_between(r, s).collect();
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].left.relation, ctx.relations[0]);
 
         // Flipped orientation.
-        let sr = ctx.preds_between(s, r);
-        assert_eq!(sr[0].left.relation, ctx.relations[1]);
+        let sr = ctx.preds_between(s, r).next().unwrap();
+        assert_eq!(sr.left.relation, ctx.relations[1]);
 
         // r and t are not directly connected in the chain.
         assert!(!ctx.connected(r, t));
@@ -179,10 +193,10 @@ mod tests {
     fn preds_within_counts_internal_edges() {
         let (cat, q) = fixture();
         let ctx = QueryContext::build(&q, &cat).unwrap();
-        assert_eq!(ctx.preds_within(ctx.all_rels).len(), 2);
+        assert_eq!(ctx.preds_within(ctx.all_rels).count(), 2);
         let rs = RelSet::from_iter([ctx.relations[0], ctx.relations[1]]);
-        assert_eq!(ctx.preds_within(rs).len(), 1);
-        assert_eq!(ctx.preds_within(RelSet::singleton(ctx.relations[0])).len(), 0);
+        assert_eq!(ctx.preds_within(rs).count(), 1);
+        assert_eq!(ctx.preds_within(RelSet::singleton(ctx.relations[0])).count(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use dqep_interval::PartialCmp;
+use dqep_interval::{Interval, PartialCmp};
 use dqep_plan::PlanNode;
 
 /// The optimization result for one (group, required-properties) pair: all
@@ -13,12 +13,24 @@ use dqep_plan::PlanNode;
 /// are incomparable, and every plan that might be cheapest for *some*
 /// run-time binding survives ("a dynamic plan is guaranteed to include all
 /// potentially optimal plans for all run-time bindings", paper Section 3).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Frontier {
     plans: Vec<Arc<PlanNode>>,
+    /// Cached [`Frontier::best_upper`], maintained on every change.
+    best_upper: f64,
     /// The node parents reference: the single plan, or a choose-plan over
     /// all of them. Set by the search once insertion finishes.
     pub combined: Option<Arc<PlanNode>>,
+}
+
+impl Default for Frontier {
+    fn default() -> Frontier {
+        Frontier {
+            plans: Vec::new(),
+            best_upper: f64::INFINITY,
+            combined: None,
+        }
+    }
 }
 
 impl Frontier {
@@ -52,40 +64,62 @@ impl Frontier {
     /// (paper Section 5).
     #[must_use]
     pub fn best_upper(&self) -> f64 {
-        self.plans
-            .iter()
-            .map(|p| p.total_cost.total().hi())
-            .fold(f64::INFINITY, f64::min)
+        self.best_upper
     }
 
-    /// Inserts a candidate, maintaining the Pareto property:
+    fn recompute_best_upper(&mut self) {
+        self.best_upper = self
+            .plans
+            .iter()
+            .map(|p| p.total_cost.total().hi())
+            .fold(f64::INFINITY, f64::min);
+    }
+
+    /// Whether [`Frontier::insert`] would retain a candidate of total cost
+    /// `cost` — asked before the candidate's node is built:
     ///
-    /// * dropped if an existing plan dominates it (never more expensive);
-    /// * dropped if `tie_break` and an existing plan's cost is exactly
-    ///   equal (the arbitrary-decision rule of Section 3);
-    /// * otherwise inserted, evicting every existing plan it dominates.
+    /// * no, if an existing plan dominates it (never more expensive);
+    /// * no, if `tie_break` and an existing plan's cost is exactly equal
+    ///   (the arbitrary-decision rule of Section 3).
+    #[must_use]
+    pub fn admits(&self, cost: Interval, tie_break: bool) -> bool {
+        !self.plans.iter().any(|p| {
+            let existing = p.total_cost.total();
+            existing.dominates(cost)
+                || (tie_break && existing.compare(cost) == PartialCmp::Equal)
+        })
+    }
+
+    /// Inserts a candidate, maintaining the Pareto property: dropped
+    /// unless the frontier [admits](Frontier::admits) its cost, otherwise
+    /// [pushed](Frontier::push).
     ///
     /// Returns `true` when the candidate was retained.
     pub fn insert(&mut self, candidate: Arc<PlanNode>, tie_break: bool) -> bool {
-        let cand_cost = candidate.total_cost.total();
-        for p in &self.plans {
-            let existing = p.total_cost.total();
-            if existing.dominates(cand_cost) {
-                return false;
-            }
-            if tie_break && existing.compare(cand_cost) == PartialCmp::Equal {
-                return false;
-            }
+        let admitted = self.admits(candidate.total_cost.total(), tie_break);
+        if admitted {
+            self.push(candidate);
         }
+        admitted
+    }
+
+    /// Adds a candidate whose cost the frontier [admits](Frontier::admits),
+    /// evicting every existing plan it dominates.
+    pub fn push(&mut self, candidate: Arc<PlanNode>) {
+        let cand_cost = candidate.total_cost.total();
+        // An evicted plan's upper bound is at least the candidate's (it is
+        // dominated), so the cached minimum only ever moves to the
+        // candidate's.
         self.plans
             .retain(|p| !cand_cost.dominates(p.total_cost.total()));
+        self.best_upper = self.best_upper.min(cand_cost.hi());
         self.plans.push(candidate);
-        true
     }
 
     /// Inserts without any pruning — used by the exhaustive-plan mode of
     /// Section 3, where every cost comparison is declared incomparable.
     pub fn insert_unconditional(&mut self, candidate: Arc<PlanNode>) {
+        self.best_upper = self.best_upper.min(candidate.total_cost.total().hi());
         self.plans.push(candidate);
     }
 
@@ -109,6 +143,7 @@ impl Frontier {
         }
         let mut it = keep.iter();
         self.plans.retain(|_| *it.next().expect("keep mask aligned"));
+        self.recompute_best_upper();
     }
 
     /// Truncates to the `cap` plans with the lowest cost lower bounds
@@ -125,6 +160,7 @@ impl Frontier {
                 .total_cmp(&b.total_cost.total().lo())
         });
         self.plans.truncate(cap.max(1));
+        self.recompute_best_upper();
     }
 }
 

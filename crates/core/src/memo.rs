@@ -11,17 +11,32 @@
 //! with selections always applied: `Get(R)` and `Select(Get(R))` are kept
 //! as distinct leaf groups, and every multi-relation group covers fully
 //! selected inputs.
-
-use std::collections::HashMap;
+//!
+//! Group ids are issued 0, 1, 2, … in creation order, so everything keyed
+//! by a group is a vector indexed by its id; a group's frontiers — at most
+//! a handful of required properties each — are a short list searched
+//! linearly; and the fingerprint index is two slots per relation for the
+//! leaves plus a list of join groups sorted by relation set.
 
 use dqep_algebra::{PhysProps, RelSet};
 use dqep_catalog::RelationId;
+use dqep_plan::{DenseId, IdTable};
 
 use crate::frontier::Frontier;
 
 /// Index of a group within the memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u32);
+
+impl DenseId for GroupId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    fn from_index(index: usize) -> GroupId {
+        GroupId(index as u32)
+    }
+}
 
 impl std::fmt::Display for GroupId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -77,6 +92,12 @@ pub enum LogicalOp {
 pub struct LogicalMExpr {
     /// The operator.
     pub op: LogicalOp,
+    /// Exploration state (see [`crate::rules`]): whether commutativity has
+    /// been applied to this expression.
+    pub(crate) commuted: bool,
+    /// Exploration state: how many of the left input group's expressions
+    /// associativity has already been fired against.
+    pub(crate) associated: usize,
 }
 
 /// One memo group.
@@ -89,15 +110,33 @@ pub struct Group {
     /// Whether exploration reached a fixpoint for this group.
     pub explored: bool,
     /// Optimized physical frontiers per required property, filled during
-    /// search.
-    pub plans: HashMap<PhysProps, Frontier>,
+    /// search, in completion order.
+    pub plans: Vec<(PhysProps, Frontier)>,
+}
+
+impl Group {
+    /// The finished frontier for `props`, if the search has produced it.
+    #[must_use]
+    pub fn frontier(&self, props: PhysProps) -> Option<&Frontier> {
+        self.plans.iter().find(|(p, _)| *p == props).map(|(_, f)| f)
+    }
+}
+
+/// The two leaf groups a relation can have.
+#[derive(Debug, Clone, Copy, Default)]
+struct LeafGroups {
+    get: Option<GroupId>,
+    selected: Option<GroupId>,
 }
 
 /// The memo.
 #[derive(Debug, Default)]
 pub struct Memo {
     groups: Vec<Group>,
-    by_key: HashMap<GroupKey, GroupId>,
+    /// Leaf groups, indexed by relation id.
+    leaves: Vec<LeafGroups>,
+    /// Join groups, sorted by relation set.
+    joins: Vec<(RelSet, GroupId)>,
 }
 
 impl Memo {
@@ -109,7 +148,7 @@ impl Memo {
 
     /// The group for `key`, creating it if necessary.
     pub fn group_for(&mut self, key: GroupKey) -> GroupId {
-        if let Some(&gid) = self.by_key.get(&key) {
+        if let Some(gid) = self.find(key) {
             return gid;
         }
         let gid = GroupId(self.groups.len() as u32);
@@ -117,16 +156,39 @@ impl Memo {
             key,
             exprs: Vec::new(),
             explored: false,
-            plans: HashMap::new(),
+            plans: Vec::new(),
         });
-        self.by_key.insert(key, gid);
+        match key {
+            GroupKey::Get(r) => self.leaf_mut(r).get = Some(gid),
+            GroupKey::SelectedLeaf(r) => self.leaf_mut(r).selected = Some(gid),
+            GroupKey::Join(rels) => {
+                let at = self.joins.partition_point(|(s, _)| *s < rels);
+                self.joins.insert(at, (rels, gid));
+            }
+        }
         gid
+    }
+
+    fn leaf_mut(&mut self, rel: RelationId) -> &mut LeafGroups {
+        let index = rel.0 as usize;
+        if index >= self.leaves.len() {
+            self.leaves.resize(index + 1, LeafGroups::default());
+        }
+        &mut self.leaves[index]
     }
 
     /// Looks up an existing group.
     #[must_use]
     pub fn find(&self, key: GroupKey) -> Option<GroupId> {
-        self.by_key.get(&key).copied()
+        match key {
+            GroupKey::Get(r) => self.leaves.get(r.0 as usize)?.get,
+            GroupKey::SelectedLeaf(r) => self.leaves.get(r.0 as usize)?.selected,
+            GroupKey::Join(rels) => self
+                .joins
+                .binary_search_by_key(&rels, |(s, _)| *s)
+                .ok()
+                .map(|at| self.joins[at].1),
+        }
     }
 
     /// Adds `op` to `gid` unless an identical expression is already
@@ -136,7 +198,11 @@ impl Memo {
         if group.exprs.iter().any(|e| e.op == op) {
             return false;
         }
-        group.exprs.push(LogicalMExpr { op });
+        group.exprs.push(LogicalMExpr {
+            op,
+            commuted: false,
+            associated: 0,
+        });
         true
     }
 
@@ -176,12 +242,12 @@ impl Memo {
     /// count 1.
     #[must_use]
     pub fn logical_tree_count(&self, gid: GroupId) -> f64 {
-        let mut memo = HashMap::new();
-        self.trees(gid, &mut memo)
+        let mut trees = IdTable::with_capacity(self.groups.len());
+        self.trees(gid, &mut trees)
     }
 
-    fn trees(&self, gid: GroupId, memo: &mut HashMap<GroupId, f64>) -> f64 {
-        if let Some(&v) = memo.get(&gid) {
+    fn trees(&self, gid: GroupId, memo: &mut IdTable<GroupId, f64>) -> f64 {
+        if let Some(&v) = memo.get(gid) {
             return v;
         }
         // Groups form a DAG by construction (children cover strictly

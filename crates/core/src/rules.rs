@@ -2,18 +2,35 @@
 //!
 //! Rules operate on memo expressions and insert their results back into the
 //! memo with duplicate detection — the standard Volcano discipline. Join
-//! commutativity plus (left) associativity, applied to a global fixpoint,
+//! commutativity plus (left) associativity, applied to a fixpoint,
 //! enumerate **all bushy trees** over connected relation subsets ("the
 //! transformation rules permit generation of all bushy trees, not only the
 //! left-deep trees of traditional optimizers", paper Section 5).
 //!
-//! The fixpoint iterates whole passes over the memo until a pass generates
-//! no new expression. Because expressions are deduplicated on insert and
-//! the space of (group, expression) pairs is finite, termination is
-//! guaranteed; re-running a rule on the same expression is a cheap no-op,
-//! which keeps the implementation free of the re-firing bookkeeping that
-//! rule masks would otherwise need when a *child* group gains expressions
-//! late.
+//! # The worklist
+//!
+//! A rule application is a pair: commutativity pairs with one expression,
+//! associativity with one *(parent expression, expression of the parent's
+//! left input group)*. Each pair is fired exactly once. The pending pairs
+//! are not queued; they are implied by two marks on every memo expression
+//! ([`LogicalMExpr`](crate::LogicalMExpr)): `commuted`, and `associated` —
+//! how many expressions of its left input group it has been fired against.
+//! An expression is pending while `!commuted` or while its left group holds
+//! more expressions than `associated`; a group that gains an expression
+//! late thereby re-opens exactly the (parent, new expression) pairs the
+//! addition creates, and nothing else. Firing a pair twice would be a
+//! no-op (results are deduplicated on insert), so skipping fired pairs
+//! generates exactly the expressions an exhaustive re-application would.
+//!
+//! Pending pairs are drained by sweeping the memo in (group, expression)
+//! order until a sweep finds none. The sweep order is part of the
+//! contract, not an accident: it decides the order of expressions within a
+//! group, hence the order in which the search builds candidates, hence
+//! plan node ids and the order of alternatives under every choose-plan —
+//! which is what breaks cost ties at start-up. A sweep costs one
+//! comparison per expression; the rule work is proportional to the pairs.
+
+use dqep_algebra::RelSet;
 
 use crate::context::QueryContext;
 use crate::memo::{GroupId, GroupKey, LogicalOp, Memo};
@@ -21,22 +38,35 @@ use crate::options::SearchOptions;
 
 /// Explores the memo to a fixpoint: applies commutativity and
 /// associativity to every join expression (including those the rules
-/// generate) until no new expression appears. Returns the number of
-/// expressions generated.
+/// generate) until no pair is pending. Returns the number of expressions
+/// generated.
 pub fn explore(memo: &mut Memo, ctx: &QueryContext, opts: &SearchOptions) -> usize {
     let mut generated_total = 0;
     loop {
         let mut generated = 0;
         let mut g = 0;
-        // New groups created during the pass are visited in the same pass
-        // (group_count() is re-read each iteration).
+        // Groups and expressions created during the sweep are visited in
+        // the same sweep (both counts are re-read each iteration).
         while g < memo.group_count() {
             let gid = GroupId(g as u32);
             let mut idx = 0;
             while idx < memo.group(gid).exprs.len() {
-                if let LogicalOp::Join { left, right } = memo.group(gid).exprs[idx].op {
-                    generated += apply_commute(memo, gid, left, right);
-                    generated += apply_associate(memo, gid, left, right, ctx, opts);
+                let expr = &memo.group(gid).exprs[idx];
+                if let LogicalOp::Join { left, right } = expr.op {
+                    let (commuted, fired) = (expr.commuted, expr.associated);
+                    if !commuted {
+                        memo.group_mut(gid).exprs[idx].commuted = true;
+                        generated += apply_commute(memo, gid, left, right);
+                    }
+                    // Neither rule adds to the left group while firing
+                    // against it (its results cover other relation sets),
+                    // so its length now is the mark to record.
+                    let pending = memo.group(left).exprs.len();
+                    if fired < pending {
+                        memo.group_mut(gid).exprs[idx].associated = pending;
+                        generated +=
+                            apply_associate(memo, gid, left, right, fired..pending, ctx, opts);
+                    }
                 }
                 idx += 1;
             }
@@ -66,34 +96,30 @@ fn apply_commute(memo: &mut Memo, gid: GroupId, left: GroupId, right: GroupId) -
     ))
 }
 
-/// `Join(Join(A, B), C) → Join(A, Join(B, C))`, creating the `Join(B, C)`
-/// group on demand. Only fires when `B ⋈ C` is connected by a join
-/// predicate (or cross products are enabled): cross-product intermediate
-/// results cannot be optimal for the connected queries considered here.
+/// `Join(Join(A, B), C) → Join(A, Join(B, C))` for the expressions
+/// `Join(A, B)` at positions `fresh` of the left group, creating the
+/// `Join(B, C)` group on demand. Only fires when `B ⋈ C` is connected by a
+/// join predicate (or cross products are enabled): cross-product
+/// intermediate results cannot be optimal for the connected queries
+/// considered here.
 fn apply_associate(
     memo: &mut Memo,
     gid: GroupId,
     left: GroupId,
     right: GroupId,
+    fresh: std::ops::Range<usize>,
     ctx: &QueryContext,
     opts: &SearchOptions,
 ) -> usize {
     let mut generated = 0;
     let right_rels = memo.group(right).key.rels();
-    // Snapshot the left group's join expressions (the memo may grow while
-    // we insert results; late additions are caught by the next pass).
-    let left_exprs: Vec<(GroupId, GroupId)> = memo
-        .group(left)
-        .exprs
-        .iter()
-        .filter_map(|e| match e.op {
-            LogicalOp::Join { left: a, right: b } => Some((a, b)),
-            _ => None,
-        })
-        .collect();
-    for (a, b) in left_exprs {
+    let joinable: Option<RelSet> = (!opts.allow_cross_products).then(|| ctx.neighbors(right_rels));
+    for at in fresh {
+        let LogicalOp::Join { left: a, right: b } = memo.group(left).exprs[at].op else {
+            continue;
+        };
         let b_rels = memo.group(b).key.rels();
-        if !opts.allow_cross_products && !ctx.connected(b_rels, right_rels) {
+        if joinable.is_some_and(|n| n.is_disjoint(b_rels)) {
             continue;
         }
         let bc = memo.group_for(GroupKey::Join(b_rels.union(right_rels)));

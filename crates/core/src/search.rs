@@ -16,17 +16,14 @@
 //! grows exponentially (paper Section 3, "Techniques to Reduce the Search
 //! Effort").
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dqep_algebra::{
-    LogicalExpr, PhysProps, PhysicalOp, SelectPred, SortOrder,
-};
-use dqep_catalog::{Catalog, IndexId, RelationId};
-use dqep_cost::{CostModel, Environment, PlanStats, PlanningMode};
+use dqep_algebra::{LogicalExpr, PhysProps, PhysicalOp, SelectPred, SortOrder};
+use dqep_catalog::{AttrId, Catalog, IndexId, RelationId};
+use dqep_cost::{Cost, CostModel, Environment, PlanStats, PlanningMode};
 use dqep_interval::Interval;
-use dqep_plan::{PlanNode, PlanNodeBuilder};
+use dqep_plan::{IdTable, PlanNode, PlanNodeBuilder};
 
 use crate::context::QueryContext;
 use crate::error::OptimizerError;
@@ -86,6 +83,26 @@ impl<'a> Optimizer<'a> {
         self.optimize_with_props(query, PhysProps::ANY)
     }
 
+    /// The first phase alone: validates the query, seeds the memo from it
+    /// and explores it to the transformation rules' fixpoint. Returns the
+    /// memo and its root group — what [`OptimizerStats::explore_seconds`]
+    /// times, exposed so the phase can be measured and inspected by itself.
+    pub fn explore(&self, query: &LogicalExpr) -> Result<(Memo, GroupId), OptimizerError> {
+        let (_, memo, root) = self.explored(query)?;
+        Ok((memo, root))
+    }
+
+    fn explored(
+        &self,
+        query: &LogicalExpr,
+    ) -> Result<(QueryContext, Memo, GroupId), OptimizerError> {
+        let ctx = QueryContext::build(query, self.catalog)?;
+        let mut memo = Memo::new();
+        let root = seed(&mut memo, query, &ctx);
+        rules::explore(&mut memo, &ctx, &self.options);
+        Ok((ctx, memo, root))
+    }
+
     /// Optimizes a query for required root physical properties — e.g.
     /// `PhysProps::sorted(attr)` for an `ORDER BY`. The order is produced
     /// by order-delivering access paths, merge joins, or Sort enforcers,
@@ -97,21 +114,16 @@ impl<'a> Optimizer<'a> {
         props: PhysProps,
     ) -> Result<OptimizeResult, OptimizerError> {
         let start = Instant::now();
-        let ctx = QueryContext::build(query, self.catalog)?;
-        let mut memo = Memo::new();
-        let root = seed(&mut memo, query, &ctx);
-        rules::explore(&mut memo, &ctx, &self.options);
+        let (ctx, memo, root) = self.explored(query)?;
+        let explore_seconds = start.elapsed().as_secs_f64();
 
+        let inputs = Inputs::new(ctx, self.catalog, self.env, self.options);
         let mut search = Search {
+            q: &inputs,
+            group_stats: IdTable::with_capacity(memo.group_count()),
             memo,
-            ctx,
-            catalog: self.catalog,
-            env: self.env,
-            model: CostModel::new(self.catalog, self.env),
-            opts: self.options,
             builder: PlanNodeBuilder::new(),
-            group_stats: HashMap::new(),
-            in_progress: HashSet::new(),
+            in_progress: Vec::new(),
             physical_considered: 0,
             pruned_by_bound: 0,
             pruned_by_probing: 0,
@@ -131,6 +143,7 @@ impl<'a> Optimizer<'a> {
             search.expand_tree(&combined)
         };
 
+        let dag = dqep_plan::dag::summarize(&plan);
         let mut stats = OptimizerStats {
             groups: search.memo.group_count(),
             logical_exprs: search.memo.expr_count(),
@@ -138,19 +151,20 @@ impl<'a> Optimizer<'a> {
             physical_considered: search.physical_considered,
             pruned_by_bound: search.pruned_by_bound,
             pruned_by_probing: search.pruned_by_probing,
-            plan_nodes: dqep_plan::dag::node_count(&plan),
-            choose_plans: dqep_plan::dag::choose_plan_count(&plan),
-            contained_plans: dqep_plan::dag::contained_plan_count(&plan),
+            plan_nodes: dag.nodes,
+            choose_plans: dag.choose_plans,
+            contained_plans: dag.contained_plans,
+            explore_seconds,
             ..OptimizerStats::default()
         };
         for g in 0..search.memo.group_count() {
-            for f in search.memo.group(GroupId(g as u32)).plans.values() {
+            for (_, f) in &search.memo.group(GroupId(g as u32)).plans {
                 stats.frontier_plans += f.len();
                 stats.max_frontier = stats.max_frontier.max(f.len());
-                stats.physical_retained += f.len();
             }
         }
         stats.optimization_seconds = start.elapsed().as_secs_f64();
+        stats.search_seconds = stats.optimization_seconds - explore_seconds;
         Ok(OptimizeResult { plan, stats })
     }
 }
@@ -186,69 +200,156 @@ fn leaf_group(memo: &mut Memo, rel: RelationId, ctx: &QueryContext) -> GroupId {
     }
 }
 
-struct Search<'a> {
-    memo: Memo,
+/// Collects a filtered view into a list of exactly its length: the list
+/// lives as long as the plan, and a filter's size hint would round a
+/// one-predicate list up to four.
+fn collect_exact<T>(items: impl Iterator<Item = T> + Clone) -> Vec<T> {
+    let mut list = Vec::with_capacity(items.clone().count());
+    list.extend(items);
+    list
+}
+
+/// A selection predicate of the query with its selectivity under the
+/// run's environment.
+#[derive(Debug, Clone, Copy)]
+struct Selection {
+    pred: SelectPred,
+    sel: Interval,
+}
+
+/// What a search run reads but never changes. Held by shared reference so
+/// borrowed predicates and statistics outlive the `&mut` calls that build
+/// plan nodes.
+struct Inputs<'a> {
     ctx: QueryContext,
     catalog: &'a Catalog,
     env: &'a Environment,
     model: CostModel<'a>,
     opts: SearchOptions,
+    tie_break: bool,
+    /// The query's selections by relation id, each selectivity evaluated
+    /// once for the run.
+    selections: Vec<Vec<Selection>>,
+}
+
+impl<'a> Inputs<'a> {
+    fn new(
+        ctx: QueryContext,
+        catalog: &'a Catalog,
+        env: &'a Environment,
+        opts: SearchOptions,
+    ) -> Inputs<'a> {
+        let model = CostModel::new(catalog, env);
+        let mut selections: Vec<Vec<Selection>> = Vec::new();
+        for (rel, preds) in &ctx.selects {
+            let index = rel.0 as usize;
+            if index >= selections.len() {
+                selections.resize_with(index + 1, Vec::new);
+            }
+            selections[index] = preds
+                .iter()
+                .map(|pred| Selection {
+                    pred: *pred,
+                    sel: model.selectivity().selection(pred, env),
+                })
+                .collect();
+        }
+        Inputs {
+            ctx,
+            catalog,
+            env,
+            model,
+            opts,
+            tie_break: opts
+                .tie_break_equal
+                .unwrap_or(env.mode == PlanningMode::Point),
+            selections,
+        }
+    }
+
+    /// The selections on one relation (empty slice if none).
+    fn selections_on(&self, rel: RelationId) -> &[Selection] {
+        self.selections
+            .get(rel.0 as usize)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// A relation's cardinality after all its selections.
+    fn selected_card(&self, rel: RelationId) -> Interval {
+        let card = Interval::point(self.catalog.relation(rel).stats.cardinality as f64);
+        self.selections_on(rel)
+            .iter()
+            .fold(card, |card, s| card * s.sel)
+    }
+
+    /// Ordered B-tree indexes of a relation as (index id, key attribute).
+    fn indexes_of(&self, r: RelationId) -> impl Iterator<Item = (IndexId, AttrId)> + '_ {
+        self.catalog
+            .indexes_on(r)
+            .filter(|(_, info)| info.delivers_order())
+            .map(|(id, info)| (id, info.attr))
+    }
+
+    /// One Filter per selection in `preds` over a stream of `stats`:
+    /// reports each level's predicate, output statistics and operator
+    /// cost, bottom-up.
+    fn filter_levels(
+        &self,
+        mut stats: PlanStats,
+        preds: impl Iterator<Item = Selection>,
+        mut level: impl FnMut(SelectPred, PlanStats, Cost),
+    ) {
+        for s in preds {
+            let out = PlanStats::new(stats.card * s.sel, stats.row_bytes);
+            let op = PhysicalOp::Filter { predicate: s.pred };
+            level(s.pred, out, self.model.op_cost(&op, &[stats], &out));
+            stats = out;
+        }
+    }
+}
+
+struct Search<'a> {
+    q: &'a Inputs<'a>,
+    memo: Memo,
     builder: PlanNodeBuilder,
-    group_stats: HashMap<GroupId, PlanStats>,
-    in_progress: HashSet<(GroupId, PhysProps)>,
+    group_stats: IdTable<GroupId, PlanStats>,
+    /// The (group, properties) pairs being optimized, innermost last — the
+    /// recursion stack, kept to detect a cyclic optimization.
+    in_progress: Vec<(GroupId, PhysProps)>,
     physical_considered: usize,
     pruned_by_bound: usize,
     pruned_by_probing: usize,
     probe: Option<ProbePoints>,
 }
 
-impl Search<'_> {
-    fn tie_break(&self) -> bool {
-        self.opts
-            .tie_break_equal
-            .unwrap_or(self.env.mode == PlanningMode::Point)
-    }
-
-    fn sel(&self, p: &SelectPred) -> Interval {
-        self.model.selectivity().selection(p, self.env)
-    }
-
+impl<'a> Search<'a> {
     /// Logical stream statistics of a group (cardinality interval and row
     /// width) — identical for all expressions of the group.
     fn stats_of(&mut self, gid: GroupId) -> PlanStats {
-        if let Some(&s) = self.group_stats.get(&gid) {
+        if let Some(&s) = self.group_stats.get(gid) {
             return s;
         }
-        let key = self.memo.group(gid).key;
-        let s = match key {
+        let q = self.q;
+        let s = match self.memo.group(gid).key {
             GroupKey::Get(r) => {
-                let rel = self.catalog.relation(r);
+                let rel = q.catalog.relation(r);
                 PlanStats::new(
                     Interval::point(rel.stats.cardinality as f64),
                     rel.stats.record_len as f64,
                 )
             }
-            GroupKey::SelectedLeaf(r) => {
-                let rel = self.catalog.relation(r);
-                let mut card = Interval::point(rel.stats.cardinality as f64);
-                for p in self.ctx.selects_on(r).to_vec() {
-                    card = card * self.sel(&p);
-                }
-                PlanStats::new(card, rel.stats.record_len as f64)
-            }
+            GroupKey::SelectedLeaf(r) => PlanStats::new(
+                q.selected_card(r),
+                q.catalog.relation(r).stats.record_len as f64,
+            ),
             GroupKey::Join(rels) => {
                 let mut card = Interval::point(1.0);
                 let mut row = 0.0;
                 for r in rels.iter() {
-                    let rel = self.catalog.relation(r);
-                    let mut leaf = Interval::point(rel.stats.cardinality as f64);
-                    for p in self.ctx.selects_on(r).to_vec() {
-                        leaf = leaf * self.sel(&p);
-                    }
-                    card = card * leaf;
-                    row += rel.stats.record_len as f64;
+                    card = card * q.selected_card(r);
+                    row += q.catalog.relation(r).stats.record_len as f64;
                 }
-                let jsel = self.model.selectivity().join(&self.ctx.preds_within(rels));
+                let jsel = q.model.selectivity().join(q.ctx.preds_within(rels));
                 PlanStats::new(card.scale(jsel), row)
             }
         };
@@ -261,24 +362,24 @@ impl Search<'_> {
     fn combined(&self, gid: GroupId, props: PhysProps) -> Option<Arc<PlanNode>> {
         self.memo
             .group(gid)
-            .plans
-            .get(&props)
+            .frontier(props)
             .and_then(|f| f.combined.clone())
     }
 
     /// Optimizes (group, props), memoized.
     fn optimize_group(&mut self, gid: GroupId, props: PhysProps) -> Result<(), OptimizerError> {
-        if self.memo.group(gid).plans.contains_key(&props) {
+        if self.memo.group(gid).frontier(props).is_some() {
             return Ok(());
         }
         assert!(
-            self.in_progress.insert((gid, props)),
+            !self.in_progress.contains(&(gid, props)),
             "cyclic optimization of {gid} {props}"
         );
+        self.in_progress.push((gid, props));
         let mut frontier = Frontier::new();
         match self.memo.group(gid).key {
-            GroupKey::Get(r) => self.impl_get(r, props, &mut frontier)?,
-            GroupKey::SelectedLeaf(r) => self.impl_selected(r, gid, props, &mut frontier)?,
+            GroupKey::Get(r) => self.impl_get(gid, r, props, &mut frontier),
+            GroupKey::SelectedLeaf(r) => self.impl_selected(r, props, &mut frontier),
             GroupKey::Join(_) => self.impl_join(gid, props, &mut frontier)?,
         }
         // Sort enforcer: any required order can be enforced over the
@@ -287,12 +388,13 @@ impl Search<'_> {
             self.optimize_group(gid, PhysProps::ANY)?;
             if let Some(child) = self.combined(gid, PhysProps::ANY) {
                 let stats = self.stats_of(gid);
+                let op = PhysicalOp::Sort { attr };
                 self.consider(
                     &mut frontier,
-                    PhysicalOp::Sort { attr },
-                    vec![child],
-                    &[stats],
+                    &[&child],
                     stats,
+                    |model| model.op_cost(&op, &[stats], &stats),
+                    || op.clone(),
                 );
             }
         }
@@ -300,142 +402,127 @@ impl Search<'_> {
         if frontier.len() > 1 {
             if let Some(probe) = self.probe.take() {
                 let before = frontier.len();
-                frontier.prune_with(|a, b| {
-                    probe.dominates(a, b, &self.ctx, self.catalog, self.env)
-                });
+                let q = self.q;
+                frontier.prune_with(|a, b| probe.dominates(a, b, &q.ctx, q.catalog, q.env));
                 self.pruned_by_probing += before - frontier.len();
                 self.probe = Some(probe);
             }
         }
-        frontier.enforce_cap(self.opts.max_frontier);
+        frontier.enforce_cap(self.q.opts.max_frontier);
+        self.in_progress.pop();
 
         let combined = match frontier.len() {
             0 => return Err(OptimizerError::NoPlanFound),
             1 => frontier.plans()[0].clone(),
             n => {
-                let cost = self.model.choose_plan_cost(n);
+                let cost = self.q.model.choose_plan_cost(n);
                 self.builder.choose_plan(frontier.plans().to_vec(), cost)
             }
         };
         frontier.combined = Some(combined);
-        self.in_progress.remove(&(gid, props));
-        self.memo.group_mut(gid).plans.insert(props, frontier);
+        self.memo.group_mut(gid).plans.push((props, frontier));
         Ok(())
     }
 
-    /// Costs a candidate and inserts it into the frontier, with interval
-    /// branch-and-bound: a candidate whose cost *lower* bound exceeds the
-    /// frontier's best *upper* bound is dominated and skipped (only the
-    /// lower bound may be used — paper Section 5).
+    /// Whether interval branch-and-bound rejects a cost lower bound: a
+    /// candidate whose cost *lower* bound exceeds the frontier's best
+    /// *upper* bound is dominated (only the lower bound may be used —
+    /// paper Section 5).
+    fn bound_rejects(&mut self, frontier: &Frontier, lower: f64) -> bool {
+        let rejected = self.q.opts.enable_pruning && lower > frontier.best_upper();
+        if rejected {
+            self.pruned_by_bound += 1;
+        }
+        rejected
+    }
+
+    /// Whether the frontier would keep a candidate of total cost `total`:
+    /// always in exhaustive mode, otherwise when it passes the bound and
+    /// the frontier's domination test.
+    fn keeps(&mut self, frontier: &Frontier, total: Interval) -> bool {
+        self.q.opts.exhaustive
+            || (!self.bound_rejects(frontier, total.lo())
+                && frontier.admits(total, self.q.tie_break))
+    }
+
+    /// Adds the built node of a candidate [`Search::keeps`] approved.
+    fn keep(&self, frontier: &mut Frontier, node: Arc<PlanNode>) {
+        if self.q.opts.exhaustive {
+            frontier.insert_unconditional(node);
+        } else {
+            frontier.push(node);
+        }
+    }
+
+    /// Costs a candidate over `children` and, if the frontier keeps it,
+    /// builds its node. Everything is judged on costs computed from
+    /// borrowed inputs: `self_cost` runs only once the children's lower
+    /// bounds pass the bound, and `op` — the first thing that may allocate
+    /// — only once the candidate's own cost has passed the bound and the
+    /// frontier's domination test.
     fn consider(
         &mut self,
         frontier: &mut Frontier,
-        op: PhysicalOp,
-        children: Vec<Arc<PlanNode>>,
-        child_stats: &[PlanStats],
+        children: &[&Arc<PlanNode>],
         out_stats: PlanStats,
+        self_cost: impl FnOnce(&CostModel<'a>) -> Cost,
+        op: impl FnOnce() -> PhysicalOp,
     ) {
         self.physical_considered += 1;
-        if self.opts.enable_pruning && !self.opts.exhaustive {
-            let child_lo: f64 = children
-                .iter()
-                .map(|c| c.total_cost.total().lo())
-                .sum();
-            if child_lo > frontier.best_upper() {
-                self.pruned_by_bound += 1;
+        if !self.q.opts.exhaustive {
+            let child_lo: f64 = children.iter().map(|c| c.total_cost.total().lo()).sum();
+            if self.bound_rejects(frontier, child_lo) {
                 return;
             }
         }
-        let self_cost = self.model.op_cost(&op, child_stats, &out_stats);
-        let node = self.builder.node(op, children, out_stats, self_cost);
-        if self.opts.exhaustive {
-            frontier.insert_unconditional(node);
+        let self_cost = self_cost(&self.q.model);
+        let total = children
+            .iter()
+            .fold(self_cost, |acc, c| acc + c.total_cost);
+        if !self.keeps(frontier, total.total()) {
             return;
         }
-        if self.opts.enable_pruning && node.total_cost.total().lo() > frontier.best_upper() {
-            self.pruned_by_bound += 1;
-            return;
-        }
-        frontier.insert(node, self.tie_break());
-    }
-
-    fn insert_node(&mut self, frontier: &mut Frontier, node: Arc<PlanNode>) {
-        self.physical_considered += 1;
-        if self.opts.exhaustive {
-            frontier.insert_unconditional(node);
-            return;
-        }
-        if self.opts.enable_pruning && node.total_cost.total().lo() > frontier.best_upper() {
-            self.pruned_by_bound += 1;
-            return;
-        }
-        frontier.insert(node, self.tie_break());
+        let children = children.iter().map(|c| Arc::clone(c)).collect();
+        let node = self.builder.node(op(), children, out_stats, self_cost);
+        self.keep(frontier, node);
     }
 
     // ---- implementation rules -----------------------------------------
 
-    fn impl_get(
-        &mut self,
-        r: RelationId,
-        props: PhysProps,
-        frontier: &mut Frontier,
-    ) -> Result<(), OptimizerError> {
-        let stats = self.stats_of(self.memo.find(GroupKey::Get(r)).expect("seeded"));
-        match props.order {
-            SortOrder::None => {
-                self.consider(frontier, PhysicalOp::FileScan { relation: r }, vec![], &[], stats);
-                for (idx, info) in self.indexes_of(r) {
-                    self.consider(
-                        frontier,
-                        PhysicalOp::BtreeScan {
-                            relation: r,
-                            index: idx,
-                            key_attr: info,
-                        },
-                        vec![],
-                        &[],
-                        stats,
-                    );
-                }
-            }
-            SortOrder::Asc(a) => {
-                for (idx, key) in self.indexes_of(r) {
-                    if key == a {
-                        self.consider(
-                            frontier,
-                            PhysicalOp::BtreeScan {
-                                relation: r,
-                                index: idx,
-                                key_attr: key,
-                            },
-                            vec![],
-                            &[],
-                            stats,
-                        );
-                    }
-                }
+    fn impl_get(&mut self, gid: GroupId, r: RelationId, props: PhysProps, frontier: &mut Frontier) {
+        let stats = self.stats_of(gid);
+        let q = self.q;
+        if props.order == SortOrder::None {
+            let op = PhysicalOp::FileScan { relation: r };
+            self.consider(
+                frontier,
+                &[],
+                stats,
+                |model| model.op_cost(&op, &[], &stats),
+                || op.clone(),
+            );
+        }
+        for (index, key_attr) in q.indexes_of(r) {
+            if props.order == SortOrder::None || props.order == SortOrder::Asc(key_attr) {
+                let op = PhysicalOp::BtreeScan {
+                    relation: r,
+                    index,
+                    key_attr,
+                };
+                self.consider(
+                    frontier,
+                    &[],
+                    stats,
+                    |model| model.op_cost(&op, &[], &stats),
+                    || op.clone(),
+                );
             }
         }
-        Ok(())
     }
 
-    /// Ordered B-tree indexes of a relation as (index id, key attribute).
-    fn indexes_of(&self, r: RelationId) -> Vec<(IndexId, dqep_catalog::AttrId)> {
-        self.catalog
-            .indexes_on(r)
-            .filter(|(_, info)| info.delivers_order())
-            .map(|(id, info)| (id, info.attr))
-            .collect()
-    }
-
-    fn impl_selected(
-        &mut self,
-        r: RelationId,
-        gid: GroupId,
-        props: PhysProps,
-        frontier: &mut Frontier,
-    ) -> Result<(), OptimizerError> {
-        let preds = self.ctx.selects_on(r).to_vec();
+    fn impl_selected(&mut self, r: RelationId, props: PhysProps, frontier: &mut Frontier) {
+        let q = self.q;
+        let preds = q.selections_on(r);
         let get_gid = self.memo.find(GroupKey::Get(r)).expect("seeded");
         let get_stats = self.stats_of(get_gid);
 
@@ -443,62 +530,77 @@ impl Search<'_> {
         //    order (Filter preserves its input's order).
         if self.optimize_group(get_gid, props).is_ok() {
             if let Some(base) = self.combined(get_gid, props) {
-                let (node, _) = self.filter_chain(base, get_stats, &preds);
-                self.insert_node(frontier, node);
+                self.consider_filter_chain(
+                    frontier,
+                    base.total_cost,
+                    get_stats,
+                    preds.iter().copied(),
+                    |_| base,
+                );
             }
         }
 
         // 2. Filter-B-tree-Scan per indexable predicate, remaining
         //    predicates as Filters above (order Asc(p.attr) preserved).
-        let rel_card = Interval::point(self.catalog.relation(r).stats.cardinality as f64);
-        let row = self.catalog.relation(r).stats.record_len as f64;
-        for (i, p) in preds.iter().enumerate() {
-            let index = self.catalog.index_on_attr(p.attr).filter(|(_, info)| {
-                info.supports_range() || p.op.is_equality()
-            });
+        let rel = q.catalog.relation(r);
+        let rel_card = Interval::point(rel.stats.cardinality as f64);
+        let row = rel.stats.record_len as f64;
+        for (i, first) in preds.iter().enumerate() {
+            let p = first.pred;
+            let index = q
+                .catalog
+                .index_on_attr(p.attr)
+                .filter(|(_, info)| info.supports_range() || p.op.is_equality());
             let Some((idx, _)) = index else { continue };
             if let SortOrder::Asc(a) = props.order {
                 if a != p.attr {
                     continue;
                 }
             }
-            let first_stats = PlanStats::new(rel_card * self.sel(p), row);
+            let first_stats = PlanStats::new(rel_card * first.sel, row);
             let op = PhysicalOp::FilterBtreeScan {
                 relation: r,
                 index: idx,
-                predicate: *p,
+                predicate: p,
             };
-            let cost = self.model.op_cost(&op, &[], &first_stats);
-            let scan = self.builder.node(op, vec![], first_stats, cost);
-            let rest: Vec<SelectPred> = preds
+            let cost = q.model.op_cost(&op, &[], &first_stats);
+            let rest = preds
                 .iter()
                 .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, q)| *q)
-                .collect();
-            let (node, _) = self.filter_chain(scan, first_stats, &rest);
-            self.insert_node(frontier, node);
+                .filter(move |(j, _)| *j != i)
+                .map(|(_, s)| *s);
+            self.consider_filter_chain(frontier, cost, first_stats, rest, |builder| {
+                builder.node(op, vec![], first_stats, cost)
+            });
         }
-        let _ = (gid, props);
-        Ok(())
     }
 
-    /// Wraps `node` in one Filter per predicate, tracking intermediate
-    /// statistics.
-    fn filter_chain(
+    /// Considers `base` wrapped in one Filter per selection of `preds`:
+    /// the chain is costed level by level first, and built — `base`
+    /// included — only if the frontier keeps it.
+    fn consider_filter_chain(
         &mut self,
-        mut node: Arc<PlanNode>,
-        mut stats: PlanStats,
-        preds: &[SelectPred],
-    ) -> (Arc<PlanNode>, PlanStats) {
-        for p in preds {
-            let out = PlanStats::new(stats.card * self.sel(p), stats.row_bytes);
-            let op = PhysicalOp::Filter { predicate: *p };
-            let cost = self.model.op_cost(&op, &[stats], &out);
-            node = self.builder.node(op, vec![node], out, cost);
-            stats = out;
+        frontier: &mut Frontier,
+        base_total: Cost,
+        base_stats: PlanStats,
+        preds: impl Iterator<Item = Selection> + Clone,
+        base: impl FnOnce(&mut PlanNodeBuilder) -> Arc<PlanNode>,
+    ) {
+        self.physical_considered += 1;
+        let q = self.q;
+        let mut total = base_total;
+        q.filter_levels(base_stats, preds.clone(), |_, _, cost| total = cost + total);
+        if !self.keeps(frontier, total.total()) {
+            return;
         }
-        (node, stats)
+        let mut node = base(&mut self.builder);
+        q.filter_levels(base_stats, preds, |predicate, out, cost| {
+            let child = Arc::clone(&node);
+            node = self
+                .builder
+                .node(PhysicalOp::Filter { predicate }, vec![child], out, cost);
+        });
+        self.keep(frontier, node);
     }
 
     fn impl_join(
@@ -507,25 +609,21 @@ impl Search<'_> {
         props: PhysProps,
         frontier: &mut Frontier,
     ) -> Result<(), OptimizerError> {
+        let q = self.q;
         let out_stats = self.stats_of(gid);
-        let exprs: Vec<(GroupId, GroupId)> = self
-            .memo
-            .group(gid)
-            .exprs
-            .iter()
-            .filter_map(|e| match e.op {
-                LogicalOp::Join { left, right } => Some((left, right)),
-                _ => None,
-            })
-            .collect();
 
-        for (l, r) in exprs {
+        // The group's expressions are final (exploration is over); the
+        // index walks them without holding a borrow across the recursion.
+        for at in 0..self.memo.group(gid).exprs.len() {
+            let LogicalOp::Join { left: l, right: r } = self.memo.group(gid).exprs[at].op else {
+                continue;
+            };
             let lrels = self.memo.group(l).key.rels();
             let rrels = self.memo.group(r).key.rels();
-            if !self.opts.bushy && rrels.len() > 1 {
+            if !q.opts.bushy && rrels.len() > 1 {
                 continue; // left-deep ablation
             }
-            let preds = self.ctx.preds_between(lrels, rrels);
+            let preds = q.ctx.preds_between(lrels, rrels);
             let l_stats = self.stats_of(l);
             let r_stats = self.stats_of(r);
 
@@ -540,19 +638,19 @@ impl Search<'_> {
                 ) {
                     self.consider(
                         frontier,
-                        PhysicalOp::HashJoin {
-                            predicates: preds.clone(),
-                        },
-                        vec![lc, rc],
-                        &[l_stats, r_stats],
+                        &[&lc, &rc],
                         out_stats,
+                        |model| model.hash_join_cost(&l_stats, &r_stats, &out_stats),
+                        || PhysicalOp::HashJoin {
+                            predicates: collect_exact(preds.clone()),
+                        },
                     );
                 }
             }
 
             // Merge join on the first predicate: inputs sorted on the join
             // attributes; delivers the left attribute's order.
-            if let Some(p0) = preds.first() {
+            if let Some(p0) = preds.clone().next() {
                 let delivered = SortOrder::Asc(p0.left);
                 if props.order == SortOrder::None || props.order == delivered {
                     let lp = PhysProps::sorted(p0.left);
@@ -563,12 +661,12 @@ impl Search<'_> {
                     {
                         self.consider(
                             frontier,
-                            PhysicalOp::MergeJoin {
-                                predicates: preds.clone(),
-                            },
-                            vec![lc, rc],
-                            &[l_stats, r_stats],
+                            &[&lc, &rc],
                             out_stats,
+                            |model| model.merge_join_cost(&l_stats, &r_stats, &out_stats),
+                            || PhysicalOp::MergeJoin {
+                                predicates: collect_exact(preds.clone()),
+                            },
                         );
                     }
                 }
@@ -577,50 +675,48 @@ impl Search<'_> {
             // Index join: inner must be a single relation with at most one
             // selection (applied as residual after the index fetch); the
             // outer's order is preserved.
-            if rrels.len() == 1 {
-                let inner_rel = rrels.iter().next().expect("single");
-                let inner_selects = self.ctx.selects_on(inner_rel).to_vec();
-                if inner_selects.len() <= 1 {
-                    let outer_props = match props.order {
-                        SortOrder::None => Some(PhysProps::ANY),
-                        SortOrder::Asc(a) if lrels.contains(a.relation) => {
-                            Some(PhysProps::sorted(a))
-                        }
-                        SortOrder::Asc(_) => None,
-                    };
-                    if let Some(outer_props) = outer_props {
-                        for (pi, p) in preds.iter().enumerate() {
-                            let Some((idx, info)) = self.catalog.index_on_attr(p.right) else {
-                                continue;
-                            };
-                            if !info.delivers_order() {
-                                continue;
-                            }
-                            let mut ordered = vec![*p];
-                            ordered.extend(
-                                preds
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(j, _)| *j != pi)
-                                    .map(|(_, q)| *q),
-                            );
-                            self.optimize_group(l, outer_props)?;
-                            if let Some(outer) = self.child_plan(l, outer_props) {
-                                self.consider(
-                                    frontier,
-                                    PhysicalOp::IndexJoin {
-                                        predicates: ordered,
-                                        inner: inner_rel,
-                                        index: idx,
-                                        residual: inner_selects.first().copied(),
-                                    },
-                                    vec![outer],
-                                    &[l_stats],
-                                    out_stats,
-                                );
-                            }
-                        }
-                    }
+            if rrels.len() != 1 {
+                continue;
+            }
+            let inner = rrels.iter().next().expect("single");
+            let inner_selects = q.ctx.selects_on(inner);
+            if inner_selects.len() > 1 {
+                continue;
+            }
+            let outer_props = match props.order {
+                SortOrder::None => PhysProps::ANY,
+                SortOrder::Asc(a) if lrels.contains(a.relation) => PhysProps::sorted(a),
+                SortOrder::Asc(_) => continue,
+            };
+            for (pi, p) in preds.clone().enumerate() {
+                let Some((index, info)) = q.catalog.index_on_attr(p.right) else {
+                    continue;
+                };
+                if !info.delivers_order() {
+                    continue;
+                }
+                // The indexed predicate first, the others in query order.
+                let ordered = std::iter::once(p).chain(
+                    preds
+                        .clone()
+                        .enumerate()
+                        .filter(move |(j, _)| *j != pi)
+                        .map(|(_, other)| other),
+                );
+                self.optimize_group(l, outer_props)?;
+                if let Some(outer) = self.child_plan(l, outer_props) {
+                    self.consider(
+                        frontier,
+                        &[&outer],
+                        out_stats,
+                        |model| model.index_join_cost(&l_stats, inner, ordered.clone(), &out_stats),
+                        || PhysicalOp::IndexJoin {
+                            predicates: collect_exact(ordered.clone()),
+                            inner,
+                            index,
+                            residual: inner_selects.first().copied(),
+                        },
+                    );
                 }
             }
         }
@@ -631,7 +727,7 @@ impl Search<'_> {
     /// or (sharing ablation) a private deep copy.
     fn child_plan(&mut self, gid: GroupId, props: PhysProps) -> Option<Arc<PlanNode>> {
         let combined = self.combined(gid, props)?;
-        Some(if self.opts.dag_sharing {
+        Some(if self.q.opts.dag_sharing {
             combined
         } else {
             self.expand_tree(&combined)
@@ -641,14 +737,8 @@ impl Search<'_> {
     /// Expands a DAG into a tree with fresh node identities (sharing
     /// ablation).
     fn expand_tree(&mut self, node: &Arc<PlanNode>) -> Arc<PlanNode> {
-        let children: Vec<Arc<PlanNode>> = node
-            .children
-            .iter()
-            .map(|c| {
-                let c = c.clone();
-                self.expand_tree(&c)
-            })
-            .collect();
+        let children: Vec<Arc<PlanNode>> =
+            node.children.iter().map(|c| self.expand_tree(c)).collect();
         if node.is_choose_plan() {
             self.builder.choose_plan(children, node.self_cost)
         } else {

@@ -14,8 +14,6 @@ pub struct OptimizerStats {
     pub logical_trees: f64,
     /// Physical expressions constructed and costed.
     pub physical_considered: usize,
-    /// Physical expressions surviving in frontiers.
-    pub physical_retained: usize,
     /// Candidates skipped because their cost lower bound exceeded the
     /// group's best upper bound (interval branch-and-bound).
     pub pruned_by_bound: usize,
@@ -31,8 +29,16 @@ pub struct OptimizerStats {
     pub choose_plans: usize,
     /// Number of complete static plans contained in the final plan.
     pub contained_plans: f64,
-    /// Wall-clock optimization time in seconds (measured).
+    /// Wall-clock optimization time in seconds (measured):
+    /// `explore_seconds + search_seconds`.
     pub optimization_seconds: f64,
+    /// The part of `optimization_seconds` spent before the search:
+    /// validating the query, seeding the memo and exploring it with the
+    /// transformation rules.
+    pub explore_seconds: f64,
+    /// The rest of `optimization_seconds`: the property-driven search and
+    /// the statistics of its result.
+    pub search_seconds: f64,
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Per-algorithm interval cost functions.
 
-use dqep_algebra::PhysicalOp;
-use dqep_catalog::Catalog;
+use std::borrow::Borrow;
+
+use dqep_algebra::{JoinPred, PhysicalOp};
+use dqep_catalog::{Catalog, RelationId};
 use dqep_interval::{Interval, Monotonicity};
 
 use crate::cost::Cost;
@@ -133,46 +135,15 @@ impl<'a> CostModel<'a> {
             }
             PhysicalOp::HashJoin { .. } => {
                 let ins = only(inputs, 2);
-                let (build, probe) = (ins[0], ins[1]);
-                let build_pages = build.pages(cfg.page_size);
-                let probe_pages = probe.pages(cfg.page_size);
-                let mem = self.env.memory_interval();
-                let io = Interval::combine3(
-                    build_pages,
-                    probe_pages,
-                    mem,
-                    Monotonicity::Increasing,
-                    Monotonicity::Increasing,
-                    Monotonicity::Decreasing,
-                    |b, p, m| hash_join_io_seconds(b, p, m, cfg.seq_page_io),
-                );
-                let cpu = (build.card + probe.card).scale(cfg.cpu_per_hash)
-                    + output.card.scale(cfg.cpu_per_record);
-                Cost::new(cpu, io)
+                self.hash_join_cost(&ins[0], &ins[1], output)
             }
             PhysicalOp::MergeJoin { .. } => {
                 let ins = only(inputs, 2);
-                let cpu = (ins[0].card + ins[1].card).scale(cfg.cpu_per_compare)
-                    + output.card.scale(cfg.cpu_per_record);
-                Cost::cpu_only(cpu)
+                self.merge_join_cost(&ins[0], &ins[1], output)
             }
             PhysicalOp::IndexJoin {
                 predicates, inner, ..
-            } => {
-                let outer = only(inputs, 1)[0];
-                let inner_rel = self.catalog.relation(*inner);
-                let inner_card = inner_rel.stats.cardinality as f64;
-                // Matching inner records per outer record, before residual.
-                let fan = inner_card * self.selectivity.join(predicates);
-                // One leaf I/O per probe, one random fetch per match
-                // (unclustered inner index).
-                let io = outer
-                    .card
-                    .map_monotone(|c| c * (1.0 + fan) * cfg.random_page_io);
-                let cpu = outer.card.scale(fan * cfg.cpu_per_compare)
-                    + output.card.scale(cfg.cpu_per_record);
-                Cost::new(cpu, io)
-            }
+            } => self.index_join_cost(&only(inputs, 1)[0], *inner, predicates, output),
             PhysicalOp::Sort { .. } => {
                 let input = only(inputs, 1)[0];
                 let pages = input.pages(cfg.page_size);
@@ -192,6 +163,64 @@ impl<'a> CostModel<'a> {
             }
             PhysicalOp::ChoosePlan => self.choose_plan_cost(2),
         }
+    }
+
+    /// Cost of a hash join building on `build` and probing with `probe`.
+    ///
+    /// The three join cost functions are callable on their own so the
+    /// search can cost a join candidate from borrowed inputs, before it
+    /// owns a predicate list or a [`PhysicalOp`] for it.
+    #[must_use]
+    pub fn hash_join_cost(&self, build: &PlanStats, probe: &PlanStats, output: &PlanStats) -> Cost {
+        let cfg = &self.catalog.config;
+        let build_pages = build.pages(cfg.page_size);
+        let probe_pages = probe.pages(cfg.page_size);
+        let mem = self.env.memory_interval();
+        let io = Interval::combine3(
+            build_pages,
+            probe_pages,
+            mem,
+            Monotonicity::Increasing,
+            Monotonicity::Increasing,
+            Monotonicity::Decreasing,
+            |b, p, m| hash_join_io_seconds(b, p, m, cfg.seq_page_io),
+        );
+        let cpu = (build.card + probe.card).scale(cfg.cpu_per_hash)
+            + output.card.scale(cfg.cpu_per_record);
+        Cost::new(cpu, io)
+    }
+
+    /// Cost of a merge join over two sorted inputs.
+    #[must_use]
+    pub fn merge_join_cost(&self, left: &PlanStats, right: &PlanStats, output: &PlanStats) -> Cost {
+        let cfg = &self.catalog.config;
+        let cpu = (left.card + right.card).scale(cfg.cpu_per_compare)
+            + output.card.scale(cfg.cpu_per_record);
+        Cost::cpu_only(cpu)
+    }
+
+    /// Cost of an index nested-loop join of `outer` against the index on
+    /// `inner`'s join attribute.
+    #[must_use]
+    pub fn index_join_cost<P: Borrow<JoinPred>>(
+        &self,
+        outer: &PlanStats,
+        inner: RelationId,
+        predicates: impl IntoIterator<Item = P>,
+        output: &PlanStats,
+    ) -> Cost {
+        let cfg = &self.catalog.config;
+        let inner_card = self.catalog.relation(inner).stats.cardinality as f64;
+        // Matching inner records per outer record, before residual.
+        let fan = inner_card * self.selectivity.join(predicates);
+        // One leaf I/O per probe, one random fetch per match
+        // (unclustered inner index).
+        let io = outer
+            .card
+            .map_monotone(|c| c * (1.0 + fan) * cfg.random_page_io);
+        let cpu =
+            outer.card.scale(fan * cfg.cpu_per_compare) + output.card.scale(cfg.cpu_per_record);
+        Cost::new(cpu, io)
     }
 
     /// Decision-procedure overhead of one choose-plan operator with

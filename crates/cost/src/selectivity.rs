@@ -1,5 +1,7 @@
 //! Selectivity and cardinality estimation.
 
+use std::borrow::Borrow;
+
 use dqep_algebra::{CompareOp, JoinPred, Scalar, SelectPred};
 use dqep_catalog::Catalog;
 use dqep_interval::Interval;
@@ -72,11 +74,16 @@ impl<'a> SelectivityModel<'a> {
     /// Combined selectivity of a conjunction of join predicates
     /// (independence assumed): product over predicates of
     /// `1 / max(domain(left), domain(right))`.
+    ///
+    /// Takes any sequence of predicates, owned or borrowed, so callers can
+    /// pass a filtered view of the query's join graph without collecting
+    /// it; the product is taken in sequence order.
     #[must_use]
-    pub fn join(&self, preds: &[JoinPred]) -> f64 {
+    pub fn join<P: Borrow<JoinPred>>(&self, preds: impl IntoIterator<Item = P>) -> f64 {
         preds
-            .iter()
+            .into_iter()
             .map(|p| {
+                let p = p.borrow();
                 let dl = self.catalog.attribute(p.left).domain_size;
                 let dr = self.catalog.attribute(p.right).domain_size;
                 1.0 / dl.max(dr).max(1.0)
@@ -198,12 +205,12 @@ mod tests {
         let m = SelectivityModel::new(&cat);
         let p = JoinPred::new(attr(&cat, "r", "j"), attr(&cat, "s", "j"));
         // max(500, 200) = 500.
-        assert!((m.join(&[p]) - 1.0 / 500.0).abs() < 1e-12);
+        assert!((m.join([p]) - 1.0 / 500.0).abs() < 1e-12);
         // Two predicates multiply.
         let p2 = JoinPred::new(attr(&cat, "r", "a"), attr(&cat, "s", "a"));
-        assert!((m.join(&[p, p2]) - (1.0 / 500.0) * (1.0 / 1000.0)).abs() < 1e-15);
+        assert!((m.join([p, p2]) - (1.0 / 500.0) * (1.0 / 1000.0)).abs() < 1e-15);
         // Empty conjunction = cross product.
-        assert_eq!(m.join(&[]), 1.0);
+        assert_eq!(m.join(std::iter::empty::<JoinPred>()), 1.0);
     }
 
     #[test]

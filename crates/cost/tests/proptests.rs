@@ -62,7 +62,7 @@ proptest! {
             let s_card = Interval::point(card_s as f64);
             let filtered_wide = PlanStats::new(r_card * sel_wide, 512.0);
             let filtered_bound = PlanStats::new(r_card * sel_bound, 512.0);
-            let jsel = wide.selectivity().join(&[jp]);
+            let jsel = wide.selectivity().join([jp]);
             let (inputs_wide, inputs_bound, out_wide, out_bound): (
                 Vec<PlanStats>, Vec<PlanStats>, PlanStats, PlanStats,
             ) = match op {

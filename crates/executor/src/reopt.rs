@@ -821,9 +821,8 @@ fn drive(
         // parameters and would mask real drift.
         let estimate = startup
             .estimates
-            .get(&target.id)
-            .copied()
-            .unwrap_or(target.stats.card);
+            .get(target.id)
+            .map_or(target.stats.card, |e| e.stats.card);
         let escaped = state.observe_checkpoint(target.id, target.op.name(), estimate, actual);
         let layout = crate::choose::layout_of(&target, catalog);
         if !state.try_retain(&ctx.governor, target.id, layout, rows) {

@@ -26,6 +26,11 @@ pub struct Fig5Row {
     pub dynamic_opt: f64,
     /// Measured dynamic optimization seconds (selectivities + memory).
     pub dynamic_opt_mem: Option<f64>,
+    /// The part of `dynamic_opt` spent exploring the memo (validation,
+    /// seeding, transformation rules).
+    pub dynamic_explore: f64,
+    /// The rest of `dynamic_opt`: the property-driven search.
+    pub dynamic_search: f64,
     /// Branch-and-bound prunes during static optimization.
     pub static_pruned: usize,
     /// Branch-and-bound prunes during dynamic optimization — the paper's
@@ -44,6 +49,8 @@ pub fn rows(results: &[QueryResults]) -> Vec<Fig5Row> {
             static_opt: r.static_sel.optimize_seconds,
             dynamic_opt: r.dynamic_sel.optimize_seconds,
             dynamic_opt_mem: r.dynamic_mem.as_ref().map(|s| s.optimize_seconds),
+            dynamic_explore: r.dynamic_sel.opt_stats.explore_seconds,
+            dynamic_search: r.dynamic_sel.opt_stats.search_seconds,
             static_pruned: r.static_sel.opt_stats.pruned_by_bound,
             dynamic_pruned: r.dynamic_sel.opt_stats.pruned_by_bound,
         })
@@ -62,6 +69,8 @@ pub fn table(results: &[QueryResults]) -> Table {
             "static opt",
             "dynamic opt",
             "ratio",
+            "dyn explore",
+            "dyn search",
             "+mem opt",
             "static prunes",
             "dynamic prunes",
@@ -74,6 +83,8 @@ pub fn table(results: &[QueryResults]) -> Table {
             fmt_secs(row.static_opt),
             fmt_secs(row.dynamic_opt),
             fmt_ratio(row.dynamic_opt / row.static_opt),
+            fmt_secs(row.dynamic_explore),
+            fmt_secs(row.dynamic_search),
             row.dynamic_opt_mem.map(fmt_secs).unwrap_or_else(|| "-".into()),
             row.static_pruned.to_string(),
             row.dynamic_pruned.to_string(),

@@ -40,6 +40,10 @@ pub struct ScenarioResult {
     /// Modeled start-up CPU seconds per invocation (one cost-function
     /// evaluation per DAG node at `choose_plan_overhead`; dynamic only).
     pub modeled_startup_cpu: f64,
+    /// Cost-function evaluations of one start-up decision: the distinct
+    /// DAG nodes it costs (dynamic only). Exact for a given plan, unlike
+    /// the wall-clock reading of the same work in `measured_startup_cpu`.
+    pub startup_evaluations: usize,
     /// Predicted execution seconds per invocation
     /// (`c_i` / `d_i` / `g_i`).
     pub exec_seconds: Vec<f64>,
@@ -64,6 +68,16 @@ impl ScenarioResult {
             return 0.0;
         }
         self.exec_seconds.iter().sum::<f64>() / self.exec_seconds.len() as f64
+    }
+
+    /// The size of one optimization in the units a start-up decision is
+    /// counted in: physical candidates considered (a cost-function
+    /// evaluation each, unless the bound cut it short) plus the logical
+    /// expressions the rules produced. Exact for a given query and
+    /// environment.
+    #[must_use]
+    pub fn optimizer_evaluations(&self) -> usize {
+        self.opt_stats.physical_considered + self.opt_stats.logical_exprs
     }
 
     /// Total run-time effort over all invocations, in the paper's terms:
@@ -133,6 +147,7 @@ pub fn run_static_with(
         activation_seconds,
         measured_startup_cpu: 0.0,
         modeled_startup_cpu: 0.0,
+        startup_evaluations: 0,
         exec_seconds,
         plan_nodes: nodes,
         choose_plans: 0,
@@ -174,11 +189,13 @@ pub fn run_dynamic_with(
     let mut exec_seconds = Vec::with_capacity(bindings.len());
     let mut modeled_cpu = 0.0;
     let mut measured_cpu = 0.0;
+    let mut startup_evaluations = 0;
     for b in bindings {
         let t = Instant::now();
         let startup = evaluate_startup(&result.plan, &workload.catalog, &env, b);
         measured_cpu += t.elapsed().as_secs_f64();
         modeled_cpu = startup.startup_cpu_seconds;
+        startup_evaluations = startup.evaluated_nodes;
         exec_seconds.push(startup.predicted_run_seconds);
     }
     let n = bindings.len().max(1) as f64;
@@ -189,6 +206,7 @@ pub fn run_dynamic_with(
         activation_seconds,
         measured_startup_cpu: measured_cpu / n,
         modeled_startup_cpu: modeled_cpu,
+        startup_evaluations,
         exec_seconds,
         plan_nodes: nodes,
         choose_plans: dag::choose_plan_count(&result.plan),
@@ -226,6 +244,7 @@ pub fn run_runtime_opt(workload: &Workload, bindings: &[Bindings]) -> ScenarioRe
         activation_seconds: 0.0,
         measured_startup_cpu: 0.0,
         modeled_startup_cpu: 0.0,
+        startup_evaluations: 0,
         exec_seconds,
         plan_nodes: last.as_ref().map(dag::node_count).unwrap_or(0),
         choose_plans: 0,

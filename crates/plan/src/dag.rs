@@ -1,38 +1,113 @@
 //! Analytics over plan DAGs: node counts, contained plans, sharing.
+//!
+//! Everything here is one walk: [`fold_dag`] computes a value per
+//! *distinct* node from its children's values, memoized in a table indexed
+//! by [`NodeId`]; the counts below are closures over it.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::node::{NodeId, PlanNode};
+use crate::table::{DenseId, IdTable};
+
+/// Bottom-up fold over the DAG: `f` is called once per distinct node,
+/// children before parents (post-order), with the table of values computed
+/// so far — which holds a value for every child of the node. Returns the
+/// table (the root's value is at `root.id`).
+pub fn fold_dag<T>(
+    root: &Arc<PlanNode>,
+    f: &mut impl FnMut(&Arc<PlanNode>, &IdTable<NodeId, T>) -> T,
+) -> IdTable<NodeId, T> {
+    fn go<T>(
+        node: &Arc<PlanNode>,
+        done: &mut IdTable<NodeId, T>,
+        f: &mut impl FnMut(&Arc<PlanNode>, &IdTable<NodeId, T>) -> T,
+    ) {
+        if done.contains(node.id) {
+            return;
+        }
+        for c in &node.children {
+            go(c, done, f);
+        }
+        let value = f(node, done);
+        done.insert(node.id, value);
+    }
+    // A parent is built after its children, so no id below the root
+    // exceeds the root's; plans stitched from several builders grow the
+    // table on demand.
+    let mut done = IdTable::with_capacity(root.id.index() + 1);
+    go(root, &mut done, f);
+    done
+}
 
 /// Visits each *distinct* node of the DAG exactly once, children before
 /// parents (post-order).
 pub fn walk_dag(root: &Arc<PlanNode>, f: &mut impl FnMut(&Arc<PlanNode>)) {
-    fn go(
-        node: &Arc<PlanNode>,
-        seen: &mut std::collections::HashSet<NodeId>,
-        f: &mut impl FnMut(&Arc<PlanNode>),
-    ) {
-        if !seen.insert(node.id) {
-            return;
-        }
-        for c in &node.children {
-            go(c, seen, f);
-        }
-        f(node);
-    }
-    let mut seen = std::collections::HashSet::new();
-    go(root, &mut seen, f);
+    fold_dag(root, &mut |node, _| f(node));
 }
 
-/// Number of distinct operator nodes in the DAG — the plan-size metric of
-/// the paper's Figure 6 ("a count of operator nodes in the directed
-/// acyclic graph, i.e., in the physical representation of the plan").
+/// The values `fold_dag` computed for `node`'s children, in child order.
+fn child_values<'a, T: Copy>(
+    node: &'a PlanNode,
+    done: &'a IdTable<NodeId, T>,
+) -> impl Iterator<Item = T> + 'a {
+    node.children
+        .iter()
+        .map(|c| *done.get(c.id).expect("children are folded before parents"))
+}
+
+/// The size figures of a plan DAG, from one walk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DagSummary {
+    /// Distinct operator nodes — the plan-size metric of the paper's
+    /// Figure 6 ("a count of operator nodes in the directed acyclic graph,
+    /// i.e., in the physical representation of the plan").
+    pub nodes: usize,
+    /// Choose-plan operators among them.
+    pub choose_plans: usize,
+    /// Complete *static* plans contained in the dynamic plan: a
+    /// choose-plan adds up its alternatives' counts, ordinary operators
+    /// multiply their children's. This is the quantity that grows
+    /// exponentially with query complexity while the node count does not
+    /// (paper Section 3).
+    pub contained_plans: f64,
+}
+
+/// Node count, choose-plan count and contained-plan count together.
+#[must_use]
+pub fn summarize(root: &Arc<PlanNode>) -> DagSummary {
+    let mut choose_plans = 0;
+    let contained = fold_dag(root, &mut |node, done| {
+        if node.is_choose_plan() {
+            choose_plans += 1;
+            child_values(node, done).sum::<f64>()
+        } else {
+            child_values(node, done).product::<f64>()
+        }
+    });
+    DagSummary {
+        nodes: contained.len(),
+        choose_plans,
+        contained_plans: *contained.get(root.id).expect("the root is folded last"),
+    }
+}
+
+/// Number of distinct operator nodes in the DAG (see [`DagSummary::nodes`]).
 #[must_use]
 pub fn node_count(root: &Arc<PlanNode>) -> usize {
-    let mut n = 0;
-    walk_dag(root, &mut |_| n += 1);
-    n
+    summarize(root).nodes
+}
+
+/// Number of choose-plan operators in the DAG.
+#[must_use]
+pub fn choose_plan_count(root: &Arc<PlanNode>) -> usize {
+    summarize(root).choose_plans
+}
+
+/// Number of complete *static* plans contained in the dynamic plan (see
+/// [`DagSummary::contained_plans`]).
+#[must_use]
+pub fn contained_plan_count(root: &Arc<PlanNode>) -> f64 {
+    summarize(root).contained_plans
 }
 
 /// Number of nodes the plan would have as a *tree* (shared subexpressions
@@ -40,65 +115,19 @@ pub fn node_count(root: &Arc<PlanNode>) -> usize {
 /// sharing saves.
 #[must_use]
 pub fn tree_node_count(root: &Arc<PlanNode>) -> f64 {
-    let mut memo: HashMap<NodeId, f64> = HashMap::new();
-    fn go(node: &Arc<PlanNode>, memo: &mut HashMap<NodeId, f64>) -> f64 {
-        if let Some(&v) = memo.get(&node.id) {
-            return v;
-        }
-        let v = 1.0 + node.children.iter().map(|c| go(c, memo)).sum::<f64>();
-        memo.insert(node.id, v);
-        v
-    }
-    go(root, &mut memo)
-}
-
-/// Number of choose-plan operators in the DAG.
-#[must_use]
-pub fn choose_plan_count(root: &Arc<PlanNode>) -> usize {
-    let mut n = 0;
-    walk_dag(root, &mut |node| {
-        if node.is_choose_plan() {
-            n += 1;
-        }
+    let sizes = fold_dag(root, &mut |node, done| {
+        1.0 + child_values(node, done).sum::<f64>()
     });
-    n
-}
-
-/// Number of complete *static* plans contained in the dynamic plan: a
-/// choose-plan multiplies by choice, ordinary operators multiply their
-/// children's counts. This is the quantity that grows exponentially with
-/// query complexity while the DAG node count does not (paper Section 3).
-#[must_use]
-pub fn contained_plan_count(root: &Arc<PlanNode>) -> f64 {
-    let mut memo: HashMap<NodeId, f64> = HashMap::new();
-    fn go(node: &Arc<PlanNode>, memo: &mut HashMap<NodeId, f64>) -> f64 {
-        if let Some(&v) = memo.get(&node.id) {
-            return v;
-        }
-        let v = if node.is_choose_plan() {
-            node.children.iter().map(|c| go(c, memo)).sum::<f64>()
-        } else {
-            node.children.iter().map(|c| go(c, memo)).product::<f64>()
-        };
-        memo.insert(node.id, v);
-        v
-    }
-    go(root, &mut memo)
+    *sizes.get(root.id).expect("the root is folded last")
 }
 
 /// Longest root-to-leaf path length (in nodes).
 #[must_use]
 pub fn depth(root: &Arc<PlanNode>) -> usize {
-    let mut memo: HashMap<NodeId, usize> = HashMap::new();
-    fn go(node: &Arc<PlanNode>, memo: &mut HashMap<NodeId, usize>) -> usize {
-        if let Some(&v) = memo.get(&node.id) {
-            return v;
-        }
-        let v = 1 + node.children.iter().map(|c| go(c, memo)).max().unwrap_or(0);
-        memo.insert(node.id, v);
-        v
-    }
-    go(root, &mut memo)
+    let depths = fold_dag(root, &mut |node, done| {
+        1 + child_values(node, done).max().unwrap_or(0)
+    });
+    *depths.get(root.id).expect("the root is folded last")
 }
 
 /// All distinct nodes in post-order (children before parents). The order

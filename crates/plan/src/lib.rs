@@ -36,10 +36,15 @@ mod pretty;
 mod remaining;
 pub mod shrink;
 pub mod startup;
+mod table;
 
 pub use module::{AccessModule, ModuleError, ModuleStats};
 pub use node::{NodeId, PlanNode, PlanNodeBuilder};
 pub use dot::to_dot;
 pub use pretty::render_plan;
 pub use remaining::{chosen_map, next_blocking_input};
-pub use startup::{evaluate_startup, evaluate_startup_observed, Observations, StartupDecision, StartupResult};
+pub use startup::{
+    evaluate_startup, evaluate_startup_observed, NodeEstimate, Observations, StartupDecision,
+    StartupResult,
+};
+pub use table::{DenseId, IdTable};

@@ -6,6 +6,8 @@ use std::sync::Arc;
 use dqep_algebra::{PhysicalOp, SortOrder};
 use dqep_cost::{Cost, PlanStats};
 
+use crate::table::DenseId;
+
 /// Unique identifier of a plan node within one optimizer run.
 ///
 /// Node identity (not structural equality) defines DAG sharing: two `Arc`s
@@ -14,6 +16,16 @@ use dqep_cost::{Cost, PlanStats};
 /// distinct ids reachable from the root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u64);
+
+impl DenseId for NodeId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    fn from_index(index: usize) -> NodeId {
+        NodeId(index as u64)
+    }
+}
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -122,8 +134,7 @@ impl PlanNodeBuilder {
     ) -> Arc<PlanNode> {
         let id = NodeId(self.next);
         self.next += 1;
-        let child_orders: Vec<SortOrder> = children.iter().map(|c| c.order).collect();
-        let order = op.delivered_order(&child_orders);
+        let order = op.delivered_order(children.iter().map(|c| c.order));
         let total_cost = match op {
             PhysicalOp::ChoosePlan => {
                 let combined = children

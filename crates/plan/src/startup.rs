@@ -35,6 +35,7 @@ use dqep_cost::{Bindings, Cost, CostModel, Environment, PlanStats};
 use dqep_interval::Interval;
 
 use crate::node::{NodeId, PlanNode, PlanNodeBuilder};
+use crate::table::{DenseId, IdTable};
 
 /// One choose-plan decision taken at start-up-time.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,6 +48,18 @@ pub struct StartupDecision {
     pub alternatives: usize,
     /// The chosen alternative's (point) total cost in seconds.
     pub chosen_cost: f64,
+}
+
+/// What one cost-function evaluation produced for a DAG node under the
+/// actual bindings: its output stream and the cost of its subtree (for a
+/// choose-plan, those of the alternative it chose).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeEstimate {
+    /// Output stream statistics with host variables bound and
+    /// observations applied.
+    pub stats: PlanStats,
+    /// Total cost of the subtree rooted at the node.
+    pub cost: Cost,
 }
 
 /// Result of start-up-time evaluation.
@@ -62,11 +75,12 @@ pub struct StartupResult {
     pub decisions: Vec<StartupDecision>,
     /// Number of distinct DAG nodes whose cost function was evaluated.
     pub evaluated_nodes: usize,
-    /// Bind-time output-cardinality estimate per evaluated DAG node, keyed
-    /// by *original* node id. Tighter than the compile-time intervals on
-    /// the plan (host variables are bound, observations applied) — the
+    /// The bind-time estimate of every evaluated DAG node, keyed by
+    /// *original* node id — the evaluation pass's own table. Its
+    /// cardinalities are tighter than the compile-time intervals on the
+    /// plan (host variables are bound, observations applied): the
     /// reference a runtime checkpoint compares its observation against.
-    pub estimates: HashMap<NodeId, Interval>,
+    pub estimates: IdTable<NodeId, NodeEstimate>,
     /// Modeled start-up CPU seconds: one cost-function evaluation per
     /// evaluated node (`evaluated_nodes × choose_plan_overhead`).
     pub startup_cpu_seconds: f64,
@@ -107,43 +121,50 @@ pub fn evaluate_startup_observed(
     // member of the equivalence class applies to every member (and to the
     // choose-plan node itself). Expand to the closure before evaluating.
     let observations = expand_observations(root, observations);
-    let observations = &observations;
     let env = base_env.bind(bindings);
+    let ids = root.id.index() + 1;
     let mut eval = Eval {
         model: CostModel::new(catalog, &env),
         catalog,
         builder: PlanNodeBuilder::new(),
-        costs: HashMap::new(),
-        chosen: HashMap::new(),
-        resolved: HashMap::new(),
+        estimates: IdTable::with_capacity(ids),
+        chosen: IdTable::with_capacity(ids),
+        resolved: IdTable::with_capacity(ids),
         decisions: Vec::new(),
-        observations,
+        observations: &observations,
     };
-    let (_, cost) = eval.cost_pass(root);
-    let evaluated_nodes = eval.costs.len();
+    let cost = eval.cost_pass(root).cost;
+    let evaluated_nodes = eval.estimates.len();
     let resolved = eval.materialize(root);
-    let startup_cpu_seconds = evaluated_nodes as f64 * catalog.config.choose_plan_overhead;
-    let estimates = eval
-        .costs
-        .iter()
-        .map(|(id, (stats, _))| (*id, stats.card))
-        .collect();
     StartupResult {
         resolved,
         predicted_run_seconds: cost.total().lo(),
         decisions: eval.decisions,
         evaluated_nodes,
-        estimates,
-        startup_cpu_seconds,
+        estimates: eval.estimates,
+        startup_cpu_seconds: evaluated_nodes as f64 * catalog.config.choose_plan_overhead,
     }
 }
 
-/// Propagates observations across choose-plan equivalence classes: if a
-/// choose-plan or any of its alternatives is observed, the observation
-/// holds for the choose-plan and all alternatives. Iterated to a fixpoint
-/// (nested choose-plans chain).
-fn expand_observations(root: &Arc<PlanNode>, observations: &Observations) -> Observations {
-    let mut expanded = observations.clone();
+/// The observations that concern this plan, as a table over its node ids,
+/// propagated across choose-plan equivalence classes: if a choose-plan or
+/// any of its alternatives is observed, the observation holds for the
+/// choose-plan and all alternatives. Iterated to a fixpoint (nested
+/// choose-plans chain). Nothing observed — every start-up decision outside
+/// mid-query re-optimization — is an empty table and no walk.
+fn expand_observations(
+    root: &Arc<PlanNode>,
+    observations: &Observations,
+) -> IdTable<NodeId, f64> {
+    let mut expanded = IdTable::new();
+    if observations.is_empty() {
+        return expanded;
+    }
+    crate::dag::walk_dag(root, &mut |node| {
+        if let Some(&card) = observations.get(&node.id) {
+            expanded.insert(node.id, card);
+        }
+    });
     loop {
         let mut changed = false;
         crate::dag::walk_dag(root, &mut |node| {
@@ -151,13 +172,11 @@ fn expand_observations(root: &Arc<PlanNode>, observations: &Observations) -> Obs
                 return;
             }
             // The class: the choose-plan plus its direct children.
-            let mut class_value = expanded.get(&node.id).copied();
-            if class_value.is_none() {
-                class_value = node
-                    .children
+            let class_value = expanded.get(node.id).copied().or_else(|| {
+                node.children
                     .iter()
-                    .find_map(|c| expanded.get(&c.id).copied());
-            }
+                    .find_map(|c| expanded.get(c.id).copied())
+            });
             if let Some(v) = class_value {
                 for id in std::iter::once(node.id).chain(node.children.iter().map(|c| c.id)) {
                     if expanded.insert(id, v) != Some(v) {
@@ -172,20 +191,26 @@ fn expand_observations(root: &Arc<PlanNode>, observations: &Observations) -> Obs
     }
 }
 
+/// Placeholder for the unused entries of a two-slot input array.
+const NO_INPUT: PlanStats = PlanStats {
+    card: Interval::ZERO,
+    row_bytes: 0.0,
+};
+
 struct Eval<'a> {
     model: CostModel<'a>,
     catalog: &'a Catalog,
     builder: PlanNodeBuilder,
-    observations: &'a Observations,
+    observations: &'a IdTable<NodeId, f64>,
     /// Per distinct DAG node: recomputed point stats and point total
     /// subtree cost. One cost-function evaluation per node, as the paper
     /// prescribes ("the cost of shared subexpressions is computed only
     /// once").
-    costs: HashMap<NodeId, (PlanStats, Cost)>,
+    estimates: IdTable<NodeId, NodeEstimate>,
     /// Chosen alternative per choose-plan node.
-    chosen: HashMap<NodeId, usize>,
+    chosen: IdTable<NodeId, usize>,
     /// Resolved subplans, materialized only along chosen branches.
-    resolved: HashMap<NodeId, Arc<PlanNode>>,
+    resolved: IdTable<NodeId, Arc<PlanNode>>,
     decisions: Vec<StartupDecision>,
 }
 
@@ -194,73 +219,77 @@ impl Eval<'_> {
     /// recording each choose-plan decision. No plan nodes are allocated:
     /// losing alternatives are costed (that is the decision procedure) but
     /// never materialized.
-    fn cost_pass(&mut self, node: &Arc<PlanNode>) -> (PlanStats, Cost) {
-        if let Some(hit) = self.costs.get(&node.id) {
+    fn cost_pass(&mut self, node: &Arc<PlanNode>) -> NodeEstimate {
+        if let Some(hit) = self.estimates.get(node.id) {
             return *hit;
         }
         let result = if node.is_choose_plan() {
-            let mut best: Option<(PlanStats, Cost, usize)> = None;
+            let mut best: Option<(NodeEstimate, usize)> = None;
             for (i, alt) in node.children.iter().enumerate() {
-                let (stats, cost) = self.cost_pass(alt);
+                let estimate = self.cost_pass(alt);
                 let better = match &best {
                     None => true,
-                    Some((_, c, _)) => cost.total().lo() < c.total().lo(),
+                    Some((b, _)) => estimate.cost.total().lo() < b.cost.total().lo(),
                 };
                 if better {
-                    best = Some((stats, cost, i));
+                    best = Some((estimate, i));
                 }
             }
-            let (stats, cost, idx) = best.expect("choose-plan has at least two alternatives");
+            let (estimate, idx) = best.expect("choose-plan has at least two alternatives");
             self.chosen.insert(node.id, idx);
             self.decisions.push(StartupDecision {
                 choose_plan: node.id,
                 chosen_index: idx,
                 alternatives: node.children.len(),
-                chosen_cost: cost.total().lo(),
+                chosen_cost: estimate.cost.total().lo(),
             });
-            (stats, cost)
+            estimate
         } else {
-            let mut child_stats = Vec::with_capacity(node.children.len());
+            // Every operator with a cost function over its inputs takes at
+            // most two.
+            let mut child_stats = [NO_INPUT; 2];
             let mut cost = Cost::ZERO;
-            for c in &node.children {
-                let (s, child_cost) = self.cost_pass(c);
-                child_stats.push(s);
-                cost += child_cost;
+            for (slot, c) in child_stats.iter_mut().zip(&node.children) {
+                let child = self.cost_pass(c);
+                *slot = child.stats;
+                cost += child.cost;
             }
-            let mut stats = self.recompute_stats(node, &child_stats);
-            if let Some(&card) = self.observations.get(&node.id) {
+            let child_stats = &child_stats[..node.children.len()];
+            let mut stats = self.recompute_stats(node, child_stats);
+            if let Some(&card) = self.observations.get(node.id) {
                 stats = PlanStats::new(Interval::point(card), stats.row_bytes);
             }
-            cost += self.model.op_cost(&node.op, &child_stats, &stats);
-            (stats, cost)
+            cost += self.model.op_cost(&node.op, child_stats, &stats);
+            NodeEstimate { stats, cost }
         };
-        self.costs.insert(node.id, result);
+        self.estimates.insert(node.id, result);
         result
+    }
+
+    /// The bind-time stats of an already costed node.
+    fn stats(&self, id: NodeId) -> PlanStats {
+        self.estimates.get(id).expect("costed in phase 1").stats
     }
 
     /// Phase 2: materialize the resolved plan along chosen branches only.
     fn materialize(&mut self, node: &Arc<PlanNode>) -> Arc<PlanNode> {
-        if let Some(hit) = self.resolved.get(&node.id) {
+        if let Some(hit) = self.resolved.get(node.id) {
             return Arc::clone(hit);
         }
         let result = if node.is_choose_plan() {
-            let idx = self.chosen[&node.id];
-            self.materialize(&node.children[idx].clone())
+            let idx = *self.chosen.get(node.id).expect("decided in phase 1");
+            self.materialize(&node.children[idx])
         } else {
-            let children: Vec<Arc<PlanNode>> = node
-                .children
-                .iter()
-                .map(|c| {
-                    let c = c.clone();
-                    self.materialize(&c)
-                })
-                .collect();
-            let mut child_stats = Vec::with_capacity(node.children.len());
-            for c in &node.children {
-                child_stats.push(self.costs[&c.id].0);
+            let children: Vec<Arc<PlanNode>> =
+                node.children.iter().map(|c| self.materialize(c)).collect();
+            let mut child_stats = [NO_INPUT; 2];
+            for (slot, c) in child_stats.iter_mut().zip(&node.children) {
+                *slot = self.stats(c.id);
             }
-            let stats = self.costs[&node.id].0;
-            let self_cost = self.model.op_cost(&node.op, &child_stats, &stats);
+            let stats = self.stats(node.id);
+            let self_cost =
+                self.model
+                    .op_cost(&node.op, &child_stats[..node.children.len()], &stats);
             self.builder.node(node.op.clone(), children, stats, self_cost)
         };
         self.resolved.insert(node.id, Arc::clone(&result));

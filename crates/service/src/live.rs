@@ -609,9 +609,8 @@ impl LiveViewRegistry {
 fn root_interval(startup: &StartupResult, plan: &Arc<PlanNode>) -> Interval {
     startup
         .estimates
-        .get(&plan.id)
-        .copied()
-        .unwrap_or(plan.stats.card)
+        .get(plan.id)
+        .map_or(plan.stats.card, |e| e.stats.card)
 }
 
 #[cfg(test)]

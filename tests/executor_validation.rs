@@ -234,7 +234,7 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
         let join_pred = JoinPred::new(lj, rj);
         let filtered = PlanStats::new(Interval::new(0.0, card), 500.0);
         let joined = PlanStats::new(
-            Interval::new(0.0, 40.0 * card * model.selectivity().join(&[join_pred])),
+            Interval::new(0.0, 40.0 * card * model.selectivity().join([join_pred])),
             1000.0,
         );
         let b = &mut PlanNodeBuilder::new();
