@@ -1,22 +1,24 @@
 //! `check-explain` — validates observability artifacts against their
 //! schemas: EXPLAIN ANALYZE JSON documents (produced by `dqep-cli
 //! --explain-analyze --json`), event-journal dumps (`--journal-json`),
-//! and Prometheus text expositions (`--metrics-prom`).
+//! metrics snapshots and windowed JSON-lines series (`--metrics-json`,
+//! with or without `--metrics-interval-ms`), and Prometheus text
+//! expositions (`--metrics-prom`).
 //!
 //! ```text
-//! check-explain [--mode explain|journal|prom] FILE...
+//! check-explain [--mode explain|journal|metrics|prom] FILE...
 //! ```
 //!
 //! The default mode is `explain`. Exits 0 when every file conforms, 1 on
 //! the first violation (with the reason on stderr), 2 on usage or I/O
-//! errors. CI runs this over the artifacts of the observability and
-//! trace smoke jobs, so schema regressions fail the build instead of
-//! silently breaking downstream consumers.
+//! errors. CI runs this over the artifacts of the observability, shard,
+//! trace and live smoke jobs, so schema regressions fail the build
+//! instead of silently breaking downstream consumers.
 
 use std::process::ExitCode;
 
 use dqep_executor::{validate_explain_json, validate_journal_json};
-use dqep_service::lint_prometheus;
+use dqep_service::{lint_prometheus, validate_metrics_json};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,14 +43,15 @@ fn main() -> ExitCode {
     let validate: fn(&str) -> Result<(), String> = match mode.as_str() {
         "explain" => validate_explain_json,
         "journal" => validate_journal_json,
+        "metrics" => validate_metrics_json,
         "prom" => lint_prometheus,
         other => {
-            eprintln!("check-explain: unknown mode `{other}` (explain|journal|prom)");
+            eprintln!("check-explain: unknown mode `{other}` (explain|journal|metrics|prom)");
             return ExitCode::from(2);
         }
     };
     if files.is_empty() {
-        eprintln!("usage: check-explain [--mode explain|journal|prom] FILE...");
+        eprintln!("usage: check-explain [--mode explain|journal|metrics|prom] FILE...");
         return ExitCode::from(2);
     }
     for path in &files {

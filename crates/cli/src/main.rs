@@ -110,12 +110,13 @@ use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     execute_adaptive, execute_plan_dop, execute_plan_reopt, execute_plan_reopt_traced,
-    execute_plan_traced, explain_json, render_explain, ExecMode, ReoptConfig, ResourceLimits,
+    execute_plan_traced, explain_json, render_explain, ExecMode, ExecSummary, JsonWriter,
+    ReoptConfig, ResourceLimits, Scalar, TraceReport,
 };
 use dqep_plan::{evaluate_startup, render_plan, to_dot};
 use dqep_service::{
-    LiveConfig, LiveViewRegistry, MetricsRegistry, MetricsReport, QueryService, Request,
-    ServiceConfig, ServiceStats, WriteOp,
+    LiveConfig, LiveViewRegistry, Metric, MetricsRegistry, MetricsReport, QueryService, Request,
+    ServiceConfig, WriteOp,
 };
 use dqep_sql::parse_query;
 use dqep_storage::{install_histograms, FaultPlan, StoredDatabase, ValueDistribution};
@@ -573,6 +574,16 @@ fn main() -> ExitCode {
     }
 }
 
+/// Prints an EXPLAIN ANALYZE report: the JSON document alone under
+/// `--json`, the rendered tree otherwise.
+fn print_explain(args: &Args, report: &TraceReport, config: &SystemConfig) {
+    if args.json {
+        println!("{}", explain_json(report, config));
+    } else {
+        print!("\n{}", render_explain(report, config));
+    }
+}
+
 /// Writes the structured event journal to the `--journal-json`
 /// destination (`-` = stdout). A no-op without the flag.
 fn dump_journal(args: &Args) -> Result<(), DqepError> {
@@ -599,10 +610,7 @@ fn write_metric_outputs(args: &Args, report: &MetricsReport) -> Result<(), DqepE
         None => {}
         Some("-") => println!("\n-- metrics (shutdown snapshot):\n{}", report.to_json()),
         Some(path) if args.metrics_interval_ms.is_some() => {
-            append_line(
-                path,
-                &format!("{{\"window\": \"final\", \"metrics\": {}}}", report.to_json_line()),
-            )?;
+            append_line(path, &window_line("final".into(), None, report))?;
             eprintln!("appended final metrics window to {path}");
         }
         Some(path) => {
@@ -619,6 +627,21 @@ fn write_metric_outputs(args: &Args, report: &MetricsReport) -> Result<(), DqepE
         }
     }
     Ok(())
+}
+
+/// One line of the `--metrics-json` time series: the window (a number,
+/// or `"final"` for the shutdown snapshot), the milliseconds elapsed when
+/// it was sampled, and the metrics document.
+fn window_line(window: Scalar<'_>, elapsed_ms: Option<u64>, report: &MetricsReport) -> String {
+    let mut w = JsonWriter::new();
+    w.obj(|w| {
+        w.key("window").val(window);
+        if let Some(ms) = elapsed_ms {
+            w.key("elapsed_ms").val(ms);
+        }
+        report.write_json(w.key("metrics"));
+    });
+    w.finish()
 }
 
 /// Appends one line to `path`, creating the file if needed.
@@ -662,11 +685,8 @@ fn with_sampler<T>(
                 window += 1;
                 let report = snapshot();
                 if let Some(path) = jsonl {
-                    let line = format!(
-                        "{{\"window\": {window}, \"elapsed_ms\": {}, \"metrics\": {}}}",
-                        started.elapsed().as_millis(),
-                        report.to_json_line(),
-                    );
+                    let elapsed_ms = started.elapsed().as_millis() as u64;
+                    let line = window_line(window.into(), Some(elapsed_ms), &report);
                     if append_line(path, &line).is_err() {
                         return; // an unwritable path will not get better
                     }
@@ -804,11 +824,7 @@ fn run(args: &Args) -> Result<(), DqepError> {
                         args.dop,
                         reopt_config,
                     )?;
-                    if args.json {
-                        println!("{}", explain_json(&report, &catalog.config));
-                    } else {
-                        print!("\n{}", render_explain(&report, &catalog.config));
-                    }
+                    print_explain(args, &report, &catalog.config);
                     outcome
                 } else {
                     execute_plan_reopt(
@@ -864,11 +880,7 @@ fn run(args: &Args) -> Result<(), DqepError> {
                         ExecMode::default(),
                         args.dop,
                     )?;
-                    if args.json {
-                        println!("{}", explain_json(&report, &catalog.config));
-                    } else {
-                        print!("\n{}", render_explain(&report, &catalog.config));
-                    }
+                    print_explain(args, &report, &catalog.config);
                     summary
                 } else {
                     let (summary, _) = execute_plan_dop(
@@ -1079,7 +1091,7 @@ fn run_live(args: &Args) -> Result<(), DqepError> {
     // The workload runs under the live sampler; the metrics snapshot is
     // written afterwards whatever the outcome, so a failing commit still
     // leaves a usable post-mortem export.
-    let snapshot = || metrics.report(ServiceStats::default());
+    let snapshot = || metrics.report();
     let result = with_sampler(args, &snapshot, || -> Result<(), DqepError> {
         for cmd in &cmds {
             match cmd {
@@ -1117,10 +1129,10 @@ fn run_live(args: &Args) -> Result<(), DqepError> {
         let views = registry.views();
         println!(
             "\n-- {} view(s), {} delta batch(es), {} row(s) propagated, {} re-arbitration(s)",
-            metrics.live_views_registered(),
-            metrics.live_delta_batches(),
-            metrics.live_rows_propagated(),
-            metrics.live_rearbitrations(),
+            metrics.get(Metric::LiveViewsRegistered),
+            metrics.get(Metric::LiveDeltaBatches),
+            metrics.get(Metric::LiveRowsPropagated),
+            metrics.get(Metric::LiveRearbitrations),
         );
         for v in &views {
             println!(
@@ -1146,7 +1158,7 @@ fn run_live(args: &Args) -> Result<(), DqepError> {
         }
         Ok(())
     });
-    write_metric_outputs(args, &metrics.report(ServiceStats::default()))?;
+    write_metric_outputs(args, &metrics.report())?;
     result
 }
 
@@ -1249,7 +1261,7 @@ fn run_sharded(args: &Args) -> Result<(), DqepError> {
     let service = dqep_service::ShardedService::new(catalog, config);
     let binds: Vec<(&str, i64)> = args.binds.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     let started = std::time::Instant::now();
-    let snapshot = || service.metrics_report();
+    let snapshot = || service.metrics();
     let result = with_sampler(args, &snapshot, || service.execute(&args.sql, &binds));
     let wall = started.elapsed();
 
@@ -1257,7 +1269,7 @@ fn run_sharded(args: &Args) -> Result<(), DqepError> {
         Ok(out) => out,
         Err(e) => {
             // The metrics snapshot reflects the query whatever its outcome.
-            write_metric_outputs(args, &service.metrics_report())?;
+            write_metric_outputs(args, &service.metrics())?;
             return Err(DqepError::Service(e));
         }
     };
@@ -1313,13 +1325,9 @@ fn run_sharded(args: &Args) -> Result<(), DqepError> {
         }
     }
     if let Some(report) = &out.trace {
-        if args.json {
-            println!("{}", explain_json(report, &system));
-        } else {
-            print!("\n{}", render_explain(report, &system));
-        }
+        print_explain(args, report, &system);
     }
-    write_metric_outputs(args, &service.metrics_report())
+    write_metric_outputs(args, &service.metrics())
 }
 
 fn serve(args: &Args) -> Result<(), DqepError> {
@@ -1388,10 +1396,18 @@ fn serve(args: &Args) -> Result<(), DqepError> {
 
     let mut failed = 0usize;
     let mut first_error: Option<DqepError> = None;
+    let mut totals = ExecSummary::default();
     for (i, result) in results.iter().enumerate() {
         match result {
             // Same ExecSummary::describe renderer as the --run path.
-            Ok(s) => println!("[{i:>4}] {}, worker {}", s.summary.describe(config), s.worker),
+            Ok(s) => {
+                println!(
+                    "[{i:>4}] {}, worker {}",
+                    s.summary.describe(config),
+                    s.worker
+                );
+                totals.accumulate(&s.summary);
+            }
             Err(e) => {
                 failed += 1;
                 if first_error.is_none() {
@@ -1425,14 +1441,17 @@ fn serve(args: &Args) -> Result<(), DqepError> {
         stats.feedback_invalidations,
         stats.cached_plan_retries,
         if stats.cached_plan_retries == 1 { "y" } else { "ies" },
-        stats.totals.rows,
-        stats.totals.simulated_seconds(config),
+        totals.rows,
+        totals.simulated_seconds(config),
     );
 
     // Shutdown metrics snapshot: latency/queue-wait histograms, refusal
     // counters, cache rates. Printed by default; the flags redirect it.
     if args.metrics_json.is_none() && args.metrics_prom.is_none() {
-        println!("\n-- metrics (shutdown snapshot):\n{}", service.metrics_json());
+        println!(
+            "\n-- metrics (shutdown snapshot):\n{}",
+            service.metrics().to_json()
+        );
     } else {
         write_metric_outputs(args, &service.metrics())?;
     }

@@ -24,6 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use crate::json::Kind::{NonNeg, Nullable, OneOf};
+use crate::json::{parse_json, At, JsonWriter};
+use crate::json_block;
+
 /// Capacity of the global ring, in events. Power of two so the slot
 /// index is a mask.
 pub const JOURNAL_CAPACITY: usize = 2048;
@@ -74,23 +78,27 @@ pub enum EventKind {
     AdmissionRefusal,
 }
 
+/// The stable string label of each kind, in code order — what the JSON
+/// dump writes and what its validator accepts.
+const LABELS: [&str; 8] = [
+    "arbitration_winner",
+    "interval_escape",
+    "replan",
+    "degradation_step",
+    "live_drift",
+    "shard_divergence",
+    "link_fault",
+    "admission_refusal",
+];
+
 impl EventKind {
     /// Stable string label, used by the JSON dump and its validator.
     #[must_use]
     pub fn label(self) -> &'static str {
-        match self {
-            EventKind::ArbitrationWinner => "arbitration_winner",
-            EventKind::IntervalEscape => "interval_escape",
-            EventKind::Replan => "replan",
-            EventKind::DegradationStep => "degradation_step",
-            EventKind::LiveDrift => "live_drift",
-            EventKind::ShardDivergence => "shard_divergence",
-            EventKind::LinkFault => "link_fault",
-            EventKind::AdmissionRefusal => "admission_refusal",
-        }
+        LABELS[self as usize]
     }
 
-    /// Every kind, in code order (the validator's vocabulary).
+    /// Every kind, in code order.
     #[must_use]
     pub fn all() -> &'static [EventKind] {
         &[
@@ -103,19 +111,6 @@ impl EventKind {
             EventKind::LinkFault,
             EventKind::AdmissionRefusal,
         ]
-    }
-
-    fn code(self) -> u64 {
-        match self {
-            EventKind::ArbitrationWinner => 0,
-            EventKind::IntervalEscape => 1,
-            EventKind::Replan => 2,
-            EventKind::DegradationStep => 3,
-            EventKind::LiveDrift => 4,
-            EventKind::ShardDivergence => 5,
-            EventKind::LinkFault => 6,
-            EventKind::AdmissionRefusal => 7,
-        }
     }
 
     fn from_code(code: u64) -> Option<EventKind> {
@@ -195,7 +190,7 @@ impl Journal {
         // writers lapping each other on the same slot can interleave, but
         // the version check below makes readers discard any such slot.
         slot.version.fetch_add(1, Ordering::AcqRel);
-        let fields = [seq, ts, kind.code(), trace, shard, node, a, b];
+        let fields = [seq, ts, kind as u64, trace, shard, node, a, b];
         for (cell, value) in slot.data.iter().zip(fields) {
             cell.store(value, Ordering::Relaxed);
         }
@@ -258,37 +253,14 @@ impl Journal {
     #[must_use]
     pub fn to_json(&self) -> String {
         let events = self.snapshot();
-        let mut out = String::from("{\n  \"journal\": {\n");
-        out.push_str(&format!("    \"capacity\": {},\n", self.slots.len()));
-        out.push_str(&format!("    \"recorded\": {},\n", self.recorded()));
-        out.push_str("    \"events\": [");
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let opt = |v: u64| -> String {
-                if v == NO_ID { "null".into() } else { v.to_string() }
-            };
-            out.push_str(&format!(
-                "\n      {{\"seq\": {}, \"ts_ns\": {}, \"kind\": \"{}\", \"trace\": {}, \
-                 \"shard\": {}, \"node\": {}, \"a\": {}, \"b\": {}}}",
-                e.seq,
-                e.ts_ns,
-                e.kind.label(),
-                e.trace,
-                opt(e.shard),
-                opt(e.node),
-                opt(e.a),
-                opt(e.b),
-            ));
-        }
-        if events.is_empty() {
-            out.push_str("]\n");
-        } else {
-            out.push_str("\n    ]\n");
-        }
-        out.push_str("  }\n}\n");
-        out
+        let mut w = JsonWriter::new();
+        w.obj(|w| {
+            w.key("journal").obj(|w| {
+                write_header(w, self);
+                w.key("events").objs(&events, write_event);
+            });
+        });
+        w.finish()
     }
 }
 
@@ -306,62 +278,50 @@ pub fn journal() -> &'static Journal {
     GLOBAL.get_or_init(Journal::new)
 }
 
+/// An identity field of an event: [`NO_ID`] is written as `null`.
+fn id(v: u64) -> Option<u64> {
+    (v != NO_ID).then_some(v)
+}
+
+json_block! {
+    HEADER, fn write_header(w, journal: &Journal) {
+        "capacity": NonNeg => journal.slots.len(),
+        "recorded": NonNeg => journal.recorded(),
+    }
+}
+json_block! {
+    EVENT, fn write_event(w, e: &JournalEvent) {
+        "seq": NonNeg => e.seq,
+        "ts_ns": NonNeg => e.ts_ns,
+        "kind": OneOf(&LABELS) => e.kind.label(),
+        "trace": NonNeg => e.trace,
+        "shard": Nullable(&NonNeg) => id(e.shard),
+        "node": Nullable(&NonNeg) => id(e.node),
+        "a": Nullable(&NonNeg) => id(e.a),
+        "b": Nullable(&NonNeg) => id(e.b),
+    }
+}
+
 /// Validates a journal JSON document (as produced by [`Journal::to_json`]
-/// and dumped by `--journal-json`): one `journal` object with numeric
-/// `capacity`/`recorded` and an `events` array whose entries carry a
-/// known `kind` label, non-negative numbers, strictly increasing `seq`,
-/// and nullable `shard`/`node`/`a`/`b`.
+/// and dumped by `--journal-json`) against the field lists it was written
+/// from: one `journal` object with numeric `capacity`/`recorded` and an
+/// `events` array whose entries carry a known `kind` label, non-negative
+/// numbers, nullable `shard`/`node`/`a`/`b` — and strictly increasing
+/// `seq`.
 ///
 /// # Errors
-/// The first violation found, as a human-readable string.
+/// The first violation found, with the path it was found at.
 pub fn validate_journal_json(text: &str) -> Result<(), String> {
-    use crate::explain::JsonValue;
-    let doc = crate::explain::parse_json(text)?;
-    let journal = doc.get("journal").ok_or("missing top-level `journal` object")?;
-    for key in ["capacity", "recorded"] {
-        match journal.get(key).and_then(JsonValue::as_num) {
-            Some(n) if n >= 0.0 => {}
-            _ => return Err(format!("`journal.{key}` must be a non-negative number")),
+    let doc = parse_json(text)?;
+    let journal = At::root(&doc).obj("journal")?;
+    journal.fields(HEADER)?;
+    let mut last_seq = None; // below every `Some`: the first event passes
+    for event in journal.arr("events")? {
+        event.fields(EVENT)?;
+        if event.num("seq") <= last_seq {
+            return event.expected("seq", "a number greater than the previous event's");
         }
-    }
-    let events = journal
-        .get("events")
-        .and_then(JsonValue::as_arr)
-        .ok_or("`journal.events` must be an array")?;
-    let known: Vec<&str> = EventKind::all().iter().map(|k| k.label()).collect();
-    let mut last_seq: Option<f64> = None;
-    for (i, event) in events.iter().enumerate() {
-        let kind = event
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("event {i}: `kind` must be a string"))?;
-        if !known.contains(&kind) {
-            return Err(format!("event {i}: unknown kind `{kind}`"));
-        }
-        for key in ["seq", "ts_ns", "trace"] {
-            match event.get(key).and_then(JsonValue::as_num) {
-                Some(n) if n >= 0.0 => {}
-                _ => return Err(format!("event {i}: `{key}` must be a non-negative number")),
-            }
-        }
-        for key in ["shard", "node", "a", "b"] {
-            match event.get(key) {
-                Some(JsonValue::Null) => {}
-                Some(v) if v.as_num().is_some_and(|n| n >= 0.0) => {}
-                _ => {
-                    return Err(format!(
-                        "event {i}: `{key}` must be null or a non-negative number"
-                    ))
-                }
-            }
-        }
-        let seq = event.get("seq").and_then(JsonValue::as_num).unwrap_or(-1.0);
-        if let Some(prev) = last_seq {
-            if seq <= prev {
-                return Err(format!("event {i}: `seq` {seq} not after {prev}"));
-            }
-        }
-        last_seq = Some(seq);
+        last_seq = event.num("seq");
     }
     Ok(())
 }

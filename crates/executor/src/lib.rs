@@ -56,6 +56,7 @@ mod governor;
 mod hash_join;
 mod index_join;
 mod journal;
+mod json;
 mod merge_join;
 mod metrics;
 mod netexchange;
@@ -76,12 +77,10 @@ pub use delta::{compile_delta_plan, BaseDeltas, Delta, DeltaPipeline};
 pub use error::{ExecError, Resource};
 pub use exchange::{parallel_scan, ExchangeExec};
 pub use exec::{drain, drain_batch, drain_root, BoxedOperator, Operator, RootSink};
-pub use explain::{
-    card_drift, cost_drift, explain_json, parse_json, render_explain, validate_explain_json,
-    JsonValue,
-};
+pub use explain::{card_drift, cost_drift, explain_json, render_explain, validate_explain_json};
 pub use governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
 pub use hash_join::{fold_hash_column, hash_key, join_batches, mix, HASH_SEED};
+pub use json::{parse_json, At, JsonValue, JsonWriter, Kind, Scalar};
 pub use journal::{
     journal, monotonic_ns, validate_journal_json, EventKind, Journal, JournalEvent,
     JOURNAL_CAPACITY, NO_ID,

@@ -45,11 +45,12 @@ pub use decision::{region_key, CachedDecision, RegionKey};
 pub use error::ServiceError;
 pub use live::{CommitOutcome, LiveConfig, LiveViewInfo, LiveViewRegistry, WriteOp};
 pub use metrics::{
-    lint_prometheus, Histogram, HistogramSnapshot, MetricsRegistry, MetricsReport,
-    SHARD_WINNER_SLOTS,
+    lint_prometheus, validate_metrics_json, Hist, Histogram, HistogramSnapshot, Metric,
+    MetricsRegistry, MetricsReport, SHARD_WINNER_SLOTS,
 };
 pub use registry::{normalize_sql, PreparedRegistry, PreparedStatement, RegistryStats};
 pub use service::{
     QueryService, Request, ServiceConfig, ServiceStats, SessionHandle, SessionResult,
+    SessionTotals,
 };
 pub use shard::{LinkTraffic, Shard, ShardConfig, ShardOutcome, ShardRouting, ShardedService};

@@ -38,7 +38,7 @@ use dqep_sql::parse_query;
 use dqep_storage::{refresh_histograms, StorageError, StoredDatabase};
 
 use crate::error::ServiceError;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Hist, Metric, MetricsRegistry};
 use crate::registry::normalize_sql;
 
 use dqep_core::Optimizer;
@@ -308,7 +308,7 @@ impl LiveViewRegistry {
             }
         };
         self.views.push(view);
-        self.metrics.record_live_view();
+        self.metrics.add(Metric::LiveViewsRegistered, 1);
         Ok(())
     }
 
@@ -498,8 +498,10 @@ impl LiveViewRegistry {
             let view = &mut self.views[i];
             view.merge(&out);
             outcome.rows_propagated += out.rows() as u64;
-            self.metrics.record_live_batch(out.rows() as u64);
-            self.metrics.live_refresh.record(started.elapsed());
+            self.metrics.add(Metric::LiveDeltaBatches, 1);
+            self.metrics
+                .add(Metric::LiveRowsPropagated, out.rows() as u64);
+            self.metrics.observe(Hist::LiveRefresh, started.elapsed());
 
             let actual = view.rows() as f64;
             let tol = self.config.drift_tolerance.max(1.0);
@@ -525,7 +527,7 @@ impl LiveViewRegistry {
         actual: f64,
         outcome: &mut CommitOutcome,
     ) -> Result<(), ServiceError> {
-        self.metrics.record_live_rearbitration();
+        self.metrics.add(Metric::LiveRearbitrations, 1);
         self.views[i].rearbitrations += 1;
         dqep_executor::journal().record(
             dqep_executor::EventKind::LiveDrift,
@@ -748,7 +750,10 @@ mod tests {
         assert!(outcome.plan_switches > 0, "the winner changed: {outcome:?}");
         let after = reg.views()[0].decisions.clone();
         assert_ne!(before, after, "a different alternative won");
-        assert_eq!(metrics.live_rearbitrations(), outcome.rearbitrations);
+        assert_eq!(
+            metrics.get(Metric::LiveRearbitrations),
+            outcome.rearbitrations
+        );
 
         // Parity survives the rebuild.
         assert_eq!(reg.snapshot("small").unwrap(), executed(&reg, sql, &[("v", 10)]));

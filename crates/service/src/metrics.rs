@@ -1,6 +1,8 @@
-//! Service metrics: fixed log-scale latency histograms plus refusal
-//! counters, snapshotable (together with the cache and session counters
-//! the service already keeps) as a JSON document.
+//! Service metrics: one registry of counters and latency histograms, one
+//! table that says how each of them is exported, and three loops over that
+//! table — the JSON document, the Prometheus exposition and the JSON
+//! validator — so the exporters cannot disagree about what exists.
+//! Adding a signal is a row in [`metric_table!`] and a call site.
 //!
 //! Histograms use power-of-two nanosecond buckets: `record` is two atomic
 //! adds and a `fetch_max` — safe from every worker thread with no lock —
@@ -9,13 +11,17 @@
 //! trade for fixed-memory, lock-free latency tracking; the mean and max
 //! are exact.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use dqep_executor::{journal, EventKind, ExecError, Resource, NO_ID};
+use dqep_executor::Kind::{NonNeg, Optional};
+use dqep_executor::{
+    journal, json_block, parse_json, At, EventKind, ExecError, JsonValue, JsonWriter,
+    ReoptCounters, Resource, NO_ID,
+};
 
 use crate::error::ServiceError;
-use crate::service::{ServiceStats, SessionResult};
 
 /// Power-of-two buckets from 1 ns up: bucket `i` covers
 /// `[2^i, 2^(i+1))` ns, the last bucket everything above (~3.2 hours).
@@ -124,49 +130,220 @@ pub struct HistogramSnapshot {
     pub max_seconds: f64,
 }
 
-/// The service's metrics collectors: latency and admission-queue-wait
-/// histograms plus refusal classification. Session, fallback, and cache
-/// counters live in [`ServiceStats`]; [`MetricsReport`] combines both.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    /// Submission-to-completion latency of successful sessions.
-    pub latency: Histogram,
-    /// Time successful sessions spent queued before a worker picked them
-    /// up (admission wait).
-    pub queue_wait: Histogram,
-    /// Per-commit incremental refresh latency across all live views.
-    pub live_refresh: Histogram,
-    /// Credit-wait of network-exchange sends that actually stalled
-    /// (unstalled sends are not recorded — the histogram reads as "when
-    /// backpressure bit, how hard").
-    pub net_queue_wait: Histogram,
-    refused_admission_timeout: AtomicU64,
-    refused_grant_too_large: AtomicU64,
-    refused_link_fault: AtomicU64,
-    refused_memory_exhausted: AtomicU64,
-    admission_retries: AtomicU64,
-    temp_pages_high_water: AtomicU64,
-    reopt_checkpoints: AtomicU64,
-    reopt_escapes: AtomicU64,
-    reopt_replans: AtomicU64,
-    reopt_fallbacks: AtomicU64,
-    live_views_registered: AtomicU64,
-    live_delta_batches: AtomicU64,
-    live_rows_propagated: AtomicU64,
-    live_rearbitrations: AtomicU64,
-    net_bytes: AtomicU64,
-    net_frames: AtomicU64,
-    net_retransmits: AtomicU64,
-    net_credit_stalls: AtomicU64,
-    shard_queries: AtomicU64,
-    shard_winners: [AtomicU64; SHARD_WINNER_SLOTS],
-    shard_divergent_nodes: AtomicU64,
+/// One row of the metric table: where a metric lives in the JSON
+/// document, and its family, type (`counter` | `gauge`) and help text in
+/// the Prometheus exposition.
+struct Row {
+    metric: Metric,
+    kind: &'static str,
+    section: &'static str,
+    key: &'static str,
+    family: &'static str,
+    help: &'static str,
+}
+
+/// Declares [`Metric`] and its table from one list, so a metric cannot
+/// exist without a row (or a row without a metric) and the table is in
+/// discriminant order. A row: variant, Prometheus type, JSON section and
+/// key, Prometheus family, help text (also the variant's documentation).
+macro_rules! metric_table {
+    ($($variant:ident $kind:ident $section:literal $key:literal $family:literal $help:literal;)*) => {
+        /// Everything the registry counts. Each metric is one cell, except
+        /// the last, [`Metric::ShardWinner`]: a run of [`SHARD_WINNER_SLOTS`]
+        /// cells, one per choose-plan alternative index — a JSON array, a
+        /// Prometheus family labelled `alternative`.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Metric {
+            $(#[doc = $help] $variant,)*
+        }
+
+        const TABLE: &[Row] = &[$(Row {
+            metric: Metric::$variant,
+            kind: stringify!($kind),
+            section: $section,
+            key: $key,
+            family: $family,
+            help: $help,
+        },)*];
+    };
+}
+
+metric_table! {
+    Completed counter "sessions" "completed" "dqep_sessions_completed_total"
+        "Sessions completed successfully.";
+    Failed counter "sessions" "failed" "dqep_sessions_failed_total" "Sessions that failed.";
+    RefusedAdmissionTimeout counter "sessions" "refused_admission_timeout"
+        "dqep_refused_admission_timeout_total" "Sessions refused by admission timeout.";
+    RefusedGrantTooLarge counter "sessions" "refused_grant_too_large"
+        "dqep_refused_grant_too_large_total"
+        "Sessions refused for requesting more memory than the pool holds.";
+    RefusedLinkFault counter "sessions" "refused_link_fault" "dqep_refused_link_fault_total"
+        "Queries failed by an exhausted link retransmission budget.";
+    RefusedMemoryExhausted counter "sessions" "refused_memory_exhausted"
+        "dqep_refused_memory_exhausted_total"
+        "Queries failed by an unservable memory reservation.";
+    AdmissionRetries counter "sessions" "admission_retries" "dqep_admission_retries_total"
+        "Admissions granted only on a retry rung.";
+    Fallbacks counter "sessions" "fallbacks" "dqep_fallbacks_total"
+        "Retryable failures absorbed by fallback.";
+    Rows counter "sessions" "rows" "dqep_rows_total" "Result rows of successful sessions.";
+    SimulatedIoPages counter "sessions" "simulated_io_pages" "dqep_simulated_io_pages_total"
+        "Pages read or written on the simulated disks by successful sessions.";
+    TempPagesHighWater gauge "sessions" "temp_pages_high_water" "dqep_temp_pages_high_water"
+        "Most temp pages one session held on disk at once.";
+    StatementHits counter "plan_cache" "statement_hits" "dqep_statement_hits_total"
+        "Statement lookups served from the prepared-statement registry.";
+    StatementMisses counter "plan_cache" "statement_misses" "dqep_statement_misses_total"
+        "Statement lookups that had to parse and optimize.";
+    StatementEvictions counter "plan_cache" "statement_evictions"
+        "dqep_statement_evictions_total" "Prepared statements evicted by the LRU policy.";
+    StatementResident gauge "plan_cache" "statement_resident" "dqep_statement_resident"
+        "Prepared statements currently resident.";
+    DecisionHits counter "plan_cache" "decision_hits" "dqep_decision_hits_total"
+        "Executions whose start-up decision came from the decision cache.";
+    DecisionMisses counter "plan_cache" "decision_misses" "dqep_decision_misses_total"
+        "Executions that ran the full start-up decision procedure.";
+    CachedPlanRetries counter "plan_cache" "cached_plan_retries"
+        "dqep_cached_plan_retries_total"
+        "Cached resolved plans that failed retryably and were re-arbitrated.";
+    FeedbackInvalidations counter "plan_cache" "feedback_invalidations"
+        "dqep_feedback_invalidations_total"
+        "Decision-cache invalidations triggered by cardinality feedback.";
+    ReoptCheckpoints counter "reopt" "checkpoints" "dqep_reopt_checkpoints_total"
+        "Pipeline-breaker checkpoints observed.";
+    ReoptEscapes counter "reopt" "escapes" "dqep_reopt_escapes_total"
+        "Checkpoint observations outside their estimate interval.";
+    ReoptReplans counter "reopt" "replans" "dqep_reopt_replans_total"
+        "Mid-query re-plans adopted.";
+    ReoptFallbacks counter "reopt" "fallbacks" "dqep_reopt_fallbacks_total"
+        "Re-planned runs reverted to the original arbitration.";
+    LiveViewsRegistered counter "live" "views_registered" "dqep_live_views_registered_total"
+        "Live views registered.";
+    LiveDeltaBatches counter "live" "delta_batches" "dqep_live_delta_batches_total"
+        "Committed write batches propagated through live views.";
+    LiveRowsPropagated counter "live" "rows_propagated" "dqep_live_rows_propagated_total"
+        "Delta rows emitted at live-view roots.";
+    LiveRearbitrations counter "live" "rearbitrations" "dqep_live_rearbitrations_total"
+        "Drift-triggered live-view re-arbitrations.";
+    ShardQueries counter "shard" "queries" "dqep_shard_queries_total" "Sharded queries executed.";
+    NetBytes counter "shard" "net_bytes" "dqep_net_bytes_total"
+        "Cross-shard bytes on the wire (retransmissions included).";
+    NetFrames counter "shard" "net_frames" "dqep_net_frames_total"
+        "Cross-shard frames delivered.";
+    NetRetransmits counter "shard" "net_retransmits" "dqep_net_retransmits_total"
+        "Transmissions dropped by link faults and re-sent.";
+    NetCreditStalls counter "shard" "net_credit_stalls" "dqep_net_credit_stalls_total"
+        "Sends blocked on credit backpressure.";
+    ShardDivergentNodes counter "shard" "divergent_nodes" "dqep_shard_divergent_nodes_total"
+        "Choose nodes whose winner diverged across shards.";
+    ShardWinner counter "shard" "winner_counts" "dqep_shard_winner_total"
+        "Per-shard arbitration wins by alternative index.";
 }
 
 /// Tracked choose-plan alternative indices in the per-winner counters;
 /// higher indices fold into the last slot. Real dynamic plans carry a
 /// handful of alternatives per choose node, so 8 slots lose nothing.
 pub const SHARD_WINNER_SLOTS: usize = 8;
+
+/// Cells in a registry: one per metric, the vector (last) taking a run.
+const CELLS: usize = Metric::ShardWinner as usize + SHARD_WINNER_SLOTS;
+const _: () = assert!(TABLE.len() == Metric::ShardWinner as usize + 1);
+
+/// The sections of the JSON document, in the order they are written.
+const SECTIONS: [&str; 5] = ["sessions", "plan_cache", "reopt", "live", "shard"];
+
+/// Values the JSON document derives from two counters: section, key, and
+/// the hit and miss counters whose [`hit_rate`] it is. Prometheus leaves
+/// rates to the query side.
+const RATES: [(&str, &str, Metric, Metric); 2] = [
+    (
+        "plan_cache",
+        "statement_hit_rate",
+        Metric::StatementHits,
+        Metric::StatementMisses,
+    ),
+    (
+        "plan_cache",
+        "decision_hit_rate",
+        Metric::DecisionHits,
+        Metric::DecisionMisses,
+    ),
+];
+
+/// Hits over all lookups, in `[0, 1]`; 1.0 when nothing was looked up.
+pub(crate) fn hit_rate(hits: u64, misses: u64) -> f64 {
+    match hits + misses {
+        0 => 1.0,
+        total => hits as f64 / total as f64,
+    }
+}
+
+/// The registry's latency histograms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hist {
+    /// Submission-to-completion latency of successful sessions.
+    Latency,
+    /// Time successful sessions spent queued before a worker picked them
+    /// up (admission wait).
+    QueueWait,
+    /// Per-commit incremental refresh latency across all live views.
+    LiveRefresh,
+    /// Credit-wait of network-exchange sends that actually stalled
+    /// (unstalled sends are not recorded — the histogram reads as "when
+    /// backpressure bit, how hard").
+    NetQueueWait,
+}
+
+/// The histogram table, in [`Hist`] order: JSON key (the Prometheus
+/// family is the key behind `dqep_`) and help text.
+const HISTS: [(&str, &str); 4] = [
+    (
+        "latency_seconds",
+        "Submission-to-completion latency of successful sessions.",
+    ),
+    (
+        "queue_wait_seconds",
+        "Admission-queue wait of successful sessions.",
+    ),
+    (
+        "live_refresh_seconds",
+        "Per-commit incremental refresh latency of live views.",
+    ),
+    (
+        "net_queue_wait_seconds",
+        "Credit-wait of stalled network sends.",
+    ),
+];
+
+// A histogram summary in the JSON document; values are in seconds.
+json_block! {
+    SUMMARY, fn write_summary(w, h: &HistogramSnapshot) {
+        "count": NonNeg => h.count,
+        "mean": NonNeg => h.mean_seconds,
+        "p50": NonNeg => h.p50_seconds,
+        "p95": NonNeg => h.p95_seconds,
+        "p99": NonNeg => h.p99_seconds,
+        "max": NonNeg => h.max_seconds,
+    }
+}
+
+/// The one stats store of a service: every counter and histogram its
+/// sessions, caches, live views and exchange links record into.
+/// Lock-free; shared by `Arc`.
+#[derive(Debug)]
+pub struct MetricsRegistry {
+    cells: [AtomicU64; CELLS],
+    hists: [Histogram; HISTS.len()],
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> MetricsRegistry {
+        MetricsRegistry {
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
+            hists: std::array::from_fn(|_| Histogram::new()),
+        }
+    }
+}
 
 impl MetricsRegistry {
     /// A fresh registry.
@@ -175,22 +352,49 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Records one finished session: latencies for successes, refusal
-    /// classification for admission failures. Other failures are counted
-    /// by the service's session stats.
-    pub fn record_outcome(
-        &self,
-        outcome: &Result<SessionResult, ServiceError>,
-        total_latency: Duration,
-    ) {
+    /// Adds `n` to a counter.
+    pub fn add(&self, metric: Metric, n: u64) {
+        self.cells[metric as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Counts one per-shard choose-plan arbitration won by alternative
+    /// `index` (indices past the tracked slots fold into the last).
+    pub fn add_winner(&self, index: usize) {
+        let slot = index.min(SHARD_WINNER_SLOTS - 1);
+        self.cells[Metric::ShardWinner as usize + slot].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Raises a high-water gauge to at least `value`.
+    pub fn max(&self, metric: Metric, value: u64) {
+        self.cells[metric as usize].fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// The current value of a metric (slot 0 of the vector).
+    #[must_use]
+    pub fn get(&self, metric: Metric) -> u64 {
+        self.cells[metric as usize].load(Ordering::Relaxed)
+    }
+
+    /// Records one observation into a histogram.
+    pub fn observe(&self, hist: Hist, duration: Duration) {
+        self.hists[hist as usize].record(duration);
+    }
+
+    /// Records one finished query, whichever service ran it: a success
+    /// with its `(rows, fallbacks)` and submission-to-completion latency,
+    /// a failure with its refusal class.
+    pub fn record_query(&self, outcome: Result<(u64, u64), &ServiceError>, latency: Duration) {
         match outcome {
-            Ok(result) => {
-                self.latency.record(total_latency);
-                self.queue_wait.record(result.queue_wait);
-                self.temp_pages_high_water
-                    .fetch_max(result.summary.temp_pages_peak, Ordering::Relaxed);
+            Ok((rows, fallbacks)) => {
+                self.add(Metric::Completed, 1);
+                self.add(Metric::Rows, rows);
+                self.add(Metric::Fallbacks, fallbacks);
+                self.observe(Hist::Latency, latency);
             }
-            Err(e) => self.classify_failure(e),
+            Err(e) => {
+                self.add(Metric::Failed, 1);
+                self.classify_failure(e);
+            }
         }
     }
 
@@ -201,551 +405,215 @@ impl MetricsRegistry {
     /// (the shard-join degradation ladder running dry included) counts as
     /// a memory-exhaustion refusal. Each classified refusal also lands an
     /// [`EventKind::AdmissionRefusal`] event in the flight recorder.
-    pub fn classify_failure(&self, error: &ServiceError) {
+    fn classify_failure(&self, error: &ServiceError) {
         let bucket = match error {
-            ServiceError::AdmissionTimeout { .. } => Some(&self.refused_admission_timeout),
-            ServiceError::GrantTooLarge { .. } => Some(&self.refused_grant_too_large),
-            ServiceError::Exec(ExecError::Network(_)) => Some(&self.refused_link_fault),
+            ServiceError::AdmissionTimeout { .. } => Metric::RefusedAdmissionTimeout,
+            ServiceError::GrantTooLarge { .. } => Metric::RefusedGrantTooLarge,
+            ServiceError::Exec(ExecError::Network(_)) => Metric::RefusedLinkFault,
             ServiceError::Exec(ExecError::ResourceExhausted(Resource::Memory { .. })) => {
-                Some(&self.refused_memory_exhausted)
+                Metric::RefusedMemoryExhausted
             }
-            _ => None,
+            _ => return,
         };
-        if let Some(counter) = bucket {
-            let total = counter.fetch_add(1, Ordering::Relaxed) + 1;
-            journal().record(EventKind::AdmissionRefusal, 0, NO_ID, NO_ID, total, NO_ID);
-        }
-    }
-
-    /// Sessions refused because admission timed out waiting for a grant.
-    #[must_use]
-    pub fn refused_admission_timeout(&self) -> u64 {
-        self.refused_admission_timeout.load(Ordering::Relaxed)
-    }
-
-    /// Sessions refused because the requested grant exceeds the pool.
-    #[must_use]
-    pub fn refused_grant_too_large(&self) -> u64 {
-        self.refused_grant_too_large.load(Ordering::Relaxed)
-    }
-
-    /// Queries failed by a link fault exhausting its retransmission
-    /// budget.
-    #[must_use]
-    pub fn refused_link_fault(&self) -> u64 {
-        self.refused_link_fault.load(Ordering::Relaxed)
-    }
-
-    /// Queries failed by an unservable memory reservation (every rung of
-    /// a degradation ladder refused).
-    #[must_use]
-    pub fn refused_memory_exhausted(&self) -> u64 {
-        self.refused_memory_exhausted.load(Ordering::Relaxed)
-    }
-
-    /// Most temp pages (sort runs, Grace partitions) any one successful
-    /// session held on a replica's disk at once. Statements give their
-    /// temp pages back, so this settles at the largest spill; a value
-    /// that keeps climbing under a steady workload is a leak.
-    #[must_use]
-    pub fn temp_pages_high_water(&self) -> u64 {
-        self.temp_pages_high_water.load(Ordering::Relaxed)
-    }
-
-    /// Counts one admission that was granted only on its retry rung.
-    pub fn record_admission_retry(&self) {
-        self.admission_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Admissions that succeeded only after a backoff-and-retry.
-    #[must_use]
-    pub fn admission_retries(&self) -> u64 {
-        self.admission_retries.load(Ordering::Relaxed)
+        let total = self.cells[bucket as usize].fetch_add(1, Ordering::Relaxed) + 1;
+        journal().record(EventKind::AdmissionRefusal, 0, NO_ID, NO_ID, total, NO_ID);
     }
 
     /// Folds one session's re-optimization counters into the service
     /// totals: checkpoints observed, interval escapes, re-plans adopted,
     /// and reverts to the original arbitration.
-    pub fn record_reopt(&self, counters: &dqep_executor::ReoptCounters) {
-        self.reopt_checkpoints.fetch_add(counters.checkpoints, Ordering::Relaxed);
-        self.reopt_escapes.fetch_add(counters.escapes, Ordering::Relaxed);
-        self.reopt_replans.fetch_add(counters.replans_adopted, Ordering::Relaxed);
-        self.reopt_fallbacks.fetch_add(counters.fallbacks, Ordering::Relaxed);
+    pub fn record_reopt(&self, counters: &ReoptCounters) {
+        self.add(Metric::ReoptCheckpoints, counters.checkpoints);
+        self.add(Metric::ReoptEscapes, counters.escapes);
+        self.add(Metric::ReoptReplans, counters.replans_adopted);
+        self.add(Metric::ReoptFallbacks, counters.fallbacks);
     }
 
-    /// Pipeline-breaker checkpoints observed across all sessions.
+    /// A point-in-time copy of every counter and histogram summary.
     #[must_use]
-    pub fn reopt_checkpoints(&self) -> u64 {
-        self.reopt_checkpoints.load(Ordering::Relaxed)
-    }
-
-    /// Checkpoint observations that escaped their estimate interval.
-    #[must_use]
-    pub fn reopt_escapes(&self) -> u64 {
-        self.reopt_escapes.load(Ordering::Relaxed)
-    }
-
-    /// Mid-query re-plans adopted across all sessions.
-    #[must_use]
-    pub fn reopt_replans(&self) -> u64 {
-        self.reopt_replans.load(Ordering::Relaxed)
-    }
-
-    /// Re-planned runs that reverted to the original arbitration.
-    #[must_use]
-    pub fn reopt_fallbacks(&self) -> u64 {
-        self.reopt_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Counts one live view registered (and materialized).
-    pub fn record_live_view(&self) {
-        self.live_views_registered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one committed write batch propagated through a live view,
-    /// with the delta rows it produced at the view's root.
-    pub fn record_live_batch(&self, rows_propagated: u64) {
-        self.live_delta_batches.fetch_add(1, Ordering::Relaxed);
-        self.live_rows_propagated.fetch_add(rows_propagated, Ordering::Relaxed);
-    }
-
-    /// Counts one drift-triggered choose-plan re-arbitration of a live
-    /// view.
-    pub fn record_live_rearbitration(&self) {
-        self.live_rearbitrations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Live views registered.
-    #[must_use]
-    pub fn live_views_registered(&self) -> u64 {
-        self.live_views_registered.load(Ordering::Relaxed)
-    }
-
-    /// Delta batches applied to live views.
-    #[must_use]
-    pub fn live_delta_batches(&self) -> u64 {
-        self.live_delta_batches.load(Ordering::Relaxed)
-    }
-
-    /// Delta rows emitted at live-view roots.
-    #[must_use]
-    pub fn live_rows_propagated(&self) -> u64 {
-        self.live_rows_propagated.load(Ordering::Relaxed)
-    }
-
-    /// Drift-triggered re-arbitrations fired by live views.
-    #[must_use]
-    pub fn live_rearbitrations(&self) -> u64 {
-        self.live_rearbitrations.load(Ordering::Relaxed)
-    }
-
-    /// Folds the wire-traffic delta of one sharded query into the
-    /// cross-shard totals. Pass the *difference* of two
-    /// [`dqep_executor::NetStats`] snapshots, not a running total.
-    pub fn record_net(&self, delta: &dqep_executor::NetStats) {
-        self.net_bytes.fetch_add(delta.bytes, Ordering::Relaxed);
-        self.net_frames.fetch_add(delta.frames, Ordering::Relaxed);
-        self.net_retransmits.fetch_add(delta.retransmits, Ordering::Relaxed);
-        self.net_credit_stalls.fetch_add(delta.credit_stalls, Ordering::Relaxed);
-    }
-
-    /// Counts one per-shard choose-plan arbitration won by alternative
-    /// `index` (indices past the tracked slots fold into the last).
-    pub fn record_shard_winner(&self, index: usize) {
-        self.shard_winners[index.min(SHARD_WINNER_SLOTS - 1)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one completed sharded query with how many of its choose
-    /// nodes resolved to *different* winners on different shards.
-    pub fn record_shard_query(&self, divergent_nodes: u64) {
-        self.shard_queries.fetch_add(1, Ordering::Relaxed);
-        self.shard_divergent_nodes.fetch_add(divergent_nodes, Ordering::Relaxed);
-    }
-
-    /// Cross-shard bytes put on the wire (retransmissions included).
-    #[must_use]
-    pub fn net_bytes(&self) -> u64 {
-        self.net_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Cross-shard frames delivered.
-    #[must_use]
-    pub fn net_frames(&self) -> u64 {
-        self.net_frames.load(Ordering::Relaxed)
-    }
-
-    /// Transmissions dropped by link faults and re-sent.
-    #[must_use]
-    pub fn net_retransmits(&self) -> u64 {
-        self.net_retransmits.load(Ordering::Relaxed)
-    }
-
-    /// Sends that blocked on credit backpressure.
-    #[must_use]
-    pub fn net_credit_stalls(&self) -> u64 {
-        self.net_credit_stalls.load(Ordering::Relaxed)
-    }
-
-    /// Per-alternative-index winner counts across all per-shard
-    /// arbitrations.
-    #[must_use]
-    pub fn shard_winners(&self) -> [u64; SHARD_WINNER_SLOTS] {
-        std::array::from_fn(|i| self.shard_winners[i].load(Ordering::Relaxed))
-    }
-
-    /// Sharded queries executed.
-    #[must_use]
-    pub fn shard_queries(&self) -> u64 {
-        self.shard_queries.load(Ordering::Relaxed)
-    }
-
-    /// Choose nodes whose winner diverged across shards, summed over all
-    /// sharded queries.
-    #[must_use]
-    pub fn shard_divergent_nodes(&self) -> u64 {
-        self.shard_divergent_nodes.load(Ordering::Relaxed)
-    }
-
-    /// A full [`MetricsReport`] combining this registry's collectors with
-    /// the given session/cache accounting.
-    #[must_use]
-    pub fn report(&self, service: ServiceStats) -> MetricsReport {
+    pub fn report(&self) -> MetricsReport {
         MetricsReport {
-            latency: self.latency.snapshot(),
-            queue_wait: self.queue_wait.snapshot(),
-            refused_admission_timeout: self.refused_admission_timeout(),
-            refused_grant_too_large: self.refused_grant_too_large(),
-            refused_link_fault: self.refused_link_fault(),
-            refused_memory_exhausted: self.refused_memory_exhausted(),
-            admission_retries: self.admission_retries(),
-            temp_pages_high_water: self.temp_pages_high_water(),
-            reopt_checkpoints: self.reopt_checkpoints(),
-            reopt_escapes: self.reopt_escapes(),
-            reopt_replans: self.reopt_replans(),
-            reopt_fallbacks: self.reopt_fallbacks(),
-            live_views_registered: self.live_views_registered(),
-            live_delta_batches: self.live_delta_batches(),
-            live_rows_propagated: self.live_rows_propagated(),
-            live_rearbitrations: self.live_rearbitrations(),
-            live_refresh: self.live_refresh.snapshot(),
-            net_bytes: self.net_bytes(),
-            net_frames: self.net_frames(),
-            net_retransmits: self.net_retransmits(),
-            net_credit_stalls: self.net_credit_stalls(),
-            net_queue_wait: self.net_queue_wait.snapshot(),
-            shard_queries: self.shard_queries(),
-            shard_winners: self.shard_winners(),
-            shard_divergent_nodes: self.shard_divergent_nodes(),
-            service,
+            cells: std::array::from_fn(|i| self.cells[i].load(Ordering::Relaxed)),
+            hists: std::array::from_fn(|i| self.hists[i].snapshot()),
         }
     }
 }
 
-/// Everything the service exports on shutdown (and on demand): histogram
-/// summaries, refusal counters, and the session/cache accounting.
+/// Everything a service exports on shutdown (and on demand): a snapshot
+/// of a [`MetricsRegistry`], written out by loops over the metric table.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricsReport {
-    /// Submission-to-completion latency of successful sessions.
-    pub latency: HistogramSnapshot,
-    /// Admission-queue wait of successful sessions.
-    pub queue_wait: HistogramSnapshot,
-    /// Sessions refused by admission timeout.
-    pub refused_admission_timeout: u64,
-    /// Sessions refused for requesting more than the pool holds.
-    pub refused_grant_too_large: u64,
-    /// Queries failed by a link fault exhausting its retransmission
-    /// budget.
-    pub refused_link_fault: u64,
-    /// Queries failed by an unservable memory reservation.
-    pub refused_memory_exhausted: u64,
-    /// Admissions that succeeded only after a backoff-and-retry.
-    pub admission_retries: u64,
-    /// Most temp pages any one successful session held on disk at once.
-    pub temp_pages_high_water: u64,
-    /// Pipeline-breaker checkpoints observed across all sessions.
-    pub reopt_checkpoints: u64,
-    /// Checkpoint observations that escaped their estimate interval.
-    pub reopt_escapes: u64,
-    /// Mid-query re-plans adopted across all sessions.
-    pub reopt_replans: u64,
-    /// Re-planned runs that reverted to the original arbitration.
-    pub reopt_fallbacks: u64,
-    /// Live views registered.
-    pub live_views_registered: u64,
-    /// Delta batches applied to live views.
-    pub live_delta_batches: u64,
-    /// Delta rows emitted at live-view roots.
-    pub live_rows_propagated: u64,
-    /// Drift-triggered re-arbitrations fired by live views.
-    pub live_rearbitrations: u64,
-    /// Per-commit incremental refresh latency across live views.
-    pub live_refresh: HistogramSnapshot,
-    /// Cross-shard bytes on the wire (retransmissions included).
-    pub net_bytes: u64,
-    /// Cross-shard frames delivered.
-    pub net_frames: u64,
-    /// Transmissions dropped by link faults and re-sent.
-    pub net_retransmits: u64,
-    /// Sends that blocked on credit backpressure.
-    pub net_credit_stalls: u64,
-    /// Credit-wait of stalled network sends.
-    pub net_queue_wait: HistogramSnapshot,
-    /// Sharded queries executed.
-    pub shard_queries: u64,
-    /// Per-alternative-index winner counts across per-shard arbitrations.
-    pub shard_winners: [u64; SHARD_WINNER_SLOTS],
-    /// Choose nodes whose winner diverged across shards (all queries).
-    pub shard_divergent_nodes: u64,
-    /// Session totals and cache counters.
-    pub service: ServiceStats,
-}
-
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-fn histogram_json(out: &mut String, key: &str, h: &HistogramSnapshot) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "  \"{key}\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-        h.count,
-        jnum(h.mean_seconds),
-        jnum(h.p50_seconds),
-        jnum(h.p95_seconds),
-        jnum(h.p99_seconds),
-        jnum(h.max_seconds),
-    );
+    cells: [u64; CELLS],
+    hists: [HistogramSnapshot; HISTS.len()],
 }
 
 impl MetricsReport {
-    /// Serializes the report as a JSON document (hand-rolled — this build
-    /// has no JSON crate). Histogram values are in seconds.
+    /// The value of a metric (slot 0 of the vector).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let s = &self.service;
-        let mut out = String::from("{\n");
-        let _ = writeln!(
-            out,
-            "  \"sessions\": {{\"completed\": {}, \"failed\": {}, \
-             \"refused_admission_timeout\": {}, \"refused_grant_too_large\": {}, \
-             \"refused_link_fault\": {}, \"refused_memory_exhausted\": {}, \
-             \"admission_retries\": {}, \"fallbacks\": {}, \"rows\": {}, \
-             \"simulated_io_pages\": {}, \"temp_pages_high_water\": {}}},",
-            s.completed,
-            s.failed,
-            self.refused_admission_timeout,
-            self.refused_grant_too_large,
-            self.refused_link_fault,
-            self.refused_memory_exhausted,
-            self.admission_retries,
-            s.totals.fallbacks,
-            s.totals.rows,
-            s.totals.io.total(),
-            self.temp_pages_high_water,
-        );
-        histogram_json(&mut out, "latency_seconds", &self.latency);
-        out.push_str(",\n");
-        histogram_json(&mut out, "queue_wait_seconds", &self.queue_wait);
-        out.push_str(",\n");
-        let _ = writeln!(
-            out,
-            "  \"plan_cache\": {{\"statement_hits\": {}, \"statement_misses\": {}, \
-             \"statement_evictions\": {}, \"statement_resident\": {}, \
-             \"statement_hit_rate\": {}, \"decision_hits\": {}, \"decision_misses\": {}, \
-             \"decision_hit_rate\": {}, \"cached_plan_retries\": {}, \
-             \"feedback_invalidations\": {}}}",
-            s.registry.hits,
-            s.registry.misses,
-            s.registry.evictions,
-            s.registry.resident,
-            jnum(s.registry.hit_rate()),
-            s.decision_hits,
-            s.decision_misses,
-            jnum(s.decision_hit_rate()),
-            s.cached_plan_retries,
-            s.feedback_invalidations,
-        );
-        out.push_str(",\n");
-        let _ = writeln!(
-            out,
-            "  \"reopt\": {{\"checkpoints\": {}, \"escapes\": {}, \"replans\": {}, \
-             \"fallbacks\": {}}},",
-            self.reopt_checkpoints, self.reopt_escapes, self.reopt_replans, self.reopt_fallbacks,
-        );
-        let _ = writeln!(
-            out,
-            "  \"live\": {{\"views_registered\": {}, \"delta_batches\": {}, \
-             \"rows_propagated\": {}, \"rearbitrations\": {}}},",
-            self.live_views_registered,
-            self.live_delta_batches,
-            self.live_rows_propagated,
-            self.live_rearbitrations,
-        );
-        histogram_json(&mut out, "live_refresh_seconds", &self.live_refresh);
-        out.push_str(",\n");
-        let winners: Vec<String> =
-            self.shard_winners.iter().map(u64::to_string).collect();
-        let _ = writeln!(
-            out,
-            "  \"shard\": {{\"queries\": {}, \"net_bytes\": {}, \"net_frames\": {}, \
-             \"net_retransmits\": {}, \"net_credit_stalls\": {}, \
-             \"winner_counts\": [{}], \"divergent_nodes\": {}}},",
-            self.shard_queries,
-            self.net_bytes,
-            self.net_frames,
-            self.net_retransmits,
-            self.net_credit_stalls,
-            winners.join(", "),
-            self.shard_divergent_nodes,
-        );
-        histogram_json(&mut out, "net_queue_wait_seconds", &self.net_queue_wait);
-        out.push('\n');
-        out.push('}');
-        out
+    pub fn get(&self, metric: Metric) -> u64 {
+        self.cells[metric as usize]
     }
 
-    /// The report as one line of JSON (same schema as [`Self::to_json`],
-    /// newlines collapsed) — the unit of the append-only JSON-lines
-    /// time-series export.
+    /// Overwrites a metric a service reads from elsewhere at snapshot
+    /// time (the prepared-statement registry keeps its own counters).
+    pub fn set(&mut self, metric: Metric, value: u64) {
+        self.cells[metric as usize] = value;
+    }
+
+    /// Per-alternative-index winner counts across per-shard arbitrations.
     #[must_use]
-    pub fn to_json_line(&self) -> String {
-        self.to_json().replace('\n', "")
+    pub fn winners(&self) -> &[u64] {
+        &self.cells[Metric::ShardWinner as usize..]
+    }
+
+    /// The summary of a histogram.
+    #[must_use]
+    pub fn hist(&self, hist: Hist) -> &HistogramSnapshot {
+        &self.hists[hist as usize]
+    }
+
+    /// Writes the report as one JSON object: a member per section holding
+    /// its table rows (and derived rates), a member per histogram holding
+    /// its summary in seconds.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            for section in SECTIONS {
+                w.key(section).obj(|w| {
+                    for row in TABLE.iter().filter(|row| row.section == section) {
+                        if row.metric == Metric::ShardWinner {
+                            w.key(row.key).arr(self.winners(), |w, wins| w.val(*wins));
+                        } else {
+                            w.key(row.key).val(self.get(row.metric));
+                        }
+                    }
+                    for (_, key, hits, misses) in RATES.iter().filter(|r| r.0 == section) {
+                        w.key(key).val(hit_rate(self.get(*hits), self.get(*misses)));
+                    }
+                });
+            }
+            for ((key, _), h) in HISTS.iter().zip(&self.hists) {
+                w.key(key).obj(|w| write_summary(w, h));
+            }
+        });
+    }
+
+    /// The report as a JSON document (one line: also the unit of the
+    /// append-only JSON-lines time-series export).
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
     }
 
     /// The report as a Prometheus text exposition: `# HELP`/`# TYPE`
-    /// metadata, `dqep_`-prefixed counters, and histogram summaries with
+    /// metadata, one family per table row, and histogram summaries with
     /// `quantile` labels plus `_sum`/`_count` series.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        let s = &self.service;
-        counter("dqep_sessions_completed_total", "Sessions completed successfully.", s.completed);
-        counter("dqep_sessions_failed_total", "Sessions that failed.", s.failed);
-        counter(
-            "dqep_refused_admission_timeout_total",
-            "Sessions refused by admission timeout.",
-            self.refused_admission_timeout,
-        );
-        counter(
-            "dqep_refused_grant_too_large_total",
-            "Sessions refused for requesting more memory than the pool holds.",
-            self.refused_grant_too_large,
-        );
-        counter(
-            "dqep_refused_link_fault_total",
-            "Queries failed by an exhausted link retransmission budget.",
-            self.refused_link_fault,
-        );
-        counter(
-            "dqep_refused_memory_exhausted_total",
-            "Queries failed by an unservable memory reservation.",
-            self.refused_memory_exhausted,
-        );
-        counter(
-            "dqep_admission_retries_total",
-            "Admissions granted only on a retry rung.",
-            self.admission_retries,
-        );
-        counter("dqep_fallbacks_total", "Retryable failures absorbed by fallback.", s.totals.fallbacks);
-        counter(
-            "dqep_reopt_checkpoints_total",
-            "Pipeline-breaker checkpoints observed.",
-            self.reopt_checkpoints,
-        );
-        counter(
-            "dqep_reopt_escapes_total",
-            "Checkpoint observations outside their estimate interval.",
-            self.reopt_escapes,
-        );
-        counter("dqep_reopt_replans_total", "Mid-query re-plans adopted.", self.reopt_replans);
-        counter(
-            "dqep_reopt_fallbacks_total",
-            "Re-planned runs reverted to the original arbitration.",
-            self.reopt_fallbacks,
-        );
-        counter(
-            "dqep_live_views_registered_total",
-            "Live views registered.",
-            self.live_views_registered,
-        );
-        counter(
-            "dqep_live_delta_batches_total",
-            "Committed write batches propagated through live views.",
-            self.live_delta_batches,
-        );
-        counter(
-            "dqep_live_rearbitrations_total",
-            "Drift-triggered live-view re-arbitrations.",
-            self.live_rearbitrations,
-        );
-        counter("dqep_shard_queries_total", "Sharded queries executed.", self.shard_queries);
-        counter(
-            "dqep_shard_divergent_nodes_total",
-            "Choose nodes whose winner diverged across shards.",
-            self.shard_divergent_nodes,
-        );
-        counter("dqep_net_bytes_total", "Cross-shard bytes on the wire.", self.net_bytes);
-        counter("dqep_net_frames_total", "Cross-shard frames delivered.", self.net_frames);
-        counter(
-            "dqep_net_retransmits_total",
-            "Transmissions dropped by link faults and re-sent.",
-            self.net_retransmits,
-        );
-        counter(
-            "dqep_net_credit_stalls_total",
-            "Sends blocked on credit backpressure.",
-            self.net_credit_stalls,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP dqep_temp_pages_high_water Most temp pages one session held on disk at once."
-        );
-        let _ = writeln!(out, "# TYPE dqep_temp_pages_high_water gauge");
-        let _ = writeln!(out, "dqep_temp_pages_high_water {}", self.temp_pages_high_water);
-        let _ = writeln!(out, "# HELP dqep_shard_winner_total Per-shard arbitration wins by alternative index.");
-        let _ = writeln!(out, "# TYPE dqep_shard_winner_total counter");
-        for (i, &wins) in self.shard_winners.iter().enumerate() {
-            let _ = writeln!(out, "dqep_shard_winner_total{{alternative=\"{i}\"}} {wins}");
+        for row in TABLE {
+            let Row { family, help, kind, .. } = row;
+            let _ = writeln!(out, "# HELP {family} {help}\n# TYPE {family} {kind}");
+            if row.metric == Metric::ShardWinner {
+                for (i, wins) in self.winners().iter().enumerate() {
+                    let _ = writeln!(out, "{family}{{alternative=\"{i}\"}} {wins}");
+                }
+            } else {
+                let _ = writeln!(out, "{family} {}", self.get(row.metric));
+            }
         }
-        let mut summary = |name: &str, help: &str, h: &HistogramSnapshot| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} summary");
-            let _ = writeln!(out, "{name}{{quantile=\"0.5\"}} {}", pnum(h.p50_seconds));
-            let _ = writeln!(out, "{name}{{quantile=\"0.95\"}} {}", pnum(h.p95_seconds));
-            let _ = writeln!(out, "{name}{{quantile=\"0.99\"}} {}", pnum(h.p99_seconds));
-            let _ = writeln!(out, "{name}_sum {}", pnum(h.mean_seconds * h.count as f64));
-            let _ = writeln!(out, "{name}_count {}", h.count);
-        };
-        summary(
-            "dqep_latency_seconds",
-            "Submission-to-completion latency of successful sessions.",
-            &self.latency,
-        );
-        summary("dqep_queue_wait_seconds", "Admission-queue wait of successful sessions.", &self.queue_wait);
-        summary(
-            "dqep_live_refresh_seconds",
-            "Per-commit incremental refresh latency of live views.",
-            &self.live_refresh,
-        );
-        summary(
-            "dqep_net_queue_wait_seconds",
-            "Credit-wait of stalled network sends.",
-            &self.net_queue_wait,
-        );
+        for ((key, help), h) in HISTS.iter().zip(&self.hists) {
+            let _ = writeln!(out, "# HELP dqep_{key} {help}\n# TYPE dqep_{key} summary");
+            for (q, v) in [
+                ("0.5", h.p50_seconds),
+                ("0.95", h.p95_seconds),
+                ("0.99", h.p99_seconds),
+            ] {
+                let _ = writeln!(out, "dqep_{key}{{quantile=\"{q}\"}} {}", pnum(v));
+            }
+            let _ = writeln!(
+                out,
+                "dqep_{key}_sum {}",
+                pnum(h.mean_seconds * h.count as f64)
+            );
+            let _ = writeln!(out, "dqep_{key}_count {}", h.count);
+        }
         out
     }
+}
+
+/// Checks one metrics object (a [`MetricsReport::write_json`] document)
+/// against the metric table.
+fn check_report(doc: &At) -> Result<(), String> {
+    for section in SECTIONS {
+        let obj = doc.obj(section)?;
+        for row in TABLE.iter().filter(|row| row.section == section) {
+            if row.metric == Metric::ShardWinner {
+                let slots = obj.arr(row.key)?;
+                if slots.len() != SHARD_WINNER_SLOTS {
+                    return obj.expected(row.key, &format!("{SHARD_WINNER_SLOTS} slots"));
+                }
+                slots.into_iter().try_for_each(|slot| slot.is(NonNeg))?;
+            } else {
+                obj.check(row.key, NonNeg)?;
+            }
+        }
+        for (_, key, ..) in RATES.iter().filter(|r| r.0 == section) {
+            obj.check(key, NonNeg)?;
+            if obj.num(key) > Some(1.0) {
+                return obj.expected(key, "a rate in [0, 1]");
+            }
+        }
+    }
+    HISTS
+        .iter()
+        .try_for_each(|(key, _)| doc.obj(key)?.fields(SUMMARY))
+}
+
+/// Validates what `--metrics-json` writes: either one
+/// [`MetricsReport::to_json`] document, or the JSON-lines series the
+/// sampler appends — `{"window": k | "final", "elapsed_ms"?, "metrics":
+/// {…}}` per line, window numbers strictly increasing and `"final"` last.
+/// Every metrics object is checked against the metric table.
+///
+/// # Errors
+/// The first violation found, with the line (in a series) and the path
+/// it was found at.
+pub fn validate_metrics_json(text: &str) -> Result<(), String> {
+    if let Ok(doc) = parse_json(text) {
+        if doc.get("window").is_none() {
+            return check_report(&At::root(&doc));
+        }
+    }
+    let mut last_window = 0.0;
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .peekable();
+    if lines.peek().is_none() {
+        return Err("expected a metrics document or a series of windows".into());
+    }
+    while let Some((i, line)) = lines.next() {
+        let is_last = lines.peek().is_none();
+        let mut check_line = || {
+            let entry = parse_json(line)?;
+            match entry.get("window") {
+                Some(JsonValue::Num(k)) if *k > last_window => last_window = *k,
+                Some(JsonValue::Num(k)) => {
+                    return Err(format!("window: {k} does not follow {last_window}"));
+                }
+                Some(JsonValue::Str(s)) if s == "final" && is_last => {}
+                _ => return Err("window: expected a number, or \"final\" on the last line".into()),
+            }
+            let entry = At::root(&entry);
+            entry.check("elapsed_ms", Optional(&NonNeg))?;
+            check_report(&entry.obj("metrics")?)
+        };
+        check_line().map_err(|e| format!("line {}: {e}", i + 1))?;
+    }
+    Ok(())
 }
 
 /// A Prometheus sample value: finite floats print plainly, non-finite
@@ -850,151 +718,249 @@ mod tests {
         assert_eq!(bucket_of(0), 0, "zero maps to the first bucket");
     }
 
-    #[test]
-    fn refusals_are_classified() {
+    /// A registry in which every cell and histogram holds a distinct
+    /// non-zero value: metric `i` holds `100 + i`, winner slot `j` holds
+    /// `j + 1`, histogram `k` holds `k + 1` observations.
+    fn distinct_registry() -> MetricsRegistry {
         let m = MetricsRegistry::new();
-        m.record_outcome(
-            &Err(ServiceError::AdmissionTimeout { waited_ms: 5 }),
-            Duration::from_millis(5),
-        );
-        m.record_outcome(
-            &Err(ServiceError::GrantTooLarge {
-                requested: 10,
-                capacity: 1,
-            }),
-            Duration::ZERO,
-        );
-        m.record_outcome(
-            &Err(ServiceError::Sql("nope".into())),
-            Duration::ZERO,
-        );
-        assert_eq!(m.refused_admission_timeout(), 1);
-        assert_eq!(m.refused_grant_too_large(), 1);
-        assert_eq!(m.latency.snapshot().count, 0, "failures record no latency");
+        for (i, row) in TABLE.iter().enumerate() {
+            if row.metric != Metric::ShardWinner {
+                m.add(row.metric, 100 + i as u64);
+            }
+        }
+        for slot in 0..SHARD_WINNER_SLOTS {
+            (0..=slot).for_each(|_| m.add_winner(slot));
+        }
+        for k in 0..HISTS.len() {
+            (0..=k).for_each(|_| m.hists[k].record(Duration::from_millis(3)));
+        }
+        m
+    }
+
+    /// The exporters agree by construction: every table row is in the
+    /// JSON document under its section and key, in the Prometheus
+    /// exposition under its family and type, and is demanded by the
+    /// validator — each with the value the registry holds.
+    #[test]
+    fn every_table_row_is_exported_three_ways() {
+        let report = distinct_registry().report();
+        let json = report.to_json();
+        let prom = report.to_prometheus();
+        validate_metrics_json(&json).expect("the document validates");
+        lint_prometheus(&prom).expect("the exposition lints clean");
+        let doc = parse_json(&json).expect("valid JSON");
+        for (i, row) in TABLE.iter().enumerate() {
+            assert_eq!(row.metric as usize, i, "table order is discriminant order");
+            assert!(row.family.starts_with("dqep_"));
+            assert_eq!(
+                row.kind == "counter",
+                row.family.ends_with("_total"),
+                "{}",
+                row.family
+            );
+            let member = doc.get(row.section).and_then(|s| s.get(row.key));
+            let kind = row.kind;
+            assert!(
+                prom.contains(&format!("# TYPE {} {kind}\n", row.family)),
+                "{}",
+                row.family
+            );
+            // Dropping the member from the document must fail validation.
+            let without = json.replacen(&format!("\"{}\":", row.key), "\"renamed\":", 1);
+            assert!(
+                validate_metrics_json(&without).is_err(),
+                "{} is not validated",
+                row.key
+            );
+            if row.metric == Metric::ShardWinner {
+                let slots: Vec<f64> = member
+                    .and_then(JsonValue::as_arr)
+                    .expect("vector rows are arrays")
+                    .iter()
+                    .filter_map(JsonValue::as_num)
+                    .collect();
+                assert_eq!(slots, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+                for (slot, wins) in slots.iter().enumerate() {
+                    let sample = format!("{}{{alternative=\"{slot}\"}} {wins}\n", row.family);
+                    assert!(prom.contains(&sample), "{sample}");
+                }
+            } else {
+                let value = 100 + i as u64;
+                assert_eq!(report.get(row.metric), value);
+                assert_eq!(
+                    member.and_then(JsonValue::as_num),
+                    Some(value as f64),
+                    "{}",
+                    row.key
+                );
+                assert!(
+                    prom.contains(&format!("\n{} {value}\n", row.family)),
+                    "{}",
+                    row.family
+                );
+            }
+        }
+        for (k, (key, _)) in HISTS.iter().enumerate() {
+            let count = doc
+                .get(key)
+                .and_then(|h| h.get("count"))
+                .and_then(JsonValue::as_num);
+            assert_eq!(count, Some(k as f64 + 1.0), "{key}");
+            assert!(prom.contains(&format!("# TYPE dqep_{key} summary\n")));
+            assert!(prom.contains(&format!("dqep_{key}_count {}\n", k + 1)));
+            assert!(prom.contains(&format!("dqep_{key}{{quantile=\"0.95\"}} 0.003\n")));
+            let without = json.replacen(&format!("\"{key}\":"), "\"renamed\":", 1);
+            assert!(
+                validate_metrics_json(&without).is_err(),
+                "{key} is not validated"
+            );
+        }
+        // Keys are unique within a section, families across the table.
+        for (i, a) in TABLE.iter().enumerate() {
+            for b in &TABLE[i + 1..] {
+                assert!(a.family != b.family && (a.section, a.key) != (b.section, b.key));
+            }
+        }
+        for (section, key, hits, misses) in RATES {
+            let rate = doc
+                .get(section)
+                .and_then(|s| s.get(key))
+                .and_then(JsonValue::as_num);
+            assert_eq!(
+                rate,
+                Some(hit_rate(report.get(hits), report.get(misses))),
+                "{key}"
+            );
+            let without = json.replacen(&format!("\"{key}\":"), "\"renamed\":", 1);
+            assert!(
+                validate_metrics_json(&without).is_err(),
+                "{key} is not validated"
+            );
+        }
     }
 
     #[test]
-    fn report_serializes_to_parseable_json() {
+    fn queries_and_refusals_are_classified() {
         let m = MetricsRegistry::new();
-        m.record_outcome(
-            &Err(ServiceError::AdmissionTimeout { waited_ms: 1 }),
-            Duration::from_millis(1),
-        );
-        m.record_admission_retry();
-        m.record_reopt(&dqep_executor::ReoptCounters {
+        m.record_query(Ok((7, 2)), Duration::from_millis(5));
+        for error in [
+            ServiceError::AdmissionTimeout { waited_ms: 5 },
+            ServiceError::GrantTooLarge {
+                requested: 10,
+                capacity: 1,
+            },
+            ServiceError::Exec(ExecError::Network("link 0->1 exhausted".into())),
+            ServiceError::Exec(ExecError::ResourceExhausted(Resource::Memory {
+                requested: 10,
+                limit: 1,
+            })),
+            ServiceError::Sql("nope".into()), // unclassified: no bucket
+            ServiceError::Shutdown,
+        ] {
+            m.record_query(Err(&error), Duration::from_millis(1));
+        }
+        m.record_reopt(&ReoptCounters {
             checkpoints: 3,
             escapes: 2,
             replans_adopted: 1,
             fallbacks: 1,
             ..Default::default()
         });
-        m.record_live_view();
-        m.record_live_batch(7);
-        m.record_live_rearbitration();
-        m.live_refresh.record(Duration::from_micros(40));
-        let report = m.report(ServiceStats::default());
-        let json = report.to_json();
-        let doc = dqep_executor::parse_json(&json).expect("valid JSON");
+        m.max(Metric::TempPagesHighWater, 9);
+        m.max(Metric::TempPagesHighWater, 4);
+        m.add_winner(99); // folds into the last slot
+        let report = m.report();
+        let expect = [
+            (Metric::Completed, 1),
+            (Metric::Failed, 6),
+            (Metric::Rows, 7),
+            (Metric::Fallbacks, 2),
+            (Metric::RefusedAdmissionTimeout, 1),
+            (Metric::RefusedGrantTooLarge, 1),
+            (Metric::RefusedLinkFault, 1),
+            (Metric::RefusedMemoryExhausted, 1),
+            (Metric::ReoptCheckpoints, 3),
+            (Metric::ReoptEscapes, 2),
+            (Metric::ReoptReplans, 1),
+            (Metric::ReoptFallbacks, 1),
+            (Metric::TempPagesHighWater, 9),
+        ];
+        for (metric, value) in expect {
+            assert_eq!(report.get(metric), value, "{metric:?}");
+            assert_eq!(m.get(metric), value, "{metric:?}");
+        }
+        assert_eq!(report.winners()[SHARD_WINNER_SLOTS - 1], 1);
         assert_eq!(
-            doc.get("sessions").and_then(|s| s.get("refused_admission_timeout")).and_then(dqep_executor::JsonValue::as_num),
-            Some(1.0)
-        );
-        assert_eq!(
-            doc.get("sessions").and_then(|s| s.get("admission_retries")).and_then(dqep_executor::JsonValue::as_num),
-            Some(1.0)
-        );
-        assert_eq!(
-            doc.get("reopt").and_then(|r| r.get("checkpoints")).and_then(dqep_executor::JsonValue::as_num),
-            Some(3.0)
-        );
-        assert_eq!(
-            doc.get("reopt").and_then(|r| r.get("escapes")).and_then(dqep_executor::JsonValue::as_num),
-            Some(2.0)
-        );
-        assert!(doc.get("latency_seconds").is_some());
-        assert!(doc.get("plan_cache").is_some());
-    }
-
-    #[test]
-    fn shard_counters_are_exported() {
-        let m = MetricsRegistry::new();
-        m.record_net(&dqep_executor::NetStats {
-            frames: 5,
-            bytes: 4096,
-            retransmits: 1,
-            credit_stalls: 2,
-            credit_wait_ns: 1_000,
-        });
-        m.record_shard_winner(0);
-        m.record_shard_winner(2);
-        m.record_shard_winner(99); // folds into the last slot
-        m.record_shard_query(1);
-        m.net_queue_wait.record(Duration::from_micros(3));
-        assert_eq!(m.net_bytes(), 4096);
-        assert_eq!(m.net_frames(), 5);
-        assert_eq!(m.shard_winners()[0], 1);
-        assert_eq!(m.shard_winners()[2], 1);
-        assert_eq!(m.shard_winners()[SHARD_WINNER_SLOTS - 1], 1);
-        let json = m.report(ServiceStats::default()).to_json();
-        let doc = dqep_executor::parse_json(&json).expect("valid JSON");
-        let shard = doc.get("shard").expect("shard section");
-        assert_eq!(
-            shard.get("net_bytes").and_then(dqep_executor::JsonValue::as_num),
-            Some(4096.0)
-        );
-        assert_eq!(
-            shard.get("divergent_nodes").and_then(dqep_executor::JsonValue::as_num),
-            Some(1.0)
-        );
-        assert!(doc.get("net_queue_wait_seconds").is_some());
-    }
-
-    #[test]
-    fn classify_failure_buckets_refusals() {
-        let m = MetricsRegistry::new();
-        m.classify_failure(&crate::ServiceError::Exec(ExecError::Network(
-            "link 0->1 exhausted".into(),
-        )));
-        m.classify_failure(&crate::ServiceError::Exec(ExecError::ResourceExhausted(
-            Resource::Memory { requested: 10, limit: 1 },
-        )));
-        m.classify_failure(&crate::ServiceError::AdmissionTimeout { waited_ms: 5 });
-        m.classify_failure(&crate::ServiceError::Shutdown); // unclassified: no bucket
-        assert_eq!(m.refused_link_fault(), 1);
-        assert_eq!(m.refused_memory_exhausted(), 1);
-        let report = m.report(ServiceStats::default());
-        assert_eq!(report.refused_link_fault, 1);
-        assert_eq!(report.refused_memory_exhausted, 1);
-        assert_eq!(report.refused_admission_timeout, 1);
-        let doc = dqep_executor::parse_json(&report.to_json()).expect("valid JSON");
-        assert_eq!(
-            doc.get("sessions")
-                .and_then(|s| s.get("refused_link_fault"))
-                .and_then(dqep_executor::JsonValue::as_num),
-            Some(1.0)
+            report.hist(Hist::Latency).count,
+            1,
+            "failures record no latency"
         );
     }
 
     #[test]
-    fn prometheus_exposition_passes_lint() {
-        let m = MetricsRegistry::new();
-        m.latency.record(Duration::from_millis(3));
-        m.record_shard_winner(1);
-        m.record_net(&dqep_executor::NetStats {
-            frames: 2,
-            bytes: 128,
-            retransmits: 0,
-            credit_stalls: 0,
-            credit_wait_ns: 0,
-        });
-        let text = m.report(ServiceStats::default()).to_prometheus();
-        lint_prometheus(&text).expect("exposition lints clean");
-        assert!(text.contains("# TYPE dqep_latency_seconds summary"));
-        assert!(text.contains("dqep_latency_seconds{quantile=\"0.95\"}"));
-        assert!(text.contains("dqep_latency_seconds_count 1"));
-        assert!(text.contains("dqep_net_bytes_total 128"));
-        assert!(text.contains("# TYPE dqep_temp_pages_high_water gauge\ndqep_temp_pages_high_water 0"));
-        assert!(text.contains("dqep_shard_winner_total{alternative=\"1\"} 1"));
+    fn metrics_validator_accepts_documents_and_series_and_rejects_the_rest() {
+        let json = MetricsRegistry::new().report().to_json();
+        assert!(
+            !json.contains('\n'),
+            "one line: the unit of the JSON-lines export"
+        );
+        validate_metrics_json(&json).unwrap();
+        validate_metrics_json(&format!("\n  {json}\n")).unwrap();
+        let window =
+            |w: &str| format!("{{\"window\": {w}, \"elapsed_ms\": 50, \"metrics\": {json}}}");
+        let final_line = format!("{{\"window\": \"final\", \"metrics\": {json}}}");
+        validate_metrics_json(&final_line).unwrap();
+        validate_metrics_json(&[window("1"), window("2"), final_line.clone()].join("\n")).unwrap();
+        validate_metrics_json(&format!("{}\n\n{}\n", window("1"), window("4"))).unwrap();
+        let rejected = [
+            (String::new(), "expected a metrics document"),
+            ("{}".into(), "sessions: expected an object"),
+            (
+                json.replace("\"completed\":0", "\"completed\":-1"),
+                "sessions.completed: expected a non-negative",
+            ),
+            (
+                json.replace("\"p95\":0", "\"p95\":null"),
+                "latency_seconds.p95: expected a non-negative",
+            ),
+            (
+                json.replace("[0,0,0,0,0,0,0,0]", "[0,0,0]"),
+                "shard.winner_counts: expected 8 slots",
+            ),
+            (
+                json.replace("[0,0,0,0,0,0,0,0]", "[0,0,0,\"x\",0,0,0,0]"),
+                "shard.winner_counts[3]: expected",
+            ),
+            (
+                json.replace("\"decision_hit_rate\":1", "\"decision_hit_rate\":1.5"),
+                "expected a rate in [0, 1]",
+            ),
+            (
+                [window("2"), window("2")].join("\n"),
+                "line 2: window: 2 does not follow 2",
+            ),
+            (
+                [final_line.clone(), window("1")].join("\n"),
+                "line 1: window: expected a number",
+            ),
+            (
+                [window("1"), "{\"window\": 2}".into()].join("\n"),
+                "line 2: metrics: expected an object",
+            ),
+            ([window("1"), "{".into()].join("\n"), "line 2: "),
+            (
+                window("1").replace("50", "-50"),
+                "line 1: elapsed_ms: expected a non-negative",
+            ),
+            (
+                final_line.replace("\"failed\":0", "\"failed\":\"no\""),
+                "line 1: metrics.sessions.failed: expected",
+            ),
+        ];
+        for (text, reason) in rejected {
+            let err = validate_metrics_json(&text).expect_err(reason);
+            assert!(err.contains(reason), "{err:?} should mention {reason:?}");
+        }
     }
 
     #[test]
@@ -1013,13 +979,5 @@ mod tests {
             "_sum on a counter family"
         );
         assert!(lint_prometheus("# TYPE x summary\nx_sum 1\nx_count 2\n").is_ok());
-    }
-
-    #[test]
-    fn json_line_is_single_line_and_parses() {
-        let m = MetricsRegistry::new();
-        let line = m.report(ServiceStats::default()).to_json_line();
-        assert!(!line.contains('\n'));
-        assert!(dqep_executor::parse_json(&line).is_ok());
     }
 }

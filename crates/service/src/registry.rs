@@ -164,12 +164,7 @@ impl RegistryStats {
     /// Hits over all lookups, in `[0, 1]`; 1.0 for an untouched registry.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        crate::metrics::hit_rate(self.hits, self.misses)
     }
 }
 

@@ -28,7 +28,7 @@ use parking_lot::Mutex;
 use crate::admission::MemoryPool;
 use crate::decision::{region_key, CachedDecision};
 use crate::error::ServiceError;
-use crate::metrics::{MetricsRegistry, MetricsReport};
+use crate::metrics::{hit_rate, Hist, Metric, MetricsRegistry, MetricsReport};
 use crate::registry::{normalize_sql, PreparedRegistry, PreparedStatement, RegistryStats};
 
 /// Service-wide tuning knobs.
@@ -149,12 +149,28 @@ pub struct SessionResult {
     pub worker: usize,
 }
 
+/// What the successful sessions of a service added up to — the work the
+/// metrics registry keeps service-wide. (A session's CPU counters and the
+/// sequential/random split of its I/O stay in its own
+/// [`SessionResult::summary`].)
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionTotals {
+    /// Result rows produced.
+    pub rows: u64,
+    /// Pages read or written on the workers' simulated disks.
+    pub io_pages: u64,
+    /// Retryable failures absorbed by fallback.
+    pub fallbacks: u64,
+    /// Most temp pages any one session held on disk at once.
+    pub temp_pages_peak: u64,
+}
+
 /// Service-level accounting: totals across all completed sessions plus
-/// cache and feedback counters.
+/// cache and feedback counters — a typed view of a [`MetricsReport`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
-    /// Accumulated execution summaries of successful sessions.
-    pub totals: ExecSummary,
+    /// Accumulated work of successful sessions.
+    pub totals: SessionTotals,
     /// Sessions completed successfully.
     pub completed: u64,
     /// Sessions that failed (any [`ServiceError`]).
@@ -177,24 +193,33 @@ impl ServiceStats {
     /// nothing was arbitrated yet.
     #[must_use]
     pub fn decision_hit_rate(&self) -> f64 {
-        let total = self.decision_hits + self.decision_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.decision_hits as f64 / total as f64
-        }
+        hit_rate(self.decision_hits, self.decision_misses)
     }
 }
 
-#[derive(Debug, Default)]
-struct StatsInner {
-    totals: ExecSummary,
-    completed: u64,
-    failed: u64,
-    decision_hits: u64,
-    decision_misses: u64,
-    cached_plan_retries: u64,
-    feedback_invalidations: u64,
+impl From<&MetricsReport> for ServiceStats {
+    fn from(m: &MetricsReport) -> ServiceStats {
+        ServiceStats {
+            totals: SessionTotals {
+                rows: m.get(Metric::Rows),
+                io_pages: m.get(Metric::SimulatedIoPages),
+                fallbacks: m.get(Metric::Fallbacks),
+                temp_pages_peak: m.get(Metric::TempPagesHighWater),
+            },
+            completed: m.get(Metric::Completed),
+            failed: m.get(Metric::Failed),
+            decision_hits: m.get(Metric::DecisionHits),
+            decision_misses: m.get(Metric::DecisionMisses),
+            cached_plan_retries: m.get(Metric::CachedPlanRetries),
+            feedback_invalidations: m.get(Metric::FeedbackInvalidations),
+            registry: RegistryStats {
+                hits: m.get(Metric::StatementHits),
+                misses: m.get(Metric::StatementMisses),
+                evictions: m.get(Metric::StatementEvictions),
+                resident: m.get(Metric::StatementResident) as usize,
+            },
+        }
+    }
 }
 
 struct Job {
@@ -237,7 +262,6 @@ pub struct QueryService {
     catalog: Arc<Catalog>,
     config: ServiceConfig,
     registry: Arc<PreparedRegistry>,
-    stats: Arc<Mutex<StatsInner>>,
     metrics: Arc<MetricsRegistry>,
     tx: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
@@ -261,7 +285,6 @@ impl QueryService {
         let catalog = Arc::new(catalog);
         let registry = Arc::new(PreparedRegistry::new(config.registry_capacity));
         let pool = MemoryPool::new(config.global_memory_bytes);
-        let stats = Arc::new(Mutex::new(StatsInner::default()));
         let metrics = Arc::new(MetricsRegistry::new());
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -273,7 +296,6 @@ impl QueryService {
                     config: config.clone(),
                     registry: Arc::clone(&registry),
                     pool: Arc::clone(&pool),
-                    stats: Arc::clone(&stats),
                     metrics: Arc::clone(&metrics),
                 };
                 let rx = Arc::clone(&rx);
@@ -284,7 +306,6 @@ impl QueryService {
             catalog,
             config,
             registry,
-            stats,
             metrics,
             tx: Some(tx),
             workers,
@@ -347,36 +368,21 @@ impl QueryService {
     /// Accounting snapshot across all sessions so far.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        let inner = self.stats.lock();
-        ServiceStats {
-            totals: inner.totals,
-            completed: inner.completed,
-            failed: inner.failed,
-            decision_hits: inner.decision_hits,
-            decision_misses: inner.decision_misses,
-            cached_plan_retries: inner.cached_plan_retries,
-            feedback_invalidations: inner.feedback_invalidations,
-            registry: self.registry.stats(),
-        }
+        ServiceStats::from(&self.metrics())
     }
 
-    /// Metrics snapshot: latency and queue-wait histograms, refusal
-    /// counters, plus the session/cache accounting of [`Self::stats`].
+    /// Metrics snapshot: every counter and histogram of the service's
+    /// registry, with the prepared-statement registry's own counters
+    /// read in at this moment.
     #[must_use]
     pub fn metrics(&self) -> MetricsReport {
-        self.metrics.report(self.stats())
-    }
-
-    /// [`Self::metrics`] serialized as a JSON document.
-    #[must_use]
-    pub fn metrics_json(&self) -> String {
-        self.metrics().to_json()
-    }
-
-    /// [`Self::metrics`] in Prometheus text exposition format.
-    #[must_use]
-    pub fn metrics_prom(&self) -> String {
-        self.metrics().to_prometheus()
+        let mut report = self.metrics.report();
+        let statements = self.registry.stats();
+        report.set(Metric::StatementHits, statements.hits);
+        report.set(Metric::StatementMisses, statements.misses);
+        report.set(Metric::StatementEvictions, statements.evictions);
+        report.set(Metric::StatementResident, statements.resident as u64);
+        report
     }
 }
 
@@ -396,7 +402,6 @@ struct Worker {
     config: ServiceConfig,
     registry: Arc<PreparedRegistry>,
     pool: Arc<MemoryPool>,
-    stats: Arc<Mutex<StatsInner>>,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -418,16 +423,16 @@ impl Worker {
             };
             let queue_wait = job.submitted.elapsed();
             let result = self.session(&db, &env, &job, queue_wait);
-            self.metrics.record_outcome(&result, job.submitted.elapsed());
-            {
-                let mut stats = self.stats.lock();
-                match &result {
-                    Ok(r) => {
-                        stats.completed += 1;
-                        stats.totals.accumulate(&r.summary);
-                    }
-                    Err(_) => stats.failed += 1,
-                }
+            let outcome = result
+                .as_ref()
+                .map(|r| (r.summary.rows, r.summary.fallbacks));
+            self.metrics.record_query(outcome, job.submitted.elapsed());
+            if let Ok(r) = &result {
+                self.metrics
+                    .add(Metric::SimulatedIoPages, r.summary.io.total());
+                self.metrics
+                    .max(Metric::TempPagesHighWater, r.summary.temp_pages_peak);
+                self.metrics.observe(Hist::QueueWait, r.queue_wait);
             }
             // A dropped handle just means nobody is waiting for the answer.
             let _ = job.reply.send(result);
@@ -464,7 +469,7 @@ impl Worker {
         let (_grant, retried) =
             self.pool.acquire_retry(memory_bytes, job.deadline, retry_extension)?;
         if retried {
-            self.metrics.record_admission_retry();
+            self.metrics.add(Metric::AdmissionRetries, 1);
         }
         // Intra-query parallelism is rationed by the admitted grant:
         // the execution context shares the handle's counters and
@@ -529,16 +534,14 @@ impl Worker {
         let (rows, predicted_seconds, decision_hit) = outcome?;
 
         if stmt.record_feedback(rows, self.config.feedback_tolerance) {
-            self.stats.lock().feedback_invalidations += 1;
+            self.metrics.add(Metric::FeedbackInvalidations, 1);
         }
-        {
-            let mut stats = self.stats.lock();
-            if decision_hit {
-                stats.decision_hits += 1;
-            } else {
-                stats.decision_misses += 1;
-            }
-        }
+        let decision = if decision_hit {
+            Metric::DecisionHits
+        } else {
+            Metric::DecisionMisses
+        };
+        self.metrics.add(decision, 1);
 
         Ok(SessionResult {
             summary: ExecSummary {
@@ -581,7 +584,7 @@ impl Worker {
             for (node, cardinality) in &escaped {
                 stmt.observe(*node, *cardinality);
             }
-            self.stats.lock().feedback_invalidations += 1;
+            self.metrics.add(Metric::FeedbackInvalidations, 1);
         }
         Ok((
             outcome.summary.rows,
@@ -642,7 +645,7 @@ impl Worker {
             Ok(rows) => Ok(rows),
             Err(e) if e.is_retryable() => {
                 stmt.invalidate_decision(key);
-                self.stats.lock().cached_plan_retries += 1;
+                self.metrics.add(Metric::CachedPlanRetries, 1);
                 ctx.counters.add_fallbacks(1);
                 run_dynamic(
                     &stmt.plan,
@@ -804,8 +807,11 @@ mod tests {
         let second = svc.execute(Request::new(&sql, &binds)).unwrap();
         assert_eq!(second.summary.rows, plain.summary.rows);
         let report = svc.metrics();
-        assert!(report.reopt_checkpoints >= 2, "each session observes its checkpoints: {report:?}");
-        let doc = dqep_executor::parse_json(&svc.metrics_json()).unwrap();
+        assert!(
+            report.get(Metric::ReoptCheckpoints) >= 2,
+            "each session observes its checkpoints: {report:?}"
+        );
+        let doc = dqep_executor::parse_json(&report.to_json()).unwrap();
         assert!(
             doc.get("reopt").and_then(|r| r.get("checkpoints")).is_some(),
             "reopt counters are exported"

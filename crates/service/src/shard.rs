@@ -40,6 +40,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
+
 use dqep_algebra::LogicalExpr;
 use dqep_catalog::{AttrId, Catalog, RelationId};
 use dqep_core::Optimizer;
@@ -57,7 +59,7 @@ use dqep_sql::{parse_query, ParsedPredicate};
 use dqep_storage::{install_histograms, refresh_histograms, StoredDatabase, ValueDistribution};
 
 use crate::error::ServiceError;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Hist, Metric, MetricsRegistry, MetricsReport};
 
 /// How base rows are placed on shards at load time. Repartitioning
 /// exchanges always hash on the *join key* regardless — this only decides
@@ -337,8 +339,6 @@ pub struct ShardedService {
     shards: Vec<Shard>,
     net: SimNet,
     metrics: Arc<MetricsRegistry>,
-    completed: std::sync::atomic::AtomicU64,
-    failed: std::sync::atomic::AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedService {
@@ -403,8 +403,6 @@ impl ShardedService {
             shards,
             net,
             metrics: Arc::new(MetricsRegistry::new()),
-            completed: std::sync::atomic::AtomicU64::new(0),
-            failed: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -420,42 +418,18 @@ impl ShardedService {
         &self.shards
     }
 
-    /// The shared metrics registry (cross-shard traffic, queue-wait,
-    /// winner counts accumulate here across queries).
-    #[must_use]
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
-    }
-
     /// Replaces the link fault plan for subsequent queries.
     pub fn set_link_faults(&self, plan: LinkFaultPlan) {
         self.net.set_link_faults(plan);
     }
 
-    /// The metrics snapshot — the same schema the serving layer exports,
-    /// with the `shard` section populated (cross-shard traffic, per-link
-    /// queue-wait histogram, winner counts, divergence).
+    /// The metrics snapshot — the same schema the serving layer exports:
+    /// sharded queries are sessions (completions, failures, latency, rows,
+    /// fallbacks), and the `shard` section carries cross-shard traffic,
+    /// the credit-wait histogram, winner counts and divergence.
     #[must_use]
-    pub fn metrics_report(&self) -> crate::MetricsReport {
-        use std::sync::atomic::Ordering;
-        let stats = crate::ServiceStats {
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            ..crate::ServiceStats::default()
-        };
-        self.metrics.report(stats)
-    }
-
-    /// [`Self::metrics_report`] serialized as a JSON document.
-    #[must_use]
-    pub fn metrics_json(&self) -> String {
-        self.metrics_report().to_json()
-    }
-
-    /// [`Self::metrics_report`] in Prometheus text exposition format.
-    #[must_use]
-    pub fn metrics_prom(&self) -> String {
-        self.metrics_report().to_prometheus()
+    pub fn metrics(&self) -> MetricsReport {
+        self.metrics.report()
     }
 
     /// Parses, distributes, and executes one query across all shards.
@@ -466,6 +440,7 @@ impl ShardedService {
     /// [`ServiceError::Exec`] when any shard fails (network faults past
     /// the retransmission budget included).
     pub fn execute(&self, sql: &str, binds: &[(&str, i64)]) -> Result<ShardOutcome, ServiceError> {
+        let submitted = Instant::now();
         let query = parse_query(sql, &self.catalog).map_err(|e| ServiceError::Sql(e.to_string()))?;
         let mut bindings = query.bindings(binds).map_err(ServiceError::Bind)?;
         if let Some(pages) = self.config.memory_pages {
@@ -478,22 +453,25 @@ impl ShardedService {
 
         let plan = self.distribute(&query.expr, &query.predicates, query.order_by, &bindings)?;
         let outcome = self.run(&plan, &bindings, memory_bytes);
-        match &outcome {
-            Ok(ok) => {
-                for audit in ok.audits.iter().flatten() {
-                    if let Some(w) = audit.winner {
-                        self.metrics.record_shard_winner(w);
-                    }
+        let m = &self.metrics;
+        m.add(Metric::ShardQueries, 1);
+        m.record_query(
+            outcome
+                .as_ref()
+                .map(|ok| (ok.rows.len() as u64, ok.fallbacks)),
+            submitted.elapsed(),
+        );
+        if let Ok(ok) = &outcome {
+            for audit in ok.audits.iter().flatten() {
+                if let Some(w) = audit.winner {
+                    m.add_winner(w);
                 }
-                self.metrics.record_shard_query(ok.divergent_nodes.len() as u64);
-                self.metrics.record_net(&ok.net);
-                self.completed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            Err(e) => {
-                self.metrics.record_shard_query(0);
-                self.metrics.classify_failure(e);
-                self.failed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
+            m.add(Metric::ShardDivergentNodes, ok.divergent_nodes.len() as u64);
+            m.add(Metric::NetBytes, ok.net.bytes);
+            m.add(Metric::NetFrames, ok.net.frames);
+            m.add(Metric::NetRetransmits, ok.net.retransmits);
+            m.add(Metric::NetCreditStalls, ok.net.credit_stalls);
         }
         outcome
     }
@@ -1280,7 +1258,7 @@ impl<'a> FrameSender<'a> {
             };
             let waited = self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
             if !waited.is_zero() {
-                self.metrics.net_queue_wait.record(waited);
+                self.metrics.observe(Hist::NetQueueWait, waited);
             }
             lo = hi;
         }
@@ -1577,18 +1555,65 @@ mod tests {
         assert_eq!(sorted(out.rows), sorted(fout.rows), "same result either way");
     }
 
+    /// Sharded queries are sessions: each records its latency, rows and
+    /// absorbed fallbacks into the registry beside the `shard` counters; a
+    /// failed one counts as failed and nothing else; a statement that does
+    /// not parse never became a query.
     #[test]
-    fn metrics_accumulate_shard_counters() {
+    fn sharded_queries_record_session_and_shard_metrics() {
+        let limits = ResourceLimits {
+            memory_bytes: Some(2000),
+            ..ResourceLimits::unlimited()
+        };
         let svc = ShardedService::new(
             catalog(2),
-            ShardConfig { shards: 2, ..ShardConfig::default() },
+            ShardConfig {
+                shards: 2,
+                limits,
+                ..ShardConfig::default()
+            },
         );
-        svc.execute(&chain_sql(2), &[("v1", 500), ("v2", 500)]).expect("runs");
+        let outcomes: Vec<ShardOutcome> = [300, 500, 900]
+            .iter()
+            .map(|&v| {
+                svc.execute(&chain_sql(2), &[("v1", v), ("v2", 900)])
+                    .expect("runs")
+            })
+            .collect();
+        assert!(matches!(
+            svc.execute("SELECT * FROM nosuch", &[]),
+            Err(ServiceError::Sql(_))
+        ));
         let m = svc.metrics();
-        assert_eq!(m.shard_queries(), 1);
-        assert!(m.net_bytes() > 0);
-        assert!(m.net_frames() > 0);
-        assert!(m.shard_winners().iter().sum::<u64>() > 0);
+        assert_eq!(m.get(Metric::ShardQueries), 3);
+        assert_eq!((m.get(Metric::Completed), m.get(Metric::Failed)), (3, 0));
+        assert_eq!(m.hist(Hist::Latency).count, 3);
+        assert!(m.hist(Hist::Latency).max_seconds > 0.0);
+        assert_eq!(
+            m.get(Metric::Rows),
+            outcomes.iter().map(|o| o.rows.len() as u64).sum::<u64>()
+        );
+        let fallbacks: u64 = outcomes.iter().map(|o| o.fallbacks).sum();
+        assert!(
+            fallbacks > 0,
+            "the 2000-byte grant must force the chunked build somewhere"
+        );
+        assert_eq!(m.get(Metric::Fallbacks), fallbacks);
+        assert_eq!(
+            m.get(Metric::NetBytes),
+            outcomes.iter().map(|o| o.net.bytes).sum::<u64>()
+        );
+        assert!(m.get(Metric::NetFrames) > 0);
+        assert!(m.winners().iter().sum::<u64>() > 0);
+
+        svc.set_link_faults(LinkFaultPlan::parse("nth-frame=1,max-retransmit=0").expect("plan"));
+        assert!(svc
+            .execute(&chain_sql(2), &[("v1", 500), ("v2", 500)])
+            .is_err());
+        let m = svc.metrics();
+        assert_eq!((m.get(Metric::Completed), m.get(Metric::Failed)), (3, 1));
+        assert_eq!(m.get(Metric::RefusedLinkFault), 1);
+        assert_eq!(m.hist(Hist::Latency).count, 3, "failures record no latency");
     }
 
     fn batch_of(width: usize, rows: &[&[i64]]) -> RowBatch {

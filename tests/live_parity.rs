@@ -18,7 +18,7 @@ use dqep::executor::{compile_plan, drain, ExecContext, ExecMode, ResourceLimits,
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup;
 use dqep::service::{
-    LiveConfig, LiveViewRegistry, MetricsRegistry, ServiceError, WriteOp,
+    LiveConfig, LiveViewRegistry, Metric, MetricsRegistry, ServiceError, WriteOp,
 };
 use dqep::sql::parse_query;
 use dqep::storage::{FaultPlan, StoredDatabase};
@@ -242,7 +242,7 @@ fn drift_rearbitration_switches_winner_and_keeps_parity() {
     assert!(switches > 0, "refreshed statistics must switch the winning alternative");
     let after = reg.views()[0].decisions.clone();
     assert_ne!(before, after, "the recorded choose-plan decisions must change");
-    assert_eq!(metrics.live_rearbitrations(), rearbitrations);
+    assert_eq!(metrics.get(Metric::LiveRearbitrations), rearbitrations);
 
     // Stable tail: a small commit against the re-priced interval.
     let outcome = reg

@@ -12,8 +12,8 @@ use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
     card_drift, compile_dynamic_plan, drain, execute_plan_dop, execute_plan_traced, explain_json,
-    render_explain, validate_explain_json, CpuCounters, ExecContext, ExecError, ExecMode,
-    ResourceLimits, SharedCounters, SpanStats, Tracer,
+    parse_json, render_explain, validate_explain_json, CpuCounters, ExecContext, ExecError,
+    ExecMode, JsonValue, ResourceLimits, SharedCounters, SpanStats, Tracer,
 };
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup_observed;
@@ -318,19 +318,25 @@ proptest! {
         for &(var, domain) in &hosts {
             bindings = bindings.with_value(var, (sel * domain) as i64);
         }
-        let fault = if faulty {
-            let mut f = FaultPlan::none();
-            f.fail_nth_reads.push(nth);
-            f
-        } else {
-            FaultPlan::none()
-        };
         let limits = ResourceLimits::unlimited();
 
         // Bit-identical replicas with identical fault sequences: each run
         // sees a fresh disk, so neither spill-allocation state nor fault
-        // ordinals leak between the two runs.
+        // ordinals leak between the two runs. A read *ordinal* is only
+        // well defined at DOP 1 (parallel workers race for ordinals), so
+        // above it the same draw names a page *identity* instead, as in
+        // `parallel_parity.rs`.
         let db = StoredDatabase::generate(&catalog, seed);
+        let fault = if !faulty {
+            FaultPlan::none()
+        } else if dop == 1 {
+            let mut f = FaultPlan::none();
+            f.fail_nth_reads.push(nth);
+            f
+        } else {
+            let page = (nth % db.disk.page_count() as u64) as u32;
+            FaultPlan::page_range(page, page)
+        };
         db.disk.set_fault_plan(fault.clone());
         let plain = execute_plan_dop(
             &plan, &db, &catalog, &env, &bindings, limits, ExecMode::default(), dop,
@@ -669,5 +675,172 @@ fn drift_flag_follows_cardinality_feedback() {
     assert!(
         !root_actual_line.contains("DRIFT(card)"),
         "root must not flag card drift after feedback: {root_actual_line}"
+    );
+}
+
+/// Every member path of a JSON document: `a.b` for an object member,
+/// `a[].b` below an array. Interior paths are kept, so a nullable object
+/// (`estimate`, `net`) pins the same path whether or not it is null.
+fn key_paths(value: &JsonValue, path: &str, out: &mut std::collections::BTreeSet<String>) {
+    match value {
+        JsonValue::Obj(members) => {
+            for (key, member) in members {
+                let p = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                key_paths(member, &p, out);
+                out.insert(p);
+            }
+        }
+        JsonValue::Arr(items) => {
+            for item in items {
+                key_paths(item, &format!("{path}[]"), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The documents the schema pin records, built through the library:
+/// a single-node re-optimizing EXPLAIN ANALYZE (skewed data, so the
+/// checkpoint escapes and `reopt.events` is populated), a merged
+/// 4-shard x dop-2 trace, the journal both leave behind, and the
+/// metrics of a query service, a sharded service and a live registry —
+/// JSON documents by section name, then the Prometheus expositions.
+fn schema_documents() -> (Vec<(&'static str, Vec<String>)>, Vec<String>) {
+    use dqep::catalog::{make_chain_catalog, SyntheticSpec};
+    use dqep::executor::{execute_plan_reopt_traced, journal, ReoptConfig};
+    use dqep::service::{
+        LiveConfig, LiveViewRegistry, MetricsRegistry, QueryService, Request, ServiceConfig,
+        ShardConfig, ShardedService, WriteOp,
+    };
+    use dqep::storage::ValueDistribution;
+
+    let chain = |n| make_chain_catalog(&SyntheticSpec::paper(n, 42), SystemConfig::paper_1994());
+    let join2 = "SELECT * FROM R1, R2 WHERE R1.jr = R2.jl AND R1.a < :v";
+
+    let catalog = chain(2);
+    let db = StoredDatabase::generate_with(&catalog, 42, ValueDistribution::Zipf { exponent: 1.1 });
+    let env = Environment::dynamic_compile_time(&catalog.config);
+    let query = parse_query(join2, &catalog).unwrap();
+    let plan = Optimizer::new(&catalog, &env)
+        .optimize_with_props(&query.expr, query.required_props())
+        .unwrap()
+        .plan;
+    let (_, report) = execute_plan_reopt_traced(
+        &plan,
+        &db,
+        &catalog,
+        &env,
+        &query.bindings(&[("v", 100)]).unwrap(),
+        ResourceLimits::unlimited(),
+        ExecMode::default(),
+        1,
+        ReoptConfig {
+            backoff_base_ms: 0,
+            ..ReoptConfig::default()
+        },
+    )
+    .unwrap();
+    assert!(
+        !report.reopt.events.is_empty(),
+        "the pin needs a populated re-opt section"
+    );
+    let explain = explain_json(&report, &catalog.config);
+
+    let sharded = ShardedService::new(
+        chain(3),
+        ShardConfig {
+            shards: 4,
+            dop: 2,
+            data_seed: 42,
+            trace: true,
+            ..ShardConfig::default()
+        },
+    );
+    let out = sharded
+        .execute(
+            "SELECT * FROM R1, R2, R3 WHERE R1.jr = R2.jl AND R2.jr = R3.jl AND R1.a < :x",
+            &[("x", 60)],
+        )
+        .unwrap();
+    let system = sharded.catalog().config;
+    let trace = explain_json(out.trace.as_ref().expect("tracing was requested"), &system);
+
+    let service = QueryService::new(
+        chain(2),
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    service.execute(Request::new(join2, &[("v", 100)])).unwrap();
+
+    let live_metrics = Arc::new(MetricsRegistry::new());
+    let catalog = chain(2);
+    let db = StoredDatabase::generate(&catalog, 42);
+    let r1 = catalog.relation_by_name("R1").unwrap().id;
+    let mut live = LiveViewRegistry::new(
+        catalog,
+        db,
+        env,
+        LiveConfig::default(),
+        Arc::clone(&live_metrics),
+    );
+    live.register("v", join2, &[("v", 400)]).unwrap();
+    live.commit(&[WriteOp::Insert {
+        relation: r1,
+        values: vec![10, 1, 5],
+    }])
+    .unwrap();
+
+    let reports = [service.metrics(), sharded.metrics(), live_metrics.report()];
+    let documents = vec![
+        ("explain_analyze", vec![explain]),
+        ("shard_trace", vec![trace]),
+        ("journal", vec![journal().to_json()]),
+        ("metrics", reports.iter().map(|r| r.to_json()).collect()),
+    ];
+    (documents, reports.iter().map(|r| r.to_prometheus()).collect())
+}
+
+/// Schema pin: the key paths of every JSON document and the Prometheus
+/// families with their types, as recorded in
+/// `tests/golden/observability_schema.txt` before the emitters moved onto
+/// the shared writer. JSON path sets must be identical; the Prometheus
+/// set may only grow. A mismatch prints the lists this run produced.
+#[test]
+fn documents_keep_their_recorded_key_paths_and_families() {
+    let (documents, expositions) = schema_documents();
+    let mut recorded = String::new();
+    for (name, jsons) in documents {
+        let mut paths = std::collections::BTreeSet::new();
+        for json in &jsons {
+            key_paths(&parse_json(json).expect("valid JSON"), "", &mut paths);
+        }
+        recorded.push_str(&format!("[{name}]\n"));
+        for path in paths {
+            recorded.push_str(&path);
+            recorded.push('\n');
+        }
+    }
+    let prom: std::collections::BTreeSet<&str> = expositions
+        .iter()
+        .flat_map(|text| text.lines())
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .collect();
+    let golden = include_str!("golden/observability_schema.txt");
+    let (golden_json, golden_prom) = golden
+        .split_once("[prometheus]\n")
+        .expect("golden file has a [prometheus] section");
+    let missing: Vec<&str> = golden_prom.lines().filter(|l| !prom.contains(l)).collect();
+    let prom: Vec<&str> = prom.into_iter().collect();
+    assert!(
+        recorded == golden_json && missing.is_empty(),
+        "schema moved (Prometheus families lost: {missing:?}); this run recorded:\n\
+         {recorded}[prometheus]\n{}\n",
+        prom.join("\n"),
     );
 }

@@ -341,5 +341,5 @@ fn concurrent_accounting_matches_sequential_per_session() {
     // Service totals are exactly the sum of the per-session summaries.
     let stats = svc.stats();
     assert_eq!(stats.totals.rows, truth_big.rows + truth_small.rows);
-    assert_eq!(stats.totals.io.total(), truth_big.io.total() + truth_small.io.total());
+    assert_eq!(stats.totals.io_pages, truth_big.io.total() + truth_small.io.total());
 }
