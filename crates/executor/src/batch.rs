@@ -14,6 +14,9 @@
 //! qualify rows by writing the selection vector instead of copying
 //! survivors, so a selective scan stays allocation-free.
 
+use dqep_storage::gen::decode_page_columns_into;
+use dqep_storage::{SpillFile, StorageError};
+
 use crate::tuple::Tuple;
 
 /// Target rows per batch. Producers may overshoot slightly (a scan
@@ -55,6 +58,17 @@ impl RowBatch {
             columns: (0..width).map(|_| Vec::with_capacity(rows)).collect(),
             selection: None,
         }
+    }
+
+    /// Reads a spill file back (accounted) as one dense batch of `width`
+    /// columns, each page decoding straight into the column vectors.
+    pub(crate) fn from_spill(file: &SpillFile, width: usize) -> Result<RowBatch, StorageError> {
+        let mut rows = RowBatch::with_capacity(width, file.record_count() as usize);
+        for page in file.scan_pages() {
+            let page = page?;
+            rows.extend_with(|cols| decode_page_columns_into(&page, cols));
+        }
+        Ok(rows)
     }
 
     /// Attributes per row.
@@ -100,6 +114,11 @@ impl RowBatch {
         &self.columns[c]
     }
 
+    /// All value vectors, one per attribute (see [`RowBatch::column`]).
+    pub(crate) fn columns(&self) -> &[Vec<i64>] {
+        &self.columns
+    }
+
     /// Appends one row. The batch grows past [`BATCH_CAPACITY`] if pushed
     /// to — capacity is a fill target, not a hard limit.
     ///
@@ -136,13 +155,47 @@ impl RowBatch {
     /// gathering match pairs). The closure must extend **every** column by
     /// exactly `n` values; this is checked in debug builds.
     pub fn extend_rows_with(&mut self, n: usize, f: impl FnOnce(&mut [Vec<i64>])) {
+        self.extend_with(|cols| {
+            f(cols);
+            n
+        });
+    }
+
+    /// Like [`RowBatch::extend_rows_with`], for a producer that learns the
+    /// row count only as it writes (a page decode stepping over deleted
+    /// records): the closure returns how many values it appended to every
+    /// column, and so does this.
+    pub fn extend_with(&mut self, f: impl FnOnce(&mut [Vec<i64>]) -> usize) -> usize {
         debug_assert!(self.selection.is_none(), "push into a filtered batch");
-        f(&mut self.columns);
+        let n = f(&mut self.columns);
         self.rows += n;
         debug_assert!(
             self.columns.iter().all(|c| c.len() == self.rows),
-            "extend_rows_with left ragged columns"
+            "extend_with left ragged columns"
         );
+        n
+    }
+
+    /// Appends live rows number `live.start..live.end` of `src` (positions
+    /// among its live rows, not physical indices) column by column,
+    /// compacting its selection vector away.
+    ///
+    /// # Panics
+    /// Panics if the range reaches past `src.len()` or the widths differ.
+    pub fn extend_from_live(&mut self, src: &RowBatch, live: std::ops::Range<usize>) {
+        assert_eq!(src.width, self.width, "row width mismatch");
+        self.extend_rows_with(live.len(), |cols| match &src.selection {
+            None => {
+                for (col, from) in cols.iter_mut().zip(&src.columns) {
+                    col.extend_from_slice(&from[live.clone()]);
+                }
+            }
+            Some(sel) => {
+                for (col, from) in cols.iter_mut().zip(&src.columns) {
+                    col.extend(sel[live.clone()].iter().map(|&i| from[i as usize]));
+                }
+            }
+        });
     }
 
     /// Copies the `i`-th physical row (selection vector not applied) into
@@ -207,6 +260,52 @@ impl RowBatch {
         }
         self.rows = 0;
         self.selection = None;
+    }
+}
+
+/// A finished columnar result — a join's output, a sort's — handed out
+/// in `max_rows` slices.
+#[derive(Debug, Default)]
+pub(crate) struct ColStream {
+    batch: RowBatch,
+    pos: usize,
+}
+
+impl ColStream {
+    pub(crate) fn new(batch: RowBatch) -> ColStream {
+        ColStream { batch, pos: 0 }
+    }
+
+    /// The concatenation of `parts` in the order of their tags.
+    pub(crate) fn concat(width: usize, mut parts: Vec<(usize, RowBatch)>) -> ColStream {
+        parts.sort_by_key(|&(p, _)| p);
+        let total: usize = parts.iter().map(|(_, b)| b.rows()).sum();
+        let mut merged = RowBatch::with_capacity(width, total);
+        for (_, part) in &parts {
+            merged.extend_from_live(part, 0..part.len());
+        }
+        ColStream::new(merged)
+    }
+
+    /// Rows not yet handed out.
+    pub(crate) fn remaining(&self) -> usize {
+        self.batch.rows() - self.pos
+    }
+
+    pub(crate) fn next_slice(&mut self, max_rows: usize) -> Option<RowBatch> {
+        let take = max_rows.min(self.remaining());
+        if take == 0 {
+            return None;
+        }
+        if take == self.batch.rows() {
+            // The whole result fits one request: hand it over uncopied.
+            return Some(std::mem::take(self).batch);
+        }
+        let lo = self.pos;
+        self.pos += take;
+        let mut out = RowBatch::with_capacity(self.batch.width(), take);
+        out.extend_from_live(&self.batch, lo..lo + take);
+        Some(out)
     }
 }
 

@@ -11,7 +11,7 @@
 //! **One columnar join.** Every in-memory join — the resident table and
 //! each spilled Grace partition pair, at every degree of parallelism —
 //! goes through the same radix-partitioned columnar table: build rows are
-//! ingested straight into per-attribute vectors ([`ColumnStore`]), hashed
+//! ingested straight into per-attribute vectors (one dense [`RowBatch`]), hashed
 //! with one multiply-xor pass per key *column* (the auto-vectorizable
 //! [`fold_hash_column`] kernel — each row's hash is bit-identical to the
 //! row-at-a-time [`hash_key`]), then scattered histogram → prefix-sum into
@@ -46,10 +46,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use dqep_storage::gen::{decode_page_columns_into, encode_record_into};
-use dqep_storage::{HeapFile, SimDisk};
+use dqep_storage::{SimDisk, SpillFile, SpillWriter};
 
-use crate::batch::{RowBatch, BATCH_CAPACITY};
+use crate::batch::{ColStream, RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
 use crate::exchange::run_parallel;
 use crate::exec::{cursor_next, RowCursor};
@@ -118,22 +117,18 @@ pub fn fold_hash_column(hashes: &mut [u64], col: &[i64]) {
     }
 }
 
-/// Batched probe-side hash: one hash per **live** row of `batch`, each
-/// bit-identical to `hash_key(keys, row, false)`. Dense batches take the
-/// column-slice fold; batches with a selection vector gather first.
-fn hash_probe_batch(keys: &[(usize, usize)], batch: &RowBatch, hashes: &mut Vec<u64>) {
+/// Batched hash of the columns `key_cols` names, in order: one hash per
+/// **live** row of `batch`, each bit-identical to [`hash_key`] over the
+/// same positions. Dense batches take the column-slice fold; batches with
+/// a selection vector gather first.
+fn hash_batch(key_cols: impl Iterator<Item = usize>, batch: &RowBatch, hashes: &mut Vec<u64>) {
     hashes.clear();
-    match batch.selection() {
-        None => {
-            hashes.resize(batch.rows(), HASH_SEED);
-            for &(_, p) in keys {
-                fold_hash_column(hashes, batch.column(p));
-            }
-        }
-        Some(sel) => {
-            hashes.resize(sel.len(), HASH_SEED);
-            for &(_, p) in keys {
-                let col = batch.column(p);
+    hashes.resize(batch.len(), HASH_SEED);
+    for c in key_cols {
+        let col = batch.column(c);
+        match batch.selection() {
+            None => fold_hash_column(hashes, col),
+            Some(sel) => {
                 for (h, &i) in hashes.iter_mut().zip(sel) {
                     *h = mix(*h ^ col[i as usize] as u64);
                 }
@@ -142,72 +137,14 @@ fn hash_probe_batch(keys: &[(usize, usize)], batch: &RowBatch, hashes: &mut Vec<
     }
 }
 
-/// Columnar row accumulator: per-attribute value vectors, the join's
-/// build buffer. Rows append in arrival order; `extend_from_batch`
-/// compacts a selection vector away as it copies.
-struct ColumnStore {
-    rows: usize,
-    cols: Vec<Vec<i64>>,
+/// [`hash_batch`] over the build-side key positions.
+fn hash_build_batch(keys: &[(usize, usize)], batch: &RowBatch, hashes: &mut Vec<u64>) {
+    hash_batch(keys.iter().map(|&(b, _)| b), batch, hashes);
 }
 
-impl ColumnStore {
-    fn new(width: usize) -> ColumnStore {
-        ColumnStore {
-            rows: 0,
-            cols: (0..width).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    fn reserve(&mut self, rows: usize) {
-        for col in &mut self.cols {
-            col.reserve(rows);
-        }
-    }
-
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Appends the live rows of `batch` column-wise.
-    fn extend_from_batch(&mut self, batch: &RowBatch) {
-        match batch.selection() {
-            None => {
-                for (c, col) in self.cols.iter_mut().enumerate() {
-                    col.extend_from_slice(batch.column(c));
-                }
-                self.rows += batch.rows();
-            }
-            Some(sel) => {
-                for (c, col) in self.cols.iter_mut().enumerate() {
-                    let src = batch.column(c);
-                    col.extend(sel.iter().map(|&i| src[i as usize]));
-                }
-                self.rows += sel.len();
-            }
-        }
-    }
-
-    /// Reads a spilled partition back, decoding page by page straight
-    /// into the columns.
-    fn extend_from_spill(&mut self, part: &HeapFile) -> Result<(), ExecError> {
-        for page in part.scan_pages() {
-            self.rows += decode_page_columns_into(&page?, &mut self.cols);
-        }
-        Ok(())
-    }
-
-    /// A copy of rows `lo..hi` (one piece of a chunked build).
-    fn slice(&self, lo: usize, hi: usize) -> ColumnStore {
-        ColumnStore {
-            rows: hi - lo,
-            cols: self.cols.iter().map(|col| col[lo..hi].to_vec()).collect(),
-        }
-    }
-
-    /// Copies row `i` into `out` (gathering across the columns).
-    fn gather_row_into(&self, i: usize, out: &mut Vec<i64>) {
-        out.extend(self.cols.iter().map(|col| col[i]));
-    }
+/// [`hash_batch`] over the probe-side key positions.
+fn hash_probe_batch(keys: &[(usize, usize)], batch: &RowBatch, hashes: &mut Vec<u64>) {
+    hash_batch(keys.iter().map(|&(_, p)| p), batch, hashes);
 }
 
 /// Radix fan-out for a resident build side of `build_bytes`: one
@@ -300,18 +237,16 @@ struct RadixTable {
 impl RadixTable {
     /// Builds the table from a columnar build buffer, charging one hash
     /// per row. `parts` must be a power of two.
-    fn build(keys: &Keys, counters: &SharedCounters, store: &ColumnStore, parts: usize) -> RadixTable {
+    fn build(keys: &Keys, counters: &SharedCounters, store: &RowBatch, parts: usize) -> RadixTable {
         let n = store.rows();
         debug_assert!(n < u32::MAX as usize, "build side exceeds u32 indexing");
         debug_assert!(parts.is_power_of_two());
         counters.add_hashes(n as u64);
-        let mut hashes = vec![HASH_SEED; n];
-        for &(b, _) in keys {
-            fold_hash_column(&mut hashes, &store.cols[b]);
-        }
+        let mut hashes = Vec::new();
+        hash_build_batch(keys, store, &mut hashes);
         let part_mask = (parts - 1) as u64;
         let part_bits = parts.trailing_zeros();
-        let (cols, hashes, part_starts) = scatter_by_partition(&store.cols, &hashes, part_mask);
+        let (cols, hashes, part_starts) = scatter_by_partition(store.columns(), &hashes, part_mask);
         let mut next_link = vec![0u32; n];
         let buckets = (0..parts)
             .map(|p| {
@@ -429,7 +364,7 @@ impl RadixTable {
 /// its row width — on `keys` (`(left column, right column)` pairs) and
 /// returns every `left ⊗ right` match as one dense batch. This is the
 /// join of a caller that already holds both sides (the sharded service's
-/// co-partitioned stage inputs); it runs on the same [`ColumnStore`] +
+/// co-partitioned stage inputs); it runs on the same dense build batch +
 /// [`RadixTable`] as [`HashJoinExec`] and never touches a disk.
 ///
 /// The side with fewer live rows builds, whichever it is. The table's
@@ -461,10 +396,9 @@ pub fn join_batches(
         .iter()
         .map(|&(l, r)| if build_left { (l, r) } else { (r, l) })
         .collect();
-    let mut store = ColumnStore::new(build_width);
-    store.reserve(live(build));
+    let mut store = RowBatch::with_capacity(build_width, live(build));
     for batch in build {
-        store.extend_from_batch(batch);
+        store.extend_from_live(batch, 0..batch.len());
     }
 
     // Per-row footprint: the row's values plus hash, chain link and
@@ -498,11 +432,12 @@ pub fn join_batches(
     let (mut hashes, mut pairs_b, mut pairs_p) = (Vec::new(), Vec::new(), Vec::new());
     for lo in (0..store.rows()).step_by(piece_rows) {
         let hi = (lo + piece_rows).min(store.rows());
-        let sliced;
+        let mut sliced;
         let piece = if hi - lo == store.rows() {
             &store
         } else {
-            sliced = store.slice(lo, hi);
+            sliced = RowBatch::with_capacity(build_width, hi - lo);
+            sliced.extend_from_live(&store, lo..hi);
             &sliced
         };
         let table = RadixTable::build(
@@ -573,54 +508,6 @@ impl ReserveGate {
     }
 }
 
-/// A fully joined columnar result handed out in `max_rows` slices.
-#[derive(Default)]
-struct ColStream {
-    batch: RowBatch,
-    pos: usize,
-}
-
-impl ColStream {
-    fn new(batch: RowBatch) -> ColStream {
-        ColStream { batch, pos: 0 }
-    }
-
-    fn next_slice(&mut self, max_rows: usize) -> Option<RowBatch> {
-        let take = max_rows.min(self.batch.rows() - self.pos);
-        if take == 0 {
-            return None;
-        }
-        if take == self.batch.rows() {
-            // The whole result fits one request: hand it over uncopied.
-            return Some(std::mem::take(self).batch);
-        }
-        let lo = self.pos;
-        self.pos += take;
-        let mut out = RowBatch::with_capacity(self.batch.width(), take);
-        out.extend_rows_with(take, |cols| {
-            for (c, col) in cols.iter_mut().enumerate() {
-                col.extend_from_slice(&self.batch.column(c)[lo..lo + take]);
-            }
-        });
-        Some(out)
-    }
-}
-
-/// Concatenates per-partition join outputs in partition order.
-fn merge_parts(width: usize, mut parts: Vec<(usize, RowBatch)>) -> ColStream {
-    parts.sort_by_key(|&(p, _)| p);
-    let total: usize = parts.iter().map(|(_, b)| b.rows()).sum();
-    let mut merged = RowBatch::with_capacity(width, total);
-    for (_, part) in &parts {
-        merged.extend_rows_with(part.rows(), |cols| {
-            for (c, col) in cols.iter_mut().enumerate() {
-                col.extend_from_slice(part.column(c));
-            }
-        });
-    }
-    ColStream::new(merged)
-}
-
 /// Runs `join_part(p, worker context)` for every partition `p < parts`
 /// on up to `dop` worker threads claiming indexes from an atomic counter,
 /// merges the workers' private counters into `ctx`, and concatenates the
@@ -665,7 +552,7 @@ fn join_partitions(
             }
         }
     }
-    first_err.map_or_else(|| Ok(merge_parts(width, outs)), Err)
+    first_err.map_or_else(|| Ok(ColStream::concat(width, outs)), Err)
 }
 
 /// Joins one spilled Grace partition pair through a per-partition
@@ -678,22 +565,13 @@ fn join_spilled_pair(
     keys: &Keys,
     ctx: &ExecContext,
     gate: &ReserveGate,
-    (build_part, build_layout): (&HeapFile, &TupleLayout),
-    (probe_part, probe_layout): (&HeapFile, &TupleLayout),
+    (build_part, build_layout): (&SpillFile, &TupleLayout),
+    (probe_part, probe_layout): (&SpillFile, &TupleLayout),
 ) -> Result<RowBatch, ExecError> {
     let build_width = build_layout.width();
     let probe_width = probe_layout.width();
-    let mut store = ColumnStore::new(build_width);
-    store.reserve(build_part.record_count() as usize);
-    store.extend_from_spill(build_part)?;
-    let mut probe_batch =
-        RowBatch::with_capacity(probe_width, probe_part.record_count() as usize);
-    for page in probe_part.scan_pages() {
-        let page = page?;
-        probe_batch.extend_rows_with(page.live_len(), |cols| {
-            decode_page_columns_into(&page, cols);
-        });
-    }
+    let store = RowBatch::from_spill(build_part, build_width)?;
+    let probe_batch = RowBatch::from_spill(probe_part, probe_width)?;
     ctx.governor.check_batch(probe_batch.rows() as u64)?;
     let part_bytes = (store.rows() * build_layout.row_bytes) as u64;
     gate.reserve(&ctx.governor, part_bytes)?;
@@ -719,8 +597,8 @@ enum State {
     /// Grace mode (serial): partition pairs are joined one at a time,
     /// each pair's output streamed out before the next pair is read.
     Partitioned {
-        build_parts: Vec<HeapFile>,
-        probe_parts: Vec<HeapFile>,
+        build_parts: Vec<SpillFile>,
+        probe_parts: Vec<SpillFile>,
         part: usize,
     },
     /// Parallel (resident or Grace): all partition work finished at
@@ -798,16 +676,14 @@ impl<'a> HashJoinExec<'a> {
     /// have `dop` workers claim partitions and probe them — match pairs
     /// gather into per-partition output batches merged in partition
     /// order.
-    fn open_parallel_radix(&mut self, store: &ColumnStore, dop: usize) -> Result<(), ExecError> {
+    fn open_parallel_radix(&mut self, store: &RowBatch, dop: usize) -> Result<(), ExecError> {
         let build_bytes = store.rows() * self.build.layout().row_bytes;
         let parts = radix_partitions(build_bytes, dop);
         let table = RadixTable::build(&self.keys, &self.ctx.counters, store, parts);
         // Probe-phase work (errors defer to the first pull): hash each
         // live row once with the columnar kernel.
-        let mut probe_store = ColumnStore::new(self.probe.layout().width());
-        if let Some(n) = self.probe.estimated_rows() {
-            probe_store.reserve(n.min(1 << 20) as usize);
-        }
+        let probe_rows = self.probe.estimated_rows().map_or(0, |n| n.min(1 << 20) as usize);
+        let mut probe_store = RowBatch::with_capacity(self.probe.layout().width(), probe_rows);
         let mut probe_hashes: Vec<u64> = Vec::new();
         let mut scratch: Vec<u64> = Vec::new();
         let drained: Result<(), ExecError> = loop {
@@ -819,7 +695,7 @@ impl<'a> HashJoinExec<'a> {
                     self.ctx.counters.add_hashes(batch.len() as u64);
                     hash_probe_batch(&self.keys, &batch, &mut scratch);
                     probe_hashes.extend_from_slice(&scratch);
-                    probe_store.extend_from_batch(&batch);
+                    probe_store.extend_from_live(&batch, 0..batch.len());
                 }
                 Ok(None) => break Ok(()),
                 Err(e) => break Err(e),
@@ -831,7 +707,7 @@ impl<'a> HashJoinExec<'a> {
             return Ok(());
         }
         let (probe_cols, probe_hashes, probe_starts) =
-            scatter_by_partition(&probe_store.cols, &probe_hashes, table.part_mask);
+            scatter_by_partition(probe_store.columns(), &probe_hashes, table.part_mask);
         let (keys, out_width) = (&self.keys, self.layout.width());
         self.joined = join_partitions(&self.ctx, out_width, dop, parts, |p, worker| {
             let (lo, hi) = (probe_starts[p], probe_starts[p + 1]);
@@ -859,12 +735,10 @@ impl Operator for HashJoinExec<'_> {
         self.build.open()?;
         let build_row_bytes = self.build.layout().row_bytes;
         let build_width = self.build.layout().width();
-        let mut store = ColumnStore::new(build_width);
         // Pre-size the build buffer from the input's row estimate — the
         // common in-memory case never reallocates mid-build.
-        if let Some(n) = self.build.estimated_rows() {
-            store.reserve(n.min(1 << 20) as usize);
-        }
+        let build_rows = self.build.estimated_rows().map_or(0, |n| n.min(1 << 20) as usize);
+        let mut store = RowBatch::with_capacity(build_width, build_rows);
         // Drain whole batches straight into the columnar store, reserving
         // and checking once per batch.
         loop {
@@ -876,7 +750,7 @@ impl Operator for HashJoinExec<'_> {
             self.ctx.governor.check_batch(n as u64)?;
             self.ctx.governor.try_reserve_memory((n * build_row_bytes) as u64)?;
             self.reserved += (n * build_row_bytes) as u64;
-            store.extend_from_batch(&batch);
+            store.extend_from_live(&batch, 0..n);
         }
         self.build.close();
         // Build completion is a pipeline breaker: the build input's true
@@ -906,46 +780,38 @@ impl Operator for HashJoinExec<'_> {
         // the buffered build rows move to disk, so release their grant.
         // The spill is single-threaded at every DOP — identical pages in
         // identical order — only the partition-pair joining fans out.
-        let probe_row_bytes = self.probe.layout().row_bytes;
-        let mut build_parts: Vec<HeapFile> = (0..PARTITIONS)
-            .map(|_| HeapFile::new_temp(self.disk.clone()))
-            .collect();
-        // One zero-padded record buffer per side, re-encoded per row.
-        let mut scratch: Tuple = Vec::with_capacity(build_width);
-        let mut record = vec![0u8; build_row_bytes];
-        for i in 0..store.rows() {
-            scratch.clear();
-            store.gather_row_into(i, &mut scratch);
-            self.ctx.counters.add_hashes(1);
-            let p = (hash_key(&self.keys, &scratch, true) as usize) % PARTITIONS;
-            encode_record_into(&scratch, &mut record);
-            build_parts[p].append(&record)?;
+        //
+        // Rows go from the columns straight into the page their
+        // partition's writer owns, in arrival order; a partition is
+        // readable once its writer has sealed it.
+        let partition_writers = |row_bytes: usize| -> Vec<SpillWriter> {
+            (0..PARTITIONS).map(|_| SpillWriter::charged(self.disk.clone(), row_bytes)).collect()
+        };
+        let seal = |writers: Vec<SpillWriter>| -> Result<Vec<SpillFile>, ExecError> {
+            writers.into_iter().map(|w| Ok(w.finish()?)).collect()
+        };
+        let mut writers = partition_writers(build_row_bytes);
+        self.ctx.counters.add_hashes(store.rows() as u64);
+        let mut hashes = Vec::new();
+        hash_build_batch(&self.keys, &store, &mut hashes);
+        for (i, &h) in hashes.iter().enumerate() {
+            writers[(h as usize) % PARTITIONS].append(store.columns().iter().map(|col| col[i]))?;
         }
         drop(store);
         self.ctx.governor.release_memory(build_bytes as u64);
         self.reserved -= build_bytes as u64;
-        for part in &mut build_parts {
-            part.finish()?;
-        }
-        let mut probe_parts: Vec<HeapFile> = (0..PARTITIONS)
-            .map(|_| HeapFile::new_temp(self.disk.clone()))
-            .collect();
-        let mut hashes: Vec<u64> = Vec::new();
-        let mut record = vec![0u8; probe_row_bytes];
+        let build_parts = seal(writers)?;
+        let mut writers = partition_writers(self.probe.layout().row_bytes);
         while let Some(batch) = self.probe.next_batch(BATCH_CAPACITY)? {
             self.ctx.governor.check_batch(batch.len() as u64)?;
             self.ctx.counters.add_hashes(batch.len() as u64);
             hash_probe_batch(&self.keys, &batch, &mut hashes);
             for (idx, &h) in batch.selected_indices().zip(&hashes) {
-                scratch.clear();
-                batch.gather_row_into(idx, &mut scratch);
-                encode_record_into(&scratch, &mut record);
-                probe_parts[(h as usize) % PARTITIONS].append(&record)?;
+                writers[(h as usize) % PARTITIONS]
+                    .append(batch.columns().iter().map(|col| col[idx]))?;
             }
         }
-        for part in &mut probe_parts {
-            part.finish()?;
-        }
+        let probe_parts = seal(writers)?;
         if dop > 1 {
             // Join the spilled pairs concurrently, each pair's table
             // reservation going through one shared gate so concurrent
@@ -1138,12 +1004,10 @@ mod tests {
         // build-arrival order for each probe row.
         let keys: Keys = vec![(0, 0)];
         let counters = SharedCounters::default();
-        let mut store = ColumnStore::new(2);
-        let mut batch = RowBatch::new(2);
+        let mut store = RowBatch::new(2);
         for (k, payload) in [(1i64, 10i64), (2, 20), (1, 11), (3, 30), (1, 12)] {
-            batch.push_row(&[k, payload]);
+            store.push_row(&[k, payload]);
         }
-        store.extend_from_batch(&batch);
         let mut probe = RowBatch::new(2);
         probe.push_row(&[1, 99]);
         probe.push_row(&[7, 0]);

@@ -97,6 +97,7 @@ pub use reopt::{
     MaterializedScanExec, ReoptConfig, ReoptCounters, ReoptEvent, ReoptEventKind, ReoptOutcome,
     ReoptReport, ReoptState,
 };
+pub use sort::{kway_merge, sort_batches, SortExec};
 pub use trace::{
     merge_distributed, AltAudit, AttemptAudit, ChooseAudit, NetSpanStats, NodeEstimate, SpanId,
     SpanRecord, SpanStats, TraceReport, TracedExec, Tracer,

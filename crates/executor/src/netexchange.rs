@@ -549,15 +549,18 @@ impl NetChannel {
         let mut state = self.state.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut waited = Duration::ZERO;
         if state.queue.len() >= self.capacity && !state.closed {
+            // The stall counts when the wait begins, under the channel
+            // lock: whoever sees it knows a sender is blocked until a
+            // frame is taken off the queue.
+            totals.credit_stalls.fetch_add(1, Ordering::Relaxed);
+            link.credit_stalls.fetch_add(1, Ordering::Relaxed);
             let start = Instant::now();
             while state.queue.len() >= self.capacity && !state.closed {
                 state = self.state.space.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
             waited = start.elapsed();
             let waited_ns = u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
-            totals.credit_stalls.fetch_add(1, Ordering::Relaxed);
             totals.credit_wait_ns.fetch_add(waited_ns, Ordering::Relaxed);
-            link.credit_stalls.fetch_add(1, Ordering::Relaxed);
             link.credit_wait_ns.fetch_add(waited_ns, Ordering::Relaxed);
         }
         if state.closed {
@@ -851,13 +854,18 @@ mod tests {
                 }
                 tx.close();
             });
+            // Hold the receiver back until the sender is blocked: with 2
+            // credits its third send finds the queue full, and the stall
+            // is counted before it waits.
+            while rx.stats().credit_stalls == 0 {
+                std::thread::yield_now();
+            }
             let got: Vec<u8> = std::iter::from_fn(|| rx.recv()).map(|f| f[0]).collect();
             assert_eq!(got, (0..20).collect::<Vec<u8>>());
         });
         let stats = net.stats();
         assert_eq!(stats.frames, 20);
         assert_eq!(stats.bytes, 20);
-        // With 2 credits and 20 frames the sender must have stalled.
         assert!(stats.credit_stalls > 0, "{stats:?}");
     }
 

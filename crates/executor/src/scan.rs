@@ -4,6 +4,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use dqep_storage::gen::decode_page_slots_into;
 use dqep_storage::{PageClaims, Rid, SlottedPage, StoredTable};
 
 use crate::batch::RowBatch;
@@ -20,10 +21,10 @@ struct HeapPages<'a> {
     table: &'a StoredTable,
     layout: TupleLayout,
     ctx: ExecContext,
-    /// Rows of the last page read that did not fit the request, and the
-    /// position of the next one to deliver.
-    tail: Vec<Tuple>,
-    tail_pos: usize,
+    /// The last page read when the request was full before the page was
+    /// used up, and the slot to go on from: a reference to the disk's
+    /// buffer, not a copy of the rows.
+    tail: Option<(SlottedPage, u16)>,
     /// Error hit while a batch already held decoded rows; surfaced on the
     /// next call so the partial batch is delivered (and counted) first.
     pending_err: Option<ExecError>,
@@ -38,8 +39,7 @@ impl<'a> HeapPages<'a> {
             table,
             layout,
             ctx,
-            tail: Vec::new(),
-            tail_pos: 0,
+            tail: None,
             pending_err: None,
             retry_page: None,
             cursor: RowCursor::default(),
@@ -47,8 +47,7 @@ impl<'a> HeapPages<'a> {
     }
 
     fn reset(&mut self) {
-        self.tail.clear();
-        self.tail_pos = 0;
+        self.tail = None;
         self.pending_err = None;
         self.retry_page = None;
         self.cursor.clear();
@@ -71,23 +70,19 @@ impl<'a> HeapPages<'a> {
             return Err(e);
         }
         let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows);
-        while self.tail_pos < self.tail.len() && batch.rows() < max_rows {
-            batch.push_row(&self.tail[self.tail_pos]);
-            self.tail_pos += 1;
-        }
-        if self.tail_pos >= self.tail.len() {
-            self.tail.clear();
-            self.tail_pos = 0;
+        if let Some((page, from)) = self.tail.take() {
+            self.decode(page, from, max_rows, &mut batch);
         }
         while batch.rows() < max_rows {
             let Some(page_idx) = self.retry_page.take().or_else(&mut next_page) else { break };
+            let heap = &self.table.heap;
             let read = self
                 .ctx
                 .governor
                 .charge_io(1)
-                .and_then(|()| Ok(self.table.heap.disk().read(self.table.heap.pages()[page_idx])?));
-            let bytes = match read {
-                Ok(bytes) => bytes,
+                .and_then(|()| Ok(heap.disk().read(heap.pages()[page_idx])?));
+            match read {
+                Ok(bytes) => self.decode(SlottedPage::from_bytes(bytes), 0, max_rows, &mut batch),
                 Err(e) => {
                     self.retry_page = Some(page_idx);
                     if batch.rows() == 0 {
@@ -96,16 +91,6 @@ impl<'a> HeapPages<'a> {
                     self.pending_err = Some(e);
                     break;
                 }
-            };
-            let page = SlottedPage::from_bytes(bytes);
-            let records: Vec<&[u8]> = page.iter().collect();
-            let take = records.len().min(max_rows - batch.rows());
-            batch.extend_rows_with(take, |cols| {
-                self.table.decode_columns_into(&records[..take], cols);
-            });
-            // Page tail past the request: deliver it next call.
-            for record in &records[take..] {
-                self.tail.push(self.table.decode(record));
             }
         }
         let rows = batch.rows();
@@ -115,6 +100,22 @@ impl<'a> HeapPages<'a> {
         self.ctx.governor.check_batch(rows as u64)?;
         self.ctx.counters.add_records(rows as u64);
         Ok(Some(batch))
+    }
+
+    /// Decodes `page` from slot `from` on straight into the columns of
+    /// `batch`, as far as `max_rows` lets it; a page with slots left over
+    /// becomes the tail.
+    fn decode(&mut self, page: SlottedPage, from: u16, max_rows: usize, batch: &mut RowBatch) {
+        let room = max_rows - batch.rows();
+        let mut next = from;
+        batch.extend_with(|cols| {
+            let (rows, resume) = decode_page_slots_into(&page, from, room, cols);
+            next = resume;
+            rows
+        });
+        if (next as usize) < page.len() {
+            self.tail = Some((page, next));
+        }
     }
 }
 

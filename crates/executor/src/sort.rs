@@ -1,9 +1,22 @@
-//! External sort with memory-bounded, governor-audited runs.
+//! External sort with memory-bounded, governor-audited runs — columnar
+//! from ingest to emission — and the two kernels it is made of, exported
+//! for callers that hold their runs in memory already.
+//!
+//! A *run* here is a slice of [`RowBatch`]es with their selection vectors.
+//! [`sort_batches`] is the stable argsort of one run's live rows plus a
+//! gather per column; [`kway_merge`] merges runs already sorted on the
+//! key, lowest run first among equal keys. The operator sorts a chunk
+//! with the first and merges its spilled runs with the second, so its
+//! output is *the stable sort of its input*: among equal keys, arrival
+//! order.
 
-use dqep_storage::gen::{decode_record_into, encode_record_into};
-use dqep_storage::{HeapFile, PageId, SimDisk, SlottedPage};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use crate::batch::RowBatch;
+use dqep_storage::gen::decode_page_columns_into;
+use dqep_storage::{PageId, SimDisk, SlottedPage, SpillFile, SpillWriter};
+
+use crate::batch::{ColStream, RowBatch};
 use crate::error::ExecError;
 use crate::exchange::run_parallel;
 use crate::exec::{cursor_next, RowCursor};
@@ -11,145 +24,218 @@ use crate::governor::ExecContext;
 use crate::tuple::{Tuple, TupleLayout};
 use crate::{BoxedOperator, Operator};
 
-/// Merges `rows`, consisting of consecutive sorted slices of length
-/// `share` (the last possibly shorter), into one sorted vector by moving
-/// tuples out (no clones). Used by the parallel chunk sort to combine the
-/// slices the workers sorted independently.
-fn merge_sorted_slices(rows: &mut [Tuple], share: usize, key: usize) -> Vec<Tuple> {
-    let n = rows.len();
-    let mut cursors: Vec<(usize, usize)> = (0..n)
-        .step_by(share)
-        .map(|s| (s, (s + share).min(n)))
-        .collect();
-    let mut out = Vec::with_capacity(n);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, &(pos, end)) in cursors.iter().enumerate() {
-            if pos < end {
-                best = match best {
-                    Some(b) if rows[cursors[b].0][key] <= rows[pos][key] => Some(b),
-                    _ => Some(i),
-                };
-            }
-        }
-        let Some(b) = best else { break };
-        let pos = cursors[b].0;
-        out.push(std::mem::take(&mut rows[pos]));
-        cursors[b].0 += 1;
+/// One row in sort order: its key, and where it lies — the batch of its
+/// run (for merged runs: the run) and the physical row in it. Arrival
+/// order *is* (batch, row) order, so the plain tuple order of the entries
+/// of one run is the stable sort on the key.
+type Entry = (i64, u32, u32);
+
+/// The entries of the live rows of `batches`, in arrival order.
+fn entries(batches: &[RowBatch], key: usize) -> Vec<Entry> {
+    let mut order = Vec::with_capacity(batches.iter().map(RowBatch::len).sum());
+    for (b, batch) in batches.iter().enumerate() {
+        let col = batch.column(key);
+        order.extend(batch.selected_indices().map(|i| (col[i], b as u32, i as u32)));
     }
+    order
+}
+
+/// Gathers the rows `order` names out of `batches`, one pass per column,
+/// into a dense batch — no row is assembled.
+fn gather(batches: &[RowBatch], width: usize, order: &[Entry]) -> RowBatch {
+    let mut out = RowBatch::with_capacity(width, order.len());
+    out.extend_rows_with(order.len(), |cols| {
+        for (c, col) in cols.iter_mut().enumerate() {
+            let src: Vec<&[i64]> = batches.iter().map(|batch| batch.column(c)).collect();
+            col.extend(order.iter().map(|&(_, b, i)| src[b as usize][i as usize]));
+        }
+    });
     out
 }
 
-/// Decodes every record of one run page into `rows`.
-fn decode_page_rows(page: &SlottedPage, width: usize, rows: &mut Vec<Tuple>) {
-    for record in page.iter() {
-        let mut row = Vec::with_capacity(width);
-        decode_record_into(record, width, &mut row);
-        rows.push(row);
+/// Stable sort of the live rows of `batches` on column `key`, as one
+/// dense batch of `width` columns: equal keys keep arrival order.
+#[must_use]
+pub fn sort_batches(batches: &[RowBatch], width: usize, key: usize) -> RowBatch {
+    let mut order = entries(batches, key);
+    order.sort_unstable();
+    gather(batches, width, &order)
+}
+
+/// Where a merge stands in one sorted run: the batch, the index into that
+/// batch's live rows, and how many live rows of the run are still to come
+/// (a key-range worker merges a stretch of each run, not all of it).
+struct RunCursor<'a> {
+    run: &'a [RowBatch],
+    batch: usize,
+    pos: usize,
+    left: usize,
+}
+
+impl<'a> RunCursor<'a> {
+    /// Live rows `lo..hi` of `run`.
+    fn stretch(run: &'a [RowBatch], lo: usize, hi: usize) -> RunCursor<'a> {
+        let (mut batch, mut pos) = (0, lo);
+        while let Some(len) = run.get(batch).map(RowBatch::len).filter(|&len| pos >= len) {
+            pos -= len;
+            batch += 1;
+        }
+        RunCursor { run, batch, pos, left: hi - lo }
+    }
+
+    /// The batch and physical row under the cursor, stepping over batches
+    /// that are used up; `None` at the end of the stretch.
+    fn head(&mut self) -> Option<(&'a RowBatch, usize)> {
+        if self.left == 0 {
+            return None;
+        }
+        loop {
+            let batch = self.run.get(self.batch)?;
+            if self.pos < batch.len() {
+                let row = batch.selection().map_or(self.pos, |sel| sel[self.pos] as usize);
+                return Some((batch, row));
+            }
+            self.batch += 1;
+            self.pos = 0;
+        }
+    }
+
+    fn advance(&mut self) {
+        self.pos += 1;
+        self.left -= 1;
     }
 }
 
-/// K-way merge of sorted run segments into one sorted vector, ties broken
-/// toward the lowest run index (the scan below replaces `best` only on a
-/// strictly smaller key). Both the serial merge (over whole runs) and
-/// each parallel range worker (over one key range's segments) use this
-/// loop, so the parallel concatenation is byte-identical to the serial
-/// merge.
-fn kway_merge(segments: Vec<Vec<Tuple>>, key: usize) -> Vec<Tuple> {
-    let total: usize = segments.iter().map(Vec::len).sum();
-    let mut streams: Vec<std::vec::IntoIter<Tuple>> =
-        segments.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<Tuple>> = streams.iter_mut().map(Iterator::next).collect();
-    let mut merged = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, i64)> = None;
-        for (i, head) in heads.iter().enumerate() {
-            if let Some(t) = head {
-                let k = t[key];
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
+/// The merge loop: a binary heap of `(key, run)` over the cursors' heads.
+/// One head per run is in the heap at a time, so that order is `(key,
+/// run, position)` — ties go to the lowest run, and within a run to
+/// arrival order. Each winner is handed to `emit` as (run, batch,
+/// physical row).
+fn merge_cursors<'a>(
+    mut cursors: Vec<RunCursor<'a>>,
+    key: usize,
+    mut emit: impl FnMut(usize, &'a RowBatch, usize),
+) {
+    let mut heads: Vec<_> = cursors.iter_mut().map(RunCursor::head).collect();
+    let mut heap: BinaryHeap<_> = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(r, head)| head.map(|(batch, row)| Reverse((batch.column(key)[row], r))))
+        .collect();
+    while let Some(mut top) = heap.peek_mut() {
+        let r = top.0 .1;
+        if let Some((batch, row)) = heads[r] {
+            emit(r, batch, row);
+        }
+        cursors[r].advance();
+        heads[r] = cursors[r].head();
+        // Replacing the top in place costs one sift, not a pop and a push.
+        match heads[r] {
+            Some((batch, row)) => top.0 .0 = batch.column(key)[row],
+            None => {
+                std::collections::binary_heap::PeekMut::pop(top);
             }
         }
-        let Some((i, _)) = best else { break };
-        if let Some(t) = heads[i].take() {
-            merged.push(t);
-        }
-        heads[i] = streams[i].next();
     }
-    merged
+}
+
+/// Order-preserving k-way merge of `runs`, each already sorted on column
+/// `key`: every live row is handed to `emit` as (run, batch, physical
+/// row), in key order, rows of equal keys lowest run first and in their
+/// run's order. Merging the stably sorted runs of an input cut in arrival
+/// order therefore yields its stable sort.
+pub fn kway_merge<'a>(
+    runs: &[&'a [RowBatch]],
+    key: usize,
+    emit: impl FnMut(usize, &'a RowBatch, usize),
+) {
+    let cursors = runs
+        .iter()
+        .map(|run| RunCursor::stretch(run, 0, run.iter().map(RowBatch::len).sum()))
+        .collect();
+    merge_cursors(cursors, key, emit);
+}
+
+/// Merges the live rows `lo..hi` of each run (one dense batch per run)
+/// into one dense batch.
+fn merge_stretches(
+    runs: &[RowBatch],
+    stretches: impl Iterator<Item = (usize, usize)>,
+    width: usize,
+    key: usize,
+) -> RowBatch {
+    let cursors: Vec<RunCursor<'_>> = runs
+        .iter()
+        .zip(stretches)
+        .map(|(run, (lo, hi))| RunCursor::stretch(std::slice::from_ref(run), lo, hi))
+        .collect();
+    let mut order: Vec<Entry> = Vec::with_capacity(cursors.iter().map(|c| c.left).sum());
+    merge_cursors(cursors, key, |r, batch, row| {
+        order.push((batch.column(key)[row], r as u32, row as u32));
+    });
+    gather(runs, width, &order)
 }
 
 /// The cooperative merge phase: partitions the key space into up to `dop`
-/// ranges by sampling splitter keys from the sorted runs, cuts every run
-/// at each splitter with a binary search (`partition_point` on `<=`, so
-/// equal keys never straddle a boundary), and merges each range's
-/// segments on its own worker thread. Every worker runs the same
-/// tie-break as the serial merge within its disjoint key range, so
-/// concatenating the ranges in order reproduces the serial merge output
-/// exactly — only the wall-clock work is split.
-fn parallel_range_merge(runs: Vec<Vec<Tuple>>, key: usize, dop: usize) -> Vec<Tuple> {
+/// ranges by sampling splitter keys from the sorted runs, cuts every run's
+/// key column at each splitter with a binary search (`partition_point` on
+/// `<=`, so equal keys never straddle a boundary), and merges each range's
+/// stretches on its own worker thread. Every worker runs the serial
+/// merge's loop within its disjoint key range, so concatenating the ranges
+/// in order reproduces the serial merge output exactly — only the
+/// wall-clock work is split.
+fn parallel_range_merge(runs: &[RowBatch], width: usize, key: usize, dop: usize) -> ColStream {
     // Splitters: sample up to 32 evenly spaced keys per run, then take
     // `dop - 1` quantiles of the pooled sample. Sampling quality affects
     // only range balance, never correctness.
     let mut samples: Vec<i64> = Vec::new();
-    for run in &runs {
-        let s = run.len().min(32);
-        for j in 0..s {
-            samples.push(run[j * run.len() / s][key]);
-        }
+    for run in runs {
+        let keys = run.column(key);
+        let s = keys.len().min(32);
+        samples.extend((0..s).map(|j| keys[j * keys.len() / s]));
     }
     samples.sort_unstable();
-    let mut bounds: Vec<i64> = (1..dop)
-        .map(|i| samples[i * samples.len() / dop])
-        .collect();
+    let mut bounds: Vec<i64> = (1..dop).map(|i| samples[i * samples.len() / dop]).collect();
     bounds.dedup();
     // Cut offsets per run: range `r` owns `cuts[r]..cuts[r + 1]`.
     let cuts: Vec<Vec<usize>> = runs
         .iter()
         .map(|run| {
+            let keys = run.column(key);
             let mut c = Vec::with_capacity(bounds.len() + 2);
             c.push(0);
-            for &b in &bounds {
-                c.push(run.partition_point(|t| t[key] <= b));
-            }
-            c.push(run.len());
+            c.extend(bounds.iter().map(|&b| keys.partition_point(|&k| k <= b)));
+            c.push(keys.len());
             c
         })
         .collect();
-    let ranges = bounds.len() + 1;
-    // Split each run into per-range segments by moving tuples out
-    // (splitting off tails back to front keeps offsets valid).
-    let mut segments: Vec<Vec<Vec<Tuple>>> = (0..ranges).map(|_| Vec::new()).collect();
-    for (run, cut) in runs.into_iter().zip(&cuts) {
-        let mut rest = run;
-        let mut tails: Vec<Vec<Tuple>> = Vec::with_capacity(ranges);
-        for r in (0..ranges).rev() {
-            tails.push(rest.split_off(cut[r]));
-        }
-        for (r, seg) in tails.into_iter().rev().enumerate() {
-            segments[r].push(seg);
-        }
-    }
-    let tasks: Vec<_> = segments
-        .into_iter()
-        .map(|segs| move || Ok(kway_merge(segs, key)))
+    let cuts = &cuts;
+    let tasks: Vec<_> = (0..=bounds.len())
+        .map(|r| {
+            move || {
+                let stretches = cuts.iter().map(|cut| (cut[r], cut[r + 1]));
+                Ok((r, merge_stretches(runs, stretches, width, key)))
+            }
+        })
         .collect();
-    let mut merged: Vec<Tuple> = Vec::new();
     // Range merging is pure CPU: the tasks are infallible.
-    for part in run_parallel(tasks).into_iter().flatten() {
-        merged.extend(part);
-    }
-    merged
+    ColStream::concat(width, run_parallel(tasks).into_iter().flatten().collect())
 }
 
-/// Sorts its input ascending on one attribute position.
+/// Sorts its input ascending on one attribute position; rows of equal
+/// keys come out in the order they came in.
 ///
-/// Inputs fitting the memory grant are sorted in place; larger inputs are
+/// Inputs fitting the memory grant are sorted in memory; larger inputs are
 /// cut into sorted runs spilled to accounted temporary files and merged —
 /// one extra write + read pass over the data, matching the cost model's
 /// `2 × pages × passes` charge (the experiments' inputs need at most one
 /// merge pass at the minimum 16-page grant).
+///
+/// Rows never take row shape on the way: batches are ingested into
+/// per-attribute vectors, a chunk is argsorted on `(key, arrival)` and
+/// written in that order straight from its columns, runs are read back
+/// page-wise into columns and merged over their key columns, and the
+/// output is gathered column by column and handed out in slices.
 ///
 /// Buffered rows are *reserved* with the query's resource governor before
 /// they are held, so a grant the governor refuses to cover surfaces as
@@ -165,7 +251,7 @@ pub struct SortExec<'a> {
     budget_bytes: usize,
     /// Bytes currently reserved with the governor; released in `close`.
     reserved: u64,
-    output: std::vec::IntoIter<Tuple>,
+    output: ColStream,
     cursor: RowCursor,
     /// Mid-query re-optimization probe, fired once per `open` with the
     /// input's actual cardinality when ingest completes.
@@ -189,7 +275,7 @@ impl<'a> SortExec<'a> {
             disk,
             budget_bytes,
             reserved: 0,
-            output: Vec::new().into_iter(),
+            output: ColStream::default(),
             cursor: RowCursor::default(),
             checkpoint: None,
         }
@@ -201,82 +287,85 @@ impl<'a> SortExec<'a> {
         self
     }
 
-    fn charge_sort_cpu(&self, n: usize) {
-        if n > 1 {
-            let compares = (n as f64 * (n as f64).log2()).ceil() as u64;
-            self.ctx.counters.add_compares(compares);
-        }
-    }
-
     fn reserve(&mut self, bytes: u64) -> Result<(), ExecError> {
         self.ctx.governor.try_reserve_memory(bytes)?;
         self.reserved += bytes;
         Ok(())
     }
 
-    fn release(&mut self, bytes: u64) {
-        self.ctx.governor.release_memory(bytes);
-        self.reserved -= bytes;
+    /// Reserves `rows` rows at once. When the governor refuses, the rows
+    /// are reserved one by one up to the refusal instead, so the error
+    /// names one row and leaves reserved what a per-row ingest would.
+    fn reserve_rows(&mut self, rows: usize, row_bytes: usize) -> Result<(), ExecError> {
+        if self.reserve((rows * row_bytes) as u64).is_ok() {
+            return Ok(());
+        }
+        (0..rows).try_for_each(|_| self.reserve(row_bytes as u64))
     }
 
-    /// Sorts one buffered chunk, charging the cost model's `n·log₂(n)`
-    /// compare formula. `sort_unstable_by_key` (in-place pattern-defeating
-    /// quicksort): the key is a single `i64`, so stability buys nothing,
-    /// and the unstable sort avoids the stable sort's allocation and
-    /// merge passes. With `ctx.dop > 1` and a chunk worth splitting, the
-    /// chunk is cut into `dop` slices sorted on worker threads and merged
-    /// back — parallel run generation. Compare accounting is the same
-    /// formula either way, so counters stay DOP-independent.
-    fn sort_rows(&self, rows: &mut Vec<Tuple>) {
-        let key = self.key;
-        self.charge_sort_cpu(rows.len());
-        let dop = self.ctx.dop.max(1);
-        if dop <= 1 || rows.len() < dop * 2 {
-            rows.sort_unstable_by_key(|t| t[key]);
-            return;
+    /// Argsorts one buffered chunk, charging the cost model's `n·log₂(n)`
+    /// compare formula. The entries are distinct, so the unstable sort of
+    /// `(key, arrival)` is the stable sort on the key without the stable
+    /// sort's allocation. With `ctx.dop > 1` and a chunk worth splitting,
+    /// the entries are cut into `dop` slices sorted on worker threads —
+    /// parallel run generation. Compare accounting is the same formula
+    /// either way, so counters stay DOP-independent.
+    fn sort_chunk(&self, chunk: &RowBatch) -> Vec<Entry> {
+        let mut order = entries(std::slice::from_ref(chunk), self.key);
+        let n = order.len();
+        if n > 1 {
+            let compares = (n as f64 * (n as f64).log2()).ceil() as u64;
+            self.ctx.counters.add_compares(compares);
         }
-        let share = rows.len().div_ceil(dop);
-        let tasks: Vec<_> = rows
-            .chunks_mut(share)
+        let dop = self.ctx.dop.max(1);
+        if dop <= 1 || n < dop * 2 {
+            order.sort_unstable();
+            return order;
+        }
+        let tasks: Vec<_> = order
+            .chunks_mut(n.div_ceil(dop))
             .map(|slice| {
                 move || {
-                    slice.sort_unstable_by_key(|t| t[key]);
+                    slice.sort_unstable();
                     Ok(())
                 }
             })
             .collect();
         // Slice sorting is pure CPU: the tasks are infallible.
         run_parallel::<(), _>(tasks);
-        *rows = merge_sorted_slices(rows, share, key);
+        // The stable sort is a merge sort that starts from the sorted
+        // stretches it finds: here, the workers' slices.
+        order.sort();
+        order
     }
 
     /// Sorts `chunk` and spills it to a fresh accounted run, releasing its
     /// memory reservation. The run is a query-lifetime file: its pages go
     /// back to the disk when `fill` drops it, merged or failed.
     ///
-    /// The run's record content goes through unaccounted page writes and
-    /// the accounting is settled explicitly afterwards: exactly one
-    /// charged write per data page, the same count, order, and
-    /// fault-ordinal positions as the accounted-append path (no other
-    /// accounted I/O happens inside a spill). Splitting content from
-    /// accounting lets a parallel sort overlap the charges' pacing stalls
-    /// across workers.
+    /// The run's pages are written uncharged and the accounting is settled
+    /// explicitly afterwards: exactly one charged write per data page, the
+    /// same count, order, and fault-ordinal positions as a charged writer
+    /// (no other accounted I/O happens inside a spill). Splitting content
+    /// from accounting lets a parallel sort overlap the charges' pacing
+    /// stalls across workers.
     fn spill_chunk(
         &mut self,
-        chunk: &mut Vec<Tuple>,
-        runs: &mut Vec<HeapFile>,
+        chunk: &mut RowBatch,
+        runs: &mut Vec<SpillFile>,
         row_bytes: usize,
     ) -> Result<(), ExecError> {
-        self.sort_rows(chunk);
-        let mut run = HeapFile::new_temp_uncharged(self.disk.clone());
-        let mut record = vec![0u8; row_bytes];
-        for row in chunk.iter() {
-            encode_record_into(row, &mut record);
-            run.append(&record)?;
+        let order = self.sort_chunk(chunk);
+        let mut run = SpillWriter::uncharged(self.disk.clone(), row_bytes);
+        for &(_, _, i) in &order {
+            run.append(chunk.columns().iter().map(|col| col[i as usize]))?;
         }
+        let run = run.finish()?;
         self.charge_run_writes(run.page_count())?;
         runs.push(run);
-        self.release((chunk.len() * row_bytes) as u64);
+        let spilled = (chunk.rows() * row_bytes) as u64;
+        self.ctx.governor.release_memory(spilled);
+        self.reserved -= spilled;
         chunk.clear();
         Ok(())
     }
@@ -284,8 +373,8 @@ impl<'a> SortExec<'a> {
     /// Charges the spilled run's page writes. Serial below DOP 2 (or for
     /// a single page); otherwise the charges split across `dop` workers so
     /// their I/O pacing stalls overlap. Totals are DOP-exact; a write
-    /// fault is charged before it errors on either path, exactly like an
-    /// accounted append.
+    /// fault is charged before it errors on either path, exactly like a
+    /// charged writer's.
     fn charge_run_writes(&self, pages: usize) -> Result<(), ExecError> {
         let dop = self.ctx.dop.max(1);
         if dop <= 1 || pages < 2 {
@@ -314,21 +403,81 @@ impl<'a> SortExec<'a> {
         Ok(())
     }
 
-    /// Consumes the (already open) input and leaves sorted rows in
+    /// Reads every run back (accounted), one dense batch per run, pages
+    /// decoding straight into its columns.
+    ///
+    /// With `dop > 1` the read-back fans out over *pages*, not whole runs
+    /// (worker `w` reads every `dop`-th page of the concatenated run page
+    /// list, so the paced stalls overlap even when the grant produced
+    /// fewer runs than workers — the page *set* is identical, so
+    /// page-identity faults trip identically; only the seq/random read
+    /// split may shift). Records decode per page in slot order and pages
+    /// reassemble per run in page order, so the batches are the serial
+    /// ones.
+    fn read_runs(&self, runs: &[SpillFile], width: usize) -> Result<Vec<RowBatch>, ExecError> {
+        let dop = self.ctx.dop.max(1);
+        if dop <= 1 {
+            return runs.iter().map(|run| Ok(RowBatch::from_spill(run, width)?)).collect();
+        }
+        // (run index, page id) units in scan order across all runs.
+        let units: Vec<(usize, PageId)> = runs
+            .iter()
+            .enumerate()
+            .flat_map(|(r, run)| run.pages().iter().map(move |&pid| (r, pid)))
+            .collect();
+        let workers = dop.min(units.len().max(1));
+        let (units_ref, disk) = (&units, &self.disk);
+        let tasks: Vec<_> = (0..workers)
+            .map(|w| {
+                move || {
+                    // This worker's pages end to end, and each page's rows.
+                    let mut rows = RowBatch::with_capacity(width, 0);
+                    let mut counts = Vec::new();
+                    for &(_, pid) in units_ref.iter().skip(w).step_by(workers) {
+                        let page = SlottedPage::from_bytes(disk.read(pid)?);
+                        counts.push(rows.extend_with(|cols| decode_page_columns_into(&page, cols)));
+                    }
+                    Ok((rows, counts))
+                }
+            })
+            .collect();
+        let mut read: Vec<(RowBatch, Vec<usize>)> = Vec::with_capacity(workers);
+        for result in run_parallel(tasks) {
+            read.push(result?);
+        }
+        // Reassemble: unit `u` is the `u / workers`-th page of worker
+        // `u % workers`, and walking the units in order restores every
+        // run's page order.
+        let mut all: Vec<RowBatch> = runs
+            .iter()
+            .map(|run| RowBatch::with_capacity(width, run.record_count() as usize))
+            .collect();
+        let mut taken = vec![0usize; workers];
+        for (u, &(r, _)) in units.iter().enumerate() {
+            let (rows, counts) = &read[u % workers];
+            let lo = taken[u % workers];
+            let hi = lo + counts[u / workers];
+            all[r].extend_from_live(rows, lo..hi);
+            taken[u % workers] = hi;
+        }
+        Ok(all)
+    }
+
+    /// Consumes the (already open) input and leaves the sorted rows in
     /// `self.output`.
     fn fill(&mut self) -> Result<(), ExecError> {
         let row_bytes = self.input.layout().row_bytes;
         let width = self.input.layout().width();
         let budget_rows = (self.budget_bytes / row_bytes).max(1);
-        let key = self.key;
 
-        // Run formation: buffer up to one memory grant of rows; on
-        // overflow, sort the buffered chunk and spill it as a run. Rows
-        // are *reserved* one at a time — the spill bound (never more than
-        // one grant of rows resident) is part of the memory contract, so
-        // ingest must not reserve a whole batch ahead.
-        let mut chunk: Vec<Tuple> = Vec::new();
-        let mut runs: Vec<HeapFile> = Vec::new();
+        // Run formation: buffer up to one memory grant of rows; when a row
+        // arrives to a full chunk, sort the chunk and spill it as a run.
+        // A batch is ingested in slices no larger than the room left in
+        // the chunk, each reserved before it is held — the spill bound
+        // (never more than one grant of rows resident) is part of the
+        // memory contract, so ingest must not reserve a whole batch ahead.
+        let mut chunk = RowBatch::with_capacity(width, 0);
+        let mut runs: Vec<SpillFile> = Vec::new();
         let mut ingested: u64 = 0;
         loop {
             // Request at most one row past what the memory limit still
@@ -338,12 +487,15 @@ impl<'a> SortExec<'a> {
             let Some(batch) = self.input.next_batch(req)? else { break };
             self.ctx.governor.check_batch(batch.len() as u64)?;
             ingested += batch.len() as u64;
-            for row in &batch {
-                if chunk.len() >= budget_rows {
+            let mut lo = 0;
+            while lo < batch.len() {
+                if chunk.rows() >= budget_rows {
                     self.spill_chunk(&mut chunk, &mut runs, row_bytes)?;
                 }
-                self.reserve(row_bytes as u64)?;
-                chunk.push(row);
+                let take = (batch.len() - lo).min(budget_rows - chunk.rows());
+                self.reserve_rows(take, row_bytes)?;
+                chunk.extend_from_live(&batch, lo..lo + take);
+                lo += take;
             }
         }
 
@@ -354,15 +506,15 @@ impl<'a> SortExec<'a> {
         }
 
         if runs.is_empty() {
-            // Everything fit the grant: sort in place. The reservation is
+            // Everything fit the grant: sort in memory. The reservation is
             // held until `close` — the rows really are resident.
-            self.sort_rows(&mut chunk);
-            self.output = chunk.into_iter();
+            let order = self.sort_chunk(&chunk);
+            self.output = ColStream::new(gather(std::slice::from_ref(&chunk), width, &order));
             return Ok(());
         }
 
         // The tail chunk becomes the final run.
-        if !chunk.is_empty() {
+        if chunk.rows() > 0 {
             self.spill_chunk(&mut chunk, &mut runs, row_bytes)?;
         }
 
@@ -376,85 +528,23 @@ impl<'a> SortExec<'a> {
         // the counters DOP-exact (and sums with the per-run charges to the
         // model's `n·log₂(n)`).
         //
-        // With `dop > 1` the read-back fans out over *pages*, not whole
-        // runs (worker `w` reads every `dop`-th page of the concatenated
-        // run page list, so the paced stalls overlap even when the grant
-        // produced fewer runs than workers — the page *set* is identical,
-        // so page-identity faults trip identically; only the seq/random
-        // read split may shift) and the merge itself is range-cooperative:
-        // workers claim disjoint key ranges via splitter sampling and
-        // merge them concurrently. Both phases reproduce the serial
-        // output exactly: records decode per page in slot order and pages
-        // reassemble per run in page order.
-        let dop = self.ctx.dop.max(1);
-        let run_rows: Vec<Vec<Tuple>> = if dop <= 1 {
-            let mut all = Vec::with_capacity(runs.len());
-            for run in &runs {
-                let mut rows = Vec::with_capacity(run.record_count() as usize);
-                for page in run.scan_pages() {
-                    decode_page_rows(&page?, width, &mut rows);
-                }
-                all.push(rows);
-            }
-            all
-        } else {
-            // (run index, page id) units in scan order across all runs.
-            let units: Vec<(usize, PageId)> = runs
-                .iter()
-                .enumerate()
-                .flat_map(|(r, run)| run.pages().iter().map(move |&pid| (r, pid)))
-                .collect();
-            let runs_ref = &runs;
-            let units_ref = &units;
-            let tasks: Vec<_> = (0..dop.min(units.len().max(1)))
-                .map(|w| {
-                    move || {
-                        let mut out: Vec<(usize, usize, Vec<Tuple>)> = Vec::new();
-                        let mut u = w;
-                        while u < units_ref.len() {
-                            let (r, pid) = units_ref[u];
-                            let bytes = runs_ref[r]
-                                .disk()
-                                .read(pid)
-                                .map_err(ExecError::from)?;
-                            let mut rows = Vec::new();
-                            decode_page_rows(&SlottedPage::from_bytes(bytes), width, &mut rows);
-                            out.push((r, u, rows));
-                            u += dop;
-                        }
-                        Ok(out)
-                    }
-                })
-                .collect();
-            let mut collected: Vec<(usize, usize, Vec<Tuple>)> = Vec::new();
-            for result in run_parallel(tasks) {
-                collected.extend(result?);
-            }
-            // Reassemble: unit index orders pages globally in scan order,
-            // and runs were concatenated run 0 first, so a stable sort by
-            // (run, unit) restores every run's page order.
-            collected.sort_by_key(|&(r, u, _)| (r, u));
-            let mut all: Vec<Vec<Tuple>> = runs
-                .iter()
-                .map(|run| Vec::with_capacity(run.record_count() as usize))
-                .collect();
-            for (r, _, rows) in collected {
-                all[r].extend(rows);
-            }
-            all
-        };
-        let total_rows: u64 = run_rows.iter().map(|r| r.len() as u64).sum();
+        // With `dop > 1` the merge itself is range-cooperative: workers
+        // claim disjoint key ranges via splitter sampling and merge them
+        // concurrently, reproducing the serial output exactly.
+        let run_rows = self.read_runs(&runs, width)?;
+        let total_rows: usize = run_rows.iter().map(RowBatch::rows).sum();
         if total_rows > 0 && run_rows.len() > 1 {
             let merge_compares =
                 (total_rows as f64 * (run_rows.len() as f64).log2()).ceil() as u64;
             self.ctx.counters.add_compares(merge_compares);
         }
-        let merged = if dop <= 1 || total_rows < 2 {
-            kway_merge(run_rows, key)
+        let dop = self.ctx.dop.max(1);
+        self.output = if dop <= 1 || total_rows < 2 {
+            let whole = run_rows.iter().map(|run| (0, run.rows()));
+            ColStream::new(merge_stretches(&run_rows, whole, width, self.key))
         } else {
-            parallel_range_merge(run_rows, key, dop)
+            parallel_range_merge(&run_rows, width, self.key, dop)
         };
-        self.output = merged.into_iter();
         Ok(())
     }
 }
@@ -472,20 +562,14 @@ impl Operator for SortExec<'_> {
         cursor_next(self, |op| &mut op.cursor)
     }
 
-    /// The sort's native emission from the sorted buffer: one governor
-    /// check and one counter update per batch.
+    /// The sort's native emission, a slice of the sorted columns: one
+    /// governor check and one counter update per batch.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
-        let mut batch = RowBatch::with_capacity(self.input.layout().width(), max_rows);
-        while batch.rows() < max_rows {
-            let Some(t) = self.output.next() else { break };
-            batch.push_row(&t);
-        }
-        let rows = batch.rows();
-        if rows == 0 {
+        let Some(batch) = self.output.next_slice(max_rows) else {
             return Ok(None);
-        }
-        self.ctx.governor.check_batch(rows as u64)?;
-        self.ctx.counters.add_records(rows as u64);
+        };
+        self.ctx.governor.check_batch(batch.rows() as u64)?;
+        self.ctx.counters.add_records(batch.rows() as u64);
         Ok(Some(batch))
     }
 
@@ -494,7 +578,7 @@ impl Operator for SortExec<'_> {
             self.ctx.governor.release_memory(self.reserved);
             self.reserved = 0;
         }
-        self.output = Vec::new().into_iter();
+        self.output = ColStream::default();
         self.cursor.clear();
     }
 
@@ -503,7 +587,70 @@ impl Operator for SortExec<'_> {
     }
 
     fn estimated_rows(&self) -> Option<u64> {
-        // Exact after `open`: the sorted buffer's remaining length.
-        Some(self.output.len() as u64)
+        // Exact after `open`: what is left of the sorted output.
+        Some(self.output.remaining() as u64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn batch_of(width: usize, rows: &[&[i64]]) -> RowBatch {
+        let mut batch = RowBatch::with_capacity(width, rows.len());
+        rows.iter().for_each(|row| batch.push_row(row));
+        batch
+    }
+
+    #[test]
+    fn kway_merge_is_ordered_and_complete() {
+        // Run 0 spans two batches (the first filtered down to one live
+        // row), run 2 is empty, run 3 starts with an empty batch: the
+        // cursors must step over all of that.
+        let mut filtered = batch_of(2, &[&[0, 99], &[1, 10], &[3, 98]]);
+        filtered.set_selection(vec![1]);
+        let runs = [
+            vec![filtered, batch_of(2, &[&[4, 11]])],
+            vec![batch_of(2, &[&[2, 20]])],
+            vec![],
+            vec![batch_of(2, &[]), batch_of(2, &[&[2, 30], &[9, 31]])],
+        ];
+        let runs: Vec<&[RowBatch]> = runs.iter().map(Vec::as_slice).collect();
+        let mut merged = Vec::new();
+        kway_merge(&runs, 0, |run, batch, i| merged.push((run, batch.row_vec(i))));
+        let keys: Vec<i64> = merged.iter().map(|(_, r)| r[0]).collect();
+        assert_eq!(keys, vec![1, 2, 2, 4, 9]);
+        // Ties resolve by run index: run 1's row precedes run 3's.
+        assert_eq!(merged[1], (1, vec![2, 20]));
+        assert_eq!(merged[2], (3, vec![2, 30]));
+    }
+
+    #[test]
+    fn sort_batches_is_a_stable_sort_of_the_live_rows() {
+        let mut first = batch_of(2, &[&[5, 0], &[1, 1], &[7, 2], &[1, 3]]);
+        first.set_selection(vec![0, 1, 3]);
+        let second = batch_of(2, &[&[1, 4], &[0, 5]]);
+        let sorted = sort_batches(&[first, second], 2, 0);
+        assert!(sorted.selection().is_none(), "the result is dense");
+        assert_eq!(
+            sorted.to_tuples(),
+            vec![vec![0, 5], vec![1, 1], vec![1, 3], vec![1, 4], vec![5, 0]],
+            "equal keys keep arrival order; the dead row is gone"
+        );
+    }
+
+    #[test]
+    fn a_stretch_starts_and_ends_inside_a_run_of_several_batches() {
+        let mut filtered = batch_of(1, &[&[1], &[2], &[3], &[4]]);
+        filtered.set_selection(vec![0, 2, 3]);
+        let run = [filtered, batch_of(1, &[]), batch_of(1, &[&[5], &[6]])];
+        // Live rows of the run: 1 3 4 5 6.
+        for (lo, hi, want) in [(0, 5, vec![1, 3, 4, 5, 6]), (2, 4, vec![4, 5]), (3, 3, vec![]), (5, 5, vec![])] {
+            let mut got = Vec::new();
+            merge_cursors(vec![RunCursor::stretch(&run, lo, hi)], 0, |_, batch, i| {
+                got.push(batch.column(0)[i]);
+            });
+            assert_eq!(got, want, "live rows {lo}..{hi}");
+        }
     }
 }

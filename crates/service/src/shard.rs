@@ -48,8 +48,8 @@ use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     compile_dynamic_plan, credit_frames, decode_frame_traced, drain_root, encode_frame_dense,
-    execute_plan_reopt_ctx, join_batches, journal, merge_distributed, presized_batch,
-    scatter_by_shard, ChooseAudit, EventKind, ExecContext, ExecError, ExecMode, FrameTrace,
+    execute_plan_reopt_ctx, join_batches, journal, kway_merge, merge_distributed, presized_batch,
+    scatter_by_shard, sort_batches, ChooseAudit, EventKind, ExecContext, ExecError, ExecMode, FrameTrace,
     LinkFaultPlan, NetChannel, NetConfig, NetSpanStats, NetStats, ReoptConfig, ResourceLimits,
     RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple,
     TupleLayout, BATCH_CAPACITY, NO_ID,
@@ -800,13 +800,18 @@ fn check_gathered(shard: usize, gathered: u64, reported: u64) -> Result<(), Exec
 
 /// The **one** place the sharded path turns columns into rows: builds
 /// [`ShardOutcome::rows`] from the gathered batches, pre-sized from their
-/// row count, one `row_vec` per result row — k-way merged on `order_key`
-/// when the query is ordered, else concatenated in shard order.
+/// row count, one `row_vec` per result row — the per-shard runs k-way
+/// merged on `order_key` when the query is ordered (ties resolve by shard
+/// index, so the merge is fully deterministic), else concatenated in
+/// shard order.
 fn materialize(gathered: &[Vec<RowBatch>], order_key: Option<usize>) -> Vec<Tuple> {
     let total: u64 = gathered.iter().map(|run| live_rows(run)).sum();
     let mut rows = Vec::with_capacity(total as usize);
     match order_key {
-        Some(key) => kway_merge(gathered, key, |batch, i| rows.push(batch.row_vec(i))),
+        Some(key) => {
+            let runs: Vec<&[RowBatch]> = gathered.iter().map(Vec::as_slice).collect();
+            kway_merge(&runs, key, |_, batch, i| rows.push(batch.row_vec(i)));
+        }
         None => {
             for batch in gathered.iter().flatten() {
                 rows.extend(batch.iter());
@@ -814,57 +819,6 @@ fn materialize(gathered: &[Vec<RowBatch>], order_key: Option<usize>) -> Vec<Tupl
         }
     }
     rows
-}
-
-/// Position of one sorted run's next live row: the batch it is in and
-/// the index into that batch's live rows.
-struct RunCursor<'a> {
-    run: &'a [RowBatch],
-    batch: usize,
-    pos: usize,
-}
-
-impl<'a> RunCursor<'a> {
-    /// The batch and physical row index under the cursor, skipping
-    /// batches that are used up; `None` at the end of the run.
-    fn head(&mut self) -> Option<(&'a RowBatch, usize)> {
-        loop {
-            let batch = self.run.get(self.batch)?;
-            if self.pos < batch.len() {
-                let row = batch.selection().map_or(self.pos, |sel| sel[self.pos] as usize);
-                return Some((batch, row));
-            }
-            self.batch += 1;
-            self.pos = 0;
-        }
-    }
-}
-
-/// Order-preserving k-way merge of per-shard runs already sorted on
-/// column `key`: one `(batch, row)` cursor per run walks the key column,
-/// and each winner is handed to `emit` as (batch, physical row). Ties
-/// resolve by shard index, so the merge is fully deterministic.
-fn kway_merge<'a>(
-    runs: &'a [Vec<RowBatch>],
-    key: usize,
-    mut emit: impl FnMut(&'a RowBatch, usize),
-) {
-    let mut cursors: Vec<RunCursor<'a>> =
-        runs.iter().map(|run| RunCursor { run, batch: 0, pos: 0 }).collect();
-    loop {
-        let mut best: Option<(i64, &'a RowBatch, usize, usize)> = None;
-        for (s, cursor) in cursors.iter_mut().enumerate() {
-            if let Some((batch, row)) = cursor.head() {
-                let k = batch.column(key)[row];
-                if best.is_none_or(|(bk, ..)| k < bk) {
-                    best = Some((k, batch, row, s));
-                }
-            }
-        }
-        let Some((_, batch, row, s)) = best else { break };
-        emit(batch, row);
-        cursors[s].pos += 1;
-    }
 }
 
 /// The body of one shard worker: local access stages with shard-local
@@ -977,6 +931,7 @@ fn run_shard(
     }
 
     if let Some(attr) = plan.order_by {
+        // The shard-local `ORDER BY`: the sort's in-memory kernel.
         current = vec![sort_batches(&current, layout.width(), layout.require(attr))];
     }
 
@@ -989,28 +944,6 @@ fn run_shard(
         fallbacks: ctx.counters.fallbacks(),
         synth_audits,
     })
-}
-
-/// The shard-local `ORDER BY`: an argsort of column `key` over the live
-/// rows of `batches` (arrival order kept among equal keys), then one
-/// gather per column into a single dense batch — no row is assembled.
-fn sort_batches(batches: &[RowBatch], width: usize, key: usize) -> RowBatch {
-    // (key, batch, physical row): arrival order *is* (batch, row) order,
-    // so sorting the whole triple is the stable sort on the key.
-    let mut order: Vec<(i64, u32, u32)> = Vec::with_capacity(live_rows(batches) as usize);
-    for (b, batch) in batches.iter().enumerate() {
-        let col = batch.column(key);
-        order.extend(batch.selected_indices().map(|i| (col[i], b as u32, i as u32)));
-    }
-    order.sort_unstable();
-    let mut out = RowBatch::with_capacity(width, order.len());
-    out.extend_rows_with(order.len(), |cols| {
-        for (c, col) in cols.iter_mut().enumerate() {
-            let src: Vec<&[i64]> = batches.iter().map(|batch| batch.column(c)).collect();
-            col.extend(order.iter().map(|&(_, b, i)| src[b as usize][i as usize]));
-        }
-    });
-    out
 }
 
 /// Runs one per-relation access plan locally. The plan still carries its
@@ -1623,43 +1556,23 @@ mod tests {
     }
 
     #[test]
-    fn kway_merge_is_ordered_and_complete() {
-        // Shard 0's run spans two batches (the first filtered down to one
-        // live row), shard 2 sent nothing, shard 3 starts with an empty
-        // batch: the cursors must step over all of that.
+    fn materialize_merges_ordered_gathers_and_concatenates_the_rest() {
         let mut filtered = batch_of(2, &[&[0, 99], &[1, 10], &[3, 98]]);
         filtered.set_selection(vec![1]);
-        let runs = vec![
+        let gathered = vec![
             vec![filtered, batch_of(2, &[&[4, 11]])],
             vec![batch_of(2, &[&[2, 20]])],
             vec![],
             vec![batch_of(2, &[]), batch_of(2, &[&[2, 30], &[9, 31]])],
         ];
-        let mut merged = Vec::new();
-        kway_merge(&runs, 0, |batch, i| merged.push(batch.row_vec(i)));
-        let keys: Vec<i64> = merged.iter().map(|r| r[0]).collect();
-        assert_eq!(keys, vec![1, 2, 2, 4, 9]);
-        // Ties resolve by shard index: shard 1's row precedes shard 3's.
-        assert_eq!(merged[1], vec![2, 20]);
-        assert_eq!(merged[2], vec![2, 30]);
-        assert_eq!(materialize(&runs, Some(0)), merged);
-        // Unordered gathers concatenate in shard order, live rows only.
-        let concat: Vec<i64> = materialize(&runs, None).iter().map(|r| r[1]).collect();
-        assert_eq!(concat, vec![10, 11, 20, 30, 31]);
-    }
-
-    #[test]
-    fn sort_batches_is_a_stable_sort_of_the_live_rows() {
-        let mut first = batch_of(2, &[&[5, 0], &[1, 1], &[7, 2], &[1, 3]]);
-        first.set_selection(vec![0, 1, 3]);
-        let second = batch_of(2, &[&[1, 4], &[0, 5]]);
-        let sorted = sort_batches(&[first, second], 2, 0);
-        assert!(sorted.selection().is_none(), "the result is dense");
+        // Ordered: merged on the key, ties by shard index.
         assert_eq!(
-            sorted.to_tuples(),
-            vec![vec![0, 5], vec![1, 1], vec![1, 3], vec![1, 4], vec![5, 0]],
-            "equal keys keep arrival order; the dead row is gone"
+            materialize(&gathered, Some(0)),
+            vec![vec![1, 10], vec![2, 20], vec![2, 30], vec![4, 11], vec![9, 31]]
         );
+        // Unordered gathers concatenate in shard order, live rows only.
+        let concat: Vec<i64> = materialize(&gathered, None).iter().map(|r| r[1]).collect();
+        assert_eq!(concat, vec![10, 11, 20, 30, 31]);
     }
 
     #[test]

@@ -79,6 +79,10 @@ struct DiskInner {
     /// a reclaimed temp page: its buffer is gone, its id stays dead until
     /// the slot falls off the tail (see [`SimDisk::free`]).
     pages: Vec<Option<PageRef>>,
+    /// What a page holds between allocation and its first write: every
+    /// such slot shares this one buffer (a write never changes a shared
+    /// buffer, it replaces the slot's reference).
+    zero: PageRef,
     temp: TempPages,
     stats: IoStats,
     last_read: Option<PageId>,
@@ -116,6 +120,7 @@ impl SimDisk {
         SimDisk {
             inner: Arc::new(Mutex::new(DiskInner {
                 pages: Vec::new(),
+                zero: Arc::new([0u8; PAGE_SIZE]),
                 temp: TempPages::default(),
                 stats: IoStats::default(),
                 last_read: None,
@@ -169,6 +174,36 @@ impl SimDisk {
         inner.temp.live += 1;
         inner.temp.high_water = inner.temp.high_water.max(inner.temp.live);
         inner.push_page()
+    }
+
+    /// Takes over a finished page of a query-lifetime file **by move**:
+    /// the slot now refers to the writer's buffer, nothing is copied.
+    /// When `charged`, one write is accounted exactly as by
+    /// [`SimDisk::note_write`] — the page is in place whether or not that
+    /// write is failed by the fault plan. An id that is not live is left
+    /// alone.
+    ///
+    /// # Errors
+    /// [`StorageError::InjectedFault`] when `charged` and the installed
+    /// fault plan fails this write.
+    pub(crate) fn seal_temp(
+        &self,
+        id: PageId,
+        page: PageRef,
+        charged: bool,
+    ) -> Result<(), StorageError> {
+        let (result, latency) = {
+            let mut inner = self.inner.lock();
+            if let Some(slot) = inner.live_page_mut(id) {
+                *slot = page;
+            }
+            if !charged {
+                return Ok(());
+            }
+            (inner.charge_write(), inner.latency_micros)
+        };
+        Self::pace(latency);
+        result
     }
 
     /// Gives temp pages back. Each buffer is released at once and its id
@@ -328,14 +363,7 @@ impl SimDisk {
     pub fn note_write(&self) -> Result<(), StorageError> {
         let (result, latency) = {
             let mut inner = self.inner.lock();
-            inner.stats.writes += 1;
-            inner.write_ordinal += 1;
-            let result = if inner.faults.write_fails(inner.write_ordinal) {
-                Err(StorageError::InjectedFault { page: PageId::INVALID, write: true })
-            } else {
-                Ok(())
-            };
-            (result, inner.latency_micros)
+            (inner.charge_write(), inner.latency_micros)
         };
         Self::pace(latency);
         result
@@ -360,8 +388,19 @@ impl SimDisk {
 impl DiskInner {
     fn push_page(&mut self) -> PageId {
         let id = PageId(self.pages.len() as u32);
-        self.pages.push(Some(Arc::new([0u8; PAGE_SIZE])));
+        self.pages.push(Some(Arc::clone(&self.zero)));
         id
+    }
+
+    /// Accounts one write that transfers no data, failing it if the fault
+    /// plan says so.
+    fn charge_write(&mut self) -> Result<(), StorageError> {
+        self.stats.writes += 1;
+        self.write_ordinal += 1;
+        if self.faults.write_fails(self.write_ordinal) {
+            return Err(StorageError::InjectedFault { page: PageId::INVALID, write: true });
+        }
+        Ok(())
     }
 
     fn live_page(&self, id: PageId) -> Option<&PageRef> {

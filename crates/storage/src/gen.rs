@@ -42,85 +42,67 @@ impl StoredTable {
     pub fn decode(&self, record: &[u8]) -> Vec<i64> {
         decode_record(record, self.n_attrs)
     }
-
-    /// Decodes a slice of records column-wise: appends attribute `c` of
-    /// every record to `cols[c]`. One tight per-attribute loop over the
-    /// records — the transposed fill for columnar batch scans.
-    ///
-    /// # Panics
-    /// Panics if `cols.len() != n_attrs`.
-    pub fn decode_columns_into(&self, records: &[&[u8]], cols: &mut [Vec<i64>]) {
-        assert_eq!(cols.len(), self.n_attrs, "column count mismatch");
-        for (attr, col) in cols.iter_mut().enumerate() {
-            decode_column_into(records.iter().copied(), attr, col);
-        }
-    }
 }
 
 /// Decodes `n_attrs` little-endian `i64`s from the front of a record.
 #[must_use]
 pub fn decode_record(record: &[u8], n_attrs: usize) -> Vec<i64> {
-    let mut out = Vec::with_capacity(n_attrs);
-    decode_record_into(record, n_attrs, &mut out);
-    out
+    (0..n_attrs).map(|attr| value_at(record, attr)).collect()
 }
 
-/// Appends `n_attrs` little-endian `i64`s from the front of a record to
-/// `out` without allocating a fresh vector per record.
-pub fn decode_record_into(record: &[u8], n_attrs: usize, out: &mut Vec<i64>) {
-    out.extend((0..n_attrs).map(|i| {
-        let at = i * 8;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&record[at..at + 8]);
-        i64::from_le_bytes(b)
-    }));
-}
-
-/// Appends attribute `attr` (a little-endian `i64` at byte offset
-/// `attr * 8`) of each record to `out`.
-pub fn decode_column_into<'r>(
-    records: impl Iterator<Item = &'r [u8]>,
-    attr: usize,
-    out: &mut Vec<i64>,
-) {
-    let at = attr * 8;
-    out.extend(records.map(|r| {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&r[at..at + 8]);
-        i64::from_le_bytes(b)
-    }));
+/// Attribute `attr` of a record: the little-endian `i64` at byte offset
+/// `attr * 8`.
+fn value_at(record: &[u8], attr: usize) -> i64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&record[attr * 8..attr * 8 + 8]);
+    i64::from_le_bytes(b)
 }
 
 /// Decodes every live record of `page` column-wise: appends attribute `c`
 /// of each record to `cols[c]`, for every column given, and returns the
-/// number of records. The spill read path — a whole page goes from the
-/// disk's buffer into column vectors with no per-record allocation.
+/// number of records. A whole page goes from the disk's buffer into
+/// column vectors in one walk of its slot array, with no per-record
+/// allocation.
 pub fn decode_page_columns_into(page: &SlottedPage, cols: &mut [Vec<i64>]) -> usize {
-    for (attr, col) in cols.iter_mut().enumerate() {
-        decode_column_into(page.iter(), attr, col);
+    decode_page_slots_into(page, 0, usize::MAX, cols).0
+}
+
+/// Like [`decode_page_columns_into`], but starting at slot `from` and
+/// stopping after `max_rows` live records: returns how many were decoded
+/// and the slot to resume at (the page's slot count once it is used up).
+/// This is how a scan carries the rest of a page over to its next batch
+/// as a page reference and a slot number.
+pub fn decode_page_slots_into(
+    page: &SlottedPage,
+    from: u16,
+    max_rows: usize,
+    cols: &mut [Vec<i64>],
+) -> (usize, u16) {
+    let mut rows = 0;
+    for (slot, record) in page.live_from(from) {
+        if rows == max_rows {
+            return (rows, slot);
+        }
+        for (attr, col) in cols.iter_mut().enumerate() {
+            col.push(value_at(record, attr));
+        }
+        rows += 1;
     }
-    page.live_len()
+    (rows, page.len() as u16)
 }
 
 /// Encodes attribute values as a fixed-width record of `record_len` bytes.
-#[must_use]
-pub fn encode_record(values: &[i64], record_len: usize) -> Vec<u8> {
-    let mut out = vec![0u8; record_len];
-    encode_record_into(values, &mut out);
-    out
-}
-
-/// Overwrites the attribute prefix of `record` with `values`, leaving the
-/// padding behind it alone: a spill loop zeroes one record buffer once
-/// and re-encodes every row of one layout into it.
 ///
 /// # Panics
-/// Panics if `record` is too short for `values`.
-pub fn encode_record_into(values: &[i64], record: &mut [u8]) {
-    assert!(values.len() * 8 <= record.len(), "record too narrow");
-    for (v, slot) in values.iter().zip(record.chunks_exact_mut(8)) {
+/// Panics if `record_len` is too short for `values`.
+#[must_use]
+pub fn encode_record(values: &[i64], record_len: usize) -> Vec<u8> {
+    assert!(values.len() * 8 <= record_len, "record too narrow");
+    let mut out = vec![0u8; record_len];
+    for (v, slot) in values.iter().zip(out.chunks_exact_mut(8)) {
         slot.copy_from_slice(&v.to_le_bytes());
     }
+    out
 }
 
 /// Value distribution of generated attributes.

@@ -14,17 +14,14 @@ pub struct Rid {
     pub slot: u16,
 }
 
-/// An unordered file of records.
+/// An unordered file of records that lives as long as its disk: a base
+/// table.
 ///
 /// Loading happens through [`HeapFile::append`] (unaccounted writes — the
 /// experiments measure query I/O, not load I/O); scans read pages in
 /// allocation order, which the simulated disk accounts as sequential I/O.
-///
-/// A file made by [`HeapFile::new`] lives as long as its disk. The two
-/// temp constructors make *query-lifetime* files: dropping one gives its
-/// pages back to the disk, so an operator that holds its spill files
-/// reclaims them on `close()`, on every `?` error path and on unwinding
-/// alike, without saying so.
+/// Query-lifetime files — Grace partitions, sort runs — are written
+/// through a [`SpillWriter`] instead.
 #[derive(Debug)]
 pub struct HeapFile {
     disk: SimDisk,
@@ -32,85 +29,42 @@ pub struct HeapFile {
     records: u64,
     /// The tail page being filled during loading.
     tail: Option<SlottedPage>,
-    /// Whether appends charge disk writes (Grace partitions do; load-time
-    /// base tables and the sort's runs, which settle their charges in one
-    /// sweep, do not).
-    accounted: bool,
-    /// Whether the pages go back to the disk when the file is dropped.
-    temp: bool,
 }
 
 impl HeapFile {
-    /// An empty heap file on `disk`; appends are load-time (unaccounted)
-    /// and the pages are never reclaimed.
+    /// An empty heap file on `disk`.
     #[must_use]
     pub fn new(disk: SimDisk) -> HeapFile {
-        HeapFile::with(disk, false, false)
+        HeapFile { disk, pages: Vec::new(), records: 0, tail: None }
     }
 
-    /// An empty *temporary* file whose appends charge disk writes — used
-    /// for spill partitions, whose I/O the experiments (and the cost
-    /// model) do account. Reclaimed on drop.
-    #[must_use]
-    pub fn new_temp(disk: SimDisk) -> HeapFile {
-        HeapFile::with(disk, true, true)
-    }
-
-    /// A temporary file whose appends charge nothing: the caller settles
-    /// one write per page itself (the sort charges a run's pages in one
-    /// sweep it can spread over workers). Reclaimed on drop.
-    #[must_use]
-    pub fn new_temp_uncharged(disk: SimDisk) -> HeapFile {
-        HeapFile::with(disk, false, true)
-    }
-
-    fn with(disk: SimDisk, accounted: bool, temp: bool) -> HeapFile {
-        HeapFile {
-            disk,
-            pages: Vec::new(),
-            records: 0,
-            tail: None,
-            accounted,
-            temp,
-        }
-    }
-
-    /// Appends a record, returning its rid. Unaccounted for base tables;
-    /// temp files ([`HeapFile::new_temp`]) charge one write per filled
-    /// page (plus the tail page at [`HeapFile::finish`]).
+    /// Appends a record at load time (unaccounted), returning its rid.
     ///
     /// # Errors
     /// [`StorageError::RecordTooLarge`] for a record no page can hold
-    /// (nothing is appended); otherwise only temp files can fail, and
-    /// only via an injected write fault.
+    /// (nothing is appended).
     pub fn append(&mut self, record: &[u8]) -> Result<Rid, StorageError> {
-        SlottedPage::check_fits(record)?;
+        SlottedPage::check_fits(record.len())?;
         loop {
             let mut tail = match self.tail.take() {
                 Some(t) => t,
                 None => {
-                    let id = if self.temp { self.disk.allocate_temp() } else { self.disk.allocate() };
-                    self.pages.push(id);
+                    self.pages.push(self.disk.allocate());
                     SlottedPage::new()
                 }
             };
             if let Some(slot) = tail.insert(record)? {
                 let page = self.pages.last().copied().unwrap_or(PageId::INVALID);
                 // Written through on every record, not once when the page
-                // fills: `scan()` of an unfinished file must see the tail.
-                // Deferring it to the seal was measured (exec_scale, 272.5
-                // vs 272.7 qps) and buys nothing — do not retry it.
+                // fills: a base table has no seal, and `scan()` must see
+                // the tail.
                 self.disk
                     .write_unaccounted(page, tail.as_bytes().as_slice());
                 self.records += 1;
                 self.tail = Some(tail);
                 return Ok(Rid { page, slot });
             }
-            // Tail full: charge the finished page once for temp files,
-            // then start a new page on the next iteration.
-            if self.accounted {
-                self.disk.note_write()?;
-            }
+            // Tail full: start a new page on the next iteration.
         }
     }
 
@@ -128,7 +82,7 @@ impl HeapFile {
     /// Page-write failures, including injected write faults;
     /// [`StorageError::RecordTooLarge`] for a record no page can hold.
     pub fn insert(&mut self, record: &[u8]) -> Result<Rid, StorageError> {
-        SlottedPage::check_fits(record)?;
+        SlottedPage::check_fits(record.len())?;
         // Fill the cached tail when the record fits.
         if let Some(tail) = &self.tail {
             if tail.free_space() >= record.len() && !self.pages.is_empty() {
@@ -234,9 +188,9 @@ impl HeapFile {
 
     /// Page-at-a-time scan: one accounted (sequential) read per page, in
     /// page order, each handed out as a view that shares the disk's
-    /// buffer. This is the spill read path — consumers decode records
-    /// straight out of the page. A page whose read fails yields one `Err`
-    /// and the scan moves on; callers typically stop at the first error.
+    /// buffer — consumers decode records straight out of the page. A page
+    /// whose read fails yields one `Err` and the scan moves on; callers
+    /// typically stop at the first error.
     pub fn scan_pages(&self) -> impl Iterator<Item = Result<SlottedPage, StorageError>> + '_ {
         self.pages.iter().map(|&pid| self.disk.read(pid).map(SlottedPage::from_bytes))
     }
@@ -269,18 +223,6 @@ impl HeapFile {
         })
     }
 
-    /// Flushes accounting for the partially filled tail page of a temp
-    /// file. Idempotent; a no-op for unaccounted files.
-    ///
-    /// # Errors
-    /// An injected write fault can fail the flush of a temp file's tail.
-    pub fn finish(&mut self) -> Result<(), StorageError> {
-        if self.accounted && self.tail.take().is_some() {
-            self.disk.note_write()?;
-        }
-        Ok(())
-    }
-
     /// The disk this file lives on.
     #[must_use]
     pub fn disk(&self) -> &SimDisk {
@@ -288,11 +230,141 @@ impl HeapFile {
     }
 }
 
-impl Drop for HeapFile {
-    fn drop(&mut self) {
-        if self.temp {
-            self.disk.free(&self.pages);
+/// The write half of a query-lifetime file of fixed-width rows — a Grace
+/// partition, a sort run. The page being filled lives *here*, owned by the
+/// writer alone: a row is written into it in place from its values, and a
+/// full page — and the last one at [`SpillWriter::finish`] — reaches the
+/// disk once, by move. The file can be read only after `finish` has
+/// sealed it, which is why reading is [`SpillFile`]'s and not this type's:
+///
+/// ```compile_fail
+/// let writer = dqep_storage::SpillWriter::charged(dqep_storage::SimDisk::new(), 16);
+/// let _ = writer.scan_pages(); // an unsealed file has no read path
+/// ```
+///
+/// What the disk observes is what an append per encoded record would
+/// show: a page id is allocated when the page's first row arrives, and a
+/// charged writer accounts one write per page — when the next row finds
+/// the page full, and for the last page at `finish` — so write ordinals,
+/// and with them injected faults, fall on the same rows.
+///
+/// Dropping the writer, sealed or not, gives its pages back to the disk.
+#[derive(Debug)]
+pub struct SpillWriter {
+    file: SpillFile,
+    record_len: usize,
+    /// The page being filled; its id is the file's last.
+    tail: Option<SlottedPage>,
+    /// Whether a finished page charges a disk write (Grace partitions do;
+    /// the sort settles a run's charges itself, in one sweep it can
+    /// spread over workers).
+    charged: bool,
+}
+
+impl SpillWriter {
+    /// A writer of `record_len`-byte rows that charges one write per page.
+    #[must_use]
+    pub fn charged(disk: SimDisk, record_len: usize) -> SpillWriter {
+        SpillWriter::with(disk, record_len, true)
+    }
+
+    /// A writer that charges nothing: the caller settles one write per
+    /// page itself.
+    #[must_use]
+    pub fn uncharged(disk: SimDisk, record_len: usize) -> SpillWriter {
+        SpillWriter::with(disk, record_len, false)
+    }
+
+    fn with(disk: SimDisk, record_len: usize, charged: bool) -> SpillWriter {
+        let file = SpillFile { disk, pages: Vec::new(), records: 0 };
+        SpillWriter { file, record_len, tail: None, charged }
+    }
+
+    /// Appends one row: its values little-endian at the front of a
+    /// `record_len`-byte record, zeroes behind them.
+    ///
+    /// # Errors
+    /// [`StorageError::RecordTooLarge`] when no page can hold a row of
+    /// this file (nothing is allocated or charged); an injected write
+    /// fault on the charge for the page this row found full.
+    pub fn append(&mut self, values: impl IntoIterator<Item = i64>) -> Result<(), StorageError> {
+        let record_len = self.record_len;
+        let tail = match &mut self.tail {
+            Some(tail) if tail.free_space() >= record_len => tail,
+            _ => self.next_page()?,
+        };
+        tail.insert_values(values, record_len);
+        self.file.records += 1;
+        Ok(())
+    }
+
+    /// Seals the full tail, if there is one, and starts the next page.
+    fn next_page(&mut self) -> Result<&mut SlottedPage, StorageError> {
+        SlottedPage::check_fits(self.record_len)?;
+        self.seal()?;
+        self.file.pages.push(self.file.disk.allocate_temp());
+        Ok(self.tail.insert(SlottedPage::new()))
+    }
+
+    fn seal(&mut self) -> Result<(), StorageError> {
+        match (self.tail.take(), self.file.pages.last()) {
+            (Some(tail), Some(&id)) => {
+                self.file.disk.seal_temp(id, tail.into_bytes(), self.charged)
+            }
+            _ => Ok(()),
         }
+    }
+
+    /// Seals the last page and hands the file over for reading.
+    ///
+    /// # Errors
+    /// An injected write fault on the last page's charge; the pages are
+    /// given back.
+    pub fn finish(mut self) -> Result<SpillFile, StorageError> {
+        self.seal()?;
+        Ok(self.file)
+    }
+}
+
+/// A sealed query-lifetime file: what [`SpillWriter::finish`] returns.
+/// Dropping it gives its pages back to the disk, so an operator that
+/// holds its spill files reclaims them on `close()`, on every `?` error
+/// path and on unwinding alike, without saying so.
+#[derive(Debug)]
+pub struct SpillFile {
+    disk: SimDisk,
+    pages: Vec<PageId>,
+    records: u64,
+}
+
+impl SpillFile {
+    /// Number of rows.
+    #[must_use]
+    pub fn record_count(&self) -> u64 {
+        self.records
+    }
+
+    /// Number of pages.
+    #[must_use]
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// The page ids in scan order.
+    #[must_use]
+    pub fn pages(&self) -> &[PageId] {
+        &self.pages
+    }
+
+    /// Page-at-a-time scan, as [`HeapFile::scan_pages`].
+    pub fn scan_pages(&self) -> impl Iterator<Item = Result<SlottedPage, StorageError>> + '_ {
+        self.pages.iter().map(|&pid| self.disk.read(pid).map(SlottedPage::from_bytes))
+    }
+}
+
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        self.disk.free(&self.pages);
     }
 }
 
@@ -318,7 +390,7 @@ mod tests {
     #[test]
     fn oversized_append_is_refused_and_leaves_the_file_usable() {
         let disk = SimDisk::new();
-        let mut heap = HeapFile::new_temp(disk.clone());
+        let mut heap = HeapFile::new(disk.clone());
         heap.append(&[1u8; 100]).unwrap();
         let err = heap.append(&[0u8; 2560]).unwrap_err();
         assert_eq!(
@@ -326,9 +398,55 @@ mod tests {
             StorageError::RecordTooLarge { len: 2560, max: SlottedPage::MAX_RECORD }
         );
         assert_eq!((heap.record_count(), heap.page_count()), (1, 1), "nothing appended");
-        assert_eq!(disk.stats().writes, 0, "nothing charged");
         heap.append(&[2u8; 100]).unwrap();
         assert_eq!(heap.scan().count(), 2);
+    }
+
+    #[test]
+    fn a_spill_row_no_page_can_hold_is_refused_before_anything_happens() {
+        let disk = SimDisk::new();
+        let mut wide = SpillWriter::charged(disk.clone(), 2560);
+        assert_eq!(
+            wide.append([1, 2]).unwrap_err(),
+            StorageError::RecordTooLarge { len: 2560, max: SlottedPage::MAX_RECORD }
+        );
+        assert_eq!((disk.page_count(), disk.stats().writes), (0, 0), "nothing allocated or charged");
+        let sealed = wide.finish().unwrap();
+        assert_eq!((sealed.record_count(), sealed.page_count()), (0, 0));
+        // The widest row that does fit takes a page to itself.
+        let mut widest = SpillWriter::charged(disk.clone(), SlottedPage::MAX_RECORD);
+        widest.append([7]).unwrap();
+        widest.append([8]).unwrap();
+        let sealed = widest.finish().unwrap();
+        // Counted after the seal: a file is readable from `finish` on.
+        assert_eq!(sealed.scan_pages().map(|p| p.unwrap().iter().count()).sum::<usize>(), 2);
+        assert_eq!((sealed.page_count(), disk.stats().writes), (2, 2));
+    }
+
+    #[test]
+    fn the_writer_leaves_the_pages_an_append_per_encoded_record_leaves() {
+        use crate::gen::encode_record;
+        let rows: Vec<[i64; 3]> = (0..40).map(|i| [i, -i, i << 40]).collect();
+        let (disk, reference) = (SimDisk::new(), SimDisk::new());
+        let mut writer = SpillWriter::charged(disk.clone(), 300);
+        let mut heap = HeapFile::new(reference.clone());
+        for row in &rows {
+            writer.append(*row).unwrap();
+            heap.append(&encode_record(row, 300)).unwrap();
+        }
+        // A full page has reached the disk; the tail has not: its id
+        // still refers to the shared zero page.
+        let first = writer.file.pages[0];
+        assert_eq!(disk.read_unaccounted(first), reference.read_unaccounted(first));
+        let last = *writer.file.pages.last().unwrap();
+        assert_eq!(disk.read_unaccounted(last)[..], [0u8; crate::PAGE_SIZE][..]);
+        let sealed = writer.finish().unwrap();
+        assert_eq!(sealed.pages(), heap.pages());
+        for &pid in sealed.pages() {
+            assert_eq!(disk.read_unaccounted(pid), reference.read_unaccounted(pid), "{pid}");
+        }
+        assert_eq!(sealed.record_count(), 40);
+        assert_eq!(disk.stats().writes as usize, sealed.page_count(), "one charge a page");
     }
 
     #[test]
@@ -339,15 +457,15 @@ mod tests {
             base.append(&[1u8; 512]).unwrap();
         }
         let loaded = disk.page_count();
-        for make in [HeapFile::new_temp, HeapFile::new_temp_uncharged] {
-            let mut temp = make(disk.clone());
-            for _ in 0..10 {
-                temp.append(&[2u8; 512]).unwrap();
+        for make in [SpillWriter::charged, SpillWriter::uncharged] {
+            let mut temp = make(disk.clone(), 512);
+            for i in 0..10 {
+                temp.append([i]).unwrap();
             }
-            temp.finish().unwrap();
+            let temp = temp.finish().unwrap();
             let pages = temp.pages().to_vec();
             assert_eq!(disk.temp_pages().live, 4);
-            assert_eq!(temp.scan_pages().map(|p| p.unwrap().live_len()).sum::<usize>(), 10);
+            assert_eq!(temp.scan_pages().map(|p| p.unwrap().iter().count()).sum::<usize>(), 10);
             drop(temp);
             assert_eq!((disk.page_count(), disk.temp_pages().live), (loaded, 0));
             assert_eq!(disk.read(pages[0]).unwrap_err(), StorageError::UnallocatedPage(pages[0]));
@@ -365,10 +483,18 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.fail_nth_writes = vec![2];
         disk.set_fault_plan(plan);
-        let mut temp = HeapFile::new_temp(disk.clone());
-        let failed = (0..20).any(|_| temp.append(&[9u8; 512]).is_err());
+        let mut temp = SpillWriter::charged(disk.clone(), 512);
+        let failed = (0..20).any(|i| temp.append([i]).is_err());
         assert!(failed && disk.temp_pages().live > 0);
         drop(temp);
+        assert_eq!((disk.page_count(), disk.temp_pages().live), (0, 0));
+        // A failed seal of the last page reclaims too.
+        let mut plan = FaultPlan::none();
+        plan.fail_nth_writes = vec![1];
+        disk.set_fault_plan(plan);
+        let mut temp = SpillWriter::charged(disk.clone(), 512);
+        temp.append([1]).unwrap();
+        assert!(temp.finish().unwrap_err().is_injected());
         assert_eq!((disk.page_count(), disk.temp_pages().live), (0, 0));
     }
 
@@ -516,15 +642,10 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.fail_nth_writes = vec![1];
         disk.set_fault_plan(plan);
-        let mut heap = HeapFile::new_temp(disk);
-        let record = [9u8; 512];
-        let mut failed = false;
-        for _ in 0..10 {
-            if heap.append(&record).is_err() {
-                failed = true;
-                break;
-            }
-        }
-        assert!(failed, "first page-seal write should fail");
+        let mut temp = SpillWriter::charged(disk, 512);
+        // Three 512-byte rows fill a page: the fourth finds it full, and
+        // the charge for it is the write that fails.
+        let failed_at = (0..10).position(|i| temp.append([i]).is_err());
+        assert_eq!(failed_at, Some(3), "first page-seal write should fail");
     }
 }

@@ -18,7 +18,9 @@
 //!   their pages back when dropped ([`TempPages`] counts them).
 //! * [`SlottedPage`] — classic slotted-page layout for variable-length
 //!   records.
-//! * [`HeapFile`] — unordered record file over slotted pages.
+//! * [`HeapFile`] — unordered record file over slotted pages (base
+//!   tables); [`SpillWriter`] / [`SpillFile`] — the write and read halves
+//!   of a query-lifetime file of fixed-width rows.
 //! * [`BTree`] — a from-scratch page-based B-tree mapping `i64` keys to
 //!   record ids, with range scans; used for unclustered indexes.
 //! * [`BufferPool`] — LRU page cache with hit/miss statistics.
@@ -54,7 +56,7 @@ pub use disk::{IoStats, SimDisk, TempPages};
 pub use error::StorageError;
 pub use fault::FaultPlan;
 pub use gen::{install_histograms, refresh_histograms, StoredDatabase, StoredTable, ValueDistribution};
-pub use heap::{HeapFile, Rid};
+pub use heap::{HeapFile, Rid, SpillFile, SpillWriter};
 pub use morsel::{PageClaims, DEFAULT_MORSEL_PAGES};
 pub use page::{PageId, PageRef, PAGE_SIZE};
 pub use slotted::SlottedPage;

@@ -54,6 +54,13 @@ impl SlottedPage {
         &self.data
     }
 
+    /// Gives the page's buffer up, uncopied — how a writer that owns its
+    /// page alone hands it to the disk.
+    #[must_use]
+    pub fn into_bytes(self) -> PageRef {
+        self.data
+    }
+
     /// Number of records stored.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -77,16 +84,13 @@ impl SlottedPage {
     /// The longest record an empty page can hold.
     pub const MAX_RECORD: usize = PAGE_SIZE - HEADER - SLOT;
 
-    /// Whether `record` can fit a page at all.
+    /// Whether a record of `len` bytes can fit a page at all.
     ///
     /// # Errors
     /// [`StorageError::RecordTooLarge`] if not even an empty page holds it.
-    pub fn check_fits(record: &[u8]) -> Result<(), StorageError> {
-        if record.len() > Self::MAX_RECORD {
-            return Err(StorageError::RecordTooLarge {
-                len: record.len(),
-                max: Self::MAX_RECORD,
-            });
+    pub fn check_fits(len: usize) -> Result<(), StorageError> {
+        if len > Self::MAX_RECORD {
+            return Err(StorageError::RecordTooLarge { len, max: Self::MAX_RECORD });
         }
         Ok(())
     }
@@ -99,21 +103,48 @@ impl SlottedPage {
     /// even an empty page — retrying on a fresh page cannot help, so the
     /// caller must not treat it as "page full".
     pub fn insert(&mut self, record: &[u8]) -> Result<Option<u16>, StorageError> {
-        Self::check_fits(record)?;
-        if self.free_space() < record.len() {
-            return Ok(None);
+        Self::check_fits(record.len())?;
+        Ok(self.claim(record.len()).map(|(slot, bytes)| {
+            bytes.copy_from_slice(record);
+            slot
+        }))
+    }
+
+    /// Appends a fixed-width record of `len` bytes whose front holds
+    /// `values` as little-endian `i64`s, written where the record lies —
+    /// no record buffer in between. Returns `false`, leaving the page
+    /// untouched, when the record does not fit (a `len` above
+    /// [`SlottedPage::MAX_RECORD`] never does).
+    ///
+    /// The bytes behind the values are left as they are. Record space is
+    /// never reused, so on a page that began as [`SlottedPage::new`] they
+    /// are its own zeroes and the page comes out byte-identical to
+    /// `insert(&encode_record(values, len))`. Values beyond what `len`
+    /// holds are dropped.
+    pub fn insert_values(&mut self, values: impl IntoIterator<Item = i64>, len: usize) -> bool {
+        let Some((_, bytes)) = self.claim(len) else { return false };
+        for (at, v) in bytes.chunks_exact_mut(8).zip(values) {
+            at.copy_from_slice(&v.to_le_bytes());
+        }
+        true
+    }
+
+    /// Claims the next slot and `len` bytes of record space, or `None`
+    /// when the page has no room for them.
+    fn claim(&mut self, len: usize) -> Option<(u16, &mut [u8])> {
+        if self.free_space() < len {
+            return None;
         }
         let n = self.len();
         let free_end = read_u16(&self.data[..], 2) as usize;
-        let off = free_end - record.len();
+        let off = free_end - len;
         let data = &mut Arc::make_mut(&mut self.data)[..];
-        data[off..free_end].copy_from_slice(record);
         let slot_base = HEADER + n * SLOT;
         write_u16(data, slot_base, off as u16);
-        write_u16(data, slot_base + 2, record.len() as u16);
+        write_u16(data, slot_base + 2, len as u16);
         write_u16(data, 0, (n + 1) as u16);
         write_u16(data, 2, off as u16);
-        Ok(Some(n as u16))
+        Some((n as u16, &mut data[off..free_end]))
     }
 
     /// The record in `slot`, or `None` when out of range or deleted.
@@ -144,15 +175,21 @@ impl SlottedPage {
         true
     }
 
-    /// Number of live (non-tombstoned) records.
-    #[must_use]
-    pub fn live_len(&self) -> usize {
-        self.iter().count()
-    }
-
     /// Iterates over live records in slot order (tombstones skipped).
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        (0..self.len() as u16).filter_map(move |s| self.get(s))
+        self.live_from(0).map(|(_, record)| record)
+    }
+
+    /// The live records from slot `from` on, each with its slot number —
+    /// one walk of the slot array, resumable at any slot.
+    pub fn live_from(&self, from: u16) -> impl Iterator<Item = (u16, &[u8])> {
+        let data = &self.data[..];
+        (from..self.len() as u16).filter_map(move |slot| {
+            let slot_base = HEADER + slot as usize * SLOT;
+            let off = read_u16(data, slot_base);
+            let len = read_u16(data, slot_base + 2) as usize;
+            (off != TOMBSTONE).then(|| (slot, &data[off as usize..off as usize + len]))
+        })
     }
 }
 
@@ -255,7 +292,7 @@ mod tests {
         assert_eq!(p.get(1), None);
         assert_eq!(p.get(2), Some(&b"cc"[..]));
         assert_eq!(p.len(), 3, "slot array intact");
-        assert_eq!(p.live_len(), 2);
+        assert_eq!(p.iter().count(), 2);
         let live: Vec<&[u8]> = p.iter().collect();
         assert_eq!(live, vec![&b"aa"[..], &b"cc"[..]]);
         // Double delete and out-of-range delete report false.
@@ -272,6 +309,6 @@ mod tests {
         let q = SlottedPage::from_bytes(Arc::new(*p.as_bytes()));
         assert_eq!(q.get(0), None);
         assert_eq!(q.get(1), Some(&b"y"[..]));
-        assert_eq!(q.live_len(), 1);
+        assert_eq!(q.iter().count(), 1);
     }
 }
