@@ -2,8 +2,8 @@
 //!
 //! Measures end-to-end sessions/second on a repeated-statement workload
 //! (the paper's chain query bound at varying selectivities) at several
-//! worker-pool sizes, plus the plan-cache hit rates the workload achieves.
-//! The per-worker database replicas are given a nonzero simulated device
+//! replica-pool sizes, plus the plan-cache hit rates the workload achieves.
+//! The database replicas are given a nonzero simulated device
 //! latency, so concurrency wins come from **overlapping I/O waits** —
 //! exactly the resource a serving layer multiplexes — rather than from
 //! CPU parallelism (CI machines may have a single core).

@@ -41,7 +41,8 @@
 //!   --serve FILE        run a workload file through the prepared-query
 //!                       service: one `SQL @ var=value,...` per line
 //!                       (`memory=PAGES` sets the grant; `#` comments)
-//!   --workers N         concurrent session workers (default 4)
+//!   --workers N         most sessions at once; replicas are generated
+//!                       on demand (default 4)
 //!   --repeat N          run the workload file N times (default 1)
 //!   --service-memory B  global admission memory pool in bytes
 //!   --queue-timeout-ms  admission timeout per session
@@ -1348,7 +1349,7 @@ fn serve(args: &Args) -> Result<(), DqepError> {
     };
     if let Some(buckets) = args.histograms {
         // Histograms are harvested from a throwaway replica; the service
-        // workers regenerate identical data from the same seed.
+        // regenerates identical data from the same seed.
         let db = StoredDatabase::generate_with(&catalog, args.seed, dist);
         install_histograms(&db, &mut catalog, buckets)?;
         eprintln!("built {buckets}-bucket histograms over all attributes");

@@ -1,12 +1,14 @@
-//! Admission control: a global memory grant pool shared by all sessions.
+//! Admission control: what a session must hold before it runs — a slot
+//! (the service's bound on sessions running at once) and a memory grant.
 //!
 //! Each session's [`dqep_executor::ResourceGovernor`] enforces its *own*
-//! grant; the pool bounds the **sum** of grants across concurrent
-//! sessions, so the service never promises more memory than it has. A
-//! session that cannot be admitted immediately queues on a condition
-//! variable until capacity frees up or its deadline passes.
+//! grant; the [`MemoryPool`] bounds the **sum** of grants across
+//! concurrent sessions, so the service never promises more memory than it
+//! has, and the [`SlotPool`] bounds their number. A session that cannot be
+//! admitted immediately queues on a condition variable until capacity
+//! frees up or its deadline passes; one deadline covers both waits.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::error::ServiceError;
@@ -14,6 +16,13 @@ use crate::error::ServiceError;
 #[derive(Debug, Default)]
 struct PoolState {
     used: u64,
+}
+
+// A poisoned mutex only means another session panicked while holding the
+// lock; both pools' states are always consistent (updated in single
+// statements), so recover the guard instead of propagating.
+fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// SplitMix64 — deterministic, dependency-free mixing for the retry
@@ -57,14 +66,8 @@ impl MemoryPool {
         self.lock().used
     }
 
-    // A poisoned mutex only means another session panicked while holding
-    // the lock; the pool counter itself is always consistent (updated in
-    // single statements), so recover the guard instead of propagating.
     fn lock(&self) -> MutexGuard<'_, PoolState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        lock(&self.state)
     }
 
     /// Blocks until `bytes` can be granted or `deadline` passes.
@@ -166,9 +169,136 @@ impl Drop for MemoryGrant {
     }
 }
 
+/// Which slots of a [`SlotPool`] are free, and who is waiting for one.
+#[derive(Debug)]
+struct Slots {
+    /// Free slot indices, the next to draw last. A returned slot goes on
+    /// top, so slots whose item exists always sit above those never
+    /// drawn: a pool that never sees two holders at once fills one slot,
+    /// and the slot drawn is the one last used.
+    free: Vec<usize>,
+    /// Slots checked out.
+    busy: usize,
+    /// Sessions blocked in [`SlotPool::checkout`].
+    waiting: usize,
+}
+
+/// A fixed number of slots, each holding an item that the first session
+/// to draw the slot creates — on its own thread, so the pool starts
+/// empty and concurrent first sessions create their items in parallel.
+/// A session holds a slot, and with it the item, exclusively for its
+/// duration; the wait for a free slot is the service's queue.
+#[derive(Debug)]
+pub(crate) struct SlotPool<T> {
+    items: Vec<OnceLock<T>>,
+    slots: Mutex<Slots>,
+    returned: Condvar,
+}
+
+impl<T> SlotPool<T> {
+    /// A pool of `capacity` empty slots.
+    pub(crate) fn new(capacity: usize) -> SlotPool<T> {
+        SlotPool {
+            items: (0..capacity).map(|_| OnceLock::new()).collect(),
+            slots: Mutex::new(Slots {
+                free: (0..capacity).rev().collect(),
+                busy: 0,
+                waiting: 0,
+            }),
+            returned: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        lock(&self.slots)
+    }
+
+    /// The number of slots the pool was made with.
+    pub(crate) fn capacity(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Items created so far (those of retired slots included: they live
+    /// until the pool goes).
+    pub(crate) fn resident(&self) -> usize {
+        self.items.iter().filter(|item| item.get().is_some()).count()
+    }
+
+    /// Blocks until a slot is free or `deadline` passes.
+    ///
+    /// # Errors
+    /// [`ServiceError::AdmissionTimeout`] if the deadline passes first;
+    /// [`ServiceError::Shutdown`], at once, if every slot was retired.
+    pub(crate) fn checkout(&self, deadline: Instant) -> Result<Slot<'_, T>, ServiceError> {
+        let mut slots = self.lock();
+        let mut waiting_since = None;
+        loop {
+            if let Some(index) = slots.free.pop() {
+                slots.busy += 1;
+                return Ok(Slot { pool: self, index });
+            }
+            if slots.busy == 0 {
+                return Err(ServiceError::Shutdown);
+            }
+            let now = Instant::now();
+            let since = *waiting_since.get_or_insert(now);
+            if now >= deadline {
+                return Err(ServiceError::AdmissionTimeout {
+                    waited_ms: now.duration_since(since).as_millis() as u64,
+                });
+            }
+            slots.waiting += 1;
+            slots = match self.returned.wait_timeout(slots, deadline - now) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+            slots.waiting -= 1;
+        }
+    }
+}
+
+/// One slot of a [`SlotPool`], held for a session's duration and given
+/// back on drop. Dropped while unwinding, the slot is retired instead —
+/// a session that panicked may have left its item in any state — and a
+/// pool that has lost every slot answers `Shutdown`.
+#[derive(Debug)]
+pub(crate) struct Slot<'a, T> {
+    pool: &'a SlotPool<T>,
+    index: usize,
+}
+
+impl<T> Slot<'_, T> {
+    /// Which of the pool's slots this is (below its capacity).
+    pub(crate) fn index(&self) -> usize {
+        self.index
+    }
+
+    /// The slot's item, created by `create` if this is the slot's first
+    /// draw.
+    pub(crate) fn get_or_init(&self, create: impl FnOnce() -> T) -> &T {
+        self.pool.items[self.index].get_or_init(create)
+    }
+}
+
+impl<T> Drop for Slot<'_, T> {
+    fn drop(&mut self) {
+        let mut slots = self.pool.lock();
+        slots.busy -= 1;
+        if !std::thread::panicking() {
+            slots.free.push(self.index);
+        }
+        let wake = slots.waiting > 0;
+        drop(slots);
+        if wake {
+            self.pool.returned.notify_all();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::thread;
 
     fn soon() -> Instant {
@@ -263,5 +393,85 @@ mod tests {
         assert_eq!(pool.used(), 50);
         drop(grant);
         assert_eq!(pool.used(), 0);
+    }
+
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(60)
+    }
+
+    /// Checks a slot out and panics while holding it.
+    fn panic_on_a_slot(pool: &SlotPool<usize>) {
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = pool.checkout(far()).unwrap();
+            panic!("a session panics");
+        }));
+        assert!(unwound.is_err());
+    }
+
+    #[test]
+    fn sequential_holders_share_one_slot_and_concurrent_ones_do_not() {
+        let pool = SlotPool::new(3);
+        assert_eq!(pool.resident(), 0, "nothing is created before a session asks");
+        for _ in 0..3 {
+            let slot = pool.checkout(far()).unwrap();
+            assert_eq!(slot.index(), 0);
+            slot.get_or_init(|| 10);
+        }
+        assert_eq!(pool.resident(), 1);
+        let (first, second) = (pool.checkout(far()).unwrap(), pool.checkout(far()).unwrap());
+        assert_eq!((first.index(), second.index()), (0, 1));
+        assert_eq!((*first.get_or_init(|| 11), *second.get_or_init(|| 11)), (10, 11));
+        assert_eq!(pool.resident(), 2);
+        drop(first);
+        assert_eq!(pool.checkout(far()).unwrap().index(), 0, "the slot last returned");
+    }
+
+    #[test]
+    fn a_full_slot_pool_times_out_at_the_deadline() {
+        let pool = SlotPool::<usize>::new(1);
+        let _held = pool.checkout(far()).unwrap();
+        let err = pool.checkout(Instant::now() + Duration::from_millis(20)).unwrap_err();
+        assert!(matches!(err, ServiceError::AdmissionTimeout { waited_ms } if waited_ms >= 20));
+    }
+
+    #[test]
+    fn a_panicking_session_retires_its_slot_and_an_empty_pool_shuts_down() {
+        let pool = SlotPool::new(2);
+        panic_on_a_slot(&pool);
+        // Capacity 2 -> 1: one session runs, a second finds no slot.
+        let held = pool.checkout(far()).unwrap();
+        let err = pool.checkout(Instant::now() + Duration::from_millis(5)).unwrap_err();
+        assert!(matches!(err, ServiceError::AdmissionTimeout { .. }));
+        drop(held);
+        // 1 -> 0: nothing will ever be returned, so checkout fails at once
+        // rather than at its (far) deadline.
+        panic_on_a_slot(&pool);
+        let started = Instant::now();
+        assert!(matches!(pool.checkout(far()).unwrap_err(), ServiceError::Shutdown));
+        assert!(started.elapsed() < Duration::from_secs(30));
+    }
+
+    #[test]
+    fn retiring_the_last_slot_wakes_the_sessions_waiting_for_it() {
+        let pool = SlotPool::<usize>::new(1);
+        thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let unwound = catch_unwind(AssertUnwindSafe(|| {
+                    let _slot = pool.checkout(far()).unwrap();
+                    // Panic only once the other session is blocked.
+                    while pool.lock().waiting == 0 {
+                        thread::yield_now();
+                    }
+                    panic!("a session panics");
+                }));
+                assert!(unwound.is_err());
+            });
+            while pool.lock().busy == 0 {
+                thread::yield_now();
+            }
+            let woken = pool.checkout(far());
+            assert!(matches!(woken.unwrap_err(), ServiceError::Shutdown));
+            holder.join().unwrap();
+        });
     }
 }

@@ -13,12 +13,14 @@
 //!   start-up decision procedure runs only on a region's first visit, and
 //!   hot parameter ranges replay the memoized resolved plan with zero
 //!   cost-function evaluations.
-//! * [`QueryService`] — a fixed worker pool running concurrent sessions,
-//!   each against its own deterministic replica of the stored database
-//!   (so I/O accounting never bleeds between sessions), with admission
-//!   control layered on the per-session
-//!   [`dqep_executor::ResourceGovernor`]: a global [`MemoryPool`] bounds
-//!   the sum of memory grants, queueing sessions with a timeout.
+//! * [`QueryService`] — activation is a procedure call: a session runs on
+//!   the thread that asks for it, against a deterministic replica of the
+//!   stored database checked out of a bounded pool for the session's
+//!   duration (so I/O accounting never bleeds between sessions; replicas
+//!   are generated on first use). Admission control is layered on the
+//!   per-session [`dqep_executor::ResourceGovernor`]: the wait for a
+//!   replica is the queue, a global [`MemoryPool`] bounds the sum of
+//!   memory grants, and one deadline covers both.
 //! * **Cardinality feedback** — every completed execution reports its
 //!   observed result cardinality back to its statement; an observation
 //!   outside the plan's estimate interval invalidates the decision cache

@@ -5,7 +5,7 @@
 //! Adding a signal is a row in [`metric_table!`] and a call site.
 //!
 //! Histograms use power-of-two nanosecond buckets: `record` is two atomic
-//! adds and a `fetch_max` — safe from every worker thread with no lock —
+//! adds and a `fetch_max` — safe from every session's thread with no lock —
 //! and quantiles are read from the bucket boundaries, so p50/p95/p99 are
 //! upper bounds with at most one octave of error. That is the standard
 //! trade for fixed-memory, lock-free latency tracking; the mean and max
@@ -191,6 +191,8 @@ metric_table! {
         "Pages read or written on the simulated disks by successful sessions.";
     TempPagesHighWater gauge "sessions" "temp_pages_high_water" "dqep_temp_pages_high_water"
         "Most temp pages one session held on disk at once.";
+    ReplicasResident gauge "sessions" "replicas_resident" "dqep_replicas_resident"
+        "Database replicas generated so far (at most the configured workers).";
     StatementHits counter "plan_cache" "statement_hits" "dqep_statement_hits_total"
         "Statement lookups served from the prepared-statement registry.";
     StatementMisses counter "plan_cache" "statement_misses" "dqep_statement_misses_total"
@@ -283,8 +285,8 @@ pub(crate) fn hit_rate(hits: u64, misses: u64) -> f64 {
 pub enum Hist {
     /// Submission-to-completion latency of successful sessions.
     Latency,
-    /// Time successful sessions spent queued before a worker picked them
-    /// up (admission wait).
+    /// Time successful sessions spent waiting for a database replica
+    /// (the service's queue).
     QueueWait,
     /// Per-commit incremental refresh latency across all live views.
     LiveRefresh,
@@ -303,7 +305,7 @@ const HISTS: [(&str, &str); 4] = [
     ),
     (
         "queue_wait_seconds",
-        "Admission-queue wait of successful sessions.",
+        "Wait of successful sessions for a database replica.",
     ),
     (
         "live_refresh_seconds",

@@ -7,6 +7,7 @@
 //! LRU eviction, and owns the per-statement decision cache and
 //! observed-cardinality feedback state.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,6 +24,25 @@ use crate::decision::{CachedDecision, RegionKey};
 /// never changes what a statement means — only how it is keyed.
 #[must_use]
 pub fn normalize_sql(sql: &str) -> String {
+    normalized(sql).into_owned()
+}
+
+/// [`normalize_sql`] that borrows a text already in normal form — single
+/// blanks between tokens, none at either end, no trailing `;` — which is
+/// what every programmatic caller sends on every request.
+pub(crate) fn normalized(sql: &str) -> Cow<'_, str> {
+    // A blank is out of place after another blank (the start counts as
+    // one) or when it is not a plain space.
+    let mut after_blank = true;
+    let mut normal = true;
+    for c in sql.chars() {
+        let blank = c.is_whitespace();
+        normal &= !blank || (c == ' ' && !after_blank);
+        after_blank = blank;
+    }
+    if normal && !after_blank && !sql.ends_with(';') {
+        return Cow::Borrowed(sql);
+    }
     let mut out = String::with_capacity(sql.len());
     for token in sql.split_whitespace() {
         if !out.is_empty() {
@@ -36,7 +56,7 @@ pub fn normalize_sql(sql: &str) -> String {
             out.pop();
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// A statement optimized once into a dynamic plan, plus its per-statement
@@ -307,6 +327,32 @@ mod tests {
         );
         // Identifier case is preserved.
         assert_eq!(normalize_sql("SELECT * FROM R1"), "SELECT * FROM R1");
+    }
+
+    #[test]
+    fn every_spelling_keys_one_entry_and_a_normal_text_is_not_copied() {
+        let normal = "SELECT * FROM r WHERE r.a < :x";
+        assert!(matches!(normalized(normal), Cow::Borrowed(text) if std::ptr::eq(text, normal)));
+        let reg = PreparedRegistry::new(4);
+        let stmt = prepared(normal);
+        reg.insert(stmt.sql.clone(), Arc::clone(&stmt));
+        for spelling in [
+            "SELECT\t* FROM r\tWHERE r.a < :x",
+            "SELECT *\nFROM r\r\nWHERE r.a < :x\n",
+            "  SELECT  *  FROM r   WHERE r.a <  :x",
+            "SELECT * FROM r WHERE r.a < :x;",
+            "SELECT * FROM r WHERE r.a < :x ;   ",
+        ] {
+            let key = normalized(spelling);
+            assert!(matches!(key, Cow::Owned(_)), "{spelling:?} is not in normal form");
+            let found = reg.get(&key).unwrap_or_else(|| panic!("{spelling:?} keyed {key:?}"));
+            assert!(Arc::ptr_eq(&found, &stmt));
+        }
+        assert_eq!(reg.stats().resident, 1);
+        // Blanks the ASCII rules would miss are blanks all the same.
+        assert_eq!(normalized("SELECT\u{a0}*\u{2003}FROM r"), "SELECT * FROM r");
+        assert_eq!(normalized(""), "");
+        assert_eq!(normalized(" ; "), "");
     }
 
     #[test]

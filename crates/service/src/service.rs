@@ -1,15 +1,18 @@
-//! The [`QueryService`]: session lifecycle from submission to completion.
+//! The [`QueryService`]: session lifecycle from request to result.
 //!
-//! A fixed pool of worker threads drains a shared job queue. Each worker
-//! owns a **replica** of the stored database, generated deterministically
-//! from the same catalog and seed — replicas are bit-identical, every
-//! session's I/O is accounted on its worker's private disk, and
-//! per-session [`dqep_executor::SharedCounters`] snapshots are merged
-//! into service totals only at completion, so concurrent queries never
-//! bleed work into each other's accounting.
+//! Activation is a procedure call: a session runs on the thread that asks
+//! for it. What bounds concurrency is a pool of database **replicas** —
+//! `workers` slots, each generated deterministically from the same
+//! catalog and seed by the first session that draws it. A session checks
+//! one replica out for its whole duration, so replicas are bit-identical,
+//! every session's I/O is accounted on a disk no other running session
+//! touches, and per-session [`dqep_executor::SharedCounters`] snapshots
+//! are merged into service totals only at completion — concurrent queries
+//! never bleed work into each other's accounting.
 
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -23,18 +26,18 @@ use dqep_executor::{
 use dqep_plan::evaluate_startup_observed;
 use dqep_sql::parse_query;
 use dqep_storage::{FaultPlan, StoredDatabase, ValueDistribution};
-use parking_lot::Mutex;
 
-use crate::admission::MemoryPool;
+use crate::admission::{MemoryPool, Slot, SlotPool};
 use crate::decision::{region_key, CachedDecision};
 use crate::error::ServiceError;
 use crate::metrics::{hit_rate, Hist, Metric, MetricsRegistry, MetricsReport};
-use crate::registry::{normalize_sql, PreparedRegistry, PreparedStatement, RegistryStats};
+use crate::registry::{normalized, PreparedRegistry, PreparedStatement, RegistryStats};
 
 /// Service-wide tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (concurrent sessions). Minimum 1.
+    /// Most sessions running at once: the number of database replicas
+    /// the service may hold (each generated on first use). Minimum 1.
     pub workers: usize,
     /// Prepared-statement registry capacity (LRU-evicted past this).
     pub registry_capacity: usize,
@@ -46,19 +49,20 @@ pub struct ServiceConfig {
     pub feedback_tolerance: f64,
     /// Global memory-grant pool shared by all sessions, in bytes.
     pub global_memory_bytes: u64,
-    /// How long a session may wait for admission (queue + memory grant)
-    /// before failing with [`ServiceError::AdmissionTimeout`].
+    /// How long a session may wait for admission (a free replica, then
+    /// its memory grant) before failing with
+    /// [`ServiceError::AdmissionTimeout`].
     pub queue_timeout_ms: u64,
     /// Default per-session resource budgets (a [`Request`] may override).
     pub session_limits: ResourceLimits,
     /// Tuple or batch execution for all sessions.
     pub exec_mode: ExecMode,
-    /// Seed for the deterministic per-worker database replicas.
+    /// Seed for the deterministic database replicas.
     pub data_seed: u64,
     /// Zipf exponent for stored values (`None`: uniform).
     pub skew: Option<f64>,
     /// Simulated per-page-I/O device latency, in microseconds, applied to
-    /// every worker replica's disk. Zero disables pacing.
+    /// every replica's disk. Zero disables pacing.
     pub io_latency_micros: u64,
     /// Requested intra-query parallelism per session. The DOP a session
     /// actually runs with is bounded by its admitted memory grant — see
@@ -119,7 +123,7 @@ pub struct Request {
     pub memory_pages: Option<f64>,
     /// Per-session budget override (`None`: the service default).
     pub limits: Option<ResourceLimits>,
-    /// Storage faults to inject on this session's worker disk for the
+    /// Storage faults to inject on this session's replica disk for the
     /// duration of the execution (testing and chaos drills).
     pub fault_plan: Option<FaultPlan>,
 }
@@ -143,9 +147,9 @@ pub struct SessionResult {
     pub summary: ExecSummary,
     /// Predicted run time of the plan the arbitration chose, in seconds.
     pub predicted_seconds: f64,
-    /// Time between submission and a worker picking the session up.
+    /// Time the session waited for a replica.
     pub queue_wait: Duration,
-    /// Index of the worker that ran the session.
+    /// Index of the replica the session ran on (below `workers`).
     pub worker: usize,
 }
 
@@ -157,7 +161,7 @@ pub struct SessionResult {
 pub struct SessionTotals {
     /// Result rows produced.
     pub rows: u64,
-    /// Pages read or written on the workers' simulated disks.
+    /// Pages read or written on the replicas' simulated disks.
     pub io_pages: u64,
     /// Retryable failures absorbed by fallback.
     pub fallbacks: u64,
@@ -222,18 +226,10 @@ impl From<&MetricsReport> for ServiceStats {
     }
 }
 
-struct Job {
-    request: Request,
-    ctx: ExecContext,
-    submitted: Instant,
-    deadline: Instant,
-    reply: Sender<Result<SessionResult, ServiceError>>,
-}
-
 /// A submitted session: await its result, or cancel it cooperatively.
 #[derive(Debug)]
 pub struct SessionHandle {
-    rx: Receiver<Result<SessionResult, ServiceError>>,
+    thread: JoinHandle<Result<SessionResult, ServiceError>>,
     ctx: ExecContext,
 }
 
@@ -248,121 +244,120 @@ impl SessionHandle {
     ///
     /// # Errors
     /// The session's [`ServiceError`], or [`ServiceError::Shutdown`] if
-    /// the service dropped the session without answering.
+    /// the session's thread died without answering.
     pub fn wait(self) -> Result<SessionResult, ServiceError> {
-        self.rx.recv().unwrap_or(Err(ServiceError::Shutdown))
+        self.thread.join().unwrap_or(Err(ServiceError::Shutdown))
     }
+}
+
+/// Everything a session needs of the service, shared with the thread a
+/// [`QueryService::submit`] spawns.
+struct Shared {
+    catalog: Catalog,
+    config: ServiceConfig,
+    env: Environment,
+    registry: PreparedRegistry,
+    memory: Arc<MemoryPool>,
+    metrics: MetricsRegistry,
+    /// The database replicas, `workers` slots: identical (same catalog,
+    /// seed, distribution), each generated by the first session to draw
+    /// its slot.
+    replicas: SlotPool<StoredDatabase>,
 }
 
 /// The prepared-query service. See the crate docs for the architecture.
 ///
-/// Dropping the service closes the queue, lets the workers drain every
-/// already-submitted session, and joins them.
+/// The service owns no thread. Dropping it with [`SessionHandle`]s
+/// outstanding lets those sessions finish: each holds the shared state
+/// alive until it has answered.
 pub struct QueryService {
-    catalog: Arc<Catalog>,
-    config: ServiceConfig,
-    registry: Arc<PreparedRegistry>,
-    metrics: Arc<MetricsRegistry>,
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for QueryService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryService")
-            .field("workers", &self.workers.len())
-            .field("config", &self.config)
+            .field("workers", &self.workers())
+            .field("config", &self.shared.config)
             .finish_non_exhaustive()
     }
 }
 
 impl QueryService {
-    /// Starts a service over `catalog`: spawns the worker pool, each
-    /// worker generating its own deterministic database replica
-    /// (identical across workers — same catalog, seed, and distribution).
+    /// Starts a service over `catalog`. Nothing is generated yet: each of
+    /// the `workers` replica slots is filled by the first session that
+    /// draws it.
     #[must_use]
     pub fn new(catalog: Catalog, config: ServiceConfig) -> QueryService {
-        let catalog = Arc::new(catalog);
-        let registry = Arc::new(PreparedRegistry::new(config.registry_capacity));
-        let pool = MemoryPool::new(config.global_memory_bytes);
-        let metrics = Arc::new(MetricsRegistry::new());
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..config.workers.max(1))
-            .map(|index| {
-                let worker = Worker {
-                    index,
-                    catalog: Arc::clone(&catalog),
-                    config: config.clone(),
-                    registry: Arc::clone(&registry),
-                    pool: Arc::clone(&pool),
-                    metrics: Arc::clone(&metrics),
-                };
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || worker.run(&rx))
-            })
-            .collect();
-        QueryService {
+        let shared = Shared {
+            env: Environment::dynamic_compile_time(&catalog.config),
+            registry: PreparedRegistry::new(config.registry_capacity),
+            memory: MemoryPool::new(config.global_memory_bytes),
+            metrics: MetricsRegistry::new(),
+            replicas: SlotPool::new(config.workers.max(1)),
             catalog,
             config,
-            registry,
-            metrics,
-            tx: Some(tx),
-            workers,
+        };
+        QueryService {
+            shared: Arc::new(shared),
         }
     }
 
     /// The catalog the service serves.
     #[must_use]
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        &self.shared.catalog
     }
 
-    /// Number of worker threads.
+    /// The configured bound on sessions running at once (replica slots).
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.shared.replicas.capacity()
     }
 
-    /// Enqueues a session and returns a handle to await or cancel it.
-    /// The admission clock starts now: queue wait counts against the
-    /// configured queue timeout, and any wall-clock budget in the
-    /// session's [`ResourceLimits`] covers queue wait plus execution (a
-    /// submission-to-completion latency bound).
+    /// Starts a session on a thread of its own and returns a handle to
+    /// await or cancel it. The admission clock starts now: the wait for a
+    /// replica counts against the configured queue timeout, and any
+    /// wall-clock budget in the session's [`ResourceLimits`] covers that
+    /// wait plus execution (a submission-to-completion latency bound).
     pub fn submit(&self, request: Request) -> SessionHandle {
-        let limits = request.limits.unwrap_or(self.config.session_limits);
-        let ctx = ExecContext::with_limits(SharedCounters::new(), limits)
-            .with_mode(self.config.exec_mode);
-        let submitted = Instant::now();
-        let (reply, rx) = mpsc::channel();
-        let job = Job {
-            request,
-            ctx: ctx.clone(),
-            submitted,
-            deadline: submitted + Duration::from_millis(self.config.queue_timeout_ms),
-            reply,
-        };
-        if let Some(tx) = &self.tx {
-            // A send can only fail once workers are gone; the handle then
-            // observes Shutdown.
-            let _ = tx.send(job);
-        }
-        SessionHandle { rx, ctx }
+        let (ctx, submitted) = self.shared.start(&request);
+        let shared = Arc::clone(&self.shared);
+        let session_ctx = ctx.clone();
+        let thread = std::thread::spawn(move || shared.run(&request, &session_ctx, submitted));
+        SessionHandle { thread, ctx }
     }
 
-    /// Submits a request and blocks for its result.
+    /// Runs a session on the calling thread.
     ///
     /// # Errors
     /// The session's [`ServiceError`].
     pub fn execute(&self, request: Request) -> Result<SessionResult, ServiceError> {
-        self.submit(request).wait()
+        self.shared.execute(&request)
     }
 
-    /// Submits every request up front — keeping all workers busy — then
-    /// collects the results in request order.
+    /// Runs the requests on `min(workers, n)` threads, each drawing the
+    /// next request when it has finished its last, and returns the
+    /// results in request order. A request's clock starts when it is
+    /// drawn. A session that panics answers [`ServiceError::Shutdown`].
     pub fn run_batch(&self, requests: Vec<Request>) -> Vec<Result<SessionResult, ServiceError>> {
-        let handles: Vec<SessionHandle> = requests.into_iter().map(|r| self.submit(r)).collect();
-        handles.into_iter().map(SessionHandle::wait).collect()
+        let shared = &*self.shared;
+        let next = AtomicUsize::new(0);
+        let answers: Vec<OnceLock<_>> = requests.iter().map(|_| OnceLock::new()).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..self.workers().min(requests.len()) {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(request) = requests.get(i) else { break };
+                    let answer = catch_unwind(AssertUnwindSafe(|| shared.execute(request)));
+                    let _ = answers[i].set(answer.unwrap_or(Err(ServiceError::Shutdown)));
+                });
+            }
+        });
+        answers
+            .into_iter()
+            .map(|answer| answer.into_inner().unwrap_or(Err(ServiceError::Shutdown)))
+            .collect()
     }
 
     /// Accounting snapshot across all sessions so far.
@@ -372,90 +367,91 @@ impl QueryService {
     }
 
     /// Metrics snapshot: every counter and histogram of the service's
-    /// registry, with the prepared-statement registry's own counters
-    /// read in at this moment.
+    /// registry, with the prepared-statement registry's own counters and
+    /// the replica pool's size read in at this moment.
     #[must_use]
     pub fn metrics(&self) -> MetricsReport {
-        let mut report = self.metrics.report();
-        let statements = self.registry.stats();
+        let mut report = self.shared.metrics.report();
+        let statements = self.shared.registry.stats();
         report.set(Metric::StatementHits, statements.hits);
         report.set(Metric::StatementMisses, statements.misses);
         report.set(Metric::StatementEvictions, statements.evictions);
         report.set(Metric::StatementResident, statements.resident as u64);
+        report.set(Metric::ReplicasResident, self.shared.replicas.resident() as u64);
         report
     }
 }
 
-impl Drop for QueryService {
-    fn drop(&mut self) {
-        // Closing the channel lets workers drain queued sessions and exit.
-        self.tx = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+impl Shared {
+    /// A session's execution context and the start of its clock.
+    fn start(&self, request: &Request) -> (ExecContext, Instant) {
+        let limits = request.limits.unwrap_or(self.config.session_limits);
+        let ctx = ExecContext::with_limits(SharedCounters::new(), limits)
+            .with_mode(self.config.exec_mode);
+        (ctx, Instant::now())
     }
-}
 
-struct Worker {
-    index: usize,
-    catalog: Arc<Catalog>,
-    config: ServiceConfig,
-    registry: Arc<PreparedRegistry>,
-    pool: Arc<MemoryPool>,
-    metrics: Arc<MetricsRegistry>,
-}
+    fn execute(&self, request: &Request) -> Result<SessionResult, ServiceError> {
+        let (ctx, submitted) = self.start(request);
+        self.run(request, &ctx, submitted)
+    }
 
-impl Worker {
-    fn run(&self, rx: &Mutex<Receiver<Job>>) {
+    /// A database replica, as every slot of the pool holds it.
+    fn generate(&self) -> StoredDatabase {
         let dist = match self.config.skew {
             Some(exponent) => ValueDistribution::Zipf { exponent },
             None => ValueDistribution::Uniform,
         };
         let db = StoredDatabase::generate_with(&self.catalog, self.config.data_seed, dist);
         db.disk.set_io_latency_micros(self.config.io_latency_micros);
-        let env = Environment::dynamic_compile_time(&self.catalog.config);
-        loop {
-            // Holding the lock only while blocked on recv: the next idle
-            // worker takes over the queue as soon as a job is handed out.
-            let job = match rx.lock().recv() {
-                Ok(job) => job,
-                Err(_) => return, // service dropped, queue drained
-            };
-            let queue_wait = job.submitted.elapsed();
-            let result = self.session(&db, &env, &job, queue_wait);
-            let outcome = result
-                .as_ref()
-                .map(|r| (r.summary.rows, r.summary.fallbacks));
-            self.metrics.record_query(outcome, job.submitted.elapsed());
-            if let Ok(r) = &result {
-                self.metrics
-                    .add(Metric::SimulatedIoPages, r.summary.io.total());
-                self.metrics
-                    .max(Metric::TempPagesHighWater, r.summary.temp_pages_peak);
-                self.metrics.observe(Hist::QueueWait, r.queue_wait);
-            }
-            // A dropped handle just means nobody is waiting for the answer.
-            let _ = job.reply.send(result);
+        db
+    }
+
+    /// The one way a session runs: on the calling thread, on a replica
+    /// checked out for its duration, its outcome recorded in the metrics.
+    fn run(
+        &self,
+        request: &Request,
+        ctx: &ExecContext,
+        submitted: Instant,
+    ) -> Result<SessionResult, ServiceError> {
+        let deadline = submitted + Duration::from_millis(self.config.queue_timeout_ms);
+        let result = self
+            .replicas
+            .checkout(deadline)
+            .and_then(|replica| self.session(&replica, request, ctx, deadline, submitted.elapsed()));
+        let outcome = result
+            .as_ref()
+            .map(|r| (r.summary.rows, r.summary.fallbacks));
+        self.metrics.record_query(outcome, submitted.elapsed());
+        if let Ok(r) = &result {
+            self.metrics
+                .add(Metric::SimulatedIoPages, r.summary.io.total());
+            self.metrics
+                .max(Metric::TempPagesHighWater, r.summary.temp_pages_peak);
+            self.metrics.observe(Hist::QueueWait, r.queue_wait);
         }
+        result
     }
 
     fn session(
         &self,
-        db: &StoredDatabase,
-        env: &Environment,
-        job: &Job,
+        replica: &Slot<'_, StoredDatabase>,
+        request: &Request,
+        ctx: &ExecContext,
+        deadline: Instant,
         queue_wait: Duration,
     ) -> Result<SessionResult, ServiceError> {
-        let (stmt, statement_hit) = self.prepare(&job.request.sql, env)?;
+        let env = &self.env;
+        let (stmt, statement_hit) = self.prepare(&request.sql)?;
 
-        let binds: Vec<(&str, i64)> = job
-            .request
+        let binds: Vec<(&str, i64)> = request
             .binds
             .iter()
             .map(|(n, v)| (n.as_str(), *v))
             .collect();
         let mut bindings = stmt.query.bindings(&binds).map_err(ServiceError::Bind)?;
-        if let Some(pages) = job.request.memory_pages {
+        if let Some(pages) = request.memory_pages {
             bindings = bindings.with_memory(pages);
         }
         let memory_pages = bindings.memory_pages.unwrap_or_else(|| env.memory.expected());
@@ -467,26 +463,26 @@ impl Worker {
         // of the queue timeout.
         let retry_extension = Duration::from_millis(self.config.queue_timeout_ms / 10);
         let (_grant, retried) =
-            self.pool.acquire_retry(memory_bytes, job.deadline, retry_extension)?;
+            self.memory.acquire_retry(memory_bytes, deadline, retry_extension)?;
         if retried {
             self.metrics.add(Metric::AdmissionRetries, 1);
         }
         // Intra-query parallelism is rationed by the admitted grant:
         // the execution context shares the handle's counters and
         // governor (cancellation still works), only the DOP differs.
-        let ctx = job
-            .ctx
+        let ctx = ctx
             .clone()
             .with_dop(self.config.effective_dop(memory_bytes));
 
-        if let Some(faults) = &job.request.fault_plan {
+        let db = replica.get_or_init(|| self.generate());
+        if let Some(faults) = &request.fault_plan {
             db.disk.set_fault_plan(faults.clone());
         }
         let io_before = db.disk.stats();
         db.disk.reset_temp_high_water();
         let outcome = match self.config.reopt {
             Some(reopt_config) => {
-                self.execute_reopt(db, env, &ctx, &stmt, &bindings, reopt_config)
+                self.execute_reopt(db, &ctx, &stmt, &bindings, reopt_config)
             }
             None => {
                 let key = region_key(
@@ -516,7 +512,6 @@ impl Worker {
                 };
                 self.execute_arbitrated(
                     db,
-                    env,
                     &ctx,
                     &stmt,
                     &key,
@@ -528,7 +523,7 @@ impl Worker {
             }
         };
         let io = db.disk.stats().since(&io_before);
-        if job.request.fault_plan.is_some() {
+        if request.fault_plan.is_some() {
             db.disk.set_fault_plan(FaultPlan::none());
         }
         let (rows, predicted_seconds, decision_hit) = outcome?;
@@ -546,9 +541,9 @@ impl Worker {
         Ok(SessionResult {
             summary: ExecSummary {
                 rows,
-                cpu: job.ctx.counters.snapshot(),
+                cpu: ctx.counters.snapshot(),
                 io,
-                fallbacks: job.ctx.counters.fallbacks(),
+                fallbacks: ctx.counters.fallbacks(),
                 temp_pages_peak: db.disk.temp_pages().high_water,
                 plan_cache: PlanCacheInfo {
                     statement_hit: Some(statement_hit),
@@ -557,7 +552,7 @@ impl Worker {
             },
             predicted_seconds,
             queue_wait,
-            worker: self.index,
+            worker: replica.index(),
         })
     }
 
@@ -569,14 +564,13 @@ impl Worker {
     fn execute_reopt(
         &self,
         db: &StoredDatabase,
-        env: &Environment,
         ctx: &ExecContext,
         stmt: &PreparedStatement,
         bindings: &Bindings,
         reopt_config: ReoptConfig,
     ) -> Result<(u64, f64, bool), ServiceError> {
         let outcome =
-            execute_plan_reopt_ctx(&stmt.plan, db, &self.catalog, env, bindings, reopt_config, ctx)
+            execute_plan_reopt_ctx(&stmt.plan, db, &self.catalog, &self.env, bindings, reopt_config, ctx)
                 .map_err(ServiceError::Exec)?;
         self.metrics.record_reopt(&outcome.report.counters);
         let escaped = outcome.report.escaped_observations();
@@ -595,23 +589,20 @@ impl Worker {
 
     /// Registry lookup, or parse + optimize on a miss. The double-checked
     /// insert keeps one canonical [`PreparedStatement`] per text even when
-    /// two workers prepare the same statement concurrently.
-    fn prepare(
-        &self,
-        sql: &str,
-        env: &Environment,
-    ) -> Result<(Arc<PreparedStatement>, bool), ServiceError> {
-        let normalized = normalize_sql(sql);
+    /// two sessions prepare the same statement concurrently.
+    fn prepare(&self, sql: &str) -> Result<(Arc<PreparedStatement>, bool), ServiceError> {
+        let normalized = normalized(sql);
         if let Some(stmt) = self.registry.get(&normalized) {
             return Ok((stmt, true));
         }
         let query = parse_query(&normalized, &self.catalog)
             .map_err(|e| ServiceError::Sql(e.to_string()))?;
         let props = query.required_props();
-        let plan = Optimizer::new(&self.catalog, env)
+        let plan = Optimizer::new(&self.catalog, &self.env)
             .optimize_with_props(&query.expr, props)
             .map_err(|e| ServiceError::Optimizer(e.to_string()))?
             .plan;
+        let normalized = normalized.into_owned();
         let stmt = Arc::new(PreparedStatement::new(normalized.clone(), query, plan));
         Ok((self.registry.insert(normalized, stmt), false))
     }
@@ -626,7 +617,6 @@ impl Worker {
     fn execute_arbitrated(
         &self,
         db: &StoredDatabase,
-        env: &Environment,
         ctx: &ExecContext,
         stmt: &PreparedStatement,
         key: &crate::decision::RegionKey,
@@ -651,7 +641,7 @@ impl Worker {
                     &stmt.plan,
                     db,
                     &self.catalog,
-                    env,
+                    &self.env,
                     bindings,
                     memory_bytes,
                     ctx,

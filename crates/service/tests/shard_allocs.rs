@@ -1,5 +1,6 @@
 //! Allocation ceiling of the sharded data path. Its own test binary,
-//! because it installs a counting `#[global_allocator]`.
+//! because it installs the counting `#[global_allocator]` of
+//! `common/mod.rs`.
 //!
 //! The sharded path moves `RowBatch`es from access plan to gather and
 //! materializes a row exactly once, in `ShardOutcome::rows`. So a
@@ -12,39 +13,12 @@
 //! allocations per row per boundary and cannot fit: before the batch path
 //! this query allocated 31 133 times for its 5 329 result rows.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
 use dqep_catalog::{CatalogBuilder, SystemConfig};
 use dqep_service::{ShardConfig, ShardedService};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter publishes no other data.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed on as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc` or `realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System`; obligations are passed on.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use common::allocations;
 
 /// Allocations (and reallocations) allowed per frame on top of one per
 /// result row. Measured for this query: 288 per frame (2 307 over 8
@@ -70,9 +44,9 @@ fn a_repartition_join_allocates_per_result_row_and_per_frame_not_per_stage() {
     // is not the data path's.
     service.execute(sql, &binds).expect("warm-up run");
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocations();
     let out = service.execute(sql, &binds).expect("measured run");
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocations() - before;
 
     let rows = out.rows.len() as u64;
     let frames = out.net.frames;

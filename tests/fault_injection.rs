@@ -202,8 +202,8 @@ fn memory_exhausted_alternative_falls_back_to_the_same_rows() {
 /// page. When such rows reach a Grace or sort spill the storage layer
 /// must refuse the record with a typed, retryable error — so choose-plan
 /// can fall back to a non-spilling alternative — instead of panicking the
-/// service's worker thread, after which every later request would see
-/// `ServiceError::Shutdown`.
+/// session, which costs the service the replica it ran on (and, once the
+/// last is gone, answers every later request `ServiceError::Shutdown`).
 #[test]
 fn oversized_spill_record_is_a_typed_error_and_the_worker_survives() {
     const RELATIONS: usize = 5;

@@ -9,9 +9,9 @@
 
 use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep::cost::Environment;
-use dqep::executor::{execute_plan_with, ExecError, ResourceLimits};
+use dqep::executor::{execute_plan_with, ExecError, ExecSummary, ResourceLimits};
 use dqep::optimizer::Optimizer;
-use dqep::service::{QueryService, Request, ServiceConfig, ServiceError};
+use dqep::service::{Metric, QueryService, Request, ServiceConfig, ServiceError};
 use dqep::sql::parse_query;
 use dqep::storage::{FaultPlan, StoredDatabase};
 use proptest::prelude::*;
@@ -31,7 +31,7 @@ fn chain_catalog(relations: usize, seed: u64) -> Catalog {
 
 /// Ground truth: the same statement executed alone through the
 /// single-query pipeline, against a fresh replica of the same data.
-fn sequential_rows(catalog: &Catalog, db: &StoredDatabase, sql: &str, binds: &[(&str, i64)]) -> u64 {
+fn sequential(catalog: &Catalog, db: &StoredDatabase, sql: &str, binds: &[(&str, i64)]) -> ExecSummary {
     let query = parse_query(sql, catalog).unwrap();
     let env = Environment::dynamic_compile_time(&catalog.config);
     let plan = Optimizer::new(catalog, &env)
@@ -39,10 +39,13 @@ fn sequential_rows(catalog: &Catalog, db: &StoredDatabase, sql: &str, binds: &[(
         .unwrap()
         .plan;
     let bindings = query.bindings(binds).unwrap();
-    let (summary, _) =
-        execute_plan_with(&plan, db, catalog, &env, &bindings, ResourceLimits::unlimited())
-            .unwrap();
-    summary.rows
+    execute_plan_with(&plan, db, catalog, &env, &bindings, ResourceLimits::unlimited())
+        .unwrap()
+        .0
+}
+
+fn sequential_rows(catalog: &Catalog, db: &StoredDatabase, sql: &str, binds: &[(&str, i64)]) -> u64 {
+    sequential(catalog, db, sql, binds).rows
 }
 
 const SEED: u64 = 23;
@@ -303,25 +306,13 @@ fn concurrent_accounting_matches_sequential_per_session() {
     let relations = 2;
     let catalog = chain_catalog(relations, SEED);
     let db = StoredDatabase::generate(&catalog, SEED);
-    let env = Environment::dynamic_compile_time(&catalog.config);
     // Two statements of very different sizes, run concurrently: if
     // counters bled between sessions, the small one would absorb the big
     // one's work.
     let big = chain_sql(relations);
     let small = "SELECT * FROM R1 WHERE R1.a < :v1";
-    let sequential = |sql: &str, binds: &[(&str, i64)]| {
-        let query = parse_query(sql, &catalog).unwrap();
-        let plan = Optimizer::new(&catalog, &env)
-            .optimize_with_props(&query.expr, query.required_props())
-            .unwrap()
-            .plan;
-        let bindings = query.bindings(binds).unwrap();
-        execute_plan_with(&plan, &db, &catalog, &env, &bindings, ResourceLimits::unlimited())
-            .unwrap()
-            .0
-    };
-    let truth_big = sequential(&big, &[("v1", 900), ("v2", 900)]);
-    let truth_small = sequential(small, &[("v1", 40)]);
+    let truth_big = sequential(&catalog, &db, &big, &[("v1", 900), ("v2", 900)]);
+    let truth_small = sequential(&catalog, &db, small, &[("v1", 40)]);
 
     let svc = service(2, relations);
     let results = svc.run_batch(vec![
@@ -342,4 +333,104 @@ fn concurrent_accounting_matches_sequential_per_session() {
     let stats = svc.stats();
     assert_eq!(stats.totals.rows, truth_big.rows + truth_small.rows);
     assert_eq!(stats.totals.io_pages, truth_big.io.total() + truth_small.io.total());
+}
+
+/// The queue deadline covers the queue: the wait for a replica counts
+/// against `queue_timeout_ms`, and counts from the moment a session
+/// starts waiting — a batch request is not waiting until a batch thread
+/// has drawn it.
+#[test]
+fn queue_deadline_covers_the_wait_for_a_replica() {
+    let timeout_ms = 20;
+    let svc = QueryService::new(
+        chain_catalog(2, SEED),
+        ServiceConfig {
+            workers: 1,
+            queue_timeout_ms: timeout_ms,
+            io_latency_micros: 1_000,
+            data_seed: SEED,
+            ..ServiceConfig::default()
+        },
+    );
+    // A full scan: some 330 paced page reads, well over 0.1 s.
+    let slow = Request::new("SELECT * FROM R1 WHERE R1.a < :v1", &[("v1", 1100)]);
+
+    // Two sessions, one replica: whichever draws it holds it (paced I/O)
+    // far longer than the other may wait.
+    let handles = [svc.submit(slow.clone()), svc.submit(slow.clone())];
+    let results = handles.map(|h| h.wait());
+    let ok = results.iter().filter(|r| r.is_ok()).count();
+    let timed_out = results
+        .iter()
+        .filter(|r| matches!(r, Err(ServiceError::AdmissionTimeout { .. })))
+        .count();
+    assert_eq!((ok, timed_out), (1, 1), "results: {results:?}");
+    assert_eq!(svc.metrics().get(Metric::RefusedAdmissionTimeout), 1);
+
+    // The same sessions as a batch run one after the other on the one
+    // replica: the last is drawn long after the call began, and is fine.
+    let started = std::time::Instant::now();
+    let results = svc.run_batch(vec![slow.clone(), slow.clone(), slow]);
+    assert!(started.elapsed().as_millis() as u64 > 2 * timeout_ms);
+    for result in &results {
+        let session = result.as_ref().expect("a drawn request never waited");
+        assert!(session.queue_wait.as_millis() as u64 <= timeout_ms);
+    }
+}
+
+/// The concurrency lattice in one place: `execute` from many threads, a
+/// `run_batch` and a cancelled `submit`, all at once over two replicas.
+/// Whatever the interleaving, no session runs on a replica another
+/// session is running on — its I/O delta would absorb the other's pages.
+#[test]
+fn every_entry_point_at_once_keeps_sessions_on_private_replicas() {
+    let relations = 2;
+    let catalog = chain_catalog(relations, SEED);
+    let db = StoredDatabase::generate(&catalog, SEED);
+    let big = (chain_sql(relations), vec![("v1", 900), ("v2", 900)]);
+    let small = ("SELECT * FROM R1 WHERE R1.a < :v1".to_string(), vec![("v1", 40)]);
+    let truth = [&big, &small].map(|(sql, binds)| sequential(&catalog, &db, sql, binds));
+    // Session `i` of any caller runs statement `i % 2`.
+    let request = |i: usize| {
+        let (sql, binds) = [&big, &small][i % 2];
+        Request::new(sql, binds)
+    };
+
+    let svc = service(2, relations);
+    let (executed, batch, cancelled) = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..8)
+            .map(|_| scope.spawn(|| (0..40).map(|i| svc.execute(request(i))).collect::<Vec<_>>()))
+            .collect();
+        let batch = scope.spawn(|| svc.run_batch((0..20).map(request).collect()));
+        let handle = svc.submit(Request::new(&big.0, &[("v1", 1100), ("v2", 1100)]));
+        handle.cancel();
+        let executed: Vec<_> = callers.into_iter().flat_map(|c| c.join().unwrap()).collect();
+        (executed, batch.join().unwrap(), handle.wait())
+    });
+
+    assert!(
+        matches!(cancelled, Err(ServiceError::Exec(ExecError::Cancelled))),
+        "expected cancellation, got {cancelled:?}"
+    );
+    assert_eq!((executed.len(), batch.len()), (320, 20));
+    let (mut rows, mut io_pages) = (0, 0);
+    for (i, result) in (0..40).cycle().zip(&executed).chain((0..20).zip(&batch)) {
+        let session = result.as_ref().expect("fault-free session");
+        let truth = &truth[i % 2];
+        assert!(session.worker < 2, "replica {} of 2", session.worker);
+        assert_eq!(session.summary.rows, truth.rows);
+        assert_eq!(session.summary.cpu, truth.cpu);
+        assert_eq!(session.summary.io, truth.io);
+        rows += session.summary.rows;
+        io_pages += session.summary.io.total();
+    }
+
+    // Service totals are exactly the sum of the per-session summaries,
+    // and two slots never became three replicas.
+    let stats = svc.stats();
+    assert_eq!((stats.completed, stats.failed), (340, 1));
+    assert_eq!(stats.totals.rows, rows);
+    assert_eq!(stats.totals.io_pages, io_pages);
+    let replicas = svc.metrics().get(Metric::ReplicasResident);
+    assert!((1..=2).contains(&replicas), "{replicas} replicas for 2 slots");
 }
