@@ -119,6 +119,12 @@ impl RowBatch {
         &self.columns
     }
 
+    /// Gives the value vectors up, uncopied (one entry per physical row;
+    /// the selection vector is dropped).
+    pub(crate) fn into_columns(self) -> Vec<Vec<i64>> {
+        self.columns
+    }
+
     /// Appends one row. The batch grows past [`BATCH_CAPACITY`] if pushed
     /// to — capacity is a fill target, not a hard limit.
     ///

@@ -16,11 +16,26 @@
 //! [`fold_hash_column`] kernel — each row's hash is bit-identical to the
 //! row-at-a-time [`hash_key`]), then scattered histogram → prefix-sum into
 //! cache-sized partitions with chained bucket arrays ([`RadixTable`]).
-//! Probing hashes a whole batch with the same kernel, re-uses each hash
-//! for partition routing, bucket lookup and a pre-filter, walks an index
-//! chain, and gathers match pairs into the output batch column by column.
-//! Partition count scales with the build size (one partition per L2-sized
-//! slice) and the degree of parallelism.
+//! Probing hashes a whole batch with the same kernel, takes partition and
+//! bucket from the two ends of each hash, walks the index chains in one
+//! loop that compares key columns as slices ([`RadixTable::probe`]), and
+//! gathers match pairs into the output batch column by column. Partition
+//! count scales with the build size (one partition per L2-sized slice)
+//! and the degree of parallelism.
+//!
+//! **One hash, four consumers, disjoint bits.** The same 64-bit hash is
+//! read by every partitioner a row passes on its way to a bucket: the
+//! shard route (`h % shards`, [`crate::shard_route`]), the Grace fan-out
+//! (`h % PARTITIONS`) and the radix partition (`h & part_mask`) all take
+//! it from bit 0 upwards, and what they take is frozen — shard placement,
+//! spill page identity and output order hang on it. The bucket index
+//! therefore comes from the other end, `h >> (64 - log2(buckets))`: the
+//! only bits no upstream partitioner has already made equal for every row
+//! that reaches the table. [`mix`] is a full-avalanche finalizer, so the
+//! top bits spread as well as the bottom ones; with buckets on the bits
+//! just above the partition mask, the rows of one Grace partition could
+//! reach an eighth to a quarter of their table's buckets, and the rows of
+//! one of two shards half of them.
 //!
 //! Build-side rows are *reserved* with the query's resource governor
 //! before they are held — both the resident build table and each Grace
@@ -43,6 +58,7 @@
 //! Per-worker counters are merged back, making accounting totals
 //! independent of the degree of parallelism.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
@@ -171,10 +187,6 @@ fn scatter_by_partition(
 ) -> (Vec<Vec<i64>>, Vec<u64>, Vec<usize>) {
     let n = hashes.len();
     let parts = part_mask as usize + 1;
-    if parts == 1 {
-        let starts = vec![0, n];
-        return (cols.to_vec(), hashes.to_vec(), starts);
-    }
     let pids: Vec<u32> = hashes.iter().map(|&h| (h & part_mask) as u32).collect();
     let mut starts = vec![0usize; parts + 1];
     for &p in &pids {
@@ -210,64 +222,76 @@ fn scatter_by_partition(
 
 /// Per-partition chained bucket index of a [`RadixTable`].
 struct PartBuckets {
-    mask: u64,
+    /// `64 - log2(heads.len())`: a row's bucket is the **top** bits of its
+    /// hash, `h >> shift` — the end no partitioner reads (module docs).
+    shift: u32,
     /// Bucket → first build row (global scattered index + 1; 0 = empty).
     /// Chains run in build-arrival order.
     heads: Vec<u32>,
 }
 
+/// Match pairs of a probe: (build scattered index, probe physical index).
+type Pairs = Vec<(u32, u32)>;
+
 /// The in-memory join table: build rows scattered into radix partitions
-/// (columnar), their precomputed hashes, and a chained bucket index per
-/// partition. Probing reuses the stored hash as a pre-filter — no
-/// re-hashing, no per-bucket `Vec` allocations — and match rows gather
-/// into the output column by column.
+/// (columnar) and a chained bucket index per partition. A row's hash is
+/// spent at build time — low bits on the partition, top bits on the
+/// bucket — and not kept: equal keys imply equal hashes, so the probe
+/// compares key columns and nothing else. Match rows gather into the
+/// output column by column.
 struct RadixTable {
     part_mask: u64,
-    /// Bits consumed by the partition mask; buckets use the bits above.
-    part_bits: u32,
     /// Scattered build columns (partition-major).
     cols: Vec<Vec<i64>>,
-    /// Scattered per-row hashes, aligned with `cols`.
-    hashes: Vec<u64>,
     /// Next row in the same bucket chain (global index + 1; 0 = end).
     next_link: Vec<u32>,
     buckets: Vec<PartBuckets>,
 }
 
 impl RadixTable {
-    /// Builds the table from a columnar build buffer, charging one hash
-    /// per row. `parts` must be a power of two.
-    fn build(keys: &Keys, counters: &SharedCounters, store: &RowBatch, parts: usize) -> RadixTable {
+    /// Builds the table from a dense columnar build buffer, charging one
+    /// hash per row. `parts` must be a power of two. A single partition
+    /// keeps the rows where they are: an owned buffer's columns move into
+    /// the table, only a borrowed one is copied.
+    fn build(
+        keys: &Keys,
+        counters: &SharedCounters,
+        store: Cow<'_, RowBatch>,
+        parts: usize,
+    ) -> RadixTable {
         let n = store.rows();
         debug_assert!(n < u32::MAX as usize, "build side exceeds u32 indexing");
         debug_assert!(parts.is_power_of_two());
+        debug_assert!(store.selection().is_none(), "build buffer must be dense");
         counters.add_hashes(n as u64);
         let mut hashes = Vec::new();
-        hash_build_batch(keys, store, &mut hashes);
+        hash_build_batch(keys, &store, &mut hashes);
         let part_mask = (parts - 1) as u64;
-        let part_bits = parts.trailing_zeros();
-        let (cols, hashes, part_starts) = scatter_by_partition(store.columns(), &hashes, part_mask);
+        let (cols, hashes, part_starts) = if parts == 1 {
+            (store.into_owned().into_columns(), hashes, vec![0, n])
+        } else {
+            scatter_by_partition(store.columns(), &hashes, part_mask)
+        };
         let mut next_link = vec![0u32; n];
-        let buckets = (0..parts)
-            .map(|p| {
-                let (lo, hi) = (part_starts[p], part_starts[p + 1]);
-                let nb = ((hi - lo) * 2).next_power_of_two();
-                let mask = (nb - 1) as u64;
+        let buckets = part_starts
+            .windows(2)
+            .map(|part| {
+                // At least two buckets: the shift stays below 64.
+                let nb = ((part[1] - part[0]) * 2).next_power_of_two().max(2);
+                let shift = 64 - nb.trailing_zeros();
                 let mut heads = vec![0u32; nb];
                 // Reverse insertion leaves each chain in arrival order.
-                for i in (lo..hi).rev() {
-                    let b = ((hashes[i] >> part_bits) & mask) as usize;
+                for i in (part[0]..part[1]).rev() {
+                    let b = (hashes[i] >> shift) as usize;
                     next_link[i] = heads[b];
                     heads[b] = i as u32 + 1;
                 }
-                PartBuckets { mask, heads }
+                PartBuckets { shift, heads }
             })
             .collect();
         RadixTable {
             part_mask,
-            part_bits,
             cols,
-            hashes,
             next_link,
             buckets,
         }
@@ -277,71 +301,74 @@ impl RadixTable {
         self.cols.len()
     }
 
-    /// Scattered build rows matching hash `h` and the probe keys, in
-    /// build-arrival order, appended to `matches` as global row indices.
-    #[inline]
-    fn chain_matches(
+    /// The one chain walk. Probe row `rows[j]` (a physical index into the
+    /// columns `probe_col` hands out) carries `hashes[j]`; its matches are
+    /// appended to `pairs` in build-arrival order, probe rows in the order
+    /// given. The key columns of both sides are resolved to slices once,
+    /// here, and compared directly, first key first — a chain's strangers
+    /// differ in the first key, and rows with equal keys have equal
+    /// hashes, so no hash is compared.
+    fn probe<'p>(
         &self,
         keys: &Keys,
-        h: u64,
-        probe_key_at: impl Fn(usize) -> i64,
-        matches: &mut Vec<u32>,
+        probe_col: impl Fn(usize) -> &'p [i64],
+        hashes: &[u64],
+        rows: impl Iterator<Item = usize>,
+        pairs: &mut Pairs,
     ) {
-        let part = &self.buckets[(h & self.part_mask) as usize];
-        let mut link = part.heads[((h >> self.part_bits) & part.mask) as usize];
-        while link != 0 {
-            let i = (link - 1) as usize;
-            if self.hashes[i] == h
-                && keys
-                    .iter()
-                    .all(|&(bk, pk)| self.cols[bk][i] == probe_key_at(pk))
-            {
-                matches.push(i as u32);
+        let mut key_cols = keys.iter().map(|&(bk, pk)| (self.cols[bk].as_slice(), probe_col(pk)));
+        // The first key apart, so that the usual single-key join allocates
+        // nothing here (`rest` is empty). No key at all is the cross
+        // product: every hash is the seed, one chain holds every build
+        // row, and every row on it matches.
+        let first = key_cols.next();
+        let rest: Vec<(&[i64], &[i64])> = key_cols.collect();
+        let next_link = self.next_link.as_slice();
+        for (&h, idx) in hashes.iter().zip(rows) {
+            let part = &self.buckets[(h & self.part_mask) as usize];
+            let mut link = part.heads[(h >> part.shift) as usize];
+            while link != 0 {
+                let i = (link - 1) as usize;
+                if first.iter().chain(&rest).all(|(b, p)| b[i] == p[idx]) {
+                    pairs.push((i as u32, idx as u32));
+                }
+                link = next_link[i];
             }
-            link = self.next_link[i];
         }
     }
 
-    /// Probes with every live row of `probe_batch`, leaving the match
-    /// pairs (build scattered index, probe physical index) in `pairs_b` /
-    /// `pairs_p`: probe rows in batch order, each row's matches in
-    /// build-arrival order. Charges one hash per probe row and one record
-    /// per match. `hashes` is scratch.
+    /// Probes with every live row of `probe_batch`, dense or under a
+    /// selection vector, leaving the match pairs in `pairs`: probe rows in
+    /// batch order, each row's matches in build-arrival order. Charges one
+    /// hash per probe row and one record per match. `hashes` is scratch.
     fn match_batch(
         &self,
         keys: &Keys,
         counters: &SharedCounters,
         probe_batch: &RowBatch,
         hashes: &mut Vec<u64>,
-        pairs_b: &mut Vec<u32>,
-        pairs_p: &mut Vec<u32>,
+        pairs: &mut Pairs,
     ) {
         hash_probe_batch(keys, probe_batch, hashes);
-        pairs_b.clear();
-        pairs_p.clear();
-        for (j, idx) in probe_batch.selected_indices().enumerate() {
-            self.chain_matches(keys, hashes[j], |pk| probe_batch.column(pk)[idx], pairs_b);
-            pairs_p.resize(pairs_b.len(), idx as u32);
-        }
+        pairs.clear();
+        self.probe(keys, |c| probe_batch.column(c), hashes, probe_batch.selected_indices(), pairs);
         counters.add_hashes(probe_batch.len() as u64);
-        counters.add_records(pairs_b.len() as u64);
+        counters.add_records(pairs.len() as u64);
     }
 
-    /// Gathers `pairs` (build scattered index, probe physical index) into
-    /// `out` column by column (`probe_col(c)` is the probe side's column
-    /// `c`). The build attributes come first when `build_first` — the
-    /// operator's layout, whose build side is its left input — else the
-    /// probe attributes do.
+    /// Gathers `pairs` into `out` column by column (`probe_col(c)` is the
+    /// probe side's column `c`). The build attributes come first when
+    /// `build_first` — the operator's layout, whose build side is its left
+    /// input — else the probe attributes do.
     fn gather_pairs_into<'p>(
         &self,
         probe_col: impl Fn(usize) -> &'p [i64],
-        pairs_b: &[u32],
-        pairs_p: &[u32],
+        pairs: &[(u32, u32)],
         build_first: bool,
         out: &mut RowBatch,
     ) {
         let bw = self.build_width();
-        out.extend_rows_with(pairs_b.len(), |cols| {
+        out.extend_rows_with(pairs.len(), |cols| {
             let (bcols, pcols) = if build_first {
                 cols.split_at_mut(bw)
             } else {
@@ -350,11 +377,11 @@ impl RadixTable {
             };
             for (c, col) in bcols.iter_mut().enumerate() {
                 let src = &self.cols[c];
-                col.extend(pairs_b.iter().map(|&i| src[i as usize]));
+                col.extend(pairs.iter().map(|&(i, _)| src[i as usize]));
             }
             for (c, col) in pcols.iter_mut().enumerate() {
                 let src = probe_col(c);
-                col.extend(pairs_p.iter().map(|&i| src[i as usize]));
+                col.extend(pairs.iter().map(|&(_, i)| src[i as usize]));
             }
         });
     }
@@ -396,15 +423,24 @@ pub fn join_batches(
         .iter()
         .map(|&(l, r)| if build_left { (l, r) } else { (r, l) })
         .collect();
-    let mut store = RowBatch::with_capacity(build_width, live(build));
-    for batch in build {
-        store.extend_from_live(batch, 0..batch.len());
-    }
+    // The build rows as one dense buffer; a side that already is one dense
+    // batch is used where it lies.
+    let mut store = match build {
+        [only] if only.selection().is_none() => Cow::Borrowed(only),
+        _ => {
+            let mut store = RowBatch::with_capacity(build_width, live(build));
+            for batch in build {
+                store.extend_from_live(batch, 0..batch.len());
+            }
+            Cow::Owned(store)
+        }
+    };
+    let rows = store.rows();
 
     // Per-row footprint: the row's values plus hash, chain link and
     // bucket heads.
     let bytes_per_row = (build_width * 8 + 48) as u64;
-    let full = (store.rows() as u64).saturating_mul(bytes_per_row).max(1);
+    let full = (rows as u64).saturating_mul(bytes_per_row).max(1);
     let mut granted = 0u64;
     let mut refusal = None;
     for divisor in [1u64, 2, 4, 8] {
@@ -429,26 +465,22 @@ pub fn join_batches(
 
     let piece_rows = ((granted / bytes_per_row) as usize).max(1);
     let mut out = RowBatch::with_capacity(left_width + right_width, 0);
-    let (mut hashes, mut pairs_b, mut pairs_p) = (Vec::new(), Vec::new(), Vec::new());
-    for lo in (0..store.rows()).step_by(piece_rows) {
-        let hi = (lo + piece_rows).min(store.rows());
-        let mut sliced;
-        let piece = if hi - lo == store.rows() {
-            &store
+    let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
+    for lo in (0..rows).step_by(piece_rows) {
+        let hi = (lo + piece_rows).min(rows);
+        let piece = if hi - lo == rows {
+            // The one piece of an unchunked build: the buffer itself.
+            std::mem::take(&mut store)
         } else {
-            sliced = RowBatch::with_capacity(build_width, hi - lo);
+            let mut sliced = RowBatch::with_capacity(build_width, hi - lo);
             sliced.extend_from_live(&store, lo..hi);
-            &sliced
+            Cow::Owned(sliced)
         };
-        let table = RadixTable::build(
-            &keys,
-            &ctx.counters,
-            piece,
-            radix_partitions(piece.rows() * build_width * 8, 1),
-        );
+        let parts = radix_partitions(piece.rows() * build_width * 8, 1);
+        let table = RadixTable::build(&keys, &ctx.counters, piece, parts);
         for probe_batch in probe {
-            table.match_batch(&keys, &ctx.counters, probe_batch, &mut hashes, &mut pairs_b, &mut pairs_p);
-            table.gather_pairs_into(|c| probe_batch.column(c), &pairs_b, &pairs_p, build_left, &mut out);
+            table.match_batch(&keys, &ctx.counters, probe_batch, &mut hashes, &mut pairs);
+            table.gather_pairs_into(|c| probe_batch.column(c), &pairs, build_left, &mut out);
         }
     }
     ctx.governor.release_memory(granted);
@@ -573,18 +605,18 @@ fn join_spilled_pair(
     let store = RowBatch::from_spill(build_part, build_width)?;
     let probe_batch = RowBatch::from_spill(probe_part, probe_width)?;
     ctx.governor.check_batch(probe_batch.rows() as u64)?;
+    // The reservation is the cost model's padded record size; the radix
+    // fan-out follows the bytes the columns really hold, as in
+    // [`join_batches`] — the rows of a pair share their low hash bits, so
+    // a second partition would stay empty and only cost the scatter.
     let part_bytes = (store.rows() * build_layout.row_bytes) as u64;
     gate.reserve(&ctx.governor, part_bytes)?;
-    let table = RadixTable::build(
-        keys,
-        &ctx.counters,
-        &store,
-        radix_partitions(part_bytes as usize, 1),
-    );
-    let (mut hashes, mut pairs_b, mut pairs_p) = (Vec::new(), Vec::new(), Vec::new());
-    table.match_batch(keys, &ctx.counters, &probe_batch, &mut hashes, &mut pairs_b, &mut pairs_p);
-    let mut out = RowBatch::with_capacity(build_width + probe_width, pairs_b.len());
-    table.gather_pairs_into(|c| probe_batch.column(c), &pairs_b, &pairs_p, true, &mut out);
+    let parts = radix_partitions(store.rows() * build_width * 8, 1);
+    let table = RadixTable::build(keys, &ctx.counters, Cow::Owned(store), parts);
+    let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
+    table.match_batch(keys, &ctx.counters, &probe_batch, &mut hashes, &mut pairs);
+    let mut out = RowBatch::with_capacity(build_width + probe_width, pairs.len());
+    table.gather_pairs_into(|c| probe_batch.column(c), &pairs, true, &mut out);
     drop(table);
     gate.release(&ctx.governor, part_bytes);
     Ok(out)
@@ -679,7 +711,7 @@ impl<'a> HashJoinExec<'a> {
     fn open_parallel_radix(&mut self, store: &RowBatch, dop: usize) -> Result<(), ExecError> {
         let build_bytes = store.rows() * self.build.layout().row_bytes;
         let parts = radix_partitions(build_bytes, dop);
-        let table = RadixTable::build(&self.keys, &self.ctx.counters, store, parts);
+        let table = RadixTable::build(&self.keys, &self.ctx.counters, Cow::Borrowed(store), parts);
         // Probe-phase work (errors defer to the first pull): hash each
         // live row once with the columnar kernel.
         let probe_rows = self.probe.estimated_rows().map_or(0, |n| n.min(1 << 20) as usize);
@@ -710,16 +742,12 @@ impl<'a> HashJoinExec<'a> {
             scatter_by_partition(probe_store.columns(), &probe_hashes, table.part_mask);
         let (keys, out_width) = (&self.keys, self.layout.width());
         self.joined = join_partitions(&self.ctx, out_width, dop, parts, |p, worker| {
-            let (lo, hi) = (probe_starts[p], probe_starts[p + 1]);
-            let mut pairs_b: Vec<u32> = Vec::new();
-            let mut pairs_p: Vec<u32> = Vec::new();
-            for j in lo..hi {
-                table.chain_matches(keys, probe_hashes[j], |pk| probe_cols[pk][j], &mut pairs_b);
-                pairs_p.resize(pairs_b.len(), j as u32);
-            }
-            worker.counters.add_records(pairs_b.len() as u64);
-            let mut out = RowBatch::with_capacity(out_width, pairs_b.len());
-            table.gather_pairs_into(|c| &probe_cols[c], &pairs_b, &pairs_p, true, &mut out);
+            let rows = probe_starts[p]..probe_starts[p + 1];
+            let mut pairs = Pairs::new();
+            table.probe(keys, |c| &probe_cols[c], &probe_hashes[rows.clone()], rows, &mut pairs);
+            worker.counters.add_records(pairs.len() as u64);
+            let mut out = RowBatch::with_capacity(out_width, pairs.len());
+            table.gather_pairs_into(|c| &probe_cols[c], &pairs, true, &mut out);
             Ok(out)
         })?;
         Ok(())
@@ -770,7 +798,7 @@ impl Operator for HashJoinExec<'_> {
             self.state = State::Radix(RadixTable::build(
                 &self.keys,
                 &self.ctx.counters,
-                &store,
+                Cow::Owned(store),
                 radix_partitions(build_bytes, 1),
             ));
             return Ok(());
@@ -885,8 +913,7 @@ impl Operator for HashJoinExec<'_> {
                     // Grown by each probe batch's exact match count: a
                     // selective join never pays for `max_rows` up front.
                     let mut out = RowBatch::with_capacity(self.layout.width(), 0);
-                    let (mut hashes, mut pairs_b, mut pairs_p) =
-                        (Vec::new(), Vec::new(), Vec::new());
+                    let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
                     while out.rows() < max_rows {
                         let Some(probe_batch) = self.probe.next_batch(max_rows)? else {
                             break;
@@ -897,16 +924,9 @@ impl Operator for HashJoinExec<'_> {
                             &self.ctx.counters,
                             &probe_batch,
                             &mut hashes,
-                            &mut pairs_b,
-                            &mut pairs_p,
+                            &mut pairs,
                         );
-                        table.gather_pairs_into(
-                            |c| probe_batch.column(c),
-                            &pairs_b,
-                            &pairs_p,
-                            true,
-                            &mut out,
-                        );
+                        table.gather_pairs_into(|c| probe_batch.column(c), &pairs, true, &mut out);
                     }
                     if out.rows() == 0 {
                         return Ok(None);
@@ -998,29 +1018,120 @@ mod tests {
         }
     }
 
+    /// The first `n` keys from 0 upwards that `keep` their hash.
+    fn keys_where(n: usize, keep: impl Fn(u64) -> bool) -> Vec<i64> {
+        (0i64..).filter(|&k| keep(hash_key(&[(0, 0)], &[k], true))).take(n).collect()
+    }
+
     #[test]
     fn radix_table_probe_matches_hashmap_semantics() {
-        // Duplicate keys on both sides: matches must come back in
-        // build-arrival order for each probe row.
-        let keys: Keys = vec![(0, 0)];
-        let counters = SharedCounters::default();
-        let mut store = RowBatch::new(2);
-        for (k, payload) in [(1i64, 10i64), (2, 20), (1, 11), (3, 30), (1, 12)] {
-            store.push_row(&[k, payload]);
-        }
-        let mut probe = RowBatch::new(2);
-        probe.push_row(&[1, 99]);
-        probe.push_row(&[7, 0]);
-        for parts in [1usize, 2, 4, 8] {
-            let table = RadixTable::build(&keys, &counters, &store, parts);
-            let (mut hashes, mut pairs_b, mut pairs_p) = (Vec::new(), Vec::new(), Vec::new());
-            table.match_batch(&keys, &counters, &probe, &mut hashes, &mut pairs_b, &mut pairs_p);
-            let mut out = RowBatch::new(4);
-            table.gather_pairs_into(|c| probe.column(c), &pairs_b, &pairs_p, true, &mut out);
-            assert_eq!(
-                out.to_tuples(),
-                vec![vec![1, 10, 1, 99], vec![1, 11, 1, 99], vec![1, 12, 1, 99]],
-                "arrival order at {parts} partitions; probe key 7 matches nothing"
+        // Probe rows in batch order, each row's matches in build-arrival
+        // order — compared pair for pair with a nested loop, at every
+        // fan-out.
+        let check = |keys: &Keys, store: &RowBatch, probe: &RowBatch, what: &str| {
+            let mut want = Vec::new();
+            for idx in probe.selected_indices() {
+                let p = probe.row_vec(idx);
+                for b in store.iter().filter(|b| keys.iter().all(|&(bk, pk)| b[bk] == p[pk])) {
+                    want.push([b.as_slice(), p.as_slice()].concat());
+                }
+            }
+            assert!(!want.is_empty(), "{what}: the case joins something");
+            let counters = SharedCounters::default();
+            for parts in [1usize, 2, 4, 8] {
+                let table = RadixTable::build(keys, &counters, Cow::Borrowed(store), parts);
+                let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
+                table.match_batch(keys, &counters, probe, &mut hashes, &mut pairs);
+                let mut out = RowBatch::new(store.width() + probe.width());
+                table.gather_pairs_into(|c| probe.column(c), &pairs, true, &mut out);
+                assert_eq!(out.to_tuples(), want, "{what}, {parts} partitions");
+            }
+        };
+        let batch_of = |width: usize, rows: &[Vec<i64>]| {
+            let mut batch = RowBatch::new(width);
+            for row in rows {
+                batch.push_row(row);
+            }
+            batch
+        };
+
+        // Duplicate keys on the build side; probe key 7 matches nothing.
+        let single: Keys = vec![(0, 0)];
+        let store = batch_of(2, &[vec![1, 10], vec![2, 20], vec![1, 11], vec![3, 30], vec![1, 12]]);
+        let probe = batch_of(2, &[vec![1, 99], vec![7, 0]]);
+        check(&single, &store, &probe, "duplicate build keys");
+
+        // A Grace partition's two sides: every key has the same hash
+        // modulo the fan-out, duplicates on both sides, and every other
+        // probe key has no partner.
+        let in_partition = keys_where(300, |h| h as usize % PARTITIONS == 3);
+        let build_rows: Vec<_> = (0..600).map(|i| vec![in_partition[i % 200], i as i64]).collect();
+        let probe_rows: Vec<_> =
+            (0..500).map(|i| vec![in_partition[(i * 7) % 300], -(i as i64)]).collect();
+        let (store, mut probe) = (batch_of(2, &build_rows), batch_of(2, &probe_rows));
+        check(&single, &store, &probe, "Grace-partitioned sides");
+
+        // The same probe batch under a selection vector.
+        probe.set_selection((0..500u32).filter(|i| i % 3 != 0).collect());
+        check(&single, &store, &probe, "probe under a selection vector");
+
+        // Two keys on crossed positions: most rows that agree on the
+        // first key differ in the second.
+        let double: Keys = vec![(0, 1), (1, 0)];
+        let build_rows: Vec<_> = (0..120i64).map(|i| vec![i % 4, i % 3, 1_000 + i]).collect();
+        let probe_rows: Vec<_> = (0..90i64).map(|i| vec![i % 5, i % 6, 2_000 + i]).collect();
+        let (store, mut probe) = (batch_of(3, &build_rows), batch_of(3, &probe_rows));
+        check(&double, &store, &probe, "two-key join");
+        probe.set_selection((0..90u32).filter(|i| i % 2 == 1).collect());
+        check(&double, &store, &probe, "two-key join under a selection vector");
+
+        // No key at all: the cross product, in the same order.
+        let (store, probe) = (batch_of(1, &[vec![1], vec![2], vec![3]]), batch_of(1, &[vec![8], vec![9]]));
+        check(&Keys::new(), &store, &probe, "cross product");
+    }
+
+    #[test]
+    fn pre_partitioned_build_sides_fill_the_buckets_independent_bits_would() {
+        // Rows that reach a table have passed a partitioner that read the
+        // same hash from the bottom: a Grace partition holds one residue
+        // of `h % PARTITIONS`, a shard one destination of `shard_route`.
+        // Buckets taken from the top of the hash do not care. `n` distinct
+        // keys thrown at `nb` buckets independently occupy
+        // `nb * (1 - e^(-n / nb))` of them; buckets on the bits next to
+        // the partitioners' can reach an eighth, a half, a quarter of the
+        // table and fall far short.
+        let n = 2_000usize;
+        let routed_to = |shards: usize, shard: u32| {
+            let mut batch = RowBatch::with_capacity(1, 8 * n * shards);
+            for k in 0..(8 * n * shards) as i64 {
+                batch.push_row(&[k]);
+            }
+            let (mut hashes, mut dests) = (Vec::new(), Vec::new());
+            crate::shard_route(&batch, &[0], shards, &mut hashes, &mut dests);
+            let mine = (0..).zip(&dests).filter(|&(_, &d)| d == shard).map(|(k, _)| k);
+            mine.take(n).collect::<Vec<i64>>()
+        };
+        let cases = [
+            ("one Grace partition", keys_where(n, |h| h as usize % PARTITIONS == 5)),
+            ("one of two shards", routed_to(2, 1)),
+            ("one of four shards", routed_to(4, 2)),
+        ];
+        for (what, keys) in cases {
+            assert_eq!(keys.len(), n, "{what}");
+            let mut store = RowBatch::with_capacity(1, n);
+            for k in keys {
+                store.push_row(&[k]);
+            }
+            let counters = SharedCounters::default();
+            let table = RadixTable::build(&vec![(0, 0)], &counters, Cow::Owned(store), 1);
+            let heads = &table.buckets[0].heads;
+            let nb = heads.len() as f64;
+            assert_eq!(heads.len(), 4_096, "{what}: two buckets a row, rounded up");
+            let occupied = heads.iter().filter(|&&h| h != 0).count();
+            let independent = nb * (1.0 - (-(n as f64) / nb).exp());
+            assert!(
+                occupied as f64 >= 0.9 * independent,
+                "{what}: {occupied} of {nb} buckets occupied, independent bits give {independent:.0}"
             );
         }
     }

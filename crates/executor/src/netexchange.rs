@@ -657,8 +657,12 @@ pub fn presized_batch(width: usize, estimated_rows: Option<u64>) -> RowBatch {
 /// Computes each **live** row's destination shard: the key columns are
 /// folded through the batched multiply-xor kernel (seeded like the join
 /// hash, so both join sides route identically), then reduced modulo
-/// `shards`. `hashes` and `dests` are scratch, cleared and refilled; on
-/// return `dests[i]` is the shard of the `i`-th live row.
+/// `shards` — for a power-of-two shard count as the mask `h & (shards -
+/// 1)`, the same destination without a divide per row. Either way the
+/// route reads the hash from bit 0 up, which is why the join's buckets
+/// read it from the top ([`crate::hash_join`] module docs). `hashes` and
+/// `dests` are scratch, cleared and refilled; on return `dests[i]` is the
+/// shard of the `i`-th live row.
 ///
 /// # Panics
 /// Panics when `shards` is zero or a key column is out of range.
@@ -690,7 +694,12 @@ pub fn shard_route(
         }
     }
     dests.clear();
-    dests.extend(hashes.iter().map(|&h| (h % shards as u64) as u32));
+    let shards = shards as u64;
+    if shards.is_power_of_two() {
+        dests.extend(hashes.iter().map(|&h| (h & (shards - 1)) as u32));
+    } else {
+        dests.extend(hashes.iter().map(|&h| (h % shards) as u32));
+    }
 }
 
 /// Scatters the live rows of `batch` into one dense per-shard batch each,
@@ -930,6 +939,38 @@ mod tests {
             let expect = hash_key(&[(1, 1)], &batch.row_vec(i), true);
             assert_eq!(hashes[i], expect, "row {i}");
             assert_eq!(dests[i], (expect % 4) as u32);
+        }
+    }
+
+    #[test]
+    fn routing_by_mask_is_routing_by_remainder() {
+        // Random keys, negatives and the extremes included, dense and
+        // under a selection vector: every shard count routes as
+        // `hash % shards`, whether it takes the mask (1, 2, 4, 8) or the
+        // divide (3, 5, 6).
+        let mut state = 0x243f_6a88_85a3_08d3u64;
+        let mut batch = RowBatch::with_capacity(2, 2_003);
+        for v in [0, -1, 1, i64::MIN, i64::MAX] {
+            batch.push_row(&[v, v.wrapping_mul(-3)]);
+        }
+        for _ in 0..1_998 {
+            state = mix(state.wrapping_add(HASH_SEED));
+            batch.push_row(&[state as i64, ((state >> 7) as i64).wrapping_sub(1 << 50)]);
+        }
+        let mut filtered = batch.clone();
+        filtered.set_selection((0..2_003u32).filter(|i| i % 7 != 2).collect());
+        let (mut hashes, mut dests) = (Vec::new(), Vec::new());
+        for shards in [1usize, 2, 3, 4, 5, 6, 8] {
+            for (batch, key_cols) in [(&batch, &[0usize][..]), (&filtered, &[1, 0][..])] {
+                shard_route(batch, key_cols, shards, &mut hashes, &mut dests);
+                assert_eq!(dests.len(), batch.len());
+                for (slot, phys) in batch.selected_indices().enumerate() {
+                    let row = batch.row_vec(phys);
+                    let keys: Vec<(usize, usize)> = key_cols.iter().map(|&k| (k, k)).collect();
+                    let h = hash_key(&keys, &row, true);
+                    assert_eq!(dests[slot], (h % shards as u64) as u32, "{shards} shards, row {phys}");
+                }
+            }
         }
     }
 

@@ -61,15 +61,25 @@ impl<'a> HeapPages<'a> {
     /// read (so fault injection and I/O budgets trip on the page that
     /// caused them). A fault after the batch already holds rows is
     /// deferred to the next call.
+    ///
+    /// `pages_left` bounds what `next_page` can still yield: the batch's
+    /// columns are sized for the rows those pages (and the tail) can
+    /// hold when that is less than `max_rows`, so the scan of a small
+    /// relation, and the last batch of a large one, do not allocate a
+    /// full batch's columns for a few pages' rows.
     fn fill(
         &mut self,
         max_rows: usize,
+        pages_left: usize,
         mut next_page: impl FnMut() -> Option<usize>,
     ) -> Result<Option<RowBatch>, ExecError> {
         if let Some(e) = self.pending_err.take() {
             return Err(e);
         }
-        let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows);
+        let tail_rows = self.tail.as_ref().map_or(0, |(page, from)| page.len() - usize::from(*from));
+        let pages = pages_left + usize::from(self.retry_page.is_some());
+        let to_come = tail_rows + pages * SlottedPage::records_per_page(self.table.record_len);
+        let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows.min(to_come));
         if let Some((page, from)) = self.tail.take() {
             self.decode(page, from, max_rows, &mut batch);
         }
@@ -150,7 +160,7 @@ impl Operator for FileScanExec<'_> {
 
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
         let remaining = &mut self.remaining;
-        self.pages.fill(max_rows, || remaining.next())
+        self.pages.fill(max_rows, remaining.len(), || remaining.next())
     }
 
     fn close(&mut self) {
@@ -210,7 +220,7 @@ impl Operator for MorselScanExec<'_> {
         let (current, claims) = (&mut self.current, &self.claims);
         // The next page of the current morsel, claiming a fresh morsel
         // when it is exhausted.
-        self.pages.fill(max_rows, || loop {
+        self.pages.fill(max_rows, claims.total(), || loop {
             if let Some(idx) = current.next() {
                 return Some(idx);
             }

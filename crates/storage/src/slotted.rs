@@ -84,6 +84,12 @@ impl SlottedPage {
     /// The longest record an empty page can hold.
     pub const MAX_RECORD: usize = PAGE_SIZE - HEADER - SLOT;
 
+    /// How many records of `len` bytes each a page holds.
+    #[must_use]
+    pub const fn records_per_page(len: usize) -> usize {
+        (PAGE_SIZE - HEADER) / (len + SLOT)
+    }
+
     /// Whether a record of `len` bytes can fit a page at all.
     ///
     /// # Errors
@@ -177,19 +183,7 @@ impl SlottedPage {
 
     /// Iterates over live records in slot order (tombstones skipped).
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        self.live_from(0).map(|(_, record)| record)
-    }
-
-    /// The live records from slot `from` on, each with its slot number —
-    /// one walk of the slot array, resumable at any slot.
-    pub fn live_from(&self, from: u16) -> impl Iterator<Item = (u16, &[u8])> {
-        let data = &self.data[..];
-        (from..self.len() as u16).filter_map(move |slot| {
-            let slot_base = HEADER + slot as usize * SLOT;
-            let off = read_u16(data, slot_base);
-            let len = read_u16(data, slot_base + 2) as usize;
-            (off != TOMBSTONE).then(|| (slot, &data[off as usize..off as usize + len]))
-        })
+        (0..self.len() as u16).filter_map(|slot| self.get(slot))
     }
 }
 
@@ -236,6 +230,7 @@ mod tests {
         // 2048-byte page, 4-byte header, 4-byte slots: 3 records of 512 fit
         // (4 * (512 + 4) + 4 > 2048).
         assert_eq!(count, 3);
+        assert_eq!(SlottedPage::records_per_page(512), 3);
         assert!(p.insert(&record).unwrap().is_none());
         // Smaller records may still fit.
         assert!(p.insert(&[1u8; 100]).unwrap().is_some());
