@@ -13,7 +13,7 @@ use dqep_algebra::{CompareOp, JoinPred, PhysicalOp, SelectPred};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Cost, Environment, PlanStats};
-use dqep_executor::{execute_plan_with, ResourceLimits};
+use dqep_executor::{run, ExecContext, RootSink, SharedCounters};
 use dqep_harness::{paper_query, BindingSampler};
 use dqep_interval::Interval;
 use dqep_plan::{PlanNode, PlanNodeBuilder};
@@ -48,16 +48,10 @@ impl ExecBenchCase {
     /// Panics if execution fails — benchmark plans run ungoverned against
     /// fault-free storage, so failure is a bug.
     pub fn run(&self) -> u64 {
-        let (summary, _) = execute_plan_with(
-            &self.plan,
-            &self.db,
-            &self.catalog,
-            &self.env,
-            &self.bindings,
-            ResourceLimits::unlimited(),
-        )
-        .expect("benchmark plan must execute");
-        summary.rows
+        let ctx = ExecContext::new(SharedCounters::new());
+        run(&self.plan, &self.db, &self.catalog, &self.env, &self.bindings, &ctx, RootSink::Discard)
+            .expect("benchmark plan must execute")
+            .rows
     }
 
     /// Times `iters` executions and averages.

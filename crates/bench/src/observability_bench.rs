@@ -17,9 +17,7 @@ use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep_catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
 use dqep_cost::{Bindings, Environment};
 use dqep_core::Optimizer;
-use dqep_executor::{
-    execute_plan_dop, execute_plan_traced, ExecMode, ResourceLimits,
-};
+use dqep_executor::{run, ExecContext, RootSink, SharedCounters, Tracer};
 use dqep_plan::PlanNode;
 use dqep_storage::StoredDatabase;
 
@@ -93,6 +91,25 @@ pub fn observability_case(scale: u64, seed: u64) -> ObservabilityBenchCase {
 }
 
 impl ObservabilityBenchCase {
+    /// Executes once, traced into `tracer` if there is one.
+    fn run_with(&self, tracer: Option<&Arc<Tracer>>) -> ObsMeasurement {
+        let started = Instant::now();
+        let mut ctx = ExecContext::new(SharedCounters::new());
+        if let Some(tracer) = tracer {
+            ctx = ctx.with_tracer(Arc::clone(tracer));
+        }
+        let summary =
+            run(&self.plan, &self.db, &self.catalog, &self.env, &self.bindings, &ctx, RootSink::Discard)
+                .expect("bench execution");
+        // Reading the trace back is part of what tracing costs.
+        let spans = tracer.map_or(0, |t| t.report().spans.len());
+        ObsMeasurement {
+            rows: summary.rows,
+            millis: started.elapsed().as_secs_f64() * 1e3,
+            spans,
+        }
+    }
+
     /// Executes once with tracing disabled.
     ///
     /// # Panics
@@ -100,23 +117,7 @@ impl ObservabilityBenchCase {
     /// fault-free storage, so failure is a bug.
     #[must_use]
     pub fn run_untraced(&self) -> ObsMeasurement {
-        let started = Instant::now();
-        let (summary, _) = execute_plan_dop(
-            &self.plan,
-            &self.db,
-            &self.catalog,
-            &self.env,
-            &self.bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::default(),
-            1,
-        )
-        .expect("untraced bench execution");
-        ObsMeasurement {
-            rows: summary.rows,
-            millis: started.elapsed().as_secs_f64() * 1e3,
-            spans: 0,
-        }
+        self.run_with(None)
     }
 
     /// Executes once with tracing enabled.
@@ -126,23 +127,7 @@ impl ObservabilityBenchCase {
     /// fault-free storage, so failure is a bug.
     #[must_use]
     pub fn run_traced(&self) -> ObsMeasurement {
-        let started = Instant::now();
-        let (summary, _, report) = execute_plan_traced(
-            &self.plan,
-            &self.db,
-            &self.catalog,
-            &self.env,
-            &self.bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::default(),
-            1,
-        )
-        .expect("traced bench execution");
-        ObsMeasurement {
-            rows: summary.rows,
-            millis: started.elapsed().as_secs_f64() * 1e3,
-            spans: report.spans.len(),
-        }
+        self.run_with(Some(&Arc::new(Tracer::new())))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Mid-query re-optimization benchmark fixtures: the same query executed
 //! startup-only (arbitrate once at `open`, then commit) and with runtime
-//! checkpoints (`execute_plan_reopt`).
+//! checkpoints (`run_reopt`).
 //!
 //! Shared by the `bench_reopt` binary that emits `BENCH_reopt.json`. The
 //! measurements gate on *simulated* seconds — the deterministic CPU + I/O
@@ -23,7 +23,7 @@ use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    execute_plan_mode, execute_plan_reopt, ExecMode, ReoptConfig, ReoptCounters, ResourceLimits,
+    run, run_reopt, ExecContext, ReoptConfig, ReoptCounters, RootSink, SharedCounters,
 };
 use dqep_plan::PlanNode;
 use dqep_storage::{StoredDatabase, ValueDistribution};
@@ -73,29 +73,22 @@ impl ReoptBenchCase {
     /// are bugs (and parity is pinned down by `tests/reopt_parity.rs`).
     #[must_use]
     pub fn measure(&self) -> ReoptMeasurement {
-        let (summary, _) = execute_plan_mode(
+        let ctx = ExecContext::new(SharedCounters::new());
+        let summary =
+            run(&self.plan, &self.db, &self.catalog, &self.env, &self.bindings, &ctx, RootSink::Discard)
+                .expect("startup-only execution must succeed");
+        let outcome = run_reopt(
             &self.plan,
             &self.db,
             &self.catalog,
             &self.env,
             &self.bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::Batch,
-        )
-        .expect("startup-only execution must succeed");
-        let outcome = execute_plan_reopt(
-            &self.plan,
-            &self.db,
-            &self.catalog,
-            &self.env,
-            &self.bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::Batch,
-            1,
             ReoptConfig {
                 backoff_base_ms: 0,
                 ..ReoptConfig::default()
             },
+            &ExecContext::new(SharedCounters::new()),
+            RootSink::Discard,
         )
         .expect("re-optimizing execution must succeed");
         assert_eq!(

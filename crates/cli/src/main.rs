@@ -104,15 +104,15 @@
 //! Exit codes distinguish failure classes — see [`dqep::DqepError`].
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use dqep::DqepError;
 use dqep_catalog::{make_chain_catalog, SyntheticSpec, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    execute_adaptive, execute_plan_dop, execute_plan_reopt, execute_plan_reopt_traced,
-    execute_plan_traced, explain_json, render_explain, ExecMode, ExecSummary, JsonWriter,
-    ReoptConfig, ResourceLimits, Scalar, TraceReport,
+    execute_adaptive, explain_json, render_explain, run_reopt, ExecContext, ExecSummary,
+    JsonWriter, ReoptConfig, ResourceLimits, RootSink, Scalar, SharedCounters, TraceReport, Tracer,
 };
 use dqep_plan::{evaluate_startup, render_plan, to_dot};
 use dqep_service::{
@@ -169,6 +169,18 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     parse_argv(&argv)
+}
+
+impl Args {
+    /// The resource budgets the robustness flags ask for.
+    fn limits(&self) -> ResourceLimits {
+        ResourceLimits {
+            memory_bytes: self.memory_limit,
+            max_rows: self.max_rows,
+            max_io: self.max_io,
+            wall_clock_ms: self.timeout_ms,
+        }
+    }
 }
 
 fn parse_argv(argv: &[String]) -> Result<Args, String> {
@@ -802,44 +814,40 @@ fn run(args: &Args) -> Result<(), DqepError> {
 
         if args.run {
             let db = db.as_ref().expect("generated above");
-            if args.reopt {
-                let limits = ResourceLimits {
-                    memory_bytes: args.memory_limit,
-                    max_rows: args.max_rows,
-                    max_io: args.max_io,
-                    wall_clock_ms: args.timeout_ms,
-                };
+            if args.adaptive {
+                let r = execute_adaptive(&result.plan, db, &catalog, &env, &bindings)?;
+                println!(
+                    "\n-- adaptive execution: {} rows, main {:.4}s + pilot {:.4}s (observed {:?} rows)",
+                    r.main.rows,
+                    r.main.simulated_seconds(&catalog.config),
+                    r.pilot.map(|p| p.simulated_seconds(&catalog.config)).unwrap_or(0.0),
+                    r.observed_rows
+                );
+                return Ok(());
+            }
+            // One context says how the plan runs; the tracer kept here is
+            // where EXPLAIN ANALYZE reads what happened.
+            let mut ctx =
+                ExecContext::with_limits(SharedCounters::new(), args.limits()).with_dop(args.dop);
+            let tracer = args.explain_analyze.then(|| Arc::new(Tracer::new()));
+            if let Some(tracer) = &tracer {
+                ctx = ctx.with_tracer(Arc::clone(tracer));
+            }
+            let summary = if args.reopt {
                 let reopt_config = ReoptConfig {
                     max_replans: args.reopt_budget.unwrap_or(2),
                     ..ReoptConfig::default()
                 };
-                let outcome = if args.explain_analyze {
-                    let (outcome, report) = execute_plan_reopt_traced(
-                        &result.plan,
-                        db,
-                        &catalog,
-                        &env,
-                        &bindings,
-                        limits,
-                        ExecMode::default(),
-                        args.dop,
-                        reopt_config,
-                    )?;
-                    print_explain(args, &report, &catalog.config);
-                    outcome
-                } else {
-                    execute_plan_reopt(
-                        &result.plan,
-                        db,
-                        &catalog,
-                        &env,
-                        &bindings,
-                        limits,
-                        ExecMode::default(),
-                        args.dop,
-                        reopt_config,
-                    )?
-                };
+                let outcome = run_reopt(
+                    &result.plan,
+                    db,
+                    &catalog,
+                    &env,
+                    &bindings,
+                    reopt_config,
+                    &ctx,
+                    RootSink::Discard,
+                )?;
                 if !args.json {
                     let c = outcome.report.counters;
                     println!(
@@ -852,66 +860,29 @@ fn run(args: &Args) -> Result<(), DqepError> {
                         c.memory_degradations,
                         c.fallbacks,
                     );
-                    println!("\n-- executed: {}", outcome.summary.describe(&catalog.config));
                 }
-            } else if args.adaptive {
-                let r = execute_adaptive(&result.plan, db, &catalog, &env, &bindings)?;
-                println!(
-                    "\n-- adaptive execution: {} rows, main {:.4}s + pilot {:.4}s (observed {:?} rows)",
-                    r.main.rows,
-                    r.main.simulated_seconds(&catalog.config),
-                    r.pilot.map(|p| p.simulated_seconds(&catalog.config)).unwrap_or(0.0),
-                    r.observed_rows
-                );
+                outcome.summary
             } else {
-                let limits = ResourceLimits {
-                    memory_bytes: args.memory_limit,
-                    max_rows: args.max_rows,
-                    max_io: args.max_io,
-                    wall_clock_ms: args.timeout_ms,
-                };
-                let summary = if args.explain_analyze {
-                    let (summary, _, report) = execute_plan_traced(
-                        &result.plan,
-                        db,
-                        &catalog,
-                        &env,
-                        &bindings,
-                        limits,
-                        ExecMode::default(),
-                        args.dop,
-                    )?;
-                    print_explain(args, &report, &catalog.config);
-                    summary
-                } else {
-                    let (summary, _) = execute_plan_dop(
-                        &result.plan,
-                        db,
-                        &catalog,
-                        &env,
-                        &bindings,
-                        limits,
-                        ExecMode::default(),
-                        args.dop,
-                    )?;
-                    summary
-                };
-                if !args.json {
-                    if args.dop > 1 {
-                        println!("\n-- parallel execution at dop {}", args.dop);
-                    }
-                    // Both CLI paths (--run and --serve) share the
-                    // ExecSummary::describe renderer, so the formats
-                    // cannot drift apart. Single-shot runs bypass the
-                    // prepared-query service, so both caches report "-".
-                    println!("\n-- executed: {}", summary.describe(&catalog.config));
-                    if summary.fallbacks > 0 {
-                        println!(
-                            "-- {} choose-plan fallback(s): a preferred alternative failed \
-                             retryably and execution degraded to the next-best plan",
-                            summary.fallbacks
-                        );
-                    }
+                dqep_executor::run(&result.plan, db, &catalog, &env, &bindings, &ctx, RootSink::Discard)?
+            };
+            if let Some(tracer) = &tracer {
+                print_explain(args, &tracer.report(), &catalog.config);
+            }
+            if !args.json {
+                if args.dop > 1 {
+                    println!("\n-- parallel execution at dop {}", args.dop);
+                }
+                // Both CLI paths (--run and --serve) share the
+                // ExecSummary::describe renderer, so the formats
+                // cannot drift apart. Single-shot runs bypass the
+                // prepared-query service, so both caches report "-".
+                println!("\n-- executed: {}", summary.describe(&catalog.config));
+                if summary.fallbacks > 0 {
+                    println!(
+                        "-- {} choose-plan fallback(s): a preferred alternative failed \
+                         retryably and execution degraded to the next-best plan",
+                        summary.fallbacks
+                    );
                 }
             }
         }
@@ -1044,12 +1015,7 @@ fn run_live(args: &Args) -> Result<(), DqepError> {
     };
     let metrics = std::sync::Arc::new(MetricsRegistry::new());
     let config = LiveConfig {
-        limits: ResourceLimits {
-            memory_bytes: args.memory_limit,
-            max_rows: args.max_rows,
-            max_io: args.max_io,
-            wall_clock_ms: args.timeout_ms,
-        },
+        limits: args.limits(),
         dop: args.dop,
         histogram_buckets: buckets,
         ..LiveConfig::default()
@@ -1229,12 +1195,7 @@ fn run_sharded(args: &Args) -> Result<(), DqepError> {
         },
         histogram_buckets: args.histograms.unwrap_or(16),
         dop: args.dop,
-        limits: ResourceLimits {
-            memory_bytes: args.memory_limit,
-            max_rows: args.max_rows,
-            max_io: args.max_io,
-            wall_clock_ms: args.timeout_ms,
-        },
+        limits: args.limits(),
         io_latency_micros: args.io_latency_us,
         data_seed: args.seed,
         skew: args.skew,
@@ -1245,7 +1206,6 @@ fn run_sharded(args: &Args) -> Result<(), DqepError> {
         }),
         force_uniform_winner: args.force_uniform,
         trace: args.explain_analyze,
-        ..dqep_service::ShardConfig::default()
     };
     let shards = config.shards;
     let system = catalog.config;
@@ -1359,12 +1319,7 @@ fn serve(args: &Args) -> Result<(), DqepError> {
         workers: args.workers.max(1),
         global_memory_bytes: args.service_memory,
         queue_timeout_ms: args.queue_timeout_ms,
-        session_limits: ResourceLimits {
-            memory_bytes: args.memory_limit,
-            max_rows: args.max_rows,
-            max_io: args.max_io,
-            wall_clock_ms: args.timeout_ms,
-        },
+        session_limits: args.limits(),
         data_seed: args.seed,
         skew: args.skew,
         io_latency_micros: args.io_latency_us,

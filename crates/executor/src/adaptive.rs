@@ -20,7 +20,7 @@
 //! 4. execute the chosen plan.
 //!
 //! The pilot's cost is reported separately, but it is *not* repeated:
-//! the pilot's materialized rows are retained (via the mid-query
+//! the pilot's materialized batches are retained (via the mid-query
 //! re-optimization machinery, [`crate::ReoptState`]) and the main
 //! execution serves them through a [`crate::MaterializedScanExec`]
 //! wherever the shared subplan appears — so the observation's only
@@ -37,9 +37,9 @@ use dqep_cost::{Bindings, Environment};
 use dqep_plan::{dag, evaluate_startup_observed, Observations, PlanNode, StartupResult};
 use dqep_storage::StoredDatabase;
 
-use crate::compile::compile_plan;
+use crate::compile::{grant_bytes, run};
 use crate::error::ExecError;
-use crate::exec::drain;
+use crate::exec::{drain_root, RootSink};
 use crate::governor::ExecContext;
 use crate::metrics::{ExecSummary, SharedCounters};
 
@@ -128,82 +128,57 @@ pub fn execute_adaptive(
     env: &Environment,
     bindings: &Bindings,
 ) -> Result<AdaptiveResult, ExecError> {
-    let memory_pages = bindings
-        .memory_pages
-        .unwrap_or_else(|| env.memory.expected());
-    let memory_bytes = (memory_pages * catalog.config.page_size as f64) as usize;
-
     let mut observations = Observations::new();
-    let mut pilot_summary = None;
     let mut observed = None;
-    let mut observed_rows = None;
-    let mut retained: Option<Arc<crate::reopt::ReoptState>> = None;
+    let mut pilot_summary = None;
+    let mut ctx = ExecContext::new(SharedCounters::new());
 
     if let Some(pilot) = pick_pilot(plan) {
-        let ctx = ExecContext::new(SharedCounters::new());
+        let pilot_ctx = ExecContext::new(SharedCounters::new());
         let before = db.disk.stats();
         let mut op = crate::choose::compile_dynamic_plan(
-            &pilot, db, catalog, env, bindings, memory_bytes, &ctx,
+            &pilot,
+            db,
+            catalog,
+            env,
+            bindings,
+            grant_bytes(bindings, env, catalog),
+            &pilot_ctx,
         )?;
-        let pilot_rows = drain(op.as_mut())?;
-        let rows = pilot_rows.len() as u64;
-        let io = db.disk.stats().since(&before);
+        let mut batches = Vec::new();
+        let rows = drain_root(op.as_mut(), None, RootSink::Batches(&mut batches))?;
         pilot_summary = Some(ExecSummary {
             rows,
-            cpu: ctx.counters.snapshot(),
-            io,
-            fallbacks: ctx.counters.fallbacks(),
+            cpu: pilot_ctx.counters.snapshot(),
+            io: db.disk.stats().since(&before),
+            fallbacks: pilot_ctx.counters.fallbacks(),
             ..ExecSummary::default()
         });
         observations.insert(pilot.id, rows as f64);
         observed = Some(pilot.id);
-        observed_rows = Some(rows);
         // Retain the temporary result: the main execution serves it as a
         // materialized scan instead of recomputing the shared subplan.
         let state = Arc::new(crate::reopt::ReoptState::new(crate::reopt::ReoptConfig::default()));
         state.observe_checkpoint(pilot.id, pilot.op.name(), pilot.stats.card, rows);
         let layout = crate::choose::layout_of(&pilot, catalog);
-        let _ = state.try_retain(&ctx.governor, pilot.id, layout, pilot_rows);
-        retained = Some(state);
+        let _ = state.try_retain(&pilot_ctx.governor, pilot.id, layout, batches);
+        ctx = ctx.with_reopt(state);
     }
 
     let startup = evaluate_startup_observed(plan, catalog, env, bindings, &observations);
-    let mut ctx = ExecContext::new(SharedCounters::new());
-    let before = db.disk.stats();
-    db.disk.reset_temp_high_water();
     // With a retained pilot, execute the *original* dynamic plan (its
     // node ids key the substitution); the run-time choose-plan arbitrates
     // with the same observation, reproducing `startup`'s decision, and
-    // the compiler serves the pilot's rows in place of its subtree.
-    // Without a pilot, run the resolved plan as before.
-    let rows = match retained {
-        Some(state) => {
-            ctx = ctx.with_reopt(state);
-            let mut op = crate::choose::compile_dynamic_plan(
-                plan, db, catalog, env, bindings, memory_bytes, &ctx,
-            )?;
-            drain(op.as_mut())?.len() as u64
-        }
-        None => {
-            let mut op =
-                compile_plan(&startup.resolved, db, catalog, bindings, memory_bytes, &ctx)?;
-            drain(op.as_mut())?.len() as u64
-        }
-    };
-    let io = db.disk.stats().since(&before);
+    // the compiler serves the pilot's batches in place of its subtree.
+    // Without a pilot, run the resolved plan.
+    let target = if ctx.reopt.is_some() { plan } else { &startup.resolved };
+    let main = run(target, db, catalog, env, bindings, &ctx, RootSink::Discard)?;
     Ok(AdaptiveResult {
         observed,
-        observed_rows,
+        observed_rows: pilot_summary.map(|p| p.rows),
         pilot: pilot_summary,
         startup,
-        main: ExecSummary {
-            rows,
-            cpu: ctx.counters.snapshot(),
-            io,
-            fallbacks: ctx.counters.fallbacks(),
-            temp_pages_peak: db.disk.temp_pages().high_water,
-            ..ExecSummary::default()
-        },
+        main,
     })
 }
 
@@ -273,8 +248,9 @@ mod tests {
 
         // Plain start-up execution (estimation-blind).
         let blind = evaluate_startup(&plan, &cat, &env, &bindings);
-        let (blind_exec, _) =
-            crate::compile::execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+        let ctx = ExecContext::new(SharedCounters::new());
+        let blind_exec =
+            run(&plan, &db, &cat, &env, &bindings, &ctx, RootSink::Discard).unwrap();
 
         // Adaptive execution with one observation round.
         let adaptive = execute_adaptive(&plan, &db, &cat, &env, &bindings).unwrap();
@@ -313,11 +289,11 @@ mod tests {
             (env.memory.expected() * cat.config.page_size as f64) as usize;
         let ctx = ExecContext::new(SharedCounters::new());
         let before = db.disk.stats();
-        let mut op = compile_plan(
+        let mut op = crate::compile::compile_plan(
             &adaptive.startup.resolved, &db, &cat, &bindings, memory_bytes, &ctx,
         )
         .unwrap();
-        let rows = drain(op.as_mut()).unwrap().len() as u64;
+        let rows = drain_root(op.as_mut(), None, RootSink::Discard).unwrap();
         let scratch_io = db.disk.stats().since(&before);
 
         assert_eq!(rows, adaptive.main.rows, "same logical result");

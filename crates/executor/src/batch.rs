@@ -1,27 +1,26 @@
-//! Batched tuple transport: the vectorized counterpart of the Volcano
-//! `next()` interface.
+//! Batched tuple transport: what flows between operators.
 //!
 //! A [`RowBatch`] carries up to [`BATCH_CAPACITY`] fixed-width rows in
 //! **columnar** layout: one value vector per attribute, plus an optional
 //! **selection vector** marking which rows are live. Operators exchange
-//! whole batches through [`crate::Operator::next_batch`], amortizing the
-//! per-row costs of the tuple interface — the virtual call, the `Result`
-//! unwrap, the governor check, the shared-counter lock, and (for scans)
-//! one heap allocation per row — to once per batch. The columnar layout
-//! goes further than amortization: kernels (filter comparisons, the join
-//! mix hash) run as one tight loop over a contiguous `&[i64]` column the
-//! compiler can auto-vectorize, the MonetDB/X100 decomposition. Filters
-//! qualify rows by writing the selection vector instead of copying
-//! survivors, so a selective scan stays allocation-free.
+//! whole batches through [`crate::Operator::next_batch`], so the per-call
+//! costs — the virtual call, the `Result` unwrap, the governor check, the
+//! shared-counter lock — are paid once per batch and nothing is allocated
+//! per row. The columnar layout goes further than amortization: kernels
+//! (filter comparisons, the join mix hash) run as one tight loop over a
+//! contiguous `&[i64]` column the compiler can auto-vectorize, the
+//! MonetDB/X100 decomposition. Filters qualify rows by writing the
+//! selection vector instead of copying survivors, so a selective scan
+//! stays allocation-free.
 
 use dqep_storage::gen::decode_page_columns_into;
 use dqep_storage::{SpillFile, StorageError};
 
 use crate::tuple::Tuple;
 
-/// Target rows per batch. Producers may overshoot slightly (a scan
-/// finishes decoding the page it is on rather than buffer half a page),
-/// so consumers must size by [`RowBatch::rows`], not this constant.
+/// Rows the root drain asks for per pull, and the most an internal
+/// consumer asks for. A request is a hard bound on the batch returned
+/// (see [`crate::Operator`]).
 pub const BATCH_CAPACITY: usize = 1024;
 
 /// A batch of fixed-width rows in columnar storage.
@@ -235,13 +234,14 @@ impl RowBatch {
         self.selection = Some(sel);
     }
 
+    /// The physical index of live row number `live`.
+    pub(crate) fn physical(&self, live: usize) -> usize {
+        self.selection.as_ref().map_or(live, |sel| sel[live] as usize)
+    }
+
     /// Physical indices of the live rows, in order.
     pub fn selected_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        let sel = self.selection.as_deref();
-        (0..self.len()).map(move |i| match sel {
-            Some(s) => s[i] as usize,
-            None => i,
-        })
+        (0..self.len()).map(|i| self.physical(i))
     }
 
     /// Iterates the live rows as owned tuples (gathering across columns).
@@ -312,6 +312,43 @@ impl ColStream {
         let mut out = RowBatch::with_capacity(self.batch.width(), take);
         out.extend_from_live(&self.batch, lo..lo + take);
         Some(out)
+    }
+}
+
+/// A position in a list of batches that is handed out in `max_rows`
+/// slices: how an exchange serves what its workers produced and a
+/// materialized scan a retained intermediate. A slice is a dense copy —
+/// the list may be shared between readers, and selection vectors are
+/// compacted away.
+#[derive(Debug, Default)]
+pub(crate) struct BatchCursor {
+    /// The batch being handed out.
+    idx: usize,
+    /// Live rows of it already handed out.
+    pos: usize,
+}
+
+impl BatchCursor {
+    /// Live rows not yet handed out.
+    pub(crate) fn remaining(&self, batches: &[RowBatch]) -> usize {
+        let ahead: usize = batches.iter().skip(self.idx).map(RowBatch::len).sum();
+        ahead - self.pos
+    }
+
+    pub(crate) fn next_slice(&mut self, batches: &[RowBatch], max_rows: usize) -> Option<RowBatch> {
+        loop {
+            let batch = batches.get(self.idx)?;
+            let take = max_rows.min(batch.len() - self.pos);
+            if take == 0 {
+                self.idx += 1;
+                self.pos = 0;
+                continue;
+            }
+            let mut out = RowBatch::with_capacity(batch.width(), take);
+            out.extend_from_live(batch, self.pos..self.pos + take);
+            self.pos += take;
+            return Some(out);
+        }
     }
 }
 
@@ -424,6 +461,27 @@ mod tests {
         assert_eq!(b.rows(), 2);
         assert_eq!(b.row_vec(0), vec![1, 2]);
         assert_eq!(b.column(1), &[2, 4]);
+    }
+
+    #[test]
+    fn batch_cursor_slices_across_batches_and_selections() {
+        let mut a = RowBatch::new(1);
+        (0..5).for_each(|v| a.push_row(&[v]));
+        a.set_selection(vec![1, 3, 4]);
+        let mut b = RowBatch::new(1);
+        b.set_selection(Vec::new());
+        let mut c = RowBatch::new(1);
+        (10..13).for_each(|v| c.push_row(&[v]));
+        let batches = [a, b, c];
+        let mut cursor = BatchCursor::default();
+        assert_eq!(cursor.remaining(&batches), 6);
+        let mut slices = Vec::new();
+        while let Some(slice) = cursor.next_slice(&batches, 2) {
+            assert!(slice.selection().is_none() && slice.rows() <= 2);
+            slices.push(slice.column(0).to_vec());
+        }
+        assert_eq!(slices, vec![vec![1, 3], vec![4], vec![10, 11], vec![12]]);
+        assert_eq!(cursor.remaining(&batches), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The 1989 paper defined choose-plan as an *operator in the query
 //! evaluation plan*: an iterator that, when opened, runs its decision
-//! procedure and from then on delegates `next` to the chosen input. This
+//! procedure and from then on delegates every pull to the chosen input. This
 //! module provides exactly that — [`ChoosePlanExec`] — so dynamic plans
 //! can be compiled *as they are* and decide lazily inside the Volcano
 //! tree, instead of being resolved up front.
@@ -33,7 +33,7 @@ use dqep_storage::StoredDatabase;
 use crate::error::ExecError;
 use crate::governor::ExecContext;
 use crate::trace::{AltAudit, AttemptAudit, ChooseAudit};
-use crate::tuple::{Tuple, TupleLayout};
+use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
 /// The run-time choose-plan operator: decides at `open()`.
@@ -50,10 +50,10 @@ pub struct ChoosePlanExec<'a> {
     /// Index of the alternative actually running (for observability).
     chosen_index: Option<usize>,
     layout: TupleLayout,
-    /// Column permutation rewriting the winner's tuples into the declared
-    /// layout, when the winner is a commuted alternative whose column
-    /// order differs. `None` — the common case — passes tuples through
-    /// untouched.
+    /// Column permutation rewriting the winner's batches into the
+    /// declared layout, when the winner is a commuted alternative whose
+    /// column order differs. `None` — the common case — passes batches
+    /// through untouched.
     remap: Option<Vec<usize>>,
 }
 
@@ -294,23 +294,10 @@ impl Operator for ChoosePlanExec<'_> {
             .unwrap_or_else(|| ExecError::Internal("choose-plan has no alternatives".into())))
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        let Some(op) = self.chosen.as_mut() else {
-            return Err(ExecError::Internal("choose-plan next() before open()".into()));
-        };
-        let Some(row) = op.next()? else {
-            return Ok(None);
-        };
-        Ok(Some(match &self.remap {
-            Some(proj) => proj.iter().map(|&i| row[i]).collect(),
-            None => row,
-        }))
-    }
-
     /// Batches pass straight through to the chosen alternative — by the
     /// time they flow, the decision (and any fallbacks) already happened
     /// at `open`. A commuted winner's batches are rewritten into the
-    /// declared column order, exactly like its rows in `next`.
+    /// declared column order.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<crate::RowBatch>, ExecError> {
         let Some(op) = self.chosen.as_mut() else {
             return Err(ExecError::Internal("choose-plan next_batch() before open()".into()));
@@ -423,8 +410,8 @@ mod tests {
             assert_eq!(is_index_plan, expect_index, "binding {v}");
             let rows = {
                 let mut n = 0;
-                while op.next().unwrap().is_some() {
-                    n += 1;
+                while let Some(batch) = op.next_batch(crate::BATCH_CAPACITY).unwrap() {
+                    n += batch.len();
                 }
                 n
             };
@@ -502,7 +489,7 @@ mod tests {
             64 * 2048,
             ctx,
         );
-        assert!(matches!(op.next(), Err(ExecError::Internal(_))));
+        assert!(matches!(op.next_batch(1), Err(ExecError::Internal(_))));
     }
 
     #[test]

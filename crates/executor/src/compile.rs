@@ -16,9 +16,8 @@ use crate::hash_join::HashJoinExec;
 use crate::index_join::IndexJoinExec;
 use crate::merge_join::MergeJoinExec;
 use crate::metrics::{ExecSummary, SharedCounters};
-use crate::scan::{BtreeScanExec, FileScanExec, FilterBtreeScanExec};
+use crate::scan::{BtreeScanExec, FileScanExec};
 use crate::sort::SortExec;
-use crate::trace::{TraceReport, Tracer};
 use crate::tuple::TupleLayout;
 use crate::BoxedOperator;
 
@@ -100,12 +99,12 @@ pub(crate) fn compile_node<'a>(
     let traced = crate::trace::node_span(ctx, node);
     let ctx = traced.as_ref().map_or(ctx, |(_, tctx)| tctx);
     // Mid-query re-optimization: a node whose result was retained at a
-    // checkpoint compiles to a scan over the retained rows — the
+    // checkpoint compiles to a scan over the retained batches — the
     // substitution that keeps a re-plan from ever repeating finished work.
     if let Some(state) = ctx.reopt.as_ref() {
-        if let Some((layout, rows)) = state.materialized(node.id) {
+        if let Some((layout, batches)) = state.materialized(node.id) {
             let op: BoxedOperator<'a> =
-                Box::new(crate::reopt::MaterializedScanExec::new(rows, layout, ctx.clone()));
+                Box::new(crate::reopt::MaterializedScanExec::new(batches, layout, ctx.clone()));
             return Ok(match traced {
                 Some((span, _)) => crate::trace::wrap_span(op, span, ctx, Some(db.disk.clone())),
                 None => op,
@@ -157,6 +156,7 @@ pub(crate) fn compile_node<'a>(
         } => Box::new(BtreeScanExec::new(
             db.table(*relation),
             *index,
+            (None, None),
             TupleLayout::base(catalog, *relation),
             ctx.clone(),
         )),
@@ -167,7 +167,7 @@ pub(crate) fn compile_node<'a>(
         } => {
             let layout = TupleLayout::base(catalog, *relation);
             let resolved = resolve_pred(predicate, &layout, bindings)?;
-            Box::new(FilterBtreeScanExec::new(
+            Box::new(BtreeScanExec::new(
                 db.table(*relation),
                 *index,
                 resolved.key_range(),
@@ -285,127 +285,71 @@ pub(crate) fn compile_node<'a>(
     })
 }
 
-/// Compiles a **resolved** (choose-plan-free) plan under the caller's
-/// [`ExecContext`] and drains it, returning the produced row count. The
-/// caller owns the context — counters accumulate into `ctx.counters`, the
-/// governor's budgets and cancellation apply, and `ctx.mode` names the
-/// interface the root is pulled through. This is the serving-layer entry
-/// point for running a cached resolved plan without re-arbitration.
+/// The bytes of working memory a statement plans and runs with: the
+/// binding's memory grant, or the environment's expected one.
+pub(crate) fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Catalog) -> usize {
+    let pages = bindings
+        .memory_pages
+        .unwrap_or_else(|| env.memory.expected());
+    (pages * catalog.config.page_size as f64) as usize
+}
+
+/// Runs a plan — static, dynamic, or already resolved — end to end: the
+/// one way in. Compiles it under the caller's [`ExecContext`], mapping
+/// choose-plan nodes to the run-time [`crate::ChoosePlanExec`] (so the
+/// start-up decision is made at `open()`, and a retryable failure of the
+/// chosen alternative falls back to the next one; a resolved plan has no
+/// such node and compiles to exactly its operators), drains it into
+/// `sink`, charging result rows against the row budget, and reports the
+/// execution summary.
+///
+/// **The context is the options, the handles the caller attached are the
+/// outputs.** Resource limits, degree of parallelism and tracing ride in
+/// `ctx` ([`ExecContext::with_limits`] / [`ExecContext::with_dop`] /
+/// [`ExecContext::with_tracer`]); counters accumulate into
+/// `ctx.counters`, cancellation goes through `ctx.governor`, and a trace
+/// is read from the [`crate::Tracer`] the caller kept. Results, counter
+/// totals and fallback behavior are the same at every DOP (rows up to
+/// multiset order) and with or without a tracer — the parallel-parity and
+/// observability suites pin that down. Whoever wants the start-up
+/// decision itself calls [`dqep_plan::evaluate_startup`].
+///
+/// The memory grant is the binding's (or the environment's expected one).
+/// The summary's CPU counters and fallbacks are the context's totals, so
+/// a context reused across runs reports their sum; its I/O and temp-page
+/// high-water are this run's alone.
 ///
 /// # Errors
 /// Any [`ExecError`] from compilation or execution, including
-/// [`ExecError::UnresolvedChoosePlan`] for dynamic plans (use
-/// [`run_dynamic`] for those).
-pub fn run_compiled(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    bindings: &Bindings,
-    memory_bytes: usize,
-    ctx: &ExecContext,
-) -> Result<u64, ExecError> {
-    let mut op = compile_plan(plan, db, catalog, bindings, memory_bytes, ctx)?;
-    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), RootSink::Discard)
-}
-
-/// Compiles a (possibly dynamic) plan under the caller's [`ExecContext`] —
-/// mapping choose-plan nodes to the run-time [`crate::ChoosePlanExec`], so
-/// arbitration happens at `open()` and retryable failures fall back to the
-/// next-cheapest alternative — and drains it, returning the produced row
-/// count. Fallbacks taken are recorded in `ctx.counters`.
-///
-/// # Errors
-/// Any [`ExecError`] from compilation or execution.
-pub fn run_dynamic(
+/// [`ExecError::ResourceExhausted`] when a budget is exceeded.
+pub fn run(
     plan: &Arc<PlanNode>,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,
     bindings: &Bindings,
-    memory_bytes: usize,
     ctx: &ExecContext,
-) -> Result<u64, ExecError> {
+    sink: RootSink<'_>,
+) -> Result<ExecSummary, ExecError> {
+    let memory_bytes = grant_bytes(bindings, env, catalog);
+    let io_before = db.disk.stats();
+    db.disk.reset_temp_high_water();
     let mut op =
         crate::choose::compile_dynamic_plan(plan, db, catalog, env, bindings, memory_bytes, ctx)?;
-    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), RootSink::Discard)
+    let rows = drain_root(op.as_mut(), Some(&ctx.governor), sink)?;
+    Ok(ExecSummary {
+        rows,
+        cpu: ctx.counters.snapshot(),
+        io: db.disk.stats().since(&io_before),
+        fallbacks: ctx.counters.fallbacks(),
+        temp_pages_peak: db.disk.temp_pages().high_water,
+        ..ExecSummary::default()
+    })
 }
 
-/// Executes a (static or dynamic) plan end-to-end: runs the start-up-time
-/// decision procedure against the bindings, compiles the plan — mapping
-/// choose-plan nodes to the run-time [`crate::ChoosePlanExec`], so a
-/// retryable failure in the chosen alternative falls back to the next one
-/// — drains it, and reports both the execution summary (simulated I/O +
-/// CPU + fallbacks taken) and the start-up result.
-///
-/// No resource limits are enforced; use [`execute_plan_with`] for that.
-///
-/// # Errors
-/// Any [`ExecError`] from compilation or execution.
-pub fn execute_plan(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-) -> Result<(ExecSummary, StartupResult), ExecError> {
-    execute_plan_with(plan, db, catalog, env, bindings, ResourceLimits::unlimited())
-}
-
-/// [`execute_plan`] with resource governance: the query runs under a
-/// [`ResourceGovernor`] enforcing `limits` (memory grant, row / I/O
-/// budgets, wall-clock deadline). Uses the default (batch) execution
-/// mode; see [`execute_plan_mode`] to pick explicitly.
-///
-/// # Errors
-/// Any [`ExecError`], including [`ExecError::ResourceExhausted`] when a
-/// budget is exceeded.
-pub fn execute_plan_with(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-) -> Result<(ExecSummary, StartupResult), ExecError> {
-    execute_plan_mode(plan, db, catalog, env, bindings, limits, ExecMode::default())
-}
-
-/// [`execute_plan_with`] with an explicit [`ExecMode`] — the interface
-/// the *root* operator is pulled through: `Tuple` pulls rows with
-/// `next()`, `Batch` pulls batches with `next_batch()`. Below the root
-/// there is one engine either way (see [`crate::Operator`]), so both
-/// produce identical rows, simulated-cost accounting, and choose-plan
-/// fallback behavior — the batch-parity tests pin this down.
-///
-/// # Errors
-/// Any [`ExecError`], including [`ExecError::ResourceExhausted`] when a
-/// budget is exceeded.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_mode(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-) -> Result<(ExecSummary, StartupResult), ExecError> {
-    execute_plan_dop(plan, db, catalog, env, bindings, limits, mode, 1)
-}
-
-/// [`execute_plan_mode`] with an explicit degree of intra-query
-/// parallelism. `dop > 1` compiles exchange-parallel operators — the
-/// morsel-driven partition scan, the partitioned parallel hash join, and
-/// the parallel-run sort — all behind the ordinary [`Operator`]
-/// interface, so choose-plan fallback, resource governance, fault
-/// injection, and both root pull interfaces compose unchanged. Results,
-/// counter totals, and fallback behavior are identical to `dop = 1`
-/// (rows up to multiset order); the parallel-parity tests pin this down.
-///
-/// # Errors
-/// Any [`ExecError`], including [`ExecError::ResourceExhausted`] when a
-/// budget is exceeded.
-#[allow(clippy::too_many_arguments)]
+// Compat shim for the frozen `benchmark/`, no reader in the workspace; the next `[benchmark]` PR deletes it (ROADMAP).
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments, clippy::missing_errors_doc)]
 pub fn execute_plan_dop(
     plan: &Arc<PlanNode>,
     db: &StoredDatabase,
@@ -413,94 +357,12 @@ pub fn execute_plan_dop(
     env: &Environment,
     bindings: &Bindings,
     limits: ResourceLimits,
-    mode: ExecMode,
+    _mode: ExecMode,
     dop: usize,
 ) -> Result<(ExecSummary, StartupResult), ExecError> {
-    execute_inner(plan, db, catalog, env, bindings, limits, mode, dop, None)
-        .map(|(summary, startup, _)| (summary, startup))
-}
-
-/// [`execute_plan_dop`] with per-operator tracing: every compiled node
-/// records a [`crate::SpanRecord`] (rows, batches, wall time, CPU/I/O
-/// deltas, memory high-water, DOP) and every choose-plan arbitration a
-/// [`crate::ChooseAudit`], returned as a [`TraceReport`] alongside the
-/// summary. Rendering lives in [`crate::render_explain`] /
-/// [`crate::explain_json`].
-///
-/// Results, counter totals, and fallback behavior are identical to the
-/// untraced entry points — the tracing wrappers only observe
-/// (`tests/observability.rs` pins this down with a parity proptest).
-///
-/// # Errors
-/// Any [`ExecError`], as [`execute_plan_dop`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_traced(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-) -> Result<(ExecSummary, StartupResult, TraceReport), ExecError> {
-    let tracer = Arc::new(Tracer::new());
-    execute_inner(
-        plan,
-        db,
-        catalog,
-        env,
-        bindings,
-        limits,
-        mode,
-        dop,
-        Some(tracer),
-    )
-}
-
-/// Shared body of [`execute_plan_dop`] (tracer `None`) and
-/// [`execute_plan_traced`] (tracer `Some`): one code path, so "tracing
-/// disabled" *is* the plain entry point, not a near-copy of it.
-#[allow(clippy::too_many_arguments)]
-fn execute_inner(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-    tracer: Option<Arc<Tracer>>,
-) -> Result<(ExecSummary, StartupResult, TraceReport), ExecError> {
     let startup = evaluate_startup(plan, catalog, env, bindings);
-    let memory_pages = bindings
-        .memory_pages
-        .unwrap_or_else(|| env.memory.expected());
-    let memory_bytes = (memory_pages * catalog.config.page_size as f64) as usize;
-    let mut ctx = ExecContext::with_limits(SharedCounters::new(), limits)
-        .with_mode(mode)
-        .with_dop(dop);
-    if let Some(tracer) = &tracer {
-        ctx = ctx.with_tracer(Arc::clone(tracer));
-    }
-    let io_before = db.disk.stats();
-    db.disk.reset_temp_high_water();
-    let rows = run_dynamic(plan, db, catalog, env, bindings, memory_bytes, &ctx)?;
-    let io = db.disk.stats().since(&io_before);
-    let report = tracer.map(|t| t.report()).unwrap_or_default();
-    Ok((
-        ExecSummary {
-            rows,
-            cpu: ctx.counters.snapshot(),
-            io,
-            fallbacks: ctx.counters.fallbacks(),
-            temp_pages_peak: db.disk.temp_pages().high_water,
-            ..ExecSummary::default()
-        },
-        startup,
-        report,
-    ))
+    let ctx = ExecContext::with_limits(SharedCounters::new(), limits).with_dop(dop);
+    run(plan, db, catalog, env, bindings, &ctx, RootSink::Discard).map(|summary| (summary, startup))
 }
 
 #[cfg(test)]
@@ -526,6 +388,19 @@ mod tests {
         (cat, db)
     }
 
+    /// [`run`] with no sink and the given limits.
+    fn run_with(
+        plan: &Arc<PlanNode>,
+        db: &StoredDatabase,
+        cat: &Catalog,
+        env: &Environment,
+        bindings: &Bindings,
+        limits: ResourceLimits,
+    ) -> Result<ExecSummary, ExecError> {
+        let ctx = ExecContext::with_limits(SharedCounters::new(), limits);
+        run(plan, db, cat, env, bindings, &ctx, RootSink::Discard)
+    }
+
     fn select_query(cat: &Catalog) -> LogicalExpr {
         let r = cat.relation_by_name("r").unwrap();
         LogicalExpr::get(r.id).select(SelectPred::unbound(
@@ -545,7 +420,8 @@ mod tests {
             .plan;
         for v in [0i64, 40, 200, 400] {
             let bindings = Bindings::new().with_value(HostVar(0), v);
-            let (summary, _) = execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+            let summary =
+                run_with(&plan, &db, &cat, &env, &bindings, ResourceLimits::unlimited()).unwrap();
             // Ground truth from a raw heap scan.
             let table = db.table(cat.relation_by_name("r").unwrap().id);
             let expected = table
@@ -636,7 +512,8 @@ mod tests {
         let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
 
         let bindings = Bindings::new().with_value(HostVar(0), 100);
-        let (summary, _) = execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+        let summary =
+            run_with(&plan, &db, &cat, &env, &bindings, ResourceLimits::unlimited()).unwrap();
 
         // Ground truth: nested loops over raw heap scans.
         let rt = db.table(r.id);
@@ -664,7 +541,8 @@ mod tests {
             .optimize(&select_query(&cat))
             .unwrap()
             .plan;
-        let err = execute_plan(&plan, &db, &cat, &env, &Bindings::new());
+        let err =
+            run_with(&plan, &db, &cat, &env, &Bindings::new(), ResourceLimits::unlimited());
         // Start-up evaluation falls back to defaults, but compilation of a
         // predicate with no binding must fail.
         assert_eq!(err.unwrap_err(), ExecError::UnboundHostVar(HostVar(0)));
@@ -703,7 +581,7 @@ mod tests {
             max_rows: Some(10),
             ..ResourceLimits::default()
         };
-        let err = execute_plan_with(&plan, &db, &cat, &env, &bindings, limits).unwrap_err();
+        let err = run_with(&plan, &db, &cat, &env, &bindings, limits).unwrap_err();
         assert_eq!(
             err,
             ExecError::ResourceExhausted(crate::error::Resource::Rows { limit: 10 })
@@ -713,7 +591,7 @@ mod tests {
             max_rows: Some(1_000_000),
             ..ResourceLimits::default()
         };
-        assert!(execute_plan_with(&plan, &db, &cat, &env, &bindings, limits).is_ok());
+        assert!(run_with(&plan, &db, &cat, &env, &bindings, limits).is_ok());
     }
 
     #[test]
@@ -729,7 +607,7 @@ mod tests {
             max_io: Some(2),
             ..ResourceLimits::default()
         };
-        let err = execute_plan_with(&plan, &db, &cat, &env, &bindings, limits).unwrap_err();
+        let err = run_with(&plan, &db, &cat, &env, &bindings, limits).unwrap_err();
         assert_eq!(
             err,
             ExecError::ResourceExhausted(crate::error::Resource::Io { limit: 2 })

@@ -4,10 +4,10 @@
 //!
 //! [`ExchangeExec`] owns N worker subtrees. At `open()` it runs every
 //! worker to completion on its own thread — each worker opens, drains
-//! (through `next_batch`, like every internal consumer), and closes its
-//! subtree — then merges the workers' private [`SharedCounters`] into the
-//! query's counters and concatenates their outputs in worker-index order.
-//! `next_batch` streams the merged buffer. Because the whole operator
+//! into a batch sink, and closes its subtree — then merges the workers'
+//! private [`SharedCounters`] into the query's counters and lines their
+//! batches up in worker-index order. `next_batch` hands that list out in
+//! `max_rows` slices. Because the whole operator
 //! still *is* an [`Operator`], everything above it — choose-plan fallback,
 //! the resource governor, fault injection — composes unchanged.
 //!
@@ -35,13 +35,13 @@ use std::thread;
 
 use dqep_storage::{PageClaims, StoredTable, DEFAULT_MORSEL_PAGES};
 
-use crate::batch::RowBatch;
+use crate::batch::{BatchCursor, RowBatch};
 use crate::error::ExecError;
-use crate::exec::{cursor_next, drain_batch, RowCursor};
+use crate::exec::{drain_root, RootSink};
 use crate::governor::ExecContext;
 use crate::metrics::SharedCounters;
 use crate::scan::MorselScanExec;
-use crate::tuple::{Tuple, TupleLayout};
+use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
 /// Runs every task on its own scoped thread and collects their results in
@@ -77,8 +77,10 @@ pub struct ExchangeExec<'a> {
     workers: Vec<ExchangeWorker<'a>>,
     layout: TupleLayout,
     ctx: ExecContext,
-    output: std::vec::IntoIter<Tuple>,
-    cursor: RowCursor,
+    /// What the workers produced, in worker order, and how far it has
+    /// been handed out.
+    output: Vec<RowBatch>,
+    served: BatchCursor,
     /// A worker failure, surfaced on the first `next_batch` call (the
     /// serial scan's error phase) instead of from `open`.
     pending_err: Option<ExecError>,
@@ -106,8 +108,8 @@ impl<'a> ExchangeExec<'a> {
                 .collect(),
             layout,
             ctx,
-            output: Vec::new().into_iter(),
-            cursor: RowCursor::default(),
+            output: Vec::new(),
+            served: BatchCursor::default(),
             pending_err: None,
             opened: false,
             checkpoint: None,
@@ -123,24 +125,17 @@ impl<'a> ExchangeExec<'a> {
 
 impl Operator for ExchangeExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.pending_err = None;
-        self.cursor.clear();
+        self.close();
         self.opened = true;
-        // Pre-size the merge buffer from the workers' own estimates
-        // (known before they run), clamped like the root drain's
-        // pre-sizing — the buffer otherwise regrows from default
-        // capacity on every hot path.
-        let estimated: u64 = self
-            .workers
-            .iter()
-            .filter_map(|w| w.op.estimated_rows())
-            .sum();
         let tasks: Vec<_> = self
             .workers
             .iter_mut()
             .map(|w| {
                 let op = w.op.as_mut();
-                move || drain_batch(op)
+                move || {
+                    let mut batches = Vec::new();
+                    drain_root(op, None, RootSink::Batches(&mut batches)).map(|_| batches)
+                }
             })
             .collect();
         let results = run_parallel(tasks);
@@ -148,62 +143,42 @@ impl Operator for ExchangeExec<'_> {
         for w in &self.workers {
             self.ctx.counters.merge_from(&w.counters);
         }
-        let mut merged: Vec<Tuple> =
-            Vec::with_capacity(estimated.min(crate::exec::MAX_PRESIZE_ROWS) as usize);
-        let mut first_err: Option<ExecError> = None;
         for r in results {
             match r {
-                Ok(rows) if first_err.is_none() => merged.extend(rows),
-                Ok(_) => {}
+                Ok(batches) => self.output.extend(batches),
                 Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    self.pending_err.get_or_insert(e);
                 }
             }
         }
-        if let Some(e) = first_err {
-            self.pending_err = Some(e);
-            self.output = Vec::new().into_iter();
-        } else {
+        if self.pending_err.is_some() {
+            self.output.clear();
+        } else if let Some(probe) = &self.checkpoint {
             // Worker join is a pipeline breaker: every worker finished,
             // so the merged cardinality is exact.
-            if let Some(probe) = &self.checkpoint {
-                probe.observe(merged.len() as u64);
-            }
-            self.output = merged.into_iter();
+            probe.observe(self.served.remaining(&self.output) as u64);
         }
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        cursor_next(self, |op| &mut op.cursor)
-    }
-
-    /// Streams the merged buffer. Workers already charged record counters
-    /// when producing these rows; the exchange is pure transport.
+    /// Hands out the workers' batches. They already charged record
+    /// counters when producing these rows; the exchange is pure transport.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
         if let Some(e) = self.pending_err.take() {
             return Err(e);
         }
-        let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows);
-        while batch.rows() < max_rows {
-            let Some(t) = self.output.next() else { break };
-            batch.push_row(&t);
-        }
-        let rows = batch.rows();
-        if rows == 0 {
+        let Some(batch) = self.served.next_slice(&self.output, max_rows) else {
             return Ok(None);
-        }
-        self.ctx.governor.check_batch(rows as u64)?;
+        };
+        self.ctx.governor.check_batch(batch.rows() as u64)?;
         Ok(Some(batch))
     }
 
     fn close(&mut self) {
-        // Workers close themselves at the end of their drain; only the
-        // merge buffer remains to release.
-        self.output = Vec::new().into_iter();
-        self.cursor.clear();
+        // Workers close themselves at the end of their drain; only their
+        // output remains to release.
+        self.output.clear();
+        self.served = BatchCursor::default();
         self.pending_err = None;
     }
 
@@ -212,9 +187,8 @@ impl Operator for ExchangeExec<'_> {
     }
 
     fn estimated_rows(&self) -> Option<u64> {
-        // Exact after `open` (the merged buffer's remaining length);
-        // unknown before.
-        self.opened.then(|| self.output.len() as u64)
+        // Exact after `open` (what is left to hand out); unknown before.
+        self.opened.then(|| self.served.remaining(&self.output) as u64)
     }
 }
 
@@ -282,6 +256,7 @@ pub fn parallel_scan<'a>(
 mod tests {
     use super::*;
     use crate::exec::drain;
+    use crate::tuple::Tuple;
     use dqep_catalog::{CatalogBuilder, SystemConfig};
     use dqep_storage::StoredDatabase;
 
@@ -304,38 +279,29 @@ mod tests {
         let (cat, db) = fixture();
         let rel = cat.relation_by_name("r").unwrap().id;
         let table = db.table(rel);
-        // Both pull interfaces: `drain` goes through the derived cursor
-        // `next`, `drain_batch` through the native `next_batch`.
-        type Pull = fn(&mut dyn Operator) -> Result<Vec<Tuple>, ExecError>;
-        for (pull, what) in [(drain as Pull, "next"), (drain_batch as Pull, "next_batch")] {
-            let serial_ctx = ExecContext::new(SharedCounters::new());
-            let mut serial = crate::scan::FileScanExec::new(
-                table,
-                TupleLayout::base(&cat, rel),
-                serial_ctx.clone(),
-            );
-            let serial_rows = pull(&mut serial).unwrap();
-            let serial_io = db.disk.stats();
-            db.disk.reset_stats();
+        let serial_ctx = ExecContext::new(SharedCounters::new());
+        let mut serial = crate::scan::FileScanExec::new(
+            table,
+            TupleLayout::base(&cat, rel),
+            serial_ctx.clone(),
+        );
+        let serial_rows = drain(&mut serial).unwrap();
+        let serial_io = db.disk.stats();
+        db.disk.reset_stats();
 
-            for dop in [2usize, 4] {
-                let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
-                let mut ex = parallel_scan(table, TupleLayout::base(&cat, rel), &ctx);
-                let rows = pull(&mut ex).unwrap();
-                assert_eq!(
-                    sorted_rows(rows),
-                    sorted_rows(serial_rows.clone()),
-                    "dop {dop} via {what}"
-                );
-                assert_eq!(
-                    ctx.counters.snapshot().records,
-                    serial_ctx.counters.snapshot().records,
-                    "record counters merge exactly (dop {dop})"
-                );
-                let io = db.disk.stats();
-                db.disk.reset_stats();
-                assert_eq!(io.total(), serial_io.total(), "same pages read once each");
-            }
+        for dop in [2usize, 4] {
+            let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
+            let mut ex = parallel_scan(table, TupleLayout::base(&cat, rel), &ctx);
+            let rows = drain(&mut ex).unwrap();
+            assert_eq!(sorted_rows(rows), sorted_rows(serial_rows.clone()), "dop {dop}");
+            assert_eq!(
+                ctx.counters.snapshot().records,
+                serial_ctx.counters.snapshot().records,
+                "record counters merge exactly (dop {dop})"
+            );
+            let io = db.disk.stats();
+            db.disk.reset_stats();
+            assert_eq!(io.total(), serial_io.total(), "same pages read once each");
         }
     }
 
@@ -351,7 +317,7 @@ mod tests {
         let ctx = ExecContext::new(SharedCounters::new()).with_dop(2);
         let mut ex = parallel_scan(table, TupleLayout::base(&cat, rel), &ctx);
         assert!(ex.open().is_ok(), "worker faults defer past open");
-        let err = ex.next().unwrap_err();
+        let err = ex.next_batch(crate::BATCH_CAPACITY).unwrap_err();
         assert!(matches!(err, ExecError::Storage(_)), "{err:?}");
         ex.close();
         db.disk.set_fault_plan(FaultPlan::none());

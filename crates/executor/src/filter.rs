@@ -4,9 +4,8 @@ use dqep_algebra::CompareOp;
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
-use crate::exec::{cursor_next, RowCursor};
 use crate::governor::ExecContext;
-use crate::tuple::{Tuple, TupleLayout};
+use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
 /// A selection predicate with its attribute resolved to a tuple position
@@ -91,33 +90,22 @@ pub struct FilterExec<'a> {
     input: BoxedOperator<'a>,
     pred: ResolvedPred,
     ctx: ExecContext,
-    cursor: RowCursor,
 }
 
 impl<'a> FilterExec<'a> {
     /// Creates a filter over `input`.
     #[must_use]
     pub fn new(input: BoxedOperator<'a>, pred: ResolvedPred, ctx: ExecContext) -> Self {
-        FilterExec {
-            input,
-            pred,
-            ctx,
-            cursor: RowCursor::default(),
-        }
+        FilterExec { input, pred, ctx }
     }
 }
 
 impl Operator for FilterExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.cursor.clear();
         self.input.open()
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        cursor_next(self, |op| &mut op.cursor)
-    }
-
-    /// The filter's native body: evaluates the predicate over the restricted
+    /// Evaluates the predicate over the restricted
     /// attribute's column into the batch's selection vector — one
     /// monomorphic comparison loop over a contiguous `&[i64]` slice (the
     /// X100-style kernel), qualifying rows are never copied, and the

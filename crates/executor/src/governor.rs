@@ -5,7 +5,7 @@
 //! *reserve* bytes before holding rows and abort with
 //! [`ExecError::ResourceExhausted`] instead of silently exceeding the
 //! grant — plus optional row, I/O and wall-clock budgets, and carries a
-//! cancellation flag that operators check once per produced tuple.
+//! cancellation flag that operators check once per produced batch.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,12 +47,12 @@ struct GovernorInner {
     io: AtomicU64,
     cancelled: AtomicBool,
     started: Instant,
-    /// Ticks since the wall clock was last consulted; `check` only calls
-    /// `Instant::now` every [`CLOCK_STRIDE`] ticks.
+    /// Ticks since the wall clock was last consulted; `check_batch` only
+    /// calls `Instant::now` every [`CLOCK_STRIDE`] ticks.
     clock_ticks: AtomicU64,
 }
 
-/// How many `check` calls elapse between wall-clock reads.
+/// How many rows' worth of checks elapse between wall-clock reads.
 const CLOCK_STRIDE: u64 = 64;
 
 /// Shared enforcement of one query's [`ResourceLimits`].
@@ -183,7 +183,7 @@ impl ResourceGovernor {
     }
 
     /// Requests cooperative cancellation; operators notice at their next
-    /// [`Self::check`].
+    /// [`Self::check_batch`].
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::SeqCst);
     }
@@ -194,25 +194,16 @@ impl ResourceGovernor {
         self.inner.cancelled.load(Ordering::SeqCst)
     }
 
-    /// Cancellation and deadline check; operators call this once per
-    /// produced tuple. The cancellation flag is read every time; the wall
-    /// clock only every [`CLOCK_STRIDE`] calls to keep `next()` cheap.
+    /// Cancellation and deadline check for a batch of `n` rows: one
+    /// cancellation read and one tick update for the whole batch. The
+    /// cancellation flag is read every time; the wall clock only when the
+    /// `n` ticks cross a [`CLOCK_STRIDE`] boundary, so deadline detection
+    /// is as frequent *per row processed* whatever the batch size.
     ///
     /// # Errors
     /// [`ExecError::Cancelled`] after [`Self::cancel`];
     /// [`ExecError::ResourceExhausted`] with [`Resource::WallClock`] past
     /// the deadline.
-    pub fn check(&self) -> Result<(), ExecError> {
-        self.check_batch(1)
-    }
-
-    /// [`Self::check`] amortized over a batch of `n` rows: one
-    /// cancellation read and one tick update for the whole batch. The
-    /// wall-clock stride advances by `n`, so deadline detection stays as
-    /// frequent *per row processed* as a per-row check's.
-    ///
-    /// # Errors
-    /// As [`Self::check`].
     pub fn check_batch(&self, n: u64) -> Result<(), ExecError> {
         if self.inner.cancelled.load(Ordering::Relaxed) {
             return Err(ExecError::Cancelled);
@@ -234,33 +225,24 @@ impl ResourceGovernor {
     }
 }
 
-/// The interface the **root** of a plan is pulled through: one row at a
-/// time with `next()`, or a [`crate::RowBatch`] at a time with
-/// `next_batch()`. It is read in exactly one place,
-/// [`crate::drain_root`]; below the root every operator has one native
-/// body and internal consumers always pull batches, so the two values
-/// produce identical results, accounting and fallback behavior.
+// Compat shim for the frozen `benchmark/`, no reader in the workspace; the next `[benchmark]` PR deletes it (ROADMAP).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// The root pulls rows (`next()`).
-    Tuple,
-    /// The root pulls batches (`next_batch()`).
     #[default]
     Batch,
 }
 
 /// Everything a compiled operator needs from its query: CPU accounting
-/// and resource governance (shared by clones), plus how the root drain
-/// pulls the plan.
+/// and resource governance (shared by clones), the degree of parallelism,
+/// and the tracing and re-optimization hooks. It is also everything a
+/// caller of [`crate::run`] has to say about how a plan runs.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
     /// Simulated-CPU and fallback counters for the query.
     pub counters: SharedCounters,
     /// The query's resource governor.
     pub governor: ResourceGovernor,
-    /// The interface the root drain pulls the plan through; no operator
-    /// reads it.
-    pub mode: ExecMode,
     /// Degree of intra-query parallelism: how many worker threads an
     /// exchange-parallel operator (morsel scan, partitioned hash join,
     /// parallel sort) may use. `1` (the default) compiles the classic
@@ -284,19 +266,10 @@ pub struct ExecContext {
 }
 
 impl ExecContext {
-    /// A context around `counters` with an unlimited governor and the
-    /// default (batch) mode.
+    /// A context around `counters` with an unlimited governor.
     #[must_use]
     pub fn new(counters: SharedCounters) -> ExecContext {
-        ExecContext {
-            counters,
-            governor: ResourceGovernor::unlimited(),
-            mode: ExecMode::default(),
-            dop: 1,
-            tracer: None,
-            span_parent: None,
-            reopt: None,
-        }
+        ExecContext::with_limits(counters, ResourceLimits::unlimited())
     }
 
     /// A context around `counters` enforcing `limits`.
@@ -305,7 +278,6 @@ impl ExecContext {
         ExecContext {
             counters,
             governor: ResourceGovernor::new(limits),
-            mode: ExecMode::default(),
             dop: 1,
             tracer: None,
             span_parent: None,
@@ -338,10 +310,10 @@ impl ExecContext {
         self
     }
 
-    /// The same context with `mode` overridden.
+    // Compat shim for the frozen `benchmark/`, no reader in the workspace; the next `[benchmark]` PR deletes it (ROADMAP).
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_mode(mut self, mode: ExecMode) -> ExecContext {
-        self.mode = mode;
+    pub fn with_mode(self, _mode: ExecMode) -> ExecContext {
         self
     }
 
@@ -356,20 +328,12 @@ impl ExecContext {
     /// A clone of this context for one exchange worker: fresh private
     /// counters (merged back by the coordinator when the worker finishes),
     /// the *shared* governor (all workers draw on the one query grant and
-    /// see the same cancellation flag), the same mode, and `dop = 1` so a
-    /// worker's subtree never fans out again. The tracer (and span parent)
+    /// see the same cancellation flag), and `dop = 1` so a worker's subtree
+    /// never fans out again. The tracer (and span parent)
     /// carry over so a worker's subtree keeps recording spans.
     #[must_use]
     pub fn worker(&self) -> ExecContext {
-        ExecContext {
-            counters: SharedCounters::new(),
-            governor: self.governor.clone(),
-            mode: self.mode,
-            dop: 1,
-            tracer: self.tracer.clone(),
-            span_parent: self.span_parent,
-            reopt: self.reopt.clone(),
-        }
+        ExecContext { counters: SharedCounters::new(), dop: 1, ..self.clone() }
     }
 }
 
@@ -421,10 +385,10 @@ mod tests {
     fn cancellation_is_seen_by_clones() {
         let gov = ResourceGovernor::unlimited();
         let clone = gov.clone();
-        assert!(clone.check().is_ok());
+        assert!(clone.check_batch(1).is_ok());
         gov.cancel();
         assert!(gov.is_cancelled());
-        assert_eq!(clone.check().unwrap_err(), ExecError::Cancelled);
+        assert_eq!(clone.check_batch(1).unwrap_err(), ExecError::Cancelled);
     }
 
     #[test]
@@ -436,7 +400,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         // Tick 0 always reads the clock, so the very first check trips.
         assert_eq!(
-            gov.check().unwrap_err(),
+            gov.check_batch(1).unwrap_err(),
             ExecError::ResourceExhausted(Resource::WallClock { limit_ms: 0 })
         );
     }
@@ -448,7 +412,7 @@ mod tests {
         gov.charge_rows(1_000_000).unwrap();
         gov.charge_io(1_000_000).unwrap();
         for _ in 0..200 {
-            gov.check().unwrap();
+            gov.check_batch(1).unwrap();
         }
     }
 }

@@ -67,10 +67,9 @@ use dqep_storage::{SimDisk, SpillFile, SpillWriter};
 use crate::batch::{ColStream, RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
 use crate::exchange::run_parallel;
-use crate::exec::{cursor_next, RowCursor};
 use crate::governor::{ExecContext, ResourceGovernor};
 use crate::metrics::SharedCounters;
-use crate::tuple::{Tuple, TupleLayout};
+use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
 /// Grace spill fan-out (fixed: spill page identity must not depend on
@@ -602,6 +601,7 @@ fn join_spilled_pair(
 ) -> Result<RowBatch, ExecError> {
     let build_width = build_layout.width();
     let probe_width = probe_layout.width();
+    ctx.governor.charge_io((build_part.page_count() + probe_part.page_count()) as u64)?;
     let store = RowBatch::from_spill(build_part, build_width)?;
     let probe_batch = RowBatch::from_spill(probe_part, probe_width)?;
     ctx.governor.check_batch(probe_batch.rows() as u64)?;
@@ -657,7 +657,6 @@ pub struct HashJoinExec<'a> {
     /// the current Grace partition pair's, or what a resident probe batch
     /// produced beyond the request.
     joined: ColStream,
-    cursor: RowCursor,
     /// A failure from work the serial join performs while it is pulled
     /// (probe streaming, partition joining) that the parallel paths
     /// perform eagerly at `open()`; surfaced on the first `next_batch`.
@@ -691,7 +690,6 @@ impl<'a> HashJoinExec<'a> {
             reserved: 0,
             state: State::Closed,
             joined: ColStream::default(),
-            cursor: RowCursor::default(),
             pending_err: None,
             checkpoint: None,
         }
@@ -756,7 +754,6 @@ impl<'a> HashJoinExec<'a> {
 
 impl Operator for HashJoinExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.cursor.clear();
         self.joined = ColStream::default();
         self.pending_err = None;
         let dop = self.ctx.dop.max(1);
@@ -815,8 +812,14 @@ impl Operator for HashJoinExec<'_> {
         let partition_writers = |row_bytes: usize| -> Vec<SpillWriter> {
             (0..PARTITIONS).map(|_| SpillWriter::charged(self.disk.clone(), row_bytes)).collect()
         };
+        // Sealing settles the I/O budget for the pages the partitions
+        // wrote, a side at a time; reading a pair back charges its own.
         let seal = |writers: Vec<SpillWriter>| -> Result<Vec<SpillFile>, ExecError> {
-            writers.into_iter().map(|w| Ok(w.finish()?)).collect()
+            let parts =
+                writers.into_iter().map(|w| w.finish()).collect::<Result<Vec<_>, _>>()?;
+            let pages: usize = parts.iter().map(SpillFile::page_count).sum();
+            self.ctx.governor.charge_io(pages as u64)?;
+            Ok(parts)
         };
         let mut writers = partition_writers(build_row_bytes);
         self.ctx.counters.add_hashes(store.rows() as u64);
@@ -871,10 +874,6 @@ impl Operator for HashJoinExec<'_> {
             part: 0,
         };
         Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        cursor_next(self, |op| &mut op.cursor)
     }
 
     /// The join's native body. Rows already joined stream out first, in
@@ -943,7 +942,6 @@ impl Operator for HashJoinExec<'_> {
         self.probe.close();
         self.state = State::Closed;
         self.joined = ColStream::default();
-        self.cursor.clear();
         self.pending_err = None;
         if self.reserved > 0 {
             self.ctx.governor.release_memory(self.reserved);
@@ -960,6 +958,7 @@ impl Operator for HashJoinExec<'_> {
 mod tests {
     use super::*;
     use crate::governor::ResourceLimits;
+    use crate::tuple::Tuple;
 
     #[test]
     fn hash_is_stable_across_sides_and_partitions() {

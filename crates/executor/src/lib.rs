@@ -4,10 +4,14 @@
 //! file scans, B-tree scans and range probes, filters, in-memory and
 //! partitioned (Grace) hash joins, merge joins, index nested-loop joins,
 //! and external sort — every algorithm of the paper's physical algebra
-//! (Table 1). The run-time **choose-plan** behaviour is provided by
-//! [`execute_plan`], which resolves a dynamic plan with the actual
-//! bindings (the Section 4 decision procedure) and then runs the chosen
-//! alternative.
+//! (Table 1). There is **one way in**: [`run`] compiles a plan — static,
+//! dynamic or already resolved — under the caller's [`ExecContext`] and
+//! drains it into the caller's [`RootSink`]. The run-time **choose-plan**
+//! behaviour lives in the plan itself: a choose-plan node compiles to
+//! [`ChoosePlanExec`], which evaluates the Section 4 decision procedure
+//! with the actual bindings when it is opened and then runs the chosen
+//! alternative. ([`run_reopt`] is the same entry for the checkpointing
+//! re-optimization driver, a different algorithm over the same operators.)
 //!
 //! Execution is *simulated-time measured*: every page access is accounted
 //! by the simulated disk and every record/comparison/hash by CPU counters,
@@ -16,24 +20,19 @@
 //! this: the alternative the choose-plan operator picks at start-up must
 //! also be the faster one when actually executed.
 //!
-//! The pipeline is **fallible end to end**: `open`/`next` return
+//! The pipeline is **fallible end to end**: `open`/`next_batch` return
 //! `Result`, storage faults surface as [`ExecError::Storage`], and every
 //! query runs under a [`ResourceGovernor`] enforcing its memory grant plus
 //! optional row / I/O / wall-clock budgets with cooperative cancellation
-//! ([`execute_plan_with`]). A choose-plan whose chosen alternative fails
+//! ([`ExecContext::with_limits`]). A choose-plan whose chosen alternative fails
 //! *retryably* at `open` falls back to the next alternative in cost order,
 //! recording the fallback in [`ExecSummary::fallbacks`].
 //!
-//! There is **one execution engine**. Every operator hand-writes exactly
-//! one pull body: the hot operators (scans, filter, hash join, sort,
-//! exchange) exchange [`RowBatch`]es of ~[`BATCH_CAPACITY`] rows through
-//! [`Operator::next_batch`] and derive `next()` from a shared row cursor
-//! over it; the B-tree scans, index join and merge join produce rows
-//! through [`Operator::next`] and take the trait's looping `next_batch`.
-//! [`ExecMode`] only names the interface the *root* is pulled through
-//! ([`drain_root`] is the one place it is read); internal consumers —
-//! hash build and probe, sort ingest, exchange workers, re-optimization
-//! checkpoints — always pull batches.
+//! There is **one execution engine and one pull method**. Operators
+//! exchange [`RowBatch`]es — columns plus an optional selection vector —
+//! through [`Operator::next_batch`], each asking its inputs for no more
+//! rows than it was asked for; rows as owned tuples exist only at a sink
+//! ([`RootSink::Rows`], which is what [`drain`] fills).
 
 #![warn(missing_docs)]
 // Runtime executor code must propagate errors, not panic: unwrap/expect
@@ -69,14 +68,11 @@ mod tuple;
 pub use adaptive::{execute_adaptive, AdaptiveResult};
 pub use batch::{RowBatch, RowBatchIter, BATCH_CAPACITY};
 pub use choose::{compile_dynamic_plan, ChoosePlanExec};
-pub use compile::{
-    compile_plan, execute_plan, execute_plan_dop, execute_plan_mode, execute_plan_traced,
-    execute_plan_with, run_compiled, run_dynamic,
-};
+pub use compile::{compile_plan, execute_plan_dop, run};
 pub use delta::{compile_delta_plan, BaseDeltas, Delta, DeltaPipeline};
 pub use error::{ExecError, Resource};
 pub use exchange::{parallel_scan, ExchangeExec};
-pub use exec::{drain, drain_batch, drain_root, BoxedOperator, Operator, RootSink};
+pub use exec::{drain, drain_root, BoxedOperator, Operator, RootSink};
 pub use explain::{card_drift, cost_drift, explain_json, render_explain, validate_explain_json};
 pub use governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
 pub use hash_join::{fold_hash_column, hash_key, join_batches, mix, HASH_SEED};
@@ -93,9 +89,8 @@ pub use netexchange::{
     NetChannel, NetConfig, NetStats, SimNet, FRAME_HEADER_BYTES,
 };
 pub use reopt::{
-    escapes_interval, execute_plan_reopt, execute_plan_reopt_ctx, execute_plan_reopt_traced,
-    MaterializedScanExec, ReoptConfig, ReoptCounters, ReoptEvent, ReoptEventKind, ReoptOutcome,
-    ReoptReport, ReoptState,
+    escapes_interval, run_reopt, MaterializedScanExec, ReoptConfig, ReoptCounters, ReoptEvent,
+    ReoptEventKind, ReoptOutcome, ReoptReport, ReoptState,
 };
 pub use sort::{kway_merge, sort_batches, SortExec};
 pub use trace::{

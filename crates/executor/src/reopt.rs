@@ -8,8 +8,8 @@
 //! exchange's worker join — where an entire intermediate result is
 //! materialized and its actual cardinality is known exactly.
 //!
-//! [`execute_plan_reopt`] closes the loop the EXPLAIN ANALYZE drift
-//! detector only observes:
+//! [`run_reopt`] closes the loop the EXPLAIN ANALYZE drift detector only
+//! observes:
 //!
 //! 1. **Checkpoints.** Blocking inputs along the arbitrated path are
 //!    materialized deepest-first ([`dqep_plan::next_blocking_input`]).
@@ -52,13 +52,12 @@ use dqep_plan::{
 use dqep_storage::StoredDatabase;
 use parking_lot::Mutex;
 
-use crate::batch::RowBatch;
+use crate::batch::{BatchCursor, RowBatch};
 use crate::error::ExecError;
-use crate::exec::{cursor_next, drain_batch, drain_root, Operator, RootSink, RowCursor};
-use crate::governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
-use crate::metrics::{ExecSummary, SharedCounters};
-use crate::trace::{TraceReport, Tracer};
-use crate::tuple::{Tuple, TupleLayout};
+use crate::exec::{drain_root, Operator, RootSink};
+use crate::governor::{ExecContext, ResourceGovernor};
+use crate::metrics::ExecSummary;
+use crate::tuple::TupleLayout;
 
 /// The per-query re-optimization budget.
 #[derive(Debug, Clone, Copy)]
@@ -205,7 +204,7 @@ struct ReoptInner {
     /// serves no observations, so arbitrations reproduce the original
     /// decisions.
     suppressed: bool,
-    materialized: Vec<(NodeId, TupleLayout, Arc<Vec<Tuple>>)>,
+    materialized: Vec<(NodeId, TupleLayout, Arc<Vec<RowBatch>>)>,
     reserved_bytes: u64,
 }
 
@@ -438,7 +437,8 @@ impl ReoptState {
         });
     }
 
-    /// Retains a materialized intermediate for reuse, reserving its bytes
+    /// Retains a materialized intermediate — the batches its drain
+    /// produced, as they are — for reuse, reserving its live rows' bytes
     /// with the governor. Returns `false` (and retains nothing) when the
     /// governor refuses — the caller degrades instead of failing.
     pub fn try_retain(
@@ -446,22 +446,23 @@ impl ReoptState {
         governor: &ResourceGovernor,
         node: NodeId,
         layout: TupleLayout,
-        rows: Vec<Tuple>,
+        batches: Vec<RowBatch>,
     ) -> bool {
-        let bytes = (rows.len() * layout.row_bytes) as u64;
+        let rows: usize = batches.iter().map(RowBatch::len).sum();
+        let bytes = (rows * layout.row_bytes) as u64;
         if governor.try_reserve_memory(bytes).is_err() {
             return false;
         }
         let mut inner = self.inner.lock();
         inner.reserved_bytes += bytes;
-        inner.materialized.push((node, layout, Arc::new(rows)));
+        inner.materialized.push((node, layout, Arc::new(batches)));
         true
     }
 
     /// The retained intermediate for `node`, if any — shared, so a plan
-    /// that references the node twice serves the same rows twice.
+    /// that references the node twice serves the same batches twice.
     #[must_use]
-    pub fn materialized(&self, node: NodeId) -> Option<(TupleLayout, Arc<Vec<Tuple>>)> {
+    pub fn materialized(&self, node: NodeId) -> Option<(TupleLayout, Arc<Vec<RowBatch>>)> {
         self.inner
             .lock()
             .materialized
@@ -542,59 +543,40 @@ impl ReoptProbe {
 
 /// Serves a retained intermediate result as an ordinary [`Operator`]:
 /// the executor's leaf form of "already-materialized work". Like the
-/// exchange's merge buffer this is pure transport — the rows were charged
+/// exchange's output this is pure transport — the rows were charged
 /// (CPU and I/O) when they were first produced, so serving them again
 /// charges nothing, keeping counter totals identical to a one-pass run.
 pub struct MaterializedScanExec {
-    rows: Arc<Vec<Tuple>>,
+    batches: Arc<Vec<RowBatch>>,
     layout: TupleLayout,
     ctx: ExecContext,
-    pos: usize,
-    cursor: RowCursor,
+    served: BatchCursor,
 }
 
 impl MaterializedScanExec {
-    /// An operator serving `rows` with `layout`.
+    /// An operator serving `batches` with `layout`.
     #[must_use]
-    pub fn new(rows: Arc<Vec<Tuple>>, layout: TupleLayout, ctx: ExecContext) -> Self {
-        MaterializedScanExec {
-            rows,
-            layout,
-            ctx,
-            pos: 0,
-            cursor: RowCursor::default(),
-        }
+    pub fn new(batches: Arc<Vec<RowBatch>>, layout: TupleLayout, ctx: ExecContext) -> Self {
+        MaterializedScanExec { batches, layout, ctx, served: BatchCursor::default() }
     }
 }
 
 impl Operator for MaterializedScanExec {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.pos = 0;
-        self.cursor.clear();
+        self.served = BatchCursor::default();
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        cursor_next(self, |op| &mut op.cursor)
-    }
-
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
-        if self.pos >= self.rows.len() {
+        let Some(batch) = self.served.next_slice(&self.batches, max_rows) else {
             return Ok(None);
-        }
-        let end = (self.pos + max_rows).min(self.rows.len());
-        let mut batch = RowBatch::with_capacity(self.layout.width(), end - self.pos);
-        for row in &self.rows[self.pos..end] {
-            batch.push_row(row);
-        }
-        self.pos = end;
-        self.ctx.governor.check_batch(batch.len() as u64)?;
+        };
+        self.ctx.governor.check_batch(batch.rows() as u64)?;
         Ok(Some(batch))
     }
 
     fn close(&mut self) {
-        self.pos = 0;
-        self.cursor.clear();
+        self.served = BatchCursor::default();
     }
 
     fn layout(&self) -> &TupleLayout {
@@ -602,11 +584,12 @@ impl Operator for MaterializedScanExec {
     }
 
     fn estimated_rows(&self) -> Option<u64> {
-        Some((self.rows.len() - self.pos.min(self.rows.len())) as u64)
+        Some(self.served.remaining(&self.batches) as u64)
     }
 }
 
-/// What one re-optimizing execution reports back.
+/// What one re-optimizing execution reports back. The result rows went to
+/// the sink [`run_reopt`] was given.
 #[derive(Debug)]
 pub struct ReoptOutcome {
     /// Execution accounting (rows, CPU, I/O, fallbacks) across the
@@ -617,35 +600,6 @@ pub struct ReoptOutcome {
     pub startup: StartupResult,
     /// The re-optimization audit trail.
     pub report: ReoptReport,
-    /// The query result. This engine materializes results at the root in
-    /// every entry point; keeping them here lets callers verify multiset
-    /// parity against other execution paths.
-    pub rows: Vec<Tuple>,
-}
-
-fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Catalog) -> usize {
-    let pages = bindings
-        .memory_pages
-        .unwrap_or_else(|| env.memory.expected());
-    (pages * catalog.config.page_size as f64) as usize
-}
-
-/// Compiles and drains the full dynamic plan, charging result rows
-/// against the row budget exactly as the plain entry points do.
-fn run_collect(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    memory_bytes: usize,
-    ctx: &ExecContext,
-) -> Result<Vec<Tuple>, ExecError> {
-    let mut op =
-        crate::choose::compile_dynamic_plan(plan, db, catalog, env, bindings, memory_bytes, ctx)?;
-    let mut out = Vec::new();
-    drain_root(op.as_mut(), ctx.mode, Some(&ctx.governor), RootSink::Rows(&mut out))?;
-    Ok(out)
 }
 
 /// Executes a dynamic plan with mid-query re-optimization (see the module
@@ -654,69 +608,17 @@ fn run_collect(
 /// intermediate, degrade gracefully under memory pressure, and fall back
 /// to the original plan when re-planning itself fails.
 ///
+/// The caller's [`ExecContext`] is the options, exactly as for
+/// [`crate::run`] — counters, governor (so cooperative cancellation keeps
+/// working), DOP, tracer — and a fresh [`ReoptState`] is attached to it
+/// for the duration of this execution. The result rows of the final run
+/// go to `sink`; with a tracer, its report carries the audit trail.
+///
 /// # Errors
 /// Any non-retryable [`ExecError`], or a retryable one that survived the
 /// whole degradation ladder.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_plan_reopt(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-    config: ReoptConfig,
-) -> Result<ReoptOutcome, ExecError> {
-    reopt_inner(
-        plan, db, catalog, env, bindings, limits, mode, dop, config, None,
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// [`execute_plan_reopt`] with per-operator tracing; the returned
-/// [`TraceReport`] carries the re-optimization audit trail in its
-/// `reopt` field.
-///
-/// # Errors
-/// As [`execute_plan_reopt`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_reopt_traced(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-    config: ReoptConfig,
-) -> Result<(ReoptOutcome, TraceReport), ExecError> {
-    reopt_inner(
-        plan,
-        db,
-        catalog,
-        env,
-        bindings,
-        limits,
-        mode,
-        dop,
-        config,
-        Some(Arc::new(Tracer::new())),
-    )
-}
-
-/// [`execute_plan_reopt`] over a caller-supplied execution context: the
-/// context's shared counters, governor (so cooperative cancellation keeps
-/// working), mode, DOP, and tracer are all preserved — only a fresh
-/// [`ReoptState`] is attached for the duration of this execution. This is
-/// the service entry point: a session's accounting and cancellation
-/// handle stay live across the re-optimizing run.
-///
-/// # Errors
-/// As [`execute_plan_reopt`].
-pub fn execute_plan_reopt_ctx(
+pub fn run_reopt(
     plan: &Arc<PlanNode>,
     db: &StoredDatabase,
     catalog: &Catalog,
@@ -724,56 +626,19 @@ pub fn execute_plan_reopt_ctx(
     bindings: &Bindings,
     config: ReoptConfig,
     ctx: &ExecContext,
+    mut sink: RootSink<'_>,
 ) -> Result<ReoptOutcome, ExecError> {
     let state = Arc::new(ReoptState::new(config));
-    let ctx = ctx.clone().with_reopt(Arc::clone(&state));
-    drive(plan, db, catalog, env, bindings, &state, &ctx)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reopt_inner(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    limits: ResourceLimits,
-    mode: ExecMode,
-    dop: usize,
-    config: ReoptConfig,
-    tracer: Option<Arc<Tracer>>,
-) -> Result<(ReoptOutcome, TraceReport), ExecError> {
-    let state = Arc::new(ReoptState::new(config));
-    let mut ctx = ExecContext::with_limits(SharedCounters::new(), limits)
-        .with_mode(mode)
-        .with_dop(dop)
-        .with_reopt(Arc::clone(&state));
-    if let Some(t) = &tracer {
-        ctx = ctx.with_tracer(Arc::clone(t));
-    }
-    let outcome = drive(plan, db, catalog, env, bindings, &state, &ctx)?;
-    let mut trace = tracer.map(|t| t.report()).unwrap_or_default();
-    trace.reopt = outcome.report.clone();
-    Ok((outcome, trace))
-}
-
-/// The checkpoint-loop driver shared by every re-optimizing entry point;
-/// `ctx` already carries `state` on [`ExecContext::reopt`].
-fn drive(
-    plan: &Arc<PlanNode>,
-    db: &StoredDatabase,
-    catalog: &Catalog,
-    env: &Environment,
-    bindings: &Bindings,
-    state: &Arc<ReoptState>,
-    ctx: &ExecContext,
-) -> Result<ReoptOutcome, ExecError> {
+    let ctx = &ctx.clone().with_reopt(Arc::clone(&state));
     let io_before = db.disk.stats();
     db.disk.reset_temp_high_water();
 
+    // The start-up decision under the observations gathered so far.
+    let arbitrate = |bindings: &Bindings| {
+        evaluate_startup_observed(plan, catalog, env, bindings, &state.observations())
+    };
     let mut exec_bindings = bindings.clone();
-    let mut startup =
-        evaluate_startup_observed(plan, catalog, env, &exec_bindings, &state.observations());
+    let mut startup = arbitrate(&exec_bindings);
     let mut done: HashSet<NodeId> = HashSet::new();
     let mut replanned = false;
 
@@ -785,11 +650,12 @@ fn drive(
             break;
         };
         done.insert(target.id);
-        let memory_bytes = grant_bytes(&exec_bindings, env, catalog);
-        // Materialize the checkpoint subtree (an internal consumer: it
-        // pulls batches). Compiled dynamically: the target may itself
-        // contain choose-plan operators, which arbitrate at `open` with
-        // the observations accumulated so far.
+        let memory_bytes = crate::compile::grant_bytes(&exec_bindings, env, catalog);
+        // Materialize the checkpoint subtree into the batches that will be
+        // retained. Compiled dynamically: the target may itself contain
+        // choose-plan operators, which arbitrate at `open` with the
+        // observations accumulated so far.
+        let mut batches = Vec::new();
         let materialized = crate::choose::compile_dynamic_plan(
             &target,
             db,
@@ -799,8 +665,8 @@ fn drive(
             memory_bytes,
             ctx,
         )
-        .and_then(|mut op| drain_batch(op.as_mut()));
-        let rows = match materialized {
+        .and_then(|mut op| drain_root(op.as_mut(), None, RootSink::Batches(&mut batches)));
+        let actual = match materialized {
             Ok(rows) => rows,
             Err(e) if e.is_retryable() => {
                 // A faulted checkpoint is abandoned, not fatal: the final
@@ -813,7 +679,6 @@ fn drive(
             }
             Err(e) => return Err(e),
         };
-        let actual = rows.len() as u64;
         // Escape against the *bind-time* estimate: host variables are
         // bound and prior observations applied, so this interval is what
         // the in-force arbitration actually believed. The compile-time
@@ -825,7 +690,7 @@ fn drive(
             .map_or(target.stats.card, |e| e.stats.card);
         let escaped = state.observe_checkpoint(target.id, target.op.name(), estimate, actual);
         let layout = crate::choose::layout_of(&target, catalog);
-        if !state.try_retain(&ctx.governor, target.id, layout, rows) {
+        if !state.try_retain(&ctx.governor, target.id, layout, batches) {
             // Memory pressure: drop the intermediate and re-arbitrate
             // with a halved planning grant, steering the remaining
             // decisions toward the cheapest-memory alternatives.
@@ -841,24 +706,12 @@ fn drive(
                 ),
             );
             exec_bindings = exec_bindings.with_memory(degraded);
-            startup = evaluate_startup_observed(
-                plan,
-                catalog,
-                env,
-                &exec_bindings,
-                &state.observations(),
-            );
+            startup = arbitrate(&exec_bindings);
             continue;
         }
         if escaped {
             if state.request_replan(&ctx.governor) {
-                startup = evaluate_startup_observed(
-                    plan,
-                    catalog,
-                    env,
-                    &exec_bindings,
-                    &state.observations(),
-                );
+                startup = arbitrate(&exec_bindings);
                 state.record_replan(
                     target.id,
                     "re-arbitrated remaining plan with checkpoint observation",
@@ -872,51 +725,58 @@ fn drive(
 
     // Final run over the original dynamic plan: choose-plan operators
     // arbitrate with the observations applied and the compiler serves
-    // retained intermediates in place of their subtrees.
+    // retained intermediates in place of their subtrees. `run` restarts
+    // the temp-page high-water, so the checkpoints' is read off first.
     state.release_reservations(&ctx.governor);
-    let memory_bytes = grant_bytes(&exec_bindings, env, catalog);
-    let rows = match run_collect(plan, db, catalog, env, &exec_bindings, memory_bytes, ctx) {
-        Ok(rows) => rows,
+    let mut temp_pages_peak = db.disk.temp_pages().high_water;
+    let mark = sink.mark();
+    let last = match crate::compile::run(plan, db, catalog, env, &exec_bindings, ctx, sink.reborrow())
+    {
+        Ok(last) => last,
         Err(e) if e.is_retryable() && replanned => {
             // Last rung before governed failure: suppress the
-            // observations and continue the original plan.
+            // observations and continue the original plan, from a sink
+            // that holds no row of the failed attempt.
             state.record_fallback(&format!(
                 "re-planned run failed ({e}); reverting to original arbitration"
             ));
             ctx.counters.add_fallbacks(1);
+            sink.truncate(mark);
+            temp_pages_peak = temp_pages_peak.max(db.disk.temp_pages().high_water);
             exec_bindings = bindings.clone();
-            let memory_bytes = grant_bytes(&exec_bindings, env, catalog);
-            run_collect(plan, db, catalog, env, &exec_bindings, memory_bytes, ctx)?
+            crate::compile::run(plan, db, catalog, env, &exec_bindings, ctx, sink)?
         }
         Err(e) => return Err(e),
     };
 
     // Report the arbitration actually in force at completion (identical
-    // inputs reproduce the choose-plan operators' own decisions).
-    let startup =
-        evaluate_startup_observed(plan, catalog, env, &exec_bindings, &state.observations());
-    let io = db.disk.stats().since(&io_before);
+    // inputs reproduce the choose-plan operators' own decisions), and the
+    // whole execution's I/O, failed attempt and checkpoints included.
+    let startup = arbitrate(&exec_bindings);
     let summary = ExecSummary {
-        rows: rows.len() as u64,
-        cpu: ctx.counters.snapshot(),
-        io,
-        fallbacks: ctx.counters.fallbacks(),
-        temp_pages_peak: db.disk.temp_pages().high_water,
-        ..ExecSummary::default()
+        io: db.disk.stats().since(&io_before),
+        temp_pages_peak: temp_pages_peak.max(last.temp_pages_peak),
+        ..last
     };
     let report = state.report();
+    if let Some(tracer) = &ctx.tracer {
+        tracer.set_reopt(report.clone());
+    }
     Ok(ReoptOutcome {
         summary,
         startup,
         report,
-        rows,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::grant_bytes;
     use crate::exec::drain;
+    use crate::governor::ResourceLimits;
+    use crate::metrics::SharedCounters;
+    use crate::tuple::Tuple;
     use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
     use dqep_catalog::{CatalogBuilder, SystemConfig};
     use dqep_core::Optimizer;
@@ -967,6 +827,23 @@ mod tests {
         }
     }
 
+    /// [`run_reopt`] under `limits`, its rows collected.
+    fn reopt_rows(
+        plan: &Arc<PlanNode>,
+        db: &StoredDatabase,
+        cat: &Catalog,
+        env: &Environment,
+        bindings: &Bindings,
+        limits: ResourceLimits,
+    ) -> (ReoptOutcome, Vec<Tuple>) {
+        let ctx = ExecContext::with_limits(SharedCounters::new(), limits);
+        let mut rows = Vec::new();
+        let sink = RootSink::Rows(&mut rows);
+        let outcome = run_reopt(plan, db, cat, env, bindings, quick_config(), &ctx, sink).unwrap();
+        assert_eq!(outcome.summary.rows, rows.len() as u64);
+        (outcome, rows)
+    }
+
     /// Baseline result and I/O of the plain dynamic execution.
     fn baseline(
         plan: &Arc<PlanNode>,
@@ -1001,20 +878,10 @@ mod tests {
         assert!(subtree_io.total() > 0, "the build side reads its relation");
 
         let before = db.disk.stats();
-        let outcome = execute_plan_reopt(
-            &plan,
-            &db,
-            &cat,
-            &env,
-            &bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::Batch,
-            1,
-            quick_config(),
-        )
-        .unwrap();
+        let (outcome, rows) =
+            reopt_rows(&plan, &db, &cat, &env, &bindings, ResourceLimits::unlimited());
         assert_eq!(
-            sorted(outcome.rows.clone()),
+            sorted(rows.clone()),
             sorted(base_rows),
             "re-optimization must preserve the result multiset"
         );
@@ -1040,7 +907,7 @@ mod tests {
         .unwrap();
         let scratch_rows = drain(scratch.as_mut()).unwrap().len();
         let scratch_io = db.disk.stats().since(&before);
-        assert_eq!(scratch_rows, outcome.rows.len(), "same adopted plan");
+        assert_eq!(scratch_rows, rows.len(), "same adopted plan");
         assert!(
             reopt_io.total() < subtree_io.total() + scratch_io.total(),
             "substituting the retained build side must not repeat its reads: \
@@ -1062,21 +929,11 @@ mod tests {
             fail_nth_reads: vec![1, 2],
             ..FaultPlan::default()
         });
-        let outcome = execute_plan_reopt(
-            &plan,
-            &db,
-            &cat,
-            &env,
-            &bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::Batch,
-            1,
-            quick_config(),
-        )
-        .unwrap();
+        let (outcome, rows) =
+            reopt_rows(&plan, &db, &cat, &env, &bindings, ResourceLimits::unlimited());
         db.disk.set_fault_plan(FaultPlan::none());
         assert_eq!(
-            sorted(outcome.rows.clone()),
+            sorted(rows.clone()),
             sorted(base_rows),
             "a failed checkpoint must not change the answer"
         );
@@ -1105,20 +962,9 @@ mod tests {
             memory_bytes: Some(64 * 1024),
             ..ResourceLimits::default()
         };
-        let outcome = execute_plan_reopt(
-            &plan,
-            &db,
-            &cat,
-            &env,
-            &bindings,
-            limits,
-            ExecMode::Batch,
-            1,
-            quick_config(),
-        )
-        .unwrap();
+        let (outcome, rows) = reopt_rows(&plan, &db, &cat, &env, &bindings, limits);
         assert_eq!(
-            sorted(outcome.rows.clone()),
+            sorted(rows.clone()),
             sorted(base_rows),
             "degradation must not change the answer"
         );
@@ -1187,10 +1033,18 @@ mod tests {
             ..ResourceLimits::default()
         });
         let state = ReoptState::new(ReoptConfig::default());
-        assert!(state.try_retain(&gov, NodeId(1), layout.clone(), vec![vec![1], vec![2]]));
+        let batch = |rows: &[i64]| {
+            let mut b = RowBatch::new(1);
+            rows.iter().for_each(|&v| b.push_row(&[v]));
+            b
+        };
+        // Reserved by live rows: a selection vector's dead rows are free.
+        let mut three = batch(&[1, 2, 9]);
+        three.set_selection(vec![0, 1]);
+        assert!(state.try_retain(&gov, NodeId(1), layout.clone(), vec![three]));
         assert_eq!(gov.memory_used(), 200);
         assert!(
-            !state.try_retain(&gov, NodeId(2), layout.clone(), vec![vec![3]]),
+            !state.try_retain(&gov, NodeId(2), layout.clone(), vec![batch(&[3])]),
             "second retention exceeds the grant"
         );
         assert_eq!(gov.memory_used(), 200, "refused retention reserves nothing");
@@ -1216,17 +1070,17 @@ mod tests {
     }
 
     #[test]
-    fn materialized_scan_serves_rows_in_both_modes() {
+    fn materialized_scan_serves_live_rows_and_reopens() {
         let layout = TupleLayout::for_tests(1, 16);
-        let rows = Arc::new(vec![vec![1i64], vec![2], vec![3]]);
-        type Pull = fn(&mut dyn Operator) -> Result<Vec<Tuple>, ExecError>;
-        for pull in [drain as Pull, drain_batch as Pull] {
-            let ctx = ExecContext::new(SharedCounters::new());
-            let mut op = MaterializedScanExec::new(Arc::clone(&rows), layout.clone(), ctx);
-            assert_eq!(pull(&mut op).unwrap(), *rows);
-            // Re-open serves again from the start.
-            let again = drain(&mut op).unwrap();
-            assert_eq!(again, *rows);
-        }
+        let mut batch = RowBatch::new(1);
+        (0..5).for_each(|v| batch.push_row(&[v]));
+        batch.set_selection(vec![1, 2, 4]);
+        let batches = Arc::new(vec![batch]);
+        let ctx = ExecContext::new(SharedCounters::new());
+        let mut op = MaterializedScanExec::new(batches, layout, ctx);
+        assert_eq!(op.estimated_rows(), Some(3));
+        assert_eq!(drain(&mut op).unwrap(), vec![vec![1i64], vec![2], vec![4]]);
+        // Re-open serves again from the start.
+        assert_eq!(drain(&mut op).unwrap().len(), 3);
     }
 }

@@ -1,17 +1,18 @@
-//! Data-retrieval operators: File-Scan, B-tree-Scan, Filter-B-tree-Scan,
-//! and the morsel-driven scan worker backing the parallel file scan.
+//! Data-retrieval operators: File-Scan and the morsel-driven scan worker
+//! backing its parallel form, over one page-decoding body; B-tree-Scan and
+//! Filter-B-tree-Scan, one operator over a key range.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use dqep_storage::gen::decode_page_slots_into;
+use dqep_catalog::IndexId;
+use dqep_storage::gen::{decode_page_slots_into, decode_record_into};
 use dqep_storage::{PageClaims, Rid, SlottedPage, StoredTable};
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
-use crate::exec::{cursor_next, RowCursor};
 use crate::governor::ExecContext;
-use crate::tuple::{Tuple, TupleLayout};
+use crate::tuple::TupleLayout;
 use crate::Operator;
 
 /// The shared body of the two heap scans: decodes the pages its caller
@@ -30,7 +31,6 @@ struct HeapPages<'a> {
     pending_err: Option<ExecError>,
     /// The page whose read failed: a further pull reads it again first.
     retry_page: Option<usize>,
-    cursor: RowCursor,
 }
 
 impl<'a> HeapPages<'a> {
@@ -42,7 +42,6 @@ impl<'a> HeapPages<'a> {
             tail: None,
             pending_err: None,
             retry_page: None,
-            cursor: RowCursor::default(),
         }
     }
 
@@ -50,7 +49,6 @@ impl<'a> HeapPages<'a> {
         self.tail = None;
         self.pending_err = None;
         self.retry_page = None;
-        self.cursor.clear();
     }
 
     /// Fills a batch of up to `max_rows` rows from the page tail and then
@@ -154,10 +152,6 @@ impl Operator for FileScanExec<'_> {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        cursor_next(self, |op| &mut op.pages.cursor)
-    }
-
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
         let remaining = &mut self.remaining;
         self.pages.fill(max_rows, remaining.len(), || remaining.next())
@@ -212,10 +206,6 @@ impl Operator for MorselScanExec<'_> {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        cursor_next(self, |op| &mut op.pages.cursor)
-    }
-
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
         let (current, claims) = (&mut self.current, &self.claims);
         // The next page of the current morsel, claiming a fresh morsel
@@ -243,58 +233,107 @@ impl Operator for MorselScanExec<'_> {
     }
 }
 
-/// Full scan through an unclustered B-tree: delivers key order, at the
-/// cost of one random record fetch per entry — the trade the optimizer
-/// reasons about when an interesting order is requested.
+/// Scan through an unclustered B-tree over an inclusive key range. With
+/// no bounds it is the B-tree-Scan: the whole relation in key order, at
+/// the cost of one random record fetch per entry — the trade the
+/// optimizer reasons about when an interesting order is requested. With
+/// the range of a bound predicate it is the Filter-B-tree-Scan: combined
+/// retrieval + selection that descends once and touches only qualifying
+/// keys.
 pub struct BtreeScanExec<'a> {
     table: &'a StoredTable,
-    index: dqep_catalog::IndexId,
+    index: IndexId,
+    /// Inclusive key range (`None` = unbounded).
+    range: (Option<i64>, Option<i64>),
     layout: TupleLayout,
     ctx: ExecContext,
-    rids: std::vec::IntoIter<Rid>,
+    /// The rids of the range in key order, collected at `open`.
+    rids: Vec<Rid>,
+    /// The next rid to fetch; a rid whose fetch failed stays next.
+    pos: usize,
+    /// Error hit while a batch already held rows; surfaced on the next
+    /// call so the partial batch is delivered (and counted) first.
+    pending_err: Option<ExecError>,
 }
 
 impl<'a> BtreeScanExec<'a> {
-    /// Creates a full index scan.
+    /// Creates a scan of the keys in `[lo, hi]` (inclusive bounds).
     #[must_use]
     pub fn new(
         table: &'a StoredTable,
-        index: dqep_catalog::IndexId,
+        index: IndexId,
+        range: (Option<i64>, Option<i64>),
         layout: TupleLayout,
         ctx: ExecContext,
     ) -> Self {
         BtreeScanExec {
             table,
             index,
+            range,
             layout,
             ctx,
-            rids: Vec::new().into_iter(),
+            rids: Vec::new(),
+            pos: 0,
+            pending_err: None,
         }
     }
 }
 
 impl Operator for BtreeScanExec<'_> {
+    /// Collects the range's rids and charges the index pages the descent
+    /// and the leaf chain read.
     fn open(&mut self) -> Result<(), ExecError> {
+        self.close();
         let tree = &self.table.indexes[&self.index];
-        let mut rids = Vec::with_capacity(tree.len() as usize);
-        tree.scan_all(|_, rid| rids.push(rid))?;
-        self.rids = rids.into_iter();
-        Ok(())
+        if self.range == (None, None) {
+            self.rids.reserve(tree.len() as usize);
+        }
+        let rids = &mut self.rids;
+        let pages = tree.range_scan(self.range.0, self.range.1, |_, rid| rids.push(rid))?;
+        self.ctx.governor.charge_io(pages)
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        self.ctx.governor.check()?;
-        let Some(rid) = self.rids.next() else {
+    /// Fetches up to `max_rows` records, each decoded from where it lies
+    /// in its page into the batch's columns: I/O charged per fetch (so
+    /// fault injection and I/O budgets trip on the page that caused
+    /// them), one governor check and one record-counter update per batch.
+    /// A failure after the batch already holds rows is deferred to the
+    /// next call.
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
+        if let Some(e) = self.pending_err.take() {
+            return Err(e);
+        }
+        let to_come = self.rids.len() - self.pos;
+        let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows.min(to_come));
+        while batch.rows() < max_rows {
+            let Some(&rid) = self.rids.get(self.pos) else { break };
+            let fetched = self.ctx.governor.charge_io(1).and_then(|()| {
+                Ok(self.table.heap.fetch_with(rid, |record| {
+                    batch.extend_rows_with(1, |cols| decode_record_into(record, cols));
+                })?)
+            });
+            if let Err(e) = fetched {
+                if batch.rows() == 0 {
+                    return Err(e);
+                }
+                self.pending_err = Some(e);
+                break;
+            }
+            self.pos += 1;
+        }
+        let rows = batch.rows();
+        if rows == 0 {
             return Ok(None);
-        };
-        self.ctx.governor.charge_io(1)?;
-        let row = self.table.heap.fetch_with(rid, |record| self.table.decode(record))?;
-        self.ctx.counters.add_records(1);
-        Ok(Some(row))
+        }
+        self.ctx.governor.check_batch(rows as u64)?;
+        self.ctx.counters.add_records(rows as u64);
+        Ok(Some(batch))
     }
 
     fn close(&mut self) {
-        self.rids = Vec::new().into_iter();
+        self.rids.clear();
+        self.pos = 0;
+        self.pending_err = None;
     }
 
     fn layout(&self) -> &TupleLayout {
@@ -303,71 +342,6 @@ impl Operator for BtreeScanExec<'_> {
 
     fn estimated_rows(&self) -> Option<u64> {
         // Exact after `open` (remaining rids); zero before.
-        Some(self.rids.len() as u64)
-    }
-}
-
-/// Combined retrieval + selection through a B-tree range probe
-/// (Filter-B-tree-Scan): descends once and touches only qualifying keys.
-pub struct FilterBtreeScanExec<'a> {
-    table: &'a StoredTable,
-    index: dqep_catalog::IndexId,
-    /// Inclusive key range derived from the (bound) predicate.
-    range: (Option<i64>, Option<i64>),
-    layout: TupleLayout,
-    ctx: ExecContext,
-    rids: std::vec::IntoIter<Rid>,
-}
-
-impl<'a> FilterBtreeScanExec<'a> {
-    /// Creates a range probe over `[lo, hi]` (inclusive bounds).
-    #[must_use]
-    pub fn new(
-        table: &'a StoredTable,
-        index: dqep_catalog::IndexId,
-        range: (Option<i64>, Option<i64>),
-        layout: TupleLayout,
-        ctx: ExecContext,
-    ) -> Self {
-        FilterBtreeScanExec {
-            table,
-            index,
-            range,
-            layout,
-            ctx,
-            rids: Vec::new().into_iter(),
-        }
-    }
-}
-
-impl Operator for FilterBtreeScanExec<'_> {
-    fn open(&mut self) -> Result<(), ExecError> {
-        let tree = &self.table.indexes[&self.index];
-        self.rids = tree.range(self.range.0, self.range.1)?.into_iter();
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        self.ctx.governor.check()?;
-        let Some(rid) = self.rids.next() else {
-            return Ok(None);
-        };
-        self.ctx.governor.charge_io(1)?;
-        let row = self.table.heap.fetch_with(rid, |record| self.table.decode(record))?;
-        self.ctx.counters.add_records(1);
-        Ok(Some(row))
-    }
-
-    fn close(&mut self) {
-        self.rids = Vec::new().into_iter();
-    }
-
-    fn layout(&self) -> &TupleLayout {
-        &self.layout
-    }
-
-    fn estimated_rows(&self) -> Option<u64> {
-        // Exact after `open` (remaining qualifying rids); zero before.
-        Some(self.rids.len() as u64)
+        Some((self.rids.len() - self.pos) as u64)
     }
 }

@@ -19,9 +19,8 @@ use dqep_storage::{PageId, SimDisk, SlottedPage, SpillFile, SpillWriter};
 use crate::batch::{ColStream, RowBatch};
 use crate::error::ExecError;
 use crate::exchange::run_parallel;
-use crate::exec::{cursor_next, RowCursor};
 use crate::governor::ExecContext;
-use crate::tuple::{Tuple, TupleLayout};
+use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
 /// One row in sort order: its key, and where it lies — the batch of its
@@ -252,7 +251,6 @@ pub struct SortExec<'a> {
     /// Bytes currently reserved with the governor; released in `close`.
     reserved: u64,
     output: ColStream,
-    cursor: RowCursor,
     /// Mid-query re-optimization probe, fired once per `open` with the
     /// input's actual cardinality when ingest completes.
     checkpoint: Option<crate::reopt::ReoptProbe>,
@@ -276,7 +274,6 @@ impl<'a> SortExec<'a> {
             budget_bytes,
             reserved: 0,
             output: ColStream::default(),
-            cursor: RowCursor::default(),
             checkpoint: None,
         }
     }
@@ -370,12 +367,14 @@ impl<'a> SortExec<'a> {
         Ok(())
     }
 
-    /// Charges the spilled run's page writes. Serial below DOP 2 (or for
-    /// a single page); otherwise the charges split across `dop` workers so
+    /// Charges the spilled run's page writes — to the I/O budget in one
+    /// step, to the disk page by page. Serial below DOP 2 (or for a single
+    /// page); otherwise the charges split across `dop` workers so
     /// their I/O pacing stalls overlap. Totals are DOP-exact; a write
     /// fault is charged before it errors on either path, exactly like a
     /// charged writer's.
     fn charge_run_writes(&self, pages: usize) -> Result<(), ExecError> {
+        self.ctx.governor.charge_io(pages as u64)?;
         let dop = self.ctx.dop.max(1);
         if dop <= 1 || pages < 2 {
             for _ in 0..pages {
@@ -403,7 +402,8 @@ impl<'a> SortExec<'a> {
         Ok(())
     }
 
-    /// Reads every run back (accounted), one dense batch per run, pages
+    /// Reads every run back (accounted, and charged to the I/O budget in
+    /// one step before the first page), one dense batch per run, pages
     /// decoding straight into its columns.
     ///
     /// With `dop > 1` the read-back fans out over *pages*, not whole runs
@@ -415,6 +415,8 @@ impl<'a> SortExec<'a> {
     /// reassemble per run in page order, so the batches are the serial
     /// ones.
     fn read_runs(&self, runs: &[SpillFile], width: usize) -> Result<Vec<RowBatch>, ExecError> {
+        let pages: usize = runs.iter().map(SpillFile::page_count).sum();
+        self.ctx.governor.charge_io(pages as u64)?;
         let dop = self.ctx.dop.max(1);
         if dop <= 1 {
             return runs.iter().map(|run| Ok(RowBatch::from_spill(run, width)?)).collect();
@@ -551,15 +553,10 @@ impl<'a> SortExec<'a> {
 
 impl Operator for SortExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.cursor.clear();
         self.input.open()?;
         let result = self.fill();
         self.input.close();
         result
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        cursor_next(self, |op| &mut op.cursor)
     }
 
     /// The sort's native emission, a slice of the sorted columns: one
@@ -579,7 +576,6 @@ impl Operator for SortExec<'_> {
             self.reserved = 0;
         }
         self.output = ColStream::default();
-        self.cursor.clear();
     }
 
     fn layout(&self) -> &TupleLayout {

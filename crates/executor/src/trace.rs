@@ -31,7 +31,7 @@ use crate::error::ExecError;
 use crate::exec::{BoxedOperator, Operator};
 use crate::governor::{ExecContext, ResourceGovernor};
 use crate::metrics::{CpuCounters, SharedCounters};
-use crate::tuple::{Tuple, TupleLayout};
+use crate::tuple::TupleLayout;
 
 /// Process-wide trace-id allocator: every [`Tracer`] created with
 /// [`Tracer::new`] or [`Tracer::audit_only`] gets a distinct non-zero id,
@@ -236,6 +236,7 @@ pub struct ChooseAudit {
 struct TracerInner {
     spans: Vec<SpanRecord>,
     audits: Vec<ChooseAudit>,
+    reopt: crate::reopt::ReoptReport,
 }
 
 /// Collector for one traced execution. Cheap to share (`Arc`); wrappers
@@ -351,6 +352,11 @@ impl Tracer {
         self.inner.lock().audits.push(audit);
     }
 
+    /// Attaches the audit trail of a re-optimizing execution.
+    pub(crate) fn set_reopt(&self, report: crate::reopt::ReoptReport) {
+        self.inner.lock().reopt = report;
+    }
+
     /// Snapshot of everything recorded so far.
     #[must_use]
     pub fn report(&self) -> TraceReport {
@@ -359,7 +365,7 @@ impl Tracer {
             trace_id: self.trace_id,
             spans: inner.spans.clone(),
             audits: inner.audits.clone(),
-            reopt: crate::reopt::ReoptReport::default(),
+            reopt: inner.reopt.clone(),
         }
     }
 }
@@ -376,7 +382,7 @@ pub struct TraceReport {
     /// Choose-plan audits, in arbitration order.
     pub audits: Vec<ChooseAudit>,
     /// Mid-query re-optimization audit trail; empty (the default) unless
-    /// the execution ran with [`crate::execute_plan_reopt_traced`].
+    /// the execution ran through [`crate::run_reopt`].
     pub reopt: crate::reopt::ReoptReport,
 }
 
@@ -547,14 +553,6 @@ impl<'a> TracedExec<'a> {
 impl Operator for TracedExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
         self.measured(true, |op| op.open())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        let result = self.measured(false, |op| op.next());
-        if matches!(result, Ok(Some(_))) {
-            self.local.rows += 1;
-        }
-        result
     }
 
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {

@@ -4,7 +4,9 @@
 use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, SelectPred};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_cost::{Bindings, Environment};
-use dqep_executor::{compile_plan, ExecContext, SharedCounters, Tuple};
+use dqep_executor::{
+    compile_plan, ExecContext, RootSink, SharedCounters, Tuple, BATCH_CAPACITY,
+};
 use dqep_plan::{PlanNodeBuilder, PlanNode};
 use dqep_cost::{Cost, PlanStats};
 use dqep_interval::Interval;
@@ -59,8 +61,8 @@ fn run(plan: &Arc<PlanNode>, db: &StoredDatabase, cat: &Catalog, bindings: &Bind
     let mut op = compile_plan(plan, db, cat, bindings, mem, &ctx).unwrap();
     op.open().unwrap();
     let mut out = Vec::new();
-    while let Some(t) = op.next().unwrap() {
-        out.push(t);
+    while let Some(batch) = op.next_batch(BATCH_CAPACITY).unwrap() {
+        out.extend(batch.iter());
     }
     op.close();
     out
@@ -235,8 +237,9 @@ proptest! {
         let env = Environment::dynamic_uncertain_memory(&cat.config);
         let plan = dqep_core::Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
         let bindings = Bindings::new().with_value(HostVar(0), sel_v).with_memory(mem as f64);
-        let (summary, _) =
-            dqep_executor::execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+        let ctx = ExecContext::new(SharedCounters::new());
+        let summary = dqep_executor::run(&plan, &db, &cat, &env, &bindings, &ctx, RootSink::Discard)
+            .unwrap();
 
         let r_rows = rows_of(&cat, &db, "r");
         let s_rows = rows_of(&cat, &db, "s");

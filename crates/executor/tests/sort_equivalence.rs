@@ -49,10 +49,6 @@ impl Operator for Source {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        unreachable!("a sort ingests batches")
-    }
-
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
         if self.at >= self.rows.len() {
             return Ok(None);
@@ -171,25 +167,15 @@ fn expected_compares(n: usize, budget_rows: usize) -> u64 {
     chunks + (n as f64 * (runs as f64).log2()).ceil() as u64
 }
 
-/// Drains an opened sort through `next` or through `next_batch` with the
-/// given request sizes.
-fn drain(sort: &mut SortExec<'_>, requests: Option<&[usize]>) -> Vec<Tuple> {
+/// Drains an opened sort with the given request sizes in turn.
+fn drain(sort: &mut SortExec<'_>, requests: &[usize]) -> Vec<Tuple> {
     let mut out = Vec::new();
-    match requests {
-        None => {
-            while let Some(row) = sort.next().expect("next") {
-                out.push(row);
-            }
-        }
-        Some(requests) => {
-            let mut i = 0;
-            while let Some(batch) = sort.next_batch(requests[i % requests.len()]).expect("next_batch") {
-                assert!(batch.selection().is_none(), "the sort emits dense batches");
-                assert!(batch.rows() <= requests[i % requests.len()], "no more than asked for");
-                out.extend(batch.iter());
-                i += 1;
-            }
-        }
+    let mut i = 0;
+    while let Some(batch) = sort.next_batch(requests[i % requests.len()]).expect("next_batch") {
+        assert!(batch.selection().is_none(), "the sort emits dense batches");
+        assert!(batch.rows() <= requests[i % requests.len()], "no more than asked for");
+        out.extend(batch.iter());
+        i += 1;
     }
     out
 }
@@ -212,35 +198,32 @@ proptest! {
         grants.dedup();
         for budget_rows in grants {
             for dop in [1usize, 2, 4] {
-                for pull in [None, Some(requests.as_slice())] {
-                    let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
-                    let disk = SimDisk::new();
-                    let (mut sort, handed_out) = case.sort(&ctx, &disk, budget_rows);
-                    sort.open().expect("open");
-                    prop_assert_eq!(sort.estimated_rows(), Some(n as u64));
-                    let got = drain(&mut sort, pull);
-                    prop_assert!(
-                        got == expected,
-                        "not the stable sort at {budget_rows} rows a grant, dop {dop}, {}",
-                        if pull.is_some() { "next_batch" } else { "next" }
-                    );
-                    let cpu = ctx.counters.snapshot();
-                    prop_assert_eq!(cpu.compares, expected_compares(n, budget_rows));
-                    prop_assert_eq!(cpu.records, n as u64);
-                    prop_assert_eq!(handed_out.load(Ordering::Relaxed), n as u64);
-                    // Never more than one grant resident (the bound has
-                    // a row of slack; the operator does not use it).
-                    let grant = (budget_rows.min(n) * row_bytes) as u64;
-                    prop_assert!(ctx.governor.memory_peak() <= grant + row_bytes as u64);
-                    // A spilling sort wrote every row once and read it
-                    // back once, a page at a time; a fitting one no I/O.
-                    let io = disk.stats();
-                    prop_assert_eq!(io.writes, io.seq_reads + io.random_reads);
-                    prop_assert_eq!(io.writes == 0, n <= budget_rows);
-                    sort.close();
-                    prop_assert_eq!(ctx.governor.memory_used(), 0);
-                    prop_assert_eq!(disk.temp_pages().live, 0, "runs are dropped with the merge");
-                }
+                let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
+                let disk = SimDisk::new();
+                let (mut sort, handed_out) = case.sort(&ctx, &disk, budget_rows);
+                sort.open().expect("open");
+                prop_assert_eq!(sort.estimated_rows(), Some(n as u64));
+                let got = drain(&mut sort, &requests);
+                prop_assert!(
+                    got == expected,
+                    "not the stable sort at {budget_rows} rows a grant, dop {dop}"
+                );
+                let cpu = ctx.counters.snapshot();
+                prop_assert_eq!(cpu.compares, expected_compares(n, budget_rows));
+                prop_assert_eq!(cpu.records, n as u64);
+                prop_assert_eq!(handed_out.load(Ordering::Relaxed), n as u64);
+                // Never more than one grant resident (the bound has
+                // a row of slack; the operator does not use it).
+                let grant = (budget_rows.min(n) * row_bytes) as u64;
+                prop_assert!(ctx.governor.memory_peak() <= grant + row_bytes as u64);
+                // A spilling sort wrote every row once and read it
+                // back once, a page at a time; a fitting one no I/O.
+                let io = disk.stats();
+                prop_assert_eq!(io.writes, io.seq_reads + io.random_reads);
+                prop_assert_eq!(io.writes == 0, n <= budget_rows);
+                sort.close();
+                prop_assert_eq!(ctx.governor.memory_used(), 0);
+                prop_assert_eq!(disk.temp_pages().live, 0, "runs are dropped with the merge");
             }
         }
     }

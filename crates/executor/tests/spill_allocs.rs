@@ -26,7 +26,7 @@ use std::sync::Arc;
 use dqep_algebra::{CompareOp, JoinPred, PhysicalOp, SelectPred};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_cost::{Bindings, Cost, PlanStats};
-use dqep_executor::{compile_plan, drain_root, ExecContext, ExecMode, RootSink, SharedCounters};
+use dqep_executor::{compile_plan, drain_root, ExecContext, RootSink, SharedCounters};
 use dqep_interval::Interval;
 use dqep_plan::{PlanNode, PlanNodeBuilder};
 use dqep_storage::StoredDatabase;
@@ -86,7 +86,7 @@ fn measure(plan: &Arc<PlanNode>, db: &StoredDatabase, catalog: &Catalog) -> (u64
         let ctx = ExecContext::new(SharedCounters::new());
         let mut op = compile_plan(plan, db, catalog, &Bindings::new(), GRANT_BYTES, &ctx)
             .expect("compiles");
-        let rows = drain_root(op.as_mut(), ExecMode::Batch, None, RootSink::Discard).expect("runs");
+        let rows = drain_root(op.as_mut(), None, RootSink::Discard).expect("runs");
         drop(op);
         measured = (ALLOCS.load(Ordering::Relaxed) - before, rows, db.disk.stats().writes);
     }

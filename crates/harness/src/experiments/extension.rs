@@ -17,7 +17,7 @@ use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_cost::{Bindings, Environment};
 use dqep_core::Optimizer;
-use dqep_executor::{execute_adaptive, execute_plan};
+use dqep_executor::{execute_adaptive, ExecContext, RootSink, SharedCounters};
 use dqep_storage::{install_histograms, StoredDatabase, ValueDistribution};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,11 +109,14 @@ fn run_one(skew: f64, invocations: usize, seed: u64) -> ExtensionRow {
         let v = rng.gen_range(1..120);
         let b = Bindings::new().with_value(HostVar(0), v);
 
-        let (e, _) = execute_plan(&blind_plan, &db, &catalog, &env, &b).expect("exec");
-        blind += e.simulated_seconds(cfg);
-
-        let (e, _) = execute_plan(&hist_plan, &db, &hist_catalog, &env, &b).expect("exec");
-        histogram += e.simulated_seconds(cfg);
+        let seconds = |plan, catalog| {
+            let ctx = ExecContext::new(SharedCounters::new());
+            let summary = dqep_executor::run(plan, &db, catalog, &env, &b, &ctx, RootSink::Discard)
+                .expect("exec");
+            summary.simulated_seconds(cfg)
+        };
+        blind += seconds(&blind_plan, &catalog);
+        histogram += seconds(&hist_plan, &hist_catalog);
 
         let a = execute_adaptive(&blind_plan, &db, &catalog, &env, &b).expect("exec");
         adaptive += a.total_seconds(cfg);

@@ -29,8 +29,8 @@ use std::time::Instant;
 use dqep_catalog::{Catalog, RelationId};
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    compile_delta_plan, escapes_interval, execute_plan_traced, explain_json, BaseDeltas, Delta,
-    DeltaPipeline, ExecContext, ExecError, ExecMode, ResourceLimits, SharedCounters,
+    compile_delta_plan, escapes_interval, explain_json, run, BaseDeltas, Delta, DeltaPipeline,
+    ExecContext, ExecError, ResourceLimits, RootSink, SharedCounters, Tracer,
 };
 use dqep_interval::Interval;
 use dqep_plan::{evaluate_startup_observed, Observations, PlanNode, StartupResult};
@@ -48,8 +48,6 @@ use dqep_core::Optimizer;
 pub struct LiveConfig {
     /// Resource budgets for delta propagation and (re)materialization.
     pub limits: ResourceLimits,
-    /// Execution mode of the materialization runs.
-    pub mode: ExecMode,
     /// Degree of parallelism of the materialization runs.
     pub dop: usize,
     /// Equi-width histogram buckets maintained per attribute on refresh.
@@ -74,7 +72,6 @@ impl Default for LiveConfig {
     fn default() -> LiveConfig {
         LiveConfig {
             limits: ResourceLimits::default(),
-            mode: ExecMode::Batch,
             dop: 1,
             histogram_buckets: 16,
             drift_tolerance: 2.0,
@@ -225,7 +222,6 @@ impl LiveViewRegistry {
         metrics: Arc<MetricsRegistry>,
     ) -> LiveViewRegistry {
         let ctx = ExecContext::with_limits(SharedCounters::new(), config.limits)
-            .with_mode(config.mode)
             .with_dop(config.dop);
         LiveViewRegistry {
             catalog,
@@ -350,17 +346,13 @@ impl LiveViewRegistry {
         // The official materialization run: same dynamic plan, ordinary
         // executor, traced for EXPLAIN ANALYZE. Cross-checks the delta
         // seeding (cardinalities must agree) and produces the span tree.
-        let (summary, _, trace) = match execute_plan_traced(
-            plan,
-            &self.db,
-            &self.catalog,
-            &self.env,
-            bindings,
-            self.config.limits,
-            self.config.mode,
-            self.config.dop,
-        ) {
-            Ok(r) => r,
+        let tracer = Arc::new(Tracer::new());
+        let traced = ExecContext::with_limits(SharedCounters::new(), self.config.limits)
+            .with_dop(self.config.dop)
+            .with_tracer(Arc::clone(&tracer));
+        let run = run(plan, &self.db, &self.catalog, &self.env, bindings, &traced, RootSink::Discard);
+        let summary = match run {
+            Ok(summary) => summary,
             Err(e) => {
                 pipeline.release(&self.ctx.governor);
                 return Err(e);
@@ -371,7 +363,7 @@ impl LiveViewRegistry {
             content.values().map(|&c| c as usize).sum::<usize>(),
             "delta seeding and executor disagree on the view contents"
         );
-        let explain = explain_json(&trace, &self.catalog.config);
+        let explain = explain_json(&tracer.report(), &self.catalog.config);
 
         Ok(LiveView {
             name: name.to_string(),

@@ -20,8 +20,8 @@ use dqep_catalog::Catalog;
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    execute_plan_reopt_ctx, run_compiled, run_dynamic, ExecContext, ExecMode, ExecSummary,
-    PlanCacheInfo, ReoptConfig, ResourceLimits, SharedCounters,
+    run, run_reopt, ExecContext, ExecMode, ExecSummary, PlanCacheInfo, ReoptConfig,
+    ResourceLimits, RootSink, SharedCounters,
 };
 use dqep_plan::evaluate_startup_observed;
 use dqep_sql::parse_query;
@@ -55,7 +55,8 @@ pub struct ServiceConfig {
     pub queue_timeout_ms: u64,
     /// Default per-session resource budgets (a [`Request`] may override).
     pub session_limits: ResourceLimits,
-    /// Tuple or batch execution for all sessions.
+    // Compat shim for the frozen `benchmark/`, no reader in the workspace; the next `[benchmark]` PR deletes it (ROADMAP).
+    #[doc(hidden)]
     pub exec_mode: ExecMode,
     /// Seed for the deterministic database replicas.
     pub data_seed: u64,
@@ -69,7 +70,7 @@ pub struct ServiceConfig {
     /// [`ServiceConfig::effective_dop`].
     pub dop: usize,
     /// Mid-query re-optimization budget. `Some`: every session runs
-    /// through [`dqep_executor::execute_plan_reopt_ctx`] — checkpoints at
+    /// through [`dqep_executor::run_reopt`] — checkpoints at
     /// the pipeline breakers, bounded re-planning on cardinality escape —
     /// and its escape observations feed the statement's decision cache.
     /// `None` (the default): sessions run the cached-decision fast path.
@@ -386,9 +387,7 @@ impl Shared {
     /// A session's execution context and the start of its clock.
     fn start(&self, request: &Request) -> (ExecContext, Instant) {
         let limits = request.limits.unwrap_or(self.config.session_limits);
-        let ctx = ExecContext::with_limits(SharedCounters::new(), limits)
-            .with_mode(self.config.exec_mode);
-        (ctx, Instant::now())
+        (ExecContext::with_limits(SharedCounters::new(), limits), Instant::now())
     }
 
     fn execute(&self, request: &Request) -> Result<SessionResult, ServiceError> {
@@ -478,8 +477,6 @@ impl Shared {
         if let Some(faults) = &request.fault_plan {
             db.disk.set_fault_plan(faults.clone());
         }
-        let io_before = db.disk.stats();
-        db.disk.reset_temp_high_water();
         let outcome = match self.config.reopt {
             Some(reopt_config) => {
                 self.execute_reopt(db, &ctx, &stmt, &bindings, reopt_config)
@@ -510,25 +507,16 @@ impl Shared {
                         (fresh, false)
                     }
                 };
-                self.execute_arbitrated(
-                    db,
-                    &ctx,
-                    &stmt,
-                    &key,
-                    &decision,
-                    &bindings,
-                    memory_bytes as usize,
-                )
-                .map(|rows| (rows, decision.predicted_seconds, decision_hit))
+                self.execute_arbitrated(db, &ctx, &stmt, &key, &decision, &bindings)
+                    .map(|summary| (summary, decision.predicted_seconds, decision_hit))
             }
         };
-        let io = db.disk.stats().since(&io_before);
         if request.fault_plan.is_some() {
             db.disk.set_fault_plan(FaultPlan::none());
         }
-        let (rows, predicted_seconds, decision_hit) = outcome?;
+        let (summary, predicted_seconds, decision_hit) = outcome?;
 
-        if stmt.record_feedback(rows, self.config.feedback_tolerance) {
+        if stmt.record_feedback(summary.rows, self.config.feedback_tolerance) {
             self.metrics.add(Metric::FeedbackInvalidations, 1);
         }
         let decision = if decision_hit {
@@ -540,15 +528,11 @@ impl Shared {
 
         Ok(SessionResult {
             summary: ExecSummary {
-                rows,
-                cpu: ctx.counters.snapshot(),
-                io,
-                fallbacks: ctx.counters.fallbacks(),
-                temp_pages_peak: db.disk.temp_pages().high_water,
                 plan_cache: PlanCacheInfo {
                     statement_hit: Some(statement_hit),
                     decision_hit: Some(decision_hit),
                 },
+                ..summary
             },
             predicted_seconds,
             queue_wait,
@@ -568,10 +552,18 @@ impl Shared {
         stmt: &PreparedStatement,
         bindings: &Bindings,
         reopt_config: ReoptConfig,
-    ) -> Result<(u64, f64, bool), ServiceError> {
-        let outcome =
-            execute_plan_reopt_ctx(&stmt.plan, db, &self.catalog, &self.env, bindings, reopt_config, ctx)
-                .map_err(ServiceError::Exec)?;
+    ) -> Result<(ExecSummary, f64, bool), ServiceError> {
+        let outcome = run_reopt(
+            &stmt.plan,
+            db,
+            &self.catalog,
+            &self.env,
+            bindings,
+            reopt_config,
+            ctx,
+            RootSink::Discard,
+        )
+        .map_err(ServiceError::Exec)?;
         self.metrics.record_reopt(&outcome.report.counters);
         let escaped = outcome.report.escaped_observations();
         if !escaped.is_empty() {
@@ -580,11 +572,7 @@ impl Shared {
             }
             self.metrics.add(Metric::FeedbackInvalidations, 1);
         }
-        Ok((
-            outcome.summary.rows,
-            outcome.startup.predicted_run_seconds,
-            false,
-        ))
+        Ok((outcome.summary, outcome.startup.predicted_run_seconds, false))
     }
 
     /// Registry lookup, or parse + optimize on a miss. The double-checked
@@ -612,8 +600,10 @@ impl Shared {
     /// memoized decision is dropped and the session re-arbitrates through
     /// the full dynamic plan — whose choose-plan operators can then fall
     /// back alternative by alternative. The retry is accounted as one
-    /// fallback: a preferred plan failed and execution degraded.
-    #[allow(clippy::too_many_arguments)]
+    /// fallback: a preferred plan failed and execution degraded. Both
+    /// runs share the session's context, so the summary of the second
+    /// carries the CPU work and fallbacks of both; its I/O and temp-page
+    /// high-water are the retry's own.
     fn execute_arbitrated(
         &self,
         db: &StoredDatabase,
@@ -622,31 +612,15 @@ impl Shared {
         key: &crate::decision::RegionKey,
         decision: &CachedDecision,
         bindings: &Bindings,
-        memory_bytes: usize,
-    ) -> Result<u64, ServiceError> {
-        match run_compiled(
-            &decision.resolved,
-            db,
-            &self.catalog,
-            bindings,
-            memory_bytes,
-            ctx,
-        ) {
-            Ok(rows) => Ok(rows),
+    ) -> Result<ExecSummary, ServiceError> {
+        let execute = |plan| run(plan, db, &self.catalog, &self.env, bindings, ctx, RootSink::Discard);
+        match execute(&decision.resolved) {
+            Ok(summary) => Ok(summary),
             Err(e) if e.is_retryable() => {
                 stmt.invalidate_decision(key);
                 self.metrics.add(Metric::CachedPlanRetries, 1);
                 ctx.counters.add_fallbacks(1);
-                run_dynamic(
-                    &stmt.plan,
-                    db,
-                    &self.catalog,
-                    &self.env,
-                    bindings,
-                    memory_bytes,
-                    ctx,
-                )
-                .map_err(ServiceError::Exec)
+                execute(&stmt.plan).map_err(ServiceError::Exec)
             }
             Err(e) => Err(ServiceError::Exec(e)),
         }

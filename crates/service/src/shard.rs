@@ -48,8 +48,8 @@ use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     compile_dynamic_plan, credit_frames, decode_frame_traced, drain_root, encode_frame_dense,
-    execute_plan_reopt_ctx, join_batches, journal, kway_merge, merge_distributed, presized_batch,
-    scatter_by_shard, sort_batches, ChooseAudit, EventKind, ExecContext, ExecError, ExecMode, FrameTrace,
+    join_batches, journal, kway_merge, merge_distributed, presized_batch, run_reopt,
+    scatter_by_shard, sort_batches, ChooseAudit, EventKind, ExecContext, ExecError, FrameTrace,
     LinkFaultPlan, NetChannel, NetConfig, NetSpanStats, NetStats, ReoptConfig, ResourceLimits,
     RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple,
     TupleLayout, BATCH_CAPACITY, NO_ID,
@@ -105,8 +105,6 @@ pub struct ShardConfig {
     pub routing: ShardRouting,
     /// Buckets of the per-shard histograms (and the coordinator's).
     pub histogram_buckets: usize,
-    /// Tuple or batch execution on every shard.
-    pub exec_mode: ExecMode,
     /// Intra-shard degree of parallelism for local access plans.
     pub dop: usize,
     /// Per-shard resource budgets (each shard gets its own governor).
@@ -146,7 +144,6 @@ impl Default for ShardConfig {
             link_faults: LinkFaultPlan::none(),
             routing: ShardRouting::Hash { attr: 0 },
             histogram_buckets: 16,
-            exec_mode: ExecMode::default(),
             dop: 1,
             limits: ResourceLimits::unlimited(),
             io_latency_micros: 0,
@@ -843,7 +840,6 @@ fn run_shard(
         .records_spans()
         .then(|| tracer.span(format!("Shard {s}"), "Shard", None, None, None, config.dop.max(1)));
     let mut ctx = ExecContext::with_limits(SharedCounters::new(), config.limits)
-        .with_mode(config.exec_mode)
         .with_dop(config.dop)
         .with_tracer(Arc::clone(&tracer));
     if let Some(root) = root {
@@ -946,15 +942,21 @@ fn run_shard(
     })
 }
 
-/// Runs one per-relation access plan locally. The plan still carries its
-/// choose operators (unless the coordinator pre-resolved them), so
-/// compiling against the *shard's* catalog is what turns bind-time
-/// arbitration into a per-shard decision — the audit lands in the
-/// shard's tracer. With re-optimization enabled, the access stage runs
-/// through the checkpointing driver instead, and the start-up decisions
-/// are synthesized into audits. Either way the stage hands back batches:
-/// the ones the root operator produced, selection vectors included, or
-/// the re-optimizing driver's materialized rows packed once, here.
+/// Runs one per-relation access plan locally and hands back the batches
+/// its root operator produced, selection vectors included. The plan still
+/// carries its choose operators (unless the coordinator pre-resolved
+/// them), so compiling against the *shard's* catalog is what turns
+/// bind-time arbitration into a per-shard decision — the audit lands in
+/// the shard's tracer. With re-optimization enabled, the access stage
+/// runs through the checkpointing driver instead, and the start-up
+/// decisions are synthesized into audits.
+///
+/// The plain arm pairs `compile_dynamic_plan` with a governor-less drain
+/// instead of calling `dqep_executor::run`: an access stage is an
+/// intermediate result, and `run` would charge its rows to the *root* row
+/// budget (`limits.max_rows`, which a sharded query's access stages have
+/// never counted against) and restart the disk's temp-page high-water
+/// between the stages of one query.
 #[allow(clippy::too_many_arguments)]
 fn run_access(
     shard: &Shard,
@@ -967,9 +969,11 @@ fn run_access(
     metrics: &MetricsRegistry,
     synth_audits: &mut Vec<ChooseAudit>,
 ) -> Result<Vec<RowBatch>, ExecError> {
+    let mut batches = Vec::new();
+    let sink = RootSink::Batches(&mut batches);
     if let Some(reopt) = config.reopt {
         let outcome =
-            execute_plan_reopt_ctx(plan, &shard.db, &shard.catalog, env, bindings, reopt, ctx)?;
+            run_reopt(plan, &shard.db, &shard.catalog, env, bindings, reopt, ctx, sink)?;
         metrics.record_reopt(&outcome.report.counters);
         for d in &outcome.startup.decisions {
             synth_audits.push(ChooseAudit {
@@ -983,21 +987,11 @@ fn run_access(
                 fallbacks: 0,
             });
         }
-        let width = outcome.rows.first().map_or(0, Vec::len);
-        return Ok(outcome
-            .rows
-            .chunks(BATCH_CAPACITY)
-            .map(|chunk| {
-                let mut batch = RowBatch::with_capacity(width, chunk.len());
-                chunk.iter().for_each(|row| batch.push_row(row));
-                batch
-            })
-            .collect());
+    } else {
+        let mut op =
+            compile_dynamic_plan(plan, &shard.db, &shard.catalog, env, bindings, memory_bytes, ctx)?;
+        drain_root(op.as_mut(), None, sink)?;
     }
-    let mut op =
-        compile_dynamic_plan(plan, &shard.db, &shard.catalog, env, bindings, memory_bytes, ctx)?;
-    let mut batches = Vec::new();
-    drain_root(op.as_mut(), ctx.mode, None, RootSink::Batches(&mut batches))?;
     Ok(batches)
 }
 

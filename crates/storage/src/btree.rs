@@ -250,7 +250,10 @@ impl BTree {
         Ok(out)
     }
 
-    /// Streaming range scan in key order; `f(key, rid)` per entry.
+    /// Streaming range scan in key order; `f(key, rid)` per entry. Returns
+    /// the number of pages it read (the descent plus the leaf chain), so a
+    /// caller enforcing an I/O budget can charge them without a second
+    /// look at the disk's counters.
     ///
     /// # Errors
     /// Stops at the first page-read failure and returns it; entries
@@ -260,10 +263,11 @@ impl BTree {
         lo: Option<i64>,
         hi: Option<i64>,
         mut f: impl FnMut(i64, Rid),
-    ) -> Result<(), StorageError> {
+    ) -> Result<u64, StorageError> {
         // Descend to the first candidate leaf.
         let mut node = self.root;
         let mut page = self.disk.read(node)?;
+        let mut pages = 1;
         while page[0] == KIND_INTERNAL {
             let idx = match lo {
                 Some(k) => internal_lower_bound_index(&page[..], k),
@@ -271,6 +275,7 @@ impl BTree {
             };
             node = internal_child(&page[..], idx);
             page = self.disk.read(node)?;
+            pages += 1;
         }
         loop {
             let n = count(&page[..]);
@@ -282,16 +287,17 @@ impl BTree {
                 let (k, rid) = leaf_entry(&page[..], i);
                 if let Some(hi) = hi {
                     if k > hi {
-                        return Ok(());
+                        return Ok(pages);
                     }
                 }
                 f(k, rid);
             }
             let next = leaf_next(&page[..]);
             if !next.is_valid() {
-                return Ok(());
+                return Ok(pages);
             }
             page = self.disk.read(next)?;
+            pages += 1;
         }
     }
 
@@ -301,7 +307,7 @@ impl BTree {
     /// # Errors
     /// Stops at the first page-read failure and returns it.
     pub fn scan_all(&self, f: impl FnMut(i64, Rid)) -> Result<(), StorageError> {
-        self.range_scan(None, None, f)
+        self.range_scan(None, None, f).map(|_| ())
     }
 }
 
@@ -528,6 +534,12 @@ mod tests {
         let _ = t.lookup(1234).unwrap();
         let s = disk.stats();
         assert!(s.total() >= t.height() as u64, "descent reads each level");
+        // A scan reports the pages it read: the descent and the leaf chain.
+        for (lo, hi) in [(Some(1234), Some(1234)), (Some(100), Some(900)), (None, None)] {
+            let before = disk.stats().total();
+            let pages = t.range_scan(lo, hi, |_, _| {}).unwrap();
+            assert_eq!(pages, disk.stats().total() - before, "{lo:?}..{hi:?}");
+        }
     }
 
     #[test]

@@ -95,13 +95,31 @@ pub fn decode_page_slots_into(
         if rows == max_rows {
             return (rows, slot);
         }
-        let values = record[..cols.len() * 8].chunks_exact(8);
-        for (col, value) in cols.iter_mut().zip(values) {
-            col.push(le_i64(value));
-        }
+        decode_record_into(record, cols);
         rows += 1;
     }
     (rows, slots)
+}
+
+/// Attribute `attr` of a record, read where it lies.
+///
+/// # Panics
+/// Panics on a record shorter than `8 × (attr + 1)` bytes.
+#[must_use]
+pub fn record_value(record: &[u8], attr: usize) -> i64 {
+    le_i64(&record[attr * 8..attr * 8 + 8])
+}
+
+/// Appends the leading `cols.len()` values of one record to the columns:
+/// attribute `c` to `cols[c]`. The record is sliced once for all of them.
+///
+/// # Panics
+/// Panics on a record shorter than `8 × cols.len()` bytes.
+pub fn decode_record_into(record: &[u8], cols: &mut [Vec<i64>]) {
+    let values = record[..cols.len() * 8].chunks_exact(8);
+    for (col, value) in cols.iter_mut().zip(values) {
+        col.push(le_i64(value));
+    }
 }
 
 /// Encodes attribute values as a fixed-width record of `record_len` bytes.

@@ -5,8 +5,8 @@
 //! the hot case — statement and decision caches hit, a dozen rows out —
 //! twice over the same requests: through `QueryService::execute`, and as
 //! the session's steps called one by one on this thread, each under its
-//! own clock (a clock reading is about 25 ns; `run_compiled` is the plan,
-//! the rest is activation). What `execute` costs beyond the steps is what
+//! own clock (a clock reading is about 25 ns; `run` is the plan, the rest
+//! is activation). What `execute` costs beyond the steps is what
 //! the service adds around the session: the replica checkout, the metrics
 //! — and, while a worker thread ran the session, the hand-off.
 //!
@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep::cost::Environment;
-use dqep::executor::{run_compiled, ExecContext, ResourceLimits, SharedCounters};
+use dqep::executor::{run, ExecContext, ResourceLimits, RootSink, SharedCounters};
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup_observed;
 use dqep::service::{
@@ -36,7 +36,7 @@ const STEPS: [&str; 8] = [
     "admission (memory grant)",
     "region key + decision",
     "context",
-    "run_compiled",
+    "run",
     "feedback",
     "give back (grant, bindings, ...)",
 ];
@@ -132,10 +132,10 @@ fn main() {
             lap(3);
             let ctx = ExecContext::with_limits(SharedCounters::new(), ResourceLimits::unlimited());
             lap(4);
-            let produced = run_compiled(&decision.resolved, &db, &catalog, &bindings, memory_bytes as usize, &ctx)
+            let summary = run(&decision.resolved, &db, &catalog, &env, &bindings, &ctx, RootSink::Discard)
                 .expect("runs");
             lap(5);
-            stmt.record_feedback(produced, config.feedback_tolerance);
+            stmt.record_feedback(summary.rows, config.feedback_tolerance);
             lap(6);
             drop((grant, ctx, decision, key, bindings, binds, stmt));
             lap(7);

@@ -17,8 +17,9 @@
 use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
-use dqep::executor::{execute_adaptive, execute_plan};
+use dqep::executor::{execute_adaptive, run, ExecContext, RootSink, SharedCounters};
 use dqep::optimizer::Optimizer;
+use dqep::plan::evaluate_startup;
 use dqep::storage::{install_histograms, StoredDatabase, ValueDistribution};
 
 fn main() {
@@ -56,8 +57,10 @@ fn main() {
     let bindings = Bindings::new().with_value(HostVar(0), 25);
     let cfg = &catalog.config;
 
-    let (blind, blind_startup) =
-        execute_plan(&plan, &db, &catalog, &env, &bindings).expect("execute");
+    let ctx = ExecContext::new(SharedCounters::new());
+    let blind_startup = evaluate_startup(&plan, &catalog, &env, &bindings);
+    let blind =
+        run(&plan, &db, &catalog, &env, &bindings, &ctx, RootSink::Discard).expect("execute");
     println!(
         "blind      : {:8} rows  {:.4}s  (root: {})",
         blind.rows,
@@ -71,8 +74,10 @@ fn main() {
         .optimize(&query)
         .expect("optimize")
         .plan;
-    let (hist, hist_startup) =
-        execute_plan(&hist_plan, &db, &hist_catalog, &env, &bindings).expect("execute");
+    let ctx = ExecContext::new(SharedCounters::new());
+    let hist_startup = evaluate_startup(&hist_plan, &hist_catalog, &env, &bindings);
+    let hist = run(&hist_plan, &db, &hist_catalog, &env, &bindings, &ctx, RootSink::Discard)
+        .expect("execute");
     println!(
         "histograms : {:8} rows  {:.4}s  (root: {})",
         hist.rows,

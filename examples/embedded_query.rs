@@ -10,7 +10,7 @@
 //! Run with `cargo run --release --example embedded_query`.
 
 use dqep::cost::Environment;
-use dqep::executor::execute_plan;
+use dqep::executor::{run, ExecContext, RootSink, SharedCounters};
 use dqep::harness::{paper_query, BindingSampler};
 use dqep::optimizer::Optimizer;
 use dqep::storage::StoredDatabase;
@@ -41,8 +41,12 @@ fn main() {
     );
     let (mut total_static, mut total_dynamic) = (0.0, 0.0);
     for (i, b) in bindings.iter().enumerate() {
-        let (st, _) = execute_plan(&static_plan, &db, catalog, &static_env, b).expect("exec");
-        let (dy, _) = execute_plan(&dynamic_plan, &db, catalog, &dynamic_env, b).expect("exec");
+        let execute = |plan, env| {
+            let ctx = ExecContext::new(SharedCounters::new());
+            run(plan, &db, catalog, env, b, &ctx, RootSink::Discard).expect("exec")
+        };
+        let st = execute(&static_plan, &static_env);
+        let dy = execute(&dynamic_plan, &dynamic_env);
         let st_s = st.simulated_seconds(&catalog.config);
         let dy_s = dy.simulated_seconds(&catalog.config);
         assert_eq!(st.rows, dy.rows, "both plans compute the same result");

@@ -12,7 +12,7 @@
 use dqep::algebra::{CompareOp, HostVar, LogicalExpr, SelectPred};
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
-use dqep::executor::execute_plan;
+use dqep::executor::{run, ExecContext, RootSink, SharedCounters};
 use dqep::optimizer::Optimizer;
 use dqep::plan::{render_plan, evaluate_startup};
 use dqep::storage::StoredDatabase;
@@ -48,7 +48,8 @@ fn main() {
     for (label, x) in [("selective (:x = 10)", 10i64), ("unselective (:x = 900)", 900)] {
         let bindings = Bindings::new().with_value(HostVar(0), x);
         let startup = evaluate_startup(&result.plan, &catalog, &env, &bindings);
-        let (summary, _) = execute_plan(&result.plan, &db, &catalog, &env, &bindings)
+        let ctx = ExecContext::new(SharedCounters::new());
+        let summary = run(&result.plan, &db, &catalog, &env, &bindings, &ctx, RootSink::Discard)
             .expect("execute");
         println!("== {label} ==");
         println!("chosen plan:\n{}", render_plan(&startup.resolved));

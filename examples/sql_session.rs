@@ -7,8 +7,9 @@
 
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::Environment;
-use dqep::executor::execute_plan;
+use dqep::executor::{run, ExecContext, RootSink, SharedCounters};
 use dqep::optimizer::Optimizer;
+use dqep::plan::evaluate_startup;
 use dqep::sql::parse_query;
 use dqep::storage::StoredDatabase;
 
@@ -56,8 +57,10 @@ fn main() {
         let bindings = query
             .bindings(&[("max_amount", max_amount), ("region", region)])
             .expect("bind");
-        let (summary, startup) =
-            execute_plan(&prepared.plan, &db, &catalog, &env, &bindings).expect("execute");
+        let ctx = ExecContext::new(SharedCounters::new());
+        let startup = evaluate_startup(&prepared.plan, &catalog, &env, &bindings);
+        let summary = run(&prepared.plan, &db, &catalog, &env, &bindings, &ctx, RootSink::Discard)
+            .expect("execute");
         println!(
             "EXECUTE (:max_amount={max_amount}, :region={region}) -> {} rows, \
              {:.4}s simulated, root operator: {}",

@@ -1,18 +1,15 @@
-//! Batch/tuple execution parity: the vectorized pipeline must be
-//! observationally identical to the Volcano `next()` pipeline.
+//! Batch execution parity: whatever sizes a plan's rows travel in, and
+//! whatever goes wrong on the way, the engine's answer is the oracle's and
+//! its hazards trip where their definitions say.
 //!
-//! "Identical" is strict: same result tuples in the same order, same
-//! CPU counter totals (records, compares, hashes — so
-//! `ExecSummary::simulated_seconds` agrees between modes), same
-//! accounted I/O (so deterministic fault-plan ordinals trip at the same
-//! reads), and the same number of choose-plan fallbacks under injected
-//! storage faults and refused memory grants. When a run fails, both
-//! modes must fail with the same kind of error.
-//!
-//! Below the root there is one engine, so mode-versus-mode alone would be
-//! the engine checked against itself: the random-workload properties also
-//! compare both pull interfaces, at DOP 1, 2 and 4, against the
-//! independent nested-loop evaluator in `common/oracle.rs`.
+//! This suite used to hold a row-at-a-time root interface against the
+//! batch one. There is one pull method now, so each comparison became the
+//! absolute statement it implied: result rows are the independent
+//! nested-loop evaluator's (`common/oracle.rs`) at DOP 1, 2 and 4 and
+//! under requests of any size; a row budget trips at its cumulative count;
+//! fault ordinal *n* fails the *n*-th accounted read and nothing else; a
+//! refused memory grant falls back once and leaks nothing; a read fault
+//! that lands mid-batch is delivered after the rows that preceded it.
 
 use std::sync::Arc;
 
@@ -20,8 +17,8 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, Selec
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    compile_dynamic_plan, drain, drain_batch, execute_plan_mode, ExecContext, ExecError, ExecMode,
-    ExecSummary, Operator, ResourceLimits, SharedCounters,
+    compile_dynamic_plan, drain, run, ExecContext, ExecError, ExecSummary, Resource,
+    ResourceLimits, RootSink, SharedCounters, BATCH_CAPACITY,
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
@@ -32,9 +29,7 @@ use proptest::prelude::*;
 #[path = "common/oracle.rs"]
 mod oracle;
 
-/// Coarse error class: variant (and resource kind) only. Exact payloads
-/// may legitimately differ — e.g. a refused memory reservation reports
-/// the *requested* bytes, and the batch path reserves a batch at a time.
+/// Coarse error class: variant (and resource kind) only.
 fn classify(e: &ExecError) -> String {
     match e {
         ExecError::Storage(_) => "storage".into(),
@@ -51,12 +46,17 @@ fn classify(e: &ExecError) -> String {
     }
 }
 
-/// Asserts two `ExecSummary`s agree on everything parity promises.
-fn assert_summaries_equal(t: &ExecSummary, b: &ExecSummary) {
-    assert_eq!(t.rows, b.rows, "result row counts diverged");
-    assert_eq!(t.fallbacks, b.fallbacks, "fallback counts diverged");
-    assert_eq!(t.cpu, b.cpu, "CPU counter totals diverged");
-    assert_eq!(t.io, b.io, "accounted I/O diverged");
+/// [`run`] under `limits`, rows discarded.
+fn run_under(
+    plan: &Arc<PlanNode>,
+    db: &StoredDatabase,
+    catalog: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+    limits: ResourceLimits,
+) -> Result<ExecSummary, ExecError> {
+    let ctx = ExecContext::with_limits(SharedCounters::new(), limits);
+    run(plan, db, catalog, env, bindings, &ctx, RootSink::Discard)
 }
 
 /// A randomized 1–3 relation chain workload (mirrors `proptests.rs`,
@@ -142,15 +142,14 @@ fn node(b: &mut PlanNodeBuilder, op: PhysicalOp, children: Vec<Arc<PlanNode>>) -
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random optimized plans over random data, executed in both modes
-    /// under one of three hazards — none, injected storage faults, or a
-    /// tight memory limit: identical summaries when both succeed, same
-    /// error class when both fail, never success in one mode and failure
-    /// in the other. After a *memory-refusal* fallback the abandoned
-    /// attempt's partial work may differ by up to a batch (batch
-    /// production is eager), so counters are only compared bit-for-bit
-    /// when no fallback was taken; under storage faults the scan's
-    /// deferred-error delivery makes even fallback runs exact.
+    /// Random optimized plans over random data, executed under one of
+    /// three hazards — none, injected storage faults, or a tight memory
+    /// limit. A run that succeeds returned the oracle's rows, however many
+    /// fallbacks it took to get there; a run that fails fails with the
+    /// class of its hazard; and the same hazard again gives the same
+    /// summary, counter for counter (`set_fault_plan` restarts the fault
+    /// ordinals and `reset_stats` the disk's read position, so both runs
+    /// see the same fault sequence from the same start).
     #[test]
     fn random_plans_execute_identically_in_both_modes(
         w in workload_strategy(),
@@ -181,38 +180,42 @@ proptest! {
             FaultPlan::none()
         };
 
-        // `set_fault_plan` resets the fault ordinals, so each mode sees
-        // the exact same fault sequence.
         db.disk.set_fault_plan(fault.clone());
-        let tuple = execute_plan_mode(&plan, &db, &catalog, &env, &bindings, limits, ExecMode::Tuple);
+        db.disk.reset_stats();
+        let first = run_under(&plan, &db, &catalog, &env, &bindings, limits);
         db.disk.set_fault_plan(fault);
-        let batch = execute_plan_mode(&plan, &db, &catalog, &env, &bindings, limits, ExecMode::Batch);
+        db.disk.reset_stats();
+        let again = run_under(&plan, &db, &catalog, &env, &bindings, limits);
         db.disk.set_fault_plan(FaultPlan::none());
         let truth = oracle::evaluate(&query, &catalog, &db, &bindings);
 
-        match (tuple, batch) {
-            (Ok((t, _)), Ok((b, _))) => {
-                prop_assert_eq!(t.rows, truth.len() as u64, "row count differs from the oracle");
-                prop_assert_eq!(t.rows, b.rows, "result row counts diverged");
-                prop_assert_eq!(t.fallbacks, b.fallbacks, "fallback counts diverged");
-                if hazard != 2 || t.fallbacks == 0 {
-                    assert_summaries_equal(&t, &b);
+        match (first, again) {
+            (Ok(summary), Ok(repeat)) => {
+                prop_assert_eq!(summary.rows, truth.len() as u64, "row count differs from the oracle");
+                if hazard == 0 {
+                    prop_assert_eq!(summary.fallbacks, 0, "nothing to fall back from");
                 }
+                prop_assert_eq!(summary.fallbacks, repeat.fallbacks);
+                prop_assert_eq!(summary.cpu, repeat.cpu, "CPU counter totals are not reproducible");
+                prop_assert_eq!(summary.io, repeat.io, "accounted I/O is not reproducible");
             }
-            (Err(te), Err(be)) => prop_assert_eq!(
-                classify(&te), classify(&be),
-                "error classes diverged: tuple={:?} batch={:?}", te, be
-            ),
-            (t, b) => prop_assert!(
+            (Err(e), Err(repeat)) => {
+                prop_assert_eq!(classify(&e), classify(&repeat));
+                let expected = ["", "storage", "resource:memory"][hazard as usize];
+                prop_assert_eq!(classify(&e), expected, "a failure must be its hazard's: {:?}", e);
+            }
+            (first, again) => prop_assert!(
                 false,
-                "one mode succeeded while the other failed: tuple={:?} batch={:?}",
-                t.map(|(s, _)| s.rows), b.map(|(s, _)| s.rows)
+                "one run succeeded while its repeat failed: {:?} / {:?}",
+                first.map(|s| s.rows), again.map(|s| s.rows)
             ),
         }
     }
 
-    /// `drain` and `drain_batch` over the same compiled plan return the
-    /// *same tuples in the same order*, not just the same count.
+    /// The rows a compiled plan hands out do not depend on the sizes they
+    /// are asked for in — the same tuples in the same order through
+    /// requests of 1, 7 and a full batch, none larger than its request —
+    /// and at every DOP they are the oracle's.
     #[test]
     fn drained_tuples_are_identical(
         w in workload_strategy(),
@@ -229,41 +232,46 @@ proptest! {
         }
         let memory = 64 * 2048;
 
-        let ctx = ExecContext::new(SharedCounters::new()).with_mode(ExecMode::Tuple);
-        let mut op = compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx).unwrap();
-        let tuple_rows = drain(op.as_mut()).unwrap();
+        let mut by_request = Vec::new();
+        for max_rows in [1usize, 7, BATCH_CAPACITY] {
+            let ctx = ExecContext::new(SharedCounters::new());
+            let mut op =
+                compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx).unwrap();
+            op.open().unwrap();
+            let mut rows = Vec::new();
+            while let Some(batch) = op.next_batch(max_rows).unwrap() {
+                prop_assert!(batch.len() <= max_rows, "{} rows for a request of {}", batch.len(), max_rows);
+                rows.extend(batch.iter());
+            }
+            op.close();
+            by_request.push(rows);
+        }
+        prop_assert_eq!(&by_request[0], &by_request[2], "requests of 1 and of a batch diverged");
+        prop_assert_eq!(&by_request[1], &by_request[2], "requests of 7 and of a batch diverged");
 
-        let ctx = ExecContext::new(SharedCounters::new()).with_mode(ExecMode::Batch);
-        let mut op = compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx).unwrap();
-        let batch_rows = drain_batch(op.as_mut()).unwrap();
-
-        prop_assert_eq!(&tuple_rows, &batch_rows);
-
-        // Both pull interfaces at every DOP against the independent
-        // oracle, as multisets over columns in ascending `AttrId` order.
+        // Every DOP against the independent oracle, as multisets over
+        // columns in ascending `AttrId` order.
         let truth = oracle::evaluate(&query, &catalog, &db, &bindings);
         let attrs = oracle::output_attrs(&query, &catalog);
-        type Pull = fn(&mut dyn Operator) -> Result<Vec<Vec<i64>>, ExecError>;
         for dop in [1usize, 2, 4] {
-            for (pull, via) in [(drain as Pull, "next"), (drain_batch as Pull, "next_batch")] {
-                let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
-                let mut op =
-                    compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx).unwrap();
-                let positions: Vec<usize> =
-                    attrs.iter().map(|&a| op.layout().require(a)).collect();
-                let rows = pull(op.as_mut()).unwrap();
-                prop_assert_eq!(
-                    oracle::canonical(&rows, &positions), truth.clone(),
-                    "dop {} via {} differs from the oracle", dop, via
-                );
-            }
+            let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
+            let mut op =
+                compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx).unwrap();
+            let positions: Vec<usize> =
+                attrs.iter().map(|&a| op.layout().require(a)).collect();
+            let rows = drain(op.as_mut()).unwrap();
+            prop_assert_eq!(
+                oracle::canonical(&rows, &positions), truth.clone(),
+                "dop {} differs from the oracle", dop
+            );
         }
     }
 }
 
 /// A choose-plan whose preferred alternative is refused its memory grant
-/// falls back identically in both modes: same rows, one recorded
-/// fallback each, no leaked reservations.
+/// falls back exactly once — to the alternative that needs no grant —
+/// and returns that alternative's rows: the whole relation in key order,
+/// one record charged per row, no reservation leaked.
 #[test]
 fn memory_refusal_fallback_is_mode_independent() {
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
@@ -294,21 +302,23 @@ fn memory_refusal_fallback_is_mode_independent() {
         ..ResourceLimits::unlimited()
     };
 
-    let mut results = Vec::new();
-    for mode in [ExecMode::Tuple, ExecMode::Batch] {
-        let ctx = ExecContext::with_limits(SharedCounters::new(), limits).with_mode(mode);
-        let mut op =
-            compile_dynamic_plan(&choose, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
-        let rows = match mode {
-            ExecMode::Tuple => drain(op.as_mut()).unwrap(),
-            ExecMode::Batch => drain_batch(op.as_mut()).unwrap(),
-        };
-        assert_eq!(ctx.counters.fallbacks(), 1, "{mode:?}: expected one fallback");
-        assert_eq!(ctx.governor.memory_used(), 0, "{mode:?}: leaked reservation");
-        results.push((rows, ctx.counters.snapshot()));
-    }
-    assert_eq!(results[0], results[1], "modes diverged after fallback");
-    assert_eq!(results[0].0.len(), 400);
+    let ctx = ExecContext::with_limits(SharedCounters::new(), limits);
+    let mut op =
+        compile_dynamic_plan(&choose, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
+    let rows = drain(op.as_mut()).unwrap();
+    assert_eq!(ctx.counters.fallbacks(), 1, "expected one fallback");
+    assert_eq!(ctx.governor.memory_used(), 0, "leaked reservation");
+    assert_eq!(rows.len(), 400);
+    assert!(rows.windows(2).all(|w| w[0][0] <= w[1][0]), "the B-tree alternative's order");
+    let mut stored = db.export_rows()[&rel.id].clone();
+    let mut got = rows;
+    stored.sort_unstable();
+    got.sort_unstable();
+    assert_eq!(got, stored, "the fallback returns the relation");
+    // The refused sort asked its scan for one row past what the limit
+    // still covered — two — before the refusal; the scan that answered was
+    // charged for every row.
+    assert_eq!(ctx.counters.snapshot().records, 2 + 400);
 }
 
 /// Columnar selection-vector semantics on [`RowBatch`] itself: an
@@ -357,8 +367,9 @@ fn selection_vector_dense_sparse_and_empty_semantics() {
 
 /// Filter selectivities that produce empty, sparse, and fully-selected
 /// batches feeding a hash-join probe: the selection-aware batch kernels
-/// must agree with the tuple path on tuples *and* counters at each
-/// density.
+/// must return the oracle's rows at each density, with the charges the
+/// operators' definitions give — a compare per probe-side row filtered, a
+/// hash per build row and per row that survives the filter.
 #[test]
 fn filtered_probe_batches_join_identically_at_every_density() {
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
@@ -370,107 +381,100 @@ fn filtered_probe_batches_join_identically_at_every_density() {
     let dim = catalog.relation_by_name("dim").unwrap();
     let fact = catalog.relation_by_name("fact").unwrap();
     let fm = fact.attr_id("m").unwrap();
+    let on_key = JoinPred::new(dim.attr_id("k").unwrap(), fact.attr_id("fk").unwrap());
 
     // m < 0 -> every probe batch carries an empty selection; m < 20 ->
     // sparse selections; m < 1000 -> fully selected batches.
     for cutoff in [0i64, 20, 1000] {
+        let pred = SelectPred::bound(fm, CompareOp::Lt, cutoff);
         let mut b = PlanNodeBuilder::new();
         let build = node(&mut b, PhysicalOp::FileScan { relation: dim.id }, vec![]);
         let probe_scan = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, vec![]);
-        let probe = node(
-            &mut b,
-            PhysicalOp::Filter { predicate: SelectPred::bound(fm, CompareOp::Lt, cutoff) },
-            vec![probe_scan],
-        );
-        let join = node(
-            &mut b,
-            PhysicalOp::HashJoin {
-                predicates: vec![JoinPred::new(
-                    dim.attr_id("k").unwrap(),
-                    fact.attr_id("fk").unwrap(),
-                )],
-            },
-            vec![build, probe],
-        );
+        let probe = node(&mut b, PhysicalOp::Filter { predicate: pred }, vec![probe_scan]);
+        let join =
+            node(&mut b, PhysicalOp::HashJoin { predicates: vec![on_key] }, vec![build, probe]);
+        let query = LogicalExpr::get(dim.id)
+            .join(LogicalExpr::get(fact.id).select(pred), vec![on_key]);
         let env = Environment::dynamic_compile_time(&catalog.config);
         let bindings = Bindings::new();
 
-        let ctx = ExecContext::new(SharedCounters::new()).with_mode(ExecMode::Tuple);
+        let ctx = ExecContext::new(SharedCounters::new());
         let mut op =
             compile_dynamic_plan(&join, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
-        let tuple_rows = drain(op.as_mut()).unwrap();
-        let tuple_counters = ctx.counters.snapshot();
+        let attrs = oracle::output_attrs(&query, &catalog);
+        let positions: Vec<usize> = attrs.iter().map(|&a| op.layout().require(a)).collect();
+        let rows = drain(op.as_mut()).unwrap();
+        let truth = oracle::evaluate(&query, &catalog, &db, &bindings);
+        assert_eq!(oracle::canonical(&rows, &positions), truth, "cutoff {cutoff}: rows diverged");
+        assert_eq!(rows.is_empty(), cutoff == 0, "cutoff {cutoff}");
 
-        let ctx = ExecContext::new(SharedCounters::new()).with_mode(ExecMode::Batch);
-        let mut op =
-            compile_dynamic_plan(&join, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
-        let batch_rows = drain_batch(op.as_mut()).unwrap();
-        let batch_counters = ctx.counters.snapshot();
-
-        assert_eq!(tuple_rows, batch_rows, "cutoff {cutoff}: tuples diverged");
-        assert_eq!(tuple_counters, batch_counters, "cutoff {cutoff}: counters diverged");
-        if cutoff == 0 {
-            assert!(tuple_rows.is_empty(), "cutoff 0 must produce no joins");
-        } else {
-            assert!(!tuple_rows.is_empty(), "cutoff {cutoff} must produce joins");
-        }
+        let survivors = db.export_rows()[&fact.id].iter().filter(|row| row[1] < cutoff).count();
+        let cpu = ctx.counters.snapshot();
+        assert_eq!(cpu.compares, 300, "cutoff {cutoff}: one compare per fact row");
+        assert_eq!(cpu.hashes, 60 + survivors as u64, "cutoff {cutoff}: build rows + survivors");
     }
 }
 
 /// A read fault landing mid-batch defers: the scan delivers the rows it
-/// decoded before the fault, and the *next* call raises the error. Both
-/// modes see the same rows before the same error.
+/// decoded before the fault — the first page's, in heap order — and the
+/// *next* call raises the error. The same holds for the rows of a B-tree
+/// scan fetched before a faulted fetch.
 #[test]
 fn mid_batch_fault_is_deferred_to_the_next_call() {
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
-        .relation("r", 600, 512, |r| r.attr("a", 600.0))
+        .relation("r", 600, 512, |r| r.attr("a", 600.0).btree("a", false))
         .build()
         .unwrap();
     let db = StoredDatabase::generate(&catalog, 3);
     let rel = catalog.relation_by_name("r").unwrap();
+    let ra = rel.attr_id("a").unwrap();
+    let (index, _) = catalog.index_on_attr(ra).unwrap();
     let mut b = PlanNodeBuilder::new();
-    let plan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![]);
+    let file_scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![]);
+    let index_scan =
+        node(&mut b, PhysicalOp::BtreeScan { relation: rel.id, index, key_attr: ra }, vec![]);
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = Bindings::new();
+    let stored = db.export_rows()[&rel.id].clone();
+    let per_page = stored.len().div_ceil(db.table(rel.id).heap.page_count());
 
-    // Tuple mode: count rows delivered before the fault surfaces.
-    db.disk.set_fault_plan(FaultPlan::parse("nth-read=2").unwrap());
-    let ctx = ExecContext::new(SharedCounters::new()).with_mode(ExecMode::Tuple);
-    let mut op = compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
-    let mut tuple_rows = Vec::new();
-    let tuple_err = loop {
-        match op.next() {
-            Ok(Some(row)) => tuple_rows.push(row),
-            Ok(None) => panic!("fault never surfaced in tuple mode"),
-            Err(e) => break e,
-        }
+    // The file scan's second read is its second page; the index scan's
+    // `leaves + 3`-rd is its third fetch (the descent and the leaf chain
+    // are read at `open`). A huge max_rows spans the faulting page, so the
+    // first call returns what preceded it and stashes the error.
+    let leaves = {
+        let before = db.disk.stats().total();
+        db.table(rel.id).indexes[&index].scan_all(|_, _| {}).unwrap();
+        db.disk.stats().total() - before
     };
-    op.close();
-    assert!(!tuple_rows.is_empty(), "page 1 rows must precede the page-2 fault");
+    for (plan, nth, delivered) in [(&file_scan, 2, per_page), (&index_scan, leaves + 3, 2)] {
+        db.disk.set_fault_plan(FaultPlan::parse(&format!("nth-read={nth}")).unwrap());
+        let ctx = ExecContext::new(SharedCounters::new());
+        let mut op =
+            compile_dynamic_plan(plan, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
+        op.open().unwrap();
+        let first = op
+            .next_batch(10_000)
+            .expect("first batch precedes the fault")
+            .expect("first batch is non-empty");
+        let err = op.next_batch(10_000).expect_err("deferred fault surfaces on the next call");
+        op.close();
+        db.disk.set_fault_plan(FaultPlan::none());
 
-    // Batch mode: a huge max_rows spans the faulting page, so the first
-    // call returns page 1's rows and stashes the error for the second.
-    db.disk.set_fault_plan(FaultPlan::parse("nth-read=2").unwrap());
-    let ctx = ExecContext::new(SharedCounters::new()).with_mode(ExecMode::Batch);
-    let mut op = compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
-    let first = op
-        .next_batch(10_000)
-        .expect("first batch precedes the fault")
-        .expect("first batch is non-empty");
-    let batch_rows = first.to_tuples();
-    let batch_err = op.next_batch(10_000).expect_err("deferred fault surfaces on the next call");
-    op.close();
-    db.disk.set_fault_plan(FaultPlan::none());
-
-    assert_eq!(tuple_rows, batch_rows, "pre-fault rows diverged across modes");
-    assert_eq!(classify(&tuple_err), classify(&batch_err), "error classes diverged");
-    assert_eq!(classify(&batch_err), "storage");
+        assert_eq!(first.len(), delivered, "rows read before read {nth}");
+        assert_eq!(ctx.counters.snapshot().records, delivered as u64, "delivered rows are charged");
+        if std::ptr::eq(plan, &file_scan) {
+            assert_eq!(first.to_tuples(), stored[..per_page], "page 1 in heap order");
+        }
+        assert_eq!(classify(&err), "storage");
+    }
 }
 
 /// Row-budget refusals at batch boundaries: a budget that exactly covers
-/// the result admits both modes with identical summaries; a budget one
-/// row short refuses both with the same resource class (the batch path
-/// checks its budget per batch, never overshooting past a boundary).
+/// the result admits it, and the summary reports every row and the whole
+/// relation's page reads; a budget one row short refuses with the rows
+/// class — the budget is checked per batch at the cumulative count, never
+/// overshooting past a boundary — and so does a budget of one.
 #[test]
 fn row_budget_refusals_are_mode_independent_at_batch_boundaries() {
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
@@ -483,35 +487,30 @@ fn row_budget_refusals_are_mode_independent_at_batch_boundaries() {
     let env = Environment::dynamic_compile_time(&catalog.config);
     let plan = Optimizer::new(&catalog, &env).optimize(&q).unwrap().plan;
     let bindings = Bindings::new();
+    let pages = db.table(rel.id).heap.page_count() as u64;
 
     for (max_rows, should_pass) in [(500u64, true), (499, false), (1, false)] {
         let limits = ResourceLimits {
             max_rows: Some(max_rows),
             ..ResourceLimits::unlimited()
         };
-        let mut outcomes = Vec::new();
-        for mode in [ExecMode::Tuple, ExecMode::Batch] {
-            let result =
-                execute_plan_mode(&plan, &db, &catalog, &env, &bindings, limits, mode);
-            outcomes.push(match result {
-                Ok((s, _)) => format!("ok:{}:{:?}:{:?}", s.rows, s.io, s.cpu),
-                Err(e) => format!("err:{}", classify(&e)),
-            });
-        }
-        assert_eq!(
-            outcomes[0], outcomes[1],
-            "max_rows={max_rows} diverged across modes"
-        );
-        if should_pass {
-            assert!(outcomes[0].starts_with("ok:500:"), "budget {max_rows} should admit");
-        } else {
-            assert_eq!(outcomes[0], "err:resource:rows", "budget {max_rows} should refuse");
+        match run_under(&plan, &db, &catalog, &env, &bindings, limits) {
+            Ok(s) => {
+                assert!(should_pass, "budget {max_rows} should refuse");
+                assert_eq!((s.rows, s.io.total(), s.cpu.records), (500, pages, 500));
+            }
+            Err(e) => {
+                assert!(!should_pass, "budget {max_rows} should admit: {e:?}");
+                assert_eq!(e, ExecError::ResourceExhausted(Resource::Rows { limit: max_rows }));
+            }
         }
     }
 }
 
-/// Injected mid-scan faults trip at the same accounted read in both
-/// modes (batch scans charge I/O page by page, in the same order).
+/// Fault ordinal *n* fails the *n*-th accounted read: a scan of a relation
+/// of `pages` pages reads them in order, so every ordinal up to `pages`
+/// fails the query with a storage error, after exactly that many reads,
+/// and the first ordinal past the scan's last read leaves it untouched.
 #[test]
 fn fault_ordinals_trip_identically_in_both_modes() {
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
@@ -528,26 +527,24 @@ fn fault_ordinals_trip_identically_in_both_modes() {
     let env = Environment::dynamic_compile_time(&catalog.config);
     let plan = Optimizer::new(&catalog, &env).optimize(&q).unwrap().plan;
     let bindings = Bindings::new();
+    let pages = db.table(rel.id).heap.page_count() as u64;
+    let truth = oracle::evaluate(&q, &catalog, &db, &bindings).len() as u64;
 
-    for nth in [1u64, 2, 3] {
-        let mut outcomes = Vec::new();
-        for mode in [ExecMode::Tuple, ExecMode::Batch] {
-            db.disk.set_fault_plan(FaultPlan::parse(&format!("nth-read={nth}")).unwrap());
-            let result = execute_plan_mode(
-                &plan,
-                &db,
-                &catalog,
-                &env,
-                &bindings,
-                ResourceLimits::unlimited(),
-                mode,
-            );
-            db.disk.set_fault_plan(FaultPlan::none());
-            outcomes.push(match result {
-                Ok((s, _)) => format!("ok:{}", s.rows),
-                Err(e) => format!("err:{}", classify(&e)),
-            });
+    for nth in [1u64, 2, 3, pages, pages + 1] {
+        db.disk.set_fault_plan(FaultPlan::parse(&format!("nth-read={nth}")).unwrap());
+        let before = db.disk.stats();
+        let result = run_under(&plan, &db, &catalog, &env, &bindings, ResourceLimits::unlimited());
+        let reads = db.disk.stats().since(&before).total();
+        db.disk.set_fault_plan(FaultPlan::none());
+        match result {
+            Ok(s) => {
+                assert!(nth > pages, "read {nth} of {pages} was injected and must fail");
+                assert_eq!((s.rows, reads), (truth, pages));
+            }
+            Err(e) => {
+                assert_eq!(classify(&e), "storage", "nth-read={nth}");
+                assert_eq!(reads, nth, "the query stops at the read that failed");
+            }
         }
-        assert_eq!(outcomes[0], outcomes[1], "nth-read={nth} diverged across modes");
     }
 }

@@ -7,13 +7,17 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, PhysicalOp, SelectPred};
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, CostModel, Environment, PlanStats};
 use dqep::executor::{
-    compile_plan, execute_plan, ExecContext, ExecSummary, SharedCounters, BATCH_CAPACITY,
+    compile_plan, drain_root, ExecContext, ExecSummary, RootSink, SharedCounters, BATCH_CAPACITY,
 };
 use dqep::harness::{paper_query, BindingSampler};
 use dqep::optimizer::Optimizer;
 use dqep::interval::Interval;
 use dqep::plan::{evaluate_startup, PlanNode, PlanNodeBuilder};
 use dqep::storage::StoredDatabase;
+
+#[path = "common/exec.rs"]
+mod exec;
+use exec::execute;
 
 fn drain_rows(
     plan: &Arc<PlanNode>,
@@ -34,12 +38,7 @@ fn drain_summary(
     let ctx = ExecContext::new(SharedCounters::new());
     let before = db.disk.stats();
     let mut op = compile_plan(plan, db, catalog, bindings, 64 * 2048, &ctx).unwrap();
-    op.open().unwrap();
-    let mut rows = 0;
-    while op.next().unwrap().is_some() {
-        rows += 1;
-    }
-    op.close();
+    let rows = drain_root(op.as_mut(), None, RootSink::Discard).unwrap();
     let io = db.disk.stats().since(&before);
     ExecSummary {
         rows,
@@ -106,8 +105,8 @@ fn executed_dynamic_beats_executed_static_on_average() {
     let mut sampler = BindingSampler::new(4, false);
     let (mut static_total, mut dynamic_total) = (0.0, 0.0);
     for b in sampler.sample_n(&w, 15) {
-        let (st, _) = execute_plan(&static_plan, &db, &w.catalog, &static_env, &b).unwrap();
-        let (dy, _) = execute_plan(&dynamic_plan, &db, &w.catalog, &dynamic_env, &b).unwrap();
+        let st = execute(&static_plan, &db, &w.catalog, &static_env, &b);
+        let dy = execute(&dynamic_plan, &db, &w.catalog, &dynamic_env, &b);
         assert_eq!(st.rows, dy.rows, "plans must agree on results");
         static_total += st.simulated_seconds(&w.catalog.config);
         dynamic_total += dy.simulated_seconds(&w.catalog.config);
@@ -134,7 +133,7 @@ fn predicted_and_executed_costs_correlate() {
     for sel in [0.02f64, 0.2, 0.5, 0.9] {
         let b = Bindings::new().with_value(w.host_vars[0].0, (sel * domain) as i64);
         let predicted = evaluate_startup(&plan, &w.catalog, &env, &b).predicted_run_seconds;
-        let (summary, _) = execute_plan(&plan, &db, &w.catalog, &env, &b).unwrap();
+        let summary = execute(&plan, &db, &w.catalog, &env, &b);
         points.push((predicted, summary.simulated_seconds(&w.catalog.config)));
     }
     for pair in points.windows(2) {
@@ -171,7 +170,7 @@ fn join_results_invariant_across_memory_grants() {
     let mut rows_by_memory = Vec::new();
     for mem in [16.0f64, 64.0, 112.0] {
         let b = base.clone().with_memory(mem);
-        let (summary, _) = execute_plan(&plan, &db, &w.catalog, &env, &b).unwrap();
+        let summary = execute(&plan, &db, &w.catalog, &env, &b);
         rows_by_memory.push(summary.rows);
     }
     assert!(
@@ -194,10 +193,10 @@ fn costed(
     b.node(op, children, stats, cost)
 }
 
-/// The derived row cursor reads up to one batch ahead, and a merge join
-/// stops pulling its right input the moment its left input ends — so a
-/// batch-native right input is charged for rows the join never consumed.
-/// The paper's soundness condition must survive that: the realized
+/// A merge join pulls its inputs by batch and stops pulling its right
+/// input the moment its left input ends — so the right input is charged
+/// for up to a request of rows the join never consumed, whatever operator
+/// it is. The paper's soundness condition must survive that: the realized
 /// simulated cost stays inside the plan's compile-time cost interval, and
 /// the overshoot is bounded by one batch.
 #[test]
@@ -223,20 +222,26 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
     let (l_idx, _) = catalog.index_on_attr(lj).unwrap();
     let base = |name: &str| PlanStats::new(Interval::point(rel(name).stats.cardinality as f64), 500.0);
 
-    // MergeJoin(BtreeScan l, Filter-or-Sort over `right`), where `right`
+    // MergeJoin(BtreeScan l, `right`): a sort or a filter over `right`
     // carries the unbound `a < :v` (selectivity [0, 1] at compile time,
-    // one half at run time) that makes the compile-time costs intervals.
-    let merge_over = |name: &str, sorted: bool| {
+    // one half at run time) that makes the compile-time costs intervals;
+    // the bare index scan has a point cost.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Right {
+        Sorted,
+        FilteredIndex,
+        Index,
+    }
+    let merge_over = |name: &str, shape: Right| {
         let right = rel(name);
         let (rj, ra) = (right.attr_id("j").unwrap(), right.attr_id("a").unwrap());
         let card = right.stats.cardinality as f64;
         let pred = SelectPred::unbound(ra, CompareOp::Lt, HostVar(0));
         let join_pred = JoinPred::new(lj, rj);
         let filtered = PlanStats::new(Interval::new(0.0, card), 500.0);
-        let joined = PlanStats::new(
-            Interval::new(0.0, 40.0 * card * model.selectivity().join([join_pred])),
-            1000.0,
-        );
+        let matches = 40.0 * card * model.selectivity().join([join_pred]);
+        let lowest = if shape == Right::Index { matches } else { 0.0 };
+        let joined = PlanStats::new(Interval::new(lowest, matches), 1000.0);
         let b = &mut PlanNodeBuilder::new();
         let left = costed(
             b,
@@ -245,7 +250,7 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
             vec![],
             base("l"),
         );
-        let right_input = if sorted {
+        let right_input = if shape == Right::Sorted {
             let scan =
                 costed(b, &model, PhysicalOp::FileScan { relation: right.id }, vec![], base(name));
             let filter =
@@ -260,7 +265,10 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
                 vec![],
                 base(name),
             );
-            costed(b, &model, PhysicalOp::Filter { predicate: pred }, vec![ordered], filtered)
+            match shape {
+                Right::Index => ordered,
+                _ => costed(b, &model, PhysicalOp::Filter { predicate: pred }, vec![ordered], filtered),
+            }
         };
         let merge = PhysicalOp::MergeJoin { predicates: vec![join_pred] };
         let plan = costed(b, &model, merge, vec![left, right_input], joined);
@@ -274,7 +282,7 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
     // consumes its whole input whatever the join does; the read-ahead only
     // charges the sort for emitting rows the join never asked for. The
     // realized cost must land inside the interval on both sides.
-    let (interval, summary) = merge_over("s", true);
+    let (interval, summary) = merge_over("s", Right::Sorted);
     let realized = summary.simulated_seconds(&catalog.config);
     assert!(
         interval.lo() <= realized && realized <= interval.hi(),
@@ -283,19 +291,13 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
         interval.hi()
     );
 
-    // Right input Filter(BtreeScan r) in key order: each row costs a
-    // random fetch, the filter's cursor reads a batch of them ahead, and
-    // the join then stops. The overshoot is at most one batch, and the
-    // realized cost does not exceed the interval's upper end. (Its lower
-    // end assumes the whole index scan, which an early-terminating merge
-    // never performs — with or without read-ahead.)
-    let (interval, summary) = merge_over("r", false);
-    let realized = summary.simulated_seconds(&catalog.config);
-    assert!(
-        realized <= interval.hi(),
-        "realized {realized:.4}s above the compile-time upper bound {:.4}",
-        interval.hi()
-    );
+    // Right input Filter(BtreeScan r), then the bare BtreeScan r, in key
+    // order: each row costs a random fetch, the join's last request had
+    // the scan fetch up to a batch of them ahead, and the join then stops.
+    // The overshoot is at most one batch, and the realized cost does not
+    // exceed the interval's upper end. (Its lower end assumes the whole
+    // index scan, which an early-terminating merge never performs — with
+    // or without read-ahead.)
     // Right rows the index scan must fetch for the join: keys below the
     // left's domain bound, plus the one that ends the merge.
     let table = db.table(rel("r").id);
@@ -305,11 +307,20 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
         .filter(|rec| table.decode(rec.as_ref().unwrap())[1] < 50)
         .count() as u64
         + 1;
-    let reads = summary.io.total();
-    assert!(reads < 3000, "the merge join must end early: {reads} reads over 3000 right rows");
-    let index_pages = 64; // generous: both B-trees' leaves and descents
-    assert!(
-        reads <= 40 + needed + BATCH_CAPACITY as u64 + index_pages,
-        "read-ahead overshoot exceeds one batch: {reads} reads, {needed} right rows needed"
-    );
+    for shape in [Right::FilteredIndex, Right::Index] {
+        let (interval, summary) = merge_over("r", shape);
+        let realized = summary.simulated_seconds(&catalog.config);
+        assert!(
+            realized <= interval.hi(),
+            "realized {realized:.4}s above the compile-time upper bound {:.4}",
+            interval.hi()
+        );
+        let reads = summary.io.total();
+        assert!(reads < 3000, "the merge join must end early: {reads} reads over 3000 right rows");
+        let index_pages = 64; // generous: both B-trees' leaves and descents
+        assert!(
+            reads <= 40 + needed + BATCH_CAPACITY as u64 + index_pages,
+            "read-ahead overshoot exceeds one batch: {reads} reads, {needed} right rows needed"
+        );
+    }
 }

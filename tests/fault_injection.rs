@@ -16,9 +16,8 @@ use dqep::algebra::{CompareOp, HostVar, LogicalExpr, PhysicalOp, SelectPred};
 use dqep::catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    compile_dynamic_plan, drain, execute_plan, execute_plan_dop, execute_plan_reopt, ExecContext,
-    ExecError, ExecMode, ExecSummary, ReoptConfig, ResourceLimits, SharedCounters,
-    BATCH_CAPACITY,
+    compile_dynamic_plan, drain, run, run_reopt, ExecContext, ExecError, ExecSummary, ReoptConfig,
+    Resource, ResourceLimits, RootSink, SharedCounters, BATCH_CAPACITY,
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
@@ -40,6 +39,18 @@ fn fixture() -> (Catalog, StoredDatabase, LogicalExpr) {
         HostVar(0),
     ));
     (cat, db, q)
+}
+
+/// One ungoverned serial run of `plan`, rows discarded.
+fn execute(
+    plan: &Arc<PlanNode>,
+    db: &StoredDatabase,
+    cat: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+) -> Result<ExecSummary, ExecError> {
+    let ctx = ExecContext::new(SharedCounters::new());
+    run(plan, db, cat, env, bindings, &ctx, RootSink::Discard)
 }
 
 /// Ground truth computed with faults disabled, through the unaccounted
@@ -64,7 +75,7 @@ fn total_read_failure_is_an_error_not_a_panic() {
     let bindings = Bindings::new().with_value(HostVar(0), 200);
 
     db.disk.set_fault_plan(FaultPlan::probabilistic(1.0, 1));
-    let result = execute_plan(&plan, &db, &cat, &env, &bindings);
+    let result = execute(&plan, &db, &cat, &env, &bindings);
     db.disk.set_fault_plan(FaultPlan::none());
 
     let err = result.expect_err("all reads fail: execution cannot succeed");
@@ -72,7 +83,7 @@ fn total_read_failure_is_an_error_not_a_panic() {
     assert!(err.is_retryable());
 
     // The same query succeeds once the faults are gone.
-    let (summary, _) = execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+    let summary = execute(&plan, &db, &cat, &env, &bindings).unwrap();
     assert_eq!(summary.rows, expected_rows(&cat, &db, 200));
 }
 
@@ -310,10 +321,8 @@ impl<'a> Spilling<'a> {
     }
 
     fn run(&self, limits: ResourceLimits, dop: usize) -> Result<ExecSummary, ExecError> {
-        execute_plan_dop(
-            &self.plan, self.db, self.cat, &self.env, &self.bindings, limits, ExecMode::Batch, dop,
-        )
-        .map(|(summary, _)| summary)
+        let ctx = ExecContext::with_limits(SharedCounters::new(), limits).with_dop(dop);
+        run(&self.plan, self.db, self.cat, &self.env, &self.bindings, &ctx, RootSink::Discard)
     }
 
     /// Nothing of the last request is left on the disk.
@@ -404,16 +413,15 @@ fn every_exit_path_of_a_spilling_statement_reclaims() {
         assert!(refused.temp_pages_peak > 0, "{sql}: the fallback did not spill");
         stmt.assert_reclaimed(&format!("{sql}, refused grant"));
 
-        let reopt = execute_plan_reopt(
+        let reopt = run_reopt(
             &stmt.plan,
             &db,
             &cat,
             &stmt.env,
             &stmt.bindings,
-            ResourceLimits::unlimited(),
-            ExecMode::Batch,
-            1,
             ReoptConfig { backoff_base_ms: 0, ..ReoptConfig::default() },
+            &ExecContext::new(SharedCounters::new()),
+            RootSink::Discard,
         )
         .unwrap();
         assert_eq!(reopt.summary.rows, first.rows, "{sql}: reopt");
@@ -445,6 +453,40 @@ fn every_exit_path_of_a_spilling_statement_reclaims() {
     }
 }
 
+/// The I/O budget counts every accounted page — base-table and index
+/// reads, spill writes and their read-backs — so `max_io = N` means what
+/// it says for exactly the statements that need it: a budget of the run's
+/// own total admits it unchanged, and one page less refuses it, at every
+/// DOP.
+#[test]
+fn io_budget_counts_spill_and_index_pages() {
+    let (cat, db) = star();
+    for sql in STAR_SQL {
+        let stmt = Spilling::new(&cat, &db, sql);
+        let first = stmt.run(ResourceLimits::unlimited(), 1).unwrap();
+        assert!(first.io.writes > 0, "{sql}: did not spill");
+        let budget = |pages| ResourceLimits { max_io: Some(pages), ..ResourceLimits::unlimited() };
+        let total = first.io.total();
+        for dop in [1, 2, 4] {
+            let admitted = stmt.run(budget(total), dop).unwrap();
+            assert_eq!(
+                (admitted.rows, admitted.io.total(), admitted.io.writes),
+                (first.rows, total, first.io.writes),
+                "{sql}, dop {dop}"
+            );
+            if dop == 1 {
+                assert_eq!(admitted.io, first.io, "{sql}: a budget that holds changes nothing");
+            }
+            assert_eq!(
+                stmt.run(budget(total - 1), dop).unwrap_err(),
+                ExecError::ResourceExhausted(Resource::Io { limit: total - 1 }),
+                "{sql}, dop {dop}: one page short"
+            );
+            stmt.assert_reclaimed(&format!("{sql}, dop {dop}, refused budget"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -466,11 +508,11 @@ proptest! {
         let mut fault = FaultPlan::probabilistic(prob, seed);
         fault.fail_nth_reads.push(nth);
         db.disk.set_fault_plan(fault);
-        let result = execute_plan(&plan, &db, &cat, &env, &bindings);
+        let result = execute(&plan, &db, &cat, &env, &bindings);
         db.disk.set_fault_plan(FaultPlan::none());
 
         match result {
-            Ok((summary, _)) => prop_assert_eq!(summary.rows, truth),
+            Ok(summary) => prop_assert_eq!(summary.rows, truth),
             Err(e) => prop_assert!(
                 matches!(e, ExecError::Storage(_)),
                 "only storage faults are injected, got {:?}", e

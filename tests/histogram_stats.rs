@@ -10,10 +10,13 @@
 use dqep::algebra::{CompareOp, HostVar, LogicalExpr, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment, SelectivityModel};
-use dqep::executor::execute_plan;
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup;
 use dqep::storage::{install_histograms, StoredDatabase, ValueDistribution};
+
+#[path = "common/exec.rs"]
+mod exec;
+use exec::execute;
 
 fn skewed_fixture() -> (Catalog, StoredDatabase) {
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
@@ -82,14 +85,13 @@ fn histograms_fix_startup_decisions_on_skewed_data() {
     let env = Environment::dynamic_compile_time(&catalog.config);
     let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
     let naive = evaluate_startup(&plan, &catalog, &env, &bindings);
-    let (naive_exec, _) = execute_plan(&plan, &db, &catalog, &env, &bindings).unwrap();
+    let naive_exec = execute(&plan, &db, &catalog, &env, &bindings);
 
     // With histograms: the decision sees the real fraction and switches.
     install_histograms(&db, &mut catalog, 32).expect("histograms");
     let informed_plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
     let informed = evaluate_startup(&informed_plan, &catalog, &env, &bindings);
-    let (informed_exec, _) =
-        execute_plan(&informed_plan, &db, &catalog, &env, &bindings).unwrap();
+    let informed_exec = execute(&informed_plan, &db, &catalog, &env, &bindings);
 
     assert_eq!(naive_exec.rows, informed_exec.rows, "same logical result");
     let cfg = &catalog.config;

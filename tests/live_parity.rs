@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::Environment;
-use dqep::executor::{compile_plan, drain, ExecContext, ExecMode, ResourceLimits, SharedCounters};
+use dqep::executor::{compile_plan, drain, ExecContext, ResourceLimits, SharedCounters};
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup;
 use dqep::service::{
@@ -94,8 +94,8 @@ fn full_rerun(reg: &LiveViewRegistry, sql: &str, binds: &[(&str, i64)]) -> Vec<V
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random chain views under random write streams, at DOP 1/2/4 in
-    /// both execution modes, under one of three hazards — none, an
+    /// Random chain views under random write streams, at DOP 1/2/4,
+    /// under one of three hazards — none, an
     /// injected storage write fault, or a tight memory grant. After every
     /// commit that returns (even one cut short by a fault), the snapshot
     /// must equal a full re-run over the stored data. A commit refused
@@ -109,7 +109,6 @@ proptest! {
         hazard in prop_oneof![Just(0u8), Just(1), Just(2)],
         fault_nth in 1u64..6,
         mem_kb in 24u64..96,
-        mode in prop_oneof![Just(ExecMode::Tuple), Just(ExecMode::Batch)],
         dop in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let (catalog, sql) = build(&w);
@@ -122,7 +121,6 @@ proptest! {
                 memory_bytes: (hazard == 2).then_some(mem_kb * 1024),
                 ..ResourceLimits::unlimited()
             },
-            mode,
             dop,
             ..LiveConfig::default()
         };

@@ -11,9 +11,9 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
-    card_drift, compile_dynamic_plan, drain, execute_plan_dop, execute_plan_traced, explain_json,
-    parse_json, render_explain, validate_explain_json, CpuCounters, ExecContext, ExecError,
-    ExecMode, JsonValue, ResourceLimits, SharedCounters, SpanStats, Tracer,
+    card_drift, compile_dynamic_plan, drain, explain_json, parse_json, render_explain, run,
+    validate_explain_json, CpuCounters, ExecContext, ExecError, ExecSummary, JsonValue,
+    RootSink, SharedCounters, SpanStats, TraceReport, Tracer,
 };
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup_observed;
@@ -74,6 +74,22 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
         idx.swap(i, (state >> 33) as usize % (i + 1));
     }
     idx
+}
+
+/// [`run`] at `dop` with a tracer attached, and what the tracer saw.
+fn run_traced(
+    plan: &Arc<dqep::plan::PlanNode>,
+    db: &StoredDatabase,
+    catalog: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+    dop: usize,
+) -> Result<(ExecSummary, TraceReport), ExecError> {
+    let tracer = Arc::new(Tracer::new());
+    let ctx = ExecContext::new(SharedCounters::new())
+        .with_dop(dop)
+        .with_tracer(Arc::clone(&tracer));
+    run(plan, db, catalog, env, bindings, &ctx, RootSink::Discard).map(|s| (s, tracer.report()))
 }
 
 /// Coarse error class, as in `tests/batch_parity.rs`: variant (and
@@ -298,9 +314,9 @@ proptest! {
         }
     }
 
-    /// Acceptance, parallel + fault path: `execute_plan_traced` agrees
-    /// with `execute_plan_dop` on rows, counters, I/O, and fallbacks at
-    /// every DOP, and on the error class when storage faults kill both
+    /// Acceptance, parallel + fault path: `run` under a context with a
+    /// tracer agrees with `run` without on rows, counters, I/O, and
+    /// fallbacks at every DOP, and on the error class when storage faults kill both
     /// runs (exchange workers' deferred `pending_err` delivery included).
     #[test]
     fn traced_execution_matches_untraced_at_any_dop(
@@ -318,8 +334,6 @@ proptest! {
         for &(var, domain) in &hosts {
             bindings = bindings.with_value(var, (sel * domain) as i64);
         }
-        let limits = ResourceLimits::unlimited();
-
         // Bit-identical replicas with identical fault sequences: each run
         // sees a fresh disk, so neither spill-allocation state nor fault
         // ordinals leak between the two runs. A read *ordinal* is only
@@ -338,17 +352,14 @@ proptest! {
             FaultPlan::page_range(page, page)
         };
         db.disk.set_fault_plan(fault.clone());
-        let plain = execute_plan_dop(
-            &plan, &db, &catalog, &env, &bindings, limits, ExecMode::default(), dop,
-        );
+        let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
+        let plain = run(&plan, &db, &catalog, &env, &bindings, &ctx, RootSink::Discard);
         let db = StoredDatabase::generate(&catalog, seed);
         db.disk.set_fault_plan(fault);
-        let traced = execute_plan_traced(
-            &plan, &db, &catalog, &env, &bindings, limits, ExecMode::default(), dop,
-        );
+        let traced = run_traced(&plan, &db, &catalog, &env, &bindings, dop);
 
         match (plain, traced) {
-            (Ok((p, _)), Ok((t, _, report))) => {
+            (Ok(p), Ok((t, report))) => {
                 prop_assert_eq!(p.rows, t.rows, "row counts diverged");
                 prop_assert_eq!(p.cpu, t.cpu, "CPU counters diverged");
                 if dop == 1 {
@@ -371,8 +382,8 @@ proptest! {
             (p, t) => prop_assert!(
                 false,
                 "tracing changed the outcome: plain={:?} traced={:?}",
-                p.map(|(s, _)| s.rows),
-                t.map(|(s, _, _)| s.rows)
+                p.map(|s| s.rows),
+                t.map(|(s, _)| s.rows)
             ),
         }
     }
@@ -549,17 +560,7 @@ fn explain_analyze_reports_estimates_actuals_and_audit() {
     let (catalog, db, query, plan) = choose_plan_fixture();
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = query.bindings(&[("x", 60)]).unwrap().with_memory(48.0);
-    let (summary, _, report) = execute_plan_traced(
-        &plan,
-        &db,
-        &catalog,
-        &env,
-        &bindings,
-        ResourceLimits::unlimited(),
-        ExecMode::default(),
-        1,
-    )
-    .unwrap();
+    let (summary, report) = run_traced(&plan, &db, &catalog, &env, &bindings, 1).unwrap();
 
     // Every span carries an estimate (all map to plan nodes here), and
     // the root's actuals agree with the summary.
@@ -711,7 +712,7 @@ fn key_paths(value: &JsonValue, path: &str, out: &mut std::collections::BTreeSet
 /// JSON documents by section name, then the Prometheus expositions.
 fn schema_documents() -> (Vec<(&'static str, Vec<String>)>, Vec<String>) {
     use dqep::catalog::{make_chain_catalog, SyntheticSpec};
-    use dqep::executor::{execute_plan_reopt_traced, journal, ReoptConfig};
+    use dqep::executor::{journal, run_reopt, ReoptConfig};
     use dqep::service::{
         LiveConfig, LiveViewRegistry, MetricsRegistry, QueryService, Request, ServiceConfig,
         ShardConfig, ShardedService, WriteOp,
@@ -729,21 +730,22 @@ fn schema_documents() -> (Vec<(&'static str, Vec<String>)>, Vec<String>) {
         .optimize_with_props(&query.expr, query.required_props())
         .unwrap()
         .plan;
-    let (_, report) = execute_plan_reopt_traced(
+    let tracer = Arc::new(Tracer::new());
+    run_reopt(
         &plan,
         &db,
         &catalog,
         &env,
         &query.bindings(&[("v", 100)]).unwrap(),
-        ResourceLimits::unlimited(),
-        ExecMode::default(),
-        1,
         ReoptConfig {
             backoff_base_ms: 0,
             ..ReoptConfig::default()
         },
+        &ExecContext::new(SharedCounters::new()).with_tracer(Arc::clone(&tracer)),
+        RootSink::Discard,
     )
     .unwrap();
+    let report = tracer.report();
     assert!(
         !report.reopt.events.is_empty(),
         "the pin needs a populated re-opt section"

@@ -10,10 +10,14 @@
 use dqep::algebra::SortOrder;
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::Environment;
-use dqep::executor::execute_plan;
+use dqep::executor::BATCH_CAPACITY;
 use dqep::optimizer::Optimizer;
 use dqep::sql::parse_query;
 use dqep::storage::StoredDatabase;
+
+#[path = "common/exec.rs"]
+mod exec;
+use exec::execute;
 
 fn fixture() -> dqep::catalog::Catalog {
     CatalogBuilder::new(SystemConfig::paper_1994())
@@ -70,14 +74,14 @@ fn ordered_execution_is_sorted_for_all_bindings() {
         .unwrap();
         op.open().unwrap();
         let mut values = Vec::new();
-        while let Some(t) = op.next().unwrap() {
-            values.push(t[0]);
+        while let Some(batch) = op.next_batch(BATCH_CAPACITY).unwrap() {
+            values.extend(batch.iter().map(|t| t[0]));
         }
         op.close();
         assert!(values.windows(2).all(|w| w[0] <= w[1]), ":x={x}");
         // Same rows as the unordered plan.
         let unordered = Optimizer::new(&cat, &env).optimize(&q.expr).unwrap().plan;
-        let (summary, _) = execute_plan(&unordered, &db, &cat, &env, &bindings).unwrap();
+        let summary = execute(&unordered, &db, &cat, &env, &bindings);
         assert_eq!(values.len() as u64, summary.rows);
     }
 }
@@ -116,8 +120,8 @@ fn ordered_join_works() {
         .position(q.order_by.unwrap())
         .expect("order attribute in output");
     let mut keys = Vec::new();
-    while let Some(t) = op.next().unwrap() {
-        keys.push(t[key]);
+    while let Some(batch) = op.next_batch(BATCH_CAPACITY).unwrap() {
+        keys.extend(batch.iter().map(|t| t[key]));
     }
     op.close();
     assert!(!keys.is_empty());

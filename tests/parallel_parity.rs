@@ -16,8 +16,8 @@
 //! and stay in `batch_parity.rs`.
 //!
 //! DOP-versus-DOP alone would be the engine checked against itself: the
-//! random-workload properties also compare every DOP and pull interface
-//! against the independent nested-loop evaluator in `common/oracle.rs`.
+//! random-workload properties also compare every DOP against the
+//! independent nested-loop evaluator in `common/oracle.rs`.
 
 use std::sync::Arc;
 
@@ -25,8 +25,8 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, Selec
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    compile_dynamic_plan, drain, drain_batch, execute_plan_dop, ExecContext, ExecError, ExecMode,
-    ExecSummary, ResourceLimits, SharedCounters, Tuple,
+    compile_dynamic_plan, drain, run, ExecContext, ExecError, ExecSummary, ResourceLimits,
+    RootSink, SharedCounters, Tuple,
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
@@ -155,11 +155,25 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows
 }
 
+/// [`run`] at `dop` under `limits`, rows discarded.
+fn run_at(
+    plan: &Arc<PlanNode>,
+    db: &StoredDatabase,
+    catalog: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+    limits: ResourceLimits,
+    dop: usize,
+) -> Result<ExecSummary, ExecError> {
+    let ctx = ExecContext::with_limits(SharedCounters::new(), limits).with_dop(dop);
+    run(plan, db, catalog, env, bindings, &ctx, RootSink::Discard)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Random optimized plans over random data, executed serially and at
-    /// DOP 2 and 4 in both modes, under one of three hazards — none,
+    /// DOP 2 and 4, under one of three hazards — none,
     /// injected page faults, or a tight memory limit: identical summaries
     /// when both succeed, same error class when both fail, never success
     /// at one DOP and failure at another. After *any* fallback the
@@ -178,7 +192,6 @@ proptest! {
         fault_lo in 0u32..40,
         fault_span in 0u32..4,
         mem_kb in 1u64..64,
-        mode in prop_oneof![Just(ExecMode::Tuple), Just(ExecMode::Batch)],
     ) {
         let (catalog, query, hosts) = build(&w);
         let db = StoredDatabase::generate(&catalog, seed);
@@ -202,10 +215,8 @@ proptest! {
         // every run; `set_fault_plan` still resets between runs for
         // uniformity with the batch parity suite.
         db.disk.set_fault_plan(fault.clone());
-        let serial = execute_plan_dop(
-            &plan, &db, &catalog, &env, &bindings, limits, mode, 1,
-        );
-        if let Ok((s, _)) = &serial {
+        let serial = run_at(&plan, &db, &catalog, &env, &bindings, limits, 1);
+        if let Ok(s) = &serial {
             // `export_rows` reads unaccounted, so the installed fault
             // plan does not touch the oracle.
             let truth = oracle::evaluate(&query, &catalog, &db, &bindings);
@@ -213,12 +224,10 @@ proptest! {
         }
         for dop in [2usize, 4] {
             db.disk.set_fault_plan(fault.clone());
-            let parallel = execute_plan_dop(
-                &plan, &db, &catalog, &env, &bindings, limits, mode, dop,
-            );
-            let what = format!("{mode:?} dop={dop}");
+            let parallel = run_at(&plan, &db, &catalog, &env, &bindings, limits, dop);
+            let what = format!("dop={dop}");
             match (&serial, &parallel) {
-                (Ok((s, _)), Ok((p, _))) => {
+                (Ok(s), Ok(p)) => {
                     prop_assert_eq!(s.rows, p.rows, "{}: result row counts diverged", &what);
                     prop_assert_eq!(
                         s.fallbacks, p.fallbacks, "{}: fallback counts diverged", &what
@@ -235,8 +244,8 @@ proptest! {
                     false,
                     "{}: one DOP succeeded while the other failed: serial={:?} parallel={:?}",
                     &what,
-                    s.as_ref().map(|(s, _)| s.rows),
-                    p.as_ref().map(|(s, _)| s.rows)
+                    s.as_ref().map(|s| s.rows),
+                    p.as_ref().map(|s| s.rows)
                 ),
             }
         }
@@ -244,7 +253,7 @@ proptest! {
     }
 
     /// Draining the same compiled plan at DOP 1, 2, and 4 returns the
-    /// same tuples as a *multiset*, in both modes, with no reservation
+    /// same tuples as a *multiset* — the oracle's — with no reservation
     /// left behind in any governor.
     #[test]
     fn drained_tuples_are_identical_as_multisets(
@@ -264,36 +273,25 @@ proptest! {
         let truth = oracle::evaluate(&query, &catalog, &db, &bindings);
         let attrs = oracle::output_attrs(&query, &catalog);
 
-        for mode in [ExecMode::Tuple, ExecMode::Batch] {
-            let mut baseline: Option<Vec<Tuple>> = None;
-            for dop in [1usize, 2, 4] {
-                let ctx = ExecContext::new(SharedCounters::new())
-                    .with_mode(mode)
-                    .with_dop(dop);
-                let mut op =
-                    compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx)
-                        .unwrap();
-                let positions: Vec<usize> =
-                    attrs.iter().map(|&a| op.layout().require(a)).collect();
-                let rows = match mode {
-                    ExecMode::Tuple => drain(op.as_mut()).unwrap(),
-                    ExecMode::Batch => drain_batch(op.as_mut()).unwrap(),
-                };
-                prop_assert_eq!(
-                    ctx.governor.memory_used(), 0,
-                    "{:?} dop={}: leaked reservation", mode, dop
-                );
-                prop_assert_eq!(
-                    oracle::canonical(&rows, &positions), truth.clone(),
-                    "{:?} dop={}: differs from the oracle", mode, dop
-                );
-                let rows = sorted(rows);
-                match &baseline {
-                    None => baseline = Some(rows),
-                    Some(expect) => prop_assert_eq!(
-                        expect, &rows, "{:?} dop={}: result multisets diverged", mode, dop
-                    ),
-                }
+        let mut baseline: Option<Vec<Tuple>> = None;
+        for dop in [1usize, 2, 4] {
+            let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
+            let mut op =
+                compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, memory, &ctx).unwrap();
+            let positions: Vec<usize> =
+                attrs.iter().map(|&a| op.layout().require(a)).collect();
+            let rows = drain(op.as_mut()).unwrap();
+            prop_assert_eq!(ctx.governor.memory_used(), 0, "dop={}: leaked reservation", dop);
+            prop_assert_eq!(
+                oracle::canonical(&rows, &positions), truth.clone(),
+                "dop={}: differs from the oracle", dop
+            );
+            let rows = sorted(rows);
+            match &baseline {
+                None => baseline = Some(rows),
+                Some(expect) => prop_assert_eq!(
+                    expect, &rows, "dop={}: result multisets diverged", dop
+                ),
             }
         }
     }
@@ -305,8 +303,9 @@ proptest! {
 /// the same governor, so the refusal still fires during the alternative's
 /// `open`. The *abandoned* attempt's partial counters legitimately differ
 /// across DOPs (the parallel scan below the sort runs eagerly before the
-/// refusal lands), so counter snapshots are compared across modes at the
-/// same DOP, not across DOPs.
+/// refusal lands), so what is pinned per DOP is what the surviving
+/// alternative charged: a record for each of its 400 rows, on top of
+/// whatever the refused one had pulled.
 #[test]
 fn memory_refusal_fallback_is_dop_independent() {
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
@@ -339,33 +338,16 @@ fn memory_refusal_fallback_is_dop_independent() {
 
     let mut rows_by_run = Vec::new();
     for dop in [1usize, 2, 4] {
-        let mut per_mode = Vec::new();
-        for mode in [ExecMode::Tuple, ExecMode::Batch] {
-            let ctx = ExecContext::with_limits(SharedCounters::new(), limits)
-                .with_mode(mode)
-                .with_dop(dop);
-            let mut op =
-                compile_dynamic_plan(&choose, &db, &catalog, &env, &bindings, 64 * 2048, &ctx)
-                    .unwrap();
-            let rows = match mode {
-                ExecMode::Tuple => drain(op.as_mut()).unwrap(),
-                ExecMode::Batch => drain_batch(op.as_mut()).unwrap(),
-            };
-            assert_eq!(
-                ctx.counters.fallbacks(),
-                1,
-                "{mode:?} dop={dop}: expected one fallback"
-            );
-            assert_eq!(
-                ctx.governor.memory_used(),
-                0,
-                "{mode:?} dop={dop}: leaked reservation"
-            );
-            let rows = sorted(rows);
-            rows_by_run.push(rows.clone());
-            per_mode.push((rows, ctx.counters.snapshot()));
-        }
-        assert_eq!(per_mode[0], per_mode[1], "dop={dop}: modes diverged after fallback");
+        let ctx = ExecContext::with_limits(SharedCounters::new(), limits).with_dop(dop);
+        let mut op =
+            compile_dynamic_plan(&choose, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
+        let rows = drain(op.as_mut()).unwrap();
+        assert_eq!(ctx.counters.fallbacks(), 1, "dop={dop}: expected one fallback");
+        assert_eq!(ctx.governor.memory_used(), 0, "dop={dop}: leaked reservation");
+        assert!(rows.windows(2).all(|w| w[0][0] <= w[1][0]), "dop={dop}: B-tree order");
+        let records = ctx.counters.snapshot().records;
+        assert!((400..=800).contains(&records), "dop={dop}: {records} records for 400 rows");
+        rows_by_run.push(sorted(rows));
     }
     assert_eq!(rows_by_run[0].len(), 400);
     for r in &rows_by_run[1..] {
@@ -375,7 +357,7 @@ fn memory_refusal_fallback_is_dop_independent() {
 
 /// Page-identity faults produce the same outcome at every DOP: a fault on
 /// a page the plan reads fails all of them with the same error class
-/// (parallel scans defer worker errors to the first `next`, preserving
+/// (parallel scans defer worker errors to the first pull, preserving
 /// the serial failure phase); a fault on a page outside the relation hits
 /// none of them.
 #[test]
@@ -400,27 +382,19 @@ fn page_faults_trip_identically_across_dops() {
     // A mid-heap page, and one far past every allocated page.
     for fault_page in [heap_pages[heap_pages.len() / 2].0, 1_000_000] {
         let mut outcomes = Vec::new();
-        for mode in [ExecMode::Tuple, ExecMode::Batch] {
-            for dop in [1usize, 2, 4] {
-                db.disk
-                    .set_fault_plan(FaultPlan::page_range(fault_page, fault_page));
-                let result = execute_plan_dop(
-                    &plan,
-                    &db,
-                    &catalog,
-                    &env,
-                    &bindings,
-                    ResourceLimits::unlimited(),
-                    mode,
-                    dop,
-                );
-                db.disk.set_fault_plan(FaultPlan::none());
-                outcomes.push(match result {
-                    Ok((s, _)) => format!("ok:{}", s.rows),
-                    Err(e) => format!("err:{}", classify(&e)),
-                });
-            }
+        for dop in [1usize, 2, 4] {
+            db.disk
+                .set_fault_plan(FaultPlan::page_range(fault_page, fault_page));
+            let result =
+                run_at(&plan, &db, &catalog, &env, &bindings, ResourceLimits::unlimited(), dop);
+            db.disk.set_fault_plan(FaultPlan::none());
+            outcomes.push(match result {
+                Ok(s) => format!("ok:{}", s.rows),
+                Err(e) => format!("err:{}", classify(&e)),
+            });
         }
+        let expected = if fault_page == 1_000_000 { "ok:" } else { "err:storage" };
+        assert!(outcomes[0].starts_with(expected), "fault on page {fault_page}: {}", outcomes[0]);
         for o in &outcomes[1..] {
             assert_eq!(o, &outcomes[0], "fault on page {fault_page} diverged across DOPs");
         }

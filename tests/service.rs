@@ -9,12 +9,16 @@
 
 use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep::cost::Environment;
-use dqep::executor::{execute_plan_with, ExecError, ExecSummary, ResourceLimits};
+use dqep::executor::{ExecError, ExecSummary};
 use dqep::optimizer::Optimizer;
 use dqep::service::{Metric, QueryService, Request, ServiceConfig, ServiceError};
 use dqep::sql::parse_query;
 use dqep::storage::{FaultPlan, StoredDatabase};
 use proptest::prelude::*;
+
+#[path = "common/exec.rs"]
+mod exec;
+use exec::execute;
 
 fn chain_sql(relations: usize) -> String {
     let from: Vec<String> = (1..=relations).map(|i| format!("R{i}")).collect();
@@ -39,9 +43,7 @@ fn sequential(catalog: &Catalog, db: &StoredDatabase, sql: &str, binds: &[(&str,
         .unwrap()
         .plan;
     let bindings = query.bindings(binds).unwrap();
-    execute_plan_with(&plan, db, catalog, &env, &bindings, ResourceLimits::unlimited())
-        .unwrap()
-        .0
+    execute(&plan, db, catalog, &env, &bindings)
 }
 
 fn sequential_rows(catalog: &Catalog, db: &StoredDatabase, sql: &str, binds: &[(&str, i64)]) -> u64 {

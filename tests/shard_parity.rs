@@ -9,7 +9,7 @@
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
-    compile_dynamic_plan, drain, drain_batch, ExecContext, ExecError, ExecMode, LinkFaultPlan,
+    compile_dynamic_plan, drain, ExecContext, ExecError, LinkFaultPlan,
     Resource, ResourceLimits, SharedCounters, Tuple, TupleLayout, FRAME_HEADER_BYTES,
 };
 use dqep::optimizer::Optimizer;
@@ -125,15 +125,10 @@ fn single_node_rows(
         .optimize_with_props(&query.expr, query.required_props())
         .expect("workload optimizes")
         .plan;
-    let ctx = ExecContext::with_limits(SharedCounters::new(), config.limits)
-        .with_mode(config.exec_mode)
-        .with_dop(config.dop);
+    let ctx = ExecContext::with_limits(SharedCounters::new(), config.limits).with_dop(config.dop);
     let mut op = compile_dynamic_plan(&plan, &db, catalog, &env, &bindings, memory, &ctx)?;
     let layout = op.layout().clone();
-    let rows = match config.exec_mode {
-        ExecMode::Tuple => drain(op.as_mut()),
-        ExecMode::Batch => drain_batch(op.as_mut()),
-    }?;
+    let rows = drain(op.as_mut())?;
     Ok(match canonical.projection_from(&layout) {
         None => rows,
         Some(proj) => rows
@@ -146,8 +141,8 @@ fn single_node_rows(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random chain queries over shard counts {1, 2, 4} × DOP {1, 2} in
-    /// both execution modes, optionally under link faults (inside the
+    /// Random chain queries over shard counts {1, 2, 4} × DOP {1, 2},
+    /// optionally under link faults (inside the
     /// retransmission budget) or a governed per-shard memory budget:
     /// identical result multisets whenever both paths succeed. A sharded
     /// failure where single-node succeeds is acceptable **only** as a
@@ -159,7 +154,6 @@ proptest! {
         seed in 0u64..1000,
         shards in prop_oneof![Just(1usize), Just(2), Just(4)],
         dop in prop_oneof![Just(1usize), Just(2)],
-        mode in prop_oneof![Just(ExecMode::Tuple), Just(ExecMode::Batch)],
         hazard in prop_oneof![Just(0u8), Just(1), Just(2)],
         fault_frames in proptest::collection::vec(1u64..6, 0..3),
         mem_kb in 8u64..128,
@@ -182,7 +176,6 @@ proptest! {
         let config = ShardConfig {
             shards,
             dop,
-            exec_mode: mode,
             limits,
             link_faults,
             data_seed: seed,
@@ -201,8 +194,8 @@ proptest! {
                     prop_assert_eq!(
                         sorted(out.rows.clone()),
                         sorted(expected),
-                        "multisets diverged (shards={} dop={} mode={:?} hazard={})",
-                        shards, dop, mode, hazard
+                        "multisets diverged (shards={} dop={} hazard={})",
+                        shards, dop, hazard
                     );
                 }
                 // else: single-node refused under the same governed
@@ -345,15 +338,15 @@ fn residual_equi_predicates_match_single_node() {
     ];
     let binds = [("v", 400i64)];
     for sql in queries {
-        for (shards, mode) in [(2, ExecMode::Batch), (4, ExecMode::Batch), (2, ExecMode::Tuple)] {
-            let config = ShardConfig { shards, exec_mode: mode, ..ShardConfig::default() };
+        for shards in [2, 4] {
+            let config = ShardConfig { shards, ..ShardConfig::default() };
             let out = ShardedService::new(catalog.clone(), config.clone())
                 .execute(sql, &binds)
                 .expect("sharded run");
             let expected = single_node_rows(&catalog, sql, &binds, &config, &out.layout)
                 .expect("single-node run");
             assert!(!expected.is_empty(), "the residual must leave something to compare");
-            assert_eq!(sorted(out.rows), sorted(expected), "{shards} shards {mode:?}: {sql}");
+            assert_eq!(sorted(out.rows), sorted(expected), "{shards} shards: {sql}");
         }
     }
 }

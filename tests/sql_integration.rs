@@ -1,10 +1,13 @@
 //! SQL front end → optimizer → executor, end to end on stored data.
 
 use dqep::cost::Environment;
-use dqep::executor::execute_plan;
 use dqep::optimizer::Optimizer;
 use dqep::sql::parse_query;
 use dqep::storage::StoredDatabase;
+
+#[path = "common/exec.rs"]
+mod exec;
+use exec::execute;
 
 fn fixture() -> (dqep::catalog::Catalog, StoredDatabase) {
     let cat = dqep::catalog::CatalogBuilder::new(dqep::catalog::SystemConfig::paper_1994())
@@ -122,7 +125,7 @@ fn sql_round_trips_match_ground_truth() {
             .unwrap()
             .plan;
         let bindings = q.bindings(&case.binds).unwrap();
-        let (summary, _) = execute_plan(&plan, &db, &cat, &env, &bindings).unwrap();
+        let summary = execute(&plan, &db, &cat, &env, &bindings);
         let expected = ground_truth(&cat, &db, case.amount_lt, case.region_eq, case.join);
         assert_eq!(summary.rows, expected, "query: {}", case.sql);
     }
@@ -143,8 +146,8 @@ fn sql_static_and_dynamic_agree_on_results() {
     let dp = Optimizer::new(&cat, &dynamic_env).optimize(&q.expr).unwrap().plan;
     for x in [5i64, 120, 480] {
         let b = q.bindings(&[("x", x)]).unwrap();
-        let (s, _) = execute_plan(&sp, &db, &cat, &static_env, &b).unwrap();
-        let (d, _) = execute_plan(&dp, &db, &cat, &dynamic_env, &b).unwrap();
+        let s = execute(&sp, &db, &cat, &static_env, &b);
+        let d = execute(&dp, &db, &cat, &dynamic_env, &b);
         assert_eq!(s.rows, d.rows, ":x = {x}");
         // And the dynamic plan is never slower in simulated time.
         assert!(
