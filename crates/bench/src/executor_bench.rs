@@ -16,7 +16,7 @@ use dqep_cost::{Bindings, Cost, Environment, PlanStats};
 use dqep_executor::{run, ExecContext, RootSink, SharedCounters};
 use dqep_harness::{paper_query, BindingSampler};
 use dqep_interval::Interval;
-use dqep_plan::{PlanNode, PlanNodeBuilder};
+use dqep_plan::{NodeId, Plan};
 use dqep_storage::StoredDatabase;
 
 /// One executor benchmark: a stored database and a plan over it.
@@ -25,7 +25,7 @@ pub struct ExecBenchCase {
     pub name: &'static str,
     catalog: Catalog,
     db: StoredDatabase,
-    plan: Arc<PlanNode>,
+    plan: Arc<Plan>,
     env: Environment,
     bindings: Bindings,
 }
@@ -77,12 +77,12 @@ impl ExecBenchCase {
 }
 
 fn node(
-    b: &mut PlanNodeBuilder,
+    b: &mut Plan,
     op: PhysicalOp,
-    children: Vec<Arc<PlanNode>>,
+    children: &[NodeId],
     rows: f64,
-) -> Arc<PlanNode> {
-    b.node(op, children, PlanStats::new(Interval::point(rows), 512.0), Cost::ZERO)
+) -> NodeId {
+    b.push(op, children, PlanStats::new(Interval::point(rows), 512.0), Cost::ZERO)
 }
 
 /// Full sequential scan of `rows` base rows.
@@ -93,8 +93,9 @@ fn scan_case(rows: u64, seed: u64) -> ExecBenchCase {
         .expect("bench catalog");
     let db = StoredDatabase::generate(&catalog, seed);
     let rel = catalog.relation_by_name("big").expect("relation");
-    let mut b = PlanNodeBuilder::new();
-    let plan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![], rows as f64);
+    let mut b = Plan::new();
+    let root = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], rows as f64);
+    let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     ExecBenchCase { name: "scan", catalog, db, plan, env, bindings: Bindings::new() }
 }
@@ -110,14 +111,15 @@ fn scan_filter_case(rows: u64, seed: u64) -> ExecBenchCase {
     let db = StoredDatabase::generate(&catalog, seed);
     let rel = catalog.relation_by_name("big").expect("relation");
     let ra = rel.attr_id("a").expect("attr");
-    let mut b = PlanNodeBuilder::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![], rows as f64);
-    let plan = node(
+    let mut b = Plan::new();
+    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], rows as f64);
+    let root = node(
         &mut b,
         PhysicalOp::Filter { predicate: SelectPred::bound(ra, CompareOp::Lt, (rows / 2) as i64) },
-        vec![scan],
+        &[scan],
         rows as f64 / 2.0,
     );
+    let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     ExecBenchCase { name: "scan_filter", catalog, db, plan, env, bindings: Bindings::new() }
 }
@@ -136,10 +138,10 @@ fn hash_join_case(rows: u64, seed: u64) -> ExecBenchCase {
     let db = StoredDatabase::generate(&catalog, seed);
     let dim = catalog.relation_by_name("dim").expect("relation");
     let fact = catalog.relation_by_name("fact").expect("relation");
-    let mut b = PlanNodeBuilder::new();
-    let build = node(&mut b, PhysicalOp::FileScan { relation: dim.id }, vec![], build_rows as f64);
-    let probe = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, vec![], rows as f64);
-    let plan = node(
+    let mut b = Plan::new();
+    let build = node(&mut b, PhysicalOp::FileScan { relation: dim.id }, &[], build_rows as f64);
+    let probe = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, &[], rows as f64);
+    let root = node(
         &mut b,
         PhysicalOp::HashJoin {
             predicates: vec![JoinPred::new(
@@ -147,9 +149,10 @@ fn hash_join_case(rows: u64, seed: u64) -> ExecBenchCase {
                 fact.attr_id("fk").expect("attr"),
             )],
         },
-        vec![build, probe],
+        &[build, probe],
         rows as f64,
     );
+    let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     // Grant enough memory to keep the build in memory: this benchmark
     // targets the vectorized probe loop, not Grace partitioning.
@@ -168,9 +171,10 @@ fn sort_case(rows: u64, seed: u64) -> ExecBenchCase {
     let db = StoredDatabase::generate(&catalog, seed);
     let rel = catalog.relation_by_name("big").expect("relation");
     let rb = rel.attr_id("b").expect("attr");
-    let mut b = PlanNodeBuilder::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![], rows as f64);
-    let plan = node(&mut b, PhysicalOp::Sort { attr: rb }, vec![scan], rows as f64);
+    let mut b = Plan::new();
+    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], rows as f64);
+    let root = node(&mut b, PhysicalOp::Sort { attr: rb }, &[scan], rows as f64);
+    let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     // Grant enough memory to keep the sort in-memory: this benchmark
     // targets the fill/emit loops, not external-merge I/O.

@@ -18,14 +18,14 @@ use dqep_catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, S
 use dqep_cost::{Bindings, Environment};
 use dqep_core::Optimizer;
 use dqep_executor::{run, ExecContext, RootSink, SharedCounters, Tracer};
-use dqep_plan::PlanNode;
+use dqep_plan::Plan;
 use dqep_storage::StoredDatabase;
 
 /// A stored database and an optimized dynamic plan to run repeatedly.
 pub struct ObservabilityBenchCase {
     catalog: Catalog,
     db: StoredDatabase,
-    plan: Arc<PlanNode>,
+    plan: Arc<Plan>,
     env: Environment,
     bindings: Bindings,
 }

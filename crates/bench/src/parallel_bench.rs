@@ -20,7 +20,7 @@ use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_cost::{Bindings, Cost, Environment, PlanStats};
 use dqep_executor::{run, ExecContext, RootSink, SharedCounters};
 use dqep_interval::Interval;
-use dqep_plan::{PlanNode, PlanNodeBuilder};
+use dqep_plan::{NodeId, Plan};
 use dqep_storage::StoredDatabase;
 
 /// The degrees of parallelism every case is measured at.
@@ -33,7 +33,7 @@ pub struct ParallelBenchCase {
     pub name: &'static str,
     catalog: Catalog,
     db: StoredDatabase,
-    plan: Arc<PlanNode>,
+    plan: Arc<Plan>,
     env: Environment,
     bindings: Bindings,
 }
@@ -83,12 +83,12 @@ impl ParallelBenchCase {
 }
 
 fn node(
-    b: &mut PlanNodeBuilder,
+    b: &mut Plan,
     op: PhysicalOp,
-    children: Vec<Arc<PlanNode>>,
+    children: &[NodeId],
     rows: f64,
-) -> Arc<PlanNode> {
-    b.node(op, children, PlanStats::new(Interval::point(rows), 512.0), Cost::ZERO)
+) -> NodeId {
+    b.push(op, children, PlanStats::new(Interval::point(rows), 512.0), Cost::ZERO)
 }
 
 /// Full sequential scan of `rows` base rows: pure partition-parallel I/O.
@@ -100,8 +100,9 @@ fn scan_case(rows: u64, seed: u64, latency_us: u64) -> ParallelBenchCase {
     let db = StoredDatabase::generate(&catalog, seed);
     db.disk.set_io_latency_micros(latency_us);
     let rel = catalog.relation_by_name("big").expect("relation");
-    let mut b = PlanNodeBuilder::new();
-    let plan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![], rows as f64);
+    let mut b = Plan::new();
+    let root = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], rows as f64);
+    let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     ParallelBenchCase { name: "scan", catalog, db, plan, env, bindings: Bindings::new() }
 }
@@ -122,10 +123,10 @@ fn hash_join_case(rows: u64, seed: u64, latency_us: u64) -> ParallelBenchCase {
     db.disk.set_io_latency_micros(latency_us);
     let dim = catalog.relation_by_name("dim").expect("relation");
     let fact = catalog.relation_by_name("fact").expect("relation");
-    let mut b = PlanNodeBuilder::new();
-    let build = node(&mut b, PhysicalOp::FileScan { relation: dim.id }, vec![], build_rows as f64);
-    let probe = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, vec![], rows as f64);
-    let plan = node(
+    let mut b = Plan::new();
+    let build = node(&mut b, PhysicalOp::FileScan { relation: dim.id }, &[], build_rows as f64);
+    let probe = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, &[], rows as f64);
+    let root = node(
         &mut b,
         PhysicalOp::HashJoin {
             predicates: vec![JoinPred::new(
@@ -133,9 +134,10 @@ fn hash_join_case(rows: u64, seed: u64, latency_us: u64) -> ParallelBenchCase {
                 fact.attr_id("fk").expect("attr"),
             )],
         },
-        vec![build, probe],
+        &[build, probe],
         rows as f64,
     );
+    let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     // Keep the build resident: the parallel in-memory strategy is the
     // measured path (Grace adds spill I/O that the serial path also pays).
@@ -154,9 +156,10 @@ fn sort_case(rows: u64, seed: u64, latency_us: u64) -> ParallelBenchCase {
     db.disk.set_io_latency_micros(latency_us);
     let rel = catalog.relation_by_name("big").expect("relation");
     let ra = rel.attr_id("a").expect("attr");
-    let mut b = PlanNodeBuilder::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![], rows as f64);
-    let plan = node(&mut b, PhysicalOp::Sort { attr: ra }, vec![scan], rows as f64);
+    let mut b = Plan::new();
+    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], rows as f64);
+    let root = node(&mut b, PhysicalOp::Sort { attr: ra }, &[scan], rows as f64);
+    let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = Bindings::new().with_memory(1024.0);
     ParallelBenchCase { name: "sort", catalog, db, plan, env, bindings }

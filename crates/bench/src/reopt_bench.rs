@@ -25,7 +25,7 @@ use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     run, run_reopt, ExecContext, ReoptConfig, ReoptCounters, RootSink, SharedCounters,
 };
-use dqep_plan::PlanNode;
+use dqep_plan::Plan;
 use dqep_storage::{StoredDatabase, ValueDistribution};
 
 /// One re-optimization benchmark: a stored database and an optimized
@@ -35,7 +35,7 @@ pub struct ReoptBenchCase {
     pub name: &'static str,
     catalog: Catalog,
     db: StoredDatabase,
-    plan: Arc<PlanNode>,
+    plan: Arc<Plan>,
     env: Environment,
     bindings: Bindings,
 }

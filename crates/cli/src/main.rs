@@ -801,8 +801,11 @@ fn run(args: &Args) -> Result<(), DqepError> {
                 missing.join(", ")
             )));
         }
-        if !args.json {
-            let startup = evaluate_startup(&result.plan, &catalog, &env, &bindings);
+        // The decision printed is the decision run: `--run` hands it to the
+        // executor instead of having it made again.
+        let startup = (!args.json)
+            .then(|| Arc::new(evaluate_startup(&result.plan, &catalog, &env, &bindings)));
+        if let Some(startup) = &startup {
             println!(
                 "\n-- start-up decision ({} nodes costed, {} decisions, predicted {:.4}s)",
                 startup.evaluated_nodes,
@@ -863,6 +866,9 @@ fn run(args: &Args) -> Result<(), DqepError> {
                 }
                 outcome.summary
             } else {
+                if let Some(startup) = startup {
+                    ctx = ctx.with_decision(startup);
+                }
                 dqep_executor::run(&result.plan, db, &catalog, &env, &bindings, &ctx, RootSink::Discard)?
             };
             if let Some(tracer) = &tracer {

@@ -1,12 +1,11 @@
 //! Plan frontiers: sets of mutually non-dominated alternatives.
 
-use std::sync::Arc;
-
 use dqep_interval::{Interval, PartialCmp};
-use dqep_plan::PlanNode;
+use dqep_plan::NodeId;
 
 /// The optimization result for one (group, required-properties) pair: all
-/// plans that are not *dominated* by another plan of the same pair.
+/// plans that are not *dominated* by another plan of the same pair, each
+/// held as its node in the search's plan table with its total cost.
 ///
 /// In point mode (traditional optimization) all costs are comparable and
 /// the frontier holds exactly one plan. In interval mode overlapping costs
@@ -15,12 +14,12 @@ use dqep_plan::PlanNode;
 /// potentially optimal plans for all run-time bindings", paper Section 3).
 #[derive(Debug)]
 pub struct Frontier {
-    plans: Vec<Arc<PlanNode>>,
+    plans: Vec<(NodeId, Interval)>,
     /// Cached [`Frontier::best_upper`], maintained on every change.
     best_upper: f64,
     /// The node parents reference: the single plan, or a choose-plan over
     /// all of them. Set by the search once insertion finishes.
-    pub combined: Option<Arc<PlanNode>>,
+    pub combined: Option<NodeId>,
 }
 
 impl Default for Frontier {
@@ -40,10 +39,9 @@ impl Frontier {
         Frontier::default()
     }
 
-    /// The retained plans.
-    #[must_use]
-    pub fn plans(&self) -> &[Arc<PlanNode>] {
-        &self.plans
+    /// The retained plans, in insertion order.
+    pub fn plans(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.plans.iter().map(|(id, _)| *id)
     }
 
     /// Number of retained plans.
@@ -71,7 +69,7 @@ impl Frontier {
         self.best_upper = self
             .plans
             .iter()
-            .map(|p| p.total_cost.total().hi())
+            .map(|(_, cost)| cost.hi())
             .fold(f64::INFINITY, f64::min);
     }
 
@@ -83,8 +81,7 @@ impl Frontier {
     ///   (the arbitrary-decision rule of Section 3).
     #[must_use]
     pub fn admits(&self, cost: Interval, tie_break: bool) -> bool {
-        !self.plans.iter().any(|p| {
-            let existing = p.total_cost.total();
+        !self.plans.iter().any(|(_, existing)| {
             existing.dominates(cost)
                 || (tie_break && existing.compare(cost) == PartialCmp::Equal)
         })
@@ -95,38 +92,35 @@ impl Frontier {
     /// [pushed](Frontier::push).
     ///
     /// Returns `true` when the candidate was retained.
-    pub fn insert(&mut self, candidate: Arc<PlanNode>, tie_break: bool) -> bool {
-        let admitted = self.admits(candidate.total_cost.total(), tie_break);
+    pub fn insert(&mut self, candidate: NodeId, cost: Interval, tie_break: bool) -> bool {
+        let admitted = self.admits(cost, tie_break);
         if admitted {
-            self.push(candidate);
+            self.push(candidate, cost);
         }
         admitted
     }
 
     /// Adds a candidate whose cost the frontier [admits](Frontier::admits),
     /// evicting every existing plan it dominates.
-    pub fn push(&mut self, candidate: Arc<PlanNode>) {
-        let cand_cost = candidate.total_cost.total();
+    pub fn push(&mut self, candidate: NodeId, cost: Interval) {
         // An evicted plan's upper bound is at least the candidate's (it is
         // dominated), so the cached minimum only ever moves to the
         // candidate's.
-        self.plans
-            .retain(|p| !cand_cost.dominates(p.total_cost.total()));
-        self.best_upper = self.best_upper.min(cand_cost.hi());
-        self.plans.push(candidate);
+        self.plans.retain(|(_, existing)| !cost.dominates(*existing));
+        self.insert_unconditional(candidate, cost);
     }
 
     /// Inserts without any pruning — used by the exhaustive-plan mode of
     /// Section 3, where every cost comparison is declared incomparable.
-    pub fn insert_unconditional(&mut self, candidate: Arc<PlanNode>) {
-        self.best_upper = self.best_upper.min(candidate.total_cost.total().hi());
-        self.plans.push(candidate);
+    pub fn insert_unconditional(&mut self, candidate: NodeId, cost: Interval) {
+        self.best_upper = self.best_upper.min(cost.hi());
+        self.plans.push((candidate, cost));
     }
 
     /// Applies a caller-supplied domination test (e.g. multi-point probing)
     /// pairwise, removing plans found dominated. `dominates(a, b)` must
     /// mean "a is never more expensive than b".
-    pub fn prune_with(&mut self, dominates: impl Fn(&Arc<PlanNode>, &Arc<PlanNode>) -> bool) {
+    pub fn prune_with(&mut self, dominates: impl Fn(NodeId, NodeId) -> bool) {
         let mut keep = vec![true; self.plans.len()];
         for i in 0..self.plans.len() {
             if !keep[i] {
@@ -136,7 +130,7 @@ impl Frontier {
                 if i == j || !*kj {
                     continue;
                 }
-                if dominates(&self.plans[i], &self.plans[j]) {
+                if dominates(self.plans[i].0, self.plans[j].0) {
                     *kj = false;
                 }
             }
@@ -153,12 +147,7 @@ impl Frontier {
         if self.plans.len() <= cap {
             return;
         }
-        self.plans.sort_by(|a, b| {
-            a.total_cost
-                .total()
-                .lo()
-                .total_cmp(&b.total_cost.total().lo())
-        });
+        self.plans.sort_by(|a, b| a.1.lo().total_cmp(&b.1.lo()));
         self.plans.truncate(cap.max(1));
         self.recompute_best_upper();
     }
@@ -167,92 +156,72 @@ impl Frontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqep_algebra::PhysicalOp;
-    use dqep_catalog::RelationId;
-    use dqep_cost::{Cost, PlanStats};
-    use dqep_interval::Interval;
-    use dqep_plan::PlanNodeBuilder;
 
-    fn plan(b: &mut PlanNodeBuilder, lo: f64, hi: f64) -> Arc<PlanNode> {
-        b.node(
-            PhysicalOp::FileScan { relation: RelationId(0) },
-            vec![],
-            PlanStats::new(Interval::point(1.0), 512.0),
-            Cost::cpu_only(Interval::new(lo, hi)),
-        )
+    /// Inserts plan `id` with cost `[lo, hi]`.
+    fn insert(f: &mut Frontier, id: u32, lo: f64, hi: f64, tie_break: bool) -> bool {
+        f.insert(NodeId(id), Interval::new(lo, hi), tie_break)
     }
 
     #[test]
     fn keeps_incomparable_drops_dominated() {
-        let mut b = PlanNodeBuilder::new();
         let mut f = Frontier::new();
-        assert!(f.insert(plan(&mut b, 0.0, 10.0), false));
-        assert!(f.insert(plan(&mut b, 1.0, 2.0), false), "overlapping: kept");
+        assert!(insert(&mut f, 0, 0.0, 10.0, false));
+        assert!(insert(&mut f, 1, 1.0, 2.0, false), "overlapping: kept");
         assert_eq!(f.len(), 2);
         // Dominated by [1,2] (lo 3 > hi 2): dropped.
-        assert!(!f.insert(plan(&mut b, 3.0, 4.0), false));
+        assert!(!insert(&mut f, 2, 3.0, 4.0, false));
         assert_eq!(f.len(), 2);
         assert_eq!(f.best_upper(), 2.0);
     }
 
     #[test]
     fn new_plan_evicts_dominated_incumbents() {
-        let mut b = PlanNodeBuilder::new();
         let mut f = Frontier::new();
-        f.insert(plan(&mut b, 5.0, 6.0), false);
-        f.insert(plan(&mut b, 4.0, 9.0), false);
+        insert(&mut f, 0, 5.0, 6.0, false);
+        insert(&mut f, 1, 4.0, 9.0, false);
         // [0, 1] dominates both.
-        assert!(f.insert(plan(&mut b, 0.0, 1.0), false));
+        assert!(insert(&mut f, 2, 0.0, 1.0, false));
         assert_eq!(f.len(), 1);
         assert_eq!(f.best_upper(), 1.0);
     }
 
     #[test]
     fn point_mode_with_tie_break_keeps_single_plan() {
-        let mut b = PlanNodeBuilder::new();
         let mut f = Frontier::new();
-        assert!(f.insert(plan(&mut b, 2.0, 2.0), true));
-        assert!(!f.insert(plan(&mut b, 2.0, 2.0), true), "equal cost: tie-broken");
-        assert!(!f.insert(plan(&mut b, 3.0, 3.0), true));
-        assert!(f.insert(plan(&mut b, 1.0, 1.0), true));
+        assert!(insert(&mut f, 0, 2.0, 2.0, true));
+        assert!(!insert(&mut f, 1, 2.0, 2.0, true), "equal cost: tie-broken");
+        assert!(!insert(&mut f, 2, 3.0, 3.0, true));
+        assert!(insert(&mut f, 3, 1.0, 1.0, true));
         assert_eq!(f.len(), 1);
     }
 
     #[test]
     fn conservative_mode_keeps_equal_cost_plans() {
-        let mut b = PlanNodeBuilder::new();
         let mut f = Frontier::new();
-        assert!(f.insert(plan(&mut b, 2.0, 2.0), false));
-        assert!(f.insert(plan(&mut b, 2.0, 2.0), false), "paper's naive policy");
+        assert!(insert(&mut f, 0, 2.0, 2.0, false));
+        assert!(insert(&mut f, 1, 2.0, 2.0, false), "paper's naive policy");
         assert_eq!(f.len(), 2);
     }
 
     #[test]
     fn prune_with_external_test() {
-        let mut b = PlanNodeBuilder::new();
         let mut f = Frontier::new();
-        let a = plan(&mut b, 0.0, 10.0);
-        let c = plan(&mut b, 1.0, 2.0);
-        f.insert(a.clone(), false);
-        f.insert(c.clone(), false);
-        // External knowledge says c always beats a.
-        let c_id = c.id;
-        f.prune_with(|x, y| x.id == c_id && y.id == a.id);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.plans()[0].id, c_id);
+        insert(&mut f, 0, 0.0, 10.0, false);
+        insert(&mut f, 1, 1.0, 2.0, false);
+        // External knowledge says plan 1 always beats plan 0.
+        f.prune_with(|x, y| x == NodeId(1) && y == NodeId(0));
+        assert_eq!(f.plans().collect::<Vec<_>>(), vec![NodeId(1)]);
+        assert_eq!(f.best_upper(), 2.0);
     }
 
     #[test]
     fn cap_keeps_lowest_lower_bounds() {
-        let mut b = PlanNodeBuilder::new();
         let mut f = Frontier::new();
-        f.insert(plan(&mut b, 3.0, 100.0), false);
-        f.insert(plan(&mut b, 0.5, 100.0), false);
-        f.insert(plan(&mut b, 2.0, 100.0), false);
+        insert(&mut f, 0, 3.0, 100.0, false);
+        insert(&mut f, 1, 0.5, 100.0, false);
+        insert(&mut f, 2, 2.0, 100.0, false);
         f.enforce_cap(2);
-        assert_eq!(f.len(), 2);
-        let los: Vec<f64> = f.plans().iter().map(|p| p.total_cost.total().lo()).collect();
-        assert_eq!(los, vec![0.5, 2.0]);
+        assert_eq!(f.plans().collect::<Vec<_>>(), vec![NodeId(1), NodeId(2)]);
     }
 
     #[test]

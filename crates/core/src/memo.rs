@@ -20,21 +20,17 @@
 
 use dqep_algebra::{PhysProps, RelSet};
 use dqep_catalog::RelationId;
-use dqep_plan::{DenseId, IdTable};
-
 use crate::frontier::Frontier;
 
 /// Index of a group within the memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u32);
 
-impl DenseId for GroupId {
-    fn index(self) -> usize {
+impl GroupId {
+    /// The id as a vector index.
+    #[must_use]
+    pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    fn from_index(index: usize) -> GroupId {
-        GroupId(index as u32)
     }
 }
 
@@ -242,12 +238,11 @@ impl Memo {
     /// count 1.
     #[must_use]
     pub fn logical_tree_count(&self, gid: GroupId) -> f64 {
-        let mut trees = IdTable::with_capacity(self.groups.len());
-        self.trees(gid, &mut trees)
+        self.trees(gid, &mut vec![None; self.groups.len()])
     }
 
-    fn trees(&self, gid: GroupId, memo: &mut IdTable<GroupId, f64>) -> f64 {
-        if let Some(&v) = memo.get(gid) {
+    fn trees(&self, gid: GroupId, memo: &mut [Option<f64>]) -> f64 {
+        if let Some(v) = memo[gid.index()] {
             return v;
         }
         // Groups form a DAG by construction (children cover strictly
@@ -268,7 +263,7 @@ impl Memo {
             };
         }
         let total = total.max(1.0);
-        memo.insert(gid, total);
+        memo[gid.index()] = Some(total);
         total
     }
 }

@@ -13,11 +13,9 @@
 //! be mis-ordered, which is why the paper's prototype (and this crate's
 //! default) leaves it off.
 
-use std::sync::Arc;
-
 use dqep_catalog::Catalog;
 use dqep_cost::{Bindings, Environment};
-use dqep_plan::{evaluate_startup, PlanNode};
+use dqep_plan::{evaluate_startup, NodeId, Plan};
 
 use crate::context::QueryContext;
 
@@ -66,22 +64,24 @@ impl ProbePoints {
         b
     }
 
-    /// Whether plan `a` is at least as cheap as plan `b` at **every**
-    /// sample — the heuristic domination test.
+    /// Whether the subplan at `a` of the search's plan table is at least
+    /// as cheap as the one at `b` at **every** sample — the heuristic
+    /// domination test.
     #[must_use]
     pub fn dominates(
         &self,
-        a: &Arc<PlanNode>,
-        b: &Arc<PlanNode>,
+        plans: &Plan,
+        (a, b): (NodeId, NodeId),
         ctx: &QueryContext,
         catalog: &Catalog,
         env: &Environment,
     ) -> bool {
+        let (a, b) = (plans.rooted_at(a), plans.rooted_at(b));
         let n = self.selectivities.len().max(self.memories.len());
         for i in 0..n {
             let bindings = self.bindings(i, ctx, catalog);
-            let ca = evaluate_startup(a, catalog, env, &bindings).predicted_run_seconds;
-            let cb = evaluate_startup(b, catalog, env, &bindings).predicted_run_seconds;
+            let ca = evaluate_startup(&a, catalog, env, &bindings).predicted_run_seconds;
+            let cb = evaluate_startup(&b, catalog, env, &bindings).predicted_run_seconds;
             if ca > cb {
                 return false;
             }

@@ -15,6 +15,12 @@
 //! and plan size polynomial while the number of *contained* static plans
 //! grows exponentially (paper Section 3, "Techniques to Reduce the Search
 //! Effort").
+//!
+//! Every node the search builds is appended to one [`Plan`] table, its
+//! arena; frontiers and parents hold node ids. What a frontier evicts
+//! stays behind as garbage until [`Plan::finish`] compacts the table
+//! around the root — keeping relative order, so the rank in which the
+//! surviving nodes were created is their position in the finished plan.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,7 +29,7 @@ use dqep_algebra::{LogicalExpr, PhysProps, PhysicalOp, SelectPred, SortOrder};
 use dqep_catalog::{AttrId, Catalog, IndexId, RelationId};
 use dqep_cost::{Cost, CostModel, Environment, PlanStats, PlanningMode};
 use dqep_interval::Interval;
-use dqep_plan::{IdTable, PlanNode, PlanNodeBuilder};
+use dqep_plan::{NodeId, Plan};
 
 use crate::context::QueryContext;
 use crate::error::OptimizerError;
@@ -50,7 +56,7 @@ pub struct Optimizer<'a> {
 pub struct OptimizeResult {
     /// The optimized plan — static (point mode) or dynamic (interval mode
     /// with uncertainty).
-    pub plan: Arc<PlanNode>,
+    pub plan: Arc<Plan>,
     /// Search statistics.
     pub stats: OptimizerStats,
 }
@@ -120,9 +126,10 @@ impl<'a> Optimizer<'a> {
         let inputs = Inputs::new(ctx, self.catalog, self.env, self.options);
         let mut search = Search {
             q: &inputs,
-            group_stats: IdTable::with_capacity(memo.group_count()),
+            group_stats: vec![None; memo.group_count()],
             memo,
-            builder: PlanNodeBuilder::new(),
+            arena: Plan::new(),
+            alternatives: Vec::new(),
             in_progress: Vec::new(),
             physical_considered: 0,
             pruned_by_bound: 0,
@@ -134,14 +141,15 @@ impl<'a> Optimizer<'a> {
         let combined = search
             .combined(root, props)
             .ok_or(OptimizerError::NoPlanFound)?;
-        let plan = if self.options.dag_sharing {
+        let plan_root = if self.options.dag_sharing {
             combined
         } else {
             // Sharing ablation: expand the DAG into the tree representation
             // the paper warns against. Exponential for complex dynamic
             // plans; intended for small queries.
-            search.expand_tree(&combined)
+            search.expand_tree(combined)
         };
+        let plan = std::mem::take(&mut search.arena).finish(plan_root);
 
         let dag = dqep_plan::dag::summarize(&plan);
         let mut stats = OptimizerStats {
@@ -165,7 +173,10 @@ impl<'a> Optimizer<'a> {
         }
         stats.optimization_seconds = start.elapsed().as_secs_f64();
         stats.search_seconds = stats.optimization_seconds - explore_seconds;
-        Ok(OptimizeResult { plan, stats })
+        Ok(OptimizeResult {
+            plan: Arc::new(plan),
+            stats,
+        })
     }
 }
 
@@ -311,8 +322,11 @@ impl<'a> Inputs<'a> {
 struct Search<'a> {
     q: &'a Inputs<'a>,
     memo: Memo,
-    builder: PlanNodeBuilder,
-    group_stats: IdTable<GroupId, PlanStats>,
+    /// Every node built so far, kept or since evicted.
+    arena: Plan,
+    /// Scratch list of a frontier's plans, for the choose-plan over them.
+    alternatives: Vec<NodeId>,
+    group_stats: Vec<Option<PlanStats>>,
     /// The (group, properties) pairs being optimized, innermost last — the
     /// recursion stack, kept to detect a cyclic optimization.
     in_progress: Vec<(GroupId, PhysProps)>,
@@ -326,7 +340,7 @@ impl<'a> Search<'a> {
     /// Logical stream statistics of a group (cardinality interval and row
     /// width) — identical for all expressions of the group.
     fn stats_of(&mut self, gid: GroupId) -> PlanStats {
-        if let Some(&s) = self.group_stats.get(gid) {
+        if let Some(s) = self.group_stats[gid.index()] {
             return s;
         }
         let q = self.q;
@@ -353,17 +367,14 @@ impl<'a> Search<'a> {
                 PlanStats::new(card.scale(jsel), row)
             }
         };
-        self.group_stats.insert(gid, s);
+        self.group_stats[gid.index()] = Some(s);
         s
     }
 
     /// The node parents use for (group, props): the frontier's single plan
     /// or its choose-plan. `None` if not yet optimized or empty.
-    fn combined(&self, gid: GroupId, props: PhysProps) -> Option<Arc<PlanNode>> {
-        self.memo
-            .group(gid)
-            .frontier(props)
-            .and_then(|f| f.combined.clone())
+    fn combined(&self, gid: GroupId, props: PhysProps) -> Option<NodeId> {
+        self.memo.group(gid).frontier(props).and_then(|f| f.combined)
     }
 
     /// Optimizes (group, props), memoized.
@@ -391,7 +402,7 @@ impl<'a> Search<'a> {
                 let op = PhysicalOp::Sort { attr };
                 self.consider(
                     &mut frontier,
-                    &[&child],
+                    &[child],
                     stats,
                     |model| model.op_cost(&op, &[stats], &stats),
                     || op.clone(),
@@ -403,7 +414,9 @@ impl<'a> Search<'a> {
             if let Some(probe) = self.probe.take() {
                 let before = frontier.len();
                 let q = self.q;
-                frontier.prune_with(|a, b| probe.dominates(a, b, &q.ctx, q.catalog, q.env));
+                let arena = &self.arena;
+                frontier
+                    .prune_with(|a, b| probe.dominates(arena, (a, b), &q.ctx, q.catalog, q.env));
                 self.pruned_by_probing += before - frontier.len();
                 self.probe = Some(probe);
             }
@@ -411,12 +424,14 @@ impl<'a> Search<'a> {
         frontier.enforce_cap(self.q.opts.max_frontier);
         self.in_progress.pop();
 
-        let combined = match frontier.len() {
-            0 => return Err(OptimizerError::NoPlanFound),
-            1 => frontier.plans()[0].clone(),
-            n => {
-                let cost = self.q.model.choose_plan_cost(n);
-                self.builder.choose_plan(frontier.plans().to_vec(), cost)
+        self.alternatives.clear();
+        self.alternatives.extend(frontier.plans());
+        let combined = match self.alternatives[..] {
+            [] => return Err(OptimizerError::NoPlanFound),
+            [only] => only,
+            _ => {
+                let cost = self.q.model.choose_plan_cost(self.alternatives.len());
+                self.arena.choose_plan(&self.alternatives, cost)
             }
         };
         frontier.combined = Some(combined);
@@ -446,11 +461,12 @@ impl<'a> Search<'a> {
     }
 
     /// Adds the built node of a candidate [`Search::keeps`] approved.
-    fn keep(&self, frontier: &mut Frontier, node: Arc<PlanNode>) {
+    fn keep(&self, frontier: &mut Frontier, node: NodeId) {
+        let cost = self.arena[node].total_cost.total();
         if self.q.opts.exhaustive {
-            frontier.insert_unconditional(node);
+            frontier.insert_unconditional(node, cost);
         } else {
-            frontier.push(node);
+            frontier.push(node, cost);
         }
     }
 
@@ -463,14 +479,17 @@ impl<'a> Search<'a> {
     fn consider(
         &mut self,
         frontier: &mut Frontier,
-        children: &[&Arc<PlanNode>],
+        children: &[NodeId],
         out_stats: PlanStats,
         self_cost: impl FnOnce(&CostModel<'a>) -> Cost,
         op: impl FnOnce() -> PhysicalOp,
     ) {
         self.physical_considered += 1;
         if !self.q.opts.exhaustive {
-            let child_lo: f64 = children.iter().map(|c| c.total_cost.total().lo()).sum();
+            let child_lo: f64 = children
+                .iter()
+                .map(|c| self.arena[*c].total_cost.total().lo())
+                .sum();
             if self.bound_rejects(frontier, child_lo) {
                 return;
             }
@@ -478,12 +497,11 @@ impl<'a> Search<'a> {
         let self_cost = self_cost(&self.q.model);
         let total = children
             .iter()
-            .fold(self_cost, |acc, c| acc + c.total_cost);
+            .fold(self_cost, |acc, c| acc + self.arena[*c].total_cost);
         if !self.keeps(frontier, total.total()) {
             return;
         }
-        let children = children.iter().map(|c| Arc::clone(c)).collect();
-        let node = self.builder.node(op(), children, out_stats, self_cost);
+        let node = self.arena.push(op(), children, out_stats, self_cost);
         self.keep(frontier, node);
     }
 
@@ -532,7 +550,7 @@ impl<'a> Search<'a> {
             if let Some(base) = self.combined(get_gid, props) {
                 self.consider_filter_chain(
                     frontier,
-                    base.total_cost,
+                    self.arena[base].total_cost,
                     get_stats,
                     preds.iter().copied(),
                     |_| base,
@@ -569,8 +587,8 @@ impl<'a> Search<'a> {
                 .enumerate()
                 .filter(move |(j, _)| *j != i)
                 .map(|(_, s)| *s);
-            self.consider_filter_chain(frontier, cost, first_stats, rest, |builder| {
-                builder.node(op, vec![], first_stats, cost)
+            self.consider_filter_chain(frontier, cost, first_stats, rest, |arena| {
+                arena.push(op, &[], first_stats, cost)
             });
         }
     }
@@ -584,7 +602,7 @@ impl<'a> Search<'a> {
         base_total: Cost,
         base_stats: PlanStats,
         preds: impl Iterator<Item = Selection> + Clone,
-        base: impl FnOnce(&mut PlanNodeBuilder) -> Arc<PlanNode>,
+        base: impl FnOnce(&mut Plan) -> NodeId,
     ) {
         self.physical_considered += 1;
         let q = self.q;
@@ -593,12 +611,11 @@ impl<'a> Search<'a> {
         if !self.keeps(frontier, total.total()) {
             return;
         }
-        let mut node = base(&mut self.builder);
+        let mut node = base(&mut self.arena);
         q.filter_levels(base_stats, preds, |predicate, out, cost| {
-            let child = Arc::clone(&node);
             node = self
-                .builder
-                .node(PhysicalOp::Filter { predicate }, vec![child], out, cost);
+                .arena
+                .push(PhysicalOp::Filter { predicate }, &[node], out, cost);
         });
         self.keep(frontier, node);
     }
@@ -638,7 +655,7 @@ impl<'a> Search<'a> {
                 ) {
                     self.consider(
                         frontier,
-                        &[&lc, &rc],
+                        &[lc, rc],
                         out_stats,
                         |model| model.hash_join_cost(&l_stats, &r_stats, &out_stats),
                         || PhysicalOp::HashJoin {
@@ -661,7 +678,7 @@ impl<'a> Search<'a> {
                     {
                         self.consider(
                             frontier,
-                            &[&lc, &rc],
+                            &[lc, rc],
                             out_stats,
                             |model| model.merge_join_cost(&l_stats, &r_stats, &out_stats),
                             || PhysicalOp::MergeJoin {
@@ -707,7 +724,7 @@ impl<'a> Search<'a> {
                 if let Some(outer) = self.child_plan(l, outer_props) {
                     self.consider(
                         frontier,
-                        &[&outer],
+                        &[outer],
                         out_stats,
                         |model| model.index_join_cost(&l_stats, inner, ordered.clone(), &out_stats),
                         || PhysicalOp::IndexJoin {
@@ -725,26 +742,23 @@ impl<'a> Search<'a> {
 
     /// The child node a parent should reference: the shared combined node,
     /// or (sharing ablation) a private deep copy.
-    fn child_plan(&mut self, gid: GroupId, props: PhysProps) -> Option<Arc<PlanNode>> {
+    fn child_plan(&mut self, gid: GroupId, props: PhysProps) -> Option<NodeId> {
         let combined = self.combined(gid, props)?;
         Some(if self.q.opts.dag_sharing {
             combined
         } else {
-            self.expand_tree(&combined)
+            self.expand_tree(combined)
         })
     }
 
     /// Expands a DAG into a tree with fresh node identities (sharing
     /// ablation).
-    fn expand_tree(&mut self, node: &Arc<PlanNode>) -> Arc<PlanNode> {
-        let children: Vec<Arc<PlanNode>> =
-            node.children.iter().map(|c| self.expand_tree(c)).collect();
-        if node.is_choose_plan() {
-            self.builder.choose_plan(children, node.self_cost)
-        } else {
-            self.builder
-                .node(node.op.clone(), children, node.stats, node.self_cost)
-        }
+    fn expand_tree(&mut self, id: NodeId) -> NodeId {
+        let children = self.arena.children(id).to_vec();
+        let children: Vec<NodeId> = children.into_iter().map(|c| self.expand_tree(c)).collect();
+        let node = &self.arena[id];
+        let (op, stats, self_cost) = (node.op.clone(), node.stats, node.self_cost);
+        self.arena.push(op, &children, stats, self_cost)
     }
 }
 
@@ -812,7 +826,7 @@ mod tests {
         // At the expected selectivity of 0.05 the index plan wins (the
         // calibration the motivating example depends on).
         assert!(matches!(
-            result.plan.op,
+            result.plan.root_node().op,
             PhysicalOp::FilterBtreeScan { .. }
         ));
     }
@@ -823,14 +837,14 @@ mod tests {
         let env = Environment::dynamic_compile_time(&cat.config);
         let result = Optimizer::new(&cat, &env).optimize(&query1(&cat)).unwrap();
         assert!(result.plan.is_dynamic());
-        assert!(result.plan.is_choose_plan());
+        assert!(result.plan.root_node().is_choose_plan());
         assert!(result.stats.contained_plans >= 2.0);
         // Figure 1: the alternatives are a file-scan plan and an index plan.
-        let ops: Vec<&str> = result
-            .plan
-            .children
+        let plan = &result.plan;
+        let ops: Vec<&str> = plan
+            .children(plan.root())
             .iter()
-            .map(|c| c.op.name())
+            .map(|c| plan[*c].op.name())
             .collect();
         assert!(ops.contains(&"Filter"), "file-scan alternative: {ops:?}");
         assert!(
@@ -851,7 +865,10 @@ mod tests {
             &env,
             &Bindings::new().with_value(HostVar(0), 5),
         );
-        assert!(matches!(low.resolved.op, PhysicalOp::FilterBtreeScan { .. }));
+        assert!(matches!(
+            low.resolved.root_node().op,
+            PhysicalOp::FilterBtreeScan { .. }
+        ));
 
         let high = evaluate_startup(
             &result.plan,
@@ -859,7 +876,7 @@ mod tests {
             &env,
             &Bindings::new().with_value(HostVar(0), 950),
         );
-        assert!(matches!(high.resolved.op, PhysicalOp::Filter { .. }));
+        assert!(matches!(high.resolved.root_node().op, PhysicalOp::Filter { .. }));
         // At high selectivity the file scan is much cheaper than the
         // index scan would have been.
         assert!(high.predicted_run_seconds < low.predicted_run_seconds * 20.0);
@@ -874,12 +891,11 @@ mod tests {
         // The dynamic plan must contain hash joins with both build sides
         // (paper Figure 2): look for two HashJoin nodes whose child order
         // differs by relation set.
-        let mut hash_joins = 0;
-        dqep_plan::dag::walk_dag(&result.plan, &mut |n| {
-            if matches!(n.op, PhysicalOp::HashJoin { .. }) {
-                hash_joins += 1;
-            }
-        });
+        let hash_joins = result
+            .plan
+            .iter()
+            .filter(|(_, n)| matches!(n.op, PhysicalOp::HashJoin { .. }))
+            .count();
         assert!(hash_joins >= 2, "expected both join orders, got {hash_joins}");
     }
 
@@ -966,6 +982,28 @@ mod tests {
                 result.plan.check_invariants().unwrap();
             }
         }
+        // `search_golden`'s `dynamic k=10`: 1 123 nodes as a table,
+        // 1.7 × 10¹⁰ as a tree — the check is a loop over the former.
+        use dqep_catalog::{make_chain_catalog, SyntheticSpec, JOIN_LEFT_ATTR, JOIN_RIGHT_ATTR};
+        let cat = make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994());
+        let rels = cat.relations();
+        let selected = |i: usize| {
+            let attr = rels[i].attr_id(dqep_catalog::SELECTION_ATTR).unwrap();
+            LogicalExpr::get(rels[i].id).select(SelectPred::unbound(
+                attr,
+                CompareOp::Lt,
+                HostVar(i as u32),
+            ))
+        };
+        let chain = (1..rels.len()).fold(selected(0), |query, i| {
+            let left = rels[i - 1].attr_id(JOIN_RIGHT_ATTR).unwrap();
+            let right = rels[i].attr_id(JOIN_LEFT_ATTR).unwrap();
+            query.join(selected(i), vec![JoinPred::new(left, right)])
+        });
+        let env = Environment::dynamic_compile_time(&cat.config);
+        let result = Optimizer::new(&cat, &env).optimize(&chain).unwrap();
+        assert_eq!(result.stats.plan_nodes, 1_123);
+        result.plan.check_invariants().unwrap();
     }
 
     #[test]
@@ -986,8 +1024,8 @@ mod tests {
         .unwrap();
         // Same plan space retained: identical combined cost interval.
         assert_eq!(
-            with.plan.total_cost.total(),
-            without.plan.total_cost.total()
+            with.plan.root_node().total_cost.total(),
+            without.plan.root_node().total_cost.total()
         );
         assert_eq!(with.stats.plan_nodes, without.stats.plan_nodes);
     }
@@ -1016,8 +1054,8 @@ mod tests {
         );
         // Semantics unchanged.
         assert_eq!(
-            unshared.plan.total_cost.total(),
-            shared.plan.total_cost.total()
+            unshared.plan.root_node().total_cost.total(),
+            shared.plan.root_node().total_cost.total()
         );
     }
 

@@ -8,8 +8,6 @@
 //! order in which candidates are built and the order of alternatives under
 //! every choose-plan (which decides ties at start-up) are pinned too.
 
-use std::sync::Arc;
-
 use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysProps, SelectPred};
 use dqep_catalog::{
     make_chain_catalog, Catalog, SyntheticSpec, SystemConfig, JOIN_LEFT_ATTR, JOIN_RIGHT_ATTR,
@@ -17,7 +15,7 @@ use dqep_catalog::{
 };
 use dqep_core::{OptimizeResult, Optimizer};
 use dqep_cost::Environment;
-use dqep_plan::{dag, PlanNode};
+use dqep_plan::{NodeId, Plan};
 
 fn catalog() -> Catalog {
     make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994())
@@ -49,17 +47,26 @@ fn chain(catalog: &Catalog, k: usize, literal: Option<i64>) -> LogicalExpr {
     query
 }
 
-/// FNV-1a over the post-order of `(id, op name, child ids)`, ids taken as
-/// their rank among the DAG's ids. A raw id is the ordinal of the node
-/// among *all* nodes the run built — including candidates a frontier then
-/// rejected or evicted — so it moves when a rejected candidate is no longer
-/// built; the rank keeps what matters, the relative creation order of the
-/// nodes that survive (it orders the alternatives under a choose-plan).
-fn fingerprint(root: &Arc<PlanNode>) -> u64 {
-    let mut ids: Vec<u64> = Vec::new();
-    dag::walk_dag(root, &mut |n| ids.push(n.id.0));
-    ids.sort_unstable();
-    let rank = |id: u64| ids.binary_search(&id).unwrap() as u64;
+/// FNV-1a over the depth-first post-order (each node once, at its first
+/// visit) of `(rank, op name, child ranks)`, a node's rank being its
+/// creation rank among the nodes of the plan — which is its position in
+/// the table: the search appends nodes as it builds them and the final
+/// compaction keeps their relative order. The rank keeps what matters, the
+/// relative creation order of the nodes that survive (it orders the
+/// alternatives under a choose-plan).
+fn fingerprint(plan: &Plan) -> u64 {
+    fn post_order(plan: &Plan, id: NodeId, seen: &mut [bool], out: &mut Vec<NodeId>) {
+        if std::mem::replace(&mut seen[id.index()], true) {
+            return;
+        }
+        for c in plan.children(id) {
+            post_order(plan, *c, seen, out);
+        }
+        out.push(id);
+    }
+    let mut order = Vec::with_capacity(plan.len());
+    post_order(plan, plan.root(), &mut vec![false; plan.len()], &mut order);
+    assert_eq!(order.len(), plan.len(), "every node hangs off the root");
 
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
@@ -68,21 +75,21 @@ fn fingerprint(root: &Arc<PlanNode>) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    dag::walk_dag(root, &mut |n| {
-        eat(&rank(n.id.0).to_le_bytes());
-        eat(n.op.name().as_bytes());
-        eat(&(n.children.len() as u64).to_le_bytes());
-        for c in &n.children {
-            eat(&rank(c.id.0).to_le_bytes());
+    for id in order {
+        eat(&u64::from(id.0).to_le_bytes());
+        eat(plan[id].op.name().as_bytes());
+        eat(&(plan.children(id).len() as u64).to_le_bytes());
+        for c in plan.children(id) {
+            eat(&u64::from(c.0).to_le_bytes());
         }
-    });
+    }
     h
 }
 
 /// Everything pinned about one run, in one comparable line.
 fn summary(r: &OptimizeResult) -> String {
     let s = &r.stats;
-    let total = r.plan.total_cost.total();
+    let total = r.plan.root_node().total_cost.total();
     format!(
         "groups={} exprs={} trees={} considered={} pruned={} nodes={} choose={} contained={} \
          frontier={} max_frontier={} cost=[{:016x},{:016x}] dag={:016x}",
@@ -106,6 +113,9 @@ fn run(env: &Environment, cat: &Catalog, query: &LogicalExpr, props: PhysProps) 
     let result = Optimizer::new(cat, env)
         .optimize_with_props(query, props)
         .unwrap();
+    // Linear in the table: the 1 123-node `dynamic k=10` plan is
+    // 1.7 × 10¹⁰ nodes as a tree (the 309-node `k=6` plan 1.1 M).
+    result.plan.check_invariants().unwrap();
     summary(&result)
 }
 

@@ -29,15 +29,14 @@
 //! are bad enough that the default start-up decision could pick the
 //! wrong plan (e.g. skewed data without histograms).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use dqep_catalog::Catalog;
 use dqep_cost::{Bindings, Environment};
-use dqep_plan::{dag, evaluate_startup_observed, Observations, PlanNode, StartupResult};
+use dqep_plan::{NodeId, Plan, StartupResult};
 use dqep_storage::StoredDatabase;
 
-use crate::compile::{grant_bytes, run};
+use crate::compile::{grant_bytes, run, Compiler};
 use crate::error::ExecError;
 use crate::exec::{drain_root, RootSink};
 use crate::governor::ExecContext;
@@ -47,13 +46,14 @@ use crate::metrics::{ExecSummary, SharedCounters};
 #[derive(Debug)]
 pub struct AdaptiveResult {
     /// The subplan observed (root of the pilot), if any was eligible.
-    pub observed: Option<dqep_plan::NodeId>,
+    pub observed: Option<NodeId>,
     /// The pilot's observed cardinality, if a pilot ran.
     pub observed_rows: Option<u64>,
     /// Cost of the pilot execution (simulated I/O + CPU).
     pub pilot: Option<ExecSummary>,
-    /// The start-up decision made with the observation applied.
-    pub startup: StartupResult,
+    /// The start-up decision made with the observation applied — the one
+    /// the main execution ran under.
+    pub startup: Arc<StartupResult>,
     /// The main execution.
     pub main: ExecSummary,
 }
@@ -73,110 +73,112 @@ impl AdaptiveResult {
 /// Picks the pilot subplan: the largest (deepest) subplan that (a) appears
 /// in every alternative of the root choose-plan and (b) has an uncertain
 /// compile-time cardinality. The pilot may itself contain choose-plans —
-/// it executes through the run-time choose-plan operator, which resolves
-/// its inner decisions lazily. Returns `None` when the plan has no root
-/// choose-plan or no eligible shared subplan.
+/// it executes through the run-time choose-plan operator, following the
+/// start-up decision. Returns `None` when the plan has no root choose-plan
+/// or no eligible shared subplan.
 #[must_use]
-pub fn pick_pilot(plan: &Arc<PlanNode>) -> Option<Arc<PlanNode>> {
-    if !plan.is_choose_plan() {
+pub fn pick_pilot(plan: &Plan) -> Option<NodeId> {
+    if !plan.root_node().is_choose_plan() {
         return None;
     }
-    // Node sets per alternative.
-    let mut shared: Option<HashSet<_>> = None;
-    for alt in &plan.children {
-        let mut ids = HashSet::new();
-        dag::walk_dag(alt, &mut |n| {
-            ids.insert(n.id);
-        });
-        shared = Some(match shared {
-            None => ids,
-            Some(prev) => prev.intersection(&ids).copied().collect(),
-        });
+    // In how many alternatives each node appears: one descending sweep
+    // per alternative (a node's parents come after it).
+    let alternatives = plan.children(plan.root());
+    let mut appearances = vec![0usize; plan.len()];
+    let mut reached = vec![false; plan.len()];
+    for alt in alternatives {
+        reached.fill(false);
+        reached[alt.index()] = true;
+        for (id, _) in plan.iter().rev() {
+            if reached[id.index()] {
+                appearances[id.index()] += 1;
+                for c in plan.children(id) {
+                    reached[c.index()] = true;
+                }
+            }
+        }
     }
-    let shared = shared?;
-    // Among shared nodes, pick the deepest eligible one.
-    let mut best: Option<(usize, Arc<PlanNode>)> = None;
-    dag::walk_dag(plan, &mut |n| {
-        if !shared.contains(&n.id) {
-            return;
+    // Among the nodes every alternative shares, the deepest eligible one;
+    // of equals, the first.
+    let mut depth = vec![0usize; plan.len()];
+    let mut best: Option<(usize, NodeId)> = None;
+    for (id, node) in plan.iter() {
+        let below = plan.children(id).iter().map(|c| depth[c.index()]).max();
+        depth[id.index()] = 1 + below.unwrap_or(0);
+        let eligible = appearances[id.index()] == alternatives.len() && !node.stats.card.is_point();
+        if eligible && best.is_none_or(|(d, _)| depth[id.index()] > d) {
+            best = Some((depth[id.index()], id));
         }
-        if n.stats.card.is_point() {
-            return; // nothing to learn
-        }
-        let depth = dag::depth(n);
-        let better = match &best {
-            None => true,
-            Some((d, _)) => depth > *d,
-        };
-        if better {
-            best = Some((depth, Arc::clone(n)));
-        }
-    });
-    best.map(|(_, n)| n)
+    }
+    best.map(|(_, id)| id)
 }
 
 /// Executes a dynamic plan with one round of run-time observation (see the
 /// module docs). Falls back to ordinary start-up execution when no pilot
 /// subplan is eligible.
 ///
+/// One start-up decision is made up front; the pilot runs under it, and
+/// when the pilot has observed something the decision is made once more
+/// with the observation applied — the one the main execution follows.
+///
 /// # Errors
 /// Any [`ExecError`] from the pilot or main execution.
 pub fn execute_adaptive(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,
     bindings: &Bindings,
 ) -> Result<AdaptiveResult, ExecError> {
-    let mut observations = Observations::new();
-    let mut observed = None;
-    let mut pilot_summary = None;
-    let mut ctx = ExecContext::new(SharedCounters::new());
+    let ctx = ExecContext::new(SharedCounters::new());
+    let unobserved = dqep_plan::Observations::new();
+    let startup = crate::choose::decide(plan, catalog, env, bindings, &unobserved, &ctx.counters);
+    let startup = Arc::new(startup);
+    let Some(pilot) = pick_pilot(plan) else {
+        // Nothing to observe: run what the decision resolved to.
+        let main = run(&startup.resolved, db, catalog, env, bindings, &ctx, RootSink::Discard)?;
+        return Ok(AdaptiveResult { observed: None, observed_rows: None, pilot: None, startup, main });
+    };
 
-    if let Some(pilot) = pick_pilot(plan) {
-        let pilot_ctx = ExecContext::new(SharedCounters::new());
-        let before = db.disk.stats();
-        let mut op = crate::choose::compile_dynamic_plan(
-            &pilot,
-            db,
-            catalog,
-            env,
-            bindings,
-            grant_bytes(bindings, env, catalog),
-            &pilot_ctx,
-        )?;
-        let mut batches = Vec::new();
-        let rows = drain_root(op.as_mut(), None, RootSink::Batches(&mut batches))?;
-        pilot_summary = Some(ExecSummary {
-            rows,
-            cpu: pilot_ctx.counters.snapshot(),
-            io: db.disk.stats().since(&before),
-            fallbacks: pilot_ctx.counters.fallbacks(),
-            ..ExecSummary::default()
-        });
-        observations.insert(pilot.id, rows as f64);
-        observed = Some(pilot.id);
-        // Retain the temporary result: the main execution serves it as a
-        // materialized scan instead of recomputing the shared subplan.
-        let state = Arc::new(crate::reopt::ReoptState::new(crate::reopt::ReoptConfig::default()));
-        state.observe_checkpoint(pilot.id, pilot.op.name(), pilot.stats.card, rows);
-        let layout = crate::choose::layout_of(&pilot, catalog);
-        let _ = state.try_retain(&pilot_ctx.governor, pilot.id, layout, batches);
-        ctx = ctx.with_reopt(state);
-    }
-
-    let startup = evaluate_startup_observed(plan, catalog, env, bindings, &observations);
-    // With a retained pilot, execute the *original* dynamic plan (its
-    // node ids key the substitution); the run-time choose-plan arbitrates
-    // with the same observation, reproducing `startup`'s decision, and
-    // the compiler serves the pilot's batches in place of its subtree.
-    // Without a pilot, run the resolved plan.
-    let target = if ctx.reopt.is_some() { plan } else { &startup.resolved };
-    let main = run(target, db, catalog, env, bindings, &ctx, RootSink::Discard)?;
+    let pilot_ctx = ExecContext::new(SharedCounters::new()).with_decision(startup);
+    let before = db.disk.stats();
+    let compiler = Compiler {
+        plan,
+        db,
+        catalog,
+        env: Some(env),
+        bindings,
+        memory_bytes: grant_bytes(bindings, env, catalog),
+    };
+    let mut op = compiler.node(pilot, &pilot_ctx)?;
+    let mut batches = Vec::new();
+    let rows = drain_root(op.as_mut(), None, RootSink::Batches(&mut batches))?;
+    drop(op);
+    let pilot_summary = ExecSummary {
+        rows,
+        cpu: pilot_ctx.counters.snapshot(),
+        io: db.disk.stats().since(&before),
+        fallbacks: pilot_ctx.counters.fallbacks(),
+        ..ExecSummary::default()
+    };
+    // Retain the temporary result: the main execution serves it as a
+    // materialized scan instead of recomputing the shared subplan.
+    let state = Arc::new(crate::reopt::ReoptState::new(crate::reopt::ReoptConfig::default()));
+    state.observe_checkpoint(pilot, plan[pilot].op.name(), plan[pilot].stats.card, rows);
+    let layout = crate::choose::layout_of(plan, pilot, catalog);
+    let _ = state.try_retain(&pilot_ctx.governor, pilot, layout, batches);
+    // The decision with the observation applied, put in force for the main
+    // execution of the *original* dynamic plan (its node ids key the
+    // substitution): the compiler serves the pilot's batches in place of
+    // its subtree and the choose-plan operators follow this decision.
+    let startup = state.decide(|observed| {
+        crate::choose::decide(plan, catalog, env, bindings, observed, &ctx.counters)
+    });
+    let main = run(plan, db, catalog, env, bindings, &ctx.with_reopt(state), RootSink::Discard)?;
     Ok(AdaptiveResult {
-        observed,
-        observed_rows: pilot_summary.map(|p| p.rows),
-        pilot: pilot_summary,
+        observed: Some(pilot),
+        observed_rows: Some(rows),
+        pilot: Some(pilot_summary),
         startup,
         main,
     })
@@ -228,7 +230,7 @@ mod tests {
         let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
         // Query-1-shaped plans have a root choose-plan over scan variants.
         if let Some(pilot) = pick_pilot(&plan) {
-            assert!(!pilot.stats.card.is_point());
+            assert!(!plan[pilot].stats.card.is_point());
         }
         // A static plan never yields a pilot.
         let senv = Environment::static_compile_time(&cat.config);
@@ -328,8 +330,8 @@ mod tests {
         let blind = evaluate_startup(&plan, &cat, &env, &bindings);
         let adaptive = execute_adaptive(&plan, &db, &cat, &env, &bindings).unwrap();
         assert_eq!(
-            adaptive.startup.resolved.op.name(),
-            blind.resolved.op.name(),
+            adaptive.startup.resolved.root_node().op.name(),
+            blind.resolved.root_node().op.name(),
             "accurate estimates: observation should not change the choice"
         );
         assert!(adaptive.total_seconds(&cat.config) > 0.0);

@@ -1,23 +1,27 @@
 //! The run-time choose-plan operator (Graefe & Ward, SIGMOD 1989).
 //!
 //! The 1989 paper defined choose-plan as an *operator in the query
-//! evaluation plan*: an iterator that, when opened, runs its decision
-//! procedure and from then on delegates every pull to the chosen input. This
-//! module provides exactly that — [`ChoosePlanExec`] — so dynamic plans
-//! can be compiled *as they are* and decide lazily inside the Volcano
-//! tree, instead of being resolved up front.
+//! evaluation plan*: an iterator that, when opened, follows its decision
+//! procedure's pick and from then on delegates every pull to the chosen
+//! input. [`ChoosePlanExec`] is that operator, so dynamic plans compile
+//! *as they are*.
 //!
-//! [`compile_dynamic_plan`] compiles any plan, mapping choose-plan nodes
-//! to [`ChoosePlanExec`]; `open()` evaluates the node's subtree costs with
-//! the actual bindings (the Section 4 decision procedure of the 1994
-//! paper), compiles only the winning alternative, and opens it. Losing
-//! alternatives are never compiled — mirroring how an access module never
-//! instantiates the plans it does not run.
+//! **The decision is made once per activation, for the whole plan** (the
+//! 1994 paper's Section 4: every node's cost function is evaluated once,
+//! each choose-plan picks its cheapest input). [`compile_dynamic_plan`]
+//! makes it — unless the caller hands it in or a re-optimization driver
+//! keeps it — and its result rides in the [`ExecContext`] to every
+//! choose-plan operator of the tree. An operator reads its pick, every
+//! alternative's predicted cost and its audit from that one result and
+//! evaluates nothing itself; `open()` compiles only the winning alternative
+//! and opens it, mirroring how an access module never instantiates the
+//! plans it does not run.
 //!
-//! Having every alternative at hand also buys **graceful degradation**:
-//! when opening the chosen alternative fails *retryably* (an injected
-//! storage fault, a memory grant the governor refuses to cover), the
-//! operator falls back to the next alternative in predicted-cost order
+//! What the operator is *for* is **graceful degradation**: it is the
+//! fallback point. When opening the chosen alternative fails *retryably*
+//! (an injected storage fault, a memory grant the governor refuses to
+//! cover), it falls back to the next alternative in predicted-cost order —
+//! read off the same decision, and only once something has failed —
 //! instead of failing the query, recording each fallback in the query's
 //! counters ([`crate::ExecSummary::fallbacks`]). Fatal errors —
 //! cancellation, exceeded query-wide budgets, malformed plans — propagate
@@ -27,18 +31,24 @@ use std::sync::Arc;
 
 use dqep_catalog::Catalog;
 use dqep_cost::{Bindings, Environment};
-use dqep_plan::{evaluate_startup, evaluate_startup_observed, PlanNode, StartupResult};
+use dqep_plan::{
+    chosen_alternative, evaluate_startup_observed, NodeId, Observations, Plan, StartupResult,
+};
 use dqep_storage::StoredDatabase;
 
+use crate::compile::Compiler;
 use crate::error::ExecError;
 use crate::governor::ExecContext;
+use crate::metrics::SharedCounters;
 use crate::trace::{AltAudit, AttemptAudit, ChooseAudit};
 use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
-/// The run-time choose-plan operator: decides at `open()`.
+/// The run-time choose-plan operator: opens the start-up decision's pick,
+/// falls back on retryable failure.
 pub struct ChoosePlanExec<'a> {
-    node: Arc<PlanNode>,
+    plan: &'a Plan,
+    id: NodeId,
     db: &'a StoredDatabase,
     catalog: &'a Catalog,
     env: Environment,
@@ -58,37 +68,29 @@ pub struct ChoosePlanExec<'a> {
 }
 
 impl<'a> ChoosePlanExec<'a> {
-    /// Creates the operator for a choose-plan `node`.
-    ///
-    /// # Panics
-    /// Panics if `node` is not a choose-plan.
-    #[must_use]
-    pub fn new(
-        node: Arc<PlanNode>,
-        db: &'a StoredDatabase,
-        catalog: &'a Catalog,
-        env: Environment,
-        bindings: Bindings,
-        memory_bytes: usize,
-        ctx: ExecContext,
-    ) -> Self {
-        assert!(node.is_choose_plan(), "ChoosePlanExec needs a choose-plan node");
-        // All alternatives share the logical result; take the first
-        // alternative's layout (identical relation sets).
-        let layout = layout_of(&node.children[0], catalog);
-        ChoosePlanExec {
-            node,
+    /// The operator for the choose-plan node `id` of `compiler`'s plan,
+    /// compiling its alternatives as `compiler` would, under `ctx` — which
+    /// must carry the plan's start-up decision or a re-optimization state,
+    /// as [`compile_dynamic_plan`] sees to. `None` when the compiler has no
+    /// environment to decide under (it compiles a resolved plan).
+    pub(crate) fn new(compiler: &Compiler<'a, '_>, id: NodeId, ctx: ExecContext) -> Option<Self> {
+        let Compiler { plan, db, catalog, env, bindings, memory_bytes } = *compiler;
+        Some(ChoosePlanExec {
+            plan,
+            id,
             db,
             catalog,
-            env,
-            bindings,
+            env: env?.clone(),
+            bindings: bindings.clone(),
             memory_bytes,
             ctx,
             chosen: None,
             chosen_index: None,
-            layout,
+            // All alternatives share the logical result; take the first
+            // alternative's layout (identical relation sets).
+            layout: layout_of(plan, plan.children(id)[0], catalog),
             remap: None,
-        }
+        })
     }
 
     /// Which alternative is running (after `open`). With fallbacks this
@@ -98,44 +100,32 @@ impl<'a> ChoosePlanExec<'a> {
         self.chosen_index
     }
 
-    /// The decision procedure for `node` (the choose-plan itself or one
-    /// alternative): plain start-up evaluation, or — when the context
-    /// carries mid-query re-optimization state — the observed variant with
-    /// the checkpoint observations applied, so a re-arbitration after a
-    /// cardinality escape decides from what the query actually saw.
-    fn arbitrate(&self, node: &Arc<PlanNode>) -> StartupResult {
-        match self.ctx.reopt.as_ref() {
-            Some(state) => evaluate_startup_observed(
-                node,
-                self.catalog,
-                &self.env,
-                &self.bindings,
-                &state.observations(),
-            ),
-            None => evaluate_startup(node, self.catalog, &self.env, &self.bindings),
+    /// The start-up decision this operator follows. Outside mid-query
+    /// re-optimization it is the one the context carries and nothing is
+    /// evaluated here. Under re-optimization the decision in force lives on
+    /// the re-optimization state, which re-makes it — once, for the whole
+    /// plan, shared by every later `open` — when a checkpoint has recorded
+    /// a newer observation since, so a re-arbitration after a cardinality
+    /// escape decides from what the query actually saw.
+    fn decision(&self) -> Result<Arc<StartupResult>, ExecError> {
+        let decision = match (self.ctx.reopt.as_ref(), self.ctx.decision.as_ref()) {
+            (Some(state), _) => state.decision(self.id, |observed| {
+                let counters = &self.ctx.counters;
+                decide(self.plan, self.catalog, &self.env, &self.bindings, observed, counters)
+            }),
+            (None, Some(decision)) => Arc::clone(decision),
+            (None, None) => {
+                return Err(ExecError::Internal(
+                    "choose-plan compiled without a start-up decision".into(),
+                ))
+            }
+        };
+        if decision.estimates.len() != self.plan.len() {
+            return Err(ExecError::Internal(
+                "the start-up decision was made for another plan".into(),
+            ));
         }
-    }
-
-    /// The order in which to attempt alternatives: the decision
-    /// procedure's pick first, then the rest by their individually
-    /// predicted run time, ascending.
-    fn attempt_order(&self, preferred: usize) -> Vec<usize> {
-        let mut rest: Vec<(usize, f64)> = self
-            .node
-            .children
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != preferred)
-            .map(|(i, alt)| {
-                let cost = self.arbitrate(alt).predicted_run_seconds;
-                (i, cost)
-            })
-            .collect();
-        rest.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let mut order = Vec::with_capacity(self.node.children.len());
-        order.push(preferred);
-        order.extend(rest.into_iter().map(|(i, _)| i));
-        order
+        Ok(decision)
     }
 
     /// Hands a completed arbitration audit to the tracer, if tracing, and
@@ -155,51 +145,48 @@ impl<'a> ChoosePlanExec<'a> {
     }
 }
 
-/// The tuple layout a plan subtree produces (base relations in DAG
+/// One start-up decision for the whole of `plan`, counted against the run
+/// it is made for ([`crate::ExecSummary::startup_nodes`]).
+pub(crate) fn decide(
+    plan: &Plan,
+    catalog: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+    observed: &Observations,
+    counters: &SharedCounters,
+) -> StartupResult {
+    let decision = evaluate_startup_observed(plan, catalog, env, bindings, observed);
+    counters.add_startup_nodes(decision.evaluated_nodes as u64);
+    decision
+}
+
+/// The tuple layout the subplan at `id` produces (base relations in
 /// leaf-visit order, matching how join operators concatenate).
-pub(crate) fn layout_of(node: &Arc<PlanNode>, catalog: &Catalog) -> TupleLayout {
+pub(crate) fn layout_of(plan: &Plan, id: NodeId, catalog: &Catalog) -> TupleLayout {
     use dqep_algebra::PhysicalOp::*;
-    match &node.op {
+    let child = |i: usize| layout_of(plan, plan.children(id)[i], catalog);
+    match &plan[id].op {
         FileScan { relation } | BtreeScan { relation, .. } | FilterBtreeScan { relation, .. } => {
             TupleLayout::base(catalog, *relation)
         }
-        Filter { .. } | Sort { .. } => layout_of(&node.children[0], catalog),
-        HashJoin { .. } | MergeJoin { .. } => layout_of(&node.children[0], catalog)
-            .concat(&layout_of(&node.children[1], catalog)),
-        IndexJoin { inner, .. } => {
-            layout_of(&node.children[0], catalog).concat(&TupleLayout::base(catalog, *inner))
-        }
-        ChoosePlan => layout_of(&node.children[0], catalog),
+        Filter { .. } | Sort { .. } | ChoosePlan => child(0),
+        HashJoin { .. } | MergeJoin { .. } => child(0).concat(&child(1)),
+        IndexJoin { inner, .. } => child(0).concat(&TupleLayout::base(catalog, *inner)),
     }
 }
 
 impl Operator for ChoosePlanExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
-        // Decision procedure: re-evaluate the alternatives' cost functions
-        // with the actual bindings (and any checkpoint observations), once
-        // per DAG node.
-        let startup = self.arbitrate(&self.node);
-        if let Some(state) = self.ctx.reopt.as_ref() {
-            let observed = state.observations().len();
-            if observed > 0 {
-                state.record_arbitration(
-                    self.node.id,
-                    &format!("arbitrated with {observed} checkpoint observation(s)"),
-                );
-            }
-        }
-        let preferred = startup
-            .decisions
-            .iter()
-            .find(|d| d.choose_plan == self.node.id)
-            .map(|d| d.chosen_index)
-            .unwrap_or(0);
+        let decision = self.decision()?;
+        let (plan, alternatives) = (self.plan, self.plan.children(self.id));
+        let preferred = chosen_alternative(&decision.decisions, self.id).unwrap_or(0);
+        let predicted_seconds = |alt: NodeId| decision.estimates[alt.index()].cost.total().lo();
         // With tracing on, record the full arbitration audit trail: every
         // alternative with its bind-time prediction, the bound values, the
         // attempts in order, and the eventual winner. Costs nothing when
         // tracing is off (the map never runs).
         let mut audit = self.ctx.tracer.as_ref().map(|_| ChooseAudit {
-            node: self.node.id.0,
+            node: u64::from(self.id.0),
             bind_values: self
                 .bindings
                 .values
@@ -207,15 +194,13 @@ impl Operator for ChoosePlanExec<'_> {
                 .map(|(var, value)| (var.to_string(), *value))
                 .collect(),
             memory_pages: self.bindings.memory_pages,
-            alternatives: self
-                .node
-                .children
+            alternatives: alternatives
                 .iter()
                 .enumerate()
                 .map(|(index, alt)| AltAudit {
                     index,
-                    label: alt.op.to_string(),
-                    predicted_seconds: self.arbitrate(alt).predicted_run_seconds,
+                    label: plan[*alt].op.to_string(),
+                    predicted_seconds: predicted_seconds(*alt),
                 })
                 .collect(),
             preferred,
@@ -223,28 +208,32 @@ impl Operator for ChoosePlanExec<'_> {
             winner: None,
             fallbacks: 0,
         });
+        let compiler = Compiler {
+            plan,
+            db: self.db,
+            catalog: self.catalog,
+            env: Some(&self.env),
+            bindings: &self.bindings,
+            memory_bytes: self.memory_bytes,
+        };
+        // The decision's pick first; the rest, by their predicted run
+        // time, ascending, are lined up only once it has failed.
+        let mut order = vec![preferred];
         let mut last_err: Option<ExecError> = None;
-        for idx in self.attempt_order(preferred) {
-            let alt = &self.node.children[idx];
-            let attempt = compile_dynamic_plan(
-                alt,
-                self.db,
-                self.catalog,
-                &self.env,
-                &self.bindings,
-                self.memory_bytes,
-                &self.ctx,
-            )
-            .and_then(|mut op| match op.open() {
-                Ok(()) => Ok(op),
-                Err(e) => {
-                    // Release whatever the failed attempt still holds
-                    // (buffered rows, memory reservations).
-                    op.close();
-                    Err(e)
-                }
+        let mut attempt = 0;
+        while let Some(&idx) = order.get(attempt) {
+            attempt += 1;
+            let opened = compiler.node(alternatives[idx], &self.ctx).and_then(|mut op| {
+                // A failed attempt releases whatever it still holds
+                // (buffered rows, memory reservations).
+                op.open().inspect_err(|_| op.close())?;
+                Ok(op)
             });
-            match attempt {
+            if let Some(audit) = audit.as_mut() {
+                let outcome = opened.as_ref().map_or_else(ToString::to_string, |_| "opened".into());
+                audit.attempts.push(AttemptAudit { index: idx, outcome });
+            }
+            match opened {
                 Ok(op) => {
                     // Alternatives share a relation *set*, not an order:
                     // a commuted join delivers the same rows with the
@@ -255,10 +244,6 @@ impl Operator for ChoosePlanExec<'_> {
                     self.chosen_index = Some(idx);
                     self.chosen = Some(op);
                     if let Some(mut audit) = audit.take() {
-                        audit.attempts.push(AttemptAudit {
-                            index: idx,
-                            outcome: "opened".into(),
-                        });
                         audit.winner = Some(idx);
                         self.flush_audit(audit);
                     }
@@ -267,23 +252,22 @@ impl Operator for ChoosePlanExec<'_> {
                 Err(e) if e.is_retryable() => {
                     self.ctx.counters.add_fallbacks(1);
                     if let Some(audit) = audit.as_mut() {
-                        audit.attempts.push(AttemptAudit {
-                            index: idx,
-                            outcome: e.to_string(),
-                        });
                         audit.fallbacks += 1;
                     }
                     last_err = Some(e);
+                    if order.len() == 1 {
+                        let mut rest: Vec<usize> =
+                            (0..alternatives.len()).filter(|i| *i != preferred).collect();
+                        rest.sort_by(|a, b| {
+                            predicted_seconds(alternatives[*a])
+                                .total_cmp(&predicted_seconds(alternatives[*b]))
+                        });
+                        order.extend(rest);
+                    }
                 }
                 Err(e) => {
-                    if let Some(mut audit) = audit.take() {
-                        audit.attempts.push(AttemptAudit {
-                            index: idx,
-                            outcome: e.to_string(),
-                        });
-                        self.flush_audit(audit);
-                    }
-                    return Err(e);
+                    last_err = Some(e);
+                    break;
                 }
             }
         }
@@ -336,16 +320,17 @@ impl Operator for ChoosePlanExec<'_> {
 
 /// Compiles a plan that may contain choose-plan operators: choose-plan
 /// nodes — at the root or nested anywhere inside the tree — become
-/// [`ChoosePlanExec`] (deciding at `open()`); everything else compiles as
-/// usual. Original plan-node identities are preserved end to end, so
-/// mid-query re-optimization can substitute retained intermediates and
-/// apply checkpoint observations at any depth.
+/// [`ChoosePlanExec`]; everything else compiles as usual. This is where
+/// the start-up decision is made: if the plan is dynamic and the context
+/// brings neither a decision nor a re-optimization state, the whole plan
+/// is evaluated once here and every choose-plan operator compiled from it
+/// — now or lazily at `open` — follows that result.
 ///
 /// # Errors
 /// Any compilation [`ExecError`]; choose-plan nodes themselves never fail
 /// to compile (their alternatives compile lazily at `open`).
 pub fn compile_dynamic_plan<'a>(
-    node: &Arc<PlanNode>,
+    plan: &'a Plan,
     db: &'a StoredDatabase,
     catalog: &'a Catalog,
     env: &Environment,
@@ -353,7 +338,12 @@ pub fn compile_dynamic_plan<'a>(
     memory_bytes: usize,
     ctx: &ExecContext,
 ) -> Result<BoxedOperator<'a>, ExecError> {
-    crate::compile::compile_node(node, db, catalog, Some(env), bindings, memory_bytes, ctx)
+    let compiler = Compiler { plan, db, catalog, env: Some(env), bindings, memory_bytes };
+    if plan.is_dynamic() && ctx.decision.is_none() && ctx.reopt.is_none() {
+        let decision = decide(plan, catalog, env, bindings, &Observations::new(), &ctx.counters);
+        return compiler.node(plan.root(), &ctx.clone().with_decision(Arc::new(decision)));
+    }
+    compiler.node(plan.root(), ctx)
 }
 
 #[cfg(test)]
@@ -365,6 +355,7 @@ mod tests {
     use dqep_algebra::{CompareOp, HostVar, LogicalExpr, PhysicalOp, SelectPred};
     use dqep_catalog::{CatalogBuilder, SystemConfig};
     use dqep_core::Optimizer;
+    use dqep_plan::evaluate_startup;
 
     fn fixture() -> (Catalog, StoredDatabase, LogicalExpr) {
         let cat = CatalogBuilder::new(SystemConfig::paper_1994())
@@ -381,30 +372,33 @@ mod tests {
         (cat, db, q)
     }
 
+    fn compiler<'a, 'b>(
+        plan: &'a Plan,
+        db: &'a StoredDatabase,
+        catalog: &'a Catalog,
+        env: &'b Environment,
+        bindings: &'b Bindings,
+    ) -> Compiler<'a, 'b> {
+        Compiler { plan, db, catalog, env: Some(env), bindings, memory_bytes: 64 * 2048 }
+    }
+
     #[test]
     fn runtime_operator_decides_at_open() {
         let (cat, db, q) = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
         let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
-        assert!(plan.is_choose_plan());
+        assert!(plan.root_node().is_choose_plan());
 
         for (v, expect_index) in [(5i64, true), (550, false)] {
             let bindings = Bindings::new().with_value(HostVar(0), v);
-            let ctx = ExecContext::new(SharedCounters::new());
-            let mut op = ChoosePlanExec::new(
-                plan.clone(),
-                &db,
-                &cat,
-                env.clone(),
-                bindings.clone(),
-                64 * 2048,
-                ctx,
-            );
+            let ctx = ExecContext::new(SharedCounters::new())
+                .with_decision(Arc::new(evaluate_startup(&plan, &cat, &env, &bindings)));
+            let mut op = ChoosePlanExec::new(&compiler(&plan, &db, &cat, &env, &bindings), plan.root(), ctx).unwrap();
             assert!(op.chosen_index().is_none(), "no decision before open");
             op.open().unwrap();
             let idx = op.chosen_index().expect("decided at open");
             let is_index_plan = matches!(
-                plan.children[idx].op,
+                plan[plan.children(plan.root())[idx]].op,
                 PhysicalOp::FilterBtreeScan { .. }
             );
             assert_eq!(is_index_plan, expect_index, "binding {v}");
@@ -480,16 +474,13 @@ mod tests {
         let env = Environment::dynamic_compile_time(&cat.config);
         let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
         let ctx = ExecContext::new(SharedCounters::new());
-        let mut op = ChoosePlanExec::new(
-            plan,
-            &db,
-            &cat,
-            env,
-            Bindings::new().with_value(HostVar(0), 10),
-            64 * 2048,
-            ctx,
-        );
+        let bindings = Bindings::new().with_value(HostVar(0), 10);
+        let mut op = ChoosePlanExec::new(&compiler(&plan, &db, &cat, &env, &bindings), plan.root(), ctx).unwrap();
         assert!(matches!(op.next_batch(1), Err(ExecError::Internal(_))));
+        assert!(
+            matches!(op.open(), Err(ExecError::Internal(_))),
+            "an operator built by hand without a decision has nothing to follow"
+        );
     }
 
     #[test]
@@ -498,7 +489,7 @@ mod tests {
         let (cat, db, q) = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
         let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
-        assert!(plan.children.len() >= 2);
+        assert!(plan.children(plan.root()).len() >= 2);
 
         // Selective binding: the index path wins and is opened first. Its
         // open() materializes rids via a B-tree descent — fail the very

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use dqep_algebra::{JoinPred, PhysicalOp, Scalar, SelectPred};
 use dqep_catalog::Catalog;
 use dqep_cost::{Bindings, Environment};
-use dqep_plan::{evaluate_startup, PlanNode, StartupResult};
+use dqep_plan::{evaluate_startup, NodeId, Plan, StartupResult};
 use dqep_storage::StoredDatabase;
 
 use crate::error::ExecError;
@@ -68,221 +68,216 @@ pub(crate) fn orient(
 /// those with [`crate::compile_dynamic_plan`]); unbound-host-variable and
 /// predicate errors from resolution; storage errors from operator setup.
 pub fn compile_plan<'a>(
-    node: &Arc<PlanNode>,
+    plan: &'a Plan,
     db: &'a StoredDatabase,
     catalog: &'a Catalog,
     bindings: &Bindings,
     memory_bytes: usize,
     ctx: &ExecContext,
 ) -> Result<BoxedOperator<'a>, ExecError> {
-    compile_node(node, db, catalog, None, bindings, memory_bytes, ctx)
+    let compiler = Compiler { plan, db, catalog, env: None, bindings, memory_bytes };
+    compiler.node(plan.root(), ctx)
 }
 
-/// Shared compiler body behind [`compile_plan`] (`env = None`: choose-plan
-/// nodes are an error) and [`crate::compile_dynamic_plan`] (`env = Some`:
-/// choose-plan nodes — at the root or anywhere inside the tree — become
-/// run-time [`crate::ChoosePlanExec`] operators deciding lazily at
-/// `open()`).
-#[allow(clippy::too_many_lines)]
-pub(crate) fn compile_node<'a>(
-    node: &Arc<PlanNode>,
-    db: &'a StoredDatabase,
-    catalog: &'a Catalog,
-    env: Option<&Environment>,
-    bindings: &Bindings,
-    memory_bytes: usize,
-    ctx: &ExecContext,
-) -> Result<BoxedOperator<'a>, ExecError> {
-    // With a tracer in the context, every node gets a span and its
-    // operator a `TracedExec` wrapper; children compile under `traced`'s
-    // context so their spans nest. Without one, this is a single branch.
-    let traced = crate::trace::node_span(ctx, node);
-    let ctx = traced.as_ref().map_or(ctx, |(_, tctx)| tctx);
-    // Mid-query re-optimization: a node whose result was retained at a
-    // checkpoint compiles to a scan over the retained batches — the
-    // substitution that keeps a re-plan from ever repeating finished work.
-    if let Some(state) = ctx.reopt.as_ref() {
-        if let Some((layout, batches)) = state.materialized(node.id) {
-            let op: BoxedOperator<'a> =
-                Box::new(crate::reopt::MaterializedScanExec::new(batches, layout, ctx.clone()));
-            return Ok(match traced {
-                Some((span, _)) => crate::trace::wrap_span(op, span, ctx, Some(db.disk.clone())),
-                None => op,
-            });
+/// What compiling any node of one plan needs besides the node and its
+/// context. The compiler body behind [`compile_plan`] (`env = None`:
+/// choose-plan nodes are an error) and [`crate::compile_dynamic_plan`]
+/// (`env = Some`: choose-plan nodes — at the root or anywhere inside the
+/// tree — become run-time [`crate::ChoosePlanExec`] operators, the
+/// fallback points of the start-up decision the context carries).
+pub(crate) struct Compiler<'a, 'b> {
+    pub(crate) plan: &'a Plan,
+    pub(crate) db: &'a StoredDatabase,
+    pub(crate) catalog: &'a Catalog,
+    pub(crate) env: Option<&'b Environment>,
+    pub(crate) bindings: &'b Bindings,
+    pub(crate) memory_bytes: usize,
+}
+
+impl<'a> Compiler<'a, '_> {
+    /// Compiles the subplan at `id` — a subtree is `(plan, id)`.
+    pub(crate) fn node(&self, id: NodeId, ctx: &ExecContext) -> Result<BoxedOperator<'a>, ExecError> {
+        // With a tracer in the context, every node gets a span and its
+        // operator a `TracedExec` wrapper; children compile under `traced`'s
+        // context so their spans nest. Without one, this is a single branch.
+        match crate::trace::node_span(ctx, id, &self.plan[id]) {
+            Some((span, ctx)) => {
+                let op = self.operator(id, &ctx)?;
+                Ok(crate::trace::wrap_span(op, span, &ctx, Some(self.db.disk.clone())))
+            }
+            None => self.operator(id, ctx),
         }
     }
-    // A checkpoint probe for a pipeline-breaker input, unless that input
-    // is already served from retained rows (its cardinality is known).
-    let probe_for = |input: &Arc<PlanNode>| {
-        let state = ctx.reopt.as_ref()?;
-        if state.materialized(input.id).is_some() {
-            return None;
+
+    /// The operator of node `id`, its inputs compiled under `ctx`.
+    #[allow(clippy::too_many_lines)]
+    fn operator(&self, id: NodeId, ctx: &ExecContext) -> Result<BoxedOperator<'a>, ExecError> {
+        let Compiler { plan, db, catalog, bindings, memory_bytes, .. } = *self;
+        let node = &plan[id];
+        let children = plan.children(id);
+        // Mid-query re-optimization: a node whose result was retained at a
+        // checkpoint compiles to a scan over the retained batches — the
+        // substitution that keeps a re-plan from ever repeating finished work.
+        if let Some((layout, batches)) = ctx.reopt.as_ref().and_then(|s| s.materialized(id)) {
+            return Ok(Box::new(crate::reopt::MaterializedScanExec::new(batches, layout, ctx.clone())));
         }
-        Some(crate::reopt::ReoptProbe::new(
-            Arc::clone(state),
-            input.id,
-            input.op.name(),
-            input.stats.card,
-        ))
-    };
-    let op: BoxedOperator<'a> = match &node.op {
-        PhysicalOp::FileScan { relation } => {
-            let table = db.table(*relation);
-            // The one place parallelism enters a compiled tree: a DOP > 1
-            // file scan becomes an exchange over morsel-scan workers.
-            // Every other operator reads `ctx.dop` itself.
-            if ctx.dop > 1 && table.heap.page_count() >= 2 {
-                let mut exchange = crate::exchange::parallel_scan(
-                    table,
-                    TupleLayout::base(catalog, *relation),
-                    ctx,
-                );
-                // The exchange's worker join is a pipeline breaker: all
-                // workers' output is merged before anything flows on.
-                if let Some(probe) = probe_for(node) {
-                    exchange = exchange.with_checkpoint(probe);
+        // A checkpoint probe for a pipeline-breaker input, unless that input
+        // is already served from retained rows (its cardinality is known).
+        let probe_for = |input: NodeId| {
+            let state = ctx.reopt.as_ref()?;
+            if state.materialized(input).is_some() {
+                return None;
+            }
+            Some(crate::reopt::ReoptProbe {
+                state: Arc::clone(state),
+                node: input,
+                label: plan[input].op.name(),
+                card: plan[input].stats.card,
+            })
+        };
+        Ok(match &node.op {
+            PhysicalOp::FileScan { relation } => {
+                let table = db.table(*relation);
+                // The one place parallelism enters a compiled tree: a DOP > 1
+                // file scan becomes an exchange over morsel-scan workers.
+                // Every other operator reads `ctx.dop` itself.
+                if ctx.dop > 1 && table.heap.page_count() >= 2 {
+                    let mut exchange = crate::exchange::parallel_scan(
+                        table,
+                        TupleLayout::base(catalog, *relation),
+                        ctx,
+                    );
+                    // The exchange's worker join is a pipeline breaker: all
+                    // workers' output is merged before anything flows on.
+                    if let Some(probe) = probe_for(id) {
+                        exchange = exchange.with_checkpoint(probe);
+                    }
+                    Box::new(exchange)
+                } else {
+                    Box::new(FileScanExec::new(
+                        table,
+                        TupleLayout::base(catalog, *relation),
+                        ctx.clone(),
+                    ))
                 }
-                Box::new(exchange)
-            } else {
-                Box::new(FileScanExec::new(
-                    table,
-                    TupleLayout::base(catalog, *relation),
+            }
+            PhysicalOp::BtreeScan {
+                relation, index, ..
+            } => Box::new(BtreeScanExec::new(
+                db.table(*relation),
+                *index,
+                (None, None),
+                TupleLayout::base(catalog, *relation),
+                ctx.clone(),
+            )),
+            PhysicalOp::FilterBtreeScan {
+                relation,
+                index,
+                predicate,
+            } => {
+                let layout = TupleLayout::base(catalog, *relation);
+                let resolved = resolve_pred(predicate, &layout, bindings)?;
+                Box::new(BtreeScanExec::new(
+                    db.table(*relation),
+                    *index,
+                    resolved.key_range(),
+                    layout,
                     ctx.clone(),
                 ))
             }
-        }
-        PhysicalOp::BtreeScan {
-            relation, index, ..
-        } => Box::new(BtreeScanExec::new(
-            db.table(*relation),
-            *index,
-            (None, None),
-            TupleLayout::base(catalog, *relation),
-            ctx.clone(),
-        )),
-        PhysicalOp::FilterBtreeScan {
-            relation,
-            index,
-            predicate,
-        } => {
-            let layout = TupleLayout::base(catalog, *relation);
-            let resolved = resolve_pred(predicate, &layout, bindings)?;
-            Box::new(BtreeScanExec::new(
-                db.table(*relation),
-                *index,
-                resolved.key_range(),
-                layout,
-                ctx.clone(),
-            ))
-        }
-        PhysicalOp::Filter { predicate } => {
-            let child = compile_node(&node.children[0], db, catalog, env, bindings, memory_bytes, ctx)?;
-            let resolved = resolve_pred(predicate, child.layout(), bindings)?;
-            Box::new(FilterExec::new(child, resolved, ctx.clone()))
-        }
-        PhysicalOp::HashJoin { predicates } => {
-            let build =
-                compile_node(&node.children[0], db, catalog, env, bindings, memory_bytes, ctx)?;
-            let probe =
-                compile_node(&node.children[1], db, catalog, env, bindings, memory_bytes, ctx)?;
-            let keys = predicates
-                .iter()
-                .map(|p| orient(p, build.layout(), probe.layout()))
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut join = HashJoinExec::new(
-                build,
-                probe,
-                keys,
-                ctx.clone(),
-                db.disk.clone(),
-                memory_bytes,
-            );
-            if let Some(cp) = probe_for(&node.children[0]) {
-                join = join.with_checkpoint(cp);
+            PhysicalOp::Filter { predicate } => {
+                let child = self.node(children[0], ctx)?;
+                let resolved = resolve_pred(predicate, child.layout(), bindings)?;
+                Box::new(FilterExec::new(child, resolved, ctx.clone()))
             }
-            Box::new(join)
-        }
-        PhysicalOp::MergeJoin { predicates } => {
-            let left =
-                compile_node(&node.children[0], db, catalog, env, bindings, memory_bytes, ctx)?;
-            let right =
-                compile_node(&node.children[1], db, catalog, env, bindings, memory_bytes, ctx)?;
-            let mut keys = predicates
-                .iter()
-                .map(|p| orient(p, left.layout(), right.layout()))
-                .collect::<Result<Vec<_>, _>>()?;
-            let (lk, rk) = keys.remove(0);
-            Box::new(MergeJoinExec::new(left, right, lk, rk, keys, ctx.clone()))
-        }
-        PhysicalOp::IndexJoin {
-            predicates,
-            inner,
-            index,
-            residual,
-        } => {
-            let outer =
-                compile_node(&node.children[0], db, catalog, env, bindings, memory_bytes, ctx)?;
-            let inner_layout = TupleLayout::base(catalog, *inner);
-            let mut keys = predicates
-                .iter()
-                .map(|p| orient(p, outer.layout(), &inner_layout))
-                .collect::<Result<Vec<_>, _>>()?;
-            let (outer_key, _) = keys.remove(0);
-            let residual = residual
-                .as_ref()
-                .map(|p| resolve_pred(p, &inner_layout, bindings))
-                .transpose()?;
-            Box::new(IndexJoinExec::new(
-                outer,
-                db.table(*inner),
-                &inner_layout,
-                *index,
-                outer_key,
-                keys,
+            PhysicalOp::HashJoin { predicates } => {
+                let build = self.node(children[0], ctx)?;
+                let probe = self.node(children[1], ctx)?;
+                let keys = predicates
+                    .iter()
+                    .map(|p| orient(p, build.layout(), probe.layout()))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let mut join = HashJoinExec::new(
+                    build,
+                    probe,
+                    keys,
+                    ctx.clone(),
+                    db.disk.clone(),
+                    memory_bytes,
+                );
+                if let Some(cp) = probe_for(children[0]) {
+                    join = join.with_checkpoint(cp);
+                }
+                Box::new(join)
+            }
+            PhysicalOp::MergeJoin { predicates } => {
+                let left = self.node(children[0], ctx)?;
+                let right = self.node(children[1], ctx)?;
+                let mut keys = predicates
+                    .iter()
+                    .map(|p| orient(p, left.layout(), right.layout()))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let (lk, rk) = keys.remove(0);
+                Box::new(MergeJoinExec::new(left, right, lk, rk, keys, ctx.clone()))
+            }
+            PhysicalOp::IndexJoin {
+                predicates,
+                inner,
+                index,
                 residual,
-                ctx.clone(),
-                memory_bytes / dqep_storage::PAGE_SIZE,
-            )?)
-        }
-        PhysicalOp::Sort { attr } => {
-            let child = compile_node(&node.children[0], db, catalog, env, bindings, memory_bytes, ctx)?;
-            let key = child
-                .layout()
-                .position(*attr)
-                .ok_or_else(|| ExecError::PredicateMismatch(format!("sort key {attr}")))?;
-            let mut sort = SortExec::new(
-                child,
-                key,
-                ctx.clone(),
-                db.disk.clone(),
-                memory_bytes,
-            );
-            if let Some(cp) = probe_for(&node.children[0]) {
-                sort = sort.with_checkpoint(cp);
+            } => {
+                let outer = self.node(children[0], ctx)?;
+                let inner_layout = TupleLayout::base(catalog, *inner);
+                let mut keys = predicates
+                    .iter()
+                    .map(|p| orient(p, outer.layout(), &inner_layout))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let (outer_key, _) = keys.remove(0);
+                let residual = residual
+                    .as_ref()
+                    .map(|p| resolve_pred(p, &inner_layout, bindings))
+                    .transpose()?;
+                Box::new(IndexJoinExec::new(
+                    outer,
+                    db.table(*inner),
+                    &inner_layout,
+                    *index,
+                    outer_key,
+                    keys,
+                    residual,
+                    ctx.clone(),
+                    memory_bytes / dqep_storage::PAGE_SIZE,
+                )?)
             }
-            Box::new(sort)
-        }
-        PhysicalOp::ChoosePlan => match env {
+            PhysicalOp::Sort { attr } => {
+                let child = self.node(children[0], ctx)?;
+                let key = child
+                    .layout()
+                    .position(*attr)
+                    .ok_or_else(|| ExecError::PredicateMismatch(format!("sort key {attr}")))?;
+                let mut sort = SortExec::new(
+                    child,
+                    key,
+                    ctx.clone(),
+                    db.disk.clone(),
+                    memory_bytes,
+                );
+                if let Some(cp) = probe_for(children[0]) {
+                    sort = sort.with_checkpoint(cp);
+                }
+                Box::new(sort)
+            }
             // Dynamic compilation: the choose-plan becomes its run-time
-            // operator, deciding (with any checkpoint observations) at
-            // `open()`. It keeps the traced child context so alternatives
-            // compiled lazily nest their spans under its span.
-            Some(env) => Box::new(crate::choose::ChoosePlanExec::new(
-                Arc::clone(node),
-                db,
-                catalog,
-                env.clone(),
-                bindings.clone(),
-                memory_bytes,
-                ctx.clone(),
-            )),
-            None => return Err(ExecError::UnresolvedChoosePlan),
-        },
-    };
-    Ok(match traced {
-        Some((span, _)) => crate::trace::wrap_span(op, span, ctx, Some(db.disk.clone())),
-        None => op,
-    })
+            // operator, which opens the alternative the start-up decision
+            // picked and is the fallback point should it fail. It keeps the
+            // traced child context so alternatives compiled lazily nest
+            // their spans under its span.
+            PhysicalOp::ChoosePlan => Box::new(
+                crate::choose::ChoosePlanExec::new(self, id, ctx.clone())
+                    .ok_or(ExecError::UnresolvedChoosePlan)?,
+            ),
+        })
+    }
 }
 
 /// The bytes of working memory a statement plans and runs with: the
@@ -295,11 +290,14 @@ pub(crate) fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Cata
 }
 
 /// Runs a plan — static, dynamic, or already resolved — end to end: the
-/// one way in. Compiles it under the caller's [`ExecContext`], mapping
-/// choose-plan nodes to the run-time [`crate::ChoosePlanExec`] (so the
-/// start-up decision is made at `open()`, and a retryable failure of the
-/// chosen alternative falls back to the next one; a resolved plan has no
-/// such node and compiles to exactly its operators), drains it into
+/// one way in. For a dynamic plan it makes the start-up decision — once,
+/// for the whole plan, one cost-function evaluation per node — and
+/// compiles along it under the caller's [`ExecContext`], mapping
+/// choose-plan nodes to the run-time [`crate::ChoosePlanExec`] (which opens
+/// the alternative the decision picked, and on a retryable failure falls
+/// back to the next cheapest by the same decision's estimates); a plan
+/// without a choose-plan node is recognised as such in O(1), evaluates
+/// nothing and compiles to exactly its operators. It drains the tree into
 /// `sink`, charging result rows against the row budget, and reports the
 /// execution summary.
 ///
@@ -312,18 +310,22 @@ pub(crate) fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Cata
 /// totals and fallback behavior are the same at every DOP (rows up to
 /// multiset order) and with or without a tracer — the parallel-parity and
 /// observability suites pin that down. Whoever wants the start-up
-/// decision itself calls [`dqep_plan::evaluate_startup`].
+/// decision itself calls [`dqep_plan::evaluate_startup`] and hands the
+/// result in with [`ExecContext::with_decision`]: the run then follows
+/// that decision instead of making its own
+/// ([`ExecSummary::startup_nodes`] says how many cost functions a run
+/// evaluated).
 ///
 /// The memory grant is the binding's (or the environment's expected one).
-/// The summary's CPU counters and fallbacks are the context's totals, so
-/// a context reused across runs reports their sum; its I/O and temp-page
+/// The summary's CPU counters, fallbacks and start-up evaluations are the
+/// context's totals, so a context reused across runs reports their sum; its I/O and temp-page
 /// high-water are this run's alone.
 ///
 /// # Errors
 /// Any [`ExecError`] from compilation or execution, including
 /// [`ExecError::ResourceExhausted`] when a budget is exceeded.
 pub fn run(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,
@@ -343,6 +345,7 @@ pub fn run(
         io: db.disk.stats().since(&io_before),
         fallbacks: ctx.counters.fallbacks(),
         temp_pages_peak: db.disk.temp_pages().high_water,
+        startup_nodes: ctx.counters.startup_nodes(),
         ..ExecSummary::default()
     })
 }
@@ -351,7 +354,7 @@ pub fn run(
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments, clippy::missing_errors_doc)]
 pub fn execute_plan_dop(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,
@@ -359,9 +362,11 @@ pub fn execute_plan_dop(
     limits: ResourceLimits,
     _mode: ExecMode,
     dop: usize,
-) -> Result<(ExecSummary, StartupResult), ExecError> {
-    let startup = evaluate_startup(plan, catalog, env, bindings);
-    let ctx = ExecContext::with_limits(SharedCounters::new(), limits).with_dop(dop);
+) -> Result<(ExecSummary, Arc<StartupResult>), ExecError> {
+    let startup = Arc::new(evaluate_startup(plan, catalog, env, bindings));
+    let ctx = ExecContext::with_limits(SharedCounters::new(), limits)
+        .with_dop(dop)
+        .with_decision(Arc::clone(&startup));
     run(plan, db, catalog, env, bindings, &ctx, RootSink::Discard).map(|summary| (summary, startup))
 }
 
@@ -390,7 +395,7 @@ mod tests {
 
     /// [`run`] with no sink and the given limits.
     fn run_with(
-        plan: &Arc<PlanNode>,
+        plan: &Plan,
         db: &StoredDatabase,
         cat: &Catalog,
         env: &Environment,
@@ -444,12 +449,13 @@ mod tests {
             .optimize(&select_query(&cat))
             .unwrap()
             .plan;
-        assert!(plan.is_choose_plan());
+        assert!(plan.root_node().is_choose_plan());
         let bindings = Bindings::new().with_value(HostVar(0), 120);
         let ctx = ExecContext::new(SharedCounters::new());
         let mut results: Vec<u64> = Vec::new();
-        for alt in &plan.children {
-            let mut op = compile_plan(alt, &db, &cat, &bindings, 1 << 20, &ctx).unwrap();
+        for alt in plan.children(plan.root()) {
+            let alt = plan.rooted_at(*alt);
+            let mut op = compile_plan(&alt, &db, &cat, &bindings, 1 << 20, &ctx).unwrap();
             results.push(drain(op.as_mut()).unwrap().len() as u64);
         }
         assert!(results.windows(2).all(|w| w[0] == w[1]), "{results:?}");
@@ -469,10 +475,11 @@ mod tests {
             let bindings = Bindings::new().with_value(HostVar(0), v);
             let startup = evaluate_startup(&plan, &cat, &env, &bindings);
             let mut times = Vec::new();
-            for alt in &plan.children {
+            for alt in plan.children(plan.root()) {
+                let alt = plan.rooted_at(*alt);
                 let ctx = ExecContext::new(SharedCounters::new());
                 let before = db.disk.stats();
-                let mut op = compile_plan(alt, &db, &cat, &bindings, 1 << 20, &ctx).unwrap();
+                let mut op = compile_plan(&alt, &db, &cat, &bindings, 1 << 20, &ctx).unwrap();
                 let _ = drain(op.as_mut()).unwrap();
                 let io = db.disk.stats().since(&before);
                 let summary = ExecSummary {
@@ -556,7 +563,7 @@ mod tests {
             .optimize(&select_query(&cat))
             .unwrap()
             .plan;
-        assert!(plan.is_choose_plan());
+        assert!(plan.root_node().is_choose_plan());
         let err = compile_plan(
             &plan,
             &db,

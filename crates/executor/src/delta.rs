@@ -24,12 +24,11 @@
 //! discipline as blocking operators.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 use dqep_algebra::PhysicalOp;
 use dqep_catalog::{Catalog, RelationId};
 use dqep_cost::Bindings;
-use dqep_plan::PlanNode;
+use dqep_plan::{NodeId, Plan};
 
 use crate::batch::RowBatch;
 use crate::compile::{orient, resolve_pred};
@@ -140,20 +139,22 @@ pub struct DeltaPipeline {
 /// [`ExecError::UnresolvedChoosePlan`] on a choose-plan node; unbound
 /// host variables and predicate mismatches from predicate resolution.
 pub fn compile_delta_plan(
-    node: &Arc<PlanNode>,
+    plan: &Plan,
     catalog: &Catalog,
     bindings: &Bindings,
 ) -> Result<DeltaPipeline, ExecError> {
-    let (root, layout) = build(node, catalog, bindings)?;
+    let (root, layout) = build(plan, plan.root(), catalog, bindings)?;
     Ok(DeltaPipeline { root, layout, reserved: 0 })
 }
 
 fn build(
-    node: &Arc<PlanNode>,
+    plan: &Plan,
+    id: NodeId,
     catalog: &Catalog,
     bindings: &Bindings,
 ) -> Result<(DeltaNode, TupleLayout), ExecError> {
-    Ok(match &node.op {
+    let build = |child: usize| build(plan, plan.children(id)[child], catalog, bindings);
+    Ok(match &plan[id].op {
         PhysicalOp::FileScan { relation } | PhysicalOp::BtreeScan { relation, .. } => {
             let layout = TupleLayout::base(catalog, *relation);
             let width = layout.width();
@@ -166,34 +167,14 @@ fn build(
             (DeltaNode::Source { relation: *relation, filter, width }, layout)
         }
         PhysicalOp::Filter { predicate } => {
-            let (child, layout) = build(&node.children[0], catalog, bindings)?;
+            let (child, layout) = build(0)?;
             let pred = resolve_pred(predicate, &layout, bindings)?;
             (DeltaNode::Filter { child: Box::new(child), pred }, layout)
         }
         PhysicalOp::HashJoin { predicates } | PhysicalOp::MergeJoin { predicates } => {
-            let (left, ll) = build(&node.children[0], catalog, bindings)?;
-            let (right, rl) = build(&node.children[1], catalog, bindings)?;
-            let keys = predicates
-                .iter()
-                .map(|p| orient(p, &ll, &rl))
-                .collect::<Result<Vec<_>, _>>()?;
-            let out = ll.concat(&rl);
-            (
-                DeltaNode::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    keys,
-                    left_state: JoinState::new(),
-                    right_state: JoinState::new(),
-                    left_width: ll.width(),
-                    right_width: rl.width(),
-                    bytes: 0,
-                },
-                out,
-            )
+            join(build(0)?, build(1)?, predicates)?
         }
         PhysicalOp::IndexJoin { predicates, inner, residual, .. } => {
-            let (left, ll) = build(&node.children[0], catalog, bindings)?;
             let rl = TupleLayout::base(catalog, *inner);
             let filter = residual
                 .as_ref()
@@ -204,27 +185,10 @@ fn build(
                 filter,
                 width: rl.width(),
             };
-            let keys = predicates
-                .iter()
-                .map(|p| orient(p, &ll, &rl))
-                .collect::<Result<Vec<_>, _>>()?;
-            let out = ll.concat(&rl);
-            (
-                DeltaNode::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    keys,
-                    left_state: JoinState::new(),
-                    right_state: JoinState::new(),
-                    left_width: ll.width(),
-                    right_width: rl.width(),
-                    bytes: 0,
-                },
-                out,
-            )
+            join(build(0)?, (right, rl), predicates)?
         }
         PhysicalOp::Sort { attr } => {
-            let (child, layout) = build(&node.children[0], catalog, bindings)?;
+            let (child, layout) = build(0)?;
             let key = layout
                 .position(*attr)
                 .ok_or_else(|| ExecError::PredicateMismatch(format!("sort key {attr}")))?;
@@ -240,6 +204,29 @@ fn build(
         }
         PhysicalOp::ChoosePlan => return Err(ExecError::UnresolvedChoosePlan),
     })
+}
+
+/// A join of two delta inputs on `predicates`, with empty retained state.
+fn join(
+    (left, ll): (DeltaNode, TupleLayout),
+    (right, rl): (DeltaNode, TupleLayout),
+    predicates: &[dqep_algebra::JoinPred],
+) -> Result<(DeltaNode, TupleLayout), ExecError> {
+    let keys = predicates
+        .iter()
+        .map(|p| orient(p, &ll, &rl))
+        .collect::<Result<Vec<_>, _>>()?;
+    let node = DeltaNode::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        keys,
+        left_state: JoinState::new(),
+        right_state: JoinState::new(),
+        left_width: ll.width(),
+        right_width: rl.width(),
+        bytes: 0,
+    };
+    Ok((node, ll.concat(&rl)))
 }
 
 impl DeltaPipeline {
@@ -513,6 +500,7 @@ mod tests {
     use super::*;
     use crate::exec::drain;
     use crate::governor::{ExecContext, ResourceLimits};
+    use std::sync::Arc;
     use crate::metrics::SharedCounters;
     use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysProps, SelectPred};
     use dqep_catalog::{CatalogBuilder, SystemConfig};
@@ -549,7 +537,7 @@ mod tests {
         out
     }
 
-    fn join_plan(cat: &Catalog, env: &Environment) -> Arc<PlanNode> {
+    fn join_plan(cat: &Catalog, env: &Environment) -> Arc<Plan> {
         let r = cat.relation_by_name("r").unwrap();
         let s = cat.relation_by_name("s").unwrap();
         let q = LogicalExpr::get(r.id)
@@ -571,7 +559,7 @@ mod tests {
     }
 
     fn executed_rows(
-        plan: &Arc<PlanNode>,
+        plan: &Plan,
         db: &StoredDatabase,
         cat: &Catalog,
         bindings: &Bindings,

@@ -263,6 +263,13 @@ pub struct ExecContext {
     /// checkpoint probes to pipeline breakers, and choose-plan operators
     /// arbitrate with the checkpoint observations applied.
     pub reopt: Option<Arc<crate::reopt::ReoptState>>,
+    /// The start-up decision of the plan being run — made once for the
+    /// whole plan, read by every choose-plan operator compiled under this
+    /// context. `None` (the default) until [`crate::run`] makes it, unless
+    /// the caller hands in the one it already made
+    /// ([`ExecContext::with_decision`]). Under re-optimization the
+    /// decision in force lives on [`ExecContext::reopt`] instead.
+    pub decision: Option<Arc<dqep_plan::StartupResult>>,
 }
 
 impl ExecContext {
@@ -282,6 +289,7 @@ impl ExecContext {
             tracer: None,
             span_parent: None,
             reopt: None,
+            decision: None,
         }
     }
 
@@ -298,6 +306,16 @@ impl ExecContext {
     #[must_use]
     pub fn with_reopt(mut self, reopt: Arc<crate::reopt::ReoptState>) -> ExecContext {
         self.reopt = Some(reopt);
+        self
+    }
+
+    /// The same context carrying a start-up decision the caller already
+    /// made for the plan it is about to run (the value
+    /// [`dqep_plan::evaluate_startup`] returned for that same plan): the
+    /// run follows it and evaluates nothing.
+    #[must_use]
+    pub fn with_decision(mut self, decision: Arc<dqep_plan::StartupResult>) -> ExecContext {
+        self.decision = Some(decision);
         self
     }
 

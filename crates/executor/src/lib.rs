@@ -6,12 +6,16 @@
 //! and external sort — every algorithm of the paper's physical algebra
 //! (Table 1). There is **one way in**: [`run`] compiles a plan — static,
 //! dynamic or already resolved — under the caller's [`ExecContext`] and
-//! drains it into the caller's [`RootSink`]. The run-time **choose-plan**
-//! behaviour lives in the plan itself: a choose-plan node compiles to
-//! [`ChoosePlanExec`], which evaluates the Section 4 decision procedure
-//! with the actual bindings when it is opened and then runs the chosen
-//! alternative. ([`run_reopt`] is the same entry for the checkpointing
-//! re-optimization driver, a different algorithm over the same operators.)
+//! drains it into the caller's [`RootSink`]. For a dynamic plan it makes
+//! the Section 4 start-up decision first — **once, for the whole plan**,
+//! every node's cost function evaluated once with the actual bindings —
+//! and compiles along it: a choose-plan node becomes a [`ChoosePlanExec`],
+//! which opens the alternative that decision picked and is the point
+//! where execution falls back should it fail
+//! ([`ExecSummary::startup_nodes`] counts the evaluations). ([`run_reopt`]
+//! is the same entry for the checkpointing re-optimization driver, a
+//! different algorithm over the same operators and the same one decision
+//! in force.)
 //!
 //! Execution is *simulated-time measured*: every page access is accounted
 //! by the simulated disk and every record/comparison/hash by CPU counters,

@@ -74,6 +74,7 @@ impl PlanCacheInfo {
 struct CountersInner {
     cpu: CpuCounters,
     fallbacks: u64,
+    startup_nodes: u64,
 }
 
 /// Shared, thread-safe counters cloned into every operator of one query.
@@ -116,6 +117,18 @@ impl SharedCounters {
         self.inner.lock().fallbacks
     }
 
+    /// Records `n` cost-function evaluations made on behalf of this
+    /// query: one per plan node per start-up decision.
+    pub fn add_startup_nodes(&self, n: u64) {
+        self.inner.lock().startup_nodes += n;
+    }
+
+    /// Cost functions evaluated so far (see [`ExecSummary::startup_nodes`]).
+    #[must_use]
+    pub fn startup_nodes(&self) -> u64 {
+        self.inner.lock().startup_nodes
+    }
+
     /// Snapshot of the CPU counters.
     #[must_use]
     pub fn snapshot(&self) -> CpuCounters {
@@ -127,13 +140,14 @@ impl SharedCounters {
     /// query's counters after the parallel phase, so [`ExecSummary`]
     /// totals are exact regardless of the degree of parallelism.
     pub fn merge_from(&self, other: &SharedCounters) {
-        let (cpu, fallbacks) = {
+        let (cpu, fallbacks, startup_nodes) = {
             let o = other.inner.lock();
-            (o.cpu, o.fallbacks)
+            (o.cpu, o.fallbacks, o.startup_nodes)
         };
         let mut inner = self.inner.lock();
         inner.cpu += cpu;
         inner.fallbacks += fallbacks;
+        inner.startup_nodes += startup_nodes;
     }
 }
 
@@ -151,6 +165,11 @@ pub struct ExecSummary {
     /// Most temp pages (sort runs, Grace partitions) the statement held
     /// on disk at once; all of them are given back by the time it ends.
     pub temp_pages_peak: u64,
+    /// Cost functions evaluated on behalf of this run: the plan's node
+    /// count per start-up decision made for it — one decision for a
+    /// dynamic plan, none for a resolved one or for a decision the caller
+    /// handed in, one more per refresh under re-optimization.
+    pub startup_nodes: u64,
     /// Plan-cache provenance when executed through a prepared-query
     /// service (defaults to "not via a service").
     pub plan_cache: PlanCacheInfo,
@@ -165,13 +184,14 @@ impl ExecSummary {
     }
 
     /// Folds another summary's work into this one (rows, CPU, I/O,
-    /// fallbacks; the temp-page high-water takes the max). Cache
+    /// fallbacks, start-up evaluations; the temp-page high-water takes the max). Cache
     /// provenance is per-execution and not merged.
     pub fn accumulate(&mut self, other: &ExecSummary) {
         self.rows += other.rows;
         self.cpu += other.cpu;
         self.io += other.io;
         self.fallbacks += other.fallbacks;
+        self.startup_nodes += other.startup_nodes;
         self.temp_pages_peak = self.temp_pages_peak.max(other.temp_pages_peak);
     }
 
@@ -252,6 +272,7 @@ mod tests {
             io: IoStats { seq_reads: 3, random_reads: 1, writes: 0 },
             fallbacks: 1,
             temp_pages_peak: 7,
+            startup_nodes: 4,
             plan_cache: PlanCacheInfo { statement_hit: Some(true), decision_hit: Some(false) },
         };
         total.accumulate(&a);
@@ -260,6 +281,7 @@ mod tests {
         assert_eq!(total.cpu, CpuCounters { records: 20, compares: 4, hashes: 2 });
         assert_eq!(total.io.total(), 8);
         assert_eq!(total.fallbacks, 2);
+        assert_eq!(total.startup_nodes, 8);
         assert_eq!(total.temp_pages_peak, 7, "a high-water is not summed");
         assert!(a.describe(&SystemConfig::paper_1994()).contains(", 7 temp pages peak, 1 fallback(s)"));
         assert_eq!(total.plan_cache, PlanCacheInfo::default(), "provenance not merged");

@@ -45,10 +45,7 @@ use std::time::{Duration, Instant};
 use dqep_catalog::Catalog;
 use dqep_cost::{Bindings, Environment};
 use dqep_interval::Interval;
-use dqep_plan::{
-    chosen_map, evaluate_startup_observed, next_blocking_input, NodeId, Observations, PlanNode,
-    StartupResult,
-};
+use dqep_plan::{next_blocking_input, NodeId, Observations, Plan, StartupResult};
 use dqep_storage::StoredDatabase;
 use parking_lot::Mutex;
 
@@ -206,12 +203,43 @@ struct ReoptInner {
     suppressed: bool,
     materialized: Vec<(NodeId, TupleLayout, Arc<Vec<RowBatch>>)>,
     reserved_bytes: u64,
+    /// Bumped whenever the observations in force change (a checkpoint
+    /// observed, the observations suppressed).
+    version: u64,
+    /// The start-up decision in force and the `version` it was made at.
+    decision: Option<(u64, Arc<StartupResult>)>,
+}
+
+impl ReoptInner {
+    fn decide(
+        &mut self,
+        evaluate: impl FnOnce(&Observations) -> StartupResult,
+    ) -> Arc<StartupResult> {
+        let decision = Arc::new(if self.suppressed {
+            evaluate(&Observations::new())
+        } else {
+            evaluate(&self.observations)
+        });
+        self.decision = Some((self.version, Arc::clone(&decision)));
+        decision
+    }
+
+    /// Appends an audit-trail entry that carries no estimate.
+    fn log(&mut self, kind: ReoptEventKind, node: Option<NodeId>, detail: String) {
+        self.events.push(ReoptEvent { kind, node, estimate: None, observed: None, detail });
+    }
+}
+
+/// Records a node-level step in the flight-recorder journal.
+fn journal(kind: crate::journal::EventKind, node: NodeId, a: u64, b: u64) {
+    crate::journal::journal().record(kind, 0, crate::journal::NO_ID, u64::from(node.0), a, b);
 }
 
 /// Shared state of one query's re-optimization machinery: checkpoint
-/// observations, retained intermediates, the re-plan budget, and the
-/// audit trail. Carried on [`ExecContext::reopt`] and shared by the
-/// driver, the compiler hooks, and the operator probes.
+/// observations, retained intermediates, the re-plan budget, the start-up
+/// decision in force, and the audit trail. Carried on
+/// [`ExecContext::reopt`] and shared by the driver, the compiler hooks,
+/// the choose-plan operators and the operator probes.
 #[derive(Debug)]
 pub struct ReoptState {
     config: ReoptConfig,
@@ -241,16 +269,45 @@ impl ReoptState {
         }
     }
 
-    /// The checkpoint observations accumulated so far (empty after a
-    /// fallback suppressed them), keyed by original plan-node id.
-    #[must_use]
-    pub fn observations(&self) -> Observations {
-        let inner = self.inner.lock();
-        if inner.suppressed {
-            Observations::new()
-        } else {
-            inner.observations.clone()
+    /// Makes the start-up decision anew — `evaluate` runs the decision
+    /// procedure for the whole plan under the observations in force — and
+    /// puts it in force for every run launched from here on. The driver's
+    /// arbitration.
+    pub(crate) fn decide(
+        &self,
+        evaluate: impl FnOnce(&Observations) -> StartupResult,
+    ) -> Arc<StartupResult> {
+        self.inner.lock().decide(evaluate)
+    }
+
+    /// The start-up decision in force, for the choose-plan operator of
+    /// `node` being opened: the one last made, unless a probe has recorded
+    /// a newer observation since — then it is re-made, once, and shared by
+    /// every later `open` (at most one evaluation per observation). An
+    /// arbitration that has observations to apply is put on the audit
+    /// trail.
+    pub(crate) fn decision(
+        &self,
+        node: NodeId,
+        evaluate: impl FnOnce(&Observations) -> StartupResult,
+    ) -> Arc<StartupResult> {
+        let mut inner = self.inner.lock();
+        let observed = if inner.suppressed { 0 } else { inner.observations.len() };
+        if observed > 0 {
+            inner.counters.observed_arbitrations += 1;
+            let detail = format!("arbitrated with {observed} checkpoint observation(s)");
+            inner.log(ReoptEventKind::Arbitration, Some(node), detail);
         }
+        match &inner.decision {
+            Some((version, decision)) if *version == inner.version => Arc::clone(decision),
+            _ => inner.decide(evaluate),
+        }
+    }
+
+    /// The start-up decision last put in force, whatever has been observed
+    /// since.
+    fn in_force(&self) -> Option<Arc<StartupResult>> {
+        self.inner.lock().decision.as_ref().map(|(_, decision)| Arc::clone(decision))
     }
 
     /// Records a checkpoint: `actual` rows observed at `node`, whose
@@ -264,37 +321,24 @@ impl ReoptState {
         actual: u64,
     ) -> bool {
         let escaped = escapes_interval(actual as f64, card);
-        let mut inner = self.inner.lock();
-        inner.counters.checkpoints += 1;
-        inner.events.push(ReoptEvent {
-            kind: ReoptEventKind::Checkpoint,
+        let event = |kind, detail| ReoptEvent {
+            kind,
             node: Some(node),
             estimate: Some((card.lo(), card.hi())),
             observed: Some(actual as f64),
-            detail: label.to_string(),
-        });
+            detail,
+        };
+        let mut inner = self.inner.lock();
+        inner.counters.checkpoints += 1;
+        inner.events.push(event(ReoptEventKind::Checkpoint, label.to_string()));
         inner.observations.insert(node, actual as f64);
+        inner.version += 1;
         if escaped {
             inner.counters.escapes += 1;
-            inner.events.push(ReoptEvent {
-                kind: ReoptEventKind::Escape,
-                node: Some(node),
-                estimate: Some((card.lo(), card.hi())),
-                observed: Some(actual as f64),
-                detail: format!(
-                    "{label}: observed {actual} outside [{:.0}, {:.0}]",
-                    card.lo(),
-                    card.hi()
-                ),
-            });
-            crate::journal::journal().record(
-                crate::journal::EventKind::IntervalEscape,
-                0,
-                crate::journal::NO_ID,
-                node.0,
-                actual,
-                card.hi() as u64,
-            );
+            let (lo, hi) = (card.lo(), card.hi());
+            let detail = format!("{label}: observed {actual} outside [{lo:.0}, {hi:.0}]");
+            inner.events.push(event(ReoptEventKind::Escape, detail));
+            journal(crate::journal::EventKind::IntervalEscape, node, actual, hi as u64);
         }
         escaped
     }
@@ -320,20 +364,11 @@ impl ReoptState {
         } else {
             // The governor has the last word: a cancelled query or a spent
             // wall-clock budget must not buy more planning.
-            match governor.check_batch(64) {
-                Ok(()) => None,
-                Err(e) => Some(format!("governor refused: {e}")),
-            }
+            governor.check_batch(64).err().map(|e| format!("governor refused: {e}"))
         };
         if let Some(reason) = denied {
             inner.counters.replans_denied += 1;
-            inner.events.push(ReoptEvent {
-                kind: ReoptEventKind::ReplanDenied,
-                node: None,
-                estimate: None,
-                observed: None,
-                detail: reason,
-            });
+            inner.log(ReoptEventKind::ReplanDenied, None, reason);
             return false;
         }
         let backoff_ms = self
@@ -353,21 +388,9 @@ impl ReoptState {
     pub fn record_replan(&self, node: NodeId, detail: &str) {
         let mut inner = self.inner.lock();
         inner.counters.replans_adopted += 1;
-        inner.events.push(ReoptEvent {
-            kind: ReoptEventKind::Replan,
-            node: Some(node),
-            estimate: None,
-            observed: None,
-            detail: detail.to_string(),
-        });
-        crate::journal::journal().record(
-            crate::journal::EventKind::Replan,
-            0,
-            crate::journal::NO_ID,
-            node.0,
-            inner.counters.replans_adopted,
-            crate::journal::NO_ID,
-        );
+        inner.log(ReoptEventKind::Replan, Some(node), detail.to_string());
+        let adopted = inner.counters.replans_adopted;
+        journal(crate::journal::EventKind::Replan, node, adopted, crate::journal::NO_ID);
     }
 
     /// Records a retryably failed checkpoint or re-plan (the original
@@ -375,13 +398,7 @@ impl ReoptState {
     pub fn record_replan_failure(&self, node: Option<NodeId>, detail: &str) {
         let mut inner = self.inner.lock();
         inner.counters.replan_failures += 1;
-        inner.events.push(ReoptEvent {
-            kind: ReoptEventKind::ReplanFailed,
-            node,
-            estimate: None,
-            observed: None,
-            detail: detail.to_string(),
-        });
+        inner.log(ReoptEventKind::ReplanFailed, node, detail.to_string());
     }
 
     /// Records a governor refusal absorbed by degrading the planning
@@ -389,35 +406,9 @@ impl ReoptState {
     pub fn record_memory_degrade(&self, node: NodeId, detail: &str) {
         let mut inner = self.inner.lock();
         inner.counters.memory_degradations += 1;
-        inner.events.push(ReoptEvent {
-            kind: ReoptEventKind::MemoryDegrade,
-            node: Some(node),
-            estimate: None,
-            observed: None,
-            detail: detail.to_string(),
-        });
-        crate::journal::journal().record(
-            crate::journal::EventKind::DegradationStep,
-            0,
-            crate::journal::NO_ID,
-            node.0,
-            inner.counters.memory_degradations,
-            crate::journal::NO_ID,
-        );
-    }
-
-    /// Records a choose-plan arbitration that applied checkpoint
-    /// observations.
-    pub fn record_arbitration(&self, node: NodeId, detail: &str) {
-        let mut inner = self.inner.lock();
-        inner.counters.observed_arbitrations += 1;
-        inner.events.push(ReoptEvent {
-            kind: ReoptEventKind::Arbitration,
-            node: Some(node),
-            estimate: None,
-            observed: None,
-            detail: detail.to_string(),
-        });
+        inner.log(ReoptEventKind::MemoryDegrade, Some(node), detail.to_string());
+        let steps = inner.counters.memory_degradations;
+        journal(crate::journal::EventKind::DegradationStep, node, steps, crate::journal::NO_ID);
     }
 
     /// Reverts to the original plan: records a fallback and suppresses
@@ -428,13 +419,8 @@ impl ReoptState {
         let mut inner = self.inner.lock();
         inner.counters.fallbacks += 1;
         inner.suppressed = true;
-        inner.events.push(ReoptEvent {
-            kind: ReoptEventKind::Fallback,
-            node: None,
-            estimate: None,
-            observed: None,
-            detail: detail.to_string(),
-        });
+        inner.version += 1;
+        inner.log(ReoptEventKind::Fallback, None, detail.to_string());
     }
 
     /// Retains a materialized intermediate — the batches its drain
@@ -490,13 +476,6 @@ impl ReoptState {
         self.inner.lock().counters
     }
 
-    /// Escape observations so far — see
-    /// [`ReoptReport::escaped_observations`].
-    #[must_use]
-    pub fn escaped_observations(&self) -> Vec<(NodeId, f64)> {
-        self.report().escaped_observations()
-    }
-
     /// The full audit trail.
     #[must_use]
     pub fn report(&self) -> ReoptReport {
@@ -513,31 +492,17 @@ impl ReoptState {
 /// actual cardinality the breaker materialized.
 #[derive(Debug, Clone)]
 pub(crate) struct ReoptProbe {
-    state: Arc<ReoptState>,
-    node: NodeId,
-    label: String,
-    card: Interval,
+    pub(crate) state: Arc<ReoptState>,
+    /// The breaker's input: its id, operator name and estimate.
+    pub(crate) node: NodeId,
+    pub(crate) label: &'static str,
+    pub(crate) card: Interval,
 }
 
 impl ReoptProbe {
-    pub(crate) fn new(
-        state: Arc<ReoptState>,
-        node: NodeId,
-        label: &str,
-        card: Interval,
-    ) -> ReoptProbe {
-        ReoptProbe {
-            state,
-            node,
-            label: label.to_string(),
-            card,
-        }
-    }
-
     /// Records the checkpoint observation.
     pub(crate) fn observe(&self, actual: u64) {
-        self.state
-            .observe_checkpoint(self.node, &self.label, self.card, actual);
+        self.state.observe_checkpoint(self.node, self.label, self.card, actual);
     }
 }
 
@@ -597,7 +562,7 @@ pub struct ReoptOutcome {
     pub summary: ExecSummary,
     /// The arbitration in force at completion (the original one if the
     /// query fell back).
-    pub startup: StartupResult,
+    pub startup: Arc<StartupResult>,
     /// The re-optimization audit trail.
     pub report: ReoptReport,
 }
@@ -619,7 +584,7 @@ pub struct ReoptOutcome {
 /// whole degradation ladder.
 #[allow(clippy::too_many_arguments)]
 pub fn run_reopt(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,
@@ -633,9 +598,12 @@ pub fn run_reopt(
     let io_before = db.disk.stats();
     db.disk.reset_temp_high_water();
 
-    // The start-up decision under the observations gathered so far.
+    // The start-up decision under the observations gathered so far: the
+    // driver's arbitration is the decision every run it launches uses.
     let arbitrate = |bindings: &Bindings| {
-        evaluate_startup_observed(plan, catalog, env, bindings, &state.observations())
+        state.decide(|observed| {
+            crate::choose::decide(plan, catalog, env, bindings, observed, &ctx.counters)
+        })
     };
     let mut exec_bindings = bindings.clone();
     let mut startup = arbitrate(&exec_bindings);
@@ -644,35 +612,31 @@ pub fn run_reopt(
 
     // Checkpoint loop: materialize the blocking inputs along the chosen
     // path deepest-first, observing each and re-arbitrating on escape.
-    loop {
-        let chosen = chosen_map(&startup.decisions);
-        let Some(target) = next_blocking_input(plan, &chosen, &done) else {
-            break;
-        };
-        done.insert(target.id);
-        let memory_bytes = crate::compile::grant_bytes(&exec_bindings, env, catalog);
+    while let Some(target) = next_blocking_input(plan, &startup.decisions, &done) {
+        done.insert(target);
+        let node = &plan[target];
         // Materialize the checkpoint subtree into the batches that will be
         // retained. Compiled dynamically: the target may itself contain
-        // choose-plan operators, which arbitrate at `open` with the
-        // observations accumulated so far.
+        // choose-plan operators, which follow the arbitration in force.
         let mut batches = Vec::new();
-        let materialized = crate::choose::compile_dynamic_plan(
-            &target,
+        let compiler = crate::compile::Compiler {
+            plan,
             db,
             catalog,
-            env,
-            &exec_bindings,
-            memory_bytes,
-            ctx,
-        )
-        .and_then(|mut op| drain_root(op.as_mut(), None, RootSink::Batches(&mut batches)));
+            env: Some(env),
+            bindings: &exec_bindings,
+            memory_bytes: crate::compile::grant_bytes(&exec_bindings, env, catalog),
+        };
+        let materialized = compiler
+            .node(target, ctx)
+            .and_then(|mut op| drain_root(op.as_mut(), None, RootSink::Batches(&mut batches)));
         let actual = match materialized {
             Ok(rows) => rows,
             Err(e) if e.is_retryable() => {
                 // A faulted checkpoint is abandoned, not fatal: the final
                 // run recomputes the subtree on the original plan.
                 state.record_replan_failure(
-                    Some(target.id),
+                    Some(target),
                     &format!("checkpoint failed ({e}); continuing original plan"),
                 );
                 break;
@@ -684,13 +648,10 @@ pub fn run_reopt(
         // the in-force arbitration actually believed. The compile-time
         // interval on the node is kept deliberately wide for unbound
         // parameters and would mask real drift.
-        let estimate = startup
-            .estimates
-            .get(target.id)
-            .map_or(target.stats.card, |e| e.stats.card);
-        let escaped = state.observe_checkpoint(target.id, target.op.name(), estimate, actual);
-        let layout = crate::choose::layout_of(&target, catalog);
-        if !state.try_retain(&ctx.governor, target.id, layout, batches) {
+        let estimate = startup.estimates[target.index()].stats.card;
+        let escaped = state.observe_checkpoint(target, node.op.name(), estimate, actual);
+        let layout = crate::choose::layout_of(plan, target, catalog);
+        if !state.try_retain(&ctx.governor, target, layout, batches) {
             // Memory pressure: drop the intermediate and re-arbitrate
             // with a halved planning grant, steering the remaining
             // decisions toward the cheapest-memory alternatives.
@@ -699,7 +660,7 @@ pub fn run_reopt(
                 .unwrap_or_else(|| env.memory.expected());
             let degraded = (pages / 2.0).max(1.0);
             state.record_memory_degrade(
-                target.id,
+                target,
                 &format!(
                     "governor refused to retain {actual} rows; planning grant {pages:.0} -> \
                      {degraded:.0} pages"
@@ -713,7 +674,7 @@ pub fn run_reopt(
             if state.request_replan(&ctx.governor) {
                 startup = arbitrate(&exec_bindings);
                 state.record_replan(
-                    target.id,
+                    target,
                     "re-arbitrated remaining plan with checkpoint observation",
                 );
                 replanned = true;
@@ -724,8 +685,9 @@ pub fn run_reopt(
     }
 
     // Final run over the original dynamic plan: choose-plan operators
-    // arbitrate with the observations applied and the compiler serves
-    // retained intermediates in place of their subtrees. `run` restarts
+    // follow the arbitration in force (refreshed if a probe observes
+    // something newer on the way) and the compiler serves retained
+    // intermediates in place of their subtrees. `run` restarts
     // the temp-page high-water, so the checkpoints' is read off first.
     state.release_reservations(&ctx.governor);
     let mut temp_pages_peak = db.disk.temp_pages().high_water;
@@ -743,16 +705,16 @@ pub fn run_reopt(
             ctx.counters.add_fallbacks(1);
             sink.truncate(mark);
             temp_pages_peak = temp_pages_peak.max(db.disk.temp_pages().high_water);
-            exec_bindings = bindings.clone();
-            crate::compile::run(plan, db, catalog, env, &exec_bindings, ctx, sink)?
+            arbitrate(bindings);
+            crate::compile::run(plan, db, catalog, env, bindings, ctx, sink)?
         }
         Err(e) => return Err(e),
     };
 
-    // Report the arbitration actually in force at completion (identical
-    // inputs reproduce the choose-plan operators' own decisions), and the
-    // whole execution's I/O, failed attempt and checkpoints included.
-    let startup = arbitrate(&exec_bindings);
+    // Report the arbitration in force at completion — the one the last
+    // choose-plan operator opened under — and the whole execution's I/O,
+    // failed attempt and checkpoints included.
+    let startup = state.in_force().unwrap_or(startup);
     let summary = ExecSummary {
         io: db.disk.stats().since(&io_before),
         temp_pages_peak: temp_pages_peak.max(last.temp_pages_peak),
@@ -762,11 +724,7 @@ pub fn run_reopt(
     if let Some(tracer) = &ctx.tracer {
         tracer.set_reopt(report.clone());
     }
-    Ok(ReoptOutcome {
-        summary,
-        startup,
-        report,
-    })
+    Ok(ReoptOutcome { summary, startup, report })
 }
 
 #[cfg(test)]
@@ -785,7 +743,7 @@ mod tests {
     /// The adaptive module's skewed-join shape: a filtered Zipf relation
     /// joined to a second relation. Uniform estimates are badly wrong
     /// about `a < 30`, so the first checkpoint escapes its interval.
-    fn skewed_fixture() -> (Catalog, StoredDatabase, Arc<PlanNode>, Environment, Bindings) {
+    fn skewed_fixture() -> (Catalog, StoredDatabase, Arc<Plan>, Environment, Bindings) {
         let cat = CatalogBuilder::new(SystemConfig::paper_1994())
             .relation("r", 800, 512, |r| {
                 r.attr("a", 800.0).attr("j", 200.0).btree("a", false).btree("j", false)
@@ -829,7 +787,7 @@ mod tests {
 
     /// [`run_reopt`] under `limits`, its rows collected.
     fn reopt_rows(
-        plan: &Arc<PlanNode>,
+        plan: &Plan,
         db: &StoredDatabase,
         cat: &Catalog,
         env: &Environment,
@@ -846,7 +804,7 @@ mod tests {
 
     /// Baseline result and I/O of the plain dynamic execution.
     fn baseline(
-        plan: &Arc<PlanNode>,
+        plan: &Plan,
         db: &StoredDatabase,
         cat: &Catalog,
         env: &Environment,
@@ -867,13 +825,11 @@ mod tests {
         let base_rows = baseline(&plan, &db, &cat, &env, &bindings);
 
         // The checkpoint subtree's own I/O, measured standalone.
-        let startup =
-            evaluate_startup_observed(&plan, &cat, &env, &bindings, &Observations::new());
-        let target =
-            next_blocking_input(&plan, &chosen_map(&startup.decisions), &HashSet::new())
-                .expect("the join fixture has a blocking input");
+        let startup = dqep_plan::evaluate_startup(&plan, &cat, &env, &bindings);
+        let target = next_blocking_input(&plan, &startup.decisions, &HashSet::new())
+            .expect("the join fixture has a blocking input");
         let before = db.disk.stats();
-        baseline(&target, &db, &cat, &env, &bindings);
+        baseline(&plan.rooted_at(target), &db, &cat, &env, &bindings);
         let subtree_io = db.disk.stats().since(&before);
         assert!(subtree_io.total() > 0, "the build side reads its relation");
 
@@ -1060,13 +1016,51 @@ mod tests {
 
     #[test]
     fn fallback_suppresses_observations() {
+        let (cat, _db, plan, env, bindings) = skewed_fixture();
+        // How many observations an arbitration is served.
+        let served = |state: &ReoptState| {
+            let mut served = usize::MAX;
+            state.decide(|observed| {
+                served = observed.len();
+                dqep_plan::evaluate_startup_observed(&plan, &cat, &env, &bindings, observed)
+            });
+            served
+        };
         let state = ReoptState::new(ReoptConfig::default());
         state.observe_checkpoint(NodeId(7), "Sort", Interval::new(0.0, 5.0), 100);
-        assert_eq!(state.observations().len(), 1);
-        assert_eq!(state.escaped_observations(), vec![(NodeId(7), 100.0)]);
+        assert_eq!(served(&state), 1);
+        assert_eq!(state.report().escaped_observations(), vec![(NodeId(7), 100.0)]);
         state.record_fallback("test");
-        assert!(state.observations().is_empty());
+        assert_eq!(served(&state), 0);
         assert_eq!(state.counters().fallbacks, 1);
+    }
+
+    #[test]
+    fn the_decision_in_force_is_remade_once_per_observation() {
+        let (cat, _db, plan, env, bindings) = skewed_fixture();
+        let evaluations = std::cell::Cell::new(0);
+        // A choose-plan operator being opened.
+        let open = |state: &ReoptState| {
+            state.decision(plan.root(), |observed| {
+                evaluations.set(evaluations.get() + 1);
+                dqep_plan::evaluate_startup_observed(&plan, &cat, &env, &bindings, observed)
+            })
+        };
+        let state = ReoptState::new(ReoptConfig::default());
+        let first = open(&state);
+        assert!(Arc::ptr_eq(&first, &open(&state)), "nothing observed: the same decision");
+        assert_eq!(evaluations.get(), 1);
+        state.observe_checkpoint(NodeId(0), "File-Scan", Interval::new(0.0, 5.0), 3);
+        let second = open(&state);
+        assert!(!Arc::ptr_eq(&first, &second), "a newer observation: decided again");
+        assert!(Arc::ptr_eq(&second, &open(&state)), "once, for every later open");
+        assert_eq!(evaluations.get(), 2);
+        assert_eq!(state.counters().observed_arbitrations, 2);
+        state.record_fallback("test");
+        open(&state);
+        open(&state);
+        assert_eq!(evaluations.get(), 3, "suppressing the observations is news too");
+        assert!(Arc::ptr_eq(&state.in_force().unwrap(), &open(&state)));
     }
 
     #[test]

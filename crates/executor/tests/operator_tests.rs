@@ -7,12 +7,11 @@ use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     compile_plan, ExecContext, RootSink, SharedCounters, Tuple, BATCH_CAPACITY,
 };
-use dqep_plan::{PlanNodeBuilder, PlanNode};
+use dqep_plan::{NodeId, Plan};
 use dqep_cost::{Cost, PlanStats};
 use dqep_interval::Interval;
 use dqep_storage::StoredDatabase;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Catalog with two joinable relations; `r.a` indexed for selections,
 /// `j` indexed on both sides for joins.
@@ -43,12 +42,8 @@ fn rows_of(cat: &Catalog, db: &StoredDatabase, name: &str) -> Vec<Tuple> {
 }
 
 /// Builds a raw physical plan node (no optimizer involved).
-fn node(
-    b: &mut PlanNodeBuilder,
-    op: PhysicalOp,
-    children: Vec<Arc<PlanNode>>,
-) -> Arc<PlanNode> {
-    b.node(
+fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
+    b.push(
         op,
         children,
         PlanStats::new(Interval::point(0.0), 512.0),
@@ -56,9 +51,17 @@ fn node(
     )
 }
 
-fn run(plan: &Arc<PlanNode>, db: &StoredDatabase, cat: &Catalog, bindings: &Bindings, mem: usize) -> Vec<Tuple> {
+/// Runs the subplan at `root` of `plans`.
+fn run(
+    (plans, root): (&Plan, NodeId),
+    db: &StoredDatabase,
+    cat: &Catalog,
+    bindings: &Bindings,
+    mem: usize,
+) -> Vec<Tuple> {
+    let plan = plans.rooted_at(root);
     let ctx = ExecContext::new(SharedCounters::new());
-    let mut op = compile_plan(plan, db, cat, bindings, mem, &ctx).unwrap();
+    let mut op = compile_plan(&plan, db, cat, bindings, mem, &ctx).unwrap();
     op.open().unwrap();
     let mut out = Vec::new();
     while let Some(batch) = op.next_batch(BATCH_CAPACITY).unwrap() {
@@ -103,31 +106,31 @@ fn all_join_algorithms_agree_with_nested_loop() {
     let mem = 64 * 2048;
 
     // Hash join (in-memory).
-    let mut b = PlanNodeBuilder::new();
-    let scan_r = node(&mut b, PhysicalOp::FileScan { relation: r.id }, vec![]);
-    let scan_s = node(&mut b, PhysicalOp::FileScan { relation: s.id }, vec![]);
+    let mut b = Plan::new();
+    let scan_r = node(&mut b, PhysicalOp::FileScan { relation: r.id }, &[]);
+    let scan_s = node(&mut b, PhysicalOp::FileScan { relation: s.id }, &[]);
     let hj = node(
         &mut b,
         PhysicalOp::HashJoin { predicates: vec![pred] },
-        vec![scan_r.clone(), scan_s.clone()],
+        &[scan_r, scan_s],
     );
-    assert_eq!(sorted(run(&hj, &db, &cat, &bindings, mem)), reference);
+    assert_eq!(sorted(run((&b, hj), &db, &cat, &bindings, mem)), reference);
 
     // Hash join forced to partition (tiny memory budget).
-    assert_eq!(sorted(run(&hj, &db, &cat, &bindings, 2048)), reference);
+    assert_eq!(sorted(run((&b, hj), &db, &cat, &bindings, 2048)), reference);
 
     // Merge join over explicit sorts.
-    let sort_r = node(&mut b, PhysicalOp::Sort { attr: rj }, vec![scan_r.clone()]);
-    let sort_s = node(&mut b, PhysicalOp::Sort { attr: sj }, vec![scan_s]);
+    let sort_r = node(&mut b, PhysicalOp::Sort { attr: rj }, &[scan_r]);
+    let sort_s = node(&mut b, PhysicalOp::Sort { attr: sj }, &[scan_s]);
     let mj = node(
         &mut b,
         PhysicalOp::MergeJoin { predicates: vec![pred] },
-        vec![sort_r, sort_s],
+        &[sort_r, sort_s],
     );
-    assert_eq!(sorted(run(&mj, &db, &cat, &bindings, mem)), reference);
+    assert_eq!(sorted(run((&b, mj), &db, &cat, &bindings, mem)), reference);
 
     // Merge join with spilling sorts.
-    assert_eq!(sorted(run(&mj, &db, &cat, &bindings, 4 * 2048)), reference);
+    assert_eq!(sorted(run((&b, mj), &db, &cat, &bindings, 4 * 2048)), reference);
 
     // Index join (inner s through its j index).
     let (idx, _) = cat.index_on_attr(sj).unwrap();
@@ -139,9 +142,9 @@ fn all_join_algorithms_agree_with_nested_loop() {
             index: idx,
             residual: None,
         },
-        vec![scan_r],
+        &[scan_r],
     );
-    assert_eq!(sorted(run(&ij, &db, &cat, &bindings, mem)), reference);
+    assert_eq!(sorted(run((&b, ij), &db, &cat, &bindings, mem)), reference);
 }
 
 /// External sort output is sorted and a permutation of its input, for
@@ -154,10 +157,10 @@ fn sort_is_correct_across_memory_budgets() {
     let reference = sorted(rows_of(&cat, &db, "r"));
 
     for mem in [2048, 8 * 2048, 64 * 2048, 1024 * 2048] {
-        let mut b = PlanNodeBuilder::new();
-        let scan = node(&mut b, PhysicalOp::FileScan { relation: r.id }, vec![]);
-        let sort = node(&mut b, PhysicalOp::Sort { attr: ra }, vec![scan]);
-        let out = run(&sort, &db, &cat, &Bindings::new(), mem);
+        let mut b = Plan::new();
+        let scan = node(&mut b, PhysicalOp::FileScan { relation: r.id }, &[]);
+        let sort = node(&mut b, PhysicalOp::Sort { attr: ra }, &[scan]);
+        let out = run((&b, sort), &db, &cat, &Bindings::new(), mem);
         assert!(
             out.windows(2).all(|w| w[0][0] <= w[1][0]),
             "not sorted at mem={mem}"
@@ -177,17 +180,17 @@ fn index_scan_agrees_with_filter_scan_for_all_operators() {
     for op in [CompareOp::Lt, CompareOp::Le, CompareOp::Eq, CompareOp::Ge, CompareOp::Gt] {
         for v in [0i64, 1, 150, 299, 400] {
             let pred = SelectPred::bound(ra, op, v);
-            let mut b = PlanNodeBuilder::new();
-            let scan = node(&mut b, PhysicalOp::FileScan { relation: r.id }, vec![]);
-            let filter = node(&mut b, PhysicalOp::Filter { predicate: pred }, vec![scan]);
-            let via_filter = sorted(run(&filter, &db, &cat, &Bindings::new(), 64 * 2048));
+            let mut b = Plan::new();
+            let scan = node(&mut b, PhysicalOp::FileScan { relation: r.id }, &[]);
+            let filter = node(&mut b, PhysicalOp::Filter { predicate: pred }, &[scan]);
+            let via_filter = sorted(run((&b, filter), &db, &cat, &Bindings::new(), 64 * 2048));
 
             let fbs = node(
                 &mut b,
                 PhysicalOp::FilterBtreeScan { relation: r.id, index: idx, predicate: pred },
-                vec![],
+                &[],
             );
-            let via_index = sorted(run(&fbs, &db, &cat, &Bindings::new(), 64 * 2048));
+            let via_index = sorted(run((&b, fbs), &db, &cat, &Bindings::new(), 64 * 2048));
             assert_eq!(via_filter, via_index, "op {op}, value {v}");
         }
     }
@@ -199,7 +202,7 @@ fn btree_scan_delivers_order() {
     let (cat, db) = fixture(250, 10, 50.0);
     let r = cat.relation_by_name("r").unwrap();
     let (idx, _) = cat.index_on_attr(r.attr_id("a").unwrap()).unwrap();
-    let mut b = PlanNodeBuilder::new();
+    let mut b = Plan::new();
     let scan = node(
         &mut b,
         PhysicalOp::BtreeScan {
@@ -207,9 +210,9 @@ fn btree_scan_delivers_order() {
             index: idx,
             key_attr: r.attr_id("a").unwrap(),
         },
-        vec![],
+        &[],
     );
-    let out = run(&scan, &db, &cat, &Bindings::new(), 64 * 2048);
+    let out = run((&b, scan), &db, &cat, &Bindings::new(), 64 * 2048);
     assert_eq!(out.len(), 250);
     assert!(out.windows(2).all(|w| w[0][0] <= w[1][0]));
 }

@@ -21,14 +21,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use dqep_algebra::{CompareOp, JoinPred, PhysicalOp, SelectPred};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_cost::{Bindings, Cost, PlanStats};
 use dqep_executor::{compile_plan, drain_root, ExecContext, RootSink, SharedCounters};
 use dqep_interval::Interval;
-use dqep_plan::{PlanNode, PlanNodeBuilder};
+use dqep_plan::{NodeId, Plan};
 use dqep_storage::StoredDatabase;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -72,13 +71,14 @@ fn star_catalog() -> Catalog {
 /// The 64-page grant.
 const GRANT_BYTES: usize = 64 * 2048;
 
-fn node(b: &mut PlanNodeBuilder, op: PhysicalOp, children: Vec<Arc<PlanNode>>) -> Arc<PlanNode> {
-    b.node(op, children, PlanStats::new(Interval::point(0.0), 256.0), Cost::ZERO)
+fn node(p: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
+    p.push(op, children, PlanStats::new(Interval::point(0.0), 256.0), Cost::ZERO)
 }
 
-/// Runs `plan` once to warm lazily initialized state, then once more
-/// counting: (allocations, rows, pages written).
-fn measure(plan: &Arc<PlanNode>, db: &StoredDatabase, catalog: &Catalog) -> (u64, u64, u64) {
+/// Runs the subplan at `root` once to warm lazily initialized state, then
+/// once more counting: (allocations, rows, pages written).
+fn measure(plans: &Plan, root: NodeId, db: &StoredDatabase, catalog: &Catalog) -> (u64, u64, u64) {
+    let plan = &plans.rooted_at(root);
     let mut measured = (0, 0, 0);
     for _ in 0..2 {
         db.disk.reset_stats();
@@ -109,11 +109,11 @@ fn spilling_operators_allocate_per_page_written_and_not_per_row_or_page_scanned(
     let db = StoredDatabase::generate(&catalog, 7);
     let fact = catalog.relation_by_name("fact").expect("fact");
     let dim = catalog.relation_by_name("dim").expect("dim");
-    let mut b = PlanNodeBuilder::new();
-    let scan_fact = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, vec![]);
-    let scan_dim = node(&mut b, PhysicalOp::FileScan { relation: dim.id }, vec![]);
+    let mut b = Plan::new();
+    let scan_fact = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, &[]);
+    let scan_dim = node(&mut b, PhysicalOp::FileScan { relation: dim.id }, &[]);
     let predicate = SelectPred::bound(fact.attr_id("a").expect("a"), CompareOp::Lt, 8_400);
-    let fact_lt = node(&mut b, PhysicalOp::Filter { predicate }, vec![scan_fact]);
+    let fact_lt = node(&mut b, PhysicalOp::Filter { predicate }, &[scan_fact]);
 
     // 6 000 build rows ⋈ 8 400 probe rows: twelve times the grant, so
     // both sides are partitioned to disk.
@@ -121,9 +121,9 @@ fn spilling_operators_allocate_per_page_written_and_not_per_row_or_page_scanned(
     let join = node(
         &mut b,
         PhysicalOp::HashJoin { predicates: vec![on_j] },
-        vec![scan_dim, fact_lt.clone()],
+        &[scan_dim, fact_lt],
     );
-    let (allocs, rows, written) = measure(&join, &db, &catalog);
+    let (allocs, rows, written) = measure(&b, join, &db, &catalog);
     assert!(rows >= 8_000, "a join large enough to tell: {rows} rows");
     assert!(written >= 2_000, "both sides spill: {written} pages written");
     assert!(
@@ -137,9 +137,9 @@ fn spilling_operators_allocate_per_page_written_and_not_per_row_or_page_scanned(
     let sort = node(
         &mut b,
         PhysicalOp::Sort { attr: fact.attr_id("j").expect("j") },
-        vec![fact_lt],
+        &[fact_lt],
     );
-    let (allocs, rows, written) = measure(&sort, &db, &catalog);
+    let (allocs, rows, written) = measure(&b, sort, &db, &catalog);
     assert!((8_000..9_000).contains(&rows), "{rows} rows");
     assert!(written >= 1_200, "17 runs: {written} pages written");
     assert!(

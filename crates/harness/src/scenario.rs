@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use dqep_core::{Optimizer, OptimizerStats, SearchOptions};
 use dqep_cost::{Bindings, Environment};
-use dqep_plan::{dag, evaluate_startup, PlanNode};
+use dqep_plan::{evaluate_startup, Plan};
 
 use crate::queries::Workload;
 
@@ -55,7 +55,7 @@ pub struct ScenarioResult {
     pub opt_stats: OptimizerStats,
     /// The plan (for static/dynamic scenarios; the last plan for run-time
     /// optimization).
-    pub plan: Option<Arc<PlanNode>>,
+    pub plan: Option<Arc<Plan>>,
     /// The compile-time environment the plan was produced under.
     pub env: Environment,
 }
@@ -134,7 +134,7 @@ pub fn run_static_with(
 ) -> ScenarioResult {
     let env = Environment::static_compile_time(&workload.catalog.config);
     let (result, optimize_seconds) = measured_optimize(workload, &env, options);
-    let nodes = dag::node_count(&result.plan);
+    let nodes = result.plan.len();
     let activation_seconds =
         workload.catalog.config.activation_base + workload.catalog.config.module_read_time(nodes);
     let exec_seconds = bindings
@@ -184,7 +184,7 @@ pub fn run_dynamic_with(
         Environment::dynamic_compile_time(cfg)
     };
     let (result, optimize_seconds) = measured_optimize(workload, &env, options);
-    let nodes = dag::node_count(&result.plan);
+    let nodes = result.plan.len();
 
     let mut exec_seconds = Vec::with_capacity(bindings.len());
     let mut modeled_cpu = 0.0;
@@ -209,7 +209,7 @@ pub fn run_dynamic_with(
         startup_evaluations,
         exec_seconds,
         plan_nodes: nodes,
-        choose_plans: dag::choose_plan_count(&result.plan),
+        choose_plans: result.plan.choose_plan_count(),
         opt_stats: result.stats,
         plan: Some(result.plan),
         env,
@@ -246,7 +246,7 @@ pub fn run_runtime_opt(workload: &Workload, bindings: &[Bindings]) -> ScenarioRe
         modeled_startup_cpu: 0.0,
         startup_evaluations: 0,
         exec_seconds,
-        plan_nodes: last.as_ref().map(dag::node_count).unwrap_or(0),
+        plan_nodes: last.as_ref().map_or(0, |plan| plan.len()),
         choose_plans: 0,
         opt_stats: stats,
         plan: last,

@@ -11,18 +11,16 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use dqep_algebra::PhysicalOp;
 
-use crate::dag;
-use crate::node::PlanNode;
+use crate::plan::Plan;
 
 /// Renders the DAG as a Graphviz digraph.
 #[must_use]
-pub fn to_dot(root: &Arc<PlanNode>) -> String {
+pub fn to_dot(plan: &Plan) -> String {
     let mut out = String::from("digraph plan {\n  rankdir=BT;\n  node [fontsize=10];\n");
-    dag::walk_dag(root, &mut |node| {
+    for (id, node) in plan.iter() {
         let shape = match node.op {
             PhysicalOp::ChoosePlan => "diamond",
             PhysicalOp::FileScan { .. }
@@ -36,19 +34,15 @@ pub fn to_dot(root: &Arc<PlanNode>) -> String {
             node.stats.card,
             node.total_cost.total()
         );
-        let _ = writeln!(
-            out,
-            "  {} [shape={shape}, label=\"{label}\"];",
-            node.id.0
-        );
-        for (i, child) in node.children.iter().enumerate() {
+        let _ = writeln!(out, "  {} [shape={shape}, label=\"{label}\"];", id.0);
+        for (i, child) in plan.children(id).iter().enumerate() {
             if node.is_choose_plan() {
-                let _ = writeln!(out, "  {} -> {} [label=\"alt {i}\"];", child.id.0, node.id.0);
+                let _ = writeln!(out, "  {} -> {} [label=\"alt {i}\"];", child.0, id.0);
             } else {
-                let _ = writeln!(out, "  {} -> {};", child.id.0, node.id.0);
+                let _ = writeln!(out, "  {} -> {};", child.0, id.0);
             }
         }
-    });
+    }
     out.push_str("}\n");
     out
 }
@@ -60,38 +54,37 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::PlanNodeBuilder;
     use dqep_catalog::RelationId;
     use dqep_cost::{Cost, PlanStats};
     use dqep_interval::Interval;
 
     #[test]
     fn emits_nodes_edges_and_shapes() {
-        let mut b = PlanNodeBuilder::new();
-        let shared = b.node(
+        let mut p = Plan::new();
+        let shared = p.push(
             PhysicalOp::FileScan { relation: RelationId(0) },
-            vec![],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.0, 0.1),
         );
-        let s1 = b.node(
+        let s1 = p.push(
             PhysicalOp::Sort {
                 attr: dqep_catalog::AttrId { relation: RelationId(0), index: 0 },
             },
-            vec![shared.clone()],
+            &[shared],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.1, 0.0),
         );
-        let s2 = b.node(
+        let s2 = p.push(
             PhysicalOp::Sort {
                 attr: dqep_catalog::AttrId { relation: RelationId(0), index: 1 },
             },
-            vec![shared],
+            &[shared],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.2, 0.0),
         );
-        let cp = b.choose_plan(vec![s1, s2], Cost::point(0.01, 0.0));
-        let dot = to_dot(&cp);
+        p.choose_plan(&[s1, s2], Cost::point(0.01, 0.0));
+        let dot = to_dot(&p);
         assert!(dot.starts_with("digraph plan {"));
         assert!(dot.trim_end().ends_with('}'));
         assert!(dot.contains("shape=diamond"));
@@ -114,13 +107,13 @@ mod tests {
 
     #[test]
     fn dot_is_deterministic() {
-        let mut b = PlanNodeBuilder::new();
-        let scan = b.node(
+        let mut p = Plan::new();
+        p.push(
             PhysicalOp::FileScan { relation: RelationId(1) },
-            vec![],
+            &[],
             PlanStats::new(Interval::point(1.0), 512.0),
             Cost::ZERO,
         );
-        assert_eq!(to_dot(&scan), to_dot(&scan));
+        assert_eq!(to_dot(&p), to_dot(&p));
     }
 }

@@ -5,10 +5,12 @@
 //! the paper adopts). A dynamic plan's module is larger than a static
 //! plan's — the paper models activation I/O as
 //! `nodes × 128 bytes / 2 MB/s` plus a fixed 0.1 s for catalog validation
-//! and the initial seek — and this crate makes that concrete: modules
-//! serialize to a compact binary format (DAG nodes in post-order, children
-//! by ordinal) and report both their actual byte size and the paper's
-//! modeled size.
+//! and the initial seek — and this crate makes that concrete: a module is
+//! the [`Plan`] table itself, written node by node in table order with
+//! children as node ids, and it reports both its actual byte size and the
+//! paper's modeled size. Decoding pushes the nodes back in the same order,
+//! validating each one, so the table that comes out is the table that
+//! went in.
 
 use std::fmt;
 use std::sync::Arc;
@@ -19,8 +21,7 @@ use dqep_catalog::{AttrId, IndexId, RelationId, SystemConfig};
 use dqep_cost::{Cost, PlanStats};
 use dqep_interval::Interval;
 
-use crate::dag;
-use crate::node::{PlanNode, PlanNodeBuilder};
+use crate::plan::{NodeId, Plan};
 
 /// Errors produced when decoding an access module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,8 +34,21 @@ pub enum ModuleError {
     BadChildRef(u32),
     /// The module contained no nodes.
     Empty,
-    /// A decoded numeric field was invalid (NaN bounds, inverted interval).
+    /// A decoded numeric field was invalid (NaN bounds, inverted interval,
+    /// a row width that is not a finite non-negative number).
     BadNumber,
+    /// A node had a number of children its operator does not take (a
+    /// choose-plan takes at least two).
+    BadArity {
+        /// Position of the node.
+        node: u32,
+        /// The child count it was stored with.
+        children: usize,
+    },
+    /// A node is not reachable from the root (the last node).
+    Unreachable(u32),
+    /// Bytes were left over after the last node.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for ModuleError {
@@ -45,6 +59,11 @@ impl fmt::Display for ModuleError {
             ModuleError::BadChildRef(i) => write!(f, "forward child reference {i}"),
             ModuleError::Empty => f.write_str("empty access module"),
             ModuleError::BadNumber => f.write_str("invalid numeric field"),
+            ModuleError::BadArity { node, children } => {
+                write!(f, "node {node} stored with {children} children")
+            }
+            ModuleError::Unreachable(i) => write!(f, "node {i} is not reachable from the root"),
+            ModuleError::TrailingBytes(n) => write!(f, "{n} bytes after the last node"),
         }
     }
 }
@@ -68,29 +87,29 @@ pub struct ModuleStats {
     pub activation_seconds: f64,
 }
 
-/// A stored plan: a DAG of [`PlanNode`]s plus serialization.
+/// A stored plan: the [`Plan`] table plus its byte format.
 #[derive(Debug, Clone)]
 pub struct AccessModule {
-    root: Arc<PlanNode>,
+    plan: Arc<Plan>,
 }
 
 impl AccessModule {
     /// Wraps a plan in an access module.
     #[must_use]
-    pub fn new(root: Arc<PlanNode>) -> AccessModule {
-        AccessModule { root }
+    pub fn new(plan: Arc<Plan>) -> AccessModule {
+        AccessModule { plan }
     }
 
-    /// The plan root.
+    /// The plan.
     #[must_use]
-    pub fn root(&self) -> &Arc<PlanNode> {
-        &self.root
+    pub fn plan(&self) -> &Arc<Plan> {
+        &self.plan
     }
 
     /// Size and activation statistics under `config`.
     #[must_use]
     pub fn stats(&self, config: &SystemConfig) -> ModuleStats {
-        let nodes = dag::node_count(&self.root);
+        let nodes = self.plan.len();
         let serialized_bytes = self.serialize().len();
         let modeled_bytes = nodes * config.plan_node_bytes as usize;
         let read_seconds = config.module_read_time(nodes);
@@ -103,67 +122,76 @@ impl AccessModule {
         }
     }
 
-    /// Serializes the DAG: nodes in post-order, children as ordinals into
-    /// the already-emitted prefix (so decoding is a single forward pass).
+    /// Serializes the table: nodes in table order, children as node ids —
+    /// positions in the already-emitted prefix, so decoding is a single
+    /// forward pass. Total cost and delivered order are derived, not
+    /// stored.
     #[must_use]
     pub fn serialize(&self) -> Bytes {
-        let order = dag::topological_order(&self.root);
-        let index: std::collections::HashMap<_, _> = order
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id, i as u32))
-            .collect();
-        let mut buf = BytesMut::with_capacity(order.len() * 96);
-        buf.put_u32(order.len() as u32);
-        for node in &order {
+        let mut buf = BytesMut::with_capacity(self.plan.len() * 96);
+        buf.put_u32(self.plan.len() as u32);
+        for (id, node) in self.plan.iter() {
             encode_op(&mut buf, &node.op);
             buf.put_f64(node.stats.card.lo());
             buf.put_f64(node.stats.card.hi());
             buf.put_f64(node.stats.row_bytes);
             encode_cost(&mut buf, node.self_cost);
-            buf.put_u16(node.children.len() as u16);
-            for c in &node.children {
-                buf.put_u32(index[&c.id]);
+            let children = self.plan.children(id);
+            buf.put_u16(children.len() as u16);
+            for c in children {
+                buf.put_u32(c.0);
             }
         }
         buf.freeze()
     }
 
-    /// Decodes a module previously produced by [`AccessModule::serialize`].
-    ///
-    /// Total costs and delivered orders are recomputed during
-    /// reconstruction, so a decoded module satisfies the same invariants as
-    /// a freshly optimized one.
+    /// Decodes a module previously produced by [`AccessModule::serialize`],
+    /// adopting nothing it has not checked: every node has the child count
+    /// its operator takes (a choose-plan at least two), children precede
+    /// their parents, numbers are numbers, every node hangs off the root
+    /// and the input ends with the last node. What decodes satisfies
+    /// [`Plan::check_invariants`] and equals the plan that was encoded,
+    /// ids included.
     pub fn deserialize(mut bytes: Bytes) -> Result<AccessModule, ModuleError> {
         let buf = &mut bytes;
         let count = get_u32(buf)? as usize;
         if count == 0 {
             return Err(ModuleError::Empty);
         }
-        let mut builder = PlanNodeBuilder::new();
         // Never trust the length prefix for preallocation: a corrupt or
         // hostile module could otherwise request a multi-gigabyte Vec
         // before the per-node decoding ever detects truncation.
-        let mut nodes: Vec<Arc<PlanNode>> = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
+        let mut plan = Plan::with_capacity(count.min(1024));
+        let mut children: Vec<NodeId> = Vec::new();
+        for node in 0..count as u32 {
             let op = decode_op(buf)?;
             let card = decode_interval(buf)?;
             let row_bytes = get_f64(buf)?;
+            if !(row_bytes.is_finite() && row_bytes >= 0.0) {
+                return Err(ModuleError::BadNumber);
+            }
             let self_cost = decode_cost(buf)?;
             let n_children = get_u16(buf)? as usize;
-            let mut children = Vec::with_capacity(n_children);
+            if op.arity().map_or(n_children < 2, |arity| n_children != arity) {
+                return Err(ModuleError::BadArity { node, children: n_children });
+            }
+            children.clear();
             for _ in 0..n_children {
                 let ordinal = get_u32(buf)?;
-                let child = nodes
-                    .get(ordinal as usize)
-                    .ok_or(ModuleError::BadChildRef(ordinal))?;
-                children.push(Arc::clone(child));
+                if ordinal >= node {
+                    return Err(ModuleError::BadChildRef(ordinal));
+                }
+                children.push(NodeId(ordinal));
             }
-            nodes.push(builder.node(op, children, PlanStats::new(card, row_bytes), self_cost));
+            plan.push(op, &children, PlanStats::new(card, row_bytes), self_cost);
         }
-        Ok(AccessModule {
-            root: nodes.pop().expect("count >= 1"),
-        })
+        if buf.remaining() > 0 {
+            return Err(ModuleError::TrailingBytes(buf.remaining()));
+        }
+        match plan.unreachable_node() {
+            Some(id) => Err(ModuleError::Unreachable(id.0)),
+            None => Ok(AccessModule { plan: Arc::new(plan) }),
+        }
     }
 }
 
@@ -381,43 +409,40 @@ fn decode_interval(buf: &mut Bytes) -> Result<Interval, ModuleError> {
     Interval::try_new(lo, hi).map_err(|_| ModuleError::BadNumber)
 }
 
-fn get_u8(buf: &mut Bytes) -> Result<u8, ModuleError> {
-    (buf.remaining() >= 1)
-        .then(|| buf.get_u8())
+/// Reads one `size`-byte field with `read`, or reports truncation.
+fn get<T>(buf: &mut Bytes, size: usize, read: fn(&mut Bytes) -> T) -> Result<T, ModuleError> {
+    (buf.remaining() >= size)
+        .then(|| read(buf))
         .ok_or(ModuleError::Truncated)
+}
+
+fn get_u8(buf: &mut Bytes) -> Result<u8, ModuleError> {
+    get(buf, 1, Bytes::get_u8)
 }
 
 fn get_u16(buf: &mut Bytes) -> Result<u16, ModuleError> {
-    (buf.remaining() >= 2)
-        .then(|| buf.get_u16())
-        .ok_or(ModuleError::Truncated)
+    get(buf, 2, Bytes::get_u16)
 }
 
 fn get_u32(buf: &mut Bytes) -> Result<u32, ModuleError> {
-    (buf.remaining() >= 4)
-        .then(|| buf.get_u32())
-        .ok_or(ModuleError::Truncated)
+    get(buf, 4, Bytes::get_u32)
 }
 
 fn get_i64(buf: &mut Bytes) -> Result<i64, ModuleError> {
-    (buf.remaining() >= 8)
-        .then(|| buf.get_i64())
-        .ok_or(ModuleError::Truncated)
+    get(buf, 8, Bytes::get_i64)
 }
 
 fn get_f64(buf: &mut Bytes) -> Result<f64, ModuleError> {
-    (buf.remaining() >= 8)
-        .then(|| buf.get_f64())
-        .ok_or(ModuleError::Truncated)
+    get(buf, 8, Bytes::get_f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::PlanNodeBuilder;
+    use crate::dag;
 
-    fn sample_plan() -> Arc<PlanNode> {
-        let mut b = PlanNodeBuilder::new();
+    fn sample_plan() -> Arc<Plan> {
+        let mut p = Plan::new();
         let pred = SelectPred::unbound(
             AttrId {
                 relation: RelationId(0),
@@ -426,31 +451,32 @@ mod tests {
             CompareOp::Lt,
             HostVar(0),
         );
-        let scan = b.node(
+        let scan = p.push(
             PhysicalOp::FileScan {
                 relation: RelationId(0),
             },
-            vec![],
+            &[],
             PlanStats::new(Interval::point(1000.0), 512.0),
             Cost::point(0.1, 0.25),
         );
-        let filter = b.node(
+        let filter = p.push(
             PhysicalOp::Filter { predicate: pred },
-            vec![scan],
+            &[scan],
             PlanStats::new(Interval::new(0.0, 1000.0), 512.0),
             Cost::cpu_only(Interval::new(0.0, 0.1)),
         );
-        let index = b.node(
+        let index = p.push(
             PhysicalOp::FilterBtreeScan {
                 relation: RelationId(0),
                 index: IndexId(0),
                 predicate: pred,
             },
-            vec![],
+            &[],
             PlanStats::new(Interval::new(0.0, 1000.0), 512.0),
             Cost::io_only(Interval::new(0.008, 4.1)),
         );
-        b.choose_plan(vec![filter, index], Cost::point(0.001, 0.0))
+        p.choose_plan(&[filter, index], Cost::point(0.001, 0.0));
+        Arc::new(p)
     }
 
     #[test]
@@ -459,50 +485,50 @@ mod tests {
         let module = AccessModule::new(plan.clone());
         let bytes = module.serialize();
         let back = AccessModule::deserialize(bytes).unwrap();
-        assert_eq!(dag::node_count(back.root()), dag::node_count(&plan));
-        assert_eq!(back.root().op, plan.op);
-        assert_eq!(back.root().total_cost.total(), plan.total_cost.total());
-        assert_eq!(back.root().children.len(), 2);
-        assert_eq!(back.root().children[0].op, plan.children[0].op);
-        back.root().check_invariants().unwrap();
+        assert_eq!(back.plan(), &plan, "field for field, ids included");
+        assert_eq!(
+            back.plan().root_node().total_cost.total(),
+            plan.root_node().total_cost.total()
+        );
+        back.plan().check_invariants().unwrap();
     }
 
     #[test]
     fn roundtrip_preserves_sharing() {
         // Two sorts sharing a scan: 4 DAG nodes, 5 tree nodes.
-        let mut b = PlanNodeBuilder::new();
-        let shared = b.node(
+        let mut p = Plan::new();
+        let shared = p.push(
             PhysicalOp::FileScan {
                 relation: RelationId(1),
             },
-            vec![],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.0, 0.01),
         );
-        let s1 = b.node(
+        let s1 = p.push(
             PhysicalOp::Sort {
                 attr: AttrId { relation: RelationId(1), index: 0 },
             },
-            vec![shared.clone()],
+            &[shared],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.01, 0.0),
         );
-        let s2 = b.node(
+        let s2 = p.push(
             PhysicalOp::Sort {
                 attr: AttrId { relation: RelationId(1), index: 1 },
             },
-            vec![shared],
+            &[shared],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.02, 0.0),
         );
-        let cp = b.choose_plan(vec![s1, s2], Cost::ZERO);
-        let back = AccessModule::deserialize(AccessModule::new(cp).serialize()).unwrap();
-        assert_eq!(dag::node_count(back.root()), 4);
-        assert_eq!(dag::tree_node_count(back.root()), 5.0);
+        p.choose_plan(&[s1, s2], Cost::ZERO);
+        let back = AccessModule::deserialize(AccessModule::new(Arc::new(p)).serialize()).unwrap();
+        let back = back.plan();
+        assert_eq!(dag::node_count(back), 4);
+        assert_eq!(dag::tree_node_count(back), 5.0);
         // The shared scan decodes to one node referenced twice.
-        let left_scan = back.root().children[0].children[0].id;
-        let right_scan = back.root().children[1].children[0].id;
-        assert_eq!(left_scan, right_scan);
+        let alternatives = back.children(back.root());
+        assert_eq!(back.children(alternatives[0]), back.children(alternatives[1]));
     }
 
     #[test]
@@ -542,5 +568,44 @@ mod tests {
             AccessModule::deserialize(bad_tag),
             Err(ModuleError::BadTag(99))
         ));
+    }
+
+    #[test]
+    fn decode_rejects_unreachable_nodes_and_forward_references() {
+        let scan = |p: &mut Plan, rel| {
+            p.push(
+                PhysicalOp::FileScan { relation: RelationId(rel) },
+                &[],
+                PlanStats::new(Interval::point(1.0), 8.0),
+                Cost::ZERO,
+            )
+        };
+        // Two scans, the first referenced by nobody.
+        let mut orphaned = Plan::new();
+        scan(&mut orphaned, 0);
+        scan(&mut orphaned, 1);
+        assert_eq!(
+            AccessModule::deserialize(AccessModule::new(Arc::new(orphaned)).serialize())
+                .unwrap_err(),
+            ModuleError::Unreachable(0)
+        );
+        // A sort over a scan, its child ordinal (the last four bytes)
+        // pointed at the sort itself.
+        let mut p = Plan::new();
+        let input = scan(&mut p, 0);
+        p.push(
+            PhysicalOp::Sort { attr: AttrId { relation: RelationId(0), index: 0 } },
+            &[input],
+            PlanStats::new(Interval::point(1.0), 8.0),
+            Cost::ZERO,
+        );
+        let image = AccessModule::new(Arc::new(p)).serialize();
+        let mut forward = BytesMut::new();
+        forward.extend_from_slice(&image[..image.len() - 4]);
+        forward.put_u32(1);
+        assert_eq!(
+            AccessModule::deserialize(forward.freeze()).unwrap_err(),
+            ModuleError::BadChildRef(1)
+        );
     }
 }

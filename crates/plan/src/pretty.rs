@@ -1,10 +1,8 @@
 //! Human-readable plan rendering.
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use crate::node::{NodeId, PlanNode};
+use crate::plan::{NodeId, Plan};
 
 /// Renders a plan DAG as an indented tree. Nodes reached more than once
 /// (shared subexpressions) are expanded the first time and referenced as
@@ -17,22 +15,24 @@ use crate::node::{NodeId, PlanNode};
 /// └── Filter-B-tree-Scan R0[R0.#0 < :v0]  cost=...
 /// ```
 #[must_use]
-pub fn render_plan(root: &Arc<PlanNode>) -> String {
+pub fn render_plan(plan: &Plan) -> String {
     let mut out = String::new();
-    let mut seen = HashSet::new();
-    render(root, "", "", &mut seen, &mut out);
+    let mut seen = vec![false; plan.len()];
+    render(plan, plan.root(), "", "", &mut seen, &mut out);
     out
 }
 
 fn render(
-    node: &Arc<PlanNode>,
+    plan: &Plan,
+    id: NodeId,
     prefix: &str,
     child_prefix: &str,
-    seen: &mut HashSet<NodeId>,
+    seen: &mut [bool],
     out: &mut String,
 ) {
-    if !seen.insert(node.id) {
-        let _ = writeln!(out, "{prefix}^{} (shared {})", node.id, node.op.name());
+    let node = &plan[id];
+    if std::mem::replace(&mut seen[id.index()], true) {
+        let _ = writeln!(out, "{prefix}^{id} (shared {})", node.op.name());
         return;
     }
     let _ = writeln!(
@@ -42,16 +42,17 @@ fn render(
         node.stats.card,
         node.total_cost.total()
     );
-    let n = node.children.len();
-    for (i, c) in node.children.iter().enumerate() {
-        let last = i + 1 == n;
+    let children = plan.children(id);
+    for (i, c) in children.iter().enumerate() {
+        let last = i + 1 == children.len();
         let (branch, cont) = if last {
             ("└── ", "    ")
         } else {
             ("├── ", "│   ")
         };
         render(
-            c,
+            plan,
+            *c,
             &format!("{child_prefix}{branch}"),
             &format!("{child_prefix}{cont}"),
             seen,
@@ -63,7 +64,6 @@ fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::PlanNodeBuilder;
     use dqep_algebra::PhysicalOp;
     use dqep_catalog::{AttrId, RelationId};
     use dqep_cost::{Cost, PlanStats};
@@ -71,31 +71,31 @@ mod tests {
 
     #[test]
     fn renders_tree_with_sharing_markers() {
-        let mut b = PlanNodeBuilder::new();
-        let shared = b.node(
+        let mut p = Plan::new();
+        let shared = p.push(
             PhysicalOp::FileScan { relation: RelationId(0) },
-            vec![],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.0, 0.1),
         );
-        let s1 = b.node(
+        let s1 = p.push(
             PhysicalOp::Sort {
                 attr: AttrId { relation: RelationId(0), index: 0 },
             },
-            vec![shared.clone()],
+            &[shared],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.1, 0.0),
         );
-        let s2 = b.node(
+        let s2 = p.push(
             PhysicalOp::Sort {
                 attr: AttrId { relation: RelationId(0), index: 1 },
             },
-            vec![shared],
+            &[shared],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.2, 0.0),
         );
-        let cp = b.choose_plan(vec![s1, s2], Cost::point(0.01, 0.0));
-        let text = render_plan(&cp);
+        p.choose_plan(&[s1, s2], Cost::point(0.01, 0.0));
+        let text = render_plan(&p);
         assert!(text.contains("Choose-Plan"));
         assert!(text.contains("File-Scan R0"));
         assert!(text.contains("^n0 (shared File-Scan)"), "text was:\n{text}");
@@ -106,14 +106,14 @@ mod tests {
 
     #[test]
     fn renders_single_node() {
-        let mut b = PlanNodeBuilder::new();
-        let scan = b.node(
+        let mut p = Plan::new();
+        p.push(
             PhysicalOp::FileScan { relation: RelationId(2) },
-            vec![],
+            &[],
             PlanStats::new(Interval::point(5.0), 512.0),
             Cost::point(0.0, 0.2),
         );
-        let text = render_plan(&scan);
+        let text = render_plan(&p);
         assert!(text.starts_with("File-Scan R2"));
         assert!(text.contains("cost=[0.2000]"));
     }

@@ -16,9 +16,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dqep_catalog::Catalog;
-use dqep_cost::{Bindings, Cost, Environment};
+use dqep_cost::{Bindings, Environment};
 
-use crate::node::{NodeId, PlanNode, PlanNodeBuilder};
+use crate::plan::{NodeId, Plan};
 use crate::startup::{evaluate_startup, StartupDecision, StartupResult};
 
 /// Per-choose-plan usage counters accumulated across invocations.
@@ -64,67 +64,28 @@ impl UsageStats {
     }
 }
 
-/// Rebuilds a dynamic plan keeping only the alternatives that were actually
+/// Rewrites a dynamic plan keeping only the alternatives that were actually
 /// chosen according to `usage`. Choose-plans left with a single alternative
 /// collapse into it; choose-plans with no recorded decisions (they sit
 /// inside alternatives that were themselves never chosen) keep all their
 /// alternatives, conservatively.
 ///
-/// DAG sharing is preserved: shared subplans are rebuilt once.
+/// This is the plan compaction with a usage filter: relative order and DAG
+/// sharing are preserved, and with every alternative used the result is
+/// the plan itself.
 #[must_use]
-pub fn shrink_plan(root: &Arc<PlanNode>, usage: &UsageStats) -> Arc<PlanNode> {
-    let mut builder = PlanNodeBuilder::new();
-    let mut memo: HashMap<NodeId, Arc<PlanNode>> = HashMap::new();
-    rebuild(root, usage, &mut builder, &mut memo)
-}
-
-fn rebuild(
-    node: &Arc<PlanNode>,
-    usage: &UsageStats,
-    builder: &mut PlanNodeBuilder,
-    memo: &mut HashMap<NodeId, Arc<PlanNode>>,
-) -> Arc<PlanNode> {
-    if let Some(hit) = memo.get(&node.id) {
-        return Arc::clone(hit);
-    }
-    let result = if node.is_choose_plan() {
-        let keep: Vec<&Arc<PlanNode>> = match usage.counts(node.id) {
-            Some(counts) => node
-                .children
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| counts.get(*i).copied().unwrap_or(0) > 0)
-                .map(|(_, c)| c)
-                .collect(),
+pub fn shrink_plan(plan: &Plan, usage: &UsageStats) -> Plan {
+    plan.compact(
+        plan.root(),
+        |choose_plan, alt| match usage.counts(choose_plan) {
+            Some(counts) if counts.iter().any(|&n| n > 0) => {
+                counts.get(alt).is_some_and(|&n| n > 0)
+            }
             // Never decided: keep everything.
-            None => node.children.iter().collect(),
-        };
-        let keep = if keep.is_empty() {
-            // Degenerate (should not happen: a decision always picks one);
-            // keep everything rather than produce an empty plan.
-            node.children.iter().collect::<Vec<_>>()
-        } else {
-            keep
-        };
-        let rebuilt: Vec<Arc<PlanNode>> = keep
-            .into_iter()
-            .map(|c| rebuild(c, usage, builder, memo))
-            .collect();
-        if rebuilt.len() == 1 {
-            rebuilt.into_iter().next().expect("len checked")
-        } else {
-            builder.choose_plan(rebuilt, node.self_cost)
-        }
-    } else {
-        let children: Vec<Arc<PlanNode>> = node
-            .children
-            .iter()
-            .map(|c| rebuild(c, usage, builder, memo))
-            .collect();
-        builder.node(node.op.clone(), children, node.stats, node.self_cost)
-    };
-    memo.insert(node.id, Arc::clone(&result));
-    result
+            _ => true,
+        },
+        crate::plan::keep_estimates,
+    )
 }
 
 /// A self-shrinking access module: evaluates invocations, tracks usage,
@@ -134,7 +95,7 @@ fn rebuild(
 /// start-up-time".
 #[derive(Debug)]
 pub struct ShrinkingModule {
-    plan: Arc<PlanNode>,
+    plan: Arc<Plan>,
     usage: UsageStats,
     threshold: u64,
     shrunk: bool,
@@ -144,7 +105,7 @@ impl ShrinkingModule {
     /// Wraps a dynamic plan; the module shrinks after `threshold`
     /// invocations (the paper suggests 100).
     #[must_use]
-    pub fn new(plan: Arc<PlanNode>, threshold: u64) -> ShrinkingModule {
+    pub fn new(plan: Arc<Plan>, threshold: u64) -> ShrinkingModule {
         ShrinkingModule {
             plan,
             usage: UsageStats::new(),
@@ -155,7 +116,7 @@ impl ShrinkingModule {
 
     /// The current plan (pre- or post-shrink).
     #[must_use]
-    pub fn plan(&self) -> &Arc<PlanNode> {
+    pub fn plan(&self) -> &Arc<Plan> {
         &self.plan
     }
 
@@ -182,21 +143,12 @@ impl ShrinkingModule {
         let result = evaluate_startup(&self.plan, catalog, env, bindings);
         self.usage.record(&result.decisions);
         if !self.shrunk && self.usage.invocations() >= self.threshold {
-            self.plan = shrink_plan(&self.plan, &self.usage);
+            self.plan = Arc::new(shrink_plan(&self.plan, &self.usage));
             self.usage = UsageStats::new();
             self.shrunk = true;
         }
         result
     }
-}
-
-/// Exposes the builder-cost for a collapsed choose-plan (kept for
-/// documentation symmetry; collapsing removes the decision overhead).
-#[must_use]
-pub fn decision_cost_saved(alternatives_removed: usize, per_decision: f64) -> Cost {
-    Cost::cpu_only(dqep_interval::Interval::point(
-        alternatives_removed as f64 * per_decision,
-    ))
 }
 
 #[cfg(test)]
@@ -215,7 +167,7 @@ mod tests {
             .unwrap()
     }
 
-    fn figure1_plan(cat: &Catalog, env: &Environment) -> Arc<PlanNode> {
+    fn figure1_plan(cat: &Catalog, env: &Environment) -> Arc<Plan> {
         let rel = cat.relation_by_name("r").unwrap();
         let pred = SelectPred::unbound(rel.attr_id("a").unwrap(), CompareOp::Lt, HostVar(0));
         let (idx, _) = cat.index_on_attr(pred.attr).unwrap();
@@ -223,21 +175,22 @@ mod tests {
         let sel = model.selectivity().selection(&pred, env);
         let scan_stats = PlanStats::new(Interval::point(1000.0), 512.0);
         let out_stats = PlanStats::new(Interval::point(1000.0) * sel, 512.0);
-        let mut b = PlanNodeBuilder::new();
+        let mut p = Plan::new();
         let scan_op = PhysicalOp::FileScan { relation: rel.id };
         let scan_cost = model.op_cost(&scan_op, &[], &scan_stats);
-        let scan = b.node(scan_op, vec![], scan_stats, scan_cost);
+        let scan = p.push(scan_op, &[], scan_stats, scan_cost);
         let filter_op = PhysicalOp::Filter { predicate: pred };
         let filter_cost = model.op_cost(&filter_op, &[scan_stats], &out_stats);
-        let file_plan = b.node(filter_op, vec![scan], out_stats, filter_cost);
+        let file_plan = p.push(filter_op, &[scan], out_stats, filter_cost);
         let idx_op = PhysicalOp::FilterBtreeScan {
             relation: rel.id,
             index: idx,
             predicate: pred,
         };
         let idx_cost = model.op_cost(&idx_op, &[], &out_stats);
-        let index_plan = b.node(idx_op, vec![], out_stats, idx_cost);
-        b.choose_plan(vec![file_plan, index_plan], model.choose_plan_cost(2))
+        let index_plan = p.push(idx_op, &[], out_stats, idx_cost);
+        p.choose_plan(&[file_plan, index_plan], model.choose_plan_cost(2));
+        Arc::new(p)
     }
 
     #[test]
@@ -276,7 +229,7 @@ mod tests {
         let shrunk = shrink_plan(&plan, &usage);
         assert!(!shrunk.is_dynamic(), "one surviving alternative collapses");
         assert!(dag::node_count(&shrunk) < before);
-        assert!(matches!(shrunk.op, PhysicalOp::FilterBtreeScan { .. }));
+        assert!(matches!(shrunk.root_node().op, PhysicalOp::FilterBtreeScan { .. }));
         shrunk.check_invariants().unwrap();
     }
 

@@ -34,8 +34,7 @@ use dqep_catalog::{Catalog, RelationId};
 use dqep_cost::{Bindings, Cost, CostModel, Environment, PlanStats};
 use dqep_interval::Interval;
 
-use crate::node::{NodeId, PlanNode, PlanNodeBuilder};
-use crate::table::{DenseId, IdTable};
+use crate::plan::{NodeId, Plan, PlanNode};
 
 /// One choose-plan decision taken at start-up-time.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,14 +49,26 @@ pub struct StartupDecision {
     pub chosen_cost: f64,
 }
 
-/// What one cost-function evaluation produced for a DAG node under the
-/// actual bindings: its output stream and the cost of its subtree (for a
-/// choose-plan, those of the alternative it chose).
+/// The alternative `decisions` — in table order, as
+/// [`StartupResult::decisions`] lists them — picked for `choose_plan`.
+#[must_use]
+pub fn chosen_alternative(decisions: &[StartupDecision], choose_plan: NodeId) -> Option<usize> {
+    decisions
+        .binary_search_by_key(&choose_plan, |d| d.choose_plan)
+        .ok()
+        .map(|at| decisions[at].chosen_index)
+}
+
+/// What one cost-function evaluation produced for a plan node under the
+/// actual bindings: its output stream, its own cost and the cost of its
+/// subtree (for a choose-plan, those of the alternative it chose).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeEstimate {
     /// Output stream statistics with host variables bound and
     /// observations applied.
     pub stats: PlanStats,
+    /// Cost of the operator alone.
+    pub self_cost: Cost,
     /// Total cost of the subtree rooted at the node.
     pub cost: Cost,
 }
@@ -66,21 +77,23 @@ pub struct NodeEstimate {
 #[derive(Debug)]
 pub struct StartupResult {
     /// The resolved plan: all choose-plan operators replaced by their
-    /// chosen alternative. Ready for execution.
-    pub resolved: Arc<PlanNode>,
+    /// chosen alternative, every operator carrying its bind-time
+    /// statistics and cost. Ready for execution.
+    pub resolved: Arc<Plan>,
     /// Predicted execution cost of the resolved plan under the actual
     /// bindings (the paper's `g_i`), in seconds.
     pub predicted_run_seconds: f64,
-    /// The decisions taken, in DAG post-order.
+    /// The decisions taken, in table order (ascending choose-plan id).
     pub decisions: Vec<StartupDecision>,
-    /// Number of distinct DAG nodes whose cost function was evaluated.
+    /// Number of plan nodes whose cost function was evaluated: all of
+    /// them, each once.
     pub evaluated_nodes: usize,
-    /// The bind-time estimate of every evaluated DAG node, keyed by
-    /// *original* node id — the evaluation pass's own table. Its
+    /// The bind-time estimate of every node of the *original* plan,
+    /// indexed by node id — the evaluation pass's own table. Its
     /// cardinalities are tighter than the compile-time intervals on the
     /// plan (host variables are bound, observations applied): the
     /// reference a runtime checkpoint compares its observation against.
-    pub estimates: IdTable<NodeId, NodeEstimate>,
+    pub estimates: Vec<NodeEstimate>,
     /// Modeled start-up CPU seconds: one cost-function evaluation per
     /// evaluated node (`evaluated_nodes × choose_plan_overhead`).
     pub startup_cpu_seconds: f64,
@@ -96,21 +109,30 @@ pub struct StartupResult {
 /// bindings, and the decisions taken.
 #[must_use]
 pub fn evaluate_startup(
-    root: &Arc<PlanNode>,
+    plan: &Plan,
     catalog: &Catalog,
     base_env: &Environment,
     bindings: &Bindings,
 ) -> StartupResult {
-    evaluate_startup_observed(root, catalog, base_env, bindings, &Observations::new())
+    evaluate_startup_observed(plan, catalog, base_env, bindings, &Observations::new())
 }
 
 /// Like [`evaluate_startup`], additionally honouring *observed* subplan
 /// cardinalities (from materialized temporary results): wherever an
 /// observation exists for a node, it overrides the estimated output
 /// cardinality in every cost function evaluated above it.
+///
+/// The decision procedure is one forward loop over the plan table: a
+/// node's children precede it, so by the time a node is reached the
+/// estimates of its inputs are in the table at their ids — each cost
+/// function is evaluated once ("the cost of shared subexpressions is
+/// computed only once", paper Section 4), each choose-plan picks its
+/// cheapest input (the first of equals), and nothing but the table is
+/// allocated. Resolution is then one compaction of the plan that keeps the
+/// chosen alternative under every choose-plan.
 #[must_use]
 pub fn evaluate_startup_observed(
-    root: &Arc<PlanNode>,
+    plan: &Plan,
     catalog: &Catalog,
     base_env: &Environment,
     bindings: &Bindings,
@@ -120,71 +142,108 @@ pub fn evaluate_startup_observed(
     // choose-plan compute the same result, so an observation for any
     // member of the equivalence class applies to every member (and to the
     // choose-plan node itself). Expand to the closure before evaluating.
-    let observations = expand_observations(root, observations);
+    let observed = expand_observations(plan, observations);
     let env = base_env.bind(bindings);
-    let ids = root.id.index() + 1;
-    let mut eval = Eval {
-        model: CostModel::new(catalog, &env),
-        catalog,
-        builder: PlanNodeBuilder::new(),
-        estimates: IdTable::with_capacity(ids),
-        chosen: IdTable::with_capacity(ids),
-        resolved: IdTable::with_capacity(ids),
-        decisions: Vec::new(),
-        observations: &observations,
-    };
-    let cost = eval.cost_pass(root).cost;
-    let evaluated_nodes = eval.estimates.len();
-    let resolved = eval.materialize(root);
+    let model = CostModel::new(catalog, &env);
+    let mut estimates: Vec<NodeEstimate> = Vec::with_capacity(plan.len());
+    let mut decisions = Vec::with_capacity(plan.choose_plan_count());
+    for (id, node) in plan.iter() {
+        let children = plan.children(id);
+        let estimate = if node.is_choose_plan() {
+            let (chosen_index, estimate) = children
+                .iter()
+                .map(|alt| estimates[alt.index()])
+                .enumerate()
+                .reduce(|best, alt| {
+                    if alt.1.cost.total().lo() < best.1.cost.total().lo() {
+                        alt
+                    } else {
+                        best
+                    }
+                })
+                .expect("choose-plan has at least two alternatives");
+            decisions.push(StartupDecision {
+                choose_plan: id,
+                chosen_index,
+                alternatives: children.len(),
+                chosen_cost: estimate.cost.total().lo(),
+            });
+            estimate
+        } else {
+            // Every operator with a cost function over its inputs takes at
+            // most two.
+            let mut child_stats = [NO_INPUT; 2];
+            let mut cost = Cost::ZERO;
+            for (slot, c) in child_stats.iter_mut().zip(children) {
+                let child = &estimates[c.index()];
+                *slot = child.stats;
+                cost += child.cost;
+            }
+            let child_stats = &child_stats[..children.len()];
+            let mut stats = recompute_stats(node, child_stats, &model, catalog);
+            if let Some(Some(card)) = observed.get(id.index()) {
+                stats = PlanStats::new(Interval::point(*card), stats.row_bytes);
+            }
+            let self_cost = model.op_cost(&node.op, child_stats, &stats);
+            cost += self_cost;
+            NodeEstimate { stats, self_cost, cost }
+        };
+        estimates.push(estimate);
+    }
+    let resolved = plan.compact(
+        plan.root(),
+        |choose_plan, alt| chosen_alternative(&decisions, choose_plan) == Some(alt),
+        |id, _| {
+            let estimate = &estimates[id.index()];
+            (estimate.stats, estimate.self_cost)
+        },
+    );
+    let cost = estimates.last().expect("a plan has a root").cost;
     StartupResult {
-        resolved,
+        resolved: Arc::new(resolved),
         predicted_run_seconds: cost.total().lo(),
-        decisions: eval.decisions,
-        evaluated_nodes,
-        estimates: eval.estimates,
-        startup_cpu_seconds: evaluated_nodes as f64 * catalog.config.choose_plan_overhead,
+        decisions,
+        evaluated_nodes: plan.len(),
+        estimates,
+        startup_cpu_seconds: plan.len() as f64 * catalog.config.choose_plan_overhead,
     }
 }
 
-/// The observations that concern this plan, as a table over its node ids,
-/// propagated across choose-plan equivalence classes: if a choose-plan or
-/// any of its alternatives is observed, the observation holds for the
-/// choose-plan and all alternatives. Iterated to a fixpoint (nested
-/// choose-plans chain). Nothing observed — every start-up decision outside
-/// mid-query re-optimization — is an empty table and no walk.
-fn expand_observations(
-    root: &Arc<PlanNode>,
-    observations: &Observations,
-) -> IdTable<NodeId, f64> {
-    let mut expanded = IdTable::new();
+/// The observations that concern this plan, by node id, propagated across
+/// choose-plan equivalence classes: if a choose-plan or any of its
+/// alternatives is observed, the observation holds for the choose-plan and
+/// all alternatives. Swept to a fixpoint (nested choose-plans chain).
+/// Nothing observed — every start-up decision outside mid-query
+/// re-optimization — is an empty table and no sweep.
+fn expand_observations(plan: &Plan, observations: &Observations) -> Vec<Option<f64>> {
     if observations.is_empty() {
-        return expanded;
+        return Vec::new();
     }
-    crate::dag::walk_dag(root, &mut |node| {
-        if let Some(&card) = observations.get(&node.id) {
-            expanded.insert(node.id, card);
+    let mut expanded = vec![None; plan.len()];
+    for (id, card) in observations {
+        if let Some(slot) = expanded.get_mut(id.index()) {
+            *slot = Some(*card);
         }
-    });
+    }
     loop {
         let mut changed = false;
-        crate::dag::walk_dag(root, &mut |node| {
+        for (id, node) in plan.iter() {
             if !node.is_choose_plan() {
-                return;
+                continue;
             }
             // The class: the choose-plan plus its direct children.
-            let class_value = expanded.get(node.id).copied().or_else(|| {
-                node.children
-                    .iter()
-                    .find_map(|c| expanded.get(c.id).copied())
-            });
-            if let Some(v) = class_value {
-                for id in std::iter::once(node.id).chain(node.children.iter().map(|c| c.id)) {
-                    if expanded.insert(id, v) != Some(v) {
+            let alternatives = plan.children(id);
+            let class_value = expanded[id.index()]
+                .or_else(|| alternatives.iter().find_map(|c| expanded[c.index()]));
+            if class_value.is_some() {
+                for member in std::iter::once(&id).chain(alternatives) {
+                    if expanded[member.index()] != class_value {
+                        expanded[member.index()] = class_value;
                         changed = true;
                     }
                 }
             }
-        });
+        }
         if !changed {
             return expanded;
         }
@@ -197,146 +256,46 @@ const NO_INPUT: PlanStats = PlanStats {
     row_bytes: 0.0,
 };
 
-struct Eval<'a> {
-    model: CostModel<'a>,
-    catalog: &'a Catalog,
-    builder: PlanNodeBuilder,
-    observations: &'a IdTable<NodeId, f64>,
-    /// Per distinct DAG node: recomputed point stats and point total
-    /// subtree cost. One cost-function evaluation per node, as the paper
-    /// prescribes ("the cost of shared subexpressions is computed only
-    /// once").
-    estimates: IdTable<NodeId, NodeEstimate>,
-    /// Chosen alternative per choose-plan node.
-    chosen: IdTable<NodeId, usize>,
-    /// Resolved subplans, materialized only along chosen branches.
-    resolved: IdTable<NodeId, Arc<PlanNode>>,
-    decisions: Vec<StartupDecision>,
-}
-
-impl Eval<'_> {
-    /// Phase 1: evaluate every DAG node's cost function once, bottom-up,
-    /// recording each choose-plan decision. No plan nodes are allocated:
-    /// losing alternatives are costed (that is the decision procedure) but
-    /// never materialized.
-    fn cost_pass(&mut self, node: &Arc<PlanNode>) -> NodeEstimate {
-        if let Some(hit) = self.estimates.get(node.id) {
-            return *hit;
+/// Recomputes output stream statistics under the bound environment.
+/// Row widths are schema-determined and reused from compile-time.
+fn recompute_stats(
+    node: &PlanNode,
+    children: &[PlanStats],
+    model: &CostModel<'_>,
+    catalog: &Catalog,
+) -> PlanStats {
+    use dqep_algebra::PhysicalOp::*;
+    let env = model.env();
+    let sel_model = model.selectivity();
+    let base_card =
+        |rel: RelationId| Interval::point(catalog.relation(rel).stats.cardinality as f64);
+    let card = match &node.op {
+        FileScan { relation } | BtreeScan { relation, .. } => base_card(*relation),
+        FilterBtreeScan {
+            relation,
+            predicate,
+            ..
+        } => base_card(*relation) * sel_model.selection(predicate, env),
+        Filter { predicate } => children[0].card * sel_model.selection(predicate, env),
+        HashJoin { predicates } | MergeJoin { predicates } => {
+            sel_model.join_output(children[0].card, children[1].card, predicates)
         }
-        let result = if node.is_choose_plan() {
-            let mut best: Option<(NodeEstimate, usize)> = None;
-            for (i, alt) in node.children.iter().enumerate() {
-                let estimate = self.cost_pass(alt);
-                let better = match &best {
-                    None => true,
-                    Some((b, _)) => estimate.cost.total().lo() < b.cost.total().lo(),
-                };
-                if better {
-                    best = Some((estimate, i));
-                }
+        IndexJoin {
+            predicates,
+            inner,
+            residual,
+            ..
+        } => {
+            let mut card = sel_model.join_output(children[0].card, base_card(*inner), predicates);
+            if let Some(residual) = residual {
+                card = card * sel_model.selection(residual, env);
             }
-            let (estimate, idx) = best.expect("choose-plan has at least two alternatives");
-            self.chosen.insert(node.id, idx);
-            self.decisions.push(StartupDecision {
-                choose_plan: node.id,
-                chosen_index: idx,
-                alternatives: node.children.len(),
-                chosen_cost: estimate.cost.total().lo(),
-            });
-            estimate
-        } else {
-            // Every operator with a cost function over its inputs takes at
-            // most two.
-            let mut child_stats = [NO_INPUT; 2];
-            let mut cost = Cost::ZERO;
-            for (slot, c) in child_stats.iter_mut().zip(&node.children) {
-                let child = self.cost_pass(c);
-                *slot = child.stats;
-                cost += child.cost;
-            }
-            let child_stats = &child_stats[..node.children.len()];
-            let mut stats = self.recompute_stats(node, child_stats);
-            if let Some(&card) = self.observations.get(node.id) {
-                stats = PlanStats::new(Interval::point(card), stats.row_bytes);
-            }
-            cost += self.model.op_cost(&node.op, child_stats, &stats);
-            NodeEstimate { stats, cost }
-        };
-        self.estimates.insert(node.id, result);
-        result
-    }
-
-    /// The bind-time stats of an already costed node.
-    fn stats(&self, id: NodeId) -> PlanStats {
-        self.estimates.get(id).expect("costed in phase 1").stats
-    }
-
-    /// Phase 2: materialize the resolved plan along chosen branches only.
-    fn materialize(&mut self, node: &Arc<PlanNode>) -> Arc<PlanNode> {
-        if let Some(hit) = self.resolved.get(node.id) {
-            return Arc::clone(hit);
+            card
         }
-        let result = if node.is_choose_plan() {
-            let idx = *self.chosen.get(node.id).expect("decided in phase 1");
-            self.materialize(&node.children[idx])
-        } else {
-            let children: Vec<Arc<PlanNode>> =
-                node.children.iter().map(|c| self.materialize(c)).collect();
-            let mut child_stats = [NO_INPUT; 2];
-            for (slot, c) in child_stats.iter_mut().zip(&node.children) {
-                *slot = self.stats(c.id);
-            }
-            let stats = self.stats(node.id);
-            let self_cost =
-                self.model
-                    .op_cost(&node.op, &child_stats[..node.children.len()], &stats);
-            self.builder.node(node.op.clone(), children, stats, self_cost)
-        };
-        self.resolved.insert(node.id, Arc::clone(&result));
-        result
-    }
-
-    /// Recomputes output stream statistics under the bound environment.
-    /// Row widths are schema-determined and reused from compile-time.
-    fn recompute_stats(&self, node: &Arc<PlanNode>, children: &[PlanStats]) -> PlanStats {
-        use dqep_algebra::PhysicalOp::*;
-        let env = self.model.env();
-        let sel_model = self.model.selectivity();
-        let card = match &node.op {
-            FileScan { relation } | BtreeScan { relation, .. } => {
-                Interval::point(self.base_card(*relation))
-            }
-            FilterBtreeScan {
-                relation,
-                predicate,
-                ..
-            } => Interval::point(self.base_card(*relation)) * sel_model.selection(predicate, env),
-            Filter { predicate } => children[0].card * sel_model.selection(predicate, env),
-            HashJoin { predicates } | MergeJoin { predicates } => {
-                sel_model.join_output(children[0].card, children[1].card, predicates)
-            }
-            IndexJoin {
-                predicates,
-                inner,
-                residual,
-                ..
-            } => {
-                let inner_card = Interval::point(self.base_card(*inner));
-                let mut card = sel_model.join_output(children[0].card, inner_card, predicates);
-                if let Some(residual) = residual {
-                    card = card * sel_model.selection(residual, env);
-                }
-                card
-            }
-            Sort { .. } => children[0].card,
-            ChoosePlan => unreachable!("choose-plan is handled by resolve"),
-        };
-        PlanStats::new(card, node.stats.row_bytes)
-    }
-
-    fn base_card(&self, rel: RelationId) -> f64 {
-        self.catalog.relation(rel).stats.cardinality as f64
-    }
+        Sort { .. } => children[0].card,
+        ChoosePlan => unreachable!("choose-plan picks among its alternatives' estimates"),
+    };
+    PlanStats::new(card, node.stats.row_bytes)
 }
 
 #[cfg(test)]
@@ -356,7 +315,7 @@ mod tests {
 
     /// Builds the paper's Figure 1 dynamic plan by hand: choose-plan over
     /// {Filter(File-Scan R), Filter-B-tree-Scan R}.
-    fn figure1_plan(cat: &Catalog, env: &Environment) -> Arc<PlanNode> {
+    fn figure1_plan(cat: &Catalog, env: &Environment) -> Plan {
         let rel = cat.relation_by_name("r").unwrap();
         let pred = SelectPred::unbound(rel.attr_id("a").unwrap(), CompareOp::Lt, HostVar(0));
         let (idx, _) = cat.index_on_attr(pred.attr).unwrap();
@@ -365,14 +324,14 @@ mod tests {
         let scan_stats = PlanStats::new(Interval::point(1000.0), 512.0);
         let out_stats = PlanStats::new(Interval::point(1000.0) * sel, 512.0);
 
-        let mut b = PlanNodeBuilder::new();
+        let mut p = Plan::new();
         let scan_op = PhysicalOp::FileScan { relation: rel.id };
         let scan_cost = model.op_cost(&scan_op, &[], &scan_stats);
-        let scan = b.node(scan_op, vec![], scan_stats, scan_cost);
+        let scan = p.push(scan_op, &[], scan_stats, scan_cost);
 
         let filter_op = PhysicalOp::Filter { predicate: pred };
         let filter_cost = model.op_cost(&filter_op, &[scan_stats], &out_stats);
-        let file_plan = b.node(filter_op, vec![scan], out_stats, filter_cost);
+        let file_plan = p.push(filter_op, &[scan], out_stats, filter_cost);
 
         let idx_op = PhysicalOp::FilterBtreeScan {
             relation: rel.id,
@@ -380,9 +339,10 @@ mod tests {
             predicate: pred,
         };
         let idx_cost = model.op_cost(&idx_op, &[], &out_stats);
-        let index_plan = b.node(idx_op, vec![], out_stats, idx_cost);
+        let index_plan = p.push(idx_op, &[], out_stats, idx_cost);
 
-        b.choose_plan(vec![file_plan, index_plan], model.choose_plan_cost(2))
+        p.choose_plan(&[file_plan, index_plan], model.choose_plan_cost(2));
+        p
     }
 
     #[test]
@@ -398,7 +358,7 @@ mod tests {
         assert_eq!(result.decisions[0].chosen_index, 1, "index plan expected");
         assert!(!result.resolved.is_dynamic());
         assert!(matches!(
-            result.resolved.op,
+            result.resolved.root_node().op,
             PhysicalOp::FilterBtreeScan { .. }
         ));
     }
@@ -412,7 +372,7 @@ mod tests {
         let bindings = Bindings::new().with_value(HostVar(0), 900); // sel 0.9
         let result = evaluate_startup(&plan, &cat, &env, &bindings);
         assert_eq!(result.decisions[0].chosen_index, 0, "file-scan plan expected");
-        assert!(matches!(result.resolved.op, PhysicalOp::Filter { .. }));
+        assert!(matches!(result.resolved.root_node().op, PhysicalOp::Filter { .. }));
     }
 
     #[test]
@@ -425,10 +385,11 @@ mod tests {
             let result = evaluate_startup(&plan, &cat, &env, &bindings);
             // Evaluate each alternative separately as its own "plan".
             let alt_costs: Vec<f64> = plan
-                .children
+                .children(plan.root())
                 .iter()
                 .map(|alt| {
-                    evaluate_startup(alt, &cat, &env, &bindings).predicted_run_seconds
+                    evaluate_startup(&plan.rooted_at(*alt), &cat, &env, &bindings)
+                        .predicted_run_seconds
                 })
                 .collect();
             let min = alt_costs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -445,7 +406,7 @@ mod tests {
         let cat = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
         let plan = figure1_plan(&cat, &env);
-        let compile_interval = plan.total_cost.total();
+        let compile_interval = plan.root_node().total_cost.total();
         for v in [0i64, 123, 456, 789, 999] {
             let bindings = Bindings::new().with_value(HostVar(0), v);
             let result = evaluate_startup(&plan, &cat, &env, &bindings);
@@ -481,8 +442,8 @@ mod tests {
         let stats = PlanStats::new(Interval::point(1000.0), 512.0);
         let op = PhysicalOp::FileScan { relation: rel.id };
         let cost = model.op_cost(&op, &[], &stats);
-        let mut b = PlanNodeBuilder::new();
-        let plan = b.node(op, vec![], stats, cost);
+        let mut plan = Plan::new();
+        plan.push(op, &[], stats, cost);
 
         let result = evaluate_startup(&plan, &cat, &env, &Bindings::new());
         assert!(result.decisions.is_empty());

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use dqep_algebra::Scalar;
 use dqep_catalog::Catalog;
 use dqep_cost::Bindings;
-use dqep_plan::PlanNode;
+use dqep_plan::Plan;
 use dqep_sql::{ParsedPredicate, Query};
 
 /// A coarse equivalence class of bindings: one bucket index per unbound
@@ -71,7 +71,7 @@ pub fn region_key(
 #[derive(Debug, Clone)]
 pub struct CachedDecision {
     /// The resolved (choose-plan-free) plan the decision procedure picked.
-    pub resolved: Arc<PlanNode>,
+    pub resolved: Arc<Plan>,
     /// Its predicted run time under the bindings that created the entry.
     pub predicted_seconds: f64,
 }

@@ -33,7 +33,7 @@ use dqep_executor::{
     ExecContext, ExecError, ResourceLimits, RootSink, SharedCounters, Tracer,
 };
 use dqep_interval::Interval;
-use dqep_plan::{evaluate_startup_observed, Observations, PlanNode, StartupResult};
+use dqep_plan::{evaluate_startup_observed, Observations, Plan};
 use dqep_sql::parse_query;
 use dqep_storage::{refresh_histograms, StorageError, StoredDatabase};
 
@@ -139,7 +139,7 @@ struct LiveView {
     bindings: Bindings,
     /// The compile-time dynamic plan (choose-plan nodes included) — the
     /// arbiter every re-arbitration goes back to.
-    plan: Arc<PlanNode>,
+    plan: Arc<Plan>,
     /// Chosen alternative per choose-plan node of the current winner.
     decisions: Vec<usize>,
     /// Root cardinality interval the current winner was priced on.
@@ -318,13 +318,15 @@ impl LiveViewRegistry {
         &self,
         name: &str,
         sql: &str,
-        plan: &Arc<PlanNode>,
+        plan: &Arc<Plan>,
         bindings: &Bindings,
         observations: &Observations,
     ) -> Result<LiveView, ExecError> {
         let startup =
             evaluate_startup_observed(plan, &self.catalog, &self.env, bindings, observations);
-        let bind_interval = root_interval(&startup, plan);
+        // The root cardinality the arbitration priced its winner on: what
+        // the drift check compares observed cardinality against.
+        let bind_interval = startup.resolved.root_node().stats.card;
         let decisions: Vec<usize> = startup.decisions.iter().map(|d| d.chosen_index).collect();
 
         let mut pipeline = compile_delta_plan(&startup.resolved, &self.catalog, bindings)?;
@@ -525,13 +527,13 @@ impl LiveViewRegistry {
             dqep_executor::EventKind::LiveDrift,
             0,
             dqep_executor::NO_ID,
-            self.views[i].plan.id.0,
+            u64::from(self.views[i].plan.root().0),
             actual as u64,
             self.views[i].rearbitrations,
         );
 
         let mut observations = Observations::new();
-        observations.insert(self.views[i].plan.id, actual);
+        observations.insert(self.views[i].plan.root(), actual);
         let plan = Arc::clone(&self.views[i].plan);
         let bindings = self.views[i].bindings.clone();
         let startup =
@@ -541,7 +543,7 @@ impl LiveViewRegistry {
         if decisions == self.views[i].decisions {
             // Same winner: just widen the drift reference to the freshly
             // priced interval so a stable workload does not re-fire.
-            self.views[i].bind_interval = root_interval(&startup, &plan);
+            self.views[i].bind_interval = startup.resolved.root_node().stats.card;
             return Ok(());
         }
 
@@ -595,16 +597,6 @@ impl LiveViewRegistry {
             .find(|v| v.name == name)
             .map(|v| v.explain.as_str())
     }
-}
-
-/// The root cardinality interval a startup arbitration priced the winner
-/// on — the reference the drift check compares observed cardinality
-/// against.
-fn root_interval(startup: &StartupResult, plan: &Arc<PlanNode>) -> Interval {
-    startup
-        .estimates
-        .get(plan.id)
-        .map_or(plan.stats.card, |e| e.stats.card)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dqep_plan::{NodeId, Observations, PlanNode};
+use dqep_plan::{NodeId, Observations, Plan};
 use dqep_sql::Query;
 use parking_lot::Mutex;
 
@@ -69,7 +69,7 @@ pub struct PreparedStatement {
     /// The parsed query: host-variable names, predicates, order-by.
     pub query: Query,
     /// The compile-time dynamic plan (choose-plan nodes included).
-    pub plan: Arc<PlanNode>,
+    pub plan: Arc<Plan>,
     decisions: Mutex<HashMap<RegionKey, CachedDecision>>,
     observations: Mutex<Observations>,
     invalidations: AtomicU64,
@@ -78,7 +78,7 @@ pub struct PreparedStatement {
 impl PreparedStatement {
     /// Wraps a freshly optimized statement.
     #[must_use]
-    pub fn new(sql: String, query: Query, plan: Arc<PlanNode>) -> PreparedStatement {
+    pub fn new(sql: String, query: Query, plan: Arc<Plan>) -> PreparedStatement {
         PreparedStatement {
             sql,
             query,
@@ -140,20 +140,21 @@ impl PreparedStatement {
         let tolerance = tolerance.max(1.0);
         let observed = (observed_rows as f64).max(1.0);
         let mut observations = self.observations.lock();
-        let (lo, hi) = match observations.get(&self.plan.id) {
+        let root = self.plan.root();
+        let (lo, hi) = match observations.get(&root) {
             Some(&pinned) => {
                 let p = pinned.max(1.0);
                 (p / tolerance, p * tolerance)
             }
             None => {
-                let card = self.plan.stats.card;
+                let card = self.plan[root].stats.card;
                 (card.lo().max(1.0) / tolerance, card.hi().max(1.0) * tolerance)
             }
         };
         if observed >= lo && observed <= hi {
             return false;
         }
-        observations.insert(self.plan.id, observed_rows as f64);
+        observations.insert(root, observed_rows as f64);
         drop(observations);
         self.decisions.lock().clear();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -388,13 +389,13 @@ mod tests {
     #[test]
     fn feedback_outside_interval_invalidates_once() {
         let stmt = prepared("SELECT * FROM r WHERE r.a < :x");
-        let hi = stmt.plan.stats.card.hi();
+        let hi = stmt.plan.root_node().stats.card.hi();
         // Observation far above the estimate interval: invalidates.
         let breach = (hi * 10.0) as u64;
         assert!(stmt.record_feedback(breach, 2.0));
         assert_eq!(stmt.invalidations(), 1);
         assert!(
-            stmt.observations().contains_key(&stmt.plan.id),
+            stmt.observations().contains_key(&stmt.plan.root()),
             "observation pinned at the plan root"
         );
         // The same observation again is now *inside* the pinned interval:
@@ -406,7 +407,7 @@ mod tests {
     #[test]
     fn feedback_inside_interval_is_accepted_silently() {
         let stmt = prepared("SELECT * FROM r WHERE r.a < :x");
-        let inside = stmt.plan.stats.card.lo().max(1.0) as u64;
+        let inside = stmt.plan.root_node().stats.card.lo().max(1.0) as u64;
         assert!(!stmt.record_feedback(inside, 2.0));
         assert_eq!(stmt.invalidations(), 0);
         assert!(stmt.observations().is_empty());

@@ -54,7 +54,7 @@ use dqep_executor::{
     RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple,
     TupleLayout, BATCH_CAPACITY, NO_ID,
 };
-use dqep_plan::{evaluate_startup, PlanNode};
+use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, ParsedPredicate};
 use dqep_storage::{install_histograms, refresh_histograms, StoredDatabase, ValueDistribution};
 
@@ -236,7 +236,7 @@ impl ShardOutcome {
 /// plans plus the repartitioning join chain gluing them together.
 struct DistPlan {
     rels: Vec<RelationId>,
-    access: Vec<Arc<PlanNode>>,
+    access: Vec<Arc<Plan>>,
     joins: Vec<JoinStage>,
     order_by: Option<AttrId>,
 }
@@ -960,7 +960,7 @@ fn run_shard(
 #[allow(clippy::too_many_arguments)]
 fn run_access(
     shard: &Shard,
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     env: &Environment,
     bindings: &Bindings,
     memory_bytes: usize,
@@ -977,7 +977,7 @@ fn run_access(
         metrics.record_reopt(&outcome.report.counters);
         for d in &outcome.startup.decisions {
             synth_audits.push(ChooseAudit {
-                node: d.choose_plan.0,
+                node: u64::from(d.choose_plan.0),
                 bind_values: Vec::new(),
                 memory_pages: bindings.memory_pages,
                 alternatives: Vec::new(),

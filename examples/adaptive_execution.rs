@@ -65,7 +65,7 @@ fn main() {
         "blind      : {:8} rows  {:.4}s  (root: {})",
         blind.rows,
         blind.simulated_seconds(cfg),
-        blind_startup.resolved.op.name()
+        blind_startup.resolved.root_node().op.name()
     );
 
     let mut hist_catalog = catalog.clone();
@@ -82,7 +82,7 @@ fn main() {
         "histograms : {:8} rows  {:.4}s  (root: {})",
         hist.rows,
         hist.simulated_seconds(cfg),
-        hist_startup.resolved.op.name()
+        hist_startup.resolved.root_node().op.name()
     );
 
     let adaptive = execute_adaptive(&plan, &db, &catalog, &env, &bindings).expect("execute");
@@ -95,7 +95,7 @@ fn main() {
             .map(|p| p.simulated_seconds(cfg))
             .unwrap_or(0.0),
         adaptive.observed_rows.unwrap_or(0),
-        adaptive.startup.resolved.op.name()
+        adaptive.startup.resolved.root_node().op.name()
     );
 
     assert_eq!(blind.rows, hist.rows);

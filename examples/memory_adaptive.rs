@@ -14,7 +14,7 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, Selec
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::optimizer::Optimizer;
-use dqep::plan::{dag, evaluate_startup, render_plan};
+use dqep::plan::{evaluate_startup, render_plan};
 
 fn main() {
     // R is large and filtered by an unbound predicate; S is mid-sized.
@@ -45,7 +45,7 @@ fn main() {
     println!(
         "dynamic plan: {} DAG nodes, {} choose-plans, {} contained static plans\n",
         result.stats.plan_nodes,
-        dag::choose_plan_count(&result.plan),
+        result.plan.choose_plan_count(),
         result.stats.contained_plans
     );
 
@@ -58,14 +58,19 @@ fn main() {
     for (label, x, mem) in scenarios {
         let bindings = Bindings::new().with_value(HostVar(0), x).with_memory(mem);
         let startup = evaluate_startup(&result.plan, &catalog, &env, &bindings);
-        let mut joins = Vec::new();
-        dag::walk_dag(&startup.resolved, &mut |n| {
-            if let PhysicalOp::HashJoin { .. } | PhysicalOp::MergeJoin { .. }
-            | PhysicalOp::IndexJoin { .. } = n.op
-            {
-                joins.push(format!("{}", n.op));
-            }
-        });
+        let joins: Vec<String> = startup
+            .resolved
+            .iter()
+            .filter(|(_, n)| {
+                matches!(
+                    n.op,
+                    PhysicalOp::HashJoin { .. }
+                        | PhysicalOp::MergeJoin { .. }
+                        | PhysicalOp::IndexJoin { .. }
+                )
+            })
+            .map(|(_, n)| n.op.to_string())
+            .collect();
         println!("== {label} (:x={x}, mem={mem} pages) ==");
         println!("  join method(s): {}", joins.join("; "));
         println!("  predicted cost: {:.4}s", startup.predicted_run_seconds);

@@ -66,7 +66,7 @@ fn main() {
              {:.4}s simulated, root operator: {}",
             summary.rows,
             summary.simulated_seconds(&catalog.config),
-            startup.resolved.op.name()
+            startup.resolved.root_node().op.name()
         );
     }
 }

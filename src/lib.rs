@@ -23,9 +23,9 @@
 //! | [`algebra`] | `dqep-algebra` | Logical & physical algebra (paper Table 1) |
 //! | [`cost`] | `dqep-cost` | Interval cost model & per-algorithm cost functions |
 //! | [`optimizer`] | `dqep-core` | The dynamic-plan optimizer (memo, rules, frontiers) |
-//! | [`plan`] | `dqep-plan` | Plan DAGs, access modules, start-up evaluation, shrinking |
+//! | [`plan`] | `dqep-plan` | The plan table, access modules, start-up evaluation, shrinking |
 //! | [`storage`] | `dqep-storage` | Simulated disk, heap files, B-trees, buffer pool |
-//! | [`executor`] | `dqep-executor` | Volcano iterators incl. run-time choose-plan |
+//! | [`executor`] | `dqep-executor` | Volcano iterators incl. run-time choose-plan; one start-up decision per run |
 //! | [`harness`] | `dqep-harness` | The paper's five queries & figure experiments |
 //! | [`sql`] | `dqep-sql` | Embedded-SQL parser (`SELECT … WHERE a < :x`) |
 //! | [`service`] | `dqep-service` | Prepared-statement registry, decision cache, concurrent sessions |
@@ -58,10 +58,18 @@
 //! let dynamic_plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
 //! assert!(dynamic_plan.is_dynamic());
 //!
-//! // Start-up-time: bind :x, re-evaluate cost functions, pick a plan.
+//! // Start-up-time: bind :x, evaluate every node's cost function once,
+//! // pick a plan.
 //! let bindings = Bindings::new().with_value(HostVar(0), 5); // selective
 //! let chosen = evaluate_startup(&dynamic_plan, &catalog, &env, &bindings);
+//! assert_eq!(chosen.evaluated_nodes, dynamic_plan.len());
 //! assert!(!chosen.resolved.is_dynamic());
+//!
+//! // The stored form of a plan is the plan: an access module round-trips
+//! // the table field for field.
+//! use dqep::plan::AccessModule;
+//! let image = AccessModule::new(dynamic_plan.clone()).serialize();
+//! assert_eq!(AccessModule::deserialize(image).unwrap().plan(), &dynamic_plan);
 //! ```
 
 #![warn(missing_docs)]
@@ -97,7 +105,7 @@ pub mod optimizer {
     pub use dqep_core::*;
 }
 
-/// Plan DAGs, access modules, and start-up evaluation (re-export of
+/// The plan table, access modules, and start-up evaluation (re-export of
 /// `dqep-plan`).
 pub mod plan {
     pub use dqep_plan::*;

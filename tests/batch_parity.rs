@@ -11,7 +11,6 @@
 //! refused memory grant falls back once and leaks nothing; a read fault
 //! that lands mid-batch is delivered after the rows that preceded it.
 
-use std::sync::Arc;
 
 use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
@@ -22,7 +21,7 @@ use dqep::executor::{
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
-use dqep::plan::{PlanNode, PlanNodeBuilder};
+use dqep::plan::{NodeId, Plan};
 use dqep::storage::{FaultPlan, StoredDatabase};
 use proptest::prelude::*;
 
@@ -48,7 +47,7 @@ fn classify(e: &ExecError) -> String {
 
 /// [`run`] under `limits`, rows discarded.
 fn run_under(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,
@@ -130,8 +129,8 @@ fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, Vec<(HostVar, f64)>) {
     (catalog, q, hosts)
 }
 
-fn node(b: &mut PlanNodeBuilder, op: PhysicalOp, children: Vec<Arc<PlanNode>>) -> Arc<PlanNode> {
-    b.node(
+fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
+    b.push(
         op,
         children,
         PlanStats::new(Interval::point(0.0), 512.0),
@@ -285,15 +284,15 @@ fn memory_refusal_fallback_is_mode_independent() {
 
     // Alternative 0: Sort(FileScan) — needs a grant the governor refuses.
     // Alternative 1: BtreeScan — streams in key order, grant-free.
-    let mut b = PlanNodeBuilder::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![]);
-    let sorted = node(&mut b, PhysicalOp::Sort { attr: ra }, vec![scan]);
+    let mut choose = Plan::new();
+    let scan = node(&mut choose, PhysicalOp::FileScan { relation: rel.id }, &[]);
+    let sorted = node(&mut choose, PhysicalOp::Sort { attr: ra }, &[scan]);
     let btree = node(
-        &mut b,
+        &mut choose,
         PhysicalOp::BtreeScan { relation: rel.id, index: idx, key_attr: ra },
-        vec![],
+        &[],
     );
-    let choose = node(&mut b, PhysicalOp::ChoosePlan, vec![sorted, btree]);
+    node(&mut choose, PhysicalOp::ChoosePlan, &[sorted, btree]);
 
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = Bindings::new();
@@ -387,12 +386,11 @@ fn filtered_probe_batches_join_identically_at_every_density() {
     // sparse selections; m < 1000 -> fully selected batches.
     for cutoff in [0i64, 20, 1000] {
         let pred = SelectPred::bound(fm, CompareOp::Lt, cutoff);
-        let mut b = PlanNodeBuilder::new();
-        let build = node(&mut b, PhysicalOp::FileScan { relation: dim.id }, vec![]);
-        let probe_scan = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, vec![]);
-        let probe = node(&mut b, PhysicalOp::Filter { predicate: pred }, vec![probe_scan]);
-        let join =
-            node(&mut b, PhysicalOp::HashJoin { predicates: vec![on_key] }, vec![build, probe]);
+        let mut join = Plan::new();
+        let build = node(&mut join, PhysicalOp::FileScan { relation: dim.id }, &[]);
+        let probe_scan = node(&mut join, PhysicalOp::FileScan { relation: fact.id }, &[]);
+        let probe = node(&mut join, PhysicalOp::Filter { predicate: pred }, &[probe_scan]);
+        node(&mut join, PhysicalOp::HashJoin { predicates: vec![on_key] }, &[build, probe]);
         let query = LogicalExpr::get(dim.id)
             .join(LogicalExpr::get(fact.id).select(pred), vec![on_key]);
         let env = Environment::dynamic_compile_time(&catalog.config);
@@ -429,10 +427,9 @@ fn mid_batch_fault_is_deferred_to_the_next_call() {
     let rel = catalog.relation_by_name("r").unwrap();
     let ra = rel.attr_id("a").unwrap();
     let (index, _) = catalog.index_on_attr(ra).unwrap();
-    let mut b = PlanNodeBuilder::new();
-    let file_scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![]);
-    let index_scan =
-        node(&mut b, PhysicalOp::BtreeScan { relation: rel.id, index, key_attr: ra }, vec![]);
+    let (mut file_scan, mut index_scan) = (Plan::new(), Plan::new());
+    node(&mut file_scan, PhysicalOp::FileScan { relation: rel.id }, &[]);
+    node(&mut index_scan, PhysicalOp::BtreeScan { relation: rel.id, index, key_attr: ra }, &[]);
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = Bindings::new();
     let stored = db.export_rows()[&rel.id].clone();

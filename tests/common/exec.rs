@@ -1,16 +1,14 @@
 //! The run most suites want of a plan: ungoverned, under a fresh context,
 //! rows discarded, the summary back.
 
-use std::sync::Arc;
-
 use dqep::catalog::Catalog;
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{run, ExecContext, ExecSummary, RootSink, SharedCounters};
-use dqep::plan::PlanNode;
+use dqep::plan::Plan;
 use dqep::storage::StoredDatabase;
 
 pub fn execute(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,

@@ -1,8 +1,6 @@
 //! End-to-end validation: executed (simulated) behaviour agrees with the
 //! optimizer's decisions and predictions.
 
-use std::sync::Arc;
-
 use dqep::algebra::{CompareOp, HostVar, JoinPred, PhysicalOp, SelectPred};
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, CostModel, Environment, PlanStats};
@@ -12,7 +10,7 @@ use dqep::executor::{
 use dqep::harness::{paper_query, BindingSampler};
 use dqep::optimizer::Optimizer;
 use dqep::interval::Interval;
-use dqep::plan::{evaluate_startup, PlanNode, PlanNodeBuilder};
+use dqep::plan::{evaluate_startup, NodeId, Plan};
 use dqep::storage::StoredDatabase;
 
 #[path = "common/exec.rs"]
@@ -20,7 +18,7 @@ mod exec;
 use exec::execute;
 
 fn drain_rows(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     db: &StoredDatabase,
     catalog: &dqep::catalog::Catalog,
     bindings: &Bindings,
@@ -30,7 +28,7 @@ fn drain_rows(
 }
 
 fn drain_summary(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     db: &StoredDatabase,
     catalog: &dqep::catalog::Catalog,
     bindings: &Bindings,
@@ -56,7 +54,7 @@ fn startup_choice_is_execution_optimal_for_selection_query() {
     let w = paper_query(1, 42);
     let env = Environment::dynamic_compile_time(&w.catalog.config);
     let plan = Optimizer::new(&w.catalog, &env).optimize(&w.query).unwrap().plan;
-    assert!(plan.is_choose_plan());
+    assert!(plan.root_node().is_choose_plan());
     let db = StoredDatabase::generate(&w.catalog, 7);
 
     let mut sampler = BindingSampler::new(3, false);
@@ -64,8 +62,8 @@ fn startup_choice_is_execution_optimal_for_selection_query() {
         let startup = evaluate_startup(&plan, &w.catalog, &env, &b);
         let mut rows_seen = Vec::new();
         let mut times = Vec::new();
-        for alt in &plan.children {
-            let (rows, secs) = drain_rows(alt, &db, &w.catalog, &b);
+        for alt in plan.children(plan.root()) {
+            let (rows, secs) = drain_rows(&plan.rooted_at(*alt), &db, &w.catalog, &b);
             rows_seen.push(rows);
             times.push(secs);
         }
@@ -182,15 +180,15 @@ fn join_results_invariant_across_memory_grants() {
 /// A plan node costed by the model from its children's statistics, as
 /// the optimizer would cost it.
 fn costed(
-    b: &mut PlanNodeBuilder,
+    b: &mut Plan,
     model: &CostModel<'_>,
     op: PhysicalOp,
-    children: Vec<Arc<PlanNode>>,
+    children: &[NodeId],
     stats: PlanStats,
-) -> Arc<PlanNode> {
-    let inputs: Vec<PlanStats> = children.iter().map(|c| c.stats).collect();
+) -> NodeId {
+    let inputs: Vec<PlanStats> = children.iter().map(|c| b[*c].stats).collect();
     let cost = model.op_cost(&op, &inputs, &stats);
-    b.node(op, children, stats, cost)
+    b.push(op, children, stats, cost)
 }
 
 /// A merge join pulls its inputs by batch and stops pulling its right
@@ -242,40 +240,41 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
         let matches = 40.0 * card * model.selectivity().join([join_pred]);
         let lowest = if shape == Right::Index { matches } else { 0.0 };
         let joined = PlanStats::new(Interval::new(lowest, matches), 1000.0);
-        let b = &mut PlanNodeBuilder::new();
+        let b = &mut Plan::new();
         let left = costed(
             b,
             &model,
             PhysicalOp::BtreeScan { relation: rel("l").id, index: l_idx, key_attr: lj },
-            vec![],
+            &[],
             base("l"),
         );
         let right_input = if shape == Right::Sorted {
             let scan =
-                costed(b, &model, PhysicalOp::FileScan { relation: right.id }, vec![], base(name));
+                costed(b, &model, PhysicalOp::FileScan { relation: right.id }, &[], base(name));
             let filter =
-                costed(b, &model, PhysicalOp::Filter { predicate: pred }, vec![scan], filtered);
-            costed(b, &model, PhysicalOp::Sort { attr: rj }, vec![filter], filtered)
+                costed(b, &model, PhysicalOp::Filter { predicate: pred }, &[scan], filtered);
+            costed(b, &model, PhysicalOp::Sort { attr: rj }, &[filter], filtered)
         } else {
             let (index, _) = catalog.index_on_attr(rj).unwrap();
             let ordered = costed(
                 b,
                 &model,
                 PhysicalOp::BtreeScan { relation: right.id, index, key_attr: rj },
-                vec![],
+                &[],
                 base(name),
             );
             match shape {
                 Right::Index => ordered,
-                _ => costed(b, &model, PhysicalOp::Filter { predicate: pred }, vec![ordered], filtered),
+                _ => costed(b, &model, PhysicalOp::Filter { predicate: pred }, &[ordered], filtered),
             }
         };
         let merge = PhysicalOp::MergeJoin { predicates: vec![join_pred] };
-        let plan = costed(b, &model, merge, vec![left, right_input], joined);
+        costed(b, &model, merge, &[left, right_input], joined);
+        let plan = &*b;
         let bindings = Bindings::new().with_value(HostVar(0), card as i64 / 2);
-        let summary = drain_summary(&plan, &db, &catalog, &bindings);
+        let summary = drain_summary(plan, &db, &catalog, &bindings);
         assert!(summary.rows > 0, "{name}: the join must produce rows");
-        (plan.total_cost.total(), summary)
+        (plan.root_node().total_cost.total(), summary)
     };
 
     // Right input Sort(Filter(FileScan s)): every operator that does I/O

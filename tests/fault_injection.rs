@@ -21,7 +21,7 @@ use dqep::executor::{
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
-use dqep::plan::{PlanNode, PlanNodeBuilder};
+use dqep::plan::{NodeId, Plan};
 use dqep::service::{QueryService, Request, ServiceConfig, ServiceError};
 use dqep::storage::{FaultPlan, StorageError, StoredDatabase};
 use proptest::prelude::*;
@@ -43,7 +43,7 @@ fn fixture() -> (Catalog, StoredDatabase, LogicalExpr) {
 
 /// One ungoverned serial run of `plan`, rows discarded.
 fn execute(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     db: &StoredDatabase,
     cat: &Catalog,
     env: &Environment,
@@ -94,9 +94,9 @@ fn spill_write_failure_is_an_error_not_a_panic() {
     let (cat, db, _) = fixture();
     let rel = cat.relation_by_name("r").unwrap();
     let ra = rel.attr_id("a").unwrap();
-    let mut b = PlanNodeBuilder::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![]);
-    let sort = node(&mut b, PhysicalOp::Sort { attr: ra }, vec![scan]);
+    let mut sort = Plan::new();
+    let scan = node(&mut sort, PhysicalOp::FileScan { relation: rel.id }, &[]);
+    node(&mut sort, PhysicalOp::Sort { attr: ra }, &[scan]);
 
     let ctx = ExecContext::new(SharedCounters::new());
     // One page of memory forces external runs; the first spill write dies.
@@ -121,8 +121,8 @@ fn spill_write_failure_is_an_error_not_a_panic() {
 fn file_scan_pulled_after_a_fault_rereads_the_faulted_page() {
     let (cat, db, _) = fixture();
     let rel = cat.relation_by_name("r").unwrap();
-    let mut b = PlanNodeBuilder::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![]);
+    let mut scan = Plan::new();
+    node(&mut scan, PhysicalOp::FileScan { relation: rel.id }, &[]);
     let ctx = ExecContext::new(SharedCounters::new());
     for nth in ["nth-read=1", "nth-read=2"] {
         let mut op =
@@ -147,12 +147,8 @@ fn file_scan_pulled_after_a_fault_rereads_the_faulted_page() {
     }
 }
 
-fn node(
-    b: &mut PlanNodeBuilder,
-    op: PhysicalOp,
-    children: Vec<Arc<PlanNode>>,
-) -> Arc<PlanNode> {
-    b.node(
+fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
+    b.push(
         op,
         children,
         PlanStats::new(Interval::point(0.0), 512.0),
@@ -172,15 +168,16 @@ fn memory_exhausted_alternative_falls_back_to_the_same_rows() {
 
     // Alternative 0: Sort(FileScan) — buffers rows, needs the grant.
     // Alternative 1: BtreeScan — streams in key order, no grant needed.
-    let mut b = PlanNodeBuilder::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![]);
-    let sorted = node(&mut b, PhysicalOp::Sort { attr: ra }, vec![scan]);
+    let mut choose = Plan::new();
+    let scan = node(&mut choose, PhysicalOp::FileScan { relation: rel.id }, &[]);
+    let sorted = node(&mut choose, PhysicalOp::Sort { attr: ra }, &[scan]);
     let btree = node(
-        &mut b,
+        &mut choose,
         PhysicalOp::BtreeScan { relation: rel.id, index: idx, key_attr: ra },
-        vec![],
+        &[],
     );
-    let choose = node(&mut b, PhysicalOp::ChoosePlan, vec![sorted, btree.clone()]);
+    node(&mut choose, PhysicalOp::ChoosePlan, &[sorted, btree]);
+    let btree = choose.rooted_at(btree);
 
     let env = Environment::dynamic_compile_time(&cat.config);
     let bindings = Bindings::new();
@@ -300,7 +297,7 @@ struct Spilling<'a> {
     cat: &'a Catalog,
     db: &'a StoredDatabase,
     env: Environment,
-    plan: Arc<PlanNode>,
+    plan: Arc<Plan>,
     bindings: Bindings,
     /// `disk.page_count()` after loading: where every request must end.
     loaded: usize,

@@ -103,8 +103,8 @@ fn histograms_fix_startup_decisions_on_skewed_data() {
     );
     // And the chosen operators should differ (index scan vs file scan).
     assert_ne!(
-        naive.resolved.op.name(),
-        informed.resolved.op.name(),
+        naive.resolved.root_node().op.name(),
+        informed.resolved.root_node().op.name(),
         "the decision should change with better statistics"
     );
 }

@@ -24,14 +24,13 @@
 //! whatever the request, so that commit fails the filtered half of that one
 //! test and passes everything else in this file.
 
-use std::sync::Arc;
 
 use dqep::algebra::{CompareOp, JoinPred, LogicalExpr, PhysicalOp, SelectPred};
 use dqep::catalog::{AttrId, Catalog, CatalogBuilder, Relation, SystemConfig};
 use dqep::cost::{Bindings, Cost, PlanStats};
 use dqep::executor::{compile_plan, ExecContext, RowBatch, SharedCounters, BATCH_CAPACITY};
 use dqep::interval::Interval;
-use dqep::plan::{PlanNode, PlanNodeBuilder};
+use dqep::plan::{NodeId, Plan};
 use dqep::storage::StoredDatabase;
 
 #[path = "common/oracle.rs"]
@@ -58,19 +57,24 @@ fn fixture() -> (Catalog, StoredDatabase) {
     (catalog, db)
 }
 
-/// Hand-builds plan nodes (the optimizer is not under test).
+/// Hand-builds plan nodes (the optimizer is not under test) into one
+/// table; a case's plan is the subplan at its root ([`Plans::plan`]).
 struct Plans<'a> {
     catalog: &'a Catalog,
-    b: PlanNodeBuilder,
+    b: Plan,
 }
 
 impl<'a> Plans<'a> {
     fn new(catalog: &'a Catalog) -> Self {
-        Plans { catalog, b: PlanNodeBuilder::new() }
+        Plans { catalog, b: Plan::new() }
     }
 
-    fn node(&mut self, op: PhysicalOp, children: Vec<Arc<PlanNode>>) -> Arc<PlanNode> {
-        self.b.node(op, children, PlanStats::new(Interval::point(0.0), 512.0), Cost::ZERO)
+    fn node(&mut self, op: PhysicalOp, children: &[NodeId]) -> NodeId {
+        self.b.push(op, children, PlanStats::new(Interval::point(0.0), 512.0), Cost::ZERO)
+    }
+
+    fn plan(&self, root: NodeId) -> Plan {
+        self.b.rooted_at(root)
     }
 
     fn rel(&self, name: &str) -> &'a Relation {
@@ -81,27 +85,27 @@ impl<'a> Plans<'a> {
         self.rel(rel).attr_id(attr).unwrap()
     }
 
-    fn file_scan(&mut self, rel: &str) -> Arc<PlanNode> {
+    fn file_scan(&mut self, rel: &str) -> NodeId {
         let relation = self.rel(rel).id;
-        self.node(PhysicalOp::FileScan { relation }, vec![])
+        self.node(PhysicalOp::FileScan { relation }, &[])
     }
 
-    fn btree_scan(&mut self, rel: &str, key: &str) -> Arc<PlanNode> {
+    fn btree_scan(&mut self, rel: &str, key: &str) -> NodeId {
         let key_attr = self.attr(rel, key);
         let (index, _) = self.catalog.index_on_attr(key_attr).unwrap();
         let relation = self.rel(rel).id;
-        self.node(PhysicalOp::BtreeScan { relation, index, key_attr }, vec![])
+        self.node(PhysicalOp::BtreeScan { relation, index, key_attr }, &[])
     }
 
-    fn range_scan(&mut self, rel: &str, key: &str, op: CompareOp, v: i64) -> Arc<PlanNode> {
+    fn range_scan(&mut self, rel: &str, key: &str, op: CompareOp, v: i64) -> NodeId {
         let predicate = SelectPred::bound(self.attr(rel, key), op, v);
         let (index, _) = self.catalog.index_on_attr(predicate.attr).unwrap();
         let relation = self.rel(rel).id;
-        self.node(PhysicalOp::FilterBtreeScan { relation, index, predicate }, vec![])
+        self.node(PhysicalOp::FilterBtreeScan { relation, index, predicate }, &[])
     }
 
-    fn filter(&mut self, input: Arc<PlanNode>, pred: SelectPred) -> Arc<PlanNode> {
-        self.node(PhysicalOp::Filter { predicate: pred }, vec![input])
+    fn filter(&mut self, input: NodeId, pred: SelectPred) -> NodeId {
+        self.node(PhysicalOp::Filter { predicate: pred }, &[input])
     }
 }
 
@@ -112,7 +116,7 @@ type Charges = [u64; 4];
 /// closes it. Returns the rows, the columns of `attrs` within them, and
 /// the charges; checks that no batch exceeds the request.
 fn pull(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     catalog: &Catalog,
     db: &StoredDatabase,
     max_rows: usize,
@@ -138,7 +142,7 @@ fn pull(
 /// One plan and the query it answers.
 struct Case {
     name: &'static str,
-    plan: Arc<PlanNode>,
+    plan: Plan,
     query: LogicalExpr,
     /// The attribute the output is promised to ascend on, if any.
     ordered_on: Option<AttrId>,
@@ -186,9 +190,10 @@ fn btree_scans_match_the_oracle_and_the_recorded_charges() {
     let (catalog, db) = fixture();
     let mut p = Plans::new(&catalog);
     let (r, ra) = (p.rel("r").id, p.attr("r", "a"));
+    let scan = p.btree_scan("r", "a");
     let mut cases = vec![Case {
         name: "btree-scan",
-        plan: p.btree_scan("r", "a"),
+        plan: p.plan(scan),
         query: LogicalExpr::get(r),
         ordered_on: Some(ra),
     }];
@@ -202,9 +207,10 @@ fn btree_scans_match_the_oracle_and_the_recorded_charges() {
         ("range-empty", CompareOp::Lt, 0),
         ("range-whole", CompareOp::Ge, 0),
     ] {
+        let scan = p.range_scan("r", "a", op, v);
         cases.push(Case {
             name,
-            plan: p.range_scan("r", "a", op, v),
+            plan: p.plan(scan),
             query: LogicalExpr::get(r).select(SelectPred::bound(ra, op, v)),
             ordered_on: Some(ra),
         });
@@ -266,11 +272,11 @@ fn index_joins_match_the_oracle_and_the_recorded_charges() {
                     index,
                     residual: residual.then_some(inner_pred),
                 },
-                vec![outer],
+                &[outer],
             );
             cases.push(Case {
                 name: leak(format!("index-join/{shape}/{variant}")),
-                plan,
+                plan: p.plan(plan),
                 query: outer_query.join(inner_query, predicates),
                 ordered_on: None,
             });
@@ -320,7 +326,7 @@ fn merge_input(
     rel: &str,
     below: Option<i64>,
     sparse: bool,
-) -> (Arc<PlanNode>, LogicalExpr) {
+) -> (NodeId, LogicalExpr) {
     let relation = p.rel(rel);
     let mut query = LogicalExpr::get(relation.id);
     let mut plan = match below {
@@ -353,12 +359,11 @@ fn merge_case(
     if residual_on_k {
         predicates.push(JoinPred::new(p.attr(left, "k"), p.attr(right, "k")));
     }
+    let merge =
+        p.node(PhysicalOp::MergeJoin { predicates: predicates.clone() }, &[left_plan, right_plan]);
     Case {
         name: leak(name),
-        plan: p.node(
-            PhysicalOp::MergeJoin { predicates: predicates.clone() },
-            vec![left_plan, right_plan],
-        ),
+        plan: p.plan(merge),
         query: left_query.join(right_query, predicates),
         ordered_on: Some(p.attr(left, "j")),
     }

@@ -78,7 +78,7 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
 
 /// [`run`] at `dop` with a tracer attached, and what the tracer saw.
 fn run_traced(
-    plan: &Arc<dqep::plan::PlanNode>,
+    plan: &Arc<dqep::plan::Plan>,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,
@@ -531,7 +531,7 @@ proptest! {
 /// Fixture for the deterministic tests below: a two-relation join with an
 /// unbound selection, which the dynamic optimizer compiles with
 /// choose-plan nodes.
-fn choose_plan_fixture() -> (Catalog, StoredDatabase, dqep::sql::Query, Arc<dqep::plan::PlanNode>) {
+fn choose_plan_fixture() -> (Catalog, StoredDatabase, dqep::sql::Query, Arc<dqep::plan::Plan>) {
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
         .relation("r", 200, 512, |r| {
             r.attr("a", 200.0).attr("j", 60.0).btree("a", false).btree("j", false)
@@ -637,7 +637,7 @@ fn drift_flag_follows_cardinality_feedback() {
     // Pin a badly wrong observation: the resolved plan's root interval
     // collapses to a point far from the actual — EXPLAIN ANALYZE must
     // flag cardinality drift.
-    stmt.observe(plan.id, 1.0);
+    stmt.observe(plan.root(), 1.0);
     let (rows_wrong, report_wrong) = run_resolved(&stmt);
     assert_eq!(rows_wrong, actual_rows, "observations must not change results");
     let root = report_wrong.roots()[0];

@@ -94,7 +94,7 @@ fn compile_time_interval_encloses_startup_costs() {
     let w = paper_query(2, 4000);
     let env = Environment::dynamic_compile_time(&w.catalog.config);
     let result = Optimizer::new(&w.catalog, &env).optimize(&w.query).unwrap();
-    let interval = result.plan.total_cost.total();
+    let interval = result.plan.root_node().total_cost.total();
     let overhead_slack = dag::node_count(&result.plan) as f64
         * w.catalog.config.choose_plan_overhead
         * 4.0;
@@ -128,18 +128,18 @@ fn plans_roundtrip_through_access_modules() {
             plan.check_invariants().unwrap();
             let module = AccessModule::new(plan.clone());
             let back = AccessModule::deserialize(module.serialize()).unwrap();
-            assert_eq!(dag::node_count(back.root()), dag::node_count(&plan));
+            assert_eq!(dag::node_count(back.plan()), dag::node_count(&plan));
             assert_eq!(
-                back.root().total_cost.total(),
-                plan.total_cost.total(),
+                back.plan().root_node().total_cost.total(),
+                plan.root_node().total_cost.total(),
                 "query {k}: cost changed through serialization"
             );
-            back.root().check_invariants().unwrap();
+            back.plan().check_invariants().unwrap();
 
             // The deserialized module makes identical start-up decisions.
             let b = BindingSampler::new(42, false).sample(&w);
             let a = evaluate_startup(&plan, &w.catalog, &env, &b);
-            let c = evaluate_startup(back.root(), &w.catalog, &env, &b);
+            let c = evaluate_startup(back.plan(), &w.catalog, &env, &b);
             assert_eq!(a.predicted_run_seconds, c.predicted_run_seconds);
         }
     }
@@ -164,8 +164,8 @@ fn option_semantics() {
     .optimize(&w.query)
     .unwrap();
     assert_eq!(
-        no_pruning.plan.total_cost.total(),
-        base.plan.total_cost.total()
+        no_pruning.plan.root_node().total_cost.total(),
+        base.plan.root_node().total_cost.total()
     );
 
     let left_deep = Optimizer::with_options(

@@ -39,7 +39,7 @@ fn ordered_plans_deliver_the_order() {
         .optimize_with_props(&q.expr, q.required_props())
         .unwrap();
     assert_eq!(
-        result.plan.order,
+        result.plan.root_node().order,
         SortOrder::Asc(attr),
         "the plan must guarantee the requested order"
     );
@@ -59,7 +59,7 @@ fn ordered_execution_is_sorted_for_all_bindings() {
     for x in [10i64, 120, 480] {
         let bindings = q.bindings(&[("x", x)]).unwrap();
         let startup = dqep::plan::evaluate_startup(&plan, &cat, &env, &bindings);
-        assert_eq!(startup.resolved.order, SortOrder::Asc(q.order_by.unwrap()));
+        assert_eq!(startup.resolved.root_node().order, SortOrder::Asc(q.order_by.unwrap()));
 
         // Execute and verify the stream really is sorted on `a`.
         let ctx = dqep::executor::ExecContext::new(dqep::executor::SharedCounters::new());
@@ -99,7 +99,7 @@ fn ordered_join_works() {
         .optimize_with_props(&q.expr, q.required_props())
         .unwrap()
         .plan;
-    assert_eq!(plan.order, SortOrder::Asc(q.order_by.unwrap()));
+    assert_eq!(plan.root_node().order, SortOrder::Asc(q.order_by.unwrap()));
 
     let db = StoredDatabase::generate(&cat, 32);
     let bindings = q.bindings(&[("x", 200)]).unwrap();
@@ -138,5 +138,5 @@ fn static_mode_ordered_plans_too() {
         .unwrap()
         .plan;
     assert!(!plan.is_dynamic());
-    assert_eq!(plan.order, SortOrder::Asc(q.order_by.unwrap()));
+    assert_eq!(plan.root_node().order, SortOrder::Asc(q.order_by.unwrap()));
 }

@@ -19,7 +19,6 @@
 //! random-workload properties also compare every DOP against the
 //! independent nested-loop evaluator in `common/oracle.rs`.
 
-use std::sync::Arc;
 
 use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
@@ -30,7 +29,7 @@ use dqep::executor::{
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
-use dqep::plan::{PlanNode, PlanNodeBuilder};
+use dqep::plan::{NodeId, Plan};
 use dqep::storage::{FaultPlan, StoredDatabase};
 use proptest::prelude::*;
 
@@ -141,8 +140,8 @@ fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, Vec<(HostVar, f64)>) {
     (catalog, q, hosts)
 }
 
-fn node(b: &mut PlanNodeBuilder, op: PhysicalOp, children: Vec<Arc<PlanNode>>) -> Arc<PlanNode> {
-    b.node(
+fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
+    b.push(
         op,
         children,
         PlanStats::new(Interval::point(0.0), 512.0),
@@ -157,7 +156,7 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
 
 /// [`run`] at `dop` under `limits`, rows discarded.
 fn run_at(
-    plan: &Arc<PlanNode>,
+    plan: &Plan,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,
@@ -319,15 +318,15 @@ fn memory_refusal_fallback_is_dop_independent() {
 
     // Alternative 0: Sort(FileScan) — needs a grant the governor refuses.
     // Alternative 1: BtreeScan — streams in key order, grant-free.
-    let mut b = PlanNodeBuilder::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, vec![]);
-    let sorted_alt = node(&mut b, PhysicalOp::Sort { attr: ra }, vec![scan]);
+    let mut choose = Plan::new();
+    let scan = node(&mut choose, PhysicalOp::FileScan { relation: rel.id }, &[]);
+    let sorted_alt = node(&mut choose, PhysicalOp::Sort { attr: ra }, &[scan]);
     let btree = node(
-        &mut b,
+        &mut choose,
         PhysicalOp::BtreeScan { relation: rel.id, index: idx, key_attr: ra },
-        vec![],
+        &[],
     );
-    let choose = node(&mut b, PhysicalOp::ChoosePlan, vec![sorted_alt, btree]);
+    node(&mut choose, PhysicalOp::ChoosePlan, &[sorted_alt, btree]);
 
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = Bindings::new();

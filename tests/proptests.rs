@@ -110,7 +110,7 @@ proptest! {
         let dynamic_env = Environment::dynamic_compile_time(&catalog.config);
         let sp = Optimizer::new(&catalog, &static_env).optimize(&query).unwrap().plan;
         let dp = Optimizer::new(&catalog, &dynamic_env).optimize(&query).unwrap().plan;
-        let interval = dp.total_cost.total();
+        let interval = dp.root_node().total_cost.total();
         let slack = dag::node_count(&dp) as f64 * catalog.config.choose_plan_overhead * 4.0;
 
         for (i, &sel) in sels.iter().enumerate() {
@@ -137,10 +137,10 @@ proptest! {
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
         let back = AccessModule::deserialize(AccessModule::new(plan.clone()).serialize()).unwrap();
-        prop_assert_eq!(dag::node_count(back.root()), dag::node_count(&plan));
-        prop_assert_eq!(back.root().total_cost.total(), plan.total_cost.total());
+        prop_assert_eq!(dag::node_count(back.plan()), dag::node_count(&plan));
+        prop_assert_eq!(back.plan().root_node().total_cost.total(), plan.root_node().total_cost.total());
         prop_assert_eq!(
-            dag::contained_plan_count(back.root()),
+            dag::contained_plan_count(back.plan()),
             dag::contained_plan_count(&plan)
         );
     }

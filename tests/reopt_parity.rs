@@ -102,7 +102,7 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows
 }
 
-type Plan = std::sync::Arc<dqep::plan::PlanNode>;
+use dqep::plan::Plan;
 
 /// Drains the plain dynamic plan — the baseline every re-optimizing run
 /// is compared against. The memory grant mirrors the reopt driver's
