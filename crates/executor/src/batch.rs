@@ -60,13 +60,18 @@ impl RowBatch {
     }
 
     /// Reads a spill file back (accounted) as one dense batch of `width`
-    /// columns, each page decoding straight into the column vectors.
-    pub(crate) fn from_spill(file: &SpillFile, width: usize) -> Result<RowBatch, StorageError> {
+    /// columns, each page decoding straight out of the disk's buffer into
+    /// the column vectors, `run_pages` pages at most under one disk latch
+    /// ([`SpillFile::read_pages`]).
+    pub(crate) fn from_spill(
+        file: &SpillFile,
+        width: usize,
+        run_pages: usize,
+    ) -> Result<RowBatch, StorageError> {
         let mut rows = RowBatch::with_capacity(width, file.record_count() as usize);
-        for page in file.scan_pages() {
-            let page = page?;
-            rows.extend_with(|cols| decode_page_columns_into(&page, cols));
-        }
+        file.read_pages(run_pages, |page| {
+            rows.extend_with(|cols| decode_page_columns_into(page, cols));
+        })?;
         Ok(rows)
     }
 

@@ -32,7 +32,9 @@ use crate::tuple::{Tuple, TupleLayout};
 /// 3. **Charges follow events, not batches**: one record per row
 ///    produced, one compare per row examined, one page per fetch, pool
 ///    miss or index node read. A plan's `CpuCounters` and page counts do
-///    not depend on the request sizes its rows travel in.
+///    not depend on the request sizes its rows travel in — nor on how
+///    many pages a scan reads under one disk latch: a run of pages is
+///    charged, budgeted and faulted page by page.
 pub trait Operator {
     /// Prepares the operator; must be called before `next_batch`.
     ///

@@ -62,7 +62,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use dqep_storage::{SimDisk, SpillFile, SpillWriter};
+use dqep_storage::{SimDisk, SpillFile, SpillWriter, DEFAULT_MORSEL_PAGES};
 
 use crate::batch::{ColStream, RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
@@ -591,19 +591,21 @@ fn join_partitions(
 /// order, each row's matches in build-arrival order). The table's bytes
 /// are reserved through `gate` while it is resident. The serial Grace arm
 /// and the parallel workers both call this, so reads, reservation points
-/// and counter charges do not depend on the degree of parallelism.
+/// and counter charges do not depend on the degree of parallelism — only
+/// `run_pages` does, the most pages read back under one disk latch.
 fn join_spilled_pair(
     keys: &Keys,
     ctx: &ExecContext,
     gate: &ReserveGate,
+    run_pages: usize,
     (build_part, build_layout): (&SpillFile, &TupleLayout),
     (probe_part, probe_layout): (&SpillFile, &TupleLayout),
 ) -> Result<RowBatch, ExecError> {
     let build_width = build_layout.width();
     let probe_width = probe_layout.width();
     ctx.governor.charge_io((build_part.page_count() + probe_part.page_count()) as u64)?;
-    let store = RowBatch::from_spill(build_part, build_width)?;
-    let probe_batch = RowBatch::from_spill(probe_part, probe_width)?;
+    let store = RowBatch::from_spill(build_part, build_width, run_pages)?;
+    let probe_batch = RowBatch::from_spill(probe_part, probe_width, run_pages)?;
     ctx.governor.check_batch(probe_batch.rows() as u64)?;
     // The reservation is the cost model's padded record size; the radix
     // fan-out follows the bytes the columns really hold, as in
@@ -858,8 +860,9 @@ impl Operator for HashJoinExec<'_> {
                 dop,
                 PARTITIONS,
                 |p, worker| {
-                    let build = (&build_parts[p], build_layout);
-                    join_spilled_pair(keys, worker, &gate, build, (&probe_parts[p], probe_layout))
+                    // The workers share the disk: a run no longer than a morsel.
+                    let (build, probe) = ((&build_parts[p], build_layout), (&probe_parts[p], probe_layout));
+                    join_spilled_pair(keys, worker, &gate, DEFAULT_MORSEL_PAGES, build, probe)
                 },
             );
             match joined {
@@ -904,6 +907,7 @@ impl Operator for HashJoinExec<'_> {
                         &self.keys,
                         &self.ctx,
                         &ReserveGate::new(),
+                        usize::MAX,
                         (&build_parts[p], self.build.layout()),
                         (&probe_parts[p], self.probe.layout()),
                     )?);

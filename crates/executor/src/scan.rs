@@ -2,12 +2,12 @@
 //! backing its parallel form, over one page-decoding body; B-tree-Scan and
 //! Filter-B-tree-Scan, one operator over a key range.
 
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use dqep_catalog::IndexId;
 use dqep_storage::gen::{decode_page_slots_into, decode_record_into};
-use dqep_storage::{PageClaims, Rid, SlottedPage, StoredTable};
+use dqep_storage::{PageClaims, PageView, Rid, SlottedPage, StoredTable, DEFAULT_MORSEL_PAGES};
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
@@ -22,6 +22,10 @@ struct HeapPages<'a> {
     table: &'a StoredTable,
     layout: TupleLayout,
     ctx: ExecContext,
+    /// The most pages read under one disk latch: no bound for a scan that
+    /// has the disk to itself, a morsel where the workers of a parallel
+    /// query share it.
+    run_pages: usize,
     /// The last page read when the request was full before the page was
     /// used up, and the slot to go on from: a reference to the disk's
     /// buffer, not a copy of the rows.
@@ -34,11 +38,12 @@ struct HeapPages<'a> {
 }
 
 impl<'a> HeapPages<'a> {
-    fn new(table: &'a StoredTable, layout: TupleLayout, ctx: ExecContext) -> Self {
+    fn new(table: &'a StoredTable, layout: TupleLayout, ctx: ExecContext, run_pages: usize) -> Self {
         HeapPages {
             table,
             layout,
             ctx,
+            run_pages,
             tail: None,
             pending_err: None,
             retry_page: None,
@@ -55,7 +60,11 @@ impl<'a> HeapPages<'a> {
     /// from the pages `next_page` yields (indexes into the heap's page
     /// list): whole pages decode straight into the batch's contiguous
     /// storage — no per-row allocation, one governor check and one
-    /// record-counter update per batch, I/O charged per page as it is
+    /// record-counter update per batch. The pages are read in runs
+    /// ([`dqep_storage::SimDisk::read_run`]): one disk latch for as many
+    /// pages as the batch takes (`run_pages` at most), each decoded from
+    /// the disk's own bytes; only a page the batch leaves unfinished is
+    /// kept, as the tail. I/O is still charged per page, before it is
     /// read (so fault injection and I/O budgets trip on the page that
     /// caused them). A fault after the batch already holds rows is
     /// deferred to the next call.
@@ -79,26 +88,43 @@ impl<'a> HeapPages<'a> {
         let to_come = tail_rows + pages * SlottedPage::records_per_page(self.table.record_len);
         let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows.min(to_come));
         if let Some((page, from)) = self.tail.take() {
-            self.decode(page, from, max_rows, &mut batch);
+            let view = PageView::from_bytes(page.as_bytes());
+            if let Some(next) = decode_page(&view, from, max_rows, &mut batch) {
+                self.tail = Some((page, next));
+            }
         }
-        while batch.rows() < max_rows {
-            let Some(page_idx) = self.retry_page.take().or_else(&mut next_page) else { break };
-            let heap = &self.table.heap;
-            let read = self
-                .ctx
-                .governor
-                .charge_io(1)
-                .and_then(|()| Ok(heap.disk().read(heap.pages()[page_idx])?));
-            match read {
-                Ok(bytes) => self.decode(SlottedPage::from_bytes(bytes), 0, max_rows, &mut batch),
-                Err(e) => {
-                    self.retry_page = Some(page_idx);
-                    if batch.rows() == 0 {
-                        return Err(e);
-                    }
-                    self.pending_err = Some(e);
-                    break;
+        let (heap, governor) = (&self.table.heap, &self.ctx.governor);
+        let mut exhausted = false;
+        while batch.rows() < max_rows && !exhausted {
+            // One run. `ids` and the visit run under the disk latch: they
+            // touch the governor, the claim counter and the batch, never
+            // the disk.
+            let (mut at, mut refused) = (None, None);
+            let ids = std::iter::from_fn(|| {
+                at = self.retry_page.take().or_else(&mut next_page);
+                exhausted = at.is_none();
+                let idx = at?;
+                refused = governor.charge_io(1).err();
+                refused.is_none().then(|| heap.pages()[idx])
+            });
+            let read = heap.disk().read_run(ids.take(self.run_pages), |page| {
+                let view = PageView::from_bytes(&**page);
+                if let Some(next) = decode_page(&view, 0, max_rows, &mut batch) {
+                    self.tail = Some((SlottedPage::from_bytes(Arc::clone(page)), next));
                 }
+                if batch.rows() < max_rows {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
+                }
+            });
+            if let Some(e) = refused.or(read.err().map(ExecError::from)) {
+                self.retry_page = at;
+                if batch.rows() == 0 {
+                    return Err(e);
+                }
+                self.pending_err = Some(e);
+                break;
             }
         }
         let rows = batch.rows();
@@ -109,22 +135,20 @@ impl<'a> HeapPages<'a> {
         self.ctx.counters.add_records(rows as u64);
         Ok(Some(batch))
     }
+}
 
-    /// Decodes `page` from slot `from` on straight into the columns of
-    /// `batch`, as far as `max_rows` lets it; a page with slots left over
-    /// becomes the tail.
-    fn decode(&mut self, page: SlottedPage, from: u16, max_rows: usize, batch: &mut RowBatch) {
-        let room = max_rows - batch.rows();
-        let mut next = from;
-        batch.extend_with(|cols| {
-            let (rows, resume) = decode_page_slots_into(&page, from, room, cols);
-            next = resume;
-            rows
-        });
-        if (next as usize) < page.len() {
-            self.tail = Some((page, next));
-        }
-    }
+/// Decodes `page` from slot `from` on straight into the columns of
+/// `batch`, as far as `max_rows` lets it; the slot to go on from when the
+/// page has slots left over.
+fn decode_page(page: &PageView<'_>, from: u16, max_rows: usize, batch: &mut RowBatch) -> Option<u16> {
+    let room = max_rows - batch.rows();
+    let mut next = from;
+    batch.extend_with(|cols| {
+        let (rows, resume) = decode_page_slots_into(page, from, room, cols);
+        next = resume;
+        rows
+    });
+    ((next as usize) < page.len()).then_some(next)
 }
 
 /// Sequential scan of a base table (accounted as sequential page reads).
@@ -138,8 +162,10 @@ impl<'a> FileScanExec<'a> {
     /// Creates a scan over `table`.
     #[must_use]
     pub fn new(table: &'a StoredTable, layout: TupleLayout, ctx: ExecContext) -> Self {
+        // At DOP > 1 the other operators' workers read this disk too.
+        let run_pages = if ctx.dop > 1 { DEFAULT_MORSEL_PAGES } else { usize::MAX };
         FileScanExec {
-            pages: HeapPages::new(table, layout, ctx),
+            pages: HeapPages::new(table, layout, ctx, run_pages),
             remaining: 0..table.heap.pages().len(),
         }
     }
@@ -193,7 +219,7 @@ impl<'a> MorselScanExec<'a> {
         claims: Arc<PageClaims>,
     ) -> Self {
         MorselScanExec {
-            pages: HeapPages::new(table, layout, ctx),
+            pages: HeapPages::new(table, layout, ctx, DEFAULT_MORSEL_PAGES),
             claims,
             current: 0..0,
         }
@@ -210,7 +236,7 @@ impl Operator for MorselScanExec<'_> {
         let (current, claims) = (&mut self.current, &self.claims);
         // The next page of the current morsel, claiming a fresh morsel
         // when it is exhausted.
-        self.pages.fill(max_rows, claims.total(), || loop {
+        self.pages.fill(max_rows, current.len() + claims.unclaimed(), || loop {
             if let Some(idx) = current.next() {
                 return Some(idx);
             }
@@ -343,5 +369,39 @@ impl Operator for BtreeScanExec<'_> {
     fn estimated_rows(&self) -> Option<u64> {
         // Exact after `open` (remaining rids); zero before.
         Some((self.rids.len() - self.pos) as u64)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::SharedCounters;
+    use dqep_catalog::{CatalogBuilder, SystemConfig};
+    use dqep_storage::StoredDatabase;
+
+    /// A morsel-scan worker's last batches are sized for the pages it can
+    /// still be handed, not for the whole table: 134 pages of three rows,
+    /// pulled 150 rows at a time, leave 34 pages for the third batch.
+    #[test]
+    fn the_last_batch_of_a_morsel_scan_is_sized_for_the_pages_left() {
+        let cat = CatalogBuilder::new(SystemConfig::paper_1994())
+            .relation("r", 400, 512, |r| r.attr("a", 400.0))
+            .build()
+            .unwrap();
+        let db = StoredDatabase::generate(&cat, 11);
+        let rel = cat.relation_by_name("r").unwrap().id;
+        let table = db.table(rel);
+        let claims = Arc::new(PageClaims::new(table.heap.page_count(), DEFAULT_MORSEL_PAGES));
+        let ctx = ExecContext::new(SharedCounters::new());
+        let mut scan = MorselScanExec::new(table, TupleLayout::base(&cat, rel), ctx, claims);
+        scan.open().unwrap();
+        let mut sizes = Vec::new();
+        while let Some(batch) = scan.next_batch(150).unwrap() {
+            let rows = batch.rows();
+            sizes.push((rows, batch.into_columns()[0].capacity()));
+        }
+        // Each capacity: the request, or what the tail and the pages not
+        // yet read can hold when that is less.
+        assert_eq!(sizes, [(150, 150), (150, 150), (100, 34 * 3)]);
     }
 }

@@ -12,9 +12,10 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
 use dqep_storage::gen::decode_page_columns_into;
-use dqep_storage::{PageId, SimDisk, SlottedPage, SpillFile, SpillWriter};
+use dqep_storage::{PageId, PageView, SimDisk, SpillFile, SpillWriter, DEFAULT_MORSEL_PAGES};
 
 use crate::batch::{ColStream, RowBatch};
 use crate::error::ExecError;
@@ -404,7 +405,9 @@ impl<'a> SortExec<'a> {
 
     /// Reads every run back (accounted, and charged to the I/O budget in
     /// one step before the first page), one dense batch per run, pages
-    /// decoding straight into its columns.
+    /// decoding straight out of the disk's buffer into its columns: a
+    /// whole run file under one disk latch at DOP 1, a morsel of a
+    /// worker's stripe where the workers share the disk.
     ///
     /// With `dop > 1` the read-back fans out over *pages*, not whole runs
     /// (worker `w` reads every `dop`-th page of the concatenated run page
@@ -419,7 +422,7 @@ impl<'a> SortExec<'a> {
         self.ctx.governor.charge_io(pages as u64)?;
         let dop = self.ctx.dop.max(1);
         if dop <= 1 {
-            return runs.iter().map(|run| Ok(RowBatch::from_spill(run, width)?)).collect();
+            return runs.iter().map(|run| Ok(RowBatch::from_spill(run, width, usize::MAX)?)).collect();
         }
         // (run index, page id) units in scan order across all runs.
         let units: Vec<(usize, PageId)> = runs
@@ -435,9 +438,14 @@ impl<'a> SortExec<'a> {
                     // This worker's pages end to end, and each page's rows.
                     let mut rows = RowBatch::with_capacity(width, 0);
                     let mut counts = Vec::new();
-                    for &(_, pid) in units_ref.iter().skip(w).step_by(workers) {
-                        let page = SlottedPage::from_bytes(disk.read(pid)?);
-                        counts.push(rows.extend_with(|cols| decode_page_columns_into(&page, cols)));
+                    let mut stripe =
+                        units_ref.iter().skip(w).step_by(workers).map(|&(_, pid)| pid).peekable();
+                    while stripe.peek().is_some() {
+                        disk.read_run(stripe.by_ref().take(DEFAULT_MORSEL_PAGES), |page| {
+                            let page = PageView::from_bytes(&**page);
+                            counts.push(rows.extend_with(|cols| decode_page_columns_into(&page, cols)));
+                            ControlFlow::Continue(())
+                        })?;
                     }
                     Ok((rows, counts))
                 }

@@ -2,6 +2,7 @@
 //! deterministic fault injection.
 
 use parking_lot::Mutex;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use dqep_catalog::SystemConfig;
@@ -91,6 +92,8 @@ struct DiskInner {
     read_ordinal: u64,
     /// 1-based ordinal of the next accounted write, for fault matching.
     write_ordinal: u64,
+    /// Most pages any one [`SimDisk::read_run`] has read under the latch.
+    longest_run: usize,
     /// Real-time pacing per accounted access, in microseconds (0 = off).
     latency_micros: u64,
 }
@@ -127,6 +130,7 @@ impl SimDisk {
                 faults: FaultPlan::none(),
                 read_ordinal: 0,
                 write_ordinal: 0,
+                longest_run: 0,
                 latency_micros: 0,
             })),
         }
@@ -251,7 +255,8 @@ impl SimDisk {
     }
 
     /// Reads a page, charging sequential or random I/O. The result shares
-    /// the disk's buffer: no bytes are copied.
+    /// the disk's buffer: no bytes are copied — a [`SimDisk::read_run`]
+    /// of one page whose reader keeps it.
     ///
     /// # Errors
     /// [`StorageError::UnallocatedPage`] for an id that was never
@@ -262,23 +267,65 @@ impl SimDisk {
     pub fn read(&self, id: PageId) -> Result<PageRef, StorageError> {
         let (result, latency) = {
             let mut inner = self.inner.lock();
-            let sequential = matches!(inner.last_read, Some(prev) if prev.0 + 1 == id.0);
-            if sequential {
-                inner.stats.seq_reads += 1;
-            } else {
-                inner.stats.random_reads += 1;
-            }
-            inner.last_read = Some(id);
-            inner.read_ordinal += 1;
-            let fails = inner.faults.read_fails(id, inner.read_ordinal);
-            let result = match inner.live_page(id) {
-                None => Err(StorageError::UnallocatedPage(id)),
-                Some(_) if fails => Err(StorageError::InjectedFault { page: id, write: false }),
-                Some(page) => Ok(Arc::clone(page)),
-            };
-            (result, inner.latency_micros)
+            (inner.account_read(id).map(Arc::clone), inner.latency_micros)
         };
         Self::pace(latency);
+        result
+    }
+
+    /// Reads the pages `ids` names, in that order, under **one**
+    /// acquisition of the disk latch, lending each to `visit` where it
+    /// lies: what [`SimDisk::read`] in a loop over the same ids would
+    /// classify, count and fail, without a lock round trip and a reference
+    /// count up and down per page. A visitor that must keep a page (a
+    /// scan's unfinished tail) clones the reference it is lent; one that
+    /// ends the run with [`ControlFlow::Break`] leaves the rest unread.
+    ///
+    /// The latch is not re-entrant: **nothing `ids` or `visit` calls may
+    /// touch this disk**, which is why they deal in page ids and page
+    /// bytes and nothing that reaches storage. Two rules keep the hold
+    /// short: a paced disk ([`SimDisk::set_io_latency_micros`]) runs page
+    /// by page, as `read` in a loop, so it never sleeps under the latch;
+    /// and readers that share a disk — the workers of one parallel query —
+    /// end a run after [`crate::DEFAULT_MORSEL_PAGES`]
+    /// ([`SimDisk::longest_run`] is the witness).
+    ///
+    /// # Errors
+    /// As [`SimDisk::read`], for the first page that fails: the pages
+    /// before it have been visited, it has been charged, and no id after
+    /// it has been drawn from `ids`.
+    pub fn read_run(
+        &self,
+        ids: impl IntoIterator<Item = PageId>,
+        mut visit: impl FnMut(&PageRef) -> ControlFlow<()>,
+    ) -> Result<(), StorageError> {
+        let mut inner = self.inner.lock();
+        if inner.latency_micros > 0 {
+            drop(inner);
+            for id in ids {
+                if visit(&self.read(id)?).is_break() {
+                    break;
+                }
+            }
+            return Ok(());
+        }
+        let mut pages = 0;
+        let mut result = Ok(());
+        for id in ids {
+            pages += 1;
+            match inner.account_read(id) {
+                Ok(page) => {
+                    if visit(page).is_break() {
+                        break;
+                    }
+                }
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        inner.longest_run = inner.longest_run.max(pages);
         result
     }
 
@@ -375,6 +422,14 @@ impl SimDisk {
         self.inner.lock().stats
     }
 
+    /// The most pages one [`SimDisk::read_run`] has read under a single
+    /// latch acquisition since the last [`SimDisk::reset_stats`]: how a
+    /// test sees that readers sharing a disk keep their runs short.
+    #[must_use]
+    pub fn longest_run(&self) -> usize {
+        self.inner.lock().longest_run
+    }
+
     /// Resets counters (e.g. between the load phase and a measured query).
     /// Fault-plan ordinals are left alone; use [`SimDisk::set_fault_plan`]
     /// to restart those.
@@ -382,6 +437,7 @@ impl SimDisk {
         let mut inner = self.inner.lock();
         inner.stats = IoStats::default();
         inner.last_read = None;
+        inner.longest_run = 0;
     }
 }
 
@@ -401,6 +457,27 @@ impl DiskInner {
             return Err(StorageError::InjectedFault { page: PageId::INVALID, write: true });
         }
         Ok(())
+    }
+
+    /// The accounting of one read, the body [`SimDisk::read`] and every
+    /// page of a [`SimDisk::read_run`] share: classify and count it, move
+    /// the read position, advance the ordinal, consult the fault plan,
+    /// and only then look the page up — a failed read is charged.
+    fn account_read(&mut self, id: PageId) -> Result<&PageRef, StorageError> {
+        let sequential = matches!(self.last_read, Some(prev) if prev.0 + 1 == id.0);
+        if sequential {
+            self.stats.seq_reads += 1;
+        } else {
+            self.stats.random_reads += 1;
+        }
+        self.last_read = Some(id);
+        self.read_ordinal += 1;
+        let fails = self.faults.read_fails(id, self.read_ordinal);
+        match self.live_page(id) {
+            None => Err(StorageError::UnallocatedPage(id)),
+            Some(_) if fails => Err(StorageError::InjectedFault { page: id, write: false }),
+            Some(page) => Ok(page),
+        }
     }
 
     fn live_page(&self, id: PageId) -> Option<&PageRef> {

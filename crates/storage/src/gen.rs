@@ -10,6 +10,7 @@
 //! paper's footnote 4 separation).
 
 use std::collections::HashMap;
+use std::ops::Deref;
 
 use dqep_catalog::{Catalog, Histogram, IndexId, RelationId};
 use rand::rngs::StdRng;
@@ -51,6 +52,11 @@ pub fn decode_record(record: &[u8], n_attrs: usize) -> Vec<i64> {
 }
 
 /// The little-endian `i64` in the eight bytes of `bytes`.
+// `#[inline]` here and on `decode_record_into`, `read_u16`: the page
+// kernels are generic over who holds the bytes, so they are instantiated
+// in the calling crate, and without it they call back into this one once
+// a record (exec_scale + 2.5 % p50 on 24 alternating segments).
+#[inline]
 fn le_i64(bytes: &[u8]) -> i64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(bytes);
@@ -61,8 +67,12 @@ fn le_i64(bytes: &[u8]) -> i64 {
 /// of each record to `cols[c]`, for every column given, and returns the
 /// number of records. A whole page goes from the disk's buffer into
 /// column vectors in one walk of its slot array, with no per-record
-/// allocation.
-pub fn decode_page_columns_into(page: &SlottedPage, cols: &mut [Vec<i64>]) -> usize {
+/// allocation — the page held or, inside a [`SimDisk::read_run`],
+/// borrowed.
+pub fn decode_page_columns_into<B: Deref<Target = [u8; PAGE_SIZE]>>(
+    page: &SlottedPage<B>,
+    cols: &mut [Vec<i64>],
+) -> usize {
     decode_page_slots_into(page, 0, usize::MAX, cols).0
 }
 
@@ -78,8 +88,8 @@ pub fn decode_page_columns_into(page: &SlottedPage, cols: &mut [Vec<i64>]) -> us
 ///
 /// # Panics
 /// Panics on a record shorter than `8 × cols.len()` bytes.
-pub fn decode_page_slots_into(
-    page: &SlottedPage,
+pub fn decode_page_slots_into<B: Deref<Target = [u8; PAGE_SIZE]>>(
+    page: &SlottedPage<B>,
     from: u16,
     max_rows: usize,
     cols: &mut [Vec<i64>],
@@ -115,6 +125,7 @@ pub fn record_value(record: &[u8], attr: usize) -> i64 {
 ///
 /// # Panics
 /// Panics on a record shorter than `8 × cols.len()` bytes.
+#[inline]
 pub fn decode_record_into(record: &[u8], cols: &mut [Vec<i64>]) {
     let values = record[..cols.len() * 8].chunks_exact(8);
     for (col, value) in cols.iter_mut().zip(values) {

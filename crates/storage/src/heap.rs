@@ -1,9 +1,11 @@
 //! Heap files: unordered record storage over slotted pages.
 
+use std::ops::ControlFlow;
+
 use crate::disk::SimDisk;
 use crate::error::StorageError;
 use crate::page::PageId;
-use crate::slotted::SlottedPage;
+use crate::slotted::{PageView, SlottedPage};
 
 /// A record id: page + slot. What unclustered B-trees point at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -359,6 +361,28 @@ impl SpillFile {
     /// Page-at-a-time scan, as [`HeapFile::scan_pages`].
     pub fn scan_pages(&self) -> impl Iterator<Item = Result<SlottedPage, StorageError>> + '_ {
         self.pages.iter().map(|&pid| self.disk.read(pid).map(SlottedPage::from_bytes))
+    }
+
+    /// Reads the file back for a reader that keeps no page: every page in
+    /// scan order, accounted as [`SpillFile::scan_pages`], lent to `visit`
+    /// in [`SimDisk::read_run`]s of at most `run_pages` (> 0) pages —
+    /// `usize::MAX` where the reader has the disk to itself, a morsel
+    /// where sibling workers read it too. Nothing `visit` calls may touch
+    /// the disk.
+    ///
+    /// # Errors
+    /// The first page read that fails; the pages before it were visited.
+    pub fn read_pages(
+        &self,
+        run_pages: usize,
+        mut visit: impl FnMut(&PageView<'_>),
+    ) -> Result<(), StorageError> {
+        self.pages.chunks(run_pages).try_for_each(|run| {
+            self.disk.read_run(run.iter().copied(), |page| {
+                visit(&PageView::from_bytes(&**page));
+                ControlFlow::Continue(())
+            })
+        })
     }
 }
 

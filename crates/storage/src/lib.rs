@@ -14,10 +14,12 @@
 //! Components:
 //! * [`SimDisk`] — page store + [`IoStats`] (sequential reads, random
 //!   reads, writes). Pages are shared ([`PageRef`]): a read hands out a
-//!   reference, a writer copies first, and query-lifetime files give
-//!   their pages back when dropped ([`TempPages`] counts them).
+//!   reference, a run ([`SimDisk::read_run`]) lends its pages under one
+//!   latch to a reader that keeps none, a writer copies first, and
+//!   query-lifetime files give their pages back when dropped
+//!   ([`TempPages`] counts them).
 //! * [`SlottedPage`] — classic slotted-page layout for variable-length
-//!   records.
+//!   records, over a page that is held or ([`PageView`]) borrowed.
 //! * [`HeapFile`] — unordered record file over slotted pages (base
 //!   tables); [`SpillWriter`] / [`SpillFile`] — the write and read halves
 //!   of a query-lifetime file of fixed-width rows.
@@ -59,4 +61,4 @@ pub use gen::{install_histograms, refresh_histograms, StoredDatabase, StoredTabl
 pub use heap::{HeapFile, Rid, SpillFile, SpillWriter};
 pub use morsel::{PageClaims, DEFAULT_MORSEL_PAGES};
 pub use page::{PageId, PageRef, PAGE_SIZE};
-pub use slotted::SlottedPage;
+pub use slotted::{PageView, SlottedPage};

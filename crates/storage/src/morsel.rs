@@ -53,6 +53,13 @@ impl PageClaims {
     pub fn total(&self) -> usize {
         self.total
     }
+
+    /// Pages no worker has claimed yet: the most any one worker can still
+    /// be handed, beyond the morsel it holds.
+    #[must_use]
+    pub fn unclaimed(&self) -> usize {
+        self.total.saturating_sub(self.next.load(Ordering::Relaxed))
+    }
 }
 
 #[cfg(test)]
@@ -65,10 +72,12 @@ mod tests {
         let claims = PageClaims::new(11, 4);
         let mut seen = Vec::new();
         while let Some(r) = claims.claim() {
+            assert_eq!(claims.unclaimed(), 11 - r.end);
             seen.extend(r);
         }
         assert_eq!(seen, (0..11).collect::<Vec<_>>());
         assert!(claims.claim().is_none(), "exhausted dispenser stays empty");
+        assert_eq!(claims.unclaimed(), 0, "claims past the end do not go negative");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! are not reclaimed — the live-view write path favors rid stability over
 //! space reuse, matching the lazy-deletion B-tree above it.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::error::StorageError;
@@ -21,17 +22,24 @@ const SLOT: usize = 4;
 /// strictly below [`PAGE_SIZE`] (2048), so the sentinel is unambiguous.
 const TOMBSTONE: u16 = u16::MAX;
 
-/// An in-memory view over one slotted page's bytes.
+/// An in-memory view over one slotted page's bytes, held as `B`.
 ///
-/// The bytes are shared with whoever handed them over (the disk, a buffer
-/// pool): reading through the view copies nothing. The mutators are
-/// copy-on-write — the first change to a shared page clones it, a page
-/// this view owns alone is changed in place — so `clone()` is a cheap way
-/// to stage an edit that may still be abandoned.
+/// The default, a [`PageRef`], *holds* the page: the bytes are shared with
+/// whoever handed them over (the disk, a buffer pool), reading through the
+/// view copies nothing, and the mutators are copy-on-write — the first
+/// change to a shared page clones it, a page this view owns alone is
+/// changed in place — so `clone()` is a cheap way to stage an edit that
+/// may still be abandoned. Over a `&[u8; PAGE_SIZE]` ([`PageView`]) the
+/// view *borrows* the page and reads through the same methods, so there is
+/// one slot walk whoever owns the bytes.
 #[derive(Debug, Clone)]
-pub struct SlottedPage {
-    data: PageRef,
+pub struct SlottedPage<B = PageRef> {
+    data: B,
 }
+
+/// A slotted page looked at where the disk holds it: the view a
+/// [`crate::SimDisk::read_run`] visitor decodes through.
+pub type PageView<'a> = SlottedPage<&'a [u8; PAGE_SIZE]>;
 
 impl SlottedPage {
     /// A fresh, empty page.
@@ -42,43 +50,11 @@ impl SlottedPage {
         SlottedPage { data: Arc::new(data) }
     }
 
-    /// Wraps existing page bytes (as read from disk), sharing them.
-    #[must_use]
-    pub fn from_bytes(data: PageRef) -> SlottedPage {
-        SlottedPage { data }
-    }
-
-    /// The underlying bytes (for writing back to disk).
-    #[must_use]
-    pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
-        &self.data
-    }
-
     /// Gives the page's buffer up, uncopied — how a writer that owns its
     /// page alone hands it to the disk.
     #[must_use]
     pub fn into_bytes(self) -> PageRef {
         self.data
-    }
-
-    /// Number of records stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        read_u16(&self.data[..], 0) as usize
-    }
-
-    /// Whether the page holds no records.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Free bytes remaining (accounting for the slot a new record needs).
-    #[must_use]
-    pub fn free_space(&self) -> usize {
-        let n = self.len();
-        let free_end = read_u16(&self.data[..], 2) as usize;
-        free_end.saturating_sub(HEADER + (n + 1) * SLOT)
     }
 
     /// The longest record an empty page can hold.
@@ -153,6 +129,54 @@ impl SlottedPage {
         Some((n as u16, &mut data[off..free_end]))
     }
 
+    /// Tombstones the record in `slot`, returning whether a live record
+    /// was deleted. The slot array is left intact (later slots keep their
+    /// numbers); the record bytes are not reclaimed.
+    pub fn delete(&mut self, slot: u16) -> bool {
+        if self.get(slot).is_none() {
+            return false;
+        }
+        let slot_base = HEADER + slot as usize * SLOT;
+        write_u16(&mut Arc::make_mut(&mut self.data)[..], slot_base, TOMBSTONE);
+        true
+    }
+}
+
+/// Reading: the same for a page that is held and a page that is borrowed.
+impl<B: Deref<Target = [u8; PAGE_SIZE]>> SlottedPage<B> {
+    /// Wraps existing page bytes, as read from disk: a [`PageRef`] to
+    /// share them, a `&[u8; PAGE_SIZE]` to look at them where they lie.
+    #[must_use]
+    pub fn from_bytes(data: B) -> SlottedPage<B> {
+        SlottedPage { data }
+    }
+
+    /// The underlying bytes (for writing back to disk).
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
+        &self.data
+    }
+
+    /// Number of records stored.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        read_u16(&self.data[..], 0) as usize
+    }
+
+    /// Whether the page holds no records.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Free bytes remaining (accounting for the slot a new record needs).
+    #[must_use]
+    pub fn free_space(&self) -> usize {
+        let n = self.len();
+        let free_end = read_u16(&self.data[..], 2) as usize;
+        free_end.saturating_sub(HEADER + (n + 1) * SLOT)
+    }
+
     /// The record in `slot`, or `None` when out of range or deleted.
     #[must_use]
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
@@ -169,18 +193,6 @@ impl SlottedPage {
         Some(&self.data[off..off + len])
     }
 
-    /// Tombstones the record in `slot`, returning whether a live record
-    /// was deleted. The slot array is left intact (later slots keep their
-    /// numbers); the record bytes are not reclaimed.
-    pub fn delete(&mut self, slot: u16) -> bool {
-        if self.get(slot).is_none() {
-            return false;
-        }
-        let slot_base = HEADER + slot as usize * SLOT;
-        write_u16(&mut Arc::make_mut(&mut self.data)[..], slot_base, TOMBSTONE);
-        true
-    }
-
     /// Iterates over live records in slot order (tombstones skipped).
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
         (0..self.len() as u16).filter_map(|slot| self.get(slot))
@@ -193,6 +205,7 @@ impl Default for SlottedPage {
     }
 }
 
+#[inline]
 fn read_u16(data: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([data[at], data[at + 1]])
 }

@@ -11,7 +11,9 @@
 //! — and, while a worker thread ran the session, the hand-off.
 //!
 //! Run pinned, it is a hot loop on one thread:
-//! `taskset -c 1 cargo run --release --example activation_split`.
+//! `taskset -c 1 cargo run --release --example activation_split`
+//! (`-- --quick` makes 20 passes instead of 2 000: the CI run, which puts
+//! the `run` line of a prepared request on record per commit).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,7 +31,6 @@ use dqep::sql::parse_query;
 use dqep::storage::StoredDatabase;
 
 const SEED: u64 = 7;
-const PASSES: usize = 2_000;
 const STEPS: [&str; 8] = [
     "prepare (normalize + registry)",
     "bind",
@@ -69,6 +70,7 @@ fn requests(catalog: &Catalog) -> Vec<Request> {
 }
 
 fn main() {
+    let passes = if std::env::args().any(|a| a == "--quick") { 20 } else { 2_000 };
     let catalog = make_chain_catalog(&SyntheticSpec::paper(4, SEED), SystemConfig::paper_1994());
     let config = ServiceConfig { workers: 1, data_seed: SEED, ..ServiceConfig::default() };
     let requests = requests(&catalog);
@@ -82,7 +84,7 @@ fn main() {
     let pool = MemoryPool::new(config.global_memory_bytes);
     let (mut rows, mut through_service) = (0, Duration::ZERO);
     let mut spent = [Duration::ZERO; STEPS.len()];
-    for pass in 0..=PASSES {
+    for pass in 0..=passes {
         // 1. Through the service. The caller's copy of a request is the
         // caller's: made off the clock.
         let copies = requests.clone();
@@ -146,9 +148,9 @@ fn main() {
         }
     }
 
-    let calls = (PASSES * requests.len()) as f64;
+    let calls = (passes * requests.len()) as f64;
     let us = |d: Duration| d.as_secs_f64() * 1e6 / calls;
-    println!("{} requests a pass, {:.1} rows a request, {PASSES} passes\n", requests.len(), rows as f64 / calls);
+    println!("{} requests a pass, {:.1} rows a request, {passes} passes\n", requests.len(), rows as f64 / calls);
     println!("{:<34} {:>8.2} us", "QueryService::execute", us(through_service));
     let steps: Duration = spent.iter().sum();
     println!("{:<34} {:>8.2} us", "the session's steps, this thread", us(steps));

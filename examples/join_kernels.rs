@@ -5,9 +5,15 @@
 //! benchmark's `fact`/`dim` shape (12 000 and 6 000 records of 256 bytes,
 //! seven to a page):
 //!
-//! 1. **A page**: ns a page for a bare `SimDisk::read`, for the read plus
-//!    one touch of every record's first cache line (the floor a decoder
-//!    cannot go under), and for the read plus `decode_page_slots_into`.
+//! 1. **A page**: ns a page of a request's worth of pages (108, the mean
+//!    of `prepared_hot`), three ways: `SimDisk::read` and
+//!    `decode_page_slots_into` page by page (a latch and a reference
+//!    count a page — how the scans read until PR 23, kept here as a local
+//!    loop), one `SimDisk::read_run` decoding each page where it lies (how
+//!    they read now), and the decode alone over bytes already in hand
+//!    (the floor: what no read path can go under). Each on pages of three
+//!    512-byte and of seven 256-byte records, with the pages warm and
+//!    after a 4 MiB sweep of the cache.
 //! 2. **A probe row**: `join_batches` ns a probe row on an unpartitioned
 //!    `dim ⋈ fact`, on the same rows pre-routed by `shard_route` for two
 //!    and four shards, and — the control — on the same rows dealt into as
@@ -26,6 +32,7 @@
 //! `-- probe`, `-- statement` run that split only).
 
 use std::hint::black_box;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
@@ -35,7 +42,7 @@ use dqep::executor::{
 };
 use dqep::service::{QueryService, Request, ServiceConfig};
 use dqep::storage::gen::decode_page_slots_into;
-use dqep::storage::{SlottedPage, StoredDatabase, StoredTable};
+use dqep::storage::{PageRef, PageView, SlottedPage, StoredDatabase, StoredTable};
 
 const SEED: u64 = 7;
 const FACT_ROWS: u64 = 12_000;
@@ -58,50 +65,71 @@ fn ns_per(total: Duration, units: usize) -> f64 {
     total.as_secs_f64() * 1e9 / units as f64
 }
 
-/// Split 1: the three ways over every page of both tables, in turns.
-fn page_kernels(tables: &[&StoredTable], passes: usize) {
+/// Split 1: the three ways over one request's worth of pages, in turns.
+fn page_kernels(quick: bool) {
     const WAYS: [&str; 3] =
-        ["bare SimDisk::read", "read + touch every record", "read + decode_page_slots_into"];
-    let pages: usize = tables.iter().map(|t| t.heap.pages().len()).sum();
-    let mut spent = [Duration::ZERO; WAYS.len()];
-    let mut cols: Vec<Vec<i64>> = Vec::new();
-    let (mut touched, mut decoded) = (0u64, 0usize);
-    for _ in 0..passes {
-        for (way, spent) in spent.iter_mut().enumerate() {
-            let started = Instant::now();
-            for table in tables {
-                let disk = table.heap.disk();
-                cols.resize_with(table.n_attrs, || Vec::with_capacity(BATCH_CAPACITY + 8));
-                for &pid in table.heap.pages() {
-                    let bytes = disk.read(pid).expect("fault-free read");
-                    if way == 0 {
-                        black_box(&bytes);
-                        continue;
+        ["read + decode, page by page", "one read_run + decode", "decode alone (resident bytes)"];
+    const PAGES: usize = 108;
+    // Rows that fill `PAGES` pages of each record length.
+    let rows = |record_len: usize| (PAGES * SlottedPage::records_per_page(record_len)) as u64;
+    let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
+        .relation("wide", rows(512), 512, |r| r.attr("a", 1000.0).attr("j", 1000.0))
+        .relation("narrow", rows(256), 256, |r| r.attr("a", 1000.0).attr("j", 1000.0))
+        .build()
+        .expect("the catalog is well-formed");
+    let db = StoredDatabase::generate(&catalog, SEED);
+    let mut sweep = vec![0u8; 4 << 20];
+    let mut decoded = 0usize;
+    println!("a page ({PAGES} pages a pass; ns a page, warm / after a 4 MiB sweep)");
+    for name in ["wide", "narrow"] {
+        let table = db.table(catalog.relation_by_name(name).expect("relation exists").id);
+        let (disk, ids) = (table.heap.disk(), table.heap.pages());
+        assert_eq!(ids.len(), PAGES);
+        let resident: Vec<PageRef> = ids.iter().map(|&pid| disk.read_unaccounted(pid)).collect();
+        let mut cols: Vec<Vec<i64>> = (0..table.n_attrs).map(|_| Vec::with_capacity(BATCH_CAPACITY)).collect();
+        let mut spent = [[Duration::ZERO; WAYS.len()]; 2];
+        let passes = [if quick { 1 } else { 20_000 }, if quick { 1 } else { 1_000 }];
+        for (swept, spent) in spent.iter_mut().enumerate() {
+            for _ in 0..passes[swept] {
+                for (way, spent) in spent.iter_mut().enumerate() {
+                    if swept == 1 {
+                        sweep.chunks_mut(64).for_each(|line| line[0] = line[0].wrapping_add(1));
                     }
-                    let page = SlottedPage::from_bytes(bytes);
-                    if way == 1 {
-                        for slot in 0..page.len() as u16 {
-                            touched += u64::from(page.get(slot).expect("live record")[0]);
+                    // As a scan does: a batch's columns, filled from empty.
+                    cols.iter_mut().for_each(Vec::clear);
+                    let started = Instant::now();
+                    match way {
+                        0 => {
+                            for &pid in ids {
+                                let page = SlottedPage::from_bytes(disk.read(pid).expect("fault-free read"));
+                                decoded += decode_page_slots_into(&page, 0, usize::MAX, &mut cols).0;
+                            }
                         }
-                        continue;
+                        1 => disk
+                            .read_run(ids.iter().copied(), |page| {
+                                let page = PageView::from_bytes(&**page);
+                                decoded += decode_page_slots_into(&page, 0, usize::MAX, &mut cols).0;
+                                ControlFlow::Continue(())
+                            })
+                            .expect("fault-free run"),
+                        _ => {
+                            for page in &resident {
+                                let page = PageView::from_bytes(&**page);
+                                decoded += decode_page_slots_into(&page, 0, usize::MAX, &mut cols).0;
+                            }
+                        }
                     }
-                    // As a scan does: a batch's worth of rows, then the
-                    // columns start over.
-                    if cols[0].len() >= BATCH_CAPACITY {
-                        cols.iter_mut().for_each(Vec::clear);
-                    }
-                    decoded += decode_page_slots_into(&page, 0, usize::MAX, &mut cols).0;
+                    *spent += started.elapsed();
                 }
-                cols.iter_mut().for_each(Vec::clear);
             }
-            *spent += started.elapsed();
+        }
+        println!("  {} {}-byte records a page", SlottedPage::records_per_page(table.record_len), table.record_len);
+        for (way, name) in WAYS.iter().enumerate() {
+            let ns = |swept: usize| ns_per(spent[swept][way], PAGES * passes[swept]);
+            println!("    {name:<32} {:>8.1} / {:>8.1}", ns(0), ns(1));
         }
     }
-    black_box((touched, decoded));
-    println!("a page ({pages} pages of seven 256-byte records, passes: {passes})");
-    for (name, d) in WAYS.iter().zip(spent) {
-        println!("  {name:<32} {:>8.1} ns a page", ns_per(d, pages * passes));
-    }
+    black_box((decoded, sweep));
 }
 
 /// Every row of `table` as dense batches of the scan's size.
@@ -241,7 +269,7 @@ fn main() {
     let (fact, dim) = (table("fact"), table("dim"));
 
     if wanted("page") {
-        page_kernels(&[fact, dim], if quick { 1 } else { 400 });
+        page_kernels(quick);
     }
     if wanted("probe") {
         probe_kernels(&table_batches(dim), &table_batches(fact), if quick { 1 } else { 200 });

@@ -23,7 +23,7 @@ use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
 use dqep::plan::{NodeId, Plan};
 use dqep::service::{QueryService, Request, ServiceConfig, ServiceError};
-use dqep::storage::{FaultPlan, StorageError, StoredDatabase};
+use dqep::storage::{FaultPlan, StorageError, StoredDatabase, DEFAULT_MORSEL_PAGES};
 use proptest::prelude::*;
 
 fn fixture() -> (Catalog, StoredDatabase, LogicalExpr) {
@@ -116,7 +116,10 @@ fn spill_write_failure_is_an_error_not_a_panic() {
 /// A file scan pulled again after a faulted page read re-reads that
 /// page: it neither skips the page's rows nor delivers any row twice,
 /// whether the fault was returned at once or deferred behind a partial
-/// batch.
+/// batch — wherever in a run of pages the fault falls. The 134 pages hold
+/// three rows each (one on the last), so a request of 100 rows is a run of
+/// 34 pages whose last page becomes the tail, and a request of 2 rows
+/// makes every page a tail.
 #[test]
 fn file_scan_pulled_after_a_fault_rereads_the_faulted_page() {
     let (cat, db, _) = fixture();
@@ -124,26 +127,135 @@ fn file_scan_pulled_after_a_fault_rereads_the_faulted_page() {
     let mut scan = Plan::new();
     node(&mut scan, PhysicalOp::FileScan { relation: rel.id }, &[]);
     let ctx = ExecContext::new(SharedCounters::new());
-    for nth in ["nth-read=1", "nth-read=2"] {
+    let pages = db.table(rel.id).heap.page_count() as u64;
+    let pull_all = |max_rows: usize, nth: Option<u64>| {
         let mut op =
             dqep::executor::compile_plan(&scan, &db, &cat, &Bindings::new(), 2048, &ctx).unwrap();
         op.open().unwrap();
-        db.disk.set_fault_plan(FaultPlan::parse(nth).unwrap());
-        let (mut rows, mut faults) = (0u64, 0);
+        db.disk.reset_stats();
+        db.disk.set_fault_plan(nth.map_or(FaultPlan::none(), FaultPlan::nth_read));
+        // The `a` column as delivered, and the rows delivered before each error.
+        let (mut rows, mut faults) = (Vec::new(), Vec::new());
         loop {
-            match op.next_batch(BATCH_CAPACITY) {
-                Ok(Some(batch)) => rows += batch.len() as u64,
+            match op.next_batch(max_rows) {
+                Ok(Some(batch)) => {
+                    assert!(batch.len() <= max_rows);
+                    rows.extend(batch.iter().map(|row| row[0]));
+                }
                 Ok(None) => break,
                 Err(e) => {
                     assert!(matches!(e, ExecError::Storage(_)), "got {e:?}");
-                    faults += 1;
+                    faults.push(rows.len());
                 }
             }
         }
         db.disk.set_fault_plan(FaultPlan::none());
         op.close();
-        assert_eq!(faults, 1, "{nth}");
-        assert_eq!(rows, expected_rows(&cat, &db, i64::MAX), "{nth}");
+        (rows, faults, db.disk.stats())
+    };
+    let (truth, _, clean) = pull_all(BATCH_CAPACITY, None);
+    assert_eq!((truth.len() as u64, clean.total()), (expected_rows(&cat, &db, i64::MAX), pages));
+    // (request, faulted read, rows delivered before the error). A fault
+    // is immediate when the batch it interrupts is still empty, and then
+    // the rows before it are whole batches.
+    let cases = [
+        (BATCH_CAPACITY, 1, 0),    // first page of the only run: immediate
+        (BATCH_CAPACITY, 67, 198), // a middle page
+        (BATCH_CAPACITY, 134, 399), // the last page of the run and of the file
+        (100, 1, 0),
+        (100, 17, 48),
+        (100, 34, 99),   // the page that would have become the tail: deferred
+        (100, 35, 102),  // first page of the second run, behind the tail's rows
+        (100, 68, 201),  // the second run's tail page
+        (2, 2, 3),       // a tail page behind the previous tail's row
+        (2, 3, 6),       // a tail page read into an empty batch: immediate
+        (2, 134, 399),
+    ];
+    for (max_rows, nth, before) in cases {
+        let what = format!("request {max_rows}, read {nth}");
+        let (rows, faults, io) = pull_all(max_rows, Some(nth));
+        assert_eq!(faults, [before], "{what}: one fault, behind the rows of the pages before it");
+        assert_eq!(rows, truth, "{what}: no row lost, none twice");
+        assert_eq!(io.total(), pages + 1, "{what}: the faulted page, and only it, was read again");
+        assert_eq!(io.since(&clean).random_reads, 1, "{what}: the retry is the one extra random read");
+    }
+}
+
+/// An I/O budget of `k` pages lets a serial scan read exactly `k` pages,
+/// whichever side of a batch boundary page `k + 1` lies on (a request of
+/// 100 rows ends its first run with page 34): the refused page is charged
+/// but not read, the rows of the pages before it are delivered first, and
+/// the refusal repeats on every further pull.
+#[test]
+fn io_budget_trips_on_the_page_that_exceeds_it() {
+    let (cat, db, _) = fixture();
+    let rel = cat.relation_by_name("r").unwrap();
+    let mut scan = Plan::new();
+    node(&mut scan, PhysicalOp::FileScan { relation: rel.id }, &[]);
+    for k in [0, 1, 33, 34, 35, 133] {
+        let limits = ResourceLimits { max_io: Some(k), ..ResourceLimits::unlimited() };
+        let ctx = ExecContext::with_limits(SharedCounters::new(), limits);
+        let mut op =
+            dqep::executor::compile_plan(&scan, &db, &cat, &Bindings::new(), 2048, &ctx).unwrap();
+        op.open().unwrap();
+        db.disk.reset_stats();
+        let mut rows = 0;
+        let refusal = loop {
+            match op.next_batch(100) {
+                Ok(Some(batch)) => rows += batch.len() as u64,
+                Ok(None) => panic!("budget {k}: the scan completed"),
+                Err(e) => break e,
+            }
+        };
+        let exhausted = ExecError::ResourceExhausted(Resource::Io { limit: k });
+        assert_eq!(refusal, exhausted, "budget {k}");
+        assert_eq!((db.disk.stats().total(), rows), (k, 3 * k), "budget {k}: pages read, rows delivered");
+        assert_eq!(op.next_batch(100).unwrap_err(), exhausted, "budget {k}: pulled again");
+        assert_eq!(db.disk.stats().total(), k, "budget {k}: still nothing read past it");
+        op.close();
+    }
+}
+
+/// A completed scan is charged the same at every DOP — pages read, the
+/// governor's I/O total (a budget of exactly the page count admits it, one
+/// page less refuses it), CPU counters — and where workers share the disk
+/// no run of pages under one latch is longer than a morsel.
+#[test]
+fn a_completed_scan_charges_the_same_at_every_dop() {
+    let (cat, db, _) = fixture();
+    let rel = cat.relation_by_name("r").unwrap();
+    let mut scan = Plan::new();
+    node(&mut scan, PhysicalOp::FileScan { relation: rel.id }, &[]);
+    let env = Environment::dynamic_compile_time(&cat.config);
+    let pages = db.table(rel.id).heap.page_count() as u64;
+    let scan_at = |dop: usize, max_io: Option<u64>| {
+        let limits = ResourceLimits { max_io, ..ResourceLimits::unlimited() };
+        let ctx = ExecContext::with_limits(SharedCounters::new(), limits).with_dop(dop);
+        db.disk.reset_stats();
+        let summary = run(&scan, &db, &cat, &env, &Bindings::new(), &ctx, RootSink::Discard);
+        (summary, db.disk.longest_run())
+    };
+    let (serial, longest) = scan_at(1, None);
+    let serial = serial.unwrap();
+    assert_eq!((serial.rows, serial.io.total(), longest as u64), (400, pages, pages), "one run at DOP 1");
+    for dop in [1, 2, 4] {
+        let (admitted, longest) = scan_at(dop, Some(pages));
+        let admitted = admitted.unwrap();
+        assert_eq!(
+            (admitted.rows, admitted.io.total(), admitted.cpu),
+            (serial.rows, pages, serial.cpu),
+            "dop {dop}"
+        );
+        if dop == 1 {
+            assert_eq!(admitted.io, serial.io, "a budget that holds changes nothing");
+        } else {
+            assert!((1..=DEFAULT_MORSEL_PAGES).contains(&longest), "dop {dop}: a run of {longest} pages");
+        }
+        assert_eq!(
+            scan_at(dop, Some(pages - 1)).0.unwrap_err(),
+            ExecError::ResourceExhausted(Resource::Io { limit: pages - 1 }),
+            "dop {dop}: one page short"
+        );
     }
 }
 
@@ -447,6 +559,42 @@ fn every_exit_path_of_a_spilling_statement_reclaims() {
         assert_eq!(ctx.governor.memory_used(), 0, "{sql}: cancelled run kept its reservation");
 
         stmt.assert_unchanged(&first, &format!("{sql}, after every exit path"));
+    }
+}
+
+/// A read fault while Grace partitions or sort runs are being read back —
+/// every temp page fails, then the first, a middle and the last page of
+/// the read-back by ordinal — reclaims like every other way out, at every
+/// DOP, where the read-back is cut into morsel-long runs.
+#[test]
+fn a_read_fault_during_read_back_reclaims() {
+    let (cat, db) = star();
+    for sql in STAR_SQL {
+        let stmt = Spilling::new(&cat, &db, sql);
+        let first = stmt.run(ResourceLimits::unlimited(), 1).unwrap();
+        // Every spilled page is read back once, after everything else.
+        let reads = first.io.total() - first.io.writes;
+        let temp_pages = FaultPlan::page_range(stmt.loaded as u32, u32::MAX - 1);
+        let nth = [reads - first.io.writes + 1, reads - first.io.writes / 2, reads].map(FaultPlan::nth_read);
+        for dop in [1, 2, 4] {
+            for (i, plan) in std::iter::once(&temp_pages).chain(&nth).enumerate() {
+                db.disk.reset_stats();
+                db.disk.set_fault_plan(plan.clone());
+                let result = stmt.run(ResourceLimits::unlimited(), dop);
+                db.disk.set_fault_plan(FaultPlan::none());
+                let what = format!("{sql}, dop {dop}, read fault {i}");
+                match result {
+                    Ok(s) => assert!(s.fallbacks > 0 && s.rows == first.rows, "{what}: {s:?}"),
+                    Err(e) => assert!(matches!(e, ExecError::Storage(_)), "{what}: {e:?}"),
+                }
+                stmt.assert_reclaimed(&what);
+                if dop > 1 {
+                    let longest = db.disk.longest_run();
+                    assert!(longest <= DEFAULT_MORSEL_PAGES, "{what}: a run of {longest} pages");
+                }
+            }
+        }
+        stmt.assert_unchanged(&first, &format!("{sql}, after the read faults"));
     }
 }
 
