@@ -1,6 +1,6 @@
 //! Mid-query re-optimization benchmark fixtures: the same query executed
 //! startup-only (arbitrate once at `open`, then commit) and with runtime
-//! checkpoints (`run_reopt`).
+//! checkpoints (`run` under a `ReoptState`).
 //!
 //! Shared by the `bench_reopt` binary that emits `BENCH_reopt.json`. The
 //! measurements gate on *simulated* seconds — the deterministic CPU + I/O
@@ -23,7 +23,7 @@ use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    run, run_reopt, ExecContext, ReoptConfig, ReoptCounters, RootSink, SharedCounters,
+    run, ExecContext, ReoptConfig, ReoptCounters, ReoptState, RootSink, SharedCounters,
 };
 use dqep_plan::Plan;
 use dqep_storage::{StoredDatabase, ValueDistribution};
@@ -73,35 +73,20 @@ impl ReoptBenchCase {
     /// are bugs (and parity is pinned down by `tests/reopt_parity.rs`).
     #[must_use]
     pub fn measure(&self) -> ReoptMeasurement {
-        let ctx = ExecContext::new(SharedCounters::new());
-        let summary =
-            run(&self.plan, &self.db, &self.catalog, &self.env, &self.bindings, &ctx, RootSink::Discard)
-                .expect("startup-only execution must succeed");
-        let outcome = run_reopt(
-            &self.plan,
-            &self.db,
-            &self.catalog,
-            &self.env,
-            &self.bindings,
-            ReoptConfig {
-                backoff_base_ms: 0,
-                ..ReoptConfig::default()
-            },
-            &ExecContext::new(SharedCounters::new()),
-            RootSink::Discard,
-        )
-        .expect("re-optimizing execution must succeed");
-        assert_eq!(
-            summary.rows,
-            outcome.summary.rows,
-            "{}: result row counts diverged",
-            self.name
-        );
+        let execute = |ctx: &ExecContext| {
+            run(&self.plan, &self.db, &self.catalog, &self.env, &self.bindings, ctx, RootSink::Discard)
+        };
+        let summary = execute(&ExecContext::new(SharedCounters::new()))
+            .expect("startup-only execution must succeed");
+        let state = Arc::new(ReoptState::new(ReoptConfig::default()));
+        let reopt = execute(&ExecContext::new(SharedCounters::new()).with_reopt(Arc::clone(&state)))
+            .expect("re-optimizing execution must succeed");
+        assert_eq!(summary.rows, reopt.rows, "{}: result row counts diverged", self.name);
         ReoptMeasurement {
             rows: summary.rows,
             startup_seconds: summary.simulated_seconds(&self.catalog.config),
-            reopt_seconds: outcome.summary.simulated_seconds(&self.catalog.config),
-            counters: outcome.report.counters,
+            reopt_seconds: reopt.simulated_seconds(&self.catalog.config),
+            counters: state.counters(),
         }
     }
 }

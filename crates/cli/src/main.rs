@@ -20,11 +20,12 @@
 //!                       (drift flags) and the choose-plan audit trail
 //!   --json              with --explain-analyze: print only the JSON
 //!                       document (machine-readable, schema-stable)
-//!   --adaptive          run with one pilot-observation round (§7)
 //!   --reopt             run with mid-query re-optimization: checkpoint the
 //!                       pipeline breakers, re-arbitrate the remainder when
 //!                       an observed cardinality escapes its estimate
 //!                       (also applies to --serve sessions)
+//!   --adaptive          the same run, told to observe the §7 pilot first:
+//!                       the uncertain subplan every alternative shares
 //!   --reopt-budget N    max re-plans per query (default 2; requires --reopt)
 //!   --dop N             intra-query parallelism: N worker threads for the
 //!                       parallel scan / hash join / sort (default 1)
@@ -107,12 +108,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use dqep::DqepError;
-use dqep_catalog::{make_chain_catalog, SyntheticSpec, SystemConfig};
+use dqep_catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    execute_adaptive, explain_json, render_explain, run_reopt, ExecContext, ExecSummary,
-    JsonWriter, ReoptConfig, ResourceLimits, RootSink, Scalar, SharedCounters, TraceReport, Tracer,
+    explain_json, pick_pilot, render_explain, ExecContext, ExecSummary, JsonWriter, ReoptConfig,
+    ReoptState, ResourceLimits, RootSink, Scalar, SharedCounters, TraceReport, Tracer,
 };
 use dqep_plan::{evaluate_startup, render_plan, to_dot};
 use dqep_service::{
@@ -122,7 +123,7 @@ use dqep_service::{
 use dqep_sql::parse_query;
 use dqep_storage::{install_histograms, FaultPlan, StoredDatabase, ValueDistribution};
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Args {
     sql: String,
     relations: usize,
@@ -181,306 +182,163 @@ impl Args {
             wall_clock_ms: self.timeout_ms,
         }
     }
+
+    /// The re-optimization budget `--reopt-budget` asks for.
+    fn reopt(&self) -> ReoptConfig {
+        ReoptConfig { max_replans: self.reopt_budget.unwrap_or(2), ..ReoptConfig::default() }
+    }
+
+    /// The compile-time environment of `--mode`.
+    fn env(&self, config: &SystemConfig) -> Environment {
+        if self.mode == "static" {
+            Environment::static_compile_time(config)
+        } else {
+            Environment::dynamic_compile_time(config)
+        }
+    }
+
+    /// The chain catalog of `--relations`/`--seed` and — when asked to
+    /// `generate` it, or when histograms need it — its data under
+    /// `--skew`, with `buckets`-bucket histograms harvested from it.
+    fn database(
+        &self,
+        generate: bool,
+        buckets: Option<usize>,
+    ) -> Result<(Catalog, Option<StoredDatabase>), DqepError> {
+        let mut catalog = make_chain_catalog(
+            &SyntheticSpec::paper(self.relations, self.seed),
+            SystemConfig::paper_1994(),
+        );
+        let dist = match self.skew {
+            Some(z) => ValueDistribution::Zipf { exponent: z },
+            None => ValueDistribution::Uniform,
+        };
+        let db = (generate || buckets.is_some())
+            .then(|| StoredDatabase::generate_with(&catalog, self.seed, dist));
+        if let (Some(buckets), Some(db)) = (buckets, &db) {
+            install_histograms(db, &mut catalog, buckets)?;
+            eprintln!("built {buckets}-bucket histograms over all attributes");
+        }
+        Ok((catalog, db))
+    }
 }
+
+/// What a flag does with its value (`""` for a flag that takes none).
+type Setter = fn(&mut Args, &str) -> Result<(), String>;
+
+/// `value` as a number, the parser's complaint if it is not one.
+fn num<T: std::str::FromStr>(value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// `value` as a number of at least 1.
+fn at_least_one<T: std::str::FromStr + Default + PartialEq>(value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    match num::<T>(value)? {
+        n if n == T::default() => Err("must be at least 1".to_string()),
+        n => Ok(n),
+    }
+}
+
+/// Stores a flag's checked value.
+fn set<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
+}
+
+/// Every flag: its name, whether it takes a value, and what it sets. An
+/// error a setter returns is reported behind the flag's name.
+const FLAGS: &[(&str, bool, Setter)] = &[
+    ("--sql", true, |a, v| set(&mut a.sql, Ok(v.to_string()))),
+    ("--relations", true, |a, v| set(&mut a.relations, num(v))),
+    ("--seed", true, |a, v| set(&mut a.seed, num(v))),
+    ("--skew", true, |a, v| set(&mut a.skew, num(v).map(Some))),
+    ("--histograms", true, |a, v| set(&mut a.histograms, num(v).map(Some))),
+    ("--mode", true, |a, v| set(&mut a.mode, Ok(v.to_string()))),
+    ("--bind", true, |a, v| {
+        let (name, value) =
+            v.split_once('=').ok_or_else(|| format!("expects NAME=VALUE, got `{v}`"))?;
+        a.binds.push((name.to_string(), num(value).map_err(|e| format!("{name}: {e}"))?));
+        Ok(())
+    }),
+    ("--memory", true, |a, v| set(&mut a.memory, num(v).map(Some))),
+    ("--explain", false, |_, _| Ok(())),
+    ("--run", false, |a, _| set(&mut a.run, Ok(true))),
+    ("--explain-analyze", false, |a, _| {
+        a.run = true;
+        set(&mut a.explain_analyze, Ok(true))
+    }),
+    ("--json", false, |a, _| set(&mut a.json, Ok(true))),
+    ("--adaptive", false, |a, _| {
+        a.run = true;
+        set(&mut a.adaptive, Ok(true))
+    }),
+    ("--reopt", false, |a, _| {
+        a.run = true;
+        set(&mut a.reopt, Ok(true))
+    }),
+    ("--reopt-budget", true, |a, v| set(&mut a.reopt_budget, num(v).map(Some))),
+    ("--dot", true, |a, v| set(&mut a.dot, Ok(Some(v.to_string())))),
+    ("--fault-plan", true, |a, v| set(&mut a.fault_plan, Ok(Some(v.to_string())))),
+    ("--memory-limit", true, |a, v| set(&mut a.memory_limit, num(v).map(Some))),
+    ("--max-rows", true, |a, v| set(&mut a.max_rows, num(v).map(Some))),
+    ("--max-io", true, |a, v| set(&mut a.max_io, num(v).map(Some))),
+    ("--timeout-ms", true, |a, v| set(&mut a.timeout_ms, num(v).map(Some))),
+    ("--serve", true, |a, v| set(&mut a.serve, Ok(Some(v.to_string())))),
+    ("--live", true, |a, v| set(&mut a.live, Ok(Some(v.to_string())))),
+    ("--explain-json", true, |a, v| set(&mut a.explain_json_path, Ok(Some(v.to_string())))),
+    ("--dop", true, |a, v| set(&mut a.dop, at_least_one(v))),
+    ("--workers", true, |a, v| set(&mut a.workers, num(v))),
+    ("--repeat", true, |a, v| set(&mut a.repeat, num(v))),
+    ("--service-memory", true, |a, v| set(&mut a.service_memory, num(v))),
+    ("--queue-timeout-ms", true, |a, v| set(&mut a.queue_timeout_ms, num(v))),
+    ("--io-latency-us", true, |a, v| set(&mut a.io_latency_us, num(v))),
+    ("--metrics-json", true, |a, v| set(&mut a.metrics_json, Ok(Some(v.to_string())))),
+    ("--metrics-prom", true, |a, v| set(&mut a.metrics_prom, Ok(Some(v.to_string())))),
+    ("--metrics-interval-ms", true, |a, v| {
+        set(&mut a.metrics_interval_ms, at_least_one(v).map(Some))
+    }),
+    ("--journal-json", true, |a, v| set(&mut a.journal_json, Ok(Some(v.to_string())))),
+    ("--shards", true, |a, v| set(&mut a.shards, at_least_one(v).map(Some))),
+    ("--routing", true, |a, v| set(&mut a.routing, Ok(v.to_string()))),
+    ("--force-uniform", false, |a, _| set(&mut a.force_uniform, Ok(true))),
+    ("--net-latency-us", true, |a, v| set(&mut a.net_latency_us, num(v))),
+    ("--net-bandwidth", true, |a, v| set(&mut a.net_bandwidth, num(v))),
+    ("--net-jitter-us", true, |a, v| set(&mut a.net_jitter_us, num(v))),
+    ("--link-fault", true, |a, v| set(&mut a.link_fault, Ok(Some(v.to_string())))),
+    ("--help", false, |_, _| Err("usage: see `dqep` module docs (or the README)".to_string())),
+];
 
 fn parse_argv(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
-        sql: String::new(),
         relations: 3,
         seed: 42,
-        skew: None,
-        histograms: None,
         mode: "dynamic".to_string(),
-        binds: Vec::new(),
-        memory: None,
-        run: false,
-        explain_analyze: false,
-        json: false,
-        adaptive: false,
-        reopt: false,
-        reopt_budget: None,
-        dot: None,
-        fault_plan: None,
-        memory_limit: None,
-        max_rows: None,
-        max_io: None,
-        timeout_ms: None,
-        serve: None,
-        live: None,
-        explain_json_path: None,
         dop: 1,
         workers: 4,
         repeat: 1,
         service_memory: 64 << 20,
         queue_timeout_ms: 10_000,
-        io_latency_us: 0,
-        metrics_json: None,
-        metrics_prom: None,
-        metrics_interval_ms: None,
-        journal_json: None,
-        shards: None,
         routing: "hash".to_string(),
-        force_uniform: false,
-        net_latency_us: 0,
-        net_bandwidth: 0,
-        net_jitter_us: 0,
-        link_fault: None,
+        ..Args::default()
     };
-    let mut i = 0;
-    let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-        argv.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--sql" => {
-                args.sql = value(argv, i, "--sql")?;
-                i += 2;
-            }
-            "--relations" => {
-                args.relations = value(argv, i, "--relations")?
-                    .parse()
-                    .map_err(|e| format!("--relations: {e}"))?;
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = value(argv, i, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-                i += 2;
-            }
-            "--skew" => {
-                args.skew = Some(
-                    value(argv, i, "--skew")?
-                        .parse()
-                        .map_err(|e| format!("--skew: {e}"))?,
-                );
-                i += 2;
-            }
-            "--histograms" => {
-                args.histograms = Some(
-                    value(argv, i, "--histograms")?
-                        .parse()
-                        .map_err(|e| format!("--histograms: {e}"))?,
-                );
-                i += 2;
-            }
-            "--mode" => {
-                args.mode = value(argv, i, "--mode")?;
-                i += 2;
-            }
-            "--bind" => {
-                let pair = value(argv, i, "--bind")?;
-                let (name, v) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("--bind expects NAME=VALUE, got `{pair}`"))?;
-                args.binds.push((
-                    name.to_string(),
-                    v.parse().map_err(|e| format!("--bind {name}: {e}"))?,
-                ));
-                i += 2;
-            }
-            "--memory" => {
-                args.memory = Some(
-                    value(argv, i, "--memory")?
-                        .parse()
-                        .map_err(|e| format!("--memory: {e}"))?,
-                );
-                i += 2;
-            }
-            "--explain" => {
-                i += 1;
-            }
-            "--run" => {
-                args.run = true;
-                i += 1;
-            }
-            "--explain-analyze" => {
-                args.explain_analyze = true;
-                args.run = true;
-                i += 1;
-            }
-            "--json" => {
-                args.json = true;
-                i += 1;
-            }
-            "--adaptive" => {
-                args.adaptive = true;
-                args.run = true;
-                i += 1;
-            }
-            "--reopt" => {
-                args.reopt = true;
-                args.run = true;
-                i += 1;
-            }
-            "--reopt-budget" => {
-                args.reopt_budget = Some(
-                    value(argv, i, "--reopt-budget")?
-                        .parse()
-                        .map_err(|e| format!("--reopt-budget: {e}"))?,
-                );
-                i += 2;
-            }
-            "--dot" => {
-                args.dot = Some(value(argv, i, "--dot")?);
-                i += 2;
-            }
-            "--fault-plan" => {
-                args.fault_plan = Some(value(argv, i, "--fault-plan")?);
-                i += 2;
-            }
-            "--memory-limit" => {
-                args.memory_limit = Some(
-                    value(argv, i, "--memory-limit")?
-                        .parse()
-                        .map_err(|e| format!("--memory-limit: {e}"))?,
-                );
-                i += 2;
-            }
-            "--max-rows" => {
-                args.max_rows = Some(
-                    value(argv, i, "--max-rows")?
-                        .parse()
-                        .map_err(|e| format!("--max-rows: {e}"))?,
-                );
-                i += 2;
-            }
-            "--max-io" => {
-                args.max_io = Some(
-                    value(argv, i, "--max-io")?
-                        .parse()
-                        .map_err(|e| format!("--max-io: {e}"))?,
-                );
-                i += 2;
-            }
-            "--timeout-ms" => {
-                args.timeout_ms = Some(
-                    value(argv, i, "--timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--timeout-ms: {e}"))?,
-                );
-                i += 2;
-            }
-            "--serve" => {
-                args.serve = Some(value(argv, i, "--serve")?);
-                i += 2;
-            }
-            "--live" => {
-                args.live = Some(value(argv, i, "--live")?);
-                i += 2;
-            }
-            "--explain-json" => {
-                args.explain_json_path = Some(value(argv, i, "--explain-json")?);
-                i += 2;
-            }
-            "--dop" => {
-                args.dop = value(argv, i, "--dop")?
-                    .parse()
-                    .map_err(|e| format!("--dop: {e}"))?;
-                if args.dop == 0 {
-                    return Err("--dop must be at least 1".to_string());
-                }
-                i += 2;
-            }
-            "--workers" => {
-                args.workers = value(argv, i, "--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                i += 2;
-            }
-            "--repeat" => {
-                args.repeat = value(argv, i, "--repeat")?
-                    .parse()
-                    .map_err(|e| format!("--repeat: {e}"))?;
-                i += 2;
-            }
-            "--service-memory" => {
-                args.service_memory = value(argv, i, "--service-memory")?
-                    .parse()
-                    .map_err(|e| format!("--service-memory: {e}"))?;
-                i += 2;
-            }
-            "--queue-timeout-ms" => {
-                args.queue_timeout_ms = value(argv, i, "--queue-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--queue-timeout-ms: {e}"))?;
-                i += 2;
-            }
-            "--io-latency-us" => {
-                args.io_latency_us = value(argv, i, "--io-latency-us")?
-                    .parse()
-                    .map_err(|e| format!("--io-latency-us: {e}"))?;
-                i += 2;
-            }
-            "--metrics-json" => {
-                args.metrics_json = Some(value(argv, i, "--metrics-json")?);
-                i += 2;
-            }
-            "--metrics-prom" => {
-                args.metrics_prom = Some(value(argv, i, "--metrics-prom")?);
-                i += 2;
-            }
-            "--metrics-interval-ms" => {
-                let ms: u64 = value(argv, i, "--metrics-interval-ms")?
-                    .parse()
-                    .map_err(|e| format!("--metrics-interval-ms: {e}"))?;
-                if ms == 0 {
-                    return Err("--metrics-interval-ms must be at least 1".to_string());
-                }
-                args.metrics_interval_ms = Some(ms);
-                i += 2;
-            }
-            "--journal-json" => {
-                args.journal_json = Some(value(argv, i, "--journal-json")?);
-                i += 2;
-            }
-            "--shards" => {
-                let n: usize = value(argv, i, "--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-                args.shards = Some(n);
-                i += 2;
-            }
-            "--routing" => {
-                args.routing = value(argv, i, "--routing")?;
-                i += 2;
-            }
-            "--force-uniform" => {
-                args.force_uniform = true;
-                i += 1;
-            }
-            "--net-latency-us" => {
-                args.net_latency_us = value(argv, i, "--net-latency-us")?
-                    .parse()
-                    .map_err(|e| format!("--net-latency-us: {e}"))?;
-                i += 2;
-            }
-            "--net-bandwidth" => {
-                args.net_bandwidth = value(argv, i, "--net-bandwidth")?
-                    .parse()
-                    .map_err(|e| format!("--net-bandwidth: {e}"))?;
-                i += 2;
-            }
-            "--net-jitter-us" => {
-                args.net_jitter_us = value(argv, i, "--net-jitter-us")?
-                    .parse()
-                    .map_err(|e| format!("--net-jitter-us: {e}"))?;
-                i += 2;
-            }
-            "--link-fault" => {
-                args.link_fault = Some(value(argv, i, "--link-fault")?);
-                i += 2;
-            }
-            "--help" | "-h" => {
-                return Err("usage: see `dqep` module docs (or the README)".to_string());
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
+    let mut argv = argv.iter();
+    while let Some(flag) = argv.next() {
+        let name = if flag == "-h" { "--help" } else { flag.as_str() };
+        let (_, takes_value, set) = FLAGS
+            .iter()
+            .find(|(known, ..)| *known == name)
+            .ok_or_else(|| format!("unknown flag `{flag}`"))?;
+        let value = match takes_value {
+            true => argv.next().ok_or_else(|| format!("{flag} needs a value"))?,
+            false => "",
+        };
+        set(&mut args, value).map_err(|e| format!("{flag}: {e}"))?;
     }
     if args.sql.is_empty() && args.serve.is_none() && args.live.is_none() {
         return Err("--sql (or --serve FILE, or --live FILE) is required".to_string());
@@ -500,9 +358,6 @@ fn parse_argv(argv: &[String]) -> Result<Args, String> {
         || args.timeout_ms.is_some();
     if governed && !args.run && args.live.is_none() {
         return Err("--fault-plan and resource limits require --run (or --live)".to_string());
-    }
-    if args.explain_analyze && args.adaptive {
-        return Err("--explain-analyze and --adaptive are mutually exclusive".to_string());
     }
     if args.reopt && args.adaptive {
         return Err("--reopt and --adaptive are mutually exclusive".to_string());
@@ -728,22 +583,8 @@ fn run(args: &Args) -> Result<(), DqepError> {
     if args.shards.is_some() {
         return run_sharded(args);
     }
-    let mut catalog = make_chain_catalog(
-        &SyntheticSpec::paper(args.relations, args.seed),
-        SystemConfig::paper_1994(),
-    );
-
-    // Generate data first when statistics or execution are requested.
-    let dist = match args.skew {
-        Some(z) => ValueDistribution::Zipf { exponent: z },
-        None => ValueDistribution::Uniform,
-    };
-    let needs_db = args.run || args.histograms.is_some();
-    let db = needs_db.then(|| StoredDatabase::generate_with(&catalog, args.seed, dist));
-    if let (Some(buckets), Some(db)) = (args.histograms, &db) {
-        install_histograms(db, &mut catalog, buckets)?;
-        eprintln!("built {buckets}-bucket histograms over all attributes");
-    }
+    // Data is generated when statistics or execution are requested.
+    let (catalog, db) = args.database(args.run, args.histograms)?;
     if let (Some(spec), Some(db)) = (&args.fault_plan, &db) {
         let plan = FaultPlan::parse(spec)
             .map_err(|e| DqepError::Usage(format!("--fault-plan: {e}")))?;
@@ -752,11 +593,7 @@ fn run(args: &Args) -> Result<(), DqepError> {
     }
 
     let query = parse_query(&args.sql, &catalog)?;
-    let env = if args.mode == "static" {
-        Environment::static_compile_time(&catalog.config)
-    } else {
-        Environment::dynamic_compile_time(&catalog.config)
-    };
+    let env = args.env(&catalog.config);
     let result = Optimizer::new(&catalog, &env)
         .optimize_with_props(&query.expr, query.required_props())?;
 
@@ -817,60 +654,43 @@ fn run(args: &Args) -> Result<(), DqepError> {
 
         if args.run {
             let db = db.as_ref().expect("generated above");
-            if args.adaptive {
-                let r = execute_adaptive(&result.plan, db, &catalog, &env, &bindings)?;
-                println!(
-                    "\n-- adaptive execution: {} rows, main {:.4}s + pilot {:.4}s (observed {:?} rows)",
-                    r.main.rows,
-                    r.main.simulated_seconds(&catalog.config),
-                    r.pilot.map(|p| p.simulated_seconds(&catalog.config)).unwrap_or(0.0),
-                    r.observed_rows
-                );
-                return Ok(());
-            }
-            // One context says how the plan runs; the tracer kept here is
-            // where EXPLAIN ANALYZE reads what happened.
+            // One context says how the plan runs — limits, parallelism,
+            // tracing, re-optimization — and one call runs it. The tracer
+            // and the re-optimization state kept here are where EXPLAIN
+            // ANALYZE and the report below read what happened.
             let mut ctx =
                 ExecContext::with_limits(SharedCounters::new(), args.limits()).with_dop(args.dop);
             let tracer = args.explain_analyze.then(|| Arc::new(Tracer::new()));
             if let Some(tracer) = &tracer {
                 ctx = ctx.with_tracer(Arc::clone(tracer));
             }
-            let summary = if args.reopt {
-                let reopt_config = ReoptConfig {
-                    max_replans: args.reopt_budget.unwrap_or(2),
-                    ..ReoptConfig::default()
-                };
-                let outcome = run_reopt(
-                    &result.plan,
-                    db,
-                    &catalog,
-                    &env,
-                    &bindings,
-                    reopt_config,
-                    &ctx,
-                    RootSink::Discard,
-                )?;
-                if !args.json {
-                    let c = outcome.report.counters;
-                    println!(
-                        "\n-- re-optimizing execution: {} checkpoint(s), {} escape(s), \
-                         {}/{} replan(s) adopted, {} memory degradation(s), {} fallback(s)",
-                        c.checkpoints,
-                        c.escapes,
-                        c.replans_adopted,
-                        c.replans_attempted,
-                        c.memory_degradations,
-                        c.fallbacks,
-                    );
-                }
-                outcome.summary
-            } else {
-                if let Some(startup) = startup {
-                    ctx = ctx.with_decision(startup);
-                }
-                dqep_executor::run(&result.plan, db, &catalog, &env, &bindings, &ctx, RootSink::Discard)?
-            };
+            // --adaptive is --reopt told to observe the §7 pilot first.
+            let reopt = (args.reopt || args.adaptive).then(|| {
+                let pilot = args.adaptive.then(|| pick_pilot(&result.plan)).flatten();
+                Arc::new(ReoptState::new(args.reopt()).observing_first(pilot))
+            });
+            match (&reopt, startup) {
+                (Some(state), _) => ctx = ctx.with_reopt(Arc::clone(state)),
+                (None, Some(startup)) => ctx = ctx.with_decision(startup),
+                (None, None) => {}
+            }
+            let plan = &result.plan;
+            let summary =
+                dqep_executor::run(plan, db, &catalog, &env, &bindings, &ctx, RootSink::Discard)?;
+            if let (Some(state), false) = (&reopt, args.json) {
+                let c = state.counters();
+                println!(
+                    "\n-- re-optimizing execution: {} checkpoint(s) costing {:.4}s, {} escape(s), \
+                     {}/{} replan(s) adopted, {} memory degradation(s), {} fallback(s)",
+                    c.checkpoints,
+                    state.checkpoint_cost().simulated_seconds(&catalog.config),
+                    c.escapes,
+                    c.replans_adopted,
+                    c.replans_attempted,
+                    c.memory_degradations,
+                    c.fallbacks,
+                );
+            }
             if let Some(tracer) = &tracer {
                 print_explain(args, &tracer.report(), &catalog.config);
             }
@@ -1002,29 +822,15 @@ fn run_live(args: &Args) -> Result<(), DqepError> {
         return Err(DqepError::Usage(format!("{path}: no commands")));
     }
 
-    let mut catalog = make_chain_catalog(
-        &SyntheticSpec::paper(args.relations, args.seed),
-        SystemConfig::paper_1994(),
-    );
-    let dist = match args.skew {
-        Some(z) => ValueDistribution::Zipf { exponent: z },
-        None => ValueDistribution::Uniform,
-    };
-    let db = StoredDatabase::generate_with(&catalog, args.seed, dist);
     let buckets = args.histograms.unwrap_or(16);
-    install_histograms(&db, &mut catalog, buckets)?;
-
-    let env = if args.mode == "static" {
-        Environment::static_compile_time(&catalog.config)
-    } else {
-        Environment::dynamic_compile_time(&catalog.config)
-    };
+    let (catalog, db) = args.database(true, Some(buckets))?;
+    let db = db.expect("asked for");
+    let env = args.env(&catalog.config);
     let metrics = std::sync::Arc::new(MetricsRegistry::new());
     let config = LiveConfig {
         limits: args.limits(),
         dop: args.dop,
         histogram_buckets: buckets,
-        ..LiveConfig::default()
     };
     let mut registry =
         LiveViewRegistry::new(catalog, db, env, config, std::sync::Arc::clone(&metrics));
@@ -1176,10 +982,7 @@ fn parse_workload(text: &str) -> Result<Vec<Request>, String> {
 /// repartitioning network exchange and per-shard dynamic-plan
 /// arbitration, then report winners, divergence, and wire traffic.
 fn run_sharded(args: &Args) -> Result<(), DqepError> {
-    let catalog = make_chain_catalog(
-        &SyntheticSpec::paper(args.relations, args.seed),
-        SystemConfig::paper_1994(),
-    );
+    let (catalog, _) = args.database(false, None)?;
     let link_faults = match &args.link_fault {
         Some(spec) => dqep_executor::LinkFaultPlan::parse(spec)
             .map_err(|e| DqepError::Usage(format!("--link-fault: {e}")))?,
@@ -1206,10 +1009,7 @@ fn run_sharded(args: &Args) -> Result<(), DqepError> {
         data_seed: args.seed,
         skew: args.skew,
         memory_pages: args.memory,
-        reopt: args.reopt.then(|| ReoptConfig {
-            max_replans: args.reopt_budget.unwrap_or(2),
-            ..ReoptConfig::default()
-        }),
+        reopt: args.reopt.then(|| args.reopt()),
         force_uniform_winner: args.force_uniform,
         trace: args.explain_analyze,
     };
@@ -1305,21 +1105,9 @@ fn serve(args: &Args) -> Result<(), DqepError> {
         return Err(DqepError::Usage(format!("{path}: no statements")));
     }
 
-    let mut catalog = make_chain_catalog(
-        &SyntheticSpec::paper(args.relations, args.seed),
-        SystemConfig::paper_1994(),
-    );
-    let dist = match args.skew {
-        Some(z) => ValueDistribution::Zipf { exponent: z },
-        None => ValueDistribution::Uniform,
-    };
-    if let Some(buckets) = args.histograms {
-        // Histograms are harvested from a throwaway replica; the service
-        // regenerates identical data from the same seed.
-        let db = StoredDatabase::generate_with(&catalog, args.seed, dist);
-        install_histograms(&db, &mut catalog, buckets)?;
-        eprintln!("built {buckets}-bucket histograms over all attributes");
-    }
+    // Histograms are harvested from a throwaway replica; the service
+    // regenerates identical data from the same seed.
+    let (catalog, _) = args.database(false, args.histograms)?;
 
     let config = ServiceConfig {
         workers: args.workers.max(1),
@@ -1330,10 +1118,7 @@ fn serve(args: &Args) -> Result<(), DqepError> {
         skew: args.skew,
         io_latency_micros: args.io_latency_us,
         dop: args.dop,
-        reopt: args.reopt.then(|| ReoptConfig {
-            max_replans: args.reopt_budget.unwrap_or(2),
-            ..ReoptConfig::default()
-        }),
+        reopt: args.reopt.then(|| args.reopt()),
         ..ServiceConfig::default()
     };
     let service = QueryService::new(catalog, config);
@@ -1472,6 +1257,23 @@ mod tests {
         assert!(parse_argv(&argv(&["--sql", "q", "--reopt", "--reopt-budget", "x"]))
             .unwrap_err()
             .contains("--reopt-budget"));
+    }
+
+    #[test]
+    fn adaptive_runs_under_the_callers_limits_dop_and_tracer() {
+        let line = |extra: &[&str]| {
+            let mut parts = vec![
+                "--sql", "SELECT * FROM R1, R2 WHERE R1.jr = R2.jl AND R1.a < :v1 AND R2.a < :v2",
+                "--relations", "2", "--bind", "v1=500", "--bind", "v2=500", "--adaptive",
+            ];
+            parts.extend(extra);
+            parse_argv(&argv(&parts)).unwrap()
+        };
+        run(&line(&[])).unwrap();
+        // Exit 5, as `--run` and `--reopt` answer the same line.
+        let refused = run(&line(&["--max-rows", "1", "--dop", "4"])).unwrap_err();
+        assert_eq!(refused.exit_code(), 5, "{refused}");
+        run(&line(&["--explain-analyze", "--json", "--dop", "4"])).unwrap();
     }
 
     #[test]

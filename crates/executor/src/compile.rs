@@ -290,29 +290,37 @@ pub(crate) fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Cata
 }
 
 /// Runs a plan — static, dynamic, or already resolved — end to end: the
-/// one way in. For a dynamic plan it makes the start-up decision — once,
-/// for the whole plan, one cost-function evaluation per node — and
-/// compiles along it under the caller's [`ExecContext`], mapping
+/// one way in, in every mode. For a dynamic plan it makes the start-up
+/// decision — once, for the whole plan, one cost-function evaluation per
+/// node — and compiles along it under the caller's [`ExecContext`], mapping
 /// choose-plan nodes to the run-time [`crate::ChoosePlanExec`] (which opens
 /// the alternative the decision picked, and on a retryable failure falls
 /// back to the next cheapest by the same decision's estimates); a plan
 /// without a choose-plan node is recognised as such in O(1), evaluates
 /// nothing and compiles to exactly its operators. It drains the tree into
 /// `sink`, charging result rows against the row budget, and reports the
-/// execution summary.
+/// execution summary. A [`RootSink::Batches`] drain feeds another stage —
+/// a shard's repartition, a checkpoint, an exchange — and is not a query
+/// result: its rows are not charged.
 ///
 /// **The context is the options, the handles the caller attached are the
-/// outputs.** Resource limits, degree of parallelism and tracing ride in
-/// `ctx` ([`ExecContext::with_limits`] / [`ExecContext::with_dop`] /
-/// [`ExecContext::with_tracer`]); counters accumulate into
-/// `ctx.counters`, cancellation goes through `ctx.governor`, and a trace
-/// is read from the [`crate::Tracer`] the caller kept. Results, counter
-/// totals and fallback behavior are the same at every DOP (rows up to
-/// multiset order) and with or without a tracer — the parallel-parity and
-/// observability suites pin that down. Whoever wants the start-up
-/// decision itself calls [`dqep_plan::evaluate_startup`] and hands the
-/// result in with [`ExecContext::with_decision`]: the run then follows
-/// that decision instead of making its own
+/// outputs.** Resource limits, degree of parallelism, tracing and
+/// mid-query re-optimization ride in `ctx` ([`ExecContext::with_limits`] /
+/// [`ExecContext::with_dop`] / [`ExecContext::with_tracer`] /
+/// [`ExecContext::with_reopt`]); counters accumulate into `ctx.counters`,
+/// cancellation goes through `ctx.governor`, a trace is read from the
+/// [`crate::Tracer`] the caller kept, and the re-optimization audit trail,
+/// the decision in force and what the checkpoints cost from the
+/// [`crate::ReoptState`] it kept. Under a re-optimization state the run is
+/// the checkpointing driver of [`crate::ReoptState`]'s module: the state's
+/// first target and the blocking inputs are materialized and observed
+/// before the plan runs over what they retained, and the summary covers
+/// all of it. Results, counter totals and fallback behavior are the same
+/// at every DOP (rows up to multiset order) and with or without a tracer —
+/// the parallel-parity and observability suites pin that down. Whoever
+/// wants the start-up decision itself calls [`dqep_plan::evaluate_startup`]
+/// and hands the result in with [`ExecContext::with_decision`]: the run
+/// then follows that decision instead of making its own
 /// ([`ExecSummary::startup_nodes`] says how many cost functions a run
 /// evaluated).
 ///
@@ -323,8 +331,29 @@ pub(crate) fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Cata
 ///
 /// # Errors
 /// Any [`ExecError`] from compilation or execution, including
-/// [`ExecError::ResourceExhausted`] when a budget is exceeded.
+/// [`ExecError::ResourceExhausted`] when a budget is exceeded; under
+/// re-optimization a retryable one only once it has survived the whole
+/// degradation ladder. A re-optimization state that already drove a run is
+/// refused.
 pub fn run(
+    plan: &Plan,
+    db: &StoredDatabase,
+    catalog: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+    ctx: &ExecContext,
+    sink: RootSink<'_>,
+) -> Result<ExecSummary, ExecError> {
+    match &ctx.reopt {
+        Some(state) => crate::reopt::drive(state, plan, db, catalog, env, bindings, ctx, sink),
+        None => run_once(plan, db, catalog, env, bindings, ctx, sink),
+    }
+}
+
+/// One compile-and-drain of `plan` under `ctx` as it is: all of [`run`]
+/// without a re-optimization state, and the final run of the driver with
+/// one.
+pub(crate) fn run_once(
     plan: &Plan,
     db: &StoredDatabase,
     catalog: &Catalog,
@@ -338,7 +367,8 @@ pub fn run(
     db.disk.reset_temp_high_water();
     let mut op =
         crate::choose::compile_dynamic_plan(plan, db, catalog, env, bindings, memory_bytes, ctx)?;
-    let rows = drain_root(op.as_mut(), Some(&ctx.governor), sink)?;
+    let budget = (!matches!(sink, RootSink::Batches(_))).then_some(&ctx.governor);
+    let rows = drain_root(op.as_mut(), budget, sink)?;
     Ok(ExecSummary {
         rows,
         cpu: ctx.counters.snapshot(),

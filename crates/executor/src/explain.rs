@@ -483,10 +483,7 @@ mod tests {
         use crate::trace::{SpanId, SpanRecord, SpanStats};
         use dqep_interval::Interval;
         use dqep_plan::NodeId;
-        let state = ReoptState::new(ReoptConfig {
-            backoff_base_ms: 0,
-            ..ReoptConfig::default()
-        });
+        let state = ReoptState::new(ReoptConfig::default());
         state.observe_checkpoint(NodeId(5), "Filter", Interval::new(20.0, 40.0), 700);
         assert!(state.request_replan(&crate::governor::ResourceGovernor::unlimited()));
         state.record_replan(NodeId(5), "re-arbitrated remaining plan");

@@ -258,10 +258,11 @@ pub struct ExecContext {
     /// root). Maintained by the compiler, not by callers.
     pub span_parent: Option<crate::trace::SpanId>,
     /// Mid-query re-optimization state, `None` (the default) when
-    /// re-optimization is disabled. With state, [`crate::compile_plan`]
-    /// substitutes retained intermediates for their plan nodes, attaches
-    /// checkpoint probes to pipeline breakers, and choose-plan operators
-    /// arbitrate with the checkpoint observations applied.
+    /// re-optimization is disabled. With state, [`crate::run`] is the
+    /// checkpointing driver, [`crate::compile_plan`] substitutes retained
+    /// intermediates for their plan nodes and attaches checkpoint probes
+    /// to pipeline breakers, and choose-plan operators arbitrate with the
+    /// checkpoint observations applied.
     pub reopt: Option<Arc<crate::reopt::ReoptState>>,
     /// The start-up decision of the plan being run — made once for the
     /// whole plan, read by every choose-plan operator compiled under this
@@ -300,9 +301,12 @@ impl ExecContext {
         self
     }
 
-    /// The same context with mid-query re-optimization enabled: compiled
-    /// plans substitute retained intermediates, pipeline breakers fire
-    /// checkpoint probes, and arbitrations apply checkpoint observations.
+    /// The same context with mid-query re-optimization enabled:
+    /// [`crate::run`] checkpoints and re-arbitrates (a fresh state per
+    /// run), compiled plans substitute retained intermediates, pipeline
+    /// breakers fire checkpoint probes, and arbitrations apply checkpoint
+    /// observations. The caller keeps its `Arc` to read the audit trail
+    /// afterwards.
     #[must_use]
     pub fn with_reopt(mut self, reopt: Arc<crate::reopt::ReoptState>) -> ExecContext {
         self.reopt = Some(reopt);

@@ -4,18 +4,19 @@
 //! file scans, B-tree scans and range probes, filters, in-memory and
 //! partitioned (Grace) hash joins, merge joins, index nested-loop joins,
 //! and external sort — every algorithm of the paper's physical algebra
-//! (Table 1). There is **one way in**: [`run`] compiles a plan — static,
-//! dynamic or already resolved — under the caller's [`ExecContext`] and
-//! drains it into the caller's [`RootSink`]. For a dynamic plan it makes
+//! (Table 1). There is **one way in**, in every mode: [`run`] compiles a
+//! plan — static, dynamic or already resolved — under the caller's
+//! [`ExecContext`] and drains it into the caller's [`RootSink`]. For a dynamic plan it makes
 //! the Section 4 start-up decision first — **once, for the whole plan**,
 //! every node's cost function evaluated once with the actual bindings —
 //! and compiles along it: a choose-plan node becomes a [`ChoosePlanExec`],
 //! which opens the alternative that decision picked and is the point
 //! where execution falls back should it fail
-//! ([`ExecSummary::startup_nodes`] counts the evaluations). ([`run_reopt`]
-//! is the same entry for the checkpointing re-optimization driver, a
-//! different algorithm over the same operators and the same one decision
-//! in force.)
+//! ([`ExecSummary::startup_nodes`] counts the evaluations). A context that
+//! carries a [`ReoptState`] makes the same call the checkpointing
+//! re-optimization driver — blocking inputs (and the Section 7 pilot, if
+//! the state names one) materialized, observed and retained before the
+//! plan runs over them, one decision in force throughout.
 //!
 //! Execution is *simulated-time measured*: every page access is accounted
 //! by the simulated disk and every record/comparison/hash by CPU counters,
@@ -45,7 +46,6 @@
 // The executor is the hot path; keep the perf lint group clean.
 #![deny(clippy::perf)]
 
-pub mod adaptive;
 mod batch;
 mod choose;
 mod compile;
@@ -69,7 +69,6 @@ mod sort;
 mod trace;
 mod tuple;
 
-pub use adaptive::{execute_adaptive, AdaptiveResult};
 pub use batch::{RowBatch, RowBatchIter, BATCH_CAPACITY};
 pub use choose::{compile_dynamic_plan, ChoosePlanExec};
 pub use compile::{compile_plan, execute_plan_dop, run};
@@ -93,8 +92,8 @@ pub use netexchange::{
     NetChannel, NetConfig, NetStats, SimNet, FRAME_HEADER_BYTES,
 };
 pub use reopt::{
-    escapes_interval, run_reopt, MaterializedScanExec, ReoptConfig, ReoptCounters, ReoptEvent,
-    ReoptEventKind, ReoptOutcome, ReoptReport, ReoptState,
+    escapes_interval, pick_pilot, MaterializedScanExec, ReoptConfig, ReoptCounters, ReoptEvent,
+    ReoptEventKind, ReoptReport, ReoptState,
 };
 pub use sort::{kway_merge, sort_batches, SortExec};
 pub use trace::{

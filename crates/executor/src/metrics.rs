@@ -26,6 +26,16 @@ impl CpuCounters {
             + self.compares as f64 * config.cpu_per_compare
             + self.hashes as f64 * config.cpu_per_hash
     }
+
+    /// Counter difference (`self` later than `earlier`).
+    #[must_use]
+    pub fn since(&self, earlier: &CpuCounters) -> CpuCounters {
+        CpuCounters {
+            records: self.records - earlier.records,
+            compares: self.compares - earlier.compares,
+            hashes: self.hashes - earlier.hashes,
+        }
+    }
 }
 
 /// Merging per-session counters into service-level totals. Each session

@@ -8,20 +8,23 @@
 //! exchange's worker join — where an entire intermediate result is
 //! materialized and its actual cardinality is known exactly.
 //!
-//! [`run_reopt`] closes the loop the EXPLAIN ANALYZE drift detector only
-//! observes:
+//! [`crate::run`] under a context that carries a [`ReoptState`]
+//! ([`ExecContext::with_reopt`]) closes the loop the EXPLAIN ANALYZE drift
+//! detector only observes:
 //!
 //! 1. **Checkpoints.** Blocking inputs along the arbitrated path are
 //!    materialized deepest-first ([`dqep_plan::next_blocking_input`]).
 //!    Each materialization is a checkpoint: the observed cardinality is
-//!    compared against the compile-time interval (with the same slack the
-//!    drift detector uses).
+//!    compared against the bind-time interval (with the same slack the
+//!    drift detector uses). The paper's Section 7 pilot — "evaluating
+//!    subplans as part of choose-plan decision procedures" — is the same
+//!    loop told which subplan to observe first
+//!    ([`ReoptState::observing_first`], [`pick_pilot`]).
 //! 2. **Bounded re-planning.** On escape, the *remaining* plan is
 //!    re-arbitrated via [`dqep_plan::evaluate_startup_observed`] with the
 //!    observation applied — under a per-query re-optimization budget (max
-//!    re-plans, a wall-clock cap, exponential backoff between attempts)
-//!    enforced with the [`ResourceGovernor`], so recovery can never cost
-//!    more than the misestimate it fixes.
+//!    re-plans, a wall-clock cap) enforced with the [`ResourceGovernor`],
+//!    so recovery can never cost more than the misestimate it fixes.
 //! 3. **No repeated work.** Retained intermediates are substituted into
 //!    the re-planned execution as [`MaterializedScanExec`] leaves, keyed
 //!    by original plan-node id — the build table that triggered the
@@ -36,11 +39,15 @@
 //!    → governed failure.
 //!
 //! Every step is recorded as a [`ReoptEvent`] in the [`ReoptReport`],
-//! rendered by EXPLAIN ANALYZE and exported by the service metrics.
+//! rendered by EXPLAIN ANALYZE and exported by the service metrics. The
+//! state is the switch and the output, as a [`crate::Tracer`] is: the
+//! caller keeps the `Arc` it attached and reads [`ReoptState::report`],
+//! [`ReoptState::in_force`] and [`ReoptState::checkpoint_cost`] off it once
+//! `run` has returned.
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dqep_catalog::Catalog;
 use dqep_cost::{Bindings, Environment};
@@ -50,6 +57,7 @@ use dqep_storage::StoredDatabase;
 use parking_lot::Mutex;
 
 use crate::batch::{BatchCursor, RowBatch};
+use crate::compile::run_once;
 use crate::error::ExecError;
 use crate::exec::{drain_root, Operator, RootSink};
 use crate::governor::{ExecContext, ResourceGovernor};
@@ -65,10 +73,6 @@ pub struct ReoptConfig {
     /// from query start: past this, re-plan requests are denied and the
     /// current plan runs to completion.
     pub wall_clock_ms: u64,
-    /// Base of the exponential backoff slept before the n-th re-plan
-    /// (`base · 2ⁿ` ms, capped at one second). Zero disables the sleep
-    /// (deterministic tests).
-    pub backoff_base_ms: u64,
 }
 
 impl Default for ReoptConfig {
@@ -76,7 +80,6 @@ impl Default for ReoptConfig {
         ReoptConfig {
             max_replans: 2,
             wall_clock_ms: 10_000,
-            backoff_base_ms: 1,
         }
     }
 }
@@ -208,6 +211,14 @@ struct ReoptInner {
     version: u64,
     /// The start-up decision in force and the `version` it was made at.
     decision: Option<(u64, Arc<StartupResult>)>,
+    /// The subplan to observe before any blocking input, if the caller
+    /// named one; taken by the run this state drives.
+    first_target: Option<NodeId>,
+    /// Set by the run this state drives: a state holds one query's
+    /// observations and budget and is not reused for a second.
+    driven: bool,
+    /// What the checkpoint materializations cost (rows, CPU, I/O).
+    checkpoint_cost: ExecSummary,
 }
 
 impl ReoptInner {
@@ -269,6 +280,31 @@ impl ReoptState {
         }
     }
 
+    /// The same state told which subplan to observe first: the run
+    /// materializes `target` — whatever kind of node it is — before the
+    /// first blocking input, observes it and retains it like any other
+    /// checkpoint, and goes on from there. `None` changes nothing.
+    /// [`pick_pilot`] picks the paper's Section 7 pilot.
+    #[must_use]
+    pub fn observing_first(mut self, target: Option<NodeId>) -> ReoptState {
+        self.inner.get_mut().first_target = target;
+        self
+    }
+
+    /// Claims the state for the run it drives and hands out the first
+    /// target. A second claim is refused: the observations, retained
+    /// intermediates and spent budget of one query must not leak into
+    /// another.
+    fn begin(&self) -> Result<Option<NodeId>, ExecError> {
+        let mut inner = self.inner.lock();
+        if std::mem::replace(&mut inner.driven, true) {
+            return Err(ExecError::Internal(
+                "a re-optimization state drives one run; this one already has".into(),
+            ));
+        }
+        Ok(inner.first_target.take())
+    }
+
     /// Makes the start-up decision anew — `evaluate` runs the decision
     /// procedure for the whole plan under the observations in force — and
     /// puts it in force for every run launched from here on. The driver's
@@ -305,8 +341,10 @@ impl ReoptState {
     }
 
     /// The start-up decision last put in force, whatever has been observed
-    /// since.
-    fn in_force(&self) -> Option<Arc<StartupResult>> {
+    /// since — after a run, the arbitration it completed under (the
+    /// original one if the query fell back). `None` before a run.
+    #[must_use]
+    pub fn in_force(&self) -> Option<Arc<StartupResult>> {
         self.inner.lock().decision.as_ref().map(|(_, decision)| Arc::clone(decision))
     }
 
@@ -343,10 +381,9 @@ impl ReoptState {
         escaped
     }
 
-    /// Requests one re-plan against the budget. Grants consume an attempt
-    /// and sleep the exponential backoff; denials (budget exhausted, wall
-    /// cap passed, or the governor objecting) record a
-    /// [`ReoptEventKind::ReplanDenied`] event.
+    /// Requests one re-plan against the budget. Grants consume an attempt;
+    /// denials (budget exhausted, wall cap passed, or the governor
+    /// objecting) record a [`ReoptEventKind::ReplanDenied`] event.
     pub fn request_replan(&self, governor: &ResourceGovernor) -> bool {
         let mut inner = self.inner.lock();
         inner.counters.replans_attempted += 1;
@@ -371,16 +408,7 @@ impl ReoptState {
             inner.log(ReoptEventKind::ReplanDenied, None, reason);
             return false;
         }
-        let backoff_ms = self
-            .config
-            .backoff_base_ms
-            .saturating_mul(1u64 << inner.attempts.min(10))
-            .min(1_000);
         inner.attempts += 1;
-        drop(inner);
-        if backoff_ms > 0 {
-            std::thread::sleep(Duration::from_millis(backoff_ms));
-        }
         true
     }
 
@@ -476,6 +504,15 @@ impl ReoptState {
         self.inner.lock().counters
     }
 
+    /// What the checkpoint materializations of the run cost — rows
+    /// materialized, CPU and I/O — all of it included in the run's own
+    /// [`ExecSummary`]. The rest of that summary is the execution proper,
+    /// which served every retained intermediate instead of computing it.
+    #[must_use]
+    pub fn checkpoint_cost(&self) -> ExecSummary {
+        self.inner.lock().checkpoint_cost
+    }
+
     /// The full audit trail.
     #[must_use]
     pub fn report(&self) -> ReoptReport {
@@ -553,49 +590,76 @@ impl Operator for MaterializedScanExec {
     }
 }
 
-/// What one re-optimizing execution reports back. The result rows went to
-/// the sink [`run_reopt`] was given.
-#[derive(Debug)]
-pub struct ReoptOutcome {
-    /// Execution accounting (rows, CPU, I/O, fallbacks) across the
-    /// checkpoints and the final run.
-    pub summary: ExecSummary,
-    /// The arbitration in force at completion (the original one if the
-    /// query fell back).
-    pub startup: Arc<StartupResult>,
-    /// The re-optimization audit trail.
-    pub report: ReoptReport,
+/// Picks the pilot subplan of the paper's Section 7 ("evaluating subplans
+/// as part of choose-plan decision procedures"): the largest (deepest)
+/// subplan that (a) appears in every alternative of the root choose-plan
+/// and (b) has an uncertain compile-time cardinality — what a run should
+/// observe first ([`ReoptState::observing_first`]) so that its temporary
+/// result's cardinality contributes to the decision. The pilot may itself
+/// contain choose-plans. Returns `None` when the plan has no root
+/// choose-plan or no eligible shared subplan.
+#[must_use]
+pub fn pick_pilot(plan: &Plan) -> Option<NodeId> {
+    if !plan.root_node().is_choose_plan() {
+        return None;
+    }
+    // In how many alternatives each node appears: one descending sweep
+    // per alternative (a node's parents come after it).
+    let alternatives = plan.children(plan.root());
+    let mut appearances = vec![0usize; plan.len()];
+    let mut reached = vec![false; plan.len()];
+    for alt in alternatives {
+        reached.fill(false);
+        reached[alt.index()] = true;
+        for (id, _) in plan.iter().rev() {
+            if reached[id.index()] {
+                appearances[id.index()] += 1;
+                for c in plan.children(id) {
+                    reached[c.index()] = true;
+                }
+            }
+        }
+    }
+    // Among the nodes every alternative shares, the deepest eligible one;
+    // of equals, the first.
+    let mut depth = vec![0usize; plan.len()];
+    let mut best: Option<(usize, NodeId)> = None;
+    for (id, node) in plan.iter() {
+        let below = plan.children(id).iter().map(|c| depth[c.index()]).max();
+        depth[id.index()] = 1 + below.unwrap_or(0);
+        let eligible = appearances[id.index()] == alternatives.len() && !node.stats.card.is_point();
+        if eligible && best.is_none_or(|(d, _)| depth[id.index()] > d) {
+            best = Some((depth[id.index()], id));
+        }
+    }
+    best.map(|(_, id)| id)
 }
 
-/// Executes a dynamic plan with mid-query re-optimization (see the module
-/// docs): checkpoint the blocking inputs, re-arbitrate the remainder on
-/// escape within the [`ReoptConfig`] budget, reuse every retained
-/// intermediate, degrade gracefully under memory pressure, and fall back
-/// to the original plan when re-planning itself fails.
-///
-/// The caller's [`ExecContext`] is the options, exactly as for
-/// [`crate::run`] — counters, governor (so cooperative cancellation keeps
-/// working), DOP, tracer — and a fresh [`ReoptState`] is attached to it
-/// for the duration of this execution. The result rows of the final run
-/// go to `sink`; with a tracer, its report carries the audit trail.
-///
-/// # Errors
-/// Any non-retryable [`ExecError`], or a retryable one that survived the
-/// whole degradation ladder.
+/// What [`crate::run`] does under a context that carries `state` (see the
+/// module docs): observe the state's first target if it names one, then
+/// checkpoint the blocking inputs, re-arbitrate the remainder on escape
+/// within the [`ReoptConfig`] budget, reuse every retained intermediate,
+/// degrade gracefully under memory pressure, and fall back to the original
+/// plan when re-planning itself fails. The result rows of the final run go
+/// to `sink`; the summary covers checkpoints and final run alike; with a
+/// tracer, its report carries the audit trail.
 #[allow(clippy::too_many_arguments)]
-pub fn run_reopt(
+pub(crate) fn drive(
+    state: &ReoptState,
     plan: &Plan,
     db: &StoredDatabase,
     catalog: &Catalog,
     env: &Environment,
     bindings: &Bindings,
-    config: ReoptConfig,
     ctx: &ExecContext,
     mut sink: RootSink<'_>,
-) -> Result<ReoptOutcome, ExecError> {
-    let state = Arc::new(ReoptState::new(config));
-    let ctx = &ctx.clone().with_reopt(Arc::clone(&state));
+) -> Result<ExecSummary, ExecError> {
+    let mut first = state.begin()?;
+    if first.is_some_and(|target| target.index() >= plan.len()) {
+        return Err(ExecError::Internal("the first target is not a node of this plan".into()));
+    }
     let io_before = db.disk.stats();
+    let cpu_before = ctx.counters.snapshot();
     db.disk.reset_temp_high_water();
 
     // The start-up decision under the observations gathered so far: the
@@ -609,10 +673,14 @@ pub fn run_reopt(
     let mut startup = arbitrate(&exec_bindings);
     let mut done: HashSet<NodeId> = HashSet::new();
     let mut replanned = false;
+    let mut checkpoint_rows = 0;
 
-    // Checkpoint loop: materialize the blocking inputs along the chosen
-    // path deepest-first, observing each and re-arbitrating on escape.
-    while let Some(target) = next_blocking_input(plan, &startup.decisions, &done) {
+    // Checkpoint loop: the first target, then the blocking inputs along
+    // the chosen path deepest-first, observing each and re-arbitrating on
+    // escape.
+    while let Some(target) =
+        first.take().or_else(|| next_blocking_input(plan, &startup.decisions, &done))
+    {
         done.insert(target);
         let node = &plan[target];
         // Materialize the checkpoint subtree into the batches that will be
@@ -643,6 +711,7 @@ pub fn run_reopt(
             }
             Err(e) => return Err(e),
         };
+        checkpoint_rows += actual;
         // Escape against the *bind-time* estimate: host variables are
         // bound and prior observations applied, so this interval is what
         // the in-force arbitration actually believed. The compile-time
@@ -683,17 +752,22 @@ pub fn run_reopt(
             }
         }
     }
+    state.inner.lock().checkpoint_cost = ExecSummary {
+        rows: checkpoint_rows,
+        cpu: ctx.counters.snapshot().since(&cpu_before),
+        io: db.disk.stats().since(&io_before),
+        ..ExecSummary::default()
+    };
 
     // Final run over the original dynamic plan: choose-plan operators
     // follow the arbitration in force (refreshed if a probe observes
     // something newer on the way) and the compiler serves retained
-    // intermediates in place of their subtrees. `run` restarts
-    // the temp-page high-water, so the checkpoints' is read off first.
+    // intermediates in place of their subtrees. A run restarts the
+    // temp-page high-water, so the checkpoints' is read off first.
     state.release_reservations(&ctx.governor);
     let mut temp_pages_peak = db.disk.temp_pages().high_water;
     let mark = sink.mark();
-    let last = match crate::compile::run(plan, db, catalog, env, &exec_bindings, ctx, sink.reborrow())
-    {
+    let last = match run_once(plan, db, catalog, env, &exec_bindings, ctx, sink.reborrow()) {
         Ok(last) => last,
         Err(e) if e.is_retryable() && replanned => {
             // Last rung before governed failure: suppress the
@@ -706,25 +780,20 @@ pub fn run_reopt(
             sink.truncate(mark);
             temp_pages_peak = temp_pages_peak.max(db.disk.temp_pages().high_water);
             arbitrate(bindings);
-            crate::compile::run(plan, db, catalog, env, bindings, ctx, sink)?
+            run_once(plan, db, catalog, env, bindings, ctx, sink)?
         }
         Err(e) => return Err(e),
     };
 
-    // Report the arbitration in force at completion — the one the last
-    // choose-plan operator opened under — and the whole execution's I/O,
-    // failed attempt and checkpoints included.
-    let startup = state.in_force().unwrap_or(startup);
-    let summary = ExecSummary {
+    // The whole execution's I/O, failed attempt and checkpoints included.
+    if let Some(tracer) = &ctx.tracer {
+        tracer.set_reopt(state.report());
+    }
+    Ok(ExecSummary {
         io: db.disk.stats().since(&io_before),
         temp_pages_peak: temp_pages_peak.max(last.temp_pages_peak),
         ..last
-    };
-    let report = state.report();
-    if let Some(tracer) = &ctx.tracer {
-        tracer.set_reopt(report.clone());
-    }
-    Ok(ReoptOutcome { summary, startup, report })
+    })
 }
 
 #[cfg(test)]
@@ -740,10 +809,10 @@ mod tests {
     use dqep_core::Optimizer;
     use dqep_storage::{FaultPlan, ValueDistribution};
 
-    /// The adaptive module's skewed-join shape: a filtered Zipf relation
-    /// joined to a second relation. Uniform estimates are badly wrong
-    /// about `a < 30`, so the first checkpoint escapes its interval.
-    fn skewed_fixture() -> (Catalog, StoredDatabase, Arc<Plan>, Environment, Bindings) {
+    /// A join whose uncertain input is Zipf-skewed: uniform estimates are
+    /// badly wrong about `a < :0`, so the plain start-up decision misfires
+    /// while a decision that has observed the input does not.
+    fn skewed_join() -> (Catalog, StoredDatabase, LogicalExpr) {
         let cat = CatalogBuilder::new(SystemConfig::paper_1994())
             .relation("r", 800, 512, |r| {
                 r.attr("a", 800.0).attr("j", 200.0).btree("a", false).btree("j", false)
@@ -767,6 +836,14 @@ mod tests {
                 LogicalExpr::get(s.id),
                 vec![JoinPred::new(r.attr_id("j").unwrap(), s.attr_id("j").unwrap())],
             );
+        (cat, db, q)
+    }
+
+    /// [`skewed_join`] optimized, with a binding that looks selective
+    /// (30/800 ≈ 4%) but matches most of the relation: the first
+    /// checkpoint escapes its interval.
+    fn skewed_fixture() -> (Catalog, StoredDatabase, Arc<Plan>, Environment, Bindings) {
+        let (cat, db, q) = skewed_join();
         let env = Environment::dynamic_compile_time(&cat.config);
         let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
         let bindings = Bindings::new().with_value(HostVar(0), 30);
@@ -778,14 +855,36 @@ mod tests {
         rows
     }
 
-    fn quick_config() -> ReoptConfig {
-        ReoptConfig {
-            backoff_base_ms: 0,
-            ..ReoptConfig::default()
-        }
+    /// What a re-optimizing run leaves behind: the summary [`crate::run`]
+    /// returned, and the decision in force and the audit trail read off
+    /// the state the caller kept.
+    struct Outcome {
+        summary: ExecSummary,
+        startup: Arc<StartupResult>,
+        report: ReoptReport,
+        state: Arc<ReoptState>,
     }
 
-    /// [`run_reopt`] under `limits`, its rows collected.
+    /// [`crate::run`] under a fresh re-optimization state that observes
+    /// `first` first.
+    fn reopt_run(
+        plan: &Plan,
+        db: &StoredDatabase,
+        cat: &Catalog,
+        env: &Environment,
+        bindings: &Bindings,
+        first: Option<NodeId>,
+        ctx: ExecContext,
+        sink: RootSink<'_>,
+    ) -> Result<Outcome, ExecError> {
+        let state = Arc::new(ReoptState::new(ReoptConfig::default()).observing_first(first));
+        let ctx = ctx.with_reopt(Arc::clone(&state));
+        let summary = crate::run(plan, db, cat, env, bindings, &ctx, sink)?;
+        let startup = state.in_force().expect("a run leaves its decision in force");
+        Ok(Outcome { summary, startup, report: state.report(), state })
+    }
+
+    /// A re-optimizing run under `limits`, its rows collected.
     fn reopt_rows(
         plan: &Plan,
         db: &StoredDatabase,
@@ -793,13 +892,35 @@ mod tests {
         env: &Environment,
         bindings: &Bindings,
         limits: ResourceLimits,
-    ) -> (ReoptOutcome, Vec<Tuple>) {
+    ) -> (Outcome, Vec<Tuple>) {
         let ctx = ExecContext::with_limits(SharedCounters::new(), limits);
         let mut rows = Vec::new();
         let sink = RootSink::Rows(&mut rows);
-        let outcome = run_reopt(plan, db, cat, env, bindings, quick_config(), &ctx, sink).unwrap();
+        let outcome = reopt_run(plan, db, cat, env, bindings, None, ctx, sink).unwrap();
         assert_eq!(outcome.summary.rows, rows.len() as u64);
         (outcome, rows)
+    }
+
+    /// The same run with the Section 7 pilot as its first target, and what
+    /// its main execution — everything but the checkpoints — cost.
+    fn piloted(
+        plan: &Plan,
+        db: &StoredDatabase,
+        cat: &Catalog,
+        env: &Environment,
+        bindings: &Bindings,
+    ) -> (Outcome, ExecSummary) {
+        let ctx = ExecContext::new(SharedCounters::new());
+        let first = pick_pilot(plan);
+        let outcome =
+            reopt_run(plan, db, cat, env, bindings, first, ctx, RootSink::Discard).unwrap();
+        let pilot = outcome.state.checkpoint_cost();
+        let main = ExecSummary {
+            cpu: outcome.summary.cpu.since(&pilot.cpu),
+            io: outcome.summary.io.since(&pilot.io),
+            ..outcome.summary
+        };
+        (outcome, main)
     }
 
     /// Baseline result and I/O of the plain dynamic execution.
@@ -946,7 +1067,6 @@ mod tests {
         let state = ReoptState::new(ReoptConfig {
             max_replans: 1,
             wall_clock_ms: u64::MAX,
-            backoff_base_ms: 0,
         });
         let gov = ResourceGovernor::unlimited();
         assert!(state.request_replan(&gov));
@@ -966,15 +1086,13 @@ mod tests {
         let state = ReoptState::new(ReoptConfig {
             max_replans: 10,
             wall_clock_ms: 0,
-            backoff_base_ms: 0,
         });
-        std::thread::sleep(Duration::from_millis(2));
+        std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(!state.request_replan(&ResourceGovernor::unlimited()));
 
         let state = ReoptState::new(ReoptConfig {
             max_replans: 10,
             wall_clock_ms: u64::MAX,
-            backoff_base_ms: 0,
         });
         let gov = ResourceGovernor::unlimited();
         gov.cancel();
@@ -1076,5 +1194,146 @@ mod tests {
         assert_eq!(drain(&mut op).unwrap(), vec![vec![1i64], vec![2], vec![4]]);
         // Re-open serves again from the start.
         assert_eq!(drain(&mut op).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn pilot_is_a_shared_uncertain_subplan() {
+        let (cat, _db, q) = skewed_join();
+        let env = Environment::dynamic_compile_time(&cat.config);
+        let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
+        // Query-1-shaped plans have a root choose-plan over scan variants.
+        if let Some(pilot) = pick_pilot(&plan) {
+            assert!(!plan[pilot].stats.card.is_point());
+        }
+        // A static plan never yields a pilot.
+        let senv = Environment::static_compile_time(&cat.config);
+        let splan = Optimizer::new(&cat, &senv).optimize(&q).unwrap().plan;
+        assert!(pick_pilot(&splan).is_none());
+    }
+
+    #[test]
+    fn observation_corrects_skew_blind_decisions() {
+        let (cat, db, plan, env, bindings) = skewed_fixture();
+
+        // Plain start-up execution (estimation-blind).
+        let ctx = ExecContext::new(SharedCounters::new());
+        let blind_exec =
+            crate::run(&plan, &db, &cat, &env, &bindings, &ctx, RootSink::Discard).unwrap();
+
+        // The same plan with the pilot observed first.
+        let (adaptive, main) = piloted(&plan, &db, &cat, &env, &bindings);
+        assert_eq!(adaptive.summary.rows, blind_exec.rows, "same logical result");
+
+        let pilot = pick_pilot(&plan).expect("join fixture has a pilot");
+        let first = &adaptive.report.events[0];
+        assert_eq!((first.kind, first.node), (ReoptEventKind::Checkpoint, Some(pilot)));
+        // The observation must be the true pilot cardinality, far from
+        // the uniform estimate.
+        let rows = first.observed.unwrap();
+        assert!(rows > 100.0, "zipf: most rows qualify, got {rows}");
+        let cfg = &cat.config;
+        // The adaptive MAIN execution is no slower than the blind one
+        // (it may equal it when the blind decision was already right).
+        assert!(
+            main.simulated_seconds(cfg) <= blind_exec.simulated_seconds(cfg) + 1e-9,
+            "adaptive main {:.4}s vs blind {:.4}s",
+            main.simulated_seconds(cfg),
+            blind_exec.simulated_seconds(cfg)
+        );
+    }
+
+    #[test]
+    fn pilot_rows_are_reused_not_recomputed() {
+        let (cat, db, plan, env, bindings) = skewed_fixture();
+        let (adaptive, main) = piloted(&plan, &db, &cat, &env, &bindings);
+        let pilot = adaptive.state.checkpoint_cost();
+        assert!(pilot.io.total() > 0, "pilot reads its base relation");
+
+        // What the same chosen plan costs when executed from scratch.
+        let ctx = ExecContext::new(SharedCounters::new());
+        let before = db.disk.stats();
+        let grant = grant_bytes(&bindings, &env, &cat);
+        let mut op =
+            crate::compile::compile_plan(&adaptive.startup.resolved, &db, &cat, &bindings, grant, &ctx)
+                .unwrap();
+        let rows = drain_root(op.as_mut(), None, RootSink::Discard).unwrap();
+        let scratch_io = db.disk.stats().since(&before);
+
+        assert_eq!(rows, main.rows, "same logical result");
+        assert!(
+            main.io.total() < scratch_io.total(),
+            "serving the retained pilot rows must save the pilot subtree's \
+             I/O: main {:?} vs from-scratch {:?}",
+            main.io,
+            scratch_io
+        );
+    }
+
+    #[test]
+    fn adaptive_on_uniform_data_changes_nothing() {
+        // With accurate estimates the observation agrees with the
+        // estimate and the same plan is chosen.
+        let cat = CatalogBuilder::new(SystemConfig::paper_1994())
+            .relation("r", 500, 512, |r| r.attr("a", 500.0).btree("a", false))
+            .build()
+            .unwrap();
+        let db = StoredDatabase::generate(&cat, 5);
+        let rel = cat.relation_by_name("r").unwrap();
+        let q = LogicalExpr::get(rel.id).select(SelectPred::unbound(
+            rel.attr_id("a").unwrap(),
+            CompareOp::Lt,
+            HostVar(0),
+        ));
+        let env = Environment::dynamic_compile_time(&cat.config);
+        let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
+        let bindings = Bindings::new().with_value(HostVar(0), 400);
+
+        let blind = dqep_plan::evaluate_startup(&plan, &cat, &env, &bindings);
+        let (adaptive, _) = piloted(&plan, &db, &cat, &env, &bindings);
+        assert_eq!(
+            adaptive.startup.resolved.root_node().op.name(),
+            blind.resolved.root_node().op.name(),
+            "accurate estimates: observation should not change the choice"
+        );
+        assert!(adaptive.summary.simulated_seconds(&cat.config) > 0.0);
+    }
+
+    #[test]
+    fn the_callers_context_governs_the_pilot_path() {
+        let (cat, db, plan, env, bindings) = skewed_fixture();
+        let first = pick_pilot(&plan);
+        assert!(first.is_some(), "join fixture has a pilot");
+        let run = |ctx| {
+            reopt_run(&plan, &db, &cat, &env, &bindings, first, ctx, RootSink::Discard)
+                .map(|outcome| outcome.summary.rows)
+        };
+
+        let one_row = ResourceLimits { max_rows: Some(1), ..ResourceLimits::default() };
+        assert_eq!(
+            run(ExecContext::with_limits(SharedCounters::new(), one_row)).unwrap_err(),
+            ExecError::ResourceExhausted(crate::error::Resource::Rows { limit: 1 })
+        );
+
+        let ctx = ExecContext::new(SharedCounters::new());
+        ctx.governor.cancel();
+        assert_eq!(run(ctx).unwrap_err(), ExecError::Cancelled);
+
+        // Parallelism reaches it too, and changes nothing.
+        let serial = run(ExecContext::new(SharedCounters::new())).unwrap();
+        assert_eq!(run(ExecContext::new(SharedCounters::new()).with_dop(4)).unwrap(), serial);
+    }
+
+    #[test]
+    fn a_state_that_drove_a_run_is_refused_for_a_second() {
+        let (cat, db, plan, env, bindings) = skewed_fixture();
+        let state = Arc::new(ReoptState::new(ReoptConfig::default()));
+        let ctx = ExecContext::new(SharedCounters::new()).with_reopt(Arc::clone(&state));
+        let run = || crate::run(&plan, &db, &cat, &env, &bindings, &ctx, RootSink::Discard);
+        let first = run().unwrap();
+        let report = state.report();
+        assert!(report.counters.checkpoints >= 1);
+        assert!(matches!(run(), Err(ExecError::Internal(_))), "not silently reused");
+        assert_eq!(state.report().counters, report.counters, "and not touched");
+        assert!(first.rows > 0);
     }
 }

@@ -382,7 +382,7 @@ pub struct TraceReport {
     /// Choose-plan audits, in arbitration order.
     pub audits: Vec<ChooseAudit>,
     /// Mid-query re-optimization audit trail; empty (the default) unless
-    /// the execution ran through [`crate::run_reopt`].
+    /// the execution ran under a [`crate::ReoptState`].
     pub reopt: crate::reopt::ReoptReport,
 }
 

@@ -23,7 +23,7 @@ use dqep_catalog::{
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    run, run_reopt, ExecContext, ExecSummary, ReoptConfig, RootSink, SharedCounters, Tracer,
+    run, ExecContext, ExecSummary, ReoptConfig, ReoptState, RootSink, SharedCounters, Tracer,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_storage::{FaultPlan, StoredDatabase};
@@ -125,36 +125,26 @@ fn a_run_evaluates_each_cost_function_once_whatever_the_context() {
 fn a_reoptimizing_run_evaluates_at_most_once_per_event_that_can_move_the_decision() {
     let chain = Chain::new();
     let nodes = chain.plan.len() as u64;
-    let config = ReoptConfig { backoff_base_ms: 0, ..ReoptConfig::default() };
     let plain = chain.run(&chain.plan, &chain.bindings(0.3), &ExecContext::new(SharedCounters::new()));
     for share in [0.05, 0.3, 0.9] {
         let bindings = chain.bindings(share);
-        let ctx = ExecContext::new(SharedCounters::new());
-        let outcome = run_reopt(
-            &chain.plan,
-            &chain.db,
-            &chain.catalog,
-            &chain.env,
-            &bindings,
-            config,
-            &ctx,
-            RootSink::Discard,
-        )
-        .unwrap();
-        let c = outcome.report.counters;
+        let state = Arc::new(ReoptState::new(ReoptConfig::default()));
+        let ctx = ExecContext::new(SharedCounters::new()).with_reopt(Arc::clone(&state));
+        let summary = chain.run(&chain.plan, &bindings, &ctx);
+        let c = state.counters();
         assert!(c.checkpoints >= 1, "the chain has pipeline breakers: {c:?}");
         // The driver's first arbitration and the one a fallback to the
         // original plan would make; a refresh per observation recorded; an
         // arbitration per re-plan requested and per degraded grant.
         let events = 2 + c.checkpoints + c.replans_attempted + c.memory_degradations;
-        let evaluated = outcome.summary.startup_nodes;
+        let evaluated = summary.startup_nodes;
         assert!(
             evaluated >= nodes && evaluated <= events * nodes,
             "share {share}: {evaluated} cost functions evaluated for {nodes} nodes and {c:?}"
         );
         assert_eq!(evaluated % nodes, 0, "only ever the whole plan");
         if share == 0.3 {
-            assert_eq!(outcome.summary.rows, plain.rows);
+            assert_eq!(summary.rows, plain.rows);
         }
     }
 }

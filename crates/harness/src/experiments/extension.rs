@@ -13,11 +13,13 @@
 //!   subplan's true cardinality before deciding (Section 7's "evaluating
 //!   subplans as part of choose-plan decision procedures").
 
+use std::sync::Arc;
+
 use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_cost::{Bindings, Environment};
 use dqep_core::Optimizer;
-use dqep_executor::{execute_adaptive, ExecContext, RootSink, SharedCounters};
+use dqep_executor::{pick_pilot, ExecContext, ReoptConfig, ReoptState, RootSink, SharedCounters};
 use dqep_storage::{install_histograms, StoredDatabase, ValueDistribution};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,18 +111,23 @@ fn run_one(skew: f64, invocations: usize, seed: u64) -> ExtensionRow {
         let v = rng.gen_range(1..120);
         let b = Bindings::new().with_value(HostVar(0), v);
 
-        let seconds = |plan, catalog| {
-            let ctx = ExecContext::new(SharedCounters::new());
+        let seconds = |plan, catalog, ctx: ExecContext| {
             let summary = dqep_executor::run(plan, &db, catalog, &env, &b, &ctx, RootSink::Discard)
                 .expect("exec");
             summary.simulated_seconds(cfg)
         };
-        blind += seconds(&blind_plan, &catalog);
-        histogram += seconds(&hist_plan, &hist_catalog);
+        let plain = || ExecContext::new(SharedCounters::new());
+        blind += seconds(&blind_plan, &catalog, plain());
+        histogram += seconds(&hist_plan, &hist_catalog, plain());
 
-        let a = execute_adaptive(&blind_plan, &db, &catalog, &env, &b).expect("exec");
-        adaptive += a.total_seconds(cfg);
-        adaptive_main += a.main.simulated_seconds(cfg);
+        // The same run told to observe the pilot first; what its
+        // checkpoints cost is read off the state afterwards.
+        let state = Arc::new(
+            ReoptState::new(ReoptConfig::default()).observing_first(pick_pilot(&blind_plan)),
+        );
+        let total = seconds(&blind_plan, &catalog, plain().with_reopt(Arc::clone(&state)));
+        adaptive += total;
+        adaptive_main += total - state.checkpoint_cost().simulated_seconds(cfg);
     }
     let n = invocations.max(1) as f64;
     ExtensionRow {

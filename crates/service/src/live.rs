@@ -52,21 +52,23 @@ pub struct LiveConfig {
     pub dop: usize,
     /// Equi-width histogram buckets maintained per attribute on refresh.
     pub histogram_buckets: usize,
-    /// Drift tolerance: re-arbitration fires only when the observed view
-    /// cardinality leaves the bind-time interval widened by this factor
-    /// (`[lo/t, hi*t]`). Damps re-fires on tight (point) estimates so a
-    /// stable workload stays on the incremental path. Minimum 1.0.
-    pub drift_tolerance: f64,
-    /// Histogram refresh threshold: histograms are rebuilt (an O(data)
-    /// scan) only once the mutations since the last rebuild exceed this
-    /// fraction of the stored cardinality. Heap-exact cardinalities are
-    /// refreshed on *every* commit regardless — only the distribution
-    /// estimate is allowed to lag, the analyze-threshold trade every
-    /// statistics subsystem makes.
-    pub stats_refresh_fraction: f64,
-    /// Retryable registration / rebuild attempts before giving up.
-    pub max_retries: usize,
 }
+
+/// Drift tolerance: re-arbitration fires only when the observed view
+/// cardinality leaves the bind-time interval widened by this factor
+/// (`[lo/t, hi*t]`). Damps re-fires on tight (point) estimates so a
+/// stable workload stays on the incremental path.
+const DRIFT_TOLERANCE: f64 = 2.0;
+
+/// Histogram refresh threshold: histograms are rebuilt (an O(data) scan)
+/// only once the mutations since the last rebuild exceed this fraction of
+/// the stored cardinality. Heap-exact cardinalities are refreshed on
+/// *every* commit regardless — only the distribution estimate is allowed
+/// to lag, the analyze-threshold trade every statistics subsystem makes.
+const STATS_REFRESH_FRACTION: f64 = 0.1;
+
+/// Retryable registration attempts before giving up.
+const MAX_RETRIES: usize = 3;
 
 impl Default for LiveConfig {
     fn default() -> LiveConfig {
@@ -74,9 +76,6 @@ impl Default for LiveConfig {
             limits: ResourceLimits::default(),
             dop: 1,
             histogram_buckets: 16,
-            drift_tolerance: 2.0,
-            stats_refresh_fraction: 0.1,
-            max_retries: 3,
         }
     }
 }
@@ -297,7 +296,7 @@ impl LiveViewRegistry {
         let view = loop {
             match self.materialize(name, &normalized, &plan, &bindings, &Observations::new()) {
                 Ok(view) => break view,
-                Err(e) if e.is_retryable() && attempt + 1 < self.config.max_retries => {
+                Err(e) if e.is_retryable() && attempt + 1 < MAX_RETRIES => {
                     attempt += 1;
                 }
                 Err(e) => return Err(ServiceError::Exec(e)),
@@ -475,8 +474,7 @@ impl LiveViewRegistry {
             .iter()
             .map(|r| r.stats.cardinality)
             .sum();
-        let threshold =
-            ((self.config.stats_refresh_fraction.max(0.0) * stored as f64) as u64).max(1);
+        let threshold = ((STATS_REFRESH_FRACTION * stored as f64) as u64).max(1);
         if epoch - self.hist_epoch >= threshold {
             refresh_histograms(&self.db, &mut self.catalog, self.config.histogram_buckets);
             self.hist_epoch = epoch;
@@ -498,9 +496,10 @@ impl LiveViewRegistry {
             self.metrics.observe(Hist::LiveRefresh, started.elapsed());
 
             let actual = view.rows() as f64;
-            let tol = self.config.drift_tolerance.max(1.0);
-            let band =
-                Interval::new(view.bind_interval.lo() / tol, view.bind_interval.hi() * tol);
+            let band = Interval::new(
+                view.bind_interval.lo() / DRIFT_TOLERANCE,
+                view.bind_interval.hi() * DRIFT_TOLERANCE,
+            );
             if escapes_interval(actual, band) {
                 outcome.rearbitrations += 1;
                 self.rearbitrate(i, actual, &mut outcome)?;

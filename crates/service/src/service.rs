@@ -20,7 +20,7 @@ use dqep_catalog::Catalog;
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    run, run_reopt, ExecContext, ExecMode, ExecSummary, PlanCacheInfo, ReoptConfig,
+    run, ExecContext, ExecMode, ExecSummary, PlanCacheInfo, ReoptConfig, ReoptState,
     ResourceLimits, RootSink, SharedCounters,
 };
 use dqep_plan::evaluate_startup_observed;
@@ -69,11 +69,11 @@ pub struct ServiceConfig {
     /// actually runs with is bounded by its admitted memory grant — see
     /// [`ServiceConfig::effective_dop`].
     pub dop: usize,
-    /// Mid-query re-optimization budget. `Some`: every session runs
-    /// through [`dqep_executor::run_reopt`] — checkpoints at
-    /// the pipeline breakers, bounded re-planning on cardinality escape —
-    /// and its escape observations feed the statement's decision cache.
-    /// `None` (the default): sessions run the cached-decision fast path.
+    /// Mid-query re-optimization budget. `Some`: every session runs under
+    /// a [`dqep_executor::ReoptState`] — checkpoints at the pipeline
+    /// breakers, bounded re-planning on cardinality escape — and its
+    /// escape observations feed the statement's decision cache. `None`
+    /// (the default): sessions run the cached-decision fast path.
     pub reopt: Option<ReoptConfig>,
 }
 
@@ -478,8 +478,29 @@ impl Shared {
             db.disk.set_fault_plan(faults.clone());
         }
         let outcome = match self.config.reopt {
+            // Under re-optimization the decision cache is *fed*, not
+            // consulted: the run gathers its own checkpoint observations,
+            // and every escape is pinned back onto the statement —
+            // clearing its cached decisions so later fast-path sessions
+            // arbitrate against the observed cardinalities.
             Some(reopt_config) => {
-                self.execute_reopt(db, &ctx, &stmt, &bindings, reopt_config)
+                let state = Arc::new(ReoptState::new(reopt_config));
+                let ctx = ctx.with_reopt(Arc::clone(&state));
+                run(&stmt.plan, db, &self.catalog, env, &bindings, &ctx, RootSink::Discard)
+                    .map_err(ServiceError::Exec)
+                    .map(|summary| {
+                        let report = state.report();
+                        self.metrics.record_reopt(&report.counters);
+                        let escaped = report.escaped_observations();
+                        for (node, cardinality) in &escaped {
+                            stmt.observe(*node, *cardinality);
+                        }
+                        if !escaped.is_empty() {
+                            self.metrics.add(Metric::FeedbackInvalidations, 1);
+                        }
+                        let predicted = state.in_force().map_or(0.0, |d| d.predicted_run_seconds);
+                        (summary, predicted, false)
+                    })
             }
             None => {
                 let key = region_key(
@@ -538,41 +559,6 @@ impl Shared {
             queue_wait,
             worker: replica.index(),
         })
-    }
-
-    /// Runs a session through the mid-query re-optimization driver. The
-    /// decision cache is *fed*, not consulted: the driver gathers its own
-    /// checkpoint observations, and every escape is pinned back onto the
-    /// statement — clearing its cached decisions so later fast-path
-    /// sessions arbitrate against the observed cardinalities.
-    fn execute_reopt(
-        &self,
-        db: &StoredDatabase,
-        ctx: &ExecContext,
-        stmt: &PreparedStatement,
-        bindings: &Bindings,
-        reopt_config: ReoptConfig,
-    ) -> Result<(ExecSummary, f64, bool), ServiceError> {
-        let outcome = run_reopt(
-            &stmt.plan,
-            db,
-            &self.catalog,
-            &self.env,
-            bindings,
-            reopt_config,
-            ctx,
-            RootSink::Discard,
-        )
-        .map_err(ServiceError::Exec)?;
-        self.metrics.record_reopt(&outcome.report.counters);
-        let escaped = outcome.report.escaped_observations();
-        if !escaped.is_empty() {
-            for (node, cardinality) in &escaped {
-                stmt.observe(*node, *cardinality);
-            }
-            self.metrics.add(Metric::FeedbackInvalidations, 1);
-        }
-        Ok((outcome.summary, outcome.startup.predicted_run_seconds, false))
     }
 
     /// Registry lookup, or parse + optimize on a miss. The double-checked

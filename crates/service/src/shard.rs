@@ -47,12 +47,11 @@ use dqep_catalog::{AttrId, Catalog, RelationId};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    compile_dynamic_plan, credit_frames, decode_frame_traced, drain_root, encode_frame_dense,
-    join_batches, journal, kway_merge, merge_distributed, presized_batch, run_reopt,
-    scatter_by_shard, sort_batches, ChooseAudit, EventKind, ExecContext, ExecError, FrameTrace,
-    LinkFaultPlan, NetChannel, NetConfig, NetSpanStats, NetStats, ReoptConfig, ResourceLimits,
-    RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple,
-    TupleLayout, BATCH_CAPACITY, NO_ID,
+    credit_frames, decode_frame_traced, encode_frame_dense, join_batches, journal, kway_merge,
+    merge_distributed, presized_batch, scatter_by_shard, sort_batches, ChooseAudit, EventKind,
+    ExecContext, ExecError, FrameTrace, LinkFaultPlan, NetChannel, NetConfig, NetSpanStats,
+    NetStats, ReoptConfig, ReoptState, ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet,
+    SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, ParsedPredicate};
@@ -321,9 +320,6 @@ impl RecvTrace {
 struct ShardRun {
     rows_out: u64,
     fallbacks: u64,
-    /// Audits synthesized from start-up decisions on the re-optimizing
-    /// path (where resolved plans carry no choose operators to audit).
-    synth_audits: Vec<ChooseAudit>,
 }
 
 /// A sharded query service: `N` partitioned replicas joined by a
@@ -443,13 +439,9 @@ impl ShardedService {
         if let Some(pages) = self.config.memory_pages {
             bindings = bindings.with_memory(pages);
         }
-        let memory_pages = bindings
-            .memory_pages
-            .unwrap_or_else(|| self.env.memory.expected());
-        let memory_bytes = (memory_pages * f64::from(self.catalog.config.page_size)) as usize;
 
         let plan = self.distribute(&query.expr, &query.predicates, query.order_by, &bindings)?;
-        let outcome = self.run(&plan, &bindings, memory_bytes);
+        let outcome = self.run(&plan, &bindings);
         let m = &self.metrics;
         m.add(Metric::ShardQueries, 1);
         m.record_query(
@@ -541,12 +533,7 @@ impl ShardedService {
 
     /// Runs the distributed plan: one worker thread per shard, the
     /// coordinator draining the gather links on the current thread.
-    fn run(
-        &self,
-        plan: &DistPlan,
-        bindings: &Bindings,
-        memory_bytes: usize,
-    ) -> Result<ShardOutcome, ServiceError> {
+    fn run(&self, plan: &DistPlan, bindings: &Bindings) -> Result<ShardOutcome, ServiceError> {
         let n = self.shards.len();
         let net_before = self.net.stats();
         let (mut wires, gather_rx, link_handles) = self.wire_up(plan, n);
@@ -581,7 +568,6 @@ impl ShardedService {
                         &shard_wires,
                         env,
                         bindings,
-                        memory_bytes,
                         config,
                         tracer,
                         &metrics,
@@ -634,9 +620,7 @@ impl ShardedService {
             let rows = live_rows(&batches);
             check_gathered(s, rows, run.rows_out).map_err(ServiceError::Exec)?;
             fallbacks += run.fallbacks;
-            let mut shard_audits = tracers[s].report().audits;
-            shard_audits.extend(run.synth_audits);
-            audits.push(shard_audits);
+            audits.push(tracers[s].report().audits);
             shard_rows.push(rows);
             gathered.push(batches);
         }
@@ -677,9 +661,7 @@ impl ShardedService {
 
         // The merged timeline: the coordinator's spans (root + gather
         // receives) plus every shard's report, re-parented under the
-        // coordinator root. Synthesized re-opt audits stay out of the
-        // merged report (they carry no alternatives); they remain in
-        // `ShardOutcome::audits` for winner accounting.
+        // coordinator root.
         let trace = coord_tracer
             .as_ref()
             .map(|coord| {
@@ -828,7 +810,6 @@ fn run_shard(
     wires: &ShardWires,
     env: &Environment,
     bindings: &Bindings,
-    memory_bytes: usize,
     config: &ShardConfig,
     tracer: Arc<Tracer>,
     metrics: &MetricsRegistry,
@@ -845,34 +826,14 @@ fn run_shard(
     if let Some(root) = root {
         ctx = ctx.with_span_parent(root);
     }
-    let mut synth_audits = Vec::new();
 
-    let mut current = run_access(
-        shard,
-        &plan.access[0],
-        env,
-        bindings,
-        memory_bytes,
-        config,
-        &ctx,
-        metrics,
-        &mut synth_audits,
-    )?;
+    let mut current = run_access(shard, &plan.access[0], env, bindings, config, &ctx, metrics)?;
     let mut layout = TupleLayout::base(&shard.catalog, plan.rels[0]);
 
     for (j, stage) in plan.joins.iter().enumerate() {
         let right_rel = plan.rels[j + 1];
-        let right_batches = run_access(
-            shard,
-            &plan.access[j + 1],
-            env,
-            bindings,
-            memory_bytes,
-            config,
-            &ctx,
-            metrics,
-            &mut synth_audits,
-        )?;
+        let right_batches =
+            run_access(shard, &plan.access[j + 1], env, bindings, config, &ctx, metrics)?;
         let right_layout = TupleLayout::base(&shard.catalog, right_rel);
         let lkey = layout.require(stage.left_attr);
         let rkey = right_layout.require(stage.right_attr);
@@ -935,62 +896,34 @@ fn run_shard(
     for batch in &current {
         gather.send(batch)?;
     }
-    Ok(ShardRun {
-        rows_out: live_rows(&current),
-        fallbacks: ctx.counters.fallbacks(),
-        synth_audits,
-    })
+    Ok(ShardRun { rows_out: live_rows(&current), fallbacks: ctx.counters.fallbacks() })
 }
 
 /// Runs one per-relation access plan locally and hands back the batches
 /// its root operator produced, selection vectors included. The plan still
 /// carries its choose operators (unless the coordinator pre-resolved
-/// them), so compiling against the *shard's* catalog is what turns
-/// bind-time arbitration into a per-shard decision — the audit lands in
-/// the shard's tracer. With re-optimization enabled, the access stage
-/// runs through the checkpointing driver instead, and the start-up
-/// decisions are synthesized into audits.
-///
-/// The plain arm pairs `compile_dynamic_plan` with a governor-less drain
-/// instead of calling `dqep_executor::run`: an access stage is an
-/// intermediate result, and `run` would charge its rows to the *root* row
-/// budget (`limits.max_rows`, which a sharded query's access stages have
-/// never counted against) and restart the disk's temp-page high-water
-/// between the stages of one query.
-#[allow(clippy::too_many_arguments)]
+/// them), so running it against the *shard's* catalog is what turns
+/// bind-time arbitration into a per-shard decision — every choose-plan
+/// operator that opens leaves its audit in the shard's tracer, with or
+/// without re-optimization. An access stage is an intermediate result: a
+/// batch sink is not charged to the row budget.
 fn run_access(
     shard: &Shard,
     plan: &Plan,
     env: &Environment,
     bindings: &Bindings,
-    memory_bytes: usize,
     config: &ShardConfig,
     ctx: &ExecContext,
     metrics: &MetricsRegistry,
-    synth_audits: &mut Vec<ChooseAudit>,
 ) -> Result<Vec<RowBatch>, ExecError> {
+    let reopt = config.reopt.map(|budget| Arc::new(ReoptState::new(budget)));
+    let reopt_ctx = reopt.as_ref().map(|state| ctx.clone().with_reopt(Arc::clone(state)));
+    let ctx = reopt_ctx.as_ref().unwrap_or(ctx);
     let mut batches = Vec::new();
     let sink = RootSink::Batches(&mut batches);
-    if let Some(reopt) = config.reopt {
-        let outcome =
-            run_reopt(plan, &shard.db, &shard.catalog, env, bindings, reopt, ctx, sink)?;
-        metrics.record_reopt(&outcome.report.counters);
-        for d in &outcome.startup.decisions {
-            synth_audits.push(ChooseAudit {
-                node: u64::from(d.choose_plan.0),
-                bind_values: Vec::new(),
-                memory_pages: bindings.memory_pages,
-                alternatives: Vec::new(),
-                preferred: d.chosen_index,
-                attempts: Vec::new(),
-                winner: Some(d.chosen_index),
-                fallbacks: 0,
-            });
-        }
-    } else {
-        let mut op =
-            compile_dynamic_plan(plan, &shard.db, &shard.catalog, env, bindings, memory_bytes, ctx)?;
-        drain_root(op.as_mut(), None, sink)?;
+    dqep_executor::run(plan, &shard.db, &shard.catalog, env, bindings, ctx, sink)?;
+    if let Some(state) = reopt {
+        metrics.record_reopt(&state.counters());
     }
     Ok(batches)
 }

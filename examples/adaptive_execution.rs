@@ -10,14 +10,20 @@
 //! 3. **adaptive** — a pilot execution of the uncertain subplan observes
 //!    its true cardinality before deciding ("when a subplan has been
 //!    evaluated into a temporary result, its logical and physical
-//!    properties are known").
+//!    properties are known"): the same `run`, under a re-optimization
+//!    state told to observe the pilot first.
 //!
 //! Run with `cargo run --release --example adaptive_execution`.
 
 use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
-use dqep::executor::{execute_adaptive, run, ExecContext, RootSink, SharedCounters};
+use std::sync::Arc;
+
+use dqep::executor::{
+    pick_pilot, run, ExecContext, ReoptConfig, ReoptEventKind, ReoptState, RootSink,
+    SharedCounters,
+};
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup;
 use dqep::storage::{install_histograms, StoredDatabase, ValueDistribution};
@@ -85,19 +91,29 @@ fn main() {
         hist_startup.resolved.root_node().op.name()
     );
 
-    let adaptive = execute_adaptive(&plan, &db, &catalog, &env, &bindings).expect("execute");
+    // The state is the switch and the output: what the checkpoints cost,
+    // what they observed and the decision in force are read off it.
+    let state = Arc::new(ReoptState::new(ReoptConfig::default()).observing_first(pick_pilot(&plan)));
+    let ctx = ExecContext::new(SharedCounters::new()).with_reopt(Arc::clone(&state));
+    let adaptive =
+        run(&plan, &db, &catalog, &env, &bindings, &ctx, RootSink::Discard).expect("execute");
+    let pilot = state.checkpoint_cost().simulated_seconds(cfg);
+    let observed = state
+        .report()
+        .events
+        .iter()
+        .find(|e| e.kind == ReoptEventKind::Checkpoint)
+        .and_then(|e| e.observed)
+        .unwrap_or(0.0);
     println!(
         "adaptive   : {:8} rows  {:.4}s main + {:.4}s pilot (observed {} rows; root: {})",
-        adaptive.main.rows,
-        adaptive.main.simulated_seconds(cfg),
-        adaptive
-            .pilot
-            .map(|p| p.simulated_seconds(cfg))
-            .unwrap_or(0.0),
-        adaptive.observed_rows.unwrap_or(0),
-        adaptive.startup.resolved.root_node().op.name()
+        adaptive.rows,
+        adaptive.simulated_seconds(cfg) - pilot,
+        pilot,
+        observed,
+        state.in_force().expect("ran").resolved.root_node().op.name()
     );
 
     assert_eq!(blind.rows, hist.rows);
-    assert_eq!(blind.rows, adaptive.main.rows);
+    assert_eq!(blind.rows, adaptive.rows);
 }

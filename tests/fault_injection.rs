@@ -16,8 +16,8 @@ use dqep::algebra::{CompareOp, HostVar, LogicalExpr, PhysicalOp, SelectPred};
 use dqep::catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    compile_dynamic_plan, drain, run, run_reopt, ExecContext, ExecError, ExecSummary, ReoptConfig,
-    Resource, ResourceLimits, RootSink, SharedCounters, BATCH_CAPACITY,
+    compile_dynamic_plan, drain, run, ExecContext, ExecError, ExecSummary, ReoptConfig,
+    ReoptState, Resource, ResourceLimits, RootSink, SharedCounters, BATCH_CAPACITY,
 };
 use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
@@ -522,18 +522,18 @@ fn every_exit_path_of_a_spilling_statement_reclaims() {
         assert!(refused.temp_pages_peak > 0, "{sql}: the fallback did not spill");
         stmt.assert_reclaimed(&format!("{sql}, refused grant"));
 
-        let reopt = run_reopt(
+        let reopt = run(
             &stmt.plan,
             &db,
             &cat,
             &stmt.env,
             &stmt.bindings,
-            ReoptConfig { backoff_base_ms: 0, ..ReoptConfig::default() },
-            &ExecContext::new(SharedCounters::new()),
+            &ExecContext::new(SharedCounters::new())
+                .with_reopt(Arc::new(ReoptState::new(ReoptConfig::default()))),
             RootSink::Discard,
         )
         .unwrap();
-        assert_eq!(reopt.summary.rows, first.rows, "{sql}: reopt");
+        assert_eq!(reopt.rows, first.rows, "{sql}: reopt");
         stmt.assert_reclaimed(&format!("{sql}, reopt"));
 
         // Cancel once temp pages exist. Pacing keeps the statement on the

@@ -712,7 +712,7 @@ fn key_paths(value: &JsonValue, path: &str, out: &mut std::collections::BTreeSet
 /// JSON documents by section name, then the Prometheus expositions.
 fn schema_documents() -> (Vec<(&'static str, Vec<String>)>, Vec<String>) {
     use dqep::catalog::{make_chain_catalog, SyntheticSpec};
-    use dqep::executor::{journal, run_reopt, ReoptConfig};
+    use dqep::executor::{journal, ReoptConfig, ReoptState};
     use dqep::service::{
         LiveConfig, LiveViewRegistry, MetricsRegistry, QueryService, Request, ServiceConfig,
         ShardConfig, ShardedService, WriteOp,
@@ -731,17 +731,15 @@ fn schema_documents() -> (Vec<(&'static str, Vec<String>)>, Vec<String>) {
         .unwrap()
         .plan;
     let tracer = Arc::new(Tracer::new());
-    run_reopt(
+    run(
         &plan,
         &db,
         &catalog,
         &env,
         &query.bindings(&[("v", 100)]).unwrap(),
-        ReoptConfig {
-            backoff_base_ms: 0,
-            ..ReoptConfig::default()
-        },
-        &ExecContext::new(SharedCounters::new()).with_tracer(Arc::clone(&tracer)),
+        &ExecContext::new(SharedCounters::new())
+            .with_tracer(Arc::clone(&tracer))
+            .with_reopt(Arc::new(ReoptState::new(ReoptConfig::default()))),
         RootSink::Discard,
     )
     .unwrap();

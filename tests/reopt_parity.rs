@@ -10,21 +10,12 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
-    compile_dynamic_plan, drain, run_reopt, ExecContext, ExecError, ReoptConfig, ReoptOutcome,
-    Resource, ResourceLimits, RootSink, SharedCounters, Tuple,
+    compile_dynamic_plan, drain, run, ExecContext, ExecError, ExecSummary, ReoptConfig,
+    ReoptReport, ReoptState, Resource, ResourceLimits, RootSink, SharedCounters, Tuple,
 };
 use dqep::optimizer::Optimizer;
 use dqep::storage::{FaultPlan, StoredDatabase, ValueDistribution};
 use proptest::prelude::*;
-
-/// Re-plan budget with the backoff sleep disabled: the machinery itself
-/// is deterministic, the sleeps only cost wall-clock in tests.
-fn quick() -> ReoptConfig {
-    ReoptConfig {
-        backoff_base_ms: 0,
-        ..ReoptConfig::default()
-    }
-}
 
 /// The same randomized 1–3 relation chain workload as the other parity
 /// suites, generated over Zipf-skewed data so uniform compile-time
@@ -121,7 +112,31 @@ fn plain_rows(
     drain(op.as_mut())
 }
 
-/// The re-optimizing run of the same plan, its rows collected.
+/// What a re-optimizing run reports: the summary `run` returned and the
+/// audit trail of the state the caller kept.
+struct ReoptOutcome {
+    summary: ExecSummary,
+    report: ReoptReport,
+}
+
+/// The re-optimizing run of the same plan — `run` under `ctx` with a fresh
+/// re-optimization state attached — into `sink`.
+fn reopt_into(
+    plan: &Plan,
+    db: &StoredDatabase,
+    catalog: &Catalog,
+    env: &Environment,
+    bindings: &Bindings,
+    ctx: &ExecContext,
+    sink: RootSink<'_>,
+) -> Result<ReoptOutcome, ExecError> {
+    let state = std::sync::Arc::new(ReoptState::new(ReoptConfig::default()));
+    let ctx = ctx.clone().with_reopt(state.clone());
+    let summary = run(plan, db, catalog, env, bindings, &ctx, sink)?;
+    Ok(ReoptOutcome { summary, report: state.report() })
+}
+
+/// The same, its rows collected.
 fn reopt_rows(
     plan: &Plan,
     db: &StoredDatabase,
@@ -132,7 +147,7 @@ fn reopt_rows(
 ) -> Result<(ReoptOutcome, Vec<Tuple>), ExecError> {
     let mut rows = Vec::new();
     let sink = RootSink::Rows(&mut rows);
-    run_reopt(plan, db, catalog, env, bindings, quick(), ctx, sink).map(|outcome| (outcome, rows))
+    reopt_into(plan, db, catalog, env, bindings, ctx, sink).map(|outcome| (outcome, rows))
 }
 
 proptest! {
@@ -290,7 +305,7 @@ fn reverted_final_run_leaves_no_row_of_the_failed_attempt_in_the_sink() {
         db.disk.set_fault_plan(FaultPlan::nth_read(nth));
         let mut rows = vec![marker.clone()];
         let sink = RootSink::Rows(&mut rows);
-        let outcome = run_reopt(&plan, &db, &catalog, &env, &bindings, quick(), ctx, sink);
+        let outcome = reopt_into(&plan, &db, &catalog, &env, &bindings, ctx, sink);
         db.disk.set_fault_plan(FaultPlan::none());
         outcome.map(|outcome| (outcome, rows))
     };

@@ -9,7 +9,7 @@
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
-    compile_dynamic_plan, drain, ExecContext, ExecError, LinkFaultPlan,
+    compile_dynamic_plan, drain, ExecContext, ExecError, LinkFaultPlan, ReoptConfig,
     Resource, ResourceLimits, SharedCounters, Tuple, TupleLayout, FRAME_HEADER_BYTES,
 };
 use dqep::optimizer::Optimizer;
@@ -302,6 +302,85 @@ fn divergent_winners_are_audited_and_parity_preserving() {
         sorted(forced.rows),
         "winner choice never changes the result multiset"
     );
+}
+
+/// The CLI's two-relation chain (`--relations 2`, seed 42) and the
+/// statements the two tests below run on it.
+fn chain2() -> Catalog {
+    use dqep::catalog::{make_chain_catalog, SyntheticSpec};
+    make_chain_catalog(&SyntheticSpec::paper(2, 42), SystemConfig::paper_1994())
+}
+const CHAIN_SCAN: &str = "SELECT * FROM R1 WHERE R1.a < :v1";
+const CHAIN_JOIN: &str =
+    "SELECT * FROM R1, R2 WHERE R1.jr = R2.jl AND R1.a < :v1 AND R2.a < :v2";
+
+/// Re-optimizing access stages change what a shard may observe on the
+/// way, not what the query answers nor how its arbitrations are audited:
+/// every choose-plan operator that opens is audited once, by itself, with
+/// or without `ShardConfig::reopt` — same audits per shard, same winner
+/// counts, same divergent nodes — and the multiset is the single node's.
+#[test]
+fn reopt_access_stages_answer_and_audit_like_plain_ones() {
+    let skewed = CatalogBuilder::new(SystemConfig::paper_1994())
+        .relation("t0", 4_000, 512, |r| {
+            r.attr("a", 4_000.0).attr("j", 400.0).btree("a", false).btree("j", false)
+        })
+        .build()
+        .expect("catalog");
+    let divergent = ShardConfig {
+        shards: 4,
+        routing: ShardRouting::Range { attr: 0 },
+        skew: Some(1.2),
+        ..ShardConfig::default()
+    };
+    let check = |catalog: Catalog, sql: &str, binds: &[(&str, i64)], config: ShardConfig| {
+        let reopt = ShardConfig { reopt: Some(ReoptConfig::default()), ..config.clone() };
+        let plain = ShardedService::new(catalog.clone(), config.clone())
+            .execute(sql, binds)
+            .expect("plain access stages");
+        let service = ShardedService::new(catalog.clone(), reopt);
+        let out = service.execute(sql, binds).expect("re-optimizing access stages");
+
+        let audits = |o: &dqep::service::ShardOutcome| -> Vec<usize> {
+            o.audits.iter().map(Vec::len).collect()
+        };
+        assert!(audits(&plain).iter().all(|&n| n >= 1), "{sql}: nothing to compare");
+        assert_eq!(audits(&out), audits(&plain), "{sql}: audits per shard");
+        assert_eq!(out.winner_counts(), plain.winner_counts(), "{sql}");
+        assert_eq!(out.divergent_nodes, plain.divergent_nodes, "{sql}");
+        assert_eq!(
+            service.metrics().get(dqep::service::Metric::ShardDivergentNodes),
+            plain.divergent_nodes.len() as u64,
+            "{sql}: the metric inherits the audits"
+        );
+        let expected = single_node_rows(&catalog, sql, binds, &config, &out.layout)
+            .expect("single-node run");
+        assert_eq!(sorted(out.rows), sorted(expected), "{sql}");
+    };
+    check(chain2(), CHAIN_SCAN, &[("v1", 500)], ShardConfig::default());
+    check(chain2(), CHAIN_JOIN, &[("v1", 500), ("v2", 500)], ShardConfig::default());
+    check(skewed, "SELECT * FROM t0 WHERE t0.a < :v0", &[("v0", 120)], divergent);
+}
+
+/// One meaning for the row budget: an access stage is an intermediate
+/// result, whichever way it runs. A budget between the result (102 rows)
+/// and what an access stage scans admits the query with and without
+/// re-optimization.
+#[test]
+fn row_budget_does_not_count_access_stages_with_or_without_reopt() {
+    let binds = [("v1", 500i64), ("v2", 500)];
+    let limits = ResourceLimits { max_rows: Some(150), ..ResourceLimits::unlimited() };
+    let run = |reopt| {
+        let config = ShardConfig { limits, reopt, ..ShardConfig::default() };
+        ShardedService::new(chain2(), config).execute(CHAIN_JOIN, &binds)
+    };
+    let plain = run(None).expect("the result fits");
+    let staged = ShardedService::new(chain2(), ShardConfig::default())
+        .execute(CHAIN_SCAN, &binds[..1])
+        .expect("the first access stage alone");
+    assert!(plain.rows.len() < 150 && staged.rows.len() > 150, "the budget must lie between");
+    let reopt = run(Some(ReoptConfig::default())).expect("and fits under re-optimization too");
+    assert_eq!(sorted(reopt.rows), sorted(plain.rows));
 }
 
 /// Relations `t0..tn` of `card` rows with a selection attribute `a`, a
