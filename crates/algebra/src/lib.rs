@@ -25,7 +25,7 @@ mod properties;
 mod types;
 
 pub use logical::{LogicalError, LogicalExpr};
-pub use physical::PhysicalOp;
+pub use physical::{OpLabel, PhysicalOp};
 pub use predicate::{JoinPred, Scalar, SelectPred};
 pub use properties::{PhysProps, RelSet, SortOrder};
 pub use types::{CompareOp, HostVar, Value};

@@ -18,17 +18,21 @@ use crate::properties::SortOrder;
 /// * `HashJoin` **builds on its left** input and probes with the right; the
 ///   join-commutativity transformation generates the swapped variant, which
 ///   is how the optimizer considers both build sides (paper Figure 2).
-/// * `MergeJoin` requires both inputs sorted on the attributes of
-///   `predicates[0]`; `predicates[0].left` belongs to the left child.
+/// * The join predicates of `HashJoin`, `MergeJoin` and `IndexJoin` are
+///   not stored here either: a plan keeps them in one list beside its child
+///   list (`dqep_plan::Plan::join_preds`), which is what lets the operator
+///   be `Copy` — a plan node owns no heap memory.
+/// * `MergeJoin` requires both inputs sorted on the attributes of its
+///   first predicate; that predicate's `left` belongs to the left child.
 /// * `IndexJoin` has one child (the outer); the inner relation is accessed
-///   through the named index for each outer record, with `predicates[0]`
-///   as the indexed predicate (`predicates[0].right` is the inner, indexed
+///   through the named index for each outer record, with the first
+///   predicate as the indexed one (its `right` is the inner, indexed
 ///   attribute), remaining predicates and `residual` applied after the
 ///   fetch.
 /// * `ChoosePlan` has two or more children, all computing the same result;
 ///   at start-up-time its decision procedure re-evaluates the alternatives'
 ///   cost functions under the actual bindings and runs the cheapest child.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhysicalOp {
     /// Sequential scan of a stored relation.
     FileScan {
@@ -61,23 +65,14 @@ pub enum PhysicalOp {
         /// The (possibly unbound) range/equality predicate.
         predicate: SelectPred,
     },
-    /// Hash join; builds an in-memory (or partitioned) table on the LEFT
-    /// input, probes with the right.
-    HashJoin {
-        /// Conjunctive equi-join predicates.
-        predicates: Vec<JoinPred>,
-    },
-    /// Merge join over inputs sorted on `predicates[0]`.
-    MergeJoin {
-        /// Conjunctive equi-join predicates.
-        predicates: Vec<JoinPred>,
-    },
+    /// Hash join on conjunctive equi-join predicates; builds an in-memory
+    /// (or partitioned) table on the LEFT input, probes with the right.
+    HashJoin,
+    /// Merge join over inputs sorted on the first predicate.
+    MergeJoin,
     /// Index nested-loop join: for each outer (child) record, probe the
-    /// inner relation's index.
+    /// inner relation's index with the first predicate.
     IndexJoin {
-        /// Join predicates; `predicates[0].right` is the indexed inner
-        /// attribute.
-        predicates: Vec<JoinPred>,
         /// The inner relation.
         inner: RelationId,
         /// Index on the inner join attribute.
@@ -108,7 +103,7 @@ impl PhysicalOp {
             PhysicalOp::Filter { .. } | PhysicalOp::Sort { .. } | PhysicalOp::IndexJoin { .. } => {
                 Some(1)
             }
-            PhysicalOp::HashJoin { .. } | PhysicalOp::MergeJoin { .. } => Some(2),
+            PhysicalOp::HashJoin | PhysicalOp::MergeJoin => Some(2),
             PhysicalOp::ChoosePlan => None,
         }
     }
@@ -132,19 +127,23 @@ impl PhysicalOp {
     }
 
     /// The sort order this operator delivers, given its children's
-    /// delivered orders (one entry per child, in order). Taken as an
-    /// iterator so a plan builder can answer from its child links without
-    /// collecting them first.
+    /// delivered orders (one entry per child, in order) and its join
+    /// predicates. Taken as an iterator so a plan builder can answer from
+    /// its child links without collecting them first.
     #[must_use]
-    pub fn delivered_order(&self, child_orders: impl IntoIterator<Item = SortOrder>) -> SortOrder {
+    pub fn delivered_order(
+        &self,
+        child_orders: impl IntoIterator<Item = SortOrder>,
+        preds: &[JoinPred],
+    ) -> SortOrder {
         let mut child_orders = child_orders.into_iter();
         match self {
             PhysicalOp::FileScan { .. } => SortOrder::None,
             PhysicalOp::BtreeScan { key_attr, .. } => SortOrder::Asc(*key_attr),
             PhysicalOp::FilterBtreeScan { predicate, .. } => SortOrder::Asc(predicate.attr),
             PhysicalOp::Filter { .. } => child_orders.next().unwrap_or_default(),
-            PhysicalOp::HashJoin { .. } => SortOrder::None,
-            PhysicalOp::MergeJoin { predicates } => predicates
+            PhysicalOp::HashJoin => SortOrder::None,
+            PhysicalOp::MergeJoin => preds
                 .first()
                 .map(|p| SortOrder::Asc(p.left))
                 .unwrap_or_default(),
@@ -168,8 +167,8 @@ impl PhysicalOp {
             PhysicalOp::BtreeScan { .. } => "B-tree-Scan",
             PhysicalOp::Filter { .. } => "Filter",
             PhysicalOp::FilterBtreeScan { .. } => "Filter-B-tree-Scan",
-            PhysicalOp::HashJoin { .. } => "Hash-Join",
-            PhysicalOp::MergeJoin { .. } => "Merge-Join",
+            PhysicalOp::HashJoin => "Hash-Join",
+            PhysicalOp::MergeJoin => "Merge-Join",
             PhysicalOp::IndexJoin { .. } => "Index-Join",
             PhysicalOp::Sort { .. } => "Sort",
             PhysicalOp::ChoosePlan => "Choose-Plan",
@@ -188,21 +187,26 @@ impl PhysicalOp {
         }
     }
 
-    /// The join predicates evaluated by this operator, if any.
+    /// The operator with its arguments as plan displays show it, `preds`
+    /// being the join predicates its plan holds for it (empty for any other
+    /// operator).
     #[must_use]
-    pub fn join_predicates(&self) -> Option<&[JoinPred]> {
-        match self {
-            PhysicalOp::HashJoin { predicates }
-            | PhysicalOp::MergeJoin { predicates }
-            | PhysicalOp::IndexJoin { predicates, .. } => Some(predicates),
-            _ => None,
-        }
+    pub fn label<'a>(&'a self, preds: &'a [JoinPred]) -> OpLabel<'a> {
+        OpLabel { op: self, preds }
     }
 }
 
-impl fmt::Display for PhysicalOp {
+/// A [`PhysicalOp`] with its join predicates, displayable: what
+/// [`PhysicalOp::label`] returns.
+#[derive(Debug, Clone, Copy)]
+pub struct OpLabel<'a> {
+    op: &'a PhysicalOp,
+    preds: &'a [JoinPred],
+}
+
+impl fmt::Display for OpLabel<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        match self.op {
             PhysicalOp::FileScan { relation } => write!(f, "File-Scan {relation}"),
             PhysicalOp::BtreeScan { relation, key_attr, .. } => {
                 write!(f, "B-tree-Scan {relation} on {key_attr}")
@@ -211,14 +215,10 @@ impl fmt::Display for PhysicalOp {
             PhysicalOp::FilterBtreeScan { relation, predicate, .. } => {
                 write!(f, "Filter-B-tree-Scan {relation}[{predicate}]")
             }
-            PhysicalOp::HashJoin { predicates } => {
-                write!(f, "Hash-Join[{}]", preds(predicates))
-            }
-            PhysicalOp::MergeJoin { predicates } => {
-                write!(f, "Merge-Join[{}]", preds(predicates))
-            }
-            PhysicalOp::IndexJoin { predicates, inner, .. } => {
-                write!(f, "Index-Join[{}] into {inner}", preds(predicates))
+            PhysicalOp::HashJoin => write!(f, "Hash-Join[{}]", preds(self.preds)),
+            PhysicalOp::MergeJoin => write!(f, "Merge-Join[{}]", preds(self.preds)),
+            PhysicalOp::IndexJoin { inner, .. } => {
+                write!(f, "Index-Join[{}] into {inner}", preds(self.preds))
             }
             PhysicalOp::Sort { attr } => write!(f, "Sort on {attr}"),
             PhysicalOp::ChoosePlan => f.write_str("Choose-Plan"),
@@ -259,11 +259,10 @@ mod tests {
             .arity(),
             Some(1)
         );
-        assert_eq!(PhysicalOp::HashJoin { predicates: vec![join_pred()] }.arity(), Some(2));
+        assert_eq!(PhysicalOp::HashJoin.arity(), Some(2));
         assert_eq!(PhysicalOp::ChoosePlan.arity(), None);
         assert_eq!(
             PhysicalOp::IndexJoin {
-                predicates: vec![join_pred()],
                 inner: RelationId(1),
                 index: IndexId(0),
                 residual: None,
@@ -284,11 +283,11 @@ mod tests {
     fn delivered_orders() {
         let a = attr(0, 0);
         assert_eq!(
-            PhysicalOp::FileScan { relation: RelationId(0) }.delivered_order([]),
+            PhysicalOp::FileScan { relation: RelationId(0) }.delivered_order([], &[]),
             SortOrder::None
         );
         assert_eq!(
-            PhysicalOp::Sort { attr: a }.delivered_order([SortOrder::None]),
+            PhysicalOp::Sort { attr: a }.delivered_order([SortOrder::None], &[]),
             SortOrder::Asc(a)
         );
         assert_eq!(
@@ -297,26 +296,24 @@ mod tests {
                 index: IndexId(0),
                 key_attr: a
             }
-            .delivered_order([]),
+            .delivered_order([], &[]),
             SortOrder::Asc(a)
         );
         // Filter passes order through.
         let filt = PhysicalOp::Filter {
             predicate: SelectPred::unbound(a, CompareOp::Lt, HostVar(0)),
         };
-        assert_eq!(filt.delivered_order([SortOrder::Asc(a)]), SortOrder::Asc(a));
-        // Merge join delivers the left predicate attribute's order.
-        let mj = PhysicalOp::MergeJoin { predicates: vec![join_pred()] };
+        assert_eq!(filt.delivered_order([SortOrder::Asc(a)], &[]), SortOrder::Asc(a));
+        // Merge join delivers its first predicate's left attribute's order.
+        let sorted = [SortOrder::Asc(attr(0, 1)), SortOrder::Asc(attr(1, 1))];
+        let second = JoinPred::new(attr(0, 2), attr(1, 2));
         assert_eq!(
-            mj.delivered_order([SortOrder::Asc(attr(0, 1)), SortOrder::Asc(attr(1, 1))]),
+            PhysicalOp::MergeJoin.delivered_order(sorted, &[join_pred(), second]),
             SortOrder::Asc(attr(0, 1))
         );
         // Hash join destroys order.
-        let hj = PhysicalOp::HashJoin { predicates: vec![join_pred()] };
-        assert_eq!(
-            hj.delivered_order([SortOrder::Asc(a), SortOrder::Asc(a)]),
-            SortOrder::None
-        );
+        let both = [SortOrder::Asc(a), SortOrder::Asc(a)];
+        assert_eq!(PhysicalOp::HashJoin.delivered_order(both, &[join_pred()]), SortOrder::None);
     }
 
     #[test]
@@ -324,14 +321,14 @@ mod tests {
         let a = attr(0, 0);
         let cp = PhysicalOp::ChoosePlan;
         assert_eq!(
-            cp.delivered_order([SortOrder::Asc(a), SortOrder::Asc(a)]),
+            cp.delivered_order([SortOrder::Asc(a), SortOrder::Asc(a)], &[]),
             SortOrder::Asc(a)
         );
         assert_eq!(
-            cp.delivered_order([SortOrder::Asc(a), SortOrder::None]),
+            cp.delivered_order([SortOrder::Asc(a), SortOrder::None], &[]),
             SortOrder::None
         );
-        assert_eq!(cp.delivered_order([]), SortOrder::None);
+        assert_eq!(cp.delivered_order([], &[]), SortOrder::None);
     }
 
     #[test]
@@ -339,10 +336,25 @@ mod tests {
         let p = SelectPred::unbound(attr(0, 0), CompareOp::Lt, HostVar(0));
         let f = PhysicalOp::Filter { predicate: p };
         assert_eq!(f.select_predicate(), Some(&p));
-        assert!(f.join_predicates().is_none());
-        let hj = PhysicalOp::HashJoin { predicates: vec![join_pred()] };
-        assert_eq!(hj.join_predicates().unwrap().len(), 1);
-        assert!(hj.select_predicate().is_none());
+        assert!(PhysicalOp::HashJoin.select_predicate().is_none());
+    }
+
+    #[test]
+    fn labels_list_the_join_predicates_a_plan_holds() {
+        let second = JoinPred::new(attr(0, 2), attr(1, 2));
+        let on = [join_pred(), second];
+        assert_eq!(
+            PhysicalOp::HashJoin.label(&on).to_string(),
+            "Hash-Join[R0.#1 = R1.#1 and R0.#2 = R1.#2]"
+        );
+        assert_eq!(PhysicalOp::MergeJoin.label(&on[..1]).to_string(), "Merge-Join[R0.#1 = R1.#1]");
+        let index = PhysicalOp::IndexJoin {
+            inner: RelationId(1),
+            index: IndexId(0),
+            residual: None,
+        };
+        assert_eq!(index.label(&on[1..]).to_string(), "Index-Join[R0.#2 = R1.#2] into R1");
+        assert_eq!(PhysicalOp::Sort { attr: attr(0, 0) }.label(&[]).to_string(), "Sort on R0.#0");
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
     };
     let stats = PlanStats::new(Interval::point(1000.0), 512.0);
     group.bench_function("cost_function_eval", |bch| {
-        bch.iter(|| model.op_cost(&op, &[], &stats).total().hi())
+        bch.iter(|| model.op_cost(&op, &[], &[], &stats).total().hi())
     });
 
     // The 10-way chain (logical plan space of ~2.5M trees held in ~55

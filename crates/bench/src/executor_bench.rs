@@ -80,9 +80,10 @@ fn node(
     b: &mut Plan,
     op: PhysicalOp,
     children: &[NodeId],
+    preds: &[JoinPred],
     rows: f64,
 ) -> NodeId {
-    b.push(op, children, PlanStats::new(Interval::point(rows), 512.0), Cost::ZERO)
+    b.push(op, children, preds, PlanStats::new(Interval::point(rows), 512.0), Cost::ZERO)
 }
 
 /// Full sequential scan of `rows` base rows.
@@ -94,7 +95,7 @@ fn scan_case(rows: u64, seed: u64) -> ExecBenchCase {
     let db = StoredDatabase::generate(&catalog, seed);
     let rel = catalog.relation_by_name("big").expect("relation");
     let mut b = Plan::new();
-    let root = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], rows as f64);
+    let root = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], &[], rows as f64);
     let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     ExecBenchCase { name: "scan", catalog, db, plan, env, bindings: Bindings::new() }
@@ -112,11 +113,11 @@ fn scan_filter_case(rows: u64, seed: u64) -> ExecBenchCase {
     let rel = catalog.relation_by_name("big").expect("relation");
     let ra = rel.attr_id("a").expect("attr");
     let mut b = Plan::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], rows as f64);
+    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], &[], rows as f64);
     let root = node(
         &mut b,
         PhysicalOp::Filter { predicate: SelectPred::bound(ra, CompareOp::Lt, (rows / 2) as i64) },
-        &[scan],
+        &[scan], &[],
         rows as f64 / 2.0,
     );
     let plan = Arc::new(b.finish(root));
@@ -139,17 +140,17 @@ fn hash_join_case(rows: u64, seed: u64) -> ExecBenchCase {
     let dim = catalog.relation_by_name("dim").expect("relation");
     let fact = catalog.relation_by_name("fact").expect("relation");
     let mut b = Plan::new();
-    let build = node(&mut b, PhysicalOp::FileScan { relation: dim.id }, &[], build_rows as f64);
-    let probe = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, &[], rows as f64);
+    let dim_scan = PhysicalOp::FileScan { relation: dim.id };
+    let build = node(&mut b, dim_scan, &[], &[], build_rows as f64);
+    let probe = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, &[], &[], rows as f64);
     let root = node(
         &mut b,
-        PhysicalOp::HashJoin {
-            predicates: vec![JoinPred::new(
-                dim.attr_id("k").expect("attr"),
-                fact.attr_id("fk").expect("attr"),
-            )],
-        },
+        PhysicalOp::HashJoin,
         &[build, probe],
+        &[JoinPred::new(
+            dim.attr_id("k").expect("attr"),
+            fact.attr_id("fk").expect("attr"),
+        )],
         rows as f64,
     );
     let plan = Arc::new(b.finish(root));
@@ -172,8 +173,8 @@ fn sort_case(rows: u64, seed: u64) -> ExecBenchCase {
     let rel = catalog.relation_by_name("big").expect("relation");
     let rb = rel.attr_id("b").expect("attr");
     let mut b = Plan::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], rows as f64);
-    let root = node(&mut b, PhysicalOp::Sort { attr: rb }, &[scan], rows as f64);
+    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], &[], rows as f64);
+    let root = node(&mut b, PhysicalOp::Sort { attr: rb }, &[scan], &[], rows as f64);
     let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     // Grant enough memory to keep the sort in-memory: this benchmark

@@ -86,9 +86,10 @@ fn node(
     b: &mut Plan,
     op: PhysicalOp,
     children: &[NodeId],
+    preds: &[JoinPred],
     rows: f64,
 ) -> NodeId {
-    b.push(op, children, PlanStats::new(Interval::point(rows), 512.0), Cost::ZERO)
+    b.push(op, children, preds, PlanStats::new(Interval::point(rows), 512.0), Cost::ZERO)
 }
 
 /// Full sequential scan of `rows` base rows: pure partition-parallel I/O.
@@ -101,7 +102,7 @@ fn scan_case(rows: u64, seed: u64, latency_us: u64) -> ParallelBenchCase {
     db.disk.set_io_latency_micros(latency_us);
     let rel = catalog.relation_by_name("big").expect("relation");
     let mut b = Plan::new();
-    let root = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], rows as f64);
+    let root = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], &[], rows as f64);
     let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     ParallelBenchCase { name: "scan", catalog, db, plan, env, bindings: Bindings::new() }
@@ -124,17 +125,17 @@ fn hash_join_case(rows: u64, seed: u64, latency_us: u64) -> ParallelBenchCase {
     let dim = catalog.relation_by_name("dim").expect("relation");
     let fact = catalog.relation_by_name("fact").expect("relation");
     let mut b = Plan::new();
-    let build = node(&mut b, PhysicalOp::FileScan { relation: dim.id }, &[], build_rows as f64);
-    let probe = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, &[], rows as f64);
+    let dim_scan = PhysicalOp::FileScan { relation: dim.id };
+    let build = node(&mut b, dim_scan, &[], &[], build_rows as f64);
+    let probe = node(&mut b, PhysicalOp::FileScan { relation: fact.id }, &[], &[], rows as f64);
     let root = node(
         &mut b,
-        PhysicalOp::HashJoin {
-            predicates: vec![JoinPred::new(
-                dim.attr_id("k").expect("attr"),
-                fact.attr_id("fk").expect("attr"),
-            )],
-        },
+        PhysicalOp::HashJoin,
         &[build, probe],
+        &[JoinPred::new(
+            dim.attr_id("k").expect("attr"),
+            fact.attr_id("fk").expect("attr"),
+        )],
         rows as f64,
     );
     let plan = Arc::new(b.finish(root));
@@ -157,8 +158,8 @@ fn sort_case(rows: u64, seed: u64, latency_us: u64) -> ParallelBenchCase {
     let rel = catalog.relation_by_name("big").expect("relation");
     let ra = rel.attr_id("a").expect("attr");
     let mut b = Plan::new();
-    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], rows as f64);
-    let root = node(&mut b, PhysicalOp::Sort { attr: ra }, &[scan], rows as f64);
+    let scan = node(&mut b, PhysicalOp::FileScan { relation: rel.id }, &[], &[], rows as f64);
+    let root = node(&mut b, PhysicalOp::Sort { attr: ra }, &[scan], &[], rows as f64);
     let plan = Arc::new(b.finish(root));
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = Bindings::new().with_memory(1024.0);

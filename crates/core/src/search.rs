@@ -25,7 +25,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dqep_algebra::{LogicalExpr, PhysProps, PhysicalOp, SelectPred, SortOrder};
+use dqep_algebra::{JoinPred, LogicalExpr, PhysProps, PhysicalOp, SelectPred, SortOrder};
 use dqep_catalog::{AttrId, Catalog, IndexId, RelationId};
 use dqep_cost::{Cost, CostModel, Environment, PlanStats, PlanningMode};
 use dqep_interval::Interval;
@@ -124,11 +124,16 @@ impl<'a> Optimizer<'a> {
         let explore_seconds = start.elapsed().as_secs_f64();
 
         let inputs = Inputs::new(ctx, self.catalog, self.env, self.options);
+        let reserve = match self.env.mode {
+            PlanningMode::Interval => memo.expr_count() * ARENA_NODES_PER_TEN_EXPRESSIONS / 10,
+            PlanningMode::Point => 0,
+        };
         let mut search = Search {
             q: &inputs,
             group_stats: vec![None; memo.group_count()],
             memo,
-            arena: Plan::new(),
+            arena: Plan::with_capacity(reserve),
+            preds: Vec::new(),
             alternatives: Vec::new(),
             in_progress: Vec::new(),
             physical_considered: 0,
@@ -149,7 +154,9 @@ impl<'a> Optimizer<'a> {
             // plans; intended for small queries.
             search.expand_tree(combined)
         };
+        let finish_started = Instant::now();
         let plan = std::mem::take(&mut search.arena).finish(plan_root);
+        let finish_seconds = finish_started.elapsed().as_secs_f64();
 
         let dag = dqep_plan::dag::summarize(&plan);
         let mut stats = OptimizerStats {
@@ -163,6 +170,7 @@ impl<'a> Optimizer<'a> {
             choose_plans: dag.choose_plans,
             contained_plans: dag.contained_plans,
             explore_seconds,
+            finish_seconds,
             ..OptimizerStats::default()
         };
         for g in 0..search.memo.group_count() {
@@ -211,14 +219,13 @@ fn leaf_group(memo: &mut Memo, rel: RelationId, ctx: &QueryContext) -> GroupId {
     }
 }
 
-/// Collects a filtered view into a list of exactly its length: the list
-/// lives as long as the plan, and a filter's size hint would round a
-/// one-predicate list up to four.
-fn collect_exact<T>(items: impl Iterator<Item = T> + Clone) -> Vec<T> {
-    let mut list = Vec::with_capacity(items.clone().count());
-    list.extend(items);
-    list
-}
+/// Arena nodes a dynamic-plan search builds per ten logical expressions of
+/// the explored memo, at most, on the chains of 4 to 10 relations the
+/// benchmark optimizes (42, 38, 34 and 32 measured): the arena is reserved
+/// once at this size instead of doubling its way there, so a finished plan
+/// holds little spare capacity and needs no trimming (see `Plan::finish`).
+/// A static-plan search builds about one node per expression, and grows.
+const ARENA_NODES_PER_TEN_EXPRESSIONS: usize = 43;
 
 /// A selection predicate of the query with its selectivity under the
 /// run's environment.
@@ -313,7 +320,7 @@ impl<'a> Inputs<'a> {
         for s in preds {
             let out = PlanStats::new(stats.card * s.sel, stats.row_bytes);
             let op = PhysicalOp::Filter { predicate: s.pred };
-            level(s.pred, out, self.model.op_cost(&op, &[stats], &out));
+            level(s.pred, out, self.model.op_cost(&op, &[], &[stats], &out));
             stats = out;
         }
     }
@@ -324,6 +331,8 @@ struct Search<'a> {
     memo: Memo,
     /// Every node built so far, kept or since evicted.
     arena: Plan,
+    /// Scratch list of the join predicates of the node being built.
+    preds: Vec<JoinPred>,
     /// Scratch list of a frontier's plans, for the choose-plan over them.
     alternatives: Vec<NodeId>,
     group_stats: Vec<Option<PlanStats>>,
@@ -403,9 +412,10 @@ impl<'a> Search<'a> {
                 self.consider(
                     &mut frontier,
                     &[child],
+                    [],
                     stats,
-                    |model| model.op_cost(&op, &[stats], &stats),
-                    || op.clone(),
+                    |model| model.op_cost(&op, &[], &[stats], &stats),
+                    op,
                 );
             }
         }
@@ -473,16 +483,18 @@ impl<'a> Search<'a> {
     /// Costs a candidate over `children` and, if the frontier keeps it,
     /// builds its node. Everything is judged on costs computed from
     /// borrowed inputs: `self_cost` runs only once the children's lower
-    /// bounds pass the bound, and `op` — the first thing that may allocate
-    /// — only once the candidate's own cost has passed the bound and the
-    /// frontier's domination test.
+    /// bounds pass the bound, and `preds` — the candidate's join
+    /// predicates — are read only once the candidate's own cost has passed
+    /// the bound and the frontier's domination test, into the arena's
+    /// predicate list.
     fn consider(
         &mut self,
         frontier: &mut Frontier,
         children: &[NodeId],
+        preds: impl IntoIterator<Item = JoinPred>,
         out_stats: PlanStats,
         self_cost: impl FnOnce(&CostModel<'a>) -> Cost,
-        op: impl FnOnce() -> PhysicalOp,
+        op: PhysicalOp,
     ) {
         self.physical_considered += 1;
         if !self.q.opts.exhaustive {
@@ -501,7 +513,9 @@ impl<'a> Search<'a> {
         if !self.keeps(frontier, total.total()) {
             return;
         }
-        let node = self.arena.push(op(), children, out_stats, self_cost);
+        self.preds.clear();
+        self.preds.extend(preds);
+        let node = self.arena.push(op, children, &self.preds, out_stats, self_cost);
         self.keep(frontier, node);
     }
 
@@ -515,9 +529,10 @@ impl<'a> Search<'a> {
             self.consider(
                 frontier,
                 &[],
+                [],
                 stats,
-                |model| model.op_cost(&op, &[], &stats),
-                || op.clone(),
+                |model| model.op_cost(&op, &[], &[], &stats),
+                op,
             );
         }
         for (index, key_attr) in q.indexes_of(r) {
@@ -530,9 +545,10 @@ impl<'a> Search<'a> {
                 self.consider(
                     frontier,
                     &[],
+                    [],
                     stats,
-                    |model| model.op_cost(&op, &[], &stats),
-                    || op.clone(),
+                    |model| model.op_cost(&op, &[], &[], &stats),
+                    op,
                 );
             }
         }
@@ -581,14 +597,14 @@ impl<'a> Search<'a> {
                 index: idx,
                 predicate: p,
             };
-            let cost = q.model.op_cost(&op, &[], &first_stats);
+            let cost = q.model.op_cost(&op, &[], &[], &first_stats);
             let rest = preds
                 .iter()
                 .enumerate()
                 .filter(move |(j, _)| *j != i)
                 .map(|(_, s)| *s);
             self.consider_filter_chain(frontier, cost, first_stats, rest, |arena| {
-                arena.push(op, &[], first_stats, cost)
+                arena.push(op, &[], &[], first_stats, cost)
             });
         }
     }
@@ -615,7 +631,7 @@ impl<'a> Search<'a> {
         q.filter_levels(base_stats, preds, |predicate, out, cost| {
             node = self
                 .arena
-                .push(PhysicalOp::Filter { predicate }, &[node], out, cost);
+                .push(PhysicalOp::Filter { predicate }, &[node], &[], out, cost);
         });
         self.keep(frontier, node);
     }
@@ -656,11 +672,10 @@ impl<'a> Search<'a> {
                     self.consider(
                         frontier,
                         &[lc, rc],
+                        preds.clone(),
                         out_stats,
                         |model| model.hash_join_cost(&l_stats, &r_stats, &out_stats),
-                        || PhysicalOp::HashJoin {
-                            predicates: collect_exact(preds.clone()),
-                        },
+                        PhysicalOp::HashJoin,
                     );
                 }
             }
@@ -679,11 +694,10 @@ impl<'a> Search<'a> {
                         self.consider(
                             frontier,
                             &[lc, rc],
+                            preds.clone(),
                             out_stats,
                             |model| model.merge_join_cost(&l_stats, &r_stats, &out_stats),
-                            || PhysicalOp::MergeJoin {
-                                predicates: collect_exact(preds.clone()),
-                            },
+                            PhysicalOp::MergeJoin,
                         );
                     }
                 }
@@ -725,10 +739,10 @@ impl<'a> Search<'a> {
                     self.consider(
                         frontier,
                         &[outer],
+                        ordered.clone(),
                         out_stats,
-                        |model| model.index_join_cost(&l_stats, inner, ordered.clone(), &out_stats),
-                        || PhysicalOp::IndexJoin {
-                            predicates: collect_exact(ordered.clone()),
+                        |model| model.index_join_cost(&l_stats, inner, ordered, &out_stats),
+                        PhysicalOp::IndexJoin {
                             inner,
                             index,
                             residual: inner_selects.first().copied(),
@@ -756,9 +770,9 @@ impl<'a> Search<'a> {
     fn expand_tree(&mut self, id: NodeId) -> NodeId {
         let children = self.arena.children(id).to_vec();
         let children: Vec<NodeId> = children.into_iter().map(|c| self.expand_tree(c)).collect();
-        let node = &self.arena[id];
-        let (op, stats, self_cost) = (node.op.clone(), node.stats, node.self_cost);
-        self.arena.push(op, &children, stats, self_cost)
+        let node = self.arena[id];
+        let preds = self.arena.join_preds(id).to_vec();
+        self.arena.push(node.op, &children, &preds, node.stats, node.self_cost)
     }
 }
 
@@ -894,7 +908,7 @@ mod tests {
         let hash_joins = result
             .plan
             .iter()
-            .filter(|(_, n)| matches!(n.op, PhysicalOp::HashJoin { .. }))
+            .filter(|(_, n)| matches!(n.op, PhysicalOp::HashJoin))
             .count();
         assert!(hash_joins >= 2, "expected both join orders, got {hash_joins}");
     }

@@ -39,6 +39,9 @@ pub struct OptimizerStats {
     /// The rest of `optimization_seconds`: the property-driven search and
     /// the statistics of its result.
     pub search_seconds: f64,
+    /// The part of `search_seconds` spent ending the search: compacting
+    /// its arena, in place, into the plan (`Plan::finish`).
+    pub finish_seconds: f64,
 }
 
 #[cfg(test)]

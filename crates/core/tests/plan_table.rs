@@ -66,17 +66,27 @@ fn optimized() -> Vec<(Catalog, Environment, Arc<Plan>)> {
 }
 
 /// One of each operator of the paper's Table 1 (`table1.rs` lists them),
-/// with a shared subplan and a nested choose-plan.
+/// with a shared subplan, a nested choose-plan, and joins on one and on two
+/// predicates.
 fn one_of_each() -> Plan {
-    fn push(p: &mut Plan, op: PhysicalOp, children: &[NodeId], lo: f64, hi: f64) -> NodeId {
+    fn join(
+        p: &mut Plan,
+        op: PhysicalOp,
+        children: &[NodeId],
+        preds: &[JoinPred],
+        (lo, hi): (f64, f64),
+    ) -> NodeId {
         let stats = PlanStats::new(Interval::new(lo, hi), 512.0 * (1 + children.len()) as f64);
         let cost = Cost::new(Interval::new(lo / 100.0, hi / 50.0), Interval::new(lo / 10.0, hi));
-        p.push(op, children, stats, cost)
+        p.push(op, children, preds, stats, cost)
+    }
+    fn push(p: &mut Plan, op: PhysicalOp, children: &[NodeId], lo: f64, hi: f64) -> NodeId {
+        join(p, op, children, &[], (lo, hi))
     }
     let attr = |relation: u32, index: u32| AttrId { relation: RelationId(relation), index };
     let (r0, r1) = (RelationId(0), RelationId(1));
     let pred = SelectPred::unbound(attr(0, 0), CompareOp::Lt, HostVar(0));
-    let on = vec![JoinPred::new(attr(0, 1), attr(1, 1))];
+    let on = [JoinPred::new(attr(0, 1), attr(1, 1)), JoinPred::new(attr(0, 2), attr(1, 2))];
     let p = &mut Plan::new();
     let scan = push(p, PhysicalOp::FileScan { relation: r0 }, &[], 1000.0, 1000.0);
     let filter = push(p, PhysicalOp::Filter { predicate: pred }, &[scan], 0.0, 1000.0);
@@ -85,19 +95,17 @@ fn one_of_each() -> Plan {
     let range = push(p, range, &[], 0.0, 1000.0);
     let r = p.choose_plan(&[filter, range], Cost::point(0.001, 0.0));
     let s = push(p, PhysicalOp::FileScan { relation: r1 }, &[], 800.0, 800.0);
-    let hash = push(p, PhysicalOp::HashJoin { predicates: on.clone() }, &[r, s], 0.0, 1600.0);
+    let hash = join(p, PhysicalOp::HashJoin, &[r, s], &on, (0.0, 1600.0));
     let ordered = PhysicalOp::BtreeScan { relation: r1, index: IndexId(1), key_attr: attr(1, 1) };
     let ordered = push(p, ordered, &[], 800.0, 800.0);
     let sort = push(p, PhysicalOp::Sort { attr: attr(0, 1) }, &[r], 0.0, 1000.0);
-    let merge = PhysicalOp::MergeJoin { predicates: on.clone() };
-    let merge = push(p, merge, &[sort, ordered], 0.0, 1600.0);
+    let merge = join(p, PhysicalOp::MergeJoin, &[sort, ordered], &on[..1], (0.0, 1600.0));
     let index = PhysicalOp::IndexJoin {
-        predicates: on,
         inner: r1,
         index: IndexId(1),
         residual: Some(SelectPred::bound(attr(1, 0), CompareOp::Ge, 7)),
     };
-    let index = push(p, index, &[r], 0.0, 1600.0);
+    let index = join(p, index, &[r], &on, (0.0, 1600.0));
     p.choose_plan(&[hash, merge, index], Cost::point(0.002, 0.0));
     std::mem::take(p)
 }
@@ -142,6 +150,7 @@ fn subplans_keep_relative_order_and_child_order() {
             for ((new, copy), old) in sub.iter().zip(&originals) {
                 let original = &plan[*old];
                 assert_eq!(copy.op, original.op);
+                assert_eq!(sub.join_preds(new), plan.join_preds(*old));
                 assert_eq!((copy.stats, copy.self_cost), (original.stats, original.self_cost));
                 assert_eq!((copy.total_cost, copy.order), (original.total_cost, original.order));
                 let children: Vec<NodeId> =
@@ -152,10 +161,13 @@ fn subplans_keep_relative_order_and_child_order() {
     }
 }
 
-/// `(operator, children)` of every node: what two plans share when they
-/// differ only in the statistics and costs written on their operators.
-fn structure(plan: &Plan) -> Vec<(PhysicalOp, Vec<NodeId>)> {
-    plan.iter().map(|(id, node)| (node.op.clone(), plan.children(id).to_vec())).collect()
+/// `(operator, join predicates, children)` of every node: what two plans
+/// share when they differ only in the statistics and costs written on their
+/// operators.
+fn structure(plan: &Plan) -> Vec<(PhysicalOp, Vec<JoinPred>, Vec<NodeId>)> {
+    plan.iter()
+        .map(|(id, node)| (node.op, plan.join_preds(id).to_vec(), plan.children(id).to_vec()))
+        .collect()
 }
 
 #[test]

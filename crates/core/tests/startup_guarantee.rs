@@ -173,18 +173,24 @@ mod reference {
                     child_stats.push(s);
                     cost += child_cost;
                 }
-                let mut stats = self.recompute_stats(node, &child_stats);
+                let preds = self.plan.join_preds(id);
+                let mut stats = self.recompute_stats(node, preds, &child_stats);
                 if let Some(&card) = self.observations.get(&id) {
                     stats = PlanStats::new(Interval::point(card), stats.row_bytes);
                 }
-                cost += self.model.op_cost(&node.op, &child_stats, &stats);
+                cost += self.model.op_cost(&node.op, preds, &child_stats, &stats);
                 (stats, cost)
             };
             self.costs.insert(id, result);
             result
         }
 
-        fn recompute_stats(&self, node: &PlanNode, children: &[PlanStats]) -> PlanStats {
+        fn recompute_stats(
+            &self,
+            node: &PlanNode,
+            preds: &[JoinPred],
+            children: &[PlanStats],
+        ) -> PlanStats {
             let env = self.model.env();
             let sel = self.model.selectivity();
             let base = |rel| Interval::point(self.catalog.relation(rel).stats.cardinality as f64);
@@ -200,16 +206,13 @@ mod reference {
                 PhysicalOp::Filter { predicate } => {
                     children[0].card * sel.selection(predicate, env)
                 }
-                PhysicalOp::HashJoin { predicates } | PhysicalOp::MergeJoin { predicates } => {
-                    sel.join_output(children[0].card, children[1].card, predicates)
+                PhysicalOp::HashJoin | PhysicalOp::MergeJoin => {
+                    sel.join_output(children[0].card, children[1].card, preds)
                 }
                 PhysicalOp::IndexJoin {
-                    predicates,
-                    inner,
-                    residual,
-                    ..
+                    inner, residual, ..
                 } => {
-                    let mut card = sel.join_output(children[0].card, base(*inner), predicates);
+                    let mut card = sel.join_output(children[0].card, base(*inner), preds);
                     if let Some(residual) = residual {
                         card = card * sel.selection(residual, env);
                     }
@@ -354,7 +357,7 @@ proptest! {
 fn as_tree(plan: &Plan, id: NodeId) -> String {
     let node: &PlanNode = &plan[id];
     let children: Vec<String> = plan.children(id).iter().map(|c| as_tree(plan, *c)).collect();
-    format!("{}{{{}}}({})", node.op, node.stats.card, children.join(", "))
+    format!("{}{{{}}}({})", plan.label(id), node.stats.card, children.join(", "))
 }
 
 /// [`as_tree`] of what resolving `plan` must produce, written from the
@@ -377,5 +380,5 @@ fn resolved_by_hand(
         .iter()
         .map(|c| resolved_by_hand(plan, *c, chosen, estimates, kept))
         .collect();
-    format!("{}{{{}}}({})", plan[id].op, estimates[&id], children.join(", "))
+    format!("{}{{{}}}({})", plan.label(id), estimates[&id], children.join(", "))
 }

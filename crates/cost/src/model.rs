@@ -76,8 +76,9 @@ impl<'a> CostModel<'a> {
         self.env
     }
 
-    /// Cost of one operator given its input streams (`inputs`, one entry
-    /// per plan child, in order) and its output stream.
+    /// Cost of one operator given its join predicates (`preds`, empty for
+    /// an operator that joins nothing), its input streams (`inputs`, one
+    /// entry per plan child, in order) and its output stream.
     ///
     /// `ChoosePlan` is costed by [`CostModel::choose_plan_cost`] instead,
     /// because its cost depends on the number of alternatives rather than
@@ -86,7 +87,13 @@ impl<'a> CostModel<'a> {
     /// # Panics
     /// Panics if `inputs` does not match the operator's arity.
     #[must_use]
-    pub fn op_cost(&self, op: &PhysicalOp, inputs: &[PlanStats], output: &PlanStats) -> Cost {
+    pub fn op_cost(
+        &self,
+        op: &PhysicalOp,
+        preds: &[JoinPred],
+        inputs: &[PlanStats],
+        output: &PlanStats,
+    ) -> Cost {
         let cfg = &self.catalog.config;
         match op {
             PhysicalOp::FileScan { relation } => {
@@ -133,17 +140,17 @@ impl<'a> CostModel<'a> {
                 };
                 Cost::new(output.card.scale(cfg.cpu_per_record), io)
             }
-            PhysicalOp::HashJoin { .. } => {
+            PhysicalOp::HashJoin => {
                 let ins = only(inputs, 2);
                 self.hash_join_cost(&ins[0], &ins[1], output)
             }
-            PhysicalOp::MergeJoin { .. } => {
+            PhysicalOp::MergeJoin => {
                 let ins = only(inputs, 2);
                 self.merge_join_cost(&ins[0], &ins[1], output)
             }
-            PhysicalOp::IndexJoin {
-                predicates, inner, ..
-            } => self.index_join_cost(&only(inputs, 1)[0], *inner, predicates, output),
+            PhysicalOp::IndexJoin { inner, .. } => {
+                self.index_join_cost(&only(inputs, 1)[0], *inner, preds, output)
+            }
             PhysicalOp::Sort { .. } => {
                 let input = only(inputs, 1)[0];
                 let pages = input.pages(cfg.page_size);
@@ -169,7 +176,7 @@ impl<'a> CostModel<'a> {
     ///
     /// The three join cost functions are callable on their own so the
     /// search can cost a join candidate from borrowed inputs, before it
-    /// owns a predicate list or a [`PhysicalOp`] for it.
+    /// builds a plan node for it.
     #[must_use]
     pub fn hash_join_cost(&self, build: &PlanStats, probe: &PlanStats, output: &PlanStats) -> Cost {
         let cfg = &self.catalog.config;
@@ -283,7 +290,7 @@ mod tests {
         let env = Environment::dynamic_compile_time(&cat.config);
         let m = CostModel::new(&cat, &env);
         let r = cat.relation_by_name("r").unwrap().id;
-        let c = m.op_cost(&PhysicalOp::FileScan { relation: r }, &[], &stats(1000.0));
+        let c = m.op_cost(&PhysicalOp::FileScan { relation: r }, &[], &[], &stats(1000.0));
         assert!(c.total().is_point(), "file scan cost does not depend on bindings");
         // 250 pages * 1 ms + 1000 records * 0.1 ms = 0.25 + 0.1 s.
         assert!((c.total().lo() - 0.35).abs() < 1e-9);
@@ -304,7 +311,7 @@ mod tests {
         };
         // Unbound: output anywhere in [0, 1000].
         let out = PlanStats::new(Interval::new(0.0, 1000.0), 512.0);
-        let c = m.op_cost(&op, &[], &out);
+        let c = m.op_cost(&op, &[], &[], &out);
         assert!(c.total().lo() < 0.05, "nearly free at selectivity 0");
         assert!(c.total().hi() > 3.0, "expensive at selectivity 1 (one fetch per record)");
     }
@@ -326,10 +333,12 @@ mod tests {
         let index_cost = m.op_cost(
             &PhysicalOp::FilterBtreeScan { relation: r.id, index: idx, predicate: pred },
             &[],
+            &[],
             &out,
         );
-        let scan_cost = m.op_cost(&PhysicalOp::FileScan { relation: r.id }, &[], &stats(1000.0));
-        let filter_cost = m.op_cost(&PhysicalOp::Filter { predicate: pred }, &[stats(1000.0)], &out);
+        let scan_cost = m.op_cost(&PhysicalOp::FileScan { relation: r.id }, &[], &[], &stats(1000.0));
+        let filter = PhysicalOp::Filter { predicate: pred };
+        let filter_cost = m.op_cost(&filter, &[], &[stats(1000.0)], &out);
         let file_plan = scan_cost + filter_cost;
         assert!(
             index_cost.total().hi() < file_plan.total().lo(),
@@ -352,10 +361,12 @@ mod tests {
         let index_cost = m.op_cost(
             &PhysicalOp::FilterBtreeScan { relation: r.id, index: idx, predicate: pred },
             &[],
+            &[],
             &out,
         );
-        let file_plan = m.op_cost(&PhysicalOp::FileScan { relation: r.id }, &[], &stats(1000.0))
-            + m.op_cost(&PhysicalOp::Filter { predicate: pred }, &[stats(1000.0)], &out);
+        let filter = PhysicalOp::Filter { predicate: pred };
+        let file_plan = m.op_cost(&PhysicalOp::FileScan { relation: r.id }, &[], &[], &stats(1000.0))
+            + m.op_cost(&filter, &[], &[stats(1000.0)], &out);
         assert!(file_plan.total().hi() < index_cost.total().lo());
     }
 
@@ -370,14 +381,12 @@ mod tests {
             default_selectivity: cfg.default_selectivity,
         };
         let env_big = Environment::static_compile_time(&cfg);
-        let op = PhysicalOp::HashJoin {
-            predicates: vec![JoinPred::new(attr(&cat, "r", "j"), attr(&cat, "s", "j"))],
-        };
+        let op = PhysicalOp::HashJoin;
         let build = stats(1000.0); // 250 pages > 16
         let probe = stats(800.0);
         let out = stats(1600.0);
-        let small = CostModel::new(&cat, &env_small).op_cost(&op, &[build, probe], &out);
-        let big = CostModel::new(&cat, &env_big).op_cost(&op, &[build, probe], &out);
+        let small = CostModel::new(&cat, &env_small).op_cost(&op, &[], &[build, probe], &out);
+        let big = CostModel::new(&cat, &env_big).op_cost(&op, &[], &[build, probe], &out);
         assert!(small.io.lo() > 0.0, "must partition when memory is small");
         assert!(small.total().lo() > big.total().lo());
     }
@@ -387,13 +396,11 @@ mod tests {
         let cat = fixture();
         let env = Environment::dynamic_uncertain_memory(&cat.config);
         let m = CostModel::new(&cat, &env);
-        let op = PhysicalOp::HashJoin {
-            predicates: vec![JoinPred::new(attr(&cat, "r", "j"), attr(&cat, "s", "j"))],
-        };
+        let op = PhysicalOp::HashJoin;
         // Build of 100 pages: fits in 112 pages, spills at 16.
         let build = PlanStats::new(Interval::point(400.0), 512.0);
         let probe = stats(800.0);
-        let c = m.op_cost(&op, &[build, probe], &stats(640.0));
+        let c = m.op_cost(&op, &[], &[build, probe], &stats(640.0));
         assert_eq!(c.io.lo(), 0.0, "best case: in-memory");
         assert!(c.io.hi() > 0.0, "worst case: partitioning I/O");
     }
@@ -410,14 +417,12 @@ mod tests {
             default_selectivity: 0.05,
         };
         let m = CostModel::new(&cat, &env);
-        let op = PhysicalOp::HashJoin {
-            predicates: vec![JoinPred::new(attr(&cat, "r", "j"), attr(&cat, "s", "j"))],
-        };
+        let op = PhysicalOp::HashJoin;
         let small = stats(100.0);
         let large = stats(1000.0);
         let out = stats(200.0);
-        let small_build = m.op_cost(&op, &[small, large], &out);
-        let large_build = m.op_cost(&op, &[large, small], &out);
+        let small_build = m.op_cost(&op, &[], &[small, large], &out);
+        let large_build = m.op_cost(&op, &[], &[large, small], &out);
         assert!(small_build.total().hi() <= large_build.total().hi());
     }
 
@@ -427,7 +432,7 @@ mod tests {
         let env = Environment::dynamic_uncertain_memory(&cat.config);
         let m = CostModel::new(&cat, &env);
         let a = attr(&cat, "r", "a");
-        let c = m.op_cost(&PhysicalOp::Sort { attr: a }, &[stats(1000.0)], &stats(1000.0));
+        let c = m.op_cost(&PhysicalOp::Sort { attr: a }, &[], &[stats(1000.0)], &stats(1000.0));
         // 250 pages: spills at 16 pages of memory, fits... 250 > 112, so
         // always spills, but more memory means no extra passes.
         assert!(c.io.lo() > 0.0);
@@ -440,10 +445,8 @@ mod tests {
         let cat = fixture();
         let env = Environment::static_compile_time(&cat.config);
         let m = CostModel::new(&cat, &env);
-        let op = PhysicalOp::MergeJoin {
-            predicates: vec![JoinPred::new(attr(&cat, "r", "j"), attr(&cat, "s", "j"))],
-        };
-        let c = m.op_cost(&op, &[stats(1000.0), stats(800.0)], &stats(1600.0));
+        let op = PhysicalOp::MergeJoin;
+        let c = m.op_cost(&op, &[], &[stats(1000.0), stats(800.0)], &stats(1600.0));
         assert_eq!(c.io, Interval::ZERO);
         assert!(c.cpu.lo() > 0.0);
     }
@@ -457,13 +460,12 @@ mod tests {
         let jp = JoinPred::new(attr(&cat, "r", "j"), attr(&cat, "s", "j"));
         let (idx, _) = cat.index_on_attr(attr(&cat, "s", "j")).unwrap();
         let op = PhysicalOp::IndexJoin {
-            predicates: vec![jp],
             inner: s.id,
             index: idx,
             residual: None,
         };
-        let small = m.op_cost(&op, &[stats(10.0)], &stats(16.0));
-        let large = m.op_cost(&op, &[stats(1000.0)], &stats(1600.0));
+        let small = m.op_cost(&op, &[jp], &[stats(10.0)], &stats(16.0));
+        let large = m.op_cost(&op, &[jp], &[stats(1000.0)], &stats(1600.0));
         assert!(large.total().lo() > small.total().lo() * 50.0);
     }
 
@@ -492,14 +494,14 @@ mod tests {
         let m = CostModel::new(&cat, &dyn_env);
         let sel = m.selectivity().selection(&pred, &dyn_env);
         let out = PlanStats::new(Interval::point(1000.0) * sel, 512.0);
-        let wide = m.op_cost(&op, &[], &out);
+        let wide = m.op_cost(&op, &[], &[], &out);
 
         for v in [0i64, 100, 500, 999] {
             let bound = dyn_env.bind(&Bindings::new().with_value(HostVar(0), v));
             let mb = CostModel::new(&cat, &bound);
             let sel_b = mb.selectivity().selection(&pred, &bound);
             let out_b = PlanStats::new(Interval::point(1000.0) * sel_b, 512.0);
-            let c = mb.op_cost(&op, &[], &out_b);
+            let c = mb.op_cost(&op, &[], &[], &out_b);
             assert!(
                 wide.total().contains_interval(c.total()),
                 "binding {v}: point cost {} outside interval {}",
@@ -528,7 +530,7 @@ mod tests {
             let pred = SelectPred::bound(rel.attr_id("a").unwrap(), CompareOp::Lt, 900);
             let (idx, _) = cat.index_on_attr(pred.attr).unwrap();
             let op = PhysicalOp::FilterBtreeScan { relation: rel.id, index: idx, predicate: pred };
-            costs.insert(name, m.op_cost(&op, &[], &out).total().hi());
+            costs.insert(name, m.op_cost(&op, &[], &[], &out).total().hi());
         }
         assert!(
             costs["c"] * 5.0 < costs["u"],
@@ -554,7 +556,7 @@ mod tests {
             index: idx,
             key_attr: rel.attr_id("a").unwrap(),
         };
-        let c = m.op_cost(&op, &[], &stats(1000.0)).total().hi();
+        let c = m.op_cost(&op, &[], &[], &stats(1000.0)).total().hi();
         // Sequential pages + descent, nowhere near 1000 random fetches.
         assert!(c < 1.0, "clustered full scan cost {c}");
     }
@@ -565,9 +567,7 @@ mod tests {
         let cat = fixture();
         let env = Environment::static_compile_time(&cat.config);
         let m = CostModel::new(&cat, &env);
-        let op = PhysicalOp::HashJoin {
-            predicates: vec![JoinPred::new(attr(&cat, "r", "j"), attr(&cat, "s", "j"))],
-        };
-        let _ = m.op_cost(&op, &[stats(1.0)], &stats(1.0));
+        let op = PhysicalOp::HashJoin;
+        let _ = m.op_cost(&op, &[], &[stats(1.0)], &stats(1.0));
     }
 }

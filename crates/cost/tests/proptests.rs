@@ -47,8 +47,8 @@ proptest! {
         let ops: Vec<PhysicalOp> = vec![
             PhysicalOp::FileScan { relation: r.id },
             PhysicalOp::FilterBtreeScan { relation: r.id, index: idx, predicate: pred },
-            PhysicalOp::HashJoin { predicates: vec![jp] },
-            PhysicalOp::MergeJoin { predicates: vec![jp] },
+            PhysicalOp::HashJoin,
+            PhysicalOp::MergeJoin,
             PhysicalOp::Sort { attr: r.attr_id("a").unwrap() },
         ];
         for op in &ops {
@@ -75,7 +75,7 @@ proptest! {
                 PhysicalOp::FilterBtreeScan { .. } => {
                     (vec![], vec![], filtered_wide, filtered_bound)
                 }
-                PhysicalOp::HashJoin { .. } | PhysicalOp::MergeJoin { .. } => (
+                PhysicalOp::HashJoin | PhysicalOp::MergeJoin => (
                     vec![filtered_wide, PlanStats::new(s_card, 512.0)],
                     vec![filtered_bound, PlanStats::new(s_card, 512.0)],
                     PlanStats::new((filtered_wide.card * s_card).scale(jsel), 1024.0),
@@ -89,8 +89,8 @@ proptest! {
                 ),
                 _ => unreachable!(),
             };
-            let wide_cost = wide.op_cost(op, &inputs_wide, &out_wide).total();
-            let bound_cost = bound.op_cost(op, &inputs_bound, &out_bound).total();
+            let wide_cost = wide.op_cost(op, &[jp], &inputs_wide, &out_wide).total();
+            let bound_cost = bound.op_cost(op, &[jp], &inputs_bound, &out_bound).total();
             prop_assert!(bound_cost.is_point());
             prop_assert!(
                 wide_cost.lo() <= bound_cost.lo() + 1e-9
@@ -122,7 +122,7 @@ proptest! {
             let model = CostModel::new(&cat, &env);
             let sel = model.selectivity().selection(&pred, &env);
             let out = PlanStats::new(Interval::point(card as f64) * sel, 512.0);
-            let cost = model.op_cost(&op, &[], &out).total().lo();
+            let cost = model.op_cost(&op, &[], &[], &out).total().lo();
             prop_assert!(cost >= prev - 1e-12, "cost not monotone at v={v}");
             prev = cost;
         }
@@ -136,7 +136,7 @@ proptest! {
         let r = cat.relation_by_name("r").unwrap();
         let s = cat.relation_by_name("s").unwrap();
         let jp = JoinPred::new(r.attr_id("j").unwrap(), s.attr_id("j").unwrap());
-        let op = PhysicalOp::HashJoin { predicates: vec![jp] };
+        let op = PhysicalOp::HashJoin;
         let base = Environment::dynamic_uncertain_memory(&cat.config);
         let inputs = [
             PlanStats::new(Interval::point(build as f64), 512.0),
@@ -146,7 +146,7 @@ proptest! {
         let mut prev = f64::INFINITY;
         for mem in [16.0f64, 32.0, 64.0, 96.0, 112.0] {
             let env = base.bind(&Bindings::new().with_memory(mem));
-            let cost = CostModel::new(&cat, &env).op_cost(&op, &inputs, &out).total().lo();
+            let cost = CostModel::new(&cat, &env).op_cost(&op, &[jp], &inputs, &out).total().lo();
             prop_assert!(cost <= prev + 1e-12, "cost rose with memory at {mem}");
             prev = cost;
         }

@@ -170,7 +170,7 @@ pub(crate) fn layout_of(plan: &Plan, id: NodeId, catalog: &Catalog) -> TupleLayo
             TupleLayout::base(catalog, *relation)
         }
         Filter { .. } | Sort { .. } | ChoosePlan => child(0),
-        HashJoin { .. } | MergeJoin { .. } => child(0).concat(&child(1)),
+        HashJoin | MergeJoin => child(0).concat(&child(1)),
         IndexJoin { inner, .. } => child(0).concat(&TupleLayout::base(catalog, *inner)),
     }
 }
@@ -199,7 +199,7 @@ impl Operator for ChoosePlanExec<'_> {
                 .enumerate()
                 .map(|(index, alt)| AltAudit {
                     index,
-                    label: plan[*alt].op.to_string(),
+                    label: plan.label(*alt).to_string(),
                     predicted_seconds: predicted_seconds(*alt),
                 })
                 .collect(),

@@ -100,7 +100,7 @@ impl<'a> Compiler<'a, '_> {
         // With a tracer in the context, every node gets a span and its
         // operator a `TracedExec` wrapper; children compile under `traced`'s
         // context so their spans nest. Without one, this is a single branch.
-        match crate::trace::node_span(ctx, id, &self.plan[id]) {
+        match crate::trace::node_span(ctx, self.plan, id) {
             Some((span, ctx)) => {
                 let op = self.operator(id, &ctx)?;
                 Ok(crate::trace::wrap_span(op, span, &ctx, Some(self.db.disk.clone())))
@@ -135,16 +135,16 @@ impl<'a> Compiler<'a, '_> {
                 card: plan[input].stats.card,
             })
         };
-        Ok(match &node.op {
+        Ok(match node.op {
             PhysicalOp::FileScan { relation } => {
-                let table = db.table(*relation);
+                let table = db.table(relation);
                 // The one place parallelism enters a compiled tree: a DOP > 1
                 // file scan becomes an exchange over morsel-scan workers.
                 // Every other operator reads `ctx.dop` itself.
                 if ctx.dop > 1 && table.heap.page_count() >= 2 {
                     let mut exchange = crate::exchange::parallel_scan(
                         table,
-                        TupleLayout::base(catalog, *relation),
+                        TupleLayout::base(catalog, relation),
                         ctx,
                     );
                     // The exchange's worker join is a pipeline breaker: all
@@ -156,7 +156,7 @@ impl<'a> Compiler<'a, '_> {
                 } else {
                     Box::new(FileScanExec::new(
                         table,
-                        TupleLayout::base(catalog, *relation),
+                        TupleLayout::base(catalog, relation),
                         ctx.clone(),
                     ))
                 }
@@ -164,10 +164,10 @@ impl<'a> Compiler<'a, '_> {
             PhysicalOp::BtreeScan {
                 relation, index, ..
             } => Box::new(BtreeScanExec::new(
-                db.table(*relation),
-                *index,
+                db.table(relation),
+                index,
                 (None, None),
-                TupleLayout::base(catalog, *relation),
+                TupleLayout::base(catalog, relation),
                 ctx.clone(),
             )),
             PhysicalOp::FilterBtreeScan {
@@ -175,11 +175,11 @@ impl<'a> Compiler<'a, '_> {
                 index,
                 predicate,
             } => {
-                let layout = TupleLayout::base(catalog, *relation);
-                let resolved = resolve_pred(predicate, &layout, bindings)?;
+                let layout = TupleLayout::base(catalog, relation);
+                let resolved = resolve_pred(&predicate, &layout, bindings)?;
                 Box::new(BtreeScanExec::new(
-                    db.table(*relation),
-                    *index,
+                    db.table(relation),
+                    index,
                     resolved.key_range(),
                     layout,
                     ctx.clone(),
@@ -187,13 +187,14 @@ impl<'a> Compiler<'a, '_> {
             }
             PhysicalOp::Filter { predicate } => {
                 let child = self.node(children[0], ctx)?;
-                let resolved = resolve_pred(predicate, child.layout(), bindings)?;
+                let resolved = resolve_pred(&predicate, child.layout(), bindings)?;
                 Box::new(FilterExec::new(child, resolved, ctx.clone()))
             }
-            PhysicalOp::HashJoin { predicates } => {
+            PhysicalOp::HashJoin => {
                 let build = self.node(children[0], ctx)?;
                 let probe = self.node(children[1], ctx)?;
-                let keys = predicates
+                let keys = plan
+                    .join_preds(id)
                     .iter()
                     .map(|p| orient(p, build.layout(), probe.layout()))
                     .collect::<Result<Vec<_>, _>>()?;
@@ -210,10 +211,11 @@ impl<'a> Compiler<'a, '_> {
                 }
                 Box::new(join)
             }
-            PhysicalOp::MergeJoin { predicates } => {
+            PhysicalOp::MergeJoin => {
                 let left = self.node(children[0], ctx)?;
                 let right = self.node(children[1], ctx)?;
-                let mut keys = predicates
+                let mut keys = plan
+                    .join_preds(id)
                     .iter()
                     .map(|p| orient(p, left.layout(), right.layout()))
                     .collect::<Result<Vec<_>, _>>()?;
@@ -221,14 +223,14 @@ impl<'a> Compiler<'a, '_> {
                 Box::new(MergeJoinExec::new(left, right, lk, rk, keys, ctx.clone()))
             }
             PhysicalOp::IndexJoin {
-                predicates,
                 inner,
                 index,
                 residual,
             } => {
                 let outer = self.node(children[0], ctx)?;
-                let inner_layout = TupleLayout::base(catalog, *inner);
-                let mut keys = predicates
+                let inner_layout = TupleLayout::base(catalog, inner);
+                let mut keys = plan
+                    .join_preds(id)
                     .iter()
                     .map(|p| orient(p, outer.layout(), &inner_layout))
                     .collect::<Result<Vec<_>, _>>()?;
@@ -239,9 +241,9 @@ impl<'a> Compiler<'a, '_> {
                     .transpose()?;
                 Box::new(IndexJoinExec::new(
                     outer,
-                    db.table(*inner),
+                    db.table(inner),
                     &inner_layout,
-                    *index,
+                    index,
                     outer_key,
                     keys,
                     residual,
@@ -253,7 +255,7 @@ impl<'a> Compiler<'a, '_> {
                 let child = self.node(children[0], ctx)?;
                 let key = child
                     .layout()
-                    .position(*attr)
+                    .position(attr)
                     .ok_or_else(|| ExecError::PredicateMismatch(format!("sort key {attr}")))?;
                 let mut sort = SortExec::new(
                     child,

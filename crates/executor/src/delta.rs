@@ -171,10 +171,10 @@ fn build(
             let pred = resolve_pred(predicate, &layout, bindings)?;
             (DeltaNode::Filter { child: Box::new(child), pred }, layout)
         }
-        PhysicalOp::HashJoin { predicates } | PhysicalOp::MergeJoin { predicates } => {
-            join(build(0)?, build(1)?, predicates)?
+        PhysicalOp::HashJoin | PhysicalOp::MergeJoin => {
+            join(build(0)?, build(1)?, plan.join_preds(id))?
         }
-        PhysicalOp::IndexJoin { predicates, inner, residual, .. } => {
+        PhysicalOp::IndexJoin { inner, residual, .. } => {
             let rl = TupleLayout::base(catalog, *inner);
             let filter = residual
                 .as_ref()
@@ -185,7 +185,7 @@ fn build(
                 filter,
                 width: rl.width(),
             };
-            join(build(0)?, (right, rl), predicates)?
+            join(build(0)?, (right, rl), plan.join_preds(id))?
         }
         PhysicalOp::Sort { attr } => {
             let (child, layout) = build(0)?;

@@ -34,10 +34,11 @@ impl Side {
     }
 }
 
-/// Merge join on a single sort key (`predicates[0]`), with any further
-/// equi-join predicates applied as residual checks. Inputs must be sorted
-/// ascending on their respective key attributes — the optimizer guarantees
-/// this via required physical properties (B-tree scans or Sort enforcers).
+/// Merge join on a single sort key (its plan node's first join
+/// predicate), with any further equi-join predicates applied as residual
+/// checks. Inputs must be sorted ascending on their respective key
+/// attributes — the optimizer guarantees this via required physical
+/// properties (B-tree scans or Sort enforcers).
 ///
 /// The join walks a left and a right batch by live position. The right
 /// rows sharing the current key are kept as a dense [`RowBatch`] (a group

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dqep_interval::Interval;
-use dqep_plan::{NodeId, PlanNode};
+use dqep_plan::{NodeId, Plan, PlanNode};
 use dqep_storage::{IoStats, SimDisk};
 use parking_lot::Mutex;
 
@@ -587,19 +587,16 @@ impl Drop for TracedExec<'_> {
     }
 }
 
-/// Opens a span for `node`, the plan's node `id`, when `ctx` traces: returns the span plus the
+/// Opens a span for the plan's node `id` when `ctx` traces: returns the span plus the
 /// context child operators should compile under (its `span_parent` points
 /// at the new span). Returns `None` — and allocates nothing — when
 /// tracing is disabled, so the untraced compile path pays one branch.
 #[must_use]
-pub fn node_span(
-    ctx: &ExecContext,
-    id: NodeId,
-    node: &PlanNode,
-) -> Option<(SpanId, ExecContext)> {
+pub fn node_span(ctx: &ExecContext, plan: &Plan, id: NodeId) -> Option<(SpanId, ExecContext)> {
     let tracer = ctx.tracer.as_ref().filter(|t| t.records_spans())?;
+    let node = &plan[id];
     let span = tracer.span(
-        node.op.to_string(),
+        plan.label(id).to_string(),
         node.op.name(),
         Some(u64::from(id.0)),
         Some(NodeEstimate::of(node)),

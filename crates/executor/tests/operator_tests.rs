@@ -43,9 +43,15 @@ fn rows_of(cat: &Catalog, db: &StoredDatabase, name: &str) -> Vec<Tuple> {
 
 /// Builds a raw physical plan node (no optimizer involved).
 fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
+    join(b, op, children, &[])
+}
+
+/// [`node`] for a join on `preds`.
+fn join(b: &mut Plan, op: PhysicalOp, children: &[NodeId], preds: &[JoinPred]) -> NodeId {
     b.push(
         op,
         children,
+        preds,
         PlanStats::new(Interval::point(0.0), 512.0),
         Cost::ZERO,
     )
@@ -109,11 +115,7 @@ fn all_join_algorithms_agree_with_nested_loop() {
     let mut b = Plan::new();
     let scan_r = node(&mut b, PhysicalOp::FileScan { relation: r.id }, &[]);
     let scan_s = node(&mut b, PhysicalOp::FileScan { relation: s.id }, &[]);
-    let hj = node(
-        &mut b,
-        PhysicalOp::HashJoin { predicates: vec![pred] },
-        &[scan_r, scan_s],
-    );
+    let hj = join(&mut b, PhysicalOp::HashJoin, &[scan_r, scan_s], &[pred]);
     assert_eq!(sorted(run((&b, hj), &db, &cat, &bindings, mem)), reference);
 
     // Hash join forced to partition (tiny memory budget).
@@ -122,11 +124,7 @@ fn all_join_algorithms_agree_with_nested_loop() {
     // Merge join over explicit sorts.
     let sort_r = node(&mut b, PhysicalOp::Sort { attr: rj }, &[scan_r]);
     let sort_s = node(&mut b, PhysicalOp::Sort { attr: sj }, &[scan_s]);
-    let mj = node(
-        &mut b,
-        PhysicalOp::MergeJoin { predicates: vec![pred] },
-        &[sort_r, sort_s],
-    );
+    let mj = join(&mut b, PhysicalOp::MergeJoin, &[sort_r, sort_s], &[pred]);
     assert_eq!(sorted(run((&b, mj), &db, &cat, &bindings, mem)), reference);
 
     // Merge join with spilling sorts.
@@ -134,15 +132,15 @@ fn all_join_algorithms_agree_with_nested_loop() {
 
     // Index join (inner s through its j index).
     let (idx, _) = cat.index_on_attr(sj).unwrap();
-    let ij = node(
+    let ij = join(
         &mut b,
         PhysicalOp::IndexJoin {
-            predicates: vec![pred],
             inner: s.id,
             index: idx,
             residual: None,
         },
         &[scan_r],
+        &[pred],
     );
     assert_eq!(sorted(run((&b, ij), &db, &cat, &bindings, mem)), reference);
 }

@@ -72,7 +72,12 @@ fn star_catalog() -> Catalog {
 const GRANT_BYTES: usize = 64 * 2048;
 
 fn node(p: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
-    p.push(op, children, PlanStats::new(Interval::point(0.0), 256.0), Cost::ZERO)
+    join_node(p, op, children, &[])
+}
+
+/// [`node`] for a join on `preds`.
+fn join_node(p: &mut Plan, op: PhysicalOp, children: &[NodeId], preds: &[JoinPred]) -> NodeId {
+    p.push(op, children, preds, PlanStats::new(Interval::point(0.0), 256.0), Cost::ZERO)
 }
 
 /// Runs the subplan at `root` once to warm lazily initialized state, then
@@ -118,11 +123,7 @@ fn spilling_operators_allocate_per_page_written_and_not_per_row_or_page_scanned(
     // 6 000 build rows ⋈ 8 400 probe rows: twelve times the grant, so
     // both sides are partitioned to disk.
     let on_j = JoinPred::new(dim.attr_id("j").expect("j"), fact.attr_id("j").expect("j"));
-    let join = node(
-        &mut b,
-        PhysicalOp::HashJoin { predicates: vec![on_j] },
-        &[scan_dim, fact_lt],
-    );
+    let join = join_node(&mut b, PhysicalOp::HashJoin, &[scan_dim, fact_lt], &[on_j]);
     let (allocs, rows, written) = measure(&b, join, &db, &catalog);
     assert!(rows >= 8_000, "a join large enough to tell: {rows} rows");
     assert!(written >= 2_000, "both sides spill: {written} pages written");

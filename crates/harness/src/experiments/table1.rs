@@ -43,10 +43,9 @@ pub fn entries() -> Vec<(&'static str, &'static str, &'static str)> {
         index: IndexId(0),
         predicate: pred,
     };
-    let hj = PhysicalOp::HashJoin { predicates: vec![] };
-    let mj = PhysicalOp::MergeJoin { predicates: vec![] };
+    let hj = PhysicalOp::HashJoin;
+    let mj = PhysicalOp::MergeJoin;
     let ij = PhysicalOp::IndexJoin {
-        predicates: vec![],
         inner: RelationId(0),
         index: IndexId(0),
         residual: None,

@@ -98,6 +98,7 @@ mod tests {
         p.push(
             PhysicalOp::FileScan { relation: RelationId(rel) },
             &[],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.0, 1.0),
         )
@@ -112,6 +113,7 @@ mod tests {
                 attr: dqep_catalog::AttrId { relation: RelationId(0), index: 0 },
             },
             &[shared],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.1, 0.0),
         );
@@ -120,6 +122,7 @@ mod tests {
                 attr: dqep_catalog::AttrId { relation: RelationId(0), index: 1 },
             },
             &[shared],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.2, 0.0),
         );
@@ -161,8 +164,9 @@ mod tests {
             p.choose_plan(&[s1, s2], Cost::ZERO)
         };
         p.push(
-            PhysicalOp::HashJoin { predicates: vec![] },
+            PhysicalOp::HashJoin,
             &[cp1, cp2],
+            &[],
             PlanStats::new(Interval::point(1.0), 1024.0),
             Cost::ZERO,
         );

@@ -30,7 +30,7 @@ pub fn to_dot(plan: &Plan) -> String {
         };
         let label = format!(
             "{}\\ncard={}\\ncost={}",
-            escape(&node.op.to_string()),
+            escape(&plan.label(id).to_string()),
             node.stats.card,
             node.total_cost.total()
         );
@@ -64,6 +64,7 @@ mod tests {
         let shared = p.push(
             PhysicalOp::FileScan { relation: RelationId(0) },
             &[],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.0, 0.1),
         );
@@ -72,6 +73,7 @@ mod tests {
                 attr: dqep_catalog::AttrId { relation: RelationId(0), index: 0 },
             },
             &[shared],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.1, 0.0),
         );
@@ -80,6 +82,7 @@ mod tests {
                 attr: dqep_catalog::AttrId { relation: RelationId(0), index: 1 },
             },
             &[shared],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.2, 0.0),
         );
@@ -110,6 +113,7 @@ mod tests {
         let mut p = Plan::new();
         p.push(
             PhysicalOp::FileScan { relation: RelationId(1) },
+            &[],
             &[],
             PlanStats::new(Interval::point(1.0), 512.0),
             Cost::ZERO,

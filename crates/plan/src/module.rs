@@ -131,7 +131,7 @@ impl AccessModule {
         let mut buf = BytesMut::with_capacity(self.plan.len() * 96);
         buf.put_u32(self.plan.len() as u32);
         for (id, node) in self.plan.iter() {
-            encode_op(&mut buf, &node.op);
+            encode_op(&mut buf, &node.op, self.plan.join_preds(id));
             buf.put_f64(node.stats.card.lo());
             buf.put_f64(node.stats.card.hi());
             buf.put_f64(node.stats.row_bytes);
@@ -163,8 +163,9 @@ impl AccessModule {
         // before the per-node decoding ever detects truncation.
         let mut plan = Plan::with_capacity(count.min(1024));
         let mut children: Vec<NodeId> = Vec::new();
+        let mut preds: Vec<JoinPred> = Vec::new();
         for node in 0..count as u32 {
-            let op = decode_op(buf)?;
+            let op = decode_op(buf, &mut preds)?;
             let card = decode_interval(buf)?;
             let row_bytes = get_f64(buf)?;
             if !(row_bytes.is_finite() && row_bytes >= 0.0) {
@@ -183,7 +184,7 @@ impl AccessModule {
                 }
                 children.push(NodeId(ordinal));
             }
-            plan.push(op, &children, PlanStats::new(card, row_bytes), self_cost);
+            plan.push(op, &children, &preds, PlanStats::new(card, row_bytes), self_cost);
         }
         if buf.remaining() > 0 {
             return Err(ModuleError::TrailingBytes(buf.remaining()));
@@ -207,7 +208,9 @@ const TAG_INDEX_JOIN: u8 = 6;
 const TAG_SORT: u8 = 7;
 const TAG_CHOOSE_PLAN: u8 = 8;
 
-fn encode_op(buf: &mut BytesMut, op: &PhysicalOp) {
+/// Writes an operator with its join predicates where the operator's own
+/// fields always had them.
+fn encode_op(buf: &mut BytesMut, op: &PhysicalOp, preds: &[JoinPred]) {
     match op {
         PhysicalOp::FileScan { relation } => {
             buf.put_u8(TAG_FILE_SCAN);
@@ -237,22 +240,21 @@ fn encode_op(buf: &mut BytesMut, op: &PhysicalOp) {
             buf.put_u32(index.0);
             encode_pred(buf, predicate);
         }
-        PhysicalOp::HashJoin { predicates } => {
+        PhysicalOp::HashJoin => {
             buf.put_u8(TAG_HASH_JOIN);
-            encode_join_preds(buf, predicates);
+            encode_join_preds(buf, preds);
         }
-        PhysicalOp::MergeJoin { predicates } => {
+        PhysicalOp::MergeJoin => {
             buf.put_u8(TAG_MERGE_JOIN);
-            encode_join_preds(buf, predicates);
+            encode_join_preds(buf, preds);
         }
         PhysicalOp::IndexJoin {
-            predicates,
             inner,
             index,
             residual,
         } => {
             buf.put_u8(TAG_INDEX_JOIN);
-            encode_join_preds(buf, predicates);
+            encode_join_preds(buf, preds);
             buf.put_u32(inner.0);
             buf.put_u32(index.0);
             match residual {
@@ -271,7 +273,9 @@ fn encode_op(buf: &mut BytesMut, op: &PhysicalOp) {
     }
 }
 
-fn decode_op(buf: &mut Bytes) -> Result<PhysicalOp, ModuleError> {
+/// Reads an operator, its join predicates into `preds` (cleared first).
+fn decode_op(buf: &mut Bytes, preds: &mut Vec<JoinPred>) -> Result<PhysicalOp, ModuleError> {
+    preds.clear();
     let tag = get_u8(buf)?;
     Ok(match tag {
         TAG_FILE_SCAN => PhysicalOp::FileScan {
@@ -290,14 +294,16 @@ fn decode_op(buf: &mut Bytes) -> Result<PhysicalOp, ModuleError> {
             index: IndexId(get_u32(buf)?),
             predicate: decode_pred(buf)?,
         },
-        TAG_HASH_JOIN => PhysicalOp::HashJoin {
-            predicates: decode_join_preds(buf)?,
-        },
-        TAG_MERGE_JOIN => PhysicalOp::MergeJoin {
-            predicates: decode_join_preds(buf)?,
-        },
+        TAG_HASH_JOIN => {
+            decode_join_preds(buf, preds)?;
+            PhysicalOp::HashJoin
+        }
+        TAG_MERGE_JOIN => {
+            decode_join_preds(buf, preds)?;
+            PhysicalOp::MergeJoin
+        }
         TAG_INDEX_JOIN => {
-            let predicates = decode_join_preds(buf)?;
+            decode_join_preds(buf, preds)?;
             let inner = RelationId(get_u32(buf)?);
             let index = IndexId(get_u32(buf)?);
             let residual = match get_u8(buf)? {
@@ -306,7 +312,6 @@ fn decode_op(buf: &mut Bytes) -> Result<PhysicalOp, ModuleError> {
                 t => return Err(ModuleError::BadTag(t)),
             };
             PhysicalOp::IndexJoin {
-                predicates,
                 inner,
                 index,
                 residual,
@@ -379,15 +384,14 @@ fn encode_join_preds(buf: &mut BytesMut, ps: &[JoinPred]) {
     }
 }
 
-fn decode_join_preds(buf: &mut Bytes) -> Result<Vec<JoinPred>, ModuleError> {
+fn decode_join_preds(buf: &mut Bytes, out: &mut Vec<JoinPred>) -> Result<(), ModuleError> {
     let n = get_u16(buf)? as usize;
-    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let left = decode_attr(buf)?;
         let right = decode_attr(buf)?;
         out.push(JoinPred { left, right });
     }
-    Ok(out)
+    Ok(())
 }
 
 fn encode_cost(buf: &mut BytesMut, c: Cost) {
@@ -456,12 +460,14 @@ mod tests {
                 relation: RelationId(0),
             },
             &[],
+            &[],
             PlanStats::new(Interval::point(1000.0), 512.0),
             Cost::point(0.1, 0.25),
         );
         let filter = p.push(
             PhysicalOp::Filter { predicate: pred },
             &[scan],
+            &[],
             PlanStats::new(Interval::new(0.0, 1000.0), 512.0),
             Cost::cpu_only(Interval::new(0.0, 0.1)),
         );
@@ -471,6 +477,7 @@ mod tests {
                 index: IndexId(0),
                 predicate: pred,
             },
+            &[],
             &[],
             PlanStats::new(Interval::new(0.0, 1000.0), 512.0),
             Cost::io_only(Interval::new(0.008, 4.1)),
@@ -502,6 +509,7 @@ mod tests {
                 relation: RelationId(1),
             },
             &[],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.0, 0.01),
         );
@@ -510,6 +518,7 @@ mod tests {
                 attr: AttrId { relation: RelationId(1), index: 0 },
             },
             &[shared],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.01, 0.0),
         );
@@ -518,6 +527,7 @@ mod tests {
                 attr: AttrId { relation: RelationId(1), index: 1 },
             },
             &[shared],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.02, 0.0),
         );
@@ -576,6 +586,7 @@ mod tests {
             p.push(
                 PhysicalOp::FileScan { relation: RelationId(rel) },
                 &[],
+                &[],
                 PlanStats::new(Interval::point(1.0), 8.0),
                 Cost::ZERO,
             )
@@ -596,6 +607,7 @@ mod tests {
         p.push(
             PhysicalOp::Sort { attr: AttrId { relation: RelationId(0), index: 0 } },
             &[input],
+            &[],
             PlanStats::new(Interval::point(1.0), 8.0),
             Cost::ZERO,
         );

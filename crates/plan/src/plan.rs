@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::fmt;
 use std::ops::Index;
 
-use dqep_algebra::{PhysicalOp, SortOrder};
+use dqep_algebra::{JoinPred, OpLabel, PhysicalOp, SortOrder};
 use dqep_cost::{Cost, PlanStats};
 
 /// A node of a [`Plan`]: its position in the table.
@@ -31,13 +31,19 @@ impl fmt::Display for NodeId {
 
 /// One operator of a (possibly dynamic) query evaluation plan. Its
 /// children are a range of the owning [`Plan`]'s child list
-/// ([`Plan::children`]).
-#[derive(Debug, Clone, PartialEq)]
+/// ([`Plan::children`]), its join predicates a range of the plan's
+/// predicate list ([`Plan::join_preds`]): a node owns no heap memory.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanNode {
     /// The physical algorithm and its arguments.
     pub op: PhysicalOp,
     /// Where this node's child ids sit in the plan's child list.
     children: (u32, u32),
+    /// Where this node's join predicates start in the plan's predicate
+    /// list. Nodes append their predicates in table order, so the range
+    /// ends where the next node's begins; holding the end as well would
+    /// make a node 168 bytes, not 160.
+    preds: u32,
     /// Output stream statistics under the *compile-time* environment
     /// (interval-valued for dynamic plans).
     pub stats: PlanStats,
@@ -69,6 +75,8 @@ impl PlanNode {
 /// creation order — which orders the alternatives under every choose-plan
 /// and so breaks ties at start-up.
 ///
+/// Three lists hold it all: the nodes, the child ids and the join
+/// predicates, the last two appended node by node as the nodes are pushed.
 /// The same table is the optimizer's arena while it searches (nodes are
 /// only ever appended; [`Plan::finish`] drops what no longer hangs off the
 /// root), the stored access module (written field by field), and what the
@@ -80,6 +88,7 @@ impl PlanNode {
 pub struct Plan {
     nodes: Vec<PlanNode>,
     children: Vec<NodeId>,
+    preds: Vec<JoinPred>,
     choose_plans: usize,
 }
 
@@ -96,6 +105,7 @@ impl Plan {
         Plan {
             nodes: Vec::with_capacity(nodes),
             children: Vec::with_capacity(nodes),
+            preds: Vec::new(),
             choose_plans: 0,
         }
     }
@@ -140,6 +150,26 @@ impl Plan {
         &self.children[start as usize..end as usize]
     }
 
+    /// The join predicates of `id`, in the order it was pushed with —
+    /// empty for an operator that joins nothing. A merge join is sorted on
+    /// the first; an index join probes its index with the first.
+    #[must_use]
+    pub fn join_preds(&self, id: NodeId) -> &[JoinPred] {
+        let start = self.nodes[id.index()].preds as usize;
+        let end = self
+            .nodes
+            .get(id.index() + 1)
+            .map_or(self.preds.len(), |next| next.preds as usize);
+        &self.preds[start..end]
+    }
+
+    /// The operator of `id` with its arguments, as EXPLAIN, traces and DOT
+    /// show it (`Hash-Join[R1.#2 = R2.#1]`).
+    #[must_use]
+    pub fn label(&self, id: NodeId) -> OpLabel<'_> {
+        self[id].op.label(self.join_preds(id))
+    }
+
     /// Every node with its id, in table order — a topological order.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = (NodeId, &PlanNode)> {
         self.nodes
@@ -161,8 +191,10 @@ impl Plan {
         self.choose_plans > 0
     }
 
-    /// Appends a node over already-pushed `children` and returns its id.
-    /// Total cost and delivered order are derived from the children's.
+    /// Appends a node over already-pushed `children`, with its join
+    /// predicates (`&[]` for an operator that joins nothing), and returns
+    /// its id. Total cost and delivered order are derived from the
+    /// children's.
     ///
     /// # Panics
     /// Panics if a child id is not in the table yet.
@@ -170,16 +202,41 @@ impl Plan {
         &mut self,
         op: PhysicalOp,
         children: &[NodeId],
+        preds: &[JoinPred],
         stats: PlanStats,
         self_cost: Cost,
     ) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+        self.put(self.end(), op, children, preds, stats, self_cost)
+    }
+
+    /// Where the next node pushed goes.
+    fn end(&self) -> Cursor {
+        Cursor {
+            node: self.nodes.len(),
+            child: self.children.len(),
+            pred: self.preds.len(),
+        }
+    }
+
+    /// Writes a node at `at` — the end of the table for [`Plan::push`], a
+    /// position already copied out for an in-place [`compact`] — over
+    /// `children` already in the table below it.
+    fn put(
+        &mut self,
+        at: Cursor,
+        op: PhysicalOp,
+        children: &[NodeId],
+        preds: &[JoinPred],
+        stats: PlanStats,
+        self_cost: Cost,
+    ) -> NodeId {
+        let id = NodeId(at.node as u32);
         assert!(
             children.iter().all(|c| c.0 < id.0),
             "children are pushed before their parents"
         );
         let child = |c: &NodeId| &self.nodes[c.index()];
-        let order = op.delivered_order(children.iter().map(|c| child(c).order));
+        let order = op.delivered_order(children.iter().map(|c| child(c).order), preds);
         let total_cost = match op {
             PhysicalOp::ChoosePlan => {
                 self.choose_plans += 1;
@@ -194,16 +251,18 @@ impl Plan {
                 .iter()
                 .fold(self_cost, |acc, c| acc + child(c).total_cost),
         };
-        let start = self.children.len() as u32;
-        self.children.extend_from_slice(children);
-        self.nodes.push(PlanNode {
+        write_at(&mut self.children, at.child, children);
+        write_at(&mut self.preds, at.pred, preds);
+        let node = PlanNode {
             op,
-            children: (start, self.children.len() as u32),
+            children: (at.child as u32, (at.child + children.len()) as u32),
+            preds: at.pred as u32,
             stats,
             self_cost,
             total_cost,
             order,
-        });
+        };
+        write_at(&mut self.nodes, at.node, &[node]);
         id
     }
 
@@ -212,6 +271,11 @@ impl Plan {
     /// # Panics
     /// Panics if fewer than two alternatives are supplied.
     pub fn choose_plan(&mut self, alternatives: &[NodeId], decision_cost: Cost) -> NodeId {
+        self.put_choose_plan(self.end(), alternatives, decision_cost)
+    }
+
+    /// [`Plan::choose_plan`] at `at`, as [`Plan::put`] is [`Plan::push`].
+    fn put_choose_plan(&mut self, at: Cursor, alternatives: &[NodeId], decision_cost: Cost) -> NodeId {
         assert!(
             alternatives.len() >= 2,
             "choose-plan needs at least two alternatives"
@@ -224,7 +288,7 @@ impl Plan {
             .map(|a| self[*a].stats)
             .reduce(|a, b| PlanStats::new(a.card.hull(b.card), a.row_bytes))
             .expect("non-empty");
-        self.push(PhysicalOp::ChoosePlan, alternatives, stats, decision_cost)
+        self.put(at, PhysicalOp::ChoosePlan, alternatives, &[], stats, decision_cost)
     }
 
     /// Validates the invariants of a whole plan — arity, choose-plan
@@ -274,11 +338,16 @@ impl Plan {
 
     /// Ends a search that used this table as its arena: keeps what hangs
     /// off `root`, in creation order, and drops every candidate a frontier
-    /// built and then evicted. Nodes are moved, not copied.
+    /// built and then evicted. The survivors are compacted into the arena's
+    /// own lists; a list left at least half empty is trimmed to its
+    /// length. (A search that reserved its arena close to what it builds
+    /// leaves nothing worth trimming: shrinking a large table in place
+    /// would give back less than the next arena asks for, and glibc's
+    /// dynamic mmap threshold then maps — and faults in — every large
+    /// arena afresh.)
     #[must_use]
     pub fn finish(self, root: NodeId) -> Plan {
-        let Plan { nodes, children, .. } = self;
-        compact(Cow::Owned(nodes), &children, root, |_, _| true, keep_estimates)
+        compact(Cow::Owned(self), root, |_, _| true, keep_estimates)
     }
 
     /// The subplan rooted at `id` as a whole plan of its own (relative
@@ -295,7 +364,7 @@ impl Plan {
         keep: impl Fn(NodeId, usize) -> bool,
         estimate: impl FnMut(NodeId, &PlanNode) -> (PlanStats, Cost),
     ) -> Plan {
-        compact(Cow::Borrowed(&self.nodes), &self.children, root, keep, estimate)
+        compact(Cow::Borrowed(self), root, keep, estimate)
     }
 }
 
@@ -307,14 +376,55 @@ impl Index<NodeId> for Plan {
     }
 }
 
+/// Where the next node, child id and join predicate of a table go.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    node: usize,
+    child: usize,
+    pred: usize,
+}
+
+/// Writes `items` into `list` from `at` on: over what is there when the
+/// table is being compacted in place (a write never passes the read
+/// position), as an append when `at` is the length.
+fn write_at<T: Copy>(list: &mut Vec<T>, at: usize, items: &[T]) {
+    if at == list.len() {
+        list.extend(items.iter().copied());
+    } else {
+        list[at..at + items.len()].copy_from_slice(items);
+    }
+}
+
+/// Gives back a list's spare capacity once it is at least half the list.
+fn trim<T>(list: &mut Vec<T>) {
+    if list.capacity() >= 2 * list.len() {
+        list.shrink_to_fit();
+    }
+}
+
+/// The children of `table`'s node `id` that [`compact`] keeps.
+fn kept_children<'t>(
+    table: &'t Plan,
+    id: usize,
+    keep: &'t impl Fn(NodeId, usize) -> bool,
+) -> impl Iterator<Item = NodeId> + 't {
+    let choose = table.nodes[id].is_choose_plan();
+    table
+        .children(NodeId(id as u32))
+        .iter()
+        .enumerate()
+        .filter(move |(i, _)| !choose || keep(NodeId(id as u32), *i))
+        .map(|(_, c)| *c)
+}
+
 /// The `estimate` of a compaction that changes no node.
 pub(crate) fn keep_estimates(_: NodeId, node: &PlanNode) -> (PlanStats, Cost) {
     (node.stats, node.self_cost)
 }
 
-/// The one plan rewriter: copies what hangs off `root` into a new table,
-/// in the relative order it had — so creation rank survives as position,
-/// child order survives as child order, and shared nodes stay shared.
+/// The one plan rewriter: copies what hangs off `root` in the relative
+/// order it had — so creation rank survives as position, child order
+/// survives as child order, and shared nodes stay shared.
 ///
 /// `keep(choose_plan, alternative_index)` filters the alternatives under
 /// each choose-plan — it must keep at least one of each; what only dropped
@@ -326,67 +436,86 @@ pub(crate) fn keep_estimates(_: NodeId, node: &PlanNode) -> (PlanStats, Cost) {
 ///
 /// Two sweeps, no recursion: a node's children precede it, so liveness
 /// flows root-to-leaves in one descending pass and new ids leaves-to-root
-/// in one ascending pass. Owned nodes are moved out; borrowed ones cloned.
+/// in one ascending pass. A borrowed table is copied into a new one sized
+/// to what survives. An owned one is compacted into its own lists: a node
+/// keeps no more child links or predicates than it had, so the write
+/// position of each list never passes its read position, and what a node
+/// is written over has already been read. Its lists are then cut to what
+/// was written, and trimmed when at least half of one is spare.
 fn compact(
-    mut nodes: Cow<'_, [PlanNode]>,
-    children: &[NodeId],
+    table: Cow<'_, Plan>,
     root: NodeId,
     keep: impl Fn(NodeId, usize) -> bool,
     mut estimate: impl FnMut(NodeId, &PlanNode) -> (PlanStats, Cost),
 ) -> Plan {
     const DEAD: u32 = u32::MAX;
     const LIVE: u32 = u32::MAX - 1;
-    let keep = &keep;
-    let kept_children = |id: usize, node: &PlanNode| {
-        let choose = node.is_choose_plan();
-        let (start, end) = node.children;
-        children[start as usize..end as usize]
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| !choose || keep(NodeId(id as u32), *i))
-            .map(|(_, c)| *c)
-    };
-
     // New id by old id; DEAD or LIVE until the node is copied.
     let mut map = vec![DEAD; root.index() + 1];
     map[root.index()] = LIVE;
-    let (mut live_nodes, mut live_edges) = (0, 0);
+    let mut live = Cursor::default();
     for id in (0..map.len()).rev() {
         if map[id] == LIVE {
-            live_nodes += 1;
-            for c in kept_children(id, &nodes[id]) {
+            live.node += 1;
+            live.pred += table.join_preds(NodeId(id as u32)).len();
+            for c in kept_children(&table, id, &keep) {
                 map[c.index()] = LIVE;
-                live_edges += 1;
+                live.child += 1;
             }
         }
     }
 
-    let mut out = Plan {
-        nodes: Vec::with_capacity(live_nodes),
-        children: Vec::with_capacity(live_edges),
-        choose_plans: 0,
+    // The source is read from and the output written to in one table when
+    // the table is owned.
+    let (source, mut out) = match table {
+        Cow::Borrowed(source) => (
+            Some(source),
+            Plan {
+                nodes: Vec::with_capacity(live.node),
+                children: Vec::with_capacity(live.child),
+                preds: Vec::with_capacity(live.pred),
+                choose_plans: 0,
+            },
+        ),
+        Cow::Owned(table) => (None, Plan { choose_plans: 0, ..table }),
     };
-    let mut links: Vec<NodeId> = Vec::new();
+    let mut at = Cursor::default();
+    let (mut links, mut preds): (Vec<NodeId>, Vec<JoinPred>) = (Vec::new(), Vec::new());
     for id in 0..map.len() {
         if map[id] != LIVE {
             continue;
         }
-        let node = &nodes[id];
+        let table = source.unwrap_or(&out);
+        let node = table.nodes[id];
         links.clear();
-        links.extend(kept_children(id, node).map(|c| NodeId(map[c.index()])));
-        map[id] = if node.is_choose_plan() {
-            match links.as_slice() {
-                &[only] => only.0,
-                _ => out.choose_plan(&links, node.self_cost).0,
+        links.extend(kept_children(table, id, &keep).map(|c| NodeId(map[c.index()])));
+        preds.clear();
+        preds.extend_from_slice(table.join_preds(NodeId(id as u32)));
+        map[id] = match links.as_slice() {
+            &[only] if node.is_choose_plan() => only.0,
+            _ => {
+                let new = if node.is_choose_plan() {
+                    out.put_choose_plan(at, &links, node.self_cost)
+                } else {
+                    let (stats, self_cost) = estimate(NodeId(id as u32), &node);
+                    out.put(at, node.op, &links, &preds, stats, self_cost)
+                };
+                at = Cursor {
+                    node: at.node + 1,
+                    child: at.child + links.len(),
+                    pred: at.pred + preds.len(),
+                };
+                new.0
             }
-        } else {
-            let (stats, self_cost) = estimate(NodeId(id as u32), node);
-            let op = match &mut nodes {
-                Cow::Owned(nodes) => std::mem::replace(&mut nodes[id].op, PhysicalOp::ChoosePlan),
-                Cow::Borrowed(nodes) => nodes[id].op.clone(),
-            };
-            out.push(op, &links, stats, self_cost).0
         };
+    }
+    out.nodes.truncate(at.node);
+    out.children.truncate(at.child);
+    out.preds.truncate(at.pred);
+    if source.is_none() {
+        trim(&mut out.nodes);
+        trim(&mut out.children);
+        trim(&mut out.preds);
     }
     out
 }
@@ -403,6 +532,7 @@ mod tests {
                 relation: RelationId(rel),
             },
             &[],
+            &[],
             PlanStats::new(Interval::point(100.0), 512.0),
             Cost::point(0.0, cost),
         )
@@ -414,6 +544,7 @@ mod tests {
                 attr: AttrId { relation: RelationId(0), index: attr },
             },
             &[input],
+            &[],
             PlanStats::new(Interval::point(100.0), 512.0),
             Cost::point(0.1, 0.0),
         )
@@ -436,8 +567,9 @@ mod tests {
         let s1 = scan(&mut p, 0, 1.0);
         let s2 = scan(&mut p, 1, 2.0);
         let join = p.push(
-            PhysicalOp::HashJoin { predicates: vec![] },
+            PhysicalOp::HashJoin,
             &[s1, s2],
+            &[],
             PlanStats::new(Interval::point(10.0), 1024.0),
             Cost::point(0.5, 0.0),
         );
@@ -453,11 +585,13 @@ mod tests {
         let cheap_sometimes = p.push(
             PhysicalOp::FileScan { relation: RelationId(0) },
             &[],
+            &[],
             PlanStats::new(Interval::new(0.0, 100.0), 512.0),
             Cost::cpu_only(Interval::new(0.0, 10.0)),
         );
         let steady = p.push(
             PhysicalOp::FileScan { relation: RelationId(0) },
+            &[],
             &[],
             PlanStats::new(Interval::new(0.0, 100.0), 512.0),
             Cost::cpu_only(Interval::new(1.0, 1.0)),
@@ -486,8 +620,8 @@ mod tests {
         let mut p = Plan::new();
         let s = scan(&mut p, 0, 1.0);
         p.push(
-            PhysicalOp::HashJoin { predicates: vec![] },
-            &[s], // needs 2
+            PhysicalOp::HashJoin,
+            &[s], &[], // needs 2
             PlanStats::new(Interval::point(1.0), 512.0),
             Cost::ZERO,
         );
@@ -512,8 +646,9 @@ mod tests {
         let s2 = scan(&mut p, 1, 2.0);
         let cp = p.choose_plan(&[s1, s2], Cost::ZERO);
         p.push(
-            PhysicalOp::HashJoin { predicates: vec![] },
+            PhysicalOp::HashJoin,
             &[cp, s2],
+            &[],
             PlanStats::new(Interval::point(5.0), 1024.0),
             Cost::ZERO,
         );

@@ -38,7 +38,7 @@ fn render(
     let _ = writeln!(
         out,
         "{prefix}{}  card={} cost={}",
-        node.op,
+        plan.label(id),
         node.stats.card,
         node.total_cost.total()
     );
@@ -75,6 +75,7 @@ mod tests {
         let shared = p.push(
             PhysicalOp::FileScan { relation: RelationId(0) },
             &[],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.0, 0.1),
         );
@@ -83,6 +84,7 @@ mod tests {
                 attr: AttrId { relation: RelationId(0), index: 0 },
             },
             &[shared],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.1, 0.0),
         );
@@ -91,6 +93,7 @@ mod tests {
                 attr: AttrId { relation: RelationId(0), index: 1 },
             },
             &[shared],
+            &[],
             PlanStats::new(Interval::point(10.0), 512.0),
             Cost::point(0.2, 0.0),
         );
@@ -109,6 +112,7 @@ mod tests {
         let mut p = Plan::new();
         p.push(
             PhysicalOp::FileScan { relation: RelationId(2) },
+            &[],
             &[],
             PlanStats::new(Interval::point(5.0), 512.0),
             Cost::point(0.0, 0.2),

@@ -66,7 +66,7 @@ fn blocking_input_under(
     }
     if matches!(
         plan[id].op,
-        PhysicalOp::HashJoin { .. } | PhysicalOp::Sort { .. }
+        PhysicalOp::HashJoin | PhysicalOp::Sort { .. }
     ) {
         let input = children[0];
         if !exclude.contains(&input) {
@@ -87,6 +87,7 @@ mod tests {
         p.push(
             PhysicalOp::FileScan { relation: RelationId(rel) },
             &[],
+            &[],
             PlanStats::new(Interval::new(5.0, 20.0), 512.0),
             Cost::point(0.0, 1.0),
         )
@@ -94,8 +95,9 @@ mod tests {
 
     fn join(p: &mut Plan, build: NodeId, probe: NodeId) -> NodeId {
         p.push(
-            PhysicalOp::HashJoin { predicates: vec![] },
+            PhysicalOp::HashJoin,
             &[build, probe],
+            &[],
             PlanStats::new(Interval::new(5.0, 20.0), 1024.0),
             Cost::ZERO,
         )
@@ -114,6 +116,7 @@ mod tests {
                 attr: AttrId { relation: RelationId(0), index: 0 },
             },
             &[j],
+            &[],
             PlanStats::new(Interval::new(5.0, 20.0), 1024.0),
             Cost::ZERO,
         );

@@ -177,18 +177,18 @@ mod tests {
         let out_stats = PlanStats::new(Interval::point(1000.0) * sel, 512.0);
         let mut p = Plan::new();
         let scan_op = PhysicalOp::FileScan { relation: rel.id };
-        let scan_cost = model.op_cost(&scan_op, &[], &scan_stats);
-        let scan = p.push(scan_op, &[], scan_stats, scan_cost);
+        let scan_cost = model.op_cost(&scan_op, &[], &[], &scan_stats);
+        let scan = p.push(scan_op, &[], &[], scan_stats, scan_cost);
         let filter_op = PhysicalOp::Filter { predicate: pred };
-        let filter_cost = model.op_cost(&filter_op, &[scan_stats], &out_stats);
-        let file_plan = p.push(filter_op, &[scan], out_stats, filter_cost);
+        let filter_cost = model.op_cost(&filter_op, &[], &[scan_stats], &out_stats);
+        let file_plan = p.push(filter_op, &[scan], &[], out_stats, filter_cost);
         let idx_op = PhysicalOp::FilterBtreeScan {
             relation: rel.id,
             index: idx,
             predicate: pred,
         };
-        let idx_cost = model.op_cost(&idx_op, &[], &out_stats);
-        let index_plan = p.push(idx_op, &[], out_stats, idx_cost);
+        let idx_cost = model.op_cost(&idx_op, &[], &[], &out_stats);
+        let index_plan = p.push(idx_op, &[], &[], out_stats, idx_cost);
         p.choose_plan(&[file_plan, index_plan], model.choose_plan_cost(2));
         Arc::new(p)
     }

@@ -30,6 +30,7 @@ use std::sync::Arc;
 /// decisions with increased confidence".
 pub type Observations = HashMap<NodeId, f64>;
 
+use dqep_algebra::JoinPred;
 use dqep_catalog::{Catalog, RelationId};
 use dqep_cost::{Bindings, Cost, CostModel, Environment, PlanStats};
 use dqep_interval::Interval;
@@ -180,11 +181,12 @@ pub fn evaluate_startup_observed(
                 cost += child.cost;
             }
             let child_stats = &child_stats[..children.len()];
-            let mut stats = recompute_stats(node, child_stats, &model, catalog);
+            let preds = plan.join_preds(id);
+            let mut stats = recompute_stats(node, preds, child_stats, &model, catalog);
             if let Some(Some(card)) = observed.get(id.index()) {
                 stats = PlanStats::new(Interval::point(*card), stats.row_bytes);
             }
-            let self_cost = model.op_cost(&node.op, child_stats, &stats);
+            let self_cost = model.op_cost(&node.op, preds, child_stats, &stats);
             cost += self_cost;
             NodeEstimate { stats, self_cost, cost }
         };
@@ -260,6 +262,7 @@ const NO_INPUT: PlanStats = PlanStats {
 /// Row widths are schema-determined and reused from compile-time.
 fn recompute_stats(
     node: &PlanNode,
+    preds: &[JoinPred],
     children: &[PlanStats],
     model: &CostModel<'_>,
     catalog: &Catalog,
@@ -277,16 +280,11 @@ fn recompute_stats(
             ..
         } => base_card(*relation) * sel_model.selection(predicate, env),
         Filter { predicate } => children[0].card * sel_model.selection(predicate, env),
-        HashJoin { predicates } | MergeJoin { predicates } => {
-            sel_model.join_output(children[0].card, children[1].card, predicates)
-        }
+        HashJoin | MergeJoin => sel_model.join_output(children[0].card, children[1].card, preds),
         IndexJoin {
-            predicates,
-            inner,
-            residual,
-            ..
+            inner, residual, ..
         } => {
-            let mut card = sel_model.join_output(children[0].card, base_card(*inner), predicates);
+            let mut card = sel_model.join_output(children[0].card, base_card(*inner), preds);
             if let Some(residual) = residual {
                 card = card * sel_model.selection(residual, env);
             }
@@ -326,20 +324,20 @@ mod tests {
 
         let mut p = Plan::new();
         let scan_op = PhysicalOp::FileScan { relation: rel.id };
-        let scan_cost = model.op_cost(&scan_op, &[], &scan_stats);
-        let scan = p.push(scan_op, &[], scan_stats, scan_cost);
+        let scan_cost = model.op_cost(&scan_op, &[], &[], &scan_stats);
+        let scan = p.push(scan_op, &[], &[], scan_stats, scan_cost);
 
         let filter_op = PhysicalOp::Filter { predicate: pred };
-        let filter_cost = model.op_cost(&filter_op, &[scan_stats], &out_stats);
-        let file_plan = p.push(filter_op, &[scan], out_stats, filter_cost);
+        let filter_cost = model.op_cost(&filter_op, &[], &[scan_stats], &out_stats);
+        let file_plan = p.push(filter_op, &[scan], &[], out_stats, filter_cost);
 
         let idx_op = PhysicalOp::FilterBtreeScan {
             relation: rel.id,
             index: idx,
             predicate: pred,
         };
-        let idx_cost = model.op_cost(&idx_op, &[], &out_stats);
-        let index_plan = p.push(idx_op, &[], out_stats, idx_cost);
+        let idx_cost = model.op_cost(&idx_op, &[], &[], &out_stats);
+        let index_plan = p.push(idx_op, &[], &[], out_stats, idx_cost);
 
         p.choose_plan(&[file_plan, index_plan], model.choose_plan_cost(2));
         p
@@ -441,9 +439,9 @@ mod tests {
         let model = CostModel::new(&cat, &env);
         let stats = PlanStats::new(Interval::point(1000.0), 512.0);
         let op = PhysicalOp::FileScan { relation: rel.id };
-        let cost = model.op_cost(&op, &[], &stats);
+        let cost = model.op_cost(&op, &[], &[], &stats);
         let mut plan = Plan::new();
-        plan.push(op, &[], stats, cost);
+        plan.push(op, &[], &[], stats, cost);
 
         let result = evaluate_startup(&plan, &cat, &env, &Bindings::new());
         assert!(result.decisions.is_empty());

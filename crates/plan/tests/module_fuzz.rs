@@ -37,12 +37,14 @@ fn sample() -> Bytes {
     let scan = p.push(
         PhysicalOp::FileScan { relation: RelationId(0) },
         &[],
+        &[],
         PlanStats::new(Interval::point(100.0), 512.0),
         Cost::point(0.1, 0.2),
     );
     let filter = p.push(
         PhysicalOp::Filter { predicate: pred },
         &[scan],
+        &[],
         PlanStats::new(Interval::new(0.0, 100.0), 512.0),
         Cost::cpu_only(Interval::new(0.0, 0.01)),
     );
@@ -52,6 +54,7 @@ fn sample() -> Bytes {
             index: dqep_catalog::IndexId(0),
             predicate: pred,
         },
+        &[],
         &[],
         PlanStats::new(Interval::new(0.0, 100.0), 512.0),
         Cost::io_only(Interval::new(0.008, 4.1)),

@@ -201,6 +201,33 @@ struct RegistryInner {
     tick: u64,
 }
 
+impl RegistryInner {
+    /// Takes the least recently used statements out until at most
+    /// `capacity` remain, and hands them over, least recently used first,
+    /// for the caller to drop once it has released the lock: a victim's
+    /// last reference frees its whole plan and decision cache, and no
+    /// `get` should wait for that.
+    fn evict_over(&mut self, capacity: usize) -> Vec<Arc<PreparedStatement>> {
+        let mut victims = Vec::new();
+        while self.map.len() > capacity {
+            // O(n) victim scan: capacities are small (dozens) and inserts
+            // are rare once the working set is resident. Ticks are unique,
+            // so exactly the least recently used slot leaves.
+            let Some(oldest) = self.map.values().map(|slot| slot.last_used).min() else {
+                break;
+            };
+            self.map.retain(|_, slot| {
+                let keep = slot.last_used != oldest;
+                if !keep {
+                    victims.push(Arc::clone(&slot.stmt));
+                }
+                keep
+            });
+        }
+        victims
+    }
+}
+
 /// A bounded, LRU-evicting map from normalized statement text to
 /// [`PreparedStatement`]. Lookups bump recency; inserts past capacity
 /// evict the least recently used entry.
@@ -249,42 +276,32 @@ impl PreparedRegistry {
     /// Inserts a freshly prepared statement, evicting the LRU entry when
     /// over capacity. If another session inserted the same statement
     /// concurrently, the incumbent wins and is returned — callers always
-    /// use the returned statement so feedback state is never split.
+    /// use the returned statement so feedback state is never split. An
+    /// evicted statement is freed after the lock is released.
     pub fn insert(
         &self,
         normalized: String,
         stmt: Arc<PreparedStatement>,
     ) -> Arc<PreparedStatement> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(slot) = inner.map.get_mut(&normalized) {
-            slot.last_used = tick;
-            return Arc::clone(&slot.stmt);
-        }
-        inner.map.insert(
-            normalized,
-            Slot {
-                stmt: Arc::clone(&stmt),
-                last_used: tick,
-            },
-        );
-        while inner.map.len() > self.capacity {
-            // O(n) victim scan: capacities are small (dozens) and inserts
-            // are rare once the working set is resident.
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
+        let victims = {
+            let mut inner = self.inner.lock();
+            inner.tick += 1;
+            let tick = inner.tick;
+            if let Some(slot) = inner.map.get_mut(&normalized) {
+                slot.last_used = tick;
+                return Arc::clone(&slot.stmt);
             }
-        }
+            inner.map.insert(
+                normalized,
+                Slot {
+                    stmt: Arc::clone(&stmt),
+                    last_used: tick,
+                },
+            );
+            inner.evict_over(self.capacity)
+        };
+        self.evictions.fetch_add(victims.len() as u64, Ordering::Relaxed);
+        drop(victims);
         stmt
     }
 
@@ -373,6 +390,34 @@ mod tests {
         let stats = reg.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.resident, 2);
+    }
+
+    #[test]
+    fn victims_leave_the_locked_section_in_lru_order() {
+        let stmts =
+            ["<", ">", "=", "<="].map(|op| prepared(&format!("SELECT * FROM r WHERE r.a {op} :x")));
+        let mut inner = RegistryInner::default();
+        for (last_used, stmt) in [3, 1, 4, 2].into_iter().zip(&stmts) {
+            inner.map.insert(stmt.sql.clone(), Slot { stmt: Arc::clone(stmt), last_used });
+        }
+        let victims = inner.evict_over(1);
+        let lru_order = [&stmts[1], &stmts[3], &stmts[0]];
+        assert_eq!(victims.len(), lru_order.len());
+        for (victim, expected) in victims.iter().zip(lru_order) {
+            assert!(Arc::ptr_eq(victim, expected), "{} out of LRU order", victim.sql);
+        }
+        assert!(inner.map.contains_key(&stmts[2].sql), "the most recently used stays");
+
+        // Through `insert`: the registry held the last reference, and the
+        // evicted statement is gone once `insert` has returned.
+        let reg = PreparedRegistry::new(1);
+        let [a, b, ..] = stmts;
+        drop(victims);
+        let evicted = Arc::downgrade(&a);
+        reg.insert(a.sql.clone(), a);
+        reg.insert(b.sql.clone(), b);
+        assert!(evicted.upgrade().is_none());
+        assert_eq!(reg.stats().evictions, 1);
     }
 
     #[test]

@@ -64,12 +64,10 @@ fn main() {
             .filter(|(_, n)| {
                 matches!(
                     n.op,
-                    PhysicalOp::HashJoin { .. }
-                        | PhysicalOp::MergeJoin { .. }
-                        | PhysicalOp::IndexJoin { .. }
+                    PhysicalOp::HashJoin | PhysicalOp::MergeJoin | PhysicalOp::IndexJoin { .. }
                 )
             })
-            .map(|(_, n)| n.op.to_string())
+            .map(|(id, _)| startup.resolved.label(id).to_string())
             .collect();
         println!("== {label} (:x={x}, mem={mem} pages) ==");
         println!("  join method(s): {}", joins.join("; "));

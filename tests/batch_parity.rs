@@ -130,9 +130,15 @@ fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, Vec<(HostVar, f64)>) {
 }
 
 fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
+    join_node(b, op, children, &[])
+}
+
+/// [`node`] for a join on `preds`.
+fn join_node(b: &mut Plan, op: PhysicalOp, children: &[NodeId], preds: &[JoinPred]) -> NodeId {
     b.push(
         op,
         children,
+        preds,
         PlanStats::new(Interval::point(0.0), 512.0),
         Cost::ZERO,
     )
@@ -390,7 +396,7 @@ fn filtered_probe_batches_join_identically_at_every_density() {
         let build = node(&mut join, PhysicalOp::FileScan { relation: dim.id }, &[]);
         let probe_scan = node(&mut join, PhysicalOp::FileScan { relation: fact.id }, &[]);
         let probe = node(&mut join, PhysicalOp::Filter { predicate: pred }, &[probe_scan]);
-        node(&mut join, PhysicalOp::HashJoin { predicates: vec![on_key] }, &[build, probe]);
+        join_node(&mut join, PhysicalOp::HashJoin, &[build, probe], &[on_key]);
         let query = LogicalExpr::get(dim.id)
             .join(LogicalExpr::get(fact.id).select(pred), vec![on_key]);
         let env = Environment::dynamic_compile_time(&catalog.config);

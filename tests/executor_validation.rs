@@ -184,11 +184,12 @@ fn costed(
     model: &CostModel<'_>,
     op: PhysicalOp,
     children: &[NodeId],
+    preds: &[JoinPred],
     stats: PlanStats,
 ) -> NodeId {
     let inputs: Vec<PlanStats> = children.iter().map(|c| b[*c].stats).collect();
-    let cost = model.op_cost(&op, &inputs, &stats);
-    b.push(op, children, stats, cost)
+    let cost = model.op_cost(&op, preds, &inputs, &stats);
+    b.push(op, children, preds, stats, cost)
 }
 
 /// A merge join pulls its inputs by batch and stops pulling its right
@@ -246,14 +247,15 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
             &model,
             PhysicalOp::BtreeScan { relation: rel("l").id, index: l_idx, key_attr: lj },
             &[],
+            &[],
             base("l"),
         );
         let right_input = if shape == Right::Sorted {
             let scan =
-                costed(b, &model, PhysicalOp::FileScan { relation: right.id }, &[], base(name));
+                costed(b, &model, PhysicalOp::FileScan { relation: right.id }, &[], &[], base(name));
             let filter =
-                costed(b, &model, PhysicalOp::Filter { predicate: pred }, &[scan], filtered);
-            costed(b, &model, PhysicalOp::Sort { attr: rj }, &[filter], filtered)
+                costed(b, &model, PhysicalOp::Filter { predicate: pred }, &[scan], &[], filtered);
+            costed(b, &model, PhysicalOp::Sort { attr: rj }, &[filter], &[], filtered)
         } else {
             let (index, _) = catalog.index_on_attr(rj).unwrap();
             let ordered = costed(
@@ -261,15 +263,15 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
                 &model,
                 PhysicalOp::BtreeScan { relation: right.id, index, key_attr: rj },
                 &[],
+                &[],
                 base(name),
             );
             match shape {
                 Right::Index => ordered,
-                _ => costed(b, &model, PhysicalOp::Filter { predicate: pred }, &[ordered], filtered),
+                _ => costed(b, &model, PhysicalOp::Filter { predicate: pred }, &[ordered], &[], filtered),
             }
         };
-        let merge = PhysicalOp::MergeJoin { predicates: vec![join_pred] };
-        costed(b, &model, merge, &[left, right_input], joined);
+        costed(b, &model, PhysicalOp::MergeJoin, &[left, right_input], &[join_pred], joined);
         let plan = &*b;
         let bindings = Bindings::new().with_value(HostVar(0), card as i64 / 2);
         let summary = drain_summary(plan, &db, &catalog, &bindings);

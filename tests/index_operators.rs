@@ -70,7 +70,11 @@ impl<'a> Plans<'a> {
     }
 
     fn node(&mut self, op: PhysicalOp, children: &[NodeId]) -> NodeId {
-        self.b.push(op, children, PlanStats::new(Interval::point(0.0), 512.0), Cost::ZERO)
+        self.join(op, children, &[])
+    }
+
+    fn join(&mut self, op: PhysicalOp, children: &[NodeId], preds: &[JoinPred]) -> NodeId {
+        self.b.push(op, children, preds, PlanStats::new(Interval::point(0.0), 512.0), Cost::ZERO)
     }
 
     fn plan(&self, root: NodeId) -> Plan {
@@ -265,14 +269,14 @@ fn index_joins_match_the_oracle_and_the_recorded_charges() {
             if extra {
                 predicates.push(on_k);
             }
-            let plan = p.node(
+            let plan = p.join(
                 PhysicalOp::IndexJoin {
-                    predicates: predicates.clone(),
                     inner: s,
                     index,
                     residual: residual.then_some(inner_pred),
                 },
                 &[outer],
+                &predicates,
             );
             cases.push(Case {
                 name: leak(format!("index-join/{shape}/{variant}")),
@@ -359,8 +363,7 @@ fn merge_case(
     if residual_on_k {
         predicates.push(JoinPred::new(p.attr(left, "k"), p.attr(right, "k")));
     }
-    let merge =
-        p.node(PhysicalOp::MergeJoin { predicates: predicates.clone() }, &[left_plan, right_plan]);
+    let merge = p.join(PhysicalOp::MergeJoin, &[left_plan, right_plan], &predicates);
     Case {
         name: leak(name),
         plan: p.plan(merge),

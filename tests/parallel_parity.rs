@@ -144,6 +144,7 @@ fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
     b.push(
         op,
         children,
+        &[],
         PlanStats::new(Interval::point(0.0), 512.0),
         Cost::ZERO,
     )
