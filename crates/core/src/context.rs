@@ -21,7 +21,7 @@ use crate::error::OptimizerError;
 ///   original query contains them).
 #[derive(Debug, Clone)]
 pub struct QueryContext {
-    /// All base relations referenced, in first-appearance order.
+    /// All base relations referenced, in relation id order.
     pub relations: Vec<RelationId>,
     /// The set form of `relations`.
     pub all_rels: RelSet,

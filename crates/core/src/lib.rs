@@ -66,7 +66,6 @@ mod stats;
 
 pub use context::QueryContext;
 pub use error::OptimizerError;
-pub use frontier::Frontier;
 pub use memo::{GroupId, GroupKey, LogicalMExpr, LogicalOp, Memo};
 pub use options::SearchOptions;
 pub use probe::ProbePoints;

@@ -3,24 +3,32 @@
 //! The Volcano optimizer generator's search engine "uses a top-down,
 //! memoizing variant of dynamic programming" (paper Section 2). The memo
 //! holds one **group** per logically distinct sub-result; each group holds
-//! the deduplicated **logical expressions** that produce it, and (during
-//! search) the optimized physical **frontiers** per required physical
-//! property.
+//! the deduplicated **logical expressions** that produce it.
 //!
 //! Group identity ("fingerprint") is the set of base relations covered,
 //! with selections always applied: `Get(R)` and `Select(Get(R))` are kept
 //! as distinct leaf groups, and every multi-relation group covers fully
 //! selected inputs.
 //!
-//! Group ids are issued 0, 1, 2, … in creation order, so everything keyed
-//! by a group is a vector indexed by its id; a group's frontiers — at most
-//! a handful of required properties each — are a short list searched
-//! linearly; and the fingerprint index is two slots per relation for the
-//! leaves plus a list of join groups sorted by relation set.
+//! The memo is a few tables. Groups are rows of one list, issued ids 0, 1,
+//! 2, … in creation order, so everything keyed by a group is a vector
+//! indexed by its id. Expressions are rows of one list in creation order,
+//! each group's chained first to last through its rows. When exploration
+//! ends, every join expression gets its join predicates — oriented so the
+//! left attribute belongs to its left input — as a range of one predicate
+//! list, computed once, so the search reads a slice where it would filter
+//! the query's join graph per candidate. The fingerprint index is two slots
+//! per relation for the leaves plus a list of join groups sorted by
+//! relation set; join expressions are deduplicated on their inputs in one
+//! hash set. None of the rows owns heap memory.
 
-use dqep_algebra::{PhysProps, RelSet};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+use dqep_algebra::{JoinPred, RelSet};
 use dqep_catalog::RelationId;
-use crate::frontier::Frontier;
+
+use crate::context::QueryContext;
 
 /// Index of a group within the memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,6 +47,10 @@ impl std::fmt::Display for GroupId {
         write!(f, "g{}", self.0)
     }
 }
+
+/// Index of an expression within the memo: its rank in creation order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ExprId(u32);
 
 /// Logical fingerprint of a group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,7 +76,7 @@ impl GroupKey {
 
 /// The logical operator of a memo expression. Children are group
 /// references, making expressions cheap to deduplicate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogicalOp {
     /// Retrieve a base relation. Leaf; no children.
     Get(RelationId),
@@ -83,39 +95,35 @@ pub enum LogicalOp {
     },
 }
 
-/// A deduplicated logical expression within a group.
-#[derive(Debug, Clone)]
+/// A deduplicated logical expression: one row of the memo's expression
+/// list.
+#[derive(Debug, Clone, Copy)]
 pub struct LogicalMExpr {
     /// The operator.
     pub op: LogicalOp,
+    /// The group's next expression, in creation order.
+    pub(crate) next: Option<ExprId>,
+    /// A join's predicates: a range of the memo's predicate list, set when
+    /// exploration ends (empty before, and for every other operator).
+    preds: (u32, u32),
     /// Exploration state (see [`crate::rules`]): whether commutativity has
     /// been applied to this expression.
     pub(crate) commuted: bool,
-    /// Exploration state: how many of the left input group's expressions
-    /// associativity has already been fired against.
-    pub(crate) associated: usize,
+    /// Exploration state: the last expression of the left input group
+    /// associativity has been fired against.
+    pub(crate) associated: Option<ExprId>,
 }
 
 /// One memo group.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct Group {
     /// Fingerprint.
     pub key: GroupKey,
-    /// Deduplicated logical expressions.
-    pub exprs: Vec<LogicalMExpr>,
     /// Whether exploration reached a fixpoint for this group.
     pub explored: bool,
-    /// Optimized physical frontiers per required property, filled during
-    /// search, in completion order.
-    pub plans: Vec<(PhysProps, Frontier)>,
-}
-
-impl Group {
-    /// The finished frontier for `props`, if the search has produced it.
-    #[must_use]
-    pub fn frontier(&self, props: PhysProps) -> Option<&Frontier> {
-        self.plans.iter().find(|(p, _)| *p == props).map(|(_, f)| f)
-    }
+    /// The group's first and last expressions: the ends of its chain.
+    pub(crate) first: Option<ExprId>,
+    pub(crate) last: Option<ExprId>,
 }
 
 /// The two leaf groups a relation can have.
@@ -129,10 +137,37 @@ struct LeafGroups {
 #[derive(Debug, Default)]
 pub struct Memo {
     groups: Vec<Group>,
+    /// Every expression, in creation order.
+    exprs: Vec<LogicalMExpr>,
+    /// The join expressions' predicates, each expression's a range.
+    preds: Vec<JoinPred>,
     /// Leaf groups, indexed by relation id.
     leaves: Vec<LeafGroups>,
     /// Join groups, sorted by relation set.
     joins: Vec<(RelSet, GroupId)>,
+    /// The join expressions' inputs, `left` and `right` packed into a word:
+    /// the pair identifies a join expression (its group covers their
+    /// union), so a join is deduplicated without a walk over its group.
+    join_inputs: HashSet<u64, BuildHasherDefault<InputsHasher>>,
+}
+
+/// Hashes a packed pair of join inputs with one multiplication (Fibonacci
+/// hashing): the keys are small, distinct integers chosen by no adversary.
+#[derive(Debug, Default)]
+struct InputsHasher(u64);
+
+impl Hasher for InputsHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("join inputs are hashed as one u64")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Memo {
@@ -140,6 +175,28 @@ impl Memo {
     #[must_use]
     pub fn new() -> Memo {
         Memo::default()
+    }
+
+    /// An empty memo with room for what exploring `ctx`'s query creates at
+    /// the least: for `n` relations, two leaf groups each and the
+    /// `n(n-1)/2` join groups and `(n³-n)/3` join expressions of a chain —
+    /// the connected join graph with the fewest connected subsets.
+    #[must_use]
+    pub fn for_query(ctx: &QueryContext) -> Memo {
+        let n = ctx.relations.len();
+        let join_groups = n * n.saturating_sub(1) / 2;
+        let join_exprs = (n * n * n - n) / 3;
+        Memo {
+            groups: Vec::with_capacity(2 * n + join_groups),
+            exprs: Vec::with_capacity(2 * n + join_exprs),
+            preds: Vec::new(),
+            leaves: Vec::with_capacity(ctx.relations.last().map_or(0, |r| r.0 as usize + 1)),
+            joins: Vec::with_capacity(join_groups),
+            join_inputs: HashSet::with_capacity_and_hasher(
+                join_exprs,
+                BuildHasherDefault::default(),
+            ),
+        }
     }
 
     /// The group for `key`, creating it if necessary.
@@ -150,9 +207,9 @@ impl Memo {
         let gid = GroupId(self.groups.len() as u32);
         self.groups.push(Group {
             key,
-            exprs: Vec::new(),
             explored: false,
-            plans: Vec::new(),
+            first: None,
+            last: None,
         });
         match key {
             GroupKey::Get(r) => self.leaf_mut(r).get = Some(gid),
@@ -190,15 +247,29 @@ impl Memo {
     /// Adds `op` to `gid` unless an identical expression is already
     /// present. Returns whether it was new.
     pub fn add_expr(&mut self, gid: GroupId, op: LogicalOp) -> bool {
-        let group = &mut self.groups[gid.0 as usize];
-        if group.exprs.iter().any(|e| e.op == op) {
+        let new = match op {
+            LogicalOp::Join { left, right } => {
+                self.join_inputs.insert(u64::from(left.0) << 32 | u64::from(right.0))
+            }
+            // A leaf group holds its one expression.
+            LogicalOp::Get(_) | LogicalOp::Select { .. } => !self.exprs(gid).any(|e| e.op == op),
+        };
+        if !new {
             return false;
         }
-        group.exprs.push(LogicalMExpr {
+        let id = ExprId(self.exprs.len() as u32);
+        self.exprs.push(LogicalMExpr {
             op,
+            next: None,
+            preds: (0, 0),
             commuted: false,
-            associated: 0,
+            associated: None,
         });
+        let group = &mut self.groups[gid.index()];
+        match group.last.replace(id) {
+            Some(last) => self.exprs[last.0 as usize].next = Some(id),
+            None => group.first = Some(id),
+        }
         true
     }
 
@@ -208,15 +279,89 @@ impl Memo {
     /// Panics for ids not issued by this memo.
     #[must_use]
     pub fn group(&self, gid: GroupId) -> &Group {
-        &self.groups[gid.0 as usize]
+        &self.groups[gid.index()]
     }
 
-    /// Mutable group access.
-    ///
-    /// # Panics
-    /// Panics for ids not issued by this memo.
-    pub fn group_mut(&mut self, gid: GroupId) -> &mut Group {
-        &mut self.groups[gid.0 as usize]
+    /// One expression.
+    pub(crate) fn expr(&self, id: ExprId) -> &LogicalMExpr {
+        &self.exprs[id.0 as usize]
+    }
+
+    pub(crate) fn expr_mut(&mut self, id: ExprId) -> &mut LogicalMExpr {
+        &mut self.exprs[id.0 as usize]
+    }
+
+    /// The expression of `gid` added right after `after` (its first when
+    /// `after` is `None`).
+    pub(crate) fn successor(&self, gid: GroupId, after: Option<ExprId>) -> Option<ExprId> {
+        match after {
+            Some(id) => self.expr(id).next,
+            None => self.group(gid).first,
+        }
+    }
+
+    /// A group's expressions, in the order they were added.
+    pub fn exprs(&self, gid: GroupId) -> impl Iterator<Item = &LogicalMExpr> + '_ {
+        let mut at = self.group(gid).first;
+        std::iter::from_fn(move || {
+            let expr = self.expr(at?);
+            at = expr.next;
+            Some(expr)
+        })
+    }
+
+    /// A join expression's predicates, oriented so each `left` attribute
+    /// belongs to its left input, in the order of the query's join graph —
+    /// `ctx.preds_between(left rels, right rels)`, computed when
+    /// exploration ended. Empty for every other operator.
+    #[must_use]
+    pub fn join_preds(&self, expr: &LogicalMExpr) -> &[JoinPred] {
+        &self.preds[expr.preds.0 as usize..expr.preds.1 as usize]
+    }
+
+    /// Ends exploration: marks every group explored and gives every join
+    /// expression its predicates — what `ctx.preds_between` yields for its
+    /// inputs, found without filtering the whole join graph per
+    /// expression: the predicates between two disjoint groups are the ones
+    /// with an end in each, so a bitset per group of the predicates with an
+    /// end in it, built once, gives them as the intersection of two.
+    pub(crate) fn finish_exploration(&mut self, ctx: &QueryContext) {
+        for group in &mut self.groups {
+            group.explored = true;
+        }
+        let words = ctx.join_preds.len().div_ceil(64);
+        let mut touching = vec![0u64; self.groups.len() * words];
+        for (group, bits) in self.groups.iter().zip(touching.chunks_exact_mut(words.max(1))) {
+            let rels = group.key.rels();
+            for (i, p) in ctx.join_preds.iter().enumerate() {
+                let touches = rels.contains(p.left.relation) || rels.contains(p.right.relation);
+                bits[i / 64] |= u64::from(touches) << (i % 64);
+            }
+        }
+        self.preds.clear();
+        self.preds.reserve(self.join_inputs.len());
+        for expr in &mut self.exprs {
+            let LogicalOp::Join { left, right } = expr.op else {
+                continue;
+            };
+            let start = self.preds.len() as u32;
+            let left_rels = self.groups[left.index()].key.rels();
+            let (l, r) = (left.index() * words, right.index() * words);
+            for w in 0..words {
+                let mut both = touching[l + w] & touching[r + w];
+                while both != 0 {
+                    let p = ctx.join_preds[w * 64 + both.trailing_zeros() as usize];
+                    both &= both - 1;
+                    // Oriented as `preds_between` orients it.
+                    self.preds.push(if left_rels.contains(p.left.relation) {
+                        p
+                    } else {
+                        p.flipped()
+                    });
+                }
+            }
+            expr.preds = (start, self.preds.len() as u32);
+        }
     }
 
     /// Number of groups.
@@ -228,7 +373,7 @@ impl Memo {
     /// Total number of logical expressions across groups.
     #[must_use]
     pub fn expr_count(&self) -> usize {
-        self.groups.iter().map(|g| g.exprs.len()).sum()
+        self.exprs.len()
     }
 
     /// Number of complete logical expression *trees* rooted at `gid` — the
@@ -248,7 +393,7 @@ impl Memo {
         // Groups form a DAG by construction (children cover strictly
         // smaller relation sets), so recursion terminates.
         let mut total = 0.0;
-        for e in &self.group(gid).exprs {
+        for e in self.exprs(gid) {
             total += match e.op {
                 LogicalOp::Get(_) => 1.0,
                 LogicalOp::Select { relation } => {
@@ -276,6 +421,12 @@ mod tests {
         RelationId(i)
     }
 
+    // A group owns no heap memory: copying one is a `memcpy`.
+    const _: fn() = || {
+        fn copy<T: Copy>() {}
+        copy::<Group>();
+    };
+
     #[test]
     fn group_creation_is_idempotent() {
         let mut m = Memo::new();
@@ -295,8 +446,47 @@ mod tests {
         let g = m.group_for(GroupKey::Get(rel(0)));
         assert!(m.add_expr(g, LogicalOp::Get(rel(0))));
         assert!(!m.add_expr(g, LogicalOp::Get(rel(0))));
-        assert_eq!(m.group(g).exprs.len(), 1);
+        assert_eq!(m.exprs(g).count(), 1);
         assert_eq!(m.expr_count(), 1);
+    }
+
+    #[test]
+    fn join_expressions_are_deduplicated_on_their_inputs() {
+        let mut m = Memo::new();
+        let leaves: Vec<GroupId> = (0..12).map(|i| m.group_for(GroupKey::Get(rel(i)))).collect();
+        let j = m.group_for(GroupKey::Join(RelSet::from_iter((0..12).map(rel))));
+        let pairs = || {
+            leaves
+                .iter()
+                .flat_map(|&l| leaves.iter().map(move |&r| (l, r)))
+                .filter(|(l, r)| l != r)
+        };
+        assert!(pairs().all(|(left, right)| m.add_expr(j, LogicalOp::Join { left, right })));
+        assert!(!pairs().any(|(left, right)| m.add_expr(j, LogicalOp::Join { left, right })));
+        assert_eq!(m.exprs(j).count(), 132);
+    }
+
+    #[test]
+    fn a_group_lists_its_expressions_in_the_order_they_were_added() {
+        let mut m = Memo::new();
+        let g0 = m.group_for(GroupKey::Get(rel(0)));
+        let g1 = m.group_for(GroupKey::Get(rel(1)));
+        let j = m.group_for(GroupKey::Join(RelSet::from_iter([rel(0), rel(1)])));
+        // Interleaved with another group's rows: the chain skips them.
+        m.add_expr(j, LogicalOp::Join { left: g0, right: g1 });
+        m.add_expr(g0, LogicalOp::Get(rel(0)));
+        m.add_expr(j, LogicalOp::Join { left: g1, right: g0 });
+        m.add_expr(g1, LogicalOp::Get(rel(1)));
+        let ops: Vec<LogicalOp> = m.exprs(j).map(|e| e.op).collect();
+        assert_eq!(
+            ops,
+            [
+                LogicalOp::Join { left: g0, right: g1 },
+                LogicalOp::Join { left: g1, right: g0 }
+            ]
+        );
+        assert_eq!(m.exprs(g0).count(), 1);
+        assert_eq!(m.expr_count(), 4);
     }
 
     #[test]

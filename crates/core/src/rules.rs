@@ -14,9 +14,9 @@
 //! left input group)*. Each pair is fired exactly once. The pending pairs
 //! are not queued; they are implied by two marks on every memo expression
 //! ([`LogicalMExpr`](crate::LogicalMExpr)): `commuted`, and `associated` —
-//! how many expressions of its left input group it has been fired against.
-//! An expression is pending while `!commuted` or while its left group holds
-//! more expressions than `associated`; a group that gains an expression
+//! the last expression of its left input group it has been fired against.
+//! An expression is pending while `!commuted` or while its left group's
+//! last expression is not `associated`; a group that gains an expression
 //! late thereby re-opens exactly the (parent, new expression) pairs the
 //! addition creates, and nothing else. Firing a pair twice would be a
 //! no-op (results are deduplicated on insert), so skipping fired pairs
@@ -33,7 +33,7 @@
 use dqep_algebra::RelSet;
 
 use crate::context::QueryContext;
-use crate::memo::{GroupId, GroupKey, LogicalOp, Memo};
+use crate::memo::{ExprId, GroupId, GroupKey, LogicalOp, Memo};
 use crate::options::SearchOptions;
 
 /// Explores the memo to a fixpoint: applies commutativity and
@@ -46,29 +46,29 @@ pub fn explore(memo: &mut Memo, ctx: &QueryContext, opts: &SearchOptions) -> usi
         let mut generated = 0;
         let mut g = 0;
         // Groups and expressions created during the sweep are visited in
-        // the same sweep (both counts are re-read each iteration).
+        // the same sweep (the group count and each expression's successor
+        // are re-read after every expression).
         while g < memo.group_count() {
             let gid = GroupId(g as u32);
-            let mut idx = 0;
-            while idx < memo.group(gid).exprs.len() {
-                let expr = &memo.group(gid).exprs[idx];
+            let mut at = memo.group(gid).first;
+            while let Some(id) = at {
+                let expr = *memo.expr(id);
                 if let LogicalOp::Join { left, right } = expr.op {
-                    let (commuted, fired) = (expr.commuted, expr.associated);
-                    if !commuted {
-                        memo.group_mut(gid).exprs[idx].commuted = true;
+                    if !expr.commuted {
+                        memo.expr_mut(id).commuted = true;
                         generated += apply_commute(memo, gid, left, right);
                     }
                     // Neither rule adds to the left group while firing
                     // against it (its results cover other relation sets),
-                    // so its length now is the mark to record.
-                    let pending = memo.group(left).exprs.len();
-                    if fired < pending {
-                        memo.group_mut(gid).exprs[idx].associated = pending;
+                    // so its last expression now is the mark to record.
+                    let last = memo.group(left).last;
+                    if expr.associated != last {
+                        memo.expr_mut(id).associated = last;
                         generated +=
-                            apply_associate(memo, gid, left, right, fired..pending, ctx, opts);
+                            apply_associate(memo, gid, left, right, expr.associated, ctx, opts);
                     }
                 }
-                idx += 1;
+                at = memo.expr(id).next;
             }
             g += 1;
         }
@@ -77,9 +77,7 @@ pub fn explore(memo: &mut Memo, ctx: &QueryContext, opts: &SearchOptions) -> usi
         }
         generated_total += generated;
     }
-    for g in 0..memo.group_count() {
-        memo.group_mut(GroupId(g as u32)).explored = true;
-    }
+    memo.finish_exploration(ctx);
     generated_total
 }
 
@@ -97,25 +95,30 @@ fn apply_commute(memo: &mut Memo, gid: GroupId, left: GroupId, right: GroupId) -
 }
 
 /// `Join(Join(A, B), C) → Join(A, Join(B, C))` for the expressions
-/// `Join(A, B)` at positions `fresh` of the left group, creating the
-/// `Join(B, C)` group on demand. Only fires when `B ⋈ C` is connected by a
-/// join predicate (or cross products are enabled): cross-product
-/// intermediate results cannot be optimal for the connected queries
-/// considered here.
+/// `Join(A, B)` of the left group added after `fired` (all of them when
+/// `None`), creating the `Join(B, C)` group on demand. Only fires when
+/// `B ⋈ C` is connected by a join predicate (or cross products are
+/// enabled): cross-product intermediate results cannot be optimal for the
+/// connected queries considered here.
 fn apply_associate(
     memo: &mut Memo,
     gid: GroupId,
     left: GroupId,
     right: GroupId,
-    fresh: std::ops::Range<usize>,
+    fired: Option<ExprId>,
     ctx: &QueryContext,
     opts: &SearchOptions,
 ) -> usize {
     let mut generated = 0;
     let right_rels = memo.group(right).key.rels();
     let joinable: Option<RelSet> = (!opts.allow_cross_products).then(|| ctx.neighbors(right_rels));
-    for at in fresh {
-        let LogicalOp::Join { left: a, right: b } = memo.group(left).exprs[at].op else {
+    // The left group does not grow while this runs, so its chain can be
+    // followed past the insertions into other groups.
+    let mut at = memo.successor(left, fired);
+    while let Some(id) = at {
+        let expr = *memo.expr(id);
+        at = expr.next;
+        let LogicalOp::Join { left: a, right: b } = expr.op else {
             continue;
         };
         let b_rels = memo.group(b).key.rels();
@@ -151,9 +154,9 @@ mod tests {
         let ids: Vec<RelationId> = cat.relations().iter().map(|r| r.id).collect();
         let attr = |i: usize, name: &str| cat.relations()[i].attr_id(name).unwrap();
         let mut q = LogicalExpr::get(ids[0]);
-        for i in 1..n {
+        for (i, &id) in ids.iter().enumerate().skip(1) {
             q = q.join(
-                LogicalExpr::get(ids[i]),
+                LogicalExpr::get(id),
                 vec![JoinPred::new(attr(i - 1, "j"), attr(i, "j"))],
             );
         }
@@ -263,9 +266,9 @@ mod tests {
     #[test]
     fn commute_doubles_two_way_join() {
         let (_cat, ctx, mut memo, root) = chain(2);
-        assert_eq!(memo.group(root).exprs.len(), 1);
+        assert_eq!(memo.exprs(root).count(), 1);
         explore(&mut memo, &ctx, &SearchOptions::paper());
-        assert_eq!(memo.group(root).exprs.len(), 2, "original + commuted");
+        assert_eq!(memo.exprs(root).count(), 2, "original + commuted");
     }
 
     #[test]
@@ -276,9 +279,7 @@ mod tests {
         let (_cat, ctx, mut memo, root) = chain(4);
         explore(&mut memo, &ctx, &SearchOptions::paper());
         let joins = memo
-            .group(root)
-            .exprs
-            .iter()
+            .exprs(root)
             .filter(|e| matches!(e.op, LogicalOp::Join { .. }))
             .count();
         assert_eq!(joins, 6);

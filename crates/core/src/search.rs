@@ -1,6 +1,6 @@
 //! The top-down, memoizing search engine with incomparable costs.
 //!
-//! `optimize_group(group, properties)` fills the group's [`Frontier`] for
+//! `optimize_group(group, properties)` fills the group's frontier for
 //! the requested physical properties by applying **implementation rules**
 //! (File-Scan/B-tree-Scan for Get, Filter/Filter-B-tree-Scan for Select,
 //! Hash-/Merge-/Index-Join for Join) and **enforcers** (Sort for order;
@@ -21,6 +21,13 @@
 //! stays behind as garbage until [`Plan::finish`] compacts the table
 //! around the root — keeping relative order, so the rank in which the
 //! surviving nodes were created is their position in the finished plan.
+//!
+//! The explored memo is the search's input and does not change during it:
+//! a join expression's predicates are a slice of it, read as often as the
+//! search builds candidates. What the search adds per (group, properties)
+//! pair — its frontier, open while the pair is optimized and a row of a
+//! list once it is done — lives in the search's own
+//! [`Frontiers`](crate::frontier::Frontiers).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,7 +40,7 @@ use dqep_plan::{NodeId, Plan};
 
 use crate::context::QueryContext;
 use crate::error::OptimizerError;
-use crate::frontier::Frontier;
+use crate::frontier::Frontiers;
 use crate::memo::{GroupId, GroupKey, LogicalOp, Memo};
 use crate::options::SearchOptions;
 use crate::probe::ProbePoints;
@@ -103,7 +110,7 @@ impl<'a> Optimizer<'a> {
         query: &LogicalExpr,
     ) -> Result<(QueryContext, Memo, GroupId), OptimizerError> {
         let ctx = QueryContext::build(query, self.catalog)?;
-        let mut memo = Memo::new();
+        let mut memo = Memo::for_query(&ctx);
         let root = seed(&mut memo, query, &ctx);
         rules::explore(&mut memo, &ctx, &self.options);
         Ok((ctx, memo, root))
@@ -123,7 +130,8 @@ impl<'a> Optimizer<'a> {
         let (ctx, memo, root) = self.explored(query)?;
         let explore_seconds = start.elapsed().as_secs_f64();
 
-        let inputs = Inputs::new(ctx, self.catalog, self.env, self.options);
+        let inputs = Inputs::new(ctx, memo, self.catalog, self.env, self.options);
+        let memo = &inputs.memo;
         let reserve = match self.env.mode {
             PlanningMode::Interval => memo.expr_count() * ARENA_NODES_PER_TEN_EXPRESSIONS / 10,
             PlanningMode::Point => 0,
@@ -131,11 +139,10 @@ impl<'a> Optimizer<'a> {
         let mut search = Search {
             q: &inputs,
             group_stats: vec![None; memo.group_count()],
-            memo,
+            frontiers: Frontiers::new(memo.group_count(), inputs.ctx.relations.len()),
             arena: Plan::with_capacity(reserve),
             preds: Vec::new(),
-            alternatives: Vec::new(),
-            in_progress: Vec::new(),
+            alternatives: Vec::with_capacity(ALTERNATIVES),
             physical_considered: 0,
             pruned_by_bound: 0,
             pruned_by_probing: 0,
@@ -160,9 +167,9 @@ impl<'a> Optimizer<'a> {
 
         let dag = dqep_plan::dag::summarize(&plan);
         let mut stats = OptimizerStats {
-            groups: search.memo.group_count(),
-            logical_exprs: search.memo.expr_count(),
-            logical_trees: search.memo.logical_tree_count(root),
+            groups: memo.group_count(),
+            logical_exprs: memo.expr_count(),
+            logical_trees: memo.logical_tree_count(root),
             physical_considered: search.physical_considered,
             pruned_by_bound: search.pruned_by_bound,
             pruned_by_probing: search.pruned_by_probing,
@@ -173,11 +180,9 @@ impl<'a> Optimizer<'a> {
             finish_seconds,
             ..OptimizerStats::default()
         };
-        for g in 0..search.memo.group_count() {
-            for (_, f) in &search.memo.group(GroupId(g as u32)).plans {
-                stats.frontier_plans += f.len();
-                stats.max_frontier = stats.max_frontier.max(f.len());
-            }
+        for f in search.frontiers.finished() {
+            stats.frontier_plans += f.len;
+            stats.max_frontier = stats.max_frontier.max(f.len);
         }
         stats.optimization_seconds = start.elapsed().as_secs_f64();
         stats.search_seconds = stats.optimization_seconds - explore_seconds;
@@ -227,6 +232,11 @@ fn leaf_group(memo: &mut Memo, rel: RelationId, ctx: &QueryContext) -> GroupId {
 /// A static-plan search builds about one node per expression, and grows.
 const ARENA_NODES_PER_TEN_EXPRESSIONS: usize = 43;
 
+/// Room reserved for a frontier's plans as the choose-plan over them is
+/// built: the largest frontier of a 10-relation chain's dynamic-plan
+/// search holds 38.
+const ALTERNATIVES: usize = 64;
+
 /// A selection predicate of the query with its selectivity under the
 /// run's environment.
 #[derive(Debug, Clone, Copy)]
@@ -235,45 +245,48 @@ struct Selection {
     sel: Interval,
 }
 
-/// What a search run reads but never changes. Held by shared reference so
-/// borrowed predicates and statistics outlive the `&mut` calls that build
-/// plan nodes.
+/// What a search run reads but never changes — the explored memo among it.
+/// Held by shared reference so borrowed expressions, predicates and
+/// statistics outlive the `&mut` calls that build plan nodes.
 struct Inputs<'a> {
     ctx: QueryContext,
+    memo: Memo,
     catalog: &'a Catalog,
     env: &'a Environment,
     model: CostModel<'a>,
     opts: SearchOptions,
     tie_break: bool,
-    /// The query's selections by relation id, each selectivity evaluated
+    /// The query's selections, by relation, each selectivity evaluated
     /// once for the run.
-    selections: Vec<Vec<Selection>>,
+    selections: Vec<Selection>,
+    /// Per relation id up to the highest selected one, the range of
+    /// `selections` that restricts it.
+    selected: Vec<(u32, u32)>,
 }
 
 impl<'a> Inputs<'a> {
     fn new(
         ctx: QueryContext,
+        memo: Memo,
         catalog: &'a Catalog,
         env: &'a Environment,
         opts: SearchOptions,
     ) -> Inputs<'a> {
         let model = CostModel::new(catalog, env);
-        let mut selections: Vec<Vec<Selection>> = Vec::new();
+        let selected_ids = ctx.selects.keys().next_back().map_or(0, |r| r.0 as usize + 1);
+        let mut selected = vec![(0, 0); selected_ids];
+        let mut selections = Vec::with_capacity(ctx.selects.values().map(Vec::len).sum());
         for (rel, preds) in &ctx.selects {
-            let index = rel.0 as usize;
-            if index >= selections.len() {
-                selections.resize_with(index + 1, Vec::new);
-            }
-            selections[index] = preds
-                .iter()
-                .map(|pred| Selection {
-                    pred: *pred,
-                    sel: model.selectivity().selection(pred, env),
-                })
-                .collect();
+            let start = selections.len() as u32;
+            selections.extend(preds.iter().map(|pred| Selection {
+                pred: *pred,
+                sel: model.selectivity().selection(pred, env),
+            }));
+            selected[rel.0 as usize] = (start, selections.len() as u32);
         }
         Inputs {
             ctx,
+            memo,
             catalog,
             env,
             model,
@@ -282,14 +295,14 @@ impl<'a> Inputs<'a> {
                 .tie_break_equal
                 .unwrap_or(env.mode == PlanningMode::Point),
             selections,
+            selected,
         }
     }
 
     /// The selections on one relation (empty slice if none).
     fn selections_on(&self, rel: RelationId) -> &[Selection] {
-        self.selections
-            .get(rel.0 as usize)
-            .map_or(&[], Vec::as_slice)
+        let (start, end) = self.selected.get(rel.0 as usize).copied().unwrap_or_default();
+        &self.selections[start as usize..end as usize]
     }
 
     /// A relation's cardinality after all its selections.
@@ -328,7 +341,6 @@ impl<'a> Inputs<'a> {
 
 struct Search<'a> {
     q: &'a Inputs<'a>,
-    memo: Memo,
     /// Every node built so far, kept or since evicted.
     arena: Plan,
     /// Scratch list of the join predicates of the node being built.
@@ -336,9 +348,9 @@ struct Search<'a> {
     /// Scratch list of a frontier's plans, for the choose-plan over them.
     alternatives: Vec<NodeId>,
     group_stats: Vec<Option<PlanStats>>,
-    /// The (group, properties) pairs being optimized, innermost last — the
-    /// recursion stack, kept to detect a cyclic optimization.
-    in_progress: Vec<(GroupId, PhysProps)>,
+    /// The frontiers being built — the (group, properties) pairs being
+    /// optimized, innermost last — and the finished ones.
+    frontiers: Frontiers,
     physical_considered: usize,
     pruned_by_bound: usize,
     pruned_by_probing: usize,
@@ -353,7 +365,7 @@ impl<'a> Search<'a> {
             return s;
         }
         let q = self.q;
-        let s = match self.memo.group(gid).key {
+        let s = match q.memo.group(gid).key {
             GroupKey::Get(r) => {
                 let rel = q.catalog.relation(r);
                 PlanStats::new(
@@ -383,24 +395,29 @@ impl<'a> Search<'a> {
     /// The node parents use for (group, props): the frontier's single plan
     /// or its choose-plan. `None` if not yet optimized or empty.
     fn combined(&self, gid: GroupId, props: PhysProps) -> Option<NodeId> {
-        self.memo.group(gid).frontier(props).and_then(|f| f.combined)
+        self.frontiers.find(gid, props).map(|f| f.combined)
     }
 
-    /// Optimizes (group, props), memoized.
+    /// Optimizes (group, props), memoized: opens its frontier, fills it
+    /// and closes it — on every path, so an error leaves no frontier open.
     fn optimize_group(&mut self, gid: GroupId, props: PhysProps) -> Result<(), OptimizerError> {
-        if self.memo.group(gid).frontier(props).is_some() {
+        if self.frontiers.find(gid, props).is_some() {
             return Ok(());
         }
-        assert!(
-            !self.in_progress.contains(&(gid, props)),
-            "cyclic optimization of {gid} {props}"
-        );
-        self.in_progress.push((gid, props));
-        let mut frontier = Frontier::new();
-        match self.memo.group(gid).key {
-            GroupKey::Get(r) => self.impl_get(gid, r, props, &mut frontier),
-            GroupKey::SelectedLeaf(r) => self.impl_selected(r, props, &mut frontier),
-            GroupKey::Join(_) => self.impl_join(gid, props, &mut frontier)?,
+        self.frontiers.open(gid, props);
+        let combined = self.fill_frontier(gid, props).and_then(|()| self.combine());
+        self.frontiers.close(combined.as_ref().ok().copied());
+        combined.map(drop)
+    }
+
+    /// Offers the open frontier of (group, props) every candidate of the
+    /// implementation rules and the enforcers, then applies probing and the
+    /// frontier cap.
+    fn fill_frontier(&mut self, gid: GroupId, props: PhysProps) -> Result<(), OptimizerError> {
+        match self.q.memo.group(gid).key {
+            GroupKey::Get(r) => self.impl_get(gid, r, props),
+            GroupKey::SelectedLeaf(r) => self.impl_selected(r, props),
+            GroupKey::Join(_) => self.impl_join(gid, props)?,
         }
         // Sort enforcer: any required order can be enforced over the
         // group's Any-plan.
@@ -410,7 +427,6 @@ impl<'a> Search<'a> {
                 let stats = self.stats_of(gid);
                 let op = PhysicalOp::Sort { attr };
                 self.consider(
-                    &mut frontier,
                     &[child],
                     [],
                     stats,
@@ -420,76 +436,75 @@ impl<'a> Search<'a> {
             }
         }
 
-        if frontier.len() > 1 {
+        if self.frontiers.len() > 1 {
             if let Some(probe) = self.probe.take() {
-                let before = frontier.len();
+                let before = self.frontiers.len();
                 let q = self.q;
                 let arena = &self.arena;
-                frontier
+                self.frontiers
                     .prune_with(|a, b| probe.dominates(arena, (a, b), &q.ctx, q.catalog, q.env));
-                self.pruned_by_probing += before - frontier.len();
+                self.pruned_by_probing += before - self.frontiers.len();
                 self.probe = Some(probe);
             }
         }
-        frontier.enforce_cap(self.q.opts.max_frontier);
-        self.in_progress.pop();
-
-        self.alternatives.clear();
-        self.alternatives.extend(frontier.plans());
-        let combined = match self.alternatives[..] {
-            [] => return Err(OptimizerError::NoPlanFound),
-            [only] => only,
-            _ => {
-                let cost = self.q.model.choose_plan_cost(self.alternatives.len());
-                self.arena.choose_plan(&self.alternatives, cost)
-            }
-        };
-        frontier.combined = Some(combined);
-        self.memo.group_mut(gid).plans.push((props, frontier));
+        self.frontiers.enforce_cap(self.q.opts.max_frontier);
         Ok(())
     }
 
+    /// The node parents of the open frontier will reference: its single
+    /// plan, or a choose-plan over all of them.
+    fn combine(&mut self) -> Result<NodeId, OptimizerError> {
+        self.alternatives.clear();
+        self.alternatives.extend(self.frontiers.plans());
+        match self.alternatives[..] {
+            [] => Err(OptimizerError::NoPlanFound),
+            [only] => Ok(only),
+            _ => {
+                let cost = self.q.model.choose_plan_cost(self.alternatives.len());
+                Ok(self.arena.choose_plan(&self.alternatives, cost))
+            }
+        }
+    }
+
     /// Whether interval branch-and-bound rejects a cost lower bound: a
-    /// candidate whose cost *lower* bound exceeds the frontier's best
+    /// candidate whose cost *lower* bound exceeds the open frontier's best
     /// *upper* bound is dominated (only the lower bound may be used —
     /// paper Section 5).
-    fn bound_rejects(&mut self, frontier: &Frontier, lower: f64) -> bool {
-        let rejected = self.q.opts.enable_pruning && lower > frontier.best_upper();
+    fn bound_rejects(&mut self, lower: f64) -> bool {
+        let rejected = self.q.opts.enable_pruning && lower > self.frontiers.best_upper();
         if rejected {
             self.pruned_by_bound += 1;
         }
         rejected
     }
 
-    /// Whether the frontier would keep a candidate of total cost `total`:
-    /// always in exhaustive mode, otherwise when it passes the bound and
-    /// the frontier's domination test.
-    fn keeps(&mut self, frontier: &Frontier, total: Interval) -> bool {
+    /// Whether the open frontier would keep a candidate of total cost
+    /// `total`: always in exhaustive mode, otherwise when it passes the
+    /// bound and the frontier's domination test.
+    fn keeps(&mut self, total: Interval) -> bool {
         self.q.opts.exhaustive
-            || (!self.bound_rejects(frontier, total.lo())
-                && frontier.admits(total, self.q.tie_break))
+            || (!self.bound_rejects(total.lo()) && self.frontiers.admits(total, self.q.tie_break))
     }
 
     /// Adds the built node of a candidate [`Search::keeps`] approved.
-    fn keep(&self, frontier: &mut Frontier, node: NodeId) {
+    fn keep(&mut self, node: NodeId) {
         let cost = self.arena[node].total_cost.total();
         if self.q.opts.exhaustive {
-            frontier.insert_unconditional(node, cost);
+            self.frontiers.insert_unconditional(node, cost);
         } else {
-            frontier.push(node, cost);
+            self.frontiers.push(node, cost);
         }
     }
 
-    /// Costs a candidate over `children` and, if the frontier keeps it,
-    /// builds its node. Everything is judged on costs computed from
-    /// borrowed inputs: `self_cost` runs only once the children's lower
-    /// bounds pass the bound, and `preds` — the candidate's join
-    /// predicates — are read only once the candidate's own cost has passed
-    /// the bound and the frontier's domination test, into the arena's
-    /// predicate list.
+    /// Costs a candidate over `children` for the open frontier and, if the
+    /// frontier keeps it, builds its node. Everything is judged on costs
+    /// computed from borrowed inputs: `self_cost` runs only once the
+    /// children's lower bounds pass the bound, and `preds` — the
+    /// candidate's join predicates — are read only once the candidate's own
+    /// cost has passed the bound and the frontier's domination test, into
+    /// the arena's predicate list.
     fn consider(
         &mut self,
-        frontier: &mut Frontier,
         children: &[NodeId],
         preds: impl IntoIterator<Item = JoinPred>,
         out_stats: PlanStats,
@@ -502,7 +517,7 @@ impl<'a> Search<'a> {
                 .iter()
                 .map(|c| self.arena[*c].total_cost.total().lo())
                 .sum();
-            if self.bound_rejects(frontier, child_lo) {
+            if self.bound_rejects(child_lo) {
                 return;
             }
         }
@@ -510,24 +525,23 @@ impl<'a> Search<'a> {
         let total = children
             .iter()
             .fold(self_cost, |acc, c| acc + self.arena[*c].total_cost);
-        if !self.keeps(frontier, total.total()) {
+        if !self.keeps(total.total()) {
             return;
         }
         self.preds.clear();
         self.preds.extend(preds);
         let node = self.arena.push(op, children, &self.preds, out_stats, self_cost);
-        self.keep(frontier, node);
+        self.keep(node);
     }
 
     // ---- implementation rules -----------------------------------------
 
-    fn impl_get(&mut self, gid: GroupId, r: RelationId, props: PhysProps, frontier: &mut Frontier) {
+    fn impl_get(&mut self, gid: GroupId, r: RelationId, props: PhysProps) {
         let stats = self.stats_of(gid);
         let q = self.q;
         if props.order == SortOrder::None {
             let op = PhysicalOp::FileScan { relation: r };
             self.consider(
-                frontier,
                 &[],
                 [],
                 stats,
@@ -543,7 +557,6 @@ impl<'a> Search<'a> {
                     key_attr,
                 };
                 self.consider(
-                    frontier,
                     &[],
                     [],
                     stats,
@@ -554,10 +567,10 @@ impl<'a> Search<'a> {
         }
     }
 
-    fn impl_selected(&mut self, r: RelationId, props: PhysProps, frontier: &mut Frontier) {
+    fn impl_selected(&mut self, r: RelationId, props: PhysProps) {
         let q = self.q;
         let preds = q.selections_on(r);
-        let get_gid = self.memo.find(GroupKey::Get(r)).expect("seeded");
+        let get_gid = q.memo.find(GroupKey::Get(r)).expect("seeded");
         let get_stats = self.stats_of(get_gid);
 
         // 1. Filter chain over a plain retrieval with the same required
@@ -565,7 +578,6 @@ impl<'a> Search<'a> {
         if self.optimize_group(get_gid, props).is_ok() {
             if let Some(base) = self.combined(get_gid, props) {
                 self.consider_filter_chain(
-                    frontier,
                     self.arena[base].total_cost,
                     get_stats,
                     preds.iter().copied(),
@@ -603,7 +615,7 @@ impl<'a> Search<'a> {
                 .enumerate()
                 .filter(move |(j, _)| *j != i)
                 .map(|(_, s)| *s);
-            self.consider_filter_chain(frontier, cost, first_stats, rest, |arena| {
+            self.consider_filter_chain(cost, first_stats, rest, |arena| {
                 arena.push(op, &[], &[], first_stats, cost)
             });
         }
@@ -614,7 +626,6 @@ impl<'a> Search<'a> {
     /// included — only if the frontier keeps it.
     fn consider_filter_chain(
         &mut self,
-        frontier: &mut Frontier,
         base_total: Cost,
         base_stats: PlanStats,
         preds: impl Iterator<Item = Selection> + Clone,
@@ -624,7 +635,7 @@ impl<'a> Search<'a> {
         let q = self.q;
         let mut total = base_total;
         q.filter_levels(base_stats, preds.clone(), |_, _, cost| total = cost + total);
-        if !self.keeps(frontier, total.total()) {
+        if !self.keeps(total.total()) {
             return;
         }
         let mut node = base(&mut self.arena);
@@ -633,30 +644,26 @@ impl<'a> Search<'a> {
                 .arena
                 .push(PhysicalOp::Filter { predicate }, &[node], &[], out, cost);
         });
-        self.keep(frontier, node);
+        self.keep(node);
     }
 
-    fn impl_join(
-        &mut self,
-        gid: GroupId,
-        props: PhysProps,
-        frontier: &mut Frontier,
-    ) -> Result<(), OptimizerError> {
+    fn impl_join(&mut self, gid: GroupId, props: PhysProps) -> Result<(), OptimizerError> {
         let q = self.q;
         let out_stats = self.stats_of(gid);
 
-        // The group's expressions are final (exploration is over); the
-        // index walks them without holding a borrow across the recursion.
-        for at in 0..self.memo.group(gid).exprs.len() {
-            let LogicalOp::Join { left: l, right: r } = self.memo.group(gid).exprs[at].op else {
+        // The memo is the search's input, borrowed apart from `self`: its
+        // expressions and their predicates stay readable across the
+        // recursion.
+        for expr in q.memo.exprs(gid) {
+            let LogicalOp::Join { left: l, right: r } = expr.op else {
                 continue;
             };
-            let lrels = self.memo.group(l).key.rels();
-            let rrels = self.memo.group(r).key.rels();
+            let lrels = q.memo.group(l).key.rels();
+            let rrels = q.memo.group(r).key.rels();
             if !q.opts.bushy && rrels.len() > 1 {
                 continue; // left-deep ablation
             }
-            let preds = q.ctx.preds_between(lrels, rrels);
+            let preds = q.memo.join_preds(expr);
             let l_stats = self.stats_of(l);
             let r_stats = self.stats_of(r);
 
@@ -670,9 +677,8 @@ impl<'a> Search<'a> {
                     self.child_plan(r, PhysProps::ANY),
                 ) {
                     self.consider(
-                        frontier,
                         &[lc, rc],
-                        preds.clone(),
+                        preds.iter().copied(),
                         out_stats,
                         |model| model.hash_join_cost(&l_stats, &r_stats, &out_stats),
                         PhysicalOp::HashJoin,
@@ -682,7 +688,7 @@ impl<'a> Search<'a> {
 
             // Merge join on the first predicate: inputs sorted on the join
             // attributes; delivers the left attribute's order.
-            if let Some(p0) = preds.clone().next() {
+            if let Some(p0) = preds.first() {
                 let delivered = SortOrder::Asc(p0.left);
                 if props.order == SortOrder::None || props.order == delivered {
                     let lp = PhysProps::sorted(p0.left);
@@ -692,9 +698,8 @@ impl<'a> Search<'a> {
                     if let (Some(lc), Some(rc)) = (self.child_plan(l, lp), self.child_plan(r, rp))
                     {
                         self.consider(
-                            frontier,
                             &[lc, rc],
-                            preds.clone(),
+                            preds.iter().copied(),
                             out_stats,
                             |model| model.merge_join_cost(&l_stats, &r_stats, &out_stats),
                             PhysicalOp::MergeJoin,
@@ -719,7 +724,7 @@ impl<'a> Search<'a> {
                 SortOrder::Asc(a) if lrels.contains(a.relation) => PhysProps::sorted(a),
                 SortOrder::Asc(_) => continue,
             };
-            for (pi, p) in preds.clone().enumerate() {
+            for (pi, &p) in preds.iter().enumerate() {
                 let Some((index, info)) = q.catalog.index_on_attr(p.right) else {
                     continue;
                 };
@@ -729,15 +734,14 @@ impl<'a> Search<'a> {
                 // The indexed predicate first, the others in query order.
                 let ordered = std::iter::once(p).chain(
                     preds
-                        .clone()
+                        .iter()
                         .enumerate()
                         .filter(move |(j, _)| *j != pi)
-                        .map(|(_, other)| other),
+                        .map(|(_, other)| *other),
                 );
                 self.optimize_group(l, outer_props)?;
                 if let Some(outer) = self.child_plan(l, outer_props) {
                     self.consider(
-                        frontier,
                         &[outer],
                         ordered.clone(),
                         out_stats,

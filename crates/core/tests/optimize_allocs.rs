@@ -2,24 +2,28 @@
 //! decision. Its own test binary, because it installs a counting
 //! `#[global_allocator]`.
 //!
-//! What a run must allocate is the memo it searches — groups, their
-//! expressions, a frontier per (group, properties) pair — and one plan
-//! table: a node list, a child-id list and a join-predicate list, reserved
-//! from the memo's size or grown by doubling, so the table costs a few
-//! dozen allocations whatever its size. The start-up decision allocates its
+//! A run allocates a fixed number of tables — the memo's groups,
+//! expressions and predicates, the search's frontiers, one plan table (a
+//! node list, a child-id list and a join-predicate list) — each reserved
+//! from the query's size or grown by doubling, so a table costs one or a
+//! few allocations whatever its size. The start-up decision allocates its
 //! estimates table, its decision list and the resolved table. What a run
-//! must not allocate is anything per candidate *considered* or per node
-//! *kept*. The history of the 10-relation chain below (1 101 plan nodes):
-//! 9 270 allocations (optimize 8 222 + start-up 1 048) before the dense
-//! table, 6 459 in point mode for a 12-node plan — predicate lists, child
-//! lists and whole nodes built for candidates the bound then rejected, a
-//! list per `connected()` probe, SipHash tables rehashed as they grew; 3 561
-//! (3 512 + 49) and 1 222 with heap nodes (`Arc`, child list, predicate
-//! list); 1 364 (1 347 + 17) and 592 on the one table while every join node
-//! still owned its predicate list. Measured now, predicates in the table
-//! and the arena reserved once: 543 (533 + 10) and 434 — the ceiling
-//! below is a function of the memo, and the count before this broke it
-//! by more than twice.
+//! must not allocate is anything per memo entry, per candidate
+//! *considered* or per node *kept*. The history of the 10-relation chain
+//! below (1 101 plan nodes): 9 270 allocations (optimize 8 222 + start-up
+//! 1 048) before the dense table, 6 459 in point mode for a 12-node plan —
+//! predicate lists, child lists and whole nodes built for candidates the
+//! bound then rejected, a list per `connected()` probe, SipHash tables
+//! rehashed as they grew; 3 561 (3 512 + 49) and 1 222 with heap nodes
+//! (`Arc`, child list, predicate list); 1 364 (1 347 + 17) and 592 on the
+//! one table while every join node still owned its predicate list; 543
+//! (533 + 10) and 434 with the predicates in the table and the arena
+//! reserved once, while every memo group owned a list of expressions and a
+//! list of frontiers, and every frontier a list of plans. Measured now, the
+//! memo and the frontiers laid out as a few lists: 70 (60 + 10) and 70 —
+//! the ceiling below is that count plus a quarter, a constant, and the
+//! 4-relation chain's count (53) is within a factor of 1.5 of the
+//! 10-relation chain's although its memo is a twelfth the size.
 //!
 //! One test function: the counters are process-wide, and the harness runs
 //! test functions on parallel threads.
@@ -32,7 +36,7 @@ use dqep_catalog::{
     make_chain_catalog, Catalog, SyntheticSpec, SystemConfig, JOIN_LEFT_ATTR, JOIN_RIGHT_ATTR,
     SELECTION_ATTR,
 };
-use dqep_core::{Optimizer, OptimizerStats};
+use dqep_core::{LogicalMExpr, Optimizer};
 use dqep_cost::{Bindings, Environment};
 use dqep_plan::{evaluate_startup_observed, Observations, PlanNode};
 
@@ -66,9 +70,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations of optimize + start-up for [`adhoc_chain`]`(10)` while
-/// every join node owned its predicate list.
-const PARENT_ALLOCS: u64 = 1_364;
+/// Most allocations optimize + start-up of [`adhoc_chain`]`(10)` may make
+/// under `dynamic_compile_time`, and optimize alone in point mode: 70 each
+/// measured, plus a quarter.
+const CEILING: u64 = 88;
 
 /// The benchmark's ad-hoc statement shape: `σ(R1) ⋈ … ⋈ σ(Rk)`, one
 /// host-variable selection per relation and a second, bound one on R1.
@@ -98,61 +103,68 @@ fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.load(Ordering::Relaxed) - before)
 }
 
-/// What a run may allocate: its memo — two per group (the group and its
-/// frontiers), one per logical expression — and a constant for the plan
-/// table's doubling lists and the run's fixed tables. Not a word about the
-/// plan's size.
-fn memo_ceiling(stats: &OptimizerStats) -> u64 {
-    (2 * stats.groups + stats.logical_exprs) as u64 + 128
-}
-
 fn assert_copy<T: Copy>() {}
 
+/// Optimize + start-up of [`adhoc_chain`]`(k)` under
+/// `dynamic_compile_time`: the optimizer's result and the allocations.
+fn dynamic_run(catalog: &Catalog, k: usize) -> (dqep_core::OptimizeResult, u64) {
+    let query = adhoc_chain(catalog, k);
+    let mut bindings = Bindings::new();
+    for i in 0..k as u32 {
+        bindings = bindings.with_value(HostVar(i), 40 + 7 * i64::from(i));
+    }
+    let observations = Observations::new();
+    let env = Environment::dynamic_compile_time(&catalog.config);
+    let (result, optimize) = allocs_of(|| Optimizer::new(catalog, &env).optimize(&query).unwrap());
+    let (startup, decide) = allocs_of(|| {
+        evaluate_startup_observed(&result.plan, catalog, &env, &bindings, &observations)
+    });
+    assert_eq!(startup.evaluated_nodes, result.stats.plan_nodes);
+    (result, optimize + decide)
+}
+
 #[test]
-fn optimize_and_startup_allocate_per_memo_entry_not_per_plan_node_or_candidate() {
+fn optimize_and_startup_allocate_a_constant_not_per_memo_entry_plan_node_or_candidate() {
     // A plan node owns no heap memory: copying one is a `memcpy`, and it
-    // fits in 160 bytes.
+    // fits in 160 bytes. Nor does a memo expression (nor a memo group:
+    // `memo.rs`'s own tests).
     assert_copy::<PhysicalOp>();
     assert_copy::<PlanNode>();
+    assert_copy::<LogicalMExpr>();
     let node = std::mem::size_of::<PlanNode>();
     assert!(node <= 160, "a plan node is {node} bytes");
 
     let cat = make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994());
-    let query = adhoc_chain(&cat, 10);
-    let mut bindings = Bindings::new();
-    for i in 0..10 {
-        bindings = bindings.with_value(HostVar(i), 40 + 7 * i64::from(i));
-    }
-    let observations = Observations::new();
 
     // Dynamic-plan optimization and the start-up decision over its plan.
-    let env = Environment::dynamic_compile_time(&cat.config);
-    let (result, optimize) = allocs_of(|| Optimizer::new(&cat, &env).optimize(&query).unwrap());
-    let (startup, decide) =
-        allocs_of(|| evaluate_startup_observed(&result.plan, &cat, &env, &bindings, &observations));
+    let (result, total) = dynamic_run(&cat, 10);
     let stats = result.stats;
     assert_eq!(stats.plan_nodes, 1_101);
-    assert_eq!(startup.evaluated_nodes, stats.plan_nodes);
-
-    let ceiling = memo_ceiling(&stats);
     assert!(
-        2 * ceiling <= PARENT_ALLOCS,
-        "the ceiling must at least halve the count of predicate lists on nodes"
-    );
-    let total = optimize + decide;
-    assert!(
-        total <= ceiling,
-        "{total} allocations (optimize {optimize} + start-up {decide}) for {} groups and {} \
-         expressions ({} plan nodes); ceiling {ceiling} = 2 x groups + expressions + 128",
+        total <= CEILING,
+        "{total} allocations (optimize + start-up) for {} groups and {} expressions ({} plan \
+         nodes); ceiling {CEILING}",
         stats.groups,
         stats.logical_exprs,
         stats.plan_nodes
     );
 
+    // The memo is not in the count: the 4-relation chain's memo is a
+    // twelfth of the 10-relation chain's, its plan a tenth, and its count
+    // is not two thirds lower.
+    let (small, small_total) = dynamic_run(&cat, 4);
+    assert!(12 * small.stats.logical_exprs <= stats.logical_exprs);
+    assert!(
+        2 * total <= 3 * small_total,
+        "{total} allocations for {} groups, {} for {}: the memo's size is in the count",
+        stats.groups,
+        small_total,
+        small.stats.groups
+    );
+
     // Dropping the plan — what evicting its statement from the registry
     // does — frees the table's three lists and its `Arc`, not a list per
     // join node.
-    drop(startup);
     let before = FREES.load(Ordering::Relaxed);
     drop(result);
     let freed = FREES.load(Ordering::Relaxed) - before;
@@ -163,6 +175,7 @@ fn optimize_and_startup_allocate_per_memo_entry_not_per_plan_node_or_candidate()
     // query's 1 010 candidates — and where the plan is 12 nodes: the same
     // memo, the same ceiling; one allocation per rejected candidate or per
     // candidate that passed would not fit.
+    let query = adhoc_chain(&cat, 10);
     let point = Environment::static_compile_time(&cat.config);
     let (result, optimize) = allocs_of(|| Optimizer::new(&cat, &point).optimize(&query).unwrap());
     let stats = result.stats;
@@ -171,15 +184,14 @@ fn optimize_and_startup_allocate_per_memo_entry_not_per_plan_node_or_candidate()
         stats.pruned_by_bound as u64 > passed,
         "the bound must reject most candidates for this to tell: {stats:?}"
     );
-    let ceiling = memo_ceiling(&stats);
     assert!(
-        optimize + passed.min(stats.pruned_by_bound as u64) > ceiling,
+        passed.min(stats.pruned_by_bound as u64) > CEILING,
         "a candidate's allocation must not fit under the ceiling: {stats:?}"
     );
     assert!(
-        optimize <= ceiling,
+        optimize <= CEILING,
         "{optimize} allocations in point mode for {passed} candidates past the bound and {} \
-         rejected by it; ceiling {ceiling} = 2 x groups + expressions + 128",
+         rejected by it; ceiling {CEILING}",
         stats.pruned_by_bound
     );
 }

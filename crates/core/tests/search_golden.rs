@@ -7,6 +7,12 @@
 //! The DAG fingerprint covers node creation order and child order, so the
 //! order in which candidates are built and the order of alternatives under
 //! every choose-plan (which decides ties at start-up) are pinned too.
+//!
+//! A chain joins each pair of relations on one predicate, so the order and
+//! orientation of a join's predicates cannot show in it. The join-graph
+//! rows (star, 4-cycle, two predicates between one pair) were recorded at
+//! the commit before the memo's join expressions began to carry their
+//! predicates, and add a fingerprint of every node's predicate list.
 
 use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysProps, SelectPred};
 use dqep_catalog::{
@@ -45,6 +51,82 @@ fn chain(catalog: &Catalog, k: usize, literal: Option<i64>) -> LogicalExpr {
         query = query.join(selected(i), vec![JoinPred::new(left, right)]);
     }
     query
+}
+
+/// One predicate of a join graph: `R{a+1}.x = R{b+1}.y` as `(a, x, b, y)`.
+type Edge = (usize, &'static str, usize, &'static str);
+
+/// `σ(R1) ⋈ σ(R2) ⋈ …`, one host-variable selection per relation, where
+/// `joins[i]` holds the predicates joining `R{i+2}` to the relations before
+/// it — each written in the orientation given, so a graph can join a
+/// relation on either side of a predicate.
+fn graph(catalog: &Catalog, joins: &[&[Edge]]) -> LogicalExpr {
+    let rels = catalog.relations();
+    let selected = |i: usize| {
+        let attr = rels[i].attr_id(SELECTION_ATTR).unwrap();
+        LogicalExpr::get(rels[i].id).select(SelectPred::unbound(
+            attr,
+            CompareOp::Lt,
+            HostVar(i as u32),
+        ))
+    };
+    let attr = |i: usize, name: &str| rels[i].attr_id(name).unwrap();
+    joins.iter().enumerate().fold(selected(0), |query, (i, edges)| {
+        let preds = edges
+            .iter()
+            .map(|&(a, x, b, y)| JoinPred::new(attr(a, x), attr(b, y)))
+            .collect();
+        query.join(selected(i + 1), preds)
+    })
+}
+
+/// A hub joined to four spokes, the hub on either side of a predicate.
+const STAR: &[&[Edge]] = &[
+    &[(0, JOIN_RIGHT_ATTR, 1, JOIN_LEFT_ATTR)],
+    &[(2, JOIN_RIGHT_ATTR, 0, JOIN_LEFT_ATTR)],
+    &[(0, JOIN_LEFT_ATTR, 3, JOIN_LEFT_ATTR)],
+    &[(4, JOIN_RIGHT_ATTR, 0, JOIN_RIGHT_ATTR)],
+];
+
+/// R1 - R2 - R3 - R4 - R1: the last join closes the cycle on two predicates.
+const CYCLE: &[&[Edge]] = &[
+    &[(0, JOIN_RIGHT_ATTR, 1, JOIN_LEFT_ATTR)],
+    &[(1, JOIN_RIGHT_ATTR, 2, JOIN_LEFT_ATTR)],
+    &[
+        (2, JOIN_RIGHT_ATTR, 3, JOIN_LEFT_ATTR),
+        (3, JOIN_RIGHT_ATTR, 0, JOIN_LEFT_ATTR),
+    ],
+];
+
+/// Two predicates between R1 and R2, then R3 on one.
+const PAIR: &[&[Edge]] = &[
+    &[
+        (0, JOIN_RIGHT_ATTR, 1, JOIN_LEFT_ATTR),
+        (0, JOIN_LEFT_ATTR, 1, JOIN_RIGHT_ATTR),
+    ],
+    &[(1, JOIN_RIGHT_ATTR, 2, JOIN_LEFT_ATTR)],
+];
+
+/// FNV-1a over every node's join predicates, in table order and in the
+/// order and orientation the node lists them — what the DAG fingerprint,
+/// which reads operator names only, cannot see.
+fn preds_fingerprint(plan: &Plan) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (id, _) in plan.iter() {
+        for p in plan.join_preds(id) {
+            for a in [p.left, p.right] {
+                for b in [a.relation.0, a.index] {
+                    for byte in b.to_le_bytes() {
+                        h ^= u64::from(byte);
+                        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        h ^= 0xff;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// FNV-1a over the depth-first post-order (each node once, at its first
@@ -119,6 +201,19 @@ fn run(env: &Environment, cat: &Catalog, query: &LogicalExpr, props: PhysProps) 
     summary(&result)
 }
 
+/// [`run`] for a join graph: the summary and the predicate fingerprint.
+fn run_graph(env: &Environment, cat: &Catalog, joins: &[&[Edge]]) -> String {
+    let result = Optimizer::new(cat, env)
+        .optimize(&graph(cat, joins))
+        .unwrap();
+    result.plan.check_invariants().unwrap();
+    format!(
+        "{} preds={:016x}",
+        summary(&result),
+        preds_fingerprint(&result.plan)
+    )
+}
+
 /// `(case, summary)` as recorded at the parent commit.
 const GOLDEN: &[(&str, &str)] = &[
     ("dynamic k=4", "groups=14 exprs=28 trees=40 considered=112 pruned=12 nodes=116 choose=22 contained=19686 frontier=94 max_frontier=14 cost=[3f989374bc6a7efa,3fe3613d809cd2fd] dag=4bb0c6abab12600e"),
@@ -132,12 +227,19 @@ const GOLDEN: &[(&str, &str)] = &[
     ("uncertain-memory k=6", "groups=27 exprs=82 trees=1344 considered=286 pruned=18 nodes=309 choose=51 contained=21008730 frontier=258 max_frontier=22 cost=[3fa1eb851eb851ec,401910e5230d8ca4] dag=cb9c45c0a1d10da2"),
     ("point k=8", "groups=44 exprs=184 trees=54912 considered=580 pruned=347 nodes=9 choose=0 contained=1 frontier=114 max_frontier=1 cost=[3fb8e02fea53db4a,3fb8e02fea53db4a] dag=b3988f7f482ac7e0"),
     ("sorted(R3.a) k=6", "groups=27 exprs=82 trees=1344 considered=319 pruned=18 nodes=353 choose=63 contained=22335862 frontier=290 max_frontier=22 cost=[3f8fbe76c8b43958,4018ebce15b83ecd] dag=16b299ac61f40869"),
+    ("dynamic star", "groups=25 exprs=74 trees=384 considered=296 pruned=15 nodes=323 choose=48 contained=1297440 frontier=275 max_frontier=20 cost=[3fa1a9fbe76c8b44,3ffa5ece144c962f] dag=6d5a0a74fadef0fa preds=e9dfd69ed7d8d7e8"),
+    ("dynamic 4-cycle", "groups=17 exprs=44 trees=80 considered=176 pruned=12 nodes=189 choose=33 contained=42156 frontier=156 max_frontier=32 cost=[3fa0e5604189374c,3fe2546d56971226] dag=09f5ac6ae8bcf158 preds=07bd9d323ed3a582"),
+    ("dynamic pair", "groups=9 exprs=14 trees=8 considered=64 pruned=9 nodes=63 choose=12 contained=788 frontier=51 max_frontier=11 cost=[3f91eb851eb851ec,3fc93509f4884e24] dag=79d8fc3cf0cd17b6 preds=79b9a9c9a4d5de98"),
+    ("point star", "groups=25 exprs=74 trees=384 considered=296 pruned=169 nodes=6 choose=0 contained=1 frontier=59 max_frontier=1 cost=[3fb8643da0b8cd5e,3fb8643da0b8cd5e] dag=ab47c804e620b997 preds=f9bea6c0734aa60b"),
 ];
 
 /// The cases: the chain statements k = 4, 6, 8, 10 under
 /// `dynamic_compile_time`, bare and with the benchmark's ad-hoc shape (a
 /// second, bound selection on R1 — plan sizes 112/299/618/1101), plus
-/// uncertain memory, point mode and a required sort order.
+/// uncertain memory, point mode and a required sort order; then three join
+/// graphs that are not chains of one predicate per join — a star, a
+/// 4-cycle and a pair of relations joined on two predicates — under
+/// `dynamic_compile_time`, and the star in point mode.
 fn cases() -> Vec<(String, String)> {
     let cat = catalog();
     let dynamic = Environment::dynamic_compile_time(&cat.config);
@@ -176,6 +278,10 @@ fn cases() -> Vec<(String, String)> {
             PhysProps::sorted(attr),
         ),
     ));
+    for (name, joins) in [("star", STAR), ("4-cycle", CYCLE), ("pair", PAIR)] {
+        out.push((format!("dynamic {name}"), run_graph(&dynamic, &cat, joins)));
+    }
+    out.push(("point star".into(), run_graph(&point, &cat, STAR)));
     out
 }
 

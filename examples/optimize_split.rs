@@ -16,6 +16,7 @@
 //! Run pinned, it is a hot loop on one thread:
 //! `taskset -c 1 cargo run --release --example optimize_split`
 //! (`-- --quick` makes 5 passes instead of 200: the CI run).
+//! `examples/sample_profile.rs` samples the same loop.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,12 +102,19 @@ fn requests(shapes: &[(String, Vec<(String, i64)>)], pass: usize, way: usize) ->
         .collect()
 }
 
-fn main() {
-    let passes = if std::env::args().any(|a| a == "--quick") {
-        5
-    } else {
-        200
-    };
+/// What the timed passes measured, summed over their requests.
+pub struct Split {
+    passes: usize,
+    statements: usize,
+    requests: usize,
+    rows: u64,
+    through_service: Duration,
+    spent: [Duration; STEPS.len()],
+}
+
+/// Runs the loop: warm-up passes that fill each registry, then `passes`
+/// timed passes.
+pub fn split(passes: usize) -> Split {
     let catalog = make_chain_catalog(
         &SyntheticSpec::paper(10, SHAPE_SEED),
         SystemConfig::paper_1994(),
@@ -201,32 +209,56 @@ fn main() {
         }
         requests_timed += shapes.len();
     }
-
-    let calls = requests_timed as f64;
-    let us = |d: Duration| d.as_secs_f64() * 1e6 / calls;
-    println!(
-        "{} requests a pass ({} statements of 4-10 relations), {:.1} rows a request, {passes} passes\n",
-        shapes.len(),
-        shapes.len() / 4,
-        rows as f64 / calls
-    );
-    println!(
-        "{:<34} {:>8.2} us",
-        "QueryService::execute",
-        us(through_service)
-    );
-    let steps: Duration = spent.iter().sum();
-    println!(
-        "{:<34} {:>8.2} us",
-        "the session's steps, this thread",
-        us(steps)
-    );
-    for (name, d) in STEPS.iter().zip(spent) {
-        println!("  {name:<32} {:>8.2} us", us(d));
+    Split {
+        passes,
+        statements: shapes.len() / 4,
+        requests: requests_timed,
+        rows,
+        through_service,
+        spent,
     }
-    println!(
-        "{:<34} {:>8.2} us",
-        "execute beyond the steps",
-        us(through_service) - us(steps)
-    );
+}
+
+impl Split {
+    /// Prints µs a request: through the service, the steps one by one,
+    /// and the difference.
+    pub fn print(&self) {
+        let calls = self.requests as f64;
+        let us = |d: Duration| d.as_secs_f64() * 1e6 / calls;
+        println!(
+            "{} requests a pass ({} statements of 4-10 relations), {:.1} rows a request, {} passes\n",
+            self.requests / self.passes.max(1),
+            self.statements,
+            self.rows as f64 / calls,
+            self.passes
+        );
+        println!(
+            "{:<34} {:>8.2} us",
+            "QueryService::execute",
+            us(self.through_service)
+        );
+        let steps: Duration = self.spent.iter().sum();
+        println!(
+            "{:<34} {:>8.2} us",
+            "the session's steps, this thread",
+            us(steps)
+        );
+        for (name, d) in STEPS.iter().zip(self.spent) {
+            println!("  {name:<32} {:>8.2} us", us(d));
+        }
+        println!(
+            "{:<34} {:>8.2} us",
+            "execute beyond the steps",
+            us(self.through_service) - us(steps)
+        );
+    }
+}
+
+fn main() {
+    let passes = if std::env::args().any(|a| a == "--quick") {
+        5
+    } else {
+        200
+    };
+    split(passes).print();
 }
