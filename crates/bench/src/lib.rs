@@ -1,7 +1,6 @@
 //! Shared helpers for the benchmark suite and the `reproduce` binary.
 
 pub mod executor_bench;
-pub mod live_bench;
 pub mod observability_bench;
 pub mod parallel_bench;
 pub mod reopt_bench;

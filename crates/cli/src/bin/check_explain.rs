@@ -11,8 +11,8 @@
 //!
 //! The default mode is `explain`. Exits 0 when every file conforms, 1 on
 //! the first violation (with the reason on stderr), 2 on usage or I/O
-//! errors. CI runs this over the artifacts of the observability, shard,
-//! trace and live smoke jobs, so schema regressions fail the build
+//! errors. CI runs this over the artifacts of the observability, shard
+//! and trace smoke jobs, so schema regressions fail the build
 //! instead of silently breaking downstream consumers.
 
 use std::process::ExitCode;

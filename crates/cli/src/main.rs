@@ -53,20 +53,6 @@
 //!   --metrics-json PATH write the service metrics snapshot (latency
 //!                       histograms, cache rates, refusal counters) as
 //!                       JSON on shutdown; `-` prints it to stdout
-//!
-//! Live views (instead of --sql / --serve):
-//!   --live FILE         run a live workload: register views, interleave
-//!                       insert/delete batches with reads, and keep every
-//!                       view incrementally consistent (drift re-fires
-//!                       choose-plan arbitration). Lines:
-//!                         view NAME = SQL [@ v1=40,...]
-//!                         insert REL v1 v2 ...  /  delete REL v1 v2 ...
-//!                         commit  /  read NAME
-//!   --explain-json PATH write the EXPLAIN ANALYZE JSON of the most
-//!                       recently registered view's materialization;
-//!                       `-` prints it to stdout
-//!                       (--metrics-json and the robustness flags apply
-//!                       to --live as well)
 //! ```
 //!
 //! Sharded execution (with --sql --run):
@@ -91,11 +77,11 @@
 //! Observability (any mode):
 //!   --journal-json PATH dump the always-on structured event journal
 //!                       (arbitration winners, interval escapes, re-plans,
-//!                       degradation steps, live drift, shard divergence,
-//!                       link faults, admission refusals) as JSON on exit,
+//!                       degradation steps, shard divergence, link
+//!                       faults, admission refusals) as JSON on exit,
 //!                       fatal-error exits included; `-` prints to stdout
 //!   --metrics-prom PATH write the metrics snapshot in Prometheus text
-//!                       exposition format (requires --serve/--live/--shards)
+//!                       exposition format (requires --serve/--shards)
 //!   --metrics-interval-ms MS
 //!                       sample metrics every MS milliseconds while the
 //!                       workload runs: appends one JSON-lines window per
@@ -103,6 +89,12 @@
 //!                       --metrics-prom file each tick
 //!
 //! Exit codes distinguish failure classes — see [`dqep::DqepError`].
+//!
+//! This file holds the flag table and the single-shot path; `--serve`
+//! runs in `serve.rs`, `--shards` in `shard.rs`.
+
+mod serve;
+mod shard;
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -112,14 +104,11 @@ use dqep_catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    explain_json, pick_pilot, render_explain, ExecContext, ExecSummary, JsonWriter, ReoptConfig,
-    ReoptState, ResourceLimits, RootSink, Scalar, SharedCounters, TraceReport, Tracer,
+    explain_json, pick_pilot, render_explain, ExecContext, JsonWriter, ReoptConfig, ReoptState,
+    ResourceLimits, RootSink, Scalar, SharedCounters, TraceReport, Tracer,
 };
 use dqep_plan::{evaluate_startup, render_plan, to_dot};
-use dqep_service::{
-    LiveConfig, LiveViewRegistry, Metric, MetricsRegistry, MetricsReport, QueryService, Request,
-    ServiceConfig, WriteOp,
-};
+use dqep_service::MetricsReport;
 use dqep_sql::parse_query;
 use dqep_storage::{install_histograms, FaultPlan, StoredDatabase, ValueDistribution};
 
@@ -146,8 +135,6 @@ struct Args {
     max_io: Option<u64>,
     timeout_ms: Option<u64>,
     serve: Option<String>,
-    live: Option<String>,
-    explain_json_path: Option<String>,
     dop: usize,
     workers: usize,
     repeat: usize,
@@ -290,8 +277,6 @@ const FLAGS: &[(&str, bool, Setter)] = &[
     ("--max-io", true, |a, v| set(&mut a.max_io, num(v).map(Some))),
     ("--timeout-ms", true, |a, v| set(&mut a.timeout_ms, num(v).map(Some))),
     ("--serve", true, |a, v| set(&mut a.serve, Ok(Some(v.to_string())))),
-    ("--live", true, |a, v| set(&mut a.live, Ok(Some(v.to_string())))),
-    ("--explain-json", true, |a, v| set(&mut a.explain_json_path, Ok(Some(v.to_string())))),
     ("--dop", true, |a, v| set(&mut a.dop, at_least_one(v))),
     ("--workers", true, |a, v| set(&mut a.workers, num(v))),
     ("--repeat", true, |a, v| set(&mut a.repeat, num(v))),
@@ -340,13 +325,11 @@ fn parse_argv(argv: &[String]) -> Result<Args, String> {
         };
         set(&mut args, value).map_err(|e| format!("{flag}: {e}"))?;
     }
-    if args.sql.is_empty() && args.serve.is_none() && args.live.is_none() {
-        return Err("--sql (or --serve FILE, or --live FILE) is required".to_string());
+    if args.sql.is_empty() && args.serve.is_none() {
+        return Err("--sql (or --serve FILE) is required".to_string());
     }
-    let modes =
-        [!args.sql.is_empty(), args.serve.is_some(), args.live.is_some()].iter().filter(|&&m| m).count();
-    if modes > 1 {
-        return Err("--sql, --serve, and --live are mutually exclusive".to_string());
+    if !args.sql.is_empty() && args.serve.is_some() {
+        return Err("--sql and --serve are mutually exclusive".to_string());
     }
     if args.mode != "dynamic" && args.mode != "static" {
         return Err(format!("--mode must be dynamic or static, got `{}`", args.mode));
@@ -356,8 +339,8 @@ fn parse_argv(argv: &[String]) -> Result<Args, String> {
         || args.max_rows.is_some()
         || args.max_io.is_some()
         || args.timeout_ms.is_some();
-    if governed && !args.run && args.live.is_none() {
-        return Err("--fault-plan and resource limits require --run (or --live)".to_string());
+    if governed && !args.run {
+        return Err("--fault-plan and resource limits require --run".to_string());
     }
     if args.reopt && args.adaptive {
         return Err("--reopt and --adaptive are mutually exclusive".to_string());
@@ -371,12 +354,12 @@ fn parse_argv(argv: &[String]) -> Result<Args, String> {
     if args.json && !args.explain_analyze {
         return Err("--json requires --explain-analyze".to_string());
     }
-    let workload_mode = args.serve.is_some() || args.live.is_some() || args.shards.is_some();
+    let workload_mode = args.serve.is_some() || args.shards.is_some();
     if args.metrics_json.is_some() && !workload_mode {
-        return Err("--metrics-json requires --serve, --live, or --shards".to_string());
+        return Err("--metrics-json requires --serve or --shards".to_string());
     }
     if args.metrics_prom.is_some() && !workload_mode {
-        return Err("--metrics-prom requires --serve, --live, or --shards".to_string());
+        return Err("--metrics-prom requires --serve or --shards".to_string());
     }
     if args.metrics_interval_ms.is_some()
         && args.metrics_json.is_none()
@@ -407,13 +390,6 @@ fn parse_argv(argv: &[String]) -> Result<Args, String> {
                 "--net-*/--link-fault/--force-uniform require --shards".to_string()
             );
         }
-    }
-    if args.explain_json_path.is_some() && args.live.is_none() {
-        return Err("--explain-json requires --live".to_string());
-    }
-    if args.live.is_some() && (args.explain_analyze || args.adaptive || args.reopt) {
-        return Err("--live has its own execution mode; drop --explain-analyze/--adaptive/--reopt"
-            .to_string());
     }
     Ok(args)
 }
@@ -575,13 +551,10 @@ fn with_sampler<T>(
 
 fn run(args: &Args) -> Result<(), DqepError> {
     if args.serve.is_some() {
-        return serve(args);
-    }
-    if args.live.is_some() {
-        return run_live(args);
+        return serve::serve(args);
     }
     if args.shards.is_some() {
-        return run_sharded(args);
+        return shard::run_sharded(args);
     }
     // Data is generated when statistics or execution are requested.
     let (catalog, db) = args.database(args.run, args.histograms)?;
@@ -720,502 +693,11 @@ fn run(args: &Args) -> Result<(), DqepError> {
     Ok(())
 }
 
-
-/// One line of a `--live` workload file.
-#[derive(Debug, Clone, PartialEq)]
-enum LiveCmd {
-    /// `view NAME = SQL [@ name=value,...]`
-    View {
-        name: String,
-        sql: String,
-        binds: Vec<(String, i64)>,
-    },
-    /// `insert REL v1 v2 ...` / `delete REL v1 v2 ...`
-    Write {
-        delete: bool,
-        relation: String,
-        values: Vec<i64>,
-    },
-    /// `commit` — apply the pending write batch to storage and views.
-    Commit,
-    /// `read NAME` — print the view's current cardinality.
-    Read { name: String },
-}
-
-/// Parses a `--live` workload file: `view`/`insert`/`delete`/`commit`/
-/// `read` lines, `#` comments and blanks skipped.
-fn parse_live(text: &str) -> Result<Vec<LiveCmd>, String> {
-    let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |m: String| format!("line {}: {m}", idx + 1);
-        let (word, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-        let rest = rest.trim();
-        match word {
-            "view" => {
-                let (name, stmt) = rest
-                    .split_once('=')
-                    .ok_or_else(|| err("view expects `view NAME = SQL`".into()))?;
-                let (sql, bind_text) = match stmt.rsplit_once('@') {
-                    Some((sql, b)) => (sql.trim(), b.trim()),
-                    None => (stmt.trim(), ""),
-                };
-                let mut binds = Vec::new();
-                for pair in bind_text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                    let (n, v) = pair
-                        .split_once('=')
-                        .ok_or_else(|| err(format!("binding `{pair}` is not NAME=VALUE")))?;
-                    binds.push((
-                        n.trim().to_string(),
-                        v.trim().parse().map_err(|e| err(format!("{n}: {e}")))?,
-                    ));
-                }
-                out.push(LiveCmd::View {
-                    name: name.trim().to_string(),
-                    sql: sql.to_string(),
-                    binds,
-                });
-            }
-            "insert" | "delete" => {
-                let mut parts = rest.split_whitespace();
-                let relation = parts
-                    .next()
-                    .ok_or_else(|| err(format!("{word} expects `{word} REL v1 v2 ...`")))?
-                    .to_string();
-                let values: Vec<i64> = parts
-                    .map(|v| v.parse().map_err(|e| err(format!("{v}: {e}"))))
-                    .collect::<Result<_, _>>()?;
-                if values.is_empty() {
-                    return Err(err(format!("{word} {relation}: no values")));
-                }
-                out.push(LiveCmd::Write {
-                    delete: word == "delete",
-                    relation,
-                    values,
-                });
-            }
-            "commit" => out.push(LiveCmd::Commit),
-            "read" => {
-                if rest.is_empty() {
-                    return Err(err("read expects a view name".into()));
-                }
-                out.push(LiveCmd::Read { name: rest.to_string() });
-            }
-            other => return Err(err(format!("unknown live command `{other}`"))),
-        }
-    }
-    Ok(out)
-}
-
-/// Runs a `--live` workload: registers views against an owned mutable
-/// database, applies interleaved write batches through the storage write
-/// path, keeps every view incrementally consistent, and reports drift
-/// re-arbitrations.
-fn run_live(args: &Args) -> Result<(), DqepError> {
-    let path = args.live.as_ref().expect("checked by run()");
-    let text = std::fs::read_to_string(path)?;
-    let cmds = parse_live(&text).map_err(DqepError::Usage)?;
-    if cmds.is_empty() {
-        return Err(DqepError::Usage(format!("{path}: no commands")));
-    }
-
-    let buckets = args.histograms.unwrap_or(16);
-    let (catalog, db) = args.database(true, Some(buckets))?;
-    let db = db.expect("asked for");
-    let env = args.env(&catalog.config);
-    let metrics = std::sync::Arc::new(MetricsRegistry::new());
-    let config = LiveConfig {
-        limits: args.limits(),
-        dop: args.dop,
-        histogram_buckets: buckets,
-    };
-    let mut registry =
-        LiveViewRegistry::new(catalog, db, env, config, std::sync::Arc::clone(&metrics));
-    if let Some(spec) = &args.fault_plan {
-        let plan =
-            FaultPlan::parse(spec).map_err(|e| DqepError::Usage(format!("--fault-plan: {e}")))?;
-        registry.database_mut().disk.set_fault_plan(plan);
-        eprintln!("fault plan armed: {spec}");
-    }
-
-    let mut pending: Vec<WriteOp> = Vec::new();
-    let flush = |registry: &mut LiveViewRegistry,
-                     pending: &mut Vec<WriteOp>|
-     -> Result<(), DqepError> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let outcome = registry.commit(pending)?;
-        println!(
-            "-- commit: {}/{} op(s) applied, {} delta row(s) propagated, \
-             {} re-arbitration(s), {} plan switch(es), {} fallback(s){}",
-            outcome.applied,
-            outcome.attempted,
-            outcome.rows_propagated,
-            outcome.rearbitrations,
-            outcome.plan_switches,
-            outcome.fallbacks,
-            match &outcome.storage_error {
-                Some(e) => format!(" — batch cut short by storage fault: {e}"),
-                None => String::new(),
-            },
-        );
-        pending.clear();
-        Ok(())
-    };
-
-    // The workload runs under the live sampler; the metrics snapshot is
-    // written afterwards whatever the outcome, so a failing commit still
-    // leaves a usable post-mortem export.
-    let snapshot = || metrics.report();
-    let result = with_sampler(args, &snapshot, || -> Result<(), DqepError> {
-        for cmd in &cmds {
-            match cmd {
-                LiveCmd::View { name, sql, binds } => {
-                    // Writes before a registration must be visible to it.
-                    flush(&mut registry, &mut pending)?;
-                    let binds: Vec<(&str, i64)> =
-                        binds.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-                    registry.register(name, sql, &binds)?;
-                    let rows = registry.snapshot(name).map(|r| r.len()).unwrap_or(0);
-                    println!("-- view {name}: registered, {rows} row(s) materialized");
-                }
-                LiveCmd::Write { delete, relation, values } => {
-                    let rel = registry
-                        .catalog()
-                        .relation_by_name(relation)
-                        .map_err(|e| DqepError::Usage(e.to_string()))?
-                        .id;
-                    pending.push(if *delete {
-                        WriteOp::Delete { relation: rel, values: values.clone() }
-                    } else {
-                        WriteOp::Insert { relation: rel, values: values.clone() }
-                    });
-                }
-                LiveCmd::Commit => flush(&mut registry, &mut pending)?,
-                LiveCmd::Read { name } => match registry.snapshot(name) {
-                    Some(rows) => println!("-- read {name}: {} row(s)", rows.len()),
-                    None => return Err(DqepError::Usage(format!("unknown view `{name}`"))),
-                },
-            }
-        }
-        // A trailing uncommitted batch is committed, not dropped.
-        flush(&mut registry, &mut pending)?;
-
-        let views = registry.views();
-        println!(
-            "\n-- {} view(s), {} delta batch(es), {} row(s) propagated, {} re-arbitration(s)",
-            metrics.get(Metric::LiveViewsRegistered),
-            metrics.get(Metric::LiveDeltaBatches),
-            metrics.get(Metric::LiveRowsPropagated),
-            metrics.get(Metric::LiveRearbitrations),
-        );
-        for v in &views {
-            println!(
-                "--   {}: {} row(s), decisions {:?}, {} re-arbitration(s), {} fallback(s)",
-                v.name, v.rows, v.decisions, v.rearbitrations, v.fallbacks
-            );
-        }
-
-        if let Some(dest) = args.explain_json_path.as_deref() {
-            let last = views
-                .last()
-                .ok_or_else(|| DqepError::Usage("no view registered for --explain-json".into()))?;
-            let doc = registry
-                .explain_json(&last.name)
-                .expect("registered views have a materialization trace");
-            match dest {
-                "-" => println!("{doc}"),
-                path => {
-                    std::fs::write(path, doc)?;
-                    eprintln!("wrote EXPLAIN ANALYZE JSON of view `{}` to {path}", last.name);
-                }
-            }
-        }
-        Ok(())
-    });
-    write_metric_outputs(args, &metrics.report())?;
-    result
-}
-
-/// Parses a workload file: one statement per line, optional
-/// `@ name=value,...` binding suffix (`memory=PAGES` sets the grant),
-/// `#` comments and blank lines skipped.
-fn parse_workload(text: &str) -> Result<Vec<Request>, String> {
-    let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (sql, binds) = match line.rsplit_once('@') {
-            Some((s, b)) => (s.trim(), b.trim()),
-            None => (line, ""),
-        };
-        let mut req = Request::new(sql, &[]);
-        for pair in binds.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (name, v) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: binding `{pair}` is not NAME=VALUE", idx + 1))?;
-            let (name, v) = (name.trim(), v.trim());
-            if name == "memory" {
-                req.memory_pages =
-                    Some(v.parse().map_err(|e| format!("line {}: memory: {e}", idx + 1))?);
-            } else {
-                req.binds.push((
-                    name.to_string(),
-                    v.parse().map_err(|e| format!("line {}: {name}: {e}", idx + 1))?,
-                ));
-            }
-        }
-        out.push(req);
-    }
-    Ok(out)
-}
-
-/// Runs a workload file through the prepared-query service and prints
-/// per-session results plus the service's cache and throughput summary.
-/// `--shards N`: execute the query across N partitioned replicas with
-/// repartitioning network exchange and per-shard dynamic-plan
-/// arbitration, then report winners, divergence, and wire traffic.
-fn run_sharded(args: &Args) -> Result<(), DqepError> {
-    let (catalog, _) = args.database(false, None)?;
-    let link_faults = match &args.link_fault {
-        Some(spec) => dqep_executor::LinkFaultPlan::parse(spec)
-            .map_err(|e| DqepError::Usage(format!("--link-fault: {e}")))?,
-        None => dqep_executor::LinkFaultPlan::none(),
-    };
-    let config = dqep_service::ShardConfig {
-        shards: args.shards.unwrap_or(1),
-        net: dqep_executor::NetConfig {
-            latency_micros: args.net_latency_us,
-            bytes_per_second: args.net_bandwidth,
-            jitter_micros: args.net_jitter_us,
-            seed: args.seed,
-        },
-        link_faults,
-        routing: if args.routing == "range" {
-            dqep_service::ShardRouting::Range { attr: 0 }
-        } else {
-            dqep_service::ShardRouting::Hash { attr: 0 }
-        },
-        histogram_buckets: args.histograms.unwrap_or(16),
-        dop: args.dop,
-        limits: args.limits(),
-        io_latency_micros: args.io_latency_us,
-        data_seed: args.seed,
-        skew: args.skew,
-        memory_pages: args.memory,
-        reopt: args.reopt.then(|| args.reopt()),
-        force_uniform_winner: args.force_uniform,
-        trace: args.explain_analyze,
-    };
-    let shards = config.shards;
-    let system = catalog.config;
-    // With --json, stdout carries only the JSON document.
-    let narrate = !args.json;
-    if narrate {
-        println!(
-            "-- sharded execution: {shards} shard(s), {} routing{}",
-            args.routing,
-            if args.force_uniform { ", forced uniform winner" } else { "" },
-        );
-    }
-
-    let service = dqep_service::ShardedService::new(catalog, config);
-    let binds: Vec<(&str, i64)> = args.binds.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let started = std::time::Instant::now();
-    let snapshot = || service.metrics();
-    let result = with_sampler(args, &snapshot, || service.execute(&args.sql, &binds));
-    let wall = started.elapsed();
-
-    let out = match result {
-        Ok(out) => out,
-        Err(e) => {
-            // The metrics snapshot reflects the query whatever its outcome.
-            write_metric_outputs(args, &service.metrics())?;
-            return Err(DqepError::Service(e));
-        }
-    };
-    if narrate {
-        println!(
-            "-- {} row(s) in {:.3}s wall; per-shard rows: {:?}",
-            out.rows.len(),
-            wall.as_secs_f64(),
-            out.per_shard_rows,
-        );
-        for (s, audits) in out.audits.iter().enumerate() {
-            let winners: Vec<String> = audits
-                .iter()
-                .map(|a| match a.winner {
-                    Some(w) => format!("node {} -> alt {w}", a.node),
-                    None => format!("node {} -> unresolved", a.node),
-                })
-                .collect();
-            println!("-- shard {s}: {}", if winners.is_empty() {
-                "no arbitration (resolved plan)".to_string()
-            } else {
-                winners.join(", ")
-            });
-        }
-        if out.divergent_nodes.is_empty() {
-            println!("-- winners agree on every choose node");
-        } else {
-            println!(
-                "-- divergent winners on choose node(s) {:?} (local statistics disagree)",
-                out.divergent_nodes
-            );
-        }
-        println!(
-            "-- network: {} frame(s), {} byte(s), {} retransmit(s), {} credit stall(s); \
-             {} fallback(s)",
-            out.net.frames, out.net.bytes, out.net.retransmits, out.net.credit_stalls,
-            out.fallbacks,
-        );
-        // Per-link deltas for this query: each entry is one directed
-        // channel's traffic, so the wire totals above decompose exactly.
-        for l in &out.links {
-            println!(
-                "-- link {}->{}: {} frame(s), {} byte(s), {} retransmit(s), \
-                 {} credit stall(s) ({:.3}ms waiting)",
-                l.from,
-                l.to,
-                l.stats.frames,
-                l.stats.bytes,
-                l.stats.retransmits,
-                l.stats.credit_stalls,
-                l.stats.credit_wait_ns as f64 / 1e6,
-            );
-        }
-    }
-    if let Some(report) = &out.trace {
-        print_explain(args, report, &system);
-    }
-    write_metric_outputs(args, &service.metrics())
-}
-
-fn serve(args: &Args) -> Result<(), DqepError> {
-    let path = args.serve.as_ref().expect("checked by run()");
-    let text = std::fs::read_to_string(path)?;
-    let workload = parse_workload(&text).map_err(DqepError::Usage)?;
-    if workload.is_empty() {
-        return Err(DqepError::Usage(format!("{path}: no statements")));
-    }
-
-    // Histograms are harvested from a throwaway replica; the service
-    // regenerates identical data from the same seed.
-    let (catalog, _) = args.database(false, args.histograms)?;
-
-    let config = ServiceConfig {
-        workers: args.workers.max(1),
-        global_memory_bytes: args.service_memory,
-        queue_timeout_ms: args.queue_timeout_ms,
-        session_limits: args.limits(),
-        data_seed: args.seed,
-        skew: args.skew,
-        io_latency_micros: args.io_latency_us,
-        dop: args.dop,
-        reopt: args.reopt.then(|| args.reopt()),
-        ..ServiceConfig::default()
-    };
-    let service = QueryService::new(catalog, config);
-    let system = service.catalog().config;
-    let config = &system;
-
-    let sessions: Vec<Request> = std::iter::repeat_with(|| workload.clone())
-        .take(args.repeat.max(1))
-        .flatten()
-        .collect();
-    let total = sessions.len();
-    println!(
-        "-- serving {total} session(s) ({} statement(s) x {} repeat(s)) on {} worker(s)",
-        workload.len(),
-        args.repeat.max(1),
-        service.workers()
-    );
-    let started = std::time::Instant::now();
-    let snapshot = || service.metrics();
-    let results = with_sampler(args, &snapshot, || service.run_batch(sessions));
-    let wall = started.elapsed();
-
-    let mut failed = 0usize;
-    let mut first_error: Option<DqepError> = None;
-    let mut totals = ExecSummary::default();
-    for (i, result) in results.iter().enumerate() {
-        match result {
-            // Same ExecSummary::describe renderer as the --run path.
-            Ok(s) => {
-                println!(
-                    "[{i:>4}] {}, worker {}",
-                    s.summary.describe(config),
-                    s.worker
-                );
-                totals.accumulate(&s.summary);
-            }
-            Err(e) => {
-                failed += 1;
-                if first_error.is_none() {
-                    first_error = Some(e.clone().into());
-                }
-                println!("[{i:>4}] FAILED: {e}");
-            }
-        }
-    }
-
-    let stats = service.stats();
-    println!(
-        "\n-- {} ok, {failed} failed in {:.3}s wall ({:.1} sessions/s)",
-        stats.completed,
-        wall.as_secs_f64(),
-        total as f64 / wall.as_secs_f64().max(1e-9),
-    );
-    println!(
-        "-- plan cache: statement {:.1}% hit ({} hit / {} miss, {} evicted), \
-         decision {:.1}% hit ({} hit / {} miss)",
-        stats.registry.hit_rate() * 100.0,
-        stats.registry.hits,
-        stats.registry.misses,
-        stats.registry.evictions,
-        stats.decision_hit_rate() * 100.0,
-        stats.decision_hits,
-        stats.decision_misses,
-    );
-    println!(
-        "-- feedback: {} invalidation(s), {} cached-plan retr{}, totals: {} rows, {:.4}s simulated",
-        stats.feedback_invalidations,
-        stats.cached_plan_retries,
-        if stats.cached_plan_retries == 1 { "y" } else { "ies" },
-        totals.rows,
-        totals.simulated_seconds(config),
-    );
-
-    // Shutdown metrics snapshot: latency/queue-wait histograms, refusal
-    // counters, cache rates. Printed by default; the flags redirect it.
-    if args.metrics_json.is_none() && args.metrics_prom.is_none() {
-        println!(
-            "\n-- metrics (shutdown snapshot):\n{}",
-            service.metrics().to_json()
-        );
-    } else {
-        write_metric_outputs(args, &service.metrics())?;
-    }
-
-    match first_error {
-        // Partial failure is reported per session but the service ran:
-        // only a fully failed workload fails the process.
-        Some(e) if failed == total => Err(e),
-        _ => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn argv(parts: &[&str]) -> Vec<String> {
+    pub(crate) fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
@@ -1291,56 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_shard_flags() {
-        let a = parse_argv(&argv(&[
-            "--sql", "q", "--run", "--shards", "4", "--routing", "range",
-            "--force-uniform", "--net-latency-us", "20", "--net-bandwidth",
-            "1000000", "--net-jitter-us", "5", "--link-fault",
-            "nth-frame=3,max-retransmit=2", "--metrics-json", "m.json",
-        ]))
-        .unwrap();
-        assert_eq!(a.shards, Some(4));
-        assert_eq!(a.routing, "range");
-        assert!(a.force_uniform);
-        assert_eq!(a.net_latency_us, 20);
-        assert_eq!(a.net_bandwidth, 1_000_000);
-        assert_eq!(a.net_jitter_us, 5);
-        assert_eq!(a.link_fault.as_deref(), Some("nth-frame=3,max-retransmit=2"));
-        assert_eq!(a.metrics_json.as_deref(), Some("m.json"));
-    }
-
-    #[test]
-    fn shards_require_sql_and_run() {
-        assert!(parse_argv(&argv(&["--sql", "q", "--shards", "2"]))
-            .unwrap_err()
-            .contains("--run"));
-        assert!(parse_argv(&argv(&["--serve", "w.sql", "--shards", "2"]))
-            .unwrap_err()
-            .contains("mutually exclusive")
-            || parse_argv(&argv(&["--serve", "w.sql", "--shards", "2"]))
-                .unwrap_err()
-                .contains("--sql"));
-        assert!(parse_argv(&argv(&["--sql", "q", "--run", "--shards", "0"]))
-            .unwrap_err()
-            .contains("at least 1"));
-    }
-
-    #[test]
-    fn net_flags_require_shards() {
-        assert!(parse_argv(&argv(&["--sql", "q", "--run", "--net-latency-us", "9"]))
-            .unwrap_err()
-            .contains("--shards"));
-        assert!(parse_argv(&argv(&["--sql", "q", "--run", "--force-uniform"]))
-            .unwrap_err()
-            .contains("--shards"));
-        assert!(parse_argv(&argv(&[
-            "--sql", "q", "--run", "--shards", "2", "--routing", "zigzag"
-        ]))
-        .unwrap_err()
-        .contains("--routing"));
-    }
-
-    #[test]
     fn parses_observability_flags() {
         let a = parse_argv(&argv(&[
             "--sql", "q", "--run", "--shards", "2", "--journal-json", "j.json",
@@ -1366,28 +798,6 @@ mod tests {
         ]))
         .unwrap_err()
         .contains("at least 1"));
-    }
-
-    #[test]
-    fn shards_allow_explain_analyze_but_not_adaptive() {
-        let a =
-            parse_argv(&argv(&["--sql", "q", "--shards", "2", "--explain-analyze", "--json"]))
-                .unwrap();
-        assert_eq!(a.shards, Some(2));
-        assert!(a.explain_analyze && a.run && a.json);
-        assert!(parse_argv(&argv(&["--sql", "q", "--run", "--shards", "2", "--adaptive"]))
-            .unwrap_err()
-            .contains("--adaptive"));
-    }
-
-    #[test]
-    fn shard_mode_allows_metrics_json_and_reopt() {
-        let a = parse_argv(&argv(&[
-            "--sql", "q", "--run", "--shards", "2", "--metrics-json", "-", "--reopt",
-        ]))
-        .unwrap();
-        assert_eq!(a.shards, Some(2));
-        assert!(a.reopt);
     }
 
     #[test]
@@ -1448,58 +858,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_live_flags() {
-        let a = parse_argv(&argv(&[
-            "--live", "w.live", "--relations", "2", "--fault-plan", "nth-write=3",
-            "--metrics-json", "m.json", "--explain-json", "e.json",
-        ]))
-        .unwrap();
-        assert_eq!(a.live.as_deref(), Some("w.live"));
-        assert_eq!(a.explain_json_path.as_deref(), Some("e.json"));
-        assert_eq!(a.metrics_json.as_deref(), Some("m.json"));
-        // Mode exclusivity and flag dependencies.
-        assert!(parse_argv(&argv(&["--sql", "q", "--live", "w"]))
+    fn sql_and_serve_are_mutually_exclusive() {
+        assert!(parse_argv(&argv(&["--sql", "q", "--serve", "w"]))
             .unwrap_err()
             .contains("mutually exclusive"));
-        assert!(parse_argv(&argv(&["--serve", "s", "--live", "w"]))
-            .unwrap_err()
-            .contains("mutually exclusive"));
-        assert!(parse_argv(&argv(&["--sql", "q", "--explain-json", "e"]))
-            .unwrap_err()
-            .contains("--live"));
-        assert!(parse_argv(&argv(&["--live", "w", "--reopt"]))
-            .unwrap_err()
-            .contains("--live"));
-    }
-
-    #[test]
-    fn parses_live_workload_files() {
-        let cmds = parse_live(
-            "# demo\n             view hot = SELECT * FROM R1 WHERE R1.a < :v @ v=50\n             insert R1 1 2 3\n             delete R1 1 2 3\n             commit\n             read hot\n",
-        )
-        .unwrap();
-        assert_eq!(cmds.len(), 5);
-        assert_eq!(
-            cmds[0],
-            LiveCmd::View {
-                name: "hot".into(),
-                sql: "SELECT * FROM R1 WHERE R1.a < :v".into(),
-                binds: vec![("v".into(), 50)],
-            }
-        );
-        assert_eq!(
-            cmds[1],
-            LiveCmd::Write { delete: false, relation: "R1".into(), values: vec![1, 2, 3] }
-        );
-        assert_eq!(
-            cmds[2],
-            LiveCmd::Write { delete: true, relation: "R1".into(), values: vec![1, 2, 3] }
-        );
-        assert_eq!(cmds[3], LiveCmd::Commit);
-        assert_eq!(cmds[4], LiveCmd::Read { name: "hot".into() });
-        assert!(parse_live("view broken").unwrap_err().contains("NAME = SQL"));
-        assert!(parse_live("insert R1").unwrap_err().contains("no values"));
-        assert!(parse_live("frobnicate").unwrap_err().contains("unknown live command"));
     }
 
     #[test]

@@ -143,23 +143,6 @@ impl RowBatch {
         self.rows += 1;
     }
 
-    /// Appends the concatenation of two row slices (a join output).
-    ///
-    /// # Panics
-    /// Panics if the combined width does not match the batch width.
-    pub fn push_concat(&mut self, left: &[i64], right: &[i64]) {
-        assert_eq!(left.len() + right.len(), self.width, "row width mismatch");
-        debug_assert!(self.selection.is_none(), "push into a filtered batch");
-        let (lcols, rcols) = self.columns.split_at_mut(left.len());
-        for (col, &v) in lcols.iter_mut().zip(left) {
-            col.push(v);
-        }
-        for (col, &v) in rcols.iter_mut().zip(right) {
-            col.push(v);
-        }
-        self.rows += 1;
-    }
-
     /// Appends `n` rows whose values the producer writes straight into the
     /// column vectors (a scan decoding a page column-wise, a join
     /// gathering match pairs). The closure must extend **every** column by
@@ -407,7 +390,7 @@ mod tests {
         let mut b = RowBatch::new(2);
         b.push_row(&[1, 2]);
         b.push_row(&[3, 4]);
-        b.push_concat(&[5], &[6]);
+        b.push_row(&[5, 6]);
         assert_eq!(b.rows(), 3);
         assert_eq!(b.len(), 3);
         assert_eq!(b.row_vec(1), vec![3, 4]);

@@ -28,7 +28,7 @@ fn pred_value(pred: &SelectPred, bindings: &Bindings) -> Result<i64, ExecError> 
     }
 }
 
-pub(crate) fn resolve_pred(
+fn resolve_pred(
     pred: &SelectPred,
     layout: &TupleLayout,
     bindings: &Bindings,
@@ -45,7 +45,7 @@ pub(crate) fn resolve_pred(
 
 /// Orients a join predicate so its first position indexes `left` and its
 /// second indexes `right`.
-pub(crate) fn orient(
+fn orient(
     pred: &JoinPred,
     left: &TupleLayout,
     right: &TupleLayout,

@@ -22,12 +22,6 @@ pub struct ResolvedPred {
 }
 
 impl ResolvedPred {
-    /// Evaluates the predicate on a tuple.
-    #[must_use]
-    pub fn matches(&self, tuple: &[i64]) -> bool {
-        self.op.eval_int(tuple[self.pos], self.value)
-    }
-
     /// The inclusive key range this predicate selects — what a B-tree
     /// range probe descends with.
     #[must_use]
@@ -155,12 +149,5 @@ mod tests {
         assert_eq!(p(CompareOp::Eq).key_range(), (Some(10), Some(10)));
         assert_eq!(p(CompareOp::Ge).key_range(), (Some(10), None));
         assert_eq!(p(CompareOp::Gt).key_range(), (Some(11), None));
-    }
-
-    #[test]
-    fn matches() {
-        let p = ResolvedPred { pos: 1, op: CompareOp::Lt, value: 5 };
-        assert!(p.matches(&[100, 4]));
-        assert!(!p.matches(&[100, 5]));
     }
 }

@@ -1,9 +1,8 @@
 //! Always-on structured event journal (flight recorder).
 //!
 //! A process-global, bounded, lock-free ring of typed events: arbitration
-//! winners, interval escapes, re-plans, degradation-ladder steps,
-//! live-view drift re-fires, shard winner divergence, link faults, and
-//! admission refusals. Writers pay a `fetch_add` plus a handful of
+//! winners, interval escapes, re-plans, degradation-ladder steps, shard
+//! winner divergence, link faults, and admission refusals. Writers pay a `fetch_add` plus a handful of
 //! relaxed stores — no locks, no allocation — so the journal can stay on
 //! in production paths. When the ring wraps, the oldest events are
 //! overwritten: the journal answers "what just happened", not "what ever
@@ -63,9 +62,6 @@ pub enum EventKind {
     /// The degradation ladder stepped down (`a` = ladder rung or memory
     /// fraction context).
     DegradationStep,
-    /// A live view's observed cardinality drifted out of its bind-time
-    /// interval and re-fired arbitration (`a` = rows observed).
-    LiveDrift,
     /// Shards disagreed on a choose node's winner (`node` = the choose
     /// node, `a` = number of distinct winners).
     ShardDivergence,
@@ -80,12 +76,11 @@ pub enum EventKind {
 
 /// The stable string label of each kind, in code order — what the JSON
 /// dump writes and what its validator accepts.
-const LABELS: [&str; 8] = [
+const LABELS: [&str; 7] = [
     "arbitration_winner",
     "interval_escape",
     "replan",
     "degradation_step",
-    "live_drift",
     "shard_divergence",
     "link_fault",
     "admission_refusal",
@@ -106,7 +101,6 @@ impl EventKind {
             EventKind::IntervalEscape,
             EventKind::Replan,
             EventKind::DegradationStep,
-            EventKind::LiveDrift,
             EventKind::ShardDivergence,
             EventKind::LinkFault,
             EventKind::AdmissionRefusal,

@@ -49,7 +49,6 @@
 mod batch;
 mod choose;
 mod compile;
-mod delta;
 mod error;
 mod exchange;
 mod exec;
@@ -72,7 +71,6 @@ mod tuple;
 pub use batch::{RowBatch, RowBatchIter, BATCH_CAPACITY};
 pub use choose::{compile_dynamic_plan, ChoosePlanExec};
 pub use compile::{compile_plan, execute_plan_dop, run};
-pub use delta::{compile_delta_plan, BaseDeltas, Delta, DeltaPipeline};
 pub use error::{ExecError, Resource};
 pub use exchange::{parallel_scan, ExchangeExec};
 pub use exec::{drain, drain_root, BoxedOperator, Operator, RootSink};

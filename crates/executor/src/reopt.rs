@@ -259,8 +259,7 @@ pub struct ReoptState {
 }
 
 /// Whether an observed cardinality falls outside a bind-time interval —
-/// the trigger both for mid-query re-optimization and for live-view
-/// re-arbitration. Same escape semantics as the EXPLAIN ANALYZE
+/// the trigger of mid-query re-optimization. Same escape semantics as the EXPLAIN ANALYZE
 /// cardinality drift check: absolute slack of half a row (rounding) plus
 /// a hair of relative slack.
 #[must_use]

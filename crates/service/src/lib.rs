@@ -36,7 +36,6 @@
 pub mod admission;
 pub mod decision;
 mod error;
-pub mod live;
 mod metrics;
 pub mod registry;
 mod service;
@@ -45,7 +44,6 @@ pub mod shard;
 pub use admission::{MemoryGrant, MemoryPool};
 pub use decision::{region_key, CachedDecision, RegionKey};
 pub use error::ServiceError;
-pub use live::{CommitOutcome, LiveConfig, LiveViewInfo, LiveViewRegistry, WriteOp};
 pub use metrics::{
     lint_prometheus, validate_metrics_json, Hist, Histogram, HistogramSnapshot, Metric,
     MetricsRegistry, MetricsReport, SHARD_WINNER_SLOTS,

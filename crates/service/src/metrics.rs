@@ -219,14 +219,6 @@ metric_table! {
         "Mid-query re-plans adopted.";
     ReoptFallbacks counter "reopt" "fallbacks" "dqep_reopt_fallbacks_total"
         "Re-planned runs reverted to the original arbitration.";
-    LiveViewsRegistered counter "live" "views_registered" "dqep_live_views_registered_total"
-        "Live views registered.";
-    LiveDeltaBatches counter "live" "delta_batches" "dqep_live_delta_batches_total"
-        "Committed write batches propagated through live views.";
-    LiveRowsPropagated counter "live" "rows_propagated" "dqep_live_rows_propagated_total"
-        "Delta rows emitted at live-view roots.";
-    LiveRearbitrations counter "live" "rearbitrations" "dqep_live_rearbitrations_total"
-        "Drift-triggered live-view re-arbitrations.";
     ShardQueries counter "shard" "queries" "dqep_shard_queries_total" "Sharded queries executed.";
     NetBytes counter "shard" "net_bytes" "dqep_net_bytes_total"
         "Cross-shard bytes on the wire (retransmissions included).";
@@ -252,7 +244,7 @@ const CELLS: usize = Metric::ShardWinner as usize + SHARD_WINNER_SLOTS;
 const _: () = assert!(TABLE.len() == Metric::ShardWinner as usize + 1);
 
 /// The sections of the JSON document, in the order they are written.
-const SECTIONS: [&str; 5] = ["sessions", "plan_cache", "reopt", "live", "shard"];
+const SECTIONS: [&str; 4] = ["sessions", "plan_cache", "reopt", "shard"];
 
 /// Values the JSON document derives from two counters: section, key, and
 /// the hit and miss counters whose [`hit_rate`] it is. Prometheus leaves
@@ -288,8 +280,6 @@ pub enum Hist {
     /// Time successful sessions spent waiting for a database replica
     /// (the service's queue).
     QueueWait,
-    /// Per-commit incremental refresh latency across all live views.
-    LiveRefresh,
     /// Credit-wait of network-exchange sends that actually stalled
     /// (unstalled sends are not recorded — the histogram reads as "when
     /// backpressure bit, how hard").
@@ -298,7 +288,7 @@ pub enum Hist {
 
 /// The histogram table, in [`Hist`] order: JSON key (the Prometheus
 /// family is the key behind `dqep_`) and help text.
-const HISTS: [(&str, &str); 4] = [
+const HISTS: [(&str, &str); 3] = [
     (
         "latency_seconds",
         "Submission-to-completion latency of successful sessions.",
@@ -306,10 +296,6 @@ const HISTS: [(&str, &str); 4] = [
     (
         "queue_wait_seconds",
         "Wait of successful sessions for a database replica.",
-    ),
-    (
-        "live_refresh_seconds",
-        "Per-commit incremental refresh latency of live views.",
     ),
     (
         "net_queue_wait_seconds",
@@ -330,7 +316,7 @@ json_block! {
 }
 
 /// The one stats store of a service: every counter and histogram its
-/// sessions, caches, live views and exchange links record into.
+/// sessions, caches and exchange links record into.
 /// Lock-free; shared by `Arc`.
 #[derive(Debug)]
 pub struct MetricsRegistry {

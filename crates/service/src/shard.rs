@@ -50,7 +50,8 @@ use dqep_executor::{
     credit_frames, decode_frame_traced, encode_frame_dense, join_batches, journal, kway_merge,
     merge_distributed, presized_batch, scatter_by_shard, sort_batches, ChooseAudit, EventKind,
     ExecContext, ExecError, FrameTrace, LinkFaultPlan, NetChannel, NetConfig, NetSpanStats,
-    NetStats, ReoptConfig, ReoptState, ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet,
+    NetStats, ReoptConfig, ReoptState, Resource, ResourceLimits, RootSink, RowBatch,
+    SharedCounters, SimNet,
     SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, Plan};
@@ -106,7 +107,11 @@ pub struct ShardConfig {
     pub histogram_buckets: usize,
     /// Intra-shard degree of parallelism for local access plans.
     pub dop: usize,
-    /// Per-shard resource budgets (each shard gets its own governor).
+    /// Resource budgets. Memory, I/O and wall clock are per shard (each
+    /// shard gets its own governor); `max_rows` is per query: it bounds
+    /// the rows the coordinator gathers, and a query over it fails with
+    /// [`Resource::Rows`]. Access and join stages are intermediate
+    /// results and are not charged.
     pub limits: ResourceLimits,
     /// Simulated per-page I/O latency on every shard's disk, µs.
     pub io_latency_micros: u64,
@@ -623,6 +628,15 @@ impl ShardedService {
             audits.push(tracers[s].report().audits);
             shard_rows.push(rows);
             gathered.push(batches);
+        }
+        // The row budget is the query's: access stages and join stages are
+        // intermediate results, so only the gathered total is charged.
+        if let Some(limit) = self.config.limits.max_rows {
+            if shard_rows.iter().sum::<u64>() > limit {
+                return Err(ServiceError::Exec(ExecError::ResourceExhausted(Resource::Rows {
+                    limit,
+                })));
+            }
         }
         let rows = materialize(&gathered, plan.order_by.map(|attr| layout.require(attr)));
 
@@ -1293,6 +1307,28 @@ mod tests {
                 assert!(out.net.bytes > 0);
             }
         }
+    }
+
+    /// `max_rows` bounds what the coordinator gathers: one row under the
+    /// result refuses the query (exit 5 on the command line), the result
+    /// itself fits.
+    #[test]
+    fn row_budget_is_charged_to_the_gathered_result() {
+        let sql = chain_sql(2);
+        let binds = [("v1", 500i64), ("v2", 500i64)];
+        let run = |max_rows| {
+            let limits = ResourceLimits { max_rows, ..ResourceLimits::unlimited() };
+            ShardedService::new(catalog(2), ShardConfig { limits, ..ShardConfig::default() })
+                .execute(&sql, &binds)
+        };
+        let rows = run(None).expect("unlimited").rows.len() as u64;
+        assert!(rows > 1, "the budget needs a result to bite on");
+        let limit = rows - 1;
+        assert_eq!(
+            run(Some(limit)).expect_err("one row over the budget"),
+            ServiceError::Exec(ExecError::ResourceExhausted(Resource::Rows { limit }))
+        );
+        assert_eq!(run(Some(rows)).expect("the result fits").rows.len() as u64, rows);
     }
 
     #[test]

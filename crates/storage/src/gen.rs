@@ -230,10 +230,10 @@ pub fn install_histograms(
 
 /// Rebuilds every histogram from the current (post-mutation) table
 /// contents using **unaccounted** reads — maintenance I/O, like index
-/// construction — and without resetting the disk's I/O statistics. The
-/// live-view engine calls this alongside [`StoredDatabase::refresh_stats`]
-/// so re-arbitration after drift costs against the mutated value
-/// distribution, while per-refresh I/O metrics stay untouched.
+/// construction — and without resetting the disk's I/O statistics. Call
+/// it alongside [`StoredDatabase::refresh_stats`] after writes, so a
+/// start-up decision costs against the mutated value distribution while
+/// per-refresh I/O metrics stay untouched.
 pub fn refresh_histograms(db: &StoredDatabase, catalog: &mut Catalog, buckets: usize) {
     let rel_ids: Vec<RelationId> = catalog.relations().iter().map(|r| r.id).collect();
     for rel_id in rel_ids {

@@ -73,7 +73,7 @@ impl HeapFile {
     /// Inserts a record through the **accounted** write path: the mutated
     /// page is written back with [`SimDisk::write`], so the write is
     /// charged to I/O stats and can fail under an injected fault plan.
-    /// This is the query-time mutation entry point (live-view writes), as
+    /// This is the query-time mutation entry point, as
     /// opposed to load-time [`HeapFile::append`].
     ///
     /// In-memory state (page list, cached tail, record count) is committed

@@ -7,7 +7,7 @@
 //! Deletion is **tombstoning**: [`SlottedPage::delete`] marks the slot's
 //! offset with a sentinel and leaves the slot array untouched, so every
 //! later slot keeps its number and record ids stay stable. Record bytes
-//! are not reclaimed — the live-view write path favors rid stability over
+//! are not reclaimed — the write path favors rid stability over
 //! space reuse, matching the lazy-deletion B-tree above it.
 
 use std::ops::Deref;

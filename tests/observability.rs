@@ -708,15 +708,12 @@ fn key_paths(value: &JsonValue, path: &str, out: &mut std::collections::BTreeSet
 /// a single-node re-optimizing EXPLAIN ANALYZE (skewed data, so the
 /// checkpoint escapes and `reopt.events` is populated), a merged
 /// 4-shard x dop-2 trace, the journal both leave behind, and the
-/// metrics of a query service, a sharded service and a live registry —
-/// JSON documents by section name, then the Prometheus expositions.
+/// metrics of a query service and a sharded service — JSON documents by
+/// section name, then the Prometheus expositions.
 fn schema_documents() -> (Vec<(&'static str, Vec<String>)>, Vec<String>) {
     use dqep::catalog::{make_chain_catalog, SyntheticSpec};
     use dqep::executor::{journal, ReoptConfig, ReoptState};
-    use dqep::service::{
-        LiveConfig, LiveViewRegistry, MetricsRegistry, QueryService, Request, ServiceConfig,
-        ShardConfig, ShardedService, WriteOp,
-    };
+    use dqep::service::{QueryService, Request, ServiceConfig, ShardConfig, ShardedService};
     use dqep::storage::ValueDistribution;
 
     let chain = |n| make_chain_catalog(&SyntheticSpec::paper(n, 42), SystemConfig::paper_1994());
@@ -778,25 +775,7 @@ fn schema_documents() -> (Vec<(&'static str, Vec<String>)>, Vec<String>) {
     );
     service.execute(Request::new(join2, &[("v", 100)])).unwrap();
 
-    let live_metrics = Arc::new(MetricsRegistry::new());
-    let catalog = chain(2);
-    let db = StoredDatabase::generate(&catalog, 42);
-    let r1 = catalog.relation_by_name("R1").unwrap().id;
-    let mut live = LiveViewRegistry::new(
-        catalog,
-        db,
-        env,
-        LiveConfig::default(),
-        Arc::clone(&live_metrics),
-    );
-    live.register("v", join2, &[("v", 400)]).unwrap();
-    live.commit(&[WriteOp::Insert {
-        relation: r1,
-        values: vec![10, 1, 5],
-    }])
-    .unwrap();
-
-    let reports = [service.metrics(), sharded.metrics(), live_metrics.report()];
+    let reports = [service.metrics(), sharded.metrics()];
     let documents = vec![
         ("explain_analyze", vec![explain]),
         ("shard_trace", vec![trace]),
