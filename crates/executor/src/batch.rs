@@ -13,8 +13,7 @@
 //! selection vector instead of copying survivors, so a selective scan
 //! stays allocation-free.
 
-use dqep_storage::gen::decode_page_columns_into;
-use dqep_storage::{SpillFile, StorageError};
+use dqep_storage::{SpillFile, SpillPage, StorageError};
 
 use crate::tuple::Tuple;
 
@@ -59,9 +58,22 @@ impl RowBatch {
         }
     }
 
-    /// Reads a spill file back (accounted) as one dense batch of `width`
-    /// columns, each page decoding straight out of the disk's buffer into
-    /// the column vectors, `run_pages` pages at most under one disk latch
+    /// The `rows` live rows of `batches` as one dense batch: the one batch
+    /// itself when it already is one, else a copy of exactly those rows.
+    pub(crate) fn dense(mut batches: Vec<RowBatch>, width: usize, rows: usize) -> RowBatch {
+        if let [only] = &mut batches[..] {
+            if only.selection.is_none() {
+                return std::mem::take(only);
+            }
+        }
+        let mut out = RowBatch::with_capacity(width, rows);
+        batches.iter().for_each(|batch| out.extend_from_live(batch, 0..batch.len()));
+        out
+    }
+
+    /// Reads a spill file of `width`-attribute rows back (accounted) as
+    /// one dense batch, each page's column slices copied onto the column
+    /// vectors, `run_pages` pages at most under one disk latch
     /// ([`SpillFile::read_pages`]).
     pub(crate) fn from_spill(
         file: &SpillFile,
@@ -69,10 +81,15 @@ impl RowBatch {
         run_pages: usize,
     ) -> Result<RowBatch, StorageError> {
         let mut rows = RowBatch::with_capacity(width, file.record_count() as usize);
-        file.read_pages(run_pages, |page| {
-            rows.extend_with(|cols| decode_page_columns_into(page, cols));
-        })?;
+        file.read_pages(run_pages, |page| rows.extend_from_spill(page))?;
         Ok(rows)
+    }
+
+    /// Appends the rows of one spill page, column slice by column slice.
+    pub(crate) fn extend_from_spill(&mut self, page: SpillPage<'_>) {
+        self.extend_rows_with(page.rows(), |cols| {
+            cols.iter_mut().zip(page.columns()).for_each(|(col, from)| col.extend_from_slice(from));
+        });
     }
 
     /// Attributes per row.
@@ -228,7 +245,7 @@ impl RowBatch {
     }
 
     /// Physical indices of the live rows, in order.
-    pub fn selected_indices(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn selected_indices(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         (0..self.len()).map(|i| self.physical(i))
     }
 
@@ -273,12 +290,8 @@ impl ColStream {
     /// The concatenation of `parts` in the order of their tags.
     pub(crate) fn concat(width: usize, mut parts: Vec<(usize, RowBatch)>) -> ColStream {
         parts.sort_by_key(|&(p, _)| p);
-        let total: usize = parts.iter().map(|(_, b)| b.rows()).sum();
-        let mut merged = RowBatch::with_capacity(width, total);
-        for (_, part) in &parts {
-            merged.extend_from_live(part, 0..part.len());
-        }
-        ColStream::new(merged)
+        let total = parts.iter().map(|(_, b)| b.len()).sum();
+        ColStream::new(RowBatch::dense(parts.into_iter().map(|(_, b)| b).collect(), width, total))
     }
 
     /// Rows not yet handed out.

@@ -762,12 +762,10 @@ impl Operator for HashJoinExec<'_> {
         self.build.open()?;
         let build_row_bytes = self.build.layout().row_bytes;
         let build_width = self.build.layout().width();
-        // Pre-size the build buffer from the input's row estimate — the
-        // common in-memory case never reallocates mid-build.
-        let build_rows = self.build.estimated_rows().map_or(0, |n| n.min(1 << 20) as usize);
-        let mut store = RowBatch::with_capacity(build_width, build_rows);
-        // Drain whole batches straight into the columnar store, reserving
-        // and checking once per batch.
+        // Keep the build batches, reserving and checking once per batch: a
+        // table takes them as one buffer of exactly their rows, a Grace
+        // side deals them out batch by batch; no buffer grows by estimate.
+        let (mut batches, mut rows) = (Vec::new(), 0);
         loop {
             // Bounded so the input never produces (and charges for) rows
             // beyond the first one a reservation would be refused for.
@@ -777,20 +775,22 @@ impl Operator for HashJoinExec<'_> {
             self.ctx.governor.check_batch(n as u64)?;
             self.ctx.governor.try_reserve_memory((n * build_row_bytes) as u64)?;
             self.reserved += (n * build_row_bytes) as u64;
-            store.extend_from_live(&batch, 0..n);
+            rows += n;
+            batches.push(batch);
         }
         self.build.close();
         // Build completion is a pipeline breaker: the build input's true
         // cardinality is now known exactly.
         if let Some(probe) = &self.checkpoint {
-            probe.observe(store.rows() as u64);
+            probe.observe(rows as u64);
         }
         self.probe.open()?;
 
-        let build_bytes = store.rows() * build_row_bytes;
+        let build_bytes = rows * build_row_bytes;
         if build_bytes <= self.budget_bytes {
             // The reservation stays held while the table is resident;
             // `close` releases it.
+            let store = RowBatch::dense(batches, build_width, rows);
             if dop > 1 {
                 return self.open_parallel_radix(&store, dop);
             }
@@ -808,9 +808,9 @@ impl Operator for HashJoinExec<'_> {
         // The spill is single-threaded at every DOP — identical pages in
         // identical order — only the partition-pair joining fans out.
         //
-        // Rows go from the columns straight into the page their
-        // partition's writer owns, in arrival order; a partition is
-        // readable once its writer has sealed it.
+        // Rows are dealt from the columns to their partitions' writers in
+        // arrival order; a partition is readable once its writer has
+        // sealed it.
         let partition_writers = |row_bytes: usize| -> Vec<SpillWriter> {
             (0..PARTITIONS).map(|_| SpillWriter::charged(self.disk.clone(), row_bytes)).collect()
         };
@@ -824,13 +824,14 @@ impl Operator for HashJoinExec<'_> {
             Ok(parts)
         };
         let mut writers = partition_writers(build_row_bytes);
-        self.ctx.counters.add_hashes(store.rows() as u64);
+        self.ctx.counters.add_hashes(rows as u64);
         let mut hashes = Vec::new();
-        hash_build_batch(&self.keys, &store, &mut hashes);
-        for (i, &h) in hashes.iter().enumerate() {
-            writers[(h as usize) % PARTITIONS].append(store.columns().iter().map(|col| col[i]))?;
+        for batch in &batches {
+            hash_build_batch(&self.keys, batch, &mut hashes);
+            let dealt = batch.selected_indices().zip(hashes.iter().map(|&h| h as usize % PARTITIONS));
+            SpillWriter::deal(&mut writers, batch.columns(), dealt)?;
         }
-        drop(store);
+        drop(batches);
         self.ctx.governor.release_memory(build_bytes as u64);
         self.reserved -= build_bytes as u64;
         let build_parts = seal(writers)?;
@@ -839,10 +840,8 @@ impl Operator for HashJoinExec<'_> {
             self.ctx.governor.check_batch(batch.len() as u64)?;
             self.ctx.counters.add_hashes(batch.len() as u64);
             hash_probe_batch(&self.keys, &batch, &mut hashes);
-            for (idx, &h) in batch.selected_indices().zip(&hashes) {
-                writers[(h as usize) % PARTITIONS]
-                    .append(batch.columns().iter().map(|col| col[idx]))?;
-            }
+            let dealt = batch.selected_indices().zip(hashes.iter().map(|&h| h as usize % PARTITIONS));
+            SpillWriter::deal(&mut writers, batch.columns(), dealt)?;
         }
         let probe_parts = seal(writers)?;
         if dop > 1 {

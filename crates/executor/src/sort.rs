@@ -14,8 +14,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 
-use dqep_storage::gen::decode_page_columns_into;
-use dqep_storage::{PageId, PageView, SimDisk, SpillFile, SpillWriter, DEFAULT_MORSEL_PAGES};
+use dqep_storage::{PageId, SimDisk, SpillFile, SpillWriter, DEFAULT_MORSEL_PAGES};
 
 use crate::batch::{ColStream, RowBatch};
 use crate::error::ExecError;
@@ -354,10 +353,9 @@ impl<'a> SortExec<'a> {
         row_bytes: usize,
     ) -> Result<(), ExecError> {
         let order = self.sort_chunk(chunk);
-        let mut run = SpillWriter::uncharged(self.disk.clone(), row_bytes);
-        for &(_, _, i) in &order {
-            run.append(chunk.columns().iter().map(|col| col[i as usize]))?;
-        }
+        let mut run = [SpillWriter::uncharged(self.disk.clone(), row_bytes)];
+        SpillWriter::deal(&mut run, chunk.columns(), order.iter().map(|&(_, _, i)| (i as usize, 0)))?;
+        let [run] = run;
         let run = run.finish()?;
         self.charge_run_writes(run.page_count())?;
         runs.push(run);
@@ -404,19 +402,18 @@ impl<'a> SortExec<'a> {
     }
 
     /// Reads every run back (accounted, and charged to the I/O budget in
-    /// one step before the first page), one dense batch per run, pages
-    /// decoding straight out of the disk's buffer into its columns: a
-    /// whole run file under one disk latch at DOP 1, a morsel of a
-    /// worker's stripe where the workers share the disk.
+    /// one step before the first page), one dense batch per run, each
+    /// page's rows copied onto its columns: a whole run file under one
+    /// disk latch at DOP 1.
     ///
-    /// With `dop > 1` the read-back fans out over *pages*, not whole runs
+    /// With `dop > 1` the reads fan out over *pages*, not whole runs
     /// (worker `w` reads every `dop`-th page of the concatenated run page
-    /// list, so the paced stalls overlap even when the grant produced
-    /// fewer runs than workers — the page *set* is identical, so
-    /// page-identity faults trip identically; only the seq/random read
-    /// split may shift). Records decode per page in slot order and pages
-    /// reassemble per run in page order, so the batches are the serial
-    /// ones.
+    /// list, a morsel under one latch at most, so the paced stalls overlap
+    /// even when the grant produced fewer runs than workers — the page
+    /// *set* is identical, so page-identity faults trip identically; only
+    /// the seq/random read split may shift). A run's rows are its file's,
+    /// so once every read has succeeded each run's pages are copied in
+    /// page order: the batches are the serial ones.
     fn read_runs(&self, runs: &[SpillFile], width: usize) -> Result<Vec<RowBatch>, ExecError> {
         let pages: usize = runs.iter().map(SpillFile::page_count).sum();
         self.ctx.governor.charge_io(pages as u64)?;
@@ -424,53 +421,29 @@ impl<'a> SortExec<'a> {
         if dop <= 1 {
             return runs.iter().map(|run| Ok(RowBatch::from_spill(run, width, usize::MAX)?)).collect();
         }
-        // (run index, page id) units in scan order across all runs.
-        let units: Vec<(usize, PageId)> = runs
-            .iter()
-            .enumerate()
-            .flat_map(|(r, run)| run.pages().iter().map(move |&pid| (r, pid)))
-            .collect();
-        let workers = dop.min(units.len().max(1));
-        let (units_ref, disk) = (&units, &self.disk);
+        let ids: Vec<PageId> = runs.iter().flat_map(|run| run.pages().iter().copied()).collect();
+        let workers = dop.min(ids.len().max(1));
+        let (ids, disk) = (&ids, &self.disk);
         let tasks: Vec<_> = (0..workers)
             .map(|w| {
                 move || {
-                    // This worker's pages end to end, and each page's rows.
-                    let mut rows = RowBatch::with_capacity(width, 0);
-                    let mut counts = Vec::new();
-                    let mut stripe =
-                        units_ref.iter().skip(w).step_by(workers).map(|&(_, pid)| pid).peekable();
+                    let mut stripe = ids.iter().copied().skip(w).step_by(workers).peekable();
                     while stripe.peek().is_some() {
-                        disk.read_run(stripe.by_ref().take(DEFAULT_MORSEL_PAGES), |page| {
-                            let page = PageView::from_bytes(&**page);
-                            counts.push(rows.extend_with(|cols| decode_page_columns_into(&page, cols)));
-                            ControlFlow::Continue(())
-                        })?;
+                        disk.read_run(stripe.by_ref().take(DEFAULT_MORSEL_PAGES), |_| ControlFlow::Continue(()))?;
                     }
-                    Ok((rows, counts))
+                    Ok(())
                 }
             })
             .collect();
-        let mut read: Vec<(RowBatch, Vec<usize>)> = Vec::with_capacity(workers);
-        for result in run_parallel(tasks) {
-            read.push(result?);
+        for result in run_parallel::<(), _>(tasks) {
+            result?;
         }
-        // Reassemble: unit `u` is the `u / workers`-th page of worker
-        // `u % workers`, and walking the units in order restores every
-        // run's page order.
-        let mut all: Vec<RowBatch> = runs
-            .iter()
-            .map(|run| RowBatch::with_capacity(width, run.record_count() as usize))
-            .collect();
-        let mut taken = vec![0usize; workers];
-        for (u, &(r, _)) in units.iter().enumerate() {
-            let (rows, counts) = &read[u % workers];
-            let lo = taken[u % workers];
-            let hi = lo + counts[u / workers];
-            all[r].extend_from_live(rows, lo..hi);
-            taken[u % workers] = hi;
-        }
-        Ok(all)
+        let copied = |run: &SpillFile| {
+            let mut rows = RowBatch::with_capacity(width, run.record_count() as usize);
+            (0..run.page_count()).for_each(|k| rows.extend_from_spill(run.page(k)));
+            rows
+        };
+        Ok(runs.iter().map(copied).collect())
     }
 
     /// Consumes the (already open) input and leaves the sorted rows in

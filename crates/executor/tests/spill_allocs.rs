@@ -1,24 +1,25 @@
 //! Allocation ceiling of the two spilling operators. Its own test binary,
 //! because it installs a counting `#[global_allocator]`.
 //!
-//! A Grace join and an external sort write every row to a spill page and
-//! read it back. A page that is written needs a buffer — that is the
-//! floor, one allocation per page *written*. Nothing else may grow with
-//! the data page by page or row by row: not the scan feeding the operator
-//! (a page decodes from the disk's buffer straight into the batch), not
-//! the partitioning or run formation (a row goes from its columns into
-//! the page its writer owns), not the read-back (a page decodes straight
-//! into columns), not the merge (an argsort, a heap, a gather per
-//! column). What is left besides the pages is per batch, per partition
-//! and per run — a few hundred allocations for these inputs.
+//! A Grace join and an external sort write every row to a spill file and
+//! read it back. A spill file keeps its rows as columns and builds no page
+//! bytes, so a page written costs no allocation: what is left is per
+//! partition (its writer's columns, grown as batches are dealt to it, and
+//! its read-back batch), per run (its columns, grown once, its read-back
+//! batch and its sort entries), and per batch (the scans feeding the
+//! operator, the output slices). Nothing
+//! may grow with the data page by page or row by row: not the scan (a page
+//! decodes from the disk's buffer straight into the batch), not the
+//! partitioning or run formation, not the read-back (a page's column
+//! slices are copied onto the batch), not the merge (an argsort, a heap, a
+//! gather per column).
 //!
-//! The row-at-a-time paths this replaced cannot fit: a record list per
-//! scanned page, a tuple per sorted row on the way in and again on the
-//! way back, two page buffers per page written. This test, run on the
-//! commit before: 9 913 allocations for the join's 2 059 pages (ceiling
-//! 2 973) and 22 860 for the sort's 1 210 (ceiling 1 912) — against 2 649
-//! and 1 495 when the ceiling was set.
-
+//! The ceilings are constants. The page-buffer format this replaced spent
+//! one 2 KiB buffer per page written and could not fit: this test, run on
+//! the commit before, counted 2 535 allocations for the join's 2 059 pages
+//! written and 1 483 for the sort's 1 210 (its ceiling then was `1.25 ×
+//! pages written + 400`: 2 973 and 1 912). The row path before that:
+//! 9 913 and 22 860.
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -98,18 +99,15 @@ fn measure(plans: &Plan, root: NodeId, db: &StoredDatabase, catalog: &Catalog) -
     measured
 }
 
-/// One buffer per page written, a quarter as much again for vectors that
-/// grow geometrically with the rows those pages hold, and a fixed
-/// allowance for everything that is per batch, per partition or per run
-/// (590 for the join and 285 for the sort when this was set). Linear in
-/// pages written and in nothing else: the 2 573 pages the join's inputs
-/// scan, let alone its 14 400 rows, do not fit under it even once.
-fn ceiling(pages_written: u64) -> u64 {
-    pages_written + pages_written / 4 + 400
-}
+/// The most allocations a Grace join of these inputs may make: 635 when
+/// this was set.
+const JOIN_CEILING: u64 = 700;
+
+/// The most allocations the 17-run sort may make: 321 when this was set.
+const SORT_CEILING: u64 = 400;
 
 #[test]
-fn spilling_operators_allocate_per_page_written_and_not_per_row_or_page_scanned() {
+fn spilling_operators_allocate_per_partition_run_and_batch_not_per_page_or_row() {
     let catalog = star_catalog();
     let db = StoredDatabase::generate(&catalog, 7);
     let fact = catalog.relation_by_name("fact").expect("fact");
@@ -128,10 +126,9 @@ fn spilling_operators_allocate_per_page_written_and_not_per_row_or_page_scanned(
     assert!(rows >= 8_000, "a join large enough to tell: {rows} rows");
     assert!(written >= 2_000, "both sides spill: {written} pages written");
     assert!(
-        allocs <= ceiling(written),
-        "Grace join: {allocs} allocations for {written} pages written \
-         (ceiling {}): something allocates per row or per scanned page again",
-        ceiling(written)
+        allocs <= JOIN_CEILING,
+        "Grace join: {allocs} allocations for {written} pages written (ceiling \
+         {JOIN_CEILING}): something allocates per row or per page again"
     );
 
     // 8 400 rows under a 512-row grant: 17 runs.
@@ -144,9 +141,8 @@ fn spilling_operators_allocate_per_page_written_and_not_per_row_or_page_scanned(
     assert!((8_000..9_000).contains(&rows), "{rows} rows");
     assert!(written >= 1_200, "17 runs: {written} pages written");
     assert!(
-        allocs <= ceiling(written),
-        "external sort: {allocs} allocations for {written} pages written \
-         (ceiling {}): something allocates per row or per scanned page again",
-        ceiling(written)
+        allocs <= SORT_CEILING,
+        "external sort: {allocs} allocations for {written} pages written (ceiling \
+         {SORT_CEILING}): something allocates per row or per page again"
     );
 }

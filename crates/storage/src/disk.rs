@@ -82,7 +82,9 @@ struct DiskInner {
     pages: Vec<Option<PageRef>>,
     /// What a page holds between allocation and its first write: every
     /// such slot shares this one buffer (a write never changes a shared
-    /// buffer, it replaces the slot's reference).
+    /// buffer, it replaces the slot's reference). A temp slot holds it for
+    /// life — the rows of a query-lifetime file are the file's
+    /// ([`crate::SpillFile`]), the disk keeps only the id.
     zero: PageRef,
     temp: TempPages,
     stats: IoStats,
@@ -170,44 +172,15 @@ impl SimDisk {
         self.inner.lock().push_page()
     }
 
-    /// Allocates a zeroed page of a query-lifetime file, counted in
+    /// Allocates the id of a page of a query-lifetime file, counted in
     /// [`SimDisk::temp_pages`] until its owner gives it back with
-    /// [`SimDisk::free`]. Not charged as I/O.
+    /// [`SimDisk::free`]. Its slot is the shared zero page, and stays it.
+    /// Not charged as I/O.
     pub(crate) fn allocate_temp(&self) -> PageId {
         let mut inner = self.inner.lock();
         inner.temp.live += 1;
         inner.temp.high_water = inner.temp.high_water.max(inner.temp.live);
         inner.push_page()
-    }
-
-    /// Takes over a finished page of a query-lifetime file **by move**:
-    /// the slot now refers to the writer's buffer, nothing is copied.
-    /// When `charged`, one write is accounted exactly as by
-    /// [`SimDisk::note_write`] — the page is in place whether or not that
-    /// write is failed by the fault plan. An id that is not live is left
-    /// alone.
-    ///
-    /// # Errors
-    /// [`StorageError::InjectedFault`] when `charged` and the installed
-    /// fault plan fails this write.
-    pub(crate) fn seal_temp(
-        &self,
-        id: PageId,
-        page: PageRef,
-        charged: bool,
-    ) -> Result<(), StorageError> {
-        let (result, latency) = {
-            let mut inner = self.inner.lock();
-            if let Some(slot) = inner.live_page_mut(id) {
-                *slot = page;
-            }
-            if !charged {
-                return Ok(());
-            }
-            (inner.charge_write(), inner.latency_micros)
-        };
-        Self::pace(latency);
-        result
     }
 
     /// Gives temp pages back. Each buffer is released at once and its id
@@ -401,8 +374,8 @@ impl SimDisk {
         }
     }
 
-    /// Charges one write without transferring data — used by temp heap
-    /// files that buffer a page in memory and account it when sealed.
+    /// Charges one write without transferring data — the write of a page
+    /// of a query-lifetime file, whose rows stay with the file.
     ///
     /// # Errors
     /// [`StorageError::InjectedFault`] when the installed fault plan fails

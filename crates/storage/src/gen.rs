@@ -63,24 +63,14 @@ fn le_i64(bytes: &[u8]) -> i64 {
     i64::from_le_bytes(b)
 }
 
-/// Decodes every live record of `page` column-wise: appends attribute `c`
-/// of each record to `cols[c]`, for every column given, and returns the
-/// number of records. A whole page goes from the disk's buffer into
-/// column vectors in one walk of its slot array, with no per-record
-/// allocation — the page held or, inside a [`SimDisk::read_run`],
-/// borrowed.
-pub fn decode_page_columns_into<B: Deref<Target = [u8; PAGE_SIZE]>>(
-    page: &SlottedPage<B>,
-    cols: &mut [Vec<i64>],
-) -> usize {
-    decode_page_slots_into(page, 0, usize::MAX, cols).0
-}
-
-/// Like [`decode_page_columns_into`], but starting at slot `from` and
-/// stopping after `max_rows` live records: returns how many were decoded
+/// Decodes the live records of `page` column-wise — attribute `c` of each
+/// record onto `cols[c]`, for every column given — starting at slot `from`
+/// and stopping after `max_rows` of them: returns how many were decoded
 /// and the slot to resume at (the page's slot count once it is used up).
-/// This is how a scan carries the rest of a page over to its next batch
-/// as a page reference and a slot number.
+/// A page goes from the disk's buffer into column vectors in one walk of
+/// its slot array, the page held or, inside a [`SimDisk::read_run`],
+/// borrowed; a scan carries the rest of a page over to its next batch as a
+/// page reference and a slot number.
 ///
 /// One check per record, not one per value: every column is grown once
 /// for what the page can still give, a record's leading `8 × columns`
@@ -210,7 +200,7 @@ pub fn install_histograms(
         let table = db.table(rel_id);
         let mut columns: Vec<Vec<i64>> = vec![Vec::new(); table.n_attrs];
         for page in table.heap.scan_pages() {
-            decode_page_columns_into(&page?, &mut columns);
+            decode_page_slots_into(&page?, 0, usize::MAX, &mut columns);
         }
         for (i, column) in columns.into_iter().enumerate() {
             if let Some(h) = Histogram::build(column, buckets) {
@@ -241,7 +231,7 @@ pub fn refresh_histograms(db: &StoredDatabase, catalog: &mut Catalog, buckets: u
         let mut columns: Vec<Vec<i64>> = vec![Vec::new(); table.n_attrs];
         for &pid in table.heap.pages() {
             let page = SlottedPage::from_bytes(db.disk.read_unaccounted(pid));
-            decode_page_columns_into(&page, &mut columns);
+            decode_page_slots_into(&page, 0, usize::MAX, &mut columns);
         }
         for (i, column) in columns.into_iter().enumerate() {
             if let Some(h) = Histogram::build(column, buckets) {
@@ -781,7 +771,8 @@ mod tests {
         for record_len in [16usize, 256, 512] {
             for width in 1..=(record_len / 8).min(4) {
                 let mut page = SlottedPage::new();
-                while page.insert_values((0..width).map(|_| rng.gen::<u64>() as i64), record_len) {}
+                let mut row = || (0..width).map(|_| rng.gen::<u64>() as i64).collect::<Vec<_>>();
+                while page.insert(&encode_record(&row(), record_len)).unwrap().is_some() {}
                 let slots = page.len() as u16;
                 // Slot 0 stays, slot 1 goes, the others by the dice.
                 for slot in 1..slots {

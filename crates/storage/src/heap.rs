@@ -5,7 +5,7 @@ use std::ops::ControlFlow;
 use crate::disk::SimDisk;
 use crate::error::StorageError;
 use crate::page::PageId;
-use crate::slotted::{PageView, SlottedPage};
+use crate::slotted::SlottedPage;
 
 /// A record id: page + slot. What unclustered B-trees point at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -233,15 +233,16 @@ impl HeapFile {
 }
 
 /// The write half of a query-lifetime file of fixed-width rows — a Grace
-/// partition, a sort run. The page being filled lives *here*, owned by the
-/// writer alone: a row is written into it in place from its values, and a
-/// full page — and the last one at [`SpillWriter::finish`] — reaches the
-/// disk once, by move. The file can be read only after `finish` has
-/// sealed it, which is why reading is [`SpillFile`]'s and not this type's:
+/// partition, a sort run. The rows stay with the file, one vector per
+/// column; the disk holds the file's page ids and accounts for them as it
+/// would for pages of `record_len`-byte records. Page `k` is rows `k·r ..
+/// (k + 1)·r`, `r` = [`SlottedPage::records_per_page`]`(record_len)`. The
+/// file can be read only after [`SpillWriter::finish`] has sealed it,
+/// which is why reading is [`SpillFile`]'s and not this type's:
 ///
 /// ```compile_fail
 /// let writer = dqep_storage::SpillWriter::charged(dqep_storage::SimDisk::new(), 16);
-/// let _ = writer.scan_pages(); // an unsealed file has no read path
+/// let _ = writer.read_pages(1, |_| ()); // an unsealed file has no read path
 /// ```
 ///
 /// What the disk observes is what an append per encoded record would
@@ -254,9 +255,8 @@ impl HeapFile {
 #[derive(Debug)]
 pub struct SpillWriter {
     file: SpillFile,
-    record_len: usize,
-    /// The page being filled; its id is the file's last.
-    tail: Option<SlottedPage>,
+    /// Whether the file's last page is still to be sealed.
+    tail: bool,
     /// Whether a finished page charges a disk write (Grace partitions do;
     /// the sort settles a run's charges itself, in one sweep it can
     /// spread over workers).
@@ -278,43 +278,90 @@ impl SpillWriter {
     }
 
     fn with(disk: SimDisk, record_len: usize, charged: bool) -> SpillWriter {
-        let file = SpillFile { disk, pages: Vec::new(), records: 0 };
-        SpillWriter { file, record_len, tail: None, charged }
+        let file = SpillFile {
+            disk,
+            pages: Vec::new(),
+            record_len,
+            rows_per_page: SlottedPage::records_per_page(record_len),
+            rows: 0,
+            columns: Vec::new(),
+        };
+        SpillWriter { file, tail: false, charged }
     }
 
-    /// Appends one row: its values little-endian at the front of a
-    /// `record_len`-byte record, zeroes behind them.
+    /// Appends one row: the values a `record_len`-byte record holds at its
+    /// front (the first row fixes how many; values beyond what the record
+    /// holds are dropped).
     ///
     /// # Errors
     /// [`StorageError::RecordTooLarge`] when no page can hold a row of
     /// this file (nothing is allocated or charged); an injected write
     /// fault on the charge for the page this row found full.
     pub fn append(&mut self, values: impl IntoIterator<Item = i64>) -> Result<(), StorageError> {
-        let record_len = self.record_len;
-        let tail = match &mut self.tail {
-            Some(tail) if tail.free_space() >= record_len => tail,
-            _ => self.next_page()?,
-        };
-        tail.insert_values(values, record_len);
-        self.file.records += 1;
+        self.next_row()?;
+        let file = &mut self.file;
+        let mut values = values.into_iter().take(file.record_len / 8);
+        file.columns.iter_mut().zip(values.by_ref()).for_each(|(col, v)| col.push(v));
+        file.columns.extend(values.map(|v| vec![v]));
         Ok(())
     }
 
-    /// Seals the full tail, if there is one, and starts the next page.
-    fn next_page(&mut self) -> Result<&mut SlottedPage, StorageError> {
-        SlottedPage::check_fits(self.record_len)?;
-        self.seal()?;
-        self.file.pages.push(self.file.disk.allocate_temp());
-        Ok(self.tail.insert(SlottedPage::new()))
+    /// Appends rows of `columns` (row `i` is entry `i` of every column) to
+    /// `writers`, in the order `rows` gives them as `(row, writer)` pairs:
+    /// to the disk, [`SpillWriter::append`] of each row to its writer in
+    /// turn — the same page ids, charges and faults — while each writer's
+    /// columns grow once for all of its rows.
+    ///
+    /// # Errors
+    /// As [`SpillWriter::append`], for the first row that fails: the rows
+    /// before it are appended, it and the rows after it are not.
+    pub fn deal(
+        writers: &mut [SpillWriter],
+        columns: &[Vec<i64>],
+        rows: impl Iterator<Item = (usize, usize)> + Clone,
+    ) -> Result<(), StorageError> {
+        // The disk's steps first, row by row; then the values.
+        let mut failed = None;
+        for (at, (_, w)) in rows.clone().enumerate() {
+            if let Err(e) = writers[w].next_row() {
+                failed = Some((at, e));
+                break;
+            }
+        }
+        for file in writers.iter_mut().map(|writer| &mut writer.file) {
+            let held = file.columns.first().map_or(0, Vec::len);
+            file.columns.resize_with(columns.len().min(file.record_len / 8), Vec::new);
+            file.columns.iter_mut().for_each(|col| col.reserve(file.rows - held));
+        }
+        for (row, w) in rows.take(failed.as_ref().map_or(usize::MAX, |&(at, _)| at)) {
+            for (col, from) in writers[w].file.columns.iter_mut().zip(columns) {
+                col.push(from[row]);
+            }
+        }
+        failed.map_or(Ok(()), |(_, e)| Err(e))
     }
 
-    fn seal(&mut self) -> Result<(), StorageError> {
-        match (self.tail.take(), self.file.pages.last()) {
-            (Some(tail), Some(&id)) => {
-                self.file.disk.seal_temp(id, tail.into_bytes(), self.charged)
-            }
-            _ => Ok(()),
+    /// The disk's steps for the next row, which is counted: when it starts
+    /// a page, the check that a row fits one, the seal of the full page
+    /// before it, and the new page's id.
+    fn next_row(&mut self) -> Result<(), StorageError> {
+        let file = &self.file;
+        if file.rows == file.pages.len() * file.rows_per_page {
+            SlottedPage::check_fits(file.record_len)?;
+            self.seal()?;
+            self.file.pages.push(self.file.disk.allocate_temp());
+            self.tail = true;
         }
+        self.file.rows += 1;
+        Ok(())
+    }
+
+    /// Charges the last page's write, once, if the writer is charged.
+    fn seal(&mut self) -> Result<(), StorageError> {
+        if std::mem::take(&mut self.tail) && self.charged {
+            return self.file.disk.note_write();
+        }
+        Ok(())
     }
 
     /// Seals the last page and hands the file over for reading.
@@ -328,7 +375,11 @@ impl SpillWriter {
     }
 }
 
-/// A sealed query-lifetime file: what [`SpillWriter::finish`] returns.
+/// A sealed query-lifetime file: what [`SpillWriter::finish`] returns. The
+/// rows are the file's, one vector per column; the disk holds its page ids,
+/// which count, classify and fail the reads — an accounted
+/// [`SimDisk::read`] of one returns zeroes, the shared zero page.
+///
 /// Dropping it gives its pages back to the disk, so an operator that
 /// holds its spill files reclaims them on `close()`, on every `?` error
 /// path and on unwinding alike, without saying so.
@@ -336,14 +387,17 @@ impl SpillWriter {
 pub struct SpillFile {
     disk: SimDisk,
     pages: Vec<PageId>,
-    records: u64,
+    record_len: usize,
+    rows_per_page: usize,
+    rows: usize,
+    columns: Vec<Vec<i64>>,
 }
 
 impl SpillFile {
     /// Number of rows.
     #[must_use]
     pub fn record_count(&self) -> u64 {
-        self.records
+        self.rows as u64
     }
 
     /// Number of pages.
@@ -358,28 +412,32 @@ impl SpillFile {
         &self.pages
     }
 
-    /// Page-at-a-time scan, as [`HeapFile::scan_pages`].
-    pub fn scan_pages(&self) -> impl Iterator<Item = Result<SlottedPage, StorageError>> + '_ {
-        self.pages.iter().map(|&pid| self.disk.read(pid).map(SlottedPage::from_bytes))
+    /// The rows of page `k` (none past the last page), without a read: for
+    /// a reader that accounts for it with [`SimDisk::read_run`].
+    #[must_use]
+    pub fn page(&self, k: usize) -> SpillPage<'_> {
+        let lo = (k * self.rows_per_page).min(self.rows);
+        SpillPage { columns: &self.columns, lo, hi: self.rows.min(lo + self.rows_per_page) }
     }
 
-    /// Reads the file back for a reader that keeps no page: every page in
-    /// scan order, accounted as [`SpillFile::scan_pages`], lent to `visit`
-    /// in [`SimDisk::read_run`]s of at most `run_pages` (> 0) pages —
+    /// Reads the file back: every page in scan order, accounted one read
+    /// each, in [`SimDisk::read_run`]s of at most `run_pages` (> 0) pages —
     /// `usize::MAX` where the reader has the disk to itself, a morsel
-    /// where sibling workers read it too. Nothing `visit` calls may touch
-    /// the disk.
+    /// where sibling workers read it too — and each page's rows lent to
+    /// `visit`. Nothing `visit` calls may touch the disk.
     ///
     /// # Errors
     /// The first page read that fails; the pages before it were visited.
     pub fn read_pages(
         &self,
         run_pages: usize,
-        mut visit: impl FnMut(&PageView<'_>),
+        mut visit: impl FnMut(SpillPage<'_>),
     ) -> Result<(), StorageError> {
+        let mut next = 0;
         self.pages.chunks(run_pages).try_for_each(|run| {
-            self.disk.read_run(run.iter().copied(), |page| {
-                visit(&PageView::from_bytes(&**page));
+            self.disk.read_run(run.iter().copied(), |_| {
+                visit(self.page(next));
+                next += 1;
                 ControlFlow::Continue(())
             })
         })
@@ -389,6 +447,28 @@ impl SpillFile {
 impl Drop for SpillFile {
     fn drop(&mut self) {
         self.disk.free(&self.pages);
+    }
+}
+
+/// The rows of one page of a [`SpillFile`], as column slices.
+#[derive(Debug, Clone, Copy)]
+pub struct SpillPage<'a> {
+    columns: &'a [Vec<i64>],
+    lo: usize,
+    hi: usize,
+}
+
+impl<'a> SpillPage<'a> {
+    /// Rows on the page.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.hi - self.lo
+    }
+
+    /// Each attribute of the page's rows, in order: one value a row.
+    pub fn columns(self) -> impl Iterator<Item = &'a [i64]> {
+        let (lo, hi) = (self.lo, self.hi);
+        self.columns.iter().map(move |col| &col[lo..hi])
     }
 }
 
@@ -443,13 +523,15 @@ mod tests {
         widest.append([8]).unwrap();
         let sealed = widest.finish().unwrap();
         // Counted after the seal: a file is readable from `finish` on.
-        assert_eq!(sealed.scan_pages().map(|p| p.unwrap().iter().count()).sum::<usize>(), 2);
+        let mut rows = 0;
+        sealed.read_pages(usize::MAX, |page| rows += page.rows()).unwrap();
+        assert_eq!(rows, 2);
         assert_eq!((sealed.page_count(), disk.stats().writes), (2, 2));
     }
 
     #[test]
-    fn the_writer_leaves_the_pages_an_append_per_encoded_record_leaves() {
-        use crate::gen::encode_record;
+    fn the_writer_puts_a_row_on_the_page_an_append_per_encoded_record_puts_it_on() {
+        use crate::gen::{decode_page_slots_into, encode_record};
         let rows: Vec<[i64; 3]> = (0..40).map(|i| [i, -i, i << 40]).collect();
         let (disk, reference) = (SimDisk::new(), SimDisk::new());
         let mut writer = SpillWriter::charged(disk.clone(), 300);
@@ -458,16 +540,15 @@ mod tests {
             writer.append(*row).unwrap();
             heap.append(&encode_record(row, 300)).unwrap();
         }
-        // A full page has reached the disk; the tail has not: its id
-        // still refers to the shared zero page.
-        let first = writer.file.pages[0];
-        assert_eq!(disk.read_unaccounted(first), reference.read_unaccounted(first));
-        let last = *writer.file.pages.last().unwrap();
-        assert_eq!(disk.read_unaccounted(last)[..], [0u8; crate::PAGE_SIZE][..]);
         let sealed = writer.finish().unwrap();
         assert_eq!(sealed.pages(), heap.pages());
-        for &pid in sealed.pages() {
-            assert_eq!(disk.read_unaccounted(pid), reference.read_unaccounted(pid), "{pid}");
+        for (k, &pid) in sealed.pages().iter().enumerate() {
+            let mut want = vec![Vec::new(); 3];
+            decode_page_slots_into(&SlottedPage::from_bytes(reference.read_unaccounted(pid)), 0, usize::MAX, &mut want);
+            let got: Vec<Vec<i64>> = sealed.page(k).columns().map(<[i64]>::to_vec).collect();
+            assert_eq!(got, want, "page {k}");
+            // The disk keeps the id; the rows are the file's.
+            assert_eq!(disk.read_unaccounted(pid)[..], [0u8; crate::PAGE_SIZE][..]);
         }
         assert_eq!(sealed.record_count(), 40);
         assert_eq!(disk.stats().writes as usize, sealed.page_count(), "one charge a page");
@@ -489,7 +570,9 @@ mod tests {
             let temp = temp.finish().unwrap();
             let pages = temp.pages().to_vec();
             assert_eq!(disk.temp_pages().live, 4);
-            assert_eq!(temp.scan_pages().map(|p| p.unwrap().iter().count()).sum::<usize>(), 10);
+            let mut rows: Vec<i64> = Vec::new();
+            temp.read_pages(usize::MAX, |page| rows.extend(page.columns().flatten())).unwrap();
+            assert_eq!(rows, (0..10).collect::<Vec<_>>());
             drop(temp);
             assert_eq!((disk.page_count(), disk.temp_pages().live), (loaded, 0));
             assert_eq!(disk.read(pages[0]).unwrap_err(), StorageError::UnallocatedPage(pages[0]));

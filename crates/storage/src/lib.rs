@@ -22,7 +22,8 @@
 //!   records, over a page that is held or ([`PageView`]) borrowed.
 //! * [`HeapFile`] — unordered record file over slotted pages (base
 //!   tables); [`SpillWriter`] / [`SpillFile`] — the write and read halves
-//!   of a query-lifetime file of fixed-width rows.
+//!   of a query-lifetime file of fixed-width rows, kept as columns: the
+//!   disk accounts its pages, a reader gets each as [`SpillPage`] slices.
 //! * [`BTree`] — a from-scratch page-based B-tree mapping `i64` keys to
 //!   record ids, with range scans; used for unclustered indexes.
 //! * [`BufferPool`] — LRU page cache with hit/miss statistics.
@@ -58,7 +59,7 @@ pub use disk::{IoStats, SimDisk, TempPages};
 pub use error::StorageError;
 pub use fault::FaultPlan;
 pub use gen::{install_histograms, refresh_histograms, StoredDatabase, StoredTable, ValueDistribution};
-pub use heap::{HeapFile, Rid, SpillFile, SpillWriter};
+pub use heap::{HeapFile, Rid, SpillFile, SpillPage, SpillWriter};
 pub use morsel::{PageClaims, DEFAULT_MORSEL_PAGES};
 pub use page::{PageId, PageRef, PAGE_SIZE};
 pub use slotted::{PageView, SlottedPage};

@@ -50,13 +50,6 @@ impl SlottedPage {
         SlottedPage { data: Arc::new(data) }
     }
 
-    /// Gives the page's buffer up, uncopied — how a writer that owns its
-    /// page alone hands it to the disk.
-    #[must_use]
-    pub fn into_bytes(self) -> PageRef {
-        self.data
-    }
-
     /// The longest record an empty page can hold.
     pub const MAX_RECORD: usize = PAGE_SIZE - HEADER - SLOT;
 
@@ -85,37 +78,10 @@ impl SlottedPage {
     /// even an empty page — retrying on a fresh page cannot help, so the
     /// caller must not treat it as "page full".
     pub fn insert(&mut self, record: &[u8]) -> Result<Option<u16>, StorageError> {
-        Self::check_fits(record.len())?;
-        Ok(self.claim(record.len()).map(|(slot, bytes)| {
-            bytes.copy_from_slice(record);
-            slot
-        }))
-    }
-
-    /// Appends a fixed-width record of `len` bytes whose front holds
-    /// `values` as little-endian `i64`s, written where the record lies —
-    /// no record buffer in between. Returns `false`, leaving the page
-    /// untouched, when the record does not fit (a `len` above
-    /// [`SlottedPage::MAX_RECORD`] never does).
-    ///
-    /// The bytes behind the values are left as they are. Record space is
-    /// never reused, so on a page that began as [`SlottedPage::new`] they
-    /// are its own zeroes and the page comes out byte-identical to
-    /// `insert(&encode_record(values, len))`. Values beyond what `len`
-    /// holds are dropped.
-    pub fn insert_values(&mut self, values: impl IntoIterator<Item = i64>, len: usize) -> bool {
-        let Some((_, bytes)) = self.claim(len) else { return false };
-        for (at, v) in bytes.chunks_exact_mut(8).zip(values) {
-            at.copy_from_slice(&v.to_le_bytes());
-        }
-        true
-    }
-
-    /// Claims the next slot and `len` bytes of record space, or `None`
-    /// when the page has no room for them.
-    fn claim(&mut self, len: usize) -> Option<(u16, &mut [u8])> {
+        let len = record.len();
+        Self::check_fits(len)?;
         if self.free_space() < len {
-            return None;
+            return Ok(None);
         }
         let n = self.len();
         let free_end = read_u16(&self.data[..], 2) as usize;
@@ -126,7 +92,8 @@ impl SlottedPage {
         write_u16(data, slot_base + 2, len as u16);
         write_u16(data, 0, (n + 1) as u16);
         write_u16(data, 2, off as u16);
-        Some((n as u16, &mut data[off..free_end]))
+        data[off..free_end].copy_from_slice(record);
+        Ok(Some(n as u16))
     }
 
     /// Tombstones the record in `slot`, returning whether a live record

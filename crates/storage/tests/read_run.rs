@@ -19,7 +19,8 @@ use proptest::prelude::*;
 const BASE_PAGES: u32 = 6;
 
 /// A disk with every kind of page id on it, built the same way every
-/// time: stamped base pages, a live temp file, the dead slots of a dropped
+/// time: stamped base pages, a live temp file (its ids all on the disk's
+/// one zero page — the rows are the file's), the dead slots of a dropped
 /// one, another live temp file behind them (so the dead slots are not
 /// truncated), and nothing beyond. Returns the disk, the files that keep
 /// the temp pages alive, and one past the highest id issued.
@@ -152,11 +153,13 @@ proptest! {
             let at = held.iter().position(|page| Arc::as_ptr(page) == ptr).expect("a live page");
             prop_assert_eq!(count, before[at], "lent, not cloned");
         }
-        // The reader that keeps a page says so, and only that one moves.
+        // The reader that keeps a page says so, and only that buffer moves
+        // (every temp id shares the disk's zero page).
         if let Some(keep) = ids.iter().find_map(|&id| disk.read(id).ok()) {
-            let at = held.iter().position(|page| Arc::ptr_eq(page, &keep)).expect("a live page");
             let mut after = before;
-            after[at] += 1;
+            for (count, page) in after.iter_mut().zip(&held) {
+                *count += usize::from(Arc::ptr_eq(page, &keep));
+            }
             prop_assert_eq!(counts(), after);
         }
     }

@@ -6,19 +6,25 @@
 //! back what was appended to it, and a freed id that has not been issued
 //! again is a typed error.
 //!
-//! **Writer ≡ append per encoded record**: `SpillWriter` builds its pages
-//! in place and moves them to the disk; the path it replaced encoded each
-//! row into a record buffer and copied the tail page to the disk on every
-//! append. Both must leave the same bytes under the same page ids, charge
-//! the same writes in the same order, and fail at the same row under the
-//! same write fault.
+//! **Writer ≡ append per encoded record**: `SpillWriter` keeps its rows as
+//! columns and builds no page bytes; the path it replaced encoded each row
+//! into a record buffer and appended it to a slotted page on the disk. Both
+//! must put every row on the same page under the same page id — page `k`'s
+//! rows are the records `HeapFile::append` puts on page `k` — charge the
+//! same writes in the same order, hold the same temp pages, and fail at the
+//! same row under the same write fault.
+//!
+//! **Dealing ≡ appending**: `SpillWriter::deal` hands a batch of rows to
+//! several writers at once; to the disk and to the files it must be
+//! `append` of each row to its writer in turn, up to a failed charge, and
+//! the writers must go on alike after one.
 
 use std::collections::HashSet;
 
-use dqep_storage::gen::encode_record;
+use dqep_storage::gen::{decode_page_slots_into, encode_record};
 use dqep_storage::{
-    FaultPlan, HeapFile, PageId, SimDisk, SlottedPage, SpillFile, SpillWriter, StorageError,
-    PAGE_SIZE,
+    FaultPlan, HeapFile, IoStats, PageId, SimDisk, SlottedPage, SpillFile, SpillWriter,
+    StorageError, PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -93,10 +99,11 @@ proptest! {
                             prop_assert!(owned.insert(pid), "{pid} is live in two files");
                         }
                         // It reads back exactly what was appended to it.
-                        let mut cols = vec![Vec::new(), Vec::new()];
-                        for page in file.scan_pages() {
-                            dqep_storage::gen::decode_page_columns_into(&page.unwrap(), &mut cols);
-                        }
+                        let mut cols = [Vec::new(), Vec::new()];
+                        file.read_pages(usize::MAX, |page| {
+                            cols.iter_mut().zip(page.columns()).for_each(|(col, from)| col.extend_from_slice(from));
+                        })
+                        .unwrap();
                         prop_assert_eq!(&cols[0], &vec![*id as i64; *len]);
                         prop_assert_eq!(&cols[1], &(0..*len as i64).collect::<Vec<_>>());
                         prop_assert_eq!(file.record_count() as usize, *len);
@@ -126,7 +133,7 @@ proptest! {
 /// The path the writer replaced, kept as the reference: a file takes
 /// `append(&encode_record(values, len))`, allocates a page id when a
 /// page's first record arrives, and charges one write when the next
-/// record finds the tail full and one for the tail at `finish`. The bytes
+/// record finds the tail full and one for the tail at `finish`. The pages
 /// and the ids come from [`HeapFile::append`] — the load path, which the
 /// old temp path shared — on a disk of its own; a mirror of the tail page
 /// says when it is full, and the charges go to the same disk in the same
@@ -171,34 +178,49 @@ fn rows() -> impl Strategy<Value = Rows> {
     proptest::collection::vec((0usize..8, values), 0..160)
 }
 
+/// A page and its rows, column by column.
+type Page = (PageId, Vec<Vec<i64>>);
+
 /// What one run of a path observed: the step (row index, then file index
-/// of the seals) and the error it stopped at, if any; page ids and bytes
+/// of the seals) and the error it stopped at, if any; page ids and rows
 /// per sealed file; the disk's counters. Nothing is freed before a run
 /// stops, so the temp high-water is also the pages held at that point.
 #[derive(PartialEq)]
 struct Observed {
     stopped: Option<(usize, StorageError)>,
-    pages: Vec<Vec<(PageId, Vec<u8>)>>,
+    pages: Vec<Vec<Page>>,
     writes: u64,
     reads: u64,
     temp_high_water: u64,
 }
 
-/// Page ids, not page bytes: a failing case stays readable.
+/// Page ids, not rows: a failing case stays readable.
 impl std::fmt::Debug for Observed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let ids: Vec<Vec<PageId>> =
             self.pages.iter().map(|file| file.iter().map(|&(pid, _)| pid).collect()).collect();
         write!(
             f,
-            "stopped {:?}, writes {}, reads {}, temp high-water {}, page ids {ids:?} (bytes not shown)",
+            "stopped {:?}, writes {}, reads {}, temp high-water {}, page ids {ids:?} (rows not shown)",
             self.stopped, self.writes, self.reads, self.temp_high_water
         )
     }
 }
 
-fn page_bytes(disk: &SimDisk, pages: &[PageId]) -> Vec<(PageId, Vec<u8>)> {
-    pages.iter().map(|&pid| (pid, disk.read_unaccounted(pid).to_vec())).collect()
+/// Each page of a sealed file with its rows, read without an access.
+fn file_rows(file: &SpillFile) -> Vec<Page> {
+    let rows = |k: usize| file.page(k).columns().map(<[i64]>::to_vec).collect();
+    file.pages().iter().enumerate().map(|(k, &pid)| (pid, rows(k))).collect()
+}
+
+/// Each page of a heap file with the leading `width` values of its records.
+fn heap_rows(heap: &HeapFile, width: usize) -> Vec<Page> {
+    let rows = |pid: PageId| {
+        let mut cols = vec![Vec::new(); width];
+        decode_page_slots_into(&SlottedPage::from_bytes(heap.disk().read_unaccounted(pid)), 0, usize::MAX, &mut cols);
+        cols
+    };
+    heap.pages().iter().map(|&pid| (pid, rows(pid))).collect()
 }
 
 fn fault_plan(fail_write: Option<u64>) -> FaultPlan {
@@ -232,7 +254,7 @@ fn run_writer(rows: &Rows, files: usize, width: usize, len: usize, fail: Option<
         }
     }
     let observed = Observed {
-        pages: sealed.iter().map(|file| page_bytes(&disk, file.pages())).collect(),
+        pages: sealed.iter().map(file_rows).collect(),
         writes: disk.stats().writes,
         reads: disk.stats().seq_reads + disk.stats().random_reads,
         temp_high_water: disk.temp_pages().high_water,
@@ -269,7 +291,7 @@ fn run_old(rows: &Rows, files: usize, width: usize, len: usize, fail: Option<u64
         }
     }
     Observed {
-        pages: olds[..sealed].iter().map(|old| page_bytes(&disk, old.heap.pages())).collect(),
+        pages: olds[..sealed].iter().map(|old| heap_rows(&old.heap, width)).collect(),
         writes: disk.stats().writes,
         reads: disk.stats().seq_reads + disk.stats().random_reads,
         // Nothing is freed while the files are written, so the temp
@@ -308,6 +330,23 @@ proptest! {
     }
 
     #[test]
+    fn dealing_rows_is_appending_them_one_by_one(
+        rows in rows(),
+        shape in (1usize..=8, 1usize..=8, prop_oneof![16usize..=96, 97usize..=700, 701usize..=2040]),
+        (chunk, fault) in (1usize..40, 0usize..4),
+    ) {
+        let (files, width, len) = shape;
+        let len = len.max(width * 8);
+        let clean = append_then_seal(&rows, files, width, len, None, chunk, false);
+        // No fault, then the first, a middle and the last charged write.
+        let fail = [None, Some(1), Some(clean.1.writes / 2), Some(clean.1.writes)][fault].filter(|&k| k > 0);
+        prop_assert_eq!(
+            append_then_seal(&rows, files, width, len, fail, chunk, true),
+            append_then_seal(&rows, files, width, len, fail, chunk, false)
+        );
+    }
+
+    #[test]
     fn a_row_no_page_can_hold_is_refused_with_nothing_appended_or_charged(
         len in SlottedPage::MAX_RECORD + 1..=2 * PAGE_SIZE,
         values in (any::<i64>(), any::<i64>()),
@@ -324,4 +363,34 @@ proptest! {
         prop_assert_eq!((disk.page_count(), disk.stats().total()), (0, 0));
         prop_assert_eq!(disk.temp_pages().high_water, 0);
     }
+}
+
+/// What [`append_then_seal`] saw: each file's pages with their rows (or
+/// the error its seal met), the disk's counters, its temp high-water and
+/// the errors the appends met.
+type Sealed = (Vec<Result<Vec<Page>, StorageError>>, IoStats, u64, Vec<StorageError>);
+
+/// Appends `rows` in batches of `chunk`, each dealt at once or appended row
+/// by row; a batch stops at its first error and the next one goes on. Then
+/// seals every writer, so the rows each holds can be seen.
+fn append_then_seal(rows: &Rows, files: usize, width: usize, len: usize, fail: Option<u64>, chunk: usize, dealt: bool) -> Sealed {
+    let disk = SimDisk::new();
+    disk.set_fault_plan(fault_plan(fail));
+    let mut writers: Vec<SpillWriter> =
+        (0..files).map(|_| SpillWriter::charged(disk.clone(), len)).collect();
+    let mut errors = Vec::new();
+    for part in rows.chunks(chunk) {
+        let appended = if dealt {
+            let columns: Vec<Vec<i64>> =
+                (0..width).map(|c| part.iter().map(|(_, values)| values[c]).collect()).collect();
+            let to = part.iter().enumerate().map(|(row, (file, _))| (row, file % files));
+            SpillWriter::deal(&mut writers, &columns, to)
+        } else {
+            part.iter().try_for_each(|(file, values)| writers[file % files].append(values[..width].iter().copied()))
+        };
+        errors.extend(appended.err());
+    }
+    let sealed: Vec<_> = writers.into_iter().map(SpillWriter::finish).collect();
+    let pages = sealed.iter().map(|file| file.as_ref().map(file_rows).map_err(Clone::clone)).collect();
+    (pages, disk.stats(), disk.temp_pages().high_water, errors)
 }

@@ -25,11 +25,17 @@
 //! 3. **A statement**: µs a call of the three `exec_scale` statements (the
 //!    Grace join of 8 400 × 6 000 rows, the external sort of 8 400, the
 //!    join filtered on both sides) through `QueryService`, in turns.
+//! 4. **A spilled row**: ns a row of `fact` (12 000 rows, two attributes)
+//!    written to a spill file — one charged `SpillWriter` the rows are
+//!    dealt to, as a sort writes a run — and ns a row read back through
+//!    `SpillFile::read_pages` into a batch's columns, for 256- and
+//!    512-byte records: what a Grace partition or a sort run costs a row
+//!    besides its hash, its sort and its join.
 //!
 //! It prints; it asserts nothing about time. Run pinned:
 //! `taskset -c 1 cargo run --release --example join_kernels`
 //! (`-- --quick` makes one pass of everything, the CI smoke run; `-- page`,
-//! `-- probe`, `-- statement` run that split only).
+//! `-- probe`, `-- statement`, `-- spill` run that split only).
 
 use std::hint::black_box;
 use std::ops::ControlFlow;
@@ -42,7 +48,7 @@ use dqep::executor::{
 };
 use dqep::service::{QueryService, Request, ServiceConfig};
 use dqep::storage::gen::decode_page_slots_into;
-use dqep::storage::{PageRef, PageView, SlottedPage, StoredDatabase, StoredTable};
+use dqep::storage::{PageRef, PageView, SimDisk, SlottedPage, SpillWriter, StoredDatabase, StoredTable};
 
 const SEED: u64 = 7;
 const FACT_ROWS: u64 = 12_000;
@@ -258,6 +264,40 @@ fn statements(catalog: &Catalog, passes: usize) {
     }
 }
 
+/// Split 4: `rows` (one batch's columns) through a spill file and back.
+fn spill_rows(rows: &RowBatch, passes: usize) {
+    const WAYS: [&str; 2] = ["written (dealt to one writer)", "read back (read_pages)"];
+    let n = rows.rows();
+    println!("\na spilled row ({n} rows of {} attributes, passes: {passes}; ns a row)", rows.width());
+    for record_len in [256usize, 512] {
+        let disk = SimDisk::new();
+        let mut spent = [Duration::ZERO; 2];
+        let mut pages = 0;
+        let columns: Vec<Vec<i64>> = (0..rows.width()).map(|c| rows.column(c).to_vec()).collect();
+        for _ in 0..passes {
+            let started = Instant::now();
+            let mut writer = [SpillWriter::charged(disk.clone(), record_len)];
+            SpillWriter::deal(&mut writer, &columns, (0..n).map(|i| (i, 0))).expect("fault-free write");
+            let [writer] = writer;
+            let file = writer.finish().expect("fault-free seal");
+            spent[0] += started.elapsed();
+            let started = Instant::now();
+            let mut back: Vec<Vec<i64>> = (0..rows.width()).map(|_| Vec::with_capacity(n)).collect();
+            file.read_pages(usize::MAX, |page| {
+                back.iter_mut().zip(page.columns()).for_each(|(col, from)| col.extend_from_slice(from));
+            })
+            .expect("fault-free read");
+            spent[1] += started.elapsed();
+            assert_eq!(back, columns, "the rows come back as they went");
+            pages = file.page_count();
+        }
+        println!("  {record_len}-byte records, {} a page, {pages} pages", SlottedPage::records_per_page(record_len));
+        for (way, name) in WAYS.iter().enumerate() {
+            println!("    {name:<32} {:>8.1}", ns_per(spent[way], n * passes));
+        }
+    }
+}
+
 fn main() {
     // `--quick` and, to run some of the splits only, their names.
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -276,5 +316,12 @@ fn main() {
     }
     if wanted("statement") {
         statements(&catalog, if quick { 1 } else { 200 });
+    }
+    if wanted("spill") {
+        let fact = table_batches(fact);
+        let rows = fact.iter().map(RowBatch::rows).sum();
+        let mut all = RowBatch::with_capacity(fact[0].width(), rows);
+        fact.iter().for_each(|batch| all.extend_from_live(batch, 0..batch.len()));
+        spill_rows(&all, if quick { 1 } else { 500 });
     }
 }
