@@ -122,8 +122,7 @@ mod tests {
     #[test]
     fn skewed_data_is_captured() {
         // 90% of the mass at small values.
-        let mut values = vec![];
-        values.extend(std::iter::repeat(5i64).take(900));
+        let mut values = vec![5i64; 900];
         values.extend((0..100).map(|i| 100 + i * 9));
         let h = Histogram::build(values.clone(), 20).unwrap();
         let truth =
@@ -149,7 +148,7 @@ mod tests {
 
     #[test]
     fn fraction_eq_over_point_mass() {
-        let h = Histogram::build(std::iter::repeat(7i64).take(100), 4).unwrap();
+        let h = Histogram::build(vec![7i64; 100], 4).unwrap();
         assert!(h.fraction_eq(7) > 0.9);
         assert_eq!(h.fraction_eq(100), 0.0);
     }

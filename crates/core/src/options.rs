@@ -4,7 +4,7 @@
 ///
 /// The defaults reproduce the paper's prototype (its "most conservative"
 /// configuration, Section 3); the other settings exist for the ablation
-/// experiments in `dqep-bench`.
+/// experiments in `dqep-harness` (`experiments::ablation`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchOptions {
     /// Interval-aware branch-and-bound: skip building a physical expression

@@ -866,6 +866,7 @@ mod tests {
 
     /// [`crate::run`] under a fresh re-optimization state that observes
     /// `first` first.
+    #[allow(clippy::too_many_arguments)]
     fn reopt_run(
         plan: &Plan,
         db: &StoredDatabase,

@@ -20,14 +20,12 @@
 
 pub mod bindings;
 pub mod experiments;
-pub mod parallel;
 pub mod params;
 pub mod queries;
 pub mod report;
 pub mod scenario;
 
 pub use bindings::BindingSampler;
-pub use parallel::{run_all_parallel, run_all_parallel_isolated, ParallelRun, WorkerFailure};
 pub use params::ExperimentParams;
 pub use queries::{paper_query, Workload};
 pub use scenario::{run_dynamic, run_runtime_opt, run_static, ScenarioResult};

@@ -1,7 +1,8 @@
 //! Observability-layer integration tests: span merging is merge-order
 //! independent (like `SharedCounters::merge_from`), tracing is
 //! observationally invisible (byte-identical results and counters with
-//! tracing on or off, at any DOP, under storage faults), EXPLAIN ANALYZE
+//! tracing on or off, at any DOP, under storage faults; an audit-only
+//! tracer keeps the audits and records no span), EXPLAIN ANALYZE
 //! reports interval-vs-actual drift plus the choose-plan audit trail, and
 //! the drift flag follows cardinality feedback.
 
@@ -597,6 +598,45 @@ fn explain_analyze_reports_estimates_actuals_and_audit() {
     // JSON rendering conforms to the schema the CI checker enforces.
     let json = explain_json(&report, &catalog.config);
     validate_explain_json(&json).expect("schema-valid JSON");
+}
+
+/// The untraced paths record no span. One plan through `run` three ways —
+/// untraced, under an audit-only tracer (what the sharded service keeps on
+/// every shard) and traced: the audit-only tracer holds no span but every
+/// choose-plan audit the traced run holds, and the rows, CPU counters and
+/// I/O of the three are equal.
+#[test]
+fn an_audit_only_tracer_records_audits_and_no_spans() {
+    let (catalog, _, query, plan) = choose_plan_fixture();
+    let env = Environment::dynamic_compile_time(&catalog.config);
+    let bindings = query.bindings(&[("x", 60)]).unwrap().with_memory(48.0);
+    // Each run on its own replica, as in `tracing_changes_nothing_observable`.
+    let run_with = |tracer: Option<&Arc<Tracer>>| {
+        let db = StoredDatabase::generate(&catalog, 77);
+        let mut ctx = ExecContext::new(SharedCounters::new());
+        if let Some(t) = tracer {
+            ctx = ctx.with_tracer(Arc::clone(t));
+        }
+        let mut rows = Vec::new();
+        let summary = run(&plan, &db, &catalog, &env, &bindings, &ctx, RootSink::Rows(&mut rows))
+            .unwrap();
+        (rows, summary.cpu, summary.io)
+    };
+
+    let untraced = run_with(None);
+    let audit_only = Arc::new(Tracer::audit_only());
+    let audited = run_with(Some(&audit_only));
+    let tracer = Arc::new(Tracer::new());
+    let traced = run_with(Some(&tracer));
+    assert!(!untraced.0.is_empty());
+    assert_eq!(untraced, audited, "an audit-only tracer changed rows, CPU or I/O");
+    assert_eq!(untraced, traced, "a tracer changed rows, CPU or I/O");
+
+    let (audit_only, traced) = (audit_only.report(), tracer.report());
+    assert!(audit_only.spans.is_empty(), "an audit-only tracer recorded spans");
+    assert!(!traced.spans.is_empty());
+    assert!(!traced.audits.is_empty(), "the fixture must arbitrate");
+    assert_eq!(format!("{:?}", audit_only.audits), format!("{:?}", traced.audits));
 }
 
 /// Satellite: a pinned-wrong cardinality observation puts the actual row
