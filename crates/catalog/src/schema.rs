@@ -275,12 +275,12 @@ impl Catalog {
         self.relation(attr.relation).attribute(attr.index)
     }
 
-    /// Installs (or replaces) a value-distribution histogram for `attr`.
-    /// Updates a relation's cardinality statistic. The refresh hook for
-    /// mutable storage: after a write batch, `StoredDatabase::refresh_stats`
-    /// pushes live record counts through here so bind-time arbitration and
-    /// drift checks cost against post-write cardinalities instead of the
-    /// load-time snapshot.
+    /// Updates a relation's cardinality statistic. Stored data is loaded
+    /// once and then only read, so this is a load-time hook:
+    /// `StoredDatabase::refresh_stats` pushes a loaded database's record
+    /// counts through here, so a catalog made for other data — the global
+    /// catalog a shard's own starts as, or the catalog of a table loaded
+    /// again with more rows — costs against the rows actually stored.
     ///
     /// # Panics
     /// Panics on an unknown relation id.
@@ -288,6 +288,7 @@ impl Catalog {
         self.relations[rel.0 as usize].stats.cardinality = cardinality;
     }
 
+    /// Installs (or replaces) a value-distribution histogram for `attr`.
     /// Histograms refine the selectivity estimates of *bound* predicates;
     /// without one, the uniform-domain model applies.
     pub fn set_histogram(&mut self, attr: AttrId, histogram: Histogram) {

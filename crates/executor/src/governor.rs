@@ -197,7 +197,7 @@ impl ResourceGovernor {
     /// Cancellation and deadline check for a batch of `n` rows: one
     /// cancellation read and one tick update for the whole batch. The
     /// cancellation flag is read every time; the wall clock only when the
-    /// `n` ticks cross a [`CLOCK_STRIDE`] boundary, so deadline detection
+    /// `n` ticks cross a `CLOCK_STRIDE` boundary, so deadline detection
     /// is as frequent *per row processed* whatever the batch size.
     ///
     /// # Errors

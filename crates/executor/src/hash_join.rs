@@ -391,7 +391,7 @@ impl RadixTable {
 /// returns every `left ⊗ right` match as one dense batch. This is the
 /// join of a caller that already holds both sides (the sharded service's
 /// co-partitioned stage inputs); it runs on the same dense build batch +
-/// [`RadixTable`] as [`HashJoinExec`] and never touches a disk.
+/// `RadixTable` as the hash-join operator and never touches a disk.
 ///
 /// The side with fewer live rows builds, whichever it is. The table's
 /// footprint is reserved with `ctx.governor`: in full, else a half, a

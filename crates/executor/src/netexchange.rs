@@ -660,7 +660,7 @@ pub fn presized_batch(width: usize, estimated_rows: Option<u64>) -> RowBatch {
 /// `shards` — for a power-of-two shard count as the mask `h & (shards -
 /// 1)`, the same destination without a divide per row. Either way the
 /// route reads the hash from bit 0 up, which is why the join's buckets
-/// read it from the top ([`crate::hash_join`] module docs). `hashes` and
+/// read it from the top (the `hash_join` module's docs). `hashes` and
 /// `dests` are scratch, cleared and refilled; on return `dests[i]` is the
 /// shard of the `i`-th live row.
 ///

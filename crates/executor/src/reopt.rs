@@ -165,7 +165,7 @@ pub struct ReoptCounters {
 }
 
 /// The re-optimization audit trail of one query: every event plus the
-/// counter totals. Attached to [`TraceReport`] and rendered by EXPLAIN
+/// counter totals. Attached to [`crate::TraceReport`] and rendered by EXPLAIN
 /// ANALYZE.
 #[derive(Debug, Clone, Default)]
 pub struct ReoptReport {

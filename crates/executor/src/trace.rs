@@ -279,7 +279,7 @@ impl Tracer {
     }
 
     /// A tracer that collects choose-plan audits but records **no spans**:
-    /// [`node_span`] returns `None` under it, so the compiled tree stays
+    /// `node_span` returns `None` under it, so the compiled tree stays
     /// byte-identical to the untraced one. This is how the sharded service
     /// keeps its always-on arbitration audits without paying the
     /// per-operator wrapper cost when EXPLAIN ANALYZE is off.

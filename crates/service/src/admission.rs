@@ -4,7 +4,7 @@
 //! Each session's [`dqep_executor::ResourceGovernor`] enforces its *own*
 //! grant; the [`MemoryPool`] bounds the **sum** of grants across
 //! concurrent sessions, so the service never promises more memory than it
-//! has, and the [`SlotPool`] bounds their number. A session that cannot be
+//! has, and the `SlotPool` bounds their number. A session that cannot be
 //! admitted immediately queues on a condition variable until capacity
 //! frees up or its deadline passes; one deadline covers both waits.
 

@@ -33,7 +33,7 @@ const MEMORY_BUCKET_PAGES: f64 = 16.0;
 /// value's position in the attribute's domain (`buckets` equal-width
 /// buckets — the same uniform-domain model the cost functions use).
 /// Unbound variables map to a sentinel bucket so they never alias a bound
-/// region. The memory grant is bucketed in [`MEMORY_BUCKET_PAGES`]-page
+/// region. The memory grant is bucketed in `MEMORY_BUCKET_PAGES`-page
 /// steps.
 #[must_use]
 pub fn region_key(

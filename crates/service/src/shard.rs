@@ -56,7 +56,7 @@ use dqep_executor::{
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, ParsedPredicate};
-use dqep_storage::{install_histograms, refresh_histograms, StoredDatabase, ValueDistribution};
+use dqep_storage::{install_histograms, StoredDatabase, ValueDistribution};
 
 use crate::error::ServiceError;
 use crate::metrics::{Hist, Metric, MetricsRegistry, MetricsReport};
@@ -383,10 +383,13 @@ impl ShardedService {
             .iter()
             .map(|part| {
                 let db = StoredDatabase::from_rows(&catalog, part);
-                db.disk.set_io_latency_micros(config.io_latency_micros);
                 let mut local = catalog.clone();
                 db.refresh_stats(&mut local);
-                refresh_histograms(&db, &mut local, config.histogram_buckets);
+                // Before the pacing: the histogram scan's reads are
+                // accounted, so a paced disk would sleep through them.
+                install_histograms(&db, &mut local, config.histogram_buckets)
+                    .unwrap_or_else(|e| unreachable!("fresh disk cannot fault: {e}"));
+                db.disk.set_io_latency_micros(config.io_latency_micros);
                 Shard { db, catalog: local }
             })
             .collect();
@@ -1265,22 +1268,40 @@ mod tests {
 
     #[test]
     fn partitions_cover_the_data_exactly() {
-        let cat = catalog(2);
-        let config = ShardConfig { shards: 4, ..ShardConfig::default() };
-        let svc = ShardedService::new(cat, config);
-        for rel in svc.catalog().relations() {
-            let total: u64 = svc
-                .shards()
-                .iter()
-                .map(|s| s.db.table(rel.id).heap.record_count())
-                .sum();
-            assert_eq!(total, rel.stats.cardinality, "{}", rel.name);
-            // Shard-local catalogs hold the partition's cardinality.
-            for shard in svc.shards() {
-                assert_eq!(
-                    shard.catalog.relation(rel.id).stats.cardinality,
-                    shard.db.table(rel.id).heap.record_count()
-                );
+        let shards = 4;
+        for routing in [ShardRouting::Hash { attr: 0 }, ShardRouting::Range { attr: 0 }] {
+            let config = ShardConfig { shards, routing, ..ShardConfig::default() };
+            let svc = ShardedService::new(catalog(2), config);
+            for rel in svc.catalog().relations() {
+                let total: u64 = svc
+                    .shards()
+                    .iter()
+                    .map(|s| s.db.table(rel.id).heap.record_count())
+                    .sum();
+                assert_eq!(total, rel.stats.cardinality, "{routing:?} {}", rel.name);
+                let domain = rel.attributes[0].domain_size.max(1.0);
+                for (d, shard) in svc.shards().iter().enumerate() {
+                    // Shard-local catalogs hold the partition's
+                    // cardinality, and histograms over its own rows.
+                    let rows = shard.db.table(rel.id).heap.record_count();
+                    assert!(rows > 0, "{routing:?} {} shard {d} is empty", rel.name);
+                    assert_eq!(shard.catalog.relation(rel.id).stats.cardinality, rows);
+                    for index in 0..rel.attributes.len() as u32 {
+                        let attr = AttrId { relation: rel.id, index };
+                        let h = shard.catalog.histogram(attr).expect("installed");
+                        let what = format!("{routing:?} {} shard {d} attr {index}", rel.name);
+                        assert_eq!(h.total(), rows, "{what}");
+                        if let (ShardRouting::Range { .. }, 0) = (routing, index) {
+                            // Routing is monotone in the value: both ends
+                            // of the range in the stripe put all of it there.
+                            let stripe = |v: i64| {
+                                ((v.max(0) as f64 * shards as f64 / domain) as usize).min(shards - 1)
+                            };
+                            let (lo, hi) = h.range();
+                            assert_eq!((stripe(lo), stripe(hi)), (d, d), "{what}: [{lo}, {hi}]");
+                        }
+                    }
+                }
             }
         }
     }

@@ -189,47 +189,6 @@ impl BTree {
         Some((entries[mid].0, right_id))
     }
 
-    /// Removes one `(key, rid)` entry, returning whether it was found.
-    /// Deletion is **lazy**: the entry is shifted out of its leaf but no
-    /// rebalancing or merging happens — under-full leaves stay in the
-    /// chain, matching the tombstoning heap layer. Maintenance access is
-    /// unaccounted, like [`BTree::insert`].
-    pub fn remove(&mut self, key: i64, rid: Rid) -> bool {
-        // Descend to the leftmost leaf that may hold the key (duplicates
-        // can straddle separators), then walk the chain.
-        let mut node = self.root;
-        let mut page = self.disk.read_unaccounted(node);
-        while page[0] == KIND_INTERNAL {
-            node = internal_child(&page[..], internal_lower_bound_index(&page[..], key));
-            page = self.disk.read_unaccounted(node);
-        }
-        loop {
-            let n = count(&page[..]);
-            for i in leaf_lower_bound(&page[..], key)..n {
-                let (k, r) = leaf_entry(&page[..], i);
-                if k > key {
-                    return false;
-                }
-                if r == rid {
-                    let page = Arc::make_mut(&mut page);
-                    let base = HEADER + i * LEAF_ENTRY;
-                    let end = HEADER + n * LEAF_ENTRY;
-                    page.copy_within(base + LEAF_ENTRY..end, base);
-                    set_count(&mut page[..], n - 1);
-                    self.disk.write_unaccounted(node, page.as_slice());
-                    self.entries -= 1;
-                    return true;
-                }
-            }
-            let next = leaf_next(&page[..]);
-            if !next.is_valid() {
-                return false;
-            }
-            node = next;
-            page = self.disk.read_unaccounted(node);
-        }
-    }
-
     /// All rids whose key equals `key` (accounted reads: root-to-leaf
     /// descent plus leaf chaining).
     ///
@@ -557,37 +516,6 @@ mod tests {
         assert!(t.height() >= 3, "30k entries need 3 levels (cap 145/170)");
         assert_eq!(t.range(Some(29_990), None).unwrap().len(), 10);
         assert_eq!(t.lookup(15_000).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn remove_deletes_one_entry() {
-        let mut t = BTree::new(SimDisk::new());
-        for i in 0..2000i64 {
-            t.insert(i, rid(i as u32));
-        }
-        assert!(t.remove(1234, rid(1234)));
-        assert_eq!(t.len(), 1999);
-        assert_eq!(t.lookup(1234).unwrap(), vec![]);
-        assert!(!t.remove(1234, rid(1234)), "already gone");
-        assert!(!t.remove(5000, rid(1)), "never present");
-        // Neighbours unaffected.
-        assert_eq!(t.lookup(1233).unwrap(), vec![rid(1233)]);
-        assert_eq!(t.lookup(1235).unwrap(), vec![rid(1235)]);
-    }
-
-    #[test]
-    fn remove_picks_the_matching_duplicate() {
-        let mut t = BTree::new(SimDisk::new());
-        for i in 0..300u32 {
-            t.insert(42, rid(i));
-        }
-        assert!(t.remove(42, rid(250)));
-        let hits = t.lookup(42).unwrap();
-        assert_eq!(hits.len(), 299);
-        assert!(!hits.contains(&rid(250)));
-        // Reinsert after remove round-trips.
-        t.insert(42, rid(250));
-        assert_eq!(t.lookup(42).unwrap().len(), 300);
     }
 
     #[test]

@@ -310,38 +310,6 @@ impl SimDisk {
         }
     }
 
-    /// Writes a page, charging one write.
-    ///
-    /// # Errors
-    /// [`StorageError::BadPageLength`] unless `data` is exactly one page
-    /// (refused before anything is charged);
-    /// [`StorageError::UnallocatedPage`] for an id that was never
-    /// allocated or has been freed; [`StorageError::InjectedFault`] when
-    /// the installed fault plan fails this write. Both are charged and
-    /// advance the write ordinal; nothing is stored.
-    pub fn write(&self, id: PageId, data: &[u8]) -> Result<(), StorageError> {
-        let data: &[u8; PAGE_SIZE] = data
-            .try_into()
-            .map_err(|_| StorageError::BadPageLength { got: data.len(), expected: PAGE_SIZE })?;
-        let (result, latency) = {
-            let mut inner = self.inner.lock();
-            inner.stats.writes += 1;
-            inner.write_ordinal += 1;
-            let fails = inner.faults.write_fails(inner.write_ordinal);
-            let result = match inner.live_page_mut(id) {
-                None => Err(StorageError::UnallocatedPage(id)),
-                Some(_) if fails => Err(StorageError::InjectedFault { page: id, write: true }),
-                Some(page) => {
-                    store(page, data);
-                    Ok(())
-                }
-            };
-            (result, inner.latency_micros)
-        };
-        Self::pace(latency);
-        result
-    }
-
     /// Reads a page **without** charging I/O — used by loaders (e.g.
     /// B-tree construction) whose effort the experiments do not account.
     /// Exempt from fault plans.
@@ -359,8 +327,13 @@ impl SimDisk {
     }
 
     /// Writes a page **without** charging I/O — used by loaders building
-    /// the initial database, which the experiments do not account.
-    /// Exempt from fault plans.
+    /// the initial database, which the experiments do not account, and
+    /// the only way bytes reach a page. Exempt from fault plans.
+    ///
+    /// Copy-on-write: the buffer is overwritten in place when the disk
+    /// holds the only reference, otherwise left to its readers and a fresh
+    /// one installed — a [`PageRef`] handed out by a read never changes
+    /// under its holder.
     ///
     /// # Panics
     /// Panics on an unallocated or freed page id or a wrong buffer length
@@ -368,14 +341,19 @@ impl SimDisk {
     pub fn write_unaccounted(&self, id: PageId, data: &[u8]) {
         let data: &[u8; PAGE_SIZE] =
             data.try_into().unwrap_or_else(|_| panic!("page writes are whole pages"));
-        match self.inner.lock().live_page_mut(id) {
-            Some(page) => store(page, data),
-            None => panic!("unaccounted write of unallocated page {id}"),
+        let mut inner = self.inner.lock();
+        let Some(page) = inner.pages.get_mut(id.0 as usize).and_then(Option::as_mut) else {
+            panic!("unaccounted write of unallocated page {id}");
+        };
+        match Arc::get_mut(page) {
+            Some(buf) => *buf = *data,
+            None => *page = Arc::new(*data),
         }
     }
 
     /// Charges one write without transferring data — the write of a page
-    /// of a query-lifetime file, whose rows stay with the file.
+    /// of a query-lifetime file, whose rows stay with the file. The only
+    /// accounted write: base tables are written once, at load.
     ///
     /// # Errors
     /// [`StorageError::InjectedFault`] when the installed fault plan fails
@@ -456,21 +434,6 @@ impl DiskInner {
     fn live_page(&self, id: PageId) -> Option<&PageRef> {
         self.pages.get(id.0 as usize)?.as_ref()
     }
-
-    fn live_page_mut(&mut self, id: PageId) -> Option<&mut PageRef> {
-        self.pages.get_mut(id.0 as usize)?.as_mut()
-    }
-}
-
-/// The copy-on-write rule for page writes: overwrite the buffer in place
-/// when the disk holds the only reference, otherwise leave it to its
-/// readers and install a fresh one — a [`PageRef`] handed out by a read
-/// never changes under its holder.
-fn store(page: &mut PageRef, data: &[u8; PAGE_SIZE]) {
-    match Arc::get_mut(page) {
-        Some(buf) => *buf = *data,
-        None => *page = Arc::new(*data),
-    }
 }
 
 impl Default for SimDisk {
@@ -496,23 +459,6 @@ mod tests {
         assert_eq!(s.seq_reads, 2);
         assert_eq!(s.random_reads, 3);
         assert_eq!(s.writes, 0);
-    }
-
-    #[test]
-    fn write_roundtrip_and_accounting() {
-        let disk = SimDisk::new();
-        let id = disk.allocate();
-        let mut buf = [0u8; PAGE_SIZE];
-        buf[0] = 42;
-        buf[PAGE_SIZE - 1] = 7;
-        disk.write(id, &buf).unwrap();
-        let back = disk.read(id).unwrap();
-        assert_eq!(back[0], 42);
-        assert_eq!(back[PAGE_SIZE - 1], 7);
-        assert_eq!(disk.stats().writes, 1);
-
-        disk.write_unaccounted(id, &buf);
-        assert_eq!(disk.stats().writes, 1, "unaccounted writes do not count");
     }
 
     #[test]
@@ -556,10 +502,6 @@ mod tests {
             disk.read(PageId(5)).unwrap_err(),
             StorageError::UnallocatedPage(PageId(5))
         );
-        assert_eq!(
-            disk.write(PageId(5), &[0u8; PAGE_SIZE]).unwrap_err(),
-            StorageError::UnallocatedPage(PageId(5))
-        );
     }
 
     #[test]
@@ -573,12 +515,8 @@ mod tests {
         disk.set_fault_plan(FaultPlan::nth_read(2));
         assert_eq!(disk.read(temps[1]).unwrap_err(), StorageError::UnallocatedPage(temps[1]));
         assert!(disk.read(base).unwrap_err().is_injected(), "the dead read advanced the ordinal");
-        assert_eq!(
-            disk.write(temps[1], &[1u8; PAGE_SIZE]).unwrap_err(),
-            StorageError::UnallocatedPage(temps[1])
-        );
         let s = disk.stats();
-        assert_eq!((s.seq_reads + s.random_reads, s.writes), (2, 1), "failed accesses are charged");
+        assert_eq!(s.seq_reads + s.random_reads, 2, "failed reads are charged");
         // Its neighbours are untouched.
         assert!(disk.read(temps[0]).is_ok() && disk.read(temps[2]).is_ok());
     }
@@ -612,10 +550,10 @@ mod tests {
     fn a_write_never_changes_a_page_a_reader_holds() {
         let disk = SimDisk::new();
         let id = disk.allocate();
-        disk.write(id, &[1u8; PAGE_SIZE]).unwrap();
+        disk.write_unaccounted(id, &[1u8; PAGE_SIZE]);
         let held = disk.read(id).unwrap();
         assert!(Arc::ptr_eq(&held, &disk.read(id).unwrap()), "reads share one buffer");
-        disk.write(id, &[2u8; PAGE_SIZE]).unwrap();
+        disk.write_unaccounted(id, &[2u8; PAGE_SIZE]);
         assert_eq!((held[0], disk.read(id).unwrap()[0]), (1, 2));
         // A freed page stays readable through a reference taken before.
         let t = disk.allocate_temp();
@@ -623,17 +561,6 @@ mod tests {
         let held = disk.read(t).unwrap();
         disk.free(&[t]);
         assert_eq!(held[0], 3);
-    }
-
-    #[test]
-    fn short_write_errors() {
-        let disk = SimDisk::new();
-        let id = disk.allocate();
-        assert_eq!(
-            disk.write(id, &[0u8; 7]).unwrap_err(),
-            StorageError::BadPageLength { got: 7, expected: PAGE_SIZE }
-        );
-        assert_eq!(disk.stats().writes, 0, "rejected before being charged");
     }
 
     #[test]
@@ -663,13 +590,12 @@ mod tests {
     }
 
     #[test]
-    fn write_faults_hit_note_write_too() {
+    fn write_faults_hit_note_write() {
         let disk = SimDisk::new();
-        let id = disk.allocate();
         let mut plan = FaultPlan::none();
         plan.fail_nth_writes = vec![2];
         disk.set_fault_plan(plan);
-        assert!(disk.write(id, &[0u8; PAGE_SIZE]).is_ok());
+        assert!(disk.note_write().is_ok());
         let err = disk.note_write().unwrap_err();
         assert_eq!(err, StorageError::InjectedFault { page: PageId::INVALID, write: true });
         assert!(disk.note_write().is_ok());

@@ -22,18 +22,11 @@ pub enum StorageError {
         /// Whether the failed access was a write (else a read).
         write: bool,
     },
-    /// A page write was attempted with a buffer that is not exactly one
-    /// page long.
-    BadPageLength {
-        /// The length supplied.
-        got: usize,
-        /// The length required (`PAGE_SIZE`).
-        expected: usize,
-    },
     /// A buffer pool was requested with zero frames.
     ZeroCapacityPool,
-    /// A record id did not resolve to a stored record (dangling index
-    /// entry or corrupted page).
+    /// A record id did not resolve to a stored record: its slot is out of
+    /// the page's range (a dangling index entry or a corrupted page).
+    /// Records are never deleted, so every slot in range holds one.
     RecordNotFound {
         /// The page the rid pointed into.
         page: PageId,
@@ -67,9 +60,6 @@ impl fmt::Display for StorageError {
                 let op = if *write { "write" } else { "read" };
                 write!(f, "injected fault: {op} of page {page} failed")
             }
-            StorageError::BadPageLength { got, expected } => {
-                write!(f, "page write of {got} bytes; pages are {expected} bytes")
-            }
             StorageError::ZeroCapacityPool => {
                 f.write_str("buffer pool needs at least one frame")
             }
@@ -97,9 +87,6 @@ mod tests {
         assert!(e.is_injected());
         let w = StorageError::InjectedFault { page: PageId(1), write: true };
         assert!(w.to_string().contains("write of page p1"));
-        assert!(StorageError::BadPageLength { got: 7, expected: 2048 }
-            .to_string()
-            .contains("7 bytes"));
         assert!(!StorageError::ZeroCapacityPool.is_injected());
         assert!(StorageError::RecordNotFound { page: PageId(2), slot: 5 }
             .to_string()

@@ -19,9 +19,10 @@ pub struct Rid {
 /// An unordered file of records that lives as long as its disk: a base
 /// table.
 ///
-/// Loading happens through [`HeapFile::append`] (unaccounted writes — the
-/// experiments measure query I/O, not load I/O); scans read pages in
-/// allocation order, which the simulated disk accounts as sequential I/O.
+/// It is written once, at load, through [`HeapFile::append`] (unaccounted
+/// writes — the experiments measure query I/O, not load I/O), and then
+/// only read: scans read pages in allocation order, which the simulated
+/// disk accounts as sequential I/O.
 /// Query-lifetime files — Grace partitions, sort runs — are written
 /// through a [`SpillWriter`] instead.
 #[derive(Debug)]
@@ -70,86 +71,7 @@ impl HeapFile {
         }
     }
 
-    /// Inserts a record through the **accounted** write path: the mutated
-    /// page is written back with [`SimDisk::write`], so the write is
-    /// charged to I/O stats and can fail under an injected fault plan.
-    /// This is the query-time mutation entry point, as
-    /// opposed to load-time [`HeapFile::append`].
-    ///
-    /// In-memory state (page list, cached tail, record count) is committed
-    /// only after the disk write succeeds, so a faulted insert leaves the
-    /// file exactly as it was.
-    ///
-    /// # Errors
-    /// Page-write failures, including injected write faults;
-    /// [`StorageError::RecordTooLarge`] for a record no page can hold.
-    pub fn insert(&mut self, record: &[u8]) -> Result<Rid, StorageError> {
-        SlottedPage::check_fits(record.len())?;
-        // Fill the cached tail when the record fits.
-        if let Some(tail) = &self.tail {
-            if tail.free_space() >= record.len() && !self.pages.is_empty() {
-                // A clone shares the tail's bytes; the insert copies them,
-                // so a failed write leaves the cached tail as it was.
-                let mut page = tail.clone();
-                let slot = page
-                    .insert(record)?
-                    .unwrap_or_else(|| unreachable!("free_space said the record fits"));
-                let pid = self.pages.last().copied().unwrap_or(PageId::INVALID);
-                self.disk.write(pid, page.as_bytes().as_slice())?;
-                self.tail = Some(page);
-                self.records += 1;
-                return Ok(Rid { page: pid, slot });
-            }
-        }
-        // No tail or tail full: start a fresh page.
-        let mut page = SlottedPage::new();
-        let slot = page
-            .insert(record)?
-            .unwrap_or_else(|| unreachable!("a record that fits a page fits an empty one"));
-        let pid = self.disk.allocate();
-        self.disk.write(pid, page.as_bytes().as_slice())?;
-        self.pages.push(pid);
-        self.tail = Some(page);
-        self.records += 1;
-        Ok(Rid { page: pid, slot })
-    }
-
-    /// Deletes the record at `rid` (tombstoning its slot), returning the
-    /// old record bytes so callers can unhook index entries. Reads and
-    /// writes are **accounted** — and therefore faultable — except that a
-    /// delete targeting the cached tail page reads the in-memory copy
-    /// (and writes it back through the accounted path, keeping the cache
-    /// and disk in sync so a later append cannot resurrect the record).
-    ///
-    /// # Errors
-    /// Page access failures (injected faults included);
-    /// [`StorageError::RecordNotFound`] when the slot is empty or already
-    /// deleted. In-memory state is committed only after the disk write
-    /// succeeds.
-    pub fn delete(&mut self, rid: Rid) -> Result<Vec<u8>, StorageError> {
-        let tail_hit = self
-            .tail
-            .as_ref()
-            .filter(|_| self.pages.last() == Some(&rid.page));
-        let is_tail = tail_hit.is_some();
-        let mut page = match tail_hit {
-            Some(t) => t.clone(),
-            None => SlottedPage::from_bytes(self.disk.read(rid.page)?),
-        };
-        let old = page
-            .get(rid.slot)
-            .map(<[u8]>::to_vec)
-            .ok_or(StorageError::RecordNotFound { page: rid.page, slot: rid.slot })?;
-        page.delete(rid.slot);
-        self.disk.write(rid.page, page.as_bytes().as_slice())?;
-        if is_tail {
-            self.tail = Some(page);
-        }
-        self.records -= 1;
-        Ok(old)
-    }
-
-    /// Number of live records.
+    /// Number of records.
     #[must_use]
     pub fn record_count(&self) -> u64 {
         self.records
@@ -171,7 +93,8 @@ impl HeapFile {
     ///
     /// # Errors
     /// Propagates page-read failures (unallocated page, injected fault);
-    /// [`StorageError::RecordNotFound`] if the slot is empty.
+    /// [`StorageError::RecordNotFound`] if the slot is past the page's
+    /// last.
     pub fn fetch(&self, rid: Rid) -> Result<Vec<u8>, StorageError> {
         self.fetch_with(rid, <[u8]>::to_vec)
     }
@@ -202,25 +125,6 @@ impl HeapFile {
     pub fn scan(&self) -> impl Iterator<Item = Result<Vec<u8>, StorageError>> + '_ {
         self.scan_pages().flat_map(|page| match page {
             Ok(page) => page.iter().map(|r| Ok(r.to_vec())).collect(),
-            Err(e) => vec![Err(e)],
-        })
-    }
-
-    /// Like [`HeapFile::scan`], but yields each record together with its
-    /// rid — the locate pass of value-addressed deletes.
-    pub fn scan_with_rids(
-        &self,
-    ) -> impl Iterator<Item = Result<(Rid, Vec<u8>), StorageError>> + '_ {
-        self.pages.iter().flat_map(move |&pid| match self.disk.read(pid) {
-            Ok(bytes) => {
-                let page = SlottedPage::from_bytes(bytes);
-                (0..page.len() as u16)
-                    .filter_map(|slot| {
-                        page.get(slot)
-                            .map(|r| Ok((Rid { page: pid, slot }, r.to_vec())))
-                    })
-                    .collect::<Vec<_>>()
-            }
             Err(e) => vec![Err(e)],
         })
     }
@@ -674,72 +578,6 @@ mod tests {
         let outcomes: Vec<_> = heap.scan().collect();
         assert_eq!(outcomes.iter().filter(|r| r.is_err()).count(), 1);
         assert!(outcomes[3].is_err(), "second page read (records 3..6) fails");
-    }
-
-    #[test]
-    fn insert_is_accounted_and_scannable() {
-        let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk.clone());
-        for i in 0..5u64 {
-            heap.append(&i.to_le_bytes()).unwrap();
-        }
-        disk.reset_stats();
-        let rid = heap.insert(&99u64.to_le_bytes()).unwrap();
-        assert_eq!(disk.stats().writes, 1, "insert charges the page write");
-        assert_eq!(heap.record_count(), 6);
-        assert_eq!(heap.fetch(rid).unwrap(), 99u64.to_le_bytes());
-        let values: Vec<u64> = heap
-            .scan()
-            .map(|r| u64::from_le_bytes(r.unwrap().as_slice().try_into().unwrap()))
-            .collect();
-        assert!(values.contains(&99));
-    }
-
-    #[test]
-    fn delete_tombstones_and_scan_skips() {
-        let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk.clone());
-        let mut rids = Vec::new();
-        for i in 0..10u64 {
-            rids.push(heap.append(&i.to_le_bytes()).unwrap());
-        }
-        let old = heap.delete(rids[4]).unwrap();
-        assert_eq!(old, 4u64.to_le_bytes());
-        assert_eq!(heap.record_count(), 9);
-        assert_eq!(heap.scan().count(), 9);
-        // Double delete reports RecordNotFound.
-        assert!(matches!(
-            heap.delete(rids[4]),
-            Err(StorageError::RecordNotFound { .. })
-        ));
-        // Deleting on the tail page keeps cache and disk consistent: a
-        // subsequent append must not resurrect the record.
-        let last = *rids.last().unwrap();
-        heap.delete(last).unwrap();
-        heap.append(&77u64.to_le_bytes()).unwrap();
-        let values: Vec<u64> = heap
-            .scan()
-            .map(|r| u64::from_le_bytes(r.unwrap().as_slice().try_into().unwrap()))
-            .collect();
-        assert!(!values.contains(&9), "tail delete survives the next append");
-        assert!(values.contains(&77));
-    }
-
-    #[test]
-    fn faulted_insert_leaves_state_unchanged() {
-        use crate::fault::FaultPlan;
-        let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk.clone());
-        for i in 0..5u64 {
-            heap.append(&i.to_le_bytes()).unwrap();
-        }
-        let mut plan = FaultPlan::none();
-        plan.fail_nth_writes = vec![1];
-        disk.set_fault_plan(plan);
-        assert!(heap.insert(&42u64.to_le_bytes()).is_err());
-        disk.set_fault_plan(FaultPlan::none());
-        assert_eq!(heap.record_count(), 5, "failed insert not committed");
-        assert_eq!(heap.scan().count(), 5);
     }
 
     #[test]

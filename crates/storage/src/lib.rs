@@ -11,12 +11,17 @@
 //! operator picks at start-up must also be the faster plan *when actually
 //! executed* on stored data.
 //!
+//! Base tables are written once, at load, and then only read: there is no
+//! insert, delete or accounted page write after loading. The only writes a
+//! query makes are the pages of its query-lifetime files (Grace
+//! partitions, sort runs), charged through [`SimDisk::note_write`].
+//!
 //! Components:
 //! * [`SimDisk`] — page store + [`IoStats`] (sequential reads, random
 //!   reads, writes). Pages are shared ([`PageRef`]): a read hands out a
 //!   reference, a run ([`SimDisk::read_run`]) lends its pages under one
-//!   latch to a reader that keeps none, a writer copies first, and
-//!   query-lifetime files give their pages back when dropped
+//!   latch to a reader that keeps none, a loader's write copies a page a
+//!   reader holds, and query-lifetime files give their pages back when dropped
 //!   ([`TempPages`] counts them).
 //! * [`SlottedPage`] — classic slotted-page layout for variable-length
 //!   records, over a page that is held or ([`PageView`]) borrowed.
@@ -31,8 +36,8 @@
 //!   and statistics (uniform integer attributes over their domains).
 //! * [`StorageError`] / [`FaultPlan`] — fallible access APIs and
 //!   deterministic fault injection for robustness testing. Accounted
-//!   (query-time) reads and writes can fail; unaccounted (load-time)
-//!   access is exempt, so a database can always be generated and then
+//!   (query-time) reads and spill-page writes can fail; unaccounted
+//!   (load-time) access is exempt, so a database can always be generated and then
 //!   queried under faults.
 
 #![warn(missing_docs)]
@@ -58,7 +63,7 @@ pub use buffer::BufferPool;
 pub use disk::{IoStats, SimDisk, TempPages};
 pub use error::StorageError;
 pub use fault::FaultPlan;
-pub use gen::{install_histograms, refresh_histograms, StoredDatabase, StoredTable, ValueDistribution};
+pub use gen::{install_histograms, StoredDatabase, StoredTable, ValueDistribution};
 pub use heap::{HeapFile, Rid, SpillFile, SpillPage, SpillWriter};
 pub use morsel::{PageClaims, DEFAULT_MORSEL_PAGES};
 pub use page::{PageId, PageRef, PAGE_SIZE};

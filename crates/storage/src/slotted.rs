@@ -4,11 +4,8 @@
 //! growing forward from byte 4 (each slot is `offset: u16`, `len: u16`),
 //! and record bytes growing backward from the end of the page.
 //!
-//! Deletion is **tombstoning**: [`SlottedPage::delete`] marks the slot's
-//! offset with a sentinel and leaves the slot array untouched, so every
-//! later slot keeps its number and record ids stay stable. Record bytes
-//! are not reclaimed — the write path favors rid stability over
-//! space reuse, matching the lazy-deletion B-tree above it.
+//! Pages are filled at load and then only read: there is no delete, so
+//! every slot below the count holds a record.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -18,18 +15,14 @@ use crate::page::{PageRef, PAGE_SIZE};
 
 const HEADER: usize = 4;
 const SLOT: usize = 4;
-/// Slot-offset sentinel marking a deleted record. Valid offsets are
-/// strictly below [`PAGE_SIZE`] (2048), so the sentinel is unambiguous.
-const TOMBSTONE: u16 = u16::MAX;
 
 /// An in-memory view over one slotted page's bytes, held as `B`.
 ///
 /// The default, a [`PageRef`], *holds* the page: the bytes are shared with
 /// whoever handed them over (the disk, a buffer pool), reading through the
-/// view copies nothing, and the mutators are copy-on-write — the first
-/// change to a shared page clones it, a page this view owns alone is
-/// changed in place — so `clone()` is a cheap way to stage an edit that
-/// may still be abandoned. Over a `&[u8; PAGE_SIZE]` ([`PageView`]) the
+/// view copies nothing, and [`SlottedPage::insert`] is copy-on-write — the
+/// first change to a shared page clones it, a page this view owns alone
+/// is changed in place. Over a `&[u8; PAGE_SIZE]` ([`PageView`]) the
 /// view *borrows* the page and reads through the same methods, so there is
 /// one slot walk whoever owns the bytes.
 #[derive(Debug, Clone)]
@@ -95,18 +88,6 @@ impl SlottedPage {
         data[off..free_end].copy_from_slice(record);
         Ok(Some(n as u16))
     }
-
-    /// Tombstones the record in `slot`, returning whether a live record
-    /// was deleted. The slot array is left intact (later slots keep their
-    /// numbers); the record bytes are not reclaimed.
-    pub fn delete(&mut self, slot: u16) -> bool {
-        if self.get(slot).is_none() {
-            return false;
-        }
-        let slot_base = HEADER + slot as usize * SLOT;
-        write_u16(&mut Arc::make_mut(&mut self.data)[..], slot_base, TOMBSTONE);
-        true
-    }
 }
 
 /// Reading: the same for a page that is held and a page that is borrowed.
@@ -144,25 +125,24 @@ impl<B: Deref<Target = [u8; PAGE_SIZE]>> SlottedPage<B> {
         free_end.saturating_sub(HEADER + (n + 1) * SLOT)
     }
 
-    /// The record in `slot`, or `None` when out of range or deleted.
+    /// The record in `slot`, or `None` when out of range.
     #[must_use]
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        if (slot as usize) >= self.len() {
-            return None;
-        }
-        let slot_base = HEADER + slot as usize * SLOT;
-        let off = read_u16(&self.data[..], slot_base);
-        if off == TOMBSTONE {
-            return None;
-        }
-        let off = off as usize;
-        let len = read_u16(&self.data[..], slot_base + 2) as usize;
-        Some(&self.data[off..off + len])
+        ((slot as usize) < self.len()).then(|| self.record(slot))
     }
 
-    /// Iterates over live records in slot order (tombstones skipped).
+    /// Iterates over the records in slot order.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        (0..self.len() as u16).filter_map(|slot| self.get(slot))
+        (0..self.len() as u16).map(|slot| self.record(slot))
+    }
+
+    /// The record in `slot`, which must be below [`SlottedPage::len`]:
+    /// every slot of the array holds one.
+    pub(crate) fn record(&self, slot: u16) -> &[u8] {
+        let slot_base = HEADER + slot as usize * SLOT;
+        let off = read_u16(&self.data[..], slot_base) as usize;
+        let len = read_u16(&self.data[..], slot_base + 2) as usize;
+        &self.data[off..off + len]
     }
 }
 
@@ -232,9 +212,8 @@ mod tests {
         p.insert(b"abc").unwrap().unwrap();
         let mut q = p.clone();
         q.insert(b"defg").unwrap().unwrap();
-        q.delete(0);
-        assert_eq!((p.len(), p.get(0)), (1, Some(&b"abc"[..])));
-        assert_eq!((q.len(), q.get(0), q.get(1)), (2, None, Some(&b"defg"[..])));
+        assert_eq!((p.len(), p.get(0), p.get(1)), (1, Some(&b"abc"[..]), None));
+        assert_eq!((q.len(), q.get(0), q.get(1)), (2, Some(&b"abc"[..]), Some(&b"defg"[..])));
     }
 
     #[test]
@@ -253,37 +232,5 @@ mod tests {
         );
         assert!(p.is_empty(), "a refused record leaves the page untouched");
         assert!(p.insert(&[0u8; SlottedPage::MAX_RECORD]).unwrap().is_some());
-    }
-
-    #[test]
-    fn delete_tombstones_without_renumbering() {
-        let mut p = SlottedPage::new();
-        p.insert(b"aa").unwrap().unwrap();
-        p.insert(b"bb").unwrap().unwrap();
-        p.insert(b"cc").unwrap().unwrap();
-        assert!(p.delete(1));
-        // Slot 1 is gone; the other slots keep their numbers.
-        assert_eq!(p.get(0), Some(&b"aa"[..]));
-        assert_eq!(p.get(1), None);
-        assert_eq!(p.get(2), Some(&b"cc"[..]));
-        assert_eq!(p.len(), 3, "slot array intact");
-        assert_eq!(p.iter().count(), 2);
-        let live: Vec<&[u8]> = p.iter().collect();
-        assert_eq!(live, vec![&b"aa"[..], &b"cc"[..]]);
-        // Double delete and out-of-range delete report false.
-        assert!(!p.delete(1));
-        assert!(!p.delete(9));
-    }
-
-    #[test]
-    fn tombstones_survive_byte_roundtrip() {
-        let mut p = SlottedPage::new();
-        p.insert(b"x").unwrap().unwrap();
-        p.insert(b"y").unwrap().unwrap();
-        p.delete(0);
-        let q = SlottedPage::from_bytes(Arc::new(*p.as_bytes()));
-        assert_eq!(q.get(0), None);
-        assert_eq!(q.get(1), Some(&b"y"[..]));
-        assert_eq!(q.iter().count(), 1);
     }
 }

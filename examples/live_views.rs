@@ -4,8 +4,11 @@
 //! `SELECT * FROM r WHERE r.a < :v` is optimized once into a dynamic plan
 //! and decided at start-up for `:v = 10`: over 1 000 rows the B-tree
 //! alternative wins. Twenty commits of thirty rows each land under the
-//! filter. After every commit the catalog is refreshed from storage and
-//! the view is re-run through `run` under the decision in force. When the
+//! filter. Base tables are written once, at load, so the example keeps the
+//! table's rows itself: after every commit it loads them again
+//! (`StoredDatabase::from_rows`), rebuilds the catalog's cardinality and
+//! histograms from the new database, and re-runs the view through `run`
+//! under the decision in force. When the
 //! observed row count leaves the decision's root interval widened ×2, the
 //! decision is made again with that count pinned at the root — the same
 //! choose-plan operators, costed on the new statistics — until it switches
@@ -24,7 +27,7 @@ use dqep::interval::Interval;
 use dqep::optimizer::Optimizer;
 use dqep::plan::{evaluate_startup_observed, Observations, StartupResult};
 use dqep::sql::parse_query;
-use dqep::storage::{refresh_histograms, StoredDatabase};
+use dqep::storage::{install_histograms, StoredDatabase};
 
 /// Re-decide only when the observed cardinality leaves the decision's
 /// root interval widened by this factor (`[lo / t, hi * t]`).
@@ -44,6 +47,7 @@ fn main() {
     let mut db = StoredDatabase::generate(&catalog, 13);
     let env = Environment::dynamic_compile_time(&catalog.config);
     let r = catalog.relation_by_name("r").expect("relation").id;
+    let mut rows = db.export_rows();
 
     // Compile time: one dynamic plan for every binding and every state of
     // the table.
@@ -73,12 +77,11 @@ fn main() {
 
     let mut switches = 0;
     for commit in 0..20 {
-        for i in 0..30 {
-            let row = [(commit * 30 + i) % 9, i % 64];
-            db.insert(&catalog, r, &row).expect("insert");
-        }
+        let table = rows.get_mut(&r).expect("the table's rows");
+        table.extend((0..30).map(|i| vec![(commit * 30 + i) % 9, i % 64]));
+        db = StoredDatabase::from_rows(&catalog, &rows);
         db.refresh_stats(&mut catalog);
-        refresh_histograms(&db, &mut catalog, 16);
+        install_histograms(&db, &mut catalog, 16).expect("a fresh disk has no fault plan");
 
         let ctx = ExecContext::new(SharedCounters::new()).with_decision(Arc::clone(&decision));
         let summary =
