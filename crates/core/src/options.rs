@@ -11,12 +11,6 @@ pub struct SearchOptions {
     /// whose cost *lower* bound already exceeds the group's best *upper*
     /// bound. Guaranteed lossless (such plans are dominated). Default on.
     pub enable_pruning: bool,
-    /// Drop a candidate whose cost is exactly *equal* to a retained plan
-    /// ("it would be acceptable to make an arbitrary decision", Section 3).
-    /// `None` (default) resolves by planning mode: tie-break in point mode
-    /// (traditional optimizers pick one), keep both in interval mode (the
-    /// paper's conservative prototype).
-    pub tie_break_equal: Option<bool>,
     /// Consider bushy join trees (the paper's transformation rules "permit
     /// generation of all bushy trees"). When false, only left-deep trees
     /// (right join input must be a base relation) are explored — an
@@ -27,11 +21,6 @@ pub struct SearchOptions {
     /// the tree-shaped representation the paper warns against; used by the
     /// sharing ablation to quantify the blow-up.
     pub dag_sharing: bool,
-    /// Allow join expressions between disconnected relation sets. Off by
-    /// default (the experimental queries are chain queries; cross products
-    /// cannot be optimal there). Joins present in the *input* expression
-    /// are always admitted.
-    pub allow_cross_products: bool,
     /// Multi-point probing (Section 3's heuristic for pseudo-incomparable
     /// plans): before declaring two plans incomparable, evaluate both at
     /// this many sampled parameter points; if one is at least as cheap at
@@ -59,10 +48,8 @@ impl SearchOptions {
     pub fn paper() -> SearchOptions {
         SearchOptions {
             enable_pruning: true,
-            tie_break_equal: None,
             bushy: true,
             dag_sharing: true,
-            allow_cross_products: false,
             probe_points: 0,
             exhaustive: false,
             max_frontier: usize::MAX,
@@ -84,10 +71,8 @@ mod tests {
     fn defaults_match_paper() {
         let o = SearchOptions::default();
         assert!(o.enable_pruning);
-        assert_eq!(o.tie_break_equal, None);
         assert!(o.bushy);
         assert!(o.dag_sharing);
-        assert!(!o.allow_cross_products);
         assert_eq!(o.probe_points, 0);
         assert!(!o.exhaustive);
         assert_eq!(o.max_frontier, usize::MAX);

@@ -30,17 +30,14 @@
 //! which is what breaks cost ties at start-up. A sweep costs one
 //! comparison per expression; the rule work is proportional to the pairs.
 
-use dqep_algebra::RelSet;
-
 use crate::context::QueryContext;
 use crate::memo::{ExprId, GroupId, GroupKey, LogicalOp, Memo};
-use crate::options::SearchOptions;
 
 /// Explores the memo to a fixpoint: applies commutativity and
 /// associativity to every join expression (including those the rules
 /// generate) until no pair is pending. Returns the number of expressions
 /// generated.
-pub fn explore(memo: &mut Memo, ctx: &QueryContext, opts: &SearchOptions) -> usize {
+pub fn explore(memo: &mut Memo, ctx: &QueryContext) -> usize {
     let mut generated_total = 0;
     loop {
         let mut generated = 0;
@@ -65,7 +62,7 @@ pub fn explore(memo: &mut Memo, ctx: &QueryContext, opts: &SearchOptions) -> usi
                     if expr.associated != last {
                         memo.expr_mut(id).associated = last;
                         generated +=
-                            apply_associate(memo, gid, left, right, expr.associated, ctx, opts);
+                            apply_associate(memo, gid, left, right, expr.associated, ctx);
                     }
                 }
                 at = memo.expr(id).next;
@@ -97,9 +94,9 @@ fn apply_commute(memo: &mut Memo, gid: GroupId, left: GroupId, right: GroupId) -
 /// `Join(Join(A, B), C) → Join(A, Join(B, C))` for the expressions
 /// `Join(A, B)` of the left group added after `fired` (all of them when
 /// `None`), creating the `Join(B, C)` group on demand. Only fires when
-/// `B ⋈ C` is connected by a join predicate (or cross products are
-/// enabled): cross-product intermediate results cannot be optimal for the
-/// connected queries considered here.
+/// `B ⋈ C` is connected by a join predicate: cross-product intermediate
+/// results cannot be optimal for the connected queries considered here
+/// (joins present in the *input* expression are always admitted).
 fn apply_associate(
     memo: &mut Memo,
     gid: GroupId,
@@ -107,11 +104,10 @@ fn apply_associate(
     right: GroupId,
     fired: Option<ExprId>,
     ctx: &QueryContext,
-    opts: &SearchOptions,
 ) -> usize {
     let mut generated = 0;
     let right_rels = memo.group(right).key.rels();
-    let joinable: Option<RelSet> = (!opts.allow_cross_products).then(|| ctx.neighbors(right_rels));
+    let joinable = ctx.neighbors(right_rels);
     // The left group does not grow while this runs, so its chain can be
     // followed past the insertions into other groups.
     let mut at = memo.successor(left, fired);
@@ -122,7 +118,7 @@ fn apply_associate(
             continue;
         };
         let b_rels = memo.group(b).key.rels();
-        if joinable.is_some_and(|n| n.is_disjoint(b_rels)) {
+        if joinable.is_disjoint(b_rels) {
             continue;
         }
         let bc = memo.group_for(GroupKey::Join(b_rels.union(right_rels)));
@@ -195,7 +191,7 @@ mod tests {
         // n=2 → 2, n=3 → 8, n=4 → 40.
         for (n, expected) in [(2usize, 2.0f64), (3, 8.0), (4, 40.0)] {
             let (_cat, ctx, mut memo, root) = chain(n);
-            explore(&mut memo, &ctx, &SearchOptions::paper());
+            explore(&mut memo, &ctx);
             assert_eq!(
                 memo.logical_tree_count(root),
                 expected,
@@ -209,7 +205,7 @@ mod tests {
         // 2^9 · Catalan(9) = 512 · 4862 = 2,489,344 logical trees, held in
         // a memo of ~55 join groups — the sharing argument of Section 3.
         let (_cat, ctx, mut memo, root) = chain(10);
-        explore(&mut memo, &ctx, &SearchOptions::paper());
+        explore(&mut memo, &ctx);
         assert_eq!(memo.logical_tree_count(root), 2_489_344.0);
         // Join groups = contiguous ranges of length >= 2: 9+8+...+1 = 45,
         // plus 10 Get leaves.
@@ -219,10 +215,10 @@ mod tests {
     #[test]
     fn exploration_is_idempotent() {
         let (_cat, ctx, mut memo, root) = chain(3);
-        explore(&mut memo, &ctx, &SearchOptions::paper());
+        explore(&mut memo, &ctx);
         let exprs = memo.expr_count();
         let trees = memo.logical_tree_count(root);
-        let more = explore(&mut memo, &ctx, &SearchOptions::paper());
+        let more = explore(&mut memo, &ctx);
         assert_eq!(more, 0, "fixpoint reached");
         assert_eq!(memo.expr_count(), exprs);
         assert_eq!(memo.logical_tree_count(root), trees);
@@ -231,7 +227,7 @@ mod tests {
     #[test]
     fn no_cross_product_groups_for_chains() {
         let (_cat, ctx, mut memo, _root) = chain(4);
-        explore(&mut memo, &ctx, &SearchOptions::paper());
+        explore(&mut memo, &ctx);
         // Every join group must cover a contiguous range of the chain:
         // non-contiguous sets would require a cross product.
         for i in 0..memo.group_count() {
@@ -246,28 +242,10 @@ mod tests {
     }
 
     #[test]
-    fn cross_products_enabled_reach_more_groups() {
-        let (_cat, ctx, mut memo, _) = chain(3);
-        explore(&mut memo, &ctx, &SearchOptions::paper());
-        let connected_only = memo.group_count();
-
-        let (_cat2, ctx2, mut memo2, _) = chain(3);
-        let opts = SearchOptions {
-            allow_cross_products: true,
-            ..SearchOptions::paper()
-        };
-        explore(&mut memo2, &ctx2, &opts);
-        assert!(
-            memo2.group_count() > connected_only,
-            "cross products add the non-contiguous group {{r0,r2}}"
-        );
-    }
-
-    #[test]
     fn commute_doubles_two_way_join() {
         let (_cat, ctx, mut memo, root) = chain(2);
         assert_eq!(memo.exprs(root).count(), 1);
-        explore(&mut memo, &ctx, &SearchOptions::paper());
+        explore(&mut memo, &ctx);
         assert_eq!(memo.exprs(root).count(), 2, "original + commuted");
     }
 
@@ -277,7 +255,7 @@ mod tests {
         // (connected L, connected R) partition: {r0}{r1r2r3}, {r0r1}{r2r3},
         // {r0r1r2}{r3} and their commuted forms: 6 expressions.
         let (_cat, ctx, mut memo, root) = chain(4);
-        explore(&mut memo, &ctx, &SearchOptions::paper());
+        explore(&mut memo, &ctx);
         let joins = memo
             .exprs(root)
             .filter(|e| matches!(e.op, LogicalOp::Join { .. }))

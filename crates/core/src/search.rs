@@ -112,7 +112,7 @@ impl<'a> Optimizer<'a> {
         let ctx = QueryContext::build(query, self.catalog)?;
         let mut memo = Memo::for_query(&ctx);
         let root = seed(&mut memo, query, &ctx);
-        rules::explore(&mut memo, &ctx, &self.options);
+        rules::explore(&mut memo, &ctx);
         Ok((ctx, memo, root))
     }
 
@@ -255,6 +255,10 @@ struct Inputs<'a> {
     env: &'a Environment,
     model: CostModel<'a>,
     opts: SearchOptions,
+    /// Drop a candidate whose cost is exactly *equal* to a retained plan's
+    /// ("it would be acceptable to make an arbitrary decision", Section
+    /// 3): in point mode, as traditional optimizers pick one; interval
+    /// mode keeps both (the paper's conservative prototype).
     tie_break: bool,
     /// The query's selections, by relation, each selectivity evaluated
     /// once for the run.
@@ -291,9 +295,7 @@ impl<'a> Inputs<'a> {
             env,
             model,
             opts,
-            tie_break: opts
-                .tie_break_equal
-                .unwrap_or(env.mode == PlanningMode::Point),
+            tie_break: env.mode == PlanningMode::Point,
             selections,
             selected,
         }

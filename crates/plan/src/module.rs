@@ -15,7 +15,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dqep_algebra::{CompareOp, HostVar, JoinPred, PhysicalOp, Scalar, SelectPred};
 use dqep_catalog::{AttrId, IndexId, RelationId, SystemConfig};
 use dqep_cost::{Cost, PlanStats};
@@ -127,22 +126,22 @@ impl AccessModule {
     /// forward pass. Total cost and delivered order are derived, not
     /// stored.
     #[must_use]
-    pub fn serialize(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.plan.len() * 96);
-        buf.put_u32(self.plan.len() as u32);
+    pub fn serialize(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.plan.len() * 96);
+        put(&mut buf, (self.plan.len() as u32).to_be_bytes());
         for (id, node) in self.plan.iter() {
             encode_op(&mut buf, &node.op, self.plan.join_preds(id));
-            buf.put_f64(node.stats.card.lo());
-            buf.put_f64(node.stats.card.hi());
-            buf.put_f64(node.stats.row_bytes);
+            put(&mut buf, node.stats.card.lo().to_be_bytes());
+            put(&mut buf, node.stats.card.hi().to_be_bytes());
+            put(&mut buf, node.stats.row_bytes.to_be_bytes());
             encode_cost(&mut buf, node.self_cost);
             let children = self.plan.children(id);
-            buf.put_u16(children.len() as u16);
+            put(&mut buf, (children.len() as u16).to_be_bytes());
             for c in children {
-                buf.put_u32(c.0);
+                put(&mut buf, c.0.to_be_bytes());
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes a module previously produced by [`AccessModule::serialize`],
@@ -152,8 +151,8 @@ impl AccessModule {
     /// and the input ends with the last node. What decodes satisfies
     /// [`Plan::check_invariants`] and equals the plan that was encoded,
     /// ids included.
-    pub fn deserialize(mut bytes: Bytes) -> Result<AccessModule, ModuleError> {
-        let buf = &mut bytes;
+    pub fn deserialize(bytes: Vec<u8>) -> Result<AccessModule, ModuleError> {
+        let buf = &mut bytes.as_slice();
         let count = get_u32(buf)? as usize;
         if count == 0 {
             return Err(ModuleError::Empty);
@@ -186,8 +185,8 @@ impl AccessModule {
             }
             plan.push(op, &children, &preds, PlanStats::new(card, row_bytes), self_cost);
         }
-        if buf.remaining() > 0 {
-            return Err(ModuleError::TrailingBytes(buf.remaining()));
+        if !buf.is_empty() {
+            return Err(ModuleError::TrailingBytes(buf.len()));
         }
         match plan.unreachable_node() {
             Some(id) => Err(ModuleError::Unreachable(id.0)),
@@ -210,24 +209,24 @@ const TAG_CHOOSE_PLAN: u8 = 8;
 
 /// Writes an operator with its join predicates where the operator's own
 /// fields always had them.
-fn encode_op(buf: &mut BytesMut, op: &PhysicalOp, preds: &[JoinPred]) {
+fn encode_op(buf: &mut Vec<u8>, op: &PhysicalOp, preds: &[JoinPred]) {
     match op {
         PhysicalOp::FileScan { relation } => {
-            buf.put_u8(TAG_FILE_SCAN);
-            buf.put_u32(relation.0);
+            buf.push(TAG_FILE_SCAN);
+            put(buf, relation.0.to_be_bytes());
         }
         PhysicalOp::BtreeScan {
             relation,
             index,
             key_attr,
         } => {
-            buf.put_u8(TAG_BTREE_SCAN);
-            buf.put_u32(relation.0);
-            buf.put_u32(index.0);
+            buf.push(TAG_BTREE_SCAN);
+            put(buf, relation.0.to_be_bytes());
+            put(buf, index.0.to_be_bytes());
             encode_attr(buf, *key_attr);
         }
         PhysicalOp::Filter { predicate } => {
-            buf.put_u8(TAG_FILTER);
+            buf.push(TAG_FILTER);
             encode_pred(buf, predicate);
         }
         PhysicalOp::FilterBtreeScan {
@@ -235,17 +234,17 @@ fn encode_op(buf: &mut BytesMut, op: &PhysicalOp, preds: &[JoinPred]) {
             index,
             predicate,
         } => {
-            buf.put_u8(TAG_FILTER_BTREE_SCAN);
-            buf.put_u32(relation.0);
-            buf.put_u32(index.0);
+            buf.push(TAG_FILTER_BTREE_SCAN);
+            put(buf, relation.0.to_be_bytes());
+            put(buf, index.0.to_be_bytes());
             encode_pred(buf, predicate);
         }
         PhysicalOp::HashJoin => {
-            buf.put_u8(TAG_HASH_JOIN);
+            buf.push(TAG_HASH_JOIN);
             encode_join_preds(buf, preds);
         }
         PhysicalOp::MergeJoin => {
-            buf.put_u8(TAG_MERGE_JOIN);
+            buf.push(TAG_MERGE_JOIN);
             encode_join_preds(buf, preds);
         }
         PhysicalOp::IndexJoin {
@@ -253,28 +252,28 @@ fn encode_op(buf: &mut BytesMut, op: &PhysicalOp, preds: &[JoinPred]) {
             index,
             residual,
         } => {
-            buf.put_u8(TAG_INDEX_JOIN);
+            buf.push(TAG_INDEX_JOIN);
             encode_join_preds(buf, preds);
-            buf.put_u32(inner.0);
-            buf.put_u32(index.0);
+            put(buf, inner.0.to_be_bytes());
+            put(buf, index.0.to_be_bytes());
             match residual {
                 Some(p) => {
-                    buf.put_u8(1);
+                    buf.push(1);
                     encode_pred(buf, p);
                 }
-                None => buf.put_u8(0),
+                None => buf.push(0),
             }
         }
         PhysicalOp::Sort { attr } => {
-            buf.put_u8(TAG_SORT);
+            buf.push(TAG_SORT);
             encode_attr(buf, *attr);
         }
-        PhysicalOp::ChoosePlan => buf.put_u8(TAG_CHOOSE_PLAN),
+        PhysicalOp::ChoosePlan => buf.push(TAG_CHOOSE_PLAN),
     }
 }
 
 /// Reads an operator, its join predicates into `preds` (cleared first).
-fn decode_op(buf: &mut Bytes, preds: &mut Vec<JoinPred>) -> Result<PhysicalOp, ModuleError> {
+fn decode_op(buf: &mut &[u8], preds: &mut Vec<JoinPred>) -> Result<PhysicalOp, ModuleError> {
     preds.clear();
     let tag = get_u8(buf)?;
     Ok(match tag {
@@ -325,21 +324,21 @@ fn decode_op(buf: &mut Bytes, preds: &mut Vec<JoinPred>) -> Result<PhysicalOp, M
     })
 }
 
-fn encode_attr(buf: &mut BytesMut, attr: AttrId) {
-    buf.put_u32(attr.relation.0);
-    buf.put_u32(attr.index);
+fn encode_attr(buf: &mut Vec<u8>, attr: AttrId) {
+    put(buf, attr.relation.0.to_be_bytes());
+    put(buf, attr.index.to_be_bytes());
 }
 
-fn decode_attr(buf: &mut Bytes) -> Result<AttrId, ModuleError> {
+fn decode_attr(buf: &mut &[u8]) -> Result<AttrId, ModuleError> {
     Ok(AttrId {
         relation: RelationId(get_u32(buf)?),
         index: get_u32(buf)?,
     })
 }
 
-fn encode_pred(buf: &mut BytesMut, p: &SelectPred) {
+fn encode_pred(buf: &mut Vec<u8>, p: &SelectPred) {
     encode_attr(buf, p.attr);
-    buf.put_u8(match p.op {
+    buf.push(match p.op {
         CompareOp::Lt => 0,
         CompareOp::Le => 1,
         CompareOp::Eq => 2,
@@ -348,17 +347,17 @@ fn encode_pred(buf: &mut BytesMut, p: &SelectPred) {
     });
     match p.rhs {
         Scalar::Const(v) => {
-            buf.put_u8(0);
-            buf.put_i64(v);
+            buf.push(0);
+            put(buf, v.to_be_bytes());
         }
         Scalar::Host(h) => {
-            buf.put_u8(1);
-            buf.put_u32(h.0);
+            buf.push(1);
+            put(buf, h.0.to_be_bytes());
         }
     }
 }
 
-fn decode_pred(buf: &mut Bytes) -> Result<SelectPred, ModuleError> {
+fn decode_pred(buf: &mut &[u8]) -> Result<SelectPred, ModuleError> {
     let attr = decode_attr(buf)?;
     let op = match get_u8(buf)? {
         0 => CompareOp::Lt,
@@ -376,15 +375,15 @@ fn decode_pred(buf: &mut Bytes) -> Result<SelectPred, ModuleError> {
     Ok(SelectPred { attr, op, rhs })
 }
 
-fn encode_join_preds(buf: &mut BytesMut, ps: &[JoinPred]) {
-    buf.put_u16(ps.len() as u16);
+fn encode_join_preds(buf: &mut Vec<u8>, ps: &[JoinPred]) {
+    put(buf, (ps.len() as u16).to_be_bytes());
     for p in ps {
         encode_attr(buf, p.left);
         encode_attr(buf, p.right);
     }
 }
 
-fn decode_join_preds(buf: &mut Bytes, out: &mut Vec<JoinPred>) -> Result<(), ModuleError> {
+fn decode_join_preds(buf: &mut &[u8], out: &mut Vec<JoinPred>) -> Result<(), ModuleError> {
     let n = get_u16(buf)? as usize;
     for _ in 0..n {
         let left = decode_attr(buf)?;
@@ -394,50 +393,56 @@ fn decode_join_preds(buf: &mut Bytes, out: &mut Vec<JoinPred>) -> Result<(), Mod
     Ok(())
 }
 
-fn encode_cost(buf: &mut BytesMut, c: Cost) {
-    buf.put_f64(c.cpu.lo());
-    buf.put_f64(c.cpu.hi());
-    buf.put_f64(c.io.lo());
-    buf.put_f64(c.io.hi());
+fn encode_cost(buf: &mut Vec<u8>, c: Cost) {
+    put(buf, c.cpu.lo().to_be_bytes());
+    put(buf, c.cpu.hi().to_be_bytes());
+    put(buf, c.io.lo().to_be_bytes());
+    put(buf, c.io.hi().to_be_bytes());
 }
 
-fn decode_cost(buf: &mut Bytes) -> Result<Cost, ModuleError> {
+fn decode_cost(buf: &mut &[u8]) -> Result<Cost, ModuleError> {
     let cpu = decode_interval(buf)?;
     let io = decode_interval(buf)?;
     Ok(Cost::new(cpu, io))
 }
 
-fn decode_interval(buf: &mut Bytes) -> Result<Interval, ModuleError> {
+fn decode_interval(buf: &mut &[u8]) -> Result<Interval, ModuleError> {
     let lo = get_f64(buf)?;
     let hi = get_f64(buf)?;
     Interval::try_new(lo, hi).map_err(|_| ModuleError::BadNumber)
 }
 
-/// Reads one `size`-byte field with `read`, or reports truncation.
-fn get<T>(buf: &mut Bytes, size: usize, read: fn(&mut Bytes) -> T) -> Result<T, ModuleError> {
-    (buf.remaining() >= size)
-        .then(|| read(buf))
-        .ok_or(ModuleError::Truncated)
+/// Appends one big-endian field.
+fn put<const N: usize>(buf: &mut Vec<u8>, bytes: [u8; N]) {
+    buf.extend_from_slice(&bytes);
 }
 
-fn get_u8(buf: &mut Bytes) -> Result<u8, ModuleError> {
-    get(buf, 1, Bytes::get_u8)
+/// Consumes one `N`-byte field off the front of `buf`, or reports
+/// truncation.
+fn get<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], ModuleError> {
+    let (field, rest) = buf.split_first_chunk::<N>().ok_or(ModuleError::Truncated)?;
+    *buf = rest;
+    Ok(*field)
 }
 
-fn get_u16(buf: &mut Bytes) -> Result<u16, ModuleError> {
-    get(buf, 2, Bytes::get_u16)
+fn get_u8(buf: &mut &[u8]) -> Result<u8, ModuleError> {
+    get(buf).map(u8::from_be_bytes)
 }
 
-fn get_u32(buf: &mut Bytes) -> Result<u32, ModuleError> {
-    get(buf, 4, Bytes::get_u32)
+fn get_u16(buf: &mut &[u8]) -> Result<u16, ModuleError> {
+    get(buf).map(u16::from_be_bytes)
 }
 
-fn get_i64(buf: &mut Bytes) -> Result<i64, ModuleError> {
-    get(buf, 8, Bytes::get_i64)
+fn get_u32(buf: &mut &[u8]) -> Result<u32, ModuleError> {
+    get(buf).map(u32::from_be_bytes)
 }
 
-fn get_f64(buf: &mut Bytes) -> Result<f64, ModuleError> {
-    get(buf, 8, Bytes::get_f64)
+fn get_i64(buf: &mut &[u8]) -> Result<i64, ModuleError> {
+    get(buf).map(i64::from_be_bytes)
+}
+
+fn get_f64(buf: &mut &[u8]) -> Result<f64, ModuleError> {
+    get(buf).map(f64::from_be_bytes)
 }
 
 #[cfg(test)]
@@ -556,26 +561,15 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(matches!(
-            AccessModule::deserialize(Bytes::from_static(&[0, 0])),
+            AccessModule::deserialize(vec![0, 0]),
             Err(ModuleError::Truncated)
         ));
-        let empty = {
-            let mut b = BytesMut::new();
-            b.put_u32(0);
-            b.freeze()
-        };
         assert!(matches!(
-            AccessModule::deserialize(empty),
+            AccessModule::deserialize(0u32.to_be_bytes().to_vec()),
             Err(ModuleError::Empty)
         ));
-        let bad_tag = {
-            let mut b = BytesMut::new();
-            b.put_u32(1);
-            b.put_u8(99);
-            b.freeze()
-        };
         assert!(matches!(
-            AccessModule::deserialize(bad_tag),
+            AccessModule::deserialize(vec![0, 0, 0, 1, 99]),
             Err(ModuleError::BadTag(99))
         ));
     }
@@ -612,11 +606,10 @@ mod tests {
             Cost::ZERO,
         );
         let image = AccessModule::new(Arc::new(p)).serialize();
-        let mut forward = BytesMut::new();
-        forward.extend_from_slice(&image[..image.len() - 4]);
-        forward.put_u32(1);
+        let mut forward = image[..image.len() - 4].to_vec();
+        forward.extend_from_slice(&1u32.to_be_bytes());
         assert_eq!(
-            AccessModule::deserialize(forward.freeze()).unwrap_err(),
+            AccessModule::deserialize(forward).unwrap_err(),
             ModuleError::BadChildRef(1)
         );
     }

@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes, BytesMut};
 use dqep_algebra::{CompareOp, HostVar, PhysicalOp, SelectPred};
 use dqep_catalog::{AttrId, RelationId};
 use dqep_cost::{Cost, PlanStats};
@@ -27,7 +26,7 @@ fn assert_adopted(module: &AccessModule, bytes: &[u8]) {
 /// Filter over a scan under a choose-plan against an index scan: every
 /// field kind the format has (relation, index, predicate, host variable,
 /// intervals, child lists of 0, 1 and 2).
-fn sample() -> Bytes {
+fn sample() -> Vec<u8> {
     let mut p = Plan::new();
     let pred = SelectPred::unbound(
         AttrId { relation: RelationId(0), index: 0 },
@@ -65,17 +64,14 @@ fn sample() -> Bytes {
 
 /// One stored node: operator bytes, then card `[1, 1]`, `row_bytes`, a
 /// zero cost and the child ordinals.
-fn raw_node(buf: &mut BytesMut, op: &[u8], row_bytes: f64, children: &[u32]) {
+fn raw_node(buf: &mut Vec<u8>, op: &[u8], row_bytes: f64, children: &[u32]) {
     buf.extend_from_slice(op);
-    buf.put_f64(1.0);
-    buf.put_f64(1.0);
-    buf.put_f64(row_bytes);
-    for _ in 0..4 {
-        buf.put_f64(0.0);
+    for number in [1.0, 1.0, row_bytes, 0.0, 0.0, 0.0, 0.0] {
+        buf.extend_from_slice(&f64::to_be_bytes(number));
     }
-    buf.put_u16(children.len() as u16);
+    buf.extend_from_slice(&(children.len() as u16).to_be_bytes());
     for c in children {
-        buf.put_u32(*c);
+        buf.extend_from_slice(&c.to_be_bytes());
     }
 }
 
@@ -84,11 +80,10 @@ const FILE_SCAN_R0: &[u8] = &[0, 0, 0, 0, 0];
 const HASH_JOIN: &[u8] = &[4, 0, 0];
 const CHOOSE_PLAN: &[u8] = &[8];
 
-fn module(nodes: u32, body: impl FnOnce(&mut BytesMut)) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32(nodes);
+fn module(nodes: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = nodes.to_be_bytes().to_vec();
     body(&mut buf);
-    buf.freeze()
+    buf
 }
 
 #[test]
@@ -151,7 +146,7 @@ proptest! {
     /// back to the same bytes or fail with a typed error — never panic.
     #[test]
     fn deserialize_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        if let Ok(module) = AccessModule::deserialize(Bytes::from(bytes.clone())) {
+        if let Ok(module) = AccessModule::deserialize(bytes.clone()) {
             assert_adopted(&module, &bytes);
         }
     }
@@ -161,10 +156,10 @@ proptest! {
     /// otherwise well-formed table.
     #[test]
     fn a_damaged_module_is_rejected_or_whole(at in 0usize..4096, to in any::<u8>()) {
-        let mut bytes = sample().to_vec();
+        let mut bytes = sample();
         let at = at % bytes.len();
         bytes[at] = to;
-        if let Ok(module) = AccessModule::deserialize(Bytes::from(bytes.clone())) {
+        if let Ok(module) = AccessModule::deserialize(bytes.clone()) {
             assert_adopted(&module, &bytes);
         }
     }
@@ -175,7 +170,7 @@ proptest! {
     fn truncation_is_detected(cut in 1usize..400) {
         let full = sample();
         prop_assume!(cut < full.len());
-        let truncated = full.slice(0..cut);
+        let truncated = full[..cut].to_vec();
         prop_assert!(AccessModule::deserialize(truncated).is_err());
     }
 }

@@ -1,9 +1,10 @@
 //! Sharded query execution: partitioned replicas, repartitioning network
 //! exchange, and **per-shard** dynamic-plan arbitration.
 //!
-//! A [`ShardedService`] partitions every relation of one generated
-//! database across `N` shard replicas (hash or range routing on a chosen
-//! attribute). Each shard owns its own [`StoredDatabase`], its own
+//! A [`ShardedService`] loads every relation across `N` shard replicas:
+//! one generation pass routes each row, as it is drawn, to its shard
+//! (hash or range routing on a chosen attribute), and no global copy of
+//! the data is ever built. Each shard owns its own [`StoredDatabase`], its own
 //! **local catalog statistics** (cardinalities refreshed and histograms
 //! rebuilt from its partition alone), its own resource governor, and its
 //! own tracer. The coordinator optimizes each query **once** into
@@ -38,25 +39,27 @@
 //! in exactly one place: [`ShardOutcome::rows`], built once by the
 //! coordinator.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use dqep_algebra::LogicalExpr;
-use dqep_catalog::{AttrId, Catalog, RelationId};
+use dqep_catalog::{AttrId, Catalog, Relation, RelationId};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    credit_frames, decode_frame_traced, encode_frame_dense, join_batches, journal, kway_merge,
-    merge_distributed, presized_batch, scatter_by_shard, sort_batches, ChooseAudit, EventKind,
-    ExecContext, ExecError, FrameTrace, LinkFaultPlan, NetChannel, NetConfig, NetSpanStats,
-    NetStats, ReoptConfig, ReoptState, Resource, ResourceLimits, RootSink, RowBatch,
-    SharedCounters, SimNet,
-    SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
+    credit_frames, decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal,
+    kway_merge, merge_distributed, presized_batch, scatter_by_shard, sort_batches, ChooseAudit,
+    EventKind, ExecContext, ExecError, FrameTrace, LinkFaultPlan, NetChannel, NetConfig,
+    NetSpanStats, NetStats, ReoptConfig, ReoptState, Resource, ResourceLimits, RootSink, RowBatch,
+    SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout,
+    BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, ParsedPredicate};
-use dqep_storage::{install_histograms, StoredDatabase, ValueDistribution};
+use dqep_storage::{
+    install_histograms, install_union_histograms, StoredDatabase, ValueDistribution,
+};
 
 use crate::error::ServiceError;
 use crate::metrics::{Hist, Metric, MetricsRegistry, MetricsReport};
@@ -84,11 +87,24 @@ pub enum ShardRouting {
 }
 
 impl ShardRouting {
-    fn attr_index(self, arity: usize) -> usize {
+    /// The shard of `shards` a row of `rel` is loaded on. Hash routing is
+    /// [`dqep_executor::shard_route`]'s rule for one key column, `hash %
+    /// shards`; range routing slices the attribute's domain into `shards`
+    /// contiguous stripes.
+    fn shard_of(self, rel: &Relation, row: &[i64], shards: usize) -> usize {
         let attr = match self {
             ShardRouting::Hash { attr } | ShardRouting::Range { attr } => attr as usize,
         };
-        attr.min(arity.saturating_sub(1))
+        let attr = attr.min(rel.attributes.len().saturating_sub(1));
+        match self {
+            ShardRouting::Hash { .. } => {
+                (hash_key(&[(attr, attr)], row, true) % shards as u64) as usize
+            }
+            ShardRouting::Range { .. } => {
+                let domain = rel.attributes[attr].domain_size.max(1.0);
+                ((row[attr].max(0) as f64 * shards as f64 / domain) as usize).min(shards - 1)
+            }
+        }
     }
 }
 
@@ -115,8 +131,8 @@ pub struct ShardConfig {
     pub limits: ResourceLimits,
     /// Simulated per-page I/O latency on every shard's disk, µs.
     pub io_latency_micros: u64,
-    /// Seed of the deterministic global database the partitions are
-    /// routed from.
+    /// Seed of the deterministic data generation the shards are loaded
+    /// from (the rows `StoredDatabase::generate_profiled` draws).
     pub data_seed: u64,
     /// Zipf exponent applied to the *selection* attribute (index 0) of
     /// every relation; join attributes stay uniform. `None`: uniform.
@@ -349,12 +365,12 @@ impl std::fmt::Debug for ShardedService {
 }
 
 impl ShardedService {
-    /// Builds the service: generates the global database
-    /// deterministically, routes every relation's rows to its shard,
-    /// loads each partition with all indexes, and refreshes each shard's
-    /// catalog statistics (cardinalities *and* histograms) from its
-    /// partition alone. The coordinator keeps global statistics with
-    /// histograms over the full data.
+    /// Builds the service: generates every relation deterministically
+    /// and loads each row, as it is drawn, onto the shard the routing
+    /// names, with all indexes. The coordinator's statistics are
+    /// histograms over the union of the shards' rows; each shard's catalog
+    /// starts as a copy of them and then has its cardinalities *and*
+    /// histograms refreshed from its partition alone.
     ///
     /// # Panics
     /// Panics when the catalog's page size differs from the storage page
@@ -367,22 +383,21 @@ impl ShardedService {
         });
         // Skew only the selection attribute; join columns stay uniform so
         // estimation error is localized where the routing can see it.
-        let global = StoredDatabase::generate_profiled(&catalog, config.data_seed, |_, ai| {
-            if ai == 0 {
-                dist
-            } else {
-                ValueDistribution::Uniform
-            }
-        });
-        install_histograms(&global, &mut catalog, config.histogram_buckets)
+        let profile = |_, ai| if ai == 0 { dist } else { ValueDistribution::Uniform };
+        let dbs = StoredDatabase::generate_routed(
+            &catalog,
+            config.data_seed,
+            profile,
+            shards,
+            |rel, row| config.routing.shard_of(rel, row, shards),
+        );
+        // Before the shard catalogs are cloned from it: a shard with no
+        // rows of a relation keeps the coordinator's histogram.
+        install_union_histograms(&dbs, &mut catalog, config.histogram_buckets)
             .unwrap_or_else(|e| unreachable!("fresh disk cannot fault: {e}"));
-
-        let rows = global.export_rows();
-        let parts = partition_rows(&catalog, &rows, config.routing, shards);
-        let shards: Vec<Shard> = parts
-            .iter()
-            .map(|part| {
-                let db = StoredDatabase::from_rows(&catalog, part);
+        let shards: Vec<Shard> = dbs
+            .into_iter()
+            .map(|db| {
                 let mut local = catalog.clone();
                 db.refresh_stats(&mut local);
                 // Before the pacing: the histogram scan's reads are
@@ -1173,71 +1188,11 @@ fn send_net_stats(ch: &NetChannel) -> NetSpanStats {
     }
 }
 
-/// Routes every relation's exported rows to its shard. Hash routing goes
-/// through the batched kernel ([`shard_route`] via a throwaway batch);
-/// range routing slices the attribute's domain into `shards` contiguous
-/// stripes.
-fn partition_rows(
-    catalog: &Catalog,
-    rows: &HashMap<RelationId, Vec<Vec<i64>>>,
-    routing: ShardRouting,
-    shards: usize,
-) -> Vec<HashMap<RelationId, Vec<Vec<i64>>>> {
-    let mut parts: Vec<HashMap<RelationId, Vec<Vec<i64>>>> =
-        (0..shards).map(|_| HashMap::new()).collect();
-    static EMPTY: Vec<Vec<i64>> = Vec::new();
-    for rel in catalog.relations() {
-        let rel_rows = rows.get(&rel.id).unwrap_or(&EMPTY);
-        let attr = routing.attr_index(rel.attributes.len());
-        let dests: Vec<usize> = match routing {
-            ShardRouting::Hash { .. } => {
-                let mut dests = Vec::with_capacity(rel_rows.len());
-                let (mut hash_scratch, mut dest_scratch) = (Vec::new(), Vec::new());
-                let width = rel.attributes.len();
-                let mut batch = RowBatch::with_capacity(width, BATCH_CAPACITY);
-                for chunk in rel_rows.chunks(BATCH_CAPACITY) {
-                    batch.clear();
-                    for row in chunk {
-                        batch.push_row(row);
-                    }
-                    dqep_executor::shard_route(
-                        &batch,
-                        &[attr],
-                        shards,
-                        &mut hash_scratch,
-                        &mut dest_scratch,
-                    );
-                    dests.extend(dest_scratch.iter().map(|&d| d as usize));
-                }
-                dests
-            }
-            ShardRouting::Range { .. } => {
-                let domain = rel.attributes[attr].domain_size.max(1.0);
-                rel_rows
-                    .iter()
-                    .map(|row| {
-                        let v = row[attr].max(0) as f64;
-                        ((v * shards as f64 / domain) as usize).min(shards - 1)
-                    })
-                    .collect()
-            }
-        };
-        for part in &mut parts {
-            part.insert(rel.id, Vec::new());
-        }
-        for (row, &d) in rel_rows.iter().zip(&dests) {
-            if let Some(bucket) = parts[d].get_mut(&rel.id) {
-                bucket.push(row.clone());
-            }
-        }
-    }
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dqep_catalog::{make_chain_catalog, SyntheticSpec, SystemConfig};
+    use dqep_storage::IoStats;
 
     fn chain_sql(n: usize) -> String {
         let from: Vec<String> = (1..=n).map(|i| format!("R{i}")).collect();
@@ -1252,8 +1207,8 @@ mod tests {
     }
 
     fn single_node_rows(relations: usize, binds: &[(&str, i64)], sql: &str) -> Vec<Tuple> {
-        // The single-node baseline shares catalog, seed, and distribution
-        // with the sharded service's global database.
+        // The single-node baseline: one shard holds every row the
+        // service generates.
         let svc = ShardedService::new(
             catalog(relations),
             ShardConfig { shards: 1, ..ShardConfig::default() },
@@ -1301,6 +1256,101 @@ mod tests {
                             assert_eq!((stripe(lo), stripe(hi)), (d, d), "{what}: [{lo}, {hi}]");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The shards are loaded, not copied: under hash and range routing,
+    /// on a power-of-two shard count (the mask) and on three (the divide),
+    /// each shard holds, per relation and in generation order, exactly
+    /// the rows of the one generated database that route to it; the
+    /// coordinator's histograms are the ones that database yields; and no
+    /// shard's disk has counted any I/O before its first query.
+    #[test]
+    fn shards_hold_the_generated_rows_that_route_to_them() {
+        let catalog = catalog(2);
+        for routing in [
+            ShardRouting::Hash { attr: 0 },
+            ShardRouting::Range { attr: 0 },
+        ] {
+            for shards in [1usize, 3, 4] {
+                let config = ShardConfig {
+                    shards,
+                    routing,
+                    skew: Some(1.2),
+                    ..ShardConfig::default()
+                };
+                let buckets = config.histogram_buckets;
+                let svc = ShardedService::new(catalog.clone(), config.clone());
+                let zipf = ValueDistribution::Zipf { exponent: 1.2 };
+                let db = StoredDatabase::generate_profiled(&catalog, config.data_seed, |_, ai| {
+                    if ai == 0 {
+                        zipf
+                    } else {
+                        ValueDistribution::Uniform
+                    }
+                });
+                let mut global = catalog.clone();
+                install_histograms(&db, &mut global, buckets).expect("histograms");
+                let rows = db.export_rows();
+                let exported: Vec<_> = svc.shards().iter().map(|s| s.db.export_rows()).collect();
+                for rel in catalog.relations() {
+                    let what = format!("{routing:?} {shards} shards {}", rel.name);
+                    // Routed independently of the load: the exchange's
+                    // batched kernel, or the range stripes.
+                    let mut batch = RowBatch::with_capacity(rel.attributes.len(), 1);
+                    rows[&rel.id].iter().for_each(|row| batch.push_row(row));
+                    let dests: Vec<usize> = match routing {
+                        ShardRouting::Hash { .. } => {
+                            let (mut hashes, mut dests) = (Vec::new(), Vec::new());
+                            dqep_executor::shard_route(
+                                &batch,
+                                &[0],
+                                shards,
+                                &mut hashes,
+                                &mut dests,
+                            );
+                            dests.into_iter().map(|d| d as usize).collect()
+                        }
+                        ShardRouting::Range { .. } => {
+                            let domain = rel.attributes[0].domain_size;
+                            batch
+                                .column(0)
+                                .iter()
+                                .map(|&v| {
+                                    ((v as f64 * shards as f64 / domain) as usize).min(shards - 1)
+                                })
+                                .collect()
+                        }
+                    };
+                    for (d, shard) in exported.iter().enumerate() {
+                        let expect: Vec<&Vec<i64>> = rows[&rel.id]
+                            .iter()
+                            .zip(&dests)
+                            .filter_map(|(row, &to)| (to == d).then_some(row))
+                            .collect();
+                        let got: Vec<&Vec<i64>> = shard[&rel.id].iter().collect();
+                        assert_eq!(got, expect, "{what}: shard {d}");
+                    }
+                    for index in 0..rel.attributes.len() as u32 {
+                        let attr = AttrId {
+                            relation: rel.id,
+                            index,
+                        };
+                        assert_eq!(
+                            svc.catalog().histogram(attr),
+                            global.histogram(attr),
+                            "{what}: attr {index}"
+                        );
+                    }
+                }
+                for (d, shard) in svc.shards().iter().enumerate() {
+                    assert_eq!(
+                        shard.db.disk.stats(),
+                        IoStats::default(),
+                        "{routing:?} shard {d}"
+                    );
                 }
             }
         }

@@ -195,12 +195,32 @@ pub fn install_histograms(
     catalog: &mut Catalog,
     buckets: usize,
 ) -> Result<(), crate::StorageError> {
+    install_union_histograms(std::slice::from_ref(db), catalog, buckets)
+}
+
+/// [`install_histograms`] over the union of several databases' rows —
+/// the coordinator's statistics, built from its shards: each column's
+/// histogram counts that column's values on every database, and every
+/// disk's I/O statistics are reset afterwards. A histogram does not
+/// depend on the order its values come in, so the union of a routed
+/// load's shards yields the histograms of the one database they split.
+///
+/// # Errors
+/// Propagates scan failures — possible only when a fault plan is already
+/// installed on one of the disks.
+pub fn install_union_histograms(
+    dbs: &[StoredDatabase],
+    catalog: &mut Catalog,
+    buckets: usize,
+) -> Result<(), crate::StorageError> {
     let rel_ids: Vec<RelationId> = catalog.relations().iter().map(|r| r.id).collect();
     for rel_id in rel_ids {
-        let table = db.table(rel_id);
-        let mut columns: Vec<Vec<i64>> = vec![Vec::new(); table.n_attrs];
-        for page in table.heap.scan_pages() {
-            decode_page_slots_into(&page?, 0, usize::MAX, &mut columns);
+        let n_attrs = catalog.relation(rel_id).attributes.len();
+        let mut columns: Vec<Vec<i64>> = vec![Vec::new(); n_attrs];
+        for db in dbs {
+            for page in db.table(rel_id).heap.scan_pages() {
+                decode_page_slots_into(&page?, 0, usize::MAX, &mut columns);
+            }
         }
         for (i, column) in columns.into_iter().enumerate() {
             if let Some(h) = Histogram::build(column, buckets) {
@@ -214,8 +234,13 @@ pub fn install_histograms(
             }
         }
     }
-    db.disk.reset_stats();
+    dbs.iter().for_each(|db| db.disk.reset_stats());
     Ok(())
+}
+
+/// The database of a one-shard load.
+fn only(mut dbs: Vec<StoredDatabase>) -> StoredDatabase {
+    dbs.pop().unwrap_or_else(|| unreachable!("a load builds at least one database"))
 }
 
 /// A fully loaded synthetic database: written once, at load, and then
@@ -259,7 +284,8 @@ impl StoredDatabase {
     /// chosen per attribute: `profile(relation, attr_index)` decides how
     /// that column's values are drawn. This is how benchmarks localize
     /// skew to one predicate column while keeping join columns uniform
-    /// (so only the targeted estimate drifts).
+    /// (so only the targeted estimate drifts). It is the one-shard case of
+    /// [`StoredDatabase::generate_routed`].
     ///
     /// # Panics
     /// Panics when the catalog's page size differs from the storage page
@@ -270,11 +296,32 @@ impl StoredDatabase {
         seed: u64,
         profile: impl Fn(RelationId, usize) -> ValueDistribution,
     ) -> StoredDatabase {
+        only(Self::generate_routed(catalog, seed, profile, 1, |_, _| 0))
+    }
+
+    /// Generates the rows [`StoredDatabase::generate_profiled`] draws —
+    /// the same per-relation seeds, profile and Zipf CDFs — and loads
+    /// each one, as it is drawn, into database `route(relation, row)` of
+    /// `shards`: one generation pass builds every shard, and no relation
+    /// is ever held whole. A shard holds its rows in generation order, on
+    /// the page ids a load of just those rows would give them.
+    ///
+    /// # Panics
+    /// Panics when the catalog's page size differs from the storage page
+    /// size, or when `route` names a shard `>= shards`.
+    #[must_use]
+    pub fn generate_routed(
+        catalog: &Catalog,
+        seed: u64,
+        profile: impl Fn(RelationId, usize) -> ValueDistribution,
+        shards: usize,
+        route: impl Fn(&Relation, &[i64]) -> usize,
+    ) -> Vec<StoredDatabase> {
         // Per-(domain, exponent) CDFs for Zipf profiles (cached across
         // attrs; the exponent is keyed by bit pattern).
         let mut cdfs: HashMap<(i64, u64), Vec<f64>> = HashMap::new();
         let mut values = Vec::new();
-        Self::load(catalog, |rel, load| {
+        Self::load(catalog, shards, route, |rel, load| {
             let mut rng = StdRng::seed_from_u64(seed ^ (0x7AB1E << 8) ^ u64::from(rel.id.0));
             for _ in 0..rel.stats.cardinality {
                 values.clear();
@@ -294,13 +341,11 @@ impl StoredDatabase {
         })
     }
 
-    /// Builds a database holding exactly the given rows per relation —
-    /// the constructor shard replicas are loaded through: the coordinator
-    /// routes the globally generated rows to shards, and each shard
-    /// materializes its partition with this. Every catalog index is
-    /// built; loading is unaccounted (like [`StoredDatabase::generate`])
-    /// and I/O counters are reset afterwards. Relations absent from
-    /// `rows` are created empty.
+    /// Builds a database holding exactly the given rows per relation, in
+    /// the order given — how a table is reloaded after its rows changed.
+    /// Every catalog index is built; loading is unaccounted (like
+    /// [`StoredDatabase::generate`]) and I/O counters are reset
+    /// afterwards. Relations absent from `rows` are created empty.
     ///
     /// # Panics
     /// Panics when the catalog's page size differs from the storage page
@@ -310,65 +355,72 @@ impl StoredDatabase {
         catalog: &Catalog,
         rows: &HashMap<RelationId, Vec<Vec<i64>>>,
     ) -> StoredDatabase {
-        Self::load(catalog, |rel, load| {
+        only(Self::load(catalog, 1, |_, _| 0, |rel, load| {
             rows.get(&rel.id).into_iter().flatten().for_each(|row| load(row));
-        })
+        }))
     }
 
-    /// The one load loop behind [`StoredDatabase::generate_profiled`] and
-    /// [`StoredDatabase::from_rows`]: for each relation of `catalog`, a
-    /// heap file and every catalog index, filled with the rows
-    /// `draw(relation, load)` hands to `load` one at a time, as they are
-    /// drawn. Loading is unaccounted; I/O counters are reset afterwards.
+    /// The one load loop behind [`StoredDatabase::generate_routed`] and
+    /// [`StoredDatabase::from_rows`]: for each relation of `catalog` and
+    /// each of `shards` databases, a heap file and every catalog index,
+    /// filled with the rows `draw(relation, load)` hands to `load` one at
+    /// a time, as they are drawn — each into the database
+    /// `route(relation, row)` names. Loading is unaccounted; I/O counters
+    /// are reset afterwards.
     fn load(
         catalog: &Catalog,
+        shards: usize,
+        route: impl Fn(&Relation, &[i64]) -> usize,
         mut draw: impl FnMut(&Relation, &mut dyn FnMut(&[i64])),
-    ) -> StoredDatabase {
+    ) -> Vec<StoredDatabase> {
         assert_eq!(
             catalog.config.page_size as usize, PAGE_SIZE,
             "catalog page size must match storage PAGE_SIZE"
         );
-        let disk = SimDisk::new();
-        let mut tables = HashMap::new();
+        let mut dbs: Vec<StoredDatabase> = (0..shards)
+            .map(|_| StoredDatabase { disk: SimDisk::new(), tables: HashMap::new() })
+            .collect();
         for rel in catalog.relations() {
             let record_len = rel.stats.record_len as usize;
-            let mut heap = HeapFile::new(disk.clone());
-            let mut indexes: HashMap<IndexId, BTree> = rel
-                .indexes
+            let mut tables: Vec<StoredTable> = dbs
                 .iter()
-                .map(|&id| (id, BTree::new(disk.clone())))
+                .map(|db| StoredTable {
+                    relation: rel.id,
+                    heap: HeapFile::new(db.disk.clone()),
+                    indexes: rel
+                        .indexes
+                        .iter()
+                        .map(|&id| (id, BTree::new(db.disk.clone())))
+                        .collect(),
+                    n_attrs: rel.attributes.len(),
+                    record_len,
+                })
                 .collect();
             draw(rel, &mut |values| {
                 assert_eq!(values.len(), rel.attributes.len(), "row arity mismatch");
+                let table = &mut tables[route(rel, values)];
                 // A fresh disk has no fault plan and base-table appends are
                 // unaccounted, so loading cannot fail.
-                let rid = heap.append(&encode_record(values, record_len)).unwrap_or_else(|e| {
-                    unreachable!("load-time append on a fresh disk failed: {e}")
-                });
-                for (&idx_id, tree) in &mut indexes {
+                let rid = table.heap.append(&encode_record(values, record_len)).unwrap_or_else(
+                    |e| unreachable!("load-time append on a fresh disk failed: {e}"),
+                );
+                for (&idx_id, tree) in &mut table.indexes {
                     let key_attr = catalog.index(idx_id).attr.index as usize;
                     tree.insert(values[key_attr], rid);
                 }
             });
-            tables.insert(
-                rel.id,
-                StoredTable {
-                    relation: rel.id,
-                    heap,
-                    indexes,
-                    n_attrs: rel.attributes.len(),
-                    record_len,
-                },
-            );
+            for (db, table) in dbs.iter_mut().zip(tables) {
+                db.tables.insert(rel.id, table);
+            }
         }
-        disk.reset_stats();
-        StoredDatabase { disk, tables }
+        dbs.iter().for_each(|db| db.disk.reset_stats());
+        dbs
     }
 
-    /// Decodes every row of every relation with **unaccounted** reads —
-    /// the coordinator's bulk export when partitioning a generated
-    /// database across shards. Row order is heap order per relation, so
-    /// the export is deterministic.
+    /// Decodes every row of every relation with **unaccounted** reads:
+    /// what an oracle or a reload reads the stored data through. Row order
+    /// is heap order per relation — the order the rows were loaded in —
+    /// so the export is deterministic.
     #[must_use]
     pub fn export_rows(&self) -> HashMap<RelationId, Vec<Vec<i64>>> {
         let mut out = HashMap::new();

@@ -63,7 +63,9 @@ pub use buffer::BufferPool;
 pub use disk::{IoStats, SimDisk, TempPages};
 pub use error::StorageError;
 pub use fault::FaultPlan;
-pub use gen::{install_histograms, StoredDatabase, StoredTable, ValueDistribution};
+pub use gen::{
+    install_histograms, install_union_histograms, StoredDatabase, StoredTable, ValueDistribution,
+};
 pub use heap::{HeapFile, Rid, SpillFile, SpillPage, SpillWriter};
 pub use morsel::{PageClaims, DEFAULT_MORSEL_PAGES};
 pub use page::{PageId, PageRef, PAGE_SIZE};

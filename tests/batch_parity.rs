@@ -12,7 +12,7 @@
 //! that lands mid-batch is delivered after the rows that preceded it.
 
 
-use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, SelectPred};
+use dqep::algebra::{CompareOp, JoinPred, LogicalExpr, PhysicalOp, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
@@ -27,23 +27,11 @@ use proptest::prelude::*;
 
 #[path = "common/oracle.rs"]
 mod oracle;
+#[path = "common/workload.rs"]
+#[allow(dead_code)]
+mod workload;
 
-/// Coarse error class: variant (and resource kind) only.
-fn classify(e: &ExecError) -> String {
-    match e {
-        ExecError::Storage(_) => "storage".into(),
-        ExecError::ResourceExhausted(r) => {
-            let kind = match r {
-                dqep::executor::Resource::Memory { .. } => "memory",
-                dqep::executor::Resource::Rows { .. } => "rows",
-                dqep::executor::Resource::Io { .. } => "io",
-                dqep::executor::Resource::WallClock { .. } => "wall-clock",
-            };
-            format!("resource:{kind}")
-        }
-        other => format!("{other:?}"),
-    }
-}
+use workload::{build, classify, workload_strategy, Shape};
 
 /// [`run`] under `limits`, rows discarded.
 fn run_under(
@@ -56,77 +44,6 @@ fn run_under(
 ) -> Result<ExecSummary, ExecError> {
     let ctx = ExecContext::with_limits(SharedCounters::new(), limits);
     run(plan, db, catalog, env, bindings, &ctx, RootSink::Discard)
-}
-
-/// A randomized 1–3 relation chain workload (mirrors `proptests.rs`,
-/// with smaller cardinalities since every case also generates and
-/// executes against stored data).
-#[derive(Debug, Clone)]
-struct RandomWorkload {
-    cards: Vec<u64>,
-    domain_factors: Vec<f64>,
-    selected: Vec<bool>,
-}
-
-fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
-    (1usize..=3).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(40u64..400, n),
-            proptest::collection::vec(0.2f64..1.25, n),
-            proptest::collection::vec(any::<bool>(), n),
-        )
-            .prop_map(|(cards, domain_factors, mut selected)| {
-                if !selected.iter().any(|s| *s) {
-                    selected[0] = true;
-                }
-                RandomWorkload {
-                    cards,
-                    domain_factors,
-                    selected,
-                }
-            })
-    })
-}
-
-fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, Vec<(HostVar, f64)>) {
-    let mut builder = CatalogBuilder::new(SystemConfig::paper_1994());
-    for (i, (&card, &f)) in w.cards.iter().zip(&w.domain_factors).enumerate() {
-        let name = format!("t{i}");
-        let jdomain = (card as f64 * f).max(1.0).round();
-        builder = builder.relation(&name, card, 512, |r| {
-            r.attr("a", card as f64)
-                .attr("j", jdomain)
-                .btree("a", false)
-                .btree("j", false)
-        });
-    }
-    let catalog = builder.build().expect("valid random catalog");
-    let rels: Vec<_> = catalog.relations().to_vec();
-    let mut hosts = Vec::new();
-    let leaf = |i: usize, hosts: &mut Vec<(HostVar, f64)>| {
-        let mut e = LogicalExpr::get(rels[i].id);
-        if w.selected[i] {
-            let var = HostVar(i as u32);
-            hosts.push((var, rels[i].attributes[0].domain_size));
-            e = e.select(SelectPred::unbound(
-                rels[i].attr_id("a").expect("attr"),
-                CompareOp::Lt,
-                var,
-            ));
-        }
-        e
-    };
-    let mut q = leaf(0, &mut hosts);
-    for i in 1..w.cards.len() {
-        q = q.join(
-            leaf(i, &mut hosts),
-            vec![JoinPred::new(
-                rels[i - 1].attr_id("j").expect("attr"),
-                rels[i].attr_id("j").expect("attr"),
-            )],
-        );
-    }
-    (catalog, q, hosts)
 }
 
 fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
@@ -157,7 +74,7 @@ proptest! {
     /// see the same fault sequence from the same start).
     #[test]
     fn random_plans_execute_identically_in_both_modes(
-        w in workload_strategy(),
+        w in workload_strategy(Shape::PARITY),
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
         hazard in prop_oneof![Just(0u8), Just(1), Just(2)],
@@ -223,7 +140,7 @@ proptest! {
     /// and at every DOP they are the oracle's.
     #[test]
     fn drained_tuples_are_identical(
-        w in workload_strategy(),
+        w in workload_strategy(Shape::PARITY),
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
     ) {

@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
@@ -22,6 +21,22 @@ use dqep::service::PreparedStatement;
 use dqep::sql::parse_query;
 use dqep::storage::{FaultPlan, IoStats, StoredDatabase};
 use proptest::prelude::*;
+
+#[path = "common/workload.rs"]
+#[allow(dead_code)]
+mod workload;
+
+use workload::{build, classify, workload_strategy, Shape};
+
+/// A 1–2 relation chain of 40–249 rows, only the first relation selected:
+/// smaller than the parity suites' shape, since every case executes up to
+/// four times.
+const OBSERVED: Shape = Shape {
+    relations: 1..=2,
+    cards: 40..250,
+    selections: false,
+    order_by: false,
+};
 
 /// Field-by-field equality for [`SpanStats`] (wall-clock fields included:
 /// merging is pure arithmetic, so even those must agree exactly).
@@ -91,75 +106,6 @@ fn run_traced(
         .with_dop(dop)
         .with_tracer(Arc::clone(&tracer));
     run(plan, db, catalog, env, bindings, &ctx, RootSink::Discard).map(|s| (s, tracer.report()))
-}
-
-/// Coarse error class, as in `tests/batch_parity.rs`: variant (and
-/// resource kind) only.
-fn classify(e: &ExecError) -> String {
-    match e {
-        ExecError::Storage(_) => "storage".into(),
-        ExecError::ResourceExhausted(r) => {
-            let kind = match r {
-                dqep::executor::Resource::Memory { .. } => "memory",
-                dqep::executor::Resource::Rows { .. } => "rows",
-                dqep::executor::Resource::Io { .. } => "io",
-                dqep::executor::Resource::WallClock { .. } => "wall-clock",
-            };
-            format!("resource:{kind}")
-        }
-        other => format!("{other:?}"),
-    }
-}
-
-/// A randomized 1–2 relation chain workload (smaller than
-/// `batch_parity.rs`: every case executes up to four times).
-#[derive(Debug, Clone)]
-struct RandomWorkload {
-    cards: Vec<u64>,
-    domain_factors: Vec<f64>,
-}
-
-fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
-    (1usize..=2).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(40u64..250, n),
-            proptest::collection::vec(0.2f64..1.25, n),
-        )
-            .prop_map(|(cards, domain_factors)| RandomWorkload { cards, domain_factors })
-    })
-}
-
-fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, Vec<(HostVar, f64)>) {
-    let mut builder = CatalogBuilder::new(SystemConfig::paper_1994());
-    for (i, (&card, &f)) in w.cards.iter().zip(&w.domain_factors).enumerate() {
-        let name = format!("t{i}");
-        let jdomain = (card as f64 * f).max(1.0).round();
-        builder = builder.relation(&name, card, 512, |r| {
-            r.attr("a", card as f64)
-                .attr("j", jdomain)
-                .btree("a", false)
-                .btree("j", false)
-        });
-    }
-    let catalog = builder.build().expect("valid random catalog");
-    let rels: Vec<_> = catalog.relations().to_vec();
-    let var = HostVar(0);
-    let hosts = vec![(var, rels[0].attributes[0].domain_size)];
-    let mut q = LogicalExpr::get(rels[0].id).select(SelectPred::unbound(
-        rels[0].attr_id("a").expect("attr"),
-        CompareOp::Lt,
-        var,
-    ));
-    for i in 1..w.cards.len() {
-        q = q.join(
-            LogicalExpr::get(rels[i].id),
-            vec![JoinPred::new(
-                rels[i - 1].attr_id("j").expect("attr"),
-                rels[i].attr_id("j").expect("attr"),
-            )],
-        );
-    }
-    (catalog, q, hosts)
 }
 
 proptest! {
@@ -260,7 +206,7 @@ proptest! {
     /// tree whose root row count equals the result size.
     #[test]
     fn tracing_changes_nothing_observable(
-        w in workload_strategy(),
+        w in workload_strategy(OBSERVED),
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
         mem_kb in 4u64..64,
@@ -321,7 +267,7 @@ proptest! {
     /// runs (exchange workers' deferred `pending_err` delivery included).
     #[test]
     fn traced_execution_matches_untraced_at_any_dop(
-        w in workload_strategy(),
+        w in workload_strategy(OBSERVED),
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
         dop in 1usize..=3,

@@ -20,7 +20,7 @@
 //! independent nested-loop evaluator in `common/oracle.rs`.
 
 
-use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, SelectPred};
+use dqep::algebra::{CompareOp, LogicalExpr, PhysicalOp, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
@@ -35,25 +35,11 @@ use proptest::prelude::*;
 
 #[path = "common/oracle.rs"]
 mod oracle;
+#[path = "common/workload.rs"]
+#[allow(dead_code)]
+mod workload;
 
-/// Coarse error class: variant (and resource kind) only, as in
-/// `batch_parity.rs` — payloads may differ (a parallel worker reports the
-/// reservation *it* was refused).
-fn classify(e: &ExecError) -> String {
-    match e {
-        ExecError::Storage(_) => "storage".into(),
-        ExecError::ResourceExhausted(r) => {
-            let kind = match r {
-                dqep::executor::Resource::Memory { .. } => "memory",
-                dqep::executor::Resource::Rows { .. } => "rows",
-                dqep::executor::Resource::Io { .. } => "io",
-                dqep::executor::Resource::WallClock { .. } => "wall-clock",
-            };
-            format!("resource:{kind}")
-        }
-        other => format!("{other:?}"),
-    }
-}
+use workload::{build, classify, sorted, workload_strategy, Shape};
 
 /// Asserts a parallel summary agrees with the serial baseline on
 /// everything DOP parity promises.
@@ -71,75 +57,6 @@ fn assert_summaries_equal(serial: &ExecSummary, parallel: &ExecSummary, what: &s
     assert_eq!(serial.io.writes, parallel.io.writes, "{what}: accounted writes diverged");
 }
 
-/// The same randomized 1–3 relation chain workload as `batch_parity.rs`.
-#[derive(Debug, Clone)]
-struct RandomWorkload {
-    cards: Vec<u64>,
-    domain_factors: Vec<f64>,
-    selected: Vec<bool>,
-}
-
-fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
-    (1usize..=3).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(40u64..400, n),
-            proptest::collection::vec(0.2f64..1.25, n),
-            proptest::collection::vec(any::<bool>(), n),
-        )
-            .prop_map(|(cards, domain_factors, mut selected)| {
-                if !selected.iter().any(|s| *s) {
-                    selected[0] = true;
-                }
-                RandomWorkload {
-                    cards,
-                    domain_factors,
-                    selected,
-                }
-            })
-    })
-}
-
-fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, Vec<(HostVar, f64)>) {
-    let mut builder = CatalogBuilder::new(SystemConfig::paper_1994());
-    for (i, (&card, &f)) in w.cards.iter().zip(&w.domain_factors).enumerate() {
-        let name = format!("t{i}");
-        let jdomain = (card as f64 * f).max(1.0).round();
-        builder = builder.relation(&name, card, 512, |r| {
-            r.attr("a", card as f64)
-                .attr("j", jdomain)
-                .btree("a", false)
-                .btree("j", false)
-        });
-    }
-    let catalog = builder.build().expect("valid random catalog");
-    let rels: Vec<_> = catalog.relations().to_vec();
-    let mut hosts = Vec::new();
-    let leaf = |i: usize, hosts: &mut Vec<(HostVar, f64)>| {
-        let mut e = LogicalExpr::get(rels[i].id);
-        if w.selected[i] {
-            let var = HostVar(i as u32);
-            hosts.push((var, rels[i].attributes[0].domain_size));
-            e = e.select(SelectPred::unbound(
-                rels[i].attr_id("a").expect("attr"),
-                CompareOp::Lt,
-                var,
-            ));
-        }
-        e
-    };
-    let mut q = leaf(0, &mut hosts);
-    for i in 1..w.cards.len() {
-        q = q.join(
-            leaf(i, &mut hosts),
-            vec![JoinPred::new(
-                rels[i - 1].attr_id("j").expect("attr"),
-                rels[i].attr_id("j").expect("attr"),
-            )],
-        );
-    }
-    (catalog, q, hosts)
-}
-
 fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
     b.push(
         op,
@@ -148,11 +65,6 @@ fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
         PlanStats::new(Interval::point(0.0), 512.0),
         Cost::ZERO,
     )
-}
-
-fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    rows.sort_unstable();
-    rows
 }
 
 /// [`run`] at `dop` under `limits`, rows discarded.
@@ -185,7 +97,7 @@ proptest! {
     /// surviving alternative is what parity promises).
     #[test]
     fn random_plans_execute_identically_across_dops(
-        w in workload_strategy(),
+        w in workload_strategy(Shape::PARITY),
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
         hazard in prop_oneof![Just(0u8), Just(1), Just(2)],
@@ -257,7 +169,7 @@ proptest! {
     /// left behind in any governor.
     #[test]
     fn drained_tuples_are_identical_as_multisets(
-        w in workload_strategy(),
+        w in workload_strategy(Shape::PARITY),
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
     ) {

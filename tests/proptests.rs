@@ -1,89 +1,26 @@
 //! Property-based tests over randomized catalogs, queries, and bindings.
 
-use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
-use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::optimizer::Optimizer;
 use dqep::plan::{dag, evaluate_startup, AccessModule};
 use proptest::prelude::*;
 
-/// A randomized 1–3 relation chain workload: random cardinalities, domain
-/// factors, and a choice of which relations carry unbound selections.
-#[derive(Debug, Clone)]
-struct RandomWorkload {
-    cards: Vec<u64>,
-    domain_factors: Vec<f64>,
-    selected: Vec<bool>,
-}
+#[path = "common/workload.rs"]
+#[allow(dead_code)]
+mod workload;
 
-fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
-    (1usize..=3).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(50u64..1500, n),
-            proptest::collection::vec(0.2f64..1.25, n),
-            proptest::collection::vec(any::<bool>(), n),
-        )
-            .prop_map(|(cards, domain_factors, mut selected)| {
-                // At least one unbound predicate so dynamic plans can arise.
-                if !selected.iter().any(|s| *s) {
-                    selected[0] = true;
-                }
-                RandomWorkload {
-                    cards,
-                    domain_factors,
-                    selected,
-                }
-            })
-    })
-}
+use workload::{build, workload_strategy, Shape};
 
-fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, Vec<(HostVar, f64)>) {
-    let mut builder = CatalogBuilder::new(SystemConfig::paper_1994());
-    for (i, (&card, &f)) in w.cards.iter().zip(&w.domain_factors).enumerate() {
-        let name = format!("t{i}");
-        let jdomain = (card as f64 * f).max(1.0).round();
-        builder = builder.relation(&name, card, 512, |r| {
-            r.attr("a", card as f64)
-                .attr("j", jdomain)
-                .btree("a", false)
-                .btree("j", false)
-        });
-    }
-    let catalog = builder.build().expect("valid random catalog");
-    let rels: Vec<_> = catalog.relations().to_vec();
-    let mut hosts = Vec::new();
-    let leaf = |i: usize, hosts: &mut Vec<(HostVar, f64)>| {
-        let mut e = LogicalExpr::get(rels[i].id);
-        if w.selected[i] {
-            let var = HostVar(i as u32);
-            hosts.push((var, rels[i].attributes[0].domain_size));
-            e = e.select(SelectPred::unbound(
-                rels[i].attr_id("a").expect("attr"),
-                CompareOp::Lt,
-                var,
-            ));
-        }
-        e
-    };
-    let mut q = leaf(0, &mut hosts);
-    for i in 1..w.cards.len() {
-        q = q.join(
-            leaf(i, &mut hosts),
-            vec![JoinPred::new(
-                rels[i - 1].attr_id("j").expect("attr"),
-                rels[i].attr_id("j").expect("attr"),
-            )],
-        );
-    }
-    (catalog, q, hosts)
-}
+/// The parity suites' shape with cardinalities up to 1 499: nothing here
+/// generates data.
+const WIDE: Shape = Shape { cards: 50..1500, ..Shape::PARITY };
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every optimized plan satisfies structural invariants, in all modes.
     #[test]
-    fn optimized_plans_are_well_formed(w in workload_strategy()) {
+    fn optimized_plans_are_well_formed(w in workload_strategy(WIDE)) {
         let (catalog, query, _) = build(&w);
         for env in [
             Environment::static_compile_time(&catalog.config),
@@ -104,7 +41,7 @@ proptest! {
     /// any sampled binding (robustness), and its compile-time interval
     /// encloses every resolved cost (soundness).
     #[test]
-    fn robustness_and_soundness(w in workload_strategy(), sels in proptest::collection::vec(0.0f64..=1.0, 3)) {
+    fn robustness_and_soundness(w in workload_strategy(WIDE), sels in proptest::collection::vec(0.0f64..=1.0, 3)) {
         let (catalog, query, hosts) = build(&w);
         let static_env = Environment::static_compile_time(&catalog.config);
         let dynamic_env = Environment::dynamic_compile_time(&catalog.config);
@@ -132,7 +69,7 @@ proptest! {
 
     /// Access modules round-trip any optimized plan.
     #[test]
-    fn module_roundtrip(w in workload_strategy()) {
+    fn module_roundtrip(w in workload_strategy(WIDE)) {
         let (catalog, query, _) = build(&w);
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
@@ -147,7 +84,7 @@ proptest! {
 
     /// Start-up decisions are deterministic in the bindings.
     #[test]
-    fn startup_is_deterministic(w in workload_strategy(), sel in 0.0f64..=1.0) {
+    fn startup_is_deterministic(w in workload_strategy(WIDE), sel in 0.0f64..=1.0) {
         let (catalog, query, hosts) = build(&w);
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;

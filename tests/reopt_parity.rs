@@ -16,86 +16,17 @@ use dqep::executor::{
     ReoptReport, ReoptState, Resource, ResourceLimits, RootSink, SharedCounters, Tuple,
 };
 use dqep::optimizer::Optimizer;
+use dqep::plan::Plan;
 use dqep::storage::{FaultPlan, StoredDatabase, ValueDistribution};
 use proptest::prelude::*;
 
-/// The same randomized 1–3 relation chain workload as the other parity
-/// suites, generated over Zipf-skewed data so uniform compile-time
-/// estimates drift and checkpoints actually escape.
-#[derive(Debug, Clone)]
-struct RandomWorkload {
-    cards: Vec<u64>,
-    domain_factors: Vec<f64>,
-    selected: Vec<bool>,
-}
+#[path = "common/workload.rs"]
+#[allow(dead_code)]
+mod workload;
 
-fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
-    (1usize..=3).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(40u64..400, n),
-            proptest::collection::vec(0.2f64..1.25, n),
-            proptest::collection::vec(any::<bool>(), n),
-        )
-            .prop_map(|(cards, domain_factors, mut selected)| {
-                if !selected.iter().any(|s| *s) {
-                    selected[0] = true;
-                }
-                RandomWorkload {
-                    cards,
-                    domain_factors,
-                    selected,
-                }
-            })
-    })
-}
-
-fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, Vec<(HostVar, f64)>) {
-    let mut builder = CatalogBuilder::new(SystemConfig::paper_1994());
-    for (i, (&card, &f)) in w.cards.iter().zip(&w.domain_factors).enumerate() {
-        let name = format!("t{i}");
-        let jdomain = (card as f64 * f).max(1.0).round();
-        builder = builder.relation(&name, card, 512, |r| {
-            r.attr("a", card as f64)
-                .attr("j", jdomain)
-                .btree("a", false)
-                .btree("j", false)
-        });
-    }
-    let catalog = builder.build().expect("valid random catalog");
-    let rels: Vec<_> = catalog.relations().to_vec();
-    let mut hosts = Vec::new();
-    let leaf = |i: usize, hosts: &mut Vec<(HostVar, f64)>| {
-        let mut e = LogicalExpr::get(rels[i].id);
-        if w.selected[i] {
-            let var = HostVar(i as u32);
-            hosts.push((var, rels[i].attributes[0].domain_size));
-            e = e.select(SelectPred::unbound(
-                rels[i].attr_id("a").expect("attr"),
-                CompareOp::Lt,
-                var,
-            ));
-        }
-        e
-    };
-    let mut q = leaf(0, &mut hosts);
-    for i in 1..w.cards.len() {
-        q = q.join(
-            leaf(i, &mut hosts),
-            vec![JoinPred::new(
-                rels[i - 1].attr_id("j").expect("attr"),
-                rels[i].attr_id("j").expect("attr"),
-            )],
-        );
-    }
-    (catalog, q, hosts)
-}
-
-fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    rows.sort_unstable();
-    rows
-}
-
-use dqep::plan::Plan;
+// The parity suites' chain workload, generated over Zipf-skewed data so
+// uniform compile-time estimates drift and checkpoints actually escape.
+use workload::{build, sorted, workload_strategy, Shape};
 
 /// Drains the plain dynamic plan — the baseline every re-optimizing run
 /// is compared against. The memory grant mirrors the reopt driver's
@@ -163,7 +94,7 @@ proptest! {
     /// hazard via the degradation ladder is the feature under test.)
     #[test]
     fn reopt_matches_plain_execution(
-        w in workload_strategy(),
+        w in workload_strategy(Shape::PARITY),
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
         hazard in prop_oneof![Just(0u8), Just(1), Just(2)],
@@ -226,7 +157,7 @@ proptest! {
     /// reservation.
     #[test]
     fn reopt_is_deterministic_for_a_fixed_seed(
-        w in workload_strategy(),
+        w in workload_strategy(Shape::PARITY),
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
     ) {

@@ -18,83 +18,20 @@ use dqep::sql::parse_query;
 use dqep::storage::{StoredDatabase, ValueDistribution};
 use proptest::prelude::*;
 
-/// The same randomized 1–3 relation chain workload as the other parity
-/// suites, expressed through the SQL front end so the sharded service's
-/// whole path (parse → distribute → arbitrate → exchange → merge) is
-/// under test.
-#[derive(Debug, Clone)]
-struct RandomWorkload {
-    cards: Vec<u64>,
-    domain_factors: Vec<f64>,
-    selected: Vec<bool>,
-    order_by: bool,
-}
+#[path = "common/workload.rs"]
+#[allow(dead_code)]
+mod workload;
 
-fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
-    (1usize..=3).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(40u64..400, n),
-            proptest::collection::vec(0.2f64..1.25, n),
-            proptest::collection::vec(any::<bool>(), n),
-            any::<bool>(),
-        )
-            .prop_map(|(cards, domain_factors, mut selected, order_by)| {
-                if !selected.iter().any(|s| *s) {
-                    selected[0] = true;
-                }
-                RandomWorkload {
-                    cards,
-                    domain_factors,
-                    selected,
-                    order_by,
-                }
-            })
-    })
-}
+use workload::{build_sql, sorted, workload_strategy, Shape};
 
-/// Builds the catalog plus the SQL text and host-variable bindings of
-/// the workload's chain query.
-fn build(w: &RandomWorkload, sel: f64) -> (Catalog, String, Vec<(String, i64)>) {
-    let mut builder = CatalogBuilder::new(SystemConfig::paper_1994());
-    for (i, (&card, &f)) in w.cards.iter().zip(&w.domain_factors).enumerate() {
-        let name = format!("t{i}");
-        let jdomain = (card as f64 * f).max(1.0).round();
-        builder = builder.relation(&name, card, 512, |r| {
-            r.attr("a", card as f64)
-                .attr("j", jdomain)
-                .btree("a", false)
-                .btree("j", false)
-        });
-    }
-    let catalog = builder.build().expect("valid random catalog");
-
-    let from: Vec<String> = (0..w.cards.len()).map(|i| format!("t{i}")).collect();
-    let mut preds: Vec<String> = (1..w.cards.len())
-        .map(|i| format!("t{}.j = t{i}.j", i - 1))
-        .collect();
-    let mut binds = Vec::new();
-    for (i, &selected) in w.selected.iter().enumerate() {
-        if selected {
-            preds.push(format!("t{i}.a < :v{i}"));
-            let domain = catalog.relations()[i].attributes[0].domain_size;
-            binds.push((format!("v{i}"), (sel * domain) as i64));
-        }
-    }
-    let mut sql = format!("SELECT * FROM {} WHERE {}", from.join(", "), preds.join(" AND "));
-    if w.order_by {
-        sql.push_str(" ORDER BY t0.a");
-    }
-    (catalog, sql, binds)
-}
-
-fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    rows.sort_unstable();
-    rows
-}
+/// The parity suites' chain workload, expressed through the SQL front end
+/// so the sharded service's whole path (parse → distribute → arbitrate →
+/// exchange → merge) is under test, with or without an `ORDER BY`.
+const ORDERED: Shape = Shape { order_by: true, ..Shape::PARITY };
 
 /// Plain single-node execution over a database generated with the exact
-/// seed and per-attribute distribution profile the sharded service uses
-/// for its global data, remapped to the canonical `FROM`-order layout
+/// seed and per-attribute distribution profile the sharded service loads
+/// its shards from, remapped to the canonical `FROM`-order layout
 /// the sharded result uses.
 fn single_node_rows(
     catalog: &Catalog,
@@ -149,7 +86,7 @@ proptest! {
     /// governed memory refusal — never as a network or logic error.
     #[test]
     fn sharded_matches_single_node(
-        w in workload_strategy(),
+        w in workload_strategy(ORDERED),
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
         shards in prop_oneof![Just(1usize), Just(2), Just(4)],
@@ -158,7 +95,7 @@ proptest! {
         fault_frames in proptest::collection::vec(1u64..6, 0..3),
         mem_kb in 8u64..128,
     ) {
-        let (catalog, sql, binds) = build(&w, sel);
+        let (catalog, sql, binds) = build_sql(&w, sel);
         let limits = ResourceLimits {
             memory_bytes: (hazard == 2).then_some(mem_kb * 1024),
             ..ResourceLimits::unlimited()
@@ -225,12 +162,12 @@ proptest! {
     /// winners, and per-shard row counts.
     #[test]
     fn sharded_execution_is_deterministic(
-        w in workload_strategy(),
+        w in workload_strategy(ORDERED),
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
         shards in prop_oneof![Just(2usize), Just(4)],
     ) {
-        let (catalog, sql, binds) = build(&w, sel);
+        let (catalog, sql, binds) = build_sql(&w, sel);
         let config = ShardConfig { shards, data_seed: seed, ..ShardConfig::default() };
         let run = |cat: Catalog| {
             ShardedService::new(cat, config.clone())
