@@ -115,17 +115,6 @@ impl PhysicalOp {
         matches!(self, PhysicalOp::Sort { .. } | PhysicalOp::ChoosePlan)
     }
 
-    /// Whether this operator reads a base relation.
-    #[must_use]
-    pub fn is_scan(&self) -> bool {
-        matches!(
-            self,
-            PhysicalOp::FileScan { .. }
-                | PhysicalOp::BtreeScan { .. }
-                | PhysicalOp::FilterBtreeScan { .. }
-        )
-    }
-
     /// The sort order this operator delivers, given its children's
     /// delivered orders (one entry per child, in order) and its join
     /// predicates. Taken as an iterator so a plan builder can answer from

@@ -23,10 +23,15 @@
 //!   --reopt             run with mid-query re-optimization: checkpoint the
 //!                       pipeline breakers, re-arbitrate the remainder when
 //!                       an observed cardinality escapes its estimate
-//!                       (also applies to --serve sessions)
+//!                       (also applies to --serve sessions; not to
+//!                       --shards, whose access stages have nothing to
+//!                       checkpoint)
 //!   --adaptive          the same run, told to observe the §7 pilot first:
 //!                       the uncertain subplan every alternative shares
-//!   --reopt-budget N    max re-plans per query (default 2; requires --reopt)
+//!                       (not with --shards)
+//!   --reopt-budget N    max re-plans per query: how many times an escape
+//!                       may re-make the start-up decision (default 2;
+//!                       requires --reopt)
 //!   --dop N             intra-query parallelism: N worker threads for the
 //!                       parallel scan / hash join / sort (default 1)
 //!   --dot PATH          write the plan DAG as Graphviz
@@ -172,7 +177,8 @@ impl Args {
 
     /// The re-optimization budget `--reopt-budget` asks for.
     fn reopt(&self) -> ReoptConfig {
-        ReoptConfig { max_replans: self.reopt_budget.unwrap_or(2), ..ReoptConfig::default() }
+        let default = ReoptConfig::default();
+        ReoptConfig { max_replans: self.reopt_budget.unwrap_or(default.max_replans) }
     }
 
     /// The compile-time environment of `--mode`.
@@ -371,9 +377,9 @@ fn parse_argv(argv: &[String]) -> Result<Args, String> {
         if args.sql.is_empty() || !args.run {
             return Err("--shards requires --sql and --run".to_string());
         }
-        if args.adaptive {
+        if args.reopt || args.adaptive {
             return Err(
-                "--shards supports --run/--reopt/--explain-analyze, not --adaptive".to_string()
+                "--shards supports --run/--explain-analyze, not --reopt/--adaptive".to_string()
             );
         }
         if args.routing != "hash" && args.routing != "range" {

@@ -35,7 +35,6 @@ pub(crate) fn run_sharded(args: &Args) -> Result<(), DqepError> {
         data_seed: args.seed,
         skew: args.skew,
         memory_pages: args.memory,
-        reopt: args.reopt.then(|| args.reopt()),
         force_uniform_winner: args.force_uniform,
         trace: args.explain_analyze,
     };
@@ -179,24 +178,23 @@ mod tests {
     }
 
     #[test]
-    fn shards_allow_explain_analyze_but_not_adaptive() {
+    fn shards_allow_explain_analyze_but_not_reopt_or_adaptive() {
         let a =
             parse_argv(&argv(&["--sql", "q", "--shards", "2", "--explain-analyze", "--json"]))
                 .unwrap();
         assert_eq!(a.shards, Some(2));
         assert!(a.explain_analyze && a.run && a.json);
-        assert!(parse_argv(&argv(&["--sql", "q", "--run", "--shards", "2", "--adaptive"]))
-            .unwrap_err()
-            .contains("--adaptive"));
+        for flag in ["--reopt", "--adaptive"] {
+            assert!(parse_argv(&argv(&["--sql", "q", "--run", "--shards", "2", flag]))
+                .unwrap_err()
+                .contains(flag));
+        }
     }
 
     #[test]
-    fn shard_mode_allows_metrics_json_and_reopt() {
-        let a = parse_argv(&argv(&[
-            "--sql", "q", "--run", "--shards", "2", "--metrics-json", "-", "--reopt",
-        ]))
-        .unwrap();
+    fn shard_mode_allows_metrics_json() {
+        let a = parse_argv(&argv(&["--sql", "q", "--run", "--shards", "2", "--metrics-json", "-"]))
+            .unwrap();
         assert_eq!(a.shards, Some(2));
-        assert!(a.reopt);
     }
 }

@@ -9,9 +9,9 @@
 //! **The decision is made once per activation, for the whole plan** (the
 //! 1994 paper's Section 4: every node's cost function is evaluated once,
 //! each choose-plan picks its cheapest input). [`compile_dynamic_plan`]
-//! makes it — unless the caller hands it in or a re-optimization driver
-//! keeps it — and its result rides in the [`ExecContext`] to every
-//! choose-plan operator of the tree. An operator reads its pick, every
+//! makes it — unless the caller or the re-optimization driver hands it
+//! in — and its result rides in the [`ExecContext`] to every choose-plan
+//! operator of the tree. An operator reads its pick, every
 //! alternative's predicted cost and its audit from that one result and
 //! evaluates nothing itself; `open()` compiles only the winning alternative
 //! and opens it, mirroring how an access module never instantiates the
@@ -70,8 +70,8 @@ pub struct ChoosePlanExec<'a> {
 impl<'a> ChoosePlanExec<'a> {
     /// The operator for the choose-plan node `id` of `compiler`'s plan,
     /// compiling its alternatives as `compiler` would, under `ctx` — which
-    /// must carry the plan's start-up decision or a re-optimization state,
-    /// as [`compile_dynamic_plan`] sees to. `None` when the compiler has no
+    /// must carry the plan's start-up decision, as [`compile_dynamic_plan`]
+    /// sees to. `None` when the compiler has no
     /// environment to decide under (it compiles a resolved plan).
     pub(crate) fn new(compiler: &Compiler<'a, '_>, id: NodeId, ctx: ExecContext) -> Option<Self> {
         let Compiler { plan, db, catalog, env, bindings, memory_bytes } = *compiler;
@@ -100,26 +100,13 @@ impl<'a> ChoosePlanExec<'a> {
         self.chosen_index
     }
 
-    /// The start-up decision this operator follows. Outside mid-query
-    /// re-optimization it is the one the context carries and nothing is
-    /// evaluated here. Under re-optimization the decision in force lives on
-    /// the re-optimization state, which re-makes it — once, for the whole
-    /// plan, shared by every later `open` — when a checkpoint has recorded
-    /// a newer observation since, so a re-arbitration after a cardinality
-    /// escape decides from what the query actually saw.
+    /// The start-up decision this operator follows: the one its context
+    /// carries — made by [`compile_dynamic_plan`], by the caller, or by the
+    /// re-optimization driver. Nothing is evaluated here.
     fn decision(&self) -> Result<Arc<StartupResult>, ExecError> {
-        let decision = match (self.ctx.reopt.as_ref(), self.ctx.decision.as_ref()) {
-            (Some(state), _) => state.decision(self.id, |observed| {
-                let counters = &self.ctx.counters;
-                decide(self.plan, self.catalog, &self.env, &self.bindings, observed, counters)
-            }),
-            (None, Some(decision)) => Arc::clone(decision),
-            (None, None) => {
-                return Err(ExecError::Internal(
-                    "choose-plan compiled without a start-up decision".into(),
-                ))
-            }
-        };
+        let decision = self.ctx.decision.clone().ok_or_else(|| {
+            ExecError::Internal("choose-plan compiled without a start-up decision".into())
+        })?;
         if decision.estimates.len() != self.plan.len() {
             return Err(ExecError::Internal(
                 "the start-up decision was made for another plan".into(),
@@ -322,9 +309,9 @@ impl Operator for ChoosePlanExec<'_> {
 /// nodes — at the root or nested anywhere inside the tree — become
 /// [`ChoosePlanExec`]; everything else compiles as usual. This is where
 /// the start-up decision is made: if the plan is dynamic and the context
-/// brings neither a decision nor a re-optimization state, the whole plan
-/// is evaluated once here and every choose-plan operator compiled from it
-/// — now or lazily at `open` — follows that result.
+/// brings no decision, the whole plan is evaluated once here and every
+/// choose-plan operator compiled from it — now or lazily at `open` —
+/// follows that result.
 ///
 /// # Errors
 /// Any compilation [`ExecError`]; choose-plan nodes themselves never fail
@@ -339,7 +326,7 @@ pub fn compile_dynamic_plan<'a>(
     ctx: &ExecContext,
 ) -> Result<BoxedOperator<'a>, ExecError> {
     let compiler = Compiler { plan, db, catalog, env: Some(env), bindings, memory_bytes };
-    if plan.is_dynamic() && ctx.decision.is_none() && ctx.reopt.is_none() {
+    if plan.is_dynamic() && ctx.decision.is_none() {
         let decision = decide(plan, catalog, env, bindings, &Observations::new(), &ctx.counters);
         return compiler.node(plan.root(), &ctx.clone().with_decision(Arc::new(decision)));
     }

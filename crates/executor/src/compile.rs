@@ -121,20 +121,6 @@ impl<'a> Compiler<'a, '_> {
         if let Some((layout, batches)) = ctx.reopt.as_ref().and_then(|s| s.materialized(id)) {
             return Ok(Box::new(crate::reopt::MaterializedScanExec::new(batches, layout, ctx.clone())));
         }
-        // A checkpoint probe for a pipeline-breaker input, unless that input
-        // is already served from retained rows (its cardinality is known).
-        let probe_for = |input: NodeId| {
-            let state = ctx.reopt.as_ref()?;
-            if state.materialized(input).is_some() {
-                return None;
-            }
-            Some(crate::reopt::ReoptProbe {
-                state: Arc::clone(state),
-                node: input,
-                label: plan[input].op.name(),
-                card: plan[input].stats.card,
-            })
-        };
         Ok(match node.op {
             PhysicalOp::FileScan { relation } => {
                 let table = db.table(relation);
@@ -142,17 +128,11 @@ impl<'a> Compiler<'a, '_> {
                 // file scan becomes an exchange over morsel-scan workers.
                 // Every other operator reads `ctx.dop` itself.
                 if ctx.dop > 1 && table.heap.page_count() >= 2 {
-                    let mut exchange = crate::exchange::parallel_scan(
+                    Box::new(crate::exchange::parallel_scan(
                         table,
                         TupleLayout::base(catalog, relation),
                         ctx,
-                    );
-                    // The exchange's worker join is a pipeline breaker: all
-                    // workers' output is merged before anything flows on.
-                    if let Some(probe) = probe_for(id) {
-                        exchange = exchange.with_checkpoint(probe);
-                    }
-                    Box::new(exchange)
+                    ))
                 } else {
                     Box::new(FileScanExec::new(
                         table,
@@ -198,18 +178,14 @@ impl<'a> Compiler<'a, '_> {
                     .iter()
                     .map(|p| orient(p, build.layout(), probe.layout()))
                     .collect::<Result<Vec<_>, _>>()?;
-                let mut join = HashJoinExec::new(
+                Box::new(HashJoinExec::new(
                     build,
                     probe,
                     keys,
                     ctx.clone(),
                     db.disk.clone(),
                     memory_bytes,
-                );
-                if let Some(cp) = probe_for(children[0]) {
-                    join = join.with_checkpoint(cp);
-                }
-                Box::new(join)
+                ))
             }
             PhysicalOp::MergeJoin => {
                 let left = self.node(children[0], ctx)?;
@@ -257,17 +233,7 @@ impl<'a> Compiler<'a, '_> {
                     .layout()
                     .position(attr)
                     .ok_or_else(|| ExecError::PredicateMismatch(format!("sort key {attr}")))?;
-                let mut sort = SortExec::new(
-                    child,
-                    key,
-                    ctx.clone(),
-                    db.disk.clone(),
-                    memory_bytes,
-                );
-                if let Some(cp) = probe_for(children[0]) {
-                    sort = sort.with_checkpoint(cp);
-                }
-                Box::new(sort)
+                Box::new(SortExec::new(child, key, ctx.clone(), db.disk.clone(), memory_bytes))
             }
             // Dynamic compilation: the choose-plan becomes its run-time
             // operator, which opens the alternative the start-up decision
@@ -316,8 +282,9 @@ pub(crate) fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Cata
 /// [`crate::ReoptState`] it kept. Under a re-optimization state the run is
 /// the checkpointing driver of [`crate::ReoptState`]'s module: the state's
 /// first target and the blocking inputs are materialized and observed
-/// before the plan runs over what they retained, and the summary covers
-/// all of it. Results, counter totals and fallback behavior are the same
+/// before the plan runs over what they retained, every run the driver
+/// launches follows the decision it made last, and the summary covers all
+/// of it. Results, counter totals and fallback behavior are the same
 /// at every DOP (rows up to multiset order) and with or without a tracer —
 /// the parallel-parity and observability suites pin that down. Whoever
 /// wants the start-up decision itself calls [`dqep_plan::evaluate_startup`]

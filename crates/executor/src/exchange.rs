@@ -85,9 +85,6 @@ pub struct ExchangeExec<'a> {
     /// serial scan's error phase) instead of from `open`.
     pending_err: Option<ExecError>,
     opened: bool,
-    /// Mid-query re-optimization probe, fired once per `open` with the
-    /// merged output cardinality when every worker has joined.
-    checkpoint: Option<crate::reopt::ReoptProbe>,
 }
 
 impl<'a> ExchangeExec<'a> {
@@ -112,14 +109,7 @@ impl<'a> ExchangeExec<'a> {
             served: BatchCursor::default(),
             pending_err: None,
             opened: false,
-            checkpoint: None,
         }
-    }
-
-    /// Attaches a re-optimization checkpoint probe to the worker join.
-    pub(crate) fn with_checkpoint(mut self, probe: crate::reopt::ReoptProbe) -> Self {
-        self.checkpoint = Some(probe);
-        self
     }
 }
 
@@ -153,10 +143,6 @@ impl Operator for ExchangeExec<'_> {
         }
         if self.pending_err.is_some() {
             self.output.clear();
-        } else if let Some(probe) = &self.checkpoint {
-            // Worker join is a pipeline breaker: every worker finished,
-            // so the merged cardinality is exact.
-            probe.observe(self.served.remaining(&self.output) as u64);
         }
         Ok(())
     }

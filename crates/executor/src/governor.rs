@@ -259,17 +259,16 @@ pub struct ExecContext {
     pub span_parent: Option<crate::trace::SpanId>,
     /// Mid-query re-optimization state, `None` (the default) when
     /// re-optimization is disabled. With state, [`crate::run`] is the
-    /// checkpointing driver, [`crate::compile_plan`] substitutes retained
-    /// intermediates for their plan nodes and attaches checkpoint probes
-    /// to pipeline breakers, and choose-plan operators arbitrate with the
-    /// checkpoint observations applied.
+    /// checkpointing driver — the one place that observes cardinalities
+    /// and makes start-up decisions — and [`crate::compile_plan`]
+    /// substitutes retained intermediates for their plan nodes.
     pub reopt: Option<Arc<crate::reopt::ReoptState>>,
     /// The start-up decision of the plan being run — made once for the
     /// whole plan, read by every choose-plan operator compiled under this
     /// context. `None` (the default) until [`crate::run`] makes it, unless
     /// the caller hands in the one it already made
-    /// ([`ExecContext::with_decision`]). Under re-optimization the
-    /// decision in force lives on [`ExecContext::reopt`] instead.
+    /// ([`ExecContext::with_decision`]). Under re-optimization the driver
+    /// hands every run it launches the decision it made last.
     pub decision: Option<Arc<dqep_plan::StartupResult>>,
 }
 
@@ -303,10 +302,8 @@ impl ExecContext {
 
     /// The same context with mid-query re-optimization enabled:
     /// [`crate::run`] checkpoints and re-arbitrates (a fresh state per
-    /// run), compiled plans substitute retained intermediates, pipeline
-    /// breakers fire checkpoint probes, and arbitrations apply checkpoint
-    /// observations. The caller keeps its `Arc` to read the audit trail
-    /// afterwards.
+    /// run) and compiled plans substitute retained intermediates. The
+    /// caller keeps its `Arc` to read the audit trail afterwards.
     #[must_use]
     pub fn with_reopt(mut self, reopt: Arc<crate::reopt::ReoptState>) -> ExecContext {
         self.reopt = Some(reopt);
@@ -425,6 +422,28 @@ mod tests {
             gov.check_batch(1).unwrap_err(),
             ExecError::ResourceExhausted(Resource::WallClock { limit_ms: 0 })
         );
+    }
+
+    /// The query's wall-clock budget and its cancellation are the
+    /// governor's, and the re-optimization budget defers to them.
+    #[test]
+    fn wall_cap_and_cancellation_deny_replans() {
+        use crate::reopt::{ReoptConfig, ReoptState};
+        let state = ReoptState::new(ReoptConfig { max_replans: 10 });
+        let gov = ResourceGovernor::new(ResourceLimits {
+            wall_clock_ms: Some(0),
+            ..ResourceLimits::default()
+        });
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(!state.request_replan(&gov), "the wall-clock budget is spent");
+        assert!(state.request_replan(&ResourceGovernor::unlimited()), "the budget is not");
+
+        let state = ReoptState::new(ReoptConfig { max_replans: 10 });
+        let gov = ResourceGovernor::unlimited();
+        gov.cancel();
+        assert!(!state.request_replan(&gov), "governor has the last word");
+        let c = state.counters();
+        assert_eq!((c.replans_attempted, c.replans_denied), (1, 1));
     }
 
     #[test]

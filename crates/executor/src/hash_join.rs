@@ -663,9 +663,6 @@ pub struct HashJoinExec<'a> {
     /// (probe streaming, partition joining) that the parallel paths
     /// perform eagerly at `open()`; surfaced on the first `next_batch`.
     pending_err: Option<ExecError>,
-    /// Mid-query re-optimization probe, fired once per `open` with the
-    /// build input's actual cardinality when the build completes.
-    checkpoint: Option<crate::reopt::ReoptProbe>,
 }
 
 impl<'a> HashJoinExec<'a> {
@@ -693,14 +690,7 @@ impl<'a> HashJoinExec<'a> {
             state: State::Closed,
             joined: ColStream::default(),
             pending_err: None,
-            checkpoint: None,
         }
-    }
-
-    /// Attaches a re-optimization checkpoint probe to the build phase.
-    pub(crate) fn with_checkpoint(mut self, probe: crate::reopt::ReoptProbe) -> Self {
-        self.checkpoint = Some(probe);
-        self
     }
 
     /// Parallel in-memory strategy: build one [`RadixTable`] (fan-out ≥
@@ -779,11 +769,6 @@ impl Operator for HashJoinExec<'_> {
             batches.push(batch);
         }
         self.build.close();
-        // Build completion is a pipeline breaker: the build input's true
-        // cardinality is now known exactly.
-        if let Some(probe) = &self.checkpoint {
-            probe.observe(rows as u64);
-        }
         self.probe.open()?;
 
         let build_bytes = rows * build_row_bytes;

@@ -16,7 +16,9 @@
 //! carries a [`ReoptState`] makes the same call the checkpointing
 //! re-optimization driver — blocking inputs (and the Section 7 pilot, if
 //! the state names one) materialized, observed and retained before the
-//! plan runs over them, one decision in force throughout.
+//! plan runs over them. The driver is the only code that observes a
+//! cardinality or decides; every run it launches follows the decision it
+//! hands in ([`ExecContext::with_decision`]).
 //!
 //! Execution is *simulated-time measured*: every page access is accounted
 //! by the simulated disk and every record/comparison/hash by CPU counters,
@@ -85,8 +87,7 @@ pub use journal::{
 pub use metrics::{CpuCounters, ExecSummary, PlanCacheInfo, SharedCounters};
 pub use netexchange::{
     credit_frames, decode_frame, decode_frame_traced, encode_frame, encode_frame_dense,
-    encode_frame_traced,
-    frame_encoded_len, presized_batch, scatter_by_shard, shard_route, FrameTrace, LinkFaultPlan,
+    presized_batch, scatter_by_shard, shard_route, FrameTrace, LinkFaultPlan,
     NetChannel, NetConfig, NetStats, SimNet, FRAME_HEADER_BYTES,
 };
 pub use reopt::{

@@ -6,12 +6,12 @@
 //! between shard replicas. Three concerns live here because they are
 //! executor-level mechanics, not service policy:
 //!
-//! * **Frame codec** — [`encode_frame`] / [`decode_frame`] serialize a
-//!   columnar batch into one length-stable, self-describing byte frame
-//!   (single copy each way: column slices are appended to / read from the
-//!   wire buffer directly, with no intermediate row materialization).
-//!   Selection vectors travel with the batch, so a filtered batch
-//!   round-trips bit-identically without being compacted first.
+//! * **Frame codec** — [`encode_frame_dense`] / [`decode_frame_traced`]
+//!   serialize the live rows of a columnar batch into one self-describing
+//!   byte frame and back (single copy each way: column values are appended
+//!   to / read from the wire buffer directly, with no intermediate row
+//!   materialization). Frames are dense — no selection vector travels — so
+//!   a filtered batch costs only its live rows on the wire.
 //! * **Simulated network** — [`SimNet`] hands out bounded point-to-point
 //!   [`NetChannel`]s. Like `SimDisk`, the latency/bandwidth/jitter knobs
 //!   sleep *outside* any lock so concurrent links overlap, every frame is
@@ -42,7 +42,8 @@ use crate::hash_join::{fold_hash_column, mix, HASH_SEED};
 /// id, parent span.
 pub const FRAME_HEADER_BYTES: usize = 24;
 
-/// Sentinel selection length meaning "dense batch, no selection vector".
+/// The selection-length slot of every frame: "dense batch, no selection
+/// vector". A frame announcing any other length is malformed.
 const NO_SELECTION: u32 = u32::MAX;
 
 /// Sentinel parent-span slot meaning "no span attached".
@@ -60,56 +61,24 @@ pub struct FrameTrace {
     pub span: Option<u64>,
 }
 
-/// The exact wire size of `batch` once encoded.
-#[must_use]
-pub fn frame_encoded_len(batch: &RowBatch) -> usize {
-    FRAME_HEADER_BYTES
-        + batch.width() * batch.rows() * 8
-        + batch.selection().map_or(0, |s| s.len() * 4)
-}
-
-/// Serializes a columnar batch into one self-describing frame:
-/// `[width:u32][rows:u32][sel_len:u32][trace_id:u64][parent_span:u32]`
-/// followed by `[columns…][selection…]`, all little-endian. Columns are
-/// written physical-row-complete (the selection vector, when present, is
-/// carried verbatim), so decoding reproduces the batch exactly —
-/// including which rows are live. No trace context is stamped; see
-/// [`encode_frame_traced`].
-///
-/// Single copy: each column slice is appended to the wire buffer in one
-/// pass; no row-wise gather happens.
+/// Serializes every live row of `batch` into one dense frame with no
+/// trace context: [`encode_frame_dense`] over `0..batch.len()`.
 #[must_use]
 pub fn encode_frame(batch: &RowBatch) -> Vec<u8> {
-    encode_frame_traced(batch, FrameTrace::default())
-}
-
-/// [`encode_frame`] with trace context stamped into the header, so the
-/// receiving side can parent its receive span under the sender's network
-/// span. Span ids above `u32::MAX - 1` degrade to "no span" on the wire.
-#[must_use]
-pub fn encode_frame_traced(batch: &RowBatch, trace: FrameTrace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(frame_encoded_len(batch));
-    let sel_len = batch.selection().map_or(NO_SELECTION, |sel| sel.len() as u32);
-    write_header(&mut out, batch.width(), batch.rows(), sel_len, trace);
-    for c in 0..batch.width() {
-        for v in batch.column(c) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    if let Some(sel) = batch.selection() {
-        for s in sel {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-    }
-    out
+    encode_frame_dense(batch, 0..batch.len(), FrameTrace::default())
 }
 
 /// Encodes the live rows at positions `live` (indices into the batch's
 /// live rows, i.e. into its selection vector when it has one) as one
-/// **dense** frame: dead rows and the selection vector stay behind, so a
-/// filtered batch costs exactly `header + live rows × width × 8` bytes on
-/// the wire, and one large batch can be cut into several frames without
-/// an intermediate copy. Decoding yields a selection-free batch.
+/// **dense** frame:
+/// `[width:u32][rows:u32][sel_len:u32][trace_id:u64][parent_span:u32]`
+/// followed by the columns, all little-endian, `sel_len` always "none".
+/// Dead rows and the selection vector stay behind, so a filtered batch
+/// costs exactly `header + live rows × width × 8` bytes on the wire, and
+/// one large batch can be cut into several frames without an intermediate
+/// copy. Decoding yields a selection-free batch. The trace context lets
+/// the receiving side parent its receive span under the sender's network
+/// span; span ids above `u32::MAX - 1` degrade to "no span" on the wire.
 ///
 /// # Panics
 /// Panics when `live` reaches past [`RowBatch::len`].
@@ -121,7 +90,7 @@ pub fn encode_frame_dense(
 ) -> Vec<u8> {
     let rows = live.len();
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + batch.width() * rows * 8);
-    write_header(&mut out, batch.width(), rows, NO_SELECTION, trace);
+    write_header(&mut out, batch.width(), rows, trace);
     for c in 0..batch.width() {
         let col = batch.column(c);
         match batch.selection() {
@@ -140,10 +109,10 @@ pub fn encode_frame_dense(
     out
 }
 
-fn write_header(out: &mut Vec<u8>, width: usize, rows: usize, sel_len: u32, trace: FrameTrace) {
+fn write_header(out: &mut Vec<u8>, width: usize, rows: usize, trace: FrameTrace) {
     out.extend_from_slice(&(width as u32).to_le_bytes());
     out.extend_from_slice(&(rows as u32).to_le_bytes());
-    out.extend_from_slice(&sel_len.to_le_bytes());
+    out.extend_from_slice(&NO_SELECTION.to_le_bytes());
     out.extend_from_slice(&trace.trace_id.to_le_bytes());
     let span = trace
         .span
@@ -165,25 +134,22 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
-/// Deserializes a frame produced by [`encode_frame`] back into a
-/// [`RowBatch`], discarding the trace context. See
-/// [`decode_frame_traced`].
+/// Deserializes a frame back into a [`RowBatch`], discarding the trace
+/// context. See [`decode_frame_traced`].
 ///
 /// # Errors
-/// [`ExecError::Network`] when the frame is truncated, has trailing
-/// bytes, or carries an out-of-range selection index.
+/// [`ExecError::Network`] when the frame is malformed.
 pub fn decode_frame(bytes: &[u8]) -> Result<RowBatch, ExecError> {
     decode_frame_traced(bytes).map(|(batch, _)| batch)
 }
 
-/// Deserializes a frame back into a [`RowBatch`] plus the [`FrameTrace`]
-/// stamped by the sender. Columns are filled straight from the wire
-/// buffer (single copy); the selection vector, when present, is
-/// validated against the physical row count.
+/// Deserializes a dense frame back into a [`RowBatch`] plus the
+/// [`FrameTrace`] stamped by the sender. Columns are filled straight from
+/// the wire buffer (single copy).
 ///
 /// # Errors
 /// [`ExecError::Network`] when the frame is truncated, has trailing
-/// bytes, or carries an out-of-range selection index.
+/// bytes, or announces a selection vector.
 pub fn decode_frame_traced(bytes: &[u8]) -> Result<(RowBatch, FrameTrace), ExecError> {
     let malformed = |what: &str| ExecError::Network(format!("malformed frame: {what}"));
     if bytes.len() < FRAME_HEADER_BYTES {
@@ -191,7 +157,9 @@ pub fn decode_frame_traced(bytes: &[u8]) -> Result<(RowBatch, FrameTrace), ExecE
     }
     let width = read_u32(bytes, 0) as usize;
     let rows = read_u32(bytes, 4) as usize;
-    let sel_len = read_u32(bytes, 8);
+    if read_u32(bytes, 8) != NO_SELECTION {
+        return Err(malformed("selection vector announced"));
+    }
     let trace = FrameTrace {
         trace_id: read_u64(bytes, 12),
         span: match read_u32(bytes, 20) {
@@ -203,8 +171,7 @@ pub fn decode_frame_traced(bytes: &[u8]) -> Result<(RowBatch, FrameTrace), ExecE
         .checked_mul(rows)
         .and_then(|n| n.checked_mul(8))
         .ok_or_else(|| malformed("column extent overflow"))?;
-    let sel_bytes = if sel_len == NO_SELECTION { 0 } else { sel_len as usize * 4 };
-    if bytes.len() != FRAME_HEADER_BYTES + col_bytes + sel_bytes {
+    if bytes.len() != FRAME_HEADER_BYTES + col_bytes {
         return Err(malformed("length mismatch"));
     }
     let mut batch = RowBatch::with_capacity(width, rows);
@@ -219,17 +186,6 @@ pub fn decode_frame_traced(bytes: &[u8]) -> Result<(RowBatch, FrameTrace), ExecE
             at += rows * 8;
         }
     });
-    if sel_len != NO_SELECTION {
-        let mut sel = Vec::with_capacity(sel_len as usize);
-        for i in 0..sel_len as usize {
-            let s = read_u32(bytes, at + i * 4);
-            if s as usize >= rows {
-                return Err(malformed("selection index out of range"));
-            }
-            sel.push(s);
-        }
-        batch.set_selection(sel);
-    }
     Ok((batch, trace))
 }
 
@@ -776,35 +732,43 @@ mod tests {
         for selection in [false, true] {
             let batch = sample_batch(selection);
             let frame = encode_frame(&batch);
-            assert_eq!(frame.len(), frame_encoded_len(&batch));
+            assert_eq!(frame.len(), FRAME_HEADER_BYTES + batch.width() * batch.len() * 8);
             let decoded = decode_frame(&frame).expect("valid frame");
             assert_eq!(decoded.width(), batch.width());
-            assert_eq!(decoded.rows(), batch.rows());
-            assert_eq!(decoded.selection(), batch.selection());
-            for c in 0..batch.width() {
-                assert_eq!(decoded.column(c), batch.column(c), "column {c}");
-            }
+            assert!(decoded.selection().is_none(), "frames are dense");
+            assert_eq!(decoded.to_tuples(), batch.to_tuples(), "selection={selection}");
             // Re-encoding the decoded batch reproduces the frame bytes.
             assert_eq!(encode_frame(&decoded), frame, "selection={selection}");
         }
+        // A dense batch's frame: the header, then each column in turn.
+        let batch = sample_batch(false);
+        let mut expected = Vec::new();
+        for word in [3u32, 8, u32::MAX] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        expected.extend_from_slice(&0u64.to_le_bytes());
+        expected.extend_from_slice(&u32::MAX.to_le_bytes());
+        for c in 0..batch.width() {
+            batch.column(c).iter().for_each(|v| expected.extend_from_slice(&v.to_le_bytes()));
+        }
+        assert_eq!(encode_frame(&batch), expected);
     }
 
     #[test]
     fn trace_context_roundtrips() {
         let batch = sample_batch(true);
+        let live = 0..batch.len();
         for (trace_id, span) in [(0u64, None), (7, Some(3u64)), (u64::MAX, Some(0))] {
-            let frame = encode_frame_traced(&batch, FrameTrace { trace_id, span });
-            assert_eq!(frame.len(), frame_encoded_len(&batch));
+            let frame = encode_frame_dense(&batch, live.clone(), FrameTrace { trace_id, span });
             let (decoded, trace) = decode_frame_traced(&frame).expect("valid frame");
             assert_eq!(trace, FrameTrace { trace_id, span });
-            assert_eq!(decoded.selection(), batch.selection());
+            assert_eq!(decoded.to_tuples(), batch.to_tuples());
         }
         // Untraced encoding carries the zero context.
         let (_, trace) = decode_frame_traced(&encode_frame(&batch)).expect("valid frame");
         assert_eq!(trace, FrameTrace::default());
         // Oversized span ids degrade to "no span" rather than aliasing.
-        let frame =
-            encode_frame_traced(&batch, FrameTrace { trace_id: 1, span: Some(u64::MAX) });
+        let frame = encode_frame_dense(&batch, live, FrameTrace { trace_id: 1, span: Some(u64::MAX) });
         let (_, trace) = decode_frame_traced(&frame).expect("valid frame");
         assert_eq!(trace.span, None);
     }
@@ -842,13 +806,17 @@ mod tests {
         let mut frame = encode_frame(&sample_batch(false));
         frame.push(0);
         assert!(decode_frame(&frame).is_err(), "trailing byte");
-        // Out-of-range selection index.
-        let mut b = sample_batch(false);
-        b.set_selection(vec![7]);
-        let mut frame = encode_frame(&b);
-        let at = frame.len() - 4;
-        frame[at..].copy_from_slice(&99u32.to_le_bytes());
-        assert!(decode_frame(&frame).is_err(), "selection out of range");
+        // A header announcing a selection vector, with or without its
+        // entries behind the columns.
+        let mut frame = encode_frame(&sample_batch(false));
+        frame[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(decode_frame(&frame).is_err(), "selection announced, none carried");
+        frame.extend_from_slice(&7u32.to_le_bytes());
+        let err = decode_frame(&frame).unwrap_err();
+        assert!(
+            matches!(&err, ExecError::Network(m) if m.contains("selection vector")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -4,13 +4,18 @@
 //! Start-up-time arbitration (the paper's choose-plan decision) is only
 //! as good as its compile-time intervals. When the data is skewed or the
 //! estimates drift, a running query discovers the truth at its **pipeline
-//! breakers** — the build side of a hash join, the input of a sort, an
-//! exchange's worker join — where an entire intermediate result is
-//! materialized and its actual cardinality is known exactly.
+//! breakers** — the build side of a hash join, the input of a sort —
+//! where an entire intermediate result is materialized and its actual
+//! cardinality is known exactly.
 //!
 //! [`crate::run`] under a context that carries a [`ReoptState`]
 //! ([`ExecContext::with_reopt`]) closes the loop the EXPLAIN ANALYZE drift
-//! detector only observes:
+//! detector only observes. **It decides in one place:** the driver of this
+//! module is the only code that observes a cardinality or makes a start-up
+//! decision, and it hands every run it launches — checkpoint subtrees and
+//! the final run alike — the decision in force through
+//! [`ExecContext::with_decision`]; a choose-plan operator follows the
+//! decision in its context and evaluates nothing.
 //!
 //! 1. **Checkpoints.** Blocking inputs along the arbitrated path are
 //!    materialized deepest-first ([`dqep_plan::next_blocking_input`]).
@@ -22,9 +27,10 @@
 //!    ([`ReoptState::observing_first`], [`pick_pilot`]).
 //! 2. **Bounded re-planning.** On escape, the *remaining* plan is
 //!    re-arbitrated via [`dqep_plan::evaluate_startup_observed`] with the
-//!    observation applied — under a per-query re-optimization budget (max
-//!    re-plans, a wall-clock cap) enforced with the [`ResourceGovernor`],
-//!    so recovery can never cost more than the misestimate it fixes.
+//!    observations applied — at most [`ReoptConfig::max_replans`] times a
+//!    query, and only while the [`ResourceGovernor`] (the query's
+//!    wall-clock budget and cancellation) allows, so recovery can never
+//!    cost more than the misestimate it fixes.
 //! 3. **No repeated work.** Retained intermediates are substituted into
 //!    the re-planned execution as [`MaterializedScanExec`] leaves, keyed
 //!    by original plan-node id — the build table that triggered the
@@ -38,6 +44,12 @@
 //!    surface. The ladder: re-plan → cheaper alternative → original plan
 //!    → governed failure.
 //!
+//! A decision is made at exactly four points: the start, a granted
+//! re-plan, a degraded planning grant, and the fallback — so a run
+//! evaluates `plan nodes × (1 + replans_adopted + memory_degradations +
+//! fallbacks)` cost functions ([`ExecSummary::startup_nodes`]), whatever
+//! its degree of parallelism.
+//!
 //! Every step is recorded as a [`ReoptEvent`] in the [`ReoptReport`],
 //! rendered by EXPLAIN ANALYZE and exported by the service metrics. The
 //! state is the switch and the output, as a [`crate::Tracer`] is: the
@@ -47,7 +59,6 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Instant;
 
 use dqep_catalog::Catalog;
 use dqep_cost::{Bindings, Environment};
@@ -64,23 +75,19 @@ use crate::governor::{ExecContext, ResourceGovernor};
 use crate::metrics::ExecSummary;
 use crate::tuple::TupleLayout;
 
-/// The per-query re-optimization budget.
+/// The per-query re-optimization budget. The query's wall-clock budget is
+/// the governor's ([`crate::ResourceLimits`]): a re-plan request it
+/// refuses is denied like one past `max_replans`.
 #[derive(Debug, Clone, Copy)]
 pub struct ReoptConfig {
-    /// Maximum re-plans adopted per query.
+    /// Maximum re-plans adopted per query: how many times an escaped
+    /// checkpoint may re-make the start-up decision.
     pub max_replans: u32,
-    /// Wall-clock cap on the whole re-optimization machinery, measured
-    /// from query start: past this, re-plan requests are denied and the
-    /// current plan runs to completion.
-    pub wall_clock_ms: u64,
 }
 
 impl Default for ReoptConfig {
     fn default() -> ReoptConfig {
-        ReoptConfig {
-            max_replans: 2,
-            wall_clock_ms: 10_000,
-        }
+        ReoptConfig { max_replans: 2 }
     }
 }
 
@@ -100,7 +107,8 @@ pub enum ReoptEventKind {
     /// The governor refused to retain an intermediate; the memory grant
     /// the re-arbitration plans with was degraded instead.
     MemoryDegrade,
-    /// A choose-plan operator arbitrated with checkpoint observations.
+    /// The driver made the start-up decision with checkpoint observations
+    /// applied.
     Arbitration,
     /// A re-planned run failed and execution reverted to the original
     /// arbitration.
@@ -158,7 +166,7 @@ pub struct ReoptCounters {
     pub replan_failures: u64,
     /// Governor refusals absorbed by degrading the planning memory grant.
     pub memory_degradations: u64,
-    /// Choose-plan arbitrations that applied checkpoint observations.
+    /// Decisions the driver made with observations applied.
     pub observed_arbitrations: u64,
     /// Re-planned runs that reverted to the original arbitration.
     pub fallbacks: u64,
@@ -200,17 +208,13 @@ struct ReoptInner {
     /// Re-plans granted so far (budget consumption).
     attempts: u32,
     observations: Observations,
-    /// Set when execution reverted to the original plan: the getter then
-    /// serves no observations, so arbitrations reproduce the original
-    /// decisions.
+    /// Set when execution reverted to the original plan: decisions then
+    /// apply no observations, so they reproduce the original one.
     suppressed: bool,
     materialized: Vec<(NodeId, TupleLayout, Arc<Vec<RowBatch>>)>,
     reserved_bytes: u64,
-    /// Bumped whenever the observations in force change (a checkpoint
-    /// observed, the observations suppressed).
-    version: u64,
-    /// The start-up decision in force and the `version` it was made at.
-    decision: Option<(u64, Arc<StartupResult>)>,
+    /// The start-up decision the driver made last.
+    in_force: Option<Arc<StartupResult>>,
     /// The subplan to observe before any blocking input, if the caller
     /// named one; taken by the run this state drives.
     first_target: Option<NodeId>,
@@ -222,19 +226,6 @@ struct ReoptInner {
 }
 
 impl ReoptInner {
-    fn decide(
-        &mut self,
-        evaluate: impl FnOnce(&Observations) -> StartupResult,
-    ) -> Arc<StartupResult> {
-        let decision = Arc::new(if self.suppressed {
-            evaluate(&Observations::new())
-        } else {
-            evaluate(&self.observations)
-        });
-        self.decision = Some((self.version, Arc::clone(&decision)));
-        decision
-    }
-
     /// Appends an audit-trail entry that carries no estimate.
     fn log(&mut self, kind: ReoptEventKind, node: Option<NodeId>, detail: String) {
         self.events.push(ReoptEvent { kind, node, estimate: None, observed: None, detail });
@@ -249,12 +240,11 @@ fn journal(kind: crate::journal::EventKind, node: NodeId, a: u64, b: u64) {
 /// Shared state of one query's re-optimization machinery: checkpoint
 /// observations, retained intermediates, the re-plan budget, the start-up
 /// decision in force, and the audit trail. Carried on
-/// [`ExecContext::reopt`] and shared by the driver, the compiler hooks,
-/// the choose-plan operators and the operator probes.
+/// [`ExecContext::reopt`]; the driver writes it, the compiler reads the
+/// retained intermediates off it, and the caller reads the outcome.
 #[derive(Debug)]
 pub struct ReoptState {
     config: ReoptConfig,
-    started: Instant,
     inner: Mutex<ReoptInner>,
 }
 
@@ -269,14 +259,10 @@ pub fn escapes_interval(actual: f64, card: Interval) -> bool {
 }
 
 impl ReoptState {
-    /// Fresh state under `config`, with the wall clock starting now.
+    /// Fresh state under `config`.
     #[must_use]
     pub fn new(config: ReoptConfig) -> ReoptState {
-        ReoptState {
-            config,
-            started: Instant::now(),
-            inner: Mutex::new(ReoptInner::default()),
-        }
+        ReoptState { config, inner: Mutex::new(ReoptInner::default()) }
     }
 
     /// The same state told which subplan to observe first: the run
@@ -305,52 +291,37 @@ impl ReoptState {
     }
 
     /// Makes the start-up decision anew — `evaluate` runs the decision
-    /// procedure for the whole plan under the observations in force — and
-    /// puts it in force for every run launched from here on. The driver's
-    /// arbitration.
-    pub(crate) fn decide(
-        &self,
-        evaluate: impl FnOnce(&Observations) -> StartupResult,
-    ) -> Arc<StartupResult> {
-        self.inner.lock().decide(evaluate)
-    }
-
-    /// The start-up decision in force, for the choose-plan operator of
-    /// `node` being opened: the one last made, unless a probe has recorded
-    /// a newer observation since — then it is re-made, once, and shared by
-    /// every later `open` (at most one evaluation per observation). An
-    /// arbitration that has observations to apply is put on the audit
-    /// trail.
-    pub(crate) fn decision(
-        &self,
-        node: NodeId,
-        evaluate: impl FnOnce(&Observations) -> StartupResult,
-    ) -> Arc<StartupResult> {
+    /// procedure for the whole plan under the observations in force, none
+    /// once the query fell back — and puts it in force. The driver's
+    /// arbitration; a decision that applies observations is put on the
+    /// audit trail.
+    fn decide(&self, evaluate: impl FnOnce(&Observations) -> StartupResult) -> Arc<StartupResult> {
         let mut inner = self.inner.lock();
         let observed = if inner.suppressed { 0 } else { inner.observations.len() };
-        if observed > 0 {
+        let decision = Arc::new(if observed > 0 {
             inner.counters.observed_arbitrations += 1;
-            let detail = format!("arbitrated with {observed} checkpoint observation(s)");
-            inner.log(ReoptEventKind::Arbitration, Some(node), detail);
-        }
-        match &inner.decision {
-            Some((version, decision)) if *version == inner.version => Arc::clone(decision),
-            _ => inner.decide(evaluate),
-        }
+            let detail = format!("decided with {observed} checkpoint observation(s)");
+            inner.log(ReoptEventKind::Arbitration, None, detail);
+            evaluate(&inner.observations)
+        } else {
+            evaluate(&Observations::new())
+        });
+        inner.in_force = Some(Arc::clone(&decision));
+        decision
     }
 
-    /// The start-up decision last put in force, whatever has been observed
-    /// since — after a run, the arbitration it completed under (the
-    /// original one if the query fell back). `None` before a run.
+    /// The start-up decision last put in force — after a run, the
+    /// arbitration it completed under (the original one if the query fell
+    /// back). `None` before a run.
     #[must_use]
     pub fn in_force(&self) -> Option<Arc<StartupResult>> {
-        self.inner.lock().decision.as_ref().map(|(_, decision)| Arc::clone(decision))
+        self.inner.lock().in_force.clone()
     }
 
     /// Records a checkpoint: `actual` rows observed at `node`, whose
-    /// compile-time estimate was `card`. Returns whether the observation
+    /// bind-time estimate was `card`. Returns whether the observation
     /// escaped the interval (an [`ReoptEventKind::Escape`] event).
-    pub fn observe_checkpoint(
+    pub(crate) fn observe_checkpoint(
         &self,
         node: NodeId,
         label: &str,
@@ -369,7 +340,6 @@ impl ReoptState {
         inner.counters.checkpoints += 1;
         inner.events.push(event(ReoptEventKind::Checkpoint, label.to_string()));
         inner.observations.insert(node, actual as f64);
-        inner.version += 1;
         if escaped {
             inner.counters.escapes += 1;
             let (lo, hi) = (card.lo(), card.hi());
@@ -381,21 +351,16 @@ impl ReoptState {
     }
 
     /// Requests one re-plan against the budget. Grants consume an attempt;
-    /// denials (budget exhausted, wall cap passed, or the governor
-    /// objecting) record a [`ReoptEventKind::ReplanDenied`] event.
-    pub fn request_replan(&self, governor: &ResourceGovernor) -> bool {
+    /// denials (budget exhausted, or the governor objecting: a spent
+    /// wall-clock budget, a cancelled query) record a
+    /// [`ReoptEventKind::ReplanDenied`] event.
+    pub(crate) fn request_replan(&self, governor: &ResourceGovernor) -> bool {
         let mut inner = self.inner.lock();
         inner.counters.replans_attempted += 1;
-        let elapsed_ms = self.started.elapsed().as_millis() as u64;
         let denied = if inner.attempts >= self.config.max_replans {
             Some(format!(
                 "re-plan budget exhausted ({} of {})",
                 inner.attempts, self.config.max_replans
-            ))
-        } else if elapsed_ms > self.config.wall_clock_ms {
-            Some(format!(
-                "wall-clock cap passed ({elapsed_ms}ms > {}ms)",
-                self.config.wall_clock_ms
             ))
         } else {
             // The governor has the last word: a cancelled query or a spent
@@ -412,7 +377,7 @@ impl ReoptState {
     }
 
     /// Records an adopted re-plan.
-    pub fn record_replan(&self, node: NodeId, detail: &str) {
+    pub(crate) fn record_replan(&self, node: NodeId, detail: &str) {
         let mut inner = self.inner.lock();
         inner.counters.replans_adopted += 1;
         inner.log(ReoptEventKind::Replan, Some(node), detail.to_string());
@@ -422,7 +387,7 @@ impl ReoptState {
 
     /// Records a retryably failed checkpoint or re-plan (the original
     /// plan continues).
-    pub fn record_replan_failure(&self, node: Option<NodeId>, detail: &str) {
+    pub(crate) fn record_replan_failure(&self, node: Option<NodeId>, detail: &str) {
         let mut inner = self.inner.lock();
         inner.counters.replan_failures += 1;
         inner.log(ReoptEventKind::ReplanFailed, node, detail.to_string());
@@ -430,7 +395,7 @@ impl ReoptState {
 
     /// Records a governor refusal absorbed by degrading the planning
     /// memory grant.
-    pub fn record_memory_degrade(&self, node: NodeId, detail: &str) {
+    pub(crate) fn record_memory_degrade(&self, node: NodeId, detail: &str) {
         let mut inner = self.inner.lock();
         inner.counters.memory_degradations += 1;
         inner.log(ReoptEventKind::MemoryDegrade, Some(node), detail.to_string());
@@ -439,14 +404,13 @@ impl ReoptState {
     }
 
     /// Reverts to the original plan: records a fallback and suppresses
-    /// the observations so subsequent arbitrations reproduce the original
-    /// decisions. Retained intermediates stay substitutable — they are
-    /// the original plan's own subtree results.
-    pub fn record_fallback(&self, detail: &str) {
+    /// the observations so the next decision reproduces the original one.
+    /// Retained intermediates stay substitutable — they are the original
+    /// plan's own subtree results.
+    pub(crate) fn record_fallback(&self, detail: &str) {
         let mut inner = self.inner.lock();
         inner.counters.fallbacks += 1;
         inner.suppressed = true;
-        inner.version += 1;
         inner.log(ReoptEventKind::Fallback, None, detail.to_string());
     }
 
@@ -454,7 +418,7 @@ impl ReoptState {
     /// produced, as they are — for reuse, reserving its live rows' bytes
     /// with the governor. Returns `false` (and retains nothing) when the
     /// governor refuses — the caller degrades instead of failing.
-    pub fn try_retain(
+    pub(crate) fn try_retain(
         &self,
         governor: &ResourceGovernor,
         node: NodeId,
@@ -488,7 +452,7 @@ impl ReoptState {
     /// available). Called once before the final run: operators consuming a
     /// [`MaterializedScanExec`] re-reserve as they buffer, and holding the
     /// retention reservation across that would double-charge the grant.
-    pub fn release_reservations(&self, governor: &ResourceGovernor) {
+    pub(crate) fn release_reservations(&self, governor: &ResourceGovernor) {
         let mut inner = self.inner.lock();
         let bytes = std::mem::take(&mut inner.reserved_bytes);
         drop(inner);
@@ -520,25 +484,6 @@ impl ReoptState {
             events: inner.events.clone(),
             counters: inner.counters,
         }
-    }
-}
-
-/// A checkpoint probe attached to a pipeline breaker (hash-join build,
-/// sort ingest, exchange worker join). Fired once per `open` with the
-/// actual cardinality the breaker materialized.
-#[derive(Debug, Clone)]
-pub(crate) struct ReoptProbe {
-    pub(crate) state: Arc<ReoptState>,
-    /// The breaker's input: its id, operator name and estimate.
-    pub(crate) node: NodeId,
-    pub(crate) label: &'static str,
-    pub(crate) card: Interval,
-}
-
-impl ReoptProbe {
-    /// Records the checkpoint observation.
-    pub(crate) fn observe(&self, actual: u64) {
-        self.state.observe_checkpoint(self.node, self.label, self.card, actual);
     }
 }
 
@@ -639,9 +584,11 @@ pub fn pick_pilot(plan: &Plan) -> Option<NodeId> {
 /// checkpoint the blocking inputs, re-arbitrate the remainder on escape
 /// within the [`ReoptConfig`] budget, reuse every retained intermediate,
 /// degrade gracefully under memory pressure, and fall back to the original
-/// plan when re-planning itself fails. The result rows of the final run go
-/// to `sink`; the summary covers checkpoints and final run alike; with a
-/// tracer, its report carries the audit trail.
+/// plan when re-planning itself fails. Every run it launches follows the
+/// decision it made last, handed in through [`ExecContext::with_decision`].
+/// The result rows of the final run go to `sink`; the summary covers
+/// checkpoints and final run alike; with a tracer, its report carries the
+/// audit trail.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive(
     state: &ReoptState,
@@ -661,15 +608,17 @@ pub(crate) fn drive(
     let cpu_before = ctx.counters.snapshot();
     db.disk.reset_temp_high_water();
 
-    // The start-up decision under the observations gathered so far: the
-    // driver's arbitration is the decision every run it launches uses.
+    // The start-up decision under the observations gathered so far, and
+    // the context every run launched under it compiles with: the driver's
+    // arbitration is the one decision its choose-plan operators follow.
     let arbitrate = |bindings: &Bindings| {
-        state.decide(|observed| {
+        let decision = state.decide(|observed| {
             crate::choose::decide(plan, catalog, env, bindings, observed, &ctx.counters)
-        })
+        });
+        (ctx.clone().with_decision(Arc::clone(&decision)), decision)
     };
     let mut exec_bindings = bindings.clone();
-    let mut startup = arbitrate(&exec_bindings);
+    let (mut run_ctx, mut startup) = arbitrate(&exec_bindings);
     let mut done: HashSet<NodeId> = HashSet::new();
     let mut replanned = false;
     let mut checkpoint_rows = 0;
@@ -684,7 +633,7 @@ pub(crate) fn drive(
         let node = &plan[target];
         // Materialize the checkpoint subtree into the batches that will be
         // retained. Compiled dynamically: the target may itself contain
-        // choose-plan operators, which follow the arbitration in force.
+        // choose-plan operators, which follow the decision in force.
         let mut batches = Vec::new();
         let compiler = crate::compile::Compiler {
             plan,
@@ -695,7 +644,7 @@ pub(crate) fn drive(
             memory_bytes: crate::compile::grant_bytes(&exec_bindings, env, catalog),
         };
         let materialized = compiler
-            .node(target, ctx)
+            .node(target, &run_ctx)
             .and_then(|mut op| drain_root(op.as_mut(), None, RootSink::Batches(&mut batches)));
         let actual = match materialized {
             Ok(rows) => rows,
@@ -735,12 +684,12 @@ pub(crate) fn drive(
                 ),
             );
             exec_bindings = exec_bindings.with_memory(degraded);
-            startup = arbitrate(&exec_bindings);
+            (run_ctx, startup) = arbitrate(&exec_bindings);
             continue;
         }
         if escaped {
             if state.request_replan(&ctx.governor) {
-                startup = arbitrate(&exec_bindings);
+                (run_ctx, startup) = arbitrate(&exec_bindings);
                 state.record_replan(
                     target,
                     "re-arbitrated remaining plan with checkpoint observation",
@@ -759,14 +708,13 @@ pub(crate) fn drive(
     };
 
     // Final run over the original dynamic plan: choose-plan operators
-    // follow the arbitration in force (refreshed if a probe observes
-    // something newer on the way) and the compiler serves retained
+    // follow the decision in force and the compiler serves retained
     // intermediates in place of their subtrees. A run restarts the
     // temp-page high-water, so the checkpoints' is read off first.
     state.release_reservations(&ctx.governor);
     let mut temp_pages_peak = db.disk.temp_pages().high_water;
     let mark = sink.mark();
-    let last = match run_once(plan, db, catalog, env, &exec_bindings, ctx, sink.reborrow()) {
+    let last = match run_once(plan, db, catalog, env, &exec_bindings, &run_ctx, sink.reborrow()) {
         Ok(last) => last,
         Err(e) if e.is_retryable() && replanned => {
             // Last rung before governed failure: suppress the
@@ -778,8 +726,8 @@ pub(crate) fn drive(
             ctx.counters.add_fallbacks(1);
             sink.truncate(mark);
             temp_pages_peak = temp_pages_peak.max(db.disk.temp_pages().high_water);
-            arbitrate(bindings);
-            run_once(plan, db, catalog, env, bindings, ctx, sink)?
+            let (original, _) = arbitrate(bindings);
+            run_once(plan, db, catalog, env, bindings, &original, sink)?
         }
         Err(e) => return Err(e),
     };
@@ -1064,10 +1012,7 @@ mod tests {
 
     #[test]
     fn budget_denies_past_max_replans_and_counts() {
-        let state = ReoptState::new(ReoptConfig {
-            max_replans: 1,
-            wall_clock_ms: u64::MAX,
-        });
+        let state = ReoptState::new(ReoptConfig { max_replans: 1 });
         let gov = ResourceGovernor::unlimited();
         assert!(state.request_replan(&gov));
         assert!(!state.request_replan(&gov), "budget of 1 exhausted");
@@ -1079,24 +1024,6 @@ mod tests {
             .events
             .iter()
             .any(|e| e.kind == ReoptEventKind::ReplanDenied));
-    }
-
-    #[test]
-    fn wall_cap_and_cancellation_deny_replans() {
-        let state = ReoptState::new(ReoptConfig {
-            max_replans: 10,
-            wall_clock_ms: 0,
-        });
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(!state.request_replan(&ResourceGovernor::unlimited()));
-
-        let state = ReoptState::new(ReoptConfig {
-            max_replans: 10,
-            wall_clock_ms: u64::MAX,
-        });
-        let gov = ResourceGovernor::unlimited();
-        gov.cancel();
-        assert!(!state.request_replan(&gov), "governor has the last word");
     }
 
     #[test]
@@ -1150,35 +1077,8 @@ mod tests {
         assert_eq!(state.report().escaped_observations(), vec![(NodeId(7), 100.0)]);
         state.record_fallback("test");
         assert_eq!(served(&state), 0);
-        assert_eq!(state.counters().fallbacks, 1);
-    }
-
-    #[test]
-    fn the_decision_in_force_is_remade_once_per_observation() {
-        let (cat, _db, plan, env, bindings) = skewed_fixture();
-        let evaluations = std::cell::Cell::new(0);
-        // A choose-plan operator being opened.
-        let open = |state: &ReoptState| {
-            state.decision(plan.root(), |observed| {
-                evaluations.set(evaluations.get() + 1);
-                dqep_plan::evaluate_startup_observed(&plan, &cat, &env, &bindings, observed)
-            })
-        };
-        let state = ReoptState::new(ReoptConfig::default());
-        let first = open(&state);
-        assert!(Arc::ptr_eq(&first, &open(&state)), "nothing observed: the same decision");
-        assert_eq!(evaluations.get(), 1);
-        state.observe_checkpoint(NodeId(0), "File-Scan", Interval::new(0.0, 5.0), 3);
-        let second = open(&state);
-        assert!(!Arc::ptr_eq(&first, &second), "a newer observation: decided again");
-        assert!(Arc::ptr_eq(&second, &open(&state)), "once, for every later open");
-        assert_eq!(evaluations.get(), 2);
-        assert_eq!(state.counters().observed_arbitrations, 2);
-        state.record_fallback("test");
-        open(&state);
-        open(&state);
-        assert_eq!(evaluations.get(), 3, "suppressing the observations is news too");
-        assert!(Arc::ptr_eq(&state.in_force().unwrap(), &open(&state)));
+        let c = state.counters();
+        assert_eq!((c.fallbacks, c.observed_arbitrations), (1, 1), "one decision applied them");
     }
 
     #[test]

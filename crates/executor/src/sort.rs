@@ -251,9 +251,6 @@ pub struct SortExec<'a> {
     /// Bytes currently reserved with the governor; released in `close`.
     reserved: u64,
     output: ColStream,
-    /// Mid-query re-optimization probe, fired once per `open` with the
-    /// input's actual cardinality when ingest completes.
-    checkpoint: Option<crate::reopt::ReoptProbe>,
 }
 
 impl<'a> SortExec<'a> {
@@ -274,14 +271,7 @@ impl<'a> SortExec<'a> {
             budget_bytes,
             reserved: 0,
             output: ColStream::default(),
-            checkpoint: None,
         }
-    }
-
-    /// Attaches a re-optimization checkpoint probe to the ingest phase.
-    pub(crate) fn with_checkpoint(mut self, probe: crate::reopt::ReoptProbe) -> Self {
-        self.checkpoint = Some(probe);
-        self
     }
 
     fn reserve(&mut self, bytes: u64) -> Result<(), ExecError> {
@@ -461,7 +451,6 @@ impl<'a> SortExec<'a> {
         // memory contract, so ingest must not reserve a whole batch ahead.
         let mut chunk = RowBatch::with_capacity(width, 0);
         let mut runs: Vec<SpillFile> = Vec::new();
-        let mut ingested: u64 = 0;
         loop {
             // Request at most one row past what the memory limit still
             // covers, so the input never produces (and charges for) rows
@@ -469,7 +458,6 @@ impl<'a> SortExec<'a> {
             let req = self.ctx.governor.ingest_batch_rows(row_bytes);
             let Some(batch) = self.input.next_batch(req)? else { break };
             self.ctx.governor.check_batch(batch.len() as u64)?;
-            ingested += batch.len() as u64;
             let mut lo = 0;
             while lo < batch.len() {
                 if chunk.rows() >= budget_rows {
@@ -480,12 +468,6 @@ impl<'a> SortExec<'a> {
                 chunk.extend_from_live(&batch, lo..lo + take);
                 lo += take;
             }
-        }
-
-        // Ingest completion is a pipeline breaker: the input's true
-        // cardinality is now known exactly.
-        if let Some(probe) = &self.checkpoint {
-            probe.observe(ingested);
         }
 
         if runs.is_empty() {

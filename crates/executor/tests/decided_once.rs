@@ -5,9 +5,11 @@
 //! cheapest input, the plan runs. [`ExecSummary::startup_nodes`] counts the
 //! cost functions evaluated on behalf of a run, so "once" is a number: the
 //! plan's node count for a dynamic plan, zero for a resolved one, and under
-//! mid-query re-optimization at most one whole-plan evaluation per event
-//! that can change the decision. A choose-plan operator evaluates nothing —
-//! not to pick, not to audit, not to fall back.
+//! mid-query re-optimization one whole-plan evaluation per decision the
+//! driver makes — at the start, per adopted re-plan, per degraded grant,
+//! per fallback — whatever the degree of parallelism. A choose-plan
+//! operator evaluates nothing — not to pick, not to audit, not to fall
+//! back.
 //!
 //! (`crates/core/tests/startup_guarantee.rs` holds the reason an operator
 //! may read everything off the whole-plan result: bit-identical predicted
@@ -23,7 +25,8 @@ use dqep_catalog::{
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    run, ExecContext, ExecSummary, ReoptConfig, ReoptState, RootSink, SharedCounters, Tracer,
+    run, ExecContext, ExecSummary, ReoptConfig, ReoptCounters, ReoptState, RootSink,
+    SharedCounters, Tracer, Tuple,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_storage::{FaultPlan, StoredDatabase};
@@ -76,6 +79,25 @@ impl Chain {
     fn run(&self, plan: &Plan, bindings: &Bindings, ctx: &ExecContext) -> ExecSummary {
         run(plan, &self.db, &self.catalog, &self.env, bindings, ctx, RootSink::Discard).unwrap()
     }
+
+    /// A re-optimizing run of the whole chain under `config` at `dop`: its
+    /// summary, the counters of its state, and its rows, sorted.
+    fn reopt(
+        &self,
+        bindings: &Bindings,
+        config: ReoptConfig,
+        dop: usize,
+    ) -> (ExecSummary, ReoptCounters, Vec<Tuple>) {
+        let state = Arc::new(ReoptState::new(config));
+        let ctx =
+            ExecContext::new(SharedCounters::new()).with_dop(dop).with_reopt(Arc::clone(&state));
+        let mut rows = Vec::new();
+        let sink = RootSink::Rows(&mut rows);
+        let summary =
+            run(&self.plan, &self.db, &self.catalog, &self.env, bindings, &ctx, sink).unwrap();
+        rows.sort();
+        (summary, state.counters(), rows)
+    }
 }
 
 #[test]
@@ -126,26 +148,43 @@ fn a_reoptimizing_run_evaluates_at_most_once_per_event_that_can_move_the_decisio
     let chain = Chain::new();
     let nodes = chain.plan.len() as u64;
     let plain = chain.run(&chain.plan, &chain.bindings(0.3), &ExecContext::new(SharedCounters::new()));
-    for share in [0.05, 0.3, 0.9] {
+    let budgets = [(0.05, 2), (0.3, 2), (0.9, 2), (0.9, 0)];
+    for (share, max_replans) in budgets {
         let bindings = chain.bindings(share);
-        let state = Arc::new(ReoptState::new(ReoptConfig::default()));
-        let ctx = ExecContext::new(SharedCounters::new()).with_reopt(Arc::clone(&state));
-        let summary = chain.run(&chain.plan, &bindings, &ctx);
-        let c = state.counters();
+        let config = ReoptConfig { max_replans };
+        let (summary, c, _) = chain.reopt(&bindings, config, 1);
         assert!(c.checkpoints >= 1, "the chain has pipeline breakers: {c:?}");
-        // The driver's first arbitration and the one a fallback to the
-        // original plan would make; a refresh per observation recorded; an
-        // arbitration per re-plan requested and per degraded grant.
-        let events = 2 + c.checkpoints + c.replans_attempted + c.memory_degradations;
-        let evaluated = summary.startup_nodes;
-        assert!(
-            evaluated >= nodes && evaluated <= events * nodes,
-            "share {share}: {evaluated} cost functions evaluated for {nodes} nodes and {c:?}"
+        // The driver decides at the start, per adopted re-plan, per
+        // degraded grant and per fallback — nowhere else.
+        let decisions = 1 + c.replans_adopted + c.memory_degradations + c.fallbacks;
+        assert_eq!(
+            summary.startup_nodes,
+            decisions * nodes,
+            "share {share}, budget {max_replans}: {c:?}"
         );
-        assert_eq!(evaluated % nodes, 0, "only ever the whole plan");
+        assert!(c.replans_adopted <= u64::from(max_replans), "the budget bounds re-plans: {c:?}");
+        // Every decision after the first applies the observations, unless
+        // it is the fallback's, which suppresses them.
+        assert_eq!(c.observed_arbitrations, decisions - 1 - c.fallbacks, "{c:?}");
         if share == 0.3 {
             assert_eq!(summary.rows, plain.rows);
         }
+    }
+}
+
+#[test]
+fn a_reoptimizing_run_decides_alike_at_every_dop() {
+    let chain = Chain::new();
+    for share in [0.3, 0.9] {
+        let bindings = chain.bindings(share);
+        let (serial, serial_counters, serial_rows) =
+            chain.reopt(&bindings, ReoptConfig::default(), 1);
+        assert!(serial_counters.checkpoints >= 1, "{serial_counters:?}");
+        let (parallel, parallel_counters, parallel_rows) =
+            chain.reopt(&bindings, ReoptConfig::default(), 4);
+        assert_eq!(parallel_rows, serial_rows, "share {share}: rows");
+        assert_eq!(parallel_counters, serial_counters, "share {share}: counters");
+        assert_eq!(parallel.startup_nodes, serial.startup_nodes, "share {share}: evaluations");
     }
 }
 

@@ -106,12 +106,6 @@ impl PreparedStatement {
         self.decisions.lock().remove(key);
     }
 
-    /// Number of cached decisions currently held.
-    #[must_use]
-    pub fn cached_decisions(&self) -> usize {
-        self.decisions.lock().len()
-    }
-
     /// Snapshot of the statement's cardinality observations, for
     /// `evaluate_startup_observed`.
     #[must_use]

@@ -71,9 +71,11 @@ pub struct ServiceConfig {
     pub dop: usize,
     /// Mid-query re-optimization budget. `Some`: every session runs under
     /// a [`dqep_executor::ReoptState`] — checkpoints at the pipeline
-    /// breakers, bounded re-planning on cardinality escape — and its
-    /// escape observations feed the statement's decision cache. `None`
-    /// (the default): sessions run the cached-decision fast path.
+    /// breakers, bounded re-planning on cardinality escape, every start-up
+    /// decision made by the run's one driver (not looked up in the
+    /// decision cache) — and its escape observations feed the
+    /// statement's decision cache. `None` (the default): sessions run the
+    /// cached-decision fast path.
     pub reopt: Option<ReoptConfig>,
 }
 

@@ -51,7 +51,7 @@ use dqep_executor::{
     credit_frames, decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal,
     kway_merge, merge_distributed, presized_batch, scatter_by_shard, sort_batches, ChooseAudit,
     EventKind, ExecContext, ExecError, FrameTrace, LinkFaultPlan, NetChannel, NetConfig,
-    NetSpanStats, NetStats, ReoptConfig, ReoptState, Resource, ResourceLimits, RootSink, RowBatch,
+    NetSpanStats, NetStats, Resource, ResourceLimits, RootSink, RowBatch,
     SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout,
     BATCH_CAPACITY, NO_ID,
 };
@@ -141,9 +141,6 @@ pub struct ShardConfig {
     /// environment's expected grant). Each shard arbitrates and executes
     /// under this grant independently — a shard is its own node.
     pub memory_pages: Option<f64>,
-    /// Mid-query re-optimization budget for the per-shard access stages;
-    /// `None` (default) arbitrates once at bind time.
-    pub reopt: Option<ReoptConfig>,
     /// Resolve every choose-plan at the coordinator against the global
     /// statistics and broadcast the resolved plan — the "single-node
     /// winner everywhere" baseline. Default `false`: per-shard winners.
@@ -170,7 +167,6 @@ impl Default for ShardConfig {
             data_seed: 42,
             skew: None,
             memory_pages: None,
-            reopt: None,
             force_uniform_winner: false,
             trace: false,
         }
@@ -859,13 +855,13 @@ fn run_shard(
         ctx = ctx.with_span_parent(root);
     }
 
-    let mut current = run_access(shard, &plan.access[0], env, bindings, config, &ctx, metrics)?;
+    let mut current = run_access(shard, &plan.access[0], env, bindings, &ctx)?;
     let mut layout = TupleLayout::base(&shard.catalog, plan.rels[0]);
 
     for (j, stage) in plan.joins.iter().enumerate() {
         let right_rel = plan.rels[j + 1];
         let right_batches =
-            run_access(shard, &plan.access[j + 1], env, bindings, config, &ctx, metrics)?;
+            run_access(shard, &plan.access[j + 1], env, bindings, &ctx)?;
         let right_layout = TupleLayout::base(&shard.catalog, right_rel);
         let lkey = layout.require(stage.left_attr);
         let rkey = right_layout.require(stage.right_attr);
@@ -936,27 +932,21 @@ fn run_shard(
 /// carries its choose operators (unless the coordinator pre-resolved
 /// them), so running it against the *shard's* catalog is what turns
 /// bind-time arbitration into a per-shard decision — every choose-plan
-/// operator that opens leaves its audit in the shard's tracer, with or
-/// without re-optimization. An access stage is an intermediate result: a
-/// batch sink is not charged to the row budget.
+/// operator that opens leaves its audit in the shard's tracer. An access
+/// stage is an intermediate result: a batch sink is not charged to the
+/// row budget. It is a single-relation plan optimized without required
+/// properties, so it has no blocking input a re-optimizing run could
+/// checkpoint: access stages are not re-optimized.
 fn run_access(
     shard: &Shard,
     plan: &Plan,
     env: &Environment,
     bindings: &Bindings,
-    config: &ShardConfig,
     ctx: &ExecContext,
-    metrics: &MetricsRegistry,
 ) -> Result<Vec<RowBatch>, ExecError> {
-    let reopt = config.reopt.map(|budget| Arc::new(ReoptState::new(budget)));
-    let reopt_ctx = reopt.as_ref().map(|state| ctx.clone().with_reopt(Arc::clone(state)));
-    let ctx = reopt_ctx.as_ref().unwrap_or(ctx);
     let mut batches = Vec::new();
     let sink = RootSink::Batches(&mut batches);
     dqep_executor::run(plan, &shard.db, &shard.catalog, env, bindings, ctx, sink)?;
-    if let Some(state) = reopt {
-        metrics.record_reopt(&state.counters());
-    }
     Ok(batches)
 }
 
