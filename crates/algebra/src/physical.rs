@@ -108,13 +108,6 @@ impl PhysicalOp {
         }
     }
 
-    /// Whether this is an enforcer (an algorithm with no logical
-    /// counterpart, associated instead with the property it enforces).
-    #[must_use]
-    pub fn is_enforcer(&self) -> bool {
-        matches!(self, PhysicalOp::Sort { .. } | PhysicalOp::ChoosePlan)
-    }
-
     /// The sort order this operator delivers, given its children's
     /// delivered orders (one entry per child, in order) and its join
     /// predicates. Taken as an iterator so a plan builder can answer from
@@ -161,18 +154,6 @@ impl PhysicalOp {
             PhysicalOp::IndexJoin { .. } => "Index-Join",
             PhysicalOp::Sort { .. } => "Sort",
             PhysicalOp::ChoosePlan => "Choose-Plan",
-        }
-    }
-
-    /// The selection predicate evaluated by this operator, if any.
-    #[must_use]
-    pub fn select_predicate(&self) -> Option<&SelectPred> {
-        match self {
-            PhysicalOp::Filter { predicate } | PhysicalOp::FilterBtreeScan { predicate, .. } => {
-                Some(predicate)
-            }
-            PhysicalOp::IndexJoin { residual, .. } => residual.as_ref(),
-            _ => None,
         }
     }
 
@@ -262,13 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn enforcers() {
-        assert!(PhysicalOp::Sort { attr: attr(0, 0) }.is_enforcer());
-        assert!(PhysicalOp::ChoosePlan.is_enforcer());
-        assert!(!PhysicalOp::FileScan { relation: RelationId(0) }.is_enforcer());
-    }
-
-    #[test]
     fn delivered_orders() {
         let a = attr(0, 0);
         assert_eq!(
@@ -318,14 +292,6 @@ mod tests {
             SortOrder::None
         );
         assert_eq!(cp.delivered_order([], &[]), SortOrder::None);
-    }
-
-    #[test]
-    fn predicate_accessors() {
-        let p = SelectPred::unbound(attr(0, 0), CompareOp::Lt, HostVar(0));
-        let f = PhysicalOp::Filter { predicate: p };
-        assert_eq!(f.select_predicate(), Some(&p));
-        assert!(PhysicalOp::HashJoin.select_predicate().is_none());
     }
 
     #[test]

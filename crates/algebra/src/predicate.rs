@@ -112,18 +112,6 @@ impl JoinPred {
             right: self.left,
         }
     }
-
-    /// The attribute on the side of `rel`, if any.
-    #[must_use]
-    pub fn attr_of(&self, rel: dqep_catalog::RelationId) -> Option<AttrId> {
-        if self.left.relation == rel {
-            Some(self.left)
-        } else if self.right.relation == rel {
-            Some(self.right)
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for JoinPred {
@@ -160,9 +148,6 @@ mod tests {
         let p = JoinPred::new(attr(0, 1), attr(1, 2));
         assert_eq!(p.flipped().left, attr(1, 2));
         assert_eq!(p.flipped().flipped(), p);
-        assert_eq!(p.attr_of(RelationId(0)), Some(attr(0, 1)));
-        assert_eq!(p.attr_of(RelationId(1)), Some(attr(1, 2)));
-        assert_eq!(p.attr_of(RelationId(2)), None);
     }
 
     #[test]

@@ -70,12 +70,6 @@ impl RelSet {
         self.0 & other.0 == 0
     }
 
-    /// Whether every member of `self` is in `other`.
-    #[must_use]
-    pub fn is_subset(self, other: RelSet) -> bool {
-        self.0 & !other.0 == 0
-    }
-
     /// Iterates over members in increasing id order.
     pub fn iter(self) -> impl Iterator<Item = RelationId> {
         let mut bits = self.0;
@@ -211,8 +205,6 @@ mod tests {
         assert!(!u.contains(RelationId(1)));
         assert!(a.is_disjoint(b));
         assert!(!u.is_disjoint(a));
-        assert!(a.is_subset(u));
-        assert!(!u.is_subset(a));
         assert!(RelSet::EMPTY.is_empty());
         assert_eq!(u.intersect(a), a);
     }

@@ -13,17 +13,6 @@ pub enum Value {
     Str(String),
 }
 
-impl Value {
-    /// The integer payload, if this is an [`Value::Int`].
-    #[must_use]
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            Value::Str(_) => None,
-        }
-    }
-}
-
 impl From<i64> for Value {
     fn from(v: i64) -> Value {
         Value::Int(v)
@@ -130,8 +119,6 @@ mod tests {
     fn value_conversions() {
         assert_eq!(Value::from(42i64), Value::Int(42));
         assert_eq!(Value::from("x"), Value::Str("x".into()));
-        assert_eq!(Value::Int(7).as_int(), Some(7));
-        assert_eq!(Value::Str("x".into()).as_int(), None);
     }
 
     #[test]

@@ -80,12 +80,6 @@ impl SystemConfig {
     pub fn module_read_time(&self, nodes: usize) -> f64 {
         nodes as f64 * self.plan_node_bytes as f64 / self.module_read_bandwidth
     }
-
-    /// Memory in bytes corresponding to `pages` pages.
-    #[must_use]
-    pub fn pages_to_bytes(&self, pages: f64) -> f64 {
-        pages * self.page_size as f64
-    }
 }
 
 impl Default for SystemConfig {
@@ -118,11 +112,5 @@ mod tests {
         let t = c.module_read_time(14_090);
         assert!((t - 0.9).abs() < 0.02, "expected ~0.9 s, got {t}");
         assert!((c.module_read_time(16_000) - 1.024).abs() < 0.03);
-    }
-
-    #[test]
-    fn pages_to_bytes() {
-        let c = SystemConfig::paper_1994();
-        assert_eq!(c.pages_to_bytes(64.0), 64.0 * 2048.0);
     }
 }

@@ -53,12 +53,6 @@ impl Histogram {
         self.total
     }
 
-    /// Number of buckets.
-    #[must_use]
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// The value range covered.
     #[must_use]
     pub fn range(&self) -> (i64, i64) {
@@ -110,7 +104,6 @@ mod tests {
     fn uniform_data_matches_uniform_model() {
         let h = Histogram::build(0..1000, 50).unwrap();
         assert_eq!(h.total(), 1000);
-        assert_eq!(h.bucket_count(), 50);
         assert_eq!(h.range(), (0, 999));
         for v in [100i64, 250, 500, 900] {
             let est = h.fraction_below(v);

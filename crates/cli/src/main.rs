@@ -69,10 +69,9 @@
 //!   --routing R         base-data placement: hash (default) | range
 //!   --force-uniform     resolve the plan once against global statistics
 //!                       and broadcast it (the single-node-winner baseline)
-//!   --net-latency-us U  per-frame link latency, microseconds
-//!   --net-bandwidth B   link bandwidth in bytes/second (0 = unpaced)
-//!   --net-jitter-us U   deterministic per-frame jitter bound
 //!   --link-fault SPEC   drop frames, e.g. nth-frame=3,max-retransmit=2
+//!                       (the network's one setting: links are unpaced,
+//!                       every byte is counted on the query's channels)
 //!                       (--metrics-json writes the shard metrics
 //!                       snapshot; --io-latency-us paces each replica;
 //!                       --explain-analyze prints the merged distributed
@@ -153,9 +152,6 @@ struct Args {
     shards: Option<usize>,
     routing: String,
     force_uniform: bool,
-    net_latency_us: u64,
-    net_bandwidth: u64,
-    net_jitter_us: u64,
     link_fault: Option<String>,
 }
 
@@ -298,9 +294,6 @@ const FLAGS: &[(&str, bool, Setter)] = &[
     ("--shards", true, |a, v| set(&mut a.shards, at_least_one(v).map(Some))),
     ("--routing", true, |a, v| set(&mut a.routing, Ok(v.to_string()))),
     ("--force-uniform", false, |a, _| set(&mut a.force_uniform, Ok(true))),
-    ("--net-latency-us", true, |a, v| set(&mut a.net_latency_us, num(v))),
-    ("--net-bandwidth", true, |a, v| set(&mut a.net_bandwidth, num(v))),
-    ("--net-jitter-us", true, |a, v| set(&mut a.net_jitter_us, num(v))),
     ("--link-fault", true, |a, v| set(&mut a.link_fault, Ok(Some(v.to_string())))),
     ("--help", false, |_, _| Err("usage: see `dqep` module docs (or the README)".to_string())),
 ];
@@ -386,15 +379,8 @@ fn parse_argv(argv: &[String]) -> Result<Args, String> {
             return Err(format!("--routing must be hash or range, got `{}`", args.routing));
         }
     } else {
-        let net_flags = args.net_latency_us > 0
-            || args.net_bandwidth > 0
-            || args.net_jitter_us > 0
-            || args.link_fault.is_some()
-            || args.force_uniform;
-        if net_flags {
-            return Err(
-                "--net-*/--link-fault/--force-uniform require --shards".to_string()
-            );
+        if args.link_fault.is_some() || args.force_uniform {
+            return Err("--link-fault/--force-uniform require --shards".to_string());
         }
     }
     Ok(args)

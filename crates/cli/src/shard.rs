@@ -16,17 +16,11 @@ pub(crate) fn run_sharded(args: &Args) -> Result<(), DqepError> {
     };
     let config = dqep_service::ShardConfig {
         shards: args.shards.unwrap_or(1),
-        net: dqep_executor::NetConfig {
-            latency_micros: args.net_latency_us,
-            bytes_per_second: args.net_bandwidth,
-            jitter_micros: args.net_jitter_us,
-            seed: args.seed,
-        },
-        link_faults,
+        net: dqep_executor::NetConfig { link_faults },
         routing: if args.routing == "range" {
-            dqep_service::ShardRouting::Range { attr: 0 }
+            dqep_service::ShardRouting::Range
         } else {
-            dqep_service::ShardRouting::Hash { attr: 0 }
+            dqep_service::ShardRouting::Hash
         },
         histogram_buckets: args.histograms.unwrap_or(16),
         dop: args.dop,
@@ -131,17 +125,13 @@ mod tests {
     fn parses_shard_flags() {
         let a = parse_argv(&argv(&[
             "--sql", "q", "--run", "--shards", "4", "--routing", "range",
-            "--force-uniform", "--net-latency-us", "20", "--net-bandwidth",
-            "1000000", "--net-jitter-us", "5", "--link-fault",
-            "nth-frame=3,max-retransmit=2", "--metrics-json", "m.json",
+            "--force-uniform", "--link-fault", "nth-frame=3,max-retransmit=2",
+            "--metrics-json", "m.json",
         ]))
         .unwrap();
         assert_eq!(a.shards, Some(4));
         assert_eq!(a.routing, "range");
         assert!(a.force_uniform);
-        assert_eq!(a.net_latency_us, 20);
-        assert_eq!(a.net_bandwidth, 1_000_000);
-        assert_eq!(a.net_jitter_us, 5);
         assert_eq!(a.link_fault.as_deref(), Some("nth-frame=3,max-retransmit=2"));
         assert_eq!(a.metrics_json.as_deref(), Some("m.json"));
     }
@@ -164,7 +154,7 @@ mod tests {
 
     #[test]
     fn net_flags_require_shards() {
-        assert!(parse_argv(&argv(&["--sql", "q", "--run", "--net-latency-us", "9"]))
+        assert!(parse_argv(&argv(&["--sql", "q", "--run", "--link-fault", "nth-frame=1"]))
             .unwrap_err()
             .contains("--shards"));
         assert!(parse_argv(&argv(&["--sql", "q", "--run", "--force-uniform"]))

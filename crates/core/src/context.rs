@@ -119,12 +119,6 @@ impl QueryContext {
     pub fn selects_on(&self, rel: RelationId) -> &[SelectPred] {
         self.selects.get(&rel).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Number of uncertain (host-variable) selection predicates.
-    #[must_use]
-    pub fn uncertain_predicates(&self) -> usize {
-        self.host_attrs.len()
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +157,6 @@ mod tests {
         let ctx = QueryContext::build(&q, &cat).unwrap();
         assert_eq!(ctx.relations.len(), 3);
         assert_eq!(ctx.join_preds.len(), 2);
-        assert_eq!(ctx.uncertain_predicates(), 2);
         assert_eq!(ctx.selects_on(ctx.relations[0]).len(), 1);
         assert_eq!(ctx.selects_on(ctx.relations[2]).len(), 0);
     }

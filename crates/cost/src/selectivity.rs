@@ -91,17 +91,6 @@ impl<'a> SelectivityModel<'a> {
             .product()
     }
 
-    /// Output cardinality of a selection over an input of `input_card`.
-    #[must_use]
-    pub fn select_output(
-        &self,
-        input_card: Interval,
-        pred: &SelectPred,
-        env: &Environment,
-    ) -> Interval {
-        input_card * self.selection(pred, env)
-    }
-
     /// Output cardinality of a join of `left_card` × `right_card` under
     /// `preds`.
     #[must_use]
@@ -220,7 +209,7 @@ mod tests {
         let m = SelectivityModel::new(&cat);
         let env = Environment::dynamic_compile_time(&cfg);
         let pred = SelectPred::unbound(attr(&cat, "r", "a"), CompareOp::Lt, HostVar(0));
-        let out = m.select_output(Interval::point(1000.0), &pred, &env);
+        let out = Interval::point(1000.0) * m.selection(&pred, &env);
         assert_eq!(out, Interval::new(0.0, 1000.0));
 
         let p = JoinPred::new(attr(&cat, "r", "j"), attr(&cat, "s", "j"));

@@ -135,11 +135,11 @@ fn render_span(out: &mut String, report: &TraceReport, record: &SpanRecord, dept
                  {} credit stall(s) ({:.3}ms waiting)",
                 net.from,
                 net.to,
-                net.frames,
-                net.bytes,
-                net.retransmits,
-                net.credit_stalls,
-                net.credit_wait_ns as f64 / 1e6,
+                net.stats.frames,
+                net.stats.bytes,
+                net.stats.retransmits,
+                net.stats.credit_stalls,
+                net.stats.credit_wait_ns as f64 / 1e6,
             );
         } else {
             let remote = net
@@ -296,11 +296,11 @@ json_block! {
         "from": NonNeg => net.from,
         "to": NonNeg => net.to,
         "sent": Bool => net.sent,
-        "bytes": NonNeg => net.bytes,
-        "frames": NonNeg => net.frames,
-        "retransmits": NonNeg => net.retransmits,
-        "credit_stalls": NonNeg => net.credit_stalls,
-        "credit_wait_ns": NonNeg => net.credit_wait_ns,
+        "bytes": NonNeg => net.stats.bytes,
+        "frames": NonNeg => net.stats.frames,
+        "retransmits": NonNeg => net.stats.retransmits,
+        "credit_stalls": NonNeg => net.stats.credit_stalls,
+        "credit_wait_ns": NonNeg => net.stats.credit_wait_ns,
         "remote_span": Nullable(&Num) => net.remote_span,
     }
 }

@@ -188,12 +188,6 @@ impl ResourceGovernor {
         self.inner.cancelled.store(true, Ordering::SeqCst);
     }
 
-    /// Whether cancellation was requested.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::SeqCst)
-    }
-
     /// Cancellation and deadline check for a batch of `n` rows: one
     /// cancellation read and one tick update for the whole batch. The
     /// cancellation flag is read every time; the wall clock only when the
@@ -406,7 +400,6 @@ mod tests {
         let clone = gov.clone();
         assert!(clone.check_batch(1).is_ok());
         gov.cancel();
-        assert!(gov.is_cancelled());
         assert_eq!(clone.check_batch(1).unwrap_err(), ExecError::Cancelled);
     }
 

@@ -1,6 +1,6 @@
 //! Network-boundary exchange primitives: a columnar frame codec, a
-//! simulated network with per-link pacing and credit-based backpressure,
-//! and batched hash routing for repartitioning exchanges.
+//! simulated network with credit-based backpressure and deterministic
+//! link faults, and batched hash routing for repartitioning exchanges.
 //!
 //! The sharded service (crate `dqep-service`) moves [`RowBatch`]es
 //! between shard replicas. Three concerns live here because they are
@@ -13,13 +13,13 @@
 //!   materialization). Frames are dense — no selection vector travels — so
 //!   a filtered batch costs only its live rows on the wire.
 //! * **Simulated network** — [`SimNet`] hands out bounded point-to-point
-//!   [`NetChannel`]s. Like `SimDisk`, the latency/bandwidth/jitter knobs
-//!   sleep *outside* any lock so concurrent links overlap, every frame is
-//!   byte-accounted, and a deterministic [`LinkFaultPlan`] can fail
-//!   chosen transmissions. A failed transmission is retransmitted (and
-//!   counted) up to a bound, so injected faults perturb timing and
-//!   accounting but never results — the same contract storage faults
-//!   have with choose-plan fallback.
+//!   [`NetChannel`]s under one [`NetConfig`]: its deterministic
+//!   [`LinkFaultPlan`], which can fail chosen transmissions. Every frame
+//!   is byte-accounted on the channel that carried it; the network keeps
+//!   no totals of its own, so a query's traffic is the sum of its
+//!   channels'. A failed transmission is retransmitted (and counted) up
+//!   to a bound, so injected faults perturb accounting but never results
+//!   — the same contract storage faults have with choose-plan fallback.
 //! * **Backpressure** — each channel holds at most `capacity` in-flight
 //!   frames (its credits). A sender blocks when the receiver lags; the
 //!   block time is returned so callers can feed a queue-wait histogram.
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use crate::batch::{RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
-use crate::hash_join::{fold_hash_column, mix, HASH_SEED};
+use crate::hash_join::{fold_hash_column, HASH_SEED};
 
 /// Bytes of the frame header: width, row count, selection length, trace
 /// id, parent span.
@@ -189,40 +189,6 @@ pub fn decode_frame_traced(bytes: &[u8]) -> Result<(RowBatch, FrameTrace), ExecE
     Ok((batch, trace))
 }
 
-/// Pacing and determinism knobs of a simulated network — the network
-/// sibling of `SimDisk`'s latency knob. All sleeps happen outside locks,
-/// so concurrent links overlap in real time.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NetConfig {
-    /// Fixed per-frame propagation latency, microseconds.
-    pub latency_micros: u64,
-    /// Link bandwidth in bytes per second; `0` means unpaced.
-    pub bytes_per_second: u64,
-    /// Deterministic per-frame jitter bound, microseconds: each
-    /// transmission adds `hash(seed, link, ordinal) % (jitter + 1)`.
-    pub jitter_micros: u64,
-    /// Seed of the jitter hash.
-    pub seed: u64,
-}
-
-impl NetConfig {
-    /// The transmission delay of one `len`-byte frame on `link` for the
-    /// `ordinal`-th send (deterministic in all arguments).
-    #[must_use]
-    pub fn frame_delay(&self, len: usize, link: u64, ordinal: u64) -> Duration {
-        let mut micros = self.latency_micros;
-        if let Some(tx) = (len as u64).saturating_mul(1_000_000).checked_div(self.bytes_per_second)
-        {
-            micros += tx;
-        }
-        if self.jitter_micros > 0 {
-            let h = mix(self.seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ordinal);
-            micros += h % (self.jitter_micros + 1);
-        }
-        Duration::from_micros(micros)
-    }
-}
-
 /// Deterministic link-fault injection: the listed 1-based *fresh-frame*
 /// ordinals of every channel fail their first transmission and are
 /// retransmitted. Matching by per-channel ordinal keeps runs reproducible
@@ -281,7 +247,18 @@ impl LinkFaultPlan {
     }
 }
 
-/// Wire-traffic totals of a [`SimNet`], all monotone counters.
+/// The one configuration of a simulated network: the link faults every
+/// channel it opens is subject to. Fixed when the network is built, so a
+/// send reads it without a lock.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NetConfig {
+    /// Deterministic link faults, applied per channel by fresh-frame
+    /// ordinal.
+    pub link_faults: LinkFaultPlan,
+}
+
+/// Wire-traffic totals of one [`NetChannel`], all monotone counters.
+/// Totals over several channels are their sum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Frames delivered.
@@ -296,18 +273,22 @@ pub struct NetStats {
     pub credit_wait_ns: u64,
 }
 
-impl NetStats {
-    /// The traffic accumulated since an `earlier` snapshot of the same
-    /// network (field-wise saturating difference).
-    #[must_use]
-    pub fn since(&self, earlier: &NetStats) -> NetStats {
-        NetStats {
-            frames: self.frames.saturating_sub(earlier.frames),
-            bytes: self.bytes.saturating_sub(earlier.bytes),
-            retransmits: self.retransmits.saturating_sub(earlier.retransmits),
-            credit_stalls: self.credit_stalls.saturating_sub(earlier.credit_stalls),
-            credit_wait_ns: self.credit_wait_ns.saturating_sub(earlier.credit_wait_ns),
-        }
+impl std::ops::AddAssign for NetStats {
+    fn add_assign(&mut self, other: NetStats) {
+        self.frames += other.frames;
+        self.bytes += other.bytes;
+        self.retransmits += other.retransmits;
+        self.credit_stalls += other.credit_stalls;
+        self.credit_wait_ns += other.credit_wait_ns;
+    }
+}
+
+impl std::iter::Sum for NetStats {
+    fn sum<I: Iterator<Item = NetStats>>(iter: I) -> NetStats {
+        iter.fold(NetStats::default(), |mut total, stats| {
+            total += stats;
+            total
+        })
     }
 }
 
@@ -332,40 +313,19 @@ impl NetCounters {
     }
 }
 
-#[derive(Debug)]
-struct NetInner {
-    config: NetConfig,
-    faults: Mutex<LinkFaultPlan>,
-    totals: NetCounters,
-}
-
 /// A simulated network: a factory of bounded point-to-point channels
-/// sharing one pacing configuration, one fault plan, and one set of
-/// byte/frame counters. Cloning is cheap (shared state).
+/// sharing one [`NetConfig`]. It keeps no traffic counters of its own:
+/// each channel counts what it carries. Cloning is cheap (shared state).
 #[derive(Debug, Clone)]
 pub struct SimNet {
-    inner: Arc<NetInner>,
+    config: Arc<NetConfig>,
 }
 
 impl SimNet {
-    /// A network with the given pacing knobs and no injected faults.
+    /// A network whose channels all see `config`'s link faults.
     #[must_use]
     pub fn new(config: NetConfig) -> SimNet {
-        SimNet {
-            inner: Arc::new(NetInner {
-                config,
-                faults: Mutex::new(LinkFaultPlan::none()),
-                totals: NetCounters::default(),
-            }),
-        }
-    }
-
-    /// Installs (replaces) the link fault plan.
-    ///
-    /// # Panics
-    /// Panics if the fault-plan lock is poisoned.
-    pub fn set_link_faults(&self, plan: LinkFaultPlan) {
-        *self.inner.faults.lock().unwrap_or_else(PoisonError::into_inner) = plan;
+        SimNet { config: Arc::new(config) }
     }
 
     /// Opens a bounded channel from node `from` to node `to` holding at
@@ -390,12 +350,6 @@ impl SimNet {
             }),
         }
     }
-
-    /// A snapshot of the wire-traffic totals.
-    #[must_use]
-    pub fn stats(&self) -> NetStats {
-        self.inner.totals.snapshot()
-    }
 }
 
 #[derive(Debug)]
@@ -414,7 +368,7 @@ struct ChanShared {
     counters: NetCounters,
 }
 
-/// One bounded, paced, fault-injectable point-to-point frame channel.
+/// One bounded, fault-injectable point-to-point frame channel.
 /// The sender half and receiver half may live on different threads;
 /// clone the channel to split it.
 #[derive(Debug)]
@@ -441,10 +395,10 @@ impl Clone for NetChannel {
 }
 
 impl NetChannel {
-    /// Transmits one frame: paces it (latency + bandwidth + jitter),
-    /// retransmits around injected drops up to the fault plan's bound,
-    /// then enqueues it, blocking while the receiver holds all credits.
-    /// Returns how long the send was blocked on backpressure.
+    /// Transmits one frame: retransmits around injected drops up to the
+    /// fault plan's bound, then enqueues it, blocking while the receiver
+    /// holds all credits. Returns how long the send was blocked on
+    /// backpressure.
     ///
     /// # Errors
     /// [`ExecError::Network`] when the retransmission budget is exhausted
@@ -454,19 +408,13 @@ impl NetChannel {
     /// Panics if the channel lock is poisoned.
     pub fn send(&self, frame: Vec<u8>) -> Result<Duration, ExecError> {
         let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed) + 1;
-        let (drops, budget) = {
-            let faults = self.net.inner.faults.lock().unwrap_or_else(PoisonError::into_inner);
-            (faults.drops_for(ordinal), faults.max_retransmits)
-        };
-        let config = self.net.inner.config;
-        let totals = &self.net.inner.totals;
+        let faults = &self.net.config.link_faults;
+        let (drops, budget) = (faults.drops_for(ordinal), faults.max_retransmits);
         let link = &self.state.counters;
         if drops > budget {
             // The dropped transmissions still hit the wire before the
             // sender gives up.
             let spent = u64::from(budget) + 1;
-            totals.bytes.fetch_add(frame.len() as u64 * spent, Ordering::Relaxed);
-            totals.retransmits.fetch_add(spent - 1, Ordering::Relaxed);
             link.bytes.fetch_add(frame.len() as u64 * spent, Ordering::Relaxed);
             link.retransmits.fetch_add(spent - 1, Ordering::Relaxed);
             crate::journal::journal().record(
@@ -481,14 +429,6 @@ impl NetChannel {
                 "frame {ordinal} dropped {drops} time(s); retransmission budget {budget} exhausted"
             )));
         }
-        for _ in 0..=drops {
-            let delay = config.frame_delay(frame.len(), self.link, ordinal);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-        }
-        totals.bytes.fetch_add(frame.len() as u64 * (u64::from(drops) + 1), Ordering::Relaxed);
-        totals.retransmits.fetch_add(u64::from(drops), Ordering::Relaxed);
         link.bytes.fetch_add(frame.len() as u64 * (u64::from(drops) + 1), Ordering::Relaxed);
         link.retransmits.fetch_add(u64::from(drops), Ordering::Relaxed);
         if drops > 0 {
@@ -508,7 +448,6 @@ impl NetChannel {
             // The stall counts when the wait begins, under the channel
             // lock: whoever sees it knows a sender is blocked until a
             // frame is taken off the queue.
-            totals.credit_stalls.fetch_add(1, Ordering::Relaxed);
             link.credit_stalls.fetch_add(1, Ordering::Relaxed);
             let start = Instant::now();
             while state.queue.len() >= self.capacity && !state.closed {
@@ -516,14 +455,12 @@ impl NetChannel {
             }
             waited = start.elapsed();
             let waited_ns = u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
-            totals.credit_wait_ns.fetch_add(waited_ns, Ordering::Relaxed);
             link.credit_wait_ns.fetch_add(waited_ns, Ordering::Relaxed);
         }
         if state.closed {
             return Err(ExecError::Network("receiver closed the channel".into()));
         }
         state.queue.push_back(frame);
-        totals.frames.fetch_add(1, Ordering::Relaxed);
         link.frames.fetch_add(1, Ordering::Relaxed);
         drop(state);
         self.state.data.notify_one();
@@ -714,7 +651,7 @@ pub fn scatter_by_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash_join::hash_key;
+    use crate::hash_join::{hash_key, mix};
 
     fn sample_batch(selection: bool) -> RowBatch {
         let mut b = RowBatch::with_capacity(3, 8);
@@ -786,7 +723,8 @@ mod tests {
         assert_eq!(a.stats().frames, 2);
         assert_eq!(a.stats().bytes, 3);
         assert_eq!(b.stats().frames, 1);
-        assert_eq!(net.stats().frames, 3, "global totals still aggregate");
+        let total: NetStats = [a.stats(), b.stats()].into_iter().sum();
+        assert_eq!((total.frames, total.bytes), (3, 4), "totals are the links' sum");
         // Receiver clones observe the same link counters.
         assert_eq!(a.clone().stats().frames, 2);
     }
@@ -840,7 +778,7 @@ mod tests {
             let got: Vec<u8> = std::iter::from_fn(|| rx.recv()).map(|f| f[0]).collect();
             assert_eq!(got, (0..20).collect::<Vec<u8>>());
         });
-        let stats = net.stats();
+        let stats = tx.stats();
         assert_eq!(stats.frames, 20);
         assert_eq!(stats.bytes, 20);
         assert!(stats.credit_stalls > 0, "{stats:?}");
@@ -848,28 +786,26 @@ mod tests {
 
     #[test]
     fn link_faults_retransmit_then_exhaust() {
-        let net = SimNet::new(NetConfig::default());
-        net.set_link_faults(LinkFaultPlan {
-            fail_nth_frames: vec![2],
-            max_retransmits: 4,
+        let net = SimNet::new(NetConfig {
+            link_faults: LinkFaultPlan { fail_nth_frames: vec![2], max_retransmits: 4 },
         });
         let tx = net.channel(0, 1, 8);
         tx.send(vec![1]).expect("clean frame");
         tx.send(vec![2]).expect("retransmitted frame");
-        assert_eq!(net.stats().retransmits, 1);
-        assert_eq!(net.stats().frames, 2);
-        assert_eq!(net.stats().bytes, 3, "dropped transmission is on the wire");
+        assert_eq!(tx.stats().retransmits, 1);
+        assert_eq!(tx.stats().frames, 2);
+        assert_eq!(tx.stats().bytes, 3, "dropped transmission is on the wire");
 
         // Same drop with a zero budget is terminal.
-        let net = SimNet::new(NetConfig::default());
-        net.set_link_faults(LinkFaultPlan {
-            fail_nth_frames: vec![1],
-            max_retransmits: 0,
+        let net = SimNet::new(NetConfig {
+            link_faults: LinkFaultPlan { fail_nth_frames: vec![1], max_retransmits: 0 },
         });
         let tx = net.channel(0, 1, 8);
         let err = tx.send(vec![9]).expect_err("budget exhausted");
         assert!(matches!(err, ExecError::Network(_)), "{err:?}");
         assert!(err.is_retryable(), "network faults are plan-local");
+        let stats = tx.stats();
+        assert_eq!((stats.frames, stats.bytes), (0, 1), "the lost frame was on the wire");
     }
 
     #[test]
@@ -879,21 +815,6 @@ mod tests {
         assert_eq!(plan.max_retransmits, 2);
         assert!(LinkFaultPlan::parse("wat=1").is_err());
         assert!(LinkFaultPlan::parse("nth-frame").is_err());
-    }
-
-    #[test]
-    fn pacing_is_deterministic() {
-        let config = NetConfig {
-            latency_micros: 100,
-            bytes_per_second: 1_000_000,
-            jitter_micros: 50,
-            seed: 7,
-        };
-        let a = config.frame_delay(1000, 3, 5);
-        assert_eq!(a, config.frame_delay(1000, 3, 5), "same inputs, same delay");
-        // latency 100µs + 1000B at 1MB/s = 1000µs + jitter ∈ [0, 50].
-        let micros = a.as_micros();
-        assert!((1100..=1150).contains(&micros), "{micros}");
     }
 
     #[test]

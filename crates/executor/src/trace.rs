@@ -31,6 +31,7 @@ use crate::error::ExecError;
 use crate::exec::{BoxedOperator, Operator};
 use crate::governor::{ExecContext, ResourceGovernor};
 use crate::metrics::{CpuCounters, SharedCounters};
+use crate::netexchange::NetStats;
 use crate::tuple::TupleLayout;
 
 /// Process-wide trace-id allocator: every [`Tracer`] created with
@@ -129,11 +130,8 @@ impl SpanStats {
 }
 
 /// Wire accounting attached to a network-exchange span: one side of one
-/// simulated link, reconciled against the channel's own [`NetCounters`]
-/// so the sum of all send-span byte totals equals the query's
-/// `NetStats::since` delta exactly.
-///
-/// [`NetCounters`]: crate::netexchange::NetStats
+/// simulated link. The send side carries the channel's own [`NetStats`],
+/// so the send spans of a query sum to its `ShardOutcome::net` exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetSpanStats {
     /// Sending node id (shards `0..n`, coordinator `n`).
@@ -142,20 +140,13 @@ pub struct NetSpanStats {
     pub to: u32,
     /// `true` for the sending side of the link (which carries the byte
     /// accounting), `false` for the receiving side (which carries the
-    /// propagated remote span id, and no bytes — so totals never double
-    /// count).
+    /// propagated remote span id, and zero traffic — so totals never
+    /// double count).
     pub sent: bool,
-    /// Bytes put on the wire, including retransmissions and frames burnt
-    /// by an exhausted retransmission budget.
-    pub bytes: u64,
-    /// Frames delivered.
-    pub frames: u64,
-    /// Frames retransmitted after an injected drop.
-    pub retransmits: u64,
-    /// Sends that blocked on credit backpressure.
-    pub credit_stalls: u64,
-    /// Nanoseconds spent blocked on credit.
-    pub credit_wait_ns: u64,
+    /// The link's traffic: bytes (retransmissions and frames burnt by an
+    /// exhausted retransmission budget included), frames, retransmits and
+    /// credit stalls. Zero on the receive side.
+    pub stats: NetStats,
     /// The peer's span id recovered from the frame header (receive side
     /// only): proof the trace context propagated across the wire. Remapped
     /// into merged-report coordinates by [`merge_distributed`].

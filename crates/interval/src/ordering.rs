@@ -24,13 +24,6 @@ pub enum PartialCmp {
 }
 
 impl PartialCmp {
-    /// Whether the left operand is provably no more expensive
-    /// (`Less` or `Equal`).
-    #[must_use]
-    pub fn is_le(self) -> bool {
-        matches!(self, PartialCmp::Less | PartialCmp::Equal)
-    }
-
     /// Whether this comparison is decided at compile-time
     /// (anything but `Incomparable`).
     #[must_use]
@@ -45,16 +38,6 @@ impl PartialCmp {
             PartialCmp::Less => PartialCmp::Greater,
             PartialCmp::Greater => PartialCmp::Less,
             other => other,
-        }
-    }
-
-    /// Converts from a total [`std::cmp::Ordering`].
-    #[must_use]
-    pub fn from_ordering(ord: std::cmp::Ordering) -> PartialCmp {
-        match ord {
-            std::cmp::Ordering::Less => PartialCmp::Less,
-            std::cmp::Ordering::Equal => PartialCmp::Equal,
-            std::cmp::Ordering::Greater => PartialCmp::Greater,
         }
     }
 }
@@ -77,10 +60,6 @@ mod tests {
 
     #[test]
     fn predicates() {
-        assert!(PartialCmp::Less.is_le());
-        assert!(PartialCmp::Equal.is_le());
-        assert!(!PartialCmp::Greater.is_le());
-        assert!(!PartialCmp::Incomparable.is_le());
         assert!(PartialCmp::Less.is_decided());
         assert!(!PartialCmp::Incomparable.is_decided());
     }
@@ -97,14 +76,6 @@ mod tests {
         }
         assert_eq!(PartialCmp::Less.reverse(), PartialCmp::Greater);
         assert_eq!(PartialCmp::Incomparable.reverse(), PartialCmp::Incomparable);
-    }
-
-    #[test]
-    fn from_ordering() {
-        use std::cmp::Ordering;
-        assert_eq!(PartialCmp::from_ordering(Ordering::Less), PartialCmp::Less);
-        assert_eq!(PartialCmp::from_ordering(Ordering::Equal), PartialCmp::Equal);
-        assert_eq!(PartialCmp::from_ordering(Ordering::Greater), PartialCmp::Greater);
     }
 
     #[test]

@@ -45,12 +45,6 @@ impl ParamValue {
         ParamValue::Uncertain { expected, bounds }
     }
 
-    /// Whether the value is known at compile-time.
-    #[must_use]
-    pub fn is_known(self) -> bool {
-        matches!(self, ParamValue::Known(_))
-    }
-
     /// The interval a *dynamic-plan* optimizer must use: the point for known
     /// parameters, the full domain for uncertain ones.
     #[must_use]
@@ -109,7 +103,6 @@ mod tests {
     #[test]
     fn known_param() {
         let p = ParamValue::Known(0.3);
-        assert!(p.is_known());
         assert_eq!(p.planning_interval(), Interval::point(0.3));
         assert_eq!(p.expected(), 0.3);
         assert_eq!(p.bind(0.9), ParamValue::Known(0.3), "binding a known value is a no-op");
@@ -118,7 +111,6 @@ mod tests {
     #[test]
     fn uncertain_param() {
         let p = ParamValue::uncertain(0.05, Interval::new(0.0, 1.0));
-        assert!(!p.is_known());
         assert_eq!(p.planning_interval(), Interval::new(0.0, 1.0));
         assert_eq!(p.expected(), 0.05);
         assert_eq!(p.expected_interval(), Interval::point(0.05));

@@ -3,7 +3,7 @@
 //!
 //! A [`ShardedService`] loads every relation across `N` shard replicas:
 //! one generation pass routes each row, as it is drawn, to its shard
-//! (hash or range routing on a chosen attribute), and no global copy of
+//! (hash or range routing on attribute 0), and no global copy of
 //! the data is ever built. Each shard owns its own [`StoredDatabase`], its own
 //! **local catalog statistics** (cardinalities refreshed and histograms
 //! rebuilt from its partition alone), its own resource governor, and its
@@ -24,9 +24,9 @@
 //! ([`dqep_executor::shard_route`]) on the join key, so co-partitioning
 //! is guaranteed by construction and the union of shard-local joins is
 //! exactly the global join. Batches travel as length-prefixed columnar
-//! frames over a simulated network ([`SimNet`]) with per-link pacing,
-//! deterministic fault injection, and credit-based backpressure; every
-//! byte is accounted. The final gather merges order-preservingly (k-way
+//! frames over a simulated network ([`SimNet`]) with deterministic fault
+//! injection and credit-based backpressure; every byte is accounted on
+//! the query's own channels. The final gather merges order-preservingly (k-way
 //! merge by the `ORDER BY` column) or deterministically concatenates in
 //! shard order.
 //!
@@ -50,7 +50,7 @@ use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     credit_frames, decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal,
     kway_merge, merge_distributed, presized_batch, scatter_by_shard, sort_batches, ChooseAudit,
-    EventKind, ExecContext, ExecError, FrameTrace, LinkFaultPlan, NetChannel, NetConfig,
+    EventKind, ExecContext, ExecError, FrameTrace, NetChannel, NetConfig,
     NetSpanStats, NetStats, Resource, ResourceLimits, RootSink, RowBatch,
     SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout,
     BATCH_CAPACITY, NO_ID,
@@ -64,45 +64,34 @@ use dqep_storage::{
 use crate::error::ServiceError;
 use crate::metrics::{Hist, Metric, MetricsRegistry, MetricsReport};
 
-/// How base rows are placed on shards at load time. Repartitioning
+/// How base rows are placed on shards at load time, by attribute 0 (the
+/// selection attribute [`ShardConfig::skew`] skews). Repartitioning
 /// exchanges always hash on the *join key* regardless — this only decides
 /// the initial layout, and with it how skewed the per-shard statistics
 /// come out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRouting {
-    /// Hash the given attribute index through the batched multiply-xor
-    /// kernel: near-uniform placement whatever the value distribution.
-    Hash {
-        /// Attribute index to hash (clamped to the relation's arity).
-        attr: u32,
-    },
-    /// Contiguous ranges of the attribute's domain: shard
+    /// Hash attribute 0 through the batched multiply-xor kernel:
+    /// near-uniform placement whatever the value distribution.
+    Hash,
+    /// Contiguous ranges of attribute 0's domain: shard
     /// `⌊value · N / domain⌋`. Under a skewed value distribution this
     /// deliberately produces *unequal* partitions — the setting where
     /// per-shard arbitration diverges from the global winner.
-    Range {
-        /// Attribute index to range-partition on (clamped to arity).
-        attr: u32,
-    },
+    Range,
 }
 
 impl ShardRouting {
     /// The shard of `shards` a row of `rel` is loaded on. Hash routing is
     /// [`dqep_executor::shard_route`]'s rule for one key column, `hash %
-    /// shards`; range routing slices the attribute's domain into `shards`
+    /// shards`; range routing slices attribute 0's domain into `shards`
     /// contiguous stripes.
     fn shard_of(self, rel: &Relation, row: &[i64], shards: usize) -> usize {
-        let attr = match self {
-            ShardRouting::Hash { attr } | ShardRouting::Range { attr } => attr as usize,
-        };
-        let attr = attr.min(rel.attributes.len().saturating_sub(1));
         match self {
-            ShardRouting::Hash { .. } => {
-                (hash_key(&[(attr, attr)], row, true) % shards as u64) as usize
-            }
-            ShardRouting::Range { .. } => {
-                let domain = rel.attributes[attr].domain_size.max(1.0);
-                ((row[attr].max(0) as f64 * shards as f64 / domain) as usize).min(shards - 1)
+            ShardRouting::Hash => (hash_key(&[(0, 0)], row, true) % shards as u64) as usize,
+            ShardRouting::Range => {
+                let domain = rel.attributes[0].domain_size.max(1.0);
+                ((row[0].max(0) as f64 * shards as f64 / domain) as usize).min(shards - 1)
             }
         }
     }
@@ -113,10 +102,9 @@ impl ShardRouting {
 pub struct ShardConfig {
     /// Number of shard replicas (minimum 1).
     pub shards: usize,
-    /// Pacing of every inter-shard link.
+    /// The simulated network every inter-shard link runs on: its
+    /// deterministic link faults.
     pub net: NetConfig,
-    /// Deterministic link faults installed on the network at start.
-    pub link_faults: LinkFaultPlan,
     /// Base-data placement policy.
     pub routing: ShardRouting,
     /// Buckets of the per-shard histograms (and the coordinator's).
@@ -158,8 +146,7 @@ impl Default for ShardConfig {
         ShardConfig {
             shards: 2,
             net: NetConfig::default(),
-            link_faults: LinkFaultPlan::none(),
-            routing: ShardRouting::Hash { attr: 0 },
+            routing: ShardRouting::Hash,
             histogram_buckets: 16,
             dop: 1,
             limits: ResourceLimits::unlimited(),
@@ -201,7 +188,8 @@ pub struct ShardOutcome {
     pub audits: Vec<Vec<ChooseAudit>>,
     /// Plan nodes whose winning alternative differed between shards.
     pub divergent_nodes: Vec<u64>,
-    /// Wire traffic of this query alone (cross-shard + gather frames).
+    /// Wire traffic of this query alone (cross-shard + gather frames):
+    /// the sum of [`ShardOutcome::links`].
     pub net: NetStats,
     /// Per-link wire traffic of this query, in deterministic link order
     /// (stage by stage, then the gather links). Only links that carried
@@ -405,8 +393,7 @@ impl ShardedService {
             })
             .collect();
 
-        let net = SimNet::new(config.net);
-        net.set_link_faults(config.link_faults.clone());
+        let net = SimNet::new(config.net.clone());
         let env = Environment::dynamic_compile_time(&catalog.config);
         ShardedService {
             catalog,
@@ -428,11 +415,6 @@ impl ShardedService {
     #[must_use]
     pub fn shards(&self) -> &[Shard] {
         &self.shards
-    }
-
-    /// Replaces the link fault plan for subsequent queries.
-    pub fn set_link_faults(&self, plan: LinkFaultPlan) {
-        self.net.set_link_faults(plan);
     }
 
     /// The metrics snapshot — the same schema the serving layer exports:
@@ -554,7 +536,6 @@ impl ShardedService {
     /// coordinator draining the gather links on the current thread.
     fn run(&self, plan: &DistPlan, bindings: &Bindings) -> Result<ShardOutcome, ServiceError> {
         let n = self.shards.len();
-        let net_before = self.net.stats();
         let (mut wires, gather_rx, link_handles) = self.wire_up(plan, n);
         let layout = canonical_layout(&self.catalog, &plan.rels);
         let width = layout.width();
@@ -679,13 +660,15 @@ impl ShardedService {
             }
         }
 
-        // Per-link deltas: channels are created fresh per query, so each
-        // channel's own counters are exactly this query's traffic.
+        // The one ledger: channels are created fresh per query, so each
+        // channel's own counters are exactly this query's traffic on that
+        // link, and the query's wire total is their sum.
         let links: Vec<LinkTraffic> = link_handles
             .iter()
             .map(|ch| LinkTraffic { from: ch.from_node(), to: ch.to_node(), stats: ch.stats() })
             .filter(|l| l.stats.frames > 0 || l.stats.bytes > 0)
             .collect();
+        let net = links.iter().map(|l| l.stats).sum();
 
         // The merged timeline: the coordinator's spans (root + gather
         // receives) plus every shard's report, re-parented under the
@@ -704,7 +687,7 @@ impl ShardedService {
             per_shard_rows: shard_rows,
             audits,
             divergent_nodes,
-            net: self.net.stats().since(&net_before),
+            net,
             links,
             fallbacks,
             trace,
@@ -1150,31 +1133,20 @@ impl<'a> FrameSender<'a> {
 
 impl Drop for FrameSender<'_> {
     /// Whatever happened — including a send that exhausted its
-    /// retransmission budget — the opened span is reconciled against the
-    /// channel's own counters, so span byte totals match `NetStats`
-    /// exactly.
+    /// retransmission budget — the opened span carries the channel's own
+    /// counters: each channel has exactly one sender and lives for one
+    /// query, so its counters are the span's traffic.
     fn drop(&mut self) {
         if let Some(span) = self.span {
-            self.tracer.set_net(span, send_net_stats(self.ch));
+            let net = NetSpanStats {
+                from: self.ch.from_node(),
+                to: self.ch.to_node(),
+                sent: true,
+                stats: self.ch.stats(),
+                remote_span: None,
+            };
+            self.tracer.set_net(span, net);
         }
-    }
-}
-
-/// The send-side [`NetSpanStats`] of one channel: the channel's
-/// per-link counters verbatim (each channel has exactly one sender and
-/// lives for one query, so its counters are the span's traffic).
-fn send_net_stats(ch: &NetChannel) -> NetSpanStats {
-    let st = ch.stats();
-    NetSpanStats {
-        from: ch.from_node(),
-        to: ch.to_node(),
-        sent: true,
-        bytes: st.bytes,
-        frames: st.frames,
-        retransmits: st.retransmits,
-        credit_stalls: st.credit_stalls,
-        credit_wait_ns: st.credit_wait_ns,
-        remote_span: None,
     }
 }
 
@@ -1182,6 +1154,7 @@ fn send_net_stats(ch: &NetChannel) -> NetSpanStats {
 mod tests {
     use super::*;
     use dqep_catalog::{make_chain_catalog, SyntheticSpec, SystemConfig};
+    use dqep_executor::LinkFaultPlan;
     use dqep_storage::IoStats;
 
     fn chain_sql(n: usize) -> String {
@@ -1214,7 +1187,7 @@ mod tests {
     #[test]
     fn partitions_cover_the_data_exactly() {
         let shards = 4;
-        for routing in [ShardRouting::Hash { attr: 0 }, ShardRouting::Range { attr: 0 }] {
+        for routing in [ShardRouting::Hash, ShardRouting::Range] {
             let config = ShardConfig { shards, routing, ..ShardConfig::default() };
             let svc = ShardedService::new(catalog(2), config);
             for rel in svc.catalog().relations() {
@@ -1236,7 +1209,7 @@ mod tests {
                         let h = shard.catalog.histogram(attr).expect("installed");
                         let what = format!("{routing:?} {} shard {d} attr {index}", rel.name);
                         assert_eq!(h.total(), rows, "{what}");
-                        if let (ShardRouting::Range { .. }, 0) = (routing, index) {
+                        if let (ShardRouting::Range, 0) = (routing, index) {
                             // Routing is monotone in the value: both ends
                             // of the range in the stripe put all of it there.
                             let stripe = |v: i64| {
@@ -1260,10 +1233,7 @@ mod tests {
     #[test]
     fn shards_hold_the_generated_rows_that_route_to_them() {
         let catalog = catalog(2);
-        for routing in [
-            ShardRouting::Hash { attr: 0 },
-            ShardRouting::Range { attr: 0 },
-        ] {
+        for routing in [ShardRouting::Hash, ShardRouting::Range] {
             for shards in [1usize, 3, 4] {
                 let config = ShardConfig {
                     shards,
@@ -1292,7 +1262,7 @@ mod tests {
                     let mut batch = RowBatch::with_capacity(rel.attributes.len(), 1);
                     rows[&rel.id].iter().for_each(|row| batch.push_row(row));
                     let dests: Vec<usize> = match routing {
-                        ShardRouting::Hash { .. } => {
+                        ShardRouting::Hash => {
                             let (mut hashes, mut dests) = (Vec::new(), Vec::new());
                             dqep_executor::shard_route(
                                 &batch,
@@ -1303,7 +1273,7 @@ mod tests {
                             );
                             dests.into_iter().map(|d| d as usize).collect()
                         }
-                        ShardRouting::Range { .. } => {
+                        ShardRouting::Range => {
                             let domain = rel.attributes[0].domain_size;
                             batch
                                 .column(0)
@@ -1439,9 +1409,11 @@ mod tests {
             catalog(2),
             ShardConfig {
                 shards: 2,
-                link_faults: LinkFaultPlan {
-                    fail_nth_frames: vec![1, 2],
-                    max_retransmits: 4,
+                net: NetConfig {
+                    link_faults: LinkFaultPlan {
+                        fail_nth_frames: vec![1, 2],
+                        max_retransmits: 4,
+                    },
                 },
                 ..ShardConfig::default()
             },
@@ -1457,9 +1429,11 @@ mod tests {
             catalog(2),
             ShardConfig {
                 shards: 2,
-                link_faults: LinkFaultPlan {
-                    fail_nth_frames: vec![1, 1, 1],
-                    max_retransmits: 1,
+                net: NetConfig {
+                    link_faults: LinkFaultPlan {
+                        fail_nth_frames: vec![1, 1, 1],
+                        max_retransmits: 1,
+                    },
                 },
                 ..ShardConfig::default()
             },
@@ -1479,7 +1453,7 @@ mod tests {
             catalog(1),
             ShardConfig {
                 shards: 4,
-                routing: ShardRouting::Range { attr: 0 },
+                routing: ShardRouting::Range,
                 skew: Some(1.2),
                 ..ShardConfig::default()
             },
@@ -1499,7 +1473,7 @@ mod tests {
             catalog(1),
             ShardConfig {
                 shards: 4,
-                routing: ShardRouting::Range { attr: 0 },
+                routing: ShardRouting::Range,
                 skew: Some(1.2),
                 force_uniform_winner: true,
                 ..ShardConfig::default()
@@ -1563,14 +1537,72 @@ mod tests {
         assert!(m.get(Metric::NetFrames) > 0);
         assert!(m.winners().iter().sum::<u64>() > 0);
 
-        svc.set_link_faults(LinkFaultPlan::parse("nth-frame=1,max-retransmit=0").expect("plan"));
-        assert!(svc
+        // Link faults are configured once, with the network: the failing
+        // half runs on a second service whose every link drops its first
+        // frame with no retransmission budget.
+        let link_faults = LinkFaultPlan::parse("nth-frame=1,max-retransmit=0").expect("plan");
+        let faulty = ShardedService::new(
+            catalog(2),
+            ShardConfig {
+                shards: 2,
+                limits,
+                net: NetConfig { link_faults },
+                ..ShardConfig::default()
+            },
+        );
+        assert!(faulty
             .execute(&chain_sql(2), &[("v1", 500), ("v2", 500)])
             .is_err());
-        let m = svc.metrics();
-        assert_eq!((m.get(Metric::Completed), m.get(Metric::Failed)), (3, 1));
+        let m = faulty.metrics();
+        assert_eq!(m.get(Metric::ShardQueries), 1);
+        assert_eq!((m.get(Metric::Completed), m.get(Metric::Failed)), (0, 1));
         assert_eq!(m.get(Metric::RefusedLinkFault), 1);
-        assert_eq!(m.hist(Hist::Latency).count, 3, "failures record no latency");
+        assert_eq!(m.hist(Hist::Latency).count, 0, "failures record no latency");
+        assert_eq!(m.get(Metric::NetBytes), 0, "a failed query adds no traffic");
+    }
+
+    /// A query's wire traffic is what its own channels carried, however
+    /// many queries share the service: two threads released together run
+    /// the same join twenty times each, and every outcome reports the
+    /// bytes, frames and retransmits of its own links — the same as a run
+    /// with the service to itself. The metrics add exactly those.
+    #[test]
+    fn concurrent_queries_count_only_their_own_wire_traffic() {
+        let sql = chain_sql(2);
+        let binds = [("v1", 900i64), ("v2", 900i64)];
+        let wire = |n: &NetStats| (n.bytes, n.frames, n.retransmits);
+        let alone = ShardedService::new(catalog(2), ShardConfig::default())
+            .execute(&sql, &binds)
+            .expect("runs");
+        let svc = ShardedService::new(catalog(2), ShardConfig::default());
+        let barrier = std::sync::Barrier::new(2);
+        let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..20)
+                            .map(|_| {
+                                barrier.wait();
+                                svc.execute(&sql, &binds).expect("runs")
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            clients.into_iter().flat_map(|c| c.join().expect("client")).collect()
+        });
+        assert_eq!(outcomes.len(), 40);
+        for (i, out) in outcomes.iter().enumerate() {
+            let links = out.links.iter().fold((0, 0, 0), |(b, f, r), l| {
+                (b + l.stats.bytes, f + l.stats.frames, r + l.stats.retransmits)
+            });
+            assert_eq!(wire(&out.net), links, "outcome {i}: its own links");
+            assert_eq!(wire(&out.net), wire(&alone.net), "outcome {i}: a run alone");
+        }
+        assert_eq!(
+            svc.metrics().get(Metric::NetBytes),
+            outcomes.iter().map(|o| o.net.bytes).sum::<u64>()
+        );
     }
 
     fn batch_of(width: usize, rows: &[&[i64]]) -> RowBatch {

@@ -67,15 +67,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this plan can ever fire.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        !self.fail_nth_reads.is_empty()
-            || self.fail_page_range.is_some()
-            || self.read_fail_prob > 0.0
-            || !self.fail_nth_writes.is_empty()
-    }
-
     /// Decides whether the accounted read with 1-based `ordinal` of `page`
     /// fails.
     #[must_use]
@@ -195,7 +186,6 @@ mod tests {
     #[test]
     fn nth_read_fires_exactly_once() {
         let p = FaultPlan::nth_read(3);
-        assert!(p.is_active());
         assert!(!p.read_fails(PageId(0), 1));
         assert!(!p.read_fails(PageId(0), 2));
         assert!(p.read_fails(PageId(0), 3));

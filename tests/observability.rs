@@ -342,8 +342,8 @@ proptest! {
     /// Tentpole acceptance: a traced 4-shard × dop-2 query yields ONE
     /// connected distributed trace — every span's parent exists and
     /// precedes it, the network send spans' wire accounting reconciles
-    /// exactly against the query's `NetStats` delta (which in turn
-    /// decomposes into the per-link deltas), every receive span's remote
+    /// exactly against the query's `NetStats` (which in turn
+    /// decomposes into the per-link counters), every receive span's remote
     /// reference resolves to the matching send span, and the event
     /// journal's entries for this trace fall inside the trace's lifetime
     /// window with shard-divergence verdicts after the per-shard
@@ -399,16 +399,16 @@ proptest! {
         prop_assert_eq!(shard_roots, 4, "one subtree per shard");
 
         // Byte-exact wire reconciliation: every frame is sent through a
-        // span-owning path, so the send spans sum to the NetStats delta.
+        // span-owning path, so the send spans sum to the query's NetStats.
         let sends: Vec<_> = report
             .spans
             .iter()
             .filter_map(|s| s.net.as_ref().filter(|n| n.sent))
             .collect();
-        prop_assert_eq!(sends.iter().map(|n| n.bytes).sum::<u64>(), out.net.bytes);
-        prop_assert_eq!(sends.iter().map(|n| n.frames).sum::<u64>(), out.net.frames);
+        prop_assert_eq!(sends.iter().map(|n| n.stats.bytes).sum::<u64>(), out.net.bytes);
+        prop_assert_eq!(sends.iter().map(|n| n.stats.frames).sum::<u64>(), out.net.frames);
         prop_assert_eq!(
-            sends.iter().map(|n| n.retransmits).sum::<u64>(),
+            sends.iter().map(|n| n.stats.retransmits).sum::<u64>(),
             out.net.retransmits
         );
         // The same totals decompose into the per-link deltas.

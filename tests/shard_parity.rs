@@ -9,7 +9,7 @@
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
-    compile_dynamic_plan, drain, ExecContext, ExecError, LinkFaultPlan,
+    compile_dynamic_plan, drain, ExecContext, ExecError, LinkFaultPlan, NetConfig,
     Resource, ResourceLimits, SharedCounters, Tuple, TupleLayout, FRAME_HEADER_BYTES,
 };
 use dqep::optimizer::Optimizer;
@@ -114,7 +114,7 @@ proptest! {
             shards,
             dop,
             limits,
-            link_faults,
+            net: NetConfig { link_faults },
             data_seed: seed,
             ..ShardConfig::default()
         };
@@ -206,7 +206,7 @@ fn divergent_winners_are_audited_and_parity_preserving() {
         .expect("catalog");
     let skewed = |force: bool| ShardConfig {
         shards: 4,
-        routing: ShardRouting::Range { attr: 0 },
+        routing: ShardRouting::Range,
         skew: Some(1.2),
         force_uniform_winner: force,
         ..ShardConfig::default()
@@ -259,7 +259,7 @@ fn per_shard_arbitration_reads_less_than_the_forced_global_winner() {
         .expect("catalog");
     let config = |force: bool| ShardConfig {
         shards: 4,
-        routing: ShardRouting::Range { attr: 0 },
+        routing: ShardRouting::Range,
         force_uniform_winner: force,
         data_seed: 7,
         ..ShardConfig::default()
