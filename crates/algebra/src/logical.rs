@@ -6,7 +6,6 @@ use dqep_catalog::{Catalog, RelationId};
 
 use crate::predicate::{JoinPred, SelectPred};
 use crate::properties::RelSet;
-use crate::types::HostVar;
 
 /// A logical algebra expression — the optimizer's input.
 ///
@@ -130,21 +129,6 @@ impl LogicalExpr {
         out
     }
 
-    /// Host variables referenced by unbound predicates, deduplicated, in
-    /// first-occurrence order.
-    #[must_use]
-    pub fn host_vars(&self) -> Vec<HostVar> {
-        let mut out = Vec::new();
-        for p in self.select_predicates() {
-            if let Some(h) = p.host_var() {
-                if !out.contains(&h) {
-                    out.push(h);
-                }
-            }
-        }
-        out
-    }
-
     /// Number of operators in the expression tree.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -255,7 +239,7 @@ impl fmt::Display for LogicalExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::CompareOp;
+    use crate::types::{CompareOp, HostVar};
     use dqep_catalog::{AttrId, CatalogBuilder, SystemConfig};
 
     fn catalog() -> Catalog {
@@ -290,7 +274,6 @@ mod tests {
         assert_eq!(q.relations().len(), 2);
         assert_eq!(q.select_predicates().len(), 2);
         assert_eq!(q.join_predicates().len(), 1);
-        assert_eq!(q.host_vars(), vec![HostVar(0), HostVar(1)]);
         assert_eq!(q.len(), 5); // join + 2 selects + 2 gets
     }
 

@@ -83,6 +83,7 @@ fn main() {
         }
         if want("--fig6") {
             println!("{}\n", fig6::table(&results));
+            println!("{}\n", fig6::module_table(&results));
         }
         if want("--fig7") {
             println!("{}\n", fig7::table(&results));

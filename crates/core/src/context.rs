@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use dqep_algebra::{HostVar, JoinPred, LogicalExpr, RelSet, SelectPred};
-use dqep_catalog::{AttrId, Catalog, RelationId};
+use dqep_algebra::{JoinPred, LogicalExpr, RelSet, SelectPred};
+use dqep_catalog::{Catalog, RelationId};
 
 use crate::error::OptimizerError;
 
@@ -29,9 +29,6 @@ pub struct QueryContext {
     pub selects: BTreeMap<RelationId, Vec<SelectPred>>,
     /// All equi-join predicates of the query.
     pub join_preds: Vec<JoinPred>,
-    /// Host variable → the attribute its predicate restricts (used by
-    /// multi-point probing to map sampled selectivities to values).
-    pub host_attrs: BTreeMap<HostVar, AttrId>,
     /// The join graph as adjacency sets, indexed by relation id: the
     /// relations each relation shares a join predicate with.
     adjacent: Vec<RelSet>,
@@ -48,12 +45,8 @@ impl QueryContext {
         }
         let relations: Vec<RelationId> = all_rels.iter().collect();
         let mut selects: BTreeMap<RelationId, Vec<SelectPred>> = BTreeMap::new();
-        let mut host_attrs = BTreeMap::new();
         for p in query.select_predicates() {
             selects.entry(p.attr.relation).or_default().push(p);
-            if let Some(h) = p.host_var() {
-                host_attrs.entry(h).or_insert(p.attr);
-            }
         }
         let join_preds = query.join_predicates();
         let mut adjacent = vec![RelSet::EMPTY; relations.last().map_or(0, |r| r.0 as usize + 1)];
@@ -67,7 +60,6 @@ impl QueryContext {
             all_rels,
             selects,
             join_preds,
-            host_attrs,
             adjacent,
         })
     }

@@ -6,18 +6,17 @@
 //! parameter values, it is always the more expensive plan and therefore can
 //! be dropped from further consideration."
 //!
-//! Probing maps sampled selectivities to host-variable values (via the
-//! predicate attribute's domain) and sampled memory grants, then evaluates
-//! both plans' cost functions at each sample with the ordinary start-up
-//! machinery. It is *heuristic*: two plans that cross between samples can
-//! be mis-ordered, which is why the paper's prototype (and this crate's
-//! default) leaves it off.
+//! Probing samples points of the statement's [`ParamSpace`] — one
+//! selectivity, applied to every host variable, and a memory grant — binds
+//! each through the space's map from selectivities to values, then
+//! evaluates both plans' cost functions at each sample with the ordinary
+//! start-up machinery. It is *heuristic*: two plans that cross between
+//! samples can be mis-ordered, which is why the paper's prototype (and
+//! this crate's default) leaves it off.
 
 use dqep_catalog::Catalog;
-use dqep_cost::{Bindings, Environment};
+use dqep_cost::{Bindings, Environment, ParamSpace};
 use dqep_plan::{evaluate_startup, NodeId, Plan};
-
-use crate::context::QueryContext;
 
 /// A set of sampled parameter points for heuristic plan comparison.
 #[derive(Debug, Clone)]
@@ -27,25 +26,25 @@ pub struct ProbePoints {
     /// Sampled memory grants in pages (paired cyclically with
     /// selectivities).
     pub memories: Vec<f64>,
+    /// The statement's parameter space the samples are points of.
+    space: ParamSpace,
 }
 
 impl ProbePoints {
-    /// `k` evenly spaced selectivity quantiles and memory grants across the
-    /// catalog's uncertain ranges.
+    /// `k` evenly spaced selectivity quantiles and memory grants across
+    /// `space`'s uncertain ranges.
     #[must_use]
-    pub fn standard(k: usize, catalog: &Catalog) -> ProbePoints {
+    pub fn standard(k: usize, space: ParamSpace) -> ProbePoints {
         let k = k.max(1);
-        let cfg = &catalog.config;
+        let memory = space.memory();
         let sel = (1..=k).map(|i| i as f64 / (k as f64 + 1.0)).collect();
         let mem = (1..=k)
-            .map(|i| {
-                cfg.memory_min_pages
-                    + (cfg.memory_max_pages - cfg.memory_min_pages) * i as f64 / (k as f64 + 1.0)
-            })
+            .map(|i| memory.lo() + (memory.hi() - memory.lo()) * i as f64 / (k as f64 + 1.0))
             .collect();
         ProbePoints {
             selectivities: sel,
             memories: mem,
+            space,
         }
     }
 
@@ -53,15 +52,10 @@ impl ProbePoints {
     /// whose predicate selectivity is `selectivities[i]`, memory to
     /// `memories[i]`.
     #[must_use]
-    pub fn bindings(&self, i: usize, ctx: &QueryContext, catalog: &Catalog) -> Bindings {
+    pub fn bindings(&self, i: usize, catalog: &Catalog) -> Bindings {
         let s = self.selectivities[i % self.selectivities.len()];
         let m = self.memories[i % self.memories.len()];
-        let mut b = Bindings::new().with_memory(m);
-        for (&var, &attr) in &ctx.host_attrs {
-            let domain = catalog.attribute(attr).domain_size;
-            b = b.with_value(var, (s * domain).floor() as i64);
-        }
-        b
+        self.space.bindings(catalog, std::iter::repeat(s)).with_memory(m)
     }
 
     /// Whether the subplan at `a` of the search's plan table is at least
@@ -72,14 +66,13 @@ impl ProbePoints {
         &self,
         plans: &Plan,
         (a, b): (NodeId, NodeId),
-        ctx: &QueryContext,
         catalog: &Catalog,
         env: &Environment,
     ) -> bool {
         let (a, b) = (plans.rooted_at(a), plans.rooted_at(b));
         let n = self.selectivities.len().max(self.memories.len());
         for i in 0..n {
-            let bindings = self.bindings(i, ctx, catalog);
+            let bindings = self.bindings(i, catalog);
             let ca = evaluate_startup(&a, catalog, env, &bindings).predicted_run_seconds;
             let cb = evaluate_startup(&b, catalog, env, &bindings).predicted_run_seconds;
             if ca > cb {
@@ -93,6 +86,7 @@ impl ProbePoints {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dqep_algebra::{CompareOp, HostVar, LogicalExpr, SelectPred};
     use dqep_catalog::{CatalogBuilder, SystemConfig};
 
     fn catalog() -> Catalog {
@@ -105,27 +99,30 @@ mod tests {
     #[test]
     fn standard_points_span_ranges() {
         let cat = catalog();
-        let p = ProbePoints::standard(3, &cat);
+        let p = ProbePoints::standard(3, space(&cat));
         assert_eq!(p.selectivities, vec![0.25, 0.5, 0.75]);
         assert_eq!(p.memories.len(), 3);
         assert!(p.memories.iter().all(|&m| (16.0..=112.0).contains(&m)));
         // k = 0 clamps to one point.
-        assert_eq!(ProbePoints::standard(0, &cat).selectivities.len(), 1);
+        assert_eq!(ProbePoints::standard(0, space(&cat)).selectivities.len(), 1);
     }
 
-    #[test]
-    fn bindings_map_selectivity_to_values() {
-        use dqep_algebra::{CompareOp, HostVar, LogicalExpr, SelectPred};
-        let cat = catalog();
+    /// The space of `r.a < :v0`.
+    fn space(cat: &Catalog) -> ParamSpace {
         let rel = cat.relation_by_name("r").unwrap();
         let q = LogicalExpr::get(rel.id).select(SelectPred::unbound(
             rel.attr_id("a").unwrap(),
             CompareOp::Lt,
             HostVar(0),
         ));
-        let ctx = QueryContext::build(&q, &cat).unwrap();
-        let p = ProbePoints::standard(3, &cat);
-        let b = p.bindings(1, &ctx, &cat);
+        ParamSpace::new(&q, cat)
+    }
+
+    #[test]
+    fn bindings_map_selectivity_to_values() {
+        let cat = catalog();
+        let p = ProbePoints::standard(3, space(&cat));
+        let b = p.bindings(1, &cat);
         // selectivity 0.5 over domain 1000 → value 500.
         assert_eq!(b.value(HostVar(0)), Some(500));
         assert!(b.memory_pages.is_some());

@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use dqep_algebra::{JoinPred, LogicalExpr, PhysProps, PhysicalOp, SelectPred, SortOrder};
 use dqep_catalog::{AttrId, Catalog, IndexId, RelationId};
-use dqep_cost::{Cost, CostModel, Environment, PlanStats, PlanningMode};
+use dqep_cost::{Cost, CostModel, Environment, ParamSpace, PlanStats, PlanningMode};
 use dqep_interval::Interval;
 use dqep_plan::{NodeId, Plan};
 
@@ -146,8 +146,12 @@ impl<'a> Optimizer<'a> {
             physical_considered: 0,
             pruned_by_bound: 0,
             pruned_by_probing: 0,
-            probe: (self.options.probe_points > 0)
-                .then(|| ProbePoints::standard(self.options.probe_points, self.catalog)),
+            probe: (self.options.probe_points > 0).then(|| {
+                ProbePoints::standard(
+                    self.options.probe_points,
+                    ParamSpace::new(query, self.catalog),
+                )
+            }),
         };
         search.optimize_group(root, props)?;
         let combined = search
@@ -444,7 +448,7 @@ impl<'a> Search<'a> {
                 let q = self.q;
                 let arena = &self.arena;
                 self.frontiers
-                    .prune_with(|a, b| probe.dominates(arena, (a, b), &q.ctx, q.catalog, q.env));
+                    .prune_with(|a, b| probe.dominates(arena, (a, b), q.catalog, q.env));
                 self.pruned_by_probing += before - self.frontiers.len();
                 self.probe = Some(probe);
             }

@@ -19,11 +19,13 @@
 //! one table while every join node still owned its predicate list; 543
 //! (533 + 10) and 434 with the predicates in the table and the arena
 //! reserved once, while every memo group owned a list of expressions and a
-//! list of frontiers, and every frontier a list of plans. Measured now, the
-//! memo and the frontiers laid out as a few lists: 70 (60 + 10) and 70 —
-//! the ceiling below is that count plus a quarter, a constant, and the
-//! 4-relation chain's count (53) is within a factor of 1.5 of the
-//! 10-relation chain's although its memo is a twelfth the size.
+//! list of frontiers, and every frontier a list of plans. With the memo and
+//! the frontiers laid out as a few lists: 70 (60 + 10) and 70 — the
+//! ceiling below is that count plus a quarter, a constant. Measured now,
+//! with the query context no longer mapping host variables to attributes:
+//! 69 (59 + 10) and 69, and the 4-relation chain's count (52) is within a
+//! factor of 1.5 of the 10-relation chain's although its memo is a twelfth
+//! the size.
 //!
 //! One test function: the counters are process-wide, and the harness runs
 //! test functions on parallel threads.
@@ -71,8 +73,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Most allocations optimize + start-up of [`adhoc_chain`]`(10)` may make
-/// under `dynamic_compile_time`, and optimize alone in point mode: 70 each
-/// measured, plus a quarter.
+/// under `dynamic_compile_time`, and optimize alone in point mode: 69 each
+/// measured (the ceiling was set at 70 plus a quarter).
 const CEILING: u64 = 88;
 
 /// The benchmark's ad-hoc statement shape: `σ(R1) ⋈ … ⋈ σ(Rk)`, one

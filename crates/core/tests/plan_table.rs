@@ -20,7 +20,7 @@ use dqep_catalog::{
     JOIN_LEFT_ATTR, JOIN_RIGHT_ATTR, SELECTION_ATTR,
 };
 use dqep_core::Optimizer;
-use dqep_cost::{Bindings, Cost, Environment, PlanStats};
+use dqep_cost::{Cost, Environment, ParamSpace, PlanStats};
 use dqep_interval::Interval;
 use dqep_plan::shrink::{shrink_plan, UsageStats};
 use dqep_plan::{evaluate_startup, AccessModule, NodeId, Plan, StartupDecision};
@@ -190,13 +190,9 @@ fn shrinking_is_the_identity_when_everything_was_used_and_resolution_when_one_de
         assert_eq!(shrink_plan(&plan, &UsageStats::new()), *plan, "nothing recorded: keep all");
 
         // One invocation recorded: what is left is what that invocation ran.
+        let space = ParamSpace::new(&chain(&catalog), &catalog);
         for share in [0.02, 0.5, 0.97] {
-            let bindings =
-                catalog.relations().iter().enumerate().fold(Bindings::new(), |b, (i, rel)| {
-                    let attr = rel.attr_id(SELECTION_ATTR).unwrap();
-                    let domain = catalog.attribute(attr).domain_size;
-                    b.with_value(HostVar(i as u32), (share * domain) as i64)
-                });
+            let bindings = space.bindings(&catalog, std::iter::repeat(share));
             let startup = evaluate_startup(&plan, &catalog, &env, &bindings);
             let mut usage = UsageStats::new();
             usage.record(&startup.decisions);

@@ -22,7 +22,7 @@ use dqep_catalog::{
     SELECTION_ATTR,
 };
 use dqep_core::Optimizer;
-use dqep_cost::{Bindings, Cost, CostModel, Environment, PlanStats};
+use dqep_cost::{Bindings, Cost, CostModel, Environment, ParamSpace, PlanStats};
 use dqep_interval::Interval;
 use dqep_plan::{
     evaluate_startup, evaluate_startup_observed, NodeId, Observations, Plan, PlanNode,
@@ -52,12 +52,7 @@ fn chain(catalog: &Catalog) -> LogicalExpr {
 
 /// Binds variable `i` to the value selecting share `shares[i]` of `Ri.a`.
 fn bindings(catalog: &Catalog, shares: &[f64], memory: Option<f64>) -> Bindings {
-    let mut b = Bindings::new();
-    for (i, rel) in catalog.relations().iter().enumerate() {
-        let attr = rel.attr_id(SELECTION_ATTR).unwrap();
-        let domain = catalog.attribute(attr).domain_size;
-        b = b.with_value(HostVar(i as u32), (shares[i] * domain).floor() as i64);
-    }
+    let b = ParamSpace::new(&chain(catalog), catalog).bindings(catalog, shares.iter().copied());
     match memory {
         Some(pages) => b.with_memory(pages),
         None => b,

@@ -14,7 +14,12 @@
 //! * [`SelectivityModel`] — selectivity and cardinality estimation:
 //!   bound predicates from uniform-domain statistics, unbound predicates as
 //!   `[0, 1]` (expected 0.05), join selectivity as
-//!   `1 / max(domain(left), domain(right))` (paper Section 6).
+//!   `1 / max(domain(left), domain(right))` (paper Section 6). Its
+//!   `value_selectivity` / `value_at` pair is the one map between a bound
+//!   value and its selectivity.
+//! * [`ParamSpace`] — a statement's uncertain parameters as coordinates:
+//!   one selectivity per host variable plus the memory range; a point of
+//!   it becomes [`Bindings`] through that map.
 //! * [`CostModel`] — per-algorithm cost functions, monotone in their
 //!   uncertain arguments so that evaluating them at interval endpoints
 //!   yields exact lower/upper cost bounds.
@@ -31,9 +36,11 @@ mod env;
 mod formulas;
 mod model;
 mod selectivity;
+mod space;
 
 pub use cost::Cost;
 pub use env::{Bindings, Environment, PlanningMode};
 pub use formulas::{cardenas_pages, hash_join_io_seconds, hash_partition_levels, sort_cpu_seconds, sort_io_seconds, sort_passes};
 pub use model::{CostModel, PlanStats};
 pub use selectivity::SelectivityModel;
+pub use space::ParamSpace;

@@ -55,6 +55,10 @@ impl<'a> SelectivityModel<'a> {
 
     /// Point selectivity of `pred.attr OP v`: histogram-based when
     /// available, uniform-domain otherwise.
+    ///
+    /// This is the forward map of a statement's parameter space, from a
+    /// bound value to its selectivity coordinate; [`Self::value_at`] is
+    /// its inverse.
     #[must_use]
     pub fn value_selectivity(&self, pred: &SelectPred, v: i64) -> f64 {
         if let Some(h) = self.catalog.histogram(pred.attr) {
@@ -69,6 +73,62 @@ impl<'a> SelectivityModel<'a> {
         }
         let domain = self.catalog.attribute(pred.attr).domain_size;
         point_selectivity(pred.op, v, domain)
+    }
+
+    /// The inverse of [`Self::value_selectivity`]: the value `v` whose
+    /// selectivity for `pred.attr OP v` is the largest one not above `s`
+    /// (clamped to `[0, 1]`). Of the values sharing that selectivity it is
+    /// the last before the selectivity rises, so one step further (up for
+    /// `<` and `<=`, down for `>` and `>=`) selects more than `s`, except
+    /// at the end of the domain.
+    ///
+    /// With a histogram installed, the value is found by bisection on the
+    /// histogram's CDF. Without one, the uniform domain gives it in closed
+    /// form: for `<`, exactly `(s * domain).floor()`. The selectivity of
+    /// `=` does not move monotonically with its value, so `=` maps `s` as
+    /// `<` does: to the value at quantile `s`.
+    #[must_use]
+    pub fn value_at(&self, pred: &SelectPred, s: f64) -> i64 {
+        let s = s.clamp(0.0, 1.0);
+        let pred = match pred.op {
+            CompareOp::Eq => SelectPred { op: CompareOp::Lt, ..*pred },
+            _ => *pred,
+        };
+        let Some(h) = self.catalog.histogram(pred.attr) else {
+            let d = self.catalog.attribute(pred.attr).domain_size.max(1.0);
+            let v = match pred.op {
+                CompareOp::Lt | CompareOp::Eq => (s * d).floor(),
+                CompareOp::Le => (s * d).floor() - 1.0,
+                CompareOp::Ge => (d - s * d).ceil(),
+                CompareOp::Gt => (d - 1.0 - s * d).ceil(),
+            };
+            return v as i64;
+        };
+        // Past either end of the histogram's range every operator selects
+        // nothing or everything, so the answer lies in `lo..=hi`.
+        let (min, max) = h.range();
+        let (lo, hi) = (min.saturating_sub(1), max.saturating_add(1));
+        let fits = |v: i64| self.value_selectivity(&pred, v) <= s;
+        match pred.op {
+            // Selectivity rises with the value: the last value that fits
+            // (`lo` selects nothing, so it fits).
+            CompareOp::Lt | CompareOp::Le | CompareOp::Eq => {
+                if fits(hi) {
+                    hi
+                } else {
+                    first_failing(lo, hi, fits) - 1
+                }
+            }
+            // Selectivity falls as the value rises: the first value that
+            // fits (`hi` selects nothing, so it fits).
+            CompareOp::Ge | CompareOp::Gt => {
+                if fits(lo) {
+                    lo
+                } else {
+                    first_failing(lo, hi, |v| !fits(v))
+                }
+            }
+        }
     }
 
     /// Combined selectivity of a conjunction of join predicates
@@ -102,6 +162,21 @@ impl<'a> SelectivityModel<'a> {
     ) -> Interval {
         (left_card * right_card).scale(self.join(preds))
     }
+}
+
+/// The first value in `lo + 1..=hi` at which `holds` fails, given that it
+/// holds at `lo`, fails at `hi`, and fails everywhere past its first
+/// failure.
+fn first_failing(mut lo: i64, mut hi: i64, holds: impl Fn(i64) -> bool) -> i64 {
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
 }
 
 /// Fraction of a uniform integer domain `[0, domain)` satisfying

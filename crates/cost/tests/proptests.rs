@@ -1,9 +1,11 @@
 //! Property tests of the interval cost model: soundness (interval costs
-//! enclose every bound point cost) and monotonicity.
+//! enclose every bound point cost), monotonicity of every operator in
+//! every uncertain parameter, and the round trip of the one map between a
+//! bound value and its selectivity.
 
 use dqep_algebra::{CompareOp, HostVar, JoinPred, PhysicalOp, SelectPred};
-use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
-use dqep_cost::{Bindings, CostModel, Environment, PlanStats};
+use dqep_catalog::{Catalog, CatalogBuilder, Histogram, SystemConfig};
+use dqep_cost::{Bindings, CostModel, Environment, PlanStats, SelectivityModel};
 use dqep_interval::Interval;
 use proptest::prelude::*;
 
@@ -105,50 +107,171 @@ proptest! {
         }
     }
 
-    /// Monotonicity: the bound cost of a selectivity-dependent plan is
-    /// non-decreasing in the bound value (higher selectivity, more work).
+    /// Monotonicity, the premise of evaluating cost functions at interval
+    /// endpoints: every operator's bound cost is non-decreasing in the
+    /// selectivity of the selection `σ(r) = r.a < :v0` feeding it, at every
+    /// memory grant, and non-increasing in memory, at every selectivity.
+    /// The selectivity is bound as a value through the parameter space's
+    /// map. The sweeps are eleven selectivity steps and the memory grants
+    /// 16, 32, 64, 96 and 112 pages, each with one drawn point added.
     #[test]
-    fn bound_costs_monotone_in_selectivity(card in 200u64..1200) {
-        let cat = catalog(card, 100);
-        let r = cat.relation_by_name("r").unwrap();
-        let pred = SelectPred::unbound(r.attr_id("a").unwrap(), CompareOp::Lt, HostVar(0));
-        let (idx, _) = cat.index_on_attr(pred.attr).unwrap();
-        let op = PhysicalOp::FilterBtreeScan { relation: r.id, index: idx, predicate: pred };
-        let base = Environment::dynamic_compile_time(&cat.config);
-        let mut prev = -1.0;
-        for step in 0..=10 {
-            let v = (card as i64) * step / 10;
-            let env = base.bind(&Bindings::new().with_value(HostVar(0), v));
-            let model = CostModel::new(&cat, &env);
-            let sel = model.selectivity().selection(&pred, &env);
-            let out = PlanStats::new(Interval::point(card as f64) * sel, 512.0);
-            let cost = model.op_cost(&op, &[], &[], &out).total().lo();
-            prop_assert!(cost >= prev - 1e-12, "cost not monotone at v={v}");
-            prev = cost;
+    fn every_operator_is_monotone_in_every_parameter(
+        card_r in 100u64..1500,
+        card_s in 100u64..1500,
+        drawn_selectivity in 0.0f64..=1.0,
+        drawn_memory in 16.0f64..=112.0,
+    ) {
+        let cat = catalog(card_r, card_s);
+        let mut selectivities: Vec<f64> = (0..=10).map(|step| f64::from(step) / 10.0).collect();
+        selectivities.push(drawn_selectivity);
+        selectivities.sort_by(f64::total_cmp);
+        let mut memories = vec![16.0, 32.0, 64.0, 96.0, 112.0, drawn_memory];
+        memories.sort_by(f64::total_cmp);
+
+        for (op, selected_right) in operators(&cat) {
+            let cost = |sel: f64, mem: f64| bound_cost(&cat, &op, selected_right, sel, mem);
+            for &mem in &memories {
+                let mut prev = f64::NEG_INFINITY;
+                for &sel in &selectivities {
+                    let c = cost(sel, mem);
+                    prop_assert!(
+                        c >= prev - 1e-12,
+                        "{} (selected input right: {selected_right}): cost fell from {prev} to {c} \
+                         as selectivity rose to {sel} at {mem} pages",
+                        op.name()
+                    );
+                    prev = c;
+                }
+            }
+            for &sel in &selectivities {
+                let mut prev = f64::INFINITY;
+                for &mem in &memories {
+                    let c = cost(sel, mem);
+                    prop_assert!(
+                        c <= prev + 1e-12,
+                        "{} (selected input right: {selected_right}): cost rose from {prev} to {c} \
+                         as memory rose to {mem} pages at selectivity {sel}",
+                        op.name()
+                    );
+                    prev = c;
+                }
+            }
         }
     }
 
-    /// Hash-join cost is non-increasing in memory (more memory can only
-    /// help).
+    /// The one map round-trips: `value_at(s)` selects at most `s`, and the
+    /// next value, in the direction where selectivity rises, selects more
+    /// than `s` (nothing selects more than everything, so not at `s = 1`).
+    /// Checked for `<`, `<=`, `>` and `>=` on a uniform attribute and on
+    /// the same attribute under a histogram of drawn, optionally skewed,
+    /// values.
     #[test]
-    fn hash_join_monotone_in_memory(build in 100u64..1500, probe in 100u64..1500) {
-        let cat = catalog(build, probe);
-        let r = cat.relation_by_name("r").unwrap();
-        let s = cat.relation_by_name("s").unwrap();
-        let jp = JoinPred::new(r.attr_id("j").unwrap(), s.attr_id("j").unwrap());
-        let op = PhysicalOp::HashJoin;
-        let base = Environment::dynamic_uncertain_memory(&cat.config);
-        let inputs = [
-            PlanStats::new(Interval::point(build as f64), 512.0),
-            PlanStats::new(Interval::point(probe as f64), 512.0),
-        ];
-        let out = PlanStats::new(Interval::point(10.0), 1024.0);
-        let mut prev = f64::INFINITY;
-        for mem in [16.0f64, 32.0, 64.0, 96.0, 112.0] {
-            let env = base.bind(&Bindings::new().with_memory(mem));
-            let cost = CostModel::new(&cat, &env).op_cost(&op, &[jp], &inputs, &out).total().lo();
-            prop_assert!(cost <= prev + 1e-12, "cost rose with memory at {mem}");
-            prev = cost;
+    fn value_at_inverts_value_selectivity(
+        card in 50u64..1500,
+        raw in proptest::collection::vec(0u64..1500, 1..300),
+        skewed in any::<bool>(),
+        buckets in 1usize..40,
+        drawn in proptest::collection::vec(0.0f64..=1.0, 8),
+    ) {
+        let uniform = catalog(card, 100);
+        let attr = uniform.relation_by_name("r").unwrap().attr_id("a").unwrap();
+        let values = raw.iter().map(|&x| {
+            let x = x % card;
+            (if skewed { x * x / card } else { x }) as i64
+        });
+        let mut with_histogram = uniform.clone();
+        with_histogram.set_histogram(attr, Histogram::build(values, buckets).unwrap());
+
+        let mut shares = drawn;
+        shares.extend([0.0, 1.0]);
+        for cat in [&uniform, &with_histogram] {
+            let model = SelectivityModel::new(cat);
+            for op in [CompareOp::Lt, CompareOp::Le, CompareOp::Gt, CompareOp::Ge] {
+                let pred = SelectPred::unbound(attr, op, HostVar(0));
+                let rising = if matches!(op, CompareOp::Lt | CompareOp::Le) { 1 } else { -1 };
+                for &s in &shares {
+                    let v = model.value_at(&pred, s);
+                    let at = model.value_selectivity(&pred, v);
+                    // One rounding of `s * domain` separates the uniform
+                    // closed form from the exact inverse.
+                    prop_assert!(at <= s + 1e-12, "{op:?}: value_at({s}) = {v} selects {at}");
+                    if s < 1.0 {
+                        let next = model.value_selectivity(&pred, v + rising);
+                        prop_assert!(
+                            next > s - 1e-12,
+                            "{op:?}: value_at({s}) = {v}, but {} selects only {next}",
+                            v + rising
+                        );
+                    }
+                }
+            }
         }
     }
+}
+
+/// Every physical operator but choose-plan, each paired with whether the
+/// selected stream `σ(r)` is its right input (joins are checked with it
+/// on either side).
+fn operators(cat: &Catalog) -> Vec<(PhysicalOp, bool)> {
+    let r = cat.relation_by_name("r").unwrap();
+    let s = cat.relation_by_name("s").unwrap();
+    let ra = r.attr_id("a").unwrap();
+    let (r_index, _) = cat.index_on_attr(ra).unwrap();
+    let (s_index, _) = cat.index_on_attr(s.attr_id("j").unwrap()).unwrap();
+    let predicate = selection(cat);
+    vec![
+        (PhysicalOp::FileScan { relation: r.id }, false),
+        (PhysicalOp::BtreeScan { relation: r.id, index: r_index, key_attr: ra }, false),
+        (PhysicalOp::Filter { predicate }, false),
+        (PhysicalOp::FilterBtreeScan { relation: r.id, index: r_index, predicate }, false),
+        (PhysicalOp::HashJoin, false),
+        (PhysicalOp::HashJoin, true),
+        (PhysicalOp::MergeJoin, false),
+        (PhysicalOp::MergeJoin, true),
+        (PhysicalOp::IndexJoin { inner: s.id, index: s_index, residual: None }, false),
+        (PhysicalOp::Sort { attr: ra }, false),
+    ]
+}
+
+/// `r.a < :v0`.
+fn selection(cat: &Catalog) -> SelectPred {
+    let ra = cat.relation_by_name("r").unwrap().attr_id("a").unwrap();
+    SelectPred::unbound(ra, CompareOp::Lt, HostVar(0))
+}
+
+/// The cost of `op` with `:v0` bound at selectivity `sel` and a grant of
+/// `mem` pages, on the streams the operator reads and writes: `σ(r)`,
+/// whole `r` (the input of a filter), and `s`, joined on `r.j = s.j`.
+fn bound_cost(cat: &Catalog, op: &PhysicalOp, selected_right: bool, sel: f64, mem: f64) -> f64 {
+    let r = cat.relation_by_name("r").unwrap();
+    let s = cat.relation_by_name("s").unwrap();
+    let pred = selection(cat);
+    let jp = JoinPred::new(r.attr_id("j").unwrap(), s.attr_id("j").unwrap());
+    let v = SelectivityModel::new(cat).value_at(&pred, sel);
+    let env = Environment::dynamic_uncertain_memory(&cat.config)
+        .bind(&Bindings::new().with_value(HostVar(0), v).with_memory(mem));
+    let model = CostModel::new(cat, &env);
+
+    let base = |card: u64| PlanStats::new(Interval::point(card as f64), 512.0);
+    let (whole_r, whole_s) = (base(r.stats.cardinality), base(s.stats.cardinality));
+    let selected = PlanStats::new(whole_r.card * model.selectivity().selection(&pred, &env), 512.0);
+    let joined = PlanStats::new(
+        (selected.card * whole_s.card).scale(model.selectivity().join([jp])),
+        1024.0,
+    );
+    let (inputs, output) = match op {
+        PhysicalOp::FileScan { .. } | PhysicalOp::BtreeScan { .. } => (vec![], whole_r),
+        PhysicalOp::FilterBtreeScan { .. } => (vec![], selected),
+        PhysicalOp::Filter { .. } => (vec![whole_r], selected),
+        PhysicalOp::Sort { .. } => (vec![selected], selected),
+        PhysicalOp::IndexJoin { .. } => (vec![selected], joined),
+        PhysicalOp::HashJoin | PhysicalOp::MergeJoin if selected_right => {
+            (vec![whole_s, selected], joined)
+        }
+        PhysicalOp::HashJoin | PhysicalOp::MergeJoin => (vec![selected, whole_s], joined),
+        PhysicalOp::ChoosePlan => unreachable!("choose-plan is costed by its alternatives"),
+    };
+    let cost = model.op_cost(op, &[jp], &inputs, &output).total();
+    assert!(cost.is_point(), "every parameter is bound");
+    cost.lo()
 }

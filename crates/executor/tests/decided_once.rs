@@ -23,7 +23,7 @@ use dqep_catalog::{
     SELECTION_ATTR,
 };
 use dqep_core::Optimizer;
-use dqep_cost::{Bindings, Environment};
+use dqep_cost::{Bindings, Environment, ParamSpace};
 use dqep_executor::{
     run, ExecContext, ExecSummary, ReoptConfig, ReoptCounters, ReoptState, RootSink,
     SharedCounters, Tracer, Tuple,
@@ -70,10 +70,8 @@ impl Chain {
     }
 
     fn bindings(&self, share: f64) -> Bindings {
-        self.catalog.relations().iter().enumerate().fold(Bindings::new(), |b, (i, rel)| {
-            let domain = self.catalog.attribute(rel.attr_id(SELECTION_ATTR).unwrap()).domain_size;
-            b.with_value(HostVar(i as u32), (share * domain) as i64)
-        })
+        let space = ParamSpace::new(&chain(&self.catalog), &self.catalog);
+        space.bindings(&self.catalog, std::iter::repeat(share))
     }
 
     fn run(&self, plan: &Plan, bindings: &Bindings, ctx: &ExecContext) -> ExecSummary {

@@ -29,23 +29,20 @@ impl BindingSampler {
         }
     }
 
-    /// Samples one invocation's bindings: every host variable receives the
-    /// value whose predicate selectivity is uniform in `[0, 1]`.
+    /// Samples one invocation's bindings: a selectivity uniform in
+    /// `[0, 1]` for every host variable, bound through the workload's
+    /// parameter space, then (when memory is uncertain) a grant uniform in
+    /// its memory range.
     pub fn sample(&mut self, workload: &Workload) -> Bindings {
-        let mut b = Bindings::new();
-        for &(var, attr) in &workload.host_vars {
-            let sel: f64 = self.rng.gen_range(0.0..=1.0);
-            let domain = workload.catalog.attribute(attr).domain_size;
-            b = b.with_value(var, (sel * domain).floor() as i64);
-        }
+        let rng = &mut self.rng;
+        let point = std::iter::repeat_with(|| rng.gen_range(0.0..=1.0));
+        let b = workload.space.bindings(&workload.catalog, point);
         if self.memory_uncertain {
-            let cfg = &workload.catalog.config;
-            b = b.with_memory(
-                self.rng
-                    .gen_range(cfg.memory_min_pages..=cfg.memory_max_pages),
-            );
+            let memory = workload.space.memory();
+            b.with_memory(self.rng.gen_range(memory.lo()..=memory.hi()))
+        } else {
+            b
         }
-        b
     }
 
     /// Samples `n` invocations.
@@ -58,6 +55,8 @@ impl BindingSampler {
 mod tests {
     use super::*;
     use crate::queries::paper_query;
+    use dqep_algebra::HostVar;
+    use dqep_cost::SelectivityModel;
 
     #[test]
     fn samples_all_host_vars() {
@@ -66,10 +65,9 @@ mod tests {
         let b = s.sample(&w);
         assert_eq!(b.values.len(), w.uncertain_vars());
         assert!(b.memory_pages.is_none());
-        for &(var, attr) in &w.host_vars {
+        for (var, rel) in w.space.vars().zip(w.catalog.relations()) {
             let v = b.value(var).unwrap();
-            let domain = w.catalog.attribute(attr).domain_size as i64;
-            assert!((0..=domain).contains(&v));
+            assert!((0..=rel.stats.cardinality as i64).contains(&v));
         }
     }
 
@@ -100,10 +98,10 @@ mod tests {
         // 0.5 — i.e. *not* near the 0.05 a static optimizer assumes.
         let w = paper_query(1, 1);
         let mut s = BindingSampler::new(4, false);
-        let (var, attr) = w.host_vars[0];
-        let domain = w.catalog.attribute(attr).domain_size;
+        let pred = w.query.select_predicates()[0];
+        let model = SelectivityModel::new(&w.catalog);
         let mean: f64 = (0..200)
-            .map(|_| s.sample(&w).value(var).unwrap() as f64 / domain)
+            .map(|_| model.value_selectivity(&pred, s.sample(&w).value(HostVar(0)).unwrap()))
             .sum::<f64>()
             / 200.0;
         assert!((0.4..=0.6).contains(&mean), "mean selectivity {mean}");

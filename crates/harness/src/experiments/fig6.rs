@@ -5,6 +5,10 @@
 //! 21 operator nodes." — and adding memory uncertainty "only barely
 //! increases the sizes of the dynamic plans".
 
+use std::sync::Arc;
+
+use dqep_plan::AccessModule;
+
 use crate::report::Table;
 
 use super::QueryResults;
@@ -82,6 +86,28 @@ pub fn table(results: &[QueryResults]) -> Table {
     t
 }
 
+/// The stored size of each dynamic plan: its DAG nodes and the bytes of
+/// its serialized access module (the encoding `AccessModule::serialize`
+/// writes, not the modeled 128 bytes a node).
+#[must_use]
+pub fn module_table(results: &[QueryResults]) -> Table {
+    let mut t = Table::new(
+        "Access modules: serialized size of the dynamic plans of Figure 6",
+        &["query", "dynamic nodes", "module bytes"],
+    );
+    for r in results {
+        let bytes = r.dynamic_sel.plan.as_ref().map_or(0, |plan| {
+            AccessModule::new(Arc::clone(plan)).serialize().len()
+        });
+        t.row(vec![
+            r.query.to_string(),
+            r.dynamic_sel.plan_nodes.to_string(),
+            bytes.to_string(),
+        ]);
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,5 +129,6 @@ mod tests {
         assert!(with_mem >= r.dynamic_nodes);
         assert!(with_mem <= r.dynamic_nodes * 3);
         assert!(table(&results).render().contains("Figure 6"));
+        assert!(module_table(&results).render().contains("module bytes"));
     }
 }

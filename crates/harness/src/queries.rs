@@ -1,8 +1,9 @@
 //! The paper's five experimental queries.
 
 use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
-use dqep_catalog::{make_chain_catalog, AttrId, Catalog, SyntheticSpec, SystemConfig};
+use dqep_catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep_catalog::{JOIN_LEFT_ATTR, JOIN_RIGHT_ATTR, SELECTION_ATTR};
+use dqep_cost::ParamSpace;
 
 use crate::params::QUERY_RELATIONS;
 
@@ -14,9 +15,10 @@ pub struct Workload {
     pub catalog: Catalog,
     /// The chain query with one unbound selection per relation.
     pub query: LogicalExpr,
-    /// Host variables in predicate order, paired with the attribute each
-    /// restricts (used to convert sampled selectivities into values).
-    pub host_vars: Vec<(HostVar, AttrId)>,
+    /// The query's parameter space: one selectivity per host variable
+    /// (sampled selectivities become values through it) and the memory
+    /// range.
+    pub space: ParamSpace,
     /// Which of the paper's queries this is (1–5), when applicable.
     pub query_number: Option<usize>,
 }
@@ -25,7 +27,7 @@ impl Workload {
     /// Number of uncertain selection predicates.
     #[must_use]
     pub fn uncertain_vars(&self) -> usize {
-        self.host_vars.len()
+        self.space.vars().count()
     }
 }
 
@@ -53,26 +55,22 @@ pub fn paper_query(k: usize, seed: u64) -> Workload {
 
 fn build_over(catalog: Catalog, n: usize, query_number: Option<usize>) -> Workload {
     let rels = catalog.relations();
-    let mut host_vars = Vec::with_capacity(n);
-    let selected = |i: usize, host_vars: &mut Vec<(HostVar, AttrId)>| {
+    let selected = |i: usize| {
         let attr = rels[i].attr_id(SELECTION_ATTR).expect("chain schema");
         let var = HostVar(i as u32);
-        host_vars.push((var, attr));
         LogicalExpr::get(rels[i].id).select(SelectPred::unbound(attr, CompareOp::Lt, var))
     };
-    let mut query = selected(0, &mut host_vars);
+    let mut query = selected(0);
     for i in 1..n {
         let left_attr = rels[i - 1].attr_id(JOIN_RIGHT_ATTR).expect("chain schema");
         let right_attr = rels[i].attr_id(JOIN_LEFT_ATTR).expect("chain schema");
-        query = query.join(
-            selected(i, &mut host_vars),
-            vec![JoinPred::new(left_attr, right_attr)],
-        );
+        query = query.join(selected(i), vec![JoinPred::new(left_attr, right_attr)]);
     }
+    let space = ParamSpace::new(&query, &catalog);
     Workload {
         catalog,
         query,
-        host_vars,
+        space,
         query_number,
     }
 }

@@ -6,15 +6,16 @@
 //! statement thousands of times, and nearby bindings almost always select
 //! the same alternative (the paper's Figure 3 regions are wide). The
 //! decision cache exploits that: each binding is mapped to a coarse
-//! **region key** (one bucket per host-variable selectivity plus a memory
-//! bucket), and the resolved plan chosen for a region is replayed for
-//! every later binding landing in the same region.
+//! **region key** (one bucket per host-variable selectivity, read through
+//! the cost model's one value-to-selectivity map, plus a memory bucket),
+//! and the resolved plan chosen for a region is replayed for every later
+//! binding landing in the same region.
 
 use std::sync::Arc;
 
 use dqep_algebra::Scalar;
 use dqep_catalog::Catalog;
-use dqep_cost::Bindings;
+use dqep_cost::{Bindings, SelectivityModel};
 use dqep_plan::Plan;
 use dqep_sql::{ParsedPredicate, Query};
 
@@ -29,12 +30,12 @@ const MEMORY_BUCKET_PAGES: f64 = 16.0;
 
 /// Computes the region key for `bindings` against `query`.
 ///
-/// Each host-variable selection `rel.attr < :v` is bucketed by the bound
-/// value's position in the attribute's domain (`buckets` equal-width
-/// buckets — the same uniform-domain model the cost functions use).
-/// Unbound variables map to a sentinel bucket so they never alias a bound
-/// region. The memory grant is bucketed in `MEMORY_BUCKET_PAGES`-page
-/// steps.
+/// Each host-variable selection `rel.attr OP :v` is bucketed by the bound
+/// value's selectivity — [`SelectivityModel::value_selectivity`], the map
+/// the start-up cost functions read it through — into `buckets`
+/// equal-width buckets of `[0, 1]`. Unbound variables map to a sentinel
+/// bucket so they never alias a bound region. The memory grant is
+/// bucketed in `MEMORY_BUCKET_PAGES`-page steps.
 #[must_use]
 pub fn region_key(
     query: &Query,
@@ -44,6 +45,7 @@ pub fn region_key(
     memory_pages: f64,
 ) -> RegionKey {
     let buckets = buckets.max(1);
+    let model = SelectivityModel::new(catalog);
     let mut key = Vec::new();
     for pred in &query.predicates {
         let ParsedPredicate::Select(sel) = pred else {
@@ -54,9 +56,8 @@ pub fn region_key(
         };
         let bucket = match bindings.value(var) {
             Some(v) => {
-                let domain = catalog.attribute(sel.attr).domain_size;
-                let frac = (v as f64 / domain).clamp(0.0, 1.0);
-                ((frac * buckets as f64) as u32).min(buckets - 1)
+                let s = model.value_selectivity(sel, v);
+                ((s * buckets as f64) as u32).min(buckets - 1)
             }
             None => u32::MAX,
         };
@@ -79,7 +80,7 @@ pub struct CachedDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqep_catalog::{CatalogBuilder, SystemConfig};
+    use dqep_catalog::{CatalogBuilder, Histogram, SystemConfig};
     use dqep_sql::parse_query;
 
     fn fixture() -> (Catalog, Query) {
@@ -110,6 +111,53 @@ mod tests {
         assert_ne!(small, large, "memory grant is part of the region");
         let unbound = region_key(&q, &cat, &Bindings::new(), 10, 16.0);
         assert_ne!(unbound, small, "unbound variables get a sentinel bucket");
+    }
+
+    /// The key the decision cache used before it read selectivities
+    /// through the one map: the value's share of the attribute's domain.
+    fn value_share_key(q: &Query, cat: &Catalog, v: i64, buckets: u32, memory: f64) -> RegionKey {
+        let mut key = Vec::new();
+        for pred in &q.predicates {
+            if let ParsedPredicate::Select(sel) = pred {
+                let frac = (v as f64 / cat.attribute(sel.attr).domain_size).clamp(0.0, 1.0);
+                key.push(((frac * buckets as f64) as u32).min(buckets - 1));
+            }
+        }
+        key.push((memory / MEMORY_BUCKET_PAGES) as u32);
+        RegionKey(key)
+    }
+
+    #[test]
+    fn uniform_keys_equal_the_value_share_keys() {
+        let (cat, q) = fixture();
+        for buckets in [1, 7, 10, 16] {
+            for v in (-20..1_030).step_by(3) {
+                let b = q.bindings(&[("x", v)]).unwrap();
+                assert_eq!(
+                    region_key(&q, &cat, &b, buckets, 64.0),
+                    value_share_key(&q, &cat, v, buckets, 64.0),
+                    "v = {v}, {buckets} buckets"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_keys_bucket_selectivity_not_value() {
+        let (mut cat, q) = fixture();
+        // 900 of 1 000 values below 100, the rest spread over 100..1000.
+        let values = (0..900).map(|i| i % 100).chain((0..100).map(|i| 100 + i * 9));
+        let attr = cat.relation_by_name("r").unwrap().attr_id("a").unwrap();
+        cat.set_histogram(attr, Histogram::build(values, 20).unwrap());
+        let key = |v| region_key(&q, &cat, &q.bindings(&[("x", v)]).unwrap(), 10, 64.0);
+        // 300 and 800 are deciles 3 and 8 of the domain, but both select
+        // over 90 % of the rows: one selectivity bucket.
+        assert_ne!(value_share_key(&q, &cat, 300, 10, 64.0), value_share_key(&q, &cat, 800, 10, 64.0));
+        assert_eq!(key(300), key(800));
+        // 20 and 80 share the first value decile, yet select 18 % and
+        // 72 %: different buckets.
+        assert_eq!(value_share_key(&q, &cat, 20, 10, 64.0), value_share_key(&q, &cat, 80, 10, 64.0));
+        assert_ne!(key(20), key(80));
     }
 
     #[test]

@@ -148,8 +148,10 @@ impl Request {
 pub struct SessionResult {
     /// Execution accounting, including plan-cache provenance.
     pub summary: ExecSummary,
-    /// Predicted run time of the plan the arbitration chose, in seconds.
-    pub predicted_seconds: f64,
+    /// Predicted run time, in seconds, of the plan this session's
+    /// arbitration chose: `None` when no arbitration ran in this session
+    /// (a decision-cache hit replays a plan chosen for another binding).
+    pub predicted_seconds: Option<f64>,
     /// Time the session waited for a replica.
     pub queue_wait: Duration,
     /// Index of the replica the session ran on (below `workers`).
@@ -500,7 +502,7 @@ impl Shared {
                         if !escaped.is_empty() {
                             self.metrics.add(Metric::FeedbackInvalidations, 1);
                         }
-                        let predicted = state.in_force().map_or(0.0, |d| d.predicted_run_seconds);
+                        let predicted = state.in_force().map(|d| d.predicted_run_seconds);
                         (summary, predicted, false)
                     })
             }
@@ -530,8 +532,9 @@ impl Shared {
                         (fresh, false)
                     }
                 };
+                let predicted = (!decision_hit).then_some(decision.predicted_seconds);
                 self.execute_arbitrated(db, &ctx, &stmt, &key, &decision, &bindings)
-                    .map(|summary| (summary, decision.predicted_seconds, decision_hit))
+                    .map(|summary| (summary, predicted, decision_hit))
             }
         };
         if request.fault_plan.is_some() {

@@ -74,6 +74,8 @@ fn shapes(catalog: &Catalog) -> Vec<(String, Vec<(String, i64)>)> {
                     };
                     let stratum = (diagonal % TUPLES) as f64;
                     let share = lo + (stratum + 0.5) / TUPLES as f64 * (hi - lo);
+                    // The benchmark's `bound_for`, rounding and all, not
+                    // the parameter space's map: these are its requests.
                     let domain = catalog.relations()[i].attributes[0].domain_size;
                     (format!("v{}", i + 1), (share * domain).round() as i64)
                 })

@@ -15,7 +15,6 @@
 //! Run with `cargo run --release --example plan_shrinking`.
 
 use dqep::catalog::SystemConfig;
-use dqep::cost::Bindings;
 use dqep::harness::paper_query;
 use dqep::optimizer::Optimizer;
 use dqep::plan::shrink::ShrinkingModule;
@@ -42,12 +41,8 @@ fn main() {
     let mut module = ShrinkingModule::new(plan.clone(), 100);
     let mut skewed = Vec::new();
     for i in 0..100u64 {
-        let mut b = Bindings::new();
-        for &(var, attr) in &workload.host_vars {
-            let domain = catalog.attribute(attr).domain_size;
-            b = b.with_value(var, ((i % 10) as f64 / 100.0 * domain) as i64);
-        }
-        skewed.push(b);
+        let share = (i % 10) as f64 / 100.0;
+        skewed.push(workload.space.bindings(catalog, std::iter::repeat(share)));
     }
     for b in &skewed {
         let _ = module.invoke(catalog, &env, b);
@@ -66,11 +61,7 @@ fn main() {
     );
 
     // The risk: a binding outside the observed distribution.
-    let mut hot = Bindings::new();
-    for &(var, attr) in &workload.host_vars {
-        let domain = catalog.attribute(attr).domain_size;
-        hot = hot.with_value(var, (0.95 * domain) as i64);
-    }
+    let hot = workload.space.bindings(catalog, std::iter::repeat(0.95));
     let full = evaluate_startup(&plan, catalog, &env, &hot).predicted_run_seconds;
     let lean = evaluate_startup(module.plan(), catalog, &env, &hot).predicted_run_seconds;
     println!(

@@ -82,14 +82,11 @@ proptest! {
         nth in 1u64..60,
         mem_kb in 1u64..64,
     ) {
-        let (catalog, query, hosts) = build(&w);
+        let (catalog, query, space) = build(&w);
         let db = StoredDatabase::generate(&catalog, seed);
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
-        let mut bindings = Bindings::new();
-        for &(var, domain) in &hosts {
-            bindings = bindings.with_value(var, (sel * domain) as i64);
-        }
+        let bindings = space.bindings(&catalog, std::iter::repeat(sel));
         let limits = ResourceLimits {
             memory_bytes: (hazard == 2).then_some(mem_kb * 1024),
             ..ResourceLimits::unlimited()
@@ -144,14 +141,11 @@ proptest! {
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
     ) {
-        let (catalog, query, hosts) = build(&w);
+        let (catalog, query, space) = build(&w);
         let db = StoredDatabase::generate(&catalog, seed);
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
-        let mut bindings = Bindings::new();
-        for &(var, domain) in &hosts {
-            bindings = bindings.with_value(var, (sel * domain) as i64);
-        }
+        let bindings = space.bindings(&catalog, std::iter::repeat(sel));
         let memory = 64 * 2048;
 
         let mut by_request = Vec::new();

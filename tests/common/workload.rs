@@ -13,7 +13,9 @@ use std::ops::{Range, RangeInclusive};
 
 use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
+use dqep::cost::ParamSpace;
 use dqep::executor::{ExecError, Resource, Tuple};
+use dqep::sql::parse_query;
 use proptest::prelude::*;
 
 /// What a suite draws.
@@ -90,59 +92,67 @@ fn catalog(w: &RandomWorkload) -> Catalog {
     builder.build().expect("valid random catalog")
 }
 
-/// The catalog and the chain query, with each host variable and the
-/// domain of the attribute it bounds.
-pub fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, Vec<(HostVar, f64)>) {
+/// The catalog, the chain query and its parameter space (one selectivity
+/// per selected relation's host variable).
+pub fn build(w: &RandomWorkload) -> (Catalog, LogicalExpr, ParamSpace) {
     let catalog = catalog(w);
     let rels: Vec<_> = catalog.relations().to_vec();
-    let mut hosts = Vec::new();
-    let leaf = |i: usize, hosts: &mut Vec<(HostVar, f64)>| {
+    let leaf = |i: usize| {
         let mut e = LogicalExpr::get(rels[i].id);
         if w.selected[i] {
-            let var = HostVar(i as u32);
-            hosts.push((var, rels[i].attributes[0].domain_size));
-            e = e.select(SelectPred::unbound(
-                rels[i].attr_id("a").expect("attr"),
-                CompareOp::Lt,
-                var,
-            ));
+            let attr = rels[i].attr_id("a").expect("attr");
+            e = e.select(SelectPred::unbound(attr, CompareOp::Lt, HostVar(i as u32)));
         }
         e
     };
-    let mut q = leaf(0, &mut hosts);
+    let mut q = leaf(0);
     for i in 1..w.cards.len() {
         q = q.join(
-            leaf(i, &mut hosts),
+            leaf(i),
             vec![JoinPred::new(
                 rels[i - 1].attr_id("j").expect("attr"),
                 rels[i].attr_id("j").expect("attr"),
             )],
         );
     }
-    (catalog, q, hosts)
+    let space = ParamSpace::new(&q, &catalog);
+    (catalog, q, space)
 }
 
 /// The catalog and the chain query as SQL text, each `:v{i}` bound at
-/// `sel` of its attribute's domain.
+/// selectivity `sel`.
 pub fn build_sql(w: &RandomWorkload, sel: f64) -> (Catalog, String, Vec<(String, i64)>) {
     let catalog = catalog(w);
     let from: Vec<String> = (0..w.cards.len()).map(|i| format!("t{i}")).collect();
     let mut preds: Vec<String> = (1..w.cards.len())
         .map(|i| format!("t{}.j = t{i}.j", i - 1))
         .collect();
-    let mut binds = Vec::new();
     for (i, &selected) in w.selected.iter().enumerate() {
         if selected {
             preds.push(format!("t{i}.a < :v{i}"));
-            let domain = catalog.relations()[i].attributes[0].domain_size;
-            binds.push((format!("v{i}"), (sel * domain) as i64));
         }
     }
     let mut sql = format!("SELECT * FROM {} WHERE {}", from.join(", "), preds.join(" AND "));
     if w.order_by {
         sql.push_str(" ORDER BY t0.a");
     }
+    let binds = named_binds(&catalog, &sql, sel);
     (catalog, sql, binds)
+}
+
+/// Every host variable of `sql`, by name, bound at selectivity `sel`
+/// through the statement's parameter space.
+pub fn named_binds(catalog: &Catalog, sql: &str, sel: f64) -> Vec<(String, i64)> {
+    let query = parse_query(sql, catalog).expect("valid SQL");
+    let bindings = ParamSpace::new(&query.expr, catalog).bindings(catalog, std::iter::repeat(sel));
+    query
+        .host_var_names()
+        .into_iter()
+        .map(|name| {
+            let var = query.host_var(name).expect("named variable");
+            (name.to_string(), bindings.value(var).expect("every variable is bound"))
+        })
+        .collect()
 }
 
 /// Rows in a canonical order, for multiset comparison.

@@ -125,11 +125,9 @@ fn predicted_and_executed_costs_correlate() {
     let plan = Optimizer::new(&w.catalog, &env).optimize(&w.query).unwrap().plan;
     let db = StoredDatabase::generate(&w.catalog, 9);
 
-    let attr = w.host_vars[0].1;
-    let domain = w.catalog.attribute(attr).domain_size;
     let mut points = Vec::new();
     for sel in [0.02f64, 0.2, 0.5, 0.9] {
-        let b = Bindings::new().with_value(w.host_vars[0].0, (sel * domain) as i64);
+        let b = w.space.bindings(&w.catalog, [sel]);
         let predicted = evaluate_startup(&plan, &w.catalog, &env, &b).predicted_run_seconds;
         let summary = execute(&plan, &db, &w.catalog, &env, &b);
         points.push((predicted, summary.simulated_seconds(&w.catalog.config)));
@@ -160,11 +158,7 @@ fn join_results_invariant_across_memory_grants() {
     let plan = Optimizer::new(&w.catalog, &env).optimize(&w.query).unwrap().plan;
     let db = StoredDatabase::generate(&w.catalog, 10);
 
-    let mut base = Bindings::new();
-    for &(var, attr) in &w.host_vars {
-        let domain = w.catalog.attribute(attr).domain_size;
-        base = base.with_value(var, (0.4 * domain) as i64);
-    }
+    let base = w.space.bindings(&w.catalog, std::iter::repeat(0.4));
     let mut rows_by_memory = Vec::new();
     for mem in [16.0f64, 64.0, 112.0] {
         let b = base.clone().with_memory(mem);

@@ -26,6 +26,12 @@ use dqep::service::{QueryService, Request, ServiceConfig, ServiceError};
 use dqep::storage::{FaultPlan, StorageError, StoredDatabase, DEFAULT_MORSEL_PAGES};
 use proptest::prelude::*;
 
+#[path = "common/workload.rs"]
+#[allow(dead_code)]
+mod workload;
+
+use workload::named_binds;
+
 fn fixture() -> (Catalog, StoredDatabase, LogicalExpr) {
     let cat = CatalogBuilder::new(SystemConfig::paper_1994())
         .relation("r", 400, 512, |r| r.attr("a", 400.0).btree("a", false))
@@ -337,14 +343,8 @@ fn oversized_spill_record_is_a_typed_error_and_the_worker_survives() {
     preds.extend((1..=RELATIONS).map(|i| format!("R{i}.a < :v{i}")));
     let sql = format!("SELECT * FROM {} WHERE {}", from.join(", "), preds.join(" AND "));
     let request = |selectivity: f64| {
-        let names: Vec<String> = (1..=RELATIONS).map(|i| format!("v{i}")).collect();
-        let binds: Vec<(&str, i64)> = catalog
-            .relations()
-            .iter()
-            .zip(&names)
-            .map(|(r, name)| (name.as_str(), (selectivity * r.attributes[0].domain_size) as i64))
-            .collect();
-        let mut request = Request::new(&sql, &binds);
+        let binds = named_binds(&catalog, &sql, selectivity);
+        let mut request = Request { sql: sql.clone(), binds, ..Request::default() };
         request.memory_pages = Some(64.0);
         request
     };

@@ -26,7 +26,7 @@ use proptest::prelude::*;
 #[allow(dead_code)]
 mod workload;
 
-use workload::{build, classify, workload_strategy, Shape};
+use workload::{build, classify, named_binds, workload_strategy, Shape};
 
 /// A 1–2 relation chain of 40–249 rows, only the first relation selected:
 /// smaller than the parity suites' shape, since every case executes up to
@@ -211,13 +211,10 @@ proptest! {
         seed in 0u64..1000,
         mem_kb in 4u64..64,
     ) {
-        let (catalog, query, hosts) = build(&w);
+        let (catalog, query, space) = build(&w);
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
-        let mut bindings = Bindings::new();
-        for &(var, domain) in &hosts {
-            bindings = bindings.with_value(var, (sel * domain) as i64);
-        }
+        let bindings = space.bindings(&catalog, std::iter::repeat(sel));
         let memory = (mem_kb * 1024) as usize;
 
         // Each variant runs on its own bit-identical replica (same catalog
@@ -274,13 +271,10 @@ proptest! {
         faulty in any::<bool>(),
         nth in 1u64..80,
     ) {
-        let (catalog, query, hosts) = build(&w);
+        let (catalog, query, space) = build(&w);
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
-        let mut bindings = Bindings::new();
-        for &(var, domain) in &hosts {
-            bindings = bindings.with_value(var, (sel * domain) as i64);
-        }
+        let bindings = space.bindings(&catalog, std::iter::repeat(sel));
         // Bit-identical replicas with identical fault sequences: each run
         // sees a fresh disk, so neither spill-allocation state nor fault
         // ordinals leak between the two runs. A read *ordinal* is only
@@ -361,7 +355,9 @@ proptest! {
             &SyntheticSpec::paper(3, seed),
             SystemConfig::paper_1994(),
         );
-        let domain = catalog.relations()[0].attributes[0].domain_size;
+        let sql = "SELECT * FROM R1, R2, R3 \
+                   WHERE R1.jr = R2.jl AND R2.jr = R3.jl AND R1.a < :x";
+        let binds = named_binds(&catalog, sql, sel);
         let config = ShardConfig {
             shards: 4,
             dop: 2,
@@ -372,11 +368,7 @@ proptest! {
         let service = ShardedService::new(catalog, config);
         let cursor = journal().cursor();
         let out = service
-            .execute(
-                "SELECT * FROM R1, R2, R3 \
-                 WHERE R1.jr = R2.jl AND R2.jr = R3.jl AND R1.a < :x",
-                &[("x", (sel * domain) as i64)],
-            )
+            .execute(sql, &[("x", binds[0].1)])
             .expect("traced sharded execution");
         let report = out.trace.as_ref().expect("tracing was requested");
         let tid = report.trace_id;

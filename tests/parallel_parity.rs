@@ -105,14 +105,11 @@ proptest! {
         fault_span in 0u32..4,
         mem_kb in 1u64..64,
     ) {
-        let (catalog, query, hosts) = build(&w);
+        let (catalog, query, space) = build(&w);
         let db = StoredDatabase::generate(&catalog, seed);
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
-        let mut bindings = Bindings::new();
-        for &(var, domain) in &hosts {
-            bindings = bindings.with_value(var, (sel * domain) as i64);
-        }
+        let bindings = space.bindings(&catalog, std::iter::repeat(sel));
         let limits = ResourceLimits {
             memory_bytes: (hazard == 2).then_some(mem_kb * 1024),
             ..ResourceLimits::unlimited()
@@ -173,14 +170,11 @@ proptest! {
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
     ) {
-        let (catalog, query, hosts) = build(&w);
+        let (catalog, query, space) = build(&w);
         let db = StoredDatabase::generate(&catalog, seed);
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
-        let mut bindings = Bindings::new();
-        for &(var, domain) in &hosts {
-            bindings = bindings.with_value(var, (sel * domain) as i64);
-        }
+        let bindings = space.bindings(&catalog, std::iter::repeat(sel));
         let memory = 64 * 2048;
         let truth = oracle::evaluate(&query, &catalog, &db, &bindings);
         let attrs = oracle::output_attrs(&query, &catalog);

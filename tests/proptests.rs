@@ -1,6 +1,6 @@
 //! Property-based tests over randomized catalogs, queries, and bindings.
 
-use dqep::cost::{Bindings, Environment};
+use dqep::cost::Environment;
 use dqep::optimizer::Optimizer;
 use dqep::plan::{dag, evaluate_startup, AccessModule};
 use proptest::prelude::*;
@@ -42,7 +42,7 @@ proptest! {
     /// encloses every resolved cost (soundness).
     #[test]
     fn robustness_and_soundness(w in workload_strategy(WIDE), sels in proptest::collection::vec(0.0f64..=1.0, 3)) {
-        let (catalog, query, hosts) = build(&w);
+        let (catalog, query, space) = build(&w);
         let static_env = Environment::static_compile_time(&catalog.config);
         let dynamic_env = Environment::dynamic_compile_time(&catalog.config);
         let sp = Optimizer::new(&catalog, &static_env).optimize(&query).unwrap().plan;
@@ -51,11 +51,8 @@ proptest! {
         let slack = dag::node_count(&dp) as f64 * catalog.config.choose_plan_overhead * 4.0;
 
         for (i, &sel) in sels.iter().enumerate() {
-            let mut b = Bindings::new();
-            for (j, &(var, domain)) in hosts.iter().enumerate() {
-                let s = sels[(i + j) % sels.len()].min(sel.max(0.0));
-                b = b.with_value(var, (s * domain) as i64);
-            }
+            let point = (0..).map(|j| sels[(i + j) % sels.len()].min(sel.max(0.0)));
+            let b = space.bindings(&catalog, point);
             let st = evaluate_startup(&sp, &catalog, &static_env, &b);
             let dy = evaluate_startup(&dp, &catalog, &dynamic_env, &b);
             prop_assert!(
@@ -85,13 +82,10 @@ proptest! {
     /// Start-up decisions are deterministic in the bindings.
     #[test]
     fn startup_is_deterministic(w in workload_strategy(WIDE), sel in 0.0f64..=1.0) {
-        let (catalog, query, hosts) = build(&w);
+        let (catalog, query, space) = build(&w);
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
-        let mut b = Bindings::new();
-        for &(var, domain) in &hosts {
-            b = b.with_value(var, (sel * domain) as i64);
-        }
+        let b = space.bindings(&catalog, std::iter::repeat(sel));
         let a = evaluate_startup(&plan, &catalog, &env, &b);
         let c = evaluate_startup(&plan, &catalog, &env, &b);
         prop_assert_eq!(a.predicted_run_seconds, c.predicted_run_seconds);

@@ -103,7 +103,7 @@ proptest! {
         mem_kb in 1u64..64,
         dop in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let (catalog, query, hosts) = build(&w);
+        let (catalog, query, space) = build(&w);
         let db = StoredDatabase::generate_with(
             &catalog,
             seed,
@@ -111,10 +111,7 @@ proptest! {
         );
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
-        let mut bindings = Bindings::new();
-        for &(var, domain) in &hosts {
-            bindings = bindings.with_value(var, (sel * domain) as i64);
-        }
+        let bindings = space.bindings(&catalog, std::iter::repeat(sel));
         let limits = ResourceLimits {
             memory_bytes: (hazard == 2).then_some(mem_kb * 1024),
             ..ResourceLimits::unlimited()
@@ -161,7 +158,7 @@ proptest! {
         sel in 0.0f64..=1.0,
         seed in 0u64..1000,
     ) {
-        let (catalog, query, hosts) = build(&w);
+        let (catalog, query, space) = build(&w);
         let db = StoredDatabase::generate_with(
             &catalog,
             seed,
@@ -169,10 +166,7 @@ proptest! {
         );
         let env = Environment::dynamic_compile_time(&catalog.config);
         let plan = Optimizer::new(&catalog, &env).optimize(&query).unwrap().plan;
-        let mut bindings = Bindings::new();
-        for &(var, domain) in &hosts {
-            bindings = bindings.with_value(var, (sel * domain) as i64);
-        }
+        let bindings = space.bindings(&catalog, std::iter::repeat(sel));
 
         let mut runs = Vec::new();
         for _ in 0..2 {

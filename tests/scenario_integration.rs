@@ -1,7 +1,7 @@
 //! Integration tests of the Figure 3 scenario accounting and the shrinking
 //! access module on optimizer-produced plans.
 
-use dqep::cost::{Bindings, Environment};
+use dqep::cost::Environment;
 use dqep::harness::{paper_query, run_dynamic, run_runtime_opt, run_static, BindingSampler};
 use dqep::optimizer::Optimizer;
 use dqep::plan::shrink::ShrinkingModule;
@@ -62,11 +62,7 @@ fn shrinking_module_on_optimized_plan() {
     let mut module = ShrinkingModule::new(plan, 20);
     // Skewed: always-low selectivities.
     for i in 0..20 {
-        let mut b = Bindings::new();
-        for &(var, attr) in &w.host_vars {
-            let domain = w.catalog.attribute(attr).domain_size;
-            b = b.with_value(var, ((i % 5) as f64 / 50.0 * domain) as i64);
-        }
+        let b = w.space.bindings(&w.catalog, std::iter::repeat((i % 5) as f64 / 50.0));
         let r = module.invoke(&w.catalog, &env, &b);
         assert!(r.predicted_run_seconds >= 0.0);
     }
@@ -78,11 +74,7 @@ fn shrinking_module_on_optimized_plan() {
     );
 
     // Later invocations still work, even outside the observed range.
-    let mut hot = Bindings::new();
-    for &(var, attr) in &w.host_vars {
-        let domain = w.catalog.attribute(attr).domain_size;
-        hot = hot.with_value(var, (0.9 * domain) as i64);
-    }
+    let hot = w.space.bindings(&w.catalog, std::iter::repeat(0.9));
     let r = module.invoke(&w.catalog, &env, &hot);
     assert!(r.predicted_run_seconds > 0.0);
 }

@@ -11,6 +11,7 @@ use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep::cost::Environment;
 use dqep::executor::{ExecError, ExecSummary};
 use dqep::optimizer::Optimizer;
+use dqep::plan::evaluate_startup;
 use dqep::service::{Metric, QueryService, Request, ServiceConfig, ServiceError};
 use dqep::sql::parse_query;
 use dqep::storage::{FaultPlan, StoredDatabase};
@@ -174,6 +175,36 @@ fn cached_plan_fault_retries_through_full_arbitration() {
     let stats = svc.stats();
     assert_eq!(stats.cached_plan_retries, 1);
     assert_eq!(stats.failed, 0);
+}
+
+/// A session reports the predicted cost of the decision it made, or none:
+/// a miss reports the fresh start-up decision's cost at its own binding,
+/// a hit (which replays a plan chosen for another binding) reports `None`.
+#[test]
+fn a_session_predicts_only_the_decision_it_made() {
+    let relations = 2;
+    let catalog = chain_catalog(relations, SEED);
+    let sql = chain_sql(relations);
+    let svc = service(1, relations);
+
+    let binds: Vec<(&str, i64)> = vec![("v1", 500), ("v2", 500)];
+    let miss = svc.execute(Request::new(&sql, &binds)).unwrap();
+    assert_eq!(miss.summary.plan_cache.decision_hit, Some(false));
+    let query = parse_query(&sql, &catalog).unwrap();
+    let env = Environment::dynamic_compile_time(&catalog.config);
+    let plan = Optimizer::new(&catalog, &env)
+        .optimize_with_props(&query.expr, query.required_props())
+        .unwrap()
+        .plan;
+    let fresh = evaluate_startup(&plan, &catalog, &env, &query.bindings(&binds).unwrap());
+    assert_eq!(
+        miss.predicted_seconds.map(f64::to_bits),
+        Some(fresh.predicted_run_seconds.to_bits())
+    );
+
+    let hit = svc.execute(Request::new(&sql, &[("v1", 510), ("v2", 505)])).unwrap();
+    assert_eq!(hit.summary.plan_cache.decision_hit, Some(true));
+    assert_eq!(hit.predicted_seconds, None);
 }
 
 /// Skewed data against uniform estimates: the first execution's observed
