@@ -112,7 +112,7 @@ use dqep_executor::{
     ResourceLimits, RootSink, Scalar, SharedCounters, TraceReport, Tracer,
 };
 use dqep_plan::{evaluate_startup, render_plan, to_dot};
-use dqep_service::MetricsReport;
+use dqep_service::{memory_grant_pages, MetricsReport};
 use dqep_sql::parse_query;
 use dqep_storage::{install_histograms, FaultPlan, StoredDatabase, ValueDistribution};
 
@@ -255,7 +255,7 @@ const FLAGS: &[(&str, bool, Setter)] = &[
         a.binds.push((name.to_string(), num(value).map_err(|e| format!("{name}: {e}"))?));
         Ok(())
     }),
-    ("--memory", true, |a, v| set(&mut a.memory, num(v).map(Some))),
+    ("--memory", true, |a, v| set(&mut a.memory, num(v).and_then(memory_grant_pages).map(Some))),
     ("--explain", false, |_, _| Ok(())),
     ("--run", false, |a, _| set(&mut a.run, Ok(true))),
     ("--explain-analyze", false, |a, _| {
@@ -711,6 +711,10 @@ mod tests {
         assert_eq!(a.binds, vec![("x".to_string(), 40), ("y".to_string(), -3)]);
         assert_eq!(a.memory, Some(96.0));
         assert!(a.run);
+        for grant in ["NaN", "-1", "0", "inf"] {
+            let refused = parse_argv(&argv(&["--sql", "q", "--memory", grant])).unwrap_err();
+            assert!(refused.contains("memory grant"), "{grant}: {refused}");
+        }
         assert!(!a.adaptive);
         assert_eq!(a.dot.as_deref(), Some("/tmp/p.dot"));
     }

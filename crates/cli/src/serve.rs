@@ -2,7 +2,7 @@
 
 use dqep::DqepError;
 use dqep_executor::ExecSummary;
-use dqep_service::{QueryService, Request, ServiceConfig};
+use dqep_service::{memory_grant_pages, QueryService, Request, ServiceConfig};
 
 use crate::{with_sampler, write_metric_outputs, Args};
 
@@ -27,8 +27,8 @@ fn parse_workload(text: &str) -> Result<Vec<Request>, String> {
                 .ok_or_else(|| format!("line {}: binding `{pair}` is not NAME=VALUE", idx + 1))?;
             let (name, v) = (name.trim(), v.trim());
             if name == "memory" {
-                req.memory_pages =
-                    Some(v.parse().map_err(|e| format!("line {}: memory: {e}", idx + 1))?);
+                let pages = v.parse().map_err(|e| format!("{e}")).and_then(memory_grant_pages);
+                req.memory_pages = Some(pages.map_err(|e| format!("line {}: memory: {e}", idx + 1))?);
             } else {
                 req.binds.push((
                     name.to_string(),
@@ -174,5 +174,7 @@ mod tests {
         assert!(reqs[1].binds.is_empty() && reqs[1].memory_pages.is_none());
         assert!(parse_workload("q @ novalue").unwrap_err().contains("line 1"));
         assert!(parse_workload("q @ v=x").unwrap_err().contains("v:"));
+        let refused = parse_workload("q @ v=1\nq @ v=1, memory=NaN").unwrap_err();
+        assert!(refused.starts_with("line 2: memory: memory grant"), "{refused}");
     }
 }

@@ -34,6 +34,23 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// `pages` as a session's memory grant, or why it cannot be one: a grant
+/// is a finite, positive number of pages. The cost model's memory
+/// interval refuses a non-finite bound, and a grant at or below zero
+/// would silently run on the model's floor, so [`crate::QueryService`]
+/// and [`crate::ShardedService`] refuse both with [`ServiceError::Bind`]
+/// before admission.
+///
+/// # Errors
+/// A message naming the refused value.
+pub fn memory_grant_pages(pages: f64) -> Result<f64, String> {
+    if pages.is_finite() && pages > 0.0 {
+        Ok(pages)
+    } else {
+        Err(format!("memory grant must be a finite number of pages above 0, got {pages}"))
+    }
+}
+
 /// A fixed-capacity memory grant pool. Cheap to share via `Arc`; grants
 /// release automatically on drop.
 #[derive(Debug)]

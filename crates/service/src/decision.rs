@@ -1,174 +1,117 @@
-//! Bind-time decision caching: binding regions and the cached arbitration
-//! outcome per region.
+//! Bind-time decision caching: the start-up decision, memoized per exact
+//! binding.
 //!
 //! The start-up decision procedure is cheap but not free — one cost
 //! function evaluation per DAG node. A serving workload binds the same
-//! statement thousands of times, and nearby bindings almost always select
-//! the same alternative (the paper's Figure 3 regions are wide). The
-//! decision cache exploits that: each binding is mapped to a coarse
-//! **region key** (one bucket per host-variable selectivity, read through
-//! the cost model's one value-to-selectivity map, plus a memory bucket),
-//! and the resolved plan chosen for a region is replayed for every later
-//! binding landing in the same region.
+//! statement thousands of times, mostly to a handful of bindings. The
+//! decision cache memoizes the procedure: each binding is mapped to its
+//! [`BindingKey`] — the value of every host variable of the statement and
+//! the memory grant's bits — and the resolved plan chosen for a key is
+//! replayed for every later binding with the same key. Equal keys are
+//! equal bindings, so a replayed decision is the one the procedure would
+//! make again (the paper's `g_i = d_i`): a hit needs no proof.
 
 use std::sync::Arc;
 
-use dqep_algebra::Scalar;
 use dqep_catalog::Catalog;
-use dqep_cost::{Bindings, SelectivityModel};
+use dqep_cost::Bindings;
 use dqep_plan::Plan;
-use dqep_sql::{ParsedPredicate, Query};
+use dqep_sql::Query;
 
-/// A coarse equivalence class of bindings: one bucket index per unbound
-/// selection predicate (in source order) plus a trailing memory bucket.
-/// Bindings with equal keys get the same cached start-up decision.
+/// One exact binding of a statement: the value bound to each of its host
+/// variables (`None`: unbound), in the order of the statement's variable
+/// names, plus the bits of the memory grant in pages. Bindings with equal
+/// keys get the same cached start-up decision.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RegionKey(Vec<u32>);
+pub struct BindingKey {
+    values: Vec<Option<i64>>,
+    memory_bits: u64,
+}
 
-/// How many pages one memory bucket spans.
-const MEMORY_BUCKET_PAGES: f64 = 16.0;
-
-/// Computes the region key for `bindings` against `query`.
-///
-/// Each host-variable selection `rel.attr OP :v` is bucketed by the bound
-/// value's selectivity — [`SelectivityModel::value_selectivity`], the map
-/// the start-up cost functions read it through — into `buckets`
-/// equal-width buckets of `[0, 1]`. Unbound variables map to a sentinel
-/// bucket so they never alias a bound region. The memory grant is
-/// bucketed in `MEMORY_BUCKET_PAGES`-page steps.
+/// Computes the key of `bindings` under a `memory_pages` grant for
+/// `query`: two keys are equal exactly when the statement's host
+/// variables are bound to the same values (each variable keyed by name, so
+/// binding `x` and leaving `y` unbound never collides with the reverse)
+/// and the grants are equal bit for bit.
+// Compat shim for the frozen `benchmark/`: `_catalog` and `_buckets` keep the signature it calls and are unread; the next `[benchmark]` PR deletes them (ROADMAP).
 #[must_use]
 pub fn region_key(
     query: &Query,
-    catalog: &Catalog,
+    _catalog: &Catalog,
     bindings: &Bindings,
-    buckets: u32,
+    _buckets: u32,
     memory_pages: f64,
-) -> RegionKey {
-    let buckets = buckets.max(1);
-    let model = SelectivityModel::new(catalog);
-    let mut key = Vec::new();
-    for pred in &query.predicates {
-        let ParsedPredicate::Select(sel) = pred else {
-            continue;
-        };
-        let Scalar::Host(var) = sel.rhs else {
-            continue;
-        };
-        let bucket = match bindings.value(var) {
-            Some(v) => {
-                let s = model.value_selectivity(sel, v);
-                ((s * buckets as f64) as u32).min(buckets - 1)
-            }
-            None => u32::MAX,
-        };
-        key.push(bucket);
+) -> BindingKey {
+    BindingKey {
+        values: query.host_vars.values().map(|&var| bindings.value(var)).collect(),
+        memory_bits: memory_pages.to_bits(),
     }
-    key.push((memory_pages.max(0.0) / MEMORY_BUCKET_PAGES) as u32);
-    RegionKey(key)
 }
 
-/// One memoized start-up arbitration: the alternative chosen for a binding
-/// region, ready to execute without re-evaluating any cost function.
+/// One memoized start-up decision: the alternative chosen at one exact
+/// binding, ready to execute without re-evaluating any cost function.
 #[derive(Debug, Clone)]
 pub struct CachedDecision {
     /// The resolved (choose-plan-free) plan the decision procedure picked.
     pub resolved: Arc<Plan>,
-    /// Its predicted run time under the bindings that created the entry.
+    /// Its predicted run time at the binding the entry is keyed by.
     pub predicted_seconds: f64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqep_catalog::{CatalogBuilder, Histogram, SystemConfig};
+    use dqep_catalog::{CatalogBuilder, SystemConfig};
     use dqep_sql::parse_query;
 
-    fn fixture() -> (Catalog, Query) {
+    fn fixture(sql: &str) -> (Catalog, Query) {
         let cat = CatalogBuilder::new(SystemConfig::paper_1994())
-            .relation("r", 1000, 512, |r| r.attr("a", 1000.0).btree("a", false))
+            .relation("r", 1000, 512, |r| r.attr("a", 1000.0).attr("b", 1000.0))
             .build()
             .unwrap();
-        let q = parse_query("SELECT * FROM r WHERE r.a < :x", &cat).unwrap();
+        let q = parse_query(sql, &cat).unwrap();
         (cat, q)
     }
 
-    #[test]
-    fn nearby_bindings_share_a_region() {
-        let (cat, q) = fixture();
-        let k1 = region_key(&q, &cat, &q.bindings(&[("x", 100)]).unwrap(), 10, 64.0);
-        let k2 = region_key(&q, &cat, &q.bindings(&[("x", 150)]).unwrap(), 10, 64.0);
-        let k3 = region_key(&q, &cat, &q.bindings(&[("x", 900)]).unwrap(), 10, 64.0);
-        assert_eq!(k1, k2, "values in the same decile share a region");
-        assert_ne!(k1, k3, "distant values do not");
+    fn key(q: &Query, cat: &Catalog, binds: &[(&str, i64)], memory: f64) -> BindingKey {
+        region_key(q, cat, &q.bindings(binds).unwrap(), 16, memory)
     }
 
     #[test]
-    fn memory_and_unbound_vars_split_regions() {
-        let (cat, q) = fixture();
-        let b = q.bindings(&[("x", 100)]).unwrap();
-        let small = region_key(&q, &cat, &b, 10, 16.0);
-        let large = region_key(&q, &cat, &b, 10, 512.0);
-        assert_ne!(small, large, "memory grant is part of the region");
-        let unbound = region_key(&q, &cat, &Bindings::new(), 10, 16.0);
-        assert_ne!(unbound, small, "unbound variables get a sentinel bucket");
-    }
-
-    /// The key the decision cache used before it read selectivities
-    /// through the one map: the value's share of the attribute's domain.
-    fn value_share_key(q: &Query, cat: &Catalog, v: i64, buckets: u32, memory: f64) -> RegionKey {
-        let mut key = Vec::new();
-        for pred in &q.predicates {
-            if let ParsedPredicate::Select(sel) = pred {
-                let frac = (v as f64 / cat.attribute(sel.attr).domain_size).clamp(0.0, 1.0);
-                key.push(((frac * buckets as f64) as u32).min(buckets - 1));
+    fn keys_are_equal_exactly_when_the_bindings_are() {
+        let (cat, q) = fixture("SELECT * FROM r WHERE r.a < :x AND r.b < :y");
+        let bindings = [
+            vec![],
+            vec![("x", 100)],
+            vec![("x", 101)],
+            vec![("y", 100)],
+            vec![("x", 100), ("y", 100)],
+            vec![("x", 100), ("y", 101)],
+            vec![("x", -5), ("y", 10_000)],
+        ];
+        for (i, a) in bindings.iter().enumerate() {
+            for (j, b) in bindings.iter().enumerate() {
+                let equal = key(&q, &cat, a, 64.0) == key(&q, &cat, b, 64.0);
+                assert_eq!(equal, i == j, "{a:?} / {b:?}");
             }
         }
-        key.push((memory / MEMORY_BUCKET_PAGES) as u32);
-        RegionKey(key)
+        // Neither the bucket count nor the order of the binds matters.
+        let b = q.bindings(&[("y", 7), ("x", 3)]).unwrap();
+        assert_eq!(region_key(&q, &cat, &b, 1, 64.0), key(&q, &cat, &[("x", 3), ("y", 7)], 64.0));
     }
 
     #[test]
-    fn uniform_keys_equal_the_value_share_keys() {
-        let (cat, q) = fixture();
-        for buckets in [1, 7, 10, 16] {
-            for v in (-20..1_030).step_by(3) {
-                let b = q.bindings(&[("x", v)]).unwrap();
-                assert_eq!(
-                    region_key(&q, &cat, &b, buckets, 64.0),
-                    value_share_key(&q, &cat, v, buckets, 64.0),
-                    "v = {v}, {buckets} buckets"
-                );
-            }
-        }
+    fn a_bound_and_an_unbound_variable_do_not_swap() {
+        let (cat, q) = fixture("SELECT * FROM r WHERE r.a < :x AND r.b < :y");
+        assert_ne!(key(&q, &cat, &[("y", 5)], 64.0), key(&q, &cat, &[("x", 5)], 64.0));
     }
 
     #[test]
-    fn histogram_keys_bucket_selectivity_not_value() {
-        let (mut cat, q) = fixture();
-        // 900 of 1 000 values below 100, the rest spread over 100..1000.
-        let values = (0..900).map(|i| i % 100).chain((0..100).map(|i| 100 + i * 9));
-        let attr = cat.relation_by_name("r").unwrap().attr_id("a").unwrap();
-        cat.set_histogram(attr, Histogram::build(values, 20).unwrap());
-        let key = |v| region_key(&q, &cat, &q.bindings(&[("x", v)]).unwrap(), 10, 64.0);
-        // 300 and 800 are deciles 3 and 8 of the domain, but both select
-        // over 90 % of the rows: one selectivity bucket.
-        assert_ne!(value_share_key(&q, &cat, 300, 10, 64.0), value_share_key(&q, &cat, 800, 10, 64.0));
-        assert_eq!(key(300), key(800));
-        // 20 and 80 share the first value decile, yet select 18 % and
-        // 72 %: different buckets.
-        assert_eq!(value_share_key(&q, &cat, 20, 10, 64.0), value_share_key(&q, &cat, 80, 10, 64.0));
-        assert_ne!(key(20), key(80));
-    }
-
-    #[test]
-    fn extreme_values_clamp_into_edge_buckets() {
-        let (cat, q) = fixture();
-        let lo = region_key(&q, &cat, &q.bindings(&[("x", -50)]).unwrap(), 8, 64.0);
-        let lo2 = region_key(&q, &cat, &q.bindings(&[("x", 0)]).unwrap(), 8, 64.0);
-        let hi = region_key(&q, &cat, &q.bindings(&[("x", 10_000)]).unwrap(), 8, 64.0);
-        let hi2 = region_key(&q, &cat, &q.bindings(&[("x", 999)]).unwrap(), 8, 64.0);
-        assert_eq!(lo, lo2);
-        assert_eq!(hi, hi2);
-        assert_ne!(lo, hi);
+    fn the_memory_grant_is_keyed_by_its_bits() {
+        let (cat, q) = fixture("SELECT * FROM r WHERE r.a < :x");
+        let at = |memory| key(&q, &cat, &[("x", 100)], memory);
+        assert_eq!(at(64.0), at(64.0));
+        assert_ne!(at(64.0), at(65.0), "one page apart");
+        assert_ne!(at(64.0), at(64.0 + 64.0 * f64::EPSILON), "one ulp apart");
     }
 }

@@ -9,10 +9,11 @@
 //!   a dynamic plan, keyed by normalized text, LRU-bounded, with hit/miss
 //!   accounting.
 //! * **Bind-time arbitration with a decision cache** — each execution maps
-//!   its host-variable bindings to a coarse [`decision::RegionKey`]; the
-//!   start-up decision procedure runs only on a region's first visit, and
-//!   hot parameter ranges replay the memoized resolved plan with zero
-//!   cost-function evaluations.
+//!   its exact binding (host-variable values and memory grant) to a
+//!   [`decision::BindingKey`]; the start-up decision procedure runs on a
+//!   binding's first visit, and a repeated binding replays the memoized
+//!   resolved plan — the decision the procedure would make again — with
+//!   zero cost-function evaluations.
 //! * [`QueryService`] — activation is a procedure call: a session runs on
 //!   the thread that asks for it, against a deterministic replica of the
 //!   stored database checked out of a bounded pool for the session's
@@ -41,8 +42,8 @@ pub mod registry;
 mod service;
 pub mod shard;
 
-pub use admission::{MemoryGrant, MemoryPool};
-pub use decision::{region_key, CachedDecision, RegionKey};
+pub use admission::{memory_grant_pages, MemoryGrant, MemoryPool};
+pub use decision::{region_key, BindingKey, CachedDecision};
 pub use error::ServiceError;
 pub use metrics::{
     lint_prometheus, validate_metrics_json, Hist, Histogram, HistogramSnapshot, Metric,

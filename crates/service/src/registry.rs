@@ -16,7 +16,13 @@ use dqep_plan::{NodeId, Observations, Plan};
 use dqep_sql::Query;
 use parking_lot::Mutex;
 
-use crate::decision::{CachedDecision, RegionKey};
+use crate::decision::{BindingKey, CachedDecision};
+
+/// Most decisions one statement memoizes. A key is one exact binding, so
+/// a statement bound to ever new values would otherwise grow its map by
+/// one resolved plan per request; a full map is cleared before the next
+/// insert.
+pub const DECISION_MEMO_CAPACITY: usize = 64;
 
 /// Normalizes statement text for registry keying: trims, collapses
 /// whitespace runs to single spaces, and drops a trailing `;`. Identifier
@@ -70,7 +76,7 @@ pub struct PreparedStatement {
     pub query: Query,
     /// The compile-time dynamic plan (choose-plan nodes included).
     pub plan: Arc<Plan>,
-    decisions: Mutex<HashMap<RegionKey, CachedDecision>>,
+    decisions: Mutex<HashMap<BindingKey, CachedDecision>>,
     observations: Mutex<Observations>,
     invalidations: AtomicU64,
 }
@@ -89,20 +95,31 @@ impl PreparedStatement {
         }
     }
 
-    /// The cached decision for a binding region, if any.
+    /// The cached decision for a binding, if any.
     #[must_use]
-    pub fn decision(&self, key: &RegionKey) -> Option<CachedDecision> {
+    pub fn decision(&self, key: &BindingKey) -> Option<CachedDecision> {
         self.decisions.lock().get(key).cloned()
     }
 
-    /// Memoizes the arbitration outcome for a binding region.
-    pub fn store_decision(&self, key: RegionKey, decision: CachedDecision) {
-        self.decisions.lock().insert(key, decision);
+    /// Memoizes the start-up decision made at a binding, clearing the
+    /// memo first when it holds [`DECISION_MEMO_CAPACITY`] decisions.
+    pub fn store_decision(&self, key: BindingKey, decision: CachedDecision) {
+        let mut decisions = self.decisions.lock();
+        if decisions.len() >= DECISION_MEMO_CAPACITY {
+            decisions.clear();
+        }
+        decisions.insert(key, decision);
     }
 
-    /// Drops one region's cached decision (e.g. after its resolved plan
+    /// How many decisions the statement holds memoized.
+    #[cfg(test)]
+    pub(crate) fn decisions_memoized(&self) -> usize {
+        self.decisions.lock().len()
+    }
+
+    /// Drops one binding's cached decision (e.g. after its resolved plan
     /// failed retryably and execution fell back to full arbitration).
-    pub fn invalidate_decision(&self, key: &RegionKey) {
+    pub fn invalidate_decision(&self, key: &BindingKey) {
         self.decisions.lock().remove(key);
     }
 

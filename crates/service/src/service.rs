@@ -27,8 +27,8 @@ use dqep_plan::evaluate_startup_observed;
 use dqep_sql::parse_query;
 use dqep_storage::{FaultPlan, StoredDatabase, ValueDistribution};
 
-use crate::admission::{MemoryPool, Slot, SlotPool};
-use crate::decision::{region_key, CachedDecision};
+use crate::admission::{memory_grant_pages, MemoryPool, Slot, SlotPool};
+use crate::decision::{region_key, BindingKey, CachedDecision};
 use crate::error::ServiceError;
 use crate::metrics::{hit_rate, Hist, Metric, MetricsRegistry, MetricsReport};
 use crate::registry::{normalized, PreparedRegistry, PreparedStatement, RegistryStats};
@@ -41,11 +41,12 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Prepared-statement registry capacity (LRU-evicted past this).
     pub registry_capacity: usize,
-    /// Buckets per host variable in the decision-cache region key.
+    // Compat shim for the frozen `benchmark/` (and `examples/activation_split.rs`, which mirrors it): read there only to hand to `region_key`, which ignores it; the next `[benchmark]` PR deletes it (ROADMAP).
+    #[doc(hidden)]
     pub decision_buckets: u32,
     /// Feedback tolerance: an observed root cardinality outside the
     /// estimate interval widened by this factor invalidates the
-    /// statement's cached decisions.
+    /// statement's memoized decisions.
     pub feedback_tolerance: f64,
     /// Global memory-grant pool shared by all sessions, in bytes.
     pub global_memory_bytes: u64,
@@ -123,6 +124,8 @@ pub struct Request {
     /// Host-variable bindings by name.
     pub binds: Vec<(String, i64)>,
     /// Memory grant in pages (`None`: the environment's expected grant).
+    /// A grant that is not finite and positive fails the session with
+    /// [`ServiceError::Bind`] ([`crate::memory_grant_pages`]).
     pub memory_pages: Option<f64>,
     /// Per-session budget override (`None`: the service default).
     pub limits: Option<ResourceLimits>,
@@ -148,9 +151,10 @@ impl Request {
 pub struct SessionResult {
     /// Execution accounting, including plan-cache provenance.
     pub summary: ExecSummary,
-    /// Predicted run time, in seconds, of the plan this session's
-    /// arbitration chose: `None` when no arbitration ran in this session
-    /// (a decision-cache hit replays a plan chosen for another binding).
+    /// Predicted run time, in seconds, of the plan the start-up decision
+    /// chose at this session's binding — made fresh on a decision-cache
+    /// miss, memoized at this very binding on a hit. `None` only under
+    /// re-optimization, when the run ended with no decision in force.
     pub predicted_seconds: Option<f64>,
     /// Time the session waited for a replica.
     pub queue_wait: Duration,
@@ -455,7 +459,7 @@ impl Shared {
             .collect();
         let mut bindings = stmt.query.bindings(&binds).map_err(ServiceError::Bind)?;
         if let Some(pages) = request.memory_pages {
-            bindings = bindings.with_memory(pages);
+            bindings = bindings.with_memory(memory_grant_pages(pages).map_err(ServiceError::Bind)?);
         }
         let memory_pages = bindings.memory_pages.unwrap_or_else(|| env.memory.expected());
         let memory_bytes = (memory_pages * self.catalog.config.page_size as f64) as u64;
@@ -507,13 +511,7 @@ impl Shared {
                     })
             }
             None => {
-                let key = region_key(
-                    &stmt.query,
-                    &self.catalog,
-                    &bindings,
-                    self.config.decision_buckets,
-                    memory_pages,
-                );
+                let key = region_key(&stmt.query, &self.catalog, &bindings, 0, memory_pages);
                 let (decision, decision_hit) = match stmt.decision(&key) {
                     Some(cached) => (cached, true),
                     None => {
@@ -532,9 +530,8 @@ impl Shared {
                         (fresh, false)
                     }
                 };
-                let predicted = (!decision_hit).then_some(decision.predicted_seconds);
                 self.execute_arbitrated(db, &ctx, &stmt, &key, &decision, &bindings)
-                    .map(|summary| (summary, predicted, decision_hit))
+                    .map(|summary| (summary, Some(decision.predicted_seconds), decision_hit))
             }
         };
         if request.fault_plan.is_some() {
@@ -600,7 +597,7 @@ impl Shared {
         db: &StoredDatabase,
         ctx: &ExecContext,
         stmt: &PreparedStatement,
-        key: &crate::decision::RegionKey,
+        key: &BindingKey,
         decision: &CachedDecision,
         bindings: &Bindings,
     ) -> Result<ExecSummary, ServiceError> {
@@ -644,30 +641,68 @@ mod tests {
     }
 
     #[test]
-    fn repeated_statement_hits_both_caches() {
+    fn the_same_binding_hits_and_any_other_misses() {
         let svc = service(1);
         let sql = chain_sql(2);
-        let first = svc.execute(Request::new(&sql, &[("v1", 500), ("v2", 500)])).unwrap();
+        let at = |v1, v2, memory: Option<f64>| {
+            let mut request = Request::new(&sql, &[("v1", v1), ("v2", v2)]);
+            request.memory_pages = memory;
+            svc.execute(request).unwrap()
+        };
+        let first = at(500, 500, None);
         assert_eq!(first.summary.plan_cache.statement_hit, Some(false));
         assert_eq!(first.summary.plan_cache.decision_hit, Some(false));
-        let second = svc.execute(Request::new(&sql, &[("v1", 510), ("v2", 505)])).unwrap();
-        assert_eq!(second.summary.plan_cache.statement_hit, Some(true));
-        assert_eq!(second.summary.plan_cache.decision_hit, Some(true), "nearby binding region");
-        assert_eq!(first.summary.rows, svc.execute(Request::new(&sql, &[("v1", 500), ("v2", 500)])).unwrap().summary.rows);
+        let again = at(500, 500, None);
+        assert_eq!(again.summary.plan_cache.statement_hit, Some(true));
+        assert_eq!(again.summary.plan_cache.decision_hit, Some(true), "the same binding");
+        assert_eq!(again.summary.rows, first.summary.rows);
+        let others = [(501, 500, None), (500, 499, None), (950, 950, None), (500, 500, Some(65.0))];
+        for (v1, v2, memory) in others {
+            let other = at(v1, v2, memory);
+            assert_eq!(other.summary.plan_cache.statement_hit, Some(true));
+            assert_eq!(
+                other.summary.plan_cache.decision_hit,
+                Some(false),
+                "({v1}, {v2}) at {memory:?} pages is another binding"
+            );
+        }
         let stats = svc.stats();
-        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.completed, 6);
+        assert_eq!((stats.decision_hits, stats.decision_misses), (1, 5));
         assert_eq!(stats.registry.misses, 1);
-        assert_eq!(stats.registry.hits, 2);
+        assert_eq!(stats.registry.hits, 5);
     }
 
     #[test]
-    fn distant_bindings_rerun_arbitration() {
+    fn the_decision_memo_stays_bounded_and_every_answer_stays_exact() {
+        use crate::registry::DECISION_MEMO_CAPACITY;
         let svc = service(1);
         let sql = chain_sql(2);
-        svc.execute(Request::new(&sql, &[("v1", 50), ("v2", 50)])).unwrap();
-        let far = svc.execute(Request::new(&sql, &[("v1", 950), ("v2", 950)])).unwrap();
-        assert_eq!(far.summary.plan_cache.statement_hit, Some(true));
-        assert_eq!(far.summary.plan_cache.decision_hit, Some(false), "different region");
+        let at = |i: usize| {
+            let v1 = 13 * i as i64;
+            svc.execute(Request::new(&sql, &[("v1", v1), ("v2", 700)])).unwrap()
+        };
+        let bindings = DECISION_MEMO_CAPACITY + 8;
+        let firsts: Vec<SessionResult> = (0..bindings).map(at).collect();
+        let stmt = svc.shared.registry.get(&sql).unwrap();
+        assert!(stmt.decisions_memoized() <= DECISION_MEMO_CAPACITY);
+        // Every binding answers as its first session did, whether its
+        // decision is still memoized (the last ones, a hit each) or was
+        // cleared with a full memo (a miss that decides again).
+        for (i, first) in firsts.iter().enumerate().rev() {
+            let answer = at(i);
+            assert_eq!(answer.summary.rows, first.summary.rows, "binding {i}");
+            assert_eq!(answer.summary.io, first.summary.io, "binding {i}");
+            assert_eq!(
+                answer.predicted_seconds.map(f64::to_bits),
+                first.predicted_seconds.map(f64::to_bits),
+                "binding {i}"
+            );
+            assert!(stmt.decisions_memoized() <= DECISION_MEMO_CAPACITY);
+        }
+        let stats = svc.stats();
+        assert_eq!(stats.decision_hits, 8, "the memo's last eight bindings");
+        assert_eq!(stats.decision_misses, 2 * bindings as u64 - 8);
     }
 
     #[test]

@@ -61,6 +61,7 @@ use dqep_storage::{
     install_histograms, install_union_histograms, StoredDatabase, ValueDistribution,
 };
 
+use crate::admission::memory_grant_pages;
 use crate::error::ServiceError;
 use crate::metrics::{Hist, Metric, MetricsRegistry, MetricsReport};
 
@@ -430,7 +431,8 @@ impl ShardedService {
     ///
     /// # Errors
     /// [`ServiceError::Sql`] / [`ServiceError::Optimizer`] /
-    /// [`ServiceError::Bind`] for coordinator-side failures;
+    /// [`ServiceError::Bind`] for coordinator-side failures (an unknown
+    /// host variable, a memory grant [`memory_grant_pages`] refuses);
     /// [`ServiceError::Exec`] when any shard fails (network faults past
     /// the retransmission budget included).
     pub fn execute(&self, sql: &str, binds: &[(&str, i64)]) -> Result<ShardOutcome, ServiceError> {
@@ -438,7 +440,7 @@ impl ShardedService {
         let query = parse_query(sql, &self.catalog).map_err(|e| ServiceError::Sql(e.to_string()))?;
         let mut bindings = query.bindings(binds).map_err(ServiceError::Bind)?;
         if let Some(pages) = self.config.memory_pages {
-            bindings = bindings.with_memory(pages);
+            bindings = bindings.with_memory(memory_grant_pages(pages).map_err(ServiceError::Bind)?);
         }
 
         let plan = self.distribute(&query.expr, &query.predicates, query.order_by, &bindings)?;

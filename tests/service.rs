@@ -2,24 +2,30 @@
 //!
 //! The load-bearing invariant: a session executed **through the service**
 //! — concurrent workers, cached plans, memoized decisions, admission
-//! control — produces exactly the rows the same statement produces when
-//! executed alone through the single-query pipeline. Caching and
-//! concurrency are allowed to change *how fast* an answer arrives, never
-//! *which* answer.
+//! control — produces exactly the rows and pages the same statement
+//! produces when executed alone through the single-query pipeline, and
+//! predicts the cost the start-up decision predicts at its binding.
+//! Caching and concurrency are allowed to change *how fast* an answer
+//! arrives, never *which* answer.
 
 use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
-use dqep::cost::Environment;
+use dqep::cost::{Bindings, Environment, ParamSpace};
 use dqep::executor::{ExecError, ExecSummary};
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup;
 use dqep::service::{Metric, QueryService, Request, ServiceConfig, ServiceError};
-use dqep::sql::parse_query;
-use dqep::storage::{FaultPlan, StoredDatabase};
+use dqep::sql::{parse_query, Query};
+use dqep::storage::{install_histograms, FaultPlan, IoStats, StoredDatabase, ValueDistribution};
 use proptest::prelude::*;
 
 #[path = "common/exec.rs"]
 mod exec;
 use exec::execute;
+
+#[path = "common/workload.rs"]
+#[allow(dead_code)]
+mod workload;
+use workload::{build_sql, workload_strategy, Shape};
 
 fn chain_sql(relations: usize) -> String {
     let from: Vec<String> = (1..=relations).map(|i| format!("R{i}")).collect();
@@ -53,6 +59,16 @@ fn sequential_rows(catalog: &Catalog, db: &StoredDatabase, sql: &str, binds: &[(
 
 const SEED: u64 = 23;
 
+/// `bindings` as the named binds of a request for `query`.
+fn request(sql: &str, query: &Query, bindings: &Bindings) -> Request {
+    let binds = query
+        .host_var_names()
+        .into_iter()
+        .filter_map(|name| Some((name.to_string(), bindings.value(query.host_var(name)?)?)))
+        .collect();
+    Request { sql: sql.to_string(), binds, ..Request::default() }
+}
+
 fn service(workers: usize, relations: usize) -> QueryService {
     QueryService::new(
         chain_catalog(relations, SEED),
@@ -68,36 +84,87 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Concurrent sessions over one prepared statement: every session's
-    /// row count equals the sequential single-query answer for its
-    /// bindings, whatever worker ran it and whatever was cached.
+    /// rows and pages equal the statement's lone execution at its binding,
+    /// and the cost it predicts is the start-up decision's at that very
+    /// binding, bit for bit — whatever worker ran it and whatever was
+    /// cached. The statement is the paper's 2-chain or a random chain,
+    /// on uniform data or on skewed data whose histograms the catalog
+    /// holds. Bindings come in pairs inside one 1/16-selectivity cell (the
+    /// grid a decision was once replayed across), then the first of each
+    /// pair again; no feedback pins an observation mid-case.
     #[test]
     fn concurrent_sessions_match_sequential_execution(
-        values in proptest::collection::vec((0i64..1100, 0i64..1100), 4..10),
+        random in prop_oneof![Just(None), workload_strategy(Shape::PARITY).prop_map(Some)],
+        histograms in any::<bool>(),
+        pairs in proptest::collection::vec(
+            proptest::collection::vec((0u32..16, 0.1f64..0.9, 0.1f64..0.9), 3),
+            4..10,
+        ),
     ) {
-        let relations = 2;
-        let catalog = chain_catalog(relations, SEED);
-        let db = StoredDatabase::generate(&catalog, SEED);
-        let sql = chain_sql(relations);
-        let svc = service(4, relations);
+        let (mut catalog, sql) = match &random {
+            Some(w) => {
+                let (catalog, sql, _) = build_sql(w, 0.5);
+                (catalog, sql)
+            }
+            None => (chain_catalog(2, SEED), chain_sql(2)),
+        };
+        let skew = histograms.then_some(1.1);
+        let distribution =
+            skew.map_or(ValueDistribution::Uniform, |exponent| ValueDistribution::Zipf { exponent });
+        let db = StoredDatabase::generate_with(&catalog, SEED, distribution);
+        if histograms {
+            install_histograms(&db, &mut catalog, 16).expect("histograms");
+        }
+        let query = parse_query(&sql, &catalog).unwrap();
+        let env = Environment::dynamic_compile_time(&catalog.config);
+        let plan = Optimizer::new(&catalog, &env)
+            .optimize_with_props(&query.expr, query.required_props())
+            .unwrap()
+            .plan;
+        let space = ParamSpace::new(&query.expr, &catalog);
+        let at = |pair: &Vec<(u32, f64, f64)>, second: bool| {
+            let coordinate = |&(cell, a, b): &(u32, f64, f64)| {
+                (f64::from(cell) + if second { b } else { a }) / 16.0
+            };
+            space.bindings(&catalog, pair.iter().map(coordinate))
+        };
+        let firsts = pairs.iter().map(|pair| at(pair, false));
+        let seconds = pairs.iter().map(|pair| at(pair, true));
+        let bindings: Vec<Bindings> = firsts.clone().chain(seconds).chain(firsts).collect();
 
-        let requests: Vec<Request> = values
-            .iter()
-            .map(|&(x, y)| Request::new(&sql, &[("v1", x), ("v2", y)]))
-            .collect();
-        let results = svc.run_batch(requests);
+        let svc = QueryService::new(
+            catalog.clone(),
+            ServiceConfig {
+                workers: 4,
+                data_seed: SEED,
+                skew,
+                feedback_tolerance: f64::INFINITY,
+                ..ServiceConfig::default()
+            },
+        );
+        let results = svc.run_batch(bindings.iter().map(|b| request(&sql, &query, b)).collect());
 
-        for (&(x, y), result) in values.iter().zip(&results) {
+        for (b, result) in bindings.iter().zip(&results) {
             let session = result.as_ref().expect("fault-free session");
-            let truth = sequential_rows(&catalog, &db, &sql, &[("v1", x), ("v2", y)]);
+            let lone = execute(&plan, &db, &catalog, &env, b);
+            let decided = evaluate_startup(&plan, &catalog, &env, b).predicted_run_seconds;
+            prop_assert_eq!(session.summary.rows, lone.rows, "{} at {:?}", sql, b.values);
+            // Pages read and written; whether a session's first read is
+            // sequential depends on what its replica's disk read last.
+            let pages = |io: IoStats| (io.seq_reads + io.random_reads, io.writes);
+            prop_assert_eq!(pages(session.summary.io), pages(lone.io), "{} at {:?}", sql, b.values);
             prop_assert_eq!(
-                session.summary.rows, truth,
-                "bindings ({}, {}) diverged from sequential execution", x, y
+                session.predicted_seconds.map(f64::to_bits),
+                Some(decided.to_bits()),
+                "{} at {:?}: predicted {:?}, decided {}, decision hit {:?}",
+                sql, b.values, session.predicted_seconds, decided, session.summary.plan_cache.decision_hit
             );
             prop_assert_eq!(session.summary.fallbacks, 0);
         }
         let stats = svc.stats();
-        prop_assert_eq!(stats.completed, values.len() as u64);
+        prop_assert_eq!(stats.completed, bindings.len() as u64);
         prop_assert_eq!(stats.failed, 0);
+        prop_assert_eq!(stats.feedback_invalidations, 0);
     }
 
     /// With storage faults injected into some sessions, every session
@@ -158,7 +225,7 @@ fn cached_plan_fault_retries_through_full_arbitration() {
     let binds: Vec<(&str, i64)> = vec![("v1", 500), ("v2", 500)];
     let truth = sequential_rows(&catalog, &db, &sql, &binds);
 
-    // First execution caches the statement and the region's decision.
+    // First execution caches the statement and the binding's decision.
     let clean = svc.execute(Request::new(&sql, &binds)).unwrap();
     assert_eq!(clean.summary.rows, truth);
 
@@ -177,34 +244,59 @@ fn cached_plan_fault_retries_through_full_arbitration() {
     assert_eq!(stats.failed, 0);
 }
 
-/// A session reports the predicted cost of the decision it made, or none:
-/// a miss reports the fresh start-up decision's cost at its own binding,
-/// a hit (which replays a plan chosen for another binding) reports `None`.
+/// A session reports the predicted cost of the decision in force at its
+/// own binding: a miss the fresh start-up decision's, a hit — which
+/// replays the decision memoized at this very binding — the same bits.
 #[test]
 fn a_session_predicts_only_the_decision_it_made() {
     let relations = 2;
     let catalog = chain_catalog(relations, SEED);
     let sql = chain_sql(relations);
     let svc = service(1, relations);
-
-    let binds: Vec<(&str, i64)> = vec![("v1", 500), ("v2", 500)];
-    let miss = svc.execute(Request::new(&sql, &binds)).unwrap();
-    assert_eq!(miss.summary.plan_cache.decision_hit, Some(false));
     let query = parse_query(&sql, &catalog).unwrap();
     let env = Environment::dynamic_compile_time(&catalog.config);
     let plan = Optimizer::new(&catalog, &env)
         .optimize_with_props(&query.expr, query.required_props())
         .unwrap()
         .plan;
-    let fresh = evaluate_startup(&plan, &catalog, &env, &query.bindings(&binds).unwrap());
-    assert_eq!(
-        miss.predicted_seconds.map(f64::to_bits),
+    let decided = |binds: &[(&str, i64)]| {
+        let fresh = evaluate_startup(&plan, &catalog, &env, &query.bindings(binds).unwrap());
         Some(fresh.predicted_run_seconds.to_bits())
-    );
+    };
 
-    let hit = svc.execute(Request::new(&sql, &[("v1", 510), ("v2", 505)])).unwrap();
+    let binds: Vec<(&str, i64)> = vec![("v1", 500), ("v2", 500)];
+    let miss = svc.execute(Request::new(&sql, &binds)).unwrap();
+    assert_eq!(miss.summary.plan_cache.decision_hit, Some(false));
+    assert_eq!(miss.predicted_seconds.map(f64::to_bits), decided(&binds));
+
+    let hit = svc.execute(Request::new(&sql, &binds)).unwrap();
     assert_eq!(hit.summary.plan_cache.decision_hit, Some(true));
-    assert_eq!(hit.predicted_seconds, None);
+    assert_eq!(hit.predicted_seconds.map(f64::to_bits), decided(&binds));
+
+    let nearby: Vec<(&str, i64)> = vec![("v1", 510), ("v2", 505)];
+    let other = svc.execute(Request::new(&sql, &nearby)).unwrap();
+    assert_eq!(other.summary.plan_cache.decision_hit, Some(false), "another binding decides afresh");
+    assert_eq!(other.predicted_seconds.map(f64::to_bits), decided(&nearby));
+}
+
+/// A memory grant that is not a finite, positive number of pages fails
+/// its session with a binding error before admission, and the service —
+/// one worker, one replica — keeps answering.
+#[test]
+fn a_refused_memory_grant_fails_its_session_not_the_service() {
+    let svc = service(1, 2);
+    let sql = chain_sql(2);
+    let binds = [("v1", 500), ("v2", 500)];
+    for pages in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+        let mut refused = Request::new(&sql, &binds);
+        refused.memory_pages = Some(pages);
+        let answer = svc.submit(refused).wait();
+        assert!(matches!(answer, Err(ServiceError::Bind(_))), "{pages} pages: {answer:?}");
+        let next = svc.submit(Request::new(&sql, &binds)).wait();
+        assert!(next.is_ok(), "after {pages} pages: {next:?}");
+    }
+    let stats = svc.stats();
+    assert_eq!((stats.completed, stats.failed), (4, 4));
 }
 
 /// Skewed data against uniform estimates: the first execution's observed
