@@ -130,8 +130,7 @@ pub(crate) fn serve(args: &Args) -> Result<(), DqepError> {
         stats.decision_misses,
     );
     println!(
-        "-- feedback: {} invalidation(s), {} cached-plan retr{}, totals: {} rows, {:.4}s simulated",
-        stats.feedback_invalidations,
+        "-- {} cached-plan retr{}, totals: {} rows, {:.4}s simulated",
         stats.cached_plan_retries,
         if stats.cached_plan_retries == 1 { "y" } else { "ies" },
         totals.rows,

@@ -183,24 +183,6 @@ pub struct ReoptReport {
     pub counters: ReoptCounters,
 }
 
-impl ReoptReport {
-    /// The escape observations as `(node, observed)` pairs — the feed for
-    /// the service decision cache. Empty when execution fell back to the
-    /// original arbitration: a reverted run proved nothing about which
-    /// alternative the observations should steer future sessions toward.
-    #[must_use]
-    pub fn escaped_observations(&self) -> Vec<(NodeId, f64)> {
-        if self.counters.fallbacks > 0 {
-            return Vec::new();
-        }
-        self.events
-            .iter()
-            .filter(|e| e.kind == ReoptEventKind::Escape)
-            .filter_map(|e| Some((e.node?, e.observed?)))
-            .collect()
-    }
-}
-
 #[derive(Debug, Default)]
 struct ReoptInner {
     events: Vec<ReoptEvent>,
@@ -1074,7 +1056,15 @@ mod tests {
         let state = ReoptState::new(ReoptConfig::default());
         state.observe_checkpoint(NodeId(7), "Sort", Interval::new(0.0, 5.0), 100);
         assert_eq!(served(&state), 1);
-        assert_eq!(state.report().escaped_observations(), vec![(NodeId(7), 100.0)]);
+        let report = state.report();
+        let escapes: Vec<_> = report
+            .events
+            .iter()
+            .filter(|e| e.kind == ReoptEventKind::Escape)
+            .map(|e| (e.node, e.observed))
+            .collect();
+        assert_eq!(escapes, vec![(Some(NodeId(7)), Some(100.0))]);
+        assert_eq!((report.counters.checkpoints, report.counters.escapes), (1, 1));
         state.record_fallback("test");
         assert_eq!(served(&state), 0);
         let c = state.counters();

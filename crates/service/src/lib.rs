@@ -22,11 +22,11 @@
 //!   per-session [`dqep_executor::ResourceGovernor`]: the wait for a
 //!   replica is the queue, a global [`MemoryPool`] bounds the sum of
 //!   memory grants, and one deadline covers both.
-//! * **Cardinality feedback** — every completed execution reports its
-//!   observed result cardinality back to its statement; an observation
-//!   outside the plan's estimate interval invalidates the decision cache
-//!   and later arbitrations re-optimize through
-//!   [`dqep_plan::evaluate_startup_observed`].
+//!
+//! A session's start-up decision and the cost it reports depend on its
+//! statement and its binding alone: no execution's observations are kept
+//! on the statement. Observed cardinalities steer only the run that made
+//! them, under mid-query re-optimization ([`ServiceConfig::reopt`]).
 
 #![warn(missing_docs)]
 // Serving-layer code must propagate errors, not panic: unwrap/expect are

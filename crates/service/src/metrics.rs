@@ -208,9 +208,6 @@ metric_table! {
     CachedPlanRetries counter "plan_cache" "cached_plan_retries"
         "dqep_cached_plan_retries_total"
         "Cached resolved plans that failed retryably and were re-arbitrated.";
-    FeedbackInvalidations counter "plan_cache" "feedback_invalidations"
-        "dqep_feedback_invalidations_total"
-        "Decision-cache invalidations triggered by cardinality feedback.";
     ReoptCheckpoints counter "reopt" "checkpoints" "dqep_reopt_checkpoints_total"
         "Pipeline-breaker checkpoints observed.";
     ReoptEscapes counter "reopt" "escapes" "dqep_reopt_escapes_total"

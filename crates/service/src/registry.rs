@@ -4,15 +4,16 @@
 //! compile-time optimization of a dynamic plan is expensive and performed
 //! **once**; each execution then pays only the cheap start-up decision.
 //! The registry keys statements by normalized text, bounds its size with
-//! LRU eviction, and owns the per-statement decision cache and
-//! observed-cardinality feedback state.
+//! LRU eviction, and owns the per-statement decision cache. A memoized
+//! decision depends on its statement and its exact binding alone, so
+//! nothing a completed execution observes ever changes it.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dqep_plan::{NodeId, Observations, Plan};
+use dqep_plan::{Observations, Plan};
 use dqep_sql::Query;
 use parking_lot::Mutex;
 
@@ -65,9 +66,8 @@ pub(crate) fn normalized(sql: &str) -> Cow<'_, str> {
     Cow::Owned(out)
 }
 
-/// A statement optimized once into a dynamic plan, plus its per-statement
-/// run-time state: the bind-time decision cache and the cardinality
-/// observations fed back from completed executions.
+/// A statement optimized once into a dynamic plan, plus its bind-time
+/// decision cache.
 #[derive(Debug)]
 pub struct PreparedStatement {
     /// Normalized statement text (the registry key).
@@ -77,8 +77,6 @@ pub struct PreparedStatement {
     /// The compile-time dynamic plan (choose-plan nodes included).
     pub plan: Arc<Plan>,
     decisions: Mutex<HashMap<BindingKey, CachedDecision>>,
-    observations: Mutex<Observations>,
-    invalidations: AtomicU64,
 }
 
 impl PreparedStatement {
@@ -90,8 +88,6 @@ impl PreparedStatement {
             query,
             plan,
             decisions: Mutex::new(HashMap::new()),
-            observations: Mutex::new(Observations::new()),
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -117,65 +113,17 @@ impl PreparedStatement {
         self.decisions.lock().len()
     }
 
-    /// Drops one binding's cached decision (e.g. after its resolved plan
-    /// failed retryably and execution fell back to full arbitration).
-    pub fn invalidate_decision(&self, key: &BindingKey) {
-        self.decisions.lock().remove(key);
-    }
-
-    /// Snapshot of the statement's cardinality observations, for
-    /// `evaluate_startup_observed`.
+    // Compat shim for the frozen `benchmark/`: no observation is ever kept, so this is always empty; the next `[benchmark]` PR deletes it (ROADMAP).
+    #[doc(hidden)]
     #[must_use]
     pub fn observations(&self) -> Observations {
-        self.observations.lock().clone()
+        Observations::new()
     }
 
-    /// Pins an observed cardinality for a plan node and clears the
-    /// decision cache (used by tests and external feedback sources; the
-    /// service's own loop goes through [`PreparedStatement::record_feedback`]).
-    pub fn observe(&self, node: NodeId, cardinality: f64) {
-        self.observations.lock().insert(node, cardinality);
-        self.decisions.lock().clear();
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Feeds one execution's observed root cardinality back into the
-    /// statement. If the observation leaves the current estimate interval
-    /// — the compile-time interval, or a previously pinned observation —
-    /// by more than a factor of `tolerance`, the observation is recorded
-    /// (keyed by the dynamic plan root, so choose-plan equivalence-class
-    /// expansion propagates it to every alternative), the decision cache
-    /// is cleared, and later arbitrations re-optimize against the observed
-    /// value. Returns whether an invalidation happened.
-    pub fn record_feedback(&self, observed_rows: u64, tolerance: f64) -> bool {
-        let tolerance = tolerance.max(1.0);
-        let observed = (observed_rows as f64).max(1.0);
-        let mut observations = self.observations.lock();
-        let root = self.plan.root();
-        let (lo, hi) = match observations.get(&root) {
-            Some(&pinned) => {
-                let p = pinned.max(1.0);
-                (p / tolerance, p * tolerance)
-            }
-            None => {
-                let card = self.plan[root].stats.card;
-                (card.lo().max(1.0) / tolerance, card.hi().max(1.0) * tolerance)
-            }
-        };
-        if observed >= lo && observed <= hi {
-            return false;
-        }
-        observations.insert(root, observed_rows as f64);
-        drop(observations);
-        self.decisions.lock().clear();
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// How many times feedback invalidated this statement's decisions.
-    #[must_use]
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
+    // Compat shim for the frozen `benchmark/`: a decision depends on its binding alone, so nothing is recorded; the next `[benchmark]` PR deletes it (ROADMAP).
+    #[doc(hidden)]
+    pub fn record_feedback(&self, _observed_rows: u64, _tolerance: f64) -> bool {
+        false
     }
 }
 
@@ -287,7 +235,7 @@ impl PreparedRegistry {
     /// Inserts a freshly prepared statement, evicting the LRU entry when
     /// over capacity. If another session inserted the same statement
     /// concurrently, the incumbent wins and is returned — callers always
-    /// use the returned statement so feedback state is never split. An
+    /// use the returned statement so its decision memo is never split. An
     /// evicted statement is freed after the lock is released.
     pub fn insert(
         &self,
@@ -440,32 +388,5 @@ mod tests {
         assert!(Arc::ptr_eq(&kept, &first));
         let kept = reg.insert(second.sql.clone(), Arc::clone(&second));
         assert!(Arc::ptr_eq(&kept, &first), "incumbent wins the race");
-    }
-
-    #[test]
-    fn feedback_outside_interval_invalidates_once() {
-        let stmt = prepared("SELECT * FROM r WHERE r.a < :x");
-        let hi = stmt.plan.root_node().stats.card.hi();
-        // Observation far above the estimate interval: invalidates.
-        let breach = (hi * 10.0) as u64;
-        assert!(stmt.record_feedback(breach, 2.0));
-        assert_eq!(stmt.invalidations(), 1);
-        assert!(
-            stmt.observations().contains_key(&stmt.plan.root()),
-            "observation pinned at the plan root"
-        );
-        // The same observation again is now *inside* the pinned interval:
-        // no repeated invalidation on a stable workload.
-        assert!(!stmt.record_feedback(breach, 2.0));
-        assert_eq!(stmt.invalidations(), 1);
-    }
-
-    #[test]
-    fn feedback_inside_interval_is_accepted_silently() {
-        let stmt = prepared("SELECT * FROM r WHERE r.a < :x");
-        let inside = stmt.plan.root_node().stats.card.lo().max(1.0) as u64;
-        assert!(!stmt.record_feedback(inside, 2.0));
-        assert_eq!(stmt.invalidations(), 0);
-        assert!(stmt.observations().is_empty());
     }
 }

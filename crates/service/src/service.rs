@@ -23,12 +23,12 @@ use dqep_executor::{
     run, ExecContext, ExecMode, ExecSummary, PlanCacheInfo, ReoptConfig, ReoptState,
     ResourceLimits, RootSink, SharedCounters,
 };
-use dqep_plan::evaluate_startup_observed;
+use dqep_plan::evaluate_startup;
 use dqep_sql::parse_query;
 use dqep_storage::{FaultPlan, StoredDatabase, ValueDistribution};
 
 use crate::admission::{memory_grant_pages, MemoryPool, Slot, SlotPool};
-use crate::decision::{region_key, BindingKey, CachedDecision};
+use crate::decision::{region_key, CachedDecision};
 use crate::error::ServiceError;
 use crate::metrics::{hit_rate, Hist, Metric, MetricsRegistry, MetricsReport};
 use crate::registry::{normalized, PreparedRegistry, PreparedStatement, RegistryStats};
@@ -44,9 +44,8 @@ pub struct ServiceConfig {
     // Compat shim for the frozen `benchmark/` (and `examples/activation_split.rs`, which mirrors it): read there only to hand to `region_key`, which ignores it; the next `[benchmark]` PR deletes it (ROADMAP).
     #[doc(hidden)]
     pub decision_buckets: u32,
-    /// Feedback tolerance: an observed root cardinality outside the
-    /// estimate interval widened by this factor invalidates the
-    /// statement's memoized decisions.
+    // Compat shim for the frozen `benchmark/`, which hands it to `record_feedback`; unread, the next `[benchmark]` PR deletes it (ROADMAP).
+    #[doc(hidden)]
     pub feedback_tolerance: f64,
     /// Global memory-grant pool shared by all sessions, in bytes.
     pub global_memory_bytes: u64,
@@ -73,9 +72,9 @@ pub struct ServiceConfig {
     /// Mid-query re-optimization budget. `Some`: every session runs under
     /// a [`dqep_executor::ReoptState`] — checkpoints at the pipeline
     /// breakers, bounded re-planning on cardinality escape, every start-up
-    /// decision made by the run's one driver (not looked up in the
-    /// decision cache) — and its escape observations feed the
-    /// statement's decision cache. `None` (the default): sessions run the
+    /// decision made by the run's one driver, from the run's own
+    /// observations, and neither looked up in nor stored into the
+    /// decision cache. `None` (the default): sessions run the
     /// cached-decision fast path.
     pub reopt: Option<ReoptConfig>,
 }
@@ -179,7 +178,7 @@ pub struct SessionTotals {
 }
 
 /// Service-level accounting: totals across all completed sessions plus
-/// cache and feedback counters — a typed view of a [`MetricsReport`].
+/// cache counters — a typed view of a [`MetricsReport`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
     /// Accumulated work of successful sessions.
@@ -195,8 +194,6 @@ pub struct ServiceStats {
     /// Cached resolved plans that failed retryably and were re-arbitrated
     /// through the full choose-plan path.
     pub cached_plan_retries: u64,
-    /// Decision-cache invalidations triggered by cardinality feedback.
-    pub feedback_invalidations: u64,
     /// Prepared-statement registry accounting.
     pub registry: RegistryStats,
 }
@@ -224,7 +221,6 @@ impl From<&MetricsReport> for ServiceStats {
             decision_hits: m.get(Metric::DecisionHits),
             decision_misses: m.get(Metric::DecisionMisses),
             cached_plan_retries: m.get(Metric::CachedPlanRetries),
-            feedback_invalidations: m.get(Metric::FeedbackInvalidations),
             registry: RegistryStats {
                 hits: m.get(Metric::StatementHits),
                 misses: m.get(Metric::StatementMisses),
@@ -486,26 +482,16 @@ impl Shared {
             db.disk.set_fault_plan(faults.clone());
         }
         let outcome = match self.config.reopt {
-            // Under re-optimization the decision cache is *fed*, not
-            // consulted: the run gathers its own checkpoint observations,
-            // and every escape is pinned back onto the statement —
-            // clearing its cached decisions so later fast-path sessions
-            // arbitrate against the observed cardinalities.
+            // Under re-optimization the decision cache is bypassed: the
+            // run decides from its own checkpoint observations, which
+            // belong to this run alone.
             Some(reopt_config) => {
                 let state = Arc::new(ReoptState::new(reopt_config));
                 let ctx = ctx.with_reopt(Arc::clone(&state));
                 run(&stmt.plan, db, &self.catalog, env, &bindings, &ctx, RootSink::Discard)
                     .map_err(ServiceError::Exec)
                     .map(|summary| {
-                        let report = state.report();
-                        self.metrics.record_reopt(&report.counters);
-                        let escaped = report.escaped_observations();
-                        for (node, cardinality) in &escaped {
-                            stmt.observe(*node, *cardinality);
-                        }
-                        if !escaped.is_empty() {
-                            self.metrics.add(Metric::FeedbackInvalidations, 1);
-                        }
+                        self.metrics.record_reopt(&state.counters());
                         let predicted = state.in_force().map(|d| d.predicted_run_seconds);
                         (summary, predicted, false)
                     })
@@ -515,22 +501,16 @@ impl Shared {
                 let (decision, decision_hit) = match stmt.decision(&key) {
                     Some(cached) => (cached, true),
                     None => {
-                        let startup = evaluate_startup_observed(
-                            &stmt.plan,
-                            &self.catalog,
-                            env,
-                            &bindings,
-                            &stmt.observations(),
-                        );
+                        let startup = evaluate_startup(&stmt.plan, &self.catalog, env, &bindings);
                         let fresh = CachedDecision {
                             resolved: startup.resolved,
                             predicted_seconds: startup.predicted_run_seconds,
                         };
-                        stmt.store_decision(key.clone(), fresh.clone());
+                        stmt.store_decision(key, fresh.clone());
                         (fresh, false)
                     }
                 };
-                self.execute_arbitrated(db, &ctx, &stmt, &key, &decision, &bindings)
+                self.execute_arbitrated(db, &ctx, &stmt, &decision, &bindings)
                     .map(|summary| (summary, Some(decision.predicted_seconds), decision_hit))
             }
         };
@@ -538,10 +518,6 @@ impl Shared {
             db.disk.set_fault_plan(FaultPlan::none());
         }
         let (summary, predicted_seconds, decision_hit) = outcome?;
-
-        if stmt.record_feedback(summary.rows, self.config.feedback_tolerance) {
-            self.metrics.add(Metric::FeedbackInvalidations, 1);
-        }
         let decision = if decision_hit {
             Metric::DecisionHits
         } else {
@@ -583,12 +559,13 @@ impl Shared {
         Ok((self.registry.insert(normalized, stmt), false))
     }
 
-    /// Runs the arbitrated resolved plan. If a *cached* plan fails
-    /// retryably (a storage fault, a refused memory reservation), the
-    /// memoized decision is dropped and the session re-arbitrates through
-    /// the full dynamic plan — whose choose-plan operators can then fall
-    /// back alternative by alternative. The retry is accounted as one
-    /// fallback: a preferred plan failed and execution degraded. Both
+    /// Runs the arbitrated resolved plan. If it fails retryably (a
+    /// storage fault, a refused memory reservation), the session
+    /// re-arbitrates through the full dynamic plan — whose choose-plan
+    /// operators can then fall back alternative by alternative. The
+    /// memoized decision stays: it depends on the binding alone, and the
+    /// failure was the run's, not the decision's. The retry is accounted
+    /// as one fallback: a preferred plan failed and execution degraded. Both
     /// runs share the session's context, so the summary of the second
     /// carries the CPU work and fallbacks of both; its I/O and temp-page
     /// high-water are the retry's own.
@@ -597,7 +574,6 @@ impl Shared {
         db: &StoredDatabase,
         ctx: &ExecContext,
         stmt: &PreparedStatement,
-        key: &BindingKey,
         decision: &CachedDecision,
         bindings: &Bindings,
     ) -> Result<ExecSummary, ServiceError> {
@@ -605,7 +581,6 @@ impl Shared {
         match execute(&decision.resolved) {
             Ok(summary) => Ok(summary),
             Err(e) if e.is_retryable() => {
-                stmt.invalidate_decision(key);
                 self.metrics.add(Metric::CachedPlanRetries, 1);
                 ctx.counters.add_fallbacks(1);
                 execute(&stmt.plan).map_err(ServiceError::Exec)

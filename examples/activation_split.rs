@@ -22,7 +22,7 @@ use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep::cost::Environment;
 use dqep::executor::{run, ExecContext, ResourceLimits, RootSink, SharedCounters};
 use dqep::optimizer::Optimizer;
-use dqep::plan::evaluate_startup_observed;
+use dqep::plan::evaluate_startup;
 use dqep::service::{
     normalize_sql, region_key, CachedDecision, MemoryPool, PreparedRegistry, PreparedStatement,
     QueryService, Request, ServiceConfig,
@@ -31,14 +31,13 @@ use dqep::sql::parse_query;
 use dqep::storage::StoredDatabase;
 
 const SEED: u64 = 7;
-const STEPS: [&str; 8] = [
+const STEPS: [&str; 7] = [
     "prepare (normalize + registry)",
     "bind",
     "admission (memory grant)",
     "region key + decision",
     "context",
     "run",
-    "feedback",
     "give back (grant, bindings, ...)",
 ];
 
@@ -125,7 +124,7 @@ fn main() {
             lap(2);
             let key = region_key(&stmt.query, &catalog, &bindings, config.decision_buckets, memory_pages);
             let decision = stmt.decision(&key).unwrap_or_else(|| {
-                let startup = evaluate_startup_observed(&stmt.plan, &catalog, &env, &bindings, &stmt.observations());
+                let startup = evaluate_startup(&stmt.plan, &catalog, &env, &bindings);
                 let fresh = CachedDecision {
                     resolved: startup.resolved,
                     predicted_seconds: startup.predicted_run_seconds,
@@ -136,13 +135,11 @@ fn main() {
             lap(3);
             let ctx = ExecContext::with_limits(SharedCounters::new(), ResourceLimits::unlimited());
             lap(4);
-            let summary = run(&decision.resolved, &db, &catalog, &env, &bindings, &ctx, RootSink::Discard)
+            run(&decision.resolved, &db, &catalog, &env, &bindings, &ctx, RootSink::Discard)
                 .expect("runs");
             lap(5);
-            stmt.record_feedback(summary.rows, config.feedback_tolerance);
-            lap(6);
             drop((grant, ctx, decision, key, bindings, binds, stmt));
-            lap(7);
+            lap(6);
         }
         if pass == 0 {
             (rows, through_service) = (0, Duration::ZERO);

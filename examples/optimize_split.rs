@@ -25,7 +25,7 @@ use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep::cost::Environment;
 use dqep::executor::{run, ExecContext, ResourceLimits, RootSink, SharedCounters};
 use dqep::optimizer::Optimizer;
-use dqep::plan::evaluate_startup_observed;
+use dqep::plan::evaluate_startup;
 use dqep::service::{
     normalize_sql, PreparedRegistry, PreparedStatement, QueryService, Request, ServiceConfig,
 };
@@ -186,13 +186,7 @@ pub fn split(passes: usize) -> Split {
                 .map(|(n, v)| (n.as_str(), *v))
                 .collect();
             let bindings = stmt.query.bindings(&binds).expect("binds");
-            let startup = evaluate_startup_observed(
-                &stmt.plan,
-                &catalog,
-                &env,
-                &bindings,
-                &stmt.observations(),
-            );
+            let startup = evaluate_startup(&stmt.plan, &catalog, &env, &bindings);
             spent[6] += lap();
             let ctx = ExecContext::with_limits(SharedCounters::new(), ResourceLimits::unlimited());
             let resolved = &startup.resolved;

@@ -4,7 +4,7 @@
 //! tracing on or off, at any DOP, under storage faults; an audit-only
 //! tracer keeps the audits and records no span), EXPLAIN ANALYZE
 //! reports interval-vs-actual drift plus the choose-plan audit trail, and
-//! the drift flag follows cardinality feedback.
+//! the drift flag follows the cardinality observations a decision applies.
 
 use std::sync::Arc;
 
@@ -16,8 +16,7 @@ use dqep::executor::{
     RootSink, SharedCounters, SpanStats, TraceReport, Tracer,
 };
 use dqep::optimizer::Optimizer;
-use dqep::plan::evaluate_startup_observed;
-use dqep::service::PreparedStatement;
+use dqep::plan::{evaluate_startup_observed, Observations};
 use dqep::sql::parse_query;
 use dqep::storage::{FaultPlan, IoStats, StoredDatabase};
 use proptest::prelude::*;
@@ -577,20 +576,19 @@ fn an_audit_only_tracer_records_audits_and_no_spans() {
     assert_eq!(format!("{:?}", audit_only.audits), format!("{:?}", traced.audits));
 }
 
-/// Satellite: a pinned-wrong cardinality observation puts the actual row
+/// A pinned-wrong cardinality observation — what a re-optimizing run's
+/// checkpoint hands `evaluate_startup_observed` — puts the actual row
 /// count outside the resolved plan's interval (EXPLAIN ANALYZE flags
-/// drift); after `record_feedback` re-optimizes with the observed value,
-/// the actual falls inside and the flag clears.
+/// drift); pinning the observed value instead puts the actual inside and
+/// the flag clears.
 #[test]
 fn drift_flag_follows_cardinality_feedback() {
     let (catalog, db, query, plan) = choose_plan_fixture();
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = query.bindings(&[("x", 60)]).unwrap().with_memory(48.0);
-    let stmt = PreparedStatement::new("q".into(), query, Arc::clone(&plan));
 
-    let run_resolved = |stmt: &PreparedStatement| {
-        let startup =
-            evaluate_startup_observed(&stmt.plan, &catalog, &env, &bindings, &stmt.observations());
+    let run_resolved = |observations: &Observations| {
+        let startup = evaluate_startup_observed(&plan, &catalog, &env, &bindings, observations);
         let tracer = Arc::new(Tracer::new());
         let ctx = ExecContext::new(SharedCounters::new()).with_tracer(Arc::clone(&tracer));
         let mut op = compile_dynamic_plan(
@@ -607,16 +605,16 @@ fn drift_flag_follows_cardinality_feedback() {
         drop(op);
         (rows.len() as u64, tracer.report())
     };
+    let pinned = |cardinality: f64| Observations::from([(plan.root(), cardinality)]);
 
     // Baseline sanity: how many rows the query actually produces.
-    let (actual_rows, _) = run_resolved(&stmt);
+    let (actual_rows, _) = run_resolved(&Observations::new());
     assert!(actual_rows > 0, "fixture query must produce rows");
 
     // Pin a badly wrong observation: the resolved plan's root interval
     // collapses to a point far from the actual — EXPLAIN ANALYZE must
     // flag cardinality drift.
-    stmt.observe(plan.root(), 1.0);
-    let (rows_wrong, report_wrong) = run_resolved(&stmt);
+    let (rows_wrong, report_wrong) = run_resolved(&pinned(1.0));
     assert_eq!(rows_wrong, actual_rows, "observations must not change results");
     let root = report_wrong.roots()[0];
     assert_eq!(
@@ -627,24 +625,19 @@ fn drift_flag_follows_cardinality_feedback() {
     );
     assert!(render_explain(&report_wrong, &catalog.config).contains("DRIFT(card)"));
 
-    // Feed the actual back: the observation leaves the pinned interval,
-    // invalidates, and re-optimization pins the observed value — the
-    // actual now falls inside its interval.
-    assert!(
-        stmt.record_feedback(actual_rows, 2.0),
-        "feedback outside tolerance must invalidate"
-    );
-    let (rows_fixed, report_fixed) = run_resolved(&stmt);
+    // Pin the actual instead: the root's interval is the observed value,
+    // and the actual falls inside it.
+    let (rows_fixed, report_fixed) = run_resolved(&pinned(actual_rows as f64));
     assert_eq!(rows_fixed, actual_rows);
     let root = report_fixed.roots()[0];
     assert_eq!(
         card_drift(root),
         Some(false),
-        "actual {actual_rows} rows vs fed-back estimate {:?}",
+        "actual {actual_rows} rows vs observed estimate {:?}",
         root.estimate.map(|e| e.card)
     );
-    // Only the root's interval is fed back; inner operators keep their
-    // own estimates, so assert the root flag specifically, not the whole
+    // Only the root's interval is pinned; inner operators keep their own
+    // estimates, so assert the root flag specifically, not the whole
     // rendering.
     let rendered = render_explain(&report_fixed, &catalog.config);
     let root_actual_line = rendered
@@ -653,7 +646,7 @@ fn drift_flag_follows_cardinality_feedback() {
         .expect("root actual line");
     assert!(
         !root_actual_line.contains("DRIFT(card)"),
-        "root must not flag card drift after feedback: {root_actual_line}"
+        "root must not flag card drift once the observation is pinned: {root_actual_line}"
     );
 }
 

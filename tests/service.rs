@@ -91,7 +91,8 @@ proptest! {
     /// on uniform data or on skewed data whose histograms the catalog
     /// holds. Bindings come in pairs inside one 1/16-selectivity cell (the
     /// grid a decision was once replayed across), then the first of each
-    /// pair again; no feedback pins an observation mid-case.
+    /// pair again. The service runs at its default configuration: nothing
+    /// one session observes changes another session's decision.
     #[test]
     fn concurrent_sessions_match_sequential_execution(
         random in prop_oneof![Just(None), workload_strategy(Shape::PARITY).prop_map(Some)],
@@ -138,7 +139,6 @@ proptest! {
                 workers: 4,
                 data_seed: SEED,
                 skew,
-                feedback_tolerance: f64::INFINITY,
                 ..ServiceConfig::default()
             },
         );
@@ -164,7 +164,6 @@ proptest! {
         let stats = svc.stats();
         prop_assert_eq!(stats.completed, bindings.len() as u64);
         prop_assert_eq!(stats.failed, 0);
-        prop_assert_eq!(stats.feedback_invalidations, 0);
     }
 
     /// With storage faults injected into some sessions, every session
@@ -213,8 +212,9 @@ proptest! {
 }
 
 /// A cached resolved plan that hits a storage fault is retried through
-/// the full dynamic plan: the session recovers, reports the degradation
-/// as a fallback, and the memoized decision is dropped.
+/// the full dynamic plan: the session recovers and reports the
+/// degradation as a fallback. The memoized decision depends on the binding
+/// alone, so it stays, and the next clean session replays it.
 #[test]
 fn cached_plan_fault_retries_through_full_arbitration() {
     let relations = 2;
@@ -238,6 +238,11 @@ fn cached_plan_fault_retries_through_full_arbitration() {
     assert_eq!(recovered.summary.rows, truth, "retry must produce the correct rows");
     assert!(recovered.summary.fallbacks >= 1, "degradation must be visible as a fallback");
     assert_eq!(recovered.summary.plan_cache.decision_hit, Some(true), "the *cached* path failed");
+
+    let replayed = svc.execute(Request::new(&sql, &binds)).unwrap();
+    assert_eq!(replayed.summary.rows, truth);
+    assert_eq!(replayed.summary.plan_cache.decision_hit, Some(true), "the decision stays");
+    assert_eq!(replayed.summary.fallbacks, 0);
 
     let stats = svc.stats();
     assert_eq!(stats.cached_plan_retries, 1);
@@ -299,46 +304,61 @@ fn a_refused_memory_grant_fails_its_session_not_the_service() {
     assert_eq!((stats.completed, stats.failed), (4, 4));
 }
 
-/// Skewed data against uniform estimates: the first execution's observed
-/// cardinality leaves the estimate interval, invalidating the statement's
-/// decision cache; the re-arbitration pins the observation so a stable
-/// workload does not thrash.
+/// Skewed data against uniform estimates: the statement's observed
+/// cardinality lies far outside its estimate interval, and still the
+/// statement decides once. The first execution misses, every later one
+/// replays that decision, reads the first one's pages and predicts the
+/// start-up decision's cost at the binding, bit for bit.
 #[test]
-fn feedback_invalidates_and_then_stabilizes() {
+fn a_skewed_constant_statement_decides_once() {
+    let catalog = chain_catalog(1, SEED);
     let svc = QueryService::new(
-        chain_catalog(1, SEED),
+        catalog.clone(),
         ServiceConfig {
             workers: 1,
             data_seed: SEED,
             skew: Some(1.3),
-            feedback_tolerance: 2.0,
             ..ServiceConfig::default()
         },
     );
     // Constant predicate: the optimizer estimates ~1% selectivity from
     // the uniform-domain model; Zipf-distributed values concentrate far
     // more mass there.
-    let request = Request::new("SELECT * FROM R1 WHERE R1.a < 12", &[]);
+    let sql = "SELECT * FROM R1 WHERE R1.a < 12";
+    let query = parse_query(sql, &catalog).unwrap();
+    let env = Environment::dynamic_compile_time(&catalog.config);
+    let plan = Optimizer::new(&catalog, &env)
+        .optimize_with_props(&query.expr, query.required_props())
+        .unwrap()
+        .plan;
+    let decided = evaluate_startup(&plan, &catalog, &env, &query.bindings(&[]).unwrap());
+    let estimate = plan.root_node().stats.card;
 
-    let first = svc.execute(request.clone()).unwrap();
-    let after_first = svc.stats();
-    assert_eq!(
-        after_first.feedback_invalidations, 1,
-        "observed {} rows must breach the uniform estimate",
+    let pages = |io: IoStats| (io.seq_reads + io.random_reads, io.writes);
+    let first = svc.execute(Request::new(sql, &[])).unwrap();
+    assert_eq!(first.summary.plan_cache.decision_hit, Some(false));
+    assert!(
+        first.summary.rows as f64 > 2.0 * estimate.hi(),
+        "{} rows must lie far above the estimate {estimate:?}",
         first.summary.rows
     );
-
-    // The invalidation cleared the decision cache: the next execution
-    // re-arbitrates (decision miss) against the pinned observation...
-    let second = svc.execute(request.clone()).unwrap();
-    assert_eq!(second.summary.plan_cache.statement_hit, Some(true));
-    assert_eq!(second.summary.plan_cache.decision_hit, Some(false));
-    assert_eq!(second.summary.rows, first.summary.rows);
-    // ...and the same observation is now inside the pinned interval: no
-    // second invalidation, and the refreshed decision is replayed.
-    let third = svc.execute(request).unwrap();
-    assert_eq!(third.summary.plan_cache.decision_hit, Some(true));
-    assert_eq!(svc.stats().feedback_invalidations, 1, "stable workload must not thrash");
+    assert_eq!(
+        first.predicted_seconds.map(f64::to_bits),
+        Some(decided.predicted_run_seconds.to_bits())
+    );
+    for _ in 0..3 {
+        let again = svc.execute(Request::new(sql, &[])).unwrap();
+        assert_eq!(again.summary.plan_cache.statement_hit, Some(true));
+        assert_eq!(again.summary.plan_cache.decision_hit, Some(true));
+        assert_eq!(again.summary.rows, first.summary.rows);
+        assert_eq!(pages(again.summary.io), pages(first.summary.io));
+        assert_eq!(
+            again.predicted_seconds.map(f64::to_bits),
+            Some(decided.predicted_run_seconds.to_bits())
+        );
+    }
+    let stats = svc.stats();
+    assert_eq!((stats.decision_hits, stats.decision_misses), (3, 1));
 }
 
 /// The registry is LRU-bounded: statements past capacity are evicted and
