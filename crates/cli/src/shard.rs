@@ -89,24 +89,15 @@ pub(crate) fn run_sharded(args: &Args) -> Result<(), DqepError> {
             );
         }
         println!(
-            "-- network: {} frame(s), {} byte(s), {} retransmit(s), {} credit stall(s); \
-             {} fallback(s)",
-            out.net.frames, out.net.bytes, out.net.retransmits, out.net.credit_stalls,
-            out.fallbacks,
+            "-- network: {} frame(s), {} byte(s), {} retransmit(s); {} fallback(s)",
+            out.net.frames, out.net.bytes, out.net.retransmits, out.fallbacks,
         );
         // Per-link deltas for this query: each entry is one directed
         // channel's traffic, so the wire totals above decompose exactly.
         for l in &out.links {
             println!(
-                "-- link {}->{}: {} frame(s), {} byte(s), {} retransmit(s), \
-                 {} credit stall(s) ({:.3}ms waiting)",
-                l.from,
-                l.to,
-                l.stats.frames,
-                l.stats.bytes,
-                l.stats.retransmits,
-                l.stats.credit_stalls,
-                l.stats.credit_wait_ns as f64 / 1e6,
+                "-- link {}->{}: {} frame(s), {} byte(s), {} retransmit(s)",
+                l.from, l.to, l.stats.frames, l.stats.bytes, l.stats.retransmits,
             );
         }
     }

@@ -131,15 +131,12 @@ fn render_span(out: &mut String, report: &TraceReport, record: &SpanRecord, dept
         if net.sent {
             let _ = writeln!(
                 out,
-                "{pad}  net: link {}->{} sent {} frame(s), {} byte(s), {} retransmit(s), \
-                 {} credit stall(s) ({:.3}ms waiting)",
+                "{pad}  net: link {}->{} sent {} frame(s), {} byte(s), {} retransmit(s)",
                 net.from,
                 net.to,
                 net.stats.frames,
                 net.stats.bytes,
                 net.stats.retransmits,
-                net.stats.credit_stalls,
-                net.stats.credit_wait_ns as f64 / 1e6,
             );
         } else {
             let remote = net
@@ -299,8 +296,6 @@ json_block! {
         "bytes": NonNeg => net.stats.bytes,
         "frames": NonNeg => net.stats.frames,
         "retransmits": NonNeg => net.stats.retransmits,
-        "credit_stalls": NonNeg => net.stats.credit_stalls,
-        "credit_wait_ns": NonNeg => net.stats.credit_wait_ns,
         "remote_span": Nullable(&Num) => net.remote_span,
     }
 }

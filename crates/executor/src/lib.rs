@@ -86,9 +86,9 @@ pub use journal::{
 };
 pub use metrics::{CpuCounters, ExecSummary, PlanCacheInfo, SharedCounters};
 pub use netexchange::{
-    credit_frames, decode_frame, decode_frame_traced, encode_frame, encode_frame_dense,
-    presized_batch, scatter_by_shard, shard_route, FrameTrace, LinkFaultPlan,
-    NetChannel, NetConfig, NetStats, SimNet, FRAME_HEADER_BYTES,
+    decode_frame, decode_frame_traced, encode_frame, encode_frame_dense, presized_batch,
+    scatter_by_shard, shard_route, FrameTrace, LinkFaultPlan, NetChannel, NetConfig, NetStats,
+    SimNet, FRAME_HEADER_BYTES,
 };
 pub use reopt::{
     escapes_interval, pick_pilot, MaterializedScanExec, ReoptConfig, ReoptCounters, ReoptEvent,

@@ -1,6 +1,6 @@
 //! Network-boundary exchange primitives: a columnar frame codec, a
-//! simulated network with credit-based backpressure and deterministic
-//! link faults, and batched hash routing for repartitioning exchanges.
+//! simulated network of unbounded mailboxes with deterministic link
+//! faults, and batched hash routing for repartitioning exchanges.
 //!
 //! The sharded service (crate `dqep-service`) moves [`RowBatch`]es
 //! between shard replicas. Three concerns live here because they are
@@ -12,17 +12,17 @@
 //!   to / read from the wire buffer directly, with no intermediate row
 //!   materialization). Frames are dense — no selection vector travels — so
 //!   a filtered batch costs only its live rows on the wire.
-//! * **Simulated network** — [`SimNet`] hands out bounded point-to-point
+//! * **Simulated network** — [`SimNet`] hands out point-to-point
 //!   [`NetChannel`]s under one [`NetConfig`]: its deterministic
-//!   [`LinkFaultPlan`], which can fail chosen transmissions. Every frame
-//!   is byte-accounted on the channel that carried it; the network keeps
-//!   no totals of its own, so a query's traffic is the sum of its
-//!   channels'. A failed transmission is retransmitted (and counted) up
-//!   to a bound, so injected faults perturb accounting but never results
-//!   — the same contract storage faults have with choose-plan fallback.
-//! * **Backpressure** — each channel holds at most `capacity` in-flight
-//!   frames (its credits). A sender blocks when the receiver lags; the
-//!   block time is returned so callers can feed a queue-wait histogram.
+//!   [`LinkFaultPlan`], which can fail chosen transmissions. A channel is
+//!   an unbounded mailbox: a send never waits for its receiver, so a
+//!   sender needs no second thread to stay live while it also receives.
+//!   Every frame is byte-accounted on the channel that carried it; the
+//!   network keeps no totals of its own, so a query's traffic is the sum
+//!   of its channels'. A failed transmission is retransmitted (and
+//!   counted) up to a bound, so injected faults perturb accounting but
+//!   never results — the same contract storage faults have with
+//!   choose-plan fallback.
 //! * **Routing** — [`shard_route`] computes each live row's destination
 //!   shard by folding the key columns through the batched multiply-xor
 //!   kernel ([`crate::fold_hash_column`]), bit-identical to the scalar
@@ -32,7 +32,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 use crate::batch::{RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
@@ -189,6 +188,16 @@ pub fn decode_frame_traced(bytes: &[u8]) -> Result<(RowBatch, FrameTrace), ExecE
     Ok((batch, trace))
 }
 
+/// The trace id in a frame's header, or 0 when the frame is shorter than
+/// a header.
+fn frame_trace_id(frame: &[u8]) -> u64 {
+    if frame.len() < FRAME_HEADER_BYTES {
+        0
+    } else {
+        read_u64(frame, 12)
+    }
+}
+
 /// Deterministic link-fault injection: the listed 1-based *fresh-frame*
 /// ordinals of every channel fail their first transmission and are
 /// retransmitted. Matching by per-channel ordinal keeps runs reproducible
@@ -267,10 +276,6 @@ pub struct NetStats {
     pub bytes: u64,
     /// Transmissions dropped by the fault plan and re-sent.
     pub retransmits: u64,
-    /// Sends that blocked waiting for a credit.
-    pub credit_stalls: u64,
-    /// Total nanoseconds senders spent blocked on credits.
-    pub credit_wait_ns: u64,
 }
 
 impl std::ops::AddAssign for NetStats {
@@ -278,8 +283,6 @@ impl std::ops::AddAssign for NetStats {
         self.frames += other.frames;
         self.bytes += other.bytes;
         self.retransmits += other.retransmits;
-        self.credit_stalls += other.credit_stalls;
-        self.credit_wait_ns += other.credit_wait_ns;
     }
 }
 
@@ -297,8 +300,6 @@ struct NetCounters {
     frames: AtomicU64,
     bytes: AtomicU64,
     retransmits: AtomicU64,
-    credit_stalls: AtomicU64,
-    credit_wait_ns: AtomicU64,
 }
 
 impl NetCounters {
@@ -307,13 +308,11 @@ impl NetCounters {
             frames: self.frames.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             retransmits: self.retransmits.load(Ordering::Relaxed),
-            credit_stalls: self.credit_stalls.load(Ordering::Relaxed),
-            credit_wait_ns: self.credit_wait_ns.load(Ordering::Relaxed),
         }
     }
 }
 
-/// A simulated network: a factory of bounded point-to-point channels
+/// A simulated network: a factory of point-to-point channels
 /// sharing one [`NetConfig`]. It keeps no traffic counters of its own:
 /// each channel counts what it carries. Cloning is cheap (shared state).
 #[derive(Debug, Clone)]
@@ -328,23 +327,19 @@ impl SimNet {
         SimNet { config: Arc::new(config) }
     }
 
-    /// Opens a bounded channel from node `from` to node `to` holding at
-    /// most `capacity` in-flight frames (the sender's credits).
-    ///
-    /// # Panics
-    /// Panics when `capacity` is zero (a zero-credit link can never
-    /// deliver).
+    /// Opens a channel from node `from` to node `to`. It holds any number
+    /// of frames; `capacity` only pre-sizes its queue (0: grow on demand).
     #[must_use]
     pub fn channel(&self, from: usize, to: usize, capacity: usize) -> NetChannel {
-        assert!(capacity > 0, "a channel needs at least one credit");
         NetChannel {
             net: self.clone(),
             link: (from as u64) << 32 | to as u64,
-            capacity,
             ordinal: AtomicU64::new(0),
             state: Arc::new(ChanShared {
-                state: Mutex::new(ChanState { queue: VecDeque::new(), closed: false }),
-                space: Condvar::new(),
+                state: Mutex::new(ChanState {
+                    queue: VecDeque::with_capacity(capacity),
+                    closed: false,
+                }),
                 data: Condvar::new(),
                 counters: NetCounters::default(),
             }),
@@ -361,21 +356,19 @@ struct ChanState {
 #[derive(Debug)]
 struct ChanShared {
     state: Mutex<ChanState>,
-    space: Condvar,
     data: Condvar,
     // Per-link traffic counters, shared by all clones of the channel so
     // sender and receiver halves observe the same link totals.
     counters: NetCounters,
 }
 
-/// One bounded, fault-injectable point-to-point frame channel.
+/// One unbounded, fault-injectable point-to-point frame channel.
 /// The sender half and receiver half may live on different threads;
 /// clone the channel to split it.
 #[derive(Debug)]
 pub struct NetChannel {
     net: SimNet,
     link: u64,
-    capacity: usize,
     ordinal: AtomicU64,
     state: Arc<ChanShared>,
 }
@@ -385,7 +378,6 @@ impl Clone for NetChannel {
         NetChannel {
             net: self.net.clone(),
             link: self.link,
-            capacity: self.capacity,
             // The fresh-frame ordinal stays with the original sender
             // handle; receiver clones never send.
             ordinal: AtomicU64::new(0),
@@ -396,9 +388,9 @@ impl Clone for NetChannel {
 
 impl NetChannel {
     /// Transmits one frame: retransmits around injected drops up to the
-    /// fault plan's bound, then enqueues it, blocking while the receiver
-    /// holds all credits. Returns how long the send was blocked on
-    /// backpressure.
+    /// fault plan's bound, then enqueues it. Never waits for the receiver.
+    /// A link fault is journaled under the trace id the frame's own header
+    /// carries (0 for a frame shorter than a header).
     ///
     /// # Errors
     /// [`ExecError::Network`] when the retransmission budget is exhausted
@@ -406,7 +398,7 @@ impl NetChannel {
     ///
     /// # Panics
     /// Panics if the channel lock is poisoned.
-    pub fn send(&self, frame: Vec<u8>) -> Result<Duration, ExecError> {
+    pub fn send(&self, frame: Vec<u8>) -> Result<(), ExecError> {
         let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed) + 1;
         let faults = &self.net.config.link_faults;
         let (drops, budget) = (faults.drops_for(ordinal), faults.max_retransmits);
@@ -419,7 +411,7 @@ impl NetChannel {
             link.retransmits.fetch_add(spent - 1, Ordering::Relaxed);
             crate::journal::journal().record(
                 crate::journal::EventKind::LinkFault,
-                0,
+                frame_trace_id(&frame),
                 u64::from(self.from_node()),
                 u64::from(self.to_node()),
                 u64::from(drops),
@@ -434,7 +426,7 @@ impl NetChannel {
         if drops > 0 {
             crate::journal::journal().record(
                 crate::journal::EventKind::LinkFault,
-                0,
+                frame_trace_id(&frame),
                 u64::from(self.from_node()),
                 u64::from(self.to_node()),
                 u64::from(drops),
@@ -443,20 +435,6 @@ impl NetChannel {
         }
 
         let mut state = self.state.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut waited = Duration::ZERO;
-        if state.queue.len() >= self.capacity && !state.closed {
-            // The stall counts when the wait begins, under the channel
-            // lock: whoever sees it knows a sender is blocked until a
-            // frame is taken off the queue.
-            link.credit_stalls.fetch_add(1, Ordering::Relaxed);
-            let start = Instant::now();
-            while state.queue.len() >= self.capacity && !state.closed {
-                state = self.state.space.wait(state).unwrap_or_else(PoisonError::into_inner);
-            }
-            waited = start.elapsed();
-            let waited_ns = u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
-            link.credit_wait_ns.fetch_add(waited_ns, Ordering::Relaxed);
-        }
         if state.closed {
             return Err(ExecError::Network("receiver closed the channel".into()));
         }
@@ -464,7 +442,7 @@ impl NetChannel {
         link.frames.fetch_add(1, Ordering::Relaxed);
         drop(state);
         self.state.data.notify_one();
-        Ok(waited)
+        Ok(())
     }
 
     /// A snapshot of this link's own traffic counters (shared by all
@@ -496,8 +474,6 @@ impl NetChannel {
         let mut state = self.state.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(frame) = state.queue.pop_front() {
-                drop(state);
-                self.state.space.notify_one();
                 return Some(frame);
             }
             if state.closed {
@@ -513,25 +489,7 @@ impl NetChannel {
     /// Panics if the channel lock is poisoned.
     pub fn close(&self) {
         self.state.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
-        self.state.space.notify_all();
         self.state.data.notify_all();
-    }
-}
-
-/// Credits (in-flight frames) for a channel whose sender expects
-/// `estimated_rows` rows: enough frames to cover the estimate, clamped
-/// to a small bounded window so a slow receiver throttles its senders.
-/// `None` (unknown cardinality) gets the default window.
-#[must_use]
-pub fn credit_frames(estimated_rows: Option<u64>) -> usize {
-    const MIN_CREDITS: usize = 2;
-    const MAX_CREDITS: usize = 32;
-    match estimated_rows {
-        None => 8,
-        Some(rows) => {
-            (usize::try_from(rows.div_ceil(BATCH_CAPACITY as u64)).unwrap_or(MAX_CREDITS))
-                .clamp(MIN_CREDITS, MAX_CREDITS)
-        }
     }
 }
 
@@ -713,8 +671,8 @@ mod tests {
     #[test]
     fn per_link_stats_track_one_channel() {
         let net = SimNet::new(NetConfig::default());
-        let a = net.channel(3, 1, 8);
-        let b = net.channel(2, 1, 8);
+        let a = net.channel(3, 1, 0);
+        let b = net.channel(2, 1, 0);
         a.send(vec![1, 2]).expect("send");
         a.send(vec![3]).expect("send");
         b.send(vec![4]).expect("send");
@@ -757,31 +715,35 @@ mod tests {
         );
     }
 
+    /// A channel is a mailbox: a sender on another thread puts 100 frames
+    /// on a 1-capacity channel that nobody reads, and finishes; then one
+    /// receiver takes all of them in order and sees `None` after `close`.
+    /// The sends are joined through a watchdog, so a send that waits for
+    /// its receiver fails the test instead of hanging it.
     #[test]
-    fn channel_delivers_in_order_with_backpressure() {
+    fn a_send_never_waits_for_its_receiver() {
         let net = SimNet::new(NetConfig::default());
-        let tx = net.channel(0, 1, 2);
+        let tx = net.channel(0, 1, 1);
         let rx = tx.clone();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..20u8 {
-                    tx.send(vec![i]).expect("send");
+        let (done, finished) = std::sync::mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            for i in 0..100u8 {
+                if let Err(e) = tx.send(vec![i]) {
+                    return done.send(Err(e));
                 }
-                tx.close();
-            });
-            // Hold the receiver back until the sender is blocked: with 2
-            // credits its third send finds the queue full, and the stall
-            // is counted before it waits.
-            while rx.stats().credit_stalls == 0 {
-                std::thread::yield_now();
             }
-            let got: Vec<u8> = std::iter::from_fn(|| rx.recv()).map(|f| f[0]).collect();
-            assert_eq!(got, (0..20).collect::<Vec<u8>>());
+            done.send(Ok(tx.stats()))
         });
-        let stats = tx.stats();
-        assert_eq!(stats.frames, 20);
-        assert_eq!(stats.bytes, 20);
-        assert!(stats.credit_stalls > 0, "{stats:?}");
+        let stats = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("100 sends finished with no receiver running")
+            .expect("every send was accepted");
+        sender.join().expect("sender").expect("the watchdog was listening");
+        assert_eq!((stats.frames, stats.bytes), (100, 100));
+        rx.close();
+        let got: Vec<u8> = std::iter::from_fn(|| rx.recv()).map(|f| f[0]).collect();
+        assert_eq!(got, (0..100).collect::<Vec<u8>>(), "in order, none lost");
+        assert!(rx.recv().is_none(), "closed and drained");
     }
 
     #[test]
@@ -789,7 +751,7 @@ mod tests {
         let net = SimNet::new(NetConfig {
             link_faults: LinkFaultPlan { fail_nth_frames: vec![2], max_retransmits: 4 },
         });
-        let tx = net.channel(0, 1, 8);
+        let tx = net.channel(0, 1, 0);
         tx.send(vec![1]).expect("clean frame");
         tx.send(vec![2]).expect("retransmitted frame");
         assert_eq!(tx.stats().retransmits, 1);
@@ -800,7 +762,7 @@ mod tests {
         let net = SimNet::new(NetConfig {
             link_faults: LinkFaultPlan { fail_nth_frames: vec![1], max_retransmits: 0 },
         });
-        let tx = net.channel(0, 1, 8);
+        let tx = net.channel(0, 1, 0);
         let err = tx.send(vec![9]).expect_err("budget exhausted");
         assert!(matches!(err, ExecError::Network(_)), "{err:?}");
         assert!(err.is_retryable(), "network faults are plan-local");
@@ -917,14 +879,6 @@ mod tests {
             let part = decode_frame(&encode_frame_dense(&batch, 1..3, trace)).expect("valid");
             assert_eq!(part.to_tuples(), live[1..3], "selection={selection}");
         }
-    }
-
-    #[test]
-    fn credit_frames_clamp() {
-        assert_eq!(credit_frames(None), 8);
-        assert_eq!(credit_frames(Some(0)), 2);
-        assert_eq!(credit_frames(Some(10_000)), 10);
-        assert_eq!(credit_frames(Some(10_000_000)), 32);
     }
 
     #[test]

@@ -144,8 +144,8 @@ pub struct NetSpanStats {
     /// double count).
     pub sent: bool,
     /// The link's traffic: bytes (retransmissions and frames burnt by an
-    /// exhausted retransmission budget included), frames, retransmits and
-    /// credit stalls. Zero on the receive side.
+    /// exhausted retransmission budget included), frames and retransmits.
+    /// Zero on the receive side.
     pub stats: NetStats,
     /// The peer's span id recovered from the frame header (receive side
     /// only): proof the trace context propagated across the wire. Remapped
@@ -453,14 +453,6 @@ pub fn merge_distributed(coord: &TraceReport, shards: &[TraceReport]) -> TraceRe
     }
 }
 
-fn cpu_delta(later: CpuCounters, earlier: CpuCounters) -> CpuCounters {
-    CpuCounters {
-        records: later.records - earlier.records,
-        compares: later.compares - earlier.compares,
-        hashes: later.hashes - earlier.hashes,
-    }
-}
-
 /// Decorator recording a [`SpanStats`] for the wrapped operator. Deltas
 /// are measured inclusively (the window around a call contains the whole
 /// subtree's work, like `total_cost`). The accumulated totals flush into
@@ -520,7 +512,7 @@ impl<'a> TracedExec<'a> {
         } else {
             self.local.next_wall_ns += wall;
         }
-        self.local.cpu += cpu_delta(self.counters.snapshot(), cpu_before);
+        self.local.cpu += self.counters.snapshot().since(&cpu_before);
         if let (Some(disk), Some(before)) = (self.disk.as_ref(), io_before) {
             self.local.io += disk.stats().since(&before);
             self.local.temp_pages_peak =

@@ -223,8 +223,6 @@ metric_table! {
         "Cross-shard frames delivered.";
     NetRetransmits counter "shard" "net_retransmits" "dqep_net_retransmits_total"
         "Transmissions dropped by link faults and re-sent.";
-    NetCreditStalls counter "shard" "net_credit_stalls" "dqep_net_credit_stalls_total"
-        "Sends blocked on credit backpressure.";
     ShardDivergentNodes counter "shard" "divergent_nodes" "dqep_shard_divergent_nodes_total"
         "Choose nodes whose winner diverged across shards.";
     ShardWinner counter "shard" "winner_counts" "dqep_shard_winner_total"
@@ -277,15 +275,11 @@ pub enum Hist {
     /// Time successful sessions spent waiting for a database replica
     /// (the service's queue).
     QueueWait,
-    /// Credit-wait of network-exchange sends that actually stalled
-    /// (unstalled sends are not recorded — the histogram reads as "when
-    /// backpressure bit, how hard").
-    NetQueueWait,
 }
 
 /// The histogram table, in [`Hist`] order: JSON key (the Prometheus
 /// family is the key behind `dqep_`) and help text.
-const HISTS: [(&str, &str); 3] = [
+const HISTS: [(&str, &str); 2] = [
     (
         "latency_seconds",
         "Submission-to-completion latency of successful sessions.",
@@ -293,10 +287,6 @@ const HISTS: [(&str, &str); 3] = [
     (
         "queue_wait_seconds",
         "Wait of successful sessions for a database replica.",
-    ),
-    (
-        "net_queue_wait_seconds",
-        "Credit-wait of stalled network sends.",
     ),
 ];
 

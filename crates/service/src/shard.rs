@@ -25,10 +25,14 @@
 //! is guaranteed by construction and the union of shard-local joins is
 //! exactly the global join. Batches travel as length-prefixed columnar
 //! frames over a simulated network ([`SimNet`]) with deterministic fault
-//! injection and credit-based backpressure; every byte is accounted on
-//! the query's own channels. The final gather merges order-preservingly (k-way
-//! merge by the `ORDER BY` column) or deterministically concatenates in
-//! shard order.
+//! injection; every byte is accounted on the query's own channels. A
+//! link is an unbounded mailbox, so each shard runs its whole query on
+//! one thread: a repartition sends its partitions, closes its out-links
+//! and then drains its in-links. A join stage needs all of its input
+//! before it joins, so a bound on in-flight frames would bound no memory
+//! the stage does not hold anyway. The final gather merges
+//! order-preservingly (k-way merge by the `ORDER BY` column) or
+//! deterministically concatenates in shard order.
 //!
 //! **Batches end to end.** [`RowBatch`] is the only currency of the data
 //! path: access plans hand back the batches their operators produced,
@@ -48,8 +52,8 @@ use dqep_catalog::{AttrId, Catalog, Relation, RelationId};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    credit_frames, decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal,
-    kway_merge, merge_distributed, presized_batch, scatter_by_shard, sort_batches, ChooseAudit,
+    decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal, kway_merge,
+    merge_distributed, presized_batch, scatter_by_shard, sort_batches, ChooseAudit,
     EventKind, ExecContext, ExecError, FrameTrace, NetChannel, NetConfig,
     NetSpanStats, NetStats, Resource, ResourceLimits, RootSink, RowBatch,
     SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout,
@@ -63,7 +67,7 @@ use dqep_storage::{
 
 use crate::admission::memory_grant_pages;
 use crate::error::ServiceError;
-use crate::metrics::{Hist, Metric, MetricsRegistry, MetricsReport};
+use crate::metrics::{Metric, MetricsRegistry, MetricsReport};
 
 /// How base rows are placed on shards at load time, by attribute 0 (the
 /// selection attribute [`ShardConfig::skew`] skews). Repartitioning
@@ -421,7 +425,7 @@ impl ShardedService {
     /// The metrics snapshot — the same schema the serving layer exports:
     /// sharded queries are sessions (completions, failures, latency, rows,
     /// fallbacks), and the `shard` section carries cross-shard traffic,
-    /// the credit-wait histogram, winner counts and divergence.
+    /// winner counts and divergence.
     #[must_use]
     pub fn metrics(&self) -> MetricsReport {
         self.metrics.report()
@@ -463,7 +467,6 @@ impl ShardedService {
             m.add(Metric::NetBytes, ok.net.bytes);
             m.add(Metric::NetFrames, ok.net.frames);
             m.add(Metric::NetRetransmits, ok.net.retransmits);
-            m.add(Metric::NetCreditStalls, ok.net.credit_stalls);
         }
         outcome
     }
@@ -560,23 +563,14 @@ impl ShardedService {
             for (s, shard) in self.shards.iter().enumerate() {
                 let shard_wires = wires.remove(0);
                 let tracer = Arc::clone(&tracers[s]);
-                let metrics = Arc::clone(&self.metrics);
                 let (env, config) = (&self.env, &self.config);
                 handles.push(scope.spawn(move || {
-                    let result = run_shard(
-                        s,
-                        shard,
-                        plan,
-                        &shard_wires,
-                        env,
-                        bindings,
-                        config,
-                        tracer,
-                        &metrics,
-                    );
-                    // Whatever happened, unblock every peer: close this
-                    // shard's fan-in and fan-out (idempotent), so neither
-                    // senders nor receivers wait on a dead shard.
+                    let result =
+                        run_shard(s, shard, plan, &shard_wires, env, bindings, config, tracer);
+                    // Whatever happened, close every link of this shard
+                    // (idempotent): closed out-links end its peers'
+                    // receives, and closed in-links make its peers' sends
+                    // to a dead shard fail fast.
                     for stage in &shard_wires.stages {
                         for ch in stage
                             .left_out
@@ -598,9 +592,10 @@ impl ShardedService {
             // link fully before the next keeps the merge deterministic.
             let mut per_shard: Vec<Result<Vec<RowBatch>, ExecError>> = Vec::with_capacity(n);
             for rx in &gather_rx {
-                let (mut batches, mut err) = (Vec::new(), None);
-                drain_link(rx, width, &mut batches, &mut err, coord_tracer.as_deref(), coord_root);
-                per_shard.push(err.map_or(Ok(batches), Err));
+                let mut batches = Vec::new();
+                let drained =
+                    drain_link(rx, width, &mut batches, coord_tracer.as_deref(), coord_root);
+                per_shard.push(drained.map(|()| batches));
             }
             let runs: Vec<Result<ShardRun, ExecError>> = handles
                 .into_iter()
@@ -698,10 +693,7 @@ impl ShardedService {
 
     /// Creates the full channel matrix: per join stage, a left-side and a
     /// right-side link for every ordered shard pair, plus one gather link
-    /// per shard to the coordinator (node `n`). Channel credits are
-    /// pre-sized from the coordinator's cardinality estimates — the same
-    /// `estimated_rows` pre-sizing the in-memory exchange applies to its
-    /// merge buffer.
+    /// per shard to the coordinator (node `n`).
     fn wire_up(
         &self,
         plan: &DistPlan,
@@ -717,29 +709,24 @@ impl ShardedService {
                         right_in: (0..n).map(|_| None).collect(),
                     })
                     .collect(),
-                gather: self.net.channel(s, n, credit_frames(None)),
+                gather: self.net.channel(s, n, 0),
             })
             .collect();
         let gather_rx: Vec<NetChannel> = wires.iter().map(|w| w.gather.clone()).collect();
         // Keep a clone of every channel in deterministic order so the
         // coordinator can read per-link deltas after the query finishes.
         let mut links: Vec<NetChannel> = Vec::new();
-        for (j, _) in plan.joins.iter().enumerate() {
-            // The right side of stage j is base relation j+1: its scan
-            // cardinality is known, and each of the n² links carries
-            // roughly a 1/n² share of it.
-            let right_card = self.catalog.relation(plan.rels[j + 1]).stats.cardinality;
-            let per_link = (right_card / (n * n).max(1) as u64).max(1);
+        for j in 0..plan.joins.len() {
             for from in 0..n {
                 for to in 0..n {
                     if from == to {
                         continue;
                     }
-                    let left = self.net.channel(from, to, credit_frames(None));
+                    let left = self.net.channel(from, to, 0);
                     links.push(left.clone());
                     wires[to].stages[j].left_in[from] = Some(left.clone());
                     wires[from].stages[j].left_out[to] = Some(left);
-                    let right = self.net.channel(from, to, credit_frames(Some(per_link)));
+                    let right = self.net.channel(from, to, 0);
                     links.push(right.clone());
                     wires[to].stages[j].right_in[from] = Some(right.clone());
                     wires[from].stages[j].right_out[to] = Some(right);
@@ -825,7 +812,6 @@ fn run_shard(
     bindings: &Bindings,
     config: &ShardConfig,
     tracer: Arc<Tracer>,
-    metrics: &MetricsRegistry,
 ) -> Result<ShardRun, ExecError> {
     // With tracing on, everything the shard does — operators, sends,
     // receives — nests under one per-shard root span; the coordinator
@@ -859,7 +845,6 @@ fn run_shard(
             lkey,
             &stage_wires.left_out,
             &stage_wires.left_in,
-            metrics,
             &tracer,
             root,
         )?;
@@ -870,7 +855,6 @@ fn run_shard(
             rkey,
             &stage_wires.right_out,
             &stage_wires.right_in,
-            metrics,
             &tracer,
             root,
         )?;
@@ -905,7 +889,7 @@ fn run_shard(
         current = vec![sort_batches(&current, layout.width(), layout.require(attr))];
     }
 
-    let mut gather = FrameSender::new(&wires.gather, &tracer, root, metrics);
+    let mut gather = FrameSender::new(&wires.gather, &tracer, root);
     for batch in &current {
         gather.send(batch)?;
     }
@@ -939,11 +923,11 @@ fn run_access(
 /// across all shards, sending cross-shard partitions as dense columnar
 /// frames and keeping the self-partition resident. Returns this shard's
 /// share — the frames its peers sent, in link order, then its own
-/// partition — as batches. A dedicated sender thread keeps this shard
-/// receiving while it sends, so bounded credits can never deadlock the
-/// all-to-all: receivers are always live, and the sender closes its
-/// links the moment it finishes. A shard without remote peers owns every
-/// row already: no thread, no scatter.
+/// partition — as batches. A send never waits for its receiver, so the
+/// shard sends everything, closes its out-links (whether or not the sends
+/// succeeded, so no peer waits on them), and only then receives: every
+/// peer does the same, so every in-link closes. A shard without remote
+/// peers owns every row already: no scatter.
 #[allow(clippy::too_many_arguments)]
 fn repartition(
     s: usize,
@@ -952,59 +936,42 @@ fn repartition(
     key: usize,
     outs: &[Option<NetChannel>],
     ins: &[Option<NetChannel>],
-    metrics: &MetricsRegistry,
-    tracer: &Arc<Tracer>,
+    tracer: &Tracer,
     parent: Option<SpanId>,
 ) -> Result<Vec<RowBatch>, ExecError> {
     if outs.iter().all(Option::is_none) {
         return Ok(batches);
     }
-    std::thread::scope(|scope| {
-        let sender = scope.spawn(|| {
-            let result = send_partitions(s, &batches, width, key, outs, metrics, tracer, parent);
-            for ch in outs.iter().flatten() {
-                ch.close();
-            }
-            result
-        });
-        let mut mine: Vec<RowBatch> = Vec::new();
-        let mut recv_err: Option<ExecError> = None;
-        for ch in ins.iter().flatten() {
-            drain_link(ch, width, &mut mine, &mut recv_err, Some(tracer), parent);
-        }
-        let local = sender
-            .join()
-            .unwrap_or_else(|_| Err(ExecError::Network("repartition sender panicked".into())))?;
-        if let Some(e) = recv_err {
-            return Err(e);
-        }
-        mine.push(local);
-        Ok(mine)
-    })
+    let sent = send_partitions(s, &batches, width, key, outs, tracer, parent);
+    for ch in outs.iter().flatten() {
+        ch.close();
+    }
+    let local = sent?;
+    let mut mine: Vec<RowBatch> = Vec::new();
+    for ch in ins.iter().flatten() {
+        drain_link(ch, width, &mut mine, Some(tracer), parent)?;
+    }
+    mine.push(local);
+    Ok(mine)
 }
 
 /// Receives one link until it closes, decoding each frame onto `into`.
-/// A frame is rejected when it does not decode or when its width is not
+/// Stops at the first frame that does not decode or whose width is not
 /// the stage layout's `width` (the header is input: a narrower frame
-/// would index out of range in the key column). After the first failure,
-/// recorded in `err`, frames are still received — and dropped — so peers
-/// never block on a dead link.
+/// would index out of range in the key column).
 fn drain_link(
     ch: &NetChannel,
     width: usize,
     into: &mut Vec<RowBatch>,
-    err: &mut Option<ExecError>,
     tracer: Option<&Tracer>,
     parent: Option<SpanId>,
-) {
+) -> Result<(), ExecError> {
     let mut recv = RecvTrace::default();
-    while let Some(frame) = ch.recv() {
-        if err.is_some() {
-            continue;
-        }
+    let drained = loop {
+        let Some(frame) = ch.recv() else { break Ok(()) };
         match decode_frame_traced(&frame) {
             Ok((batch, _)) if batch.width() != width => {
-                *err = Some(ExecError::Network(format!(
+                break Err(ExecError::Network(format!(
                     "frame width mismatch on link {}->{}: {} columns, stage layout has {width}",
                     ch.from_node(),
                     ch.to_node(),
@@ -1015,12 +982,13 @@ fn drain_link(
                 recv.observe(&batch, ft);
                 into.push(batch);
             }
-            Err(e) => *err = Some(e),
+            Err(e) => break Err(e),
         }
-    }
+    };
     if let Some(tracer) = tracer {
         recv.flush(tracer, parent, ch);
     }
+    drained
 }
 
 /// Scatter-and-send half of [`repartition`]: routes each input batch with
@@ -1028,14 +996,12 @@ fn drain_link(
 /// flushes a remote destination as frames once it holds a frame's worth,
 /// and returns the self-partition, which never leaves its batch.
 /// Destination batches are pre-sized from the expected per-shard share.
-#[allow(clippy::too_many_arguments)]
 fn send_partitions(
     s: usize,
     batches: &[RowBatch],
     width: usize,
     key: usize,
     outs: &[Option<NetChannel>],
-    metrics: &MetricsRegistry,
     tracer: &Tracer,
     parent: Option<SpanId>,
 ) -> Result<RowBatch, ExecError> {
@@ -1052,7 +1018,7 @@ fn send_partitions(
         .collect();
     let mut senders: Vec<Option<FrameSender<'_>>> = outs
         .iter()
-        .map(|out| out.as_ref().map(|ch| FrameSender::new(ch, tracer, parent, metrics)))
+        .map(|out| out.as_ref().map(|ch| FrameSender::new(ch, tracer, parent)))
         .collect();
     let (mut hashes, mut dests) = (Vec::new(), Vec::new());
     for batch in batches {
@@ -1080,28 +1046,22 @@ struct FrameSender<'a> {
     ch: &'a NetChannel,
     tracer: &'a Tracer,
     parent: Option<SpanId>,
-    metrics: &'a MetricsRegistry,
     /// Opened at the first frame, so the span id can ride in every frame
     /// header and an idle link records nothing.
     span: Option<SpanId>,
 }
 
 impl<'a> FrameSender<'a> {
-    fn new(
-        ch: &'a NetChannel,
-        tracer: &'a Tracer,
-        parent: Option<SpanId>,
-        metrics: &'a MetricsRegistry,
-    ) -> FrameSender<'a> {
-        FrameSender { ch, tracer, parent, metrics, span: None }
+    fn new(ch: &'a NetChannel, tracer: &'a Tracer, parent: Option<SpanId>) -> FrameSender<'a> {
+        FrameSender { ch, tracer, parent, span: None }
     }
 
     /// Sends the live rows of `batch`. Frames are dense — a selection
     /// vector is compacted away by the encoder, so a filtered batch does
     /// not inflate wire bytes — and hold [`BATCH_CAPACITY`] rows each,
-    /// the last one taking the remainder (under two frames' worth), so
-    /// the credit window counts comparable frames however large the
-    /// batch and no link carries a runt.
+    /// the last one taking the remainder (under two frames' worth), so a
+    /// frame's size is bounded however large the batch and no link
+    /// carries a runt.
     fn send(&mut self, batch: &RowBatch) -> Result<(), ExecError> {
         let live = batch.len();
         let mut lo = 0;
@@ -1123,10 +1083,7 @@ impl<'a> FrameSender<'a> {
                 trace_id: self.tracer.trace_id(),
                 span: span.map(|sp| sp.0 as u64),
             };
-            let waited = self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
-            if !waited.is_zero() {
-                self.metrics.observe(Hist::NetQueueWait, waited);
-            }
+            self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
             lo = hi;
         }
         Ok(())
@@ -1155,6 +1112,7 @@ impl Drop for FrameSender<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Hist;
     use dqep_catalog::{make_chain_catalog, SyntheticSpec, SystemConfig};
     use dqep_executor::LinkFaultPlan;
     use dqep_storage::IoStats;
@@ -1425,6 +1383,33 @@ mod tests {
         assert!(out.net.retransmits > 0, "drops were retransmitted");
     }
 
+    /// A dropped frame is journaled under the trace id its own header
+    /// carries, so the journal joins each link fault to the query that
+    /// sent the frame: one event per retransmission.
+    #[test]
+    fn link_faults_are_journaled_under_the_query_that_sent_them() {
+        let link_faults = LinkFaultPlan::parse("nth-frame=1").expect("plan");
+        let svc = ShardedService::new(
+            catalog(2),
+            ShardConfig {
+                shards: 2,
+                net: NetConfig { link_faults },
+                trace: true,
+                ..ShardConfig::default()
+            },
+        );
+        let cursor = journal().cursor();
+        let out = svc.execute(&chain_sql(2), &[("v1", 700), ("v2", 700)]).expect("faults absorbed");
+        let trace_id = out.trace.as_ref().expect("traced").trace_id;
+        let faults = journal()
+            .events_since(cursor)
+            .iter()
+            .filter(|e| e.kind == EventKind::LinkFault && e.trace == trace_id)
+            .count() as u64;
+        assert!(out.net.retransmits > 0, "every link dropped its first frame");
+        assert_eq!(faults, out.net.retransmits);
+    }
+
     #[test]
     fn exhausted_retransmission_budget_fails_the_query() {
         let svc = ShardedService::new(
@@ -1646,9 +1631,9 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_narrower_than_the_stage_layout_is_rejected_and_the_link_drained() {
+    fn a_frame_narrower_than_the_stage_layout_is_rejected() {
         let net = SimNet::new(NetConfig::default());
-        let ch = net.channel(1, 0, 8);
+        let ch = net.channel(1, 0, 0);
         // A hand-built frame: header says one column, the stage has two.
         let mut narrow = Vec::new();
         for word in [1u32, 2, u32::MAX] {
@@ -1665,34 +1650,30 @@ mod tests {
         ch.send(encode_frame_dense(&good, 0..1, FrameTrace::default())).expect("send");
         ch.close();
 
-        let (mut into, mut err) = (Vec::new(), None);
-        drain_link(&ch, 2, &mut into, &mut err, None, None);
-        let err = err.expect("the narrow frame is refused");
+        let mut into = Vec::new();
+        let err = drain_link(&ch, 2, &mut into, None, None).expect_err("the narrow frame is refused");
         assert!(
             matches!(&err, ExecError::Network(m) if m.contains("frame width mismatch")),
             "{err:?}"
         );
         assert_eq!(into.len(), 1, "frames before the bad one were kept, later ones dropped");
-        assert!(ch.recv().is_none(), "the link was drained to its close");
     }
 
     #[test]
     fn frames_are_dense_and_cut_without_runts() {
         let net = SimNet::new(NetConfig::default());
-        let ch = net.channel(0, 1, 64);
+        let ch = net.channel(0, 1, 0);
         let tracer = Tracer::audit_only();
-        let metrics = MetricsRegistry::new();
         let rows = 3 * BATCH_CAPACITY + 10;
         let mut batch = RowBatch::with_capacity(2, rows);
         (0..rows as i64).for_each(|v| batch.push_row(&[v, -v]));
         // Every other row is dead: only live rows may reach the wire.
         batch.set_selection((0..rows as u32).step_by(2).collect());
         let live = batch.len();
-        FrameSender::new(&ch, &tracer, None, &metrics).send(&batch).expect("send");
+        FrameSender::new(&ch, &tracer, None).send(&batch).expect("send");
         ch.close();
-        let (mut got, mut err) = (Vec::new(), None);
-        drain_link(&ch, 2, &mut got, &mut err, None, None);
-        assert!(err.is_none(), "{err:?}");
+        let mut got = Vec::new();
+        drain_link(&ch, 2, &mut got, None, None).expect("drained");
         assert_eq!(got.len(), 1, "under two frames' worth of live rows is one frame");
         assert_eq!(live_rows(&got), live as u64);
         assert_eq!(
@@ -1703,16 +1684,69 @@ mod tests {
 
         // A large dense batch is cut into capacity-sized frames, the
         // last one taking the remainder.
-        let ch = net.channel(0, 1, 64);
+        let ch = net.channel(0, 1, 0);
         batch.clear();
         (0..rows as i64).for_each(|v| batch.push_row(&[v, -v]));
-        FrameSender::new(&ch, &tracer, None, &metrics).send(&batch).expect("send");
+        FrameSender::new(&ch, &tracer, None).send(&batch).expect("send");
         ch.close();
         let mut got = Vec::new();
-        drain_link(&ch, 2, &mut got, &mut err, None, None);
+        drain_link(&ch, 2, &mut got, None, None).expect("drained");
         let sizes: Vec<usize> = got.iter().map(RowBatch::rows).collect();
         assert_eq!(sizes, vec![BATCH_CAPACITY, BATCH_CAPACITY, BATCH_CAPACITY + 10]);
         let firsts: Vec<i64> = got.iter().map(|b| b.column(0)[0]).collect();
         assert_eq!(firsts, vec![0, BATCH_CAPACITY as i64, 2 * BATCH_CAPACITY as i64]);
+    }
+
+    /// Two shards repartition 70 000 rows each at once, each on its own
+    /// thread over `SimNet` links: every cross link carries more than 32
+    /// frames, and each shard sends all of them before it receives. Both
+    /// finish, and every row arrives exactly once, on the shard its key
+    /// routes to.
+    #[test]
+    fn repartition_on_two_threads_delivers_every_row_to_its_shard() {
+        const ROWS: i64 = 70_000;
+        let net = SimNet::new(NetConfig::default());
+        // links[from][to]: `None` on the diagonal, as in `wire_up`.
+        let links: Vec<Vec<Option<NetChannel>>> = (0..2)
+            .map(|from| (0..2).map(|to| (from != to).then(|| net.channel(from, to, 0))).collect())
+            .collect();
+        let tracer = Tracer::audit_only();
+        let shares: Vec<Vec<RowBatch>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2usize)
+                .map(|s| {
+                    let outs = links[s].clone();
+                    let ins: Vec<Option<NetChannel>> =
+                        links.iter().map(|row| row[s].clone()).collect();
+                    let tracer = &tracer;
+                    scope.spawn(move || {
+                        // One batch, as a join stage hands on its result.
+                        // Column 0 is the key, column 1 the row's identity.
+                        let mut batch = RowBatch::with_capacity(2, ROWS as usize);
+                        for i in 0..ROWS {
+                            batch.push_row(&[i * 7 % 1_000, s as i64 * ROWS + i]);
+                        }
+                        repartition(s, vec![batch], 2, 0, &outs, &ins, tracer, None)
+                            .expect("repartition")
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("shard")).collect()
+        });
+        for from in 0..2 {
+            let link = links[from][1 - from].as_ref().expect("cross link");
+            assert!(link.stats().frames > 32, "{from}->{}: {:?}", 1 - from, link.stats());
+        }
+        let mut seen = vec![0u8; 2 * ROWS as usize];
+        let (mut hashes, mut dests) = (Vec::new(), Vec::new());
+        for (s, share) in shares.iter().enumerate() {
+            for batch in share {
+                dqep_executor::shard_route(batch, &[0], 2, &mut hashes, &mut dests);
+                assert!(dests.iter().all(|&d| d as usize == s), "a row on the wrong shard");
+                for phys in batch.selected_indices() {
+                    seen[batch.column(1)[phys] as usize] += 1;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n == 1), "every row exactly once");
     }
 }
