@@ -56,7 +56,8 @@ impl std::ops::AddAssign for CpuCounters {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheInfo {
     /// Whether the statement was found in the prepared-statement registry
-    /// (`Some(true)`: parse + optimize were skipped entirely).
+    /// (`Some(true)`: the statement was not parsed; it was optimized only
+    /// if this was its second binding, which compiles its dynamic plan).
     pub statement_hit: Option<bool>,
     /// Whether the bind-time choose-plan arbitration was served from the
     /// decision cache (`Some(true)`: no cost functions were re-evaluated).

@@ -208,6 +208,9 @@ metric_table! {
     CachedPlanRetries counter "plan_cache" "cached_plan_retries"
         "dqep_cached_plan_retries_total"
         "Cached resolved plans that failed retryably and were re-arbitrated.";
+    DynamicPlanCompiles counter "plan_cache" "dynamic_plan_compiles"
+        "dqep_dynamic_plan_compiles_total"
+        "Dynamic plans compiled: for a statement's second binding, a re-optimizing run or a retry.";
     ReoptCheckpoints counter "reopt" "checkpoints" "dqep_reopt_checkpoints_total"
         "Pipeline-breaker checkpoints observed.";
     ReoptEscapes counter "reopt" "escapes" "dqep_reopt_escapes_total"

@@ -1,12 +1,17 @@
-//! The prepared-statement registry: parse/optimize once, execute many.
+//! The prepared-statement registry: parse once, compile a dynamic plan at
+//! most once, execute many.
 //!
-//! This is the serving-layer realization of the paper's economics:
-//! compile-time optimization of a dynamic plan is expensive and performed
-//! **once**; each execution then pays only the cheap start-up decision.
-//! The registry keys statements by normalized text, bounds its size with
-//! LRU eviction, and owns the per-statement decision cache. A memoized
-//! decision depends on its statement and its exact binding alone, so
-//! nothing a completed execution observes ever changes it.
+//! This is the serving-layer realization of the paper's economics (its
+//! Figure 3): run-time optimization costs `a` a binding, a dynamic plan
+//! `e ≈ 2.3 a` once and then only the cheap start-up decision. So a
+//! statement's first binding is optimized at run time, and the statement
+//! enters the registry holding that plan; its dynamic plan is compiled
+//! once, when a second binding (a re-optimizing run, a retry) needs it,
+//! and replaces the entry (`PreparedRegistry::promote`). The registry
+//! keys statements by normalized text, bounds its size with LRU eviction,
+//! and owns the per-statement decision cache. A memoized decision depends
+//! on its statement and its exact binding alone, so nothing a completed
+//! execution observes ever changes it.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -66,29 +71,69 @@ pub(crate) fn normalized(sql: &str) -> Cow<'_, str> {
     Cow::Owned(out)
 }
 
-/// A statement optimized once into a dynamic plan, plus its bind-time
-/// decision cache.
+/// A parsed statement, its plan, and its bind-time decision cache.
 #[derive(Debug)]
 pub struct PreparedStatement {
     /// Normalized statement text (the registry key).
     pub sql: String,
     /// The parsed query: host-variable names, predicates, order-by.
     pub query: Query,
-    /// The compile-time dynamic plan (choose-plan nodes included).
+    /// The dynamic plan (choose-plan nodes included), or, for a statement
+    /// seen at one binding only, the plan run-time optimization chose
+    /// there ([`PreparedStatement::is_dynamic`] tells which).
     pub plan: Arc<Plan>,
+    dynamic: bool,
     decisions: Mutex<HashMap<BindingKey, CachedDecision>>,
 }
 
 impl PreparedStatement {
-    /// Wraps a freshly optimized statement.
+    /// Wraps a statement optimized into its dynamic plan.
     #[must_use]
     pub fn new(sql: String, query: Query, plan: Arc<Plan>) -> PreparedStatement {
         PreparedStatement {
             sql,
             query,
             plan,
+            dynamic: true,
             decisions: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// A statement seen at one binding: `decision` is run-time
+    /// optimization's plan there, which is also the statement's `plan`,
+    /// memoized at `key`.
+    pub(crate) fn at_binding(
+        sql: String,
+        query: Query,
+        key: BindingKey,
+        decision: CachedDecision,
+    ) -> PreparedStatement {
+        PreparedStatement {
+            sql,
+            query,
+            plan: Arc::clone(&decision.resolved),
+            dynamic: false,
+            decisions: Mutex::new(HashMap::from([(key, decision)])),
+        }
+    }
+
+    /// The statement with its dynamic plan in place of the plan chosen
+    /// at one binding, keeping every memoized decision.
+    pub(crate) fn promoted(&self, plan: Arc<Plan>) -> PreparedStatement {
+        PreparedStatement {
+            sql: self.sql.clone(),
+            query: self.query.clone(),
+            plan,
+            dynamic: true,
+            decisions: Mutex::new(self.decisions.lock().clone()),
+        }
+    }
+
+    /// Whether `plan` is the statement's dynamic plan, rather than the
+    /// plan run-time optimization chose at the one binding it was seen at.
+    #[must_use]
+    pub fn is_dynamic(&self) -> bool {
+        self.dynamic
     }
 
     /// The cached decision for a binding, if any.
@@ -132,7 +177,7 @@ impl PreparedStatement {
 pub struct RegistryStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that required a fresh parse + optimize.
+    /// Lookups that found no statement: a fresh parse and optimization.
     pub misses: u64,
     /// Statements evicted by the LRU policy.
     pub evictions: u64,
@@ -264,6 +309,34 @@ impl PreparedRegistry {
         stmt
     }
 
+    /// Replaces `old`, a statement seen at one binding, with `new`, the
+    /// same statement holding its dynamic plan — if the slot still holds
+    /// `old`. Returns the statement to use: `new`, unless another session
+    /// promoted the statement first, in which case its dynamic statement
+    /// is kept and returned. Counts no hit or miss.
+    pub(crate) fn promote(
+        &self,
+        old: &Arc<PreparedStatement>,
+        new: Arc<PreparedStatement>,
+    ) -> Arc<PreparedStatement> {
+        let mut inner = self.inner.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let Some(slot) = inner.map.get_mut(&old.sql) else {
+            return new;
+        };
+        if Arc::ptr_eq(&slot.stmt, old) {
+            slot.stmt = Arc::clone(&new);
+        } else if !slot.stmt.dynamic {
+            return new;
+        }
+        slot.last_used = tick;
+        let promoted = Arc::clone(&slot.stmt);
+        // An unused `new` frees its whole plan: not under the lock.
+        drop(inner);
+        promoted
+    }
+
     /// Accounting snapshot.
     #[must_use]
     pub fn stats(&self) -> RegistryStats {
@@ -279,16 +352,21 @@ impl PreparedRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqep_catalog::{CatalogBuilder, SystemConfig};
+    use crate::decision::region_key;
+    use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
     use dqep_core::Optimizer;
-    use dqep_cost::Environment;
+    use dqep_cost::{Bindings, Environment};
     use dqep_sql::parse_query;
 
-    fn prepared(sql: &str) -> Arc<PreparedStatement> {
-        let cat = CatalogBuilder::new(SystemConfig::paper_1994())
+    fn catalog() -> Catalog {
+        CatalogBuilder::new(SystemConfig::paper_1994())
             .relation("r", 1000, 512, |r| r.attr("a", 1000.0).btree("a", false))
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    fn prepared(sql: &str) -> Arc<PreparedStatement> {
+        let cat = catalog();
         let norm = normalize_sql(sql);
         let query = parse_query(&norm, &cat).unwrap();
         let env = Environment::dynamic_compile_time(&cat.config);
@@ -377,6 +455,44 @@ mod tests {
         reg.insert(b.sql.clone(), b);
         assert!(evicted.upgrade().is_none());
         assert_eq!(reg.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_promotion_replaces_only_the_statement_it_promotes() {
+        let reg = PreparedRegistry::new(1);
+        let dynamic = prepared("SELECT * FROM r WHERE r.a < :x");
+        let key = region_key(&dynamic.query, &catalog(), &Bindings::new(), 0, 64.0);
+        let decision = CachedDecision {
+            resolved: Arc::clone(&dynamic.plan),
+            predicted_seconds: 1.0,
+        };
+        let seen_once = Arc::new(PreparedStatement::at_binding(
+            dynamic.sql.clone(),
+            dynamic.query.clone(),
+            key.clone(),
+            decision,
+        ));
+        assert!(!seen_once.is_dynamic());
+        reg.insert(seen_once.sql.clone(), Arc::clone(&seen_once));
+
+        let promoted = Arc::new(seen_once.promoted(Arc::clone(&dynamic.plan)));
+        let kept = reg.promote(&seen_once, Arc::clone(&promoted));
+        assert!(Arc::ptr_eq(&kept, &promoted));
+        assert!(kept.is_dynamic() && kept.decision(&key).is_some(), "the memo is kept");
+        assert!(Arc::ptr_eq(&reg.get(&seen_once.sql).unwrap(), &promoted));
+
+        // A second session promoting the same statement uses the first's.
+        let late = Arc::new(seen_once.promoted(Arc::clone(&dynamic.plan)));
+        assert!(Arc::ptr_eq(&reg.promote(&seen_once, late), &promoted));
+
+        // A statement no longer resident is promoted outside the registry.
+        let other = prepared("SELECT * FROM r WHERE r.a > :x");
+        reg.insert(other.sql.clone(), Arc::clone(&other));
+        let evicted = Arc::new(seen_once.promoted(Arc::clone(&dynamic.plan)));
+        assert!(Arc::ptr_eq(&reg.promote(&seen_once, Arc::clone(&evicted)), &evicted));
+        assert!(reg.get(&seen_once.sql).is_none());
+        let stats = reg.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "promotions count no hit or miss");
     }
 
     #[test]

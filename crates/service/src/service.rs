@@ -23,12 +23,12 @@ use dqep_executor::{
     run, ExecContext, ExecMode, ExecSummary, PlanCacheInfo, ReoptConfig, ReoptState,
     ResourceLimits, RootSink, SharedCounters,
 };
-use dqep_plan::evaluate_startup;
-use dqep_sql::parse_query;
+use dqep_plan::{evaluate_startup, Plan};
+use dqep_sql::{parse_query, Query};
 use dqep_storage::{FaultPlan, StoredDatabase, ValueDistribution};
 
 use crate::admission::{memory_grant_pages, MemoryPool, Slot, SlotPool};
-use crate::decision::{region_key, CachedDecision};
+use crate::decision::{region_key, BindingKey, CachedDecision};
 use crate::error::ServiceError;
 use crate::metrics::{hit_rate, Hist, Metric, MetricsRegistry, MetricsReport};
 use crate::registry::{normalized, PreparedRegistry, PreparedStatement, RegistryStats};
@@ -194,6 +194,10 @@ pub struct ServiceStats {
     /// Cached resolved plans that failed retryably and were re-arbitrated
     /// through the full choose-plan path.
     pub cached_plan_retries: u64,
+    /// Dynamic plans compiled. A statement's first binding is optimized
+    /// at run time; its dynamic plan is compiled when a second binding, a
+    /// re-optimizing run or a retry needs it.
+    pub dynamic_plan_compiles: u64,
     /// Prepared-statement registry accounting.
     pub registry: RegistryStats,
 }
@@ -221,6 +225,7 @@ impl From<&MetricsReport> for ServiceStats {
             decision_hits: m.get(Metric::DecisionHits),
             decision_misses: m.get(Metric::DecisionMisses),
             cached_plan_retries: m.get(Metric::CachedPlanRetries),
+            dynamic_plan_compiles: m.get(Metric::DynamicPlanCompiles),
             registry: RegistryStats {
                 hits: m.get(Metric::StatementHits),
                 misses: m.get(Metric::StatementMisses),
@@ -252,6 +257,22 @@ impl SessionHandle {
     /// the session's thread died without answering.
     pub fn wait(self) -> Result<SessionResult, ServiceError> {
         self.thread.join().unwrap_or(Err(ServiceError::Shutdown))
+    }
+}
+
+/// A request's statement before it is bound: resident in the registry, or
+/// parsed just now.
+enum Statement {
+    Resident(Arc<PreparedStatement>),
+    New(Query),
+}
+
+impl Statement {
+    fn query(&self) -> &Query {
+        match self {
+            Statement::Resident(stmt) => &stmt.query,
+            Statement::New(query) => query,
+        }
     }
 }
 
@@ -446,19 +467,48 @@ impl Shared {
         queue_wait: Duration,
     ) -> Result<SessionResult, ServiceError> {
         let env = &self.env;
-        let (stmt, statement_hit) = self.prepare(&request.sql)?;
+        // A statement the registry does not hold is parsed here and
+        // optimized only once it is bound, so a request that fails to bind
+        // costs no optimization and evicts nothing.
+        let normalized = normalized(&request.sql);
+        let statement = match self.registry.get(&normalized) {
+            Some(stmt) => Statement::Resident(stmt),
+            None => Statement::New(
+                parse_query(&normalized, &self.catalog)
+                    .map_err(|e| ServiceError::Sql(e.to_string()))?,
+            ),
+        };
+        let statement_hit = matches!(statement, Statement::Resident(_));
+        let query = statement.query();
 
         let binds: Vec<(&str, i64)> = request
             .binds
             .iter()
             .map(|(n, v)| (n.as_str(), *v))
             .collect();
-        let mut bindings = stmt.query.bindings(&binds).map_err(ServiceError::Bind)?;
+        let mut bindings = query.bindings(&binds).map_err(ServiceError::Bind)?;
         if let Some(pages) = request.memory_pages {
             bindings = bindings.with_memory(memory_grant_pages(pages).map_err(ServiceError::Bind)?);
         }
         let memory_pages = bindings.memory_pages.unwrap_or_else(|| env.memory.expected());
         let memory_bytes = (memory_pages * self.catalog.config.page_size as f64) as u64;
+        let key = region_key(query, &self.catalog, &bindings, 0, memory_pages);
+
+        // The statement, and on a first visit the decision made for it.
+        let (stmt, first_decision) = match statement {
+            Statement::Resident(stmt) => (stmt, None),
+            Statement::New(query) if self.config.reopt.is_none() => {
+                let (stmt, decision) =
+                    self.optimize_at(normalized.into_owned(), query, key.clone(), &bindings)?;
+                (stmt, Some(decision))
+            }
+            Statement::New(query) => {
+                let plan = self.compile_dynamic(&query)?;
+                let normalized = normalized.into_owned();
+                let stmt = PreparedStatement::new(normalized.clone(), query, plan);
+                (self.registry.insert(normalized, Arc::new(stmt)), None)
+            }
+        };
 
         // Admission: the grant is held for the whole execution and
         // returned on drop (including every error path below). A
@@ -485,7 +535,7 @@ impl Shared {
             // Under re-optimization the decision cache is bypassed: the
             // run decides from its own checkpoint observations, which
             // belong to this run alone.
-            Some(reopt_config) => {
+            Some(reopt_config) => self.dynamic(&stmt).and_then(|stmt| {
                 let state = Arc::new(ReoptState::new(reopt_config));
                 let ctx = ctx.with_reopt(Arc::clone(&state));
                 run(&stmt.plan, db, &self.catalog, env, &bindings, &ctx, RootSink::Discard)
@@ -495,23 +545,16 @@ impl Shared {
                         let predicted = state.in_force().map(|d| d.predicted_run_seconds);
                         (summary, predicted, false)
                     })
-            }
+            }),
             None => {
-                let key = region_key(&stmt.query, &self.catalog, &bindings, 0, memory_pages);
-                let (decision, decision_hit) = match stmt.decision(&key) {
-                    Some(cached) => (cached, true),
-                    None => {
-                        let startup = evaluate_startup(&stmt.plan, &self.catalog, env, &bindings);
-                        let fresh = CachedDecision {
-                            resolved: startup.resolved,
-                            predicted_seconds: startup.predicted_run_seconds,
-                        };
-                        stmt.store_decision(key, fresh.clone());
-                        (fresh, false)
-                    }
+                let decided = match first_decision {
+                    Some(fresh) => Ok((stmt, fresh, false)),
+                    None => self.decide(stmt, key, &bindings),
                 };
-                self.execute_arbitrated(db, &ctx, &stmt, &decision, &bindings)
-                    .map(|summary| (summary, Some(decision.predicted_seconds), decision_hit))
+                decided.and_then(|(stmt, decision, decision_hit)| {
+                    self.execute_arbitrated(db, &ctx, &stmt, &decision, &bindings)
+                        .map(|summary| (summary, Some(decision.predicted_seconds), decision_hit))
+                })
             }
         };
         if request.fault_plan.is_some() {
@@ -539,29 +582,93 @@ impl Shared {
         })
     }
 
-    /// Registry lookup, or parse + optimize on a miss. The double-checked
-    /// insert keeps one canonical [`PreparedStatement`] per text even when
-    /// two sessions prepare the same statement concurrently.
-    fn prepare(&self, sql: &str) -> Result<(Arc<PreparedStatement>, bool), ServiceError> {
-        let normalized = normalized(sql);
-        if let Some(stmt) = self.registry.get(&normalized) {
-            return Ok((stmt, true));
+    /// The decision at a binding of a resident statement, and whether the
+    /// memo held it: memoized, or made by the start-up decision procedure
+    /// over the statement's dynamic plan — and then memoized.
+    fn decide(
+        &self,
+        stmt: Arc<PreparedStatement>,
+        key: BindingKey,
+        bindings: &Bindings,
+    ) -> Result<(Arc<PreparedStatement>, CachedDecision, bool), ServiceError> {
+        if let Some(cached) = stmt.decision(&key) {
+            return Ok((stmt, cached, true));
         }
-        let query = parse_query(&normalized, &self.catalog)
-            .map_err(|e| ServiceError::Sql(e.to_string()))?;
-        let props = query.required_props();
-        let plan = Optimizer::new(&self.catalog, &self.env)
-            .optimize_with_props(&query.expr, props)
+        let stmt = self.dynamic(&stmt)?;
+        let fresh = self.startup_decision(&stmt.plan, bindings);
+        stmt.store_decision(key, fresh.clone());
+        Ok((stmt, fresh, false))
+    }
+
+    /// The start-up decision over `plan` at a binding: the resolved plan
+    /// and its predicted cost.
+    fn startup_decision(&self, plan: &Plan, bindings: &Bindings) -> CachedDecision {
+        let startup = evaluate_startup(plan, &self.catalog, &self.env, bindings);
+        CachedDecision {
+            resolved: startup.resolved,
+            predicted_seconds: startup.predicted_run_seconds,
+        }
+    }
+
+    /// A statement's first visit: run-time optimization at the binding
+    /// (the same optimizer, in point mode under `env.bind`), its plan's
+    /// start-up cost as the decision, and the statement entered into the
+    /// registry with that one decision memoized. If another session
+    /// entered the statement first, the incumbent is kept and this
+    /// decision is memoized on it.
+    fn optimize_at(
+        &self,
+        normalized: String,
+        query: Query,
+        key: BindingKey,
+        bindings: &Bindings,
+    ) -> Result<(Arc<PreparedStatement>, CachedDecision), ServiceError> {
+        let bound = self.env.bind(bindings);
+        let plan = Optimizer::new(&self.catalog, &bound)
+            .optimize_with_props(&query.expr, query.required_props())
             .map_err(|e| ServiceError::Optimizer(e.to_string()))?
             .plan;
-        let normalized = normalized.into_owned();
-        let stmt = Arc::new(PreparedStatement::new(normalized.clone(), query, plan));
-        Ok((self.registry.insert(normalized, stmt), false))
+        let decision = self.startup_decision(&plan, bindings);
+        let ours = Arc::new(PreparedStatement::at_binding(
+            normalized.clone(),
+            query,
+            key.clone(),
+            decision.clone(),
+        ));
+        let stmt = self.registry.insert(normalized, Arc::clone(&ours));
+        if !Arc::ptr_eq(&stmt, &ours) {
+            stmt.store_decision(key, decision.clone());
+        }
+        Ok((stmt, decision))
+    }
+
+    /// The statement with its dynamic plan: `stmt` itself, or, for a
+    /// statement seen at one binding so far, the statement promoted in the
+    /// registry — its dynamic plan compiled once, its memo kept.
+    fn dynamic(
+        &self,
+        stmt: &Arc<PreparedStatement>,
+    ) -> Result<Arc<PreparedStatement>, ServiceError> {
+        if stmt.is_dynamic() {
+            return Ok(Arc::clone(stmt));
+        }
+        let plan = self.compile_dynamic(&stmt.query)?;
+        Ok(self.registry.promote(stmt, Arc::new(stmt.promoted(plan))))
+    }
+
+    /// Compiles a statement's dynamic plan, at the expected memory grant.
+    fn compile_dynamic(&self, query: &Query) -> Result<Arc<Plan>, ServiceError> {
+        self.metrics.add(Metric::DynamicPlanCompiles, 1);
+        Optimizer::new(&self.catalog, &self.env)
+            .optimize_with_props(&query.expr, query.required_props())
+            .map(|optimized| optimized.plan)
+            .map_err(|e| ServiceError::Optimizer(e.to_string()))
     }
 
     /// Runs the arbitrated resolved plan. If it fails retryably (a
     /// storage fault, a refused memory reservation), the session
-    /// re-arbitrates through the full dynamic plan — whose choose-plan
+    /// re-arbitrates through the full dynamic plan — compiled now if the
+    /// statement was seen at one binding only — whose choose-plan
     /// operators can then fall back alternative by alternative. The
     /// memoized decision stays: it depends on the binding alone, and the
     /// failure was the run's, not the decision's. The retry is accounted
@@ -573,7 +680,7 @@ impl Shared {
         &self,
         db: &StoredDatabase,
         ctx: &ExecContext,
-        stmt: &PreparedStatement,
+        stmt: &Arc<PreparedStatement>,
         decision: &CachedDecision,
         bindings: &Bindings,
     ) -> Result<ExecSummary, ServiceError> {
@@ -583,7 +690,7 @@ impl Shared {
             Err(e) if e.is_retryable() => {
                 self.metrics.add(Metric::CachedPlanRetries, 1);
                 ctx.counters.add_fallbacks(1);
-                execute(&stmt.plan).map_err(ServiceError::Exec)
+                execute(&self.dynamic(stmt)?.plan).map_err(ServiceError::Exec)
             }
             Err(e) => Err(ServiceError::Exec(e)),
         }

@@ -1,5 +1,9 @@
 //! A sampling profile of the ad-hoc request loop of
-//! `examples/optimize_split.rs`, with no profiler installed.
+//! `examples/optimize_split.rs`, with no profiler installed. The loop
+//! includes the dynamic-plan compile its last line times (a second
+//! binding's cost, off a first visit's steps), so the optimizer's symbols
+//! carry the samples of that compile as well as of the first visits'
+//! run-time optimization.
 //!
 //! `setitimer(ITIMER_PROF)` has the kernel send `SIGPROF` every millisecond
 //! of CPU time the process uses (or at its tick, if that is longer); the

@@ -10,7 +10,7 @@
 
 use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep::cost::{Bindings, Environment, ParamSpace};
-use dqep::executor::{ExecError, ExecSummary};
+use dqep::executor::{ExecError, ExecSummary, ReoptConfig};
 use dqep::optimizer::Optimizer;
 use dqep::plan::evaluate_startup;
 use dqep::service::{Metric, QueryService, Request, ServiceConfig, ServiceError};
@@ -78,6 +78,76 @@ fn service(workers: usize, relations: usize) -> QueryService {
             ..ServiceConfig::default()
         },
     )
+}
+
+/// Runs `sql` once at each point — selectivities in the statement's
+/// parameter space, divided by its relation count so that no join's
+/// result grows past what a test should execute, and an optional memory
+/// grant — each time as a new text, made new by a true constant predicate
+/// on `{first}.a` of its own, as ad-hoc requests are. So every session
+/// optimizes at run time. Without a memory grant a session decides as the
+/// dynamic plan compiled at the expected grant decides at its binding: the
+/// same predicted cost bit for bit, the same rows and the same pages read
+/// and written. Under a grant run-time optimization knows the grant the
+/// dynamic plan was compiled without, so it may only find a cheaper plan
+/// (`d_i ≤ g_i`), never a costlier one; its rows stay the lone run's. No
+/// dynamic plan is compiled.
+fn first_visits_decide_as_the_dynamic_plan(
+    mut catalog: Catalog,
+    sql: &str,
+    first: &str,
+    histograms: bool,
+    points: &[(Vec<f64>, Option<f64>)],
+) {
+    let skew = histograms.then_some(1.1);
+    let distribution =
+        skew.map_or(ValueDistribution::Uniform, |exponent| ValueDistribution::Zipf { exponent });
+    let db = StoredDatabase::generate_with(&catalog, SEED, distribution);
+    if histograms {
+        install_histograms(&db, &mut catalog, 16).expect("histograms");
+    }
+    let svc = QueryService::new(
+        catalog.clone(),
+        ServiceConfig { workers: 1, data_seed: SEED, skew, ..ServiceConfig::default() },
+    );
+    let env = Environment::dynamic_compile_time(&catalog.config);
+    let relations = catalog.relations().len() as f64;
+    let pages = |io: IoStats| (io.seq_reads + io.random_reads, io.writes);
+    for (i, (point, grant)) in points.iter().enumerate() {
+        let text = format!("{sql} AND {first}.a >= -{i}");
+        let query = parse_query(&text, &catalog).unwrap();
+        let plan = Optimizer::new(&catalog, &env)
+            .optimize_with_props(&query.expr, query.required_props())
+            .unwrap()
+            .plan;
+        let selectivities = point.iter().map(|s| s / relations);
+        let mut bindings = ParamSpace::new(&query.expr, &catalog).bindings(&catalog, selectivities);
+        let mut req = request(&text, &query, &bindings);
+        if let Some(pages) = *grant {
+            bindings = bindings.with_memory(pages);
+            req.memory_pages = Some(pages);
+        }
+        let session = svc.execute(req).expect("fault-free session");
+        let cache = session.summary.plan_cache;
+        assert_eq!((cache.statement_hit, cache.decision_hit), (Some(false), Some(false)));
+        let lone = execute(&plan, &db, &catalog, &env, &bindings);
+        assert_eq!(session.summary.rows, lone.rows, "{text} at {bindings:?}");
+        let decided = evaluate_startup(&plan, &catalog, &env, &bindings).predicted_run_seconds;
+        let predicted = session.predicted_seconds.expect("a decision in force");
+        if grant.is_none() {
+            assert_eq!(predicted.to_bits(), decided.to_bits(), "{text} at {bindings:?}");
+            assert_eq!(pages(session.summary.io), pages(lone.io), "{text} at {bindings:?}");
+        } else {
+            assert!(
+                predicted <= decided * (1.0 + 1e-9),
+                "{text} at {bindings:?}: run-time optimization predicts {predicted}, \
+                 the dynamic plan {decided}"
+            );
+        }
+    }
+    let stats = svc.stats();
+    assert_eq!((stats.completed, stats.failed), (points.len() as u64, 0));
+    assert_eq!(stats.dynamic_plan_compiles, 0);
 }
 
 proptest! {
@@ -166,6 +236,33 @@ proptest! {
         prop_assert_eq!(stats.failed, 0);
     }
 
+    /// Every binding a first visit: a session decides as the statement's
+    /// dynamic plan would (`first_visits_decide_as_the_dynamic_plan`), for a
+    /// random chain on uniform data or on skewed data whose histograms the
+    /// catalog holds, and for paper chain query 2–5 on uniform data.
+    #[test]
+    fn a_first_visit_decides_as_the_dynamic_plan_would(
+        w in workload_strategy(Shape::PARITY),
+        histograms in any::<bool>(),
+        paper in 2usize..=5,
+        points in proptest::collection::vec(
+            (
+                proptest::collection::vec(0.02f64..0.98, 10),
+                prop_oneof![Just(None), (16.0f64..112.0).prop_map(Some)],
+            ),
+            3..6,
+        ),
+    ) {
+        let (catalog, sql, _) = build_sql(&w, 0.5);
+        first_visits_decide_as_the_dynamic_plan(catalog, &sql, "t0", histograms, &points);
+        // Skew on every join attribute of a long chain grows its result
+        // past what a test should execute: the paper's chains run uniform.
+        let relations = [1, 2, 4, 6, 10][paper - 1];
+        let catalog = chain_catalog(relations, 21);
+        let sql = chain_sql(relations);
+        first_visits_decide_as_the_dynamic_plan(catalog, &sql, "R1", false, &points);
+    }
+
     /// With storage faults injected into some sessions, every session
     /// still either matches the sequential answer (clean, or recovered
     /// via fallback) or fails with the injected storage class — and the
@@ -247,6 +344,97 @@ fn cached_plan_fault_retries_through_full_arbitration() {
     let stats = svc.stats();
     assert_eq!(stats.cached_plan_retries, 1);
     assert_eq!(stats.failed, 0);
+}
+
+/// A statement's dynamic plan is compiled once, when it is needed: a
+/// first visit optimizes at run time, the same binding again replays that
+/// decision, and the first other binding compiles the dynamic plan — which
+/// every later binding decides over, the first binding's memo kept. A
+/// re-optimizing run needs the dynamic plan on its first visit; a first
+/// visit whose plan fails retryably retries through it.
+#[test]
+fn a_dynamic_plan_is_compiled_at_the_second_binding() {
+    let relations = 2;
+    let catalog = chain_catalog(relations, SEED);
+    let db = StoredDatabase::generate(&catalog, SEED);
+    let sql = chain_sql(relations);
+    let svc = service(1, relations);
+    let at = |v1: i64, v2: i64| svc.execute(Request::new(&sql, &[("v1", v1), ("v2", v2)])).unwrap();
+    let visits = [
+        ((500, 500), (false, false), 0),
+        ((500, 500), (true, true), 0),
+        ((300, 700), (true, false), 1),
+        ((900, 100), (true, false), 1),
+        ((300, 700), (true, true), 1),
+        ((500, 500), (true, true), 1),
+    ];
+    for ((v1, v2), (statement_hit, decision_hit), compiles) in visits {
+        let session = at(v1, v2);
+        let cache = session.summary.plan_cache;
+        assert_eq!(
+            (cache.statement_hit, cache.decision_hit),
+            (Some(statement_hit), Some(decision_hit)),
+            "({v1}, {v2})"
+        );
+        assert_eq!(svc.stats().dynamic_plan_compiles, compiles, "({v1}, {v2})");
+        let truth = sequential_rows(&catalog, &db, &sql, &[("v1", v1), ("v2", v2)]);
+        assert_eq!(session.summary.rows, truth, "({v1}, {v2})");
+    }
+    assert_eq!(svc.stats().registry.resident, 1, "promotion replaced the entry");
+
+    let reopt = QueryService::new(
+        chain_catalog(relations, SEED),
+        ServiceConfig {
+            workers: 1,
+            data_seed: SEED,
+            reopt: Some(ReoptConfig::default()),
+            ..ServiceConfig::default()
+        },
+    );
+    let first = reopt.execute(Request::new(&sql, &[("v1", 500), ("v2", 500)])).unwrap();
+    assert_eq!(first.summary.plan_cache.statement_hit, Some(false));
+    assert_eq!(reopt.stats().dynamic_plan_compiles, 1, "a re-optimizing run needs it");
+    reopt.execute(Request::new(&sql, &[("v1", 300), ("v2", 700)])).unwrap();
+    assert_eq!(reopt.stats().dynamic_plan_compiles, 1);
+
+    let retried = service(1, relations);
+    let binds = [("v1", 500), ("v2", 500)];
+    let mut faulted = Request::new(&sql, &binds);
+    faulted.fault_plan = Some(FaultPlan::nth_read(1));
+    let recovered = retried.execute(faulted).unwrap();
+    assert_eq!(recovered.summary.plan_cache.decision_hit, Some(false));
+    assert_eq!(recovered.summary.fallbacks, 1);
+    assert_eq!(recovered.summary.rows, sequential_rows(&catalog, &db, &sql, &binds));
+    let stats = retried.stats();
+    assert_eq!((stats.cached_plan_retries, stats.dynamic_plan_compiles), (1, 1));
+}
+
+/// A request on a new text that fails to bind — an unknown host variable,
+/// a memory grant that is not a number — is refused before its statement
+/// is optimized or entered, so it evicts no live statement.
+#[test]
+fn a_refused_request_on_a_new_text_evicts_nothing() {
+    let svc = QueryService::new(
+        chain_catalog(2, SEED),
+        ServiceConfig {
+            workers: 1,
+            registry_capacity: 1,
+            data_seed: SEED,
+            ..ServiceConfig::default()
+        },
+    );
+    let a = chain_sql(2);
+    let b = "SELECT * FROM R1 WHERE R1.a < :x";
+    svc.execute(Request::new(&a, &[("v1", 500), ("v2", 500)])).unwrap();
+    let unknown = svc.execute(Request::new(b, &[("nope", 10)]));
+    assert!(matches!(unknown, Err(ServiceError::Bind(_))), "{unknown:?}");
+    let mut nan = Request::new(b, &[("x", 10)]);
+    nan.memory_pages = Some(f64::NAN);
+    let nan = svc.execute(nan);
+    assert!(matches!(nan, Err(ServiceError::Bind(_))), "{nan:?}");
+    let again = svc.execute(Request::new(&a, &[("v1", 500), ("v2", 500)])).unwrap();
+    assert_eq!(again.summary.plan_cache.statement_hit, Some(true), "{:?}", svc.stats().registry);
+    assert_eq!(svc.stats().registry.evictions, 0);
 }
 
 /// A session reports the predicted cost of the decision in force at its
