@@ -18,8 +18,12 @@
 //!   --explain-analyze   execute with per-operator tracing and print the
 //!                       plan annotated with interval estimates vs actuals
 //!                       (drift flags) and the choose-plan audit trail
+//!                       (with --serve: each session's trace, its phases
+//!                       and their operator spans, after its result line)
 //!   --json              with --explain-analyze: print only the JSON
-//!                       document (machine-readable, schema-stable)
+//!                       document (machine-readable, schema-stable; with
+//!                       --serve one a session, a line each, and the
+//!                       result lines on stderr)
 //!   --reopt             run with mid-query re-optimization: checkpoint the
 //!                       pipeline breakers, re-arbitrate the remainder when
 //!                       an observed cardinality escapes its estimate
@@ -346,9 +350,6 @@ fn parse_argv(argv: &[String]) -> Result<Args, String> {
     }
     if args.reopt_budget.is_some() && !args.reopt {
         return Err("--reopt-budget requires --reopt".to_string());
-    }
-    if args.explain_analyze && args.serve.is_some() {
-        return Err("--explain-analyze requires --sql".to_string());
     }
     if args.json && !args.explain_analyze {
         return Err("--json requires --explain-analyze".to_string());
@@ -802,6 +803,9 @@ mod tests {
         assert!(a.reopt && a.explain_analyze);
         let a = parse_argv(&argv(&["--serve", "w.sql", "--reopt"])).unwrap();
         assert!(a.reopt && a.serve.is_some());
+        // A served session is traced like a --run: its trace, as text or JSON.
+        let a = parse_argv(&argv(&["--serve", "w.sql", "--explain-analyze", "--json"])).unwrap();
+        assert!(a.explain_analyze && a.json && a.serve.is_some());
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! `--serve FILE`: a workload file run through the prepared-query service.
 
+use std::io::Write;
+use std::sync::Arc;
+
 use dqep::DqepError;
-use dqep_executor::ExecSummary;
+use dqep_executor::{ExecSummary, Tracer};
 use dqep_service::{memory_grant_pages, QueryService, Request, ServiceConfig};
 
-use crate::{with_sampler, write_metric_outputs, Args};
+use crate::{print_explain, with_sampler, write_metric_outputs, Args};
 
 /// Parses a workload file: one statement per line, optional
 /// `@ name=value,...` binding suffix (`memory=PAGES` sets the grant),
@@ -43,6 +46,9 @@ fn parse_workload(text: &str) -> Result<Vec<Request>, String> {
 
 /// Runs a workload file through the prepared-query service and prints
 /// per-session results plus the service's cache and throughput summary.
+/// Under `--explain-analyze` every session is traced, and its trace is
+/// printed after its result line; with `--json` the traces, one JSON
+/// document a line, are all stdout holds, and the rest goes to stderr.
 pub(crate) fn serve(args: &Args) -> Result<(), DqepError> {
     let path = args.serve.as_ref().expect("checked by run()");
     let text = std::fs::read_to_string(path)?;
@@ -74,14 +80,22 @@ pub(crate) fn serve(args: &Args) -> Result<(), DqepError> {
     let sessions: Vec<Request> = std::iter::repeat_with(|| workload.clone())
         .take(args.repeat.max(1))
         .flatten()
+        .map(|request| Request {
+            tracer: args.explain_analyze.then(|| Arc::new(Tracer::new())),
+            ..request
+        })
         .collect();
+    let tracers: Vec<Option<Arc<Tracer>>> = sessions.iter().map(|s| s.tracer.clone()).collect();
     let total = sessions.len();
-    println!(
+    let mut out: Box<dyn Write> =
+        if args.json { Box::new(std::io::stderr()) } else { Box::new(std::io::stdout()) };
+    writeln!(
+        out,
         "-- serving {total} session(s) ({} statement(s) x {} repeat(s)) on {} worker(s)",
         workload.len(),
         args.repeat.max(1),
         service.workers()
-    );
+    )?;
     let started = std::time::Instant::now();
     let snapshot = || service.metrics();
     let results = with_sampler(args, &snapshot, || service.run_batch(sessions));
@@ -90,15 +104,11 @@ pub(crate) fn serve(args: &Args) -> Result<(), DqepError> {
     let mut failed = 0usize;
     let mut first_error: Option<DqepError> = None;
     let mut totals = ExecSummary::default();
-    for (i, result) in results.iter().enumerate() {
+    for (i, (result, tracer)) in results.iter().zip(&tracers).enumerate() {
         match result {
             // Same ExecSummary::describe renderer as the --run path.
             Ok(s) => {
-                println!(
-                    "[{i:>4}] {}, worker {}",
-                    s.summary.describe(config),
-                    s.worker
-                );
+                writeln!(out, "[{i:>4}] {}, worker {}", s.summary.describe(config), s.worker)?;
                 totals.accumulate(&s.summary);
             }
             Err(e) => {
@@ -106,19 +116,25 @@ pub(crate) fn serve(args: &Args) -> Result<(), DqepError> {
                 if first_error.is_none() {
                     first_error = Some(e.clone().into());
                 }
-                println!("[{i:>4}] FAILED: {e}");
+                writeln!(out, "[{i:>4}] FAILED: {e}")?;
             }
+        }
+        // And the same EXPLAIN ANALYZE renderer.
+        if let Some(tracer) = tracer {
+            print_explain(args, &tracer.report(), config);
         }
     }
 
     let stats = service.stats();
-    println!(
+    writeln!(
+        out,
         "\n-- {} ok, {failed} failed in {:.3}s wall ({:.1} sessions/s)",
         stats.completed,
         wall.as_secs_f64(),
         total as f64 / wall.as_secs_f64().max(1e-9),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "-- plan cache: statement {:.1}% hit ({} hit / {} miss, {} evicted), \
          decision {:.1}% hit ({} hit / {} miss)",
         stats.registry.hit_rate() * 100.0,
@@ -128,22 +144,20 @@ pub(crate) fn serve(args: &Args) -> Result<(), DqepError> {
         stats.decision_hit_rate() * 100.0,
         stats.decision_hits,
         stats.decision_misses,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "-- {} cached-plan retr{}, totals: {} rows, {:.4}s simulated",
         stats.cached_plan_retries,
         if stats.cached_plan_retries == 1 { "y" } else { "ies" },
         totals.rows,
         totals.simulated_seconds(config),
-    );
+    )?;
 
     // Shutdown metrics snapshot: latency/queue-wait histograms, refusal
     // counters, cache rates. Printed by default; the flags redirect it.
     if args.metrics_json.is_none() && args.metrics_prom.is_none() {
-        println!(
-            "\n-- metrics (shutdown snapshot):\n{}",
-            service.metrics().to_json()
-        );
+        writeln!(out, "\n-- metrics (shutdown snapshot):\n{}", service.metrics().to_json())?;
     } else {
         write_metric_outputs(args, &service.metrics())?;
     }

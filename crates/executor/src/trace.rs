@@ -323,19 +323,30 @@ impl Tracer {
         id
     }
 
+    /// A span of no plan node, labelled `kind`, from `start` (ns) for
+    /// `wall` ns (its `open_wall_ns`).
+    fn phase(&self, kind: &'static str, parent: Option<SpanId>, start: u64, wall: u64) -> SpanId {
+        let id = self.span(kind.to_string(), kind, None, None, parent, 1);
+        self.edit(id, |r| (r.start_ns, r.stats.open_wall_ns) = (start, wall));
+        id
+    }
+
+    /// Applies `edit` to `id`'s record.
+    fn edit(&self, id: SpanId, edit: impl FnOnce(&mut SpanRecord)) {
+        if let Some(record) = self.inner.lock().spans.get_mut(id.0) {
+            edit(record);
+        }
+    }
+
     /// Attaches wire accounting to a network-exchange span.
     pub fn set_net(&self, id: SpanId, net: NetSpanStats) {
-        if let Some(record) = self.inner.lock().spans.get_mut(id.0) {
-            record.net = Some(net);
-        }
+        self.edit(id, |record| record.net = Some(net));
     }
 
     /// Merges a wrapper's locally accumulated totals into `id`'s record.
     /// Safe to call concurrently from exchange workers sharing a span.
     pub fn merge_span(&self, id: SpanId, stats: &SpanStats) {
-        if let Some(record) = self.inner.lock().spans.get_mut(id.0) {
-            record.stats.merge_from(stats);
-        }
+        self.edit(id, |record| record.stats.merge_from(stats));
     }
 
     /// Appends a choose-plan audit trail.
@@ -391,6 +402,95 @@ impl TraceReport {
             .iter()
             .filter(|s| s.parent == Some(id))
             .collect()
+    }
+}
+
+/// The phases of one traced request, timed as consecutive laps of one
+/// clock ([`crate::monotonic_ns`]): [`Phases::next`] ends the open phase
+/// at a reading and opens the next, a child of the root, at the same
+/// reading; the first starts where the root does, and
+/// [`Phases::finish`] ends the last and the root together. A wall (a
+/// span's `open_wall_ns`) is the difference of two readings, so the
+/// phases are contiguous and sum to the root to the nanosecond. Without a
+/// span-recording tracer a `Phases` is `None`: every call is one branch
+/// and reads no clock, as [`crate::compile_plan`] takes one branch a plan
+/// node.
+#[derive(Debug, Default)]
+pub struct Phases(Option<PhaseClock>);
+
+#[derive(Debug)]
+struct PhaseClock {
+    tracer: Arc<Tracer>,
+    root: SpanId,
+    /// The open phase, once there is one.
+    open: Option<SpanId>,
+    /// The reading the root started at.
+    root_ns: u64,
+    /// The reading the open phase started at.
+    lap_ns: u64,
+}
+
+impl PhaseClock {
+    /// Ends the open phase now; returns the reading the next one starts at.
+    fn lap(&mut self) -> u64 {
+        if let Some(open) = self.open.take() {
+            let now = crate::journal::monotonic_ns();
+            let wall = now - self.lap_ns;
+            self.tracer.edit(open, |r| r.stats.open_wall_ns = wall);
+            self.lap_ns = now;
+        }
+        self.lap_ns
+    }
+}
+
+impl Phases {
+    /// Opens the root span `kind` of a request traced into `tracer`.
+    #[must_use]
+    pub fn start(tracer: Option<&Arc<Tracer>>, kind: &'static str) -> Phases {
+        Phases(tracer.filter(|t| t.records_spans()).map(|tracer| {
+            let now = crate::journal::monotonic_ns();
+            let root = tracer.phase(kind, None, now, 0);
+            PhaseClock { tracer: Arc::clone(tracer), root, open: None, root_ns: now, lap_ns: now }
+        }))
+    }
+
+    /// Ends the open phase and opens phase `kind`; returns its span.
+    pub fn next(&mut self, kind: &'static str) -> Option<SpanId> {
+        let clock = self.0.as_mut()?;
+        let start = clock.lap();
+        clock.open = Some(clock.tracer.phase(kind, Some(clock.root), start, 0));
+        clock.open
+    }
+
+    /// Labels the open phase (the root, before the first) `Kind [detail]`.
+    pub fn note(&self, detail: impl FnOnce() -> String) {
+        if let Some(clock) = &self.0 {
+            let detail = detail();
+            let open = clock.open.unwrap_or(clock.root);
+            clock.tracer.edit(open, |r| r.label = format!("{} [{detail}]", r.kind));
+        }
+    }
+
+    /// Records the parts of the open phase (the root, before the first)
+    /// that the code it timed measured itself, `(kind, seconds)`, as its
+    /// children, end to end from its start.
+    pub fn parts<const N: usize>(&self, parts: impl FnOnce() -> [(&'static str, f64); N]) {
+        if let Some(clock) = &self.0 {
+            let mut at = clock.lap_ns;
+            for (kind, seconds) in parts() {
+                let wall = (seconds.max(0.0) * 1e9).round() as u64;
+                clock.tracer.phase(kind, clock.open.or(Some(clock.root)), at, wall);
+                at += wall;
+            }
+        }
+    }
+
+    /// Ends the open phase and the root, both now.
+    pub fn finish(&mut self) {
+        if let Some(clock) = &mut self.0 {
+            let wall = clock.lap() - clock.root_ns;
+            clock.tracer.edit(clock.root, |r| r.stats.open_wall_ns = wall);
+        }
     }
 }
 

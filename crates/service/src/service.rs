@@ -20,8 +20,8 @@ use dqep_catalog::Catalog;
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    run, ExecContext, ExecMode, ExecSummary, PlanCacheInfo, ReoptConfig, ReoptState,
-    ResourceLimits, RootSink, SharedCounters,
+    run, ExecContext, ExecMode, ExecSummary, Phases, PlanCacheInfo, ReoptConfig, ReoptState,
+    ResourceLimits, RootSink, SharedCounters, Tracer,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, Query};
@@ -41,7 +41,7 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Prepared-statement registry capacity (LRU-evicted past this).
     pub registry_capacity: usize,
-    // Compat shim for the frozen `benchmark/` (and `examples/activation_split.rs`, which mirrors it): read there only to hand to `region_key`, which ignores it; the next `[benchmark]` PR deletes it (ROADMAP).
+    // Compat shim for the frozen `benchmark/`, no reader in the workspace: the benchmark hands it to `region_key`, which ignores it; the next `[benchmark]` PR deletes it (ROADMAP).
     #[doc(hidden)]
     pub decision_buckets: u32,
     // Compat shim for the frozen `benchmark/`, which hands it to `record_feedback`; unread, the next `[benchmark]` PR deletes it (ROADMAP).
@@ -131,6 +131,10 @@ pub struct Request {
     /// Storage faults to inject on this session's replica disk for the
     /// duration of the execution (testing and chaos drills).
     pub fault_plan: Option<FaultPlan>,
+    /// Trace the session into this tracer (`None`: untraced): a `Session`
+    /// span, its phases end to end under it, the plan's operator spans
+    /// under its `Execute` phase (DESIGN §10), and the choose-plan audits.
+    pub tracer: Option<Arc<Tracer>>,
 }
 
 impl Request {
@@ -440,10 +444,13 @@ impl Shared {
         submitted: Instant,
     ) -> Result<SessionResult, ServiceError> {
         let deadline = submitted + Duration::from_millis(self.config.queue_timeout_ms);
-        let result = self
-            .replicas
-            .checkout(deadline)
-            .and_then(|replica| self.session(&replica, request, ctx, deadline, submitted.elapsed()));
+        let mut phases = Phases::start(request.tracer.as_ref(), "Session");
+        phases.next("Admission");
+        phases.note(|| "replica".to_string());
+        let result = self.replicas.checkout(deadline).and_then(|replica| {
+            let queue_wait = submitted.elapsed();
+            self.session(&replica, request, ctx, deadline, queue_wait, &mut phases)
+        });
         let outcome = result
             .as_ref()
             .map(|r| (r.summary.rows, r.summary.fallbacks));
@@ -455,6 +462,7 @@ impl Shared {
                 .max(Metric::TempPagesHighWater, r.summary.temp_pages_peak);
             self.metrics.observe(Hist::QueueWait, r.queue_wait);
         }
+        phases.finish();
         result
     }
 
@@ -465,11 +473,13 @@ impl Shared {
         ctx: &ExecContext,
         deadline: Instant,
         queue_wait: Duration,
+        phases: &mut Phases,
     ) -> Result<SessionResult, ServiceError> {
         let env = &self.env;
         // A statement the registry does not hold is parsed here and
         // optimized only once it is bound, so a request that fails to bind
         // costs no optimization and evicts nothing.
+        phases.next("Parse");
         let normalized = normalized(&request.sql);
         let statement = match self.registry.get(&normalized) {
             Some(stmt) => Statement::Resident(stmt),
@@ -479,8 +489,10 @@ impl Shared {
             ),
         };
         let statement_hit = matches!(statement, Statement::Resident(_));
+        phases.note(|| if statement_hit { "registry hit" } else { "registry miss" }.to_string());
         let query = statement.query();
 
+        phases.next("Bind");
         let binds: Vec<(&str, i64)> = request
             .binds
             .iter()
@@ -498,12 +510,19 @@ impl Shared {
         let (stmt, first_decision) = match statement {
             Statement::Resident(stmt) => (stmt, None),
             Statement::New(query) if self.config.reopt.is_none() => {
-                let (stmt, decision) =
-                    self.optimize_at(normalized.into_owned(), query, key.clone(), &bindings)?;
+                let (stmt, decision) = self.optimize_at(
+                    normalized.into_owned(),
+                    query,
+                    key.clone(),
+                    &bindings,
+                    phases,
+                )?;
                 (stmt, Some(decision))
             }
             Statement::New(query) => {
-                let plan = self.compile_dynamic(&query)?;
+                let plan = self.compile_dynamic(&query, phases)?;
+                phases.next("Registry");
+                phases.note(|| "insert".to_string());
                 let normalized = normalized.into_owned();
                 let stmt = PreparedStatement::new(normalized.clone(), query, plan);
                 (self.registry.insert(normalized, Arc::new(stmt)), None)
@@ -514,6 +533,8 @@ impl Shared {
         // returned on drop (including every error path below). A
         // transient timeout gets one jittered retry, bounded by a tenth
         // of the queue timeout.
+        phases.next("Admission");
+        phases.note(|| format!("memory grant, {memory_pages} pages"));
         let retry_extension = Duration::from_millis(self.config.queue_timeout_ms / 10);
         let (_grant, retried) =
             self.memory.acquire_retry(memory_bytes, deadline, retry_extension)?;
@@ -523,9 +544,12 @@ impl Shared {
         // Intra-query parallelism is rationed by the admitted grant:
         // the execution context shares the handle's counters and
         // governor (cancellation still works), only the DOP differs.
-        let ctx = ctx
+        let mut ctx = ctx
             .clone()
             .with_dop(self.config.effective_dop(memory_bytes));
+        if let Some(tracer) = &request.tracer {
+            ctx = ctx.with_tracer(Arc::clone(tracer));
+        }
 
         let db = replica.get_or_init(|| self.generate());
         if let Some(faults) = &request.fault_plan {
@@ -535,9 +559,10 @@ impl Shared {
             // Under re-optimization the decision cache is bypassed: the
             // run decides from its own checkpoint observations, which
             // belong to this run alone.
-            Some(reopt_config) => self.dynamic(&stmt).and_then(|stmt| {
+            Some(reopt_config) => self.dynamic(&stmt, phases).and_then(|stmt| {
                 let state = Arc::new(ReoptState::new(reopt_config));
-                let ctx = ctx.with_reopt(Arc::clone(&state));
+                let mut ctx = ctx.with_reopt(Arc::clone(&state));
+                executing(phases, "re-optimizing", &mut ctx);
                 run(&stmt.plan, db, &self.catalog, env, &bindings, &ctx, RootSink::Discard)
                     .map_err(ServiceError::Exec)
                     .map(|summary| {
@@ -549,10 +574,10 @@ impl Shared {
             None => {
                 let decided = match first_decision {
                     Some(fresh) => Ok((stmt, fresh, false)),
-                    None => self.decide(stmt, key, &bindings),
+                    None => self.decide(stmt, key, &bindings, phases),
                 };
                 decided.and_then(|(stmt, decision, decision_hit)| {
-                    self.execute_arbitrated(db, &ctx, &stmt, &decision, &bindings)
+                    self.execute_arbitrated(db, &mut ctx, &stmt, &decision, &bindings, phases)
                         .map(|summary| (summary, Some(decision.predicted_seconds), decision_hit))
                 })
             }
@@ -590,20 +615,37 @@ impl Shared {
         stmt: Arc<PreparedStatement>,
         key: BindingKey,
         bindings: &Bindings,
+        phases: &mut Phases,
     ) -> Result<(Arc<PreparedStatement>, CachedDecision, bool), ServiceError> {
+        phases.next("Decide");
         if let Some(cached) = stmt.decision(&key) {
+            phases.note(|| "memo hit".to_string());
             return Ok((stmt, cached, true));
         }
-        let stmt = self.dynamic(&stmt)?;
-        let fresh = self.startup_decision(&stmt.plan, bindings);
+        phases.note(|| "memo miss".to_string());
+        // A promotion's compile and registry phases interrupt this one.
+        let promoting = !stmt.is_dynamic();
+        let stmt = self.dynamic(&stmt, phases)?;
+        if promoting {
+            phases.next("Decide");
+        }
+        let fresh = self.startup_decision(&stmt.plan, bindings, "memo miss", phases);
         stmt.store_decision(key, fresh.clone());
         Ok((stmt, fresh, false))
     }
 
     /// The start-up decision over `plan` at a binding: the resolved plan
-    /// and its predicted cost.
-    fn startup_decision(&self, plan: &Plan, bindings: &Bindings) -> CachedDecision {
+    /// and its predicted cost. The open phase is labelled `why` and the
+    /// number of plan nodes evaluated.
+    fn startup_decision(
+        &self,
+        plan: &Plan,
+        bindings: &Bindings,
+        why: &str,
+        phases: &Phases,
+    ) -> CachedDecision {
         let startup = evaluate_startup(plan, &self.catalog, &self.env, bindings);
+        phases.note(|| format!("{why}, {} nodes evaluated", startup.evaluated_nodes));
         CachedDecision {
             resolved: startup.resolved,
             predicted_seconds: startup.predicted_run_seconds,
@@ -622,13 +664,15 @@ impl Shared {
         query: Query,
         key: BindingKey,
         bindings: &Bindings,
+        phases: &mut Phases,
     ) -> Result<(Arc<PreparedStatement>, CachedDecision), ServiceError> {
+        phases.next("Optimize");
         let bound = self.env.bind(bindings);
-        let plan = Optimizer::new(&self.catalog, &bound)
-            .optimize_with_props(&query.expr, query.required_props())
-            .map_err(|e| ServiceError::Optimizer(e.to_string()))?
-            .plan;
-        let decision = self.startup_decision(&plan, bindings);
+        let plan = optimize(&self.catalog, &bound, &query, "point", phases)?;
+        phases.next("Decide");
+        let decision = self.startup_decision(&plan, bindings, "first visit", phases);
+        phases.next("Registry");
+        phases.note(|| "insert".to_string());
         let ours = Arc::new(PreparedStatement::at_binding(
             normalized.clone(),
             query,
@@ -648,21 +692,27 @@ impl Shared {
     fn dynamic(
         &self,
         stmt: &Arc<PreparedStatement>,
+        phases: &mut Phases,
     ) -> Result<Arc<PreparedStatement>, ServiceError> {
         if stmt.is_dynamic() {
             return Ok(Arc::clone(stmt));
         }
-        let plan = self.compile_dynamic(&stmt.query)?;
+        let plan = self.compile_dynamic(&stmt.query, phases)?;
+        phases.next("Registry");
+        phases.note(|| "promote".to_string());
         Ok(self.registry.promote(stmt, Arc::new(stmt.promoted(plan))))
     }
 
-    /// Compiles a statement's dynamic plan, at the expected memory grant.
-    fn compile_dynamic(&self, query: &Query) -> Result<Arc<Plan>, ServiceError> {
+    /// Compiles a statement's dynamic plan, at the expected memory grant,
+    /// in an `Optimize` phase of its own.
+    fn compile_dynamic(
+        &self,
+        query: &Query,
+        phases: &mut Phases,
+    ) -> Result<Arc<Plan>, ServiceError> {
         self.metrics.add(Metric::DynamicPlanCompiles, 1);
-        Optimizer::new(&self.catalog, &self.env)
-            .optimize_with_props(&query.expr, query.required_props())
-            .map(|optimized| optimized.plan)
-            .map_err(|e| ServiceError::Optimizer(e.to_string()))
+        phases.next("Optimize");
+        optimize(&self.catalog, &self.env, query, "dynamic", phases)
     }
 
     /// Runs the arbitrated resolved plan. If it fails retryably (a
@@ -679,21 +729,61 @@ impl Shared {
     fn execute_arbitrated(
         &self,
         db: &StoredDatabase,
-        ctx: &ExecContext,
+        ctx: &mut ExecContext,
         stmt: &Arc<PreparedStatement>,
         decision: &CachedDecision,
         bindings: &Bindings,
+        phases: &mut Phases,
     ) -> Result<ExecSummary, ServiceError> {
-        let execute = |plan| run(plan, db, &self.catalog, &self.env, bindings, ctx, RootSink::Discard);
-        match execute(&decision.resolved) {
+        let execute = |plan, ctx: &ExecContext| {
+            run(plan, db, &self.catalog, &self.env, bindings, ctx, RootSink::Discard)
+        };
+        executing(phases, "resolved", ctx);
+        match execute(&decision.resolved, ctx) {
             Ok(summary) => Ok(summary),
             Err(e) if e.is_retryable() => {
                 self.metrics.add(Metric::CachedPlanRetries, 1);
                 ctx.counters.add_fallbacks(1);
-                execute(&self.dynamic(stmt)?.plan).map_err(ServiceError::Exec)
+                let stmt = self.dynamic(stmt, phases)?;
+                executing(phases, "retry", ctx);
+                execute(&stmt.plan, ctx).map_err(ServiceError::Exec)
             }
             Err(e) => Err(ServiceError::Exec(e)),
         }
+    }
+}
+
+/// Optimizes `query` under `env` — at a binding (`point`) or over the
+/// parameter space (`dynamic`) — in the open phase, whose children are the
+/// optimizer's own explore, search and finish clocks.
+fn optimize(
+    catalog: &Catalog,
+    env: &Environment,
+    query: &Query,
+    mode: &'static str,
+    phases: &Phases,
+) -> Result<Arc<Plan>, ServiceError> {
+    let optimized = Optimizer::new(catalog, env)
+        .optimize_with_props(&query.expr, query.required_props())
+        .map_err(|e| ServiceError::Optimizer(e.to_string()))?;
+    let s = optimized.stats;
+    phases.note(|| format!("{mode}, {} plan nodes", s.plan_nodes));
+    phases.parts(|| {
+        [
+            ("Explore", s.explore_seconds),
+            ("Search", s.search_seconds - s.finish_seconds),
+            ("Finish", s.finish_seconds),
+        ]
+    });
+    Ok(optimized.plan)
+}
+
+/// Opens an `Execute` phase (labelled `what`), under which `ctx` then
+/// compiles the plan's operator spans.
+fn executing(phases: &mut Phases, what: &'static str, ctx: &mut ExecContext) {
+    if let Some(span) = phases.next("Execute") {
+        phases.note(|| what.to_string());
+        ctx.span_parent = Some(span);
     }
 }
 

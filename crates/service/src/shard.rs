@@ -54,7 +54,7 @@ use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal, kway_merge,
     merge_distributed, presized_batch, scatter_by_shard, sort_batches, ChooseAudit,
-    EventKind, ExecContext, ExecError, FrameTrace, NetChannel, NetConfig,
+    EventKind, ExecContext, ExecError, FrameTrace, NetChannel, NetConfig, Phases,
     NetSpanStats, NetStats, Resource, ResourceLimits, RootSink, RowBatch,
     SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout,
     BATCH_CAPACITY, NO_ID,
@@ -441,14 +441,22 @@ impl ShardedService {
     /// the retransmission budget included).
     pub fn execute(&self, sql: &str, binds: &[(&str, i64)]) -> Result<ShardOutcome, ServiceError> {
         let submitted = Instant::now();
+        // With tracing on, the coordinator owns the trace id, and its root
+        // span holds the query's phases and every shard's subtree.
+        let coord_tracer = self.config.trace.then(|| Arc::new(Tracer::new()));
+        let mut phases = Phases::start(coord_tracer.as_ref(), "Coordinator");
+        phases.note(|| format!("x{}", self.shards.len()));
+        phases.next("Parse");
         let query = parse_query(sql, &self.catalog).map_err(|e| ServiceError::Sql(e.to_string()))?;
+        phases.next("Bind");
         let mut bindings = query.bindings(binds).map_err(ServiceError::Bind)?;
         if let Some(pages) = self.config.memory_pages {
             bindings = bindings.with_memory(memory_grant_pages(pages).map_err(ServiceError::Bind)?);
         }
 
+        phases.next("Distribute");
         let plan = self.distribute(&query.expr, &query.predicates, query.order_by, &bindings)?;
-        let outcome = self.run(&plan, &bindings);
+        let outcome = self.run(&plan, &bindings, coord_tracer.as_ref(), phases);
         let m = &self.metrics;
         m.add(Metric::ShardQueries, 1);
         m.record_query(
@@ -538,21 +546,25 @@ impl ShardedService {
     }
 
     /// Runs the distributed plan: one worker thread per shard, the
-    /// coordinator draining the gather links on the current thread.
-    fn run(&self, plan: &DistPlan, bindings: &Bindings) -> Result<ShardOutcome, ServiceError> {
+    /// coordinator draining the gather links on the current thread, in an
+    /// `Execute` phase of the coordinator's trace.
+    fn run(
+        &self,
+        plan: &DistPlan,
+        bindings: &Bindings,
+        coord_tracer: Option<&Arc<Tracer>>,
+        mut phases: Phases,
+    ) -> Result<ShardOutcome, ServiceError> {
         let n = self.shards.len();
+        let gather_span = phases.next("Execute");
         let (mut wires, gather_rx, link_handles) = self.wire_up(plan, n);
         let layout = canonical_layout(&self.catalog, &plan.rels);
         let width = layout.width();
-        // With tracing on, the coordinator owns the trace id and every
-        // shard tracer joins it; off, shards run audit-only tracers so
-        // arbitration audits still flow with no per-operator span cost.
-        let coord_tracer = self.config.trace.then(|| Arc::new(Tracer::new()));
-        let coord_root = coord_tracer.as_ref().map(|t| {
-            t.span(format!("Coordinator x{n}"), "Coordinator", None, None, None, 1)
-        });
+        // Traced, every shard tracer joins the coordinator's trace id;
+        // untraced, shards run audit-only tracers so arbitration audits
+        // still flow with no per-operator span cost.
         let tracers: Vec<Arc<Tracer>> = (0..n)
-            .map(|_| match coord_tracer.as_ref() {
+            .map(|_| match coord_tracer {
                 Some(coord) => Arc::new(Tracer::with_trace_id(coord.trace_id())),
                 None => Arc::new(Tracer::audit_only()),
             })
@@ -594,7 +606,7 @@ impl ShardedService {
             for rx in &gather_rx {
                 let mut batches = Vec::new();
                 let drained =
-                    drain_link(rx, width, &mut batches, coord_tracer.as_deref(), coord_root);
+                    drain_link(rx, width, &mut batches, coord_tracer.map(Arc::as_ref), gather_span);
                 per_shard.push(drained.map(|()| batches));
             }
             let runs: Vec<Result<ShardRun, ExecError>> = handles
@@ -643,7 +655,7 @@ impl ShardedService {
             .filter(|(_, winners)| winners.len() > 1)
             .map(|(&node, _)| node)
             .collect();
-        let trace_id = coord_tracer.as_ref().map_or(0, |t| t.trace_id());
+        let trace_id = coord_tracer.map_or(0, |t| t.trace_id());
         for (&node, winners) in &winners_by_node {
             if winners.len() > 1 {
                 journal().record(
@@ -667,16 +679,14 @@ impl ShardedService {
             .collect();
         let net = links.iter().map(|l| l.stats).sum();
 
-        // The merged timeline: the coordinator's spans (root + gather
-        // receives) plus every shard's report, re-parented under the
-        // coordinator root.
-        let trace = coord_tracer
-            .as_ref()
-            .map(|coord| {
-                let shard_reports: Vec<TraceReport> =
-                    tracers.iter().map(|t| t.report()).collect();
-                merge_distributed(&coord.report(), &shard_reports)
-            });
+        // The merged timeline: the coordinator's spans (root, phases,
+        // gather receives) plus every shard's report, re-parented under
+        // the coordinator root.
+        phases.finish();
+        let trace = coord_tracer.map(|coord| {
+            let shard_reports: Vec<TraceReport> = tracers.iter().map(|t| t.report()).collect();
+            merge_distributed(&coord.report(), &shard_reports)
+        });
 
         Ok(ShardOutcome {
             rows,

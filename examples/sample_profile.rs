@@ -1,9 +1,9 @@
-//! A sampling profile of the ad-hoc request loop of
-//! `examples/optimize_split.rs`, with no profiler installed. The loop
-//! includes the dynamic-plan compile its last line times (a second
-//! binding's cost, off a first visit's steps), so the optimizer's symbols
-//! carry the samples of that compile as well as of the first visits'
-//! run-time optimization.
+//! A sampling profile of the untraced ad-hoc request loop of
+//! `examples/session_split.rs` — `QueryService::execute` over the
+//! benchmark's `adhoc_optimize` requests, each new text at a first binding
+//! and a second — with no profiler installed. The optimizer's symbols
+//! carry the samples of the first visits' run-time optimization and of the
+//! second bindings' dynamic-plan compile.
 //!
 //! `setitimer(ITIMER_PROF)` has the kernel send `SIGPROF` every millisecond
 //! of CPU time the process uses (or at its tick, if that is longer); the
@@ -29,20 +29,16 @@
 //! asserts nothing about the profile). Linux on x86_64 only: elsewhere it
 //! says so and exits.
 
-#[path = "optimize_split.rs"]
+#[path = "session_split.rs"]
 #[allow(dead_code)]
-mod optimize_split;
+mod session_split;
 
 fn main() {
-    let passes = if std::env::args().any(|a| a == "--quick") {
-        5
-    } else {
-        200
-    };
+    let shape = session_split::Shape::adhoc_optimize(std::env::args().any(|a| a == "--quick"));
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    sampler::profile(passes);
+    sampler::profile(&shape);
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    println!("sample_profile samples on Linux x86_64 only ({passes} passes not run)");
+    println!("sample_profile samples on Linux x86_64 only ({} passes not run)", shape.passes);
 }
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -154,11 +150,11 @@ mod sampler {
         assert_eq!(done, 0, "setitimer failed");
     }
 
-    /// Runs `passes` passes of the split's loop under the sampler and
-    /// prints the profile. Never inlined: its frame bounds the walk, and a
-    /// walk that reaches it proves the frame-pointer chain.
+    /// Runs the shape's untraced loop under the sampler and prints the
+    /// profile. Never inlined: its frame bounds the walk, and a walk that
+    /// reaches it proves the frame-pointer chain.
     #[inline(never)]
-    pub fn profile(passes: usize) {
+    pub fn profile(shape: &super::session_split::Shape) {
         let marker = 0u8;
         STACK_TOP.store(std::ptr::addr_of!(marker) as usize, Ordering::Relaxed);
         let action = SigAction {
@@ -173,10 +169,10 @@ mod sampler {
         assert_eq!(installed, 0, "sigaction failed");
 
         set_timer(1_000);
-        let split = super::optimize_split::split(passes);
+        super::session_split::untraced_loop(shape);
         set_timer(0);
         std::hint::black_box(&marker);
-        split.print();
+        println!("{} passes of {}'s untraced loop", shape.passes, shape.name);
 
         let taken = TAKEN.load(Ordering::Relaxed).min(MAX_SAMPLES);
         let samples: Vec<Vec<usize>> = (0..taken)

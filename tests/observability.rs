@@ -1,10 +1,12 @@
 //! Observability-layer integration tests: span merging is merge-order
 //! independent (like `SharedCounters::merge_from`), tracing is
 //! observationally invisible (byte-identical results and counters with
-//! tracing on or off, at any DOP, under storage faults; an audit-only
-//! tracer keeps the audits and records no span), EXPLAIN ANALYZE
-//! reports interval-vs-actual drift plus the choose-plan audit trail, and
-//! the drift flag follows the cardinality observations a decision applies.
+//! tracing on or off, at any DOP, under storage faults, through every
+//! entry point of the service; an audit-only tracer keeps the audits and
+//! records no span), a traced session times itself in contiguous phases,
+//! EXPLAIN ANALYZE reports interval-vs-actual drift plus the choose-plan
+//! audit trail, and the drift flag follows the cardinality observations a
+//! decision applies.
 
 use std::sync::Arc;
 
@@ -13,10 +15,11 @@ use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
     card_drift, compile_dynamic_plan, drain, explain_json, parse_json, render_explain, run,
     validate_explain_json, CpuCounters, ExecContext, ExecError, ExecSummary, JsonValue,
-    RootSink, SharedCounters, SpanStats, TraceReport, Tracer,
+    ReoptConfig, RootSink, SharedCounters, SpanRecord, SpanStats, TraceReport, Tracer,
 };
 use dqep::optimizer::Optimizer;
 use dqep::plan::{evaluate_startup_observed, Observations};
+use dqep::service::{QueryService, Request, ServiceConfig};
 use dqep::sql::parse_query;
 use dqep::storage::{FaultPlan, IoStats, StoredDatabase};
 use proptest::prelude::*;
@@ -25,7 +28,7 @@ use proptest::prelude::*;
 #[allow(dead_code)]
 mod workload;
 
-use workload::{build, classify, named_binds, workload_strategy, Shape};
+use workload::{build, build_sql, classify, named_binds, workload_strategy, Shape};
 
 /// A 1–2 relation chain of 40–249 rows, only the first relation selected:
 /// smaller than the parity suites' shape, since every case executes up to
@@ -195,6 +198,63 @@ proptest! {
     }
 }
 
+/// What a service session shows its caller: rows, accounted I/O, the
+/// predicted cost's bits and where its statement and decision came from;
+/// or the error it failed with.
+type Seen = Result<(u64, IoStats, Option<u64>, Option<bool>, Option<bool>), String>;
+
+/// Serves `sql` at `binds` through every entry point of a session — a
+/// first visit, a memo hit, a second binding (the dynamic plan's compile
+/// and promotion), a memo miss, a memo hit whose plan meets a storage
+/// fault and is retried, and a re-optimizing service's first visit and
+/// second binding — each on a fresh one-worker service, `traced` or not.
+/// Returns what every session showed and how many dynamic plans each
+/// service compiled.
+fn serve_entry_points(
+    catalog: &Catalog,
+    sql: &str,
+    binds: &[(String, i64)],
+    seed: u64,
+    traced: bool,
+) -> (Vec<Seen>, Vec<u64>) {
+    let request = |shift: i64, fault_plan: Option<FaultPlan>| Request {
+        sql: sql.to_string(),
+        binds: binds.iter().map(|(name, v)| (name.clone(), v + shift)).collect(),
+        fault_plan,
+        tracer: traced.then(|| Arc::new(Tracer::new())),
+        ..Request::default()
+    };
+    let service = |reopt| {
+        let config =
+            ServiceConfig { workers: 1, data_seed: seed, reopt, ..ServiceConfig::default() };
+        QueryService::new(catalog.clone(), config)
+    };
+    let seen = |svc: &QueryService, request: Request| -> Seen {
+        svc.execute(request)
+            .map(|s| {
+                let cache = s.summary.plan_cache;
+                let predicted = s.predicted_seconds.map(f64::to_bits);
+                (s.summary.rows, s.summary.io, predicted, cache.statement_hit, cache.decision_hit)
+            })
+            .map_err(|e| e.to_string())
+    };
+    let fast = service(None);
+    let mut sessions: Vec<Seen> = [
+        request(0, None),
+        request(0, None),
+        request(1, None),
+        request(2, None),
+        request(0, Some(FaultPlan::nth_read(1))),
+    ]
+    .into_iter()
+    .map(|r| seen(&fast, r))
+    .collect();
+    let reopt = service(Some(ReoptConfig::default()));
+    sessions.extend([request(0, None), request(1, None)].into_iter().map(|r| seen(&reopt, r)));
+    let compiles = [&fast, &reopt].map(|svc| svc.stats().dynamic_plan_compiles).to_vec();
+    (sessions, compiles)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -202,7 +262,9 @@ proptest! {
     /// plan drained with and without a tracer produces byte-identical
     /// result tuples, identical CPU counters, fallbacks, and accounted
     /// I/O — and the traced run additionally yields a well-formed span
-    /// tree whose root row count equals the result size.
+    /// tree whose root row count equals the result size. The same holds
+    /// for a session at every entry point of the service: rows, I/O,
+    /// predicted cost bits, cache provenance and dynamic-plan compiles.
     #[test]
     fn tracing_changes_nothing_observable(
         w in workload_strategy(OBSERVED),
@@ -255,6 +317,12 @@ proptest! {
                 prop_assert!(parent.0 < span.id.0, "parents precede children");
             }
         }
+
+        let (catalog, sql, binds) = build_sql(&w, sel);
+        let plain = serve_entry_points(&catalog, &sql, &binds, seed, false);
+        let traced = serve_entry_points(&catalog, &sql, &binds, seed, true);
+        prop_assert_eq!(&plain.1, &vec![1, 1], "one compile a service: every entry point ran");
+        prop_assert_eq!(plain, traced, "{} at {:?}", sql, binds);
     }
 
     /// Acceptance, parallel + fault path: `run` under a context with a
@@ -574,6 +642,98 @@ fn an_audit_only_tracer_records_audits_and_no_spans() {
     assert!(!traced.spans.is_empty());
     assert!(!traced.audits.is_empty(), "the fixture must arbitrate");
     assert_eq!(format!("{:?}", audit_only.audits), format!("{:?}", traced.audits));
+}
+
+fn wall(span: &SpanRecord) -> u64 {
+    span.stats.open_wall_ns + span.stats.next_wall_ns
+}
+
+/// Checks that `report` has one root and that the root's children of a
+/// kind other than `Shard` are its phases, of `kinds` in order, end to
+/// end from the root's start, their walls summing to the root's exactly;
+/// returns the phases.
+fn phases<'a>(report: &'a TraceReport, kinds: &[&str]) -> Vec<&'a SpanRecord> {
+    let roots = report.roots();
+    assert_eq!(roots.len(), 1, "exactly one root");
+    let root = roots[0];
+    let phases: Vec<_> =
+        report.children_of(root.id).into_iter().filter(|s| s.kind != "Shard").collect();
+    let seen: Vec<&str> = phases.iter().map(|s| s.kind).collect();
+    assert_eq!(seen, kinds, "the phases of {}", root.label);
+    let mut at = root.start_ns;
+    for phase in &phases {
+        assert_eq!(phase.start_ns, at, "{} starts where the last phase ended", phase.label);
+        at += wall(phase);
+    }
+    assert_eq!(phases.iter().map(|s| wall(s)).sum::<u64>(), wall(root), "phases sum to the root");
+    phases
+}
+
+/// A traced session times itself: one `Session` root whose phases are
+/// consecutive laps of one clock — contiguous, their walls summing to the
+/// session's to the nanosecond — with the optimizer's explore, search and
+/// finish under `Optimize` and every operator span under an `Execute`
+/// phase; at a first visit, a memo hit and a second binding (which
+/// compiles and promotes the dynamic plan). A traced sharded query has
+/// parse, bind, distribute and execute phases under its coordinator root,
+/// next to the shard subtrees.
+#[test]
+fn a_traced_session_times_itself_in_contiguous_phases() {
+    use dqep::catalog::{make_chain_catalog, SyntheticSpec};
+    use dqep::service::{ShardConfig, ShardedService};
+
+    let catalog = make_chain_catalog(&SyntheticSpec::paper(3, 7), SystemConfig::paper_1994());
+    let sql = "SELECT * FROM R1, R2, R3 WHERE R1.jr = R2.jl AND R2.jr = R3.jl AND R1.a < :x";
+    let config = ServiceConfig { workers: 1, ..ServiceConfig::default() };
+    let svc = QueryService::new(catalog.clone(), config);
+    let traced = |x: i64| {
+        let tracer = Arc::new(Tracer::new());
+        let request =
+            Request { tracer: Some(Arc::clone(&tracer)), ..Request::new(sql, &[("x", x)]) };
+        let session = svc.execute(request).expect("fault-free session");
+        (session, tracer.report())
+    };
+    // Every session first waits for a replica, parses and binds.
+    let head = ["Admission", "Parse", "Bind"];
+    let visits: [(i64, &[&str]); 3] = [
+        (60, &["Optimize", "Decide", "Registry", "Admission", "Execute"]),
+        (60, &["Admission", "Decide", "Execute"]),
+        (90, &["Admission", "Decide", "Optimize", "Registry", "Decide", "Execute"]),
+    ];
+    for (x, tail) in visits {
+        let (session, report) = traced(x);
+        assert_eq!(report.roots()[0].kind, "Session");
+        let phases = phases(&report, &[&head[..], tail].concat());
+        for optimize in phases.iter().filter(|p| p.kind == "Optimize") {
+            let parts: Vec<&str> = report.children_of(optimize.id).iter().map(|s| s.kind).collect();
+            assert_eq!(parts, ["Explore", "Search", "Finish"]);
+        }
+        // Every operator span descends from the one `Execute` phase, and
+        // the plan's root is its only child.
+        let execute = phases.last().expect("an Execute phase");
+        let operators: Vec<_> = report.spans.iter().filter(|s| s.node.is_some()).collect();
+        assert!(!operators.is_empty());
+        for op in &operators {
+            let mut up = op.parent;
+            while let Some(parent) = up.filter(|p| report.spans[p.0].node.is_some()) {
+                up = report.spans[parent.0].parent;
+            }
+            assert_eq!(up, Some(execute.id), "{} hangs under Execute", op.label);
+        }
+        let top = report.children_of(execute.id);
+        assert_eq!(top.len(), 1);
+        assert_eq!(top[0].stats.rows, session.summary.rows);
+    }
+
+    let config = ShardConfig { trace: true, ..ShardConfig::default() };
+    let sharded = ShardedService::new(catalog, config);
+    let out = sharded.execute(sql, &[("x", 60)]).expect("traced sharded execution");
+    let report = out.trace.expect("tracing was requested");
+    assert_eq!(report.roots()[0].kind, "Coordinator");
+    phases(&report, &["Parse", "Bind", "Distribute", "Execute"]);
+    let root = report.roots()[0].id;
+    let shards = report.children_of(root).iter().filter(|s| s.kind == "Shard").count();
+    assert_eq!(shards, 2, "the shard subtrees sit next to the phases");
 }
 
 /// A pinned-wrong cardinality observation — what a re-optimizing run's
