@@ -80,6 +80,17 @@ impl SystemConfig {
     pub fn module_read_time(&self, nodes: usize) -> f64 {
         nodes as f64 * self.plan_node_bytes as f64 / self.module_read_bandwidth
     }
+
+    /// CPU seconds of a decision procedure that evaluates `evaluations`
+    /// cost functions at start-up-time — the one price of a decision. The
+    /// paper's §4 reading is one evaluation per DAG node: a start-up
+    /// decision over a plan of `n` nodes costs `decision_time(n)`, and the
+    /// search prices a choose-plan over `k` alternatives at
+    /// `decision_time(k)` (at least two).
+    #[must_use]
+    pub fn decision_time(&self, evaluations: usize) -> f64 {
+        evaluations as f64 * self.choose_plan_overhead
+    }
 }
 
 impl Default for SystemConfig {

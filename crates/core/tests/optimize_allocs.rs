@@ -128,13 +128,14 @@ fn dynamic_run(catalog: &Catalog, k: usize) -> (dqep_core::OptimizeResult, u64) 
 #[test]
 fn optimize_and_startup_allocate_a_constant_not_per_memo_entry_plan_node_or_candidate() {
     // A plan node owns no heap memory: copying one is a `memcpy`, and it
-    // fits in 160 bytes. Nor does a memo expression (nor a memo group:
+    // fits in 192 bytes (160 before it carried its execution cost beside
+    // its total cost). Nor does a memo expression (nor a memo group:
     // `memo.rs`'s own tests).
     assert_copy::<PhysicalOp>();
     assert_copy::<PlanNode>();
     assert_copy::<LogicalMExpr>();
     let node = std::mem::size_of::<PlanNode>();
-    assert!(node <= 160, "a plan node is {node} bytes");
+    assert!(node <= 192, "a plan node is {node} bytes");
 
     let cat = make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994());
 

@@ -152,7 +152,10 @@ fn subplans_keep_relative_order_and_child_order() {
                 assert_eq!(copy.op, original.op);
                 assert_eq!(sub.join_preds(new), plan.join_preds(*old));
                 assert_eq!((copy.stats, copy.self_cost), (original.stats, original.self_cost));
-                assert_eq!((copy.total_cost, copy.order), (original.total_cost, original.order));
+                assert_eq!(
+                    (copy.total_cost, copy.exec, copy.order),
+                    (original.total_cost, original.exec, original.order)
+                );
                 let children: Vec<NodeId> =
                     sub.children(new).iter().map(|c| originals[c.index()]).collect();
                 assert_eq!(children, plan.children(*old), "child order of {old}");

@@ -13,6 +13,10 @@
 //! * A choose-plan operator may read every alternative's predicted cost
 //!   off the whole-plan estimates: they are, to the bit, what a private
 //!   evaluation of the alternative computes.
+//! * The interval guarantee: every node's start-up estimate lies inside the
+//!   node's compile-time execution interval (`PlanNode::exec`), at the
+//!   corners of the parameter box (empty and full selections), on its
+//!   faces, inside it, and at both ends of the memory range.
 
 use std::collections::HashMap;
 
@@ -57,6 +61,41 @@ fn bindings(catalog: &Catalog, shares: &[f64], memory: Option<f64>) -> Bindings 
         Some(pages) => b.with_memory(pages),
         None => b,
     }
+}
+
+/// The share of each host variable's domain a binding selects: a corner
+/// of the box (every share 0 or 1; share 0 selects nothing), a face (some
+/// shares 0 or 1) or its inside.
+fn share_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(1.0), 0.0f64..=1.0]
+}
+
+/// The dynamic-plan environments a plan is compiled under, each with the
+/// memory grants a binding may carry in it: none where memory is known at
+/// compile time, the ends of the range where it is not.
+fn environments(config: &SystemConfig) -> [(Environment, Vec<Option<f64>>); 2] {
+    [
+        (Environment::dynamic_compile_time(config), vec![None]),
+        (
+            Environment::dynamic_uncertain_memory(config),
+            vec![Some(config.memory_min_pages), Some(config.memory_max_pages)],
+        ),
+    ]
+}
+
+/// The nodes of `plan` whose start-up estimate under `b` leaves the node's
+/// compile-time execution interval by more than 1e-9 relative at either
+/// end, each as `node label: estimate outside interval`.
+fn escapes(plan: &Plan, catalog: &Catalog, env: &Environment, b: &Bindings) -> Vec<String> {
+    let startup = evaluate_startup(plan, catalog, env, b);
+    plan.iter()
+        .filter_map(|(id, node)| {
+            let (estimate, exec) = (startup.estimates[id.index()].cost.total(), node.exec.total());
+            let inside = estimate.lo() >= exec.lo() - 1e-9 * exec.lo().abs()
+                && estimate.hi() <= exec.hi() + 1e-9 * exec.hi().abs();
+            (!inside).then(|| format!("{id} {}: {estimate} outside {exec}", plan.label(id)))
+        })
+        .collect()
 }
 
 /// The start-up decision procedure, the obvious way: hash maps keyed by
@@ -344,6 +383,86 @@ proptest! {
                     "{} under {}", alt, choose_plan
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The interval guarantee on generated chains: at a binding drawn
+    /// from corners, faces and the inside of the box, and at every corner,
+    /// every node's start-up estimate lies inside its execution interval —
+    /// with memory known, and at both ends of an uncertain grant.
+    #[test]
+    fn execution_interval_holds_every_start_up_estimate(
+        k in 2usize..=5,
+        seed in 0u64..1_000,
+        shares in proptest::collection::vec(share_strategy(), 5),
+    ) {
+        let cat = make_chain_catalog(&SyntheticSpec::paper(k, seed), SystemConfig::paper_1994());
+        let corners = (0..1u32 << k).map(|c| (0..k).map(|i| f64::from(c >> i & 1)).collect());
+        let points: Vec<Vec<f64>> = std::iter::once(shares).chain(corners).collect();
+        for (env, grants) in environments(&cat.config) {
+            let plan = Optimizer::new(&cat, &env).optimize(&chain(&cat)).unwrap().plan;
+            for (point, memory) in points.iter().flat_map(|p| grants.iter().map(move |m| (p, *m))) {
+                let escaped = escapes(&plan, &cat, &env, &bindings(&cat, point, memory));
+                prop_assert!(
+                    escaped.is_empty(),
+                    "k={k} seed={seed} shares={point:?} memory={memory:?}: {escaped:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The interval guarantee on the paper's five queries (1, 2, 4, 6 and 10
+/// relations): at every corner of the box, on every face (one share at an
+/// end, the others inside) and at interior points, with memory known and
+/// at both ends of an uncertain grant.
+#[test]
+fn execution_interval_holds_every_start_up_estimate_of_the_paper_queries() {
+    // A Weyl sequence: well spread over [0, 1), and the same every run.
+    let inside = |j: usize| (0.5 + j as f64 * 0.618_033_988_749_895).fract();
+    for (query, relations) in [1, 2, 4, 6, 10].into_iter().enumerate() {
+        let spec = SyntheticSpec::paper(relations, 21);
+        let cat = make_chain_catalog(&spec, SystemConfig::paper_1994());
+        let corners = (0..1u32 << relations)
+            .map(|c| (0..relations).map(|i| f64::from(c >> i & 1)).collect::<Vec<_>>());
+        let faces = (0..relations).flat_map(|i| {
+            [0.0, 1.0].into_iter().flat_map(move |end| {
+                (0..3).map(move |draw| {
+                    (0..relations)
+                        .map(|j| if j == i { end } else { inside(draw * relations + j) })
+                        .collect()
+                })
+            })
+        });
+        let interior = (0..100).map(|draw| (0..relations).map(|j| inside(draw * 11 + j)).collect());
+        let points: Vec<Vec<f64>> = corners.chain(faces).chain(interior).collect();
+        for (env, grants) in environments(&cat.config) {
+            let plan = Optimizer::new(&cat, &env).optimize(&chain(&cat)).unwrap().plan;
+            let (mut estimates, mut escaped) = (0, Vec::new());
+            for point in &points {
+                for memory in &grants {
+                    let b = bindings(&cat, point, *memory);
+                    estimates += plan.len();
+                    escaped.extend(
+                        escapes(&plan, &cat, &env, &b)
+                            .into_iter()
+                            .map(|e| format!("shares {point:?}, memory {memory:?}: {e}")),
+                    );
+                }
+            }
+            assert!(
+                escaped.is_empty(),
+                "query {} ({:?}): {} of {estimates} node estimates leave their execution \
+                 interval; the first: {}",
+                query + 1,
+                env.memory_interval(),
+                escaped.len(),
+                escaped[0]
+            );
         }
     }
 }

@@ -232,13 +232,13 @@ impl<'a> CostModel<'a> {
 
     /// Decision-procedure overhead of one choose-plan operator with
     /// `alternatives` inputs: a per-alternative cost-function evaluation at
-    /// start-up-time.
+    /// start-up-time ([`SystemConfig::decision_time`]).
+    ///
+    /// [`SystemConfig::decision_time`]: dqep_catalog::SystemConfig::decision_time
     #[must_use]
     pub fn choose_plan_cost(&self, alternatives: usize) -> Cost {
-        let cfg = &self.catalog.config;
-        Cost::cpu_only(Interval::point(
-            cfg.choose_plan_overhead * alternatives.max(2) as f64,
-        ))
+        let seconds = self.catalog.config.decision_time(alternatives.max(2));
+        Cost::cpu_only(Interval::point(seconds))
     }
 }
 
@@ -477,6 +477,8 @@ mod tests {
         let two = m.choose_plan_cost(2);
         let five = m.choose_plan_cost(5);
         assert!(five.total().lo() > two.total().lo());
+        assert_eq!(two.total(), Interval::point(cat.config.decision_time(2)));
+        assert_eq!(m.choose_plan_cost(1), two, "a choose-plan compares at least two");
         assert_eq!(two.io, Interval::ZERO);
     }
 

@@ -57,18 +57,19 @@ pub struct SpanId(pub usize);
 pub struct NodeEstimate {
     /// Output cardinality interval (rows).
     pub card: Interval,
-    /// Total (subtree-inclusive) cost interval, simulated seconds.
+    /// Execution (subtree-inclusive) cost interval, simulated seconds: no
+    /// decision overhead, which is never executed.
     pub cost: Interval,
 }
 
 impl NodeEstimate {
     /// The estimate carried by `node`: its cardinality interval and the
-    /// total of its interval cost.
+    /// total of its execution cost ([`PlanNode::exec`]).
     #[must_use]
     pub fn of(node: &PlanNode) -> NodeEstimate {
         NodeEstimate {
             card: node.stats.card,
-            cost: node.total_cost.total(),
+            cost: node.exec.total(),
         }
     }
 }

@@ -91,10 +91,9 @@ mod tests {
         let rs = rows(&results);
         assert!(rs[1].plan_nodes > rs[0].plan_nodes);
         assert!(rs[1].modeled_cpu > rs[0].modeled_cpu);
-        // Modeled CPU = nodes × overhead constant, exactly.
+        // Modeled CPU = one cost-function evaluation per plan node, exactly.
         let cfg = &results[0].workload.catalog.config;
-        let expected = rs[0].plan_nodes as f64 * cfg.choose_plan_overhead;
-        assert!((rs[0].modeled_cpu - expected).abs() < 1e-12);
+        assert_eq!(rs[0].modeled_cpu, cfg.decision_time(rs[0].plan_nodes));
         assert!(rs[1].measured_cpu > 0.0);
         assert!(table(&results).render().contains("Figure 7"));
     }

@@ -38,7 +38,8 @@ pub struct ScenarioResult {
     /// of the decision procedure on the host machine; dynamic only).
     pub measured_startup_cpu: f64,
     /// Modeled start-up CPU seconds per invocation (one cost-function
-    /// evaluation per DAG node at `choose_plan_overhead`; dynamic only).
+    /// evaluation per DAG node, `SystemConfig::decision_time`; dynamic
+    /// only).
     pub modeled_startup_cpu: f64,
     /// Cost-function evaluations of one start-up decision: the distinct
     /// DAG nodes it costs (dynamic only). Exact for a given plan, unlike

@@ -497,6 +497,8 @@ mod tests {
         let module = AccessModule::new(plan.clone());
         let bytes = module.serialize();
         let back = AccessModule::deserialize(bytes).unwrap();
+        // Field for field, ids included: the derived `total_cost`, `exec`
+        // and `order`, which are not encoded, come out as they went in.
         assert_eq!(back.plan(), &plan, "field for field, ids included");
         assert_eq!(
             back.plan().root_node().total_cost.total(),

@@ -42,7 +42,7 @@ pub struct PlanNode {
     /// Where this node's join predicates start in the plan's predicate
     /// list. Nodes append their predicates in table order, so the range
     /// ends where the next node's begins; holding the end as well would
-    /// make a node 168 bytes, not 160.
+    /// make a node 200 bytes, not 192.
     preds: u32,
     /// Output stream statistics under the *compile-time* environment
     /// (interval-valued for dynamic plans).
@@ -51,8 +51,18 @@ pub struct PlanNode {
     pub self_cost: Cost,
     /// Total cost of the subtree rooted here (self + children; for a
     /// choose-plan, the pointwise minimum over alternatives plus decision
-    /// overhead), compile-time view. Derived when the node is pushed.
+    /// overhead), compile-time view: what the search compares, since the
+    /// paper prices a choose-plan's decision in. Derived when the node is
+    /// pushed.
     pub total_cost: Cost,
+    /// Execution cost of the subtree rooted here: [`PlanNode::total_cost`]
+    /// without any decision overhead (self + children's `exec`; for a
+    /// choose-plan, the pointwise minimum of its alternatives' `exec`).
+    /// Every start-up estimate of the node lies inside it — the interval
+    /// guarantee — and it is what EXPLAIN ANALYZE compares a span with.
+    /// Equal to `total_cost` on a subtree without a choose-plan. Derived
+    /// when the node is pushed; never encoded.
+    pub exec: Cost,
     /// The sort order this subplan delivers. Derived when the node is
     /// pushed.
     pub order: SortOrder,
@@ -237,19 +247,19 @@ impl Plan {
         );
         let child = |c: &NodeId| &self.nodes[c.index()];
         let order = op.delivered_order(children.iter().map(|c| child(c).order), preds);
-        let total_cost = match op {
+        let (total_cost, exec) = match op {
             PhysicalOp::ChoosePlan => {
                 self.choose_plans += 1;
-                let combined = children
+                let (total, exec) = children
                     .iter()
-                    .map(|c| child(c).total_cost)
-                    .reduce(Cost::choose_min)
-                    .unwrap_or(Cost::ZERO);
-                combined + self_cost
+                    .map(|c| (child(c).total_cost, child(c).exec))
+                    .reduce(|(t, e), (ct, ce)| (t.choose_min(ct), e.choose_min(ce)))
+                    .unwrap_or_default();
+                (total + self_cost, exec)
             }
-            _ => children
-                .iter()
-                .fold(self_cost, |acc, c| acc + child(c).total_cost),
+            _ => children.iter().fold((self_cost, self_cost), |(t, e), c| {
+                (t + child(c).total_cost, e + child(c).exec)
+            }),
         };
         write_at(&mut self.children, at.child, children);
         write_at(&mut self.preds, at.pred, preds);
@@ -260,6 +270,7 @@ impl Plan {
             stats,
             self_cost,
             total_cost,
+            exec,
             order,
         };
         write_at(&mut self.nodes, at.node, &[node]);
@@ -602,6 +613,9 @@ mod tests {
         );
         // Paper Section 5: [0,10] vs [1,1] + [0.01] => [0.01, 1.01].
         assert_eq!(p[cp].total_cost.total(), Interval::new(0.01, 1.01));
+        // Executing the choice costs what the chosen alternative costs.
+        assert_eq!(p[cp].exec.total(), Interval::new(0.0, 1.0));
+        assert_eq!(p[steady].exec, p[steady].total_cost, "no choose-plan below: equal");
         assert!(p.is_dynamic());
         assert!(p.root_node().is_choose_plan());
         p.check_invariants().unwrap();
@@ -684,7 +698,10 @@ mod tests {
         for (new, old) in kept.iter().enumerate() {
             let (new, old) = (&plan[NodeId(new as u32)], &before[*old]);
             assert_eq!((&new.op, new.stats, new.self_cost), (&old.op, old.stats, old.self_cost));
-            assert_eq!((new.total_cost, new.order), (old.total_cost, old.order));
+            assert_eq!(
+                (new.total_cost, new.exec, new.order),
+                (old.total_cost, old.exec, old.order)
+            );
         }
         assert_eq!(plan.children(plan.root()), &[NodeId(2), NodeId(1)], "child order kept");
         assert_eq!(plan.children(NodeId(1)), plan.children(NodeId(2)), "the scan stays shared");
@@ -701,6 +718,7 @@ mod tests {
         assert_eq!(sub.len(), 2);
         assert_eq!(sub.root_node().op, plan[alt].op);
         assert_eq!(sub.root_node().total_cost, plan[alt].total_cost);
+        assert_eq!(sub.root_node().exec, plan[alt].exec);
         assert_eq!(plan.rooted_at(plan.root()), plan);
     }
 

@@ -96,7 +96,7 @@ pub struct StartupResult {
     /// reference a runtime checkpoint compares its observation against.
     pub estimates: Vec<NodeEstimate>,
     /// Modeled start-up CPU seconds: one cost-function evaluation per
-    /// evaluated node (`evaluated_nodes × choose_plan_overhead`).
+    /// evaluated node, `SystemConfig::decision_time(evaluated_nodes)`.
     pub startup_cpu_seconds: f64,
 }
 
@@ -207,7 +207,7 @@ pub fn evaluate_startup_observed(
         decisions,
         evaluated_nodes: plan.len(),
         estimates,
-        startup_cpu_seconds: plan.len() as f64 * catalog.config.choose_plan_overhead,
+        startup_cpu_seconds: catalog.config.decision_time(plan.len()),
     }
 }
 
@@ -404,18 +404,15 @@ mod tests {
         let cat = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
         let plan = figure1_plan(&cat, &env);
-        let compile_interval = plan.root_node().total_cost.total();
+        let compile_interval = plan.root_node().exec.total();
         for v in [0i64, 123, 456, 789, 999] {
             let bindings = Bindings::new().with_value(HostVar(0), v);
             let result = evaluate_startup(&plan, &cat, &env, &bindings);
-            // The resolved cost excludes decision overhead; the compile-time
-            // interval includes it, so allow that slack below the low end.
-            let overhead = cat.config.choose_plan_overhead * 2.0;
+            let cost = result.predicted_run_seconds;
             assert!(
-                result.predicted_run_seconds >= compile_interval.lo() - overhead - 1e-9
-                    && result.predicted_run_seconds <= compile_interval.hi() + 1e-9,
-                "binding {v}: {} outside {compile_interval}",
-                result.predicted_run_seconds
+                cost >= compile_interval.lo() * (1.0 - 1e-9)
+                    && cost <= compile_interval.hi() * (1.0 + 1e-9),
+                "binding {v}: {cost} outside {compile_interval}"
             );
         }
     }
@@ -427,7 +424,7 @@ mod tests {
         let plan = figure1_plan(&cat, &env);
         let result = evaluate_startup(&plan, &cat, &env, &Bindings::new().with_value(HostVar(0), 1));
         assert_eq!(result.evaluated_nodes, crate::dag::node_count(&plan));
-        assert!(result.startup_cpu_seconds > 0.0);
+        assert_eq!(result.startup_cpu_seconds, cat.config.decision_time(result.evaluated_nodes));
     }
 
     #[test]

@@ -270,7 +270,7 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
         let bindings = Bindings::new().with_value(HostVar(0), card as i64 / 2);
         let summary = drain_summary(plan, &db, &catalog, &bindings);
         assert!(summary.rows > 0, "{name}: the join must produce rows");
-        (plan.root_node().total_cost.total(), summary)
+        (plan.root_node().exec.total(), summary)
     };
 
     // Right input Sort(Filter(FileScan s)): every operator that does I/O

@@ -18,7 +18,7 @@ use dqep::executor::{
     ReoptConfig, RootSink, SharedCounters, SpanRecord, SpanStats, TraceReport, Tracer,
 };
 use dqep::optimizer::Optimizer;
-use dqep::plan::{evaluate_startup_observed, Observations};
+use dqep::plan::{evaluate_startup_observed, NodeId, Observations};
 use dqep::service::{QueryService, Request, ServiceConfig};
 use dqep::sql::parse_query;
 use dqep::storage::{FaultPlan, IoStats, StoredDatabase};
@@ -575,6 +575,14 @@ fn explain_analyze_reports_estimates_actuals_and_audit() {
     let root = report.roots()[0];
     assert_eq!(root.stats.rows, summary.rows);
     assert_eq!(root.stats.io, summary.io);
+
+    // Each estimate is its node's execution interval: a choose-plan span's
+    // holds no decision overhead, which no operator executes.
+    let node_of = |span: &SpanRecord| &plan[NodeId(span.node.unwrap() as u32)];
+    assert!(report.spans.iter().any(|s| node_of(s).is_choose_plan()), "a choose-plan span");
+    for span in &report.spans {
+        assert_eq!(span.estimate.unwrap().cost, node_of(span).exec.total(), "{}", span.label);
+    }
 
     // The audit trail names the bindings, the alternatives with their
     // bind-time predictions, and the winner.

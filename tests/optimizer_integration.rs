@@ -86,28 +86,24 @@ fn memory_uncertainty_preserves_guarantees() {
     }
 }
 
-/// The compile-time cost interval of the dynamic plan encloses the actual
-/// resolved cost at any binding (soundness of interval costs), modulo the
-/// decision overhead included at compile-time.
+/// The compile-time execution interval of the dynamic plan encloses the
+/// actual resolved cost at any binding (soundness of interval costs).
 #[test]
 fn compile_time_interval_encloses_startup_costs() {
     let w = paper_query(2, 4000);
     let env = Environment::dynamic_compile_time(&w.catalog.config);
     let result = Optimizer::new(&w.catalog, &env).optimize(&w.query).unwrap();
-    let interval = result.plan.root_node().total_cost.total();
-    let overhead_slack = dag::node_count(&result.plan) as f64
-        * w.catalog.config.choose_plan_overhead
-        * 4.0;
+    let interval = result.plan.root_node().exec.total();
     let mut sampler = BindingSampler::new(80, false);
     for b in sampler.sample_n(&w, 50) {
         let dy = evaluate_startup(&result.plan, &w.catalog, &env, &b);
         assert!(
-            dy.predicted_run_seconds >= interval.lo() - overhead_slack - 1e-9,
+            dy.predicted_run_seconds >= interval.lo() * (1.0 - 1e-9),
             "cost {} below interval {interval}",
             dy.predicted_run_seconds
         );
         assert!(
-            dy.predicted_run_seconds <= interval.hi() + 1e-9,
+            dy.predicted_run_seconds <= interval.hi() * (1.0 + 1e-9),
             "cost {} above interval {interval}",
             dy.predicted_run_seconds
         );
@@ -133,6 +129,11 @@ fn plans_roundtrip_through_access_modules() {
                 back.plan().root_node().total_cost.total(),
                 plan.root_node().total_cost.total(),
                 "query {k}: cost changed through serialization"
+            );
+            assert_eq!(
+                back.plan().root_node().exec,
+                plan.root_node().exec,
+                "query {k}: execution cost changed through serialization"
             );
             back.plan().check_invariants().unwrap();
 
