@@ -60,9 +60,9 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
 
 use dqep_storage::{SimDisk, SpillFile, SpillWriter, DEFAULT_MORSEL_PAGES};
+use parking_lot::{Condvar, Mutex};
 
 use crate::batch::{ColStream, RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
@@ -486,12 +486,6 @@ pub fn join_batches(
     Ok(out)
 }
 
-/// Locks a mutex, absorbing poisoning (a worker panic propagates through
-/// the thread scope anyway; the gate's counter stays consistent).
-fn lock_gate<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Wait-or-fail admission for concurrent partition-table reservations: a
 /// worker that cannot reserve its partition's bytes *waits* while sibling
 /// partitions hold reservations (they will release), and only fails when
@@ -511,7 +505,7 @@ impl ReserveGate {
     }
 
     fn reserve(&self, governor: &ResourceGovernor, bytes: u64) -> Result<(), ExecError> {
-        let mut inflight = lock_gate(&self.inflight);
+        let mut inflight = self.inflight.lock();
         loop {
             match governor.try_reserve_memory(bytes) {
                 Ok(()) => {
@@ -522,17 +516,14 @@ impl ReserveGate {
                     if *inflight == 0 {
                         return Err(e);
                     }
-                    inflight = self
-                        .cv
-                        .wait(inflight)
-                        .unwrap_or_else(PoisonError::into_inner);
+                    self.cv.wait(&mut inflight);
                 }
             }
         }
     }
 
     fn release(&self, governor: &ResourceGovernor, bytes: u64) {
-        let mut inflight = lock_gate(&self.inflight);
+        let mut inflight = self.inflight.lock();
         *inflight -= 1;
         governor.release_memory(bytes);
         self.cv.notify_all();

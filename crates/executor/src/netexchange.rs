@@ -31,7 +31,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::batch::{RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
@@ -395,9 +397,6 @@ impl NetChannel {
     /// # Errors
     /// [`ExecError::Network`] when the retransmission budget is exhausted
     /// or the receiver closed the channel.
-    ///
-    /// # Panics
-    /// Panics if the channel lock is poisoned.
     pub fn send(&self, frame: Vec<u8>) -> Result<(), ExecError> {
         let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed) + 1;
         let faults = &self.net.config.link_faults;
@@ -434,7 +433,7 @@ impl NetChannel {
             );
         }
 
-        let mut state = self.state.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state.state.lock();
         if state.closed {
             return Err(ExecError::Network("receiver closed the channel".into()));
         }
@@ -466,12 +465,9 @@ impl NetChannel {
 
     /// Receives the next frame, blocking until one arrives; `None` once
     /// the channel is closed and drained.
-    ///
-    /// # Panics
-    /// Panics if the channel lock is poisoned.
     #[must_use]
     pub fn recv(&self) -> Option<Vec<u8>> {
-        let mut state = self.state.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state.state.lock();
         loop {
             if let Some(frame) = state.queue.pop_front() {
                 return Some(frame);
@@ -479,16 +475,13 @@ impl NetChannel {
             if state.closed {
                 return None;
             }
-            state = self.state.data.wait(state).unwrap_or_else(PoisonError::into_inner);
+            self.state.data.wait(&mut state);
         }
     }
 
     /// Closes the channel: senders error, receivers drain then see `None`.
-    ///
-    /// # Panics
-    /// Panics if the channel lock is poisoned.
     pub fn close(&self) {
-        self.state.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.state.state.lock().closed = true;
         self.state.data.notify_all();
     }
 }

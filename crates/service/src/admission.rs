@@ -8,21 +8,16 @@
 //! admitted immediately queues on a condition variable until capacity
 //! frees up or its deadline passes; one deadline covers both waits.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::ServiceError;
 
 #[derive(Debug, Default)]
 struct PoolState {
     used: u64,
-}
-
-// A poisoned mutex only means another session panicked while holding the
-// lock; both pools' states are always consistent (updated in single
-// statements), so recover the guard instead of propagating.
-fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
-    state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// SplitMix64 — deterministic, dependency-free mixing for the retry
@@ -80,11 +75,7 @@ impl MemoryPool {
     /// Bytes currently granted.
     #[must_use]
     pub fn used(&self) -> u64 {
-        self.lock().used
-    }
-
-    fn lock(&self) -> MutexGuard<'_, PoolState> {
-        lock(&self.state)
+        self.state.lock().used
     }
 
     /// Blocks until `bytes` can be granted or `deadline` passes.
@@ -105,7 +96,7 @@ impl MemoryPool {
             });
         }
         let started = Instant::now();
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         loop {
             if state.used + bytes <= self.capacity {
                 state.used += bytes;
@@ -114,17 +105,13 @@ impl MemoryPool {
                     bytes,
                 });
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if self.freed.wait_until(&mut state, deadline).timed_out()
+                && state.used + bytes > self.capacity
+            {
                 return Err(ServiceError::AdmissionTimeout {
                     waited_ms: started.elapsed().as_millis() as u64,
                 });
             }
-            let wait = deadline.saturating_duration_since(now).min(Duration::from_millis(50));
-            state = match self.freed.wait_timeout(state, wait) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
         }
     }
 
@@ -179,7 +166,7 @@ impl MemoryGrant {
 
 impl Drop for MemoryGrant {
     fn drop(&mut self) {
-        let mut state = self.pool.lock();
+        let mut state = self.pool.state.lock();
         state.used = state.used.saturating_sub(self.bytes);
         drop(state);
         self.pool.freed.notify_all();
@@ -226,10 +213,6 @@ impl<T> SlotPool<T> {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Slots> {
-        lock(&self.slots)
-    }
-
     /// The number of slots the pool was made with.
     pub(crate) fn capacity(&self) -> usize {
         self.items.len()
@@ -247,7 +230,7 @@ impl<T> SlotPool<T> {
     /// [`ServiceError::AdmissionTimeout`] if the deadline passes first;
     /// [`ServiceError::Shutdown`], at once, if every slot was retired.
     pub(crate) fn checkout(&self, deadline: Instant) -> Result<Slot<'_, T>, ServiceError> {
-        let mut slots = self.lock();
+        let mut slots = self.slots.lock();
         let mut waiting_since = None;
         loop {
             if let Some(index) = slots.free.pop() {
@@ -265,10 +248,7 @@ impl<T> SlotPool<T> {
                 });
             }
             slots.waiting += 1;
-            slots = match self.returned.wait_timeout(slots, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+            self.returned.wait_until(&mut slots, deadline);
             slots.waiting -= 1;
         }
     }
@@ -299,7 +279,7 @@ impl<T> Slot<'_, T> {
 
 impl<T> Drop for Slot<'_, T> {
     fn drop(&mut self) {
-        let mut slots = self.pool.lock();
+        let mut slots = self.pool.slots.lock();
         slots.busy -= 1;
         if !std::thread::panicking() {
             slots.free.push(self.index);
@@ -476,14 +456,14 @@ mod tests {
                 let unwound = catch_unwind(AssertUnwindSafe(|| {
                     let _slot = pool.checkout(far()).unwrap();
                     // Panic only once the other session is blocked.
-                    while pool.lock().waiting == 0 {
+                    while pool.slots.lock().waiting == 0 {
                         thread::yield_now();
                     }
                     panic!("a session panics");
                 }));
                 assert!(unwound.is_err());
             });
-            while pool.lock().busy == 0 {
+            while pool.slots.lock().busy == 0 {
                 thread::yield_now();
             }
             let woken = pool.checkout(far());

@@ -6,11 +6,13 @@
 //! `e ≈ 2.3 a` once and then only the cheap start-up decision. So a
 //! statement's first binding is optimized at run time, and the statement
 //! enters the registry holding that plan; its dynamic plan is compiled
-//! once, when a second binding (a re-optimizing run, a retry) needs it,
-//! and replaces the entry (`PreparedRegistry::promote`). The registry
-//! keys statements by normalized text, bounds its size with LRU eviction,
-//! and owns the per-statement decision cache. A memoized decision depends
-//! on its statement and its exact binding alone, so nothing a completed
+//! once, in place, when a second binding (a re-optimizing run, a retry)
+//! needs it — under the statement's own lock, so however many sessions
+//! need it at once, one compiles and the others wait for its plan. The
+//! registry never replaces a resident statement: it keys statements by
+//! normalized text, bounds its size with LRU eviction, and owns the
+//! per-statement decision cache. A memoized decision depends on its
+//! statement and its exact binding alone, so nothing a completed
 //! execution observes ever changes it.
 
 use std::borrow::Cow;
@@ -78,11 +80,12 @@ pub struct PreparedStatement {
     pub sql: String,
     /// The parsed query: host-variable names, predicates, order-by.
     pub query: Query,
-    /// The dynamic plan (choose-plan nodes included), or, for a statement
-    /// seen at one binding only, the plan run-time optimization chose
-    /// there ([`PreparedStatement::is_dynamic`] tells which).
+    /// The plan the statement was entered with: its dynamic plan
+    /// (choose-plan nodes included) for [`PreparedStatement::new`], or
+    /// the plan run-time optimization chose at its first binding.
     pub plan: Arc<Plan>,
-    dynamic: bool,
+    /// The dynamic plan once there is one; see `dynamic_plan`.
+    dynamic_plan: Mutex<Option<Arc<Plan>>>,
     decisions: Mutex<HashMap<BindingKey, CachedDecision>>,
 }
 
@@ -93,8 +96,8 @@ impl PreparedStatement {
         PreparedStatement {
             sql,
             query,
+            dynamic_plan: Mutex::new(Some(Arc::clone(&plan))),
             plan,
-            dynamic: true,
             decisions: Mutex::new(HashMap::new()),
         }
     }
@@ -112,28 +115,28 @@ impl PreparedStatement {
             sql,
             query,
             plan: Arc::clone(&decision.resolved),
-            dynamic: false,
+            dynamic_plan: Mutex::new(None),
             decisions: Mutex::new(HashMap::from([(key, decision)])),
         }
     }
 
-    /// The statement with its dynamic plan in place of the plan chosen
-    /// at one binding, keeping every memoized decision.
-    pub(crate) fn promoted(&self, plan: Arc<Plan>) -> PreparedStatement {
-        PreparedStatement {
-            sql: self.sql.clone(),
-            query: self.query.clone(),
-            plan,
-            dynamic: true,
-            decisions: Mutex::new(self.decisions.lock().clone()),
+    /// The statement's dynamic plan: the one it holds, or, the first time
+    /// one is needed, `compile`'s — which the statement then keeps. The
+    /// compile runs under the statement's lock, so a statement compiles
+    /// at most once however many sessions need its plan at a time; one
+    /// that fails leaves the statement without a plan, and the next need
+    /// compiles again.
+    pub(crate) fn dynamic_plan<E>(
+        &self,
+        compile: impl FnOnce(&Query) -> Result<Arc<Plan>, E>,
+    ) -> Result<Arc<Plan>, E> {
+        let mut slot = self.dynamic_plan.lock();
+        if let Some(plan) = &*slot {
+            return Ok(Arc::clone(plan));
         }
-    }
-
-    /// Whether `plan` is the statement's dynamic plan, rather than the
-    /// plan run-time optimization chose at the one binding it was seen at.
-    #[must_use]
-    pub fn is_dynamic(&self) -> bool {
-        self.dynamic
+        let plan = compile(&self.query)?;
+        *slot = Some(Arc::clone(&plan));
+        Ok(plan)
     }
 
     /// The cached decision for a binding, if any.
@@ -309,34 +312,6 @@ impl PreparedRegistry {
         stmt
     }
 
-    /// Replaces `old`, a statement seen at one binding, with `new`, the
-    /// same statement holding its dynamic plan — if the slot still holds
-    /// `old`. Returns the statement to use: `new`, unless another session
-    /// promoted the statement first, in which case its dynamic statement
-    /// is kept and returned. Counts no hit or miss.
-    pub(crate) fn promote(
-        &self,
-        old: &Arc<PreparedStatement>,
-        new: Arc<PreparedStatement>,
-    ) -> Arc<PreparedStatement> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let Some(slot) = inner.map.get_mut(&old.sql) else {
-            return new;
-        };
-        if Arc::ptr_eq(&slot.stmt, old) {
-            slot.stmt = Arc::clone(&new);
-        } else if !slot.stmt.dynamic {
-            return new;
-        }
-        slot.last_used = tick;
-        let promoted = Arc::clone(&slot.stmt);
-        // An unused `new` frees its whole plan: not under the lock.
-        drop(inner);
-        promoted
-    }
-
     /// Accounting snapshot.
     #[must_use]
     pub fn stats(&self) -> RegistryStats {
@@ -458,41 +433,48 @@ mod tests {
     }
 
     #[test]
-    fn a_promotion_replaces_only_the_statement_it_promotes() {
-        let reg = PreparedRegistry::new(1);
+    fn a_statement_compiles_its_dynamic_plan_once_and_keeps_it() {
         let dynamic = prepared("SELECT * FROM r WHERE r.a < :x");
         let key = region_key(&dynamic.query, &catalog(), &Bindings::new(), 0, 64.0);
         let decision = CachedDecision {
             resolved: Arc::clone(&dynamic.plan),
             predicted_seconds: 1.0,
         };
-        let seen_once = Arc::new(PreparedStatement::at_binding(
+        let stmt = PreparedStatement::at_binding(
             dynamic.sql.clone(),
             dynamic.query.clone(),
             key.clone(),
             decision,
-        ));
-        assert!(!seen_once.is_dynamic());
-        reg.insert(seen_once.sql.clone(), Arc::clone(&seen_once));
+        );
+        let compiles = std::cell::Cell::new(0);
+        let compile = |outcome: Result<Arc<Plan>, &'static str>| {
+            let (compiles, own) = (&compiles, &stmt.query);
+            move |query: &Query| {
+                assert!(std::ptr::eq(query, own), "the statement's own query");
+                compiles.set(compiles.get() + 1);
+                outcome
+            }
+        };
 
-        let promoted = Arc::new(seen_once.promoted(Arc::clone(&dynamic.plan)));
-        let kept = reg.promote(&seen_once, Arc::clone(&promoted));
-        assert!(Arc::ptr_eq(&kept, &promoted));
-        assert!(kept.is_dynamic() && kept.decision(&key).is_some(), "the memo is kept");
-        assert!(Arc::ptr_eq(&reg.get(&seen_once.sql).unwrap(), &promoted));
+        // A failed compile leaves the slot empty: the next need compiles.
+        assert_eq!(stmt.dynamic_plan(compile(Err("refused"))).unwrap_err(), "refused");
+        assert_eq!(compiles.get(), 1);
+        let fresh = Arc::clone(&prepared(&dynamic.sql).plan);
+        let first = stmt.dynamic_plan(compile(Ok(Arc::clone(&fresh)))).unwrap();
+        assert!(Arc::ptr_eq(&first, &fresh));
+        assert_eq!(compiles.get(), 2);
+        // Later needs get the same plan and never call the compiler.
+        for _ in 0..3 {
+            let again = stmt.dynamic_plan(compile(Err("not called"))).unwrap();
+            assert!(Arc::ptr_eq(&again, &first));
+        }
+        assert_eq!(compiles.get(), 2);
+        assert!(stmt.decision(&key).is_some(), "the memo survives");
+        assert!(Arc::ptr_eq(&stmt.plan, &dynamic.plan), "`plan` is what it entered with");
 
-        // A second session promoting the same statement uses the first's.
-        let late = Arc::new(seen_once.promoted(Arc::clone(&dynamic.plan)));
-        assert!(Arc::ptr_eq(&reg.promote(&seen_once, late), &promoted));
-
-        // A statement no longer resident is promoted outside the registry.
-        let other = prepared("SELECT * FROM r WHERE r.a > :x");
-        reg.insert(other.sql.clone(), Arc::clone(&other));
-        let evicted = Arc::new(seen_once.promoted(Arc::clone(&dynamic.plan)));
-        assert!(Arc::ptr_eq(&reg.promote(&seen_once, Arc::clone(&evicted)), &evicted));
-        assert!(reg.get(&seen_once.sql).is_none());
-        let stats = reg.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1), "promotions count no hit or miss");
+        // `new` seeds the slot with its plan: no need ever compiles.
+        let seeded = dynamic.dynamic_plan(|_| Err::<Arc<Plan>, _>("not called")).unwrap();
+        assert!(Arc::ptr_eq(&seeded, &dynamic.plan));
     }
 
     #[test]

@@ -559,24 +559,26 @@ impl Shared {
             // Under re-optimization the decision cache is bypassed: the
             // run decides from its own checkpoint observations, which
             // belong to this run alone.
-            Some(reopt_config) => self.dynamic(&stmt, phases).and_then(|stmt| {
-                let state = Arc::new(ReoptState::new(reopt_config));
-                let mut ctx = ctx.with_reopt(Arc::clone(&state));
-                executing(phases, "re-optimizing", &mut ctx);
-                run(&stmt.plan, db, &self.catalog, env, &bindings, &ctx, RootSink::Discard)
-                    .map_err(ServiceError::Exec)
-                    .map(|summary| {
-                        self.metrics.record_reopt(&state.counters());
-                        let predicted = state.in_force().map(|d| d.predicted_run_seconds);
-                        (summary, predicted, false)
-                    })
-            }),
+            Some(reopt_config) => stmt
+                .dynamic_plan(|query| self.compile_dynamic(query, phases))
+                .and_then(|plan| {
+                    let state = Arc::new(ReoptState::new(reopt_config));
+                    let mut ctx = ctx.with_reopt(Arc::clone(&state));
+                    executing(phases, "re-optimizing", &mut ctx);
+                    run(&plan, db, &self.catalog, env, &bindings, &ctx, RootSink::Discard)
+                        .map_err(ServiceError::Exec)
+                        .map(|summary| {
+                            self.metrics.record_reopt(&state.counters());
+                            let predicted = state.in_force().map(|d| d.predicted_run_seconds);
+                            (summary, predicted, false)
+                        })
+                }),
             None => {
                 let decided = match first_decision {
-                    Some(fresh) => Ok((stmt, fresh, false)),
-                    None => self.decide(stmt, key, &bindings, phases),
+                    Some(fresh) => Ok((fresh, false)),
+                    None => self.decide(&stmt, key, &bindings, phases),
                 };
-                decided.and_then(|(stmt, decision, decision_hit)| {
+                decided.and_then(|(decision, decision_hit)| {
                     self.execute_arbitrated(db, &mut ctx, &stmt, &decision, &bindings, phases)
                         .map(|summary| (summary, Some(decision.predicted_seconds), decision_hit))
                 })
@@ -612,26 +614,29 @@ impl Shared {
     /// over the statement's dynamic plan — and then memoized.
     fn decide(
         &self,
-        stmt: Arc<PreparedStatement>,
+        stmt: &PreparedStatement,
         key: BindingKey,
         bindings: &Bindings,
         phases: &mut Phases,
-    ) -> Result<(Arc<PreparedStatement>, CachedDecision, bool), ServiceError> {
+    ) -> Result<(CachedDecision, bool), ServiceError> {
         phases.next("Decide");
         if let Some(cached) = stmt.decision(&key) {
             phases.note(|| "memo hit".to_string());
-            return Ok((stmt, cached, true));
+            return Ok((cached, true));
         }
         phases.note(|| "memo miss".to_string());
-        // A promotion's compile and registry phases interrupt this one.
-        let promoting = !stmt.is_dynamic();
-        let stmt = self.dynamic(&stmt, phases)?;
-        if promoting {
+        let mut compiled = false;
+        let plan = stmt.dynamic_plan(|query| {
+            compiled = true;
+            self.compile_dynamic(query, phases)
+        })?;
+        // A compile's `Optimize` phase interrupts this one.
+        if compiled {
             phases.next("Decide");
         }
-        let fresh = self.startup_decision(&stmt.plan, bindings, "memo miss", phases);
+        let fresh = self.startup_decision(&plan, bindings, "memo miss", phases);
         stmt.store_decision(key, fresh.clone());
-        Ok((stmt, fresh, false))
+        Ok((fresh, false))
     }
 
     /// The start-up decision over `plan` at a binding: the resolved plan
@@ -686,23 +691,6 @@ impl Shared {
         Ok((stmt, decision))
     }
 
-    /// The statement with its dynamic plan: `stmt` itself, or, for a
-    /// statement seen at one binding so far, the statement promoted in the
-    /// registry — its dynamic plan compiled once, its memo kept.
-    fn dynamic(
-        &self,
-        stmt: &Arc<PreparedStatement>,
-        phases: &mut Phases,
-    ) -> Result<Arc<PreparedStatement>, ServiceError> {
-        if stmt.is_dynamic() {
-            return Ok(Arc::clone(stmt));
-        }
-        let plan = self.compile_dynamic(&stmt.query, phases)?;
-        phases.next("Registry");
-        phases.note(|| "promote".to_string());
-        Ok(self.registry.promote(stmt, Arc::new(stmt.promoted(plan))))
-    }
-
     /// Compiles a statement's dynamic plan, at the expected memory grant,
     /// in an `Optimize` phase of its own.
     fn compile_dynamic(
@@ -730,7 +718,7 @@ impl Shared {
         &self,
         db: &StoredDatabase,
         ctx: &mut ExecContext,
-        stmt: &Arc<PreparedStatement>,
+        stmt: &PreparedStatement,
         decision: &CachedDecision,
         bindings: &Bindings,
         phases: &mut Phases,
@@ -744,9 +732,9 @@ impl Shared {
             Err(e) if e.is_retryable() => {
                 self.metrics.add(Metric::CachedPlanRetries, 1);
                 ctx.counters.add_fallbacks(1);
-                let stmt = self.dynamic(stmt, phases)?;
+                let plan = stmt.dynamic_plan(|query| self.compile_dynamic(query, phases))?;
                 executing(phases, "retry", ctx);
-                execute(&stmt.plan, ctx).map_err(ServiceError::Exec)
+                execute(&plan, ctx).map_err(ServiceError::Exec)
             }
             Err(e) => Err(ServiceError::Exec(e)),
         }

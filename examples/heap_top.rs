@@ -24,12 +24,12 @@
 
 #[cfg(target_os = "linux")]
 mod watch {
+    use parking_lot::Mutex;
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::backtrace::Backtrace;
     use std::cell::Cell;
     use std::ffi::c_void;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Mutex;
 
     extern "C" {
         fn sbrk(increment: isize) -> *mut c_void;
@@ -109,7 +109,7 @@ mod watch {
         }
         INSIDE.with(|inside| inside.set(true));
         let site = call_site(&Backtrace::force_capture().to_string());
-        MOVES.lock().unwrap().push(Move { by: now as isize - before as isize, block, site });
+        MOVES.lock().push(Move { by: now as isize - before as isize, block, site });
         BREAK.store(program_break(), Ordering::Relaxed);
         INSIDE.with(|inside| inside.set(false));
     }
@@ -211,12 +211,12 @@ fn main() {
     watch::start();
     let mut faults_total = 0;
     for (at, &class) in order.iter().enumerate() {
-        let moves_before = watch::MOVES.lock().unwrap().len();
+        let moves_before = watch::MOVES.lock().len();
         let faults = watch::minor_faults();
         service.execute(classes[class].clone()).expect("fault-free request");
         let faults = watch::minor_faults() - faults;
         faults_total += faults;
-        let moves = watch::MOVES.lock().unwrap();
+        let moves = watch::MOVES.lock();
         let (up, down) = moves[moves_before..].iter().fold((0, 0), |(up, down), m| {
             if m.by > 0 {
                 (up + m.by, down)
@@ -229,7 +229,7 @@ fn main() {
     watch::ON.store(false, std::sync::atomic::Ordering::Relaxed);
     println!("{faults_total} minor faults over {} requests", order.len());
 
-    let moves = std::mem::take(&mut *watch::MOVES.lock().unwrap());
+    let moves = std::mem::take(&mut *watch::MOVES.lock());
     for (title, up) in [("raised the break (allocations)", true), ("lowered the break (frees)", false)] {
         let mut sites: BTreeMap<(String, usize), (usize, isize)> = BTreeMap::new();
         for m in moves.iter().filter(|m| (m.by > 0) == up) {

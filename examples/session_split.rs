@@ -7,7 +7,7 @@
 //! `prepared_hot` (chains of 2–4 relations, six tuples each, memoized after
 //! the first pass) and `adhoc_optimize` (chains of 4–10, four tuples each,
 //! every text new and visited at a first binding, then a second that
-//! compiles and promotes the dynamic plan) — it runs untraced and traced
+//! compiles the dynamic plan in place) — it runs untraced and traced
 //! passes in turns and prints, per kind of request, the mean µs of every
 //! phase, the session span, `execute` traced and untraced, and what the
 //! untraced `execute` spends beyond the session span.

@@ -204,8 +204,8 @@ proptest! {
 type Seen = Result<(u64, IoStats, Option<u64>, Option<bool>, Option<bool>), String>;
 
 /// Serves `sql` at `binds` through every entry point of a session — a
-/// first visit, a memo hit, a second binding (the dynamic plan's compile
-/// and promotion), a memo miss, a memo hit whose plan meets a storage
+/// first visit, a memo hit, a second binding (the dynamic plan's compile,
+/// in place), a memo miss, a memo hit whose plan meets a storage
 /// fault and is retried, and a re-optimizing service's first visit and
 /// second binding — each on a fresh one-worker service, `traced` or not.
 /// Returns what every session showed and how many dynamic plans each
@@ -682,7 +682,7 @@ fn phases<'a>(report: &'a TraceReport, kinds: &[&str]) -> Vec<&'a SpanRecord> {
 /// session's to the nanosecond — with the optimizer's explore, search and
 /// finish under `Optimize` and every operator span under an `Execute`
 /// phase; at a first visit, a memo hit and a second binding (which
-/// compiles and promotes the dynamic plan). A traced sharded query has
+/// compiles the dynamic plan in place). A traced sharded query has
 /// parse, bind, distribute and execute phases under its coordinator root,
 /// next to the shard subtrees.
 #[test]
@@ -706,7 +706,7 @@ fn a_traced_session_times_itself_in_contiguous_phases() {
     let visits: [(i64, &[&str]); 3] = [
         (60, &["Optimize", "Decide", "Registry", "Admission", "Execute"]),
         (60, &["Admission", "Decide", "Execute"]),
-        (90, &["Admission", "Decide", "Optimize", "Registry", "Decide", "Execute"]),
+        (90, &["Admission", "Decide", "Optimize", "Decide", "Execute"]),
     ];
     for (x, tail) in visits {
         let (session, report) = traced(x);

@@ -380,7 +380,7 @@ fn a_dynamic_plan_is_compiled_at_the_second_binding() {
         let truth = sequential_rows(&catalog, &db, &sql, &[("v1", v1), ("v2", v2)]);
         assert_eq!(session.summary.rows, truth, "({v1}, {v2})");
     }
-    assert_eq!(svc.stats().registry.resident, 1, "promotion replaced the entry");
+    assert_eq!(svc.stats().registry.resident, 1, "compiled in place");
 
     let reopt = QueryService::new(
         chain_catalog(relations, SEED),
@@ -407,6 +407,77 @@ fn a_dynamic_plan_is_compiled_at_the_second_binding() {
     assert_eq!(recovered.summary.rows, sequential_rows(&catalog, &db, &sql, &binds));
     let stats = retried.stats();
     assert_eq!((stats.cached_plan_retries, stats.dynamic_plan_compiles), (1, 1));
+}
+
+/// Sessions racing a statement's second bindings compile its dynamic plan
+/// exactly once, in place. Per trial, a new text of the 6-chain (made new
+/// by a true constant predicate on `R1.a`) is visited at one binding, then
+/// at four other bindings at once through `run_batch` on four workers:
+/// the one statement compiles one dynamic plan, stays the one resident
+/// statement of its text, and holds every decision its sessions made —
+/// each of the five bindings replays as a memo hit with a lone run's rows.
+#[test]
+fn racing_second_bindings_compile_one_dynamic_plan() {
+    const TRIALS: usize = 200;
+    let relations = 6;
+    let catalog = chain_catalog(relations, SEED);
+    let db = StoredDatabase::generate(&catalog, SEED);
+    let sql = chain_sql(relations);
+    let svc = QueryService::new(
+        chain_catalog(relations, SEED),
+        ServiceConfig {
+            workers: 4,
+            registry_capacity: TRIALS,
+            data_seed: SEED,
+            ..ServiceConfig::default()
+        },
+    );
+    let bindings: [[i64; 6]; 5] = [
+        [300, 300, 300, 300, 300, 300],
+        [100, 500, 100, 500, 100, 500],
+        [500, 100, 500, 100, 500, 100],
+        [200, 200, 400, 400, 600, 600],
+        [600, 600, 400, 400, 200, 200],
+    ];
+    let names: Vec<String> = (1..=relations).map(|i| format!("v{i}")).collect();
+    let binds = |values: &[i64; 6]| -> Vec<(&str, i64)> {
+        names.iter().map(String::as_str).zip(values.iter().copied()).collect()
+    };
+    let lone: Vec<u64> =
+        bindings.iter().map(|b| sequential_rows(&catalog, &db, &sql, &binds(b))).collect();
+
+    let mut other_than_once = Vec::new();
+    for trial in 0..TRIALS {
+        let text = format!("{sql} AND R1.a >= -{trial}");
+        let compiled_before = svc.stats().dynamic_plan_compiles;
+        let first = svc.execute(Request::new(&text, &binds(&bindings[0]))).unwrap();
+        assert_eq!(first.summary.plan_cache.statement_hit, Some(false), "trial {trial}");
+        let racing = bindings[1..].iter().map(|b| Request::new(&text, &binds(b))).collect();
+        for (session, rows) in svc.run_batch(racing).into_iter().zip(&lone[1..]) {
+            let session = session.unwrap();
+            assert_eq!(session.summary.plan_cache.decision_hit, Some(false), "trial {trial}");
+            assert_eq!(session.summary.rows, *rows, "trial {trial}");
+        }
+        let compiles = svc.stats().dynamic_plan_compiles - compiled_before;
+        if compiles != 1 {
+            other_than_once.push((trial, compiles));
+        }
+        assert_eq!(svc.stats().registry.resident, trial + 1, "trial {trial}");
+        for (b, rows) in bindings.iter().zip(&lone) {
+            let replay = svc.execute(Request::new(&text, &binds(b))).unwrap();
+            assert_eq!(replay.summary.plan_cache.decision_hit, Some(true), "trial {trial} at {b:?}");
+            assert_eq!(replay.summary.rows, *rows, "trial {trial} at {b:?}");
+        }
+    }
+    assert!(
+        other_than_once.is_empty(),
+        "{} of {TRIALS} trials compiled other than one dynamic plan (trial, compiles): \
+         {other_than_once:?}",
+        other_than_once.len()
+    );
+    let stats = svc.stats();
+    assert_eq!((stats.dynamic_plan_compiles, stats.registry.misses), (TRIALS as u64, TRIALS as u64));
+    assert_eq!(stats.failed, 0);
 }
 
 /// A request on a new text that fails to bind — an unknown host variable,
