@@ -110,7 +110,7 @@ use std::sync::Arc;
 use dqep::DqepError;
 use dqep_catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
 use dqep_core::Optimizer;
-use dqep_cost::{Bindings, Environment};
+use dqep_cost::Environment;
 use dqep_executor::{
     explain_json, pick_pilot, render_explain, ExecContext, JsonWriter, ReoptConfig, ReoptState,
     ResourceLimits, RootSink, Scalar, SharedCounters, TraceReport, Tracer,
@@ -580,14 +580,8 @@ fn run(args: &Args) -> Result<(), DqepError> {
         eprintln!("wrote {path}");
     }
 
-    // Bindings.
-    let mut bindings = Bindings::new();
-    for (name, v) in &args.binds {
-        let var = query
-            .host_var(name)
-            .ok_or_else(|| DqepError::Usage(format!("unknown host variable :{name}")))?;
-        bindings = bindings.with_value(var, *v);
-    }
+    let binds: Vec<(&str, i64)> = args.binds.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    let mut bindings = query.bindings(&binds).map_err(DqepError::Usage)?;
     if let Some(m) = args.memory {
         bindings = bindings.with_memory(m);
     }

@@ -66,14 +66,9 @@ pub(crate) fn run_sharded(args: &Args) -> Result<(), DqepError> {
             wall.as_secs_f64(),
             out.per_shard_rows,
         );
-        for (s, audits) in out.audits.iter().enumerate() {
-            let winners: Vec<String> = audits
-                .iter()
-                .map(|a| match a.winner {
-                    Some(w) => format!("node {} -> alt {w}", a.node),
-                    None => format!("node {} -> unresolved", a.node),
-                })
-                .collect();
+        for (s, winners) in out.winners.iter().enumerate() {
+            let winners: Vec<String> =
+                winners.iter().map(|(node, w)| format!("node {node} -> alt {w}")).collect();
             println!("-- shard {s}: {}", if winners.is_empty() {
                 "no arbitration (resolved plan)".to_string()
             } else {

@@ -23,7 +23,10 @@
 //! cover), it falls back to the next alternative in predicted-cost order —
 //! read off the same decision, and only once something has failed —
 //! instead of failing the query, recording each fallback in the query's
-//! counters ([`crate::ExecSummary::fallbacks`]). Fatal errors —
+//! counters ([`crate::ExecSummary::fallbacks`]). Every open records its
+//! outcome, traced or not: the winner in the same counters
+//! ([`SharedCounters::winners`]) and an arbitration event in the
+//! [`crate::journal()`]. Fatal errors —
 //! cancellation, exceeded query-wide budgets, malformed plans — propagate
 //! immediately.
 
@@ -39,6 +42,7 @@ use dqep_storage::StoredDatabase;
 use crate::compile::Compiler;
 use crate::error::ExecError;
 use crate::governor::ExecContext;
+use crate::journal::{journal, EventKind, NO_ID};
 use crate::metrics::SharedCounters;
 use crate::trace::{AltAudit, AttemptAudit, ChooseAudit};
 use crate::tuple::TupleLayout;
@@ -115,19 +119,19 @@ impl<'a> ChoosePlanExec<'a> {
         Ok(decision)
     }
 
-    /// Hands a completed arbitration audit to the tracer, if tracing, and
-    /// records the arbitration outcome in the flight-recorder journal.
-    fn flush_audit(&self, audit: ChooseAudit) {
-        if let Some(tracer) = self.ctx.tracer.as_ref() {
-            crate::journal::journal().record(
-                crate::journal::EventKind::ArbitrationWinner,
-                tracer.trace_id(),
-                crate::journal::NO_ID,
-                audit.node,
-                audit.winner.map_or(crate::journal::NO_ID, |w| w as u64),
-                audit.fallbacks,
-            );
-            tracer.audit(audit);
+    /// Records an arbitration's outcome, traced or not: the winner in the
+    /// query's counters and an [`EventKind::ArbitrationWinner`] in the
+    /// journal, under the run's trace id. A traced run's audit, completed
+    /// with the same outcome, goes to its tracer.
+    fn record(&self, winner: Option<usize>, fallbacks: u64, audit: Option<ChooseAudit>) {
+        let node = u64::from(self.id.0);
+        if let Some(winner) = winner {
+            self.ctx.counters.add_winner(node, winner);
+        }
+        let (trace, a) = (self.ctx.trace_id(), winner.map_or(NO_ID, |w| w as u64));
+        journal().record(EventKind::ArbitrationWinner, trace, NO_ID, node, a, fallbacks);
+        if let (Some(tracer), Some(audit)) = (&self.ctx.tracer, audit) {
+            tracer.audit(ChooseAudit { winner, fallbacks, ..audit });
         }
     }
 }
@@ -207,7 +211,7 @@ impl Operator for ChoosePlanExec<'_> {
         // time, ascending, are lined up only once it has failed.
         let mut order = vec![preferred];
         let mut last_err: Option<ExecError> = None;
-        let mut attempt = 0;
+        let (mut attempt, mut fallbacks) = (0, 0);
         while let Some(&idx) = order.get(attempt) {
             attempt += 1;
             let opened = compiler.node(alternatives[idx], &self.ctx).and_then(|mut op| {
@@ -230,17 +234,12 @@ impl Operator for ChoosePlanExec<'_> {
                     self.remap = self.layout.projection_from(op.layout());
                     self.chosen_index = Some(idx);
                     self.chosen = Some(op);
-                    if let Some(mut audit) = audit.take() {
-                        audit.winner = Some(idx);
-                        self.flush_audit(audit);
-                    }
+                    self.record(Some(idx), fallbacks, audit);
                     return Ok(());
                 }
                 Err(e) if e.is_retryable() => {
                     self.ctx.counters.add_fallbacks(1);
-                    if let Some(audit) = audit.as_mut() {
-                        audit.fallbacks += 1;
-                    }
+                    fallbacks += 1;
                     last_err = Some(e);
                     if order.len() == 1 {
                         let mut rest: Vec<usize> =
@@ -258,9 +257,7 @@ impl Operator for ChoosePlanExec<'_> {
                 }
             }
         }
-        if let Some(audit) = audit.take() {
-            self.flush_audit(audit);
-        }
+        self.record(None, fallbacks, audit);
         Err(last_err
             .unwrap_or_else(|| ExecError::Internal("choose-plan has no alternatives".into())))
     }

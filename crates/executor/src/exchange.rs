@@ -202,7 +202,7 @@ pub fn parallel_scan<'a>(
     // disk overlap, so per-worker I/O deltas would double-count; the
     // enclosing scan node's span (whose `open` window contains the whole
     // parallel phase) accounts the I/O exactly instead.
-    let worker_span = ctx.tracer.as_ref().filter(|t| t.records_spans()).map(|tracer| {
+    let worker_span = ctx.tracer.as_ref().map(|tracer| {
         tracer.span(
             format!("Morsel-Scan x{}", ctx.dop.max(1)),
             "Morsel-Scan",

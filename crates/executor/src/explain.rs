@@ -474,14 +474,15 @@ mod tests {
 
     #[test]
     fn reopt_section_renders_and_validates() {
-        use crate::reopt::{ReoptConfig, ReoptState};
+        use crate::reopt::{ReoptConfig, ReoptEventKind, ReoptState};
         use crate::trace::{SpanId, SpanRecord, SpanStats};
         use dqep_interval::Interval;
         use dqep_plan::NodeId;
         let state = ReoptState::new(ReoptConfig::default());
         state.observe_checkpoint(NodeId(5), "Filter", Interval::new(20.0, 40.0), 700);
         assert!(state.request_replan(&crate::governor::ResourceGovernor::unlimited()));
-        state.record_replan(NodeId(5), "re-arbitrated remaining plan");
+        let detail = "re-arbitrated remaining plan".to_string();
+        state.record(ReoptEventKind::Replan, Some(NodeId(5)), detail);
         let mut report = TraceReport::default();
         report.spans.push(SpanRecord {
             id: SpanId(0),

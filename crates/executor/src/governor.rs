@@ -294,6 +294,13 @@ impl ExecContext {
         self
     }
 
+    /// The trace id the journal events of this run carry: its tracer's,
+    /// 0 when it is not traced.
+    #[must_use]
+    pub fn trace_id(&self) -> u64 {
+        self.tracer.as_ref().map_or(0, |t| t.trace_id())
+    }
+
     /// The same context with mid-query re-optimization enabled:
     /// [`crate::run`] checkpoints and re-arbitrates (a fresh state per
     /// run) and compiled plans substitute retained intermediates. The

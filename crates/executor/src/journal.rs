@@ -1,34 +1,35 @@
 //! Always-on structured event journal (flight recorder).
 //!
-//! A process-global, bounded, lock-free ring of typed events: arbitration
-//! winners, interval escapes, re-plans, degradation-ladder steps, shard
-//! winner divergence, link faults, and admission refusals. Writers pay a `fetch_add` plus a handful of
-//! relaxed stores — no locks, no allocation — so the journal can stay on
-//! in production paths. When the ring wraps, the oldest events are
+//! A process-global, bounded ring of typed events: arbitration winners,
+//! interval escapes, re-plans, degradation-ladder steps, shard winner
+//! divergence, link faults, and admission refusals. Each control-plane
+//! fact is recorded once, by the code where it happens, whether or not
+//! the query is traced. When the ring wraps, the oldest events are
 //! overwritten: the journal answers "what just happened", not "what ever
 //! happened" (the metrics registry keeps the totals).
 //!
-//! Each slot is guarded by a seqlock-style version counter: the writer
-//! bumps it to odd, stores the payload, bumps it to even. A reader that
-//! observes an odd version, or a version that changed across its reads,
-//! discards the slot as torn. Payloads are plain `u64`s, so a torn read
-//! can produce garbage but never undefined behavior, and the version
-//! check discards it anyway.
+//! The ring sits behind one [`parking_lot::Mutex`]: a writer holds it
+//! while it numbers, stamps and stores its event, a reader while it
+//! copies events out. Events are written at control-plane frequency —
+//! one per decision, never one per row — so the lock is uncontended in
+//! practice, and a snapshot is always a gap-free run of sequence numbers
+//! with every event whole.
 //!
 //! Timestamps come from [`monotonic_ns`], the same process-wide monotonic
 //! epoch the tracer stamps span start times with — so journal events and
 //! trace spans order consistently against each other.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
+
+use parking_lot::Mutex;
 
 use crate::json::Kind::{NonNeg, Nullable, OneOf};
 use crate::json::{parse_json, At, JsonWriter};
 use crate::json_block;
 
-/// Capacity of the global ring, in events. Power of two so the slot
-/// index is a mask.
+/// Capacity of the global ring, in events: event `seq` is kept in slot
+/// `seq % JOURNAL_CAPACITY` until a later one takes it.
 pub const JOURNAL_CAPACITY: usize = 2048;
 
 /// Sentinel for "no shard / no node" in an event's identity fields;
@@ -93,23 +94,6 @@ impl EventKind {
         LABELS[self as usize]
     }
 
-    /// Every kind, in code order.
-    #[must_use]
-    pub fn all() -> &'static [EventKind] {
-        &[
-            EventKind::ArbitrationWinner,
-            EventKind::IntervalEscape,
-            EventKind::Replan,
-            EventKind::DegradationStep,
-            EventKind::ShardDivergence,
-            EventKind::LinkFault,
-            EventKind::AdmissionRefusal,
-        ]
-    }
-
-    fn from_code(code: u64) -> Option<EventKind> {
-        EventKind::all().get(usize::try_from(code).ok()?).copied()
-    }
 }
 
 /// One recorded event, fully plain data.
@@ -133,113 +117,82 @@ pub struct JournalEvent {
     pub b: u64,
 }
 
-const FIELDS: usize = 8; // seq, ts, kind, trace, shard, node, a, b
-
-struct Slot {
-    version: AtomicU64,
-    data: [AtomicU64; FIELDS],
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            version: AtomicU64::new(0),
-            data: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// The bounded lock-free event ring. One global instance ([`journal`]);
-/// separate instances exist only in tests.
+/// The bounded event ring. One global instance ([`journal`]); separate
+/// instances exist only in tests.
 pub struct Journal {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
+    ring: Mutex<Ring>,
+}
+
+#[derive(Default)]
+struct Ring {
+    /// Event `seq` at index `seq % JOURNAL_CAPACITY`; grows to the
+    /// capacity, then is overwritten in place.
+    slots: Vec<JournalEvent>,
+    /// Events ever recorded: the next event's `seq`.
+    recorded: u64,
 }
 
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.head.load(Ordering::Relaxed))
+            .field("capacity", &JOURNAL_CAPACITY)
+            .field("recorded", &self.cursor())
             .finish()
     }
 }
 
 impl Journal {
-    /// A fresh ring of [`JOURNAL_CAPACITY`] slots.
+    /// A fresh, empty ring of [`JOURNAL_CAPACITY`] events.
     #[must_use]
     pub fn new() -> Journal {
-        Journal {
-            slots: (0..JOURNAL_CAPACITY).map(|_| Slot::empty()).collect(),
-            head: AtomicU64::new(0),
-        }
+        Journal { ring: Mutex::default() }
     }
 
-    /// Records one event. Lock-free; safe from any thread.
-    pub fn record(&self, kind: EventKind, trace: u64, shard: u64, node: u64, a: u64, b: u64) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let ts = monotonic_ns();
-        let slot = &self.slots[(seq as usize) & (self.slots.len() - 1)];
-        // Seqlock write: odd while in flight, even when stable. Two
-        // writers lapping each other on the same slot can interleave, but
-        // the version check below makes readers discard any such slot.
-        slot.version.fetch_add(1, Ordering::AcqRel);
-        let fields = [seq, ts, kind as u64, trace, shard, node, a, b];
-        for (cell, value) in slot.data.iter().zip(fields) {
-            cell.store(value, Ordering::Relaxed);
+    /// Records one event and returns the sequence number it was given.
+    /// Safe from any thread.
+    pub fn record(
+        &self,
+        kind: EventKind,
+        trace: u64,
+        shard: u64,
+        node: u64,
+        a: u64,
+        b: u64,
+    ) -> u64 {
+        let mut ring = self.ring.lock();
+        let seq = ring.recorded;
+        let event = JournalEvent { seq, ts_ns: monotonic_ns(), kind, trace, shard, node, a, b };
+        match ring.slots.get_mut(seq as usize % JOURNAL_CAPACITY) {
+            Some(slot) => *slot = event,
+            None => ring.slots.push(event),
         }
-        slot.version.fetch_add(1, Ordering::AcqRel);
+        ring.recorded += 1;
+        seq
     }
 
-    /// The sequence number the *next* event will get. Take it before an
-    /// operation, then pass it to [`Journal::events_since`] to see only
-    /// the events the operation produced.
+    /// The sequence number the *next* event will get — the number of
+    /// events ever recorded. Take it before an operation, then pass it to
+    /// [`Journal::events_since`] to see only the events the operation
+    /// produced.
     #[must_use]
     pub fn cursor(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.ring.lock().recorded
     }
 
-    /// Total events ever recorded (recorded − capacity have been
-    /// overwritten when this exceeds the capacity).
-    #[must_use]
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Stable snapshot of the ring, oldest surviving event first. Torn
-    /// slots (mid-write, or lapped during the read) are skipped.
+    /// The ring's events, oldest first: the last [`JOURNAL_CAPACITY`]
+    /// recorded, or every one while fewer were.
     #[must_use]
     pub fn snapshot(&self) -> Vec<JournalEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let mut events = Vec::with_capacity(self.slots.len().min(head as usize));
-        for slot in self.slots.iter() {
-            let before = slot.version.load(Ordering::Acquire);
-            if before == 0 || before % 2 == 1 {
-                continue;
-            }
-            let fields: [u64; FIELDS] =
-                std::array::from_fn(|i| slot.data[i].load(Ordering::Relaxed));
-            let after = slot.version.load(Ordering::Acquire);
-            if after != before {
-                continue;
-            }
-            let [seq, ts_ns, code, trace, shard, node, a, b] = fields;
-            let Some(kind) = EventKind::from_code(code) else { continue };
-            if seq < head {
-                events.push(JournalEvent { seq, ts_ns, kind, trace, shard, node, a, b });
-            }
-        }
-        events.sort_by_key(|e| e.seq);
-        events
+        self.events_since(0)
     }
 
     /// Events with `seq >= cursor`, oldest first (events older than the
     /// ring's reach are gone).
     #[must_use]
     pub fn events_since(&self, cursor: u64) -> Vec<JournalEvent> {
-        let mut events = self.snapshot();
-        events.retain(|e| e.seq >= cursor);
-        events
+        let ring = self.ring.lock();
+        let first = cursor.max(ring.recorded.saturating_sub(JOURNAL_CAPACITY as u64));
+        (first..ring.recorded).map(|seq| ring.slots[seq as usize % JOURNAL_CAPACITY]).collect()
     }
 
     /// The journal as a schema-stable JSON document (see
@@ -247,10 +200,11 @@ impl Journal {
     #[must_use]
     pub fn to_json(&self) -> String {
         let events = self.snapshot();
+        let recorded = events.last().map_or(0, |e| e.seq + 1);
         let mut w = JsonWriter::new();
         w.obj(|w| {
             w.key("journal").obj(|w| {
-                write_header(w, self);
+                write_header(w, recorded);
                 w.key("events").objs(&events, write_event);
             });
         });
@@ -266,7 +220,7 @@ impl Default for Journal {
 
 static GLOBAL: OnceLock<Journal> = OnceLock::new();
 
-/// The process-global flight recorder. Always on; bounded; lock-free.
+/// The process-global flight recorder. Always on; bounded.
 #[must_use]
 pub fn journal() -> &'static Journal {
     GLOBAL.get_or_init(Journal::new)
@@ -278,9 +232,9 @@ fn id(v: u64) -> Option<u64> {
 }
 
 json_block! {
-    HEADER, fn write_header(w, journal: &Journal) {
-        "capacity": NonNeg => journal.slots.len(),
-        "recorded": NonNeg => journal.recorded(),
+    HEADER, fn write_header(w, recorded: u64) {
+        "capacity": NonNeg => JOURNAL_CAPACITY,
+        "recorded": NonNeg => recorded,
     }
 }
 json_block! {
@@ -348,32 +302,76 @@ mod tests {
         }
         let events = j.snapshot();
         assert!(events.len() <= JOURNAL_CAPACITY);
-        assert_eq!(j.recorded(), JOURNAL_CAPACITY as u64 + 100);
+        assert_eq!(j.cursor(), JOURNAL_CAPACITY as u64 + 100);
         // The oldest surviving event is at least `overflow` deep.
         assert!(events.first().map_or(0, |e| e.seq) >= 100);
         // Strictly increasing seq.
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
+    /// Eight writers record while a reader snapshots in a loop. Every
+    /// snapshot is a gap-free run of `seq`, and each event in it carries
+    /// the payload its writer recorded under that `seq`; once the writers
+    /// stop, the snapshot is exactly the last `JOURNAL_CAPACITY` events.
     #[test]
-    fn concurrent_writers_never_tear() {
-        let j = std::sync::Arc::new(Journal::new());
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let j = std::sync::Arc::clone(&j);
-                scope.spawn(move || {
-                    for i in 0..2000u64 {
-                        j.record(EventKind::IntervalEscape, t, t, i, i, t);
-                    }
-                });
+    fn concurrent_snapshots_are_gap_free_and_whole() {
+        const WRITERS: u64 = 8;
+        const EACH: u64 = 1500;
+        let j = Journal::new();
+        let running = std::sync::atomic::AtomicU64::new(WRITERS);
+        // What a writer records for its `i`-th event: the `seq` it was
+        // given is looked up afterwards.
+        let payload = |w: u64, i: u64| (w, i, w * EACH + i, !(w * EACH + i));
+        let consistent = |e: &JournalEvent| payload(e.shard, e.node) == (e.shard, e.node, e.a, e.b);
+        let (written, snapshots) = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (j, running) = (&j, &running);
+                    scope.spawn(move || {
+                        let seqs: Vec<(u64, u64)> = (0..EACH)
+                            .map(|i| {
+                                let (shard, node, a, b) = payload(w, i);
+                                (j.record(EventKind::IntervalEscape, 1, shard, node, a, b), i)
+                            })
+                            .collect();
+                        running.fetch_sub(1, std::sync::atomic::Ordering::Release);
+                        (w, seqs)
+                    })
+                })
+                .collect();
+            // Each snapshot is checked for gaps and for events whose
+            // fields disagree at once, and kept as `(seq, a)` pairs (`a`
+            // names the writer and the event) for the check below.
+            let mut snapshots: Vec<Vec<(u64, u64)>> = Vec::new();
+            while running.load(std::sync::atomic::Ordering::Acquire) > 0 {
+                let events = j.snapshot();
+                assert!(events.len() <= JOURNAL_CAPACITY);
+                assert!(events.windows(2).all(|p| p[1].seq == p[0].seq + 1), "a gap");
+                assert!(events.iter().all(consistent), "an event whose fields disagree");
+                if snapshots.len() < 512 {
+                    snapshots.push(events.iter().map(|e| (e.seq, e.a)).collect());
+                }
             }
+            (writers.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>(), snapshots)
         });
-        let events = j.snapshot();
-        assert!(!events.is_empty());
-        // Every surviving event is internally consistent: the payload `a`
-        // matches the node id it was written with.
-        assert!(events.iter().all(|e| e.a == e.node));
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+        let mut by_seq = vec![u64::MAX; (WRITERS * EACH) as usize];
+        for (w, seqs) in written {
+            for (seq, i) in seqs {
+                by_seq[seq as usize] = payload(w, i).2;
+            }
+        }
+        for events in &snapshots {
+            assert!(
+                events.iter().all(|&(seq, a)| by_seq[seq as usize] == a),
+                "an event that was not written under its seq"
+            );
+        }
+        let last = j.snapshot();
+        let seqs: Vec<u64> = last.iter().map(|e| e.seq).collect();
+        let total = WRITERS * EACH;
+        assert_eq!(seqs, (total - JOURNAL_CAPACITY as u64..total).collect::<Vec<_>>());
+        assert!(last.iter().all(|e| by_seq[e.seq as usize] == e.a));
+        assert!(last.windows(2).all(|p| p[0].ts_ns <= p[1].ts_ns), "stamped in seq order");
     }
 
     #[test]

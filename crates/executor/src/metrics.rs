@@ -1,5 +1,5 @@
-//! Execution accounting: CPU counters, fallback counts, and the combined
-//! summary.
+//! Execution accounting: CPU counters, fallback counts, choose-plan
+//! winners, and the combined summary.
 
 use std::sync::Arc;
 
@@ -86,6 +86,7 @@ struct CountersInner {
     cpu: CpuCounters,
     fallbacks: u64,
     startup_nodes: u64,
+    winners: Vec<(u64, usize)>,
 }
 
 /// Shared, thread-safe counters cloned into every operator of one query.
@@ -128,6 +129,19 @@ impl SharedCounters {
         self.inner.lock().fallbacks
     }
 
+    /// Records that the choose-plan node `node` opened its alternative
+    /// `winner`.
+    pub fn add_winner(&self, node: u64, winner: usize) {
+        self.inner.lock().winners.push((node, winner));
+    }
+
+    /// Every `(choose-plan node, winning alternative)` recorded so far, in
+    /// the order the operators opened.
+    #[must_use]
+    pub fn winners(&self) -> Vec<(u64, usize)> {
+        self.inner.lock().winners.clone()
+    }
+
     /// Records `n` cost-function evaluations made on behalf of this
     /// query: one per plan node per start-up decision.
     pub fn add_startup_nodes(&self, n: u64) {
@@ -151,14 +165,15 @@ impl SharedCounters {
     /// query's counters after the parallel phase, so [`ExecSummary`]
     /// totals are exact regardless of the degree of parallelism.
     pub fn merge_from(&self, other: &SharedCounters) {
-        let (cpu, fallbacks, startup_nodes) = {
+        let (cpu, fallbacks, startup_nodes, winners) = {
             let o = other.inner.lock();
-            (o.cpu, o.fallbacks, o.startup_nodes)
+            (o.cpu, o.fallbacks, o.startup_nodes, o.winners.clone())
         };
         let mut inner = self.inner.lock();
         inner.cpu += cpu;
         inner.fallbacks += fallbacks;
         inner.startup_nodes += startup_nodes;
+        inner.winners.extend(winners);
     }
 }
 
@@ -257,8 +272,14 @@ mod tests {
         assert_eq!(shared.fallbacks(), 0);
         shared.add_fallbacks(1);
         shared.add_fallbacks(2);
+        shared.add_winner(4, 1);
         assert_eq!(shared.fallbacks(), 3);
         assert_eq!(shared.snapshot(), CpuCounters::default());
+        let total = SharedCounters::new();
+        total.add_winner(2, 0);
+        total.merge_from(&shared);
+        assert_eq!(total.winners(), vec![(2, 0), (4, 1)]);
+        assert_eq!(total.fallbacks(), 3);
     }
 
     #[test]

@@ -50,7 +50,10 @@
 //! fallbacks)` cost functions ([`ExecSummary::startup_nodes`]), whatever
 //! its degree of parallelism.
 //!
-//! Every step is recorded as a [`ReoptEvent`] in the [`ReoptReport`],
+//! Every step is recorded once, as a [`ReoptEvent`] on the state's trail:
+//! the [`ReoptCounters`] and the re-plan budget are counts of that trail,
+//! and escapes, adopted re-plans and degradation steps are journaled as
+//! they are appended, under the run's trace id. The [`ReoptReport`] is
 //! rendered by EXPLAIN ANALYZE and exported by the service metrics. The
 //! state is the switch and the output, as a [`crate::Tracer`] is: the
 //! caller keeps the `Arc` it attached and reads [`ReoptState::report`],
@@ -148,7 +151,8 @@ pub struct ReoptEvent {
     pub detail: String,
 }
 
-/// Counter totals across one query's re-optimization machinery.
+/// Counter totals across one query's re-optimization machinery: each
+/// counts one kind of [`ReoptEvent`] on its trail.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReoptCounters {
     /// Pipeline-breaker checkpoints observed.
@@ -172,6 +176,30 @@ pub struct ReoptCounters {
     pub fallbacks: u64,
 }
 
+impl ReoptCounters {
+    /// The totals of the trail `events`.
+    fn of(events: &[ReoptEvent]) -> ReoptCounters {
+        let n = |kind| count(events, kind);
+        let (adopted, denied) = (n(ReoptEventKind::Replan), n(ReoptEventKind::ReplanDenied));
+        ReoptCounters {
+            checkpoints: n(ReoptEventKind::Checkpoint),
+            escapes: n(ReoptEventKind::Escape),
+            replans_attempted: adopted + denied,
+            replans_adopted: adopted,
+            replans_denied: denied,
+            replan_failures: n(ReoptEventKind::ReplanFailed),
+            memory_degradations: n(ReoptEventKind::MemoryDegrade),
+            observed_arbitrations: n(ReoptEventKind::Arbitration),
+            fallbacks: n(ReoptEventKind::Fallback),
+        }
+    }
+}
+
+/// How many events of `kind` the trail `events` holds.
+fn count(events: &[ReoptEvent], kind: ReoptEventKind) -> u64 {
+    events.iter().filter(|e| e.kind == kind).count() as u64
+}
+
 /// The re-optimization audit trail of one query: every event plus the
 /// counter totals. Attached to [`crate::TraceReport`] and rendered by EXPLAIN
 /// ANALYZE.
@@ -185,14 +213,11 @@ pub struct ReoptReport {
 
 #[derive(Debug, Default)]
 struct ReoptInner {
+    /// The trail: every step, in order.
     events: Vec<ReoptEvent>,
-    counters: ReoptCounters,
-    /// Re-plans granted so far (budget consumption).
-    attempts: u32,
+    /// The trace id the journal events of the run carry (0 untraced).
+    trace: u64,
     observations: Observations,
-    /// Set when execution reverted to the original plan: decisions then
-    /// apply no observations, so they reproduce the original one.
-    suppressed: bool,
     materialized: Vec<(NodeId, TupleLayout, Arc<Vec<RowBatch>>)>,
     reserved_bytes: u64,
     /// The start-up decision the driver made last.
@@ -208,15 +233,38 @@ struct ReoptInner {
 }
 
 impl ReoptInner {
-    /// Appends an audit-trail entry that carries no estimate.
-    fn log(&mut self, kind: ReoptEventKind, node: Option<NodeId>, detail: String) {
-        self.events.push(ReoptEvent { kind, node, estimate: None, observed: None, detail });
+    /// Appends `event` to the trail. An escape, an adopted re-plan and a
+    /// degradation step are journaled too, under the run's trace id: an
+    /// escape with its observed rows and the interval's upper end, the
+    /// others with how many of their kind the trail now holds.
+    fn record(&mut self, event: ReoptEvent) {
+        use crate::journal::{journal, EventKind, NO_ID};
+        let (kind, node, observed) = (event.kind, event.node, event.observed.zip(event.estimate));
+        self.events.push(event);
+        let Some(node) = node else { return };
+        let (journaled, a, b) = match (kind, observed) {
+            (ReoptEventKind::Escape, Some((rows, (_, hi)))) => {
+                (EventKind::IntervalEscape, rows as u64, hi as u64)
+            }
+            (ReoptEventKind::Replan, _) => (EventKind::Replan, count(&self.events, kind), NO_ID),
+            (ReoptEventKind::MemoryDegrade, _) => {
+                (EventKind::DegradationStep, count(&self.events, kind), NO_ID)
+            }
+            _ => return,
+        };
+        journal().record(journaled, self.trace, NO_ID, u64::from(node.0), a, b);
     }
-}
 
-/// Records a node-level step in the flight-recorder journal.
-fn journal(kind: crate::journal::EventKind, node: NodeId, a: u64, b: u64) {
-    crate::journal::journal().record(kind, 0, crate::journal::NO_ID, u64::from(node.0), a, b);
+    /// Appends a step that carries no estimate.
+    fn log(&mut self, kind: ReoptEventKind, node: Option<NodeId>, detail: String) {
+        self.record(ReoptEvent { kind, node, estimate: None, observed: None, detail });
+    }
+
+    /// Whether execution reverted to the original plan: decisions then
+    /// apply no observations, so they reproduce the original one.
+    fn suppressed(&self) -> bool {
+        count(&self.events, ReoptEventKind::Fallback) > 0
+    }
 }
 
 /// Shared state of one query's re-optimization machinery: checkpoint
@@ -258,17 +306,18 @@ impl ReoptState {
         self
     }
 
-    /// Claims the state for the run it drives and hands out the first
-    /// target. A second claim is refused: the observations, retained
-    /// intermediates and spent budget of one query must not leak into
-    /// another.
-    fn begin(&self) -> Result<Option<NodeId>, ExecError> {
+    /// Claims the state for the run it drives, whose journal events carry
+    /// `trace`, and hands out the first target. A second claim is refused:
+    /// the observations, retained intermediates and spent budget of one
+    /// query must not leak into another.
+    fn begin(&self, trace: u64) -> Result<Option<NodeId>, ExecError> {
         let mut inner = self.inner.lock();
         if std::mem::replace(&mut inner.driven, true) {
             return Err(ExecError::Internal(
                 "a re-optimization state drives one run; this one already has".into(),
             ));
         }
+        inner.trace = trace;
         Ok(inner.first_target.take())
     }
 
@@ -279,9 +328,8 @@ impl ReoptState {
     /// audit trail.
     fn decide(&self, evaluate: impl FnOnce(&Observations) -> StartupResult) -> Arc<StartupResult> {
         let mut inner = self.inner.lock();
-        let observed = if inner.suppressed { 0 } else { inner.observations.len() };
+        let observed = if inner.suppressed() { 0 } else { inner.observations.len() };
         let decision = Arc::new(if observed > 0 {
-            inner.counters.observed_arbitrations += 1;
             let detail = format!("decided with {observed} checkpoint observation(s)");
             inner.log(ReoptEventKind::Arbitration, None, detail);
             evaluate(&inner.observations)
@@ -319,81 +367,49 @@ impl ReoptState {
             detail,
         };
         let mut inner = self.inner.lock();
-        inner.counters.checkpoints += 1;
-        inner.events.push(event(ReoptEventKind::Checkpoint, label.to_string()));
+        inner.record(event(ReoptEventKind::Checkpoint, label.to_string()));
         inner.observations.insert(node, actual as f64);
         if escaped {
-            inner.counters.escapes += 1;
             let (lo, hi) = (card.lo(), card.hi());
             let detail = format!("{label}: observed {actual} outside [{lo:.0}, {hi:.0}]");
-            inner.events.push(event(ReoptEventKind::Escape, detail));
-            journal(crate::journal::EventKind::IntervalEscape, node, actual, hi as u64);
+            inner.record(event(ReoptEventKind::Escape, detail));
         }
         escaped
     }
 
-    /// Requests one re-plan against the budget. Grants consume an attempt;
-    /// denials (budget exhausted, or the governor objecting: a spent
-    /// wall-clock budget, a cancelled query) record a
-    /// [`ReoptEventKind::ReplanDenied`] event.
+    /// Requests one re-plan against the budget: the re-plans the trail
+    /// holds. A grant is spent by the [`ReoptEventKind::Replan`] event the
+    /// driver records once it has re-decided, so every grant must be
+    /// followed by that record before the next request, or the budget
+    /// undercounts; denials (budget exhausted, or
+    /// the governor objecting: a spent wall-clock budget, a cancelled
+    /// query) record a [`ReoptEventKind::ReplanDenied`] event.
     pub(crate) fn request_replan(&self, governor: &ResourceGovernor) -> bool {
         let mut inner = self.inner.lock();
-        inner.counters.replans_attempted += 1;
-        let denied = if inner.attempts >= self.config.max_replans {
-            Some(format!(
-                "re-plan budget exhausted ({} of {})",
-                inner.attempts, self.config.max_replans
-            ))
+        let adopted = count(&inner.events, ReoptEventKind::Replan);
+        let denied = if adopted >= u64::from(self.config.max_replans) {
+            Some(format!("re-plan budget exhausted ({adopted} of {})", self.config.max_replans))
         } else {
             // The governor has the last word: a cancelled query or a spent
             // wall-clock budget must not buy more planning.
             governor.check_batch(64).err().map(|e| format!("governor refused: {e}"))
         };
         if let Some(reason) = denied {
-            inner.counters.replans_denied += 1;
             inner.log(ReoptEventKind::ReplanDenied, None, reason);
             return false;
         }
-        inner.attempts += 1;
         true
     }
 
-    /// Records an adopted re-plan.
-    pub(crate) fn record_replan(&self, node: NodeId, detail: &str) {
-        let mut inner = self.inner.lock();
-        inner.counters.replans_adopted += 1;
-        inner.log(ReoptEventKind::Replan, Some(node), detail.to_string());
-        let adopted = inner.counters.replans_adopted;
-        journal(crate::journal::EventKind::Replan, node, adopted, crate::journal::NO_ID);
-    }
-
-    /// Records a retryably failed checkpoint or re-plan (the original
-    /// plan continues).
-    pub(crate) fn record_replan_failure(&self, node: Option<NodeId>, detail: &str) {
-        let mut inner = self.inner.lock();
-        inner.counters.replan_failures += 1;
-        inner.log(ReoptEventKind::ReplanFailed, node, detail.to_string());
-    }
-
-    /// Records a governor refusal absorbed by degrading the planning
-    /// memory grant.
-    pub(crate) fn record_memory_degrade(&self, node: NodeId, detail: &str) {
-        let mut inner = self.inner.lock();
-        inner.counters.memory_degradations += 1;
-        inner.log(ReoptEventKind::MemoryDegrade, Some(node), detail.to_string());
-        let steps = inner.counters.memory_degradations;
-        journal(crate::journal::EventKind::DegradationStep, node, steps, crate::journal::NO_ID);
-    }
-
-    /// Reverts to the original plan: records a fallback and suppresses
-    /// the observations so the next decision reproduces the original one.
-    /// Retained intermediates stay substitutable — they are the original
-    /// plan's own subtree results.
-    pub(crate) fn record_fallback(&self, detail: &str) {
-        let mut inner = self.inner.lock();
-        inner.counters.fallbacks += 1;
-        inner.suppressed = true;
-        inner.log(ReoptEventKind::Fallback, None, detail.to_string());
+    /// Records a step of the driver's that carries no estimate: an adopted
+    /// re-plan, a failed checkpoint or re-plan (the original plan
+    /// continues), a degraded planning grant, or a fallback to the
+    /// original plan — which suppresses the observations, so the next
+    /// decision reproduces the original one. Retained intermediates stay
+    /// substitutable after a fallback: they are the original plan's own
+    /// subtree results.
+    pub(crate) fn record(&self, kind: ReoptEventKind, node: Option<NodeId>, detail: String) {
+        self.inner.lock().log(kind, node, detail);
     }
 
     /// Retains a materialized intermediate — the batches its drain
@@ -446,7 +462,7 @@ impl ReoptState {
     /// Counter totals so far.
     #[must_use]
     pub fn counters(&self) -> ReoptCounters {
-        self.inner.lock().counters
+        ReoptCounters::of(&self.inner.lock().events)
     }
 
     /// What the checkpoint materializations of the run cost — rows
@@ -461,11 +477,8 @@ impl ReoptState {
     /// The full audit trail.
     #[must_use]
     pub fn report(&self) -> ReoptReport {
-        let inner = self.inner.lock();
-        ReoptReport {
-            events: inner.events.clone(),
-            counters: inner.counters,
-        }
+        let events = self.inner.lock().events.clone();
+        ReoptReport { counters: ReoptCounters::of(&events), events }
     }
 }
 
@@ -582,7 +595,7 @@ pub(crate) fn drive(
     ctx: &ExecContext,
     mut sink: RootSink<'_>,
 ) -> Result<ExecSummary, ExecError> {
-    let mut first = state.begin()?;
+    let mut first = state.begin(ctx.trace_id())?;
     if first.is_some_and(|target| target.index() >= plan.len()) {
         return Err(ExecError::Internal("the first target is not a node of this plan".into()));
     }
@@ -633,9 +646,10 @@ pub(crate) fn drive(
             Err(e) if e.is_retryable() => {
                 // A faulted checkpoint is abandoned, not fatal: the final
                 // run recomputes the subtree on the original plan.
-                state.record_replan_failure(
+                state.record(
+                    ReoptEventKind::ReplanFailed,
                     Some(target),
-                    &format!("checkpoint failed ({e}); continuing original plan"),
+                    format!("checkpoint failed ({e}); continuing original plan"),
                 );
                 break;
             }
@@ -658,9 +672,10 @@ pub(crate) fn drive(
                 .memory_pages
                 .unwrap_or_else(|| env.memory.expected());
             let degraded = (pages / 2.0).max(1.0);
-            state.record_memory_degrade(
-                target,
-                &format!(
+            state.record(
+                ReoptEventKind::MemoryDegrade,
+                Some(target),
+                format!(
                     "governor refused to retain {actual} rows; planning grant {pages:.0} -> \
                      {degraded:.0} pages"
                 ),
@@ -672,9 +687,10 @@ pub(crate) fn drive(
         if escaped {
             if state.request_replan(&ctx.governor) {
                 (run_ctx, startup) = arbitrate(&exec_bindings);
-                state.record_replan(
-                    target,
-                    "re-arbitrated remaining plan with checkpoint observation",
+                state.record(
+                    ReoptEventKind::Replan,
+                    Some(target),
+                    "re-arbitrated remaining plan with checkpoint observation".into(),
                 );
                 replanned = true;
             } else {
@@ -702,9 +718,11 @@ pub(crate) fn drive(
             // Last rung before governed failure: suppress the
             // observations and continue the original plan, from a sink
             // that holds no row of the failed attempt.
-            state.record_fallback(&format!(
-                "re-planned run failed ({e}); reverting to original arbitration"
-            ));
+            state.record(
+                ReoptEventKind::Fallback,
+                None,
+                format!("re-planned run failed ({e}); reverting to original arbitration"),
+            );
             ctx.counters.add_fallbacks(1);
             sink.truncate(mark);
             temp_pages_peak = temp_pages_peak.max(db.disk.temp_pages().high_water);
@@ -923,6 +941,37 @@ mod tests {
         assert_eq!(outcome.summary.io.total(), reopt_io.total(), "summary reports query I/O");
     }
 
+    /// A traced re-optimizing run journals its steps under its own trace
+    /// id: the skewed fixture's escape and the re-plan it buys are found
+    /// by that id alone, one journal event per step on the trail.
+    #[test]
+    fn a_traced_run_journals_its_steps_under_its_trace_id() {
+        use crate::journal::{journal, EventKind};
+        let (cat, db, plan, env, bindings) = skewed_fixture();
+        let tracer = Arc::new(crate::Tracer::new());
+        let ctx = ExecContext::new(SharedCounters::new()).with_tracer(Arc::clone(&tracer));
+        let cursor = journal().cursor();
+        let outcome =
+            reopt_run(&plan, &db, &cat, &env, &bindings, None, ctx, RootSink::Discard).unwrap();
+        let c = outcome.report.counters;
+        assert!(c.escapes >= 1 && c.replans_adopted >= 1, "escapes and re-plans: {c:?}");
+        let mine: Vec<_> = journal()
+            .events_since(cursor)
+            .into_iter()
+            .filter(|e| e.trace == tracer.trace_id())
+            .collect();
+        let of = |kind| mine.iter().filter(|e| e.kind == kind).count() as u64;
+        assert_eq!(of(EventKind::IntervalEscape), c.escapes, "{mine:?}");
+        assert_eq!(of(EventKind::Replan), c.replans_adopted, "{mine:?}");
+        let escape = outcome.report.events.iter().find(|e| e.kind == ReoptEventKind::Escape);
+        let journaled = mine.iter().find(|e| e.kind == EventKind::IntervalEscape);
+        assert_eq!(
+            journaled.map(|e| (e.node, e.a)),
+            escape.map(|e| (u64::from(e.node.unwrap().0), e.observed.unwrap() as u64)),
+            "the journaled escape is the trail's"
+        );
+    }
+
     #[test]
     fn faulted_checkpoint_continues_the_original_plan() {
         let (cat, db, plan, env, bindings) = skewed_fixture();
@@ -997,10 +1046,11 @@ mod tests {
         let state = ReoptState::new(ReoptConfig { max_replans: 1 });
         let gov = ResourceGovernor::unlimited();
         assert!(state.request_replan(&gov));
+        state.record(ReoptEventKind::Replan, Some(NodeId(3)), "adopted, as the driver does".into());
         assert!(!state.request_replan(&gov), "budget of 1 exhausted");
         let counters = state.counters();
         assert_eq!(counters.replans_attempted, 2);
-        assert_eq!(counters.replans_denied, 1);
+        assert_eq!((counters.replans_adopted, counters.replans_denied), (1, 1));
         assert!(state
             .report()
             .events
@@ -1065,7 +1115,7 @@ mod tests {
             .collect();
         assert_eq!(escapes, vec![(Some(NodeId(7)), Some(100.0))]);
         assert_eq!((report.counters.checkpoints, report.counters.escapes), (1, 1));
-        state.record_fallback("test");
+        state.record(ReoptEventKind::Fallback, None, "test".into());
         assert_eq!(served(&state), 0);
         let c = state.counters();
         assert_eq!((c.fallbacks, c.observed_arbitrations), (1, 1), "one decision applied them");

@@ -16,6 +16,13 @@
 //! [`SharedCounters::merge_from`], and merge-order independent by the
 //! same argument (all fields are sums, except the memory high-water which
 //! merges with `max`).
+//!
+//! A tracer only traces. What a query decides is recorded whether or not
+//! it is traced: each choose-plan winner in the query's
+//! [`SharedCounters`] and, like every control-plane event, in the
+//! [`crate::journal()`]. A tracer adds the detail — spans, and the full
+//! [`ChooseAudit`] of each arbitration — and its id, which the journal
+//! events of a traced run carry.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,9 +42,9 @@ use crate::netexchange::NetStats;
 use crate::tuple::TupleLayout;
 
 /// Process-wide trace-id allocator: every [`Tracer`] created with
-/// [`Tracer::new`] or [`Tracer::audit_only`] gets a distinct non-zero id,
-/// so journal events and frame headers from concurrent queries never
-/// collide. Zero is the "no trace" sentinel on the wire.
+/// [`Tracer::new`] gets a distinct non-zero id, so journal events and frame
+/// headers from concurrent queries never collide. Zero is the "no trace"
+/// sentinel on the wire and in the journal.
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
 fn next_trace_id() -> u64 {
@@ -238,7 +245,6 @@ struct TracerInner {
 pub struct Tracer {
     inner: Mutex<TracerInner>,
     trace_id: u64,
-    record_spans: bool,
 }
 
 impl Default for Tracer {
@@ -251,11 +257,7 @@ impl Tracer {
     /// A fresh, empty tracer with a new process-unique trace id.
     #[must_use]
     pub fn new() -> Tracer {
-        Tracer {
-            inner: Mutex::default(),
-            trace_id: next_trace_id(),
-            record_spans: true,
-        }
+        Tracer::with_trace_id(next_trace_id())
     }
 
     /// A tracer participating in an existing distributed trace: spans it
@@ -263,37 +265,13 @@ impl Tracer {
     /// one connected timeline and frame headers stamp the shared id.
     #[must_use]
     pub fn with_trace_id(trace_id: u64) -> Tracer {
-        Tracer {
-            inner: Mutex::default(),
-            trace_id,
-            record_spans: true,
-        }
-    }
-
-    /// A tracer that collects choose-plan audits but records **no spans**:
-    /// `node_span` returns `None` under it, so the compiled tree stays
-    /// byte-identical to the untraced one. This is how the sharded service
-    /// keeps its always-on arbitration audits without paying the
-    /// per-operator wrapper cost when EXPLAIN ANALYZE is off.
-    #[must_use]
-    pub fn audit_only() -> Tracer {
-        Tracer {
-            inner: Mutex::default(),
-            trace_id: next_trace_id(),
-            record_spans: false,
-        }
+        Tracer { inner: Mutex::default(), trace_id }
     }
 
     /// The distributed trace id all this tracer's spans belong to.
     #[must_use]
     pub fn trace_id(&self) -> u64 {
         self.trace_id
-    }
-
-    /// Whether this tracer records spans (false for [`Tracer::audit_only`]).
-    #[must_use]
-    pub fn records_spans(&self) -> bool {
-        self.record_spans
     }
 
     /// Registers a new span and returns its id.
@@ -413,9 +391,8 @@ impl TraceReport {
 /// [`Phases::finish`] ends the last and the root together. A wall (a
 /// span's `open_wall_ns`) is the difference of two readings, so the
 /// phases are contiguous and sum to the root to the nanosecond. Without a
-/// span-recording tracer a `Phases` is `None`: every call is one branch
-/// and reads no clock, as [`crate::compile_plan`] takes one branch a plan
-/// node.
+/// tracer a `Phases` is `None`: every call is one branch and reads no
+/// clock, as [`crate::compile_plan`] takes one branch a plan node.
 #[derive(Debug, Default)]
 pub struct Phases(Option<PhaseClock>);
 
@@ -448,7 +425,7 @@ impl Phases {
     /// Opens the root span `kind` of a request traced into `tracer`.
     #[must_use]
     pub fn start(tracer: Option<&Arc<Tracer>>, kind: &'static str) -> Phases {
-        Phases(tracer.filter(|t| t.records_spans()).map(|tracer| {
+        Phases(tracer.map(|tracer| {
             let now = crate::journal::monotonic_ns();
             let root = tracer.phase(kind, None, now, 0);
             PhaseClock { tracer: Arc::clone(tracer), root, open: None, root_ns: now, lap_ns: now }
@@ -677,7 +654,7 @@ impl Drop for TracedExec<'_> {
 /// tracing is disabled, so the untraced compile path pays one branch.
 #[must_use]
 pub fn node_span(ctx: &ExecContext, plan: &Plan, id: NodeId) -> Option<(SpanId, ExecContext)> {
-    let tracer = ctx.tracer.as_ref().filter(|t| t.records_spans())?;
+    let tracer = ctx.tracer.as_ref()?;
     let node = &plan[id];
     let span = tracer.span(
         plan.label(id).to_string(),

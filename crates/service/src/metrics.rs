@@ -360,8 +360,14 @@ impl MetricsRegistry {
 
     /// Records one finished query, whichever service ran it: a success
     /// with its `(rows, fallbacks)` and submission-to-completion latency,
-    /// a failure with its refusal class.
-    pub fn record_query(&self, outcome: Result<(u64, u64), &ServiceError>, latency: Duration) {
+    /// a failure with its refusal class, journaled under the query's
+    /// `trace` id (0 untraced).
+    pub fn record_query(
+        &self,
+        outcome: Result<(u64, u64), &ServiceError>,
+        latency: Duration,
+        trace: u64,
+    ) {
         match outcome {
             Ok((rows, fallbacks)) => {
                 self.add(Metric::Completed, 1);
@@ -371,7 +377,7 @@ impl MetricsRegistry {
             }
             Err(e) => {
                 self.add(Metric::Failed, 1);
-                self.classify_failure(e);
+                self.classify_failure(e, trace);
             }
         }
     }
@@ -382,8 +388,9 @@ impl MetricsRegistry {
     /// counts as a link-fault refusal, and a refused memory reservation
     /// (the shard-join degradation ladder running dry included) counts as
     /// a memory-exhaustion refusal. Each classified refusal also lands an
-    /// [`EventKind::AdmissionRefusal`] event in the flight recorder.
-    fn classify_failure(&self, error: &ServiceError) {
+    /// [`EventKind::AdmissionRefusal`] event in the flight recorder, under
+    /// the query's `trace` id.
+    fn classify_failure(&self, error: &ServiceError, trace: u64) {
         let bucket = match error {
             ServiceError::AdmissionTimeout { .. } => Metric::RefusedAdmissionTimeout,
             ServiceError::GrantTooLarge { .. } => Metric::RefusedGrantTooLarge,
@@ -394,7 +401,7 @@ impl MetricsRegistry {
             _ => return,
         };
         let total = self.cells[bucket as usize].fetch_add(1, Ordering::Relaxed) + 1;
-        journal().record(EventKind::AdmissionRefusal, 0, NO_ID, NO_ID, total, NO_ID);
+        journal().record(EventKind::AdmissionRefusal, trace, NO_ID, NO_ID, total, NO_ID);
     }
 
     /// Folds one session's re-optimization counters into the service
@@ -820,7 +827,10 @@ mod tests {
     #[test]
     fn queries_and_refusals_are_classified() {
         let m = MetricsRegistry::new();
-        m.record_query(Ok((7, 2)), Duration::from_millis(5));
+        // A trace id no other query has: the refusals are found by it.
+        let trace = dqep_executor::Tracer::new().trace_id();
+        let cursor = journal().cursor();
+        m.record_query(Ok((7, 2)), Duration::from_millis(5), trace);
         for error in [
             ServiceError::AdmissionTimeout { waited_ms: 5 },
             ServiceError::GrantTooLarge {
@@ -835,8 +845,10 @@ mod tests {
             ServiceError::Sql("nope".into()), // unclassified: no bucket
             ServiceError::Shutdown,
         ] {
-            m.record_query(Err(&error), Duration::from_millis(1));
+            m.record_query(Err(&error), Duration::from_millis(1), trace);
         }
+        let refusals = journal().events_since(cursor).iter().filter(|e| e.trace == trace).count();
+        assert_eq!(refusals, 4, "each classified refusal journaled under its query's trace");
         m.record_reopt(&ReoptCounters {
             checkpoints: 3,
             escapes: 2,

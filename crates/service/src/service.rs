@@ -454,7 +454,8 @@ impl Shared {
         let outcome = result
             .as_ref()
             .map(|r| (r.summary.rows, r.summary.fallbacks));
-        self.metrics.record_query(outcome, submitted.elapsed());
+        let trace = request.tracer.as_ref().map_or(0, |t| t.trace_id());
+        self.metrics.record_query(outcome, submitted.elapsed(), trace);
         if let Ok(r) = &result {
             self.metrics
                 .add(Metric::SimulatedIoPages, r.summary.io.total());

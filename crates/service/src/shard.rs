@@ -7,7 +7,7 @@
 //! the data is ever built. Each shard owns its own [`StoredDatabase`], its own
 //! **local catalog statistics** (cardinalities refreshed and histograms
 //! rebuilt from its partition alone), its own resource governor, and its
-//! own tracer. The coordinator optimizes each query **once** into
+//! own counters. The coordinator optimizes each query **once** into
 //! dynamic per-relation access plans and broadcasts them; every shard
 //! then resolves its *own* winner at bind time, because choose-plan
 //! arbitration runs against the shard-local catalog. On skewed
@@ -17,7 +17,9 @@
 //! applied per data partition. `force_uniform_winner` disables exactly
 //! this: the coordinator resolves the plans against its *global*
 //! statistics and broadcasts the already-resolved (choose-free) plans,
-//! the baseline the shard benchmark beats.
+//! the baseline the shard benchmark beats. Every choose-plan operator a
+//! shard opens records its winner in that shard's counters, traced or
+//! not, and [`ShardOutcome::winners`] lists them per shard.
 //!
 //! Joins run as hash-repartitioning exchange stages: both sides are
 //! routed with the batched multiply-xor kernel
@@ -53,11 +55,10 @@ use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal, kway_merge,
-    merge_distributed, presized_batch, scatter_by_shard, sort_batches, ChooseAudit,
-    EventKind, ExecContext, ExecError, FrameTrace, NetChannel, NetConfig, Phases,
-    NetSpanStats, NetStats, Resource, ResourceLimits, RootSink, RowBatch,
-    SharedCounters, SimNet, SpanId, SpanStats, TraceReport, Tracer, Tuple, TupleLayout,
-    BATCH_CAPACITY, NO_ID,
+    merge_distributed, presized_batch, scatter_by_shard, sort_batches, EventKind, ExecContext,
+    ExecError, FrameTrace, NetChannel, NetConfig, NetSpanStats, NetStats, Phases, Resource,
+    ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats, TraceReport,
+    Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, ParsedPredicate};
@@ -141,8 +142,8 @@ pub struct ShardConfig {
     /// Record a full distributed trace: coordinator and shard operator
     /// spans plus network-exchange spans, merged into one connected
     /// timeline in [`ShardOutcome::trace`]. Default `false`: shards run
-    /// audit-only tracers (arbitration audits still flow, no per-operator
-    /// wrapper cost).
+    /// untraced (their winners are still counted, and no operator pays a
+    /// wrapper).
     pub trace: bool,
 }
 
@@ -187,10 +188,10 @@ pub struct ShardOutcome {
     pub layout: TupleLayout,
     /// Result rows contributed by each shard.
     pub per_shard_rows: Vec<u64>,
-    /// Choose-plan audit trails per shard, in arbitration order. Audits
-    /// for the same plan node carry the same `node` id on every shard,
-    /// so winners are comparable across shards.
-    pub audits: Vec<Vec<ChooseAudit>>,
+    /// Each shard's choose-plan winners, `(node, alternative)` in the
+    /// order its operators opened. A plan node has the same id on every
+    /// shard, so winners are comparable across shards.
+    pub winners: Vec<Vec<(u64, usize)>>,
     /// Plan nodes whose winning alternative differed between shards.
     pub divergent_nodes: Vec<u64>,
     /// Wire traffic of this query alone (cross-shard + gather frames):
@@ -225,10 +226,8 @@ impl ShardOutcome {
     #[must_use]
     pub fn winner_counts(&self) -> BTreeMap<usize, u64> {
         let mut counts = BTreeMap::new();
-        for audit in self.audits.iter().flatten() {
-            if let Some(w) = audit.winner {
-                *counts.entry(w).or_insert(0) += 1;
-            }
+        for &(_, w) in self.winners.iter().flatten() {
+            *counts.entry(w).or_insert(0) += 1;
         }
         counts
     }
@@ -297,7 +296,7 @@ impl RecvTrace {
     /// totals never double count) — just the delivered rows and the
     /// propagated remote span.
     fn flush(&self, tracer: &Tracer, parent: Option<SpanId>, ch: &NetChannel) {
-        if self.batches == 0 || !tracer.records_spans() {
+        if self.batches == 0 {
             return;
         }
         let span = tracer.span(
@@ -330,6 +329,7 @@ impl RecvTrace {
 struct ShardRun {
     rows_out: u64,
     fallbacks: u64,
+    winners: Vec<(u64, usize)>,
 }
 
 /// A sharded query service: `N` partitioned replicas joined by a
@@ -464,12 +464,11 @@ impl ShardedService {
                 .as_ref()
                 .map(|ok| (ok.rows.len() as u64, ok.fallbacks)),
             submitted.elapsed(),
+            coord_tracer.as_ref().map_or(0, |t| t.trace_id()),
         );
         if let Ok(ok) = &outcome {
-            for audit in ok.audits.iter().flatten() {
-                if let Some(w) = audit.winner {
-                    m.add_winner(w);
-                }
+            for &(_, w) in ok.winners.iter().flatten() {
+                m.add_winner(w);
             }
             m.add(Metric::ShardDivergentNodes, ok.divergent_nodes.len() as u64);
             m.add(Metric::NetBytes, ok.net.bytes);
@@ -561,20 +560,16 @@ impl ShardedService {
         let layout = canonical_layout(&self.catalog, &plan.rels);
         let width = layout.width();
         // Traced, every shard tracer joins the coordinator's trace id;
-        // untraced, shards run audit-only tracers so arbitration audits
-        // still flow with no per-operator span cost.
-        let tracers: Vec<Arc<Tracer>> = (0..n)
-            .map(|_| match coord_tracer {
-                Some(coord) => Arc::new(Tracer::with_trace_id(coord.trace_id())),
-                None => Arc::new(Tracer::audit_only()),
-            })
+        // untraced, shards run with no tracer at all.
+        let tracers: Vec<Option<Arc<Tracer>>> = (0..n)
+            .map(|_| coord_tracer.map(|coord| Arc::new(Tracer::with_trace_id(coord.trace_id()))))
             .collect();
 
         let (runs, per_shard) = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (s, shard) in self.shards.iter().enumerate() {
                 let shard_wires = wires.remove(0);
-                let tracer = Arc::clone(&tracers[s]);
+                let tracer = tracers[s].clone();
                 let (env, config) = (&self.env, &self.config);
                 handles.push(scope.spawn(move || {
                     let result =
@@ -621,7 +616,7 @@ impl ShardedService {
 
         let mut shard_rows = Vec::with_capacity(n);
         let mut fallbacks = 0;
-        let mut audits: Vec<Vec<ChooseAudit>> = Vec::with_capacity(n);
+        let mut winners: Vec<Vec<(u64, usize)>> = Vec::with_capacity(n);
         let mut gathered: Vec<Vec<RowBatch>> = Vec::with_capacity(n);
         for (s, (run, batches)) in runs.into_iter().zip(per_shard).enumerate() {
             let run = run.map_err(ServiceError::Exec)?;
@@ -629,7 +624,7 @@ impl ShardedService {
             let rows = live_rows(&batches);
             check_gathered(s, rows, run.rows_out).map_err(ServiceError::Exec)?;
             fallbacks += run.fallbacks;
-            audits.push(tracers[s].report().audits);
+            winners.push(run.winners);
             shard_rows.push(rows);
             gathered.push(batches);
         }
@@ -645,10 +640,8 @@ impl ShardedService {
         let rows = materialize(&gathered, plan.order_by.map(|attr| layout.require(attr)));
 
         let mut winners_by_node: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
-        for audit in audits.iter().flatten() {
-            if let Some(w) = audit.winner {
-                winners_by_node.entry(audit.node).or_default().insert(w);
-            }
+        for &(node, w) in winners.iter().flatten() {
+            winners_by_node.entry(node).or_default().insert(w);
         }
         let divergent_nodes: Vec<u64> = winners_by_node
             .iter()
@@ -684,7 +677,8 @@ impl ShardedService {
         // the coordinator root.
         phases.finish();
         let trace = coord_tracer.map(|coord| {
-            let shard_reports: Vec<TraceReport> = tracers.iter().map(|t| t.report()).collect();
+            let shard_reports: Vec<TraceReport> =
+                tracers.iter().flatten().map(|t| t.report()).collect();
             merge_distributed(&coord.report(), &shard_reports)
         });
 
@@ -692,7 +686,7 @@ impl ShardedService {
             rows,
             layout,
             per_shard_rows: shard_rows,
-            audits,
+            winners,
             divergent_nodes,
             net,
             links,
@@ -821,20 +815,20 @@ fn run_shard(
     env: &Environment,
     bindings: &Bindings,
     config: &ShardConfig,
-    tracer: Arc<Tracer>,
+    tracer: Option<Arc<Tracer>>,
 ) -> Result<ShardRun, ExecError> {
     // With tracing on, everything the shard does — operators, sends,
     // receives — nests under one per-shard root span; the coordinator
     // re-parents these roots under its own when merging.
-    let root = tracer
-        .records_spans()
-        .then(|| tracer.span(format!("Shard {s}"), "Shard", None, None, None, config.dop.max(1)));
-    let mut ctx = ExecContext::with_limits(SharedCounters::new(), config.limits)
-        .with_dop(config.dop)
-        .with_tracer(Arc::clone(&tracer));
-    if let Some(root) = root {
-        ctx = ctx.with_span_parent(root);
+    let mut ctx =
+        ExecContext::with_limits(SharedCounters::new(), config.limits).with_dop(config.dop);
+    let mut root = None;
+    if let Some(tracer) = &tracer {
+        let span = tracer.span(format!("Shard {s}"), "Shard", None, None, None, config.dop.max(1));
+        ctx = ctx.with_tracer(Arc::clone(tracer)).with_span_parent(span);
+        root = Some(span);
     }
+    let tracer = tracer.as_deref();
 
     let mut current = run_access(shard, &plan.access[0], env, bindings, &ctx)?;
     let mut layout = TupleLayout::base(&shard.catalog, plan.rels[0]);
@@ -855,7 +849,7 @@ fn run_shard(
             lkey,
             &stage_wires.left_out,
             &stage_wires.left_in,
-            &tracer,
+            tracer,
             root,
         )?;
         let right_mine = repartition(
@@ -865,7 +859,7 @@ fn run_shard(
             rkey,
             &stage_wires.right_out,
             &stage_wires.right_in,
-            &tracer,
+            tracer,
             root,
         )?;
         let mut joined = join_batches(
@@ -899,11 +893,12 @@ fn run_shard(
         current = vec![sort_batches(&current, layout.width(), layout.require(attr))];
     }
 
-    let mut gather = FrameSender::new(&wires.gather, &tracer, root);
+    let mut gather = FrameSender::new(&wires.gather, tracer, root);
     for batch in &current {
         gather.send(batch)?;
     }
-    Ok(ShardRun { rows_out: live_rows(&current), fallbacks: ctx.counters.fallbacks() })
+    let (fallbacks, winners) = (ctx.counters.fallbacks(), ctx.counters.winners());
+    Ok(ShardRun { rows_out: live_rows(&current), fallbacks, winners })
 }
 
 /// Runs one per-relation access plan locally and hands back the batches
@@ -911,7 +906,7 @@ fn run_shard(
 /// carries its choose operators (unless the coordinator pre-resolved
 /// them), so running it against the *shard's* catalog is what turns
 /// bind-time arbitration into a per-shard decision — every choose-plan
-/// operator that opens leaves its audit in the shard's tracer. An access
+/// operator that opens counts its winner in the shard's counters. An access
 /// stage is an intermediate result: a batch sink is not charged to the
 /// row budget. It is a single-relation plan optimized without required
 /// properties, so it has no blocking input a re-optimizing run could
@@ -946,7 +941,7 @@ fn repartition(
     key: usize,
     outs: &[Option<NetChannel>],
     ins: &[Option<NetChannel>],
-    tracer: &Tracer,
+    tracer: Option<&Tracer>,
     parent: Option<SpanId>,
 ) -> Result<Vec<RowBatch>, ExecError> {
     if outs.iter().all(Option::is_none) {
@@ -959,7 +954,7 @@ fn repartition(
     let local = sent?;
     let mut mine: Vec<RowBatch> = Vec::new();
     for ch in ins.iter().flatten() {
-        drain_link(ch, width, &mut mine, Some(tracer), parent)?;
+        drain_link(ch, width, &mut mine, tracer, parent)?;
     }
     mine.push(local);
     Ok(mine)
@@ -1012,7 +1007,7 @@ fn send_partitions(
     width: usize,
     key: usize,
     outs: &[Option<NetChannel>],
-    tracer: &Tracer,
+    tracer: Option<&Tracer>,
     parent: Option<SpanId>,
 ) -> Result<RowBatch, ExecError> {
     let shards = outs.len();
@@ -1050,11 +1045,11 @@ fn send_partitions(
     Ok(std::mem::take(&mut dest[s]))
 }
 
-/// The send half of one link: turns batches into dense frames under one
-/// lazily opened `Net-Send` span.
+/// The send half of one link: turns batches into dense frames, traced
+/// under one lazily opened `Net-Send` span.
 struct FrameSender<'a> {
     ch: &'a NetChannel,
-    tracer: &'a Tracer,
+    tracer: Option<&'a Tracer>,
     parent: Option<SpanId>,
     /// Opened at the first frame, so the span id can ride in every frame
     /// header and an idle link records nothing.
@@ -1062,7 +1057,11 @@ struct FrameSender<'a> {
 }
 
 impl<'a> FrameSender<'a> {
-    fn new(ch: &'a NetChannel, tracer: &'a Tracer, parent: Option<SpanId>) -> FrameSender<'a> {
+    fn new(
+        ch: &'a NetChannel,
+        tracer: Option<&'a Tracer>,
+        parent: Option<SpanId>,
+    ) -> FrameSender<'a> {
         FrameSender { ch, tracer, parent, span: None }
     }
 
@@ -1077,9 +1076,9 @@ impl<'a> FrameSender<'a> {
         let mut lo = 0;
         while lo < live {
             let hi = if live - lo < 2 * BATCH_CAPACITY { live } else { lo + BATCH_CAPACITY };
-            let span = self.tracer.records_spans().then(|| {
+            let span = self.tracer.map(|tracer| {
                 *self.span.get_or_insert_with(|| {
-                    self.tracer.span(
+                    tracer.span(
                         format!("Net-Send {}->{}", self.ch.from_node(), self.ch.to_node()),
                         "Net-Send",
                         None,
@@ -1090,7 +1089,7 @@ impl<'a> FrameSender<'a> {
                 })
             });
             let trace = FrameTrace {
-                trace_id: self.tracer.trace_id(),
+                trace_id: self.tracer.map_or(0, Tracer::trace_id),
                 span: span.map(|sp| sp.0 as u64),
             };
             self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
@@ -1106,7 +1105,7 @@ impl Drop for FrameSender<'_> {
     /// counters: each channel has exactly one sender and lives for one
     /// query, so its counters are the span's traffic.
     fn drop(&mut self) {
-        if let Some(span) = self.span {
+        if let (Some(tracer), Some(span)) = (self.tracer, self.span) {
             let net = NetSpanStats {
                 from: self.ch.from_node(),
                 to: self.ch.to_node(),
@@ -1114,7 +1113,7 @@ impl Drop for FrameSender<'_> {
                 stats: self.ch.stats(),
                 remote_span: None,
             };
-            self.tracer.set_net(span, net);
+            tracer.set_net(span, net);
         }
     }
 }
@@ -1352,22 +1351,32 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_arbitration_audits_are_recorded() {
+    fn per_shard_winners_are_recorded() {
         let svc = ShardedService::new(
             catalog(1),
             ShardConfig { shards: 2, ..ShardConfig::default() },
         );
-        let out = svc
-            .execute("SELECT * FROM R1 WHERE R1.a < :v1", &[("v1", 30)])
-            .expect("runs");
-        assert_eq!(out.audits.len(), 2);
-        for shard_audits in &out.audits {
-            assert!(
-                shard_audits.iter().all(|a| a.winner.is_some()),
-                "every arbitration resolved"
-            );
-        }
+        let sql = "SELECT * FROM R1 WHERE R1.a < :v1";
+        let out = svc.execute(sql, &[("v1", 30)]).expect("runs");
+        assert_eq!(out.winners.len(), 2);
+        assert!(out.winners.iter().all(|w| !w.is_empty()), "every shard arbitrated");
         assert!(!out.winner_counts().is_empty(), "winners counted");
+        // Tracing adds the audits; the winners were recorded without it.
+        let traced = ShardedService::new(
+            catalog(1),
+            ShardConfig { shards: 2, trace: true, ..ShardConfig::default() },
+        )
+        .execute(sql, &[("v1", 30)])
+        .expect("runs");
+        assert_eq!(traced.winners, out.winners);
+        let audited: Vec<(u64, usize)> = traced
+            .trace
+            .expect("traced")
+            .audits
+            .iter()
+            .map(|a| (a.node, a.winner.expect("resolved")))
+            .collect();
+        assert_eq!(audited, out.winners.concat());
     }
 
     #[test]
@@ -1673,14 +1682,13 @@ mod tests {
     fn frames_are_dense_and_cut_without_runts() {
         let net = SimNet::new(NetConfig::default());
         let ch = net.channel(0, 1, 0);
-        let tracer = Tracer::audit_only();
         let rows = 3 * BATCH_CAPACITY + 10;
         let mut batch = RowBatch::with_capacity(2, rows);
         (0..rows as i64).for_each(|v| batch.push_row(&[v, -v]));
         // Every other row is dead: only live rows may reach the wire.
         batch.set_selection((0..rows as u32).step_by(2).collect());
         let live = batch.len();
-        FrameSender::new(&ch, &tracer, None).send(&batch).expect("send");
+        FrameSender::new(&ch, None, None).send(&batch).expect("send");
         ch.close();
         let mut got = Vec::new();
         drain_link(&ch, 2, &mut got, None, None).expect("drained");
@@ -1697,7 +1705,7 @@ mod tests {
         let ch = net.channel(0, 1, 0);
         batch.clear();
         (0..rows as i64).for_each(|v| batch.push_row(&[v, -v]));
-        FrameSender::new(&ch, &tracer, None).send(&batch).expect("send");
+        FrameSender::new(&ch, None, None).send(&batch).expect("send");
         ch.close();
         let mut got = Vec::new();
         drain_link(&ch, 2, &mut got, None, None).expect("drained");
@@ -1720,14 +1728,12 @@ mod tests {
         let links: Vec<Vec<Option<NetChannel>>> = (0..2)
             .map(|from| (0..2).map(|to| (from != to).then(|| net.channel(from, to, 0))).collect())
             .collect();
-        let tracer = Tracer::audit_only();
         let shares: Vec<Vec<RowBatch>> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..2usize)
                 .map(|s| {
                     let outs = links[s].clone();
                     let ins: Vec<Option<NetChannel>> =
                         links.iter().map(|row| row[s].clone()).collect();
-                    let tracer = &tracer;
                     scope.spawn(move || {
                         // One batch, as a join stage hands on its result.
                         // Column 0 is the key, column 1 the row's identity.
@@ -1735,7 +1741,7 @@ mod tests {
                         for i in 0..ROWS {
                             batch.push_row(&[i * 7 % 1_000, s as i64 * ROWS + i]);
                         }
-                        repartition(s, vec![batch], 2, 0, &outs, &ins, tracer, None)
+                        repartition(s, vec![batch], 2, 0, &outs, &ins, None, None)
                             .expect("repartition")
                     })
                 })

@@ -2,15 +2,16 @@
 //! independent (like `SharedCounters::merge_from`), tracing is
 //! observationally invisible (byte-identical results and counters with
 //! tracing on or off, at any DOP, under storage faults, through every
-//! entry point of the service; an audit-only tracer keeps the audits and
-//! records no span), a traced session times itself in contiguous phases,
+//! entry point of the service; that an untraced run records the same
+//! arbitration winners as a traced one is `tests/untraced_arbitrations.rs`),
+//! a traced session times itself in contiguous phases,
 //! EXPLAIN ANALYZE reports interval-vs-actual drift plus the choose-plan
 //! audit trail, and the drift flag follows the cardinality observations a
 //! decision applies.
 
 use std::sync::Arc;
 
-use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
+use dqep::catalog::{Catalog, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
     card_drift, compile_dynamic_plan, drain, explain_json, parse_json, render_explain, run,
@@ -27,6 +28,9 @@ use proptest::prelude::*;
 #[path = "common/workload.rs"]
 #[allow(dead_code)]
 mod workload;
+
+#[path = "common/choose.rs"]
+mod choose;
 
 use workload::{build, build_sql, classify, named_binds, workload_strategy, Shape};
 
@@ -534,36 +538,12 @@ proptest! {
     }
 }
 
-/// Fixture for the deterministic tests below: a two-relation join with an
-/// unbound selection, which the dynamic optimizer compiles with
-/// choose-plan nodes.
-fn choose_plan_fixture() -> (Catalog, StoredDatabase, dqep::sql::Query, Arc<dqep::plan::Plan>) {
-    let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
-        .relation("r", 200, 512, |r| {
-            r.attr("a", 200.0).attr("j", 60.0).btree("a", false).btree("j", false)
-        })
-        .relation("s", 150, 512, |r| {
-            r.attr("a", 150.0).attr("j", 60.0).btree("a", false).btree("j", false)
-        })
-        .build()
-        .unwrap();
-    let db = StoredDatabase::generate(&catalog, 77);
-    let query = parse_query("SELECT * FROM r, s WHERE r.j = s.j AND r.a < :x", &catalog).unwrap();
-    let env = Environment::dynamic_compile_time(&catalog.config);
-    let plan = Optimizer::new(&catalog, &env)
-        .optimize_with_props(&query.expr, query.required_props())
-        .unwrap()
-        .plan;
-    assert!(plan.is_dynamic(), "fixture must exercise choose-plan");
-    (catalog, db, query, plan)
-}
-
 /// EXPLAIN ANALYZE on a choose-plan query reports, for every node, the
 /// interval estimate next to actuals with a drift flag, plus the
 /// choose-plan audit trail; the JSON rendering passes the schema checker.
 #[test]
 fn explain_analyze_reports_estimates_actuals_and_audit() {
-    let (catalog, db, query, plan) = choose_plan_fixture();
+    let (catalog, db, query, plan) = choose::choose_plan_fixture();
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = query.bindings(&[("x", 60)]).unwrap().with_memory(48.0);
     let (summary, report) = run_traced(&plan, &db, &catalog, &env, &bindings, 1).unwrap();
@@ -611,45 +591,6 @@ fn explain_analyze_reports_estimates_actuals_and_audit() {
     // JSON rendering conforms to the schema the CI checker enforces.
     let json = explain_json(&report, &catalog.config);
     validate_explain_json(&json).expect("schema-valid JSON");
-}
-
-/// The untraced paths record no span. One plan through `run` three ways —
-/// untraced, under an audit-only tracer (what the sharded service keeps on
-/// every shard) and traced: the audit-only tracer holds no span but every
-/// choose-plan audit the traced run holds, and the rows, CPU counters and
-/// I/O of the three are equal.
-#[test]
-fn an_audit_only_tracer_records_audits_and_no_spans() {
-    let (catalog, _, query, plan) = choose_plan_fixture();
-    let env = Environment::dynamic_compile_time(&catalog.config);
-    let bindings = query.bindings(&[("x", 60)]).unwrap().with_memory(48.0);
-    // Each run on its own replica, as in `tracing_changes_nothing_observable`.
-    let run_with = |tracer: Option<&Arc<Tracer>>| {
-        let db = StoredDatabase::generate(&catalog, 77);
-        let mut ctx = ExecContext::new(SharedCounters::new());
-        if let Some(t) = tracer {
-            ctx = ctx.with_tracer(Arc::clone(t));
-        }
-        let mut rows = Vec::new();
-        let summary = run(&plan, &db, &catalog, &env, &bindings, &ctx, RootSink::Rows(&mut rows))
-            .unwrap();
-        (rows, summary.cpu, summary.io)
-    };
-
-    let untraced = run_with(None);
-    let audit_only = Arc::new(Tracer::audit_only());
-    let audited = run_with(Some(&audit_only));
-    let tracer = Arc::new(Tracer::new());
-    let traced = run_with(Some(&tracer));
-    assert!(!untraced.0.is_empty());
-    assert_eq!(untraced, audited, "an audit-only tracer changed rows, CPU or I/O");
-    assert_eq!(untraced, traced, "a tracer changed rows, CPU or I/O");
-
-    let (audit_only, traced) = (audit_only.report(), tracer.report());
-    assert!(audit_only.spans.is_empty(), "an audit-only tracer recorded spans");
-    assert!(!traced.spans.is_empty());
-    assert!(!traced.audits.is_empty(), "the fixture must arbitrate");
-    assert_eq!(format!("{:?}", audit_only.audits), format!("{:?}", traced.audits));
 }
 
 fn wall(span: &SpanRecord) -> u64 {
@@ -751,7 +692,7 @@ fn a_traced_session_times_itself_in_contiguous_phases() {
 /// the flag clears.
 #[test]
 fn drift_flag_follows_cardinality_feedback() {
-    let (catalog, db, query, plan) = choose_plan_fixture();
+    let (catalog, db, query, plan) = choose::choose_plan_fixture();
     let env = Environment::dynamic_compile_time(&catalog.config);
     let bindings = query.bindings(&[("x", 60)]).unwrap().with_memory(48.0);
 

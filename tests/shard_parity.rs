@@ -177,13 +177,7 @@ proptest! {
         let (a, b) = (run(catalog.clone()), run(catalog));
         prop_assert_eq!(a.rows, b.rows, "row order must be reproducible");
         prop_assert_eq!(a.per_shard_rows, b.per_shard_rows);
-        let winners = |o: &dqep::service::ShardOutcome| -> Vec<Vec<Option<usize>>> {
-            o.audits
-                .iter()
-                .map(|s| s.iter().map(|audit| audit.winner).collect())
-                .collect()
-        };
-        prop_assert_eq!(winners(&a), winners(&b), "audit trails must be reproducible");
+        prop_assert_eq!(a.winners, b.winners, "per-shard winners must be reproducible");
     }
 }
 
