@@ -380,7 +380,8 @@ impl Memo {
     /// "logical alternative plans considered by the search engine" metric
     /// reported with the paper's query definitions. Computed as
     /// `trees(g) = Σ_expr Π_child trees(child)` with memoization; leaves
-    /// count 1.
+    /// count 1. Counted on demand, over [`crate::Optimizer::explore`]'s
+    /// memo: optimization does not count them.
     #[must_use]
     pub fn logical_tree_count(&self, gid: GroupId) -> f64 {
         self.trees(gid, &mut vec![None; self.groups.len()])

@@ -173,7 +173,6 @@ impl<'a> Optimizer<'a> {
         let mut stats = OptimizerStats {
             groups: memo.group_count(),
             logical_exprs: memo.expr_count(),
-            logical_trees: memo.logical_tree_count(root),
             physical_considered: search.physical_considered,
             pruned_by_bound: search.pruned_by_bound,
             pruned_by_probing: search.pruned_by_probing,

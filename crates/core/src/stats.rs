@@ -9,9 +9,6 @@ pub struct OptimizerStats {
     pub groups: usize,
     /// Logical expressions in the memo after exploration.
     pub logical_exprs: usize,
-    /// Complete logical trees represented by the memo (the paper's
-    /// "logical alternative plans considered").
-    pub logical_trees: f64,
     /// Physical expressions constructed and costed.
     pub physical_considered: usize,
     /// Candidates skipped because their cost lower bound exceeded the
@@ -52,7 +49,7 @@ mod tests {
     fn default_is_zeroed() {
         let s = OptimizerStats::default();
         assert_eq!(s.groups, 0);
-        assert_eq!(s.logical_trees, 0.0);
+        assert_eq!(s.logical_exprs, 0);
         assert_eq!(s.optimization_seconds, 0.0);
     }
 }

@@ -168,8 +168,10 @@ fn fingerprint(plan: &Plan) -> u64 {
     h
 }
 
-/// Everything pinned about one run, in one comparable line.
-fn summary(r: &OptimizeResult) -> String {
+/// Everything pinned about one run, in one comparable line. `trees` is the
+/// number of logical trees the explored memo represents, counted here: the
+/// optimizer does not count them on its own path.
+fn summary(r: &OptimizeResult, trees: f64) -> String {
     let s = &r.stats;
     let total = r.plan.root_node().total_cost.total();
     format!(
@@ -177,7 +179,7 @@ fn summary(r: &OptimizeResult) -> String {
          frontier={} max_frontier={} cost=[{:016x},{:016x}] dag={:016x}",
         s.groups,
         s.logical_exprs,
-        s.logical_trees,
+        trees,
         s.physical_considered,
         s.pruned_by_bound,
         s.plan_nodes,
@@ -191,6 +193,12 @@ fn summary(r: &OptimizeResult) -> String {
     )
 }
 
+/// The logical trees the optimizer's memo for `query` represents.
+fn trees(env: &Environment, cat: &Catalog, query: &LogicalExpr) -> f64 {
+    let (memo, root) = Optimizer::new(cat, env).explore(query).unwrap();
+    memo.logical_tree_count(root)
+}
+
 fn run(env: &Environment, cat: &Catalog, query: &LogicalExpr, props: PhysProps) -> String {
     let result = Optimizer::new(cat, env)
         .optimize_with_props(query, props)
@@ -198,18 +206,17 @@ fn run(env: &Environment, cat: &Catalog, query: &LogicalExpr, props: PhysProps) 
     // Linear in the table: the 1 123-node `dynamic k=10` plan is
     // 1.7 × 10¹⁰ nodes as a tree (the 309-node `k=6` plan 1.1 M).
     result.plan.check_invariants().unwrap();
-    summary(&result)
+    summary(&result, trees(env, cat, query))
 }
 
 /// [`run`] for a join graph: the summary and the predicate fingerprint.
 fn run_graph(env: &Environment, cat: &Catalog, joins: &[&[Edge]]) -> String {
-    let result = Optimizer::new(cat, env)
-        .optimize(&graph(cat, joins))
-        .unwrap();
+    let query = graph(cat, joins);
+    let result = Optimizer::new(cat, env).optimize(&query).unwrap();
     result.plan.check_invariants().unwrap();
     format!(
         "{} preds={:016x}",
-        summary(&result),
+        summary(&result, trees(env, cat, &query)),
         preds_fingerprint(&result.plan)
     )
 }

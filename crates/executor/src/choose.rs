@@ -400,7 +400,7 @@ mod tests {
                 .heap
                 .scan()
                 .map(Result::unwrap)
-                .filter(|rec| table.decode(rec)[0] < v)
+                .filter(|row| row[0] < v)
                 .count();
             assert_eq!(rows, expected);
         }
@@ -495,7 +495,7 @@ mod tests {
             .heap
             .scan()
             .map(Result::unwrap)
-            .filter(|rec| table.decode(rec)[0] < 5)
+            .filter(|row| row[0] < 5)
             .count();
         assert_eq!(rows, expected);
     }

@@ -432,7 +432,7 @@ mod tests {
                 .heap
                 .scan()
                 .map(Result::unwrap)
-                .filter(|rec| table.decode(rec)[0] < v)
+                .filter(|row| row[0] < v)
                 .count() as u64;
             assert_eq!(summary.rows, expected, "binding {v}");
         }
@@ -525,9 +525,9 @@ mod tests {
         let rt = db.table(r.id);
         let st = db.table(s.id);
         let r_rows: Vec<Vec<i64>> =
-            rt.heap.scan().map(|rec| rt.decode(&rec.unwrap())).collect();
+            rt.heap.scan().map(Result::unwrap).collect();
         let s_rows: Vec<Vec<i64>> =
-            st.heap.scan().map(|rec| st.decode(&rec.unwrap())).collect();
+            st.heap.scan().map(Result::unwrap).collect();
         let expected = r_rows
             .iter()
             .filter(|row| row[0] < 100)

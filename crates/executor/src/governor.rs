@@ -264,6 +264,10 @@ pub struct ExecContext {
     /// ([`ExecContext::with_decision`]). Under re-optimization the driver
     /// hands every run it launches the decision it made last.
     pub decision: Option<Arc<dqep_plan::StartupResult>>,
+    /// The id the run's journal events carry: its own from the tracers'
+    /// counter ([`crate::next_trace_id`]) unless it joins its tracer's or
+    /// its query's.
+    trace: u64,
 }
 
 impl ExecContext {
@@ -284,21 +288,34 @@ impl ExecContext {
             span_parent: None,
             reopt: None,
             decision: None,
+            trace: crate::trace::next_trace_id(),
         }
     }
 
-    /// The same context with per-operator tracing enabled into `tracer`.
+    /// The same context with per-operator tracing enabled into `tracer`,
+    /// whose trace id it adopts.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Arc<crate::trace::Tracer>) -> ExecContext {
+        self.trace = tracer.trace_id();
         self.tracer = Some(tracer);
         self
     }
 
-    /// The trace id the journal events of this run carry: its tracer's,
-    /// 0 when it is not traced.
+    /// The same context under the trace id of the query it is a part of:
+    /// each shard's context of a sharded query carries its coordinator's,
+    /// traced or not.
+    #[must_use]
+    pub fn with_trace_id(mut self, trace_id: u64) -> ExecContext {
+        self.trace = trace_id;
+        self
+    }
+
+    /// The trace id the journal events of this run carry, traced or not:
+    /// a context's own, drawn from the counter tracers draw from, unless
+    /// it adopted its tracer's or joined its query's.
     #[must_use]
     pub fn trace_id(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, |t| t.trace_id())
+        self.trace
     }
 
     /// The same context with mid-query re-optimization enabled:

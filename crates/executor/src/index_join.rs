@@ -2,8 +2,7 @@
 //! row.
 
 use dqep_catalog::IndexId;
-use dqep_storage::gen::{decode_record_into, record_value};
-use dqep_storage::{BufferPool, Rid, SlottedPage, StorageError, StoredTable};
+use dqep_storage::{BufferPool, ColumnPage, Rid, StorageError, StoredTable};
 
 use crate::batch::{ColStream, RowBatch};
 use crate::error::ExecError;
@@ -112,23 +111,23 @@ impl<'a> IndexJoinExec<'a> {
             self.ctx.governor.charge_io(pages)?;
             for rid in &self.rids {
                 let misses_before = self.pool.misses();
-                let page = SlottedPage::from_bytes(self.pool.read(rid.page)?);
+                let page = ColumnPage::from_bytes(self.pool.read(rid.page)?);
                 if self.pool.misses() > misses_before {
                     self.ctx.governor.charge_io(1)?;
                 }
-                let record = page
-                    .get(rid.slot)
+                let row = page
+                    .row(rid.slot)
                     .ok_or(ExecError::Storage(StorageError::RecordNotFound {
                         page: rid.page,
                         slot: rid.slot,
                     }))?;
                 *compares += 1;
                 if let Some(p) = &self.residual {
-                    if !p.op.eval_int(record_value(record, p.pos), p.value) {
+                    if !p.op.eval_int(row.value(p.pos), p.value) {
                         continue;
                     }
                 }
-                if !self.extra.iter().all(|&(oc, ic)| outer[oc][o] == record_value(record, ic)) {
+                if !self.extra.iter().all(|&(oc, ic)| outer[oc][o] == row.value(ic)) {
                     continue;
                 }
                 out.extend_rows_with(1, |cols| {
@@ -136,7 +135,7 @@ impl<'a> IndexJoinExec<'a> {
                     for (col, from) in outer_cols.iter_mut().zip(outer) {
                         col.push(from[o]);
                     }
-                    decode_record_into(record, inner_cols);
+                    row.push_into(inner_cols);
                 });
             }
         }

@@ -96,7 +96,7 @@ pub use reopt::{
 };
 pub use sort::{kway_merge, sort_batches, SortExec};
 pub use trace::{
-    merge_distributed, AltAudit, AttemptAudit, ChooseAudit, NetSpanStats, NodeEstimate, Phases,
-    SpanId, SpanRecord, SpanStats, TraceReport, TracedExec, Tracer,
+    merge_distributed, next_trace_id, AltAudit, AttemptAudit, ChooseAudit, NetSpanStats,
+    NodeEstimate, Phases, SpanId, SpanRecord, SpanStats, TraceReport, TracedExec, Tracer,
 };
 pub use tuple::{Tuple, TupleLayout};

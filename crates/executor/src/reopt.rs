@@ -215,7 +215,7 @@ pub struct ReoptReport {
 struct ReoptInner {
     /// The trail: every step, in order.
     events: Vec<ReoptEvent>,
-    /// The trace id the journal events of the run carry (0 untraced).
+    /// The trace id the journal events of the run carry.
     trace: u64,
     observations: Observations,
     materialized: Vec<(NodeId, TupleLayout, Arc<Vec<RowBatch>>)>,

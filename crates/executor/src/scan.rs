@@ -6,8 +6,7 @@ use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use dqep_catalog::IndexId;
-use dqep_storage::gen::{decode_page_slots_into, decode_record_into};
-use dqep_storage::{PageClaims, PageView, Rid, SlottedPage, StoredTable, DEFAULT_MORSEL_PAGES};
+use dqep_storage::{ColumnPage, PageClaims, PageView, Rid, StoredTable, DEFAULT_MORSEL_PAGES};
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
@@ -15,9 +14,9 @@ use crate::governor::ExecContext;
 use crate::tuple::TupleLayout;
 use crate::Operator;
 
-/// The shared body of the two heap scans: decodes the pages its caller
-/// names straight into batches, carrying a page tail and a deferred
-/// error between calls.
+/// The shared body of the two heap scans: copies the column runs of the
+/// pages its caller names straight into batches, carrying a page tail and
+/// a deferred error between calls.
 struct HeapPages<'a> {
     table: &'a StoredTable,
     layout: TupleLayout,
@@ -29,7 +28,7 @@ struct HeapPages<'a> {
     /// The last page read when the request was full before the page was
     /// used up, and the slot to go on from: a reference to the disk's
     /// buffer, not a copy of the rows.
-    tail: Option<(SlottedPage, u16)>,
+    tail: Option<(ColumnPage, u16)>,
     /// Error hit while a batch already held decoded rows; surfaced on the
     /// next call so the partial batch is delivered (and counted) first.
     pending_err: Option<ExecError>,
@@ -58,11 +57,11 @@ impl<'a> HeapPages<'a> {
 
     /// Fills a batch of up to `max_rows` rows from the page tail and then
     /// from the pages `next_page` yields (indexes into the heap's page
-    /// list): whole pages decode straight into the batch's contiguous
-    /// storage — no per-row allocation, one governor check and one
+    /// list): a page's column runs are copied straight into the batch's
+    /// columns — no per-row allocation, one governor check and one
     /// record-counter update per batch. The pages are read in runs
     /// ([`dqep_storage::SimDisk::read_run`]): one disk latch for as many
-    /// pages as the batch takes (`run_pages` at most), each decoded from
+    /// pages as the batch takes (`run_pages` at most), each copied from
     /// the disk's own bytes; only a page the batch leaves unfinished is
     /// kept, as the tail. I/O is still charged per page, before it is
     /// read (so fault injection and I/O budgets trip on the page that
@@ -85,11 +84,11 @@ impl<'a> HeapPages<'a> {
         }
         let tail_rows = self.tail.as_ref().map_or(0, |(page, from)| page.len() - usize::from(*from));
         let pages = pages_left + usize::from(self.retry_page.is_some());
-        let to_come = tail_rows + pages * SlottedPage::records_per_page(self.table.record_len);
+        let to_come = tail_rows + pages * ColumnPage::records_per_page(self.table.record_len);
         let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows.min(to_come));
         if let Some((page, from)) = self.tail.take() {
             let view = PageView::from_bytes(page.as_bytes());
-            if let Some(next) = decode_page(&view, from, max_rows, &mut batch) {
+            if let Some(next) = read_page(&view, from, max_rows, &mut batch) {
                 self.tail = Some((page, next));
             }
         }
@@ -109,8 +108,8 @@ impl<'a> HeapPages<'a> {
             });
             let read = heap.disk().read_run(ids.take(self.run_pages), |page| {
                 let view = PageView::from_bytes(&**page);
-                if let Some(next) = decode_page(&view, 0, max_rows, &mut batch) {
-                    self.tail = Some((SlottedPage::from_bytes(Arc::clone(page)), next));
+                if let Some(next) = read_page(&view, 0, max_rows, &mut batch) {
+                    self.tail = Some((ColumnPage::from_bytes(Arc::clone(page)), next));
                 }
                 if batch.rows() < max_rows {
                     ControlFlow::Continue(())
@@ -137,14 +136,14 @@ impl<'a> HeapPages<'a> {
     }
 }
 
-/// Decodes `page` from slot `from` on straight into the columns of
+/// Copies `page` from slot `from` on straight into the columns of
 /// `batch`, as far as `max_rows` lets it; the slot to go on from when the
-/// page has slots left over.
-fn decode_page(page: &PageView<'_>, from: u16, max_rows: usize, batch: &mut RowBatch) -> Option<u16> {
+/// page has rows left over.
+fn read_page(page: &PageView<'_>, from: u16, max_rows: usize, batch: &mut RowBatch) -> Option<u16> {
     let room = max_rows - batch.rows();
     let mut next = from;
     batch.extend_with(|cols| {
-        let (rows, resume) = decode_page_slots_into(page, from, room, cols);
+        let (rows, resume) = page.read_into(from, room, cols);
         next = resume;
         rows
     });
@@ -319,8 +318,8 @@ impl Operator for BtreeScanExec<'_> {
         self.ctx.governor.charge_io(pages)
     }
 
-    /// Fetches up to `max_rows` records, each decoded from where it lies
-    /// in its page into the batch's columns: I/O charged per fetch (so
+    /// Fetches up to `max_rows` rows, each copied from where its values
+    /// lie in its page into the batch's columns: I/O charged per fetch (so
     /// fault injection and I/O budgets trip on the page that caused
     /// them), one governor check and one record-counter update per batch.
     /// A failure after the batch already holds rows is deferred to the
@@ -334,8 +333,8 @@ impl Operator for BtreeScanExec<'_> {
         while batch.rows() < max_rows {
             let Some(&rid) = self.rids.get(self.pos) else { break };
             let fetched = self.ctx.governor.charge_io(1).and_then(|()| {
-                Ok(self.table.heap.fetch_with(rid, |record| {
-                    batch.extend_rows_with(1, |cols| decode_record_into(record, cols));
+                Ok(self.table.heap.fetch_with(rid, |row| {
+                    batch.extend_rows_with(1, |cols| row.push_into(cols));
                 })?)
             });
             if let Err(e) = fetched {

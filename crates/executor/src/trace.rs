@@ -42,12 +42,16 @@ use crate::netexchange::NetStats;
 use crate::tuple::TupleLayout;
 
 /// Process-wide trace-id allocator: every [`Tracer`] created with
-/// [`Tracer::new`] gets a distinct non-zero id, so journal events and frame
-/// headers from concurrent queries never collide. Zero is the "no trace"
-/// sentinel on the wire and in the journal.
+/// [`Tracer::new`] and every run's [`ExecContext`] gets a distinct non-zero
+/// id, so journal events and frame headers from concurrent queries never
+/// collide, traced or not. Zero is the "no trace" sentinel on the wire and
+/// in the journal.
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
-fn next_trace_id() -> u64 {
+/// A fresh trace id: what a query that is not traced joins its parts
+/// under (a sharded coordinator's shards, say).
+#[must_use]
+pub fn next_trace_id() -> u64 {
     NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
 }
 

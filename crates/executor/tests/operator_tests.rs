@@ -38,7 +38,7 @@ fn fixture(card_r: u64, card_s: u64, jdomain: f64) -> (Catalog, StoredDatabase) 
 fn rows_of(cat: &Catalog, db: &StoredDatabase, name: &str) -> Vec<Tuple> {
     let rel = cat.relation_by_name(name).unwrap();
     let t = db.table(rel.id);
-    t.heap.scan().map(|rec| t.decode(&rec.unwrap())).collect()
+    t.heap.scan().map(Result::unwrap).collect()
 }
 
 /// Builds a raw physical plan node (no optimizer involved).

@@ -361,7 +361,7 @@ impl MetricsRegistry {
     /// Records one finished query, whichever service ran it: a success
     /// with its `(rows, fallbacks)` and submission-to-completion latency,
     /// a failure with its refusal class, journaled under the query's
-    /// `trace` id (0 untraced).
+    /// `trace` id.
     pub fn record_query(
         &self,
         outcome: Result<(u64, u64), &ServiceError>,

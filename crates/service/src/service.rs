@@ -413,10 +413,15 @@ impl QueryService {
 }
 
 impl Shared {
-    /// A session's execution context and the start of its clock.
+    /// A session's execution context — traced into the request's tracer,
+    /// if it has one, under its trace id — and the start of its clock.
     fn start(&self, request: &Request) -> (ExecContext, Instant) {
         let limits = request.limits.unwrap_or(self.config.session_limits);
-        (ExecContext::with_limits(SharedCounters::new(), limits), Instant::now())
+        let mut ctx = ExecContext::with_limits(SharedCounters::new(), limits);
+        if let Some(tracer) = &request.tracer {
+            ctx = ctx.with_tracer(Arc::clone(tracer));
+        }
+        (ctx, Instant::now())
     }
 
     fn execute(&self, request: &Request) -> Result<SessionResult, ServiceError> {
@@ -454,8 +459,7 @@ impl Shared {
         let outcome = result
             .as_ref()
             .map(|r| (r.summary.rows, r.summary.fallbacks));
-        let trace = request.tracer.as_ref().map_or(0, |t| t.trace_id());
-        self.metrics.record_query(outcome, submitted.elapsed(), trace);
+        self.metrics.record_query(outcome, submitted.elapsed(), ctx.trace_id());
         if let Ok(r) = &result {
             self.metrics
                 .add(Metric::SimulatedIoPages, r.summary.io.total());
@@ -548,9 +552,6 @@ impl Shared {
         let mut ctx = ctx
             .clone()
             .with_dop(self.config.effective_dop(memory_bytes));
-        if let Some(tracer) = &request.tracer {
-            ctx = ctx.with_tracer(Arc::clone(tracer));
-        }
 
         let db = replica.get_or_init(|| self.generate());
         if let Some(faults) = &request.fault_plan {

@@ -55,10 +55,10 @@ use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal, kway_merge,
-    merge_distributed, presized_batch, scatter_by_shard, sort_batches, EventKind, ExecContext,
-    ExecError, FrameTrace, NetChannel, NetConfig, NetSpanStats, NetStats, Phases, Resource,
-    ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats, TraceReport,
-    Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
+    merge_distributed, next_trace_id, presized_batch, scatter_by_shard, sort_batches, EventKind,
+    ExecContext, ExecError, FrameTrace, NetChannel, NetConfig, NetSpanStats, NetStats, Phases,
+    Resource, ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats,
+    TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, ParsedPredicate};
@@ -441,9 +441,11 @@ impl ShardedService {
     /// the retransmission budget included).
     pub fn execute(&self, sql: &str, binds: &[(&str, i64)]) -> Result<ShardOutcome, ServiceError> {
         let submitted = Instant::now();
-        // With tracing on, the coordinator owns the trace id, and its root
-        // span holds the query's phases and every shard's subtree.
+        // The coordinator owns the query's trace id, traced or not; with
+        // tracing on, its root span holds the query's phases and every
+        // shard's subtree.
         let coord_tracer = self.config.trace.then(|| Arc::new(Tracer::new()));
+        let trace_id = coord_tracer.as_ref().map_or_else(next_trace_id, |t| t.trace_id());
         let mut phases = Phases::start(coord_tracer.as_ref(), "Coordinator");
         phases.note(|| format!("x{}", self.shards.len()));
         phases.next("Parse");
@@ -456,7 +458,7 @@ impl ShardedService {
 
         phases.next("Distribute");
         let plan = self.distribute(&query.expr, &query.predicates, query.order_by, &bindings)?;
-        let outcome = self.run(&plan, &bindings, coord_tracer.as_ref(), phases);
+        let outcome = self.run(&plan, &bindings, trace_id, coord_tracer.as_ref(), phases);
         let m = &self.metrics;
         m.add(Metric::ShardQueries, 1);
         m.record_query(
@@ -464,7 +466,7 @@ impl ShardedService {
                 .as_ref()
                 .map(|ok| (ok.rows.len() as u64, ok.fallbacks)),
             submitted.elapsed(),
-            coord_tracer.as_ref().map_or(0, |t| t.trace_id()),
+            trace_id,
         );
         if let Ok(ok) = &outcome {
             for &(_, w) in ok.winners.iter().flatten() {
@@ -546,11 +548,13 @@ impl ShardedService {
 
     /// Runs the distributed plan: one worker thread per shard, the
     /// coordinator draining the gather links on the current thread, in an
-    /// `Execute` phase of the coordinator's trace.
+    /// `Execute` phase of the coordinator's trace. Every shard runs under
+    /// the query's `trace_id`.
     fn run(
         &self,
         plan: &DistPlan,
         bindings: &Bindings,
+        trace_id: u64,
         coord_tracer: Option<&Arc<Tracer>>,
         mut phases: Phases,
     ) -> Result<ShardOutcome, ServiceError> {
@@ -562,7 +566,7 @@ impl ShardedService {
         // Traced, every shard tracer joins the coordinator's trace id;
         // untraced, shards run with no tracer at all.
         let tracers: Vec<Option<Arc<Tracer>>> = (0..n)
-            .map(|_| coord_tracer.map(|coord| Arc::new(Tracer::with_trace_id(coord.trace_id()))))
+            .map(|_| coord_tracer.map(|_| Arc::new(Tracer::with_trace_id(trace_id))))
             .collect();
 
         let (runs, per_shard) = std::thread::scope(|scope| {
@@ -572,8 +576,9 @@ impl ShardedService {
                 let tracer = tracers[s].clone();
                 let (env, config) = (&self.env, &self.config);
                 handles.push(scope.spawn(move || {
-                    let result =
-                        run_shard(s, shard, plan, &shard_wires, env, bindings, config, tracer);
+                    let result = run_shard(
+                        s, shard, plan, &shard_wires, env, bindings, config, trace_id, tracer,
+                    );
                     // Whatever happened, close every link of this shard
                     // (idempotent): closed out-links end its peers'
                     // receives, and closed in-links make its peers' sends
@@ -648,7 +653,6 @@ impl ShardedService {
             .filter(|(_, winners)| winners.len() > 1)
             .map(|(&node, _)| node)
             .collect();
-        let trace_id = coord_tracer.map_or(0, |t| t.trace_id());
         for (&node, winners) in &winners_by_node {
             if winners.len() > 1 {
                 journal().record(
@@ -815,20 +819,20 @@ fn run_shard(
     env: &Environment,
     bindings: &Bindings,
     config: &ShardConfig,
+    trace_id: u64,
     tracer: Option<Arc<Tracer>>,
 ) -> Result<ShardRun, ExecError> {
-    // With tracing on, everything the shard does — operators, sends,
-    // receives — nests under one per-shard root span; the coordinator
-    // re-parents these roots under its own when merging.
-    let mut ctx =
-        ExecContext::with_limits(SharedCounters::new(), config.limits).with_dop(config.dop);
-    let mut root = None;
+    // The shard runs under its query's trace id. With tracing on,
+    // everything it does — operators, sends, receives — nests under one
+    // per-shard root span; the coordinator re-parents these roots under its
+    // own when merging.
+    let mut ctx = ExecContext::with_limits(SharedCounters::new(), config.limits)
+        .with_dop(config.dop)
+        .with_trace_id(trace_id);
     if let Some(tracer) = &tracer {
         let span = tracer.span(format!("Shard {s}"), "Shard", None, None, None, config.dop.max(1));
         ctx = ctx.with_tracer(Arc::clone(tracer)).with_span_parent(span);
-        root = Some(span);
     }
-    let tracer = tracer.as_deref();
 
     let mut current = run_access(shard, &plan.access[0], env, bindings, &ctx)?;
     let mut layout = TupleLayout::base(&shard.catalog, plan.rels[0]);
@@ -849,8 +853,7 @@ fn run_shard(
             lkey,
             &stage_wires.left_out,
             &stage_wires.left_in,
-            tracer,
-            root,
+            &ctx,
         )?;
         let right_mine = repartition(
             s,
@@ -859,8 +862,7 @@ fn run_shard(
             rkey,
             &stage_wires.right_out,
             &stage_wires.right_in,
-            tracer,
-            root,
+            &ctx,
         )?;
         let mut joined = join_batches(
             (&left_mine, layout.width()),
@@ -893,7 +895,7 @@ fn run_shard(
         current = vec![sort_batches(&current, layout.width(), layout.require(attr))];
     }
 
-    let mut gather = FrameSender::new(&wires.gather, tracer, root);
+    let mut gather = FrameSender::new(&wires.gather, &ctx);
     for batch in &current {
         gather.send(batch)?;
     }
@@ -932,8 +934,8 @@ fn run_access(
 /// shard sends everything, closes its out-links (whether or not the sends
 /// succeeded, so no peer waits on them), and only then receives: every
 /// peer does the same, so every in-link closes. A shard without remote
-/// peers owns every row already: no scatter.
-#[allow(clippy::too_many_arguments)]
+/// peers owns every row already: no scatter. Frames carry `ctx`'s trace
+/// id; traced, sends and receives nest under its span parent.
 fn repartition(
     s: usize,
     batches: Vec<RowBatch>,
@@ -941,20 +943,19 @@ fn repartition(
     key: usize,
     outs: &[Option<NetChannel>],
     ins: &[Option<NetChannel>],
-    tracer: Option<&Tracer>,
-    parent: Option<SpanId>,
+    ctx: &ExecContext,
 ) -> Result<Vec<RowBatch>, ExecError> {
     if outs.iter().all(Option::is_none) {
         return Ok(batches);
     }
-    let sent = send_partitions(s, &batches, width, key, outs, tracer, parent);
+    let sent = send_partitions(s, &batches, width, key, outs, ctx);
     for ch in outs.iter().flatten() {
         ch.close();
     }
     let local = sent?;
     let mut mine: Vec<RowBatch> = Vec::new();
     for ch in ins.iter().flatten() {
-        drain_link(ch, width, &mut mine, tracer, parent)?;
+        drain_link(ch, width, &mut mine, ctx.tracer.as_deref(), ctx.span_parent)?;
     }
     mine.push(local);
     Ok(mine)
@@ -1007,8 +1008,7 @@ fn send_partitions(
     width: usize,
     key: usize,
     outs: &[Option<NetChannel>],
-    tracer: Option<&Tracer>,
-    parent: Option<SpanId>,
+    ctx: &ExecContext,
 ) -> Result<RowBatch, ExecError> {
     let shards = outs.len();
     let per_shard = (live_rows(batches) / shards.max(1) as u64).max(1);
@@ -1023,7 +1023,7 @@ fn send_partitions(
         .collect();
     let mut senders: Vec<Option<FrameSender<'_>>> = outs
         .iter()
-        .map(|out| out.as_ref().map(|ch| FrameSender::new(ch, tracer, parent)))
+        .map(|out| out.as_ref().map(|ch| FrameSender::new(ch, ctx)))
         .collect();
     let (mut hashes, mut dests) = (Vec::new(), Vec::new());
     for batch in batches {
@@ -1045,10 +1045,12 @@ fn send_partitions(
     Ok(std::mem::take(&mut dest[s]))
 }
 
-/// The send half of one link: turns batches into dense frames, traced
-/// under one lazily opened `Net-Send` span.
+/// The send half of one link: turns batches into dense frames stamped
+/// with the run's trace id, traced under one lazily opened `Net-Send`
+/// span.
 struct FrameSender<'a> {
     ch: &'a NetChannel,
+    trace_id: u64,
     tracer: Option<&'a Tracer>,
     parent: Option<SpanId>,
     /// Opened at the first frame, so the span id can ride in every frame
@@ -1057,12 +1059,11 @@ struct FrameSender<'a> {
 }
 
 impl<'a> FrameSender<'a> {
-    fn new(
-        ch: &'a NetChannel,
-        tracer: Option<&'a Tracer>,
-        parent: Option<SpanId>,
-    ) -> FrameSender<'a> {
-        FrameSender { ch, tracer, parent, span: None }
+    /// A sender for `ctx`'s run: its trace id, its tracer and its span
+    /// parent.
+    fn new(ch: &'a NetChannel, ctx: &'a ExecContext) -> FrameSender<'a> {
+        let (trace_id, tracer, parent) = (ctx.trace_id(), ctx.tracer.as_deref(), ctx.span_parent);
+        FrameSender { ch, trace_id, tracer, parent, span: None }
     }
 
     /// Sends the live rows of `batch`. Frames are dense — a selection
@@ -1089,7 +1090,7 @@ impl<'a> FrameSender<'a> {
                 })
             });
             let trace = FrameTrace {
-                trace_id: self.tracer.map_or(0, Tracer::trace_id),
+                trace_id: self.trace_id,
                 span: span.map(|sp| sp.0 as u64),
             };
             self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
@@ -1681,14 +1682,14 @@ mod tests {
     #[test]
     fn frames_are_dense_and_cut_without_runts() {
         let net = SimNet::new(NetConfig::default());
-        let ch = net.channel(0, 1, 0);
+        let (ch, ctx) = (net.channel(0, 1, 0), ExecContext::new(SharedCounters::new()));
         let rows = 3 * BATCH_CAPACITY + 10;
         let mut batch = RowBatch::with_capacity(2, rows);
         (0..rows as i64).for_each(|v| batch.push_row(&[v, -v]));
         // Every other row is dead: only live rows may reach the wire.
         batch.set_selection((0..rows as u32).step_by(2).collect());
         let live = batch.len();
-        FrameSender::new(&ch, None, None).send(&batch).expect("send");
+        FrameSender::new(&ch, &ctx).send(&batch).expect("send");
         ch.close();
         let mut got = Vec::new();
         drain_link(&ch, 2, &mut got, None, None).expect("drained");
@@ -1705,7 +1706,7 @@ mod tests {
         let ch = net.channel(0, 1, 0);
         batch.clear();
         (0..rows as i64).for_each(|v| batch.push_row(&[v, -v]));
-        FrameSender::new(&ch, None, None).send(&batch).expect("send");
+        FrameSender::new(&ch, &ctx).send(&batch).expect("send");
         ch.close();
         let mut got = Vec::new();
         drain_link(&ch, 2, &mut got, None, None).expect("drained");
@@ -1741,7 +1742,8 @@ mod tests {
                         for i in 0..ROWS {
                             batch.push_row(&[i * 7 % 1_000, s as i64 * ROWS + i]);
                         }
-                        repartition(s, vec![batch], 2, 0, &outs, &ins, None, None)
+                        let ctx = ExecContext::new(SharedCounters::new());
+                        repartition(s, vec![batch], 2, 0, &outs, &ins, &ctx)
                             .expect("repartition")
                     })
                 })

@@ -1,26 +1,25 @@
 //! Synthetic stored databases mirroring a catalog.
 //!
-//! Records are fixed-width: each attribute is an `i64` (little-endian) at
-//! offset `8 × position`, padded with zeros to the relation's record
-//! length (the experiments use 512-byte records). Attribute values are
-//! drawn uniformly from `[0, domain_size)` — the same uniform-domain model
+//! Every attribute is an `i64`; a relation's rows are stored in column
+//! pages as many to a page as records of the relation's record length fit
+//! (the experiments use 512-byte records). Attribute values are drawn
+//! uniformly from `[0, domain_size)` — the same uniform-domain model
 //! the selectivity estimator assumes, so predicted and actual
 //! selectivities agree and any divergence between predicted and executed
 //! cost comes from the cost formulas, not from estimation error (the
 //! paper's footnote 4 separation).
 
 use std::collections::HashMap;
-use std::ops::Deref;
 
 use dqep_catalog::{Catalog, Histogram, IndexId, Relation, RelationId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::btree::BTree;
+use crate::column_page::ColumnPage;
 use crate::disk::SimDisk;
 use crate::heap::HeapFile;
 use crate::page::PAGE_SIZE;
-use crate::slotted::SlottedPage;
 
 /// One stored relation: its heap file and its indexes.
 #[derive(Debug)]
@@ -31,106 +30,10 @@ pub struct StoredTable {
     pub heap: HeapFile,
     /// B-tree per catalog index id.
     pub indexes: HashMap<IndexId, BTree>,
-    /// Number of attributes (for record decoding).
+    /// Number of attributes: values a row.
     pub n_attrs: usize,
     /// Record length in bytes.
     pub record_len: usize,
-}
-
-impl StoredTable {
-    /// Decodes a stored record into attribute values.
-    #[must_use]
-    pub fn decode(&self, record: &[u8]) -> Vec<i64> {
-        decode_record(record, self.n_attrs)
-    }
-}
-
-/// Decodes `n_attrs` little-endian `i64`s from the front of a record.
-#[must_use]
-pub fn decode_record(record: &[u8], n_attrs: usize) -> Vec<i64> {
-    record[..n_attrs * 8].chunks_exact(8).map(le_i64).collect()
-}
-
-/// The little-endian `i64` in the eight bytes of `bytes`.
-// `#[inline]` here and on `decode_record_into`, `read_u16`: the page
-// kernels are generic over who holds the bytes, so they are instantiated
-// in the calling crate, and without it they call back into this one once
-// a record (exec_scale + 2.5 % p50 on 24 alternating segments).
-#[inline]
-fn le_i64(bytes: &[u8]) -> i64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(bytes);
-    i64::from_le_bytes(b)
-}
-
-/// Decodes the records of `page` column-wise — attribute `c` of each
-/// record onto `cols[c]`, for every column given — starting at slot `from`
-/// and stopping after `max_rows` of them: returns how many were decoded,
-/// `n = min(slots − from, max_rows)`, and the slot to resume at,
-/// `from + n` (the page's slot count once it is used up). Every slot holds
-/// a record: a page is filled at load and never loses one. A page goes
-/// from the disk's buffer into column vectors in one walk of its slot
-/// array, the page held or, inside a [`SimDisk::read_run`], borrowed; a
-/// scan carries the rest of a page over to its next batch as a page
-/// reference and a slot number.
-///
-/// One check per record, not one per value: every column is grown once
-/// for the `n` records, a record's leading `8 × columns` bytes are sliced
-/// once, and the values are copied out of that slice.
-///
-/// # Panics
-/// Panics on a record shorter than `8 × cols.len()` bytes.
-pub fn decode_page_slots_into<B: Deref<Target = [u8; PAGE_SIZE]>>(
-    page: &SlottedPage<B>,
-    from: u16,
-    max_rows: usize,
-    cols: &mut [Vec<i64>],
-) -> (usize, u16) {
-    let n = usize::from((page.len() as u16).saturating_sub(from)).min(max_rows);
-    for col in cols.iter_mut() {
-        col.reserve(n);
-    }
-    let to = from + n as u16;
-    for slot in from..to {
-        decode_record_into(page.record(slot), cols);
-    }
-    (n, to)
-}
-
-/// Attribute `attr` of a record, read where it lies.
-///
-/// # Panics
-/// Panics on a record shorter than `8 × (attr + 1)` bytes.
-#[must_use]
-pub fn record_value(record: &[u8], attr: usize) -> i64 {
-    le_i64(&record[attr * 8..attr * 8 + 8])
-}
-
-/// Appends the leading `cols.len()` values of one record to the columns:
-/// attribute `c` to `cols[c]`. The record is sliced once for all of them.
-///
-/// # Panics
-/// Panics on a record shorter than `8 × cols.len()` bytes.
-#[inline]
-pub fn decode_record_into(record: &[u8], cols: &mut [Vec<i64>]) {
-    let values = record[..cols.len() * 8].chunks_exact(8);
-    for (col, value) in cols.iter_mut().zip(values) {
-        col.push(le_i64(value));
-    }
-}
-
-/// Encodes attribute values as a fixed-width record of `record_len` bytes.
-///
-/// # Panics
-/// Panics if `record_len` is too short for `values`.
-#[must_use]
-pub fn encode_record(values: &[i64], record_len: usize) -> Vec<u8> {
-    assert!(values.len() * 8 <= record_len, "record too narrow");
-    let mut out = vec![0u8; record_len];
-    for (v, slot) in values.iter().zip(out.chunks_exact_mut(8)) {
-        slot.copy_from_slice(&v.to_le_bytes());
-    }
-    out
 }
 
 /// Value distribution of generated attributes.
@@ -219,7 +122,7 @@ pub fn install_union_histograms(
         let mut columns: Vec<Vec<i64>> = vec![Vec::new(); n_attrs];
         for db in dbs {
             for page in db.table(rel_id).heap.scan_pages() {
-                decode_page_slots_into(&page?, 0, usize::MAX, &mut columns);
+                page?.read_into(0, usize::MAX, &mut columns);
             }
         }
         for (i, column) in columns.into_iter().enumerate() {
@@ -386,7 +289,7 @@ impl StoredDatabase {
                 .iter()
                 .map(|db| StoredTable {
                     relation: rel.id,
-                    heap: HeapFile::new(db.disk.clone()),
+                    heap: HeapFile::new(db.disk.clone(), record_len, rel.attributes.len()),
                     indexes: rel
                         .indexes
                         .iter()
@@ -401,7 +304,7 @@ impl StoredDatabase {
                 let table = &mut tables[route(rel, values)];
                 // A fresh disk has no fault plan and base-table appends are
                 // unaccounted, so loading cannot fail.
-                let rid = table.heap.append(&encode_record(values, record_len)).unwrap_or_else(
+                let rid = table.heap.append(values).unwrap_or_else(
                     |e| unreachable!("load-time append on a fresh disk failed: {e}"),
                 );
                 for (&idx_id, tree) in &mut table.indexes {
@@ -427,10 +330,8 @@ impl StoredDatabase {
         for table in self.tables.values() {
             let mut rows = Vec::with_capacity(table.heap.record_count() as usize);
             for &pid in table.heap.pages() {
-                let page = SlottedPage::from_bytes(self.disk.read_unaccounted(pid));
-                for record in page.iter() {
-                    rows.push(decode_record(record, table.n_attrs));
-                }
+                let page = ColumnPage::from_bytes(self.disk.read_unaccounted(pid));
+                rows.extend(page.rows().map(|row| row.to_vec()));
             }
             out.insert(table.relation, rows);
         }
@@ -495,8 +396,8 @@ mod tests {
         let cat = catalog();
         let db = StoredDatabase::generate(&cat, 7);
         let r = db.table(cat.relation_by_name("r").unwrap().id);
-        for record in r.heap.scan() {
-            let v = r.decode(&record.unwrap());
+        for row in r.heap.scan() {
+            let v = row.unwrap();
             assert_eq!(v.len(), 2);
             assert!((0..500).contains(&v[0]), "a in domain");
             assert!((0..100).contains(&v[1]), "j in domain");
@@ -516,8 +417,7 @@ mod tests {
         // Every indexed rid fetches a record whose key matches.
         for target in [0i64, 100, 499] {
             for rid in tree.lookup(target).unwrap() {
-                let rec = table.heap.fetch(rid).unwrap();
-                assert_eq!(table.decode(&rec)[0], target);
+                assert_eq!(table.heap.fetch(rid).unwrap()[0], target);
             }
         }
         // Range count equals heap filter count.
@@ -525,7 +425,7 @@ mod tests {
         let via_scan = table
             .heap
             .scan()
-            .filter(|r| table.decode(r.as_ref().unwrap())[0] < 100)
+            .filter(|r| r.as_ref().unwrap()[0] < 100)
             .count();
         assert_eq!(via_index, via_scan);
     }
@@ -536,11 +436,11 @@ mod tests {
         let a = StoredDatabase::generate(&cat, 9);
         let b = StoredDatabase::generate(&cat, 9);
         let rel = cat.relation_by_name("r").unwrap().id;
-        let ra: Vec<Vec<u8>> = a.table(rel).heap.scan().map(Result::unwrap).collect();
-        let rb: Vec<Vec<u8>> = b.table(rel).heap.scan().map(Result::unwrap).collect();
+        let ra: Vec<Vec<i64>> = a.table(rel).heap.scan().map(Result::unwrap).collect();
+        let rb: Vec<Vec<i64>> = b.table(rel).heap.scan().map(Result::unwrap).collect();
         assert_eq!(ra, rb);
         let c = StoredDatabase::generate(&cat, 10);
-        let rc: Vec<Vec<u8>> = c.table(rel).heap.scan().map(Result::unwrap).collect();
+        let rc: Vec<Vec<i64>> = c.table(rel).heap.scan().map(Result::unwrap).collect();
         assert_ne!(ra, rc);
     }
 
@@ -572,58 +472,5 @@ mod tests {
 
         // Re-export equals the partition (heap order preserved).
         assert_eq!(shard.export_rows()[&rel_r], part[&rel_r]);
-    }
-
-    #[test]
-    fn page_decode_matches_slot_by_slot_reads() {
-        // The reference reads every slot through `SlottedPage::get` and
-        // every value by its byte offset. Random full pages; every `from`,
-        // every `max_rows`.
-        let mut rng = StdRng::seed_from_u64(20);
-        for record_len in [16usize, 256, 512] {
-            for width in 1..=(record_len / 8).min(4) {
-                let mut page = SlottedPage::new();
-                let mut row = || (0..width).map(|_| rng.gen::<u64>() as i64).collect::<Vec<_>>();
-                while page.insert(&encode_record(&row(), record_len)).unwrap().is_some() {}
-                let slots = page.len() as u16;
-                let rows: Vec<Vec<i64>> = (0..slots)
-                    .map(|slot| {
-                        let record = page.get(slot).unwrap();
-                        let value = |a: usize| i64::from_le_bytes(record[a * 8..a * 8 + 8].try_into().unwrap());
-                        (0..width).map(value).collect()
-                    })
-                    .collect();
-                // Column `c` of `rows`, behind what the column already held.
-                let column = |rows: &[Vec<i64>], c: usize| -> Vec<i64> {
-                    std::iter::once(-7).chain(rows.iter().map(|row| row[c])).collect()
-                };
-                for from in 0..=slots + 1 {
-                    let rest = &rows[usize::from(from.min(slots))..];
-                    for max_rows in (0..=rest.len() + 1).chain([usize::MAX]) {
-                        let what = format!("{record_len}-byte records, {width} wide, from {from}, {max_rows} rows");
-                        let take = max_rows.min(rest.len());
-                        let mut cols = vec![vec![-7i64]; width];
-                        let (n, resume) = decode_page_slots_into(&page, from, max_rows, &mut cols);
-                        assert_eq!((n, resume), (take, from + take as u16), "{what}");
-                        for (c, col) in cols.iter().enumerate() {
-                            assert_eq!(col, &column(&rest[..take], c), "{what}, column {c}");
-                        }
-                        // Resuming at the returned slot yields the rest.
-                        let (n, resume) = decode_page_slots_into(&page, resume, usize::MAX, &mut cols);
-                        assert_eq!((n, resume), (rest.len() - take, from.max(slots)), "{what}, resumed");
-                        for (c, col) in cols.iter().enumerate() {
-                            assert_eq!(col, &column(rest, c), "{what}, resumed, column {c}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn record_codec_roundtrip() {
-        let rec = encode_record(&[1, -5, 1 << 40], 512);
-        assert_eq!(rec.len(), 512);
-        assert_eq!(decode_record(&rec, 3), vec![1, -5, 1 << 40]);
     }
 }

@@ -1,11 +1,11 @@
-//! Heap files: unordered record storage over slotted pages.
+//! Heap files: unordered row storage over column pages.
 
 use std::ops::ControlFlow;
 
+use crate::column_page::{ColumnPage, Row};
 use crate::disk::SimDisk;
 use crate::error::StorageError;
 use crate::page::PageId;
-use crate::slotted::SlottedPage;
 
 /// A record id: page + slot. What unclustered B-trees point at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -16,8 +16,10 @@ pub struct Rid {
     pub slot: u16,
 }
 
-/// An unordered file of records that lives as long as its disk: a base
-/// table.
+/// An unordered file of rows that lives as long as its disk: a base
+/// table, its rows `width` values each, `record_len` bytes as records.
+/// Page `k` is rows `k·r .. (k + 1)·r`, `r` =
+/// [`ColumnPage::records_per_page`]`(record_len)`, kept as columns.
 ///
 /// It is written once, at load, through [`HeapFile::append`] (unaccounted
 /// writes — the experiments measure query I/O, not load I/O), and then
@@ -30,35 +32,42 @@ pub struct HeapFile {
     disk: SimDisk,
     pages: Vec<PageId>,
     records: u64,
+    record_len: usize,
+    width: usize,
     /// The tail page being filled during loading.
-    tail: Option<SlottedPage>,
+    tail: Option<ColumnPage>,
 }
 
 impl HeapFile {
-    /// An empty heap file on `disk`.
+    /// An empty heap file on `disk` of rows of `width` values,
+    /// `record_len` bytes each as records (at least `8 × width`).
     #[must_use]
-    pub fn new(disk: SimDisk) -> HeapFile {
-        HeapFile { disk, pages: Vec::new(), records: 0, tail: None }
+    pub fn new(disk: SimDisk, record_len: usize, width: usize) -> HeapFile {
+        HeapFile { disk, pages: Vec::new(), records: 0, record_len, width, tail: None }
     }
 
-    /// Appends a record at load time (unaccounted), returning its rid.
+    /// Appends a row at load time (unaccounted), returning its rid.
     ///
     /// # Errors
-    /// [`StorageError::RecordTooLarge`] for a record no page can hold
-    /// (nothing is appended).
-    pub fn append(&mut self, record: &[u8]) -> Result<Rid, StorageError> {
-        SlottedPage::check_fits(record.len())?;
+    /// [`StorageError::RecordTooLarge`] when no page holds a record of the
+    /// file (nothing is appended).
+    ///
+    /// # Panics
+    /// Panics on a row of other than the file's width, or wider than its
+    /// records.
+    pub fn append(&mut self, values: &[i64]) -> Result<Rid, StorageError> {
+        ColumnPage::check_fits(self.record_len)?;
         loop {
             let mut tail = match self.tail.take() {
                 Some(t) => t,
                 None => {
                     self.pages.push(self.disk.allocate());
-                    SlottedPage::new()
+                    ColumnPage::new(self.record_len, self.width)
                 }
             };
-            if let Some(slot) = tail.insert(record)? {
+            if let Some(slot) = tail.push(values) {
                 let page = self.pages.last().copied().unwrap_or(PageId::INVALID);
-                // Written through on every record, not once when the page
+                // Written through on every row, not once when the page
                 // fills: a base table has no seal, and `scan()` must see
                 // the tail.
                 self.disk
@@ -89,42 +98,42 @@ impl HeapFile {
         &self.pages
     }
 
-    /// Fetches a single record by rid (one accounted page read).
+    /// Fetches a single row's values by rid (one accounted page read).
     ///
     /// # Errors
     /// Propagates page-read failures (unallocated page, injected fault);
     /// [`StorageError::RecordNotFound`] if the slot is past the page's
     /// last.
-    pub fn fetch(&self, rid: Rid) -> Result<Vec<u8>, StorageError> {
-        self.fetch_with(rid, <[u8]>::to_vec)
+    pub fn fetch(&self, rid: Rid) -> Result<Vec<i64>, StorageError> {
+        self.fetch_with(rid, |row| row.to_vec())
     }
 
-    /// Like [`HeapFile::fetch`], but hands the record to `f` where it lies
-    /// in the page instead of copying it out.
+    /// Like [`HeapFile::fetch`], but hands the row to `f` where it lies in
+    /// the page instead of copying its values out.
     ///
     /// # Errors
     /// As [`HeapFile::fetch`].
-    pub fn fetch_with<T>(&self, rid: Rid, f: impl FnOnce(&[u8]) -> T) -> Result<T, StorageError> {
-        let page = SlottedPage::from_bytes(self.disk.read(rid.page)?);
-        page.get(rid.slot)
+    pub fn fetch_with<T>(&self, rid: Rid, f: impl FnOnce(Row<'_>) -> T) -> Result<T, StorageError> {
+        let page = ColumnPage::from_bytes(self.disk.read(rid.page)?);
+        page.row(rid.slot)
             .map(f)
             .ok_or(StorageError::RecordNotFound { page: rid.page, slot: rid.slot })
     }
 
     /// Page-at-a-time scan: one accounted (sequential) read per page, in
     /// page order, each handed out as a view that shares the disk's
-    /// buffer — consumers decode records straight out of the page. A page
-    /// whose read fails yields one `Err` and the scan moves on; callers
-    /// typically stop at the first error.
-    pub fn scan_pages(&self) -> impl Iterator<Item = Result<SlottedPage, StorageError>> + '_ {
-        self.pages.iter().map(|&pid| self.disk.read(pid).map(SlottedPage::from_bytes))
+    /// buffer — consumers copy column runs straight out of the page. A
+    /// page whose read fails yields one `Err` and the scan moves on;
+    /// callers typically stop at the first error.
+    pub fn scan_pages(&self) -> impl Iterator<Item = Result<ColumnPage, StorageError>> + '_ {
+        self.pages.iter().map(|&pid| self.disk.read(pid).map(ColumnPage::from_bytes))
     }
 
-    /// Full scan: iterates all records in page order, copying each out
-    /// (I/O as [`HeapFile::scan_pages`]).
-    pub fn scan(&self) -> impl Iterator<Item = Result<Vec<u8>, StorageError>> + '_ {
+    /// Full scan: iterates all rows in page order, copying each one's
+    /// values out (I/O as [`HeapFile::scan_pages`]).
+    pub fn scan(&self) -> impl Iterator<Item = Result<Vec<i64>, StorageError>> + '_ {
         self.scan_pages().flat_map(|page| match page {
-            Ok(page) => page.iter().map(|r| Ok(r.to_vec())).collect(),
+            Ok(page) => page.rows().map(|row| Ok(row.to_vec())).collect(),
             Err(e) => vec![Err(e)],
         })
     }
@@ -140,7 +149,7 @@ impl HeapFile {
 /// partition, a sort run. The rows stay with the file, one vector per
 /// column; the disk holds the file's page ids and accounts for them as it
 /// would for pages of `record_len`-byte records. Page `k` is rows `k·r ..
-/// (k + 1)·r`, `r` = [`SlottedPage::records_per_page`]`(record_len)`. The
+/// (k + 1)·r`, `r` = [`ColumnPage::records_per_page`]`(record_len)`. The
 /// file can be read only after [`SpillWriter::finish`] has sealed it,
 /// which is why reading is [`SpillFile`]'s and not this type's:
 ///
@@ -149,7 +158,7 @@ impl HeapFile {
 /// let _ = writer.read_pages(1, |_| ()); // an unsealed file has no read path
 /// ```
 ///
-/// What the disk observes is what an append per encoded record would
+/// What the disk observes is what a [`HeapFile::append`] per row would
 /// show: a page id is allocated when the page's first row arrives, and a
 /// charged writer accounts one write per page — when the next row finds
 /// the page full, and for the last page at `finish` — so write ordinals,
@@ -186,7 +195,7 @@ impl SpillWriter {
             disk,
             pages: Vec::new(),
             record_len,
-            rows_per_page: SlottedPage::records_per_page(record_len),
+            rows_per_page: ColumnPage::records_per_page(record_len),
             rows: 0,
             columns: Vec::new(),
         };
@@ -251,7 +260,7 @@ impl SpillWriter {
     fn next_row(&mut self) -> Result<(), StorageError> {
         let file = &self.file;
         if file.rows == file.pages.len() * file.rows_per_page {
-            SlottedPage::check_fits(file.record_len)?;
+            ColumnPage::check_fits(file.record_len)?;
             self.seal()?;
             self.file.pages.push(self.file.disk.allocate_temp());
             self.tail = true;
@@ -383,31 +392,30 @@ mod tests {
     #[test]
     fn append_scan_roundtrip() {
         let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk.clone());
-        for i in 0..100u64 {
-            heap.append(&i.to_le_bytes()).unwrap();
+        let mut heap = HeapFile::new(disk.clone(), 8, 1);
+        for i in 0..100 {
+            heap.append(&[i]).unwrap();
         }
         assert_eq!(heap.record_count(), 100);
-        let values: Vec<u64> = heap
-            .scan()
-            .map(|r| u64::from_le_bytes(r.unwrap().as_slice().try_into().unwrap()))
-            .collect();
-        assert_eq!(values, (0..100).collect::<Vec<_>>());
+        let values: Vec<Vec<i64>> = heap.scan().map(Result::unwrap).collect();
+        assert_eq!(values, (0..100).map(|i| vec![i]).collect::<Vec<_>>());
     }
 
     #[test]
     fn oversized_append_is_refused_and_leaves_the_file_usable() {
         let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk.clone());
-        heap.append(&[1u8; 100]).unwrap();
-        let err = heap.append(&[0u8; 2560]).unwrap_err();
+        let mut wide = HeapFile::new(disk.clone(), 2560, 2);
+        let err = wide.append(&[1, 2]).unwrap_err();
         assert_eq!(
             err,
-            StorageError::RecordTooLarge { len: 2560, max: SlottedPage::MAX_RECORD }
+            StorageError::RecordTooLarge { len: 2560, max: ColumnPage::MAX_RECORD }
         );
-        assert_eq!((heap.record_count(), heap.page_count()), (1, 1), "nothing appended");
-        heap.append(&[2u8; 100]).unwrap();
-        assert_eq!(heap.scan().count(), 2);
+        assert_eq!((wide.record_count(), wide.page_count(), disk.page_count()), (0, 0, 0), "nothing appended");
+        let mut widest = HeapFile::new(disk.clone(), ColumnPage::MAX_RECORD, 2);
+        widest.append(&[1, 2]).unwrap();
+        widest.append(&[3, 4]).unwrap();
+        assert_eq!(widest.page_count(), 2, "one row a page");
+        assert_eq!(widest.scan().map(Result::unwrap).collect::<Vec<_>>(), [[1, 2], [3, 4]]);
     }
 
     #[test]
@@ -416,13 +424,13 @@ mod tests {
         let mut wide = SpillWriter::charged(disk.clone(), 2560);
         assert_eq!(
             wide.append([1, 2]).unwrap_err(),
-            StorageError::RecordTooLarge { len: 2560, max: SlottedPage::MAX_RECORD }
+            StorageError::RecordTooLarge { len: 2560, max: ColumnPage::MAX_RECORD }
         );
         assert_eq!((disk.page_count(), disk.stats().writes), (0, 0), "nothing allocated or charged");
         let sealed = wide.finish().unwrap();
         assert_eq!((sealed.record_count(), sealed.page_count()), (0, 0));
         // The widest row that does fit takes a page to itself.
-        let mut widest = SpillWriter::charged(disk.clone(), SlottedPage::MAX_RECORD);
+        let mut widest = SpillWriter::charged(disk.clone(), ColumnPage::MAX_RECORD);
         widest.append([7]).unwrap();
         widest.append([8]).unwrap();
         let sealed = widest.finish().unwrap();
@@ -434,21 +442,20 @@ mod tests {
     }
 
     #[test]
-    fn the_writer_puts_a_row_on_the_page_an_append_per_encoded_record_puts_it_on() {
-        use crate::gen::{decode_page_slots_into, encode_record};
+    fn the_writer_puts_a_row_on_the_page_a_heap_append_puts_it_on() {
         let rows: Vec<[i64; 3]> = (0..40).map(|i| [i, -i, i << 40]).collect();
         let (disk, reference) = (SimDisk::new(), SimDisk::new());
         let mut writer = SpillWriter::charged(disk.clone(), 300);
-        let mut heap = HeapFile::new(reference.clone());
+        let mut heap = HeapFile::new(reference.clone(), 300, 3);
         for row in &rows {
             writer.append(*row).unwrap();
-            heap.append(&encode_record(row, 300)).unwrap();
+            heap.append(row).unwrap();
         }
         let sealed = writer.finish().unwrap();
         assert_eq!(sealed.pages(), heap.pages());
         for (k, &pid) in sealed.pages().iter().enumerate() {
             let mut want = vec![Vec::new(); 3];
-            decode_page_slots_into(&SlottedPage::from_bytes(reference.read_unaccounted(pid)), 0, usize::MAX, &mut want);
+            ColumnPage::from_bytes(reference.read_unaccounted(pid)).read_into(0, usize::MAX, &mut want);
             let got: Vec<Vec<i64>> = sealed.page(k).columns().map(<[i64]>::to_vec).collect();
             assert_eq!(got, want, "page {k}");
             // The disk keeps the id; the rows are the file's.
@@ -461,9 +468,9 @@ mod tests {
     #[test]
     fn temp_files_give_their_pages_back_and_permanent_files_do_not() {
         let disk = SimDisk::new();
-        let mut base = HeapFile::new(disk.clone());
+        let mut base = HeapFile::new(disk.clone(), 512, 1);
         for _ in 0..6 {
-            base.append(&[1u8; 512]).unwrap();
+            base.append(&[1]).unwrap();
         }
         let loaded = disk.page_count();
         for make in [SpillWriter::charged, SpillWriter::uncharged] {
@@ -512,12 +519,11 @@ mod tests {
     #[test]
     fn records_span_pages() {
         let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk);
-        let record = [9u8; 512];
-        for _ in 0..10 {
-            heap.append(&record).unwrap();
+        let mut heap = HeapFile::new(disk, 512, 2);
+        for i in 0..10 {
+            heap.append(&[i, 9]).unwrap();
         }
-        // 3 × 512-byte records per 2 KB slotted page → 4 pages for 10.
+        // 3 × 512-byte records a 2 KB page → 4 pages for 10.
         assert_eq!(heap.page_count(), 4);
         assert_eq!(heap.scan().count(), 10);
     }
@@ -525,14 +531,13 @@ mod tests {
     #[test]
     fn fetch_by_rid_charges_random_io() {
         let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk.clone());
+        let mut heap = HeapFile::new(disk.clone(), 512, 2);
         let mut rids = Vec::new();
-        for i in 0..10u8 {
-            rids.push(heap.append(&[i; 512]).unwrap());
+        for i in 0..10 {
+            rids.push(heap.append(&[i, -i]).unwrap());
         }
         disk.reset_stats();
-        let rec = heap.fetch(rids[7]).unwrap();
-        assert_eq!(rec[0], 7);
+        assert_eq!(heap.fetch(rids[7]).unwrap(), [7, -7]);
         assert_eq!(disk.stats().random_reads, 1);
         assert_eq!(
             heap.fetch(Rid { page: rids[0].page, slot: 99 }).unwrap_err(),
@@ -543,9 +548,9 @@ mod tests {
     #[test]
     fn scan_is_sequential_io() {
         let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk.clone());
+        let mut heap = HeapFile::new(disk.clone(), 512, 1);
         for _ in 0..12 {
-            heap.append(&[1u8; 512]).unwrap();
+            heap.append(&[1]).unwrap();
         }
         disk.reset_stats();
         let n = heap.scan().count();
@@ -559,9 +564,9 @@ mod tests {
     #[test]
     fn loading_is_unaccounted() {
         let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk.clone());
+        let mut heap = HeapFile::new(disk.clone(), 100, 2);
         for _ in 0..50 {
-            heap.append(&[0u8; 100]).unwrap();
+            heap.append(&[0, 0]).unwrap();
         }
         assert_eq!(disk.stats().total(), 0);
     }
@@ -570,9 +575,9 @@ mod tests {
     fn scan_surfaces_injected_faults_as_errors() {
         use crate::fault::FaultPlan;
         let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk.clone());
+        let mut heap = HeapFile::new(disk.clone(), 512, 1);
         for _ in 0..10 {
-            heap.append(&[1u8; 512]).unwrap();
+            heap.append(&[1]).unwrap();
         }
         disk.set_fault_plan(FaultPlan::nth_read(2));
         let outcomes: Vec<_> = heap.scan().collect();

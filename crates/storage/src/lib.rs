@@ -1,4 +1,4 @@
-//! Storage substrate: a simulated disk with I/O accounting, slotted pages,
+//! Storage substrate: a simulated disk with I/O accounting, column pages,
 //! heap files, B-trees, and a buffer pool.
 //!
 //! The paper's experiments ran on a DECstation with real disks; this crate
@@ -23,12 +23,17 @@
 //!   latch to a reader that keeps none, a loader's write copies a page a
 //!   reader holds, and query-lifetime files give their pages back when dropped
 //!   ([`TempPages`] counts them).
-//! * [`SlottedPage`] — classic slotted-page layout for variable-length
-//!   records, over a page that is held or ([`PageView`]) borrowed.
-//! * [`HeapFile`] — unordered record file over slotted pages (base
-//!   tables); [`SpillWriter`] / [`SpillFile`] — the write and read halves
-//!   of a query-lifetime file of fixed-width rows, kept as columns: the
-//!   disk accounts its pages, a reader gets each as [`SpillPage`] slices.
+//! * [`ColumnPage`] — the PAX layout of a base-table page: a header, then
+//!   one minipage of `i64`s per attribute, over a page that is held or
+//!   ([`PageView`]) borrowed. It holds as many rows as a slotted page of
+//!   the relation's records did, so page counts and charges are the
+//!   slotted layout's.
+//! * [`HeapFile`] — unordered row file over column pages (base tables):
+//!   page `k` is rows `k·r .. (k + 1)·r`, read as column runs, a
+//!   [`Row`] fetched by [`Rid`]; [`SpillWriter`] / [`SpillFile`] — the
+//!   write and read halves of a query-lifetime file of fixed-width rows
+//!   under the same rule, its rows kept as columns beside the disk, which
+//!   accounts its pages: a reader gets each as [`SpillPage`] slices.
 //! * [`BTree`] — a from-scratch page-based B-tree mapping `i64` keys to
 //!   record ids, with range scans; used for unclustered indexes.
 //! * [`BufferPool`] — LRU page cache with hit/miss statistics.
@@ -49,6 +54,7 @@
 
 mod btree;
 mod buffer;
+mod column_page;
 mod disk;
 mod error;
 mod fault;
@@ -56,10 +62,10 @@ pub mod gen;
 mod heap;
 mod morsel;
 mod page;
-mod slotted;
 
 pub use btree::BTree;
 pub use buffer::BufferPool;
+pub use column_page::{ColumnPage, PageView, Row};
 pub use disk::{IoStats, SimDisk, TempPages};
 pub use error::StorageError;
 pub use fault::FaultPlan;
@@ -69,4 +75,3 @@ pub use gen::{
 pub use heap::{HeapFile, Rid, SpillFile, SpillPage, SpillWriter};
 pub use morsel::{PageClaims, DEFAULT_MORSEL_PAGES};
 pub use page::{PageId, PageRef, PAGE_SIZE};
-pub use slotted::{PageView, SlottedPage};

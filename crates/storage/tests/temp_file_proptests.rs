@@ -6,13 +6,13 @@
 //! back what was appended to it, and a freed id that has not been issued
 //! again is a typed error.
 //!
-//! **Writer ≡ append per encoded record**: `SpillWriter` keeps its rows as
-//! columns and builds no page bytes; the path it replaced encoded each row
-//! into a record buffer and appended it to a slotted page on the disk. Both
-//! must put every row on the same page under the same page id — page `k`'s
-//! rows are the records `HeapFile::append` puts on page `k` — charge the
-//! same writes in the same order, hold the same temp pages, and fail at the
-//! same row under the same write fault.
+//! **Writer ≡ heap append**: `SpillWriter` keeps its rows as columns and
+//! builds no page bytes; the path it replaced appended each row to a page
+//! on the disk, the way a base table is loaded. Both must put every row on
+//! the same page under the same page id — page `k`'s rows are the rows
+//! `HeapFile::append` puts on page `k` — charge the same writes in the same
+//! order, hold the same temp pages, and fail at the same row under the same
+//! write fault.
 //!
 //! **Dealing ≡ appending**: `SpillWriter::deal` hands a batch of rows to
 //! several writers at once; to the disk and to the files it must be
@@ -21,9 +21,8 @@
 
 use std::collections::HashSet;
 
-use dqep_storage::gen::{decode_page_slots_into, encode_record};
 use dqep_storage::{
-    FaultPlan, HeapFile, IoStats, PageId, SimDisk, SlottedPage, SpillFile, SpillWriter,
+    ColumnPage, FaultPlan, HeapFile, IoStats, PageId, SimDisk, SpillFile, SpillWriter,
     StorageError, PAGE_SIZE,
 };
 use proptest::prelude::*;
@@ -53,9 +52,9 @@ proptest! {
     #[test]
     fn live_page_ids_are_never_reissued(steps in steps()) {
         let disk = SimDisk::new();
-        let mut base = HeapFile::new(disk.clone());
+        let mut base = HeapFile::new(disk.clone(), STAMP_LEN, 2);
         for seq in 0..10 {
-            base.append(&encode_record(&stamp(u64::MAX, seq), STAMP_LEN)).unwrap();
+            base.append(&stamp(u64::MAX, seq)).unwrap();
         }
         let loaded = disk.page_count();
         // Slot -> (file number, file, rows appended).
@@ -131,31 +130,29 @@ proptest! {
 }
 
 /// The path the writer replaced, kept as the reference: a file takes
-/// `append(&encode_record(values, len))`, allocates a page id when a
-/// page's first record arrives, and charges one write when the next
-/// record finds the tail full and one for the tail at `finish`. The pages
-/// and the ids come from [`HeapFile::append`] — the load path, which the
-/// old temp path shared — on a disk of its own; a mirror of the tail page
-/// says when it is full, and the charges go to the same disk in the same
-/// order.
+/// [`HeapFile::append`] of each row, allocates a page id when a page's
+/// first row arrives, and charges one write when the next row finds the
+/// tail full and one for the tail at `finish`. The pages and the ids come
+/// from the heap file — the load path, which the old temp path shared —
+/// on a disk of its own; a mirror of the tail page says when it is full,
+/// and the charges go to the same disk in the same order.
 struct OldTemp {
     heap: HeapFile,
-    mirror: Option<SlottedPage>,
+    mirror: Option<ColumnPage>,
 }
 
 impl OldTemp {
-    fn new(disk: &SimDisk) -> OldTemp {
-        OldTemp { heap: HeapFile::new(disk.clone()), mirror: None }
+    fn new(disk: &SimDisk, len: usize, width: usize) -> OldTemp {
+        OldTemp { heap: HeapFile::new(disk.clone(), len, width), mirror: None }
     }
 
     fn append(&mut self, values: &[i64], len: usize) -> Result<(), StorageError> {
-        let record = encode_record(values, len);
-        SlottedPage::check_fits(record.len())?;
+        ColumnPage::check_fits(len)?;
         loop {
-            let mut tail = self.mirror.take().unwrap_or_default();
-            if tail.insert(&record)?.is_some() {
+            let mut tail = self.mirror.take().unwrap_or_else(|| ColumnPage::new(len, values.len()));
+            if tail.push(values).is_some() {
                 self.mirror = Some(tail);
-                return self.heap.append(&record).map(|_| ());
+                return self.heap.append(values).map(|_| ());
             }
             self.heap.disk().note_write()?;
         }
@@ -213,11 +210,11 @@ fn file_rows(file: &SpillFile) -> Vec<Page> {
     file.pages().iter().enumerate().map(|(k, &pid)| (pid, rows(k))).collect()
 }
 
-/// Each page of a heap file with the leading `width` values of its records.
+/// Each page of a heap file with its rows, column by column.
 fn heap_rows(heap: &HeapFile, width: usize) -> Vec<Page> {
     let rows = |pid: PageId| {
         let mut cols = vec![Vec::new(); width];
-        decode_page_slots_into(&SlottedPage::from_bytes(heap.disk().read_unaccounted(pid)), 0, usize::MAX, &mut cols);
+        ColumnPage::from_bytes(heap.disk().read_unaccounted(pid)).read_into(0, usize::MAX, &mut cols);
         cols
     };
     heap.pages().iter().map(|&pid| (pid, rows(pid))).collect()
@@ -272,7 +269,7 @@ fn run_writer(rows: &Rows, files: usize, width: usize, len: usize, fail: Option<
 fn run_old(rows: &Rows, files: usize, width: usize, len: usize, fail: Option<u64>) -> Observed {
     let disk = SimDisk::new();
     disk.set_fault_plan(fault_plan(fail));
-    let mut olds: Vec<OldTemp> = (0..files).map(|_| OldTemp::new(&disk)).collect();
+    let mut olds: Vec<OldTemp> = (0..files).map(|_| OldTemp::new(&disk, len, width)).collect();
     let mut stopped = None;
     for (step, (file, values)) in rows.iter().enumerate() {
         if let Err(e) = olds[file % files].append(&values[..width], len) {
@@ -348,14 +345,14 @@ proptest! {
 
     #[test]
     fn a_row_no_page_can_hold_is_refused_with_nothing_appended_or_charged(
-        len in SlottedPage::MAX_RECORD + 1..=2 * PAGE_SIZE,
+        len in ColumnPage::MAX_RECORD + 1..=2 * PAGE_SIZE,
         values in (any::<i64>(), any::<i64>()),
     ) {
         let disk = SimDisk::new();
         for mut writer in [SpillWriter::charged(disk.clone(), len), SpillWriter::uncharged(disk.clone(), len)] {
             prop_assert_eq!(
                 writer.append([values.0, values.1]).unwrap_err(),
-                StorageError::RecordTooLarge { len, max: SlottedPage::MAX_RECORD }
+                StorageError::RecordTooLarge { len, max: ColumnPage::MAX_RECORD }
             );
             let sealed = writer.finish().unwrap();
             prop_assert_eq!((sealed.record_count(), sealed.page_count()), (0, 0));

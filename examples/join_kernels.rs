@@ -7,13 +7,13 @@
 //!
 //! 1. **A page**: ns a page of a request's worth of pages (108, the mean
 //!    of `prepared_hot`), three ways: `SimDisk::read` and
-//!    `decode_page_slots_into` page by page (a latch and a reference
-//!    count a page — how the scans read until PR 23, kept here as a local
-//!    loop), one `SimDisk::read_run` decoding each page where it lies (how
-//!    they read now), and the decode alone over bytes already in hand
-//!    (the floor: what no read path can go under). Each on pages of three
-//!    512-byte and of seven 256-byte records, with the pages warm and
-//!    after a 4 MiB sweep of the cache.
+//!    `ColumnPage::read_into` page by page (a latch and a reference count
+//!    a page — how the scans read before they read in runs, kept here as
+//!    a local loop), one `SimDisk::read_run` copying each page's column
+//!    runs out where it lies (how they read now), and the copy alone over
+//!    bytes already in hand (the floor: what no read path can go under).
+//!    Each on pages of three 512-byte and of seven 256-byte records, with
+//!    the pages warm and after a 4 MiB sweep of the cache.
 //! 2. **A probe row**: `join_batches` ns a probe row on an unpartitioned
 //!    `dim ⋈ fact`, on the same rows pre-routed by `shard_route` for two
 //!    and four shards, and — the control — on the same rows dealt into as
@@ -47,8 +47,7 @@ use dqep::executor::{
     BATCH_CAPACITY,
 };
 use dqep::service::{QueryService, Request, ServiceConfig};
-use dqep::storage::gen::decode_page_slots_into;
-use dqep::storage::{PageRef, PageView, SimDisk, SlottedPage, SpillWriter, StoredDatabase, StoredTable};
+use dqep::storage::{ColumnPage, PageRef, PageView, SimDisk, SpillWriter, StoredDatabase, StoredTable};
 
 const SEED: u64 = 7;
 const FACT_ROWS: u64 = 12_000;
@@ -74,10 +73,10 @@ fn ns_per(total: Duration, units: usize) -> f64 {
 /// Split 1: the three ways over one request's worth of pages, in turns.
 fn page_kernels(quick: bool) {
     const WAYS: [&str; 3] =
-        ["read + decode, page by page", "one read_run + decode", "decode alone (resident bytes)"];
+        ["read + copy out, page by page", "one read_run + copy out", "copy out alone (resident bytes)"];
     const PAGES: usize = 108;
     // Rows that fill `PAGES` pages of each record length.
-    let rows = |record_len: usize| (PAGES * SlottedPage::records_per_page(record_len)) as u64;
+    let rows = |record_len: usize| (PAGES * ColumnPage::records_per_page(record_len)) as u64;
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
         .relation("wide", rows(512), 512, |r| r.attr("a", 1000.0).attr("j", 1000.0))
         .relation("narrow", rows(256), 256, |r| r.attr("a", 1000.0).attr("j", 1000.0))
@@ -85,7 +84,7 @@ fn page_kernels(quick: bool) {
         .expect("the catalog is well-formed");
     let db = StoredDatabase::generate(&catalog, SEED);
     let mut sweep = vec![0u8; 4 << 20];
-    let mut decoded = 0usize;
+    let mut copied = 0usize;
     println!("a page ({PAGES} pages a pass; ns a page, warm / after a 4 MiB sweep)");
     for name in ["wide", "narrow"] {
         let table = db.table(catalog.relation_by_name(name).expect("relation exists").id);
@@ -107,21 +106,19 @@ fn page_kernels(quick: bool) {
                     match way {
                         0 => {
                             for &pid in ids {
-                                let page = SlottedPage::from_bytes(disk.read(pid).expect("fault-free read"));
-                                decoded += decode_page_slots_into(&page, 0, usize::MAX, &mut cols).0;
+                                let page = ColumnPage::from_bytes(disk.read(pid).expect("fault-free read"));
+                                copied += page.read_into(0, usize::MAX, &mut cols).0;
                             }
                         }
                         1 => disk
                             .read_run(ids.iter().copied(), |page| {
-                                let page = PageView::from_bytes(&**page);
-                                decoded += decode_page_slots_into(&page, 0, usize::MAX, &mut cols).0;
+                                copied += PageView::from_bytes(&**page).read_into(0, usize::MAX, &mut cols).0;
                                 ControlFlow::Continue(())
                             })
                             .expect("fault-free run"),
                         _ => {
                             for page in &resident {
-                                let page = PageView::from_bytes(&**page);
-                                decoded += decode_page_slots_into(&page, 0, usize::MAX, &mut cols).0;
+                                copied += PageView::from_bytes(&**page).read_into(0, usize::MAX, &mut cols).0;
                             }
                         }
                     }
@@ -129,25 +126,25 @@ fn page_kernels(quick: bool) {
                 }
             }
         }
-        println!("  {} {}-byte records a page", SlottedPage::records_per_page(table.record_len), table.record_len);
+        println!("  {} {}-byte records a page", ColumnPage::records_per_page(table.record_len), table.record_len);
         for (way, name) in WAYS.iter().enumerate() {
             let ns = |swept: usize| ns_per(spent[swept][way], PAGES * passes[swept]);
             println!("    {name:<32} {:>8.1} / {:>8.1}", ns(0), ns(1));
         }
     }
-    black_box((decoded, sweep));
+    black_box((copied, sweep));
 }
 
 /// Every row of `table` as dense batches of the scan's size.
 fn table_batches(table: &StoredTable) -> Vec<RowBatch> {
     let mut out = vec![RowBatch::new(table.n_attrs)];
     for &pid in table.heap.pages() {
-        let page = SlottedPage::from_bytes(table.heap.disk().read(pid).expect("fault-free read"));
+        let page = ColumnPage::from_bytes(table.heap.disk().read(pid).expect("fault-free read"));
         if out.last().expect("never empty").rows() >= BATCH_CAPACITY {
             out.push(RowBatch::new(table.n_attrs));
         }
         let batch = out.last_mut().expect("never empty");
-        batch.extend_with(|cols| decode_page_slots_into(&page, 0, usize::MAX, cols).0);
+        batch.extend_with(|cols| page.read_into(0, usize::MAX, cols).0);
     }
     out
 }
@@ -291,7 +288,7 @@ fn spill_rows(rows: &RowBatch, passes: usize) {
             assert_eq!(back, columns, "the rows come back as they went");
             pages = file.page_count();
         }
-        println!("  {record_len}-byte records, {} a page, {pages} pages", SlottedPage::records_per_page(record_len));
+        println!("  {record_len}-byte records, {} a page, {pages} pages", ColumnPage::records_per_page(record_len));
         for (way, name) in WAYS.iter().enumerate() {
             println!("    {name:<32} {:>8.1}", ns_per(spent[way], n * passes));
         }

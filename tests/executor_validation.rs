@@ -299,7 +299,7 @@ fn early_terminating_merge_join_stays_inside_its_compile_time_interval() {
     let needed = table
         .heap
         .scan()
-        .filter(|rec| table.decode(rec.as_ref().unwrap())[1] < 50)
+        .filter(|row| row.as_ref().unwrap()[1] < 50)
         .count() as u64
         + 1;
     for shape in [Right::FilteredIndex, Right::Index] {

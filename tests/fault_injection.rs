@@ -67,7 +67,7 @@ fn expected_rows(cat: &Catalog, db: &StoredDatabase, v: i64) -> u64 {
         .heap
         .scan()
         .map(Result::unwrap)
-        .filter(|rec| table.decode(rec)[0] < v)
+        .filter(|row| row[0] < v)
         .count() as u64
 }
 

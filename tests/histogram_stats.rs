@@ -30,7 +30,7 @@ fn skewed_fixture() -> (Catalog, StoredDatabase) {
 fn true_fraction(cat: &Catalog, db: &StoredDatabase, v: i64) -> f64 {
     let rel = cat.relation_by_name("r").unwrap();
     let t = db.table(rel.id);
-    let below = t.heap.scan().filter(|rec| t.decode(rec.as_ref().unwrap())[0] < v).count();
+    let below = t.heap.scan().filter(|row| row.as_ref().unwrap()[0] < v).count();
     below as f64 / t.heap.record_count() as f64
 }
 

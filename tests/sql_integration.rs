@@ -36,8 +36,8 @@ fn ground_truth(
 ) -> u64 {
     let o = db.table(cat.relation_by_name("orders").unwrap().id);
     let c = db.table(cat.relation_by_name("customers").unwrap().id);
-    let orders: Vec<Vec<i64>> = o.heap.scan().map(|r| o.decode(&r.unwrap())).collect();
-    let customers: Vec<Vec<i64>> = c.heap.scan().map(|r| c.decode(&r.unwrap())).collect();
+    let orders: Vec<Vec<i64>> = o.heap.scan().map(Result::unwrap).collect();
+    let customers: Vec<Vec<i64>> = c.heap.scan().map(Result::unwrap).collect();
     let mut n = 0;
     for ord in &orders {
         if let Some(v) = amount_lt {
