@@ -24,7 +24,7 @@ mod predicate;
 mod properties;
 mod types;
 
-pub use logical::{LogicalError, LogicalExpr};
+pub use logical::{LogicalError, LogicalExpr, LogicalId, LogicalNode};
 pub use physical::{OpLabel, PhysicalOp};
 pub use predicate::{JoinPred, Scalar, SelectPred};
 pub use properties::{PhysProps, RelSet, SortOrder};

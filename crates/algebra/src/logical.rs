@@ -7,15 +7,24 @@ use dqep_catalog::{Catalog, RelationId};
 use crate::predicate::{JoinPred, SelectPred};
 use crate::properties::RelSet;
 
-/// A logical algebra expression — the optimizer's input.
-///
-/// Mirrors the paper's logical algebra (Table 1): `Get-Set` retrieves a
-/// stored relation, `Select` applies a predicate, `Join` is a binary
-/// equi-join. Projections are implicit (every operator passes all columns
-/// through); the paper's experiments likewise use selections and joins
-/// only.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogicalExpr {
+/// An operator of a [`LogicalExpr`]: its position in the table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LogicalId(pub u32);
+
+impl LogicalId {
+    /// The id as a table index.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One operator of a [`LogicalExpr`]. Its inputs are earlier positions of
+/// the same table; a join's predicates are a range of the expression's
+/// predicate list ([`LogicalExpr::join_preds`]), so an operator owns no
+/// heap memory.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LogicalNode {
     /// Retrieve all records of a stored relation.
     Get {
         /// The relation to read.
@@ -24,19 +33,50 @@ pub enum LogicalExpr {
     /// Restrict the input by a predicate.
     Select {
         /// Input expression.
-        input: Box<LogicalExpr>,
+        input: LogicalId,
         /// The (possibly unbound) predicate.
         predicate: SelectPred,
     },
-    /// Join two inputs on zero or more equi-join predicates.
+    /// Join two inputs on zero or more equi-join predicates (which must
+    /// span the two inputs).
     Join {
         /// Left input.
-        left: Box<LogicalExpr>,
+        left: LogicalId,
         /// Right input.
-        right: Box<LogicalExpr>,
-        /// Conjunctive equi-join predicates; must span the two inputs.
-        predicates: Vec<JoinPred>,
+        right: LogicalId,
     },
+}
+
+/// A node and where its join predicates start in the predicate list; they
+/// end where the next node's start.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Entry {
+    node: LogicalNode,
+    preds: u32,
+}
+
+/// A logical algebra expression — the optimizer's input.
+///
+/// Mirrors the paper's logical algebra (Table 1): `Get-Set` retrieves a
+/// stored relation, `Select` applies a predicate, `Join` is a binary
+/// equi-join. Projections are implicit (every operator passes all columns
+/// through); the paper's experiments likewise use selections and joins
+/// only.
+///
+/// The expression is one table, as a plan (`dqep_plan::Plan`) is:
+/// operators in children-before-parents order — a left input's whole
+/// subtree before the right input's — the root last, a [`LogicalId`] *is*
+/// a position. Two lists hold it all, the operators and the join
+/// predicates, the latter appended join by join as the joins are pushed.
+/// So an expression is two blocks to build and two to free at any size.
+/// In a *whole* expression — what the constructors ([`LogicalExpr::get`],
+/// [`LogicalExpr::select`], [`LogicalExpr::join`]) produce and
+/// [`LogicalExpr::validate`] accepts — every operator is the input of
+/// exactly one later operator, except the root.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogicalExpr {
+    nodes: Vec<Entry>,
+    preds: Vec<JoinPred>,
 }
 
 /// Validation errors for logical expressions.
@@ -52,6 +92,13 @@ pub enum LogicalError {
     DuplicateRelation(RelationId),
     /// A join predicate does not span the two join inputs.
     PredicateDoesNotSpan(String),
+    /// The table holds operators the root does not reach (or none at all).
+    Unreachable {
+        /// Operators in the table.
+        operators: usize,
+        /// Operators reached from the root.
+        reached: usize,
+    },
 }
 
 impl fmt::Display for LogicalError {
@@ -63,6 +110,9 @@ impl fmt::Display for LogicalError {
             LogicalError::PredicateDoesNotSpan(s) => {
                 write!(f, "join predicate does not span inputs: {s}")
             }
+            LogicalError::Unreachable { operators, reached } => {
+                write!(f, "the root reaches {reached} of {operators} operators")
+            }
         }
     }
 }
@@ -70,48 +120,144 @@ impl fmt::Display for LogicalError {
 impl std::error::Error for LogicalError {}
 
 impl LogicalExpr {
+    /// An empty table with room for `nodes` operators and `preds` join
+    /// predicates, to [`push`](LogicalExpr::push) an expression into.
+    #[must_use]
+    pub fn with_capacity(nodes: usize, preds: usize) -> LogicalExpr {
+        LogicalExpr {
+            nodes: Vec::with_capacity(nodes),
+            preds: Vec::with_capacity(preds),
+        }
+    }
+
+    /// Appends an operator over inputs already in the table, with its join
+    /// predicates (none for a `Get` or a `Select`), and returns its id.
+    /// Push a left input's subtree, then the right input's, then the join,
+    /// as the constructors do.
+    ///
+    /// # Panics
+    /// Panics if an input is not in the table yet, or if an operator other
+    /// than a join is given predicates.
+    pub fn push(
+        &mut self,
+        node: LogicalNode,
+        preds: impl IntoIterator<Item = JoinPred>,
+    ) -> LogicalId {
+        let id = LogicalId(self.nodes.len() as u32);
+        let start = self.preds.len();
+        self.preds.extend(preds);
+        match node {
+            LogicalNode::Get { .. } => {}
+            LogicalNode::Select { input, .. } => assert!(input < id, "input {input:?} not pushed"),
+            LogicalNode::Join { left, right } => {
+                assert!(left < id && right < id, "inputs {left:?}, {right:?} not pushed");
+            }
+        }
+        assert!(
+            matches!(node, LogicalNode::Join { .. }) || self.preds.len() == start,
+            "only a join has predicates"
+        );
+        self.nodes.push(Entry { node, preds: start as u32 });
+        id
+    }
+
     /// Convenience constructor for `Get`.
     #[must_use]
     pub fn get(relation: RelationId) -> LogicalExpr {
-        LogicalExpr::Get { relation }
+        let mut e = LogicalExpr::with_capacity(1, 0);
+        e.push(LogicalNode::Get { relation }, []);
+        e
     }
 
     /// Convenience constructor wrapping `self` in a `Select`.
     #[must_use]
-    pub fn select(self, predicate: SelectPred) -> LogicalExpr {
-        LogicalExpr::Select {
-            input: Box::new(self),
-            predicate,
-        }
+    pub fn select(mut self, predicate: SelectPred) -> LogicalExpr {
+        let input = self.root();
+        self.push(LogicalNode::Select { input, predicate }, []);
+        self
     }
 
-    /// Convenience constructor joining `self` with `right`.
+    /// Convenience constructor joining `self` with `right`: `right`'s table
+    /// is appended to this one's, then the join.
     #[must_use]
-    pub fn join(self, right: LogicalExpr, predicates: Vec<JoinPred>) -> LogicalExpr {
-        LogicalExpr::Join {
-            left: Box::new(self),
-            right: Box::new(right),
-            predicates,
-        }
+    pub fn join(mut self, right: LogicalExpr, predicates: Vec<JoinPred>) -> LogicalExpr {
+        let left = self.root();
+        let (shift, pred_shift) = (self.nodes.len() as u32, self.preds.len() as u32);
+        let moved = |id: LogicalId| LogicalId(id.0 + shift);
+        self.nodes.extend(right.nodes.iter().map(|e| Entry {
+            node: match e.node {
+                get @ LogicalNode::Get { .. } => get,
+                LogicalNode::Select { input, predicate } => LogicalNode::Select {
+                    input: moved(input),
+                    predicate,
+                },
+                LogicalNode::Join { left, right } => LogicalNode::Join {
+                    left: moved(left),
+                    right: moved(right),
+                },
+            },
+            preds: e.preds + pred_shift,
+        }));
+        self.preds.extend_from_slice(&right.preds);
+        let right = self.root();
+        self.push(LogicalNode::Join { left, right }, predicates);
+        self
+    }
+
+    /// The root: the last operator.
+    ///
+    /// # Panics
+    /// Panics on an empty table.
+    #[must_use]
+    pub fn root(&self) -> LogicalId {
+        assert!(!self.nodes.is_empty(), "an empty expression has no root");
+        LogicalId(self.nodes.len() as u32 - 1)
+    }
+
+    /// The operator at `id`.
+    #[must_use]
+    pub fn node(&self, id: LogicalId) -> LogicalNode {
+        self.nodes[id.index()].node
+    }
+
+    /// The join predicates of `id`, in the order it was pushed with —
+    /// empty for an operator that joins nothing.
+    #[must_use]
+    pub fn join_preds(&self, id: LogicalId) -> &[JoinPred] {
+        let start = self.nodes[id.index()].preds as usize;
+        let end = self
+            .nodes
+            .get(id.index() + 1)
+            .map_or(self.preds.len(), |next| next.preds as usize);
+        &self.preds[start..end]
+    }
+
+    /// Every operator with its id, in table order: children before
+    /// parents, a left subtree before the right one.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (LogicalId, LogicalNode)> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (LogicalId(i as u32), e.node))
     }
 
     /// The set of base relations referenced.
     #[must_use]
     pub fn relations(&self) -> RelSet {
-        match self {
-            LogicalExpr::Get { relation } => RelSet::singleton(*relation),
-            LogicalExpr::Select { input, .. } => input.relations(),
-            LogicalExpr::Join { left, right, .. } => left.relations().union(right.relations()),
-        }
+        self.iter().fold(RelSet::EMPTY, |set, (_, node)| match node {
+            LogicalNode::Get { relation } => set.union(RelSet::singleton(relation)),
+            _ => set,
+        })
     }
 
-    /// All selection predicates, in depth-first order.
+    /// All selection predicates, in depth-first order (an operator before
+    /// its inputs, a left input before the right).
     #[must_use]
     pub fn select_predicates(&self) -> Vec<SelectPred> {
         let mut out = Vec::new();
-        self.walk(&mut |e| {
-            if let LogicalExpr::Select { predicate, .. } = e {
-                out.push(*predicate);
+        self.walk(&mut |id| {
+            if let LogicalNode::Select { predicate, .. } = self.node(id) {
+                out.push(predicate);
             }
         });
         out
@@ -120,68 +266,85 @@ impl LogicalExpr {
     /// All join predicates, in depth-first order.
     #[must_use]
     pub fn join_predicates(&self) -> Vec<JoinPred> {
-        let mut out = Vec::new();
-        self.walk(&mut |e| {
-            if let LogicalExpr::Join { predicates, .. } = e {
-                out.extend(predicates.iter().copied());
-            }
-        });
+        let mut out = Vec::with_capacity(self.preds.len());
+        self.walk(&mut |id| out.extend_from_slice(self.join_preds(id)));
         out
     }
 
-    /// Number of operators in the expression tree.
+    /// Number of operators in the expression.
     #[must_use]
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        self.walk(&mut |_| n += 1);
-        n
+        self.nodes.len()
     }
 
-    /// Whether the expression is a bare `Get`.
+    /// Whether the table holds no operator.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        false
+        self.nodes.is_empty()
     }
 
-    fn walk(&self, f: &mut impl FnMut(&LogicalExpr)) {
-        f(self);
-        match self {
-            LogicalExpr::Get { .. } => {}
-            LogicalExpr::Select { input, .. } => input.walk(f),
-            LogicalExpr::Join { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
+    /// Calls `f` on every operator the root reaches, depth first.
+    fn walk(&self, f: &mut impl FnMut(LogicalId)) {
+        fn visit(e: &LogicalExpr, id: LogicalId, f: &mut impl FnMut(LogicalId)) {
+            f(id);
+            match e.node(id) {
+                LogicalNode::Get { .. } => {}
+                LogicalNode::Select { input, .. } => visit(e, input, f),
+                LogicalNode::Join { left, right } => {
+                    visit(e, left, f);
+                    visit(e, right, f);
+                }
             }
+        }
+        if !self.is_empty() {
+            visit(self, self.root(), f);
         }
     }
 
-    /// Validates the expression against a catalog: all relations exist, no
-    /// base relation occurs twice, every predicate is in scope, and join
-    /// predicates span their join's inputs.
+    /// Validates the expression against a catalog: the root reaches every
+    /// operator, all relations exist, no base relation occurs twice, every
+    /// predicate is in scope, and join predicates span their join's
+    /// inputs.
     pub fn validate(&self, catalog: &Catalog) -> Result<(), LogicalError> {
+        let unreachable = |reached| LogicalError::Unreachable {
+            operators: self.len(),
+            reached,
+        };
+        if self.is_empty() {
+            return Err(unreachable(0));
+        }
         let mut seen = RelSet::EMPTY;
-        self.validate_inner(catalog, &mut seen)?;
+        let mut reached = 0;
+        self.scope(self.root(), catalog, &mut seen, &mut reached)?;
+        if reached != self.len() {
+            return Err(unreachable(reached));
+        }
         Ok(())
     }
 
-    fn validate_inner(
+    /// The relations under `id`, validated; `seen` collects every relation
+    /// met so far and `reached` counts the operators visited.
+    fn scope(
         &self,
+        id: LogicalId,
         catalog: &Catalog,
         seen: &mut RelSet,
+        reached: &mut usize,
     ) -> Result<RelSet, LogicalError> {
-        match self {
-            LogicalExpr::Get { relation } => {
+        *reached += 1;
+        match self.node(id) {
+            LogicalNode::Get { relation } => {
                 if relation.0 as usize >= catalog.relations().len() {
-                    return Err(LogicalError::UnknownRelation(*relation));
+                    return Err(LogicalError::UnknownRelation(relation));
                 }
-                if seen.contains(*relation) {
-                    return Err(LogicalError::DuplicateRelation(*relation));
+                if seen.contains(relation) {
+                    return Err(LogicalError::DuplicateRelation(relation));
                 }
-                *seen = seen.union(RelSet::singleton(*relation));
-                Ok(RelSet::singleton(*relation))
+                *seen = seen.union(RelSet::singleton(relation));
+                Ok(RelSet::singleton(relation))
             }
-            LogicalExpr::Select { input, predicate } => {
-                let scope = input.validate_inner(catalog, seen)?;
+            LogicalNode::Select { input, predicate } => {
+                let scope = self.scope(input, catalog, seen, reached)?;
                 if !scope.contains(predicate.attr.relation) {
                     return Err(LogicalError::AttributeOutOfScope(predicate.to_string()));
                 }
@@ -191,14 +354,10 @@ impl LogicalExpr {
                 }
                 Ok(scope)
             }
-            LogicalExpr::Join {
-                left,
-                right,
-                predicates,
-            } => {
-                let ls = left.validate_inner(catalog, seen)?;
-                let rs = right.validate_inner(catalog, seen)?;
-                for p in predicates {
+            LogicalNode::Join { left, right } => {
+                let ls = self.scope(left, catalog, seen, reached)?;
+                let rs = self.scope(right, catalog, seen, reached)?;
+                for p in self.join_preds(id) {
                     let spans = (ls.contains(p.left.relation) && rs.contains(p.right.relation))
                         || (rs.contains(p.left.relation) && ls.contains(p.right.relation));
                     if !spans {
@@ -209,30 +368,39 @@ impl LogicalExpr {
             }
         }
     }
-}
 
-impl fmt::Display for LogicalExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LogicalExpr::Get { relation } => write!(f, "Get({relation})"),
-            LogicalExpr::Select { input, predicate } => {
-                write!(f, "Select[{predicate}]({input})")
+    fn fmt_node(&self, id: LogicalId, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.node(id) {
+            LogicalNode::Get { relation } => write!(f, "Get({relation})"),
+            LogicalNode::Select { input, predicate } => {
+                write!(f, "Select[{predicate}](")?;
+                self.fmt_node(input, f)?;
+                write!(f, ")")
             }
-            LogicalExpr::Join {
-                left,
-                right,
-                predicates,
-            } => {
+            LogicalNode::Join { left, right } => {
                 write!(f, "Join[")?;
-                for (i, p) in predicates.iter().enumerate() {
+                for (i, p) in self.join_preds(id).iter().enumerate() {
                     if i > 0 {
                         write!(f, " and ")?;
                     }
                     write!(f, "{p}")?;
                 }
-                write!(f, "]({left}, {right})")
+                write!(f, "](")?;
+                self.fmt_node(left, f)?;
+                write!(f, ", ")?;
+                self.fmt_node(right, f)?;
+                write!(f, ")")
             }
         }
+    }
+}
+
+impl fmt::Display for LogicalExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_empty() {
+            return Ok(());
+        }
+        self.fmt_node(self.root(), f)
     }
 }
 
@@ -344,5 +512,90 @@ mod tests {
         assert!(text.starts_with("Join["));
         assert!(text.contains("Select["));
         assert!(text.contains("Get(R0)"));
+    }
+
+    #[test]
+    fn constructors_lay_the_table_out_children_first_root_last() {
+        let cat = catalog();
+        let q = two_way(&cat);
+        let kinds: Vec<&str> = q
+            .iter()
+            .map(|(_, n)| match n {
+                LogicalNode::Get { .. } => "get",
+                LogicalNode::Select { .. } => "select",
+                LogicalNode::Join { .. } => "join",
+            })
+            .collect();
+        assert_eq!(kinds, ["get", "select", "get", "select", "join"]);
+        assert_eq!(
+            q.node(q.root()),
+            LogicalNode::Join {
+                left: LogicalId(1),
+                right: LogicalId(3)
+            }
+        );
+        assert_eq!(q.join_preds(q.root()).len(), 1);
+        assert!(q.join_preds(LogicalId(1)).is_empty());
+
+        // Pushing the same operators in the same order builds the same
+        // table.
+        let mut pushed = LogicalExpr::with_capacity(5, 1);
+        for (id, node) in q.iter() {
+            assert_eq!(pushed.push(node, q.join_preds(id).iter().copied()), id);
+        }
+        assert_eq!(pushed, q);
+    }
+
+    #[test]
+    fn walks_are_depth_first_from_the_root() {
+        let cat = catalog();
+        let r = cat.relation_by_name("r").unwrap().id;
+        let s = cat.relation_by_name("s").unwrap().id;
+        let p = |v| SelectPred::bound(attr(&cat, "r", "a"), CompareOp::Lt, v);
+        let j1 = JoinPred::new(attr(&cat, "r", "j"), attr(&cat, "s", "j"));
+        let j2 = JoinPred::new(attr(&cat, "r", "a"), attr(&cat, "s", "a"));
+        // The outer selection and the outer join's predicates come first,
+        // although the table holds them last.
+        let q = LogicalExpr::get(r)
+            .select(p(1))
+            .join(LogicalExpr::get(s), vec![j1, j2])
+            .select(p(2));
+        assert_eq!(q.select_predicates(), vec![p(2), p(1)]);
+        assert_eq!(q.join_predicates(), vec![j1, j2]);
+        assert_eq!(q.to_string(), format!("Select[{}](Join[{j1} and {j2}](Select[{}](Get(R0)), Get(R1)))", p(2), p(1)));
+        q.validate(&cat).unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_empty_and_unreached_operators() {
+        let cat = catalog();
+        let r = cat.relation_by_name("r").unwrap().id;
+        let s = cat.relation_by_name("s").unwrap().id;
+        let empty = LogicalExpr::with_capacity(0, 0);
+        assert!(empty.is_empty());
+        assert_eq!(empty.relations(), RelSet::EMPTY);
+        assert_eq!(
+            empty.validate(&cat).unwrap_err(),
+            LogicalError::Unreachable { operators: 0, reached: 0 }
+        );
+        let mut detached = LogicalExpr::with_capacity(2, 0);
+        detached.push(LogicalNode::Get { relation: r }, []);
+        detached.push(LogicalNode::Get { relation: s }, []);
+        assert_eq!(
+            detached.validate(&cat).unwrap_err(),
+            LogicalError::Unreachable { operators: 2, reached: 1 }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "only a join has predicates")]
+    fn only_a_join_takes_predicates() {
+        let cat = catalog();
+        let r = cat.relation_by_name("r").unwrap().id;
+        let mut e = LogicalExpr::with_capacity(1, 1);
+        e.push(
+            LogicalNode::Get { relation: r },
+            [JoinPred::new(attr(&cat, "r", "j"), attr(&cat, "s", "j"))],
+        );
     }
 }

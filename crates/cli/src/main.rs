@@ -115,7 +115,7 @@ use dqep_executor::{
     explain_json, pick_pilot, render_explain, ExecContext, JsonWriter, ReoptConfig, ReoptState,
     ResourceLimits, RootSink, Scalar, SharedCounters, TraceReport, Tracer,
 };
-use dqep_plan::{evaluate_startup, render_plan, to_dot};
+use dqep_plan::{dag, evaluate_startup, render_plan, to_dot};
 use dqep_service::{memory_grant_pages, MetricsReport};
 use dqep_sql::parse_query;
 use dqep_storage::{install_histograms, FaultPlan, StoredDatabase, ValueDistribution};
@@ -570,7 +570,7 @@ fn run(args: &Args) -> Result<(), DqepError> {
             args.mode,
             result.stats.plan_nodes,
             result.stats.choose_plans,
-            result.stats.contained_plans,
+            dag::contained_plan_count(&result.plan),
         );
         print!("{}", render_plan(&result.plan));
     }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use dqep_algebra::{JoinPred, LogicalExpr, RelSet, SelectPred};
+use dqep_algebra::{JoinPred, LogicalExpr, LogicalNode, RelSet, SelectPred};
 use dqep_catalog::{Catalog, RelationId};
 
 use crate::error::OptimizerError;
@@ -44,9 +44,14 @@ impl QueryContext {
             return Err(OptimizerError::TooManyRelations(n));
         }
         let relations: Vec<RelationId> = all_rels.iter().collect();
+        // A relation's selections all sit above its `Get`, so the table
+        // read backwards lists them outermost first — the depth-first
+        // order of `select_predicates`.
         let mut selects: BTreeMap<RelationId, Vec<SelectPred>> = BTreeMap::new();
-        for p in query.select_predicates() {
-            selects.entry(p.attr.relation).or_default().push(p);
+        for (_, node) in query.iter().rev() {
+            if let LogicalNode::Select { predicate, .. } = node {
+                selects.entry(predicate.attr.relation).or_default().push(predicate);
+            }
         }
         let join_preds = query.join_predicates();
         let mut adjacent = vec![RelSet::EMPTY; relations.last().map_or(0, |r| r.0 as usize + 1)];

@@ -32,7 +32,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dqep_algebra::{JoinPred, LogicalExpr, PhysProps, PhysicalOp, SelectPred, SortOrder};
+use dqep_algebra::{
+    JoinPred, LogicalExpr, LogicalId, LogicalNode, PhysProps, PhysicalOp, SelectPred, SortOrder,
+};
 use dqep_catalog::{AttrId, Catalog, IndexId, RelationId};
 use dqep_cost::{Cost, CostModel, Environment, ParamSpace, PlanStats, PlanningMode};
 use dqep_interval::Interval;
@@ -111,7 +113,7 @@ impl<'a> Optimizer<'a> {
     ) -> Result<(QueryContext, Memo, GroupId), OptimizerError> {
         let ctx = QueryContext::build(query, self.catalog)?;
         let mut memo = Memo::for_query(&ctx);
-        let root = seed(&mut memo, query, &ctx);
+        let root = seed(&mut memo, query, query.root(), &ctx);
         rules::explore(&mut memo, &ctx);
         Ok((ctx, memo, root))
     }
@@ -169,16 +171,14 @@ impl<'a> Optimizer<'a> {
         let plan = std::mem::take(&mut search.arena).finish(plan_root);
         let finish_seconds = finish_started.elapsed().as_secs_f64();
 
-        let dag = dqep_plan::dag::summarize(&plan);
         let mut stats = OptimizerStats {
             groups: memo.group_count(),
             logical_exprs: memo.expr_count(),
             physical_considered: search.physical_considered,
             pruned_by_bound: search.pruned_by_bound,
             pruned_by_probing: search.pruned_by_probing,
-            plan_nodes: dag.nodes,
-            choose_plans: dag.choose_plans,
-            contained_plans: dag.contained_plans,
+            plan_nodes: plan.len(),
+            choose_plans: plan.choose_plan_count(),
             explore_seconds,
             finish_seconds,
             ..OptimizerStats::default()
@@ -196,17 +196,17 @@ impl<'a> Optimizer<'a> {
     }
 }
 
-/// Seeds the memo from the input expression: leaf groups for every
-/// relation (selections normalized onto their relation — selections
-/// commute with the equi-joins considered here) and one join expression
-/// per join in the input.
-fn seed(memo: &mut Memo, expr: &LogicalExpr, ctx: &QueryContext) -> GroupId {
-    match expr {
-        LogicalExpr::Get { relation } => leaf_group(memo, *relation, ctx),
-        LogicalExpr::Select { input, .. } => seed(memo, input, ctx),
-        LogicalExpr::Join { left, right, .. } => {
-            let l = seed(memo, left, ctx);
-            let r = seed(memo, right, ctx);
+/// Seeds the memo from the input expression's operator `id`: leaf groups
+/// for every relation (selections normalized onto their relation —
+/// selections commute with the equi-joins considered here) and one join
+/// expression per join in the input, a left input before the right.
+fn seed(memo: &mut Memo, expr: &LogicalExpr, id: LogicalId, ctx: &QueryContext) -> GroupId {
+    match expr.node(id) {
+        LogicalNode::Get { relation } => leaf_group(memo, relation, ctx),
+        LogicalNode::Select { input, .. } => seed(memo, expr, input, ctx),
+        LogicalNode::Join { left, right } => {
+            let l = seed(memo, expr, left, ctx);
+            let r = seed(memo, expr, right, ctx);
             let rels = memo.group(l).key.rels().union(memo.group(r).key.rels());
             let g = memo.group_for(GroupKey::Join(rels));
             memo.add_expr(g, LogicalOp::Join { left: l, right: r });
@@ -791,7 +791,7 @@ mod tests {
     use dqep_algebra::{CompareOp, HostVar, JoinPred};
     use dqep_catalog::{CatalogBuilder, SystemConfig};
     use dqep_cost::Bindings;
-    use dqep_plan::evaluate_startup;
+    use dqep_plan::{dag::contained_plan_count, evaluate_startup};
 
     /// Catalog with two relations connected by join attribute `j`, with
     /// unclustered B-trees on `a` (selection) and `j` (join).
@@ -845,7 +845,7 @@ mod tests {
         let result = Optimizer::new(&cat, &env).optimize(&query1(&cat)).unwrap();
         assert!(!result.plan.is_dynamic(), "point costs are totally ordered");
         assert_eq!(result.stats.choose_plans, 0);
-        assert_eq!(result.stats.contained_plans, 1.0);
+        assert_eq!(contained_plan_count(&result.plan), 1.0);
         // At the expected selectivity of 0.05 the index plan wins (the
         // calibration the motivating example depends on).
         assert!(matches!(
@@ -861,7 +861,7 @@ mod tests {
         let result = Optimizer::new(&cat, &env).optimize(&query1(&cat)).unwrap();
         assert!(result.plan.is_dynamic());
         assert!(result.plan.root_node().is_choose_plan());
-        assert!(result.stats.contained_plans >= 2.0);
+        assert!(contained_plan_count(&result.plan) >= 2.0);
         // Figure 1: the alternatives are a file-scan plan and an index plan.
         let plan = &result.plan;
         let ops: Vec<&str> = plan
@@ -989,7 +989,7 @@ mod tests {
         let m = Optimizer::new(&cat, &dyn_mem_env).optimize(&q).unwrap();
         assert!(d.stats.plan_nodes > s.stats.plan_nodes);
         assert!(m.stats.plan_nodes >= d.stats.plan_nodes);
-        assert!(d.stats.contained_plans > 1.0);
+        assert!(contained_plan_count(&d.plan) > 1.0);
     }
 
     #[test]
@@ -1121,7 +1121,7 @@ mod tests {
         .optimize(&q)
         .unwrap();
         assert!(exhaustive.stats.plan_nodes >= default.stats.plan_nodes);
-        assert!(exhaustive.stats.contained_plans >= default.stats.contained_plans);
+        assert!(contained_plan_count(&exhaustive.plan) >= contained_plan_count(&default.plan));
         for (v0, v1) in [(5i64, 5i64), (500, 100), (950, 900)] {
             let b = Bindings::new()
                 .with_value(HostVar(0), v0)

@@ -24,8 +24,6 @@ pub struct OptimizerStats {
     pub plan_nodes: usize,
     /// Number of choose-plan operators in the final plan.
     pub choose_plans: usize,
-    /// Number of complete static plans contained in the final plan.
-    pub contained_plans: f64,
     /// Wall-clock optimization time in seconds (measured):
     /// `explore_seconds + search_seconds`.
     pub optimization_seconds: f64,

@@ -21,7 +21,7 @@ use dqep_catalog::{
 };
 use dqep_core::{OptimizeResult, Optimizer};
 use dqep_cost::Environment;
-use dqep_plan::{NodeId, Plan};
+use dqep_plan::{dag, NodeId, Plan};
 
 fn catalog() -> Catalog {
     make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994())
@@ -184,7 +184,7 @@ fn summary(r: &OptimizeResult, trees: f64) -> String {
         s.pruned_by_bound,
         s.plan_nodes,
         s.choose_plans,
-        s.contained_plans,
+        dag::contained_plan_count(&r.plan),
         s.frontier_plans,
         s.max_frontier,
         total.lo().to_bits(),

@@ -19,34 +19,9 @@ fn fold<T: Copy>(plan: &Plan, f: impl Fn(bool, &mut dyn Iterator<Item = T>) -> T
     *values.last().expect("a plan has a root")
 }
 
-/// The size figures of a plan DAG.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DagSummary {
-    /// Distinct operator nodes — the plan-size metric of the paper's
-    /// Figure 6 ("a count of operator nodes in the directed acyclic graph,
-    /// i.e., in the physical representation of the plan").
-    pub nodes: usize,
-    /// Choose-plan operators among them.
-    pub choose_plans: usize,
-    /// Complete *static* plans contained in the dynamic plan: a
-    /// choose-plan adds up its alternatives' counts, ordinary operators
-    /// multiply their children's. This is the quantity that grows
-    /// exponentially with query complexity while the node count does not
-    /// (paper Section 3).
-    pub contained_plans: f64,
-}
-
-/// Node count, choose-plan count and contained-plan count together.
-#[must_use]
-pub fn summarize(plan: &Plan) -> DagSummary {
-    DagSummary {
-        nodes: plan.len(),
-        choose_plans: plan.choose_plan_count(),
-        contained_plans: contained_plan_count(plan),
-    }
-}
-
-/// Number of distinct operator nodes in the DAG (see [`DagSummary::nodes`]).
+/// Number of distinct operator nodes in the DAG — the plan-size metric of
+/// the paper's Figure 6 ("a count of operator nodes in the directed
+/// acyclic graph, i.e., in the physical representation of the plan").
 #[must_use]
 pub fn node_count(plan: &Plan) -> usize {
     plan.len()
@@ -58,8 +33,12 @@ pub fn choose_plan_count(plan: &Plan) -> usize {
     plan.choose_plan_count()
 }
 
-/// Number of complete *static* plans contained in the dynamic plan (see
-/// [`DagSummary::contained_plans`]).
+/// Number of complete *static* plans contained in the dynamic plan: a
+/// choose-plan adds up its alternatives' counts, ordinary operators
+/// multiply their children's. This is the quantity that grows
+/// exponentially with query complexity while the node count does not
+/// (paper Section 3). One pass over the plan; the optimizer does not
+/// count it — whoever prints it does.
 #[must_use]
 pub fn contained_plan_count(plan: &Plan) -> f64 {
     fold(plan, |choose_plan, contained| {
@@ -143,10 +122,6 @@ mod tests {
         assert_eq!(choose_plan_count(&plan), 1);
         assert_eq!(contained_plan_count(&plan), 2.0);
         assert_eq!(depth(&plan), 3);
-        assert_eq!(
-            summarize(&plan),
-            DagSummary { nodes: 4, choose_plans: 1, contained_plans: 2.0 }
-        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dqep_algebra::LogicalExpr;
+use dqep_algebra::{LogicalExpr, LogicalNode};
 use dqep_catalog::{AttrId, Catalog, Relation, RelationId};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
@@ -489,20 +489,24 @@ impl ShardedService {
         order_by: Option<AttrId>,
         bindings: &Bindings,
     ) -> Result<DistPlan, ServiceError> {
-        let mut rels = Vec::new();
-        collect_relations(expr, &mut rels);
+        // The relations left to right: the order their `Get`s sit in the
+        // table.
+        let rels: Vec<RelationId> = expr
+            .iter()
+            .filter_map(|(_, node)| match node {
+                LogicalNode::Get { relation } => Some(relation),
+                _ => None,
+            })
+            .collect();
 
         let optimizer = Optimizer::new(&self.catalog, &self.env);
         let mut access = Vec::with_capacity(rels.len());
         for &rel in &rels {
-            let mut node = LogicalExpr::Get { relation: rel };
+            let mut node = LogicalExpr::get(rel);
             for pred in predicates {
                 if let ParsedPredicate::Select(sp) = pred {
                     if sp.attr.relation == rel {
-                        node = LogicalExpr::Select {
-                            input: Box::new(node),
-                            predicate: *sp,
-                        };
+                        node = node.select(*sp);
                     }
                 }
             }
@@ -755,17 +759,6 @@ fn canonical_layout(catalog: &Catalog, rels: &[RelationId]) -> TupleLayout {
         layout = layout.concat(&TupleLayout::base(catalog, rel));
     }
     layout
-}
-
-fn collect_relations(expr: &LogicalExpr, out: &mut Vec<RelationId>) {
-    match expr {
-        LogicalExpr::Get { relation } => out.push(*relation),
-        LogicalExpr::Select { input, .. } => collect_relations(input, out),
-        LogicalExpr::Join { left, right, .. } => {
-            collect_relations(left, out);
-            collect_relations(right, out);
-        }
-    }
 }
 
 /// Live rows across a set of batches.

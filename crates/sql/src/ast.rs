@@ -18,7 +18,7 @@ pub enum ParsedPredicate {
 /// A parsed embedded query: the logical expression plus the mapping from
 /// host-variable *names* (as written, `:x`) to the positional [`HostVar`]
 /// ids the algebra uses.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// The logical algebra expression, ready for the optimizer.
     pub expr: LogicalExpr,

@@ -2,9 +2,10 @@
 
 use std::fmt;
 
-/// Token kinds of the SQL subset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+/// Token kinds of the SQL subset. Identifiers and host-variable names
+/// borrow their text from the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind<'a> {
     /// `SELECT` (case-insensitive keyword).
     Select,
     /// `FROM`.
@@ -18,11 +19,11 @@ pub enum TokenKind {
     /// `BY`.
     By,
     /// An identifier (relation or attribute name).
-    Ident(String),
+    Ident(&'a str),
     /// An integer literal.
     Int(i64),
-    /// A named host variable, `:name`.
-    HostVar(String),
+    /// A named host variable, `:name` (the name without the colon).
+    HostVar(&'a str),
     /// `*`
     Star,
     /// `,`
@@ -41,7 +42,7 @@ pub enum TokenKind {
     Gt,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Select => f.write_str("SELECT"),
@@ -66,10 +67,10 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source offset (for error messages).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset in the input.
     pub offset: usize,
 }
@@ -114,117 +115,128 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenizes the input.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
-    let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            c if c.is_whitespace() => i += 1,
-            '*' => {
-                tokens.push(Token { kind: TokenKind::Star, offset: i });
-                i += 1;
+/// The tokens of an input, one at a time: a token borrows its text from
+/// the input, so lexing allocates nothing. After an error the lexer is
+/// exhausted.
+#[derive(Debug, Clone)]
+pub struct Lexer<'a> {
+    input: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    #[must_use]
+    pub fn new(input: &'a str) -> Lexer<'a> {
+        Lexer { input, pos: 0 }
+    }
+
+    /// The next token, `None` at the end of the input.
+    pub fn next_token(&mut self) -> Result<Option<Token<'a>>, LexError> {
+        let token = self.scan();
+        if token.is_err() {
+            self.pos = self.input.len();
+        }
+        token
+    }
+
+    /// The first error in the rest of the input, if any; consumes it.
+    pub fn first_error(&mut self) -> Option<LexError> {
+        loop {
+            match self.next_token() {
+                Ok(Some(_)) => {}
+                Ok(None) => return None,
+                Err(e) => return Some(e),
             }
-            ',' => {
-                tokens.push(Token { kind: TokenKind::Comma, offset: i });
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Token { kind: TokenKind::Dot, offset: i });
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token { kind: TokenKind::Eq, offset: i });
-                i += 1;
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token { kind: TokenKind::Le, offset: i });
-                    i += 2;
-                } else {
-                    tokens.push(Token { kind: TokenKind::Lt, offset: i });
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token { kind: TokenKind::Ge, offset: i });
-                    i += 2;
-                } else {
-                    tokens.push(Token { kind: TokenKind::Gt, offset: i });
-                    i += 1;
-                }
-            }
-            ':' => {
-                let start = i + 1;
-                let end = ident_end(bytes, start);
-                if end == start {
-                    return Err(LexError::EmptyHostVar { offset: i });
-                }
-                tokens.push(Token {
-                    kind: TokenKind::HostVar(input[start..end].to_string()),
-                    offset: i,
-                });
-                i = end;
-            }
-            c if c.is_ascii_digit() || c == '-' => {
-                let start = i;
-                let mut end = i + 1;
-                while end < bytes.len() && (bytes[end] as char).is_ascii_digit() {
-                    end += 1;
-                }
-                if c == '-' && end == start + 1 {
-                    return Err(LexError::UnexpectedChar { ch: '-', offset: i });
-                }
-                let text = &input[start..end];
-                let value: i64 = text
-                    .parse()
-                    .map_err(|_| LexError::IntOutOfRange { offset: start })?;
-                tokens.push(Token { kind: TokenKind::Int(value), offset: start });
-                i = end;
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                let end = ident_end(bytes, start);
-                let word = &input[start..end];
-                let kind = match word.to_ascii_uppercase().as_str() {
-                    "SELECT" => TokenKind::Select,
-                    "FROM" => TokenKind::From,
-                    "WHERE" => TokenKind::Where,
-                    "AND" => TokenKind::And,
-                    "ORDER" => TokenKind::Order,
-                    "BY" => TokenKind::By,
-                    _ => TokenKind::Ident(word.to_string()),
-                };
-                tokens.push(Token { kind, offset: start });
-                i = end;
-            }
-            other => return Err(LexError::UnexpectedChar { ch: other, offset: i }),
         }
     }
-    Ok(tokens)
+
+    fn scan(&mut self) -> Result<Option<Token<'a>>, LexError> {
+        let bytes = self.input.as_bytes();
+        while bytes.get(self.pos).copied().is_some_and(is_blank) {
+            self.pos += 1;
+        }
+        let start = self.pos;
+        let Some(&c) = bytes.get(start) else {
+            return Ok(None);
+        };
+        let (kind, end) = match c {
+            b'*' => (TokenKind::Star, start + 1),
+            b',' => (TokenKind::Comma, start + 1),
+            b'.' => (TokenKind::Dot, start + 1),
+            b'=' => (TokenKind::Eq, start + 1),
+            b'<' if bytes.get(start + 1) == Some(&b'=') => (TokenKind::Le, start + 2),
+            b'<' => (TokenKind::Lt, start + 1),
+            b'>' if bytes.get(start + 1) == Some(&b'=') => (TokenKind::Ge, start + 2),
+            b'>' => (TokenKind::Gt, start + 1),
+            b':' => {
+                let end = ident_end(bytes, start + 1);
+                if end == start + 1 {
+                    return Err(LexError::EmptyHostVar { offset: start });
+                }
+                (TokenKind::HostVar(&self.input[start + 1..end]), end)
+            }
+            b'0'..=b'9' | b'-' => {
+                let digits = bytes[start + 1..].iter().take_while(|b| b.is_ascii_digit()).count();
+                if c == b'-' && digits == 0 {
+                    return Err(LexError::UnexpectedChar { ch: '-', offset: start });
+                }
+                let end = start + 1 + digits;
+                let value = self.input[start..end]
+                    .parse()
+                    .map_err(|_| LexError::IntOutOfRange { offset: start })?;
+                (TokenKind::Int(value), end)
+            }
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                let end = ident_end(bytes, start);
+                (keyword_or_ident(&self.input[start..end]), end)
+            }
+            _ => {
+                let ch = self.input[start..].chars().next().expect("a char starts here");
+                return Err(LexError::UnexpectedChar { ch, offset: start });
+            }
+        };
+        self.pos = end;
+        Ok(Some(Token { kind, offset: start }))
+    }
+}
+
+/// A keyword (any letter case) or an identifier as written.
+fn keyword_or_ident(word: &str) -> TokenKind<'_> {
+    const KEYWORDS: [(&str, TokenKind<'static>); 6] = [
+        ("SELECT", TokenKind::Select),
+        ("FROM", TokenKind::From),
+        ("WHERE", TokenKind::Where),
+        ("AND", TokenKind::And),
+        ("ORDER", TokenKind::Order),
+        ("BY", TokenKind::By),
+    ];
+    KEYWORDS
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(word))
+        .map_or(TokenKind::Ident(word), |&(_, kind)| kind)
+}
+
+/// Whether `b` is white space: the ASCII characters `char::is_whitespace`
+/// accepts (vertical tab included, unlike `u8::is_ascii_whitespace`).
+fn is_blank(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
 }
 
 fn ident_end(bytes: &[u8], start: usize) -> usize {
-    let mut end = start;
-    while end < bytes.len() {
-        let c = bytes[end] as char;
-        if c.is_ascii_alphanumeric() || c == '_' {
-            end += 1;
-        } else {
-            break;
-        }
-    }
-    end
+    start + bytes[start..].iter().take_while(|b| b.is_ascii_alphanumeric() || **b == b'_').count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn lex(input: &str) -> Result<Vec<Token<'_>>, LexError> {
+        let mut lexer = Lexer::new(input);
+        std::iter::from_fn(|| lexer.next_token().transpose()).collect()
+    }
+
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         lex(input).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -237,23 +249,23 @@ mod tests {
                 TokenKind::Select,
                 TokenKind::Star,
                 TokenKind::From,
-                TokenKind::Ident("r".into()),
+                TokenKind::Ident("r"),
                 TokenKind::Comma,
-                TokenKind::Ident("s".into()),
+                TokenKind::Ident("s"),
                 TokenKind::Where,
-                TokenKind::Ident("r".into()),
+                TokenKind::Ident("r"),
                 TokenKind::Dot,
-                TokenKind::Ident("j".into()),
+                TokenKind::Ident("j"),
                 TokenKind::Eq,
-                TokenKind::Ident("s".into()),
+                TokenKind::Ident("s"),
                 TokenKind::Dot,
-                TokenKind::Ident("j".into()),
+                TokenKind::Ident("j"),
                 TokenKind::And,
-                TokenKind::Ident("r".into()),
+                TokenKind::Ident("r"),
                 TokenKind::Dot,
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Lt,
-                TokenKind::HostVar("x".into()),
+                TokenKind::HostVar("x"),
             ]
         );
     }
@@ -267,7 +279,7 @@ mod tests {
             TokenKind::And
         ]);
         // But identifiers keep their case.
-        assert_eq!(kinds("Orders"), vec![TokenKind::Ident("Orders".into())]);
+        assert_eq!(kinds("Orders"), vec![TokenKind::Ident("Orders")]);
     }
 
     #[test]
@@ -299,6 +311,30 @@ mod tests {
             Err(LexError::IntOutOfRange { .. })
         ));
         assert!(matches!(lex("a - b"), Err(LexError::UnexpectedChar { ch: '-', .. })));
+        // A character outside ASCII is reported whole, at its first byte.
+        assert_eq!(
+            lex("r \u{e9}").unwrap_err(),
+            LexError::UnexpectedChar { ch: '\u{e9}', offset: 2 }
+        );
+    }
+
+    #[test]
+    fn an_error_ends_the_tokens() {
+        let mut lexer = Lexer::new("r ? s ?");
+        assert_eq!(lexer.next_token().unwrap().unwrap().kind, TokenKind::Ident("r"));
+        assert_eq!(lexer.first_error(), Some(LexError::UnexpectedChar { ch: '?', offset: 2 }));
+        assert_eq!(lexer.next_token(), Ok(None));
+        assert_eq!(Lexer::new("r s").first_error(), None);
+    }
+
+    #[test]
+    fn tokens_borrow_the_input() {
+        let input = String::from("Orders :limit");
+        let toks = lex(&input).unwrap();
+        let TokenKind::Ident(name) = toks[0].kind else { panic!("{toks:?}") };
+        assert!(std::ptr::eq(name.as_ptr(), input.as_ptr()));
+        assert_eq!(toks[1].kind, TokenKind::HostVar("limit"));
+        assert_eq!(toks[1].offset, 7);
     }
 
     #[test]

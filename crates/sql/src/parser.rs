@@ -3,11 +3,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, RelSet, SelectPred};
+use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, LogicalNode, RelSet, SelectPred};
 use dqep_catalog::{AttrId, Catalog, RelationId};
 
 use crate::ast::{ParsedPredicate, Query};
-use crate::lexer::{lex, LexError, Token, TokenKind};
+use crate::lexer::{LexError, Lexer, Token, TokenKind};
 
 /// Parse errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,64 +85,82 @@ impl From<LexError> for ParseError {
 
 /// Parses an embedded-SQL query against `catalog` and builds its logical
 /// plan. See the crate docs for the accepted grammar.
+///
+/// The text is lexed as it is parsed, into tokens that borrow from it, so
+/// parsing allocates only what the returned [`Query`] owns (and a list of
+/// the `FROM` relations). A lexical error anywhere in the text is the
+/// error returned, ahead of any syntax or name error before it.
 pub fn parse_query(input: &str, catalog: &Catalog) -> Result<Query, ParseError> {
-    let tokens = lex(input)?;
     let mut p = Parser {
-        tokens,
-        pos: 0,
+        lexer: Lexer::new(input),
+        next: None,
         catalog,
     };
-    p.query()
+    p.query().map_err(|e| match e {
+        ParseError::Lex(_) => e,
+        e => p.lexer.first_error().map_or(e, ParseError::Lex),
+    })
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token>,
-    pos: usize,
-    catalog: &'a Catalog,
+/// A relation named in `FROM`, as written.
+type FromEntry<'a> = (&'a str, RelationId);
+
+struct Parser<'a, 'c> {
+    lexer: Lexer<'a>,
+    /// The lookahead: the next token not yet consumed.
+    next: Option<Token<'a>>,
+    catalog: &'c Catalog,
 }
 
 /// Right-hand side of a parsed comparison.
-enum Rhs {
-    Attr(String, String),
+enum Rhs<'a> {
+    Attr(&'a str, &'a str),
     Int(i64),
-    Host(String),
+    Host(&'a str),
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+fn unexpected(token: Option<&Token<'_>>, expected: &str) -> ParseError {
+    match token {
+        Some(t) => ParseError::Unexpected {
+            expected: expected.to_string(),
+            found: t.kind.to_string(),
+            offset: Some(t.offset),
+        },
+        None => ParseError::Unexpected {
+            expected: expected.to_string(),
+            found: "end of input".to_string(),
+            offset: None,
+        },
+    }
+}
+
+impl<'a> Parser<'a, '_> {
+    fn peek(&self) -> Option<TokenKind<'a>> {
+        self.next.map(|t| t.kind)
+    }
+
+    /// Consumes the lookahead and lexes the next token.
+    fn bump(&mut self) -> Result<(), ParseError> {
+        self.next = self.lexer.next_token()?;
+        Ok(())
     }
 
     fn unexpected(&self, expected: &str) -> ParseError {
-        match self.peek() {
-            Some(t) => ParseError::Unexpected {
-                expected: expected.to_string(),
-                found: t.kind.to_string(),
-                offset: Some(t.offset),
-            },
-            None => ParseError::Unexpected {
-                expected: expected.to_string(),
-                found: "end of input".to_string(),
-                offset: None,
-            },
+        unexpected(self.next.as_ref(), expected)
+    }
+
+    fn expect(&mut self, kind: TokenKind<'_>, what: &str) -> Result<(), ParseError> {
+        if self.peek() == Some(kind) {
+            self.bump()
+        } else {
+            Err(self.unexpected(what))
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), ParseError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.peek() {
-            Some(t) if &t.kind == kind => {
-                self.pos += 1;
-                Ok(())
-            }
-            _ => Err(self.unexpected(what)),
-        }
-    }
-
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
-        match self.peek() {
-            Some(Token { kind: TokenKind::Ident(s), .. }) => {
-                let s = s.clone();
-                self.pos += 1;
+            Some(TokenKind::Ident(s)) => {
+                self.bump()?;
                 Ok(s)
             }
             _ => Err(self.unexpected(what)),
@@ -150,68 +168,55 @@ impl Parser<'_> {
     }
 
     fn query(&mut self) -> Result<Query, ParseError> {
-        self.expect(&TokenKind::Select, "SELECT")?;
-        self.expect(&TokenKind::Star, "*")?;
-        self.expect(&TokenKind::From, "FROM")?;
+        self.bump()?;
+        self.expect(TokenKind::Select, "SELECT")?;
+        self.expect(TokenKind::Star, "*")?;
+        self.expect(TokenKind::From, "FROM")?;
 
         // FROM list.
-        let mut from: Vec<(String, RelationId)> = Vec::new();
+        let mut from: Vec<FromEntry<'a>> = Vec::new();
         loop {
             let name = self.ident("relation name")?;
             let rel = self
                 .catalog
-                .relation_by_name(&name)
-                .map_err(|_| ParseError::UnknownRelation(name.clone()))?;
+                .relation_by_name(name)
+                .map_err(|_| ParseError::UnknownRelation(name.to_string()))?;
             if from.iter().any(|(_, id)| *id == rel.id) {
-                return Err(ParseError::DuplicateRelation(name));
+                return Err(ParseError::DuplicateRelation(name.to_string()));
             }
             from.push((name, rel.id));
-            match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Comma) => {
-                    self.pos += 1;
-                }
-                _ => break,
+            if self.peek() != Some(TokenKind::Comma) {
+                break;
             }
+            self.bump()?;
         }
 
         // WHERE clause (optional).
-        let mut joins: Vec<JoinPred> = Vec::new();
-        let mut selects: Vec<SelectPred> = Vec::new();
         let mut predicates: Vec<ParsedPredicate> = Vec::new();
         let mut host_vars: BTreeMap<String, HostVar> = BTreeMap::new();
-        if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::Where)) {
-            self.pos += 1;
+        if self.peek() == Some(TokenKind::Where) {
+            self.bump()?;
             loop {
                 let pred = self.predicate(&from, &mut host_vars)?;
-                match &pred {
-                    ParsedPredicate::Join(j) => joins.push(*j),
-                    ParsedPredicate::Select(s) => selects.push(*s),
-                }
                 predicates.push(pred);
-                match self.peek().map(|t| &t.kind) {
-                    Some(TokenKind::And) => {
-                        self.pos += 1;
-                    }
-                    _ => break,
+                if self.peek() != Some(TokenKind::And) {
+                    break;
                 }
+                self.bump()?;
             }
         }
         // ORDER BY clause (optional).
         let mut order_by = None;
-        if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::Order)) {
-            self.pos += 1;
-            self.expect(&TokenKind::By, "BY")?;
+        if self.peek() == Some(TokenKind::Order) {
+            self.bump()?;
+            self.expect(TokenKind::By, "BY")?;
             order_by = Some(self.qualified_attr(&from)?);
         }
-        if let Some(t) = self.peek() {
-            return Err(ParseError::Unexpected {
-                expected: "AND, ORDER BY, or end of query".to_string(),
-                found: t.kind.to_string(),
-                offset: Some(t.offset),
-            });
+        if self.next.is_some() {
+            return Err(self.unexpected("AND, ORDER BY, or end of query"));
         }
 
-        let expr = build_expr(&from, &selects, &joins);
+        let expr = build_expr(&mut from, &predicates);
         expr.validate(self.catalog)
             .map_err(|e| ParseError::Validation(e.to_string()))?;
         Ok(Query {
@@ -224,11 +229,11 @@ impl Parser<'_> {
 
     fn predicate(
         &mut self,
-        from: &[(String, RelationId)],
+        from: &[FromEntry<'_>],
         host_vars: &mut BTreeMap<String, HostVar>,
     ) -> Result<ParsedPredicate, ParseError> {
         let lhs = self.qualified_attr(from)?;
-        let op = match self.peek().map(|t| t.kind.clone()) {
+        let op = match self.peek() {
             Some(TokenKind::Lt) => CompareOp::Lt,
             Some(TokenKind::Le) => CompareOp::Le,
             Some(TokenKind::Eq) => CompareOp::Eq,
@@ -236,33 +241,33 @@ impl Parser<'_> {
             Some(TokenKind::Gt) => CompareOp::Gt,
             _ => return Err(self.unexpected("comparison operator")),
         };
-        self.pos += 1;
+        self.bump()?;
 
-        let rhs = match self.peek().map(|t| t.kind.clone()) {
+        let rhs = match self.peek() {
             Some(TokenKind::Int(v)) => {
-                self.pos += 1;
+                self.bump()?;
                 Rhs::Int(v)
             }
             Some(TokenKind::HostVar(name)) => {
-                self.pos += 1;
+                self.bump()?;
                 Rhs::Host(name)
             }
-            Some(TokenKind::Ident(_)) => {
-                let save = self.pos;
-                let rel = self.ident("relation name")?;
-                if self.expect(&TokenKind::Dot, ".").is_err() {
-                    self.pos = save;
-                    return Err(self.unexpected("`rel.attr`, integer, or :hostvar"));
+            Some(TokenKind::Ident(rel)) => {
+                // Reported at the relation when no `.` follows it.
+                let at = self.next;
+                self.bump()?;
+                if self.peek() != Some(TokenKind::Dot) {
+                    return Err(unexpected(at.as_ref(), "`rel.attr`, integer, or :hostvar"));
                 }
-                let attr = self.ident("attribute name")?;
-                Rhs::Attr(rel, attr)
+                self.bump()?;
+                Rhs::Attr(rel, self.ident("attribute name")?)
             }
             _ => return Err(self.unexpected("integer, :hostvar, or rel.attr")),
         };
 
         match rhs {
             Rhs::Attr(rrel, rattr) => {
-                let right = self.resolve(from, &rrel, &rattr)?;
+                let right = self.resolve(from, rrel, rattr)?;
                 if op != CompareOp::Eq {
                     return Err(ParseError::NonEquiJoin(format!(
                         "{} {op} {rrel}.{rattr}",
@@ -279,29 +284,30 @@ impl Parser<'_> {
             }
             Rhs::Int(v) => Ok(ParsedPredicate::Select(SelectPred::bound(lhs, op, v))),
             Rhs::Host(name) => {
-                let next_id = HostVar(host_vars.len() as u32);
-                let var = *host_vars.entry(name).or_insert(next_id);
+                let var = match host_vars.get(name) {
+                    Some(&var) => var,
+                    None => {
+                        let var = HostVar(host_vars.len() as u32);
+                        host_vars.insert(name.to_string(), var);
+                        var
+                    }
+                };
                 Ok(ParsedPredicate::Select(SelectPred::unbound(lhs, op, var)))
             }
         }
     }
 
-    fn qualified_attr(&mut self, from: &[(String, RelationId)]) -> Result<AttrId, ParseError> {
+    fn qualified_attr(&mut self, from: &[FromEntry<'_>]) -> Result<AttrId, ParseError> {
         let rel = self.ident("`rel.attr`")?;
-        self.expect(&TokenKind::Dot, "`.` (attributes must be qualified)")?;
+        self.expect(TokenKind::Dot, "`.` (attributes must be qualified)")?;
         let attr = self.ident("attribute name")?;
-        self.resolve(from, &rel, &attr)
+        self.resolve(from, rel, attr)
     }
 
-    fn resolve(
-        &self,
-        from: &[(String, RelationId)],
-        rel: &str,
-        attr: &str,
-    ) -> Result<AttrId, ParseError> {
+    fn resolve(&self, from: &[FromEntry<'_>], rel: &str, attr: &str) -> Result<AttrId, ParseError> {
         let (_, rel_id) = from
             .iter()
-            .find(|(n, _)| n == rel)
+            .find(|(n, _)| *n == rel)
             .ok_or_else(|| ParseError::RelationNotInFrom(rel.to_string()))?;
         self.catalog
             .relation(*rel_id)
@@ -310,12 +316,11 @@ impl Parser<'_> {
     }
 }
 
-fn fmt_attr(from: &[(String, RelationId)], attr: AttrId) -> String {
+fn fmt_attr(from: &[FromEntry<'_>], attr: AttrId) -> String {
     let rel = from
         .iter()
         .find(|(_, id)| *id == attr.relation)
-        .map(|(n, _)| n.as_str())
-        .unwrap_or("?");
+        .map_or("?", |(n, _)| n);
     format!("{rel}.#{}", attr.index)
 }
 
@@ -323,42 +328,50 @@ fn fmt_attr(from: &[(String, RelationId)], attr: AttrId) -> String {
 /// connectivity-respecting order (FROM order, preferring relations already
 /// connected to the current prefix so the seed avoids accidental cross
 /// products; genuinely disconnected queries fall back to cross joins,
-/// which the optimizer handles).
-fn build_expr(
-    from: &[(String, RelationId)],
-    selects: &[SelectPred],
-    joins: &[JoinPred],
-) -> LogicalExpr {
-    let leaf = |rel: RelationId| {
-        let mut e = LogicalExpr::get(rel);
-        for p in selects.iter().filter(|p| p.attr.relation == rel) {
-            e = e.select(*p);
-        }
-        e
+/// which the optimizer handles). `from` is left in join order. The table
+/// is reserved at its final size: a leaf is a `Get` and its selections,
+/// every join consumes the join predicates that reach its new relation.
+fn build_expr(from: &mut [FromEntry<'_>], predicates: &[ParsedPredicate]) -> LogicalExpr {
+    let selects = || {
+        predicates.iter().filter_map(|p| match p {
+            ParsedPredicate::Select(s) => Some(*s),
+            ParsedPredicate::Join(_) => None,
+        })
     };
-    let connecting = |set: RelSet, rel: RelationId| -> Vec<JoinPred> {
-        joins
-            .iter()
-            .filter(|p| {
-                (set.contains(p.left.relation) && p.right.relation == rel)
-                    || (set.contains(p.right.relation) && p.left.relation == rel)
-            })
-            .copied()
-            .collect()
+    let joins = || {
+        predicates.iter().filter_map(|p| match p {
+            ParsedPredicate::Join(j) => Some(*j),
+            ParsedPredicate::Select(_) => None,
+        })
+    };
+    let connecting = move |set: RelSet, rel: RelationId| {
+        joins().filter(move |p| {
+            (set.contains(p.left.relation) && p.right.relation == rel)
+                || (set.contains(p.right.relation) && p.left.relation == rel)
+        })
+    };
+    let nodes = 2 * from.len() - 1 + selects().count();
+    let mut expr = LogicalExpr::with_capacity(nodes, joins().count());
+    let leaf = |expr: &mut LogicalExpr, relation: RelationId| {
+        let mut input = expr.push(LogicalNode::Get { relation }, []);
+        for predicate in selects().filter(|p| p.attr.relation == relation) {
+            input = expr.push(LogicalNode::Select { input, predicate }, []);
+        }
+        input
     };
 
-    let mut remaining: Vec<RelationId> = from.iter().map(|(_, id)| *id).collect();
-    let mut expr = leaf(remaining.remove(0));
-    let mut covered = expr.relations();
-    while !remaining.is_empty() {
+    let mut root = leaf(&mut expr, from[0].1);
+    let mut covered = RelSet::singleton(from[0].1);
+    for next in 1..from.len() {
         // Prefer the first remaining relation connected to the prefix.
-        let idx = remaining
+        let pick = from[next..]
             .iter()
-            .position(|&r| !connecting(covered, r).is_empty())
+            .position(|&(_, r)| connecting(covered, r).next().is_some())
             .unwrap_or(0);
-        let rel = remaining.remove(idx);
-        let preds = connecting(covered, rel);
-        expr = expr.join(leaf(rel), preds);
+        from[next..=next + pick].rotate_right(1);
+        let rel = from[next].1;
+        let right = leaf(&mut expr, rel);
+        root = expr.push(LogicalNode::Join { left: root, right }, connecting(covered, rel));
         covered = covered.union(RelSet::singleton(rel));
     }
     expr
@@ -437,16 +450,10 @@ mod tests {
         )
         .unwrap();
         // Every join in the seed expression carries at least one predicate.
-        fn no_cross(e: &LogicalExpr) -> bool {
-            match e {
-                LogicalExpr::Get { .. } => true,
-                LogicalExpr::Select { input, .. } => no_cross(input),
-                LogicalExpr::Join { left, right, predicates } => {
-                    !predicates.is_empty() && no_cross(left) && no_cross(right)
-                }
-            }
-        }
-        assert!(no_cross(&q.expr), "seed contains a cross product: {}", q.expr);
+        let no_cross = q.expr.iter().all(|(id, node)| {
+            !matches!(node, LogicalNode::Join { .. }) || !q.expr.join_preds(id).is_empty()
+        });
+        assert!(no_cross, "seed contains a cross product: {}", q.expr);
     }
 
     #[test]

@@ -30,6 +30,10 @@ pub struct ColumnPage<B = PageRef> {
 /// [`crate::SimDisk::read_run`] visitor reads through.
 pub type PageView<'a> = ColumnPage<&'a [u8; PAGE_SIZE]>;
 
+/// A column page written where its bytes lie: how a loader fills the page
+/// the disk holds ([`crate::SimDisk::update_unaccounted`]).
+pub type PageViewMut<'a> = ColumnPage<&'a mut [u8; PAGE_SIZE]>;
+
 impl ColumnPage {
     /// A fresh, empty page for rows of `width` values that take
     /// `record_len` bytes each as records: it holds
@@ -41,10 +45,8 @@ impl ColumnPage {
     /// values.
     #[must_use]
     pub fn new(record_len: usize, width: usize) -> ColumnPage {
-        assert!(width * 8 <= record_len, "a {record_len}-byte record holds fewer than {width} values");
         let mut data = [0u8; PAGE_SIZE];
-        write_u16(&mut data, 2, Self::records_per_page(record_len) as u16);
-        write_u16(&mut data, 4, width as u16);
+        ColumnPage::format(&mut data, record_len, width);
         ColumnPage { data: Arc::new(data) }
     }
 
@@ -75,12 +77,37 @@ impl ColumnPage {
     /// # Panics
     /// Panics on a row of other than [`ColumnPage::width`] values.
     pub fn push(&mut self, values: &[i64]) -> Option<u16> {
+        ColumnPage::from_bytes(Arc::make_mut(&mut self.data)).push(values)
+    }
+}
+
+impl<'a> PageViewMut<'a> {
+    /// Formats `data` as an empty page for rows of `width` values that
+    /// take `record_len` bytes each as records (see [`ColumnPage::new`]).
+    ///
+    /// # Panics
+    /// Panics when a `record_len`-byte record has no room for `width`
+    /// values.
+    pub fn format(data: &'a mut [u8; PAGE_SIZE], record_len: usize, width: usize) -> PageViewMut<'a> {
+        assert!(width * 8 <= record_len, "a {record_len}-byte record holds fewer than {width} values");
+        data.fill(0);
+        write_u16(data, 2, ColumnPage::records_per_page(record_len) as u16);
+        write_u16(data, 4, width as u16);
+        ColumnPage { data }
+    }
+
+    /// Adds a row where the page lies, returning its slot number, or
+    /// `None` when the page is full.
+    ///
+    /// # Panics
+    /// Panics on a row of other than [`ColumnPage::width`] values.
+    pub fn push(&mut self, values: &[i64]) -> Option<u16> {
         assert_eq!(values.len(), self.width(), "row arity");
         let (slot, capacity) = (self.len(), self.capacity());
         if slot == capacity {
             return None;
         }
-        let data = &mut Arc::make_mut(&mut self.data)[..];
+        let data = &mut self.data[..];
         for (attr, v) in values.iter().enumerate() {
             let at = HEADER + 8 * (attr * capacity + slot);
             data[at..at + 8].copy_from_slice(&v.to_le_bytes());

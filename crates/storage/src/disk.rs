@@ -351,6 +351,23 @@ impl SimDisk {
         }
     }
 
+    /// Changes a page's bytes in place **without** charging I/O — how a
+    /// loader adds a row to the base-table page it is filling, so that no
+    /// page is copied a row. Copy-on-write as
+    /// [`SimDisk::write_unaccounted`]: a page still shared (the zero page
+    /// of a fresh id, or a [`PageRef`] a reader holds) is copied once
+    /// first, and a reader's page never changes under it.
+    ///
+    /// # Panics
+    /// Panics on an unallocated or freed page id (a loader bug).
+    pub(crate) fn update_unaccounted<R>(&self, id: PageId, f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R) -> R {
+        let mut inner = self.inner.lock();
+        let Some(page) = inner.pages.get_mut(id.0 as usize).and_then(Option::as_mut) else {
+            panic!("unaccounted update of unallocated page {id}");
+        };
+        f(Arc::make_mut(page))
+    }
+
     /// Charges one write without transferring data — the write of a page
     /// of a query-lifetime file, whose rows stay with the file. The only
     /// accounted write: base tables are written once, at load.

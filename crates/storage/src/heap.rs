@@ -2,7 +2,7 @@
 
 use std::ops::ControlFlow;
 
-use crate::column_page::{ColumnPage, Row};
+use crate::column_page::{ColumnPage, PageViewMut, Row};
 use crate::disk::SimDisk;
 use crate::error::StorageError;
 use crate::page::PageId;
@@ -24,7 +24,9 @@ pub struct Rid {
 /// It is written once, at load, through [`HeapFile::append`] (unaccounted
 /// writes — the experiments measure query I/O, not load I/O), and then
 /// only read: scans read pages in allocation order, which the simulated
-/// disk accounts as sequential I/O.
+/// disk accounts as sequential I/O. A row is appended where the disk holds
+/// its page (`SimDisk::update_unaccounted`): no page is copied a row,
+/// and there is no unwritten tail for a reader to miss.
 /// Query-lifetime files — Grace partitions, sort runs — are written
 /// through a [`SpillWriter`] instead.
 #[derive(Debug)]
@@ -34,8 +36,6 @@ pub struct HeapFile {
     records: u64,
     record_len: usize,
     width: usize,
-    /// The tail page being filled during loading.
-    tail: Option<ColumnPage>,
 }
 
 impl HeapFile {
@@ -43,7 +43,7 @@ impl HeapFile {
     /// `record_len` bytes each as records (at least `8 × width`).
     #[must_use]
     pub fn new(disk: SimDisk, record_len: usize, width: usize) -> HeapFile {
-        HeapFile { disk, pages: Vec::new(), records: 0, record_len, width, tail: None }
+        HeapFile { disk, pages: Vec::new(), records: 0, record_len, width }
     }
 
     /// Appends a row at load time (unaccounted), returning its rid.
@@ -57,27 +57,29 @@ impl HeapFile {
     /// records.
     pub fn append(&mut self, values: &[i64]) -> Result<Rid, StorageError> {
         ColumnPage::check_fits(self.record_len)?;
-        loop {
-            let mut tail = match self.tail.take() {
-                Some(t) => t,
-                None => {
-                    self.pages.push(self.disk.allocate());
-                    ColumnPage::new(self.record_len, self.width)
-                }
-            };
-            if let Some(slot) = tail.push(values) {
-                let page = self.pages.last().copied().unwrap_or(PageId::INVALID);
-                // Written through on every row, not once when the page
-                // fills: a base table has no seal, and `scan()` must see
-                // the tail.
-                self.disk
-                    .write_unaccounted(page, tail.as_bytes().as_slice());
-                self.records += 1;
-                self.tail = Some(tail);
-                return Ok(Rid { page, slot });
+        // Row `i` is slot `i mod r` of page `i / r`.
+        let per_page = ColumnPage::records_per_page(self.record_len) as u64;
+        let slot = (self.records % per_page) as u16;
+        let page = match self.pages.last() {
+            Some(&page) if slot > 0 => page,
+            _ => {
+                let page = self.disk.allocate();
+                self.pages.push(page);
+                page
             }
-            // Tail full: start a new page on the next iteration.
-        }
+        };
+        let (record_len, width) = (self.record_len, self.width);
+        let pushed = self.disk.update_unaccounted(page, |bytes| {
+            let mut view = if slot == 0 {
+                PageViewMut::format(bytes, record_len, width)
+            } else {
+                ColumnPage::from_bytes(bytes)
+            };
+            view.push(values)
+        });
+        debug_assert_eq!(pushed, Some(slot), "row {} lands in slot {slot}", self.records);
+        self.records += 1;
+        Ok(Rid { page, slot })
     }
 
     /// Number of records.
@@ -388,6 +390,27 @@ impl<'a> SpillPage<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_row_is_appended_where_the_disk_holds_its_page() {
+        let disk = SimDisk::new();
+        let mut heap = HeapFile::new(disk.clone(), 512, 1);
+        let r = ColumnPage::records_per_page(512);
+        let rids: Vec<Rid> = (0..=r as i64).map(|i| heap.append(&[i]).unwrap()).collect();
+        let rows_on = |rid: Rid| ColumnPage::from_bytes(disk.read_unaccounted(rid.page)).len();
+        assert_eq!((rows_on(rids[0]), rows_on(rids[r])), (r, 1), "every row is on the disk");
+        // No page is copied a row: the next row lands in the buffer the
+        // disk already holds...
+        let buffer = std::sync::Arc::as_ptr(&disk.read_unaccounted(rids[r].page));
+        heap.append(&[7]).unwrap();
+        let page = disk.read_unaccounted(rids[r].page);
+        assert_eq!(std::sync::Arc::as_ptr(&page), buffer);
+        // ...unless a reader holds it: its page never changes under it.
+        heap.append(&[8]).unwrap();
+        assert_eq!(ColumnPage::from_bytes(page).len(), 2);
+        assert_eq!(rows_on(rids[r]), 3);
+        assert_eq!(disk.stats().total(), 0, "loading is unaccounted");
+    }
 
     #[test]
     fn append_scan_roundtrip() {

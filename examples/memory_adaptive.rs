@@ -14,7 +14,7 @@ use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, Selec
 use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::optimizer::Optimizer;
-use dqep::plan::{evaluate_startup, render_plan};
+use dqep::plan::{dag, evaluate_startup, render_plan};
 
 fn main() {
     // R is large and filtered by an unbound predicate; S is mid-sized.
@@ -46,7 +46,7 @@ fn main() {
         "dynamic plan: {} DAG nodes, {} choose-plans, {} contained static plans\n",
         result.stats.plan_nodes,
         result.plan.choose_plan_count(),
-        result.stats.contained_plans
+        dag::contained_plan_count(&result.plan)
     );
 
     let scenarios = [

@@ -14,7 +14,7 @@ use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{run, ExecContext, RootSink, SharedCounters};
 use dqep::optimizer::Optimizer;
-use dqep::plan::{render_plan, evaluate_startup};
+use dqep::plan::{dag, render_plan, evaluate_startup};
 use dqep::storage::StoredDatabase;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     println!("== Dynamic plan (compile-time) ==\n{}", render_plan(&result.plan));
     println!(
         "plan nodes: {}, contained static plans: {}\n",
-        result.stats.plan_nodes, result.stats.contained_plans
+        result.stats.plan_nodes, dag::contained_plan_count(&result.plan)
     );
 
     // Start-up-time: bind :x and let the choose-plan decide.

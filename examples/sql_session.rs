@@ -9,7 +9,7 @@ use dqep::catalog::{CatalogBuilder, SystemConfig};
 use dqep::cost::Environment;
 use dqep::executor::{run, ExecContext, RootSink, SharedCounters};
 use dqep::optimizer::Optimizer;
-use dqep::plan::evaluate_startup;
+use dqep::plan::{dag, evaluate_startup};
 use dqep::sql::parse_query;
 use dqep::storage::StoredDatabase;
 
@@ -48,7 +48,7 @@ fn main() {
         .expect("optimize");
     println!(
         "prepared dynamic plan: {} nodes, {} contained static plans\n",
-        prepared.stats.plan_nodes, prepared.stats.contained_plans
+        prepared.stats.plan_nodes, dag::contained_plan_count(&prepared.plan)
     );
 
     // EXECUTE with different parameters — each invocation picks its own

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use dqep::algebra::{CompareOp, JoinPred, LogicalExpr, Scalar, SelectPred};
+use dqep::algebra::{CompareOp, JoinPred, LogicalExpr, LogicalId, LogicalNode, Scalar, SelectPred};
 use dqep::catalog::{AttrId, Catalog, RelationId};
 use dqep::cost::Bindings;
 use dqep::storage::StoredDatabase;
@@ -81,16 +81,17 @@ fn join(left: Table, right: Table, preds: &[JoinPred]) -> Table {
     Table { attrs, rows }
 }
 
-/// The attributes `expr` produces, in the order [`eval`] lays them out.
-fn attrs_of(expr: &LogicalExpr, catalog: &Catalog) -> Vec<AttrId> {
-    match expr {
-        LogicalExpr::Get { relation } => (0..catalog.relation(*relation).attributes.len() as u32)
-            .map(|index| AttrId { relation: *relation, index })
+/// The attributes operator `id` of `expr` produces, in the order
+/// [`eval`] lays them out.
+fn attrs_of(expr: &LogicalExpr, id: LogicalId, catalog: &Catalog) -> Vec<AttrId> {
+    match expr.node(id) {
+        LogicalNode::Get { relation } => (0..catalog.relation(relation).attributes.len() as u32)
+            .map(|index| AttrId { relation, index })
             .collect(),
-        LogicalExpr::Select { input, .. } => attrs_of(input, catalog),
-        LogicalExpr::Join { left, right, .. } => {
-            let mut attrs = attrs_of(left, catalog);
-            attrs.extend(attrs_of(right, catalog));
+        LogicalNode::Select { input, .. } => attrs_of(expr, input, catalog),
+        LogicalNode::Join { left, right } => {
+            let mut attrs = attrs_of(expr, left, catalog);
+            attrs.extend(attrs_of(expr, right, catalog));
             attrs
         }
     }
@@ -98,22 +99,23 @@ fn attrs_of(expr: &LogicalExpr, catalog: &Catalog) -> Vec<AttrId> {
 
 fn eval(
     expr: &LogicalExpr,
+    id: LogicalId,
     catalog: &Catalog,
     stored: &HashMap<RelationId, Vec<Vec<i64>>>,
     bindings: &Bindings,
 ) -> Table {
-    match expr {
-        LogicalExpr::Get { relation } => Table {
-            attrs: attrs_of(expr, catalog),
-            rows: stored[relation].clone(),
+    match expr.node(id) {
+        LogicalNode::Get { relation } => Table {
+            attrs: attrs_of(expr, id, catalog),
+            rows: stored[&relation].clone(),
         },
-        LogicalExpr::Select { input, predicate } => {
-            select(eval(input, catalog, stored, bindings), predicate, bindings)
+        LogicalNode::Select { input, predicate } => {
+            select(eval(expr, input, catalog, stored, bindings), &predicate, bindings)
         }
-        LogicalExpr::Join { left, right, predicates } => join(
-            eval(left, catalog, stored, bindings),
-            eval(right, catalog, stored, bindings),
-            predicates,
+        LogicalNode::Join { left, right } => join(
+            eval(expr, left, catalog, stored, bindings),
+            eval(expr, right, catalog, stored, bindings),
+            expr.join_preds(id),
         ),
     }
 }
@@ -132,7 +134,7 @@ pub fn canonical(rows: &[Vec<i64>], positions: &[usize]) -> Vec<Vec<i64>> {
 /// Every attribute `expr` produces, ascending — the canonical column
 /// order.
 pub fn output_attrs(expr: &LogicalExpr, catalog: &Catalog) -> Vec<AttrId> {
-    let mut attrs = attrs_of(expr, catalog);
+    let mut attrs = attrs_of(expr, expr.root(), catalog);
     attrs.sort_unstable();
     attrs
 }
@@ -144,7 +146,7 @@ pub fn evaluate(
     db: &StoredDatabase,
     bindings: &Bindings,
 ) -> Vec<Vec<i64>> {
-    let result = eval(expr, catalog, &db.export_rows(), bindings);
+    let result = eval(expr, expr.root(), catalog, &db.export_rows(), bindings);
     let positions: Vec<usize> = output_attrs(expr, catalog)
         .iter()
         .map(|&a| result.position(a).expect("output attribute present"))

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
-use dqep::cost::{Bindings, Environment};
+use dqep::cost::Environment;
 use dqep::optimizer::{OptimizerStats, Optimizer};
 use dqep::plan::evaluate_startup;
 use dqep::service::{
@@ -61,18 +61,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// The table as recorded. A line reads `<chain>-chain <what> <count>`.
 const RECORDED: &str = "\
-4-chain parse_query allocations 129
-6-chain parse_query allocations 195
-8-chain parse_query allocations 258
-10-chain parse_query allocations 324
-4-chain first visit allocations 260
-6-chain first visit allocations 346
-8-chain first visit allocations 427
-10-chain first visit allocations 512
-4-chain evicted statement frees 28
-6-chain evicted statement frees 38
-8-chain evicted statement frees 48
-10-chain evicted statement frees 58
+4-chain parse_query allocations 10
+6-chain parse_query allocations 14
+8-chain parse_query allocations 16
+10-chain parse_query allocations 20
+4-chain first visit allocations 138
+6-chain first visit allocations 161
+8-chain first visit allocations 180
+10-chain first visit allocations 202
+4-chain evicted statement frees 16
+6-chain evicted statement frees 18
+8-chain evicted statement frees 20
+10-chain evicted statement frees 22
 4-chain core.groups (point) 14
 4-chain core.logical_exprs (point) 28
 4-chain core.physical_considered (point) 108
