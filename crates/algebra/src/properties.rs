@@ -24,13 +24,16 @@ impl RelSet {
     /// The empty set.
     pub const EMPTY: RelSet = RelSet(0);
 
+    /// How many relations a set can hold: relation ids `0..CAPACITY`.
+    pub const CAPACITY: u32 = 64;
+
     /// The singleton set containing `rel`.
     ///
     /// # Panics
     /// Panics for relation ids ≥ 64.
     #[must_use]
     pub fn singleton(rel: RelationId) -> RelSet {
-        assert!(rel.0 < 64, "RelSet supports at most 64 relations");
+        assert!(rel.0 < RelSet::CAPACITY, "RelSet supports at most 64 relations");
         RelSet(1u64 << rel.0)
     }
 

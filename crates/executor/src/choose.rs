@@ -22,13 +22,13 @@
 //! (an injected storage fault, a memory grant the governor refuses to
 //! cover), it falls back to the next alternative in predicted-cost order —
 //! read off the same decision, and only once something has failed —
-//! instead of failing the query, recording each fallback in the query's
-//! counters ([`crate::ExecSummary::fallbacks`]). Every open records its
-//! outcome, traced or not: the winner in the same counters
-//! ([`SharedCounters::winners`]) and an arbitration event in the
-//! [`crate::journal()`]. Fatal errors —
-//! cancellation, exceeded query-wide budgets, malformed plans — propagate
-//! immediately.
+//! instead of failing the query. Every open records its outcome once,
+//! traced or not: a [`RunEvent::Arbitration`] — winner and fallbacks
+//! absorbed — on the run's trail ([`ExecContext::record`], which journals
+//! it). A traced run adds the [`ChooseAudit`] of what only a trace keeps:
+//! bind values, alternatives with their predictions, and the attempts.
+//! Fatal errors — cancellation, exceeded query-wide budgets, malformed
+//! plans — propagate immediately.
 
 use std::sync::Arc;
 
@@ -42,8 +42,7 @@ use dqep_storage::StoredDatabase;
 use crate::compile::Compiler;
 use crate::error::ExecError;
 use crate::governor::ExecContext;
-use crate::journal::{journal, EventKind, NO_ID};
-use crate::metrics::SharedCounters;
+use crate::metrics::RunEvent;
 use crate::trace::{AltAudit, AttemptAudit, ChooseAudit};
 use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
@@ -61,8 +60,6 @@ pub struct ChoosePlanExec<'a> {
     ctx: ExecContext,
     /// Filled at `open()`: the compiled winning alternative.
     chosen: Option<BoxedOperator<'a>>,
-    /// Index of the alternative actually running (for observability).
-    chosen_index: Option<usize>,
     layout: TupleLayout,
     /// Column permutation rewriting the winner's batches into the
     /// declared layout, when the winner is a commuted alternative whose
@@ -89,19 +86,11 @@ impl<'a> ChoosePlanExec<'a> {
             memory_bytes,
             ctx,
             chosen: None,
-            chosen_index: None,
             // All alternatives share the logical result; take the first
             // alternative's layout (identical relation sets).
             layout: layout_of(plan, plan.children(id)[0], catalog),
             remap: None,
         })
-    }
-
-    /// Which alternative is running (after `open`). With fallbacks this
-    /// may differ from the decision procedure's first pick.
-    #[must_use]
-    pub fn chosen_index(&self) -> Option<usize> {
-        self.chosen_index
     }
 
     /// The start-up decision this operator follows: the one its context
@@ -119,35 +108,29 @@ impl<'a> ChoosePlanExec<'a> {
         Ok(decision)
     }
 
-    /// Records an arbitration's outcome, traced or not: the winner in the
-    /// query's counters and an [`EventKind::ArbitrationWinner`] in the
-    /// journal, under the run's trace id. A traced run's audit, completed
-    /// with the same outcome, goes to its tracer.
+    /// Records an arbitration's outcome on the run's trail, traced or not;
+    /// a traced run's audit goes to its tracer.
     fn record(&self, winner: Option<usize>, fallbacks: u64, audit: Option<ChooseAudit>) {
         let node = u64::from(self.id.0);
-        if let Some(winner) = winner {
-            self.ctx.counters.add_winner(node, winner);
-        }
-        let (trace, a) = (self.ctx.trace_id(), winner.map_or(NO_ID, |w| w as u64));
-        journal().record(EventKind::ArbitrationWinner, trace, NO_ID, node, a, fallbacks);
+        self.ctx.record(RunEvent::Arbitration { node, winner, fallbacks });
         if let (Some(tracer), Some(audit)) = (&self.ctx.tracer, audit) {
-            tracer.audit(ChooseAudit { winner, fallbacks, ..audit });
+            tracer.audit(audit);
         }
     }
 }
 
-/// One start-up decision for the whole of `plan`, counted against the run
-/// it is made for ([`crate::ExecSummary::startup_nodes`]).
+/// One start-up decision for the whole of `plan`, recorded on the trail
+/// of the run it is made for ([`crate::ExecSummary::startup_nodes`]).
 pub(crate) fn decide(
     plan: &Plan,
     catalog: &Catalog,
     env: &Environment,
     bindings: &Bindings,
     observed: &Observations,
-    counters: &SharedCounters,
+    ctx: &ExecContext,
 ) -> StartupResult {
     let decision = evaluate_startup_observed(plan, catalog, env, bindings, observed);
-    counters.add_startup_nodes(decision.evaluated_nodes as u64);
+    ctx.record(RunEvent::Decision(decision.evaluated_nodes as u64));
     decision
 }
 
@@ -196,8 +179,6 @@ impl Operator for ChoosePlanExec<'_> {
                 .collect(),
             preferred,
             attempts: Vec::new(),
-            winner: None,
-            fallbacks: 0,
         });
         let compiler = Compiler {
             plan,
@@ -232,13 +213,11 @@ impl Operator for ChoosePlanExec<'_> {
                     // parents (and callers) see one stable column order
                     // regardless of which alternative arbitration picked.
                     self.remap = self.layout.projection_from(op.layout());
-                    self.chosen_index = Some(idx);
                     self.chosen = Some(op);
                     self.record(Some(idx), fallbacks, audit);
                     return Ok(());
                 }
                 Err(e) if e.is_retryable() => {
-                    self.ctx.counters.add_fallbacks(1);
                     fallbacks += 1;
                     last_err = Some(e);
                     if order.len() == 1 {
@@ -324,7 +303,7 @@ pub fn compile_dynamic_plan<'a>(
 ) -> Result<BoxedOperator<'a>, ExecError> {
     let compiler = Compiler { plan, db, catalog, env: Some(env), bindings, memory_bytes };
     if plan.is_dynamic() && ctx.decision.is_none() {
-        let decision = decide(plan, catalog, env, bindings, &Observations::new(), &ctx.counters);
+        let decision = decide(plan, catalog, env, bindings, &Observations::new(), ctx);
         return compiler.node(plan.root(), &ctx.clone().with_decision(Arc::new(decision)));
     }
     compiler.node(plan.root(), ctx)
@@ -377,10 +356,10 @@ mod tests {
             let bindings = Bindings::new().with_value(HostVar(0), v);
             let ctx = ExecContext::new(SharedCounters::new())
                 .with_decision(Arc::new(evaluate_startup(&plan, &cat, &env, &bindings)));
-            let mut op = ChoosePlanExec::new(&compiler(&plan, &db, &cat, &env, &bindings), plan.root(), ctx).unwrap();
-            assert!(op.chosen_index().is_none(), "no decision before open");
+            let mut op = ChoosePlanExec::new(&compiler(&plan, &db, &cat, &env, &bindings), plan.root(), ctx.clone()).unwrap();
+            assert!(ctx.counters.winners().is_empty(), "no decision before open");
             op.open().unwrap();
-            let idx = op.chosen_index().expect("decided at open");
+            let [(_, idx)] = ctx.counters.winners()[..] else { panic!("decided once, at open") };
             let is_index_plan = matches!(
                 plan[plan.children(plan.root())[idx]].op,
                 PhysicalOp::FilterBtreeScan { .. }

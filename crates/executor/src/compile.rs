@@ -97,16 +97,7 @@ pub(crate) struct Compiler<'a, 'b> {
 impl<'a> Compiler<'a, '_> {
     /// Compiles the subplan at `id` — a subtree is `(plan, id)`.
     pub(crate) fn node(&self, id: NodeId, ctx: &ExecContext) -> Result<BoxedOperator<'a>, ExecError> {
-        // With a tracer in the context, every node gets a span and its
-        // operator a `TracedExec` wrapper; children compile under `traced`'s
-        // context so their spans nest. Without one, this is a single branch.
-        match crate::trace::node_span(ctx, self.plan, id) {
-            Some((span, ctx)) => {
-                let op = self.operator(id, &ctx)?;
-                Ok(crate::trace::wrap_span(op, span, &ctx, Some(self.db.disk.clone())))
-            }
-            None => self.operator(id, ctx),
-        }
+        crate::trace::traced_node(ctx, self.plan, id, &self.db.disk, |ctx| self.operator(id, ctx))
     }
 
     /// The operator of node `id`, its inputs compiled under `ctx`.
@@ -277,15 +268,16 @@ pub(crate) fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Cata
 /// [`ExecContext::with_dop`] / [`ExecContext::with_tracer`] /
 /// [`ExecContext::with_reopt`]); counters accumulate into `ctx.counters`,
 /// cancellation goes through `ctx.governor`, a trace is read from the
-/// [`crate::Tracer`] the caller kept, and the re-optimization audit trail,
-/// the decision in force and what the checkpoints cost from the
-/// [`crate::ReoptState`] it kept. Under a re-optimization state the run is
-/// the checkpointing driver of [`crate::ReoptState`]'s module: the state's
-/// first target and the blocking inputs are materialized and observed
-/// before the plan runs over what they retained, every run the driver
-/// launches follows the decision it made last, and the summary covers all
-/// of it. Results, counter totals and fallback behavior are the same
-/// at every DOP (rows up to multiset order) and with or without a tracer —
+/// [`crate::Tracer`] the caller kept — the run hands it its trail at the
+/// end — and the re-optimization audit trail, the decision in force and
+/// what the checkpoints cost from the [`crate::ReoptState`] it kept. Under
+/// a re-optimization state the run is the checkpointing driver of
+/// [`crate::ReoptState`]'s module: the state's first target and the
+/// blocking inputs are materialized and observed before the plan runs over
+/// what they retained, every run the driver launches follows the decision
+/// it made last, and the summary covers all of it. Results, counter totals
+/// and fallback behavior are the same at every DOP (rows up to multiset
+/// order) and with or without a tracer —
 /// the parallel-parity and observability suites pin that down. Whoever
 /// wants the start-up decision itself calls [`dqep_plan::evaluate_startup`]
 /// and hands the result in with [`ExecContext::with_decision`]: the run
@@ -313,10 +305,14 @@ pub fn run(
     ctx: &ExecContext,
     sink: RootSink<'_>,
 ) -> Result<ExecSummary, ExecError> {
-    match &ctx.reopt {
+    let result = match &ctx.reopt {
         Some(state) => crate::reopt::drive(state, plan, db, catalog, env, bindings, ctx, sink),
         None => run_once(plan, db, catalog, env, bindings, ctx, sink),
+    };
+    if let Some(tracer) = &ctx.tracer {
+        tracer.set_trail(ctx.counters.trail());
     }
+    result
 }
 
 /// One compile-and-drain of `plan` under `ctx` as it is: all of [`run`]

@@ -41,6 +41,7 @@ use crate::exec::{drain_root, RootSink};
 use crate::governor::ExecContext;
 use crate::metrics::SharedCounters;
 use crate::scan::MorselScanExec;
+use crate::trace::TracedExec;
 use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
@@ -216,21 +217,11 @@ pub fn parallel_scan<'a>(
         .map(|_| {
             let wctx = ctx.worker();
             let counters = wctx.counters.clone();
-            let mut op: BoxedOperator<'a> = Box::new(MorselScanExec::new(
-                table,
-                layout.clone(),
-                wctx,
-                Arc::clone(&claims),
-            ));
-            if let (Some(span), Some(tracer)) = (worker_span, ctx.tracer.as_ref()) {
-                op = Box::new(crate::trace::TracedExec::new(
-                    op,
-                    Arc::clone(tracer),
-                    span,
-                    counters.clone(),
-                    None,
-                    ctx.governor.clone(),
-                ));
+            let traced = worker_span.map(|span| (span, wctx.clone()));
+            let mut op: BoxedOperator<'a> =
+                Box::new(MorselScanExec::new(table, layout.clone(), wctx, Arc::clone(&claims)));
+            if let (Some((span, wctx)), Some(tracer)) = (traced, &ctx.tracer) {
+                op = Box::new(TracedExec::new(op, Arc::clone(tracer), span, &wctx, None));
             }
             (op, counters)
         })

@@ -19,8 +19,8 @@ use crate::json::{parse_json, At, JsonWriter};
 use crate::json_block;
 use crate::reopt::{ReoptCounters, ReoptEvent};
 use crate::trace::{
-    AltAudit, AttemptAudit, ChooseAudit, NetSpanStats, NodeEstimate, SpanRecord, SpanStats,
-    TraceReport,
+    AltAudit, ArbitrationOutcome, AttemptAudit, ChooseAudit, NetSpanStats, NodeEstimate,
+    SpanRecord, SpanStats, TraceReport,
 };
 
 /// Slack applied when testing an actual against `[lo, hi]`: half a row
@@ -31,12 +31,13 @@ fn outside(actual: f64, lo: f64, hi: f64, abs_slack: f64, rel_slack: f64) -> boo
     actual < lo - slack || actual > hi + slack
 }
 
-/// Whether a span is eligible for drift evaluation: it must carry an
-/// estimate, have actually run (`opens > 0`), and have finished without
+/// The span's estimate when it is eligible for drift evaluation: it must
+/// carry one, have actually run (`opens > 0`), and have finished without
 /// errors — a choose-plan attempt that failed and fell back legitimately
 /// delivered no rows, which is abandonment, not drift.
-fn drift_eligible(record: &SpanRecord) -> bool {
-    record.estimate.is_some() && record.stats.opens > 0 && record.stats.errors == 0
+fn drift_estimate(record: &SpanRecord) -> Option<NodeEstimate> {
+    let ran = record.stats.opens > 0 && record.stats.errors == 0;
+    record.estimate.filter(|_| ran)
 }
 
 /// Whether the span's actual output cardinality fell outside its
@@ -45,17 +46,8 @@ fn drift_eligible(record: &SpanRecord) -> bool {
 /// (no estimate, never opened, or ended in an error).
 #[must_use]
 pub fn card_drift(record: &SpanRecord) -> Option<bool> {
-    if !drift_eligible(record) {
-        return None;
-    }
-    let est = record.estimate?;
-    Some(outside(
-        record.stats.rows as f64,
-        est.card.lo(),
-        est.card.hi(),
-        0.5,
-        1e-9,
-    ))
+    let est = drift_estimate(record)?;
+    Some(outside(record.stats.rows as f64, est.card.lo(), est.card.hi(), 0.5, 1e-9))
 }
 
 /// Whether the span's actual simulated cost (accounted CPU + I/O seconds
@@ -65,17 +57,9 @@ pub fn card_drift(record: &SpanRecord) -> Option<bool> {
 /// under the same conditions as [`card_drift`].
 #[must_use]
 pub fn cost_drift(record: &SpanRecord, config: &SystemConfig) -> Option<bool> {
-    if !drift_eligible(record) {
-        return None;
-    }
-    let est = record.estimate?;
-    Some(outside(
-        record.stats.simulated_seconds(config),
-        est.cost.lo(),
-        est.cost.hi(),
-        1e-6,
-        0.05,
-    ))
+    let est = drift_estimate(record)?;
+    let actual = record.stats.simulated_seconds(config);
+    Some(outside(actual, est.cost.lo(), est.cost.hi(), 1e-6, 0.05))
 }
 
 /// Formats a float compactly: integers without a fraction, everything
@@ -154,7 +138,7 @@ fn render_span(out: &mut String, report: &TraceReport, record: &SpanRecord, dept
     }
 }
 
-fn render_audit(out: &mut String, audit: &ChooseAudit) {
+fn render_audit(out: &mut String, audit: &ChooseAudit, outcome: Option<ArbitrationOutcome>) {
     let binds = audit
         .bind_values
         .iter()
@@ -181,17 +165,14 @@ fn render_audit(out: &mut String, audit: &ChooseAudit) {
     for attempt in &audit.attempts {
         let _ = writeln!(out, "    attempt alt {} -> {}", attempt.index, attempt.outcome);
     }
-    match audit.winner {
-        Some(winner) => {
-            let _ = writeln!(
-                out,
-                "    winner: alt {winner} after {} fallback(s)",
-                audit.fallbacks
-            );
+    match outcome {
+        Some((Some(winner), fallbacks)) => {
+            let _ = writeln!(out, "    winner: alt {winner} after {fallbacks} fallback(s)");
         }
-        None => {
+        Some((None, _)) => {
             let _ = writeln!(out, "    winner: none (all alternatives failed)");
         }
+        None => {}
     }
 }
 
@@ -237,12 +218,13 @@ pub fn render_explain(report: &TraceReport, config: &SystemConfig) -> String {
     }
     if !report.audits.is_empty() {
         out.push_str("choose-plan audit:\n");
-        for audit in &report.audits {
-            render_audit(&mut out, audit);
+        for (audit, outcome) in report.outcomes() {
+            render_audit(&mut out, audit, outcome);
         }
     }
-    if !report.reopt.events.is_empty() {
-        render_reopt(&mut out, &report.reopt);
+    let reopt = report.reopt();
+    if !reopt.events.is_empty() {
+        render_reopt(&mut out, &reopt);
     }
     out
 }
@@ -300,11 +282,11 @@ json_block! {
     }
 }
 json_block! {
-    AUDIT, fn write_audit(w, audit: &ChooseAudit) {
+    AUDIT, fn write_audit(w, audit: &ChooseAudit, outcome: Option<ArbitrationOutcome>) {
         "node": Num => audit.node,
         "preferred": Num => audit.preferred,
-        "winner": Nullable(&Num) => audit.winner,
-        "fallbacks": NonNeg => audit.fallbacks,
+        "winner": Nullable(&Num) => outcome.and_then(|(winner, _)| winner),
+        "fallbacks": NonNeg => outcome.map_or(0, |(_, fallbacks)| fallbacks),
         "memory_pages": Nullable(&Num) => audit.memory_pages,
     }
 }
@@ -369,18 +351,18 @@ pub fn explain_json(report: &TraceReport, config: &SystemConfig) -> String {
                     .obj(|w| write_actual(w, &record.stats, config));
                 w.key("net").opt_obj(record.net.as_ref(), write_net);
             });
-            w.key("audits").objs(&report.audits, |w, audit| {
-                write_audit(w, audit);
+            w.key("audits").objs(report.outcomes(), |w, (audit, outcome)| {
+                write_audit(w, audit, outcome);
                 w.key("binds").objs(&audit.bind_values, write_bind);
                 w.key("alternatives")
                     .objs(&audit.alternatives, write_alternative);
                 w.key("attempts").objs(&audit.attempts, write_attempt);
             });
+            let reopt = report.reopt();
             w.key("reopt").obj(|w| {
                 w.key("counters")
-                    .obj(|w| write_reopt_counters(w, &report.reopt.counters));
-                w.key("events")
-                    .objs(&report.reopt.events, write_reopt_event);
+                    .obj(|w| write_reopt_counters(w, &reopt.counters));
+                w.key("events").objs(&reopt.events, write_reopt_event);
             });
         });
     });
@@ -479,10 +461,11 @@ mod tests {
         use dqep_interval::Interval;
         use dqep_plan::NodeId;
         let state = ReoptState::new(ReoptConfig::default());
-        state.observe_checkpoint(NodeId(5), "Filter", Interval::new(20.0, 40.0), 700);
-        assert!(state.request_replan(&crate::governor::ResourceGovernor::unlimited()));
+        let ctx = crate::ExecContext::new(crate::SharedCounters::new());
+        state.observe_checkpoint(&ctx, NodeId(5), "Filter", Interval::new(20.0, 40.0), 700);
+        assert!(state.request_replan(&ctx));
         let detail = "re-arbitrated remaining plan".to_string();
-        state.record(ReoptEventKind::Replan, Some(NodeId(5)), detail);
+        crate::reopt::step(&ctx, ReoptEventKind::Replan, Some(NodeId(5)), detail);
         let mut report = TraceReport::default();
         report.spans.push(SpanRecord {
             id: SpanId(0),
@@ -496,7 +479,7 @@ mod tests {
             start_ns: 0,
             net: None,
         });
-        report.reopt = state.report();
+        report.trail = ctx.counters.trail();
         let config = SystemConfig::paper_1994();
         let text = render_explain(&report, &config);
         assert!(text.contains("re-optimization:"), "{text}");

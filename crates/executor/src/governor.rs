@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::{ExecError, Resource};
-use crate::metrics::SharedCounters;
+use crate::metrics::{RunEvent, SharedCounters};
 
 /// Budgets a query must stay within. `None` means unlimited.
 #[derive(Debug, Clone, Copy, Default)]
@@ -233,7 +233,8 @@ pub enum ExecMode {
 /// caller of [`crate::run`] has to say about how a plan runs.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
-    /// Simulated-CPU and fallback counters for the query.
+    /// The query's simulated-CPU counters and its trail of decided facts
+    /// (written through [`ExecContext::record`]).
     pub counters: SharedCounters,
     /// The query's resource governor.
     pub governor: ResourceGovernor,
@@ -316,6 +317,38 @@ impl ExecContext {
     #[must_use]
     pub fn trace_id(&self) -> u64 {
         self.trace
+    }
+
+    /// Records a fact this run decided on the trail of its counters — the
+    /// one writer of the trail — and journals an arbitration, an interval
+    /// escape, an adopted re-plan or a degradation step at once, under
+    /// [`ExecContext::trace_id`], so a run that fails or hangs still shows
+    /// what it did. A re-plan or degradation step journals how many of its
+    /// kind the trail then holds.
+    pub fn record(&self, event: RunEvent) {
+        use crate::journal::{journal, EventKind as J, NO_ID};
+        use crate::reopt::ReoptEventKind as R;
+        let journaled = match &event {
+            RunEvent::Arbitration { node, winner, fallbacks } => {
+                Some((J::ArbitrationWinner, *node, winner.map_or(NO_ID, |w| w as u64), *fallbacks))
+            }
+            RunEvent::Reopt(step) => match (step.kind, step.node, step.observed, step.estimate) {
+                (R::Escape, Some(n), Some(rows), Some((_, hi))) => {
+                    Some((J::IntervalEscape, u64::from(n.0), rows as u64, hi as u64))
+                }
+                (R::Replan | R::MemoryDegrade, Some(n), _, _) => {
+                    let kind = if step.kind == R::Replan { J::Replan } else { J::DegradationStep };
+                    let of_kind = self.counters.with_trail(|t| crate::reopt::count(t, step.kind));
+                    Some((kind, u64::from(n.0), of_kind + 1, NO_ID))
+                }
+                _ => None,
+            },
+            RunEvent::Decision(_) | RunEvent::Fallback(_) => None,
+        };
+        self.counters.append(event);
+        if let Some((kind, node, a, b)) = journaled {
+            journal().record(kind, self.trace, NO_ID, node, a, b);
+        }
     }
 
     /// The same context with mid-query re-optimization enabled:
@@ -446,19 +479,21 @@ mod tests {
     #[test]
     fn wall_cap_and_cancellation_deny_replans() {
         use crate::reopt::{ReoptConfig, ReoptState};
+        let under = |governor| ExecContext { governor, ..ExecContext::new(SharedCounters::new()) };
         let state = ReoptState::new(ReoptConfig { max_replans: 10 });
-        let gov = ResourceGovernor::new(ResourceLimits {
+        let spent = under(ResourceGovernor::new(ResourceLimits {
             wall_clock_ms: Some(0),
             ..ResourceLimits::default()
-        });
+        }));
         std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(!state.request_replan(&gov), "the wall-clock budget is spent");
-        assert!(state.request_replan(&ResourceGovernor::unlimited()), "the budget is not");
+        assert!(!state.request_replan(&spent), "the wall-clock budget is spent");
+        assert!(state.request_replan(&under(ResourceGovernor::unlimited())), "the budget is not");
 
         let state = ReoptState::new(ReoptConfig { max_replans: 10 });
-        let gov = ResourceGovernor::unlimited();
-        gov.cancel();
-        assert!(!state.request_replan(&gov), "governor has the last word");
+        let cancelled = under(ResourceGovernor::unlimited());
+        state.begin(&cancelled).unwrap();
+        cancelled.governor.cancel();
+        assert!(!state.request_replan(&cancelled), "governor has the last word");
         let c = state.counters();
         assert_eq!((c.replans_attempted, c.replans_denied), (1, 1));
     }

@@ -68,7 +68,7 @@ use crate::batch::{ColStream, RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
 use crate::exchange::run_parallel;
 use crate::governor::{ExecContext, ResourceGovernor};
-use crate::metrics::SharedCounters;
+use crate::metrics::{FallbackCause, RunEvent, SharedCounters};
 use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
@@ -459,7 +459,7 @@ pub fn join_batches(
         }));
     }
     if granted < full {
-        ctx.counters.add_fallbacks(1);
+        ctx.record(RunEvent::Fallback(FallbackCause::ChunkedJoin));
     }
 
     let piece_rows = ((granted / bytes_per_row) as usize).max(1);

@@ -84,7 +84,9 @@ pub use journal::{
     journal, monotonic_ns, validate_journal_json, EventKind, Journal, JournalEvent,
     JOURNAL_CAPACITY, NO_ID,
 };
-pub use metrics::{CpuCounters, ExecSummary, PlanCacheInfo, SharedCounters};
+pub use metrics::{
+    CpuCounters, ExecSummary, FallbackCause, PlanCacheInfo, RunEvent, SharedCounters,
+};
 pub use netexchange::{
     decode_frame, decode_frame_traced, encode_frame, encode_frame_dense, presized_batch,
     scatter_by_shard, shard_route, FrameTrace, LinkFaultPlan, NetChannel, NetConfig, NetStats,
@@ -96,7 +98,8 @@ pub use reopt::{
 };
 pub use sort::{kway_merge, sort_batches, SortExec};
 pub use trace::{
-    merge_distributed, next_trace_id, AltAudit, AttemptAudit, ChooseAudit, NetSpanStats,
-    NodeEstimate, Phases, SpanId, SpanRecord, SpanStats, TraceReport, TracedExec, Tracer,
+    merge_distributed, next_trace_id, AltAudit, ArbitrationOutcome, AttemptAudit, ChooseAudit,
+    NetSpanStats, NodeEstimate, Phases, SpanId, SpanRecord, SpanStats, TraceReport, TracedExec,
+    Tracer,
 };
 pub use tuple::{Tuple, TupleLayout};

@@ -1,11 +1,16 @@
-//! Execution accounting: CPU counters, fallback counts, choose-plan
-//! winners, and the combined summary.
+//! Execution accounting: CPU counters, the run's trail, and the combined
+//! summary. Every fact a run decides is one [`RunEvent`] on the trail of
+//! its [`SharedCounters`], written by [`crate::ExecContext::record`];
+//! fallbacks, start-up evaluations, winners and the re-optimization report
+//! are views of it.
 
 use std::sync::Arc;
 
 use dqep_catalog::SystemConfig;
 use dqep_storage::IoStats;
 use parking_lot::Mutex;
+
+use crate::reopt::{ReoptEvent, ReoptEventKind};
 
 /// CPU work counters, charged at the cost model's constants.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,15 +86,46 @@ impl PlanCacheInfo {
     }
 }
 
+/// One fact a run decided, as its trail records it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunEvent {
+    /// A start-up decision, which evaluated this many cost functions: one
+    /// per plan node.
+    Decision(u64),
+    /// A choose-plan arbitration.
+    Arbitration {
+        /// The choose-plan node's id.
+        node: u64,
+        /// The alternative that opened, `None` when every attempt failed.
+        winner: Option<usize>,
+        /// Retryable failures absorbed on the way.
+        fallbacks: u64,
+    },
+    /// A fallback taken outside a choose-plan.
+    Fallback(FallbackCause),
+    /// A step of the re-optimization driver.
+    Reopt(ReoptEvent),
+}
+
+/// Why a run fell back outside a choose-plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FallbackCause {
+    /// A hash join's build was granted less memory than it asked for and
+    /// ran in pieces.
+    ChunkedJoin,
+    /// A prepared statement's resolved plan failed retryably and the run
+    /// was retried through its dynamic plan.
+    ResolvedPlanRetry,
+}
+
 #[derive(Debug, Default)]
 struct CountersInner {
     cpu: CpuCounters,
-    fallbacks: u64,
-    startup_nodes: u64,
-    winners: Vec<(u64, usize)>,
+    trail: Vec<RunEvent>,
 }
 
-/// Shared, thread-safe counters cloned into every operator of one query.
+/// Shared, thread-safe counters cloned into every operator of one query:
+/// its CPU work and its trail.
 #[derive(Debug, Clone, Default)]
 pub struct SharedCounters {
     inner: Arc<Mutex<CountersInner>>,
@@ -117,41 +153,52 @@ impl SharedCounters {
         self.inner.lock().cpu.hashes += n;
     }
 
-    /// Records choose-plan fallbacks (an alternative failed retryably and
-    /// a different one was tried).
-    pub fn add_fallbacks(&self, n: u64) {
-        self.inner.lock().fallbacks += n;
+    /// Appends `event` to the trail: [`crate::ExecContext::record`] is the
+    /// one caller.
+    pub(crate) fn append(&self, event: RunEvent) {
+        self.inner.lock().trail.push(event);
     }
 
-    /// Fallbacks recorded so far.
+    /// Applies `view` to the trail as it stands.
+    pub(crate) fn with_trail<T>(&self, view: impl FnOnce(&[RunEvent]) -> T) -> T {
+        view(&self.inner.lock().trail)
+    }
+
+    /// A copy of the trail.
+    #[must_use]
+    pub fn trail(&self) -> Vec<RunEvent> {
+        self.with_trail(<[RunEvent]>::to_vec)
+    }
+
+    /// Retryable failures absorbed so far: each arbitration's, and one per
+    /// other fallback or revert of the re-optimization driver.
     #[must_use]
     pub fn fallbacks(&self) -> u64 {
-        self.inner.lock().fallbacks
+        let absorbed = |e: &RunEvent| match e {
+            RunEvent::Arbitration { fallbacks, .. } => *fallbacks,
+            RunEvent::Fallback(_) => 1,
+            RunEvent::Reopt(step) => u64::from(step.kind == ReoptEventKind::Fallback),
+            RunEvent::Decision(_) => 0,
+        };
+        self.with_trail(|trail| trail.iter().map(absorbed).sum())
     }
 
-    /// Records that the choose-plan node `node` opened its alternative
-    /// `winner`.
-    pub fn add_winner(&self, node: u64, winner: usize) {
-        self.inner.lock().winners.push((node, winner));
-    }
-
-    /// Every `(choose-plan node, winning alternative)` recorded so far, in
-    /// the order the operators opened.
+    /// Every `(choose-plan node, winning alternative)` on the trail, in the
+    /// order the operators opened.
     #[must_use]
     pub fn winners(&self) -> Vec<(u64, usize)> {
-        self.inner.lock().winners.clone()
-    }
-
-    /// Records `n` cost-function evaluations made on behalf of this
-    /// query: one per plan node per start-up decision.
-    pub fn add_startup_nodes(&self, n: u64) {
-        self.inner.lock().startup_nodes += n;
+        let won = |e: &RunEvent| match e {
+            RunEvent::Arbitration { node, winner: Some(w), .. } => Some((*node, *w)),
+            _ => None,
+        };
+        self.with_trail(|trail| trail.iter().filter_map(won).collect())
     }
 
     /// Cost functions evaluated so far (see [`ExecSummary::startup_nodes`]).
     #[must_use]
     pub fn startup_nodes(&self) -> u64 {
-        self.inner.lock().startup_nodes
+        let evaluated = |e: &RunEvent| if let RunEvent::Decision(n) = e { *n } else { 0 };
+        self.with_trail(|trail| trail.iter().map(evaluated).sum())
     }
 
     /// Snapshot of the CPU counters.
@@ -161,19 +208,17 @@ impl SharedCounters {
     }
 
     /// Folds another counter set into this one — how an exchange
-    /// coordinator merges its workers' private counters back into the
-    /// query's counters after the parallel phase, so [`ExecSummary`]
+    /// coordinator merges its workers' private counters and trails back
+    /// into the query's after the parallel phase, so [`ExecSummary`]
     /// totals are exact regardless of the degree of parallelism.
     pub fn merge_from(&self, other: &SharedCounters) {
-        let (cpu, fallbacks, startup_nodes, winners) = {
+        let (cpu, trail) = {
             let o = other.inner.lock();
-            (o.cpu, o.fallbacks, o.startup_nodes, o.winners.clone())
+            (o.cpu, o.trail.clone())
         };
         let mut inner = self.inner.lock();
         inner.cpu += cpu;
-        inner.fallbacks += fallbacks;
-        inner.startup_nodes += startup_nodes;
-        inner.winners.extend(winners);
+        inner.trail.extend(trail);
     }
 }
 
@@ -270,13 +315,12 @@ mod tests {
     fn fallbacks_tracked_separately() {
         let shared = SharedCounters::new();
         assert_eq!(shared.fallbacks(), 0);
-        shared.add_fallbacks(1);
-        shared.add_fallbacks(2);
-        shared.add_winner(4, 1);
+        shared.append(RunEvent::Fallback(FallbackCause::ChunkedJoin));
+        shared.append(RunEvent::Arbitration { node: 4, winner: Some(1), fallbacks: 2 });
         assert_eq!(shared.fallbacks(), 3);
         assert_eq!(shared.snapshot(), CpuCounters::default());
         let total = SharedCounters::new();
-        total.add_winner(2, 0);
+        total.append(RunEvent::Arbitration { node: 2, winner: Some(0), fallbacks: 0 });
         total.merge_from(&shared);
         assert_eq!(total.winners(), vec![(2, 0), (4, 1)]);
         assert_eq!(total.fallbacks(), 3);

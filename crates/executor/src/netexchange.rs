@@ -148,9 +148,14 @@ pub fn decode_frame(bytes: &[u8]) -> Result<RowBatch, ExecError> {
 /// [`FrameTrace`] stamped by the sender. Columns are filled straight from
 /// the wire buffer (single copy).
 ///
+/// A frame names at most one column per byte it carries, so what it makes
+/// the decoder allocate is bounded by its length, whatever its header
+/// says (only a zero-row frame, which no sender emits, can break the rule).
+///
 /// # Errors
 /// [`ExecError::Network`] when the frame is truncated, has trailing
-/// bytes, or announces a selection vector.
+/// bytes, names more columns than it has bytes, or announces a selection
+/// vector.
 pub fn decode_frame_traced(bytes: &[u8]) -> Result<(RowBatch, FrameTrace), ExecError> {
     let malformed = |what: &str| ExecError::Network(format!("malformed frame: {what}"));
     if bytes.len() < FRAME_HEADER_BYTES {
@@ -158,6 +163,9 @@ pub fn decode_frame_traced(bytes: &[u8]) -> Result<(RowBatch, FrameTrace), ExecE
     }
     let width = read_u32(bytes, 0) as usize;
     let rows = read_u32(bytes, 4) as usize;
+    if width > bytes.len() {
+        return Err(malformed("more columns than bytes"));
+    }
     if read_u32(bytes, 8) != NO_SELECTION {
         return Err(malformed("selection vector announced"));
     }
@@ -687,6 +695,18 @@ mod tests {
         assert_eq!(decoded.width(), 4);
         assert_eq!(decoded.rows(), 0);
         assert!(decoded.selection().is_none());
+    }
+
+    /// A zero-row header naming `u32::MAX` columns passes the length
+    /// check; it is refused before a column is allocated.
+    #[test]
+    fn a_zero_row_frame_cannot_name_more_columns_than_bytes() {
+        let mut frame = encode_frame(&RowBatch::new(4));
+        frame[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_frame(&frame).unwrap_err();
+        assert!(err.to_string().contains("more columns than bytes"), "{err}");
+        frame[0..4].copy_from_slice(&(FRAME_HEADER_BYTES as u32).to_le_bytes());
+        assert_eq!(decode_frame(&frame).unwrap().width(), FRAME_HEADER_BYTES);
     }
 
     #[test]

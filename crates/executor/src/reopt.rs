@@ -50,11 +50,13 @@
 //! fallbacks)` cost functions ([`ExecSummary::startup_nodes`]), whatever
 //! its degree of parallelism.
 //!
-//! Every step is recorded once, as a [`ReoptEvent`] on the state's trail:
-//! the [`ReoptCounters`] and the re-plan budget are counts of that trail,
-//! and escapes, adopted re-plans and degradation steps are journaled as
-//! they are appended, under the run's trace id. The [`ReoptReport`] is
-//! rendered by EXPLAIN ANALYZE and exported by the service metrics. The
+//! Every step is recorded once, as a [`ReoptEvent`] on the run's trail
+//! ([`crate::RunEvent::Reopt`], through [`ExecContext::record`], which
+//! journals escapes, adopted re-plans and degradation steps under the
+//! run's trace id). The state keeps observations and retained
+//! intermediates, not events: the [`ReoptCounters`], the re-plan budget
+//! and the [`ReoptReport`] — rendered by EXPLAIN ANALYZE, exported by the
+//! service metrics — are filters of the trail of the run it drove. The
 //! state is the switch and the output, as a [`crate::Tracer`] is: the
 //! caller keeps the `Arc` it attached and reads [`ReoptState::report`],
 //! [`ReoptState::in_force`] and [`ReoptState::checkpoint_cost`] off it once
@@ -75,7 +77,7 @@ use crate::compile::run_once;
 use crate::error::ExecError;
 use crate::exec::{drain_root, Operator, RootSink};
 use crate::governor::{ExecContext, ResourceGovernor};
-use crate::metrics::ExecSummary;
+use crate::metrics::{ExecSummary, RunEvent, SharedCounters};
 use crate::tuple::TupleLayout;
 
 /// The per-query re-optimization budget. The query's wall-clock budget is
@@ -136,7 +138,7 @@ impl ReoptEventKind {
 }
 
 /// One audit-trail entry of the re-optimization machinery.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReoptEvent {
     /// What happened.
     pub kind: ReoptEventKind,
@@ -152,7 +154,7 @@ pub struct ReoptEvent {
 }
 
 /// Counter totals across one query's re-optimization machinery: each
-/// counts one kind of [`ReoptEvent`] on its trail.
+/// counts one kind of [`ReoptEvent`] on the run's trail.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReoptCounters {
     /// Pipeline-breaker checkpoints observed.
@@ -177,9 +179,9 @@ pub struct ReoptCounters {
 }
 
 impl ReoptCounters {
-    /// The totals of the trail `events`.
-    fn of(events: &[ReoptEvent]) -> ReoptCounters {
-        let n = |kind| count(events, kind);
+    /// The totals of the re-optimization steps on `trail`.
+    fn of(trail: &[RunEvent]) -> ReoptCounters {
+        let n = |kind| count(trail, kind);
         let (adopted, denied) = (n(ReoptEventKind::Replan), n(ReoptEventKind::ReplanDenied));
         ReoptCounters {
             checkpoints: n(ReoptEventKind::Checkpoint),
@@ -195,14 +197,22 @@ impl ReoptCounters {
     }
 }
 
-/// How many events of `kind` the trail `events` holds.
-fn count(events: &[ReoptEvent], kind: ReoptEventKind) -> u64 {
-    events.iter().filter(|e| e.kind == kind).count() as u64
+/// The re-optimization steps on `trail`, in order.
+fn steps(trail: &[RunEvent]) -> impl Iterator<Item = &ReoptEvent> {
+    trail.iter().filter_map(|e| match e {
+        RunEvent::Reopt(step) => Some(step),
+        _ => None,
+    })
 }
 
-/// The re-optimization audit trail of one query: every event plus the
-/// counter totals. Attached to [`crate::TraceReport`] and rendered by EXPLAIN
-/// ANALYZE.
+/// How many re-optimization steps of `kind` `trail` holds.
+pub(crate) fn count(trail: &[RunEvent], kind: ReoptEventKind) -> u64 {
+    steps(trail).filter(|e| e.kind == kind).count() as u64
+}
+
+/// The re-optimization audit trail of one query: every step plus the
+/// counter totals — a filter of the run's trail. Read off a
+/// [`crate::TraceReport`] and rendered by EXPLAIN ANALYZE.
 #[derive(Debug, Clone, Default)]
 pub struct ReoptReport {
     /// Events in occurrence order.
@@ -211,12 +221,15 @@ pub struct ReoptReport {
     pub counters: ReoptCounters,
 }
 
+impl ReoptReport {
+    /// The re-optimization steps on `trail` and their totals.
+    pub(crate) fn of(trail: &[RunEvent]) -> ReoptReport {
+        ReoptReport { events: steps(trail).cloned().collect(), counters: ReoptCounters::of(trail) }
+    }
+}
+
 #[derive(Debug, Default)]
 struct ReoptInner {
-    /// The trail: every step, in order.
-    events: Vec<ReoptEvent>,
-    /// The trace id the journal events of the run carry.
-    trace: u64,
     observations: Observations,
     materialized: Vec<(NodeId, TupleLayout, Arc<Vec<RowBatch>>)>,
     reserved_bytes: u64,
@@ -225,51 +238,27 @@ struct ReoptInner {
     /// The subplan to observe before any blocking input, if the caller
     /// named one; taken by the run this state drives.
     first_target: Option<NodeId>,
-    /// Set by the run this state drives: a state holds one query's
-    /// observations and budget and is not reused for a second.
-    driven: bool,
+    /// The counters of the run this state drives, whose trail holds its
+    /// steps; set when the run claims the state, which is not reused for
+    /// a second.
+    run: Option<SharedCounters>,
     /// What the checkpoint materializations cost (rows, CPU, I/O).
     checkpoint_cost: ExecSummary,
 }
 
-impl ReoptInner {
-    /// Appends `event` to the trail. An escape, an adopted re-plan and a
-    /// degradation step are journaled too, under the run's trace id: an
-    /// escape with its observed rows and the interval's upper end, the
-    /// others with how many of their kind the trail now holds.
-    fn record(&mut self, event: ReoptEvent) {
-        use crate::journal::{journal, EventKind, NO_ID};
-        let (kind, node, observed) = (event.kind, event.node, event.observed.zip(event.estimate));
-        self.events.push(event);
-        let Some(node) = node else { return };
-        let (journaled, a, b) = match (kind, observed) {
-            (ReoptEventKind::Escape, Some((rows, (_, hi)))) => {
-                (EventKind::IntervalEscape, rows as u64, hi as u64)
-            }
-            (ReoptEventKind::Replan, _) => (EventKind::Replan, count(&self.events, kind), NO_ID),
-            (ReoptEventKind::MemoryDegrade, _) => {
-                (EventKind::DegradationStep, count(&self.events, kind), NO_ID)
-            }
-            _ => return,
-        };
-        journal().record(journaled, self.trace, NO_ID, u64::from(node.0), a, b);
-    }
-
-    /// Appends a step that carries no estimate.
-    fn log(&mut self, kind: ReoptEventKind, node: Option<NodeId>, detail: String) {
-        self.record(ReoptEvent { kind, node, estimate: None, observed: None, detail });
-    }
-
-    /// Whether execution reverted to the original plan: decisions then
-    /// apply no observations, so they reproduce the original one.
-    fn suppressed(&self) -> bool {
-        count(&self.events, ReoptEventKind::Fallback) > 0
-    }
+/// Records a step of the driver's that carries no estimate on the run's
+/// trail: an adopted re-plan, a failed checkpoint or re-plan (the original
+/// plan continues), a degraded planning grant, or a fallback to the
+/// original plan — which suppresses the observations, so the next decision
+/// reproduces the original one. Retained intermediates stay substitutable
+/// after a fallback: they are the original plan's own subtree results.
+pub(crate) fn step(ctx: &ExecContext, kind: ReoptEventKind, node: Option<NodeId>, detail: String) {
+    ctx.record(RunEvent::Reopt(ReoptEvent { kind, node, estimate: None, observed: None, detail }));
 }
 
 /// Shared state of one query's re-optimization machinery: checkpoint
-/// observations, retained intermediates, the re-plan budget, the start-up
-/// decision in force, and the audit trail. Carried on
+/// observations, retained intermediates, the start-up decision in force,
+/// and which run's trail holds its steps. Carried on
 /// [`ExecContext::reopt`]; the driver writes it, the compiler reads the
 /// retained intermediates off it, and the caller reads the outcome.
 #[derive(Debug)]
@@ -306,32 +295,37 @@ impl ReoptState {
         self
     }
 
-    /// Claims the state for the run it drives, whose journal events carry
-    /// `trace`, and hands out the first target. A second claim is refused:
-    /// the observations, retained intermediates and spent budget of one
-    /// query must not leak into another.
-    fn begin(&self, trace: u64) -> Result<Option<NodeId>, ExecError> {
+    /// Claims the state for the run of `ctx`, whose trail its steps go
+    /// to, and hands out the first target. A second claim is refused: the
+    /// observations, retained intermediates and spent budget of one query
+    /// must not leak into another.
+    pub(crate) fn begin(&self, ctx: &ExecContext) -> Result<Option<NodeId>, ExecError> {
         let mut inner = self.inner.lock();
-        if std::mem::replace(&mut inner.driven, true) {
+        if inner.run.is_some() {
             return Err(ExecError::Internal(
                 "a re-optimization state drives one run; this one already has".into(),
             ));
         }
-        inner.trace = trace;
+        inner.run = Some(ctx.counters.clone());
         Ok(inner.first_target.take())
     }
 
     /// Makes the start-up decision anew — `evaluate` runs the decision
     /// procedure for the whole plan under the observations in force, none
-    /// once the query fell back — and puts it in force. The driver's
-    /// arbitration; a decision that applies observations is put on the
-    /// audit trail.
-    fn decide(&self, evaluate: impl FnOnce(&Observations) -> StartupResult) -> Arc<StartupResult> {
+    /// once the run fell back to the original plan — and puts it in force.
+    /// The driver's arbitration; a decision that applies observations is
+    /// put on the run's trail.
+    fn decide(
+        &self,
+        ctx: &ExecContext,
+        evaluate: impl FnOnce(&Observations) -> StartupResult,
+    ) -> Arc<StartupResult> {
+        let reverted = ctx.counters.with_trail(|t| count(t, ReoptEventKind::Fallback) > 0);
         let mut inner = self.inner.lock();
-        let observed = if inner.suppressed() { 0 } else { inner.observations.len() };
+        let observed = if reverted { 0 } else { inner.observations.len() };
         let decision = Arc::new(if observed > 0 {
             let detail = format!("decided with {observed} checkpoint observation(s)");
-            inner.log(ReoptEventKind::Arbitration, None, detail);
+            step(ctx, ReoptEventKind::Arbitration, None, detail);
             evaluate(&inner.observations)
         } else {
             evaluate(&Observations::new())
@@ -348,68 +342,59 @@ impl ReoptState {
         self.inner.lock().in_force.clone()
     }
 
-    /// Records a checkpoint: `actual` rows observed at `node`, whose
-    /// bind-time estimate was `card`. Returns whether the observation
-    /// escaped the interval (an [`ReoptEventKind::Escape`] event).
+    /// Records a checkpoint on the trail of `ctx`'s run: `actual` rows
+    /// observed at `node`, whose bind-time estimate was `card`. Returns
+    /// whether the observation escaped the interval (an
+    /// [`ReoptEventKind::Escape`] step).
     pub(crate) fn observe_checkpoint(
         &self,
+        ctx: &ExecContext,
         node: NodeId,
         label: &str,
         card: Interval,
         actual: u64,
     ) -> bool {
         let escaped = escapes_interval(actual as f64, card);
-        let event = |kind, detail| ReoptEvent {
-            kind,
-            node: Some(node),
-            estimate: Some((card.lo(), card.hi())),
-            observed: Some(actual as f64),
-            detail,
+        let event = |kind, detail| {
+            RunEvent::Reopt(ReoptEvent {
+                kind,
+                node: Some(node),
+                estimate: Some((card.lo(), card.hi())),
+                observed: Some(actual as f64),
+                detail,
+            })
         };
-        let mut inner = self.inner.lock();
-        inner.record(event(ReoptEventKind::Checkpoint, label.to_string()));
-        inner.observations.insert(node, actual as f64);
+        ctx.record(event(ReoptEventKind::Checkpoint, label.to_string()));
+        self.inner.lock().observations.insert(node, actual as f64);
         if escaped {
             let (lo, hi) = (card.lo(), card.hi());
             let detail = format!("{label}: observed {actual} outside [{lo:.0}, {hi:.0}]");
-            inner.record(event(ReoptEventKind::Escape, detail));
+            ctx.record(event(ReoptEventKind::Escape, detail));
         }
         escaped
     }
 
-    /// Requests one re-plan against the budget: the re-plans the trail
-    /// holds. A grant is spent by the [`ReoptEventKind::Replan`] event the
-    /// driver records once it has re-decided, so every grant must be
-    /// followed by that record before the next request, or the budget
-    /// undercounts; denials (budget exhausted, or
-    /// the governor objecting: a spent wall-clock budget, a cancelled
-    /// query) record a [`ReoptEventKind::ReplanDenied`] event.
-    pub(crate) fn request_replan(&self, governor: &ResourceGovernor) -> bool {
-        let mut inner = self.inner.lock();
-        let adopted = count(&inner.events, ReoptEventKind::Replan);
+    /// Requests one re-plan against the budget: the re-plans the trail of
+    /// `ctx`'s run holds. A grant is spent by the
+    /// [`ReoptEventKind::Replan`] step the driver records once it has
+    /// re-decided, so every grant must be followed by that record before
+    /// the next request, or the budget undercounts; denials (budget
+    /// exhausted, or the governor objecting: a spent wall-clock budget, a
+    /// cancelled query) record a [`ReoptEventKind::ReplanDenied`] step.
+    pub(crate) fn request_replan(&self, ctx: &ExecContext) -> bool {
+        let adopted = ctx.counters.with_trail(|t| count(t, ReoptEventKind::Replan));
         let denied = if adopted >= u64::from(self.config.max_replans) {
             Some(format!("re-plan budget exhausted ({adopted} of {})", self.config.max_replans))
         } else {
             // The governor has the last word: a cancelled query or a spent
             // wall-clock budget must not buy more planning.
-            governor.check_batch(64).err().map(|e| format!("governor refused: {e}"))
+            ctx.governor.check_batch(64).err().map(|e| format!("governor refused: {e}"))
         };
         if let Some(reason) = denied {
-            inner.log(ReoptEventKind::ReplanDenied, None, reason);
+            step(ctx, ReoptEventKind::ReplanDenied, None, reason);
             return false;
         }
         true
-    }
-
-    /// Records a step of the driver's that carries no estimate: an adopted
-    /// re-plan, a failed checkpoint or re-plan (the original plan
-    /// continues), a degraded planning grant, or a fallback to the
-    /// original plan — which suppresses the observations, so the next
-    /// decision reproduces the original one. Retained intermediates stay
-    /// substitutable after a fallback: they are the original plan's own
-    /// subtree results.
-    pub(crate) fn record(&self, kind: ReoptEventKind, node: Option<NodeId>, detail: String) {
-        self.inner.lock().log(kind, node, detail);
     }
 
     /// Retains a materialized intermediate — the batches its drain
@@ -462,7 +447,7 @@ impl ReoptState {
     /// Counter totals so far.
     #[must_use]
     pub fn counters(&self) -> ReoptCounters {
-        ReoptCounters::of(&self.inner.lock().events)
+        self.view(ReoptCounters::of)
     }
 
     /// What the checkpoint materializations of the run cost — rows
@@ -477,8 +462,17 @@ impl ReoptState {
     /// The full audit trail.
     #[must_use]
     pub fn report(&self) -> ReoptReport {
-        let events = self.inner.lock().events.clone();
-        ReoptReport { counters: ReoptCounters::of(&events), events }
+        self.view(ReoptReport::of)
+    }
+
+    /// `view` of the trail of the run this state drove (of an empty trail
+    /// before it).
+    fn view<T>(&self, view: impl FnOnce(&[RunEvent]) -> T) -> T {
+        let run = self.inner.lock().run.clone();
+        match run {
+            Some(counters) => counters.with_trail(view),
+            None => view(&[]),
+        }
     }
 }
 
@@ -582,8 +576,7 @@ pub fn pick_pilot(plan: &Plan) -> Option<NodeId> {
 /// plan when re-planning itself fails. Every run it launches follows the
 /// decision it made last, handed in through [`ExecContext::with_decision`].
 /// The result rows of the final run go to `sink`; the summary covers
-/// checkpoints and final run alike; with a tracer, its report carries the
-/// audit trail.
+/// checkpoints and final run alike; every step is on the run's trail.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive(
     state: &ReoptState,
@@ -595,7 +588,7 @@ pub(crate) fn drive(
     ctx: &ExecContext,
     mut sink: RootSink<'_>,
 ) -> Result<ExecSummary, ExecError> {
-    let mut first = state.begin(ctx.trace_id())?;
+    let mut first = state.begin(ctx)?;
     if first.is_some_and(|target| target.index() >= plan.len()) {
         return Err(ExecError::Internal("the first target is not a node of this plan".into()));
     }
@@ -607,8 +600,8 @@ pub(crate) fn drive(
     // the context every run launched under it compiles with: the driver's
     // arbitration is the one decision its choose-plan operators follow.
     let arbitrate = |bindings: &Bindings| {
-        let decision = state.decide(|observed| {
-            crate::choose::decide(plan, catalog, env, bindings, observed, &ctx.counters)
+        let decision = state.decide(ctx, |observed| {
+            crate::choose::decide(plan, catalog, env, bindings, observed, ctx)
         });
         (ctx.clone().with_decision(Arc::clone(&decision)), decision)
     };
@@ -646,7 +639,8 @@ pub(crate) fn drive(
             Err(e) if e.is_retryable() => {
                 // A faulted checkpoint is abandoned, not fatal: the final
                 // run recomputes the subtree on the original plan.
-                state.record(
+                step(
+                    ctx,
                     ReoptEventKind::ReplanFailed,
                     Some(target),
                     format!("checkpoint failed ({e}); continuing original plan"),
@@ -662,7 +656,7 @@ pub(crate) fn drive(
         // interval on the node is kept deliberately wide for unbound
         // parameters and would mask real drift.
         let estimate = startup.estimates[target.index()].stats.card;
-        let escaped = state.observe_checkpoint(target, node.op.name(), estimate, actual);
+        let escaped = state.observe_checkpoint(ctx, target, node.op.name(), estimate, actual);
         let layout = crate::choose::layout_of(plan, target, catalog);
         if !state.try_retain(&ctx.governor, target, layout, batches) {
             // Memory pressure: drop the intermediate and re-arbitrate
@@ -672,7 +666,8 @@ pub(crate) fn drive(
                 .memory_pages
                 .unwrap_or_else(|| env.memory.expected());
             let degraded = (pages / 2.0).max(1.0);
-            state.record(
+            step(
+                ctx,
                 ReoptEventKind::MemoryDegrade,
                 Some(target),
                 format!(
@@ -685,9 +680,10 @@ pub(crate) fn drive(
             continue;
         }
         if escaped {
-            if state.request_replan(&ctx.governor) {
+            if state.request_replan(ctx) {
                 (run_ctx, startup) = arbitrate(&exec_bindings);
-                state.record(
+                step(
+                    ctx,
                     ReoptEventKind::Replan,
                     Some(target),
                     "re-arbitrated remaining plan with checkpoint observation".into(),
@@ -718,12 +714,12 @@ pub(crate) fn drive(
             // Last rung before governed failure: suppress the
             // observations and continue the original plan, from a sink
             // that holds no row of the failed attempt.
-            state.record(
+            step(
+                ctx,
                 ReoptEventKind::Fallback,
                 None,
                 format!("re-planned run failed ({e}); reverting to original arbitration"),
             );
-            ctx.counters.add_fallbacks(1);
             sink.truncate(mark);
             temp_pages_peak = temp_pages_peak.max(db.disk.temp_pages().high_water);
             let (original, _) = arbitrate(bindings);
@@ -733,9 +729,6 @@ pub(crate) fn drive(
     };
 
     // The whole execution's I/O, failed attempt and checkpoints included.
-    if let Some(tracer) = &ctx.tracer {
-        tracer.set_reopt(state.report());
-    }
     Ok(ExecSummary {
         io: db.disk.stats().since(&io_before),
         temp_pages_peak: temp_pages_peak.max(last.temp_pages_peak),
@@ -1044,10 +1037,11 @@ mod tests {
     #[test]
     fn budget_denies_past_max_replans_and_counts() {
         let state = ReoptState::new(ReoptConfig { max_replans: 1 });
-        let gov = ResourceGovernor::unlimited();
-        assert!(state.request_replan(&gov));
-        state.record(ReoptEventKind::Replan, Some(NodeId(3)), "adopted, as the driver does".into());
-        assert!(!state.request_replan(&gov), "budget of 1 exhausted");
+        let ctx = ExecContext::new(SharedCounters::new());
+        state.begin(&ctx).unwrap();
+        assert!(state.request_replan(&ctx));
+        step(&ctx, ReoptEventKind::Replan, Some(NodeId(3)), "adopted, as the driver does".into());
+        assert!(!state.request_replan(&ctx), "budget of 1 exhausted");
         let counters = state.counters();
         assert_eq!(counters.replans_attempted, 2);
         assert_eq!((counters.replans_adopted, counters.replans_denied), (1, 1));
@@ -1095,16 +1089,18 @@ mod tests {
     fn fallback_suppresses_observations() {
         let (cat, _db, plan, env, bindings) = skewed_fixture();
         // How many observations an arbitration is served.
+        let ctx = ExecContext::new(SharedCounters::new());
         let served = |state: &ReoptState| {
             let mut served = usize::MAX;
-            state.decide(|observed| {
+            state.decide(&ctx, |observed: &Observations| {
                 served = observed.len();
                 dqep_plan::evaluate_startup_observed(&plan, &cat, &env, &bindings, observed)
             });
             served
         };
         let state = ReoptState::new(ReoptConfig::default());
-        state.observe_checkpoint(NodeId(7), "Sort", Interval::new(0.0, 5.0), 100);
+        state.begin(&ctx).unwrap();
+        state.observe_checkpoint(&ctx, NodeId(7), "Sort", Interval::new(0.0, 5.0), 100);
         assert_eq!(served(&state), 1);
         let report = state.report();
         let escapes: Vec<_> = report
@@ -1115,7 +1111,7 @@ mod tests {
             .collect();
         assert_eq!(escapes, vec![(Some(NodeId(7)), Some(100.0))]);
         assert_eq!((report.counters.checkpoints, report.counters.escapes), (1, 1));
-        state.record(ReoptEventKind::Fallback, None, "test".into());
+        step(&ctx, ReoptEventKind::Fallback, None, "test".into());
         assert_eq!(served(&state), 0);
         let c = state.counters();
         assert_eq!((c.fallbacks, c.observed_arbitrations), (1, 1), "one decision applied them");

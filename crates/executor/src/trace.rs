@@ -17,12 +17,13 @@
 //! same argument (all fields are sums, except the memory high-water which
 //! merges with `max`).
 //!
-//! A tracer only traces. What a query decides is recorded whether or not
-//! it is traced: each choose-plan winner in the query's
-//! [`SharedCounters`] and, like every control-plane event, in the
-//! [`crate::journal()`]. A tracer adds the detail — spans, and the full
-//! [`ChooseAudit`] of each arbitration — and its id, which the journal
-//! events of a traced run carry.
+//! A tracer only traces. What a run decides is recorded once, traced or
+//! not, on the run's trail ([`ExecContext::record`]). A tracer adds what
+//! only a trace knows — spans, each arbitration's [`ChooseAudit`] — and
+//! its id, which the journal events of a traced run carry. The run hands
+//! its trail to its tracer once, at its end ([`crate::run`]): audit
+//! outcomes and the re-optimization report are read off it
+//! ([`TraceReport::outcomes`], [`TraceReport::reopt`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,8 +38,9 @@ use crate::batch::RowBatch;
 use crate::error::ExecError;
 use crate::exec::{BoxedOperator, Operator};
 use crate::governor::{ExecContext, ResourceGovernor};
-use crate::metrics::{CpuCounters, SharedCounters};
+use crate::metrics::{CpuCounters, RunEvent, SharedCounters};
 use crate::netexchange::NetStats;
+use crate::reopt::ReoptReport;
 use crate::tuple::TupleLayout;
 
 /// Process-wide trace-id allocator: every [`Tracer`] created with
@@ -213,8 +215,9 @@ pub struct AttemptAudit {
     pub outcome: String,
 }
 
-/// The audit trail of one choose-plan arbitration: what was considered,
-/// under which bindings, what won, and which fallbacks were taken.
+/// What a trace alone knows of one choose-plan arbitration: what was
+/// considered, under which bindings, and the attempts in order. Its
+/// outcome is the run's trail's ([`TraceReport::outcomes`]).
 #[derive(Debug, Clone)]
 pub struct ChooseAudit {
     /// The choose-plan node's id.
@@ -229,17 +232,18 @@ pub struct ChooseAudit {
     pub preferred: usize,
     /// Open attempts in order, including failed ones.
     pub attempts: Vec<AttemptAudit>,
-    /// Index that ultimately opened, `None` when every attempt failed.
-    pub winner: Option<usize>,
-    /// Retryable failures absorbed before the winner opened.
-    pub fallbacks: u64,
 }
+
+/// An arbitration's outcome as the run's trail records it: the
+/// alternative that opened (`None`: every attempt failed) and the
+/// retryable failures absorbed on the way.
+pub type ArbitrationOutcome = (Option<usize>, u64);
 
 #[derive(Debug, Default)]
 struct TracerInner {
     spans: Vec<SpanRecord>,
     audits: Vec<ChooseAudit>,
-    reopt: crate::reopt::ReoptReport,
+    trail: Vec<RunEvent>,
 }
 
 /// Collector for one traced execution. Cheap to share (`Arc`); wrappers
@@ -337,9 +341,10 @@ impl Tracer {
         self.inner.lock().audits.push(audit);
     }
 
-    /// Attaches the audit trail of a re-optimizing execution.
-    pub(crate) fn set_reopt(&self, report: crate::reopt::ReoptReport) {
-        self.inner.lock().reopt = report;
+    /// Takes the trail of the run being traced, as it stood at the run's
+    /// end.
+    pub(crate) fn set_trail(&self, trail: Vec<RunEvent>) {
+        self.inner.lock().trail = trail;
     }
 
     /// Snapshot of everything recorded so far.
@@ -350,13 +355,13 @@ impl Tracer {
             trace_id: self.trace_id,
             spans: inner.spans.clone(),
             audits: inner.audits.clone(),
-            reopt: inner.reopt.clone(),
+            trail: inner.trail.clone(),
         }
     }
 }
 
-/// An immutable snapshot of a [`Tracer`]: the span tree plus choose-plan
-/// audit trails, in creation order (top-down).
+/// An immutable snapshot of a [`Tracer`]: the span tree, the choose-plan
+/// audits in creation order (top-down), and the run's trail.
 #[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     /// The distributed trace id shared by every span (0 for a default
@@ -366,12 +371,31 @@ pub struct TraceReport {
     pub spans: Vec<SpanRecord>,
     /// Choose-plan audits, in arbitration order.
     pub audits: Vec<ChooseAudit>,
-    /// Mid-query re-optimization audit trail; empty (the default) unless
-    /// the execution ran under a [`crate::ReoptState`].
-    pub reopt: crate::reopt::ReoptReport,
+    /// The trail of the traced run, handed over at its end (empty before).
+    pub trail: Vec<RunEvent>,
 }
 
 impl TraceReport {
+    /// Each audit with its arbitration's outcome off the trail (`None`
+    /// past the trail's end): a traced run writes both at every
+    /// arbitration, and a merged report concatenates both in one order, so
+    /// the k-th audit is the k-th arbitration.
+    #[must_use]
+    pub fn outcomes(&self) -> Vec<(&ChooseAudit, Option<ArbitrationOutcome>)> {
+        let mut arbitrations = self.trail.iter().filter_map(|e| match e {
+            RunEvent::Arbitration { winner, fallbacks, .. } => Some((*winner, *fallbacks)),
+            _ => None,
+        });
+        self.audits.iter().map(|audit| (audit, arbitrations.next())).collect()
+    }
+
+    /// The mid-query re-optimization report: the re-optimization steps on
+    /// the trail, empty unless the run was under a [`crate::ReoptState`].
+    #[must_use]
+    pub fn reopt(&self) -> ReoptReport {
+        ReoptReport::of(&self.trail)
+    }
+
     /// Spans with no parent (normally exactly one: the plan root).
     #[must_use]
     pub fn roots(&self) -> Vec<&SpanRecord> {
@@ -490,49 +514,35 @@ impl Phases {
 /// merged coordinates. The invariants the JSON schema validator enforces
 /// — `id == index`, `parent < id` — are preserved by construction.
 ///
-/// Audits concatenate in the same order (coordinator first), and the
-/// coordinator's reopt report is kept.
+/// Audits and trails concatenate in the same order (coordinator first),
+/// so each audit still meets its own arbitration.
 #[must_use]
 pub fn merge_distributed(coord: &TraceReport, shards: &[TraceReport]) -> TraceReport {
-    let mut spans: Vec<SpanRecord> = coord.spans.clone();
-    let coord_root = (!spans.is_empty()).then_some(SpanId(0));
-    let mut offsets = Vec::with_capacity(shards.len());
-    for shard in shards {
-        let offset = spans.len();
-        offsets.push(offset);
-        for span in &shard.spans {
-            let mut merged = span.clone();
-            merged.id = SpanId(span.id.0 + offset);
-            merged.parent = match span.parent {
-                Some(p) => Some(SpanId(p.0 + offset)),
-                None => coord_root,
-            };
-            spans.push(merged);
+    // Where each shard's spans start in the merged report.
+    let offsets: Vec<usize> = shards
+        .iter()
+        .scan(coord.spans.len(), |at, shard| Some(std::mem::replace(at, *at + shard.spans.len())))
+        .collect();
+    let coord_root = (!coord.spans.is_empty()).then_some(SpanId(0));
+    let mut merged = coord.clone();
+    for (shard, &offset) in shards.iter().zip(&offsets) {
+        merged.spans.extend(shard.spans.iter().map(|span| SpanRecord {
+            id: SpanId(span.id.0 + offset),
+            parent: span.parent.map(|p| SpanId(p.0 + offset)).or(coord_root),
+            ..span.clone()
+        }));
+        merged.audits.extend(shard.audits.iter().cloned());
+        merged.trail.extend(shard.trail.iter().cloned());
+    }
+    // A propagated remote span id is local to its sender (`net.from`):
+    // its shard's offset shifts it; a sender outside the shard range (the
+    // coordinator never sends) leaves it untouched.
+    for net in merged.spans.iter_mut().filter_map(|span| span.net.as_mut()) {
+        if let (Some(remote), Some(&offset)) = (net.remote_span, offsets.get(net.from as usize)) {
+            net.remote_span = Some(remote + offset as u64);
         }
     }
-    // Second pass: remap propagated remote span ids into merged
-    // coordinates. `net.from` identifies the sending shard, whose offset
-    // shifts the id; a sender outside the shard range (the coordinator
-    // never sends) leaves the id untouched.
-    for span in &mut spans {
-        if let Some(net) = &mut span.net {
-            if let Some(remote) = net.remote_span {
-                if let Some(&offset) = offsets.get(net.from as usize) {
-                    net.remote_span = Some(remote + offset as u64);
-                }
-            }
-        }
-    }
-    let mut audits = coord.audits.clone();
-    for shard in shards {
-        audits.extend(shard.audits.iter().cloned());
-    }
-    TraceReport {
-        trace_id: coord.trace_id,
-        spans,
-        audits,
-        reopt: coord.reopt.clone(),
-    }
+    merged
 }
 
 /// Decorator recording a [`SpanStats`] for the wrapped operator. Deltas
@@ -556,26 +566,19 @@ pub struct TracedExec<'a> {
 }
 
 impl<'a> TracedExec<'a> {
-    /// Wraps `inner`, accumulating into `span` of `tracer`.
+    /// Wraps `inner`, accumulating into `span` of `tracer` what `ctx`'s
+    /// counters and governor and `disk` see.
     #[must_use]
     pub fn new(
         inner: BoxedOperator<'a>,
         tracer: Arc<Tracer>,
         span: SpanId,
-        counters: SharedCounters,
+        ctx: &ExecContext,
         disk: Option<SimDisk>,
-        governor: ResourceGovernor,
     ) -> TracedExec<'a> {
-        TracedExec {
-            inner,
-            tracer,
-            span,
-            counters,
-            disk,
-            governor,
-            local: SpanStats::default(),
-            flushed: false,
-        }
+        let (counters, governor) = (ctx.counters.clone(), ctx.governor.clone());
+        let local = SpanStats::default();
+        TracedExec { inner, tracer, span, counters, disk, governor, local, flushed: false }
     }
 
     fn measured<T>(
@@ -652,46 +655,25 @@ impl Drop for TracedExec<'_> {
     }
 }
 
-/// Opens a span for the plan's node `id` when `ctx` traces: returns the span plus the
-/// context child operators should compile under (its `span_parent` points
-/// at the new span). Returns `None` — and allocates nothing — when
-/// tracing is disabled, so the untraced compile path pays one branch.
-#[must_use]
-pub fn node_span(ctx: &ExecContext, plan: &Plan, id: NodeId) -> Option<(SpanId, ExecContext)> {
-    let tracer = ctx.tracer.as_ref()?;
+/// Compiles the plan's node `id` with `compile`. When `ctx` traces, the
+/// node gets a span, `compile` runs under a context whose span parent is
+/// that span (so its inputs' spans nest), and the operator is wrapped in
+/// a [`TracedExec`] that reads `disk`. Untraced, the compile path pays one
+/// branch and allocates nothing.
+pub(crate) fn traced_node<'a>(
+    ctx: &ExecContext,
+    plan: &Plan,
+    id: NodeId,
+    disk: &SimDisk,
+    compile: impl FnOnce(&ExecContext) -> Result<BoxedOperator<'a>, ExecError>,
+) -> Result<BoxedOperator<'a>, ExecError> {
+    let Some(tracer) = &ctx.tracer else { return compile(ctx) };
     let node = &plan[id];
-    let span = tracer.span(
-        plan.label(id).to_string(),
-        node.op.name(),
-        Some(u64::from(id.0)),
-        Some(NodeEstimate::of(node)),
-        ctx.span_parent,
-        ctx.dop,
-    );
+    let (label, estimate) = (plan.label(id).to_string(), Some(NodeEstimate::of(node)));
+    let (node_id, parent) = (Some(u64::from(id.0)), ctx.span_parent);
+    let span = tracer.span(label, node.op.name(), node_id, estimate, parent, ctx.dop);
     let mut child = ctx.clone();
     child.span_parent = Some(span);
-    Some((span, child))
-}
-
-/// Wraps `op` in a [`TracedExec`] accumulating into `span`. `ctx` must be
-/// a tracing context (the one `node_span` returned); a non-tracing
-/// context returns `op` unchanged.
-#[must_use]
-pub fn wrap_span<'a>(
-    op: BoxedOperator<'a>,
-    span: SpanId,
-    ctx: &ExecContext,
-    disk: Option<SimDisk>,
-) -> BoxedOperator<'a> {
-    match ctx.tracer.as_ref() {
-        Some(tracer) => Box::new(TracedExec::new(
-            op,
-            Arc::clone(tracer),
-            span,
-            ctx.counters.clone(),
-            disk,
-            ctx.governor.clone(),
-        )),
-        None => op,
-    }
+    let op = compile(&child)?;
+    Ok(Box::new(TracedExec::new(op, Arc::clone(tracer), span, &child, Some(disk.clone()))))
 }

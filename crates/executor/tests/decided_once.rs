@@ -119,9 +119,13 @@ fn a_run_evaluates_each_cost_function_once_whatever_the_context() {
             if let Some(tracer) = tracer {
                 // Every choose-plan that opened was audited — alternatives
                 // and their predictions included — without evaluating.
-                let audits = tracer.report().audits;
+                let report = tracer.report();
+                let audits = report.outcomes();
                 assert!(!audits.is_empty());
-                assert!(audits.iter().all(|a| a.alternatives.len() >= 2 && a.fallbacks == 0));
+                assert!(audits.iter().all(|(a, outcome)| {
+                    let clean = outcome.is_some_and(|(_, fallbacks)| fallbacks == 0);
+                    a.alternatives.len() >= 2 && clean
+                }));
             }
             rows.push(summary.rows);
         }
@@ -218,8 +222,9 @@ fn a_fallback_opens_the_next_cheapest_alternative_without_evaluating_again() {
     assert_eq!(faulted.fallbacks, 1);
     assert_eq!(faulted.startup_nodes, plan.len() as u64, "falling back evaluates nothing");
 
-    let audits = tracer.report().audits;
-    let audit = audits.last().expect("the root choose-plan was audited");
+    let report = tracer.report();
+    let audits = report.outcomes();
+    let &(audit, outcome) = audits.last().expect("the root choose-plan was audited");
     let attempted: Vec<usize> = audit.attempts.iter().map(|a| a.index).collect();
     let next_cheapest = audit
         .alternatives
@@ -229,7 +234,7 @@ fn a_fallback_opens_the_next_cheapest_alternative_without_evaluating_again() {
         .unwrap()
         .index;
     assert_eq!(attempted, vec![audit.preferred, next_cheapest]);
-    assert_eq!(audit.winner, Some(next_cheapest));
+    assert_eq!(outcome.and_then(|(winner, _)| winner), Some(next_cheapest));
     // The audit's predictions are the start-up decision's own estimates.
     let startup = evaluate_startup(&plan, &catalog, &env, &bindings);
     for (alt, audited) in plan.children(plan.root()).iter().zip(&audit.alternatives) {

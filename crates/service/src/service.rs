@@ -20,8 +20,8 @@ use dqep_catalog::Catalog;
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    run, ExecContext, ExecMode, ExecSummary, Phases, PlanCacheInfo, ReoptConfig, ReoptState,
-    ResourceLimits, RootSink, SharedCounters, Tracer,
+    run, ExecContext, ExecMode, ExecSummary, FallbackCause, Phases, PlanCacheInfo, ReoptConfig,
+    ReoptState, ResourceLimits, RootSink, RunEvent, SharedCounters, Tracer,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, Query};
@@ -733,7 +733,7 @@ impl Shared {
             Ok(summary) => Ok(summary),
             Err(e) if e.is_retryable() => {
                 self.metrics.add(Metric::CachedPlanRetries, 1);
-                ctx.counters.add_fallbacks(1);
+                ctx.record(RunEvent::Fallback(FallbackCause::ResolvedPlanRetry));
                 let plan = stmt.dynamic_plan(|query| self.compile_dynamic(query, phases))?;
                 executing(phases, "retry", ctx);
                 execute(&plan, ctx).map_err(ServiceError::Exec)
@@ -788,6 +788,27 @@ mod tests {
             (1..n).map(|i| format!("R{i}.jr = R{}.jl", i + 1)).collect();
         preds.extend((1..=n).map(|i| format!("R{i}.a < :v{i}")));
         format!("SELECT * FROM {} WHERE {}", from.join(", "), preds.join(" AND "))
+    }
+
+    /// A statement naming a relation past the 64 a query can span is a
+    /// SQL error, and the service goes on serving.
+    #[test]
+    fn a_relation_past_the_limit_is_refused_and_the_service_serves_on() {
+        let catalog = (0..65)
+            .fold(dqep_catalog::CatalogBuilder::new(SystemConfig::paper_1994()), |b, i| {
+                b.relation(&format!("t{i}"), 10, 64, |r| r.attr("a", 10.0))
+            })
+            .build()
+            .unwrap();
+        let config = ServiceConfig { workers: 1, ..ServiceConfig::default() };
+        let svc = QueryService::new(catalog, config);
+        let refused = svc.execute(Request::new("SELECT * FROM t64 WHERE t64.a < :x", &[("x", 5)]));
+        assert!(
+            matches!(&refused, Err(ServiceError::Sql(e)) if e.contains("at most 64 relations")),
+            "{refused:?}"
+        );
+        let served = svc.execute(Request::new("SELECT * FROM t0 WHERE t0.a < :x", &[("x", 5)]));
+        assert!(served.is_ok(), "{served:?}");
     }
 
     fn service(workers: usize) -> QueryService {

@@ -18,8 +18,9 @@
 //! this: the coordinator resolves the plans against its *global*
 //! statistics and broadcasts the already-resolved (choose-free) plans,
 //! the baseline the shard benchmark beats. Every choose-plan operator a
-//! shard opens records its winner in that shard's counters, traced or
-//! not, and [`ShardOutcome::winners`] lists them per shard.
+//! shard opens records its arbitration on that shard's trail, traced or
+//! not; [`ShardOutcome::winners`], [`ShardOutcome::divergent_nodes`] and
+//! [`ShardOutcome::fallbacks`] are read off the shards' trails.
 //!
 //! Joins run as hash-repartitioning exchange stages: both sides are
 //! routed with the batched multiply-xor kernel
@@ -324,14 +325,6 @@ impl RecvTrace {
     }
 }
 
-/// What a shard worker reports back besides the rows it pushed over its
-/// gather link.
-struct ShardRun {
-    rows_out: u64,
-    fallbacks: u64,
-    winners: Vec<(u64, usize)>,
-}
-
 /// A sharded query service: `N` partitioned replicas joined by a
 /// simulated repartitioning network, with per-shard bind-time
 /// arbitration. See the module docs for the architecture.
@@ -567,22 +560,33 @@ impl ShardedService {
         let (mut wires, gather_rx, link_handles) = self.wire_up(plan, n);
         let layout = canonical_layout(&self.catalog, &plan.rels);
         let width = layout.width();
-        // Traced, every shard tracer joins the coordinator's trace id;
-        // untraced, shards run with no tracer at all.
-        let tracers: Vec<Option<Arc<Tracer>>> = (0..n)
-            .map(|_| coord_tracer.map(|_| Arc::new(Tracer::with_trace_id(trace_id))))
+        // Each shard's run: its own counters — CPU work and the trail of
+        // what it decided, read here once the shards are done — under the
+        // query's trace id. Traced, its tracer joins the coordinator's
+        // trace, and everything it does — operators, sends, receives —
+        // nests under one per-shard root span, which the merge re-parents
+        // under the coordinator's root; untraced, it has no tracer at all.
+        let runs: Vec<ExecContext> = (0..n)
+            .map(|s| {
+                let ctx = ExecContext::with_limits(SharedCounters::new(), self.config.limits)
+                    .with_dop(self.config.dop)
+                    .with_trace_id(trace_id);
+                if coord_tracer.is_none() {
+                    return ctx;
+                }
+                let tracer = Arc::new(Tracer::with_trace_id(trace_id));
+                let span = tracer.span(format!("Shard {s}"), "Shard", None, None, None, ctx.dop);
+                ctx.with_tracer(tracer).with_span_parent(span)
+            })
             .collect();
 
-        let (runs, per_shard) = std::thread::scope(|scope| {
+        let (rows_out, per_shard) = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
-            for (s, shard) in self.shards.iter().enumerate() {
+            for ((s, shard), ctx) in self.shards.iter().enumerate().zip(&runs) {
                 let shard_wires = wires.remove(0);
-                let tracer = tracers[s].clone();
-                let (env, config) = (&self.env, &self.config);
+                let env = &self.env;
                 handles.push(scope.spawn(move || {
-                    let result = run_shard(
-                        s, shard, plan, &shard_wires, env, bindings, config, trace_id, tracer,
-                    );
+                    let result = run_shard(s, shard, plan, &shard_wires, env, bindings, ctx);
                     // Whatever happened, close every link of this shard
                     // (idempotent): closed out-links end its peers'
                     // receives, and closed in-links make its peers' sends
@@ -613,30 +617,28 @@ impl ShardedService {
                     drain_link(rx, width, &mut batches, coord_tracer.map(Arc::as_ref), gather_span);
                 per_shard.push(drained.map(|()| batches));
             }
-            let runs: Vec<Result<ShardRun, ExecError>> = handles
+            let rows_out: Vec<Result<u64, ExecError>> = handles
                 .into_iter()
                 .map(|h| {
                     h.join()
                         .unwrap_or_else(|_| Err(ExecError::Network("shard worker panicked".into())))
                 })
                 .collect();
-            (runs, per_shard)
+            (rows_out, per_shard)
         });
 
         let mut shard_rows = Vec::with_capacity(n);
-        let mut fallbacks = 0;
-        let mut winners: Vec<Vec<(u64, usize)>> = Vec::with_capacity(n);
         let mut gathered: Vec<Vec<RowBatch>> = Vec::with_capacity(n);
-        for (s, (run, batches)) in runs.into_iter().zip(per_shard).enumerate() {
-            let run = run.map_err(ServiceError::Exec)?;
+        for (s, (rows_out, batches)) in rows_out.into_iter().zip(per_shard).enumerate() {
+            let rows_out = rows_out.map_err(ServiceError::Exec)?;
             let batches = batches.map_err(ServiceError::Exec)?;
             let rows = live_rows(&batches);
-            check_gathered(s, rows, run.rows_out).map_err(ServiceError::Exec)?;
-            fallbacks += run.fallbacks;
-            winners.push(run.winners);
+            check_gathered(s, rows, rows_out).map_err(ServiceError::Exec)?;
             shard_rows.push(rows);
             gathered.push(batches);
         }
+        let winners: Vec<Vec<(u64, usize)>> = runs.iter().map(|r| r.counters.winners()).collect();
+        let fallbacks = runs.iter().map(|r| r.counters.fallbacks()).sum();
         // The row budget is the query's: access stages and join stages are
         // intermediate results, so only the gathered total is charged.
         if let Some(limit) = self.config.limits.max_rows {
@@ -652,22 +654,11 @@ impl ShardedService {
         for &(node, w) in winners.iter().flatten() {
             winners_by_node.entry(node).or_default().insert(w);
         }
-        let divergent_nodes: Vec<u64> = winners_by_node
-            .iter()
-            .filter(|(_, winners)| winners.len() > 1)
-            .map(|(&node, _)| node)
-            .collect();
-        for (&node, winners) in &winners_by_node {
-            if winners.len() > 1 {
-                journal().record(
-                    EventKind::ShardDivergence,
-                    trace_id,
-                    NO_ID,
-                    node,
-                    winners.len() as u64,
-                    NO_ID,
-                );
-            }
+        let mut divergent_nodes = Vec::new();
+        for (node, winners) in winners_by_node.into_iter().filter(|(_, w)| w.len() > 1) {
+            let distinct = winners.len() as u64;
+            journal().record(EventKind::ShardDivergence, trace_id, NO_ID, node, distinct, NO_ID);
+            divergent_nodes.push(node);
         }
 
         // The one ledger: channels are created fresh per query, so each
@@ -686,7 +677,7 @@ impl ShardedService {
         phases.finish();
         let trace = coord_tracer.map(|coord| {
             let shard_reports: Vec<TraceReport> =
-                tracers.iter().flatten().map(|t| t.report()).collect();
+                runs.iter().filter_map(|r| r.tracer.as_ref()).map(|t| t.report()).collect();
             merge_distributed(&coord.report(), &shard_reports)
         });
 
@@ -801,9 +792,9 @@ fn materialize(gathered: &[Vec<RowBatch>], order_key: Option<usize>) -> Vec<Tupl
     rows
 }
 
-/// The body of one shard worker: local access stages with shard-local
-/// arbitration, repartitioning joins, optional local sort, gather.
-#[allow(clippy::too_many_arguments)]
+/// The body of one shard worker, run under the shard's `ctx`: local
+/// access stages with shard-local arbitration, repartitioning joins,
+/// optional local sort, gather. Returns the rows it gathered.
 fn run_shard(
     s: usize,
     shard: &Shard,
@@ -811,29 +802,15 @@ fn run_shard(
     wires: &ShardWires,
     env: &Environment,
     bindings: &Bindings,
-    config: &ShardConfig,
-    trace_id: u64,
-    tracer: Option<Arc<Tracer>>,
-) -> Result<ShardRun, ExecError> {
-    // The shard runs under its query's trace id. With tracing on,
-    // everything it does — operators, sends, receives — nests under one
-    // per-shard root span; the coordinator re-parents these roots under its
-    // own when merging.
-    let mut ctx = ExecContext::with_limits(SharedCounters::new(), config.limits)
-        .with_dop(config.dop)
-        .with_trace_id(trace_id);
-    if let Some(tracer) = &tracer {
-        let span = tracer.span(format!("Shard {s}"), "Shard", None, None, None, config.dop.max(1));
-        ctx = ctx.with_tracer(Arc::clone(tracer)).with_span_parent(span);
-    }
-
-    let mut current = run_access(shard, &plan.access[0], env, bindings, &ctx)?;
+    ctx: &ExecContext,
+) -> Result<u64, ExecError> {
+    let mut current = run_access(shard, &plan.access[0], env, bindings, ctx)?;
     let mut layout = TupleLayout::base(&shard.catalog, plan.rels[0]);
 
     for (j, stage) in plan.joins.iter().enumerate() {
         let right_rel = plan.rels[j + 1];
         let right_batches =
-            run_access(shard, &plan.access[j + 1], env, bindings, &ctx)?;
+            run_access(shard, &plan.access[j + 1], env, bindings, ctx)?;
         let right_layout = TupleLayout::base(&shard.catalog, right_rel);
         let lkey = layout.require(stage.left_attr);
         let rkey = right_layout.require(stage.right_attr);
@@ -846,7 +823,7 @@ fn run_shard(
             lkey,
             &stage_wires.left_out,
             &stage_wires.left_in,
-            &ctx,
+            ctx,
         )?;
         let right_mine = repartition(
             s,
@@ -855,13 +832,13 @@ fn run_shard(
             rkey,
             &stage_wires.right_out,
             &stage_wires.right_in,
-            &ctx,
+            ctx,
         )?;
         let mut joined = join_batches(
             (&left_mine, layout.width()),
             (&right_mine, right_layout.width()),
             &[(lkey, rkey)],
-            &ctx,
+            ctx,
         )?;
         layout = layout.concat(&right_layout);
         if !stage.residual.is_empty() {
@@ -888,12 +865,11 @@ fn run_shard(
         current = vec![sort_batches(&current, layout.width(), layout.require(attr))];
     }
 
-    let mut gather = FrameSender::new(&wires.gather, &ctx);
+    let mut gather = FrameSender::new(&wires.gather, ctx);
     for batch in &current {
         gather.send(batch)?;
     }
-    let (fallbacks, winners) = (ctx.counters.fallbacks(), ctx.counters.winners());
-    Ok(ShardRun { rows_out: live_rows(&current), fallbacks, winners })
+    Ok(live_rows(&current))
 }
 
 /// Runs one per-relation access plan locally and hands back the batches
@@ -901,7 +877,7 @@ fn run_shard(
 /// carries its choose operators (unless the coordinator pre-resolved
 /// them), so running it against the *shard's* catalog is what turns
 /// bind-time arbitration into a per-shard decision — every choose-plan
-/// operator that opens counts its winner in the shard's counters. An access
+/// operator that opens records its arbitration on the shard's trail. An access
 /// stage is an intermediate result: a batch sink is not charged to the
 /// row budget. It is a single-relation plan optimized without required
 /// properties, so it has no blocking input a re-optimizing run could
@@ -1363,12 +1339,11 @@ mod tests {
         .execute(sql, &[("v1", 30)])
         .expect("runs");
         assert_eq!(traced.winners, out.winners);
-        let audited: Vec<(u64, usize)> = traced
-            .trace
-            .expect("traced")
-            .audits
+        let trace = traced.trace.expect("traced");
+        let audited: Vec<(u64, usize)> = trace
+            .outcomes()
             .iter()
-            .map(|a| (a.node, a.winner.expect("resolved")))
+            .map(|(a, outcome)| (a.node, outcome.and_then(|(w, _)| w).expect("resolved")))
             .collect();
         assert_eq!(audited, out.winners.concat());
     }

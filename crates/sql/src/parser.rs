@@ -37,6 +37,14 @@ pub enum ParseError {
     SelfJoin(String),
     /// A join predicate uses a non-equality operator.
     NonEquiJoin(String),
+    /// `FROM` names a relation whose id is past what a query can span
+    /// ([`RelSet::CAPACITY`]).
+    TooManyRelations {
+        /// The relation's name.
+        name: String,
+        /// Byte offset of the name.
+        offset: usize,
+    },
     /// The built expression failed algebra validation.
     Validation(String),
 }
@@ -63,6 +71,13 @@ impl fmt::Display for ParseError {
             ParseError::NonEquiJoin(p) => {
                 write!(f, "join predicates must use `=`: {p}")
             }
+            ParseError::TooManyRelations { name, offset } => write!(
+                f,
+                "relation `{name}` at byte {offset} has id {} or more: a query spans at most {} \
+                 relations",
+                RelSet::CAPACITY,
+                RelSet::CAPACITY
+            ),
             ParseError::Validation(e) => write!(f, "invalid query: {e}"),
         }
     }
@@ -176,11 +191,15 @@ impl<'a> Parser<'a, '_> {
         // FROM list.
         let mut from: Vec<FromEntry<'a>> = Vec::new();
         loop {
+            let offset = self.next.map_or(0, |t| t.offset);
             let name = self.ident("relation name")?;
             let rel = self
                 .catalog
                 .relation_by_name(name)
                 .map_err(|_| ParseError::UnknownRelation(name.to_string()))?;
+            if rel.id.0 >= RelSet::CAPACITY {
+                return Err(ParseError::TooManyRelations { name: name.to_string(), offset });
+            }
             if from.iter().any(|(_, id)| *id == rel.id) {
                 return Err(ParseError::DuplicateRelation(name.to_string()));
             }
@@ -530,5 +549,26 @@ mod tests {
         // (file scans + hash/merge joins).
         let result = dqep_core::Optimizer::new(&cat, &env).optimize(&q.expr);
         assert!(result.is_ok());
+    }
+
+    /// A relation past the 64 a query can span is refused at its name:
+    /// the parser answers, where the relation set would have panicked.
+    #[test]
+    fn a_relation_past_the_limit_is_a_parse_error() {
+        let cat = (0..65)
+            .fold(CatalogBuilder::new(SystemConfig::paper_1994()), |b, i| {
+                b.relation(&format!("t{i}"), 10, 64, |r| r.attr("a", 10.0))
+            })
+            .build()
+            .unwrap();
+        assert!(parse_query("SELECT * FROM t63 WHERE t63.a < :x", &cat).is_ok());
+        let text = "SELECT * FROM t0,  t64 WHERE t64.a < :x";
+        let err = parse_query(text, &cat).unwrap_err();
+        let at = text.find("t64").unwrap();
+        let ParseError::TooManyRelations { name, offset } = &err else {
+            panic!("{err:?}");
+        };
+        assert_eq!((name.as_str(), *offset), ("t64", at));
+        assert!(err.to_string().contains("at most 64 relations"), "{err}");
     }
 }

@@ -30,6 +30,7 @@ fn offset(e: &ParseError) -> Option<usize> {
             | LexError::IntOutOfRange { offset },
         ) => Some(*offset),
         ParseError::Unexpected { offset, .. } => *offset,
+        ParseError::TooManyRelations { offset, .. } => Some(*offset),
         _ => None,
     }
 }

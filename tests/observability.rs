@@ -15,8 +15,9 @@ use dqep::catalog::{Catalog, SystemConfig};
 use dqep::cost::{Bindings, Environment};
 use dqep::executor::{
     card_drift, compile_dynamic_plan, drain, explain_json, parse_json, render_explain, run,
-    validate_explain_json, CpuCounters, ExecContext, ExecError, ExecSummary, JsonValue,
-    ReoptConfig, RootSink, SharedCounters, SpanRecord, SpanStats, TraceReport, Tracer,
+    validate_explain_json, CpuCounters, ExecContext, ExecError, ExecSummary, FallbackCause,
+    JsonValue, ReoptConfig, RootSink, RunEvent, SharedCounters, SpanRecord, SpanStats, TraceReport,
+    Tracer,
 };
 use dqep::optimizer::Optimizer;
 use dqep::plan::{evaluate_startup_observed, NodeId, Observations};
@@ -173,7 +174,8 @@ proptest! {
             w.add_records(r);
             w.add_compares(c);
             w.add_hashes(h);
-            w.add_fallbacks(f);
+            let ctx = ExecContext::new(w.clone());
+            (0..f).for_each(|_| ctx.record(RunEvent::Fallback(FallbackCause::ChunkedJoin)));
             w
         };
         let forward = SharedCounters::new();
@@ -567,13 +569,14 @@ fn explain_analyze_reports_estimates_actuals_and_audit() {
     // The audit trail names the bindings, the alternatives with their
     // bind-time predictions, and the winner.
     assert!(!report.audits.is_empty(), "choose-plan must leave an audit");
-    let audit = &report.audits[0];
+    let (audit, outcome) = report.outcomes()[0];
     assert!(audit.bind_values.iter().any(|(n, v)| n == ":v0" && *v == 60));
     assert_eq!(audit.memory_pages, Some(48.0));
     assert!(audit.alternatives.len() >= 2);
     assert!(audit.alternatives.iter().all(|a| a.predicted_seconds >= 0.0));
-    assert_eq!(audit.winner, Some(audit.preferred), "no faults: preferred wins");
-    assert_eq!(audit.fallbacks, 0);
+    let (winner, fallbacks) = outcome.expect("the trail holds the arbitration");
+    assert_eq!(winner, Some(audit.preferred), "no faults: preferred wins");
+    assert_eq!(fallbacks, 0);
 
     // Human rendering: estimates, actuals, flags, audit.
     let text = render_explain(&report, &catalog.config);
@@ -822,7 +825,7 @@ fn schema_documents() -> (Vec<(&'static str, Vec<String>)>, Vec<String>) {
     .unwrap();
     let report = tracer.report();
     assert!(
-        !report.reopt.events.is_empty(),
+        !report.reopt().events.is_empty(),
         "the pin needs a populated re-opt section"
     );
     let explain = explain_json(&report, &catalog.config);

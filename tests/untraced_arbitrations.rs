@@ -8,10 +8,16 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
 
-use dqep::cost::Environment;
-use dqep::executor::{journal, run, EventKind, ExecContext, RootSink, SharedCounters, Tracer};
+use dqep::algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, SelectPred};
+use dqep::catalog::{CatalogBuilder, SystemConfig};
+use dqep::cost::{Bindings, Environment};
+use dqep::executor::{
+    journal, run, EventKind, ExecContext, JournalEvent, ReoptConfig, ReoptEventKind, ReoptState,
+    ResourceLimits, RootSink, RunEvent, SharedCounters, Tracer, NO_ID,
+};
+use dqep::optimizer::Optimizer;
 use dqep::service::{ShardConfig, ShardedService};
-use dqep::storage::StoredDatabase;
+use dqep::storage::{FaultPlan, StoredDatabase, ValueDistribution};
 
 #[path = "common/choose.rs"]
 mod choose;
@@ -70,8 +76,11 @@ fn an_untraced_run_records_its_arbitrations() {
 
     let report = tracer.report();
     assert!(!report.spans.is_empty());
-    let audited: Vec<(u64, usize)> =
-        report.audits.iter().map(|a| (a.node, a.winner.expect("resolved"))).collect();
+    let audited: Vec<(u64, usize)> = report
+        .outcomes()
+        .iter()
+        .map(|(a, outcome)| (a.node, outcome.and_then(|(winner, _)| winner).expect("resolved")))
+        .collect();
     assert!(!audited.is_empty(), "the fixture must arbitrate");
     assert_eq!(traced_winners, audited);
     assert_eq!(winners, traced_winners, "the untraced run's winners");
@@ -140,4 +149,212 @@ fn the_shards_of_an_untraced_query_journal_under_one_id() {
         .collect();
     assert_eq!(matching.len(), 1, "one id holds both shards' arbitrations: {matching:?}");
     assert_ne!(matching[0], 0);
+}
+
+/// `(kind, node, a, b)` of a journal event a run writes.
+type Step = (EventKind, u64, u64, u64);
+
+/// What the journal must hold of `trail`, in order: each arbitration
+/// (winner, fallbacks), interval escape (observed rows, interval's upper
+/// end), adopted re-plan and degradation step (how many of its kind so
+/// far).
+fn journaled(trail: &[RunEvent]) -> Vec<Step> {
+    let (mut replans, mut degradations) = (0, 0);
+    trail
+        .iter()
+        .filter_map(|event| match event {
+            RunEvent::Arbitration { node, winner, fallbacks } => Some((
+                EventKind::ArbitrationWinner,
+                *node,
+                winner.map_or(NO_ID, |w| w as u64),
+                *fallbacks,
+            )),
+            RunEvent::Reopt(step) => {
+                let node = u64::from(step.node?.0);
+                match step.kind {
+                    ReoptEventKind::Escape => Some((
+                        EventKind::IntervalEscape,
+                        node,
+                        step.observed? as u64,
+                        step.estimate?.1 as u64,
+                    )),
+                    ReoptEventKind::Replan => {
+                        replans += 1;
+                        Some((EventKind::Replan, node, replans, NO_ID))
+                    }
+                    ReoptEventKind::MemoryDegrade => {
+                        degradations += 1;
+                        Some((EventKind::DegradationStep, node, degradations, NO_ID))
+                    }
+                    _ => None,
+                }
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The steps `window` journaled under `trace`, in order: the run facts,
+/// not the events that belong to no run (refusals, link faults, shard
+/// divergence).
+fn steps_of(window: &[JournalEvent], trace: u64) -> Vec<Step> {
+    use EventKind::{ArbitrationWinner, DegradationStep, IntervalEscape, Replan};
+    let of_a_run =
+        |kind| matches!(kind, ArbitrationWinner | IntervalEscape | Replan | DegradationStep);
+    window
+        .iter()
+        .filter(|e| e.trace == trace && of_a_run(e.kind))
+        .map(|e| (e.kind, e.node, e.a, e.b))
+        .collect()
+}
+
+/// A run of the journal window: its trace id, its trail, and the winners
+/// and fallbacks it returned.
+struct Served {
+    trace: u64,
+    trail: Vec<RunEvent>,
+    winners: Vec<(u64, usize)>,
+    fallbacks: u64,
+}
+
+fn count(steps: &[Step], kind: EventKind) -> u64 {
+    steps.iter().filter(|s| s.0 == kind).count() as u64
+}
+
+/// One journal window over a mixed set of runs, traced and untraced — a
+/// dynamic plan at dop 1 and dop 4, a choose-plan fallback under a fault
+/// plan, re-optimizing runs with escapes, adopted re-plans and a degraded
+/// grant, and a 2-shard query — holds, under each run's trace id and in
+/// order, exactly that run's trail: its arbitrations, escapes, re-plans
+/// and degradation steps. And the trail is what the run returned: its
+/// winners, fallbacks and re-optimization counters, and, traced, what its
+/// tracer was handed.
+#[test]
+fn the_journal_rebuilds_every_runs_trail() {
+    let cursor = journal().cursor();
+    let mut runs: Vec<Served> = Vec::new();
+    let mut reopt_counters = Vec::new();
+
+    // A dynamic plan at dop 1 untraced, at dop 4 traced, and under a
+    // fault plan that fails the preferred alternative's first read.
+    let (catalog, _, query, plan) = choose::choose_plan_fixture();
+    let env = Environment::dynamic_compile_time(&catalog.config);
+    let cases = [(60, 1, false, false), (60, 4, true, false), (5, 1, true, true)];
+    for (x, dop, traced, faults) in cases {
+        let db = StoredDatabase::generate(&catalog, 77);
+        let bindings = query.bindings(&[("x", x)]).unwrap().with_memory(48.0);
+        let tracer = traced.then(|| Arc::new(Tracer::new()));
+        let mut ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
+        if let Some(t) = &tracer {
+            ctx = ctx.with_tracer(Arc::clone(t));
+        }
+        if faults {
+            db.disk.set_fault_plan(FaultPlan::nth_read(1));
+        }
+        let summary = run(&plan, &db, &catalog, &env, &bindings, &ctx, RootSink::Discard).unwrap();
+        db.disk.set_fault_plan(FaultPlan::none());
+        assert_eq!(faults, summary.fallbacks > 0, "x={x} dop={dop}: {}", summary.fallbacks);
+        let trail = ctx.counters.trail();
+        if let Some(t) = tracer {
+            assert_eq!(t.report().trail, trail, "the tracer holds the run's trail");
+        }
+        let (trace, winners) = (ctx.trace_id(), ctx.counters.winners());
+        runs.push(Served { trace, trail, winners, fallbacks: summary.fallbacks });
+    }
+
+    // Re-optimizing runs over skewed data: the first checkpoint escapes
+    // and a re-plan is adopted; under a 256 KiB cap the retention is
+    // refused, the planning grant degrades, and the run still fails — it
+    // journaled what it did all the same.
+    let skewed = CatalogBuilder::new(SystemConfig::paper_1994())
+        .relation("r", 800, 512, |r| {
+            r.attr("a", 800.0).attr("j", 200.0).btree("a", false).btree("j", false)
+        })
+        .relation("s", 3000, 512, |r| r.attr("a", 3000.0).attr("j", 200.0))
+        .build()
+        .unwrap();
+    let db = StoredDatabase::generate_with(&skewed, 3, ValueDistribution::Zipf { exponent: 1.1 });
+    let (r, s) = (&skewed.relations()[0], &skewed.relations()[1]);
+    let join = LogicalExpr::get(r.id)
+        .select(SelectPred::unbound(r.attr_id("a").unwrap(), CompareOp::Lt, HostVar(0)))
+        .join(
+            LogicalExpr::get(s.id),
+            vec![JoinPred::new(r.attr_id("j").unwrap(), s.attr_id("j").unwrap())],
+        );
+    let env = Environment::dynamic_compile_time(&skewed.config);
+    let plan = Optimizer::new(&skewed, &env).optimize(&join).unwrap().plan;
+    let bindings = Bindings::new().with_value(HostVar(0), 30).with_memory(400.0);
+    for (traced, memory_bytes) in [(true, None), (false, Some(256 * 1024))] {
+        let state = Arc::new(ReoptState::new(ReoptConfig::default()));
+        let limits = ResourceLimits { memory_bytes, ..ResourceLimits::default() };
+        let tracer = traced.then(|| Arc::new(Tracer::new()));
+        let mut ctx = ExecContext::with_limits(SharedCounters::new(), limits)
+            .with_reopt(Arc::clone(&state));
+        if let Some(t) = &tracer {
+            ctx = ctx.with_tracer(Arc::clone(t));
+        }
+        let result = run(&plan, &db, &skewed, &env, &bindings, &ctx, RootSink::Discard);
+        assert_eq!(result.is_ok(), memory_bytes.is_none(), "{result:?}");
+        let trail = ctx.counters.trail();
+        if let Some(t) = tracer {
+            assert_eq!(t.report().trail, trail, "the tracer holds the run's trail");
+            assert_eq!(t.report().reopt().counters, state.counters());
+        }
+        reopt_counters.push((ctx.trace_id(), state.counters()));
+        let fallbacks = result.map_or_else(|_| ctx.counters.fallbacks(), |s| s.fallbacks);
+        let (trace, winners) = (ctx.trace_id(), ctx.counters.winners());
+        runs.push(Served { trace, trail, winners, fallbacks });
+    }
+    let c = &reopt_counters[0].1;
+    assert!(c.escapes >= 1 && c.replans_adopted >= 1, "{c:?}");
+    let c = &reopt_counters[1].1;
+    assert!(c.memory_degradations >= 1, "{c:?}");
+
+    // A traced 2-shard query: both shards journal under its one id, each
+    // in its own order, so the shards' steps are compared as a multiset.
+    let service = ShardedService::new(
+        choose::choose_plan_fixture().0,
+        ShardConfig { shards: 2, trace: true, ..ShardConfig::default() },
+    );
+    let sql = "SELECT * FROM r, s WHERE r.j = s.j AND r.a < :x";
+    let outcome = service.execute(sql, &[("x", 60)]).unwrap();
+    let trace = outcome.trace.as_ref().expect("traced");
+
+    let window = journal().events_since(cursor);
+    assert!(window.first().is_some_and(|e| e.seq == cursor), "the window must not wrap");
+    for Served { trace: trace_id, trail, winners, fallbacks } in &runs {
+        let steps = steps_of(&window, *trace_id);
+        assert!(!steps.is_empty(), "every run arbitrates");
+        assert_eq!(steps, journaled(trail), "run {trace_id}");
+        let journaled_winners: Vec<(u64, usize)> = steps
+            .iter()
+            .filter(|s| s.0 == EventKind::ArbitrationWinner && s.2 != NO_ID)
+            .map(|s| (s.1, s.2 as usize))
+            .collect();
+        assert_eq!(&journaled_winners, winners, "run {trace_id}");
+        let absorbed: u64 =
+            steps.iter().filter(|s| s.0 == EventKind::ArbitrationWinner).map(|s| s.3).sum();
+        // Fallbacks outside a choose-plan are not journaled: a chunked
+        // join, or a revert of the re-optimization driver.
+        assert!(absorbed <= *fallbacks, "run {trace_id}: {absorbed} > {fallbacks}");
+    }
+    for (trace_id, c) in &reopt_counters {
+        let steps = steps_of(&window, *trace_id);
+        assert_eq!(count(&steps, EventKind::IntervalEscape), c.escapes);
+        assert_eq!(count(&steps, EventKind::Replan), c.replans_adopted);
+        assert_eq!(count(&steps, EventKind::DegradationStep), c.memory_degradations);
+    }
+    let mut steps = steps_of(&window, trace.trace_id);
+    let mut want = journaled(&trace.trail);
+    let key = |&(kind, node, a, b): &Step| (kind as usize, node, a, b);
+    steps.sort_unstable_by_key(key);
+    want.sort_unstable_by_key(key);
+    assert_eq!(steps, want, "the shards' steps");
+    let mut winners = outcome.winners.concat();
+    let mut journaled_winners: Vec<(u64, usize)> =
+        steps.iter().map(|s| (s.1, s.2 as usize)).collect();
+    winners.sort_unstable();
+    journaled_winners.sort_unstable();
+    assert_eq!(journaled_winners, winners);
+    assert_eq!(outcome.fallbacks, steps.iter().map(|s| s.3).sum::<u64>());
 }
