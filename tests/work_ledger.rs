@@ -3,7 +3,9 @@
 //! allocations, frees and the optimizer's own counters — for the
 //! benchmark's `adhoc_optimize` texts (chains of 4, 6, 8 and 10
 //! relations, one host-variable selection a relation and a bound literal
-//! on `R1`).
+//! on `R1`); and what the benchmark's two stored databases take once
+//! loaded — heap pages, disk pages, the allocations of the load and the
+//! bytes it leaves live.
 //!
 //! Every line is pinned by equality, so a change that moves one shows the
 //! line in its diff: paste the table the failing run prints back only if
@@ -12,15 +14,15 @@
 //! counting `#[global_allocator]`; run it in release, where the benchmark
 //! measures (`cargo test -q --release --test work_ledger`).
 //!
-//! One test function: the counters are process-wide, and the harness runs
-//! test functions on parallel threads.
+//! The counters are process-wide and the harness runs test functions on
+//! parallel threads, so each test holds [`LEDGER`] while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-use dqep::catalog::{make_chain_catalog, Catalog, SyntheticSpec, SystemConfig};
+use dqep::catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
 use dqep::cost::Environment;
 use dqep::optimizer::{OptimizerStats, Optimizer};
 use dqep::plan::evaluate_startup;
@@ -28,9 +30,14 @@ use dqep::service::{
     region_key, CachedDecision, PreparedStatement, QueryService, Request, ServiceConfig,
 };
 use dqep::sql::parse_query;
+use dqep::storage::StoredDatabase;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+/// Held by the test that is counting.
+static LEDGER: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
@@ -39,18 +46,21 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: the caller's obligations are passed on as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         FREES.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through `alloc` or `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System`; obligations are passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -230,6 +240,7 @@ fn core_counters(catalog: &Catalog, env: &Environment, k: usize) -> [(&'static s
 
 #[test]
 fn the_ad_hoc_work_ledger_reads_as_recorded() {
+    let _counting = LEDGER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let catalog = make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994());
     let env = Environment::dynamic_compile_time(&catalog.config);
     let service = QueryService::new(
@@ -280,5 +291,60 @@ fn the_ad_hoc_work_ledger_reads_as_recorded() {
     assert!(
         table == RECORDED,
         "the ledger moved; this run's table:\n{table}\nrecorded:\n{RECORDED}"
+    );
+}
+
+/// The footprint as recorded. A line reads `<catalog> <what> <count>`.
+const FOOTPRINT: &str = "\
+chain heap pages 1648
+chain disk pages 1820
+chain load allocations 17049
+chain live bytes 3788560
+star heap pages 2573
+star disk pages 2760
+star load allocations 21346
+star live bytes 5744836
+";
+
+/// The star catalog of the scan-heavy workloads: 12 000 `fact` and 6 000
+/// `dim` rows of 256 bytes.
+fn star_catalog() -> Catalog {
+    CatalogBuilder::new(SystemConfig::paper_1994())
+        .relation("fact", 12_000, 256, |r| r.attr("a", 12_000.0).attr("j", 6_000.0).btree("a", false))
+        .relation("dim", 6_000, 256, |r| r.attr("a", 6_000.0).attr("j", 6_000.0).btree("j", false))
+        .build()
+        .expect("the star catalog is well-formed")
+}
+
+/// `StoredDatabase::generate` of the benchmark's chain catalog
+/// (`paper(10, 7)`, data seed 1989) and star catalog (data seed 8): the
+/// base tables' pages, every page on the disk (B-tree pages too), the
+/// allocations the load makes and the bytes still live while the
+/// database is held.
+#[test]
+fn the_storage_footprint_reads_as_recorded() {
+    let _counting = LEDGER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let chain = make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994());
+    let mut table = String::new();
+    for (name, catalog, seed) in [("chain", chain, 1989), ("star", star_catalog(), 8)] {
+        // The fewest of three loads: the harness's own thread allocates
+        // now and then while another test's result is reported.
+        let (mut allocs, mut bytes) = (u64::MAX, i64::MAX);
+        for _ in 0..3 {
+            let live = LIVE.load(Ordering::Relaxed);
+            let (db, n) = allocs_of(|| StoredDatabase::generate(&catalog, seed));
+            (allocs, bytes) = (allocs.min(n), bytes.min(LIVE.load(Ordering::Relaxed) - live));
+            drop(db);
+        }
+        let db = StoredDatabase::generate(&catalog, seed);
+        let heap_pages: usize = db.tables().map(|t| t.heap.page_count()).sum();
+        writeln!(table, "{name} heap pages {heap_pages}").unwrap();
+        writeln!(table, "{name} disk pages {}", db.disk.page_count()).unwrap();
+        writeln!(table, "{name} load allocations {allocs}").unwrap();
+        writeln!(table, "{name} live bytes {bytes}").unwrap();
+    }
+    assert!(
+        table == FOOTPRINT,
+        "the footprint moved; this run's table:\n{table}\nrecorded:\n{FOOTPRINT}"
     );
 }
