@@ -54,12 +54,7 @@ impl BTree {
         let mut page = [0u8; PAGE_SIZE];
         init_leaf(&mut page, PageId::INVALID);
         disk.write_unaccounted(root, &page);
-        BTree {
-            disk,
-            root,
-            entries: 0,
-            height: 1,
-        }
+        BTree { disk, root, entries: 0, height: 1 }
     }
 
     /// Number of entries.
@@ -413,10 +408,7 @@ mod tests {
     use super::*;
 
     fn rid(i: u32) -> Rid {
-        Rid {
-            page: PageId(i),
-            slot: (i % 7) as u16,
-        }
+        Rid { page: PageId(i), slot: (i % 7) as u16 }
     }
 
     #[test]

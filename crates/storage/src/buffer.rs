@@ -158,7 +158,10 @@ mod tests {
             }
             let (hits, misses) = (pool.hits(), pool.misses());
             assert_eq!(pool.read(ids[p]).unwrap()[0], p as u8);
-            assert_eq!((pool.hits() - hits, pool.misses() - misses), (u64::from(hit), u64::from(!hit)));
+            assert_eq!(
+                (pool.hits() - hits, pool.misses() - misses),
+                (u64::from(hit), u64::from(!hit))
+            );
             assert_eq!(pool.resident(), model.len());
         }
     }
@@ -180,10 +183,7 @@ mod tests {
     #[test]
     fn zero_capacity_rejected() {
         let (disk, _) = disk_with(1);
-        assert_eq!(
-            BufferPool::new(disk, 0).unwrap_err(),
-            StorageError::ZeroCapacityPool
-        );
+        assert_eq!(BufferPool::new(disk, 0).unwrap_err(), StorageError::ZeroCapacityPool);
     }
 
     #[test]

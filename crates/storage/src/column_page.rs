@@ -88,8 +88,15 @@ impl<'a> PageViewMut<'a> {
     /// # Panics
     /// Panics when a `record_len`-byte record has no room for `width`
     /// values.
-    pub fn format(data: &'a mut [u8; PAGE_SIZE], record_len: usize, width: usize) -> PageViewMut<'a> {
-        assert!(width * 8 <= record_len, "a {record_len}-byte record holds fewer than {width} values");
+    pub fn format(
+        data: &'a mut [u8; PAGE_SIZE],
+        record_len: usize,
+        width: usize,
+    ) -> PageViewMut<'a> {
+        assert!(
+            width * 8 <= record_len,
+            "a {record_len}-byte record holds fewer than {width} values"
+        );
         data.fill(0);
         write_u16(data, 2, ColumnPage::records_per_page(record_len) as u16);
         write_u16(data, 4, width as u16);
@@ -189,12 +196,19 @@ impl<B: Deref<Target = [u8; PAGE_SIZE]>> ColumnPage<B> {
     /// Panics when given more columns than the page's rows have values.
     #[inline]
     pub fn read_into(&self, from: u16, max_rows: usize, cols: &mut [Vec<i64>]) -> (usize, u16) {
-        assert!(cols.len() <= self.width(), "{} columns of a {}-wide page", cols.len(), self.width());
+        assert!(
+            cols.len() <= self.width(),
+            "{} columns of a {}-wide page",
+            cols.len(),
+            self.width()
+        );
         let (from, capacity) = (usize::from(from), self.capacity());
         let n = self.len().saturating_sub(from).min(max_rows);
         for (attr, col) in cols.iter_mut().enumerate() {
             let start = HEADER + 8 * (attr * capacity + from);
-            col.extend(self.data[start..start + 8 * n].chunks_exact(8).map(|value| le_i64(value, 0)));
+            col.extend(
+                self.data[start..start + 8 * n].chunks_exact(8).map(|value| le_i64(value, 0)),
+            );
         }
         (n, (from + n) as u16)
     }

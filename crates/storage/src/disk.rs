@@ -360,7 +360,11 @@ impl SimDisk {
     ///
     /// # Panics
     /// Panics on an unallocated or freed page id (a loader bug).
-    pub(crate) fn update_unaccounted<R>(&self, id: PageId, f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R) -> R {
+    pub(crate) fn update_unaccounted<R>(
+        &self,
+        id: PageId,
+        f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
+    ) -> R {
         let mut inner = self.inner.lock();
         let Some(page) = inner.pages.get_mut(id.0 as usize).and_then(Option::as_mut) else {
             panic!("unaccounted update of unallocated page {id}");
@@ -481,20 +485,12 @@ mod tests {
     #[test]
     fn stats_seconds_and_since() {
         let cfg = SystemConfig::paper_1994();
-        let s = IoStats {
-            seq_reads: 100,
-            random_reads: 10,
-            writes: 50,
-        };
+        let s = IoStats { seq_reads: 100, random_reads: 10, writes: 50 };
         let secs = s.seconds(&cfg);
         assert!((secs - (150.0 * 0.001 + 10.0 * 0.004)).abs() < 1e-12);
         assert_eq!(s.total(), 160);
 
-        let earlier = IoStats {
-            seq_reads: 40,
-            random_reads: 4,
-            writes: 20,
-        };
+        let earlier = IoStats { seq_reads: 40, random_reads: 4, writes: 20 };
         let d = s.since(&earlier);
         assert_eq!(d, IoStats { seq_reads: 60, random_reads: 6, writes: 30 });
     }
@@ -515,10 +511,7 @@ mod tests {
     #[test]
     fn reading_unallocated_page_errors() {
         let disk = SimDisk::new();
-        assert_eq!(
-            disk.read(PageId(5)).unwrap_err(),
-            StorageError::UnallocatedPage(PageId(5))
-        );
+        assert_eq!(disk.read(PageId(5)).unwrap_err(), StorageError::UnallocatedPage(PageId(5)));
     }
 
     #[test]

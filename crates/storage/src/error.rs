@@ -60,9 +60,7 @@ impl fmt::Display for StorageError {
                 let op = if *write { "write" } else { "read" };
                 write!(f, "injected fault: {op} of page {page} failed")
             }
-            StorageError::ZeroCapacityPool => {
-                f.write_str("buffer pool needs at least one frame")
-            }
+            StorageError::ZeroCapacityPool => f.write_str("buffer pool needs at least one frame"),
             StorageError::RecordNotFound { page, slot } => {
                 write!(f, "no record at {page} slot {slot}")
             }

@@ -41,30 +41,20 @@ impl FaultPlan {
     /// Fails the `n`-th accounted read (1-based).
     #[must_use]
     pub fn nth_read(n: u64) -> FaultPlan {
-        FaultPlan {
-            fail_nth_reads: vec![n],
-            ..FaultPlan::default()
-        }
+        FaultPlan { fail_nth_reads: vec![n], ..FaultPlan::default() }
     }
 
     /// Fails every accounted read of pages `lo..=hi`.
     #[must_use]
     pub fn page_range(lo: u32, hi: u32) -> FaultPlan {
-        FaultPlan {
-            fail_page_range: Some((lo, hi)),
-            ..FaultPlan::default()
-        }
+        FaultPlan { fail_page_range: Some((lo, hi)), ..FaultPlan::default() }
     }
 
     /// Fails each accounted read with probability `prob`, deterministically
     /// in `seed`.
     #[must_use]
     pub fn probabilistic(prob: f64, seed: u64) -> FaultPlan {
-        FaultPlan {
-            read_fail_prob: prob.clamp(0.0, 1.0),
-            seed,
-            ..FaultPlan::default()
-        }
+        FaultPlan { read_fail_prob: prob.clamp(0.0, 1.0), seed, ..FaultPlan::default() }
     }
 
     /// Decides whether the accounted read with 1-based `ordinal` of `page`
@@ -115,12 +105,12 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("fault clause `{clause}` is not key=value"))?;
             match key {
-                "nth-read" => plan
-                    .fail_nth_reads
-                    .push(value.parse().map_err(|e| format!("nth-read: {e}"))?),
-                "nth-write" => plan
-                    .fail_nth_writes
-                    .push(value.parse().map_err(|e| format!("nth-write: {e}"))?),
+                "nth-read" => {
+                    plan.fail_nth_reads.push(value.parse().map_err(|e| format!("nth-read: {e}"))?)
+                }
+                "nth-write" => {
+                    plan.fail_nth_writes.push(value.parse().map_err(|e| format!("nth-write: {e}"))?)
+                }
                 "pages" => {
                     let (lo, hi) = value
                         .split_once("..")
@@ -210,16 +200,14 @@ mod tests {
         let rate = fails.iter().filter(|&&b| b).count() as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
         let other = FaultPlan::probabilistic(0.25, 43);
-        let differs = (1..=10_000).any(|i| other.read_fails(PageId(0), i) != p.read_fails(PageId(0), i));
+        let differs =
+            (1..=10_000).any(|i| other.read_fails(PageId(0), i) != p.read_fails(PageId(0), i));
         assert!(differs, "different seeds diverge");
     }
 
     #[test]
     fn writes_fail_by_ordinal_only() {
-        let p = FaultPlan {
-            fail_nth_writes: vec![2],
-            ..FaultPlan::default()
-        };
+        let p = FaultPlan { fail_nth_writes: vec![2], ..FaultPlan::default() };
         assert!(!p.write_fails(1));
         assert!(p.write_fails(2));
         assert!(!FaultPlan::nth_read(2).write_fails(2));

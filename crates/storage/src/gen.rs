@@ -127,13 +127,8 @@ pub fn install_union_histograms(
         }
         for (i, column) in columns.into_iter().enumerate() {
             if let Some(h) = Histogram::build(column, buckets) {
-                catalog.set_histogram(
-                    dqep_catalog::AttrId {
-                        relation: rel_id,
-                        index: i as u32,
-                    },
-                    h,
-                );
+                catalog
+                    .set_histogram(dqep_catalog::AttrId { relation: rel_id, index: i as u32 }, h);
             }
         }
     }
@@ -175,11 +170,7 @@ impl StoredDatabase {
     /// Panics when the catalog's page size differs from the storage page
     /// size.
     #[must_use]
-    pub fn generate_with(
-        catalog: &Catalog,
-        seed: u64,
-        dist: ValueDistribution,
-    ) -> StoredDatabase {
+    pub fn generate_with(catalog: &Catalog, seed: u64, dist: ValueDistribution) -> StoredDatabase {
         Self::generate_profiled(catalog, seed, |_, _| dist)
     }
 
@@ -258,9 +249,14 @@ impl StoredDatabase {
         catalog: &Catalog,
         rows: &HashMap<RelationId, Vec<Vec<i64>>>,
     ) -> StoredDatabase {
-        only(Self::load(catalog, 1, |_, _| 0, |rel, load| {
-            rows.get(&rel.id).into_iter().flatten().for_each(|row| load(row));
-        }))
+        only(Self::load(
+            catalog,
+            1,
+            |_, _| 0,
+            |rel, load| {
+                rows.get(&rel.id).into_iter().flatten().for_each(|row| load(row));
+            },
+        ))
     }
 
     /// The one load loop behind [`StoredDatabase::generate_routed`] and
@@ -304,9 +300,9 @@ impl StoredDatabase {
                 let table = &mut tables[route(rel, values)];
                 // A fresh disk has no fault plan and base-table appends are
                 // unaccounted, so loading cannot fail.
-                let rid = table.heap.append(values).unwrap_or_else(
-                    |e| unreachable!("load-time append on a fresh disk failed: {e}"),
-                );
+                let rid = table.heap.append(values).unwrap_or_else(|e| {
+                    unreachable!("load-time append on a fresh disk failed: {e}")
+                });
                 for (&idx_id, tree) in &mut table.indexes {
                     let key_attr = catalog.index(idx_id).attr.index as usize;
                     tree.insert(values[key_attr], rid);
@@ -422,11 +418,7 @@ mod tests {
         }
         // Range count equals heap filter count.
         let via_index = tree.range(None, Some(99)).unwrap().len();
-        let via_scan = table
-            .heap
-            .scan()
-            .filter(|r| r.as_ref().unwrap()[0] < 100)
-            .count();
+        let via_scan = table.heap.scan().filter(|r| r.as_ref().unwrap()[0] < 100).count();
         assert_eq!(via_index, via_scan);
     }
 
@@ -456,10 +448,7 @@ mod tests {
 
         // Keep only rows with even `a` — a synthetic shard partition.
         let mut part: HashMap<RelationId, Vec<Vec<i64>>> = HashMap::new();
-        part.insert(
-            rel_r,
-            rows[&rel_r].iter().filter(|r| r[0] % 2 == 0).cloned().collect(),
-        );
+        part.insert(rel_r, rows[&rel_r].iter().filter(|r| r[0] % 2 == 0).cloned().collect());
         let shard = StoredDatabase::from_rows(&cat, &part);
         let kept = part[&rel_r].len() as u64;
         assert_eq!(shard.table(rel_r).heap.record_count(), kept);

@@ -429,11 +429,12 @@ mod tests {
         let disk = SimDisk::new();
         let mut wide = HeapFile::new(disk.clone(), 2560, 2);
         let err = wide.append(&[1, 2]).unwrap_err();
+        assert_eq!(err, StorageError::RecordTooLarge { len: 2560, max: ColumnPage::MAX_RECORD });
         assert_eq!(
-            err,
-            StorageError::RecordTooLarge { len: 2560, max: ColumnPage::MAX_RECORD }
+            (wide.record_count(), wide.page_count(), disk.page_count()),
+            (0, 0, 0),
+            "nothing appended"
         );
-        assert_eq!((wide.record_count(), wide.page_count(), disk.page_count()), (0, 0, 0), "nothing appended");
         let mut widest = HeapFile::new(disk.clone(), ColumnPage::MAX_RECORD, 2);
         widest.append(&[1, 2]).unwrap();
         widest.append(&[3, 4]).unwrap();
@@ -449,7 +450,11 @@ mod tests {
             wide.append([1, 2]).unwrap_err(),
             StorageError::RecordTooLarge { len: 2560, max: ColumnPage::MAX_RECORD }
         );
-        assert_eq!((disk.page_count(), disk.stats().writes), (0, 0), "nothing allocated or charged");
+        assert_eq!(
+            (disk.page_count(), disk.stats().writes),
+            (0, 0),
+            "nothing allocated or charged"
+        );
         let sealed = wide.finish().unwrap();
         assert_eq!((sealed.record_count(), sealed.page_count()), (0, 0));
         // The widest row that does fit takes a page to itself.
@@ -478,7 +483,11 @@ mod tests {
         assert_eq!(sealed.pages(), heap.pages());
         for (k, &pid) in sealed.pages().iter().enumerate() {
             let mut want = vec![Vec::new(); 3];
-            ColumnPage::from_bytes(reference.read_unaccounted(pid)).read_into(0, usize::MAX, &mut want);
+            ColumnPage::from_bytes(reference.read_unaccounted(pid)).read_into(
+                0,
+                usize::MAX,
+                &mut want,
+            );
             let got: Vec<Vec<i64>> = sealed.page(k).columns().map(<[i64]>::to_vec).collect();
             assert_eq!(got, want, "page {k}");
             // The disk keeps the id; the rows are the file's.

@@ -30,11 +30,7 @@ impl PageClaims {
     /// treated as 1.
     #[must_use]
     pub fn new(total: usize, chunk: usize) -> PageClaims {
-        PageClaims {
-            next: AtomicUsize::new(0),
-            total,
-            chunk: chunk.max(1),
-        }
+        PageClaims { next: AtomicUsize::new(0), total, chunk: chunk.max(1) }
     }
 
     /// Claims the next unclaimed morsel, or `None` when every page has
@@ -99,10 +95,7 @@ mod tests {
                 mine
             }));
         }
-        let mut all: Vec<usize> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
+        let mut all: Vec<usize> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
         all.sort_unstable();
         assert_eq!(all, (0..1000).collect::<Vec<_>>());
     }

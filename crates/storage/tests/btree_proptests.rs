@@ -6,10 +6,7 @@ use dqep_storage::{BTree, PageId, Rid, SimDisk};
 use proptest::prelude::*;
 
 fn rid(i: usize) -> Rid {
-    Rid {
-        page: PageId(i as u32),
-        slot: (i % 13) as u16,
-    }
+    Rid { page: PageId(i as u32), slot: (i % 13) as u16 }
 }
 
 proptest! {

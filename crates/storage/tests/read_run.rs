@@ -13,7 +13,9 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 
-use dqep_storage::{FaultPlan, PageId, PageRef, SimDisk, SpillFile, SpillWriter, StorageError, PAGE_SIZE};
+use dqep_storage::{
+    FaultPlan, PageId, PageRef, SimDisk, SpillFile, SpillWriter, StorageError, PAGE_SIZE,
+};
 use proptest::prelude::*;
 
 const BASE_PAGES: u32 = 6;
@@ -53,7 +55,9 @@ fn id_sequences() -> impl Strategy<Value = Vec<(u32, u32, bool)>> {
 fn expand(stretches: &[(u32, u32, bool)]) -> Vec<PageId> {
     let mut ids = Vec::new();
     for &(start, len, ascending) in stretches {
-        ids.extend((0..len).map(|k| PageId(if ascending { start + k } else { start.saturating_sub(k) })));
+        ids.extend(
+            (0..len).map(|k| PageId(if ascending { start + k } else { start.saturating_sub(k) })),
+        );
     }
     ids
 }
@@ -200,5 +204,9 @@ fn a_paced_run_does_not_sleep_under_the_latch() {
         halfway
     });
     assert!(halfway > 100, "stats() returned {halfway} times during the run's sleeps");
-    assert_eq!((disk.stats().total(), disk.longest_run()), (u64::from(PAGES), 0), "paced: no run held the latch");
+    assert_eq!(
+        (disk.stats().total(), disk.longest_run()),
+        (u64::from(PAGES), 0),
+        "paced: no run held the latch"
+    );
 }

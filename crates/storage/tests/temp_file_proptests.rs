@@ -214,7 +214,11 @@ fn file_rows(file: &SpillFile) -> Vec<Page> {
 fn heap_rows(heap: &HeapFile, width: usize) -> Vec<Page> {
     let rows = |pid: PageId| {
         let mut cols = vec![Vec::new(); width];
-        ColumnPage::from_bytes(heap.disk().read_unaccounted(pid)).read_into(0, usize::MAX, &mut cols);
+        ColumnPage::from_bytes(heap.disk().read_unaccounted(pid)).read_into(
+            0,
+            usize::MAX,
+            &mut cols,
+        );
         cols
     };
     heap.pages().iter().map(|&pid| (pid, rows(pid))).collect()
@@ -370,7 +374,15 @@ type Sealed = (Vec<Result<Vec<Page>, StorageError>>, IoStats, u64, Vec<StorageEr
 /// Appends `rows` in batches of `chunk`, each dealt at once or appended row
 /// by row; a batch stops at its first error and the next one goes on. Then
 /// seals every writer, so the rows each holds can be seen.
-fn append_then_seal(rows: &Rows, files: usize, width: usize, len: usize, fail: Option<u64>, chunk: usize, dealt: bool) -> Sealed {
+fn append_then_seal(
+    rows: &Rows,
+    files: usize,
+    width: usize,
+    len: usize,
+    fail: Option<u64>,
+    chunk: usize,
+    dealt: bool,
+) -> Sealed {
     let disk = SimDisk::new();
     disk.set_fault_plan(fault_plan(fail));
     let mut writers: Vec<SpillWriter> =
@@ -383,11 +395,14 @@ fn append_then_seal(rows: &Rows, files: usize, width: usize, len: usize, fail: O
             let to = part.iter().enumerate().map(|(row, (file, _))| (row, file % files));
             SpillWriter::deal(&mut writers, &columns, to)
         } else {
-            part.iter().try_for_each(|(file, values)| writers[file % files].append(values[..width].iter().copied()))
+            part.iter().try_for_each(|(file, values)| {
+                writers[file % files].append(values[..width].iter().copied())
+            })
         };
         errors.extend(appended.err());
     }
     let sealed: Vec<_> = writers.into_iter().map(SpillWriter::finish).collect();
-    let pages = sealed.iter().map(|file| file.as_ref().map(file_rows).map_err(Clone::clone)).collect();
+    let pages =
+        sealed.iter().map(|file| file.as_ref().map(file_rows).map_err(Clone::clone)).collect();
     (pages, disk.stats(), disk.temp_pages().high_water, errors)
 }
