@@ -13,7 +13,7 @@
 //! selection vector instead of copying survivors, so a selective scan
 //! stays allocation-free.
 
-use dqep_storage::{SpillFile, SpillPage, StorageError};
+use dqep_storage::{PageRows, SpillFile, StorageError};
 
 use crate::tuple::Tuple;
 
@@ -81,12 +81,13 @@ impl RowBatch {
         run_pages: usize,
     ) -> Result<RowBatch, StorageError> {
         let mut rows = RowBatch::with_capacity(width, file.record_count() as usize);
-        file.read_pages(run_pages, |page| rows.extend_from_spill(page))?;
+        file.read_pages(run_pages, |page| rows.extend_from_page(page))?;
         Ok(rows)
     }
 
-    /// Appends the rows of one spill page, column slice by column slice.
-    pub(crate) fn extend_from_spill(&mut self, page: SpillPage<'_>) {
+    /// Appends rows of a file — a page, or a stretch of pages — column
+    /// slice by column slice.
+    pub(crate) fn extend_from_page(&mut self, page: PageRows<'_>) {
         self.extend_rows_with(page.rows(), |cols| {
             cols.iter_mut().zip(page.columns()).for_each(|(col, from)| col.extend_from_slice(from));
         });
@@ -161,29 +162,17 @@ impl RowBatch {
     }
 
     /// Appends `n` rows whose values the producer writes straight into the
-    /// column vectors (a scan decoding a page column-wise, a join
+    /// column vectors (a scan copying a page's column slices, a join
     /// gathering match pairs). The closure must extend **every** column by
     /// exactly `n` values; this is checked in debug builds.
     pub fn extend_rows_with(&mut self, n: usize, f: impl FnOnce(&mut [Vec<i64>])) {
-        self.extend_with(|cols| {
-            f(cols);
-            n
-        });
-    }
-
-    /// Like [`RowBatch::extend_rows_with`], for a producer that learns the
-    /// row count only as it writes (a page decode stepping over deleted
-    /// records): the closure returns how many values it appended to every
-    /// column, and so does this.
-    pub fn extend_with(&mut self, f: impl FnOnce(&mut [Vec<i64>]) -> usize) -> usize {
         debug_assert!(self.selection.is_none(), "push into a filtered batch");
-        let n = f(&mut self.columns);
+        f(&mut self.columns);
         self.rows += n;
         debug_assert!(
             self.columns.iter().all(|c| c.len() == self.rows),
-            "extend_with left ragged columns"
+            "extend_rows_with left ragged columns"
         );
-        n
     }
 
     /// Appends live rows number `live.start..live.end` of `src` (positions

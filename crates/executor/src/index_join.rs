@@ -2,7 +2,7 @@
 //! row.
 
 use dqep_catalog::IndexId;
-use dqep_storage::{BufferPool, ColumnPage, Rid, StorageError, StoredTable};
+use dqep_storage::{BufferPool, Rid, StoredTable};
 
 use crate::batch::{ColStream, RowBatch};
 use crate::error::ExecError;
@@ -109,18 +109,11 @@ impl<'a> IndexJoinExec<'a> {
             let rids = &mut self.rids;
             let pages = tree.range_scan(key, key, |_, rid| rids.push(rid))?;
             self.ctx.governor.charge_io(pages)?;
-            for rid in &self.rids {
-                let misses_before = self.pool.misses();
-                let page = ColumnPage::from_bytes(self.pool.read(rid.page)?);
-                if self.pool.misses() > misses_before {
+            for &rid in &self.rids {
+                if self.pool.read(rid.page)? {
                     self.ctx.governor.charge_io(1)?;
                 }
-                let row = page
-                    .row(rid.slot)
-                    .ok_or(ExecError::Storage(StorageError::RecordNotFound {
-                        page: rid.page,
-                        slot: rid.slot,
-                    }))?;
+                let row = self.inner.heap.row(rid)?;
                 *compares += 1;
                 if let Some(p) = &self.residual {
                     if !p.op.eval_int(row.value(p.pos), p.value) {

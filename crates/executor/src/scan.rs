@@ -2,11 +2,12 @@
 //! backing its parallel form, over one page-decoding body; B-tree-Scan and
 //! Filter-B-tree-Scan, one operator over a key range.
 
+use std::cell::Cell;
 use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use dqep_catalog::IndexId;
-use dqep_storage::{ColumnPage, PageClaims, PageView, Rid, StoredTable, DEFAULT_MORSEL_PAGES};
+use dqep_storage::{records_per_page, HeapFile, PageClaims, Rid, StoredTable, DEFAULT_MORSEL_PAGES};
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
@@ -14,9 +15,9 @@ use crate::governor::ExecContext;
 use crate::tuple::TupleLayout;
 use crate::Operator;
 
-/// The shared body of the two heap scans: copies the column runs of the
-/// pages its caller names straight into batches, carrying a page tail and
-/// a deferred error between calls.
+/// The shared body of the two heap scans: reads the pages its caller
+/// names and copies their rows out of the heap file's columns into
+/// batches, carrying a page tail and a deferred error between calls.
 struct HeapPages<'a> {
     table: &'a StoredTable,
     layout: TupleLayout,
@@ -26,47 +27,39 @@ struct HeapPages<'a> {
     /// query share it.
     run_pages: usize,
     /// The last page read when the request was full before the page was
-    /// used up, and the slot to go on from: a reference to the disk's
-    /// buffer, not a copy of the rows.
-    tail: Option<(ColumnPage, u16)>,
+    /// used up, and the slot to go on from: `(page index, slot)`.
+    tail: Option<(usize, usize)>,
     /// Error hit while a batch already held decoded rows; surfaced on the
     /// next call so the partial batch is delivered (and counted) first.
     pending_err: Option<ExecError>,
-    /// The page whose read failed: a further pull reads it again first.
-    retry_page: Option<usize>,
+    /// The page to read first: one whose read failed, read again by a
+    /// further pull, or the first of the next run.
+    next_page: Option<usize>,
 }
 
 impl<'a> HeapPages<'a> {
     fn new(table: &'a StoredTable, layout: TupleLayout, ctx: ExecContext, run_pages: usize) -> Self {
-        HeapPages {
-            table,
-            layout,
-            ctx,
-            run_pages,
-            tail: None,
-            pending_err: None,
-            retry_page: None,
-        }
+        HeapPages { table, layout, ctx, run_pages, tail: None, pending_err: None, next_page: None }
     }
 
     fn reset(&mut self) {
         self.tail = None;
         self.pending_err = None;
-        self.retry_page = None;
+        self.next_page = None;
     }
 
     /// Fills a batch of up to `max_rows` rows from the page tail and then
     /// from the pages `next_page` yields (indexes into the heap's page
-    /// list): a page's column runs are copied straight into the batch's
-    /// columns — no per-row allocation, one governor check and one
+    /// list): no per-row allocation, one governor check and one
     /// record-counter update per batch. The pages are read in runs
     /// ([`dqep_storage::SimDisk::read_run`]): one disk latch for as many
-    /// pages as the batch takes (`run_pages` at most), each copied from
-    /// the disk's own bytes; only a page the batch leaves unfinished is
-    /// kept, as the tail. I/O is still charged per page, before it is
-    /// read (so fault injection and I/O budgets trip on the page that
-    /// caused them). A fault after the batch already holds rows is
-    /// deferred to the next call.
+    /// consecutive pages as the batch takes (`run_pages` at most); after
+    /// the run, the stretch of pages it read is copied out of the heap
+    /// file's columns with one slice copy a column, and only a page the
+    /// batch leaves unfinished is kept, as the tail. I/O is still charged
+    /// per page, before it is read (so fault injection and I/O budgets
+    /// trip on the page that caused them). A fault after the batch already
+    /// holds rows is deferred to the next call.
     ///
     /// `pages_left` bounds what `next_page` can still yield: the batch's
     /// columns are sized for the rows those pages (and the tail) can
@@ -82,43 +75,51 @@ impl<'a> HeapPages<'a> {
         if let Some(e) = self.pending_err.take() {
             return Err(e);
         }
-        let tail_rows = self.tail.as_ref().map_or(0, |(page, from)| page.len() - usize::from(*from));
-        let pages = pages_left + usize::from(self.retry_page.is_some());
-        let to_come = tail_rows + pages * ColumnPage::records_per_page(self.table.record_len);
+        let heap = &self.table.heap;
+        let tail_rows = self.tail.map_or(0, |(k, slot)| heap.page(k).rows() - slot);
+        let pages = pages_left + usize::from(self.next_page.is_some());
+        let to_come = tail_rows + pages * records_per_page(self.table.record_len);
         let mut batch = RowBatch::with_capacity(self.layout.width(), max_rows.min(to_come));
-        if let Some((page, from)) = self.tail.take() {
-            let view = PageView::from_bytes(page.as_bytes());
-            if let Some(next) = read_page(&view, from, max_rows, &mut batch) {
-                self.tail = Some((page, next));
-            }
+        if let Some((k, slot)) = self.tail.take() {
+            self.tail = copy_pages(heap, k..k + 1, slot, max_rows, &mut batch);
         }
-        let (heap, governor) = (&self.table.heap, &self.ctx.governor);
+        let governor = &self.ctx.governor;
         let mut exhausted = false;
         while batch.rows() < max_rows && !exhausted {
-            // One run. `ids` and the visit run under the disk latch: they
-            // touch the governor, the claim counter and the batch, never
-            // the disk.
-            let (mut at, mut refused) = (None, None);
+            // One run, over consecutive pages. `ids` and the visit run
+            // under the disk latch: they touch the governor, the claim
+            // counter and the page counts, never the disk.
+            let (first, at, mut refused) = (Cell::new(None), Cell::new(None), None);
+            let (mut read, mut rows) = (0, batch.rows());
             let ids = std::iter::from_fn(|| {
-                at = self.retry_page.take().or_else(&mut next_page);
-                exhausted = at.is_none();
-                let idx = at?;
+                let idx = self.next_page.take().or_else(&mut next_page);
+                exhausted = idx.is_none();
+                let idx = idx?;
+                if at.get().is_some_and(|prev| prev + 1 != idx) {
+                    // A jump (to the next morsel) ends the run; the next
+                    // run starts at it.
+                    self.next_page = Some(idx);
+                    return None;
+                }
+                first.set(first.get().or(Some(idx)));
+                at.set(Some(idx));
                 refused = governor.charge_io(1).err();
                 refused.is_none().then(|| heap.pages()[idx])
             });
-            let read = heap.disk().read_run(ids.take(self.run_pages), |page| {
-                let view = PageView::from_bytes(&**page);
-                if let Some(next) = read_page(&view, 0, max_rows, &mut batch) {
-                    self.tail = Some((ColumnPage::from_bytes(Arc::clone(page)), next));
-                }
-                if batch.rows() < max_rows {
+            let result = heap.disk().read_run(ids.take(self.run_pages), |_| {
+                read += 1;
+                rows += at.get().map_or(0, |idx| heap.page(idx).rows());
+                if rows < max_rows {
                     ControlFlow::Continue(())
                 } else {
                     ControlFlow::Break(())
                 }
             });
-            if let Some(e) = refused.or(read.err().map(ExecError::from)) {
-                self.retry_page = at;
+            if let Some(first) = first.get().filter(|_| read > 0) {
+                self.tail = copy_pages(heap, first..first + read, 0, max_rows, &mut batch);
+            }
+            if let Some(e) = refused.or(result.err().map(ExecError::from)) {
+                self.next_page = at.get();
                 if batch.rows() == 0 {
                     return Err(e);
                 }
@@ -136,18 +137,25 @@ impl<'a> HeapPages<'a> {
     }
 }
 
-/// Copies `page` from slot `from` on straight into the columns of
-/// `batch`, as far as `max_rows` lets it; the slot to go on from when the
-/// page has rows left over.
-fn read_page(page: &PageView<'_>, from: u16, max_rows: usize, batch: &mut RowBatch) -> Option<u16> {
-    let room = max_rows - batch.rows();
-    let mut next = from;
-    batch.extend_with(|cols| {
-        let (rows, resume) = page.read_into(from, room, cols);
-        next = resume;
-        rows
-    });
-    ((next as usize) < page.len()).then_some(next)
+/// Copies the rows of the consecutive pages `pages`, from slot `from` of
+/// the first on, straight into the columns of `batch`, as far as
+/// `max_rows` lets it: one slice copy a column. The page and slot to go on
+/// from when the last page has rows left over — only it can, since a run
+/// ends at the page that fills the batch.
+fn copy_pages(
+    heap: &HeapFile,
+    pages: Range<usize>,
+    from: usize,
+    max_rows: usize,
+    batch: &mut RowBatch,
+) -> Option<(usize, usize)> {
+    let last = heap.page(pages.end - 1);
+    let rows = heap.rows_of(pages.clone()).slice(from, usize::MAX);
+    let copied = rows.slice(0, max_rows - batch.rows());
+    batch.extend_from_page(copied);
+    let left = rows.rows() - copied.rows();
+    debug_assert!(left <= last.rows(), "rows left over on a page before the last");
+    (left > 0).then(|| (pages.end - 1, last.rows() - left))
 }
 
 /// Sequential scan of a base table (accounted as sequential page reads).

@@ -430,7 +430,7 @@ impl<'a> SortExec<'a> {
         }
         let copied = |run: &SpillFile| {
             let mut rows = RowBatch::with_capacity(width, run.record_count() as usize);
-            (0..run.page_count()).for_each(|k| rows.extend_from_spill(run.page(k)));
+            (0..run.page_count()).for_each(|k| rows.extend_from_page(run.page(k)));
             rows
         };
         Ok(runs.iter().map(copied).collect())

@@ -1,26 +1,27 @@
 //! An LRU buffer pool over the simulated disk.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::ops::ControlFlow;
 
 use crate::disk::SimDisk;
 use crate::error::StorageError;
-use crate::page::{PageId, PageRef};
+use crate::page::PageId;
 
-/// A least-recently-used page cache.
+/// A least-recently-used cache of page ids.
 ///
 /// Reads hit the cache for free; misses read through to the (accounted)
-/// disk and evict the least recently used frame when the pool is full.
-/// The executor routes repeated point fetches (e.g. the inner fetches of
-/// an index join) through a pool sized to the query's memory grant, which
-/// is what the cost model's "upper index levels are cached" assumption
-/// corresponds to.
+/// disk and evict the least recently used frame when the pool is full. A
+/// frame holds no buffer — a base table's rows are its heap file's — so the
+/// pool only says which reads the disk saw. The executor routes repeated
+/// point fetches (e.g. the inner fetches of an index join) through a pool
+/// sized to the query's memory grant, which is what the cost model's
+/// "upper index levels are cached" assumption corresponds to.
 #[derive(Debug)]
 pub struct BufferPool {
     disk: SimDisk,
     capacity: usize,
-    /// Cached page and the clock reading of its last use.
-    frames: HashMap<PageId, (PageRef, u64)>,
+    /// Cached page → the clock reading of its last use.
+    frames: HashMap<PageId, u64>,
     /// Last-use reading → page, one entry per frame (readings are
     /// unique): the first entry is the eviction victim.
     by_age: BTreeMap<u64, PageId>,
@@ -49,32 +50,32 @@ impl BufferPool {
         })
     }
 
-    /// Reads a page through the pool. Hit or miss, the result shares the
-    /// cached buffer — a hit costs a reference count, not a page copy.
+    /// Reads a page through the pool: whether it missed, and so was read
+    /// from the disk (one accounted read).
     ///
     /// # Errors
     /// Propagates the disk's failure on a miss (unallocated page or
-    /// injected fault); hits never fail.
-    pub fn read(&mut self, id: PageId) -> Result<PageRef, StorageError> {
+    /// injected fault), which caches and evicts nothing; hits never fail.
+    pub fn read(&mut self, id: PageId) -> Result<bool, StorageError> {
         self.clock += 1;
         let clock = self.clock;
-        if let Some((data, used)) = self.frames.get_mut(&id) {
+        if let Some(used) = self.frames.get_mut(&id) {
             self.by_age.remove(used);
             self.by_age.insert(clock, id);
             *used = clock;
             self.hits += 1;
-            return Ok(Arc::clone(data));
+            return Ok(false);
         }
         self.misses += 1;
-        let data = self.disk.read(id)?;
+        self.disk.read_run([id], |_| ControlFlow::Continue(()))?;
         if self.frames.len() >= self.capacity {
             if let Some((_, victim)) = self.by_age.pop_first() {
                 self.frames.remove(&victim);
             }
         }
-        self.frames.insert(id, (Arc::clone(&data), clock));
+        self.frames.insert(id, clock);
         self.by_age.insert(clock, id);
-        Ok(data)
+        Ok(true)
     }
 
     /// Cache hits so far.
@@ -99,16 +100,10 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PAGE_SIZE;
 
     fn disk_with(n: u32) -> (SimDisk, Vec<PageId>) {
         let disk = SimDisk::new();
         let ids: Vec<PageId> = (0..n).map(|_| disk.allocate()).collect();
-        for (i, &id) in ids.iter().enumerate() {
-            let mut page = [0u8; PAGE_SIZE];
-            page[0] = i as u8;
-            disk.write_unaccounted(id, &page);
-        }
         (disk, ids)
     }
 
@@ -116,12 +111,10 @@ mod tests {
     fn caches_repeated_reads() {
         let (disk, ids) = disk_with(4);
         let mut pool = BufferPool::new(disk.clone(), 4).unwrap();
-        for _ in 0..10 {
-            let page = pool.read(ids[2]).unwrap();
-            assert_eq!(page[0], 2);
-        }
-        assert_eq!(pool.misses(), 1);
-        assert_eq!(pool.hits(), 9);
+        let missed: Vec<bool> = (0..10).map(|_| pool.read(ids[2]).unwrap()).collect();
+        assert_eq!(missed.iter().filter(|&&m| m).count(), 1);
+        assert!(missed[0], "the first read misses");
+        assert_eq!((pool.misses(), pool.hits()), (1, 9));
         assert_eq!(disk.stats().total(), 1, "only the miss touches disk");
     }
 
@@ -135,9 +128,9 @@ mod tests {
         let _ = pool.read(ids[2]).unwrap(); // evicts 1
         assert_eq!(pool.resident(), 2);
         let before = disk.stats().total();
-        let _ = pool.read(ids[0]).unwrap(); // still cached
+        assert!(!pool.read(ids[0]).unwrap(), "still cached");
         assert_eq!(disk.stats().total(), before);
-        let _ = pool.read(ids[1]).unwrap(); // was evicted: miss
+        assert!(pool.read(ids[1]).unwrap(), "was evicted: miss");
         assert_eq!(disk.stats().total(), before + 1);
     }
 
@@ -157,7 +150,7 @@ mod tests {
                 model.remove(0);
             }
             let (hits, misses) = (pool.hits(), pool.misses());
-            assert_eq!(pool.read(ids[p]).unwrap()[0], p as u8);
+            assert_eq!(pool.read(ids[p]).unwrap(), !hit);
             assert_eq!(
                 (pool.hits() - hits, pool.misses() - misses),
                 (u64::from(hit), u64::from(!hit))

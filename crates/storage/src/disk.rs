@@ -82,9 +82,11 @@ struct DiskInner {
     pages: Vec<Option<PageRef>>,
     /// What a page holds between allocation and its first write: every
     /// such slot shares this one buffer (a write never changes a shared
-    /// buffer, it replaces the slot's reference). A temp slot holds it for
-    /// life — the rows of a query-lifetime file are the file's
-    /// ([`crate::SpillFile`]), the disk keeps only the id.
+    /// buffer, it replaces the slot's reference). A heap or temp slot
+    /// holds it for life — the rows of a base table and of a
+    /// query-lifetime file are the file's ([`crate::HeapFile`],
+    /// [`crate::SpillFile`]), the disk keeps only the id; only B-tree pages
+    /// are written.
     zero: PageRef,
     temp: TempPages,
     stats: IoStats,
@@ -166,8 +168,9 @@ impl SimDisk {
     }
 
     /// Allocates a zeroed page that lives as long as the disk (base
-    /// tables, B-trees); not charged as I/O (allocation happens at load
-    /// time in the experiments).
+    /// tables, B-trees) — its slot the shared zero page until a write;
+    /// not charged as I/O (allocation happens at load time in the
+    /// experiments).
     pub fn allocate(&self) -> PageId {
         self.inner.lock().push_page()
     }
@@ -250,13 +253,14 @@ impl SimDisk {
     /// acquisition of the disk latch, lending each to `visit` where it
     /// lies: what [`SimDisk::read`] in a loop over the same ids would
     /// classify, count and fail, without a lock round trip and a reference
-    /// count up and down per page. A visitor that must keep a page (a
-    /// scan's unfinished tail) clones the reference it is lent; one that
-    /// ends the run with [`ControlFlow::Break`] leaves the rest unread.
+    /// count up and down per page. A heap or spill file's reader ignores
+    /// the page it is lent — the slot is the shared zero page, the rows are
+    /// the file's — and copies them after the run; a visitor that ends the
+    /// run with [`ControlFlow::Break`] leaves the rest unread.
     ///
     /// The latch is not re-entrant: **nothing `ids` or `visit` calls may
-    /// touch this disk**, which is why they deal in page ids and page
-    /// bytes and nothing that reaches storage. Two rules keep the hold
+    /// touch this disk**, which is why they deal in page ids, page bytes
+    /// and counts and nothing that reaches storage. Two rules keep the hold
     /// short: a paced disk ([`SimDisk::set_io_latency_micros`]) runs page
     /// by page, as `read` in a loop, so it never sleeps under the latch;
     /// and readers that share a disk — the workers of one parallel query —
@@ -326,9 +330,10 @@ impl SimDisk {
         }
     }
 
-    /// Writes a page **without** charging I/O — used by loaders building
-    /// the initial database, which the experiments do not account, and
-    /// the only way bytes reach a page. Exempt from fault plans.
+    /// Writes a page **without** charging I/O — used by the B-tree loader,
+    /// whose effort the experiments do not account, and the only way bytes
+    /// reach a page (heap and temp pages hold none). Exempt from fault
+    /// plans.
     ///
     /// Copy-on-write: the buffer is overwritten in place when the disk
     /// holds the only reference, otherwise left to its readers and a fresh
@@ -349,27 +354,6 @@ impl SimDisk {
             Some(buf) => *buf = *data,
             None => *page = Arc::new(*data),
         }
-    }
-
-    /// Changes a page's bytes in place **without** charging I/O — how a
-    /// loader adds a row to the base-table page it is filling, so that no
-    /// page is copied a row. Copy-on-write as
-    /// [`SimDisk::write_unaccounted`]: a page still shared (the zero page
-    /// of a fresh id, or a [`PageRef`] a reader holds) is copied once
-    /// first, and a reader's page never changes under it.
-    ///
-    /// # Panics
-    /// Panics on an unallocated or freed page id (a loader bug).
-    pub(crate) fn update_unaccounted<R>(
-        &self,
-        id: PageId,
-        f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
-    ) -> R {
-        let mut inner = self.inner.lock();
-        let Some(page) = inner.pages.get_mut(id.0 as usize).and_then(Option::as_mut) else {
-            panic!("unaccounted update of unallocated page {id}");
-        };
-        f(Arc::make_mut(page))
     }
 
     /// Charges one write without transferring data — the write of a page

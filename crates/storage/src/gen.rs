@@ -1,8 +1,8 @@
 //! Synthetic stored databases mirroring a catalog.
 //!
-//! Every attribute is an `i64`; a relation's rows are stored in column
-//! pages as many to a page as records of the relation's record length fit
-//! (the experiments use 512-byte records). Attribute values are drawn
+//! Every attribute is an `i64`; a relation's rows are stored as columns,
+//! as many to a page as records of the relation's record length fit (the
+//! experiments use 512-byte records). Attribute values are drawn
 //! uniformly from `[0, domain_size)` — the same uniform-domain model
 //! the selectivity estimator assumes, so predicted and actual
 //! selectivities agree and any divergence between predicted and executed
@@ -16,7 +16,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::btree::BTree;
-use crate::column_page::ColumnPage;
 use crate::disk::SimDisk;
 use crate::heap::HeapFile;
 use crate::page::PAGE_SIZE;
@@ -121,9 +120,12 @@ pub fn install_union_histograms(
         let n_attrs = catalog.relation(rel_id).attributes.len();
         let mut columns: Vec<Vec<i64>> = vec![Vec::new(); n_attrs];
         for db in dbs {
-            for page in db.table(rel_id).heap.scan_pages() {
-                page?.read_into(0, usize::MAX, &mut columns);
-            }
+            db.table(rel_id).heap.read_pages(usize::MAX, |page| {
+                columns
+                    .iter_mut()
+                    .zip(page.columns())
+                    .for_each(|(col, from)| col.extend_from_slice(from));
+            })?;
         }
         for (i, column) in columns.into_iter().enumerate() {
             if let Some(h) = Histogram::build(column, buckets) {
@@ -316,20 +318,16 @@ impl StoredDatabase {
         dbs
     }
 
-    /// Decodes every row of every relation with **unaccounted** reads:
-    /// what an oracle or a reload reads the stored data through. Row order
-    /// is heap order per relation — the order the rows were loaded in —
-    /// so the export is deterministic.
+    /// Copies every row of every relation out of its columns, without a
+    /// read: what an oracle or a reload reads the stored data through. Row
+    /// order is heap order per relation — the order the rows were loaded
+    /// in — so the export is deterministic.
     #[must_use]
     pub fn export_rows(&self) -> HashMap<RelationId, Vec<Vec<i64>>> {
         let mut out = HashMap::new();
         for table in self.tables.values() {
-            let mut rows = Vec::with_capacity(table.heap.record_count() as usize);
-            for &pid in table.heap.pages() {
-                let page = ColumnPage::from_bytes(self.disk.read_unaccounted(pid));
-                rows.extend(page.rows().map(|row| row.to_vec()));
-            }
-            out.insert(table.relation, rows);
+            let rows = table.heap.rows_of(0..table.heap.page_count());
+            out.insert(table.relation, rows.iter().map(|row| row.to_vec()).collect());
         }
         out
     }

@@ -1,8 +1,9 @@
-//! Heap files: unordered row storage over column pages.
+//! Heap files and query-lifetime files: fixed-width rows kept as columns,
+//! the disk holding their page ids.
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
-use crate::column_page::{ColumnPage, PageViewMut, Row};
+use crate::column_page::{check_fits, records_per_page, PageRows, Row};
 use crate::disk::SimDisk;
 use crate::error::StorageError;
 use crate::page::PageId;
@@ -16,26 +17,79 @@ pub struct Rid {
     pub slot: u16,
 }
 
+/// The rows of a file, one vector per column, and the page ids the disk
+/// accounts for them: page `k` is rows `k·r .. (k + 1)·r`, `r` =
+/// [`records_per_page`]`(record_len)`. What a heap file and a spill file
+/// both are.
+#[derive(Debug)]
+struct Columns {
+    pages: Vec<PageId>,
+    record_len: usize,
+    rows_per_page: usize,
+    rows: usize,
+    values: Vec<Vec<i64>>,
+}
+
+impl Columns {
+    fn new(record_len: usize, width: usize) -> Columns {
+        let values = vec![Vec::new(); width];
+        Columns {
+            pages: Vec::new(),
+            record_len,
+            rows_per_page: records_per_page(record_len),
+            rows: 0,
+            values,
+        }
+    }
+
+    /// Whether the next row starts a page.
+    fn page_full(&self) -> bool {
+        self.rows == self.pages.len() * self.rows_per_page
+    }
+
+    /// The rows of pages `pages` (indexes into the page list).
+    fn rows_of(&self, pages: Range<usize>) -> PageRows<'_> {
+        let r = self.rows_per_page;
+        let lo = self.rows.min(pages.start * r);
+        PageRows::new(&self.values, lo, self.rows.min(pages.end * r).max(lo))
+    }
+
+    /// Every page in scan order, accounted one read each on `disk`, in
+    /// [`SimDisk::read_run`]s of at most `run_pages` (> 0) pages, and each
+    /// page's rows lent to `visit`.
+    fn read_pages(
+        &self,
+        disk: &SimDisk,
+        run_pages: usize,
+        mut visit: impl FnMut(PageRows<'_>),
+    ) -> Result<(), StorageError> {
+        let mut next = 0;
+        self.pages.chunks(run_pages).try_for_each(|run| {
+            disk.read_run(run.iter().copied(), |_| {
+                visit(self.rows_of(next..next + 1));
+                next += 1;
+                ControlFlow::Continue(())
+            })
+        })
+    }
+}
+
 /// An unordered file of rows that lives as long as its disk: a base
 /// table, its rows `width` values each, `record_len` bytes as records.
 /// Page `k` is rows `k·r .. (k + 1)·r`, `r` =
-/// [`ColumnPage::records_per_page`]`(record_len)`, kept as columns.
+/// [`records_per_page`]`(record_len)`. The rows are the file's, one vector
+/// per column; the disk holds the page ids, on its shared zero page, and
+/// counts, classifies and fails the reads of them.
 ///
 /// It is written once, at load, through [`HeapFile::append`] (unaccounted
-/// writes — the experiments measure query I/O, not load I/O), and then
-/// only read: scans read pages in allocation order, which the simulated
-/// disk accounts as sequential I/O. A row is appended where the disk holds
-/// its page (`SimDisk::update_unaccounted`): no page is copied a row,
-/// and there is no unwritten tail for a reader to miss.
-/// Query-lifetime files — Grace partitions, sort runs — are written
-/// through a [`SpillWriter`] instead.
+/// — the experiments measure query I/O, not load I/O), and then only read:
+/// scans read pages in allocation order, which the simulated disk accounts
+/// as sequential I/O. Query-lifetime files — Grace partitions, sort runs —
+/// are written through a [`SpillWriter`] instead.
 #[derive(Debug)]
 pub struct HeapFile {
     disk: SimDisk,
-    pages: Vec<PageId>,
-    records: u64,
-    record_len: usize,
-    width: usize,
+    columns: Columns,
 }
 
 impl HeapFile {
@@ -43,10 +97,11 @@ impl HeapFile {
     /// `record_len` bytes each as records (at least `8 × width`).
     #[must_use]
     pub fn new(disk: SimDisk, record_len: usize, width: usize) -> HeapFile {
-        HeapFile { disk, pages: Vec::new(), records: 0, record_len, width }
+        HeapFile { disk, columns: Columns::new(record_len, width) }
     }
 
-    /// Appends a row at load time (unaccounted), returning its rid.
+    /// Appends a row at load time (unaccounted), returning its rid: a page
+    /// id is allocated when the page's first row arrives.
     ///
     /// # Errors
     /// [`StorageError::RecordTooLarge`] when no page holds a record of the
@@ -56,86 +111,110 @@ impl HeapFile {
     /// Panics on a row of other than the file's width, or wider than its
     /// records.
     pub fn append(&mut self, values: &[i64]) -> Result<Rid, StorageError> {
-        ColumnPage::check_fits(self.record_len)?;
-        // Row `i` is slot `i mod r` of page `i / r`.
-        let per_page = ColumnPage::records_per_page(self.record_len) as u64;
-        let slot = (self.records % per_page) as u16;
-        let page = match self.pages.last() {
-            Some(&page) if slot > 0 => page,
-            _ => {
-                let page = self.disk.allocate();
-                self.pages.push(page);
-                page
-            }
-        };
-        let (record_len, width) = (self.record_len, self.width);
-        let pushed = self.disk.update_unaccounted(page, |bytes| {
-            let mut view = if slot == 0 {
-                PageViewMut::format(bytes, record_len, width)
-            } else {
-                ColumnPage::from_bytes(bytes)
-            };
-            view.push(values)
-        });
-        debug_assert_eq!(pushed, Some(slot), "row {} lands in slot {slot}", self.records);
-        self.records += 1;
-        Ok(Rid { page, slot })
+        let file = &mut self.columns;
+        check_fits(file.record_len)?;
+        assert_eq!(values.len(), file.values.len(), "row arity");
+        assert!(
+            8 * values.len() <= file.record_len,
+            "a {}-byte record holds fewer than {} values",
+            file.record_len,
+            values.len()
+        );
+        if file.page_full() {
+            file.pages.push(self.disk.allocate());
+        }
+        let slot = (file.rows % file.rows_per_page) as u16;
+        file.values.iter_mut().zip(values).for_each(|(col, &v)| col.push(v));
+        file.rows += 1;
+        Ok(Rid { page: file.pages[file.pages.len() - 1], slot })
     }
 
     /// Number of records.
     #[must_use]
     pub fn record_count(&self) -> u64 {
-        self.records
+        self.columns.rows as u64
     }
 
     /// Number of data pages.
     #[must_use]
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.columns.pages.len()
     }
 
     /// The page ids in scan order.
     #[must_use]
     pub fn pages(&self) -> &[PageId] {
-        &self.pages
+        &self.columns.pages
+    }
+
+    /// The rows of page `k` (none past the last page), without a read: for
+    /// a reader that accounts for it with [`SimDisk::read_run`].
+    #[must_use]
+    pub fn page(&self, k: usize) -> PageRows<'_> {
+        self.columns.rows_of(k..k + 1)
+    }
+
+    /// The rows of the pages `pages` (indexes into [`HeapFile::pages`]), as
+    /// one stretch of column slices, without a read.
+    #[must_use]
+    pub fn rows_of(&self, pages: Range<usize>) -> PageRows<'_> {
+        self.columns.rows_of(pages)
+    }
+
+    /// The row `rid` names, without a read: for a reader that accounts for
+    /// its page itself (a buffer pool). Its page is found by binary search
+    /// over the file's ascending page ids.
+    ///
+    /// # Errors
+    /// [`StorageError::RecordNotFound`] for a page not of this file or a
+    /// slot past its page's last row.
+    pub fn row(&self, rid: Rid) -> Result<Row<'_>, StorageError> {
+        let k = self.pages().binary_search(&rid.page).ok();
+        k.and_then(|k| self.page(k).row(usize::from(rid.slot)))
+            .ok_or(StorageError::RecordNotFound { page: rid.page, slot: rid.slot })
     }
 
     /// Fetches a single row's values by rid (one accounted page read).
     ///
     /// # Errors
     /// Propagates page-read failures (unallocated page, injected fault);
-    /// [`StorageError::RecordNotFound`] if the slot is past the page's
-    /// last.
+    /// then as [`HeapFile::row`].
     pub fn fetch(&self, rid: Rid) -> Result<Vec<i64>, StorageError> {
         self.fetch_with(rid, |row| row.to_vec())
     }
 
     /// Like [`HeapFile::fetch`], but hands the row to `f` where it lies in
-    /// the page instead of copying its values out.
+    /// the columns instead of copying its values out.
     ///
     /// # Errors
     /// As [`HeapFile::fetch`].
     pub fn fetch_with<T>(&self, rid: Rid, f: impl FnOnce(Row<'_>) -> T) -> Result<T, StorageError> {
-        let page = ColumnPage::from_bytes(self.disk.read(rid.page)?);
-        page.row(rid.slot)
-            .map(f)
-            .ok_or(StorageError::RecordNotFound { page: rid.page, slot: rid.slot })
+        self.disk.read_run([rid.page], |_| ControlFlow::Continue(()))?;
+        self.row(rid).map(f)
     }
 
-    /// Page-at-a-time scan: one accounted (sequential) read per page, in
-    /// page order, each handed out as a view that shares the disk's
-    /// buffer — consumers copy column runs straight out of the page. A
-    /// page whose read fails yields one `Err` and the scan moves on;
-    /// callers typically stop at the first error.
-    pub fn scan_pages(&self) -> impl Iterator<Item = Result<ColumnPage, StorageError>> + '_ {
-        self.pages.iter().map(|&pid| self.disk.read(pid).map(ColumnPage::from_bytes))
+    /// Reads the file: every page in scan order, accounted one read each,
+    /// in [`SimDisk::read_run`]s of at most `run_pages` (> 0) pages, and
+    /// each page's rows lent to `visit`. Nothing `visit` calls may touch
+    /// the disk.
+    ///
+    /// # Errors
+    /// The first page read that fails; the pages before it were visited.
+    pub fn read_pages(
+        &self,
+        run_pages: usize,
+        visit: impl FnMut(PageRows<'_>),
+    ) -> Result<(), StorageError> {
+        self.columns.read_pages(&self.disk, run_pages, visit)
     }
 
     /// Full scan: iterates all rows in page order, copying each one's
-    /// values out (I/O as [`HeapFile::scan_pages`]).
+    /// values out, one accounted (sequential) read a page. A page whose
+    /// read fails yields one `Err` and the scan moves on; callers
+    /// typically stop at the first error.
     pub fn scan(&self) -> impl Iterator<Item = Result<Vec<i64>, StorageError>> + '_ {
-        self.scan_pages().flat_map(|page| match page {
-            Ok(page) => page.rows().map(|row| Ok(row.to_vec())).collect(),
+        self.pages().iter().enumerate().flat_map(|(k, &pid)| match self.disk.read(pid) {
+            Ok(_) => self.page(k).iter().map(|row| Ok(row.to_vec())).collect(),
             Err(e) => vec![Err(e)],
         })
     }
@@ -149,11 +228,12 @@ impl HeapFile {
 
 /// The write half of a query-lifetime file of fixed-width rows — a Grace
 /// partition, a sort run. The rows stay with the file, one vector per
-/// column; the disk holds the file's page ids and accounts for them as it
-/// would for pages of `record_len`-byte records. Page `k` is rows `k·r ..
-/// (k + 1)·r`, `r` = [`ColumnPage::records_per_page`]`(record_len)`. The
-/// file can be read only after [`SpillWriter::finish`] has sealed it,
-/// which is why reading is [`SpillFile`]'s and not this type's:
+/// column, as a [`HeapFile`]'s do; the disk holds the file's page ids and
+/// accounts for them as it would for pages of `record_len`-byte records.
+/// Page `k` is rows `k·r .. (k + 1)·r`, `r` =
+/// [`records_per_page`]`(record_len)`. The file can be read only after
+/// [`SpillWriter::finish`] has sealed it, which is why reading is
+/// [`SpillFile`]'s and not this type's:
 ///
 /// ```compile_fail
 /// let writer = dqep_storage::SpillWriter::charged(dqep_storage::SimDisk::new(), 16);
@@ -193,15 +273,11 @@ impl SpillWriter {
     }
 
     fn with(disk: SimDisk, record_len: usize, charged: bool) -> SpillWriter {
-        let file = SpillFile {
-            disk,
-            pages: Vec::new(),
-            record_len,
-            rows_per_page: ColumnPage::records_per_page(record_len),
-            rows: 0,
-            columns: Vec::new(),
-        };
-        SpillWriter { file, tail: false, charged }
+        SpillWriter {
+            file: SpillFile { disk, columns: Columns::new(record_len, 0) },
+            tail: false,
+            charged,
+        }
     }
 
     /// Appends one row: the values a `record_len`-byte record holds at its
@@ -214,10 +290,10 @@ impl SpillWriter {
     /// fault on the charge for the page this row found full.
     pub fn append(&mut self, values: impl IntoIterator<Item = i64>) -> Result<(), StorageError> {
         self.next_row()?;
-        let file = &mut self.file;
+        let file = &mut self.file.columns;
         let mut values = values.into_iter().take(file.record_len / 8);
-        file.columns.iter_mut().zip(values.by_ref()).for_each(|(col, v)| col.push(v));
-        file.columns.extend(values.map(|v| vec![v]));
+        file.values.iter_mut().zip(values.by_ref()).for_each(|(col, v)| col.push(v));
+        file.values.extend(values.map(|v| vec![v]));
         Ok(())
     }
 
@@ -243,13 +319,13 @@ impl SpillWriter {
                 break;
             }
         }
-        for file in writers.iter_mut().map(|writer| &mut writer.file) {
-            let held = file.columns.first().map_or(0, Vec::len);
-            file.columns.resize_with(columns.len().min(file.record_len / 8), Vec::new);
-            file.columns.iter_mut().for_each(|col| col.reserve(file.rows - held));
+        for file in writers.iter_mut().map(|writer| &mut writer.file.columns) {
+            let held = file.values.first().map_or(0, Vec::len);
+            file.values.resize_with(columns.len().min(file.record_len / 8), Vec::new);
+            file.values.iter_mut().for_each(|col| col.reserve(file.rows - held));
         }
         for (row, w) in rows.take(failed.as_ref().map_or(usize::MAX, |&(at, _)| at)) {
-            for (col, from) in writers[w].file.columns.iter_mut().zip(columns) {
+            for (col, from) in writers[w].file.columns.values.iter_mut().zip(columns) {
                 col.push(from[row]);
             }
         }
@@ -260,14 +336,14 @@ impl SpillWriter {
     /// a page, the check that a row fits one, the seal of the full page
     /// before it, and the new page's id.
     fn next_row(&mut self) -> Result<(), StorageError> {
-        let file = &self.file;
-        if file.rows == file.pages.len() * file.rows_per_page {
-            ColumnPage::check_fits(file.record_len)?;
+        if self.file.columns.page_full() {
+            check_fits(self.file.columns.record_len)?;
             self.seal()?;
-            self.file.pages.push(self.file.disk.allocate_temp());
+            let page = self.file.disk.allocate_temp();
+            self.file.columns.pages.push(page);
             self.tail = true;
         }
-        self.file.rows += 1;
+        self.file.columns.rows += 1;
         Ok(())
     }
 
@@ -301,38 +377,33 @@ impl SpillWriter {
 #[derive(Debug)]
 pub struct SpillFile {
     disk: SimDisk,
-    pages: Vec<PageId>,
-    record_len: usize,
-    rows_per_page: usize,
-    rows: usize,
-    columns: Vec<Vec<i64>>,
+    columns: Columns,
 }
 
 impl SpillFile {
     /// Number of rows.
     #[must_use]
     pub fn record_count(&self) -> u64 {
-        self.rows as u64
+        self.columns.rows as u64
     }
 
     /// Number of pages.
     #[must_use]
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.columns.pages.len()
     }
 
     /// The page ids in scan order.
     #[must_use]
     pub fn pages(&self) -> &[PageId] {
-        &self.pages
+        &self.columns.pages
     }
 
     /// The rows of page `k` (none past the last page), without a read: for
     /// a reader that accounts for it with [`SimDisk::read_run`].
     #[must_use]
-    pub fn page(&self, k: usize) -> SpillPage<'_> {
-        let lo = (k * self.rows_per_page).min(self.rows);
-        SpillPage { columns: &self.columns, lo, hi: self.rows.min(lo + self.rows_per_page) }
+    pub fn page(&self, k: usize) -> PageRows<'_> {
+        self.columns.rows_of(k..k + 1)
     }
 
     /// Reads the file back: every page in scan order, accounted one read
@@ -346,44 +417,15 @@ impl SpillFile {
     pub fn read_pages(
         &self,
         run_pages: usize,
-        mut visit: impl FnMut(SpillPage<'_>),
+        visit: impl FnMut(PageRows<'_>),
     ) -> Result<(), StorageError> {
-        let mut next = 0;
-        self.pages.chunks(run_pages).try_for_each(|run| {
-            self.disk.read_run(run.iter().copied(), |_| {
-                visit(self.page(next));
-                next += 1;
-                ControlFlow::Continue(())
-            })
-        })
+        self.columns.read_pages(&self.disk, run_pages, visit)
     }
 }
 
 impl Drop for SpillFile {
     fn drop(&mut self) {
-        self.disk.free(&self.pages);
-    }
-}
-
-/// The rows of one page of a [`SpillFile`], as column slices.
-#[derive(Debug, Clone, Copy)]
-pub struct SpillPage<'a> {
-    columns: &'a [Vec<i64>],
-    lo: usize,
-    hi: usize,
-}
-
-impl<'a> SpillPage<'a> {
-    /// Rows on the page.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    /// Each attribute of the page's rows, in order: one value a row.
-    pub fn columns(self) -> impl Iterator<Item = &'a [i64]> {
-        let (lo, hi) = (self.lo, self.hi);
-        self.columns.iter().map(move |col| &col[lo..hi])
+        self.disk.free(&self.columns.pages);
     }
 }
 
@@ -392,24 +434,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_row_is_appended_where_the_disk_holds_its_page() {
+    fn a_row_lands_on_the_page_its_rid_names() {
         let disk = SimDisk::new();
         let mut heap = HeapFile::new(disk.clone(), 512, 1);
-        let r = ColumnPage::records_per_page(512);
-        let rids: Vec<Rid> = (0..=r as i64).map(|i| heap.append(&[i]).unwrap()).collect();
-        let rows_on = |rid: Rid| ColumnPage::from_bytes(disk.read_unaccounted(rid.page)).len();
-        assert_eq!((rows_on(rids[0]), rows_on(rids[r])), (r, 1), "every row is on the disk");
-        // No page is copied a row: the next row lands in the buffer the
-        // disk already holds...
-        let buffer = std::sync::Arc::as_ptr(&disk.read_unaccounted(rids[r].page));
-        heap.append(&[7]).unwrap();
-        let page = disk.read_unaccounted(rids[r].page);
-        assert_eq!(std::sync::Arc::as_ptr(&page), buffer);
-        // ...unless a reader holds it: its page never changes under it.
-        heap.append(&[8]).unwrap();
-        assert_eq!(ColumnPage::from_bytes(page).len(), 2);
-        assert_eq!(rows_on(rids[r]), 3);
+        let r = records_per_page(512);
+        let rids: Vec<Rid> = (0..=r as i64 + 1).map(|i| heap.append(&[i]).unwrap()).collect();
+        assert_eq!((heap.page(0).rows(), heap.page(1).rows()), (r, 2), "every row is on its page");
+        assert_eq!(
+            (rids[r - 1], rids[r]),
+            (
+                Rid { page: heap.pages()[0], slot: r as u16 - 1 },
+                Rid { page: heap.pages()[1], slot: 0 }
+            )
+        );
+        for (i, &rid) in rids.iter().enumerate() {
+            assert_eq!(heap.row(rid).unwrap().value(0), i as i64);
+        }
         assert_eq!(disk.stats().total(), 0, "loading is unaccounted");
+    }
+
+    #[test]
+    fn heap_pages_hold_no_bytes_of_their_own() {
+        let disk = SimDisk::new();
+        let mut heap = HeapFile::new(disk.clone(), 512, 1);
+        for i in 0..7 {
+            heap.append(&[i]).unwrap();
+        }
+        let [first, .., last] = heap.pages() else { panic!("three pages") };
+        let (first, last) = (disk.read_unaccounted(*first), disk.read_unaccounted(*last));
+        assert!(std::sync::Arc::ptr_eq(&first, &last), "both slots are the shared zero page");
+        assert_eq!(first[..], [0u8; crate::PAGE_SIZE][..]);
     }
 
     #[test]
@@ -429,13 +483,13 @@ mod tests {
         let disk = SimDisk::new();
         let mut wide = HeapFile::new(disk.clone(), 2560, 2);
         let err = wide.append(&[1, 2]).unwrap_err();
-        assert_eq!(err, StorageError::RecordTooLarge { len: 2560, max: ColumnPage::MAX_RECORD });
+        assert_eq!(err, StorageError::RecordTooLarge { len: 2560, max: crate::MAX_RECORD });
         assert_eq!(
             (wide.record_count(), wide.page_count(), disk.page_count()),
             (0, 0, 0),
             "nothing appended"
         );
-        let mut widest = HeapFile::new(disk.clone(), ColumnPage::MAX_RECORD, 2);
+        let mut widest = HeapFile::new(disk.clone(), crate::MAX_RECORD, 2);
         widest.append(&[1, 2]).unwrap();
         widest.append(&[3, 4]).unwrap();
         assert_eq!(widest.page_count(), 2, "one row a page");
@@ -448,7 +502,7 @@ mod tests {
         let mut wide = SpillWriter::charged(disk.clone(), 2560);
         assert_eq!(
             wide.append([1, 2]).unwrap_err(),
-            StorageError::RecordTooLarge { len: 2560, max: ColumnPage::MAX_RECORD }
+            StorageError::RecordTooLarge { len: 2560, max: crate::MAX_RECORD }
         );
         assert_eq!(
             (disk.page_count(), disk.stats().writes),
@@ -458,7 +512,7 @@ mod tests {
         let sealed = wide.finish().unwrap();
         assert_eq!((sealed.record_count(), sealed.page_count()), (0, 0));
         // The widest row that does fit takes a page to itself.
-        let mut widest = SpillWriter::charged(disk.clone(), ColumnPage::MAX_RECORD);
+        let mut widest = SpillWriter::charged(disk.clone(), crate::MAX_RECORD);
         widest.append([7]).unwrap();
         widest.append([8]).unwrap();
         let sealed = widest.finish().unwrap();
@@ -482,14 +536,8 @@ mod tests {
         let sealed = writer.finish().unwrap();
         assert_eq!(sealed.pages(), heap.pages());
         for (k, &pid) in sealed.pages().iter().enumerate() {
-            let mut want = vec![Vec::new(); 3];
-            ColumnPage::from_bytes(reference.read_unaccounted(pid)).read_into(
-                0,
-                usize::MAX,
-                &mut want,
-            );
-            let got: Vec<Vec<i64>> = sealed.page(k).columns().map(<[i64]>::to_vec).collect();
-            assert_eq!(got, want, "page {k}");
+            let got: Vec<&[i64]> = sealed.page(k).columns().collect();
+            assert_eq!(got, heap.page(k).columns().collect::<Vec<_>>(), "page {k}");
             // The disk keeps the id; the rows are the file's.
             assert_eq!(disk.read_unaccounted(pid)[..], [0u8; crate::PAGE_SIZE][..]);
         }

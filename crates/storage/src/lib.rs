@@ -1,5 +1,5 @@
-//! Storage substrate: a simulated disk with I/O accounting, column pages,
-//! heap files, B-trees, and a buffer pool.
+//! Storage substrate: a simulated disk with I/O accounting, heap files
+//! kept as columns, B-trees, and a buffer pool.
 //!
 //! The paper's experiments ran on a DECstation with real disks; this crate
 //! substitutes a deterministic **simulated disk** that stores pages in
@@ -19,24 +19,22 @@
 //! Components:
 //! * [`SimDisk`] — page store + [`IoStats`] (sequential reads, random
 //!   reads, writes). Pages are shared ([`PageRef`]): a read hands out a
-//!   reference, a run ([`SimDisk::read_run`]) lends its pages under one
-//!   latch to a reader that keeps none, a loader's write copies a page a
-//!   reader holds, and query-lifetime files give their pages back when dropped
-//!   ([`TempPages`] counts them).
-//! * [`ColumnPage`] — the PAX layout of a base-table page: a header, then
-//!   one minipage of `i64`s per attribute, over a page that is held or
-//!   ([`PageView`]) borrowed. It holds as many rows as a slotted page of
-//!   the relation's records did, so page counts and charges are the
-//!   slotted layout's.
-//! * [`HeapFile`] — unordered row file over column pages (base tables):
-//!   page `k` is rows `k·r .. (k + 1)·r`, read as column runs, a
-//!   [`Row`] fetched by [`Rid`]; [`SpillWriter`] / [`SpillFile`] — the
-//!   write and read halves of a query-lifetime file of fixed-width rows
-//!   under the same rule, its rows kept as columns beside the disk, which
-//!   accounts its pages: a reader gets each as [`SpillPage`] slices.
+//!   reference, a run ([`SimDisk::read_run`]) accounts for its pages under
+//!   one latch, a loader's write copies a page a reader holds, and
+//!   query-lifetime files give their pages back when dropped
+//!   ([`TempPages`] counts them). Only B-tree pages hold bytes: a heap or
+//!   temp page id's slot is the disk's shared zero page.
+//! * The one row layout ([`records_per_page`], [`PageRows`], [`Row`]): a
+//!   file keeps its rows as one `Vec<i64>` per attribute, page `k` being
+//!   rows `k·r .. (k + 1)·r`, as many as a slotted page of the file's
+//!   records held, so page counts and charges are the slotted layout's.
+//! * [`HeapFile`] — unordered row file (base tables), a [`Row`] fetched by
+//!   [`Rid`]; [`SpillWriter`] / [`SpillFile`] — the write and read halves
+//!   of a query-lifetime file of fixed-width rows. A reader accounts for a
+//!   page with a disk read and then copies its rows out of the columns.
 //! * [`BTree`] — a from-scratch page-based B-tree mapping `i64` keys to
 //!   record ids, with range scans; used for unclustered indexes.
-//! * [`BufferPool`] — LRU page cache with hit/miss statistics.
+//! * [`BufferPool`] — LRU cache of page ids with hit/miss statistics.
 //! * [`gen`] — synthetic table generation mirroring the catalog's schema
 //!   and statistics (uniform integer attributes over their domains).
 //! * [`StorageError`] / [`FaultPlan`] — fallible access APIs and
@@ -65,13 +63,13 @@ mod page;
 
 pub use btree::BTree;
 pub use buffer::BufferPool;
-pub use column_page::{ColumnPage, PageView, Row};
+pub use column_page::{check_fits, records_per_page, PageRows, Row, MAX_RECORD};
 pub use disk::{IoStats, SimDisk, TempPages};
 pub use error::StorageError;
 pub use fault::FaultPlan;
 pub use gen::{
     install_histograms, install_union_histograms, StoredDatabase, StoredTable, ValueDistribution,
 };
-pub use heap::{HeapFile, Rid, SpillFile, SpillPage, SpillWriter};
+pub use heap::{HeapFile, Rid, SpillFile, SpillWriter};
 pub use morsel::{PageClaims, DEFAULT_MORSEL_PAGES};
 pub use page::{PageId, PageRef, PAGE_SIZE};

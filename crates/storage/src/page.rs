@@ -8,7 +8,8 @@ use std::sync::Arc;
 /// [`crate::gen::StoredDatabase::generate`] asserts it.
 pub const PAGE_SIZE: usize = 2048;
 
-/// A shared, immutable view of one page's bytes. The disk, the buffer pool
+/// A shared, immutable view of one page's bytes — a B-tree node, or the
+/// disk's shared zero page in the slot of a heap or temp page id. The disk
 /// and every reader hold the same allocation; a writer that needs to
 /// change the bytes copies them first ([`Arc::make_mut`]), so a reference
 /// handed out by a read never changes under its holder.

@@ -6,9 +6,9 @@
 //! back what was appended to it, and a freed id that has not been issued
 //! again is a typed error.
 //!
-//! **Writer ≡ heap append**: `SpillWriter` keeps its rows as columns and
-//! builds no page bytes; the path it replaced appended each row to a page
-//! on the disk, the way a base table is loaded. Both must put every row on
+//! **Writer ≡ heap append**: `SpillWriter` deals rows to files; the path
+//! it replaced appended each row through `HeapFile::append`, the way a base
+//! table is loaded, and charged the writes itself. Both must put every row on
 //! the same page under the same page id — page `k`'s rows are the rows
 //! `HeapFile::append` puts on page `k` — charge the same writes in the same
 //! order, hold the same temp pages, and fail at the same row under the same
@@ -22,8 +22,8 @@
 use std::collections::HashSet;
 
 use dqep_storage::{
-    ColumnPage, FaultPlan, HeapFile, IoStats, PageId, SimDisk, SpillFile, SpillWriter,
-    StorageError, PAGE_SIZE,
+    check_fits, records_per_page, FaultPlan, HeapFile, IoStats, PageId, SimDisk, SpillFile,
+    SpillWriter, StorageError, MAX_RECORD, PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -134,32 +134,31 @@ proptest! {
 /// first row arrives, and charges one write when the next row finds the
 /// tail full and one for the tail at `finish`. The pages and the ids come
 /// from the heap file — the load path, which the old temp path shared —
-/// on a disk of its own; a mirror of the tail page says when it is full,
-/// and the charges go to the same disk in the same order.
+/// on a disk of its own; a count of the tail page's rows says when it is
+/// full, and the charges go to the same disk in the same order.
 struct OldTemp {
     heap: HeapFile,
-    mirror: Option<ColumnPage>,
+    /// Rows on the last page while it is unsealed.
+    tail: Option<usize>,
 }
 
 impl OldTemp {
     fn new(disk: &SimDisk, len: usize, width: usize) -> OldTemp {
-        OldTemp { heap: HeapFile::new(disk.clone(), len, width), mirror: None }
+        OldTemp { heap: HeapFile::new(disk.clone(), len, width), tail: None }
     }
 
     fn append(&mut self, values: &[i64], len: usize) -> Result<(), StorageError> {
-        ColumnPage::check_fits(len)?;
-        loop {
-            let mut tail = self.mirror.take().unwrap_or_else(|| ColumnPage::new(len, values.len()));
-            if tail.push(values).is_some() {
-                self.mirror = Some(tail);
-                return self.heap.append(values).map(|_| ());
-            }
+        check_fits(len)?;
+        if self.tail == Some(records_per_page(len)) {
+            self.tail = None;
             self.heap.disk().note_write()?;
         }
+        *self.tail.get_or_insert(0) += 1;
+        self.heap.append(values).map(|_| ())
     }
 
     fn finish(&mut self) -> Result<(), StorageError> {
-        match self.mirror.take() {
+        match self.tail.take() {
             Some(_) => self.heap.disk().note_write(),
             None => Ok(()),
         }
@@ -211,17 +210,9 @@ fn file_rows(file: &SpillFile) -> Vec<Page> {
 }
 
 /// Each page of a heap file with its rows, column by column.
-fn heap_rows(heap: &HeapFile, width: usize) -> Vec<Page> {
-    let rows = |pid: PageId| {
-        let mut cols = vec![Vec::new(); width];
-        ColumnPage::from_bytes(heap.disk().read_unaccounted(pid)).read_into(
-            0,
-            usize::MAX,
-            &mut cols,
-        );
-        cols
-    };
-    heap.pages().iter().map(|&pid| (pid, rows(pid))).collect()
+fn heap_rows(heap: &HeapFile) -> Vec<Page> {
+    let rows = |k: usize| heap.page(k).columns().map(<[i64]>::to_vec).collect();
+    heap.pages().iter().enumerate().map(|(k, &pid)| (pid, rows(k))).collect()
 }
 
 fn fault_plan(fail_write: Option<u64>) -> FaultPlan {
@@ -292,7 +283,7 @@ fn run_old(rows: &Rows, files: usize, width: usize, len: usize, fail: Option<u64
         }
     }
     Observed {
-        pages: olds[..sealed].iter().map(|old| heap_rows(&old.heap, width)).collect(),
+        pages: olds[..sealed].iter().map(|old| heap_rows(&old.heap)).collect(),
         writes: disk.stats().writes,
         reads: disk.stats().seq_reads + disk.stats().random_reads,
         // Nothing is freed while the files are written, so the temp
@@ -349,14 +340,14 @@ proptest! {
 
     #[test]
     fn a_row_no_page_can_hold_is_refused_with_nothing_appended_or_charged(
-        len in ColumnPage::MAX_RECORD + 1..=2 * PAGE_SIZE,
+        len in MAX_RECORD + 1..=2 * PAGE_SIZE,
         values in (any::<i64>(), any::<i64>()),
     ) {
         let disk = SimDisk::new();
         for mut writer in [SpillWriter::charged(disk.clone(), len), SpillWriter::uncharged(disk.clone(), len)] {
             prop_assert_eq!(
                 writer.append([values.0, values.1]).unwrap_err(),
-                StorageError::RecordTooLarge { len, max: ColumnPage::MAX_RECORD }
+                StorageError::RecordTooLarge { len, max: MAX_RECORD }
             );
             let sealed = writer.finish().unwrap();
             prop_assert_eq!((sealed.record_count(), sealed.page_count()), (0, 0));

@@ -6,14 +6,11 @@
 //! seven to a page):
 //!
 //! 1. **A page**: ns a page of a request's worth of pages (108, the mean
-//!    of `prepared_hot`), three ways: `SimDisk::read` and
-//!    `ColumnPage::read_into` page by page (a latch and a reference count
-//!    a page — how the scans read before they read in runs, kept here as
-//!    a local loop), one `SimDisk::read_run` copying each page's column
-//!    runs out where it lies (how they read now), and the copy alone over
-//!    bytes already in hand (the floor: what no read path can go under).
-//!    Each on pages of three 512-byte and of seven 256-byte records, with
-//!    the pages warm and after a 4 MiB sweep of the cache.
+//!    of `prepared_hot`), read as a scan reads them: one
+//!    `SimDisk::read_run` over their ids, then each column copied out of
+//!    the heap file's columns in one slice. On pages of three 512-byte and
+//!    of seven 256-byte records, with the pages warm and after a 4 MiB
+//!    sweep of the cache.
 //! 2. **A probe row**: `join_batches` ns a probe row on an unpartitioned
 //!    `dim ⋈ fact`, on the same rows pre-routed by `shard_route` for two
 //!    and four shards, and — the control — on the same rows dealt into as
@@ -47,7 +44,7 @@ use dqep::executor::{
     BATCH_CAPACITY,
 };
 use dqep::service::{QueryService, Request, ServiceConfig};
-use dqep::storage::{ColumnPage, PageRef, PageView, SimDisk, SpillWriter, StoredDatabase, StoredTable};
+use dqep::storage::{records_per_page, SimDisk, SpillWriter, StoredDatabase, StoredTable};
 
 const SEED: u64 = 7;
 const FACT_ROWS: u64 = 12_000;
@@ -70,13 +67,12 @@ fn ns_per(total: Duration, units: usize) -> f64 {
     total.as_secs_f64() * 1e9 / units as f64
 }
 
-/// Split 1: the three ways over one request's worth of pages, in turns.
+/// Split 1: one request's worth of pages, read and copied out as a scan
+/// does it.
 fn page_kernels(quick: bool) {
-    const WAYS: [&str; 3] =
-        ["read + copy out, page by page", "one read_run + copy out", "copy out alone (resident bytes)"];
     const PAGES: usize = 108;
     // Rows that fill `PAGES` pages of each record length.
-    let rows = |record_len: usize| (PAGES * ColumnPage::records_per_page(record_len)) as u64;
+    let rows = |record_len: usize| (PAGES * records_per_page(record_len)) as u64;
     let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
         .relation("wide", rows(512), 512, |r| r.attr("a", 1000.0).attr("j", 1000.0))
         .relation("narrow", rows(256), 256, |r| r.attr("a", 1000.0).attr("j", 1000.0))
@@ -85,68 +81,53 @@ fn page_kernels(quick: bool) {
     let db = StoredDatabase::generate(&catalog, SEED);
     let mut sweep = vec![0u8; 4 << 20];
     let mut copied = 0usize;
-    println!("a page ({PAGES} pages a pass; ns a page, warm / after a 4 MiB sweep)");
+    println!("a page ({PAGES} pages a pass: one read_run, one copy a column; ns a page, warm / after a 4 MiB sweep)");
     for name in ["wide", "narrow"] {
         let table = db.table(catalog.relation_by_name(name).expect("relation exists").id);
-        let (disk, ids) = (table.heap.disk(), table.heap.pages());
-        assert_eq!(ids.len(), PAGES);
-        let resident: Vec<PageRef> = ids.iter().map(|&pid| disk.read_unaccounted(pid)).collect();
-        let mut cols: Vec<Vec<i64>> = (0..table.n_attrs).map(|_| Vec::with_capacity(BATCH_CAPACITY)).collect();
-        let mut spent = [[Duration::ZERO; WAYS.len()]; 2];
+        let heap = &table.heap;
+        assert_eq!(heap.page_count(), PAGES);
+        let mut cols: Vec<Vec<i64>> = (0..2).map(|_| Vec::with_capacity(BATCH_CAPACITY)).collect();
+        let mut spent = [Duration::ZERO; 2];
         let passes = [if quick { 1 } else { 20_000 }, if quick { 1 } else { 1_000 }];
         for (swept, spent) in spent.iter_mut().enumerate() {
             for _ in 0..passes[swept] {
-                for (way, spent) in spent.iter_mut().enumerate() {
-                    if swept == 1 {
-                        sweep.chunks_mut(64).for_each(|line| line[0] = line[0].wrapping_add(1));
-                    }
-                    // As a scan does: a batch's columns, filled from empty.
-                    cols.iter_mut().for_each(Vec::clear);
-                    let started = Instant::now();
-                    match way {
-                        0 => {
-                            for &pid in ids {
-                                let page = ColumnPage::from_bytes(disk.read(pid).expect("fault-free read"));
-                                copied += page.read_into(0, usize::MAX, &mut cols).0;
-                            }
-                        }
-                        1 => disk
-                            .read_run(ids.iter().copied(), |page| {
-                                copied += PageView::from_bytes(&**page).read_into(0, usize::MAX, &mut cols).0;
-                                ControlFlow::Continue(())
-                            })
-                            .expect("fault-free run"),
-                        _ => {
-                            for page in &resident {
-                                copied += PageView::from_bytes(&**page).read_into(0, usize::MAX, &mut cols).0;
-                            }
-                        }
-                    }
-                    *spent += started.elapsed();
+                if swept == 1 {
+                    sweep.chunks_mut(64).for_each(|line| line[0] = line[0].wrapping_add(1));
                 }
+                // As a scan does: a batch's columns, filled from empty.
+                cols.iter_mut().for_each(Vec::clear);
+                let started = Instant::now();
+                heap.disk()
+                    .read_run(heap.pages().iter().copied(), |_| ControlFlow::Continue(()))
+                    .expect("fault-free run");
+                let rows = heap.rows_of(0..PAGES);
+                cols.iter_mut().zip(rows.columns()).for_each(|(col, from)| col.extend_from_slice(from));
+                copied += rows.rows();
+                *spent += started.elapsed();
             }
         }
-        println!("  {} {}-byte records a page", ColumnPage::records_per_page(table.record_len), table.record_len);
-        for (way, name) in WAYS.iter().enumerate() {
-            let ns = |swept: usize| ns_per(spent[swept][way], PAGES * passes[swept]);
-            println!("    {name:<32} {:>8.1} / {:>8.1}", ns(0), ns(1));
-        }
+        let ns = |swept: usize| ns_per(spent[swept], PAGES * passes[swept]);
+        let len = table.record_len;
+        println!("  {} {len}-byte records a page {:>8.1} / {:>8.1}", records_per_page(len), ns(0), ns(1));
     }
     black_box((copied, sweep));
 }
 
 /// Every row of `table` as dense batches of the scan's size.
 fn table_batches(table: &StoredTable) -> Vec<RowBatch> {
-    let mut out = vec![RowBatch::new(table.n_attrs)];
-    for &pid in table.heap.pages() {
-        let page = ColumnPage::from_bytes(table.heap.disk().read(pid).expect("fault-free read"));
-        if out.last().expect("never empty").rows() >= BATCH_CAPACITY {
-            out.push(RowBatch::new(table.n_attrs));
-        }
-        let batch = out.last_mut().expect("never empty");
-        batch.extend_with(|cols| page.read_into(0, usize::MAX, cols).0);
-    }
-    out
+    let heap = &table.heap;
+    let pages_a_batch = BATCH_CAPACITY / records_per_page(table.record_len);
+    (0..heap.page_count())
+        .step_by(pages_a_batch)
+        .map(|k| {
+            let rows = heap.rows_of(k..heap.page_count().min(k + pages_a_batch));
+            let mut batch = RowBatch::new(table.n_attrs);
+            batch.extend_rows_with(rows.rows(), |cols| {
+                cols.iter_mut().zip(rows.columns()).for_each(|(col, from)| col.extend_from_slice(from));
+            });
+            batch
+        })
+        .collect()
 }
 
 /// `side` split into `shares` sets of batches by `dest` of each row, the
@@ -288,7 +269,7 @@ fn spill_rows(rows: &RowBatch, passes: usize) {
             assert_eq!(back, columns, "the rows come back as they went");
             pages = file.page_count();
         }
-        println!("  {record_len}-byte records, {} a page, {pages} pages", ColumnPage::records_per_page(record_len));
+        println!("  {record_len}-byte records, {} a page, {pages} pages", records_per_page(record_len));
         for (way, name) in WAYS.iter().enumerate() {
             println!("    {name:<32} {:>8.1}", ns_per(spent[way], n * passes));
         }

@@ -20,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dqep::catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
 use dqep::cost::Environment;
@@ -31,6 +31,7 @@ use dqep::service::{
 };
 use dqep::sql::parse_query;
 use dqep::storage::StoredDatabase;
+use parking_lot::Mutex;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
@@ -240,7 +241,7 @@ fn core_counters(catalog: &Catalog, env: &Environment, k: usize) -> [(&'static s
 
 #[test]
 fn the_ad_hoc_work_ledger_reads_as_recorded() {
-    let _counting = LEDGER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _counting = LEDGER.lock();
     let catalog = make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994());
     let env = Environment::dynamic_compile_time(&catalog.config);
     let service = QueryService::new(
@@ -298,12 +299,12 @@ fn the_ad_hoc_work_ledger_reads_as_recorded() {
 const FOOTPRINT: &str = "\
 chain heap pages 1648
 chain disk pages 1820
-chain load allocations 17049
-chain live bytes 3788560
+chain load allocations 15654
+chain live bytes 547936
 star heap pages 2573
 star disk pages 2760
-star load allocations 21346
-star live bytes 5744836
+star load allocations 18825
+star live bytes 827572
 ";
 
 /// The star catalog of the scan-heavy workloads: 12 000 `fact` and 6 000
@@ -323,7 +324,7 @@ fn star_catalog() -> Catalog {
 /// database is held.
 #[test]
 fn the_storage_footprint_reads_as_recorded() {
-    let _counting = LEDGER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _counting = LEDGER.lock();
     let chain = make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994());
     let mut table = String::new();
     for (name, catalog, seed) in [("chain", chain, 1989), ("star", star_catalog(), 8)] {
