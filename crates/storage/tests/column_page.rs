@@ -161,7 +161,7 @@ proptest! {
         max_rows in prop_oneof![1usize..=9, 10usize..=1100, Just(usize::MAX)],
     ) {
         let r = records_per_page(record_len);
-        let n = (share * (3 * r + 1) as f64) as usize;
+        let n = (share * (4 * r + 1) as f64) as usize;
         let (heap, rows, rids) = loaded(width, record_len, n, seed);
         let disk = heap.disk().clone();
         prop_assert_eq!(heap.page_count(), n.div_ceil(r));
