@@ -305,9 +305,13 @@ impl StoredDatabase {
                 let rid = table.heap.append(values).unwrap_or_else(|e| {
                     unreachable!("load-time append on a fresh disk failed: {e}")
                 });
-                for (&idx_id, tree) in &mut table.indexes {
-                    let key_attr = catalog.index(idx_id).attr.index as usize;
-                    tree.insert(values[key_attr], rid);
+                // Into the indexes in catalog order, so that the trees'
+                // page ids are the same on every load.
+                for idx_id in &rel.indexes {
+                    let key_attr = catalog.index(*idx_id).attr.index as usize;
+                    if let Some(tree) = table.indexes.get_mut(idx_id) {
+                        tree.insert(values[key_attr], rid);
+                    }
                 }
             });
             for (db, table) in dbs.iter_mut().zip(tables) {
