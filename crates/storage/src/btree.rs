@@ -75,6 +75,22 @@ impl BTree {
         self.height
     }
 
+    /// The page ids of the tree's nodes, ascending: the order they were
+    /// allocated in.
+    pub fn node_pages(&self) -> impl Iterator<Item = PageId> {
+        let mut ids = vec![self.root];
+        let mut at = 0;
+        while let Some(&id) = ids.get(at) {
+            let page = self.disk.read_unaccounted(id);
+            if page[0] == KIND_INTERNAL {
+                ids.extend((0..=count(&page[..])).map(|i| internal_child(&page[..], i)));
+            }
+            at += 1;
+        }
+        ids.sort_unstable();
+        ids.into_iter()
+    }
+
     /// Inserts `(key, rid)` (duplicates allowed). Load-time: unaccounted.
     pub fn insert(&mut self, key: i64, rid: Rid) {
         if let Some((sep, right)) = self.insert_into(self.root, key, rid) {
