@@ -1,4 +1,4 @@
-//! A page-based B-tree mapping `i64` keys to record ids.
+//! A B-tree mapping `i64` keys to record ids.
 //!
 //! Used as the *unclustered* associative search structure of the
 //! experiments ("attributes referenced by the unbound selection predicates
@@ -7,54 +7,70 @@
 //! chained for range scans; fetching the records themselves costs one
 //! (accounted) heap-page read per rid.
 //!
-//! Node layout (2,048-byte pages):
-//! * byte 0: node kind (0 = leaf, 1 = internal)
-//! * bytes 2–3: entry count
-//! * leaf: bytes 4–7 next-leaf page id; entries of 14 bytes
-//!   (`key: i64, page: u32, slot: u16`) from byte 8.
-//! * internal: bytes 4–7 leftmost child; entries of 12 bytes
-//!   (`key: i64, child: u32`) from byte 8. Child `i+1` holds keys
-//!   `>= key[i]`.
+//! The tree keeps its nodes itself, as typed values, each with the page id
+//! the disk accounts for it. What the cost model sees of a node is its
+//! capacity, so a node holds as many entries as a 2,048-byte page laid
+//! out with an 8-byte header did: 14-byte leaf entries (an 8-byte key and
+//! a 6-byte page-and-slot record id) — 145 a leaf — or 12-byte internal
+//! entries (an 8-byte separator and a 4-byte child page id) — 170
+//! separators and 171 children. Child `i + 1` holds keys `>=` separator
+//! `i`. Those capacities fix where nodes split, hence the tree's height,
+//! its page count and the pages a scan reads; a [`Rid`]'s size in memory
+//! does not enter.
 //!
-//! Construction is a load-time activity and uses unaccounted disk access;
-//! lookups and range scans use accounted reads so executor I/O is
-//! measurable.
-
-use std::sync::Arc;
+//! Construction is a load-time activity: it allocates page ids and reads
+//! none. Lookups and range scans read each node's page (accounted, so
+//! executor I/O is measurable, and fallible under a fault plan) before
+//! they look at the node.
 
 use crate::disk::SimDisk;
 use crate::error::StorageError;
 use crate::heap::Rid;
 use crate::page::{PageId, PAGE_SIZE};
 
-const KIND_LEAF: u8 = 0;
-const KIND_INTERNAL: u8 = 1;
-const LEAF_ENTRY: usize = 14;
-const INTERNAL_ENTRY: usize = 12;
 const HEADER: usize = 8;
-/// Entries per leaf page.
-const LEAF_CAP: usize = (PAGE_SIZE - HEADER) / LEAF_ENTRY;
-/// Keyed entries per internal page (plus the leftmost child).
-const INTERNAL_CAP: usize = (PAGE_SIZE - HEADER) / INTERNAL_ENTRY;
+/// Entries per leaf: 14-byte entries after the header of a page.
+const LEAF_CAP: usize = (PAGE_SIZE - HEADER) / 14;
+/// Separators per internal node (plus the leftmost child): 12-byte
+/// entries after the header of a page.
+const INTERNAL_CAP: usize = (PAGE_SIZE - HEADER) / 12;
 
 /// A B-tree index over `i64` keys.
 #[derive(Debug)]
 pub struct BTree {
     disk: SimDisk,
-    root: PageId,
+    /// The nodes in the order their page ids were allocated.
+    nodes: Vec<Node>,
+    /// Index of the root in `nodes`.
+    root: usize,
     entries: u64,
     height: u32,
+}
+
+/// A node and the page the disk accounts for it.
+#[derive(Debug)]
+struct Node {
+    page: PageId,
+    kind: Kind,
+}
+
+#[derive(Debug)]
+enum Kind {
+    /// Entries in key order, and the next leaf (an index into the tree's
+    /// nodes).
+    Leaf { entries: Vec<(i64, Rid)>, next: Option<usize> },
+    /// `children.len() == keys.len() + 1`; children are indexes into the
+    /// tree's nodes.
+    Internal { keys: Vec<i64>, children: Vec<usize> },
 }
 
 impl BTree {
     /// Creates an empty tree on `disk`.
     #[must_use]
     pub fn new(disk: SimDisk) -> BTree {
-        let root = disk.allocate();
-        let mut page = [0u8; PAGE_SIZE];
-        init_leaf(&mut page, PageId::INVALID);
-        disk.write_unaccounted(root, &page);
-        BTree { disk, root, entries: 0, height: 1 }
+        let mut tree = BTree { disk, nodes: Vec::new(), root: 0, entries: 0, height: 1 };
+        tree.root = tree.push(Kind::Leaf { entries: Vec::new(), next: None });
+        tree
     }
 
     /// Number of entries.
@@ -77,127 +93,66 @@ impl BTree {
 
     /// The page ids of the tree's nodes, ascending: the order they were
     /// allocated in.
-    pub fn node_pages(&self) -> impl Iterator<Item = PageId> {
-        let mut ids = vec![self.root];
-        let mut at = 0;
-        while let Some(&id) = ids.get(at) {
-            let page = self.disk.read_unaccounted(id);
-            if page[0] == KIND_INTERNAL {
-                ids.extend((0..=count(&page[..])).map(|i| internal_child(&page[..], i)));
-            }
-            at += 1;
-        }
-        ids.sort_unstable();
-        ids.into_iter()
+    pub fn node_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.nodes.iter().map(|node| node.page)
     }
 
-    /// Inserts `(key, rid)` (duplicates allowed). Load-time: unaccounted.
+    /// Inserts `(key, rid)` (duplicates allowed, after the entries of an
+    /// equal key). Load-time: no page is read or charged.
     pub fn insert(&mut self, key: i64, rid: Rid) {
         if let Some((sep, right)) = self.insert_into(self.root, key, rid) {
-            // Root split: new internal root.
-            let new_root = self.disk.allocate();
-            let mut page = [0u8; PAGE_SIZE];
-            page[0] = KIND_INTERNAL;
-            set_count(&mut page, 1);
-            set_u32(&mut page, 4, self.root.0);
-            set_i64(&mut page, HEADER, sep);
-            set_u32(&mut page, HEADER + 8, right.0);
-            self.disk.write_unaccounted(new_root, &page);
-            self.root = new_root;
+            // Root split: a new internal root.
+            let children = vec![self.root, right];
+            self.root = self.push(Kind::Internal { keys: vec![sep], children });
             self.height += 1;
         }
         self.entries += 1;
     }
 
-    fn insert_into(&mut self, node: PageId, key: i64, rid: Rid) -> Option<(i64, PageId)> {
-        // Shared with the disk: the nodes a descent only reads are not
-        // copied, the one it changes is (copy-on-write).
-        let mut page = self.disk.read_unaccounted(node);
-        if page[0] == KIND_LEAF {
-            return self.insert_leaf(node, Arc::make_mut(&mut page), key, rid);
-        }
-        let idx = internal_child_index(&page[..], key);
-        let child = internal_child(&page[..], idx);
-        let split = self.insert_into(child, key, rid)?;
-        // Child split: insert (sep, right) after position idx.
-        let (sep, right) = split;
-        let n = count(&page[..]);
-        let page = Arc::make_mut(&mut page);
-        if n < INTERNAL_CAP {
-            // Shift entries right of idx.
-            let base = HEADER + idx * INTERNAL_ENTRY;
-            let end = HEADER + n * INTERNAL_ENTRY;
-            page.copy_within(base..end, base + INTERNAL_ENTRY);
-            set_i64(&mut page[..], base, sep);
-            set_u32(&mut page[..], base + 8, right.0);
-            set_count(&mut page[..], n + 1);
-            self.disk.write_unaccounted(node, page.as_slice());
-            return None;
-        }
-        // Split the internal node.
-        let mut keys = Vec::with_capacity(n + 1);
-        let mut children = Vec::with_capacity(n + 2);
-        children.push(internal_child(&page[..], 0));
-        for i in 0..n {
-            keys.push(get_i64(&page[..], HEADER + i * INTERNAL_ENTRY));
-            children.push(internal_child(&page[..], i + 1));
-        }
-        keys.insert(idx, sep);
-        children.insert(idx + 1, right);
-        let mid = keys.len() / 2;
-        let up_key = keys[mid];
-        let (lk, rk) = (keys[..mid].to_vec(), keys[mid + 1..].to_vec());
-        let (lc, rc) = (children[..=mid].to_vec(), children[mid + 1..].to_vec());
-        write_internal(page, &lk, &lc);
-        self.disk.write_unaccounted(node, page.as_slice());
-        let right_id = self.disk.allocate();
-        let mut rp = [0u8; PAGE_SIZE];
-        write_internal(&mut rp, &rk, &rc);
-        self.disk.write_unaccounted(right_id, &rp);
-        Some((up_key, right_id))
+    /// Adds a node on a newly allocated page; its index in `nodes`.
+    fn push(&mut self, kind: Kind) -> usize {
+        self.nodes.push(Node { page: self.disk.allocate(), kind });
+        self.nodes.len() - 1
     }
 
-    fn insert_leaf(
-        &mut self,
-        node: PageId,
-        page: &mut [u8; PAGE_SIZE],
-        key: i64,
-        rid: Rid,
-    ) -> Option<(i64, PageId)> {
-        let n = count(page);
-        let idx = leaf_upper_bound(page, key);
-        if n < LEAF_CAP {
-            let base = HEADER + idx * LEAF_ENTRY;
-            let end = HEADER + n * LEAF_ENTRY;
-            page.copy_within(base..end, base + LEAF_ENTRY);
-            write_leaf_entry(page, idx, key, rid);
-            set_count(page, n + 1);
-            self.disk.write_unaccounted(node, page.as_slice());
+    /// Inserts below node `at`; the separator and the new right node when
+    /// `at` split.
+    fn insert_into(&mut self, at: usize, key: i64, rid: Rid) -> Option<(i64, usize)> {
+        let fresh = self.nodes.len();
+        let (idx, child) = match &mut self.nodes[at].kind {
+            Kind::Leaf { entries, next } => {
+                grow_insert(entries, entries.partition_point(|&(k, _)| k <= key), (key, rid));
+                if entries.len() <= LEAF_CAP {
+                    return None;
+                }
+                // The left half stays and links to the new right leaf,
+                // which links to the old next.
+                let right = split_half(entries);
+                let (sep, next) = (right[0].0, next.replace(fresh));
+                return Some((sep, self.push(Kind::Leaf { entries: right, next })));
+            }
+            Kind::Internal { keys, children } => {
+                // The number of separators <= key, so duplicates go after
+                // existing entries.
+                let idx = keys.partition_point(|&sep| sep <= key);
+                (idx, children[idx])
+            }
+        };
+        let (sep, right) = self.insert_into(child, key, rid)?;
+        let Kind::Internal { keys, children } = &mut self.nodes[at].kind else {
+            unreachable!("node {at} was internal a moment ago")
+        };
+        grow_insert(keys, idx, sep);
+        grow_insert(children, idx + 1, right);
+        if keys.len() <= INTERNAL_CAP {
             return None;
         }
-        // Split the leaf.
-        let mut entries: Vec<(i64, Rid)> = (0..n).map(|i| leaf_entry(page, i)).collect();
-        entries.insert(idx, (key, rid));
-        let mid = entries.len() / 2;
-        let right_id = self.disk.allocate();
-        let next = leaf_next(page);
-        // Left keeps [..mid], points to right; right gets [mid..], points
-        // to the old next.
-        let mut left = [0u8; PAGE_SIZE];
-        init_leaf(&mut left, right_id);
-        for (i, &(k, r)) in entries[..mid].iter().enumerate() {
-            write_leaf_entry(&mut left, i, k, r);
-        }
-        set_count(&mut left, mid);
-        let mut right = [0u8; PAGE_SIZE];
-        init_leaf(&mut right, next);
-        for (i, &(k, r)) in entries[mid..].iter().enumerate() {
-            write_leaf_entry(&mut right, i, k, r);
-        }
-        set_count(&mut right, entries.len() - mid);
-        self.disk.write_unaccounted(node, &left);
-        self.disk.write_unaccounted(right_id, &right);
-        Some((entries[mid].0, right_id))
+        // The middle separator moves up; the children right of it go right.
+        let right_children = split_half(children);
+        let mut right_keys = split_half(keys);
+        let up = right_keys.remove(0);
+        let right = self.push(Kind::Internal { keys: right_keys, children: right_children });
+        Some((up, right))
     }
 
     /// All rids whose key equals `key` (accounted reads: root-to-leaf
@@ -234,41 +189,37 @@ impl BTree {
         hi: Option<i64>,
         mut f: impl FnMut(i64, Rid),
     ) -> Result<u64, StorageError> {
-        // Descend to the first candidate leaf.
-        let mut node = self.root;
-        let mut page = self.disk.read(node)?;
-        let mut pages = 1;
-        while page[0] == KIND_INTERNAL {
-            let idx = match lo {
-                Some(k) => internal_lower_bound_index(&page[..], k),
-                None => 0,
-            };
-            node = internal_child(&page[..], idx);
-            page = self.disk.read(node)?;
-            pages += 1;
-        }
+        let mut pages = 0;
+        let mut at = self.root;
         loop {
-            let n = count(&page[..]);
-            let start = match lo {
-                Some(k) => leaf_lower_bound(&page[..], k),
-                None => 0,
-            };
-            for i in start..n {
-                let (k, rid) = leaf_entry(&page[..], i);
-                if let Some(hi) = hi {
-                    if k > hi {
-                        return Ok(pages);
-                    }
+            match self.read(at, &mut pages)? {
+                // Descend to the leftmost child that may hold `lo`: the
+                // number of separators strictly below it, since duplicates
+                // of a key can straddle a leaf split.
+                Kind::Internal { keys, children } => {
+                    at = children[lo.map_or(0, |k| keys.partition_point(|&sep| sep < k))];
                 }
-                f(k, rid);
+                Kind::Leaf { entries, next } => {
+                    let start = lo.map_or(0, |k| entries.partition_point(|&(key, _)| key < k));
+                    for &(k, rid) in &entries[start..] {
+                        if hi.is_some_and(|hi| k > hi) {
+                            return Ok(pages);
+                        }
+                        f(k, rid);
+                    }
+                    let Some(next) = *next else { return Ok(pages) };
+                    at = next;
+                }
             }
-            let next = leaf_next(&page[..]);
-            if !next.is_valid() {
-                return Ok(pages);
-            }
-            page = self.disk.read(next)?;
-            pages += 1;
         }
+    }
+
+    /// Node `at`, once the accounted read of its page has succeeded.
+    fn read(&self, at: usize, pages: &mut u64) -> Result<&Kind, StorageError> {
+        let node = &self.nodes[at];
+        self.disk.read(node.page)?;
+        *pages += 1;
+        Ok(&node.kind)
     }
 
     /// Full scan in key order (accounted reads over the leaf chain only —
@@ -281,142 +232,22 @@ impl BTree {
     }
 }
 
-// ---- page-format helpers ----------------------------------------------
-
-fn init_leaf(page: &mut [u8; PAGE_SIZE], next: PageId) {
-    page[0] = KIND_LEAF;
-    set_count(page, 0);
-    set_u32(page, 4, next.0);
-}
-
-fn count(page: &[u8]) -> usize {
-    u16::from_le_bytes([page[2], page[3]]) as usize
-}
-
-fn set_count(page: &mut [u8], n: usize) {
-    page[2..4].copy_from_slice(&(n as u16).to_le_bytes());
-}
-
-fn set_u32(page: &mut [u8], at: usize, v: u32) {
-    page[at..at + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(page: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&page[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
-fn set_i64(page: &mut [u8], at: usize, v: i64) {
-    page[at..at + 8].copy_from_slice(&v.to_le_bytes());
-}
-
-fn get_i64(page: &[u8], at: usize) -> i64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&page[at..at + 8]);
-    i64::from_le_bytes(b)
-}
-
-fn leaf_next(page: &[u8]) -> PageId {
-    PageId(get_u32(page, 4))
-}
-
-fn leaf_entry(page: &[u8], i: usize) -> (i64, Rid) {
-    let base = HEADER + i * LEAF_ENTRY;
-    let key = get_i64(page, base);
-    let rid = Rid {
-        page: PageId(get_u32(page, base + 8)),
-        slot: u16::from_le_bytes([page[base + 12], page[base + 13]]),
-    };
-    (key, rid)
-}
-
-fn write_leaf_entry(page: &mut [u8], i: usize, key: i64, rid: Rid) {
-    let base = HEADER + i * LEAF_ENTRY;
-    set_i64(page, base, key);
-    set_u32(page, base + 8, rid.page.0);
-    page[base + 12..base + 14].copy_from_slice(&rid.slot.to_le_bytes());
-}
-
-/// First leaf position with key >= `key`.
-fn leaf_lower_bound(page: &[u8], key: i64) -> usize {
-    let n = count(page);
-    let (mut lo, mut hi) = (0, n);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if leaf_entry(page, mid).0 < key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
+/// Inserts `value` at `at`, growing a full vector by a quarter rather
+/// than doubling it: a node keeps about as many slots as it has entries,
+/// not a page's worth.
+fn grow_insert<T>(v: &mut Vec<T>, at: usize, value: T) {
+    if v.len() == v.capacity() {
+        v.reserve_exact((v.len() / 4).max(4));
     }
-    lo
+    v.insert(at, value);
 }
 
-/// First leaf position with key > `key` (insertion point for duplicates).
-fn leaf_upper_bound(page: &[u8], key: i64) -> usize {
-    let n = count(page);
-    let (mut lo, mut hi) = (0, n);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if leaf_entry(page, mid).0 <= key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-fn internal_child(page: &[u8], idx: usize) -> PageId {
-    if idx == 0 {
-        PageId(get_u32(page, 4))
-    } else {
-        PageId(get_u32(page, HEADER + (idx - 1) * INTERNAL_ENTRY + 8))
-    }
-}
-
-/// Index of the child an *insert* of `key` descends into: the number of
-/// separator keys <= key, so duplicates append after existing entries.
-fn internal_child_index(page: &[u8], key: i64) -> usize {
-    internal_index(page, key, false)
-}
-
-/// Index of the leftmost child that may contain `key`: the number of
-/// separator keys strictly below it. Range scans must descend here —
-/// duplicate keys can straddle a leaf split, leaving equal keys both left
-/// and right of a separator equal to the key.
-fn internal_lower_bound_index(page: &[u8], key: i64) -> usize {
-    internal_index(page, key, true)
-}
-
-fn internal_index(page: &[u8], key: i64, strict: bool) -> usize {
-    let n = count(page);
-    let (mut lo, mut hi) = (0, n);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let sep = get_i64(page, HEADER + mid * INTERNAL_ENTRY);
-        let go_right = if strict { sep < key } else { sep <= key };
-        if go_right {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-fn write_internal(page: &mut [u8; PAGE_SIZE], keys: &[i64], children: &[PageId]) {
-    assert_eq!(children.len(), keys.len() + 1);
-    page.fill(0);
-    page[0] = KIND_INTERNAL;
-    set_count(page, keys.len());
-    set_u32(page, 4, children[0].0);
-    for (i, (&k, &c)) in keys.iter().zip(&children[1..]).enumerate() {
-        let base = HEADER + i * INTERNAL_ENTRY;
-        set_i64(page, base, k);
-        set_u32(page, base + 8, c.0);
-    }
+/// Moves the upper half of `v` (from `len / 2` on) into a vector of its
+/// own, leaving `v` the lower half and no spare slots.
+fn split_half<T>(v: &mut Vec<T>) -> Vec<T> {
+    let right = v.split_off(v.len() / 2);
+    v.shrink_to_fit();
+    right
 }
 
 #[cfg(test)]
@@ -424,7 +255,7 @@ mod tests {
     use super::*;
 
     fn rid(i: u32) -> Rid {
-        Rid { page: PageId(i), slot: (i % 7) as u16 }
+        Rid { page: PageId(i / 7), row: i }
     }
 
     #[test]
@@ -538,7 +369,7 @@ mod tests {
         let err = t.lookup(100).unwrap_err();
         assert!(err.is_injected());
         // The plan is one-shot; the next lookup succeeds, and inserts are
-        // never affected (unaccounted access).
+        // never affected (they read no page).
         t.insert(5000, rid(1));
         assert_eq!(t.lookup(100).unwrap(), vec![rid(100)]);
     }

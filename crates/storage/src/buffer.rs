@@ -1,7 +1,6 @@
 //! An LRU buffer pool over the simulated disk.
 
 use std::collections::{BTreeMap, HashMap};
-use std::ops::ControlFlow;
 
 use crate::disk::SimDisk;
 use crate::error::StorageError;
@@ -67,7 +66,7 @@ impl BufferPool {
             return Ok(false);
         }
         self.misses += 1;
-        self.disk.read_run([id], |_| ControlFlow::Continue(()))?;
+        self.disk.read(id)?;
         if self.frames.len() >= self.capacity {
             if let Some((_, victim)) = self.by_age.pop_first() {
                 self.frames.remove(&victim);

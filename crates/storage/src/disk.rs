@@ -1,5 +1,7 @@
-//! The simulated disk: an in-memory page store with I/O accounting and
-//! deterministic fault injection.
+//! The simulated disk: an allocator and accountant of page ids, with I/O
+//! accounting and deterministic fault injection. It holds no bytes: a
+//! page's contents are its owner's (a heap or spill file's columns, a
+//! B-tree's nodes).
 
 use parking_lot::Mutex;
 use std::ops::ControlFlow;
@@ -9,7 +11,7 @@ use dqep_catalog::SystemConfig;
 
 use crate::error::StorageError;
 use crate::fault::FaultPlan;
-use crate::page::{PageId, PageRef, PAGE_SIZE};
+use crate::page::PageId;
 
 /// Access counters, classified the way the cost model charges them: a read
 /// of the page following the previously read page is *sequential*, any
@@ -76,18 +78,10 @@ pub struct TempPages {
 
 #[derive(Debug)]
 struct DiskInner {
-    /// One slot per page id ever issued and not truncated away. `None` is
-    /// a reclaimed temp page: its buffer is gone, its id stays dead until
-    /// the slot falls off the tail (see [`SimDisk::free`]).
-    pages: Vec<Option<PageRef>>,
-    /// What a page holds between allocation and its first write: every
-    /// such slot shares this one buffer (a write never changes a shared
-    /// buffer, it replaces the slot's reference). A heap or temp slot
-    /// holds it for life — the rows of a base table and of a
-    /// query-lifetime file are the file's ([`crate::HeapFile`],
-    /// [`crate::SpillFile`]), the disk keeps only the id; only B-tree pages
-    /// are written.
-    zero: PageRef,
+    /// Whether each page id ever issued and not truncated away is live.
+    /// A dead slot is a reclaimed temp page: its id stays dead until the
+    /// slot falls off the tail (see [`SimDisk::free`]).
+    live: Vec<bool>,
     temp: TempPages,
     stats: IoStats,
     last_read: Option<PageId>,
@@ -104,17 +98,20 @@ struct DiskInner {
 
 /// A shared, thread-safe simulated disk.
 ///
-/// All storage structures ([`crate::HeapFile`], [`crate::BTree`],
-/// [`crate::BufferPool`]) allocate and access pages through one `SimDisk`,
-/// so a query's total I/O is read off a single [`IoStats`].
+/// All storage structures ([`crate::HeapFile`], [`crate::SpillFile`],
+/// [`crate::BTree`], [`crate::BufferPool`]) allocate page ids and account
+/// for their accesses through one `SimDisk`, so a query's total I/O is
+/// read off a single [`IoStats`]. The disk keeps which ids are live and
+/// how accesses are classified, counted, failed and paced; what a page
+/// holds is its owner's.
 ///
 /// # Fault injection
 ///
 /// A [`FaultPlan`] installed with [`SimDisk::set_fault_plan`] fails
 /// matching **accounted** accesses with
-/// [`StorageError::InjectedFault`]. Unaccounted (load-time) access is
-/// exempt by design, so a database can always be generated and then
-/// queried under faults.
+/// [`StorageError::InjectedFault`]. Loading allocates ids and accounts
+/// for nothing, so a database can always be generated and then queried
+/// under faults.
 #[derive(Debug, Clone)]
 pub struct SimDisk {
     inner: Arc<Mutex<DiskInner>>,
@@ -126,8 +123,7 @@ impl SimDisk {
     pub fn new() -> SimDisk {
         SimDisk {
             inner: Arc::new(Mutex::new(DiskInner {
-                pages: Vec::new(),
-                zero: Arc::new([0u8; PAGE_SIZE]),
+                live: Vec::new(),
                 temp: TempPages::default(),
                 stats: IoStats::default(),
                 last_read: None,
@@ -146,7 +142,7 @@ impl SimDisk {
     /// shape of a query resemble a device with latency, so concurrent
     /// sessions can demonstrably overlap their I/O stalls. The sleep
     /// happens *outside* the disk lock; concurrent accessors of other
-    /// disks (or unaccounted loads) are never serialized behind it.
+    /// disks (or loads) are never serialized behind it.
     pub fn set_io_latency_micros(&self, micros: u64) {
         self.inner.lock().latency_micros = micros;
     }
@@ -167,18 +163,16 @@ impl SimDisk {
         self.inner.lock().faults.clone()
     }
 
-    /// Allocates a zeroed page that lives as long as the disk (base
-    /// tables, B-trees) — its slot the shared zero page until a write;
-    /// not charged as I/O (allocation happens at load time in the
-    /// experiments).
+    /// Allocates the id of a page that lives as long as the disk (base
+    /// tables, B-trees); not charged as I/O (allocation happens at load
+    /// time in the experiments).
     pub fn allocate(&self) -> PageId {
         self.inner.lock().push_page()
     }
 
     /// Allocates the id of a page of a query-lifetime file, counted in
     /// [`SimDisk::temp_pages`] until its owner gives it back with
-    /// [`SimDisk::free`]. Its slot is the shared zero page, and stays it.
-    /// Not charged as I/O.
+    /// [`SimDisk::free`]. Not charged as I/O.
     pub(crate) fn allocate_temp(&self) -> PageId {
         let mut inner = self.inner.lock();
         inner.temp.live += 1;
@@ -186,10 +180,10 @@ impl SimDisk {
         inner.push_page()
     }
 
-    /// Gives temp pages back. Each buffer is released at once and its id
-    /// goes dead: an accounted access to it is
-    /// [`StorageError::UnallocatedPage`]. Only the *trailing* run of dead
-    /// slots is cut off the page vector, so an id is handed out again only
+    /// Gives temp pages back. Each id goes dead at once: an accounted
+    /// access to it is [`StorageError::UnallocatedPage`]. Only the
+    /// *trailing* run of dead slots is cut off the live flags, so an id is
+    /// handed out again only
     /// once every page allocated after it is gone too — a live id is never
     /// reissued, and a statement that frees everything it allocated leaves
     /// the next one the same ids, hence the same sequential/random read
@@ -198,13 +192,14 @@ impl SimDisk {
     pub(crate) fn free(&self, ids: &[PageId]) {
         let mut inner = self.inner.lock();
         for id in ids {
-            let freed = inner.pages.get_mut(id.0 as usize).and_then(Option::take);
-            if freed.is_some() {
-                inner.temp.live -= 1;
+            if let Some(live) = inner.live.get_mut(id.0 as usize) {
+                if std::mem::take(live) {
+                    inner.temp.live -= 1;
+                }
             }
         }
-        while let Some(None) = inner.pages.last() {
-            inner.pages.pop();
+        while inner.live.last() == Some(&false) {
+            inner.live.pop();
         }
     }
 
@@ -213,7 +208,7 @@ impl SimDisk {
     /// pages are not reclaimed).
     #[must_use]
     pub fn page_count(&self) -> usize {
-        self.inner.lock().pages.len()
+        self.inner.lock().live.len()
     }
 
     /// Live and high-water temp-page counts.
@@ -230,9 +225,8 @@ impl SimDisk {
         inner.temp.high_water = inner.temp.live;
     }
 
-    /// Reads a page, charging sequential or random I/O. The result shares
-    /// the disk's buffer: no bytes are copied — a [`SimDisk::read_run`]
-    /// of one page whose reader keeps it.
+    /// Reads a page, charging sequential or random I/O: the accounting a
+    /// reader does before it looks at what its page holds.
     ///
     /// # Errors
     /// [`StorageError::UnallocatedPage`] for an id that was never
@@ -240,27 +234,27 @@ impl SimDisk {
     /// the installed fault plan fails this read. Failed reads are still
     /// charged — the I/O was attempted — and still advance the read
     /// ordinal.
-    pub fn read(&self, id: PageId) -> Result<PageRef, StorageError> {
+    pub fn read(&self, id: PageId) -> Result<(), StorageError> {
         let (result, latency) = {
             let mut inner = self.inner.lock();
-            (inner.account_read(id).map(Arc::clone), inner.latency_micros)
+            (inner.account_read(id), inner.latency_micros)
         };
         Self::pace(latency);
         result
     }
 
     /// Reads the pages `ids` names, in that order, under **one**
-    /// acquisition of the disk latch, lending each to `visit` where it
-    /// lies: what [`SimDisk::read`] in a loop over the same ids would
-    /// classify, count and fail, without a lock round trip and a reference
-    /// count up and down per page. A heap or spill file's reader ignores
-    /// the page it is lent — the slot is the shared zero page, the rows are
-    /// the file's — and copies them after the run; a visitor that ends the
-    /// run with [`ControlFlow::Break`] leaves the rest unread.
+    /// acquisition of the disk latch, handing each id to `visit` once its
+    /// read has succeeded: what [`SimDisk::read`] in a loop over the same
+    /// ids would classify, count and fail, without a lock round trip per
+    /// page. A heap or spill file's reader counts pages and rows in the
+    /// visitor and copies the rows from the file after the run; a visitor
+    /// that ends the run with [`ControlFlow::Break`] leaves the rest
+    /// unread.
     ///
     /// The latch is not re-entrant: **nothing `ids` or `visit` calls may
-    /// touch this disk**, which is why they deal in page ids, page bytes
-    /// and counts and nothing that reaches storage. Two rules keep the hold
+    /// touch this disk**, which is why they deal in page ids and counts and
+    /// nothing that reaches storage. Two rules keep the hold
     /// short: a paced disk ([`SimDisk::set_io_latency_micros`]) runs page
     /// by page, as `read` in a loop, so it never sleeps under the latch;
     /// and readers that share a disk — the workers of one parallel query —
@@ -274,13 +268,14 @@ impl SimDisk {
     pub fn read_run(
         &self,
         ids: impl IntoIterator<Item = PageId>,
-        mut visit: impl FnMut(&PageRef) -> ControlFlow<()>,
+        mut visit: impl FnMut(PageId) -> ControlFlow<()>,
     ) -> Result<(), StorageError> {
         let mut inner = self.inner.lock();
         if inner.latency_micros > 0 {
             drop(inner);
             for id in ids {
-                if visit(&self.read(id)?).is_break() {
+                self.read(id)?;
+                if visit(id).is_break() {
                     break;
                 }
             }
@@ -291,8 +286,8 @@ impl SimDisk {
         for id in ids {
             pages += 1;
             match inner.account_read(id) {
-                Ok(page) => {
-                    if visit(page).is_break() {
+                Ok(()) => {
+                    if visit(id).is_break() {
                         break;
                     }
                 }
@@ -311,48 +306,6 @@ impl SimDisk {
     fn pace(latency_micros: u64) {
         if latency_micros > 0 {
             std::thread::sleep(std::time::Duration::from_micros(latency_micros));
-        }
-    }
-
-    /// Reads a page **without** charging I/O — used by loaders (e.g.
-    /// B-tree construction) whose effort the experiments do not account.
-    /// Exempt from fault plans.
-    ///
-    /// # Panics
-    /// Panics on an unallocated or freed page id: loaders only touch pages
-    /// they allocated themselves, so a dead id here is a bug, not a
-    /// runtime fault.
-    #[must_use]
-    pub fn read_unaccounted(&self, id: PageId) -> PageRef {
-        match self.inner.lock().live_page(id) {
-            Some(page) => Arc::clone(page),
-            None => panic!("unaccounted read of unallocated page {id}"),
-        }
-    }
-
-    /// Writes a page **without** charging I/O — used by the B-tree loader,
-    /// whose effort the experiments do not account, and the only way bytes
-    /// reach a page (heap and temp pages hold none). Exempt from fault
-    /// plans.
-    ///
-    /// Copy-on-write: the buffer is overwritten in place when the disk
-    /// holds the only reference, otherwise left to its readers and a fresh
-    /// one installed — a [`PageRef`] handed out by a read never changes
-    /// under its holder.
-    ///
-    /// # Panics
-    /// Panics on an unallocated or freed page id or a wrong buffer length
-    /// (loader bugs, not runtime faults).
-    pub fn write_unaccounted(&self, id: PageId, data: &[u8]) {
-        let data: &[u8; PAGE_SIZE] =
-            data.try_into().unwrap_or_else(|_| panic!("page writes are whole pages"));
-        let mut inner = self.inner.lock();
-        let Some(page) = inner.pages.get_mut(id.0 as usize).and_then(Option::as_mut) else {
-            panic!("unaccounted write of unallocated page {id}");
-        };
-        match Arc::get_mut(page) {
-            Some(buf) => *buf = *data,
-            None => *page = Arc::new(*data),
         }
     }
 
@@ -399,8 +352,8 @@ impl SimDisk {
 
 impl DiskInner {
     fn push_page(&mut self) -> PageId {
-        let id = PageId(self.pages.len() as u32);
-        self.pages.push(Some(Arc::clone(&self.zero)));
+        let id = PageId(self.live.len() as u32);
+        self.live.push(true);
         id
     }
 
@@ -418,8 +371,8 @@ impl DiskInner {
     /// The accounting of one read, the body [`SimDisk::read`] and every
     /// page of a [`SimDisk::read_run`] share: classify and count it, move
     /// the read position, advance the ordinal, consult the fault plan,
-    /// and only then look the page up — a failed read is charged.
-    fn account_read(&mut self, id: PageId) -> Result<&PageRef, StorageError> {
+    /// and only then check that the id is live — a failed read is charged.
+    fn account_read(&mut self, id: PageId) -> Result<(), StorageError> {
         let sequential = matches!(self.last_read, Some(prev) if prev.0 + 1 == id.0);
         if sequential {
             self.stats.seq_reads += 1;
@@ -429,15 +382,13 @@ impl DiskInner {
         self.last_read = Some(id);
         self.read_ordinal += 1;
         let fails = self.faults.read_fails(id, self.read_ordinal);
-        match self.live_page(id) {
-            None => Err(StorageError::UnallocatedPage(id)),
-            Some(_) if fails => Err(StorageError::InjectedFault { page: id, write: false }),
-            Some(page) => Ok(page),
+        if !self.live.get(id.0 as usize).is_some_and(|&live| live) {
+            return Err(StorageError::UnallocatedPage(id));
         }
-    }
-
-    fn live_page(&self, id: PageId) -> Option<&PageRef> {
-        self.pages.get(id.0 as usize)?.as_ref()
+        if fails {
+            return Err(StorageError::InjectedFault { page: id, write: false });
+        }
+        Ok(())
     }
 }
 
@@ -455,11 +406,11 @@ mod tests {
     fn sequential_vs_random_classification() {
         let disk = SimDisk::new();
         let ids: Vec<PageId> = (0..4).map(|_| disk.allocate()).collect();
-        let _ = disk.read(ids[0]).unwrap(); // first read: random
-        let _ = disk.read(ids[1]).unwrap(); // sequential
-        let _ = disk.read(ids[2]).unwrap(); // sequential
-        let _ = disk.read(ids[0]).unwrap(); // random (backwards)
-        let _ = disk.read(ids[3]).unwrap(); // random (skip)
+        disk.read(ids[0]).unwrap(); // first read: random
+        disk.read(ids[1]).unwrap(); // sequential
+        disk.read(ids[2]).unwrap(); // sequential
+        disk.read(ids[0]).unwrap(); // random (backwards)
+        disk.read(ids[3]).unwrap(); // random (skip)
         let s = disk.stats();
         assert_eq!(s.seq_reads, 2);
         assert_eq!(s.random_reads, 3);
@@ -484,11 +435,11 @@ mod tests {
         let disk = SimDisk::new();
         let a = disk.allocate();
         let b = disk.allocate();
-        let _ = disk.read(a).unwrap();
+        disk.read(a).unwrap();
         disk.reset_stats();
         assert_eq!(disk.stats(), IoStats::default());
         // After reset, even the "next" page counts as random.
-        let _ = disk.read(b).unwrap();
+        disk.read(b).unwrap();
         assert_eq!(disk.stats().random_reads, 1);
     }
 
@@ -519,7 +470,6 @@ mod tests {
     fn free_is_idempotent_and_truncates_only_the_dead_tail() {
         let disk = SimDisk::new();
         let base = disk.allocate();
-        disk.write_unaccounted(base, &[9u8; PAGE_SIZE]);
         let t: Vec<PageId> = (0..3).map(|_| disk.allocate_temp()).collect();
         assert_eq!(disk.temp_pages(), TempPages { live: 3, high_water: 3 });
         disk.free(&[t[1]]);
@@ -528,33 +478,16 @@ mod tests {
         // Freeing the last page takes the dead slot before it along …
         disk.free(&[t[2]]);
         assert_eq!(disk.page_count(), 2);
-        // … so those ids, and only those, are issued again, zeroed.
+        // … so those ids, and only those, are issued again, live.
         let again = disk.allocate_temp();
         assert_eq!(again, t[1]);
-        assert_eq!(disk.read_unaccounted(again)[..], [0u8; PAGE_SIZE][..]);
+        assert!(disk.read(again).is_ok());
         disk.free(&[t[0], again]);
         assert_eq!(disk.page_count(), 1, "never below the permanent pages");
-        assert_eq!(disk.read_unaccounted(base)[0], 9);
+        assert!(disk.read(base).is_ok());
         assert_eq!(disk.temp_pages(), TempPages { live: 0, high_water: 3 });
         disk.reset_temp_high_water();
         assert_eq!(disk.temp_pages(), TempPages::default());
-    }
-
-    #[test]
-    fn a_write_never_changes_a_page_a_reader_holds() {
-        let disk = SimDisk::new();
-        let id = disk.allocate();
-        disk.write_unaccounted(id, &[1u8; PAGE_SIZE]);
-        let held = disk.read(id).unwrap();
-        assert!(Arc::ptr_eq(&held, &disk.read(id).unwrap()), "reads share one buffer");
-        disk.write_unaccounted(id, &[2u8; PAGE_SIZE]);
-        assert_eq!((held[0], disk.read(id).unwrap()[0]), (1, 2));
-        // A freed page stays readable through a reference taken before.
-        let t = disk.allocate_temp();
-        disk.write_unaccounted(t, &[3u8; PAGE_SIZE]);
-        let held = disk.read(t).unwrap();
-        disk.free(&[t]);
-        assert_eq!(held[0], 3);
     }
 
     #[test]
@@ -575,12 +508,13 @@ mod tests {
         let disk = SimDisk::new();
         let a = disk.allocate();
         let b = disk.allocate();
-        disk.set_fault_plan(FaultPlan::page_range(1, 1));
+        disk.set_fault_plan(FaultPlan::page_range(1, 2));
         assert!(disk.read(a).is_ok());
         assert!(disk.read(b).is_err());
-        // Loaders bypass the plan entirely.
-        let _ = disk.read_unaccounted(b);
-        disk.write_unaccounted(b, &[1u8; PAGE_SIZE]);
+        // Loaders bypass the plan entirely: allocation is not an access.
+        let c = disk.allocate();
+        assert_eq!((c, disk.stats().total()), (PageId(2), 2));
+        assert!(disk.read(c).is_err());
     }
 
     #[test]
@@ -599,8 +533,8 @@ mod tests {
     fn set_fault_plan_resets_ordinals() {
         let disk = SimDisk::new();
         let id = disk.allocate();
-        let _ = disk.read(id).unwrap();
-        let _ = disk.read(id).unwrap();
+        disk.read(id).unwrap();
+        disk.read(id).unwrap();
         disk.set_fault_plan(FaultPlan::nth_read(1));
         assert!(disk.read(id).is_err(), "ordinal restarted at installation");
     }
@@ -620,11 +554,11 @@ mod tests {
         let id = disk.allocate();
         disk.set_io_latency_micros(2_000);
         let start = std::time::Instant::now();
-        let _ = disk.read(id).unwrap();
+        disk.read(id).unwrap();
         assert!(start.elapsed().as_micros() >= 2_000, "accounted read paced");
         let start = std::time::Instant::now();
-        let _ = disk.read_unaccounted(id);
-        assert!(start.elapsed().as_micros() < 2_000, "unaccounted read not paced");
+        let _ = disk.allocate();
+        assert!(start.elapsed().as_micros() < 2_000, "allocation not paced");
         disk.set_io_latency_micros(0);
         // Accounting is identical with pacing on or off.
         assert_eq!(disk.stats().total(), 1);

@@ -24,14 +24,15 @@ pub enum StorageError {
     },
     /// A buffer pool was requested with zero frames.
     ZeroCapacityPool,
-    /// A record id did not resolve to a stored record: its slot is out of
-    /// the page's range (a dangling index entry or a corrupted page).
-    /// Records are never deleted, so every slot in range holds one.
+    /// A record id did not resolve to a stored record of the file asked:
+    /// its row is past the file's last, or its page is not the file's page
+    /// of that row (a dangling index entry, or a rid of another file).
+    /// Records are never deleted, so every row in range is there.
     RecordNotFound {
         /// The page the rid pointed into.
         page: PageId,
-        /// The slot the rid pointed at.
-        slot: u16,
+        /// The row the rid named.
+        row: u32,
     },
     /// A record longer than an empty page can hold was appended (e.g. a
     /// spill of joined rows wider than a page).
@@ -61,8 +62,8 @@ impl fmt::Display for StorageError {
                 write!(f, "injected fault: {op} of page {page} failed")
             }
             StorageError::ZeroCapacityPool => f.write_str("buffer pool needs at least one frame"),
-            StorageError::RecordNotFound { page, slot } => {
-                write!(f, "no record at {page} slot {slot}")
+            StorageError::RecordNotFound { page, row } => {
+                write!(f, "no record at {page} row {row}")
             }
             StorageError::RecordTooLarge { len, max } => {
                 write!(f, "record of {len} bytes can never fit a page (at most {max})")
@@ -86,9 +87,9 @@ mod tests {
         let w = StorageError::InjectedFault { page: PageId(1), write: true };
         assert!(w.to_string().contains("write of page p1"));
         assert!(!StorageError::ZeroCapacityPool.is_injected());
-        assert!(StorageError::RecordNotFound { page: PageId(2), slot: 5 }
+        assert!(StorageError::RecordNotFound { page: PageId(2), row: 5 }
             .to_string()
-            .contains("slot 5"));
+            .contains("row 5"));
         assert!(StorageError::RecordTooLarge { len: 2560, max: 2040 }
             .to_string()
             .contains("2560 bytes"));

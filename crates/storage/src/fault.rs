@@ -8,8 +8,8 @@
 //! error path reproduces bit-for-bit from `(plan, workload)` alone.
 //!
 //! Fault plans only affect **accounted** accesses (the ones queries
-//! perform); load-time `*_unaccounted` access is exempt so a database can
-//! always be generated and then queried under faults.
+//! perform); loading allocates page ids and accesses none, so a database
+//! can always be generated and then queried under faults.
 
 use std::fmt;
 

@@ -8,13 +8,15 @@ use crate::disk::SimDisk;
 use crate::error::StorageError;
 use crate::page::PageId;
 
-/// A record id: page + slot. What unclustered B-trees point at.
+/// A record id: the row's page and its position in its file. What
+/// unclustered B-trees point at: a fetch reads the page, then finds the
+/// values at the position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rid {
     /// The page holding the record.
     pub page: PageId,
-    /// Slot within the page.
-    pub slot: u16,
+    /// The row's position in its file, counted from 0 in load order.
+    pub row: u32,
 }
 
 /// The rows of a file, one vector per column, and the page ids the disk
@@ -78,8 +80,8 @@ impl Columns {
 /// table, its rows `width` values each, `record_len` bytes as records.
 /// Page `k` is rows `k·r .. (k + 1)·r`, `r` =
 /// [`records_per_page`]`(record_len)`. The rows are the file's, one vector
-/// per column; the disk holds the page ids, on its shared zero page, and
-/// counts, classifies and fails the reads of them.
+/// per column; the disk holds the page ids, and counts, classifies and
+/// fails the reads of them.
 ///
 /// It is written once, at load, through [`HeapFile::append`] (unaccounted
 /// — the experiments measure query I/O, not load I/O), and then only read:
@@ -123,10 +125,10 @@ impl HeapFile {
         if file.page_full() {
             file.pages.push(self.disk.allocate());
         }
-        let slot = (file.rows % file.rows_per_page) as u16;
+        let row = file.rows as u32;
         file.values.iter_mut().zip(values).for_each(|(col, &v)| col.push(v));
         file.rows += 1;
-        Ok(Rid { page: file.pages[file.pages.len() - 1], slot })
+        Ok(Rid { page: file.pages[file.pages.len() - 1], row })
     }
 
     /// Number of records.
@@ -162,16 +164,19 @@ impl HeapFile {
     }
 
     /// The row `rid` names, without a read: for a reader that accounts for
-    /// its page itself (a buffer pool). Its page is found by binary search
-    /// over the file's ascending page ids.
+    /// its page itself (a buffer pool). Its position gives the page it is
+    /// on, `rid.row / r`, and where its values lie in the columns.
     ///
     /// # Errors
-    /// [`StorageError::RecordNotFound`] for a page not of this file or a
-    /// slot past its page's last row.
+    /// [`StorageError::RecordNotFound`] for a row past the file's last, or
+    /// a page that is not the one of this file that holds the row (a rid
+    /// of another file).
     pub fn row(&self, rid: Rid) -> Result<Row<'_>, StorageError> {
-        let k = self.pages().binary_search(&rid.page).ok();
-        k.and_then(|k| self.page(k).row(usize::from(rid.slot)))
-            .ok_or(StorageError::RecordNotFound { page: rid.page, slot: rid.slot })
+        let (at, r) = (rid.row as usize, self.columns.rows_per_page);
+        at.checked_div(r)
+            .filter(|&k| self.pages().get(k) == Some(&rid.page))
+            .and_then(|k| self.page(k).row(at - k * r))
+            .ok_or(StorageError::RecordNotFound { page: rid.page, row: rid.row })
     }
 
     /// Fetches a single row's values by rid (one accounted page read).
@@ -189,7 +194,7 @@ impl HeapFile {
     /// # Errors
     /// As [`HeapFile::fetch`].
     pub fn fetch_with<T>(&self, rid: Rid, f: impl FnOnce(Row<'_>) -> T) -> Result<T, StorageError> {
-        self.disk.read_run([rid.page], |_| ControlFlow::Continue(()))?;
+        self.disk.read(rid.page)?;
         self.row(rid).map(f)
     }
 
@@ -368,8 +373,7 @@ impl SpillWriter {
 
 /// A sealed query-lifetime file: what [`SpillWriter::finish`] returns. The
 /// rows are the file's, one vector per column; the disk holds its page ids,
-/// which count, classify and fail the reads — an accounted
-/// [`SimDisk::read`] of one returns zeroes, the shared zero page.
+/// which count, classify and fail the reads.
 ///
 /// Dropping it gives its pages back to the disk, so an operator that
 /// holds its spill files reclaims them on `close()`, on every `?` error
@@ -443,27 +447,14 @@ mod tests {
         assert_eq!(
             (rids[r - 1], rids[r]),
             (
-                Rid { page: heap.pages()[0], slot: r as u16 - 1 },
-                Rid { page: heap.pages()[1], slot: 0 }
+                Rid { page: heap.pages()[0], row: r as u32 - 1 },
+                Rid { page: heap.pages()[1], row: r as u32 }
             )
         );
         for (i, &rid) in rids.iter().enumerate() {
             assert_eq!(heap.row(rid).unwrap().value(0), i as i64);
         }
         assert_eq!(disk.stats().total(), 0, "loading is unaccounted");
-    }
-
-    #[test]
-    fn heap_pages_hold_no_bytes_of_their_own() {
-        let disk = SimDisk::new();
-        let mut heap = HeapFile::new(disk.clone(), 512, 1);
-        for i in 0..7 {
-            heap.append(&[i]).unwrap();
-        }
-        let [first, .., last] = heap.pages() else { panic!("three pages") };
-        let (first, last) = (disk.read_unaccounted(*first), disk.read_unaccounted(*last));
-        assert!(std::sync::Arc::ptr_eq(&first, &last), "both slots are the shared zero page");
-        assert_eq!(first[..], [0u8; crate::PAGE_SIZE][..]);
     }
 
     #[test]
@@ -535,11 +526,9 @@ mod tests {
         }
         let sealed = writer.finish().unwrap();
         assert_eq!(sealed.pages(), heap.pages());
-        for (k, &pid) in sealed.pages().iter().enumerate() {
+        for k in 0..sealed.page_count() {
             let got: Vec<&[i64]> = sealed.page(k).columns().collect();
             assert_eq!(got, heap.page(k).columns().collect::<Vec<_>>(), "page {k}");
-            // The disk keeps the id; the rows are the file's.
-            assert_eq!(disk.read_unaccounted(pid)[..], [0u8; crate::PAGE_SIZE][..]);
         }
         assert_eq!(sealed.record_count(), 40);
         assert_eq!(disk.stats().writes as usize, sealed.page_count(), "one charge a page");
@@ -620,8 +609,8 @@ mod tests {
         assert_eq!(heap.fetch(rids[7]).unwrap(), [7, -7]);
         assert_eq!(disk.stats().random_reads, 1);
         assert_eq!(
-            heap.fetch(Rid { page: rids[0].page, slot: 99 }).unwrap_err(),
-            StorageError::RecordNotFound { page: rids[0].page, slot: 99 }
+            heap.fetch(Rid { page: rids[0].page, row: 99 }).unwrap_err(),
+            StorageError::RecordNotFound { page: rids[0].page, row: 99 }
         );
     }
 

@@ -2,8 +2,8 @@
 //! kept as columns, B-trees, and a buffer pool.
 //!
 //! The paper's experiments ran on a DECstation with real disks; this crate
-//! substitutes a deterministic **simulated disk** that stores pages in
-//! memory and *accounts* every access as sequential or random I/O. The
+//! substitutes a deterministic **simulated disk** that allocates page ids
+//! and *accounts* every access as sequential or random I/O. The
 //! executor charges the same per-page constants the cost model uses
 //! ([`dqep_catalog::SystemConfig`]), so measured simulator times and the
 //! optimizer's predicted times are directly comparable — which is exactly
@@ -17,31 +17,34 @@
 //! partitions, sort runs), charged through [`SimDisk::note_write`].
 //!
 //! Components:
-//! * [`SimDisk`] — page store + [`IoStats`] (sequential reads, random
-//!   reads, writes). Pages are shared ([`PageRef`]): a read hands out a
-//!   reference, a run ([`SimDisk::read_run`]) accounts for its pages under
-//!   one latch, a loader's write copies a page a reader holds, and
-//!   query-lifetime files give their pages back when dropped
-//!   ([`TempPages`] counts them). Only B-tree pages hold bytes: a heap or
-//!   temp page id's slot is the disk's shared zero page.
+//! * [`SimDisk`] — allocator and accountant of page ids: which ids are
+//!   live, [`IoStats`] (sequential reads, random reads, writes), read and
+//!   write ordinals, the fault plan and pacing. It holds no bytes: a read
+//!   succeeds or fails, and the reader then looks at what its page holds
+//!   in the page's owner. A run ([`SimDisk::read_run`]) accounts for its
+//!   pages under one latch, and query-lifetime files give their pages
+//!   back when dropped ([`TempPages`] counts them).
 //! * The one row layout ([`records_per_page`], [`PageRows`], [`Row`]): a
 //!   file keeps its rows as one `Vec<i64>` per attribute, page `k` being
 //!   rows `k·r .. (k + 1)·r`, as many as a slotted page of the file's
 //!   records held, so page counts and charges are the slotted layout's.
 //! * [`HeapFile`] — unordered row file (base tables), a [`Row`] fetched by
-//!   [`Rid`]; [`SpillWriter`] / [`SpillFile`] — the write and read halves
+//!   [`Rid`] (its page and its position in the file, so a fetch indexes
+//!   the columns directly); [`SpillWriter`] / [`SpillFile`] — the write and read halves
 //!   of a query-lifetime file of fixed-width rows. A reader accounts for a
 //!   page with a disk read and then copies its rows out of the columns.
-//! * [`BTree`] — a from-scratch page-based B-tree mapping `i64` keys to
-//!   record ids, with range scans; used for unclustered indexes.
+//! * [`BTree`] — a from-scratch B-tree mapping `i64` keys to record ids,
+//!   with range scans; used for unclustered indexes. It keeps its nodes
+//!   as typed values, each holding as many entries as a 2,048-byte page
+//!   did and charging its page's read before a scan looks at it.
 //! * [`BufferPool`] — LRU cache of page ids with hit/miss statistics.
 //! * [`gen`] — synthetic table generation mirroring the catalog's schema
 //!   and statistics (uniform integer attributes over their domains).
 //! * [`StorageError`] / [`FaultPlan`] — fallible access APIs and
 //!   deterministic fault injection for robustness testing. Accounted
-//!   (query-time) reads and spill-page writes can fail; unaccounted
-//!   (load-time) access is exempt, so a database can always be generated and then
-//!   queried under faults.
+//!   (query-time) reads and spill-page writes can fail; loading accounts
+//!   for nothing and is exempt, so a database can always be generated and
+//!   then queried under faults.
 
 #![warn(missing_docs)]
 // Runtime storage code must propagate errors, not panic: unwrap/expect
@@ -72,4 +75,4 @@ pub use gen::{
 };
 pub use heap::{HeapFile, Rid, SpillFile, SpillWriter};
 pub use morsel::{PageClaims, DEFAULT_MORSEL_PAGES};
-pub use page::{PageId, PageRef, PAGE_SIZE};
+pub use page::{PageId, PAGE_SIZE};

@@ -24,7 +24,8 @@ use std::cell::Cell;
 use std::ops::{ControlFlow, Range};
 
 use dqep_storage::{
-    records_per_page, FaultPlan, HeapFile, Rid, SimDisk, StorageError, MAX_RECORD, PAGE_SIZE,
+    records_per_page, FaultPlan, HeapFile, PageId, Rid, SimDisk, StorageError, MAX_RECORD,
+    PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -167,9 +168,9 @@ proptest! {
         prop_assert_eq!(heap.page_count(), n.div_ceil(r));
         prop_assert_eq!(heap.record_count(), n as u64);
         prop_assert_eq!(disk.stats().total(), 0, "loading is unaccounted");
-        // Row `i` is slot `i mod r` of page `i / r`.
+        // Row `i` is on page `i / r`, and its rid says both.
         for (i, rid) in rids.iter().enumerate() {
-            prop_assert_eq!(*rid, Rid { page: heap.pages()[i / r], slot: (i % r) as u16 });
+            prop_assert_eq!(*rid, Rid { page: heap.pages()[i / r], row: i as u32 });
         }
 
         // The scan kernel: a first request of `first` rows leaves its
@@ -206,16 +207,27 @@ proptest! {
         prop_assert_eq!(disk.stats().total(), 2 * n as u64);
         let all: Vec<Vec<i64>> = heap.scan().map(Result::unwrap).collect();
         prop_assert_eq!(&all, &rows);
+        let not_found = |rid: Rid| StorageError::RecordNotFound { page: rid.page, row: rid.row };
+        // Past the last row: on the last page, and on the page after it
+        // (which the disk has not issued, so only `row` gets that far).
         if let Some(&last) = heap.pages().last() {
-            let past = Rid { page: last, slot: ((n - 1) % r + 1) as u16 };
-            prop_assert_eq!(
-                heap.fetch(past).unwrap_err(),
-                StorageError::RecordNotFound { page: past.page, slot: past.slot }
-            );
+            let past = Rid { page: last, row: n as u32 };
+            prop_assert_eq!(heap.fetch(past).unwrap_err(), not_found(past));
+            let beyond = Rid { page: PageId(last.0 + 1), row: (n.div_ceil(r) * r) as u32 };
+            prop_assert_eq!(heap.row(beyond).unwrap_err(), not_found(beyond));
         }
         // A page of the disk that is not the file's holds none of its rows.
-        let other = Rid { page: disk.allocate(), slot: 0 };
-        prop_assert_eq!(heap.row(other).unwrap_err(), StorageError::RecordNotFound { page: other.page, slot: 0 });
+        let other = Rid { page: disk.allocate(), row: 0 };
+        prop_assert_eq!(heap.row(other).unwrap_err(), not_found(other));
+        // Nor does another file of the same rows on the same disk: its
+        // rids name the same positions, on its own pages.
+        let mut twin = HeapFile::new(disk.clone(), record_len, width);
+        let twin_rids: Vec<Rid> = rows.iter().map(|values| twin.append(values).unwrap()).collect();
+        for (i, (rid, theirs)) in rids.iter().zip(&twin_rids).enumerate() {
+            prop_assert_eq!(rid.row, theirs.row);
+            prop_assert_eq!(twin.row(*rid).unwrap_err(), not_found(*rid), "row {}", i);
+            prop_assert_eq!(heap.row(*theirs).unwrap_err(), not_found(*theirs), "row {}", i);
+        }
     }
 
     #[test]

@@ -1,36 +1,32 @@
 //! A run is its reads.
 //!
-//! `SimDisk::read_run` visits a sequence of pages under one latch
-//! acquisition, lending each page instead of handing out a reference. It
+//! `SimDisk::read_run` accounts for a sequence of page ids under one latch
+//! acquisition, handing each id to its visitor once its read succeeded. It
 //! must be indistinguishable — to the I/O statistics, the fault plan, the
 //! caller — from `SimDisk::read` in a loop over the same ids: same
 //! sequential/random split, same read ordinals, same failing id and error,
-//! the pages before the failure delivered and none after it drawn. What it
-//! may differ in is what it is for: no reference count moves, and on a
-//! paced disk it still sleeps outside the latch.
+//! the ids before the failure visited and none after it drawn. What it may
+//! differ in is what it is for: on a paced disk it still sleeps outside the
+//! latch.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 
-use dqep_storage::{
-    FaultPlan, PageId, PageRef, SimDisk, SpillFile, SpillWriter, StorageError, PAGE_SIZE,
-};
+use dqep_storage::{FaultPlan, PageId, SimDisk, SpillFile, SpillWriter, StorageError};
 use proptest::prelude::*;
 
 const BASE_PAGES: u32 = 6;
 
 /// A disk with every kind of page id on it, built the same way every
-/// time: stamped base pages, a live temp file (its ids all on the disk's
-/// one zero page — the rows are the file's), the dead slots of a dropped
-/// one, another live temp file behind them (so the dead slots are not
+/// time: base pages, a live temp file, the dead slots of a dropped one,
+/// another live temp file behind them (so the dead slots are not
 /// truncated), and nothing beyond. Returns the disk, the files that keep
 /// the temp pages alive, and one past the highest id issued.
 fn disk_with_every_kind_of_id() -> (SimDisk, Vec<SpillFile>, u32) {
     let disk = SimDisk::new();
-    for i in 0..BASE_PAGES {
-        let id = disk.allocate();
-        disk.write_unaccounted(id, &[i as u8 + 1; PAGE_SIZE]);
+    for _ in 0..BASE_PAGES {
+        disk.allocate();
     }
     let temp = |rows: i64| {
         let mut writer = SpillWriter::uncharged(disk.clone(), 512);
@@ -72,9 +68,8 @@ fn fault_plan(kind: usize, n: u32) -> FaultPlan {
     }
 }
 
-/// What a reader saw: the pages delivered (by their first byte — the two
-/// disks of a comparison hold different buffers), and how it ended.
-type Seen = (Vec<u8>, Result<(), StorageError>);
+/// What a reader saw: the ids whose reads succeeded, and how it ended.
+type Seen = (Vec<PageId>, Result<(), StorageError>);
 
 /// `read` in a loop, stopping at the first failure or after `stop_after`
 /// pages.
@@ -82,7 +77,7 @@ fn by_reads(disk: &SimDisk, ids: &[PageId], stop_after: usize) -> Seen {
     let mut pages = Vec::new();
     for &id in ids {
         match disk.read(id) {
-            Ok(page) => pages.push(page[0]),
+            Ok(()) => pages.push(id),
             Err(e) => return (pages, Err(e)),
         }
         if pages.len() == stop_after {
@@ -95,8 +90,8 @@ fn by_reads(disk: &SimDisk, ids: &[PageId], stop_after: usize) -> Seen {
 /// One run over the same ids; also how many ids it drew.
 fn by_run(disk: &SimDisk, ids: &[PageId], stop_after: usize) -> (Seen, usize) {
     let (mut pages, mut drawn) = (Vec::new(), 0);
-    let result = disk.read_run(ids.iter().copied().inspect(|_| drawn += 1), |page| {
-        pages.push(page[0]);
+    let result = disk.read_run(ids.iter().copied().inspect(|_| drawn += 1), |id| {
+        pages.push(id);
         if pages.len() == stop_after {
             ControlFlow::Break(())
         } else {
@@ -124,6 +119,7 @@ proptest! {
         let (want, want_stats) = (by_reads(&reads, &ids, stop_after), reads.stats());
         let ((pages, result), drawn) = by_run(&runs, &ids, stop_after);
         prop_assert_eq!((&pages, &result), (&want.0, &want.1));
+        prop_assert_eq!(&pages[..], &ids[..pages.len()], "the ids visited are the run's first");
         prop_assert_eq!(runs.stats(), want_stats, "counters, the seq/random split included");
         // Nothing behind the page that ended the run was drawn, let alone read.
         let ended_early = result.is_err() || pages.len() == stop_after;
@@ -134,39 +130,11 @@ proptest! {
         // fault installed for a later read, the classification of the
         // next access — comes alike on both disks.
         for id in (0..issued).map(PageId).chain(ids.last().map(|id| PageId(id.0.wrapping_add(1)))) {
-            prop_assert_eq!(runs.read(id).map(|p| p[0]), reads.read(id).map(|p| p[0]), "{} afterwards", id);
+            prop_assert_eq!(runs.read(id), reads.read(id), "{} afterwards", id);
             prop_assert_eq!(runs.stats(), reads.stats(), "{} afterwards", id);
         }
     }
 
-    #[test]
-    fn a_run_that_keeps_nothing_moves_no_reference_count(stretches in id_sequences()) {
-        let ids = expand(&stretches);
-        let (disk, _keep, issued) = disk_with_every_kind_of_id();
-        // One reference of our own to every live page, to count through.
-        let held: Vec<PageRef> = (0..issued).filter_map(|i| disk.read(PageId(i)).ok()).collect();
-        let counts = || held.iter().map(Arc::strong_count).collect::<Vec<_>>();
-        let before = counts();
-        let mut during = Vec::new();
-        let _ = disk.read_run(ids.iter().copied(), |page| {
-            during.push((Arc::as_ptr(page), Arc::strong_count(page)));
-            ControlFlow::Continue(())
-        });
-        prop_assert_eq!(counts(), before.clone());
-        for (ptr, count) in during {
-            let at = held.iter().position(|page| Arc::as_ptr(page) == ptr).expect("a live page");
-            prop_assert_eq!(count, before[at], "lent, not cloned");
-        }
-        // The reader that keeps a page says so, and only that buffer moves
-        // (every temp id shares the disk's zero page).
-        if let Some(keep) = ids.iter().find_map(|&id| disk.read(id).ok()) {
-            let mut after = before;
-            for (count, page) in after.iter_mut().zip(&held) {
-                *count += usize::from(Arc::ptr_eq(page, &keep));
-            }
-            prop_assert_eq!(counts(), after);
-        }
-    }
 }
 
 /// A paced disk runs page by page: it sleeps with the latch released, so

@@ -299,12 +299,12 @@ fn the_ad_hoc_work_ledger_reads_as_recorded() {
 const FOOTPRINT: &str = "\
 chain heap pages 1648
 chain disk pages 1820
-chain load allocations 15654
-chain live bytes 547936
+chain load allocations 1826
+chain live bytes 459920
 star heap pages 2573
 star disk pages 2760
-star load allocations 18825
-star live bytes 827572
+star load allocations 1600
+star live bytes 752332
 ";
 
 /// The star catalog of the scan-heavy workloads: 12 000 `fact` and 6 000
