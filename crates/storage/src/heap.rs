@@ -111,7 +111,7 @@ impl HeapFile {
     ///
     /// # Panics
     /// Panics on a row of other than the file's width, or wider than its
-    /// records.
+    /// records, and on a row past the `2^32` a [`Rid`] can name.
     pub fn append(&mut self, values: &[i64]) -> Result<Rid, StorageError> {
         let file = &mut self.columns;
         check_fits(file.record_len)?;
@@ -122,10 +122,12 @@ impl HeapFile {
             file.record_len,
             values.len()
         );
+        let Ok(row) = u32::try_from(file.rows) else {
+            panic!("a heap file holds at most 2^32 rows")
+        };
         if file.page_full() {
             file.pages.push(self.disk.allocate());
         }
-        let row = file.rows as u32;
         file.values.iter_mut().zip(values).for_each(|(col, &v)| col.push(v));
         file.rows += 1;
         Ok(Rid { page: file.pages[file.pages.len() - 1], row })

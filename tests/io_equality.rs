@@ -8,6 +8,11 @@
 //! the sequential, random and written pages and the rows of the three
 //! single-node `fact`/`dim` statements and of one two-shard join, at data
 //! seed 7.
+//!
+//! A second table pins what a B-tree is to the disk, recorded while its
+//! nodes were pages of bytes: every index's height, node count and lowest
+//! and highest node page, and the rows, pages and sequential/random reads
+//! of eight fixed key ranges.
 
 use dqep::catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
 use dqep::service::{QueryService, Request, ServiceConfig, ShardConfig, ShardedService};
