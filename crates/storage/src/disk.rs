@@ -183,19 +183,17 @@ impl SimDisk {
     /// Gives temp pages back. Each id goes dead at once: an accounted
     /// access to it is [`StorageError::UnallocatedPage`]. Only the
     /// *trailing* run of dead slots is cut off the live flags, so an id is
-    /// handed out again only
-    /// once every page allocated after it is gone too — a live id is never
-    /// reissued, and a statement that frees everything it allocated leaves
-    /// the next one the same ids, hence the same sequential/random read
-    /// classification. Idempotent: ids already freed or never allocated
-    /// are skipped (a `Drop` after a half-failed spill must not panic).
+    /// handed out again only once every page allocated after it is gone
+    /// too — a live id is never reissued, and a statement that frees
+    /// everything it allocated leaves the next one the same ids, hence the
+    /// same sequential/random read classification. Idempotent: ids
+    /// already freed or never allocated are skipped (a `Drop` after a
+    /// half-failed spill must not panic).
     pub(crate) fn free(&self, ids: &[PageId]) {
         let mut inner = self.inner.lock();
         for id in ids {
-            if let Some(live) = inner.live.get_mut(id.0 as usize) {
-                if std::mem::take(live) {
-                    inner.temp.live -= 1;
-                }
+            if inner.live.get_mut(id.0 as usize).is_some_and(std::mem::take) {
+                inner.temp.live -= 1;
             }
         }
         while inner.live.last() == Some(&false) {
@@ -382,7 +380,7 @@ impl DiskInner {
         self.last_read = Some(id);
         self.read_ordinal += 1;
         let fails = self.faults.read_fails(id, self.read_ordinal);
-        if !self.live.get(id.0 as usize).is_some_and(|&live| live) {
+        if self.live.get(id.0 as usize) != Some(&true) {
             return Err(StorageError::UnallocatedPage(id));
         }
         if fails {

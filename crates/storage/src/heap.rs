@@ -177,7 +177,7 @@ impl HeapFile {
         let (at, r) = (rid.row as usize, self.columns.rows_per_page);
         at.checked_div(r)
             .filter(|&k| self.pages().get(k) == Some(&rid.page))
-            .and_then(|k| self.page(k).row(at - k * r))
+            .and_then(|k| self.page(k).row(at % r))
             .ok_or(StorageError::RecordNotFound { page: rid.page, row: rid.row })
     }
 
