@@ -502,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn page_range_fault_spares_unaccounted_access() {
+    fn page_range_fault_spares_allocation() {
         let disk = SimDisk::new();
         let a = disk.allocate();
         let b = disk.allocate();
