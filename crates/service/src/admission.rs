@@ -90,20 +90,14 @@ impl MemoryPool {
         deadline: Instant,
     ) -> Result<MemoryGrant, ServiceError> {
         if bytes > self.capacity {
-            return Err(ServiceError::GrantTooLarge {
-                requested: bytes,
-                capacity: self.capacity,
-            });
+            return Err(ServiceError::GrantTooLarge { requested: bytes, capacity: self.capacity });
         }
         let started = Instant::now();
         let mut state = self.state.lock();
         loop {
             if state.used + bytes <= self.capacity {
                 state.used += bytes;
-                return Ok(MemoryGrant {
-                    pool: Arc::clone(self),
-                    bytes,
-                });
+                return Ok(MemoryGrant { pool: Arc::clone(self), bytes });
             }
             if self.freed.wait_until(&mut state, deadline).timed_out()
                 && state.used + bytes > self.capacity
@@ -141,8 +135,7 @@ impl MemoryPool {
                 let span = (extension.as_micros() / 4).max(1) as u64;
                 let jitter = Duration::from_micros(splitmix64(bytes ^ waited_ms) % span);
                 std::thread::sleep(jitter);
-                self.acquire(bytes, Instant::now() + extension)
-                    .map(|grant| (grant, true))
+                self.acquire(bytes, Instant::now() + extension).map(|grant| (grant, true))
             }
             Err(e) => Err(e),
         }
@@ -204,11 +197,7 @@ impl<T> SlotPool<T> {
     pub(crate) fn new(capacity: usize) -> SlotPool<T> {
         SlotPool {
             items: (0..capacity).map(|_| OnceLock::new()).collect(),
-            slots: Mutex::new(Slots {
-                free: (0..capacity).rev().collect(),
-                busy: 0,
-                waiting: 0,
-            }),
+            slots: Mutex::new(Slots { free: (0..capacity).rev().collect(), busy: 0, waiting: 0 }),
             returned: Condvar::new(),
         }
     }
@@ -350,9 +339,7 @@ mod tests {
     #[test]
     fn retry_is_not_used_when_first_wait_succeeds() {
         let pool = MemoryPool::new(100);
-        let (grant, retried) = pool
-            .acquire_retry(100, soon(), Duration::from_secs(5))
-            .unwrap();
+        let (grant, retried) = pool.acquire_retry(100, soon(), Duration::from_secs(5)).unwrap();
         assert!(!retried);
         assert_eq!(grant.bytes(), 100);
     }
@@ -370,9 +357,7 @@ mod tests {
     #[test]
     fn oversized_grants_are_never_retried() {
         let pool = MemoryPool::new(100);
-        let err = pool
-            .acquire_retry(101, soon(), Duration::from_secs(5))
-            .unwrap_err();
+        let err = pool.acquire_retry(101, soon(), Duration::from_secs(5)).unwrap_err();
         assert!(matches!(err, ServiceError::GrantTooLarge { .. }));
     }
 

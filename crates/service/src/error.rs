@@ -45,13 +45,9 @@ impl fmt::Display for ServiceError {
             ServiceError::AdmissionTimeout { waited_ms } => {
                 write!(f, "admission timed out after {waited_ms} ms")
             }
-            ServiceError::GrantTooLarge {
-                requested,
-                capacity,
-            } => write!(
-                f,
-                "memory grant of {requested} bytes exceeds pool capacity {capacity}"
-            ),
+            ServiceError::GrantTooLarge { requested, capacity } => {
+                write!(f, "memory grant of {requested} bytes exceeds pool capacity {capacity}")
+            }
             ServiceError::Shutdown => write!(f, "service is shutting down"),
         }
     }

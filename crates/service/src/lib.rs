@@ -55,7 +55,6 @@ pub use metrics::{
 };
 pub use registry::{normalize_sql, PreparedRegistry, PreparedStatement, RegistryStats};
 pub use service::{
-    QueryService, Request, ServiceConfig, ServiceStats, SessionHandle, SessionResult,
-    SessionTotals,
+    QueryService, Request, ServiceConfig, ServiceStats, SessionHandle, SessionResult, SessionTotals,
 };
 pub use shard::{LinkTraffic, Shard, ShardConfig, ShardOutcome, ShardRouting, ShardedService};

@@ -100,11 +100,7 @@ impl Histogram {
         let total_ns = self.total_ns.load(Ordering::Relaxed);
         HistogramSnapshot {
             count,
-            mean_seconds: if count == 0 {
-                0.0
-            } else {
-                total_ns as f64 / count as f64 / 1e9
-            },
+            mean_seconds: if count == 0 { 0.0 } else { total_ns as f64 / count as f64 / 1e9 },
             p50_seconds: self.quantile(0.50),
             p95_seconds: self.quantile(0.95),
             p99_seconds: self.quantile(0.99),
@@ -248,18 +244,8 @@ const SECTIONS: [&str; 4] = ["sessions", "plan_cache", "reopt", "shard"];
 /// the hit and miss counters whose [`hit_rate`] it is. Prometheus leaves
 /// rates to the query side.
 const RATES: [(&str, &str, Metric, Metric); 2] = [
-    (
-        "plan_cache",
-        "statement_hit_rate",
-        Metric::StatementHits,
-        Metric::StatementMisses,
-    ),
-    (
-        "plan_cache",
-        "decision_hit_rate",
-        Metric::DecisionHits,
-        Metric::DecisionMisses,
-    ),
+    ("plan_cache", "statement_hit_rate", Metric::StatementHits, Metric::StatementMisses),
+    ("plan_cache", "decision_hit_rate", Metric::DecisionHits, Metric::DecisionMisses),
 ];
 
 /// Hits over all lookups, in `[0, 1]`; 1.0 when nothing was looked up.
@@ -283,14 +269,8 @@ pub enum Hist {
 /// The histogram table, in [`Hist`] order: JSON key (the Prometheus
 /// family is the key behind `dqep_`) and help text.
 const HISTS: [(&str, &str); 2] = [
-    (
-        "latency_seconds",
-        "Submission-to-completion latency of successful sessions.",
-    ),
-    (
-        "queue_wait_seconds",
-        "Wait of successful sessions for a database replica.",
-    ),
+    ("latency_seconds", "Submission-to-completion latency of successful sessions."),
+    ("queue_wait_seconds", "Wait of successful sessions for a database replica."),
 ];
 
 // A histogram summary in the JSON document; values are in seconds.
@@ -510,18 +490,11 @@ impl MetricsReport {
         }
         for ((key, help), h) in HISTS.iter().zip(&self.hists) {
             let _ = writeln!(out, "# HELP dqep_{key} {help}\n# TYPE dqep_{key} summary");
-            for (q, v) in [
-                ("0.5", h.p50_seconds),
-                ("0.95", h.p95_seconds),
-                ("0.99", h.p99_seconds),
-            ] {
+            for (q, v) in [("0.5", h.p50_seconds), ("0.95", h.p95_seconds), ("0.99", h.p99_seconds)]
+            {
                 let _ = writeln!(out, "dqep_{key}{{quantile=\"{q}\"}} {}", pnum(v));
             }
-            let _ = writeln!(
-                out,
-                "dqep_{key}_sum {}",
-                pnum(h.mean_seconds * h.count as f64)
-            );
+            let _ = writeln!(out, "dqep_{key}_sum {}", pnum(h.mean_seconds * h.count as f64));
             let _ = writeln!(out, "dqep_{key}_count {}", h.count);
         }
         out
@@ -551,9 +524,7 @@ fn check_report(doc: &At) -> Result<(), String> {
             }
         }
     }
-    HISTS
-        .iter()
-        .try_for_each(|(key, _)| doc.obj(key)?.fields(SUMMARY))
+    HISTS.iter().try_for_each(|(key, _)| doc.obj(key)?.fields(SUMMARY))
 }
 
 /// Validates what `--metrics-json` writes: either one
@@ -572,11 +543,7 @@ pub fn validate_metrics_json(text: &str) -> Result<(), String> {
         }
     }
     let mut last_window = 0.0;
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .peekable();
+    let mut lines = text.lines().enumerate().filter(|(_, line)| !line.trim().is_empty()).peekable();
     if lines.peek().is_none() {
         return Err("expected a metrics document or a series of windows".into());
     }
@@ -620,8 +587,9 @@ fn pnum(v: f64) -> String {
 /// A description of the first malformed line.
 pub fn lint_prometheus(text: &str) -> Result<(), String> {
     let mut families: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
-    let valid_name =
-        |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':');
+    let valid_name = |s: &str| {
+        !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    };
     for (no, line) in text.lines().enumerate() {
         let n = no + 1;
         let line = line.trim_end();
@@ -644,9 +612,8 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
         if line.starts_with('#') {
             continue; // HELP and free comments
         }
-        let (name_part, value_part) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {n}: sample without a value"))?;
+        let (name_part, value_part) =
+            line.rsplit_once(' ').ok_or_else(|| format!("line {n}: sample without a value"))?;
         let name = name_part.split('{').next().unwrap_or(name_part);
         if name_part.contains('{') && !name_part.ends_with('}') {
             return Err(format!("line {n}: unterminated label set"));
@@ -658,9 +625,9 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
             return Err(format!("line {n}: unparseable sample value `{value_part}`"));
         }
         let family = families.get(name).copied().or_else(|| {
-            name.strip_suffix("_sum")
-                .or_else(|| name.strip_suffix("_count"))
-                .and_then(|base| families.get(base).copied().filter(|k| *k == "summary" || *k == "histogram"))
+            name.strip_suffix("_sum").or_else(|| name.strip_suffix("_count")).and_then(|base| {
+                families.get(base).copied().filter(|k| *k == "summary" || *k == "histogram")
+            })
         });
         if family.is_none() {
             return Err(format!("line {n}: sample `{name}` has no preceding # TYPE"));
@@ -737,26 +704,13 @@ mod tests {
         for (i, row) in TABLE.iter().enumerate() {
             assert_eq!(row.metric as usize, i, "table order is discriminant order");
             assert!(row.family.starts_with("dqep_"));
-            assert_eq!(
-                row.kind == "counter",
-                row.family.ends_with("_total"),
-                "{}",
-                row.family
-            );
+            assert_eq!(row.kind == "counter", row.family.ends_with("_total"), "{}", row.family);
             let member = doc.get(row.section).and_then(|s| s.get(row.key));
             let kind = row.kind;
-            assert!(
-                prom.contains(&format!("# TYPE {} {kind}\n", row.family)),
-                "{}",
-                row.family
-            );
+            assert!(prom.contains(&format!("# TYPE {} {kind}\n", row.family)), "{}", row.family);
             // Dropping the member from the document must fail validation.
             let without = json.replacen(&format!("\"{}\":", row.key), "\"renamed\":", 1);
-            assert!(
-                validate_metrics_json(&without).is_err(),
-                "{} is not validated",
-                row.key
-            );
+            assert!(validate_metrics_json(&without).is_err(), "{} is not validated", row.key);
             if row.metric == Metric::ShardWinner {
                 let slots: Vec<f64> = member
                     .and_then(JsonValue::as_arr)
@@ -772,33 +726,18 @@ mod tests {
             } else {
                 let value = 100 + i as u64;
                 assert_eq!(report.get(row.metric), value);
-                assert_eq!(
-                    member.and_then(JsonValue::as_num),
-                    Some(value as f64),
-                    "{}",
-                    row.key
-                );
-                assert!(
-                    prom.contains(&format!("\n{} {value}\n", row.family)),
-                    "{}",
-                    row.family
-                );
+                assert_eq!(member.and_then(JsonValue::as_num), Some(value as f64), "{}", row.key);
+                assert!(prom.contains(&format!("\n{} {value}\n", row.family)), "{}", row.family);
             }
         }
         for (k, (key, _)) in HISTS.iter().enumerate() {
-            let count = doc
-                .get(key)
-                .and_then(|h| h.get("count"))
-                .and_then(JsonValue::as_num);
+            let count = doc.get(key).and_then(|h| h.get("count")).and_then(JsonValue::as_num);
             assert_eq!(count, Some(k as f64 + 1.0), "{key}");
             assert!(prom.contains(&format!("# TYPE dqep_{key} summary\n")));
             assert!(prom.contains(&format!("dqep_{key}_count {}\n", k + 1)));
             assert!(prom.contains(&format!("dqep_{key}{{quantile=\"0.95\"}} 0.003\n")));
             let without = json.replacen(&format!("\"{key}\":"), "\"renamed\":", 1);
-            assert!(
-                validate_metrics_json(&without).is_err(),
-                "{key} is not validated"
-            );
+            assert!(validate_metrics_json(&without).is_err(), "{key} is not validated");
         }
         // Keys are unique within a section, families across the table.
         for (i, a) in TABLE.iter().enumerate() {
@@ -807,20 +746,10 @@ mod tests {
             }
         }
         for (section, key, hits, misses) in RATES {
-            let rate = doc
-                .get(section)
-                .and_then(|s| s.get(key))
-                .and_then(JsonValue::as_num);
-            assert_eq!(
-                rate,
-                Some(hit_rate(report.get(hits), report.get(misses))),
-                "{key}"
-            );
+            let rate = doc.get(section).and_then(|s| s.get(key)).and_then(JsonValue::as_num);
+            assert_eq!(rate, Some(hit_rate(report.get(hits), report.get(misses))), "{key}");
             let without = json.replacen(&format!("\"{key}\":"), "\"renamed\":", 1);
-            assert!(
-                validate_metrics_json(&without).is_err(),
-                "{key} is not validated"
-            );
+            assert!(validate_metrics_json(&without).is_err(), "{key} is not validated");
         }
     }
 
@@ -833,10 +762,7 @@ mod tests {
         m.record_query(Ok((7, 2)), Duration::from_millis(5), trace);
         for error in [
             ServiceError::AdmissionTimeout { waited_ms: 5 },
-            ServiceError::GrantTooLarge {
-                requested: 10,
-                capacity: 1,
-            },
+            ServiceError::GrantTooLarge { requested: 10, capacity: 1 },
             ServiceError::Exec(ExecError::Network("link 0->1 exhausted".into())),
             ServiceError::Exec(ExecError::ResourceExhausted(Resource::Memory {
                 requested: 10,
@@ -880,20 +806,13 @@ mod tests {
             assert_eq!(m.get(metric), value, "{metric:?}");
         }
         assert_eq!(report.winners()[SHARD_WINNER_SLOTS - 1], 1);
-        assert_eq!(
-            report.hist(Hist::Latency).count,
-            1,
-            "failures record no latency"
-        );
+        assert_eq!(report.hist(Hist::Latency).count, 1, "failures record no latency");
     }
 
     #[test]
     fn metrics_validator_accepts_documents_and_series_and_rejects_the_rest() {
         let json = MetricsRegistry::new().report().to_json();
-        assert!(
-            !json.contains('\n'),
-            "one line: the unit of the JSON-lines export"
-        );
+        assert!(!json.contains('\n'), "one line: the unit of the JSON-lines export");
         validate_metrics_json(&json).unwrap();
         validate_metrics_json(&format!("\n  {json}\n")).unwrap();
         let window =
@@ -913,10 +832,7 @@ mod tests {
                 json.replace("\"p95\":0", "\"p95\":null"),
                 "latency_seconds.p95: expected a non-negative",
             ),
-            (
-                json.replace("[0,0,0,0,0,0,0,0]", "[0,0,0]"),
-                "shard.winner_counts: expected 8 slots",
-            ),
+            (json.replace("[0,0,0,0,0,0,0,0]", "[0,0,0]"), "shard.winner_counts: expected 8 slots"),
             (
                 json.replace("[0,0,0,0,0,0,0,0]", "[0,0,0,\"x\",0,0,0,0]"),
                 "shard.winner_counts[3]: expected",
@@ -925,23 +841,14 @@ mod tests {
                 json.replace("\"decision_hit_rate\":1", "\"decision_hit_rate\":1.5"),
                 "expected a rate in [0, 1]",
             ),
-            (
-                [window("2"), window("2")].join("\n"),
-                "line 2: window: 2 does not follow 2",
-            ),
-            (
-                [final_line.clone(), window("1")].join("\n"),
-                "line 1: window: expected a number",
-            ),
+            ([window("2"), window("2")].join("\n"), "line 2: window: 2 does not follow 2"),
+            ([final_line.clone(), window("1")].join("\n"), "line 1: window: expected a number"),
             (
                 [window("1"), "{\"window\": 2}".into()].join("\n"),
                 "line 2: metrics: expected an object",
             ),
             ([window("1"), "{".into()].join("\n"), "line 2: "),
-            (
-                window("1").replace("50", "-50"),
-                "line 1: elapsed_ms: expected a non-negative",
-            ),
+            (window("1").replace("50", "-50"), "line 1: elapsed_ms: expected a non-negative"),
             (
                 final_line.replace("\"failed\":0", "\"failed\":\"no\""),
                 "line 1: metrics.sessions.failed: expected",
@@ -956,14 +863,8 @@ mod tests {
     #[test]
     fn prometheus_lint_rejects_malformed_text() {
         assert!(lint_prometheus("dqep_orphan_total 1\n").is_err(), "sample without TYPE");
-        assert!(
-            lint_prometheus("# TYPE x widget\nx 1\n").is_err(),
-            "unknown metric type"
-        );
-        assert!(
-            lint_prometheus("# TYPE x counter\nx notanumber\n").is_err(),
-            "unparseable value"
-        );
+        assert!(lint_prometheus("# TYPE x widget\nx 1\n").is_err(), "unknown metric type");
+        assert!(lint_prometheus("# TYPE x counter\nx notanumber\n").is_err(), "unparseable value");
         assert!(
             lint_prometheus("# TYPE x counter\nx_sum 1\n").is_err(),
             "_sum on a counter family"

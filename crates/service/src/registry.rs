@@ -298,13 +298,7 @@ impl PreparedRegistry {
                 slot.last_used = tick;
                 return Arc::clone(&slot.stmt);
             }
-            inner.map.insert(
-                normalized,
-                Slot {
-                    stmt: Arc::clone(&stmt),
-                    last_used: tick,
-                },
-            );
+            inner.map.insert(normalized, Slot { stmt: Arc::clone(&stmt), last_used: tick });
             inner.evict_over(self.capacity)
         };
         self.evictions.fetch_add(victims.len() as u64, Ordering::Relaxed);
@@ -436,10 +430,8 @@ mod tests {
     fn a_statement_compiles_its_dynamic_plan_once_and_keeps_it() {
         let dynamic = prepared("SELECT * FROM r WHERE r.a < :x");
         let key = region_key(&dynamic.query, &catalog(), &Bindings::new(), 0, 64.0);
-        let decision = CachedDecision {
-            resolved: Arc::clone(&dynamic.plan),
-            predicted_seconds: 1.0,
-        };
+        let decision =
+            CachedDecision { resolved: Arc::clone(&dynamic.plan), predicted_seconds: 1.0 };
         let stmt = PreparedStatement::at_binding(
             dynamic.sql.clone(),
             dynamic.query.clone(),

@@ -89,9 +89,7 @@ impl ServiceConfig {
     #[must_use]
     pub fn effective_dop(&self, memory_bytes: u64) -> usize {
         let bytes_per_worker = 16 * dqep_storage::PAGE_SIZE as u64;
-        self.dop
-            .max(1)
-            .min((memory_bytes / bytes_per_worker).max(1) as usize)
+        self.dop.max(1).min((memory_bytes / bytes_per_worker).max(1) as usize)
     }
 }
 
@@ -328,9 +326,7 @@ impl QueryService {
             catalog,
             config,
         };
-        QueryService {
-            shared: Arc::new(shared),
-        }
+        QueryService { shared: Arc::new(shared) }
     }
 
     /// The catalog the service serves.
@@ -456,15 +452,11 @@ impl Shared {
             let queue_wait = submitted.elapsed();
             self.session(&replica, request, ctx, deadline, queue_wait, &mut phases)
         });
-        let outcome = result
-            .as_ref()
-            .map(|r| (r.summary.rows, r.summary.fallbacks));
+        let outcome = result.as_ref().map(|r| (r.summary.rows, r.summary.fallbacks));
         self.metrics.record_query(outcome, submitted.elapsed(), ctx.trace_id());
         if let Ok(r) = &result {
-            self.metrics
-                .add(Metric::SimulatedIoPages, r.summary.io.total());
-            self.metrics
-                .max(Metric::TempPagesHighWater, r.summary.temp_pages_peak);
+            self.metrics.add(Metric::SimulatedIoPages, r.summary.io.total());
+            self.metrics.max(Metric::TempPagesHighWater, r.summary.temp_pages_peak);
             self.metrics.observe(Hist::QueueWait, r.queue_wait);
         }
         phases.finish();
@@ -498,11 +490,7 @@ impl Shared {
         let query = statement.query();
 
         phases.next("Bind");
-        let binds: Vec<(&str, i64)> = request
-            .binds
-            .iter()
-            .map(|(n, v)| (n.as_str(), *v))
-            .collect();
+        let binds: Vec<(&str, i64)> = request.binds.iter().map(|(n, v)| (n.as_str(), *v)).collect();
         let mut bindings = query.bindings(&binds).map_err(ServiceError::Bind)?;
         if let Some(pages) = request.memory_pages {
             bindings = bindings.with_memory(memory_grant_pages(pages).map_err(ServiceError::Bind)?);
@@ -549,9 +537,7 @@ impl Shared {
         // Intra-query parallelism is rationed by the admitted grant:
         // the execution context shares the handle's counters and
         // governor (cancellation still works), only the DOP differs.
-        let mut ctx = ctx
-            .clone()
-            .with_dop(self.config.effective_dop(memory_bytes));
+        let mut ctx = ctx.clone().with_dop(self.config.effective_dop(memory_bytes));
 
         let db = replica.get_or_init(|| self.generate());
         if let Some(faults) = &request.fault_plan {
@@ -561,9 +547,8 @@ impl Shared {
             // Under re-optimization the decision cache is bypassed: the
             // run decides from its own checkpoint observations, which
             // belong to this run alone.
-            Some(reopt_config) => stmt
-                .dynamic_plan(|query| self.compile_dynamic(query, phases))
-                .and_then(|plan| {
+            Some(reopt_config) => {
+                stmt.dynamic_plan(|query| self.compile_dynamic(query, phases)).and_then(|plan| {
                     let state = Arc::new(ReoptState::new(reopt_config));
                     let mut ctx = ctx.with_reopt(Arc::clone(&state));
                     executing(phases, "re-optimizing", &mut ctx);
@@ -574,7 +559,8 @@ impl Shared {
                             let predicted = state.in_force().map(|d| d.predicted_run_seconds);
                             (summary, predicted, false)
                         })
-                }),
+                })
+            }
             None => {
                 let decided = match first_decision {
                     Some(fresh) => Ok((fresh, false)),
@@ -590,11 +576,7 @@ impl Shared {
             db.disk.set_fault_plan(FaultPlan::none());
         }
         let (summary, predicted_seconds, decision_hit) = outcome?;
-        let decision = if decision_hit {
-            Metric::DecisionHits
-        } else {
-            Metric::DecisionMisses
-        };
+        let decision = if decision_hit { Metric::DecisionHits } else { Metric::DecisionMisses };
         self.metrics.add(decision, 1);
 
         Ok(SessionResult {
@@ -784,8 +766,7 @@ mod tests {
 
     fn chain_sql(n: usize) -> String {
         let from: Vec<String> = (1..=n).map(|i| format!("R{i}")).collect();
-        let mut preds: Vec<String> =
-            (1..n).map(|i| format!("R{i}.jr = R{}.jl", i + 1)).collect();
+        let mut preds: Vec<String> = (1..n).map(|i| format!("R{i}.jr = R{}.jl", i + 1)).collect();
         preds.extend((1..=n).map(|i| format!("R{i}.a < :v{i}")));
         format!("SELECT * FROM {} WHERE {}", from.join(", "), preds.join(" AND "))
     }
@@ -812,15 +793,8 @@ mod tests {
     }
 
     fn service(workers: usize) -> QueryService {
-        let catalog =
-            make_chain_catalog(&SyntheticSpec::paper(2, 7), SystemConfig::paper_1994());
-        QueryService::new(
-            catalog,
-            ServiceConfig {
-                workers,
-                ..ServiceConfig::default()
-            },
-        )
+        let catalog = make_chain_catalog(&SyntheticSpec::paper(2, 7), SystemConfig::paper_1994());
+        QueryService::new(catalog, ServiceConfig { workers, ..ServiceConfig::default() })
     }
 
     #[test]
@@ -902,15 +876,10 @@ mod tests {
 
     #[test]
     fn oversized_grant_is_rejected_not_queued() {
-        let catalog =
-            make_chain_catalog(&SyntheticSpec::paper(2, 7), SystemConfig::paper_1994());
+        let catalog = make_chain_catalog(&SyntheticSpec::paper(2, 7), SystemConfig::paper_1994());
         let svc = QueryService::new(
             catalog,
-            ServiceConfig {
-                workers: 1,
-                global_memory_bytes: 4096,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig { workers: 1, global_memory_bytes: 4096, ..ServiceConfig::default() },
         );
         let mut request = Request::new(&chain_sql(2), &[("v1", 100), ("v2", 100)]);
         request.memory_pages = Some(1024.0);
@@ -920,10 +889,7 @@ mod tests {
 
     #[test]
     fn effective_dop_is_bounded_by_the_admitted_grant() {
-        let config = ServiceConfig {
-            dop: 8,
-            ..ServiceConfig::default()
-        };
+        let config = ServiceConfig { dop: 8, ..ServiceConfig::default() };
         let page = dqep_storage::PAGE_SIZE as u64;
         assert_eq!(config.effective_dop(1024 * page), 8, "big grant: full dop");
         assert_eq!(config.effective_dop(32 * page), 2, "32 pages admit 2 workers");
@@ -937,15 +903,10 @@ mod tests {
         let sql = chain_sql(2);
         let binds = [("v1", 500i64), ("v2", 500i64)];
         let serial = service(1).execute(Request::new(&sql, &binds)).unwrap();
-        let catalog =
-            make_chain_catalog(&SyntheticSpec::paper(2, 7), SystemConfig::paper_1994());
+        let catalog = make_chain_catalog(&SyntheticSpec::paper(2, 7), SystemConfig::paper_1994());
         let svc = QueryService::new(
             catalog,
-            ServiceConfig {
-                workers: 2,
-                dop: 4,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig { workers: 2, dop: 4, ..ServiceConfig::default() },
         );
         let par = svc.execute(Request::new(&sql, &binds)).unwrap();
         assert_eq!(par.summary.rows, serial.summary.rows);
@@ -965,12 +926,7 @@ mod tests {
                 make_chain_catalog(&SyntheticSpec::paper(2, 7), SystemConfig::paper_1994());
             QueryService::new(
                 catalog,
-                ServiceConfig {
-                    workers: 1,
-                    skew: Some(1.1),
-                    reopt,
-                    ..ServiceConfig::default()
-                },
+                ServiceConfig { workers: 1, skew: Some(1.1), reopt, ..ServiceConfig::default() },
             )
         };
         let plain = mk(None).execute(Request::new(&sql, &binds)).unwrap();

@@ -360,9 +360,9 @@ impl ShardedService {
     #[must_use]
     pub fn new(mut catalog: Catalog, config: ShardConfig) -> ShardedService {
         let shards = config.shards.max(1);
-        let dist = config.skew.map_or(ValueDistribution::Uniform, |exponent| {
-            ValueDistribution::Zipf { exponent }
-        });
+        let dist = config
+            .skew
+            .map_or(ValueDistribution::Uniform, |exponent| ValueDistribution::Zipf { exponent });
         // Skew only the selection attribute; join columns stay uniform so
         // estimation error is localized where the routing can see it.
         let profile = |_, ai| if ai == 0 { dist } else { ValueDistribution::Uniform };
@@ -442,7 +442,8 @@ impl ShardedService {
         let mut phases = Phases::start(coord_tracer.as_ref(), "Coordinator");
         phases.note(|| format!("x{}", self.shards.len()));
         phases.next("Parse");
-        let query = parse_query(sql, &self.catalog).map_err(|e| ServiceError::Sql(e.to_string()))?;
+        let query =
+            parse_query(sql, &self.catalog).map_err(|e| ServiceError::Sql(e.to_string()))?;
         phases.next("Bind");
         let mut bindings = query.bindings(binds).map_err(ServiceError::Bind)?;
         if let Some(pages) = self.config.memory_pages {
@@ -455,9 +456,7 @@ impl ShardedService {
         let m = &self.metrics;
         m.add(Metric::ShardQueries, 1);
         m.record_query(
-            outcome
-                .as_ref()
-                .map(|ok| (ok.rows.len() as u64, ok.fallbacks)),
+            outcome.as_ref().map(|ok| (ok.rows.len() as u64, ok.fallbacks)),
             submitted.elapsed(),
             trace_id,
         );
@@ -503,10 +502,8 @@ impl ShardedService {
                     }
                 }
             }
-            let mut plan = optimizer
-                .optimize(&node)
-                .map_err(|e| ServiceError::Optimizer(e.to_string()))?
-                .plan;
+            let mut plan =
+                optimizer.optimize(&node).map_err(|e| ServiceError::Optimizer(e.to_string()))?.plan;
             if self.config.force_uniform_winner {
                 // The baseline: one global arbitration, broadcast resolved.
                 plan = evaluate_startup(&plan, &self.catalog, &self.env, bindings).resolved;
@@ -534,11 +531,7 @@ impl ShardedService {
                      to the preceding FROM relations (cross products are not distributed)"
                 )));
             };
-            joins.push(JoinStage {
-                left_attr,
-                right_attr,
-                residual: applicable[1..].to_vec(),
-            });
+            joins.push(JoinStage { left_attr, right_attr, residual: applicable[1..].to_vec() });
         }
         Ok(DistPlan { rels, access, joins, order_by })
     }
@@ -809,8 +802,7 @@ fn run_shard(
 
     for (j, stage) in plan.joins.iter().enumerate() {
         let right_rel = plan.rels[j + 1];
-        let right_batches =
-            run_access(shard, &plan.access[j + 1], env, bindings, ctx)?;
+        let right_batches = run_access(shard, &plan.access[j + 1], env, bindings, ctx)?;
         let right_layout = TupleLayout::base(&shard.catalog, right_rel);
         let lkey = layout.require(stage.left_attr);
         let rkey = right_layout.require(stage.right_attr);
@@ -990,10 +982,8 @@ fn send_partitions(
             }
         })
         .collect();
-    let mut senders: Vec<Option<FrameSender<'_>>> = outs
-        .iter()
-        .map(|out| out.as_ref().map(|ch| FrameSender::new(ch, ctx)))
-        .collect();
+    let mut senders: Vec<Option<FrameSender<'_>>> =
+        outs.iter().map(|out| out.as_ref().map(|ch| FrameSender::new(ch, ctx))).collect();
     let (mut hashes, mut dests) = (Vec::new(), Vec::new());
     for batch in batches {
         scatter_by_shard(batch, &[key], &mut dest, &mut hashes, &mut dests);
@@ -1058,10 +1048,7 @@ impl<'a> FrameSender<'a> {
                     )
                 })
             });
-            let trace = FrameTrace {
-                trace_id: self.trace_id,
-                span: span.map(|sp| sp.0 as u64),
-            };
+            let trace = FrameTrace { trace_id: self.trace_id, span: span.map(|sp| sp.0 as u64) };
             self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
             lo = hi;
         }
@@ -1098,8 +1085,7 @@ mod tests {
 
     fn chain_sql(n: usize) -> String {
         let from: Vec<String> = (1..=n).map(|i| format!("R{i}")).collect();
-        let mut preds: Vec<String> =
-            (1..n).map(|i| format!("R{i}.jr = R{}.jl", i + 1)).collect();
+        let mut preds: Vec<String> = (1..n).map(|i| format!("R{i}.jr = R{}.jl", i + 1)).collect();
         preds.extend((1..=n).map(|i| format!("R{i}.a < :v{i}")));
         format!("SELECT * FROM {} WHERE {}", from.join(", "), preds.join(" AND "))
     }
@@ -1130,11 +1116,8 @@ mod tests {
             let config = ShardConfig { shards, routing, ..ShardConfig::default() };
             let svc = ShardedService::new(catalog(2), config);
             for rel in svc.catalog().relations() {
-                let total: u64 = svc
-                    .shards()
-                    .iter()
-                    .map(|s| s.db.table(rel.id).heap.record_count())
-                    .sum();
+                let total: u64 =
+                    svc.shards().iter().map(|s| s.db.table(rel.id).heap.record_count()).sum();
                 assert_eq!(total, rel.stats.cardinality, "{routing:?} {}", rel.name);
                 let domain = rel.attributes[0].domain_size.max(1.0);
                 for (d, shard) in svc.shards().iter().enumerate() {
@@ -1152,7 +1135,8 @@ mod tests {
                             // Routing is monotone in the value: both ends
                             // of the range in the stripe put all of it there.
                             let stripe = |v: i64| {
-                                ((v.max(0) as f64 * shards as f64 / domain) as usize).min(shards - 1)
+                                ((v.max(0) as f64 * shards as f64 / domain) as usize)
+                                    .min(shards - 1)
                             };
                             let (lo, hi) = h.range();
                             assert_eq!((stripe(lo), stripe(hi)), (d, d), "{what}: [{lo}, {hi}]");
@@ -1174,12 +1158,8 @@ mod tests {
         let catalog = catalog(2);
         for routing in [ShardRouting::Hash, ShardRouting::Range] {
             for shards in [1usize, 3, 4] {
-                let config = ShardConfig {
-                    shards,
-                    routing,
-                    skew: Some(1.2),
-                    ..ShardConfig::default()
-                };
+                let config =
+                    ShardConfig { shards, routing, skew: Some(1.2), ..ShardConfig::default() };
                 let buckets = config.histogram_buckets;
                 let svc = ShardedService::new(catalog.clone(), config.clone());
                 let zipf = ValueDistribution::Zipf { exponent: 1.2 };
@@ -1233,10 +1213,7 @@ mod tests {
                         assert_eq!(got, expect, "{what}: shard {d}");
                     }
                     for index in 0..rel.attributes.len() as u32 {
-                        let attr = AttrId {
-                            relation: rel.id,
-                            index,
-                        };
+                        let attr = AttrId { relation: rel.id, index };
                         assert_eq!(
                             svc.catalog().histogram(attr),
                             global.histogram(attr),
@@ -1245,11 +1222,7 @@ mod tests {
                     }
                 }
                 for (d, shard) in svc.shards().iter().enumerate() {
-                    assert_eq!(
-                        shard.db.disk.stats(),
-                        IoStats::default(),
-                        "{routing:?} shard {d}"
-                    );
+                    assert_eq!(shard.db.disk.stats(), IoStats::default(), "{routing:?} shard {d}");
                 }
             }
         }
@@ -1261,16 +1234,10 @@ mod tests {
         let binds = [("v1", 600i64), ("v2", 600i64)];
         let baseline = single_node_rows(2, &binds, &sql);
         for shards in [2usize, 4] {
-            let svc = ShardedService::new(
-                catalog(2),
-                ShardConfig { shards, ..ShardConfig::default() },
-            );
+            let svc =
+                ShardedService::new(catalog(2), ShardConfig { shards, ..ShardConfig::default() });
             let out = svc.execute(&sql, &binds).expect("sharded run");
-            assert_eq!(
-                sorted(out.rows.clone()),
-                sorted(baseline.clone()),
-                "{shards} shards"
-            );
+            assert_eq!(sorted(out.rows.clone()), sorted(baseline.clone()), "{shards} shards");
             assert_eq!(out.per_shard_rows.len(), shards);
             if shards > 1 {
                 assert!(out.net.frames > 0, "joins repartition over the wire");
@@ -1305,27 +1272,20 @@ mod tests {
     fn order_by_merges_order_preservingly() {
         let sql = format!("{} ORDER BY R1.a", chain_sql(2));
         let binds = [("v1", 500i64), ("v2", 500i64)];
-        let svc = ShardedService::new(
-            catalog(2),
-            ShardConfig { shards: 3, ..ShardConfig::default() },
-        );
+        let svc =
+            ShardedService::new(catalog(2), ShardConfig { shards: 3, ..ShardConfig::default() });
         let out = svc.execute(&sql, &binds).expect("sorted run");
-        let key = out.layout.require(
-            svc.catalog().relation_by_name("R1").expect("R1").attr_id("a").expect("a"),
-        );
+        let key = out
+            .layout
+            .require(svc.catalog().relation_by_name("R1").expect("R1").attr_id("a").expect("a"));
         assert!(out.rows.windows(2).all(|w| w[0][key] <= w[1][key]), "globally ordered");
-        assert_eq!(
-            sorted(out.rows.clone()),
-            sorted(single_node_rows(2, &binds, &sql))
-        );
+        assert_eq!(sorted(out.rows.clone()), sorted(single_node_rows(2, &binds, &sql)));
     }
 
     #[test]
     fn per_shard_winners_are_recorded() {
-        let svc = ShardedService::new(
-            catalog(1),
-            ShardConfig { shards: 2, ..ShardConfig::default() },
-        );
+        let svc =
+            ShardedService::new(catalog(1), ShardConfig { shards: 2, ..ShardConfig::default() });
         let sql = "SELECT * FROM R1 WHERE R1.a < :v1";
         let out = svc.execute(sql, &[("v1", 30)]).expect("runs");
         assert_eq!(out.winners.len(), 2);
@@ -1358,10 +1318,7 @@ mod tests {
             ShardConfig {
                 shards: 2,
                 net: NetConfig {
-                    link_faults: LinkFaultPlan {
-                        fail_nth_frames: vec![1, 2],
-                        max_retransmits: 4,
-                    },
+                    link_faults: LinkFaultPlan { fail_nth_frames: vec![1, 2], max_retransmits: 4 },
                 },
                 ..ShardConfig::default()
             },
@@ -1413,13 +1370,9 @@ mod tests {
                 ..ShardConfig::default()
             },
         );
-        let err = svc
-            .execute(&chain_sql(2), &[("v1", 900), ("v2", 900)])
-            .expect_err("budget exhausted");
-        assert!(
-            matches!(err, ServiceError::Exec(ExecError::Network(_))),
-            "{err:?}"
-        );
+        let err =
+            svc.execute(&chain_sql(2), &[("v1", 900), ("v2", 900)]).expect_err("budget exhausted");
+        assert!(matches!(err, ServiceError::Exec(ExecError::Network(_))), "{err:?}");
     }
 
     #[test]
@@ -1435,9 +1388,7 @@ mod tests {
         );
         // A selective predicate: shards with almost no matching rows
         // favour the index path, the bulk shard favours the scan.
-        let out = svc
-            .execute("SELECT * FROM R1 WHERE R1.a < :v1", &[("v1", 40)])
-            .expect("runs");
+        let out = svc.execute("SELECT * FROM R1 WHERE R1.a < :v1", &[("v1", 40)]).expect("runs");
         assert!(
             out.divergent(),
             "skewed range partitions should disagree: {:?}",
@@ -1454,9 +1405,8 @@ mod tests {
                 ..ShardConfig::default()
             },
         );
-        let fout = forced
-            .execute("SELECT * FROM R1 WHERE R1.a < :v1", &[("v1", 40)])
-            .expect("runs");
+        let fout =
+            forced.execute("SELECT * FROM R1 WHERE R1.a < :v1", &[("v1", 40)]).expect("runs");
         assert!(!fout.divergent(), "resolved broadcast cannot diverge");
         assert_eq!(sorted(out.rows), sorted(fout.rows), "same result either way");
     }
@@ -1467,48 +1417,26 @@ mod tests {
     /// not parse never became a query.
     #[test]
     fn sharded_queries_record_session_and_shard_metrics() {
-        let limits = ResourceLimits {
-            memory_bytes: Some(2000),
-            ..ResourceLimits::unlimited()
-        };
+        let limits = ResourceLimits { memory_bytes: Some(2000), ..ResourceLimits::unlimited() };
         let svc = ShardedService::new(
             catalog(2),
-            ShardConfig {
-                shards: 2,
-                limits,
-                ..ShardConfig::default()
-            },
+            ShardConfig { shards: 2, limits, ..ShardConfig::default() },
         );
         let outcomes: Vec<ShardOutcome> = [300, 500, 900]
             .iter()
-            .map(|&v| {
-                svc.execute(&chain_sql(2), &[("v1", v), ("v2", 900)])
-                    .expect("runs")
-            })
+            .map(|&v| svc.execute(&chain_sql(2), &[("v1", v), ("v2", 900)]).expect("runs"))
             .collect();
-        assert!(matches!(
-            svc.execute("SELECT * FROM nosuch", &[]),
-            Err(ServiceError::Sql(_))
-        ));
+        assert!(matches!(svc.execute("SELECT * FROM nosuch", &[]), Err(ServiceError::Sql(_))));
         let m = svc.metrics();
         assert_eq!(m.get(Metric::ShardQueries), 3);
         assert_eq!((m.get(Metric::Completed), m.get(Metric::Failed)), (3, 0));
         assert_eq!(m.hist(Hist::Latency).count, 3);
         assert!(m.hist(Hist::Latency).max_seconds > 0.0);
-        assert_eq!(
-            m.get(Metric::Rows),
-            outcomes.iter().map(|o| o.rows.len() as u64).sum::<u64>()
-        );
+        assert_eq!(m.get(Metric::Rows), outcomes.iter().map(|o| o.rows.len() as u64).sum::<u64>());
         let fallbacks: u64 = outcomes.iter().map(|o| o.fallbacks).sum();
-        assert!(
-            fallbacks > 0,
-            "the 2000-byte grant must force the chunked build somewhere"
-        );
+        assert!(fallbacks > 0, "the 2000-byte grant must force the chunked build somewhere");
         assert_eq!(m.get(Metric::Fallbacks), fallbacks);
-        assert_eq!(
-            m.get(Metric::NetBytes),
-            outcomes.iter().map(|o| o.net.bytes).sum::<u64>()
-        );
+        assert_eq!(m.get(Metric::NetBytes), outcomes.iter().map(|o| o.net.bytes).sum::<u64>());
         assert!(m.get(Metric::NetFrames) > 0);
         assert!(m.winners().iter().sum::<u64>() > 0);
 
@@ -1525,9 +1453,7 @@ mod tests {
                 ..ShardConfig::default()
             },
         );
-        assert!(faulty
-            .execute(&chain_sql(2), &[("v1", 500), ("v2", 500)])
-            .is_err());
+        assert!(faulty.execute(&chain_sql(2), &[("v1", 500), ("v2", 500)]).is_err());
         let m = faulty.metrics();
         assert_eq!(m.get(Metric::ShardQueries), 1);
         assert_eq!((m.get(Metric::Completed), m.get(Metric::Failed)), (0, 1));
@@ -1639,7 +1565,8 @@ mod tests {
         ch.close();
 
         let mut into = Vec::new();
-        let err = drain_link(&ch, 2, &mut into, None, None).expect_err("the narrow frame is refused");
+        let err =
+            drain_link(&ch, 2, &mut into, None, None).expect_err("the narrow frame is refused");
         assert!(
             matches!(&err, ExecError::Network(m) if m.contains("frame width mismatch")),
             "{err:?}"
@@ -1711,8 +1638,7 @@ mod tests {
                             batch.push_row(&[i * 7 % 1_000, s as i64 * ROWS + i]);
                         }
                         let ctx = ExecContext::new(SharedCounters::new());
-                        repartition(s, vec![batch], 2, 0, &outs, &ins, &ctx)
-                            .expect("repartition")
+                        repartition(s, vec![batch], 2, 0, &outs, &ins, &ctx).expect("repartition")
                     })
                 })
                 .collect();

@@ -44,7 +44,8 @@ fn voluntary_switches() -> u64 {
 #[test]
 fn a_warmed_execute_neither_changes_thread_nor_allocates_for_a_hand_off() {
     let catalog = make_chain_catalog(&SyntheticSpec::paper(2, 7), SystemConfig::paper_1994());
-    let service = QueryService::new(catalog, ServiceConfig { workers: 2, ..ServiceConfig::default() });
+    let service =
+        QueryService::new(catalog, ServiceConfig { workers: 2, ..ServiceConfig::default() });
     let request = Request::new(
         "SELECT * FROM R1, R2 WHERE R1.jr = R2.jl AND R1.a < :v1 AND R2.a < :v2",
         &[("v1", 60), ("v2", 500)],
