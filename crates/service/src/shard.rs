@@ -29,13 +29,13 @@
 //! exactly the global join. Batches travel as length-prefixed columnar
 //! frames over a simulated network ([`SimNet`]) with deterministic fault
 //! injection; every byte is accounted on the query's own channels. A
-//! link is an unbounded mailbox, so each shard runs its whole query on
-//! one thread: a repartition sends its partitions, closes its out-links
-//! and then drains its in-links. A join stage needs all of its input
-//! before it joins, so a bound on in-flight frames would bound no memory
-//! the stage does not hold anyway. The final gather merges
-//! order-preservingly (k-way merge by the `ORDER BY` column) or
-//! deterministically concatenates in shard order.
+//! link is an unbounded mailbox and a join stage needs all of its input
+//! before it joins, so a query runs in steps on the calling thread: every
+//! shard sends both sides of a stage and closes its out-links, then every
+//! shard drains its in-links and joins. Only the sleeps of disks that pace
+//! I/O are overlapped, on a scoped thread per shard and step. The final
+//! gather merges order-preservingly (k-way merge by the `ORDER BY`
+//! column) or deterministically concatenates in shard order.
 //!
 //! **Batches end to end.** [`RowBatch`] is the only currency of the data
 //! path: access plans hand back the batches their operators produced,
@@ -124,7 +124,9 @@ pub struct ShardConfig {
     /// [`Resource::Rows`]. Access and join stages are intermediate
     /// results and are not charged.
     pub limits: ResourceLimits,
-    /// Simulated per-page I/O latency on every shard's disk, µs.
+    /// Simulated per-page I/O latency on every shard's disk, µs. Above 0,
+    /// the shards take each step of a query on threads of their own, so
+    /// that their sleeps overlap.
     pub io_latency_micros: u64,
     /// Seed of the deterministic data generation the shards are loaded
     /// from (the rows `StoredDatabase::generate_profiled` draws).
@@ -244,19 +246,23 @@ impl ShardOutcome {
 /// The distributed form of one parsed query: per-relation dynamic access
 /// plans plus the repartitioning join chain gluing them together.
 struct DistPlan {
-    rels: Vec<RelationId>,
     access: Vec<Arc<Plan>>,
     joins: Vec<JoinStage>,
-    order_by: Option<AttrId>,
+    /// The result layout: the query's relations concatenated in `FROM`
+    /// order, which the join chain produces on every shard.
+    layout: TupleLayout,
+    /// The `ORDER BY` column of `layout`.
+    order_key: Option<usize>,
 }
 
-/// One repartitioning join stage: the accumulated left side joins
-/// `rels[index + 1]` on `left_attr = right_attr`; any further equi-join
-/// predicates between the two sides apply as residual filters.
+/// One repartitioning join stage: the accumulated left side joins the
+/// next relation's access stage on `keys` (columns of the left and of the
+/// right layout, `widths` wide); any further equi-join predicates between
+/// the two sides apply as residual filters on the joined layout's columns.
 struct JoinStage {
-    left_attr: AttrId,
-    right_attr: AttrId,
-    residual: Vec<(AttrId, AttrId)>,
+    keys: (usize, usize),
+    widths: (usize, usize),
+    residual: Vec<(usize, usize)>,
 }
 
 /// Per-stage channel fan-out/fan-in of one shard. `None` marks the
@@ -271,6 +277,17 @@ struct StageWires {
 struct ShardWires {
     stages: Vec<StageWires>,
     gather: NetChannel,
+}
+
+impl ShardWires {
+    /// Closes every link of the shard (idempotent): closed out-links end
+    /// its peers' receives, closed in-links fail their sends to it.
+    fn close(&self) {
+        let links =
+            self.stages.iter().flat_map(|w| [&w.left_out, &w.left_in, &w.right_out, &w.right_in]);
+        links.flatten().flatten().for_each(NetChannel::close);
+        self.gather.close();
+    }
 }
 
 /// Accumulates the receive side of one link so a single receive span can
@@ -512,6 +529,7 @@ impl ShardedService {
         }
 
         let mut joins = Vec::with_capacity(rels.len().saturating_sub(1));
+        let mut layout = TupleLayout::base(&self.catalog, rels[0]);
         for i in 1..rels.len() {
             let joined = &rels[..i];
             let next = rels[i];
@@ -531,15 +549,27 @@ impl ShardedService {
                      to the preceding FROM relations (cross products are not distributed)"
                 )));
             };
-            joins.push(JoinStage { left_attr, right_attr, residual: applicable[1..].to_vec() });
+            let right = TupleLayout::base(&self.catalog, next);
+            let joined = layout.concat(&right);
+            joins.push(JoinStage {
+                keys: (layout.require(left_attr), right.require(right_attr)),
+                widths: (layout.width(), right.width()),
+                residual: applicable[1..]
+                    .iter()
+                    .map(|&(l, r)| (joined.require(l), joined.require(r)))
+                    .collect(),
+            });
+            layout = joined;
         }
-        Ok(DistPlan { rels, access, joins, order_by })
+        let order_key = order_by.map(|attr| layout.require(attr));
+        Ok(DistPlan { access, joins, layout, order_key })
     }
 
-    /// Runs the distributed plan: one worker thread per shard, the
-    /// coordinator draining the gather links on the current thread, in an
-    /// `Execute` phase of the coordinator's trace. Every shard runs under
-    /// the query's `trace_id`.
+    /// Runs the distributed plan in an `Execute` phase of the coordinator's
+    /// trace, one step at a time on every shard ([`each_shard`]): the first
+    /// access stage, a send and a join step per join stage, the gather.
+    /// Then the coordinator drains the gather links in shard order. Every
+    /// shard runs under the query's `trace_id`.
     fn run(
         &self,
         plan: &DistPlan,
@@ -548,90 +578,64 @@ impl ShardedService {
         coord_tracer: Option<&Arc<Tracer>>,
         mut phases: Phases,
     ) -> Result<ShardOutcome, ServiceError> {
-        let n = self.shards.len();
         let gather_span = phases.next("Execute");
-        let (mut wires, gather_rx, link_handles) = self.wire_up(plan, n);
-        let layout = canonical_layout(&self.catalog, &plan.rels);
-        let width = layout.width();
+        let (wires, link_handles) = self.wire_up(plan);
         // Each shard's run: its own counters — CPU work and the trail of
         // what it decided, read here once the shards are done — under the
         // query's trace id. Traced, its tracer joins the coordinator's
         // trace, and everything it does — operators, sends, receives —
         // nests under one per-shard root span, which the merge re-parents
         // under the coordinator's root; untraced, it has no tracer at all.
-        let runs: Vec<ExecContext> = (0..n)
-            .map(|s| {
-                let ctx = ExecContext::with_limits(SharedCounters::new(), self.config.limits)
+        let mut runs: Vec<ShardRun<'_>> = self
+            .shards
+            .iter()
+            .zip(wires)
+            .enumerate()
+            .map(|(s, (shard, wires))| {
+                let mut ctx = ExecContext::with_limits(SharedCounters::new(), self.config.limits)
                     .with_dop(self.config.dop)
                     .with_trace_id(trace_id);
-                if coord_tracer.is_none() {
-                    return ctx;
+                if coord_tracer.is_some() {
+                    let tracer = Arc::new(Tracer::with_trace_id(trace_id));
+                    let span =
+                        tracer.span(format!("Shard {s}"), "Shard", None, None, None, ctx.dop);
+                    ctx = ctx.with_tracer(tracer).with_span_parent(span);
                 }
-                let tracer = Arc::new(Tracer::with_trace_id(trace_id));
-                let span = tracer.span(format!("Shard {s}"), "Shard", None, None, None, ctx.dop);
-                ctx.with_tracer(tracer).with_span_parent(span)
+                let (left, right, outcome) = (Vec::new(), Vec::new(), Ok(0));
+                ShardRun { s, shard, wires, ctx, left, right, outcome }
             })
             .collect();
 
-        let (rows_out, per_shard) = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for ((s, shard), ctx) in self.shards.iter().enumerate().zip(&runs) {
-                let shard_wires = wires.remove(0);
-                let env = &self.env;
-                handles.push(scope.spawn(move || {
-                    let result = run_shard(s, shard, plan, &shard_wires, env, bindings, ctx);
-                    // Whatever happened, close every link of this shard
-                    // (idempotent): closed out-links end its peers'
-                    // receives, and closed in-links make its peers' sends
-                    // to a dead shard fail fast.
-                    for stage in &shard_wires.stages {
-                        for ch in stage
-                            .left_out
-                            .iter()
-                            .chain(&stage.left_in)
-                            .chain(&stage.right_out)
-                            .chain(&stage.right_in)
-                            .flatten()
-                        {
-                            ch.close();
-                        }
-                    }
-                    shard_wires.gather.close();
-                    result
-                }));
-            }
-
-            // The coordinator gathers while the shards run; draining one
-            // link fully before the next keeps the merge deterministic.
-            let mut per_shard: Vec<Result<Vec<RowBatch>, ExecError>> = Vec::with_capacity(n);
-            for rx in &gather_rx {
-                let mut batches = Vec::new();
-                let drained =
-                    drain_link(rx, width, &mut batches, coord_tracer.map(Arc::as_ref), gather_span);
-                per_shard.push(drained.map(|()| batches));
-            }
-            let rows_out: Vec<Result<u64, ExecError>> = handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err(ExecError::Network("shard worker panicked".into())))
-                })
-                .collect();
-            (rows_out, per_shard)
+        let (env, paced) = (&self.env, self.config.io_latency_micros > 0);
+        each_shard(&mut runs, paced, |run| {
+            run.left = run_access(run.shard, &plan.access[0], env, bindings, &run.ctx)?;
+            Ok(())
         });
-
-        let mut shard_rows = Vec::with_capacity(n);
-        let mut gathered: Vec<Vec<RowBatch>> = Vec::with_capacity(n);
-        for (s, (rows_out, batches)) in rows_out.into_iter().zip(per_shard).enumerate() {
-            let rows_out = rows_out.map_err(ServiceError::Exec)?;
-            let batches = batches.map_err(ServiceError::Exec)?;
-            let rows = live_rows(&batches);
-            check_gathered(s, rows, rows_out).map_err(ServiceError::Exec)?;
-            shard_rows.push(rows);
-            gathered.push(batches);
+        for j in 0..plan.joins.len() {
+            each_shard(&mut runs, paced, |run| {
+                run.right = run_access(run.shard, &plan.access[j + 1], env, bindings, &run.ctx)?;
+                run.send_stage(plan, j)
+            });
+            each_shard(&mut runs, paced, |run| run.join_stage(plan, j));
         }
-        let winners: Vec<Vec<(u64, usize)>> = runs.iter().map(|r| r.counters.winners()).collect();
-        let fallbacks = runs.iter().map(|r| r.counters.fallbacks()).sum();
+        each_shard(&mut runs, paced, |run| run.gather(plan));
+
+        // Draining one link fully before the next keeps the merge
+        // deterministic; a shard's own error is reported before its link's.
+        let coord = coord_tracer.map(Arc::as_ref);
+        let gather = |run: &mut ShardRun<'_>| {
+            let rows_out = std::mem::replace(&mut run.outcome, Ok(0))?;
+            let mut batches = Vec::new();
+            drain_link(&run.wires.gather, plan.layout.width(), &mut batches, coord, gather_span)?;
+            check_gathered(run.s, live_rows(&batches), rows_out)?;
+            Ok(batches)
+        };
+        let gathered: Vec<Vec<RowBatch>> =
+            runs.iter_mut().map(gather).collect::<Result<_, _>>().map_err(ServiceError::Exec)?;
+        let shard_rows: Vec<u64> = gathered.iter().map(|batches| live_rows(batches)).collect();
+        let winners: Vec<Vec<(u64, usize)>> =
+            runs.iter().map(|r| r.ctx.counters.winners()).collect();
+        let fallbacks = runs.iter().map(|r| r.ctx.counters.fallbacks()).sum();
         // The row budget is the query's: access stages and join stages are
         // intermediate results, so only the gathered total is charged.
         if let Some(limit) = self.config.limits.max_rows {
@@ -641,7 +645,7 @@ impl ShardedService {
                 })));
             }
         }
-        let rows = materialize(&gathered, plan.order_by.map(|attr| layout.require(attr)));
+        let rows = materialize(&gathered, plan.order_key);
 
         let mut winners_by_node: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
         for &(node, w) in winners.iter().flatten() {
@@ -670,13 +674,13 @@ impl ShardedService {
         phases.finish();
         let trace = coord_tracer.map(|coord| {
             let shard_reports: Vec<TraceReport> =
-                runs.iter().filter_map(|r| r.tracer.as_ref()).map(|t| t.report()).collect();
+                runs.iter().filter_map(|r| r.ctx.tracer.as_ref()).map(|t| t.report()).collect();
             merge_distributed(&coord.report(), &shard_reports)
         });
 
         Ok(ShardOutcome {
             rows,
-            layout,
+            layout: plan.layout.clone(),
             per_shard_rows: shard_rows,
             winners,
             divergent_nodes,
@@ -690,11 +694,8 @@ impl ShardedService {
     /// Creates the full channel matrix: per join stage, a left-side and a
     /// right-side link for every ordered shard pair, plus one gather link
     /// per shard to the coordinator (node `n`).
-    fn wire_up(
-        &self,
-        plan: &DistPlan,
-        n: usize,
-    ) -> (Vec<ShardWires>, Vec<NetChannel>, Vec<NetChannel>) {
+    fn wire_up(&self, plan: &DistPlan) -> (Vec<ShardWires>, Vec<NetChannel>) {
+        let n = self.shards.len();
         let mut wires: Vec<ShardWires> = (0..n)
             .map(|s| ShardWires {
                 stages: (0..plan.joins.len())
@@ -708,7 +709,6 @@ impl ShardedService {
                 gather: self.net.channel(s, n, 0),
             })
             .collect();
-        let gather_rx: Vec<NetChannel> = wires.iter().map(|w| w.gather.clone()).collect();
         // Keep a clone of every channel in deterministic order so the
         // coordinator can read per-link deltas after the query finishes.
         let mut links: Vec<NetChannel> = Vec::new();
@@ -729,20 +729,9 @@ impl ShardedService {
                 }
             }
         }
-        links.extend(gather_rx.iter().cloned());
-        (wires, gather_rx, links)
+        links.extend(wires.iter().map(|w| w.gather.clone()));
+        (wires, links)
     }
-}
-
-/// The result layout: the query's relations concatenated in `FROM`
-/// order. The distributed join chain produces exactly this order on
-/// every shard.
-fn canonical_layout(catalog: &Catalog, rels: &[RelationId]) -> TupleLayout {
-    let mut layout = TupleLayout::base(catalog, rels[0]);
-    for &rel in &rels[1..] {
-        layout = layout.concat(&TupleLayout::base(catalog, rel));
-    }
-    layout
 }
 
 /// Live rows across a set of batches.
@@ -750,9 +739,9 @@ fn live_rows(batches: &[RowBatch]) -> u64 {
     batches.iter().map(|b| b.len() as u64).sum()
 }
 
-/// A shard's gather link must deliver exactly the rows its worker
+/// A shard's gather link must deliver exactly the rows the shard
 /// reported sending; anything else means frames were lost or duplicated
-/// between a worker and the coordinator, and the result cannot be trusted.
+/// on the way to the coordinator, and the result cannot be trusted.
 fn check_gathered(shard: usize, gathered: u64, reported: u64) -> Result<(), ExecError> {
     if gathered == reported {
         return Ok(());
@@ -785,83 +774,99 @@ fn materialize(gathered: &[Vec<RowBatch>], order_key: Option<usize>) -> Vec<Tupl
     rows
 }
 
-/// The body of one shard worker, run under the shard's `ctx`: local
-/// access stages with shard-local arbitration, repartitioning joins,
-/// optional local sort, gather. Returns the rows it gathered.
-fn run_shard(
+/// One shard's part of a running query between the driver's steps.
+struct ShardRun<'a> {
     s: usize,
-    shard: &Shard,
-    plan: &DistPlan,
-    wires: &ShardWires,
-    env: &Environment,
-    bindings: &Bindings,
-    ctx: &ExecContext,
-) -> Result<u64, ExecError> {
-    let mut current = run_access(shard, &plan.access[0], env, bindings, ctx)?;
-    let mut layout = TupleLayout::base(&shard.catalog, plan.rels[0]);
+    shard: &'a Shard,
+    wires: ShardWires,
+    ctx: ExecContext,
+    /// The rows the shard holds: its first access stage, then each join
+    /// stage's left side and result, in the layout the chain has reached.
+    left: Vec<RowBatch>,
+    /// A join stage's right side from its send step to its join step.
+    right: Vec<RowBatch>,
+    /// The rows the shard gathered, or the error that stopped it.
+    outcome: Result<u64, ExecError>,
+}
 
-    for (j, stage) in plan.joins.iter().enumerate() {
-        let right_rel = plan.rels[j + 1];
-        let right_batches = run_access(shard, &plan.access[j + 1], env, bindings, ctx)?;
-        let right_layout = TupleLayout::base(&shard.catalog, right_rel);
-        let lkey = layout.require(stage.left_attr);
-        let rkey = right_layout.require(stage.right_attr);
+/// Takes one step of the query on every shard still running, in shard
+/// order. A shard whose step fails closes all its links — its peers'
+/// receives end, their sends to it fail — and takes no further step. On
+/// disks that pace I/O, each shard's step runs on a scoped thread of its
+/// own, so that their sleeps overlap; a step never waits for a peer, so
+/// it does the same work either way.
+fn each_shard<'a>(
+    runs: &mut [ShardRun<'a>],
+    paced: bool,
+    step: impl Fn(&mut ShardRun<'a>) -> Result<(), ExecError> + Sync,
+) {
+    let guarded = &|run: &mut ShardRun<'a>| {
+        if run.outcome.is_ok() {
+            if let Err(e) = step(run) {
+                run.wires.close();
+                run.outcome = Err(e);
+            }
+        }
+    };
+    if paced {
+        std::thread::scope(|scope| {
+            for run in runs {
+                scope.spawn(move || guarded(run));
+            }
+        });
+    } else {
+        runs.iter_mut().for_each(guarded);
+    }
+}
 
-        let stage_wires = &wires.stages[j];
-        let left_mine = repartition(
-            s,
-            current,
-            layout.width(),
-            lkey,
-            &stage_wires.left_out,
-            &stage_wires.left_in,
-            ctx,
-        )?;
-        let right_mine = repartition(
-            s,
-            right_batches,
-            right_layout.width(),
-            rkey,
-            &stage_wires.right_out,
-            &stage_wires.right_in,
-            ctx,
-        )?;
-        let mut joined = join_batches(
-            (&left_mine, layout.width()),
-            (&right_mine, right_layout.width()),
-            &[(lkey, rkey)],
-            ctx,
-        )?;
-        layout = layout.concat(&right_layout);
+impl ShardRun<'_> {
+    /// Join stage `j`'s send step, once `right` holds the right side's
+    /// access stage: both sides scattered on their join keys and sent.
+    fn send_stage(&mut self, plan: &DistPlan, j: usize) -> Result<(), ExecError> {
+        let (stage, wires, s, ctx) = (&plan.joins[j], &self.wires.stages[j], self.s, &self.ctx);
+        let ((lkey, rkey), (lw, rw)) = (stage.keys, stage.widths);
+        send_partitions(s, &mut self.left, lw, lkey, &wires.left_out, ctx)?;
+        send_partitions(s, &mut self.right, rw, rkey, &wires.right_out, ctx)
+    }
+
+    /// Join stage `j`'s join step: both sides' shares received, joined,
+    /// and the residual predicates applied.
+    fn join_stage(&mut self, plan: &DistPlan, j: usize) -> Result<(), ExecError> {
+        let (stage, wires, ctx) = (&plan.joins[j], &self.wires.stages[j], &self.ctx);
+        let (lw, rw) = stage.widths;
+        receive_partitions(&mut self.left, lw, &wires.left_in, ctx)?;
+        receive_partitions(&mut self.right, rw, &wires.right_in, ctx)?;
+        let mut joined = join_batches((&self.left, lw), (&self.right, rw), &[stage.keys], ctx)?;
+        self.right = Vec::new();
         if !stage.residual.is_empty() {
             // Further equi-predicates between the two sides qualify rows
             // through the selection vector; nothing is copied.
-            let residual: Vec<(&[i64], &[i64])> = stage
-                .residual
-                .iter()
-                .map(|&(la, ra)| {
-                    (joined.column(layout.require(la)), joined.column(layout.require(ra)))
-                })
-                .collect();
+            let residual: Vec<(&[i64], &[i64])> =
+                stage.residual.iter().map(|&(l, r)| (joined.column(l), joined.column(r))).collect();
             let keep = (0..joined.rows())
                 .filter(|&i| residual.iter().all(|(l, r)| l[i] == r[i]))
                 .map(|i| i as u32)
                 .collect();
             joined.set_selection(keep);
         }
-        current = vec![joined];
+        self.left = vec![joined];
+        Ok(())
     }
 
-    if let Some(attr) = plan.order_by {
-        // The shard-local `ORDER BY`: the sort's in-memory kernel.
-        current = vec![sort_batches(&current, layout.width(), layout.require(attr))];
+    /// The gather step: the shard-local `ORDER BY` (the sort's in-memory
+    /// kernel), then the rows sent to the coordinator and the link closed.
+    fn gather(&mut self, plan: &DistPlan) -> Result<(), ExecError> {
+        if let Some(key) = plan.order_key {
+            self.left = vec![sort_batches(&self.left, plan.layout.width(), key)];
+        }
+        let mut gather = FrameSender::new(&self.wires.gather, &self.ctx);
+        for batch in &self.left {
+            gather.send(batch)?;
+        }
+        self.wires.gather.close();
+        self.outcome = Ok(live_rows(&std::mem::take(&mut self.left)));
+        Ok(())
     }
-
-    let mut gather = FrameSender::new(&wires.gather, ctx);
-    for batch in &current {
-        gather.send(batch)?;
-    }
-    Ok(live_rows(&current))
 }
 
 /// Runs one per-relation access plan locally and hands back the batches
@@ -887,39 +892,22 @@ fn run_access(
     Ok(batches)
 }
 
-/// One repartitioning exchange: hash-scatters `batches` on column `key`
-/// across all shards, sending cross-shard partitions as dense columnar
-/// frames and keeping the self-partition resident. Returns this shard's
-/// share — the frames its peers sent, in link order, then its own
-/// partition — as batches. A send never waits for its receiver, so the
-/// shard sends everything, closes its out-links (whether or not the sends
-/// succeeded, so no peer waits on them), and only then receives: every
-/// peer does the same, so every in-link closes. A shard without remote
-/// peers owns every row already: no scatter. Frames carry `ctx`'s trace
-/// id; traced, sends and receives nest under its span parent.
-fn repartition(
-    s: usize,
-    batches: Vec<RowBatch>,
+/// The receive half of a repartition: `side` becomes the frames this
+/// shard's peers sent, in link order, then the partition it kept. Every
+/// in-link must be closed already — each peer closed it when it sent, or
+/// when it failed — so no receive waits.
+fn receive_partitions(
+    side: &mut Vec<RowBatch>,
     width: usize,
-    key: usize,
-    outs: &[Option<NetChannel>],
     ins: &[Option<NetChannel>],
     ctx: &ExecContext,
-) -> Result<Vec<RowBatch>, ExecError> {
-    if outs.iter().all(Option::is_none) {
-        return Ok(batches);
-    }
-    let sent = send_partitions(s, &batches, width, key, outs, ctx);
-    for ch in outs.iter().flatten() {
-        ch.close();
-    }
-    let local = sent?;
-    let mut mine: Vec<RowBatch> = Vec::new();
+) -> Result<(), ExecError> {
+    let kept = std::mem::take(side);
     for ch in ins.iter().flatten() {
-        drain_link(ch, width, &mut mine, ctx.tracer.as_deref(), ctx.span_parent)?;
+        drain_link(ch, width, side, ctx.tracer.as_deref(), ctx.span_parent)?;
     }
-    mine.push(local);
-    Ok(mine)
+    side.extend(kept);
+    Ok(())
 }
 
 /// Receives one link until it closes, decoding each frame onto `into`.
@@ -958,21 +946,27 @@ fn drain_link(
     drained
 }
 
-/// Scatter-and-send half of [`repartition`]: routes each input batch with
-/// the multiply-xor kernel straight into the per-destination batches,
-/// flushes a remote destination as frames once it holds a frame's worth,
-/// and returns the self-partition, which never leaves its batch.
-/// Destination batches are pre-sized from the expected per-shard share.
+/// The send half of a repartition: hash-scatters the batches of `side` on
+/// column `key` across all shards with the multiply-xor kernel, straight
+/// into the per-destination batches, flushes a remote destination as
+/// dense frames once it holds a frame's worth, closes the out-links and
+/// leaves `side` holding the self-partition, which never leaves its batch.
+/// Destination batches are pre-sized from the expected per-shard share. A
+/// shard without remote peers owns every row already: no scatter. Frames
+/// carry `ctx`'s trace id; traced, sends nest under its span parent.
 fn send_partitions(
     s: usize,
-    batches: &[RowBatch],
+    side: &mut Vec<RowBatch>,
     width: usize,
     key: usize,
     outs: &[Option<NetChannel>],
     ctx: &ExecContext,
-) -> Result<RowBatch, ExecError> {
+) -> Result<(), ExecError> {
+    if outs.iter().all(Option::is_none) {
+        return Ok(());
+    }
     let shards = outs.len();
-    let per_shard = (live_rows(batches) / shards.max(1) as u64).max(1);
+    let per_shard = (live_rows(side) / shards.max(1) as u64).max(1);
     let mut dest: Vec<RowBatch> = (0..shards)
         .map(|t| {
             if t == s {
@@ -985,7 +979,7 @@ fn send_partitions(
     let mut senders: Vec<Option<FrameSender<'_>>> =
         outs.iter().map(|out| out.as_ref().map(|ch| FrameSender::new(ch, ctx))).collect();
     let (mut hashes, mut dests) = (Vec::new(), Vec::new());
-    for batch in batches {
+    for batch in side.iter() {
         scatter_by_shard(batch, &[key], &mut dest, &mut hashes, &mut dests);
         for (sender, out) in senders.iter_mut().zip(&mut dest) {
             if let Some(sender) = sender {
@@ -1001,7 +995,11 @@ fn send_partitions(
             sender.send(out)?;
         }
     }
-    Ok(std::mem::take(&mut dest[s]))
+    for ch in outs.iter().flatten() {
+        ch.close();
+    }
+    *side = vec![std::mem::take(&mut dest[s])];
+    Ok(())
 }
 
 /// The send half of one link: turns batches into dense frames stamped
@@ -1506,6 +1504,90 @@ mod tests {
         );
     }
 
+    /// The two ways of taking a query's steps — one after another on the
+    /// calling thread, or on a thread a shard when the disks pace I/O — do
+    /// the same work: the same rows in the same order, the same winners,
+    /// the same traffic on every link and the same reads on every disk.
+    #[test]
+    fn paced_and_unpaced_steps_do_the_same_work() {
+        let chain = chain_sql(3);
+        let binds = [("v1", 600i64), ("v2", 600), ("v3", 600)];
+        let residual = "SELECT * FROM R1, R2 WHERE R1.jr = R2.jl AND R1.jl = R2.jr AND R1.a < :v1";
+        let queries = [
+            (chain.clone(), &binds[..]),
+            (format!("{chain} ORDER BY R1.a"), &binds[..]),
+            (residual.to_string(), &binds[..1]),
+        ];
+        let link = |l: &LinkTraffic| (l.from, l.to, l.stats);
+        for routing in [ShardRouting::Hash, ShardRouting::Range] {
+            for shards in [2usize, 3] {
+                let run = |io_latency_micros| {
+                    let skew = Some(1.2);
+                    let config = ShardConfig {
+                        shards,
+                        routing,
+                        io_latency_micros,
+                        skew,
+                        ..ShardConfig::default()
+                    };
+                    let svc = ShardedService::new(catalog(3), config);
+                    let run_one = |(sql, binds): &(String, &[(&str, i64)])| {
+                        let out = svc.execute(sql, binds).expect("runs");
+                        let io: Vec<IoStats> =
+                            svc.shards().iter().map(|s| s.db.disk.stats()).collect();
+                        (out, io)
+                    };
+                    queries.iter().map(run_one).collect::<Vec<_>>()
+                };
+                let (unpaced, paced) = (run(0), run(1));
+                for (((a, a_io), (b, b_io)), (sql, _)) in unpaced.iter().zip(&paced).zip(&queries) {
+                    let what = format!("{routing:?} {shards} shards: {sql}");
+                    assert!(!a.rows.is_empty(), "{what}: nothing to compare");
+                    assert_eq!(a.rows, b.rows, "{what}");
+                    assert_eq!(a.per_shard_rows, b.per_shard_rows, "{what}");
+                    assert_eq!(a.winners, b.winners, "{what}");
+                    assert_eq!(a.divergent_nodes, b.divergent_nodes, "{what}");
+                    assert_eq!(a.net, b.net, "{what}");
+                    let links = |o: &ShardOutcome| o.links.iter().map(link).collect::<Vec<_>>();
+                    assert_eq!(links(a), links(b), "{what}");
+                    assert_eq!(a_io, b_io, "{what}: disk I/O");
+                }
+            }
+        }
+    }
+
+    /// A failing query fails the same way every time, whichever way its
+    /// steps are taken: every link of three shards drops its first frame
+    /// with no retransmission budget, and each of 20 calls, unpaced and
+    /// paced, returns the same network error. The calls run behind a
+    /// watchdog, so one that hangs fails the test instead of hanging it.
+    #[test]
+    fn a_failing_query_fails_alike_every_time() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let calls = std::thread::spawn(move || {
+            let mut errors = Vec::new();
+            for io_latency_micros in [0, 1] {
+                let link_faults = LinkFaultPlan { fail_nth_frames: vec![1], max_retransmits: 0 };
+                let net = NetConfig { link_faults };
+                let config =
+                    ShardConfig { shards: 3, io_latency_micros, net, ..ShardConfig::default() };
+                let svc = ShardedService::new(catalog(2), config);
+                for _ in 0..20 {
+                    let binds = [("v1", 700), ("v2", 700)];
+                    errors.push(svc.execute(&chain_sql(2), &binds).expect_err("every call fails"));
+                }
+            }
+            done.send(errors)
+        });
+        let errors = finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("every call returned in time");
+        calls.join().expect("calls").expect("the watchdog was listening");
+        assert_eq!(errors.len(), 40);
+        assert!(matches!(&errors[0], ServiceError::Exec(ExecError::Network(_))), "{:?}", errors[0]);
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+    }
+
     fn batch_of(width: usize, rows: &[&[i64]]) -> RowBatch {
         let mut batch = RowBatch::with_capacity(width, rows.len());
         rows.iter().for_each(|row| batch.push_row(row));
@@ -1611,39 +1693,41 @@ mod tests {
         assert_eq!(firsts, vec![0, BATCH_CAPACITY as i64, 2 * BATCH_CAPACITY as i64]);
     }
 
-    /// Two shards repartition 70 000 rows each at once, each on its own
-    /// thread over `SimNet` links: every cross link carries more than 32
-    /// frames, and each shard sends all of them before it receives. Both
-    /// finish, and every row arrives exactly once, on the shard its key
-    /// routes to.
+    /// Two shards repartition 70 000 rows each in stages, on one thread,
+    /// over `SimNet` links: each sends all of its frames — more than 32 a
+    /// cross link — and closes its out-links before either receives. Every
+    /// row arrives exactly once, on the shard its key routes to.
     #[test]
-    fn repartition_on_two_threads_delivers_every_row_to_its_shard() {
+    fn a_staged_repartition_delivers_every_row_to_its_shard() {
         const ROWS: i64 = 70_000;
         let net = SimNet::new(NetConfig::default());
         // links[from][to]: `None` on the diagonal, as in `wire_up`.
         let links: Vec<Vec<Option<NetChannel>>> = (0..2)
             .map(|from| (0..2).map(|to| (from != to).then(|| net.channel(from, to, 0))).collect())
             .collect();
-        let shares: Vec<Vec<RowBatch>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..2usize)
-                .map(|s| {
-                    let outs = links[s].clone();
-                    let ins: Vec<Option<NetChannel>> =
-                        links.iter().map(|row| row[s].clone()).collect();
-                    scope.spawn(move || {
-                        // One batch, as a join stage hands on its result.
-                        // Column 0 is the key, column 1 the row's identity.
-                        let mut batch = RowBatch::with_capacity(2, ROWS as usize);
-                        for i in 0..ROWS {
-                            batch.push_row(&[i * 7 % 1_000, s as i64 * ROWS + i]);
-                        }
-                        let ctx = ExecContext::new(SharedCounters::new());
-                        repartition(s, vec![batch], 2, 0, &outs, &ins, &ctx).expect("repartition")
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().expect("shard")).collect()
-        });
+        let ctx = ExecContext::new(SharedCounters::new());
+        let kept: Vec<Vec<RowBatch>> = (0..2usize)
+            .map(|s| {
+                // One batch, as a join stage hands on its result. Column 0
+                // is the key, column 1 the row's identity.
+                let mut batch = RowBatch::with_capacity(2, ROWS as usize);
+                for i in 0..ROWS {
+                    batch.push_row(&[i * 7 % 1_000, s as i64 * ROWS + i]);
+                }
+                let mut side = vec![batch];
+                send_partitions(s, &mut side, 2, 0, &links[s], &ctx).expect("send");
+                side
+            })
+            .collect();
+        let shares: Vec<Vec<RowBatch>> = kept
+            .into_iter()
+            .enumerate()
+            .map(|(s, mut side)| {
+                let ins: Vec<Option<NetChannel>> = links.iter().map(|row| row[s].clone()).collect();
+                receive_partitions(&mut side, 2, &ins, &ctx).expect("receive");
+                side
+            })
+            .collect();
         for from in 0..2 {
             let link = links[from][1 - from].as_ref().expect("cross link");
             assert!(link.stats().frames > 32, "{from}->{}: {:?}", 1 - from, link.stats());

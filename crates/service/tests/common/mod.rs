@@ -1,6 +1,7 @@
 //! A counting `#[global_allocator]`, shared by the test binaries of this
 //! crate that hold a path under an allocation ceiling (each is a binary
-//! of its own because it installs this allocator).
+//! of its own because it installs this allocator), and the calling
+//! thread's context-switch count they hold a path to.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,4 +37,20 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations and reallocations made by the process so far.
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Voluntary context switches of the calling thread so far.
+#[cfg(target_os = "linux")]
+pub fn voluntary_switches() -> u64 {
+    let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+        .expect("the kernel reports context switches per thread");
+    line.trim().parse().expect("a count")
+}
+
+#[cfg(not(target_os = "linux"))]
+pub fn voluntary_switches() -> u64 {
+    0
 }

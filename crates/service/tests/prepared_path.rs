@@ -14,7 +14,7 @@ mod common;
 use dqep_catalog::{make_chain_catalog, SyntheticSpec, SystemConfig};
 use dqep_service::{QueryService, Request, ServiceConfig};
 
-use common::allocations;
+use common::{allocations, voluntary_switches};
 
 const CALLS: u64 = 1_000;
 
@@ -24,22 +24,6 @@ const CALLS: u64 = 1_000;
 /// With a queue entry and a reply channel per request it was 74 (and 952
 /// voluntary context switches in 1 000 calls, against none).
 const ALLOCS_PER_CALL: u64 = 72;
-
-/// Voluntary context switches of the calling thread so far.
-#[cfg(target_os = "linux")]
-fn voluntary_switches() -> u64 {
-    let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
-    let line = status
-        .lines()
-        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
-        .expect("the kernel reports context switches per thread");
-    line.trim().parse().expect("a count")
-}
-
-#[cfg(not(target_os = "linux"))]
-fn voluntary_switches() -> u64 {
-    0
-}
 
 #[test]
 fn a_warmed_execute_neither_changes_thread_nor_allocates_for_a_hand_off() {
