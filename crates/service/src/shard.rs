@@ -620,8 +620,8 @@ impl ShardedService {
         }
         each_shard(&mut runs, paced, |run| run.gather(plan));
 
-        // Draining one link fully before the next keeps the merge
-        // deterministic; a shard's own error is reported before its link's.
+        // The coordinator drains the gather links in shard order; a shard's
+        // own error is reported before its link's.
         let coord = coord_tracer.map(Arc::as_ref);
         let gather = |run: &mut ShardRun<'_>| {
             let rows_out = std::mem::replace(&mut run.outcome, Ok(0))?;
@@ -790,11 +790,12 @@ struct ShardRun<'a> {
 }
 
 /// Takes one step of the query on every shard still running, in shard
-/// order. A shard whose step fails closes all its links — its peers'
-/// receives end, their sends to it fail — and takes no further step. On
-/// disks that pace I/O, each shard's step runs on a scoped thread of its
-/// own, so that their sleeps overlap; a step never waits for a peer, so
-/// it does the same work either way.
+/// order. A shard whose step fails takes no further step, and once every
+/// shard has taken this one, all its links are closed: its peers'
+/// receives end and their sends to it fail. Within a step no shard sees
+/// another's, so its outcome does not depend on the order they take it
+/// in: on disks that pace I/O, each shard's step runs on a scoped thread
+/// of its own, so that their sleeps overlap, and does the same work.
 fn each_shard<'a>(
     runs: &mut [ShardRun<'a>],
     paced: bool,
@@ -803,20 +804,20 @@ fn each_shard<'a>(
     let guarded = &|run: &mut ShardRun<'a>| {
         if run.outcome.is_ok() {
             if let Err(e) = step(run) {
-                run.wires.close();
                 run.outcome = Err(e);
             }
         }
     };
     if paced {
         std::thread::scope(|scope| {
-            for run in runs {
+            for run in &mut *runs {
                 scope.spawn(move || guarded(run));
             }
         });
     } else {
         runs.iter_mut().for_each(guarded);
     }
+    runs.iter().filter(|run| run.outcome.is_err()).for_each(|run| run.wires.close());
 }
 
 impl ShardRun<'_> {
