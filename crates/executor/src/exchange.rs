@@ -48,7 +48,7 @@ use crate::{BoxedOperator, Operator};
 /// Runs every task on its own scoped thread and collects their results in
 /// task order. Panics are propagated (a worker panic is a bug, not an
 /// [`ExecError`]).
-pub(crate) fn run_parallel<T, F>(tasks: Vec<F>) -> Vec<Result<T, ExecError>>
+pub fn run_parallel<T, F>(tasks: Vec<F>) -> Vec<Result<T, ExecError>>
 where
     T: Send,
     F: FnOnce() -> Result<T, ExecError> + Send,

@@ -74,7 +74,7 @@ pub use batch::{RowBatch, RowBatchIter, BATCH_CAPACITY};
 pub use choose::{compile_dynamic_plan, ChoosePlanExec};
 pub use compile::{compile_plan, execute_plan_dop, run};
 pub use error::{ExecError, Resource};
-pub use exchange::{parallel_scan, ExchangeExec};
+pub use exchange::{parallel_scan, run_parallel, ExchangeExec};
 pub use exec::{drain, drain_root, BoxedOperator, Operator, RootSink};
 pub use explain::{card_drift, cost_drift, explain_json, render_explain, validate_explain_json};
 pub use governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};

@@ -1,6 +1,6 @@
 //! Network-boundary exchange primitives: a columnar frame codec, a
-//! simulated network of unbounded mailboxes with deterministic link
-//! faults, and batched hash routing for repartitioning exchanges.
+//! simulated network of frame queues with deterministic link faults, and
+//! batched hash routing for repartitioning exchanges.
 //!
 //! The sharded service (crate `dqep-service`) moves [`RowBatch`]es
 //! between shard replicas. Three concerns live here because they are
@@ -15,11 +15,11 @@
 //! * **Simulated network** — [`SimNet`] hands out point-to-point
 //!   [`NetChannel`]s under one [`NetConfig`]: its deterministic
 //!   [`LinkFaultPlan`], which can fail chosen transmissions. A channel is
-//!   an unbounded mailbox: a send never waits for its receiver, so a
-//!   sender needs no second thread to stay live while it also receives.
-//!   Every frame is byte-accounted on the channel that carried it; the
-//!   network keeps no totals of its own, so a query's traffic is the sum
-//!   of its channels'. A failed transmission is retransmitted (and
+//!   a plain queue: a send enqueues, a receive takes the oldest frame or
+//!   finds none, and neither waits, so one thread can take a query's
+//!   sends and then its receives. Every frame is byte-accounted on the
+//!   channel that carried it; the network keeps no totals of its own, so
+//!   a query's traffic is the sum of its channels'. A failed transmission is retransmitted (and
 //!   counted) up to a bound, so injected faults perturb accounting but
 //!   never results — the same contract storage faults have with
 //!   choose-plan fallback.
@@ -30,10 +30,9 @@
 //!   construction.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::batch::{RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
@@ -268,7 +267,7 @@ impl LinkFaultPlan {
 
 /// The one configuration of a simulated network: the link faults every
 /// channel it opens is subject to. Fixed when the network is built, so a
-/// send reads it without a lock.
+/// send takes no lock but its own channel's.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetConfig {
     /// Deterministic link faults, applied per channel by fresh-frame
@@ -305,23 +304,6 @@ impl std::iter::Sum for NetStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct NetCounters {
-    frames: AtomicU64,
-    bytes: AtomicU64,
-    retransmits: AtomicU64,
-}
-
-impl NetCounters {
-    fn snapshot(&self) -> NetStats {
-        NetStats {
-            frames: self.frames.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A simulated network: a factory of point-to-point channels
 /// sharing one [`NetConfig`]. It keeps no traffic counters of its own:
 /// each channel counts what it carries. Cloning is cheap (shared state).
@@ -343,15 +325,12 @@ impl SimNet {
     pub fn channel(&self, from: usize, to: usize, capacity: usize) -> NetChannel {
         NetChannel {
             net: self.clone(),
-            link: (from as u64) << 32 | to as u64,
-            ordinal: AtomicU64::new(0),
-            state: Arc::new(ChanShared {
-                state: Mutex::new(ChanState {
-                    queue: VecDeque::with_capacity(capacity),
-                    closed: false,
-                }),
-                data: Condvar::new(),
-                counters: NetCounters::default(),
+            from: from as u32,
+            to: to as u32,
+            state: Mutex::new(ChanState {
+                queue: VecDeque::with_capacity(capacity),
+                ordinal: 0,
+                stats: NetStats::default(),
             }),
         }
     }
@@ -360,138 +339,88 @@ impl SimNet {
 #[derive(Debug)]
 struct ChanState {
     queue: VecDeque<Vec<u8>>,
-    closed: bool,
+    /// Fresh frames offered so far: the ordinal the fault plan matches.
+    ordinal: u64,
+    stats: NetStats,
 }
 
-#[derive(Debug)]
-struct ChanShared {
-    state: Mutex<ChanState>,
-    data: Condvar,
-    // Per-link traffic counters, shared by all clones of the channel so
-    // sender and receiver halves observe the same link totals.
-    counters: NetCounters,
-}
-
-/// One unbounded, fault-injectable point-to-point frame channel.
-/// The sender half and receiver half may live on different threads;
-/// clone the channel to split it.
+/// One fault-injectable point-to-point frame queue. A send enqueues and a
+/// receive takes the oldest frame; neither ever waits.
 #[derive(Debug)]
 pub struct NetChannel {
     net: SimNet,
-    link: u64,
-    ordinal: AtomicU64,
-    state: Arc<ChanShared>,
-}
-
-impl Clone for NetChannel {
-    fn clone(&self) -> NetChannel {
-        NetChannel {
-            net: self.net.clone(),
-            link: self.link,
-            // The fresh-frame ordinal stays with the original sender
-            // handle; receiver clones never send.
-            ordinal: AtomicU64::new(0),
-            state: Arc::clone(&self.state),
-        }
-    }
+    from: u32,
+    to: u32,
+    state: Mutex<ChanState>,
 }
 
 impl NetChannel {
     /// Transmits one frame: retransmits around injected drops up to the
-    /// fault plan's bound, then enqueues it. Never waits for the receiver.
-    /// A link fault is journaled under the trace id the frame's own header
-    /// carries (0 for a frame shorter than a header).
+    /// fault plan's bound, then enqueues it. A link fault is journaled
+    /// under the trace id the frame's own header carries (0 for a frame
+    /// shorter than a header).
     ///
     /// # Errors
-    /// [`ExecError::Network`] when the retransmission budget is exhausted
-    /// or the receiver closed the channel.
+    /// [`ExecError::Network`] when the retransmission budget is exhausted.
     pub fn send(&self, frame: Vec<u8>) -> Result<(), ExecError> {
-        let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut state = self.state.lock();
+        state.ordinal += 1;
+        let ordinal = state.ordinal;
         let faults = &self.net.config.link_faults;
         let (drops, budget) = (faults.drops_for(ordinal), faults.max_retransmits);
-        let link = &self.state.counters;
-        if drops > budget {
-            // The dropped transmissions still hit the wire before the
-            // sender gives up.
-            let spent = u64::from(budget) + 1;
-            link.bytes.fetch_add(frame.len() as u64 * spent, Ordering::Relaxed);
-            link.retransmits.fetch_add(spent - 1, Ordering::Relaxed);
-            crate::journal::journal().record(
-                crate::journal::EventKind::LinkFault,
-                frame_trace_id(&frame),
-                u64::from(self.from_node()),
-                u64::from(self.to_node()),
-                u64::from(drops),
-                crate::journal::NO_ID,
-            );
-            return Err(ExecError::Network(format!(
-                "frame {ordinal} dropped {drops} time(s); retransmission budget {budget} exhausted"
-            )));
-        }
-        link.bytes.fetch_add(frame.len() as u64 * (u64::from(drops) + 1), Ordering::Relaxed);
-        link.retransmits.fetch_add(u64::from(drops), Ordering::Relaxed);
+        // Every transmission hits the wire, the dropped ones included,
+        // also when the sender then gives up.
+        let (retransmits, lost) = (drops.min(budget), drops > budget);
+        state.stats.bytes += frame.len() as u64 * (u64::from(retransmits) + 1);
+        state.stats.retransmits += u64::from(retransmits);
         if drops > 0 {
             crate::journal::journal().record(
                 crate::journal::EventKind::LinkFault,
                 frame_trace_id(&frame),
-                u64::from(self.from_node()),
-                u64::from(self.to_node()),
+                u64::from(self.from),
+                u64::from(self.to),
                 u64::from(drops),
-                ordinal,
+                if lost { crate::journal::NO_ID } else { ordinal },
             );
         }
-
-        let mut state = self.state.state.lock();
-        if state.closed {
-            return Err(ExecError::Network("receiver closed the channel".into()));
+        if lost {
+            return Err(ExecError::Network(format!(
+                "frame {ordinal} dropped {drops} time(s); retransmission budget {budget} exhausted"
+            )));
         }
         state.queue.push_back(frame);
-        link.frames.fetch_add(1, Ordering::Relaxed);
-        drop(state);
-        self.state.data.notify_one();
+        state.stats.frames += 1;
         Ok(())
     }
 
-    /// A snapshot of this link's own traffic counters (shared by all
-    /// clones of the channel).
+    /// This link's own traffic counters.
     #[must_use]
     pub fn stats(&self) -> NetStats {
-        self.state.counters.snapshot()
+        self.state.lock().stats
     }
 
     /// The sending node of this link.
     #[must_use]
     pub fn from_node(&self) -> u32 {
-        (self.link >> 32) as u32
+        self.from
     }
 
     /// The receiving node of this link.
     #[must_use]
     pub fn to_node(&self) -> u32 {
-        (self.link & 0xffff_ffff) as u32
+        self.to
     }
 
-    /// Receives the next frame, blocking until one arrives; `None` once
-    /// the channel is closed and drained.
+    /// Takes the oldest frame, or `None` at once when the link holds none.
     #[must_use]
     pub fn recv(&self) -> Option<Vec<u8>> {
-        let mut state = self.state.state.lock();
-        loop {
-            if let Some(frame) = state.queue.pop_front() {
-                return Some(frame);
-            }
-            if state.closed {
-                return None;
-            }
-            self.state.data.wait(&mut state);
-        }
+        self.state.lock().queue.pop_front()
     }
 
-    /// Closes the channel: senders error, receivers drain then see `None`.
-    pub fn close(&self) {
-        self.state.state.lock().closed = true;
-        self.state.data.notify_all();
-    }
+    /// Does nothing: a link has no open or closed state, and a receive
+    /// never waits for a frame. Kept because the benchmark's replay still
+    /// calls it (ROADMAP item 4(c)).
+    pub fn close(&self) {}
 }
 
 /// A batch pre-sized for an expected row count: full [`BATCH_CAPACITY`]
@@ -684,8 +613,6 @@ mod tests {
         assert_eq!(b.stats().frames, 1);
         let total: NetStats = [a.stats(), b.stats()].into_iter().sum();
         assert_eq!((total.frames, total.bytes), (3, 4), "totals are the links' sum");
-        // Receiver clones observe the same link counters.
-        assert_eq!(a.clone().stats().frames, 2);
     }
 
     #[test]
@@ -728,35 +655,21 @@ mod tests {
         );
     }
 
-    /// A channel is a mailbox: a sender on another thread puts 100 frames
-    /// on a 1-capacity channel that nobody reads, and finishes; then one
-    /// receiver takes all of them in order and sees `None` after `close`.
-    /// The sends are joined through a watchdog, so a send that waits for
-    /// its receiver fails the test instead of hanging it.
+    /// A link is a queue and neither half waits, on one thread: a receive
+    /// on an empty link returns `None` at once, 100 sends to a 1-capacity
+    /// link that nobody reads are all accepted, and the frames come out
+    /// in the order they went in.
     #[test]
-    fn a_send_never_waits_for_its_receiver() {
-        let net = SimNet::new(NetConfig::default());
-        let tx = net.channel(0, 1, 1);
-        let rx = tx.clone();
-        let (done, finished) = std::sync::mpsc::channel();
-        let sender = std::thread::spawn(move || {
-            for i in 0..100u8 {
-                if let Err(e) = tx.send(vec![i]) {
-                    return done.send(Err(e));
-                }
-            }
-            done.send(Ok(tx.stats()))
-        });
-        let stats = finished
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("100 sends finished with no receiver running")
-            .expect("every send was accepted");
-        sender.join().expect("sender").expect("the watchdog was listening");
-        assert_eq!((stats.frames, stats.bytes), (100, 100));
-        rx.close();
-        let got: Vec<u8> = std::iter::from_fn(|| rx.recv()).map(|f| f[0]).collect();
+    fn a_link_is_a_queue_neither_half_waits() {
+        let link = SimNet::new(NetConfig::default()).channel(0, 1, 1);
+        assert!(link.recv().is_none(), "nothing sent yet");
+        for i in 0..100u8 {
+            link.send(vec![i]).expect("every send is accepted");
+        }
+        assert_eq!((link.stats().frames, link.stats().bytes), (100, 100));
+        let got: Vec<u8> = std::iter::from_fn(|| link.recv()).map(|f| f[0]).collect();
         assert_eq!(got, (0..100).collect::<Vec<u8>>(), "in order, none lost");
-        assert!(rx.recv().is_none(), "closed and drained");
+        assert!(link.recv().is_none(), "drained");
     }
 
     #[test]

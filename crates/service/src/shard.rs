@@ -29,13 +29,14 @@
 //! exactly the global join. Batches travel as length-prefixed columnar
 //! frames over a simulated network ([`SimNet`]) with deterministic fault
 //! injection; every byte is accounted on the query's own channels. A
-//! link is an unbounded mailbox and a join stage needs all of its input
-//! before it joins, so a query runs in steps on the calling thread: every
-//! shard sends both sides of a stage and closes its out-links, then every
-//! shard drains its in-links and joins. Only the sleeps of disks that pace
-//! I/O are overlapped, on a scoped thread per shard and step. The final
-//! gather merges order-preservingly (k-way merge by the `ORDER BY`
-//! column) or deterministically concatenates in shard order.
+//! link is a plain queue and a join stage needs all of its input before
+//! it joins, so a query runs in steps on the calling thread: every shard
+//! sends both sides of a stage, then every shard drains its in-links and
+//! joins. The query stops at its first failed step and returns that
+//! step's first error in shard order. Only the sleeps of disks that pace
+//! I/O are overlapped, on a thread per shard and step. The final gather
+//! merges order-preservingly (k-way merge by the `ORDER BY` column) or
+//! deterministically concatenates in shard order.
 //!
 //! **Batches end to end.** [`RowBatch`] is the only currency of the data
 //! path: access plans hand back the batches their operators produced,
@@ -56,10 +57,10 @@ use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal, kway_merge,
-    merge_distributed, next_trace_id, presized_batch, scatter_by_shard, sort_batches, EventKind,
-    ExecContext, ExecError, FrameTrace, NetChannel, NetConfig, NetSpanStats, NetStats, Phases,
-    Resource, ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats,
-    TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
+    merge_distributed, next_trace_id, presized_batch, run_parallel, scatter_by_shard, sort_batches,
+    EventKind, ExecContext, ExecError, FrameTrace, NetChannel, NetConfig, NetSpanStats, NetStats,
+    Phases, Resource, ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet, SpanId,
+    SpanStats, TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, ParsedPredicate};
@@ -126,7 +127,8 @@ pub struct ShardConfig {
     pub limits: ResourceLimits,
     /// Simulated per-page I/O latency on every shard's disk, µs. Above 0,
     /// the shards take each step of a query on threads of their own, so
-    /// that their sleeps overlap.
+    /// that their sleeps overlap; the query does the same work, and fails
+    /// with the same error, either way.
     pub io_latency_micros: u64,
     /// Seed of the deterministic data generation the shards are loaded
     /// from (the rows `StoredDatabase::generate_profiled` draws).
@@ -265,30 +267,10 @@ struct JoinStage {
     residual: Vec<(usize, usize)>,
 }
 
-/// Per-stage channel fan-out/fan-in of one shard. `None` marks the
-/// shard's own slot (self-partitions never touch the wire).
-struct StageWires {
-    left_out: Vec<Option<NetChannel>>,
-    left_in: Vec<Option<NetChannel>>,
-    right_out: Vec<Option<NetChannel>>,
-    right_in: Vec<Option<NetChannel>>,
-}
-
-struct ShardWires {
-    stages: Vec<StageWires>,
-    gather: NetChannel,
-}
-
-impl ShardWires {
-    /// Closes every link of the shard (idempotent): closed out-links end
-    /// its peers' receives, closed in-links fail their sends to it.
-    fn close(&self) {
-        let links =
-            self.stages.iter().flat_map(|w| [&w.left_out, &w.left_in, &w.right_out, &w.right_in]);
-        links.flatten().flatten().for_each(NetChannel::close);
-        self.gather.close();
-    }
-}
+/// One join stage side's links, indexed `[from][to]`: a shard's
+/// out-links are its row and its in-links its column. The diagonal is
+/// `None`: a shard's own partition never touches the wire.
+type Links = Vec<Vec<Option<NetChannel>>>;
 
 /// Accumulates the receive side of one link so a single receive span can
 /// be recorded once the link drains: row/batch totals plus the first
@@ -568,8 +550,9 @@ impl ShardedService {
     /// Runs the distributed plan in an `Execute` phase of the coordinator's
     /// trace, one step at a time on every shard ([`each_shard`]): the first
     /// access stage, a send and a join step per join stage, the gather.
-    /// Then the coordinator drains the gather links in shard order. Every
-    /// shard runs under the query's `trace_id`.
+    /// The query stops at the first step that fails. Then the coordinator
+    /// drains the gather links in shard order. Every shard runs under the
+    /// query's `trace_id`.
     fn run(
         &self,
         plan: &DistPlan,
@@ -579,7 +562,7 @@ impl ShardedService {
         mut phases: Phases,
     ) -> Result<ShardOutcome, ServiceError> {
         let gather_span = phases.next("Execute");
-        let (wires, link_handles) = self.wire_up(plan);
+        let (stages, gather) = self.wire_up(plan);
         // Each shard's run: its own counters — CPU work and the trail of
         // what it decided, read here once the shards are done — under the
         // query's trace id. Traced, its tracer joins the coordinator's
@@ -589,9 +572,8 @@ impl ShardedService {
         let mut runs: Vec<ShardRun<'_>> = self
             .shards
             .iter()
-            .zip(wires)
             .enumerate()
-            .map(|(s, (shard, wires))| {
+            .map(|(s, shard)| {
                 let mut ctx = ExecContext::with_limits(SharedCounters::new(), self.config.limits)
                     .with_dop(self.config.dop)
                     .with_trace_id(trace_id);
@@ -601,8 +583,7 @@ impl ShardedService {
                         tracer.span(format!("Shard {s}"), "Shard", None, None, None, ctx.dop);
                     ctx = ctx.with_tracer(tracer).with_span_parent(span);
                 }
-                let (left, right, outcome) = (Vec::new(), Vec::new(), Ok(0));
-                ShardRun { s, shard, wires, ctx, left, right, outcome }
+                ShardRun { s, shard, ctx, left: Vec::new(), right: Vec::new(), sent: 0 }
             })
             .collect();
 
@@ -610,28 +591,26 @@ impl ShardedService {
         each_shard(&mut runs, paced, |run| {
             run.left = run_access(run.shard, &plan.access[0], env, bindings, &run.ctx)?;
             Ok(())
-        });
-        for j in 0..plan.joins.len() {
+        })?;
+        for (j, (stage, links)) in plan.joins.iter().zip(&stages).enumerate() {
             each_shard(&mut runs, paced, |run| {
                 run.right = run_access(run.shard, &plan.access[j + 1], env, bindings, &run.ctx)?;
-                run.send_stage(plan, j)
-            });
-            each_shard(&mut runs, paced, |run| run.join_stage(plan, j));
+                run.send_stage(stage, links)
+            })?;
+            each_shard(&mut runs, paced, |run| run.join_stage(stage, links))?;
         }
-        each_shard(&mut runs, paced, |run| run.gather(plan));
+        each_shard(&mut runs, paced, |run| run.gather(plan, &gather[run.s]))?;
 
-        // The coordinator drains the gather links in shard order; a shard's
-        // own error is reported before its link's.
+        // The coordinator drains the gather links in shard order.
         let coord = coord_tracer.map(Arc::as_ref);
-        let gather = |run: &mut ShardRun<'_>| {
-            let rows_out = std::mem::replace(&mut run.outcome, Ok(0))?;
+        let drain = |(run, link): (&ShardRun<'_>, &NetChannel)| {
             let mut batches = Vec::new();
-            drain_link(&run.wires.gather, plan.layout.width(), &mut batches, coord, gather_span)?;
-            check_gathered(run.s, live_rows(&batches), rows_out)?;
+            drain_link(link, plan.layout.width(), &mut batches, coord, gather_span)?;
+            check_gathered(run.s, live_rows(&batches), run.sent)?;
             Ok(batches)
         };
         let gathered: Vec<Vec<RowBatch>> =
-            runs.iter_mut().map(gather).collect::<Result<_, _>>().map_err(ServiceError::Exec)?;
+            runs.iter().zip(&gather).map(drain).collect::<Result<_, ExecError>>()?;
         let shard_rows: Vec<u64> = gathered.iter().map(|batches| live_rows(batches)).collect();
         let winners: Vec<Vec<(u64, usize)>> =
             runs.iter().map(|r| r.ctx.counters.winners()).collect();
@@ -661,8 +640,16 @@ impl ShardedService {
         // The one ledger: channels are created fresh per query, so each
         // channel's own counters are exactly this query's traffic on that
         // link, and the query's wire total is their sum.
-        let links: Vec<LinkTraffic> = link_handles
+        // Stage by stage, each ordered shard pair's left link then its
+        // right one; the gather links last.
+        let cross = stages
             .iter()
+            .flat_map(|[left, right]| left.iter().zip(right))
+            .flat_map(|(left, right)| left.iter().zip(right))
+            .flat_map(|(left, right)| [left, right])
+            .flatten();
+        let links: Vec<LinkTraffic> = cross
+            .chain(&gather)
             .map(|ch| LinkTraffic { from: ch.from_node(), to: ch.to_node(), stats: ch.stats() })
             .filter(|l| l.stats.frames > 0 || l.stats.bytes > 0)
             .collect();
@@ -691,46 +678,20 @@ impl ShardedService {
         })
     }
 
-    /// Creates the full channel matrix: per join stage, a left-side and a
-    /// right-side link for every ordered shard pair, plus one gather link
-    /// per shard to the coordinator (node `n`).
-    fn wire_up(&self, plan: &DistPlan) -> (Vec<ShardWires>, Vec<NetChannel>) {
+    /// Creates the query's links: per join stage, one [`Links`] matrix
+    /// for the left side and one for the right, plus one gather link per
+    /// shard to the coordinator (node `n`).
+    fn wire_up(&self, plan: &DistPlan) -> (Vec<[Links; 2]>, Vec<NetChannel>) {
         let n = self.shards.len();
-        let mut wires: Vec<ShardWires> = (0..n)
-            .map(|s| ShardWires {
-                stages: (0..plan.joins.len())
-                    .map(|_| StageWires {
-                        left_out: (0..n).map(|_| None).collect(),
-                        left_in: (0..n).map(|_| None).collect(),
-                        right_out: (0..n).map(|_| None).collect(),
-                        right_in: (0..n).map(|_| None).collect(),
-                    })
-                    .collect(),
-                gather: self.net.channel(s, n, 0),
-            })
-            .collect();
-        // Keep a clone of every channel in deterministic order so the
-        // coordinator can read per-link deltas after the query finishes.
-        let mut links: Vec<NetChannel> = Vec::new();
-        for j in 0..plan.joins.len() {
-            for from in 0..n {
-                for to in 0..n {
-                    if from == to {
-                        continue;
-                    }
-                    let left = self.net.channel(from, to, 0);
-                    links.push(left.clone());
-                    wires[to].stages[j].left_in[from] = Some(left.clone());
-                    wires[from].stages[j].left_out[to] = Some(left);
-                    let right = self.net.channel(from, to, 0);
-                    links.push(right.clone());
-                    wires[to].stages[j].right_in[from] = Some(right.clone());
-                    wires[from].stages[j].right_out[to] = Some(right);
-                }
-            }
-        }
-        links.extend(wires.iter().map(|w| w.gather.clone()));
-        (wires, links)
+        let matrix = || -> Links {
+            (0..n)
+                .map(|from| {
+                    (0..n).map(|to| (from != to).then(|| self.net.channel(from, to, 0))).collect()
+                })
+                .collect()
+        };
+        let stages = plan.joins.iter().map(|_| [matrix(), matrix()]).collect();
+        (stages, (0..n).map(|s| self.net.channel(s, n, 0)).collect())
     }
 }
 
@@ -778,65 +739,61 @@ fn materialize(gathered: &[Vec<RowBatch>], order_key: Option<usize>) -> Vec<Tupl
 struct ShardRun<'a> {
     s: usize,
     shard: &'a Shard,
-    wires: ShardWires,
     ctx: ExecContext,
     /// The rows the shard holds: its first access stage, then each join
     /// stage's left side and result, in the layout the chain has reached.
     left: Vec<RowBatch>,
     /// A join stage's right side from its send step to its join step.
     right: Vec<RowBatch>,
-    /// The rows the shard gathered, or the error that stopped it.
-    outcome: Result<u64, ExecError>,
+    /// The rows the shard sent on its gather link.
+    sent: u64,
 }
 
-/// Takes one step of the query on every shard still running, in shard
-/// order. A shard whose step fails takes no further step, and once every
-/// shard has taken this one, all its links are closed: its peers'
-/// receives end and their sends to it fail. Within a step no shard sees
-/// another's, so its outcome does not depend on the order they take it
-/// in: on disks that pace I/O, each shard's step runs on a scoped thread
-/// of its own, so that their sleeps overlap, and does the same work.
+/// Takes one step of the query on every shard, in shard order, and
+/// returns the first error in shard order: the query stops there, and no
+/// step runs after it. Within a step no shard sees another's, so its
+/// outcome does not depend on the order they take it in: on disks that
+/// pace I/O, each shard's step runs on a thread of its own
+/// ([`run_parallel`]), so that their sleeps overlap, and does the same
+/// work; every shard then takes the step, and the first error in shard
+/// order is the same one.
 fn each_shard<'a>(
     runs: &mut [ShardRun<'a>],
     paced: bool,
     step: impl Fn(&mut ShardRun<'a>) -> Result<(), ExecError> + Sync,
-) {
-    let guarded = &|run: &mut ShardRun<'a>| {
-        if run.outcome.is_ok() {
-            if let Err(e) = step(run) {
-                run.outcome = Err(e);
-            }
-        }
-    };
+) -> Result<(), ExecError> {
     if paced {
-        std::thread::scope(|scope| {
-            for run in &mut *runs {
-                scope.spawn(move || guarded(run));
-            }
-        });
+        let step = &step;
+        run_parallel(runs.iter_mut().map(|run| move || step(run)).collect()).into_iter().collect()
     } else {
-        runs.iter_mut().for_each(guarded);
+        runs.iter_mut().try_for_each(step)
     }
-    runs.iter().filter(|run| run.outcome.is_err()).for_each(|run| run.wires.close());
 }
 
 impl ShardRun<'_> {
-    /// Join stage `j`'s send step, once `right` holds the right side's
-    /// access stage: both sides scattered on their join keys and sent.
-    fn send_stage(&mut self, plan: &DistPlan, j: usize) -> Result<(), ExecError> {
-        let (stage, wires, s, ctx) = (&plan.joins[j], &self.wires.stages[j], self.s, &self.ctx);
-        let ((lkey, rkey), (lw, rw)) = (stage.keys, stage.widths);
-        send_partitions(s, &mut self.left, lw, lkey, &wires.left_out, ctx)?;
-        send_partitions(s, &mut self.right, rw, rkey, &wires.right_out, ctx)
+    /// A join stage's send step, once `right` holds the right side's
+    /// access stage: both sides scattered on their join keys and sent on
+    /// the shard's out-links.
+    fn send_stage(
+        &mut self,
+        stage: &JoinStage,
+        [left, right]: &[Links; 2],
+    ) -> Result<(), ExecError> {
+        let ((lkey, rkey), (lw, rw), s) = (stage.keys, stage.widths, self.s);
+        send_partitions(s, &mut self.left, lw, lkey, &left[s], &self.ctx)?;
+        send_partitions(s, &mut self.right, rw, rkey, &right[s], &self.ctx)
     }
 
-    /// Join stage `j`'s join step: both sides' shares received, joined,
-    /// and the residual predicates applied.
-    fn join_stage(&mut self, plan: &DistPlan, j: usize) -> Result<(), ExecError> {
-        let (stage, wires, ctx) = (&plan.joins[j], &self.wires.stages[j], &self.ctx);
-        let (lw, rw) = stage.widths;
-        receive_partitions(&mut self.left, lw, &wires.left_in, ctx)?;
-        receive_partitions(&mut self.right, rw, &wires.right_in, ctx)?;
+    /// A join stage's join step: both sides' shares received on the
+    /// shard's in-links, joined, and the residual predicates applied.
+    fn join_stage(
+        &mut self,
+        stage: &JoinStage,
+        [left, right]: &[Links; 2],
+    ) -> Result<(), ExecError> {
+        let ((lw, rw), ctx) = (stage.widths, &self.ctx);
+        receive_partitions(&mut self.left, lw, left, self.s, ctx)?;
+        receive_partitions(&mut self.right, rw, right, self.s, ctx)?;
         let mut joined = join_batches((&self.left, lw), (&self.right, rw), &[stage.keys], ctx)?;
         self.right = Vec::new();
         if !stage.residual.is_empty() {
@@ -855,17 +812,16 @@ impl ShardRun<'_> {
     }
 
     /// The gather step: the shard-local `ORDER BY` (the sort's in-memory
-    /// kernel), then the rows sent to the coordinator and the link closed.
-    fn gather(&mut self, plan: &DistPlan) -> Result<(), ExecError> {
+    /// kernel), then the rows sent to the coordinator on `link`.
+    fn gather(&mut self, plan: &DistPlan, link: &NetChannel) -> Result<(), ExecError> {
         if let Some(key) = plan.order_key {
             self.left = vec![sort_batches(&self.left, plan.layout.width(), key)];
         }
-        let mut gather = FrameSender::new(&self.wires.gather, &self.ctx);
+        let mut gather = FrameSender::new(link, &self.ctx);
         for batch in &self.left {
             gather.send(batch)?;
         }
-        self.wires.gather.close();
-        self.outcome = Ok(live_rows(&std::mem::take(&mut self.left)));
+        self.sent = live_rows(&std::mem::take(&mut self.left));
         Ok(())
     }
 }
@@ -893,25 +849,26 @@ fn run_access(
     Ok(batches)
 }
 
-/// The receive half of a repartition: `side` becomes the frames this
-/// shard's peers sent, in link order, then the partition it kept. Every
-/// in-link must be closed already — each peer closed it when it sent, or
-/// when it failed — so no receive waits.
+/// The receive half of a repartition: `side` becomes the frames shard
+/// `to`'s peers sent on its in-links (column `to` of `links`), in link
+/// order, then the partition it kept. Every peer has taken its send step
+/// before, so each link already holds all it will carry.
 fn receive_partitions(
     side: &mut Vec<RowBatch>,
     width: usize,
-    ins: &[Option<NetChannel>],
+    links: &[Vec<Option<NetChannel>>],
+    to: usize,
     ctx: &ExecContext,
 ) -> Result<(), ExecError> {
     let kept = std::mem::take(side);
-    for ch in ins.iter().flatten() {
+    for ch in links.iter().filter_map(|row| row[to].as_ref()) {
         drain_link(ch, width, side, ctx.tracer.as_deref(), ctx.span_parent)?;
     }
     side.extend(kept);
     Ok(())
 }
 
-/// Receives one link until it closes, decoding each frame onto `into`.
+/// Receives every frame a link holds, decoding each onto `into`.
 /// Stops at the first frame that does not decode or whose width is not
 /// the stage layout's `width` (the header is input: a narrower frame
 /// would index out of range in the key column).
@@ -950,8 +907,8 @@ fn drain_link(
 /// The send half of a repartition: hash-scatters the batches of `side` on
 /// column `key` across all shards with the multiply-xor kernel, straight
 /// into the per-destination batches, flushes a remote destination as
-/// dense frames once it holds a frame's worth, closes the out-links and
-/// leaves `side` holding the self-partition, which never leaves its batch.
+/// dense frames once it holds a frame's worth, and leaves `side` holding
+/// the self-partition, which never leaves its batch.
 /// Destination batches are pre-sized from the expected per-shard share. A
 /// shard without remote peers owns every row already: no scatter. Frames
 /// carry `ctx`'s trace id; traced, sends nest under its span parent.
@@ -995,9 +952,6 @@ fn send_partitions(
         if let Some(sender) = sender {
             sender.send(out)?;
         }
-    }
-    for ch in outs.iter().flatten() {
-        ch.close();
     }
     *side = vec![std::mem::take(&mut dest[s])];
     Ok(())
@@ -1476,21 +1430,17 @@ mod tests {
             .expect("runs");
         let svc = ShardedService::new(catalog(2), ShardConfig::default());
         let barrier = std::sync::Barrier::new(2);
-        let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let clients: Vec<_> = (0..2)
-                .map(|_| {
-                    scope.spawn(|| {
-                        (0..20)
-                            .map(|_| {
-                                barrier.wait();
-                                svc.execute(&sql, &binds).expect("runs")
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            clients.into_iter().flat_map(|c| c.join().expect("client")).collect()
-        });
+        let client = || {
+            let run = |_| {
+                barrier.wait();
+                svc.execute(&sql, &binds).expect("runs")
+            };
+            Ok((0..20).map(run).collect::<Vec<_>>())
+        };
+        let outcomes: Vec<ShardOutcome> = run_parallel(vec![client, client])
+            .into_iter()
+            .flat_map(|c| c.expect("client"))
+            .collect();
         assert_eq!(outcomes.len(), 40);
         for (i, out) in outcomes.iter().enumerate() {
             let links = out.links.iter().fold((0, 0, 0), |(b, f, r), l| {
@@ -1589,6 +1539,31 @@ mod tests {
         assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
     }
 
+    /// A query stops at its first failed step and returns that step's
+    /// own error: of three hash-routed shards over skewed data, one runs
+    /// out of its I/O budget, and the query fails with that error, unpaced
+    /// and paced, not with a peer's network error on a link to it.
+    #[test]
+    fn a_failed_shard_reports_its_own_error() {
+        for io_latency_micros in [0, 1] {
+            let limits = ResourceLimits { max_io: Some(20), ..ResourceLimits::unlimited() };
+            let config = ShardConfig {
+                shards: 3,
+                skew: Some(1.2),
+                limits,
+                io_latency_micros,
+                ..ShardConfig::default()
+            };
+            let svc = ShardedService::new(catalog(2), config);
+            let err = svc.execute(&chain_sql(2), &[("v1", 900), ("v2", 900)]).expect_err("fails");
+            assert_eq!(
+                err,
+                ServiceError::Exec(ExecError::ResourceExhausted(Resource::Io { limit: 20 })),
+                "io_latency_micros {io_latency_micros}"
+            );
+        }
+    }
+
     fn batch_of(width: usize, rows: &[&[i64]]) -> RowBatch {
         let mut batch = RowBatch::with_capacity(width, rows.len());
         rows.iter().for_each(|row| batch.push_row(row));
@@ -1645,7 +1620,6 @@ mod tests {
         ch.send(encode_frame_dense(&good, 0..1, FrameTrace::default())).expect("send");
         ch.send(narrow).expect("send");
         ch.send(encode_frame_dense(&good, 0..1, FrameTrace::default())).expect("send");
-        ch.close();
 
         let mut into = Vec::new();
         let err =
@@ -1668,7 +1642,6 @@ mod tests {
         batch.set_selection((0..rows as u32).step_by(2).collect());
         let live = batch.len();
         FrameSender::new(&ch, &ctx).send(&batch).expect("send");
-        ch.close();
         let mut got = Vec::new();
         drain_link(&ch, 2, &mut got, None, None).expect("drained");
         assert_eq!(got.len(), 1, "under two frames' worth of live rows is one frame");
@@ -1685,7 +1658,6 @@ mod tests {
         batch.clear();
         (0..rows as i64).for_each(|v| batch.push_row(&[v, -v]));
         FrameSender::new(&ch, &ctx).send(&batch).expect("send");
-        ch.close();
         let mut got = Vec::new();
         drain_link(&ch, 2, &mut got, None, None).expect("drained");
         let sizes: Vec<usize> = got.iter().map(RowBatch::rows).collect();
@@ -1696,7 +1668,7 @@ mod tests {
 
     /// Two shards repartition 70 000 rows each in stages, on one thread,
     /// over `SimNet` links: each sends all of its frames — more than 32 a
-    /// cross link — and closes its out-links before either receives. Every
+    /// cross link — before either receives. Every
     /// row arrives exactly once, on the shard its key routes to.
     #[test]
     fn a_staged_repartition_delivers_every_row_to_its_shard() {
@@ -1724,8 +1696,7 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(s, mut side)| {
-                let ins: Vec<Option<NetChannel>> = links.iter().map(|row| row[s].clone()).collect();
-                receive_partitions(&mut side, 2, &ins, &ctx).expect("receive");
+                receive_partitions(&mut side, 2, &links, s, &ctx).expect("receive");
                 side
             })
             .collect();
