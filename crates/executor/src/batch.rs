@@ -240,10 +240,7 @@ impl RowBatch {
 
     /// Iterates the live rows as owned tuples (gathering across columns).
     pub fn iter(&self) -> RowBatchIter<'_> {
-        RowBatchIter {
-            batch: self,
-            pos: 0,
-        }
+        RowBatchIter { batch: self, pos: 0 }
     }
 
     /// Copies the live rows out as owned tuples (interop with the tuple

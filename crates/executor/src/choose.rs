@@ -356,7 +356,12 @@ mod tests {
             let bindings = Bindings::new().with_value(HostVar(0), v);
             let ctx = ExecContext::new(SharedCounters::new())
                 .with_decision(Arc::new(evaluate_startup(&plan, &cat, &env, &bindings)));
-            let mut op = ChoosePlanExec::new(&compiler(&plan, &db, &cat, &env, &bindings), plan.root(), ctx.clone()).unwrap();
+            let mut op = ChoosePlanExec::new(
+                &compiler(&plan, &db, &cat, &env, &bindings),
+                plan.root(),
+                ctx.clone(),
+            )
+            .unwrap();
             assert!(ctx.counters.winners().is_empty(), "no decision before open");
             op.open().unwrap();
             let [(_, idx)] = ctx.counters.winners()[..] else { panic!("decided once, at open") };
@@ -375,12 +380,7 @@ mod tests {
             op.close();
             // Ground truth.
             let table = db.table(cat.relation_by_name("r").unwrap().id);
-            let expected = table
-                .heap
-                .scan()
-                .map(Result::unwrap)
-                .filter(|row| row[0] < v)
-                .count();
+            let expected = table.heap.scan().map(Result::unwrap).filter(|row| row[0] < v).count();
             assert_eq!(rows, expected);
         }
     }
@@ -425,10 +425,7 @@ mod tests {
         // A full file scan would read ~150 pages; the index path touches
         // only the B-tree descent plus a handful of fetches.
         assert!(rows <= 10);
-        assert!(
-            io.total() < 20,
-            "expected index-path I/O only, saw {io:?}"
-        );
+        assert!(io.total() < 20, "expected index-path I/O only, saw {io:?}");
     }
 
     #[test]
@@ -438,7 +435,9 @@ mod tests {
         let plan = Optimizer::new(&cat, &env).optimize(&q).unwrap().plan;
         let ctx = ExecContext::new(SharedCounters::new());
         let bindings = Bindings::new().with_value(HostVar(0), 10);
-        let mut op = ChoosePlanExec::new(&compiler(&plan, &db, &cat, &env, &bindings), plan.root(), ctx).unwrap();
+        let mut op =
+            ChoosePlanExec::new(&compiler(&plan, &db, &cat, &env, &bindings), plan.root(), ctx)
+                .unwrap();
         assert!(matches!(op.next_batch(1), Err(ExecError::Internal(_))));
         assert!(
             matches!(op.open(), Err(ExecError::Internal(_))),
@@ -460,22 +459,15 @@ mod tests {
         // fall back to the file scan.
         let bindings = Bindings::new().with_value(HostVar(0), 5);
         let ctx = ExecContext::new(SharedCounters::new());
-        let mut op = compile_dynamic_plan(
-            &plan, &db, &cat, &env, &bindings, 64 * 2048, &ctx,
-        )
-        .unwrap();
+        let mut op =
+            compile_dynamic_plan(&plan, &db, &cat, &env, &bindings, 64 * 2048, &ctx).unwrap();
         db.disk.set_fault_plan(FaultPlan::nth_read(1));
         let rows = drain(op.as_mut()).unwrap().len();
         db.disk.set_fault_plan(FaultPlan::none());
         assert!(ctx.counters.fallbacks() >= 1, "fallback must be recorded");
         // Same answer as a clean run.
         let table = db.table(cat.relation_by_name("r").unwrap().id);
-        let expected = table
-            .heap
-            .scan()
-            .map(Result::unwrap)
-            .filter(|row| row[0] < 5)
-            .count();
+        let expected = table.heap.scan().map(Result::unwrap).filter(|row| row[0] < 5).count();
         assert_eq!(rows, expected);
     }
 }

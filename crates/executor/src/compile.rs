@@ -33,14 +33,9 @@ fn resolve_pred(
     layout: &TupleLayout,
     bindings: &Bindings,
 ) -> Result<ResolvedPred, ExecError> {
-    let pos = layout
-        .position(pred.attr)
-        .ok_or_else(|| ExecError::PredicateMismatch(pred.to_string()))?;
-    Ok(ResolvedPred {
-        pos,
-        op: pred.op,
-        value: pred_value(pred, bindings)?,
-    })
+    let pos =
+        layout.position(pred.attr).ok_or_else(|| ExecError::PredicateMismatch(pred.to_string()))?;
+    Ok(ResolvedPred { pos, op: pred.op, value: pred_value(pred, bindings)? })
 }
 
 /// Orients a join predicate so its first position indexes `left` and its
@@ -96,7 +91,11 @@ pub(crate) struct Compiler<'a, 'b> {
 
 impl<'a> Compiler<'a, '_> {
     /// Compiles the subplan at `id` — a subtree is `(plan, id)`.
-    pub(crate) fn node(&self, id: NodeId, ctx: &ExecContext) -> Result<BoxedOperator<'a>, ExecError> {
+    pub(crate) fn node(
+        &self,
+        id: NodeId,
+        ctx: &ExecContext,
+    ) -> Result<BoxedOperator<'a>, ExecError> {
         crate::trace::traced_node(ctx, self.plan, id, &self.db.disk, |ctx| self.operator(id, ctx))
     }
 
@@ -110,7 +109,11 @@ impl<'a> Compiler<'a, '_> {
         // checkpoint compiles to a scan over the retained batches — the
         // substitution that keeps a re-plan from ever repeating finished work.
         if let Some((layout, batches)) = ctx.reopt.as_ref().and_then(|s| s.materialized(id)) {
-            return Ok(Box::new(crate::reopt::MaterializedScanExec::new(batches, layout, ctx.clone())));
+            return Ok(Box::new(crate::reopt::MaterializedScanExec::new(
+                batches,
+                layout,
+                ctx.clone(),
+            )));
         }
         Ok(match node.op {
             PhysicalOp::FileScan { relation } => {
@@ -132,20 +135,14 @@ impl<'a> Compiler<'a, '_> {
                     ))
                 }
             }
-            PhysicalOp::BtreeScan {
-                relation, index, ..
-            } => Box::new(BtreeScanExec::new(
+            PhysicalOp::BtreeScan { relation, index, .. } => Box::new(BtreeScanExec::new(
                 db.table(relation),
                 index,
                 (None, None),
                 TupleLayout::base(catalog, relation),
                 ctx.clone(),
             )),
-            PhysicalOp::FilterBtreeScan {
-                relation,
-                index,
-                predicate,
-            } => {
+            PhysicalOp::FilterBtreeScan { relation, index, predicate } => {
                 let layout = TupleLayout::base(catalog, relation);
                 let resolved = resolve_pred(&predicate, &layout, bindings)?;
                 Box::new(BtreeScanExec::new(
@@ -189,11 +186,7 @@ impl<'a> Compiler<'a, '_> {
                 let (lk, rk) = keys.remove(0);
                 Box::new(MergeJoinExec::new(left, right, lk, rk, keys, ctx.clone()))
             }
-            PhysicalOp::IndexJoin {
-                inner,
-                index,
-                residual,
-            } => {
+            PhysicalOp::IndexJoin { inner, index, residual } => {
                 let outer = self.node(children[0], ctx)?;
                 let inner_layout = TupleLayout::base(catalog, inner);
                 let mut keys = plan
@@ -242,9 +235,7 @@ impl<'a> Compiler<'a, '_> {
 /// The bytes of working memory a statement plans and runs with: the
 /// binding's memory grant, or the environment's expected one.
 pub(crate) fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Catalog) -> usize {
-    let pages = bindings
-        .memory_pages
-        .unwrap_or_else(|| env.memory.expected());
+    let pages = bindings.memory_pages.unwrap_or_else(|| env.memory.expected());
     (pages * catalog.config.page_size as f64) as usize
 }
 
@@ -414,22 +405,15 @@ mod tests {
     fn executes_resolved_selection_and_counts_match_ground_truth() {
         let (cat, db) = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
-        let plan = Optimizer::new(&cat, &env)
-            .optimize(&select_query(&cat))
-            .unwrap()
-            .plan;
+        let plan = Optimizer::new(&cat, &env).optimize(&select_query(&cat)).unwrap().plan;
         for v in [0i64, 40, 200, 400] {
             let bindings = Bindings::new().with_value(HostVar(0), v);
             let summary =
                 run_with(&plan, &db, &cat, &env, &bindings, ResourceLimits::unlimited()).unwrap();
             // Ground truth from a raw heap scan.
             let table = db.table(cat.relation_by_name("r").unwrap().id);
-            let expected = table
-                .heap
-                .scan()
-                .map(Result::unwrap)
-                .filter(|row| row[0] < v)
-                .count() as u64;
+            let expected =
+                table.heap.scan().map(Result::unwrap).filter(|row| row[0] < v).count() as u64;
             assert_eq!(summary.rows, expected, "binding {v}");
         }
     }
@@ -440,10 +424,7 @@ mod tests {
         // rows; only their cost differs.
         let (cat, db) = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
-        let plan = Optimizer::new(&cat, &env)
-            .optimize(&select_query(&cat))
-            .unwrap()
-            .plan;
+        let plan = Optimizer::new(&cat, &env).optimize(&select_query(&cat)).unwrap().plan;
         assert!(plan.root_node().is_choose_plan());
         let bindings = Bindings::new().with_value(HostVar(0), 120);
         let ctx = ExecContext::new(SharedCounters::new());
@@ -462,10 +443,7 @@ mod tests {
         // that is actually faster when executed on stored data.
         let (cat, db) = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
-        let plan = Optimizer::new(&cat, &env)
-            .optimize(&select_query(&cat))
-            .unwrap()
-            .plan;
+        let plan = Optimizer::new(&cat, &env).optimize(&select_query(&cat)).unwrap().plan;
         for v in [4i64, 396] {
             let bindings = Bindings::new().with_value(HostVar(0), v);
             let startup = evaluate_startup(&plan, &cat, &env, &bindings);
@@ -501,11 +479,7 @@ mod tests {
         let r = cat.relation_by_name("r").unwrap();
         let s = cat.relation_by_name("s").unwrap();
         let q = LogicalExpr::get(r.id)
-            .select(SelectPred::unbound(
-                r.attr_id("a").unwrap(),
-                CompareOp::Lt,
-                HostVar(0),
-            ))
+            .select(SelectPred::unbound(r.attr_id("a").unwrap(), CompareOp::Lt, HostVar(0)))
             .join(
                 LogicalExpr::get(s.id),
                 vec![JoinPred::new(r.attr_id("j").unwrap(), s.attr_id("j").unwrap())],
@@ -520,10 +494,8 @@ mod tests {
         // Ground truth: nested loops over raw heap scans.
         let rt = db.table(r.id);
         let st = db.table(s.id);
-        let r_rows: Vec<Vec<i64>> =
-            rt.heap.scan().map(Result::unwrap).collect();
-        let s_rows: Vec<Vec<i64>> =
-            st.heap.scan().map(Result::unwrap).collect();
+        let r_rows: Vec<Vec<i64>> = rt.heap.scan().map(Result::unwrap).collect();
+        let s_rows: Vec<Vec<i64>> = st.heap.scan().map(Result::unwrap).collect();
         let expected = r_rows
             .iter()
             .filter(|row| row[0] < 100)
@@ -539,12 +511,8 @@ mod tests {
     fn unbound_host_var_is_reported() {
         let (cat, db) = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
-        let plan = Optimizer::new(&cat, &env)
-            .optimize(&select_query(&cat))
-            .unwrap()
-            .plan;
-        let err =
-            run_with(&plan, &db, &cat, &env, &Bindings::new(), ResourceLimits::unlimited());
+        let plan = Optimizer::new(&cat, &env).optimize(&select_query(&cat)).unwrap().plan;
+        let err = run_with(&plan, &db, &cat, &env, &Bindings::new(), ResourceLimits::unlimited());
         // Start-up evaluation falls back to defaults, but compilation of a
         // predicate with no binding must fail.
         assert_eq!(err.unwrap_err(), ExecError::UnboundHostVar(HostVar(0)));
@@ -554,10 +522,7 @@ mod tests {
     fn choose_plan_rejected_by_direct_compile() {
         let (cat, db) = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
-        let plan = Optimizer::new(&cat, &env)
-            .optimize(&select_query(&cat))
-            .unwrap()
-            .plan;
+        let plan = Optimizer::new(&cat, &env).optimize(&select_query(&cat)).unwrap().plan;
         assert!(plan.root_node().is_choose_plan());
         let err = compile_plan(
             &plan,
@@ -574,25 +539,13 @@ mod tests {
     fn row_limit_aborts_execution() {
         let (cat, db) = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
-        let plan = Optimizer::new(&cat, &env)
-            .optimize(&select_query(&cat))
-            .unwrap()
-            .plan;
+        let plan = Optimizer::new(&cat, &env).optimize(&select_query(&cat)).unwrap().plan;
         let bindings = Bindings::new().with_value(HostVar(0), 400);
-        let limits = ResourceLimits {
-            max_rows: Some(10),
-            ..ResourceLimits::default()
-        };
+        let limits = ResourceLimits { max_rows: Some(10), ..ResourceLimits::default() };
         let err = run_with(&plan, &db, &cat, &env, &bindings, limits).unwrap_err();
-        assert_eq!(
-            err,
-            ExecError::ResourceExhausted(crate::error::Resource::Rows { limit: 10 })
-        );
+        assert_eq!(err, ExecError::ResourceExhausted(crate::error::Resource::Rows { limit: 10 }));
         // The same query under a generous limit succeeds.
-        let limits = ResourceLimits {
-            max_rows: Some(1_000_000),
-            ..ResourceLimits::default()
-        };
+        let limits = ResourceLimits { max_rows: Some(1_000_000), ..ResourceLimits::default() };
         assert!(run_with(&plan, &db, &cat, &env, &bindings, limits).is_ok());
     }
 
@@ -600,19 +553,10 @@ mod tests {
     fn io_limit_aborts_execution() {
         let (cat, db) = fixture();
         let env = Environment::dynamic_compile_time(&cat.config);
-        let plan = Optimizer::new(&cat, &env)
-            .optimize(&select_query(&cat))
-            .unwrap()
-            .plan;
+        let plan = Optimizer::new(&cat, &env).optimize(&select_query(&cat)).unwrap().plan;
         let bindings = Bindings::new().with_value(HostVar(0), 400);
-        let limits = ResourceLimits {
-            max_io: Some(2),
-            ..ResourceLimits::default()
-        };
+        let limits = ResourceLimits { max_io: Some(2), ..ResourceLimits::default() };
         let err = run_with(&plan, &db, &cat, &env, &bindings, limits).unwrap_err();
-        assert_eq!(
-            err,
-            ExecError::ResourceExhausted(crate::error::Resource::Io { limit: 2 })
-        );
+        assert_eq!(err, ExecError::ResourceExhausted(crate::error::Resource::Io { limit: 2 }));
     }
 }

@@ -141,18 +141,14 @@ mod tests {
 
     #[test]
     fn retryable_classification() {
-        let fault = ExecError::Storage(StorageError::InjectedFault {
-            page: PageId(1),
-            write: false,
-        });
+        let fault =
+            ExecError::Storage(StorageError::InjectedFault { page: PageId(1), write: false });
         assert!(fault.is_retryable());
         assert!(ExecError::ResourceExhausted(Resource::Memory { requested: 10, limit: 5 })
             .is_retryable());
         assert!(!ExecError::ResourceExhausted(Resource::Rows { limit: 5 }).is_retryable());
         assert!(!ExecError::ResourceExhausted(Resource::Io { limit: 5 }).is_retryable());
-        assert!(
-            !ExecError::ResourceExhausted(Resource::WallClock { limit_ms: 5 }).is_retryable()
-        );
+        assert!(!ExecError::ResourceExhausted(Resource::WallClock { limit_ms: 5 }).is_retryable());
         assert!(!ExecError::Cancelled.is_retryable());
         assert!(!ExecError::UnboundHostVar(HostVar(0)).is_retryable());
         assert!(!ExecError::Internal("x".into()).is_retryable());

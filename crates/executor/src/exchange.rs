@@ -191,10 +191,7 @@ pub fn parallel_scan<'a>(
     layout: TupleLayout,
     ctx: &ExecContext,
 ) -> ExchangeExec<'a> {
-    let claims = Arc::new(PageClaims::new(
-        table.heap.page_count(),
-        DEFAULT_MORSEL_PAGES,
-    ));
+    let claims = Arc::new(PageClaims::new(table.heap.page_count(), DEFAULT_MORSEL_PAGES));
     // Tracing: all workers share ONE span. Each wrapper accumulates its
     // worker's private totals and flushes on close (from the worker
     // thread), so the span's stats merge concurrently via
@@ -257,11 +254,8 @@ mod tests {
         let rel = cat.relation_by_name("r").unwrap().id;
         let table = db.table(rel);
         let serial_ctx = ExecContext::new(SharedCounters::new());
-        let mut serial = crate::scan::FileScanExec::new(
-            table,
-            TupleLayout::base(&cat, rel),
-            serial_ctx.clone(),
-        );
+        let mut serial =
+            crate::scan::FileScanExec::new(table, TupleLayout::base(&cat, rel), serial_ctx.clone());
         let serial_rows = drain(&mut serial).unwrap();
         let serial_io = db.disk.stats();
         db.disk.reset_stats();

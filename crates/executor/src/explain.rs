@@ -75,11 +75,15 @@ fn num(v: f64) -> String {
     }
 }
 
-fn render_span(out: &mut String, report: &TraceReport, record: &SpanRecord, depth: usize, config: &SystemConfig) {
+fn render_span(
+    out: &mut String,
+    report: &TraceReport,
+    record: &SpanRecord,
+    depth: usize,
+    config: &SystemConfig,
+) {
     let pad = "  ".repeat(depth);
-    let node = record
-        .node
-        .map_or(String::new(), |n| format!("  [node n{n}, dop {}]", record.dop));
+    let node = record.node.map_or(String::new(), |n| format!("  [node n{n}, dop {}]", record.dop));
     let _ = writeln!(out, "{pad}{}{node}", record.label);
     if let Some(est) = record.estimate {
         let _ = writeln!(
@@ -116,16 +120,10 @@ fn render_span(out: &mut String, report: &TraceReport, record: &SpanRecord, dept
             let _ = writeln!(
                 out,
                 "{pad}  net: link {}->{} sent {} frame(s), {} byte(s), {} retransmit(s)",
-                net.from,
-                net.to,
-                net.stats.frames,
-                net.stats.bytes,
-                net.stats.retransmits,
+                net.from, net.to, net.stats.frames, net.stats.bytes, net.stats.retransmits,
             );
         } else {
-            let remote = net
-                .remote_span
-                .map_or("none".to_string(), |r| format!("span {r}"));
+            let remote = net.remote_span.map_or("none".to_string(), |r| format!("span {r}"));
             let _ = writeln!(
                 out,
                 "{pad}  net: link {}->{} received (remote {remote})",
@@ -145,9 +143,7 @@ fn render_audit(out: &mut String, audit: &ChooseAudit, outcome: Option<Arbitrati
         .map(|(var, value)| format!("{var}={value}"))
         .collect::<Vec<_>>()
         .join(", ");
-    let mem = audit
-        .memory_pages
-        .map_or(String::new(), |p| format!(", memory={} pages", num(p)));
+    let mem = audit.memory_pages.map_or(String::new(), |p| format!(", memory={} pages", num(p)));
     let _ = writeln!(
         out,
         "  node n{}: binds {{{binds}}}{mem}, preferred=alt {}",
@@ -347,21 +343,18 @@ pub fn explain_json(report: &TraceReport, config: &SystemConfig) -> String {
             w.key("nodes").objs(&report.spans, |w, record| {
                 write_node(w, record, config);
                 w.key("estimate").opt_obj(record.estimate, write_estimate);
-                w.key("actual")
-                    .obj(|w| write_actual(w, &record.stats, config));
+                w.key("actual").obj(|w| write_actual(w, &record.stats, config));
                 w.key("net").opt_obj(record.net.as_ref(), write_net);
             });
             w.key("audits").objs(report.outcomes(), |w, (audit, outcome)| {
                 write_audit(w, audit, outcome);
                 w.key("binds").objs(&audit.bind_values, write_bind);
-                w.key("alternatives")
-                    .objs(&audit.alternatives, write_alternative);
+                w.key("alternatives").objs(&audit.alternatives, write_alternative);
                 w.key("attempts").objs(&audit.attempts, write_attempt);
             });
             let reopt = report.reopt();
             w.key("reopt").obj(|w| {
-                w.key("counters")
-                    .obj(|w| write_reopt_counters(w, &reopt.counters));
+                w.key("counters").obj(|w| write_reopt_counters(w, &reopt.counters));
                 w.key("events").objs(&reopt.events, write_reopt_event);
             });
         });
@@ -374,10 +367,7 @@ fn check_node(i: usize, node: &At) -> Result<(), String> {
     if node.num("span").map(|span| span as usize) != Some(i) {
         return node.expected("span", "span ids to count up from 0");
     }
-    if node
-        .num("parent")
-        .is_some_and(|parent| parent as usize >= i)
-    {
+    if node.num("parent").is_some_and(|parent| parent as usize >= i) {
         return node.expected("parent", "null or an earlier span id");
     }
     if let Some(est) = node.nullable_obj("estimate", false)? {
@@ -401,11 +391,7 @@ fn check_audit(audit: &At) -> Result<(), String> {
     if audit.num("preferred").map(|p| p as usize) >= Some(alternatives.len()) {
         return audit.expected("preferred", "the index of an alternative");
     }
-    for (key, fields) in [
-        ("binds", BIND),
-        ("attempts", ATTEMPT),
-        ("alternatives", ALTERNATIVE),
-    ] {
+    for (key, fields) in [("binds", BIND), ("attempts", ATTEMPT), ("alternatives", ALTERNATIVE)] {
         audit.arr(key)?.try_for_each(|item| item.fields(fields))?;
     }
     Ok(())
@@ -431,13 +417,10 @@ pub fn validate_explain_json(text: &str) -> Result<(), String> {
     for (i, node) in nodes.enumerate() {
         check_node(i, &node)?;
     }
-    ea.arr("audits")?
-        .try_for_each(|audit| check_audit(&audit))?;
+    ea.arr("audits")?.try_for_each(|audit| check_audit(&audit))?;
     if let Some(reopt) = ea.nullable_obj("reopt", true)? {
         reopt.obj("counters")?.fields(REOPT_COUNTERS)?;
-        reopt
-            .arr("events")?
-            .try_for_each(|event| event.fields(REOPT_EVENT))?;
+        reopt.arr("events")?.try_for_each(|event| event.fields(REOPT_EVENT))?;
     }
     Ok(())
 }

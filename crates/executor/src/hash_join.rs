@@ -288,12 +288,7 @@ impl RadixTable {
                 PartBuckets { shift, heads }
             })
             .collect();
-        RadixTable {
-            part_mask,
-            cols,
-            next_link,
-            buckets,
-        }
+        RadixTable { part_mask, cols, next_link, buckets }
     }
 
     fn build_width(&self) -> usize {
@@ -413,15 +408,9 @@ pub fn join_batches(
 ) -> Result<RowBatch, ExecError> {
     let live = |side: &[RowBatch]| side.iter().map(RowBatch::len).sum::<usize>();
     let build_left = live(left) <= live(right);
-    let (build, build_width, probe) = if build_left {
-        (left, left_width, right)
-    } else {
-        (right, right_width, left)
-    };
-    let keys: Keys = keys
-        .iter()
-        .map(|&(l, r)| if build_left { (l, r) } else { (r, l) })
-        .collect();
+    let (build, build_width, probe) =
+        if build_left { (left, left_width, right) } else { (right, right_width, left) };
+    let keys: Keys = keys.iter().map(|&(l, r)| if build_left { (l, r) } else { (r, l) }).collect();
     // The build rows as one dense buffer; a side that already is one dense
     // batch is used where it lies.
     let mut store = match build {
@@ -498,10 +487,7 @@ struct ReserveGate {
 
 impl ReserveGate {
     fn new() -> ReserveGate {
-        ReserveGate {
-            inflight: Mutex::new(0),
-            cv: Condvar::new(),
-        }
+        ReserveGate { inflight: Mutex::new(0), cv: Condvar::new() }
     }
 
     fn reserve(&self, governor: &ResourceGovernor, bytes: u64) -> Result<(), ExecError> {
@@ -793,8 +779,7 @@ impl Operator for HashJoinExec<'_> {
         // Sealing settles the I/O budget for the pages the partitions
         // wrote, a side at a time; reading a pair back charges its own.
         let seal = |writers: Vec<SpillWriter>| -> Result<Vec<SpillFile>, ExecError> {
-            let parts =
-                writers.into_iter().map(|w| w.finish()).collect::<Result<Vec<_>, _>>()?;
+            let parts = writers.into_iter().map(|w| w.finish()).collect::<Result<Vec<_>, _>>()?;
             let pages: usize = parts.iter().map(SpillFile::page_count).sum();
             self.ctx.governor.charge_io(pages as u64)?;
             Ok(parts)
@@ -804,7 +789,8 @@ impl Operator for HashJoinExec<'_> {
         let mut hashes = Vec::new();
         for batch in &batches {
             hash_build_batch(&self.keys, batch, &mut hashes);
-            let dealt = batch.selected_indices().zip(hashes.iter().map(|&h| h as usize % PARTITIONS));
+            let dealt =
+                batch.selected_indices().zip(hashes.iter().map(|&h| h as usize % PARTITIONS));
             SpillWriter::deal(&mut writers, batch.columns(), dealt)?;
         }
         drop(batches);
@@ -816,7 +802,8 @@ impl Operator for HashJoinExec<'_> {
             self.ctx.governor.check_batch(batch.len() as u64)?;
             self.ctx.counters.add_hashes(batch.len() as u64);
             hash_probe_batch(&self.keys, &batch, &mut hashes);
-            let dealt = batch.selected_indices().zip(hashes.iter().map(|&h| h as usize % PARTITIONS));
+            let dealt =
+                batch.selected_indices().zip(hashes.iter().map(|&h| h as usize % PARTITIONS));
             SpillWriter::deal(&mut writers, batch.columns(), dealt)?;
         }
         let probe_parts = seal(writers)?;
@@ -829,28 +816,20 @@ impl Operator for HashJoinExec<'_> {
             let gate = ReserveGate::new();
             let keys = &self.keys;
             let (build_layout, probe_layout) = (self.build.layout(), self.probe.layout());
-            let joined = join_partitions(
-                &self.ctx,
-                self.layout.width(),
-                dop,
-                PARTITIONS,
-                |p, worker| {
+            let joined =
+                join_partitions(&self.ctx, self.layout.width(), dop, PARTITIONS, |p, worker| {
                     // The workers share the disk: a run no longer than a morsel.
-                    let (build, probe) = ((&build_parts[p], build_layout), (&probe_parts[p], probe_layout));
+                    let (build, probe) =
+                        ((&build_parts[p], build_layout), (&probe_parts[p], probe_layout));
                     join_spilled_pair(keys, worker, &gate, DEFAULT_MORSEL_PAGES, build, probe)
-                },
-            );
+                });
             match joined {
                 Ok(joined) => self.joined = joined,
                 Err(e) => self.pending_err = Some(e),
             }
             return Ok(());
         }
-        self.state = State::Partitioned {
-            build_parts,
-            probe_parts,
-            part: 0,
-        };
+        self.state = State::Partitioned { build_parts, probe_parts, part: 0 };
         Ok(())
     }
 
@@ -966,10 +945,7 @@ mod tests {
             buckets[(h as usize) % PARTITIONS] += 1;
         }
         for (i, &count) in buckets.iter().enumerate() {
-            assert!(
-                count > 800 / PARTITIONS / 2,
-                "bucket {i} starved: {buckets:?}"
-            );
+            assert!(count > 800 / PARTITIONS / 2, "bucket {i} starved: {buckets:?}");
         }
     }
 
@@ -1064,7 +1040,8 @@ mod tests {
         check(&double, &store, &probe, "two-key join under a selection vector");
 
         // No key at all: the cross product, in the same order.
-        let (store, probe) = (batch_of(1, &[vec![1], vec![2], vec![3]]), batch_of(1, &[vec![8], vec![9]]));
+        let (store, probe) =
+            (batch_of(1, &[vec![1], vec![2], vec![3]]), batch_of(1, &[vec![8], vec![9]]));
         check(&Keys::new(), &store, &probe, "cross product");
     }
 

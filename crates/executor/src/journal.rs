@@ -93,7 +93,6 @@ impl EventKind {
     pub fn label(self) -> &'static str {
         LABELS[self as usize]
     }
-
 }
 
 /// One recorded event, fully plain data.

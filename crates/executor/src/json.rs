@@ -184,9 +184,8 @@ impl Parser<'_> {
             Some(b'b') => '\u{8}',
             Some(b'f') => '\u{c}',
             Some(b'u') => {
-                let mut code = self
-                    .hex4(self.pos + 1)
-                    .ok_or_else(|| self.err("malformed \\u escape"))?;
+                let mut code =
+                    self.hex4(self.pos + 1).ok_or_else(|| self.err("malformed \\u escape"))?;
                 self.pos += 4;
                 if (0xD800..0xDC00).contains(&code) && self.text[self.pos + 1..].starts_with("\\u")
                 {
@@ -262,11 +261,7 @@ impl Parser<'_> {
 /// # Errors
 /// A human-readable message with the byte offset of the first problem.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut parser = Parser {
-        text,
-        pos: 0,
-        depth: 0,
-    };
+    let mut parser = Parser { text, pos: 0, depth: 0 };
     let value = parser.value()?;
     parser.skip_ws();
     if parser.pos != text.len() {
@@ -412,9 +407,7 @@ impl JsonWriter {
         items: impl IntoIterator<Item = T>,
         mut each: impl FnMut(&mut JsonWriter, T),
     ) {
-        self.nested('[', ']', |w| {
-            items.into_iter().for_each(|item| each(w, item))
-        });
+        self.nested('[', ']', |w| items.into_iter().for_each(|item| each(w, item)));
     }
 
     /// Writes an array of objects, one per item, its members written by
@@ -522,10 +515,7 @@ impl<'a> At<'a> {
     /// The root of a parsed document.
     #[must_use]
     pub fn root(value: &'a JsonValue) -> At<'a> {
-        At {
-            value,
-            path: String::new(),
-        }
+        At { value, path: String::new() }
     }
 
     fn path_of(&self, key: &str) -> String {
@@ -571,9 +561,7 @@ impl<'a> At<'a> {
     /// # Errors
     /// The first member that is missing or of the wrong kind.
     pub fn fields(&self, fields: &[(&str, Kind)]) -> Result<(), String> {
-        fields
-            .iter()
-            .try_for_each(|(key, kind)| self.check(key, *kind))
+        fields.iter().try_for_each(|(key, kind)| self.check(key, *kind))
     }
 
     /// The number held by member `key`, if it holds one.
@@ -602,10 +590,7 @@ impl<'a> At<'a> {
         match self.value.get(key) {
             None if optional => Ok(None),
             Some(JsonValue::Null) => Ok(None),
-            Some(value @ JsonValue::Obj(_)) => Ok(Some(At {
-                value,
-                path: self.path_of(key),
-            })),
+            Some(value @ JsonValue::Obj(_)) => Ok(Some(At { value, path: self.path_of(key) })),
             _ => self.expected(key, "an object or null"),
         }
     }
@@ -617,10 +602,10 @@ impl<'a> At<'a> {
     pub fn arr(&self, key: &str) -> Result<impl ExactSizeIterator<Item = At<'a>>, String> {
         let path = self.path_of(key);
         match self.value.get(key) {
-            Some(JsonValue::Arr(items)) => Ok(items.iter().enumerate().map(move |(i, value)| At {
-                value,
-                path: format!("{path}[{i}]"),
-            })),
+            Some(JsonValue::Arr(items)) => Ok(items
+                .iter()
+                .enumerate()
+                .map(move |(i, value)| At { value, path: format!("{path}[{i}]") })),
             _ => self.expected(key, "an array"),
         }
     }
@@ -635,10 +620,7 @@ mod tests {
         let doc = r#"{"a": [1, -2.5, 1e3], "b": {"c": null, "d": true}, "e": "x\"\nA"}"#;
         let v = parse_json(doc).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_num(),
-            Some(1000.0)
-        );
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_num(), Some(1000.0));
         assert_eq!(v.get("b").unwrap().get("c"), Some(&JsonValue::Null));
         assert_eq!(v.get("e").unwrap().as_str(), Some("x\"\nA"));
     }
@@ -663,10 +645,7 @@ mod tests {
     #[test]
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
         let err = parse_json(&"[".repeat(100_000)).unwrap_err();
-        assert!(
-            err.contains("deeper than 128") && err.contains("at byte 128"),
-            "{err}"
-        );
+        assert!(err.contains("deeper than 128") && err.contains("at byte 128"), "{err}");
         let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(parse_json(&deepest).is_ok(), "128 levels are followed");
         assert!(parse_json(&format!("[{deepest}]")).is_err());
@@ -686,22 +665,13 @@ mod tests {
         let started = std::time::Instant::now();
         let items = parse_json(&doc).unwrap();
         assert!(items.as_arr().unwrap().len() > 8000);
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(2),
-            "{:?}",
-            started.elapsed()
-        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(2), "{:?}", started.elapsed());
     }
 
     #[test]
     fn surrogate_pairs_decode_to_one_scalar() {
         let v = parse_json(r#"["\ud83d\ude00", "😀", "\ud83d", "\ud83dx", "\ude00"]"#).unwrap();
-        let strs: Vec<&str> = v
-            .as_arr()
-            .unwrap()
-            .iter()
-            .filter_map(JsonValue::as_str)
-            .collect();
+        let strs: Vec<&str> = v.as_arr().unwrap().iter().filter_map(JsonValue::as_str).collect();
         assert_eq!(strs, ["😀", "😀", "\u{fffd}", "\u{fffd}x", "\u{fffd}"]);
     }
 
@@ -715,15 +685,11 @@ mod tests {
         }
         let mut w = JsonWriter::new();
         w.obj(|w| {
-            w.key("empty")
-                .arr(std::iter::empty::<u64>(), |w, n| w.val(n));
+            w.key("empty").arr(std::iter::empty::<u64>(), |w, n| w.val(n));
             let points = [(1.5, Some("a\"\n\u{1}")), (f64::NAN, None)];
-            w.key("points")
-                .objs(points, |w, (x, tag)| write_point(w, x, tag));
-            w.key("first")
-                .opt_obj(points.first(), |w, (x, tag)| write_point(w, *x, *tag));
-            w.key("none")
-                .opt_obj(None, |w, (x, tag)| write_point(w, x, tag));
+            w.key("points").objs(points, |w, (x, tag)| write_point(w, x, tag));
+            w.key("first").opt_obj(points.first(), |w, (x, tag)| write_point(w, *x, *tag));
+            w.key("none").opt_obj(None, |w, (x, tag)| write_point(w, x, tag));
             w.key("id").val(u64::MAX);
             w.key("neg").val(-3i64);
         });
@@ -753,50 +719,29 @@ mod tests {
             .unwrap();
         let root = At::root(&doc);
         assert!(root.check("n", Num).is_ok());
-        assert_eq!(
-            root.check("n", NonNeg).unwrap_err(),
-            "n: expected a non-negative number"
-        );
+        assert_eq!(root.check("n", NonNeg).unwrap_err(), "n: expected a non-negative number");
         assert_eq!(
             root.check("s", Nullable(&NonNeg)).unwrap_err(),
             "s: expected a non-negative number or null"
         );
         assert!(root.check("s", OneOf(&["x", "y"])).is_ok());
-        assert_eq!(
-            root.check("s", OneOf(&["y"])).unwrap_err(),
-            "s: expected a known label"
-        );
+        assert_eq!(root.check("s", OneOf(&["y"])).unwrap_err(), "s: expected a known label");
         assert!(root.check("missing", Optional(&Bool)).is_ok());
         assert!(root.check("missing", Nullable(&Bool)).is_err());
-        assert!(
-            root.check("z", Optional(&Bool)).is_err(),
-            "optional is not nullable"
-        );
+        assert!(root.check("z", Optional(&Bool)).is_err(), "optional is not nullable");
         assert!(root.check("z", Optional(&Nullable(&Bool))).is_ok());
         let o = root.obj("o").unwrap();
         assert_eq!(o.check("b", Bool).unwrap_err(), "o.b: expected a boolean");
         assert_eq!(root.obj("z").unwrap_err(), "z: expected an object");
-        assert_eq!(
-            root.obj("missing").unwrap_err(),
-            "missing: expected an object"
-        );
+        assert_eq!(root.obj("missing").unwrap_err(), "missing: expected an object");
         assert!(root.nullable_obj("o", false).unwrap().is_some());
         assert!(root.nullable_obj("z", false).unwrap().is_none());
         assert!(root.nullable_obj("missing", true).unwrap().is_none());
         assert!(root.nullable_obj("missing", false).is_err());
-        assert_eq!(
-            root.nullable_obj("n", true).unwrap_err(),
-            "n: expected an object or null"
-        );
+        assert_eq!(root.nullable_obj("n", true).unwrap_err(), "n: expected an object or null");
         let items: Vec<_> = o.arr("a").unwrap().map(|item| item.is(Num)).collect();
-        assert_eq!(
-            items,
-            [Ok(()), Err("o.a[1]: expected a number".to_string())]
-        );
+        assert_eq!(items, [Ok(()), Err("o.a[1]: expected a number".to_string())]);
         assert_eq!(o.arr("b").err().unwrap(), "o.b: expected an array");
-        assert_eq!(
-            o.expected::<()>("a", "two items").unwrap_err(),
-            "o.a: expected two items"
-        );
+        assert_eq!(o.expected::<()>("a", "two items").unwrap_err(), "o.a: expected two items");
     }
 }

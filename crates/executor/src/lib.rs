@@ -79,11 +79,11 @@ pub use exec::{drain, drain_root, BoxedOperator, Operator, RootSink};
 pub use explain::{card_drift, cost_drift, explain_json, render_explain, validate_explain_json};
 pub use governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
 pub use hash_join::{fold_hash_column, hash_key, join_batches, mix, HASH_SEED};
-pub use json::{parse_json, At, JsonValue, JsonWriter, Kind, Scalar};
 pub use journal::{
     journal, monotonic_ns, validate_journal_json, EventKind, Journal, JournalEvent,
     JOURNAL_CAPACITY, NO_ID,
 };
+pub use json::{parse_json, At, JsonValue, JsonWriter, Kind, Scalar};
 pub use metrics::{
     CpuCounters, ExecSummary, FallbackCause, PlanCacheInfo, RunEvent, SharedCounters,
 };

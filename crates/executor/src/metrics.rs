@@ -78,11 +78,7 @@ impl PlanCacheInfo {
             Some(false) => "miss",
             None => "-",
         };
-        format!(
-            "statement {}, decision {}",
-            word(self.statement_hit),
-            word(self.decision_hit)
-        )
+        format!("statement {}, decision {}", word(self.statement_hit), word(self.decision_hit))
     }
 }
 
@@ -307,7 +303,8 @@ mod tests {
         let snap = shared.snapshot();
         assert_eq!(snap.records, 101);
         let cfg = SystemConfig::paper_1994();
-        let expected = 101.0 * cfg.cpu_per_record + 50.0 * cfg.cpu_per_compare + 10.0 * cfg.cpu_per_hash;
+        let expected =
+            101.0 * cfg.cpu_per_record + 50.0 * cfg.cpu_per_compare + 10.0 * cfg.cpu_per_hash;
         assert!((snap.seconds(&cfg) - expected).abs() < 1e-15);
     }
 
@@ -359,7 +356,9 @@ mod tests {
         assert_eq!(total.fallbacks, 2);
         assert_eq!(total.startup_nodes, 8);
         assert_eq!(total.temp_pages_peak, 7, "a high-water is not summed");
-        assert!(a.describe(&SystemConfig::paper_1994()).contains(", 7 temp pages peak, 1 fallback(s)"));
+        assert!(a
+            .describe(&SystemConfig::paper_1994())
+            .contains(", 7 temp pages peak, 1 fallback(s)"));
         assert_eq!(total.plan_cache, PlanCacheInfo::default(), "provenance not merged");
     }
 

@@ -114,11 +114,8 @@ fn write_header(out: &mut Vec<u8>, width: usize, rows: usize, trace: FrameTrace)
     out.extend_from_slice(&(rows as u32).to_le_bytes());
     out.extend_from_slice(&NO_SELECTION.to_le_bytes());
     out.extend_from_slice(&trace.trace_id.to_le_bytes());
-    let span = trace
-        .span
-        .and_then(|s| u32::try_from(s).ok())
-        .filter(|&s| s != NO_SPAN)
-        .unwrap_or(NO_SPAN);
+    let span =
+        trace.span.and_then(|s| u32::try_from(s).ok()).filter(|&s| s != NO_SPAN).unwrap_or(NO_SPAN);
     out.extend_from_slice(&span.to_le_bytes());
 }
 
@@ -593,7 +590,8 @@ mod tests {
         let (_, trace) = decode_frame_traced(&encode_frame(&batch)).expect("valid frame");
         assert_eq!(trace, FrameTrace::default());
         // Oversized span ids degrade to "no span" rather than aliasing.
-        let frame = encode_frame_dense(&batch, live, FrameTrace { trace_id: 1, span: Some(u64::MAX) });
+        let frame =
+            encode_frame_dense(&batch, live, FrameTrace { trace_id: 1, span: Some(u64::MAX) });
         let (_, trace) = decode_frame_traced(&frame).expect("valid frame");
         assert_eq!(trace.span, None);
     }
@@ -649,10 +647,7 @@ mod tests {
         assert!(decode_frame(&frame).is_err(), "selection announced, none carried");
         frame.extend_from_slice(&7u32.to_le_bytes());
         let err = decode_frame(&frame).unwrap_err();
-        assert!(
-            matches!(&err, ExecError::Network(m) if m.contains("selection vector")),
-            "{err:?}"
-        );
+        assert!(matches!(&err, ExecError::Network(m) if m.contains("selection vector")), "{err:?}");
     }
 
     /// A link is a queue and neither half waits, on one thread: a receive
@@ -745,7 +740,11 @@ mod tests {
                     let row = batch.row_vec(phys);
                     let keys: Vec<(usize, usize)> = key_cols.iter().map(|&k| (k, k)).collect();
                     let h = hash_key(&keys, &row, true);
-                    assert_eq!(dests[slot], (h % shards as u64) as u32, "{shards} shards, row {phys}");
+                    assert_eq!(
+                        dests[slot],
+                        (h % shards as u64) as u32,
+                        "{shards} shards, row {phys}"
+                    );
                 }
             }
         }

@@ -662,9 +662,7 @@ pub(crate) fn drive(
             // Memory pressure: drop the intermediate and re-arbitrate
             // with a halved planning grant, steering the remaining
             // decisions toward the cheapest-memory alternatives.
-            let pages = exec_bindings
-                .memory_pages
-                .unwrap_or_else(|| env.memory.expected());
+            let pages = exec_bindings.memory_pages.unwrap_or_else(|| env.memory.expected());
             let degraded = (pages / 2.0).max(1.0);
             step(
                 ctx,
@@ -757,21 +755,14 @@ mod tests {
             .relation("r", 800, 512, |r| {
                 r.attr("a", 800.0).attr("j", 200.0).btree("a", false).btree("j", false)
             })
-            .relation("s", 400, 512, |r| {
-                r.attr("a", 400.0).attr("j", 200.0).btree("j", false)
-            })
+            .relation("s", 400, 512, |r| r.attr("a", 400.0).attr("j", 200.0).btree("j", false))
             .build()
             .unwrap();
-        let db =
-            StoredDatabase::generate_with(&cat, 3, ValueDistribution::Zipf { exponent: 1.1 });
+        let db = StoredDatabase::generate_with(&cat, 3, ValueDistribution::Zipf { exponent: 1.1 });
         let r = cat.relation_by_name("r").unwrap();
         let s = cat.relation_by_name("s").unwrap();
         let q = LogicalExpr::get(r.id)
-            .select(SelectPred::unbound(
-                r.attr_id("a").unwrap(),
-                CompareOp::Lt,
-                HostVar(0),
-            ))
+            .select(SelectPred::unbound(r.attr_id("a").unwrap(), CompareOp::Lt, HostVar(0)))
             .join(
                 LogicalExpr::get(s.id),
                 vec![JoinPred::new(r.attr_id("j").unwrap(), s.attr_id("j").unwrap())],
@@ -875,8 +866,7 @@ mod tests {
         let grant = grant_bytes(bindings, env, cat);
         let ctx = ExecContext::new(SharedCounters::new());
         let mut op =
-            crate::choose::compile_dynamic_plan(plan, db, cat, env, bindings, grant, &ctx)
-                .unwrap();
+            crate::choose::compile_dynamic_plan(plan, db, cat, env, bindings, grant, &ctx).unwrap();
         drain(op.as_mut()).unwrap()
     }
 
@@ -974,10 +964,7 @@ mod tests {
         // choose-plan target has two), so the checkpoint itself dies
         // retryably; the final run's reads start past the schedule and
         // succeed on the original plan.
-        db.disk.set_fault_plan(FaultPlan {
-            fail_nth_reads: vec![1, 2],
-            ..FaultPlan::default()
-        });
+        db.disk.set_fault_plan(FaultPlan { fail_nth_reads: vec![1, 2], ..FaultPlan::default() });
         let (outcome, rows) =
             reopt_rows(&plan, &db, &cat, &env, &bindings, ResourceLimits::unlimited());
         db.disk.set_fault_plan(FaultPlan::none());
@@ -987,16 +974,9 @@ mod tests {
             "a failed checkpoint must not change the answer"
         );
         let c = outcome.report.counters;
-        assert!(
-            c.replan_failures >= 1,
-            "the faulted checkpoint must be recorded: {c:?}"
-        );
+        assert!(c.replan_failures >= 1, "the faulted checkpoint must be recorded: {c:?}");
         assert_eq!(c.replans_adopted, 0, "no observation, no re-plan: {c:?}");
-        assert!(outcome
-            .report
-            .events
-            .iter()
-            .any(|e| e.kind == ReoptEventKind::ReplanFailed));
+        assert!(outcome.report.events.iter().any(|e| e.kind == ReoptEventKind::ReplanFailed));
     }
 
     #[test]
@@ -1007,10 +987,7 @@ mod tests {
         // A memory ceiling too small to retain the materialized build side
         // (hundreds of 512-byte rows): retention is refused, the planning
         // grant degrades, and the query still answers.
-        let limits = ResourceLimits {
-            memory_bytes: Some(64 * 1024),
-            ..ResourceLimits::default()
-        };
+        let limits = ResourceLimits { memory_bytes: Some(64 * 1024), ..ResourceLimits::default() };
         let (outcome, rows) = reopt_rows(&plan, &db, &cat, &env, &bindings, limits);
         assert_eq!(
             sorted(rows.clone()),
@@ -1018,10 +995,7 @@ mod tests {
             "degradation must not change the answer"
         );
         let c = outcome.report.counters;
-        assert!(
-            c.memory_degradations >= 1,
-            "the refused retention must degrade, not fail: {c:?}"
-        );
+        assert!(c.memory_degradations >= 1, "the refused retention must degrade, not fail: {c:?}");
     }
 
     #[test]
@@ -1045,11 +1019,7 @@ mod tests {
         let counters = state.counters();
         assert_eq!(counters.replans_attempted, 2);
         assert_eq!((counters.replans_adopted, counters.replans_denied), (1, 1));
-        assert!(state
-            .report()
-            .events
-            .iter()
-            .any(|e| e.kind == ReoptEventKind::ReplanDenied));
+        assert!(state.report().events.iter().any(|e| e.kind == ReoptEventKind::ReplanDenied));
     }
 
     #[test]
@@ -1189,9 +1159,15 @@ mod tests {
         let ctx = ExecContext::new(SharedCounters::new());
         let before = db.disk.stats();
         let grant = grant_bytes(&bindings, &env, &cat);
-        let mut op =
-            crate::compile::compile_plan(&adaptive.startup.resolved, &db, &cat, &bindings, grant, &ctx)
-                .unwrap();
+        let mut op = crate::compile::compile_plan(
+            &adaptive.startup.resolved,
+            &db,
+            &cat,
+            &bindings,
+            grant,
+            &ctx,
+        )
+        .unwrap();
         let rows = drain_root(op.as_mut(), None, RootSink::Discard).unwrap();
         let scratch_io = db.disk.stats().since(&before);
 

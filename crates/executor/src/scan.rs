@@ -7,7 +7,9 @@ use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use dqep_catalog::IndexId;
-use dqep_storage::{records_per_page, HeapFile, PageClaims, Rid, StoredTable, DEFAULT_MORSEL_PAGES};
+use dqep_storage::{
+    records_per_page, HeapFile, PageClaims, Rid, StoredTable, DEFAULT_MORSEL_PAGES,
+};
 
 use crate::batch::RowBatch;
 use crate::error::ExecError;
@@ -38,7 +40,12 @@ struct HeapPages<'a> {
 }
 
 impl<'a> HeapPages<'a> {
-    fn new(table: &'a StoredTable, layout: TupleLayout, ctx: ExecContext, run_pages: usize) -> Self {
+    fn new(
+        table: &'a StoredTable,
+        layout: TupleLayout,
+        ctx: ExecContext,
+        run_pages: usize,
+    ) -> Self {
         HeapPages { table, layout, ctx, run_pages, tail: None, pending_err: None, next_page: None }
     }
 

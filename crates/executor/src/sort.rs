@@ -263,15 +263,7 @@ impl<'a> SortExec<'a> {
         disk: SimDisk,
         budget_bytes: usize,
     ) -> Self {
-        SortExec {
-            input,
-            key,
-            ctx,
-            disk,
-            budget_bytes,
-            reserved: 0,
-            output: ColStream::default(),
-        }
+        SortExec { input, key, ctx, disk, budget_bytes, reserved: 0, output: ColStream::default() }
     }
 
     fn reserve(&mut self, bytes: u64) -> Result<(), ExecError> {
@@ -344,7 +336,11 @@ impl<'a> SortExec<'a> {
     ) -> Result<(), ExecError> {
         let order = self.sort_chunk(chunk);
         let mut run = [SpillWriter::uncharged(self.disk.clone(), row_bytes)];
-        SpillWriter::deal(&mut run, chunk.columns(), order.iter().map(|&(_, _, i)| (i as usize, 0)))?;
+        SpillWriter::deal(
+            &mut run,
+            chunk.columns(),
+            order.iter().map(|&(_, _, i)| (i as usize, 0)),
+        )?;
         let [run] = run;
         let run = run.finish()?;
         self.charge_run_writes(run.page_count())?;
@@ -409,7 +405,10 @@ impl<'a> SortExec<'a> {
         self.ctx.governor.charge_io(pages as u64)?;
         let dop = self.ctx.dop.max(1);
         if dop <= 1 {
-            return runs.iter().map(|run| Ok(RowBatch::from_spill(run, width, usize::MAX)?)).collect();
+            return runs
+                .iter()
+                .map(|run| Ok(RowBatch::from_spill(run, width, usize::MAX)?))
+                .collect();
         }
         let ids: Vec<PageId> = runs.iter().flat_map(|run| run.pages().iter().copied()).collect();
         let workers = dop.min(ids.len().max(1));
@@ -419,7 +418,9 @@ impl<'a> SortExec<'a> {
                 move || {
                     let mut stripe = ids.iter().copied().skip(w).step_by(workers).peekable();
                     while stripe.peek().is_some() {
-                        disk.read_run(stripe.by_ref().take(DEFAULT_MORSEL_PAGES), |_| ControlFlow::Continue(()))?;
+                        disk.read_run(stripe.by_ref().take(DEFAULT_MORSEL_PAGES), |_| {
+                            ControlFlow::Continue(())
+                        })?;
                     }
                     Ok(())
                 }
@@ -499,8 +500,7 @@ impl<'a> SortExec<'a> {
         let run_rows = self.read_runs(&runs, width)?;
         let total_rows: usize = run_rows.iter().map(RowBatch::rows).sum();
         if total_rows > 0 && run_rows.len() > 1 {
-            let merge_compares =
-                (total_rows as f64 * (run_rows.len() as f64).log2()).ceil() as u64;
+            let merge_compares = (total_rows as f64 * (run_rows.len() as f64).log2()).ceil() as u64;
             self.ctx.counters.add_compares(merge_compares);
         }
         let dop = self.ctx.dop.max(1);
@@ -604,7 +604,9 @@ mod tests {
         filtered.set_selection(vec![0, 2, 3]);
         let run = [filtered, batch_of(1, &[]), batch_of(1, &[&[5], &[6]])];
         // Live rows of the run: 1 3 4 5 6.
-        for (lo, hi, want) in [(0, 5, vec![1, 3, 4, 5, 6]), (2, 4, vec![4, 5]), (3, 3, vec![]), (5, 5, vec![])] {
+        for (lo, hi, want) in
+            [(0, 5, vec![1, 3, 4, 5, 6]), (2, 4, vec![4, 5]), (3, 3, vec![]), (5, 5, vec![])]
+        {
             let mut got = Vec::new();
             merge_cursors(vec![RunCursor::stretch(&run, lo, hi)], 0, |_, batch, i| {
                 got.push(batch.column(0)[i]);

@@ -80,10 +80,7 @@ impl NodeEstimate {
     /// total of its execution cost ([`PlanNode::exec`]).
     #[must_use]
     pub fn of(node: &PlanNode) -> NodeEstimate {
-        NodeEstimate {
-            card: node.stats.card,
-            cost: node.exec.total(),
-        }
+        NodeEstimate { card: node.stats.card, cost: node.exec.total() }
     }
 }
 
@@ -405,10 +402,7 @@ impl TraceReport {
     /// Direct children of `id`, in creation order.
     #[must_use]
     pub fn children_of(&self, id: SpanId) -> Vec<&SpanRecord> {
-        self.spans
-            .iter()
-            .filter(|s| s.parent == Some(id))
-            .collect()
+        self.spans.iter().filter(|s| s.parent == Some(id)).collect()
     }
 }
 

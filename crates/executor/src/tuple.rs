@@ -53,11 +53,7 @@ impl TupleLayout {
     /// width and row bytes.
     #[cfg(test)]
     pub(crate) fn for_tests(width: usize, row_bytes: usize) -> TupleLayout {
-        TupleLayout {
-            rels: vec![(RelationId(0), width)],
-            width,
-            row_bytes,
-        }
+        TupleLayout { rels: vec![(RelationId(0), width)], width, row_bytes }
     }
 
     /// The column permutation that rewrites a tuple laid out as `other`

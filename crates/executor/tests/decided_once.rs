@@ -149,7 +149,8 @@ fn a_run_evaluates_each_cost_function_once_whatever_the_context() {
 fn a_reoptimizing_run_evaluates_at_most_once_per_event_that_can_move_the_decision() {
     let chain = Chain::new();
     let nodes = chain.plan.len() as u64;
-    let plain = chain.run(&chain.plan, &chain.bindings(0.3), &ExecContext::new(SharedCounters::new()));
+    let plain =
+        chain.run(&chain.plan, &chain.bindings(0.3), &ExecContext::new(SharedCounters::new()));
     let budgets = [(0.05, 2), (0.3, 2), (0.9, 2), (0.9, 0)];
     for (share, max_replans) in budgets {
         let bindings = chain.bindings(share);

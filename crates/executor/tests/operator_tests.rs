@@ -4,12 +4,10 @@
 use dqep_algebra::{CompareOp, HostVar, JoinPred, LogicalExpr, PhysicalOp, SelectPred};
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_cost::{Bindings, Environment};
-use dqep_executor::{
-    compile_plan, ExecContext, RootSink, SharedCounters, Tuple, BATCH_CAPACITY,
-};
-use dqep_plan::{NodeId, Plan};
 use dqep_cost::{Cost, PlanStats};
+use dqep_executor::{compile_plan, ExecContext, RootSink, SharedCounters, Tuple, BATCH_CAPACITY};
 use dqep_interval::Interval;
+use dqep_plan::{NodeId, Plan};
 use dqep_storage::StoredDatabase;
 use proptest::prelude::*;
 
@@ -18,16 +16,10 @@ use proptest::prelude::*;
 fn fixture(card_r: u64, card_s: u64, jdomain: f64) -> (Catalog, StoredDatabase) {
     let cat = CatalogBuilder::new(SystemConfig::paper_1994())
         .relation("r", card_r, 512, |r| {
-            r.attr("a", card_r as f64)
-                .attr("j", jdomain)
-                .btree("a", false)
-                .btree("j", false)
+            r.attr("a", card_r as f64).attr("j", jdomain).btree("a", false).btree("j", false)
         })
         .relation("s", card_s, 512, |r| {
-            r.attr("a", card_s as f64)
-                .attr("j", jdomain)
-                .btree("a", false)
-                .btree("j", false)
+            r.attr("a", card_s as f64).attr("j", jdomain).btree("a", false).btree("j", false)
         })
         .build()
         .unwrap();
@@ -48,13 +40,7 @@ fn node(b: &mut Plan, op: PhysicalOp, children: &[NodeId]) -> NodeId {
 
 /// [`node`] for a join on `preds`.
 fn join(b: &mut Plan, op: PhysicalOp, children: &[NodeId], preds: &[JoinPred]) -> NodeId {
-    b.push(
-        op,
-        children,
-        preds,
-        PlanStats::new(Interval::point(0.0), 512.0),
-        Cost::ZERO,
-    )
+    b.push(op, children, preds, PlanStats::new(Interval::point(0.0), 512.0), Cost::ZERO)
 }
 
 /// Runs the subplan at `root` of `plans`.
@@ -134,11 +120,7 @@ fn all_join_algorithms_agree_with_nested_loop() {
     let (idx, _) = cat.index_on_attr(sj).unwrap();
     let ij = join(
         &mut b,
-        PhysicalOp::IndexJoin {
-            inner: s.id,
-            index: idx,
-            residual: None,
-        },
+        PhysicalOp::IndexJoin { inner: s.id, index: idx, residual: None },
         &[scan_r],
         &[pred],
     );
@@ -159,10 +141,7 @@ fn sort_is_correct_across_memory_budgets() {
         let scan = node(&mut b, PhysicalOp::FileScan { relation: r.id }, &[]);
         let sort = node(&mut b, PhysicalOp::Sort { attr: ra }, &[scan]);
         let out = run((&b, sort), &db, &cat, &Bindings::new(), mem);
-        assert!(
-            out.windows(2).all(|w| w[0][0] <= w[1][0]),
-            "not sorted at mem={mem}"
-        );
+        assert!(out.windows(2).all(|w| w[0][0] <= w[1][0]), "not sorted at mem={mem}");
         assert_eq!(sorted(out), reference, "lost/duplicated rows at mem={mem}");
     }
 }
@@ -203,11 +182,7 @@ fn btree_scan_delivers_order() {
     let mut b = Plan::new();
     let scan = node(
         &mut b,
-        PhysicalOp::BtreeScan {
-            relation: r.id,
-            index: idx,
-            key_attr: r.attr_id("a").unwrap(),
-        },
+        PhysicalOp::BtreeScan { relation: r.id, index: idx, key_attr: r.attr_id("a").unwrap() },
         &[],
     );
     let out = run((&b, scan), &db, &cat, &Bindings::new(), 64 * 2048);

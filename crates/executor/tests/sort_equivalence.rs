@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use dqep_catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep_executor::{
-    ExecContext, ExecError, Operator, Resource, ResourceLimits, RowBatch, SharedCounters,
-    SortExec, Tuple, TupleLayout, BATCH_CAPACITY,
+    ExecContext, ExecError, Operator, Resource, ResourceLimits, RowBatch, SharedCounters, SortExec,
+    Tuple, TupleLayout, BATCH_CAPACITY,
 };
 use dqep_storage::{FaultPlan, SimDisk};
 use proptest::prelude::*;
@@ -109,7 +109,12 @@ impl Case {
         rows
     }
 
-    fn sort(&self, ctx: &ExecContext, disk: &SimDisk, budget_rows: usize) -> (SortExec<'_>, Arc<AtomicU64>) {
+    fn sort(
+        &self,
+        ctx: &ExecContext,
+        disk: &SimDisk,
+        budget_rows: usize,
+    ) -> (SortExec<'_>, Arc<AtomicU64>) {
         let handed_out = Arc::new(AtomicU64::new(0));
         let source = Source {
             layout: self.layout.clone(),
@@ -121,7 +126,8 @@ impl Case {
         };
         // A grant of `budget_rows` rows and a bit: the division rounds down.
         let budget_bytes = budget_rows * self.layout.row_bytes + self.layout.row_bytes / 2;
-        let sort = SortExec::new(Box::new(source), self.key, ctx.clone(), disk.clone(), budget_bytes);
+        let sort =
+            SortExec::new(Box::new(source), self.key, ctx.clone(), disk.clone(), budget_bytes);
         (sort, handed_out)
     }
 }

@@ -63,7 +63,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// bytes, seven to a page.
 fn star_catalog() -> Catalog {
     CatalogBuilder::new(SystemConfig::paper_1994())
-        .relation("fact", 12_000, 256, |r| r.attr("a", 12_000.0).attr("j", 6_000.0).btree("a", false))
+        .relation("fact", 12_000, 256, |r| {
+            r.attr("a", 12_000.0).attr("j", 6_000.0).btree("a", false)
+        })
         .relation("dim", 6_000, 256, |r| r.attr("a", 6_000.0).attr("j", 6_000.0).btree("j", false))
         .build()
         .expect("valid catalog")
@@ -90,8 +92,8 @@ fn measure(plans: &Plan, root: NodeId, db: &StoredDatabase, catalog: &Catalog) -
         db.disk.reset_stats();
         let before = ALLOCS.load(Ordering::Relaxed);
         let ctx = ExecContext::new(SharedCounters::new());
-        let mut op = compile_plan(plan, db, catalog, &Bindings::new(), GRANT_BYTES, &ctx)
-            .expect("compiles");
+        let mut op =
+            compile_plan(plan, db, catalog, &Bindings::new(), GRANT_BYTES, &ctx).expect("compiles");
         let rows = drain_root(op.as_mut(), None, RootSink::Discard).expect("runs");
         drop(op);
         measured = (ALLOCS.load(Ordering::Relaxed) - before, rows, db.disk.stats().writes);
@@ -132,11 +134,7 @@ fn spilling_operators_allocate_per_partition_run_and_batch_not_per_page_or_row()
     );
 
     // 8 400 rows under a 512-row grant: 17 runs.
-    let sort = node(
-        &mut b,
-        PhysicalOp::Sort { attr: fact.attr_id("j").expect("j") },
-        &[fact_lt],
-    );
+    let sort = node(&mut b, PhysicalOp::Sort { attr: fact.attr_id("j").expect("j") }, &[fact_lt]);
     let (allocs, rows, written) = measure(&b, sort, &db, &catalog);
     assert!((8_000..9_000).contains(&rows), "{rows} rows");
     assert!(written >= 1_200, "17 runs: {written} pages written");
