@@ -71,18 +71,18 @@ impl RowBatch {
         out
     }
 
-    /// Reads a spill file of `width`-attribute rows back (accounted) as
-    /// one dense batch, each page's column slices copied onto the column
-    /// vectors, `run_pages` pages at most under one disk latch
-    /// ([`SpillFile::read_pages`]).
+    /// Reads a spill file of `width`-attribute rows back (accounted,
+    /// `run_pages` pages at most under one disk latch) as one dense batch:
+    /// after the reads, one slice copy a column ([`SpillFile::read`]).
     pub(crate) fn from_spill(
         file: &SpillFile,
         width: usize,
         run_pages: usize,
     ) -> Result<RowBatch, StorageError> {
-        let mut rows = RowBatch::with_capacity(width, file.record_count() as usize);
-        file.read_pages(run_pages, |page| rows.extend_from_page(page))?;
-        Ok(rows)
+        let rows = file.read(run_pages)?;
+        let mut batch = RowBatch::with_capacity(width, rows.rows());
+        batch.extend_from_page(rows);
+        Ok(batch)
     }
 
     /// Appends rows of a file — a page, or a stretch of pages — column

@@ -1,4 +1,11 @@
 //! The Filter operator and resolved predicates.
+//!
+//! The filter's kernels select without branches, a batch at a time (the
+//! MonetDB/X100 selection primitive): one loop over a column, or over the
+//! input's selection vector, writes every row's index to the next free
+//! slot of the output selection vector and advances the slot by the
+//! predicate's result. A row costs the same whether it passes or not, so
+//! a selectivity near 50 % pays no misprediction a row.
 
 use dqep_algebra::CompareOp;
 
@@ -36,19 +43,22 @@ impl ResolvedPred {
     }
 }
 
-/// Writes the indices of the column values satisfying `op value` into
-/// `sel` — one tight pass over the whole column (no selection vector on
-/// the input batch). Dispatching on the operator *outside* the loop keeps
-/// each loop body a single branch-free comparison the compiler can
-/// auto-vectorize.
+/// The indices of the column values satisfying `op value`, in `sel` —
+/// one tight pass over the whole column (no selection vector on the
+/// input batch). Branch-free: every index is written to the next free
+/// slot, and the slot advances by the comparison's result, so a row's
+/// outcome is data, not a jump the branch predictor can miss. Dispatching
+/// on the operator *outside* the loop keeps each body one comparison.
 fn select_dense(op: CompareOp, col: &[i64], value: i64, sel: &mut Vec<u32>) {
     #[inline]
     fn scan(col: &[i64], sel: &mut Vec<u32>, keep: impl Fn(i64) -> bool) {
+        sel.resize(col.len(), 0);
+        let mut n = 0;
         for (i, &v) in col.iter().enumerate() {
-            if keep(v) {
-                sel.push(i as u32);
-            }
+            sel[n] = i as u32;
+            n += usize::from(keep(v));
         }
+        sel.truncate(n);
     }
     match op {
         CompareOp::Lt => scan(col, sel, |v| v < value),
@@ -60,15 +70,18 @@ fn select_dense(op: CompareOp, col: &[i64], value: i64, sel: &mut Vec<u32>) {
 }
 
 /// The sparse counterpart of [`select_dense`]: evaluates only the rows in
-/// `prev` (the input batch's selection vector), preserving order.
+/// `prev` (the input batch's selection vector), preserving order, the
+/// same branch-free way.
 fn select_sparse(op: CompareOp, col: &[i64], value: i64, prev: &[u32], sel: &mut Vec<u32>) {
     #[inline]
     fn scan(col: &[i64], prev: &[u32], sel: &mut Vec<u32>, keep: impl Fn(i64) -> bool) {
+        sel.resize(prev.len(), 0);
+        let mut n = 0;
         for &idx in prev {
-            if keep(col[idx as usize]) {
-                sel.push(idx);
-            }
+            sel[n] = idx;
+            n += usize::from(keep(col[idx as usize]));
         }
+        sel.truncate(n);
     }
     match op {
         CompareOp::Lt => scan(col, prev, sel, |v| v < value),
@@ -76,6 +89,21 @@ fn select_sparse(op: CompareOp, col: &[i64], value: i64, prev: &[u32], sel: &mut
         CompareOp::Eq => scan(col, prev, sel, |v| v == value),
         CompareOp::Ge => scan(col, prev, sel, |v| v >= value),
         CompareOp::Gt => scan(col, prev, sel, |v| v > value),
+    }
+}
+
+/// The filter's kernel: the live rows of `batch` whose attribute `pos`
+/// satisfies `op value`, as indices of physical rows in ascending order,
+/// in `sel` (what was there is overwritten). The branch-free loop of the
+/// module docs, over the column or over the batch's selection vector.
+///
+/// # Panics
+/// Panics if `pos` is not an attribute of the batch.
+pub fn select_rows(batch: &RowBatch, pos: usize, op: CompareOp, value: i64, sel: &mut Vec<u32>) {
+    let col = batch.column(pos);
+    match batch.selection() {
+        None => select_dense(op, col, value, sel),
+        Some(prev) => select_sparse(op, col, value, prev, sel),
     }
 }
 
@@ -99,9 +127,9 @@ impl Operator for FilterExec<'_> {
         self.input.open()
     }
 
-    /// Evaluates the predicate over the restricted
-    /// attribute's column into the batch's selection vector — one
-    /// monomorphic comparison loop over a contiguous `&[i64]` slice (the
+    /// Evaluates the predicate over the restricted attribute's column
+    /// into the batch's selection vector with [`select_rows`] — one
+    /// branch-free comparison loop over a contiguous `&[i64]` slice (the
     /// X100-style kernel), qualifying rows are never copied, and the
     /// comparison/record counters are charged once per batch. Batches
     /// whose rows all fail are skipped internally so callers always make
@@ -112,12 +140,8 @@ impl Operator for FilterExec<'_> {
                 return Ok(None);
             };
             let examined = batch.len() as u64;
-            let col = batch.column(self.pred.pos);
             let mut sel: Vec<u32> = Vec::with_capacity(batch.len());
-            match batch.selection() {
-                None => select_dense(self.pred.op, col, self.pred.value, &mut sel),
-                Some(prev) => select_sparse(self.pred.op, col, self.pred.value, prev, &mut sel),
-            }
+            select_rows(&batch, self.pred.pos, self.pred.op, self.pred.value, &mut sel);
             self.ctx.counters.add_compares(examined);
             if sel.is_empty() {
                 continue;
@@ -140,6 +164,102 @@ impl Operator for FilterExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const OPS: [CompareOp; 5] =
+        [CompareOp::Lt, CompareOp::Le, CompareOp::Eq, CompareOp::Ge, CompareOp::Gt];
+
+    /// The scalar predicate, one row at a time: the reference.
+    fn holds(op: CompareOp, v: i64, value: i64) -> bool {
+        match op {
+            CompareOp::Lt => v < value,
+            CompareOp::Le => v <= value,
+            CompareOp::Eq => v == value,
+            CompareOp::Ge => v >= value,
+            CompareOp::Gt => v > value,
+        }
+    }
+
+    /// What the kernel for `prev` (dense when `None`) selects, written
+    /// over stale contents, and what the scalar predicate selects.
+    fn both(op: CompareOp, col: &[i64], value: i64, prev: Option<&[u32]>) -> (Vec<u32>, Vec<u32>) {
+        let mut sel = vec![u32::MAX; 5];
+        match prev {
+            None => select_dense(op, col, value, &mut sel),
+            Some(prev) => select_sparse(op, col, value, prev, &mut sel),
+        }
+        let rows: Vec<u32> = prev.map_or_else(|| (0..col.len() as u32).collect(), <[u32]>::to_vec);
+        let want = rows.into_iter().filter(|&i| holds(op, col[i as usize], value)).collect();
+        (sel, want)
+    }
+
+    #[test]
+    fn empty_all_pass_and_none_pass_batches() {
+        let col = [5i64; 9];
+        let all: Vec<u32> = (0..9).collect();
+        let odd: Vec<u32> = (1..9).step_by(2).collect();
+        for op in OPS {
+            for prev in [None, Some(&odd[..])] {
+                let live = prev.map_or(all.clone(), <[u32]>::to_vec);
+                assert_eq!(both(op, &[], 5, prev.map(|_| &[][..])).0, Vec::<u32>::new(), "{op:?}");
+                // 5 passes `op` against one of 4, 5 and 6 and fails
+                // against another.
+                let (pass, fail) = match op {
+                    CompareOp::Lt => (6, 5),
+                    CompareOp::Le => (5, 4),
+                    CompareOp::Eq => (5, 6),
+                    CompareOp::Ge => (5, 6),
+                    CompareOp::Gt => (4, 5),
+                };
+                assert_eq!(both(op, &col, pass, prev).0, live, "{op:?} {pass}: all pass");
+                assert_eq!(both(op, &col, fail, prev).0, Vec::<u32>::new(), "{op:?} {fail}: none");
+            }
+        }
+    }
+
+    /// Bounds at and next to the ends of the domain, small ones, any.
+    fn bound() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            Just(i64::MIN),
+            Just(i64::MIN + 1),
+            Just(i64::MAX - 1),
+            Just(i64::MAX),
+            -3i64..3,
+            any::<i64>()
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The branch-free kernels select exactly the rows the scalar
+        /// predicate selects, in order, under every operator, dense and
+        /// under a selection vector, with values at the ends of the domain
+        /// and next to the bound.
+        #[test]
+        fn the_kernels_select_what_the_predicate_selects(
+            value in bound(),
+            values in proptest::collection::vec((0u8..4, -1i64..=1, any::<i64>()), 0..80),
+            live in proptest::collection::vec(any::<bool>(), 80),
+        ) {
+            let col: Vec<i64> = values
+                .iter()
+                .map(|&(kind, step, any)| match kind {
+                    0 => value.saturating_add(step),
+                    1 => i64::MIN,
+                    2 => i64::MAX,
+                    _ => any,
+                })
+                .collect();
+            let prev: Vec<u32> = (0..col.len() as u32).filter(|&i| live[i as usize]).collect();
+            for op in OPS {
+                let (got, want) = both(op, &col, value, None);
+                prop_assert_eq!(got, want, "{:?} dense", op);
+                let (got, want) = both(op, &col, value, Some(&prev));
+                prop_assert_eq!(got, want, "{:?} under a selection", op);
+            }
+        }
+    }
 
     #[test]
     fn key_ranges() {

@@ -77,6 +77,7 @@ pub use error::{ExecError, Resource};
 pub use exchange::{parallel_scan, run_parallel, ExchangeExec};
 pub use exec::{drain, drain_root, BoxedOperator, Operator, RootSink};
 pub use explain::{card_drift, cost_drift, explain_json, render_explain, validate_explain_json};
+pub use filter::select_rows;
 pub use governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
 pub use hash_join::{fold_hash_column, hash_key, join_batches, mix, HASH_SEED};
 pub use journal::{

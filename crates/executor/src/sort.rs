@@ -11,6 +11,7 @@
 //! order.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 
@@ -132,7 +133,7 @@ fn merge_cursors<'a>(
         match heads[r] {
             Some((batch, row)) => top.0 .0 = batch.column(key)[row],
             None => {
-                std::collections::binary_heap::PeekMut::pop(top);
+                PeekMut::pop(top);
             }
         }
     }
@@ -155,23 +156,40 @@ pub fn kway_merge<'a>(
     merge_cursors(cursors, key, emit);
 }
 
-/// Merges the live rows `lo..hi` of each run (one dense batch per run)
-/// into one dense batch.
+/// Merges the rows `lo..hi` of each run (one dense batch per run) into
+/// one dense batch. The merge reads the runs' key columns directly: a
+/// binary heap of `(key, run)` over each stretch's next key, one head per
+/// run, so ties go to the lowest run and within a run to its order — the
+/// order [`kway_merge`] gives, without a cursor or a selection check a
+/// row.
 fn merge_stretches(
     runs: &[RowBatch],
     stretches: impl Iterator<Item = (usize, usize)>,
     width: usize,
     key: usize,
 ) -> RowBatch {
-    let cursors: Vec<RunCursor<'_>> = runs
+    // Each run's key column, next row and end.
+    let mut rest: Vec<(&[i64], usize, usize)> =
+        runs.iter().zip(stretches).map(|(run, (lo, hi))| (run.column(key), lo, hi)).collect();
+    let mut order: Vec<Entry> = Vec::with_capacity(rest.iter().map(|&(_, lo, hi)| hi - lo).sum());
+    let mut heap: BinaryHeap<_> = rest
         .iter()
-        .zip(stretches)
-        .map(|(run, (lo, hi))| RunCursor::stretch(std::slice::from_ref(run), lo, hi))
+        .enumerate()
+        .filter(|&(_, &(_, lo, hi))| lo < hi)
+        .map(|(r, &(keys, lo, _))| Reverse((keys[lo], r)))
         .collect();
-    let mut order: Vec<Entry> = Vec::with_capacity(cursors.iter().map(|c| c.left).sum());
-    merge_cursors(cursors, key, |r, batch, row| {
-        order.push((batch.column(key)[row], r as u32, row as u32));
-    });
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse((k, r)) = *top;
+        let (keys, next, end) = &mut rest[r];
+        order.push((k, r as u32, *next as u32));
+        *next += 1;
+        // Replacing the top in place costs one sift, not a pop and a push.
+        if *next < *end {
+            top.0 .0 = keys[*next];
+        } else {
+            PeekMut::pop(top);
+        }
+    }
     gather(runs, width, &order)
 }
 
@@ -354,7 +372,8 @@ impl<'a> SortExec<'a> {
 
     /// Charges the spilled run's page writes — to the I/O budget in one
     /// step, to the disk page by page. Serial below DOP 2 (or for a single
-    /// page); otherwise the charges split across `dop` workers so
+    /// page), under one disk latch ([`SimDisk::note_writes`]); otherwise
+    /// the charges split across `dop` workers so
     /// their I/O pacing stalls overlap. Totals are DOP-exact; a write
     /// fault is charged before it errors on either path, exactly like a
     /// charged writer's.
@@ -362,10 +381,7 @@ impl<'a> SortExec<'a> {
         self.ctx.governor.charge_io(pages as u64)?;
         let dop = self.ctx.dop.max(1);
         if dop <= 1 || pages < 2 {
-            for _ in 0..pages {
-                self.disk.note_write()?;
-            }
-            return Ok(());
+            return Ok(self.disk.note_writes(pages)?);
         }
         let share = pages.div_ceil(dop);
         let disk = &self.disk;
@@ -389,8 +405,8 @@ impl<'a> SortExec<'a> {
 
     /// Reads every run back (accounted, and charged to the I/O budget in
     /// one step before the first page), one dense batch per run, each
-    /// page's rows copied onto its columns: a whole run file under one
-    /// disk latch at DOP 1.
+    /// run's rows copied after its reads with one slice a column: a whole
+    /// run file under one disk latch at DOP 1.
     ///
     /// With `dop > 1` the reads fan out over *pages*, not whole runs
     /// (worker `w` reads every `dop`-th page of the concatenated run page
@@ -398,8 +414,8 @@ impl<'a> SortExec<'a> {
     /// even when the grant produced fewer runs than workers — the page
     /// *set* is identical, so page-identity faults trip identically; only
     /// the seq/random read split may shift). A run's rows are its file's,
-    /// so once every read has succeeded each run's pages are copied in
-    /// page order: the batches are the serial ones.
+    /// so once every read has succeeded each run is copied the same way:
+    /// the batches are the serial ones.
     fn read_runs(&self, runs: &[SpillFile], width: usize) -> Result<Vec<RowBatch>, ExecError> {
         let pages: usize = runs.iter().map(SpillFile::page_count).sum();
         self.ctx.governor.charge_io(pages as u64)?;
@@ -431,7 +447,7 @@ impl<'a> SortExec<'a> {
         }
         let copied = |run: &SpillFile| {
             let mut rows = RowBatch::with_capacity(width, run.record_count() as usize);
-            (0..run.page_count()).for_each(|k| rows.extend_from_page(run.page(k)));
+            rows.extend_from_page(run.rows());
             rows
         };
         Ok(runs.iter().map(copied).collect())

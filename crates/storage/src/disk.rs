@@ -3,7 +3,7 @@
 //! page's contents are its owner's (a heap or spill file's columns, a
 //! B-tree's nodes).
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -174,10 +174,7 @@ impl SimDisk {
     /// [`SimDisk::temp_pages`] until its owner gives it back with
     /// [`SimDisk::free`]. Not charged as I/O.
     pub(crate) fn allocate_temp(&self) -> PageId {
-        let mut inner = self.inner.lock();
-        inner.temp.live += 1;
-        inner.temp.high_water = inner.temp.high_water.max(inner.temp.live);
-        inner.push_page()
+        self.inner.lock().push_temp_page()
     }
 
     /// Gives temp pages back. Each id goes dead at once: an accounted
@@ -323,6 +320,39 @@ impl SimDisk {
         result
     }
 
+    /// Charges `n` writes, as [`SimDisk::note_write`] `n` times would —
+    /// the same ordinals, the same write failed — under one acquisition of
+    /// the disk latch: a sort run's writes, settled at once. A paced disk
+    /// charges them one by one, sleeping outside the latch.
+    ///
+    /// # Errors
+    /// As [`SimDisk::note_write`], for the first write that fails: the
+    /// writes before it and it are charged, none after it.
+    pub fn note_writes(&self, n: usize) -> Result<(), StorageError> {
+        let mut steps = self.write_steps();
+        (0..n).try_for_each(|_| steps.note_write())
+    }
+
+    /// The steps of writing query-lifetime files — a temp page's id, a
+    /// page's write charge — taken under **one** acquisition of the disk
+    /// latch, which the returned steps hold until they are dropped: the
+    /// write-side twin of [`SimDisk::read_run`]. Each step is what
+    /// [`SimDisk::allocate_temp`] or [`SimDisk::note_write`] would do,
+    /// without a lock round trip a page. A paced disk
+    /// ([`SimDisk::set_io_latency_micros`]) takes the steps one by one, as
+    /// those calls do, so it never sleeps under the latch. The latch is
+    /// not re-entrant: nothing may touch this disk while the steps live.
+    pub(crate) fn write_steps(&self) -> WriteSteps<'_> {
+        let inner = self.inner.lock();
+        let latched = (inner.latency_micros == 0).then_some(inner);
+        WriteSteps { disk: self, latched }
+    }
+
+    /// Whether `self` and `other` are handles of one disk.
+    pub(crate) fn same(&self, other: &SimDisk) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> IoStats {
@@ -348,11 +378,44 @@ impl SimDisk {
     }
 }
 
+/// Write steps on one disk: see [`SimDisk::write_steps`].
+pub(crate) struct WriteSteps<'a> {
+    disk: &'a SimDisk,
+    /// The held latch; `None` on a paced disk, whose steps lock and sleep
+    /// one at a time.
+    latched: Option<MutexGuard<'a, DiskInner>>,
+}
+
+impl WriteSteps<'_> {
+    /// [`SimDisk::allocate_temp`].
+    pub(crate) fn allocate_temp(&mut self) -> PageId {
+        match &mut self.latched {
+            Some(inner) => inner.push_temp_page(),
+            None => self.disk.allocate_temp(),
+        }
+    }
+
+    /// [`SimDisk::note_write`].
+    pub(crate) fn note_write(&mut self) -> Result<(), StorageError> {
+        match &mut self.latched {
+            Some(inner) => inner.charge_write(),
+            None => self.disk.note_write(),
+        }
+    }
+}
+
 impl DiskInner {
     fn push_page(&mut self) -> PageId {
         let id = PageId(self.live.len() as u32);
         self.live.push(true);
         id
+    }
+
+    /// A page of a query-lifetime file, counted as a live temp page.
+    fn push_temp_page(&mut self) -> PageId {
+        self.temp.live += 1;
+        self.temp.high_water = self.temp.high_water.max(self.temp.live);
+        self.push_page()
     }
 
     /// Accounts one write that transfers no data, failing it if the fault
@@ -525,6 +588,22 @@ mod tests {
         let err = disk.note_write().unwrap_err();
         assert_eq!(err, StorageError::InjectedFault { page: PageId::INVALID, write: true });
         assert!(disk.note_write().is_ok());
+    }
+
+    #[test]
+    fn note_writes_is_note_write_in_a_loop() {
+        for latency in [0, 1] {
+            let disk = SimDisk::new();
+            disk.set_io_latency_micros(latency);
+            let mut plan = FaultPlan::none();
+            plan.fail_nth_writes = vec![3, 6];
+            disk.set_fault_plan(plan);
+            disk.note_writes(0).unwrap();
+            assert!(disk.note_writes(5).unwrap_err().is_injected(), "paced: {latency}");
+            assert_eq!(disk.stats().writes, 3, "none charged after the failed one");
+            disk.note_writes(2).unwrap();
+            assert!(disk.note_write().unwrap_err().is_injected(), "the ordinals go on");
+        }
     }
 
     #[test]

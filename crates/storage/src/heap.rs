@@ -4,7 +4,7 @@
 use std::ops::{ControlFlow, Range};
 
 use crate::column_page::{check_fits, records_per_page, PageRows, Row};
-use crate::disk::SimDisk;
+use crate::disk::{SimDisk, WriteSteps};
 use crate::error::StorageError;
 use crate::page::PageId;
 
@@ -244,7 +244,7 @@ impl HeapFile {
 ///
 /// ```compile_fail
 /// let writer = dqep_storage::SpillWriter::charged(dqep_storage::SimDisk::new(), 16);
-/// let _ = writer.read_pages(1, |_| ()); // an unsealed file has no read path
+/// let _ = writer.read(1); // an unsealed file has no read path
 /// ```
 ///
 /// What the disk observes is what a [`HeapFile::append`] per row would
@@ -296,7 +296,8 @@ impl SpillWriter {
     /// this file (nothing is allocated or charged); an injected write
     /// fault on the charge for the page this row found full.
     pub fn append(&mut self, values: impl IntoIterator<Item = i64>) -> Result<(), StorageError> {
-        self.next_row()?;
+        let disk = self.file.disk.clone();
+        self.next_row(&mut disk.write_steps())?;
         let file = &mut self.file.columns;
         let mut values = values.into_iter().take(file.record_len / 8);
         file.values.iter_mut().zip(values.by_ref()).for_each(|(col, v)| col.push(v));
@@ -307,33 +308,73 @@ impl SpillWriter {
     /// Appends rows of `columns` (row `i` is entry `i` of every column) to
     /// `writers`, in the order `rows` gives them as `(row, writer)` pairs:
     /// to the disk, [`SpillWriter::append`] of each row to its writer in
-    /// turn — the same page ids, charges and faults — while each writer's
-    /// columns grow once for all of its rows.
+    /// turn — the same page ids, charges and faults.
+    ///
+    /// It takes every row's disk steps first, in row order, under one
+    /// acquisition of the disk latch ([`SimDisk::note_write`]'s charge and
+    /// a new page id where a row starts a page; a paced disk takes them
+    /// page by page, sleeping outside the latch). Then it sizes each
+    /// writer's columns for all of its rows and writes the values one
+    /// column at a time: no row is pushed, and nothing is allocated but
+    /// the columns' growth.
     ///
     /// # Errors
     /// As [`SpillWriter::append`], for the first row that fails: the rows
     /// before it are appended, it and the rows after it are not.
+    ///
+    /// # Panics
+    /// Panics when the writers are not all on one disk and of one record
+    /// length.
     pub fn deal(
         writers: &mut [SpillWriter],
         columns: &[Vec<i64>],
         rows: impl Iterator<Item = (usize, usize)> + Clone,
     ) -> Result<(), StorageError> {
-        // The disk's steps first, row by row; then the values.
+        let Some(first) = writers.first() else {
+            assert!(rows.clone().next().is_none(), "rows dealt to no writer");
+            return Ok(());
+        };
+        let (disk, record_len) = (first.file.disk.clone(), first.file.columns.record_len);
+        assert!(
+            writers
+                .iter()
+                .all(|w| w.file.disk.same(&disk) && w.file.columns.record_len == record_len),
+            "dealt writers share one disk and one record length"
+        );
         let mut failed = None;
+        let mut steps = disk.write_steps();
         for (at, (_, w)) in rows.clone().enumerate() {
-            if let Err(e) = writers[w].next_row() {
+            if let Err(e) = writers[w].next_row(&mut steps) {
                 failed = Some((at, e));
                 break;
             }
         }
-        for file in writers.iter_mut().map(|writer| &mut writer.file.columns) {
-            let held = file.values.first().map_or(0, Vec::len);
-            file.values.resize_with(columns.len().min(file.record_len / 8), Vec::new);
-            file.values.iter_mut().for_each(|col| col.reserve(file.rows - held));
+        drop(steps);
+        let dealt = failed.as_ref().map_or(usize::MAX, |&(at, _)| at);
+        let width = columns.len().min(record_len / 8);
+        for writer in writers.iter_mut() {
+            writer.file.columns.values.resize_with(width, Vec::new);
         }
-        for (row, w) in rows.take(failed.as_ref().map_or(usize::MAX, |&(at, _)| at)) {
-            for (col, from) in writers[w].file.columns.values.iter_mut().zip(columns) {
-                col.push(from[row]);
+        // A column at a time, for up to `FAN_OUT` writers at a time: their
+        // column slices and next positions are locals on the stack.
+        const FAN_OUT: usize = 16;
+        for (c, from) in columns[..width].iter().enumerate() {
+            for (g, group) in writers.chunks_mut(FAN_OUT).enumerate() {
+                let mut to: [&mut [i64]; FAN_OUT] = Default::default();
+                let mut at = [0; FAN_OUT];
+                for ((writer, to), at) in group.iter_mut().zip(&mut to).zip(&mut at) {
+                    let col = &mut writer.file.columns.values[c];
+                    *at = col.len();
+                    col.resize(writer.file.columns.rows, 0);
+                    *to = col;
+                }
+                for (row, w) in rows.clone().take(dealt) {
+                    let w = w.wrapping_sub(g * FAN_OUT);
+                    if let Some(to) = to.get_mut(w) {
+                        to[at[w]] = from[row];
+                        at[w] += 1;
+                    }
+                }
             }
         }
         failed.map_or(Ok(()), |(_, e)| Err(e))
@@ -342,23 +383,27 @@ impl SpillWriter {
     /// The disk's steps for the next row, which is counted: when it starts
     /// a page, the check that a row fits one, the seal of the full page
     /// before it, and the new page's id.
-    fn next_row(&mut self) -> Result<(), StorageError> {
+    #[inline]
+    fn next_row(&mut self, steps: &mut WriteSteps<'_>) -> Result<(), StorageError> {
         if self.file.columns.page_full() {
-            check_fits(self.file.columns.record_len)?;
-            self.seal()?;
-            let page = self.file.disk.allocate_temp();
-            self.file.columns.pages.push(page);
-            self.tail = true;
+            self.start_page(steps)?;
         }
         self.file.columns.rows += 1;
         Ok(())
     }
 
-    /// Charges the last page's write, once, if the writer is charged.
-    fn seal(&mut self) -> Result<(), StorageError> {
+    /// The steps of a row that starts a page: one row in
+    /// [`records_per_page`] at most, so kept out of the row loop.
+    #[cold]
+    #[inline(never)]
+    fn start_page(&mut self, steps: &mut WriteSteps<'_>) -> Result<(), StorageError> {
+        let file = &mut self.file.columns;
+        check_fits(file.record_len)?;
         if std::mem::take(&mut self.tail) && self.charged {
-            return self.file.disk.note_write();
+            steps.note_write()?;
         }
+        file.pages.push(steps.allocate_temp());
+        self.tail = true;
         Ok(())
     }
 
@@ -367,8 +412,10 @@ impl SpillWriter {
     /// # Errors
     /// An injected write fault on the last page's charge; the pages are
     /// given back.
-    pub fn finish(mut self) -> Result<SpillFile, StorageError> {
-        self.seal()?;
+    pub fn finish(self) -> Result<SpillFile, StorageError> {
+        if self.tail && self.charged {
+            self.file.disk.note_write()?;
+        }
         Ok(self.file)
     }
 }
@@ -412,20 +459,28 @@ impl SpillFile {
         self.columns.rows_of(k..k + 1)
     }
 
+    /// All of its rows as one stretch of column slices, without a read: for
+    /// a reader that accounts for the pages itself with
+    /// [`SimDisk::read_run`].
+    #[must_use]
+    pub fn rows(&self) -> PageRows<'_> {
+        self.columns.rows_of(0..self.page_count())
+    }
+
     /// Reads the file back: every page in scan order, accounted one read
     /// each, in [`SimDisk::read_run`]s of at most `run_pages` (> 0) pages —
     /// `usize::MAX` where the reader has the disk to itself, a morsel
-    /// where sibling workers read it too — and each page's rows lent to
-    /// `visit`. Nothing `visit` calls may touch the disk.
+    /// where sibling workers read it too — and then all of its rows lent as
+    /// one stretch of column slices, for the reader to copy with one slice
+    /// a column.
     ///
     /// # Errors
-    /// The first page read that fails; the pages before it were visited.
-    pub fn read_pages(
-        &self,
-        run_pages: usize,
-        visit: impl FnMut(PageRows<'_>),
-    ) -> Result<(), StorageError> {
-        self.columns.read_pages(&self.disk, run_pages, visit)
+    /// The first page read that fails; the pages before it were read.
+    pub fn read(&self, run_pages: usize) -> Result<PageRows<'_>, StorageError> {
+        self.columns.pages.chunks(run_pages).try_for_each(|run| {
+            self.disk.read_run(run.iter().copied(), |_| ControlFlow::Continue(()))
+        })?;
+        Ok(self.rows())
     }
 }
 
@@ -510,9 +565,7 @@ mod tests {
         widest.append([8]).unwrap();
         let sealed = widest.finish().unwrap();
         // Counted after the seal: a file is readable from `finish` on.
-        let mut rows = 0;
-        sealed.read_pages(usize::MAX, |page| rows += page.rows()).unwrap();
-        assert_eq!(rows, 2);
+        assert_eq!(sealed.read(usize::MAX).unwrap().rows(), 2);
         assert_eq!((sealed.page_count(), disk.stats().writes), (2, 2));
     }
 
@@ -552,8 +605,8 @@ mod tests {
             let temp = temp.finish().unwrap();
             let pages = temp.pages().to_vec();
             assert_eq!(disk.temp_pages().live, 4);
-            let mut rows: Vec<i64> = Vec::new();
-            temp.read_pages(usize::MAX, |page| rows.extend(page.columns().flatten())).unwrap();
+            let rows: Vec<i64> =
+                temp.read(usize::MAX).unwrap().columns().flatten().copied().collect();
             assert_eq!(rows, (0..10).collect::<Vec<_>>());
             drop(temp);
             assert_eq!((disk.page_count(), disk.temp_pages().live), (loaded, 0));

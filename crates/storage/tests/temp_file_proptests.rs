@@ -17,7 +17,9 @@
 //! **Dealing ≡ appending**: `SpillWriter::deal` hands a batch of rows to
 //! several writers at once; to the disk and to the files it must be
 //! `append` of each row to its writer in turn, up to a failed charge, and
-//! the writers must go on alike after one.
+//! the writers must go on alike after one. That holds for both ways a deal
+//! takes its disk steps: all of a batch's under one latch, and — on a
+//! paced disk — page by page.
 
 use std::collections::HashSet;
 
@@ -99,10 +101,8 @@ proptest! {
                         }
                         // It reads back exactly what was appended to it.
                         let mut cols = [Vec::new(), Vec::new()];
-                        file.read_pages(usize::MAX, |page| {
-                            cols.iter_mut().zip(page.columns()).for_each(|(col, from)| col.extend_from_slice(from));
-                        })
-                        .unwrap();
+                        let rows = file.read(usize::MAX).unwrap();
+                        cols.iter_mut().zip(rows.columns()).for_each(|(col, from)| col.extend_from_slice(from));
                         prop_assert_eq!(&cols[0], &vec![*id as i64; *len]);
                         prop_assert_eq!(&cols[1], &(0..*len as i64).collect::<Vec<_>>());
                         prop_assert_eq!(file.record_count() as usize, *len);
@@ -336,6 +336,12 @@ proptest! {
             append_then_seal(&rows, files, width, len, fail, chunk, true),
             append_then_seal(&rows, files, width, len, fail, chunk, false)
         );
+        // A paced disk takes a deal's steps page by page; it charges,
+        // numbers and fails them as the unpaced appends do.
+        prop_assert_eq!(
+            append_then_seal_on(PACED, &rows, files, width, len, fail, chunk, true),
+            append_then_seal(&rows, files, width, len, fail, chunk, false)
+        );
     }
 
     #[test]
@@ -362,6 +368,9 @@ proptest! {
 /// the errors the appends met.
 type Sealed = (Vec<Result<Vec<Page>, StorageError>>, IoStats, u64, Vec<StorageError>);
 
+/// Microseconds a paced disk sleeps an accounted access.
+const PACED: u64 = 1;
+
 /// Appends `rows` in batches of `chunk`, each dealt at once or appended row
 /// by row; a batch stops at its first error and the next one goes on. Then
 /// seals every writer, so the rows each holds can be seen.
@@ -374,7 +383,23 @@ fn append_then_seal(
     chunk: usize,
     dealt: bool,
 ) -> Sealed {
+    append_then_seal_on(0, rows, files, width, len, fail, chunk, dealt)
+}
+
+/// [`append_then_seal`] on a disk paced `latency_micros` an access.
+#[allow(clippy::too_many_arguments)]
+fn append_then_seal_on(
+    latency_micros: u64,
+    rows: &Rows,
+    files: usize,
+    width: usize,
+    len: usize,
+    fail: Option<u64>,
+    chunk: usize,
+    dealt: bool,
+) -> Sealed {
     let disk = SimDisk::new();
+    disk.set_io_latency_micros(latency_micros);
     disk.set_fault_plan(fault_plan(fail));
     let mut writers: Vec<SpillWriter> =
         (0..files).map(|_| SpillWriter::charged(disk.clone(), len)).collect();

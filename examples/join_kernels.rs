@@ -1,7 +1,7 @@
 //! What the per-row kernels under `exec_scale` and `shard_join` cost,
 //! untraced.
 //!
-//! Three splits, each through public functions only, over tables of the
+//! Five splits, each through public functions only, over tables of the
 //! benchmark's `fact`/`dim` shape (12 000 and 6 000 records of 256 bytes,
 //! seven to a page):
 //!
@@ -25,22 +25,28 @@
 //! 4. **A spilled row**: ns a row of `fact` (12 000 rows, two attributes)
 //!    written to a spill file — one charged `SpillWriter` the rows are
 //!    dealt to, as a sort writes a run — and ns a row read back through
-//!    `SpillFile::read_pages` into a batch's columns, for 256- and
-//!    512-byte records: what a Grace partition or a sort run costs a row
-//!    besides its hash, its sort and its join.
+//!    `SpillFile::read` into a batch's columns (the reads, then one copy a
+//!    column), for 256- and 512-byte records: what a Grace partition or a
+//!    sort run costs a row besides its hash, its sort and its join.
+//! 5. **A selected row**: ns a row of the filter's kernel, `select_rows`,
+//!    over `fact`'s `a` column in scan-sized batches, at bounds that pass
+//!    10, 50 and 90 % of the rows. A kernel that branches on each row pays
+//!    most near 50 %, where the outcome is least predictable.
 //!
 //! It prints; it asserts nothing about time. Run pinned:
 //! `taskset -c 1 cargo run --release --example join_kernels`
 //! (`-- --quick` makes one pass of everything, the CI smoke run; `-- page`,
-//! `-- probe`, `-- statement`, `-- spill` run that split only).
+//! `-- probe`, `-- statement`, `-- spill`, `-- select` run that split
+//! only).
 
 use std::hint::black_box;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
+use dqep::algebra::CompareOp;
 use dqep::executor::{
-    join_batches, mix, shard_route, ExecContext, RowBatch, SharedCounters,
+    join_batches, mix, select_rows, shard_route, ExecContext, RowBatch, SharedCounters,
     BATCH_CAPACITY,
 };
 use dqep::service::{QueryService, Request, ServiceConfig};
@@ -244,7 +250,7 @@ fn statements(catalog: &Catalog, passes: usize) {
 
 /// Split 4: `rows` (one batch's columns) through a spill file and back.
 fn spill_rows(rows: &RowBatch, passes: usize) {
-    const WAYS: [&str; 2] = ["written (dealt to one writer)", "read back (read_pages)"];
+    const WAYS: [&str; 2] = ["written (dealt to one writer)", "read back (read)"];
     let n = rows.rows();
     println!("\na spilled row ({n} rows of {} attributes, passes: {passes}; ns a row)", rows.width());
     for record_len in [256usize, 512] {
@@ -261,10 +267,8 @@ fn spill_rows(rows: &RowBatch, passes: usize) {
             spent[0] += started.elapsed();
             let started = Instant::now();
             let mut back: Vec<Vec<i64>> = (0..rows.width()).map(|_| Vec::with_capacity(n)).collect();
-            file.read_pages(usize::MAX, |page| {
-                back.iter_mut().zip(page.columns()).for_each(|(col, from)| col.extend_from_slice(from));
-            })
-            .expect("fault-free read");
+            let read = file.read(usize::MAX).expect("fault-free read");
+            back.iter_mut().zip(read.columns()).for_each(|(col, from)| col.extend_from_slice(from));
             spent[1] += started.elapsed();
             assert_eq!(back, columns, "the rows come back as they went");
             pages = file.page_count();
@@ -273,6 +277,29 @@ fn spill_rows(rows: &RowBatch, passes: usize) {
         for (way, name) in WAYS.iter().enumerate() {
             println!("    {name:<32} {:>8.1}", ns_per(spent[way], n * passes));
         }
+    }
+}
+
+/// Split 5: the filter's kernel over column 0 of `batches`, at bounds
+/// that pass 10, 50 and 90 % of the rows.
+fn selected_rows(batches: &[RowBatch], passes: usize) {
+    let n: usize = batches.iter().map(RowBatch::rows).sum();
+    let mut keys: Vec<i64> = batches.iter().flat_map(|batch| batch.column(0).iter().copied()).collect();
+    keys.sort_unstable();
+    println!("\na selected row (select_rows, a < bound over {n} rows in batches of {BATCH_CAPACITY}, passes: {passes}; ns a row)");
+    let mut sel = Vec::with_capacity(BATCH_CAPACITY);
+    for percent in [10usize, 50, 90] {
+        let bound = keys[n * percent / 100];
+        let (mut spent, mut kept) = (Duration::ZERO, 0usize);
+        for _ in 0..passes {
+            let started = Instant::now();
+            for batch in batches {
+                select_rows(batch, 0, CompareOp::Lt, bound, &mut sel);
+                kept += black_box(&sel).len();
+            }
+            spent += started.elapsed();
+        }
+        println!("  {:>3} % selected {:>8.2}", kept * 100 / (n * passes), ns_per(spent, n * passes));
     }
 }
 
@@ -301,5 +328,8 @@ fn main() {
         let mut all = RowBatch::with_capacity(fact[0].width(), rows);
         fact.iter().for_each(|batch| all.extend_from_live(batch, 0..batch.len()));
         spill_rows(&all, if quick { 1 } else { 500 });
+    }
+    if wanted("select") {
+        selected_rows(&table_batches(fact), if quick { 1 } else { 5_000 });
     }
 }
