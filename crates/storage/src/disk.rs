@@ -105,6 +105,16 @@ struct DiskInner {
 /// how accesses are classified, counted, failed and paced; what a page
 /// holds is its owner's.
 ///
+/// # One latch a run
+///
+/// Every access takes the disk's latch. The bulk paths take it once for
+/// many pages: [`SimDisk::read_run`] accounts a run of reads, the write
+/// steps of a dealt batch of spilled rows (its temp page ids and write
+/// charges, crate-private) and [`SimDisk::note_writes`] a run of writes,
+/// each exactly as the one-page calls in a loop would. A paced disk takes
+/// every one of those steps on its own, so no sleep is ever under the
+/// latch.
+///
 /// # Fault injection
 ///
 /// A [`FaultPlan`] installed with [`SimDisk::set_fault_plan`] fails
