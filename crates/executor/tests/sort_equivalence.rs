@@ -4,7 +4,9 @@
 //!
 //! Inputs carry heavily duplicated keys (so that the order among equal
 //! keys is most of what is checked), dead rows behind selection vectors,
-//! and batch boundaries that fall anywhere. Grants make the input fit,
+//! and batch boundaries that fall anywhere; one more case draws keys over
+//! wide spans, up to the whole `i64` range, for the sort's and the merge's
+//! wide paths. Grants make the input fit,
 //! fill exactly one chunk, overflow it by one row, and spill 2–40 runs;
 //! every case runs at DOP 1, 2 and 4 and is pulled through both `next`
 //! and `next_batch`. Besides the rows, the simulated-CPU charges, the
@@ -161,6 +163,39 @@ fn cases() -> impl Strategy<Value = Case> {
     })
 }
 
+/// Inputs whose keys spread wide: over spans of 2^8, 2^20 and 2^40 values
+/// around zero and over the whole `i64` range, with a few keys repeated.
+/// The run sort takes one and three radix passes on the first two and its
+/// comparison fallback on the others; the merge takes its wide heads on
+/// the last. The other columns tell equal keys apart, as in [`cases`].
+fn wide_cases() -> impl Strategy<Value = Case> {
+    let shape = (1usize..=3, 0usize..4, 0usize..=600);
+    shape.prop_flat_map(|(width, spread, n)| {
+        let rows = proptest::collection::vec((any::<u64>(), 0u8..10), n..=n);
+        let batch_rows = proptest::collection::vec(1usize..=300, 1..6);
+        (rows, batch_rows, 0..width).prop_map(move |(rows, batch_rows, key)| {
+            let span: [u64; 4] = [1 << 8, 1 << 20, 1 << 40, u64::MAX];
+            let layout = TupleLayout::base(&catalog(width, width * 8), dqep_catalog::RelationId(0));
+            let rows = rows
+                .into_iter()
+                .enumerate()
+                .map(|(arrival, (draw, keep))| {
+                    // One draw in eight repeats a key of its own.
+                    let draw = if draw % 8 == 0 { draw % 5 } else { draw };
+                    let k = match span[spread] {
+                        u64::MAX => draw as i64,
+                        span => (draw % span) as i64 - (span / 2) as i64,
+                    };
+                    let mut row = vec![arrival as i64; width];
+                    row[key] = k;
+                    (row, keep >= 2)
+                })
+                .collect();
+            Case { layout, rows, batch_rows, key }
+        })
+    })
+}
+
 /// `ceil(n · log₂ n)` per chunk of a grant of `budget_rows` rows, plus
 /// `ceil(n · log₂ k)` for merging `k > 1` runs: the cost model's charges.
 fn expected_compares(n: usize, budget_rows: usize) -> u64 {
@@ -229,6 +264,28 @@ proptest! {
                 prop_assert_eq!(io.writes == 0, n <= budget_rows);
                 sort.close();
                 prop_assert_eq!(ctx.governor.memory_used(), 0);
+                prop_assert_eq!(disk.temp_pages().live, 0, "runs are dropped with the merge");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_keys_sort_stably_at_every_grant_and_dop(case in wide_cases(), runs in 2usize..=40) {
+        let expected = case.expected();
+        let n = expected.len();
+        for budget_rows in [n + 7, n.div_ceil(runs).max(1)] {
+            for dop in [1usize, 2, 4] {
+                let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
+                let disk = SimDisk::new();
+                let (mut sort, _) = case.sort(&ctx, &disk, budget_rows);
+                sort.open().expect("open");
+                let got = drain(&mut sort, &[BATCH_CAPACITY]);
+                prop_assert!(
+                    got == expected,
+                    "not the stable sort at {budget_rows} rows a grant, dop {dop}"
+                );
+                prop_assert_eq!(ctx.counters.snapshot().compares, expected_compares(n, budget_rows));
+                sort.close();
                 prop_assert_eq!(disk.temp_pages().live, 0, "runs are dropped with the merge");
             }
         }

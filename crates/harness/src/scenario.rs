@@ -310,22 +310,20 @@ mod tests {
     #[test]
     fn dynamic_per_invocation_effort_below_runtime_opt() {
         // f < a: starting a dynamic plan is cheaper than re-optimizing.
-        // Wall-clock comparison: use the larger query (a bigger gap), take
-        // medians over paired repetitions, and allow slack — debug builds
-        // under a parallel test runner are noisy.
+        // Wall-clock comparison on the larger query (a bigger gap): each
+        // side's least time over the repetitions, since interference from
+        // the rest of the host can only add time. The count form of the
+        // same claim is `experiments::fig8`'s
+        // `startup_is_cheaper_than_reoptimization`.
         let (w, b) = setup(5, false);
-        let mut ratios: Vec<f64> = (0..5)
-            .map(|_| {
-                let dy = run_dynamic(&w, &b, false);
-                let rt = run_runtime_opt(&w, &b);
-                rt.optimize_seconds / dy.measured_startup_cpu
-            })
-            .collect();
-        ratios.sort_by(f64::total_cmp);
-        let median = ratios[ratios.len() / 2];
+        let (mut startup, mut reoptimize) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            startup = startup.min(run_dynamic(&w, &b, false).measured_startup_cpu);
+            reoptimize = reoptimize.min(run_runtime_opt(&w, &b).optimize_seconds);
+        }
         assert!(
-            median > 1.0,
-            "median re-optimization/startup ratio {median} should exceed 1 (ratios: {ratios:?})"
+            reoptimize / startup > 1.0,
+            "least re-optimization {reoptimize} s should exceed least start-up {startup} s"
         );
     }
 

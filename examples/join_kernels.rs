@@ -1,7 +1,7 @@
 //! What the per-row kernels under `exec_scale` and `shard_join` cost,
 //! untraced.
 //!
-//! Five splits, each through public functions only, over tables of the
+//! Six splits, each through public functions only, over tables of the
 //! benchmark's `fact`/`dim` shape (12 000 and 6 000 records of 256 bytes,
 //! seven to a page):
 //!
@@ -32,12 +32,16 @@
 //!    over `fact`'s `a` column in scan-sized batches, at bounds that pass
 //!    10, 50 and 90 % of the rows. A kernel that branches on each row pays
 //!    most near 50 %, where the outcome is least predictable.
+//! 6. **A sorted row**: ns a row of `sort_batches` on a 512-row chunk of
+//!    `fact` (the external sort's run under the 64-page grant), keyed on
+//!    `j` as `exec_scale`'s sort is, and of `kway_merge` over 12, 17 and 22
+//!    such runs, sorted.
 //!
 //! It prints; it asserts nothing about time. Run pinned:
 //! `taskset -c 1 cargo run --release --example join_kernels`
 //! (`-- --quick` makes one pass of everything, the CI smoke run; `-- page`,
-//! `-- probe`, `-- statement`, `-- spill`, `-- select` run that split
-//! only).
+//! `-- probe`, `-- statement`, `-- spill`, `-- select`, `-- sort` run that
+//! split only).
 
 use std::hint::black_box;
 use std::ops::ControlFlow;
@@ -46,8 +50,8 @@ use std::time::{Duration, Instant};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::algebra::CompareOp;
 use dqep::executor::{
-    join_batches, mix, select_rows, shard_route, ExecContext, RowBatch, SharedCounters,
-    BATCH_CAPACITY,
+    join_batches, kway_merge, mix, select_rows, shard_route, sort_batches, ExecContext, RowBatch,
+    SharedCounters, BATCH_CAPACITY,
 };
 use dqep::service::{QueryService, Request, ServiceConfig};
 use dqep::storage::{records_per_page, SimDisk, SpillWriter, StoredDatabase, StoredTable};
@@ -303,6 +307,53 @@ fn selected_rows(batches: &[RowBatch], passes: usize) {
     }
 }
 
+/// Split 6: `rows` (one batch's columns) cut into 512-row runs, each
+/// sorted on `j` by `sort_batches`, then merged by `kway_merge` 12, 17 and
+/// 22 runs at a time.
+fn sorted_rows(rows: &RowBatch, passes: usize) {
+    const RUN: usize = 512;
+    const KEY: usize = 1;
+    let width = rows.width();
+    let chunks: Vec<RowBatch> = (0..rows.rows() / RUN)
+        .map(|c| {
+            let mut chunk = RowBatch::with_capacity(width, RUN);
+            chunk.extend_from_live(rows, c * RUN..(c + 1) * RUN);
+            chunk
+        })
+        .collect();
+    let mut sorted = Vec::new();
+    let mut spent = Duration::ZERO;
+    for _ in 0..passes {
+        sorted.clear();
+        let started = Instant::now();
+        for chunk in &chunks {
+            sorted.push(sort_batches(std::slice::from_ref(chunk), width, KEY));
+        }
+        spent += started.elapsed();
+    }
+    println!("\na sorted row ({RUN}-row runs of {width} attributes on j, passes: {passes}; ns a row)");
+    println!("  sort_batches, one run {:>18.1}", ns_per(spent, chunks.len() * RUN * passes));
+    for k in [12usize, 17, 22] {
+        let runs: Vec<&[RowBatch]> = sorted[..k].iter().map(std::slice::from_ref).collect();
+        let (mut spent, mut sum) = (Duration::ZERO, 0i64);
+        for _ in 0..passes {
+            let started = Instant::now();
+            kway_merge(&runs, KEY, |_, batch, i| sum = sum.wrapping_add(batch.column(0)[i]));
+            spent += started.elapsed();
+        }
+        black_box(sum);
+        println!("  kway_merge, {k} runs {:>19.1}", ns_per(spent, k * RUN * passes));
+    }
+}
+
+/// Every row of `batches` as one dense batch.
+fn one_batch(batches: &[RowBatch]) -> RowBatch {
+    let rows = batches.iter().map(RowBatch::rows).sum();
+    let mut all = RowBatch::with_capacity(batches[0].width(), rows);
+    batches.iter().for_each(|batch| all.extend_from_live(batch, 0..batch.len()));
+    all
+}
+
 fn main() {
     // `--quick` and, to run some of the splits only, their names.
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -323,13 +374,12 @@ fn main() {
         statements(&catalog, if quick { 1 } else { 200 });
     }
     if wanted("spill") {
-        let fact = table_batches(fact);
-        let rows = fact.iter().map(RowBatch::rows).sum();
-        let mut all = RowBatch::with_capacity(fact[0].width(), rows);
-        fact.iter().for_each(|batch| all.extend_from_live(batch, 0..batch.len()));
-        spill_rows(&all, if quick { 1 } else { 500 });
+        spill_rows(&one_batch(&table_batches(fact)), if quick { 1 } else { 500 });
     }
     if wanted("select") {
         selected_rows(&table_batches(fact), if quick { 1 } else { 5_000 });
+    }
+    if wanted("sort") {
+        sorted_rows(&one_batch(&table_batches(fact)), if quick { 1 } else { 2_000 });
     }
 }
