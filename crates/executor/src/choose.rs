@@ -25,8 +25,9 @@
 //! instead of failing the query. Every open records its outcome once,
 //! traced or not: a [`RunEvent::Arbitration`] — winner and fallbacks
 //! absorbed — on the run's trail ([`ExecContext::record`], which journals
-//! it). A traced run adds the [`ChooseAudit`] of what only a trace keeps:
-//! bind values, alternatives with their predictions, and the attempts.
+//! it). A traced run adds, right after it on the trail, the
+//! [`ChooseAudit`] of what only a trace keeps: bind values, alternatives
+//! with their predictions, and the attempts.
 //! Fatal errors — cancellation, exceeded query-wide budgets, malformed
 //! plans — propagate immediately.
 
@@ -108,13 +109,13 @@ impl<'a> ChoosePlanExec<'a> {
         Ok(decision)
     }
 
-    /// Records an arbitration's outcome on the run's trail, traced or not;
-    /// a traced run's audit goes to its tracer.
+    /// Records an arbitration's outcome on the run's trail, traced or not,
+    /// and a traced run's audit right after it.
     fn record(&self, winner: Option<usize>, fallbacks: u64, audit: Option<ChooseAudit>) {
         let node = u64::from(self.id.0);
         self.ctx.record(RunEvent::Arbitration { node, winner, fallbacks });
-        if let (Some(tracer), Some(audit)) = (&self.ctx.tracer, audit) {
-            tracer.audit(audit);
+        if let Some(audit) = audit {
+            self.ctx.record(RunEvent::Audit(Box::new(audit)));
         }
     }
 }

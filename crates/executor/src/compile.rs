@@ -259,8 +259,8 @@ pub(crate) fn grant_bytes(bindings: &Bindings, env: &Environment, catalog: &Cata
 /// [`ExecContext::with_dop`] / [`ExecContext::with_tracer`] /
 /// [`ExecContext::with_reopt`]); counters accumulate into `ctx.counters`,
 /// cancellation goes through `ctx.governor`, a trace is read from the
-/// [`crate::Tracer`] the caller kept — the run hands it its trail at the
-/// end — and the re-optimization audit trail, the decision in force and
+/// [`crate::Tracer`] the caller kept — which reads the run's trail — and
+/// the re-optimization audit trail, the decision in force and
 /// what the checkpoints cost from the [`crate::ReoptState`] it kept. Under
 /// a re-optimization state the run is the checkpointing driver of
 /// [`crate::ReoptState`]'s module: the state's first target and the
@@ -296,14 +296,10 @@ pub fn run(
     ctx: &ExecContext,
     sink: RootSink<'_>,
 ) -> Result<ExecSummary, ExecError> {
-    let result = match &ctx.reopt {
+    match &ctx.reopt {
         Some(state) => crate::reopt::drive(state, plan, db, catalog, env, bindings, ctx, sink),
         None => run_once(plan, db, catalog, env, bindings, ctx, sink),
-    };
-    if let Some(tracer) = &ctx.tracer {
-        tracer.set_trail(ctx.counters.trail());
     }
-    result
 }
 
 /// One compile-and-drain of `plan` under `ctx` as it is: all of [`run`]

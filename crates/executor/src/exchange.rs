@@ -193,32 +193,25 @@ pub fn parallel_scan<'a>(
 ) -> ExchangeExec<'a> {
     let claims = Arc::new(PageClaims::new(table.heap.page_count(), DEFAULT_MORSEL_PAGES));
     // Tracing: all workers share ONE span. Each wrapper accumulates its
-    // worker's private totals and flushes on close (from the worker
-    // thread), so the span's stats merge concurrently via
-    // `SpanStats::merge_from` — the same shape as the counter merge below
-    // it. Worker wrappers pass no disk: their windows over the shared
-    // disk overlap, so per-worker I/O deltas would double-count; the
-    // enclosing scan node's span (whose `open` window contains the whole
-    // parallel phase) accounts the I/O exactly instead.
-    let worker_span = ctx.tracer.as_ref().map(|tracer| {
-        tracer.span(
-            format!("Morsel-Scan x{}", ctx.dop.max(1)),
-            "Morsel-Scan",
-            None,
-            None,
-            ctx.span_parent,
-            ctx.dop.max(1),
-        )
-    });
-    let workers = (0..ctx.dop.max(1))
+    // worker's private totals and ends the span on close (from the worker
+    // thread) on the worker's trail, which merges into the query's with
+    // the worker's counters; the report merges the ends with
+    // `SpanStats::merge_from`. Worker wrappers pass no disk: their windows
+    // over the shared disk overlap, so per-worker I/O deltas would
+    // double-count; the enclosing scan node's span (whose `open` window
+    // contains the whole parallel phase) accounts the I/O exactly instead.
+    let dop = ctx.dop.max(1);
+    let label = || format!("Morsel-Scan x{dop}");
+    let worker_span = ctx.open_span("Morsel-Scan", None, label, ctx.span_parent, None);
+    let workers = (0..dop)
         .map(|_| {
             let wctx = ctx.worker();
             let counters = wctx.counters.clone();
             let traced = worker_span.map(|span| (span, wctx.clone()));
             let mut op: BoxedOperator<'a> =
                 Box::new(MorselScanExec::new(table, layout.clone(), wctx, Arc::clone(&claims)));
-            if let (Some((span, wctx)), Some(tracer)) = (traced, &ctx.tracer) {
-                op = Box::new(TracedExec::new(op, Arc::clone(tracer), span, &wctx, None));
+            if let Some((span, wctx)) = traced {
+                op = Box::new(TracedExec::new(op, span, wctx, None));
             }
             (op, counters)
         })

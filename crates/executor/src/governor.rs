@@ -244,10 +244,10 @@ pub struct ExecContext {
     /// serial operators; parallel workers always run their own subtrees
     /// with `dop = 1`.
     pub dop: usize,
-    /// Per-operator span collector, `None` (the default) when tracing is
-    /// disabled. With a tracer, [`crate::compile_plan`] opens a span per
-    /// plan node and wraps its operator in a [`crate::TracedExec`]; the
-    /// untraced compile path is unchanged.
+    /// The tracer this run is attached to, `None` (the default) when
+    /// tracing is disabled. With a tracer, [`crate::compile_plan`] opens a
+    /// span per plan node on the run's trail and wraps its operator in a
+    /// [`crate::TracedExec`]; the untraced compile path is unchanged.
     pub tracer: Option<Arc<crate::trace::Tracer>>,
     /// The span the next compiled node nests under ([`None`] at the plan
     /// root). Maintained by the compiler, not by callers.
@@ -293,10 +293,12 @@ impl ExecContext {
         }
     }
 
-    /// The same context with per-operator tracing enabled into `tracer`,
-    /// whose trace id it adopts.
+    /// The same context with per-operator tracing enabled: the run is
+    /// attached to `tracer`, which reads its trail, and adopts its trace
+    /// id.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Arc<crate::trace::Tracer>) -> ExecContext {
+        tracer.attach(&self.counters);
         self.trace = tracer.trace_id();
         self.tracer = Some(tracer);
         self
@@ -319,12 +321,13 @@ impl ExecContext {
         self.trace
     }
 
-    /// Records a fact this run decided on the trail of its counters — the
-    /// one writer of the trail — and journals an arbitration, an interval
-    /// escape, an adopted re-plan or a degradation step at once, under
-    /// [`ExecContext::trace_id`], so a run that fails or hangs still shows
-    /// what it did. A re-plan or degradation step journals how many of its
-    /// kind the trail then holds.
+    /// Records a fact this run decided, or traced, on the trail of its
+    /// counters — the one writer of the trail — and journals an
+    /// arbitration, an interval escape, an adopted re-plan or a
+    /// degradation step at once, under [`ExecContext::trace_id`], so a run
+    /// that fails or hangs still shows what it did. A re-plan or
+    /// degradation step journals how many of its kind the trail then
+    /// holds; spans and audits journal nothing.
     pub fn record(&self, event: RunEvent) {
         use crate::journal::{journal, EventKind as J, NO_ID};
         use crate::reopt::ReoptEventKind as R;
@@ -343,7 +346,7 @@ impl ExecContext {
                 }
                 _ => None,
             },
-            RunEvent::Decision(_) | RunEvent::Fallback(_) => None,
+            _ => None,
         };
         self.counters.append(event);
         if let Some((kind, node, a, b)) = journaled {
@@ -371,15 +374,6 @@ impl ExecContext {
         self
     }
 
-    /// The same context with the initial span parent overridden, so a
-    /// compiled subtree nests under an externally opened span (e.g. a
-    /// shard's root span in a distributed trace).
-    #[must_use]
-    pub fn with_span_parent(mut self, parent: crate::trace::SpanId) -> ExecContext {
-        self.span_parent = Some(parent);
-        self
-    }
-
     // Compat shim for the frozen `benchmark/`, no reader in the workspace; the next `[benchmark]` PR deletes it (ROADMAP).
     #[doc(hidden)]
     #[must_use]
@@ -399,8 +393,9 @@ impl ExecContext {
     /// counters (merged back by the coordinator when the worker finishes),
     /// the *shared* governor (all workers draw on the one query grant and
     /// see the same cancellation flag), and `dop = 1` so a worker's subtree
-    /// never fans out again. The tracer (and span parent)
-    /// carry over so a worker's subtree keeps recording spans.
+    /// never fans out again. The tracer (and span parent) carry over so a
+    /// worker's subtree keeps recording spans: a worker's span ends go on
+    /// its private trail and merge into the query's with its counters.
     #[must_use]
     pub fn worker(&self) -> ExecContext {
         ExecContext { counters: SharedCounters::new(), dop: 1, ..self.clone() }

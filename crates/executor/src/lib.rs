@@ -99,8 +99,8 @@ pub use reopt::{
 };
 pub use sort::{kway_merge, sort_batches, SortExec};
 pub use trace::{
-    merge_distributed, next_trace_id, AltAudit, ArbitrationOutcome, AttemptAudit, ChooseAudit,
-    NetSpanStats, NodeEstimate, Phases, SpanId, SpanRecord, SpanStats, TraceReport, TracedExec,
-    Tracer,
+    next_trace_id, AltAudit, ArbitrationOutcome, AttemptAudit, ChooseAudit, NetSpanStats,
+    NodeEstimate, Phases, SpanEnd, SpanId, SpanOpen, SpanRecord, SpanStats, TraceReport,
+    TracedExec, Tracer,
 };
 pub use tuple::{Tuple, TupleLayout};

@@ -2,7 +2,8 @@
 //! summary. Every fact a run decides is one [`RunEvent`] on the trail of
 //! its [`SharedCounters`], written by [`crate::ExecContext::record`];
 //! fallbacks, start-up evaluations, winners and the re-optimization report
-//! are views of it.
+//! are views of it. A traced run's spans and audits are events on the same
+//! trail, which its [`crate::Tracer`] reads.
 
 use std::sync::Arc;
 
@@ -11,6 +12,7 @@ use dqep_storage::IoStats;
 use parking_lot::Mutex;
 
 use crate::reopt::{ReoptEvent, ReoptEventKind};
+use crate::trace::{ChooseAudit, SpanEnd, SpanOpen};
 
 /// CPU work counters, charged at the cost model's constants.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,6 +103,12 @@ pub enum RunEvent {
     Fallback(FallbackCause),
     /// A step of the re-optimization driver.
     Reopt(ReoptEvent),
+    /// A traced span opened ([`crate::ExecContext::open_span`]).
+    SpanOpen(Box<SpanOpen>),
+    /// A traced span ended ([`crate::ExecContext::end_span`]).
+    SpanEnd(Box<SpanEnd>),
+    /// A traced arbitration's audit, right after the arbitration.
+    Audit(Box<ChooseAudit>),
 }
 
 /// Why a run fell back outside a choose-plan.
@@ -174,7 +182,7 @@ impl SharedCounters {
             RunEvent::Arbitration { fallbacks, .. } => *fallbacks,
             RunEvent::Fallback(_) => 1,
             RunEvent::Reopt(step) => u64::from(step.kind == ReoptEventKind::Fallback),
-            RunEvent::Decision(_) => 0,
+            _ => 0,
         };
         self.with_trail(|trail| trail.iter().map(absorbed).sum())
     }
@@ -204,9 +212,10 @@ impl SharedCounters {
     }
 
     /// Folds another counter set into this one — how an exchange
-    /// coordinator merges its workers' private counters and trails back
-    /// into the query's after the parallel phase, so [`ExecSummary`]
-    /// totals are exact regardless of the degree of parallelism.
+    /// coordinator merges its workers' private counters and trails (their
+    /// span ends included) back into the query's after the parallel phase,
+    /// so [`ExecSummary`] totals are exact regardless of the degree of
+    /// parallelism.
     pub fn merge_from(&self, other: &SharedCounters) {
         let (cpu, trail) = {
             let o = other.inner.lock();

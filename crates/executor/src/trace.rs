@@ -1,7 +1,19 @@
 //! Per-operator execution tracing.
 //!
-//! A [`Tracer`] collects one [`SpanRecord`] per compiled operator. The
-//! compiler ([`crate::compile_plan`]) opens a span for every plan node
+//! A traced run keeps one record: the trail of its [`SharedCounters`].
+//! What the run decides is on it, traced or not ([`ExecContext::record`]);
+//! a traced run adds what only a trace knows — each span as it opens and
+//! as it ends ([`RunEvent::SpanOpen`], [`RunEvent::SpanEnd`]) and each
+//! arbitration's [`ChooseAudit`] right after the arbitration
+//! ([`RunEvent::Audit`]). A [`Tracer`] holds none of it: it is a trace id,
+//! the one counter span ids are drawn from, and the runs attached to it
+//! ([`ExecContext::with_tracer`]). [`Tracer::report`] reads their trails
+//! in attach order and folds them into a [`TraceReport`]; a plan node's
+//! label is rendered only then, from the operator and join predicates its
+//! open carries. A sharded query attaches its coordinator's run and every
+//! shard's to one tracer, so its spans form one tree with one set of ids.
+//!
+//! The compiler ([`crate::compile_plan`]) opens a span for every plan node
 //! when the [`ExecContext`] carries a tracer and wraps the produced
 //! operator in a [`TracedExec`] decorator; with no tracer the compiled
 //! tree is byte-identical to the untraced one — no wrapper, no span, no
@@ -9,26 +21,18 @@
 //! compile time and nothing at run time.
 //!
 //! Span statistics accumulate *locally* inside each wrapper (plain field
-//! updates, no locking on the hot path) and flush into the tracer exactly
-//! once, on `close`. Exchange workers share a single span: each worker's
-//! wrapper flushes its private [`SpanStats`] and the tracer merges them
-//! with [`SpanStats::merge_from`] — the same shape as
-//! [`SharedCounters::merge_from`], and merge-order independent by the
-//! same argument (all fields are sums, except the memory high-water which
-//! merges with `max`).
-//!
-//! A tracer only traces. What a run decides is recorded once, traced or
-//! not, on the run's trail ([`ExecContext::record`]). A tracer adds what
-//! only a trace knows — spans, each arbitration's [`ChooseAudit`] — and
-//! its id, which the journal events of a traced run carry. The run hands
-//! its trail to its tracer once, at its end ([`crate::run`]): audit
-//! outcomes and the re-optimization report are read off it
-//! ([`TraceReport::outcomes`], [`TraceReport::reopt`]).
+//! updates, no locking on the hot path) and end the span exactly once, on
+//! `close`. Exchange workers share a single span: each worker's wrapper
+//! ends it on the worker's own trail, which merges into the query's with
+//! the worker's counters ([`SharedCounters::merge_from`]), and the report
+//! merges the ends with [`SpanStats::merge_from`] — merge-order
+//! independent, as all fields are sums except the memory and temp-page
+//! high-waters, which merge with `max`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
+use dqep_algebra::{JoinPred, PhysicalOp};
 use dqep_interval::Interval;
 use dqep_plan::{NodeId, Plan, PlanNode};
 use dqep_storage::{IoStats, SimDisk};
@@ -37,7 +41,8 @@ use parking_lot::Mutex;
 use crate::batch::RowBatch;
 use crate::error::ExecError;
 use crate::exec::{BoxedOperator, Operator};
-use crate::governor::{ExecContext, ResourceGovernor};
+use crate::governor::ExecContext;
+use crate::journal::monotonic_ns;
 use crate::metrics::{CpuCounters, RunEvent, SharedCounters};
 use crate::netexchange::NetStats;
 use crate::reopt::ReoptReport;
@@ -57,16 +62,17 @@ pub fn next_trace_id() -> u64 {
     NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Index of a span inside its [`Tracer`]. Stable for the tracer's
-/// lifetime; parents always have smaller ids than their children because
-/// the compiler opens spans top-down.
+/// A span's id: drawn from its [`Tracer`]'s one counter as the span
+/// opens, and its index in the tracer's report. Parents always have
+/// smaller ids than their children, because a span opens before any span
+/// nested under it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub usize);
 
 /// The optimizer's compile-time interval estimate for one plan node,
 /// captured when the node is compiled so EXPLAIN ANALYZE can diff it
 /// against actuals.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeEstimate {
     /// Output cardinality interval (rows).
     pub card: Interval,
@@ -87,7 +93,7 @@ impl NodeEstimate {
 /// Measured totals for one span. All fields are *inclusive* of the
 /// operator's subtree, mirroring `total_cost` semantics, because the
 /// wrapper's windows around `open`/`next` contain the children's work.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpanStats {
     /// Rows delivered to the parent (live rows for batches).
     pub rows: u64,
@@ -119,7 +125,8 @@ impl SpanStats {
     /// and I/O sum; the memory and temp-page high-waters take the max
     /// (each is a shared peak, not a per-worker quantity). Commutative and
     /// associative, so merge order never matters — the property
-    /// `tests/observability.rs` exercises under concurrent flushes.
+    /// `tests/observability.rs` exercises over worker span ends merged
+    /// into a run concurrently.
     pub fn merge_from(&mut self, other: &SpanStats) {
         self.rows += other.rows;
         self.batches += other.batches;
@@ -159,13 +166,14 @@ pub struct NetSpanStats {
     /// Zero on the receive side.
     pub stats: NetStats,
     /// The peer's span id recovered from the frame header (receive side
-    /// only): proof the trace context propagated across the wire. Remapped
-    /// into merged-report coordinates by [`merge_distributed`].
+    /// only): proof the trace context propagated across the wire. Both
+    /// sides draw their ids from the query's one tracer, so it names the
+    /// send span in the report as it stands.
     pub remote_span: Option<u64>,
 }
 
 /// One traced operator: identity, estimate, and measured totals.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// This span's id (its index in the report).
     pub id: SpanId,
@@ -193,7 +201,7 @@ pub struct SpanRecord {
 }
 
 /// One choose-plan arbitration alternative as considered at bind time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AltAudit {
     /// Index among the choose-plan's children.
     pub index: usize,
@@ -204,7 +212,7 @@ pub struct AltAudit {
 }
 
 /// One open attempt during a choose-plan's run-time arbitration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttemptAudit {
     /// Alternative index attempted.
     pub index: usize,
@@ -215,7 +223,7 @@ pub struct AttemptAudit {
 /// What a trace alone knows of one choose-plan arbitration: what was
 /// considered, under which bindings, and the attempts in order. Its
 /// outcome is the run's trail's ([`TraceReport::outcomes`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChooseAudit {
     /// The choose-plan node's id.
     pub node: u64,
@@ -236,20 +244,100 @@ pub struct ChooseAudit {
 /// retryable failures absorbed on the way.
 pub type ArbitrationOutcome = (Option<usize>, u64);
 
-#[derive(Debug, Default)]
-struct TracerInner {
-    spans: Vec<SpanRecord>,
-    audits: Vec<ChooseAudit>,
-    trail: Vec<RunEvent>,
+/// A span as it opens on a run's trail ([`RunEvent::SpanOpen`]): its
+/// record with nothing measured yet and, for a plan node, the operator and
+/// join predicates its label is rendered from when a report is read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanOpen {
+    /// The record as it opens. A plan node's has no label text, and an
+    /// empty label reads as the span's kind.
+    pub record: SpanRecord,
+    /// The plan node's operator and join predicates.
+    pub op: Option<(PhysicalOp, Vec<JoinPred>)>,
 }
 
-/// Collector for one traced execution. Cheap to share (`Arc`); wrappers
-/// only take its lock twice per operator (span creation and the single
-/// flush on close), never per row.
+impl SpanOpen {
+    /// The record with its label rendered.
+    fn rendered(&self) -> SpanRecord {
+        let label = match &self.op {
+            Some((op, preds)) => op.label(preds).to_string(),
+            None if self.record.label.is_empty() => self.record.kind.to_string(),
+            None => self.record.label.clone(),
+        };
+        SpanRecord { label, ..self.record.clone() }
+    }
+}
+
+/// A span's end on a run's trail ([`RunEvent::SpanEnd`]). A span may end
+/// more than once — once for each exchange worker that shares it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanEnd {
+    /// The span that ends.
+    pub id: SpanId,
+    /// Totals merged into the span's ([`SpanStats::merge_from`]).
+    pub stats: SpanStats,
+    /// Wire accounting, for a network-exchange span.
+    pub net: Option<NetSpanStats>,
+    /// A label replacing the span's own.
+    pub label: Option<String>,
+}
+
+impl ExecContext {
+    /// Opens a span of `kind` under `parent` on the run's trail, started at
+    /// `at` (now when `None`), and returns its id; untraced, it opens
+    /// nothing and reads no clock. A plan node's span (`node`) carries the
+    /// node's id and estimate, and its label is rendered from its operator
+    /// when a report is read; any other span is labelled `label()`, or its
+    /// kind when that is empty.
+    pub fn open_span(
+        &self,
+        kind: &'static str,
+        node: Option<(&Plan, NodeId)>,
+        label: impl FnOnce() -> String,
+        parent: Option<SpanId>,
+        at: Option<u64>,
+    ) -> Option<SpanId> {
+        let tracer = self.tracer.as_ref()?;
+        let id = SpanId(tracer.next_span.fetch_add(1, Ordering::Relaxed));
+        let record = SpanRecord {
+            id,
+            parent,
+            label: label(),
+            kind,
+            node: node.map(|(_, n)| u64::from(n.0)),
+            estimate: node.map(|(plan, n)| NodeEstimate::of(&plan[n])),
+            dop: self.dop,
+            stats: SpanStats::default(),
+            start_ns: at.unwrap_or_else(monotonic_ns),
+            net: None,
+        };
+        let op = node.map(|(plan, n)| (plan[n].op, plan.join_preds(n).to_vec()));
+        self.record(RunEvent::SpanOpen(Box::new(SpanOpen { record, op })));
+        Some(id)
+    }
+
+    /// Ends span `id` on the run's trail: `stats` merge into its totals,
+    /// `net` is its wire accounting and `label` replaces its label.
+    pub fn end_span(
+        &self,
+        id: SpanId,
+        stats: SpanStats,
+        net: Option<NetSpanStats>,
+        label: Option<String>,
+    ) {
+        self.record(RunEvent::SpanEnd(Box::new(SpanEnd { id, stats, net, label })));
+    }
+}
+
+/// A read handle over traced runs: a trace id, the one counter the runs'
+/// span ids are drawn from, and the runs attached to it
+/// ([`ExecContext::with_tracer`]). It holds no span, audit or trail of its
+/// own; [`Tracer::report`] reads the runs' trails.
 #[derive(Debug)]
 pub struct Tracer {
-    inner: Mutex<TracerInner>,
     trace_id: u64,
+    next_span: AtomicUsize,
+    runs: Mutex<Vec<SharedCounters>>,
 }
 
 impl Default for Tracer {
@@ -259,106 +347,56 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A fresh, empty tracer with a new process-unique trace id.
+    /// A fresh tracer with no run attached and a new process-unique trace
+    /// id.
     #[must_use]
     pub fn new() -> Tracer {
-        Tracer::with_trace_id(next_trace_id())
+        Tracer { trace_id: next_trace_id(), next_span: AtomicUsize::new(0), runs: Mutex::default() }
     }
 
-    /// A tracer participating in an existing distributed trace: spans it
-    /// records carry `trace_id`, so per-shard reports can be merged into
-    /// one connected timeline and frame headers stamp the shared id.
-    #[must_use]
-    pub fn with_trace_id(trace_id: u64) -> Tracer {
-        Tracer { inner: Mutex::default(), trace_id }
-    }
-
-    /// The distributed trace id all this tracer's spans belong to.
+    /// The trace id of every run attached to this tracer.
     #[must_use]
     pub fn trace_id(&self) -> u64 {
         self.trace_id
     }
 
-    /// Registers a new span and returns its id.
-    pub fn span(
-        &self,
-        label: String,
-        kind: &'static str,
-        node: Option<u64>,
-        estimate: Option<NodeEstimate>,
-        parent: Option<SpanId>,
-        dop: usize,
-    ) -> SpanId {
-        let start_ns = crate::journal::monotonic_ns();
-        let mut inner = self.inner.lock();
-        let id = SpanId(inner.spans.len());
-        inner.spans.push(SpanRecord {
-            id,
-            parent,
-            label,
-            kind,
-            node,
-            estimate,
-            dop,
-            stats: SpanStats::default(),
-            start_ns,
-            net: None,
-        });
-        id
+    /// Attaches the run that keeps its trail in `counters`.
+    pub(crate) fn attach(&self, counters: &SharedCounters) {
+        self.runs.lock().push(counters.clone());
     }
 
-    /// A span of no plan node, labelled `kind`, from `start` (ns) for
-    /// `wall` ns (its `open_wall_ns`).
-    fn phase(&self, kind: &'static str, parent: Option<SpanId>, start: u64, wall: u64) -> SpanId {
-        let id = self.span(kind.to_string(), kind, None, None, parent, 1);
-        self.edit(id, |r| (r.start_ns, r.stats.open_wall_ns) = (start, wall));
-        id
-    }
-
-    /// Applies `edit` to `id`'s record.
-    fn edit(&self, id: SpanId, edit: impl FnOnce(&mut SpanRecord)) {
-        if let Some(record) = self.inner.lock().spans.get_mut(id.0) {
-            edit(record);
-        }
-    }
-
-    /// Attaches wire accounting to a network-exchange span.
-    pub fn set_net(&self, id: SpanId, net: NetSpanStats) {
-        self.edit(id, |record| record.net = Some(net));
-    }
-
-    /// Merges a wrapper's locally accumulated totals into `id`'s record.
-    /// Safe to call concurrently from exchange workers sharing a span.
-    pub fn merge_span(&self, id: SpanId, stats: &SpanStats) {
-        self.edit(id, |record| record.stats.merge_from(stats));
-    }
-
-    /// Appends a choose-plan audit trail.
-    pub fn audit(&self, audit: ChooseAudit) {
-        self.inner.lock().audits.push(audit);
-    }
-
-    /// Takes the trail of the run being traced, as it stood at the run's
-    /// end.
-    pub(crate) fn set_trail(&self, trail: Vec<RunEvent>) {
-        self.inner.lock().trail = trail;
-    }
-
-    /// Snapshot of everything recorded so far.
+    /// The trace as the attached runs' trails stand: the trails in attach
+    /// order, the spans they opened in id order with their ends merged and
+    /// their labels rendered, and the audits on them.
     #[must_use]
     pub fn report(&self) -> TraceReport {
-        let inner = self.inner.lock();
-        TraceReport {
-            trace_id: self.trace_id,
-            spans: inner.spans.clone(),
-            audits: inner.audits.clone(),
-            trail: inner.trail.clone(),
+        let trail: Vec<RunEvent> =
+            self.runs.lock().iter().flat_map(SharedCounters::trail).collect();
+        let (mut spans, mut audits) = (Vec::<SpanRecord>::new(), Vec::new());
+        for event in &trail {
+            match event {
+                RunEvent::SpanOpen(open) => spans.push(open.rendered()),
+                RunEvent::Audit(audit) => audits.push((**audit).clone()),
+                _ => {}
+            }
         }
+        spans.sort_by_key(|span| span.id);
+        for event in &trail {
+            let RunEvent::SpanEnd(end) = event else { continue };
+            let Ok(at) = spans.binary_search_by_key(&end.id, |span| span.id) else { continue };
+            let span = &mut spans[at];
+            span.stats.merge_from(&end.stats);
+            span.net = end.net.or(span.net);
+            if let Some(label) = &end.label {
+                span.label.clone_from(label);
+            }
+        }
+        TraceReport { trace_id: self.trace_id, spans, audits, trail }
     }
 }
 
 /// An immutable snapshot of a [`Tracer`]: the span tree, the choose-plan
-/// audits in creation order (top-down), and the run's trail.
+/// audits in arbitration order, and the trails they were read from.
 #[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     /// The distributed trace id shared by every span (0 for a default
@@ -368,22 +406,25 @@ pub struct TraceReport {
     pub spans: Vec<SpanRecord>,
     /// Choose-plan audits, in arbitration order.
     pub audits: Vec<ChooseAudit>,
-    /// The trail of the traced run, handed over at its end (empty before).
+    /// The trails of the traced runs, in the order they were attached.
     pub trail: Vec<RunEvent>,
 }
 
 impl TraceReport {
-    /// Each audit with its arbitration's outcome off the trail (`None`
-    /// past the trail's end): a traced run writes both at every
-    /// arbitration, and a merged report concatenates both in one order, so
-    /// the k-th audit is the k-th arbitration.
+    /// Each audit on the trail with the outcome of its arbitration, the
+    /// last one before it (`None` if there is none).
     #[must_use]
     pub fn outcomes(&self) -> Vec<(&ChooseAudit, Option<ArbitrationOutcome>)> {
-        let mut arbitrations = self.trail.iter().filter_map(|e| match e {
-            RunEvent::Arbitration { winner, fallbacks, .. } => Some((*winner, *fallbacks)),
+        let mut arbitration = None;
+        let paired = self.trail.iter().filter_map(|e| match e {
+            RunEvent::Arbitration { winner, fallbacks, .. } => {
+                arbitration = Some((*winner, *fallbacks));
+                None
+            }
+            RunEvent::Audit(audit) => Some((&**audit, arbitration.take())),
             _ => None,
         });
-        self.audits.iter().map(|audit| (audit, arbitrations.next())).collect()
+        paired.collect()
     }
 
     /// The mid-query re-optimization report: the re-optimization steps on
@@ -412,18 +453,21 @@ impl TraceReport {
 /// reading; the first starts where the root does, and
 /// [`Phases::finish`] ends the last and the root together. A wall (a
 /// span's `open_wall_ns`) is the difference of two readings, so the
-/// phases are contiguous and sum to the root to the nanosecond. Without a
-/// tracer a `Phases` is `None`: every call is one branch and reads no
-/// clock, as [`crate::compile_plan`] takes one branch a plan node.
+/// phases are contiguous and sum to the root to the nanosecond. Every
+/// phase opens and ends on the trail of the run it times. Untraced a
+/// `Phases` is `None`: every call is one branch and reads no clock, as
+/// [`crate::compile_plan`] takes one branch a plan node.
 #[derive(Debug, Default)]
 pub struct Phases(Option<PhaseClock>);
 
 #[derive(Debug)]
 struct PhaseClock {
-    tracer: Arc<Tracer>,
-    root: SpanId,
-    /// The open phase, once there is one.
-    open: Option<SpanId>,
+    /// The run whose trail the phases go on.
+    ctx: ExecContext,
+    /// The root span and its kind.
+    root: (SpanId, &'static str),
+    /// The open phase and its kind, once there is one.
+    open: Option<(SpanId, &'static str)>,
     /// The reading the root started at.
     root_ns: u64,
     /// The reading the open phase started at.
@@ -433,41 +477,62 @@ struct PhaseClock {
 impl PhaseClock {
     /// Ends the open phase now; returns the reading the next one starts at.
     fn lap(&mut self) -> u64 {
-        if let Some(open) = self.open.take() {
-            let now = crate::journal::monotonic_ns();
-            let wall = now - self.lap_ns;
-            self.tracer.edit(open, |r| r.stats.open_wall_ns = wall);
+        if let Some((open, _)) = self.open.take() {
+            let now = monotonic_ns();
+            self.end(open, now - self.lap_ns);
             self.lap_ns = now;
         }
         self.lap_ns
     }
+
+    /// The open phase, or the root before the first.
+    fn current(&self) -> (SpanId, &'static str) {
+        self.open.unwrap_or(self.root)
+    }
+
+    /// Opens a phase `kind` under `parent`, started at `at`.
+    fn phase(&self, kind: &'static str, parent: SpanId, at: u64) -> Option<SpanId> {
+        self.ctx.open_span(kind, None, String::new, Some(parent), Some(at))
+    }
+
+    /// Ends `span` after `wall` ns.
+    fn end(&self, span: SpanId, wall: u64) {
+        let stats = SpanStats { open_wall_ns: wall, ..SpanStats::default() };
+        self.ctx.end_span(span, stats, None, None);
+    }
 }
 
 impl Phases {
-    /// Opens the root span `kind` of a request traced into `tracer`.
+    /// Opens the root span `kind` of a request that runs under `ctx`.
     #[must_use]
-    pub fn start(tracer: Option<&Arc<Tracer>>, kind: &'static str) -> Phases {
-        Phases(tracer.map(|tracer| {
-            let now = crate::journal::monotonic_ns();
-            let root = tracer.phase(kind, None, now, 0);
-            PhaseClock { tracer: Arc::clone(tracer), root, open: None, root_ns: now, lap_ns: now }
+    pub fn start(ctx: &ExecContext, kind: &'static str) -> Phases {
+        let now = ctx.tracer.as_ref().map(|_| monotonic_ns());
+        Phases(now.and_then(|now| {
+            let root = (ctx.open_span(kind, None, String::new, None, Some(now))?, kind);
+            Some(PhaseClock { ctx: ctx.clone(), root, open: None, root_ns: now, lap_ns: now })
         }))
+    }
+
+    /// The root span, when traced.
+    #[must_use]
+    pub fn root(&self) -> Option<SpanId> {
+        self.0.as_ref().map(|clock| clock.root.0)
     }
 
     /// Ends the open phase and opens phase `kind`; returns its span.
     pub fn next(&mut self, kind: &'static str) -> Option<SpanId> {
         let clock = self.0.as_mut()?;
         let start = clock.lap();
-        clock.open = Some(clock.tracer.phase(kind, Some(clock.root), start, 0));
-        clock.open
+        clock.open = clock.phase(kind, clock.root.0, start).map(|span| (span, kind));
+        clock.open.map(|(span, _)| span)
     }
 
     /// Labels the open phase (the root, before the first) `Kind [detail]`.
     pub fn note(&self, detail: impl FnOnce() -> String) {
         if let Some(clock) = &self.0 {
-            let detail = detail();
-            let open = clock.open.unwrap_or(clock.root);
-            clock.tracer.edit(open, |r| r.label = format!("{} [{detail}]", r.kind));
+            let (span, kind) = clock.current();
+            let label = format!("{kind} [{}]", detail());
+            clock.ctx.end_span(span, SpanStats::default(), None, Some(label));
         }
     }
 
@@ -479,7 +544,9 @@ impl Phases {
             let mut at = clock.lap_ns;
             for (kind, seconds) in parts() {
                 let wall = (seconds.max(0.0) * 1e9).round() as u64;
-                clock.tracer.phase(kind, clock.open.or(Some(clock.root)), at, wall);
+                if let Some(part) = clock.phase(kind, clock.current().0, at) {
+                    clock.end(part, wall);
+                }
                 at += wall;
             }
         }
@@ -487,92 +554,43 @@ impl Phases {
 
     /// Ends the open phase and the root, both now.
     pub fn finish(&mut self) {
-        if let Some(clock) = &mut self.0 {
+        if let Some(mut clock) = self.0.take() {
             let wall = clock.lap() - clock.root_ns;
-            clock.tracer.edit(clock.root, |r| r.stats.open_wall_ns = wall);
+            clock.end(clock.root.0, wall);
         }
     }
-}
-
-/// Merges a distributed execution's per-shard trace reports into the
-/// coordinator's report, producing one connected span tree.
-///
-/// The coordinator's spans keep their ids (its root — span 0 — becomes
-/// the merged root). Each shard's spans are appended in shard order with
-/// their ids and parents shifted by that shard's offset; a shard-local
-/// root (parent `None`) is re-parented onto the coordinator root, so the
-/// merged report has exactly one root. Receive-side network spans carry
-/// the sender's *local* span id recovered from the frame header; those
-/// are remapped through the sender's offset (`net.from` names the sending
-/// shard), which keeps the cross-wire link pointing at the right span in
-/// merged coordinates. The invariants the JSON schema validator enforces
-/// — `id == index`, `parent < id` — are preserved by construction.
-///
-/// Audits and trails concatenate in the same order (coordinator first),
-/// so each audit still meets its own arbitration.
-#[must_use]
-pub fn merge_distributed(coord: &TraceReport, shards: &[TraceReport]) -> TraceReport {
-    // Where each shard's spans start in the merged report.
-    let offsets: Vec<usize> = shards
-        .iter()
-        .scan(coord.spans.len(), |at, shard| Some(std::mem::replace(at, *at + shard.spans.len())))
-        .collect();
-    let coord_root = (!coord.spans.is_empty()).then_some(SpanId(0));
-    let mut merged = coord.clone();
-    for (shard, &offset) in shards.iter().zip(&offsets) {
-        merged.spans.extend(shard.spans.iter().map(|span| SpanRecord {
-            id: SpanId(span.id.0 + offset),
-            parent: span.parent.map(|p| SpanId(p.0 + offset)).or(coord_root),
-            ..span.clone()
-        }));
-        merged.audits.extend(shard.audits.iter().cloned());
-        merged.trail.extend(shard.trail.iter().cloned());
-    }
-    // A propagated remote span id is local to its sender (`net.from`):
-    // its shard's offset shifts it; a sender outside the shard range (the
-    // coordinator never sends) leaves it untouched.
-    for net in merged.spans.iter_mut().filter_map(|span| span.net.as_mut()) {
-        if let (Some(remote), Some(&offset)) = (net.remote_span, offsets.get(net.from as usize)) {
-            net.remote_span = Some(remote + offset as u64);
-        }
-    }
-    merged
 }
 
 /// Decorator recording a [`SpanStats`] for the wrapped operator. Deltas
 /// are measured inclusively (the window around a call contains the whole
-/// subtree's work, like `total_cost`). The accumulated totals flush into
-/// the tracer once, on `close` (or on drop as a backstop); exchange
-/// worker wrappers share one span id, so their flushes merge.
+/// subtree's work, like `total_cost`). The accumulated totals end the
+/// span once, on `close` (or on drop as a backstop), on the trail of the
+/// context it wraps; exchange worker wrappers share one span id, so their
+/// ends merge.
 pub struct TracedExec<'a> {
     inner: BoxedOperator<'a>,
-    tracer: Arc<Tracer>,
     span: SpanId,
-    counters: SharedCounters,
+    ctx: ExecContext,
     /// The disk whose counters this span may read. `None` for exchange
     /// worker spans: concurrent workers' windows over the shared disk
     /// overlap, so per-worker deltas would double-count — the enclosing
     /// exchange node's span accounts the I/O exactly instead.
     disk: Option<SimDisk>,
-    governor: ResourceGovernor,
     local: SpanStats,
     flushed: bool,
 }
 
 impl<'a> TracedExec<'a> {
-    /// Wraps `inner`, accumulating into `span` of `tracer` what `ctx`'s
-    /// counters and governor and `disk` see.
+    /// Wraps `inner`, accumulating into `span` what `ctx`'s counters and
+    /// governor and `disk` see, and ending it on `ctx`'s trail.
     #[must_use]
     pub fn new(
         inner: BoxedOperator<'a>,
-        tracer: Arc<Tracer>,
         span: SpanId,
-        ctx: &ExecContext,
+        ctx: ExecContext,
         disk: Option<SimDisk>,
     ) -> TracedExec<'a> {
-        let (counters, governor) = (ctx.counters.clone(), ctx.governor.clone());
-        let local = SpanStats::default();
-        TracedExec { inner, tracer, span, counters, disk, governor, local, flushed: false }
+        TracedExec { inner, span, ctx, disk, local: SpanStats::default(), flushed: false }
     }
 
     fn measured<T>(
@@ -580,7 +598,7 @@ impl<'a> TracedExec<'a> {
         is_open: bool,
         call: impl FnOnce(&mut BoxedOperator<'a>) -> Result<T, ExecError>,
     ) -> Result<T, ExecError> {
-        let cpu_before = self.counters.snapshot();
+        let cpu_before = self.ctx.counters.snapshot();
         let io_before = self.disk.as_ref().map(SimDisk::stats);
         let started = Instant::now();
         let result = call(&mut self.inner);
@@ -591,13 +609,13 @@ impl<'a> TracedExec<'a> {
         } else {
             self.local.next_wall_ns += wall;
         }
-        self.local.cpu += self.counters.snapshot().since(&cpu_before);
+        self.local.cpu += self.ctx.counters.snapshot().since(&cpu_before);
         if let (Some(disk), Some(before)) = (self.disk.as_ref(), io_before) {
             self.local.io += disk.stats().since(&before);
             self.local.temp_pages_peak =
                 self.local.temp_pages_peak.max(disk.temp_pages().high_water);
         }
-        self.local.mem_peak = self.local.mem_peak.max(self.governor.memory_peak());
+        self.local.mem_peak = self.local.mem_peak.max(self.ctx.governor.memory_peak());
         if result.is_err() {
             self.local.errors += 1;
         }
@@ -607,7 +625,7 @@ impl<'a> TracedExec<'a> {
     fn flush(&mut self) {
         if !self.flushed {
             self.flushed = true;
-            self.tracer.merge_span(self.span, &self.local);
+            self.ctx.end_span(self.span, self.local, None, None);
         }
     }
 }
@@ -650,7 +668,7 @@ impl Drop for TracedExec<'_> {
 }
 
 /// Compiles the plan's node `id` with `compile`. When `ctx` traces, the
-/// node gets a span, `compile` runs under a context whose span parent is
+/// node opens a span, `compile` runs under a context whose span parent is
 /// that span (so its inputs' spans nest), and the operator is wrapped in
 /// a [`TracedExec`] that reads `disk`. Untraced, the compile path pays one
 /// branch and allocates nothing.
@@ -661,13 +679,13 @@ pub(crate) fn traced_node<'a>(
     disk: &SimDisk,
     compile: impl FnOnce(&ExecContext) -> Result<BoxedOperator<'a>, ExecError>,
 ) -> Result<BoxedOperator<'a>, ExecError> {
-    let Some(tracer) = &ctx.tracer else { return compile(ctx) };
-    let node = &plan[id];
-    let (label, estimate) = (plan.label(id).to_string(), Some(NodeEstimate::of(node)));
-    let (node_id, parent) = (Some(u64::from(id.0)), ctx.span_parent);
-    let span = tracer.span(label, node.op.name(), node_id, estimate, parent, ctx.dop);
+    let kind = plan[id].op.name();
+    let Some(span) = ctx.open_span(kind, Some((plan, id)), String::new, ctx.span_parent, None)
+    else {
+        return compile(ctx);
+    };
     let mut child = ctx.clone();
     child.span_parent = Some(span);
     let op = compile(&child)?;
-    Ok(Box::new(TracedExec::new(op, Arc::clone(tracer), span, &child, Some(disk.clone()))))
+    Ok(Box::new(TracedExec::new(op, span, child, Some(disk.clone()))))
 }

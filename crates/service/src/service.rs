@@ -445,7 +445,7 @@ impl Shared {
         submitted: Instant,
     ) -> Result<SessionResult, ServiceError> {
         let deadline = submitted + Duration::from_millis(self.config.queue_timeout_ms);
-        let mut phases = Phases::start(request.tracer.as_ref(), "Session");
+        let mut phases = Phases::start(ctx, "Session");
         phases.next("Admission");
         phases.note(|| "replica".to_string());
         let result = self.replicas.checkout(deadline).and_then(|replica| {

@@ -22,6 +22,16 @@
 //! not; [`ShardOutcome::winners`], [`ShardOutcome::divergent_nodes`] and
 //! [`ShardOutcome::fallbacks`] are read off the shards' trails.
 //!
+//! **One trace.** A traced query ([`ShardConfig::trace`]) has one tracer,
+//! and the coordinator's run and every shard's are attached to it. Each
+//! run keeps its spans on its own trail, with ids drawn from the tracer's
+//! one counter: the coordinator's root holds the query's phases, each
+//! shard's `Shard` span opens under that root, and everything a shard does
+//! nests under its `Shard` span. Frame headers carry the send span's id,
+//! so a receive span names its send span as it stands. The spans form one
+//! tree as they are recorded; [`ShardOutcome::trace`] is the tracer's
+//! report of it, and nothing is merged or renumbered.
+//!
 //! Joins run as hash-repartitioning exchange stages: both sides are
 //! routed with the batched multiply-xor kernel
 //! ([`dqep_executor::shard_route`]) on the join key, so co-partitioning
@@ -57,10 +67,10 @@ use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
     decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal, kway_merge,
-    merge_distributed, next_trace_id, presized_batch, run_parallel, scatter_by_shard, sort_batches,
-    EventKind, ExecContext, ExecError, FrameTrace, NetChannel, NetConfig, NetSpanStats, NetStats,
-    Phases, Resource, ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet, SpanId,
-    SpanStats, TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
+    next_trace_id, presized_batch, run_parallel, scatter_by_shard, sort_batches, EventKind,
+    ExecContext, ExecError, FrameTrace, NetChannel, NetConfig, NetSpanStats, NetStats, Phases,
+    Resource, ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats,
+    TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, ParsedPredicate};
@@ -145,10 +155,9 @@ pub struct ShardConfig {
     /// winner everywhere" baseline. Default `false`: per-shard winners.
     pub force_uniform_winner: bool,
     /// Record a full distributed trace: coordinator and shard operator
-    /// spans plus network-exchange spans, merged into one connected
-    /// timeline in [`ShardOutcome::trace`]. Default `false`: shards run
-    /// untraced (their winners are still counted, and no operator pays a
-    /// wrapper).
+    /// spans plus network-exchange spans, one connected timeline in
+    /// [`ShardOutcome::trace`]. Default `false`: shards run untraced
+    /// (their winners are still counted, and no operator pays a wrapper).
     pub trace: bool,
 }
 
@@ -209,7 +218,7 @@ pub struct ShardOutcome {
     /// Retryable failures absorbed across all shards (choose-plan
     /// fallbacks plus chunked-join degradations).
     pub fallbacks: u64,
-    /// The merged distributed trace (coordinator + every shard + network
+    /// The distributed trace (coordinator + every shard + network
     /// exchange spans), present when [`ShardConfig::trace`] was set.
     pub trace: Option<TraceReport>,
 }
@@ -271,58 +280,6 @@ struct JoinStage {
 /// out-links are its row and its in-links its column. The diagonal is
 /// `None`: a shard's own partition never touches the wire.
 type Links = Vec<Vec<Option<NetChannel>>>;
-
-/// Accumulates the receive side of one link so a single receive span can
-/// be recorded once the link drains: row/batch totals plus the first
-/// propagated remote span id recovered from the frame headers.
-#[derive(Default)]
-struct RecvTrace {
-    rows: u64,
-    batches: u64,
-    remote: Option<u64>,
-}
-
-impl RecvTrace {
-    fn observe(&mut self, batch: &RowBatch, ft: FrameTrace) {
-        self.rows += batch.len() as u64;
-        self.batches += 1;
-        if self.remote.is_none() {
-            self.remote = ft.span;
-        }
-    }
-
-    /// Records the receive span under `parent` when any frame arrived.
-    /// Receive spans carry no byte accounting (the send side owns it, so
-    /// totals never double count) — just the delivered rows and the
-    /// propagated remote span.
-    fn flush(&self, tracer: &Tracer, parent: Option<SpanId>, ch: &NetChannel) {
-        if self.batches == 0 {
-            return;
-        }
-        let span = tracer.span(
-            format!("Net-Recv {}<-{}", ch.to_node(), ch.from_node()),
-            "Net-Recv",
-            None,
-            None,
-            parent,
-            1,
-        );
-        tracer.merge_span(
-            span,
-            &SpanStats { rows: self.rows, batches: self.batches, ..SpanStats::default() },
-        );
-        tracer.set_net(
-            span,
-            NetSpanStats {
-                from: ch.from_node(),
-                to: ch.to_node(),
-                sent: false,
-                remote_span: self.remote,
-                ..NetSpanStats::default()
-            },
-        );
-    }
-}
 
 /// A sharded query service: `N` partitioned replicas joined by a
 /// simulated repartitioning network, with per-shard bind-time
@@ -433,12 +390,16 @@ impl ShardedService {
     /// the retransmission budget included).
     pub fn execute(&self, sql: &str, binds: &[(&str, i64)]) -> Result<ShardOutcome, ServiceError> {
         let submitted = Instant::now();
-        // The coordinator owns the query's trace id, traced or not; with
-        // tracing on, its root span holds the query's phases and every
-        // shard's subtree.
-        let coord_tracer = self.config.trace.then(|| Arc::new(Tracer::new()));
-        let trace_id = coord_tracer.as_ref().map_or_else(next_trace_id, |t| t.trace_id());
-        let mut phases = Phases::start(coord_tracer.as_ref(), "Coordinator");
+        // The coordinator owns the query's trace id, traced or not. Traced,
+        // its run is the first attached to the query's one tracer, and its
+        // root span holds the query's phases and every shard's subtree.
+        let coord = self
+            .config
+            .trace
+            .then(|| ExecContext::new(SharedCounters::new()).with_tracer(Arc::new(Tracer::new())));
+        let trace_id = coord.as_ref().map_or_else(next_trace_id, ExecContext::trace_id);
+        let mut phases =
+            coord.as_ref().map_or_else(Phases::default, |c| Phases::start(c, "Coordinator"));
         phases.note(|| format!("x{}", self.shards.len()));
         phases.next("Parse");
         let query =
@@ -451,7 +412,7 @@ impl ShardedService {
 
         phases.next("Distribute");
         let plan = self.distribute(&query.expr, &query.predicates, query.order_by, &bindings)?;
-        let outcome = self.run(&plan, &bindings, trace_id, coord_tracer.as_ref(), phases);
+        let outcome = self.run(&plan, &bindings, trace_id, coord.as_ref(), phases);
         let m = &self.metrics;
         m.add(Metric::ShardQueries, 1);
         m.record_query(
@@ -552,23 +513,25 @@ impl ShardedService {
     /// access stage, a send and a join step per join stage, the gather.
     /// The query stops at the first step that fails. Then the coordinator
     /// drains the gather links in shard order. Every shard runs under the
-    /// query's `trace_id`.
+    /// query's `trace_id`; traced, under the coordinator's (`coord`)
+    /// tracer.
     fn run(
         &self,
         plan: &DistPlan,
         bindings: &Bindings,
         trace_id: u64,
-        coord_tracer: Option<&Arc<Tracer>>,
+        coord: Option<&ExecContext>,
         mut phases: Phases,
     ) -> Result<ShardOutcome, ServiceError> {
         let gather_span = phases.next("Execute");
         let (stages, gather) = self.wire_up(plan);
         // Each shard's run: its own counters — CPU work and the trail of
         // what it decided, read here once the shards are done — under the
-        // query's trace id. Traced, its tracer joins the coordinator's
-        // trace, and everything it does — operators, sends, receives —
-        // nests under one per-shard root span, which the merge re-parents
-        // under the coordinator's root; untraced, it has no tracer at all.
+        // query's trace id. Traced, it is attached to the coordinator's
+        // tracer, and everything it does — operators, sends, receives —
+        // nests under its `Shard` span, opened under the coordinator's
+        // root; untraced, it has no tracer at all.
+        let tracer = coord.and_then(|c| c.tracer.as_ref());
         let mut runs: Vec<ShardRun<'_>> = self
             .shards
             .iter()
@@ -577,11 +540,10 @@ impl ShardedService {
                 let mut ctx = ExecContext::with_limits(SharedCounters::new(), self.config.limits)
                     .with_dop(self.config.dop)
                     .with_trace_id(trace_id);
-                if coord_tracer.is_some() {
-                    let tracer = Arc::new(Tracer::with_trace_id(trace_id));
-                    let span =
-                        tracer.span(format!("Shard {s}"), "Shard", None, None, None, ctx.dop);
-                    ctx = ctx.with_tracer(tracer).with_span_parent(span);
+                if let Some(tracer) = tracer {
+                    ctx = ctx.with_tracer(Arc::clone(tracer));
+                    let label = || format!("Shard {s}");
+                    ctx.span_parent = ctx.open_span("Shard", None, label, phases.root(), None);
                 }
                 ShardRun { s, shard, ctx, left: Vec::new(), right: Vec::new(), sent: 0 }
             })
@@ -602,7 +564,6 @@ impl ShardedService {
         each_shard(&mut runs, paced, |run| run.gather(plan, &gather[run.s]))?;
 
         // The coordinator drains the gather links in shard order.
-        let coord = coord_tracer.map(Arc::as_ref);
         let drain = |(run, link): (&ShardRun<'_>, &NetChannel)| {
             let mut batches = Vec::new();
             drain_link(link, plan.layout.width(), &mut batches, coord, gather_span)?;
@@ -655,15 +616,10 @@ impl ShardedService {
             .collect();
         let net = links.iter().map(|l| l.stats).sum();
 
-        // The merged timeline: the coordinator's spans (root, phases,
-        // gather receives) plus every shard's report, re-parented under
-        // the coordinator root.
+        // One timeline: the coordinator's trail (root, phases, gather
+        // receives) and every shard's, read by the query's one tracer.
         phases.finish();
-        let trace = coord_tracer.map(|coord| {
-            let shard_reports: Vec<TraceReport> =
-                runs.iter().filter_map(|r| r.ctx.tracer.as_ref()).map(|t| t.report()).collect();
-            merge_distributed(&coord.report(), &shard_reports)
-        });
+        let trace = tracer.map(|tracer| tracer.report());
 
         Ok(ShardOutcome {
             rows,
@@ -862,24 +818,25 @@ fn receive_partitions(
 ) -> Result<(), ExecError> {
     let kept = std::mem::take(side);
     for ch in links.iter().filter_map(|row| row[to].as_ref()) {
-        drain_link(ch, width, side, ctx.tracer.as_deref(), ctx.span_parent)?;
+        drain_link(ch, width, side, Some(ctx), ctx.span_parent)?;
     }
     side.extend(kept);
     Ok(())
 }
 
-/// Receives every frame a link holds, decoding each onto `into`.
-/// Stops at the first frame that does not decode or whose width is not
-/// the stage layout's `width` (the header is input: a narrower frame
-/// would index out of range in the key column).
+/// Receives every frame a link holds, decoding each onto `into`, for the
+/// run of `ctx`, whose trail a receive span under `parent` goes on once
+/// the link drains. Stops at the first frame that does not decode or whose
+/// width is not the stage layout's `width` (the header is input: a
+/// narrower frame would index out of range in the key column).
 fn drain_link(
     ch: &NetChannel,
     width: usize,
     into: &mut Vec<RowBatch>,
-    tracer: Option<&Tracer>,
+    ctx: Option<&ExecContext>,
     parent: Option<SpanId>,
 ) -> Result<(), ExecError> {
-    let mut recv = RecvTrace::default();
+    let (mut stats, mut remote) = (SpanStats::default(), None);
     let drained = loop {
         let Some(frame) = ch.recv() else { break Ok(()) };
         match decode_frame_traced(&frame) {
@@ -892,14 +849,24 @@ fn drain_link(
                 )));
             }
             Ok((batch, ft)) => {
-                recv.observe(&batch, ft);
+                stats.rows += batch.len() as u64;
+                stats.batches += 1;
+                remote = remote.or(ft.span);
                 into.push(batch);
             }
             Err(e) => break Err(e),
         }
     };
-    if let Some(tracer) = tracer {
-        recv.flush(tracer, parent, ch);
+    // A receive span, when any frame arrived, carries no byte accounting
+    // (the send side owns it, so totals never double count) — just the
+    // delivered rows and the first propagated remote span.
+    if let Some(ctx) = ctx.filter(|_| stats.batches > 0) {
+        let (from, to) = (ch.from_node(), ch.to_node());
+        let label = || format!("Net-Recv {to}<-{from}");
+        if let Some(span) = ctx.open_span("Net-Recv", None, label, parent, None) {
+            let net = NetSpanStats { from, to, remote_span: remote, ..NetSpanStats::default() };
+            ctx.end_span(span, stats, Some(net), None);
+        }
     }
     drained
 }
@@ -959,23 +926,20 @@ fn send_partitions(
 
 /// The send half of one link: turns batches into dense frames stamped
 /// with the run's trace id, traced under one lazily opened `Net-Send`
-/// span.
+/// span on the run's trail.
 struct FrameSender<'a> {
     ch: &'a NetChannel,
-    trace_id: u64,
-    tracer: Option<&'a Tracer>,
-    parent: Option<SpanId>,
+    ctx: &'a ExecContext,
     /// Opened at the first frame, so the span id can ride in every frame
     /// header and an idle link records nothing.
     span: Option<SpanId>,
 }
 
 impl<'a> FrameSender<'a> {
-    /// A sender for `ctx`'s run: its trace id, its tracer and its span
+    /// A sender for `ctx`'s run: its trace id, its trail and its span
     /// parent.
     fn new(ch: &'a NetChannel, ctx: &'a ExecContext) -> FrameSender<'a> {
-        let (trace_id, tracer, parent) = (ctx.trace_id(), ctx.tracer.as_deref(), ctx.span_parent);
-        FrameSender { ch, trace_id, tracer, parent, span: None }
+        FrameSender { ch, ctx, span: None }
     }
 
     /// Sends the live rows of `batch`. Frames are dense — a selection
@@ -989,19 +953,13 @@ impl<'a> FrameSender<'a> {
         let mut lo = 0;
         while lo < live {
             let hi = if live - lo < 2 * BATCH_CAPACITY { live } else { lo + BATCH_CAPACITY };
-            let span = self.tracer.map(|tracer| {
-                *self.span.get_or_insert_with(|| {
-                    tracer.span(
-                        format!("Net-Send {}->{}", self.ch.from_node(), self.ch.to_node()),
-                        "Net-Send",
-                        None,
-                        None,
-                        self.parent,
-                        1,
-                    )
-                })
-            });
-            let trace = FrameTrace { trace_id: self.trace_id, span: span.map(|sp| sp.0 as u64) };
+            if self.span.is_none() {
+                let (from, to) = (self.ch.from_node(), self.ch.to_node());
+                let label = || format!("Net-Send {from}->{to}");
+                self.span = self.ctx.open_span("Net-Send", None, label, self.ctx.span_parent, None);
+            }
+            let span = self.span.map(|sp| sp.0 as u64);
+            let trace = FrameTrace { trace_id: self.ctx.trace_id(), span };
             self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
             lo = hi;
         }
@@ -1015,7 +973,7 @@ impl Drop for FrameSender<'_> {
     /// counters: each channel has exactly one sender and lives for one
     /// query, so its counters are the span's traffic.
     fn drop(&mut self) {
-        if let (Some(tracer), Some(span)) = (self.tracer, self.span) {
+        if let Some(span) = self.span {
             let net = NetSpanStats {
                 from: self.ch.from_node(),
                 to: self.ch.to_node(),
@@ -1023,7 +981,7 @@ impl Drop for FrameSender<'_> {
                 stats: self.ch.stats(),
                 remote_span: None,
             };
-            tracer.set_net(span, net);
+            self.ctx.end_span(span, SpanStats::default(), Some(net), None);
         }
     }
 }
@@ -1504,6 +1462,47 @@ mod tests {
                     assert_eq!(a_io, b_io, "{what}: disk I/O");
                 }
             }
+        }
+    }
+
+    /// A traced query whose shards take their steps on threads of their
+    /// own (a paced disk) is one tree: every shard draws its span ids from
+    /// the query's one tracer as it goes, so the ids interleave between
+    /// shards, yet every parent precedes its child, the send spans carry
+    /// the query's wire traffic, and every propagated remote span names a
+    /// send span on its own link.
+    #[test]
+    fn a_paced_traced_query_is_one_tree() {
+        let config =
+            ShardConfig { shards: 3, io_latency_micros: 1, trace: true, ..ShardConfig::default() };
+        let svc = ShardedService::new(catalog(3), config);
+        let binds = [("v1", 600i64), ("v2", 600), ("v3", 600)];
+        let out = svc.execute(&chain_sql(3), &binds).expect("runs");
+        let trace = out.trace.as_ref().expect("traced");
+
+        let ids: BTreeSet<usize> = trace.spans.iter().map(|s| s.id.0).collect();
+        assert_eq!(ids.len(), trace.spans.len(), "span ids are unique");
+        let roots = trace.roots();
+        assert_eq!(roots.iter().map(|s| s.kind).collect::<Vec<_>>(), ["Coordinator"]);
+        for span in &trace.spans {
+            if let Some(parent) = span.parent {
+                assert!(ids.contains(&parent.0), "the parent of span {} exists", span.id.0);
+                assert!(parent < span.id, "span {} opens after its parent", span.id.0);
+            }
+        }
+        assert_eq!(trace.spans.iter().filter(|s| s.kind == "Shard").count(), 3);
+
+        let nets: Vec<&NetSpanStats> = trace.spans.iter().filter_map(|s| s.net.as_ref()).collect();
+        let sent: NetStats = nets.iter().filter(|n| n.sent).map(|n| n.stats).sum();
+        assert_eq!(sent, out.net, "the send spans carry the query's traffic");
+        let received: Vec<_> = nets.iter().filter(|n| !n.sent).collect();
+        assert!(!received.is_empty(), "the join repartitions over the wire");
+        for net in received {
+            let remote = net.remote_span.expect("a frame header names its send span");
+            let peer = trace.spans.iter().find(|s| s.id.0 as u64 == remote);
+            let peer = peer.and_then(|s| s.net).expect("the remote span is a network span");
+            assert!(peer.sent, "span {remote} is a send span");
+            assert_eq!((peer.from, peer.to), (net.from, net.to), "span {remote} is on the link");
         }
     }
 

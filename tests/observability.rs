@@ -146,13 +146,19 @@ proptest! {
             stats.iter().map(|s| s.mem_peak).max().unwrap_or(0)
         );
 
-        // Concurrent flushes into one tracer span, as exchange workers do.
-        let tracer = Tracer::new();
-        let span = tracer.span("workers".into(), "Morsel-Scan", None, None, None, stats.len());
+        // Worker span ends merged into the run concurrently, as exchange
+        // workers' are: each ends the run's one span on its own trail,
+        // which merges into the run's with its counters.
+        let tracer = Arc::new(Tracer::new());
+        let ctx = ExecContext::new(SharedCounters::new()).with_tracer(Arc::clone(&tracer));
+        let span = ctx.open_span("Morsel-Scan", None, || "workers".into(), None, None).unwrap();
         std::thread::scope(|scope| {
             for s in &stats {
-                let tracer = &tracer;
-                scope.spawn(move || tracer.merge_span(span, s));
+                let (ctx, worker) = (&ctx, ctx.worker());
+                scope.spawn(move || {
+                    worker.end_span(span, *s, None, None);
+                    ctx.counters.merge_from(&worker.counters);
+                });
             }
         });
         let merged = tracer.report().spans[0].stats;
@@ -594,6 +600,47 @@ fn explain_analyze_reports_estimates_actuals_and_audit() {
     // JSON rendering conforms to the schema the CI checker enforces.
     let json = explain_json(&report, &catalog.config);
     validate_explain_json(&json).expect("schema-valid JSON");
+}
+
+/// A traced dynamic plan that the caller compiles and drains itself,
+/// outside `run`, reports every audit with its arbitration's outcome: the
+/// audits are read off the run's trail, where each sits right after its
+/// arbitration, so nothing has to hand the trail over at a run's end.
+#[test]
+fn a_plan_drained_outside_run_reports_every_audit_with_its_outcome() {
+    use dqep::catalog::{make_chain_catalog, SyntheticSpec};
+
+    let catalog = make_chain_catalog(&SyntheticSpec::paper(3, 7), SystemConfig::paper_1994());
+    let env = Environment::dynamic_compile_time(&catalog.config);
+    let sql = "SELECT * FROM R1, R2 WHERE R1.jr = R2.jl AND R1.a < :v1 AND R2.a < :v2";
+    let query = parse_query(sql, &catalog).unwrap();
+    let bindings = query.bindings(&[("v1", 10), ("v2", 500)]).unwrap();
+    let plan = Optimizer::new(&catalog, &env).optimize(&query.expr).unwrap().plan;
+    let db = StoredDatabase::generate(&catalog, 7);
+    let tracer = Arc::new(Tracer::new());
+    let ctx = ExecContext::new(SharedCounters::new()).with_tracer(Arc::clone(&tracer));
+    let mut op =
+        compile_dynamic_plan(&plan, &db, &catalog, &env, &bindings, 64 * 2048, &ctx).unwrap();
+    assert!(!drain(op.as_mut()).unwrap().is_empty(), "the query must return rows");
+    drop(op);
+
+    let arbitrations: Vec<(u64, Option<usize>, u64)> = ctx
+        .counters
+        .trail()
+        .iter()
+        .filter_map(|e| match e {
+            RunEvent::Arbitration { node, winner, fallbacks } => Some((*node, *winner, *fallbacks)),
+            _ => None,
+        })
+        .collect();
+    assert!(arbitrations.len() >= 2, "the plan must arbitrate: {arbitrations:?}");
+    let report = tracer.report();
+    let outcomes = report.outcomes();
+    assert_eq!(outcomes.len(), arbitrations.len(), "one audit an arbitration");
+    for ((audit, outcome), &(node, winner, fallbacks)) in outcomes.iter().zip(&arbitrations) {
+        assert_eq!(audit.node, node, "an audit meets its own arbitration");
+        assert_eq!(*outcome, Some((winner, fallbacks)), "node {node}");
+    }
 }
 
 fn wall(span: &SpanRecord) -> u64 {
