@@ -36,8 +36,11 @@
 //!   --reopt-budget N    max re-plans per query: how many times an escape
 //!                       may re-make the start-up decision (default 2;
 //!                       requires --reopt)
-//!   --dop N             intra-query parallelism: N worker threads for the
-//!                       parallel scan / hash join / sort (default 1)
+//!   --dop N             intra-query parallelism: N morsel workers for
+//!                       each file scan (default 1), on threads only on
+//!                       a paced disk (--serve or --shards with
+//!                       --io-latency-us); the results and the simulated
+//!                       cost are the same at every N
 //!   --dot PATH          write the plan DAG as Graphviz
 //!
 //! Robustness (with --run):

@@ -71,15 +71,11 @@ impl RowBatch {
         out
     }
 
-    /// Reads a spill file of `width`-attribute rows back (accounted,
-    /// `run_pages` pages at most under one disk latch) as one dense batch:
-    /// after the reads, one slice copy a column ([`SpillFile::read`]).
-    pub(crate) fn from_spill(
-        file: &SpillFile,
-        width: usize,
-        run_pages: usize,
-    ) -> Result<RowBatch, StorageError> {
-        let rows = file.read(run_pages)?;
+    /// Reads a spill file of `width`-attribute rows back (accounted, the
+    /// whole file under one disk latch) as one dense batch: after the
+    /// reads, one slice copy a column ([`SpillFile::read`]).
+    pub(crate) fn from_spill(file: &SpillFile, width: usize) -> Result<RowBatch, StorageError> {
+        let rows = file.read(usize::MAX)?;
         let mut batch = RowBatch::with_capacity(width, rows.rows());
         batch.extend_from_page(rows);
         Ok(batch)
@@ -271,13 +267,6 @@ pub(crate) struct ColStream {
 impl ColStream {
     pub(crate) fn new(batch: RowBatch) -> ColStream {
         ColStream { batch, pos: 0 }
-    }
-
-    /// The concatenation of `parts` in the order of their tags.
-    pub(crate) fn concat(width: usize, mut parts: Vec<(usize, RowBatch)>) -> ColStream {
-        parts.sort_by_key(|&(p, _)| p);
-        let total = parts.iter().map(|(_, b)| b.len()).sum();
-        ColStream::new(RowBatch::dense(parts.into_iter().map(|(_, b)| b).collect(), width, total))
     }
 
     /// Rows not yet handed out.

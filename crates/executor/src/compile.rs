@@ -120,7 +120,7 @@ impl<'a> Compiler<'a, '_> {
                 let table = db.table(relation);
                 // The one place parallelism enters a compiled tree: a DOP > 1
                 // file scan becomes an exchange over morsel-scan workers.
-                // Every other operator reads `ctx.dop` itself.
+                // Every other operator runs the same code at every DOP.
                 if ctx.dop > 1 && table.heap.page_count() >= 2 {
                     Box::new(crate::exchange::parallel_scan(
                         table,

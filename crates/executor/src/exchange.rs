@@ -1,15 +1,25 @@
-//! The exchange operator: intra-query parallelism behind the ordinary
-//! Volcano interface (Graefe's Volcano exchange, adapted to this engine's
-//! stop-and-go style).
+//! The exchange operator: the one place a plan runs in parallel
+//! (Graefe's Volcano exchange, adapted to this engine's stop-and-go
+//! style), and [`run_parallel`], the one rule for when work takes threads.
 //!
 //! [`ExchangeExec`] owns N worker subtrees. At `open()` it runs every
-//! worker to completion on its own thread — each worker opens, drains
-//! into a batch sink, and closes its subtree — then merges the workers'
-//! private [`SharedCounters`] into the query's counters and lines their
-//! batches up in worker-index order. `next_batch` hands that list out in
-//! `max_rows` slices. Because the whole operator
-//! still *is* an [`Operator`], everything above it — choose-plan fallback,
-//! the resource governor, fault injection — composes unchanged.
+//! worker to completion through [`run_parallel`] — each worker opens,
+//! drains into a batch sink, and closes its subtree — then merges the
+//! workers' private [`SharedCounters`] into the query's counters and lines
+//! their batches up in worker-index order. `next_batch` hands that list
+//! out in `max_rows` slices. Because the whole operator still *is* an
+//! [`Operator`], everything above it — choose-plan fallback, the resource
+//! governor, fault injection — composes unchanged. Its workers are
+//! morsel scans ([`parallel_scan`]); every other operator runs its dop-1
+//! code at every dop.
+//!
+//! **Threads only on a paced disk.** On this engine a degree of
+//! parallelism above 1 buys I/O overlap and nothing else: on an unpaced
+//! disk two threads run a scan, a join or a sort slower than one. So
+//! [`run_parallel`] starts threads only when the disk the work reads
+//! sleeps on every access ([`SimDisk::is_paced`]), and otherwise runs
+//! the tasks in order on the calling thread. The sharded driver takes its
+//! per-shard steps through the same rule.
 //!
 //! **Error phases.** A serial file scan performs all of its I/O while
 //! it is pulled, after `open()` has returned; only stop-and-go work (hash-join
@@ -33,7 +43,7 @@ use std::panic;
 use std::sync::Arc;
 use std::thread;
 
-use dqep_storage::{PageClaims, StoredTable, DEFAULT_MORSEL_PAGES};
+use dqep_storage::{PageClaims, SimDisk, StoredTable, DEFAULT_MORSEL_PAGES};
 
 use crate::batch::{BatchCursor, RowBatch};
 use crate::error::ExecError;
@@ -45,14 +55,19 @@ use crate::trace::TracedExec;
 use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
-/// Runs every task on its own scoped thread and collects their results in
-/// task order. Panics are propagated (a worker panic is a bug, not an
-/// [`ExecError`]).
-pub fn run_parallel<T, F>(tasks: Vec<F>) -> Vec<Result<T, ExecError>>
+/// Runs `tasks` over `disk` and collects their results in task order:
+/// each on its own scoped thread when the disk is paced, so that their
+/// sleeps overlap, else one after another on the calling thread. Every
+/// task runs either way. Panics are propagated (a task panic is a bug,
+/// not an [`ExecError`]).
+pub fn run_parallel<T, F>(disk: &SimDisk, tasks: Vec<F>) -> Vec<Result<T, ExecError>>
 where
     T: Send,
     F: FnOnce() -> Result<T, ExecError> + Send,
 {
+    if !disk.is_paced() {
+        return tasks.into_iter().map(|task| task()).collect();
+    }
     thread::scope(|s| {
         let handles: Vec<_> = tasks.into_iter().map(|t| s.spawn(t)).collect();
         handles
@@ -78,6 +93,9 @@ pub struct ExchangeExec<'a> {
     workers: Vec<ExchangeWorker<'a>>,
     layout: TupleLayout,
     ctx: ExecContext,
+    /// The disk the workers read: whether it paces decides whether they
+    /// run on threads.
+    disk: SimDisk,
     /// What the workers produced, in worker order, and how far it has
     /// been handed out.
     output: Vec<RowBatch>,
@@ -90,13 +108,18 @@ pub struct ExchangeExec<'a> {
 
 impl<'a> ExchangeExec<'a> {
     /// Creates an exchange over `workers`, each paired with the private
-    /// counters its subtree was compiled with (see [`ExecContext::worker`]).
+    /// counters its subtree was compiled with (see [`ExecContext::worker`]),
+    /// that read `disk`.
     ///
     /// # Panics
     /// Panics if `workers` is empty — an exchange with nothing to run is a
     /// compiler bug, not a run-time condition.
     #[must_use]
-    pub fn new(workers: Vec<(BoxedOperator<'a>, SharedCounters)>, ctx: ExecContext) -> Self {
+    pub fn new(
+        workers: Vec<(BoxedOperator<'a>, SharedCounters)>,
+        ctx: ExecContext,
+        disk: SimDisk,
+    ) -> Self {
         assert!(!workers.is_empty(), "exchange needs at least one worker");
         let layout = workers[0].0.layout().clone();
         ExchangeExec {
@@ -106,6 +129,7 @@ impl<'a> ExchangeExec<'a> {
                 .collect(),
             layout,
             ctx,
+            disk,
             output: Vec::new(),
             served: BatchCursor::default(),
             pending_err: None,
@@ -129,7 +153,7 @@ impl Operator for ExchangeExec<'_> {
                 }
             })
             .collect();
-        let results = run_parallel(tasks);
+        let results = run_parallel(&self.disk, tasks);
         // Partial work is real work: merge counters before error handling.
         for w in &self.workers {
             self.ctx.counters.merge_from(&w.counters);
@@ -182,9 +206,10 @@ impl Operator for ExchangeExec<'_> {
 /// Builds the partition-parallel file scan: `ctx.dop` morsel-scan workers
 /// share one atomic [`PageClaims`] dispenser over the table's pages, so
 /// each page is read by exactly one worker and work stays balanced however
-/// the threads interleave. Page reads and record decodes are charged by
-/// the workers exactly as the serial scan charges them — totals are
-/// independent of the interleaving.
+/// the threads interleave (on an unpaced disk the first worker, run first,
+/// claims every morsel and reads the table in order). Page reads and
+/// record decodes are charged by the workers exactly as the serial scan
+/// charges them — totals are independent of the interleaving.
 #[must_use]
 pub fn parallel_scan<'a>(
     table: &'a StoredTable,
@@ -216,7 +241,7 @@ pub fn parallel_scan<'a>(
             (op, counters)
         })
         .collect();
-    ExchangeExec::new(workers, ctx.clone())
+    ExchangeExec::new(workers, ctx.clone(), table.heap.disk().clone())
 }
 
 #[cfg(test)]
@@ -239,6 +264,59 @@ mod tests {
     fn sorted_rows(mut rows: Vec<Tuple>) -> Vec<Tuple> {
         rows.sort();
         rows
+    }
+
+    /// The order the tasks ran in and the thread each ran on, beside the
+    /// results `run_parallel` handed back.
+    fn run_four(disk: &SimDisk) -> (Vec<usize>, Vec<thread::ThreadId>, Vec<usize>) {
+        let ran = parking_lot::Mutex::new(Vec::new());
+        let tasks: Vec<_> = (0..4)
+            .map(|i| {
+                let ran = &ran;
+                move || {
+                    ran.lock().push((i, thread::current().id()));
+                    Ok(i * 10)
+                }
+            })
+            .collect();
+        let results = run_parallel(disk, tasks).into_iter().map(Result::unwrap).collect();
+        let (order, threads) = ran.into_inner().into_iter().unzip();
+        (order, threads, results)
+    }
+
+    #[test]
+    fn run_parallel_runs_in_order_on_the_callers_thread_when_unpaced() {
+        let (order, threads, results) = run_four(&SimDisk::new());
+        assert_eq!(order, [0, 1, 2, 3], "task order");
+        assert!(threads.iter().all(|&t| t == thread::current().id()), "no thread started");
+        assert_eq!(results, [0, 10, 20, 30], "results in task order");
+    }
+
+    #[test]
+    fn run_parallel_runs_each_task_on_a_thread_of_its_own_when_paced() {
+        let disk = SimDisk::new();
+        disk.set_io_latency_micros(1);
+        let (mut order, threads, results) = run_four(&disk);
+        order.sort_unstable();
+        assert_eq!(order, [0, 1, 2, 3], "every task ran");
+        assert!(threads.iter().all(|&t| t != thread::current().id()), "off the caller's thread");
+        let distinct: std::collections::HashSet<_> = threads.into_iter().collect();
+        assert_eq!(distinct.len(), 4, "a thread a task");
+        assert_eq!(results, [0, 10, 20, 30], "results in task order");
+    }
+
+    #[test]
+    fn run_parallel_propagates_a_tasks_panic() {
+        for latency in [0, 1] {
+            let disk = SimDisk::new();
+            disk.set_io_latency_micros(latency);
+            let tasks: Vec<Box<dyn FnOnce() -> Result<(), ExecError> + Send>> =
+                vec![Box::new(|| Ok(())), Box::new(|| panic!("task panicked"))];
+            let caught =
+                panic::catch_unwind(panic::AssertUnwindSafe(|| run_parallel(&disk, tasks)));
+            let message = caught.expect_err("the panic reaches the caller");
+            assert_eq!(message.downcast_ref::<&str>(), Some(&"task panicked"), "paced: {latency}");
+        }
     }
 
     #[test]

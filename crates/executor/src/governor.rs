@@ -238,11 +238,12 @@ pub struct ExecContext {
     pub counters: SharedCounters,
     /// The query's resource governor.
     pub governor: ResourceGovernor,
-    /// Degree of intra-query parallelism: how many worker threads an
-    /// exchange-parallel operator (morsel scan, partitioned hash join,
-    /// parallel sort) may use. `1` (the default) compiles the classic
-    /// serial operators; parallel workers always run their own subtrees
-    /// with `dop = 1`.
+    /// Degree of intra-query parallelism: how many morsel-scan workers the
+    /// exchange a file scan compiles into runs ([`crate::parallel_scan`]),
+    /// each on a thread of its own only when the disk paces I/O
+    /// ([`crate::run_parallel`]). `1` (the default) compiles the plain
+    /// scan; every other operator runs the same code at every degree, and
+    /// workers run their own subtrees with `dop = 1`.
     pub dop: usize,
     /// The tracer this run is attached to, `None` (the default) when
     /// tracing is disabled. With a tracer, [`crate::compile_plan`] opens a

@@ -1,5 +1,6 @@
 //! Hash join: in-memory when the build input fits the memory grant,
-//! Grace-partitioned otherwise — serial or partition-parallel.
+//! Grace-partitioned otherwise — the same code at every degree of
+//! parallelism (the exchange below it is where a plan runs in parallel).
 //!
 //! The build side is the **left** input (the optimizer's convention; the
 //! commutativity rule generates the swapped variant). When the build input
@@ -9,8 +10,7 @@
 //! cost model charges.
 //!
 //! **One columnar join.** Every in-memory join — the resident table and
-//! each spilled Grace partition pair, at every degree of parallelism —
-//! goes through the same radix-partitioned columnar table: build rows are
+//! each spilled Grace partition pair — goes through the same radix-partitioned columnar table: build rows are
 //! ingested straight into per-attribute vectors (one dense [`RowBatch`]), hashed
 //! with one multiply-xor pass per key *column* (the auto-vectorizable
 //! [`fold_hash_column`] kernel — each row's hash is bit-identical to the
@@ -20,8 +20,7 @@
 //! bucket from the two ends of each hash, walks the index chains in one
 //! loop that compares key columns as slices ([`RadixTable::probe`]), and
 //! gathers match pairs into the output batch column by column. Partition
-//! count scales with the build size (one partition per L2-sized slice)
-//! and the degree of parallelism.
+//! count scales with the build size (one partition per L2-sized slice).
 //!
 //! **One hash, four consumers, disjoint bits.** The same 64-bit hash is
 //! read by every partitioner a row passes on its way to a bucket: the
@@ -42,38 +41,20 @@
 //! partition's rebuilt table — so a governor limit below what the chosen
 //! strategy needs surfaces as [`ExecError::ResourceExhausted`] instead of
 //! silently exceeding the grant.
-//!
-//! With `ctx.dop > 1` the join runs its partition work on worker threads:
-//! the in-memory strategy builds one table with at least `dop` radix
-//! partitions (each row hashed once, as in the serial join) and probes the
-//! partitions on separate workers; the Grace strategy spills exactly as
-//! the serial join does (identical pages, identical write order) and then
-//! joins the spilled partition pairs concurrently, each pair's table
-//! reservation drawn from the shared governor through a wait-or-fail
-//! [`ReserveGate`] so concurrency never oversubscribes the grant. Work
-//! the serial join does while it is pulled (probe streaming,
-//! partition-pair joining) runs eagerly inside `open()` when parallel, but
-//! its errors are *deferred* to the first `next_batch()` call, so
-//! choose-plan fallback semantics stay identical to serial execution.
-//! Per-worker counters are merged back, making accounting totals
-//! independent of the degree of parallelism.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dqep_storage::{SimDisk, SpillFile, SpillWriter, DEFAULT_MORSEL_PAGES};
-use parking_lot::{Condvar, Mutex};
+use dqep_storage::{SimDisk, SpillFile, SpillWriter};
 
 use crate::batch::{ColStream, RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
-use crate::exchange::run_parallel;
-use crate::governor::{ExecContext, ResourceGovernor};
+use crate::governor::ExecContext;
 use crate::metrics::{FallbackCause, RunEvent, SharedCounters};
 use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
 /// Grace spill fan-out (fixed: spill page identity must not depend on
-/// memory grant or DOP).
+/// the memory grant).
 const PARTITIONS: usize = 8;
 
 /// Bytes of build-side data per radix partition — roughly an L2 slice, so
@@ -107,8 +88,7 @@ pub fn mix(v: u64) -> u64 {
 /// Hashes the join-key columns of one tuple with an inline multiply-xor
 /// mix (no per-row hasher state to set up). The hash is a pure function
 /// of the key *values*, so build and probe rows with equal keys hash
-/// identically and partition assignment stays stable across sides and
-/// degrees of parallelism.
+/// identically and partition assignment stays stable across sides.
 #[inline]
 #[must_use]
 pub fn hash_key(keys: &[(usize, usize)], tuple: &[i64], side_build: bool) -> u64 {
@@ -163,15 +143,10 @@ fn hash_probe_batch(keys: &[(usize, usize)], batch: &RowBatch, hashes: &mut Vec<
 }
 
 /// Radix fan-out for a resident build side of `build_bytes`: one
-/// partition per L2-sized slice, at least one per worker, always a power
-/// of two (the partition is a mask of the hash's low bits), capped at
-/// [`MAX_RADIX_PARTITIONS`].
-fn radix_partitions(build_bytes: usize, dop: usize) -> usize {
-    build_bytes
-        .div_ceil(RADIX_PARTITION_BYTES)
-        .next_power_of_two()
-        .max(dop.next_power_of_two())
-        .min(MAX_RADIX_PARTITIONS)
+/// partition per L2-sized slice, always a power of two (the partition is
+/// a mask of the hash's low bits), capped at [`MAX_RADIX_PARTITIONS`].
+fn radix_partitions(build_bytes: usize) -> usize {
+    build_bytes.div_ceil(RADIX_PARTITION_BYTES).next_power_of_two().min(MAX_RADIX_PARTITIONS)
 }
 
 /// Stable histogram → prefix-sum scatter of `(cols, hashes)` rows into
@@ -464,7 +439,7 @@ pub fn join_batches(
             sliced.extend_from_live(&store, lo..hi);
             Cow::Owned(sliced)
         };
-        let parts = radix_partitions(piece.rows() * build_width * 8, 1);
+        let parts = radix_partitions(piece.rows() * build_width * 8);
         let table = RadixTable::build(&keys, &ctx.counters, piece, parts);
         for probe_batch in probe {
             table.match_batch(&keys, &ctx.counters, probe_batch, &mut hashes, &mut pairs);
@@ -475,151 +450,53 @@ pub fn join_batches(
     Ok(out)
 }
 
-/// Wait-or-fail admission for concurrent partition-table reservations: a
-/// worker that cannot reserve its partition's bytes *waits* while sibling
-/// partitions hold reservations (they will release), and only fails when
-/// it is alone — exactly the situation in which the serial join, holding
-/// no other partition's memory, would have been refused too.
-struct ReserveGate {
-    inflight: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl ReserveGate {
-    fn new() -> ReserveGate {
-        ReserveGate { inflight: Mutex::new(0), cv: Condvar::new() }
-    }
-
-    fn reserve(&self, governor: &ResourceGovernor, bytes: u64) -> Result<(), ExecError> {
-        let mut inflight = self.inflight.lock();
-        loop {
-            match governor.try_reserve_memory(bytes) {
-                Ok(()) => {
-                    *inflight += 1;
-                    return Ok(());
-                }
-                Err(e) => {
-                    if *inflight == 0 {
-                        return Err(e);
-                    }
-                    self.cv.wait(&mut inflight);
-                }
-            }
-        }
-    }
-
-    fn release(&self, governor: &ResourceGovernor, bytes: u64) {
-        let mut inflight = self.inflight.lock();
-        *inflight -= 1;
-        governor.release_memory(bytes);
-        self.cv.notify_all();
-    }
-}
-
-/// Runs `join_part(p, worker context)` for every partition `p < parts`
-/// on up to `dop` worker threads claiming indexes from an atomic counter,
-/// merges the workers' private counters into `ctx`, and concatenates the
-/// outputs in partition order.
-///
-/// # Errors
-/// The first worker failure (the other workers' counters still merge).
-fn join_partitions(
-    ctx: &ExecContext,
-    width: usize,
-    dop: usize,
-    parts: usize,
-    join_part: impl Fn(usize, &ExecContext) -> Result<RowBatch, ExecError> + Sync,
-) -> Result<ColStream, ExecError> {
-    let next_part = AtomicUsize::new(0);
-    let tasks: Vec<_> = (0..dop.min(parts))
-        .map(|_| {
-            let worker = ctx.worker();
-            let (next_part, join_part) = (&next_part, &join_part);
-            move || {
-                let mut outs: Vec<(usize, RowBatch)> = Vec::new();
-                loop {
-                    let p = next_part.fetch_add(1, Ordering::Relaxed);
-                    if p >= parts {
-                        return Ok((outs, worker.counters));
-                    }
-                    outs.push((p, join_part(p, &worker)?));
-                }
-            }
-        })
-        .collect();
-    let mut outs: Vec<(usize, RowBatch)> = Vec::new();
-    let mut first_err = None;
-    for result in run_parallel(tasks) {
-        match result {
-            Ok((part_outs, counters)) => {
-                ctx.counters.merge_from(&counters);
-                outs.extend(part_outs);
-            }
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    first_err.map_or_else(|| Ok(ColStream::concat(width, outs)), Err)
-}
-
 /// Joins one spilled Grace partition pair through a per-partition
 /// [`RadixTable`] and returns every joined row (probe rows in spill
 /// order, each row's matches in build-arrival order). The table's bytes
-/// are reserved through `gate` while it is resident. The serial Grace arm
-/// and the parallel workers both call this, so reads, reservation points
-/// and counter charges do not depend on the degree of parallelism — only
-/// `run_pages` does, the most pages read back under one disk latch.
+/// are reserved with the governor while it is resident.
 fn join_spilled_pair(
     keys: &Keys,
     ctx: &ExecContext,
-    gate: &ReserveGate,
-    run_pages: usize,
     (build_part, build_layout): (&SpillFile, &TupleLayout),
     (probe_part, probe_layout): (&SpillFile, &TupleLayout),
 ) -> Result<RowBatch, ExecError> {
     let build_width = build_layout.width();
     let probe_width = probe_layout.width();
     ctx.governor.charge_io((build_part.page_count() + probe_part.page_count()) as u64)?;
-    let store = RowBatch::from_spill(build_part, build_width, run_pages)?;
-    let probe_batch = RowBatch::from_spill(probe_part, probe_width, run_pages)?;
+    let store = RowBatch::from_spill(build_part, build_width)?;
+    let probe_batch = RowBatch::from_spill(probe_part, probe_width)?;
     ctx.governor.check_batch(probe_batch.rows() as u64)?;
     // The reservation is the cost model's padded record size; the radix
     // fan-out follows the bytes the columns really hold, as in
     // [`join_batches`] — the rows of a pair share their low hash bits, so
     // a second partition would stay empty and only cost the scatter.
     let part_bytes = (store.rows() * build_layout.row_bytes) as u64;
-    gate.reserve(&ctx.governor, part_bytes)?;
-    let parts = radix_partitions(store.rows() * build_width * 8, 1);
+    ctx.governor.try_reserve_memory(part_bytes)?;
+    let parts = radix_partitions(store.rows() * build_width * 8);
     let table = RadixTable::build(keys, &ctx.counters, Cow::Owned(store), parts);
     let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
     table.match_batch(keys, &ctx.counters, &probe_batch, &mut hashes, &mut pairs);
     let mut out = RowBatch::with_capacity(build_width + probe_width, pairs.len());
     table.gather_pairs_into(|c| probe_batch.column(c), &pairs, true, &mut out);
     drop(table);
-    gate.release(&ctx.governor, part_bytes);
+    ctx.governor.release_memory(part_bytes);
     Ok(out)
 }
 
 enum State {
     Closed,
-    /// Build table resident (serial): the probe input streams through it.
+    /// Build table resident: the probe input streams through it.
     Radix(RadixTable),
-    /// Grace mode (serial): partition pairs are joined one at a time,
-    /// each pair's output streamed out before the next pair is read.
+    /// Grace mode: partition pairs are joined one at a time, each pair's
+    /// output streamed out before the next pair is read.
     Partitioned {
         build_parts: Vec<SpillFile>,
         probe_parts: Vec<SpillFile>,
         part: usize,
     },
-    /// Parallel (resident or Grace): all partition work finished at
-    /// `open`; only the merged result is left to stream out.
-    Joined,
 }
 
-/// Hash join over equi-join keys. With `ctx.dop > 1` the partition work
-/// (in-memory or Grace) fans out across worker threads; see the module
-/// docs for the parity guarantees.
+/// Hash join over equi-join keys (see the module docs).
 pub struct HashJoinExec<'a> {
     build: BoxedOperator<'a>,
     probe: BoxedOperator<'a>,
@@ -632,19 +509,13 @@ pub struct HashJoinExec<'a> {
     /// Bytes currently reserved with the governor; released in `close`.
     reserved: u64,
     state: State,
-    /// Joined rows not yet handed out: the parallel paths' whole result,
-    /// the current Grace partition pair's, or what a resident probe batch
-    /// produced beyond the request.
+    /// Joined rows not yet handed out: the current Grace partition
+    /// pair's, or what a resident probe batch produced beyond the request.
     joined: ColStream,
-    /// A failure from work the serial join performs while it is pulled
-    /// (probe streaming, partition joining) that the parallel paths
-    /// perform eagerly at `open()`; surfaced on the first `next_batch`.
-    pending_err: Option<ExecError>,
 }
 
 impl<'a> HashJoinExec<'a> {
-    /// Creates a hash join building on `build`. The degree of parallelism
-    /// comes from `ctx.dop`; `1` compiles the classic serial join.
+    /// Creates a hash join building on `build`.
     #[must_use]
     pub fn new(
         build: BoxedOperator<'a>,
@@ -666,66 +537,13 @@ impl<'a> HashJoinExec<'a> {
             reserved: 0,
             state: State::Closed,
             joined: ColStream::default(),
-            pending_err: None,
         }
-    }
-
-    /// Parallel in-memory strategy: build one [`RadixTable`] (fan-out ≥
-    /// `dop`), drain + scatter the probe input columnar, then
-    /// have `dop` workers claim partitions and probe them — match pairs
-    /// gather into per-partition output batches merged in partition
-    /// order.
-    fn open_parallel_radix(&mut self, store: &RowBatch, dop: usize) -> Result<(), ExecError> {
-        let build_bytes = store.rows() * self.build.layout().row_bytes;
-        let parts = radix_partitions(build_bytes, dop);
-        let table = RadixTable::build(&self.keys, &self.ctx.counters, Cow::Borrowed(store), parts);
-        // Probe-phase work (errors defer to the first pull): hash each
-        // live row once with the columnar kernel.
-        let probe_rows = self.probe.estimated_rows().map_or(0, |n| n.min(1 << 20) as usize);
-        let mut probe_store = RowBatch::with_capacity(self.probe.layout().width(), probe_rows);
-        let mut probe_hashes: Vec<u64> = Vec::new();
-        let mut scratch: Vec<u64> = Vec::new();
-        let drained: Result<(), ExecError> = loop {
-            match self.probe.next_batch(BATCH_CAPACITY) {
-                Ok(Some(batch)) => {
-                    if let Err(e) = self.ctx.governor.check_batch(batch.len() as u64) {
-                        break Err(e);
-                    }
-                    self.ctx.counters.add_hashes(batch.len() as u64);
-                    hash_probe_batch(&self.keys, &batch, &mut scratch);
-                    probe_hashes.extend_from_slice(&scratch);
-                    probe_store.extend_from_live(&batch, 0..batch.len());
-                }
-                Ok(None) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        };
-        self.state = State::Joined;
-        if let Err(e) = drained {
-            self.pending_err = Some(e);
-            return Ok(());
-        }
-        let (probe_cols, probe_hashes, probe_starts) =
-            scatter_by_partition(probe_store.columns(), &probe_hashes, table.part_mask);
-        let (keys, out_width) = (&self.keys, self.layout.width());
-        self.joined = join_partitions(&self.ctx, out_width, dop, parts, |p, worker| {
-            let rows = probe_starts[p]..probe_starts[p + 1];
-            let mut pairs = Pairs::new();
-            table.probe(keys, |c| &probe_cols[c], &probe_hashes[rows.clone()], rows, &mut pairs);
-            worker.counters.add_records(pairs.len() as u64);
-            let mut out = RowBatch::with_capacity(out_width, pairs.len());
-            table.gather_pairs_into(|c| &probe_cols[c], &pairs, true, &mut out);
-            Ok(out)
-        })?;
-        Ok(())
     }
 }
 
 impl Operator for HashJoinExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
         self.joined = ColStream::default();
-        self.pending_err = None;
-        let dop = self.ctx.dop.max(1);
         self.build.open()?;
         let build_row_bytes = self.build.layout().row_bytes;
         let build_width = self.build.layout().width();
@@ -753,23 +571,17 @@ impl Operator for HashJoinExec<'_> {
             // The reservation stays held while the table is resident;
             // `close` releases it.
             let store = RowBatch::dense(batches, build_width, rows);
-            if dop > 1 {
-                return self.open_parallel_radix(&store, dop);
-            }
             self.state = State::Radix(RadixTable::build(
                 &self.keys,
                 &self.ctx.counters,
                 Cow::Owned(store),
-                radix_partitions(build_bytes, 1),
+                radix_partitions(build_bytes),
             ));
             return Ok(());
         }
 
         // Grace partitioning: spill both inputs by key hash (accounted);
         // the buffered build rows move to disk, so release their grant.
-        // The spill is single-threaded at every DOP — identical pages in
-        // identical order — only the partition-pair joining fans out.
-        //
         // Rows are dealt from the columns to their partitions' writers in
         // arrival order; a partition is readable once its writer has
         // sealed it.
@@ -807,50 +619,24 @@ impl Operator for HashJoinExec<'_> {
             SpillWriter::deal(&mut writers, batch.columns(), dealt)?;
         }
         let probe_parts = seal(writers)?;
-        if dop > 1 {
-            // Join the spilled pairs concurrently, each pair's table
-            // reservation going through one shared gate so concurrent
-            // pairs never oversubscribe the grant. The serial join raises
-            // partition-phase failures while it is pulled; defer them.
-            self.state = State::Joined;
-            let gate = ReserveGate::new();
-            let keys = &self.keys;
-            let (build_layout, probe_layout) = (self.build.layout(), self.probe.layout());
-            let joined =
-                join_partitions(&self.ctx, self.layout.width(), dop, PARTITIONS, |p, worker| {
-                    // The workers share the disk: a run no longer than a morsel.
-                    let (build, probe) =
-                        ((&build_parts[p], build_layout), (&probe_parts[p], probe_layout));
-                    join_spilled_pair(keys, worker, &gate, DEFAULT_MORSEL_PAGES, build, probe)
-                });
-            match joined {
-                Ok(joined) => self.joined = joined,
-                Err(e) => self.pending_err = Some(e),
-            }
-            return Ok(());
-        }
         self.state = State::Partitioned { build_parts, probe_parts, part: 0 };
         Ok(())
     }
 
     /// The join's native body. Rows already joined stream out first, in
-    /// `max_rows` slices. Then the serial resident path ([`State::Radix`])
+    /// `max_rows` slices. Then the resident path ([`State::Radix`])
     /// hashes probe batches with the columnar kernel, walks the radix
     /// table's chains, and gathers match pairs column by column; the
-    /// serial Grace path joins the next spilled partition pair
-    /// ([`join_spilled_pair`]); the parallel paths did all of that at
-    /// `open`.
+    /// Grace path joins the next spilled partition pair
+    /// ([`join_spilled_pair`]).
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
-        if let Some(e) = self.pending_err.take() {
-            return Err(e);
-        }
         self.ctx.governor.check_batch(0)?;
         loop {
             if let Some(batch) = self.joined.next_slice(max_rows) {
                 return Ok(Some(batch));
             }
             match &mut self.state {
-                State::Closed | State::Joined => return Ok(None),
+                State::Closed => return Ok(None),
                 State::Partitioned { build_parts, probe_parts, part } => {
                     if *part >= PARTITIONS {
                         return Ok(None);
@@ -860,8 +646,6 @@ impl Operator for HashJoinExec<'_> {
                     self.joined = ColStream::new(join_spilled_pair(
                         &self.keys,
                         &self.ctx,
-                        &ReserveGate::new(),
-                        usize::MAX,
                         (&build_parts[p], self.build.layout()),
                         (&probe_parts[p], self.probe.layout()),
                     )?);
@@ -900,7 +684,6 @@ impl Operator for HashJoinExec<'_> {
         self.probe.close();
         self.state = State::Closed;
         self.joined = ColStream::default();
-        self.pending_err = None;
         if self.reserved > 0 {
             self.ctx.governor.release_memory(self.reserved);
             self.reserved = 0;
@@ -1187,37 +970,5 @@ mod tests {
                 last = scols[0][i];
             }
         }
-    }
-
-    #[test]
-    fn reserve_gate_waits_for_siblings_then_succeeds() {
-        use std::sync::Arc;
-        let governor = ResourceGovernor::new(ResourceLimits {
-            memory_bytes: Some(100),
-            ..ResourceLimits::default()
-        });
-        let gate = Arc::new(ReserveGate::new());
-        // One "partition" holds most of the grant; a second must wait for
-        // the release instead of failing.
-        gate.reserve(&governor, 80).unwrap();
-        let gate2 = Arc::clone(&gate);
-        let governor2 = governor.clone();
-        let waiter = std::thread::spawn(move || gate2.reserve(&governor2, 60));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        gate.release(&governor, 80);
-        waiter.join().unwrap().unwrap();
-        gate.release(&governor, 60);
-        assert_eq!(governor.memory_used(), 0);
-    }
-
-    #[test]
-    fn reserve_gate_fails_when_alone() {
-        let governor = ResourceGovernor::new(ResourceLimits {
-            memory_bytes: Some(100),
-            ..ResourceLimits::default()
-        });
-        let gate = ReserveGate::new();
-        let err = gate.reserve(&governor, 200).unwrap_err();
-        assert!(matches!(err, ExecError::ResourceExhausted(_)));
     }
 }

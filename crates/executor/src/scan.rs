@@ -24,9 +24,8 @@ struct HeapPages<'a> {
     table: &'a StoredTable,
     layout: TupleLayout,
     ctx: ExecContext,
-    /// The most pages read under one disk latch: no bound for a scan that
-    /// has the disk to itself, a morsel where the workers of a parallel
-    /// query share it.
+    /// The most pages read under one disk latch: no bound for a file scan,
+    /// a morsel for a morsel-scan worker, whose siblings share the disk.
     run_pages: usize,
     /// The last page read when the request was full before the page was
     /// used up, and the slot to go on from: `(page index, slot)`.
@@ -176,10 +175,8 @@ impl<'a> FileScanExec<'a> {
     /// Creates a scan over `table`.
     #[must_use]
     pub fn new(table: &'a StoredTable, layout: TupleLayout, ctx: ExecContext) -> Self {
-        // At DOP > 1 the other operators' workers read this disk too.
-        let run_pages = if ctx.dop > 1 { DEFAULT_MORSEL_PAGES } else { usize::MAX };
         FileScanExec {
-            pages: HeapPages::new(table, layout, ctx, run_pages),
+            pages: HeapPages::new(table, layout, ctx, usize::MAX),
             remaining: 0..table.heap.pages().len(),
         }
     }
@@ -215,7 +212,9 @@ impl Operator for FileScanExec<'_> {
 /// it claims. The exchange operator runs `ctx.dop` of these over one
 /// dispenser; together they read each page exactly once, charging I/O and
 /// record counters exactly as the serial [`FileScanExec`] does — totals
-/// are independent of how threads interleave.
+/// are independent of how threads interleave. A run of pages under one
+/// disk latch ends at a morsel's last page, so a sibling on another
+/// thread waits for at most a morsel.
 pub struct MorselScanExec<'a> {
     pages: HeapPages<'a>,
     claims: Arc<PageClaims>,

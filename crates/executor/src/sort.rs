@@ -17,13 +17,10 @@
 //! level. Keys whose span the packing cannot hold take a comparison sort
 //! and 128-bit heads instead.
 
-use std::ops::ControlFlow;
-
-use dqep_storage::{PageId, SimDisk, SpillFile, SpillWriter, DEFAULT_MORSEL_PAGES};
+use dqep_storage::{SimDisk, SpillFile, SpillWriter};
 
 use crate::batch::{ColStream, RowBatch};
 use crate::error::ExecError;
-use crate::exchange::run_parallel;
 use crate::governor::ExecContext;
 use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
@@ -377,52 +374,6 @@ fn merge_stretches(
     gather(runs, width, order.iter().map(|&(r, i)| (r as usize, i as usize)))
 }
 
-/// The cooperative merge phase: partitions the key space into up to `dop`
-/// ranges by sampling splitter keys from the sorted runs, cuts every run's
-/// key column at each splitter with a binary search (`partition_point` on
-/// `<=`, so equal keys never straddle a boundary), and merges each range's
-/// stretches on its own worker thread. Every worker runs the serial
-/// merge's loop within its disjoint key range, so concatenating the ranges
-/// in order reproduces the serial merge output exactly — only the
-/// wall-clock work is split.
-fn parallel_range_merge(runs: &[RowBatch], width: usize, key: usize, dop: usize) -> ColStream {
-    // Splitters: sample up to 32 evenly spaced keys per run, then take
-    // `dop - 1` quantiles of the pooled sample. Sampling quality affects
-    // only range balance, never correctness.
-    let mut samples: Vec<i64> = Vec::new();
-    for run in runs {
-        let keys = run.column(key);
-        let s = keys.len().min(32);
-        samples.extend((0..s).map(|j| keys[j * keys.len() / s]));
-    }
-    samples.sort_unstable();
-    let mut bounds: Vec<i64> = (1..dop).map(|i| samples[i * samples.len() / dop]).collect();
-    bounds.dedup();
-    // Cut offsets per run: range `r` owns `cuts[r]..cuts[r + 1]`.
-    let cuts: Vec<Vec<usize>> = runs
-        .iter()
-        .map(|run| {
-            let keys = run.column(key);
-            let mut c = Vec::with_capacity(bounds.len() + 2);
-            c.push(0);
-            c.extend(bounds.iter().map(|&b| keys.partition_point(|&k| k <= b)));
-            c.push(keys.len());
-            c
-        })
-        .collect();
-    let cuts = &cuts;
-    let tasks: Vec<_> = (0..=bounds.len())
-        .map(|r| {
-            move || {
-                let stretches = cuts.iter().map(|cut| (cut[r], cut[r + 1]));
-                Ok((r, merge_stretches(runs, stretches, width, key)))
-            }
-        })
-        .collect();
-    // Range merging is pure CPU: the tasks are infallible.
-    ColStream::concat(width, run_parallel(tasks).into_iter().flatten().collect())
-}
-
 /// Sorts its input ascending on one attribute position; rows of equal
 /// keys come out in the order they came in.
 ///
@@ -485,9 +436,7 @@ impl<'a> SortExec<'a> {
     }
 
     /// Sorts one buffered chunk with `sort`, charging the cost model's
-    /// `n·log₂(n)` compare formula. The sort is serial at every DOP: a
-    /// grant's chunk radix-sorts in less time than a worker thread takes
-    /// to start.
+    /// `n·log₂(n)` compare formula.
     fn sort_chunk(&self, chunk: &RowBatch, sort: &mut RunSort) {
         let n = chunk.rows();
         if n > 1 {
@@ -502,11 +451,12 @@ impl<'a> SortExec<'a> {
     /// back to the disk when `fill` drops it, merged or failed.
     ///
     /// The run's pages are written uncharged and the accounting is settled
-    /// explicitly afterwards: exactly one charged write per data page, the
-    /// same count, order, and fault-ordinal positions as a charged writer
-    /// (no other accounted I/O happens inside a spill). Splitting content
-    /// from accounting lets a parallel sort overlap the charges' pacing
-    /// stalls across workers.
+    /// once the run is sealed — to the I/O budget in one step, then to the
+    /// disk under one latch ([`SimDisk::note_writes`]): exactly one charged
+    /// write per data page, the same count, order, and fault-ordinal
+    /// positions as a charged writer (no other accounted I/O happens inside
+    /// a spill). A write fault is charged before it errors, as a charged
+    /// writer's is.
     fn spill_chunk(
         &mut self,
         chunk: &mut RowBatch,
@@ -519,7 +469,8 @@ impl<'a> SortExec<'a> {
         SpillWriter::deal(&mut run, chunk.columns(), sort.order().map(|i| (i, 0)))?;
         let [run] = run;
         let run = run.finish()?;
-        self.charge_run_writes(run.page_count())?;
+        self.ctx.governor.charge_io(run.page_count() as u64)?;
+        self.disk.note_writes(run.page_count())?;
         runs.push(run);
         let spilled = (chunk.rows() * row_bytes) as u64;
         self.ctx.governor.release_memory(spilled);
@@ -528,87 +479,14 @@ impl<'a> SortExec<'a> {
         Ok(())
     }
 
-    /// Charges the spilled run's page writes — to the I/O budget in one
-    /// step, to the disk page by page. Serial below DOP 2 (or for a single
-    /// page), under one disk latch ([`SimDisk::note_writes`]); otherwise
-    /// the charges split across `dop` workers so
-    /// their I/O pacing stalls overlap. Totals are DOP-exact; a write
-    /// fault is charged before it errors on either path, exactly like a
-    /// charged writer's.
-    fn charge_run_writes(&self, pages: usize) -> Result<(), ExecError> {
-        self.ctx.governor.charge_io(pages as u64)?;
-        let dop = self.ctx.dop.max(1);
-        if dop <= 1 || pages < 2 {
-            return Ok(self.disk.note_writes(pages)?);
-        }
-        let share = pages.div_ceil(dop);
-        let disk = &self.disk;
-        let tasks: Vec<_> = (0..dop)
-            .map(|w| share.min(pages.saturating_sub(w * share)))
-            .filter(|&n| n > 0)
-            .map(|n| {
-                move || {
-                    for _ in 0..n {
-                        disk.note_write()?;
-                    }
-                    Ok(())
-                }
-            })
-            .collect();
-        for result in run_parallel::<(), _>(tasks) {
-            result?;
-        }
-        Ok(())
-    }
-
     /// Reads every run back (accounted, and charged to the I/O budget in
-    /// one step before the first page), one dense batch per run, each
-    /// run's rows copied after its reads with one slice a column: a whole
-    /// run file under one disk latch at DOP 1.
-    ///
-    /// With `dop > 1` the reads fan out over *pages*, not whole runs
-    /// (worker `w` reads every `dop`-th page of the concatenated run page
-    /// list, a morsel under one latch at most, so the paced stalls overlap
-    /// even when the grant produced fewer runs than workers — the page
-    /// *set* is identical, so page-identity faults trip identically; only
-    /// the seq/random read split may shift). A run's rows are its file's,
-    /// so once every read has succeeded each run is copied the same way:
-    /// the batches are the serial ones.
+    /// one step before the first page), one dense batch per run: a whole
+    /// run file under one disk latch, its rows copied after its reads with
+    /// one slice a column.
     fn read_runs(&self, runs: &[SpillFile], width: usize) -> Result<Vec<RowBatch>, ExecError> {
         let pages: usize = runs.iter().map(SpillFile::page_count).sum();
         self.ctx.governor.charge_io(pages as u64)?;
-        let dop = self.ctx.dop.max(1);
-        if dop <= 1 {
-            return runs
-                .iter()
-                .map(|run| Ok(RowBatch::from_spill(run, width, usize::MAX)?))
-                .collect();
-        }
-        let ids: Vec<PageId> = runs.iter().flat_map(|run| run.pages().iter().copied()).collect();
-        let workers = dop.min(ids.len().max(1));
-        let (ids, disk) = (&ids, &self.disk);
-        let tasks: Vec<_> = (0..workers)
-            .map(|w| {
-                move || {
-                    let mut stripe = ids.iter().copied().skip(w).step_by(workers).peekable();
-                    while stripe.peek().is_some() {
-                        disk.read_run(stripe.by_ref().take(DEFAULT_MORSEL_PAGES), |_| {
-                            ControlFlow::Continue(())
-                        })?;
-                    }
-                    Ok(())
-                }
-            })
-            .collect();
-        for result in run_parallel::<(), _>(tasks) {
-            result?;
-        }
-        let copied = |run: &SpillFile| {
-            let mut rows = RowBatch::with_capacity(width, run.record_count() as usize);
-            rows.extend_from_page(run.rows());
-            rows
-        };
-        Ok(runs.iter().map(copied).collect())
+        runs.iter().map(|run| Ok(RowBatch::from_spill(run, width)?)).collect()
     }
 
     /// Consumes the (already open) input and leaves the sorted rows in
@@ -669,23 +547,14 @@ impl<'a> SortExec<'a> {
         // total rows are fixed by the memory grant, so the formula keeps
         // the counters DOP-exact (and sums with the per-run charges to the
         // model's `n·log₂(n)`).
-        //
-        // With `dop > 1` the merge itself is range-cooperative: workers
-        // claim disjoint key ranges via splitter sampling and merge them
-        // concurrently, reproducing the serial output exactly.
         let run_rows = self.read_runs(&runs, width)?;
         let total_rows: usize = run_rows.iter().map(RowBatch::rows).sum();
         if total_rows > 0 && run_rows.len() > 1 {
             let merge_compares = (total_rows as f64 * (run_rows.len() as f64).log2()).ceil() as u64;
             self.ctx.counters.add_compares(merge_compares);
         }
-        let dop = self.ctx.dop.max(1);
-        self.output = if dop <= 1 || total_rows < 2 {
-            let whole = run_rows.iter().map(|run| (0, run.rows()));
-            ColStream::new(merge_stretches(&run_rows, whole, width, self.key))
-        } else {
-            parallel_range_merge(&run_rows, width, self.key, dop)
-        };
+        let whole = run_rows.iter().map(|run| (0, run.rows()));
+        self.output = ColStream::new(merge_stretches(&run_rows, whole, width, self.key));
         Ok(())
     }
 }

@@ -65,8 +65,11 @@ pub struct ServiceConfig {
     /// Simulated per-page-I/O device latency, in microseconds, applied to
     /// every replica's disk. Zero disables pacing.
     pub io_latency_micros: u64,
-    /// Requested intra-query parallelism per session. The DOP a session
-    /// actually runs with is bounded by its admitted memory grant — see
+    /// Requested intra-query parallelism per session: how many morsel
+    /// workers each file scan's exchange runs, on threads of their own
+    /// only when `io_latency_micros` paces the replica's disk
+    /// ([`dqep_executor::run_parallel`]). The DOP a session actually runs
+    /// with is bounded by its admitted memory grant — see
     /// [`ServiceConfig::effective_dop`].
     pub dop: usize,
     /// Mid-query re-optimization budget. `Some`: every session runs under
@@ -82,7 +85,7 @@ pub struct ServiceConfig {
 impl ServiceConfig {
     /// The degree of intra-query parallelism a session admitted with
     /// `memory_bytes` of grant may use: the configured `dop`, but never
-    /// more than one worker thread per 16 pages of admitted grant. Tying
+    /// more than one scan worker per 16 pages of admitted grant. Tying
     /// DOP to the admission-controlled memory pool keeps `sessions × dop`
     /// from oversubscribing what admission handed out — a session that
     /// squeezed in with a tiny grant does not also get to fan out.

@@ -127,7 +127,9 @@ pub struct ShardConfig {
     pub routing: ShardRouting,
     /// Buckets of the per-shard histograms (and the coordinator's).
     pub histogram_buckets: usize,
-    /// Intra-shard degree of parallelism for local access plans.
+    /// Intra-shard degree of parallelism for local access plans: morsel
+    /// workers for each file scan, on threads only when
+    /// `io_latency_micros` paces the shard's disk.
     pub dop: usize,
     /// Resource budgets. Memory, I/O and wall clock are per shard (each
     /// shard gets its own governor); `max_rows` is per query: it bounds
@@ -549,19 +551,19 @@ impl ShardedService {
             })
             .collect();
 
-        let (env, paced) = (&self.env, self.config.io_latency_micros > 0);
-        each_shard(&mut runs, paced, |run| {
+        let env = &self.env;
+        each_shard(&mut runs, |run| {
             run.left = run_access(run.shard, &plan.access[0], env, bindings, &run.ctx)?;
             Ok(())
         })?;
         for (j, (stage, links)) in plan.joins.iter().zip(&stages).enumerate() {
-            each_shard(&mut runs, paced, |run| {
+            each_shard(&mut runs, |run| {
                 run.right = run_access(run.shard, &plan.access[j + 1], env, bindings, &run.ctx)?;
                 run.send_stage(stage, links)
             })?;
-            each_shard(&mut runs, paced, |run| run.join_stage(stage, links))?;
+            each_shard(&mut runs, |run| run.join_stage(stage, links))?;
         }
-        each_shard(&mut runs, paced, |run| run.gather(plan, &gather[run.s]))?;
+        each_shard(&mut runs, |run| run.gather(plan, &gather[run.s]))?;
 
         // The coordinator drains the gather links in shard order.
         let drain = |(run, link): (&ShardRun<'_>, &NetChannel)| {
@@ -705,25 +707,23 @@ struct ShardRun<'a> {
     sent: u64,
 }
 
-/// Takes one step of the query on every shard, in shard order, and
-/// returns the first error in shard order: the query stops there, and no
-/// step runs after it. Within a step no shard sees another's, so its
-/// outcome does not depend on the order they take it in: on disks that
-/// pace I/O, each shard's step runs on a thread of its own
-/// ([`run_parallel`]), so that their sleeps overlap, and does the same
-/// work; every shard then takes the step, and the first error in shard
-/// order is the same one.
+/// Takes one step of the query on every shard ([`run_parallel`]: in shard
+/// order on the calling thread, or on a thread a shard when the disks pace
+/// I/O, so that their sleeps overlap), and returns the first error in
+/// shard order: the query stops there, and no step runs after it. Within
+/// a step no shard sees another's, so every shard does the same work
+/// either way, and the first error in shard order is the same one. A
+/// service has at least one shard, and every shard's disk is paced alike
+/// (one `io_latency_micros`), so the first one's speaks for all.
 fn each_shard<'a>(
     runs: &mut [ShardRun<'a>],
-    paced: bool,
     step: impl Fn(&mut ShardRun<'a>) -> Result<(), ExecError> + Sync,
 ) -> Result<(), ExecError> {
-    if paced {
-        let step = &step;
-        run_parallel(runs.iter_mut().map(|run| move || step(run)).collect()).into_iter().collect()
-    } else {
-        runs.iter_mut().try_for_each(step)
-    }
+    let disk = runs[0].shard.db.disk.clone();
+    let step = &step;
+    run_parallel(&disk, runs.iter_mut().map(|run| move || step(run)).collect())
+        .into_iter()
+        .collect()
 }
 
 impl ShardRun<'_> {
@@ -1393,12 +1393,12 @@ mod tests {
                 barrier.wait();
                 svc.execute(&sql, &binds).expect("runs")
             };
-            Ok((0..20).map(run).collect::<Vec<_>>())
+            (0..20).map(run).collect::<Vec<_>>()
         };
-        let outcomes: Vec<ShardOutcome> = run_parallel(vec![client, client])
-            .into_iter()
-            .flat_map(|c| c.expect("client"))
-            .collect();
+        let outcomes: Vec<ShardOutcome> = std::thread::scope(|s| {
+            let clients = [s.spawn(client), s.spawn(client)];
+            clients.into_iter().flat_map(|c| c.join().expect("client")).collect()
+        });
         assert_eq!(outcomes.len(), 40);
         for (i, out) in outcomes.iter().enumerate() {
             let links = out.links.iter().fold((0, 0, 0), |(b, f, r), l| {

@@ -157,6 +157,14 @@ impl SimDisk {
         self.inner.lock().latency_micros = micros;
     }
 
+    /// Whether accesses sleep ([`SimDisk::set_io_latency_micros`] above
+    /// 0): the one case in which work over this disk gains from threads,
+    /// whose sleeps overlap.
+    #[must_use]
+    pub fn is_paced(&self) -> bool {
+        self.inner.lock().latency_micros > 0
+    }
+
     /// Installs a fault plan and resets the access ordinals it matches
     /// against, so "fail the 3rd read" means the 3rd read *after*
     /// installation.
@@ -262,8 +270,9 @@ impl SimDisk {
     /// nothing that reaches storage. Two rules keep the hold
     /// short: a paced disk ([`SimDisk::set_io_latency_micros`]) runs page
     /// by page, as `read` in a loop, so it never sleeps under the latch;
-    /// and readers that share a disk — the workers of one parallel query —
-    /// end a run after [`crate::DEFAULT_MORSEL_PAGES`]
+    /// and readers that may share a disk from threads — the morsel-scan
+    /// workers of one parallel query — end a run after
+    /// [`crate::DEFAULT_MORSEL_PAGES`]
     /// ([`SimDisk::longest_run`] is the witness).
     ///
     /// # Errors
@@ -639,7 +648,9 @@ mod tests {
     fn io_pacing_slows_accounted_reads_only() {
         let disk = SimDisk::new();
         let id = disk.allocate();
+        assert!(!disk.is_paced(), "unpaced by default");
         disk.set_io_latency_micros(2_000);
+        assert!(disk.is_paced());
         let start = std::time::Instant::now();
         disk.read(id).unwrap();
         assert!(start.elapsed().as_micros() >= 2_000, "accounted read paced");
@@ -647,6 +658,7 @@ mod tests {
         let _ = disk.allocate();
         assert!(start.elapsed().as_micros() < 2_000, "allocation not paced");
         disk.set_io_latency_micros(0);
+        assert!(!disk.is_paced());
         // Accounting is identical with pacing on or off.
         assert_eq!(disk.stats().total(), 1);
     }

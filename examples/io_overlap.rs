@@ -6,7 +6,9 @@
 //! overlap — on one core as on many. Three rows, each the same work at 4
 //! against 1:
 //! - `dop 4`: a hash join of 4 000 × 500 rows whose scans fan out into
-//!   morsel workers (`ExecContext::with_dop`);
+//!   morsel workers (`ExecContext::with_dop`), each on a thread of its
+//!   own because the disk is paced — the join itself runs the same code
+//!   at every dop, so only the scans overlap;
 //! - `4 shards`: a full scan of 4 000 rows gathered from the shards of a
 //!   `ShardedService`, each reading a quarter of the pages;
 //! - `4 service workers`: a batch of prepared four-relation chain
@@ -16,7 +18,10 @@
 //! speed changes it for both. Simulated costs are equal at every degree of
 //! concurrency (`tests/parallel_parity.rs`, `tests/shard_parity.rs`,
 //! `tests/service.rs`); this program measures only the wall clock that
-//! remains, and exits 1 when a row overlaps less than 2 ×.
+//! remains, and exits 1 when a row overlaps less than 2 ×. On an unpaced
+//! disk the first two rows would start no thread: the executor and the
+//! sharded driver run their parallel work on the calling thread there
+//! (`run_parallel`).
 //!
 //! `cargo run --release --example io_overlap` (`-- --quick`: 3 passes
 //! instead of 10, what CI runs).

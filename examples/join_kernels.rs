@@ -1,7 +1,7 @@
 //! What the per-row kernels under `exec_scale` and `shard_join` cost,
 //! untraced.
 //!
-//! Six splits, each through public functions only, over tables of the
+//! Seven splits, each through public functions only, over tables of the
 //! benchmark's `fact`/`dim` shape (12 000 and 6 000 records of 256 bytes,
 //! seven to a page):
 //!
@@ -36,23 +36,33 @@
 //!    `fact` (the external sort's run under the 64-page grant), keyed on
 //!    `j` as `exec_scale`'s sort is, and of `kway_merge` over 12, 17 and 22
 //!    such runs, sorted.
+//! 7. **A degree of parallelism**: ms a run of whole plans through `run`
+//!    at dop 1, 2 and 4 on an unpaced disk — a resident hash join of
+//!    4 000, 40 000 and 400 000 probe rows (an eighth as many build rows),
+//!    and the sort of 40 000 rows in memory and under a 64-page grant —
+//!    with the minor faults and the system time of the process a run
+//!    (`getrusage`, Linux). Pin it to two CPUs to give a second thread
+//!    somewhere to run: `taskset -c 0,1`.
 //!
 //! It prints; it asserts nothing about time. Run pinned:
 //! `taskset -c 1 cargo run --release --example join_kernels`
 //! (`-- --quick` makes one pass of everything, the CI smoke run; `-- page`,
-//! `-- probe`, `-- statement`, `-- spill`, `-- select`, `-- sort` run that
-//! split only).
+//! `-- probe`, `-- statement`, `-- spill`, `-- select`, `-- sort`, `-- dop`
+//! run that split only).
 
 use std::hint::black_box;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
-use dqep::algebra::CompareOp;
+use dqep::algebra::{CompareOp, JoinPred, PhysicalOp};
+use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    join_batches, kway_merge, mix, select_rows, shard_route, sort_batches, ExecContext, RowBatch,
-    SharedCounters, BATCH_CAPACITY,
+    join_batches, kway_merge, mix, run, select_rows, shard_route, sort_batches, ExecContext,
+    RootSink, RowBatch, SharedCounters, BATCH_CAPACITY,
 };
+use dqep::interval::Interval;
+use dqep::plan::Plan;
 use dqep::service::{QueryService, Request, ServiceConfig};
 use dqep::storage::{records_per_page, SimDisk, SpillWriter, StoredDatabase, StoredTable};
 
@@ -346,6 +356,139 @@ fn sorted_rows(rows: &RowBatch, passes: usize) {
     }
 }
 
+/// The process's minor faults and system time so far (`getrusage`).
+#[cfg(target_os = "linux")]
+fn usage() -> (i64, Duration) {
+    extern "C" {
+        fn getrusage(who: i32, usage: *mut [i64; 18]) -> i32;
+    }
+    let mut usage = [0i64; 18];
+    // SAFETY: `struct rusage` is two `timeval`s and fourteen longs on
+    // x86_64 and aarch64 Linux: 18 words, `ru_stime` the 3rd and 4th,
+    // `ru_minflt` the 9th.
+    let done = unsafe { getrusage(0, &mut usage) };
+    assert_eq!(done, 0, "getrusage failed");
+    let system = Duration::from_secs(usage[2] as u64) + Duration::from_micros(usage[3] as u64);
+    (usage[8], system)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn usage() -> (i64, Duration) {
+    (0, Duration::ZERO)
+}
+
+/// One plan of split 7 and the memory grant it runs under.
+struct DopCase {
+    name: String,
+    catalog: Catalog,
+    db: StoredDatabase,
+    plan: Plan,
+    bindings: Bindings,
+}
+
+impl DopCase {
+    /// `dim ⋈ fact` on `dim.k = fact.fk`, `fact` of `probe` rows, `dim` of
+    /// an eighth as many, under a grant the build side fits: the resident
+    /// hash join over two file scans.
+    fn join(probe: u64) -> DopCase {
+        let build = probe / 8;
+        let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
+            .relation("dim", build, 256, |r| r.attr("k", build as f64).attr("v", 64.0))
+            .relation("fact", probe, 256, |r| r.attr("fk", build as f64).attr("m", 64.0))
+            .build()
+            .expect("the catalog is well-formed");
+        let (dim, fact) = (&catalog.relations()[0], &catalog.relations()[1]);
+        let mut plan = Plan::new();
+        let scan = |plan: &mut Plan, relation, rows: u64| {
+            plan.push(PhysicalOp::FileScan { relation }, &[], &[], stats(rows), Cost::ZERO)
+        };
+        let (b, p) = (scan(&mut plan, dim.id, build), scan(&mut plan, fact.id, probe));
+        let pred = JoinPred::new(dim.attr_id("k").expect("attr"), fact.attr_id("fk").expect("attr"));
+        plan.push(PhysicalOp::HashJoin, &[b, p], &[pred], stats(probe), Cost::ZERO);
+        let pages = (build * 256).div_ceil(2048) as f64 * 2.0;
+        DopCase::new(format!("hash join, {probe} probe rows"), catalog, plan, pages)
+    }
+
+    /// The sort of `rows` rows on a uniform attribute, in memory or under
+    /// a grant of `pages`.
+    fn sort(rows: u64, pages: Option<f64>) -> DopCase {
+        let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
+            .relation("fact", rows, 256, |r| r.attr("a", rows as f64).attr("m", 64.0))
+            .build()
+            .expect("the catalog is well-formed");
+        let fact = &catalog.relations()[0];
+        let mut plan = Plan::new();
+        let scan = plan.push(PhysicalOp::FileScan { relation: fact.id }, &[], &[], stats(rows), Cost::ZERO);
+        let sort = PhysicalOp::Sort { attr: fact.attr_id("a").expect("attr") };
+        plan.push(sort, &[scan], &[], stats(rows), Cost::ZERO);
+        let (name, pages) = match pages {
+            Some(pages) => (format!("sort, {rows} rows, {pages} pages"), pages),
+            None => (format!("sort, {rows} rows, in memory"), (rows * 256).div_ceil(2048) as f64 * 2.0),
+        };
+        DopCase::new(name, catalog, plan, pages)
+    }
+
+    fn new(name: String, catalog: Catalog, plan: Plan, pages: f64) -> DopCase {
+        let db = StoredDatabase::generate(&catalog, SEED);
+        DopCase { name, catalog, db, plan, bindings: Bindings::new().with_memory(pages) }
+    }
+
+    fn run(&self, dop: usize) -> u64 {
+        let env = Environment::dynamic_compile_time(&self.catalog.config);
+        let ctx = ExecContext::new(SharedCounters::new()).with_dop(dop);
+        let summary = run(&self.plan, &self.db, &self.catalog, &env, &self.bindings, &ctx, RootSink::Discard);
+        summary.expect("fault-free run").rows
+    }
+}
+
+fn stats(rows: u64) -> PlanStats {
+    PlanStats::new(Interval::point(rows as f64), 512.0)
+}
+
+/// Split 7: each case at dop 1, 2 and 4, in turns, `passes(case)` times
+/// after one untimed run each.
+fn dop_runs(quick: bool) {
+    const DOPS: [usize; 3] = [1, 2, 4];
+    println!("
+a degree of parallelism (run on an unpaced disk, dop 1 / 2 / 4 in turns; a run: ms, minor faults, system ms)");
+    let cases: [(fn() -> DopCase, u32); 5] = [
+        (|| DopCase::join(4_000), 1_000),
+        (|| DopCase::join(40_000), 100),
+        (|| DopCase::join(400_000), 10),
+        (|| DopCase::sort(40_000, None), 100),
+        (|| DopCase::sort(40_000, Some(64.0)), 100),
+    ];
+    for (make, passes) in cases {
+        let case = make();
+        let passes = if quick { 1 } else { passes };
+        let rows: Vec<u64> = DOPS.iter().map(|&dop| case.run(dop)).collect();
+        assert!(rows.iter().all(|&n| n == rows[0]), "{}: every dop returns the same rows: {rows:?}", case.name);
+        let mut spent = [(Duration::ZERO, 0i64, Duration::ZERO); DOPS.len()];
+        for _ in 0..passes {
+            for (at, &dop) in DOPS.iter().enumerate() {
+                let (faults, system) = usage();
+                let started = Instant::now();
+                black_box(case.run(dop));
+                let wall = started.elapsed();
+                let (faults_after, system_after) = usage();
+                let line = &mut spent[at];
+                *line = (line.0 + wall, line.1 + faults_after - faults, line.2 + (system_after - system));
+            }
+        }
+        println!("  {} ({} rows out, passes: {passes})", case.name, rows[0]);
+        let ms = |d: Duration| d.as_secs_f64() * 1e3 / f64::from(passes);
+        for (&dop, &(wall, faults, system)) in DOPS.iter().zip(&spent) {
+            let speed = spent[0].0.as_secs_f64() / wall.as_secs_f64();
+            println!(
+                "    dop {dop} {:>10.3} ms {:>9.1} faults {:>8.3} sys ms   {speed:.2}x dop 1's speed",
+                ms(wall),
+                faults as f64 / f64::from(passes),
+                ms(system),
+            );
+        }
+    }
+}
+
 /// Every row of `batches` as one dense batch.
 fn one_batch(batches: &[RowBatch]) -> RowBatch {
     let rows = batches.iter().map(RowBatch::rows).sum();
@@ -381,5 +524,8 @@ fn main() {
     }
     if wanted("sort") {
         sorted_rows(&one_batch(&table_batches(fact)), if quick { 1 } else { 2_000 });
+    }
+    if wanted("dop") {
+        dop_runs(quick);
     }
 }

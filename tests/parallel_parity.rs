@@ -20,7 +20,7 @@
 //! independent nested-loop evaluator in `common/oracle.rs`.
 
 
-use dqep::algebra::{CompareOp, LogicalExpr, PhysicalOp, SelectPred};
+use dqep::algebra::{CompareOp, JoinPred, LogicalExpr, PhysicalOp, SelectPred};
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
@@ -303,6 +303,65 @@ fn page_faults_trip_identically_across_dops() {
         assert!(outcomes[0].starts_with(expected), "fault on page {fault_page}: {}", outcomes[0]);
         for o in &outcomes[1..] {
             assert_eq!(o, &outcomes[0], "fault on page {fault_page} diverged across DOPs");
+        }
+    }
+}
+
+/// A spilled sort and a Grace join over file scans are charged the same
+/// at every DOP — not only the total pages, but the split between
+/// sequential and random reads, and so the simulated seconds: the exchange
+/// is the only operator that runs differently at DOP > 1, and a scan's
+/// morsels are read in page order on an unpaced disk.
+#[test]
+fn a_spilled_sort_and_a_grace_join_cost_the_same_at_every_dop() {
+    let catalog = CatalogBuilder::new(SystemConfig::paper_1994())
+        .relation("dim", 1_000, 256, |r| r.attr("k", 1_000.0).attr("v", 64.0))
+        .relation("fact", 4_000, 256, |r| r.attr("fk", 1_000.0).attr("m", 4_000.0))
+        .build()
+        .unwrap();
+    let db = StoredDatabase::generate(&catalog, 13);
+    let (dim, fact) = (&catalog.relations()[0], &catalog.relations()[1]);
+    let env = Environment::dynamic_compile_time(&catalog.config);
+
+    // Sort(FileScan fact) on `m`, under a 64-page grant: eight runs.
+    let mut sort = Plan::new();
+    let scan = node(&mut sort, PhysicalOp::FileScan { relation: fact.id }, &[]);
+    node(&mut sort, PhysicalOp::Sort { attr: fact.attr_id("m").unwrap() }, &[scan]);
+    // HashJoin(FileScan dim, FileScan fact) under a 16-page grant: the
+    // build side spills into Grace partitions.
+    let mut join = Plan::new();
+    let build = node(&mut join, PhysicalOp::FileScan { relation: dim.id }, &[]);
+    let probe = node(&mut join, PhysicalOp::FileScan { relation: fact.id }, &[]);
+    let pred = JoinPred::new(dim.attr_id("k").unwrap(), fact.attr_id("fk").unwrap());
+    join.push(
+        PhysicalOp::HashJoin,
+        &[build, probe],
+        &[pred],
+        PlanStats::new(Interval::point(0.0), 512.0),
+        Cost::ZERO,
+    );
+
+    for (what, plan, pages) in [("spilled sort", &sort, 64.0), ("Grace join", &join, 16.0)] {
+        let bindings = Bindings::new().with_memory(pages);
+        let at = |dop: usize| {
+            db.disk.reset_stats();
+            let summary = run_at(plan, &db, &catalog, &env, &bindings, ResourceLimits::unlimited(), dop)
+                .unwrap_or_else(|e| panic!("{what}, dop {dop}: {e:?}"));
+            let seconds = summary.simulated_seconds(&catalog.config);
+            (summary, seconds)
+        };
+        let (serial, serial_seconds) = at(1);
+        assert!(serial.io.writes > 0, "{what}: spills at dop 1 ({:?})", serial.io);
+        for dop in [2usize, 4] {
+            let (parallel, seconds) = at(dop);
+            assert_eq!(parallel.rows, serial.rows, "{what}, dop {dop}: rows");
+            assert_eq!(parallel.io, serial.io, "{what}, dop {dop}: the sequential/random split");
+            assert_eq!(parallel.cpu, serial.cpu, "{what}, dop {dop}: CPU counters");
+            assert_eq!(
+                seconds.to_bits(),
+                serial_seconds.to_bits(),
+                "{what}, dop {dop}: {seconds} simulated seconds against {serial_seconds}"
+            );
         }
     }
 }
