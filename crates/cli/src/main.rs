@@ -59,7 +59,8 @@
 //!   --repeat N          run the workload file N times (default 1)
 //!   --service-memory B  global admission memory pool in bytes
 //!   --queue-timeout-ms  admission timeout per session
-//!   --io-latency-us U   simulated device latency per page I/O
+//!   --io-latency-us U   simulated device latency per page I/O (with
+//!                       --serve or --shards only: exit 2 otherwise)
 //!   --dop N             per-session parallelism cap (bounded by each
 //!                       session's admitted memory grant)
 //!   --metrics-json PATH write the service metrics snapshot (latency
@@ -363,6 +364,11 @@ fn parse_argv(argv: &[String]) -> Result<Args, String> {
     }
     if args.metrics_prom.is_some() && !workload_mode {
         return Err("--metrics-prom requires --serve or --shards".to_string());
+    }
+    // Only a service's replicas and a sharded query's shards pace their
+    // disks; a single-shot run would ignore the latency.
+    if args.io_latency_us > 0 && !workload_mode {
+        return Err("--io-latency-us requires --serve or --shards".to_string());
     }
     if args.metrics_interval_ms.is_some()
         && args.metrics_json.is_none()
@@ -792,6 +798,18 @@ mod tests {
         ]))
         .unwrap_err()
         .contains("at least 1"));
+    }
+
+    #[test]
+    fn io_latency_requires_a_workload_mode() {
+        for mode in [&["--serve", "w"][..], &["--sql", "q", "--run", "--shards", "2"]] {
+            let a = parse_argv(&argv(&[mode, &["--io-latency-us", "200"]].concat())).unwrap();
+            assert_eq!(a.io_latency_us, 200);
+        }
+        for single in [&["--sql", "q", "--run"][..], &["--sql", "q", "--run", "--dop", "4"], &["--sql", "q"]] {
+            let refused = parse_argv(&argv(&[single, &["--io-latency-us", "100"]].concat())).unwrap_err();
+            assert!(refused.contains("--io-latency-us requires"), "{refused}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! selection vector instead of copying survivors, so a selective scan
 //! stays allocation-free.
 
-use dqep_storage::{PageRows, SpillFile, StorageError};
+use dqep_storage::PageRows;
 
 use crate::tuple::Tuple;
 
@@ -71,14 +71,20 @@ impl RowBatch {
         out
     }
 
-    /// Reads a spill file of `width`-attribute rows back (accounted, the
-    /// whole file under one disk latch) as one dense batch: after the
-    /// reads, one slice copy a column ([`SpillFile::read`]).
-    pub(crate) fn from_spill(file: &SpillFile, width: usize) -> Result<RowBatch, StorageError> {
-        let rows = file.read(usize::MAX)?;
-        let mut batch = RowBatch::with_capacity(width, rows.rows());
-        batch.extend_from_page(rows);
-        Ok(batch)
+    /// A dense batch of `width`-attribute rows whose value vectors are
+    /// `columns`, uncopied: what [`SpillFile::read`] hands over. A file no
+    /// row was written to has no columns, and gets `width` empty ones.
+    ///
+    /// # Panics
+    /// Panics if the columns are ragged or more than `width`.
+    ///
+    /// [`SpillFile::read`]: dqep_storage::SpillFile::read
+    pub(crate) fn from_columns(width: usize, mut columns: Vec<Vec<i64>>) -> RowBatch {
+        assert!(columns.len() <= width, "{} columns for rows of {width}", columns.len());
+        let rows = columns.first().map_or(0, Vec::len);
+        columns.resize_with(width, Vec::new);
+        assert!(columns.iter().all(|col| col.len() == rows), "ragged columns");
+        RowBatch { width, rows, columns, selection: None }
     }
 
     /// Appends rows of a file — a page, or a stretch of pages — column

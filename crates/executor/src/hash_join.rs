@@ -450,37 +450,65 @@ pub fn join_batches(
     Ok(out)
 }
 
-/// Joins one spilled Grace partition pair through a per-partition
-/// [`RadixTable`] and returns every joined row (probe rows in spill
-/// order, each row's matches in build-arrival order). The table's bytes
-/// are reserved with the governor while it is resident.
-fn join_spilled_pair(
-    keys: &Keys,
-    ctx: &ExecContext,
-    (build_part, build_layout): (&SpillFile, &TupleLayout),
-    (probe_part, probe_layout): (&SpillFile, &TupleLayout),
-) -> Result<RowBatch, ExecError> {
-    let build_width = build_layout.width();
-    let probe_width = probe_layout.width();
-    ctx.governor.charge_io((build_part.page_count() + probe_part.page_count()) as u64)?;
-    let store = RowBatch::from_spill(build_part, build_width)?;
-    let probe_batch = RowBatch::from_spill(probe_part, probe_width)?;
-    ctx.governor.check_batch(probe_batch.rows() as u64)?;
-    // The reservation is the cost model's padded record size; the radix
-    // fan-out follows the bytes the columns really hold, as in
-    // [`join_batches`] — the rows of a pair share their low hash bits, so
-    // a second partition would stay empty and only cost the scatter.
-    let part_bytes = (store.rows() * build_layout.row_bytes) as u64;
-    ctx.governor.try_reserve_memory(part_bytes)?;
-    let parts = radix_partitions(store.rows() * build_width * 8);
-    let table = RadixTable::build(keys, &ctx.counters, Cow::Owned(store), parts);
-    let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
-    table.match_batch(keys, &ctx.counters, &probe_batch, &mut hashes, &mut pairs);
-    let mut out = RowBatch::with_capacity(build_width + probe_width, pairs.len());
-    table.gather_pairs_into(|c| probe_batch.column(c), &pairs, true, &mut out);
-    drop(table);
-    ctx.governor.release_memory(part_bytes);
-    Ok(out)
+/// One Grace partition pair, joined: the table built on its build
+/// partition, its probe partition, both as read back, and the match pairs
+/// of the probe, gathered into the output `max_rows` at a time.
+struct JoinedPair {
+    table: RadixTable,
+    probe: RowBatch,
+    pairs: Pairs,
+    /// Match pairs handed out.
+    next: usize,
+}
+
+impl JoinedPair {
+    /// Joins a spilled partition pair: reads both partitions back (the
+    /// build side first) and takes their columns by move, builds a
+    /// per-partition [`RadixTable`] on the build rows and probes it with
+    /// every probe row (probe rows in spill order, each row's matches in
+    /// build-arrival order). The table's bytes are reserved with the
+    /// governor while it is built and probed; what stays resident after
+    /// that — the table and the probe rows the pairs point into — stands
+    /// in for the pair's joined rows, which the governor never saw.
+    fn join(
+        keys: &Keys,
+        ctx: &ExecContext,
+        (build_part, build_layout): (&mut SpillFile, &TupleLayout),
+        (probe_part, probe_layout): (&mut SpillFile, &TupleLayout),
+    ) -> Result<JoinedPair, ExecError> {
+        let build_width = build_layout.width();
+        ctx.governor.charge_io((build_part.page_count() + probe_part.page_count()) as u64)?;
+        let store = RowBatch::from_columns(build_width, build_part.read(usize::MAX)?);
+        let probe = RowBatch::from_columns(probe_layout.width(), probe_part.read(usize::MAX)?);
+        ctx.governor.check_batch(probe.rows() as u64)?;
+        // The reservation is the cost model's padded record size; the radix
+        // fan-out follows the bytes the columns really hold, as in
+        // [`join_batches`] — the rows of a pair share their low hash bits, so
+        // a second partition would stay empty and only cost the scatter.
+        let part_bytes = (store.rows() * build_layout.row_bytes) as u64;
+        ctx.governor.try_reserve_memory(part_bytes)?;
+        let parts = radix_partitions(store.rows() * build_width * 8);
+        let table = RadixTable::build(keys, &ctx.counters, Cow::Owned(store), parts);
+        let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
+        table.match_batch(keys, &ctx.counters, &probe, &mut hashes, &mut pairs);
+        ctx.governor.release_memory(part_bytes);
+        Ok(JoinedPair { table, probe, pairs, next: 0 })
+    }
+
+    /// The next `max_rows` joined rows (build attributes first), gathered
+    /// column by column straight into one batch of `width`; `None` once
+    /// every match pair is handed out.
+    fn next_slice(&mut self, max_rows: usize, width: usize) -> Option<RowBatch> {
+        let take = max_rows.min(self.pairs.len() - self.next);
+        if take == 0 {
+            return None;
+        }
+        let pairs = &self.pairs[self.next..self.next + take];
+        self.next += take;
+        let mut out = RowBatch::with_capacity(width, take);
+        self.table.gather_pairs_into(|c| self.probe.column(c), pairs, true, &mut out);
+        Some(out)
+    }
 }
 
 enum State {
@@ -488,11 +516,14 @@ enum State {
     /// Build table resident: the probe input streams through it.
     Radix(RadixTable),
     /// Grace mode: partition pairs are joined one at a time, each pair's
-    /// output streamed out before the next pair is read.
+    /// matches handed out before the next pair is read. The partitions
+    /// keep their pages until `close`, read or not.
     Partitioned {
         build_parts: Vec<SpillFile>,
         probe_parts: Vec<SpillFile>,
         part: usize,
+        /// The pair being handed out.
+        pair: Option<JoinedPair>,
     },
 }
 
@@ -509,8 +540,7 @@ pub struct HashJoinExec<'a> {
     /// Bytes currently reserved with the governor; released in `close`.
     reserved: u64,
     state: State,
-    /// Joined rows not yet handed out: the current Grace partition
-    /// pair's, or what a resident probe batch produced beyond the request.
+    /// Joined rows a resident probe batch produced beyond the request.
     joined: ColStream,
 }
 
@@ -619,35 +649,41 @@ impl Operator for HashJoinExec<'_> {
             SpillWriter::deal(&mut writers, batch.columns(), dealt)?;
         }
         let probe_parts = seal(writers)?;
-        self.state = State::Partitioned { build_parts, probe_parts, part: 0 };
+        self.state = State::Partitioned { build_parts, probe_parts, part: 0, pair: None };
         Ok(())
     }
 
-    /// The join's native body. Rows already joined stream out first, in
-    /// `max_rows` slices. Then the resident path ([`State::Radix`])
+    /// The join's native body. The resident path ([`State::Radix`])
     /// hashes probe batches with the columnar kernel, walks the radix
-    /// table's chains, and gathers match pairs column by column; the
-    /// Grace path joins the next spilled partition pair
-    /// ([`join_spilled_pair`]).
+    /// table's chains, and gathers match pairs column by column, handing
+    /// out what a probe batch produced beyond the request in `max_rows`
+    /// slices first; the Grace path gathers the current partition pair's
+    /// next `max_rows` match pairs, and joins the next pair
+    /// ([`JoinedPair::join`]) when they are handed out.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
         self.ctx.governor.check_batch(0)?;
+        let width = self.layout.width();
         loop {
             if let Some(batch) = self.joined.next_slice(max_rows) {
                 return Ok(Some(batch));
             }
             match &mut self.state {
                 State::Closed => return Ok(None),
-                State::Partitioned { build_parts, probe_parts, part } => {
+                State::Partitioned { build_parts, probe_parts, part, pair } => {
+                    if let Some(batch) = pair.as_mut().and_then(|p| p.next_slice(max_rows, width)) {
+                        return Ok(Some(batch));
+                    }
+                    *pair = None;
                     if *part >= PARTITIONS {
                         return Ok(None);
                     }
                     let p = *part;
                     *part += 1;
-                    self.joined = ColStream::new(join_spilled_pair(
+                    *pair = Some(JoinedPair::join(
                         &self.keys,
                         &self.ctx,
-                        (&build_parts[p], self.build.layout()),
-                        (&probe_parts[p], self.probe.layout()),
+                        (&mut build_parts[p], self.build.layout()),
+                        (&mut probe_parts[p], self.probe.layout()),
                     )?);
                 }
                 State::Radix(table) => {

@@ -17,9 +17,11 @@
 //! level. Keys whose span the packing cannot hold take a comparison sort
 //! and 128-bit heads instead.
 
+use std::ops::Range;
+
 use dqep_storage::{SimDisk, SpillFile, SpillWriter};
 
-use crate::batch::{ColStream, RowBatch};
+use crate::batch::{RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
 use crate::governor::ExecContext;
 use crate::tuple::TupleLayout;
@@ -72,7 +74,12 @@ impl RunSort {
 
     /// The ordinals of the last [`RunSort::sort`]'s keys, in key order.
     fn order(&self) -> impl ExactSizeIterator<Item = usize> + Clone + '_ {
-        self.sorted.iter().map(|&entry| (entry & self.ordinal) as usize)
+        self.order_at(0..self.sorted.len())
+    }
+
+    /// Places `at` of [`RunSort::order`].
+    fn order_at(&self, at: Range<usize>) -> impl ExactSizeIterator<Item = usize> + Clone + '_ {
+        self.sorted[at].iter().map(|&entry| (entry & self.ordinal) as usize)
     }
 }
 
@@ -159,34 +166,40 @@ pub fn sort_batches(batches: &[RowBatch], width: usize, key: usize) -> RowBatch 
     gather(batches, width, order)
 }
 
-/// A sorted input of the merge loop, seen from its next row.
-trait MergeRun {
-    /// The key of the next row; `None` once the run is used up.
-    fn head(&self) -> Option<i64>;
-    /// The key of the last row still to come.
-    fn last(&self) -> Option<i64>;
-    /// Steps past the next row.
-    fn advance(&mut self);
+/// The sorted inputs of the merge loop, each seen from its next row.
+trait MergeRuns {
+    /// How many runs there are.
+    fn count(&self) -> usize;
+    /// The key of run `r`'s next row; `None` once the run is used up.
+    fn head(&self, r: usize) -> Option<i64>;
+    /// The key of the last row still to come in run `r`.
+    fn last(&self, r: usize) -> Option<i64>;
+    /// Steps run `r` past its next row.
+    fn advance(&mut self, r: usize);
 }
 
-/// Rows `next..` of a dense run's key column, cut at the end of the
-/// stretch a merge reads.
-struct Stretch<'a> {
-    keys: &'a [i64],
-    next: usize,
+/// Dense runs held as key columns, and where the merge stands in each:
+/// run `r` is rows `next[r]..` of `keys[r]`.
+struct RunHeads<'a> {
+    keys: &'a [Vec<i64>],
+    next: &'a mut [usize],
 }
 
-impl MergeRun for Stretch<'_> {
-    fn head(&self) -> Option<i64> {
-        self.keys.get(self.next).copied()
+impl MergeRuns for RunHeads<'_> {
+    fn count(&self) -> usize {
+        self.keys.len()
     }
 
-    fn last(&self) -> Option<i64> {
-        self.keys[self.next..].last().copied()
+    fn head(&self, r: usize) -> Option<i64> {
+        self.keys[r].get(self.next[r]).copied()
     }
 
-    fn advance(&mut self) {
-        self.next += 1;
+    fn last(&self, r: usize) -> Option<i64> {
+        self.keys[r][self.next[r]..].last().copied()
+    }
+
+    fn advance(&mut self, r: usize) {
+        self.next[r] += 1;
     }
 }
 
@@ -221,20 +234,26 @@ impl<'a> RunCursor<'a> {
     }
 }
 
-impl MergeRun for RunCursor<'_> {
-    fn head(&self) -> Option<i64> {
-        let batch = self.run.get(self.batch)?;
-        Some(batch.column(self.key)[batch.physical(self.pos)])
+impl MergeRuns for [RunCursor<'_>] {
+    fn count(&self) -> usize {
+        self.len()
     }
 
-    fn last(&self) -> Option<i64> {
-        let batch = self.run[self.batch..].iter().rev().find(|batch| !batch.is_empty())?;
-        Some(batch.column(self.key)[batch.physical(batch.len() - 1)])
+    fn head(&self, r: usize) -> Option<i64> {
+        let cursor = &self[r];
+        let batch = cursor.run.get(cursor.batch)?;
+        Some(batch.column(cursor.key)[batch.physical(cursor.pos)])
     }
 
-    fn advance(&mut self) {
-        self.pos += 1;
-        self.skip_used();
+    fn last(&self, r: usize) -> Option<i64> {
+        let cursor = &self[r];
+        let batch = cursor.run[cursor.batch..].iter().rev().find(|batch| !batch.is_empty())?;
+        Some(batch.column(cursor.key)[batch.physical(batch.len() - 1)])
+    }
+
+    fn advance(&mut self, r: usize) {
+        self[r].pos += 1;
+        self[r].skip_used();
     }
 }
 
@@ -274,65 +293,110 @@ impl Head for u128 {
     }
 }
 
-/// The merge loop. Hands every row of `runs`, each sorted on its key, to
-/// `emit` as (run, the run standing on that row), in key order: rows of
-/// equal keys lowest run first, and within a run in the run's order.
-/// Every run is sorted, so the least and greatest keys are the runs' ends;
-/// a merge whose span leaves room for the run's index below the key's
-/// offset in a `u64` packs its heads there, any other in a `u128`.
-fn merge<R: MergeRun>(runs: &mut [R], emit: impl FnMut(usize, &R)) {
-    let ends = runs.iter().filter_map(|run| Some((run.head()?, run.last()?)));
-    let Some((min, max)) = ends.reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)))
-    else {
-        return;
-    };
-    let shift = usize::BITS - (runs.len() - 1).leading_zeros();
-    if (max as u64).wrapping_sub(min as u64) < u64::MAX >> shift {
-        tournament::<u64, R>(runs, min, shift, emit);
-    } else {
-        tournament::<u128, R>(runs, min, shift, emit);
-    }
-}
-
 /// A tournament over `1 << shift` leaves, leaf `r` the head of run `r`
 /// (leaves past the last run are used up from the start). Node `n`, whose
 /// children are `2n` and `2n + 1`, holds the loser of the match played
 /// there, so a new head replays only its leaf's path to the root: at each
 /// node one compare, the smaller head going on and the larger staying.
-fn tournament<H: Head, R: MergeRun>(
-    runs: &mut [R],
+/// It is kept between plays, so a merge can hand its rows out a slice at
+/// a time.
+struct Tournament<H> {
+    tree: Vec<H>,
     min: i64,
     shift: u32,
-    mut emit: impl FnMut(usize, &R),
-) {
-    let leaves = 1usize << shift;
-    let head = |run: &R, r: usize| run.head().map_or(H::END, |key| H::pack(key, min, shift, r));
-    let mut tree = vec![H::END; 2 * leaves];
-    for (r, run) in runs.iter().enumerate() {
-        tree[leaves + r] = head(run, r);
-    }
-    // Each inner node's winner, bottom up; then its loser, top down, while
-    // its children still hold their winners.
-    for n in (1..leaves).rev() {
-        tree[n] = tree[2 * n].min(tree[2 * n + 1]);
-    }
-    let mut winner = tree[1];
-    for n in 1..leaves {
-        tree[n] = tree[2 * n].max(tree[2 * n + 1]);
-    }
-    while winner != H::END {
-        let r = winner.run(shift);
-        emit(r, &runs[r]);
-        runs[r].advance();
-        let mut next = head(&runs[r], r);
-        let mut n = (leaves + r) / 2;
-        while n > 0 {
-            let loser = tree[n];
-            tree[n] = loser.max(next);
-            next = loser.min(next);
-            n /= 2;
+    /// The least head, [`Head::END`] once every run is used up.
+    winner: H,
+}
+
+impl<H: Head> Tournament<H> {
+    fn new<M: MergeRuns + ?Sized>(runs: &M, min: i64, shift: u32) -> Tournament<H> {
+        let leaves = 1usize << shift;
+        let mut tree = vec![H::END; 2 * leaves];
+        for r in 0..runs.count() {
+            tree[leaves + r] = Self::head(runs, r, min, shift);
         }
-        winner = next;
+        // Each inner node's winner, bottom up; then its loser, top down, while
+        // its children still hold their winners.
+        for n in (1..leaves).rev() {
+            tree[n] = tree[2 * n].min(tree[2 * n + 1]);
+        }
+        let winner = tree[1];
+        for n in 1..leaves {
+            tree[n] = tree[2 * n].max(tree[2 * n + 1]);
+        }
+        Tournament { tree, min, shift, winner }
+    }
+
+    fn head<M: MergeRuns + ?Sized>(runs: &M, r: usize, min: i64, shift: u32) -> H {
+        runs.head(r).map_or(H::END, |key| H::pack(key, min, shift, r))
+    }
+
+    /// Hands the next `rows` rows, or as many as are left, to `emit` as
+    /// (run, the runs standing on that row), and returns how many.
+    fn play<M: MergeRuns + ?Sized>(
+        &mut self,
+        runs: &mut M,
+        rows: usize,
+        mut emit: impl FnMut(usize, &M),
+    ) -> usize {
+        let (tree, min, shift) = (&mut self.tree[..], self.min, self.shift);
+        let leaves = tree.len() / 2;
+        let mut winner = self.winner;
+        let mut played = 0;
+        while played < rows && winner != H::END {
+            let r = winner.run(shift);
+            emit(r, runs);
+            runs.advance(r);
+            let mut next = Self::head(runs, r, min, shift);
+            let mut n = (leaves + r) / 2;
+            while n > 0 {
+                let loser = tree[n];
+                tree[n] = loser.max(next);
+                next = loser.min(next);
+                n /= 2;
+            }
+            winner = next;
+            played += 1;
+        }
+        self.winner = winner;
+        played
+    }
+}
+
+/// The merge of sorted runs: rows in key order, rows of equal keys lowest
+/// run first, and within a run in the run's order. Every run is sorted, so
+/// the least and greatest keys are the runs' ends; a merge whose span
+/// leaves room for the run's index below the key's offset in a `u64` packs
+/// its heads there, any other in a `u128`.
+enum Merge {
+    Narrow(Tournament<u64>),
+    Wide(Tournament<u128>),
+}
+
+impl Merge {
+    fn new<M: MergeRuns + ?Sized>(runs: &M) -> Merge {
+        let ends = (0..runs.count()).filter_map(|r| Some((runs.head(r)?, runs.last(r)?)));
+        let (min, max) =
+            ends.reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last))).unwrap_or((0, 0));
+        let shift = usize::BITS - runs.count().saturating_sub(1).leading_zeros();
+        if (max as u64).wrapping_sub(min as u64) < u64::MAX >> shift {
+            Merge::Narrow(Tournament::new(runs, min, shift))
+        } else {
+            Merge::Wide(Tournament::new(runs, min, shift))
+        }
+    }
+
+    /// [`Tournament::play`].
+    fn play<M: MergeRuns + ?Sized>(
+        &mut self,
+        runs: &mut M,
+        rows: usize,
+        emit: impl FnMut(usize, &M),
+    ) -> usize {
+        match self {
+            Merge::Narrow(tournament) => tournament.play(runs, rows, emit),
+            Merge::Wide(tournament) => tournament.play(runs, rows, emit),
+        }
     }
 }
 
@@ -347,31 +411,112 @@ pub fn kway_merge<'a>(
     mut emit: impl FnMut(usize, &'a RowBatch, usize),
 ) {
     let mut cursors: Vec<_> = runs.iter().map(|run| RunCursor::new(run, key)).collect();
-    merge(&mut cursors, |r, cursor| {
-        let (batch, row) = cursor.row();
+    let cursors = cursors.as_mut_slice();
+    Merge::new(cursors).play(cursors, usize::MAX, |r, cursors| {
+        let (batch, row) = cursors[r].row();
         emit(r, batch, row);
     });
 }
 
-/// Merges the rows `lo..hi` of each run (one dense batch per run) into
-/// one dense batch: the merge loop over the runs' key columns, so the
-/// order is the one [`kway_merge`] gives, without a cursor or a selection
-/// check a row.
-fn merge_stretches(
-    runs: &[RowBatch],
-    stretches: impl Iterator<Item = (usize, usize)>,
-    width: usize,
+/// A spilled sort's runs as read back, merged a slice at a time: the state
+/// [`SortExec`] keeps between `next_batch` calls once its input was cut
+/// into runs.
+struct RunMerge {
+    /// Column `c` of run `r` is `columns[c][r]`: the run file's columns,
+    /// moved out of it.
+    columns: Vec<Vec<Vec<i64>>>,
     key: usize,
-) -> RowBatch {
-    let mut rest: Vec<Stretch<'_>> = runs
-        .iter()
-        .zip(stretches)
-        .map(|(run, (lo, hi))| Stretch { keys: &run.column(key)[..hi], next: lo })
-        .collect();
-    let rows = rest.iter().map(|stretch| stretch.keys.len() - stretch.next).sum();
-    let mut order: Vec<(u32, u32)> = Vec::with_capacity(rows);
-    merge(&mut rest, |r, stretch| order.push((r as u32, stretch.next as u32)));
-    gather(runs, width, order.iter().map(|&(r, i)| (r as usize, i as usize)))
+    /// Each run's next row.
+    next: Vec<usize>,
+    merge: Merge,
+    /// Rows not yet handed out.
+    left: usize,
+    /// A slice's rows in merge order, as (run, row): at most
+    /// [`BATCH_CAPACITY`] at a time, whatever the request.
+    order: Vec<(u32, u32)>,
+}
+
+impl RunMerge {
+    /// The merge of `runs`, each a run's columns (all `width` of them),
+    /// sorted on column `key`.
+    fn new(runs: Vec<Vec<Vec<i64>>>, width: usize, key: usize) -> RunMerge {
+        let mut columns: Vec<Vec<Vec<i64>>> =
+            (0..width).map(|_| Vec::with_capacity(runs.len())).collect();
+        for run in runs {
+            assert_eq!(run.len(), width, "a run holds every column");
+            columns.iter_mut().zip(run).for_each(|(by_run, col)| by_run.push(col));
+        }
+        let mut next = vec![0; columns[key].len()];
+        let merge = Merge::new(&RunHeads { keys: &columns[key], next: &mut next });
+        let left = columns[key].iter().map(Vec::len).sum();
+        RunMerge { columns, key, next, merge, left, order: Vec::new() }
+    }
+
+    /// The next `rows` rows of the merge (no more than are left), gathered
+    /// a column at a time into one dense batch.
+    fn next_slice(&mut self, rows: usize) -> RowBatch {
+        assert!(rows <= self.left, "{rows} rows asked of {} left", self.left);
+        let mut out = RowBatch::with_capacity(self.columns.len(), rows);
+        let mut heads = RunHeads { keys: &self.columns[self.key], next: &mut self.next };
+        let mut wanted = rows;
+        while wanted > 0 {
+            let order = &mut self.order;
+            order.clear();
+            let played = self.merge.play(&mut heads, wanted.min(BATCH_CAPACITY), |r, heads| {
+                order.push((r as u32, heads.next[r] as u32));
+            });
+            out.extend_rows_with(played, |cols| {
+                for (col, by_run) in cols.iter_mut().zip(&self.columns) {
+                    col.extend(order.iter().map(|&(r, i)| by_run[r as usize][i as usize]));
+                }
+            });
+            wanted -= played;
+        }
+        self.left -= rows;
+        out
+    }
+}
+
+/// What a sort hands out, kept between `next_batch` calls.
+enum Sorted {
+    /// Nothing: before `open` and after `close`.
+    Empty,
+    /// The input fit the grant: the chunk as it arrived, the run sort's
+    /// order of it, and how many rows of that order are handed out.
+    InMemory { chunk: RowBatch, sort: RunSort, next: usize },
+    /// The input was cut into runs: their merge.
+    Spilled(RunMerge),
+}
+
+impl Sorted {
+    /// Rows not yet handed out.
+    fn remaining(&self) -> usize {
+        match self {
+            Sorted::Empty => 0,
+            Sorted::InMemory { sort, next, .. } => sort.sorted.len() - next,
+            Sorted::Spilled(merge) => merge.left,
+        }
+    }
+
+    /// The next `rows` rows (no more than [`Sorted::remaining`]) as one
+    /// dense batch, gathered straight into it.
+    fn next_slice(&mut self, rows: usize) -> RowBatch {
+        match self {
+            Sorted::Empty => RowBatch::default(),
+            Sorted::InMemory { chunk, sort, next } => {
+                let order = sort.order_at(*next..*next + rows);
+                *next += rows;
+                let mut out = RowBatch::with_capacity(chunk.width(), rows);
+                out.extend_rows_with(rows, |cols| {
+                    for (col, src) in cols.iter_mut().zip(chunk.columns()) {
+                        col.extend(order.clone().map(|o| src[o]));
+                    }
+                });
+                out
+            }
+            Sorted::Spilled(merge) => merge.next_slice(rows),
+        }
+    }
 }
 
 /// Sorts its input ascending on one attribute position; rows of equal
@@ -385,9 +530,13 @@ fn merge_stretches(
 ///
 /// Rows never take row shape on the way: batches are ingested into
 /// per-attribute vectors, a chunk is radix-sorted on `(key, arrival)` and
-/// written in that order straight from its columns, runs are read back
-/// page-wise into columns and merged over their key columns, and the
-/// output is gathered column by column and handed out in slices.
+/// written in that order straight from its columns, and a run's columns
+/// are handed back by move when it is read. The sort keeps what it hands
+/// out between `next_batch` calls — the chunk and its order, or the runs
+/// and their tournament — and each call gathers at most `max_rows` rows of
+/// it, column by column, straight into the batch it returns: a row is
+/// copied once into its run and once into its output batch, and no
+/// whole-output column is built.
 ///
 /// Buffered rows are *reserved* with the query's resource governor before
 /// they are held, so a grant the governor refuses to cover surfaces as
@@ -403,7 +552,7 @@ pub struct SortExec<'a> {
     budget_bytes: usize,
     /// Bytes currently reserved with the governor; released in `close`.
     reserved: u64,
-    output: ColStream,
+    output: Sorted,
 }
 
 impl<'a> SortExec<'a> {
@@ -416,7 +565,7 @@ impl<'a> SortExec<'a> {
         disk: SimDisk,
         budget_bytes: usize,
     ) -> Self {
-        SortExec { input, key, ctx, disk, budget_bytes, reserved: 0, output: ColStream::default() }
+        SortExec { input, key, ctx, disk, budget_bytes, reserved: 0, output: Sorted::Empty }
     }
 
     fn reserve(&mut self, bytes: u64) -> Result<(), ExecError> {
@@ -480,16 +629,16 @@ impl<'a> SortExec<'a> {
     }
 
     /// Reads every run back (accounted, and charged to the I/O budget in
-    /// one step before the first page), one dense batch per run: a whole
-    /// run file under one disk latch, its rows copied after its reads with
-    /// one slice a column.
-    fn read_runs(&self, runs: &[SpillFile], width: usize) -> Result<Vec<RowBatch>, ExecError> {
+    /// one step before the first page), a whole run file under one disk
+    /// latch, and takes its columns by move. The files keep their pages
+    /// until `fill` drops them.
+    fn read_runs(&self, runs: &mut [SpillFile]) -> Result<Vec<Vec<Vec<i64>>>, ExecError> {
         let pages: usize = runs.iter().map(SpillFile::page_count).sum();
         self.ctx.governor.charge_io(pages as u64)?;
-        runs.iter().map(|run| Ok(RowBatch::from_spill(run, width)?)).collect()
+        runs.iter_mut().map(|run| Ok(run.read(usize::MAX)?)).collect()
     }
 
-    /// Consumes the (already open) input and leaves the sorted rows in
+    /// Consumes the (already open) input and leaves what it hands out in
     /// `self.output`.
     fn fill(&mut self) -> Result<(), ExecError> {
         let row_bytes = self.input.layout().row_bytes;
@@ -528,8 +677,7 @@ impl<'a> SortExec<'a> {
             // Everything fit the grant: sort in memory. The reservation is
             // held until `close` — the rows really are resident.
             self.sort_chunk(&chunk, &mut sort);
-            let order = sort.order().map(|i| (0, i));
-            self.output = ColStream::new(gather(std::slice::from_ref(&chunk), width, order));
+            self.output = Sorted::InMemory { chunk, sort, next: 0 };
             return Ok(());
         }
 
@@ -547,14 +695,13 @@ impl<'a> SortExec<'a> {
         // total rows are fixed by the memory grant, so the formula keeps
         // the counters DOP-exact (and sums with the per-run charges to the
         // model's `n·log₂(n)`).
-        let run_rows = self.read_runs(&runs, width)?;
-        let total_rows: usize = run_rows.iter().map(RowBatch::rows).sum();
-        if total_rows > 0 && run_rows.len() > 1 {
-            let merge_compares = (total_rows as f64 * (run_rows.len() as f64).log2()).ceil() as u64;
+        let run_columns = self.read_runs(&mut runs)?;
+        let merge = RunMerge::new(run_columns, width, self.key);
+        if merge.left > 0 && runs.len() > 1 {
+            let merge_compares = (merge.left as f64 * (runs.len() as f64).log2()).ceil() as u64;
             self.ctx.counters.add_compares(merge_compares);
         }
-        let whole = run_rows.iter().map(|run| (0, run.rows()));
-        self.output = ColStream::new(merge_stretches(&run_rows, whole, width, self.key));
+        self.output = Sorted::Spilled(merge);
         Ok(())
     }
 }
@@ -567,12 +714,15 @@ impl Operator for SortExec<'_> {
         result
     }
 
-    /// The sort's native emission, a slice of the sorted columns: one
-    /// governor check and one counter update per batch.
+    /// The sort's native emission, the next `max_rows` rows gathered
+    /// straight into one batch: one governor check and one counter update
+    /// per batch.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
-        let Some(batch) = self.output.next_slice(max_rows) else {
+        let rows = max_rows.min(self.output.remaining());
+        if rows == 0 {
             return Ok(None);
-        };
+        }
+        let batch = self.output.next_slice(rows);
         self.ctx.governor.check_batch(batch.rows() as u64)?;
         self.ctx.counters.add_records(batch.rows() as u64);
         Ok(Some(batch))
@@ -583,7 +733,7 @@ impl Operator for SortExec<'_> {
             self.ctx.governor.release_memory(self.reserved);
             self.reserved = 0;
         }
-        self.output = ColStream::default();
+        self.output = Sorted::Empty;
     }
 
     fn layout(&self) -> &TupleLayout {
@@ -721,6 +871,18 @@ mod tests {
         order
     }
 
+    /// The merge loop over rows `lo..hi` of each run's key column: (run,
+    /// row) in the order it hands them out.
+    fn merge_stretches(keys: &[&[i64]], stretches: &[(usize, usize)]) -> Vec<(usize, usize)> {
+        let keys: Vec<Vec<i64>> =
+            keys.iter().zip(stretches).map(|(k, &(_, hi))| k[..hi].to_vec()).collect();
+        let mut next: Vec<usize> = stretches.iter().map(|&(lo, _)| lo).collect();
+        let mut heads = RunHeads { keys: &keys, next: &mut next };
+        let mut order = Vec::new();
+        Merge::new(&heads).play(&mut heads, usize::MAX, |r, heads| order.push((r, heads.next[r])));
+        order
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -798,9 +960,25 @@ mod tests {
                 })
                 .collect();
             for stretches in [&whole, &cut] {
-                let merged = merge_stretches(&runs, stretches.iter().copied(), 2, 0);
-                prop_assert_eq!(merged.column(1), tag(&heap_merge(&keys, stretches)).as_slice());
+                prop_assert_eq!(tag(&merge_stretches(&keys, stretches)), tag(&heap_merge(&keys, stretches)));
             }
+
+            // The sort's merge of the same runs, handed out in slices of
+            // the drawn sizes, one to a few hundred rows: the same rows in
+            // the same order, gathered whole.
+            let columns: Vec<Vec<Vec<i64>>> = runs.iter().map(|run| run.columns().to_vec()).collect();
+            let mut merge = RunMerge::new(columns, 2, 0);
+            let mut got = Vec::new();
+            for &(size, _) in cuts.iter().cycle() {
+                let rows = (usize::from(size) % 300 + 1).min(merge.left);
+                if rows == 0 {
+                    break;
+                }
+                let slice = merge.next_slice(rows);
+                prop_assert_eq!((slice.rows(), slice.width()), (rows, 2));
+                got.extend_from_slice(slice.column(1));
+            }
+            prop_assert_eq!(got, tag(&heap_merge(&keys, &whole)));
 
             // `kway_merge` over the same runs as batches of at most five
             // rows with dead rows between them and empty batches.

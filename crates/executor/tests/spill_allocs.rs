@@ -4,16 +4,17 @@
 //! A Grace join and an external sort write every row to a spill file and
 //! read it back. A spill file keeps its rows as columns and builds no page
 //! bytes, so a page written costs no allocation: what is left is per
-//! partition (its writer's columns, grown as batches are dealt to it, and
-//! its read-back batch), per run (its columns, grown once, and its
-//! read-back batch), per sort (the run sort's two radix buffers, reused by
-//! every run), and per batch (the scans feeding the operator, the output
-//! slices). Nothing
-//! may grow with the data page by page or row by row: not the scan (a page
-//! decodes from the disk's buffer straight into the batch), not the
-//! partitioning or run formation, not the read-back (a page's column
-//! slices are copied onto the batch), not the merge (a tournament tree,
-//! the merged order, a gather per column).
+//! partition (its writer's columns, grown as batches are dealt to it and
+//! trimmed to its rows when it is sealed, then moved to the reader: the
+//! pair's table), per run (its columns, grown once and moved to the
+//! merge), per sort (the run sort's two radix buffers, reused by every
+//! run), and per batch (the scans feeding the operator, the output
+//! slices). Nothing may grow with the data page by page or row by row:
+//! not the scan (a page decodes from the disk's buffer straight into the
+//! batch), not the partitioning or run formation, not the read-back (the
+//! file's columns are handed over whole, nothing copied), not the merge
+//! (a tournament tree, a slice's merged order, a gather per column into
+//! each output batch).
 //!
 //! The ceilings are constants. The page-buffer format this replaced spent
 //! one 2 KiB buffer per page written and could not fit: this test, run on
@@ -103,12 +104,17 @@ fn measure(plans: &Plan, root: NodeId, db: &StoredDatabase, catalog: &Catalog) -
 }
 
 /// The most allocations a Grace join of these inputs may make: 635 when
-/// this was set.
+/// this was set; 638 since a pair's partitions are moved into its table,
+/// its match pairs gathered a slice at a time, and a dealt batch's rows
+/// grouped by partition before they are written (three vectors a
+/// batch).
 const JOIN_CEILING: u64 = 700;
 
 /// The most allocations the 17-run sort may make: 321 when this was set;
 /// 305 with the radix run sort and the tournament merge (323 on the
-/// commit before, which allocated an entry vector a run and a heap).
+/// commit before, which allocated an entry vector a run and a heap); 277
+/// since the runs' columns are moved into the merge and each output batch
+/// is gathered straight from them.
 const SORT_CEILING: u64 = 400;
 
 #[test]

@@ -313,10 +313,12 @@ impl SpillWriter {
     /// It takes every row's disk steps first, in row order, under one
     /// acquisition of the disk latch ([`SimDisk::note_write`]'s charge and
     /// a new page id where a row starts a page; a paced disk takes them
-    /// page by page, sleeping outside the latch). Then it sizes each
-    /// writer's columns for all of its rows and writes the values one
-    /// column at a time: no row is pushed, and nothing is allocated but
-    /// the columns' growth.
+    /// page by page, sleeping outside the latch), noting each row's index
+    /// and writer. Then it groups the rows by writer (a counting sort of
+    /// their indexes; one writer needs none) and extends each of a
+    /// writer's columns with one gather of its rows' values: no row is
+    /// pushed, and nothing is allocated but the columns' growth, the
+    /// noted rows and the grouping's two vectors.
     ///
     /// # Errors
     /// As [`SpillWriter::append`], for the first row that fails: the rows
@@ -328,10 +330,10 @@ impl SpillWriter {
     pub fn deal(
         writers: &mut [SpillWriter],
         columns: &[Vec<i64>],
-        rows: impl Iterator<Item = (usize, usize)> + Clone,
+        mut rows: impl Iterator<Item = (usize, usize)>,
     ) -> Result<(), StorageError> {
         let Some(first) = writers.first() else {
-            assert!(rows.clone().next().is_none(), "rows dealt to no writer");
+            assert!(rows.next().is_none(), "rows dealt to no writer");
             return Ok(());
         };
         let (disk, record_len) = (first.file.disk.clone(), first.file.columns.record_len);
@@ -341,43 +343,60 @@ impl SpillWriter {
                 .all(|w| w.file.disk.same(&disk) && w.file.columns.record_len == record_len),
             "dealt writers share one disk and one record length"
         );
+        // The disk's steps, and the rows they were taken for with their
+        // writers: what the values are then written from.
         let mut failed = None;
+        let mut dealt: Vec<(u32, u32)> = Vec::with_capacity(rows.size_hint().0);
         let mut steps = disk.write_steps();
-        for (at, (_, w)) in rows.clone().enumerate() {
+        for (row, w) in rows {
             if let Err(e) = writers[w].next_row(&mut steps) {
-                failed = Some((at, e));
+                failed = Some(e);
                 break;
             }
+            dealt.push((row as u32, w as u32));
         }
         drop(steps);
-        let dealt = failed.as_ref().map_or(usize::MAX, |&(at, _)| at);
         let width = columns.len().min(record_len / 8);
-        for writer in writers.iter_mut() {
-            writer.file.columns.values.resize_with(width, Vec::new);
+        if let [writer] = writers {
+            writer.extend_columns(columns, width, dealt.iter().map(|&(row, _)| row));
+            return failed.map_or(Ok(()), Err);
         }
-        // A column at a time, for up to `FAN_OUT` writers at a time: their
-        // column slices and next positions are locals on the stack.
-        const FAN_OUT: usize = 16;
-        for (c, from) in columns[..width].iter().enumerate() {
-            for (g, group) in writers.chunks_mut(FAN_OUT).enumerate() {
-                let mut to: [&mut [i64]; FAN_OUT] = Default::default();
-                let mut at = [0; FAN_OUT];
-                for ((writer, to), at) in group.iter_mut().zip(&mut to).zip(&mut at) {
-                    let col = &mut writer.file.columns.values[c];
-                    *at = col.len();
-                    col.resize(writer.file.columns.rows, 0);
-                    *to = col;
-                }
-                for (row, w) in rows.clone().take(dealt) {
-                    let w = w.wrapping_sub(g * FAN_OUT);
-                    if let Some(to) = to.get_mut(w) {
-                        to[at[w]] = from[row];
-                        at[w] += 1;
-                    }
-                }
-            }
+        // The rows grouped by writer, in order within each — a counting
+        // sort — so that each of a writer's columns then takes its values
+        // in one gather, sized once.
+        let mut ends = vec![0usize; writers.len()];
+        dealt.iter().for_each(|&(_, w)| ends[w as usize] += 1);
+        let mut end = 0;
+        for at in &mut ends {
+            end += *at;
+            *at = end - *at;
         }
-        failed.map_or(Ok(()), |(_, e)| Err(e))
+        let mut grouped = vec![0u32; end];
+        for &(row, w) in &dealt {
+            grouped[ends[w as usize]] = row;
+            ends[w as usize] += 1;
+        }
+        let mut start = 0;
+        for (writer, end) in writers.iter_mut().zip(ends) {
+            writer.extend_columns(columns, width, grouped[start..end].iter().copied());
+            start = end;
+        }
+        failed.map_or(Ok(()), Err)
+    }
+
+    /// Extends the first `width` columns with the values of `rows` of
+    /// `columns`, one gather a column.
+    fn extend_columns(
+        &mut self,
+        columns: &[Vec<i64>],
+        width: usize,
+        rows: impl ExactSizeIterator<Item = u32> + Clone,
+    ) {
+        let values = &mut self.file.columns.values;
+        values.resize_with(width, Vec::new);
+        for (col, from) in values.iter_mut().zip(columns) {
+            col.extend(rows.clone().map(|row| from[row as usize]));
+        }
     }
 
     /// The disk's steps for the next row, which is counted: when it starts
@@ -407,26 +426,32 @@ impl SpillWriter {
         Ok(())
     }
 
-    /// Seals the last page and hands the file over for reading.
+    /// Seals the last page and hands the file over for reading, its
+    /// columns holding exactly its rows: the spare capacity their growth
+    /// left is given back (in place, nothing copied), so a sealed file
+    /// holds no slack while it waits to be read.
     ///
     /// # Errors
     /// An injected write fault on the last page's charge; the pages are
     /// given back.
-    pub fn finish(self) -> Result<SpillFile, StorageError> {
+    pub fn finish(mut self) -> Result<SpillFile, StorageError> {
         if self.tail && self.charged {
             self.file.disk.note_write()?;
         }
+        self.file.columns.values.iter_mut().for_each(Vec::shrink_to_fit);
         Ok(self.file)
     }
 }
 
 /// A sealed query-lifetime file: what [`SpillWriter::finish`] returns. The
-/// rows are the file's, one vector per column; the disk holds its page ids,
-/// which count, classify and fail the reads.
+/// rows are the file's, one vector per column, until [`SpillFile::read`]
+/// hands them to its reader; the disk holds its page ids, which count,
+/// classify and fail the reads, and which the file keeps apart from the
+/// rows until it is dropped.
 ///
 /// Dropping it gives its pages back to the disk, so an operator that
 /// holds its spill files reclaims them on `close()`, on every `?` error
-/// path and on unwinding alike, without saying so.
+/// path and on unwinding alike, without saying so — read or not.
 #[derive(Debug)]
 pub struct SpillFile {
     disk: SimDisk,
@@ -434,7 +459,8 @@ pub struct SpillFile {
 }
 
 impl SpillFile {
-    /// Number of rows.
+    /// Number of rows it holds: none once [`SpillFile::read`] has handed
+    /// them over.
     #[must_use]
     pub fn record_count(&self) -> u64 {
         self.columns.rows as u64
@@ -452,35 +478,30 @@ impl SpillFile {
         &self.columns.pages
     }
 
-    /// The rows of page `k` (none past the last page), without a read: for
-    /// a reader that accounts for it with [`SimDisk::read_run`].
+    /// The rows of page `k` (none past the last page, none once the file
+    /// is read), without a read: for a reader that accounts for it with
+    /// [`SimDisk::read_run`].
     #[must_use]
     pub fn page(&self, k: usize) -> PageRows<'_> {
         self.columns.rows_of(k..k + 1)
     }
 
-    /// All of its rows as one stretch of column slices, without a read: for
-    /// a reader that accounts for the pages itself with
-    /// [`SimDisk::read_run`].
-    #[must_use]
-    pub fn rows(&self) -> PageRows<'_> {
-        self.columns.rows_of(0..self.page_count())
-    }
-
     /// Reads the file back: every page in scan order, accounted one read
     /// each, in [`SimDisk::read_run`]s of at most `run_pages` (> 0) pages —
-    /// `usize::MAX` where the reader has the disk to itself, a morsel
-    /// where sibling workers read it too — and then all of its rows lent as
-    /// one stretch of column slices, for the reader to copy with one slice
-    /// a column.
+    /// `usize::MAX` where the reader has the disk to itself — and then
+    /// hands its rows over by move, one vector per column, nothing copied.
+    /// The file keeps its page ids, and gives them back when it is
+    /// dropped; it holds no rows afterwards.
     ///
     /// # Errors
-    /// The first page read that fails; the pages before it were read.
-    pub fn read(&self, run_pages: usize) -> Result<PageRows<'_>, StorageError> {
+    /// The first page read that fails; the pages before it were read, and
+    /// the rows stay with the file.
+    pub fn read(&mut self, run_pages: usize) -> Result<Vec<Vec<i64>>, StorageError> {
         self.columns.pages.chunks(run_pages).try_for_each(|run| {
             self.disk.read_run(run.iter().copied(), |_| ControlFlow::Continue(()))
         })?;
-        Ok(self.rows())
+        self.columns.rows = 0;
+        Ok(std::mem::take(&mut self.columns.values))
     }
 }
 
@@ -563,9 +584,9 @@ mod tests {
         let mut widest = SpillWriter::charged(disk.clone(), crate::MAX_RECORD);
         widest.append([7]).unwrap();
         widest.append([8]).unwrap();
-        let sealed = widest.finish().unwrap();
+        let mut sealed = widest.finish().unwrap();
         // Counted after the seal: a file is readable from `finish` on.
-        assert_eq!(sealed.read(usize::MAX).unwrap().rows(), 2);
+        assert_eq!(sealed.read(usize::MAX).unwrap(), vec![vec![7, 8]]);
         assert_eq!((sealed.page_count(), disk.stats().writes), (2, 2));
     }
 
@@ -602,12 +623,13 @@ mod tests {
             for i in 0..10 {
                 temp.append([i]).unwrap();
             }
-            let temp = temp.finish().unwrap();
+            let mut temp = temp.finish().unwrap();
             let pages = temp.pages().to_vec();
             assert_eq!(disk.temp_pages().live, 4);
-            let rows: Vec<i64> =
-                temp.read(usize::MAX).unwrap().columns().flatten().copied().collect();
-            assert_eq!(rows, (0..10).collect::<Vec<_>>());
+            assert_eq!(temp.read(usize::MAX).unwrap(), vec![(0..10).collect::<Vec<_>>()]);
+            // The rows are the reader's now; the pages stay the file's.
+            assert_eq!((temp.record_count(), temp.page(0).rows()), (0, 0));
+            assert_eq!((temp.pages(), disk.temp_pages().live), (&pages[..], 4));
             drop(temp);
             assert_eq!((disk.page_count(), disk.temp_pages().live), (loaded, 0));
             assert_eq!(disk.read(pages[0]).unwrap_err(), StorageError::UnallocatedPage(pages[0]));
@@ -638,6 +660,24 @@ mod tests {
         temp.append([1]).unwrap();
         assert!(temp.finish().unwrap_err().is_injected());
         assert_eq!((disk.page_count(), disk.temp_pages().live), (0, 0));
+    }
+
+    #[test]
+    fn a_failed_read_back_keeps_the_rows_with_the_file() {
+        use crate::fault::FaultPlan;
+        let disk = SimDisk::new();
+        let mut temp = SpillWriter::charged(disk.clone(), 512);
+        (0..10).for_each(|i| temp.append([i]).unwrap());
+        let mut temp = temp.finish().unwrap();
+        disk.set_fault_plan(FaultPlan::nth_read(3));
+        assert!(temp.read(usize::MAX).unwrap_err().is_injected());
+        // The failed read is accounted too; the pages after it are not read.
+        assert_eq!(
+            (temp.record_count(), disk.stats().seq_reads + disk.stats().random_reads),
+            (10, 3)
+        );
+        disk.set_fault_plan(FaultPlan::none());
+        assert_eq!(temp.read(usize::MAX).unwrap(), vec![(0..10).collect::<Vec<_>>()]);
     }
 
     #[test]

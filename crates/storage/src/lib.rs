@@ -31,9 +31,10 @@
 //! * [`HeapFile`] — unordered row file (base tables), a [`Row`] fetched by
 //!   [`Rid`] (its page and its position in the file, so a fetch indexes
 //!   the columns directly); [`SpillWriter`] / [`SpillFile`] — the write
-//!   and read halves of a query-lifetime file of fixed-width rows. A
+//!   and read halves of a query-lifetime file of fixed-width rows. A heap
 //!   reader accounts for a page with a disk read and then copies its rows
-//!   out of the columns.
+//!   out of the columns; a spill file's reader accounts for every page and
+//!   then takes the columns by move ([`SpillFile::read`]).
 //! * [`BTree`] — a from-scratch B-tree mapping `i64` keys to record ids,
 //!   with range scans; used for unclustered indexes. It keeps its nodes
 //!   as typed values, each holding as many entries as a 2,048-byte page

@@ -68,9 +68,15 @@ proptest! {
                 // Drop the file in the slot, sealed or not.
                 (0, Some((_, Temp::Sealed(file), _))) => freed.extend(file.pages().iter().copied()),
                 (0, Some((_, Temp::Open(_), _))) => {}
-                // Seal it: from here on it can be read.
+                // Seal it and read it back: it reads back exactly what was
+                // appended to it, and keeps its pages until it is dropped.
                 (1, Some((id, Temp::Open(writer), len))) => {
-                    files[slot] = Some((id, Temp::Sealed(writer.finish().unwrap()), len));
+                    let mut file = writer.finish().unwrap();
+                    prop_assert_eq!(file.record_count() as usize, len);
+                    let cols = file.read(usize::MAX).unwrap();
+                    prop_assert_eq!(&cols[0], &vec![id as i64; len]);
+                    prop_assert_eq!(&cols[1], &(0..len as i64).collect::<Vec<_>>());
+                    files[slot] = Some((id, Temp::Sealed(file), len));
                 }
                 (_, Some(sealed @ (_, Temp::Sealed(_), _))) => files[slot] = Some(sealed),
                 // Append to it, creating it first if the slot is empty.
@@ -92,20 +98,14 @@ proptest! {
             // No page belongs to two sealed files, the permanent one included.
             let mut owned: HashSet<PageId> = base.pages().iter().copied().collect();
             let mut unsealed_pages = 0;
-            for (id, file, len) in files.iter().flatten() {
+            for (_, file, len) in files.iter().flatten() {
                 match file {
                     Temp::Open(_) => unsealed_pages += len.div_ceil(STAMPS_PER_PAGE),
                     Temp::Sealed(file) => {
+                        prop_assert_eq!(file.page_count(), len.div_ceil(STAMPS_PER_PAGE));
                         for &pid in file.pages() {
                             prop_assert!(owned.insert(pid), "{pid} is live in two files");
                         }
-                        // It reads back exactly what was appended to it.
-                        let mut cols = [Vec::new(), Vec::new()];
-                        let rows = file.read(usize::MAX).unwrap();
-                        cols.iter_mut().zip(rows.columns()).for_each(|(col, from)| col.extend_from_slice(from));
-                        prop_assert_eq!(&cols[0], &vec![*id as i64; *len]);
-                        prop_assert_eq!(&cols[1], &(0..*len as i64).collect::<Vec<_>>());
-                        prop_assert_eq!(file.record_count() as usize, *len);
                     }
                 }
             }

@@ -4,8 +4,8 @@
 //! `free` leaves more than the trim threshold free at the top, glibc gives
 //! it back to the kernel (`sbrk` down), and the next request that grows
 //! the heap again faults every page of it back in: that is the allocator
-//! cliff of ROADMAP's first open item, a few thousand minor faults a
-//! benchmark segment on some seeds and a handful on others.
+//! cliff of ROADMAP item 11, a few thousand minor faults a benchmark
+//! segment on some seeds and a handful on others.
 //!
 //! This program runs the benchmark's `exec_scale` statements (the Grace
 //! join of `fact ⋈ dim`, the external sort of `fact`, the join filtered

@@ -25,9 +25,9 @@
 //! 4. **A spilled row**: ns a row of `fact` (12 000 rows, two attributes)
 //!    written to a spill file — one charged `SpillWriter` the rows are
 //!    dealt to, as a sort writes a run — and ns a row read back through
-//!    `SpillFile::read` into a batch's columns (the reads, then one copy a
-//!    column), for 256- and 512-byte records: what a Grace partition or a
-//!    sort run costs a row besides its hash, its sort and its join.
+//!    `SpillFile::read` (the reads, then the columns handed over by move),
+//!    for 256- and 512-byte records: what a Grace partition or a sort run
+//!    costs a row besides its hash, its sort and its join.
 //! 5. **A selected row**: ns a row of the filter's kernel, `select_rows`,
 //!    over `fact`'s `a` column in scan-sized batches, at bounds that pass
 //!    10, 50 and 90 % of the rows. A kernel that branches on each row pays
@@ -277,12 +277,10 @@ fn spill_rows(rows: &RowBatch, passes: usize) {
             let mut writer = [SpillWriter::charged(disk.clone(), record_len)];
             SpillWriter::deal(&mut writer, &columns, (0..n).map(|i| (i, 0))).expect("fault-free write");
             let [writer] = writer;
-            let file = writer.finish().expect("fault-free seal");
+            let mut file = writer.finish().expect("fault-free seal");
             spent[0] += started.elapsed();
             let started = Instant::now();
-            let mut back: Vec<Vec<i64>> = (0..rows.width()).map(|_| Vec::with_capacity(n)).collect();
-            let read = file.read(usize::MAX).expect("fault-free read");
-            back.iter_mut().zip(read.columns()).for_each(|(col, from)| col.extend_from_slice(from));
+            let back = file.read(usize::MAX).expect("fault-free read");
             spent[1] += started.elapsed();
             assert_eq!(back, columns, "the rows come back as they went");
             pages = file.page_count();

@@ -3,9 +3,12 @@
 //! allocations, frees and the optimizer's own counters — for the
 //! benchmark's `adhoc_optimize` texts (chains of 4, 6, 8 and 10
 //! relations, one host-variable selection a relation and a bound literal
-//! on `R1`); and what the benchmark's two stored databases take once
+//! on `R1`); what the benchmark's two stored databases take once
 //! loaded — heap pages, disk pages, the allocations of the load and the
-//! bytes it leaves live.
+//! bytes it leaves live; and what each of the `exec_scale` workload's three
+//! `fact`/`dim` statements does at one binding under the 64-page grant —
+//! its rows, CPU counters, temp-page high water, allocations and
+//! allocated bytes.
 //!
 //! Every line is pinned by equality, so a change that moves one shows the
 //! line in its diff: paste the table the failing run prints back only if
@@ -35,6 +38,8 @@ use parking_lot::Mutex;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static FREES: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by every allocation and reallocation.
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Bytes allocated and not yet freed.
 static LIVE: AtomicI64 = AtomicI64::new(0);
 /// Held by the test that is counting.
@@ -47,6 +52,7 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: the caller's obligations are passed on as received.
         unsafe { System.alloc(layout) }
@@ -61,6 +67,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System`; obligations are passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -347,5 +354,86 @@ fn the_storage_footprint_reads_as_recorded() {
     assert!(
         table == FOOTPRINT,
         "the footprint moved; this run's table:\n{table}\nrecorded:\n{FOOTPRINT}"
+    );
+}
+
+/// The `exec_scale` statements' line as recorded. A line reads
+/// `statement <s> <what> <count>`.
+const EXEC_SCALE: &str = "\
+statement 0 rows 8483
+statement 0 cpu.records 34964
+statement 0 cpu.compares 12000
+statement 0 cpu.hashes 28962
+statement 0 temp pages peak 2075
+statement 0 allocations 646
+statement 0 allocated bytes 2194189
+statement 1 rows 8481
+statement 1 cpu.records 28962
+statement 1 cpu.compares 122757
+statement 1 cpu.hashes 0
+statement 1 temp pages peak 1226
+statement 1 allocations 284
+statement 1 allocated bytes 640301
+statement 2 rows 6016
+statement 2 cpu.records 36750
+statement 2 cpu.compares 18000
+statement 2 cpu.hashes 25468
+statement 2 temp pages peak 1826
+statement 2 allocations 612
+statement 2 allocated bytes 1883305
+";
+
+/// The three `fact`/`dim` statements of the `exec_scale` workload — the
+/// plain join, `fact` sorted, the join filtered on both sides — each at
+/// one binding inside the workload's 50–90 % range.
+const EXEC_SCALE_STATEMENTS: [(&str, &[(&str, i64)]); 3] = [
+    ("SELECT * FROM fact, dim WHERE fact.j = dim.j AND fact.a < :x", &[("x", 8_500)]),
+    ("SELECT * FROM fact WHERE fact.a < :x ORDER BY fact.j", &[("x", 8_500)]),
+    ("SELECT * FROM fact, dim WHERE fact.j = dim.j AND fact.a < :x AND dim.a < :y", &[("x", 8_500), ("y", 4_250)]),
+];
+
+/// Each `exec_scale` statement through `QueryService::execute`, untraced at
+/// dop 1 under the 64-page grant, after a first visit has optimized it and
+/// memoized its decision: its rows, CPU counters and temp-page high water,
+/// and the fewest allocations (with their bytes) of three executions.
+///
+/// Named to run after [`the_storage_footprint_reads_as_recorded`]: when a
+/// test ends, the harness frees its bookkeeping on its own thread, and a
+/// footprint counted at that moment reads fewer live bytes.
+#[test]
+fn the_work_of_the_exec_scale_statements_reads_as_recorded() {
+    let _counting = LEDGER.lock();
+    let config = ServiceConfig { workers: 1, registry_capacity: 64, data_seed: 7, dop: 1, ..ServiceConfig::default() };
+    let service = QueryService::new(star_catalog(), config);
+    let mut table = String::new();
+    for (s, (sql, binds)) in EXEC_SCALE_STATEMENTS.iter().enumerate() {
+        let request = || Request { memory_pages: Some(64.0), ..Request::new(sql, binds) };
+        let summary = service.execute(request()).expect("a fault-free first visit").summary;
+        let (mut allocs, mut bytes) = (u64::MAX, u64::MAX);
+        for _ in 0..3 {
+            let before = ALLOC_BYTES.load(Ordering::Relaxed);
+            let (result, n) = allocs_of(|| service.execute(request()));
+            let spent = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+            let again = result.expect("a fault-free execution").summary;
+            assert_eq!((again.rows, again.cpu, again.temp_pages_peak), (summary.rows, summary.cpu, summary.temp_pages_peak));
+            if n < allocs {
+                (allocs, bytes) = (n, spent);
+            }
+        }
+        for (what, n) in [
+            ("rows", summary.rows),
+            ("cpu.records", summary.cpu.records),
+            ("cpu.compares", summary.cpu.compares),
+            ("cpu.hashes", summary.cpu.hashes),
+            ("temp pages peak", summary.temp_pages_peak),
+            ("allocations", allocs),
+            ("allocated bytes", bytes),
+        ] {
+            writeln!(table, "statement {s} {what} {n}").unwrap();
+        }
+    }
+    assert!(
+        table == EXEC_SCALE,
+        "the ledger moved; this run's table:\n{table}\nrecorded:\n{EXEC_SCALE}"
     );
 }
