@@ -301,7 +301,8 @@ impl ColStream {
 /// slices: how an exchange serves what its workers produced and a
 /// materialized scan a retained intermediate. A slice is a dense copy —
 /// the list may be shared between readers, and selection vectors are
-/// compacted away.
+/// compacted away — unless the reader holds the list alone
+/// ([`BatchCursor::next_owned`]).
 #[derive(Debug, Default)]
 pub(crate) struct BatchCursor {
     /// The batch being handed out.
@@ -331,6 +332,27 @@ impl BatchCursor {
             self.pos += take;
             return Some(out);
         }
+    }
+
+    /// [`BatchCursor::next_slice`] of a list its reader holds alone: a
+    /// batch that fits the request whole leaves it by move, uncopied and
+    /// with its selection vector, and only a larger one is cut into dense
+    /// copies. What left by move is not there to hand out again.
+    pub(crate) fn next_owned(
+        &mut self,
+        batches: &mut [RowBatch],
+        max_rows: usize,
+    ) -> Option<RowBatch> {
+        while let Some(batch) = batches.get_mut(self.idx) {
+            if self.pos > 0 || batch.len() > max_rows {
+                return self.next_slice(batches, max_rows);
+            }
+            self.idx += 1;
+            if !batch.is_empty() {
+                return Some(std::mem::take(batch));
+            }
+        }
+        None
     }
 }
 

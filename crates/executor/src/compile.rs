@@ -96,7 +96,10 @@ impl<'a> Compiler<'a, '_> {
         id: NodeId,
         ctx: &ExecContext,
     ) -> Result<BoxedOperator<'a>, ExecError> {
-        crate::trace::traced_node(ctx, self.plan, id, &self.db.disk, |ctx| self.operator(id, ctx))
+        let (plan, kind) = (self.plan, self.plan[id].op.name());
+        crate::trace::traced_operator(ctx, kind, Some((plan, id)), &self.db.disk, |ctx| {
+            self.operator(id, ctx)
+        })
     }
 
     /// The operator of node `id`, its inputs compiled under `ctx`.

@@ -42,14 +42,12 @@
 //! strategy needs surfaces as [`ExecError::ResourceExhausted`] instead of
 //! silently exceeding the grant.
 
-use std::borrow::Cow;
-
 use dqep_storage::{SimDisk, SpillFile, SpillWriter};
 
 use crate::batch::{ColStream, RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
 use crate::governor::ExecContext;
-use crate::metrics::{FallbackCause, RunEvent, SharedCounters};
+use crate::metrics::SharedCounters;
 use crate::tuple::TupleLayout;
 use crate::{BoxedOperator, Operator};
 
@@ -225,14 +223,9 @@ struct RadixTable {
 impl RadixTable {
     /// Builds the table from a dense columnar build buffer, charging one
     /// hash per row. `parts` must be a power of two. A single partition
-    /// keeps the rows where they are: an owned buffer's columns move into
-    /// the table, only a borrowed one is copied.
-    fn build(
-        keys: &Keys,
-        counters: &SharedCounters,
-        store: Cow<'_, RowBatch>,
-        parts: usize,
-    ) -> RadixTable {
+    /// keeps the rows where they are: the buffer's columns move into the
+    /// table.
+    fn build(keys: &Keys, counters: &SharedCounters, store: RowBatch, parts: usize) -> RadixTable {
         let n = store.rows();
         debug_assert!(n < u32::MAX as usize, "build side exceeds u32 indexing");
         debug_assert!(parts.is_power_of_two());
@@ -242,7 +235,7 @@ impl RadixTable {
         hash_build_batch(keys, &store, &mut hashes);
         let part_mask = (parts - 1) as u64;
         let (cols, hashes, part_starts) = if parts == 1 {
-            (store.into_owned().into_columns(), hashes, vec![0, n])
+            (store.into_columns(), hashes, vec![0, n])
         } else {
             scatter_by_partition(store.columns(), &hashes, part_mask)
         };
@@ -356,100 +349,6 @@ impl RadixTable {
     }
 }
 
-/// Joins two **resident** inputs in memory — each a set of batches with
-/// its row width — on `keys` (`(left column, right column)` pairs) and
-/// returns every `left ⊗ right` match as one dense batch. This is the
-/// join of a caller that already holds both sides (the sharded service's
-/// co-partitioned stage inputs); it runs on the same dense build batch +
-/// `RadixTable` as the hash-join operator and never touches a disk.
-///
-/// The side with fewer live rows builds, whichever it is. The table's
-/// footprint is reserved with `ctx.governor`: in full, else a half, a
-/// quarter, an eighth of it. A partial grant degrades to a **chunked
-/// build** — the build side is joined in grant-sized pieces, probing the
-/// other side once per piece — counted as one fallback in `ctx.counters`,
-/// the same graceful-degradation contract choose-plan gives retryable
-/// opens. Output order: build piece, then probe rows in input order, each
-/// row's matches in build-arrival order.
-///
-/// # Errors
-/// The governor's refusal of the smallest (one-eighth) reservation, or
-/// any non-retryable governor error.
-pub fn join_batches(
-    (left, left_width): (&[RowBatch], usize),
-    (right, right_width): (&[RowBatch], usize),
-    keys: &[(usize, usize)],
-    ctx: &ExecContext,
-) -> Result<RowBatch, ExecError> {
-    let live = |side: &[RowBatch]| side.iter().map(RowBatch::len).sum::<usize>();
-    let build_left = live(left) <= live(right);
-    let (build, build_width, probe) =
-        if build_left { (left, left_width, right) } else { (right, right_width, left) };
-    let keys: Keys = keys.iter().map(|&(l, r)| if build_left { (l, r) } else { (r, l) }).collect();
-    // The build rows as one dense buffer; a side that already is one dense
-    // batch is used where it lies.
-    let mut store = match build {
-        [only] if only.selection().is_none() => Cow::Borrowed(only),
-        _ => {
-            let mut store = RowBatch::with_capacity(build_width, live(build));
-            for batch in build {
-                store.extend_from_live(batch, 0..batch.len());
-            }
-            Cow::Owned(store)
-        }
-    };
-    let rows = store.rows();
-
-    // Per-row footprint: the row's values plus hash, chain link and
-    // bucket heads.
-    let bytes_per_row = (build_width * 8 + 48) as u64;
-    let full = (rows as u64).saturating_mul(bytes_per_row).max(1);
-    let mut granted = 0u64;
-    let mut refusal = None;
-    for divisor in [1u64, 2, 4, 8] {
-        let ask = (full / divisor).max(bytes_per_row);
-        match ctx.governor.try_reserve_memory(ask) {
-            Ok(()) => {
-                granted = ask;
-                break;
-            }
-            Err(e) if e.is_retryable() => refusal = Some(e),
-            Err(e) => return Err(e),
-        }
-    }
-    if granted == 0 {
-        return Err(refusal.unwrap_or_else(|| {
-            ExecError::Network("memory reservation failed without an error".into())
-        }));
-    }
-    if granted < full {
-        ctx.record(RunEvent::Fallback(FallbackCause::ChunkedJoin));
-    }
-
-    let piece_rows = ((granted / bytes_per_row) as usize).max(1);
-    let mut out = RowBatch::with_capacity(left_width + right_width, 0);
-    let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
-    for lo in (0..rows).step_by(piece_rows) {
-        let hi = (lo + piece_rows).min(rows);
-        let piece = if hi - lo == rows {
-            // The one piece of an unchunked build: the buffer itself.
-            std::mem::take(&mut store)
-        } else {
-            let mut sliced = RowBatch::with_capacity(build_width, hi - lo);
-            sliced.extend_from_live(&store, lo..hi);
-            Cow::Owned(sliced)
-        };
-        let parts = radix_partitions(piece.rows() * build_width * 8);
-        let table = RadixTable::build(&keys, &ctx.counters, piece, parts);
-        for probe_batch in probe {
-            table.match_batch(&keys, &ctx.counters, probe_batch, &mut hashes, &mut pairs);
-            table.gather_pairs_into(|c| probe_batch.column(c), &pairs, build_left, &mut out);
-        }
-    }
-    ctx.governor.release_memory(granted);
-    Ok(out)
-}
-
 /// One Grace partition pair, joined: the table built on its build
 /// partition, its probe partition, both as read back, and the match pairs
 /// of the probe, gathered into the output `max_rows` at a time.
@@ -482,13 +381,13 @@ impl JoinedPair {
         let probe = RowBatch::from_columns(probe_layout.width(), probe_part.read(usize::MAX)?);
         ctx.governor.check_batch(probe.rows() as u64)?;
         // The reservation is the cost model's padded record size; the radix
-        // fan-out follows the bytes the columns really hold, as in
-        // [`join_batches`] — the rows of a pair share their low hash bits, so
-        // a second partition would stay empty and only cost the scatter.
+        // fan-out follows the bytes the columns really hold — the rows of a
+        // pair share their low hash bits, so a second partition would stay
+        // empty and only cost the scatter.
         let part_bytes = (store.rows() * build_layout.row_bytes) as u64;
         ctx.governor.try_reserve_memory(part_bytes)?;
         let parts = radix_partitions(store.rows() * build_width * 8);
-        let table = RadixTable::build(keys, &ctx.counters, Cow::Owned(store), parts);
+        let table = RadixTable::build(keys, &ctx.counters, store, parts);
         let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
         table.match_batch(keys, &ctx.counters, &probe, &mut hashes, &mut pairs);
         ctx.governor.release_memory(part_bytes);
@@ -545,7 +444,10 @@ pub struct HashJoinExec<'a> {
 }
 
 impl<'a> HashJoinExec<'a> {
-    /// Creates a hash join building on `build`.
+    /// Creates a hash join building on `build` and probing with `probe` on
+    /// `keys`, (build column, probe column) pairs: resident while the build
+    /// side fits `budget_bytes`, partitioned to temp pages of `disk`
+    /// (Grace) past it.
     #[must_use]
     pub fn new(
         build: BoxedOperator<'a>,
@@ -599,13 +501,15 @@ impl Operator for HashJoinExec<'_> {
         let build_bytes = rows * build_row_bytes;
         if build_bytes <= self.budget_bytes {
             // The reservation stays held while the table is resident;
-            // `close` releases it.
+            // `close` releases it. The budget is the padded record size,
+            // the cost model's; the radix fan-out follows the bytes the
+            // columns hold, as a Grace pair's does.
             let store = RowBatch::dense(batches, build_width, rows);
             self.state = State::Radix(RadixTable::build(
                 &self.keys,
                 &self.ctx.counters,
-                Cow::Owned(store),
-                radix_partitions(build_bytes),
+                store,
+                radix_partitions(rows * build_width * 8),
             ));
             return Ok(());
         }
@@ -653,13 +557,13 @@ impl Operator for HashJoinExec<'_> {
         Ok(())
     }
 
-    /// The join's native body. The resident path ([`State::Radix`])
+    /// The join's native body. The resident path (`State::Radix`)
     /// hashes probe batches with the columnar kernel, walks the radix
     /// table's chains, and gathers match pairs column by column, handing
     /// out what a probe batch produced beyond the request in `max_rows`
     /// slices first; the Grace path gathers the current partition pair's
     /// next `max_rows` match pairs, and joins the next pair
-    /// ([`JoinedPair::join`]) when they are handed out.
+    /// (`JoinedPair::join`) when they are handed out.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
         self.ctx.governor.check_batch(0)?;
         let width = self.layout.width();
@@ -734,8 +638,6 @@ impl Operator for HashJoinExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::ResourceLimits;
-    use crate::tuple::Tuple;
 
     #[test]
     fn hash_is_stable_across_sides_and_partitions() {
@@ -812,7 +714,7 @@ mod tests {
             assert!(!want.is_empty(), "{what}: the case joins something");
             let counters = SharedCounters::default();
             for parts in [1usize, 2, 4, 8] {
-                let table = RadixTable::build(keys, &counters, Cow::Borrowed(store), parts);
+                let table = RadixTable::build(keys, &counters, store.clone(), parts);
                 let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
                 table.match_batch(keys, &counters, probe, &mut hashes, &mut pairs);
                 let mut out = RowBatch::new(store.width() + probe.width());
@@ -897,7 +799,7 @@ mod tests {
                 store.push_row(&[k]);
             }
             let counters = SharedCounters::default();
-            let table = RadixTable::build(&vec![(0, 0)], &counters, Cow::Owned(store), 1);
+            let table = RadixTable::build(&vec![(0, 0)], &counters, store, 1);
             let heads = &table.buckets[0].heads;
             let nb = heads.len() as f64;
             assert_eq!(heads.len(), 4_096, "{what}: two buckets a row, rounded up");
@@ -908,87 +810,6 @@ mod tests {
                 "{what}: {occupied} of {nb} buckets occupied, independent bits give {independent:.0}"
             );
         }
-    }
-
-    /// `n` rows `[key, tag + i]`, keys cycling through `0..keys`, split
-    /// over two batches, every fifth row filtered out of the second.
-    fn resident_side(n: i64, keys: i64, tag: i64) -> Vec<RowBatch> {
-        let mut first = RowBatch::new(2);
-        let mut second = RowBatch::new(2);
-        for i in 0..n {
-            let target = if i < n / 2 { &mut first } else { &mut second };
-            target.push_row(&[i % keys, tag + i]);
-        }
-        second.set_selection((0..second.rows() as u32).filter(|i| i % 5 != 0).collect());
-        vec![first, second]
-    }
-
-    fn nested_loop(left: &[RowBatch], right: &[RowBatch]) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        for l in left.iter().flat_map(RowBatch::iter) {
-            for r in right.iter().flat_map(RowBatch::iter) {
-                if l[0] == r[0] {
-                    out.push([l.as_slice(), r.as_slice()].concat());
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    fn sorted(batch: &RowBatch) -> Vec<Tuple> {
-        let mut rows = batch.to_tuples();
-        rows.sort();
-        rows
-    }
-
-    #[test]
-    fn join_batches_emits_left_then_right_whichever_side_builds() {
-        let small = resident_side(40, 7, 1_000);
-        let large = resident_side(300, 7, 5_000);
-        let ctx = ExecContext::new(SharedCounters::new());
-        // Small side on the left: it builds. On the right: it still
-        // builds, and the columns still come out left-then-right.
-        for (left, right) in [(&small, &large), (&large, &small)] {
-            let out = join_batches((left, 2), (right, 2), &[(0, 0)], &ctx).expect("joins");
-            assert_eq!(out.width(), 4);
-            assert!(out.selection().is_none());
-            assert_eq!(sorted(&out), nested_loop(left, right));
-        }
-        assert_eq!(ctx.counters.fallbacks(), 0, "an ungoverned join never degrades");
-        assert_eq!(ctx.governor.memory_used(), 0, "the table's reservation is returned");
-        // An empty side joins to nothing.
-        let out = join_batches((&[], 2), (&large, 2), &[(0, 0)], &ctx).expect("joins");
-        assert_eq!((out.rows(), out.width()), (0, 4));
-    }
-
-    #[test]
-    fn join_batches_degrades_to_a_chunked_build_then_refuses() {
-        let build = resident_side(200, 11, 1_000);
-        let probe = resident_side(400, 11, 5_000);
-        let rows: u64 = build.iter().map(|b| b.len() as u64).sum();
-        let full = rows * (2 * 8 + 48);
-        let governed = |bytes: u64| {
-            ExecContext::with_limits(
-                SharedCounters::new(),
-                ResourceLimits { memory_bytes: Some(bytes), ..ResourceLimits::default() },
-            )
-        };
-        // Room for a quarter of the table: four pieces, one fallback,
-        // the same multiset.
-        let ctx = governed(full / 4 + 8);
-        let out = join_batches((&build, 2), (&probe, 2), &[(0, 0)], &ctx).expect("degrades");
-        assert_eq!(sorted(&out), nested_loop(&build, &probe));
-        assert_eq!(ctx.counters.fallbacks(), 1, "one degradation, however many pieces");
-        assert_eq!(ctx.governor.memory_used(), 0);
-        // Below an eighth the ladder is exhausted: a governed refusal.
-        let ctx = governed(full / 16);
-        let err = join_batches((&build, 2), (&probe, 2), &[(0, 0)], &ctx).unwrap_err();
-        assert!(
-            matches!(err, ExecError::ResourceExhausted(crate::Resource::Memory { .. })),
-            "{err:?}"
-        );
-        assert_eq!(ctx.governor.memory_used(), 0);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use exec::{drain, drain_root, BoxedOperator, Operator, RootSink};
 pub use explain::{card_drift, cost_drift, explain_json, render_explain, validate_explain_json};
 pub use filter::select_rows;
 pub use governor::{ExecContext, ExecMode, ResourceGovernor, ResourceLimits};
-pub use hash_join::{fold_hash_column, hash_key, join_batches, mix, HASH_SEED};
+pub use hash_join::{fold_hash_column, hash_key, mix, HashJoinExec, HASH_SEED};
 pub use journal::{
     journal, monotonic_ns, validate_journal_json, EventKind, Journal, JournalEvent,
     JOURNAL_CAPACITY, NO_ID,
@@ -89,18 +89,18 @@ pub use metrics::{
     CpuCounters, ExecSummary, FallbackCause, PlanCacheInfo, RunEvent, SharedCounters,
 };
 pub use netexchange::{
-    decode_frame, decode_frame_traced, encode_frame, encode_frame_dense, presized_batch,
-    scatter_by_shard, shard_route, FrameTrace, LinkFaultPlan, NetChannel, NetConfig, NetStats,
-    SimNet, FRAME_HEADER_BYTES,
+    decode_frame, decode_frame_traced, drain_link, encode_frame, encode_frame_dense,
+    presized_batch, scatter_by_shard, shard_route, FrameSender, FrameTrace, LinkFaultPlan,
+    NetChannel, NetConfig, NetStats, SimNet, FRAME_HEADER_BYTES,
 };
 pub use reopt::{
     escapes_interval, pick_pilot, MaterializedScanExec, ReoptConfig, ReoptCounters, ReoptEvent,
     ReoptEventKind, ReoptReport, ReoptState,
 };
-pub use sort::{kway_merge, sort_batches, SortExec};
+pub use sort::{kway_merge, SortExec};
 pub use trace::{
-    next_trace_id, AltAudit, ArbitrationOutcome, AttemptAudit, ChooseAudit, NetSpanStats,
-    NodeEstimate, Phases, SpanEnd, SpanId, SpanOpen, SpanRecord, SpanStats, TraceReport,
-    TracedExec, Tracer,
+    next_trace_id, traced_operator, AltAudit, ArbitrationOutcome, AttemptAudit, ChooseAudit,
+    NetSpanStats, NodeEstimate, Phases, SpanEnd, SpanId, SpanOpen, SpanRecord, SpanStats,
+    TraceReport, TracedExec, Tracer,
 };
 pub use tuple::{Tuple, TupleLayout};

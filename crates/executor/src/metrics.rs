@@ -114,9 +114,6 @@ pub enum RunEvent {
 /// Why a run fell back outside a choose-plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackCause {
-    /// A hash join's build was granted less memory than it asked for and
-    /// ran in pieces.
-    ChunkedJoin,
     /// A prepared statement's resolved plan failed retryably and the run
     /// was retried through its dynamic plan.
     ResolvedPlanRetry,
@@ -321,7 +318,7 @@ mod tests {
     fn fallbacks_tracked_separately() {
         let shared = SharedCounters::new();
         assert_eq!(shared.fallbacks(), 0);
-        shared.append(RunEvent::Fallback(FallbackCause::ChunkedJoin));
+        shared.append(RunEvent::Fallback(FallbackCause::ResolvedPlanRetry));
         shared.append(RunEvent::Arbitration { node: 4, winner: Some(1), fallbacks: 2 });
         assert_eq!(shared.fallbacks(), 3);
         assert_eq!(shared.snapshot(), CpuCounters::default());

@@ -28,6 +28,9 @@
 //!   kernel ([`crate::fold_hash_column`]), bit-identical to the scalar
 //!   join hash, so co-partitioning both join sides is guaranteed by
 //!   construction.
+//! * **Link halves** — a [`FrameSender`] turns a run's batches into the
+//!   frames of one link and [`drain_link`] decodes them back into batches,
+//!   each recording its network span on the run's trail when it is traced.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -36,7 +39,9 @@ use parking_lot::Mutex;
 
 use crate::batch::{RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
+use crate::governor::ExecContext;
 use crate::hash_join::{fold_hash_column, HASH_SEED};
+use crate::trace::{NetSpanStats, SpanId, SpanStats};
 
 /// Bytes of the frame header: width, row count, selection length, trace
 /// id, parent span.
@@ -530,6 +535,125 @@ pub fn scatter_by_shard(
                 col.extend(picked.iter().map(|&i| src[i as usize]));
             }
         });
+    }
+}
+
+/// The receive half of one link: receives every frame `ch` holds,
+/// decoding each onto `into`, for the run of `ctx`, whose trail a receive
+/// span under `parent` goes on once the link drains. Stops at the first
+/// frame that does not decode or whose width is not the reader's layout's
+/// `width` (the header is input: a narrower frame would index out of range
+/// in a key column).
+///
+/// # Errors
+/// [`ExecError::Network`] for a frame of another width, and the decode
+/// error of a malformed frame.
+pub fn drain_link(
+    ch: &NetChannel,
+    width: usize,
+    into: &mut Vec<RowBatch>,
+    ctx: Option<&ExecContext>,
+    parent: Option<SpanId>,
+) -> Result<(), ExecError> {
+    let (mut stats, mut remote) = (SpanStats::default(), None);
+    let drained = loop {
+        let Some(frame) = ch.recv() else { break Ok(()) };
+        match decode_frame_traced(&frame) {
+            Ok((batch, _)) if batch.width() != width => {
+                break Err(ExecError::Network(format!(
+                    "frame width mismatch on link {}->{}: {} columns, stage layout has {width}",
+                    ch.from_node(),
+                    ch.to_node(),
+                    batch.width(),
+                )));
+            }
+            Ok((batch, ft)) => {
+                stats.rows += batch.len() as u64;
+                stats.batches += 1;
+                remote = remote.or(ft.span);
+                into.push(batch);
+            }
+            Err(e) => break Err(e),
+        }
+    };
+    // A receive span, when any frame arrived, carries no byte accounting
+    // (the send side owns it, so totals never double count) — just the
+    // delivered rows and the first propagated remote span.
+    if let Some(ctx) = ctx.filter(|_| stats.batches > 0) {
+        let (from, to) = (ch.from_node(), ch.to_node());
+        let label = || format!("Net-Recv {to}<-{from}");
+        if let Some(span) = ctx.open_span("Net-Recv", None, label, parent, None) {
+            let net = NetSpanStats { from, to, remote_span: remote, ..NetSpanStats::default() };
+            ctx.end_span(span, stats, Some(net), None);
+        }
+    }
+    drained
+}
+
+/// The send half of one link: turns batches into dense frames stamped
+/// with the run's trace id, traced under one lazily opened `Net-Send`
+/// span on the run's trail.
+pub struct FrameSender<'a> {
+    ch: &'a NetChannel,
+    ctx: &'a ExecContext,
+    /// Opened at the first frame, so the span id can ride in every frame
+    /// header and an idle link records nothing.
+    span: Option<SpanId>,
+}
+
+impl<'a> FrameSender<'a> {
+    /// A sender for `ctx`'s run: its trace id, its trail and its span
+    /// parent.
+    #[must_use]
+    pub fn new(ch: &'a NetChannel, ctx: &'a ExecContext) -> FrameSender<'a> {
+        FrameSender { ch, ctx, span: None }
+    }
+
+    /// Sends the live rows of `batch`. Frames are dense — a selection
+    /// vector is compacted away by the encoder, so a filtered batch does
+    /// not inflate wire bytes — and hold [`BATCH_CAPACITY`] rows each,
+    /// the last one taking the remainder (under two frames' worth), so a
+    /// frame's size is bounded however large the batch and no link
+    /// carries a runt.
+    ///
+    /// # Errors
+    /// [`ExecError::Network`] when a frame exhausts the link's
+    /// retransmission budget.
+    pub fn send(&mut self, batch: &RowBatch) -> Result<(), ExecError> {
+        let live = batch.len();
+        let mut lo = 0;
+        while lo < live {
+            let hi = if live - lo < 2 * BATCH_CAPACITY { live } else { lo + BATCH_CAPACITY };
+            if self.span.is_none() {
+                let (from, to) = (self.ch.from_node(), self.ch.to_node());
+                let label = || format!("Net-Send {from}->{to}");
+                self.span = self.ctx.open_span("Net-Send", None, label, self.ctx.span_parent, None);
+            }
+            let span = self.span.map(|sp| sp.0 as u64);
+            let trace = FrameTrace { trace_id: self.ctx.trace_id(), span };
+            self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
+            lo = hi;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for FrameSender<'_> {
+    /// Whatever happened — including a send that exhausted its
+    /// retransmission budget — the opened span carries the channel's own
+    /// counters: each channel has exactly one sender and lives for one
+    /// query, so its counters are the span's traffic.
+    fn drop(&mut self) {
+        if let Some(span) = self.span {
+            let net = NetSpanStats {
+                from: self.ch.from_node(),
+                to: self.ch.to_node(),
+                sent: true,
+                stats: self.ch.stats(),
+                remote_span: None,
+            };
+            self.ctx.end_span(span, SpanStats::default(), Some(net), None);
+        }
     }
 }
 

@@ -1,14 +1,13 @@
 //! External sort with memory-bounded, governor-audited runs — columnar
-//! from ingest to emission — and the two kernels it is made of, exported
-//! for callers that hold their runs in memory already.
+//! from ingest to emission — and the merge loop it shares with a caller
+//! that holds sorted runs of batches already.
 //!
-//! A *run* here is a slice of [`RowBatch`]es with their selection vectors.
-//! [`sort_batches`] is the stable argsort of one run's live rows plus a
-//! gather per column; [`kway_merge`] merges runs already sorted on the
-//! key, lowest run first among equal keys. The operator sorts a chunk
-//! with the first and merges its spilled runs with the second's loop, so
-//! its output is *the stable sort of its input*: among equal keys,
-//! arrival order.
+//! The operator sorts a chunk with the run sort and merges its spilled
+//! runs with the tournament, so its output is *the stable sort of its
+//! input*: among equal keys, arrival order. [`kway_merge`] runs the same
+//! tournament over runs that are slices of [`RowBatch`]es with their
+//! selection vectors, each already sorted on the key, lowest run first
+//! among equal keys (the sharded gather's ordered merge).
 //!
 //! Both kernels pack what they compare into one integer. The run sort is
 //! a stable LSD radix sort of `(key − min) << 32 | arrival ordinal`, a
@@ -121,49 +120,6 @@ fn radix_sort(entries: &mut [u64], spare: &mut [u64], bits: u32) {
     if in_spare {
         to.copy_from_slice(from);
     }
-}
-
-/// Gathers the rows `order` names — (batch, physical row) — out of
-/// `batches`, one pass per column, into a dense batch: no row is
-/// assembled.
-fn gather(
-    batches: &[RowBatch],
-    width: usize,
-    order: impl ExactSizeIterator<Item = (usize, usize)> + Clone,
-) -> RowBatch {
-    let mut out = RowBatch::with_capacity(width, order.len());
-    out.extend_rows_with(order.len(), |cols| {
-        for (c, col) in cols.iter_mut().enumerate() {
-            let src: Vec<&[i64]> = batches.iter().map(|batch| batch.column(c)).collect();
-            col.extend(order.clone().map(|(b, i)| src[b][i]));
-        }
-    });
-    out
-}
-
-/// Stable sort of the live rows of `batches` on column `key`, as one
-/// dense batch of `width` columns: equal keys keep arrival order.
-#[must_use]
-pub fn sort_batches(batches: &[RowBatch], width: usize, key: usize) -> RowBatch {
-    let mut sort = RunSort::default();
-    if let [batch] = batches {
-        if batch.selection().is_none() {
-            // One dense batch: its key column lists the keys in arrival
-            // order.
-            sort.sort(batch.column(key));
-            return gather(batches, width, sort.order().map(|o| (0, o)));
-        }
-    }
-    let live: Vec<(u32, u32)> = batches
-        .iter()
-        .zip(0..)
-        .flat_map(|(batch, b)| batch.selected_indices().map(move |i| (b, i as u32)))
-        .collect();
-    let keys: Vec<i64> =
-        live.iter().map(|&(b, i)| batches[b as usize].column(key)[i as usize]).collect();
-    sort.sort(&keys);
-    let order = sort.order().map(|o| (live[o].0 as usize, live[o].1 as usize));
-    gather(batches, width, order)
 }
 
 /// The sorted inputs of the merge loop, each seen from its next row.
@@ -784,20 +740,6 @@ mod tests {
         assert_eq!(merged[2], (3, vec![2, 30]));
     }
 
-    #[test]
-    fn sort_batches_is_a_stable_sort_of_the_live_rows() {
-        let mut first = batch_of(2, &[&[5, 0], &[1, 1], &[7, 2], &[1, 3]]);
-        first.set_selection(vec![0, 1, 3]);
-        let second = batch_of(2, &[&[1, 4], &[0, 5]]);
-        let sorted = sort_batches(&[first, second], 2, 0);
-        assert!(sorted.selection().is_none(), "the result is dense");
-        assert_eq!(
-            sorted.to_tuples(),
-            vec![vec![0, 5], vec![1, 1], vec![1, 3], vec![1, 4], vec![5, 0]],
-            "equal keys keep arrival order; the dead row is gone"
-        );
-    }
-
     /// Key draws: a base and a span. Every draw of a case lies in `base
     /// ..= base + span` and both ends are drawn, so the span is exact:
     /// spans of 2^8, 2^16, 2^32 − 1 (the widest the run sort packs) and
@@ -895,19 +837,9 @@ mod tests {
             ),
         ) {
             let batches = batches_of(base, span, &draws);
-            // The reference: the unstable sort of (key, batch, row), which
-            // is the stable sort on the key.
-            let mut entries: Vec<(i64, usize, usize)> = Vec::new();
-            for (b, batch) in batches.iter().enumerate() {
-                entries.extend(batch.selected_indices().map(|i| (batch.column(0)[i], b, i)));
-            }
-            entries.sort_unstable();
-            let expected: Vec<Vec<i64>> =
-                entries.iter().map(|&(_, b, i)| batches[b].row_vec(i)).collect();
-            prop_assert_eq!(sort_batches(&batches, 2, 0).to_tuples(), expected);
-
-            // The run sort on its own: ordinals in key order, and the
-            // packing taken exactly when the span and the count fit.
+            // The reference: the unstable sort of (key, ordinal), which is
+            // the stable sort on the key. The packing is taken exactly when
+            // the span and the count fit.
             let arrival: Vec<i64> = batches
                 .iter()
                 .flat_map(|batch| batch.selected_indices().map(|i| batch.column(0)[i]))

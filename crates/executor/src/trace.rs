@@ -667,21 +667,23 @@ impl Drop for TracedExec<'_> {
     }
 }
 
-/// Compiles the plan's node `id` with `compile`. When `ctx` traces, the
-/// node opens a span, `compile` runs under a context whose span parent is
+/// Builds an operator of `kind` — plan node `node`'s, when it is one —
+/// with `compile`. When `ctx` traces, the operator opens a span under
+/// `ctx`'s span parent, `compile` runs under a context whose span parent is
 /// that span (so its inputs' spans nest), and the operator is wrapped in
 /// a [`TracedExec`] that reads `disk`. Untraced, the compile path pays one
 /// branch and allocates nothing.
-pub(crate) fn traced_node<'a>(
+///
+/// # Errors
+/// The error of `compile`.
+pub fn traced_operator<'a>(
     ctx: &ExecContext,
-    plan: &Plan,
-    id: NodeId,
+    kind: &'static str,
+    node: Option<(&Plan, NodeId)>,
     disk: &SimDisk,
     compile: impl FnOnce(&ExecContext) -> Result<BoxedOperator<'a>, ExecError>,
 ) -> Result<BoxedOperator<'a>, ExecError> {
-    let kind = plan[id].op.name();
-    let Some(span) = ctx.open_span(kind, Some((plan, id)), String::new, ctx.span_parent, None)
-    else {
+    let Some(span) = ctx.open_span(kind, node, String::new, ctx.span_parent, None) else {
         return compile(ctx);
     };
     let mut child = ctx.clone();

@@ -50,12 +50,13 @@
 //!
 //! **Batches end to end.** [`RowBatch`] is the only currency of the data
 //! path: access plans hand back the batches their operators produced,
-//! exchanges scatter column-wise and keep decoded frames as batches, the
-//! local join is the executor's radix join ([`join_batches`]), residual
-//! predicates are selection vectors, `ORDER BY` is an argsort plus column
-//! gathers, and the gather merge walks `(batch, row)` cursors. Rows exist
-//! in exactly one place: [`ShardOutcome::rows`], built once by the
-//! coordinator.
+//! exchanges scatter column-wise and keep decoded frames as batches, and
+//! a shard joins and sorts with the engine's own operators: the local join
+//! is a [`HashJoinExec`] over leaves that hand out the received batches,
+//! every equi-predicate of the stage a key, and `ORDER BY` is a
+//! [`SortExec`], each with the memory grant a single node's would have.
+//! The gather merge walks `(batch, row)` cursors. Rows exist in exactly
+//! one place: [`ShardOutcome::rows`], built once by the coordinator.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -66,10 +67,10 @@ use dqep_catalog::{AttrId, Catalog, Relation, RelationId};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    decode_frame_traced, encode_frame_dense, hash_key, join_batches, journal, kway_merge,
-    next_trace_id, presized_batch, run_parallel, scatter_by_shard, sort_batches, EventKind,
-    ExecContext, ExecError, FrameTrace, NetChannel, NetConfig, NetSpanStats, NetStats, Phases,
-    Resource, ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet, SpanId, SpanStats,
+    drain_link, hash_key, journal, kway_merge, next_trace_id, presized_batch, run_parallel,
+    scatter_by_shard, traced_operator, BoxedOperator, CpuCounters, EventKind, ExecContext,
+    ExecError, FrameSender, HashJoinExec, MaterializedScanExec, NetChannel, NetConfig, NetStats,
+    Phases, Resource, ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet, SortExec,
     TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, Plan};
@@ -132,10 +133,12 @@ pub struct ShardConfig {
     /// `io_latency_micros` paces the shard's disk.
     pub dop: usize,
     /// Resource budgets. Memory, I/O and wall clock are per shard (each
-    /// shard gets its own governor); `max_rows` is per query: it bounds
-    /// the rows the coordinator gathers, and a query over it fails with
-    /// [`Resource::Rows`]. Access and join stages are intermediate
-    /// results and are not charged.
+    /// shard gets its own governor). The memory limit is a hard cap: a
+    /// shard's join build or sort it refuses fails the query with
+    /// [`Resource::Memory`], as a single node's does. `max_rows` is per
+    /// query: it bounds the rows the coordinator gathers, and a query over
+    /// it fails with [`Resource::Rows`]. Access and join stages are
+    /// intermediate results and are not charged.
     pub limits: ResourceLimits,
     /// Simulated per-page I/O latency on every shard's disk, µs. Above 0,
     /// the shards take each step of a query on threads of their own, so
@@ -148,9 +151,13 @@ pub struct ShardConfig {
     /// Zipf exponent applied to the *selection* attribute (index 0) of
     /// every relation; join attributes stay uniform. `None`: uniform.
     pub skew: Option<f64>,
-    /// Memory grant in pages for bind-time arbitration (`None`: the
-    /// environment's expected grant). Each shard arbitrates and executes
-    /// under this grant independently — a shard is its own node.
+    /// Memory grant in pages for bind-time arbitration and for each
+    /// shard's join and sort. Each shard arbitrates and executes under
+    /// this grant independently — a shard is its own node: a join whose
+    /// build exceeds it partitions to temp pages (Grace), and a sort past
+    /// it spills runs, as a single node's do at that grant. `None`: the
+    /// environment's expected grant for arbitration, and an unbounded
+    /// join and sort.
     pub memory_pages: Option<f64>,
     /// Resolve every choose-plan at the coordinator against the global
     /// statistics and broadcast the resolved plan — the "single-node
@@ -217,9 +224,11 @@ pub struct ShardOutcome {
     /// (stage by stage, then the gather links). Only links that carried
     /// at least one transmission appear.
     pub links: Vec<LinkTraffic>,
-    /// Retryable failures absorbed across all shards (choose-plan
-    /// fallbacks plus chunked-join degradations).
+    /// Retryable failures absorbed across all shards: choose-plan
+    /// fallbacks.
     pub fallbacks: u64,
+    /// The CPU work of every shard, summed.
+    pub cpu: CpuCounters,
     /// The distributed trace (coordinator + every shard + network
     /// exchange spans), present when [`ShardConfig::trace`] was set.
     pub trace: Option<TraceReport>,
@@ -262,20 +271,30 @@ struct DistPlan {
     access: Vec<Arc<Plan>>,
     joins: Vec<JoinStage>,
     /// The result layout: the query's relations concatenated in `FROM`
-    /// order, which the join chain produces on every shard.
+    /// order.
     layout: TupleLayout,
-    /// The `ORDER BY` column of `layout`.
+    /// The layout of a shard's rows once the chain is joined, the same on
+    /// every shard: each stage's join puts the relation it adds (its build
+    /// side) before the rows it had.
+    shard_layout: TupleLayout,
+    /// Where `layout`'s columns are in `shard_layout`: result column `i`
+    /// is `shard_layout`'s column `columns[i]`.
+    columns: Vec<usize>,
+    /// The `ORDER BY` column of `shard_layout`.
     order_key: Option<usize>,
+    /// The working memory of a shard's join and sort, in bytes: the
+    /// binding's grant, or unbounded without one.
+    memory_bytes: usize,
 }
 
-/// One repartitioning join stage: the accumulated left side joins the
-/// next relation's access stage on `keys` (columns of the left and of the
-/// right layout, `widths` wide); any further equi-join predicates between
-/// the two sides apply as residual filters on the joined layout's columns.
+/// One repartitioning join stage: the rows the chain has reached (`left`,
+/// the probe side) join the next relation's access stage (`right`, which
+/// builds) on every equi-join predicate between the two, as `(right
+/// column, left column)` pairs; the first pair is the repartition key.
 struct JoinStage {
-    keys: (usize, usize),
-    widths: (usize, usize),
-    residual: Vec<(usize, usize)>,
+    left: TupleLayout,
+    right: TupleLayout,
+    keys: Vec<(usize, usize)>,
 }
 
 /// One join stage side's links, indexed `[from][to]`: a shard's
@@ -474,7 +493,8 @@ impl ShardedService {
         }
 
         let mut joins = Vec::with_capacity(rels.len().saturating_sub(1));
-        let mut layout = TupleLayout::base(&self.catalog, rels[0]);
+        let mut shard_layout = TupleLayout::base(&self.catalog, rels[0]);
+        let mut layout = shard_layout.clone();
         for i in 1..rels.len() {
             let joined = &rels[..i];
             let next = rels[i];
@@ -488,26 +508,27 @@ impl ShardedService {
                     }
                 }
             }
-            let Some(&(left_attr, right_attr)) = applicable.first() else {
+            if applicable.is_empty() {
                 return Err(ServiceError::Sql(format!(
                     "sharded execution needs an equi-join predicate connecting relation {next} \
                      to the preceding FROM relations (cross products are not distributed)"
                 )));
-            };
+            }
             let right = TupleLayout::base(&self.catalog, next);
-            let joined = layout.concat(&right);
-            joins.push(JoinStage {
-                keys: (layout.require(left_attr), right.require(right_attr)),
-                widths: (layout.width(), right.width()),
-                residual: applicable[1..]
-                    .iter()
-                    .map(|&(l, r)| (joined.require(l), joined.require(r)))
-                    .collect(),
-            });
-            layout = joined;
+            let left = shard_layout;
+            let keys =
+                applicable.iter().map(|&(l, r)| (right.require(r), left.require(l))).collect();
+            layout = layout.concat(&right);
+            shard_layout = right.concat(&left);
+            joins.push(JoinStage { left, right, keys });
         }
-        let order_key = order_by.map(|attr| layout.require(attr));
-        Ok(DistPlan { access, joins, layout, order_key })
+        let width = shard_layout.width();
+        let columns = layout.projection_from(&shard_layout).unwrap_or_else(|| (0..width).collect());
+        let order_key = order_by.map(|attr| shard_layout.require(attr));
+        let page_bytes = f64::from(self.catalog.config.page_size);
+        let memory_bytes =
+            bindings.memory_pages.map_or(usize::MAX, |pages| (pages * page_bytes) as usize);
+        Ok(DistPlan { access, joins, layout, shard_layout, columns, order_key, memory_bytes })
     }
 
     /// Runs the distributed plan in an `Execute` phase of the coordinator's
@@ -561,7 +582,7 @@ impl ShardedService {
                 run.right = run_access(run.shard, &plan.access[j + 1], env, bindings, &run.ctx)?;
                 run.send_stage(stage, links)
             })?;
-            each_shard(&mut runs, |run| run.join_stage(stage, links))?;
+            each_shard(&mut runs, |run| run.join_stage(stage, links, plan.memory_bytes))?;
         }
         each_shard(&mut runs, |run| run.gather(plan, &gather[run.s]))?;
 
@@ -578,6 +599,8 @@ impl ShardedService {
         let winners: Vec<Vec<(u64, usize)>> =
             runs.iter().map(|r| r.ctx.counters.winners()).collect();
         let fallbacks = runs.iter().map(|r| r.ctx.counters.fallbacks()).sum();
+        let mut cpu = CpuCounters::default();
+        runs.iter().for_each(|r| cpu += r.ctx.counters.snapshot());
         // The row budget is the query's: access stages and join stages are
         // intermediate results, so only the gathered total is charged.
         if let Some(limit) = self.config.limits.max_rows {
@@ -587,7 +610,7 @@ impl ShardedService {
                 })));
             }
         }
-        let rows = materialize(&gathered, plan.order_key);
+        let rows = materialize(&gathered, plan.order_key, &plan.columns);
 
         let mut winners_by_node: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
         for &(node, w) in winners.iter().flatten() {
@@ -632,6 +655,7 @@ impl ShardedService {
             net,
             links,
             fallbacks,
+            cpu,
             trace,
         })
     }
@@ -672,21 +696,41 @@ fn check_gathered(shard: usize, gathered: u64, reported: u64) -> Result<(), Exec
 
 /// The **one** place the sharded path turns columns into rows: builds
 /// [`ShardOutcome::rows`] from the gathered batches, pre-sized from their
-/// row count, one `row_vec` per result row — the per-shard runs k-way
-/// merged on `order_key` when the query is ordered (ties resolve by shard
-/// index, so the merge is fully deterministic), else concatenated in
+/// row count, one tuple per result row gathered from the batch's
+/// `columns` in order (the result's `FROM` order) — the per-shard runs
+/// k-way merged on `order_key` when the query is ordered (ties resolve by
+/// shard index, so the merge is fully deterministic), else concatenated in
 /// shard order.
-fn materialize(gathered: &[Vec<RowBatch>], order_key: Option<usize>) -> Vec<Tuple> {
+fn materialize<'g>(
+    gathered: &'g [Vec<RowBatch>],
+    order_key: Option<usize>,
+    columns: &[usize],
+) -> Vec<Tuple> {
     let total: u64 = gathered.iter().map(|run| live_rows(run)).sum();
     let mut rows = Vec::with_capacity(total as usize);
+    // Per shard, the batch its last row came from and the result's columns
+    // of it.
+    let mut from: Vec<(*const RowBatch, Vec<&[i64]>)> =
+        vec![(std::ptr::null(), Vec::new()); gathered.len()];
+    let mut push = |s: usize, batch: &'g RowBatch, i: usize| {
+        let (at, cols) = &mut from[s];
+        if !std::ptr::eq(batch, *at) {
+            *at = batch;
+            cols.clear();
+            cols.extend(columns.iter().map(|&c| batch.column(c)));
+        }
+        rows.push(cols.iter().map(|col| col[i]).collect());
+    };
     match order_key {
         Some(key) => {
             let runs: Vec<&[RowBatch]> = gathered.iter().map(Vec::as_slice).collect();
-            kway_merge(&runs, key, |_, batch, i| rows.push(batch.row_vec(i)));
+            kway_merge(&runs, key, &mut push);
         }
         None => {
-            for batch in gathered.iter().flatten() {
-                rows.extend(batch.iter());
+            for (s, run) in gathered.iter().enumerate() {
+                for batch in run {
+                    batch.selected_indices().for_each(|i| push(s, batch, i));
+                }
             }
         }
     }
@@ -735,43 +779,40 @@ impl ShardRun<'_> {
         stage: &JoinStage,
         [left, right]: &[Links; 2],
     ) -> Result<(), ExecError> {
-        let ((lkey, rkey), (lw, rw), s) = (stage.keys, stage.widths, self.s);
-        send_partitions(s, &mut self.left, lw, lkey, &left[s], &self.ctx)?;
-        send_partitions(s, &mut self.right, rw, rkey, &right[s], &self.ctx)
+        let ((rkey, lkey), s) = (stage.keys[0], self.s);
+        send_partitions(s, &mut self.left, stage.left.width(), lkey, &left[s], &self.ctx)?;
+        send_partitions(s, &mut self.right, stage.right.width(), rkey, &right[s], &self.ctx)
     }
 
     /// A join stage's join step: both sides' shares received on the
-    /// shard's in-links, joined, and the residual predicates applied.
+    /// shard's in-links, then joined by a [`HashJoinExec`] that builds on
+    /// the right side, on every key of the stage, within `memory_bytes`.
     fn join_stage(
         &mut self,
         stage: &JoinStage,
         [left, right]: &[Links; 2],
+        memory_bytes: usize,
     ) -> Result<(), ExecError> {
-        let ((lw, rw), ctx) = (stage.widths, &self.ctx);
-        receive_partitions(&mut self.left, lw, left, self.s, ctx)?;
-        receive_partitions(&mut self.right, rw, right, self.s, ctx)?;
-        let mut joined = join_batches((&self.left, lw), (&self.right, rw), &[stage.keys], ctx)?;
-        self.right = Vec::new();
-        if !stage.residual.is_empty() {
-            // Further equi-predicates between the two sides qualify rows
-            // through the selection vector; nothing is copied.
-            let residual: Vec<(&[i64], &[i64])> =
-                stage.residual.iter().map(|&(l, r)| (joined.column(l), joined.column(r))).collect();
-            let keep = (0..joined.rows())
-                .filter(|&i| residual.iter().all(|(l, r)| l[i] == r[i]))
-                .map(|i| i as u32)
-                .collect();
-            joined.set_selection(keep);
-        }
-        self.left = vec![joined];
+        let ctx = &self.ctx;
+        receive_partitions(&mut self.left, stage.left.width(), left, self.s, ctx)?;
+        receive_partitions(&mut self.right, stage.right.width(), right, self.s, ctx)?;
+        let build = leaf(std::mem::take(&mut self.right), &stage.right, ctx);
+        let probe = leaf(std::mem::take(&mut self.left), &stage.left, ctx);
+        let disk = self.shard.db.disk.clone();
+        let keys = stage.keys.clone();
+        let join = HashJoinExec::new(build, probe, keys, ctx.clone(), disk, memory_bytes);
+        self.left = self.drain("Hash-Join", Box::new(join))?;
         Ok(())
     }
 
-    /// The gather step: the shard-local `ORDER BY` (the sort's in-memory
-    /// kernel), then the rows sent to the coordinator on `link`.
+    /// The gather step: the shard-local `ORDER BY` (a [`SortExec`] within
+    /// the plan's memory), then the rows sent to the coordinator on `link`.
     fn gather(&mut self, plan: &DistPlan, link: &NetChannel) -> Result<(), ExecError> {
         if let Some(key) = plan.order_key {
-            self.left = vec![sort_batches(&self.left, plan.layout.width(), key)];
+            let input = leaf(std::mem::take(&mut self.left), &plan.shard_layout, &self.ctx);
+            let disk = self.shard.db.disk.clone();
+            let sort = SortExec::new(input, key, self.ctx.clone(), disk, plan.memory_bytes);
+            self.left = self.drain("Sort", Box::new(sort))?;
         }
         let mut gather = FrameSender::new(link, &self.ctx);
         for batch in &self.left {
@@ -780,6 +821,28 @@ impl ShardRun<'_> {
         self.sent = live_rows(&std::mem::take(&mut self.left));
         Ok(())
     }
+
+    /// Runs the shard's join or sort `op`: opens it, takes its rows in one
+    /// request, and closes it, on success and on error. One request, so a
+    /// resident join or a sort hands its rows over as the one batch it
+    /// gathered them into, copied no further, and the wire frames them as
+    /// one batch. Traced, `op` runs under a span of `kind` under the
+    /// shard's `Shard` span, as a plan node's operator does
+    /// ([`traced_operator`]), so the span's rows are the rows it returns.
+    fn drain(&self, kind: &'static str, op: BoxedOperator<'_>) -> Result<Vec<RowBatch>, ExecError> {
+        let mut op = traced_operator(&self.ctx, kind, None, &self.shard.db.disk, |_| Ok(op))?;
+        let pulled = op
+            .open()
+            .and_then(|()| std::iter::from_fn(|| op.next_batch(usize::MAX).transpose()).collect());
+        op.close();
+        pulled
+    }
+}
+
+/// A leaf of `ctx`'s run that hands out `batches`, which it holds alone:
+/// each batch that fits a request leaves by move.
+fn leaf(batches: Vec<RowBatch>, layout: &TupleLayout, ctx: &ExecContext) -> BoxedOperator<'static> {
+    Box::new(MaterializedScanExec::new(Arc::new(batches), layout.clone(), ctx.clone()))
 }
 
 /// Runs one per-relation access plan locally and hands back the batches
@@ -822,53 +885,6 @@ fn receive_partitions(
     }
     side.extend(kept);
     Ok(())
-}
-
-/// Receives every frame a link holds, decoding each onto `into`, for the
-/// run of `ctx`, whose trail a receive span under `parent` goes on once
-/// the link drains. Stops at the first frame that does not decode or whose
-/// width is not the stage layout's `width` (the header is input: a
-/// narrower frame would index out of range in the key column).
-fn drain_link(
-    ch: &NetChannel,
-    width: usize,
-    into: &mut Vec<RowBatch>,
-    ctx: Option<&ExecContext>,
-    parent: Option<SpanId>,
-) -> Result<(), ExecError> {
-    let (mut stats, mut remote) = (SpanStats::default(), None);
-    let drained = loop {
-        let Some(frame) = ch.recv() else { break Ok(()) };
-        match decode_frame_traced(&frame) {
-            Ok((batch, _)) if batch.width() != width => {
-                break Err(ExecError::Network(format!(
-                    "frame width mismatch on link {}->{}: {} columns, stage layout has {width}",
-                    ch.from_node(),
-                    ch.to_node(),
-                    batch.width(),
-                )));
-            }
-            Ok((batch, ft)) => {
-                stats.rows += batch.len() as u64;
-                stats.batches += 1;
-                remote = remote.or(ft.span);
-                into.push(batch);
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    // A receive span, when any frame arrived, carries no byte accounting
-    // (the send side owns it, so totals never double count) — just the
-    // delivered rows and the first propagated remote span.
-    if let Some(ctx) = ctx.filter(|_| stats.batches > 0) {
-        let (from, to) = (ch.from_node(), ch.to_node());
-        let label = || format!("Net-Recv {to}<-{from}");
-        if let Some(span) = ctx.open_span("Net-Recv", None, label, parent, None) {
-            let net = NetSpanStats { from, to, remote_span: remote, ..NetSpanStats::default() };
-            ctx.end_span(span, stats, Some(net), None);
-        }
-    }
-    drained
 }
 
 /// The send half of a repartition: hash-scatters the batches of `side` on
@@ -924,75 +940,13 @@ fn send_partitions(
     Ok(())
 }
 
-/// The send half of one link: turns batches into dense frames stamped
-/// with the run's trace id, traced under one lazily opened `Net-Send`
-/// span on the run's trail.
-struct FrameSender<'a> {
-    ch: &'a NetChannel,
-    ctx: &'a ExecContext,
-    /// Opened at the first frame, so the span id can ride in every frame
-    /// header and an idle link records nothing.
-    span: Option<SpanId>,
-}
-
-impl<'a> FrameSender<'a> {
-    /// A sender for `ctx`'s run: its trace id, its trail and its span
-    /// parent.
-    fn new(ch: &'a NetChannel, ctx: &'a ExecContext) -> FrameSender<'a> {
-        FrameSender { ch, ctx, span: None }
-    }
-
-    /// Sends the live rows of `batch`. Frames are dense — a selection
-    /// vector is compacted away by the encoder, so a filtered batch does
-    /// not inflate wire bytes — and hold [`BATCH_CAPACITY`] rows each,
-    /// the last one taking the remainder (under two frames' worth), so a
-    /// frame's size is bounded however large the batch and no link
-    /// carries a runt.
-    fn send(&mut self, batch: &RowBatch) -> Result<(), ExecError> {
-        let live = batch.len();
-        let mut lo = 0;
-        while lo < live {
-            let hi = if live - lo < 2 * BATCH_CAPACITY { live } else { lo + BATCH_CAPACITY };
-            if self.span.is_none() {
-                let (from, to) = (self.ch.from_node(), self.ch.to_node());
-                let label = || format!("Net-Send {from}->{to}");
-                self.span = self.ctx.open_span("Net-Send", None, label, self.ctx.span_parent, None);
-            }
-            let span = self.span.map(|sp| sp.0 as u64);
-            let trace = FrameTrace { trace_id: self.ctx.trace_id(), span };
-            self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
-            lo = hi;
-        }
-        Ok(())
-    }
-}
-
-impl Drop for FrameSender<'_> {
-    /// Whatever happened — including a send that exhausted its
-    /// retransmission budget — the opened span carries the channel's own
-    /// counters: each channel has exactly one sender and lives for one
-    /// query, so its counters are the span's traffic.
-    fn drop(&mut self) {
-        if let Some(span) = self.span {
-            let net = NetSpanStats {
-                from: self.ch.from_node(),
-                to: self.ch.to_node(),
-                sent: true,
-                stats: self.ch.stats(),
-                remote_span: None,
-            };
-            self.ctx.end_span(span, SpanStats::default(), Some(net), None);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::Hist;
     use dqep_catalog::{make_chain_catalog, SyntheticSpec, SystemConfig};
-    use dqep_executor::LinkFaultPlan;
-    use dqep_storage::IoStats;
+    use dqep_executor::{encode_frame_dense, FrameTrace, LinkFaultPlan, NetSpanStats, SpanRecord};
+    use dqep_storage::{FaultPlan, IoStats};
 
     fn chain_sql(n: usize) -> String {
         let from: Vec<String> = (1..=n).map(|i| format!("R{i}")).collect();
@@ -1328,12 +1282,12 @@ mod tests {
     /// not parse never became a query.
     #[test]
     fn sharded_queries_record_session_and_shard_metrics() {
-        let limits = ResourceLimits { memory_bytes: Some(2000), ..ResourceLimits::unlimited() };
-        let svc = ShardedService::new(
-            catalog(2),
-            ShardConfig { shards: 2, limits, ..ShardConfig::default() },
-        );
-        let outcomes: Vec<ShardOutcome> = [300, 500, 900]
+        let svc =
+            ShardedService::new(catalog(2), ShardConfig { shards: 2, ..ShardConfig::default() });
+        // Shard 0's first read fails: the index scan its first arbitration
+        // opens falls back to another alternative.
+        svc.shards()[0].db.disk.set_fault_plan(FaultPlan::nth_read(1));
+        let outcomes: Vec<ShardOutcome> = [10, 500, 900]
             .iter()
             .map(|&v| svc.execute(&chain_sql(2), &[("v1", v), ("v2", 900)]).expect("runs"))
             .collect();
@@ -1345,7 +1299,7 @@ mod tests {
         assert!(m.hist(Hist::Latency).max_seconds > 0.0);
         assert_eq!(m.get(Metric::Rows), outcomes.iter().map(|o| o.rows.len() as u64).sum::<u64>());
         let fallbacks: u64 = outcomes.iter().map(|o| o.fallbacks).sum();
-        assert!(fallbacks > 0, "the 2000-byte grant must force the chunked build somewhere");
+        assert!(fallbacks > 0, "the read fault must force a fallback");
         assert_eq!(m.get(Metric::Fallbacks), fallbacks);
         assert_eq!(m.get(Metric::NetBytes), outcomes.iter().map(|o| o.net.bytes).sum::<u64>());
         assert!(m.get(Metric::NetFrames) > 0);
@@ -1357,12 +1311,7 @@ mod tests {
         let link_faults = LinkFaultPlan::parse("nth-frame=1,max-retransmit=0").expect("plan");
         let faulty = ShardedService::new(
             catalog(2),
-            ShardConfig {
-                shards: 2,
-                limits,
-                net: NetConfig { link_faults },
-                ..ShardConfig::default()
-            },
+            ShardConfig { shards: 2, net: NetConfig { link_faults }, ..ShardConfig::default() },
         );
         assert!(faulty.execute(&chain_sql(2), &[("v1", 500), ("v2", 500)]).is_err());
         let m = faulty.metrics();
@@ -1506,6 +1455,44 @@ mod tests {
         }
     }
 
+    /// A traced shard's join and sort are operators of its run: each opens
+    /// a span under the shard's `Shard` span, a join span a stage, and a
+    /// span's rows are the rows the shard joined or sorted — for the last
+    /// join and the sort, the rows the shard sent to the coordinator.
+    #[test]
+    fn a_traced_shards_join_and_sort_are_spans_under_its_shard() {
+        let config = ShardConfig { shards: 3, trace: true, ..ShardConfig::default() };
+        let svc = ShardedService::new(catalog(3), config);
+        let binds = [("v1", 600i64), ("v2", 600), ("v3", 600)];
+        let out = svc.execute(&format!("{} ORDER BY R1.a", chain_sql(3)), &binds).expect("runs");
+        let trace = out.trace.as_ref().expect("traced");
+        let shards: Vec<_> = trace.spans.iter().filter(|s| s.kind == "Shard").collect();
+        assert_eq!(shards.len(), 3);
+        for (s, shard) in shards.iter().enumerate() {
+            assert_eq!(shard.label, format!("Shard {s}"));
+            let under = |kind| -> Vec<&SpanRecord> {
+                trace
+                    .spans
+                    .iter()
+                    .filter(|sp| sp.parent == Some(shard.id) && sp.kind == kind)
+                    .collect()
+            };
+            let (joins, sorts) = (under("Hash-Join"), under("Sort"));
+            assert_eq!((joins.len(), sorts.len()), (2, 1), "shard {s}");
+            assert!(
+                joins[0].id < joins[1].id && joins[1].id < sorts[0].id,
+                "shard {s}: in step order"
+            );
+            assert!(
+                joins.iter().all(|j| j.stats.opens == 1 && j.stats.cpu.hashes > 0),
+                "shard {s}"
+            );
+            assert_eq!(joins[1].stats.rows, out.per_shard_rows[s], "shard {s}: the last join");
+            assert_eq!(sorts[0].stats.rows, out.per_shard_rows[s], "shard {s}: the sort");
+        }
+        assert!(out.per_shard_rows.iter().all(|&n| n > 0), "every shard joins something");
+    }
+
     /// A failing query fails the same way every time, whichever way its
     /// steps are taken: every link of three shards drops its first frame
     /// with no retransmission budget, and each of 20 calls, unpaced and
@@ -1581,12 +1568,14 @@ mod tests {
         ];
         // Ordered: merged on the key, ties by shard index.
         assert_eq!(
-            materialize(&gathered, Some(0)),
+            materialize(&gathered, Some(0), &[0, 1]),
             vec![vec![1, 10], vec![2, 20], vec![2, 30], vec![4, 11], vec![9, 31]]
         );
         // Unordered gathers concatenate in shard order, live rows only.
-        let concat: Vec<i64> = materialize(&gathered, None).iter().map(|r| r[1]).collect();
+        let concat: Vec<i64> = materialize(&gathered, None, &[0, 1]).iter().map(|r| r[1]).collect();
         assert_eq!(concat, vec![10, 11, 20, 30, 31]);
+        // Each row is gathered in the result's column order.
+        assert_eq!(materialize(&gathered, Some(0), &[1, 0])[0], vec![10, 1]);
     }
 
     #[test]

@@ -11,14 +11,16 @@
 //!    the heap file's columns in one slice. On pages of three 512-byte and
 //!    of seven 256-byte records, with the pages warm and after a 4 MiB
 //!    sweep of the cache.
-//! 2. **A probe row**: `join_batches` ns a probe row on an unpartitioned
-//!    `dim ⋈ fact`, on the same rows pre-routed by `shard_route` for two
-//!    and four shards, and — the control — on the same rows dealt into as
-//!    many shares by a hash the join does not use. A route conditions the
-//!    low bits of the join hash; a table that takes its buckets from those
-//!    bits runs the routed rows on a half or a quarter of its buckets, and
-//!    the routed line reads above the control. With buckets from the other
-//!    end of the hash the two lines are equal.
+//! 2. **A probe row**: ns a probe row of a resident hash join run by `run`
+//!    over a hand-built plan (the join of two file scans, `dim` building)
+//!    on an unpartitioned `dim ⋈ fact`, on the same rows pre-routed by
+//!    `shard_route` for two and four shards, and — the control — on the
+//!    same rows dealt into as many shares by a hash the join does not use;
+//!    each share is a database of its own. A route conditions the low bits
+//!    of the join hash; a table that takes its buckets from those bits runs
+//!    the routed rows on a half or a quarter of its buckets, and the routed
+//!    line reads above the control. With buckets from the other end of the
+//!    hash the two lines are equal. The scans' work is in every line.
 //! 3. **A statement**: µs a call of the three `exec_scale` statements (the
 //!    Grace join of 8 400 × 6 000 rows, the external sort of 8 400, the
 //!    join filtered on both sides) through `QueryService`, in turns.
@@ -32,10 +34,10 @@
 //!    over `fact`'s `a` column in scan-sized batches, at bounds that pass
 //!    10, 50 and 90 % of the rows. A kernel that branches on each row pays
 //!    most near 50 %, where the outcome is least predictable.
-//! 6. **A sorted row**: ns a row of `sort_batches` on a 512-row chunk of
-//!    `fact` (the external sort's run under the 64-page grant), keyed on
-//!    `j` as `exec_scale`'s sort is, and of `kway_merge` over 12, 17 and 22
-//!    such runs, sorted.
+//! 6. **A sorted row**: ns a row of a `SortExec` sorting a 512-row chunk
+//!    of `fact` (the external sort's run under the 64-page grant) in
+//!    memory, keyed on `j` as `exec_scale`'s sort is, and of `kway_merge`
+//!    over 12, 17 and 22 such runs, sorted.
 //! 7. **A degree of parallelism**: ms a run of whole plans through `run`
 //!    at dop 1, 2 and 4 on an unpaced disk — a resident hash join of
 //!    4 000, 40 000 and 400 000 probe rows (an eighth as many build rows),
@@ -50,16 +52,18 @@
 //! `-- probe`, `-- statement`, `-- spill`, `-- select`, `-- sort`, `-- dop`
 //! run that split only).
 
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::algebra::{CompareOp, JoinPred, PhysicalOp};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    join_batches, kway_merge, mix, run, select_rows, shard_route, sort_batches, ExecContext,
-    RootSink, RowBatch, SharedCounters, BATCH_CAPACITY,
+    kway_merge, mix, run, select_rows, shard_route, ExecContext, MaterializedScanExec, Operator,
+    RootSink, RowBatch, SharedCounters, SortExec, TupleLayout, BATCH_CAPACITY,
 };
 use dqep::interval::Interval;
 use dqep::plan::Plan;
@@ -170,17 +174,32 @@ fn split(side: &[RowBatch], shares: usize, dest: impl Fn(&RowBatch, &mut Vec<u32
     outs
 }
 
-/// One share of the build side with the same share of the probe side.
-type Shares = (Vec<RowBatch>, Vec<RowBatch>);
-
-/// Split 2: `dim ⋈ fact` on `j` (column 1 of both), whole and in shares.
-fn probe_kernels(dim: &[RowBatch], fact: &[RowBatch], passes: usize) {
+/// Split 2: `dim ⋈ fact` on `j`, whole and in shares, each share a
+/// database of its own that `run` joins with a resident hash join over two
+/// file scans.
+fn probe_kernels(catalog: &Catalog, dim: &[RowBatch], fact: &[RowBatch], passes: usize) {
     const KEY: usize = 1;
     let probe_rows: usize = fact.iter().map(RowBatch::rows).sum();
-    let ctx = ExecContext::new(SharedCounters::new());
-    // The inputs of each line: (build share, probe share) pairs.
-    let mut lines: Vec<(String, Vec<Shares>)> =
-        vec![("unpartitioned".into(), vec![(dim.to_vec(), fact.to_vec())])];
+    let build_rows: usize = dim.iter().map(RowBatch::rows).sum();
+    let relation = |name: &str| catalog.relation_by_name(name).expect("relation exists");
+    let (dim_rel, fact_rel) = (relation("dim"), relation("fact"));
+    let mut plan = Plan::new();
+    let scan = |plan: &mut Plan, relation, rows: usize| {
+        plan.push(PhysicalOp::FileScan { relation }, &[], &[], stats(rows as u64), Cost::ZERO)
+    };
+    let (b, p) = (scan(&mut plan, dim_rel.id, build_rows), scan(&mut plan, fact_rel.id, probe_rows));
+    let pred = JoinPred::new(dim_rel.attr_id("j").expect("attr"), fact_rel.attr_id("j").expect("attr"));
+    plan.push(PhysicalOp::HashJoin, &[b, p], &[pred], stats(probe_rows as u64), Cost::ZERO);
+    // A grant twice the whole build side: every share's join is resident.
+    let bindings = Bindings::new().with_memory((build_rows * 256).div_ceil(2048) as f64 * 2.0);
+    let env = Environment::dynamic_compile_time(&catalog.config);
+    let database = |(build, probe): (Vec<RowBatch>, Vec<RowBatch>)| {
+        let rows = |side: Vec<RowBatch>| side.iter().flat_map(RowBatch::iter).collect::<Vec<_>>();
+        StoredDatabase::from_rows(catalog, &HashMap::from([(dim_rel.id, rows(build)), (fact_rel.id, rows(probe))]))
+    };
+    // The inputs of each line: a database a share.
+    let mut lines: Vec<(String, Vec<StoredDatabase>)> =
+        vec![("unpartitioned".into(), vec![database((dim.to_vec(), fact.to_vec()))])];
     for shards in [2usize, 4] {
         let routed = |batch: &RowBatch, dests: &mut Vec<u32>| {
             shard_route(batch, &[KEY], shards, &mut Vec::new(), dests);
@@ -189,31 +208,32 @@ fn probe_kernels(dim: &[RowBatch], fact: &[RowBatch], passes: usize) {
             dests.clear();
             dests.extend(batch.column(KEY).iter().map(|&k| (mix(!(k as u64)) % shards as u64) as u32));
         };
-        let pair = |b: Vec<Vec<RowBatch>>, p: Vec<Vec<RowBatch>>| b.into_iter().zip(p).collect();
+        let shares = |b: Vec<Vec<RowBatch>>, p: Vec<Vec<RowBatch>>| b.into_iter().zip(p).map(database).collect();
         lines.push((
             format!("routed by shard_route, {shards} shards"),
-            pair(split(dim, shards, routed), split(fact, shards, routed)),
+            shares(split(dim, shards, routed), split(fact, shards, routed)),
         ));
         lines.push((
             format!("dealt by another hash, {shards} shares"),
-            pair(split(dim, shards, dealt), split(fact, shards, dealt)),
+            shares(split(dim, shards, dealt), split(fact, shards, dealt)),
         ));
     }
+    let ctx = ExecContext::new(SharedCounters::new());
     let mut spent = vec![Duration::ZERO; lines.len()];
-    let mut joined = vec![0usize; lines.len()];
+    let mut joined = vec![0u64; lines.len()];
     for _ in 0..passes {
         for (at, (_, shares)) in lines.iter().enumerate() {
             let started = Instant::now();
-            for (build, probe) in shares {
-                let out = join_batches((build, 2), (probe, 2), &[(KEY, KEY)], &ctx).expect("ungoverned join");
-                joined[at] += black_box(out).rows();
+            for db in shares {
+                let summary = run(&plan, db, catalog, &env, &bindings, &ctx, RootSink::Discard);
+                joined[at] += black_box(summary.expect("a resident join")).rows;
             }
             spent[at] += started.elapsed();
         }
     }
     assert!(joined.iter().all(|&rows| rows == joined[0]), "every line joins the same rows: {joined:?}");
-    println!("\na probe row (join_batches, {} x {probe_rows} rows, {} rows out, passes: {passes})",
-        dim.iter().map(RowBatch::rows).sum::<usize>(), joined[0] / passes);
+    println!("\na probe row (a resident hash join through run, {build_rows} x {probe_rows} rows, {} rows out, passes: {passes})",
+        joined[0] / passes as u64);
     for ((name, _), d) in lines.iter().zip(spent) {
         println!("  {name:<36} {:>8.1} ns a probe row", ns_per(d, probe_rows * passes));
     }
@@ -315,10 +335,11 @@ fn selected_rows(batches: &[RowBatch], passes: usize) {
     }
 }
 
-/// Split 6: `rows` (one batch's columns) cut into 512-row runs, each
-/// sorted on `j` by `sort_batches`, then merged by `kway_merge` 12, 17 and
-/// 22 runs at a time.
-fn sorted_rows(rows: &RowBatch, passes: usize) {
+/// Split 6: `rows` (one batch's columns, laid out as `layout`) cut into
+/// 512-row runs, each sorted on `j` in memory by a `SortExec` over a leaf
+/// that holds the run, then merged by `kway_merge` 12, 17 and 22 runs at a
+/// time.
+fn sorted_rows(rows: &RowBatch, layout: &TupleLayout, passes: usize) {
     const RUN: usize = 512;
     const KEY: usize = 1;
     let width = rows.width();
@@ -329,18 +350,24 @@ fn sorted_rows(rows: &RowBatch, passes: usize) {
             chunk
         })
         .collect();
+    let (ctx, disk) = (ExecContext::new(SharedCounters::new()), SimDisk::new());
     let mut sorted = Vec::new();
     let mut spent = Duration::ZERO;
     for _ in 0..passes {
         sorted.clear();
-        let started = Instant::now();
         for chunk in &chunks {
-            sorted.push(sort_batches(std::slice::from_ref(chunk), width, KEY));
+            // The leaf holds its run alone, so the sort takes it by move.
+            let leaf = MaterializedScanExec::new(Arc::new(vec![chunk.clone()]), layout.clone(), ctx.clone());
+            let mut sort = SortExec::new(Box::new(leaf), KEY, ctx.clone(), disk.clone(), usize::MAX);
+            let started = Instant::now();
+            sort.open().expect("an in-memory sort");
+            sorted.push(sort.next_batch(usize::MAX).expect("an in-memory sort").expect("a sorted run"));
+            sort.close();
+            spent += started.elapsed();
         }
-        spent += started.elapsed();
     }
     println!("\na sorted row ({RUN}-row runs of {width} attributes on j, passes: {passes}; ns a row)");
-    println!("  sort_batches, one run {:>18.1}", ns_per(spent, chunks.len() * RUN * passes));
+    println!("  SortExec, one run {:>22.1}", ns_per(spent, chunks.len() * RUN * passes));
     for k in [12usize, 17, 22] {
         let runs: Vec<&[RowBatch]> = sorted[..k].iter().map(std::slice::from_ref).collect();
         let (mut spent, mut sum) = (Duration::ZERO, 0i64);
@@ -509,7 +536,7 @@ fn main() {
         page_kernels(quick);
     }
     if wanted("probe") {
-        probe_kernels(&table_batches(dim), &table_batches(fact), if quick { 1 } else { 200 });
+        probe_kernels(&catalog, &table_batches(dim), &table_batches(fact), if quick { 1 } else { 200 });
     }
     if wanted("statement") {
         statements(&catalog, if quick { 1 } else { 200 });
@@ -521,7 +548,8 @@ fn main() {
         selected_rows(&table_batches(fact), if quick { 1 } else { 5_000 });
     }
     if wanted("sort") {
-        sorted_rows(&one_batch(&table_batches(fact)), if quick { 1 } else { 2_000 });
+        let layout = TupleLayout::base(&catalog, fact.relation);
+        sorted_rows(&one_batch(&table_batches(fact)), &layout, if quick { 1 } else { 2_000 });
     }
     if wanted("dop") {
         dop_runs(quick);

@@ -181,7 +181,7 @@ proptest! {
             w.add_compares(c);
             w.add_hashes(h);
             let ctx = ExecContext::new(w.clone());
-            (0..f).for_each(|_| ctx.record(RunEvent::Fallback(FallbackCause::ChunkedJoin)));
+            (0..f).for_each(|_| ctx.record(RunEvent::Fallback(FallbackCause::ResolvedPlanRetry)));
             w
         };
         let forward = SharedCounters::new();

@@ -357,29 +357,42 @@ fn residual_equi_predicates_match_single_node() {
     }
 }
 
-/// A per-shard memory budget below the join table's full footprint but
-/// above an eighth of it: the local join degrades to a chunked build —
-/// counted as a fallback on every shard — and still returns the multiset
-/// an ungoverned single node does.
+/// A per-shard memory grant below each shard's join build: every shard's
+/// join partitions to temp pages (Grace) and its `ORDER BY` spills runs,
+/// as a single node's operators do at that grant, and the query still
+/// returns the multiset an ungoverned single node does.
 #[test]
-fn governed_memory_forces_the_chunked_build() {
+fn a_grant_below_the_build_partitions_every_shards_join() {
     let catalog = two_key_catalog(2, 600);
     let sql = "SELECT * FROM t0, t1 WHERE t0.j = t1.j ORDER BY t0.a";
-    // Each shard builds on about 300 rows of (3 x 8 + 48) bytes: 21 KiB
-    // in full, under 3 KiB at an eighth.
-    let config = ShardConfig {
-        shards: 2,
-        limits: ResourceLimits { memory_bytes: Some(6 * 1024), ..ResourceLimits::unlimited() },
-        ..ShardConfig::default()
-    };
-    let out = ShardedService::new(catalog.clone(), config.clone())
-        .execute(sql, &[])
-        .expect("the ladder absorbs the refusal");
-    assert!(out.fallbacks >= 2, "every shard degraded: {}", out.fallbacks);
-    let ungoverned = ShardConfig { limits: ResourceLimits::unlimited(), ..config };
+    // Each shard builds on about 300 rows of 64 bytes: over nine pages of
+    // 2 KiB against a grant of four.
+    let config = ShardConfig { shards: 2, memory_pages: Some(4.0), ..ShardConfig::default() };
+    let svc = ShardedService::new(catalog.clone(), config.clone());
+    let out = svc.execute(sql, &[]).expect("the join partitions within the grant");
+    for (s, shard) in svc.shards().iter().enumerate() {
+        assert!(shard.db.disk.stats().writes > 0, "shard {s} wrote no temp page");
+    }
+    let ungoverned = ShardConfig { memory_pages: None, ..config };
     let expected = single_node_rows(&catalog, sql, &[], &ungoverned, &out.layout)
         .expect("single-node run");
     assert_eq!(sorted(out.rows), sorted(expected));
+}
+
+/// The governor's memory limit is a hard cap: a shard's join build it
+/// cannot cover is refused with `Resource::Memory`, as a single node's
+/// hash join build is.
+#[test]
+fn a_governor_limit_below_the_build_is_refused() {
+    let catalog = two_key_catalog(2, 600);
+    let sql = "SELECT * FROM t0, t1 WHERE t0.j = t1.j ORDER BY t0.a";
+    let limits = ResourceLimits { memory_bytes: Some(6 * 1024), ..ResourceLimits::unlimited() };
+    let config = ShardConfig { shards: 2, limits, ..ShardConfig::default() };
+    let err = ShardedService::new(catalog, config).execute(sql, &[]).expect_err("refused");
+    assert!(
+        matches!(err, ServiceError::Exec(ExecError::ResourceExhausted(Resource::Memory { .. }))),
+        "{err:?}"
+    );
 }
 
 /// Filtered batches are compacted before the wire: a scan-and-gather

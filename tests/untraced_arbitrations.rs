@@ -334,8 +334,9 @@ fn the_journal_rebuilds_every_runs_trail() {
         assert_eq!(&journaled_winners, winners, "run {trace_id}");
         let absorbed: u64 =
             steps.iter().filter(|s| s.0 == EventKind::ArbitrationWinner).map(|s| s.3).sum();
-        // Fallbacks outside a choose-plan are not journaled: a chunked
-        // join, or a revert of the re-optimization driver.
+        // Fallbacks outside a choose-plan are not journaled: a prepared
+        // statement's retry through its dynamic plan, or a revert of the
+        // re-optimization driver.
         assert!(absorbed <= *fallbacks, "run {trace_id}: {absorbed} > {fallbacks}");
     }
     for (trace_id, c) in &reopt_counters {

@@ -8,7 +8,9 @@
 //! bytes it leaves live; and what each of the `exec_scale` workload's three
 //! `fact`/`dim` statements does at one binding under the 64-page grant —
 //! its rows, CPU counters, temp-page high water, allocations and
-//! allocated bytes.
+//! allocated bytes; and what each of the `shard_join` workload's three
+//! statements does on hash-routed shards — its rows, wire bytes and
+//! frames, pages, CPU counters, allocations and allocated bytes.
 //!
 //! Every line is pinned by equality, so a change that moves one shows the
 //! line in its diff: paste the table the failing run prints back only if
@@ -17,13 +19,18 @@
 //! counting `#[global_allocator]`; run it in release, where the benchmark
 //! measures (`cargo test -q --release --test work_ledger`).
 //!
-//! The counters are process-wide and the harness runs test functions on
-//! parallel threads, so each test holds [`LEDGER`] while it counts.
+//! The counters are the calling thread's own, kept in `const`
+//! thread-locals that need no allocation of their own: the harness runs
+//! test functions on parallel threads and frees a finished test's
+//! bookkeeping on its own thread, and a test reads neither. Everything a
+//! ledger line measures runs on the test's thread: a session of the
+//! query service, and every step of an unpaced sharded query.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 use dqep::catalog::{make_chain_catalog, Catalog, CatalogBuilder, SyntheticSpec, SystemConfig};
 use dqep::cost::Environment;
@@ -31,19 +38,31 @@ use dqep::optimizer::{OptimizerStats, Optimizer};
 use dqep::plan::evaluate_startup;
 use dqep::service::{
     region_key, CachedDecision, PreparedStatement, QueryService, Request, ServiceConfig,
+    ShardConfig, ShardedService,
 };
 use dqep::sql::parse_query;
-use dqep::storage::StoredDatabase;
-use parking_lot::Mutex;
+use dqep::storage::{IoStats, StoredDatabase};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-/// Bytes requested by every allocation and reallocation.
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed.
-static LIVE: AtomicI64 = AtomicI64::new(0);
-/// Held by the test that is counting.
-static LEDGER: Mutex<()> = Mutex::new(());
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by every allocation and reallocation.
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated and not yet freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Adds `by` to this thread's `counter`. A thread being torn down may
+/// still allocate or free after its counters are gone: that goes
+/// uncounted.
+fn bump<T: Copy + std::ops::Add<Output = T>>(counter: &'static LocalKey<Cell<T>>, by: T) {
+    let _ = counter.try_with(|c| c.set(c.get() + by));
+}
+
+/// This thread's `counter`.
+fn read<T: Copy>(counter: &'static LocalKey<Cell<T>>) -> T {
+    counter.with(Cell::get)
+}
 
 struct CountingAlloc;
 
@@ -51,24 +70,24 @@ struct CountingAlloc;
 // `GlobalAlloc` contract; the counters publish no other data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        bump(&ALLOCS, 1);
+        bump(&ALLOC_BYTES, layout.size() as u64);
+        bump(&LIVE, layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        bump(&FREES, 1);
+        bump(&LIVE, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through `alloc` or `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        bump(&ALLOCS, 1);
+        bump(&ALLOC_BYTES, new_size as u64);
+        bump(&LIVE, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System`; obligations are passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -167,15 +186,15 @@ fn adhoc_binds(catalog: &Catalog, k: usize) -> Vec<(String, i64)> {
 }
 
 fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = read(&ALLOCS);
     let out = f();
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
+    (out, read(&ALLOCS) - before)
 }
 
 fn frees_of(f: impl FnOnce()) -> u64 {
-    let before = FREES.load(Ordering::Relaxed);
+    let before = read(&FREES);
     f();
-    FREES.load(Ordering::Relaxed) - before
+    read(&FREES) - before
 }
 
 /// The fewest allocations `QueryService::execute` made over five
@@ -248,7 +267,6 @@ fn core_counters(catalog: &Catalog, env: &Environment, k: usize) -> [(&'static s
 
 #[test]
 fn the_ad_hoc_work_ledger_reads_as_recorded() {
-    let _counting = LEDGER.lock();
     let catalog = make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994());
     let env = Environment::dynamic_compile_time(&catalog.config);
     let service = QueryService::new(
@@ -331,17 +349,15 @@ fn star_catalog() -> Catalog {
 /// database is held.
 #[test]
 fn the_storage_footprint_reads_as_recorded() {
-    let _counting = LEDGER.lock();
     let chain = make_chain_catalog(&SyntheticSpec::paper(10, 7), SystemConfig::paper_1994());
     let mut table = String::new();
     for (name, catalog, seed) in [("chain", chain, 1989), ("star", star_catalog(), 8)] {
-        // The fewest of three loads: the harness's own thread allocates
-        // now and then while another test's result is reported.
+        // The fewest of three loads.
         let (mut allocs, mut bytes) = (u64::MAX, i64::MAX);
         for _ in 0..3 {
-            let live = LIVE.load(Ordering::Relaxed);
+            let live = read(&LIVE);
             let (db, n) = allocs_of(|| StoredDatabase::generate(&catalog, seed));
-            (allocs, bytes) = (allocs.min(n), bytes.min(LIVE.load(Ordering::Relaxed) - live));
+            (allocs, bytes) = (allocs.min(n), bytes.min(read(&LIVE) - live));
             drop(db);
         }
         let db = StoredDatabase::generate(&catalog, seed);
@@ -396,13 +412,8 @@ const EXEC_SCALE_STATEMENTS: [(&str, &[(&str, i64)]); 3] = [
 /// dop 1 under the 64-page grant, after a first visit has optimized it and
 /// memoized its decision: its rows, CPU counters and temp-page high water,
 /// and the fewest allocations (with their bytes) of three executions.
-///
-/// Named to run after [`the_storage_footprint_reads_as_recorded`]: when a
-/// test ends, the harness frees its bookkeeping on its own thread, and a
-/// footprint counted at that moment reads fewer live bytes.
 #[test]
 fn the_work_of_the_exec_scale_statements_reads_as_recorded() {
-    let _counting = LEDGER.lock();
     let config = ServiceConfig { workers: 1, registry_capacity: 64, data_seed: 7, dop: 1, ..ServiceConfig::default() };
     let service = QueryService::new(star_catalog(), config);
     let mut table = String::new();
@@ -411,9 +422,9 @@ fn the_work_of_the_exec_scale_statements_reads_as_recorded() {
         let summary = service.execute(request()).expect("a fault-free first visit").summary;
         let (mut allocs, mut bytes) = (u64::MAX, u64::MAX);
         for _ in 0..3 {
-            let before = ALLOC_BYTES.load(Ordering::Relaxed);
+            let before = read(&ALLOC_BYTES);
             let (result, n) = allocs_of(|| service.execute(request()));
-            let spent = ALLOC_BYTES.load(Ordering::Relaxed) - before;
+            let spent = read(&ALLOC_BYTES) - before;
             let again = result.expect("a fault-free execution").summary;
             assert_eq!((again.rows, again.cpu, again.temp_pages_peak), (summary.rows, summary.cpu, summary.temp_pages_peak));
             if n < allocs {
@@ -435,5 +446,124 @@ fn the_work_of_the_exec_scale_statements_reads_as_recorded() {
     assert!(
         table == EXEC_SCALE,
         "the ledger moved; this run's table:\n{table}\nrecorded:\n{EXEC_SCALE}"
+    );
+}
+
+/// The `shard_join` statements' line as recorded. A line reads
+/// `<n> shards statement <s> <what> <count>`, each count summed over the
+/// shards.
+const SHARD_JOIN: &str = "\
+2 shards statement 0 rows 8483
+2 shards statement 0 wire bytes 388168
+2 shards statement 0 frames 15
+2 shards statement 0 seq reads 2390
+2 shards statement 0 random reads 183
+2 shards statement 0 writes 0
+2 shards statement 0 temp pages peak 0
+2 shards statement 0 cpu.records 34964
+2 shards statement 0 cpu.compares 12000
+2 shards statement 0 cpu.hashes 14481
+2 shards statement 0 allocations 9009
+2 shards statement 0 allocated bytes 3219049
+2 shards statement 1 rows 8481
+2 shards statement 1 wire bytes 135984
+2 shards statement 1 frames 12
+2 shards statement 1 seq reads 1596
+2 shards statement 1 random reads 119
+2 shards statement 1 writes 0
+2 shards statement 1 temp pages peak 0
+2 shards statement 1 cpu.records 20481
+2 shards statement 1 cpu.compares 12000
+2 shards statement 1 cpu.hashes 0
+2 shards statement 1 allocations 8683
+2 shards statement 1 allocated bytes 868373
+2 shards statement 2 rows 6016
+2 shards statement 2 wire bytes 294768
+2 shards statement 2 frames 10
+2 shards statement 2 seq reads 2390
+2 shards statement 2 random reads 183
+2 shards statement 2 writes 0
+2 shards statement 2 temp pages peak 0
+2 shards statement 2 cpu.records 42766
+2 shards statement 2 cpu.compares 87514
+2 shards statement 2 cpu.hashes 12734
+2 shards statement 2 allocations 6615
+2 shards statement 2 allocated bytes 3572662
+4 shards statement 0 rows 8483
+4 shards statement 0 wire bytes 447632
+4 shards statement 0 frames 32
+4 shards statement 0 seq reads 2395
+4 shards statement 0 random reads 180
+4 shards statement 0 writes 0
+4 shards statement 0 temp pages peak 0
+4 shards statement 0 cpu.records 34964
+4 shards statement 0 cpu.compares 12000
+4 shards statement 0 cpu.hashes 14481
+4 shards statement 0 allocations 9347
+4 shards statement 0 allocated bytes 3358201
+";
+
+/// The three statements of the `shard_join` workload — the plain join,
+/// `fact` gathered, the join filtered on both sides and ordered — at the
+/// `exec_scale` statements' bindings.
+const SHARD_JOIN_STATEMENTS: [(&str, &[(&str, i64)]); 3] = [
+    ("SELECT * FROM fact, dim WHERE fact.j = dim.j AND fact.a < :x", &[("x", 8_500)]),
+    ("SELECT * FROM fact WHERE fact.a < :x", &[("x", 8_500)]),
+    ("SELECT * FROM fact, dim WHERE fact.j = dim.j AND fact.a < :x AND dim.a < :y ORDER BY fact.a", &[("x", 8_500), ("y", 4_250)]),
+];
+
+/// Each `shard_join` statement through `ShardedService::execute` on two
+/// hash-routed, unpaced shards loaded from data seed 7 (statement 0 on
+/// four shards too), untraced, after a warm-up call: its rows, wire bytes
+/// and frames, the pages its shards read by class and wrote, their
+/// temp-page high water and CPU counters, and the fewest allocations (with
+/// their bytes) of three calls.
+#[test]
+fn the_work_of_the_shard_join_statements_reads_as_recorded() {
+    let mut table = String::new();
+    for (shards, statements) in [(2, 0..3), (4, 0..1)] {
+        let config = ShardConfig { shards, data_seed: 7, ..ShardConfig::default() };
+        let service = ShardedService::new(star_catalog(), config);
+        let disks = || service.shards().iter().map(|shard| shard.db.disk.stats()).collect::<Vec<_>>();
+        for s in statements {
+            let (sql, binds) = SHARD_JOIN_STATEMENTS[s];
+            service.execute(sql, binds).expect("a fault-free warm-up");
+            let before = disks();
+            let out = service.execute(sql, binds).expect("a fault-free call");
+            let mut io = IoStats::default();
+            disks().iter().zip(&before).for_each(|(after, before)| io += after.since(before));
+            let temp_peak: u64 = service.shards().iter().map(|shard| shard.db.disk.temp_pages().high_water).sum();
+            let (mut allocs, mut bytes) = (u64::MAX, u64::MAX);
+            for _ in 0..3 {
+                let before = read(&ALLOC_BYTES);
+                let (result, n) = allocs_of(|| service.execute(sql, binds));
+                let spent = read(&ALLOC_BYTES) - before;
+                let again = result.expect("a fault-free call");
+                assert_eq!((again.rows.len(), again.net, again.cpu), (out.rows.len(), out.net, out.cpu));
+                if n < allocs {
+                    (allocs, bytes) = (n, spent);
+                }
+            }
+            for (what, n) in [
+                ("rows", out.rows.len() as u64),
+                ("wire bytes", out.net.bytes),
+                ("frames", out.net.frames),
+                ("seq reads", io.seq_reads),
+                ("random reads", io.random_reads),
+                ("writes", io.writes),
+                ("temp pages peak", temp_peak),
+                ("cpu.records", out.cpu.records),
+                ("cpu.compares", out.cpu.compares),
+                ("cpu.hashes", out.cpu.hashes),
+                ("allocations", allocs),
+                ("allocated bytes", bytes),
+            ] {
+                writeln!(table, "{shards} shards statement {s} {what} {n}").unwrap();
+            }
+        }
+    }
+    assert!(
+        table == SHARD_JOIN,
+        "the ledger moved; this run's table:\n{table}\nrecorded:\n{SHARD_JOIN}"
     );
 }
