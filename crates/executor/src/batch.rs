@@ -262,8 +262,8 @@ impl RowBatch {
     }
 }
 
-/// A finished columnar result — a join's output, a sort's — handed out
-/// in `max_rows` slices.
+/// A finished columnar result — a join's output, a received frame —
+/// handed out in `max_rows` slices of its live rows.
 #[derive(Debug, Default)]
 pub(crate) struct ColStream {
     batch: RowBatch,
@@ -277,7 +277,7 @@ impl ColStream {
 
     /// Rows not yet handed out.
     pub(crate) fn remaining(&self) -> usize {
-        self.batch.rows() - self.pos
+        self.batch.len() - self.pos
     }
 
     pub(crate) fn next_slice(&mut self, max_rows: usize) -> Option<RowBatch> {
@@ -285,7 +285,7 @@ impl ColStream {
         if take == 0 {
             return None;
         }
-        if take == self.batch.rows() {
+        if take == self.batch.len() {
             // The whole result fits one request: hand it over uncopied.
             return Some(std::mem::take(self).batch);
         }
@@ -299,10 +299,9 @@ impl ColStream {
 
 /// A position in a list of batches that is handed out in `max_rows`
 /// slices: how an exchange serves what its workers produced and a
-/// materialized scan a retained intermediate. A slice is a dense copy —
+/// materialized scan a retained intermediate. A slice is a dense copy:
 /// the list may be shared between readers, and selection vectors are
-/// compacted away — unless the reader holds the list alone
-/// ([`BatchCursor::next_owned`]).
+/// compacted away.
 #[derive(Debug, Default)]
 pub(crate) struct BatchCursor {
     /// The batch being handed out.
@@ -332,27 +331,6 @@ impl BatchCursor {
             self.pos += take;
             return Some(out);
         }
-    }
-
-    /// [`BatchCursor::next_slice`] of a list its reader holds alone: a
-    /// batch that fits the request whole leaves it by move, uncopied and
-    /// with its selection vector, and only a larger one is cut into dense
-    /// copies. What left by move is not there to hand out again.
-    pub(crate) fn next_owned(
-        &mut self,
-        batches: &mut [RowBatch],
-        max_rows: usize,
-    ) -> Option<RowBatch> {
-        while let Some(batch) = batches.get_mut(self.idx) {
-            if self.pos > 0 || batch.len() > max_rows {
-                return self.next_slice(batches, max_rows);
-            }
-            self.idx += 1;
-            if !batch.is_empty() {
-                return Some(std::mem::take(batch));
-            }
-        }
-        None
     }
 }
 

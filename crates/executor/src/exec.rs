@@ -132,8 +132,8 @@ impl RootSink<'_> {
 /// With a `governor`, produced rows are charged against the row budget
 /// batch by batch. Rows go to `sink` (a row sink is pre-sized from the
 /// operator's [`Operator::estimated_rows`] hint). This is how every
-/// consumer that wants a whole input — the root of a query, exchange
-/// workers, re-optimization checkpoints — pulls it.
+/// consumer that wants a whole input pulls it: the root of a query,
+/// exchange workers, re-optimization checkpoints, a sharded query's steps.
 ///
 /// # Errors
 /// The first [`ExecError`] raised by `open`, a pull, or the row budget.

@@ -89,9 +89,9 @@ pub use metrics::{
     CpuCounters, ExecSummary, FallbackCause, PlanCacheInfo, RunEvent, SharedCounters,
 };
 pub use netexchange::{
-    decode_frame, decode_frame_traced, drain_link, encode_frame, encode_frame_dense,
-    presized_batch, scatter_by_shard, shard_route, FrameSender, FrameTrace, LinkFaultPlan,
-    NetChannel, NetConfig, NetStats, SimNet, FRAME_HEADER_BYTES,
+    decode_frame, decode_frame_traced, encode_frame, encode_frame_dense, scatter_by_shard,
+    shard_route, FrameTrace, LinkFaultPlan, LinkScanExec, LinkSink, NetChannel, NetConfig,
+    NetStats, SimNet, FRAME_HEADER_BYTES,
 };
 pub use reopt::{
     escapes_interval, pick_pilot, MaterializedScanExec, ReoptConfig, ReoptCounters, ReoptEvent,

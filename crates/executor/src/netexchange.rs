@@ -28,20 +28,24 @@
 //!   kernel ([`crate::fold_hash_column`]), bit-identical to the scalar
 //!   join hash, so co-partitioning both join sides is guaranteed by
 //!   construction.
-//! * **Link halves** — a [`FrameSender`] turns a run's batches into the
-//!   frames of one link and [`drain_link`] decodes them back into batches,
-//!   each recording its network span on the run's trail when it is traced.
+//! * **Link halves** — engine parts: a [`LinkSink`] is the one place a
+//!   link is cut into frames, by a rule of the rows alone, and a
+//!   [`LinkScanExec`] leaf decodes a shard's in-links frame by frame, then
+//!   hands out what the shard kept; each records its network span.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::batch::{RowBatch, BATCH_CAPACITY};
+use crate::batch::{ColStream, RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
+use crate::exec::Operator;
 use crate::governor::ExecContext;
 use crate::hash_join::{fold_hash_column, HASH_SEED};
 use crate::trace::{NetSpanStats, SpanId, SpanStats};
+use crate::tuple::TupleLayout;
 
 /// Bytes of the frame header: width, row count, selection length, trace
 /// id, parent span.
@@ -70,51 +74,33 @@ pub struct FrameTrace {
 /// trace context: [`encode_frame_dense`] over `0..batch.len()`.
 #[must_use]
 pub fn encode_frame(batch: &RowBatch) -> Vec<u8> {
-    encode_frame_dense(batch, 0..batch.len(), FrameTrace::default())
+    encode_frame_dense([(batch, 0..batch.len())], FrameTrace::default())
 }
 
-/// Encodes the live rows at positions `live` (indices into the batch's
-/// live rows, i.e. into its selection vector when it has one) as one
-/// **dense** frame:
+/// Encodes the live rows at positions `live` of each `(batch, live)`
+/// piece, in order (indices into a batch's live rows, i.e. into its
+/// selection vector when it has one), as one **dense** frame:
 /// `[width:u32][rows:u32][sel_len:u32][trace_id:u64][parent_span:u32]`
 /// followed by the columns, all little-endian, `sel_len` always "none".
 /// Dead rows and the selection vector stay behind, so a filtered batch
-/// costs exactly `header + live rows × width × 8` bytes on the wire, and
-/// one large batch can be cut into several frames without an intermediate
-/// copy. Decoding yields a selection-free batch. The trace context lets
-/// the receiving side parent its receive span under the sender's network
-/// span; span ids above `u32::MAX - 1` degrade to "no span" on the wire.
+/// costs exactly `header + live rows × width × 8` bytes on the wire, and a
+/// frame can take slices of several batches, or one batch be cut into
+/// several frames, without an intermediate copy. Decoding yields a
+/// selection-free batch. The trace context lets the receiving side parent
+/// its receive span under the sender's network span; span ids above
+/// `u32::MAX - 1` degrade to "no span" on the wire.
 ///
 /// # Panics
-/// Panics when `live` reaches past [`RowBatch::len`].
+/// Panics when a `live` reaches past its batch's [`RowBatch::len`].
 #[must_use]
-pub fn encode_frame_dense(
-    batch: &RowBatch,
-    live: std::ops::Range<usize>,
+pub fn encode_frame_dense<'b>(
+    pieces: impl IntoIterator<Item = (&'b RowBatch, Range<usize>), IntoIter: Clone>,
     trace: FrameTrace,
 ) -> Vec<u8> {
-    let rows = live.len();
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + batch.width() * rows * 8);
-    write_header(&mut out, batch.width(), rows, trace);
-    for c in 0..batch.width() {
-        let col = batch.column(c);
-        match batch.selection() {
-            None => {
-                for v in &col[live.clone()] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Some(sel) => {
-                for &i in &sel[live.clone()] {
-                    out.extend_from_slice(&col[i as usize].to_le_bytes());
-                }
-            }
-        }
-    }
-    out
-}
-
-fn write_header(out: &mut Vec<u8>, width: usize, rows: usize, trace: FrameTrace) {
+    let pieces = pieces.into_iter();
+    let width = pieces.clone().next().map_or(0, |(batch, _)| batch.width());
+    let rows: usize = pieces.clone().map(|(_, live)| live.len()).sum();
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + width * rows * 8);
     out.extend_from_slice(&(width as u32).to_le_bytes());
     out.extend_from_slice(&(rows as u32).to_le_bytes());
     out.extend_from_slice(&NO_SELECTION.to_le_bytes());
@@ -122,6 +108,20 @@ fn write_header(out: &mut Vec<u8>, width: usize, rows: usize, trace: FrameTrace)
     let span =
         trace.span.and_then(|s| u32::try_from(s).ok()).filter(|&s| s != NO_SPAN).unwrap_or(NO_SPAN);
     out.extend_from_slice(&span.to_le_bytes());
+    for c in 0..width {
+        for (batch, live) in pieces.clone() {
+            let col = batch.column(c);
+            match batch.selection() {
+                None => {
+                    col[live.clone()].iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes()))
+                }
+                Some(sel) => sel[live.clone()]
+                    .iter()
+                    .for_each(|&i| out.extend_from_slice(&col[i as usize].to_le_bytes())),
+            }
+        }
+    }
+    out
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -425,18 +425,6 @@ impl NetChannel {
     pub fn close(&self) {}
 }
 
-/// A batch pre-sized for an expected row count: full [`BATCH_CAPACITY`]
-/// when the estimate is unknown or large, tighter when the producer knows
-/// it will emit less — the same pre-sizing [`crate::drain`] applies to
-/// result buffers.
-#[must_use]
-pub fn presized_batch(width: usize, estimated_rows: Option<u64>) -> RowBatch {
-    let cap = estimated_rows
-        .map_or(BATCH_CAPACITY, |r| usize::try_from(r).unwrap_or(BATCH_CAPACITY))
-        .clamp(1, BATCH_CAPACITY);
-    RowBatch::with_capacity(width, cap)
-}
-
 /// Computes each **live** row's destination shard: the key columns are
 /// folded through the batched multiply-xor kernel (seeded like the join
 /// hash, so both join sides route identically), then reduced modulo
@@ -486,13 +474,11 @@ pub fn shard_route(
 }
 
 /// Scatters the live rows of `batch` into one dense per-shard batch each,
-/// routed by [`shard_route`] over `key_cols`. Output batches are appended
-/// to, so callers can accumulate several input batches before flushing.
-///
-/// The live rows are grouped by destination once (a counting sort of
-/// their physical indices, input order kept within each destination);
-/// every output column then extends from its input column in one pass —
-/// no row is ever assembled.
+/// routed by [`shard_route`] over `key_cols`, appended to `outs`. The
+/// live rows are grouped by destination once (a counting sort of their
+/// physical indices, input order kept within each destination); every
+/// output column then extends from its input column in one pass — no row
+/// is ever assembled.
 ///
 /// # Panics
 /// Panics when `outs.len()` differs from the shard count implied by the
@@ -538,120 +524,198 @@ pub fn scatter_by_shard(
     }
 }
 
-/// The receive half of one link: receives every frame `ch` holds,
-/// decoding each onto `into`, for the run of `ctx`, whose trail a receive
-/// span under `parent` goes on once the link drains. Stops at the first
-/// frame that does not decode or whose width is not the reader's layout's
-/// `width` (the header is input: a narrower frame would index out of range
-/// in a key column).
-///
-/// # Errors
-/// [`ExecError::Network`] for a frame of another width, and the decode
-/// error of a malformed frame.
-pub fn drain_link(
-    ch: &NetChannel,
-    width: usize,
-    into: &mut Vec<RowBatch>,
-    ctx: Option<&ExecContext>,
-    parent: Option<SpanId>,
-) -> Result<(), ExecError> {
-    let (mut stats, mut remote) = (SpanStats::default(), None);
-    let drained = loop {
-        let Some(frame) = ch.recv() else { break Ok(()) };
-        match decode_frame_traced(&frame) {
-            Ok((batch, _)) if batch.width() != width => {
-                break Err(ExecError::Network(format!(
-                    "frame width mismatch on link {}->{}: {} columns, stage layout has {width}",
-                    ch.from_node(),
-                    ch.to_node(),
-                    batch.width(),
+/// The receive half of a shard's links for one stage side, as a leaf: the
+/// frames of `links`, link by link, a pull decoding at most one, then the
+/// batches the shard kept. A batch that fits the request leaves by move, a
+/// larger one is cut into copies; rows already produced are charged
+/// nothing. A frame whose width is not the layout's is refused (the header
+/// is input: a narrower frame would index out of range in a key column).
+/// Traced, a link that delivered frames is one `Net-Recv` span under
+/// `ctx`'s span parent, with its rows and frames and the first send span
+/// they named (the send side owns the bytes).
+pub struct LinkScanExec<'a, L> {
+    links: L,
+    kept: std::vec::IntoIter<RowBatch>,
+    layout: &'a TupleLayout,
+    ctx: ExecContext,
+    /// The link being read, its rows and frames and first send span.
+    link: Option<&'a NetChannel>,
+    received: (SpanStats, Option<u64>),
+    /// The batch being handed out.
+    held: ColStream,
+}
+
+impl<'a, L: Iterator<Item = &'a NetChannel>> LinkScanExec<'a, L> {
+    /// A leaf of `ctx`'s run reading `links`, then `kept`, as `layout`.
+    #[must_use]
+    pub fn new(
+        links: impl IntoIterator<IntoIter = L>,
+        kept: Vec<RowBatch>,
+        layout: &'a TupleLayout,
+        ctx: ExecContext,
+    ) -> LinkScanExec<'a, L> {
+        let (mut links, kept, received) = (links.into_iter(), kept.into_iter(), <_>::default());
+        let (link, held) = (links.next(), ColStream::default());
+        LinkScanExec { links, kept, layout, ctx, link, received, held }
+    }
+
+    /// The next batch: a frame of the links, or a kept one.
+    fn next_input(&mut self) -> Result<Option<RowBatch>, ExecError> {
+        while let Some(ch) = self.link {
+            let Some(frame) = ch.recv() else {
+                self.end_link();
+                continue;
+            };
+            let (batch, trace) = decode_frame_traced(&frame)?;
+            if batch.width() != self.layout.width() {
+                let (from, to, got) = (ch.from_node(), ch.to_node(), batch.width());
+                return Err(ExecError::Network(format!(
+                    "frame width mismatch on link {from}->{to}: {got} columns, stage layout has {}",
+                    self.layout.width()
                 )));
             }
-            Ok((batch, ft)) => {
-                stats.rows += batch.len() as u64;
-                stats.batches += 1;
-                remote = remote.or(ft.span);
-                into.push(batch);
-            }
-            Err(e) => break Err(e),
+            let (stats, remote) = &mut self.received;
+            stats.rows += batch.len() as u64;
+            stats.batches += 1;
+            *remote = remote.or(trace.span);
+            return Ok(Some(batch));
         }
-    };
-    // A receive span, when any frame arrived, carries no byte accounting
-    // (the send side owns it, so totals never double count) — just the
-    // delivered rows and the first propagated remote span.
-    if let Some(ctx) = ctx.filter(|_| stats.batches > 0) {
-        let (from, to) = (ch.from_node(), ch.to_node());
+        Ok(self.kept.next())
+    }
+
+    /// Moves past the link being read, recording its receive span if it
+    /// delivered.
+    fn end_link(&mut self) {
+        let (stats, remote_span) = std::mem::take(&mut self.received);
+        let Some(ch) = std::mem::replace(&mut self.link, self.links.next()) else { return };
+        let (from, to, parent) = (ch.from_node(), ch.to_node(), self.ctx.span_parent);
         let label = || format!("Net-Recv {to}<-{from}");
-        if let Some(span) = ctx.open_span("Net-Recv", None, label, parent, None) {
-            let net = NetSpanStats { from, to, remote_span: remote, ..NetSpanStats::default() };
-            ctx.end_span(span, stats, Some(net), None);
+        let span =
+            (stats.batches > 0).then(|| self.ctx.open_span("Net-Recv", None, label, parent, None));
+        if let Some(span) = span.flatten() {
+            let net = NetSpanStats { from, to, remote_span, ..NetSpanStats::default() };
+            self.ctx.end_span(span, stats, Some(net), None);
         }
     }
-    drained
 }
 
-/// The send half of one link: turns batches into dense frames stamped
-/// with the run's trace id, traced under one lazily opened `Net-Send`
-/// span on the run's trail.
-pub struct FrameSender<'a> {
+impl<'a, L: Iterator<Item = &'a NetChannel>> Operator for LinkScanExec<'a, L> {
+    fn open(&mut self) -> Result<(), ExecError> {
+        Ok(())
+    }
+
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
+        loop {
+            if let Some(batch) = self.held.next_slice(max_rows) {
+                self.ctx.governor.check_batch(batch.len() as u64)?;
+                return Ok(Some(batch));
+            }
+            let Some(batch) = self.next_input()? else { return Ok(None) };
+            self.held = ColStream::new(batch);
+        }
+    }
+
+    /// Records the receive span of a link left part-read.
+    fn close(&mut self) {
+        self.end_link();
+        self.held = ColStream::default();
+    }
+
+    fn layout(&self) -> &TupleLayout {
+        self.layout
+    }
+}
+
+/// The send half of one link, and the one place a link is cut into
+/// frames: [`BATCH_CAPACITY`] rows a frame but the last, which takes the
+/// rest (under two frames' worth), so a link's frames depend only on the
+/// rows it carries, not on the batches they came in. A frame may take
+/// slices of several queued batches; the sink holds under two frames'
+/// worth of rows besides the batch just pushed. Frames are dense and carry
+/// the run's trace id; traced, a link's sends are one `Net-Send` span
+/// under the run's span parent, opened at the first frame so that every
+/// frame header names it and an idle link records nothing.
+pub struct LinkSink<'a> {
     ch: &'a NetChannel,
     ctx: &'a ExecContext,
-    /// Opened at the first frame, so the span id can ride in every frame
-    /// header and an idle link records nothing.
     span: Option<SpanId>,
+    /// Batches with rows not yet sent (the first `framed` live rows of the
+    /// first one were), and the live rows that wait.
+    queued: VecDeque<RowBatch>,
+    framed: usize,
+    waiting: usize,
 }
 
-impl<'a> FrameSender<'a> {
-    /// A sender for `ctx`'s run: its trace id, its trail and its span
-    /// parent.
+impl<'a> LinkSink<'a> {
+    /// A sink for `ctx`'s run: its trace id, its trail and its span parent.
     #[must_use]
-    pub fn new(ch: &'a NetChannel, ctx: &'a ExecContext) -> FrameSender<'a> {
-        FrameSender { ch, ctx, span: None }
+    pub fn new(ch: &'a NetChannel, ctx: &'a ExecContext) -> LinkSink<'a> {
+        LinkSink { ch, ctx, span: None, queued: VecDeque::new(), framed: 0, waiting: 0 }
     }
 
-    /// Sends the live rows of `batch`. Frames are dense — a selection
-    /// vector is compacted away by the encoder, so a filtered batch does
-    /// not inflate wire bytes — and hold [`BATCH_CAPACITY`] rows each,
-    /// the last one taking the remainder (under two frames' worth), so a
-    /// frame's size is bounded however large the batch and no link
-    /// carries a runt.
+    /// Queues the live rows of `batch`, then sends a frame while two
+    /// frames' worth wait.
     ///
     /// # Errors
     /// [`ExecError::Network`] when a frame exhausts the link's
     /// retransmission budget.
-    pub fn send(&mut self, batch: &RowBatch) -> Result<(), ExecError> {
-        let live = batch.len();
-        let mut lo = 0;
-        while lo < live {
-            let hi = if live - lo < 2 * BATCH_CAPACITY { live } else { lo + BATCH_CAPACITY };
-            if self.span.is_none() {
-                let (from, to) = (self.ch.from_node(), self.ch.to_node());
-                let label = || format!("Net-Send {from}->{to}");
-                self.span = self.ctx.open_span("Net-Send", None, label, self.ctx.span_parent, None);
-            }
-            let span = self.span.map(|sp| sp.0 as u64);
-            let trace = FrameTrace { trace_id: self.ctx.trace_id(), span };
-            self.ch.send(encode_frame_dense(batch, lo..hi, trace))?;
-            lo = hi;
+    pub fn push(&mut self, batch: RowBatch) -> Result<(), ExecError> {
+        if !batch.is_empty() {
+            self.waiting += batch.len();
+            self.queued.push_back(batch);
+        }
+        while self.waiting >= 2 * BATCH_CAPACITY {
+            self.send(BATCH_CAPACITY)?;
         }
         Ok(())
     }
+
+    /// Sends the rows still waiting as the link's last frame.
+    ///
+    /// # Errors
+    /// As [`LinkSink::push`].
+    pub fn finish(mut self) -> Result<(), ExecError> {
+        match self.waiting {
+            0 => Ok(()),
+            rest => self.send(rest),
+        }
+    }
+
+    /// Sends the next `rows` waiting rows as one frame.
+    fn send(&mut self, rows: usize) -> Result<(), ExecError> {
+        if self.span.is_none() {
+            let (from, to) = (self.ch.from_node(), self.ch.to_node());
+            let label = || format!("Net-Send {from}->{to}");
+            self.span = self.ctx.open_span("Net-Send", None, label, self.ctx.span_parent, None);
+        }
+        let trace =
+            FrameTrace { trace_id: self.ctx.trace_id(), span: self.span.map(|s| s.0 as u64) };
+        // The frame's slices of the queued batches; the batches it sends
+        // the last rows of are dropped.
+        let pieces = self.queued.iter().scan((rows, self.framed), |(left, at), batch| {
+            let n = (*left).min(batch.len() - *at);
+            let piece = (batch, *at..*at + n);
+            (*left, *at) = (*left - n, 0);
+            (n > 0).then_some(piece)
+        });
+        let frame = encode_frame_dense(pieces.clone(), trace);
+        let (n, framed) = pieces.fold((0, 0), |(n, _), (batch, live)| {
+            (n + 1, if live.end < batch.len() { live.end } else { 0 })
+        });
+        self.queued.drain(..n - usize::from(framed > 0));
+        self.framed = framed;
+        self.waiting -= rows;
+        self.ch.send(frame)
+    }
 }
 
-impl Drop for FrameSender<'_> {
-    /// Whatever happened — including a send that exhausted its
-    /// retransmission budget — the opened span carries the channel's own
-    /// counters: each channel has exactly one sender and lives for one
-    /// query, so its counters are the span's traffic.
+impl Drop for LinkSink<'_> {
+    /// Whatever happened, the opened span carries the channel's counters:
+    /// a channel has one sink and lives for one query.
     fn drop(&mut self) {
         if let Some(span) = self.span {
-            let net = NetSpanStats {
-                from: self.ch.from_node(),
-                to: self.ch.to_node(),
-                sent: true,
-                stats: self.ch.stats(),
-                remote_span: None,
-            };
+            let (from, to, stats) = (self.ch.from_node(), self.ch.to_node(), self.ch.stats());
+            let net = NetSpanStats { from, to, sent: true, stats, remote_span: None };
             self.ctx.end_span(span, SpanStats::default(), Some(net), None);
         }
     }
@@ -705,7 +769,7 @@ mod tests {
         let batch = sample_batch(true);
         let live = 0..batch.len();
         for (trace_id, span) in [(0u64, None), (7, Some(3u64)), (u64::MAX, Some(0))] {
-            let frame = encode_frame_dense(&batch, live.clone(), FrameTrace { trace_id, span });
+            let frame = encode_frame_dense([(&batch, live.clone())], FrameTrace { trace_id, span });
             let (decoded, trace) = decode_frame_traced(&frame).expect("valid frame");
             assert_eq!(trace, FrameTrace { trace_id, span });
             assert_eq!(decoded.to_tuples(), batch.to_tuples());
@@ -715,7 +779,7 @@ mod tests {
         assert_eq!(trace, FrameTrace::default());
         // Oversized span ids degrade to "no span" rather than aliasing.
         let frame =
-            encode_frame_dense(&batch, live, FrameTrace { trace_id: 1, span: Some(u64::MAX) });
+            encode_frame_dense([(&batch, live)], FrameTrace { trace_id: 1, span: Some(u64::MAX) });
         let (_, trace) = decode_frame_traced(&frame).expect("valid frame");
         assert_eq!(trace.span, None);
     }
@@ -918,24 +982,15 @@ mod tests {
             let batch = sample_batch(selection);
             let live = batch.to_tuples();
             let trace = FrameTrace { trace_id: 9, span: Some(4) };
-            let frame = encode_frame_dense(&batch, 0..live.len(), trace);
+            let frame = encode_frame_dense([(&batch, 0..live.len())], trace);
             assert_eq!(frame.len(), FRAME_HEADER_BYTES + live.len() * 3 * 8);
             let (decoded, got) = decode_frame_traced(&frame).expect("valid frame");
             assert_eq!(got, trace);
             assert!(decoded.selection().is_none());
             assert_eq!(decoded.to_tuples(), live, "selection={selection}");
             // A sub-range cuts the live rows, not the physical ones.
-            let part = decode_frame(&encode_frame_dense(&batch, 1..3, trace)).expect("valid");
+            let part = decode_frame(&encode_frame_dense([(&batch, 1..3)], trace)).expect("valid");
             assert_eq!(part.to_tuples(), live[1..3], "selection={selection}");
         }
-    }
-
-    #[test]
-    fn presized_batch_clamps() {
-        assert_eq!(presized_batch(2, None).width(), 2);
-        let small = presized_batch(2, Some(10));
-        assert_eq!(small.rows(), 0);
-        let huge = presized_batch(2, Some(1 << 40));
-        assert_eq!(huge.rows(), 0);
     }
 }

@@ -481,11 +481,8 @@ impl ReoptState {
 /// exchange's output this is pure transport — the rows were charged
 /// (CPU and I/O) when they were first produced, so serving them again
 /// charges nothing, keeping counter totals identical to a one-pass run.
-///
-/// A list shared with its owner (a re-optimization checkpoint's) is
-/// handed out in dense copies and can be served again. A list the leaf
-/// holds alone (a sharded join's received inputs) hands out every batch
-/// that fits the request by move, so such a leaf is drained once.
+/// The list is shared with its owner (a re-optimization checkpoint's), so
+/// it is handed out in dense copies and can be served again.
 pub struct MaterializedScanExec {
     batches: Arc<Vec<RowBatch>>,
     layout: TupleLayout,
@@ -508,11 +505,7 @@ impl Operator for MaterializedScanExec {
     }
 
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
-        let served = match Arc::get_mut(&mut self.batches) {
-            Some(held) => self.served.next_owned(held, max_rows),
-            None => self.served.next_slice(&self.batches, max_rows),
-        };
-        let Some(batch) = served else {
+        let Some(batch) = self.served.next_slice(&self.batches, max_rows) else {
             return Ok(None);
         };
         self.ctx.governor.check_batch(batch.rows() as u64)?;
@@ -1104,22 +1097,11 @@ mod tests {
         batch.set_selection(vec![1, 2, 4]);
         let batches = Arc::new(vec![batch]);
         let ctx = ExecContext::new(SharedCounters::new());
-        let mut op = MaterializedScanExec::new(Arc::clone(&batches), layout.clone(), ctx.clone());
+        let mut op = MaterializedScanExec::new(batches, layout, ctx);
         assert_eq!(op.estimated_rows(), Some(3));
         assert_eq!(drain(&mut op).unwrap(), vec![vec![1i64], vec![2], vec![4]]);
-        // Re-open of a shared list serves again from the start.
+        // A re-open serves again from the start.
         assert_eq!(drain(&mut op).unwrap().len(), 3);
-        drop(op);
-
-        // A list the leaf holds alone: the batch that fits the request
-        // leaves whole, selection vector and all, and is spent.
-        let mut op = MaterializedScanExec::new(batches, layout, ctx);
-        op.open().unwrap();
-        let moved = op.next_batch(3).unwrap().expect("the batch");
-        assert_eq!((moved.rows(), moved.selection()), (5, Some(&[1u32, 2, 4][..])));
-        assert!(op.next_batch(3).unwrap().is_none());
-        op.close();
-        assert!(drain(&mut op).unwrap().is_empty(), "what left by move is gone");
     }
 
     #[test]

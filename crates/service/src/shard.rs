@@ -36,27 +36,28 @@
 //! routed with the batched multiply-xor kernel
 //! ([`dqep_executor::shard_route`]) on the join key, so co-partitioning
 //! is guaranteed by construction and the union of shard-local joins is
-//! exactly the global join. Batches travel as length-prefixed columnar
-//! frames over a simulated network ([`SimNet`]) with deterministic fault
-//! injection; every byte is accounted on the query's own channels. A
-//! link is a plain queue and a join stage needs all of its input before
-//! it joins, so a query runs in steps on the calling thread: every shard
-//! sends both sides of a stage, then every shard drains its in-links and
-//! joins. The query stops at its first failed step and returns that
-//! step's first error in shard order. Only the sleeps of disks that pace
-//! I/O are overlapped, on a thread per shard and step. The final gather
-//! merges order-preservingly (k-way merge by the `ORDER BY` column) or
-//! deterministically concatenates in shard order.
+//! exactly the global join. Batches travel as columnar frames over a
+//! simulated network ([`SimNet`]) with deterministic fault injection;
+//! every byte is accounted on the query's own channels. A link is a plain
+//! queue and a join needs all of its input, so a query runs in steps on
+//! the calling thread, each on every shard before the next: every shard
+//! sends both sides of a stage, then every shard joins what its in-links
+//! hold. The query stops at its first failed step with that step's first
+//! error in shard order. Only the sleeps of disks that pace I/O are
+//! overlapped, on a thread per shard and step. The gather merges
+//! order-preservingly (k-way merge by the `ORDER BY` column) or
+//! concatenates in shard order.
 //!
 //! **Batches end to end.** [`RowBatch`] is the only currency of the data
-//! path: access plans hand back the batches their operators produced,
-//! exchanges scatter column-wise and keep decoded frames as batches, and
-//! a shard joins and sorts with the engine's own operators: the local join
-//! is a [`HashJoinExec`] over leaves that hand out the received batches,
-//! every equi-predicate of the stage a key, and `ORDER BY` is a
-//! [`SortExec`], each with the memory grant a single node's would have.
-//! The gather merge walks `(batch, row)` cursors. Rows exist in exactly
-//! one place: [`ShardOutcome::rows`], built once by the coordinator.
+//! path, and both ends of a link are engine parts: a [`LinkSink`] cuts the
+//! batches a shard sends into frames by one rule that depends only on the
+//! rows, and a [`LinkScanExec`] leaf hands out the frames of a shard's
+//! in-links, then the rows it kept. Every step drains an operator tree
+//! with [`drain_root`]: an access plan; a [`HashJoinExec`] over two link
+//! leaves, every equi-predicate of the stage a key; in the gather step the
+//! last join under `ORDER BY`'s [`SortExec`] — each with the memory grant
+//! a single node's would have. Rows exist in exactly one place:
+//! [`ShardOutcome::rows`], built once by the coordinator.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -67,11 +68,11 @@ use dqep_catalog::{AttrId, Catalog, Relation, RelationId};
 use dqep_core::Optimizer;
 use dqep_cost::{Bindings, Environment};
 use dqep_executor::{
-    drain_link, hash_key, journal, kway_merge, next_trace_id, presized_batch, run_parallel,
-    scatter_by_shard, traced_operator, BoxedOperator, CpuCounters, EventKind, ExecContext,
-    ExecError, FrameSender, HashJoinExec, MaterializedScanExec, NetChannel, NetConfig, NetStats,
-    Phases, Resource, ResourceLimits, RootSink, RowBatch, SharedCounters, SimNet, SortExec,
-    TraceReport, Tracer, Tuple, TupleLayout, BATCH_CAPACITY, NO_ID,
+    drain_root, hash_key, journal, kway_merge, next_trace_id, run_parallel, scatter_by_shard,
+    traced_operator, BoxedOperator, CpuCounters, EventKind, ExecContext, ExecError, HashJoinExec,
+    LinkScanExec, LinkSink, NetChannel, NetConfig, NetStats, Phases, Resource, ResourceLimits,
+    RootSink, RowBatch, SharedCounters, SimNet, SortExec, TraceReport, Tracer, Tuple, TupleLayout,
+    BATCH_CAPACITY, NO_ID,
 };
 use dqep_plan::{evaluate_startup, Plan};
 use dqep_sql::{parse_query, ParsedPredicate};
@@ -532,12 +533,12 @@ impl ShardedService {
     }
 
     /// Runs the distributed plan in an `Execute` phase of the coordinator's
-    /// trace, one step at a time on every shard ([`each_shard`]): the first
-    /// access stage, a send and a join step per join stage, the gather.
-    /// The query stops at the first step that fails. Then the coordinator
-    /// drains the gather links in shard order. Every shard runs under the
-    /// query's `trace_id`; traced, under the coordinator's (`coord`)
-    /// tracer.
+    /// trace, a step at a time on every shard ([`each_shard`]): the first
+    /// access stage, per join stage a send step and (but for the last, whose
+    /// join the gather step drains under the sort) a join step. The query
+    /// stops at the first step that fails; then the coordinator reads the
+    /// gather links in shard order. Every shard runs under the query's
+    /// `trace_id`; traced, under the coordinator's (`coord`) tracer.
     fn run(
         &self,
         plan: &DistPlan,
@@ -577,24 +578,38 @@ impl ShardedService {
             run.left = run_access(run.shard, &plan.access[0], env, bindings, &run.ctx)?;
             Ok(())
         })?;
-        for (j, (stage, links)) in plan.joins.iter().zip(&stages).enumerate() {
+        for (j, (stage, [left, right])) in plan.joins.iter().zip(&stages).enumerate() {
+            // The send step: both sides scattered and sent on the out-links.
             each_shard(&mut runs, |run| {
                 run.right = run_access(run.shard, &plan.access[j + 1], env, bindings, &run.ctx)?;
-                run.send_stage(stage, links)
+                let ((rkey, lkey), s) = (stage.keys[0], run.s);
+                send_partitions(&mut run.left, lkey, &left[s], &run.ctx)?;
+                send_partitions(&mut run.right, rkey, &right[s], &run.ctx)
             })?;
-            each_shard(&mut runs, |run| run.join_stage(stage, links, plan.memory_bytes))?;
+            if j + 1 < plan.joins.len() {
+                each_shard(&mut runs, |run| {
+                    let mut join =
+                        run.join(&run.ctx.clone(), stage, &stages[j], plan.memory_bytes)?;
+                    drain_root(&mut *join, None, RootSink::Batches(&mut run.left)).map(drop)
+                })?;
+            }
         }
-        each_shard(&mut runs, |run| run.gather(plan, &gather[run.s]))?;
+        let last = plan.joins.last().zip(stages.last());
+        each_shard(&mut runs, |run| run.gather(plan, last, &gather[run.s]))?;
 
-        // The coordinator drains the gather links in shard order.
-        let drain = |(run, link): (&ShardRun<'_>, &NetChannel)| {
-            let mut batches = Vec::new();
-            drain_link(link, plan.layout.width(), &mut batches, coord, gather_span)?;
+        // The coordinator reads each gather link through the link leaf.
+        let mut receiver =
+            coord.cloned().unwrap_or_else(|| ExecContext::new(SharedCounters::new()));
+        receiver.span_parent = gather_span;
+        let receive = |(run, link): (&ShardRun<'_>, &NetChannel)| {
+            let (layout, mut batches) = (&plan.shard_layout, Vec::new());
+            let mut leaf = LinkScanExec::new([link], Vec::new(), layout, receiver.clone());
+            drain_root(&mut leaf, None, RootSink::Batches(&mut batches))?;
             check_gathered(run.s, live_rows(&batches), run.sent)?;
             Ok(batches)
         };
         let gathered: Vec<Vec<RowBatch>> =
-            runs.iter().zip(&gather).map(drain).collect::<Result<_, ExecError>>()?;
+            runs.iter().zip(&gather).map(receive).collect::<Result<_, ExecError>>()?;
         let shard_rows: Vec<u64> = gathered.iter().map(|batches| live_rows(batches)).collect();
         let winners: Vec<Vec<(u64, usize)>> =
             runs.iter().map(|r| r.ctx.counters.winners()).collect();
@@ -742,10 +757,10 @@ struct ShardRun<'a> {
     s: usize,
     shard: &'a Shard,
     ctx: ExecContext,
-    /// The rows the shard holds: its first access stage, then each join
-    /// stage's left side and result, in the layout the chain has reached.
+    /// The rows the chain has reached (the first access stage, then each
+    /// join step's result) and a stage's right side; after a send step,
+    /// the part of each the shard kept.
     left: Vec<RowBatch>,
-    /// A join stage's right side from its send step to its join step.
     right: Vec<RowBatch>,
     /// The rows the shard sent on its gather link.
     sent: u64,
@@ -771,90 +786,72 @@ fn each_shard<'a>(
 }
 
 impl ShardRun<'_> {
-    /// A join stage's send step, once `right` holds the right side's
-    /// access stage: both sides scattered on their join keys and sent on
-    /// the shard's out-links.
-    fn send_stage(
+    /// A join stage's join under `ctx`'s span parent: a [`HashJoinExec`]
+    /// building on the right side, on every key of the stage, within
+    /// `memory_bytes`, over a [`LinkScanExec`] a side that reads the shard's
+    /// in-links (its column of the side's matrix), then the part it kept.
+    fn join<'l>(
         &mut self,
-        stage: &JoinStage,
-        [left, right]: &[Links; 2],
-    ) -> Result<(), ExecError> {
-        let ((rkey, lkey), s) = (stage.keys[0], self.s);
-        send_partitions(s, &mut self.left, stage.left.width(), lkey, &left[s], &self.ctx)?;
-        send_partitions(s, &mut self.right, stage.right.width(), rkey, &right[s], &self.ctx)
-    }
-
-    /// A join stage's join step: both sides' shares received on the
-    /// shard's in-links, then joined by a [`HashJoinExec`] that builds on
-    /// the right side, on every key of the stage, within `memory_bytes`.
-    fn join_stage(
-        &mut self,
-        stage: &JoinStage,
-        [left, right]: &[Links; 2],
+        ctx: &ExecContext,
+        stage: &'l JoinStage,
+        [left, right]: &'l [Links; 2],
         memory_bytes: usize,
+    ) -> Result<BoxedOperator<'l>, ExecError> {
+        let (s, run) = (self.s, &self.ctx);
+        let leaf = |links: &'l Links, layout: &'l TupleLayout, kept| -> BoxedOperator<'l> {
+            let in_links = links.iter().filter_map(move |row| row[s].as_ref());
+            Box::new(LinkScanExec::new(in_links, kept, layout, run.clone()))
+        };
+        let build = leaf(right, &stage.right, std::mem::take(&mut self.right));
+        let probe = leaf(left, &stage.left, std::mem::take(&mut self.left));
+        let (keys, disk) = (stage.keys.clone(), self.shard.db.disk.clone());
+        traced_operator(ctx, "Hash-Join", None, &self.shard.db.disk, |ctx| {
+            Ok(Box::new(HashJoinExec::new(build, probe, keys, ctx.clone(), disk, memory_bytes)))
+        })
+    }
+
+    /// The gather step: the shard's result — the last stage's join, or a
+    /// leaf of the one relation's access stage — under the `ORDER BY`'s
+    /// [`SortExec`] within the plan's memory, drained and sent to the
+    /// coordinator on `link`.
+    fn gather<'l>(
+        &mut self,
+        plan: &'l DistPlan,
+        last: Option<(&'l JoinStage, &'l [Links; 2])>,
+        link: &NetChannel,
     ) -> Result<(), ExecError> {
-        let ctx = &self.ctx;
-        receive_partitions(&mut self.left, stage.left.width(), left, self.s, ctx)?;
-        receive_partitions(&mut self.right, stage.right.width(), right, self.s, ctx)?;
-        let build = leaf(std::mem::take(&mut self.right), &stage.right, ctx);
-        let probe = leaf(std::mem::take(&mut self.left), &stage.left, ctx);
-        let disk = self.shard.db.disk.clone();
-        let keys = stage.keys.clone();
-        let join = HashJoinExec::new(build, probe, keys, ctx.clone(), disk, memory_bytes);
-        self.left = self.drain("Hash-Join", Box::new(join))?;
-        Ok(())
-    }
-
-    /// The gather step: the shard-local `ORDER BY` (a [`SortExec`] within
-    /// the plan's memory), then the rows sent to the coordinator on `link`.
-    fn gather(&mut self, plan: &DistPlan, link: &NetChannel) -> Result<(), ExecError> {
-        if let Some(key) = plan.order_key {
-            let input = leaf(std::mem::take(&mut self.left), &plan.shard_layout, &self.ctx);
-            let disk = self.shard.db.disk.clone();
-            let sort = SortExec::new(input, key, self.ctx.clone(), disk, plan.memory_bytes);
-            self.left = self.drain("Sort", Box::new(sort))?;
+        let (ctx, disk, memory) = (self.ctx.clone(), self.shard.db.disk.clone(), plan.memory_bytes);
+        let mut input = |ctx: &ExecContext| -> Result<BoxedOperator<'l>, ExecError> {
+            let Some((stage, links)) = last else {
+                let kept = std::mem::take(&mut self.left);
+                return Ok(Box::new(LinkScanExec::new([], kept, &plan.shard_layout, ctx.clone())));
+            };
+            self.join(ctx, stage, links, memory)
+        };
+        let mut root = match plan.order_key {
+            Some(key) => traced_operator(&ctx, "Sort", None, &disk, |ctx| {
+                Ok(Box::new(SortExec::new(input(ctx)?, key, ctx.clone(), disk.clone(), memory)))
+            })?,
+            None => input(&ctx)?,
+        };
+        let (mut sink, mut out) = (LinkSink::new(link, &ctx), Vec::new());
+        drain_root(&mut *root, None, RootSink::Batches(&mut out))?;
+        for batch in out {
+            self.sent += batch.len() as u64;
+            sink.push(batch)?;
         }
-        let mut gather = FrameSender::new(link, &self.ctx);
-        for batch in &self.left {
-            gather.send(batch)?;
-        }
-        self.sent = live_rows(&std::mem::take(&mut self.left));
-        Ok(())
-    }
-
-    /// Runs the shard's join or sort `op`: opens it, takes its rows in one
-    /// request, and closes it, on success and on error. One request, so a
-    /// resident join or a sort hands its rows over as the one batch it
-    /// gathered them into, copied no further, and the wire frames them as
-    /// one batch. Traced, `op` runs under a span of `kind` under the
-    /// shard's `Shard` span, as a plan node's operator does
-    /// ([`traced_operator`]), so the span's rows are the rows it returns.
-    fn drain(&self, kind: &'static str, op: BoxedOperator<'_>) -> Result<Vec<RowBatch>, ExecError> {
-        let mut op = traced_operator(&self.ctx, kind, None, &self.shard.db.disk, |_| Ok(op))?;
-        let pulled = op
-            .open()
-            .and_then(|()| std::iter::from_fn(|| op.next_batch(usize::MAX).transpose()).collect());
-        op.close();
-        pulled
+        sink.finish()
     }
 }
 
-/// A leaf of `ctx`'s run that hands out `batches`, which it holds alone:
-/// each batch that fits a request leaves by move.
-fn leaf(batches: Vec<RowBatch>, layout: &TupleLayout, ctx: &ExecContext) -> BoxedOperator<'static> {
-    Box::new(MaterializedScanExec::new(Arc::new(batches), layout.clone(), ctx.clone()))
-}
-
-/// Runs one per-relation access plan locally and hands back the batches
-/// its root operator produced, selection vectors included. The plan still
-/// carries its choose operators (unless the coordinator pre-resolved
-/// them), so running it against the *shard's* catalog is what turns
-/// bind-time arbitration into a per-shard decision — every choose-plan
-/// operator that opens records its arbitration on the shard's trail. An access
-/// stage is an intermediate result: a batch sink is not charged to the
-/// row budget. It is a single-relation plan optimized without required
-/// properties, so it has no blocking input a re-optimizing run could
-/// checkpoint: access stages are not re-optimized.
+/// Runs one per-relation access plan locally into the batches its root
+/// operator produced, selection vectors included: an intermediate result,
+/// not charged to the row budget. The plan still carries its choose
+/// operators (unless the coordinator pre-resolved them), so running it
+/// against the *shard's* catalog makes bind-time arbitration a per-shard
+/// decision, recorded on the shard's trail. A single-relation plan has no
+/// blocking input a re-optimizing run could checkpoint: access stages are
+/// not re-optimized.
 fn run_access(
     shard: &Shard,
     plan: &Plan,
@@ -868,37 +865,13 @@ fn run_access(
     Ok(batches)
 }
 
-/// The receive half of a repartition: `side` becomes the frames shard
-/// `to`'s peers sent on its in-links (column `to` of `links`), in link
-/// order, then the partition it kept. Every peer has taken its send step
-/// before, so each link already holds all it will carry.
-fn receive_partitions(
-    side: &mut Vec<RowBatch>,
-    width: usize,
-    links: &[Vec<Option<NetChannel>>],
-    to: usize,
-    ctx: &ExecContext,
-) -> Result<(), ExecError> {
-    let kept = std::mem::take(side);
-    for ch in links.iter().filter_map(|row| row[to].as_ref()) {
-        drain_link(ch, width, side, Some(ctx), ctx.span_parent)?;
-    }
-    side.extend(kept);
-    Ok(())
-}
-
-/// The send half of a repartition: hash-scatters the batches of `side` on
-/// column `key` across all shards with the multiply-xor kernel, straight
-/// into the per-destination batches, flushes a remote destination as
-/// dense frames once it holds a frame's worth, and leaves `side` holding
-/// the self-partition, which never leaves its batch.
-/// Destination batches are pre-sized from the expected per-shard share. A
-/// shard without remote peers owns every row already: no scatter. Frames
-/// carry `ctx`'s trace id; traced, sends nest under its span parent.
+/// The send half of a repartition: every batch of `side` scattered on
+/// column `key` ([`scatter_by_shard`]), a peer's share pushed into its
+/// out-link's [`LinkSink`] batch by batch, and `side` left holding the
+/// shard's own share, a batch taking the rows of several while they fit.
+/// Frames carry `ctx`'s trace id; traced, sends nest under its span parent.
 fn send_partitions(
-    s: usize,
     side: &mut Vec<RowBatch>,
-    width: usize,
     key: usize,
     outs: &[Option<NetChannel>],
     ctx: &ExecContext,
@@ -906,38 +879,29 @@ fn send_partitions(
     if outs.iter().all(Option::is_none) {
         return Ok(());
     }
-    let shards = outs.len();
-    let per_shard = (live_rows(side) / shards.max(1) as u64).max(1);
-    let mut dest: Vec<RowBatch> = (0..shards)
-        .map(|t| {
-            if t == s {
-                RowBatch::with_capacity(width, per_shard as usize)
-            } else {
-                presized_batch(width, Some(per_shard))
-            }
-        })
-        .collect();
-    let mut senders: Vec<Option<FrameSender<'_>>> =
-        outs.iter().map(|out| out.as_ref().map(|ch| FrameSender::new(ch, ctx))).collect();
+    let mut sinks: Vec<Option<LinkSink<'_>>> =
+        outs.iter().map(|out| out.as_ref().map(|ch| LinkSink::new(ch, ctx))).collect();
+    let mut shares = vec![RowBatch::default(); outs.len()];
     let (mut hashes, mut dests) = (Vec::new(), Vec::new());
-    for batch in side.iter() {
-        scatter_by_shard(batch, &[key], &mut dest, &mut hashes, &mut dests);
-        for (sender, out) in senders.iter_mut().zip(&mut dest) {
-            if let Some(sender) = sender {
-                if out.rows() >= BATCH_CAPACITY {
-                    sender.send(out)?;
-                    out.clear();
-                }
+    for batch in std::mem::take(side) {
+        let own = sinks.iter().zip(&mut shares).filter(|(sink, _)| sink.is_none());
+        for (_, kept) in own.filter(|(_, kept)| kept.len() + batch.len() > BATCH_CAPACITY) {
+            side.push(std::mem::take(kept));
+        }
+        for share in shares.iter_mut().filter(|share| share.width() != batch.width()) {
+            *share = RowBatch::with_capacity(batch.width(), 0);
+        }
+        scatter_by_shard(&batch, &[key], &mut shares, &mut hashes, &mut dests);
+        for (sink, share) in sinks.iter_mut().zip(&mut shares) {
+            if let Some(sink) = sink {
+                sink.push(std::mem::take(share))?;
             }
         }
     }
-    for (sender, out) in senders.iter_mut().zip(&dest) {
-        if let Some(sender) = sender {
-            sender.send(out)?;
-        }
-    }
-    *side = vec![std::mem::take(&mut dest[s])];
-    Ok(())
+    let kept =
+        shares.into_iter().zip(&sinks).filter(|(kept, sink)| sink.is_none() && !kept.is_empty());
+    side.extend(kept.map(|(kept, _)| kept));
+    sinks.into_iter().flatten().try_for_each(LinkSink::finish)
 }
 
 #[cfg(test)]
@@ -945,7 +909,9 @@ mod tests {
     use super::*;
     use crate::metrics::Hist;
     use dqep_catalog::{make_chain_catalog, SyntheticSpec, SystemConfig};
-    use dqep_executor::{encode_frame_dense, FrameTrace, LinkFaultPlan, NetSpanStats, SpanRecord};
+    use dqep_executor::{
+        encode_frame_dense, FrameTrace, LinkFaultPlan, NetSpanStats, Operator, SpanRecord,
+    };
     use dqep_storage::{FaultPlan, IoStats};
 
     fn chain_sql(n: usize) -> String {
@@ -1456,9 +1422,11 @@ mod tests {
     }
 
     /// A traced shard's join and sort are operators of its run: each opens
-    /// a span under the shard's `Shard` span, a join span a stage, and a
-    /// span's rows are the rows the shard joined or sorted — for the last
-    /// join and the sort, the rows the shard sent to the coordinator.
+    /// a span, a join span a stage, and a span's rows are the rows the
+    /// shard joined or sorted — for the last join and the sort, the rows
+    /// the shard sent to the coordinator. The sort's span opens under the
+    /// shard's `Shard` span, and the last join's under the sort's, as a
+    /// plan node's input does.
     #[test]
     fn a_traced_shards_join_and_sort_are_spans_under_its_shard() {
         let config = ShardConfig { shards: 3, trace: true, ..ShardConfig::default() };
@@ -1470,18 +1438,20 @@ mod tests {
         assert_eq!(shards.len(), 3);
         for (s, shard) in shards.iter().enumerate() {
             assert_eq!(shard.label, format!("Shard {s}"));
-            let under = |kind| -> Vec<&SpanRecord> {
+            let under = |parent, kind| -> Vec<&SpanRecord> {
                 trace
                     .spans
                     .iter()
-                    .filter(|sp| sp.parent == Some(shard.id) && sp.kind == kind)
+                    .filter(|sp| sp.parent == Some(parent) && sp.kind == kind)
                     .collect()
             };
-            let (joins, sorts) = (under("Hash-Join"), under("Sort"));
+            let sorts = under(shard.id, "Sort");
+            let mut joins = under(shard.id, "Hash-Join");
+            joins.extend(sorts.iter().flat_map(|sort| under(sort.id, "Hash-Join")));
             assert_eq!((joins.len(), sorts.len()), (2, 1), "shard {s}");
             assert!(
-                joins[0].id < joins[1].id && joins[1].id < sorts[0].id,
-                "shard {s}: in step order"
+                joins[0].id < sorts[0].id && sorts[0].id < joins[1].id,
+                "shard {s}: in step order, the last join under the sort"
             );
             assert!(
                 joins.iter().all(|j| j.stats.opens == 1 && j.stats.cpu.hashes > 0),
@@ -1550,6 +1520,16 @@ mod tests {
         }
     }
 
+    /// The layout of a two-column relation: what the link tests' frames
+    /// carry.
+    fn pair_layout() -> TupleLayout {
+        let catalog = dqep_catalog::CatalogBuilder::new(SystemConfig::paper_1994())
+            .relation("pair", 10, 16, |r| r.attr("k", 10.0).attr("v", 10.0))
+            .build()
+            .expect("valid catalog");
+        TupleLayout::base(&catalog, catalog.relation_by_name("pair").expect("pair").id)
+    }
+
     fn batch_of(width: usize, rows: &[&[i64]]) -> RowBatch {
         let mut batch = RowBatch::with_capacity(width, rows.len());
         rows.iter().for_each(|row| batch.push_row(row));
@@ -1605,18 +1585,39 @@ mod tests {
             narrow.extend_from_slice(&v.to_le_bytes());
         }
         let good = batch_of(2, &[&[1, 2]]);
-        ch.send(encode_frame_dense(&good, 0..1, FrameTrace::default())).expect("send");
+        ch.send(encode_frame_dense([(&good, 0..1)], FrameTrace::default())).expect("send");
         ch.send(narrow).expect("send");
-        ch.send(encode_frame_dense(&good, 0..1, FrameTrace::default())).expect("send");
+        ch.send(encode_frame_dense([(&good, 0..1)], FrameTrace::default())).expect("send");
 
+        let ctx = ExecContext::new(SharedCounters::new());
+        let layout = pair_layout();
+        let mut leaf = LinkScanExec::new([&ch], Vec::new(), &layout, ctx);
         let mut into = Vec::new();
-        let err =
-            drain_link(&ch, 2, &mut into, None, None).expect_err("the narrow frame is refused");
+        let err = drain_root(&mut leaf, None, RootSink::Batches(&mut into))
+            .expect_err("the narrow frame is refused");
         assert!(
             matches!(&err, ExecError::Network(m) if m.contains("frame width mismatch")),
             "{err:?}"
         );
         assert_eq!(into.len(), 1, "frames before the bad one were kept, later ones dropped");
+    }
+
+    /// Sends `batch` on `ch` through the link's one sink, and closes it.
+    fn send(ch: &NetChannel, ctx: &ExecContext, batch: RowBatch) {
+        let mut sink = LinkSink::new(ch, ctx);
+        sink.push(batch).expect("send");
+        sink.finish().expect("send");
+    }
+
+    /// The frames `ch` holds, each as the one batch the receiving leaf
+    /// hands out for it under an unbounded request.
+    fn frames(ch: &NetChannel) -> Vec<RowBatch> {
+        let (ctx, layout) = (ExecContext::new(SharedCounters::new()), pair_layout());
+        let mut leaf = LinkScanExec::new([ch], Vec::new(), &layout, ctx);
+        let got: Result<Vec<_>, _> =
+            std::iter::from_fn(|| leaf.next_batch(usize::MAX).transpose()).collect();
+        leaf.close();
+        got.expect("received")
     }
 
     #[test]
@@ -1629,9 +1630,8 @@ mod tests {
         // Every other row is dead: only live rows may reach the wire.
         batch.set_selection((0..rows as u32).step_by(2).collect());
         let live = batch.len();
-        FrameSender::new(&ch, &ctx).send(&batch).expect("send");
-        let mut got = Vec::new();
-        drain_link(&ch, 2, &mut got, None, None).expect("drained");
+        send(&ch, &ctx, batch.clone());
+        let got = frames(&ch);
         assert_eq!(got.len(), 1, "under two frames' worth of live rows is one frame");
         assert_eq!(live_rows(&got), live as u64);
         assert_eq!(
@@ -1645,13 +1645,85 @@ mod tests {
         let ch = net.channel(0, 1, 0);
         batch.clear();
         (0..rows as i64).for_each(|v| batch.push_row(&[v, -v]));
-        FrameSender::new(&ch, &ctx).send(&batch).expect("send");
-        let mut got = Vec::new();
-        drain_link(&ch, 2, &mut got, None, None).expect("drained");
+        send(&ch, &ctx, batch);
+        let got = frames(&ch);
         let sizes: Vec<usize> = got.iter().map(RowBatch::rows).collect();
         assert_eq!(sizes, vec![BATCH_CAPACITY, BATCH_CAPACITY, BATCH_CAPACITY + 10]);
         let firsts: Vec<i64> = got.iter().map(|b| b.column(0)[0]).collect();
         assert_eq!(firsts, vec![0, BATCH_CAPACITY as i64, 2 * BATCH_CAPACITY as i64]);
+    }
+
+    /// The frame rule is the link's alone: the same live rows, sent through
+    /// the send half of a repartition in random batch splits — batches of
+    /// any size, some under selection vectors over dead rows — put the
+    /// same frames on the wire byte for byte, ⌊n / 1 024⌋ of them for the
+    /// `n` rows the link carries (one when 0 < n < 1 024), and keep the
+    /// same rows on the sending shard.
+    #[test]
+    fn a_links_frames_depend_only_on_its_rows() {
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: usize| {
+            state = dqep_executor::mix(state.wrapping_add(0x9e37_79b9_7f4a_7c15));
+            (state % bound as u64) as usize
+        };
+        let net = SimNet::new(NetConfig::default());
+        let ctx = ExecContext::new(SharedCounters::new());
+        for case in 0..48 {
+            let n = match case {
+                0 => 0,
+                1 => BATCH_CAPACITY,
+                2 => 5 * BATCH_CAPACITY,
+                _ => next(5 * BATCH_CAPACITY + 1),
+            };
+            let live: Vec<[i64; 2]> = (0..n as i64).map(|i| [next(1 << 20) as i64, i]).collect();
+            let mut reference: Option<(Vec<Vec<u8>>, Vec<Tuple>)> = None;
+            for split in 0..4 {
+                // The live rows cut into batches of 1 to 3 000 rows; every
+                // other batch, at random, carries dead rows between them.
+                let mut side = Vec::new();
+                let mut at = 0;
+                while at < n {
+                    let take = (1 + next(3_000)).min(n - at);
+                    let mut batch = RowBatch::with_capacity(2, 2 * take);
+                    let mut selection = Vec::with_capacity(take);
+                    let filtered = split > 0 && next(2) == 0;
+                    for row in &live[at..at + take] {
+                        if filtered && next(2) == 0 {
+                            batch.push_row(&[-1, -1]);
+                        }
+                        selection.push(batch.rows() as u32);
+                        batch.push_row(row);
+                    }
+                    if filtered {
+                        batch.set_selection(selection);
+                    }
+                    side.push(batch);
+                    at += take;
+                }
+                let link = net.channel(0, 1, 0);
+                let outs = [None, Some(link)];
+                send_partitions(&mut side, 0, &outs, &ctx).expect("send");
+                let link = outs[1].as_ref().expect("the link");
+                let frames: Vec<Vec<u8>> = std::iter::from_fn(|| link.recv()).collect();
+                let kept: Vec<Tuple> = side.iter().flat_map(RowBatch::to_tuples).collect();
+                match &reference {
+                    None => {
+                        let sent: usize = frames
+                            .iter()
+                            .map(|f| dqep_executor::decode_frame(f).expect("a frame").rows())
+                            .sum();
+                        assert_eq!(sent + kept.len(), n, "case {case}: every row once");
+                        let expect = if sent == 0 { 0 } else { (sent / BATCH_CAPACITY).max(1) };
+                        assert_eq!(frames.len(), expect, "case {case}: {sent} rows on the link");
+                        reference = Some((frames, kept));
+                    }
+                    Some((want, want_kept)) => {
+                        assert!(frames == *want, "case {case} split {split}: other frames");
+                        assert_eq!(kept, *want_kept, "case {case} split {split}: other rows kept");
+                    }
+                }
+            }
+        }
     }
 
     /// Two shards repartition 70 000 rows each in stages, on one thread,
@@ -1676,16 +1748,20 @@ mod tests {
                     batch.push_row(&[i * 7 % 1_000, s as i64 * ROWS + i]);
                 }
                 let mut side = vec![batch];
-                send_partitions(s, &mut side, 2, 0, &links[s], &ctx).expect("send");
+                send_partitions(&mut side, 0, &links[s], &ctx).expect("send");
                 side
             })
             .collect();
         let shares: Vec<Vec<RowBatch>> = kept
             .into_iter()
             .enumerate()
-            .map(|(s, mut side)| {
-                receive_partitions(&mut side, 2, &links, s, &ctx).expect("receive");
-                side
+            .map(|(s, side)| {
+                let in_links = links.iter().filter_map(|row| row[s].as_ref());
+                let layout = pair_layout();
+                let mut leaf = LinkScanExec::new(in_links, side, &layout, ctx.clone());
+                let mut share = Vec::new();
+                drain_root(&mut leaf, None, RootSink::Batches(&mut share)).expect("receive");
+                share
             })
             .collect();
         for from in 0..2 {

@@ -22,8 +22,10 @@ use parking_lot::Mutex;
 use common::{allocations, voluntary_switches};
 
 /// Allocations (and reallocations) allowed per frame on top of one per
-/// result row: the measurement plus 40 %. Measured for this query: 57 per
-/// frame (457 over 8 frames). It was 58 (462) while each query spawned a
+/// result row: set at the measurement plus 40 %, when this query measured
+/// 57 per frame (457 over 8 frames). It measures 79 (630) since a shard
+/// drains its join and its sort in 1 024-row requests, 67 (532) while it
+/// took each in one request. It was 58 (462) while each query spawned a
 /// thread per shard, and 288 (2 307) while file scans built a record list
 /// per page and carried page-tail rows as tuples.
 const PER_FRAME: u64 = 80;

@@ -55,14 +55,13 @@
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dqep::catalog::{Catalog, CatalogBuilder, SystemConfig};
 use dqep::algebra::{CompareOp, JoinPred, PhysicalOp};
 use dqep::cost::{Bindings, Cost, Environment, PlanStats};
 use dqep::executor::{
-    kway_merge, mix, run, select_rows, shard_route, ExecContext, MaterializedScanExec, Operator,
+    kway_merge, mix, run, select_rows, shard_route, ExecContext, LinkScanExec, Operator,
     RootSink, RowBatch, SharedCounters, SortExec, TupleLayout, BATCH_CAPACITY,
 };
 use dqep::interval::Interval;
@@ -356,8 +355,8 @@ fn sorted_rows(rows: &RowBatch, layout: &TupleLayout, passes: usize) {
     for _ in 0..passes {
         sorted.clear();
         for chunk in &chunks {
-            // The leaf holds its run alone, so the sort takes it by move.
-            let leaf = MaterializedScanExec::new(Arc::new(vec![chunk.clone()]), layout.clone(), ctx.clone());
+            // A leaf of no links hands its run over by move.
+            let leaf = LinkScanExec::new([], vec![chunk.clone()], layout, ctx.clone());
             let mut sort = SortExec::new(Box::new(leaf), KEY, ctx.clone(), disk.clone(), usize::MAX);
             let started = Instant::now();
             sort.open().expect("an in-memory sort");

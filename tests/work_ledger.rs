@@ -454,8 +454,8 @@ fn the_work_of_the_exec_scale_statements_reads_as_recorded() {
 /// shards.
 const SHARD_JOIN: &str = "\
 2 shards statement 0 rows 8483
-2 shards statement 0 wire bytes 388168
-2 shards statement 0 frames 15
+2 shards statement 0 wire bytes 388144
+2 shards statement 0 frames 14
 2 shards statement 0 seq reads 2390
 2 shards statement 0 random reads 183
 2 shards statement 0 writes 0
@@ -463,11 +463,11 @@ const SHARD_JOIN: &str = "\
 2 shards statement 0 cpu.records 34964
 2 shards statement 0 cpu.compares 12000
 2 shards statement 0 cpu.hashes 14481
-2 shards statement 0 allocations 9009
-2 shards statement 0 allocated bytes 3219049
+2 shards statement 0 allocations 9232
+2 shards statement 0 allocated bytes 3321809
 2 shards statement 1 rows 8481
-2 shards statement 1 wire bytes 135984
-2 shards statement 1 frames 12
+2 shards statement 1 wire bytes 135888
+2 shards statement 1 frames 8
 2 shards statement 1 seq reads 1596
 2 shards statement 1 random reads 119
 2 shards statement 1 writes 0
@@ -475,8 +475,8 @@ const SHARD_JOIN: &str = "\
 2 shards statement 1 cpu.records 20481
 2 shards statement 1 cpu.compares 12000
 2 shards statement 1 cpu.hashes 0
-2 shards statement 1 allocations 8683
-2 shards statement 1 allocated bytes 868373
+2 shards statement 1 allocations 8687
+2 shards statement 1 allocated bytes 908221
 2 shards statement 2 rows 6016
 2 shards statement 2 wire bytes 294768
 2 shards statement 2 frames 10
@@ -487,8 +487,8 @@ const SHARD_JOIN: &str = "\
 2 shards statement 2 cpu.records 42766
 2 shards statement 2 cpu.compares 87514
 2 shards statement 2 cpu.hashes 12734
-2 shards statement 2 allocations 6615
-2 shards statement 2 allocated bytes 3572662
+2 shards statement 2 allocations 6799
+2 shards statement 2 allocated bytes 3505342
 4 shards statement 0 rows 8483
 4 shards statement 0 wire bytes 447632
 4 shards statement 0 frames 32
@@ -499,8 +499,8 @@ const SHARD_JOIN: &str = "\
 4 shards statement 0 cpu.records 34964
 4 shards statement 0 cpu.compares 12000
 4 shards statement 0 cpu.hashes 14481
-4 shards statement 0 allocations 9347
-4 shards statement 0 allocated bytes 3358201
+4 shards statement 0 allocations 9617
+4 shards statement 0 allocated bytes 3540393
 ";
 
 /// The three statements of the `shard_join` workload — the plain join,
