@@ -12,6 +12,13 @@
 //! MonetDB/X100 decomposition. Filters qualify rows by writing the
 //! selection vector instead of copying survivors, so a selective scan
 //! stays allocation-free.
+//!
+//! Rows an operator already holds — a join's output past the request, a
+//! received frame, an exchange's worker output, a retained intermediate —
+//! leave through one cut, [`HeldRows`], and the one leaf over held rows
+//! is [`crate::LinkScanExec`].
+
+use std::collections::VecDeque;
 
 use dqep_storage::PageRows;
 
@@ -199,6 +206,26 @@ impl RowBatch {
         });
     }
 
+    /// Cuts the batch after its first `at` live rows (`0 < at < len()`):
+    /// they stay in this batch's own column buffers — under the first `at`
+    /// entries of its selection vector, if it has one — and the live rows
+    /// past them are returned as a dense copy, the only rows copied.
+    pub(crate) fn split_off(&mut self, at: usize) -> RowBatch {
+        debug_assert!(0 < at && at < self.len(), "cut at {at} of {} live rows", self.len());
+        let Some(sel) = &self.selection else {
+            let columns = self.columns.iter_mut().map(|col| col.split_off(at)).collect();
+            let rows = std::mem::replace(&mut self.rows, at) - at;
+            return RowBatch { width: self.width, rows, columns, selection: None };
+        };
+        let live = sel.len();
+        let mut rest = RowBatch::with_capacity(self.width, live - at);
+        rest.extend_from_live(self, at..live);
+        if let Some(sel) = &mut self.selection {
+            sel.truncate(at);
+        }
+        rest
+    }
+
     /// Copies the `i`-th physical row (selection vector not applied) into
     /// `out`, appending `width` values.
     ///
@@ -262,75 +289,73 @@ impl RowBatch {
     }
 }
 
-/// A finished columnar result — a join's output, a received frame —
-/// handed out in `max_rows` slices of its live rows.
+/// Rows an operator holds and hands out `max_rows` at a time, the
+/// module's one cut of held rows: a queue of owned batches. A batch whose
+/// live rows fit the request leaves by move; one of up to twice the
+/// request leaves its first `max_rows` live rows by move and keeps only
+/// the rest, as a copy ([`RowBatch::split_off`]); a larger one would copy
+/// its rest again at every cut, so it leaves in copies of `max_rows` live
+/// rows from a position instead. So every slice lies within one batch
+/// pushed, and a drain never copies more rows than it hands out.
 #[derive(Debug, Default)]
-pub(crate) struct ColStream {
-    batch: RowBatch,
-    pos: usize,
+pub(crate) struct HeldRows {
+    batches: VecDeque<RowBatch>,
+    /// Live rows of the front batch already handed out in copies.
+    served: usize,
 }
 
-impl ColStream {
-    pub(crate) fn new(batch: RowBatch) -> ColStream {
-        ColStream { batch, pos: 0 }
-    }
-
-    /// Rows not yet handed out.
-    pub(crate) fn remaining(&self) -> usize {
-        self.batch.len() - self.pos
-    }
-
-    pub(crate) fn next_slice(&mut self, max_rows: usize) -> Option<RowBatch> {
-        let take = max_rows.min(self.remaining());
-        if take == 0 {
-            return None;
+impl HeldRows {
+    /// Queues `batch`; one with no live rows is dropped.
+    pub(crate) fn push(&mut self, batch: RowBatch) {
+        if !batch.is_empty() {
+            self.batches.push_back(batch);
         }
-        if take == self.batch.len() {
-            // The whole result fits one request: hand it over uncopied.
-            return Some(std::mem::take(self).batch);
-        }
-        let lo = self.pos;
-        self.pos += take;
-        let mut out = RowBatch::with_capacity(self.batch.width(), take);
-        out.extend_from_live(&self.batch, lo..lo + take);
-        Some(out)
     }
-}
 
-/// A position in a list of batches that is handed out in `max_rows`
-/// slices: how an exchange serves what its workers produced and a
-/// materialized scan a retained intermediate. A slice is a dense copy:
-/// the list may be shared between readers, and selection vectors are
-/// compacted away.
-#[derive(Debug, Default)]
-pub(crate) struct BatchCursor {
-    /// The batch being handed out.
-    idx: usize,
-    /// Live rows of it already handed out.
-    pos: usize,
-}
-
-impl BatchCursor {
     /// Live rows not yet handed out.
-    pub(crate) fn remaining(&self, batches: &[RowBatch]) -> usize {
-        let ahead: usize = batches.iter().skip(self.idx).map(RowBatch::len).sum();
-        ahead - self.pos
+    pub(crate) fn remaining(&self) -> usize {
+        self.batches.iter().map(RowBatch::len).sum::<usize>() - self.served
     }
 
-    pub(crate) fn next_slice(&mut self, batches: &[RowBatch], max_rows: usize) -> Option<RowBatch> {
-        loop {
-            let batch = batches.get(self.idx)?;
-            let take = max_rows.min(batch.len() - self.pos);
-            if take == 0 {
-                self.idx += 1;
-                self.pos = 0;
-                continue;
-            }
-            let mut out = RowBatch::with_capacity(batch.width(), take);
-            out.extend_from_live(batch, self.pos..self.pos + take);
-            self.pos += take;
-            return Some(out);
+    /// The next at most `max_rows` (at least one) live rows, from the
+    /// front batch alone; `None` when nothing is held.
+    pub(crate) fn next_slice(&mut self, max_rows: usize) -> Option<RowBatch> {
+        if self.served == 0 {
+            let batch = self.batches.pop_front()?;
+            return self.cut(batch, max_rows);
         }
+        self.copy_front(max_rows)
+    }
+
+    /// The first `max_rows` (at least one) live rows of `batch` — all of
+    /// it, by move, when they fit — holding the rest in front of any rows
+    /// held; `None` when it has none: how a producer hands out a batch it
+    /// just made without queueing it.
+    pub(crate) fn cut(&mut self, mut batch: RowBatch, max_rows: usize) -> Option<RowBatch> {
+        let rest = batch.len().saturating_sub(max_rows);
+        if rest > max_rows {
+            self.batches.push_front(batch);
+            return self.copy_front(max_rows);
+        }
+        if rest > 0 {
+            self.batches.push_front(batch.split_off(max_rows));
+        }
+        (!batch.is_empty()).then_some(batch)
+    }
+
+    /// A copy of the front batch's next `max_rows` live rows: a rare path.
+    #[cold]
+    fn copy_front(&mut self, max_rows: usize) -> Option<RowBatch> {
+        let front = self.batches.front()?;
+        let take = max_rows.min(front.len() - self.served);
+        let mut out = RowBatch::with_capacity(front.width(), take);
+        out.extend_from_live(front, self.served..self.served + take);
+        self.served += take;
+        if self.served == front.len() {
+            self.batches.pop_front();
+            self.served = 0;
+        }
+        Some(out)
     }
 }
 
@@ -377,6 +402,8 @@ impl<'a> IntoIterator for &'a RowBatch {
 
 #[cfg(test)]
 mod tests {
+    use proptest::{prop_assert, prop_assert_eq};
+
     use super::*;
 
     #[test]
@@ -446,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_cursor_slices_across_batches_and_selections() {
+    fn held_rows_slice_across_batches_and_selections() {
         let mut a = RowBatch::new(1);
         (0..5).for_each(|v| a.push_row(&[v]));
         a.set_selection(vec![1, 3, 4]);
@@ -454,16 +481,120 @@ mod tests {
         b.set_selection(Vec::new());
         let mut c = RowBatch::new(1);
         (10..13).for_each(|v| c.push_row(&[v]));
-        let batches = [a, b, c];
-        let mut cursor = BatchCursor::default();
-        assert_eq!(cursor.remaining(&batches), 6);
+        let mut held = HeldRows::default();
+        [a, b, c].into_iter().for_each(|batch| held.push(batch));
+        assert_eq!(held.remaining(), 6);
         let mut slices = Vec::new();
-        while let Some(slice) = cursor.next_slice(&batches, 2) {
-            assert!(slice.selection().is_none() && slice.rows() <= 2);
-            slices.push(slice.column(0).to_vec());
+        while let Some(slice) = held.next_slice(2) {
+            assert!(slice.len() <= 2);
+            slices.push(slice.iter().map(|row| row[0]).collect::<Vec<_>>());
         }
         assert_eq!(slices, vec![vec![1, 3], vec![4], vec![10, 11], vec![12]]);
-        assert_eq!(cursor.remaining(&batches), 0);
+        assert_eq!(held.remaining(), 0);
+    }
+
+    /// The slicer `HeldRows` replaced, kept as the reference for slice
+    /// boundaries: a position in the list of batches; a request takes the
+    /// next `min(max_rows, left in the batch)` live rows of one batch,
+    /// skipping batches with none left.
+    fn reference_slices(batches: &[RowBatch], requests: &[usize]) -> Vec<Vec<Tuple>> {
+        let (mut idx, mut pos, mut out) = (0, 0, Vec::new());
+        for &max_rows in requests.iter().cycle() {
+            loop {
+                let Some(batch) = batches.get(idx) else { return out };
+                let take = max_rows.min(batch.len() - pos);
+                if take == 0 {
+                    idx += 1;
+                    pos = 0;
+                    continue;
+                }
+                out.push(batch.iter().skip(pos).take(take).collect());
+                pos += take;
+                break;
+            }
+        }
+        unreachable!("requests cycle")
+    }
+
+    /// Batches of `(rows, kind, seed)`: dense (kind 0), under a random
+    /// selection vector (1) or under an empty one (2); values are the
+    /// row's ordinal across the list and its negation. Batches that would
+    /// take the list past `3 × BATCH_CAPACITY` live rows are left out.
+    fn batches_of(shapes: &[(usize, u8, u64)]) -> Vec<RowBatch> {
+        let (mut next, mut live, mut out) = (0i64, 0, Vec::new());
+        for &(rows, kind, mut seed) in shapes {
+            let mut batch = RowBatch::with_capacity(2, rows);
+            (next..next + rows as i64).for_each(|v| batch.push_row(&[v, -v]));
+            match kind {
+                0 => {}
+                1 => batch.set_selection(
+                    (0..rows as u32)
+                        .filter(|_| {
+                            seed ^= seed << 13;
+                            seed ^= seed >> 7;
+                            seed ^= seed << 17;
+                            seed % 3 != 0
+                        })
+                        .collect(),
+                ),
+                _ => batch.set_selection(Vec::new()),
+            }
+            if live + batch.len() > 3 * BATCH_CAPACITY {
+                continue;
+            }
+            next += rows as i64;
+            live += batch.len();
+            out.push(batch);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Drained under any request sequence, held rows come out in
+        /// order, in the reference slicer's slices. A batch that fits the
+        /// request, and the head of a cut of a batch up to twice the
+        /// request, leaves in its own column buffers, and such a cut keeps
+        /// a copy of only the rows past the request; a larger batch leaves
+        /// in dense copies. No drain copies more rows than it hands out.
+        #[test]
+        fn a_cut_moves_the_head_and_copies_only_the_rest(
+            shapes in proptest::collection::vec(
+                (1usize..=2 * BATCH_CAPACITY, 0u8..3, 1u64..u64::MAX),
+                0..8,
+            ),
+            requests in proptest::collection::vec(1usize..=2 * BATCH_CAPACITY, 1..16),
+        ) {
+            let batches = batches_of(&shapes);
+            let want = reference_slices(&batches, &requests);
+            let mut held = HeldRows::default();
+            batches.into_iter().for_each(|batch| held.push(batch));
+            let (total, mut copied, mut got) = (held.remaining(), 0, Vec::new());
+            for &max_rows in requests.iter().cycle() {
+                let served = held.served;
+                let front = held.batches.front().map(|b| (b.column(0).as_ptr(), b.len() - served));
+                let Some(slice) = held.next_slice(max_rows) else { break };
+                let (buffer, live) = front.expect("a slice comes from the front batch");
+                prop_assert!(slice.len() <= max_rows);
+                if served == 0 && live <= 2 * max_rows {
+                    prop_assert_eq!(slice.column(0).as_ptr(), buffer, "moved, not copied");
+                    if live > max_rows {
+                        let rest = held.batches.front().expect("the rest of the cut batch");
+                        prop_assert!(rest.selection().is_none());
+                        prop_assert_eq!(rest.rows(), live - max_rows, "only the rest copied");
+                        copied += rest.rows();
+                    }
+                } else {
+                    prop_assert!(slice.selection().is_none());
+                    copied += slice.rows();
+                }
+                got.push(slice.to_tuples());
+            }
+            prop_assert_eq!(held.remaining(), 0);
+            prop_assert!(copied <= total, "{} rows copied to hand out {}", copied, total);
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

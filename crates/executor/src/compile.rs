@@ -109,14 +109,11 @@ impl<'a> Compiler<'a, '_> {
         let node = &plan[id];
         let children = plan.children(id);
         // Mid-query re-optimization: a node whose result was retained at a
-        // checkpoint compiles to a scan over the retained batches — the
-        // substitution that keeps a re-plan from ever repeating finished work.
+        // checkpoint compiles to the leaf of held rows over a copy of the
+        // retained batches — the substitution that keeps a re-plan from
+        // ever repeating finished work.
         if let Some((layout, batches)) = ctx.reopt.as_ref().and_then(|s| s.materialized(id)) {
-            return Ok(Box::new(crate::reopt::MaterializedScanExec::new(
-                batches,
-                layout,
-                ctx.clone(),
-            )));
+            return Ok(Box::new(crate::LinkScanExec::held(batches, layout, ctx.clone())));
         }
         Ok(match node.op {
             PhysicalOp::FileScan { relation } => {

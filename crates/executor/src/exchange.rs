@@ -6,12 +6,16 @@
 //! worker to completion through [`run_parallel`] — each worker opens,
 //! drains into a batch sink, and closes its subtree — then merges the
 //! workers' private [`SharedCounters`] into the query's counters and lines
-//! their batches up in worker-index order. `next_batch` hands that list
-//! out in `max_rows` slices. Because the whole operator still *is* an
-//! [`Operator`], everything above it — choose-plan fallback, the resource
-//! governor, fault injection — composes unchanged. Its workers are
-//! morsel scans ([`parallel_scan`]); every other operator runs its dop-1
-//! code at every dop.
+//! their batches up in worker-index order. `next_batch` hands them out
+//! through the engine's one cut of held rows (`HeldRows`): a batch that
+//! fits the request leaves by move, and every worker batch fits a
+//! [`BATCH_CAPACITY`](crate::BATCH_CAPACITY) request, so at that request
+//! the exchange copies no row.
+//! Because the whole operator still *is* an [`Operator`], everything
+//! above it — choose-plan fallback, the resource governor, fault
+//! injection — composes unchanged. Its workers are morsel scans
+//! ([`parallel_scan`]); every other operator runs its dop-1 code at every
+//! dop.
 //!
 //! **Threads only on a paced disk.** On this engine a degree of
 //! parallelism above 1 buys I/O overlap and nothing else: on an unpaced
@@ -45,7 +49,7 @@ use std::thread;
 
 use dqep_storage::{PageClaims, SimDisk, StoredTable, DEFAULT_MORSEL_PAGES};
 
-use crate::batch::{BatchCursor, RowBatch};
+use crate::batch::{HeldRows, RowBatch};
 use crate::error::ExecError;
 use crate::exec::{drain_root, RootSink};
 use crate::governor::ExecContext;
@@ -96,10 +100,9 @@ pub struct ExchangeExec<'a> {
     /// The disk the workers read: whether it paces decides whether they
     /// run on threads.
     disk: SimDisk,
-    /// What the workers produced, in worker order, and how far it has
-    /// been handed out.
-    output: Vec<RowBatch>,
-    served: BatchCursor,
+    /// What the workers produced and is not yet handed out, in worker
+    /// order.
+    output: HeldRows,
     /// A worker failure, surfaced on the first `next_batch` call (the
     /// serial scan's error phase) instead of from `open`.
     pending_err: Option<ExecError>,
@@ -130,8 +133,7 @@ impl<'a> ExchangeExec<'a> {
             layout,
             ctx,
             disk,
-            output: Vec::new(),
-            served: BatchCursor::default(),
+            output: HeldRows::default(),
             pending_err: None,
             opened: false,
         }
@@ -160,14 +162,14 @@ impl Operator for ExchangeExec<'_> {
         }
         for r in results {
             match r {
-                Ok(batches) => self.output.extend(batches),
+                Ok(batches) => batches.into_iter().for_each(|batch| self.output.push(batch)),
                 Err(e) => {
                     self.pending_err.get_or_insert(e);
                 }
             }
         }
         if self.pending_err.is_some() {
-            self.output.clear();
+            self.output = HeldRows::default();
         }
         Ok(())
     }
@@ -178,18 +180,17 @@ impl Operator for ExchangeExec<'_> {
         if let Some(e) = self.pending_err.take() {
             return Err(e);
         }
-        let Some(batch) = self.served.next_slice(&self.output, max_rows) else {
+        let Some(batch) = self.output.next_slice(max_rows) else {
             return Ok(None);
         };
-        self.ctx.governor.check_batch(batch.rows() as u64)?;
+        self.ctx.governor.check_batch(batch.len() as u64)?;
         Ok(Some(batch))
     }
 
     fn close(&mut self) {
         // Workers close themselves at the end of their drain; only their
         // output remains to release.
-        self.output.clear();
-        self.served = BatchCursor::default();
+        self.output = HeldRows::default();
         self.pending_err = None;
     }
 
@@ -199,7 +200,7 @@ impl Operator for ExchangeExec<'_> {
 
     fn estimated_rows(&self) -> Option<u64> {
         // Exact after `open` (what is left to hand out); unknown before.
-        self.opened.then(|| self.served.remaining(&self.output) as u64)
+        self.opened.then(|| self.output.remaining() as u64)
     }
 }
 

@@ -177,12 +177,10 @@ pub fn drain(op: &mut dyn Operator) -> Result<Vec<Tuple>, ExecError> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::governor::ExecContext;
     use crate::metrics::SharedCounters;
-    use crate::reopt::MaterializedScanExec;
+    use crate::LinkScanExec;
 
     #[test]
     fn batch_sink_keeps_batches_and_a_mark_cuts_back_to_it() {
@@ -192,14 +190,15 @@ mod tests {
         let rows = source.to_tuples();
         let ctx = ExecContext::new(SharedCounters::new());
         let layout = TupleLayout::for_tests(2, 16);
-        let mut op = MaterializedScanExec::new(Arc::new(vec![source]), layout, ctx);
+        // A leaf is read once: each drain gets its own over the same rows.
+        let leaf = || LinkScanExec::held(vec![source.clone()], layout.clone(), ctx.clone());
         let mut batches = vec![RowBatch::new(2)];
         let mut sink = RootSink::Batches(&mut batches);
         let mark = sink.mark();
-        let pulled = drain_root(&mut op, None, sink.reborrow());
+        let pulled = drain_root(&mut leaf(), None, sink.reborrow());
         assert_eq!(pulled.unwrap(), n as u64);
         sink.truncate(mark);
-        drain_root(&mut op, None, sink).unwrap();
+        drain_root(&mut leaf(), None, sink).unwrap();
         assert_eq!(batches.len(), 4, "the caller's batch, then one drain's three");
         assert!(batches.iter().all(|b| b.rows() <= BATCH_CAPACITY));
         let got: Vec<Tuple> = batches.iter().flat_map(RowBatch::iter).collect();

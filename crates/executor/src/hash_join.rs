@@ -44,7 +44,7 @@
 
 use dqep_storage::{SimDisk, SpillFile, SpillWriter};
 
-use crate::batch::{ColStream, RowBatch, BATCH_CAPACITY};
+use crate::batch::{HeldRows, RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
 use crate::governor::ExecContext;
 use crate::metrics::SharedCounters;
@@ -319,24 +319,17 @@ impl RadixTable {
     }
 
     /// Gathers `pairs` into `out` column by column (`probe_col(c)` is the
-    /// probe side's column `c`). The build attributes come first when
-    /// `build_first` — the operator's layout, whose build side is its left
-    /// input — else the probe attributes do.
+    /// probe side's column `c`), the build attributes first — the
+    /// operator's layout, whose build side is its left input.
     fn gather_pairs_into<'p>(
         &self,
         probe_col: impl Fn(usize) -> &'p [i64],
         pairs: &[(u32, u32)],
-        build_first: bool,
         out: &mut RowBatch,
     ) {
         let bw = self.build_width();
         out.extend_rows_with(pairs.len(), |cols| {
-            let (bcols, pcols) = if build_first {
-                cols.split_at_mut(bw)
-            } else {
-                let (pcols, bcols) = cols.split_at_mut(cols.len() - bw);
-                (bcols, pcols)
-            };
+            let (bcols, pcols) = cols.split_at_mut(bw);
             for (c, col) in bcols.iter_mut().enumerate() {
                 let src = &self.cols[c];
                 col.extend(pairs.iter().map(|&(i, _)| src[i as usize]));
@@ -405,7 +398,7 @@ impl JoinedPair {
         let pairs = &self.pairs[self.next..self.next + take];
         self.next += take;
         let mut out = RowBatch::with_capacity(width, take);
-        self.table.gather_pairs_into(|c| self.probe.column(c), pairs, true, &mut out);
+        self.table.gather_pairs_into(|c| self.probe.column(c), pairs, &mut out);
         Some(out)
     }
 }
@@ -440,7 +433,7 @@ pub struct HashJoinExec<'a> {
     reserved: u64,
     state: State,
     /// Joined rows a resident probe batch produced beyond the request.
-    joined: ColStream,
+    joined: HeldRows,
 }
 
 impl<'a> HashJoinExec<'a> {
@@ -468,14 +461,14 @@ impl<'a> HashJoinExec<'a> {
             budget_bytes,
             reserved: 0,
             state: State::Closed,
-            joined: ColStream::default(),
+            joined: HeldRows::default(),
         }
     }
 }
 
 impl Operator for HashJoinExec<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.joined = ColStream::default();
+        self.joined = HeldRows::default();
         self.build.open()?;
         let build_row_bytes = self.build.layout().row_bytes;
         let build_width = self.build.layout().width();
@@ -559,9 +552,10 @@ impl Operator for HashJoinExec<'_> {
 
     /// The join's native body. The resident path (`State::Radix`)
     /// hashes probe batches with the columnar kernel, walks the radix
-    /// table's chains, and gathers match pairs column by column, handing
-    /// out what a probe batch produced beyond the request in `max_rows`
-    /// slices first; the Grace path gathers the current partition pair's
+    /// table's chains, and gathers match pairs column by column — those
+    /// past the request, which the last probe batch may produce, into a
+    /// held batch of their own, handed out in `max_rows` slices first;
+    /// the Grace path gathers the current partition pair's
     /// next `max_rows` match pairs, and joins the next pair
     /// (`JoinedPair::join`) when they are handed out.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
@@ -593,7 +587,7 @@ impl Operator for HashJoinExec<'_> {
                 State::Radix(table) => {
                     // Grown by each probe batch's exact match count: a
                     // selective join never pays for `max_rows` up front.
-                    let mut out = RowBatch::with_capacity(self.layout.width(), 0);
+                    let mut out = RowBatch::with_capacity(width, 0);
                     let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
                     while out.rows() < max_rows {
                         let Some(probe_batch) = self.probe.next_batch(max_rows)? else {
@@ -607,14 +601,19 @@ impl Operator for HashJoinExec<'_> {
                             &mut hashes,
                             &mut pairs,
                         );
-                        table.gather_pairs_into(|c| probe_batch.column(c), &pairs, true, &mut out);
+                        let room = pairs.len().min(max_rows - out.rows());
+                        let probe_col = |c| probe_batch.column(c);
+                        table.gather_pairs_into(probe_col, &pairs[..room], &mut out);
+                        if room < pairs.len() {
+                            // The last probe batch out-produced the request:
+                            // the rows past it are gathered into a batch of
+                            // their own and held, as a cut would keep them.
+                            let mut rest = RowBatch::with_capacity(width, pairs.len() - room);
+                            table.gather_pairs_into(probe_col, &pairs[room..], &mut rest);
+                            self.joined.push(rest);
+                        }
                     }
-                    if out.rows() == 0 {
-                        return Ok(None);
-                    }
-                    // The last probe batch may have out-produced the
-                    // request; the loop hands out `max_rows` at a time.
-                    self.joined = ColStream::new(out);
+                    return Ok((out.rows() > 0).then_some(out));
                 }
             }
         }
@@ -623,7 +622,7 @@ impl Operator for HashJoinExec<'_> {
     fn close(&mut self) {
         self.probe.close();
         self.state = State::Closed;
-        self.joined = ColStream::default();
+        self.joined = HeldRows::default();
         if self.reserved > 0 {
             self.ctx.governor.release_memory(self.reserved);
             self.reserved = 0;
@@ -718,7 +717,7 @@ mod tests {
                 let (mut hashes, mut pairs) = (Vec::new(), Pairs::new());
                 table.match_batch(keys, &counters, probe, &mut hashes, &mut pairs);
                 let mut out = RowBatch::new(store.width() + probe.width());
-                table.gather_pairs_into(|c| probe.column(c), &pairs, true, &mut out);
+                table.gather_pairs_into(|c| probe.column(c), &pairs, &mut out);
                 assert_eq!(out.to_tuples(), want, "{what}, {parts} partitions");
             }
         };

@@ -4,7 +4,7 @@
 use dqep_catalog::IndexId;
 use dqep_storage::{BufferPool, Rid, StoredTable};
 
-use crate::batch::{ColStream, RowBatch};
+use crate::batch::{HeldRows, RowBatch};
 use crate::error::ExecError;
 use crate::filter::ResolvedPred;
 use crate::governor::ExecContext;
@@ -41,7 +41,7 @@ pub struct IndexJoinExec<'a> {
     outer_pos: usize,
     /// Joined rows not yet handed out: the last outer row probed may
     /// match more inner records than the request had room for.
-    joined: ColStream,
+    joined: HeldRows,
     /// The rids one probe found; kept for its allocation.
     rids: Vec<Rid>,
 }
@@ -77,7 +77,7 @@ impl<'a> IndexJoinExec<'a> {
             ctx,
             outer_batch: RowBatch::default(),
             outer_pos: 0,
-            joined: ColStream::default(),
+            joined: HeldRows::default(),
             rids: Vec::new(),
         })
     }
@@ -141,7 +141,7 @@ impl Operator for IndexJoinExec<'_> {
         self.outer.open()?;
         self.outer_batch = RowBatch::default();
         self.outer_pos = 0;
-        self.joined = ColStream::default();
+        self.joined = HeldRows::default();
         Ok(())
     }
 
@@ -150,28 +150,23 @@ impl Operator for IndexJoinExec<'_> {
     /// are left. Counters are charged once per probe pass — also for the
     /// work of a pass that failed.
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
-        loop {
-            if let Some(batch) = self.joined.next_slice(max_rows) {
-                return Ok(Some(batch));
-            }
-            let mut out = RowBatch::with_capacity(self.layout.width(), 0);
-            let mut compares = 0;
-            let probed = self.probe(max_rows, &mut out, &mut compares);
-            self.ctx.counters.add_compares(compares);
-            self.ctx.counters.add_records(out.rows() as u64);
-            probed?;
-            self.ctx.governor.check_batch(out.rows() as u64)?;
-            if out.rows() == 0 {
-                return Ok(None);
-            }
-            self.joined = ColStream::new(out);
+        if let Some(batch) = self.joined.next_slice(max_rows) {
+            return Ok(Some(batch));
         }
+        let mut out = RowBatch::with_capacity(self.layout.width(), 0);
+        let mut compares = 0;
+        let probed = self.probe(max_rows, &mut out, &mut compares);
+        self.ctx.counters.add_compares(compares);
+        self.ctx.counters.add_records(out.rows() as u64);
+        probed?;
+        self.ctx.governor.check_batch(out.rows() as u64)?;
+        Ok(self.joined.cut(out, max_rows))
     }
 
     fn close(&mut self) {
         self.outer.close();
         self.outer_batch = RowBatch::default();
-        self.joined = ColStream::default();
+        self.joined = HeldRows::default();
     }
 
     fn layout(&self) -> &TupleLayout {

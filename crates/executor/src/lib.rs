@@ -94,8 +94,8 @@ pub use netexchange::{
     NetStats, SimNet, FRAME_HEADER_BYTES,
 };
 pub use reopt::{
-    escapes_interval, pick_pilot, MaterializedScanExec, ReoptConfig, ReoptCounters, ReoptEvent,
-    ReoptEventKind, ReoptReport, ReoptState,
+    escapes_interval, pick_pilot, ReoptConfig, ReoptCounters, ReoptEvent, ReoptEventKind,
+    ReoptReport, ReoptState,
 };
 pub use sort::{kway_merge, SortExec};
 pub use trace::{

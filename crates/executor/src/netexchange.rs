@@ -33,13 +33,14 @@
 //!   [`LinkScanExec`] leaf decodes a shard's in-links frame by frame, then
 //!   hands out what the shard kept; each records its network span.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::batch::{ColStream, RowBatch, BATCH_CAPACITY};
+use crate::batch::{HeldRows, RowBatch, BATCH_CAPACITY};
 use crate::error::ExecError;
 use crate::exec::Operator;
 use crate::governor::ExecContext;
@@ -524,25 +525,31 @@ pub fn scatter_by_shard(
     }
 }
 
-/// The receive half of a shard's links for one stage side, as a leaf: the
-/// frames of `links`, link by link, a pull decoding at most one, then the
-/// batches the shard kept. A batch that fits the request leaves by move, a
-/// larger one is cut into copies; rows already produced are charged
-/// nothing. A frame whose width is not the layout's is refused (the header
-/// is input: a narrower frame would index out of range in a key column).
-/// Traced, a link that delivered frames is one `Net-Recv` span under
-/// `ctx`'s span parent, with its rows and frames and the first send span
-/// they named (the send side owns the bytes).
+/// The engine's leaf over rows already produced: the receive half of a
+/// shard's links for one stage side — the frames of `links`, link by
+/// link, a pull decoding at most one — then the batches the shard kept.
+/// With no links it is the leaf of any held rows: a shard's kept rows, a
+/// re-optimization checkpoint's retained intermediate
+/// ([`LinkScanExec::held`]). Each batch goes through the engine's one cut
+/// of held rows: a batch that fits the request leaves by move, one of up
+/// to twice the request (a link's last frame) leaves its first `max_rows`
+/// live rows by move and keeps a copy of the rest; rows already produced
+/// are charged nothing. A frame whose
+/// width is not the layout's is refused (the header is input: a narrower
+/// frame would index out of range in a key column). Traced, a link that
+/// delivered frames is one `Net-Recv` span under `ctx`'s span parent,
+/// with its rows and frames and the first send span they named (the send
+/// side owns the bytes).
 pub struct LinkScanExec<'a, L> {
     links: L,
     kept: std::vec::IntoIter<RowBatch>,
-    layout: &'a TupleLayout,
+    layout: Cow<'a, TupleLayout>,
     ctx: ExecContext,
     /// The link being read, its rows and frames and first send span.
     link: Option<&'a NetChannel>,
     received: (SpanStats, Option<u64>),
-    /// The batch being handed out.
-    held: ColStream,
+    /// The rest of the batch being handed out.
+    held: HeldRows,
 }
 
 impl<'a, L: Iterator<Item = &'a NetChannel>> LinkScanExec<'a, L> {
@@ -555,7 +562,7 @@ impl<'a, L: Iterator<Item = &'a NetChannel>> LinkScanExec<'a, L> {
         ctx: ExecContext,
     ) -> LinkScanExec<'a, L> {
         let (mut links, kept, received) = (links.into_iter(), kept.into_iter(), <_>::default());
-        let (link, held) = (links.next(), ColStream::default());
+        let (link, layout, held) = (links.next(), Cow::Borrowed(layout), HeldRows::default());
         LinkScanExec { links, kept, layout, ctx, link, received, held }
     }
 
@@ -599,30 +606,50 @@ impl<'a, L: Iterator<Item = &'a NetChannel>> LinkScanExec<'a, L> {
     }
 }
 
+impl LinkScanExec<'static, std::iter::Empty<&'static NetChannel>> {
+    /// A leaf of no links that hands out `batches` as `layout`, which it
+    /// owns: how a retained intermediate is read.
+    #[must_use]
+    pub fn held(batches: Vec<RowBatch>, layout: TupleLayout, ctx: ExecContext) -> Self {
+        let (links, kept, layout) = (std::iter::empty(), batches.into_iter(), Cow::Owned(layout));
+        let (received, held) = (<_>::default(), HeldRows::default());
+        LinkScanExec { links, kept, layout, ctx, link: None, received, held }
+    }
+}
+
 impl<'a, L: Iterator<Item = &'a NetChannel>> Operator for LinkScanExec<'a, L> {
     fn open(&mut self) -> Result<(), ExecError> {
         Ok(())
     }
 
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
-        loop {
+        let batch = loop {
             if let Some(batch) = self.held.next_slice(max_rows) {
-                self.ctx.governor.check_batch(batch.len() as u64)?;
-                return Ok(Some(batch));
+                break batch;
             }
             let Some(batch) = self.next_input()? else { return Ok(None) };
-            self.held = ColStream::new(batch);
-        }
+            if let Some(batch) = self.held.cut(batch, max_rows) {
+                break batch;
+            }
+        };
+        self.ctx.governor.check_batch(batch.len() as u64)?;
+        Ok(Some(batch))
     }
 
     /// Records the receive span of a link left part-read.
     fn close(&mut self) {
         self.end_link();
-        self.held = ColStream::default();
+        self.held = HeldRows::default();
     }
 
     fn layout(&self) -> &TupleLayout {
-        self.layout
+        &self.layout
+    }
+
+    /// Exact once the links are read: the live rows held and kept.
+    fn estimated_rows(&self) -> Option<u64> {
+        let kept: usize = self.kept.as_slice().iter().map(RowBatch::len).sum();
+        self.link.is_none().then(|| (self.held.remaining() + kept) as u64)
     }
 }
 

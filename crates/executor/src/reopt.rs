@@ -32,9 +32,12 @@
 //!    wall-clock budget and cancellation) allows, so recovery can never
 //!    cost more than the misestimate it fixes.
 //! 3. **No repeated work.** Retained intermediates are substituted into
-//!    the re-planned execution as [`MaterializedScanExec`] leaves, keyed
-//!    by original plan-node id — the build table that triggered the
-//!    re-plan is never recomputed (verifiable by I/O counters).
+//!    the re-planned execution, keyed by original plan-node id, as the
+//!    leaf a shard reads its kept rows with: a [`crate::LinkScanExec`] of
+//!    no links ([`crate::LinkScanExec::held`]) over a copy of the
+//!    retained batches, which hands them out by move and charges nothing
+//!    — the build table that triggered the re-plan is never recomputed
+//!    (verifiable by I/O counters).
 //! 4. **Graceful degradation.** A governor refusal to retain an
 //!    intermediate degrades the memory grant the re-arbitration plans
 //!    with (steering toward the cheapest-memory alternatives) instead of
@@ -72,10 +75,10 @@ use dqep_plan::{next_blocking_input, NodeId, Observations, Plan, StartupResult};
 use dqep_storage::StoredDatabase;
 use parking_lot::Mutex;
 
-use crate::batch::{BatchCursor, RowBatch};
+use crate::batch::RowBatch;
 use crate::compile::run_once;
 use crate::error::ExecError;
-use crate::exec::{drain_root, Operator, RootSink};
+use crate::exec::{drain_root, RootSink};
 use crate::governor::{ExecContext, ResourceGovernor};
 use crate::metrics::{ExecSummary, RunEvent, SharedCounters};
 use crate::tuple::TupleLayout;
@@ -231,7 +234,7 @@ impl ReoptReport {
 #[derive(Debug, Default)]
 struct ReoptInner {
     observations: Observations,
-    materialized: Vec<(NodeId, TupleLayout, Arc<Vec<RowBatch>>)>,
+    materialized: Vec<(NodeId, TupleLayout, Vec<RowBatch>)>,
     reserved_bytes: u64,
     /// The start-up decision the driver made last.
     in_force: Option<Arc<StartupResult>>,
@@ -415,25 +418,26 @@ impl ReoptState {
         }
         let mut inner = self.inner.lock();
         inner.reserved_bytes += bytes;
-        inner.materialized.push((node, layout, Arc::new(batches)));
+        inner.materialized.push((node, layout, batches));
         true
     }
 
-    /// The retained intermediate for `node`, if any — shared, so a plan
-    /// that references the node twice serves the same batches twice.
+    /// A copy of the retained intermediate for `node`, if any: the leaf
+    /// that reads it hands its copy out by move, and the batches stay the
+    /// state's for every later attempt and every reference to the node.
     #[must_use]
-    pub fn materialized(&self, node: NodeId) -> Option<(TupleLayout, Arc<Vec<RowBatch>>)> {
+    pub fn materialized(&self, node: NodeId) -> Option<(TupleLayout, Vec<RowBatch>)> {
         self.inner
             .lock()
             .materialized
             .iter()
             .find(|(id, _, _)| *id == node)
-            .map(|(_, layout, rows)| (layout.clone(), Arc::clone(rows)))
+            .map(|(_, layout, rows)| (layout.clone(), rows.clone()))
     }
 
     /// Returns every retention reservation to the governor (the rows stay
     /// available). Called once before the final run: operators consuming a
-    /// [`MaterializedScanExec`] re-reserve as they buffer, and holding the
+    /// retained intermediate re-reserve as they buffer, and holding the
     /// retention reservation across that would double-charge the grant.
     pub(crate) fn release_reservations(&self, governor: &ResourceGovernor) {
         let mut inner = self.inner.lock();
@@ -473,55 +477,6 @@ impl ReoptState {
             Some(counters) => counters.with_trail(view),
             None => view(&[]),
         }
-    }
-}
-
-/// Serves a retained intermediate result as an ordinary [`Operator`]:
-/// the executor's leaf form of "already-materialized work". Like the
-/// exchange's output this is pure transport — the rows were charged
-/// (CPU and I/O) when they were first produced, so serving them again
-/// charges nothing, keeping counter totals identical to a one-pass run.
-/// The list is shared with its owner (a re-optimization checkpoint's), so
-/// it is handed out in dense copies and can be served again.
-pub struct MaterializedScanExec {
-    batches: Arc<Vec<RowBatch>>,
-    layout: TupleLayout,
-    ctx: ExecContext,
-    served: BatchCursor,
-}
-
-impl MaterializedScanExec {
-    /// An operator serving `batches` with `layout`.
-    #[must_use]
-    pub fn new(batches: Arc<Vec<RowBatch>>, layout: TupleLayout, ctx: ExecContext) -> Self {
-        MaterializedScanExec { batches, layout, ctx, served: BatchCursor::default() }
-    }
-}
-
-impl Operator for MaterializedScanExec {
-    fn open(&mut self) -> Result<(), ExecError> {
-        self.served = BatchCursor::default();
-        Ok(())
-    }
-
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<RowBatch>, ExecError> {
-        let Some(batch) = self.served.next_slice(&self.batches, max_rows) else {
-            return Ok(None);
-        };
-        self.ctx.governor.check_batch(batch.rows() as u64)?;
-        Ok(Some(batch))
-    }
-
-    fn close(&mut self) {
-        self.served = BatchCursor::default();
-    }
-
-    fn layout(&self) -> &TupleLayout {
-        &self.layout
-    }
-
-    fn estimated_rows(&self) -> Option<u64> {
-        Some(self.served.remaining(&self.batches) as u64)
     }
 }
 
@@ -740,7 +695,7 @@ pub(crate) fn drive(
 mod tests {
     use super::*;
     use crate::compile::grant_bytes;
-    use crate::exec::drain;
+    use crate::exec::{drain, Operator};
     use crate::governor::ResourceLimits;
     use crate::metrics::SharedCounters;
     use crate::tuple::Tuple;
@@ -1090,18 +1045,16 @@ mod tests {
     }
 
     #[test]
-    fn materialized_scan_serves_live_rows_and_reopens() {
+    fn the_retained_leaf_serves_live_rows() {
         let layout = TupleLayout::for_tests(1, 16);
         let mut batch = RowBatch::new(1);
         (0..5).for_each(|v| batch.push_row(&[v]));
         batch.set_selection(vec![1, 2, 4]);
-        let batches = Arc::new(vec![batch]);
+        let batches = vec![batch];
         let ctx = ExecContext::new(SharedCounters::new());
-        let mut op = MaterializedScanExec::new(batches, layout, ctx);
+        let mut op = crate::LinkScanExec::held(batches, layout, ctx);
         assert_eq!(op.estimated_rows(), Some(3));
         assert_eq!(drain(&mut op).unwrap(), vec![vec![1i64], vec![2], vec![4]]);
-        // A re-open serves again from the start.
-        assert_eq!(drain(&mut op).unwrap().len(), 3);
     }
 
     #[test]

@@ -23,9 +23,11 @@ use common::{allocations, voluntary_switches};
 
 /// Allocations (and reallocations) allowed per frame on top of one per
 /// result row: set at the measurement plus 40 %, when this query measured
-/// 57 per frame (457 over 8 frames). It measures 79 (630) since a shard
-/// drains its join and its sort in 1 024-row requests, 67 (532) while it
-/// took each in one request. It was 58 (462) while each query spawned a
+/// 57 per frame (457 over 8 frames). It measures 76 (609; 5 938 in all)
+/// since a cut of held rows moves its head and copies only the rest; it
+/// was 79 (630; 5 963) while a shard's 1 024-row requests copied every
+/// row they cut, and 67 (532) while a shard took its join and its sort
+/// each in one request. It was 58 (462) while each query spawned a
 /// thread per shard, and 288 (2 307) while file scans built a record list
 /// per page and carried page-tail rows as tuples.
 const PER_FRAME: u64 = 80;

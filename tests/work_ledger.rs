@@ -382,7 +382,7 @@ statement 0 cpu.compares 12000
 statement 0 cpu.hashes 28962
 statement 0 temp pages peak 2075
 statement 0 allocations 646
-statement 0 allocated bytes 2194189
+statement 0 allocated bytes 2194157
 statement 1 rows 8481
 statement 1 cpu.records 28962
 statement 1 cpu.compares 122757
@@ -396,7 +396,7 @@ statement 2 cpu.compares 18000
 statement 2 cpu.hashes 25468
 statement 2 temp pages peak 1826
 statement 2 allocations 612
-statement 2 allocated bytes 1883305
+statement 2 allocated bytes 1883273
 ";
 
 /// The three `fact`/`dim` statements of the `exec_scale` workload — the
@@ -463,8 +463,8 @@ const SHARD_JOIN: &str = "\
 2 shards statement 0 cpu.records 34964
 2 shards statement 0 cpu.compares 12000
 2 shards statement 0 cpu.hashes 14481
-2 shards statement 0 allocations 9232
-2 shards statement 0 allocated bytes 3321809
+2 shards statement 0 allocations 9193
+2 shards statement 0 allocated bytes 3024209
 2 shards statement 1 rows 8481
 2 shards statement 1 wire bytes 135888
 2 shards statement 1 frames 8
@@ -475,8 +475,8 @@ const SHARD_JOIN: &str = "\
 2 shards statement 1 cpu.records 20481
 2 shards statement 1 cpu.compares 12000
 2 shards statement 1 cpu.hashes 0
-2 shards statement 1 allocations 8687
-2 shards statement 1 allocated bytes 908221
+2 shards statement 1 allocations 8683
+2 shards statement 1 allocated bytes 875869
 2 shards statement 2 rows 6016
 2 shards statement 2 wire bytes 294768
 2 shards statement 2 frames 10
@@ -487,8 +487,8 @@ const SHARD_JOIN: &str = "\
 2 shards statement 2 cpu.records 42766
 2 shards statement 2 cpu.compares 87514
 2 shards statement 2 cpu.hashes 12734
-2 shards statement 2 allocations 6799
-2 shards statement 2 allocated bytes 3505342
+2 shards statement 2 allocations 6765
+2 shards statement 2 allocated bytes 3241534
 4 shards statement 0 rows 8483
 4 shards statement 0 wire bytes 447632
 4 shards statement 0 frames 32
@@ -499,8 +499,8 @@ const SHARD_JOIN: &str = "\
 4 shards statement 0 cpu.records 34964
 4 shards statement 0 cpu.compares 12000
 4 shards statement 0 cpu.hashes 14481
-4 shards statement 0 allocations 9617
-4 shards statement 0 allocated bytes 3540393
+4 shards statement 0 allocations 9580
+4 shards statement 0 allocated bytes 3242889
 ";
 
 /// The three statements of the `shard_join` workload — the plain join,
